@@ -85,17 +85,26 @@
 // without such a journal can set Config.Durability instead:
 //
 //   - DurabilityBuffered appends every AddRef/RemoveRef/RelocateBlock to
-//     a write-ahead log (internal/wal) without fsync. A clean Close
-//     preserves everything; a crash can lose recent updates but never
-//     corrupts the database.
+//     a write-ahead log (internal/wal) without fsync. Records are
+//     collected in memory and handed to the operating system 64 KiB at a
+//     time (and at every Checkpoint and Close), so the log costs a device
+//     write per few thousand updates, not per update. A clean Close
+//     preserves everything. A crash — of the process as much as of the
+//     machine, since the newest records (at most 64 KiB) have not reached
+//     the OS cache yet — can lose recent updates, but what replays is
+//     always a prefix of what was logged and never corrupts the database.
+//     A failed log write surfaces through DurabilityErr when it happens,
+//     which is after the updates it carried were acknowledged.
 //   - DurabilitySync group-commits the log: concurrent updates are
 //     batched into a single write-and-fsync by a single-flight leader, so
 //     an acknowledged update survives any crash at a per-batch (not
 //     per-op) fsync cost.
 //
-// Open replays the log tail — tolerating a torn final record — to rebuild
-// the write stores, and Checkpoint retires the log, so queries and paper
-// experiments behave identically in every mode.
+// Log records are varint-encoded (about 20 bytes per update; segment
+// format 2 — segments written by older binaries in format 1 still
+// replay). Open replays the log tail — tolerating a torn final record — to
+// rebuild the write stores, and Checkpoint retires the log, so queries and
+// paper experiments behave identically in every mode.
 //
 // # Maintenance
 //
@@ -232,7 +241,7 @@
 //     path: backlog_addref_ns, backlog_removeref_ns, backlog_query_ns,
 //     backlog_queryrange_ns, the write-ahead log's append latency
 //     (backlog_wal_append_ns), flush duration (backlog_wal_flush_ns) and
-//     group-commit batch-size distribution (backlog_wal_batch_records),
+//     records-per-flush distribution (backlog_wal_batch_records),
 //     the three checkpoint phases (backlog_checkpoint_freeze_ns,
 //     _flush_ns, _install_ns — the structured successors of the
 //     deprecated Stats.Checkpoint*Nanos counters), compaction
@@ -244,7 +253,8 @@
 //     write-store sizes (backlog_ws_records{shard="N"}), frozen
 //     generations mid-checkpoint, pinned views (backlog_view_pins),
 //     dropped-but-pinned run files (backlog_deferred_run_files), live
-//     runs, WAL segments, and on-disk bytes.
+//     runs, WAL segments, WAL bytes accepted but not yet handed to the OS
+//     (backlog_wal_buffered_bytes), and on-disk bytes.
 //
 // DB.Metrics returns the structured snapshot; DB.WriteMetrics renders it
 // in the Prometheus text exposition format. Config.DebugAddr starts an
@@ -405,7 +415,8 @@ const (
 	// are discarded by a crash or Close.
 	DurabilityCheckpointOnly = wal.CheckpointOnly
 	// DurabilityBuffered appends updates to a write-ahead log without
-	// fsync: a clean Close preserves them, a crash may not.
+	// fsync, 64 KiB per device write: a clean Close preserves them, a
+	// crash may not.
 	DurabilityBuffered = wal.Buffered
 	// DurabilitySync group-commits the write-ahead log with one fsync per
 	// batch: an acknowledged update survives any crash.

@@ -21,7 +21,6 @@ import (
 	"github.com/backlogfs/backlog/internal/experiments"
 	"github.com/backlogfs/backlog/internal/naive"
 	"github.com/backlogfs/backlog/internal/storage"
-	"github.com/backlogfs/backlog/internal/wal"
 	"github.com/backlogfs/backlog/internal/workload"
 )
 
@@ -567,93 +566,6 @@ func BenchmarkLeveledIngest(b *testing.B) {
 			b.ReportMetric(compactMB, "compactMB")
 			b.ReportMetric(amp, "writeamp")
 		})
-	}
-}
-
-// --- Write-ahead-log append cost by durability mode ---
-
-// BenchmarkWALAppend measures the per-op cost of the durability ladder:
-// CheckpointOnly (no log), Buffered (log append, no fsync), and Sync
-// (group-committed fsync per batch), with one writer and with GOMAXPROCS
-// writers. The batched/op metric in the Sync rows shows group commit at
-// work: with concurrent writers one WriteAt+Sync covers many appends, so
-// per-op latency amortizes instead of paying a full fsync each.
-func BenchmarkWALAppend(b *testing.B) {
-	modes := []wal.Durability{wal.CheckpointOnly, wal.Buffered, wal.Sync}
-	writerCounts := []int{1}
-	if p := runtime.GOMAXPROCS(0); p > 1 {
-		writerCounts = append(writerCounts, p)
-	}
-	for _, mode := range modes {
-		for _, writers := range writerCounts {
-			b.Run(fmt.Sprintf("durability=%s/writers=%d", mode, writers), func(b *testing.B) {
-				eng, err := core.Open(core.Options{
-					VFS:        storage.NewMemFS(),
-					Catalog:    core.NewMemCatalog(),
-					Durability: mode,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				var (
-					workerIDs atomic.Uint64
-					ops       atomic.Uint64
-					cp        atomic.Uint64
-					cpMu      sync.Mutex
-				)
-				cp.Store(1)
-				// The cadence bounds both write-store growth and the
-				// active WAL segment (MemFS models fsync as a copy of the
-				// whole file, so an ever-growing segment would overstate
-				// Sync's cost).
-				checkpointMaybe := func(n uint64) {
-					if n%50_000 != 0 {
-						return
-					}
-					cpMu.Lock()
-					next := cp.Load() + 1
-					err := eng.Checkpoint(next)
-					if err == nil {
-						cp.Store(next)
-					}
-					cpMu.Unlock()
-					if err != nil {
-						b.Error(err)
-					}
-				}
-				// cp.Load() can be one behind a concurrently committing
-				// checkpoint, tagging a few records with an
-				// already-committed CP — fine for a benchmark that never
-				// crashes, but see the AddRef doc before copying this
-				// pattern into recovery-sensitive code.
-				b.ReportAllocs()
-				b.ResetTimer()
-				if writers == 1 {
-					for i := 0; i < b.N; i++ {
-						eng.AddRef(core.Ref{Block: uint64(i), Inode: 1, Offset: uint64(i), Length: 1}, cp.Load())
-						checkpointMaybe(ops.Add(1))
-					}
-				} else {
-					b.RunParallel(func(pb *testing.PB) {
-						w := workerIDs.Add(1)
-						base := w << 40
-						var i uint64
-						for pb.Next() {
-							eng.AddRef(core.Ref{Block: base + i, Inode: w, Offset: i, Length: 1}, cp.Load())
-							i++
-							checkpointMaybe(ops.Add(1))
-						}
-					})
-				}
-				b.StopTimer()
-				if st := eng.Stats(); st.WALBatches > 0 {
-					b.ReportMetric(float64(st.WALAppends)/float64(st.WALBatches), "appends/batch")
-				}
-				if err := eng.Close(); err != nil {
-					b.Fatal(err)
-				}
-			})
-		}
 	}
 }
 

@@ -24,7 +24,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("experiment", "all", "fig5|fig6|fig7|fig8|fig9|fig10|naive|ingest|wal|interference|cpstall|expire|compress|obs|iostat|levels|all")
+	exp := flag.String("experiment", "all", "fig5|fig6|fig7|fig8|fig9|fig10|naive|ingest|interference|cpstall|expire|compress|obs|iostat|levels|all")
 	scale := flag.String("scale", "small", "small|full")
 	flag.Parse()
 
@@ -49,7 +49,6 @@ func main() {
 	run("fig10", runFig10)
 	run("naive", runNaive)
 	run("ingest", runIngest)
-	run("wal", runWALSweep)
 	run("interference", runInterference)
 	run("cpstall", runCPStall)
 	run("expire", runExpire)
@@ -222,26 +221,6 @@ func runNaive(full bool) error {
 			b = res.Backlog[i]
 		}
 		fmt.Fprintf(w, "%d\t%.3f\t%.2f\t%.3f\t%.2f\n", n.CP, n.IOPerOp, n.TimePerOpUS, b.IOPerOp, b.TimePerOpUS)
-	}
-	return w.Flush()
-}
-
-func runWALSweep(full bool) error {
-	fmt.Println("WAL group commit: append throughput and batch size by durability mode and writer count")
-	fmt.Println("(not a paper figure; the figure experiments pin checkpoint-only durability for fidelity)")
-	cfg := experiments.DefaultWALSweepConfig()
-	if full {
-		cfg.Ops = 1_000_000
-	}
-	pts, err := experiments.RunWALSweep(cfg)
-	if err != nil {
-		return err
-	}
-	w := tw()
-	fmt.Fprintln(w, "durability\twriters\tops\tops/sec\tflush batches\tappends/batch\tfsyncs")
-	for _, p := range pts {
-		fmt.Fprintf(w, "%s\t%d\t%d\t%.0f\t%d\t%.2f\t%d\n",
-			p.Mode, p.Writers, p.Ops, p.OpsPerSec, p.Batches, p.AvgBatch, p.Syncs)
 	}
 	return w.Flush()
 }

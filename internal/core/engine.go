@@ -604,12 +604,12 @@ func (e *Engine) Stats() Stats {
 // Durability returns the engine's configured durability mode.
 func (e *Engine) Durability() wal.Durability { return e.opts.Durability }
 
-// Close releases the engine. In Buffered mode it syncs the write-ahead
-// log first, so a clean shutdown preserves every buffered reference for
-// replay at the next Open; in Sync mode everything is already durable. In
-// CheckpointOnly mode buffered references are discarded, exactly like
-// file-system state past the last consistency point. Close returns the
-// sticky WAL durability error, if any.
+// Close releases the engine. In Buffered mode it first writes out and
+// syncs the write-ahead log, so a clean shutdown preserves every buffered
+// reference for replay at the next Open; in Sync mode everything is
+// already durable. In CheckpointOnly mode buffered references are
+// discarded, exactly like file-system state past the last consistency
+// point. Close returns the sticky WAL durability error, if any.
 func (e *Engine) Close() error {
 	// Stop the background maintainer before taking any lock: a background
 	// compaction in flight needs cpMu (pessimistic mode) and the
@@ -897,10 +897,14 @@ func (e *Engine) checkpoint(cp uint64) error {
 	prevWALErr := e.takeWALErr()
 	cut := -1
 	if e.wal != nil {
+		// Cut first writes out whatever the log still buffers in memory:
+		// those records just froze with the write stores, and until this
+		// checkpoint commits the log is their only durable-to-be copy.
 		if c, err := e.wal.Cut(cp); err != nil {
-			// The log cannot accept the freeze boundary; appends during
-			// the flush will fail and note their own errors. The old
-			// segments stay tracked for a later retirement.
+			// The log could not write that buffer or accept the freeze
+			// boundary; appends during the flush will fail and note
+			// their own errors. The old segments stay tracked for a
+			// later retirement.
 			e.noteWALErr(err)
 		} else {
 			cut = c

@@ -126,11 +126,11 @@ func newEngineObs(opts Options) *engineObs {
 	o.pageDecode = r.Histogram("backlog_page_decode_ns",
 		"Decode latency of one compressed leaf page (decoded-cache misses only)", "ns", lat)
 	o.walAppend = r.Histogram("backlog_wal_append_ns",
-		"WAL append latency per record: enqueue to written (Buffered) or fsynced (Sync)", "ns", lat)
+		"WAL append latency per record: enqueue to fsynced (Sync), or to buffered in memory plus any log write the appender led or waited out (Buffered)", "ns", lat)
 	o.walFlush = r.Histogram("backlog_wal_flush_ns",
-		"WAL group-commit flush duration: one WriteAt plus, in Sync mode, one fsync", "ns", lat)
+		"WAL flush duration: one WriteAt of the pending buffer plus, in Sync mode, one fsync", "ns", lat)
 	o.walBatch = r.Histogram("backlog_wal_batch_records",
-		"Records per WAL group-commit flush", "ops", obs.CountBuckets(16))
+		"Records per WAL flush: the group-commit batch (Sync) or the coalesced buffer (Buffered)", "ops", obs.CountBuckets(16))
 	return o
 }
 
@@ -260,8 +260,10 @@ func (e *Engine) registerMetrics(r *obs.Registry) {
 	if e.wal != nil {
 		r.CounterFunc("backlog_wal_appends_total", "Records appended to the write-ahead log",
 			func() uint64 { return e.wal.Stats().Appends })
-		r.CounterFunc("backlog_wal_batches_total", "WAL group-commit flushes",
+		r.CounterFunc("backlog_wal_batches_total", "WAL flushes (device writes of the pending buffer)",
 			func() uint64 { return e.wal.Stats().Batches })
+		r.GaugeFunc("backlog_wal_buffered_bytes", "WAL record bytes accepted but not yet handed to the OS",
+			func() float64 { return float64(e.wal.BufferedBytes()) })
 		r.GaugeFunc("backlog_wal_segments", "Live write-ahead-log segment files",
 			func() float64 { return float64(e.wal.SegmentCount()) })
 	}

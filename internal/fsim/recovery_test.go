@@ -2,6 +2,7 @@ package fsim
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/backlogfs/backlog/internal/core"
@@ -445,15 +446,34 @@ func TestTornTailRecoveryViaFailurePlan(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// After the checkpoint truncation the active segment holds its 16-byte
-	// header plus a 17-byte checkpoint mark; every AddRef record is a
-	// 57-byte frame. Frame number 71 starts at byte 4080 and straddles the
-	// first page boundary — arm the torn write exactly there, with a
-	// one-page budget, so its first 16 bytes land durably and the rest is
-	// lost.
-	const survivors = 71
-	for i := 0; i < survivors; i++ {
-		eng.AddRef(core.Ref{Block: uint64(100 + i), Inode: 7, Offset: uint64(i), Length: 1}, 2)
+	// Append records until the active segment ends so close to a page
+	// boundary that the next frame (at least 15 bytes) must straddle it,
+	// then arm the torn write there with a one-page budget: the frame's
+	// first few bytes land durably and the rest is lost.
+	segSize := func() int64 {
+		names, err := vfs.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var size int64
+		for _, name := range names { // sorted: the active segment is the last one
+			if strings.HasPrefix(name, "wal-") {
+				f, err := vfs.Open(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				size, _ = f.Size()
+				f.Close()
+			}
+		}
+		return size
+	}
+	survivors := 0
+	for ; segSize()%storage.PageSize <= storage.PageSize-12; survivors++ {
+		if survivors > 5000 {
+			t.Fatal("no frame boundary near a page boundary; frame-size drift?")
+		}
+		eng.AddRef(core.Ref{Block: uint64(100 + survivors), Inode: 7, Offset: uint64(survivors), Length: 1}, 2)
 	}
 	if err := eng.WALErr(); err != nil {
 		t.Fatalf("premature WAL error: %v", err)
@@ -465,13 +485,13 @@ func TestTornTailRecoveryViaFailurePlan(t *testing.T) {
 	})
 	eng.AddRef(core.Ref{Block: 999, Inode: 9, Length: 1}, 2)
 	if err := eng.WALErr(); err == nil {
-		t.Fatal("torn append did not surface a durability error; frame-size drift? adjust the survivors constant")
+		t.Fatal("torn append did not surface a durability error")
 	}
 	vfs.SetFailurePlan(storage.FailurePlan{})
 	vfs.Crash()
 
 	eng2 := open()
-	if got := eng2.Stats().WALReplayed; got != survivors {
+	if got := eng2.Stats().WALReplayed; got != uint64(survivors) {
 		t.Fatalf("replayed %d records, want %d", got, survivors)
 	}
 	for i := 0; i < survivors; i++ {

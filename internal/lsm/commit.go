@@ -215,6 +215,7 @@ func (e *Edit) Commit() error {
 		if err != nil {
 			return fail(err)
 		}
+		r.filter.Store(ref.filter)
 		newRuns[ref.table][ref.partition] = append(newRuns[ref.table][ref.partition], r)
 	}
 

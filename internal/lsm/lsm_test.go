@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -383,6 +384,44 @@ func TestBloomPrunesRuns(t *testing.T) {
 	// Out-of-range blocks are always rejected.
 	if runs[0].MayContainBlock(5) || runs[0].MayContainBlock(50) {
 		t.Fatal("range check failed")
+	}
+}
+
+// TestInstalledRunKeepsBuilderFilter: a run this process built probes the
+// Bloom filter its builder still held, reading nothing; the same run after
+// a reopen loads the filter from its file on the first probe and answers
+// identically.
+func TestInstalledRunKeepsBuilderFilter(t *testing.T) {
+	fs := storage.NewMemFS()
+	db := openTestDB(t, fs, 1)
+	var recs [][]byte
+	for b := uint64(10); b < 500; b += 7 {
+		recs = append(recs, rec16(b, 1))
+	}
+	flushRecords(t, db, "from", 1, recs)
+	probe := func(db *DB) (answers []bool, bytesRead int64) {
+		run := db.Table("from").Runs(0)[0]
+		before := fs.Stats().BytesRead
+		for b := uint64(10); b < 500; b++ {
+			answers = append(answers, run.MayContainBlock(b))
+		}
+		return answers, fs.Stats().BytesRead - before
+	}
+	built, n := probe(db)
+	if n != 0 {
+		t.Fatalf("probing a freshly built run read %d bytes back", n)
+	}
+	reopened, n := probe(openTestDB(t, fs, 1))
+	if n == 0 {
+		t.Fatal("probing a reopened run read nothing: where did its filter come from?")
+	}
+	if !reflect.DeepEqual(built, reopened) {
+		t.Fatal("the builder's filter and the one loaded from the file disagree")
+	}
+	for b := uint64(10); b < 500; b += 7 {
+		if !built[b-10] {
+			t.Fatalf("bloom false negative for block %d", b)
+		}
 	}
 }
 

@@ -44,11 +44,14 @@ type Run struct {
 	// attributed to the subsystem that caused it. They share one cache
 	// identity — pages either fills are hits for both. With attribution
 	// disabled both wrap the same untagged file.
-	mu      sync.Mutex
 	qreader *btree.Reader
 	creader *btree.Reader
-	filter  *bloom.Filter
-	noBF    bool // run carries no bloom filter
+	// filter is the run's Bloom filter once known: handed over by the
+	// builder for a run this process wrote, loaded from the file under mu
+	// on the first probe otherwise. Probes read it without a lock.
+	filter atomic.Pointer[bloom.Filter]
+	mu     sync.Mutex
+	noBF   bool // run carries no bloom filter
 
 	// heatBytes accumulates device bytes read on behalf of queries (fed by
 	// the query handle's read hook; cache hits add nothing) and lastCP the
@@ -182,10 +185,13 @@ func (r *Run) MayContainBlock(block uint64) bool {
 }
 
 func (r *Run) bloomFilter() (*bloom.Filter, error) {
+	if f := r.filter.Load(); f != nil {
+		return f, nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.filter != nil || r.noBF {
-		return r.filter, nil
+	if f := r.filter.Load(); f != nil || r.noBF {
+		return f, nil
 	}
 	data, err := r.qreader.BloomBytes()
 	if err != nil {
@@ -199,7 +205,7 @@ func (r *Run) bloomFilter() (*bloom.Filter, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.filter = f
+	r.filter.Store(f)
 	return f, nil
 }
 
@@ -333,6 +339,9 @@ type RunRef struct {
 	rm        runManifest
 	sizeBytes int64
 	src       storage.Source
+	// filter is the Bloom filter the builder wrote into the file; Commit
+	// gives it to the installed run, which then never reads it back.
+	filter *bloom.Filter
 }
 
 // SizeBytes returns the finished run's physical on-disk size; compaction
@@ -384,6 +393,7 @@ func (b *RunBuilder) Finish() (ref RunRef, ok bool, err error) {
 		rm:        rm,
 		sizeBytes: b.writer.SizeBytes(),
 		src:       b.src,
+		filter:    b.filter,
 	}, true, nil
 }
 

@@ -1,0 +1,349 @@
+package wal
+
+import (
+	"fmt"
+	"testing"
+
+	"github.com/backlogfs/backlog/internal/storage"
+)
+
+// killMode is what the I/O at the kill point does before everything after
+// it fails too.
+type killMode int
+
+const (
+	killPlain       killMode = iota // fails outright
+	killTorn                        // a write applies a page-aligned prefix, volatile
+	killTornDurable                 // the prefix — and only it — is durable
+)
+
+func (m killMode) String() string {
+	return [...]string{"plain", "torn", "torn-durable"}[m]
+}
+
+// killFS numbers every WriteAt and Sync issued through it and kills the
+// "process" at one of them: that I/O fails (a write possibly torn, via the
+// MemFS failure plan), and so does every later I/O of any kind.
+type killFS struct {
+	*storage.MemFS
+	killAt int // I/O index to die at; <0 never
+	mode   killMode
+	ios    int
+	dead   bool
+}
+
+func (k *killFS) Create(name string) (storage.File, error) {
+	if k.dead {
+		return nil, storage.ErrInjected
+	}
+	f, err := k.MemFS.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return &killFile{File: f, fs: k}, nil
+}
+
+func (k *killFS) Open(name string) (storage.File, error) {
+	if k.dead {
+		return nil, storage.ErrInjected
+	}
+	f, err := k.MemFS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return &killFile{File: f, fs: k}, nil
+}
+
+func (k *killFS) Remove(name string) error {
+	if k.dead {
+		return storage.ErrInjected
+	}
+	return k.MemFS.Remove(name)
+}
+
+// step counts one I/O and reports whether it is the kill point.
+func (k *killFS) step() (kill bool) {
+	kill = k.ios == k.killAt
+	k.ios++
+	return kill
+}
+
+type killFile struct {
+	storage.File
+	fs *killFS
+}
+
+func (f *killFile) WriteAt(p []byte, off int64) (int, error) {
+	k := f.fs
+	if k.dead {
+		return 0, storage.ErrInjected
+	}
+	if !k.step() {
+		return f.File.WriteAt(p, off)
+	}
+	k.dead = true
+	if k.mode == killPlain {
+		return 0, storage.ErrInjected
+	}
+	// Let half of the pages this write touches through.
+	pages := (off+int64(len(p))-1)/storage.PageSize - off/storage.PageSize + 1
+	k.MemFS.SetFailurePlan(storage.FailurePlan{
+		FailAfterPageWrites: k.MemFS.Stats().PageWrites + pages/2,
+		TornWrite:           true,
+		TornWriteDurable:    k.mode == killTornDurable,
+	})
+	return f.File.WriteAt(p, off)
+}
+
+func (f *killFile) Sync() error {
+	k := f.fs
+	if k.dead {
+		return storage.ErrInjected
+	}
+	if k.step() {
+		k.dead = true
+		return storage.ErrInjected
+	}
+	return f.File.Sync()
+}
+
+// crashScript drives one log through appends, a rotation or two, a Cut
+// whose checkpoint never commits, a Cut that does, and a clean Close, and
+// records what the log acknowledged on the way.
+type crashScript struct {
+	appended []Record // every record handed to Append, in order
+	acked    int      // appended[:acked] were acknowledged (Append returned nil)
+	retired  []int    // len(appended) at each Cut whose Retire succeeded
+}
+
+func crashRec(i int) Record {
+	// Wide values: ~40-byte frames, so that a few thousand records cross
+	// the 64 KiB write threshold and writes span several pages.
+	return Record{Op: OpAddRef, Block: uint64(i), Inode: 1<<40 + uint64(i), Offset: 1 << 50, Line: 3, Length: 1 << 33, CP: 1 << 35}
+}
+
+func (s *crashScript) run(vfs storage.VFS, d Durability, segBytes int64, perPhase int) {
+	l, _, err := Open(vfs, Options{Durability: d, SegmentBytes: segBytes})
+	if err != nil {
+		return // died creating the first segment
+	}
+	phase := func() {
+		for i := 0; i < perPhase; i++ {
+			r := crashRec(len(s.appended))
+			s.appended = append(s.appended, r)
+			// Acknowledgements stop for good at the first failure: the
+			// process is dead from there on.
+			if err := l.Append(r); err == nil && s.acked == len(s.appended)-1 {
+				s.acked++
+			}
+		}
+	}
+	phase()
+	// A checkpoint freezes here and never commits: nothing is retired.
+	_, _ = l.Cut(1)
+	phase()
+	// This one commits.
+	if cut, err := l.Cut(2); err == nil {
+		at := len(s.appended)
+		phase()
+		if l.Retire(cut) == nil {
+			s.retired = append(s.retired, at)
+		}
+	}
+	phase()
+	_ = l.Close()
+}
+
+// check verifies the recovery contract against what the script observed:
+// the recovered records are a contiguous stretch of the appended sequence
+// that starts at the beginning or at a retired cut — a prefix of append
+// order — and, when mustCover, reaches at least through the last
+// acknowledged record.
+func (s *crashScript) check(rec Recovered, mustCover bool) error {
+	starts := append([]int{0}, s.retired...)
+	lo := 0
+	if len(rec.Records) > 0 {
+		lo = int(rec.Records[0].Block)
+	} else if mustCover {
+		lo = starts[len(starts)-1]
+	}
+	okStart := len(rec.Records) == 0
+	for _, st := range starts {
+		okStart = okStart || st == lo
+	}
+	if !okStart {
+		return fmt.Errorf("recovered records start at %d, want one of %v", lo, starts)
+	}
+	hi := lo + len(rec.Records)
+	if hi > len(s.appended) {
+		return fmt.Errorf("recovered %d records from %d, only %d appended", len(rec.Records), lo, len(s.appended))
+	}
+	for i, r := range rec.Records {
+		if r != s.appended[lo+i] {
+			return fmt.Errorf("recovered record %d is %+v, want appended[%d] = %+v (a hole or reordering)", i, r, lo+i, s.appended[lo+i])
+		}
+	}
+	if mustCover && hi < s.acked {
+		return fmt.Errorf("recovered through record %d, but %d were acknowledged", hi, s.acked)
+	}
+	return nil
+}
+
+// TestCrashAtEveryIO is the executable statement of what each durability
+// mode keeps: a scripted run is killed at every write and every fsync in
+// turn, plainly and with the dying write torn, the machine then loses
+// power, and recovery must succeed and return a prefix of append order —
+// in Sync mode one that holds every acknowledged record. The kill point
+// past the last I/O is the clean run followed by a power failure.
+func TestCrashAtEveryIO(t *testing.T) {
+	cases := []struct {
+		name     string
+		d        Durability
+		segBytes int64
+		perPhase int
+	}{
+		// One 64 KiB threshold write per phase, no rotation.
+		{"buffered", Buffered, 0, 2000},
+		// Rotation (write + fsync of the outgoing segment) inside every
+		// phase, so a Cut-abandoned segment precedes a synced one.
+		{"buffered-rotating", Buffered, 24 << 10, 1500},
+		{"sync", Sync, 1 << 10, 40},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			// Count the I/Os of an unharmed run.
+			dry := &killFS{MemFS: storage.NewMemFS(), killAt: -1}
+			new(crashScript).run(dry, c.d, c.segBytes, c.perPhase)
+			if dry.ios < 8 {
+				t.Fatalf("script made only %d I/Os", dry.ios)
+			}
+			for _, mode := range []killMode{killPlain, killTorn, killTornDurable} {
+				for at := 0; at <= dry.ios; at++ {
+					vfs := &killFS{MemFS: storage.NewMemFS(), killAt: at, mode: mode}
+					var s crashScript
+					s.run(vfs, c.d, c.segBytes, c.perPhase)
+					if died := at < dry.ios; vfs.dead != died {
+						t.Fatalf("%s kill at %d: dead=%v", mode, at, vfs.dead)
+					}
+					vfs.MemFS.SetFailurePlan(storage.FailurePlan{})
+					vfs.MemFS.Crash()
+					rec, err := Recover(vfs.MemFS)
+					if err != nil {
+						t.Fatalf("%s kill at I/O %d of %d: recovery failed: %v", mode, at, dry.ios, err)
+					}
+					if err := s.check(rec, c.d == Sync); err != nil {
+						t.Fatalf("%s kill at I/O %d of %d: %v", mode, at, dry.ios, err)
+					}
+					// The survivor must also open for writing (sealing any
+					// tear) and stay recoverable.
+					l, rec2, err := Open(vfs.MemFS, Options{Durability: c.d})
+					if err != nil {
+						t.Fatalf("%s kill at I/O %d: reopen failed: %v", mode, at, err)
+					}
+					if len(rec2.Records) != len(rec.Records) {
+						t.Fatalf("%s kill at I/O %d: reopen recovered %d records, Recover %d", mode, at, len(rec2.Records), len(rec.Records))
+					}
+					if err := l.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := Recover(vfs.MemFS); err != nil {
+						t.Fatalf("%s kill at I/O %d: recovery after reopen failed: %v", mode, at, err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestBufferedCutKeepsAcknowledgedRecords pins the Cut contract coalescing
+// introduced: records a Buffered log acknowledged but still holds in memory
+// go into the outgoing segment at the Cut, so a process that dies before
+// the checkpoint commits (the OS keeps what was written) recovers them
+// ahead of the post-cut records, not a log with a hole.
+func TestBufferedCutKeepsAcknowledgedRecords(t *testing.T) {
+	vfs := storage.NewMemFS()
+	l, _ := mustOpen(t, vfs, Buffered)
+	for i := 0; i < 3; i++ {
+		if err := l.Append(addRec(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := l.BufferedBytes(); got == 0 {
+		t.Fatal("three small appends were written through, not buffered")
+	}
+	if st := vfs.Stats(); st.BytesWritten != segHeaderSize {
+		t.Fatalf("wrote %d bytes before any flush was due, want just the segment header", st.BytesWritten)
+	}
+	if _, err := l.Cut(1); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.BufferedBytes(); got != 0 {
+		t.Fatalf("%d bytes still buffered after Cut", got)
+	}
+	if err := l.Append(addRec(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The checkpoint never committed and nothing was retired; the power
+	// stays on or fails, the log is whole either way (Close synced the
+	// segment the Cut left behind before the one after it).
+	for _, crash := range []bool{false, true} {
+		if crash {
+			vfs.Crash()
+		}
+		rec, err := Recover(vfs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.Records) != 4 {
+			t.Fatalf("crash=%v: recovered %d records, want 4: %+v", crash, len(rec.Records), rec.Records)
+		}
+		for i, r := range rec.Records {
+			if r != addRec(i) {
+				t.Fatalf("crash=%v: record %d is %+v", crash, i, r)
+			}
+		}
+		if len(rec.Cuts) != 1 || rec.Cuts[0] != (CutMark{Index: 3, CP: 1}) {
+			t.Fatalf("crash=%v: cuts = %+v", crash, rec.Cuts)
+		}
+	}
+}
+
+// TestBufferedCoalescesWrites: a Buffered log's device writes follow its
+// bytes, not its appends.
+func TestBufferedCoalescesWrites(t *testing.T) {
+	vfs := storage.NewMemFS()
+	l, _ := mustOpen(t, vfs, Buffered)
+	const n = 20000
+	for i := 0; i < n; i++ {
+		if err := l.Append(crashRec(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := l.Stats()
+	// Every write carries 64 KiB plus at most the frame that crossed it.
+	lo, hi := uint64(st.Bytes/(bufferedFlushBytes+64)), uint64(st.Bytes/bufferedFlushBytes)
+	if st.Batches < lo || st.Batches > hi {
+		t.Fatalf("%d appends (%d bytes) took %d writes, want %d..%d", n, st.Bytes, st.Batches, lo, hi)
+	}
+	if got := l.BufferedBytes(); got <= 0 || got >= bufferedFlushBytes {
+		t.Fatalf("BufferedBytes = %d, want within (0, %d)", got, bufferedFlushBytes)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Recover(vfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Records) != n {
+		t.Fatalf("recovered %d records, want %d", len(rec.Records), n)
+	}
+	for i, r := range rec.Records {
+		if r != crashRec(i) {
+			t.Fatalf("record %d: %+v", i, r)
+		}
+	}
+}

@@ -77,21 +77,27 @@ type Record struct {
 	NewBlock uint64
 }
 
-// Frame layout: a 4-byte big-endian payload length, a 4-byte CRC-32C of
-// the payload, then the payload itself (op byte followed by the op's
-// big-endian uint64 fields). The length prefix delimits records; the
-// checksum detects torn and corrupt tails.
+// Frame layout, identical in every segment format version: a 4-byte
+// big-endian payload length, a 4-byte CRC-32C of the payload, then the
+// payload itself. The length prefix delimits records; the checksum detects
+// torn and corrupt tails. The payload begins with the op byte; what follows
+// depends on the version in the segment header. Version 2 (the only one
+// written) encodes the op's fields as uvarints, in the order AddRef/
+// RemoveRef: block, inode, offset, line, length, cp; Relocate: block, new
+// block, cp; Checkpoint and Cut: cp; SegmentEnd: nothing. Version 1 used
+// fixed big-endian uint64s in the same order and is still decoded, so that
+// a log tail left by an older binary replays. A SegmentEnd frame has no
+// fields and is therefore the same bytes in both versions, which is what
+// lets sealTear stamp one over a torn tail of either.
 const (
 	frameHeaderSize = 8
 	// maxPayload bounds the length field so that a garbage tail cannot
 	// make the reader attempt an absurd allocation.
 	maxPayload = 1 << 10
 
-	addRefPayload     = 1 + 6*8 // op + ref identity + cp
-	relocatePayload   = 1 + 3*8 // op + old + new + cp
-	checkpointPayload = 1 + 8   // op + cp
-	segmentEndPayload = 1       // op only
-	cutPayload        = 1 + 8   // op + cp being frozen
+	// maxMarkFrame is the largest frame a Checkpoint or Cut mark occupies
+	// in any version (v2: op + one uvarint; v1: op + 8 bytes).
+	maxMarkFrame = frameHeaderSize + 1 + binary.MaxVarintLen64
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -101,56 +107,43 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // end-of-log in the final segment and as corruption anywhere else.
 var errTorn = errors.New("wal: torn or corrupt record")
 
-// appendFrame appends the encoded frame for r to dst and returns the
-// extended slice.
+// appendFrame appends the encoded (version 2) frame for r to dst and
+// returns the extended slice.
 func appendFrame(dst []byte, r Record) []byte {
-	var plen int
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0, byte(r.Op))
 	switch r.Op {
 	case OpAddRef, OpRemoveRef:
-		plen = addRefPayload
+		dst = binary.AppendUvarint(dst, r.Block)
+		dst = binary.AppendUvarint(dst, r.Inode)
+		dst = binary.AppendUvarint(dst, r.Offset)
+		dst = binary.AppendUvarint(dst, r.Line)
+		dst = binary.AppendUvarint(dst, r.Length)
+		dst = binary.AppendUvarint(dst, r.CP)
 	case OpRelocate:
-		plen = relocatePayload
-	case OpCheckpoint:
-		plen = checkpointPayload
+		dst = binary.AppendUvarint(dst, r.Block)
+		dst = binary.AppendUvarint(dst, r.NewBlock)
+		dst = binary.AppendUvarint(dst, r.CP)
+	case OpCheckpoint, OpCut:
+		dst = binary.AppendUvarint(dst, r.CP)
 	case OpSegmentEnd:
-		plen = segmentEndPayload
-	case OpCut:
-		plen = cutPayload
+		// op byte only
 	default:
 		panic(fmt.Sprintf("wal: encoding unknown op %d", r.Op))
 	}
-	be := binary.BigEndian
-	start := len(dst)
-	dst = append(dst, make([]byte, frameHeaderSize+plen)...)
 	payload := dst[start+frameHeaderSize:]
-	payload[0] = byte(r.Op)
-	switch r.Op {
-	case OpAddRef, OpRemoveRef:
-		be.PutUint64(payload[1:], r.Block)
-		be.PutUint64(payload[9:], r.Inode)
-		be.PutUint64(payload[17:], r.Offset)
-		be.PutUint64(payload[25:], r.Line)
-		be.PutUint64(payload[33:], r.Length)
-		be.PutUint64(payload[41:], r.CP)
-	case OpRelocate:
-		be.PutUint64(payload[1:], r.Block)
-		be.PutUint64(payload[9:], r.NewBlock)
-		be.PutUint64(payload[17:], r.CP)
-	case OpCheckpoint, OpCut:
-		be.PutUint64(payload[1:], r.CP)
-	case OpSegmentEnd:
-		// op byte only
-	}
-	be.PutUint32(dst[start:], uint32(plen))
-	be.PutUint32(dst[start+4:], crc32.Checksum(payload, crcTable))
+	binary.BigEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, crcTable))
 	return dst
 }
 
-// decodeFrame decodes the first frame in b, returning the record and the
-// number of bytes consumed. It returns errTorn when b holds an incomplete
-// frame, a checksum mismatch, or an implausible header — all
-// indistinguishable states of a tail cut mid-write.
-func decodeFrame(b []byte) (Record, int, error) {
+// decodeFrame decodes the first frame in b, whose payload is encoded in the
+// given segment format version, returning the record and the number of
+// bytes consumed. It returns errTorn when b holds an incomplete frame, a
+// checksum mismatch, an implausible header, or a payload that is not
+// exactly one record of that version — all indistinguishable states of a
+// tail cut mid-write.
+func decodeFrame(b []byte, version byte) (Record, int, error) {
 	if len(b) < frameHeaderSize {
 		return Record{}, 0, errTorn
 	}
@@ -166,27 +159,79 @@ func decodeFrame(b []byte) (Record, int, error) {
 	if crc32.Checksum(payload, crcTable) != be.Uint32(b[4:]) {
 		return Record{}, 0, errTorn
 	}
-	r := Record{Op: Op(payload[0])}
-	switch {
-	case (r.Op == OpAddRef || r.Op == OpRemoveRef) && plen == addRefPayload:
-		r.Block = be.Uint64(payload[1:])
-		r.Inode = be.Uint64(payload[9:])
-		r.Offset = be.Uint64(payload[17:])
-		r.Line = be.Uint64(payload[25:])
-		r.Length = be.Uint64(payload[33:])
-		r.CP = be.Uint64(payload[41:])
-	case r.Op == OpRelocate && plen == relocatePayload:
-		r.Block = be.Uint64(payload[1:])
-		r.NewBlock = be.Uint64(payload[9:])
-		r.CP = be.Uint64(payload[17:])
-	case r.Op == OpCheckpoint && plen == checkpointPayload:
-		r.CP = be.Uint64(payload[1:])
-	case r.Op == OpSegmentEnd && plen == segmentEndPayload:
-		// no fields
-	case r.Op == OpCut && plen == cutPayload:
-		r.CP = be.Uint64(payload[1:])
-	default:
+	decode := decodePayload
+	if version == 1 {
+		decode = decodePayloadV1
+	}
+	r, ok := decode(payload)
+	if !ok {
 		return Record{}, 0, errTorn
 	}
 	return r, frameHeaderSize + plen, nil
+}
+
+// uvarints reads consecutive uvarints off a payload; bad latches the first
+// malformed one.
+type uvarints struct {
+	b   []byte
+	bad bool
+}
+
+func (u *uvarints) next() uint64 {
+	v, n := binary.Uvarint(u.b)
+	if n <= 0 {
+		u.bad, u.b = true, nil
+		return 0
+	}
+	u.b = u.b[n:]
+	return v
+}
+
+// decodePayload decodes a version-2 payload. The fields must consume the
+// payload exactly.
+func decodePayload(payload []byte) (Record, bool) {
+	r := Record{Op: Op(payload[0])}
+	u := uvarints{b: payload[1:]}
+	switch r.Op {
+	case OpAddRef, OpRemoveRef:
+		r.Block, r.Inode, r.Offset = u.next(), u.next(), u.next()
+		r.Line, r.Length, r.CP = u.next(), u.next(), u.next()
+	case OpRelocate:
+		r.Block, r.NewBlock, r.CP = u.next(), u.next(), u.next()
+	case OpCheckpoint, OpCut:
+		r.CP = u.next()
+	case OpSegmentEnd:
+		// no fields
+	default:
+		return Record{}, false
+	}
+	return r, !u.bad && len(u.b) == 0
+}
+
+// decodePayloadV1 decodes a version-1 payload: the op byte followed by the
+// op's fields as big-endian uint64s.
+func decodePayloadV1(payload []byte) (Record, bool) {
+	be := binary.BigEndian
+	r := Record{Op: Op(payload[0])}
+	f := payload[1:]
+	switch {
+	case (r.Op == OpAddRef || r.Op == OpRemoveRef) && len(f) == 6*8:
+		r.Block = be.Uint64(f)
+		r.Inode = be.Uint64(f[8:])
+		r.Offset = be.Uint64(f[16:])
+		r.Line = be.Uint64(f[24:])
+		r.Length = be.Uint64(f[32:])
+		r.CP = be.Uint64(f[40:])
+	case r.Op == OpRelocate && len(f) == 3*8:
+		r.Block = be.Uint64(f)
+		r.NewBlock = be.Uint64(f[8:])
+		r.CP = be.Uint64(f[16:])
+	case (r.Op == OpCheckpoint || r.Op == OpCut) && len(f) == 8:
+		r.CP = be.Uint64(f)
+	case r.Op == OpSegmentEnd && len(f) == 0:
+		// no fields
+	default:
+		return Record{}, false
+	}
+	return r, true
 }

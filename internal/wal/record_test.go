@@ -1,6 +1,9 @@
 package wal
 
 import (
+	"encoding/binary"
+	"hash/crc32"
+	"math"
 	"testing"
 )
 
@@ -10,6 +13,10 @@ func TestFrameRoundtrip(t *testing.T) {
 		{Op: OpRemoveRef, Block: 10, Inode: 20, Offset: 30, Line: 40, Length: 50, CP: 60},
 		{Op: OpRelocate, Block: 100, NewBlock: 200, CP: 7},
 		{Op: OpCheckpoint, CP: 42},
+		{Op: OpCut, CP: 1 << 60},
+		{Op: OpSegmentEnd},
+		{Op: OpAddRef, Block: math.MaxUint64, Inode: math.MaxUint64, Offset: math.MaxUint64,
+			Line: math.MaxUint64, Length: math.MaxUint64, CP: math.MaxUint64},
 	}
 	var buf []byte
 	for _, r := range recs {
@@ -17,7 +24,7 @@ func TestFrameRoundtrip(t *testing.T) {
 	}
 	off := 0
 	for i, want := range recs {
-		got, n, err := decodeFrame(buf[off:])
+		got, n, err := decodeFrame(buf[off:], segVersion)
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
@@ -48,6 +55,10 @@ func TestDecodeRejectsDamage(t *testing.T) {
 			b[0], b[1] = 0xff, 0xff
 			return b
 		}(),
+		"trailing byte in payload": reframe(append(append([]byte(nil), frame[frameHeaderSize:]...), 0)),
+		"missing field":            reframe(frame[frameHeaderSize : len(frame)-1]),
+		"overlong uvarint":         reframe(append([]byte{byte(OpCheckpoint)}, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01)),
+		"unknown op, valid crc":    reframe([]byte{99, 1}),
 		"unknown op": func() []byte {
 			b := appendFrame(nil, Record{Op: OpCheckpoint, CP: 3})
 			// Rewrite the op byte and refresh nothing: CRC now mismatches,
@@ -57,10 +68,19 @@ func TestDecodeRejectsDamage(t *testing.T) {
 		}(),
 	}
 	for name, b := range cases {
-		if _, _, err := decodeFrame(b); err == nil {
+		if _, _, err := decodeFrame(b, segVersion); err == nil {
 			t.Errorf("%s: decode succeeded", name)
 		}
 	}
+}
+
+// reframe wraps payload in a frame with a valid length and checksum, so a
+// test reaches the payload decoder behind the CRC check.
+func reframe(payload []byte) []byte {
+	b := append(make([]byte, frameHeaderSize), payload...)
+	binary.BigEndian.PutUint32(b, uint32(len(payload)))
+	binary.BigEndian.PutUint32(b[4:], crc32.Checksum(payload, crcTable))
+	return b
 }
 
 func TestSegmentNames(t *testing.T) {

@@ -14,7 +14,8 @@ import (
 // Segment files are named wal-<16-digit index>.seg and begin with a
 // 16-byte header: an 8-byte magic, a 4-byte format version, and the low
 // 4 bytes of the segment index (a consistency cross-check against the
-// name). Records follow back to back. The names deliberately share no
+// name). Records follow back to back, their payloads encoded as the
+// version says (see appendFrame). The names deliberately share no
 // suffix or prefix with lsm's run ("*.run") and deletion-vector ("dv.*")
 // files, so lsm orphan collection never touches them.
 const (
@@ -22,8 +23,21 @@ const (
 	segSuffix     = ".seg"
 	segHeaderSize = 16
 	segMagic      = "BKLGWAL\x01"
-	segVersion    = 1
+	// segVersion is the version every new segment is written in. Version 1
+	// segments (fixed-width fields) are only ever read: a tail left by an
+	// older binary replays and is retired by the first checkpoint.
+	segVersion = 2
 )
+
+// segHeaderVersion returns the format version a segment's leading bytes
+// name, or false when they are not a header this binary reads: too short,
+// wrong magic, or a version it has no payload decoder for.
+func segHeaderVersion(b []byte) (byte, bool) {
+	if len(b) < segHeaderSize || string(b[:8]) != segMagic || (b[8] != 1 && b[8] != segVersion) {
+		return 0, false
+	}
+	return b[8], true
+}
 
 func segmentName(index uint64) string {
 	return fmt.Sprintf("%s%016d%s", segPrefix, index, segSuffix)
@@ -71,6 +85,10 @@ func listSegments(vfs storage.VFS) ([]uint64, error) {
 	sort.Slice(idx, func(a, b int) bool { return idx[a] < idx[b] })
 	return idx, nil
 }
+
+// ErrCorrupt reports damage recovery cannot read past: an unreadable frame
+// or header anywhere but the torn tail a crash legitimately leaves.
+var ErrCorrupt = errors.New("wal: log is corrupt")
 
 // Recovered is the result of scanning the on-disk log.
 type Recovered struct {
@@ -147,7 +165,7 @@ func recoverLog(vfs storage.VFS) (Recovered, tear, []uint64, error) {
 				return rec, tr, segs, err
 			}
 			if !ok {
-				return rec, tr, segs, fmt.Errorf("wal: segment %s corrupt (torn mid-log)", segmentName(idx))
+				return rec, tr, segs, fmt.Errorf("%w: segment %s is torn mid-log", ErrCorrupt, segmentName(idx))
 			}
 		}
 	}
@@ -164,11 +182,16 @@ func segmentStartsWithMark(vfs storage.VFS, index uint64) (bool, error) {
 		return false, err
 	}
 	defer f.Close()
-	buf := make([]byte, segHeaderSize+frameHeaderSize+checkpointPayload)
-	if _, err := f.ReadAt(buf, 0); err != nil && !errors.Is(err, io.EOF) {
+	buf := make([]byte, segHeaderSize+maxMarkFrame)
+	n, err := f.ReadAt(buf, 0)
+	if err != nil && !errors.Is(err, io.EOF) {
 		return false, err
 	}
-	r, _, derr := decodeFrame(buf[segHeaderSize:])
+	version, ok := segHeaderVersion(buf[:n])
+	if !ok {
+		return false, nil
+	}
+	r, _, derr := decodeFrame(buf[segHeaderSize:n], version)
 	return derr == nil && (r.Op == OpCheckpoint || r.Op == OpCut), nil
 }
 
@@ -191,25 +214,26 @@ func readSegment(vfs storage.VFS, index uint64, final bool, rec *Recovered, tr *
 	if _, err := f.ReadAt(buf, 0); err != nil && !errors.Is(err, io.EOF) {
 		return false, fmt.Errorf("wal: reading %s: %w", name, err)
 	}
-	if len(buf) < segHeaderSize || string(buf[:8]) != segMagic || buf[8] != segVersion {
+	version, ok := segHeaderVersion(buf)
+	if !ok {
 		if final {
 			// A header cut short by a crash during segment creation: the
 			// segment holds nothing durable.
 			*tr = tear{found: true, index: index, offset: 0}
 			return true, nil
 		}
-		return false, fmt.Errorf("wal: segment %s has a bad header", name)
+		return false, fmt.Errorf("%w: segment %s has a bad header", ErrCorrupt, name)
 	}
 	if got := uint64(buf[12])<<24 | uint64(buf[13])<<16 | uint64(buf[14])<<8 | uint64(buf[15]); got != index&0xffffffff {
 		// An intact header whose embedded index disagrees with the file
 		// name: a segment copied or restored under the wrong name. Never
 		// a torn creation (those fail the checks above), so never sealed
 		// over — replaying it in the wrong order could corrupt recovery.
-		return false, fmt.Errorf("wal: segment %s header claims index %d (restored under the wrong name?)", name, got)
+		return false, fmt.Errorf("%w: segment %s header claims index %d (restored under the wrong name?)", ErrCorrupt, name, got)
 	}
 	off := segHeaderSize
 	for off < len(buf) {
-		r, n, derr := decodeFrame(buf[off:])
+		r, n, derr := decodeFrame(buf[off:], version)
 		if derr != nil {
 			if final {
 				// Torn tail: everything before it is intact. Report the

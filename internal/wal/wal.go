@@ -12,26 +12,55 @@
 // # Record format
 //
 // Each record is framed as a 4-byte big-endian payload length, a 4-byte
-// CRC-32C of the payload, and the payload itself (an op byte — AddRef,
-// RemoveRef, Relocate, or a Checkpoint mark — followed by the op's fields
-// as big-endian uint64s). The log is a sequence of segments
-// (wal-<index>.seg, rotated at Options.SegmentBytes) so that truncation
-// after a checkpoint is file deletion, not in-place rewriting. Recovery
-// tolerates a torn final record: a crash mid-append costs only the record
-// that was never acknowledged.
+// CRC-32C of the payload, and the payload itself: an op byte — AddRef,
+// RemoveRef, Relocate, a Checkpoint, Cut or SegmentEnd mark — followed by
+// the op's fields as uvarints (AddRef/RemoveRef: block, inode, offset,
+// line, length, cp; Relocate: block, new block, cp; Checkpoint and Cut:
+// cp), about 20 bytes for a typical reference update. That is segment
+// format version 2, the only one written. Version 1 spelled the same
+// fields as big-endian uint64s (57 bytes per update); recovery picks the
+// payload decoder from the version byte in each segment's header, so a
+// tail left by an older binary still replays and is retired by the first
+// checkpoint. The log is a sequence of segments (wal-<index>.seg, rotated
+// at Options.SegmentBytes) so that truncation after a checkpoint is file
+// deletion, not in-place rewriting. Recovery tolerates a torn final
+// record: a crash mid-write costs only records that were never durable.
 //
-// # Group commit
+// # Group commit (Sync)
 //
 // Append is safe for concurrent use and group-commits: the first appender
 // to find no flush in flight becomes the leader, takes the entire pending
-// buffer, and writes it with one WriteAt (plus one Sync when the log is in
-// Sync mode) while later appenders buffer behind it and wait on the flush
-// notification. When the leader finishes it wakes the waiters; one of them
-// becomes the next leader and flushes everything that accumulated in the
-// meantime. Under W concurrent writers one fsync therefore covers O(W)
-// appends, which is what makes per-operation durability affordable on the
-// sharded write path (see BenchmarkWALAppend and the fsimbench "wal"
-// experiment).
+// buffer, and writes it with one WriteAt plus one Sync while later
+// appenders buffer behind it and wait on the flush notification. When the
+// leader finishes it wakes the waiters; one of them becomes the next leader
+// and flushes everything that accumulated in the meantime. Under W
+// concurrent writers one fsync therefore covers O(W) appends, which is what
+// makes per-operation durability affordable on the sharded write path.
+//
+// # Coalesced writes (Buffered)
+//
+// A Buffered log promises no durability before the next clean Close, so
+// it does not pay a device write per record either: Append copies the
+// frame into the pending buffer and returns. The same single-flight leader
+// hands the buffer to the OS with one WriteAt when it reaches
+// bufferedFlushBytes (64 KiB), when the active segment is full, in Cut,
+// and in Close — the log's device cost is proportional to bytes, not to
+// updates. Up to 64 KiB of the newest acknowledged records therefore live
+// in process memory, not in the OS cache: a clean Close preserves them, a
+// killed process loses them just as a power failure always could. What
+// survives is always a prefix of append order: writes go out in order, a
+// full segment is fsynced before its successor is created, and no segment
+// is fsynced before its live predecessors (see syncThrough).
+//
+// # Cut
+//
+// Cut, called as a checkpoint freezes the write stores, first writes the
+// pending buffer into the outgoing segment — in Buffered mode those
+// records were acknowledged, and until the checkpoint commits the log is
+// their only copy — then opens a fresh segment headed by a cut mark. Only
+// when the log is in a failed state (a flush error is pending) is the
+// buffer dropped instead: those appends were reported failed, and the
+// engine tracks their durability itself.
 package wal
 
 import (
@@ -52,9 +81,11 @@ const (
 	// consistency points, the paper's behavior. Buffered references are
 	// discarded on crash or Close.
 	CheckpointOnly Durability = iota
-	// Buffered appends every update to the log without fsync. A clean
-	// Close preserves everything; a crash may lose updates since the last
-	// segment sync, but never corrupts the database.
+	// Buffered appends every update to the log without fsync, handing
+	// records to the OS 64 KiB at a time. A clean Close preserves
+	// everything; a crash (of the process or the machine) may lose the
+	// newest updates, but what survives is a prefix of what was appended
+	// and never corrupts the database.
 	Buffered
 	// Sync group-commits every append: Append returns only after the
 	// record (batched with its concurrent peers) is fsynced. An
@@ -95,6 +126,12 @@ var ErrClosed = errors.New("wal: log is closed")
 // DefaultSegmentBytes is the default segment rotation threshold.
 const DefaultSegmentBytes = 4 << 20
 
+// bufferedFlushBytes is how many bytes of frames a Buffered log collects
+// in memory before one WriteAt hands them to the OS: large enough that
+// the log costs a device write per few thousand updates, not per update,
+// small enough that a killed process loses a bounded, small tail.
+const bufferedFlushBytes = 64 << 10
+
 // Options configures Open.
 type Options struct {
 	// Durability must be Buffered or Sync; CheckpointOnly callers should
@@ -106,11 +143,13 @@ type Options struct {
 
 	// Optional observability hooks; nil histograms record nothing and add
 	// no timing overhead. AppendHist sees each record's append latency in
-	// nanoseconds — enqueue to written (Buffered) or fsynced (Sync),
-	// including time spent waiting behind the group-commit leader.
-	// FlushHist sees each physical flush's I/O duration (one WriteAt plus,
-	// in Sync mode, one fsync). BatchHist sees the number of records each
-	// flush covered — the group-commit batch-size distribution.
+	// nanoseconds: in Sync mode enqueue to fsynced, including time spent
+	// waiting behind the group-commit leader; in Buffered mode the time to
+	// copy the record into the pending buffer, plus, for the one append in
+	// a few thousand that finds the buffer full, the write it leads or
+	// waits out. FlushHist sees each physical flush's I/O duration (one
+	// WriteAt plus, in Sync mode, one fsync). BatchHist sees the number of
+	// records each flush covered.
 	AppendHist *obs.Histogram
 	FlushHist  *obs.Histogram
 	BatchHist  *obs.Histogram
@@ -137,15 +176,22 @@ type Log struct {
 	// seq numbers appended records; done is the highest seq whose flush
 	// completed. Append waits until done covers its own seq.
 	seq, done uint64
-	pending   []byte
-	flushing  bool
-	closed    bool
-	err       error // sticky flush error; cleared by Truncate
+	// pending holds the frames accepted but not yet handed to the OS; the
+	// flush leader swaps it with spare, which it owns for the duration of
+	// its I/O, so steady state allocates nothing.
+	pending, spare []byte
+	flushing       bool
+	closed         bool
+	err            error // sticky flush error; cleared by Cut and Truncate
 
 	seg      storage.File
 	segIndex uint64
 	segSize  int64
 	names    []string // live segment names, oldest first, active last
+	// synced counts the leading names a Buffered log has fsynced itself;
+	// the rest (recovered segments, segments a Cut left behind) must be
+	// synced before any later one is. See syncThrough.
+	synced int
 
 	// pendingRecs counts the records in pending, so flushLocked can report
 	// the batch size it covered. Guarded by mu like pending itself.
@@ -210,23 +256,33 @@ func Open(vfs storage.VFS, opts Options) (*Log, Recovered, error) {
 // startSegmentLocked creates segment index and makes it active. Callers
 // hold l.mu (or have exclusive access during Open).
 func (l *Log) startSegmentLocked(index uint64) error {
+	// The index is burned even if creation fails: a retry (the next Cut or
+	// Truncate) must allocate a fresh name, since Create is exclusive and
+	// createSegment's best-effort Remove may itself fail.
+	l.segIndex = index
+	f, err := l.createSegment(index)
+	if err != nil {
+		return err
+	}
+	l.installSegmentLocked(f, index)
+	return nil
+}
+
+// createSegment creates segment file index, header written and directory
+// entry durable. It touches no Log state but the immutable vfs, so the
+// flush leader runs it with l.mu released.
+func (l *Log) createSegment(index uint64) (storage.File, error) {
 	name := segmentName(index)
 	f, err := l.vfs.Create(name)
 	if err != nil {
-		return fmt.Errorf("wal: creating segment: %w", err)
+		return nil, fmt.Errorf("wal: creating segment: %w", err)
 	}
-	// The index is burned even if a later step fails: a retry (the next
-	// Truncate) must allocate a fresh name, since Create is exclusive and
-	// the best-effort Remove below may itself fail.
-	l.segIndex = index
-	fail := func(err error) error {
+	fail := func(err error) (storage.File, error) {
 		f.Close()
-		if rerr := l.vfs.Remove(name); rerr != nil && !errors.Is(rerr, storage.ErrNotExist) {
-			// Leave the partial file for Open's recovery scan (it reads
-			// as a torn creation and is sealed or retired there).
-			_ = rerr
-		}
-		return err
+		// Best effort: a partial file left behind reads as a torn creation
+		// and is sealed or retired by the next Open's recovery scan.
+		_ = l.vfs.Remove(name)
+		return nil, err
 	}
 	if _, err := f.WriteAt(encodeSegHeader(index), 0); err != nil {
 		return fail(fmt.Errorf("wal: writing segment header: %w", err))
@@ -239,21 +295,30 @@ func (l *Log) startSegmentLocked(index uint64) error {
 			return fail(fmt.Errorf("wal: syncing directory for new segment: %w", err))
 		}
 	}
+	return f, nil
+}
+
+// installSegmentLocked makes the freshly created segment f the active one.
+func (l *Log) installSegmentLocked(f storage.File, index uint64) {
 	if l.seg != nil {
 		l.seg.Close()
 	}
 	l.seg = f
 	l.segSize = segHeaderSize
-	l.names = append(l.names, name)
+	l.names = append(l.names, segmentName(index))
 	l.stats.Segments++
-	return nil
 }
 
-// Append encodes r and appends it to the log, group-committed with any
-// concurrent appenders. In Sync mode it returns once the record is
-// durable; in Buffered mode once the record is written to the segment
-// file. A non-nil error means the record's durability is unknown; the log
-// refuses further appends until Truncate resets it.
+// Append encodes r and appends it to the log. In Sync mode it returns once
+// the record, group-committed with any concurrent appenders, is durable. In
+// Buffered mode it returns once the record is in the pending buffer — the
+// appender that fills the buffer (or the segment) also writes it out, and
+// a flush in flight makes an appender wait only when the buffer is full
+// again, which bounds it. A non-nil error means the record's durability is
+// unknown; the log refuses further appends until Cut or Truncate resets
+// it. A Buffered write failure is reported to the appender that led the
+// write and to every later one, not to the earlier appenders whose
+// records it carried.
 func (l *Log) Append(r Record) error {
 	if l.appendHist == nil {
 		return l.append(r)
@@ -280,15 +345,22 @@ func (l *Log) append(r Record) error {
 	seq := l.seq
 	l.stats.Appends++
 	l.stats.Bytes += int64(len(l.pending) - prev)
-	// The closed recheck matters: a Close that raced in while we waited
-	// has synced and released the segment, and becoming leader now would
-	// write behind the final sync. The straggling record is reported
-	// ErrClosed instead.
+	// A Sync appender stays until a flush has covered its record. A
+	// Buffered one leads the flush when one is due and otherwise leaves:
+	// behind a leader's I/O (which may be a rotation's fsync of a whole
+	// segment) it waits only if the buffer has filled up again, which is
+	// what bounds the buffer. The closed recheck matters: a Close that
+	// raced in while we waited has synced and released the segment, and
+	// becoming leader now would write behind the final sync. The
+	// straggling record is reported ErrClosed instead.
 	for l.done < seq && l.err == nil && !l.closed {
-		if l.flushing {
-			l.cond.Wait()
-		} else {
+		switch {
+		case !l.flushing && (l.syncEach || l.flushDue()):
 			l.flushLocked()
+		case l.flushing && (l.syncEach || len(l.pending) >= bufferedFlushBytes):
+			l.cond.Wait()
+		default:
+			return nil // Buffered: accepted, waiting in the pending buffer
 		}
 	}
 	// Success is judged by this record's own batch, not the log's latest
@@ -304,27 +376,40 @@ func (l *Log) append(r Record) error {
 	return ErrClosed
 }
 
+// flushDue reports whether a Buffered log should write its pending buffer
+// now: it is full, or it fills (or the last write filled) the active
+// segment, which the next flush rotates.
+func (l *Log) flushDue() bool {
+	n := int64(len(l.pending))
+	return n >= bufferedFlushBytes || l.segSize+n >= l.segBytes
+}
+
 // flushLocked writes everything pending in one WriteAt (+ Sync in Sync
-// mode), releasing l.mu for the duration of the I/O so that concurrent
-// appenders can buffer the next batch behind it. Called with l.mu held
-// and l.flushing false; returns with l.mu held and l.flushing false.
+// mode), rotating first if the active segment is full. It releases l.mu for
+// the duration of the I/O so that concurrent appenders can buffer the next
+// batch behind it; l.flushing keeps every other writer of the segment out
+// meanwhile. Called with l.mu held and l.flushing false; returns with l.mu
+// held and l.flushing false.
 func (l *Log) flushLocked() {
+	l.flushing = true
+	defer func() {
+		l.flushing = false
+		l.cond.Broadcast()
+	}()
 	if l.segSize >= l.segBytes {
 		if err := l.rotateLocked(); err != nil {
 			l.err = err
-			l.cond.Broadcast()
 			return
 		}
 	}
 	buf := l.pending
-	l.pending = nil
+	l.pending, l.spare = l.spare[:0], buf
 	recs := l.pendingRecs
 	l.pendingRecs = 0
 	target := l.seq
 	seg := l.seg
 	off := l.segSize
 	l.segSize += int64(len(buf))
-	l.flushing = true
 	l.mu.Unlock()
 
 	var start time.Time
@@ -340,39 +425,86 @@ func (l *Log) flushLocked() {
 	}
 
 	l.mu.Lock()
-	l.flushing = false
 	if err != nil {
 		l.err = fmt.Errorf("wal: flush: %w", err)
-	} else {
-		l.done = target
-		l.stats.Batches++
-		l.batchHist.Observe(uint64(recs))
+		return
 	}
-	l.cond.Broadcast()
+	l.done = target
+	l.stats.Batches++
+	l.batchHist.Observe(uint64(recs))
 }
 
-// rotateLocked closes the active segment and starts the next one. In
-// Buffered mode the outgoing segment is synced first, so rotation bounds
-// how much a crash can lose to roughly one segment.
+// rotateLocked starts the next segment. In Buffered mode the outgoing
+// segment is synced first, so rotation bounds how much a power failure can
+// lose to roughly one segment. Called by the flush leader with l.mu held
+// and l.flushing set; like the leader's own write, the I/O — an fsync of
+// up to a whole segment — runs with l.mu released, so appenders keep
+// buffering instead of stalling behind it.
 func (l *Log) rotateLocked() error {
+	old := l.seg
+	index := l.segIndex + 1
+	l.segIndex = index // burned even on failure; see startSegmentLocked
+	// names cannot change while flushing is set: Cut, Truncate, Retire and
+	// Close all wait for it.
+	unsynced := l.names[l.synced : len(l.names)-1]
+	l.mu.Unlock()
+	var err error
 	if !l.syncEach {
-		if err := l.seg.Sync(); err != nil {
-			return fmt.Errorf("wal: syncing rotated segment: %w", err)
+		err = l.syncThrough(unsynced, old)
+	}
+	var f storage.File
+	if err == nil {
+		f, err = l.createSegment(index)
+	}
+	l.mu.Lock()
+	if err != nil {
+		return err
+	}
+	l.synced = len(l.names)
+	l.installSegmentLocked(f, index)
+	return nil
+}
+
+// syncThrough fsyncs the named older segments, oldest first, and then seg.
+// A Buffered log makes a segment durable only through here, so none
+// becomes durable ahead of a live predecessor that is not — a Cut leaves
+// its outgoing segment unsynced (the checkpoint normally retires it within
+// moments), and so does the recovered tail of a killed process — and what
+// a power failure leaves is always a prefix of append order.
+func (l *Log) syncThrough(older []string, seg storage.File) error {
+	for _, name := range older {
+		f, err := l.vfs.Open(name)
+		if err != nil {
+			return fmt.Errorf("wal: syncing segment %s: %w", name, err)
+		}
+		err = f.Sync()
+		f.Close()
+		if err != nil {
+			return fmt.Errorf("wal: syncing segment %s: %w", name, err)
 		}
 	}
-	return l.startSegmentLocked(l.segIndex + 1)
+	if err := seg.Sync(); err != nil {
+		return fmt.Errorf("wal: syncing segment: %w", err)
+	}
+	return nil
 }
 
 // Cut rotates to a fresh segment headed by a cut mark and returns a token
 // for Retire: the engine calls it at the instant a checkpoint freezes the
 // write stores, so that every record appended from then on — updates for
 // the NEXT consistency point, racing the flush — lands past the cut and
-// survives the retirement of the segments the checkpoint covers. Cut also
-// drops any pending (never-acknowledged) buffer and clears the sticky
-// flush error: records whose logging failed were still applied to the
-// write stores, so they are frozen into the very flush this cut starts —
-// their durability from here on is the checkpoint's business, which the
-// engine tracks with its own sticky error across the flush.
+// survives the retirement of the segments the checkpoint covers.
+//
+// Records still in the pending buffer go into the outgoing segment first:
+// a Buffered log has acknowledged them, and until the checkpoint commits
+// the log is their only durable-to-be copy. If that write fails, Cut fails
+// with the log's sticky error set and nothing rotated; the next Cut
+// recovers as below. If the log is already in a failed state, Cut instead
+// drops the buffer and clears the sticky error: records whose logging
+// failed were still applied to the write stores, so they are frozen into
+// the very flush this cut starts — their durability from here on is the
+// checkpoint's business, which the engine tracks with its own sticky error
+// across the flush.
 //
 // The caller must guarantee no Append is in flight — in the engine, Cut
 // runs under the exclusive structural lock that excludes all updaters.
@@ -385,10 +517,14 @@ func (l *Log) Cut(cp uint64) (cut int, err error) {
 	if l.closed {
 		return 0, ErrClosed
 	}
-	l.err = nil
-	l.pending = nil
-	l.pendingRecs = 0
-	l.done = l.seq
+	if l.err == nil && len(l.pending) > 0 {
+		// No appender or other leader exists (see below), so the mutex
+		// flushLocked releases around its I/O stays uncontended.
+		if l.flushLocked(); l.err != nil {
+			return 0, l.err
+		}
+	}
+	l.dropPendingLocked()
 	if err := l.startSegmentLocked(l.segIndex + 1); err != nil {
 		l.err = err
 		return 0, err
@@ -416,12 +552,17 @@ func (l *Log) Cut(cp uint64) (cut int, err error) {
 // Retire deletes the segments a Cut superseded, once the checkpoint that
 // issued the Cut has committed: everything those segments guarded is now
 // durable in the read store, while records appended during the flush live
-// past the cut and are untouched. Safe to call concurrently with appends.
-// On failure the not-yet-removed segments stay tracked, so a later Cut +
-// Retire (or recovery's CP filter) still retires them.
+// past the cut and are untouched. Safe to call concurrently with appends
+// (it waits out a flush in flight, whose rotation may be syncing the very
+// segments retired here). On failure the not-yet-removed segments stay
+// tracked, so a later Cut + Retire (or recovery's CP filter) still retires
+// them.
 func (l *Log) Retire(cut int) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	for l.flushing {
+		l.cond.Wait()
+	}
 	if l.closed {
 		return ErrClosed
 	}
@@ -432,10 +573,12 @@ func (l *Log) Retire(cut int) error {
 	for i, name := range old {
 		if err := l.vfs.Remove(name); err != nil && !errors.Is(err, storage.ErrNotExist) {
 			l.names = append(append([]string(nil), old[i:]...), l.names[cut:]...)
+			l.synced = max(l.synced-i, 0)
 			return err
 		}
 	}
 	l.names = append([]string(nil), l.names[cut:]...)
+	l.synced = max(l.synced-cut, 0)
 	l.stats.Truncates++
 	return nil
 }
@@ -457,19 +600,16 @@ func (l *Log) Truncate(cp uint64) error {
 	if l.closed {
 		return ErrClosed
 	}
-	// Anything still pending was never acknowledged, and the checkpoint
-	// that triggered this truncation flushed the write stores it was
-	// applied to; drop it along with any sticky error.
-	l.err = nil
-	l.pending = nil
-	l.pendingRecs = 0
-	l.done = l.seq
+	// Anything still pending precedes the checkpoint mark written below:
+	// the checkpoint that triggered this truncation flushed the write
+	// stores it was applied to. Drop it along with any sticky error.
+	l.dropPendingLocked()
 
 	// On any failure below, the old segment names are restored so the
 	// next successful Truncate still retires them; otherwise they would
 	// sit on disk untracked until the next Open's recovery scan.
 	old := append([]string(nil), l.names...)
-	l.names = nil
+	l.names, l.synced = nil, 0 // 0 is always safe: it only costs fsyncs
 	restore := func(err error) error {
 		l.names = append(old, l.names...)
 		l.err = err
@@ -517,14 +657,21 @@ func (l *Log) Close() error {
 		l.flushLocked()
 	}
 	if l.err == nil && !l.syncEach {
-		if err := l.seg.Sync(); err != nil {
-			l.err = fmt.Errorf("wal: sync on close: %w", err)
-		}
+		l.err = l.syncThrough(l.names[l.synced:len(l.names)-1], l.seg)
 	}
 	l.closed = true
 	l.seg.Close()
 	l.cond.Broadcast()
 	return l.err
+}
+
+// dropPendingLocked discards the pending buffer and the sticky error, and
+// counts every record appended so far as settled.
+func (l *Log) dropPendingLocked() {
+	l.err = nil
+	l.pending = l.pending[:0]
+	l.pendingRecs = 0
+	l.done = l.seq
 }
 
 // Err returns the log's sticky flush error, if any.
@@ -539,6 +686,14 @@ func (l *Log) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.stats
+}
+
+// BufferedBytes returns the bytes of records accepted but not yet handed
+// to the OS: what a Buffered log would lose if the process died now.
+func (l *Log) BufferedBytes() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.pending)
 }
 
 // SegmentCount returns the number of live segment files (recovered +

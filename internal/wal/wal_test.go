@@ -5,6 +5,7 @@ import (
 	"io"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/backlogfs/backlog/internal/storage"
 )
@@ -97,13 +98,144 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	}
 }
 
+// TestBufferedConcurrentAppendRotate: Buffered appenders keep buffering
+// while a leader writes, rotates (fsync and segment creation with the
+// mutex released) and while Retire removes segments; every record is
+// recovered, each writer's in its own order.
+func TestBufferedConcurrentAppendRotate(t *testing.T) {
+	vfs := storage.NewMemFS()
+	l, _, err := Open(vfs, Options{Durability: Buffered, SegmentBytes: 16 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(addRec(0)); err != nil {
+		t.Fatal(err)
+	}
+	cut, err := l.Cut(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, perWriter = 8, 4000
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				if err := l.Append(Record{Op: OpAddRef, Block: uint64(w), Inode: uint64(i), CP: 2, Length: 1}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	if err := l.Retire(cut); err != nil {
+		t.Error(err)
+	}
+	wg.Wait()
+	if l.SegmentCount() < 3 {
+		t.Fatalf("segments = %d, want rotation", l.SegmentCount())
+	}
+	if st := l.Stats(); st.Batches*10 > st.Appends {
+		t.Fatalf("%d appends took %d writes: not coalesced", st.Appends, st.Batches)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Recover(vfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Records) != writers*perWriter {
+		t.Fatalf("recovered %d records, want %d", len(rec.Records), writers*perWriter)
+	}
+	next := make([]uint64, writers)
+	for _, r := range rec.Records {
+		if r.Inode != next[r.Block] {
+			t.Fatalf("writer %d: record %d recovered where %d was due", r.Block, r.Inode, next[r.Block])
+		}
+		next[r.Block]++
+	}
+}
+
+// gatedFS blocks every segment fsync until release is closed, announcing
+// each on entered.
+type gatedFS struct {
+	*storage.MemFS
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *gatedFS) Create(name string) (storage.File, error) {
+	f, err := g.MemFS.Create(name)
+	return &gatedFile{File: f, fs: g}, err
+}
+
+type gatedFile struct {
+	storage.File
+	fs *gatedFS
+}
+
+func (f *gatedFile) Sync() error {
+	f.fs.entered <- struct{}{}
+	<-f.fs.release
+	return f.File.Sync()
+}
+
+// TestBufferedAppendsDoNotWaitForRotationSync: the fsync of a full
+// segment is the leader's business alone; appenders keep buffering behind
+// it instead of queueing on the log's mutex for its whole duration.
+func TestBufferedAppendsDoNotWaitForRotationSync(t *testing.T) {
+	vfs := &gatedFS{MemFS: storage.NewMemFS(), entered: make(chan struct{}), release: make(chan struct{})}
+	l, _, err := Open(vfs, Options{Durability: Buffered, SegmentBytes: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaderDone := make(chan error, 1)
+	go func() {
+		for i := 0; ; i++ {
+			if err := l.Append(addRec(i)); err != nil || l.SegmentCount() > 1 {
+				leaderDone <- err
+				return
+			}
+		}
+	}()
+	<-vfs.entered // the leader is inside the outgoing segment's fsync
+
+	appended := make(chan error, 1)
+	go func() { appended <- l.Append(addRec(1 << 20)) }()
+	select {
+	case err := <-appended:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Append blocked behind the rotation's fsync")
+	}
+	close(vfs.release)
+	if err := <-leaderDone; err != nil {
+		t.Fatal(err)
+	}
+	go func() { <-vfs.entered }() // Close syncs the active segment
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Recover(vfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := rec.Records[len(rec.Records)-1]; last != addRec(1<<20) {
+		t.Fatalf("the record appended during the rotation is not the log's last: %+v", last)
+	}
+}
+
 func TestRotation(t *testing.T) {
 	vfs := storage.NewMemFS()
 	l, _, err := Open(vfs, Options{Durability: Sync, SegmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 50 // 57-byte frames: several rotations at 256-byte segments
+	const n = 50 // ~15-byte frames: several rotations at 256-byte segments
 	for i := 0; i < n; i++ {
 		if err := l.Append(addRec(i)); err != nil {
 			t.Fatal(err)
@@ -319,7 +451,7 @@ func TestTornTailSealedAtOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tf.WriteAt(whole[:len(whole)-20], 0); err != nil {
+	if _, err := tf.WriteAt(whole[:len(whole)-5], 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := tf.Sync(); err != nil {
@@ -365,18 +497,7 @@ func buildSegment(t *testing.T, vfs storage.VFS, index uint64, recs []Record, to
 	for _, r := range recs {
 		buf = appendFrame(buf, r)
 	}
-	buf = append(buf, tornBytes...)
-	f, err := vfs.Create(segmentName(index))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt(buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	plantSegment(t, vfs, index, append(buf, tornBytes...))
 }
 
 // TestResurrectedTornSegmentToleratedBeforeMark covers a crash that beats
@@ -385,7 +506,7 @@ func buildSegment(t *testing.T, vfs storage.VFS, index uint64, recs []Record, to
 // following segment opens with a checkpoint mark that discards its
 // records anyway. Without a mark, the same shape is real corruption.
 func TestResurrectedTornSegmentToleratedBeforeMark(t *testing.T) {
-	torn := appendFrame(nil, addRec(1))[:20] // half a frame
+	torn := appendFrame(nil, addRec(1))[:10] // part of a frame
 
 	vfs := storage.NewMemFS()
 	buildSegment(t, vfs, 1, []Record{addRec(1), addRec(2)}, torn)
@@ -414,7 +535,7 @@ func TestCorruptMiddleSegmentIsAnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 40; i++ {
+	for i := 0; i < 60; i++ {
 		if err := l.Append(addRec(i)); err != nil {
 			t.Fatal(err)
 		}
