@@ -204,8 +204,10 @@
 // independently seekable and checksummed. Sorted back-reference records
 // differ from their neighbors by tiny per-column deltas, so combined
 // tables typically shrink 3-8x, checkpoints write proportionally fewer
-// bytes, and a shared cache of decoded pages keeps warm point-query
-// latency within a few percent of the raw format.
+// bytes. The shared page cache keeps compressed pages encoded, so its
+// budget covers several times more of the store; a warm seek finds its
+// place through a small per-page restart table and decodes at most a few
+// dozen records.
 //
 // Config.Compression selects the format for newly written runs:
 //
@@ -310,7 +312,7 @@
 //
 //	Dir              — (required unless InMemory)
 //	InMemory         — false: the database lives in Dir
-//	CacheBytes       — 0: 32 MB page cache (negative disables caching)
+//	CacheBytes       — 0: 32 MB page cache, charged in on-disk (encoded) page bytes (negative disables caching)
 //	Partitions       — 0: one partition
 //	PartitionSpan    — 0: unused (required only when Partitions > 1)
 //	WriteShards      — 0: runtime.GOMAXPROCS(0) shards
@@ -435,7 +437,8 @@ type Config struct {
 	// InMemory keeps the database in RAM (useful for tests and
 	// simulation).
 	InMemory bool
-	// CacheBytes sizes the page cache (default 32 MB).
+	// CacheBytes sizes the page cache (default 32 MB). Pages are cached
+	// and charged as stored on disk, compressed leaves included.
 	CacheBytes int64
 	// Partitions horizontally partitions the read stores by block number
 	// (default 1). PartitionSpan gives the blocks per partition and is

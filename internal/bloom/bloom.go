@@ -1,12 +1,14 @@
 // Package bloom implements the Bloom filters Backlog attaches to every
 // read-store run (paper Section 5.1).
 //
-// Query processing consults the filter of each Level-0 run before opening
-// it, so queries touch only runs that may contain the requested physical
-// block. The paper's configuration — four hash functions, a 32 KB default
-// filter for From/To runs sized for 32,000 operations per consistency point
-// (≈2.4 % expected false-positive rate), shrink-by-halving for smaller runs,
-// and growth up to 1 MB for the Combined read store — is reproduced here.
+// Query processing consults the filter of each run before opening it, so
+// queries touch only runs that may contain the requested physical block.
+// The paper's operating point — four hash functions and 8 bits per key, a
+// 32 KB filter for a run of 32,000 operations (≈2.4 % expected
+// false-positive rate), shrink-by-halving for smaller runs, and growth up
+// to 1 MB for larger ones — is reproduced here. The paper grows only the
+// Combined read store's filter; here every run's filter is sized by its
+// keys, so a compacted From run keeps the 2.4 % target too.
 //
 // Keys are physical block numbers (uint64): queries are always by block, so
 // filters index only the block column of each record.
@@ -22,12 +24,14 @@ import (
 // DefaultHashes is the number of hash functions (k) used by the paper.
 const DefaultHashes = 4
 
-// DefaultFilterBytes is the default filter size for a From or To read-store
-// run, chosen for 32,000 operations per CP (paper Section 5.1).
+// DefaultFilterBytes is the paper's filter size for a From or To read-store
+// run, chosen for 32,000 operations per CP (Section 5.1). The paper-figure
+// experiments pin it as those tables' cap.
 const DefaultFilterBytes = 32 << 10
 
-// MaxCombinedFilterBytes caps the filter size of a Combined read store.
-const MaxCombinedFilterBytes = 1 << 20
+// MaxFilterBytes is the default cap on any run's filter (the paper's limit
+// for the Combined read store).
+const MaxFilterBytes = 1 << 20
 
 // Filter is a classic Bloom filter over uint64 keys. The zero value is not
 // usable; construct with New or NewForCapacity.
@@ -54,10 +58,10 @@ func New(sizeBytes, hashes int) *Filter {
 
 // NewForCapacity sizes a filter for n expected keys at roughly the paper's
 // operating point (m/n ≈ 8 bits per key with k = 4), clamped to
-// [64 B, maxBytes]. Passing maxBytes <= 0 uses DefaultFilterBytes.
+// [64 B, maxBytes]. Passing maxBytes <= 0 uses MaxFilterBytes.
 func NewForCapacity(n int, maxBytes int) *Filter {
 	if maxBytes <= 0 {
-		maxBytes = DefaultFilterBytes
+		maxBytes = MaxFilterBytes
 	}
 	sizeBytes := n // 8 bits per expected key
 	if sizeBytes > maxBytes {

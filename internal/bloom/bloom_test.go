@@ -157,9 +157,9 @@ func TestNewForCapacity(t *testing.T) {
 	if small.SizeBytes() > 256 {
 		t.Fatalf("small filter too big: %d", small.SizeBytes())
 	}
-	big := NewForCapacity(10_000_000, MaxCombinedFilterBytes)
-	if big.SizeBytes() != MaxCombinedFilterBytes {
-		t.Fatalf("capped filter = %d, want %d", big.SizeBytes(), MaxCombinedFilterBytes)
+	big := NewForCapacity(10_000_000, MaxFilterBytes)
+	if big.SizeBytes() != MaxFilterBytes {
+		t.Fatalf("capped filter = %d, want %d", big.SizeBytes(), MaxFilterBytes)
 	}
 	def := NewForCapacity(32000, 0)
 	if def.SizeBytes() != DefaultFilterBytes {

@@ -166,7 +166,7 @@ func TestSeekGEExhaustive(t *testing.T) {
 		recs[i] = rec8(k)
 	}
 	f := buildRun(t, fs, "run", 8, recs, nil)
-	r, err := Open(f, NewCache(1024))
+	r, err := Open(f, NewCacheBytes(1024*storage.PageSize))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestWiderRecords(t *testing.T) {
 		recs[i] = r
 	}
 	f := buildRun(t, fs, "run", rs, recs, nil)
-	r, err := Open(f, NewCache(64))
+	r, err := Open(f, NewCacheBytes(64*storage.PageSize))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestCacheReducesReads(t *testing.T) {
 	fs := storage.NewMemFS()
 	recs := sortedRecords(50000, 1)
 	f := buildRun(t, fs, "run", 8, recs, nil)
-	cache := NewCache(10000)
+	cache := NewCacheBytes(10000 * storage.PageSize)
 	r, err := Open(f, cache)
 	if err != nil {
 		t.Fatal(err)
@@ -385,40 +385,40 @@ func TestCacheReducesReads(t *testing.T) {
 }
 
 func TestCacheEviction(t *testing.T) {
-	c := NewCache(2)
+	c := NewCacheBytes(2 * storage.PageSize)
 	p1 := make([]byte, storage.PageSize)
-	c.put(1, 1, p1, 1)
-	c.put(1, 2, p1, 1)
-	c.put(1, 3, p1, 1) // exceeds the two-page budget, evicts (1,1)
-	if _, _, ok := c.get(1, 1); ok {
+	c.put(1, 1, &page{payload: p1, count: 1})
+	c.put(1, 2, &page{payload: p1, count: 1})
+	c.put(1, 3, &page{payload: p1, count: 1}) // exceeds the two-page budget, evicts (1,1)
+	if c.get(1, 1) != nil {
 		t.Fatal("evicted page still present")
 	}
-	if _, _, ok := c.get(1, 3); !ok {
+	if c.get(1, 3) == nil {
 		t.Fatal("recent page missing")
 	}
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", c.Len())
 	}
 	// Zero-capacity cache stores nothing.
-	z := NewCache(0)
-	z.put(1, 1, p1, 1)
+	z := NewCacheBytes(0)
+	z.put(1, 1, &page{payload: p1, count: 1})
 	if z.Len() != 0 {
 		t.Fatal("zero-capacity cache stored a page")
 	}
 }
 
 func TestCacheByteBudget(t *testing.T) {
-	// Entries are charged by size: a budget of two raw pages holds only
-	// one 8x-expanded decoded page alongside nothing else.
-	c := NewCache(2)
+	// Entries are charged by size: a budget of two pages holds one
+	// two-page entry alongside nothing else.
+	c := NewCacheBytes(2 * storage.PageSize)
 	big := make([]byte, 2*storage.PageSize)
 	small := make([]byte, 100)
-	c.put(1, 1, small, 1)
-	c.put(1, 2, big, 1) // 2*PageSize + 100 > budget: evicts (1,1)
-	if _, _, ok := c.get(1, 1); ok {
+	c.put(1, 1, &page{payload: small, count: 1})
+	c.put(1, 2, &page{payload: big, count: 1}) // 2*PageSize + 100 > budget: evicts (1,1)
+	if c.get(1, 1) != nil {
 		t.Fatal("small entry survived over-budget insert")
 	}
-	if _, _, ok := c.get(1, 2); !ok {
+	if c.get(1, 2) == nil {
 		t.Fatal("big entry missing")
 	}
 	if got := c.SizeBytes(); got != int64(len(big)) {
@@ -427,8 +427,8 @@ func TestCacheByteBudget(t *testing.T) {
 	// An entry larger than the whole budget is kept alone rather than
 	// thrashing: put never evicts the entry just inserted.
 	huge := make([]byte, 3*storage.PageSize)
-	c.put(1, 3, huge, 1)
-	if _, _, ok := c.get(1, 3); !ok {
+	c.put(1, 3, &page{payload: huge, count: 1})
+	if c.get(1, 3) == nil {
 		t.Fatal("oversized entry not retained")
 	}
 	if c.Len() != 1 {
@@ -542,7 +542,7 @@ func BenchmarkSeekGE(b *testing.B) {
 	if err := w.Finish(nil); err != nil {
 		b.Fatal(err)
 	}
-	r, err := Open(f, NewCache(1<<15))
+	r, err := Open(f, NewCacheBytes(128<<20))
 	if err != nil {
 		b.Fatal(err)
 	}

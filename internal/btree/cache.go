@@ -3,17 +3,16 @@ package btree
 import (
 	"container/list"
 	"sync"
-
-	"github.com/backlogfs/backlog/internal/storage"
 )
 
 // Cache is a shared LRU page cache keyed by (reader identity, page number).
-// It stores verified page payloads past the CRC check — and, for
-// delta-format runs, the DECODED fixed-stride records of a leaf page — so
-// hot queries never re-verify or re-decode. Entries are charged by their
-// byte size against a fixed budget: a decoded v2 leaf can be several times
-// larger than its 4 KB on-disk page, so a cache holds correspondingly
-// fewer of them.
+// It stores verified on-disk page payloads past the CRC check, leaves and
+// internal pages alike, so hot queries never re-read or re-verify. A
+// delta-format leaf stays encoded; beside its payload the entry keeps the
+// restart table its validating pass sampled, which lets a seek land
+// within restartInterval records of its target. Entries are charged by
+// payload plus restart-table bytes against a fixed budget, so a budget
+// covers the same share of a store in memory as on disk.
 //
 // The paper's micro-benchmarks use a 32 MB cache in addition to the write
 // stores and Bloom filters (Section 6.1); NewCacheBytes(32<<20) reproduces
@@ -34,20 +33,26 @@ type cacheKey struct {
 	page   uint64
 }
 
+// page is a verified page as readers and the cache hold it: the on-disk
+// payload, its entry count and, for a delta leaf, the restart table (see
+// sampleRestarts). A page is immutable once built, so iterators and the
+// cache share it by pointer.
+type page struct {
+	payload  []byte
+	count    int
+	restarts []byte
+}
+
+func (p *page) size() int64 { return int64(len(p.payload) + len(p.restarts)) }
+
 type cacheEntry struct {
-	key   cacheKey
-	data  []byte
-	count int
+	key cacheKey
+	*page
 }
 
-// NewCache returns a cache budgeted at capacity raw 4 KB pages
-// (capacity*storage.PageSize bytes). Capacity <= 0 yields a cache that
-// stores nothing (but still counts misses).
-func NewCache(capacity int) *Cache {
-	return NewCacheBytes(int64(capacity) * storage.PageSize)
-}
-
-// NewCacheBytes returns a cache budgeted at the given total bytes.
+// NewCacheBytes returns a cache budgeted at the given total bytes. A
+// budget <= 0 yields a cache that stores nothing (but still counts
+// misses).
 func NewCacheBytes(bytes int64) *Cache {
 	return &Cache{
 		budget: bytes,
@@ -56,36 +61,34 @@ func NewCacheBytes(bytes int64) *Cache {
 	}
 }
 
-func (c *Cache) get(reader, page uint64) ([]byte, int, bool) {
+func (c *Cache) get(reader, pageNo uint64) *page {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.index[cacheKey{reader, page}]
+	el, ok := c.index[cacheKey{reader, pageNo}]
 	if !ok {
 		c.misses++
-		return nil, 0, false
+		return nil
 	}
 	c.lru.MoveToFront(el)
 	c.hits++
-	e := el.Value.(*cacheEntry)
-	return e.data, e.count, true
+	return el.Value.(*cacheEntry).page
 }
 
-func (c *Cache) put(reader, page uint64, data []byte, count int) {
+func (c *Cache) put(reader, pageNo uint64, p *page) {
 	if c.budget <= 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	key := cacheKey{reader, page}
+	key := cacheKey{reader, pageNo}
 	if el, ok := c.index[key]; ok {
 		c.lru.MoveToFront(el)
 		e := el.Value.(*cacheEntry)
-		c.used += int64(len(data)) - int64(len(e.data))
-		e.data, e.count = data, count
+		c.used += p.size() - e.size()
+		e.page = p
 	} else {
-		el := c.lru.PushFront(&cacheEntry{key: key, data: data, count: count})
-		c.index[key] = el
-		c.used += int64(len(data))
+		c.index[key] = c.lru.PushFront(&cacheEntry{key: key, page: p})
+		c.used += p.size()
 	}
 	// Evict from the cold end, but never the entry just touched: a single
 	// oversized entry may transiently exceed the budget by itself.
@@ -94,7 +97,7 @@ func (c *Cache) put(reader, page uint64, data []byte, count int) {
 		e := last.Value.(*cacheEntry)
 		c.lru.Remove(last)
 		delete(c.index, e.key)
-		c.used -= int64(len(e.data))
+		c.used -= e.size()
 	}
 }
 

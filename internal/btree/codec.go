@@ -62,43 +62,77 @@ func appendDeltaRecord(dst, rec []byte, prev []uint64) []byte {
 	return dst
 }
 
-// decodeDeltaLeaf expands a delta-encoded leaf payload into fixed-stride
-// records (count*recSize bytes). Any malformed input — a truncated varint
-// stream or a count field that would decode the page's zero padding —
-// yields an ErrCorrupt-wrapped error, never silently wrong records.
-func decodeDeltaLeaf(payload []byte, count, recSize int) ([]byte, error) {
+// restartInterval is K: the validating pass samples every K-th record of
+// a delta leaf into the page's restart table, so a seek stream-decodes at
+// most K records. At ~9 encoded bytes per 48/56-byte record a full page
+// holds ~450 records, i.e. ~15 restart points of recSize+2 bytes (≈0.8 KB
+// beside the 4 KB payload; K = 16 would seek ≈0.2 µs faster but keep a
+// seventh fewer pages per cache byte).
+const restartInterval = 32
+
+// deltaNext decodes the record encoded at payload[pos:] onto rec, which
+// holds the previous record of the page (all zero before the first), and
+// returns the offset of the record after it, or -1 if a varint is
+// truncated. changed reports whether any column moved.
+func deltaNext(payload []byte, pos int, rec []byte) (next int, changed bool) {
+	for c := 0; c+8 <= len(rec); c += 8 {
+		var u uint64
+		if pos < len(payload) && payload[pos] < 0x80 {
+			u = uint64(payload[pos])
+			pos++
+		} else {
+			v, n := binary.Uvarint(payload[pos:])
+			if n <= 0 {
+				return -1, false
+			}
+			u = v
+			pos += n
+		}
+		if u != 0 {
+			changed = true
+			binary.BigEndian.PutUint64(rec[c:], binary.BigEndian.Uint64(rec[c:])+uint64(unzigzag(u)))
+		}
+	}
+	return pos, changed
+}
+
+// sampleRestarts is the one validating pass a delta leaf gets when it is
+// read from storage. It walks all count records and returns the page's
+// restart table: for every restartInterval-th record, the record itself
+// (fixed-stride, so bytes.Compare orders it against a seek key) followed
+// by the little-endian u16 payload offset of the record after it. Any
+// malformed input — a truncated varint stream or a count field that would
+// decode the page's zero padding — yields an ErrCorrupt-wrapped error,
+// never silently wrong records.
+func sampleRestarts(payload []byte, count, recSize int) ([]byte, error) {
 	// Every record encodes to at least one byte per column, so a count
 	// beyond the payload length cannot be genuine.
 	if count <= 0 || count > len(payload) {
 		return nil, fmt.Errorf("%w: delta leaf record count %d", ErrCorrupt, count)
 	}
-	cols := recSize / 8
-	out := make([]byte, count*recSize)
-	prev := make([]uint64, cols)
+	stride := recSize + 2
+	restarts := make([]byte, 0, (count+restartInterval-1)/restartInterval*stride)
+	rec := make([]byte, recSize)
 	pos := 0
 	for i := 0; i < count; i++ {
-		zero := true
-		for c := 0; c < cols; c++ {
-			u, n := binary.Uvarint(payload[pos:])
-			if n <= 0 {
-				return nil, fmt.Errorf("%w: truncated delta record %d", ErrCorrupt, i)
-			}
-			pos += n
-			if u != 0 {
-				zero = false
-			}
-			prev[c] += uint64(unzigzag(u))
-			binary.BigEndian.PutUint64(out[i*recSize+c*8:], prev[c])
+		next, changed := deltaNext(payload, pos, rec)
+		if next < 0 {
+			return nil, fmt.Errorf("%w: truncated delta record %d", ErrCorrupt, i)
 		}
-		if zero && i > 0 {
+		if !changed && i > 0 {
 			// Records are strictly ascending, so no record after the first
 			// of a page can be an exact repeat of its predecessor. An
 			// inflated count field would otherwise decode the page's zero
 			// padding into silent duplicates of the last record.
 			return nil, fmt.Errorf("%w: repeated delta record %d", ErrCorrupt, i)
 		}
+		pos = next
+		if i%restartInterval == 0 {
+			restarts = append(restarts, rec...)
+			restarts = binary.LittleEndian.AppendUint16(restarts, uint16(pos))
+		}
 	}
-	return out, nil
+	return restarts, nil
 }
 
 // DeltaEstimator predicts the exact encoded leaf-payload bytes the

@@ -71,7 +71,7 @@ func TestDeltaRoundTrip(t *testing.T) {
 			fs := storage.NewMemFS()
 			recs := sortedRecords(n, 3)
 			f := buildRunFormat(t, fs, "run", 8, FormatDelta, recs)
-			r, err := Open(f, NewCache(64))
+			r, err := Open(f, NewCacheBytes(64*storage.PageSize))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,7 +105,7 @@ func TestDeltaWideRoundTrip(t *testing.T) {
 	fs := storage.NewMemFS()
 	recs := sortedRecords48(20000)
 	f := buildRunFormat(t, fs, "run", 48, FormatDelta, recs)
-	r, err := Open(f, NewCache(256))
+	r, err := Open(f, NewCacheBytes(256*storage.PageSize))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestDeltaSeekGEExhaustive(t *testing.T) {
 		recs[i] = rec8(k)
 	}
 	f := buildRunFormat(t, fs, "run", 8, FormatDelta, recs)
-	r, err := Open(f, NewCache(1024))
+	r, err := Open(f, NewCacheBytes(1024*storage.PageSize))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,11 +309,12 @@ func TestDeltaForgedCountDetected(t *testing.T) {
 
 func TestDeltaDecodedPageCached(t *testing.T) {
 	// A warm point query on a delta run must neither hit storage nor
-	// re-decode: the cache holds the decoded page.
+	// repeat the validating pass: the cache holds the verified payload
+	// with its restart table.
 	fs := storage.NewMemFS()
 	recs := sortedRecords48(50000)
 	f := buildRunFormat(t, fs, "run", 48, FormatDelta, recs)
-	cache := NewCache(10000)
+	cache := NewCacheBytes(10000 * storage.PageSize)
 	r, err := Open(f, cache)
 	if err != nil {
 		t.Fatal(err)

@@ -22,8 +22,11 @@ type Reader struct {
 	cache *Cache
 	id    uint64
 
-	// decodeObs, when set, receives the wall time spent expanding each
-	// delta-encoded leaf page (cache misses only).
+	// noFill makes cache misses leave the cache as it is (see NoFill).
+	noFill bool
+
+	// decodeObs, when set, receives the wall time of the validate-and-sample
+	// pass over each delta-encoded leaf page (cache misses only).
 	decodeObs func(time.Duration)
 }
 
@@ -37,8 +40,9 @@ func Open(f storage.File, cache *Cache) (*Reader, error) {
 	return &Reader{f: f, h: h, cache: cache, id: readerIDs.Add(1)}, nil
 }
 
-// SetDecodeObserver installs a callback receiving the decode latency of
-// every delta leaf-page expansion (observability wiring; may be nil).
+// SetDecodeObserver installs a callback receiving, once per delta leaf
+// page read from storage, the latency of the pass that validates it and
+// samples its restart table (observability wiring; may be nil).
 func (r *Reader) SetDecodeObserver(fn func(time.Duration)) { r.decodeObs = fn }
 
 // WithFile returns a shallow copy of the Reader that issues its page reads
@@ -50,6 +54,16 @@ func (r *Reader) SetDecodeObserver(fn func(time.Duration)) { r.decodeObs = fn }
 func (r *Reader) WithFile(f storage.File) *Reader {
 	c := *r
 	c.f = f
+	return &c
+}
+
+// NoFill returns a shallow copy of the Reader that is served from the cache
+// on a hit but does not insert the pages it misses (LevelDB's
+// fill_cache=false): a one-pass scan through it cannot evict the working
+// set of the seeks that share the cache.
+func (r *Reader) NoFill() *Reader {
+	c := *r
+	c.noFill = true
 	return &c
 }
 
@@ -91,22 +105,38 @@ func (r *Reader) BloomBytes() ([]byte, error) {
 	return buf, nil
 }
 
-// readPage returns the verified raw payload of a page along with its entry
-// count, caching the payload. The returned slice must not be modified.
-func (r *Reader) readPage(pageNo uint64) (payload []byte, count int, err error) {
+// readPage returns a verified page — leaf or internal, in its on-disk
+// encoding — from the cache or, on a miss, from storage. A delta leaf read
+// from storage gets its one validating pass here, which also samples the
+// restart table the page is cached with. Nothing returned may be modified.
+func (r *Reader) readPage(pageNo uint64) (*page, error) {
 	if r.cache != nil {
-		if data, count, ok := r.cache.get(r.id, pageNo); ok {
-			return data, count, nil
+		if p := r.cache.get(r.id, pageNo); p != nil {
+			return p, nil
 		}
 	}
-	payload, count, err = r.readPageRaw(pageNo)
+	payload, count, err := r.readPageRaw(pageNo)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	if r.cache != nil {
-		r.cache.put(r.id, pageNo, payload, count)
+	p := &page{payload: payload, count: count}
+	if r.h.format == FormatDelta && pageNo-r.h.leafStart < r.h.leafPages {
+		var start time.Time
+		if r.decodeObs != nil {
+			start = time.Now()
+		}
+		p.restarts, err = sampleRestarts(payload, count, r.h.recordSize)
+		if err != nil {
+			return nil, fmt.Errorf("btree: page %d: %w", pageNo, err)
+		}
+		if r.decodeObs != nil {
+			r.decodeObs(time.Since(start))
+		}
 	}
-	return payload, count, nil
+	if r.cache != nil && !r.noFill {
+		r.cache.put(r.id, pageNo, p)
+	}
+	return p, nil
 }
 
 // readPageRaw reads a page from storage and verifies its CRC, bypassing
@@ -124,39 +154,6 @@ func (r *Reader) readPageRaw(pageNo uint64) (payload []byte, count int, err erro
 		int(binary.LittleEndian.Uint16(page[:2])), nil
 }
 
-// readLeaf returns a leaf page's records in fixed-stride form. Raw runs
-// serve the verified payload directly; delta runs expand the page once and
-// cache the decoded records, so hot queries never re-decode.
-func (r *Reader) readLeaf(pageNo uint64) (records []byte, count int, err error) {
-	if r.h.format != FormatDelta {
-		return r.readPage(pageNo)
-	}
-	if r.cache != nil {
-		if data, count, ok := r.cache.get(r.id, pageNo); ok {
-			return data, count, nil
-		}
-	}
-	payload, count, err := r.readPageRaw(pageNo)
-	if err != nil {
-		return nil, 0, err
-	}
-	var start time.Time
-	if r.decodeObs != nil {
-		start = time.Now()
-	}
-	records, err = decodeDeltaLeaf(payload, count, r.h.recordSize)
-	if err != nil {
-		return nil, 0, fmt.Errorf("btree: page %d: %w", pageNo, err)
-	}
-	if r.decodeObs != nil {
-		r.decodeObs(time.Since(start))
-	}
-	if r.cache != nil {
-		r.cache.put(r.id, pageNo, records, count)
-	}
-	return records, count, nil
-}
-
 // findLeaf descends from the root to the leaf page that may contain the
 // first record >= key.
 func (r *Reader) findLeaf(key []byte) (uint64, error) {
@@ -166,50 +163,67 @@ func (r *Reader) findLeaf(key []byte) (uint64, error) {
 	pageNo := r.h.rootPage
 	entrySize := r.h.recordSize + 8
 	for level := int(r.h.levels); level > 0; level-- {
-		payload, count, err := r.readPage(pageNo)
+		pg, err := r.readPage(pageNo)
 		if err != nil {
 			return 0, err
 		}
 		// Find the last entry with key <= target; if the target sorts
 		// before every separator, take the first child (SeekGE then
 		// starts at the level's smallest records).
-		lo, hi := 0, count // lo = number of entries with key <= target
-		for lo < hi {
-			mid := (lo + hi) / 2
-			ek := payload[mid*entrySize : mid*entrySize+r.h.recordSize]
-			if bytes.Compare(ek, key) <= 0 {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		idx := lo - 1
-		if idx < 0 {
-			idx = 0
-		}
-		pageNo = binary.LittleEndian.Uint64(
-			payload[idx*entrySize+r.h.recordSize : idx*entrySize+r.h.recordSize+8])
+		idx := max(countLE(pg.payload, entrySize, pg.count, key)-1, 0)
+		pageNo = binary.LittleEndian.Uint64(pg.payload[idx*entrySize+r.h.recordSize:])
 	}
 	return pageNo, nil
 }
 
-// Iterator yields records in ascending order.
-type Iterator struct {
-	r       *Reader
-	pageNo  uint64
-	payload []byte
-	count   int
-	idx     int
-	done    bool
+// countLE returns how many of the n ascending stride-byte entries of buf
+// begin with a key <= target.
+func countLE(buf []byte, stride, n int, target []byte) int {
+	lo, hi := 0, n
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if bytes.Compare(buf[mid*stride:mid*stride+len(target)], target) <= 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
-// First returns an iterator positioned at the first record.
-func (r *Reader) First() (*Iterator, error) {
-	it := &Iterator{r: r, pageNo: r.h.leafStart}
+// Iterator yields records in ascending order. Over a raw run it slices
+// records out of the page; over a delta run it is a streaming cursor that
+// decodes one record per Next into its own buffer.
+type Iterator struct {
+	r      *Reader
+	pageNo uint64
+	*page
+	idx  int // records of the current page consumed so far
+	done bool
+
+	// Delta cursor state (rec is nil over a raw run): rec holds record
+	// idx-1 of the page (all zero before the first), which is the column
+	// state record idx's deltas apply to; pos is record idx's payload
+	// offset. pending marks rec as decoded by SeekGE but not yet returned.
+	rec     []byte
+	pos     int
+	pending bool
+}
+
+func (r *Reader) newIterator(pageNo uint64) (*Iterator, error) {
+	it := &Iterator{r: r, pageNo: pageNo}
+	if r.h.format == FormatDelta {
+		it.rec = make([]byte, r.h.recordSize)
+	}
 	if err := it.loadPage(); err != nil {
 		return nil, err
 	}
 	return it, nil
+}
+
+// First returns an iterator positioned at the first record.
+func (r *Reader) First() (*Iterator, error) {
+	return r.newIterator(r.h.leafStart)
 }
 
 // SeekGE returns an iterator positioned at the first record >= key.
@@ -221,22 +235,41 @@ func (r *Reader) SeekGE(key []byte) (*Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	it := &Iterator{r: r, pageNo: leaf}
-	if err := it.loadPage(); err != nil {
-		return nil, err
+	it, err := r.newIterator(leaf)
+	if err != nil || it.done {
+		return it, err
 	}
-	// Binary search within the leaf for the first record >= key.
-	lo, hi := 0, it.count
 	rs := r.h.recordSize
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(it.payload[mid*rs:(mid+1)*rs], key) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
+	if it.rec == nil {
+		// Binary search within the raw leaf for the first record >= key.
+		lo, hi := 0, it.count
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if bytes.Compare(it.payload[mid*rs:(mid+1)*rs], key) < 0 {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		it.idx = lo
+	} else {
+		// Start from the last restart point whose record is <= key (the
+		// first one if key sorts before the whole page) and stream-decode
+		// forward, at most restartInterval records.
+		stride := rs + 2
+		j := max(countLE(it.restarts, stride, len(it.restarts)/stride, key)-1, 0)
+		copy(it.rec, it.restarts[j*stride:j*stride+rs])
+		it.pos = int(binary.LittleEndian.Uint16(it.restarts[j*stride+rs:]))
+		it.idx = j*restartInterval + 1
+		for bytes.Compare(it.rec, key) < 0 && it.idx < it.count {
+			if err := it.decodeNext(); err != nil {
+				return nil, err
+			}
+		}
+		if it.pending = bytes.Compare(it.rec, key) >= 0; it.pending {
+			return it, nil
 		}
 	}
-	it.idx = lo
 	if it.idx == it.count {
 		// Key is past this leaf; advance to the next one.
 		if err := it.advancePage(); err != nil {
@@ -251,11 +284,12 @@ func (it *Iterator) loadPage() error {
 		it.done = true
 		return nil
 	}
-	payload, count, err := it.r.readLeaf(it.pageNo)
+	p, err := it.r.readPage(it.pageNo)
 	if err != nil {
 		return err
 	}
-	it.payload, it.count, it.idx = payload, count, 0
+	it.page, it.idx, it.pos = p, 0, 0
+	clear(it.rec)
 	return nil
 }
 
@@ -264,9 +298,25 @@ func (it *Iterator) advancePage() error {
 	return it.loadPage()
 }
 
+// decodeNext advances the delta cursor by one record. The page was
+// validated when it was read, so a failure here means memory corruption.
+func (it *Iterator) decodeNext() error {
+	next, _ := deltaNext(it.payload, it.pos, it.rec)
+	if next < 0 {
+		return fmt.Errorf("%w: page %d record %d", ErrCorrupt, it.pageNo, it.idx)
+	}
+	it.pos = next
+	it.idx++
+	return nil
+}
+
 // Next returns the next record, or ok=false at the end. The returned slice
-// aliases an internal page buffer and is valid only until the next call.
+// aliases an internal buffer and is valid only until the next call.
 func (it *Iterator) Next() (rec []byte, ok bool, err error) {
+	if it.pending {
+		it.pending = false
+		return it.rec, true, nil
+	}
 	if it.done {
 		return nil, false, nil
 	}
@@ -277,6 +327,12 @@ func (it *Iterator) Next() (rec []byte, ok bool, err error) {
 		if it.done {
 			return nil, false, nil
 		}
+	}
+	if it.rec != nil {
+		if err := it.decodeNext(); err != nil {
+			return nil, false, err
+		}
+		return it.rec, true, nil
 	}
 	rs := it.r.h.recordSize
 	rec = it.payload[it.idx*rs : (it.idx+1)*rs]

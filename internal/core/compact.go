@@ -246,11 +246,15 @@ func (e *Engine) compactAttempt(p int, exclusive, tiered bool) (compacted, insta
 		return false, true, err
 	}
 
-	newFrom, err := e.db.NewRunBuilder(TableFrom, p, 1, v.CP(), storage.SrcCompaction)
+	// Every complete interval the join emits consumes a To or a Combined
+	// input, every incomplete one a From: the input totals bound the
+	// outputs, which is what sizes their Bloom filters.
+	expectFrom, expectComb := recordsIn(vFrom), recordsIn(vTo, mergeComb)
+	newFrom, err := e.db.NewRunBuilder(TableFrom, p, 1, v.CP(), storage.SrcCompaction, expectFrom)
 	if err != nil {
 		return false, true, err
 	}
-	newComb, err := e.db.NewRunBuilder(TableCombined, p, 1, v.CP(), storage.SrcCompaction)
+	newComb, err := e.db.NewRunBuilder(TableCombined, p, 1, v.CP(), storage.SrcCompaction, expectComb)
 	if err != nil {
 		newFrom.Abort()
 		return false, true, err
@@ -262,7 +266,7 @@ func (e *Engine) compactAttempt(p int, exclusive, tiered bool) (compacted, insta
 	// purges overrides once their line is fully gone.
 	var newOver *lsm.RunBuilder
 	if tiered {
-		newOver, err = e.db.NewRunBuilder(TableCombined, p, 1, v.CP(), storage.SrcCompaction)
+		newOver, err = e.db.NewRunBuilder(TableCombined, p, 1, v.CP(), storage.SrcCompaction, expectComb)
 		if err != nil {
 			newFrom.Abort()
 			newComb.Abort()
@@ -492,16 +496,18 @@ func (e *Engine) compactJobAttempt(job CompactionJob) (installed bool, err error
 		}
 	}
 
-	newFrom, err := e.db.NewRunBuilder(TableFrom, p, job.OutputLevel, v.CP(), storage.SrcCompaction)
+	// As in compactAttempt, the input totals bound each output.
+	expectComb := recordsIn(job.To, job.Combined)
+	newFrom, err := e.db.NewRunBuilder(TableFrom, p, job.OutputLevel, v.CP(), storage.SrcCompaction, recordsIn(job.From))
 	if err != nil {
 		return false, err
 	}
-	newTo, err := e.db.NewRunBuilder(TableTo, p, job.OutputLevel, v.CP(), storage.SrcCompaction)
+	newTo, err := e.db.NewRunBuilder(TableTo, p, job.OutputLevel, v.CP(), storage.SrcCompaction, recordsIn(job.To))
 	if err != nil {
 		newFrom.Abort()
 		return false, err
 	}
-	newComb, err := e.db.NewRunBuilder(TableCombined, p, job.OutputLevel, v.CP(), storage.SrcCompaction)
+	newComb, err := e.db.NewRunBuilder(TableCombined, p, job.OutputLevel, v.CP(), storage.SrcCompaction, expectComb)
 	if err != nil {
 		newFrom.Abort()
 		newTo.Abort()
@@ -513,7 +519,7 @@ func (e *Engine) compactJobAttempt(job CompactionJob) (installed bool, err error
 	// empty (and writes no run) unless an input carried them.
 	var newOver *lsm.RunBuilder
 	if e.expiryEnabled() {
-		newOver, err = e.db.NewRunBuilder(TableCombined, p, job.OutputLevel, v.CP(), storage.SrcCompaction)
+		newOver, err = e.db.NewRunBuilder(TableCombined, p, job.OutputLevel, v.CP(), storage.SrcCompaction, expectComb)
 		if err != nil {
 			newFrom.Abort()
 			newTo.Abort()
@@ -806,6 +812,17 @@ func (e *Engine) keepInterval(line, from, to uint64) bool {
 		}
 	}
 	return false
+}
+
+// recordsIn totals the records of the given run lists.
+func recordsIn(lists ...[]*lsm.Run) int {
+	var n uint64
+	for _, runs := range lists {
+		for _, r := range runs {
+			n += r.Records()
+		}
+	}
+	return int(n)
 }
 
 // recStream is a peekable decoded record stream used by the group merge.

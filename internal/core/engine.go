@@ -26,7 +26,10 @@ type Options struct {
 	// expansion, and purging. Required.
 	Catalog Catalog
 	// CacheBytes sizes the shared page cache (default 32 MB, the paper's
-	// micro-benchmark configuration). Negative disables caching.
+	// micro-benchmark configuration). Pages are cached and charged in
+	// their on-disk encoding (plus ≈0.7 KB of restart table per compressed
+	// leaf), so the budget covers about the same bytes of the store in
+	// memory as on disk. Negative disables caching.
 	CacheBytes int64
 	// Partitions is the number of block-range partitions (default 1).
 	Partitions int
@@ -42,9 +45,12 @@ type Options struct {
 	// different shards never contend, and Checkpoint flushes all shards in
 	// parallel. 1 reproduces the paper's single write store.
 	WriteShards int
-	// BloomMaxBytes caps From/To run filters (default 32 KB).
-	BloomMaxBytes int
-	// CombinedBloomMaxBytes caps Combined run filters (default 1 MB).
+	// BloomMaxBytes caps From/To run filters and CombinedBloomMaxBytes
+	// Combined run filters (default 1 MB each). Below its cap every run's
+	// filter is sized by the run's keys (≈8 bits per key, the paper's
+	// 2.4 % false-positive target), so a per-CP run of 32 000 operations
+	// carries the paper's 32 KB filter and a compacted run a larger one.
+	BloomMaxBytes         int
 	CombinedBloomMaxBytes int
 	// DisablePruning turns off same-CP proactive pruning (ablation).
 	DisablePruning bool
@@ -372,14 +378,7 @@ func Open(opts Options) (*Engine, error) {
 	if cacheBytes > 0 {
 		cache = btree.NewCacheBytes(cacheBytes)
 	}
-	bfFromTo := opts.BloomMaxBytes
-	if bfFromTo == 0 {
-		bfFromTo = 32 << 10
-	}
-	bfCombined := opts.CombinedBloomMaxBytes
-	if bfCombined == 0 {
-		bfCombined = 1 << 20
-	}
+	// Zero Bloom caps mean bloom.MaxFilterBytes (the lsm layer's default).
 	if opts.Compression != CompressionDelta && opts.Compression != CompressionNone {
 		return nil, fmt.Errorf("core: unknown Compression %d", opts.Compression)
 	}
@@ -401,9 +400,9 @@ func Open(opts Options) (*Engine, error) {
 	}
 	lopts := lsm.Options{
 		Tables: []lsm.TableSpec{
-			{Name: TableFrom, RecordSize: FromRecSize, BloomMaxBytes: bfFromTo, Span: spanFrom},
-			{Name: TableTo, RecordSize: ToRecSize, BloomMaxBytes: bfFromTo, Span: spanTo},
-			{Name: TableCombined, RecordSize: CombinedSize, BloomMaxBytes: bfCombined,
+			{Name: TableFrom, RecordSize: FromRecSize, BloomMaxBytes: opts.BloomMaxBytes, Span: spanFrom},
+			{Name: TableTo, RecordSize: ToRecSize, BloomMaxBytes: opts.BloomMaxBytes, Span: spanTo},
+			{Name: TableCombined, RecordSize: CombinedSize, BloomMaxBytes: opts.CombinedBloomMaxBytes,
 				Span: spanCombined, IsOverride: isOverrideCombined},
 		},
 		Partitions:       opts.Partitions,
@@ -1153,7 +1152,7 @@ func flushWS[T any](db *lsm.DB, refs *[]lsm.RunRef, table string, cp uint64,
 		p := db.PartitionOf(block)
 		b := builders[p]
 		if b == nil {
-			nb, err := db.NewRunBuilder(table, p, 0, cp, storage.SrcCheckpoint)
+			nb, err := db.NewRunBuilder(table, p, 0, cp, storage.SrcCheckpoint, ws.Len())
 			if err != nil {
 				retErr = err
 				return false

@@ -59,7 +59,7 @@ type CompressResult struct {
 	// WriteRatio compares checkpoint write bytes (raw / delta).
 	WriteRatio float64
 	// WarmSlowdown is delta's warm query latency over raw's — the price
-	// of decoding, mostly hidden by the decoded-page cache.
+	// of stream-decoding from a cached page's nearest restart point.
 	WarmSlowdown float64
 }
 
@@ -148,12 +148,12 @@ func compressWorkload(cfg CompressConfig, comp core.Compression) (CompressPoint,
 		}
 		return float64(time.Since(t0).Microseconds()) / float64(len(queryBlocks)), nil
 	}
-	// Cold: drop the page cache (and decoded pages with it).
+	// Cold: drop the page cache.
 	eng.ClearCaches()
 	if pt.ColdQueryUS, err = timeQueries(); err != nil {
 		return pt, err
 	}
-	// Warm: the same blocks again, served from the decoded-page cache.
+	// Warm: the same blocks again, served from cached (still encoded) pages.
 	if pt.WarmQueryUS, err = timeQueries(); err != nil {
 		return pt, err
 	}

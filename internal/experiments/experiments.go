@@ -14,6 +14,7 @@ package experiments
 import (
 	"time"
 
+	"github.com/backlogfs/backlog/internal/bloom"
 	"github.com/backlogfs/backlog/internal/core"
 	"github.com/backlogfs/backlog/internal/fsim"
 	"github.com/backlogfs/backlog/internal/storage"
@@ -64,6 +65,9 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 		// layout, and must stay byte-identical as the delta default
 		// evolves. RunCompress is the experiment that measures compression.
 		Compression: core.CompressionNone,
+		// And the paper's fixed 32 KB From/To filter: by default a filter
+		// grows with its run's keys up to the Combined table's 1 MB.
+		BloomMaxBytes: bloom.DefaultFilterBytes,
 	})
 	if err != nil {
 		return nil, err

@@ -31,7 +31,7 @@ func openSpannedDB(t *testing.T, fs storage.VFS) *DB {
 	db, err := Open(fs, Options{
 		Tables:     []TableSpec{spannedSpec("combined")},
 		Partitions: 1,
-		Cache:      btree.NewCache(4096),
+		Cache:      btree.NewCacheBytes(4096 * storage.PageSize),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -56,7 +56,8 @@ type TableSpec struct {
 	// RecordSize is the fixed encoded record size in bytes.
 	RecordSize int
 	// BloomMaxBytes caps the Bloom filter size of this table's runs
-	// (DefaultFilterBytes if zero).
+	// (bloom.MaxFilterBytes if zero). Below the cap a filter is sized by
+	// the run's keys, not by its table.
 	BloomMaxBytes int
 	// Span reports the consistency-point window [lo, hi] a record covers.
 	// Run builders fold it into the run's [MinCP, MaxCP] metadata, which
@@ -100,9 +101,10 @@ type Options struct {
 	// run by run as compaction rewrites them. FormatDelta requires every
 	// table's RecordSize to be a multiple of 8.
 	RunFormat btree.Format
-	// DecodeObserver, when non-nil, receives the wall time spent expanding
-	// each compressed leaf page on a decoded-cache miss (the engine wires
-	// it to the backlog_page_decode_ns histogram).
+	// DecodeObserver, when non-nil, receives the wall time of the
+	// validate-and-sample pass over each compressed leaf page read on a
+	// cache miss (the engine wires it to the backlog_page_decode_ns
+	// histogram).
 	DecodeObserver func(time.Duration)
 }
 

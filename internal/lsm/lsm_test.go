@@ -27,7 +27,7 @@ func openTestDB(t *testing.T, fs storage.VFS, partitions int) *DB {
 		Tables:        []TableSpec{{Name: "from", RecordSize: testRecSize}, {Name: "to", RecordSize: testRecSize}},
 		Partitions:    partitions,
 		PartitionSpan: 1000,
-		Cache:         btree.NewCache(4096),
+		Cache:         btree.NewCacheBytes(4096 * storage.PageSize),
 	}
 	db, err := Open(fs, opts)
 	if err != nil {
@@ -50,7 +50,7 @@ func flushRecords(t *testing.T, db *DB, table string, cp uint64, recs [][]byte) 
 		b, ok := builders[p]
 		if !ok {
 			var err error
-			b, err = db.NewRunBuilder(table, p, 0, cp, storage.SrcCheckpoint)
+			b, err = db.NewRunBuilder(table, p, 0, cp, storage.SrcCheckpoint, 1<<15)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,7 +145,7 @@ func TestCrashBeforeCommitRecoversOldState(t *testing.T) {
 	flushRecords(t, db, "from", 1, [][]byte{rec16(1, 10)})
 
 	// Write a run but crash before the manifest commit.
-	b, err := db.NewRunBuilder("from", 0, 0, 2, storage.SrcCheckpoint)
+	b, err := db.NewRunBuilder("from", 0, 0, 2, storage.SrcCheckpoint, 1<<15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestCompactionReplacesRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nb, err := db.NewRunBuilder("from", 0, 1, db.CP(), storage.SrcCompaction)
+	nb, err := db.NewRunBuilder("from", 0, 1, db.CP(), storage.SrcCompaction, 1<<15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +428,7 @@ func TestInstalledRunKeepsBuilderFilter(t *testing.T) {
 func TestEmptyBuilderProducesNoRun(t *testing.T) {
 	fs := storage.NewMemFS()
 	db := openTestDB(t, fs, 1)
-	b, err := db.NewRunBuilder("from", 0, 0, 1, storage.SrcCheckpoint)
+	b, err := db.NewRunBuilder("from", 0, 0, 1, storage.SrcCheckpoint, 1<<15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +448,7 @@ func TestEmptyBuilderProducesNoRun(t *testing.T) {
 func TestAbortRemovesFile(t *testing.T) {
 	fs := storage.NewMemFS()
 	db := openTestDB(t, fs, 1)
-	b, err := db.NewRunBuilder("from", 0, 0, 1, storage.SrcCheckpoint)
+	b, err := db.NewRunBuilder("from", 0, 0, 1, storage.SrcCheckpoint, 1<<15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -594,6 +594,64 @@ func TestManyCPsRunAccumulation(t *testing.T) {
 	}
 }
 
+func TestMergeScanDoesNotFillCache(t *testing.T) {
+	// A full merge scan is served pages the cache holds but inserts none
+	// it misses, so it cannot push a query's working set out.
+	fs := storage.NewMemFS()
+	db, err := Open(fs, Options{
+		Tables:    []TableSpec{{Name: "from", RecordSize: testRecSize}},
+		Cache:     btree.NewCacheBytes(8 * storage.PageSize),
+		RunFormat: btree.FormatDelta,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two runs of several leaves each, far more pages than the cache holds.
+	for cp := uint64(1); cp <= 2; cp++ {
+		recs := make([][]byte, 20000)
+		for i := range recs {
+			recs[i] = rec16(uint64(i), cp<<32|uint64(i*7))
+		}
+		flushRecords(t, db, "from", cp, recs)
+	}
+	tbl := db.Table("from")
+	const hot = 12345
+	if got := len(collect(t, tbl, hot)); got != 2 {
+		t.Fatalf("block %d has %d records, want 2", hot, got)
+	}
+	resident := db.cache.Len()
+	if resident == 0 {
+		t.Fatal("query cached nothing")
+	}
+
+	it, err := tbl.MergedIter(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for {
+		_, ok, err := it.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		n++
+	}
+	if n != 40000 {
+		t.Fatalf("merge scan yielded %d records, want 40000", n)
+	}
+	if got := db.cache.Len(); got != resident {
+		t.Fatalf("merge scan changed cache residency: %d -> %d pages", resident, got)
+	}
+	before := fs.Stats()
+	collect(t, tbl, hot)
+	if d := fs.Stats().Sub(before); d.PageReads != 0 {
+		t.Fatalf("hot block read %d pages after the merge scan, want 0", d.PageReads)
+	}
+}
+
 func BenchmarkFlush32kRecords(b *testing.B) {
 	recs := make([][]byte, 32000)
 	for i := range recs {
@@ -608,7 +666,7 @@ func BenchmarkFlush32kRecords(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rb, err := db.NewRunBuilder("from", 0, 0, 1, storage.SrcCheckpoint)
+		rb, err := db.NewRunBuilder("from", 0, 0, 1, storage.SrcCheckpoint, 1<<15)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -631,14 +689,14 @@ func BenchmarkCollectBlockAcrossRuns(b *testing.B) {
 	fs := storage.NewMemFS()
 	db, err := Open(fs, Options{
 		Tables: []TableSpec{{Name: "from", RecordSize: testRecSize}},
-		Cache:  btree.NewCache(1 << 13),
+		Cache:  btree.NewCacheBytes(32 << 20),
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	// 20 runs of 1000 records each.
 	for cp := uint64(1); cp <= 20; cp++ {
-		rb, err := db.NewRunBuilder("from", 0, 0, cp, storage.SrcCheckpoint)
+		rb, err := db.NewRunBuilder("from", 0, 0, cp, storage.SrcCheckpoint, 1<<15)
 		if err != nil {
 			b.Fatal(err)
 		}

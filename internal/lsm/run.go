@@ -42,8 +42,10 @@ type Run struct {
 	// scans: shallow copies of one btree.Reader differing only in the
 	// purpose tag of their file handle, so every cache-miss page read is
 	// attributed to the subsystem that caused it. They share one cache
-	// identity — pages either fills are hits for both. With attribution
-	// disabled both wrap the same untagged file.
+	// identity, and only qreader fills it: a merge scan is served resident
+	// pages but inserts none (see btree.Reader.NoFill), so it cannot evict
+	// the query working set in favour of runs it is about to delete. With
+	// attribution disabled both wrap the same untagged file.
 	qreader *btree.Reader
 	creader *btree.Reader
 	// filter is the run's Bloom filter once known: handed over by the
@@ -163,7 +165,7 @@ func (db *DB) openRun(t *Table, rm runManifest, src storage.Source) (*Run, error
 	qf := storage.WithReadHook(storage.TagFile(f, storage.SrcQuery),
 		func(n int) { r.heatBytes.Add(int64(n)) })
 	r.qreader = rd.WithFile(qf)
-	r.creader = rd.WithFile(storage.TagFile(f, storage.SrcCompaction))
+	r.creader = rd.WithFile(storage.TagFile(f, storage.SrcCompaction)).NoFill()
 	return r, nil
 }
 
@@ -218,7 +220,8 @@ func (r *Run) SeekGE(key []byte) (*btree.Iterator, error) {
 }
 
 // First returns an iterator over the whole run, reading through the
-// compaction-tagged handle: full scans are merge work, not query heat.
+// compaction-tagged handle: full scans are merge work, not query heat, and
+// the pages they miss stay out of the cache.
 func (r *Run) First() (*btree.Iterator, error) {
 	return r.creader.First()
 }
@@ -256,8 +259,11 @@ type RunBuilder struct {
 // file is created immediately but becomes visible only when its RunRef is
 // committed. All I/O the builder issues — file creation, page writes, the
 // final sync, and removal on abort — is attributed to src (checkpoint for
-// per-CP flushes, compaction for merges).
-func (db *DB) NewRunBuilder(table string, partition, level int, cp uint64, src storage.Source) (*RunBuilder, error) {
+// per-CP flushes, compaction for merges). expectRecords is an upper bound
+// on the records the caller will add (the write store's length at a
+// checkpoint, the inputs' record total at a merge); it sizes the Bloom
+// filter, which Finish then shrinks to the keys actually added.
+func (db *DB) NewRunBuilder(table string, partition, level int, cp uint64, src storage.Source, expectRecords int) (*RunBuilder, error) {
 	t := db.tables[table]
 	if t == nil {
 		return nil, fmt.Errorf("lsm: unknown table %q", table)
@@ -276,10 +282,6 @@ func (db *DB) NewRunBuilder(table string, partition, level int, cp uint64, src s
 	if err != nil {
 		return nil, err
 	}
-	maxBF := t.spec.BloomMaxBytes
-	if maxBF == 0 {
-		maxBF = bloom.DefaultFilterBytes
-	}
 	return &RunBuilder{
 		db:        db,
 		table:     t,
@@ -290,7 +292,7 @@ func (db *DB) NewRunBuilder(table string, partition, level int, cp uint64, src s
 		name:      name,
 		file:      f,
 		writer:    w,
-		filter:    bloom.New(maxBF, bloom.DefaultHashes),
+		filter:    bloom.NewForCapacity(expectRecords, t.spec.BloomMaxBytes),
 	}, nil
 }
 

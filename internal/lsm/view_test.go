@@ -43,7 +43,7 @@ func compactInto(t *testing.T, db *DB) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := db.NewRunBuilder("from", 0, 1, db.CP(), storage.SrcCompaction)
+	b, err := db.NewRunBuilder("from", 0, 1, db.CP(), storage.SrcCompaction, 1<<15)
 	if err != nil {
 		t.Fatal(err)
 	}
