@@ -1,0 +1,262 @@
+// Tests of the one merge executor against a storage layer that misbehaves
+// on cue: a header write that fails inside RunBuilder.Finish, and a
+// checkpoint that lands in the middle of every optimistic attempt. Package
+// core_test because the answers are checked against internal/naive.
+package core_test
+
+import (
+	"errors"
+	"sort"
+	"strings"
+	"testing"
+
+	"github.com/backlogfs/backlog/internal/core"
+	"github.com/backlogfs/backlog/internal/storage"
+)
+
+// hookFS is a VFS whose run-file creations can be observed and sabotaged.
+// It takes no lock: the tests drive the engine from one goroutine with one
+// write shard and no background maintainer, so every Create is ordered
+// with the test's own accesses.
+type hookFS struct {
+	storage.VFS
+
+	// onCreate runs before a run file is created. Creations the hook itself
+	// causes (it may checkpoint) pass through without re-entering it.
+	onCreate func(name string)
+	inHook   bool
+	// failNth > 0 counts run-file creations down; the file that takes it to
+	// zero fails its header write.
+	failNth int
+	failed  int
+}
+
+func (h *hookFS) Create(name string) (storage.File, error) {
+	if !strings.HasSuffix(name, ".run") {
+		return h.VFS.Create(name)
+	}
+	if h.onCreate != nil && !h.inHook {
+		h.inHook = true
+		h.onCreate(name)
+		h.inHook = false
+	}
+	f, err := h.VFS.Create(name)
+	if err != nil || h.failNth == 0 {
+		return f, err
+	}
+	if h.failNth--; h.failNth > 0 {
+		return f, nil
+	}
+	return &headerFailFile{File: f, fs: h}, nil
+}
+
+// headerFailFile fails the write at offset 0. Pages start at page 1, so
+// the only write there is the run header btree.Writer.Finish issues last.
+type headerFailFile struct {
+	storage.File
+	fs *hookFS
+}
+
+func (f *headerFailFile) WriteAt(p []byte, off int64) (int, error) {
+	if off != 0 {
+		return f.File.WriteAt(p, off)
+	}
+	f.fs.failed++
+	return 0, storage.ErrInjected
+}
+
+// assertNoOrphans checks that the run files in the directory are exactly
+// the runs the engine's manifest lists.
+func assertNoOrphans(t *testing.T, fs storage.VFS, eng *core.Engine) {
+	t.Helper()
+	var want []string
+	for _, ri := range eng.RunInfos() {
+		want = append(want, ri.Name)
+	}
+	sort.Strings(want)
+	names, err := fs.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, n := range names {
+		if strings.HasSuffix(n, ".run") {
+			got = append(got, n)
+		}
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("run files on disk differ from the manifest's run set\n disk:     %v\n manifest: %v", got, want)
+	}
+}
+
+// mergeFixture is an engine over a hookFS plus the record of every
+// operation applied to it, replayable into the naive oracle.
+type mergeFixture struct {
+	t   *testing.T
+	fs  *hookFS
+	cat *core.MemCatalog
+	eng *core.Engine
+	ops []oracleOp
+}
+
+const fixtureBlocks = 48
+
+func newMergeFixture(t *testing.T, opts core.Options) *mergeFixture {
+	t.Helper()
+	fx := &mergeFixture{t: t, fs: &hookFS{VFS: storage.NewMemFS()}, cat: core.NewMemCatalog()}
+	opts.VFS, opts.Catalog = fx.fs, fx.cat
+	opts.WriteShards = 1
+	opts.CompactPacing = -1
+	eng, err := core.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx.eng = eng
+	t.Cleanup(func() { eng.Close() })
+	return fx
+}
+
+func (fx *mergeFixture) apply(o oracleOp) {
+	if o.remove {
+		fx.eng.RemoveRef(o.ref, o.cp)
+	} else {
+		fx.eng.AddRef(o.ref, o.cp)
+	}
+	fx.ops = append(fx.ops, o)
+}
+
+// epoch applies one consistency point: a batch of adds owned by inode
+// 10+cp, the removal of every other reference added two CPs earlier (so
+// the Tos of one flush pair with Froms of an older one), a snapshot that
+// keeps the completed intervals from being purged, and the checkpoint.
+func (fx *mergeFixture) epoch(cp uint64) {
+	fx.t.Helper()
+	for i := uint64(0); i < fixtureBlocks; i++ {
+		fx.apply(oracleOp{ref: core.Ref{Block: i, Inode: 10 + cp, Offset: i, Length: 1}, cp: cp})
+		if cp > 2 && i%2 == 0 {
+			fx.apply(oracleOp{ref: core.Ref{Block: i, Inode: 10 + cp - 2, Offset: i, Length: 1}, cp: cp, remove: true})
+		}
+	}
+	if err := fx.cat.CreateSnapshot(0, cp); err != nil {
+		fx.t.Fatal(err)
+	}
+	if err := fx.eng.Checkpoint(cp); err != nil {
+		fx.t.Fatal(err)
+	}
+}
+
+func (fx *mergeFixture) verify() {
+	fx.t.Helper()
+	assertNoOrphans(fx.t, fx.fs, fx.eng)
+	verifyLiveAgainstNaive(fx.t, fx.eng, [][]oracleOp{fx.ops}, fixtureBlocks)
+}
+
+// TestFinishFailureLeavesNoOrphan fails the header write of the second
+// output of a merge — a builder with a finished one before it and, in the
+// leveled case, an unfinished one after it. Whatever the job's shape, the
+// failed merge must leave no run file the manifest does not list, the
+// store must keep answering like the oracle, and the merge must go through
+// once the fault is gone.
+func TestFinishFailureLeavesNoOrphan(t *testing.T) {
+	cases := []struct {
+		name  string
+		opts  core.Options
+		merge func(*core.Engine) error
+	}{
+		// Outputs From, To, Combined: the To run (removals whose Froms sit a
+		// level up) fails.
+		{"leveled", core.Options{CompactionPolicy: core.PolicyLeveled{}, Fanout: 2}, (*core.Engine).MaintainNow},
+		// Outputs From, Combined: the Combined run fails.
+		{"whole", core.Options{}, (*core.Engine).Compact},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fx := newMergeFixture(t, tc.opts)
+			fx.epoch(1)
+			fx.epoch(2)
+			// Under PolicyLeveled this lifts CPs 1-2 to level 1, so the
+			// removals below are lone Tos at level 0; under PolicyFull it is
+			// below the threshold and does nothing.
+			if err := fx.eng.MaintainNow(); err != nil {
+				t.Fatal(err)
+			}
+			fx.epoch(3)
+			fx.epoch(4)
+
+			fx.fs.failNth = 2
+			err := tc.merge(fx.eng)
+			if !errors.Is(err, storage.ErrInjected) {
+				t.Fatalf("merge error = %v, want the injected failure", err)
+			}
+			if fx.fs.failed != 1 {
+				t.Fatalf("header write failed %d times, want 1", fx.fs.failed)
+			}
+			fx.verify()
+
+			if err := tc.merge(fx.eng); err != nil {
+				t.Fatalf("merge after the fault cleared: %v", err)
+			}
+			if n := fx.eng.Stats().Compactions; n == 0 {
+				t.Fatal("retried merge installed nothing")
+			}
+			fx.verify()
+		})
+	}
+}
+
+// TestCompactionLadder drives a whole-partition merge down the whole
+// retry ladder deterministically: a checkpoint lands inside each of the
+// first CompactRetries attempts — from within the creation of the
+// attempt's From output, where an optimistic attempt holds no structural
+// lock — so each finds the partition changed at install and counts one
+// conflict. The next attempt runs under the exclusive lock (the hook must
+// not fire then: a checkpoint would deadlock on the single-flight guard),
+// cannot conflict, and installs a merge that includes the runs the
+// interfering checkpoints added.
+func TestCompactionLadder(t *testing.T) {
+	cases := []struct {
+		name  string
+		opts  core.Options
+		merge func(*core.Engine) error
+	}{
+		{"Compact", core.Options{}, (*core.Engine).Compact},
+		{"PolicyFullMaintainNow", core.Options{CompactThreshold: 4}, (*core.Engine).MaintainNow},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fx := newMergeFixture(t, tc.opts)
+			for cp := uint64(1); cp <= 4; cp++ {
+				fx.epoch(cp)
+			}
+
+			fired := 0
+			fx.fs.onCreate = func(name string) {
+				if !strings.HasPrefix(name, core.TableFrom+".") || fired == core.CompactRetries {
+					return
+				}
+				fired++
+				fx.epoch(4 + uint64(fired))
+			}
+			if err := tc.merge(fx.eng); err != nil {
+				t.Fatal(err)
+			}
+			fx.fs.onCreate = nil
+
+			if fired != core.CompactRetries {
+				t.Fatalf("interfering checkpoint ran %d times, want %d", fired, core.CompactRetries)
+			}
+			if ms := fx.eng.MaintenanceStats(); ms.Conflicts != core.CompactRetries {
+				t.Fatalf("Conflicts = %d, want %d", ms.Conflicts, core.CompactRetries)
+			}
+			if n := fx.eng.Stats().Compactions; n != 1 {
+				t.Fatalf("Compactions = %d, want the one pessimistic install", n)
+			}
+			// Everything, the interfering flushes included, is merged: one
+			// From and one Combined run, no To.
+			if n := fx.eng.RunCount(); n != 2 {
+				t.Fatalf("%d runs after the merge, want 2: %+v", n, fx.eng.RunInfos())
+			}
+			fx.verify()
+		})
+	}
+}

@@ -294,10 +294,11 @@ type Engine struct {
 
 	// cpMu is the checkpoint single-flight guard, always acquired before
 	// mu: Checkpoint holds it end to end (including the lock-free flush),
-	// and Close and pessimistic (full-lock) compactions take it too, so
-	// neither can interleave with the window in which the write stores are
-	// frozen but the runs are not yet installed. Optimistic compactions do
-	// not need it — they validate their view before installing.
+	// and Close and the pessimistic attempt of a merge (compactJobAttempt
+	// with exclusive set) take it too, so neither can interleave with the
+	// window in which the write stores are frozen but the runs are not yet
+	// installed. Optimistic merge attempts do not need it — they validate
+	// their view before installing.
 	cpMu sync.Mutex
 
 	shards []*writeShard
@@ -1019,7 +1020,7 @@ func (e *Engine) checkpoint(cp uint64) error {
 	// WAL record is tagged past this CP and replays the whole
 	// transplantation against these very runs. Compaction cannot destroy
 	// them in the window: it defers whenever a deletion vector is dirty
-	// (see compactAttempt).
+	// (see compactJobAttempt).
 	for table, dels := range e.frozenDel {
 		t := e.db.Table(table)
 		for rec := range dels {

@@ -470,6 +470,74 @@ func TestRetainLiveStartsMaintainer(t *testing.T) {
 	}
 }
 
+// TestCompactPartitionIsTieredUnderRetainLive: the single-partition entry
+// point must merge the way Compact does. Under RetainLive that means
+// sealed runs are left where they are — re-merging them would fold their
+// windows into one that ends at the newest record, which the reclaim
+// horizon never passes — so a following Expire can still drop them.
+func TestCompactPartitionIsTieredUnderRetainLive(t *testing.T) {
+	cat := core.NewMemCatalog()
+	eng, err := core.Open(core.Options{VFS: storage.NewMemFS(), Catalog: cat, Retention: core.RetainLive})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	eng.AddRef(fref(9, 9, 0, 0), 1) // lives throughout
+	for _, cp := range []uint64{1, 3} {
+		if err := cat.CreateSnapshot(0, cp); err != nil {
+			t.Fatal(err)
+		}
+		eng.AddRef(fref(cp, cp, 0, 0), cp)
+		fCheckpoint(t, eng, cp)
+		eng.RemoveRef(fref(cp, cp, 0, 0), cp+1)
+		fCheckpoint(t, eng, cp+1)
+		if err := eng.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sealed := sealedRuns(eng)
+	if len(sealed) != 2 {
+		t.Fatalf("built %d sealed runs, want 2: %+v", len(sealed), eng.RunInfos())
+	}
+
+	// Something to merge: two more flushes on top of the From run.
+	for cp := uint64(5); cp <= 6; cp++ {
+		eng.AddRef(fref(cp, cp, 0, 0), cp)
+		fCheckpoint(t, eng, cp)
+	}
+	before := eng.Stats().Compactions
+	if err := eng.CompactPartition(0); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Stats().Compactions != before+1 {
+		t.Fatal("CompactPartition merged nothing")
+	}
+	after := sealedRuns(eng)
+	if len(after) != 2 || after[0].Name != sealed[0].Name || after[1].Name != sealed[1].Name {
+		t.Fatalf("CompactPartition rewrote sealed runs\n before: %+v\n after:  %+v", sealed, after)
+	}
+
+	for _, cp := range []uint64{1, 3} {
+		if err := cat.DeleteSnapshot(0, cp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := eng.Expire(); err != nil {
+		t.Fatal(err)
+	}
+	// Counted from Stats, not from this call's result: the background
+	// expiry sweep RetainLive runs may have got there first.
+	if n := eng.Stats().RunsExpired; n != 2 {
+		t.Fatalf("RunsExpired = %d, want both sealed runs dropped", n)
+	}
+	if left := sealedRuns(eng); len(left) != 0 {
+		t.Fatalf("sealed runs survive expiry: %+v", left)
+	}
+	if owners := fQuery(t, eng, 9); len(owners) != 1 || !owners[0].Live {
+		t.Fatalf("live block 9 wrong after expiry: %+v", owners)
+	}
+}
+
 // TestExpireHammerAgainstNaiveOracle runs the full concurrent workload —
 // AddRef/RemoveRef/Query/Checkpoint plus background tiered compaction —
 // while a snapshot churner keeps only a sliding window of recent

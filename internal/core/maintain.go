@@ -34,9 +34,11 @@ type MaintenanceStats struct {
 	// AutoCompactions counts merges installed by maintenance passes
 	// (background or MaintainNow).
 	AutoCompactions uint64
-	// Conflicts counts optimistic compaction attempts (background or
+	// Conflicts counts optimistic merge attempts (background or
 	// foreground) that found their inputs changed under the merge and
-	// were retried or re-planned against a fresh view.
+	// installed nothing: a whole-partition merge then retries against a
+	// fresh view (after compactRetries conflicts, under the exclusive
+	// lock), any other job goes back to the planner.
 	Conflicts uint64
 	// Errors counts background compaction passes abandoned on error.
 	Errors uint64
@@ -166,13 +168,7 @@ func (e *Engine) drainCompactions(stop <-chan struct{}) (aborted bool, err error
 				return true, nil
 			default:
 			}
-			var installed bool
-			var err error
-			if job.Full {
-				installed, err = e.compactPartitionMode(job.Partition, tiered)
-			} else {
-				installed, err = e.compactJob(job)
-			}
+			installed, err := e.compactJob(job, tiered)
 			if err != nil {
 				e.stats.maintErrors.Add(1)
 				return false, err
@@ -201,7 +197,7 @@ func (e *Engine) drainCompactions(stop <-chan struct{}) (aborted bool, err error
 
 // planJobs pins a view and asks the policy for work. A dirty deletion
 // vector defers all planning — compaction is deferred anyway (see
-// compactAttempt), and the next checkpoint both persists the vector and
+// compactJobAttempt), and the next checkpoint both persists the vector and
 // kicks the maintainer. The returned jobs hold run pointers from a view
 // released before execution; executors re-validate them against a fresh
 // view before reading.
@@ -280,45 +276,6 @@ func (e *Engine) compactThreshold() int {
 	return th
 }
 
-// worstPartition returns the partition with the most live runs (summed
-// across tables) and its count.
-func (e *Engine) worstPartition() (int, int) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	counts := e.db.PartitionRunCounts()
-	worst, max := 0, 0
-	for p, n := range counts {
-		if n > max {
-			worst, max = p, n
-		}
-	}
-	return worst, max
-}
-
-// worstCompactable returns the partition with the most compactable runs —
-// runs a tiered merge would actually read — and that count. Sealed
-// Combined runs are excluded: tiered compaction never re-merges them, so
-// counting them against the threshold would keep the maintainer spinning
-// on a partition it cannot shrink (a tiered partition steady-states at
-// one From run plus one override run plus any number of sealed runs
-// awaiting expiry).
-func (e *Engine) worstCompactable() (int, int) {
-	counts := map[int]int{}
-	for _, ri := range e.RunInfos() {
-		if ri.Table == TableCombined && ri.Level >= 1 && ri.CPWindowKnown && ri.Overrides == 0 {
-			continue
-		}
-		counts[ri.Partition]++
-	}
-	worst, max := 0, 0
-	for p := 0; p < e.db.Partitions(); p++ {
-		if n := counts[p]; n > max {
-			worst, max = p, n
-		}
-	}
-	return worst, max
-}
-
 // MaintenanceStats returns a snapshot of the background maintainer's
 // counters plus the two signals policies watch: the worst per-partition
 // run count (sealed runs excluded under RetainLive) and the number of
@@ -326,12 +283,11 @@ func (e *Engine) worstCompactable() (int, int) {
 // concurrently; meaningful (Enabled=false, zero counters) without
 // AutoCompact too.
 func (e *Engine) MaintenanceStats() MaintenanceStats {
-	var max int
-	if e.expiryEnabled() {
-		_, max = e.worstCompactable()
-	} else {
-		_, max = e.worstPartition()
-	}
+	e.mu.RLock()
+	v := e.db.AcquireView()
+	e.mu.RUnlock()
+	_, max := worstWholeJob(v, e.db.Partitions(), e.expiryEnabled())
+	v.Release()
 	pol := e.policy()
 	return MaintenanceStats{
 		Enabled:          e.maint != nil,

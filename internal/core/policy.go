@@ -12,26 +12,64 @@ import (
 const DefaultFanout = 4
 
 // CompactionJob is one unit of maintenance work a CompactionPolicy asks
-// the scheduler to perform.
-//
-// Two shapes exist. A Full job (Full == true, run lists empty) is a
-// whole-partition merge-to-one executed by the classic compaction path —
-// the paper's Section 5.2 maintenance. A leveled job names its input runs
-// explicitly per table and the level its outputs are stamped with; the
-// scheduler merges exactly those runs and installs the outputs, leaving
-// every other run of the partition untouched.
+// the scheduler to perform: merge exactly the named input runs of one
+// partition, install the outputs stamped OutputLevel, and leave every
+// other run of the partition untouched. One executor (compactJob) runs
+// every job; the paper's Section 5.2 whole-partition maintenance is the
+// job wholeJob builds, whose inputs are everything mergeable.
 type CompactionJob struct {
 	Partition int
-	// Full marks a whole-partition worst-first merge; OutputLevel and the
-	// input lists are ignored.
-	Full bool
+	// Whole states a property of the inputs: From and To list every From
+	// and To run of the partition — its whole history — so a record the
+	// merge finds without a partner has none anywhere (see
+	// emitLeveledGroup). The executor takes such a job's inputs from the
+	// view it pins itself, and installs only if the partition's run lists
+	// are still exactly that view's.
+	Whole bool
 	// OutputLevel is the level stamped on the merge outputs (one above
-	// the inputs for a stepped merge).
+	// the inputs for a stepped merge, 1 for a whole merge).
 	OutputLevel int
 	// From, To, and Combined are the input runs per table. The pointers
 	// identify runs in the view the plan was made against; the executor
 	// re-validates them against a fresh view before reading.
 	From, To, Combined []*lsm.Run
+}
+
+// wholeJob builds the whole-partition merge of p as of v: every From and
+// To run and every Combined run, merged to at most one run per table at
+// level 1. Under tiered retention sealed Combined runs stay out — they
+// are never re-merged: that would union their windows with newer records
+// and push the result's MaxCP past the horizon forever, so nothing would
+// ever expire.
+func wholeJob(v *lsm.View, p int, tiered bool) CompactionJob {
+	job := CompactionJob{
+		Partition: p, Whole: true, OutputLevel: 1,
+		From: v.Runs(TableFrom, p), To: v.Runs(TableTo, p),
+	}
+	for _, r := range v.Runs(TableCombined, p) {
+		if !(tiered && r.Sealed()) {
+			job.Combined = append(job.Combined, r)
+		}
+	}
+	return job
+}
+
+// worstWholeJob returns the whole-partition job with the most input runs
+// and that count — the signal PolicyFull triggers on and MaintenanceStats
+// reports as MaxRuns. Sealed runs are not inputs, so they do not count:
+// counting them would keep the scheduler spinning on a partition it
+// cannot shrink (a tiered partition steady-states at one From run plus
+// one override run plus any number of sealed runs awaiting expiry).
+func worstWholeJob(v *lsm.View, partitions int, tiered bool) (CompactionJob, int) {
+	var worst CompactionJob
+	max := 0
+	for p := 0; p < partitions; p++ {
+		job := wholeJob(v, p, tiered)
+		if n := len(job.From) + len(job.To) + len(job.Combined); n > max {
+			worst, max = job, n
+		}
+	}
+	return worst, max
 }
 
 // PlanContext carries the engine configuration a policy plans against.
@@ -79,32 +117,14 @@ type PolicyFull struct{}
 // Name implements CompactionPolicy.
 func (PolicyFull) Name() string { return "full" }
 
-// Plan emits at most one whole-partition job: the partition with the most
-// compactable runs, when over threshold. Under tiered retention sealed
-// Combined runs are excluded from the count — a full merge leaves them in
-// place for expiry, so counting them would keep the scheduler spinning on
-// a partition it cannot shrink.
+// Plan emits at most one job: the whole merge of the partition with the
+// most mergeable runs, when over threshold.
 func (PolicyFull) Plan(v *lsm.View, ctx PlanContext) []CompactionJob {
-	worst, max := 0, 0
-	for p := 0; p < ctx.Partitions; p++ {
-		n := 0
-		for _, table := range []string{TableFrom, TableTo, TableCombined} {
-			for _, r := range v.Runs(table, p) {
-				if ctx.Tiered && table == TableCombined &&
-					r.Level() >= 1 && r.CPWindowKnown() && r.Overrides() == 0 {
-					continue
-				}
-				n++
-			}
-		}
-		if n > max {
-			worst, max = p, n
-		}
-	}
-	if max <= ctx.Threshold {
+	worst, n := worstWholeJob(v, ctx.Partitions, ctx.Tiered)
+	if n <= ctx.Threshold {
 		return nil
 	}
-	return []CompactionJob{{Partition: worst, Full: true}}
+	return []CompactionJob{worst}
 }
 
 // PolicyLeveled is stepped-merge maintenance (LogBase-style): when a
@@ -115,13 +135,10 @@ func (PolicyFull) Plan(v *lsm.View, ctx PlanContext) []CompactionJob {
 // instead of PolicyFull's O(runs) — at the cost of queries reading a few
 // more runs between merges.
 //
-// Unlike a full merge, a leveled merge sees only a slice of each
-// identity's records, so it joins From/To pairs only when both ends are
-// inside the slice and carries unmatched records verbatim to the output
-// level (never synthesizing the inherited-ownership records the full
-// join derives for unmatched Tos, and never purging a From whose To may
-// live elsewhere). Records therefore meet and join as they climb levels
-// together.
+// Unlike a whole merge, a leveled merge sees only a slice of each
+// identity's records, so unmatched records are carried verbatim to the
+// output level (see emitLeveledGroup) and meet and join as they climb
+// levels together.
 //
 // Under tiered retention, Combined runs already droppable below the
 // reclaim horizon are never chosen as inputs: expiry is about to reclaim

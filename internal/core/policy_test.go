@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/backlogfs/backlog/internal/lsm"
+)
 
 // Unit tests for the compaction-policy layer: the triggers, the exact
 // run sets jobs name, the horizon rule, and job ordering — all against
@@ -15,6 +19,50 @@ func planOn(e *Engine, pol CompactionPolicy, ctx PlanContext) []CompactionJob {
 	e.mu.RUnlock()
 	defer v.Release()
 	return pol.Plan(v, ctx)
+}
+
+// liveRuns returns the engine's current runs of (table, partition 0),
+// optionally without the sealed ones.
+func liveRuns(e *Engine, table string, skipSealed bool) []*lsm.Run {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	var runs []*lsm.Run
+	for _, r := range e.db.Table(table).Runs(0) {
+		if skipSealed && r.Sealed() {
+			continue
+		}
+		runs = append(runs, r)
+	}
+	return runs
+}
+
+// assertWholeJob checks that job is the whole merge of partition 0: the
+// Whole bit, output level 1, and input lists naming exactly the
+// partition's From and To runs and its Combined runs (unsealed ones only
+// when tiered).
+func assertWholeJob(t *testing.T, e *Engine, job CompactionJob, tiered bool) {
+	t.Helper()
+	if !job.Whole || job.Partition != 0 || job.OutputLevel != 1 {
+		t.Fatalf("job = %+v, want a Whole job for partition 0 at output level 1", job)
+	}
+	for _, in := range []struct {
+		table string
+		got   []*lsm.Run
+		want  []*lsm.Run
+	}{
+		{TableFrom, job.From, liveRuns(e, TableFrom, false)},
+		{TableTo, job.To, liveRuns(e, TableTo, false)},
+		{TableCombined, job.Combined, liveRuns(e, TableCombined, tiered)},
+	} {
+		if len(in.got) != len(in.want) {
+			t.Fatalf("%s inputs = %d runs, want exactly the partition's %d", in.table, len(in.got), len(in.want))
+		}
+		for i := range in.want {
+			if in.got[i] != in.want[i] {
+				t.Fatalf("%s input %d is run %s, want %s", in.table, i, in.got[i].Name(), in.want[i].Name())
+			}
+		}
+	}
 }
 
 func baseCtx(e *Engine) PlanContext {
@@ -35,7 +83,7 @@ func TestPolicyNames(t *testing.T) {
 }
 
 // TestPolicyFullThresholdGate: no job at exactly Threshold runs, one
-// Full job for the partition one run past it.
+// Whole job for the partition one run past it.
 func TestPolicyFullThresholdGate(t *testing.T) {
 	env := newTestEnv(t, Options{})
 	defer env.eng.Close()
@@ -53,8 +101,9 @@ func TestPolicyFullThresholdGate(t *testing.T) {
 	if len(jobs) != 1 {
 		t.Fatalf("past threshold: planned %d jobs, want 1", len(jobs))
 	}
-	if !jobs[0].Full || jobs[0].Partition != 0 {
-		t.Fatalf("job = %+v, want a Full job for partition 0", jobs[0])
+	assertWholeJob(t, env.eng, jobs[0], false)
+	if n := len(jobs[0].From); n != DefaultCompactThreshold+1 {
+		t.Fatalf("job names %d From runs, want %d", n, DefaultCompactThreshold+1)
 	}
 }
 
@@ -81,7 +130,7 @@ func TestPolicyFullWorstFirst(t *testing.T) {
 	ctx.Threshold = 1
 	jobs := planOn(env.eng, PolicyFull{}, ctx)
 	if len(jobs) != 1 || jobs[0].Partition != worst {
-		t.Fatalf("jobs = %+v, want one Full job for worst partition %d (counts %v)", jobs, worst, counts)
+		t.Fatalf("jobs = %+v, want one Whole job for worst partition %d (counts %v)", jobs, worst, counts)
 	}
 }
 
@@ -106,8 +155,8 @@ func TestPolicyLeveledFanoutTrigger(t *testing.T) {
 		t.Fatalf("at fanout: planned %d jobs, want 1", len(jobs))
 	}
 	job := jobs[0]
-	if job.Full || job.Partition != 0 || job.OutputLevel != 1 {
-		t.Fatalf("job = %+v, want a non-Full partition-0 job targeting level 1", job)
+	if job.Whole || job.Partition != 0 || job.OutputLevel != 1 {
+		t.Fatalf("job = %+v, want a non-Whole partition-0 job targeting level 1", job)
 	}
 	if len(job.From) != DefaultFanout || len(job.To) != 0 || len(job.Combined) != 0 {
 		t.Fatalf("job inputs = %d From, %d To, %d Combined, want %d/0/0",
@@ -297,7 +346,26 @@ func TestPolicyFullTieredExcludesSealed(t *testing.T) {
 		t.Fatalf("tiered: jobs = %+v, want none (all runs sealed)", jobs)
 	}
 	ctx.Tiered = false
-	if jobs := planOn(env.eng, PolicyFull{}, ctx); len(jobs) != 1 {
+	jobs := planOn(env.eng, PolicyFull{}, ctx)
+	if len(jobs) != 1 {
 		t.Fatalf("untiered: planned %d jobs, want 1", len(jobs))
+	}
+	assertWholeJob(t, env.eng, jobs[0], false)
+
+	// Two fresh flushes put the partition over the threshold in tiered
+	// mode too; the job then names them and neither sealed run.
+	for cp := uint64(5); cp <= 6; cp++ {
+		env.eng.AddRef(ref(cp, cp, 0, 0), cp)
+		mustCheckpoint(t, env.eng, cp)
+	}
+	ctx.Tiered = true
+	jobs = planOn(env.eng, PolicyFull{}, ctx)
+	if len(jobs) != 1 {
+		t.Fatalf("tiered, two new runs: planned %d jobs, want 1", len(jobs))
+	}
+	assertWholeJob(t, env.eng, jobs[0], true)
+	if len(jobs[0].From) != 2 || len(jobs[0].Combined) != 0 {
+		t.Fatalf("tiered job inputs = %d From, %d Combined, want 2 and 0",
+			len(jobs[0].From), len(jobs[0].Combined))
 	}
 }

@@ -527,20 +527,15 @@ func (t *Table) ClearDVRange(lo, hi uint64) {
 	t.dvDirty = true
 }
 
-// ClearDVPartition removes deletion-vector entries routed to partition p
-// (under either range or hash partitioning) and returns the removed
-// records. Compaction of one partition calls this after physically
-// dropping the partition's deleted records, leaving other partitions'
-// entries in place; if the commit then fails, the caller restores the
-// returned records with RestoreDV so in-memory reads keep hiding them.
-func (t *Table) ClearDVPartition(p int) []string {
-	return t.ClearDVPartitionKeep(p, nil)
-}
-
-// ClearDVPartitionKeep is ClearDVPartition for compactions that merge only
-// a subset of a partition's runs: entries whose block keep reports true
-// are left in place because they may hide records in runs the compaction
-// did not rewrite. A nil keep clears every entry of the partition.
+// ClearDVPartitionKeep removes deletion-vector entries routed to
+// partition p (under either range or hash partitioning) and returns the
+// removed records. A compaction calls this after physically dropping its
+// input runs' deleted records, leaving other partitions' entries in
+// place; if the commit then fails, the caller restores the returned
+// records with RestoreDV so in-memory reads keep hiding them. Entries
+// whose block keep reports true are left in place because they may hide
+// records in runs the compaction did not rewrite. A nil keep clears every
+// entry of the partition.
 func (t *Table) ClearDVPartitionKeep(p int, keep func(block uint64) bool) []string {
 	var cleared []string
 	for rec := range t.dv {

@@ -96,7 +96,7 @@ type Options struct {
 	// RunFormat selects the leaf encoding for newly built runs
 	// (btree.FormatRaw if zero). Existing runs of either format open
 	// transparently regardless of this setting, and every builder — the
-	// checkpoint flush and both compaction modes go through NewRunBuilder —
+	// checkpoint flush and compaction go through NewRunBuilder —
 	// writes the configured format, so switching it migrates a database
 	// run by run as compaction rewrites them. FormatDelta requires every
 	// table's RecordSize to be a multiple of 8.
@@ -458,19 +458,6 @@ func (db *DB) RunCount() int {
 		}
 	}
 	return n
-}
-
-// PartitionRunCounts returns, for every partition, the total number of
-// live runs across all tables — the signal the background maintenance
-// scheduler watches to pick the partition most in need of compaction.
-func (db *DB) PartitionRunCounts() []int {
-	counts := make([]int, db.opts.Partitions)
-	for _, t := range db.tables {
-		for p, part := range t.runs {
-			counts[p] += len(part)
-		}
-	}
-	return counts
 }
 
 // PartitionLevelCounts returns, for every partition, the number of live

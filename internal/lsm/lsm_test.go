@@ -462,6 +462,26 @@ func TestAbortRemovesFile(t *testing.T) {
 	}
 }
 
+// TestFailedBuilderLeavesNoFile: NewRunBuilder creates the run file before
+// it constructs the page writer, so a writer that cannot be constructed
+// must take the file with it. btree.NewWriterFormat does no I/O — it fails
+// on what it is asked to write, not on the device — and the one such
+// failure Open does not already refuse is a record too wide for a page.
+func TestFailedBuilderLeavesNoFile(t *testing.T) {
+	fs := storage.NewMemFS()
+	db, err := Open(fs, Options{Tables: []TableSpec{{Name: "wide", RecordSize: btree.MaxRecordSize + 8}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.NewRunBuilder("wide", 0, 0, 1, storage.SrcCheckpoint, 1); err == nil {
+		t.Fatal("builder for an oversize record succeeded")
+	}
+	names, _ := fs.List()
+	if len(names) != 0 {
+		t.Fatalf("failed builder left files: %v", names)
+	}
+}
+
 func TestOpenValidation(t *testing.T) {
 	fs := storage.NewMemFS()
 	if _, err := Open(fs, Options{}); err == nil {

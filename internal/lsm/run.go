@@ -118,6 +118,14 @@ func (r *Run) DroppableBelow(cp uint64) bool {
 	return !r.cpUnknown && r.overrides == 0 && r.maxCP < cp
 }
 
+// Sealed reports whether the run is a finished slice of Combined history
+// that tiered maintenance leaves in place for DroppableBelow to reclaim:
+// already compacted (level >= 1), trustworthy CP window, and free of
+// override records.
+func (r *Run) Sealed() bool {
+	return r.level >= 1 && !r.cpUnknown && r.overrides == 0
+}
+
 // HeatBytes returns the cumulative device bytes read from the run on
 // behalf of queries (zero when I/O attribution is disabled).
 func (r *Run) HeatBytes() int64 { return r.heatBytes.Load() }
@@ -277,9 +285,11 @@ func (db *DB) NewRunBuilder(table string, partition, level int, cp uint64, src s
 		return nil, err
 	}
 	// Every run creation funnels through here — checkpoint shard flushes
-	// and both compaction modes — so the configured format covers them all.
+	// and compaction — so the configured format covers them all.
 	w, err := btree.NewWriterFormat(f, t.spec.RecordSize, db.opts.RunFormat)
 	if err != nil {
+		f.Close()
+		_ = db.vfsFor(src).Remove(name)
 		return nil, err
 	}
 	return &RunBuilder{
