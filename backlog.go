@@ -69,11 +69,12 @@
 // requires cp to exceed the last committed consistency point (a stale cp
 // is rejected, because committing it would corrupt the write-ahead-log
 // replay filter). On a flush error the frozen records are merged back
-// into the write stores — retry or replay still holds. Stats reports the
-// exclusive-lock time (CheckpointSwapNanos + CheckpointInstallNanos)
-// separately from the lock-free flush time (CheckpointFlushNanos); the
-// fsimbench "cpstall" experiment and BenchmarkIngestDuringCheckpoint
-// measure update latency during a flush against idle.
+// into the write stores — retry or replay still holds. With Config.Metrics
+// the backlog_checkpoint_freeze_ns and _install_ns histograms report the
+// exclusive-lock time separately from the lock-free flush time
+// (backlog_checkpoint_flush_ns); the fsimbench "cpstall" experiment and
+// BenchmarkIngestDuringCheckpoint measure update latency during a flush
+// against idle.
 //
 // # Durability
 //
@@ -124,8 +125,8 @@
 //     therefore never stall behind a running compaction.
 //   - With Config.AutoCompact, a background maintenance scheduler runs
 //     after every Checkpoint, executing the merges the configured
-//     compaction policy plans, pacing itself between merges
-//     (Config.CompactPacing) and shutting down cleanly on Close.
+//     compaction policy plans, pausing 2ms between merges so it does not
+//     monopolize I/O bandwidth, and shutting down cleanly on Close.
 //     DB.MaintenanceStats reports its activity, the current worst run
 //     count, and the number of still-pending jobs. Without AutoCompact,
 //     call Compact explicitly — the paper's cadence experiments
@@ -189,10 +190,10 @@
 //     manifest write — orders of magnitude less I/O than a merge.
 //
 // Snapshot lifecycle operations (create/delete snapshot, clone, line)
-// live on the Lifecycle interface returned by DB.Catalog; the equivalent
-// methods on DB are deprecated wrappers. Note that expiry is permanent in
-// the same sense as the paper's snapshot deletion: re-creating a snapshot
-// at an old version after its records expired does not resurrect them.
+// live on the Lifecycle interface returned by DB.Catalog. Note that expiry
+// is permanent in the same sense as the paper's snapshot deletion:
+// re-creating a snapshot at an old version after its records expired does
+// not resurrect them.
 //
 // # Compression
 //
@@ -245,12 +246,11 @@
 //     (backlog_wal_append_ns), flush duration (backlog_wal_flush_ns) and
 //     records-per-flush distribution (backlog_wal_batch_records),
 //     the three checkpoint phases (backlog_checkpoint_freeze_ns,
-//     _flush_ns, _install_ns — the structured successors of the
-//     deprecated Stats.Checkpoint*Nanos counters), compaction
-//     (backlog_compaction_ns), and expiry (backlog_expire_ns). To keep
-//     enabled overhead within a few percent, per-block hot-op latencies
-//     are sampled — one op in Config.MetricsSampleEvery (default 32) is
-//     timed — while background-op histograms time every occurrence.
+//     _flush_ns, _install_ns), compaction (backlog_compaction_ns), and
+//     expiry (backlog_expire_ns). To keep enabled overhead within a few
+//     percent, per-block hot-op latencies are sampled — one op in
+//     Config.MetricsSampleEvery (default 32) is timed — while
+//     background-op histograms time every occurrence.
 //   - Gauges over live structures, computed at scrape time: per-shard
 //     write-store sizes (backlog_ws_records{shard="N"}), frozen
 //     generations mid-checkpoint, pinned views (backlog_view_pins),
@@ -275,8 +275,8 @@
 // consistency point, duration, and error. Both hooks run inline on the
 // operation's goroutine, so tracers must be fast and concurrent-safe.
 // Config.SlowOpThreshold enables the built-in tracer: a bounded ring
-// buffer (Config.SlowOpLogSize entries) retaining only operations at or
-// above the threshold, readable via DB.SlowOps or /debug/slowops.
+// buffer (128 entries) retaining only operations at or above the
+// threshold, readable via DB.SlowOps or /debug/slowops.
 // backlogctl serves the same surfaces on a database directory:
 //
 //	backlogctl stats -dir DIR -json          # one-shot counters, machine-readable
@@ -293,8 +293,8 @@
 // (disable with Config.DisableIOAttribution). DB.IOReport returns the
 // structured snapshot: per-source bytes and ops, cumulative totals, and
 // an online write-amplification monitor comparing user bytes in against
-// device bytes out over a rolling window (Config.WriteAmpWindow). With
-// Config.Metrics the same accounting is exported as labeled families —
+// device bytes out over a rolling 60s window. With Config.Metrics the
+// same accounting is exported as labeled families —
 // backlog_io_read_bytes_total{src="..."}, backlog_io_write_bytes_total,
 // _read_ops_total, _write_ops_total, _syncs_total, per-source latency
 // histograms (backlog_io_read_ns, backlog_io_write_ns), per-table run
@@ -310,22 +310,25 @@
 //
 // Every Config field's zero value is valid and means:
 //
-//	Dir              — (required unless InMemory)
-//	InMemory         — false: the database lives in Dir
-//	CacheBytes       — 0: 32 MB page cache, charged in on-disk (encoded) page bytes (negative disables caching)
-//	Partitions       — 0: one partition
-//	PartitionSpan    — 0: unused (required only when Partitions > 1)
-//	WriteShards      — 0: runtime.GOMAXPROCS(0) shards
-//	Durability       — DurabilityCheckpointOnly (the paper's model)
-//	AutoCompact      — false: call Compact explicitly
-//	CompactThreshold — 0: threshold 8 (values below 2 clamp to 2)
-//	CompactionPolicy — PolicyFull: whole-partition worst-first merging
-//	Fanout           — 0: stepped-merge fanout 4 (PolicyLeveled only)
-//	CompactPacing    — 0: 2ms between merges (negative disables pacing)
-//	Retention        — RetainAll: no expiry, the paper's behavior
-//	Compression      — CompressionDelta: format-v2 column-delta runs
+//	Dir                  — (required unless InMemory)
+//	InMemory             — false: the database lives in Dir
+//	CacheBytes           — 0: 32 MB page cache, charged in on-disk (encoded) page bytes (negative disables caching)
+//	Partitions           — 0: one partition
+//	PartitionSpan        — 0: unused (required only when Partitions > 1)
+//	WriteShards          — 0: runtime.GOMAXPROCS(0) shards
+//	Durability           — DurabilityCheckpointOnly (the paper's model)
+//	AutoCompact          — false: call Compact or Maintain explicitly
+//	CompactThreshold     — 0: threshold 8 (values below 2 clamp to 2)
+//	CompactionPolicy     — PolicyFull: whole-partition worst-first merging
+//	Fanout               — 0: stepped-merge fanout 4 (PolicyLeveled only)
+//	Retention            — RetainAll: no expiry, the paper's behavior
+//	Compression          — CompressionDelta: format-v2 column-delta runs
+//	Metrics              — false: no metrics registry, no timestamps taken
+//	MetricsSampleEvery   — 0: one hot op in 32 is timed (Metrics only)
+//	Tracer               — nil: no trace events
+//	SlowOpThreshold      — 0: no slow-op log
+//	DebugAddr            — "": no debug listener
 //	DisableIOAttribution — false: per-source I/O accounting is on
-//	WriteAmpWindow   — 0: 60s rolling write-amplification window
 //
 // Config.Validate reports structurally invalid configurations (it wraps
 // ErrBadConfig); Open calls it first.
@@ -460,10 +463,11 @@ type Config struct {
 	// blocking queries or updates (see the package documentation's
 	// Maintenance section).
 	AutoCompact bool
-	// CompactThreshold is the per-partition run count that triggers
-	// background compaction (default 8; values below 2 are clamped to 2,
-	// the run count of a fully compacted partition). Only used with
-	// AutoCompact under PolicyFull.
+	// CompactThreshold is the per-partition run count above which a
+	// maintenance pass — the background maintainer's or DB.Maintain's —
+	// compacts the partition (default 8; values below 2 are clamped to 2,
+	// the run count of a fully compacted partition). Only PolicyFull uses
+	// it.
 	CompactThreshold int
 	// CompactionPolicy selects what background maintenance merges
 	// (default PolicyFull; see the package documentation's Maintenance
@@ -473,10 +477,6 @@ type Config struct {
 	// count at one level of a partition that triggers merging the level
 	// up (default 4; values below 2 are clamped to 2).
 	Fanout int
-	// CompactPacing is the pause between consecutive background merges of
-	// one maintenance pass (default 2ms; negative disables pacing). Close
-	// interrupts an in-flight pause.
-	CompactPacing time.Duration
 	// Retention selects the snapshot-retention policy (default RetainAll;
 	// see the package documentation's Retention and expiry section).
 	// RetainLive enables drop-based expiry: the background maintainer
@@ -512,13 +512,11 @@ type Config struct {
 	// enables per-operation timing even when Metrics is false.
 	Tracer Tracer
 	// SlowOpThreshold, when positive, enables the built-in slow-op log: a
-	// bounded ring buffer retaining operations whose duration is at or
-	// above the threshold, readable via DB.SlowOps (and /debug/slowops on
-	// the debug listener). Composes with Tracer; both observe every op.
+	// ring buffer retaining the 128 most recent operations whose duration
+	// is at or above the threshold, readable via DB.SlowOps (and
+	// /debug/slowops on the debug listener). Composes with Tracer; both
+	// observe every op.
 	SlowOpThreshold time.Duration
-	// SlowOpLog caps the slow-op ring buffer (default 128 entries). Only
-	// used with SlowOpThreshold.
-	SlowOpLog int
 	// DebugAddr, when non-empty, starts an HTTP listener on the address
 	// (for example "localhost:6060", or "127.0.0.1:0" for an ephemeral
 	// port — see DB.DebugAddr) serving /metrics in Prometheus text
@@ -531,11 +529,6 @@ type Config struct {
 	// and DB.IOReport). Disabling it also zeroes per-run heat tracking
 	// and the write-amplification monitor.
 	DisableIOAttribution bool
-	// WriteAmpWindow is the rolling window of the online write-
-	// amplification monitor (default 60s). The monitor samples lazily on
-	// IOReport and metric scrapes, so its resolution is bounded by that
-	// cadence.
-	WriteAmpWindow time.Duration
 }
 
 // RetentionPolicy selects how aggressively records of deleted snapshots
@@ -678,9 +671,6 @@ func (cfg Config) Validate() error {
 	if cfg.MetricsSampleEvery < 0 {
 		return bad("MetricsSampleEvery is negative (%d)", cfg.MetricsSampleEvery)
 	}
-	if cfg.SlowOpLog < 0 {
-		return bad("SlowOpLog is negative (%d)", cfg.SlowOpLog)
-	}
 	return nil
 }
 
@@ -774,16 +764,13 @@ func openVFS(vfs storage.VFS, cfg Config) (*DB, error) {
 		CompactThreshold:     cfg.CompactThreshold,
 		CompactionPolicy:     cfg.CompactionPolicy.corePolicy(),
 		Fanout:               cfg.Fanout,
-		CompactPacing:        cfg.CompactPacing,
 		Retention:            cfg.Retention,
 		Compression:          cfg.Compression,
 		Metrics:              reg,
 		MetricsSampleEvery:   cfg.MetricsSampleEvery,
 		Tracer:               cfg.Tracer,
 		SlowOpThreshold:      cfg.SlowOpThreshold,
-		SlowOpLogSize:        cfg.SlowOpLog,
 		DisableIOAttribution: cfg.DisableIOAttribution,
-		WriteAmpWindow:       cfg.WriteAmpWindow,
 	})
 	if err != nil {
 		return nil, err
@@ -1023,41 +1010,6 @@ type CompressionEstimate = core.CompressionEstimate
 func (db *DB) EstimateCompression(table string) (CompressionEstimate, error) {
 	return db.eng.EstimateCompression(table)
 }
-
-// CreateSnapshot retains version v (a CP number) of the given line.
-//
-// Deprecated: use Catalog().CreateSnapshot.
-func (db *DB) CreateSnapshot(line, v uint64) error { return db.cat.CreateSnapshot(line, v) }
-
-// DeleteSnapshot removes a snapshot; if it has clones it is kept as a
-// zombie until they disappear.
-//
-// Deprecated: use Catalog().DeleteSnapshot.
-func (db *DB) DeleteSnapshot(line, v uint64) error { return db.cat.DeleteSnapshot(line, v) }
-
-// CreateClone registers writable line newLine as a clone of (parent,
-// base). The clone's references are represented implicitly; no records are
-// written.
-//
-// Deprecated: use Catalog().CreateClone.
-func (db *DB) CreateClone(newLine, parent, base uint64) error {
-	return db.cat.CreateClone(newLine, parent, base)
-}
-
-// DeleteLine destroys a line's live file system.
-//
-// Deprecated: use Catalog().DeleteLine.
-func (db *DB) DeleteLine(line uint64) error { return db.cat.DeleteLine(line) }
-
-// Snapshots lists the retained snapshot versions of a line.
-//
-// Deprecated: use Catalog().Snapshots.
-func (db *DB) Snapshots(line uint64) []uint64 { return db.cat.Snapshots(line) }
-
-// Lines lists all known snapshot lines.
-//
-// Deprecated: use Catalog().Lines.
-func (db *DB) Lines() []uint64 { return db.cat.Lines() }
 
 // CP returns the last durable consistency point.
 func (db *DB) CP() uint64 { return db.eng.CP() }

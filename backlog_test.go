@@ -2,6 +2,9 @@ package backlog
 
 import (
 	"errors"
+	"os"
+	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/backlogfs/backlog/internal/core"
@@ -23,6 +26,41 @@ func TestOpenValidation(t *testing.T) {
 	}
 }
 
+// TestConfigDefaultsTableIsComplete holds the package documentation's
+// "Configuration defaults" table to the Config struct: every field has a
+// row saying what its zero value means, and every row names a field.
+func TestConfigDefaultsTableIsComplete(t *testing.T) {
+	src, err := os.ReadFile("backlog.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const heading = "// Every Config field's zero value is valid and means:\n//\n"
+	_, table, ok := strings.Cut(string(src), heading)
+	if !ok {
+		t.Fatal("backlog.go has no Config defaults table")
+	}
+	table, _, _ = strings.Cut(table, "\n//\n")
+	rows := map[string]bool{}
+	for _, line := range strings.Split(table, "\n") {
+		name, _, ok := strings.Cut(strings.TrimPrefix(line, "//\t"), " ")
+		if !ok || !strings.Contains(line, " — ") {
+			t.Fatalf("malformed defaults row %q", line)
+		}
+		rows[name] = true
+	}
+	typ := reflect.TypeOf(Config{})
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		if !rows[name] {
+			t.Errorf("Config.%s has no row in the defaults table", name)
+		}
+		delete(rows, name)
+	}
+	for name := range rows {
+		t.Errorf("defaults table row %q names no Config field", name)
+	}
+}
+
 func TestBasicLifecycle(t *testing.T) {
 	db := openMem(t)
 	defer db.Close()
@@ -32,7 +70,7 @@ func TestBasicLifecycle(t *testing.T) {
 	if err := db.Checkpoint(4); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.CreateSnapshot(0, 4); err != nil {
+	if err := db.Catalog().CreateSnapshot(0, 4); err != nil {
 		t.Fatal(err)
 	}
 	db.RemoveRef(Ref{Block: 101, Inode: 2, Offset: 1, Line: 0}, 7)
@@ -69,7 +107,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if err := db.Checkpoint(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.CreateSnapshot(0, 1); err != nil {
+	if err := db.Catalog().CreateSnapshot(0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Compact(); err != nil { // persists the catalog too
@@ -91,7 +129,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if len(owners) != 1 || !owners[0].Live {
 		t.Fatalf("owners after reopen = %+v", owners)
 	}
-	if snaps := db2.Snapshots(0); len(snaps) != 1 || snaps[0] != 1 {
+	if snaps := db2.Catalog().Snapshots(0); len(snaps) != 1 || snaps[0] != 1 {
 		t.Fatalf("snapshots after reopen = %v", snaps)
 	}
 }
@@ -103,10 +141,10 @@ func TestCloneAndInheritance(t *testing.T) {
 	if err := db.Checkpoint(2); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.CreateSnapshot(0, 2); err != nil {
+	if err := db.Catalog().CreateSnapshot(0, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.CreateClone(1, 0, 2); err != nil {
+	if err := db.Catalog().CreateClone(1, 0, 2); err != nil {
 		t.Fatal(err)
 	}
 	owners, err := db.Query(77)
@@ -119,10 +157,10 @@ func TestCloneAndInheritance(t *testing.T) {
 	if !owners[1].Inherited || owners[1].Line != 1 {
 		t.Fatalf("clone owner = %+v", owners[1])
 	}
-	if lines := db.Lines(); len(lines) != 2 {
+	if lines := db.Catalog().Lines(); len(lines) != 2 {
 		t.Fatalf("lines = %v", lines)
 	}
-	if err := db.DeleteLine(1); err != nil {
+	if err := db.Catalog().DeleteLine(1); err != nil {
 		t.Fatal(err)
 	}
 	owners, err = db.Query(77)
@@ -251,7 +289,7 @@ func TestCompactKeepsAnswers(t *testing.T) {
 	if err := db.Checkpoint(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.CreateSnapshot(0, 1); err != nil {
+	if err := db.Catalog().CreateSnapshot(0, 1); err != nil {
 		t.Fatal(err)
 	}
 	db.RemoveRef(Ref{Block: 50, Inode: 4, Offset: 2, Line: 0}, 3)
@@ -273,7 +311,7 @@ func TestCompactKeepsAnswers(t *testing.T) {
 		t.Fatalf("compaction changed answers: %+v vs %+v", before, after)
 	}
 	// Delete the snapshot and compact again: the record is purged.
-	if err := db.DeleteSnapshot(0, 1); err != nil {
+	if err := db.Catalog().DeleteSnapshot(0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Compact(); err != nil {
@@ -319,8 +357,7 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// TestCatalogLifecycle drives every Lifecycle method through db.Catalog()
-// and checks the deprecated DB wrappers stay views of the same state.
+// TestCatalogLifecycle drives every Lifecycle method through db.Catalog().
 func TestCatalogLifecycle(t *testing.T) {
 	db := openMem(t)
 	defer db.Close()
@@ -342,13 +379,6 @@ func TestCatalogLifecycle(t *testing.T) {
 	if snaps := cat.Snapshots(0); len(snaps) != 1 || snaps[0] != 2 {
 		t.Fatalf("Snapshots(0) = %v", snaps)
 	}
-	// The deprecated wrappers read the same catalog.
-	if snaps := db.Snapshots(0); len(snaps) != 1 || snaps[0] != 2 {
-		t.Fatalf("deprecated Snapshots(0) = %v", snaps)
-	}
-	if lines := db.Lines(); len(lines) != 2 {
-		t.Fatalf("deprecated Lines = %v", lines)
-	}
 	if err := cat.DeleteLine(1); err != nil {
 		t.Fatal(err)
 	}
@@ -361,9 +391,12 @@ func TestCatalogLifecycle(t *testing.T) {
 }
 
 // TestExpireEndToEnd seals two epochs behind RetainLive, deletes the
-// first snapshot, and verifies db.Expire reclaims the first epoch's run
+// first snapshot, and verifies expiry reclaims the first epoch's run
 // without reading it — the public face of drop-based expiry — and that
-// db.Runs exposes the CP windows driving the decision.
+// db.Runs exposes the CP windows driving the decision. RetainLive also
+// sweeps in the background after every checkpoint, and the sweep the last
+// checkpoint kicked may reach the run before db.Expire does; the test
+// asserts what holds whichever of the two drops it.
 func TestExpireEndToEnd(t *testing.T) {
 	fs := storage.NewMemFS()
 	db, err := openVFS(fs, Config{InMemory: true, Retention: RetainLive})
@@ -404,16 +437,12 @@ func TestExpireEndToEnd(t *testing.T) {
 		t.Fatalf("sealed runs = %+v, want two with the first windowed [1, 2]", sealed)
 	}
 
+	before := fs.Stats()
 	if err := cat.DeleteSnapshot(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	before := fs.Stats()
-	est, err := db.Expire()
-	if err != nil {
+	if _, err := db.Expire(); err != nil {
 		t.Fatal(err)
-	}
-	if est.Deferred || est.RunsDropped != 1 || est.RecordsDropped != 1 {
-		t.Fatalf("ExpireStats = %+v, want 1 run / 1 record dropped", est)
 	}
 	if d := fs.Stats().Sub(before); d.BytesRead != 0 {
 		t.Fatalf("public expiry read %d bytes", d.BytesRead)

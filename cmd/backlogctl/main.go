@@ -355,9 +355,7 @@ func main() {
 		if st.Checkpoints > 0 {
 			// The stall a checkpoint imposes on updates/queries is only its
 			// two exclusive-lock critical sections; the flush between them
-			// holds no structural lock. Read from the per-phase latency
-			// histograms — the successors of the deprecated
-			// Stats.Checkpoint*Nanos sums.
+			// holds no structural lock.
 			ms := db.Metrics()
 			freeze, _ := ms.Histogram("backlog_checkpoint_freeze_ns")
 			install, _ := ms.Histogram("backlog_checkpoint_install_ns")

@@ -23,7 +23,7 @@ func TestCatalogCrashWindowAtCheckpoint(t *testing.T) {
 	}
 	db.AddRef(Ref{Block: 10, Inode: 2, Offset: 0, Line: 0}, 1)
 	db.AddRef(Ref{Block: 10, Inode: 2, Offset: 1, Line: 0}, 1)
-	if err := db.CreateSnapshot(0, 1); err != nil {
+	if err := db.Catalog().CreateSnapshot(0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Checkpoint(1); err != nil {
@@ -34,7 +34,7 @@ func TestCatalogCrashWindowAtCheckpoint(t *testing.T) {
 	// Mutate the catalog, then kill the checkpoint between its two
 	// commits: the catalog save (about one page) succeeds, the engine
 	// flush behind it fails.
-	if err := db.DeleteSnapshot(0, 1); err != nil {
+	if err := db.Catalog().DeleteSnapshot(0, 1); err != nil {
 		t.Fatal(err)
 	}
 	vfs.SetFailurePlan(storage.FailurePlan{FailAfterPageWrites: vfs.Stats().PageWrites + 1})
@@ -55,7 +55,7 @@ func TestCatalogCrashWindowAtCheckpoint(t *testing.T) {
 	if got := db2.CP(); got != 1 {
 		t.Fatalf("CP = %d after crash, want 1 (engine commit never happened)", got)
 	}
-	if snaps := db2.Snapshots(0); len(snaps) != 0 {
+	if snaps := db2.Catalog().Snapshots(0); len(snaps) != 0 {
 		t.Fatalf("deleted snapshot resurrected after crash: %v", snaps)
 	}
 	owners, err := db2.Query(10)

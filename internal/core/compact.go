@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"github.com/backlogfs/backlog/internal/lsm"
 	"github.com/backlogfs/backlog/internal/obs"
@@ -411,10 +410,8 @@ func (e *Engine) compactJobAttempt(job CompactionJob, tiered, exclusive bool) (c
 	return true, false, nil
 }
 
-// emitLeveledGroup joins one identity group, applies the purge policy and
-// writes the surviving records. Each To, ascending, takes the earliest
-// unused From <= it — joinGroup's rule; since Tos are processed in order
-// that From is always froms[fi].
+// emitLeveledGroup joins one identity group (pairGroup, the rule queries
+// use), applies the purge policy and writes the surviving records.
 //
 // What happens to a record left without a partner depends on whether the
 // merge saw the partition's whole From/To history. If it did (whole), a
@@ -434,28 +431,13 @@ func (e *Engine) compactJobAttempt(job CompactionJob, tiered, exclusive bool) (c
 // overrides and therefore sealed. Purged records are tallied into *purged.
 func (e *Engine) emitLeveledGroup(g groupRecs, whole bool, newFrom, newTo, newComb, newOver *lsm.RunBuilder, purged *uint64) error {
 	id, line := g.id, g.id.Line
-	froms, tos := g.froms, g.tos
-	sort.Slice(froms, func(i, j int) bool { return froms[i] < froms[j] })
-	sort.Slice(tos, func(i, j int) bool { return tos[i] < tos[j] })
-
-	var complete []interval
-	var loneTos []uint64
-	fi := 0
-	for _, t := range tos {
-		switch {
-		case fi < len(froms) && froms[fi] <= t:
-			// An add and remove at one CP cancel, as in joinGroup.
-			if f := froms[fi]; f < t {
-				complete = append(complete, interval{from: f, to: t})
-			}
-			fi++
-		case whole:
+	complete, loneFroms, loneTos := pairGroup(g.froms, g.tos)
+	if whole {
+		for _, t := range loneTos {
 			complete = append(complete, interval{from: 0, to: t})
-		default:
-			loneTos = append(loneTos, t)
 		}
+		loneTos = nil
 	}
-	loneFroms := froms[fi:]
 
 	// Completed pairs and pre-joined Combined records are globally
 	// correct, so the full purge policy applies to them.

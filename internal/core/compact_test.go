@@ -106,7 +106,6 @@ func newMergeFixture(t *testing.T, opts core.Options) *mergeFixture {
 	fx := &mergeFixture{t: t, fs: &hookFS{VFS: storage.NewMemFS()}, cat: core.NewMemCatalog()}
 	opts.VFS, opts.Catalog = fx.fs, fx.cat
 	opts.WriteShards = 1
-	opts.CompactPacing = -1
 	eng, err := core.Open(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -45,13 +45,13 @@ type Options struct {
 	// different shards never contend, and Checkpoint flushes all shards in
 	// parallel. 1 reproduces the paper's single write store.
 	WriteShards int
-	// BloomMaxBytes caps From/To run filters and CombinedBloomMaxBytes
-	// Combined run filters (default 1 MB each). Below its cap every run's
-	// filter is sized by the run's keys (≈8 bits per key, the paper's
-	// 2.4 % false-positive target), so a per-CP run of 32 000 operations
-	// carries the paper's 32 KB filter and a compacted run a larger one.
-	BloomMaxBytes         int
-	CombinedBloomMaxBytes int
+	// BloomMaxBytes caps From/To run filters (default 1 MB); Combined run
+	// filters always take the lsm layer's default cap, also 1 MB. Below its
+	// cap every run's filter is sized by the run's keys (≈8 bits per key,
+	// the paper's 2.4 % false-positive target), so a per-CP run of 32 000
+	// operations carries the paper's 32 KB filter and a compacted run a
+	// larger one.
+	BloomMaxBytes int
 	// DisablePruning turns off same-CP proactive pruning (ablation).
 	DisablePruning bool
 	// DisableBloom makes queries consult every run regardless of its
@@ -75,14 +75,10 @@ type Options struct {
 	// replays the log tail into the write stores, and Checkpoint retires
 	// it.
 	Durability wal.Durability
-	// WALSegmentBytes rotates write-ahead-log segments
-	// (wal.DefaultSegmentBytes if zero). Only used when Durability is not
-	// CheckpointOnly.
-	WALSegmentBytes int64
 	// AutoCompact starts the background maintenance scheduler: after
 	// every checkpoint it compacts the partition with the most runs until
-	// no partition exceeds CompactThreshold, pacing itself between
-	// partitions. Compaction merges run against a pinned view outside the
+	// no partition exceeds CompactThreshold, pausing maintainPace between
+	// merges. Compaction merges run against a pinned view outside the
 	// structural lock, so updates and queries keep flowing while it
 	// works. Requires a Catalog that is safe for concurrent use
 	// (MemCatalog is).
@@ -105,11 +101,6 @@ type Options struct {
 	// count at one level of a partition that triggers merging the level
 	// up (DefaultFanout if zero; values below 2 are clamped).
 	Fanout int
-	// CompactPacing is the delay the maintainer inserts between
-	// consecutive merges of one pass so background maintenance does not
-	// monopolize I/O bandwidth. Zero keeps the default 2ms; negative
-	// disables pacing. Close interrupts an in-flight pause.
-	CompactPacing time.Duration
 
 	// Metrics, when non-nil, registers the engine's metrics with the
 	// registry: CounterFunc mirrors of every Stats counter, gauges over
@@ -125,12 +116,10 @@ type Options struct {
 	// Both hooks run inline on the operation's goroutine; see obs.Tracer.
 	Tracer obs.Tracer
 	// SlowOpThreshold enables the built-in slow-op log: operations whose
-	// duration meets the threshold are retained in a bounded ring buffer
-	// (see Engine.SlowOps). Zero disables it.
+	// duration meets the threshold are retained in a bounded ring buffer of
+	// obs.DefaultSlowLogSize entries (see Engine.SlowOps). Zero disables
+	// it.
 	SlowOpThreshold time.Duration
-	// SlowOpLogSize is the slow-op ring capacity
-	// (obs.DefaultSlowLogSize if zero).
-	SlowOpLogSize int
 	// MetricsSampleEvery is the hot-op latency sampling period: one
 	// AddRef/RemoveRef/Query in every MetricsSampleEvery (rounded up to a
 	// power of two; default 32) is timed into its histogram. 1 times every
@@ -146,11 +135,6 @@ type Options struct {
 	// also zeroes per-run heat tracking and the write-amplification
 	// monitor's device-byte feed.
 	DisableIOAttribution bool
-	// WriteAmpWindow is the rolling window of the online write-
-	// amplification monitor (obs.DefaultWriteAmpWindow if zero). The
-	// monitor samples lazily on IOReport/metric scrapes; its resolution
-	// is bounded by that cadence.
-	WriteAmpWindow time.Duration
 
 	// Retention selects the snapshot-retention policy. RetainAll (the
 	// default) changes nothing: records referring only to deleted
@@ -199,21 +183,6 @@ type Stats struct {
 	WALAppends        uint64 // records appended to the write-ahead log
 	WALBatches        uint64 // WAL group-commit flushes (one WriteAt+Sync each)
 	WALReplayed       uint64 // records replayed from the WAL at Open
-
-	// Checkpoint stall accounting. A checkpoint holds the structural lock
-	// exclusively only while freezing the write stores (SwapNanos) and
-	// while validating + installing the finished runs (InstallNanos);
-	// updates and queries stall for at most those two windows. The
-	// run-building I/O between them (FlushNanos) holds no structural lock.
-	//
-	// Deprecated: these raw cumulative sums remain populated for
-	// compatibility, but the per-phase latency histograms
-	// (backlog_checkpoint_freeze_ns / _flush_ns / _install_ns, via
-	// Options.Metrics) carry the same information with full
-	// distributions; prefer them.
-	CheckpointSwapNanos    uint64
-	CheckpointFlushNanos   uint64
-	CheckpointInstallNanos uint64
 }
 
 // counters is the internal atomic mirror of Stats; shard-parallel AddRef
@@ -236,9 +205,6 @@ type counters struct {
 	expiries          atomic.Uint64
 	runsExpired       atomic.Uint64
 	recordsExpired    atomic.Uint64
-	cpSwapNanos       atomic.Uint64
-	cpFlushNanos      atomic.Uint64
-	cpInstallNanos    atomic.Uint64
 }
 
 // writeShard is one hash partition of the write store: a lock plus the
@@ -379,7 +345,7 @@ func Open(opts Options) (*Engine, error) {
 	if cacheBytes > 0 {
 		cache = btree.NewCacheBytes(cacheBytes)
 	}
-	// Zero Bloom caps mean bloom.MaxFilterBytes (the lsm layer's default).
+	// A zero Bloom cap means bloom.MaxFilterBytes (the lsm layer's default).
 	if opts.Compression != CompressionDelta && opts.Compression != CompressionNone {
 		return nil, fmt.Errorf("core: unknown Compression %d", opts.Compression)
 	}
@@ -403,8 +369,7 @@ func Open(opts Options) (*Engine, error) {
 		Tables: []lsm.TableSpec{
 			{Name: TableFrom, RecordSize: FromRecSize, BloomMaxBytes: opts.BloomMaxBytes, Span: spanFrom},
 			{Name: TableTo, RecordSize: ToRecSize, BloomMaxBytes: opts.BloomMaxBytes, Span: spanTo},
-			{Name: TableCombined, RecordSize: CombinedSize, BloomMaxBytes: opts.CombinedBloomMaxBytes,
-				Span: spanCombined, IsOverride: isOverrideCombined},
+			{Name: TableCombined, RecordSize: CombinedSize, Span: spanCombined, IsOverride: isOverrideCombined},
 		},
 		Partitions:       opts.Partitions,
 		PartitionSpan:    opts.PartitionSpan,
@@ -440,10 +405,11 @@ func Open(opts Options) (*Engine, error) {
 		cache:   cache,
 		shards:  shards,
 		ios:     ios,
-		wamp:    obs.NewWriteAmp(opts.WriteAmpWindow),
+		wamp:    obs.NewWriteAmp(obs.DefaultWriteAmpWindow),
 	}
 	e.obs = eobs
 	if err := e.openWAL(); err != nil {
+		db.Close()
 		return nil, err
 	}
 	e.registerMetrics(opts.Metrics)
@@ -478,10 +444,7 @@ func (e *Engine) openWAL() error {
 		rec = r
 		e.staleWAL = r.Found
 	} else {
-		wopts := wal.Options{
-			Durability:   e.opts.Durability,
-			SegmentBytes: e.opts.WALSegmentBytes,
-		}
+		wopts := wal.Options{Durability: e.opts.Durability}
 		if e.obs != nil {
 			wopts.AppendHist = e.obs.walAppend
 			wopts.FlushHist = e.obs.walFlush
@@ -588,10 +551,6 @@ func (e *Engine) Stats() Stats {
 		RunsExpired:       e.stats.runsExpired.Load(),
 		RecordsExpired:    e.stats.recordsExpired.Load(),
 		WALReplayed:       e.walReplayed,
-
-		CheckpointSwapNanos:    e.stats.cpSwapNanos.Load(),
-		CheckpointFlushNanos:   e.stats.cpFlushNanos.Load(),
-		CheckpointInstallNanos: e.stats.cpInstallNanos.Load(),
 	}
 	if e.wal != nil {
 		ws := e.wal.Stats()
@@ -634,6 +593,7 @@ func (e *Engine) Close() error {
 	if werr := e.WALErr(); err == nil && werr != nil {
 		err = werr
 	}
+	e.db.Close()
 	return err
 }
 
@@ -911,10 +871,8 @@ func (e *Engine) checkpoint(cp uint64) error {
 		}
 	}
 	e.mu.Unlock()
-	d := time.Since(start)
-	e.stats.cpSwapNanos.Add(uint64(d))
 	if e.obs != nil {
-		e.obs.cpFreeze.ObserveDuration(d)
+		e.obs.cpFreeze.ObserveDuration(time.Since(start))
 	}
 
 	// On any failure: merge the frozen records back into the active trees
@@ -977,10 +935,8 @@ func (e *Engine) checkpoint(cp uint64) error {
 		// waiting for orphan collection at the next Open.
 		return restore(results, err)
 	}
-	d = time.Since(start)
-	e.stats.cpFlushNanos.Add(uint64(d))
 	if e.obs != nil {
-		e.obs.cpFlush.ObserveDuration(d)
+		e.obs.cpFlush.ObserveDuration(time.Since(start))
 	}
 
 	// Phase 3 — install: re-acquire the lock, commit every run plus the
@@ -1030,10 +986,8 @@ func (e *Engine) checkpoint(cp uint64) error {
 	e.frozenDel = nil
 	e.flushingCP = 0
 	e.mu.Unlock()
-	d = time.Since(start)
-	e.stats.cpInstallNanos.Add(uint64(d))
 	if e.obs != nil {
-		e.obs.cpInstall.ObserveDuration(d)
+		e.obs.cpInstall.ObserveDuration(time.Since(start))
 	}
 	e.stats.checkpoints.Add(1)
 	e.stats.recordsFlushed.Add(flushed)

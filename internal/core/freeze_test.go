@@ -13,6 +13,7 @@ import (
 
 	"github.com/backlogfs/backlog/internal/core"
 	"github.com/backlogfs/backlog/internal/naive"
+	"github.com/backlogfs/backlog/internal/obs"
 	"github.com/backlogfs/backlog/internal/storage"
 	"github.com/backlogfs/backlog/internal/wal"
 )
@@ -160,7 +161,8 @@ func TestCheckpointStaleCPRejected(t *testing.T) {
 // of pruning in place, and a second Checkpoint serializes behind the
 // in-flight one.
 func TestUpdatesAndQueriesDuringCheckpointFlush(t *testing.T) {
-	env, g := newGatedEnv(t, core.Options{WriteShards: 4})
+	reg := obs.NewRegistry()
+	env, g := newGatedEnv(t, core.Options{WriteShards: 4, Metrics: reg})
 	eng := env.eng
 	for b := uint64(1); b <= 8; b++ {
 		eng.AddRef(fref(b, 2, b, 0), 1)
@@ -220,9 +222,13 @@ func TestUpdatesAndQueriesDuringCheckpointFlush(t *testing.T) {
 	if owners := fQuery(t, eng, 100); len(owners) != 1 || !owners[0].Live {
 		t.Fatalf("during-flush record lost: %+v", owners)
 	}
-	st := eng.Stats()
-	if st.CheckpointFlushNanos == 0 || st.CheckpointSwapNanos == 0 || st.CheckpointInstallNanos == 0 {
-		t.Fatalf("checkpoint stall counters not populated: %+v", st)
+	snap := reg.Snapshot()
+	for _, name := range []string{
+		"backlog_checkpoint_freeze_ns", "backlog_checkpoint_flush_ns", "backlog_checkpoint_install_ns",
+	} {
+		if h, _ := snap.Histogram(name); h.Count != 2 || h.Sum == 0 {
+			t.Errorf("%s: count %d, sum %d after two checkpoints", name, h.Count, h.Sum)
+		}
 	}
 }
 

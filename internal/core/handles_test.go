@@ -1,0 +1,149 @@
+package core_test
+
+import (
+	"fmt"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+
+	"github.com/backlogfs/backlog/internal/core"
+	"github.com/backlogfs/backlog/internal/storage"
+)
+
+// handleFS counts the handles open on run files: every Open or Create of a
+// *.run name adds one, the first Close of the handle it returned takes it
+// away again.
+type handleFS struct {
+	storage.VFS
+	mu   sync.Mutex
+	open map[string]int
+}
+
+func (h *handleFS) track(name string, f storage.File, err error) (storage.File, error) {
+	if err != nil || !strings.HasSuffix(name, ".run") {
+		return f, err
+	}
+	h.mu.Lock()
+	h.open[name]++
+	h.mu.Unlock()
+	return &handleFile{File: f, fs: h, name: name}, nil
+}
+
+func (h *handleFS) Open(name string) (storage.File, error) {
+	f, err := h.VFS.Open(name)
+	return h.track(name, f, err)
+}
+
+func (h *handleFS) Create(name string) (storage.File, error) {
+	f, err := h.VFS.Create(name)
+	return h.track(name, f, err)
+}
+
+// held lists the run files with an open handle, one entry per handle.
+func (h *handleFS) held() []string {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	var names []string
+	for name, n := range h.open {
+		for ; n > 0; n-- {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	return names
+}
+
+type handleFile struct {
+	storage.File
+	fs     *handleFS
+	name   string
+	closed bool
+}
+
+func (f *handleFile) Close() error {
+	f.fs.mu.Lock()
+	if !f.closed {
+		f.closed = true
+		f.fs.open[f.name]--
+	}
+	f.fs.mu.Unlock()
+	return f.File.Close()
+}
+
+// TestRunHandlesAreClosed checks that an open store holds exactly one
+// handle per live run — none on a builder's finished file, none on a run a
+// merge reclaimed — that Close releases them all, and that an Open which
+// fails on its third run releases the two it had opened.
+func TestRunHandlesAreClosed(t *testing.T) {
+	mem := storage.NewMemFS()
+	fs := &handleFS{VFS: mem, open: map[string]int{}}
+	open := func() (*core.Engine, error) {
+		return core.Open(core.Options{VFS: fs, Catalog: core.NewMemCatalog(), WriteShards: 1})
+	}
+	liveRuns := func(eng *core.Engine) []string {
+		var names []string
+		for _, ri := range eng.RunInfos() {
+			names = append(names, ri.Name)
+		}
+		sort.Strings(names)
+		return names
+	}
+	check := func(when string, want []string) {
+		t.Helper()
+		if got := fs.held(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: open run handles %v, want %v", when, got, want)
+		}
+	}
+	epochs := func(eng *core.Engine, from, to uint64) {
+		t.Helper()
+		for cp := from; cp <= to; cp++ {
+			for b := uint64(0); b < 32; b++ {
+				eng.AddRef(core.Ref{Block: b, Inode: cp, Offset: b, Length: 1}, cp)
+			}
+			if err := eng.Checkpoint(cp); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	eng, err := open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	epochs(eng, 1, 4)
+	if n := eng.RunCount(); n != 4 {
+		t.Fatalf("%d runs after four checkpoints, want 4", n)
+	}
+	check("after four checkpoints", liveRuns(eng))
+
+	if err := eng.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if n := eng.RunCount(); n != 1 {
+		t.Fatalf("%d runs after the merge, want 1", n)
+	}
+	check("after the merge reclaimed its inputs", liveRuns(eng))
+
+	epochs(eng, 5, 6)
+	runs := liveRuns(eng)
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check("after Close", nil)
+
+	// All three runs are From runs of partition 0, opened oldest first:
+	// break the header of the newest.
+	f, err := mem.Open(runs[len(runs)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(make([]byte, 64), 0); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if _, err := open(); err == nil {
+		t.Fatal("Open accepted a run with a zeroed header")
+	}
+	check("after the failed Open", nil)
+}

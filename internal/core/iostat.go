@@ -32,7 +32,7 @@ type IOReport struct {
 	WriteAmp float64 `json:"write_amp"`
 
 	// WindowSeconds is the actual span the windowed figures cover — at
-	// most the configured WriteAmpWindow, less while the monitor warms up
+	// most obs.DefaultWriteAmpWindow, less while the monitor warms up
 	// (the monitor samples lazily at IOReport/scrape time, so resolution
 	// is bounded by that cadence).
 	WindowSeconds float64 `json:"window_seconds"`

@@ -62,7 +62,6 @@ func TestLeveledHammerAgainstNaiveOracle(t *testing.T) {
 		Retention:        core.RetainLive,
 		CompactionPolicy: core.PolicyLeveled{},
 		Fanout:           3,
-		CompactPacing:    -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -219,22 +218,16 @@ func (p *recordingPolicy) Plan(v *lsm.View, ctx core.PlanContext) []core.Compact
 // one would rewrite records expiry could reclaim for free (and the merge
 // output's wider CP window would then pin the survivors). The recording
 // policy audits every plan the engine makes, including one taken after
-// the horizon moved but before any expiry sweep ran, when droppable runs
-// are provably still in the view.
+// the horizon moved while no expiry sweep can run, when droppable runs are
+// provably still in the view.
 func TestLeveledRetainLiveNeverPlansExpiredRuns(t *testing.T) {
 	rec := &recordingPolicy{inner: core.PolicyLeveled{}}
-	cat := core.NewMemCatalog()
-	eng, err := core.Open(core.Options{
-		VFS:              storage.NewMemFS(),
-		Catalog:          cat,
+	env, gate := newGatedEnv(t, core.Options{
 		Retention:        core.RetainLive,
 		CompactionPolicy: rec,
 		Fanout:           2,
-		CompactPacing:    -1,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cat, eng := env.cat, env.eng
 	defer eng.Close()
 
 	// Two epochs of add/checkpoint/remove/checkpoint with snapshots
@@ -268,14 +261,24 @@ func TestLeveledRetainLiveNeverPlansExpiredRuns(t *testing.T) {
 		t.Fatalf("no sealed run after two epochs: %+v", eng.RunInfos())
 	}
 
-	// Move the horizon past everything sealed so far: one fresh snapshot
-	// above the sealed windows, all older ones deleted. No checkpoint has
-	// run since, so no expiry sweep has either — the droppable run is
-	// still live in the manifest.
+	// RetainLive kicks a background expiry sweep after every checkpoint,
+	// and nothing tells the test when the last one has run. Expiry defers
+	// while a checkpoint flush is in flight, so hold one there: a sweep
+	// either finished before the freeze, when the horizon had not moved,
+	// or finds the flush and drops nothing.
 	cp++
 	if err := cat.CreateSnapshot(0, cp); err != nil {
 		t.Fatal(err)
 	}
+	eng.AddRef(fref(9, 9, 0, 0), cp)
+	entered, release := gate.arm()
+	flushed := make(chan error, 1)
+	go func() { flushed <- eng.Checkpoint(cp) }()
+	<-entered
+
+	// Move the horizon past everything sealed so far: the fresh snapshot
+	// sits above the sealed windows, all older ones go. The droppable runs
+	// are still live in the manifest.
 	for _, id := range []uint64{1, 3} {
 		if err := cat.DeleteSnapshot(0, id); err != nil {
 			t.Fatal(err)
@@ -295,8 +298,13 @@ func TestLeveledRetainLiveNeverPlansExpiredRuns(t *testing.T) {
 	if !saw {
 		t.Fatal("no plan ever saw a droppable run; the exclusion was not exercised")
 	}
+	close(release)
+	if err := <-flushed; err != nil {
+		t.Fatal(err)
+	}
 
-	// The next maintenance pass reclaims the run by manifest edit.
+	// The sweep that checkpoint kicked or the one this pass opens with,
+	// whichever runs first, reclaims the runs by manifest edit.
 	if err := eng.MaintainNow(); err != nil {
 		t.Fatal(err)
 	}

@@ -10,12 +10,13 @@ import (
 // maintainer compacts a partition when Options.CompactThreshold is zero.
 const DefaultCompactThreshold = 8
 
-// maintainPace is the delay between consecutive background compactions of
-// one maintenance pass when Options.CompactPacing is zero. It keeps the
-// maintainer from monopolizing I/O bandwidth and run-builder CPU when
-// many jobs are pending at once — the "background, partition by
-// partition" pacing of Section 5.3 — while still letting a pass finish
-// promptly.
+// maintainPace is the delay between consecutive compactions of one
+// background maintenance pass. It keeps the maintainer from monopolizing
+// I/O bandwidth and run-builder CPU when many jobs are pending at once —
+// the "background, partition by partition" pacing of Section 5.3 — while
+// still letting a pass finish promptly. A synchronous pass (MaintainNow)
+// runs on its caller's goroutine, where a pause would only add idle wall
+// time, so it never paces.
 const maintainPace = 2 * time.Millisecond
 
 // MaintenanceStats reports the background maintenance scheduler's
@@ -121,7 +122,8 @@ func (e *Engine) MaintainNow() error {
 // an expiry sweep — the cheapest reclamation available, a pure manifest
 // edit — and, when it compacted anything, ends with another, since the
 // merges may have sealed windows the horizon has already passed. A nil
-// stop channel never aborts the pass (the synchronous caller).
+// stop channel marks the synchronous caller: the pass is never aborted
+// and never paces between merges.
 func (e *Engine) maintainPass(stop <-chan struct{}, compact bool) error {
 	var errs []error
 	tiered := e.expiryEnabled()
@@ -155,7 +157,6 @@ func (e *Engine) maintainPass(stop <-chan struct{}, compact bool) error {
 func (e *Engine) drainCompactions(stop <-chan struct{}) (aborted bool, err error) {
 	pol := e.policy()
 	tiered := e.expiryEnabled()
-	pace := e.compactPace()
 	for {
 		jobs := e.planJobs(pol)
 		if len(jobs) == 0 {
@@ -179,13 +180,11 @@ func (e *Engine) drainCompactions(stop <-chan struct{}) (aborted bool, err error
 			progress = true
 			e.stats.autoCompactions.Add(1)
 			e.stats.compactions.Add(1)
-			if pace > 0 {
-				// A nil stop channel (MaintainNow) never fires; the
-				// timer alone paces the pass.
+			if stop != nil {
 				select {
 				case <-stop:
 					return true, nil
-				case <-time.After(pace):
+				case <-time.After(maintainPace):
 				}
 			}
 		}
@@ -244,20 +243,6 @@ func (e *Engine) fanout() int {
 		f = 2
 	}
 	return f
-}
-
-// compactPace returns the effective inter-job pacing delay: zero
-// Options.CompactPacing keeps the historical 2ms, negative disables
-// pacing entirely.
-func (e *Engine) compactPace() time.Duration {
-	p := e.opts.CompactPacing
-	if p == 0 {
-		return maintainPace
-	}
-	if p < 0 {
-		return 0
-	}
-	return p
 }
 
 // compactThreshold returns the effective maintenance threshold. A fully

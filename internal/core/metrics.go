@@ -45,8 +45,9 @@ type engineObs struct {
 	queryRange *obs.Histogram
 	relocate   *obs.Histogram
 
-	// Checkpoint phase timings (ns) — the structured successors of the
-	// raw Stats.Checkpoint*Nanos counters.
+	// Checkpoint phase timings (ns). The structural lock is held
+	// exclusively during freeze and install — the only windows in which a
+	// checkpoint stalls updates and queries — and not at all during flush.
 	cpFreeze  *obs.Histogram
 	cpFlush   *obs.Histogram
 	cpInstall *obs.Histogram
@@ -93,7 +94,7 @@ func newEngineObs(opts Options) *engineObs {
 	}
 	o := &engineObs{}
 	if opts.SlowOpThreshold > 0 {
-		o.slow = obs.NewSlowLog(opts.SlowOpThreshold, opts.SlowOpLogSize)
+		o.slow = obs.NewSlowLog(opts.SlowOpThreshold, obs.DefaultSlowLogSize)
 	}
 	o.tracer = obs.MultiTracer(opts.Tracer, slowTracer(o.slow))
 	if o.tracer == nil {

@@ -153,16 +153,9 @@ func (PolicyLeveled) Name() string { return "leveled" }
 // fanout, shallowest level first so freshly promoted runs can cascade
 // upward within one maintenance pass.
 func (PolicyLeveled) Plan(v *lsm.View, ctx PlanContext) []CompactionJob {
-	fanout := ctx.Fanout
-	if fanout <= 0 {
-		fanout = DefaultFanout
-	}
-	if fanout < 2 {
-		fanout = 2
-	}
 	var jobs []CompactionJob
 	for p := 0; p < ctx.Partitions; p++ {
-		jobs = append(jobs, planPartitionLevels(v, ctx, p, fanout)...)
+		jobs = append(jobs, planPartitionLevels(v, ctx, p)...)
 	}
 	sort.SliceStable(jobs, func(i, j int) bool {
 		if jobs[i].OutputLevel != jobs[j].OutputLevel {
@@ -175,7 +168,7 @@ func (PolicyLeveled) Plan(v *lsm.View, ctx PlanContext) []CompactionJob {
 
 // planPartitionLevels groups one partition's runs by level and emits a
 // job for every level where some table reached the fanout.
-func planPartitionLevels(v *lsm.View, ctx PlanContext, p, fanout int) []CompactionJob {
+func planPartitionLevels(v *lsm.View, ctx PlanContext, p int) []CompactionJob {
 	type levelRuns struct {
 		from, to, combined []*lsm.Run
 	}
@@ -208,7 +201,7 @@ func planPartitionLevels(v *lsm.View, ctx PlanContext, p, fanout int) []Compacti
 
 	var jobs []CompactionJob
 	for level, lr := range byLevel {
-		if len(lr.from) < fanout && len(lr.to) < fanout && len(lr.combined) < fanout {
+		if len(lr.from) < ctx.Fanout && len(lr.to) < ctx.Fanout && len(lr.combined) < ctx.Fanout {
 			continue
 		}
 		total := len(lr.from) + len(lr.to) + len(lr.combined)

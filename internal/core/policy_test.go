@@ -200,7 +200,6 @@ func TestPolicyLeveledSteadyState(t *testing.T) {
 	env := newTestEnv(t, Options{
 		CompactionPolicy: PolicyLeveled{},
 		Fanout:           2,
-		CompactPacing:    -1,
 	})
 	defer env.eng.Close()
 	ingest := func(cp uint64) {

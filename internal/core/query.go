@@ -233,45 +233,45 @@ func (e *Engine) combinedForBlock(v *lsm.View, ws wsRecords, block uint64) (map[
 	return groups, nil
 }
 
-// joinGroup implements the outer join of one identity group
-// (Section 4.2.1): each To entry joins the earliest unconsumed From entry
-// with From.from <= To.to; Froms without a To join the implicit to =
-// Infinity; Tos without a From join the implicit from = 0 (an inheritance
-// override, Section 4.2.2). Pairs with from == to describe references that
-// were added and removed within one CP interval; they are normally pruned
-// before reaching disk, but when they do appear (pruning disabled, or an
-// unlucky interleaving) they cancel to nothing here rather than fabricating
-// a spurious override.
-func joinGroup(froms, tos []uint64) []interval {
+// pairGroup is the pairing rule of the outer join of one identity group
+// (Section 4.2.1): each To entry, ascending, joins the earliest unconsumed
+// From entry with From.from <= To.to — always the lowest one left, since
+// the Tos before it consumed a prefix. Pairs with from == to describe
+// references that were added and removed within one CP interval; they are
+// normally pruned before reaching disk, but when they do appear (pruning
+// disabled, or an unlucky interleaving) they cancel to nothing here rather
+// than fabricating a spurious override. What an entry left without a
+// partner means is the caller's business: joinGroup closes it, a partial
+// merge carries it (see emitLeveledGroup). froms and tos are sorted in
+// place and loneFroms aliases froms.
+func pairGroup(froms, tos []uint64) (pairs []interval, loneFroms, loneTos []uint64) {
 	sort.Slice(froms, func(i, j int) bool { return froms[i] < froms[j] })
 	sort.Slice(tos, func(i, j int) bool { return tos[i] < tos[j] })
-	used := make([]bool, len(froms))
-	var out []interval
+	fi := 0
 	for _, t := range tos {
-		matched := false
-		for i, f := range froms {
-			if used[i] {
-				continue
-			}
-			if f > t {
-				break // froms are sorted; no candidate remains
-			}
-			used[i] = true
-			matched = true
-			if f < t {
-				out = append(out, interval{from: f, to: t})
-			}
-			// f == t: the pair cancels (empty interval).
-			break
+		if fi == len(froms) || froms[fi] > t {
+			loneTos = append(loneTos, t)
+			continue
 		}
-		if !matched {
-			out = append(out, interval{from: 0, to: t})
+		if f := froms[fi]; f < t {
+			pairs = append(pairs, interval{from: f, to: t})
 		}
+		fi++
 	}
-	for i, f := range froms {
-		if !used[i] {
-			out = append(out, interval{from: f, to: Infinity})
-		}
+	return pairs, froms[fi:], loneTos
+}
+
+// joinGroup is the outer join of one identity group as a query sees it:
+// pairGroup's pairs, Tos without a From joined to the implicit from = 0 (an
+// inheritance override, Section 4.2.2), and Froms without a To joined to
+// the implicit to = Infinity.
+func joinGroup(froms, tos []uint64) []interval {
+	out, loneFroms, loneTos := pairGroup(froms, tos)
+	for _, t := range loneTos {
+		out = append(out, interval{from: 0, to: t})
+	}
+	for _, f := range loneFroms {
+		out = append(out, interval{from: f, to: Infinity})
 	}
 	return out
 }

@@ -161,48 +161,15 @@ func TestRegistryMirrorsStats(t *testing.T) {
 	}
 }
 
-// TestCheckpointPhaseHistogramsMatchStats verifies the deprecated
-// Stats.Checkpoint*Nanos counters and their histogram successors observe
-// the same phases the same number of times.
-func TestCheckpointPhaseHistogramsMatchStats(t *testing.T) {
-	reg := obs.NewRegistry()
-	env := newTestEnv(t, Options{Metrics: reg})
-	defer env.eng.Close()
-	e := env.eng
-	for cp := uint64(1); cp <= 2; cp++ {
-		e.AddRef(ref(cp, 1, 0, 1), cp)
-		if err := e.Checkpoint(cp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := e.Stats()
-	s := reg.Snapshot()
-	for name, nanos := range map[string]uint64{
-		"backlog_checkpoint_freeze_ns":  st.CheckpointSwapNanos,
-		"backlog_checkpoint_flush_ns":   st.CheckpointFlushNanos,
-		"backlog_checkpoint_install_ns": st.CheckpointInstallNanos,
-	} {
-		h, ok := s.Histogram(name)
-		if !ok {
-			t.Fatalf("%s not registered", name)
-		}
-		if h.Count != 2 {
-			t.Errorf("%s count = %d, want 2", name, h.Count)
-		}
-		if h.Sum != nanos {
-			t.Errorf("%s sum = %d, Stats counter says %d", name, h.Sum, nanos)
-		}
-	}
-}
-
 // TestSlowOpCounterMatchesLog verifies backlog_slow_ops_total counts
 // exactly the retained-eligible events.
 func TestSlowOpCounterMatchesLog(t *testing.T) {
 	reg := obs.NewRegistry()
-	env := newTestEnv(t, Options{Metrics: reg, SlowOpThreshold: time.Nanosecond, SlowOpLogSize: 4})
+	env := newTestEnv(t, Options{Metrics: reg, SlowOpThreshold: time.Nanosecond})
 	defer env.eng.Close()
 	e := env.eng
-	for i := uint64(0); i < 10; i++ {
+	const ops = obs.DefaultSlowLogSize + 10
+	for i := uint64(0); i < ops; i++ {
 		e.AddRef(ref(i, 1, i, 1), 1)
 	}
 	s := reg.Snapshot()
@@ -210,10 +177,10 @@ func TestSlowOpCounterMatchesLog(t *testing.T) {
 	if !ok {
 		t.Fatal("backlog_slow_ops_total not registered")
 	}
-	if total != 10 {
-		t.Errorf("backlog_slow_ops_total = %d, want 10 (1ns threshold retains every op)", total)
+	if total != ops {
+		t.Errorf("backlog_slow_ops_total = %d, want %d (1ns threshold retains every op)", total, ops)
 	}
-	if got := len(e.SlowOps()); got != 4 {
-		t.Errorf("SlowOps returned %d events, want ring capacity 4", got)
+	if got := len(e.SlowOps()); got != obs.DefaultSlowLogSize {
+		t.Errorf("SlowOps returned %d events, want ring capacity %d", got, obs.DefaultSlowLogSize)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/backlogfs/backlog/internal/core"
+	"github.com/backlogfs/backlog/internal/obs"
 	"github.com/backlogfs/backlog/internal/storage"
 )
 
@@ -122,10 +123,13 @@ type CPStallResult struct {
 func RunCPStall(cfg CPStallConfig) (CPStallResult, error) {
 	var res CPStallResult
 	slow := &SlowVFS{VFS: storage.NewMemFS(), Delay: cfg.WriteDelay}
+	// The registry is here for the checkpoint phase histograms, the only
+	// record of how long the measured checkpoint held the structural lock.
 	eng, err := core.Open(core.Options{
 		VFS:         slow,
 		Catalog:     core.NewMemCatalog(),
 		WriteShards: cfg.Shards,
+		Metrics:     obs.NewRegistry(),
 	})
 	if err != nil {
 		return res, err
@@ -233,7 +237,7 @@ func RunCPStall(cfg CPStallConfig) (CPStallResult, error) {
 	// the stores and flushes them in the background. The stream's records
 	// are tagged 3 — they land in the fresh active trees and flush with
 	// the NEXT checkpoint.
-	before := eng.Stats()
+	before, metricsBefore := eng.Stats(), eng.Metrics()
 	done := make(chan error, 1)
 	cpStart := time.Now()
 	go func() { done <- eng.Checkpoint(2) }()
@@ -242,10 +246,15 @@ func RunCPStall(cfg CPStallConfig) (CPStallResult, error) {
 	}
 	res.CheckpointMS = float64(time.Since(cpStart).Microseconds()) / 1e3
 
-	st := eng.Stats()
-	res.SwapUS = float64(st.CheckpointSwapNanos-before.CheckpointSwapNanos) / 1e3
-	res.InstallUS = float64(st.CheckpointInstallNanos-before.CheckpointInstallNanos) / 1e3
-	res.FlushMS = float64(st.CheckpointFlushNanos-before.CheckpointFlushNanos) / 1e6
+	st, metrics := eng.Stats(), eng.Metrics()
+	phaseNanos := func(name string) float64 {
+		h0, _ := metricsBefore.Histogram(name)
+		h, _ := metrics.Histogram(name)
+		return float64(h.Sum - h0.Sum)
+	}
+	res.SwapUS = phaseNanos("backlog_checkpoint_freeze_ns") / 1e3
+	res.InstallUS = phaseNanos("backlog_checkpoint_install_ns") / 1e3
+	res.FlushMS = phaseNanos("backlog_checkpoint_flush_ns") / 1e6
 	res.RecordsFlushed = st.RecordsFlushed - before.RecordsFlushed
 
 	// Phase 3: idle again, on the drained stores.

@@ -134,9 +134,6 @@ func runLevelsPoint(cfg LevelsConfig, pol core.CompactionPolicy, fanout int) (Le
 		// sorted outputs more than leveled's small ones, which would
 		// conflate two separate trade-offs. RunCompress measures formats.
 		Compression: core.CompressionNone,
-		// Maintenance runs synchronously on this goroutine; pacing would
-		// only add idle wall time to MaintainMS.
-		CompactPacing: -1,
 	})
 	if err != nil {
 		return pt, err

@@ -151,7 +151,11 @@ func (e *Edit) FlushDVAsOf(table string, dv map[string]struct{}, gen uint64) *Ed
 func (e *Edit) Commit() error {
 	db := e.db
 	// fail cleans up after a pre-commit-point error.
+	var opened []*Run
 	fail := func(err error) error {
+		for _, r := range opened {
+			r.file.Close()
+		}
 		for _, ref := range e.add {
 			_ = db.vfsFor(ref.src).Remove(ref.rm.Name)
 		}
@@ -215,6 +219,7 @@ func (e *Edit) Commit() error {
 		if err != nil {
 			return fail(err)
 		}
+		opened = append(opened, r)
 		r.filter.Store(ref.filter)
 		newRuns[ref.table][ref.partition] = append(newRuns[ref.table][ref.partition], r)
 	}
@@ -389,15 +394,10 @@ func (e *Edit) Commit() error {
 	// Reclaim outside viewMu: file removal must not stall concurrent view
 	// pins. doomed holds runs no version references anymore (none, if a
 	// view still pins the old version — the releasing view reclaims them
-	// then). Failures are not reported: the commit already happened, and
-	// a file that could not be removed is no longer referenced by the
-	// manifest, so the next Open collects it as an orphan. Swallowing
-	// these errors is what makes the invariant "Commit returned an error
-	// ⟺ the edit did not commit" hold, which the engine's retry and
-	// deletion-vector-restore paths rely on.
-	for _, r := range doomed {
-		_ = db.vfsFor(r.doomedBy).Remove(r.name)
-	}
+	// then). That removeRuns swallows its errors is what makes the
+	// invariant "Commit returned an error ⟺ the edit did not commit" hold,
+	// which the engine's retry and deletion-vector-restore paths rely on.
+	db.removeRuns(doomed)
 	// Replaced deletion-vector files are read only at Open (versions
 	// snapshot the in-memory maps, not the files), so they are deleted
 	// eagerly, attributed like the writes that superseded them.
@@ -465,15 +465,6 @@ func (t *Table) DeleteRecord(rec []byte) {
 	t.dvDirty = true
 }
 
-// Deleted reports whether a record is hidden by the deletion vector.
-func (t *Table) Deleted(rec []byte) bool {
-	if len(t.dv) == 0 {
-		return false
-	}
-	_, ok := t.dv[string(rec)]
-	return ok
-}
-
 // DVLen returns the number of records in the deletion vector.
 func (t *Table) DVLen() int { return len(t.dv) }
 
@@ -500,28 +491,6 @@ func (t *Table) ClearDV() {
 	}
 	t.dv = make(map[string]struct{})
 	t.dvShared = false
-	t.dvGen++
-	t.db.verStale = true
-	t.dvDirty = true
-}
-
-// ClearDVRange removes deletion-vector entries whose block number lies in
-// [lo, hi].
-func (t *Table) ClearDVRange(lo, hi uint64) {
-	var doomed []string
-	for rec := range t.dv {
-		blk := blockOf([]byte(rec))
-		if blk >= lo && blk <= hi {
-			doomed = append(doomed, rec)
-		}
-	}
-	if len(doomed) == 0 {
-		return
-	}
-	dv := t.mutableDV()
-	for _, rec := range doomed {
-		delete(dv, rec)
-	}
 	t.dvGen++
 	t.db.verStale = true
 	t.dvDirty = true

@@ -374,15 +374,31 @@ func Open(vfs storage.VFS, opts Options) (*DB, error) {
 		db.tables[spec.Name] = t
 	}
 	if err := db.loadManifest(); err != nil {
+		db.Close()
 		return nil, err
 	}
 	db.nextID = db.m.NextID
 	db.curCP.Store(db.m.CP)
 	if err := db.collectOrphans(); err != nil {
+		db.Close()
 		return nil, err
 	}
 	db.cur = db.newVersion()
 	return db, nil
+}
+
+// Close releases the file handle of every live run. The caller must have
+// excluded structural operations; runs a still-pinned view keeps alive
+// past their drop are closed when that view is released. The handles are
+// read-only, so their Close errors carry nothing to report.
+func (db *DB) Close() {
+	for _, t := range db.tables {
+		for _, part := range t.runs {
+			for _, r := range part {
+				r.file.Close()
+			}
+		}
+	}
 }
 
 // Table returns the named table, or nil if not configured.

@@ -38,14 +38,18 @@ type Run struct {
 	// destroyed the run's file is reclaimed.
 	refs int
 
+	// file is the handle openRun opened; it is closed when the last version
+	// referencing the run is destroyed (removeRuns) or by DB.Close.
+	//
 	// qreader serves query seeks and Bloom loads, creader compaction
 	// scans: shallow copies of one btree.Reader differing only in the
-	// purpose tag of their file handle, so every cache-miss page read is
+	// purpose tag of their view of file, so every cache-miss page read is
 	// attributed to the subsystem that caused it. They share one cache
 	// identity, and only qreader fills it: a merge scan is served resident
 	// pages but inserts none (see btree.Reader.NoFill), so it cannot evict
 	// the query working set in favour of runs it is about to delete. With
 	// attribution disabled both wrap the same untagged file.
+	file    storage.File
 	qreader *btree.Reader
 	creader *btree.Reader
 	// filter is the run's Bloom filter once known: handed over by the
@@ -79,9 +83,6 @@ func (r *Run) Level() int { return r.level }
 
 // Records returns the number of records in the run.
 func (r *Run) Records() uint64 { return r.records }
-
-// CreatedAtCP returns the consistency point at which the run was written.
-func (r *Run) CreatedAtCP() uint64 { return r.cp }
 
 // MinBlock and MaxBlock bound the block numbers present in the run.
 func (r *Run) MinBlock() uint64 { return r.minBlock }
@@ -144,9 +145,11 @@ func (db *DB) openRun(t *Table, rm runManifest, src storage.Source) (*Run, error
 	}
 	rd, err := btree.Open(f, db.cache)
 	if err != nil {
+		f.Close()
 		return nil, fmt.Errorf("lsm: run %s: %w", rm.Name, err)
 	}
 	if rd.RecordSize() != t.spec.RecordSize {
+		f.Close()
 		return nil, fmt.Errorf("lsm: run %s record size %d, table %q wants %d",
 			rm.Name, rd.RecordSize(), t.spec.Name, t.spec.RecordSize)
 	}
@@ -167,6 +170,7 @@ func (db *DB) openRun(t *Table, rm runManifest, src storage.Source) (*Run, error
 		sizeBytes: rd.SizeBytes(),
 		format:    rd.Format(),
 		table:     t,
+		file:      f,
 		// refs stays 0 until a version installation picks the run up; a
 		// Commit that fails before installing removes the file itself.
 	}

@@ -47,10 +47,8 @@ func (db *DB) newVersion() *version {
 
 // unref drops one reference to the version; at zero the version is
 // destroyed and every run only it referenced becomes reclaimable. The
-// caller holds db.viewMu; the returned runs' files must be removed after
-// the lock is dropped (file I/O stays out of the critical section) —
-// returning runs rather than names lets the removal be attributed to the
-// operation that doomed each run.
+// caller holds db.viewMu and hands the returned runs to removeRuns after
+// dropping it (file I/O stays out of the critical section).
 func (ver *version) unref() (doomed []*Run) {
 	ver.refs--
 	if ver.refs > 0 {
@@ -67,6 +65,17 @@ func (ver *version) unref() (doomed []*Run) {
 		}
 	}
 	return doomed
+}
+
+// removeRuns closes and deletes the files of runs no version references
+// anymore, attributing each removal to the operation that doomed the run.
+// Failures are not reported: the runs are already out of the manifest, so a
+// file that could not be removed is an orphan the next Open collects.
+func (db *DB) removeRuns(doomed []*Run) {
+	for _, r := range doomed {
+		r.file.Close()
+		_ = db.vfsFor(r.doomedBy).Remove(r.name)
+	}
 }
 
 // View is a pinned version: an immutable snapshot of every table's run
@@ -112,9 +121,7 @@ func (db *DB) AcquireView() *View {
 	db.views++
 	v := &View{db: db, ver: db.cur}
 	db.viewMu.Unlock()
-	for _, r := range doomed {
-		_ = db.vfsFor(r.doomedBy).Remove(r.name)
-	}
+	db.removeRuns(doomed)
 	return v
 }
 
@@ -134,9 +141,7 @@ func (v *View) Release() {
 		v.db.undeferAll(doomed)
 	}
 	v.db.viewMu.Unlock()
-	for _, r := range doomed {
-		_ = v.db.vfsFor(r.doomedBy).Remove(r.name)
-	}
+	v.db.removeRuns(doomed)
 }
 
 // CP returns the committed consistency point the view was acquired at.

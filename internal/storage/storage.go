@@ -329,18 +329,6 @@ func (fs *MemFS) Stats() Stats {
 	return fs.stats
 }
 
-// TotalBytes returns the sum of all file sizes, the measure used for the
-// space-overhead figures (Figures 6 and 8).
-func (fs *MemFS) TotalBytes() int64 {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	var n int64
-	for _, f := range fs.files {
-		n += int64(len(f.data))
-	}
-	return n
-}
-
 // Crash simulates a power failure: every file reverts to its last-synced
 // contents, and files that were never synced disappear. Open handles remain
 // usable but see the reverted state.

@@ -315,6 +315,3 @@ func (s *Synthetic) spawnClone() error {
 
 // LiveFileCount returns how many line-0 files the generator tracks.
 func (s *Synthetic) LiveFileCount() int { return len(s.files) }
-
-// ActiveClones returns the number of live clone lines.
-func (s *Synthetic) ActiveClones() int { return len(s.clones) }

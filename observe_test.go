@@ -203,15 +203,15 @@ func TestConfigTracer(t *testing.T) {
 }
 
 func TestSlowOps(t *testing.T) {
-	db, err := Open(Config{InMemory: true, SlowOpThreshold: time.Nanosecond, SlowOpLog: 16})
+	db, err := Open(Config{InMemory: true, SlowOpThreshold: time.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
 	ingest(t, db)
 	ops := db.SlowOps()
-	if len(ops) == 0 || len(ops) > 16 {
-		t.Fatalf("SlowOps returned %d events, want 1..16", len(ops))
+	if len(ops) == 0 || len(ops) > 128 {
+		t.Fatalf("SlowOps returned %d events, want 1..128", len(ops))
 	}
 }
 
@@ -274,8 +274,8 @@ func TestValidateObservability(t *testing.T) {
 	if err := cfg.Validate(); err == nil {
 		t.Error("negative SlowOpThreshold should fail validation")
 	}
-	cfg = Config{InMemory: true, SlowOpLog: -1}
+	cfg = Config{InMemory: true, MetricsSampleEvery: -1}
 	if err := cfg.Validate(); err == nil {
-		t.Error("negative SlowOpLog should fail validation")
+		t.Error("negative MetricsSampleEvery should fail validation")
 	}
 }
