@@ -290,9 +290,9 @@ type Engine struct {
 	frozenDel map[string]map[string]struct{}
 
 	// wal is the write-ahead log (nil in CheckpointOnly mode). Updaters
-	// append under the shared structural lock; Checkpoint truncates under
-	// the exclusive lock, which is what lets wal.Truncate assume no
-	// append is in flight.
+	// append under the shared structural lock; Checkpoint cuts it under
+	// the exclusive lock, which is what lets wal.Log.Cut assume no append
+	// is in flight.
 	wal *wal.Log
 	// walReplayed counts records replayed at Open.
 	walReplayed uint64

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -180,5 +182,120 @@ func TestSyncCrashRecoveryCore(t *testing.T) {
 	mustCheckpoint(t, eng3, 2)
 	if owners := mustQuery(t, eng3, 500); len(owners) != 1 {
 		t.Fatalf("checkpoint after recovery lost the ref: %+v", owners)
+	}
+}
+
+// TestPreviousFormatLogTailReplaysAndRetires is the upgrade path end to
+// end: a directory whose log tail the previous binary wrote (segment format
+// 2, the golden files internal/wal keeps) opens, every record of the tail
+// replays, new updates are logged next to it in the current format, and the
+// first checkpoint retires the old segments.
+func TestPreviousFormatLogTailReplaysAndRetires(t *testing.T) {
+	for _, mode := range []wal.Durability{wal.Buffered, wal.Sync} {
+		t.Run(mode.String(), func(t *testing.T) {
+			vfs := storage.NewMemFS()
+			old := []string{"wal-0000000000000001.seg", "wal-0000000000000002.seg"}
+			for _, name := range old {
+				b, err := os.ReadFile(filepath.Join("..", "wal", "testdata", "v2-"+name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				f, err := vfs.Create(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.WriteAt(b, 0); err != nil {
+					t.Fatal(err)
+				}
+				if err := f.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				f.Close()
+			}
+			eng, err := Open(Options{VFS: vfs, Catalog: NewMemCatalog(), Durability: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			// The tail holds eight records past its checkpoint mark (CP 1),
+			// all tagged later than it, and a torn ninth.
+			if got := eng.Stats().WALReplayed; got != 8 {
+				t.Fatalf("replayed %d records of the format-2 tail, want 8", got)
+			}
+			// Golden record 5: a reference on line 0, live since CP 4.
+			if owners := mustQuery(t, eng, 77); len(owners) != 1 || !owners[0].Live {
+				t.Fatalf("block 77 after replay: %+v", owners)
+			}
+			eng.AddRef(ref(900, 1, 0, 0), 5)
+			if files := walFiles(t, vfs); len(files) != 3 {
+				t.Fatalf("log files before the checkpoint: %v, want the two old segments and the active one", files)
+			}
+			mustCheckpoint(t, eng, 5)
+			for _, name := range walFiles(t, vfs) {
+				if name == old[0] || name == old[1] {
+					t.Fatalf("format-2 segment %s survived the first checkpoint", name)
+				}
+			}
+			for _, block := range []uint64{77, 900} {
+				if owners := mustQuery(t, eng, block); len(owners) != 1 || !owners[0].Live {
+					t.Fatalf("block %d after the checkpoint: %+v", block, owners)
+				}
+			}
+		})
+	}
+}
+
+// TestWALStatsBytesAreDeviceBytes reconciles the log's own byte counter
+// with the device: wal.Stats.Bytes is every byte the log handed to the
+// device bar the 16-byte segment headers — batch headers and cut marks
+// included — so Bytes ÷ Appends is the per-update cost the attribution
+// report shows. The buffered gauge counts record bytes only: nothing for an
+// empty buffer, nothing for the frame header reserved ahead of the records.
+func TestWALStatsBytesAreDeviceBytes(t *testing.T) {
+	for _, mode := range []wal.Durability{wal.Buffered, wal.Sync} {
+		t.Run(mode.String(), func(t *testing.T) {
+			vfs := storage.NewMemFS()
+			eng, err := Open(Options{VFS: vfs, Catalog: NewMemCatalog(), Durability: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := eng.wal.BufferedBytes(); got != 0 {
+				t.Fatalf("BufferedBytes = %d on a fresh log", got)
+			}
+			eng.AddRef(ref(1, 1, 0, 0), 1)
+			// op + block + inode + offset + cp, line and length elided.
+			if got, want := eng.wal.BufferedBytes(), map[wal.Durability]int{wal.Buffered: 5, wal.Sync: 0}[mode]; got != want {
+				t.Fatalf("BufferedBytes = %d after one small update, want %d", got, want)
+			}
+			for cp := uint64(1); cp <= 3; cp++ {
+				for i := uint64(0); i < 500; i++ {
+					eng.AddRef(ref(cp*1000+i, i, 0, 0), cp)
+					if i%3 == 0 {
+						eng.RemoveRef(ref(cp*1000+i, i, 0, 0), cp+1)
+					}
+				}
+				mustCheckpoint(t, eng, cp)
+				if got := eng.wal.BufferedBytes(); got != 0 {
+					t.Fatalf("BufferedBytes = %d right after a checkpoint's cut", got)
+				}
+			}
+			eng.AddRef(ref(9000, 1, 0, 0), 4)
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+			ws := eng.wal.Stats()
+			var device uint64
+			for _, src := range eng.IOReport().Sources {
+				if src.Source == storage.SrcWAL.String() {
+					device = src.WriteBytes
+				}
+			}
+			if headers := ws.Segments * 16; uint64(ws.Bytes)+headers != device {
+				t.Fatalf("wal.Stats.Bytes = %d (+ %d of segment headers), device saw %d wal-tagged bytes", ws.Bytes, headers, device)
+			}
+			if perRecord := float64(ws.Bytes) / float64(ws.Appends); mode == wal.Buffered && perRecord > 9 {
+				t.Fatalf("a Buffered log cost %.1f device bytes per update", perRecord)
+			}
+		})
 	}
 }

@@ -1,22 +1,26 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/backlogfs/backlog/internal/storage"
 )
 
-// The golden files under testdata/ were written by the version-1 encoder
-// (fixed big-endian uint64 fields) before it was deleted, and are the only
-// place version-1 bytes come from now:
+// The golden files under testdata/ were written by the version-2 encoder
+// (one frame per record, every field spelled out) at the commit before it
+// was replaced, and are the only place version-2 bytes come from now:
 //
-//	v1-wal-…01.seg  Checkpoint mark CP=1, goldenRecords()[:5]
-//	v1-wal-…02.seg  Cut mark CP=3, goldenRecords()[5:], then 20 bytes of a
+//	v2-wal-…01.seg  Checkpoint mark CP=1, goldenRecords()[:5]
+//	v2-wal-…02.seg  Cut mark CP=3, goldenRecords()[5:], then 20 bytes of a
 //	                torn AddRef frame — the tail of a killed older binary
 func goldenRecords() []Record {
 	return []Record{
@@ -32,29 +36,42 @@ func goldenRecords() []Record {
 }
 
 func goldenSegment(t testing.TB, index uint64) []byte {
+	return goldenFile(t, "v2-", index)
+}
+
+func goldenFile(t testing.TB, prefix string, index uint64) []byte {
 	t.Helper()
-	b, err := os.ReadFile(filepath.Join("testdata", "v1-"+segmentName(index)))
+	b, err := os.ReadFile(filepath.Join("testdata", prefix+segmentName(index)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return b
 }
 
-// goldenV2Segment is goldenSegment's history as this binary writes it.
-func goldenV2Segment(index uint64) []byte {
+// goldenV3Segment is goldenSegment's history as this binary writes it: the
+// mark in a batch of its own, the records in one batch behind it.
+func goldenV3Segment(index uint64) []byte {
 	recs := goldenRecords()
 	b := encodeSegHeader(index)
 	if index == 1 {
-		b = appendFrame(b, Record{Op: OpCheckpoint, CP: 1})
+		b = appendBatch(b, Record{Op: OpCheckpoint, CP: 1})
 		recs = recs[:5]
 	} else {
-		b = appendFrame(b, Record{Op: OpCut, CP: 3})
+		b = appendBatch(b, Record{Op: OpCut, CP: 3})
 		recs = recs[5:]
 	}
-	for _, r := range recs {
-		b = appendFrame(b, r)
+	return appendBatch(b, recs...)
+}
+
+// TestFormat3BytesPinned: the encoder still writes the bytes committed as
+// testdata/v3-wal-*.seg. A deliberate format change bumps segVersion and
+// adds files; it never rewrites these.
+func TestFormat3BytesPinned(t *testing.T) {
+	for _, index := range []uint64{1, 2} {
+		if got, want := goldenV3Segment(index), goldenFile(t, "v3-", index); !bytes.Equal(got, want) {
+			t.Errorf("segment %d encodes as\n%x\nthe golden file holds\n%x", index, got, want)
+		}
 	}
-	return b
 }
 
 // plantSegment stores raw bytes as a durable segment file.
@@ -82,9 +99,9 @@ func appendAll(t *testing.T, l *Log, recs ...Record) {
 	}
 }
 
-// TestMixedVersionRecovery: a version-1 tail left by an older binary,
-// continued by this one in version 2, replays to exactly what an
-// all-version-2 log of the same history does, and the first checkpoint
+// TestMixedVersionRecovery: a version-2 tail left by the previous binary,
+// continued by this one in version 3, replays to exactly what an
+// all-version-3 log of the same history does, and the first checkpoint
 // retires the old files.
 func TestMixedVersionRecovery(t *testing.T) {
 	golden := goldenRecords()
@@ -113,26 +130,18 @@ func TestMixedVersionRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The checkpoint mark the tail opens with is one nothing writes any
+	// more; read, it still means what it meant.
 	want := Recovered{Records: golden, Cuts: []CutMark{{Index: 5, CP: 3}}, MarkCP: 1, Found: true}
 	if !reflect.DeepEqual(rec, want) {
-		t.Fatalf("version-1 golden log recovered as\n%+v\nwant\n%+v", rec, want)
+		t.Fatalf("version-2 golden log recovered as\n%+v\nwant\n%+v", rec, want)
 	}
 	lm, cut := continueLog(mixed)
 
-	// The same history, written by this binary alone.
+	// The same history in this binary's format alone.
 	pure := storage.NewMemFS()
-	l, _ := mustOpen(t, pure, Sync)
-	if err := l.Truncate(1); err != nil {
-		t.Fatal(err)
-	}
-	appendAll(t, l, golden[:5]...)
-	if _, err := l.Cut(3); err != nil {
-		t.Fatal(err)
-	}
-	appendAll(t, l, golden[5:]...)
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
+	plantSegment(t, pure, 1, goldenV3Segment(1))
+	plantSegment(t, pure, 2, goldenV3Segment(2))
 	lp, _ := continueLog(pure)
 
 	got, err := Recover(mixed)
@@ -144,13 +153,13 @@ func TestMixedVersionRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, all) {
-		t.Fatalf("mixed-version log recovered as\n%+v\nall-version-2 log as\n%+v", got, all)
+		t.Fatalf("mixed-version log recovered as\n%+v\nall-version-3 log as\n%+v", got, all)
 	}
 	if n := len(golden) + len(later); len(got.Records) != n || len(got.Cuts) != 2 {
 		t.Fatalf("recovered %d records and %d cuts, want %d and 2", len(got.Records), len(got.Cuts), n)
 	}
 
-	// The checkpoint commits: the version-1 files go, the rest stays.
+	// The checkpoint commits: the version-2 files go, the rest stays.
 	if err := lm.Retire(cut); err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +174,7 @@ func TestMixedVersionRecovery(t *testing.T) {
 	}
 	for _, idx := range segs {
 		if idx <= 2 {
-			t.Fatalf("version-1 segment %d survived the checkpoint's retirement", idx)
+			t.Fatalf("version-2 segment %d survived the checkpoint's retirement", idx)
 		}
 	}
 	rec, err = Recover(mixed)
@@ -177,39 +186,78 @@ func TestMixedVersionRecovery(t *testing.T) {
 	}
 }
 
-// TestVersionByteSelectsDecoder: payloads are only ever read by the
-// decoder their segment header names. A header naming the other version —
-// the one way to get there is damage — makes the first record unreadable:
-// a clean torn tail in a final segment, ErrCorrupt mid-log, never a record
-// decoded from the wrong layout.
+// TestVersionByteSelectsDecoder: a segment is read by the decoder its
+// header names, and by no other. Version-3 batches under a version-2 header
+// — the one way to get there is damage — stop at the first batch that is
+// not a lone record: a clean torn tail in a final segment, ErrCorrupt
+// mid-log, never records split out of a frame the header says holds one.
+// The reverse is harmless by construction: a version-2 frame is a valid
+// one-record batch with no flag set (the same property that lets one
+// SegmentEnd seal a tear in either), so it decodes to the same records.
 func TestVersionByteSelectsDecoder(t *testing.T) {
-	v2 := goldenV2Segment(1)
-	for name, seg := range map[string][]byte{"v1 bytes marked v2": goldenSegment(t, 1), "v2 bytes marked v1": v2} {
+	remark := func(seg []byte, version byte) []byte {
 		seg = append([]byte(nil), seg...)
-		seg[8] ^= 1 ^ 2
-		vfs := storage.NewMemFS()
-		plantSegment(t, vfs, 1, seg)
-		rec, err := Recover(vfs)
-		if err != nil {
-			t.Fatalf("%s, final segment: %v", name, err)
-		}
-		if len(rec.Records) != 0 || rec.MarkCP != 0 {
-			t.Fatalf("%s: decoded %+v from the wrong layout", name, rec)
-		}
-		// Followed by an ordinary rotation successor, the same segment is
-		// corruption.
-		buildSegment(t, vfs, 2, []Record{addRec(1)}, nil)
-		if _, err := Recover(vfs); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("%s, mid-log: err = %v, want ErrCorrupt", name, err)
-		}
+		seg[8] = version
+		return seg
 	}
-	// An unknown version is a bad header outright.
-	seg := append([]byte(nil), v2...)
-	seg[8] = segVersion + 1
 	vfs := storage.NewMemFS()
-	plantSegment(t, vfs, 1, seg)
+	plantSegment(t, vfs, 1, remark(goldenV3Segment(1), segVersionOld))
+	rec, err := Recover(vfs)
+	if err != nil {
+		t.Fatalf("v3 bytes marked v2, final segment: %v", err)
+	}
+	// The lone checkpoint mark reads the same either way; the five-record
+	// batch behind it does not read at all.
+	if len(rec.Records) != 0 || rec.MarkCP != 1 {
+		t.Fatalf("v3 bytes marked v2: decoded %+v", rec)
+	}
+	// Followed by an ordinary rotation successor, the same segment is
+	// corruption.
 	buildSegment(t, vfs, 2, []Record{addRec(1)}, nil)
 	if _, err := Recover(vfs); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("unknown version mid-log: err = %v, want ErrCorrupt", err)
+		t.Fatalf("v3 bytes marked v2, mid-log: err = %v, want ErrCorrupt", err)
+	}
+
+	vfs = storage.NewMemFS()
+	plantSegment(t, vfs, 1, remark(goldenSegment(t, 1), segVersion))
+	rec, err = Recover(vfs)
+	if err != nil || !reflect.DeepEqual(rec.Records, goldenRecords()[:5]) {
+		t.Fatalf("v2 bytes marked v3: recovered %+v (%v)", rec, err)
+	}
+}
+
+// TestUnreadableVersionNamedNotSealed: a segment in a format this binary
+// has no decoder for — version 1, which it used to read, or one from the
+// future — fails recovery with an error that names the version, in any
+// position. In particular Open does not take a final one for a torn
+// creation and seal over it, which would silently discard its records.
+func TestUnreadableVersionNamedNotSealed(t *testing.T) {
+	for _, version := range []byte{1, segVersion + 1} {
+		seg := goldenV3Segment(1)
+		seg[8] = version
+		want := fmt.Sprintf("format version %d", version)
+		for _, final := range []bool{true, false} {
+			vfs := storage.NewMemFS()
+			plantSegment(t, vfs, 1, seg)
+			if !final {
+				buildSegment(t, vfs, 2, []Record{addRec(1)}, nil)
+			}
+			_, _, err := Open(vfs, Options{Durability: Sync})
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
+				t.Fatalf("version %d, final=%v: Open err = %v, want ErrCorrupt naming the version", version, final, err)
+			}
+			f, err := vfs.Open(segmentName(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]byte, len(seg))
+			if _, err := f.ReadAt(got, 0); err != nil && !errors.Is(err, io.EOF) {
+				t.Fatal(err)
+			}
+			f.Close()
+			if !bytes.Equal(got, seg) {
+				t.Fatalf("version %d, final=%v: the failed Open rewrote the segment", version, final)
+			}
+		}
 	}
 }

@@ -2,6 +2,8 @@ package wal
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/backlogfs/backlog/internal/storage"
@@ -30,6 +32,10 @@ type killFS struct {
 	mode   killMode
 	ios    int
 	dead   bool
+	// beforeWrite, when set, runs at the start of every WriteAt past a
+	// segment header (the log calls those with its mutex released): a
+	// script's hook for lining appenders up behind a flush leader.
+	beforeWrite func()
 }
 
 func (k *killFS) Create(name string) (storage.File, error) {
@@ -75,6 +81,9 @@ type killFile struct {
 
 func (f *killFile) WriteAt(p []byte, off int64) (int, error) {
 	k := f.fs
+	if k.beforeWrite != nil && off > 0 {
+		k.beforeWrite()
+	}
 	if k.dead {
 		return 0, storage.ErrInjected
 	}
@@ -114,12 +123,14 @@ type crashScript struct {
 	appended []Record // every record handed to Append, in order
 	acked    int      // appended[:acked] were acknowledged (Append returned nil)
 	retired  []int    // len(appended) at each Cut whose Retire succeeded
+	batches  uint64   // runConcurrent: flushes that completed
 }
 
 func crashRec(i int) Record {
-	// Wide values: ~40-byte frames, so that a few thousand records cross
-	// the 64 KiB write threshold and writes span several pages.
-	return Record{Op: OpAddRef, Block: uint64(i), Inode: 1<<40 + uint64(i), Offset: 1 << 50, Line: 3, Length: 1 << 33, CP: 1 << 35}
+	// Wide values: ~40-byte records, so that a few thousand cross the
+	// 64 KiB write threshold and writes span several pages. The CP changes
+	// every fifth record, so batches hold elided and spelled-out ones.
+	return Record{Op: OpAddRef, Block: uint64(i), Inode: 1<<62 + uint64(i), Offset: 1 << 63, Line: 1 << 62, Length: 1 << 63, CP: 1<<35 + uint64(i/5)}
 }
 
 func (s *crashScript) run(vfs storage.VFS, d Durability, segBytes int64, perPhase int) {
@@ -151,6 +162,82 @@ func (s *crashScript) run(vfs storage.VFS, d Durability, segBytes int64, perPhas
 		}
 	}
 	phase()
+	_ = l.Close()
+}
+
+// runConcurrent is the Sync script whose batches hold more than one record.
+// Every round lines four appenders up so that the log frames them the same
+// way every time: the first becomes flush leader with a batch of one, and
+// while its write is held the other three queue behind it, in order, and
+// go out together as the next batch. Rotation happens on the way.
+func (s *crashScript) runConcurrent(vfs *killFS, segBytes int64, rounds int) {
+	l, _, err := Open(vfs, Options{Durability: Sync, SegmentBytes: segBytes})
+	if err != nil {
+		return
+	}
+	seqNow := func() uint64 {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return l.seq
+	}
+	held := make(chan chan struct{}) // a write announces itself and waits for its release
+	vfs.beforeWrite = func() {
+		release := make(chan struct{})
+		held <- release
+		<-release
+	}
+	for round := 0; round < rounds; round++ {
+		base := len(s.appended)
+		for i := 0; i < 4; i++ {
+			s.appended = append(s.appended, crashRec(base+i))
+		}
+		acks := make(chan error, 4) // one send per appender
+		appendNext := func(i int) {
+			before := seqNow()
+			go func() { acks <- l.Append(s.appended[base+i]) }()
+			for seqNow() == before && l.Err() == nil {
+				runtime.Gosched()
+			}
+		}
+		nacked, returned := 0, 0
+		collect := func(err error) {
+			returned++
+			if err == nil {
+				nacked++
+			}
+		}
+		appendNext(0)
+		select {
+		case release := <-held:
+			// The leader's write is held; queue the rest behind it.
+			for i := 1; i < 4; i++ {
+				appendNext(i)
+			}
+			close(release)
+		case err := <-acks:
+			// The leader never got to its write — the log is dead, or dies
+			// rotating — and whoever follows fails on the sticky error.
+			collect(err)
+			for i := 1; i < 4; i++ {
+				appendNext(i)
+			}
+		}
+		for returned < 4 {
+			select {
+			case release := <-held:
+				close(release)
+			case err := <-acks:
+				collect(err)
+			}
+		}
+		// Failures are sticky, so the acknowledged are a prefix of the
+		// round: nobody, the leader, or everybody.
+		if s.acked == base {
+			s.acked += nacked
+		}
+	}
+	vfs.beforeWrite = nil
+	s.batches = l.Stats().Batches
 	_ = l.Close()
 }
 
@@ -201,27 +288,43 @@ func TestCrashAtEveryIO(t *testing.T) {
 		d        Durability
 		segBytes int64
 		perPhase int
+		// concurrent selects runConcurrent, with perPhase rounds.
+		concurrent bool
 	}{
 		// One 64 KiB threshold write per phase, no rotation.
-		{"buffered", Buffered, 0, 2000},
+		{"buffered", Buffered, 0, 2000, false},
 		// Rotation (write + fsync of the outgoing segment) inside every
 		// phase, so a Cut-abandoned segment precedes a synced one.
-		{"buffered-rotating", Buffered, 24 << 10, 1500},
-		{"sync", Sync, 1 << 10, 40},
+		{"buffered-rotating", Buffered, 24 << 10, 1500, false},
+		{"sync", Sync, 1 << 10, 40, false},
+		// Group commits of one and three records; segments long enough
+		// that batches straddle a page, so a torn write leaves half of one.
+		{"sync-concurrent", Sync, 6 << 10, 40, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			run := func(s *crashScript, vfs *killFS) {
+				if c.concurrent {
+					s.runConcurrent(vfs, c.segBytes, c.perPhase)
+				} else {
+					s.run(vfs, c.d, c.segBytes, c.perPhase)
+				}
+			}
 			// Count the I/Os of an unharmed run.
 			dry := &killFS{MemFS: storage.NewMemFS(), killAt: -1}
-			new(crashScript).run(dry, c.d, c.segBytes, c.perPhase)
+			var clean crashScript
+			run(&clean, dry)
 			if dry.ios < 8 {
 				t.Fatalf("script made only %d I/Os", dry.ios)
+			}
+			if c.concurrent && (clean.batches != uint64(2*c.perPhase) || clean.acked != 4*c.perPhase) {
+				t.Fatalf("%d rounds of four appenders made %d batches and %d acknowledgements, want two batches (of 1 and 3) a round", c.perPhase, clean.batches, clean.acked)
 			}
 			for _, mode := range []killMode{killPlain, killTorn, killTornDurable} {
 				for at := 0; at <= dry.ios; at++ {
 					vfs := &killFS{MemFS: storage.NewMemFS(), killAt: at, mode: mode}
 					var s crashScript
-					s.run(vfs, c.d, c.segBytes, c.perPhase)
+					run(&s, vfs)
 					if died := at < dry.ios; vfs.dead != died {
 						t.Fatalf("%s kill at %d: dead=%v", mode, at, vfs.dead)
 					}
@@ -234,20 +337,34 @@ func TestCrashAtEveryIO(t *testing.T) {
 					if err := s.check(rec, c.d == Sync); err != nil {
 						t.Fatalf("%s kill at I/O %d of %d: %v", mode, at, dry.ios, err)
 					}
-					// The survivor must also open for writing (sealing any
-					// tear) and stay recoverable.
+					if c.concurrent && len(rec.Records) != s.acked {
+						// A batch is acknowledged as a whole once its fsync
+						// returns, and the model keeps nothing unsynced: the
+						// batch the kill hit — its write failed, tore, or
+						// never got its fsync — yields none of its records,
+						// every batch before it all of them.
+						t.Fatalf("%s kill at I/O %d of %d: recovered %d records, want exactly the %d acknowledged", mode, at, dry.ios, len(rec.Records), s.acked)
+					}
+					// The survivor must also open for writing, sealing any
+					// tear at the start of the batch it tore: what a second
+					// recovery reads is what the first did.
 					l, rec2, err := Open(vfs.MemFS, Options{Durability: c.d})
 					if err != nil {
 						t.Fatalf("%s kill at I/O %d: reopen failed: %v", mode, at, err)
 					}
-					if len(rec2.Records) != len(rec.Records) {
+					if !slices.Equal(rec2.Records, rec.Records) {
 						t.Fatalf("%s kill at I/O %d: reopen recovered %d records, Recover %d", mode, at, len(rec2.Records), len(rec.Records))
 					}
 					if err := l.Close(); err != nil {
 						t.Fatal(err)
 					}
-					if _, err := Recover(vfs.MemFS); err != nil {
+					rec3, err := Recover(vfs.MemFS)
+					if err != nil {
 						t.Fatalf("%s kill at I/O %d: recovery after reopen failed: %v", mode, at, err)
+					}
+					if !slices.Equal(rec3.Records, rec.Records) || !slices.Equal(rec3.Cuts, rec.Cuts) {
+						t.Fatalf("%s kill at I/O %d: recovery after the sealing reopen returned %d records and cuts %v, before it %d and %v",
+							mode, at, len(rec3.Records), rec3.Cuts, len(rec.Records), rec.Cuts)
 					}
 				}
 			}

@@ -10,14 +10,20 @@ import (
 // TestCutRetireKeepsFlushConcurrentAppends is the checkpoint truncation
 // contract: records appended after a Cut (updates racing a checkpoint
 // flush) survive the Retire that deletes the segments the checkpoint
-// covered.
+// covered — here several, the log having rotated on the way.
 func TestCutRetireKeepsFlushConcurrentAppends(t *testing.T) {
 	vfs := storage.NewMemFS()
-	l, _ := mustOpen(t, vfs, Sync)
-	for i := 0; i < 3; i++ {
+	l, _, err := Open(vfs, Options{Durability: Sync, SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
 		if err := l.Append(addRec(i)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if got := l.SegmentCount(); got < 3 {
+		t.Fatalf("segments before the cut = %d, want rotation", got)
 	}
 	cut, err := l.Cut(1)
 	if err != nil {
@@ -32,6 +38,13 @@ func TestCutRetireKeepsFlushConcurrentAppends(t *testing.T) {
 	if err := l.Retire(cut); err != nil {
 		t.Fatal(err)
 	}
+	segs, err := listSegments(vfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) != 1 || l.SegmentCount() != 1 {
+		t.Fatalf("after Retire %d segment files, %d tracked; want 1 and 1", len(segs), l.SegmentCount())
+	}
 	if err := l.Append(addRec(50)); err != nil {
 		t.Fatal(err)
 	}
@@ -41,6 +54,9 @@ func TestCutRetireKeepsFlushConcurrentAppends(t *testing.T) {
 	rec, err := Recover(vfs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rec.MarkCP != 0 {
+		t.Fatalf("MarkCP = %d from a log holding only a cut mark", rec.MarkCP)
 	}
 	if len(rec.Records) != 2 {
 		t.Fatalf("recovered %d records, want 2 (the post-cut appends): %+v", len(rec.Records), rec.Records)
@@ -53,7 +69,7 @@ func TestCutRetireKeepsFlushConcurrentAppends(t *testing.T) {
 // TestCrashBetweenCutAndRetire verifies that a crash while the checkpoint
 // flush is still running loses nothing: the cut mark does not discard the
 // records before it (they are not yet durable in the read store), unlike
-// a Truncate-written checkpoint mark.
+// a checkpoint mark.
 func TestCrashBetweenCutAndRetire(t *testing.T) {
 	vfs := storage.NewMemFS()
 	l, _ := mustOpen(t, vfs, Sync)
@@ -90,9 +106,9 @@ func TestCrashBetweenCutAndRetire(t *testing.T) {
 	}
 }
 
-// TestCutClearsFlushErrorAndPending mirrors the Truncate reset test: a
-// flush failure blocks appends until the next checkpoint's Cut rotates to
-// a fresh segment and resets the sticky state.
+// TestCutClearsFlushErrorAndPending: a flush failure blocks appends until
+// the next checkpoint's Cut rotates to a fresh segment and resets the
+// sticky state.
 func TestCutClearsFlushErrorAndPending(t *testing.T) {
 	vfs := storage.NewMemFS()
 	l, _ := mustOpen(t, vfs, Sync)
@@ -103,13 +119,19 @@ func TestCutClearsFlushErrorAndPending(t *testing.T) {
 	if err := l.Append(addRec(2)); !errors.Is(err, storage.ErrInjected) {
 		t.Fatalf("append during failure plan: %v", err)
 	}
-	if err := l.Append(addRec(3)); err == nil {
-		t.Fatal("sticky error did not gate appends")
-	}
 	vfs.SetFailurePlan(storage.FailurePlan{})
+	if err := l.Append(addRec(3)); err == nil {
+		t.Fatal("sticky error did not gate appends once the device recovered")
+	}
+	if l.Err() == nil {
+		t.Fatal("no sticky error")
+	}
 	cut, err := l.Cut(1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := l.Err(); err != nil {
+		t.Fatalf("sticky error survived the Cut: %v", err)
 	}
 	if err := l.Append(addRec(4)); err != nil {
 		t.Fatalf("append after Cut reset: %v", err)
@@ -127,6 +149,47 @@ func TestCutClearsFlushErrorAndPending(t *testing.T) {
 	if len(rec.Records) != 1 || rec.Records[0] != addRec(4) {
 		t.Fatalf("recovered %+v, want just the post-cut record", rec.Records)
 	}
+}
+
+// TestStatsBytesCountWhatTheDeviceTook: a flush the device cuts short counts
+// the prefix it applied and no more, so Stats.Bytes keeps matching the
+// device's own byte count (less segment headers) across a failure.
+func TestStatsBytesCountWhatTheDeviceTook(t *testing.T) {
+	vfs := storage.NewMemFS()
+	l, _ := mustOpen(t, vfs, Buffered)
+	reconcile := func(when string) {
+		t.Helper()
+		st := l.Stats()
+		if device := vfs.Stats().BytesWritten - int64(st.Segments)*segHeaderSize; st.Bytes != device {
+			t.Fatalf("%s: Stats.Bytes = %d, the device took %d bytes of log content", when, st.Bytes, device)
+		}
+	}
+	for i := 0; l.BufferedBytes() < 3*storage.PageSize; i++ {
+		if err := l.Append(addRec(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pending := int64(l.BufferedBytes())
+	// The flush spans four pages; the device takes the first and fails.
+	vfs.SetFailurePlan(storage.FailurePlan{FailAfterPageWrites: vfs.Stats().PageWrites + 1, TornWrite: true})
+	if _, err := l.Cut(1); !errors.Is(err, storage.ErrInjected) {
+		t.Fatalf("cut over a failing flush: %v", err)
+	}
+	if got := l.Stats().Bytes; got <= 0 || got >= pending {
+		t.Fatalf("Stats.Bytes = %d after a torn flush of %d record bytes, want a proper prefix", got, pending)
+	}
+	reconcile("after the torn flush")
+	vfs.SetFailurePlan(storage.FailurePlan{})
+	if _, err := l.Cut(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(addRec(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reconcile("after recovery by Cut")
 }
 
 // TestRetireFailureKeepsSegmentsTracked arms a remove failure... MemFS
@@ -204,5 +267,29 @@ func TestResurrectedTornSegmentToleratedBeforeCutMark(t *testing.T) {
 	}
 	if len(rec.Records) != 2 || rec.Records[0] != addRec(1) || rec.Records[1] != addRec(3) {
 		t.Fatalf("recovered %+v, want the pre-tear and post-cut records", rec.Records)
+	}
+
+	// A checkpoint mark heading the successor earns the same tolerance.
+	// Nothing writes one any more, but a version-2 tail may hold one, and it
+	// still drops everything logged before it.
+	torn := appendBatch(nil, addRec(2))[:10]
+	vfs1 := storage.NewMemFS()
+	buildSegment(t, vfs1, 1, []Record{addRec(1), addRec(2)}, torn)
+	buildSegment(t, vfs1, 2, []Record{{Op: OpCheckpoint, CP: 5}, addRec(7)}, nil)
+	rec, err = Recover(vfs1)
+	if err != nil {
+		t.Fatalf("recovery rejected a torn segment before a checkpoint mark: %v", err)
+	}
+	if rec.MarkCP != 5 || len(rec.Cuts) != 0 || len(rec.Records) != 1 || rec.Records[0] != addRec(7) {
+		t.Fatalf("recovered %+v, want MarkCP 5 and just the post-mark record", rec)
+	}
+
+	// The same tear before a successor that does NOT open with a mark (a
+	// rotation successor) is genuine mid-log corruption.
+	vfs2 := storage.NewMemFS()
+	buildSegment(t, vfs2, 1, []Record{addRec(1)}, torn)
+	buildSegment(t, vfs2, 2, []Record{addRec(7)}, nil)
+	if _, err := Recover(vfs2); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("torn mid-log segment without a following mark: err = %v, want ErrCorrupt", err)
 	}
 }

@@ -5,49 +5,83 @@ import (
 	"errors"
 	"hash/crc32"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/backlogfs/backlog/internal/storage"
 )
 
-// FuzzDecodeFrame: whatever the bytes, each version's frame decoder either
-// reports a torn frame or returns a record of a known op whose frame lies
-// inside the input, has a matching checksum, and — for the version this
-// binary writes — survives a re-encode. It never panics and never sizes
-// anything from an unchecked length.
+// FuzzDecodeFrame: whatever the bytes, both frame decoders stay inside the
+// input. The version-2 decoder either reports a torn frame or returns one
+// record of a known op from a frame with a matching checksum. The version-3
+// decoder either reports a torn frame or walks a checksummed batch to its
+// end or to its first undecodable record, never past it; and what it
+// decodes survives a re-encode. Neither panics, and neither sizes anything
+// from a length field (TestBatchReaderAllocatesNothing pins that they
+// allocate nothing at all).
 func FuzzDecodeFrame(f *testing.F) {
-	for _, seg := range [][]byte{goldenSegment(f, 1), goldenSegment(f, 2), goldenV2Segment(1), goldenV2Segment(2)} {
+	for _, seg := range [][]byte{goldenSegment(f, 1), goldenSegment(f, 2), goldenV3Segment(1), goldenV3Segment(2)} {
 		f.Add(seg[segHeaderSize:])
 		f.Add(seg[segHeaderSize+3:])
 	}
 	f.Add(reframe([]byte{byte(OpCheckpoint), 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02}))
+	f.Add(reframe([]byte{byte(OpCut) | flagSameCP}))
 	f.Add(binary.BigEndian.AppendUint32(nil, 1<<31))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		for _, version := range []byte{1, segVersion} {
-			r, n, err := decodeFrame(b, version)
-			if err != nil {
-				if !errors.Is(err, errTorn) || n != 0 {
-					t.Fatalf("v%d: err = %v, n = %d", version, err, n)
-				}
-				continue
-			}
-			if n <= frameHeaderSize || n > len(b) || n > frameHeaderSize+maxPayload {
-				t.Fatalf("v%d: consumed %d of %d bytes", version, n, len(b))
+		checkFrame := func(n int) {
+			if n <= frameHeaderSize || n > len(b) {
+				t.Fatalf("consumed %d of %d bytes", n, len(b))
 			}
 			if int(binary.BigEndian.Uint32(b)) != n-frameHeaderSize {
-				t.Fatalf("v%d: consumed %d bytes, length field says %d", version, n, binary.BigEndian.Uint32(b))
+				t.Fatalf("consumed %d bytes, length field says %d", n, binary.BigEndian.Uint32(b))
 			}
 			if crc32.Checksum(b[frameHeaderSize:n], crcTable) != binary.BigEndian.Uint32(b[4:]) {
-				t.Fatalf("v%d: decoded %+v from a frame whose checksum fails", version, r)
+				t.Fatalf("decoded a frame whose checksum fails")
 			}
+		}
+		knownOp := func(r Record) {
 			if r.Op < OpAddRef || r.Op > OpCut {
-				t.Fatalf("v%d: decoded unknown op %d", version, r.Op)
+				t.Fatalf("decoded unknown op %d", r.Op)
 			}
-			if version == segVersion {
-				if back, _, err := decodeFrame(appendFrame(nil, r), segVersion); err != nil || back != r {
-					t.Fatalf("re-encoding %+v decodes to %+v (%v)", r, back, err)
-				}
+		}
+
+		r, n, err := decodeFrameV2(b)
+		if err != nil {
+			if !errors.Is(err, errTorn) || n != 0 {
+				t.Fatalf("v2: err = %v, n = %d", err, n)
 			}
+		} else {
+			checkFrame(n)
+			knownOp(r)
+			// A version-2 record reads the same as a one-record batch.
+			if back, err := decodeBatches(b[:n]); err != nil || len(back) != 1 || back[0] != r {
+				t.Fatalf("v2 decoded %+v, the v3 decoder %+v (%v)", r, back, err)
+			}
+		}
+
+		body, n, err := splitFrame(b)
+		if err != nil {
+			if !errors.Is(err, errTorn) || n != 0 || body != nil {
+				t.Fatalf("v3: err = %v, n = %d, %d body bytes", err, n, len(body))
+			}
+			return
+		}
+		checkFrame(n)
+		recs, err := decodeBatches(b[:n])
+		if len(recs) > len(body) {
+			t.Fatalf("v3: %d records out of %d bytes", len(recs), len(body))
+		}
+		for _, r := range recs {
+			knownOp(r)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("v3: checksummed batch failed with %v", err)
+			}
+			return
+		}
+		if back, err := decodeBatches(appendBatch(nil, recs...)); err != nil || !slices.Equal(back, recs) {
+			t.Fatalf("re-encoding %+v decodes to %+v (%v)", recs, back, err)
 		}
 	})
 }
@@ -57,10 +91,9 @@ func FuzzDecodeFrame(f *testing.F) {
 // another error — and a log that recovers also opens, seals its tear, and
 // recovers to the same records again.
 func FuzzRecover(f *testing.F) {
-	f.Add(goldenSegment(f, 1), goldenSegment(f, 2))
-	f.Add(goldenV2Segment(1), goldenV2Segment(2))
-	f.Add(goldenSegment(f, 1), goldenV2Segment(2))
-	f.Add(goldenV2Segment(1)[:40], goldenV2Segment(2))
+	// testdata/fuzz/FuzzRecover holds the whole tails: the version-2 golden
+	// pair, its version-3 rewrite, one of each, and a regression input.
+	f.Add(goldenV3Segment(1)[:40], goldenV3Segment(2))
 	f.Add(goldenSegment(f, 2)[:7], []byte{})
 	f.Fuzz(func(t *testing.T, seg1, seg2 []byte) {
 		vfs := storage.NewMemFS()

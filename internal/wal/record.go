@@ -20,8 +20,9 @@ const (
 	// relocation will be flushed under.
 	OpRelocate Op = 3
 	// OpCheckpoint marks a committed consistency point: every record
-	// logged before the mark is durable in the read store. Truncate writes
-	// one at the head of each fresh segment.
+	// logged before the mark is durable in the read store. Nothing writes
+	// one any more (checkpoints Cut, then Retire); recovery still honours
+	// one it reads, since a version-2 tail may hold it.
 	OpCheckpoint Op = 4
 	// OpSegmentEnd seals a segment: recovery stops reading the segment at
 	// the mark, in any position. Open stamps one over a torn tail before
@@ -33,9 +34,9 @@ const (
 	// write stores. Unlike OpCheckpoint it promises nothing about
 	// durability — the checkpoint has not committed yet — so recovery
 	// keeps every record logged before it and replays records strictly by
-	// their CP tags. Its only structural role is the same one a
-	// Truncate-written OpCheckpoint plays: marking its segment as one that
-	// legitimately follows a retired (possibly torn) predecessor.
+	// their CP tags. Its only structural role is the one it shares with
+	// OpCheckpoint: marking its segment as one that legitimately follows a
+	// retired (possibly torn) predecessor.
 	OpCut Op = 6
 )
 
@@ -78,99 +79,133 @@ type Record struct {
 }
 
 // Frame layout, identical in every segment format version: a 4-byte
-// big-endian payload length, a 4-byte CRC-32C of the payload, then the
-// payload itself. The length prefix delimits records; the checksum detects
-// torn and corrupt tails. The payload begins with the op byte; what follows
-// depends on the version in the segment header. Version 2 (the only one
-// written) encodes the op's fields as uvarints, in the order AddRef/
-// RemoveRef: block, inode, offset, line, length, cp; Relocate: block, new
-// block, cp; Checkpoint and Cut: cp; SegmentEnd: nothing. Version 1 used
-// fixed big-endian uint64s in the same order and is still decoded, so that
-// a log tail left by an older binary replays. A SegmentEnd frame has no
-// fields and is therefore the same bytes in both versions, which is what
-// lets sealTear stamp one over a torn tail of either.
+// big-endian body length, a 4-byte CRC-32C of the body, then the body. What
+// a body holds depends on the version in the segment header.
+//
+// Version 3 (the only one written) frames one flush batch: the body is the
+// batch's records back to back, with no per-record length or checksum — a
+// record is self-delimiting, its op deciding how many uvarints follow. The
+// op byte's low bits are the Op, its high bits elide fields at their
+// default (see the flag constants). Fields, in order — AddRef/RemoveRef:
+// block, inode, offset, [line], [length], [cp]; Relocate: block, new block,
+// [cp]; Checkpoint and Cut: [cp]; SegmentEnd: nothing.
+//
+// Version 2 framed every record on its own: the body is exactly one record,
+// flag bits clear, every field spelled out. It is still decoded, so that a
+// log tail left by an older binary replays. A lone mark is the same bytes in
+// both versions, which is what lets sealTear stamp a SegmentEnd over a torn
+// tail of either.
 const (
 	frameHeaderSize = 8
-	// maxPayload bounds the length field so that a garbage tail cannot
-	// make the reader attempt an absurd allocation.
-	maxPayload = 1 << 10
 
-	// maxMarkFrame is the largest frame a Checkpoint or Cut mark occupies
-	// in any version (v2: op + one uvarint; v1: op + 8 bytes).
+	// maxMarkFrame is the largest frame a lone Checkpoint or Cut mark
+	// occupies (op + one uvarint).
 	maxMarkFrame = frameHeaderSize + 1 + binary.MaxVarintLen64
+
+	// Version-3 op byte flags. Each marks a field as omitted because it
+	// holds the value nearly every record has there.
+	flagLineZero  = 0x80 // AddRef/RemoveRef: Line is 0
+	flagLengthOne = 0x40 // AddRef/RemoveRef: Length is 1 (what AddRef substitutes for 0)
+	flagSameCP    = 0x20 // CP equals that of the previous record in the batch
+	opMask        = 0x1f
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// errTorn reports an incomplete or checksum-failing record — the expected
-// state of a log tail after a crash mid-append. Recovery treats it as
+// errTorn reports an incomplete or checksum-failing frame — the expected
+// state of a log tail after a crash mid-write. Recovery treats it as
 // end-of-log in the final segment and as corruption anywhere else.
-var errTorn = errors.New("wal: torn or corrupt record")
+var errTorn = errors.New("wal: torn or corrupt frame")
 
-// appendFrame appends the encoded (version 2) frame for r to dst and
-// returns the extended slice.
-func appendFrame(dst []byte, r Record) []byte {
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0, byte(r.Op))
+// batchCP is the CP-elision state the encoder and the decoder both carry
+// through a batch: the CP of the latest record that has one. The first such
+// record of a batch always spells its CP out, so a batch decodes on its own.
+type batchCP struct {
+	cp  uint64
+	set bool
+}
+
+// appendRecord appends r's version-3 encoding to a batch body. prev is the
+// batch's elision state, which it advances.
+func appendRecord(dst []byte, r Record, prev *batchCP) []byte {
+	at := len(dst)
+	dst = append(dst, byte(r.Op))
 	switch r.Op {
 	case OpAddRef, OpRemoveRef:
 		dst = binary.AppendUvarint(dst, r.Block)
 		dst = binary.AppendUvarint(dst, r.Inode)
 		dst = binary.AppendUvarint(dst, r.Offset)
-		dst = binary.AppendUvarint(dst, r.Line)
-		dst = binary.AppendUvarint(dst, r.Length)
-		dst = binary.AppendUvarint(dst, r.CP)
+		if r.Line == 0 {
+			dst[at] |= flagLineZero
+		} else {
+			dst = binary.AppendUvarint(dst, r.Line)
+		}
+		if r.Length == 1 {
+			dst[at] |= flagLengthOne
+		} else {
+			dst = binary.AppendUvarint(dst, r.Length)
+		}
 	case OpRelocate:
 		dst = binary.AppendUvarint(dst, r.Block)
 		dst = binary.AppendUvarint(dst, r.NewBlock)
-		dst = binary.AppendUvarint(dst, r.CP)
 	case OpCheckpoint, OpCut:
-		dst = binary.AppendUvarint(dst, r.CP)
+		// cp only
 	case OpSegmentEnd:
-		// op byte only
+		return dst // no fields at all
 	default:
 		panic(fmt.Sprintf("wal: encoding unknown op %d", r.Op))
 	}
-	payload := dst[start+frameHeaderSize:]
-	binary.BigEndian.PutUint32(dst[start:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, crcTable))
+	if prev.set && prev.cp == r.CP {
+		dst[at] |= flagSameCP
+		return dst
+	}
+	*prev = batchCP{cp: r.CP, set: true}
+	return binary.AppendUvarint(dst, r.CP)
+}
+
+// sealBatch fills in the header of frame, which is frameHeaderSize reserved
+// bytes followed by a complete batch body.
+func sealBatch(frame []byte) {
+	body := frame[frameHeaderSize:]
+	binary.BigEndian.PutUint32(frame, uint32(len(body)))
+	binary.BigEndian.PutUint32(frame[4:], crc32.Checksum(body, crcTable))
+}
+
+// appendBatch appends recs to dst as one sealed batch frame.
+func appendBatch(dst []byte, recs ...Record) []byte {
+	start := len(dst)
+	dst = append(dst, make([]byte, frameHeaderSize)...)
+	var prev batchCP
+	for _, r := range recs {
+		dst = appendRecord(dst, r, &prev)
+	}
+	sealBatch(dst[start:])
 	return dst
 }
 
-// decodeFrame decodes the first frame in b, whose payload is encoded in the
-// given segment format version, returning the record and the number of
-// bytes consumed. It returns errTorn when b holds an incomplete frame, a
-// checksum mismatch, an implausible header, or a payload that is not
-// exactly one record of that version — all indistinguishable states of a
-// tail cut mid-write.
-func decodeFrame(b []byte, version byte) (Record, int, error) {
+// splitFrame returns the body of the first frame in b and the number of
+// bytes the frame occupies. It returns errTorn when b holds an incomplete
+// frame, an empty one, or a checksum mismatch — all indistinguishable states
+// of a tail cut mid-write. Nothing is sized from the length field: a body is
+// a sub-slice of b or nothing.
+func splitFrame(b []byte) (body []byte, n int, err error) {
 	if len(b) < frameHeaderSize {
-		return Record{}, 0, errTorn
+		return nil, 0, errTorn
 	}
 	be := binary.BigEndian
-	plen := int(be.Uint32(b))
-	if plen == 0 || plen > maxPayload {
-		return Record{}, 0, errTorn
+	blen := uint64(be.Uint32(b))
+	if blen == 0 || blen > uint64(len(b)-frameHeaderSize) {
+		return nil, 0, errTorn
 	}
-	if len(b) < frameHeaderSize+plen {
-		return Record{}, 0, errTorn
+	n = frameHeaderSize + int(blen)
+	body = b[frameHeaderSize:n]
+	if crc32.Checksum(body, crcTable) != be.Uint32(b[4:]) {
+		return nil, 0, errTorn
 	}
-	payload := b[frameHeaderSize : frameHeaderSize+plen]
-	if crc32.Checksum(payload, crcTable) != be.Uint32(b[4:]) {
-		return Record{}, 0, errTorn
-	}
-	decode := decodePayload
-	if version == 1 {
-		decode = decodePayloadV1
-	}
-	r, ok := decode(payload)
-	if !ok {
-		return Record{}, 0, errTorn
-	}
-	return r, frameHeaderSize + plen, nil
+	return body, n, nil
 }
 
-// uvarints reads consecutive uvarints off a payload; bad latches the first
+// uvarints reads consecutive uvarints off a body; bad latches the first
 // malformed one.
 type uvarints struct {
 	b   []byte
@@ -187,11 +222,18 @@ func (u *uvarints) next() uint64 {
 	return v
 }
 
-// decodePayload decodes a version-2 payload. The fields must consume the
-// payload exactly.
-func decodePayload(payload []byte) (Record, bool) {
-	r := Record{Op: Op(payload[0])}
-	u := uvarints{b: payload[1:]}
+// decodeFrameV2 decodes the first version-2 frame in b, returning the
+// record and the number of bytes consumed. A frame whose body is not exactly
+// one version-2 record is errTorn like any other unreadable frame: the
+// format checksummed records one at a time, so damage and tearing both
+// surface per record.
+func decodeFrameV2(b []byte) (Record, int, error) {
+	body, n, err := splitFrame(b)
+	if err != nil {
+		return Record{}, 0, err
+	}
+	r := Record{Op: Op(body[0])}
+	u := uvarints{b: body[1:]}
 	switch r.Op {
 	case OpAddRef, OpRemoveRef:
 		r.Block, r.Inode, r.Offset = u.next(), u.next(), u.next()
@@ -203,35 +245,68 @@ func decodePayload(payload []byte) (Record, bool) {
 	case OpSegmentEnd:
 		// no fields
 	default:
-		return Record{}, false
+		return Record{}, 0, errTorn
 	}
-	return r, !u.bad && len(u.b) == 0
+	if u.bad || len(u.b) != 0 {
+		return Record{}, 0, errTorn
+	}
+	return r, n, nil
 }
 
-// decodePayloadV1 decodes a version-1 payload: the op byte followed by the
-// op's fields as big-endian uint64s.
-func decodePayloadV1(payload []byte) (Record, bool) {
-	be := binary.BigEndian
-	r := Record{Op: Op(payload[0])}
-	f := payload[1:]
-	switch {
-	case (r.Op == OpAddRef || r.Op == OpRemoveRef) && len(f) == 6*8:
-		r.Block = be.Uint64(f)
-		r.Inode = be.Uint64(f[8:])
-		r.Offset = be.Uint64(f[16:])
-		r.Line = be.Uint64(f[24:])
-		r.Length = be.Uint64(f[32:])
-		r.CP = be.Uint64(f[40:])
-	case r.Op == OpRelocate && len(f) == 3*8:
-		r.Block = be.Uint64(f)
-		r.NewBlock = be.Uint64(f[8:])
-		r.CP = be.Uint64(f[16:])
-	case (r.Op == OpCheckpoint || r.Op == OpCut) && len(f) == 8:
-		r.CP = be.Uint64(f)
-	case r.Op == OpSegmentEnd && len(f) == 0:
-		// no fields
+// batchReader walks the records of one version-3 batch body, which the
+// caller has already checksummed (splitFrame).
+type batchReader struct {
+	u    uvarints
+	prev batchCP
+}
+
+func readBatch(body []byte) batchReader { return batchReader{u: uvarints{b: body}} }
+
+// more reports whether undecoded bytes remain.
+func (d *batchReader) more() bool { return len(d.u.b) > 0 }
+
+// next decodes the next record. It reports false for bytes no encoder
+// produces — an unknown op, a flag the op has no field for, an elided CP
+// with no predecessor to take it from, a malformed or missing uvarint. Behind
+// a valid checksum that is damage (or a foreign writer), never a tear.
+func (d *batchReader) next() (Record, bool) {
+	// Work on a copy and store it back on success: advancing a slice
+	// through the pointer would pay a GC write barrier per field.
+	u := d.u
+	op := u.b[0]
+	u.b = u.b[1:]
+	r := Record{Op: Op(op & opMask)}
+	flags := op &^ opMask
+	switch r.Op {
+	case OpAddRef, OpRemoveRef:
+		r.Block, r.Inode, r.Offset = u.next(), u.next(), u.next()
+		if flags&flagLineZero == 0 {
+			r.Line = u.next()
+		}
+		r.Length = 1
+		if flags&flagLengthOne == 0 {
+			r.Length = u.next()
+		}
+		flags &^= flagLineZero | flagLengthOne
+	case OpRelocate:
+		r.Block, r.NewBlock = u.next(), u.next()
+	case OpCheckpoint, OpCut:
+		// cp only
+	case OpSegmentEnd:
+		d.u = u
+		return r, flags == 0
 	default:
 		return Record{}, false
 	}
-	return r, true
+	switch {
+	case flags == 0:
+		r.CP = u.next()
+		d.prev = batchCP{cp: r.CP, set: true}
+	case flags == flagSameCP && d.prev.set:
+		r.CP = d.prev.cp
+	default:
+		return Record{}, false
+	}
+	d.u = u
+	return r, !u.bad
 }

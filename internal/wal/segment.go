@@ -14,8 +14,8 @@ import (
 // Segment files are named wal-<16-digit index>.seg and begin with a
 // 16-byte header: an 8-byte magic, a 4-byte format version, and the low
 // 4 bytes of the segment index (a consistency cross-check against the
-// name). Records follow back to back, their payloads encoded as the
-// version says (see appendFrame). The names deliberately share no
+// name). Frames follow back to back, their bodies encoded as the version
+// says (see the frame layout in record.go). The names deliberately share no
 // suffix or prefix with lsm's run ("*.run") and deletion-vector ("dv.*")
 // files, so lsm orphan collection never touches them.
 const (
@@ -23,21 +23,27 @@ const (
 	segSuffix     = ".seg"
 	segHeaderSize = 16
 	segMagic      = "BKLGWAL\x01"
-	// segVersion is the version every new segment is written in. Version 1
-	// segments (fixed-width fields) are only ever read: a tail left by an
-	// older binary replays and is retired by the first checkpoint.
-	segVersion = 2
+	// segVersion is the version every new segment is written in: one frame
+	// per flush batch. Version 2 segments (one frame per record) are only
+	// ever read: a tail left by the previous binary replays and is retired
+	// by the first checkpoint. That is as far back as this binary reads.
+	segVersion    = 3
+	segVersionOld = 2
 )
 
 // segHeaderVersion returns the format version a segment's leading bytes
-// name, or false when they are not a header this binary reads: too short,
-// wrong magic, or a version it has no payload decoder for.
+// name, or false when they are not a segment header at all: too short or
+// the wrong magic. Whether this binary reads the version is the caller's
+// question (readable).
 func segHeaderVersion(b []byte) (byte, bool) {
-	if len(b) < segHeaderSize || string(b[:8]) != segMagic || (b[8] != 1 && b[8] != segVersion) {
+	if len(b) < segHeaderSize || string(b[:8]) != segMagic {
 		return 0, false
 	}
 	return b[8], true
 }
+
+// readable reports whether this binary has a decoder for a format version.
+func readable(version byte) bool { return version == segVersion || version == segVersionOld }
 
 func segmentName(index uint64) string {
 	return fmt.Sprintf("%s%016d%s", segPrefix, index, segSuffix)
@@ -87,7 +93,9 @@ func listSegments(vfs storage.VFS) ([]uint64, error) {
 }
 
 // ErrCorrupt reports damage recovery cannot read past: an unreadable frame
-// or header anywhere but the torn tail a crash legitimately leaves.
+// or header anywhere but the torn tail a crash legitimately leaves, a batch
+// that passes its checksum and still does not decode, or a segment in a
+// format version this binary does not read.
 var ErrCorrupt = errors.New("wal: log is corrupt")
 
 // Recovered is the result of scanning the on-disk log.
@@ -155,9 +163,9 @@ func recoverLog(vfs storage.VFS) (Recovered, tear, []uint64, error) {
 		if torn && !final {
 			// A torn tail in a non-final segment is normally corruption —
 			// except when the next segment opens with a checkpoint or cut
-			// mark: then the tear is a flush failure that preceded that
-			// Truncate/Cut (which is the only way appends resume after a
-			// failed flush), everything before the tear is intact, and
+			// mark: then the tear is a flush failure that preceded that Cut
+			// (which is the only way appends resume after a failed
+			// flush), everything before the tear is intact, and
 			// everything after it was never acknowledged. Records of such
 			// a segment replay subject to the usual CP filter.
 			ok, err := segmentStartsWithMark(vfs, segs[i+1])
@@ -172,9 +180,9 @@ func recoverLog(vfs storage.VFS) (Recovered, tear, []uint64, error) {
 	return rec, tr, segs, nil
 }
 
-// segmentStartsWithMark reports whether a segment's first record is a
-// checkpoint or cut mark — the two record types that head segments opened
-// by Truncate and Cut respectively, and therefore the two that may
+// segmentStartsWithMark reports whether a segment opens with a lone cut
+// mark — what heads a segment opened by Cut — or a lone checkpoint mark,
+// which a version-2 tail may open with, and therefore with what may
 // legitimately follow a retired (possibly torn) predecessor.
 func segmentStartsWithMark(vfs storage.VFS, index uint64) (bool, error) {
 	f, err := vfs.Open(segmentName(index))
@@ -187,18 +195,50 @@ func segmentStartsWithMark(vfs storage.VFS, index uint64) (bool, error) {
 	if err != nil && !errors.Is(err, io.EOF) {
 		return false, err
 	}
-	version, ok := segHeaderVersion(buf[:n])
-	if !ok {
+	if _, ok := segHeaderVersion(buf[:n]); !ok {
 		return false, nil
 	}
-	r, _, derr := decodeFrame(buf[segHeaderSize:n], version)
+	// A lone mark is the same frame in both readable versions; of any
+	// other version readSegment will say so when it gets there.
+	r, _, derr := decodeFrameV2(buf[segHeaderSize:n])
 	return derr == nil && (r.Op == OpCheckpoint || r.Op == OpCut), nil
+}
+
+// add folds one decoded record into the recovery result and reports
+// whether it ends its segment.
+func (rec *Recovered) add(r Record) (endOfSegment bool) {
+	switch r.Op {
+	case OpSegmentEnd:
+		// The tail past this mark was torn in a previous incarnation and
+		// sealed; ignore it.
+		return true
+	case OpCheckpoint:
+		// Everything logged before a committed consistency point is
+		// already durable in the read store; drop it.
+		rec.Records = rec.Records[:0]
+		rec.Cuts = rec.Cuts[:0]
+		rec.MarkCP = r.CP
+	case OpCut:
+		// A checkpoint froze the write stores here; whether it went on to
+		// commit is not knowable from the log alone (a committed
+		// checkpoint normally retires everything before the cut, but a
+		// crash can beat the retirement). Keep every record and report the
+		// boundary: the engine compares the cut's CP against the manifest
+		// to decide.
+		rec.Cuts = append(rec.Cuts, CutMark{Index: len(rec.Records), CP: r.CP})
+	default:
+		rec.Records = append(rec.Records, r)
+	}
+	return false
 }
 
 // readSegment parses one segment into rec. It reports torn=true when the
 // segment ends in an unreadable frame; for a final segment it also
 // records the tear position in tr (so Open can seal it), while for a
-// non-final segment the caller decides whether the tear is tolerable.
+// non-final segment the caller decides whether the tear is tolerable. A
+// torn frame costs whatever it framed: one record in a version-2 segment,
+// one flush batch in a version-3 one — none of whose records was
+// acknowledged durable, since the batch is what a flush writes and syncs.
 func readSegment(vfs storage.VFS, index uint64, final bool, rec *Recovered, tr *tear) (torn bool, err error) {
 	name := segmentName(index)
 	f, err := vfs.Open(name)
@@ -224,6 +264,13 @@ func readSegment(vfs storage.VFS, index uint64, final bool, rec *Recovered, tr *
 		}
 		return false, fmt.Errorf("%w: segment %s has a bad header", ErrCorrupt, name)
 	}
+	if !readable(version) {
+		// An intact header of another format: records this binary cannot
+		// replay, in any position. Never sealed over as a torn creation —
+		// that would silently discard them.
+		return false, fmt.Errorf("%w: segment %s is in format version %d; this binary reads versions %d and %d",
+			ErrCorrupt, name, version, segVersionOld, segVersion)
+	}
 	if got := uint64(buf[12])<<24 | uint64(buf[13])<<16 | uint64(buf[14])<<8 | uint64(buf[15]); got != index&0xffffffff {
 		// An intact header whose embedded index disagrees with the file
 		// name: a segment copied or restored under the wrong name. Never
@@ -231,39 +278,39 @@ func readSegment(vfs storage.VFS, index uint64, final bool, rec *Recovered, tr *
 		// over — replaying it in the wrong order could corrupt recovery.
 		return false, fmt.Errorf("%w: segment %s header claims index %d (restored under the wrong name?)", ErrCorrupt, name, got)
 	}
-	off := segHeaderSize
-	for off < len(buf) {
-		r, n, derr := decodeFrame(buf[off:], version)
-		if derr != nil {
-			if final {
-				// Torn tail: everything before it is intact. Report the
-				// tear so Open can seal it with a segment-end mark before
-				// this segment stops being the final one.
-				*tr = tear{found: true, index: index, offset: int64(off)}
-			}
-			return true, nil
+	// tornAt ends the scan at a torn tail: everything before it is intact.
+	// In a final segment the tear is reported, so that Open can seal it with
+	// a segment-end mark before the segment stops being the final one.
+	tornAt := func(off int) (bool, error) {
+		if final {
+			*tr = tear{found: true, index: index, offset: int64(off)}
 		}
-		switch r.Op {
-		case OpSegmentEnd:
-			// The tail past this mark was torn in a previous incarnation
-			// and sealed; ignore it.
-			return false, nil
-		case OpCheckpoint:
-			// Everything logged before a committed consistency point is
-			// already durable in the read store; drop it.
-			rec.Records = rec.Records[:0]
-			rec.Cuts = rec.Cuts[:0]
-			rec.MarkCP = r.CP
-		case OpCut:
-			// A checkpoint froze the write stores here; whether it went
-			// on to commit is not knowable from the log alone (a
-			// committed checkpoint normally retires everything before
-			// the cut, but a crash can beat the retirement). Keep every
-			// record and report the boundary: the engine compares the
-			// cut's CP against the manifest to decide.
-			rec.Cuts = append(rec.Cuts, CutMark{Index: len(rec.Records), CP: r.CP})
-		default:
-			rec.Records = append(rec.Records, r)
+		return true, nil
+	}
+	for off := segHeaderSize; off < len(buf); {
+		if version == segVersionOld {
+			r, n, err := decodeFrameV2(buf[off:])
+			if err != nil {
+				return tornAt(off)
+			}
+			if rec.add(r) {
+				return false, nil
+			}
+			off += n
+			continue
+		}
+		body, n, err := splitFrame(buf[off:])
+		if err != nil {
+			return tornAt(off)
+		}
+		for d := readBatch(body); d.more(); {
+			r, ok := d.next()
+			if !ok {
+				return false, fmt.Errorf("%w: segment %s: the batch at offset %d passes its checksum but does not decode", ErrCorrupt, name, off)
+			}
+			if rec.add(r) {
+				return false, nil
+			}
 		}
 		off += n
 	}
@@ -285,7 +332,7 @@ func sealTear(vfs storage.VFS, tr tear) error {
 	if tr.offset == 0 {
 		buf = encodeSegHeader(tr.index)
 	}
-	buf = appendFrame(buf, Record{Op: OpSegmentEnd})
+	buf = appendBatch(buf, Record{Op: OpSegmentEnd})
 	if _, err := f.WriteAt(buf, tr.offset); err != nil {
 		return fmt.Errorf("wal: sealing torn segment %s: %w", name, err)
 	}

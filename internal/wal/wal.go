@@ -6,25 +6,45 @@
 // last consistency point (Section 5.4 assumes the file system's own
 // journal replays the lost operations). This package closes that gap for
 // deployments without such a journal: reference updates are appended to a
-// checksummed, length-prefixed log before they enter the write stores, and
-// the engine replays the log tail on open.
+// checksummed log before they enter the write stores, and the engine
+// replays the log tail on open.
 //
 // # Record format
 //
-// Each record is framed as a 4-byte big-endian payload length, a 4-byte
-// CRC-32C of the payload, and the payload itself: an op byte — AddRef,
-// RemoveRef, Relocate, a Checkpoint, Cut or SegmentEnd mark — followed by
-// the op's fields as uvarints (AddRef/RemoveRef: block, inode, offset,
-// line, length, cp; Relocate: block, new block, cp; Checkpoint and Cut:
-// cp), about 20 bytes for a typical reference update. That is segment
-// format version 2, the only one written. Version 1 spelled the same
-// fields as big-endian uint64s (57 bytes per update); recovery picks the
-// payload decoder from the version byte in each segment's header, so a
-// tail left by an older binary still replays and is retired by the first
-// checkpoint. The log is a sequence of segments (wal-<index>.seg, rotated
-// at Options.SegmentBytes) so that truncation after a checkpoint is file
-// deletion, not in-place rewriting. Recovery tolerates a torn final
-// record: a crash mid-write costs only records that were never durable.
+// The log is framed per flush batch, not per record — the batch being
+// whatever one device write carries: a group commit in Sync mode, the
+// coalesced 64 KiB buffer in Buffered mode, a lone mark written by Cut or
+// by recovery's tear seal. A frame is a 4-byte big-endian body length, a
+// 4-byte CRC-32C of the body, and the body: the batch's records back to
+// back. A record needs no length or checksum of its own. It is an op byte —
+// AddRef, RemoveRef, Relocate, or a Checkpoint, Cut or SegmentEnd mark —
+// followed by the op's fields as uvarints (AddRef/RemoveRef: block, inode,
+// offset, line, length, cp; Relocate: block, new block, cp; Checkpoint and
+// Cut: cp), so the op says where the record ends. The op byte's three high
+// bits drop a field that holds its usual value: 0x80 a Line of 0, 0x40 a
+// Length of 1, 0x20 a CP equal to the previous record's in the batch (the
+// first record of a batch always spells its CP out, so every batch decodes
+// on its own). A typical reference update is op + block + inode + offset,
+// about 7 bytes, and the 8-byte frame header is shared by the batch.
+//
+// That is segment format version 3, the only one written. Version 2 framed
+// and checksummed every record separately and spelled every field out (8 +
+// about 10 bytes per update); recovery picks the decoder from the version
+// byte in each segment's header, so a tail left by the previous binary
+// still replays and is retired by the first checkpoint. Older versions are
+// refused by name. The log is a sequence of segments (wal-<index>.seg,
+// rotated at Options.SegmentBytes) so that truncation after a checkpoint is
+// file deletion, not in-place rewriting.
+//
+// What a crash mid-write costs is the batch being written: recovery stops
+// at the first incomplete or checksum-failing frame of the final segment,
+// so what survives is a prefix of append order at batch granularity. In
+// Sync mode no record of a torn batch was acknowledged — the batch is what
+// the flush was still writing and syncing. In Buffered mode a torn batch is
+// up to 64 KiB of the newest records, the same bytes the mode already
+// keeps in process memory and promises nothing about. A batch that passes
+// its checksum and still does not decode is not a tear: recovery fails
+// with ErrCorrupt rather than silently dropping a suffix.
 //
 // # Group commit (Sync)
 //
@@ -41,7 +61,7 @@
 //
 // A Buffered log promises no durability before the next clean Close, so
 // it does not pay a device write per record either: Append copies the
-// frame into the pending buffer and returns. The same single-flight leader
+// record into the pending buffer and returns. The same single-flight leader
 // hands the buffer to the OS with one WriteAt when it reaches
 // bufferedFlushBytes (64 KiB), when the active segment is full, in Cut,
 // and in Close — the log's device cost is proportional to bytes, not to
@@ -126,10 +146,11 @@ var ErrClosed = errors.New("wal: log is closed")
 // DefaultSegmentBytes is the default segment rotation threshold.
 const DefaultSegmentBytes = 4 << 20
 
-// bufferedFlushBytes is how many bytes of frames a Buffered log collects
-// in memory before one WriteAt hands them to the OS: large enough that
-// the log costs a device write per few thousand updates, not per update,
-// small enough that a killed process loses a bounded, small tail.
+// bufferedFlushBytes is how many bytes of records a Buffered log collects
+// in memory before one WriteAt hands them to the OS as one batch: large
+// enough that the log costs a device write per nine thousand updates or
+// so, not per update, small enough that a killed process loses a bounded,
+// small tail.
 const bufferedFlushBytes = 64 << 10
 
 // Options configures Open.
@@ -160,8 +181,13 @@ type Stats struct {
 	Appends   uint64 // records appended
 	Batches   uint64 // physical flushes (group commits)
 	Segments  uint64 // segments created, including the initial one
-	Truncates uint64 // checkpoint truncations
-	Bytes     int64  // record bytes appended
+	Truncates uint64 // checkpoint truncations (successful Retires)
+	// Bytes counts what the device took as log content: every batch frame
+	// (header included) and every cut mark, but not the 16-byte segment
+	// headers. A failed write counts the prefix it applied, as the I/O
+	// attribution does. Bytes ÷ Appends is the log's device cost per
+	// update.
+	Bytes int64
 }
 
 // Log is an append-only segmented log. All methods are safe for
@@ -176,13 +202,19 @@ type Log struct {
 	// seq numbers appended records; done is the highest seq whose flush
 	// completed. Append waits until done covers its own seq.
 	seq, done uint64
-	// pending holds the frames accepted but not yet handed to the OS; the
-	// flush leader swaps it with spare, which it owns for the duration of
-	// its I/O, so steady state allocates nothing.
+	// pending is the batch being collected: frameHeaderSize reserved bytes
+	// (once it holds a record; empty otherwise), then the records accepted
+	// but not yet handed to the OS. The flush leader swaps it with spare,
+	// which it owns for the duration of its I/O — sealing the header
+	// included — so steady state allocates nothing.
 	pending, spare []byte
-	flushing       bool
-	closed         bool
-	err            error // sticky flush error; cleared by Cut and Truncate
+	// pendingCP is pending's CP-elision state and pendingRecs its record
+	// count, which flushLocked reports as the batch size it covered.
+	pendingCP   batchCP
+	pendingRecs int
+	flushing    bool
+	closed      bool
+	err         error // sticky flush error; cleared by Cut
 
 	seg      storage.File
 	segIndex uint64
@@ -193,10 +225,6 @@ type Log struct {
 	// synced before any later one is. See syncThrough.
 	synced int
 
-	// pendingRecs counts the records in pending, so flushLocked can report
-	// the batch size it covered. Guarded by mu like pending itself.
-	pendingRecs int
-
 	appendHist *obs.Histogram
 	flushHist  *obs.Histogram
 	batchHist  *obs.Histogram
@@ -206,9 +234,9 @@ type Log struct {
 
 // Open recovers the existing log in vfs (see Recover) and opens a fresh
 // active segment for appending. Appends never extend a recovered segment:
-// its tail may be torn, and writing past a torn record would hide it from
-// the next recovery. Recovered segments are retired by the first
-// Truncate.
+// its tail may be torn, and writing past a torn frame would hide it from
+// the next recovery. Recovered segments are retired by the first Cut +
+// Retire.
 func Open(vfs storage.VFS, opts Options) (*Log, Recovered, error) {
 	if opts.Durability == CheckpointOnly {
 		return nil, Recovered{}, errors.New("wal: Open requires Buffered or Sync durability")
@@ -256,8 +284,8 @@ func Open(vfs storage.VFS, opts Options) (*Log, Recovered, error) {
 // startSegmentLocked creates segment index and makes it active. Callers
 // hold l.mu (or have exclusive access during Open).
 func (l *Log) startSegmentLocked(index uint64) error {
-	// The index is burned even if creation fails: a retry (the next Cut or
-	// Truncate) must allocate a fresh name, since Create is exclusive and
+	// The index is burned even if creation fails: a retry (the next Cut)
+	// must allocate a fresh name, since Create is exclusive and
 	// createSegment's best-effort Remove may itself fail.
 	l.segIndex = index
 	f, err := l.createSegment(index)
@@ -315,10 +343,9 @@ func (l *Log) installSegmentLocked(f storage.File, index uint64) {
 // appender that fills the buffer (or the segment) also writes it out, and
 // a flush in flight makes an appender wait only when the buffer is full
 // again, which bounds it. A non-nil error means the record's durability is
-// unknown; the log refuses further appends until Cut or Truncate resets
-// it. A Buffered write failure is reported to the appender that led the
-// write and to every later one, not to the earlier appenders whose
-// records it carried.
+// unknown; the log refuses further appends until Cut resets it. A Buffered
+// write failure is reported to the appender that led the write and to every
+// later one, not to the earlier appenders whose records it carried.
 func (l *Log) Append(r Record) error {
 	if l.appendHist == nil {
 		return l.append(r)
@@ -338,13 +365,17 @@ func (l *Log) append(r Record) error {
 	if l.err != nil {
 		return l.err
 	}
-	prev := len(l.pending)
-	l.pending = appendFrame(l.pending, r)
+	if len(l.pending) == 0 {
+		// First record of a batch: reserve the frame header, which the
+		// flush leader fills in once the batch is complete.
+		l.pending = append(l.pending, make([]byte, frameHeaderSize)...)
+		l.pendingCP = batchCP{}
+	}
+	l.pending = appendRecord(l.pending, r, &l.pendingCP)
 	l.pendingRecs++
 	l.seq++
 	seq := l.seq
 	l.stats.Appends++
-	l.stats.Bytes += int64(len(l.pending) - prev)
 	// A Sync appender stays until a flush has covered its record. A
 	// Buffered one leads the flush when one is due and otherwise leaves:
 	// behind a leader's I/O (which may be a rotation's fsync of a whole
@@ -384,12 +415,12 @@ func (l *Log) flushDue() bool {
 	return n >= bufferedFlushBytes || l.segSize+n >= l.segBytes
 }
 
-// flushLocked writes everything pending in one WriteAt (+ Sync in Sync
-// mode), rotating first if the active segment is full. It releases l.mu for
-// the duration of the I/O so that concurrent appenders can buffer the next
-// batch behind it; l.flushing keeps every other writer of the segment out
-// meanwhile. Called with l.mu held and l.flushing false; returns with l.mu
-// held and l.flushing false.
+// flushLocked writes everything pending as one batch frame in one WriteAt
+// (+ Sync in Sync mode), rotating first if the active segment is full. It
+// releases l.mu for the checksum and the I/O so that concurrent appenders
+// can buffer the next batch behind it; l.flushing keeps every other writer
+// of the segment out meanwhile. Called with l.mu held, l.flushing false and
+// at least one record pending; returns with l.mu held and l.flushing false.
 func (l *Log) flushLocked() {
 	l.flushing = true
 	defer func() {
@@ -412,11 +443,12 @@ func (l *Log) flushLocked() {
 	l.segSize += int64(len(buf))
 	l.mu.Unlock()
 
+	sealBatch(buf)
 	var start time.Time
 	if l.flushHist != nil {
 		start = time.Now()
 	}
-	_, err := seg.WriteAt(buf, off)
+	n, err := seg.WriteAt(buf, off)
 	if err == nil && l.syncEach {
 		err = seg.Sync()
 	}
@@ -425,6 +457,7 @@ func (l *Log) flushLocked() {
 	}
 
 	l.mu.Lock()
+	l.stats.Bytes += int64(n)
 	if err != nil {
 		l.err = fmt.Errorf("wal: flush: %w", err)
 		return
@@ -444,8 +477,8 @@ func (l *Log) rotateLocked() error {
 	old := l.seg
 	index := l.segIndex + 1
 	l.segIndex = index // burned even on failure; see startSegmentLocked
-	// names cannot change while flushing is set: Cut, Truncate, Retire and
-	// Close all wait for it.
+	// names cannot change while flushing is set: Cut, Retire and Close all
+	// wait for it.
 	unsynced := l.names[l.synced : len(l.names)-1]
 	l.mu.Unlock()
 	var err error
@@ -529,8 +562,10 @@ func (l *Log) Cut(cp uint64) (cut int, err error) {
 		l.err = err
 		return 0, err
 	}
-	frame := appendFrame(nil, Record{Op: OpCut, CP: cp})
-	if _, err := l.seg.WriteAt(frame, l.segSize); err != nil {
+	frame := appendBatch(nil, Record{Op: OpCut, CP: cp})
+	n, err := l.seg.WriteAt(frame, l.segSize)
+	l.stats.Bytes += int64(n)
+	if err != nil {
 		// A partial mark would put garbage under future appends; refuse
 		// further appends until the next Cut rotates past it.
 		l.err = fmt.Errorf("wal: writing cut mark: %w", err)
@@ -583,64 +618,6 @@ func (l *Log) Retire(cut int) error {
 	return nil
 }
 
-// Truncate retires the log after a committed checkpoint: a fresh segment
-// opens with a checkpoint mark for cp, every older segment is deleted, and
-// any sticky flush error is cleared (the data whose logging failed is now
-// durable via the checkpoint itself). The caller must guarantee no Append
-// is in flight — it assumes the exclusive structural lock that excludes
-// all updaters. The engine's checkpoint path uses Cut + Retire instead,
-// which tolerates appends racing the flush; Truncate remains for callers
-// that quiesce appends across the whole checkpoint.
-func (l *Log) Truncate(cp uint64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for l.flushing {
-		l.cond.Wait()
-	}
-	if l.closed {
-		return ErrClosed
-	}
-	// Anything still pending precedes the checkpoint mark written below:
-	// the checkpoint that triggered this truncation flushed the write
-	// stores it was applied to. Drop it along with any sticky error.
-	l.dropPendingLocked()
-
-	// On any failure below, the old segment names are restored so the
-	// next successful Truncate still retires them; otherwise they would
-	// sit on disk untracked until the next Open's recovery scan.
-	old := append([]string(nil), l.names...)
-	l.names, l.synced = nil, 0 // 0 is always safe: it only costs fsyncs
-	restore := func(err error) error {
-		l.names = append(old, l.names...)
-		l.err = err
-		return err
-	}
-	if err := l.startSegmentLocked(l.segIndex + 1); err != nil {
-		return restore(err)
-	}
-	frame := appendFrame(nil, Record{Op: OpCheckpoint, CP: cp})
-	if _, err := l.seg.WriteAt(frame, l.segSize); err != nil {
-		return restore(fmt.Errorf("wal: writing checkpoint mark: %w", err))
-	}
-	l.segSize += int64(len(frame))
-	if l.syncEach {
-		// Make the mark durable before deleting the segments it
-		// obsoletes; a crash in between leaves extra segments whose
-		// records replay as no-ops (their CPs precede the manifest's).
-		if err := l.seg.Sync(); err != nil {
-			return restore(fmt.Errorf("wal: syncing checkpoint mark: %w", err))
-		}
-	}
-	for i, name := range old {
-		if err := l.vfs.Remove(name); err != nil && !errors.Is(err, storage.ErrNotExist) {
-			old = old[i:] // keep the not-yet-removed tail tracked
-			return restore(err)
-		}
-	}
-	l.stats.Truncates++
-	return nil
-}
-
 // Close drains pending appends, syncs the active segment (so a clean
 // shutdown in Buffered mode loses nothing), and releases it. It returns
 // the log's sticky error, if any.
@@ -689,11 +666,13 @@ func (l *Log) Stats() Stats {
 }
 
 // BufferedBytes returns the bytes of records accepted but not yet handed
-// to the OS: what a Buffered log would lose if the process died now.
+// to the OS: what a Buffered log would lose if the process died now. The
+// frame header reserved ahead of them is not a record byte: an empty buffer
+// reports 0.
 func (l *Log) BufferedBytes() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.pending)
+	return max(len(l.pending)-frameHeaderSize, 0)
 }
 
 // SegmentCount returns the number of live segment files (recovered +

@@ -235,7 +235,7 @@ func TestRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 50 // ~15-byte frames: several rotations at 256-byte segments
+	const n = 80 // 13-byte one-record batches: several rotations at 256-byte segments
 	for i := 0; i < n; i++ {
 		if err := l.Append(addRec(i)); err != nil {
 			t.Fatal(err)
@@ -258,48 +258,6 @@ func TestRotation(t *testing.T) {
 		if r.Block != uint64(i) {
 			t.Fatalf("record %d out of order: %+v", i, r)
 		}
-	}
-}
-
-func TestTruncateRetiresSegments(t *testing.T) {
-	vfs := storage.NewMemFS()
-	l, _, err := Open(vfs, Options{Durability: Sync, SegmentBytes: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 40; i++ {
-		if err := l.Append(addRec(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Truncate(4); err != nil {
-		t.Fatal(err)
-	}
-	if got := l.SegmentCount(); got != 1 {
-		t.Fatalf("segments after truncate = %d, want 1", got)
-	}
-	segs, err := listSegments(vfs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) != 1 {
-		t.Fatalf("segment files after truncate = %d, want 1", len(segs))
-	}
-	if err := l.Append(addRec(100)); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := Recover(vfs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.MarkCP != 4 {
-		t.Fatalf("MarkCP = %d, want 4", rec.MarkCP)
-	}
-	if len(rec.Records) != 1 || rec.Records[0].Block != 100 {
-		t.Fatalf("post-mark records = %+v", rec.Records)
 	}
 }
 
@@ -490,43 +448,15 @@ func TestTornTailSealedAtOpen(t *testing.T) {
 	}
 }
 
-// buildSegment writes a synced segment file from raw parts.
+// buildSegment writes a synced segment file from raw parts, each record a
+// batch of its own, as a lone Sync appender leaves them.
 func buildSegment(t *testing.T, vfs storage.VFS, index uint64, recs []Record, tornBytes []byte) {
 	t.Helper()
 	buf := encodeSegHeader(index)
 	for _, r := range recs {
-		buf = appendFrame(buf, r)
+		buf = appendBatch(buf, r)
 	}
 	plantSegment(t, vfs, index, append(buf, tornBytes...))
-}
-
-// TestResurrectedTornSegmentToleratedBeforeMark covers a crash that beats
-// the (un-fsynced) removal of a retired segment: the segment reappears,
-// torn mid-log, in a non-final position — tolerable exactly because the
-// following segment opens with a checkpoint mark that discards its
-// records anyway. Without a mark, the same shape is real corruption.
-func TestResurrectedTornSegmentToleratedBeforeMark(t *testing.T) {
-	torn := appendFrame(nil, addRec(1))[:10] // part of a frame
-
-	vfs := storage.NewMemFS()
-	buildSegment(t, vfs, 1, []Record{addRec(1), addRec(2)}, torn)
-	buildSegment(t, vfs, 2, []Record{{Op: OpCheckpoint, CP: 5}, addRec(7)}, nil)
-	rec, err := Recover(vfs)
-	if err != nil {
-		t.Fatalf("resurrected retired segment rejected: %v", err)
-	}
-	if rec.MarkCP != 5 || len(rec.Records) != 1 || rec.Records[0].Block != 7 {
-		t.Fatalf("recovered %+v", rec)
-	}
-
-	// Same tear, but the next segment does NOT open with a mark (a
-	// rotation successor): that is genuine mid-log corruption.
-	vfs2 := storage.NewMemFS()
-	buildSegment(t, vfs2, 1, []Record{addRec(1)}, torn)
-	buildSegment(t, vfs2, 2, []Record{addRec(7)}, nil)
-	if _, err := Recover(vfs2); err == nil {
-		t.Fatal("torn mid-log segment without a following mark recovered without error")
-	}
 }
 
 func TestCorruptMiddleSegmentIsAnError(t *testing.T) {
@@ -566,47 +496,6 @@ func TestCorruptMiddleSegmentIsAnError(t *testing.T) {
 	}
 }
 
-func TestAppendAfterFlushErrorAndTruncateReset(t *testing.T) {
-	vfs := storage.NewMemFS()
-	l, _ := mustOpen(t, vfs, Sync)
-	if err := l.Append(addRec(0)); err != nil {
-		t.Fatal(err)
-	}
-	st := vfs.Stats()
-	vfs.SetFailurePlan(storage.FailurePlan{FailAfterPageWrites: st.PageWrites})
-	if err := l.Append(addRec(1)); err == nil {
-		t.Fatal("append succeeded despite injected write failure")
-	}
-	vfs.SetFailurePlan(storage.FailurePlan{})
-	if err := l.Append(addRec(2)); err == nil {
-		t.Fatal("append succeeded on a failed log")
-	}
-	if l.Err() == nil {
-		t.Fatal("no sticky error")
-	}
-	// A committed checkpoint makes the lost records durable elsewhere;
-	// Truncate resets the log for the next interval.
-	if err := l.Truncate(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(addRec(3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := Recover(vfs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Records) != 1 || rec.Records[0].Block != 3 {
-		t.Fatalf("records after reset = %+v", rec.Records)
-	}
-	if rec.MarkCP != 1 {
-		t.Fatalf("MarkCP = %d, want 1", rec.MarkCP)
-	}
-}
-
 func TestOpenReplaysAcrossReopen(t *testing.T) {
 	vfs := storage.NewMemFS()
 	l, _ := mustOpen(t, vfs, Sync)
@@ -618,7 +507,7 @@ func TestOpenReplaysAcrossReopen(t *testing.T) {
 	vfs.Crash()
 
 	// Reopen: recovery surfaces the three records, new appends land in a
-	// fresh segment, and both generations survive until Truncate.
+	// fresh segment, and both generations survive until a Cut + Retire.
 	l2, rec := mustOpen(t, vfs, Sync)
 	if len(rec.Records) != 3 {
 		t.Fatalf("recovered %d records, want 3", len(rec.Records))
