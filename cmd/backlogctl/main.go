@@ -349,6 +349,12 @@ func main() {
 		if st.WALReplayed > 0 {
 			fmt.Printf("wal replayed:      %d\n", st.WALReplayed)
 		}
+		if db.Durability() != backlog.DurabilityCheckpointOnly {
+			// Like the counters below, this process's own traffic.
+			fmt.Printf("wal:               %d appends in %d flushes (%.2f records per batch); %d gathers, %d filled\n",
+				st.WALAppends, st.WALBatches, float64(st.WALAppends)/float64(max(st.WALBatches, 1)),
+				st.WALGathers, st.WALGathersFilled)
+		}
 		fmt.Printf("refs added:        %d\n", st.RefsAdded)
 		fmt.Printf("refs removed:      %d\n", st.RefsRemoved)
 		fmt.Printf("checkpoints:       %d\n", st.Checkpoints)

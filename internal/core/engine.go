@@ -182,6 +182,8 @@ type Stats struct {
 	RecordsExpired    uint64 // records inside runs dropped by expiry
 	WALAppends        uint64 // records appended to the write-ahead log
 	WALBatches        uint64 // WAL group-commit flushes (one WriteAt+Sync each)
+	WALGathers        uint64 // Sync flushes whose leader held the slot for appenders on their way back
+	WALGathersFilled  uint64 // gathers that got every record they waited for
 	WALReplayed       uint64 // records replayed from the WAL at Open
 }
 
@@ -556,6 +558,8 @@ func (e *Engine) Stats() Stats {
 		ws := e.wal.Stats()
 		st.WALAppends = ws.Appends
 		st.WALBatches = ws.Batches
+		st.WALGathers = ws.Gathers
+		st.WALGathersFilled = ws.GathersFilled
 	}
 	return st
 }

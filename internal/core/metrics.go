@@ -264,6 +264,10 @@ func (e *Engine) registerMetrics(r *obs.Registry) {
 			func() uint64 { return e.wal.Stats().Appends })
 		r.CounterFunc("backlog_wal_batches_total", "WAL flushes (device writes of the pending buffer)",
 			func() uint64 { return e.wal.Stats().Batches })
+		r.CounterFunc("backlog_wal_gathers_total", "Sync flushes whose leader held the flush slot for appenders on their way back",
+			func() uint64 { return e.wal.Stats().Gathers })
+		r.CounterFunc("backlog_wal_gathers_filled_total", "Gathers that got every record they waited for before the bound",
+			func() uint64 { return e.wal.Stats().GathersFilled })
 		r.GaugeFunc("backlog_wal_buffered_bytes", "WAL record bytes accepted but not yet handed to the OS",
 			func() float64 { return float64(e.wal.BufferedBytes()) })
 		r.GaugeFunc("backlog_wal_segments", "Live write-ahead-log segment files",

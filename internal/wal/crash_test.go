@@ -2,9 +2,9 @@ package wal
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"github.com/backlogfs/backlog/internal/storage"
 )
@@ -36,6 +36,9 @@ type killFS struct {
 	// segment header (the log calls those with its mutex released): a
 	// script's hook for lining appenders up behind a flush leader.
 	beforeWrite func()
+	// syncDelay is how long every fsync takes: a flush long enough that a
+	// share of it is a usable gather bound.
+	syncDelay time.Duration
 }
 
 func (k *killFS) Create(name string) (storage.File, error) {
@@ -106,6 +109,7 @@ func (f *killFile) WriteAt(p []byte, off int64) (int, error) {
 
 func (f *killFile) Sync() error {
 	k := f.fs
+	time.Sleep(k.syncDelay)
 	if k.dead {
 		return storage.ErrInjected
 	}
@@ -123,7 +127,8 @@ type crashScript struct {
 	appended []Record // every record handed to Append, in order
 	acked    int      // appended[:acked] were acknowledged (Append returned nil)
 	retired  []int    // len(appended) at each Cut whose Retire succeeded
-	batches  uint64   // runConcurrent: flushes that completed
+	batches  uint64   // runConcurrent, runGathered: flushes that completed
+	ackedBy  [2]int   // runGathered: records acknowledged to each appender
 }
 
 func crashRec(i int) Record {
@@ -175,11 +180,6 @@ func (s *crashScript) runConcurrent(vfs *killFS, segBytes int64, rounds int) {
 	if err != nil {
 		return
 	}
-	seqNow := func() uint64 {
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		return l.seq
-	}
 	held := make(chan chan struct{}) // a write announces itself and waits for its release
 	vfs.beforeWrite = func() {
 		release := make(chan struct{})
@@ -193,11 +193,9 @@ func (s *crashScript) runConcurrent(vfs *killFS, segBytes int64, rounds int) {
 		}
 		acks := make(chan error, 4) // one send per appender
 		appendNext := func(i int) {
-			before := seqNow()
+			before := seqNow(l)
 			go func() { acks <- l.Append(s.appended[base+i]) }()
-			for seqNow() == before && l.Err() == nil {
-				runtime.Gosched()
-			}
+			awaitLog(l, func() bool { return seqNow(l) != before || l.Err() != nil })
 		}
 		nacked, returned := 0, 0
 		collect := func(err error) {
@@ -239,6 +237,77 @@ func (s *crashScript) runConcurrent(vfs *killFS, segBytes int64, rounds int) {
 	vfs.beforeWrite = nil
 	s.batches = l.Stats().Batches
 	_ = l.Close()
+}
+
+// gatheredRec is appender a's i-th record in runGathered.
+func gatheredRec(a, i int) Record {
+	r := crashRec(i)
+	r.Block |= uint64(a) << 32
+	return r
+}
+
+// runGathered is the Sync script whose batches the gather forms, not a
+// line-up: two closed-loop appenders, each sending its next record when the
+// last is acknowledged, on a log whose fsyncs take long enough to bound a
+// gather usefully. Only the start is arranged — the first appender's write is
+// held until the second's record is pending, so the first flush leaves two
+// in the loop. From then on every leader holds one record and gathers the
+// other's next: perAppender appends each make one batch of one, pairs, and a
+// last batch of one whose leader gathered for an appender that had finished.
+func (s *crashScript) runGathered(vfs *killFS, segBytes int64, perAppender int) {
+	l, _, err := Open(vfs, Options{Durability: Sync, SegmentBytes: segBytes})
+	if err != nil {
+		return
+	}
+	appender := func(a int, done chan<- struct{}) {
+		defer close(done)
+		for i := 0; i < perAppender; i++ {
+			if l.Append(gatheredRec(a, i)) != nil {
+				return // the process is dead from here on
+			}
+			s.ackedBy[a]++
+		}
+	}
+	firstWrite := make(chan struct{})
+	vfs.beforeWrite = func() {
+		select {
+		case <-firstWrite:
+		default:
+			close(firstWrite)
+			awaitLog(l, func() bool { return seqNow(l) == 2 })
+		}
+	}
+	done := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	go appender(0, done[0])
+	<-firstWrite
+	go appender(1, done[1])
+	<-done[0]
+	<-done[1]
+	vfs.beforeWrite = nil
+	s.batches = l.Stats().Batches
+	_ = l.Close()
+}
+
+// checkGathered is check for runGathered, whose appenders interleave as they
+// please: each appender's recovered records are its own in order, and — the
+// model keeps nothing unsynced, and a batch is acknowledged as a whole —
+// exactly those it was acknowledged.
+func (s *crashScript) checkGathered(rec Recovered) error {
+	var got [2]int
+	for _, r := range rec.Records {
+		a := int(r.Block >> 32)
+		if a > 1 {
+			return fmt.Errorf("recovered %+v, which neither appender sent", r)
+		}
+		if r != gatheredRec(a, got[a]) {
+			return fmt.Errorf("recovered %+v where appender %d's record %d was due (a hole or reordering)", r, a, got[a])
+		}
+		got[a]++
+	}
+	if got != s.ackedBy {
+		return fmt.Errorf("recovered %v records of the two appenders, acknowledged were %v", got, s.ackedBy)
+	}
+	return nil
 }
 
 // check verifies the recovery contract against what the script observed:
@@ -283,49 +352,82 @@ func (s *crashScript) check(rec Recovered, mustCover bool) error {
 // in Sync mode one that holds every acknowledged record. The kill point
 // past the last I/O is the clean run followed by a power failure.
 func TestCrashAtEveryIO(t *testing.T) {
+	const (
+		serial     = iota // crashScript.run
+		concurrent        // runConcurrent, perPhase rounds
+		gathered          // runGathered, perPhase appends per appender
+	)
 	cases := []struct {
 		name     string
 		d        Durability
 		segBytes int64
 		perPhase int
-		// concurrent selects runConcurrent, with perPhase rounds.
-		concurrent bool
+		script   int
 	}{
 		// One 64 KiB threshold write per phase, no rotation.
-		{"buffered", Buffered, 0, 2000, false},
+		{"buffered", Buffered, 0, 2000, serial},
 		// Rotation (write + fsync of the outgoing segment) inside every
 		// phase, so a Cut-abandoned segment precedes a synced one.
-		{"buffered-rotating", Buffered, 24 << 10, 1500, false},
-		{"sync", Sync, 1 << 10, 40, false},
+		{"buffered-rotating", Buffered, 24 << 10, 1500, serial},
+		{"sync", Sync, 1 << 10, 40, serial},
 		// Group commits of one and three records; segments long enough
 		// that batches straddle a page, so a torn write leaves half of one.
-		{"sync-concurrent", Sync, 6 << 10, 40, true},
+		// Still two batches a round with the gather: the leader of the three
+		// knows of a fourth appender in the loop and holds the slot for it,
+		// but that one is not sent again before the round is over, so the
+		// gather expires (or is skipped, backing off) and takes no one in.
+		{"sync-concurrent", Sync, 6 << 10, 40, concurrent},
+		// Group commits of two that the gather put together, rotating every
+		// few. The segments are far shorter than a page: a torn write here
+		// is a failed one, and what the script adds to the one above is the
+		// acknowledgement of a gathered batch whose flush dies.
+		{"sync-gathered", Sync, 256, 10, gathered},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			run := func(s *crashScript, vfs *killFS) {
-				if c.concurrent {
-					s.runConcurrent(vfs, c.segBytes, c.perPhase)
-				} else {
+			if c.script == gathered {
+				onProcessors(t, 1)
+			}
+			run := func(vfs *killFS) *crashScript {
+				var s crashScript
+				switch c.script {
+				case serial:
 					s.run(vfs, c.d, c.segBytes, c.perPhase)
+				case concurrent:
+					s.runConcurrent(vfs, c.segBytes, c.perPhase)
+				case gathered:
+					vfs.syncDelay = time.Millisecond
+					s.runGathered(vfs, c.segBytes, c.perPhase)
 				}
+				return &s
 			}
 			// Count the I/Os of an unharmed run.
 			dry := &killFS{MemFS: storage.NewMemFS(), killAt: -1}
-			var clean crashScript
-			run(&clean, dry)
+			clean := run(dry)
+			// Whether a gather fills is a matter of microseconds: give the
+			// unharmed run a few tries at the batches the script is about.
+			for try := 0; c.script == gathered && clean.batches != uint64(c.perPhase+1) && try < 5; try++ {
+				dry = &killFS{MemFS: storage.NewMemFS(), killAt: -1}
+				clean = run(dry)
+			}
 			if dry.ios < 8 {
 				t.Fatalf("script made only %d I/Os", dry.ios)
 			}
-			if c.concurrent && (clean.batches != uint64(2*c.perPhase) || clean.acked != 4*c.perPhase) {
+			if c.script == concurrent && (clean.batches != uint64(2*c.perPhase) || clean.acked != 4*c.perPhase) {
 				t.Fatalf("%d rounds of four appenders made %d batches and %d acknowledgements, want two batches (of 1 and 3) a round", c.perPhase, clean.batches, clean.acked)
+			}
+			if c.script == gathered && (clean.batches != uint64(c.perPhase+1) || clean.ackedBy != [2]int{c.perPhase, c.perPhase}) {
+				t.Fatalf("two appenders of %d records made %d batches and %v acknowledgements, want a batch of one, pairs, and a batch of one", c.perPhase, clean.batches, clean.ackedBy)
 			}
 			for _, mode := range []killMode{killPlain, killTorn, killTornDurable} {
 				for at := 0; at <= dry.ios; at++ {
 					vfs := &killFS{MemFS: storage.NewMemFS(), killAt: at, mode: mode}
-					var s crashScript
-					run(&s, vfs)
-					if died := at < dry.ios; vfs.dead != died {
+					s := run(vfs)
+					// A gathered run in which a gather expired makes an I/O
+					// more or fewer than the unharmed one did: it dies at
+					// another I/O than this index names there, or not at
+					// all, and is held to the same contract.
+					if died := at < dry.ios; vfs.dead != died && c.script != gathered {
 						t.Fatalf("%s kill at %d: dead=%v", mode, at, vfs.dead)
 					}
 					vfs.MemFS.SetFailurePlan(storage.FailurePlan{})
@@ -334,10 +436,15 @@ func TestCrashAtEveryIO(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s kill at I/O %d of %d: recovery failed: %v", mode, at, dry.ios, err)
 					}
-					if err := s.check(rec, c.d == Sync); err != nil {
+					if c.script == gathered {
+						err = s.checkGathered(rec)
+					} else {
+						err = s.check(rec, c.d == Sync)
+					}
+					if err != nil {
 						t.Fatalf("%s kill at I/O %d of %d: %v", mode, at, dry.ios, err)
 					}
-					if c.concurrent && len(rec.Records) != s.acked {
+					if c.script == concurrent && len(rec.Records) != s.acked {
 						// A batch is acknowledged as a whole once its fsync
 						// returns, and the model keeps nothing unsynced: the
 						// batch the kill hit — its write failed, tore, or
