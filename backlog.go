@@ -72,9 +72,11 @@
 // into the write stores — retry or replay still holds. With Config.Metrics
 // the backlog_checkpoint_freeze_ns and _install_ns histograms report the
 // exclusive-lock time separately from the lock-free flush time
-// (backlog_checkpoint_flush_ns); the fsimbench "cpstall" experiment and
-// BenchmarkIngestDuringCheckpoint measure update latency during a flush
-// against idle.
+// (backlog_checkpoint_flush_ns); bash bench/run.sh --trace 1 reports them
+// as core.checkpoint_freeze_us_p50, core.checkpoint_flush_ms_p50 and
+// core.checkpoint_install_us_p50, and on the "mixed" workload
+// backlog.ack_p99_us is update latency with checkpoints and merges
+// running alongside.
 //
 // # Durability
 //
@@ -231,8 +233,10 @@
 // configured format. DB.EstimateCompression projects the v2 size of a
 // table without rewriting it (using the same codec the writer uses), and
 // "backlogctl compression" prints per-table logical versus physical
-// bytes. The fsimbench "compress" experiment measures on-disk size,
-// checkpoint write-bytes, and cold/warm query latency for both formats.
+// bytes. bash bench/run.sh measures the default format's on-disk size
+// (space_bytes_per_ref, btree.bytes_per_record), checkpoint write bytes
+// (storage.write_bytes.checkpoint) and cold query cost
+// (read_bytes_per_query, btree.page_decode_us).
 //
 // # Observability
 //
@@ -294,11 +298,11 @@
 //
 // # I/O attribution
 //
-// Unlike the surfaces above, purpose-tagged I/O attribution is ON by
-// default: every ReadAt/WriteAt/Sync/Create/Remove is attributed to the
-// subsystem that issued it — wal, checkpoint, compaction, query, expiry,
-// recovery, or manifest — at the cost of a few atomic adds per I/O
-// (disable with Config.DisableIOAttribution). DB.IOReport returns the
+// Unlike the surfaces above, purpose-tagged I/O attribution is always on:
+// every ReadAt/WriteAt/Sync/Create/Remove is attributed to the subsystem
+// that issued it — wal, checkpoint, compaction, query, expiry, recovery,
+// or manifest — at the cost of a few atomic adds per I/O
+// (BenchmarkIOAttribution in internal/storage). DB.IOReport returns the
 // structured snapshot: per-source bytes and ops, cumulative totals, and
 // an online write-amplification monitor comparing user bytes in against
 // device bytes out over a rolling 60s window. With Config.Metrics the
@@ -336,7 +340,6 @@
 //	Tracer               — nil: no trace events
 //	SlowOpThreshold      — 0: no slow-op log
 //	DebugAddr            — "": no debug listener
-//	DisableIOAttribution — false: per-source I/O accounting is on
 //
 // Config.Validate reports structurally invalid configurations (it wraps
 // ErrBadConfig); Open calls it first.
@@ -348,11 +351,14 @@
 //	go build ./...                             # everything, including cmd/ drivers
 //	go test ./...                              # unit + integration tests
 //	go test -race ./internal/core/...          # concurrent-ingest tests under the race detector
-//	go test -bench=. -benchtime=1x -run='^$' ./...   # benchmark smoke pass
-//	go test -bench=BenchmarkParallelIngest -run='^$' .  # ingest scaling, 1 shard vs GOMAXPROCS
+//	go test -bench=. -benchtime=1x -run='^$' ./...   # paper-figure benchmark smoke pass
+//	bash bench/run.sh --workload mixed --seed 1 --seconds 25 --trace 0   # one workload, end-to-end rows
+//	bash bench/run.sh -all -repeat 5 -out a.json   # every workload, both variants, with the spread
+//	bash bench/run.sh -compare a.json b.json       # exit 1 when a bounded row got worse
 //
-// CI (.github/workflows/ci.yml) runs all of the above plus go vet and a
-// gofmt check on every push and pull request.
+// CI (.github/workflows/ci.yml) runs the first four plus go vet, a gofmt
+// check and the benchmark's own tests (cd bench && go test ./...) on every
+// push and pull request.
 //
 // # Quick start
 //
@@ -532,11 +538,6 @@ type Config struct {
 	// net/http/pprof under /debug/pprof/. Implies Metrics. The listener
 	// is closed by DB.Close.
 	DebugAddr string
-	// DisableIOAttribution turns off purpose-tagged I/O accounting (on by
-	// default; see the package documentation's I/O attribution section
-	// and DB.IOReport). Disabling it also zeroes per-run heat tracking
-	// and the write-amplification monitor.
-	DisableIOAttribution bool
 }
 
 // RetentionPolicy selects how aggressively records of deleted snapshots
@@ -761,24 +762,23 @@ func openVFS(vfs storage.VFS, cfg Config) (*DB, error) {
 		reg = obs.NewRegistry()
 	}
 	eng, err := core.Open(core.Options{
-		VFS:                  vfs,
-		Catalog:              cat,
-		CacheBytes:           cfg.CacheBytes,
-		Partitions:           cfg.Partitions,
-		PartitionSpan:        cfg.PartitionSpan,
-		WriteShards:          cfg.WriteShards,
-		Durability:           cfg.Durability,
-		AutoCompact:          cfg.AutoCompact,
-		CompactThreshold:     cfg.CompactThreshold,
-		CompactionPolicy:     cfg.CompactionPolicy.corePolicy(),
-		Fanout:               cfg.Fanout,
-		Retention:            cfg.Retention,
-		Compression:          cfg.Compression,
-		Metrics:              reg,
-		MetricsSampleEvery:   cfg.MetricsSampleEvery,
-		Tracer:               cfg.Tracer,
-		SlowOpThreshold:      cfg.SlowOpThreshold,
-		DisableIOAttribution: cfg.DisableIOAttribution,
+		VFS:                vfs,
+		Catalog:            cat,
+		CacheBytes:         cfg.CacheBytes,
+		Partitions:         cfg.Partitions,
+		PartitionSpan:      cfg.PartitionSpan,
+		WriteShards:        cfg.WriteShards,
+		Durability:         cfg.Durability,
+		AutoCompact:        cfg.AutoCompact,
+		CompactThreshold:   cfg.CompactThreshold,
+		CompactionPolicy:   cfg.CompactionPolicy.corePolicy(),
+		Fanout:             cfg.Fanout,
+		Retention:          cfg.Retention,
+		Compression:        cfg.Compression,
+		Metrics:            reg,
+		MetricsSampleEvery: cfg.MetricsSampleEvery,
+		Tracer:             cfg.Tracer,
+		SlowOpThreshold:    cfg.SlowOpThreshold,
 	})
 	if err != nil {
 		return nil, err
@@ -1048,9 +1048,7 @@ func (db *DB) SlowOps() []OpEvent { return db.eng.SlowOps() }
 // bytes and ops, cumulative totals, and the rolling write-amplification
 // monitor (see the package documentation's I/O attribution section). It
 // takes no locks and is safe to call concurrently with all operations.
-// When Config.DisableIOAttribution is set the report is zero with
-// Attribution=false. The same report is served as JSON at /debug/io on
-// Config.DebugAddr.
+// The same report is served as JSON at /debug/io on Config.DebugAddr.
 func (db *DB) IOReport() IOReport { return db.eng.IOReport() }
 
 // DebugAddr returns the debug listener's bound address, or "" when

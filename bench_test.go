@@ -1,26 +1,20 @@
 package backlog
 
 // This file holds one testing.B benchmark per table/figure of the paper's
-// evaluation, plus ablation benches for the design choices DESIGN.md calls
-// out (Bloom filters, proactive pruning, horizontal partitioning, the
-// naive baseline). Figure benches report their headline metric through
-// b.ReportMetric, so `go test -bench=. -benchmem` regenerates the numbers
-// EXPERIMENTS.md discusses; cmd/fsimbench and cmd/btrfsbench print the full
-// series at larger scales.
+// evaluation, plus the two ablations the paper itself argues from
+// (Section 4.1's naive baseline, Section 5.3's horizontal partitioning).
+// Figure benches report their headline metric through b.ReportMetric;
+// cmd/fsimbench and cmd/btrfsbench print the full series at larger scales.
+// Everything else this tree measures is a row of `bash bench/run.sh`.
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/backlogfs/backlog/internal/btrfssim"
 	"github.com/backlogfs/backlog/internal/core"
 	"github.com/backlogfs/backlog/internal/experiments"
 	"github.com/backlogfs/backlog/internal/naive"
-	"github.com/backlogfs/backlog/internal/obs"
 	"github.com/backlogfs/backlog/internal/storage"
 	"github.com/backlogfs/backlog/internal/workload"
 )
@@ -320,83 +314,6 @@ func BenchmarkAblationNaiveBaseline(b *testing.B) {
 	})
 }
 
-// --- Ablation: Bloom filters on the query path ---
-
-func BenchmarkAblationBloom(b *testing.B) {
-	build := func(disable bool) *core.Engine {
-		vfs := storage.NewMemFS()
-		eng, err := core.Open(core.Options{VFS: vfs, Catalog: core.NewMemCatalog(), DisableBloom: disable})
-		if err != nil {
-			b.Fatal(err)
-		}
-		// 40 Level-0 runs whose [min, max] block ranges all overlap but
-		// whose block sets are disjoint: only the Bloom filters can tell
-		// which single run holds a given block. This is the regime the
-		// paper's filters exist for (Section 5.1) — range checks alone
-		// cannot prune anything here.
-		for cp := uint64(1); cp <= 40; cp++ {
-			for i := uint64(0); i < 200; i++ {
-				eng.AddRef(core.Ref{Block: i*1_000 + cp, Inode: i, Length: 1}, cp)
-			}
-			if err := eng.Checkpoint(cp); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return eng
-	}
-	for _, disable := range []bool{false, true} {
-		name := "bloom=on"
-		if disable {
-			name = "bloom=off"
-		}
-		b.Run(name, func(b *testing.B) {
-			eng := build(disable)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				blk := (uint64(i)%200)*1_000 + uint64(i)%40 + 1
-				if _, err := eng.Query(blk); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// --- Ablation: proactive pruning (Section 5.1) ---
-
-func BenchmarkAblationPruning(b *testing.B) {
-	for _, disable := range []bool{false, true} {
-		name := "pruning=on"
-		if disable {
-			name = "pruning=off"
-		}
-		b.Run(name, func(b *testing.B) {
-			vfs := storage.NewMemFS()
-			eng, err := core.Open(core.Options{VFS: vfs, Catalog: core.NewMemCatalog(), DisablePruning: disable})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			// Truncation-style churn: every reference is added and removed
-			// within the same CP, the pattern dominating the paper's
-			// setattr-heavy trace span.
-			for i := 0; i < b.N; i++ {
-				cp := uint64(i/1000 + 1)
-				ref := core.Ref{Block: uint64(i), Inode: 1, Offset: uint64(i), Length: 1}
-				eng.AddRef(ref, cp)
-				eng.RemoveRef(ref, cp)
-				if i%1000 == 999 {
-					if err := eng.Checkpoint(cp); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(eng.Stats().RecordsFlushed)/float64(b.N), "records/op")
-		})
-	}
-}
-
 // --- Ablation: horizontal partitioning (Section 5.3) ---
 
 func BenchmarkAblationPartitions(b *testing.B) {
@@ -436,409 +353,4 @@ func maxInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// --- Parallel ingest: sharded write path vs single write store ---
-
-// BenchmarkParallelIngest drives AddRef from GOMAXPROCS goroutines with
-// periodic parallel-flush checkpoints, once against the paper's single
-// write store (shards=1) and once against the sharded write path
-// (shards=GOMAXPROCS). The per-op time ratio between the two sub-benchmarks
-// is the ingest speedup from sharding.
-func BenchmarkParallelIngest(b *testing.B) {
-	for _, shards := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			eng, err := core.Open(core.Options{
-				VFS:         storage.NewMemFS(),
-				Catalog:     core.NewMemCatalog(),
-				WriteShards: shards,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var (
-				workerIDs atomic.Uint64
-				ops       atomic.Uint64
-				cp        atomic.Uint64
-				cpMu      sync.Mutex
-			)
-			cp.Store(1)
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				w := workerIDs.Add(1)
-				base := w << 40
-				var i uint64
-				for pb.Next() {
-					eng.AddRef(core.Ref{Block: base + i, Inode: w, Offset: i, Length: 1}, cp.Load())
-					i++
-					// Whichever worker crosses the cadence boundary drains
-					// all shards with a parallel flush; cpMu keeps CP
-					// numbers committing in order.
-					if n := ops.Add(1); n%100_000 == 0 {
-						cpMu.Lock()
-						next := cp.Load() + 1
-						err := eng.Checkpoint(next)
-						if err == nil {
-							cp.Store(next)
-						}
-						cpMu.Unlock()
-						if err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}
-			})
-			b.StopTimer()
-			if err := eng.Checkpoint(cp.Load() + 1); err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
-
-// --- Leveled maintenance: sustained ingest under each compaction policy ---
-
-// BenchmarkLeveledIngest measures sustained ingest (AddRef, checkpoint,
-// synchronous maintenance after every checkpoint) under the paper's
-// merge-to-one policy and under stepped-merge leveled maintenance at the
-// default fanout. The compactMB/writeamp metrics are the point: leveled
-// maintenance rewrites each record roughly once per level instead of once
-// per merge-to-one pass, so its compaction write volume — and with it the
-// per-op time — drops well below full's under the same ingest. The raw
-// run format is pinned so the byte metrics measure records merged, not
-// compressibility.
-func BenchmarkLeveledIngest(b *testing.B) {
-	const (
-		cps        = 96
-		opsPerCP   = 500
-		blocks     = 1 << 12
-		partitions = 4
-	)
-	for _, bench := range []struct {
-		name string
-		pol  core.CompactionPolicy
-	}{
-		{"full", nil},
-		{"leveled", core.PolicyLeveled{}},
-	} {
-		b.Run(bench.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var compactMB, amp float64
-			for i := 0; i < b.N; i++ {
-				eng, err := core.Open(core.Options{
-					VFS:              storage.NewMemFS(),
-					Catalog:          core.NewMemCatalog(),
-					Partitions:       partitions,
-					HashPartitioning: true,
-					CompactionPolicy: bench.pol,
-					Compression:      core.CompressionNone,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for cp := 1; cp <= cps; cp++ {
-					for j := 0; j < opsPerCP; j++ {
-						eng.AddRef(core.Ref{
-							Block:  uint64((cp*opsPerCP + j) % blocks),
-							Inode:  uint64(2 + cp),
-							Offset: uint64(j),
-							Length: 1,
-						}, uint64(cp))
-					}
-					if err := eng.Checkpoint(uint64(cp)); err != nil {
-						b.Fatal(err)
-					}
-					if err := eng.MaintainNow(); err != nil {
-						b.Fatal(err)
-					}
-				}
-				st := eng.Stats()
-				compactMB = float64(st.CompactWriteBytes) / 1e6
-				if fl := float64(st.RecordsFlushed) * float64(core.FromRecSize); fl > 0 {
-					amp = (fl + float64(st.CompactWriteBytes)) / fl
-				}
-				if err := eng.Close(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(compactMB, "compactMB")
-			b.ReportMetric(amp, "writeamp")
-		})
-	}
-}
-
-// --- End-to-end facade benchmark ---
-
-// --- Query latency during background compaction ---
-
-// BenchmarkQueryDuringCompaction measures point-query latency on an
-// engine with accumulated runs, idle versus while checkpoints and full
-// compactions run continuously in the background. Queries pin an
-// immutable run-set view and do their run I/O with no structural lock
-// held, so the compacting case stays within a small factor of idle
-// instead of stalling for whole k-way merges.
-func BenchmarkQueryDuringCompaction(b *testing.B) {
-	const (
-		parts    = 8
-		cps      = 24
-		opsPerCP = 2000
-		blocks   = 1 << 14
-	)
-	setup := func(b *testing.B) *core.Engine {
-		eng, err := core.Open(core.Options{
-			VFS:              storage.NewMemFS(),
-			Catalog:          core.NewMemCatalog(),
-			Partitions:       parts,
-			HashPartitioning: true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for cp := uint64(1); cp <= cps; cp++ {
-			for i := 0; i < opsPerCP; i++ {
-				eng.AddRef(core.Ref{
-					Block:  uint64((int(cp)*opsPerCP + i) % blocks),
-					Inode:  cp + 1,
-					Offset: uint64(i),
-					Length: 1,
-				}, cp)
-			}
-			if err := eng.Checkpoint(cp); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return eng
-	}
-	query := func(b *testing.B, eng *core.Engine) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Query(uint64(i % blocks)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("idle", func(b *testing.B) {
-		eng := setup(b)
-		defer eng.Close()
-		query(b, eng)
-	})
-	b.Run("compacting", func(b *testing.B) {
-		eng := setup(b)
-		defer eng.Close()
-		// Background churn: keep creating Level-0 runs and compacting
-		// them away so a merge is in flight for the whole measurement.
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for cp := uint64(cps + 1); ; cp++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				for i := 0; i < opsPerCP; i++ {
-					eng.AddRef(core.Ref{Block: uint64(i % blocks), Inode: cp + 1, Offset: uint64(i), Length: 1}, cp)
-				}
-				if err := eng.Checkpoint(cp); err != nil {
-					b.Error(err)
-					return
-				}
-				if err := eng.Compact(); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}()
-		query(b, eng)
-		b.StopTimer()
-		close(stop)
-		wg.Wait()
-	})
-}
-
-// --- Ingest latency during a checkpoint flush ---
-
-// BenchmarkIngestDuringCheckpoint measures AddRef latency idle versus
-// while checkpoint flushes run continuously in the background, on a VFS
-// that slows run-file writes so the flush has real wall-clock weight.
-// With the frozen-write-store checkpoint, updates stall only for the
-// freeze and install critical sections (reported as lockwait-µs/cp), not
-// for the run-building I/O, so the flushing case stays within a small
-// factor of idle instead of stopping for the whole flush.
-func BenchmarkIngestDuringCheckpoint(b *testing.B) {
-	const prefill = 20_000
-	setup := func(b *testing.B) *core.Engine {
-		slow := &experiments.SlowVFS{VFS: storage.NewMemFS(), Delay: 100 * time.Microsecond}
-		// The registry carries the checkpoint phase histograms lockwait is
-		// read from; both cases pay its hot-op sampling alike.
-		eng, err := core.Open(core.Options{VFS: slow, Catalog: core.NewMemCatalog(), Metrics: obs.NewRegistry()})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < prefill; i++ {
-			eng.AddRef(core.Ref{Block: uint64(i), Inode: uint64(i), Length: 1}, 1)
-		}
-		return eng
-	}
-	b.Run("idle", func(b *testing.B) {
-		eng := setup(b)
-		defer eng.Close()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			eng.AddRef(core.Ref{Block: uint64(prefill + i), Inode: 7, Offset: uint64(i), Length: 1}, 1)
-		}
-	})
-	b.Run("flushing", func(b *testing.B) {
-		eng := setup(b)
-		defer eng.Close()
-		// Background checkpoints, back to back: each freezes whatever
-		// accumulated (the prefill first, then the measured stream's own
-		// records) and flushes it through the slowed VFS.
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for cp := uint64(1); ; cp++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if err := eng.Checkpoint(cp); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			eng.AddRef(core.Ref{Block: uint64(prefill + i), Inode: 7, Offset: uint64(i), Length: 1}, 1<<40)
-			if i%8 == 7 {
-				runtime.Gosched() // let the flusher breathe on GOMAXPROCS=1
-			}
-		}
-		b.StopTimer()
-		close(stop)
-		wg.Wait()
-		if st := eng.Stats(); st.Checkpoints > 0 {
-			ms := eng.Metrics()
-			freeze, _ := ms.Histogram("backlog_checkpoint_freeze_ns")
-			install, _ := ms.Histogram("backlog_checkpoint_install_ns")
-			b.ReportMetric(float64(freeze.Sum+install.Sum)/1e3/float64(st.Checkpoints), "lockwait-µs/cp")
-			b.ReportMetric(float64(st.Checkpoints), "checkpoints")
-		}
-	})
-}
-
-func BenchmarkPublicAPIAddRefCheckpoint(b *testing.B) {
-	db, err := Open(Config{InMemory: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		db.AddRef(Ref{Block: uint64(i), Inode: uint64(i % 100), Offset: uint64(i % 8), Line: 0}, uint64(i/32000+1))
-		if i%32000 == 31999 {
-			if err := db.Checkpoint(uint64(i/32000) + 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// --- Drop-based expiry vs compaction reclaim ---
-
-// benchSealedDB builds a database of `epochs` sealed CP-windowed Combined
-// runs, each retained by a per-epoch snapshot (see the Retention and
-// expiry section of the package docs).
-func benchSealedDB(b *testing.B, fs *storage.MemFS, epochs, perEpoch, blocks int) *DB {
-	b.Helper()
-	db, err := openVFS(fs, Config{InMemory: true, WriteShards: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cp := uint64(1)
-	for e := 0; e < epochs; e++ {
-		if err := db.Catalog().CreateSnapshot(0, cp); err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < perEpoch; i++ {
-			db.AddRef(Ref{Block: uint64(i % blocks), Inode: uint64(e + 2), Offset: uint64(i), Length: 1}, cp)
-		}
-		if err := db.Checkpoint(cp); err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < perEpoch; i++ {
-			db.RemoveRef(Ref{Block: uint64(i % blocks), Inode: uint64(e + 2), Offset: uint64(i), Length: 1}, cp+1)
-		}
-		if err := db.Checkpoint(cp + 1); err != nil {
-			b.Fatal(err)
-		}
-		if err := db.eng.CompactTiered(); err != nil {
-			b.Fatal(err)
-		}
-		cp += 2
-	}
-	return db
-}
-
-// BenchmarkExpireVsCompact reclaims the same deleted snapshots two ways:
-// Expire drops their CP-windowed runs by manifest edit, Compact merges
-// every run and purges record by record. The io-bytes/op metric is the
-// headline — expiry must come in at least an order of magnitude under
-// compaction (it reads nothing at all).
-func BenchmarkExpireVsCompact(b *testing.B) {
-	const (
-		epochs   = 8
-		perEpoch = 1024
-		blocks   = 256
-		retain   = 1
-	)
-	paths := []struct {
-		name    string
-		reclaim func(*DB) error
-	}{
-		{"expire", func(db *DB) error { _, err := db.Expire(); return err }},
-		{"compact", (*DB).Compact},
-	}
-	for _, p := range paths {
-		b.Run(p.name, func(b *testing.B) {
-			var ioBytes, ioReads int64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				fs := storage.NewMemFS()
-				db := benchSealedDB(b, fs, epochs, perEpoch, blocks)
-				for e := 0; e < epochs-retain; e++ {
-					if err := db.Catalog().DeleteSnapshot(0, uint64(2*e+1)); err != nil {
-						b.Fatal(err)
-					}
-				}
-				before := fs.Stats()
-				b.StartTimer()
-				if err := p.reclaim(db); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				d := fs.Stats().Sub(before)
-				ioBytes += d.BytesRead + d.BytesWritten
-				ioReads += d.BytesRead
-				if err := db.Close(); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-			}
-			b.ReportMetric(float64(ioBytes)/float64(b.N), "io-bytes/op")
-			b.ReportMetric(float64(ioReads)/float64(b.N), "read-bytes/op")
-		})
-	}
 }

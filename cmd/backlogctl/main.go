@@ -130,10 +130,6 @@ func scrapeIostat(addr string, watch, jsonOut bool, interval time.Duration) erro
 // printIOReport renders an attribution report as the iostat table:
 // per-source device traffic, totals, and the write-amplification monitor.
 func printIOReport(rep backlog.IOReport) {
-	if !rep.Attribution {
-		fmt.Println("i/o attribution disabled (Config.DisableIOAttribution)")
-		return
-	}
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "source\tread bytes\tread ops\twrite bytes\twrite ops\tsyncs\tcreates\tremoves")
 	for _, s := range rep.Sources {

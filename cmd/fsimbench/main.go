@@ -1,6 +1,9 @@
 // Command fsimbench regenerates the fsim figures of the paper's evaluation
 // (Figures 5–10) plus the Section 4.1 naive-baseline ablation, printing
-// each figure's data series as an aligned table.
+// each figure's data series as an aligned table. Two experiments are not
+// paper figures: "levels" (full vs stepped-merge maintenance, whose
+// deterministic columns the golden file pins) and "obs" (the metrics-on
+// overhead budget). Every other number is a row of bash bench/run.sh.
 //
 // Usage:
 //
@@ -18,44 +21,61 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 	"text/tabwriter"
 
 	"github.com/backlogfs/backlog/internal/experiments"
 )
 
+// experimentList is the one list of experiments: the -experiment help
+// string, the validity check and the dispatch (in this order under "all")
+// all read it.
+var experimentList = []struct {
+	name string
+	fn   func(full bool) error
+}{
+	{"fig5", runFig5},
+	{"fig6", runFig6},
+	{"fig7", runFig7},
+	{"fig8", runFig8},
+	{"fig9", runFig9},
+	{"fig10", runFig10},
+	{"naive", runNaive},
+	{"obs", runObs},
+	{"levels", runLevels},
+}
+
+func experimentNames() []string {
+	names := make([]string, len(experimentList))
+	for i, e := range experimentList {
+		names[i] = e.name
+	}
+	return names
+}
+
 func main() {
-	exp := flag.String("experiment", "all", "fig5|fig6|fig7|fig8|fig9|fig10|naive|ingest|interference|cpstall|expire|compress|obs|iostat|levels|all")
+	names := strings.Join(experimentNames(), "|")
+	exp := flag.String("experiment", "all", names+"|all")
 	scale := flag.String("scale", "small", "small|full")
 	flag.Parse()
 
-	full := *scale == "full"
-	run := func(name string, fn func(bool) error) {
-		if *exp != "all" && *exp != name {
-			return
+	ran := false
+	for _, e := range experimentList {
+		if *exp != "all" && *exp != e.name {
+			continue
 		}
-		fmt.Printf("=== %s ===\n", name)
-		if err := fn(full); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+		ran = true
+		fmt.Printf("=== %s ===\n", e.name)
+		if err := e.fn(*scale == "full"); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
 			os.Exit(1)
 		}
 		fmt.Println()
 	}
-
-	run("fig5", runFig5)
-	run("fig6", runFig6)
-	run("fig7", runFig7)
-	run("fig8", runFig8)
-	run("fig9", runFig9)
-	run("fig10", runFig10)
-	run("naive", runNaive)
-	run("ingest", runIngest)
-	run("interference", runInterference)
-	run("cpstall", runCPStall)
-	run("expire", runExpire)
-	run("compress", runCompress)
-	run("obs", runObs)
-	run("iostat", runIostat)
-	run("levels", runLevels)
+	if !ran {
+		fmt.Fprintf(os.Stderr, "fsimbench: unknown experiment %q (valid: %s|all)\n", *exp, names)
+		os.Exit(2)
+	}
 }
 
 func tw() *tabwriter.Writer {
@@ -225,109 +245,6 @@ func runNaive(full bool) error {
 	return w.Flush()
 }
 
-func runInterference(full bool) error {
-	fmt.Println("Compaction interference: query latency while a full compaction runs in the background")
-	fmt.Println("(not a paper figure; queries read through pinned run-set views and never block on the merge)")
-	cfg := experiments.DefaultInterferenceConfig()
-	if full {
-		cfg.CPs, cfg.OpsPerCP, cfg.Queries = 200, 8000, 16384
-	}
-	res, err := experiments.RunInterference(cfg)
-	if err != nil {
-		return err
-	}
-	w := tw()
-	fmt.Fprintln(w, "phase\tqueries\tqueries/s\tmean µs\tp99 µs\tmax µs")
-	for _, p := range res.Phases {
-		fmt.Fprintf(w, "%s\t%d\t%.0f\t%.1f\t%.1f\t%.1f\n",
-			p.Phase, p.Queries, p.QueriesPerSec, p.MeanUS, p.P99US, p.MaxUS)
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	fmt.Printf("compaction: %.1f ms, %d -> %d runs\n", res.CompactionMS, res.RunsBefore, res.RunsAfter)
-	return nil
-}
-
-func runCPStall(full bool) error {
-	fmt.Println("Checkpoint stall: update/query latency while a checkpoint flush runs in the background")
-	fmt.Println("(not a paper figure; the frozen-write-store checkpoint holds the structural lock only")
-	fmt.Println(" for its freeze and install critical sections — run-building I/O is lock-free)")
-	cfg := experiments.DefaultCPStallConfig()
-	if full {
-		cfg.PrefillOps, cfg.MeasureOps = 500_000, 100_000
-	}
-	res, err := experiments.RunCPStall(cfg)
-	if err != nil {
-		return err
-	}
-	w := tw()
-	fmt.Fprintln(w, "phase\tupdates\tupdates/s\tmean µs\tp99 µs\tmax µs\tquery mean µs")
-	for _, p := range res.Phases {
-		fmt.Fprintf(w, "%s\t%d\t%.0f\t%.2f\t%.1f\t%.1f\t%.1f\n",
-			p.Phase, p.Ops, p.OpsPerSec, p.MeanUS, p.P99US, p.MaxUS, p.QueryMeanUS)
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	fmt.Printf("checkpoint: %.1f ms wall (%d records); exclusive lock held %.0f µs (swap) + %.0f µs (install); flush %.1f ms lock-free\n",
-		res.CheckpointMS, res.RecordsFlushed, res.SwapUS, res.InstallUS, res.FlushMS)
-	return nil
-}
-
-func runExpire(full bool) error {
-	fmt.Println("Drop-based expiry vs compaction: I/O to reclaim the same deleted snapshots")
-	fmt.Println("(not a paper figure; expiry drops whole CP-windowed runs by manifest edit,")
-	fmt.Println(" where the paper's maintenance reads and rewrites every surviving record)")
-	cfg := experiments.DefaultExpireConfig()
-	if full {
-		cfg.Epochs, cfg.OpsPerEpoch = 32, 8000
-	}
-	res, err := experiments.RunExpire(cfg)
-	if err != nil {
-		return err
-	}
-	w := tw()
-	fmt.Fprintln(w, "path\truns reclaimed\trecords reclaimed\tbytes read\tbytes written\tms")
-	for _, p := range res.Points {
-		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%.2f\n",
-			p.Path, p.RunsReclaimed, p.RecordsReclaimed, p.BytesRead, p.BytesWritten, p.Millis)
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	fmt.Printf("compaction-to-expiry I/O ratio: %.0fx\n", res.IORatio)
-	return nil
-}
-
-func runCompress(full bool) error {
-	fmt.Println("Run-format comparison: raw v1 vs column-delta v2 on identical workloads")
-	fmt.Println("(not a paper figure; Section 8 predicts the tables are \"highly compressible,")
-	fmt.Println(" especially if we compress them by columns\" — the figure experiments pin the")
-	fmt.Println(" raw format for byte-identical series)")
-	cfg := experiments.DefaultCompressConfig()
-	if full {
-		cfg.CPs, cfg.OpsPerCP, cfg.Queries = 50, 20000, 8192
-	}
-	res, err := experiments.RunCompress(cfg)
-	if err != nil {
-		return err
-	}
-	w := tw()
-	fmt.Fprintln(w, "format\tfrom bytes\tto bytes\tcombined bytes\ttotal bytes\tcheckpoint write bytes\tcold query µs\twarm query µs")
-	for _, p := range res.Points {
-		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%d\t%.1f\t%.1f\n",
-			p.Format, p.TableBytes["from"], p.TableBytes["to"], p.TableBytes["combined"],
-			p.RunBytes, p.CheckpointWriteBytes, p.ColdQueryUS, p.WarmQueryUS)
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	fmt.Printf("combined-table compression: %.2fx; all tables: %.2fx; checkpoint write bytes: %.2fx fewer; warm query slowdown: %.2fx\n",
-		res.CombinedRatio, res.TotalRatio, res.WriteRatio, res.WarmSlowdown)
-	return nil
-}
-
 func runObs(full bool) error {
 	fmt.Println("Observability overhead: mixed update/query throughput with instrumentation off and on")
 	fmt.Println("(not a paper figure; the budget is <=2% enabled overhead, and the figure experiments")
@@ -347,50 +264,6 @@ func runObs(full bool) error {
 		fmt.Fprintf(w, "%s\t%d\t%.0f\t%.1f%%\t%d\n", p.Name, p.Ops, p.OpsPerSec, p.OverheadPct, p.TraceEvents)
 	}
 	return w.Flush()
-}
-
-func runIostat(full bool) error {
-	fmt.Println("I/O attribution overhead: mixed update/query throughput with attribution off and on")
-	fmt.Println("(not a paper figure; attribution is ON by default, so its budget is <=2% — a few")
-	fmt.Println(" atomic adds per I/O, clock reads only once a metrics registry is attached. The")
-	fmt.Println(" run also audits the accounting: per-source bytes must sum to the totals and the")
-	fmt.Println(" hot paths must leak no unattributed i/o)")
-	cfg := experiments.DefaultIostatConfig()
-	if full {
-		cfg.Ops = 4_000_000
-		cfg.Rounds = 11
-	}
-	pts, err := experiments.RunIostat(cfg)
-	if err != nil {
-		return err
-	}
-	w := tw()
-	fmt.Fprintln(w, "configuration\tops\tops/sec\toverhead\tdevice write bytes\twrite amp")
-	for _, p := range pts {
-		wb, wa := "-", "-"
-		if p.Report.Attribution {
-			wb = fmt.Sprintf("%d", p.Report.TotalWriteBytes)
-			wa = fmt.Sprintf("%.2f", p.Report.WriteAmp)
-		}
-		fmt.Fprintf(w, "%s\t%d\t%.0f\t%.1f%%\t%s\t%s\n", p.Name, p.Ops, p.OpsPerSec, p.OverheadPct, wb, wa)
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	for _, p := range pts {
-		if p.Name != "attributed" {
-			continue
-		}
-		fmt.Println("attributed device traffic by purpose (final round):")
-		for _, s := range p.Report.Sources {
-			if s.ReadBytes == 0 && s.WriteBytes == 0 && s.Syncs == 0 && s.Creates == 0 {
-				continue
-			}
-			fmt.Printf("  %-10s %12d read  %12d written  (%d syncs, %d creates)\n",
-				s.Source, s.ReadBytes, s.WriteBytes, s.Syncs, s.Creates)
-		}
-	}
-	return nil
 }
 
 func runLevels(full bool) error {
@@ -416,24 +289,6 @@ func runLevels(full bool) error {
 		fmt.Fprintf(w, "%s\t%s\t%.1f\t%.2f\t%.2fx fewer\t%d\t%d\t%.0f\t%.1f\t%.1f\t%.2fx\n",
 			p.Policy, fan, float64(p.CompactWriteBytes)/1e6, p.WriteAmp, p.BytesVsFull,
 			p.Runs, p.MaxLevel, p.MaintainMS, p.QueryMeanUS, p.QueryP99US, p.P99VsFull)
-	}
-	return w.Flush()
-}
-
-func runIngest(full bool) error {
-	fmt.Println("Ingest scaling: parallel AddRef throughput by write-shard count (not a paper figure)")
-	cfg := experiments.DefaultIngestConfig()
-	if full {
-		cfg.Ops = 4_000_000
-	}
-	pts, err := experiments.RunIngest(cfg)
-	if err != nil {
-		return err
-	}
-	w := tw()
-	fmt.Fprintln(w, "shards\tops\tops/sec\tspeedup vs 1 shard")
-	for _, p := range pts {
-		fmt.Fprintf(w, "%d\t%d\t%.0f\t%.2fx\n", p.Shards, p.Ops, p.OpsPerSec, p.Speedup)
 	}
 	return w.Flush()
 }

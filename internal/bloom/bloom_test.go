@@ -200,15 +200,3 @@ func BenchmarkAdd(b *testing.B) {
 		f.Add(uint64(i))
 	}
 }
-
-func BenchmarkMayContain(b *testing.B) {
-	f := New(DefaultFilterBytes, DefaultHashes)
-	for i := uint64(0); i < 32000; i++ {
-		f.Add(i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.MayContain(uint64(i))
-	}
-}

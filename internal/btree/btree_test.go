@@ -510,48 +510,3 @@ func TestRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func BenchmarkRunBuild32k(b *testing.B) {
-	// Cost of materializing one Level-0 run of a full CP (32,000 ops).
-	recs := sortedRecords(32000, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		fs := storage.NewMemFS()
-		f, _ := fs.Create("run")
-		w, _ := NewWriter(f, 8)
-		for _, r := range recs {
-			if err := w.Append(r); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := w.Finish(nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSeekGE(b *testing.B) {
-	fs := storage.NewMemFS()
-	f, _ := fs.Create("run")
-	w, _ := NewWriter(f, 8)
-	for i := 0; i < 1_000_000; i++ {
-		if err := w.Append(rec8(uint64(i))); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := w.Finish(nil); err != nil {
-		b.Fatal(err)
-	}
-	r, err := Open(f, NewCacheBytes(128<<20))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.SeekGE(rec8(uint64(rng.Intn(1_000_000)))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -33,25 +33,20 @@ const compactRetries = 4
 // runs after checkpoints, so it sees the persisted state naturally).
 //
 // Under Options.Retention == RetainLive, Compact runs in tiered mode
-// (CompactTiered): merging a sealed run across the reclaim horizon would
+// (compactAll): merging a sealed run across the reclaim horizon would
 // destroy the disjoint CP windows that let Expire reclaim it for free.
 func (e *Engine) Compact() error {
 	return e.compactAll(e.expiryEnabled())
 }
 
-// CompactTiered is Compact in CP-tiered mode: sealed Combined runs (see
-// lsm.Run.Sealed) are left untouched instead of being re-merged, so their
-// windows stay disjoint and a later Expire can drop them whole once the
-// reclaim horizon passes their MaxCP. Everything else (From, To, unsealed
-// Combined runs, the override run) merges exactly as in Compact; the
-// merged Combined output is split so override records land in their own
-// run, keeping the regular output sealed. Maintenance uses this mode
-// whenever Options.Retention is RetainLive; the entry point exists for
-// callers that want tiered merges on a RetainAll engine.
-func (e *Engine) CompactTiered() error {
-	return e.compactAll(true)
-}
-
+// compactAll compacts every partition. In CP-tiered mode sealed Combined
+// runs (see lsm.Run.Sealed) are left untouched instead of being re-merged,
+// so their windows stay disjoint and a later Expire can drop them whole
+// once the reclaim horizon passes their MaxCP. Everything else (From, To,
+// unsealed Combined runs, the override run) merges exactly as untiered;
+// the merged Combined output is split so override records land in their
+// own run, keeping the regular output sealed. Maintenance uses this mode
+// whenever Options.Retention is RetainLive.
 func (e *Engine) compactAll(tiered bool) error {
 	var errs []error
 	for p := 0; p < e.db.Partitions(); p++ {
@@ -144,7 +139,7 @@ func viewHasRuns(v *lsm.View, table string, p int, inputs []*lsm.Run) bool {
 // input already consumed — or deferred by a dirty deletion vector), while
 // a whole-partition job, whose inputs each attempt re-derives, retries
 // here and after compactRetries conflicts runs entirely under the
-// exclusive lock. tiered selects CP-tiered output (see CompactTiered).
+// exclusive lock. tiered selects CP-tiered output (see compactAll).
 func (e *Engine) compactJob(job CompactionJob, tiered bool) (compacted bool, err error) {
 	if o := e.obs; o != nil {
 		// Trace events reuse the Shard field for the partition — the

@@ -52,11 +52,10 @@ type Options struct {
 	// operations carries the paper's 32 KB filter and a compacted run a
 	// larger one.
 	BloomMaxBytes int
-	// DisablePruning turns off same-CP proactive pruning (ablation).
+	// DisablePruning turns off same-CP proactive pruning. Nothing outside
+	// the tests sets it: two oracle tests use it to reach the from == to
+	// join path that pruning otherwise keeps out of the read store.
 	DisablePruning bool
-	// DisableBloom makes queries consult every run regardless of its
-	// Bloom filter (ablation).
-	DisableBloom bool
 	// Compression selects the on-disk run format. The default,
 	// CompressionDelta, writes format-v2 runs whose leaf pages are
 	// per-column delta + zigzag + varint encoded (the paper's Section 8
@@ -127,15 +126,6 @@ type Options struct {
 	// real durations. Counters and background-op histograms are always
 	// exact.
 	MetricsSampleEvery int
-	// DisableIOAttribution turns off purpose-tagged I/O accounting. By
-	// default every VFS operation is attributed to the subsystem that
-	// issued it (wal, checkpoint, compaction, query, expiry, recovery,
-	// manifest) at the cost of a few atomic adds per I/O; see
-	// Engine.IOReport and the backlog_io_* metric families. Disabling it
-	// also zeroes per-run heat tracking and the write-amplification
-	// monitor's device-byte feed.
-	DisableIOAttribution bool
-
 	// Retention selects the snapshot-retention policy. RetainAll (the
 	// default) changes nothing: records referring only to deleted
 	// snapshots are reclaimed by compaction alone. RetainLive enables
@@ -319,8 +309,10 @@ type Engine struct {
 	stats counters
 
 	// ios is the purpose-tagged I/O accountant every VFS operation reports
-	// to (nil when Options.DisableIOAttribution); wamp is the rolling
-	// write-amplification monitor fed from it at IOReport/scrape time.
+	// to (wal, checkpoint, compaction, query, expiry, recovery, manifest —
+	// a few atomic adds per I/O; see IOReport and the backlog_io_* metric
+	// families); wamp is the rolling write-amplification monitor fed from
+	// it at IOReport/scrape time.
 	ios  *obs.IOStats
 	wamp *obs.WriteAmp
 
@@ -357,13 +349,9 @@ func Open(opts Options) (*Engine, error) {
 	// I/O attribution wraps the VFS before anything opens a file, so even
 	// recovery I/O is accounted. Register must precede Attributed: the
 	// wrapper snapshots WantsLatency (set by Register) at wrap time.
-	vfs := opts.VFS
-	var ios *obs.IOStats
-	if !opts.DisableIOAttribution {
-		ios = obs.NewIOStats()
-		ios.Register(opts.Metrics)
-		vfs = storage.Attributed(opts.VFS, ios).Tagged(storage.SrcUnknown)
-	}
+	ios := obs.NewIOStats()
+	ios.Register(opts.Metrics)
+	vfs := storage.Attributed(opts.VFS, ios).Tagged(storage.SrcUnknown)
 	if eobs != nil {
 		eobs.ios = ios
 	}
@@ -377,7 +365,6 @@ func Open(opts Options) (*Engine, error) {
 		PartitionSpan:    opts.PartitionSpan,
 		HashPartitioning: opts.HashPartitioning,
 		Cache:            cache,
-		DisableBloom:     opts.DisableBloom,
 		RunFormat:        opts.Compression.runFormat(),
 	}
 	if eobs != nil {
@@ -1361,7 +1348,7 @@ func (e *Engine) Catalog() Catalog { return e.catalog }
 // DB exposes the underlying LSM store for tests and tooling.
 func (e *Engine) DB() *lsm.DB { return e.db }
 
-// VFS returns the engine's filesystem — the attributed wrapper when I/O
-// attribution is on — so callers layering their own persistence next to
-// the engine (the catalog) can tag their I/O into the same accounting.
+// VFS returns the engine's filesystem — the attributed wrapper — so
+// callers layering their own persistence next to the engine (the catalog)
+// can tag their I/O into the same accounting.
 func (e *Engine) VFS() storage.VFS { return e.vfs }

@@ -10,9 +10,6 @@ import (
 // accounting: per-source device bytes/ops, cumulative totals, and the
 // online write-amplification monitor's cumulative and windowed readings.
 type IOReport struct {
-	// Attribution reports whether I/O attribution is enabled; when false
-	// every other field is zero.
-	Attribution bool `json:"attribution"`
 	// Sources lists every source's counters (storage.Source order:
 	// unknown, wal, checkpoint, compaction, query, expiry, recovery,
 	// manifest). Per-source bytes sum to the totals below exactly — the
@@ -55,16 +52,11 @@ func (e *Engine) userBytes() uint64 {
 
 // IOReport samples the I/O accountant and the write-amplification
 // monitor. It takes no locks (atomic counter reads only) and is safe to
-// call concurrently with all engine operations. With attribution disabled
-// it returns a zero report with Attribution=false.
+// call concurrently with all engine operations.
 func (e *Engine) IOReport() IOReport {
-	if e.ios == nil {
-		return IOReport{}
-	}
 	rep := IOReport{
-		Attribution: true,
-		Sources:     e.ios.Snapshot(),
-		UserBytes:   e.userBytes(),
+		Sources:   e.ios.Snapshot(),
+		UserBytes: e.userBytes(),
 	}
 	rep.TotalReadBytes, rep.TotalWriteBytes = e.ios.Totals()
 	if rep.UserBytes > 0 {
@@ -79,6 +71,6 @@ func (e *Engine) IOReport() IOReport {
 	return rep
 }
 
-// IOStats returns the engine's I/O accountant (nil when attribution is
-// disabled); test helpers and the debug endpoint read it directly.
+// IOStats returns the engine's I/O accountant; test helpers and the debug
+// endpoint read it directly.
 func (e *Engine) IOStats() *obs.IOStats { return e.ios }

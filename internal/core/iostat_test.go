@@ -153,9 +153,6 @@ func TestIOAttributionRaceExactSums(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := eng.IOReport()
-	if !rep.Attribution {
-		t.Fatal("attribution disabled on a default-configured engine")
-	}
 	st := fs.Stats()
 	reads, writes, syncs, creates, removes, unknown := sumSourceIO(rep)
 	if reads != uint64(st.BytesRead) || writes != uint64(st.BytesWritten) {
@@ -267,8 +264,8 @@ func TestRunHeatTracking(t *testing.T) {
 }
 
 // TestIOReportWriteAmp checks the report's derived figures: UserBytes is
-// the record-encoded ingest volume, cumulative WriteAmp is device-out over
-// user-in, and the disabled configuration reports a zero struct.
+// the record-encoded ingest volume and cumulative WriteAmp is device-out
+// over user-in.
 func TestIOReportWriteAmp(t *testing.T) {
 	env := newTestEnv(t, Options{WriteShards: 1})
 	const adds, removes = 300, 50
@@ -294,22 +291,6 @@ func TestIOReportWriteAmp(t *testing.T) {
 	}
 	if rep.WriteAmp <= 0 {
 		t.Errorf("WriteAmp = %v, expected > 0", rep.WriteAmp)
-	}
-
-	disabled := storage.NewMemFS()
-	deng, err := Open(Options{
-		VFS: disabled, Catalog: NewMemCatalog(), WriteShards: 1,
-		DisableIOAttribution: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer deng.Close()
-	if rep := deng.IOReport(); rep.Attribution || rep.TotalWriteBytes != 0 || len(rep.Sources) != 0 {
-		t.Errorf("disabled engine returned a non-zero report: %+v", rep)
-	}
-	if deng.IOStats() != nil {
-		t.Error("disabled engine still carries an accountant")
 	}
 }
 

@@ -22,10 +22,9 @@ type engineObs struct {
 	tracer obs.Tracer
 	slow   *obs.SlowLog
 
-	// ios, when attribution is on, lets traced ops carry per-source I/O
-	// byte deltas (OpEvent.ReadBytes/WriteBytes): opStart snapshots the
-	// op's source counters and opEnd subtracts. Nil with attribution
-	// disabled — ops then report zero bytes.
+	// ios lets traced ops carry per-source I/O byte deltas
+	// (OpEvent.ReadBytes/WriteBytes): opStart snapshots the op's source
+	// counters and opEnd subtracts.
 	ios *obs.IOStats
 
 	// sampleMask gates the hot-op latency timestamps (AddRef, RemoveRef,
@@ -204,9 +203,7 @@ func opSource(kind obs.OpKind) storage.Source {
 // surface wants it.
 func (o *engineObs) opStart(kind obs.OpKind, shard int, block, cp uint64) opToken {
 	tok := opToken{start: time.Now()}
-	if o.ios != nil {
-		tok.ioR, tok.ioW = o.ios.SourceBytes(opSource(kind))
-	}
+	tok.ioR, tok.ioW = o.ios.SourceBytes(opSource(kind))
 	if o.tracer != nil {
 		o.tracer.OpStart(obs.OpEvent{Kind: kind, Shard: shard, Block: block, CP: cp, Start: tok.start})
 	}
@@ -223,10 +220,8 @@ func (o *engineObs) opEnd(kind obs.OpKind, shard int, block, cp uint64, tok opTo
 	h.ObserveDuration(d)
 	if o.tracer != nil {
 		ev := obs.OpEvent{Kind: kind, Shard: shard, Block: block, CP: cp, Start: tok.start, Dur: d, Err: err}
-		if o.ios != nil {
-			r, w := o.ios.SourceBytes(opSource(kind))
-			ev.ReadBytes, ev.WriteBytes = r-tok.ioR, w-tok.ioW
-		}
+		r, w := o.ios.SourceBytes(opSource(kind))
+		ev.ReadBytes, ev.WriteBytes = r-tok.ioR, w-tok.ioW
 		o.tracer.OpEnd(ev)
 	}
 }
@@ -353,8 +348,7 @@ func (e *Engine) registerMetrics(r *obs.Registry) {
 			})
 	}
 	// Per-table run heat: device bytes read on behalf of queries from the
-	// table's live runs, summed at scrape time. Zero when I/O attribution
-	// is disabled.
+	// table's live runs, summed at scrape time.
 	for _, table := range []string{TableFrom, TableTo, TableCombined} {
 		table := table
 		r.GaugeFunc(tableGaugeName("backlog_run_heat_bytes", table),
@@ -371,17 +365,15 @@ func (e *Engine) registerMetrics(r *obs.Registry) {
 				return float64(n)
 			})
 	}
-	if e.ios != nil {
-		// The write-amplification gauges sample the monitor at scrape time
-		// (IOReport shares the same monitor), so their window resolution is
-		// the scrape interval.
-		r.GaugeFunc("backlog_write_amp",
-			"Rolling write amplification: device bytes written / user bytes in, over the monitor window",
-			func() float64 { return e.IOReport().WindowWriteAmp })
-		r.GaugeFunc("backlog_write_amp_cumulative",
-			"Cumulative write amplification since Open",
-			func() float64 { return e.IOReport().WriteAmp })
-	}
+	// The write-amplification gauges sample the monitor at scrape time
+	// (IOReport shares the same monitor), so their window resolution is
+	// the scrape interval.
+	r.GaugeFunc("backlog_write_amp",
+		"Rolling write amplification: device bytes written / user bytes in, over the monitor window",
+		func() float64 { return e.IOReport().WindowWriteAmp })
+	r.GaugeFunc("backlog_write_amp_cumulative",
+		"Cumulative write amplification since Open",
+		func() float64 { return e.IOReport().WriteAmp })
 	if e.cache != nil {
 		// The shared cache holds verified on-disk payloads (v2 leaves stay
 		// encoded, each with its restart table); a hit means a query

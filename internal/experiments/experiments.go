@@ -36,9 +36,6 @@ type EnvConfig struct {
 	Partitions int
 	Span       uint64
 	CacheBytes int64
-	// DisableBloom / DisablePruning feed the ablation benchmarks.
-	DisableBloom   bool
-	DisablePruning bool
 }
 
 // NewEnv builds the standard experimental environment: MemFS with the
@@ -48,22 +45,19 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 	vfs := storage.NewMemFS()
 	cat := core.NewMemCatalog()
 	eng, err := core.Open(core.Options{
-		VFS:            vfs,
-		Catalog:        cat,
-		Partitions:     cfg.Partitions,
-		PartitionSpan:  cfg.Span,
-		CacheBytes:     cfg.CacheBytes,
-		DisableBloom:   cfg.DisableBloom,
-		DisablePruning: cfg.DisablePruning,
+		VFS:           vfs,
+		Catalog:       cat,
+		Partitions:    cfg.Partitions,
+		PartitionSpan: cfg.Span,
+		CacheBytes:    cfg.CacheBytes,
 		// The paper's figures assume one run per table per consistency
 		// point; a GOMAXPROCS-dependent shard count would change run
 		// counts (and thus the space and query series) with the machine.
-		// RunIngest is the experiment that exercises sharding.
 		WriteShards: 1,
 		// Pinned off for the same reason WriteShards is pinned to 1: the
 		// figures' space and I/O series assume the paper's raw v1 run
 		// layout, and must stay byte-identical as the delta default
-		// evolves. RunCompress is the experiment that measures compression.
+		// evolves.
 		Compression: core.CompressionNone,
 		// And the paper's fixed 32 KB From/To filter: by default a filter
 		// grows with its run's keys up to the Combined table's 1 MB.

@@ -132,7 +132,7 @@ func runLevelsPoint(cfg LevelsConfig, pol core.CompactionPolicy, fanout int) (Le
 		// Pin the raw v1 run format so write bytes measure records merged,
 		// not compressibility — the delta format rewards full's large
 		// sorted outputs more than leveled's small ones, which would
-		// conflate two separate trade-offs. RunCompress measures formats.
+		// conflate two separate trade-offs.
 		Compression: core.CompressionNone,
 	})
 	if err != nil {

@@ -172,20 +172,13 @@ func RunObs(cfg ObsConfig) ([]ObsPoint, error) {
 
 // obsOnce drives one configuration: cfg.Goroutines workers issuing
 // AddRef with a Query every cfg.QueryEvery updates and periodic
-// checkpoints, mirroring the ingest experiment's structure.
+// checkpoints.
 func obsOnce(opts core.Options, cfg ObsConfig) (int, int64, error) {
 	eng, err := core.Open(opts)
 	if err != nil {
 		return 0, 0, err
 	}
 	defer eng.Close()
-	return obsDrive(eng, cfg)
-}
-
-// obsDrive runs the mixed workload against an already-open engine (shared
-// with the iostat experiment, which needs the engine afterwards for its
-// attribution report).
-func obsDrive(eng *core.Engine, cfg ObsConfig) (int, int64, error) {
 	var (
 		wg       sync.WaitGroup
 		counter  atomic.Uint64

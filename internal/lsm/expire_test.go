@@ -1,9 +1,12 @@
 package lsm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"io"
+	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/backlogfs/backlog/internal/btree"
@@ -99,20 +102,46 @@ func TestOverridesPoisonDroppability(t *testing.T) {
 	}
 }
 
-// TestManifestV1Compat rewrites the manifest to version 1 (stripping the
-// window fields) and reopens: legacy runs must load with the safe [0, CP]
-// bound, report their window unknown, and never be droppable — their
-// override count is unknowable.
-func TestManifestV1Compat(t *testing.T) {
-	fs := storage.NewMemFS()
-	db := openSpannedDB(t, fs)
-	flushRecords(t, db, "combined", 5, [][]byte{rec16(1, 2), rec16(2, 3)})
-
-	// Downgrade the manifest on disk to version 1.
-	f, err := fs.Open(manifestName)
+// setManifestVersion rewrites the manifest on disk with its version field
+// set to v, or removed when v < 0, the way a commit installs one (write a
+// temporary file, rename).
+func setManifestVersion(t *testing.T, fs *storage.MemFS, v int) {
+	t.Helper()
+	var m map[string]any
+	if err := json.Unmarshal(readFile(t, fs, manifestName), &m); err != nil {
+		t.Fatal(err)
+	}
+	m["version"] = v
+	if v < 0 {
+		delete(m, "version")
+	}
+	buf, err := json.Marshal(m)
 	if err != nil {
 		t.Fatal(err)
 	}
+	nf, err := fs.Create(manifestName + ".new")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nf.WriteAt(buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := nf.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	nf.Close()
+	if err := fs.Rename(manifestName+".new", manifestName); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func readFile(t *testing.T, fs *storage.MemFS, name string) []byte {
+	t.Helper()
+	f, err := fs.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
 	size, err := f.Size()
 	if err != nil {
 		t.Fatal(err)
@@ -121,76 +150,73 @@ func TestManifestV1Compat(t *testing.T) {
 	if _, err := f.ReadAt(buf, 0); err != nil && err != io.EOF {
 		t.Fatal(err)
 	}
-	f.Close()
-	var m map[string]any
-	if err := json.Unmarshal(buf, &m); err != nil {
-		t.Fatal(err)
-	}
-	m["version"] = 1
-	for _, tv := range m["tables"].(map[string]any) {
-		for _, part := range tv.(map[string]any)["partitions"].([]any) {
-			for _, rv := range part.([]any) {
-				rm := rv.(map[string]any)
-				delete(rm, "min_cp")
-				delete(rm, "max_cp")
-				delete(rm, "overrides")
-				delete(rm, "cp_unknown")
+	return buf
+}
+
+// TestManifestV1Compat pins the manifest's compatibility contract: this
+// binary reads the version it writes and refuses every other one by name —
+// version 1 (which an earlier binary loaded with guessed windows), a
+// missing or zero version field, and a future version — and a refused Open
+// rewrites nothing on disk.
+func TestManifestV1Compat(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		version int
+		want    string
+	}{
+		{"v1", 1, "manifest version 1 "},
+		{"v0", 0, "manifest version 0 "},
+		{"missing", -1, "manifest version 0 "},
+		{"v3", manifestVersion + 1, "manifest version 3 "},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := storage.NewMemFS()
+			db := openSpannedDB(t, fs)
+			flushRecords(t, db, "combined", 5, [][]byte{rec16(1, 2), rec16(2, 3)})
+			db.Close()
+			setManifestVersion(t, fs, tc.version)
+
+			names, err := fs.List()
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	down, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nf, err := fs.Create(manifestName + ".down")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nf.WriteAt(down, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := nf.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	nf.Close()
-	if err := fs.Rename(manifestName+".down", manifestName); err != nil {
-		t.Fatal(err)
-	}
+			before := map[string][]byte{}
+			for _, n := range names {
+				before[n] = readFile(t, fs, n)
+			}
+			_, err = Open(fs, Options{
+				Tables:     []TableSpec{spannedSpec("combined")},
+				Partitions: 1,
+			})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Open = %v, want an error naming %q", err, tc.want)
+			}
+			after, err := fs.List()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(after, names) {
+				t.Fatalf("refused Open changed the directory: %v -> %v", names, after)
+			}
+			for _, n := range names {
+				if !bytes.Equal(readFile(t, fs, n), before[n]) {
+					t.Fatalf("refused Open rewrote %s", n)
+				}
+			}
 
-	db2, err := Open(fs, Options{
-		Tables:     []TableSpec{spannedSpec("combined")},
-		Partitions: 1,
-	})
-	if err != nil {
-		t.Fatalf("reopening v1 manifest: %v", err)
-	}
-	r := onlyRun(t, db2, "combined")
-	if r.CPWindowKnown() {
-		t.Fatal("legacy run claims a known CP window")
-	}
-	if r.MinCP() != 0 || r.MaxCP() != 5 {
-		t.Fatalf("legacy window [%d, %d], want safe bound [0, 5]", r.MinCP(), r.MaxCP())
-	}
-	if r.DroppableBelow(^uint64(0)) {
-		t.Fatal("legacy run reports droppable; its override count is unknowable")
-	}
-	// Records are still readable.
-	if got := collect(t, db2.Table("combined"), 1); len(got) != 1 {
-		t.Fatalf("block 1: %d records after v1 reopen, want 1", len(got))
-	}
-
-	// A fresh commit rewrites the manifest at the current version, so the
-	// upgrade is one-way and idempotent.
-	flushRecords(t, db2, "combined", 6, [][]byte{rec16(3, 6)})
-	db3, err := Open(fs, Options{
-		Tables:     []TableSpec{spannedSpec("combined")},
-		Partitions: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(db3.Table("combined").runs[0]); got != 2 {
-		t.Fatalf("%d runs after upgrade round trip, want 2", got)
+			// The same store at the version this binary writes still opens.
+			setManifestVersion(t, fs, manifestVersion)
+			db2, err := Open(fs, Options{
+				Tables:     []TableSpec{spannedSpec("combined")},
+				Partitions: 1,
+			})
+			if err != nil {
+				t.Fatalf("reopening at version %d: %v", manifestVersion, err)
+			}
+			if got := collect(t, db2.Table("combined"), 1); len(got) != 1 {
+				t.Fatalf("block 1: %d records, want 1", len(got))
+			}
+		})
 	}
 }
 
@@ -200,29 +226,7 @@ func TestManifestFutureVersionRejected(t *testing.T) {
 	fs := storage.NewMemFS()
 	db := openSpannedDB(t, fs)
 	flushRecords(t, db, "combined", 5, [][]byte{rec16(1, 2)})
-	f, err := fs.Open(manifestName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	size, _ := f.Size()
-	buf := make([]byte, size)
-	if _, err := f.ReadAt(buf, 0); err != nil && err != io.EOF {
-		t.Fatal(err)
-	}
-	f.Close()
-	var m map[string]any
-	if err := json.Unmarshal(buf, &m); err != nil {
-		t.Fatal(err)
-	}
-	m["version"] = manifestVersion + 1
-	up, _ := json.Marshal(m)
-	nf, _ := fs.Create(manifestName + ".up")
-	nf.WriteAt(up, 0)
-	nf.Sync()
-	nf.Close()
-	if err := fs.Rename(manifestName+".up", manifestName); err != nil {
-		t.Fatal(err)
-	}
+	setManifestVersion(t, fs, manifestVersion+1)
 	if _, err := Open(fs, Options{
 		Tables:     []TableSpec{spannedSpec("combined")},
 		Partitions: 1,

@@ -42,10 +42,9 @@ const (
 	manifestName    = "MANIFEST"
 	manifestTmpName = "MANIFEST.tmp"
 
-	// manifestVersion is the current on-disk manifest format. Version 2
-	// added per-run consistency-point windows ([min_cp, max_cp]) and
-	// override-record counts; version-1 manifests load with conservative
-	// windows (see loadManifest).
+	// manifestVersion is the on-disk manifest format: per-run
+	// consistency-point windows ([min_cp, max_cp]) and override-record
+	// counts. It is the only version loadManifest accepts.
 	manifestVersion = 2
 )
 
@@ -90,9 +89,6 @@ type Options struct {
 	HashPartitioning bool
 	// Cache is the shared page cache used by run readers (may be nil).
 	Cache *btree.Cache
-	// DisableBloom makes MayContainBlock ignore Bloom filters and rely on
-	// key ranges only (used by the ablation benchmarks).
-	DisableBloom bool
 	// RunFormat selects the leaf encoding for newly built runs
 	// (btree.FormatRaw if zero). Existing runs of either format open
 	// transparently regardless of this setting, and every builder — the
@@ -274,9 +270,9 @@ type runManifest struct {
 	// Overrides counts inheritance-override records in the run; runs with
 	// Overrides > 0 are never dropped by DropRunsBelow.
 	Overrides uint64
-	// CPUnknown marks runs without trustworthy window metadata: runs
-	// loaded from a version-1 manifest and runs of tables without a Span
-	// callback. Such runs are never dropped or pruned by CP.
+	// CPUnknown marks runs without trustworthy window metadata: runs of
+	// tables without a Span callback. Such runs are never dropped or pruned
+	// by CP.
 	CPUnknown bool
 }
 
@@ -521,8 +517,9 @@ type RunInfo struct {
 	// HeatBytes is the cumulative bytes read from the run's file on behalf
 	// of queries (cache misses only — page-cache hits cost no device I/O),
 	// and LastAccessCP the committed CP current at the run's most recent
-	// query seek. Both are zero when I/O attribution is disabled; size-aware
-	// leveling and cold-run placement read them to rank runs by heat.
+	// query seek. Both are zero over a VFS that is not storage.Attributed
+	// (the engine's always is); size-aware leveling and cold-run placement
+	// read them to rank runs by heat.
 	HeatBytes    int64
 	LastAccessCP uint64
 }
@@ -579,24 +576,10 @@ func (db *DB) loadManifest() error {
 	if err := json.Unmarshal(buf, &m); err != nil {
 		return fmt.Errorf("lsm: decoding manifest: %w", err)
 	}
-	if m.Version > manifestVersion {
-		return fmt.Errorf("lsm: manifest version %d newer than supported %d", m.Version, manifestVersion)
-	}
-	if m.Version < 2 {
-		// Version 1 recorded no CP windows. [0, CP] is a safe bound (every
-		// record was written at or before the run's creation CP), but the
-		// override count is unknowable without reading the data, so legacy
-		// runs stay marked CPUnknown and are never dropped or pruned by CP
-		// until a compaction rewrites them with full metadata.
-		for name, tm := range m.Tables {
-			for p, runs := range tm.Partitions {
-				for i, rm := range runs {
-					rm.MinCP, rm.MaxCP, rm.Overrides, rm.CPUnknown = 0, rm.CP, 0, true
-					m.Tables[name].Partitions[p][i] = rm
-				}
-			}
-		}
-		m.Version = manifestVersion
+	// A missing version field decodes as 0 and is refused like any other:
+	// no binary in this tree writes anything but manifestVersion.
+	if m.Version != manifestVersion {
+		return fmt.Errorf("lsm: manifest version %d not supported (this binary reads and writes version %d)", m.Version, manifestVersion)
 	}
 	db.m = m
 	for name, tm := range m.Tables {

@@ -672,77 +672,4 @@ func TestMergeScanDoesNotFillCache(t *testing.T) {
 	}
 }
 
-func BenchmarkFlush32kRecords(b *testing.B) {
-	recs := make([][]byte, 32000)
-	for i := range recs {
-		recs[i] = rec16(uint64(i), uint64(i))
-	}
-	b.ReportAllocs()
-	for n := 0; n < b.N; n++ {
-		fs := storage.NewMemFS()
-		db, err := Open(fs, Options{
-			Tables: []TableSpec{{Name: "from", RecordSize: testRecSize}},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rb, err := db.NewRunBuilder("from", 0, 0, 1, storage.SrcCheckpoint, 1<<15)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range recs {
-			if err := rb.Add(r); err != nil {
-				b.Fatal(err)
-			}
-		}
-		ref, _, err := rb.Finish()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := db.NewEdit().SetCP(1).AddRun(ref).Commit(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCollectBlockAcrossRuns(b *testing.B) {
-	fs := storage.NewMemFS()
-	db, err := Open(fs, Options{
-		Tables: []TableSpec{{Name: "from", RecordSize: testRecSize}},
-		Cache:  btree.NewCacheBytes(32 << 20),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	// 20 runs of 1000 records each.
-	for cp := uint64(1); cp <= 20; cp++ {
-		rb, err := db.NewRunBuilder("from", 0, 0, cp, storage.SrcCheckpoint, 1<<15)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < 1000; i++ {
-			if err := rb.Add(rec16(uint64(i)*20+cp, cp)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		ref, _, err := rb.Finish()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := db.NewEdit().SetCP(cp).AddRun(ref).Commit(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	tbl := db.Table("from")
-	rng := rand.New(rand.NewSource(5))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		blk := uint64(rng.Intn(20000))
-		if err := tbl.CollectBlock(blk, func([]byte) bool { return true }); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 var _ = fmt.Sprintf // keep fmt for debugging helpers

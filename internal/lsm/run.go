@@ -23,8 +23,8 @@ type Run struct {
 
 	// minCP and maxCP bound the consistency-point window covered by the
 	// run's records; overrides counts inheritance-override records.
-	// cpUnknown marks legacy runs (version-1 manifests, tables without a
-	// Span callback) whose window metadata cannot be trusted.
+	// cpUnknown marks runs of tables without a Span callback, whose window
+	// metadata cannot be trusted.
 	minCP     uint64
 	maxCP     uint64
 	overrides uint64
@@ -47,8 +47,8 @@ type Run struct {
 	// attributed to the subsystem that caused it. They share one cache
 	// identity, and only qreader fills it: a merge scan is served resident
 	// pages but inserts none (see btree.Reader.NoFill), so it cannot evict
-	// the query working set in favour of runs it is about to delete. With
-	// attribution disabled both wrap the same untagged file.
+	// the query working set in favour of runs it is about to delete. Over
+	// a VFS that is not storage.Attributed both wrap the same untagged file.
 	file    storage.File
 	qreader *btree.Reader
 	creader *btree.Reader
@@ -128,7 +128,7 @@ func (r *Run) Sealed() bool {
 }
 
 // HeatBytes returns the cumulative device bytes read from the run on
-// behalf of queries (zero when I/O attribution is disabled).
+// behalf of queries (zero over a VFS that is not storage.Attributed).
 func (r *Run) HeatBytes() int64 { return r.heatBytes.Load() }
 
 // LastAccessCP returns the committed consistency point current at the
@@ -186,9 +186,6 @@ func (db *DB) openRun(t *Table, rm runManifest, src storage.Source) (*Run, error
 func (r *Run) MayContainBlock(block uint64) bool {
 	if block < r.minBlock || block > r.maxBlock {
 		return false
-	}
-	if r.table.db.opts.DisableBloom {
-		return true
 	}
 	f, err := r.bloomFilter()
 	if err != nil || f == nil {

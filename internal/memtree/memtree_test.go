@@ -259,14 +259,6 @@ func TestDeleteAllProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkInsert(b *testing.B) {
-	tr := intTree()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr.Insert(i)
-	}
-}
-
 func BenchmarkInsertDeleteChurn(b *testing.B) {
 	tr := intTree()
 	for i := 0; i < 32000; i++ {

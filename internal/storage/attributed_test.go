@@ -265,8 +265,8 @@ func TestAttributedLatencyGate(t *testing.T) {
 }
 
 // BenchmarkIOAttribution measures the attribution wrapper's per-I/O cost
-// over the raw metered MemFS — the storage-level bound on the engine
-// overhead budget (the iostat experiment measures the end-to-end figure).
+// over the raw metered MemFS — the storage-level bound on what the
+// engine's always-on attribution costs.
 func BenchmarkIOAttribution(b *testing.B) {
 	for _, attributed := range []bool{false, true} {
 		name := "raw"

@@ -9,8 +9,8 @@ import (
 )
 
 // TestIOReportPublicSurface checks the attribution surface end to end at
-// the public API: DB.IOReport carries attributed per-source traffic (on
-// by default), the labeled backlog_io_* families and write-amplification
+// the public API: DB.IOReport carries attributed per-source traffic, the
+// labeled backlog_io_* families and write-amplification
 // gauges render in /metrics, and /debug/io serves the same report as
 // JSON.
 func TestIOReportPublicSurface(t *testing.T) {
@@ -22,9 +22,6 @@ func TestIOReportPublicSurface(t *testing.T) {
 	ingest(t, db)
 
 	rep := db.IOReport()
-	if !rep.Attribution {
-		t.Fatal("attribution disabled by default")
-	}
 	if rep.TotalWriteBytes == 0 || rep.UserBytes == 0 || rep.WriteAmp == 0 {
 		t.Errorf("empty report after ingest: %+v", rep)
 	}
@@ -69,22 +66,7 @@ func TestIOReportPublicSurface(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&served); err != nil {
 		t.Fatal(err)
 	}
-	if !served.Attribution || served.TotalWriteBytes < rep.TotalWriteBytes {
+	if served.TotalWriteBytes < rep.TotalWriteBytes {
 		t.Errorf("/debug/io report regressed the in-process one: %+v vs %+v", served, rep)
-	}
-}
-
-// TestDisableIOAttribution checks the escape hatch: no accounting, a zero
-// report, and a DB that otherwise works.
-func TestDisableIOAttribution(t *testing.T) {
-	db, err := Open(Config{InMemory: true, DisableIOAttribution: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	ingest(t, db)
-	rep := db.IOReport()
-	if rep.Attribution || rep.TotalWriteBytes != 0 || len(rep.Sources) != 0 {
-		t.Errorf("disabled attribution still reported: %+v", rep)
 	}
 }
