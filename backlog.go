@@ -210,28 +210,33 @@
 // The paper observes (Section 8) that back-reference tables are "highly
 // compressible, especially if we compress them by columns". Runs are
 // stored column-compressed by default: each leaf page of a run's B-tree
-// encodes its records per column as delta + zigzag + LEB128 varints
-// (format v2), restarting at every 4 KB page boundary so pages stay
-// independently seekable and checksummed. Sorted back-reference records
-// differ from their neighbors by tiny per-column deltas, so combined
-// tables typically shrink 3-8x, checkpoints write proportionally fewer
-// bytes. The shared page cache keeps compressed pages encoded, so its
+// encodes a record as a presence bitmap — which columns differ from the
+// previous record — followed by the delta + zigzag + LEB128 varints of
+// those columns only (format v3), restarting at every 4 KB page boundary
+// so pages stay independently seekable and checksummed. Sorted
+// back-reference records differ from their neighbors in two or three
+// columns by tiny deltas, so a 48- or 56-byte record costs about 5.7
+// bytes of leaf space (7.4 bytes of run file, index pages and Bloom
+// filter included, on bash bench/run.sh's ingest workload) and
+// checkpoints and merges write proportionally fewer bytes. The shared page cache keeps compressed pages encoded, so its
 // budget covers several times more of the store; a warm seek finds its
 // place through a small per-page restart table and decodes at most a few
 // dozen records.
 //
 // Config.Compression selects the format for newly written runs:
 //
-//   - CompressionDelta (the default) writes format-v2 column-delta runs.
+//   - CompressionDelta (the default) writes format-v3 column-delta runs.
 //   - CompressionNone writes raw fixed-stride format-v1 runs — the
 //     paper's original layout, pinned by the deterministic paper-figure
 //     experiments.
 //
-// The knob applies to new runs only; both formats are always readable,
-// an existing v1 database opens and queries under either setting with no
-// migration step, and compaction naturally rewrites old runs into the
-// configured format. DB.EstimateCompression projects the v2 size of a
-// table without rewriting it (using the same codec the writer uses), and
+// The knob applies to new runs only. Both formats, and format v2 — the
+// previous delta encoding, which spent a byte on every unchanged column
+// and is read but never written — are always readable: an existing
+// database opens and queries under either setting with no migration step,
+// and compaction naturally rewrites old runs into the configured format.
+// DB.EstimateCompression projects the v3 size of a table without
+// rewriting it (using the same codec the writer uses), and
 // "backlogctl compression" prints per-table logical versus physical
 // bytes. bash bench/run.sh measures the default format's on-disk size
 // (space_bytes_per_ref, btree.bytes_per_record), checkpoint write bytes
@@ -334,7 +339,7 @@
 //	CompactionPolicy     — PolicyFull: whole-partition worst-first merging
 //	Fanout               — 0: stepped-merge fanout 4 (PolicyLeveled only)
 //	Retention            — RetainAll: no expiry, the paper's behavior
-//	Compression          — CompressionDelta: format-v2 column-delta runs
+//	Compression          — CompressionDelta: format-v3 column-delta runs
 //	Metrics              — false: no metrics registry, no timestamps taken
 //	MetricsSampleEvery   — 0: one hot op in 32 is timed (Metrics only)
 //	Tracer               — nil: no trace events
@@ -499,10 +504,12 @@ type Config struct {
 	// of re-merging them, and queries skip runs below the reclaim horizon.
 	Retention RetentionPolicy
 	// Compression selects the on-disk format of newly written runs
-	// (default CompressionDelta, the format-v2 column-delta encoding; see
-	// the package documentation's Compression section). Applies to new
-	// runs only — both formats are always readable, and compaction
-	// rewrites old runs into the configured format.
+	// (default CompressionDelta, the format-v3 column-delta encoding: a
+	// presence bitmap and the deltas of the changed columns, about 5.7
+	// leaf bytes per back reference; see the package documentation's
+	// Compression section). Applies to new runs only — v1, v2 and v3 runs
+	// are always readable, and compaction rewrites old runs into the
+	// configured format.
 	Compression Compression
 	// Metrics enables the metrics registry: counters, gauges, and latency
 	// histograms over every engine, WAL, and maintenance path, readable
@@ -558,8 +565,9 @@ const (
 type Compression = core.Compression
 
 const (
-	// CompressionDelta (the default) writes format-v2 runs: leaf pages
-	// encoded per column as delta + zigzag + LEB128 varints.
+	// CompressionDelta (the default) writes format-v3 runs: each leaf
+	// record flags the columns that changed and carries their delta +
+	// zigzag + LEB128 varints.
 	CompressionDelta = core.CompressionDelta
 	// CompressionNone writes raw fixed-stride format-v1 runs — the
 	// paper's original layout.
@@ -1004,17 +1012,17 @@ type RunInfo = lsm.RunInfo
 // subcommand prints per partition.
 func (db *DB) Runs() []RunInfo { return db.eng.RunInfos() }
 
-// CompressionEstimate reports the projected effect of the format-v2
+// CompressionEstimate reports the projected effect of the format-v3
 // column-delta encoding on one table; see EstimateCompression.
 type CompressionEstimate = core.CompressionEstimate
 
 // EstimateCompression streams all runs of the named table (TableFrom,
 // TableTo, or TableCombined) and computes the leaf-payload size its
-// records would occupy under the format-v2 column-delta encoding, using
+// records would occupy under the format-v3 column-delta encoding, using
 // the same codec the run writer uses. The structural lock is held shared
 // only long enough to pin a view; the scan itself runs lock-free, so
 // updates and checkpoints never stall behind an estimate. Useful for
-// sizing a migration of a v1 database before compacting it.
+// sizing a migration of a v1 or v2 database before compacting it.
 func (db *DB) EstimateCompression(table string) (CompressionEstimate, error) {
 	return db.eng.EstimateCompression(table)
 }

@@ -38,7 +38,8 @@ commands:
   query        print the owners of a block (or a run of blocks with -n)
   compact      run database maintenance
   compression  print per-table logical vs physical run bytes and compression
-               ratios (actual for v2 runs, projected for v1 runs)
+               ratios (actual, plus the projected v3 ratio while runs in an
+               older format — v1 raw, v2 delta — remain)
   expire       drop runs below the reclaim horizon (use -retention live)
   metrics      print metrics in Prometheus text format; -watch refreshes
                continuously; -addr scrapes a running process's debug listener
@@ -434,13 +435,13 @@ func main() {
 		type tableReport struct {
 			Table         string
 			Runs          int
-			V1Runs        int
+			OlderRuns     int // runs not in the current delta format: v1 raw, v2 delta
 			Records       uint64
 			LogicalBytes  int64
 			PhysicalBytes int64
 			// Ratio is logical/physical over the live runs (actual, run
-			// framing included); ProjectedRatio is the pure-payload v2
-			// estimate, filled when v1 runs remain.
+			// framing included); ProjectedRatio is the pure-payload v3
+			// estimate, filled when older-format runs remain.
 			Ratio          float64
 			ProjectedRatio float64 `json:",omitempty"`
 			ProjectedBytes int64   `json:",omitempty"`
@@ -454,8 +455,8 @@ func main() {
 					continue
 				}
 				rep.Runs++
-				if r.Format == btree.FormatRaw {
-					rep.V1Runs++
+				if r.Format != btree.FormatDelta {
+					rep.OlderRuns++
 				}
 				rep.Records += r.Records
 				rep.LogicalBytes += r.LogicalBytes
@@ -464,7 +465,7 @@ func main() {
 			if rep.PhysicalBytes > 0 {
 				rep.Ratio = float64(rep.LogicalBytes) / float64(rep.PhysicalBytes)
 			}
-			if rep.V1Runs > 0 {
+			if rep.OlderRuns > 0 {
 				est, err := db.EstimateCompression(table)
 				if err != nil {
 					fmt.Fprintln(os.Stderr, "backlogctl:", err)
@@ -488,9 +489,9 @@ func main() {
 		fmt.Fprintln(w, "table\truns\trecords\tlogical\tphysical\tratio\tnote")
 		for _, rep := range reports {
 			note := ""
-			if rep.V1Runs > 0 {
-				note = fmt.Sprintf("%d v1 run(s); projected v2: %.2fx (%d payload bytes) — compact to apply",
-					rep.V1Runs, rep.ProjectedRatio, rep.ProjectedBytes)
+			if rep.OlderRuns > 0 {
+				note = fmt.Sprintf("%d older-format run(s); projected v3: %.2fx (%d payload bytes) — compact to apply",
+					rep.OlderRuns, rep.ProjectedRatio, rep.ProjectedBytes)
 			}
 			fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%.2fx\t%s\n",
 				rep.Table, rep.Runs, rep.Records, rep.LogicalBytes, rep.PhysicalBytes, rep.Ratio, note)

@@ -19,12 +19,15 @@
 // The header is written last so that a torn build never yields a readable
 // but incomplete run.
 //
-// Two leaf encodings exist, identified by the header's version field (see
-// Format): v1 stores fixed-stride records verbatim; v2 stores each leaf
-// page as per-column delta + zigzag + LEB128 varints, restarting at every
-// page boundary, with the page's variable record count in the page header.
-// Readers open either format transparently; internal index pages are raw
-// in both.
+// Two leaf encodings are written, identified by the header's version field
+// (see Format): v1 stores fixed-stride records verbatim; v3 stores each
+// leaf page as a stream of records that flag, in a presence bitmap, the
+// columns that differ from the previous record and carry only those
+// columns' delta + zigzag + LEB128 varints, restarting at every page
+// boundary, with the page's variable record count in the page header. v2,
+// the previous delta encoding (a varint for every column), is read and
+// never written. Readers open all three transparently; internal index
+// pages are raw in each.
 package btree
 
 import (
@@ -33,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"github.com/backlogfs/backlog/internal/storage"
 )
@@ -49,6 +53,15 @@ const (
 	pagePayload  = storage.PageSize - pageCountLen - pageCRCLen
 
 	headerFixedLen = 72 // bytes of fixed header fields before min/max keys
+
+	// maxLevels bounds the internal levels a header may claim: a page
+	// holds at least 15 index entries, so 16 levels index more pages than
+	// a u64 counts.
+	maxLevels = 16
+
+	// writeBufPages bounds the consecutive pages a Writer collects before
+	// handing them to the file in one write (256 KiB).
+	writeBufPages = 64
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -64,6 +77,7 @@ type header struct {
 	leafStart   uint64
 	leafPages   uint64
 	levels      uint32
+	bloomCRC    uint32 // CRC-32C of the filter bytes; FormatDelta only
 	rootPage    uint64
 	bloomOff    uint64
 	bloomLen    uint64
@@ -82,6 +96,13 @@ type Writer struct {
 	leafCount int    // records in leafBuf
 	perLeaf   int    // max records per raw leaf page (unused for delta)
 	nextPage  uint64 // next page number to write (leaves start at 1)
+
+	// wbuf holds the framed pages (and, last, the filter) not yet handed
+	// to f, which belong at file offset wbufOff: pages are written in
+	// page-number order, so a run reaches the file in a few large
+	// sequential writes.
+	wbuf    []byte
+	wbufOff int64
 
 	// Delta-format state: the previous record's column values (reset to
 	// zero at each page boundary) and a scratch buffer for one encoded
@@ -110,7 +131,8 @@ func NewWriter(f storage.File, recordSize int) (*Writer, error) {
 }
 
 // NewWriterFormat returns a Writer that builds a run in the given leaf
-// format. FormatDelta requires recordSize to be a multiple of 8.
+// format, FormatRaw or FormatDelta. FormatDelta requires recordSize to be a
+// multiple of 8.
 func NewWriterFormat(f storage.File, recordSize int, format Format) (*Writer, error) {
 	if recordSize <= 0 || recordSize > MaxRecordSize {
 		return nil, fmt.Errorf("btree: invalid record size %d", recordSize)
@@ -122,6 +144,7 @@ func NewWriterFormat(f storage.File, recordSize int, format Format) (*Writer, er
 		leafBuf:  make([]byte, 0, pagePayload),
 		perLeaf:  pagePayload / recordSize,
 		nextPage: 1,
+		wbufOff:  storage.PageSize,
 	}
 	switch format {
 	case FormatRaw:
@@ -130,6 +153,8 @@ func NewWriterFormat(f storage.File, recordSize int, format Format) (*Writer, er
 			return nil, fmt.Errorf("btree: delta format needs a record size that is a multiple of 8, got %d", recordSize)
 		}
 		w.prevCols = make([]uint64, recordSize/8)
+	case formatDeltaV2:
+		return nil, fmt.Errorf("btree: run format %d is read-only", format)
 	default:
 		return nil, fmt.Errorf("btree: unknown run format %d", format)
 	}
@@ -192,10 +217,9 @@ func (w *Writer) flushLeaf() error {
 	if w.leafCount == 0 {
 		return nil
 	}
-	if err := writePage(w.f, w.nextPage, uint16(w.leafCount), w.leafBuf); err != nil {
+	if err := w.writePage(uint16(w.leafCount), w.leafBuf); err != nil {
 		return err
 	}
-	w.nextPage++
 	w.leafBuf = w.leafBuf[:0]
 	w.leafCount = 0
 	// Delta encoding restarts at every page boundary so each page decodes
@@ -252,11 +276,10 @@ func (w *Writer) Finish(bloomBytes []byte) error {
 				buf = append(buf, child[:]...)
 				n++
 				if n == perPage || i == len(entries)-1 {
-					if err := writePage(w.f, w.nextPage, uint16(n), buf); err != nil {
+					rootPage = w.nextPage
+					if err := w.writePage(uint16(n), buf); err != nil {
 						return err
 					}
-					rootPage = w.nextPage
-					w.nextPage++
 					buf = buf[:0]
 					n = 0
 				}
@@ -268,8 +291,17 @@ func (w *Writer) Finish(bloomBytes []byte) error {
 		}
 	}
 
+	// The filter follows the last page directly, so it rides in the same
+	// write when it fits the buffer.
 	bloomOff := w.nextPage * storage.PageSize
-	if len(bloomBytes) > 0 {
+	fits := len(w.wbuf)+len(bloomBytes) <= writeBufPages*storage.PageSize
+	if fits {
+		w.wbuf = append(w.wbuf, bloomBytes...)
+	}
+	if err := w.flushPages(); err != nil {
+		return err
+	}
+	if !fits {
 		if _, err := w.f.WriteAt(bloomBytes, int64(bloomOff)); err != nil {
 			return fmt.Errorf("btree: writing bloom: %w", err)
 		}
@@ -288,6 +320,10 @@ func (w *Writer) Finish(bloomBytes []byte) error {
 		minKey:      w.minKey,
 		maxKey:      maxKey,
 	}
+	if w.format == FormatDelta {
+		// Raw headers stay as v1 always wrote them: the field zero.
+		h.bloomCRC = crc32.Checksum(bloomBytes, castagnoli)
+	}
 	if err := writeHeader(w.f, h); err != nil {
 		return err
 	}
@@ -302,19 +338,39 @@ func (w *Writer) Count() uint64 { return w.count }
 // index pages, and Bloom filter). Valid only after Finish.
 func (w *Writer) SizeBytes() int64 { return w.sizeBytes }
 
-func writePage(f storage.File, pageNo uint64, count uint16, payload []byte) error {
+// writePage frames one page — count, payload, zero padding, CRC-32C — as
+// page w.nextPage at the end of the write buffer, flushing the buffer
+// first when it is full.
+func (w *Writer) writePage(count uint16, payload []byte) error {
 	if len(payload) > pagePayload {
 		return fmt.Errorf("btree: page payload %d exceeds %d", len(payload), pagePayload)
 	}
-	var page [storage.PageSize]byte
-	binary.LittleEndian.PutUint16(page[:2], count)
-	copy(page[pageCountLen:], payload)
+	if len(w.wbuf) == writeBufPages*storage.PageSize {
+		if err := w.flushPages(); err != nil {
+			return err
+		}
+	}
+	start := len(w.wbuf)
+	w.wbuf = slices.Grow(w.wbuf, storage.PageSize)[:start+storage.PageSize]
+	page := w.wbuf[start:]
+	binary.LittleEndian.PutUint16(page, count)
+	clear(page[pageCountLen+copy(page[pageCountLen:], payload) : storage.PageSize-pageCRCLen])
 	crc := crc32.Checksum(page[:storage.PageSize-pageCRCLen], castagnoli)
 	binary.LittleEndian.PutUint32(page[storage.PageSize-pageCRCLen:], crc)
-	_, err := f.WriteAt(page[:], int64(pageNo)*storage.PageSize)
-	if err != nil {
-		return fmt.Errorf("btree: writing page %d: %w", pageNo, err)
+	w.nextPage++
+	return nil
+}
+
+// flushPages hands the buffered bytes to the file in one write.
+func (w *Writer) flushPages() error {
+	if len(w.wbuf) == 0 {
+		return nil
 	}
+	if _, err := w.f.WriteAt(w.wbuf, w.wbufOff); err != nil {
+		return fmt.Errorf("btree: writing %d bytes at page %d: %w", len(w.wbuf), w.wbufOff/storage.PageSize, err)
+	}
+	w.wbufOff += int64(len(w.wbuf))
+	w.wbuf = w.wbuf[:0]
 	return nil
 }
 
@@ -328,6 +384,7 @@ func writeHeader(f storage.File, h header) error {
 	le.PutUint64(page[24:], h.leafStart)
 	le.PutUint64(page[32:], h.leafPages)
 	le.PutUint32(page[40:], h.levels)
+	le.PutUint32(page[44:], h.bloomCRC)
 	le.PutUint64(page[48:], h.rootPage)
 	le.PutUint64(page[56:], h.bloomOff)
 	le.PutUint64(page[64:], h.bloomLen)
@@ -354,26 +411,41 @@ func readHeader(f storage.File) (header, error) {
 	if string(page[:8]) != magic {
 		return header{}, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	format := Format(le.Uint32(page[8:]))
-	if !format.valid() {
-		return header{}, fmt.Errorf("btree: unsupported version %d", uint32(format))
-	}
 	h := header{
-		format:      format,
+		format:      Format(le.Uint32(page[8:])),
 		recordSize:  int(le.Uint32(page[12:])),
 		recordCount: le.Uint64(page[16:]),
 		leafStart:   le.Uint64(page[24:]),
 		leafPages:   le.Uint64(page[32:]),
 		levels:      le.Uint32(page[40:]),
+		bloomCRC:    le.Uint32(page[44:]),
 		rootPage:    le.Uint64(page[48:]),
 		bloomOff:    le.Uint64(page[56:]),
 		bloomLen:    le.Uint64(page[64:]),
 	}
+	if h.format != FormatRaw && !h.format.delta() {
+		return header{}, fmt.Errorf("btree: unsupported version %d", uint32(h.format))
+	}
 	if h.recordSize <= 0 || h.recordSize > MaxRecordSize {
 		return header{}, fmt.Errorf("%w: record size %d", ErrCorrupt, h.recordSize)
 	}
-	if h.format == FormatDelta && h.recordSize%8 != 0 {
+	if h.format.delta() && h.recordSize%8 != 0 {
 		return header{}, fmt.Errorf("%w: delta run with record size %d", ErrCorrupt, h.recordSize)
+	}
+	// The geometry must describe this file: nothing below may size a read
+	// or an allocation from a field that was not checked against it.
+	size, err := f.Size()
+	if err != nil {
+		return header{}, fmt.Errorf("btree: sizing run: %w", err)
+	}
+	grid := h.bloomOff / storage.PageSize // pages, header included
+	switch {
+	case h.bloomOff%storage.PageSize != 0 || h.bloomOff > uint64(size) || h.bloomLen > uint64(size)-h.bloomOff:
+		return header{}, fmt.Errorf("%w: filter at %d+%d in a %d-byte file", ErrCorrupt, h.bloomOff, h.bloomLen, size)
+	case h.leafStart == 0 || h.leafPages == 0 || h.leafPages >= grid || h.leafStart > grid-h.leafPages:
+		return header{}, fmt.Errorf("%w: leaf pages %d+%d in a %d-page grid", ErrCorrupt, h.leafStart, h.leafPages, grid)
+	case h.rootPage == 0 || h.rootPage >= grid || h.levels > maxLevels || (h.levels == 0) != (h.leafPages == 1):
+		return header{}, fmt.Errorf("%w: root page %d over %d levels and %d leaves in a %d-page grid", ErrCorrupt, h.rootPage, h.levels, h.leafPages, grid)
 	}
 	h.minKey = append([]byte(nil), page[headerFixedLen:headerFixedLen+h.recordSize]...)
 	h.maxKey = append([]byte(nil), page[headerFixedLen+h.recordSize:headerFixedLen+2*h.recordSize]...)

@@ -211,21 +211,13 @@ func TestDeltaEstimatorMatchesWriter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Encoded length = bytes before the zero padding; recompute by
-		// decoding and re-encoding.
-		recsOut, err := decodeDeltaLeaf(payload, count, 48)
+		// The encoded length is what the reference decoder consumed: the
+		// bytes before the zero padding.
+		_, consumed, err := decodeDeltaLeaf(payload, count, 48)
 		if err != nil {
 			t.Fatal(err)
 		}
-		prev := make([]uint64, 6)
-		var enc []byte
-		for i := 0; i < count; i++ {
-			enc = appendDeltaRecord(enc, recsOut[i*48:(i+1)*48], prev)
-			for c := range prev {
-				prev[c] = binary.BigEndian.Uint64(recsOut[i*48+c*8:])
-			}
-		}
-		actual += uint64(len(enc))
+		actual += uint64(consumed)
 	}
 	if est.EncodedBytes() != actual {
 		t.Fatalf("estimator predicted %d encoded bytes, writer produced %d", est.EncodedBytes(), actual)
@@ -236,6 +228,10 @@ func TestDeltaEstimatorMatchesWriter(t *testing.T) {
 	}
 	if perCol != est.EncodedBytes() {
 		t.Fatalf("per-column sum %d != encoded total %d", perCol, est.EncodedBytes())
+	}
+	// Six columns and, last, one bitmap byte per record.
+	if pc := est.PerColumnBytes(); len(pc) != 7 || pc[6] != uint64(len(recs)) {
+		t.Fatalf("per-column entries %v, want six columns and %d bitmap bytes", pc, len(recs))
 	}
 	if est.Records() != uint64(len(recs)) {
 		t.Fatalf("Records = %d, want %d", est.Records(), len(recs))

@@ -1,0 +1,474 @@
+package btree
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
+	"hash/crc32"
+	"math"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+
+	"github.com/backlogfs/backlog/internal/bloom"
+	"github.com/backlogfs/backlog/internal/storage"
+)
+
+// The golden runs under testdata/ hold goldenRecords(6) ("from", 48-byte
+// records) and goldenRecords(7) ("combined", 56-byte records) followed by
+// goldenFilter's bytes. The v2-* files were written by the format-2
+// encoder, which no longer exists — never regenerate them; the v3-* files
+// pin the bytes the current encoder must keep producing.
+//
+// The records are shaped like the engine's tables — about three
+// references per block, small correlated trailing columns — and cover what
+// a decoder can get wrong: several leaf pages (so a per-page restart and
+// an internal page with more than one entry), to == Infinity next to small
+// CPs, and every 97th record a 2^62 jump in the offset column, a ten-byte
+// varint out and another back.
+func goldenRecords(cols int) [][]byte {
+	const n = 1500
+	recs := make([][]byte, n)
+	be := binary.BigEndian
+	for i := range recs {
+		u := uint64(i)
+		r := make([]byte, cols*8)
+		be.PutUint64(r[0:], u/3)         // block
+		be.PutUint64(r[8:], 100+(u%3)*7) // inode
+		be.PutUint64(r[16:], u*8%4096)   // offset
+		be.PutUint64(r[24:], (u%3)/2)    // line
+		be.PutUint64(r[32:], 1)          // length
+		be.PutUint64(r[40:], 1+u%5)      // from
+		if u%97 == 50 {
+			be.PutUint64(r[16:], 1<<62+u)
+		}
+		if cols == 7 {
+			to := uint64(math.MaxUint64) // Infinity: still live
+			if u%4 != 0 {
+				to = 2 + u%5 + u%3
+			}
+			be.PutUint64(r[48:], to)
+		}
+		recs[i] = r
+	}
+	return recs
+}
+
+// goldenFilter is the Bloom filter the run builder would attach: one key
+// per distinct block, shrunk to the paper's false-positive target.
+func goldenFilter(recs [][]byte) []byte {
+	fl := bloom.NewForCapacity(len(recs), 0)
+	for i, r := range recs {
+		if i == 0 || !bytes.Equal(r[:8], recs[i-1][:8]) {
+			fl.Add(binary.BigEndian.Uint64(r))
+		}
+	}
+	fl.ShrinkToFit(0.024)
+	return fl.Marshal()
+}
+
+var goldenRuns = []struct {
+	name string
+	cols int
+}{{"from", 6}, {"combined", 7}}
+
+// goldenSHA256 pins the previous format's files byte for byte.
+var goldenSHA256 = map[string]string{
+	"v2-from.run":     "9ba4cb94d490b8375e063b092bd57df17364e86c027f761a00a0843f95dffade",
+	"v2-combined.run": "dededf9310492f962c7dd204a073974d061d02487dde9f6c9b7dc1902f6af1ae",
+}
+
+func readGolden(t testing.TB, name string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// plantFile returns a MemFS file holding b.
+func plantFile(t testing.TB, b []byte) storage.File {
+	t.Helper()
+	f, err := storage.NewMemFS().Create("run")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(b, 0); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+func TestGoldenV2Unchanged(t *testing.T) {
+	for name, want := range goldenSHA256 {
+		sum := sha256.Sum256(readGolden(t, name))
+		if got := hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("testdata/%s has SHA-256 %s, want %s: the file is the previous binary's output and must never be regenerated", name, got, want)
+		}
+	}
+}
+
+// checkGoldenRun opens b as a run and checks a full scan, a seek at,
+// just before and just after every record, and the trailing filter against
+// the records that generated it.
+func checkGoldenRun(t *testing.T, b []byte, format Format, recs [][]byte) {
+	t.Helper()
+	for _, cache := range []*Cache{nil, NewCacheBytes(1 << 20)} {
+		r, err := Open(plantFile(t, b), cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Format() != format || r.RecordCount() != uint64(len(recs)) {
+			t.Fatalf("format %v with %d records, want %v with %d", r.Format(), r.RecordCount(), format, len(recs))
+		}
+		if r.h.leafPages < 2 || r.h.levels == 0 {
+			t.Fatalf("%d leaf pages under %d internal levels: the golden run must exercise a page restart and an index descent", r.h.leafPages, r.h.levels)
+		}
+		for _, rd := range []*Reader{r, r.NoFill()} {
+			it, err := rd.First()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := iterAll(t, it)
+			if len(got) != len(recs) {
+				t.Fatalf("scanned %d records, want %d", len(got), len(recs))
+			}
+			for i := range recs {
+				if !bytes.Equal(got[i], recs[i]) {
+					t.Fatalf("record %d = %x, want %x", i, got[i], recs[i])
+				}
+			}
+			for i, rec := range recs {
+				for _, key := range [][]byte{neighbour(rec, false), rec, neighbour(rec, true)} {
+					want := sort.Search(len(recs), func(j int) bool { return bytes.Compare(recs[j], key) >= 0 })
+					it, err := rd.SeekGE(key)
+					if err != nil {
+						t.Fatalf("SeekGE around record %d: %v", i, err)
+					}
+					got, ok, err := it.Next()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want == len(recs) {
+						if ok {
+							t.Fatalf("SeekGE past record %d found %x", i, got)
+						}
+					} else if !ok || !bytes.Equal(got, recs[want]) {
+						t.Fatalf("SeekGE around record %d: got %x ok=%v, want record %d", i, got, ok, want)
+					}
+				}
+			}
+		}
+		filter, err := r.BloomBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(filter, goldenFilter(recs)) {
+			t.Fatal("trailing filter bytes differ from the generating filter")
+		}
+	}
+}
+
+func TestReadsV2Golden(t *testing.T) {
+	for _, g := range goldenRuns {
+		t.Run(g.name, func(t *testing.T) {
+			checkGoldenRun(t, readGolden(t, "v2-"+g.name+".run"), formatDeltaV2, goldenRecords(g.cols))
+		})
+	}
+}
+
+// TestFormat3BytesPinned: the current encoder, given the golden records,
+// must keep producing testdata/v3-*.run bit for bit. A deliberate format
+// change bumps the version and adds new golden files; it does not edit
+// these.
+func TestFormat3BytesPinned(t *testing.T) {
+	for _, g := range goldenRuns {
+		t.Run(g.name, func(t *testing.T) {
+			recs := goldenRecords(g.cols)
+			fs := storage.NewMemFS()
+			f, err := fs.Create("run")
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := NewWriterFormat(f, g.cols*8, FormatDelta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range recs {
+				if err := w.Append(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Finish(goldenFilter(recs)); err != nil {
+				t.Fatal(err)
+			}
+			got := make([]byte, w.SizeBytes())
+			if _, err := f.ReadAt(got, 0); err != nil {
+				t.Fatal(err)
+			}
+			want := readGolden(t, "v3-"+g.name+".run")
+			if !bytes.Equal(got, want) {
+				t.Fatalf("the encoder's %d bytes differ from the %d of testdata/v3-%s.run", len(got), len(want), g.name)
+			}
+			checkGoldenRun(t, want, FormatDelta, recs)
+		})
+	}
+}
+
+// rewriteHeader applies edit to the run's header page and reseals it.
+func rewriteHeader(t testing.TB, f storage.File, edit func(page []byte)) {
+	t.Helper()
+	page := make([]byte, storage.PageSize)
+	if _, err := f.ReadAt(page, 0); err != nil {
+		t.Fatal(err)
+	}
+	edit(page)
+	crc := crc32.Checksum(page[:storage.PageSize-pageCRCLen], castagnoli)
+	binary.LittleEndian.PutUint32(page[storage.PageSize-pageCRCLen:], crc)
+	if _, err := f.WriteAt(page, 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFormatContract: the previous delta format cannot be written, and a
+// version this binary has never heard of fails Open by name rather than as
+// corruption.
+func TestFormatContract(t *testing.T) {
+	f, err := storage.NewMemFS().Create("run")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewWriterFormat(f, 48, formatDeltaV2); err == nil || !strings.Contains(err.Error(), "read-only") {
+		t.Fatalf("NewWriterFormat(format 2): %v, want a read-only refusal", err)
+	}
+	run := plantFile(t, readGolden(t, "v3-from.run"))
+	rewriteHeader(t, run, func(page []byte) { binary.LittleEndian.PutUint32(page[8:], 4) })
+	if _, err := Open(run, nil); err == nil || errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "unsupported version 4") {
+		t.Fatalf("Open of a version-4 header: %v, want the version refused by name", err)
+	}
+}
+
+// TestHeaderGeometryChecked: every field that sizes a read or positions a
+// page is held against the file's size at Open.
+func TestHeaderGeometryChecked(t *testing.T) {
+	le := binary.LittleEndian
+	for name, edit := range map[string]func(page []byte){
+		"filter length past the file":   func(p []byte) { le.PutUint64(p[64:], 1<<40) },
+		"filter offset past the file":   func(p []byte) { le.PutUint64(p[56:], 1<<40) },
+		"filter offset off the grid":    func(p []byte) { le.PutUint64(p[56:], le.Uint64(p[56:])-1) },
+		"leaf pages past the grid":      func(p []byte) { le.PutUint64(p[32:], 1<<20) },
+		"leaf pages overflowing":        func(p []byte) { le.PutUint64(p[24:], math.MaxUint64) },
+		"no leaf pages":                 func(p []byte) { le.PutUint64(p[32:], 0) },
+		"root past the grid":            func(p []byte) { le.PutUint64(p[48:], 1<<30) },
+		"root at the header":            func(p []byte) { le.PutUint64(p[48:], 0) },
+		"absurd level count":            func(p []byte) { le.PutUint32(p[40:], 1<<31) },
+		"levels over a single leaf":     func(p []byte) { le.PutUint64(p[32:], 1) },
+		"no levels over several leaves": func(p []byte) { le.PutUint32(p[40:], 0) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			run := plantFile(t, readGolden(t, "v3-from.run"))
+			rewriteHeader(t, run, edit)
+			if _, err := Open(run, nil); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Open: %v, want ErrCorrupt", err)
+			}
+		})
+	}
+}
+
+// FuzzRunHeader plants an arbitrary header page, resealed so the checksum
+// passes, over a real run's pages. Open, the filter read, a scan and a seek
+// must not panic, and nothing may be sized beyond the file.
+func FuzzRunHeader(f *testing.F) {
+	golden := readGolden(f, "v3-from.run")
+	f.Add(golden[:storage.PageSize])
+	f.Add(readGolden(f, "v2-combined.run")[:storage.PageSize])
+	f.Add(make([]byte, storage.PageSize))
+	descent := append([]byte(nil), golden[:storage.PageSize]...)
+	binary.LittleEndian.PutUint64(descent[48:], 1) // the root is a leaf
+	f.Add(descent)
+	for _, off := range []int{12, 24, 32, 40, 48, 56, 64} {
+		h := append([]byte(nil), golden[:storage.PageSize]...)
+		h[off+3] ^= 0x7F
+		f.Add(h)
+		h = append([]byte(nil), golden[:storage.PageSize]...)
+		h[off]++
+		f.Add(h)
+	}
+	f.Fuzz(func(t *testing.T, header []byte) {
+		run := plantFile(t, golden)
+		rewriteHeader(t, run, func(page []byte) {
+			n := copy(page, header)
+			clear(page[n:])
+			copy(page, magic)
+		})
+		r, err := Open(run, nil)
+		if err != nil {
+			return
+		}
+		if r.SizeBytes() > int64(len(golden)) || r.Pages() > uint64(len(golden)/storage.PageSize) {
+			t.Fatalf("opened a %d-byte file as a run of %d bytes in %d pages", len(golden), r.SizeBytes(), r.Pages())
+		}
+		if b, err := r.BloomBytes(); err == nil && len(b) > len(golden) {
+			t.Fatalf("filter of %d bytes from a %d-byte file", len(b), len(golden))
+		}
+		for _, rd := range []*Reader{r, r.NoFill()} {
+			_, _ = drain(rd)
+			if it, err := rd.SeekGE(make([]byte, r.RecordSize())); err == nil {
+				_, _, _ = it.Next()
+			}
+		}
+	})
+}
+
+// TestBloomChecksum: the filter bytes of a current-format run are covered
+// by a checksum in the header, verified when they are read — not at Open,
+// which reads the header page and nothing else.
+func TestBloomChecksum(t *testing.T) {
+	golden := readGolden(t, "v3-from.run")
+	flipped := append([]byte(nil), golden...)
+	flipped[len(flipped)-9] ^= 0x10
+	fs := storage.NewMemFS()
+	f, err := fs.Create("run")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(flipped, 0); err != nil {
+		t.Fatal(err)
+	}
+	before := fs.Stats()
+	r, err := Open(f, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := fs.Stats().Sub(before); d.PageReads != 1 {
+		t.Fatalf("Open read %d pages, want the header alone", d.PageReads)
+	}
+	if _, err := r.BloomBytes(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("BloomBytes over a flipped bit: %v, want ErrCorrupt", err)
+	}
+	// The previous format stored no checksum; its filters read as before.
+	old, err := Open(plantFile(t, readGolden(t, "v2-from.run")), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, err := old.BloomBytes(); err != nil || len(b) == 0 {
+		t.Fatalf("format-2 filter: %d bytes, %v", len(b), err)
+	}
+}
+
+// countingFile counts the write calls a builder makes.
+type countingFile struct {
+	storage.File
+	writes int
+}
+
+func (c *countingFile) WriteAt(p []byte, off int64) (int, error) {
+	c.writes++
+	return c.File.WriteAt(p, off)
+}
+
+// TestWriterCoalescesPages: a run reaches the file in writes of up to
+// writeBufPages pages, the filter riding with the last of them and the
+// header following alone — while MemFS, which meters by pages spanned,
+// counts what it counted when every page was its own write.
+func TestWriterCoalescesPages(t *testing.T) {
+	fs := storage.NewMemFS()
+	f, err := fs.Create("run")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cf := &countingFile{File: f}
+	w, err := NewWriterFormat(cf, 48, FormatRaw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := sortedRecords48(20000)
+	for _, r := range recs {
+		if err := w.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	filter := goldenFilter(recs)
+	if err := w.Finish(filter); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(f, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := int(r.Pages()) - 1
+	if data < 3*writeBufPages {
+		t.Fatalf("run of %d pages is too small to fill the write buffer", data)
+	}
+	if want := (data+writeBufPages-1)/writeBufPages + 1; cf.writes != want {
+		t.Fatalf("%d write calls for %d pages, a filter and a header, want %d", cf.writes, data, want)
+	}
+	filterPages := (len(filter) + storage.PageSize - 1) / storage.PageSize
+	if st := fs.Stats(); st.PageWrites != int64(data+filterPages+1) || st.BytesWritten != r.SizeBytes() {
+		t.Fatalf("MemFS metered %d page writes and %d bytes for a %d-byte run of %d pages", st.PageWrites, st.BytesWritten, r.SizeBytes(), data+1)
+	}
+	it, err := r.First()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(iterAll(t, it)); n != len(recs) {
+		t.Fatalf("read back %d records, wrote %d", n, len(recs))
+	}
+	if b, err := r.BloomBytes(); err != nil || !bytes.Equal(b, filter) {
+		t.Fatalf("filter read back differs (%v)", err)
+	}
+
+	// A filter too large for the buffer is written on its own.
+	f2, err := fs.Create("run2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := bytes.Repeat([]byte{0xA5}, writeBufPages*storage.PageSize)
+	w, err = NewWriterFormat(f2, 8, FormatDelta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(rec8(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Finish(big); err != nil {
+		t.Fatal(err)
+	}
+	r, err = Open(f2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, err := r.BloomBytes(); err != nil || !bytes.Equal(b, big) {
+		t.Fatalf("oversized filter read back differs (%v)", err)
+	}
+}
+
+// TestNoFillDecodesOnce: a leaf a NoFill scan misses is validated by the
+// cursor as it streams, with no sampling pass before it; the previous
+// format keeps its two passes.
+func TestNoFillDecodesOnce(t *testing.T) {
+	for _, c := range []struct {
+		file   string
+		passes bool
+	}{{"v3-combined.run", false}, {"v2-combined.run", true}} {
+		r, err := Open(plantFile(t, readGolden(t, c.file)), NewCacheBytes(1<<20))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sampled := 0
+		r.SetDecodeObserver(func(time.Duration) { sampled++ })
+		recs, err := drain(r.NoFill())
+		if err != nil || len(recs) != len(goldenRecords(7)) {
+			t.Fatalf("%s: scanned %d records (%v)", c.file, len(recs), err)
+		}
+		if (sampled > 0) != c.passes {
+			t.Fatalf("%s: NoFill scan ran %d sampling passes", c.file, sampled)
+		}
+	}
+}

@@ -13,12 +13,60 @@ import (
 	"github.com/backlogfs/backlog/internal/storage"
 )
 
-// decodeDeltaLeaf is the PR 8 decoder, kept as the reference the streaming
-// cursor is checked against: it expands a delta-encoded leaf payload into
-// fixed-stride records (count*recSize bytes) in one pass.
-func decodeDeltaLeaf(payload []byte, count, recSize int) ([]byte, error) {
+// decodeDeltaLeaf is the reference the streaming cursor is checked
+// against, written from the format's description and sharing no code with
+// deltaNext: it expands a FormatDelta leaf payload into fixed-stride
+// records (count*recSize bytes) in one pass, testing every column's bit
+// in turn, and reports the payload bytes the records occupied.
+func decodeDeltaLeaf(payload []byte, count, recSize int) (flat []byte, consumed int, err error) {
 	if count <= 0 || count > len(payload) {
-		return nil, fmt.Errorf("%w: delta leaf record count %d", ErrCorrupt, count)
+		return nil, 0, fmt.Errorf("%w: delta leaf record count %d", ErrCorrupt, count)
+	}
+	cols := recSize / 8
+	nb := (cols + 7) / 8
+	out := make([]byte, count*recSize)
+	prev := make([]uint64, cols)
+	pos := 0
+	for i := 0; i < count; i++ {
+		if pos+nb > len(payload) {
+			return nil, 0, fmt.Errorf("%w: truncated bitmap of record %d", ErrCorrupt, i)
+		}
+		bitmap := payload[pos : pos+nb]
+		pos += nb
+		flagged := 0
+		for c := 0; c < nb*8; c++ {
+			if bitmap[c/8]>>(c%8)&1 == 0 {
+				continue
+			}
+			if c >= cols {
+				return nil, 0, fmt.Errorf("%w: record %d flags column %d of %d", ErrCorrupt, i, c, cols)
+			}
+			u, n := binary.Uvarint(payload[pos:])
+			if n <= 0 {
+				return nil, 0, fmt.Errorf("%w: truncated delta record %d", ErrCorrupt, i)
+			}
+			if u == 0 {
+				return nil, 0, fmt.Errorf("%w: record %d flags column %d unchanged", ErrCorrupt, i, c)
+			}
+			pos += n
+			prev[c] += uint64(unzigzag(u))
+			flagged++
+		}
+		if flagged == 0 && i > 0 {
+			return nil, 0, fmt.Errorf("%w: repeated delta record %d", ErrCorrupt, i)
+		}
+		for c := range prev {
+			binary.BigEndian.PutUint64(out[i*recSize+c*8:], prev[c])
+		}
+	}
+	return out, pos, nil
+}
+
+// decodeDeltaLeafV2 is the same reference for the previous delta format
+// (the PR 8 decoder): one varint per column.
+func decodeDeltaLeafV2(payload []byte, count, recSize int) (flat []byte, consumed int, err error) {
+	if count <= 0 || count > len(payload) {
+		return nil, 0, fmt.Errorf("%w: delta leaf record count %d", ErrCorrupt, count)
 	}
 	cols := recSize / 8
 	out := make([]byte, count*recSize)
@@ -29,7 +77,7 @@ func decodeDeltaLeaf(payload []byte, count, recSize int) ([]byte, error) {
 		for c := 0; c < cols; c++ {
 			u, n := binary.Uvarint(payload[pos:])
 			if n <= 0 {
-				return nil, fmt.Errorf("%w: truncated delta record %d", ErrCorrupt, i)
+				return nil, 0, fmt.Errorf("%w: truncated delta record %d", ErrCorrupt, i)
 			}
 			pos += n
 			if u != 0 {
@@ -39,10 +87,21 @@ func decodeDeltaLeaf(payload []byte, count, recSize int) ([]byte, error) {
 			binary.BigEndian.PutUint64(out[i*recSize+c*8:], prev[c])
 		}
 		if zero && i > 0 {
-			return nil, fmt.Errorf("%w: repeated delta record %d", ErrCorrupt, i)
+			return nil, 0, fmt.Errorf("%w: repeated delta record %d", ErrCorrupt, i)
 		}
 	}
-	return out, nil
+	return out, pos, nil
+}
+
+// appendDeltaRecordV2 is the previous format's encoder, kept here for the
+// fuzz seeds and the re-encoding check: the package itself no longer
+// writes it.
+func appendDeltaRecordV2(dst, rec []byte, prev []uint64) []byte {
+	for c := range prev {
+		v := binary.BigEndian.Uint64(rec[c*8:])
+		dst = binary.AppendUvarint(dst, Zigzag(int64(v-prev[c])))
+	}
+	return dst
 }
 
 // seededRecords returns n distinct sorted records of recSize bytes. With
@@ -102,7 +161,8 @@ func neighbour(rec []byte, up bool) []byte {
 func TestCursorMatchesFullDecode(t *testing.T) {
 	const K = restartInterval
 	rng := rand.New(rand.NewSource(13))
-	for _, recSize := range []int{8, 48, 56} {
+	// 72 bytes is nine columns: a two-byte bitmap, the wide decoder.
+	for _, recSize := range []int{8, 48, 56, 72} {
 		for _, wide := range []bool{false, true} {
 			for _, n := range []int{1, 2, K - 1, K, K + 1, 2*K + 1, 700, 3000} {
 				recs := seededRecords(rng, n, recSize, wide)
@@ -120,6 +180,9 @@ func TestCursorMatchesFullDecode(t *testing.T) {
 						t.Fatal(err)
 					}
 					checkCursor(t, name, r, recs)
+					// Unsampled leaves: the scan validates as it streams
+					// and a seek samples its leaf on the spot.
+					checkCursor(t, name+"/nofill", r.NoFill(), recs)
 				}
 			}
 		}
@@ -140,7 +203,7 @@ func checkCursor(t *testing.T, name string, r *Reader, recs [][]byte) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		flat, err := decodeDeltaLeaf(payload, count, r.h.recordSize)
+		flat, _, err := decodeDeltaLeaf(payload, count, r.h.recordSize)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,47 +335,124 @@ func TestNoFillLeavesCacheUnchanged(t *testing.T) {
 	}
 }
 
-// forgeLeaf builds a one-leaf delta run and overwrites the leaf with the
-// given payload and count under a valid checksum.
-func forgeLeaf(t testing.TB, recSize int, payload []byte, count uint16) storage.File {
+// forgeLeaf builds a one-leaf delta run of the given format and overwrites
+// the leaf with the given payload and count under a valid checksum. The
+// writer refuses the previous format, so such a run is a current one with
+// its header's version field rewritten.
+func forgeLeaf(t testing.TB, recSize int, format Format, payload []byte, count uint16) storage.File {
 	f := buildRunFormat(t, storage.NewMemFS(), "run", recSize, FormatDelta, [][]byte{make([]byte, recSize)})
 	var pg [storage.PageSize]byte
+	seal := func(off int64) {
+		crc := crc32.Checksum(pg[:storage.PageSize-pageCRCLen], castagnoli)
+		binary.LittleEndian.PutUint32(pg[storage.PageSize-pageCRCLen:], crc)
+		if _, err := f.WriteAt(pg[:], off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if format != FormatDelta {
+		if _, err := f.ReadAt(pg[:], 0); err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(pg[8:], uint32(format))
+		seal(0)
+	}
+	clear(pg[:])
 	binary.LittleEndian.PutUint16(pg[:2], count)
 	copy(pg[pageCountLen:storage.PageSize-pageCRCLen], payload)
-	crc := crc32.Checksum(pg[:storage.PageSize-pageCRCLen], castagnoli)
-	binary.LittleEndian.PutUint32(pg[storage.PageSize-pageCRCLen:], crc)
-	if _, err := f.WriteAt(pg[:], storage.PageSize); err != nil {
-		t.Fatal(err)
-	}
+	seal(storage.PageSize)
 	return f
 }
 
+// TestDeltaLeafRejections pins what the FormatDelta decoder refuses beyond
+// a truncated stream, each under a valid page checksum: the sampling pass
+// of a plain reader and the streaming validation of a NoFill one must both
+// answer ErrCorrupt.
+func TestDeltaLeafRejections(t *testing.T) {
+	cases := []struct {
+		name    string
+		recSize int
+		payload []byte
+		count   uint16
+	}{
+		{"zero bitmap after the first record", 48, []byte{0x01, 0x02, 0x00}, 2},
+		{"padding decoded under an inflated count", 48, []byte{0x01, 0x02, 0x01, 0x02}, 3},
+		{"flagged column with a zero delta", 48, []byte{0x03, 0x02, 0x00}, 1},
+		{"flagged column with an overlong zero", 48, []byte{0x01, 0x80, 0x00}, 1},
+		{"bit beyond the column count", 48, []byte{0x41, 0x02, 0x02}, 1},
+		{"bit beyond the column count, wide", 72, []byte{0x01, 0x02, 0x02, 0x02}, 1},
+		{"zero bitmap after the first record, wide", 72, []byte{0x01, 0x00, 0x02, 0x00, 0x00}, 2},
+		{"varint running off the page", 8, append(bytes.Repeat([]byte{0x01, 0x02}, pagePayload/2-1), 0x01, 0xFF), pagePayload / 2},
+		{"varint overflowing 64 bits", 8, append([]byte{0x01}, bytes.Repeat([]byte{0xFF}, 11)...), 1},
+		{"count of zero", 48, []byte{0x01, 0x02}, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r, err := Open(forgeLeaf(t, c.recSize, FormatDelta, c.payload, c.count), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.First(); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("sampling reader: got %v, want ErrCorrupt", err)
+			}
+			it, err := r.NoFill().First()
+			for err == nil {
+				var ok bool
+				if _, ok, err = it.Next(); err == nil && !ok {
+					t.Fatal("streaming reader reached the end of a malformed leaf")
+				}
+			}
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("streaming reader: got %v, want ErrCorrupt", err)
+			}
+			if _, err := r.NoFill().SeekGE(make([]byte, c.recSize)); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("seek through a NoFill reader: got %v, want ErrCorrupt", err)
+			}
+		})
+	}
+}
+
 // FuzzDeltaLeaf feeds an arbitrary payload and count through the reader
-// as a checksummed leaf page. It must never panic, must fail only with
-// ErrCorrupt, and must fail exactly when the reference decoder does;
-// otherwise the cursor yields the reference's records, they re-encode to
-// what was read, and seeks agree with a search over them.
+// as a checksummed leaf page of either delta format. It must never panic,
+// must fail only with ErrCorrupt, and must fail exactly when the format's
+// reference decoder does; otherwise the cursor — sampled and streaming —
+// yields the reference's records, never a silent duplicate, they re-encode
+// to what was read, and seeks agree with a search over them.
 func FuzzDeltaLeaf(f *testing.F) {
-	var prev [6]uint64
-	var valid []byte
+	var prev, prev2 [6]uint64
+	var valid, valid2 []byte
 	recs := sortedRecords48(40)
 	for _, r := range recs {
 		valid = appendDeltaRecord(valid, r, prev[:])
+		valid2 = appendDeltaRecordV2(valid2, r, prev2[:])
 		for c := range prev {
 			prev[c] = binary.BigEndian.Uint64(r[c*8:])
 		}
+		prev2 = prev
 	}
-	f.Add(valid, uint16(len(recs)), uint8(1))
-	f.Add(valid, uint16(len(recs)+1), uint8(1)) // decodes the padding
-	f.Add(valid, uint16(len(recs)), uint8(2))   // wrong column count
-	f.Add(valid[:len(valid)/2], uint16(len(recs)), uint8(0))
-	f.Add([]byte{0x80, 0x00, 0x01}, uint16(2), uint8(0)) // overlong varint
-	f.Add(bytes.Repeat([]byte{0xFF}, 64), uint16(3), uint8(1))
-	f.Add([]byte{}, uint16(0), uint8(0))
+	n := uint16(len(recs))
+	f.Add(valid, n, uint8(1), false)
+	f.Add(valid, n+1, uint8(1), false) // decodes the padding: a zero bitmap
+	f.Add(valid, n, uint8(2), false)   // wrong column count
+	f.Add(valid[:len(valid)/2], n, uint8(0), false)
+	f.Add([]byte{0x01, 0x80, 0x00}, uint16(1), uint8(0), false) // flagged zero delta, overlong
+	f.Add(bytes.Repeat([]byte{0xFF}, 64), uint16(3), uint8(1), false)
+	f.Add([]byte{}, uint16(0), uint8(0), false)
+	f.Add([]byte{0x01, 0x02, 0x00, 0x01, 0x02}, uint16(3), uint8(1), false) // zero bitmap mid-page
+	f.Add([]byte{0x03, 0x02, 0x00}, uint16(1), uint8(1), false)             // flagged zero delta
+	f.Add([]byte{0x81, 0x02, 0x02}, uint16(1), uint8(2), false)             // stray high bit
+	f.Add([]byte{0x01, 0x02, 0x02, 0x02}, uint16(1), uint8(3), false)       // stray bit, two-byte bitmap
+	f.Add(valid2, n, uint8(1), true)
+	f.Add(valid2, n+1, uint8(1), true) // decodes the padding: a repeat
+	f.Add(valid2[:len(valid2)/2], n, uint8(2), true)
+	f.Add([]byte{0x80, 0x00, 0x01}, uint16(2), uint8(0), true) // overlong varint
 
-	f.Fuzz(func(t *testing.T, payload []byte, count uint16, sizeSel uint8) {
-		recSize := []int{8, 48, 56}[sizeSel%3]
-		file := forgeLeaf(t, recSize, payload, count)
+	f.Fuzz(func(t *testing.T, payload []byte, count uint16, sizeSel uint8, v2 bool) {
+		recSize := []int{8, 48, 56, 72}[sizeSel%4]
+		format, reference, encode := FormatDelta, decodeDeltaLeaf, appendDeltaRecord
+		if v2 {
+			format, reference, encode = formatDeltaV2, decodeDeltaLeafV2, appendDeltaRecordV2
+		}
+		file := forgeLeaf(t, recSize, format, payload, count)
 		r, err := Open(file, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -321,32 +461,44 @@ func FuzzDeltaLeaf(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, wantErr := decodeDeltaLeaf(padded, int(count), recSize)
+		want, consumed, wantErr := reference(padded, int(count), recSize)
+		if consumed > len(padded) {
+			t.Fatalf("reference consumed %d of %d payload bytes", consumed, len(padded))
+		}
 		it, err := r.First()
 		if (err != nil) != (wantErr != nil) {
 			t.Fatalf("First: %v, reference decode: %v", err, wantErr)
 		}
+		// The streaming validation of a NoFill scan must reach the same
+		// verdict record by record.
+		streamed, streamErr := drain(r.NoFill())
+		if (streamErr != nil) != (wantErr != nil) {
+			t.Fatalf("NoFill scan: %v, reference decode: %v", streamErr, wantErr)
+		}
 		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("got %v, want ErrCorrupt", err)
+			if !errors.Is(err, ErrCorrupt) || !errors.Is(streamErr, ErrCorrupt) {
+				t.Fatalf("got %v and %v, want ErrCorrupt", err, streamErr)
 			}
 			return
 		}
 		got := iterAll(t, it)
-		if len(got) != int(count) {
-			t.Fatalf("cursor yielded %d records, count is %d", len(got), count)
+		if len(got) != int(count) || len(streamed) != int(count) {
+			t.Fatalf("cursor yielded %d records, NoFill cursor %d, count is %d", len(got), len(streamed), count)
 		}
 		ascending := true
 		cols := make([]uint64, recSize/8)
 		var enc []byte
 		for i, rec := range got {
-			if !bytes.Equal(rec, want[i*recSize:(i+1)*recSize]) {
-				t.Fatalf("record %d = %x, reference %x", i, rec, want[i*recSize:(i+1)*recSize])
+			if !bytes.Equal(rec, want[i*recSize:(i+1)*recSize]) || !bytes.Equal(rec, streamed[i]) {
+				t.Fatalf("record %d = %x, NoFill %x, reference %x", i, rec, streamed[i], want[i*recSize:(i+1)*recSize])
+			}
+			if i > 0 && bytes.Equal(got[i-1], rec) {
+				t.Fatalf("records %d and %d are the same: a silent duplicate", i-1, i)
 			}
 			if i > 0 && bytes.Compare(got[i-1], rec) >= 0 {
 				ascending = false
 			}
-			enc = appendDeltaRecord(enc, rec, cols)
+			enc = encode(enc, rec, cols)
 			for c := range cols {
 				cols[c] = binary.BigEndian.Uint64(rec[c*8:])
 			}
@@ -355,22 +507,39 @@ func FuzzDeltaLeaf(f *testing.F) {
 		// spent extra bytes on overlong varints; either way it decodes to
 		// the same records.
 		if !bytes.HasPrefix(padded, enc) {
-			again, err := decodeDeltaLeaf(append(enc, make([]byte, 8)...), int(count), recSize)
+			again, _, err := reference(append(enc, make([]byte, 16)...), int(count), recSize)
 			if err != nil || !bytes.Equal(again, want) {
 				t.Fatalf("re-encoded page decodes differently (%v)", err)
 			}
 		}
-		for i := 0; i < len(got); i += max(len(got)/8, 1) {
-			it, err := r.SeekGE(got[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			rec, ok, err := it.Next()
-			// A writer never produces unordered records; seeking among
-			// them need only not panic.
-			if ascending && (err != nil || !ok || !bytes.Equal(rec, got[i])) {
-				t.Fatalf("SeekGE(record %d) = %x ok=%v err=%v", i, rec, ok, err)
+		for _, rd := range []*Reader{r, r.NoFill()} {
+			for i := 0; i < len(got); i += max(len(got)/8, 1) {
+				it, err := rd.SeekGE(got[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec, ok, err := it.Next()
+				// A writer never produces unordered records; seeking among
+				// them need only not panic.
+				if ascending && (err != nil || !ok || !bytes.Equal(rec, got[i])) {
+					t.Fatalf("SeekGE(record %d) = %x ok=%v err=%v", i, rec, ok, err)
+				}
 			}
 		}
 	})
+}
+
+// drain scans r from the start, copying every record out.
+func drain(r *Reader) ([][]byte, error) {
+	it, err := r.First()
+	var out [][]byte
+	for err == nil {
+		var rec []byte
+		var ok bool
+		if rec, ok, err = it.Next(); !ok {
+			break
+		}
+		out = append(out, append([]byte(nil), rec...))
+	}
+	return out, err
 }

@@ -22,6 +22,10 @@ type Reader struct {
 	cache *Cache
 	id    uint64
 
+	// next decodes one leaf record of a delta run (nil over a raw run),
+	// chosen once from the header's format.
+	next deltaDecoder
+
 	// noFill makes cache misses leave the cache as it is (see NoFill).
 	noFill bool
 
@@ -37,7 +41,7 @@ func Open(f storage.File, cache *Cache) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Reader{f: f, h: h, cache: cache, id: readerIDs.Add(1)}, nil
+	return &Reader{f: f, h: h, cache: cache, id: readerIDs.Add(1), next: decoderFor(h.format, h.recordSize)}, nil
 }
 
 // SetDecodeObserver installs a callback receiving, once per delta leaf
@@ -60,14 +64,18 @@ func (r *Reader) WithFile(f storage.File) *Reader {
 // NoFill returns a shallow copy of the Reader that is served from the cache
 // on a hit but does not insert the pages it misses (LevelDB's
 // fill_cache=false): a one-pass scan through it cannot evict the working
-// set of the seeks that share the cache.
+// set of the seeks that share the cache. Nobody would keep the restart
+// table of a page it misses either, so a FormatDelta leaf is not sampled:
+// the cursor's decoder makes every check of the validating pass record by
+// record, and the leaf is decoded once.
 func (r *Reader) NoFill() *Reader {
 	c := *r
 	c.noFill = true
 	return &c
 }
 
-// Format returns the run's leaf encoding (FormatRaw or FormatDelta).
+// Format returns the run's leaf encoding: FormatRaw, FormatDelta, or the
+// previous delta format, which is only ever read.
 func (r *Reader) Format() Format { return r.h.format }
 
 // RecordSize returns the fixed record size of the run.
@@ -94,21 +102,30 @@ func (r *Reader) SizeBytes() int64 {
 }
 
 // BloomBytes reads the serialized Bloom filter, or nil if none was stored.
+// A FormatDelta header carries the filter's checksum, and bytes that fail
+// it come back as an ErrCorrupt-wrapped error: a flipped filter bit is a
+// false negative, an owner silently missing from an answer. Older formats
+// stored no checksum.
 func (r *Reader) BloomBytes() ([]byte, error) {
 	if r.h.bloomLen == 0 {
 		return nil, nil
 	}
-	buf := make([]byte, r.h.bloomLen)
+	buf := make([]byte, r.h.bloomLen) // at most the file's size, see readHeader
 	if _, err := r.f.ReadAt(buf, int64(r.h.bloomOff)); err != nil && err != io.EOF {
 		return nil, fmt.Errorf("btree: reading bloom: %w", err)
+	}
+	if r.h.format == FormatDelta && crc32.Checksum(buf, castagnoli) != r.h.bloomCRC {
+		return nil, fmt.Errorf("%w: bloom filter checksum", ErrCorrupt)
 	}
 	return buf, nil
 }
 
 // readPage returns a verified page — leaf or internal, in its on-disk
 // encoding — from the cache or, on a miss, from storage. A delta leaf read
-// from storage gets its one validating pass here, which also samples the
-// restart table the page is cached with. Nothing returned may be modified.
+// from storage gets its validating pass here, which also samples the
+// restart table the page is cached with — except a FormatDelta leaf missed
+// by a NoFill reader, which comes back without a table for the cursor to
+// validate as it streams. Nothing returned may be modified.
 func (r *Reader) readPage(pageNo uint64) (*page, error) {
 	if r.cache != nil {
 		if p := r.cache.get(r.id, pageNo); p != nil {
@@ -120,23 +137,45 @@ func (r *Reader) readPage(pageNo uint64) (*page, error) {
 		return nil, err
 	}
 	p := &page{payload: payload, count: count}
-	if r.h.format == FormatDelta && pageNo-r.h.leafStart < r.h.leafPages {
-		var start time.Time
-		if r.decodeObs != nil {
-			start = time.Now()
+	if pageNo-r.h.leafStart < r.h.leafPages { // a leaf; findLeaf checks what it descends through
+		switch {
+		case r.next == nil:
+			err = checkEntries(p, r.h.recordSize)
+		case r.noFill && r.h.format == FormatDelta:
+			err = checkLeafCount(payload, count)
+		default:
+			err = r.sample(p)
 		}
-		p.restarts, err = sampleRestarts(payload, count, r.h.recordSize)
 		if err != nil {
 			return nil, fmt.Errorf("btree: page %d: %w", pageNo, err)
-		}
-		if r.decodeObs != nil {
-			r.decodeObs(time.Since(start))
 		}
 	}
 	if r.cache != nil && !r.noFill {
 		r.cache.put(r.id, pageNo, p)
 	}
 	return p, nil
+}
+
+// checkEntries rejects a page read as fixed-stride entries — an internal
+// page or a raw leaf — whose count field runs past its payload.
+func checkEntries(p *page, stride int) error {
+	if p.count*stride > len(p.payload) {
+		return fmt.Errorf("%w: %d entries of %d bytes", ErrCorrupt, p.count, stride)
+	}
+	return nil
+}
+
+// sample gives the delta leaf p its validating pass and restart table.
+func (r *Reader) sample(p *page) (err error) {
+	var start time.Time
+	if r.decodeObs != nil {
+		start = time.Now()
+	}
+	p.restarts, err = sampleRestarts(p.payload, p.count, r.h.recordSize, r.next)
+	if err == nil && r.decodeObs != nil {
+		r.decodeObs(time.Since(start))
+	}
+	return err
 }
 
 // readPageRaw reads a page from storage and verifies its CRC, bypassing
@@ -164,6 +203,10 @@ func (r *Reader) findLeaf(key []byte) (uint64, error) {
 	entrySize := r.h.recordSize + 8
 	for level := int(r.h.levels); level > 0; level-- {
 		pg, err := r.readPage(pageNo)
+		if err == nil {
+			// A damaged header can send the descent through any page.
+			err = checkEntries(pg, entrySize)
+		}
 		if err != nil {
 			return 0, err
 		}
@@ -212,7 +255,7 @@ type Iterator struct {
 
 func (r *Reader) newIterator(pageNo uint64) (*Iterator, error) {
 	it := &Iterator{r: r, pageNo: pageNo}
-	if r.h.format == FormatDelta {
+	if r.next != nil {
 		it.rec = make([]byte, r.h.recordSize)
 	}
 	if err := it.loadPage(); err != nil {
@@ -253,6 +296,15 @@ func (r *Reader) SeekGE(key []byte) (*Iterator, error) {
 		}
 		it.idx = lo
 	} else {
+		if it.restarts == nil {
+			// A leaf a NoFill reader missed has no restart table yet;
+			// sample one for this seek on a copy, pages being shared.
+			p := *it.page
+			if err := r.sample(&p); err != nil {
+				return nil, fmt.Errorf("btree: page %d: %w", it.pageNo, err)
+			}
+			it.page = &p
+		}
 		// Start from the last restart point whose record is <= key (the
 		// first one if key sorts before the whole page) and stream-decode
 		// forward, at most restartInterval records.
@@ -298,12 +350,13 @@ func (it *Iterator) advancePage() error {
 	return it.loadPage()
 }
 
-// decodeNext advances the delta cursor by one record. The page was
-// validated when it was read, so a failure here means memory corruption.
+// decodeNext advances the delta cursor by one record. Over a page that
+// came with a restart table a failure here means memory corruption; over
+// one that did not (see NoFill) this is the page's validation.
 func (it *Iterator) decodeNext() error {
-	next, _ := deltaNext(it.payload, it.pos, it.rec)
+	next := it.r.next(it.payload, it.pos, it.rec, it.idx == 0)
 	if next < 0 {
-		return fmt.Errorf("%w: page %d record %d", ErrCorrupt, it.pageNo, it.idx)
+		return fmt.Errorf("%w: page %d: malformed delta record %d", ErrCorrupt, it.pageNo, it.idx)
 	}
 	it.pos = next
 	it.idx++

@@ -12,15 +12,18 @@ import (
 // them by columns." Runs are actually stored column-delta encoded when
 // Options.Compression is CompressionDelta (the default; see
 // btree.FormatDelta), and EstimateCompression projects the effect for
-// databases still holding raw v1 runs — using the same btree codec the
-// writer uses, so the estimate and the actual encoded size cannot drift.
+// databases still holding runs in an older format — raw v1, or the v2
+// delta encoding that spent a byte on every unchanged column — using the
+// same btree codec the writer uses, so the estimate and the actual encoded
+// size cannot drift.
 
 // Compression selects the on-disk run format; see Options.Compression.
 type Compression int
 
 const (
-	// CompressionDelta (the default) writes format-v2 runs: leaf pages
-	// encoded per column as delta + zigzag + LEB128 varints, restarting at
+	// CompressionDelta (the default) writes format-v3 runs: each leaf
+	// record flags the columns that differ from the previous record and
+	// carries their delta + zigzag + LEB128 varints only, restarting at
 	// every 4 KB page boundary.
 	CompressionDelta Compression = iota
 	// CompressionNone writes raw fixed-stride format-v1 runs — the paper's
@@ -58,14 +61,16 @@ type CompressionEstimate struct {
 	CompressedBytes int64
 	// Ratio is RawBytes / CompressedBytes (>1 means compressible).
 	Ratio float64
-	// PerColumnBytes breaks the compressed size down by column index
-	// (block, inode, offset, line, length, cp fields...).
+	// PerColumnBytes breaks the compressed size down: one entry per column
+	// (block, inode, offset, line, length, cp fields...) and a last one
+	// for the records' presence bitmaps. The entries sum to
+	// CompressedBytes.
 	PerColumnBytes []int64
 }
 
 // EstimateCompression streams all runs of the named table (TableFrom,
 // TableTo, or TableCombined) and computes the leaf-payload size their
-// records would occupy under the v2 column-delta encoding, page restarts
+// records would occupy under the v3 column-delta encoding, page restarts
 // included. Runs are already sorted, so consecutive records share long key
 // prefixes and the per-column deltas are small — exactly the property the
 // paper expects to exploit.
@@ -112,10 +117,9 @@ func (e *Engine) EstimateCompression(table string) (CompressionEstimate, error) 
 		Records:         sim.Records(),
 		RawBytes:        int64(sim.Records()) * int64(rs),
 		CompressedBytes: int64(sim.EncodedBytes()),
-		PerColumnBytes:  make([]int64, rs/8),
 	}
-	for c, b := range sim.PerColumnBytes() {
-		est.PerColumnBytes[c] = int64(b)
+	for _, b := range sim.PerColumnBytes() {
+		est.PerColumnBytes = append(est.PerColumnBytes, int64(b))
 	}
 	if est.CompressedBytes > 0 {
 		est.Ratio = float64(est.RawBytes) / float64(est.CompressedBytes)

@@ -45,12 +45,18 @@ func TestCompressionEstimate(t *testing.T) {
 		if est.Ratio < 3 {
 			t.Fatalf("%s: compression ratio %.2f, expected >= 3 (paper §8: highly compressible)", table, est.Ratio)
 		}
+		// One entry per column and a last one for the presence bitmaps, a
+		// byte per record; together they are the whole payload.
+		cols := int(est.RawBytes/int64(est.Records)) / 8
+		if len(est.PerColumnBytes) != cols+1 || est.PerColumnBytes[cols] != int64(est.Records) {
+			t.Fatalf("%s: per-column entries %v, want %d columns then %d bitmap bytes", table, est.PerColumnBytes, cols, est.Records)
+		}
 		var sum int64
 		for _, c := range est.PerColumnBytes {
 			sum += c
 		}
 		if sum != est.CompressedBytes {
-			t.Fatalf("%s: per-column sum %d != total %d", table, sum, est.CompressedBytes)
+			t.Fatalf("%s: per-column and bitmap bytes sum to %d != total %d", table, sum, est.CompressedBytes)
 		}
 	}
 

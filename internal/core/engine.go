@@ -57,12 +57,13 @@ type Options struct {
 	// join path that pruning otherwise keeps out of the read store.
 	DisablePruning bool
 	// Compression selects the on-disk run format. The default,
-	// CompressionDelta, writes format-v2 runs whose leaf pages are
-	// per-column delta + zigzag + varint encoded (the paper's Section 8
-	// observation that back-reference tables are "highly compressible,
-	// especially if we compress them by columns"); CompressionNone writes
-	// raw fixed-stride v1 runs. Runs of either format open and query
-	// transparently, and every new run — checkpoint flush or compaction —
+	// CompressionDelta, writes format-v3 runs whose leaf records flag the
+	// columns that changed and delta + zigzag + varint encode those (the
+	// paper's Section 8 observation that back-reference tables are "highly
+	// compressible, especially if we compress them by columns");
+	// CompressionNone writes raw fixed-stride v1 runs. Runs of every
+	// readable format — those two and the previous delta format, v2 — open
+	// and query transparently, and every new run — checkpoint flush or compaction —
 	// is written in the configured format, so flipping the knob migrates a
 	// database gradually with no explicit step.
 	Compression Compression

@@ -6,15 +6,23 @@
 package core_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
 	"github.com/backlogfs/backlog/internal/btree"
 	"github.com/backlogfs/backlog/internal/core"
+	"github.com/backlogfs/backlog/internal/naive"
 	"github.com/backlogfs/backlog/internal/storage"
+	"github.com/backlogfs/backlog/internal/wal"
 )
 
 // formatCounts tallies live runs by leaf format.
@@ -205,5 +213,261 @@ func TestCorruptCompressedRunSurfacesErrCorrupt(t *testing.T) {
 	}
 	if !sawCorrupt {
 		t.Fatal("no query surfaced ErrCorrupt after corrupting every run")
+	}
+}
+
+// v2StoreOps is the update history testdata/v2-store holds, in order:
+// 4 200 updates over 150 blocks and CPs 1..7, every third one a removal —
+// alternately of the reference added five additions earlier, which mostly
+// cancels within its CP, and of the oldest one still live once that is 700
+// additions old, which closes an interval opened at an earlier CP. The previous binary applied
+// them through the public API with a Buffered log: Checkpoint(cp) and a
+// snapshot of line 0 after the last update of each of CPs 1..6, Compact
+// after CP 4 — so the directory holds level-1 runs and the level-0 runs of
+// CPs 5 and 6, all in run format 2 — and Close right after the updates of
+// CP 7, which therefore exist only in the log tail.
+func v2StoreOps() []oracleOp {
+	const n = 4200
+	ops := make([]oracleOp, 0, n)
+	var added []core.Ref
+	var removed []bool
+	oldest := 0 // first reference not yet removed
+	for i := uint64(0); i < n; i++ {
+		cp := 1 + i*7/n
+		if i%3 == 2 {
+			k := len(added) - 5
+			if i%2 == 1 {
+				for oldest < len(added) && removed[oldest] {
+					oldest++
+				}
+				if k = oldest; len(added)-k < 700 {
+					k = -1
+				}
+			}
+			if k >= 0 && !removed[k] {
+				removed[k] = true
+				ops = append(ops, oracleOp{ref: added[k], cp: cp, remove: true})
+				continue
+			}
+		}
+		r := core.Ref{Block: i * 37 % 150, Inode: 1 + i%4, Offset: i, Length: 1 + i%2}
+		added, removed = append(added, r), append(removed, false)
+		ops = append(ops, oracleOp{ref: r, cp: cp})
+	}
+	return ops
+}
+
+// TestV2StoreOpensAndMigrates is the run-format upgrade path end to end: a
+// directory the previous binary wrote (format-2 delta runs at two levels,
+// snapshots, a Buffered log tail — never regenerate it) opens, answers
+// every query as the naive oracle does, checkpoints, and compacts into
+// the current format with the answers unchanged, across a reopen.
+func TestV2StoreOpensAndMigrates(t *testing.T) {
+	const blocks = 150
+	fs := storage.NewMemFS()
+	cat := core.NewMemCatalog()
+	entries, err := os.ReadDir(filepath.Join("testdata", "v2-store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range entries {
+		b, err := os.ReadFile(filepath.Join("testdata", "v2-store", ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ent.Name() == "CATALOG" {
+			if err := cat.UnmarshalJSON(b); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		f, err := fs.Create(ent.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt(b, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
+
+	oracle, err := naive.New(storage.NewMemFS(), 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := 0
+	for _, o := range v2StoreOps() {
+		if o.remove {
+			oracle.RemoveRef(o.ref, o.cp)
+		} else {
+			oracle.AddRef(o.ref, o.cp)
+		}
+		if o.cp == 7 {
+			tail++
+		}
+	}
+	// Every CP up to 6 is a retained snapshot and the rest is live, so no
+	// interval is masked: the engine must report exactly the oracle's
+	// non-empty intervals.
+	checkOracle := func(eng *core.Engine, when string) {
+		t.Helper()
+		for b := uint64(0); b < blocks; b++ {
+			recs, err := oracle.QueryBlock(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want, got []string
+			for _, r := range recs {
+				if r.From != r.To {
+					want = append(want, fmt.Sprintf("%+v [%d,%d)", r.Ref, r.From, r.To))
+				}
+			}
+			owners, err := eng.Query(b)
+			if err != nil {
+				t.Fatalf("%s: block %d: %v", when, b, err)
+			}
+			for _, o := range owners {
+				ref := core.Ref{Block: b, Inode: o.Inode, Offset: o.Offset, Line: o.Line, Length: o.Length}
+				got = append(got, fmt.Sprintf("%+v [%d,%d)", ref, o.From, o.To))
+			}
+			sort.Strings(want)
+			sort.Strings(got)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: block %d answers\n%v\nthe oracle\n%v", when, b, got, want)
+			}
+		}
+	}
+
+	open := func() *core.Engine {
+		t.Helper()
+		eng, err := core.Open(core.Options{VFS: fs, Catalog: cat, Durability: wal.Buffered})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	eng := open()
+	if got := eng.Stats().WALReplayed; got != uint64(tail) {
+		t.Fatalf("replayed %d records of the log tail, want %d", got, tail)
+	}
+	levels := map[int]bool{}
+	for _, ri := range eng.RunInfos() {
+		if uint32(ri.Format) != 2 {
+			t.Fatalf("run %s has format %v, the golden store holds only format-2 runs", ri.Name, ri.Format)
+		}
+		levels[ri.Level] = true
+	}
+	if !levels[0] || !levels[1] {
+		t.Fatalf("golden store's run levels: %v, want 0 and 1", levels)
+	}
+	checkOracle(eng, "as written by the previous binary")
+	before := queryFingerprint(t, eng, blocks)
+
+	// A checkpoint writes its runs in the current format next to the old
+	// ones; the store answers from the mix.
+	if err := eng.Checkpoint(7); err != nil {
+		t.Fatal(err)
+	}
+	counts := formatCounts(eng)
+	if counts[btree.FormatDelta] == 0 || counts[btree.Format(2)] == 0 {
+		t.Fatalf("after the checkpoint: %v, want format-2 and current-format runs side by side", counts)
+	}
+	checkOracle(eng, "mixed formats")
+
+	if err := eng.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if counts := formatCounts(eng); len(counts) != 1 || counts[btree.FormatDelta] == 0 {
+		t.Fatalf("after compaction: %v, want only current-format delta runs", counts)
+	}
+	checkOracle(eng, "compacted")
+	if got := queryFingerprint(t, eng, blocks); got != before {
+		t.Fatal("compacting into the current format changed query results")
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	eng = open()
+	defer eng.Close()
+	if counts := formatCounts(eng); len(counts) != 1 || counts[btree.FormatDelta] == 0 {
+		t.Fatalf("after the reopen: %v", counts)
+	}
+	checkOracle(eng, "reopened")
+	if got := queryFingerprint(t, eng, blocks); got != before {
+		t.Fatal("reopening the migrated store changed query results")
+	}
+}
+
+// TestCorruptLeafUnderCompaction damages a leaf so that its checksum still
+// passes — the second half of the record stream zeroed, which decodes as
+// records that repeat their predecessor — and compacts over it. A merge
+// reads current-format leaves once, validating them as it streams, so the
+// damage surfaces partway through a page: the compaction must fail with
+// btree.ErrCorrupt and leave the run set and the directory as they were.
+func TestCorruptLeafUnderCompaction(t *testing.T) {
+	fs := storage.NewMemFS()
+	eng, err := core.Open(core.Options{VFS: fs, Catalog: core.NewMemCatalog()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for cp := uint64(1); cp <= 2; cp++ {
+		for b := uint64(0); b < 500; b++ {
+			eng.AddRef(core.Ref{Block: b, Inode: cp, Offset: b, Length: 1}, cp)
+		}
+		if err := eng.Checkpoint(cp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runFiles := func() []string {
+		names, err := fs.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var runs []string
+		for _, name := range names {
+			if strings.HasSuffix(name, ".run") {
+				runs = append(runs, name)
+			}
+		}
+		return runs
+	}
+	before := runFiles()
+	if len(before) < 2 {
+		t.Fatalf("run files before the merge: %v", before)
+	}
+
+	f, err := fs.Open(before[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := make([]byte, storage.PageSize)
+	if _, err := f.ReadAt(page, storage.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	used := bytes.LastIndexFunc(page[:storage.PageSize-4], func(r rune) bool { return r != 0 })
+	clear(page[used/2 : storage.PageSize-4])
+	binary.LittleEndian.PutUint32(page[storage.PageSize-4:],
+		crc32.Checksum(page[:storage.PageSize-4], crc32.MakeTable(crc32.Castagnoli)))
+	if _, err := f.WriteAt(page, storage.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	eng.ClearCaches()
+
+	if err := eng.Compact(); !errors.Is(err, btree.ErrCorrupt) {
+		t.Fatalf("Compact over a malformed leaf: %v, want btree.ErrCorrupt", err)
+	}
+	if after := runFiles(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("run files after the failed merge: %v, before it %v", after, before)
+	}
+	for _, ri := range eng.RunInfos() {
+		if ri.Level != 0 {
+			t.Fatalf("a level-%d run was installed by the failed merge: %+v", ri.Level, ri)
+		}
 	}
 }

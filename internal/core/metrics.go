@@ -56,8 +56,9 @@ type engineObs struct {
 	expire  *obs.Histogram
 
 	// pageDecode times the validate-and-sample pass over one compressed
-	// (format-v2) leaf page read on a page-cache miss; handed to the LSM
-	// layer at Open.
+	// leaf page read on a query's page-cache miss (a merge scan validates
+	// current-format leaves as it streams, with no such pass); handed to
+	// the LSM layer at Open.
 	pageDecode *obs.Histogram
 
 	// WAL metrics, handed to wal.Open via wal.Options.
@@ -375,7 +376,7 @@ func (e *Engine) registerMetrics(r *obs.Registry) {
 		"Cumulative write amplification since Open",
 		func() float64 { return e.IOReport().WriteAmp })
 	if e.cache != nil {
-		// The shared cache holds verified on-disk payloads (v2 leaves stay
+		// The shared cache holds verified on-disk payloads (delta leaves stay
 		// encoded, each with its restart table); a hit means a query
 		// skipped the page read, the CRC and the validating pass. The
 		// series keep the names they had when the cache held decoded leaves.

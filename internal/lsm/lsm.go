@@ -89,18 +89,21 @@ type Options struct {
 	HashPartitioning bool
 	// Cache is the shared page cache used by run readers (may be nil).
 	Cache *btree.Cache
-	// RunFormat selects the leaf encoding for newly built runs
-	// (btree.FormatRaw if zero). Existing runs of either format open
-	// transparently regardless of this setting, and every builder — the
-	// checkpoint flush and compaction go through NewRunBuilder —
-	// writes the configured format, so switching it migrates a database
-	// run by run as compaction rewrites them. FormatDelta requires every
-	// table's RecordSize to be a multiple of 8.
+	// RunFormat selects the leaf encoding for newly built runs:
+	// btree.FormatRaw (also if zero) or btree.FormatDelta, the two formats
+	// that can be written. Existing runs of every readable format — those
+	// two and the previous delta format — open transparently regardless of
+	// this setting, and every builder — the checkpoint flush and
+	// compaction go through NewRunBuilder — writes the configured format,
+	// so a database migrates run by run as compaction rewrites them.
+	// FormatDelta requires every table's RecordSize to be a multiple of 8.
 	RunFormat btree.Format
 	// DecodeObserver, when non-nil, receives the wall time of the
-	// validate-and-sample pass over each compressed leaf page read on a
-	// cache miss (the engine wires it to the backlog_page_decode_ns
-	// histogram).
+	// validate-and-sample pass over each compressed leaf page a query
+	// reads on a cache miss (the engine wires it to the
+	// backlog_page_decode_ns histogram). Merge scans decode a
+	// current-format leaf once, validating as they stream, and report
+	// nothing here.
 	DecodeObserver func(time.Duration)
 }
 
@@ -347,7 +350,7 @@ func Open(vfs storage.VFS, opts Options) (*DB, error) {
 		opts.RunFormat = btree.FormatRaw
 	}
 	if opts.RunFormat != btree.FormatRaw && opts.RunFormat != btree.FormatDelta {
-		return nil, fmt.Errorf("lsm: unknown run format %d", opts.RunFormat)
+		return nil, fmt.Errorf("lsm: run format %d cannot be written (raw and delta can)", opts.RunFormat)
 	}
 	db := &DB{vfs: vfs, opts: opts, cache: opts.Cache, tables: make(map[string]*Table)}
 	for _, spec := range opts.Tables {
@@ -499,8 +502,9 @@ type RunInfo struct {
 	Level     int
 	Records   uint64
 	SizeBytes int64
-	// Format is the run's on-disk leaf encoding (btree.FormatRaw or
-	// btree.FormatDelta), read from the run's own header.
+	// Format is the run's on-disk leaf encoding — btree.FormatRaw,
+	// btree.FormatDelta or the previous, read-only delta format — read
+	// from the run's own header.
 	Format btree.Format
 	// LogicalBytes is Records x RecordSize — the size the records occupy
 	// once decoded; SizeBytes/LogicalBytes is the physical footprint

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/backlogfs/backlog/internal/btree"
@@ -425,6 +426,72 @@ func TestInstalledRunKeepsBuilderFilter(t *testing.T) {
 	}
 }
 
+// TestDamagedFilterIsReadOnce: a current-format run whose filter bytes fail
+// the header's checksum is probed as a run without a filter — every block
+// in its range may be present, so no owner goes missing — and the bytes
+// are read once, not on every probe.
+func TestDamagedFilterIsReadOnce(t *testing.T) {
+	fs := storage.NewMemFS()
+	opts := Options{
+		Tables:    []TableSpec{{Name: "from", RecordSize: testRecSize}},
+		Cache:     btree.NewCacheBytes(64 * storage.PageSize),
+		RunFormat: btree.FormatDelta,
+	}
+	db, err := Open(fs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs [][]byte
+	for b := uint64(10); b < 500; b += 7 {
+		recs = append(recs, rec16(b, 1))
+	}
+	flushRecords(t, db, "from", 1, recs)
+	name := db.Table("from").Runs(0)[0].Name()
+	db.Close()
+
+	f, err := fs.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size, _ := f.Size()
+	var b [1]byte
+	if _, err := f.ReadAt(b[:], size-1); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x04
+	if _, err := f.WriteAt(b[:], size-1); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	if db, err = Open(fs, opts); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	run := db.Table("from").Runs(0)[0]
+	before := fs.Stats().BytesRead
+	if !run.MayContainBlock(11) {
+		t.Fatal("a run with a damaged filter ruled a block out")
+	}
+	first := fs.Stats().BytesRead - before
+	if first == 0 {
+		t.Fatal("the first probe read nothing: the filter was never checked")
+	}
+	for b := run.MinBlock(); b <= run.MaxBlock(); b++ {
+		if !run.MayContainBlock(b) {
+			t.Fatalf("block %d ruled out by a filter that failed its checksum", b)
+		}
+	}
+	if again := fs.Stats().BytesRead - before - first; again != 0 {
+		t.Fatalf("later probes read %d more bytes: the failed load is not sticky", again)
+	}
+	for b := uint64(10); b < 500; b += 7 {
+		if got := collect(t, db.Table("from"), b); len(got) != 1 {
+			t.Fatalf("block %d: %d records, want 1", b, len(got))
+		}
+	}
+}
+
 func TestEmptyBuilderProducesNoRun(t *testing.T) {
 	fs := storage.NewMemFS()
 	db := openTestDB(t, fs, 1)
@@ -502,6 +569,13 @@ func TestOpenValidation(t *testing.T) {
 		Tables: []TableSpec{{Name: "t", RecordSize: 16}, {Name: "t", RecordSize: 16}},
 	}); err == nil {
 		t.Fatal("Open with duplicate tables succeeded")
+	}
+	// Run format 2 is still read, never written.
+	if _, err := Open(fs, Options{
+		Tables:    []TableSpec{{Name: "t", RecordSize: 16}},
+		RunFormat: btree.Format(2),
+	}); err == nil || !strings.Contains(err.Error(), "cannot be written") {
+		t.Fatalf("Open writing run format 2: %v", err)
 	}
 }
 

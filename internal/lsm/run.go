@@ -54,10 +54,14 @@ type Run struct {
 	creader *btree.Reader
 	// filter is the run's Bloom filter once known: handed over by the
 	// builder for a run this process wrote, loaded from the file under mu
-	// on the first probe otherwise. Probes read it without a lock.
+	// on the first probe otherwise. Probes read it without a lock. noBF
+	// marks a run whose load found no usable filter — none stored, or
+	// bytes that could not be read or failed their checksum — and is
+	// sticky: the run is probed as filterless from then on, which costs
+	// seeks and never an answer.
 	filter atomic.Pointer[bloom.Filter]
 	mu     sync.Mutex
-	noBF   bool // run carries no bloom filter
+	noBF   atomic.Bool
 
 	// heatBytes accumulates device bytes read on behalf of queries (fed by
 	// the query handle's read hook; cache hits add nothing) and lastCP the
@@ -187,37 +191,35 @@ func (r *Run) MayContainBlock(block uint64) bool {
 	if block < r.minBlock || block > r.maxBlock {
 		return false
 	}
-	f, err := r.bloomFilter()
-	if err != nil || f == nil {
-		// No filter (or unreadable): must assume presence.
+	f := r.bloomFilter()
+	if f == nil {
+		// No usable filter: must assume presence.
 		return true
 	}
 	return f.MayContain(block)
 }
 
-func (r *Run) bloomFilter() (*bloom.Filter, error) {
-	if f := r.filter.Load(); f != nil {
-		return f, nil
+// bloomFilter returns the run's filter, loading it on the first call, or
+// nil if the run is to be probed without one.
+func (r *Run) bloomFilter() *bloom.Filter {
+	if f := r.filter.Load(); f != nil || r.noBF.Load() {
+		return f
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if f := r.filter.Load(); f != nil || r.noBF {
-		return f, nil
+	if f := r.filter.Load(); f != nil || r.noBF.Load() {
+		return f
 	}
-	data, err := r.qreader.BloomBytes()
-	if err != nil {
-		return nil, err
+	if data, err := r.qreader.BloomBytes(); err == nil && data != nil {
+		if f, err := bloom.Unmarshal(data); err == nil {
+			r.filter.Store(f)
+			return f
+		}
 	}
-	if data == nil {
-		r.noBF = true
-		return nil, nil
-	}
-	f, err := bloom.Unmarshal(data)
-	if err != nil {
-		return nil, err
-	}
-	r.filter.Store(f)
-	return f, nil
+	// One read is all a damaged filter gets: retrying per probe would turn
+	// every query into a filter load, and answers are exact without it.
+	r.noBF.Store(true)
+	return nil
 }
 
 // SeekGE returns an iterator over the run positioned at the first record
