@@ -52,12 +52,13 @@
 //     two cancel at query and compaction time instead.
 //   - Query and QueryRange read the union of the active and frozen trees
 //     plus the pinned run-set view — a consistent cut in every phase.
-//   - RelocateBlock transplants records out of the frozen trees too
-//     (logically: the frozen trees are immutable while the flush reads
-//     them, so the old records are masked and re-keyed copies enter the
-//     active trees).
+//   - RelocateBlock queues behind the in-flight flush, like a second
+//     Checkpoint: the frozen trees are read-only to everyone while the
+//     flush reads them, and relocation is the one call that would have to
+//     delete from them. It runs right after the install (or, if the flush
+//     fails, after the frozen records are merged back).
 //   - A second Checkpoint, a Close, and compaction's pessimistic
-//     full-lock fallback all serialize behind the in-flight flush;
+//     full-lock fallback likewise serialize behind the in-flight flush;
 //     ordinary (optimistic) compactions run concurrently and validate
 //     their view before installing.
 //   - In Buffered/Sync durability modes the write-ahead log is "cut" at
@@ -946,7 +947,11 @@ func (db *DB) Maintain() error {
 
 // RelocateBlock transplants all back references of oldBlock onto newBlock;
 // call it after physically moving a block and updating file system
-// pointers. Durable at the next Checkpoint.
+// pointers. Durable at the next Checkpoint. It holds the structural lock
+// exclusively while it reads the block's run records, and a call issued
+// while a Checkpoint is flushing waits for that checkpoint to finish. On
+// error nothing has moved and nothing was logged: the old block answers as
+// before and the call can be retried.
 func (db *DB) RelocateBlock(oldBlock, newBlock uint64) error {
 	return db.eng.RelocateBlock(oldBlock, newBlock)
 }

@@ -200,6 +200,55 @@ type counters struct {
 	recordsExpired    atomic.Uint64
 }
 
+// generation is one set of write-store trees, one per table. A shard's
+// active generation takes updates; a checkpoint freezes it whole.
+type generation struct {
+	from     *memtree.Tree[FromRec]
+	to       *memtree.Tree[ToRec]
+	combined *memtree.Tree[CombinedRec] // used only by relocation
+}
+
+func newGeneration() *generation {
+	return &generation{from: memtree.New(lessFrom), to: memtree.New(lessTo), combined: memtree.New(lessCombined)}
+}
+
+// len returns the generation's record count; a nil generation is empty.
+func (g *generation) len() int {
+	if g == nil {
+		return 0
+	}
+	return g.from.Len() + g.to.Len() + g.combined.Len()
+}
+
+// mergeInto inserts every record of the generation into dst.
+func (g *generation) mergeInto(dst *generation) {
+	g.from.Ascend(func(r FromRec) bool { dst.from.Insert(r); return true })
+	g.to.Ascend(func(r ToRec) bool { dst.to.Insert(r); return true })
+	g.combined.Ascend(func(r CombinedRec) bool { dst.combined.Insert(r); return true })
+}
+
+// collect appends the generation's records of one block to ws.
+func (g *generation) collect(block uint64, ws *wsRecords) {
+	lo := Ref{Block: block}
+	ws.froms = collectWS(ws.froms, g.from, FromRec{Ref: lo})
+	ws.tos = collectWS(ws.tos, g.to, ToRec{Ref: lo})
+	ws.combineds = collectWS(ws.combineds, g.combined, CombinedRec{Ref: lo})
+}
+
+// collectWS appends to dst every record of ws that shares the block of lo,
+// the block's smallest possible record.
+func collectWS[T interface{ ref() Ref }](dst []T, ws *memtree.Tree[T], lo T) []T {
+	block := lo.ref().Block
+	ws.Scan(lo, func(r T) bool {
+		if r.ref().Block != block {
+			return false
+		}
+		dst = append(dst, r)
+		return true
+	})
+	return dst
+}
+
 // writeShard is one hash partition of the write store: a lock plus the
 // per-table in-memory trees. A reference with physical block b lives in
 // shard mix64(b) % N, so proactive pruning (which pairs an AddRef with a
@@ -208,23 +257,17 @@ type counters struct {
 // concurrent queries on one shard never serialize against each other —
 // only against updates to the same shard.
 type writeShard struct {
-	mu       sync.RWMutex
-	from     *memtree.Tree[FromRec]
-	to       *memtree.Tree[ToRec]
-	combined *memtree.Tree[CombinedRec] // used only by relocation
+	mu     sync.RWMutex
+	active *generation
 
-	// The frozen trees hold the records a running checkpoint is flushing:
-	// Checkpoint swaps the active trees here under the exclusive
-	// structural lock, builds runs from them with no lock held, and clears
-	// them (or merges them back, on error) when it re-acquires the lock.
-	// Non-nil only while that flush is in flight. Flush goroutines read
-	// them without any lock — they are immutable for the duration: updates
-	// go to the fresh active trees, and the only writers (install, restore,
-	// relocation's frozenDel bookkeeping) hold the structural lock
-	// exclusively, which queries' shared acquisition in pinBlock excludes.
-	frozenFrom     *memtree.Tree[FromRec]
-	frozenTo       *memtree.Tree[ToRec]
-	frozenCombined *memtree.Tree[CombinedRec]
+	// frozen holds the records a running checkpoint is flushing: Checkpoint
+	// moves the active generation here under the exclusive structural lock,
+	// builds runs from it with no lock held, and drops it (or merges it
+	// back, on error) when it re-acquires the lock. Non-nil only while that
+	// flush is in flight, and read-only to everyone for that long: updates
+	// go to the fresh active generation, and RelocateBlock — the one call
+	// that would have to delete from it — waits for the checkpoint to end.
+	frozen *generation
 }
 
 // Engine is the Backlog back-reference database.
@@ -234,15 +277,19 @@ type writeShard struct {
 // different shards run in parallel. Query and QueryRange acquire it
 // shared only long enough to pin an immutable LSM view and snapshot the
 // owning shard's write store (active and frozen); all run I/O happens
-// against the pinned view with no lock held. RelocateBlock acquires it
-// exclusively. Checkpoint acquires it exclusively only twice and briefly:
-// to freeze the write stores, and to validate and atomically install the
-// flushed runs — the run-building I/O in between holds no structural
-// lock, so updates tagged for the next consistency point, queries, and
-// relocations all proceed during the flush. Compaction likewise merges
-// against a pinned view outside the lock and acquires it exclusively only
-// to validate and install, so queries and updates never stall behind a
-// running compaction or a flushing checkpoint.
+// against the pinned view with no lock held. Checkpoint acquires it
+// exclusively only twice and briefly: to freeze the write stores, and to
+// validate and atomically install the flushed runs — the run-building I/O
+// in between holds no structural lock, so updates tagged for the next
+// consistency point and queries proceed during the flush. Compaction
+// likewise merges against a pinned view outside the lock and acquires it
+// exclusively only to validate and install, so queries and updates never
+// stall behind a running compaction or a flushing checkpoint.
+// RelocateBlock holds it exclusively for its whole run, and queues behind
+// an in-flight checkpoint first.
+//
+// Lock order: cpMu → mu → a shard's mu. walErrMu and lsm's viewMu and idMu
+// are leaves: nothing is acquired under them.
 type Engine struct {
 	mu      sync.RWMutex
 	opts    Options
@@ -251,36 +298,16 @@ type Engine struct {
 	db      *lsm.DB
 	cache   *btree.Cache
 
-	// cpMu is the checkpoint single-flight guard, always acquired before
-	// mu: Checkpoint holds it end to end (including the lock-free flush),
-	// and Close and the pessimistic attempt of a merge (compactJobAttempt
-	// with exclusive set) take it too, so neither can interleave with the
-	// window in which the write stores are frozen but the runs are not yet
-	// installed. Optimistic merge attempts do not need it — they validate
-	// their view before installing.
+	// cpMu is the checkpoint single-flight guard: Checkpoint holds it end
+	// to end (including the lock-free flush), and RelocateBlock, Close and
+	// the pessimistic attempt of a merge (compactJobAttempt with exclusive
+	// set) take it too, so none of them can interleave with the window in
+	// which the write stores are frozen but the runs are not yet installed.
+	// Optimistic merge attempts do not need it — they validate their view
+	// before installing.
 	cpMu sync.Mutex
 
 	shards []*writeShard
-
-	// flushingCP is the consistency point currently being flushed (0 when
-	// no checkpoint is in flight), guarded by mu. RelocateBlock uses it to
-	// tag its WAL record: records it re-keys out of the frozen trees land
-	// in the active trees and only become durable at the NEXT checkpoint,
-	// so replay must not consider the relocation covered by this one.
-	flushingCP uint64
-
-	// frozenDel records write-store records that RelocateBlock logically
-	// deleted out of the frozen trees (per table, keyed by encoded record
-	// bytes): the trees themselves are immutable while the flush reads
-	// them, so the deletion is applied as a filter — queries skip these
-	// records when reading the frozen trees, the error path skips them
-	// when merging frozen trees back into the active ones, and a
-	// successful install converts them into deletion-vector entries hiding
-	// the freshly installed run records. They stay out of the table DV
-	// until then so a concurrent compaction cannot clear them before the
-	// records they hide exist in any run. Guarded by mu (written under the
-	// exclusive lock, read under the shared lock); nil when empty.
-	frozenDel map[string]map[string]struct{}
 
 	// wal is the write-ahead log (nil in CheckpointOnly mode). Updaters
 	// append under the shared structural lock; Checkpoint cuts it under
@@ -381,11 +408,7 @@ func Open(opts Options) (*Engine, error) {
 	}
 	shards := make([]*writeShard, nShards)
 	for i := range shards {
-		shards[i] = &writeShard{
-			from:     memtree.New(lessFrom),
-			to:       memtree.New(lessTo),
-			combined: memtree.New(lessCombined),
-		}
+		shards[i] = &writeShard{active: newGeneration()}
 	}
 	e := &Engine{
 		opts:    opts,
@@ -481,7 +504,7 @@ func (e *Engine) openWAL() error {
 		case wal.OpRemoveRef:
 			e.applyRemove(Ref{Block: r.Block, Inode: r.Inode, Offset: r.Offset, Line: r.Line, Length: r.Length}, r.CP)
 		case wal.OpRelocate:
-			if err := e.relocate(r.Block, r.NewBlock); err != nil {
+			if err := e.relocate(r.Block, r.NewBlock, nil); err != nil {
 				if e.wal != nil {
 					// Release the log this Open will never hand out; a
 					// caller retrying Open must not accumulate open
@@ -604,8 +627,8 @@ func (e *Engine) RunCount() int {
 }
 
 // WSLen returns the number of buffered write-store entries (From + To +
-// Combined) across all shards, counting both the active trees and any
-// frozen trees a running checkpoint is flushing (those records are not
+// Combined) across all shards, counting both the active generation and any
+// frozen one a running checkpoint is flushing (those records are not
 // yet durable, so they are still "buffered").
 func (e *Engine) WSLen() int {
 	e.mu.RLock()
@@ -613,11 +636,9 @@ func (e *Engine) WSLen() int {
 	var n int
 	for _, s := range e.shards {
 		s.mu.RLock()
-		n += s.from.Len() + s.to.Len() + s.combined.Len()
+		n += s.active.len()
 		s.mu.RUnlock()
-		if s.frozenFrom != nil {
-			n += s.frozenFrom.Len() + s.frozenTo.Len() + s.frozenCombined.Len()
-		}
+		n += s.frozen.len()
 	}
 	return n
 }
@@ -686,12 +707,12 @@ func (e *Engine) applyAdd(ref Ref, cp uint64) {
 	// inserted instead and the pair cancels at query/compaction time
 	// (joinGroup treats from == to as an empty interval).
 	if !e.opts.DisablePruning {
-		if s.to.Delete(ToRec{Ref: ref, To: cp}) {
+		if s.active.to.Delete(ToRec{Ref: ref, To: cp}) {
 			e.stats.prunedAdds.Add(1)
 			return
 		}
 	}
-	s.from.Insert(FromRec{Ref: ref, From: cp})
+	s.active.from.Insert(FromRec{Ref: ref, From: cp})
 }
 
 // RemoveRef records that ref ceased to be live at CP cp. If the reference
@@ -736,12 +757,12 @@ func (e *Engine) applyRemove(ref Ref, cp uint64) {
 	// whose matching AddRef is mid-flush inserts a To record instead, and
 	// the join cancels the pair.
 	if !e.opts.DisablePruning {
-		if s.from.Delete(FromRec{Ref: ref, From: cp}) {
+		if s.active.from.Delete(FromRec{Ref: ref, From: cp}) {
 			e.stats.prunedRemoves.Add(1)
 			return
 		}
 	}
-	s.to.Insert(ToRec{Ref: ref, To: cp})
+	s.active.to.Insert(ToRec{Ref: ref, To: cp})
 }
 
 // noteWALErr records a durability failure: the write-ahead log could not
@@ -790,13 +811,13 @@ var ErrStaleCP = errors.New("core: checkpoint CP not newer than committed CP")
 // active trees), and to validate and atomically install the finished runs
 // (one manifest edit covering every shard). All run-building I/O happens
 // between the two with no structural lock held, each shard sorting and
-// writing its own runs in parallel, so updates tagged cp+1, queries, and
-// relocations proceed while the flush runs. cp must be greater than the
-// last committed checkpoint number. Concurrent Checkpoint calls
-// serialize. After Checkpoint returns, all references up to cp are
-// durable and the frozen stores are empty. On error the frozen records
-// are merged back into the write stores, so the caller can retry or
-// replay.
+// writing its own runs in parallel, so updates tagged cp+1 and queries
+// proceed while the flush runs. cp must be greater than the last committed
+// checkpoint number. Concurrent Checkpoint calls serialize, and a
+// RelocateBlock issued during the flush runs right after it. After
+// Checkpoint returns, all references up to cp are durable and the frozen
+// stores are empty. On error the frozen records are merged back into the
+// write stores, so the caller can retry or replay.
 func (e *Engine) Checkpoint(cp uint64) error {
 	if o := e.obs; o != nil {
 		start := o.opStart(obs.OpCheckpoint, -1, 0, cp)
@@ -811,9 +832,8 @@ func (e *Engine) checkpoint(cp uint64) error {
 	e.cpMu.Lock()
 	defer e.cpMu.Unlock()
 
-	// Phase 1 — freeze: swap every shard's trees, snapshot the
-	// deletion-vector state this CP must persist, and cut the WAL so
-	// appends racing the flush land in segments that survive retirement.
+	// Phase 1 — freeze: swap every shard's trees and cut the WAL so appends
+	// racing the flush land in segments that survive retirement.
 	start := time.Now()
 	e.mu.Lock()
 	if committed := e.db.CP(); cp <= committed {
@@ -821,30 +841,7 @@ func (e *Engine) checkpoint(cp uint64) error {
 		return fmt.Errorf("%w: Checkpoint(%d), committed CP is %d", ErrStaleCP, cp, committed)
 	}
 	for _, s := range e.shards {
-		s.frozenFrom, s.from = s.from, memtree.New(lessFrom)
-		s.frozenTo, s.to = s.to, memtree.New(lessTo)
-		s.frozenCombined, s.combined = s.combined, memtree.New(lessCombined)
-	}
-	e.flushingCP = cp
-	// Relocations hide the old block's run records through in-memory
-	// deletion vectors; this commit must persist vectors dirtied before
-	// the freeze (their re-keyed write-store records just froze with
-	// them). Without that, a crash after the checkpoint resurrects the
-	// relocated-away records next to their transplanted copies — and WAL
-	// replay cannot re-hide them, because it rightly skips relocate
-	// records the committed checkpoint already covers. The vectors are
-	// captured as copy-on-write snapshots: entries added by a relocation
-	// DURING the flush pair with records in the new active trees and must
-	// ride the next checkpoint instead.
-	type dvCapture struct {
-		dv  map[string]struct{}
-		gen uint64
-	}
-	dvSnaps := map[string]dvCapture{}
-	for _, table := range []string{TableFrom, TableTo, TableCombined} {
-		if t := e.db.Table(table); t.DVDirty() {
-			dvSnaps[table] = dvCapture{dv: t.DVShare(), gen: t.DVGen()}
-		}
+		s.frozen, s.active = s.active, newGeneration()
 	}
 	prevWALErr := e.takeWALErr()
 	cut := -1
@@ -867,117 +864,94 @@ func (e *Engine) checkpoint(cp uint64) error {
 		e.obs.cpFreeze.ObserveDuration(time.Since(start))
 	}
 
-	// On any failure: merge the frozen records back into the active trees
-	// and restore the durability error taken at the freeze, so "on error,
-	// retry or replay" still holds.
-	restore := func(results []cpFlushResult, err error) error {
-		e.mu.Lock()
+	// Phase 2 — flush: build runs from the frozen trees with no
+	// structural lock held. The frozen trees are immutable for the
+	// duration, and run builders allocate file IDs through lsm's own
+	// lock, so this runs concurrently with updates, queries and optimistic
+	// compaction installs.
+	start = time.Now()
+	results := make([]cpFlushResult, len(e.shards))
+	var g errgroup.Group
+	for i, s := range e.shards {
+		res, frozen := &results[i], s.frozen
+		g.Go(func() error {
+			if err := flushWS(e.db, res, TableFrom, cp, frozen.from, func(r FromRec) (uint64, []byte) {
+				return r.Block, EncodeFrom(r)
+			}); err != nil {
+				return err
+			}
+			if err := flushWS(e.db, res, TableTo, cp, frozen.to, func(r ToRec) (uint64, []byte) {
+				return r.Block, EncodeTo(r)
+			}); err != nil {
+				return err
+			}
+			return flushWS(e.db, res, TableCombined, cp, frozen.combined, func(r CombinedRec) (uint64, []byte) {
+				return r.Block, EncodeCombined(r)
+			})
+		})
+	}
+	err := g.Wait()
+	if err == nil && e.obs != nil {
+		e.obs.cpFlush.ObserveDuration(time.Since(start))
+	}
+
+	// Phase 3 — install: re-acquire the lock, commit every run, the dirty
+	// deletion vectors and the CP atomically, and drop the frozen stores.
+	start = time.Now()
+	e.mu.Lock()
+	var flushed uint64
+	if err == nil {
+		edit := e.db.NewEdit().SetSource(storage.SrcCheckpoint).SetCP(cp)
+		for _, res := range results {
+			for _, ref := range res.refs {
+				edit.AddRun(ref)
+			}
+			flushed += res.count
+		}
+		// Relocations hide the old block's run records through in-memory
+		// deletion vectors, and their re-keyed write-store records just
+		// flushed: this commit must persist the vectors with them, or a
+		// crash after it resurrects the relocated-away records next to
+		// their transplanted copies — and WAL replay cannot re-hide them,
+		// because it rightly skips relocate records the committed
+		// checkpoint covers. A vector dirty here was dirty at the freeze
+		// with the same entries: since then relocation was excluded
+		// (cpMu), compaction and expiry defer on a dirty vector, and an
+		// optimistic merge that pinned its view before the relocation
+		// fails its deletion-vector validation.
+		for _, table := range []string{TableFrom, TableTo, TableCombined} {
+			if e.db.Table(table).DVDirty() {
+				edit.FlushDV(table)
+			}
+		}
+		// AddRun transferred ownership of the run files: a Commit that
+		// fails before its commit point removes them itself.
+		err = edit.Commit()
+	} else {
+		// Shards that finished runs before another shard failed leave
+		// complete but uncommitted files behind; drop them now instead of
+		// waiting for orphan collection at the next Open.
 		for _, res := range results {
 			for _, ref := range res.refs {
 				e.db.DiscardRun(ref)
 			}
 		}
-		e.restoreFrozenLocked()
-		e.mu.Unlock()
-		if prevWALErr != nil {
-			e.noteWALErr(prevWALErr)
-		}
-		return err
-	}
-
-	// Phase 2 — flush: build runs from the frozen trees with no
-	// structural lock held. The frozen trees are immutable for the
-	// duration, and run builders allocate file IDs through lsm's own
-	// lock, so this runs concurrently with updates, queries, relocations,
-	// and optimistic compaction installs.
-	start = time.Now()
-	results := make([]cpFlushResult, len(e.shards))
-	var g errgroup.Group
-	for i, s := range e.shards {
-		i, s := i, s
-		g.Go(func() error {
-			res := &results[i]
-			n, err := flushWS(e.db, &res.refs, TableFrom, cp, s.frozenFrom, func(r FromRec) (uint64, []byte) {
-				return r.Block, EncodeFrom(r)
-			})
-			if err != nil {
-				return err
-			}
-			res.count += n
-			n, err = flushWS(e.db, &res.refs, TableTo, cp, s.frozenTo, func(r ToRec) (uint64, []byte) {
-				return r.Block, EncodeTo(r)
-			})
-			if err != nil {
-				return err
-			}
-			res.count += n
-			n, err = flushWS(e.db, &res.refs, TableCombined, cp, s.frozenCombined, func(r CombinedRec) (uint64, []byte) {
-				return r.Block, EncodeCombined(r)
-			})
-			if err != nil {
-				return err
-			}
-			res.count += n
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
-		// Shards that finished runs before another shard failed leave
-		// complete but uncommitted files behind; drop them now instead of
-		// waiting for orphan collection at the next Open.
-		return restore(results, err)
-	}
-	if e.obs != nil {
-		e.obs.cpFlush.ObserveDuration(time.Since(start))
-	}
-
-	// Phase 3 — install: re-acquire the lock, commit every run plus the
-	// captured deletion-vector snapshots and the CP atomically, and clear
-	// the frozen stores.
-	start = time.Now()
-	e.mu.Lock()
-	edit := e.db.NewEdit().SetSource(storage.SrcCheckpoint).SetCP(cp)
-	var flushed uint64
-	for _, res := range results {
-		for _, ref := range res.refs {
-			edit.AddRun(ref)
-		}
-		flushed += res.count
-	}
-	for table, snap := range dvSnaps {
-		edit.FlushDVAsOf(table, snap.dv, snap.gen)
-	}
-	// AddRun transferred ownership of the run files: a Commit that fails
-	// before its commit point removes them itself.
-	if err := edit.Commit(); err != nil {
-		e.restoreFrozenLocked()
-		e.mu.Unlock()
-		if prevWALErr != nil {
-			e.noteWALErr(prevWALErr)
-		}
-		return err
 	}
 	for _, s := range e.shards {
-		s.frozenFrom, s.frozenTo, s.frozenCombined = nil, nil, nil
-	}
-	// Records a relocation deleted out of the frozen trees now exist in
-	// the installed runs; hide them through the table deletion vectors.
-	// The entries are persisted by the NEXT checkpoint (the vectors are
-	// dirty now), together with the re-keyed records waiting in the
-	// active trees — and should we crash before then, the relocation's
-	// WAL record is tagged past this CP and replays the whole
-	// transplantation against these very runs. Compaction cannot destroy
-	// them in the window: it defers whenever a deletion vector is dirty
-	// (see compactJobAttempt).
-	for table, dels := range e.frozenDel {
-		t := e.db.Table(table)
-		for rec := range dels {
-			t.DeleteRecord([]byte(rec))
+		if err != nil {
+			// So that "on error, retry or replay" holds.
+			s.frozen.mergeInto(s.active)
 		}
+		s.frozen = nil
 	}
-	e.frozenDel = nil
-	e.flushingCP = 0
 	e.mu.Unlock()
+	if err != nil {
+		// The durability error taken at the freeze is in force again.
+		if prevWALErr != nil {
+			e.noteWALErr(prevWALErr)
+		}
+		return err
+	}
 	if e.obs != nil {
 		e.obs.cpInstall.ObserveDuration(time.Since(start))
 	}
@@ -1022,78 +996,27 @@ type cpFlushResult struct {
 	count uint64
 }
 
-// restoreFrozenLocked merges every shard's frozen trees back into its
-// active trees after a failed flush or install, skipping records a
-// concurrent relocation deleted (their re-keyed copies already live in
-// the active trees). Callers hold the structural lock exclusively.
-func (e *Engine) restoreFrozenLocked() {
-	delFrom := e.frozenDel[TableFrom]
-	delTo := e.frozenDel[TableTo]
-	delComb := e.frozenDel[TableCombined]
-	for _, s := range e.shards {
-		if s.frozenFrom == nil {
-			continue
-		}
-		s.frozenFrom.Ascend(func(r FromRec) bool {
-			if len(delFrom) > 0 {
-				if _, dead := delFrom[string(EncodeFrom(r))]; dead {
-					return true
-				}
-			}
-			s.from.Insert(r)
-			return true
-		})
-		s.frozenTo.Ascend(func(r ToRec) bool {
-			if len(delTo) > 0 {
-				if _, dead := delTo[string(EncodeTo(r))]; dead {
-					return true
-				}
-			}
-			s.to.Insert(r)
-			return true
-		})
-		s.frozenCombined.Ascend(func(r CombinedRec) bool {
-			if len(delComb) > 0 {
-				if _, dead := delComb[string(EncodeCombined(r))]; dead {
-					return true
-				}
-			}
-			s.combined.Insert(r)
-			return true
-		})
-		s.frozenFrom, s.frozenTo, s.frozenCombined = nil, nil, nil
-	}
-	e.frozenDel = nil
-	e.flushingCP = 0
-}
-
 // flushWS writes one (frozen) write-store tree for one table into
-// per-partition Level-0 runs. Run refs are appended to *refs only in the
+// per-partition Level-0 runs. Run refs are appended to res.refs only in the
 // Finish loop at the end — while records stream in, partial runs live in
 // the builders and are cleaned up via Abort on error — so after a
-// successful return *refs holds every finished run, and after an error it
-// holds only runs finished by earlier flushWS calls on the same slice
+// successful return res.refs holds every finished run, and after an error
+// it holds only runs finished by earlier flushWS calls on the same result
 // (which the caller must discard). The tree iterates in ascending record
 // order, so each partition's builder receives a sorted stream; builders
 // stay open per partition, which keeps one run per (shard, partition)
 // even when hash partitioning interleaves partition visits. Called with
 // no structural lock held: the tree is frozen (immutable) and run
 // builders synchronize file-ID allocation internally.
-func flushWS[T any](db *lsm.DB, refs *[]lsm.RunRef, table string, cp uint64,
-	ws *memtree.Tree[T], enc func(T) (uint64, []byte)) (uint64, error) {
+func flushWS[T any](db *lsm.DB, res *cpFlushResult, table string, cp uint64,
+	ws *memtree.Tree[T], enc func(T) (uint64, []byte)) error {
 	if ws.Len() == 0 {
-		return 0, nil
+		return nil
 	}
 	var (
 		builders = map[int]*lsm.RunBuilder{}
-		count    uint64
 		retErr   error
 	)
-	abortAll := func() {
-		for _, b := range builders {
-			b.Abort()
-		}
-	}
 	ws.Ascend(func(item T) bool {
 		block, rec := enc(item)
 		p := db.PartitionOf(block)
@@ -1111,12 +1034,13 @@ func flushWS[T any](db *lsm.DB, refs *[]lsm.RunRef, table string, cp uint64,
 			retErr = err
 			return false
 		}
-		count++
 		return true
 	})
 	if retErr != nil {
-		abortAll()
-		return 0, retErr
+		for _, b := range builders {
+			b.Abort()
+		}
+		return retErr
 	}
 	parts := make([]int, 0, len(builders))
 	for p := range builders {
@@ -1128,17 +1052,17 @@ func flushWS[T any](db *lsm.DB, refs *[]lsm.RunRef, table string, cp uint64,
 		if err != nil {
 			// Abort the failing builder too: its partial file would
 			// otherwise linger as an orphan until the next Open.
-			builders[p].Abort()
-			for _, q := range parts[i+1:] {
+			for _, q := range parts[i:] {
 				builders[q].Abort()
 			}
-			return 0, err
+			return err
 		}
 		if ok {
-			*refs = append(*refs, ref)
+			res.refs = append(res.refs, ref)
 		}
 	}
-	return count, nil
+	res.count += uint64(ws.Len())
+	return nil
 }
 
 // RelocateBlock transplants every back reference of oldBlock onto
@@ -1146,7 +1070,10 @@ func flushWS[T any](db *lsm.DB, refs *[]lsm.RunRef, table string, cp uint64,
 // Section 5.1) and equivalent records keyed by newBlock are inserted into
 // the write stores, becoming durable at the next Checkpoint. Block
 // relocation utilities (defragmentation, volume shrinking) call this after
-// moving the physical data and rewriting the file-system pointers.
+// moving the physical data and rewriting the file-system pointers. A call
+// issued while a checkpoint is flushing waits for it to finish, like a
+// second Checkpoint would. On error nothing has moved and nothing was
+// logged.
 func (e *Engine) RelocateBlock(oldBlock, newBlock uint64) error {
 	if o := e.obs; o != nil {
 		start := o.opStart(obs.OpRelocate, e.shardIndex(oldBlock), oldBlock, 0)
@@ -1158,181 +1085,71 @@ func (e *Engine) RelocateBlock(oldBlock, newBlock uint64) error {
 }
 
 func (e *Engine) relocateBlock(oldBlock, newBlock uint64) error {
+	// cpMu first: relocation deletes write-store records, and a frozen
+	// generation is read lock-free by the flush that owns it.
+	e.cpMu.Lock()
+	defer e.cpMu.Unlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if oldBlock == newBlock {
 		return nil
 	}
-	if e.wal != nil {
+	return e.relocate(oldBlock, newBlock, e.wal)
+}
+
+// relocate is RelocateBlock's work, shared with WAL replay (which passes a
+// nil log). Callers hold the structural lock exclusively (or have
+// exclusive access during Open) with no checkpoint in flight, which
+// excludes every shared holder, so both shards' active trees are safe to
+// touch without their shard mutexes. It reads everything it needs first,
+// then logs, then mutates: only the reads can fail, so an error leaves the
+// block where it was and the log without a record of the attempt.
+func (e *Engine) relocate(oldBlock, newBlock uint64, log *wal.Log) error {
+	var run wsRecords
+	v := e.db.AcquireView()
+	err := collectRuns(v, oldBlock, 0, &run)
+	v.Release()
+	if err != nil {
+		return err
+	}
+	if log != nil {
 		// Tagged with the next CP number: the transplanted records become
 		// durable at the checkpoint that flushes them, so replay skips
-		// the record once that checkpoint has committed. While a
-		// checkpoint flush is in flight the transplanted records land in
-		// the NEW active trees and flush only after the in-flight CP, so
-		// the tag must clear that CP too.
-		tag := e.db.CP() + 1
-		if e.flushingCP != 0 {
-			tag = e.flushingCP + 1
-		}
-		if err := e.wal.Append(wal.Record{
-			Op: wal.OpRelocate, CP: tag, Block: oldBlock, NewBlock: newBlock,
+		// the record once that checkpoint has committed.
+		if err := log.Append(wal.Record{
+			Op: wal.OpRelocate, CP: e.db.CP() + 1, Block: oldBlock, NewBlock: newBlock,
 		}); err != nil {
 			e.noteWALErr(err)
 		}
 	}
-	return e.relocate(oldBlock, newBlock)
-}
-
-// relocate is RelocateBlock's mutation, shared with WAL replay. Callers
-// hold the structural lock exclusively (or have exclusive access during
-// Open), which excludes every shared holder, so both shards' active trees
-// are safe to touch without their shard mutexes. Frozen trees (a
-// checkpoint flush in flight) are never mutated — the flush reads them
-// lock-free — so records found there are logically deleted through
-// frozenDel and re-keyed into the active trees; see frozenDel for how
-// queries, the checkpoint error path, and the install handle them.
-func (e *Engine) relocate(oldBlock, newBlock uint64) error {
 	e.stats.relocations.Add(1)
 
-	src := e.shardOf(oldBlock)
-	dst := e.shardOf(newBlock)
-
-	// Run records: hide via deletion vectors, reinsert re-keyed.
-	fromTbl := e.db.Table(TableFrom)
-	var err error
-	collect := func(tbl *lsm.Table, each func(rec []byte)) error {
-		var recs [][]byte
-		if err := tbl.CollectBlock(oldBlock, func(rec []byte) bool {
-			recs = append(recs, append([]byte(nil), rec...))
-			return true
-		}); err != nil {
-			return err
-		}
-		for _, rec := range recs {
-			tbl.DeleteRecord(rec)
-			each(rec)
-		}
-		return nil
-	}
-	err = collect(fromTbl, func(rec []byte) {
-		r := DecodeFrom(rec)
-		r.Block = newBlock
-		dst.from.Insert(r)
-	})
-	if err != nil {
-		return err
-	}
-	err = collect(e.db.Table(TableTo), func(rec []byte) {
-		r := DecodeTo(rec)
-		r.Block = newBlock
-		dst.to.Insert(r)
-	})
-	if err != nil {
-		return err
-	}
-	err = collect(e.db.Table(TableCombined), func(rec []byte) {
-		r := DecodeCombined(rec)
-		r.Block = newBlock
-		dst.combined.Insert(r)
-	})
-	if err != nil {
-		return err
-	}
-
-	// Write-store records: re-key from the old block's shard into the new
-	// block's shard.
-	rekeyFrom := collectWSFrom(src.from, oldBlock)
-	for _, r := range rekeyFrom {
-		src.from.Delete(r)
-		r.Block = newBlock
-		dst.from.Insert(r)
-	}
-	rekeyTo := collectWSTo(src.to, oldBlock)
-	for _, r := range rekeyTo {
-		src.to.Delete(r)
-		r.Block = newBlock
-		dst.to.Insert(r)
-	}
-	var rekeyC []CombinedRec
-	src.combined.Scan(CombinedRec{Ref: Ref{Block: oldBlock}}, func(r CombinedRec) bool {
-		if r.Block != oldBlock {
-			return false
-		}
-		rekeyC = append(rekeyC, r)
-		return true
-	})
-	for _, r := range rekeyC {
-		src.combined.Delete(r)
-		r.Block = newBlock
-		dst.combined.Insert(r)
-	}
-
-	// Frozen records (mid-flush): logically delete via frozenDel and
-	// re-key into the active trees of the destination shard.
-	if src.frozenFrom != nil {
-		for _, r := range collectWSFrom(src.frozenFrom, oldBlock) {
-			e.frozenDelAdd(TableFrom, EncodeFrom(r))
-			r.Block = newBlock
-			dst.from.Insert(r)
-		}
-		for _, r := range collectWSTo(src.frozenTo, oldBlock) {
-			e.frozenDelAdd(TableTo, EncodeTo(r))
-			r.Block = newBlock
-			dst.to.Insert(r)
-		}
-		var frozenC []CombinedRec
-		src.frozenCombined.Scan(CombinedRec{Ref: Ref{Block: oldBlock}}, func(r CombinedRec) bool {
-			if r.Block != oldBlock {
-				return false
-			}
-			frozenC = append(frozenC, r)
-			return true
-		})
-		for _, r := range frozenC {
-			e.frozenDelAdd(TableCombined, EncodeCombined(r))
-			r.Block = newBlock
-			dst.combined.Insert(r)
-		}
-	}
+	src, dst := e.shardOf(oldBlock).active, e.shardOf(newBlock).active
+	var ws wsRecords
+	src.collect(oldBlock, &ws)
+	transplant(e.db.Table(TableFrom), src.from, dst.from, run.froms, ws.froms, EncodeFrom,
+		func(r FromRec) FromRec { r.Block = newBlock; return r })
+	transplant(e.db.Table(TableTo), src.to, dst.to, run.tos, ws.tos, EncodeTo,
+		func(r ToRec) ToRec { r.Block = newBlock; return r })
+	transplant(e.db.Table(TableCombined), src.combined, dst.combined, run.combineds, ws.combineds, EncodeCombined,
+		func(r CombinedRec) CombinedRec { r.Block = newBlock; return r })
 	return nil
 }
 
-// frozenDelAdd records the logical deletion of a frozen-tree record.
-// Callers hold the structural lock exclusively.
-func (e *Engine) frozenDelAdd(table string, rec []byte) {
-	if e.frozenDel == nil {
-		e.frozenDel = map[string]map[string]struct{}{}
+// transplant moves one table's records of a relocated block: run records
+// are hidden through the table's deletion vector, write-store records are
+// deleted from the old block's tree, and both are inserted re-keyed into
+// the new block's tree.
+func transplant[T any](tbl *lsm.Table, src, dst *memtree.Tree[T], run, ws []T, enc func(T) []byte, rekey func(T) T) {
+	for _, r := range run {
+		tbl.DeleteRecord(enc(r))
 	}
-	m := e.frozenDel[table]
-	if m == nil {
-		m = map[string]struct{}{}
-		e.frozenDel[table] = m
+	for _, r := range ws {
+		src.Delete(r)
 	}
-	m[string(rec)] = struct{}{}
-}
-
-func collectWSFrom(ws *memtree.Tree[FromRec], block uint64) []FromRec {
-	var out []FromRec
-	ws.Scan(FromRec{Ref: Ref{Block: block}}, func(r FromRec) bool {
-		if r.Block != block {
-			return false
-		}
-		out = append(out, r)
-		return true
-	})
-	return out
-}
-
-func collectWSTo(ws *memtree.Tree[ToRec], block uint64) []ToRec {
-	var out []ToRec
-	ws.Scan(ToRec{Ref: Ref{Block: block}}, func(r ToRec) bool {
-		if r.Block != block {
-			return false
-		}
-		out = append(out, r)
-		return true
-	})
-	return out
+	for _, r := range append(run, ws...) {
+		dst.Insert(rekey(r))
+	}
 }
 
 // RunInfos returns metadata for every live run, including each run's

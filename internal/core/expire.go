@@ -80,7 +80,7 @@ func (e *Engine) Expire() (ExpireStats, error) {
 func (e *Engine) expire() (ExpireStats, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.flushingCP != 0 || e.db.Table(TableCombined).DVDirty() {
+	if e.shards[0].frozen != nil || e.db.Table(TableCombined).DVDirty() {
 		return ExpireStats{Deferred: true}, nil
 	}
 	st := ExpireStats{Horizon: e.ReclaimHorizon()}

@@ -172,11 +172,13 @@ func TestExpireDefersUntilSafe(t *testing.T) {
 	}
 
 	// Mid-flush: freeze a checkpoint on its first run file, then expire.
+	// The relocation of block 3 issued now queues behind the flush.
 	eng.AddRef(fref(9, 9, 0, 0), 5)
 	entered, release := g.arm()
 	done := make(chan error, 1)
 	go func() { done <- eng.Checkpoint(5) }()
 	<-entered
+	relocated := relocateAsync(t, eng, 3, 700)
 	est, err := eng.Expire()
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +193,7 @@ func TestExpireDefersUntilSafe(t *testing.T) {
 
 	// Dirty deletion vector: relocating block 3 masks its sealed-run
 	// records while the re-keyed copies are still volatile.
-	if err := eng.RelocateBlock(3, 700); err != nil {
+	if err := <-relocated; err != nil {
 		t.Fatal(err)
 	}
 	est, err = eng.Expire()

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/backlogfs/backlog/internal/core"
 	"github.com/backlogfs/backlog/internal/naive"
@@ -107,6 +108,21 @@ func fQuery(t *testing.T, e *core.Engine, block uint64) []core.Owner {
 		t.Fatal(err)
 	}
 	return owners
+}
+
+// relocateAsync issues RelocateBlock from its own goroutine — while a
+// checkpoint flush is gated the call queues behind it — and checks that it
+// is still waiting a moment later.
+func relocateAsync(t *testing.T, e *core.Engine, oldBlock, newBlock uint64) <-chan error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- e.RelocateBlock(oldBlock, newBlock) }()
+	select {
+	case err := <-done:
+		t.Fatalf("RelocateBlock finished during the checkpoint's flush: %v", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	return done
 }
 
 func fCheckpoint(t *testing.T, e *core.Engine, cp uint64) {
@@ -233,9 +249,10 @@ func TestUpdatesAndQueriesDuringCheckpointFlush(t *testing.T) {
 }
 
 // TestRelocateDuringCheckpointFlush relocates a block whose records are
-// mid-flush in the frozen trees: the old block must go dark immediately,
-// the new block must answer queries, and the state must survive the
-// install, the next checkpoint, compaction, and a crash-reopen.
+// mid-flush in the frozen trees: the relocation waits for the flush (the
+// old block keeps answering), then the old block goes dark, the new block
+// answers queries, and the state survives the next checkpoint, a
+// crash-reopen and compaction.
 func TestRelocateDuringCheckpointFlush(t *testing.T) {
 	env, g := newGatedEnv(t, core.Options{WriteShards: 4})
 	eng := env.eng
@@ -249,22 +266,23 @@ func TestRelocateDuringCheckpointFlush(t *testing.T) {
 	go func() { done <- eng.Checkpoint(1) }()
 	<-entered
 
-	if err := eng.RelocateBlock(oldBlock, newBlock); err != nil {
-		t.Fatal(err)
+	relocated := relocateAsync(t, eng, oldBlock, newBlock)
+	if owners := fQuery(t, eng, oldBlock); len(owners) != 2 {
+		t.Fatalf("old block has %d owners during flush, want 2 (relocation queued): %+v", len(owners), owners)
 	}
-	if owners := fQuery(t, eng, oldBlock); len(owners) != 0 {
-		t.Fatalf("old block still answers during flush: %+v", owners)
-	}
-	if owners := fQuery(t, eng, newBlock); len(owners) != 2 {
-		t.Fatalf("new block has %d owners during flush, want 2: %+v", len(owners), owners)
+	if owners := fQuery(t, eng, newBlock); len(owners) != 0 {
+		t.Fatalf("new block answers during flush: %+v", owners)
 	}
 
 	close(release)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	// Post-install: the frozen records landed in runs but are hidden by
-	// the deletion vector the relocation primed.
+	if err := <-relocated; err != nil {
+		t.Fatal(err)
+	}
+	// Post-install: the frozen records landed in runs, and the relocation
+	// that ran behind the install hid them through the deletion vector.
 	if owners := fQuery(t, eng, oldBlock); len(owners) != 0 {
 		t.Fatalf("old block resurrected after install: %+v", owners)
 	}
@@ -341,9 +359,9 @@ func TestCheckpointFlushFailureRecovers(t *testing.T) {
 	}
 }
 
-// TestRelocateThenFlushFailure relocates out of the frozen trees and then
-// fails the flush: the restore must NOT resurrect the relocated-away
-// records (their re-keyed copies live in the active trees).
+// TestRelocateThenFlushFailure queues a relocation behind a flush that
+// then fails: it runs against the restored write stores, and neither the
+// restore nor the retry may resurrect the relocated-away records.
 func TestRelocateThenFlushFailure(t *testing.T) {
 	env, g := newGatedEnv(t, core.Options{WriteShards: 4})
 	eng := env.eng
@@ -355,8 +373,9 @@ func TestRelocateThenFlushFailure(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- eng.Checkpoint(1) }()
 	<-entered
-	if err := eng.RelocateBlock(oldBlock, newBlock); err != nil {
-		t.Fatal(err)
+	relocated := relocateAsync(t, eng, oldBlock, newBlock)
+	if owners := fQuery(t, eng, oldBlock); len(owners) != 1 {
+		t.Fatalf("old block wrong while the relocation is queued: %+v", owners)
 	}
 	// Fail the flush: the gated Creates proceed, and after one page the
 	// writes behind them (or the manifest commit) fail.
@@ -366,6 +385,9 @@ func TestRelocateThenFlushFailure(t *testing.T) {
 		t.Fatal("checkpoint succeeded under an injected flush failure")
 	}
 	env.fs.SetFailurePlan(storage.FailurePlan{})
+	if err := <-relocated; err != nil {
+		t.Fatal(err)
+	}
 
 	if owners := fQuery(t, eng, oldBlock); len(owners) != 0 {
 		t.Fatalf("relocated-away record resurrected by restore: %+v", owners)
@@ -809,13 +831,14 @@ func TestCompactionDeferredWhileDVDirty(t *testing.T) {
 
 // TestRelocateRunRecordsDuringFlushCrashWindows relocates a block whose
 // records live in committed runs while an unrelated checkpoint flush is
-// in flight. The deletion-vector entries this adds arise AFTER the
-// freeze, so the in-flight install must NOT persist them (their re-keyed
-// partners flush only with the next checkpoint): a crash right after the
-// in-flight checkpoint loses the relocation atomically (old state), and
-// a crash after the next checkpoint keeps it atomically (new state) —
-// never the halfway state where the old records are hidden durably while
-// the new ones were never flushed.
+// in flight. The relocation queues behind that checkpoint, so the
+// deletion-vector entries it adds arise after the install and are NOT
+// persisted by it (their re-keyed partners flush only with the next
+// checkpoint): a crash right after the in-flight checkpoint loses the
+// relocation atomically (old state), and a crash after the next
+// checkpoint keeps it atomically (new state) — never the halfway state
+// where the old records are hidden durably while the new ones were never
+// flushed.
 func TestRelocateRunRecordsDuringFlushCrashWindows(t *testing.T) {
 	for _, crashEarly := range []bool{true, false} {
 		env, g := newGatedEnv(t, core.Options{WriteShards: 2})
@@ -828,11 +851,15 @@ func TestRelocateRunRecordsDuringFlushCrashWindows(t *testing.T) {
 		done := make(chan error, 1)
 		go func() { done <- eng.Checkpoint(2) }()
 		<-entered
-		if err := eng.RelocateBlock(30, 700); err != nil {
-			t.Fatal(err)
+		relocated := relocateAsync(t, eng, 30, 700)
+		if old := fQuery(t, eng, 30); len(old) != 1 {
+			t.Fatalf("old block wrong while the relocation is queued: %+v", old)
 		}
 		close(release)
 		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if err := <-relocated; err != nil {
 			t.Fatal(err)
 		}
 		if !crashEarly {

@@ -393,7 +393,7 @@ func (e *Engine) registerMetrics(r *obs.Registry) {
 			defer e.mu.RUnlock()
 			var n int
 			for _, s := range e.shards {
-				if s.frozenFrom != nil {
+				if s.frozen != nil {
 					n++
 				}
 			}
@@ -405,7 +405,7 @@ func (e *Engine) registerMetrics(r *obs.Registry) {
 			"Buffered write-store records in the shard's active trees",
 			func() float64 {
 				s.mu.RLock()
-				n := s.from.Len() + s.to.Len() + s.combined.Len()
+				n := s.active.len()
 				s.mu.RUnlock()
 				return float64(n)
 			})
@@ -414,10 +414,7 @@ func (e *Engine) registerMetrics(r *obs.Registry) {
 			func() float64 {
 				e.mu.RLock()
 				defer e.mu.RUnlock()
-				if s.frozenFrom == nil {
-					return 0
-				}
-				return float64(s.frozenFrom.Len() + s.frozenTo.Len() + s.frozenCombined.Len())
+				return float64(s.frozen.len())
 			})
 	}
 }

@@ -97,58 +97,18 @@ type wsRecords struct {
 // The union is a consistent cut in every checkpoint phase: before the
 // freeze the records are active, during the flush they are frozen (and
 // not yet in any run the view sees), and after the install the view has
-// the runs and the frozen slots are gone. Frozen records a concurrent
-// relocation logically deleted (frozenDel) are filtered out here, the
-// same way the relocation's DeleteRecord hides run records.
+// the runs and the frozen generation is gone.
 func (e *Engine) pinBlock(block uint64) (*lsm.View, wsRecords) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	v := e.db.AcquireView()
 	s := e.shardOf(block)
-	s.mu.RLock()
 	var ws wsRecords
-	ws.froms = collectWSFrom(s.from, block)
-	ws.tos = collectWSTo(s.to, block)
-	s.combined.Scan(CombinedRec{Ref: Ref{Block: block}}, func(r CombinedRec) bool {
-		if r.Block != block {
-			return false
-		}
-		ws.combineds = append(ws.combineds, r)
-		return true
-	})
+	s.mu.RLock()
+	s.active.collect(block, &ws)
 	s.mu.RUnlock()
-	if s.frozenFrom != nil {
-		delFrom := e.frozenDel[TableFrom]
-		for _, r := range collectWSFrom(s.frozenFrom, block) {
-			if len(delFrom) > 0 {
-				if _, dead := delFrom[string(EncodeFrom(r))]; dead {
-					continue
-				}
-			}
-			ws.froms = append(ws.froms, r)
-		}
-		delTo := e.frozenDel[TableTo]
-		for _, r := range collectWSTo(s.frozenTo, block) {
-			if len(delTo) > 0 {
-				if _, dead := delTo[string(EncodeTo(r))]; dead {
-					continue
-				}
-			}
-			ws.tos = append(ws.tos, r)
-		}
-		delComb := e.frozenDel[TableCombined]
-		s.frozenCombined.Scan(CombinedRec{Ref: Ref{Block: block}}, func(r CombinedRec) bool {
-			if r.Block != block {
-				return false
-			}
-			if len(delComb) > 0 {
-				if _, dead := delComb[string(EncodeCombined(r))]; dead {
-					return true
-				}
-			}
-			ws.combineds = append(ws.combineds, r)
-			return true
-		})
+	if s.frozen != nil {
+		s.frozen.collect(block, &ws)
 	}
 	return v, ws
 }
@@ -164,27 +124,36 @@ func (e *Engine) queryPinned(v *lsm.View, ws wsRecords, block uint64) ([]Owner, 
 	return maskOwners(groups, e.catalog), nil
 }
 
+// collectRuns appends one block's run records, read from the pinned view,
+// to recs. Combined runs sealed entirely below horizon are skipped without
+// being opened (see lsm.View.CollectBlockPruned); a zero horizon reads
+// every run.
+func collectRuns(v *lsm.View, block, horizon uint64, recs *wsRecords) error {
+	if err := v.CollectBlock(TableFrom, block, func(rec []byte) bool {
+		recs.froms = append(recs.froms, DecodeFrom(rec))
+		return true
+	}); err != nil {
+		return err
+	}
+	if err := v.CollectBlock(TableTo, block, func(rec []byte) bool {
+		recs.tos = append(recs.tos, DecodeTo(rec))
+		return true
+	}); err != nil {
+		return err
+	}
+	return v.CollectBlockPruned(TableCombined, block, horizon, func(rec []byte) bool {
+		recs.combineds = append(recs.combineds, DecodeCombined(rec))
+		return true
+	})
+}
+
 // combinedForBlock reconstructs the Combined view of one block:
 // identity -> sorted intervals.
 func (e *Engine) combinedForBlock(v *lsm.View, ws wsRecords, block uint64) (map[identity][]interval, error) {
-	// Run records, read from the pinned view. The write-store records
-	// captured at pin time participate immediately, per the paper's
-	// guarantee that all entries of the current CP are in memory.
-	froms := ws.froms
-	tos := ws.tos
-	combineds := ws.combineds
-	if err := v.CollectBlock(TableFrom, block, func(rec []byte) bool {
-		froms = append(froms, DecodeFrom(rec))
-		return true
-	}); err != nil {
-		return nil, err
-	}
-	if err := v.CollectBlock(TableTo, block, func(rec []byte) bool {
-		tos = append(tos, DecodeTo(rec))
-		return true
-	}); err != nil {
-		return nil, err
-	}
+	// The write-store records captured at pin time participate
+	// immediately, per the paper's guarantee that all entries of the
+	// current CP are in memory; the run records join them here.
+	//
 	// Under RetainLive, Combined runs sealed entirely below the reclaim
 	// horizon are skipped without being opened: every record in them
 	// describes an interval that ended before the oldest retained
@@ -195,12 +164,10 @@ func (e *Engine) combinedForBlock(v *lsm.View, ws wsRecords, block uint64) (map[
 	if e.expiryEnabled() {
 		horizon = e.ReclaimHorizon()
 	}
-	if err := v.CollectBlockPruned(TableCombined, block, horizon, func(rec []byte) bool {
-		combineds = append(combineds, DecodeCombined(rec))
-		return true
-	}); err != nil {
+	if err := collectRuns(v, block, horizon, &ws); err != nil {
 		return nil, err
 	}
+	froms, tos, combineds := ws.froms, ws.tos, ws.combineds
 
 	// Group by identity.
 	fromsBy := map[identity][]uint64{}

@@ -51,6 +51,10 @@ type Ref struct {
 	Length uint64
 }
 
+// ref returns r itself; the three record types embed Ref, so the promoted
+// method lets generic write-store code read any record's identity.
+func (r Ref) ref() Ref { return r }
+
 // FromRec is a row of the From table: ref became live at CP From.
 type FromRec struct {
 	Ref

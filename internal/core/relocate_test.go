@@ -1,0 +1,315 @@
+// Relocation and the frozen write store: RelocateBlock queues behind a
+// checkpoint's flush, so these tests pin what the engine relies on instead
+// of writing around it — a read failure that leaves nothing behind, the
+// deletion vector a checkpoint persists, and the lock order.
+package core_test
+
+import (
+	"errors"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"github.com/backlogfs/backlog/internal/core"
+	"github.com/backlogfs/backlog/internal/storage"
+	"github.com/backlogfs/backlog/internal/wal"
+)
+
+// scriptVFS lets a test fail the reads of one file and run a step inside
+// every run-file creation. Both fields are set while no other goroutine
+// uses the engine.
+type scriptVFS struct {
+	storage.VFS
+	failReads atomic.Pointer[string] // name of the file whose reads fail
+	onRun     func()                 // runs before each *.run Create
+}
+
+func (v *scriptVFS) Create(name string) (storage.File, error) {
+	if v.onRun != nil && strings.HasSuffix(name, ".run") {
+		v.onRun()
+	}
+	return v.VFS.Create(name)
+}
+
+func (v *scriptVFS) Open(name string) (storage.File, error) {
+	f, err := v.VFS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return &scriptFile{File: f, name: name, fs: v}, nil
+}
+
+type scriptFile struct {
+	storage.File
+	name string
+	fs   *scriptVFS
+}
+
+func (f *scriptFile) ReadAt(p []byte, off int64) (int, error) {
+	if bad := f.fs.failReads.Load(); bad != nil && *bad == f.name {
+		return 0, storage.ErrInjected
+	}
+	return f.File.ReadAt(p, off)
+}
+
+func dvState(eng *core.Engine) (dirty bool, entries int) {
+	for _, table := range []string{core.TableFrom, core.TableTo, core.TableCombined} {
+		tbl := eng.DB().Table(table)
+		dirty = dirty || tbl.DVDirty()
+		entries += tbl.DVLen()
+	}
+	return dirty, entries
+}
+
+// TestRelocateReadFailureLeavesStateAndLogUntouched fails the read of the
+// To run, the second of the three tables a relocation reads: the call must
+// return the error with the block exactly where it was — nothing re-keyed,
+// no vector touched — and without a log record that a later replay would
+// complete behind the caller's back.
+func TestRelocateReadFailureLeavesStateAndLogUntouched(t *testing.T) {
+	fs := storage.NewMemFS()
+	vfs := &scriptVFS{VFS: fs}
+	cat := core.NewMemCatalog()
+	opts := core.Options{VFS: vfs, Catalog: cat, WriteShards: 1, CacheBytes: -1, Durability: wal.Buffered}
+	eng, err := core.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const oldBlock, newBlock = 5, 900
+	if err := cat.CreateSnapshot(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	eng.AddRef(fref(oldBlock, 1, 0, 0), 1)
+	fCheckpoint(t, eng, 1)
+	eng.RemoveRef(fref(oldBlock, 1, 0, 0), 2) // a To run record
+	eng.AddRef(fref(oldBlock, 2, 0, 0), 2)
+	fCheckpoint(t, eng, 2)
+	eng.AddRef(fref(oldBlock, 3, 0, 0), 3) // stays in the write store
+	before := fQuery(t, eng, oldBlock)
+	if len(before) != 3 {
+		t.Fatalf("setup: block %d has %d owners, want 3: %+v", oldBlock, len(before), before)
+	}
+	appends := eng.Stats().WALAppends
+
+	for _, ri := range eng.RunInfos() {
+		if ri.Table == core.TableTo {
+			vfs.failReads.Store(&ri.Name)
+		}
+	}
+	if err := eng.RelocateBlock(oldBlock, newBlock); !errors.Is(err, storage.ErrInjected) {
+		t.Fatalf("RelocateBlock under a failing To read: %v, want the injected error", err)
+	}
+	vfs.failReads.Store(nil)
+
+	check := func(eng *core.Engine, when string) {
+		t.Helper()
+		if got := fQuery(t, eng, oldBlock); len(got) != len(before) {
+			t.Fatalf("%s: old block has %d owners, want %d: %+v", when, len(got), len(before), got)
+		}
+		if got := fQuery(t, eng, newBlock); len(got) != 0 {
+			t.Fatalf("%s: new block answers: %+v", when, got)
+		}
+		if dirty, entries := dvState(eng); dirty || entries != 0 {
+			t.Fatalf("%s: deletion vectors touched (dirty=%v, %d entries)", when, dirty, entries)
+		}
+	}
+	check(eng, "after the failed relocation")
+	if st := eng.Stats(); st.Relocations != 0 || st.WALAppends != appends {
+		t.Fatalf("failed relocation counted or logged: Relocations=%d, WALAppends %d -> %d", st.Relocations, appends, st.WALAppends)
+	}
+
+	// Close writes out and syncs the Buffered log; whatever it holds is what
+	// a crash leaves for replay.
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fs.Crash()
+	eng2, err := core.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng2.Close()
+	if got := eng2.Stats().WALReplayed; got != 1 {
+		t.Fatalf("replayed %d log records, want 1 (the unflushed AddRef)", got)
+	}
+	check(eng2, "after crash and replay")
+
+	// With the read healthy the same call goes through.
+	if err := eng2.RelocateBlock(oldBlock, newBlock); err != nil {
+		t.Fatal(err)
+	}
+	if got := fQuery(t, eng2, newBlock); len(got) != len(before) {
+		t.Fatalf("retried relocation moved %d owners, want %d: %+v", len(got), len(before), got)
+	}
+	if got := fQuery(t, eng2, oldBlock); len(got) != 0 {
+		t.Fatalf("old block answers after the retried relocation: %+v", got)
+	}
+}
+
+// TestDirtyVectorPersistedByTheCheckpointThatFrozeIt pins the invariant the
+// checkpoint install relies on when it persists a dirty deletion vector as
+// it stands: between freeze and install nothing adds to the vector or
+// clears it. A merge that pinned its view before the relocation conflicts
+// at its install, which lands inside the flush; merges and expiry passes
+// started inside the flush defer; the checkpoint then persists vector and
+// re-keyed records together, so a crash right after it finds the
+// relocation whole.
+func TestDirtyVectorPersistedByTheCheckpointThatFrozeIt(t *testing.T) {
+	fs := storage.NewMemFS()
+	vfs := &scriptVFS{VFS: fs}
+	cat := core.NewMemCatalog()
+	opts := core.Options{VFS: vfs, Catalog: cat, WriteShards: 1}
+	eng, err := core.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.AddRef(fref(30, 3, 0, 0), 1)
+	fCheckpoint(t, eng, 1)
+	eng.AddRef(fref(31, 3, 1, 0), 2)
+	fCheckpoint(t, eng, 2) // two From runs: something to merge
+
+	var creates atomic.Int32
+	entered, release := make(chan struct{}), make(chan struct{})
+	relocErr, cpDone := make(chan error, 1), make(chan error, 1)
+	vfs.onRun = func() {
+		switch creates.Add(1) {
+		case 1:
+			// The merge's first output file: its view is pinned and the
+			// vectors it saw were clean. Dirty one, then hold a checkpoint
+			// in its flush; the next run file created is that flush's.
+			relocErr <- eng.RelocateBlock(30, 700)
+			go func() { cpDone <- eng.Checkpoint(3) }()
+			<-entered
+		case 2:
+			close(entered)
+			<-release
+		}
+	}
+	if err := eng.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-relocErr; err != nil {
+		t.Fatal(err)
+	}
+	// Compact returned while the flush is still gated.
+	if ms := eng.MaintenanceStats(); ms.Conflicts != 1 {
+		t.Fatalf("merge pinned before the relocation: %d conflicts, want 1", ms.Conflicts)
+	}
+	if err := eng.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if st := eng.Stats(); st.Compactions != 0 {
+		t.Fatalf("Compactions = %d inside the flush window, want 0 (conflict, then deferrals)", st.Compactions)
+	}
+	if est, err := eng.Expire(); err != nil || !est.Deferred {
+		t.Fatalf("expiry mid-flush = %+v, %v; want a deferral", est, err)
+	}
+	if dirty, entries := dvState(eng); !dirty || entries != 1 {
+		t.Fatalf("mid-flush vector: dirty=%v with %d entries, want dirty with 1", dirty, entries)
+	}
+
+	close(release)
+	if err := <-cpDone; err != nil {
+		t.Fatal(err)
+	}
+	if dirty, entries := dvState(eng); dirty || entries != 1 {
+		t.Fatalf("after the checkpoint: dirty=%v with %d entries, want clean with 1", dirty, entries)
+	}
+
+	fs.Crash()
+	vfs.onRun = nil
+	eng2, err := core.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng2.Close()
+	relocationWhole := func(when string) {
+		t.Helper()
+		if owners := fQuery(t, eng2, 30); len(owners) != 0 {
+			t.Fatalf("%s: relocated-away block answers: %+v", when, owners)
+		}
+		if owners := fQuery(t, eng2, 700); len(owners) != 1 || !owners[0].Live {
+			t.Fatalf("%s: relocation target wrong: %+v", when, owners)
+		}
+		if owners := fQuery(t, eng2, 31); len(owners) != 1 {
+			t.Fatalf("%s: bystander wrong: %+v", when, owners)
+		}
+	}
+	relocationWhole("after the crash")
+	if err := eng2.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if st := eng2.Stats(); st.Compactions != 1 {
+		t.Fatalf("Compactions = %d once the vector is clean, want 1", st.Compactions)
+	}
+	relocationWhole("after compaction")
+}
+
+// TestRelocateCheckpointCloseMaintainerLockOrder races the four parties
+// that take the checkpoint guard — Checkpoint, RelocateBlock, Close and the
+// background maintainer's merges — from a common start line. A lock-order
+// inversion between them shows as a hang; -race covers the rest. Whatever
+// order they ran in, the moved reference answers at exactly one block
+// after a reopen.
+func TestRelocateCheckpointCloseMaintainerLockOrder(t *testing.T) {
+	for round := 0; round < 40; round++ {
+		fs := storage.NewMemFS()
+		cat := core.NewMemCatalog()
+		opts := core.Options{
+			VFS: fs, Catalog: cat, WriteShards: 2, Durability: wal.Buffered,
+			AutoCompact: true, CompactThreshold: 2,
+		}
+		eng, err := core.Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const src, dst = 8, 4000
+		for cp := uint64(1); cp <= 3; cp++ {
+			for b := uint64(0); b < 16; b++ {
+				eng.AddRef(fref(b, cp, b, 0), cp)
+			}
+			fCheckpoint(t, eng, cp) // each one kicks the maintainer
+		}
+		eng.AddRef(fref(src, 99, 0, 0), 4)
+
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for _, op := range []func(){
+			// Errors are not checked: an operation that loses the race to
+			// Close runs against a closed engine.
+			func() { _ = eng.Checkpoint(4) },
+			func() { _ = eng.RelocateBlock(src, dst) },
+			func() { _ = eng.Close() },
+		} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				op()
+			}()
+		}
+		close(start)
+		wg.Wait()
+
+		opts.AutoCompact = false
+		eng2, err := core.Open(opts)
+		if err != nil {
+			t.Fatalf("round %d: reopen: %v", round, err)
+		}
+		var holders int
+		for _, b := range []uint64{src, dst} {
+			for _, o := range fQuery(t, eng2, b) {
+				if o.Inode == 99 {
+					holders++
+				}
+			}
+		}
+		if holders != 1 {
+			t.Fatalf("round %d: moved reference answers at %d blocks, want 1", round, holders)
+		}
+		if err := eng2.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

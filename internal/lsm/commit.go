@@ -20,7 +20,6 @@ type Edit struct {
 	add       []RunRef
 	drop      map[string][]string // table -> run names to drop
 	replaceDV map[string]bool     // tables whose (possibly empty) DV should be persisted
-	dvAsOf    map[string]dvSnap   // tables whose DV is persisted from a snapshot instead
 	// gcDV marks tables whose deletion vector should be garbage-collected
 	// at commit: entries whose block cannot belong to any surviving run
 	// are removed and the pruned vector persisted in the same manifest
@@ -36,18 +35,9 @@ type Edit struct {
 	src storage.Source
 }
 
-// dvSnap is a deletion-vector snapshot captured before lock-free work
-// whose result this edit commits: the map contents as of the capture and
-// the generation counter that detects mutations since.
-type dvSnap struct {
-	dv  map[string]struct{}
-	gen uint64
-}
-
 // NewEdit starts an empty edit.
 func (db *DB) NewEdit() *Edit {
-	return &Edit{db: db, drop: map[string][]string{}, replaceDV: map[string]bool{},
-		dvAsOf: map[string]dvSnap{}, gcDV: map[string]bool{}}
+	return &Edit{db: db, drop: map[string][]string{}, replaceDV: map[string]bool{}, gcDV: map[string]bool{}}
 }
 
 // SetSource records the subsystem on whose behalf the edit commits; run
@@ -111,26 +101,6 @@ func (e *Edit) CollectedDVEntries() int { return e.dvCollected }
 // (which may be empty, dropping a previously persisted vector).
 func (e *Edit) FlushDV(table string) *Edit {
 	e.replaceDV[table] = true
-	delete(e.dvAsOf, table)
-	return e
-}
-
-// FlushDVAsOf persists dv — a snapshot of the table's deletion vector
-// captured earlier (share the map via DVShare, record DVGen alongside) —
-// instead of the live map. The engine's checkpoint uses this: the
-// snapshot is taken when the write stores freeze, the flush then runs
-// with no structural lock held, and mutations that land during the flush
-// must not ride along — entries a relocation adds pair with write-store
-// records outside the committing consistency point, and entries a
-// concurrent compaction removes were durably superseded by its own
-// commit. If the generation moved after the capture, Commit persists the
-// snapshot intersected with the live map (captured entries still in
-// force) and marks the table dirty, so the next checkpoint persists the
-// newer state together with its records; with an unchanged generation it
-// persists the snapshot as-is and clears the dirty flag.
-func (e *Edit) FlushDVAsOf(table string, dv map[string]struct{}, gen uint64) *Edit {
-	e.dvAsOf[table] = dvSnap{dv: dv, gen: gen}
-	delete(e.replaceDV, table)
 	return e
 }
 
@@ -224,8 +194,7 @@ func (e *Edit) Commit() error {
 		newRuns[ref.table][ref.partition] = append(newRuns[ref.table][ref.partition], r)
 	}
 
-	// Persist requested deletion vectors — the live map for FlushDV, the
-	// captured snapshot for FlushDVAsOf.
+	// Persist requested deletion vectors.
 	newDVFiles := map[string]string{}
 	newDVCounts := map[string]int{}
 	dvPruned := map[string]map[string]struct{}{}
@@ -255,24 +224,6 @@ func (e *Edit) Commit() error {
 			e.dvCollected += len(t.dv) - len(pruned)
 			dvPruned[name] = pruned
 			dv = pruned
-		} else if snap, ok := e.dvAsOf[name]; ok {
-			dv = snap.dv
-			if t.dvGen != snap.gen {
-				// The vector mutated after the capture. Entries removed
-				// since (a compaction committed after physically purging
-				// their records) must not be resurrected by the stale
-				// snapshot; entries added since pair with write-store
-				// records outside this consistency point and must wait
-				// for the next one. Persist snapshot ∩ live: exactly the
-				// captured entries that are still in force.
-				inter := make(map[string]struct{}, len(snap.dv))
-				for rec := range snap.dv {
-					if _, live := t.dv[rec]; live {
-						inter[rec] = struct{}{}
-					}
-				}
-				dv = inter
-			}
 		} else if !e.replaceDV[name] {
 			newDVFiles[name] = cur
 			newDVCounts[name] = db.m.Tables[name].DVCount
@@ -349,21 +300,9 @@ func (e *Edit) Commit() error {
 			t.dvDirty = false
 			continue
 		}
-		if snap, ok := e.dvAsOf[name]; ok {
-			// The snapshot (intersected with the live map, see above),
-			// not the live map itself, was persisted. If the vector
-			// mutated after the capture the durable state may now lag
-			// the live one — mark the table dirty so the next
-			// checkpoint persists the newer state together with its
-			// write-store records, even if an interleaved compaction's
-			// own FlushDV had cleared the flag.
-			t.dvDirty = t.dvGen != snap.gen
-			continue
-		}
 		if !e.replaceDV[name] {
-			// Not persisted by this edit: a dirty vector stays dirty (a
-			// relocation may have mutated it while this edit's builders
-			// ran lock-free) so the next checkpoint flushes it.
+			// Not persisted by this edit: a dirty vector stays dirty, so
+			// the next checkpoint flushes it.
 			continue
 		}
 		if newDVFiles[name] == "" {
@@ -437,18 +376,22 @@ func writeManifest(vfs storage.VFS, m manifest) error {
 // --- Deletion vectors ---
 
 // mutableDV returns the deletion-vector map a mutator may write to,
-// copying it first if a View shares the current one. Callers hold the
-// structural lock exclusively (serializing all mutators against
-// AcquireView); the copy is what keeps a pinned view's reads stable.
+// copying it first if a pinned View may be reading the current one.
+// Callers hold the structural lock exclusively (serializing all mutators
+// against AcquireView); the copy is what keeps a pinned view's reads
+// stable. With no view pinned the only version sharing the map is the
+// current one, which every mutator marks stale, so nobody reads the map
+// again before the next AcquireView rebuilds the version from it — a run
+// of relocations then costs no copy at all.
 func (t *Table) mutableDV() map[string]struct{} {
-	if t.dvShared {
+	if t.dvShared && t.db.ActiveViews() > 0 {
 		cp := make(map[string]struct{}, len(t.dv))
 		for rec := range t.dv {
 			cp[rec] = struct{}{}
 		}
 		t.dv = cp
-		t.dvShared = false
 	}
+	t.dvShared = false
 	return t.dv
 }
 
@@ -470,31 +413,6 @@ func (t *Table) DVLen() int { return len(t.dv) }
 
 // DVDirty reports whether the vector has unpersisted changes.
 func (t *Table) DVDirty() bool { return t.dvDirty }
-
-// DVShare returns the current deletion-vector map for use as a
-// FlushDVAsOf snapshot, marking it copy-on-write so the next mutation
-// copies instead of updating in place (exactly how views pin it). Callers
-// hold the structural lock exclusively.
-func (t *Table) DVShare() map[string]struct{} {
-	t.dvShared = true
-	return t.dv
-}
-
-// DVGen returns the deletion vector's mutation-generation counter; pair it
-// with DVShare to detect mutations after the capture.
-func (t *Table) DVGen() uint64 { return t.dvGen }
-
-// ClearDV empties the in-memory deletion vector; persist with FlushDV.
-func (t *Table) ClearDV() {
-	if len(t.dv) == 0 {
-		return
-	}
-	t.dv = make(map[string]struct{})
-	t.dvShared = false
-	t.dvGen++
-	t.db.verStale = true
-	t.dvDirty = true
-}
 
 // ClearDVPartitionKeep removes deletion-vector entries routed to
 // partition p (under either range or hash partitioning) and returns the

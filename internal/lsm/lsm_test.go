@@ -76,16 +76,35 @@ func flushRecords(t *testing.T, db *DB, table string, cp uint64, recs [][]byte) 
 	}
 }
 
+// collect reads one block of the table through a freshly pinned view.
 func collect(t *testing.T, tbl *Table, block uint64) [][]byte {
 	t.Helper()
-	var out [][]byte
-	if err := tbl.CollectBlock(block, func(rec []byte) bool {
-		out = append(out, append([]byte(nil), rec...))
-		return true
-	}); err != nil {
+	v := tbl.db.AcquireView()
+	defer v.Release()
+	return viewCollect(t, v, tbl.Name(), block)
+}
+
+// scanTable streams every record of the table's partition 0 — merged,
+// deduplicated and deletion-vector filtered — through a freshly pinned
+// view, released before it returns.
+func scanTable(t *testing.T, tbl *Table, visit func(rec []byte)) {
+	t.Helper()
+	v := tbl.db.AcquireView()
+	defer v.Release()
+	it, err := v.MergedIter(tbl.Name(), 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	for {
+		rec, ok, err := it.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return
+		}
+		visit(rec)
+	}
 }
 
 func TestFlushAndCollect(t *testing.T) {
@@ -224,27 +243,14 @@ func TestDeletionVector(t *testing.T) {
 	}
 
 	// MergedIter also respects the DV.
-	it, err := tbl2.MergedIter(0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var n int
-	for {
-		_, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		n++
-	}
+	scanTable(t, tbl2, func([]byte) { n++ })
 	if n != 2 {
 		t.Fatalf("MergedIter saw %d records, want 2", n)
 	}
 
 	// Clearing and flushing drops the DV file.
-	tbl2.ClearDV()
+	tbl2.ClearDVPartitionKeep(0, nil)
 	if err := db2.NewEdit().FlushDV("from").Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -269,26 +275,15 @@ func TestCompactionReplacesRuns(t *testing.T) {
 	}
 
 	// Merge all runs into one Level-1 run.
-	it, err := tbl.MergedIter(0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	nb, err := db.NewRunBuilder("from", 0, 1, db.CP(), storage.SrcCompaction, 1<<15)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for {
-		rec, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
+	scanTable(t, tbl, func(rec []byte) {
 		if err := nb.Add(rec); err != nil {
 			t.Fatal(err)
 		}
-	}
+	})
 	ref, ok, err := nb.Finish()
 	if err != nil || !ok {
 		t.Fatalf("Finish: ok=%v err=%v", ok, err)
@@ -718,21 +713,8 @@ func TestMergeScanDoesNotFillCache(t *testing.T) {
 		t.Fatal("query cached nothing")
 	}
 
-	it, err := tbl.MergedIter(0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	n := 0
-	for {
-		_, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		n++
-	}
+	scanTable(t, tbl, func([]byte) { n++ })
 	if n != 40000 {
 		t.Fatalf("merge scan yielded %d records, want 40000", n)
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"container/heap"
 	"encoding/binary"
-	"fmt"
 
 	"github.com/backlogfs/backlog/internal/btree"
 )
@@ -142,9 +141,8 @@ func blockKey(block uint64, recSize int) []byte {
 // collectBlock merges the given runs around one block and invokes visit
 // for every surviving record, in ascending order, with deletion-vector
 // filtering applied. Bloom filters prune runs that cannot contain the
-// block. It reads only the run list and dv snapshot it is handed, so both
-// Table.CollectBlock (live state, caller holds the structural lock) and
-// View.CollectBlock (pinned snapshot, no lock) are built on it.
+// block. It reads only the run list and dv snapshot it is handed — a
+// view's pinned ones — so it needs no lock.
 func collectBlock(runs []*Run, recSize int, dv map[string]struct{}, block uint64, visit func(rec []byte) bool) error {
 	var iters []RecIter
 	key := blockKey(block, recSize)
@@ -201,27 +199,6 @@ func mergedIter(runs []*Run, dv map[string]struct{}) (RecIter, error) {
 		return nil, err
 	}
 	return &dvFilterIter{dv: dv, in: merged}, nil
-}
-
-func errPartitionRange(p int) error { return fmt.Errorf("lsm: partition %d out of range", p) }
-
-// CollectBlock invokes visit for every record of the given block across all
-// live runs of the table. Callers hold the structural lock; lock-free
-// readers use View.CollectBlock instead.
-func (t *Table) CollectBlock(block uint64, visit func(rec []byte) bool) error {
-	p := t.db.PartitionOf(block)
-	return collectBlock(t.runs[p], t.spec.RecordSize, t.dv, block, visit)
-}
-
-// MergedIter returns a sorted, duplicate-free, deletion-vector-filtered
-// stream over all live runs of one partition. Callers hold the structural
-// lock for the lifetime of the iterator; compaction, which must not, uses
-// View.MergedIter.
-func (t *Table) MergedIter(partition int) (RecIter, error) {
-	if partition < 0 || partition >= len(t.runs) {
-		return nil, errPartitionRange(partition)
-	}
-	return mergedIter(t.runs[partition], t.dv)
 }
 
 // Runs returns the live runs of a partition, oldest first. The slice is

@@ -164,12 +164,12 @@ func (v *View) RunCount() int {
 	return n
 }
 
-// CollectBlock is Table.CollectBlock against the view's pinned runs and
-// deletion vector; it holds no lock and is safe concurrently with commits.
+// CollectBlock invokes visit for every record of the block across the
+// view's pinned runs of the table, in ascending order, filtered by the
+// pinned deletion vector; it holds no lock and is safe concurrently with
+// commits.
 func (v *View) CollectBlock(table string, block uint64, visit func(rec []byte) bool) error {
-	tv := v.ver.tables[table]
-	p := v.db.PartitionOf(block)
-	return collectBlock(tv.runs[p], tv.t.spec.RecordSize, tv.dv, block, visit)
+	return v.CollectBlockPruned(table, block, 0, visit)
 }
 
 // CollectBlockPruned is CollectBlock with CP-window pruning: runs whose
@@ -193,25 +193,19 @@ func (v *View) CollectBlockPruned(table string, block, horizon uint64, visit fun
 	return collectBlock(runs, tv.t.spec.RecordSize, tv.dv, block, visit)
 }
 
-// MergedIterOf is MergedIter restricted to an explicit subset of the
-// view's pinned runs of one table — tiered compaction merges only the
-// runs that are not sealed below the reclaim horizon, leaving sealed
-// runs eligible for drop-based expiry.
+// MergedIterOf returns a sorted, duplicate-free, deletion-vector-filtered
+// stream over runs, a subset of the view's pinned runs of one table — the
+// input to compaction, which merges against a pinned view with no
+// structural lock held, and under tiered compaction only the runs that
+// are not sealed below the reclaim horizon, leaving sealed runs eligible
+// for drop-based expiry.
 func (v *View) MergedIterOf(table string, runs []*Run) (RecIter, error) {
-	tv := v.ver.tables[table]
-	return mergedIter(runs, tv.dv)
+	return mergedIter(runs, v.ver.tables[table].dv)
 }
 
-// MergedIter returns a sorted, duplicate-free, deletion-vector-filtered
-// stream over the view's pinned runs of one partition — the input to
-// incremental compaction, which merges against a pinned view with no
-// structural lock held.
+// MergedIter is MergedIterOf over every pinned run of one partition.
 func (v *View) MergedIter(table string, partition int) (RecIter, error) {
-	tv := v.ver.tables[table]
-	if partition < 0 || partition >= len(tv.runs) {
-		return nil, errPartitionRange(partition)
-	}
-	return mergedIter(tv.runs[partition], tv.dv)
+	return v.MergedIterOf(table, v.Runs(table, partition))
 }
 
 // Unchanged reports whether the live run set of (table, partition) and the

@@ -39,26 +39,15 @@ func listFiles(t *testing.T, fs storage.VFS) map[string]bool {
 func compactInto(t *testing.T, db *DB) {
 	t.Helper()
 	tbl := db.Table("from")
-	it, err := tbl.MergedIter(0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	b, err := db.NewRunBuilder("from", 0, 1, db.CP(), storage.SrcCompaction, 1<<15)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for {
-		rec, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
+	scanTable(t, tbl, func(rec []byte) {
 		if err := b.Add(rec); err != nil {
 			t.Fatal(err)
 		}
-	}
+	})
 	edit := db.NewEdit()
 	if ref, ok, err := b.Finish(); err != nil {
 		t.Fatal(err)
@@ -178,6 +167,23 @@ func TestViewSnapshotsDeletionVector(t *testing.T) {
 	}
 	v2.Release()
 	v.Release()
+
+	// With no view pinned a mutation updates the map in place (nobody can
+	// be reading it); the next pin observes it, and a mutation after that
+	// pin must copy again.
+	tbl.DeleteRecord(rec16(5, 101))
+	v3 := db.AcquireView()
+	defer v3.Release()
+	if got := viewCollect(t, v3, "from", 5); len(got) != 0 {
+		t.Fatalf("view pinned after an unpinned mutation: %d records, want 0", len(got))
+	}
+	tbl.RestoreDV([]string{string(rec16(7, 1))})
+	if _, leaked := v3.ver.tables["from"].dv[string(rec16(7, 1))]; leaked {
+		t.Fatal("mutation after the pin leaked into the view's deletion vector")
+	}
+	if tbl.DVLen() != 3 {
+		t.Fatalf("live vector has %d entries, want 3", tbl.DVLen())
+	}
 }
 
 // TestViewUnchangedDetectsRunChanges: installing a new run in the
