@@ -219,10 +219,13 @@
 // columns by tiny deltas, so a 48- or 56-byte record costs about 5.7
 // bytes of leaf space (7.4 bytes of run file, index pages and Bloom
 // filter included, on bash bench/run.sh's ingest workload) and
-// checkpoints and merges write proportionally fewer bytes. The shared page cache keeps compressed pages encoded, so its
-// budget covers several times more of the store; a warm seek finds its
-// place through a small per-page restart table and decodes at most a few
-// dozen records.
+// checkpoints and merges write proportionally fewer bytes. The shared
+// page cache keeps compressed pages encoded and charges each the bytes it
+// holds, so its budget covers several times more of the store; a warm
+// seek finds its place through a per-page restart table — every 32nd
+// record, itself delta-encoded against the page's first, a fourteenth of
+// the page's size — and decodes at most a few dozen records. Pages of a
+// run that compaction or expiry removed leave the cache with it.
 //
 // Config.Compression selects the format for newly written runs:
 //

@@ -10,9 +10,12 @@ import (
 // internal pages alike, so hot queries never re-read or re-verify. A
 // delta-format leaf stays encoded; beside its payload the entry keeps the
 // restart table its validating pass sampled, which lets a seek land
-// within restartInterval records of its target. Entries are charged by
-// payload plus restart-table bytes against a fixed budget, so a budget
-// covers the same share of a store in memory as on disk.
+// within restartInterval records of its target. An entry is charged the
+// bytes it pins — the payload at its used length, not the 4 KB page it
+// came in, plus the restart table, ≈0.3 KB beside a full leaf — against a
+// fixed budget, so a budget covers about nine tenths as many bytes of a
+// store in memory as on disk. Pages of a run that is gone leave with it
+// (Drop) instead of waiting for the LRU order to reach them.
 //
 // The paper's micro-benchmarks use a 32 MB cache in addition to the write
 // stores and Bloom filters (Section 6.1); NewCacheBytes(32<<20) reproduces
@@ -34,9 +37,11 @@ type cacheKey struct {
 }
 
 // page is a verified page as readers and the cache hold it: the on-disk
-// payload, its entry count and, for a delta leaf, the restart table (see
-// sampleRestarts). A page is immutable once built, so iterators and the
-// cache share it by pointer.
+// payload cut to the bytes its count entries occupy (whole only for a leaf
+// nobody sampled, see Reader.NoFill), that count and, for a sampled delta
+// leaf, the restart table (see sampleRestarts). Both slices are allocated
+// at their length, so size is what the page keeps alive. A page is
+// immutable once built, so iterators and the cache share it by pointer.
 type page struct {
 	payload  []byte
 	count    int
@@ -93,11 +98,29 @@ func (c *Cache) put(reader, pageNo uint64, p *page) {
 	// Evict from the cold end, but never the entry just touched: a single
 	// oversized entry may transiently exceed the budget by itself.
 	for c.used > c.budget && c.lru.Len() > 1 {
-		last := c.lru.Back()
-		e := last.Value.(*cacheEntry)
-		c.lru.Remove(last)
-		delete(c.index, e.key)
-		c.used -= e.size()
+		c.remove(c.lru.Back())
+	}
+}
+
+// remove takes one entry out of the cache; the caller holds c.mu.
+func (c *Cache) remove(el *list.Element) {
+	e := c.lru.Remove(el).(*cacheEntry)
+	delete(c.index, e.key)
+	c.used -= e.size()
+}
+
+// Drop forgets every page cached for r (and for the copies WithFile and
+// NoFill made of it), for a caller about to discard the run: nothing will
+// ask for those pages again, and left alone they stay charged until
+// eviction happens to reach them. It walks the whole index under the lock,
+// which suits runs dropped per commit, not per query.
+func (c *Cache) Drop(r *Reader) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for key, el := range c.index {
+		if key.reader == r.id {
+			c.remove(el)
+		}
 	}
 }
 

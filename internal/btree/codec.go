@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -84,15 +85,27 @@ func appendDeltaRecord(dst, rec []byte, prev []uint64) []byte {
 	return dst
 }
 
-// restartInterval is K: a delta leaf's restart table holds every K-th
-// record, so a seek stream-decodes at most K records. At the ≈5.7 encoded
-// bytes the bench stores measure per 48/56-byte record a full page holds
-// ≈710 records, i.e. ≈23 restart points of recSize+2 bytes: ≈1.2 KB
-// charged to the cache beside the 4 KB payload, which is the trade — K =
-// 16 would halve the records a seek decodes (≈0.2 µs) and keep a sixth
-// fewer pages per cache byte; K = 64 would keep a tenth more and double
-// the decode.
+// restartInterval is K: a cached delta leaf keeps a restart point at every
+// K-th record, so a seek stream-decodes at most K records past the point it
+// starts from. A restart point is not a copy of its record: the table holds
+// the page's first record once, as the anchor, and every further restart
+// record as its FormatDelta encoding against that anchor, behind a
+// four-byte directory entry (see sampleRestarts). At the ≈5.7 encoded bytes
+// the bench stores measure per 48/56-byte record a full page holds ≈710
+// records, i.e. 22 entries of ≈7 bytes, a directory of 92 and the anchor:
+// ≈0.3 KB charged to the cache beside the 4 KB payload, where verbatim
+// records (recSize+2 bytes each) took ≈1.3 KB — a quarter of the charge,
+// and on a store 1.5x its cache the difference between thrashing and
+// fitting (`query` read 894 → 491 → 265 → 69 B per query at K = 32 / 64 /
+// 128 / no table with verbatim records). What the dense table costs a seek
+// is a varint or two per binary-search probe (compareRestart) and one
+// record decode where it settles, ≈30 ns more than copying a verbatim
+// record; K = 64 would halve the table again for twice the stream-decode
+// (≈0.2 µs).
 const restartInterval = 32
+
+// restartDirLen is the size of one directory entry of a restart table.
+const restartDirLen = 4
 
 // A deltaDecoder decodes the record encoded at payload[pos:] onto rec,
 // which holds the previous record of the page (all zero before the first),
@@ -223,30 +236,117 @@ func checkLeafCount(payload []byte, count int) error {
 }
 
 // sampleRestarts walks all count records of a delta leaf with the run's
-// decoder and returns the page's restart table: for every
-// restartInterval-th record, the record itself (fixed-stride, so
-// bytes.Compare orders it against a seek key) followed by the
-// little-endian u16 payload offset of the record after it. Any malformed
-// input yields an ErrCorrupt-wrapped error, never silently wrong records.
-func sampleRestarts(payload []byte, count, recSize int, next deltaDecoder) ([]byte, error) {
+// decoder and builds the page's restart table in table[:0], returning it
+// with the payload bytes the records occupy. Restart point j = 0, 1, … is
+// record j*restartInterval, and the table is
+//
+//	anchor     the page's first record — restart point 0 — verbatim
+//	directory  for every restart point: the little-endian u16 table offset
+//	           of its entry (zero for the anchor's, which has none), then
+//	           the u16 payload offset of the record after it
+//	entries    every restart record but the first, as appendDeltaRecord
+//	           encodes it against the anchor — in FormatDelta whatever the
+//	           run's format
+//
+// Any malformed input yields an ErrCorrupt-wrapped error, never silently
+// wrong records.
+func sampleRestarts(table, payload []byte, count, recSize int, next deltaDecoder) ([]byte, int, error) {
+	table = table[:0]
 	if err := checkLeafCount(payload, count); err != nil {
-		return nil, err
+		return table, 0, err
 	}
-	stride := recSize + 2
-	restarts := make([]byte, 0, (count+restartInterval-1)/restartInterval*stride)
+	var cols [MaxRecordSize / 8]uint64
+	anchor := cols[:recSize/8]
 	rec := make([]byte, recSize)
 	pos := 0
 	for i := 0; i < count; i++ {
 		if pos = next(payload, pos, rec, i == 0); pos < 0 {
-			return nil, fmt.Errorf("%w: malformed delta record %d", ErrCorrupt, i)
+			return table, 0, fmt.Errorf("%w: malformed delta record %d", ErrCorrupt, i)
 		}
-		if i%restartInterval == 0 {
-			restarts = append(restarts, rec...)
-			restarts = binary.LittleEndian.AppendUint16(restarts, uint16(pos))
+		if i%restartInterval != 0 {
+			continue
+		}
+		entry := 0
+		if i == 0 {
+			table = append(table, rec...)
+			table = append(table, make([]byte, ((count-1)/restartInterval+1)*restartDirLen)...)
+			for c := range anchor {
+				anchor[c] = binary.BigEndian.Uint64(rec[c*8:])
+			}
+		} else {
+			entry = len(table)
+			table = appendDeltaRecord(table, rec, anchor)
+		}
+		dir := table[recSize+i/restartInterval*restartDirLen:]
+		binary.LittleEndian.PutUint16(dir, uint16(entry))
+		binary.LittleEndian.PutUint16(dir[2:], uint16(pos))
+	}
+	return table, pos, nil
+}
+
+// compareRestart orders the record of restart point j >= 1 against key
+// without materializing it: column by column, each the anchor's plus the
+// entry's delta if the entry flags one, stopping at the first that
+// differs — for a block-prefix key, nearly always the first. ok is false
+// if the entry is malformed.
+func compareRestart(table []byte, j int, key []byte) (order int, ok bool) {
+	cols := len(key) / 8
+	at := int(binary.LittleEndian.Uint16(table[len(key)+j*restartDirLen:]))
+	pos := at + bitmapLen(cols)
+	if pos > len(table) {
+		return 0, false
+	}
+	for c := 0; c < cols; c++ {
+		v := binary.BigEndian.Uint64(table[c*8:])
+		if table[at+c/8]>>(c%8)&1 != 0 {
+			u, n := binary.Uvarint(table[pos:])
+			if n <= 0 {
+				return 0, false
+			}
+			v += uint64(unzigzag(u))
+			pos += n
+		}
+		if k := binary.BigEndian.Uint64(key[c*8:]); v != k {
+			return cmp.Compare(v, k), true
 		}
 	}
-	return restarts, nil
+	return 0, true
 }
+
+// seekRestart binary-searches the restart table of a count-record leaf for
+// the last restart point whose record is <= key — the first if key sorts
+// before the whole page — and returns the cursor state there: rec holds
+// that record, idx records are consumed and the next one starts at payload
+// offset pos. The probes compare in place; only the restart record the seek
+// settles on is decoded, onto a copy of the anchor, with decode — the
+// FormatDelta decoder for the record size. An entry that does not decode
+// means memory corruption and comes back as ErrCorrupt.
+func seekRestart(table []byte, count int, key, rec []byte, decode deltaDecoder) (idx, pos int, err error) {
+	lo, hi := 1, (count-1)/restartInterval+1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		order, ok := compareRestart(table, mid, key)
+		if !ok {
+			return 0, 0, errRestartTable
+		}
+		if order <= 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	j := lo - 1
+	dir := table[len(rec)+j*restartDirLen:]
+	copy(rec, table) // the anchor
+	// An entry repeats the anchor only in a page whose records do not
+	// ascend, which no writer produces; it must decode all the same.
+	if j > 0 && decode(table, int(binary.LittleEndian.Uint16(dir)), rec, true) < 0 {
+		return 0, 0, errRestartTable
+	}
+	return j*restartInterval + 1, int(binary.LittleEndian.Uint16(dir[2:])), nil
+}
+
+var errRestartTable = fmt.Errorf("%w: malformed restart table", ErrCorrupt)
 
 // DeltaEstimator predicts the exact encoded leaf-payload bytes the
 // FormatDelta writer would produce for a sorted record stream — including

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -158,59 +159,98 @@ func neighbour(rec []byte, up bool) []byte {
 	return nil
 }
 
+// blockSpanRecords returns ascending records of at least two columns in
+// which one block (first column) owns more than three restart intervals'
+// worth of consecutive records, between blocks that own five: a
+// block-prefix seek then lands before, inside or after a stretch of restart
+// points that all share their first column.
+func blockSpanRecords(recSize int) [][]byte {
+	const K = restartInterval
+	recs := make([][]byte, 6*K)
+	for i := range recs {
+		block := i / 5
+		if i >= K/2 && i < 4*K {
+			block = K / 10 // stays in the block record K/2-1 is in
+		}
+		r := make([]byte, recSize)
+		binary.BigEndian.PutUint64(r, uint64(block))
+		binary.BigEndian.PutUint64(r[8:], uint64(i)) // keeps them ascending
+		for c := 16; c < recSize; c += 8 {
+			binary.BigEndian.PutUint64(r[c:], uint64(i*c)%977)
+		}
+		recs[i] = r
+	}
+	return recs
+}
+
 func TestCursorMatchesFullDecode(t *testing.T) {
 	const K = restartInterval
 	rng := rand.New(rand.NewSource(13))
+	check := func(name string, f storage.File, recs [][]byte) {
+		// Uncached, every seek re-validates its leaf; a small cache mixes
+		// hits with misses and evictions on the larger runs. Readers that
+		// sample a leaf for every seek visit the larger runs' restart
+		// points, not their every record.
+		small := len(recs) <= 6*K
+		for _, cache := range []*Cache{NewCacheBytes(16 * storage.PageSize), nil} {
+			r, err := Open(f, cache)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkCursor(t, name, r, recs, small || cache != nil)
+			// Unsampled leaves: the scan validates as it streams and a
+			// seek samples its leaf on the spot.
+			checkCursor(t, name+"/nofill", r.NoFill(), recs, small)
+		}
+	}
 	// 72 bytes is nine columns: a two-byte bitmap, the wide decoder.
 	for _, recSize := range []int{8, 48, 56, 72} {
 		for _, wide := range []bool{false, true} {
-			for _, n := range []int{1, 2, K - 1, K, K + 1, 2*K + 1, 700, 3000} {
+			// 700 narrow records fill a page; 3000 fill several.
+			for _, n := range []int{1, 2, K - 1, K, K + 1, 2 * K, 2*K + 1, 700, 3000} {
 				recs := seededRecords(rng, n, recSize, wide)
 				name := fmt.Sprintf("size=%d/wide=%v/n=%d", recSize, wide, len(recs))
-				f := buildRunFormat(t, storage.NewMemFS(), "run", recSize, FormatDelta, recs)
-				// Uncached, every seek re-validates its leaf; a small cache
-				// mixes hits with misses and evictions on the larger runs.
-				caches := []*Cache{NewCacheBytes(16 * storage.PageSize)}
-				if n <= 700 {
-					caches = append(caches, nil)
-				}
-				for _, cache := range caches {
-					r, err := Open(f, cache)
-					if err != nil {
-						t.Fatal(err)
-					}
-					checkCursor(t, name, r, recs)
-					// Unsampled leaves: the scan validates as it streams
-					// and a seek samples its leaf on the spot.
-					checkCursor(t, name+"/nofill", r.NoFill(), recs)
-				}
+				check(name, buildRunFormat(t, storage.NewMemFS(), "run", recSize, FormatDelta, recs), recs)
 			}
 		}
+		if recSize > 8 {
+			recs := blockSpanRecords(recSize)
+			check(fmt.Sprintf("size=%d/block-span", recSize), buildRunFormat(t, storage.NewMemFS(), "run", recSize, FormatDelta, recs), recs)
+		}
+	}
+	// The previous format's leaves get the same table, its entries in the
+	// current encoding.
+	for _, g := range goldenRuns {
+		check("v2-"+g.name, plantFile(t, readGolden(t, "v2-"+g.name+".run")), goldenRecords(g.cols))
 	}
 }
 
-// checkCursor compares the reader's streaming cursor with the full decode
-// of every leaf page: a whole-run scan, and seeks around every restart
-// point and both ends of every leaf, each followed by a short drain that
-// may cross into the next page.
-func checkCursor(t *testing.T, name string, r *Reader, recs [][]byte) {
+// checkCursor compares the reader's streaming cursor with the reference
+// decode of every leaf page: a whole-run scan, then seeks at, just before
+// and just after every record — so every gap, before the first record and
+// after the last — and at every record's block prefix, the key a query
+// seeks, each followed by a drain that may cross into the next page.
+// Unless exhaustive, only the records around each restart point are sought.
+func checkCursor(t *testing.T, name string, r *Reader, recs [][]byte, exhaustive bool) {
 	t.Helper()
 	const K = restartInterval
+	reference := decodeDeltaLeaf
+	if r.h.format == formatDeltaV2 {
+		reference = decodeDeltaLeafV2
+	}
 	var all [][]byte
-	var pageEnds []int // len(all) after each leaf
 	for p := uint64(0); p < r.h.leafPages; p++ {
-		payload, count, err := r.readPageRaw(r.h.leafStart + p)
+		payload, count, err := r.readPageRaw(new([storage.PageSize]byte), r.h.leafStart+p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		flat, _, err := decodeDeltaLeaf(payload, count, r.h.recordSize)
+		flat, _, err := reference(payload, count, r.h.recordSize)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < count; i++ {
 			all = append(all, flat[i*r.h.recordSize:(i+1)*r.h.recordSize])
 		}
-		pageEnds = append(pageEnds, len(all))
 	}
 	if len(all) != len(recs) {
 		t.Fatalf("%s: full decode has %d records, built %d", name, len(all), len(recs))
@@ -225,7 +265,7 @@ func checkCursor(t *testing.T, name string, r *Reader, recs [][]byte) {
 		}
 	}
 
-	seek := func(key []byte) {
+	seek := func(key []byte, drain int) {
 		if key == nil {
 			return
 		}
@@ -234,7 +274,7 @@ func checkCursor(t *testing.T, name string, r *Reader, recs [][]byte) {
 		if err != nil {
 			t.Fatalf("%s: SeekGE(%x): %v", name, key, err)
 		}
-		for i := want; i < min(want+K+2, len(all)+1); i++ {
+		for i := want; i < min(want+drain, len(all)+1); i++ {
 			rec, ok, err := it.Next()
 			if err != nil {
 				t.Fatal(err)
@@ -248,23 +288,168 @@ func checkCursor(t *testing.T, name string, r *Reader, recs [][]byte) {
 			}
 		}
 	}
-	start := 0
-	for _, end := range pageEnds {
-		idxs := []int{start, end - 1}
-		for j := start; j < end; j += K {
-			idxs = append(idxs, j-1, j, j+1, j+K/2)
+	for i, rec := range all {
+		if at := i % K; !exhaustive && at > 1 && at != K/2 && at != K-1 {
+			continue
 		}
-		for _, i := range idxs {
-			if i < start || i >= end {
-				continue
+		drain := 2
+		if i%K == 0 {
+			drain = K + 2 // through the next restart point
+		}
+		seek(neighbour(rec, false), drain)
+		seek(rec, drain)
+		seek(neighbour(rec, true), drain)
+		prefix := make([]byte, len(rec))
+		copy(prefix, rec[:8])
+		seek(prefix, drain)
+	}
+}
+
+// TestCacheChargesWhatItHolds: an entry's charge is the bytes it keeps
+// alive — the payload at its used length and a restart table a tenth the
+// size of the verbatim records it replaced — and nothing else.
+func TestCacheChargesWhatItHolds(t *testing.T) {
+	checkHeld := func(cache *Cache) {
+		t.Helper()
+		var sum int64
+		for key, el := range cache.index {
+			e := el.Value.(*cacheEntry)
+			if len(e.payload) != cap(e.payload) || len(e.restarts) != cap(e.restarts) {
+				t.Fatalf("page %d: payload %d/%d, restart table %d/%d bytes used/held", key.page,
+					len(e.payload), cap(e.payload), len(e.restarts), cap(e.restarts))
 			}
-			// Before, at and after the record; after the leaf's last
-			// record lands on the next leaf (or the end of the run).
-			seek(neighbour(all[i], false))
-			seek(all[i])
-			seek(neighbour(all[i], true))
+			sum += e.size()
 		}
-		start = end
+		if got := cache.SizeBytes(); got != sum {
+			t.Fatalf("SizeBytes = %d, entries hold %d", got, sum)
+		}
+	}
+
+	recs := sortedRecords48(200000)
+	cache := NewCacheBytes(64 << 20)
+	r, err := Open(buildRunFormat(t, storage.NewMemFS(), "run", 48, FormatDelta, recs), cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.SeekGE(recs[len(recs)/2]); err != nil {
+		t.Fatal(err)
+	}
+	leaf, err := r.findLeaf(recs[len(recs)/2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := cache.get(r.id, leaf)
+	if p == nil || p.count < 600 {
+		t.Fatalf("leaf %d not resident or not full: %+v", leaf, p)
+	}
+	t.Logf("full leaf: %d records in %d payload bytes, restart table %d bytes", p.count, len(p.payload), len(p.restarts))
+	if len(p.restarts) > 400 || p.size() > pagePayload+400 {
+		t.Fatalf("full leaf of %d records charged %d bytes, %d of them restart table: want <= %d and <= 400",
+			p.count, p.size(), len(p.restarts), pagePayload+400)
+	}
+	if root := cache.get(r.id, r.h.rootPage); root == nil || root.size() != int64(root.count*(48+8)) {
+		t.Fatalf("root page charged %d bytes for %d entries", root.size(), root.count)
+	}
+	checkHeld(cache)
+
+	// The root of a small level-0 run: ten leaves, ten index entries.
+	small := recs[:int(r.RecordCount()/r.h.leafPages)*19/2]
+	cache = NewCacheBytes(64 << 20)
+	if r, err = Open(buildRunFormat(t, storage.NewMemFS(), "small", 48, FormatDelta, small), cache); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.SeekGE(small[0]); err != nil {
+		t.Fatal(err)
+	}
+	if root := cache.get(r.id, r.h.rootPage); root == nil || root.count != 10 || root.size() > 600 {
+		t.Fatalf("10-entry root: %+v", root)
+	}
+	checkHeld(cache)
+
+	// Raw leaves are kept at count*recSize.
+	cache = NewCacheBytes(64 << 20)
+	if r, err = Open(buildRunFormat(t, storage.NewMemFS(), "raw", 48, FormatRaw, small[:100]), cache); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.SeekGE(small[99]); err != nil {
+		t.Fatal(err)
+	}
+	if last := cache.get(r.id, r.h.leafStart+r.h.leafPages-1); last == nil || last.size() != int64(last.count*48) {
+		t.Fatalf("raw leaf: %+v", last)
+	}
+	checkHeld(cache)
+}
+
+// TestRestartTableDamage: the table is the reader's own memory, but a seek
+// through a damaged one — any byte past the anchor overwritten — fails as
+// ErrCorrupt or lands somewhere, and never panics.
+func TestRestartTableDamage(t *testing.T) {
+	for _, recSize := range []int{48, 72} {
+		recs := seededRecords(rand.New(rand.NewSource(5)), 8*restartInterval, recSize, false)
+		var payload []byte
+		cols := make([]uint64, recSize/8)
+		for _, r := range recs {
+			payload = appendDeltaRecord(payload, r, cols)
+			for c := range cols {
+				cols[c] = binary.BigEndian.Uint64(r[c*8:])
+			}
+		}
+		decode := decoderFor(FormatDelta, recSize)
+		table, used, err := sampleRestarts(nil, payload, len(recs), recSize, decode)
+		if err != nil || used != len(payload) {
+			t.Fatalf("sampling %d bytes: used %d (%v)", len(payload), used, err)
+		}
+		rec := make([]byte, recSize)
+		corrupt := 0
+		for at := recSize; at < len(table); at++ {
+			for _, b := range []byte{0x00, 0x80, 0xFF} {
+				damaged := append([]byte(nil), table...)
+				damaged[at] = b
+				for _, key := range [][]byte{recs[0], recs[len(recs)/2], recs[len(recs)-1]} {
+					if _, _, err := seekRestart(damaged, len(recs), key, rec, decode); errors.Is(err, ErrCorrupt) {
+						corrupt++
+					} else if err != nil {
+						t.Fatalf("byte %d = %#x: %v, want ErrCorrupt or nothing", at, b, err)
+					}
+				}
+			}
+		}
+		if corrupt == 0 {
+			t.Fatalf("size %d: no damage was reported as corrupt", recSize)
+		}
+	}
+}
+
+// TestSeekAllocs pins what a warm seek allocates: the iterator and its
+// record buffer. The restart probes compare in place, and the entry the
+// seek settles on is decoded into that buffer.
+func TestSeekAllocs(t *testing.T) {
+	recs := sortedRecords48(5000)
+	golden := goldenRecords(6)
+	for _, c := range []struct {
+		name string
+		f    storage.File
+		recs [][]byte
+	}{
+		{"v3", buildRunFormat(t, storage.NewMemFS(), "run", 48, FormatDelta, recs), recs},
+		{"v2", plantFile(t, readGolden(t, "v2-from.run")), golden},
+	} {
+		r, err := Open(c.f, NewCacheBytes(64<<20))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := drain(r); err != nil { // warms every page
+			t.Fatal(err)
+		}
+		i := 0
+		if got := testing.AllocsPerRun(1000, func() {
+			i = (i + 97) % len(c.recs)
+			if _, err := r.SeekGE(c.recs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 2 {
+			t.Errorf("%s: a warm SeekGE allocates %v times, want 2", c.name, got)
+		}
 	}
 }
 
@@ -341,26 +526,24 @@ func TestNoFillLeavesCacheUnchanged(t *testing.T) {
 // its header's version field rewritten.
 func forgeLeaf(t testing.TB, recSize int, format Format, payload []byte, count uint16) storage.File {
 	f := buildRunFormat(t, storage.NewMemFS(), "run", recSize, FormatDelta, [][]byte{make([]byte, recSize)})
-	var pg [storage.PageSize]byte
-	seal := func(off int64) {
-		crc := crc32.Checksum(pg[:storage.PageSize-pageCRCLen], castagnoli)
-		binary.LittleEndian.PutUint32(pg[storage.PageSize-pageCRCLen:], crc)
-		if _, err := f.WriteAt(pg[:], off); err != nil {
-			t.Fatal(err)
-		}
-	}
 	if format != FormatDelta {
-		if _, err := f.ReadAt(pg[:], 0); err != nil {
-			t.Fatal(err)
-		}
-		binary.LittleEndian.PutUint32(pg[8:], uint32(format))
-		seal(0)
+		rewriteHeader(t, f, func(page []byte) { binary.LittleEndian.PutUint32(page[8:], uint32(format)) })
 	}
-	clear(pg[:])
-	binary.LittleEndian.PutUint16(pg[:2], count)
-	copy(pg[pageCountLen:storage.PageSize-pageCRCLen], payload)
-	seal(storage.PageSize)
+	forgePage(t, f, 1, count, payload)
 	return f
+}
+
+// forgePage overwrites page pageNo of f with the given count and payload
+// under a valid checksum.
+func forgePage(t testing.TB, f storage.File, pageNo int64, count uint16, payload []byte) {
+	var pg [storage.PageSize]byte
+	binary.LittleEndian.PutUint16(pg[:], count)
+	copy(pg[pageCountLen:storage.PageSize-pageCRCLen], payload)
+	crc := crc32.Checksum(pg[:storage.PageSize-pageCRCLen], castagnoli)
+	binary.LittleEndian.PutUint32(pg[storage.PageSize-pageCRCLen:], crc)
+	if _, err := f.WriteAt(pg[:], pageNo*storage.PageSize); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestDeltaLeafRejections pins what the FormatDelta decoder refuses beyond
@@ -445,6 +628,11 @@ func FuzzDeltaLeaf(f *testing.F) {
 	f.Add(valid2, n+1, uint8(1), true) // decodes the padding: a repeat
 	f.Add(valid2[:len(valid2)/2], n, uint8(2), true)
 	f.Add([]byte{0x80, 0x00, 0x01}, uint16(2), uint8(0), true) // overlong varint
+	// Eight-byte records 5, 6, … 36, then 5 again at the second restart
+	// point — a table entry that repeats its anchor — and on up.
+	repeat := append(append([]byte{0x01, 0x0A}, bytes.Repeat([]byte{0x01, 0x02}, restartInterval-1)...), 0x01, 0x3D)
+	f.Add(append(repeat, bytes.Repeat([]byte{0x01, 0x02}, 3)...), uint16(restartInterval+4), uint8(0), false)
+	f.Add(bytes.Repeat([]byte{0x01, 0x02}, 5*restartInterval), uint16(5*restartInterval), uint8(0), false) // five restart points
 
 	f.Fuzz(func(t *testing.T, payload []byte, count uint16, sizeSel uint8, v2 bool) {
 		recSize := []int{8, 48, 56, 72}[sizeSel%4]
@@ -457,7 +645,7 @@ func FuzzDeltaLeaf(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		padded, _, err := r.readPageRaw(1)
+		padded, _, err := r.readPageRaw(new([storage.PageSize]byte), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -512,18 +700,151 @@ func FuzzDeltaLeaf(f *testing.F) {
 				t.Fatalf("re-encoded page decodes differently (%v)", err)
 			}
 		}
-		for _, rd := range []*Reader{r, r.NoFill()} {
-			for i := 0; i < len(got); i += max(len(got)/8, 1) {
-				it, err := rd.SeekGE(got[i])
+		// Seeks through the restart table — the sampling reader's warm, a
+		// NoFill reader's built for each seek — land where a search over the
+		// reference's records does: around two records of every restart
+		// interval for the first, eight of the page for the second. A
+		// writer never produces unordered records; seeking among them need
+		// only not panic and fail only as corrupt.
+		warm, err := Open(file, NewCacheBytes(1<<20))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rd := range []*Reader{warm, r.NoFill()} {
+			step := max(len(got)/8, 1)
+			if rd == warm {
+				step = restartInterval/2 + 1
+			}
+			for i := 0; i < len(got); i += step {
+				for _, key := range [][]byte{neighbour(got[i], false), got[i], neighbour(got[i], true)} {
+					if key == nil {
+						continue
+					}
+					var rec []byte
+					var ok bool
+					it, err := rd.SeekGE(key)
+					if err == nil {
+						rec, ok, err = it.Next()
+					}
+					if !ascending {
+						if err != nil && !errors.Is(err, ErrCorrupt) {
+							t.Fatalf("SeekGE(%x) among unordered records: %v", key, err)
+						}
+						continue
+					}
+					j := sort.Search(len(got), func(j int) bool { return bytes.Compare(got[j], key) >= 0 })
+					if err != nil || ok != (j < len(got)) || (ok && !bytes.Equal(rec, got[j])) {
+						t.Fatalf("SeekGE(%x) = %x ok=%v err=%v, want record %d of %d", key, rec, ok, err, j, len(got))
+					}
+				}
+			}
+		}
+	})
+}
+
+// FuzzIndexAndRawPages feeds an arbitrary payload and count through the
+// reader as the checksummed root page or first leaf of a three-leaf raw
+// run — the two page kinds read as fixed-stride entries. A count that is
+// zero or runs past the payload is ErrCorrupt; otherwise the page is held
+// at exactly count entries (so a read past them would panic, and none
+// does), a descent takes a child one of those entries names, and a scan
+// yields the leaf's count records and then the untouched leaves'.
+func FuzzIndexAndRawPages(f *testing.F) {
+	const recSize = 16
+	var recs [][]byte
+	for i := uint64(0); i < 600; i++ {
+		recs = append(recs, append(rec8(i/3), rec8(i)...))
+	}
+	src := buildRunFormat(f, storage.NewMemFS(), "run", recSize, FormatRaw, recs)
+	size, err := src.Size()
+	if err != nil {
+		f.Fatal(err)
+	}
+	run := make([]byte, size)
+	if _, err := src.ReadAt(run, 0); err != nil {
+		f.Fatal(err)
+	}
+	page := func(no int) []byte { return run[no*storage.PageSize+pageCountLen : (no+1)*storage.PageSize-pageCRCLen] }
+	f.Add(page(4)[:3*(recSize+8)], uint16(3), true, recs[300]) // the genuine root
+	f.Add(page(4)[:3*(recSize+8)], uint16(0), true, recs[300])
+	f.Add(page(4)[:3*(recSize+8)], uint16(171), true, recs[599]) // one entry too many for a page
+	f.Add(bytes.Repeat([]byte{0xFF}, 48), uint16(2), true, recs[0])
+	f.Add(page(1), uint16(255), false, recs[100]) // the genuine first leaf
+	f.Add(page(1), uint16(256), false, recs[100])
+	f.Add(page(1)[:40], uint16(7), false, recs[1])
+	f.Add([]byte{}, uint16(0), false, []byte{})
+
+	f.Fuzz(func(t *testing.T, payload []byte, count uint16, internal bool, key []byte) {
+		file := plantFile(t, run)
+		cache := NewCacheBytes(1 << 20)
+		r, err := Open(file, cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.h.levels != 1 || r.h.leafPages != 3 || r.h.rootPage != 4 {
+			t.Fatalf("run geometry: %+v", r.h)
+		}
+		pageNo, stride := uint64(1), recSize
+		if internal {
+			pageNo, stride = r.h.rootPage, recSize+8
+		}
+		forgePage(t, file, int64(pageNo), count, payload)
+		padded := make([]byte, pagePayload)
+		copy(padded, payload)
+		valid := count > 0 && int(count)*stride <= pagePayload
+		seekKey := make([]byte, recSize)
+		copy(seekKey, key)
+
+		for pass := 0; pass < 2; pass++ { // a miss, then a hit
+			leaf, err := r.findLeaf(seekKey)
+			got, scanErr := drain(r)
+			it, seekErr := r.SeekGE(seekKey)
+			var found []byte
+			if seekErr == nil {
+				found, _, seekErr = it.Next()
+			}
+			for _, err := range []error{err, scanErr, seekErr} {
+				if err != nil && !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("got %v, want ErrCorrupt or nothing", err)
+				}
+			}
+			if !valid {
+				if (internal && err == nil) || (!internal && scanErr == nil) {
+					t.Fatalf("count %d of %d-byte entries accepted", count, stride)
+				}
+				continue
+			}
+			p := cache.get(r.id, pageNo)
+			if p == nil || len(p.payload) != int(count)*stride || cap(p.payload) != len(p.payload) {
+				t.Fatalf("page %d held as %+v, want exactly %d entries of %d bytes", pageNo, p, count, stride)
+			}
+			if internal {
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("findLeaf through %d entries: %v", count, err)
 				}
-				rec, ok, err := it.Next()
-				// A writer never produces unordered records; seeking among
-				// them need only not panic.
-				if ascending && (err != nil || !ok || !bytes.Equal(rec, got[i])) {
-					t.Fatalf("SeekGE(record %d) = %x ok=%v err=%v", i, rec, ok, err)
+				named := false
+				for i := 0; i < int(count); i++ {
+					named = named || binary.LittleEndian.Uint64(padded[i*stride+recSize:]) == leaf
 				}
+				if !named {
+					t.Fatalf("findLeaf chose page %d, which none of the %d entries names", leaf, count)
+				}
+				continue
+			}
+			if scanErr != nil || len(got) != int(count)+len(recs)-255 {
+				t.Fatalf("scan: %d records (%v), want %d forged and %d untouched", len(got), scanErr, count, len(recs)-255)
+			}
+			for i, rec := range got {
+				want := recs[255+max(i-int(count), 0)]
+				if i < int(count) {
+					want = padded[i*recSize : (i+1)*recSize]
+				}
+				if !bytes.Equal(rec, want) {
+					t.Fatalf("scan record %d = %x, want %x", i, rec, want)
+				}
+			}
+			if found != nil && !slices.ContainsFunc(got, func(rec []byte) bool { return bytes.Equal(rec, found) }) {
+				t.Fatalf("SeekGE(%x) found %x, which is not in the run", seekKey, found)
 			}
 		}
 	})

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -23,8 +24,10 @@ type Reader struct {
 	id    uint64
 
 	// next decodes one leaf record of a delta run (nil over a raw run),
-	// chosen once from the header's format.
-	next deltaDecoder
+	// chosen once from the header's format; probe decodes the entry of a
+	// restart table a seek settles on, which is FormatDelta over either
+	// delta format.
+	next, probe deltaDecoder
 
 	// noFill makes cache misses leave the cache as it is (see NoFill).
 	noFill bool
@@ -41,7 +44,11 @@ func Open(f storage.File, cache *Cache) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Reader{f: f, h: h, cache: cache, id: readerIDs.Add(1), next: decoderFor(h.format, h.recordSize)}, nil
+	r := &Reader{f: f, h: h, cache: cache, id: readerIDs.Add(1), next: decoderFor(h.format, h.recordSize)}
+	if r.next != nil {
+		r.probe = decoderFor(FormatDelta, h.recordSize)
+	}
+	return r, nil
 }
 
 // SetDecodeObserver installs a callback receiving, once per delta leaf
@@ -120,71 +127,104 @@ func (r *Reader) BloomBytes() ([]byte, error) {
 	return buf, nil
 }
 
+// pageScratch is what a page miss works in before it knows how much of the
+// page to keep: the 4 KB the file is read into and the restart table as it
+// grows.
+type pageScratch struct {
+	buf   [storage.PageSize]byte
+	table []byte
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(pageScratch) }}
+
 // readPage returns a verified page — leaf or internal, in its on-disk
-// encoding — from the cache or, on a miss, from storage. A delta leaf read
-// from storage gets its validating pass here, which also samples the
-// restart table the page is cached with — except a FormatDelta leaf missed
-// by a NoFill reader, which comes back without a table for the cursor to
-// validate as it streams. Nothing returned may be modified.
+// encoding — from the cache or, on a miss, from storage. A page read from
+// storage is checked here and kept at its used length, so the cache is
+// charged what the page pins: an internal page or a raw leaf its count of
+// fixed-stride entries, a delta leaf the bytes its validating pass
+// consumed. That pass also samples the restart table the leaf is cached
+// with — except over a FormatDelta leaf missed by a NoFill reader, which
+// comes back whole and without a table for the cursor to validate as it
+// streams. Nothing returned may be modified.
 func (r *Reader) readPage(pageNo uint64) (*page, error) {
 	if r.cache != nil {
 		if p := r.cache.get(r.id, pageNo); p != nil {
 			return p, nil
 		}
 	}
-	payload, count, err := r.readPageRaw(pageNo)
+	s := scratchPool.Get().(*pageScratch)
+	defer scratchPool.Put(s)
+	payload, count, err := r.readPageRaw(&s.buf, pageNo)
 	if err != nil {
 		return nil, err
 	}
-	p := &page{payload: payload, count: count}
-	if pageNo-r.h.leafStart < r.h.leafPages { // a leaf; findLeaf checks what it descends through
-		switch {
-		case r.next == nil:
-			err = checkEntries(p, r.h.recordSize)
-		case r.noFill && r.h.format == FormatDelta:
-			err = checkLeafCount(payload, count)
-		default:
-			err = r.sample(p)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("btree: page %d: %w", pageNo, err)
-		}
+	p := &page{count: count}
+	used := len(payload)
+	switch {
+	case pageNo-r.h.leafStart >= r.h.leafPages: // internal
+		used, err = entriesLen(payload, count, r.h.recordSize+8)
+	case r.next == nil:
+		used, err = entriesLen(payload, count, r.h.recordSize)
+	case r.noFill && r.h.format == FormatDelta:
+		err = checkLeafCount(payload, count)
+	default:
+		used, err = r.sample(p, payload, s)
 	}
+	if err != nil {
+		return nil, fmt.Errorf("btree: page %d: %w", pageNo, err)
+	}
+	p.payload = make([]byte, used)
+	copy(p.payload, payload)
 	if r.cache != nil && !r.noFill {
 		r.cache.put(r.id, pageNo, p)
 	}
 	return p, nil
 }
 
-// checkEntries rejects a page read as fixed-stride entries — an internal
-// page or a raw leaf — whose count field runs past its payload.
-func checkEntries(p *page, stride int) error {
-	if p.count*stride > len(p.payload) {
-		return fmt.Errorf("%w: %d entries of %d bytes", ErrCorrupt, p.count, stride)
+// entriesLen returns the bytes count fixed-stride entries occupy — an
+// internal page's or a raw leaf's — rejecting a count field that runs past
+// the payload, or is zero: no writer leaves a page empty, and a descent
+// takes an internal page's first entry unasked.
+func entriesLen(payload []byte, count, stride int) (int, error) {
+	if count == 0 || count*stride > len(payload) {
+		return 0, fmt.Errorf("%w: %d entries of %d bytes", ErrCorrupt, count, stride)
 	}
-	return nil
+	return count * stride, nil
 }
 
-// sample gives the delta leaf p its validating pass and restart table.
-func (r *Reader) sample(p *page) (err error) {
+// sample gives the delta leaf p, read as payload, its validating pass and
+// restart table and returns the payload bytes the leaf's records occupy.
+func (r *Reader) sample(p *page, payload []byte, s *pageScratch) (used int, err error) {
 	var start time.Time
 	if r.decodeObs != nil {
 		start = time.Now()
 	}
-	p.restarts, err = sampleRestarts(p.payload, p.count, r.h.recordSize, r.next)
-	if err == nil && r.decodeObs != nil {
+	s.table, used, err = sampleRestarts(s.table, payload, p.count, r.h.recordSize, r.next)
+	if err != nil {
+		return 0, err
+	}
+	p.restarts = make([]byte, len(s.table))
+	copy(p.restarts, s.table)
+	if r.decodeObs != nil {
 		r.decodeObs(time.Since(start))
 	}
-	return err
+	return used, nil
 }
 
-// readPageRaw reads a page from storage and verifies its CRC, bypassing
-// the cache.
-func (r *Reader) readPageRaw(pageNo uint64) (payload []byte, count int, err error) {
-	page := make([]byte, storage.PageSize)
-	if _, err := r.f.ReadAt(page, int64(pageNo)*storage.PageSize); err != nil && err != io.EOF {
+// readPageRaw reads a page from storage into buf and verifies its CRC,
+// bypassing the cache. The payload it returns aliases buf.
+func (r *Reader) readPageRaw(buf *[storage.PageSize]byte, pageNo uint64) (payload []byte, count int, err error) {
+	if pageNo >= r.Pages() {
+		// Only a child pointer can ask: the header's own numbers were
+		// checked against the file.
+		return nil, 0, fmt.Errorf("%w: page %d of a %d-page run", ErrCorrupt, pageNo, r.Pages())
+	}
+	page := buf[:]
+	n, err := r.f.ReadAt(page, int64(pageNo)*storage.PageSize)
+	if err != nil && err != io.EOF {
 		return nil, 0, fmt.Errorf("btree: reading page %d: %w", pageNo, err)
 	}
+	clear(page[n:]) // a short read fails the CRC, whatever buf held before
 	crc := crc32.Checksum(page[:storage.PageSize-pageCRCLen], castagnoli)
 	if binary.LittleEndian.Uint32(page[storage.PageSize-pageCRCLen:]) != crc {
 		return nil, 0, fmt.Errorf("%w: page %d checksum", ErrCorrupt, pageNo)
@@ -204,8 +244,9 @@ func (r *Reader) findLeaf(key []byte) (uint64, error) {
 	for level := int(r.h.levels); level > 0; level-- {
 		pg, err := r.readPage(pageNo)
 		if err == nil {
-			// A damaged header can send the descent through any page.
-			err = checkEntries(pg, entrySize)
+			// A damaged header can send the descent through any page, a
+			// leaf kept at its own length included.
+			_, err = entriesLen(pg.payload, pg.count, entrySize)
 		}
 		if err != nil {
 			return 0, err
@@ -300,7 +341,10 @@ func (r *Reader) SeekGE(key []byte) (*Iterator, error) {
 			// A leaf a NoFill reader missed has no restart table yet;
 			// sample one for this seek on a copy, pages being shared.
 			p := *it.page
-			if err := r.sample(&p); err != nil {
+			s := scratchPool.Get().(*pageScratch)
+			_, err := r.sample(&p, p.payload, s)
+			scratchPool.Put(s)
+			if err != nil {
 				return nil, fmt.Errorf("btree: page %d: %w", it.pageNo, err)
 			}
 			it.page = &p
@@ -308,11 +352,9 @@ func (r *Reader) SeekGE(key []byte) (*Iterator, error) {
 		// Start from the last restart point whose record is <= key (the
 		// first one if key sorts before the whole page) and stream-decode
 		// forward, at most restartInterval records.
-		stride := rs + 2
-		j := max(countLE(it.restarts, stride, len(it.restarts)/stride, key)-1, 0)
-		copy(it.rec, it.restarts[j*stride:j*stride+rs])
-		it.pos = int(binary.LittleEndian.Uint16(it.restarts[j*stride+rs:]))
-		it.idx = j*restartInterval + 1
+		if it.idx, it.pos, err = seekRestart(it.restarts, it.count, key, it.rec, r.probe); err != nil {
+			return nil, fmt.Errorf("btree: page %d: %w", it.pageNo, err)
+		}
 		for bytes.Compare(it.rec, key) < 0 && it.idx < it.count {
 			if err := it.decodeNext(); err != nil {
 				return nil, err

@@ -26,10 +26,13 @@ type Options struct {
 	// expansion, and purging. Required.
 	Catalog Catalog
 	// CacheBytes sizes the shared page cache (default 32 MB, the paper's
-	// micro-benchmark configuration). Pages are cached and charged in
-	// their on-disk encoding (plus ≈0.7 KB of restart table per compressed
-	// leaf), so the budget covers about the same bytes of the store in
-	// memory as on disk. Negative disables caching.
+	// micro-benchmark configuration). Pages are cached in their on-disk
+	// encoding and charged the bytes they pin — the payload at its used
+	// length plus, per compressed leaf, ≈0.3 KB of restart table — so
+	// the budget covers about nine tenths as many bytes of the store in
+	// memory as on disk, and pages of a run that is merged away or
+	// expired stop counting when its file goes. Negative disables
+	// caching.
 	CacheBytes int64
 	// Partitions is the number of block-range partitions (default 1).
 	Partitions int

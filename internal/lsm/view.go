@@ -68,11 +68,16 @@ func (ver *version) unref() (doomed []*Run) {
 }
 
 // removeRuns closes and deletes the files of runs no version references
-// anymore, attributing each removal to the operation that doomed the run.
-// Failures are not reported: the runs are already out of the manifest, so a
-// file that could not be removed is an orphan the next Open collects.
+// anymore, attributing each removal to the operation that doomed the run,
+// and takes their pages out of the cache: no view can reach them, so they
+// would only displace pages of live runs. Failures are not reported: the
+// runs are already out of the manifest, so a file that could not be removed
+// is an orphan the next Open collects.
 func (db *DB) removeRuns(doomed []*Run) {
 	for _, r := range doomed {
+		if db.cache != nil {
+			db.cache.Drop(r.qreader)
+		}
 		r.file.Close()
 		_ = db.vfsFor(r.doomedBy).Remove(r.name)
 	}

@@ -243,3 +243,44 @@ func TestViewRefcountsAcrossPartialDrop(t *testing.T) {
 		t.Fatal("live run reclaimed")
 	}
 }
+
+// TestRemovedRunsLeaveTheCache: pages of merged-away runs are charged to
+// the cache only as long as some view can still read them — through the
+// pinned view they keep serving hits, and the release that reclaims the
+// files takes them out, instead of leaving them to displace live pages
+// until eviction reaches them.
+func TestRemovedRunsLeaveTheCache(t *testing.T) {
+	db := openTestDB(t, storage.NewMemFS(), 1)
+	flushRecords(t, db, "from", 1, [][]byte{rec16(5, 100), rec16(9, 1)})
+	flushRecords(t, db, "from", 2, [][]byte{rec16(5, 101)})
+	tbl := db.Table("from")
+	collect(t, tbl, 5) // reads both runs warm
+	warm := db.cache.SizeBytes()
+	if warm == 0 || db.cache.Len() != 2 {
+		t.Fatalf("%d pages, %d bytes cached after querying two runs", db.cache.Len(), warm)
+	}
+
+	v := db.AcquireView()
+	compactInto(t, db) // its scan is served from the cache and adds nothing
+	if got := db.cache.SizeBytes(); got != warm {
+		t.Fatalf("cache holds %d bytes after the merge, %d before: the pinned view still reads its runs", got, warm)
+	}
+	_, misses := db.cache.Stats()
+	if got := viewCollect(t, v, "from", 5); len(got) != 2 {
+		t.Fatalf("pinned view block 5: %d records, want 2", len(got))
+	}
+	if _, m := db.cache.Stats(); m != misses {
+		t.Fatalf("pinned view missed the cache %d times reading pages it had warmed", m-misses)
+	}
+
+	v.Release()
+	if got := db.cache.SizeBytes(); got != 0 || db.cache.Len() != 0 {
+		t.Fatalf("%d pages, %d bytes still charged to runs no view can reach", db.cache.Len(), got)
+	}
+	if got := collect(t, tbl, 5); len(got) != 2 {
+		t.Fatalf("block 5 after the merge: %d records, want 2", len(got))
+	}
+	if db.cache.Len() != 1 {
+		t.Fatalf("%d pages cached, want the merged run's one leaf", db.cache.Len())
+	}
+}
