@@ -39,8 +39,11 @@
 // lock exclusively only for two brief in-memory critical sections: a
 // freeze that swaps every shard's write-store trees into per-shard frozen
 // slots (installing fresh, empty active trees), and an install that
-// atomically commits the finished runs, the consistency point, and any
-// relocation deletion vectors, then clears the frozen slots. The
+// atomically commits the finished runs and the consistency point, then
+// clears the frozen slots. That commit is also where a deletion vector
+// dirtied by relocations since the last checkpoint becomes durable — the
+// manifest commit that advances the consistency point persists it beside
+// the re-keyed records it flushed, and no other commit may. The
 // expensive part — sorting and writing every shard's runs, in parallel —
 // happens between the two with no structural lock held. Concretely,
 // during a checkpoint flush:
@@ -950,11 +953,12 @@ func (db *DB) Maintain() error {
 
 // RelocateBlock transplants all back references of oldBlock onto newBlock;
 // call it after physically moving a block and updating file system
-// pointers. Durable at the next Checkpoint. It holds the structural lock
-// exclusively while it reads the block's run records, and a call issued
-// while a Checkpoint is flushing waits for that checkpoint to finish. On
-// error nothing has moved and nothing was logged: the old block answers as
-// before and the call can be retried.
+// pointers. newBlock may be a block an earlier call vacated. Durable at the
+// next Checkpoint. It holds the structural lock exclusively while it reads
+// the block's run records, and a call issued while a Checkpoint is flushing
+// waits for that checkpoint to finish. On error nothing has moved and
+// nothing was logged: the old block answers as before and the call can be
+// retried.
 func (db *DB) RelocateBlock(oldBlock, newBlock uint64) error {
 	return db.eng.RelocateBlock(oldBlock, newBlock)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/backlogfs/backlog/internal/lsm"
 	"github.com/backlogfs/backlog/internal/obs"
@@ -103,16 +104,6 @@ func addedBytes(added []lsm.RunRef) uint64 {
 	return uint64(n)
 }
 
-// hasRun reports whether r is one of runs.
-func hasRun(runs []*lsm.Run, r *lsm.Run) bool {
-	for _, x := range runs {
-		if x == r {
-			return true
-		}
-	}
-	return false
-}
-
 // viewHasRuns reports whether every run in inputs is present in the
 // view's pinned list for (table, partition) — the read-safety check the
 // executor performs after re-pinning: membership keeps the run file
@@ -120,7 +111,7 @@ func hasRun(runs []*lsm.Run, r *lsm.Run) bool {
 func viewHasRuns(v *lsm.View, table string, p int, inputs []*lsm.Run) bool {
 	live := v.Runs(table, p)
 	for _, in := range inputs {
-		if !hasRun(live, in) {
+		if !slices.Contains(live, in) {
 			return false
 		}
 	}
@@ -357,47 +348,19 @@ func (e *Engine) compactJobAttempt(job CompactionJob, tiered, exclusive bool) (c
 	}
 
 	// Install: the inputs are live (validated above, or the lock was held
-	// throughout), so the edit swaps exactly them for the outputs.
+	// throughout), so the edit swaps exactly them for the outputs, and the
+	// commit collects the deletion-vector entries the merge consumed. A
+	// Commit that fails has changed nothing and removed the output files.
 	edit := e.db.NewEdit().SetSource(storage.SrcCompaction)
 	for _, ref := range added {
 		edit.AddRun(ref)
 	}
-	// Deletion-vector entries whose records lived in the input runs were
-	// consumed by the merge (the outputs are DV-filtered); entries that
-	// may target a run the merge did not rewrite — a sealed run, another
-	// level — must survive the clear. The vectors are unmoved since the
-	// view, so every entry targets a run the view knows about.
-	var cleared [3][]string
-	for i, in := range inputs {
-		var others []*lsm.Run
-		for _, r := range v.Runs(in.table, p) {
-			if hasRun(in.runs, r) {
-				edit.DropRun(in.table, r.Name())
-			} else {
-				others = append(others, r)
-			}
+	for _, in := range inputs {
+		for _, r := range in.runs {
+			edit.DropRun(in.table, r.Name())
 		}
-		var keep func(block uint64) bool
-		if len(others) > 0 {
-			keep = func(block uint64) bool {
-				for _, r := range others {
-					if block >= r.MinBlock() && block <= r.MaxBlock() {
-						return true
-					}
-				}
-				return false
-			}
-		}
-		cleared[i] = e.db.Table(in.table).ClearDVPartitionKeep(p, keep)
-		edit.FlushDV(in.table)
 	}
 	if err := edit.Commit(); err != nil {
-		// The commit did not land (a failed Commit removes its added run
-		// files itself): the old runs are still live, so the deletion
-		// vectors that hide their dead records must come back.
-		for i, in := range inputs {
-			e.db.Table(in.table).RestoreDV(cleared[i])
-		}
 		return false, false, err
 	}
 	e.stats.recordsPurged.Add(purged)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -55,10 +56,6 @@ type Options struct {
 	// operations carries the paper's 32 KB filter and a compacted run a
 	// larger one.
 	BloomMaxBytes int
-	// DisablePruning turns off same-CP proactive pruning. Nothing outside
-	// the tests sets it: two oracle tests use it to reach the from == to
-	// join path that pruning otherwise keeps out of the read store.
-	DisablePruning bool
 	// Compression selects the on-disk run format. The default,
 	// CompressionDelta, writes format-v3 runs whose leaf records flag the
 	// columns that changed and delta + zigzag + varint encode those (the
@@ -708,12 +705,10 @@ func (e *Engine) applyAdd(ref Ref, cp uint64) {
 	// RemoveRef that sits in a frozen tree (a checkpoint flush is reading
 	// it, lock-free) cannot be deleted in place, so the From record is
 	// inserted instead and the pair cancels at query/compaction time
-	// (joinGroup treats from == to as an empty interval).
-	if !e.opts.DisablePruning {
-		if s.active.to.Delete(ToRec{Ref: ref, To: cp}) {
-			e.stats.prunedAdds.Add(1)
-			return
-		}
+	// (pairGroup drops a from == to pair).
+	if s.active.to.Delete(ToRec{Ref: ref, To: cp}) {
+		e.stats.prunedAdds.Add(1)
+		return
 	}
 	s.active.from.Insert(FromRec{Ref: ref, From: cp})
 }
@@ -759,11 +754,9 @@ func (e *Engine) applyRemove(ref Ref, cp uint64) {
 	// Like applyAdd, pruning cannot reach into a frozen tree: a RemoveRef
 	// whose matching AddRef is mid-flush inserts a To record instead, and
 	// the join cancels the pair.
-	if !e.opts.DisablePruning {
-		if s.active.from.Delete(FromRec{Ref: ref, From: cp}) {
-			e.stats.prunedRemoves.Add(1)
-			return
-		}
+	if s.active.from.Delete(FromRec{Ref: ref, From: cp}) {
+		e.stats.prunedRemoves.Add(1)
+		return
 	}
 	s.active.to.Insert(ToRec{Ref: ref, To: cp})
 }
@@ -898,8 +891,13 @@ func (e *Engine) checkpoint(cp uint64) error {
 		e.obs.cpFlush.ObserveDuration(time.Since(start))
 	}
 
-	// Phase 3 — install: re-acquire the lock, commit every run, the dirty
-	// deletion vectors and the CP atomically, and drop the frozen stores.
+	// Phase 3 — install: re-acquire the lock, commit every run and the CP
+	// atomically, and drop the frozen stores. Advancing the CP makes the
+	// commit persist a dirty deletion vector beside the re-keyed records this
+	// flush wrote (see lsm.Edit.Commit). A vector dirty here was dirty at the
+	// freeze with the same entries: since then relocation was excluded
+	// (cpMu), compaction and expiry defer on a dirty vector, and an optimistic
+	// merge pinned before the relocation fails its vector validation.
 	start = time.Now()
 	e.mu.Lock()
 	var flushed uint64
@@ -910,22 +908,6 @@ func (e *Engine) checkpoint(cp uint64) error {
 				edit.AddRun(ref)
 			}
 			flushed += res.count
-		}
-		// Relocations hide the old block's run records through in-memory
-		// deletion vectors, and their re-keyed write-store records just
-		// flushed: this commit must persist the vectors with them, or a
-		// crash after it resurrects the relocated-away records next to
-		// their transplanted copies — and WAL replay cannot re-hide them,
-		// because it rightly skips relocate records the committed
-		// checkpoint covers. A vector dirty here was dirty at the freeze
-		// with the same entries: since then relocation was excluded
-		// (cpMu), compaction and expiry defer on a dirty vector, and an
-		// optimistic merge that pinned its view before the relocation
-		// fails its deletion-vector validation.
-		for _, table := range []string{TableFrom, TableTo, TableCombined} {
-			if e.db.Table(table).DVDirty() {
-				edit.FlushDV(table)
-			}
 		}
 		// AddRun transferred ownership of the run files: a Commit that
 		// fails before its commit point removes them itself.
@@ -1073,10 +1055,10 @@ func flushWS[T any](db *lsm.DB, res *cpFlushResult, table string, cp uint64,
 // Section 5.1) and equivalent records keyed by newBlock are inserted into
 // the write stores, becoming durable at the next Checkpoint. Block
 // relocation utilities (defragmentation, volume shrinking) call this after
-// moving the physical data and rewriting the file-system pointers. A call
-// issued while a checkpoint is flushing waits for it to finish, like a
-// second Checkpoint would. On error nothing has moved and nothing was
-// logged.
+// moving the physical data and rewriting the file-system pointers; newBlock
+// may be one an earlier call vacated. A call issued while a checkpoint is
+// flushing waits for it to finish, like a second Checkpoint would. On error
+// nothing has moved and nothing was logged.
 func (e *Engine) RelocateBlock(oldBlock, newBlock uint64) error {
 	if o := e.obs; o != nil {
 		start := o.opStart(obs.OpRelocate, e.shardIndex(oldBlock), oldBlock, 0)
@@ -1108,11 +1090,19 @@ func (e *Engine) relocateBlock(oldBlock, newBlock uint64) error {
 // then logs, then mutates: only the reads can fail, so an error leaves the
 // block where it was and the log without a record of the attempt.
 func (e *Engine) relocate(oldBlock, newBlock uint64, log *wal.Log) error {
-	var run wsRecords
-	v := e.db.AcquireView()
+	src, dst := e.shardOf(oldBlock).active, e.shardOf(newBlock).active
+	var run, ws wsRecords
+	src.collect(oldBlock, &ws)
+	v, p := e.db.AcquireView(), e.db.PartitionOf(newBlock)
 	err := collectRuns(v, oldBlock, 0, &run)
+	moveFrom, errF := planMove(e.db.Table(TableFrom), newBlock, v.Runs(TableFrom, p), src.from, dst.from, run.froms, ws.froms,
+		EncodeFrom, func(r FromRec) FromRec { r.Block = newBlock; return r })
+	moveTo, errT := planMove(e.db.Table(TableTo), newBlock, v.Runs(TableTo, p), src.to, dst.to, run.tos, ws.tos,
+		EncodeTo, func(r ToRec) ToRec { r.Block = newBlock; return r })
+	moveComb, errC := planMove(e.db.Table(TableCombined), newBlock, v.Runs(TableCombined, p), src.combined, dst.combined, run.combineds, ws.combineds,
+		EncodeCombined, func(r CombinedRec) CombinedRec { r.Block = newBlock; return r })
 	v.Release()
-	if err != nil {
+	if err := errors.Join(err, errF, errT, errC); err != nil {
 		return err
 	}
 	if log != nil {
@@ -1126,33 +1116,60 @@ func (e *Engine) relocate(oldBlock, newBlock uint64, log *wal.Log) error {
 		}
 	}
 	e.stats.relocations.Add(1)
-
-	src, dst := e.shardOf(oldBlock).active, e.shardOf(newBlock).active
-	var ws wsRecords
-	src.collect(oldBlock, &ws)
-	transplant(e.db.Table(TableFrom), src.from, dst.from, run.froms, ws.froms, EncodeFrom,
-		func(r FromRec) FromRec { r.Block = newBlock; return r })
-	transplant(e.db.Table(TableTo), src.to, dst.to, run.tos, ws.tos, EncodeTo,
-		func(r ToRec) ToRec { r.Block = newBlock; return r })
-	transplant(e.db.Table(TableCombined), src.combined, dst.combined, run.combineds, ws.combineds, EncodeCombined,
-		func(r CombinedRec) CombinedRec { r.Block = newBlock; return r })
+	moveFrom()
+	moveTo()
+	moveComb()
 	return nil
 }
 
-// transplant moves one table's records of a relocated block: run records
-// are hidden through the table's deletion vector, write-store records are
-// deleted from the old block's tree, and both are inserted re-keyed into
-// the new block's tree.
-func transplant[T any](tbl *lsm.Table, src, dst *memtree.Tree[T], run, ws []T, enc func(T) []byte, rekey func(T) T) {
-	for _, r := range run {
-		tbl.DeleteRecord(enc(r))
+// planMove prepares one table's share of a relocation and returns the move
+// itself, which cannot fail: run records are hidden through the table's
+// deletion vector, write-store records are deleted from the old block's
+// tree, and both are inserted re-keyed into the new block's tree — unless
+// one of dstRuns, the pinned runs of the new block's partition, physically
+// holds the re-keyed record, whatever the vector says of it. A block moved
+// back to where it came from finds its old records so, hidden by the first
+// move's entries: showing them again is the move, and a copy beside one
+// would pair as a reference of its own (froms [f, f] against tos [t] leave
+// a live [f, ∞) nobody added). Held or not, an entry the vector has for the
+// re-keyed record is stale — it would hide the copy once flushed — and goes.
+func planMove[T any](tbl *lsm.Table, newBlock uint64, dstRuns []*lsm.Run, src, dst *memtree.Tree[T], run, ws []T, enc func(T) []byte, rekey func(T) T) (func(), error) {
+	moved := slices.Concat(run, ws)
+	for i, r := range moved {
+		moved[i] = rekey(r)
 	}
-	for _, r := range ws {
-		src.Delete(r)
+	held := make([]bool, len(moved))
+	for _, r := range dstRuns {
+		if !r.MayContainBlock(newBlock) {
+			continue
+		}
+		for i, m := range moved {
+			want := enc(m)
+			it, err := r.SeekGE(want)
+			if err != nil {
+				return nil, err
+			}
+			if got, ok, err := it.Next(); err != nil {
+				return nil, err
+			} else if ok && string(got) == string(want) {
+				held[i] = true
+			}
+		}
 	}
-	for _, r := range append(run, ws...) {
-		dst.Insert(rekey(r))
-	}
+	return func() {
+		for _, r := range run {
+			tbl.DeleteRecord(enc(r))
+		}
+		for _, r := range ws {
+			src.Delete(r)
+		}
+		for i, m := range moved {
+			tbl.UndeleteRecord(enc(m))
+			if !held[i] {
+				dst.Insert(m)
+			}
+		}
+	}, nil
 }
 
 // RunInfos returns metadata for every live run, including each run's

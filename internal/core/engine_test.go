@@ -213,56 +213,6 @@ func TestProactivePruningReallocation(t *testing.T) {
 	}
 }
 
-func TestPruningDisabledProducesSameQueryResults(t *testing.T) {
-	run := func(disable bool) []Owner {
-		env := newTestEnv(t, Options{DisablePruning: disable})
-		e := env.eng
-		e.AddRef(ref(60, 9, 0, 0), 3)
-		mustCheckpoint(t, e, 3)
-		if err := env.cat.CreateSnapshot(0, 3); err != nil {
-			t.Fatal(err)
-		}
-		e.RemoveRef(ref(60, 9, 0, 0), 4)
-		e.AddRef(ref(60, 9, 0, 0), 4)
-		e.AddRef(ref(61, 9, 1, 0), 4)
-		e.RemoveRef(ref(61, 9, 1, 0), 4)
-		mustCheckpoint(t, e, 4)
-		return mustQuery(t, e, 60)
-	}
-	// With pruning the interval is a single [3,inf); without it the
-	// interval may be split as [3,4) + [4,inf) — but the union of live
-	// coverage and version masks must agree.
-	coverage := func(owners []Owner) (versions map[uint64]bool, live bool) {
-		versions = map[uint64]bool{}
-		for _, o := range owners {
-			for _, v := range o.Versions {
-				versions[v] = true
-			}
-			if o.Live {
-				live = true
-			}
-		}
-		return versions, live
-	}
-	a, b := run(false), run(true)
-	av, alive := coverage(a)
-	bv, blive := coverage(b)
-	if alive != blive {
-		t.Fatalf("liveness disagrees: pruned=%v unpruned=%v", alive, blive)
-	}
-	if len(av) != len(bv) {
-		t.Fatalf("version masks disagree: %v vs %v", av, bv)
-	}
-	for v := range av {
-		if !bv[v] {
-			t.Fatalf("version %d missing without pruning", v)
-		}
-	}
-	if len(a) != 1 {
-		t.Fatalf("pruned result not coalesced: %+v", a)
-	}
-}
-
 func TestDeduplicationSharedBlock(t *testing.T) {
 	// Many inodes referencing one block — the paper's motivating query
 	// (Section 4.1: the block of zeros).

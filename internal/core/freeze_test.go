@@ -246,6 +246,35 @@ func TestUpdatesAndQueriesDuringCheckpointFlush(t *testing.T) {
 			t.Errorf("%s: count %d, sum %d after two checkpoints", name, h.Count, h.Sum)
 		}
 	}
+
+	// Both ends of the cancelled pair reached the read store — the From in
+	// the first checkpoint's runs, the To in the second's — which is the one
+	// way a from == to pair gets there. A merge joins it away like a query
+	// does, writing neither end and no override in its place.
+	records := func(table string) uint64 { return eng.DB().Table(table).TotalRecords() }
+	if from, to := records(core.TableFrom), records(core.TableTo); from != 9 || to != 1 {
+		t.Fatalf("before the merge: %d From and %d To records in runs, want 9 and 1", from, to)
+	}
+	if err := eng.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if from, to, comb := records(core.TableFrom), records(core.TableTo), records(core.TableCombined); from != 8 || to != 0 || comb != 0 {
+		t.Fatalf("after the merge: %d From, %d To, %d Combined records, want the 8 live references alone", from, to, comb)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	eng2, err := core.Open(core.Options{VFS: env.fs, Catalog: env.cat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng2.Close()
+	if owners := fQuery(t, eng2, 4); len(owners) != 0 {
+		t.Fatalf("cancelled pair resurrected by the merge: %+v", owners)
+	}
+	if owners := fQuery(t, eng2, 3); len(owners) != 1 || !owners[0].Live {
+		t.Fatalf("record lost across the merge: %+v", owners)
+	}
 }
 
 // TestRelocateDuringCheckpointFlush relocates a block whose records are

@@ -205,12 +205,12 @@ func (e *Engine) combinedForBlock(v *lsm.View, ws wsRecords, block uint64) (map[
 // From entry with From.from <= To.to — always the lowest one left, since
 // the Tos before it consumed a prefix. Pairs with from == to describe
 // references that were added and removed within one CP interval; they are
-// normally pruned before reaching disk, but when they do appear (pruning
-// disabled, or an unlucky interleaving) they cancel to nothing here rather
-// than fabricating a spurious override. What an entry left without a
-// partner means is the caller's business: joinGroup closes it, a partial
-// merge carries it (see emitLeveledGroup). froms and tos are sorted in
-// place and loneFroms aliases froms.
+// normally pruned before reaching disk, but when one end froze with a
+// flushing checkpoint before the other arrived, both reach the read store
+// and cancel to nothing here rather than fabricating a spurious override.
+// What an entry left without a partner means is the caller's business:
+// joinGroup closes it, a partial merge carries it (see emitLeveledGroup).
+// froms and tos are sorted in place and loneFroms aliases froms.
 func pairGroup(froms, tos []uint64) (pairs []interval, loneFroms, loneTos []uint64) {
 	sort.Slice(froms, func(i, j int) bool { return froms[i] < froms[j] })
 	sort.Slice(tos, func(i, j int) bool { return tos[i] < tos[j] })

@@ -272,100 +272,3 @@ func runOracleWorkload(t *testing.T, seed int64, cps int, blocks uint64) {
 		}
 	}
 }
-
-// TestEngineMatchesOracleNoPruning repeats a smaller oracle workload with
-// pruning disabled: results must be semantically identical after masking.
-//
-// One sequence is deliberately excluded: remove→add→remove of the same
-// reference within a single CP. Without pruning, the two identical To
-// records collapse in the set-semantics write store, and the add/remove
-// pairing becomes genuinely ambiguous — which is exactly why the paper
-// prunes same-CP pairs in the write store (Section 5.1). DisablePruning is
-// an ablation knob, not a supported operating mode.
-func TestEngineMatchesOracleNoPruning(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	fs := storage.NewMemFS()
-	cat := NewMemCatalog()
-	eng, err := Open(Options{VFS: fs, Catalog: cat, DisablePruning: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	orc := newOracle()
-	live := map[identity]Ref{}
-	addedAt := map[Ref]uint64{}
-	const blocks = 20
-	for cp := uint64(1); cp <= 30; cp++ {
-		for i := 0; i < 10; i++ {
-			if rng.Intn(2) == 0 || len(live) == 0 {
-				r := ref(uint64(rng.Intn(blocks)), uint64(1+rng.Intn(3)), uint64(rng.Intn(3)), 0)
-				id := identOf(r)
-				if _, ok := live[id]; ok {
-					continue
-				}
-				eng.AddRef(r, cp)
-				orc.addRef(r, cp)
-				live[id] = r
-				addedAt[r] = cp
-			} else {
-				for id, r := range live {
-					if addedAt[r] == cp {
-						continue // see comment above
-					}
-					eng.RemoveRef(r, cp)
-					orc.removeRef(r, cp)
-					delete(live, id)
-					break
-				}
-			}
-		}
-		if rng.Intn(2) == 0 {
-			if err := cat.CreateSnapshot(0, cp); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := eng.Checkpoint(cp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Without pruning, adjacent intervals like [3,4)+[4,inf) are reported
-	// split while the oracle coalesces them. Compare semantic coverage:
-	// per (inode,offset,line): set of visible versions + liveness.
-	type key struct{ ino, off, line uint64 }
-	coverage := func(owners []Owner) map[key]map[uint64]bool {
-		m := map[key]map[uint64]bool{}
-		for _, o := range owners {
-			k := key{o.Inode, o.Offset, o.Line}
-			if m[k] == nil {
-				m[k] = map[uint64]bool{}
-			}
-			for _, v := range o.Versions {
-				m[k][v] = true
-			}
-			if o.Live {
-				m[k][Infinity] = true
-			}
-		}
-		return m
-	}
-	for b := uint64(0); b < blocks; b++ {
-		got, err := eng.Query(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := orc.owners(b, cat)
-		gc, wc := coverage(got), coverage(want)
-		if len(gc) != len(wc) {
-			t.Fatalf("block %d: owner sets differ:\n got=%+v\nwant=%+v", b, got, want)
-		}
-		for k, vs := range wc {
-			if len(gc[k]) != len(vs) {
-				t.Fatalf("block %d %v: coverage %v vs %v", b, k, gc[k], vs)
-			}
-			for v := range vs {
-				if !gc[k][v] {
-					t.Fatalf("block %d %v: missing version %d", b, k, v)
-				}
-			}
-		}
-	}
-}

@@ -1,11 +1,13 @@
 // Relocation and the frozen write store: RelocateBlock queues behind a
 // checkpoint's flush, so these tests pin what the engine relies on instead
 // of writing around it — a read failure that leaves nothing behind, the
-// deletion vector a checkpoint persists, and the lock order.
+// deletion vector a checkpoint persists and a failed install leaves alone,
+// a block moved back to where it came from, and the lock order.
 package core_test
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,16 +18,20 @@ import (
 	"github.com/backlogfs/backlog/internal/wal"
 )
 
-// scriptVFS lets a test fail the reads of one file and run a step inside
-// every run-file creation. Both fields are set while no other goroutine
-// uses the engine.
+// scriptVFS lets a test fail the reads or the creation of one file and run
+// a step inside every run-file creation. The fields are set while no other
+// goroutine uses the engine.
 type scriptVFS struct {
 	storage.VFS
-	failReads atomic.Pointer[string] // name of the file whose reads fail
-	onRun     func()                 // runs before each *.run Create
+	failReads  atomic.Pointer[string] // name of the file whose reads fail
+	failCreate string                 // name of the file whose Create fails
+	onRun      func()                 // runs before each *.run Create
 }
 
 func (v *scriptVFS) Create(name string) (storage.File, error) {
+	if name == v.failCreate {
+		return nil, storage.ErrInjected
+	}
 	if v.onRun != nil && strings.HasSuffix(name, ".run") {
 		v.onRun()
 	}
@@ -244,6 +250,224 @@ func TestDirtyVectorPersistedByTheCheckpointThatFrozeIt(t *testing.T) {
 		t.Fatalf("Compactions = %d once the vector is clean, want 1", st.Compactions)
 	}
 	relocationWhole("after compaction")
+}
+
+// TestRelocateBackToAVacatedBlock is the defragmenter's pattern — move data
+// into space an earlier move vacated: A to B, checkpoint, B back to A. The
+// first move's vector entries name exactly the records the second move
+// re-keys, and the runs they hide still hold them. A must answer what it
+// answered at the start and B nothing: through the closing checkpoint, a
+// merge and a reopen, and when the second move is replayed from the log.
+// The closed case adds an interval one of whose ends never reached a run at
+// A — a second copy of the other end would pair as a live reference nobody
+// added — and references that sit in the write store at either move.
+func TestRelocateBackToAVacatedBlock(t *testing.T) {
+	const a, b = 5, 900
+	run := func(t *testing.T, closed, replay bool) {
+		fs := storage.NewMemFS()
+		cat := core.NewMemCatalog()
+		opts := core.Options{VFS: fs, Catalog: cat, WriteShards: 1, Durability: wal.Buffered}
+		eng, err := core.Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { eng.Close() }()
+		check := func(when string, want []core.Owner) {
+			t.Helper()
+			if got := fQuery(t, eng, a); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: block %d answers\n  %+v, want\n  %+v", when, a, got, want)
+			}
+			if got := fQuery(t, eng, b); len(got) != 0 {
+				t.Fatalf("%s: vacated block %d answers %+v", when, b, got)
+			}
+		}
+
+		eng.AddRef(fref(a, 1, 0, 0), 1)
+		if closed {
+			if err := cat.CreateSnapshot(0, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fCheckpoint(t, eng, 1)
+		if closed {
+			eng.RemoveRef(fref(a, 1, 0, 0), 2) // [1, 2), kept by the snapshot; the To never reaches a run at A
+			eng.AddRef(fref(a, 2, 0, 0), 2)    // in the write store at the first move
+		}
+		want := fQuery(t, eng, a)
+		if n := map[bool]int{false: 1, true: 2}[closed]; len(want) != n {
+			t.Fatalf("setup: block %d has %d owners, want %d: %+v", a, len(want), n, want)
+		}
+		if err := eng.RelocateBlock(a, b); err != nil {
+			t.Fatal(err)
+		}
+		fCheckpoint(t, eng, 2)
+		if got := fQuery(t, eng, b); !reflect.DeepEqual(got, want) {
+			t.Fatalf("after the first move block %d answers %+v, want %+v", b, got, want)
+		}
+		if closed {
+			eng.AddRef(fref(b, 3, 0, 0), 3) // in the write store at the second move
+			want = fQuery(t, eng, b)
+		}
+		if err := eng.RelocateBlock(b, a); err != nil {
+			t.Fatal(err)
+		}
+		check("after moving back", want)
+		if replay {
+			// Close writes out the Buffered log; the crash leaves the second
+			// move (and the reference added before it) to replay alone.
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+			fs.Crash()
+			if eng, err = core.Open(opts); err != nil {
+				t.Fatal(err)
+			}
+			check("after crash and replay", want)
+		}
+		fCheckpoint(t, eng, 3)
+		check("after the closing checkpoint", want)
+		if err := eng.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		check("after compaction", want)
+		if dirty, entries := dvState(eng); dirty || entries != 0 {
+			t.Fatalf("after compaction: dirty=%v with %d vector entries, want clean and empty", dirty, entries)
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		fs.Crash()
+		if eng, err = core.Open(opts); err != nil {
+			t.Fatal(err)
+		}
+		check("after the reopen", want)
+	}
+	for _, tc := range []struct {
+		name           string
+		closed, replay bool
+	}{
+		{"live", false, false},
+		{"live, second move replayed", false, true},
+		{"closed interval", true, false},
+		{"closed interval, second move replayed", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) { run(t, tc.closed, tc.replay) })
+	}
+}
+
+// TestFailedMergeInstallLeavesVectorUntouched fails the manifest write of
+// a merge whose inputs a clean vector entry points into. The commit is the
+// only place the vector changes, so the failed one must leave it as it was
+// — same entry, still clean, or the retry would defer on a vector nothing
+// will ever persist — with no output file behind and every answer
+// unchanged; the immediate retry installs and collects the entry. An expiry
+// whose commit fails is held to the same.
+func TestFailedMergeInstallLeavesVectorUntouched(t *testing.T) {
+	files := func(t *testing.T, fs *storage.MemFS) []string {
+		t.Helper()
+		names, err := fs.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return names
+	}
+	untouched := func(t *testing.T, eng *core.Engine, when string) {
+		t.Helper()
+		if dirty, entries := dvState(eng); dirty || entries != 1 {
+			t.Fatalf("%s: dirty=%v with %d vector entries, want clean with 1", when, dirty, entries)
+		}
+	}
+
+	t.Run("merge", func(t *testing.T) {
+		fs := storage.NewMemFS()
+		vfs := &scriptVFS{VFS: fs}
+		eng, err := core.Open(core.Options{VFS: vfs, Catalog: core.NewMemCatalog(), WriteShards: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		eng.AddRef(fref(30, 3, 0, 0), 1)
+		fCheckpoint(t, eng, 1)
+		eng.AddRef(fref(31, 3, 1, 0), 2)
+		fCheckpoint(t, eng, 2)
+		if err := eng.RelocateBlock(30, 700); err != nil {
+			t.Fatal(err)
+		}
+		fCheckpoint(t, eng, 3)
+		untouched(t, eng, "after the checkpoint")
+		answers := func() (out [][]core.Owner) {
+			for _, blk := range []uint64{30, 31, 700} {
+				out = append(out, fQuery(t, eng, blk))
+			}
+			return out
+		}
+		before, filesBefore := answers(), files(t, fs)
+
+		vfs.failCreate = "MANIFEST.tmp"
+		if err := eng.Compact(); !errors.Is(err, storage.ErrInjected) {
+			t.Fatalf("Compact over a failing manifest write: %v, want the injected error", err)
+		}
+		vfs.failCreate = ""
+		untouched(t, eng, "after the failed install")
+		if got := files(t, fs); !reflect.DeepEqual(got, filesBefore) {
+			t.Fatalf("failed install left files behind: %v, before %v", got, filesBefore)
+		}
+		if got := answers(); !reflect.DeepEqual(got, before) {
+			t.Fatalf("answers changed across the failed install: %+v, before %+v", got, before)
+		}
+
+		if err := eng.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		if st := eng.Stats(); st.Compactions != 1 {
+			t.Fatalf("Compactions = %d after the retry, want 1", st.Compactions)
+		}
+		if dirty, entries := dvState(eng); dirty || entries != 0 {
+			t.Fatalf("after the retry: dirty=%v with %d vector entries, want clean and empty", dirty, entries)
+		}
+		if got := answers(); !reflect.DeepEqual(got, before) {
+			t.Fatalf("answers changed across the merge: %+v, before %+v", got, before)
+		}
+	})
+
+	t.Run("expiry", func(t *testing.T) {
+		fs := storage.NewMemFS()
+		vfs := &scriptVFS{VFS: fs}
+		eng, cat := sealedEnv(t, vfs)
+		defer eng.Close()
+		// Block 1's only record sits in the sealed run snapshot 1 retains.
+		if err := eng.RelocateBlock(1, 800); err != nil {
+			t.Fatal(err)
+		}
+		fCheckpoint(t, eng, 5)
+		if err := cat.DeleteSnapshot(0, 1); err != nil {
+			t.Fatal(err)
+		}
+		untouched(t, eng, "before the expiry")
+		filesBefore := files(t, fs)
+
+		vfs.failCreate = "MANIFEST.tmp"
+		est, err := eng.Expire()
+		if !errors.Is(err, storage.ErrInjected) || est.RunsDropped != 0 || est.DVEntriesDropped != 0 {
+			t.Fatalf("Expire over a failing manifest write = %+v, %v; want the injected error and nothing dropped", est, err)
+		}
+		vfs.failCreate = ""
+		untouched(t, eng, "after the failed expiry")
+		if got := files(t, fs); !reflect.DeepEqual(got, filesBefore) {
+			t.Fatalf("failed expiry changed the directory: %v, before %v", got, filesBefore)
+		}
+
+		est, err = eng.Expire()
+		if err != nil || est.RunsDropped == 0 || est.DVEntriesDropped != 1 {
+			t.Fatalf("retried Expire = %+v, %v; want runs dropped and the entry collected", est, err)
+		}
+		if dirty, entries := dvState(eng); dirty || entries != 0 {
+			t.Fatalf("after the retry: dirty=%v with %d vector entries, want clean and empty", dirty, entries)
+		}
+		if owners := fQuery(t, eng, 3); len(owners) != 1 {
+			t.Fatalf("retained block 3 lost across the expiry: %+v", owners)
+		}
+	})
 }
 
 // TestRelocateCheckpointCloseMaintainerLockOrder races the four parties

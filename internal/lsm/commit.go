@@ -6,27 +6,23 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 
 	"github.com/backlogfs/backlog/internal/storage"
 )
 
 // Edit describes an atomic manifest transition: new runs to install, old
-// runs to drop, the CP number to record, and deletion-vector changes. All
-// of it commits in a single manifest replacement.
+// runs to drop and the CP number to record. All of it commits in a single
+// manifest replacement, and that commit is the only place a table's
+// deletion vector is pruned or persisted (see Commit).
 type Edit struct {
-	db        *DB
-	cp        uint64
-	setCP     bool
-	add       []RunRef
-	drop      map[string][]string // table -> run names to drop
-	replaceDV map[string]bool     // tables whose (possibly empty) DV should be persisted
-	// gcDV marks tables whose deletion vector should be garbage-collected
-	// at commit: entries whose block cannot belong to any surviving run
-	// are removed and the pruned vector persisted in the same manifest
-	// replacement (DropRunsBelow sets this). dvCollected counts entries
-	// removed by the last Commit.
-	gcDV        map[string]bool
-	dvCollected int
+	db    *DB
+	cp    uint64
+	setCP bool
+	add   []RunRef
+	drop  map[string]map[string]bool // table -> names of the runs to drop
+
+	dvCollected int // deletion-vector entries the last Commit collected
 
 	// src is the subsystem committing the edit (checkpoint, compaction,
 	// expiry); it attributes the I/O of installing added runs and of
@@ -37,7 +33,7 @@ type Edit struct {
 
 // NewEdit starts an empty edit.
 func (db *DB) NewEdit() *Edit {
-	return &Edit{db: db, drop: map[string][]string{}, replaceDV: map[string]bool{}, gcDV: map[string]bool{}}
+	return &Edit{db: db, drop: map[string]map[string]bool{}}
 }
 
 // SetSource records the subsystem on whose behalf the edit commits; run
@@ -61,7 +57,10 @@ func (e *Edit) AddRun(ref RunRef) *Edit {
 
 // DropRun removes a run from a table (its file is deleted after commit).
 func (e *Edit) DropRun(table, runName string) *Edit {
-	e.drop[table] = append(e.drop[table], runName)
+	if e.drop[table] == nil {
+		e.drop[table] = map[string]bool{}
+	}
+	e.drop[table][runName] = true
 	return e
 }
 
@@ -69,10 +68,9 @@ func (e *Edit) DropRun(table, runName string) *Edit {
 // entirely below cp — the drop-based expiry path: no record is read or
 // rewritten, the runs simply vanish from the manifest the Commit installs,
 // and their files are reclaimed once the last pinning view releases them.
-// Runs with unknown windows or override records are skipped. Deletion-
-// vector entries that can only refer to dropped runs are garbage-collected
-// in the same commit (see Commit). Returns the number of runs and records
-// marked. The caller must hold the structural lock exclusively.
+// Runs with unknown windows or override records are skipped. Returns the
+// number of runs and records marked. The caller must hold the structural
+// lock exclusively.
 func (e *Edit) DropRunsBelow(table string, cp uint64) (runs int, records uint64) {
 	t := e.db.tables[table]
 	if t == nil {
@@ -87,29 +85,46 @@ func (e *Edit) DropRunsBelow(table string, cp uint64) (runs int, records uint64)
 			}
 		}
 	}
-	if runs > 0 {
-		e.gcDV[table] = true
-	}
 	return runs, records
 }
 
-// CollectedDVEntries returns the number of deletion-vector entries the
-// last Commit garbage-collected on behalf of DropRunsBelow.
+// CollectedDVEntries returns the number of deletion-vector entries the last
+// Commit collected because the runs it dropped left them nothing to hide.
 func (e *Edit) CollectedDVEntries() int { return e.dvCollected }
 
-// FlushDV persists the current in-memory deletion vector of the table
-// (which may be empty, dropping a previously persisted vector).
-func (e *Edit) FlushDV(table string) *Edit {
-	e.replaceDV[table] = true
-	return e
-}
-
-// Commit applies the edit: writes dirty deletion vectors, writes and syncs
-// the new manifest, atomically renames it into place, updates in-memory
-// state, and finally reclaims dropped runs. A non-nil error always means
-// the edit did not commit: the on-disk state is unchanged and the files
-// behind added runs have been removed (AddRun transfers ownership, so
-// callers never clean up after a failed Commit).
+// Commit applies the edit: writes the deletion vectors it changes, writes
+// and syncs the new manifest, atomically renames it into place, updates
+// in-memory state, and finally reclaims dropped runs. A non-nil error
+// always means the edit did not commit: nothing on disk or in memory —
+// the vectors included — has changed, and the files behind added runs have
+// been removed (AddRun transfers ownership, so callers never clean up
+// after a failed Commit).
+//
+// A deletion vector is pruned and persisted here and nowhere else; between
+// commits DeleteRecord and UndeleteRecord only edit the in-memory map and
+// mark it dirty. The next vector is built beside the live one and swapped
+// in after the manifest rename, so there is never anything to undo.
+//
+//   - An edit that drops runs of a table (a merge's inputs, an expiry's
+//     windows) prunes its vector: an entry that no surviving run of its
+//     partition covers by block range hides nothing and is collected.
+//     Surviving means live before the edit and not dropped by it. The runs
+//     the edit adds do not count: a merge reads its inputs through the
+//     vector, so its outputs cannot hold a record the vector names, and
+//     counting them would keep every entry the merge just consumed. The
+//     check reads no run data, and it looks at every partition, not only
+//     the one the drops are in: an uncovered entry there hides nothing too.
+//   - An edit that advances the CP persists a dirty vector. Dirty entries
+//     come from block relocation, whose re-keyed records sit in the write
+//     stores until the checkpoint that advances the CP flushes them; that
+//     commit must carry the vector with them, or a crash after it
+//     resurrects the relocated-away records next to their copies — and log
+//     replay cannot re-hide them, because it rightly skips relocations the
+//     committed checkpoint covers. No other edit may: hiding the old
+//     records durably while the copies are not loses the references in a
+//     crash. So an edit that drops runs of a table whose vector is dirty
+//     without advancing the CP is refused; the engine defers merges and
+//     expiry until the checkpoint has run.
 //
 // Reclamation of dropped runs is deferred: a dropped run stops appearing
 // in the version the commit installs, and its file is deleted when the
@@ -122,12 +137,16 @@ func (e *Edit) Commit() error {
 	db := e.db
 	// fail cleans up after a pre-commit-point error.
 	var opened []*Run
+	var wroteDV []string
 	fail := func(err error) error {
 		for _, r := range opened {
 			r.file.Close()
 		}
 		for _, ref := range e.add {
 			_ = db.vfsFor(ref.src).Remove(ref.rm.Name)
+		}
+		for _, n := range wroteDV {
+			_ = db.vfsFor(storage.SrcManifest).Remove(n)
 		}
 		return err
 	}
@@ -146,15 +165,6 @@ func (e *Edit) Commit() error {
 		next.CP = e.cp
 	}
 
-	dropSet := map[string]map[string]bool{}
-	for table, names := range e.drop {
-		m := map[string]bool{}
-		for _, n := range names {
-			m[n] = true
-		}
-		dropSet[table] = m
-	}
-
 	// Start from current runs minus drops. Dropped runs need no explicit
 	// bookkeeping: they simply stop appearing in the next version, and
 	// version refcounting reclaims their files once the last version
@@ -165,7 +175,7 @@ func (e *Edit) Commit() error {
 		parts := make([][]*Run, db.opts.Partitions)
 		for p, runs := range t.runs {
 			for _, r := range runs {
-				if dropSet[name][r.name] {
+				if e.drop[name][r.name] {
 					// Stamp the dropper before the version swap: the file
 					// removal may happen much later (a view release), and
 					// must be attributed to the operation that doomed it.
@@ -177,6 +187,39 @@ func (e *Edit) Commit() error {
 			}
 		}
 		newRuns[name] = parts
+	}
+
+	// Deletion vectors, by the two rules above. newRuns holds exactly the
+	// survivors at this point — the added runs join it below.
+	nextDV := map[string]map[string]struct{}{}
+	dvMeta := map[string]tableManifest{} // DVFile and DVCount; Serialize fills in the runs
+	e.dvCollected = 0
+	for name, t := range db.tables {
+		cur := db.m.Tables[name]
+		dvMeta[name] = cur
+		drops := len(e.drop[name]) > 0
+		dv := t.dv
+		if drops {
+			dv = t.coveredDV(newRuns[name])
+		}
+		persistDirty := t.dvDirty && next.CP > db.m.CP
+		if t.dvDirty && !persistDirty && drops {
+			return fail(fmt.Errorf("lsm: edit drops runs of %q while its deletion vector is dirty", name))
+		}
+		if len(dv) == len(t.dv) && !persistDirty {
+			continue
+		}
+		e.dvCollected += len(t.dv) - len(dv)
+		nextDV[name] = dv
+		var meta tableManifest
+		if len(dv) > 0 {
+			meta = tableManifest{DVFile: fmt.Sprintf("dv.%s.%010d", name, db.allocID()), DVCount: len(dv)}
+			wroteDV = append(wroteDV, meta.DVFile)
+			if err := t.writeDV(meta.DVFile, dv); err != nil {
+				return fail(err)
+			}
+		}
+		dvMeta[name] = meta
 	}
 
 	// Install added runs (opening readers now; files are already synced).
@@ -194,66 +237,10 @@ func (e *Edit) Commit() error {
 		newRuns[ref.table][ref.partition] = append(newRuns[ref.table][ref.partition], r)
 	}
 
-	// Persist requested deletion vectors.
-	newDVFiles := map[string]string{}
-	newDVCounts := map[string]int{}
-	dvPruned := map[string]map[string]struct{}{}
-	e.dvCollected = 0
-	var dvToDelete []string
-	for name, t := range db.tables {
-		cur := db.m.Tables[name].DVFile
-		dv := t.dv
-		if e.gcDV[name] {
-			// Runs were dropped below the reclaim horizon: deletion-vector
-			// entries whose block no surviving run's range covers can only
-			// have referred to dropped runs, so they are dead weight —
-			// collect them in the same commit. Entries whose block a
-			// surviving run may still hold are kept (conservative: the
-			// block-range check never reads run data).
-			pruned := make(map[string]struct{}, len(t.dv))
-			for rec := range t.dv {
-				blk := blockOf([]byte(rec))
-				p := db.PartitionOf(blk)
-				for _, r := range newRuns[name][p] {
-					if blk >= r.minBlock && blk <= r.maxBlock {
-						pruned[rec] = struct{}{}
-						break
-					}
-				}
-			}
-			e.dvCollected += len(t.dv) - len(pruned)
-			dvPruned[name] = pruned
-			dv = pruned
-		} else if !e.replaceDV[name] {
-			newDVFiles[name] = cur
-			newDVCounts[name] = db.m.Tables[name].DVCount
-			continue
-		}
-		if len(dv) == 0 {
-			newDVFiles[name] = ""
-		} else {
-			fname := fmt.Sprintf("dv.%s.%010d", name, db.allocID())
-			if err := t.writeDV(fname, dv); err != nil {
-				return fail(err)
-			}
-			newDVFiles[name] = fname
-		}
-		newDVCounts[name] = len(dv)
-		if cur != "" && cur != newDVFiles[name] {
-			dvToDelete = append(dvToDelete, cur)
-		}
-	}
-
 	// Serialize.
 	for name := range db.tables {
-		tm := tableManifest{
-			Partitions: make([][]runManifest, db.opts.Partitions),
-			DVFile:     newDVFiles[name],
-			DVCount:    newDVCounts[name],
-		}
-		if tm.DVFile == "" {
-			tm.DVCount = 0
-		}
+		tm := dvMeta[name]
+		tm.Partitions = make([][]runManifest, db.opts.Partitions)
 		for p, runs := range newRuns[name] {
 			tm.Partitions[p] = make([]runManifest, 0, len(runs))
 			for _, r := range runs {
@@ -282,35 +269,25 @@ func (e *Edit) Commit() error {
 	// Point of no return: swap in-memory state and install the next
 	// version. The version transition happens under viewMu so it is
 	// atomic with respect to concurrent AcquireView/Release calls.
+	prev := db.m
 	db.m = next
 	db.curCP.Store(next.CP)
 	db.viewMu.Lock()
 	for name, t := range db.tables {
 		t.runs = newRuns[name]
-		if pruned, ok := dvPruned[name]; ok {
-			// The garbage-collected vector was persisted; install it as the
-			// live map. Old versions keep the map they snapshotted. The
-			// generation bump (content changed) makes in-flight optimistic
-			// compactions fail validation and retry against current state.
-			if len(pruned) != len(t.dv) {
-				t.dvGen++
-			}
-			t.dv = pruned
-			t.dvShared = false
-			t.dvDirty = false
+		dv, ok := nextDV[name]
+		if !ok {
+			// Not persisted by this edit: a dirty vector stays dirty, for
+			// the next checkpoint.
 			continue
 		}
-		if !e.replaceDV[name] {
-			// Not persisted by this edit: a dirty vector stays dirty, so
-			// the next checkpoint flushes it.
-			continue
-		}
-		if newDVFiles[name] == "" {
-			// The vector was empty (nothing was written); shed the map.
-			// Content is unchanged, so versions sharing the old (empty)
-			// map and the generation counter are unaffected.
-			t.dv = make(map[string]struct{})
-			t.dvShared = false
+		if len(dv) != len(t.dv) {
+			// Entries were collected into a fresh map; old versions keep
+			// the one they snapshotted. The generation bump makes in-flight
+			// optimistic compactions fail validation and retry against
+			// current state.
+			t.dv, t.dvShared = dv, false
+			t.dvGen++
 		}
 		t.dvDirty = false
 	}
@@ -335,13 +312,15 @@ func (e *Edit) Commit() error {
 	// view still pins the old version — the releasing view reclaims them
 	// then). That removeRuns swallows its errors is what makes the
 	// invariant "Commit returned an error ⟺ the edit did not commit" hold,
-	// which the engine's retry and deletion-vector-restore paths rely on.
+	// which the engine's retry paths rely on.
 	db.removeRuns(doomed)
 	// Replaced deletion-vector files are read only at Open (versions
 	// snapshot the in-memory maps, not the files), so they are deleted
 	// eagerly, attributed like the writes that superseded them.
-	for _, n := range dvToDelete {
-		_ = db.vfsFor(storage.SrcManifest).Remove(n)
+	for name := range nextDV {
+		if f := prev.Tables[name].DVFile; f != "" {
+			_ = db.vfsFor(storage.SrcManifest).Remove(f)
+		}
 	}
 	return nil
 }
@@ -355,7 +334,15 @@ func writeManifest(vfs storage.VFS, m manifest) error {
 	if err := vfs.Remove(manifestTmpName); err != nil && !errors.Is(err, storage.ErrNotExist) {
 		return err
 	}
-	f, err := vfs.Create(manifestTmpName)
+	if err := writeSynced(vfs, manifestTmpName, data); err != nil {
+		return err
+	}
+	return vfs.Rename(manifestTmpName, manifestName)
+}
+
+// writeSynced creates name holding data and syncs it.
+func writeSynced(vfs storage.VFS, name string, data []byte) error {
+	f, err := vfs.Create(name)
 	if err != nil {
 		return err
 	}
@@ -367,10 +354,7 @@ func writeManifest(vfs storage.VFS, m manifest) error {
 		f.Close()
 		return err
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return vfs.Rename(manifestTmpName, manifestName)
+	return f.Close()
 }
 
 // --- Deletion vectors ---
@@ -395,14 +379,28 @@ func (t *Table) mutableDV() map[string]struct{} {
 	return t.dv
 }
 
-// DeleteRecord hides a record from all subsequent reads until the next
-// compaction physically drops it. The change is durable after the next
-// Commit with FlushDV.
+// DeleteRecord hides a record from all subsequent reads until a merge
+// physically drops it. The change lives in memory, marked dirty, until the
+// next Commit that advances the CP persists it.
 func (t *Table) DeleteRecord(rec []byte) {
 	if len(rec) != t.spec.RecordSize {
 		return
 	}
 	t.mutableDV()[string(rec)] = struct{}{}
+	t.dvGen++
+	t.db.verStale = true
+	t.dvDirty = true
+}
+
+// UndeleteRecord is the inverse of DeleteRecord: an entry for rec, if the
+// vector has one, is removed, so a run that still holds the record shows
+// it again — what moving a block back to where it came from needs. Dirty
+// and persisted like a deletion.
+func (t *Table) UndeleteRecord(rec []byte) {
+	if _, hidden := t.dv[string(rec)]; !hidden {
+		return
+	}
+	delete(t.mutableDV(), string(rec))
 	t.dvGen++
 	t.db.verStale = true
 	t.dvDirty = true
@@ -414,53 +412,21 @@ func (t *Table) DVLen() int { return len(t.dv) }
 // DVDirty reports whether the vector has unpersisted changes.
 func (t *Table) DVDirty() bool { return t.dvDirty }
 
-// ClearDVPartitionKeep removes deletion-vector entries routed to
-// partition p (under either range or hash partitioning) and returns the
-// removed records. A compaction calls this after physically dropping its
-// input runs' deleted records, leaving other partitions' entries in
-// place; if the commit then fails, the caller restores the returned
-// records with RestoreDV so in-memory reads keep hiding them. Entries
-// whose block keep reports true are left in place because they may hide
-// records in runs the compaction did not rewrite. A nil keep clears every
-// entry of the partition.
-func (t *Table) ClearDVPartitionKeep(p int, keep func(block uint64) bool) []string {
-	var cleared []string
+// coveredDV copies the vector without the entries that hide nothing: an
+// entry stays only if some run of survivors — indexed by partition — covers
+// its block by range.
+func (t *Table) coveredDV(survivors [][]*Run) map[string]struct{} {
+	kept := make(map[string]struct{}, len(t.dv))
 	for rec := range t.dv {
 		blk := blockOf([]byte(rec))
-		if t.db.PartitionOf(blk) != p {
-			continue
+		for _, r := range survivors[t.db.PartitionOf(blk)] {
+			if blk >= r.minBlock && blk <= r.maxBlock {
+				kept[rec] = struct{}{}
+				break
+			}
 		}
-		if keep != nil && keep(blk) {
-			continue
-		}
-		cleared = append(cleared, rec)
 	}
-	if len(cleared) == 0 {
-		return nil
-	}
-	dv := t.mutableDV()
-	for _, rec := range cleared {
-		delete(dv, rec)
-	}
-	t.dvGen++
-	t.db.verStale = true
-	t.dvDirty = true
-	return cleared
-}
-
-// RestoreDV re-inserts deletion-vector entries removed by a Clear that was
-// part of a commit that subsequently failed.
-func (t *Table) RestoreDV(recs []string) {
-	if len(recs) == 0 {
-		return
-	}
-	dv := t.mutableDV()
-	for _, rec := range recs {
-		dv[rec] = struct{}{}
-	}
-	t.dvGen++
-	t.db.verStale = true
-	t.dvDirty = true
+	return kept
 }
 
 func (t *Table) writeDV(name string, dv map[string]struct{}) error {
@@ -469,23 +435,7 @@ func (t *Table) writeDV(name string, dv map[string]struct{}) error {
 		recs = append(recs, r)
 	}
 	sort.Strings(recs)
-	f, err := t.db.vfsFor(storage.SrcManifest).Create(name)
-	if err != nil {
-		return err
-	}
-	buf := make([]byte, 0, len(recs)*t.spec.RecordSize)
-	for _, r := range recs {
-		buf = append(buf, r...)
-	}
-	if _, err := f.WriteAt(buf, 0); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return writeSynced(t.db.vfsFor(storage.SrcManifest), name, []byte(strings.Join(recs, "")))
 }
 
 func (t *Table) loadDV(name string) error {

@@ -237,7 +237,12 @@ type Table struct {
 	// from C-Store). The map is copy-on-write: once a View shares it
 	// (dvShared), the next mutation copies it first, so view readers never
 	// observe a mutation. dvGen counts content mutations — Views compare
-	// generations to detect change without comparing maps.
+	// generations to detect change without comparing maps. DeleteRecord
+	// and UndeleteRecord edit it in memory and set dvDirty; entries are
+	// collected, and the vector written to its dv.* file, by Edit.Commit
+	// alone — when the edit drops runs of the table, and when it advances
+	// the CP over a dirty vector — which swaps the result in only once the
+	// manifest has been renamed.
 	dv       map[string]struct{}
 	dvShared bool
 	dvGen    uint64

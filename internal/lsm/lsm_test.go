@@ -229,9 +229,29 @@ func TestDeletionVector(t *testing.T) {
 		t.Fatal("DV not marked dirty")
 	}
 
-	// Persist and reopen.
-	if err := db.NewEdit().FlushDV("from").Commit(); err != nil {
+	// Only an edit that advances the CP may persist a dirty vector: one that
+	// does not leaves it dirty and off the disk, and one that would drop
+	// runs of the table meanwhile is refused.
+	if err := db.NewEdit().Commit(); err != nil {
 		t.Fatal(err)
+	}
+	if err := db.NewEdit().DropRun("from", tbl.Runs(0)[0].Name()).Commit(); err == nil {
+		t.Fatal("an edit dropping runs under a dirty vector committed")
+	}
+	if !tbl.DVDirty() || tbl.DVLen() != 1 || len(tbl.Runs(0)) != 1 {
+		t.Fatalf("after two edits that must not touch the vector: dirty=%v, %d entries, %d runs",
+			tbl.DVDirty(), tbl.DVLen(), len(tbl.Runs(0)))
+	}
+	if dvFiles(t, fs) != 0 {
+		t.Fatal("a dirty vector reached the disk without a CP-advancing commit")
+	}
+
+	// Persist and reopen.
+	if err := db.NewEdit().SetCP(2).Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if tbl.DVDirty() || dvFiles(t, fs) != 1 {
+		t.Fatalf("after the CP-advancing commit: dirty=%v, %d vector files", tbl.DVDirty(), dvFiles(t, fs))
 	}
 	db2 := openTestDB(t, fs, 1)
 	tbl2 := db2.Table("from")
@@ -249,10 +269,30 @@ func TestDeletionVector(t *testing.T) {
 		t.Fatalf("MergedIter saw %d records, want 2", n)
 	}
 
-	// Clearing and flushing drops the DV file.
-	tbl2.ClearDVPartitionKeep(0, nil)
-	if err := db2.NewEdit().FlushDV("from").Commit(); err != nil {
+	// Dropping the run the entry points into collects the entry and drops
+	// the DV file. The runs the same edit adds do not keep it alive, though
+	// this one covers block 1 — and, unlike a real merge's output, even
+	// holds the hidden record, which therefore shows again.
+	b, err := db2.NewRunBuilder("from", 0, 1, db2.CP(), storage.SrcCompaction, 3)
+	if err != nil {
 		t.Fatal(err)
+	}
+	for _, rec := range [][]byte{rec16(1, 10), rec16(1, 11), rec16(2, 20)} {
+		if err := b.Add(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref, _, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit := db2.NewEdit().AddRun(ref).DropRun("from", tbl2.Runs(0)[0].Name())
+	if err := edit.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if edit.CollectedDVEntries() != 1 || dvFiles(t, fs) != 0 {
+		t.Fatalf("merge-shaped edit collected %d entries and left %d vector files, want 1 and 0",
+			edit.CollectedDVEntries(), dvFiles(t, fs))
 	}
 	db3 := openTestDB(t, fs, 1)
 	if db3.Table("from").DVLen() != 0 {
@@ -261,6 +301,17 @@ func TestDeletionVector(t *testing.T) {
 	if got := collect(t, db3.Table("from"), 1); len(got) != 2 {
 		t.Fatalf("records after DV clear: %d, want 2", len(got))
 	}
+}
+
+// dvFiles counts the deletion-vector files on disk.
+func dvFiles(t *testing.T, fs storage.VFS) (n int) {
+	t.Helper()
+	for name := range listFiles(t, fs) {
+		if strings.HasPrefix(name, "dv.") {
+			n++
+		}
+	}
+	return n
 }
 
 func TestCompactionReplacesRuns(t *testing.T) {

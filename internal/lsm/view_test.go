@@ -177,12 +177,23 @@ func TestViewSnapshotsDeletionVector(t *testing.T) {
 	if got := viewCollect(t, v3, "from", 5); len(got) != 0 {
 		t.Fatalf("view pinned after an unpinned mutation: %d records, want 0", len(got))
 	}
-	tbl.RestoreDV([]string{string(rec16(7, 1))})
+	tbl.DeleteRecord(rec16(7, 1))
 	if _, leaked := v3.ver.tables["from"].dv[string(rec16(7, 1))]; leaked {
 		t.Fatal("mutation after the pin leaked into the view's deletion vector")
 	}
 	if tbl.DVLen() != 3 {
 		t.Fatalf("live vector has %d entries, want 3", tbl.DVLen())
+	}
+	// Taking an entry back is a mutation like adding one: the pinned view
+	// keeps hiding the record, the next pin shows it.
+	v4 := db.AcquireView()
+	defer v4.Release()
+	tbl.UndeleteRecord(rec16(5, 101))
+	if got := viewCollect(t, v4, "from", 5); len(got) != 0 {
+		t.Fatalf("view pinned before the undelete: %d records, want 0", len(got))
+	}
+	if got := collect(t, tbl, 5); len(got) != 1 || v4.Unchanged("from", 0) {
+		t.Fatalf("after the undelete: %d records live, want 1, and the older view must report the change", len(got))
 	}
 }
 

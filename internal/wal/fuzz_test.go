@@ -11,14 +11,14 @@ import (
 	"github.com/backlogfs/backlog/internal/storage"
 )
 
-// FuzzDecodeFrame: whatever the bytes, both frame decoders stay inside the
-// input. The version-2 decoder either reports a torn frame or returns one
-// record of a known op from a frame with a matching checksum. The version-3
-// decoder either reports a torn frame or walks a checksummed batch to its
-// end or to its first undecodable record, never past it; and what it
-// decodes survives a re-encode. Neither panics, and neither sizes anything
-// from a length field (TestBatchReaderAllocatesNothing pins that they
-// allocate nothing at all).
+// FuzzDecodeFrame: whatever the bytes, reading a frame stays inside the
+// input. Read as version 2 — exactly one record, no flag bits — it either
+// reports a torn frame or returns one record of a known op from a frame
+// with a matching checksum. Read as version 3 it either reports a torn
+// frame or walks a checksummed batch to its end or to its first
+// undecodable record, never past it; and what it decodes survives a
+// re-encode. Neither panics, and neither sizes anything from a length field
+// (TestBatchReaderAllocatesNothing pins that they allocate nothing at all).
 func FuzzDecodeFrame(f *testing.F) {
 	for _, seg := range [][]byte{goldenSegment(f, 1), goldenSegment(f, 2), goldenV3Segment(1), goldenV3Segment(2)} {
 		f.Add(seg[segHeaderSize:])
@@ -45,7 +45,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			}
 		}
 
-		r, n, err := decodeFrameV2(b)
+		r, n, err := decodeLone(b)
 		if err != nil {
 			if !errors.Is(err, errTorn) || n != 0 {
 				t.Fatalf("v2: err = %v, n = %d", err, n)

@@ -91,7 +91,8 @@ type Record struct {
 // [cp]; Checkpoint and Cut: [cp]; SegmentEnd: nothing.
 //
 // Version 2 framed every record on its own: the body is exactly one record,
-// flag bits clear, every field spelled out. It is still decoded, so that a
+// flag bits clear, every field spelled out — a version-3 batch of one that
+// elides nothing, which is how it is still decoded (loneRecord), so that a
 // log tail left by an older binary replays. A lone mark is the same bytes in
 // both versions, which is what lets sealTear stamp a SegmentEnd over a torn
 // tail of either.
@@ -222,37 +223,6 @@ func (u *uvarints) next() uint64 {
 	return v
 }
 
-// decodeFrameV2 decodes the first version-2 frame in b, returning the
-// record and the number of bytes consumed. A frame whose body is not exactly
-// one version-2 record is errTorn like any other unreadable frame: the
-// format checksummed records one at a time, so damage and tearing both
-// surface per record.
-func decodeFrameV2(b []byte) (Record, int, error) {
-	body, n, err := splitFrame(b)
-	if err != nil {
-		return Record{}, 0, err
-	}
-	r := Record{Op: Op(body[0])}
-	u := uvarints{b: body[1:]}
-	switch r.Op {
-	case OpAddRef, OpRemoveRef:
-		r.Block, r.Inode, r.Offset = u.next(), u.next(), u.next()
-		r.Line, r.Length, r.CP = u.next(), u.next(), u.next()
-	case OpRelocate:
-		r.Block, r.NewBlock, r.CP = u.next(), u.next(), u.next()
-	case OpCheckpoint, OpCut:
-		r.CP = u.next()
-	case OpSegmentEnd:
-		// no fields
-	default:
-		return Record{}, 0, errTorn
-	}
-	if u.bad || len(u.b) != 0 {
-		return Record{}, 0, errTorn
-	}
-	return r, n, nil
-}
-
 // batchReader walks the records of one version-3 batch body, which the
 // caller has already checksummed (splitFrame).
 type batchReader struct {
@@ -309,4 +279,16 @@ func (d *batchReader) next() (Record, bool) {
 	}
 	d.u = u
 	return r, !u.bad
+}
+
+// loneRecord decodes a body that must be exactly one record with no flag
+// bit set: every version-2 frame, and a lone mark in either version. It
+// reports false for anything else — a flag, a second record, trailing bytes —
+// which in a version-2 segment reads as a torn frame like any other: the
+// format checksummed records one at a time, so damage and tearing both
+// surface per record.
+func loneRecord(body []byte) (Record, bool) {
+	d := readBatch(body)
+	r, ok := d.next()
+	return r, ok && body[0]&^opMask == 0 && !d.more()
 }

@@ -123,16 +123,31 @@ func TestDecodeRejectsDamage(t *testing.T) {
 		if _, err := decodeBatches(b); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: v3 err = %v, want ErrCorrupt", name, err)
 		}
-		if _, _, err := decodeFrameV2(b); !errors.Is(err, errTorn) {
+		if _, _, err := decodeLone(b); !errors.Is(err, errTorn) {
 			t.Errorf("%s: v2 err = %v, want errTorn", name, err)
 		}
 	}
 	// Two records in one frame are a batch to version 3 and nothing to
 	// version 2.
 	two := appendBatch(nil, addRec(1), addRec(2))
-	if _, _, err := decodeFrameV2(two); !errors.Is(err, errTorn) {
+	if _, _, err := decodeLone(two); !errors.Is(err, errTorn) {
 		t.Errorf("two-record batch: v2 err = %v, want errTorn", err)
 	}
+}
+
+// decodeLone reads the first frame in b the way a version-2 segment is
+// read: the frame must hold exactly one record with no flag bit set, and
+// anything else is a torn frame.
+func decodeLone(b []byte) (Record, int, error) {
+	body, n, err := splitFrame(b)
+	if err != nil {
+		return Record{}, 0, err
+	}
+	r, ok := loneRecord(body)
+	if !ok {
+		return Record{}, 0, errTorn
+	}
+	return r, n, nil
 }
 
 // reframe wraps body in a frame with a valid length and checksum, so a test

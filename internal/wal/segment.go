@@ -200,8 +200,12 @@ func segmentStartsWithMark(vfs storage.VFS, index uint64) (bool, error) {
 	}
 	// A lone mark is the same frame in both readable versions; of any
 	// other version readSegment will say so when it gets there.
-	r, _, derr := decodeFrameV2(buf[segHeaderSize:n])
-	return derr == nil && (r.Op == OpCheckpoint || r.Op == OpCut), nil
+	body, _, derr := splitFrame(buf[segHeaderSize:n])
+	if derr != nil {
+		return false, nil
+	}
+	r, ok := loneRecord(body)
+	return ok && (r.Op == OpCheckpoint || r.Op == OpCut), nil
 }
 
 // add folds one decoded record into the recovery result and reports
@@ -288,20 +292,14 @@ func readSegment(vfs storage.VFS, index uint64, final bool, rec *Recovered, tr *
 		return true, nil
 	}
 	for off := segHeaderSize; off < len(buf); {
-		if version == segVersionOld {
-			r, n, err := decodeFrameV2(buf[off:])
-			if err != nil {
-				return tornAt(off)
-			}
-			if rec.add(r) {
-				return false, nil
-			}
-			off += n
-			continue
-		}
 		body, n, err := splitFrame(buf[off:])
 		if err != nil {
 			return tornAt(off)
+		}
+		if version == segVersionOld {
+			if _, ok := loneRecord(body); !ok {
+				return tornAt(off)
+			}
 		}
 		for d := readBatch(body); d.more(); {
 			r, ok := d.next()
