@@ -26,12 +26,14 @@
 // with its own lock and From/To trees. Concurrent AddRef and RemoveRef
 // calls on different shards never contend, so ingest scales with cores;
 // AddRef, RemoveRef, Query, and QueryRange are all safe for concurrent
-// use. Checkpoint flushes every shard in parallel — each shard sorts and
-// writes its own immutable runs — and installs all of them in one atomic
-// manifest commit, so durability semantics are identical to the
-// single-shard design. Compaction later merges the per-shard runs exactly
-// as it merges per-CP runs. Set WriteShards to 1 to reproduce the paper's
-// single write store.
+// use. Sharding buys update concurrency and costs nothing on disk:
+// Checkpoint merges the shards' sorted trees back into one stream per
+// table (shards are disjoint by block, so the merge only interleaves) and
+// writes one immutable run per table and partition, installed in one
+// atomic manifest commit — byte for byte the run files of the paper's
+// single write store, which WriteShards 1 is. The run set, the number of
+// fsyncs per consistency point and the point at which maintenance triggers
+// are therefore the same on every host.
 //
 // # Checkpoint concurrency
 //
@@ -44,8 +46,9 @@
 // dirtied by relocations since the last checkpoint becomes durable — the
 // manifest commit that advances the consistency point persists it beside
 // the re-keyed records it flushed, and no other commit may. The
-// expensive part — sorting and writing every shard's runs, in parallel —
-// happens between the two with no structural lock held. Concretely,
+// expensive part — merging the shards' trees and writing the From, To and
+// Combined runs, the three tables side by side — happens between the two
+// with no structural lock held. Concretely,
 // during a checkpoint flush:
 //
 //   - AddRef and RemoveRef proceed into the fresh active trees; they
@@ -152,15 +155,19 @@
 //
 //   - PolicyFull (the default) re-merges the worst partition — the one
 //     with the most runs — down to one Combined and one From run whenever
-//     it exceeds Config.CompactThreshold (default 8). Queries stay
+//     it exceeds Config.CompactThreshold (default 8: a checkpoint adds
+//     a From and a To run, so a partition's fifth unmerged checkpoint
+//     triggers it, on any host). Queries stay
 //     maximally cheap (a steady-state partition holds two runs), but
 //     every pass rewrites all of the partition's live records, so
 //     sustained ingest pays O(runs-ever-written) write amplification.
 //     This is the paper's Section 5.2 maintenance and the pinned
 //     behavior of the deterministic paper-figure experiments.
 //   - PolicyLeveled merges stepped (LogBase-style): once a table
-//     accumulates Config.Fanout runs (default 4) at one level of a
-//     partition, the whole level merges into a single run one level up.
+//     accumulates Config.Fanout runs (default 3) at one level of a
+//     partition, the whole level merges into a single run one level up
+//     — at Level 0, where a checkpoint adds one run per table, after
+//     every Fanout checkpoints.
 //     Each record is rewritten once per level — O(log_Fanout(runs))
 //     write amplification instead of O(runs) — at the cost of queries
 //     reading up to Fanout-1 runs per level. Under RetainLive, merges
@@ -339,12 +346,12 @@
 //	CacheBytes           — 0: 32 MB page cache, charged in on-disk (encoded) page bytes (negative disables caching)
 //	Partitions           — 0: one partition
 //	PartitionSpan        — 0: unused (required only when Partitions > 1)
-//	WriteShards          — 0: runtime.GOMAXPROCS(0) shards
+//	WriteShards          — 0: runtime.GOMAXPROCS(0) shards (update concurrency only; the runs written do not depend on it)
 //	Durability           — DurabilityCheckpointOnly (the paper's model)
 //	AutoCompact          — false: call Compact or Maintain explicitly
-//	CompactThreshold     — 0: threshold 8 (values below 2 clamp to 2)
+//	CompactThreshold     — 0: threshold 8 runs per partition, reached at the fifth unmerged checkpoint (values below 2 clamp to 2)
 //	CompactionPolicy     — PolicyFull: whole-partition worst-first merging
-//	Fanout               — 0: stepped-merge fanout 4 (PolicyLeveled only)
+//	Fanout               — 0: stepped-merge fanout 3, a Level-0 merge every third checkpoint (PolicyLeveled only)
 //	Retention            — RetainAll: no expiry, the paper's behavior
 //	Compression          — CompressionDelta: format-v3 column-delta runs
 //	Metrics              — false: no metrics registry, no timestamps taken
@@ -476,8 +483,9 @@ type Config struct {
 	PartitionSpan uint64
 	// WriteShards is the number of hash-partitioned write-store shards
 	// (default runtime.GOMAXPROCS(0)). Concurrent AddRef/RemoveRef calls
-	// on different shards never contend, and Checkpoint flushes all shards
-	// in parallel. Set to 1 for the paper's single write store.
+	// on different shards never contend. Checkpoint merges the shards into
+	// one run per table and partition, so the files on disk are the same
+	// at any value; 1 is the paper's single write store.
 	WriteShards int
 	// Durability selects when reference updates become crash-durable
 	// (default DurabilityCheckpointOnly; see the package documentation's
@@ -492,8 +500,9 @@ type Config struct {
 	// CompactThreshold is the per-partition run count above which a
 	// maintenance pass — the background maintainer's or DB.Maintain's —
 	// compacts the partition (default 8; values below 2 are clamped to 2,
-	// the run count of a fully compacted partition). Only PolicyFull uses
-	// it.
+	// the run count of a fully compacted partition). A checkpoint adds at
+	// most one run per table to a partition, so the default is reached at
+	// the fifth unmerged checkpoint. Only PolicyFull uses it.
 	CompactThreshold int
 	// CompactionPolicy selects what background maintenance merges
 	// (default PolicyFull; see the package documentation's Maintenance
@@ -501,7 +510,9 @@ type Config struct {
 	CompactionPolicy CompactionPolicy
 	// Fanout is PolicyLeveled's stepped-merge fanout: the per-table run
 	// count at one level of a partition that triggers merging the level
-	// up (default 4; values below 2 are clamped to 2).
+	// up (default 3; values below 2 are clamped to 2). A checkpoint adds
+	// one Level-0 run per table, so Level 0 merges every Fanout
+	// checkpoints.
 	Fanout int
 	// Retention selects the snapshot-retention policy (default RetainAll;
 	// see the package documentation's Retention and expiry section).

@@ -15,9 +15,11 @@ import (
 )
 
 // hookFS is a VFS whose run-file creations can be observed and sabotaged.
-// It takes no lock: the tests drive the engine from one goroutine with one
-// write shard and no background maintainer, so every Create is ordered
-// with the test's own accesses.
+// It takes no lock: the tests drive the engine from one goroutine with no
+// background maintainer and arm it only around a merge, which creates its
+// outputs one after another. A checkpoint's three tables do create side by
+// side, but the only checkpoints that run while it is armed are the hook's
+// own, which pass through reading fields nobody is writing.
 type hookFS struct {
 	storage.VFS
 
@@ -105,7 +107,6 @@ func newMergeFixture(t *testing.T, opts core.Options) *mergeFixture {
 	t.Helper()
 	fx := &mergeFixture{t: t, fs: &hookFS{VFS: storage.NewMemFS()}, cat: core.NewMemCatalog()}
 	opts.VFS, opts.Catalog = fx.fs, fx.cat
-	opts.WriteShards = 1
 	eng, err := core.Open(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -46,8 +47,10 @@ type Options struct {
 	// WriteShards is the number of hash-partitioned write-store shards
 	// (default runtime.GOMAXPROCS(0)). Each shard has its own mutex and
 	// From/To/Combined trees, so concurrent AddRef/RemoveRef calls on
-	// different shards never contend, and Checkpoint flushes all shards in
-	// parallel. 1 reproduces the paper's single write store.
+	// different shards never contend. Sharding buys update concurrency
+	// only: Checkpoint merges the shards back into one sorted stream per
+	// table, so the run files it writes are byte for byte those of the
+	// paper's single write store (WriteShards 1).
 	WriteShards int
 	// BloomMaxBytes caps From/To run filters (default 1 MB); Combined run
 	// filters always take the lsm layer's default cap, also 1 MB. Below its
@@ -86,7 +89,9 @@ type Options struct {
 	// CompactThreshold is the per-partition run count (summed across the
 	// From, To, and Combined tables) above which the maintainer compacts
 	// the partition (DefaultCompactThreshold if zero; values below 2 are
-	// clamped to 2, the run count of a fully compacted partition). It
+	// clamped to 2, the run count of a fully compacted partition). A
+	// checkpoint adds at most one run per table to a partition, whatever
+	// the shard count, so the threshold counts unmerged checkpoints. It
 	// also bounds how stale queries can get between maintenance passes —
 	// the run count is what query cost scales with (Section 6.4). Only
 	// PolicyFull (the default CompactionPolicy) uses it.
@@ -99,7 +104,8 @@ type Options struct {
 	CompactionPolicy CompactionPolicy
 	// Fanout is PolicyLeveled's stepped-merge fanout: the per-table run
 	// count at one level of a partition that triggers merging the level
-	// up (DefaultFanout if zero; values below 2 are clamped).
+	// up (DefaultFanout if zero; values below 2 are clamped). At Level 0
+	// that is a count of checkpoints: each adds one run per table.
 	Fanout int
 
 	// Metrics, when non-nil, registers the engine's metrics with the
@@ -801,19 +807,22 @@ func (e *Engine) takeWALErr() error {
 // records in the crash-replay filter, double-applying them.
 var ErrStaleCP = errors.New("core: checkpoint CP not newer than committed CP")
 
-// Checkpoint flushes the write stores to new Level-0 runs and commits them
+// Checkpoint flushes the write stores to new Level-0 runs — one per table
+// and partition with records, as the paper's single write store would
+// (Section 5.1), however many shards buffered them — and commits them
 // together with the CP number. The structural lock is held exclusively
 // only twice, briefly: to freeze every shard's trees (swapping in fresh
 // active trees), and to validate and atomically install the finished runs
-// (one manifest edit covering every shard). All run-building I/O happens
-// between the two with no structural lock held, each shard sorting and
-// writing its own runs in parallel, so updates tagged cp+1 and queries
-// proceed while the flush runs. cp must be greater than the last committed
-// checkpoint number. Concurrent Checkpoint calls serialize, and a
-// RelocateBlock issued during the flush runs right after it. After
+// (one manifest edit). All run-building I/O happens between the two with
+// no structural lock held, the three tables each merging the shards'
+// trees into their own runs side by side, so updates tagged cp+1 and
+// queries proceed while the flush runs. cp must be greater than the last
+// committed checkpoint number. Concurrent Checkpoint calls serialize, and
+// a RelocateBlock issued during the flush runs right after it. After
 // Checkpoint returns, all references up to cp are durable and the frozen
 // stores are empty. On error the frozen records are merged back into the
-// write stores, so the caller can retry or replay.
+// write stores, each into the shard it froze in, so the caller can retry
+// or replay.
 func (e *Engine) Checkpoint(cp uint64) error {
 	if o := e.obs; o != nil {
 		start := o.opStart(obs.OpCheckpoint, -1, 0, cp)
@@ -864,28 +873,23 @@ func (e *Engine) checkpoint(cp uint64) error {
 	// structural lock held. The frozen trees are immutable for the
 	// duration, and run builders allocate file IDs through lsm's own
 	// lock, so this runs concurrently with updates, queries and optimistic
-	// compaction installs.
+	// compaction installs. Each table is one merged stream over every
+	// shard's frozen tree; the three tables flush side by side.
 	start = time.Now()
-	results := make([]cpFlushResult, len(e.shards))
+	var results [3]cpFlushResult
 	var g errgroup.Group
-	for i, s := range e.shards {
-		res, frozen := &results[i], s.frozen
-		g.Go(func() error {
-			if err := flushWS(e.db, res, TableFrom, cp, frozen.from, func(r FromRec) (uint64, []byte) {
-				return r.Block, EncodeFrom(r)
-			}); err != nil {
-				return err
-			}
-			if err := flushWS(e.db, res, TableTo, cp, frozen.to, func(r ToRec) (uint64, []byte) {
-				return r.Block, EncodeTo(r)
-			}); err != nil {
-				return err
-			}
-			return flushWS(e.db, res, TableCombined, cp, frozen.combined, func(r CombinedRec) (uint64, []byte) {
-				return r.Block, EncodeCombined(r)
-			})
-		})
-	}
+	g.Go(func() error {
+		return flushTable(e.db, &results[0], TableFrom, cp, e.shards,
+			func(gen *generation) *memtree.Tree[FromRec] { return gen.from }, EncodeFrom)
+	})
+	g.Go(func() error {
+		return flushTable(e.db, &results[1], TableTo, cp, e.shards,
+			func(gen *generation) *memtree.Tree[ToRec] { return gen.to }, EncodeTo)
+	})
+	g.Go(func() error {
+		return flushTable(e.db, &results[2], TableCombined, cp, e.shards,
+			func(gen *generation) *memtree.Tree[CombinedRec] { return gen.combined }, EncodeCombined)
+	})
 	err := g.Wait()
 	if err == nil && e.obs != nil {
 		e.obs.cpFlush.ObserveDuration(time.Since(start))
@@ -913,9 +917,10 @@ func (e *Engine) checkpoint(cp uint64) error {
 		// fails before its commit point removes them itself.
 		err = edit.Commit()
 	} else {
-		// Shards that finished runs before another shard failed leave
-		// complete but uncommitted files behind; drop them now instead of
-		// waiting for orphan collection at the next Open.
+		// A table that finished runs before another table's flush (or its
+		// own next partition) failed leaves complete but uncommitted files
+		// behind; drop them now instead of waiting for orphan collection
+		// at the next Open.
 		for _, res := range results {
 			for _, ref := range res.refs {
 				e.db.DiscardRun(ref)
@@ -975,57 +980,87 @@ func (e *Engine) checkpoint(cp uint64) error {
 	return nil
 }
 
-// cpFlushResult collects one shard's flush output.
+// cpFlushResult collects one table's flush output.
 type cpFlushResult struct {
 	refs  []lsm.RunRef
 	count uint64
 }
 
-// flushWS writes one (frozen) write-store tree for one table into
-// per-partition Level-0 runs. Run refs are appended to res.refs only in the
-// Finish loop at the end — while records stream in, partial runs live in
-// the builders and are cleaned up via Abort on error — so after a
-// successful return res.refs holds every finished run, and after an error
-// it holds only runs finished by earlier flushWS calls on the same result
-// (which the caller must discard). The tree iterates in ascending record
-// order, so each partition's builder receives a sorted stream; builders
-// stay open per partition, which keeps one run per (shard, partition)
-// even when hash partitioning interleaves partition visits. Called with
-// no structural lock held: the tree is frozen (immutable) and run
-// builders synchronize file-ID allocation internally.
-func flushWS[T any](db *lsm.DB, res *cpFlushResult, table string, cp uint64,
-	ws *memtree.Tree[T], enc func(T) (uint64, []byte)) error {
-	if ws.Len() == 0 {
+// treeIter adapts a frozen write-store tree to lsm.RecIter.
+type treeIter[T any] struct {
+	it  *memtree.Iter[T]
+	enc func(T) []byte
+}
+
+func (t *treeIter[T]) Next() ([]byte, bool, error) {
+	item, ok := t.it.Next()
+	if !ok {
+		return nil, false, nil
+	}
+	return t.enc(item), true, nil
+}
+
+// flushTable writes one table's frozen write-store trees — one per shard,
+// picked out of each shard's frozen generation by tree — into per-partition
+// Level-0 runs: one run per partition that has records, however many shards
+// they froze in. Shards are disjoint by block and each tree iterates in
+// ascending record order, which is the byte order of the encoding, so the
+// merge of the shards' streams is the stream a single write store would
+// have produced and each partition's builder receives it sorted; builders
+// stay open per partition, which keeps one run per partition even when hash
+// partitioning interleaves partition visits. Run refs are appended to
+// res.refs only in the Finish loop at the end — while records stream in,
+// partial runs live in the builders and are cleaned up via Abort on error —
+// so after an error res.refs holds only complete, uncommitted runs, which
+// the caller must discard. Called with no structural lock held: the trees
+// are frozen (immutable) and run builders synchronize file-ID allocation
+// internally.
+func flushTable[T any](db *lsm.DB, res *cpFlushResult, table string, cp uint64,
+	shards []*writeShard, tree func(*generation) *memtree.Tree[T], enc func(T) []byte) error {
+	var (
+		iters []lsm.RecIter
+		total int
+	)
+	for _, s := range shards {
+		ws := tree(s.frozen)
+		iters = append(iters, &treeIter[T]{it: ws.IterAll(), enc: enc})
+		total += ws.Len()
+	}
+	if total == 0 {
 		return nil
 	}
-	var (
-		builders = map[int]*lsm.RunBuilder{}
-		retErr   error
-	)
-	ws.Ascend(func(item T) bool {
-		block, rec := enc(item)
-		p := db.PartitionOf(block)
-		b := builders[p]
-		if b == nil {
-			nb, err := db.NewRunBuilder(table, p, 0, cp, storage.SrcCheckpoint, ws.Len())
-			if err != nil {
-				retErr = err
-				return false
-			}
-			builders[p] = nb
-			b = nb
-		}
-		if err := b.Add(rec); err != nil {
-			retErr = err
-			return false
-		}
-		return true
-	})
-	if retErr != nil {
+	merged, err := lsm.NewMergeIter(iters...)
+	if err != nil {
+		return err
+	}
+	builders := map[int]*lsm.RunBuilder{}
+	abort := func() {
 		for _, b := range builders {
 			b.Abort()
 		}
-		return retErr
+	}
+	for {
+		rec, ok, err := merged.Next()
+		if err != nil {
+			abort()
+			return err
+		}
+		if !ok {
+			break
+		}
+		p := db.PartitionOf(binary.BigEndian.Uint64(rec))
+		b := builders[p]
+		if b == nil {
+			if b, err = db.NewRunBuilder(table, p, 0, cp, storage.SrcCheckpoint, total); err != nil {
+				abort()
+				return err
+			}
+			builders[p] = b
+		}
+		if err := b.Add(rec); err != nil {
+			abort()
+			return err
+		}
 	}
 	parts := make([]int, 0, len(builders))
 	for p := range builders {
@@ -1046,7 +1081,7 @@ func flushWS[T any](db *lsm.DB, res *cpFlushResult, table string, cp uint64,
 			res.refs = append(res.refs, ref)
 		}
 	}
-	res.count += uint64(ws.Len())
+	res.count = uint64(total)
 	return nil
 }
 

@@ -582,9 +582,11 @@ func TestExpireHammerAgainstNaiveOracle(t *testing.T) {
 	// the reclaim horizon advances under the running expiry.
 	var cpMu sync.Mutex
 	lastCP := uint64(maxCP + 1)
+	pace := newCPPace()
 	aux.Add(1)
 	go func() {
 		defer aux.Done()
+		defer pace.release()
 		var snaps []uint64
 		for cp := uint64(maxCP + 2); ; cp++ {
 			select {
@@ -599,6 +601,7 @@ func TestExpireHammerAgainstNaiveOracle(t *testing.T) {
 			cpMu.Lock()
 			lastCP = cp
 			cpMu.Unlock()
+			pace.checkpointed()
 			if err := cat.CreateSnapshot(0, cp); err != nil {
 				errc <- err
 				return
@@ -652,21 +655,7 @@ func TestExpireHammerAgainstNaiveOracle(t *testing.T) {
 		}
 	}()
 
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(stream []oracleOp) {
-			defer wg.Done()
-			for _, o := range stream {
-				if o.remove {
-					eng.RemoveRef(o.ref, o.cp)
-				} else {
-					eng.AddRef(o.ref, o.cp)
-				}
-			}
-		}(streams[w])
-	}
-	wg.Wait()
+	pace.ingest(eng, streams)
 	close(stop)
 	aux.Wait()
 	select {

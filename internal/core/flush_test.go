@@ -1,0 +1,270 @@
+// Tests of the checkpoint flush as one merged stream per table: the run
+// set a checkpoint writes is the same whatever the write-store shard count,
+// and a flush that fails at any run-file I/O loses nothing and leaves
+// nothing. Package core_test because the answers are checked against
+// internal/naive.
+package core_test
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+
+	"github.com/backlogfs/backlog/internal/core"
+	"github.com/backlogfs/backlog/internal/storage"
+)
+
+const (
+	flushBlocks = 1024 // the audited block space; four partitions of 256
+	flushMoved  = 1000 // where the script relocates a block to; never drawn
+)
+
+// flushScript drives one seeded op stream into eng: consistency points 1
+// and 2 — adds, removes of older references and same-CP add/remove pairs —
+// each retained by a snapshot and checkpointed; the ops of consistency
+// point 3, left buffered; a whole merge, so that Combined runs exist; and
+// the relocation of a block with live and completed references, which puts
+// records of all three tables into the write stores. The caller
+// checkpoints as 3. It returns the ops for the naive oracle — those on the
+// relocated block re-keyed, since naive has no relocation — and a
+// reference added at CP 3 that is still buffered.
+func flushScript(t *testing.T, eng *core.Engine, cat *core.MemCatalog) (ops []oracleOp, buffered core.Ref) {
+	t.Helper()
+	const moved = 7
+	apply := func(o oracleOp) {
+		if o.remove {
+			eng.RemoveRef(o.ref, o.cp)
+		} else {
+			eng.AddRef(o.ref, o.cp)
+		}
+		if o.ref.Block == moved {
+			o.ref.Block = flushMoved
+		}
+		ops = append(ops, o)
+	}
+	rng := rand.New(rand.NewSource(23))
+	var live []core.Ref // added at an earlier CP, not yet removed
+	for cp := uint64(1); cp <= 3; cp++ {
+		var added []core.Ref
+		if cp == 2 {
+			// The moved block gets a completed interval.
+			apply(oracleOp{ref: core.Ref{Block: moved, Inode: 1, Offset: 0, Length: 1}, cp: cp, remove: true})
+		}
+		for i := 0; i < 300; i++ {
+			ref := core.Ref{Block: uint64(rng.Intn(900)), Inode: cp, Offset: uint64(i), Length: 1}
+			switch {
+			case i < 4: // stays out of live: removed only above
+				ref.Block = moved
+				apply(oracleOp{ref: ref, cp: cp})
+			case i%5 == 4 && len(live) > 0:
+				k := rng.Intn(len(live))
+				apply(oracleOp{ref: live[k], cp: cp, remove: true})
+				live = append(live[:k], live[k+1:]...)
+			case i%7 == 6: // cancels in the write store
+				apply(oracleOp{ref: ref, cp: cp})
+				apply(oracleOp{ref: ref, cp: cp, remove: true})
+			default:
+				apply(oracleOp{ref: ref, cp: cp})
+				added = append(added, ref)
+			}
+		}
+		if cp == 3 {
+			buffered = added[len(added)-1]
+			break
+		}
+		live = append(live, added...)
+		if err := cat.CreateSnapshot(0, cp); err != nil {
+			t.Fatal(err)
+		}
+		fCheckpoint(t, eng, cp)
+	}
+	if err := eng.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.RelocateBlock(moved, flushMoved); err != nil {
+		t.Fatal(err)
+	}
+	return ops, buffered
+}
+
+// runFiles returns the contents of every run file in fs, keyed by table
+// and partition and ordered by file ID within each. The IDs themselves are
+// left out: a checkpoint's three tables draw theirs in whatever order
+// their flushes start.
+func runFiles(t *testing.T, fs *storage.MemFS) map[string][][]byte {
+	t.Helper()
+	names, err := fs.List() // sorted, and IDs are zero-padded
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][][]byte{}
+	for _, name := range names {
+		if !strings.HasSuffix(name, ".run") {
+			continue
+		}
+		f, err := fs.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size, err := f.Size()
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := make([]byte, size)
+		if _, err := f.ReadAt(data, 0); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		key := name[:strings.Index(name, ".p")+5] // "from.p003"
+		files[key] = append(files[key], data)
+	}
+	return files
+}
+
+// TestCheckpointFlushRunSetIgnoresShardCount: sharding the write store
+// buys update concurrency and costs nothing on disk. The same op stream
+// through 1, 2 and 8 shards leaves byte-identical run files, the same run
+// metadata and the same answers, and those are the naive oracle's.
+func TestCheckpointFlushRunSetIgnoresShardCount(t *testing.T) {
+	for _, parts := range []int{1, 4} {
+		for _, comp := range []core.Compression{core.CompressionNone, core.CompressionDelta} {
+			t.Run(fmt.Sprintf("partitions=%d/compression=%d", parts, comp), func(t *testing.T) {
+				var (
+					wantFiles  map[string][][]byte
+					wantRuns   []string
+					wantOwners [][]core.Owner
+				)
+				for _, shards := range []int{1, 2, 8} {
+					fs, cat := storage.NewMemFS(), core.NewMemCatalog()
+					eng, err := core.Open(core.Options{
+						VFS: fs, Catalog: cat, WriteShards: shards, Compression: comp,
+						Partitions: parts, PartitionSpan: flushBlocks / uint64(parts),
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					ops, _ := flushScript(t, eng, cat)
+					fCheckpoint(t, eng, 3)
+
+					var runs []string
+					for _, ri := range eng.RunInfos() {
+						ri.Name = ""
+						runs = append(runs, fmt.Sprintf("%+v", ri))
+					}
+					files := runFiles(t, fs)
+					owners := make([][]core.Owner, flushBlocks)
+					for b := range owners {
+						owners[b] = fQuery(t, eng, uint64(b))
+					}
+					verifyLiveAgainstNaive(t, eng, [][]oracleOp{ops}, flushBlocks)
+					eng.Close()
+					if shards == 1 {
+						wantFiles, wantRuns, wantOwners = files, runs, owners
+						continue
+					}
+					if !reflect.DeepEqual(runs, wantRuns) {
+						t.Fatalf("%d shards: runs differ from one shard's\n got: %v\nwant: %v", shards, runs, wantRuns)
+					}
+					for key, want := range wantFiles {
+						got := files[key]
+						if len(got) != len(want) {
+							t.Fatalf("%d shards: %d run files of %s, one shard wrote %d", shards, len(got), key, len(want))
+						}
+						for i := range want {
+							if !bytes.Equal(got[i], want[i]) {
+								t.Fatalf("%d shards: run file %d of %s differs from one shard's", shards, i, key)
+							}
+						}
+					}
+					if len(files) != len(wantFiles) {
+						t.Fatalf("%d shards: run files for %d (table, partition) pairs, one shard wrote %d", shards, len(files), len(wantFiles))
+					}
+					if !reflect.DeepEqual(owners, wantOwners) {
+						t.Fatalf("%d shards: answers differ from one shard's", shards)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestCheckpointFlushFailureAtEveryRunIO fails one checkpoint's flush at
+// every create, write and sync of its run files in turn. Each time
+// Checkpoint returns the error, every frozen record is back in the shard
+// that owns its block — queries read only that shard, and a RemoveRef
+// prunes only there — no run file the manifest does not list is left, and
+// the retried Checkpoint commits what a reopen then finds.
+func TestCheckpointFlushFailureAtEveryRunIO(t *testing.T) {
+	opts := core.Options{WriteShards: 4, Partitions: 2, PartitionSpan: flushBlocks / 2}
+	open := func(vfs storage.VFS, cat *core.MemCatalog) *core.Engine {
+		t.Helper()
+		o := opts
+		o.VFS, o.Catalog = vfs, cat
+		eng, err := core.Open(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+
+	// A clean flush counts the I/Os there are to fail.
+	vfs, cat := &scriptVFS{VFS: storage.NewMemFS()}, core.NewMemCatalog()
+	eng := open(vfs, cat)
+	flushScript(t, eng, cat)
+	before := vfs.runIO.Load()
+	fCheckpoint(t, eng, 3)
+	ios := vfs.runIO.Load() - before
+	var flushed []string
+	for _, ri := range eng.RunInfos() {
+		if ri.CP == 3 {
+			flushed = append(flushed, fmt.Sprintf("%s.p%d", ri.Table, ri.Partition))
+		}
+	}
+	eng.Close()
+	// The relocated block's one Combined record lands in partition 1.
+	if want := "[combined.p1 from.p0 from.p1 to.p0 to.p1]"; fmt.Sprint(flushed) != want {
+		t.Fatalf("the checkpoint under test flushed %v, want %s", flushed, want)
+	}
+
+	for n := int64(1); n <= ios; n++ {
+		vfs, cat := &scriptVFS{VFS: storage.NewMemFS()}, core.NewMemCatalog()
+		eng := open(vfs, cat)
+		ops, buffered := flushScript(t, eng, cat)
+		buffer := eng.WSLen()
+		vfs.failRunIO.Store(n)
+		if err := eng.Checkpoint(3); !errors.Is(err, storage.ErrInjected) {
+			t.Fatalf("I/O %d: Checkpoint = %v, want the injected failure", n, err)
+		}
+		if got := eng.WSLen(); got != buffer {
+			t.Fatalf("I/O %d: %d records buffered after the failed flush, %d before", n, got, buffer)
+		}
+		if cp := eng.CP(); cp != 2 {
+			t.Fatalf("I/O %d: CP = %d after the failed flush", n, cp)
+		}
+		assertNoOrphans(t, vfs, eng)
+		verifyLiveAgainstNaive(t, eng, [][]oracleOp{ops}, flushBlocks)
+		pruned := eng.Stats().PrunedRemoves
+		eng.RemoveRef(buffered, 3)
+		ops = append(ops, oracleOp{ref: buffered, cp: 3, remove: true})
+		if got := eng.Stats().PrunedRemoves; got != pruned+1 {
+			t.Fatalf("I/O %d: a same-CP RemoveRef did not find its AddRef in the owning shard after the restore", n)
+		}
+
+		fCheckpoint(t, eng, 3)
+		if got := eng.WSLen(); got != 0 {
+			t.Fatalf("I/O %d: %d records buffered after the retry", n, got)
+		}
+		assertNoOrphans(t, vfs, eng)
+		verifyLiveAgainstNaive(t, eng, [][]oracleOp{ops}, flushBlocks)
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		reopened := open(vfs.VFS, cat)
+		verifyLiveAgainstNaive(t, reopened, [][]oracleOp{ops}, flushBlocks)
+		reopened.Close()
+	}
+}

@@ -79,7 +79,7 @@ func TestRunHandlesAreClosed(t *testing.T) {
 	mem := storage.NewMemFS()
 	fs := &handleFS{VFS: mem, open: map[string]int{}}
 	open := func() (*core.Engine, error) {
-		return core.Open(core.Options{VFS: fs, Catalog: core.NewMemCatalog(), WriteShards: 1})
+		return core.Open(core.Options{VFS: fs, Catalog: core.NewMemCatalog()})
 	}
 	liveRuns := func(eng *core.Engine) []string {
 		var names []string

@@ -80,9 +80,11 @@ func TestLeveledHammerAgainstNaiveOracle(t *testing.T) {
 	// horizon advances while merges are being planned and installed.
 	var cpMu sync.Mutex
 	lastCP := uint64(maxCP + 1)
+	pace := newCPPace()
 	aux.Add(1)
 	go func() {
 		defer aux.Done()
+		defer pace.release()
 		for cp := uint64(maxCP + 2); ; cp++ {
 			select {
 			case <-stop:
@@ -106,6 +108,7 @@ func TestLeveledHammerAgainstNaiveOracle(t *testing.T) {
 			cpMu.Lock()
 			lastCP = cp
 			cpMu.Unlock()
+			pace.checkpointed()
 			time.Sleep(time.Millisecond)
 		}
 	}()
@@ -129,21 +132,7 @@ func TestLeveledHammerAgainstNaiveOracle(t *testing.T) {
 		}
 	}()
 
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(stream []oracleOp) {
-			defer wg.Done()
-			for _, o := range stream {
-				if o.remove {
-					eng.RemoveRef(o.ref, o.cp)
-				} else {
-					eng.AddRef(o.ref, o.cp)
-				}
-			}
-		}(streams[w])
-	}
-	wg.Wait()
+	pace.ingest(eng, streams)
 	close(stop)
 	aux.Wait()
 	select {

@@ -8,6 +8,10 @@ import (
 // DefaultCompactThreshold is the per-partition run count (summed across
 // the From, To, and Combined tables) above which the background
 // maintainer compacts a partition when Options.CompactThreshold is zero.
+// A checkpoint adds one From run and, where references ended, one To run
+// to a partition, on any host and at any shard count, so a partition
+// merges at its fifth unmerged checkpoint — its fourth on top of the From
+// and Combined runs an earlier merge left.
 const DefaultCompactThreshold = 8
 
 // maintainPace is the delay between consecutive compactions of one

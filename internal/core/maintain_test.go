@@ -120,6 +120,75 @@ func waitMaintained(t *testing.T, eng *core.Engine) {
 	}
 }
 
+// hammerCheckpoints is how many record-carrying checkpoints a hammer
+// drives: the square of the largest fanout any of them sets, so Level 0
+// fills and merges three times over and Level 1 once. A checkpoint adds
+// one run per table and partition whatever the shard count, so nothing
+// less than a count of checkpoints reaches a merge trigger.
+const hammerCheckpoints = 9
+
+// cpPace keeps ingest workers in step with a free-running checkpointer: a
+// worker starts the k-th segment of its stream only once k checkpoints
+// have committed, so each of the first hammerCheckpoints checkpoints finds
+// records to flush however fast the workers run, while every segment still
+// races the checkpoint after it.
+type cpPace struct {
+	mu        sync.Mutex
+	cond      *sync.Cond
+	committed int
+}
+
+func newCPPace() *cpPace {
+	p := &cpPace{}
+	p.cond = sync.NewCond(&p.mu)
+	return p
+}
+
+// checkpointed records one committed checkpoint.
+func (p *cpPace) checkpointed() {
+	p.mu.Lock()
+	p.committed++
+	p.mu.Unlock()
+	p.cond.Broadcast()
+}
+
+// release lets every worker run to the end of its stream; the checkpointer
+// defers it, so a checkpointer that gives up leaves no worker waiting.
+func (p *cpPace) release() {
+	p.mu.Lock()
+	p.committed = hammerCheckpoints
+	p.mu.Unlock()
+	p.cond.Broadcast()
+}
+
+// ingest replays each stream on its own goroutine, in hammerCheckpoints
+// paced segments, and returns when all are done.
+func (p *cpPace) ingest(eng *core.Engine, streams [][]oracleOp) {
+	var wg sync.WaitGroup
+	for _, stream := range streams {
+		wg.Add(1)
+		go func(stream []oracleOp) {
+			defer wg.Done()
+			n := len(stream)
+			for k := 0; k < hammerCheckpoints; k++ {
+				p.mu.Lock()
+				for p.committed < k {
+					p.cond.Wait()
+				}
+				p.mu.Unlock()
+				for _, o := range stream[k*n/hammerCheckpoints : (k+1)*n/hammerCheckpoints] {
+					if o.remove {
+						eng.RemoveRef(o.ref, o.cp)
+					} else {
+						eng.AddRef(o.ref, o.cp)
+					}
+				}
+			}
+		}(stream)
+	}
+	wg.Wait()
+}
+
 // TestMaintenanceHammerAgainstNaiveOracle runs AddRef/RemoveRef/Query/
 // Checkpoint from many goroutines while the background maintainer
 // compacts concurrently, then verifies every block's live reference set
@@ -157,9 +226,11 @@ func TestMaintenanceHammerAgainstNaiveOracle(t *testing.T) {
 	// background compactions race the whole workload.
 	var cpMu sync.Mutex
 	lastCP := uint64(maxCP + 1)
+	pace := newCPPace()
 	aux.Add(1)
 	go func() {
 		defer aux.Done()
+		defer pace.release()
 		for cp := uint64(maxCP + 2); ; cp++ {
 			select {
 			case <-stop:
@@ -173,6 +244,7 @@ func TestMaintenanceHammerAgainstNaiveOracle(t *testing.T) {
 			cpMu.Lock()
 			lastCP = cp
 			cpMu.Unlock()
+			pace.checkpointed()
 			time.Sleep(time.Millisecond)
 		}
 	}()
@@ -196,21 +268,7 @@ func TestMaintenanceHammerAgainstNaiveOracle(t *testing.T) {
 		}
 	}()
 
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(stream []oracleOp) {
-			defer wg.Done()
-			for _, o := range stream {
-				if o.remove {
-					eng.RemoveRef(o.ref, o.cp)
-				} else {
-					eng.AddRef(o.ref, o.cp)
-				}
-			}
-		}(streams[w])
-	}
-	wg.Wait()
+	pace.ingest(eng, streams)
 	close(stop)
 	aux.Wait()
 	select {

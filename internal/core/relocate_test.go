@@ -18,14 +18,31 @@ import (
 	"github.com/backlogfs/backlog/internal/wal"
 )
 
-// scriptVFS lets a test fail the reads or the creation of one file and run
-// a step inside every run-file creation. The fields are set while no other
-// goroutine uses the engine.
+// scriptVFS lets a test fail the reads or the creation of one file, fail
+// the n-th create, write or sync of the run files being built, and run a
+// step inside every run-file creation. The plain fields are set while no
+// other goroutine uses the engine.
 type scriptVFS struct {
 	storage.VFS
 	failReads  atomic.Pointer[string] // name of the file whose reads fail
 	failCreate string                 // name of the file whose Create fails
 	onRun      func()                 // runs before each *.run Create
+	// runIO counts creates, writes and syncs of *.run files; failRunIO > 0
+	// counts them down, and the one that takes it to zero fails. A
+	// checkpoint builds its tables' runs side by side, hence atomics.
+	runIO, failRunIO atomic.Int64
+}
+
+// runOp meters one create, write or sync of a file, if it is a run file.
+func (v *scriptVFS) runOp(name string) error {
+	if !strings.HasSuffix(name, ".run") {
+		return nil
+	}
+	v.runIO.Add(1)
+	if v.failRunIO.Load() > 0 && v.failRunIO.Add(-1) == 0 {
+		return storage.ErrInjected
+	}
+	return nil
 }
 
 func (v *scriptVFS) Create(name string) (storage.File, error) {
@@ -35,7 +52,14 @@ func (v *scriptVFS) Create(name string) (storage.File, error) {
 	if v.onRun != nil && strings.HasSuffix(name, ".run") {
 		v.onRun()
 	}
-	return v.VFS.Create(name)
+	if err := v.runOp(name); err != nil {
+		return nil, err
+	}
+	f, err := v.VFS.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return &scriptFile{File: f, name: name, fs: v}, nil
 }
 
 func (v *scriptVFS) Open(name string) (storage.File, error) {
@@ -57,6 +81,20 @@ func (f *scriptFile) ReadAt(p []byte, off int64) (int, error) {
 		return 0, storage.ErrInjected
 	}
 	return f.File.ReadAt(p, off)
+}
+
+func (f *scriptFile) WriteAt(p []byte, off int64) (int, error) {
+	if err := f.fs.runOp(f.name); err != nil {
+		return 0, err
+	}
+	return f.File.WriteAt(p, off)
+}
+
+func (f *scriptFile) Sync() error {
+	if err := f.fs.runOp(f.name); err != nil {
+		return err
+	}
+	return f.File.Sync()
 }
 
 func dvState(eng *core.Engine) (dirty bool, entries int) {

@@ -1,7 +1,7 @@
 // Package errgroup provides a minimal dependency-free analog of
 // golang.org/x/sync/errgroup: a group of goroutines whose first error is
-// collected and returned by Wait. The engine's parallel checkpoint flush
-// fans each write-store shard out through a Group.
+// collected and returned by Wait. The engine's checkpoint flush runs its
+// three tables through a Group.
 package errgroup
 
 import "sync"

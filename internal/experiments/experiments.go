@@ -50,14 +50,14 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 		Partitions:    cfg.Partitions,
 		PartitionSpan: cfg.Span,
 		CacheBytes:    cfg.CacheBytes,
-		// The paper's figures assume one run per table per consistency
-		// point; a GOMAXPROCS-dependent shard count would change run
-		// counts (and thus the space and query series) with the machine.
+		// The paper's single write store. The figures assume one run per
+		// table per consistency point, which a checkpoint writes at any
+		// shard count; one shard spares the single-threaded drivers the
+		// merge.
 		WriteShards: 1,
-		// Pinned off for the same reason WriteShards is pinned to 1: the
-		// figures' space and I/O series assume the paper's raw v1 run
-		// layout, and must stay byte-identical as the delta default
-		// evolves.
+		// Pinned off: the figures' space and I/O series assume the paper's
+		// raw v1 run layout, and must stay byte-identical as the delta
+		// default evolves.
 		Compression: core.CompressionNone,
 		// And the paper's fixed 32 KB From/To filter: by default a filter
 		// grows with its run's keys up to the Combined table's 1 MB.

@@ -18,9 +18,9 @@ var update = flag.Bool("update", false, "rewrite testdata/deterministic.golden f
 // every column that is a pure function of the code — page writes per op,
 // database and physical bytes, I/O reads per query, compaction write
 // bytes, run count and deepest level — against a committed golden file.
-// Wall-clock columns are left out. Every configuration pins one write
-// shard (NewEnv does; levels through LevelsConfig.WriteShards), so the
-// numbers do not depend on the host's core count.
+// Wall-clock columns are left out. None of the numbers depends on the
+// host's core count: a checkpoint writes the same runs at any write-shard
+// count (levels runs at the engine's default, GOMAXPROCS).
 //
 // A change that moves any of these numbers is a change to how much I/O
 // the store does: regenerate with
@@ -93,7 +93,6 @@ func TestDeterministicColumnsGolden(t *testing.T) {
 	levels.OpsPerCP = 400
 	levels.Queries = 1
 	levels.Fanouts = []int{2, 4}
-	levels.WriteShards = 1
 	lres, err := RunLevels(levels)
 	if err != nil {
 		t.Fatal(err)

@@ -34,11 +34,7 @@ type LevelsConfig struct {
 	// Threshold is PolicyFull's per-partition run-count trigger
 	// (0 = the engine default).
 	Threshold int
-	// WriteShards is the engine's write-store shard count (0 = the engine
-	// default, GOMAXPROCS): each shard flushes its own level-0 runs, so the
-	// byte and run counts are machine-independent only when it is pinned.
-	WriteShards int
-	Seed        int64
+	Seed      int64
 }
 
 // DefaultLevelsConfig returns the small-scale default.
@@ -49,7 +45,7 @@ func DefaultLevelsConfig() LevelsConfig {
 		Blocks:     1 << 14,
 		Partitions: 4,
 		Queries:    2000,
-		Fanouts:    []int{2, 4, 8},
+		Fanouts:    []int{2, 3, 4, 8},
 		Seed:       1,
 	}
 }
@@ -126,7 +122,6 @@ func runLevelsPoint(cfg LevelsConfig, pol core.CompactionPolicy, fanout int) (Le
 		Partitions:       cfg.Partitions,
 		HashPartitioning: cfg.Partitions > 1,
 		CompactThreshold: cfg.Threshold,
-		WriteShards:      cfg.WriteShards,
 		CompactionPolicy: pol,
 		Fanout:           fanout,
 		// Pin the raw v1 run format so write bytes measure records merged,

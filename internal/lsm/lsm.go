@@ -130,7 +130,7 @@ type DB struct {
 
 	// idMu guards nextID, the monotonic run/DV file-ID allocator.
 	// Allocation is deliberately outside the manifest struct: builders
-	// (checkpoint shard flushes, optimistic compactions) allocate with no
+	// (checkpoint table flushes, optimistic compactions) allocate with no
 	// structural lock held, concurrently with a Commit replacing db.m —
 	// the allocator must never move backwards, or a live run's file name
 	// would be reused. Commit persists a snapshot of the allocator taken
@@ -430,9 +430,8 @@ func (db *DB) PartitionOf(block uint64) int {
 }
 
 // Mix64 is the SplitMix64 finalizer. It drives hash partitioning here and
-// write-store sharding in internal/core — both derive their index from the
-// same hash (mod P partitions, mod N shards), so a shard maps onto whole
-// partitions whenever N divides P.
+// write-store sharding in internal/core. The two are independent: a
+// checkpoint merges the shards before it routes records to partitions.
 func Mix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

@@ -287,8 +287,8 @@ func (db *DB) NewRunBuilder(table string, partition, level int, cp uint64, src s
 	if err != nil {
 		return nil, err
 	}
-	// Every run creation funnels through here — checkpoint shard flushes
-	// and compaction — so the configured format covers them all.
+	// Every run creation funnels through here — checkpoint flushes and
+	// compaction — so the configured format covers them all.
 	w, err := btree.NewWriterFormat(f, t.spec.RecordSize, db.opts.RunFormat)
 	if err != nil {
 		f.Close()
@@ -420,9 +420,9 @@ func (b *RunBuilder) Abort() {
 
 // DiscardRun removes the file behind a finished run that was never handed
 // to an Edit (once AddRun is called, a failed Commit removes the file
-// itself). The parallel checkpoint flush uses it to clean up runs from
-// shards that completed before another shard's flush failed; uncleaned
-// files would otherwise linger as orphans until the next Open.
+// itself). The checkpoint flush uses it to clean up the runs its tables
+// completed before another run's flush failed; uncleaned files would
+// otherwise linger as orphans until the next Open.
 func (db *DB) DiscardRun(ref RunRef) {
 	if ref.rm.Name == "" {
 		return
