@@ -45,7 +45,10 @@
 // clears the frozen slots. That commit is also where a deletion vector
 // dirtied by relocations since the last checkpoint becomes durable — the
 // manifest commit that advances the consistency point persists it beside
-// the re-keyed records it flushed, and no other commit may. The
+// the re-keyed records it flushed, and no other commit may — and where the
+// snapshot catalog does: the manifest is the database's only commit point,
+// it carries the catalog as a section of its own, and a consistency point
+// therefore costs one fsync per run written plus one for the manifest. The
 // expensive part — merging the shards' trees and writing the From, To and
 // Combined runs, the three tables side by side — happens between the two
 // with no structural lock held. Concretely,
@@ -211,7 +214,13 @@
 //     manifest write — orders of magnitude less I/O than a merge.
 //
 // Snapshot lifecycle operations (create/delete snapshot, clone, line)
-// live on the Lifecycle interface returned by DB.Catalog. Note that expiry
+// live on the Lifecycle interface returned by DB.Catalog. They take effect
+// in memory at once and become durable at the next manifest commit,
+// atomically with the reference data it installs: every checkpoint, merge
+// install and expiry — the background maintainer's included — writes the
+// catalog it acted on into the manifest it renames into place, so a crash
+// can lose a deletion together with the purge it justified, or keep both,
+// and nothing in between. Note that expiry
 // is permanent in the same sense as the paper's snapshot deletion:
 // re-creating a snapshot at an old version after its records expired does
 // not resurrect them.
@@ -747,15 +756,12 @@ type HistogramSnapshot = obs.HistogramSnapshot
 
 // DB is a back-reference database.
 type DB struct {
-	vfs    storage.VFS
 	cat    *core.MemCatalog
 	eng    *core.Engine
 	reg    *obs.Registry
 	debug  *obs.DebugServer
 	closed atomic.Bool
 }
-
-const catalogFile = "CATALOG"
 
 // Open opens or creates a database. The configuration is validated first;
 // errors from an invalid one wrap ErrBadConfig.
@@ -780,9 +786,6 @@ func Open(cfg Config) (*DB, error) {
 // tests can reopen a simulated file system they hold a handle to.
 func openVFS(vfs storage.VFS, cfg Config) (*DB, error) {
 	cat := core.NewMemCatalog()
-	if err := loadCatalog(vfs, cat); err != nil {
-		return nil, err
-	}
 	var reg *obs.Registry
 	if cfg.Metrics || cfg.DebugAddr != "" {
 		reg = obs.NewRegistry()
@@ -790,6 +793,7 @@ func openVFS(vfs storage.VFS, cfg Config) (*DB, error) {
 	eng, err := core.Open(core.Options{
 		VFS:                vfs,
 		Catalog:            cat,
+		PersistCatalog:     true,
 		CacheBytes:         cfg.CacheBytes,
 		Partitions:         cfg.Partitions,
 		PartitionSpan:      cfg.PartitionSpan,
@@ -809,12 +813,7 @@ func openVFS(vfs storage.VFS, cfg Config) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Catalog persistence goes through the engine's attributed VFS, tagged
-	// as manifest I/O: the catalog is commit-point metadata, written
-	// alongside checkpoints and snapshot transitions. (The initial
-	// loadCatalog above ran before the engine existed and is the one
-	// unattributed read of a DB's lifetime.)
-	db := &DB{vfs: storage.TagVFS(eng.VFS(), storage.SrcManifest), cat: cat, eng: eng, reg: reg}
+	db := &DB{cat: cat, eng: eng, reg: reg}
 	if cfg.DebugAddr != "" {
 		srv, err := obs.Serve(cfg.DebugAddr, reg, eng.SlowLog(), obs.Page{
 			Path: "/debug/io",
@@ -832,55 +831,6 @@ func openVFS(vfs storage.VFS, cfg Config) (*DB, error) {
 	return db, nil
 }
 
-func loadCatalog(vfs storage.VFS, cat *core.MemCatalog) error {
-	f, err := vfs.Open(catalogFile)
-	if errors.Is(err, storage.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	size, err := f.Size()
-	if err != nil {
-		return err
-	}
-	buf := make([]byte, size)
-	if _, err := f.ReadAt(buf, 0); err != nil && err != io.EOF {
-		return err
-	}
-	if err := json.Unmarshal(buf, cat); err != nil {
-		return fmt.Errorf("backlog: decoding catalog: %w", err)
-	}
-	return nil
-}
-
-func (db *DB) saveCatalog() error {
-	data, err := json.Marshal(db.cat)
-	if err != nil {
-		return err
-	}
-	if err := db.vfs.Remove(catalogFile + ".tmp"); err != nil && !errors.Is(err, storage.ErrNotExist) {
-		return err
-	}
-	f, err := db.vfs.Create(catalogFile + ".tmp")
-	if err != nil {
-		return err
-	}
-	if _, err := f.WriteAt(data, 0); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return db.vfs.Rename(catalogFile+".tmp", catalogFile)
-}
-
 // AddRef records that ref became live at consistency point cp. Safe for
 // concurrent use; calls touching different write-store shards proceed in
 // parallel.
@@ -891,32 +841,15 @@ func (db *DB) AddRef(ref Ref, cp uint64) { db.eng.AddRef(ref, cp) }
 func (db *DB) RemoveRef(ref Ref, cp uint64) { db.eng.RemoveRef(ref, cp) }
 
 // Checkpoint makes all reference changes up to cp durable, together with
-// the snapshot catalog. Call it from the file system's consistency-point
-// commit path. cp must be greater than the last committed consistency
-// point; a stale cp returns ErrStaleCP (checked up front, before even
-// the catalog is written, though the engine re-validates under its lock
-// — so a stale call racing a successful one may still persist the
-// catalog, which is always safe: the catalog commits first by design).
-//
-// The catalog is persisted BEFORE the engine commit. The catalog is the
-// masking authority — a snapshot deletion, say, takes effect the moment
-// the catalog no longer lists it — so a crash between the two commits
-// must never leave reference data claiming the new consistency point
-// while the catalog still shows the old topology: deleted snapshots would
-// resurrect in query masking, and the WAL replay filter (which skips
-// records at or below the manifest CP) could not repair it. The reverse
-// order is safe: a newer catalog over older reference data only means
-// in-flight reference updates were lost to the crash, exactly the
-// file-system state the consistency-point model already assumes.
-func (db *DB) Checkpoint(cp uint64) error {
-	if committed := db.eng.CP(); cp <= committed {
-		return fmt.Errorf("%w: Checkpoint(%d), committed CP is %d", ErrStaleCP, cp, committed)
-	}
-	if err := db.saveCatalog(); err != nil {
-		return err
-	}
-	return db.eng.Checkpoint(cp)
-}
+// the snapshot catalog as it is when the checkpoint installs: the runs, the
+// consistency-point number and the catalog go into one manifest, renamed
+// into place once, so after a crash a reopened database shows either all
+// three as they were before the call or all three as it left them — never a
+// new consistency point masked by an old topology, nor the reverse. Call it
+// from the file system's consistency-point commit path. cp must be greater
+// than the last committed consistency point; a stale cp returns ErrStaleCP
+// and writes nothing.
+func (db *DB) Checkpoint(cp uint64) error { return db.eng.Checkpoint(cp) }
 
 // Query returns every owner of the given physical block, masked to
 // versions that still exist.
@@ -932,15 +865,13 @@ func (db *DB) QueryRange(block uint64, n int, visit func(block uint64, owners []
 // table, and purges records of deleted snapshots. Run it periodically, or
 // before query-intensive maintenance tasks.
 //
-// Like Checkpoint, the catalog is persisted before the engine mutates
-// durable state: compaction purges records based on the reaped catalog,
-// so the reaping must not be lost to a crash while the purge survives.
+// Zombie snapshots are reaped first. Every merge it installs commits the
+// catalog it purged by in the same manifest, so a crash never keeps a purge
+// and loses the deletion that justified it; if no merge was due, the catalog
+// alone is committed, and only if it changed since the last commit.
 func (db *DB) Compact() error {
 	db.cat.ReapZombies()
-	if err := db.saveCatalog(); err != nil {
-		return err
-	}
-	return db.eng.Compact()
+	return errors.Join(db.eng.Compact(), db.eng.PersistCatalog())
 }
 
 // Maintain runs one synchronous maintenance pass honoring the configured
@@ -950,16 +881,10 @@ func (db *DB) Compact() error {
 // with AutoCompact off). Unlike Compact — which always merges each
 // partition's runs into one — Maintain under PolicyLeveled performs only
 // the stepped merges that are due, leaving the leveled run structure in
-// place.
-//
-// Like Compact, the catalog is persisted first: the pass purges and drops
-// records based on the reaped topology.
+// place. The catalog is handled as in Compact.
 func (db *DB) Maintain() error {
 	db.cat.ReapZombies()
-	if err := db.saveCatalog(); err != nil {
-		return err
-	}
-	return db.eng.MaintainNow()
+	return errors.Join(db.eng.MaintainNow(), db.eng.PersistCatalog())
 }
 
 // RelocateBlock transplants all back references of oldBlock onto newBlock;
@@ -979,8 +904,10 @@ func (db *DB) RelocateBlock(oldBlock, newBlock uint64) error {
 // query results and compaction's purge policy follow whatever topology it
 // describes — and under Config.Retention == RetainLive it also drives the
 // reclaim horizon that expiry and query pruning use. Obtain it from
-// DB.Catalog. Changes become durable at the next Checkpoint, Compact, or
-// Expire (each persists the catalog before touching reference data).
+// DB.Catalog. A change takes effect in memory at once and is durable at the
+// next manifest commit, atomically with the reference data that commit
+// installs: the next Checkpoint, Compact, Maintain, Expire or Close at the
+// latest, a background merge or expiry if one commits first.
 type Lifecycle interface {
 	// CreateSnapshot retains version v (a CP number) of the given line.
 	CreateSnapshot(line, v uint64) error
@@ -1015,16 +942,12 @@ type ExpireStats = core.ExpireStats
 // background maintainer also calls this automatically after every
 // checkpoint); with RetainAll, Expire is a harmless no-op.
 //
-// Like Compact, zombie snapshots are reaped and the catalog persisted
-// before the engine destroys durable state: the drop is justified by the
-// reaped topology, so the reaping must not be lost to a crash while the
-// drop survives.
+// Zombie snapshots are reaped first, and the catalog is handled as in
+// Compact: the drop and the topology that justified it share one manifest.
 func (db *DB) Expire() (ExpireStats, error) {
 	db.cat.ReapZombies()
-	if err := db.saveCatalog(); err != nil {
-		return ExpireStats{}, err
-	}
-	return db.eng.Expire()
+	st, err := db.eng.Expire()
+	return st, errors.Join(err, db.eng.PersistCatalog())
 }
 
 // RunInfo describes one live read-store run, including the
@@ -1110,8 +1033,9 @@ func (db *DB) Durability() Durability { return db.eng.Durability() }
 // SizeBytes returns the database's on-disk size.
 func (db *DB) SizeBytes() int64 { return db.eng.SizeBytes() }
 
-// Close persists the catalog and flushes buffered references according to
-// the configured durability mode. With DurabilityBuffered or
+// Close commits the catalog, if it changed since the last manifest commit,
+// and flushes buffered references according to the configured durability
+// mode. With DurabilityBuffered or
 // DurabilitySync the write-ahead log is synced and kept, so a reopened
 // database replays every reference accepted before Close — nothing is
 // lost. With DurabilityCheckpointOnly (the default, the paper's model)
@@ -1128,9 +1052,5 @@ func (db *DB) Close() error {
 	if db.debug != nil {
 		db.debug.Close()
 	}
-	err := db.eng.Close()
-	if serr := db.saveCatalog(); err == nil {
-		err = serr
-	}
-	return err
+	return errors.Join(db.eng.PersistCatalog(), db.eng.Close())
 }

@@ -278,7 +278,8 @@ func main() {
 			break
 		}
 		// A fresh open sees only its own I/O, i.e. the cost of recovering
-		// this directory (manifest + catalog reads, WAL replay); use -addr
+		// this directory (the manifest, catalog included; run headers; WAL
+		// replay); use -addr
 		// to observe a live process's steady-state traffic.
 		printIOReport(db.IOReport())
 	case "stats":

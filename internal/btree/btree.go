@@ -16,8 +16,10 @@
 //	pages L+1..:       internal levels, bottom-up; root page last
 //	trailing bytes:    serialized Bloom filter (outside the page grid)
 //
-// The header is written last so that a torn build never yields a readable
-// but incomplete run.
+// A run larger than the builder's write buffer gets its header last, so that
+// a torn build never yields a readable but incomplete run; one that fits the
+// buffer is a single write, header first. Either way nothing refers to the
+// file until it has been synced.
 //
 // Two leaf encodings are written, identified by the header's version field
 // (see Format): v1 stores fixed-stride records verbatim; v3 stores each
@@ -100,9 +102,14 @@ type Writer struct {
 	// wbuf holds the framed pages (and, last, the filter) not yet handed
 	// to f, which belong at file offset wbufOff: pages are written in
 	// page-number order, so a run reaches the file in a few large
-	// sequential writes.
+	// sequential writes. The first buffer starts with a blank page 0, which
+	// Finish fills in when the whole run is still here (wbufOff is 0) and
+	// flushPages skips when it is not.
 	wbuf    []byte
 	wbufOff int64
+
+	// h is the header Finish wrote, for Open.
+	h header
 
 	// Delta-format state: the previous record's column values (reset to
 	// zero at each page boundary) and a scratch buffer for one encoded
@@ -144,7 +151,7 @@ func NewWriterFormat(f storage.File, recordSize int, format Format) (*Writer, er
 		leafBuf:  make([]byte, 0, pagePayload),
 		perLeaf:  pagePayload / recordSize,
 		nextPage: 1,
-		wbufOff:  storage.PageSize,
+		wbuf:     make([]byte, storage.PageSize, 2*storage.PageSize),
 	}
 	switch format {
 	case FormatRaw:
@@ -291,22 +298,7 @@ func (w *Writer) Finish(bloomBytes []byte) error {
 		}
 	}
 
-	// The filter follows the last page directly, so it rides in the same
-	// write when it fits the buffer.
 	bloomOff := w.nextPage * storage.PageSize
-	fits := len(w.wbuf)+len(bloomBytes) <= writeBufPages*storage.PageSize
-	if fits {
-		w.wbuf = append(w.wbuf, bloomBytes...)
-	}
-	if err := w.flushPages(); err != nil {
-		return err
-	}
-	if !fits {
-		if _, err := w.f.WriteAt(bloomBytes, int64(bloomOff)); err != nil {
-			return fmt.Errorf("btree: writing bloom: %w", err)
-		}
-	}
-
 	h := header{
 		format:      w.format,
 		recordSize:  w.recSize,
@@ -324,10 +316,37 @@ func (w *Writer) Finish(bloomBytes []byte) error {
 		// Raw headers stay as v1 always wrote them: the field zero.
 		h.bloomCRC = crc32.Checksum(bloomBytes, castagnoli)
 	}
-	if err := writeHeader(w.f, h); err != nil {
-		return err
-	}
+	w.h = h
 	w.sizeBytes = int64(bloomOff) + int64(len(bloomBytes))
+
+	// The filter follows the last page directly, so it rides in the same
+	// write when it fits the buffer — and so does the header, in a run whose
+	// pages all still wait there.
+	fits := len(w.wbuf)+len(bloomBytes) <= writeBufPages*storage.PageSize
+	if fits {
+		w.wbuf = append(w.wbuf, bloomBytes...)
+	}
+	if fits && w.wbufOff == 0 {
+		putHeader(w.wbuf[:storage.PageSize], h)
+		if _, err := w.f.WriteAt(w.wbuf, 0); err != nil {
+			return fmt.Errorf("btree: writing run: %w", err)
+		}
+	} else {
+		if err := w.flushPages(); err != nil {
+			return err
+		}
+		if !fits {
+			if _, err := w.f.WriteAt(bloomBytes, int64(bloomOff)); err != nil {
+				return fmt.Errorf("btree: writing bloom: %w", err)
+			}
+		}
+		var page [storage.PageSize]byte
+		putHeader(page[:], h)
+		if _, err := w.f.WriteAt(page[:], 0); err != nil {
+			return fmt.Errorf("btree: writing header: %w", err)
+		}
+	}
+	w.wbuf, w.i1 = nil, nil
 	return w.f.Sync()
 }
 
@@ -361,21 +380,26 @@ func (w *Writer) writePage(count uint16, payload []byte) error {
 	return nil
 }
 
-// flushPages hands the buffered bytes to the file in one write.
+// flushPages hands the buffered bytes to the file in one write, less the
+// blank page 0 at the front of the first buffer: the header of a run that
+// comes through here goes last.
 func (w *Writer) flushPages() error {
-	if len(w.wbuf) == 0 {
-		return nil
+	buf := w.wbuf
+	if w.wbufOff == 0 {
+		buf, w.wbufOff = buf[storage.PageSize:], storage.PageSize
 	}
-	if _, err := w.f.WriteAt(w.wbuf, w.wbufOff); err != nil {
-		return fmt.Errorf("btree: writing %d bytes at page %d: %w", len(w.wbuf), w.wbufOff/storage.PageSize, err)
+	if len(buf) > 0 {
+		if _, err := w.f.WriteAt(buf, w.wbufOff); err != nil {
+			return fmt.Errorf("btree: writing %d bytes at page %d: %w", len(buf), w.wbufOff/storage.PageSize, err)
+		}
 	}
-	w.wbufOff += int64(len(w.wbuf))
+	w.wbufOff += int64(len(buf))
 	w.wbuf = w.wbuf[:0]
 	return nil
 }
 
-func writeHeader(f storage.File, h header) error {
-	var page [storage.PageSize]byte
+// putHeader fills page, a zeroed PageSize buffer, with the header page.
+func putHeader(page []byte, h header) {
 	copy(page[:8], magic)
 	le := binary.LittleEndian
 	le.PutUint32(page[8:], uint32(h.format))
@@ -392,10 +416,6 @@ func writeHeader(f storage.File, h header) error {
 	copy(page[headerFixedLen+h.recordSize:], h.maxKey)
 	crc := crc32.Checksum(page[:storage.PageSize-pageCRCLen], castagnoli)
 	le.PutUint32(page[storage.PageSize-pageCRCLen:], crc)
-	if _, err := f.WriteAt(page[:], 0); err != nil {
-		return fmt.Errorf("btree: writing header: %w", err)
-	}
-	return nil
 }
 
 func readHeader(f storage.File) (header, error) {

@@ -373,10 +373,12 @@ func (c *countingFile) WriteAt(p []byte, off int64) (int, error) {
 	return c.File.WriteAt(p, off)
 }
 
-// TestWriterCoalescesPages: a run reaches the file in writes of up to
-// writeBufPages pages, the filter riding with the last of them and the
-// header following alone — while MemFS, which meters by pages spanned,
-// counts what it counted when every page was its own write.
+// TestWriterCoalescesPages: a run larger than the write buffer reaches the
+// file in writes of up to writeBufPages pages — the first one short of the
+// page it kept for the header — the filter riding with the last of them and
+// the header following alone; a run that fits the buffer is one write,
+// header first. MemFS, which meters by pages spanned, counts what it counted
+// when every page was its own write.
 func TestWriterCoalescesPages(t *testing.T) {
 	fs := storage.NewMemFS()
 	f, err := fs.Create("run")
@@ -406,7 +408,7 @@ func TestWriterCoalescesPages(t *testing.T) {
 	if data < 3*writeBufPages {
 		t.Fatalf("run of %d pages is too small to fill the write buffer", data)
 	}
-	if want := (data+writeBufPages-1)/writeBufPages + 1; cf.writes != want {
+	if want := 1 + (data-(writeBufPages-1)+writeBufPages-1)/writeBufPages + 1; cf.writes != want {
 		t.Fatalf("%d write calls for %d pages, a filter and a header, want %d", cf.writes, data, want)
 	}
 	filterPages := (len(filter) + storage.PageSize - 1) / storage.PageSize
@@ -422,6 +424,49 @@ func TestWriterCoalescesPages(t *testing.T) {
 	}
 	if b, err := r.BloomBytes(); err != nil || !bytes.Equal(b, filter) {
 		t.Fatalf("filter read back differs (%v)", err)
+	}
+
+	// A run that fits the buffer, filter included, is one write from offset
+	// zero, and the same bytes a header-last build of it would have been.
+	small := sortedRecords48(2000)
+	smallFilter := goldenFilter(small)
+	built := map[string][]byte{}
+	for _, name := range []string{"small", "small-header-last"} {
+		f, err := fs.Create(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cf := &countingFile{File: f}
+		w, err := NewWriterFormat(cf, 48, FormatDelta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range small {
+			if err := w.Append(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := 1
+		if name == "small-header-last" {
+			// What a run does that has already flushed a buffer.
+			if err := w.flushPages(); err != nil {
+				t.Fatal(err)
+			}
+			want = 3
+		}
+		if err := w.Finish(smallFilter); err != nil {
+			t.Fatal(err)
+		}
+		if cf.writes != want {
+			t.Fatalf("%s: %d write calls, want %d", name, cf.writes, want)
+		}
+		built[name] = make([]byte, w.SizeBytes())
+		if _, err := f.ReadAt(built[name], 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a, b := built["small"], built["small-header-last"]; len(a) == 0 || !bytes.Equal(a, b) {
+		t.Fatalf("a one-write run (%d bytes) differs from its header-last build (%d bytes)", len(a), len(b))
 	}
 
 	// A filter too large for the buffer is written on its own.

@@ -44,11 +44,21 @@ func Open(f storage.File, cache *Cache) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newReader(f, h, cache), nil
+}
+
+// Open returns a Reader over the run w has finished, from the header the
+// builder still holds: nothing is read. f must address the file w wrote.
+func (w *Writer) Open(f storage.File, cache *Cache) *Reader {
+	return newReader(f, w.h, cache)
+}
+
+func newReader(f storage.File, h header, cache *Cache) *Reader {
 	r := &Reader{f: f, h: h, cache: cache, id: readerIDs.Add(1), next: decoderFor(h.format, h.recordSize)}
 	if r.next != nil {
 		r.probe = decoderFor(FormatDelta, h.recordSize)
 	}
-	return r, nil
+	return r
 }
 
 // SetDecodeObserver installs a callback receiving, once per delta leaf

@@ -54,11 +54,21 @@ type MemCatalog struct {
 	mu    sync.RWMutex
 	lines map[uint64]*lineInfo
 
+	// gen counts mutations: whoever persists the catalog (the engine, in its
+	// manifest) re-serializes it only when gen has moved.
+	gen uint64
+
 	// reach caches OldestReachable (recomputing it scans every line's
 	// snapshot and zombie sets); any mutation invalidates it.
 	reachValid bool
 	reachOK    bool
 	reach      uint64
+}
+
+// changed records a mutation. Callers hold mu exclusively.
+func (c *MemCatalog) changed() {
+	c.gen++
+	c.reachValid = false
 }
 
 type lineInfo struct {
@@ -100,7 +110,7 @@ func (c *MemCatalog) CreateSnapshot(line, v uint64) error {
 		return fmt.Errorf("core: snapshot on unknown line %d", line)
 	}
 	li.Snapshots[v] = true
-	c.reachValid = false
+	c.changed()
 	return nil
 }
 
@@ -115,7 +125,7 @@ func (c *MemCatalog) DeleteSnapshot(line, v uint64) error {
 		return fmt.Errorf("core: delete of unknown snapshot (%d, %d)", line, v)
 	}
 	delete(li.Snapshots, v)
-	c.reachValid = false
+	c.changed()
 	for _, base := range li.Clones {
 		if base == v {
 			li.Zombies[v] = true
@@ -144,7 +154,7 @@ func (c *MemCatalog) CreateClone(newLine, parent, base uint64) error {
 	li.Parent, li.Base, li.HasParent = parent, base, true
 	c.lines[newLine] = li
 	pl.Clones[newLine] = base
-	c.reachValid = false
+	c.changed()
 	return nil
 }
 
@@ -158,18 +168,18 @@ func (c *MemCatalog) DeleteLine(line uint64) error {
 		return fmt.Errorf("core: delete of unknown line %d", line)
 	}
 	li.Live = false
-	c.reachValid = false
+	c.changed()
 	return nil
 }
 
 // ReapZombies drops clone registrations whose clone lines are no longer
 // needed, and zombie versions with no remaining clones — the paper's
 // periodic zombie examination. It returns the number of zombie versions
-// released.
+// released. A pass that finds nothing to drop leaves the catalog, and its
+// generation, as they were.
 func (c *MemCatalog) ReapZombies() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.reachValid = false
 	released := 0
 	for _, li := range c.lines {
 		for cloneLine, base := range li.Clones {
@@ -178,6 +188,7 @@ func (c *MemCatalog) ReapZombies() int {
 				continue
 			}
 			delete(li.Clones, cloneLine)
+			c.changed()
 			if ok && !cl.Live && len(cl.Snapshots) == 0 && len(cl.Clones) == 0 {
 				delete(c.lines, cloneLine)
 			}
@@ -340,8 +351,21 @@ type lineJSON struct {
 	Clones    [][2]uint64 `json:"clones,omitempty"` // [line, base]
 }
 
+// Generation returns the catalog's mutation count.
+func (c *MemCatalog) Generation() uint64 {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.gen
+}
+
 // MarshalJSON serializes the catalog deterministically.
 func (c *MemCatalog) MarshalJSON() ([]byte, error) {
+	data, _, err := c.marshal()
+	return data, err
+}
+
+// marshal serializes the catalog and names the generation it serialized.
+func (c *MemCatalog) marshal() ([]byte, uint64, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	var cj catalogJSON
@@ -358,7 +382,8 @@ func (c *MemCatalog) MarshalJSON() ([]byte, error) {
 		}
 		cj.Lines = append(cj.Lines, lj)
 	}
-	return json.Marshal(cj)
+	data, err := json.Marshal(cj)
+	return data, c.gen, err
 }
 
 // UnmarshalJSON restores a catalog serialized by MarshalJSON.
@@ -388,7 +413,7 @@ func (c *MemCatalog) UnmarshalJSON(data []byte) error {
 	if len(c.lines) == 0 {
 		c.lines[0] = newLineInfo(0)
 	}
-	c.reachValid = false
+	c.changed()
 	return nil
 }
 

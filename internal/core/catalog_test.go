@@ -256,3 +256,58 @@ func TestOldestReachable(t *testing.T) {
 		t.Fatal("horizon still pinned after the last retained version died")
 	}
 }
+
+// TestCatalogGeneration: the generation moves with every change and with
+// nothing else — not with a refused call, and not with a zombie examination
+// that finds nothing to release — so whoever persists the catalog can skip
+// serializing one that has not changed.
+func TestCatalogGeneration(t *testing.T) {
+	c := NewMemCatalog()
+	gen := c.Generation()
+	moved := func(what string, want bool) {
+		t.Helper()
+		g := c.Generation()
+		if (g != gen) != want {
+			t.Fatalf("%s: generation %d -> %d, want moved=%v", what, gen, g, want)
+		}
+		gen = g
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(c.CreateSnapshot(0, 5))
+	moved("CreateSnapshot", true)
+	if c.CreateSnapshot(9, 5) == nil || c.DeleteSnapshot(0, 6) == nil || c.CreateClone(1, 0, 6) == nil || c.DeleteLine(9) == nil {
+		t.Fatal("a call on an unknown line or version was accepted")
+	}
+	moved("refused calls", false)
+	must(c.CreateClone(1, 0, 5))
+	moved("CreateClone", true)
+	must(c.DeleteSnapshot(0, 5)) // now a zombie, pinned by line 1
+	moved("DeleteSnapshot", true)
+	if c.ReapZombies() != 0 {
+		t.Fatal("reaped a zombie its clone still needs")
+	}
+	moved("ReapZombies with nothing to release", false)
+	c.SnapshotsIn(0, 0, Infinity)
+	c.OldestReachable()
+	if _, err := json.Marshal(c); err != nil {
+		t.Fatal(err)
+	}
+	moved("reads", false)
+	must(c.DeleteLine(1))
+	moved("DeleteLine", true)
+	if c.ReapZombies() != 1 {
+		t.Fatal("zombie not reaped after its clone died")
+	}
+	moved("ReapZombies that released a version", true)
+	data, err := json.Marshal(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	must(json.Unmarshal(data, c))
+	moved("UnmarshalJSON", true)
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -27,6 +28,15 @@ type Options struct {
 	// Catalog supplies snapshot topology for masking, inheritance
 	// expansion, and purging. Required.
 	Catalog Catalog
+	// PersistCatalog makes the engine the keeper of Catalog, which must then
+	// be a *MemCatalog: Open fills it from the manifest before anything
+	// consults the topology, and every manifest commit — checkpoint, merge
+	// install, expiry, PersistCatalog — carries it as it is at that moment,
+	// so a purge and the topology that justified it are durable together or
+	// not at all. Internal wiring, set by backlog.Open alone: fsim and the
+	// experiments derive the topology from their own metadata, pass a bare
+	// catalog, and get a manifest without the section.
+	PersistCatalog bool
 	// CacheBytes sizes the shared page cache (default 32 MB, the paper's
 	// micro-benchmark configuration). Pages are cached in their on-disk
 	// encoding and charged the bytes they pin — the payload at its used
@@ -303,6 +313,10 @@ type Engine struct {
 	catalog Catalog
 	db      *lsm.DB
 	cache   *btree.Cache
+	// section serializes the catalog for the manifest (nil unless
+	// Options.PersistCatalog); the structural lock, held exclusively,
+	// serializes its callers.
+	section *catalogSection
 
 	// cpMu is the checkpoint single-flight guard: Checkpoint holds it end
 	// to end (including the lock-free flush), and RelocateBlock, Close and
@@ -404,9 +418,24 @@ func Open(opts Options) (*Engine, error) {
 	if eobs != nil {
 		lopts.DecodeObserver = eobs.pageDecode.ObserveDuration
 	}
+	var section *catalogSection
+	if opts.PersistCatalog {
+		cat, ok := opts.Catalog.(*MemCatalog)
+		if !ok {
+			return nil, fmt.Errorf("core: PersistCatalog needs a *MemCatalog, not %T", opts.Catalog)
+		}
+		section = &catalogSection{cat: cat}
+		lopts.Section = section.marshal
+	}
 	db, err := lsm.Open(vfs, lopts)
 	if err != nil {
 		return nil, err
+	}
+	if section != nil && db.Section() != nil {
+		if err := section.cat.UnmarshalJSON(db.Section()); err != nil {
+			db.Close()
+			return nil, fmt.Errorf("core: decoding catalog: %w", err)
+		}
 	}
 	nShards := opts.WriteShards
 	if nShards <= 0 {
@@ -422,6 +451,7 @@ func Open(opts Options) (*Engine, error) {
 		catalog: opts.Catalog,
 		db:      db,
 		cache:   cache,
+		section: section,
 		shards:  shards,
 		ios:     ios,
 		wamp:    obs.NewWriteAmp(obs.DefaultWriteAmpWindow),
@@ -1221,7 +1251,40 @@ func (e *Engine) Catalog() Catalog { return e.catalog }
 // DB exposes the underlying LSM store for tests and tooling.
 func (e *Engine) DB() *lsm.DB { return e.db }
 
-// VFS returns the engine's filesystem — the attributed wrapper — so
-// callers layering their own persistence next to the engine (the catalog)
-// can tag their I/O into the same accounting.
-func (e *Engine) VFS() storage.VFS { return e.vfs }
+// catalogSection is lsm.Options.Section for a persisted catalog: the
+// catalog's serialization, redone only when the catalog has changed since
+// the last commit asked.
+type catalogSection struct {
+	cat  *MemCatalog
+	gen  uint64
+	data []byte
+}
+
+func (s *catalogSection) marshal() ([]byte, error) {
+	if s.data == nil || s.cat.Generation() != s.gen {
+		data, gen, err := s.cat.marshal()
+		if err != nil {
+			return nil, err
+		}
+		s.data, s.gen = data, gen
+	}
+	return s.data, nil
+}
+
+// PersistCatalog makes catalog changes durable that no commit has carried
+// yet: if the manifest does not hold the catalog as it is now, it commits an
+// edit that changes nothing else. Every other commit carries the catalog
+// too, so after a checkpoint, a merge or an expiry that followed the last
+// change this writes nothing. A no-op without Options.PersistCatalog.
+func (e *Engine) PersistCatalog() error {
+	if e.section == nil {
+		return nil
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	data, err := e.section.marshal()
+	if err != nil || bytes.Equal(data, e.db.Section()) {
+		return err
+	}
+	return e.db.NewEdit().SetSource(storage.SrcManifest).Commit()
+}

@@ -179,6 +179,9 @@ func TestIOAttributionRaceExactSums(t *testing.T) {
 	if rep.Sources[storage.SrcManifest].WriteBytes == 0 {
 		t.Error("no manifest bytes attributed despite committed checkpoints")
 	}
+	if n := rep.Sources[storage.SrcCheckpoint].ReadBytes; n != 0 {
+		t.Errorf("checkpoints read %d bytes: an install opens the runs it built from their builders, not from their header pages", n)
+	}
 
 	// Reopen the same directory with a fresh accountant: startup I/O
 	// (manifest, deletion vectors, run headers, WAL scan) lands under

@@ -1,0 +1,111 @@
+package core
+
+import (
+	"slices"
+	"strings"
+	"testing"
+
+	"github.com/backlogfs/backlog/internal/storage"
+)
+
+// TestCatalogRidesTheManifest: with Options.PersistCatalog every manifest
+// commit carries the catalog as it is at that moment, a reopen finds it, and
+// PersistCatalog writes only when no commit has carried the last change;
+// the catalog is serialized again only after it changed. Without the option
+// the manifest has no catalog section and nothing creates a catalog file.
+func TestCatalogRidesTheManifest(t *testing.T) {
+	fs := storage.NewMemFS()
+	open := func() (*Engine, *MemCatalog) {
+		t.Helper()
+		cat := NewMemCatalog()
+		eng, err := Open(Options{VFS: fs, Catalog: cat, PersistCatalog: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng, cat
+	}
+	wrote := func(what string, fn func() error) storage.Stats {
+		t.Helper()
+		before := fs.Stats()
+		if err := fn(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		return fs.Stats().Sub(before)
+	}
+
+	eng, cat := open()
+	eng.AddRef(Ref{Block: 1, Inode: 2, Length: 1}, 1)
+	if err := cat.CreateSnapshot(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if d := wrote("Checkpoint", func() error { return eng.Checkpoint(1) }); d.Syncs != 2 || d.Renames != 1 {
+		t.Fatalf("a checkpoint of one run after a catalog change: %+v, want one run fsync, one manifest fsync, one rename", d)
+	}
+	if d := wrote("PersistCatalog after the checkpoint", eng.PersistCatalog); d.BytesWritten != 0 || d.FilesCreated != 0 {
+		t.Fatalf("PersistCatalog wrote a catalog the checkpoint had carried: %+v", d)
+	}
+	serialized := eng.section.data
+	eng.AddRef(Ref{Block: 2, Inode: 2, Length: 1}, 2)
+	if err := eng.Checkpoint(2); err != nil {
+		t.Fatal(err)
+	}
+	if &eng.section.data[0] != &serialized[0] {
+		t.Fatal("an unchanged catalog was serialized again")
+	}
+
+	if err := cat.CreateSnapshot(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	if d := wrote("PersistCatalog after a change", eng.PersistCatalog); d.Syncs != 1 || d.Renames != 1 || d.FilesCreated != 1 {
+		t.Fatalf("PersistCatalog after a change: %+v, want one manifest commit", d)
+	}
+	if err := cat.DeleteSnapshot(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	// Lost: nothing commits before the crash.
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fs.Crash()
+
+	eng, cat = open()
+	if got := cat.Snapshots(0); !slices.Equal(got, []uint64{1, 2}) {
+		t.Fatalf("snapshots after the reopen: %v, want [1 2]", got)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	names, err := fs.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range names {
+		if strings.HasPrefix(n, "CATALOG") {
+			t.Fatalf("a catalog file exists: %v", names)
+		}
+	}
+
+	// A bare catalog is the caller's to keep.
+	bare := storage.NewMemFS()
+	eng, err = Open(Options{VFS: bare, Catalog: NewMemCatalog()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.AddRef(Ref{Block: 1, Inode: 2, Length: 1}, 1)
+	if err := eng.Checkpoint(1); err != nil {
+		t.Fatal(err)
+	}
+	if d := wrote("PersistCatalog without the option", eng.PersistCatalog); d != (storage.Stats{}) {
+		t.Fatalf("PersistCatalog without the option did I/O on the other store: %+v", d)
+	}
+	if sec := eng.DB().Section(); sec != nil {
+		t.Fatalf("the manifest of an engine with a bare catalog has a section: %s", sec)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := Open(Options{VFS: storage.NewMemFS(), Catalog: struct{ Catalog }{NewMemCatalog()}, PersistCatalog: true}); err == nil {
+		t.Fatal("PersistCatalog accepted a catalog it cannot serialize")
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 
@@ -13,8 +12,10 @@ import (
 
 // Edit describes an atomic manifest transition: new runs to install, old
 // runs to drop and the CP number to record. All of it commits in a single
-// manifest replacement, and that commit is the only place a table's
-// deletion vector is pruned or persisted (see Commit).
+// manifest replacement, together with the caller's section as it is at that
+// moment (Options.Section) — an empty edit commits the section alone — and
+// that commit is the only place a table's deletion vector is pruned or
+// persisted (see Commit).
 type Edit struct {
 	db    *DB
 	cp    uint64
@@ -152,7 +153,14 @@ func (e *Edit) Commit() error {
 	}
 
 	// Build the next manifest from in-memory state plus this edit.
-	next := manifest{Version: manifestVersion, CP: db.m.CP, Tables: map[string]tableManifest{}}
+	next := manifest{Version: manifestVersion, CP: db.m.CP, Tables: map[string]tableManifest{}, Catalog: db.m.Catalog}
+	if db.opts.Section != nil {
+		sec, err := db.opts.Section()
+		if err != nil {
+			return fail(fmt.Errorf("lsm: manifest section: %w", err))
+		}
+		next.Catalog = sec
+	}
 	if e.setCP {
 		if e.cp < db.m.CP {
 			// Rolling the manifest CP backwards would un-skip already
@@ -228,7 +236,7 @@ func (e *Edit) Commit() error {
 		if t == nil {
 			return fail(fmt.Errorf("lsm: commit references unknown table %q", ref.table))
 		}
-		r, err := db.openRun(t, ref.rm, ref.src)
+		r, err := db.openRun(t, ref.rm, ref.src, ref.built)
 		if err != nil {
 			return fail(err)
 		}
@@ -321,6 +329,12 @@ func (e *Edit) Commit() error {
 		if f := prev.Tables[name].DVFile; f != "" {
 			_ = db.vfsFor(storage.SrcManifest).Remove(f)
 		}
+	}
+	// So is the file the previous format kept the section in, once a manifest
+	// holds it; a removal that fails leaves an orphan for the next Open.
+	if db.legacySection && next.Catalog != nil {
+		_ = db.vfsFor(storage.SrcManifest).Remove(legacySectionName)
+		db.legacySection = false
 	}
 	return nil
 }
@@ -439,24 +453,15 @@ func (t *Table) writeDV(name string, dv map[string]struct{}) error {
 }
 
 func (t *Table) loadDV(name string) error {
-	f, err := t.db.vfsFor(storage.SrcRecovery).Open(name)
+	buf, err := readAll(t.db.vfsFor(storage.SrcRecovery), name)
 	if err != nil {
-		return err
-	}
-	defer f.Close()
-	size, err := f.Size()
-	if err != nil {
-		return err
-	}
-	buf := make([]byte, size)
-	if _, err := f.ReadAt(buf, 0); err != nil && err != io.EOF {
 		return err
 	}
 	rs := t.spec.RecordSize
-	if int(size)%rs != 0 {
+	if len(buf)%rs != 0 {
 		return fmt.Errorf("lsm: deletion vector %s has partial record", name)
 	}
-	for off := 0; off < int(size); off += rs {
+	for off := 0; off < len(buf); off += rs {
 		t.dv[string(buf[off:off+rs])] = struct{}{}
 	}
 	t.dvDirty = false

@@ -135,7 +135,7 @@ func setManifestVersion(t *testing.T, fs *storage.MemFS, v int) {
 	}
 }
 
-func readFile(t *testing.T, fs *storage.MemFS, name string) []byte {
+func readFile(t testing.TB, fs *storage.MemFS, name string) []byte {
 	t.Helper()
 	f, err := fs.Open(name)
 	if err != nil {
@@ -154,10 +154,10 @@ func readFile(t *testing.T, fs *storage.MemFS, name string) []byte {
 }
 
 // TestManifestV1Compat pins the manifest's compatibility contract: this
-// binary reads the version it writes and refuses every other one by name —
-// version 1 (which an earlier binary loaded with guessed windows), a
-// missing or zero version field, and a future version — and a refused Open
-// rewrites nothing on disk.
+// binary writes version 3, reads versions 2 and 3, and refuses every other
+// one by name — version 1 (which an earlier binary loaded with guessed
+// windows), a missing or zero version field, and a future version — and a
+// refused Open rewrites nothing on disk.
 func TestManifestV1Compat(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -167,13 +167,17 @@ func TestManifestV1Compat(t *testing.T) {
 		{"v1", 1, "manifest version 1 "},
 		{"v0", 0, "manifest version 0 "},
 		{"missing", -1, "manifest version 0 "},
-		{"v3", manifestVersion + 1, "manifest version 3 "},
+		{"v4", manifestVersion + 1, "manifest version 4 "},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := storage.NewMemFS()
 			db := openSpannedDB(t, fs)
 			flushRecords(t, db, "combined", 5, [][]byte{rec16(1, 2), rec16(2, 3)})
 			db.Close()
+			var written struct{ Version int }
+			if err := json.Unmarshal(readFile(t, fs, manifestName), &written); err != nil || written.Version != 3 {
+				t.Fatalf("this binary wrote manifest version %d (%v), want 3", written.Version, err)
+			}
 			setManifestVersion(t, fs, tc.version)
 
 			names, err := fs.List()
@@ -204,17 +208,20 @@ func TestManifestV1Compat(t *testing.T) {
 				}
 			}
 
-			// The same store at the version this binary writes still opens.
-			setManifestVersion(t, fs, manifestVersion)
-			db2, err := Open(fs, Options{
-				Tables:     []TableSpec{spannedSpec("combined")},
-				Partitions: 1,
-			})
-			if err != nil {
-				t.Fatalf("reopening at version %d: %v", manifestVersion, err)
-			}
-			if got := collect(t, db2.Table("combined"), 1); len(got) != 1 {
-				t.Fatalf("block 1: %d records, want 1", len(got))
+			// The same store at either version this binary reads still opens.
+			for _, v := range []int{manifestReadsVersion, manifestVersion} {
+				setManifestVersion(t, fs, v)
+				db2, err := Open(fs, Options{
+					Tables:     []TableSpec{spannedSpec("combined")},
+					Partitions: 1,
+				})
+				if err != nil {
+					t.Fatalf("reopening at version %d: %v", v, err)
+				}
+				if got := collect(t, db2.Table("combined"), 1); len(got) != 1 {
+					t.Fatalf("version %d, block 1: %d records, want 1", v, len(got))
+				}
+				db2.Close()
 			}
 		})
 	}

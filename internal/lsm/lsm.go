@@ -14,7 +14,9 @@
 // rename), mirroring the write-anywhere "root written last" discipline the
 // paper's recovery story relies on (Section 5.4). A crash between run
 // writes and the manifest commit leaves orphan files that Open garbage
-// collects.
+// collects. The manifest also carries one opaque section for its caller
+// (Options.Section — the engine's snapshot catalog), so state that decides
+// what the runs mean changes in the same rename as the runs.
 //
 // The layer is policy-free: it stores opaque fixed-size records ordered by
 // bytes.Compare whose first 8 bytes are the big-endian physical block
@@ -42,10 +44,20 @@ const (
 	manifestName    = "MANIFEST"
 	manifestTmpName = "MANIFEST.tmp"
 
-	// manifestVersion is the on-disk manifest format: per-run
-	// consistency-point windows ([min_cp, max_cp]) and override-record
-	// counts. It is the only version loadManifest accepts.
-	manifestVersion = 2
+	// manifestVersion is the on-disk manifest format Commit writes: per-run
+	// consistency-point windows ([min_cp, max_cp]), override-record counts
+	// and the caller's section. loadManifest also accepts the version
+	// before it, which had no section; a store that used one kept it in a
+	// file of its own, legacySectionName, replaced through
+	// legacySectionTmpName.
+	manifestVersion      = 3
+	manifestReadsVersion = 2
+	legacySectionName    = "CATALOG"
+	legacySectionTmpName = "CATALOG.tmp"
+
+	// maxRunLevel bounds the level a manifest may claim for a run: a level
+	// is reached by merging at least two runs of the one below.
+	maxRunLevel = 64
 )
 
 // TableSpec declares one table of a DB.
@@ -105,6 +117,14 @@ type Options struct {
 	// current-format leaf once, validating as they stream, and report
 	// nothing here.
 	DecodeObserver func(time.Duration)
+	// Section, when non-nil, supplies the opaque section — valid JSON — that
+	// every manifest carries beside the run sets. Commit calls it while it
+	// builds the next manifest, under the caller's exclusive structural
+	// lock, and stores what it returns: whatever the section serializes
+	// becomes durable in the same rename as the edit, never before and
+	// never after. With a nil Section the manifest gets no section of this
+	// process's making (one found on disk is carried forward untouched).
+	Section func() ([]byte, error)
 }
 
 // DB is a multi-table LSM store with a single atomic manifest.
@@ -122,6 +142,10 @@ type DB struct {
 
 	tables map[string]*Table
 	m      manifest
+	// legacySection notes that m.Catalog was read from legacySectionName, the
+	// file the previous format kept it in; the first Commit moves it into
+	// the manifest and removes the file.
+	legacySection bool
 
 	// curCP mirrors m.CP for lock-free readers: Run.SeekGE stamps each
 	// run's last-access CP from it without taking any lock, while Commit
@@ -255,6 +279,9 @@ type manifest struct {
 	CP      uint64                   `json:"cp"`
 	NextID  uint64                   `json:"next_id"`
 	Tables  map[string]tableManifest `json:"tables"`
+	// Catalog is the caller's section (Options.Section), omitted when there
+	// is none.
+	Catalog json.RawMessage `json:"catalog,omitempty"`
 }
 
 type tableManifest struct {
@@ -381,6 +408,15 @@ func Open(vfs storage.VFS, opts Options) (*DB, error) {
 		db.Close()
 		return nil, err
 	}
+	if opts.Section != nil && db.m.Catalog == nil {
+		// A store the previous format wrote: its section is in its own file.
+		sec, err := readAll(db.vfsFor(storage.SrcRecovery), legacySectionName)
+		if err != nil && !errors.Is(err, storage.ErrNotExist) {
+			db.Close()
+			return nil, fmt.Errorf("lsm: reading %s: %w", legacySectionName, err)
+		}
+		db.m.Catalog, db.legacySection = sec, err == nil
+	}
 	db.nextID = db.m.NextID
 	db.curCP.Store(db.m.CP)
 	if err := db.collectOrphans(); err != nil {
@@ -410,6 +446,11 @@ func (db *DB) Table(name string) *Table { return db.tables[name] }
 
 // CP returns the last committed consistency point number.
 func (db *DB) CP() uint64 { return db.m.CP }
+
+// Section returns the section the committed manifest carries (at Open, of a
+// store the previous format wrote, the one its own file held), or nil. The
+// caller must hold the structural lock (shared suffices) and not modify it.
+func (db *DB) Section() []byte { return db.m.Catalog }
 
 // Partitions returns the number of partitions.
 func (db *DB) Partitions() int { return db.opts.Partitions }
@@ -562,32 +603,41 @@ func (db *DB) RunInfos() []RunInfo {
 	return infos
 }
 
+// readAll returns the contents of the named file.
+func readAll(vfs storage.VFS, name string) ([]byte, error) {
+	f, err := vfs.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	size, err := f.Size()
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, size)
+	if _, err := f.ReadAt(buf, 0); err != nil && err != io.EOF {
+		return nil, err
+	}
+	return buf, nil
+}
+
 func (db *DB) loadManifest() error {
-	f, err := db.vfsFor(storage.SrcRecovery).Open(manifestName)
+	buf, err := readAll(db.vfsFor(storage.SrcRecovery), manifestName)
 	if errors.Is(err, storage.ErrNotExist) {
 		db.m = manifest{Version: manifestVersion, NextID: 1, Tables: map[string]tableManifest{}}
 		return nil
 	}
 	if err != nil {
-		return err
-	}
-	defer f.Close()
-	size, err := f.Size()
-	if err != nil {
-		return err
-	}
-	buf := make([]byte, size)
-	if _, err := f.ReadAt(buf, 0); err != nil && err != io.EOF {
 		return fmt.Errorf("lsm: reading manifest: %w", err)
 	}
 	var m manifest
 	if err := json.Unmarshal(buf, &m); err != nil {
 		return fmt.Errorf("lsm: decoding manifest: %w", err)
 	}
-	// A missing version field decodes as 0 and is refused like any other:
-	// no binary in this tree writes anything but manifestVersion.
-	if m.Version != manifestVersion {
-		return fmt.Errorf("lsm: manifest version %d not supported (this binary reads and writes version %d)", m.Version, manifestVersion)
+	// A missing version field decodes as 0 and is refused like any other.
+	if m.Version != manifestVersion && m.Version != manifestReadsVersion {
+		return fmt.Errorf("lsm: manifest version %d not supported (this binary writes version %d and reads versions %d and %d)",
+			m.Version, manifestVersion, manifestReadsVersion, manifestVersion)
 	}
 	db.m = m
 	for name, tm := range m.Tables {
@@ -601,7 +651,10 @@ func (db *DB) loadManifest() error {
 		}
 		for p, runs := range tm.Partitions {
 			for _, rm := range runs {
-				r, err := db.openRun(t, rm, storage.SrcRecovery)
+				if rm.Level < 0 || rm.Level > maxRunLevel {
+					return fmt.Errorf("lsm: manifest puts run %s at level %d", rm.Name, rm.Level)
+				}
+				r, err := db.openRun(t, rm, storage.SrcRecovery, nil)
 				if err != nil {
 					return err
 				}
@@ -618,11 +671,13 @@ func (db *DB) loadManifest() error {
 }
 
 // collectOrphans removes files not referenced by the manifest — leftovers
-// of a crash between run writes and the manifest commit.
+// of a crash between run writes and the manifest commit, or between a commit
+// that moved the section into the manifest and the removal of its old file.
 func (db *DB) collectOrphans() error {
 	live := map[string]bool{manifestName: true}
-	for name, tm := range db.m.Tables {
-		_ = name
+	// The section's old file is the only copy until a manifest carries one.
+	live[legacySectionName] = db.legacySection || db.m.Catalog == nil
+	for _, tm := range db.m.Tables {
 		for _, runs := range tm.Partitions {
 			for _, rm := range runs {
 				live[rm.Name] = true
@@ -642,7 +697,7 @@ func (db *DB) collectOrphans() error {
 			continue
 		}
 		if !strings.HasSuffix(name, ".run") && !strings.HasPrefix(name, "dv.") &&
-			name != manifestTmpName {
+			name != manifestTmpName && name != legacySectionName && name != legacySectionTmpName {
 			continue // not ours
 		}
 		if err := rvfs.Remove(name); err != nil && !errors.Is(err, storage.ErrNotExist) {

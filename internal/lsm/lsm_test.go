@@ -39,7 +39,7 @@ func openTestDB(t *testing.T, fs storage.VFS, partitions int) *DB {
 
 // flushRecords writes one Level-0 run per partition for the given table
 // and commits at the given CP.
-func flushRecords(t *testing.T, db *DB, table string, cp uint64, recs [][]byte) {
+func flushRecords(t testing.TB, db *DB, table string, cp uint64, recs [][]byte) {
 	t.Helper()
 	sorted := append([][]byte(nil), recs...)
 	sort.Slice(sorted, func(i, j int) bool {
@@ -434,9 +434,10 @@ func TestBloomPrunesRuns(t *testing.T) {
 	}
 }
 
-// TestInstalledRunKeepsBuilderFilter: a run this process built probes the
-// Bloom filter its builder still held, reading nothing; the same run after
-// a reopen loads the filter from its file on the first probe and answers
+// TestInstalledRunKeepsBuilderFilter: a run this process built is installed
+// from the header its builder still held and probes the builder's Bloom
+// filter, reading nothing; the same run after a reopen reads and verifies its
+// header, loads the filter from its file on the first probe and answers
 // identically.
 func TestInstalledRunKeepsBuilderFilter(t *testing.T) {
 	fs := storage.NewMemFS()
@@ -446,6 +447,9 @@ func TestInstalledRunKeepsBuilderFilter(t *testing.T) {
 		recs = append(recs, rec16(b, 1))
 	}
 	flushRecords(t, db, "from", 1, recs)
+	if n := fs.Stats().BytesRead; n != 0 {
+		t.Fatalf("building and installing a run read %d bytes back", n)
+	}
 	probe := func(db *DB) (answers []bool, bytesRead int64) {
 		run := db.Table("from").Runs(0)[0]
 		before := fs.Stats().BytesRead
@@ -458,7 +462,11 @@ func TestInstalledRunKeepsBuilderFilter(t *testing.T) {
 	if n != 0 {
 		t.Fatalf("probing a freshly built run read %d bytes back", n)
 	}
-	reopened, n := probe(openTestDB(t, fs, 1))
+	db2 := openTestDB(t, fs, 1)
+	if n := fs.Stats().BytesRead; n < storage.PageSize {
+		t.Fatalf("reopening read %d bytes: a run found in the manifest has its header verified", n)
+	}
+	reopened, n := probe(db2)
 	if n == 0 {
 		t.Fatal("probing a reopened run read nothing: where did its filter come from?")
 	}

@@ -139,16 +139,19 @@ func (r *Run) HeatBytes() int64 { return r.heatBytes.Load() }
 // run's most recent query seek (zero if never queried).
 func (r *Run) LastAccessCP() uint64 { return r.lastCP.Load() }
 
-// openRun opens a run file and its per-purpose readers. The header read
-// performed here is attributed to src: recovery when loading the
-// manifest, the committing operation when installing a fresh run.
-func (db *DB) openRun(t *Table, rm runManifest, src storage.Source) (*Run, error) {
+// openRun opens a run file and its per-purpose readers. A run found in the
+// manifest has its header read and verified, attributed to src (recovery);
+// one this process just built comes with its builder, whose header stands in
+// for the read — an install holds the structural lock exclusively.
+func (db *DB) openRun(t *Table, rm runManifest, src storage.Source, built *btree.Writer) (*Run, error) {
 	f, err := db.vfsFor(src).Open(rm.Name)
 	if err != nil {
 		return nil, fmt.Errorf("lsm: opening run: %w", err)
 	}
-	rd, err := btree.Open(f, db.cache)
-	if err != nil {
+	var rd *btree.Reader
+	if built != nil {
+		rd = built.Open(f, db.cache)
+	} else if rd, err = btree.Open(f, db.cache); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("lsm: run %s: %w", rm.Name, err)
 	}
@@ -354,9 +357,11 @@ type RunRef struct {
 	rm        runManifest
 	sizeBytes int64
 	src       storage.Source
-	// filter is the Bloom filter the builder wrote into the file; Commit
-	// gives it to the installed run, which then never reads it back.
+	// filter is the Bloom filter the builder wrote into the file and built
+	// the writer that holds its header; Commit gives both to the installed
+	// run, which then never reads either back.
 	filter *bloom.Filter
+	built  *btree.Writer
 }
 
 // SizeBytes returns the finished run's physical on-disk size; compaction
@@ -409,6 +414,7 @@ func (b *RunBuilder) Finish() (ref RunRef, ok bool, err error) {
 		sizeBytes: b.writer.SizeBytes(),
 		src:       b.src,
 		filter:    b.filter,
+		built:     b.writer,
 	}, true, nil
 }
 

@@ -112,6 +112,9 @@ func (d *DirFS) Rename(oldName, newName string) error {
 		}
 		return err
 	}
+	d.mu.Lock()
+	d.stats.Renames++
+	d.mu.Unlock()
 	return d.SyncDir()
 }
 

@@ -98,6 +98,7 @@ type Stats struct {
 	Syncs        int64
 	FilesCreated int64
 	FilesRemoved int64
+	Renames      int64
 	// DiskNanos is modeled disk time in nanoseconds, computed by the
 	// DiskModel of a MemFS. Zero for unmetered implementations.
 	DiskNanos int64
@@ -118,6 +119,7 @@ func (s Stats) Sub(prev Stats) Stats {
 		Syncs:        s.Syncs - prev.Syncs,
 		FilesCreated: s.FilesCreated - prev.FilesCreated,
 		FilesRemoved: s.FilesRemoved - prev.FilesRemoved,
+		Renames:      s.Renames - prev.Renames,
 		DiskNanos:    s.DiskNanos - prev.DiskNanos,
 	}
 }
@@ -132,6 +134,7 @@ func (s Stats) Add(other Stats) Stats {
 		Syncs:        s.Syncs + other.Syncs,
 		FilesCreated: s.FilesCreated + other.FilesCreated,
 		FilesRemoved: s.FilesRemoved + other.FilesRemoved,
+		Renames:      s.Renames + other.Renames,
 		DiskNanos:    s.DiskNanos + other.DiskNanos,
 	}
 }
@@ -198,6 +201,14 @@ type FailurePlan struct {
 	// first N to fail with ErrInjected. The page counter is global across
 	// files.
 	FailAfterPageWrites int64
+	// FailAfterSyncs and FailAfterRenames, when > 0, do the same for Sync
+	// and Rename calls: every one after the first N (of Stats.Syncs,
+	// Stats.Renames) fails with ErrInjected and changes nothing, so a Crash
+	// that follows finds the file as volatile, or as unrenamed, as it was.
+	// With FailAfterPageWrites they let a test stop a commit at every I/O
+	// it performs.
+	FailAfterSyncs   int64
+	FailAfterRenames int64
 	// TornWrite, when true, makes the failing write apply a prefix of its
 	// payload before reporting the error (modeling a torn sector write).
 	TornWrite bool
@@ -304,6 +315,10 @@ func (fs *MemFS) Rename(oldName, newName string) error {
 	if !ok {
 		return fmt.Errorf("rename %q: %w", oldName, ErrNotExist)
 	}
+	if n := fs.plan.FailAfterRenames; n > 0 && fs.stats.Renames >= n {
+		return fmt.Errorf("rename %q after %d renames: %w", oldName, fs.stats.Renames, ErrInjected)
+	}
+	fs.stats.Renames++
 	delete(fs.files, oldName)
 	f.name = newName
 	fs.files[newName] = f
@@ -537,6 +552,9 @@ func (f *memFile) Sync() error {
 	defer f.fs.mu.Unlock()
 	if f.removed {
 		return fmt.Errorf("sync %q: file removed", f.name)
+	}
+	if n := f.fs.plan.FailAfterSyncs; n > 0 && f.fs.stats.Syncs >= n {
+		return fmt.Errorf("sync %q after %d syncs: %w", f.name, f.fs.stats.Syncs, ErrInjected)
 	}
 	f.durable = append(f.durable[:0], f.data...)
 	f.synced = true

@@ -246,6 +246,40 @@ func TestMemFSFailureInjection(t *testing.T) {
 	}
 }
 
+// TestMemFSSyncAndRenameFailureInjection: a Sync or Rename past its budget
+// fails and changes nothing, so the crash that follows finds the file
+// volatile, or under its old name.
+func TestMemFSSyncAndRenameFailureInjection(t *testing.T) {
+	fs := NewMemFS()
+	a, _ := fs.Create("a")
+	b, _ := fs.Create("b")
+	for _, f := range []File{a, b} {
+		if _, err := f.WriteAt([]byte("x"), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs.SetFailurePlan(FailurePlan{FailAfterSyncs: 1, FailAfterRenames: 1})
+	if err := a.Sync(); err != nil {
+		t.Fatalf("sync 1: %v", err)
+	}
+	if err := b.Sync(); !errors.Is(err, ErrInjected) {
+		t.Fatalf("sync 2: got %v, want ErrInjected", err)
+	}
+	if err := fs.Rename("a", "c"); err != nil {
+		t.Fatalf("rename 1: %v", err)
+	}
+	if err := fs.Rename("c", "d"); !errors.Is(err, ErrInjected) {
+		t.Fatalf("rename 2: got %v, want ErrInjected", err)
+	}
+	if st := fs.Stats(); st.Syncs != 1 || st.Renames != 1 {
+		t.Fatalf("failed calls were counted: %+v", st)
+	}
+	fs.Crash()
+	if names, _ := fs.List(); len(names) != 1 || names[0] != "c" {
+		t.Fatalf("after the crash: %v, want the synced file under the name its one rename gave it", names)
+	}
+}
+
 func TestMemFSTornWrite(t *testing.T) {
 	fs := NewMemFS()
 	fs.SetFailurePlan(FailurePlan{FailAfterPageWrites: 1, TornWrite: true})
