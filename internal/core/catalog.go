@@ -14,42 +14,13 @@ type Clone struct {
 	Base uint64 // the parent-line version (global CP number) it was cloned from
 }
 
-// Catalog is the engine's view of snapshot topology: which snapshot
-// versions of each line still exist, which lines are live, and how lines
-// were cloned from one another. fsim implements it from its in-memory
-// metadata; standalone databases use MemCatalog.
-type Catalog interface {
-	// SnapshotsIn returns the retained (non-deleted) snapshot versions v
-	// of line with from <= v < to, in ascending order.
-	SnapshotsIn(line, from, to uint64) []uint64
-	// IsLive reports whether the line's writable file system still exists.
-	IsLive(line uint64) bool
-	// Clones returns the clones created from this line that are still
-	// needed (live, or carrying snapshots, or transitively cloned into
-	// needed lines). Query expansion follows these edges.
-	Clones(line uint64) []Clone
-	// PinnedIn reports whether any version v of line with from <= v < to
-	// must be preserved for inheritance even though it may have been
-	// deleted: clone-base versions of needed clones, including zombie
-	// snapshots (Section 4.2.2).
-	PinnedIn(line, from, to uint64) bool
-	// OldestReachable returns the smallest consistency point any retained
-	// snapshot or zombie (deleted-but-cloned) version of any line still
-	// pins, and ok=false when no such version exists. It is the reclaim
-	// horizon of drop-based expiry: a complete back-reference interval
-	// ending before it can never again be exposed by masking, because
-	// clone bases are always members of their parent's snapshot-or-zombie
-	// set, so the minimum over those sets bounds every PinnedIn answer
-	// too. Live lines need no term here — their references are incomplete
-	// (to == Infinity) or protected as override records.
-	OldestReachable() (uint64, bool)
-}
-
-// MemCatalog is a Catalog implementation that also provides the management
-// operations a file system performs: taking and deleting snapshots,
-// creating writable clones, and deleting lines. It maintains the paper's
-// zombie list: deleting a snapshot that has clones keeps its version pinned
-// until no descendants remain. MemCatalog is safe for concurrent use.
+// MemCatalog is the engine's snapshot topology — which snapshot versions of
+// each line still exist, which lines are live, and how lines were cloned
+// from one another — together with the management operations a file system
+// performs on it: taking and deleting snapshots, creating writable clones,
+// and deleting lines. It maintains the paper's zombie list: deleting a
+// snapshot that has clones keeps its version pinned until no descendants
+// remain. MemCatalog is safe for concurrent use.
 type MemCatalog struct {
 	mu    sync.RWMutex
 	lines map[uint64]*lineInfo
@@ -228,7 +199,8 @@ func (c *MemCatalog) neededLocked(li *lineInfo, visiting map[uint64]bool) bool {
 	return false
 }
 
-// SnapshotsIn implements Catalog.
+// SnapshotsIn returns the retained (non-deleted) snapshot versions v of line
+// with from <= v < to, in ascending order.
 func (c *MemCatalog) SnapshotsIn(line, from, to uint64) []uint64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -246,7 +218,7 @@ func (c *MemCatalog) SnapshotsIn(line, from, to uint64) []uint64 {
 	return out
 }
 
-// IsLive implements Catalog.
+// IsLive reports whether the line's writable file system still exists.
 func (c *MemCatalog) IsLive(line uint64) bool {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -254,7 +226,9 @@ func (c *MemCatalog) IsLive(line uint64) bool {
 	return ok && li.Live
 }
 
-// Clones implements Catalog.
+// Clones returns the clones created from this line that are still needed
+// (live, or carrying snapshots, or transitively cloned into needed lines).
+// Query expansion follows these edges.
 func (c *MemCatalog) Clones(line uint64) []Clone {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -274,7 +248,10 @@ func (c *MemCatalog) Clones(line uint64) []Clone {
 	return out
 }
 
-// PinnedIn implements Catalog.
+// PinnedIn reports whether any version v of line with from <= v < to must
+// be preserved for inheritance even though it may have been deleted:
+// clone-base versions of needed clones, including zombie snapshots (Section
+// 4.2.2).
 func (c *MemCatalog) PinnedIn(line, from, to uint64) bool {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -293,8 +270,15 @@ func (c *MemCatalog) PinnedIn(line, from, to uint64) bool {
 	return false
 }
 
-// OldestReachable implements Catalog: the minimum over every line's
-// retained snapshot and zombie versions, cached until the next mutation.
+// OldestReachable returns the smallest consistency point any retained
+// snapshot or zombie (deleted-but-cloned) version of any line still pins,
+// and ok=false when no such version exists; the minimum is cached until the
+// next mutation. It is the reclaim horizon of drop-based expiry: a complete
+// back-reference interval ending before it can never again be exposed by
+// masking, because clone bases are always members of their parent's
+// snapshot-or-zombie set, so the minimum over those sets bounds every
+// PinnedIn answer too. Live lines need no term here — their references are
+// incomplete (to == Infinity) or protected as override records.
 func (c *MemCatalog) OldestReachable() (uint64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -413,8 +413,17 @@ func (e *Engine) emitLeveledGroup(g groupRecs, whole bool, newFrom, newTo, newCo
 			return err
 		}
 	}
+	// A lone From is [f, Infinity) only until its To arrives — and the To may
+	// already sit in the write store, removed in the CP that deleted the
+	// line. Purged alone, the From would leave that To to read as an
+	// override [0, t): it would answer for the line's snapshots before f and
+	// hand the reference to clones based before f. So a lone From is purged
+	// only once its line is no longer needed, when [0, t) is as invisible
+	// as [f, t). A deleted line's snapshots older than f therefore keep the
+	// From after its To has been flushed too; that retention ends with those
+	// snapshots (and the clones based on them), and is accepted.
 	for _, f := range loneFroms {
-		if whole && !e.keepInterval(line, f, Infinity) {
+		if whole && !e.keepInterval(line, 0, Infinity) {
 			*purged++
 			continue
 		}

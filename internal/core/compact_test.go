@@ -1,7 +1,7 @@
 // Tests of the one merge executor against a storage layer that misbehaves
 // on cue: a header write that fails inside RunBuilder.Finish, and a
 // checkpoint that lands in the middle of every optimistic attempt. Package
-// core_test because the answers are checked against internal/naive.
+// core_test because the answers are checked against the model.
 package core_test
 
 import (
@@ -91,21 +91,20 @@ func assertNoOrphans(t *testing.T, fs storage.VFS, eng *core.Engine) {
 	}
 }
 
-// mergeFixture is an engine over a hookFS plus the record of every
-// operation applied to it, replayable into the naive oracle.
+// mergeFixture is an engine over a hookFS and the model of what it holds.
 type mergeFixture struct {
 	t   *testing.T
 	fs  *hookFS
 	cat *core.MemCatalog
 	eng *core.Engine
-	ops []oracleOp
+	m   *model
 }
 
 const fixtureBlocks = 48
 
 func newMergeFixture(t *testing.T, opts core.Options) *mergeFixture {
 	t.Helper()
-	fx := &mergeFixture{t: t, fs: &hookFS{VFS: storage.NewMemFS()}, cat: core.NewMemCatalog()}
+	fx := &mergeFixture{t: t, fs: &hookFS{VFS: storage.NewMemFS()}, cat: core.NewMemCatalog(), m: newModel()}
 	opts.VFS, opts.Catalog = fx.fs, fx.cat
 	eng, err := core.Open(opts)
 	if err != nil {
@@ -116,13 +115,9 @@ func newMergeFixture(t *testing.T, opts core.Options) *mergeFixture {
 	return fx
 }
 
-func (fx *mergeFixture) apply(o oracleOp) {
-	if o.remove {
-		fx.eng.RemoveRef(o.ref, o.cp)
-	} else {
-		fx.eng.AddRef(o.ref, o.cp)
-	}
-	fx.ops = append(fx.ops, o)
+func (fx *mergeFixture) apply(o refOp) {
+	o.applyTo(fx.eng)
+	fx.m.apply(o)
 }
 
 // epoch applies one consistency point: a batch of adds owned by inode
@@ -132,11 +127,12 @@ func (fx *mergeFixture) apply(o oracleOp) {
 func (fx *mergeFixture) epoch(cp uint64) {
 	fx.t.Helper()
 	for i := uint64(0); i < fixtureBlocks; i++ {
-		fx.apply(oracleOp{ref: core.Ref{Block: i, Inode: 10 + cp, Offset: i, Length: 1}, cp: cp})
+		fx.apply(refOp{ref: core.Ref{Block: i, Inode: 10 + cp, Offset: i, Length: 1}, cp: cp})
 		if cp > 2 && i%2 == 0 {
-			fx.apply(oracleOp{ref: core.Ref{Block: i, Inode: 10 + cp - 2, Offset: i, Length: 1}, cp: cp, remove: true})
+			fx.apply(refOp{ref: core.Ref{Block: i, Inode: 10 + cp - 2, Offset: i, Length: 1}, cp: cp, remove: true})
 		}
 	}
+	fx.m.snapshot(0, cp)
 	if err := fx.cat.CreateSnapshot(0, cp); err != nil {
 		fx.t.Fatal(err)
 	}
@@ -148,14 +144,14 @@ func (fx *mergeFixture) epoch(cp uint64) {
 func (fx *mergeFixture) verify() {
 	fx.t.Helper()
 	assertNoOrphans(fx.t, fx.fs, fx.eng)
-	verifyLiveAgainstNaive(fx.t, fx.eng, [][]oracleOp{fx.ops}, fixtureBlocks)
+	fx.m.check(fx.t, fx.eng, fixtureBlocks)
 }
 
 // TestFinishFailureLeavesNoOrphan fails the header write of the second
 // output of a merge — a builder with a finished one before it and, in the
 // leveled case, an unfinished one after it. Whatever the job's shape, the
 // failed merge must leave no run file the manifest does not list, the
-// store must keep answering like the oracle, and the merge must go through
+// store must keep answering like the model, and the merge must go through
 // once the fault is gone.
 func TestFinishFailureLeavesNoOrphan(t *testing.T) {
 	cases := []struct {

@@ -27,15 +27,14 @@ type Options struct {
 	VFS storage.VFS
 	// Catalog supplies snapshot topology for masking, inheritance
 	// expansion, and purging. Required.
-	Catalog Catalog
-	// PersistCatalog makes the engine the keeper of Catalog, which must then
-	// be a *MemCatalog: Open fills it from the manifest before anything
-	// consults the topology, and every manifest commit — checkpoint, merge
-	// install, expiry, PersistCatalog — carries it as it is at that moment,
-	// so a purge and the topology that justified it are durable together or
-	// not at all. Internal wiring, set by backlog.Open alone: fsim and the
-	// experiments derive the topology from their own metadata, pass a bare
-	// catalog, and get a manifest without the section.
+	Catalog *MemCatalog
+	// PersistCatalog makes the engine the keeper of Catalog: Open fills it
+	// from the manifest before anything consults the topology, and every
+	// manifest commit — checkpoint, merge install, expiry, PersistCatalog —
+	// carries it as it is at that moment, so a purge and the topology that
+	// justified it are durable together or not at all. Internal wiring, set
+	// by backlog.Open alone: fsim and the experiments keep the catalog
+	// themselves and get a manifest without the section.
 	PersistCatalog bool
 	// CacheBytes sizes the shared page cache (default 32 MB, the paper's
 	// micro-benchmark configuration). Pages are cached in their on-disk
@@ -93,8 +92,7 @@ type Options struct {
 	// no partition exceeds CompactThreshold, pausing maintainPace between
 	// merges. Compaction merges run against a pinned view outside the
 	// structural lock, so updates and queries keep flowing while it
-	// works. Requires a Catalog that is safe for concurrent use
-	// (MemCatalog is).
+	// works.
 	AutoCompact bool
 	// CompactThreshold is the per-partition run count (summed across the
 	// From, To, and Combined tables) above which the maintainer compacts
@@ -310,7 +308,7 @@ type Engine struct {
 	mu      sync.RWMutex
 	opts    Options
 	vfs     storage.VFS
-	catalog Catalog
+	catalog *MemCatalog
 	db      *lsm.DB
 	cache   *btree.Cache
 	// section serializes the catalog for the manifest (nil unless
@@ -420,11 +418,7 @@ func Open(opts Options) (*Engine, error) {
 	}
 	var section *catalogSection
 	if opts.PersistCatalog {
-		cat, ok := opts.Catalog.(*MemCatalog)
-		if !ok {
-			return nil, fmt.Errorf("core: PersistCatalog needs a *MemCatalog, not %T", opts.Catalog)
-		}
-		section = &catalogSection{cat: cat}
+		section = &catalogSection{cat: opts.Catalog}
 		lopts.Section = section.marshal
 	}
 	db, err := lsm.Open(vfs, lopts)
@@ -1246,7 +1240,7 @@ func (e *Engine) RunInfos() []lsm.RunInfo {
 }
 
 // Catalog returns the engine's snapshot catalog.
-func (e *Engine) Catalog() Catalog { return e.catalog }
+func (e *Engine) Catalog() *MemCatalog { return e.catalog }
 
 // DB exposes the underlying LSM store for tests and tooling.
 func (e *Engine) DB() *lsm.DB { return e.db }

@@ -1,19 +1,15 @@
 // Drop-based expiry tests: the no-read reclaim contract, the safety
-// deferrals, crash windows around the manifest commit, the expiry-vs-
-// compaction I/O gap, and a -race hammer that runs Expire against the
-// full concurrent workload with a moving reclaim horizon. They live in
-// package core_test to share the gated-VFS harness and the naive-oracle
-// helpers with freeze_test.go and maintain_test.go.
+// deferrals, crash windows around the manifest commit and the expiry-vs-
+// compaction I/O gap. (Expire racing the full concurrent workload is
+// TestStateMachineConcurrent's "expire" row.) They live in package
+// core_test to share the gated-VFS harness with freeze_test.go.
 package core_test
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/backlogfs/backlog/internal/core"
 	"github.com/backlogfs/backlog/internal/lsm"
@@ -538,155 +534,4 @@ func TestCompactPartitionIsTieredUnderRetainLive(t *testing.T) {
 	if owners := fQuery(t, eng, 9); len(owners) != 1 || !owners[0].Live {
 		t.Fatalf("live block 9 wrong after expiry: %+v", owners)
 	}
-}
-
-// TestExpireHammerAgainstNaiveOracle runs the full concurrent workload —
-// AddRef/RemoveRef/Query/Checkpoint plus background tiered compaction —
-// while a snapshot churner keeps only a sliding window of recent
-// snapshots (so the reclaim horizon climbs continuously) and a dedicated
-// goroutine hammers Expire. Run under -race. Afterwards the live
-// reference set must match the naive oracle, and a final full expiry
-// (every snapshot deleted, horizon = Infinity) must reclaim every sealed
-// run without touching live data.
-func TestExpireHammerAgainstNaiveOracle(t *testing.T) {
-	const (
-		workers = 4
-		opsEach = 800
-		blocks  = 256
-		maxCP   = 10
-	)
-	fs := storage.NewMemFS()
-	cat := core.NewMemCatalog()
-	eng, err := core.Open(core.Options{
-		VFS:              fs,
-		Catalog:          cat,
-		Partitions:       4,
-		HashPartitioning: true,
-		WriteShards:      workers,
-		AutoCompact:      true,
-		CompactThreshold: 4,
-		Retention:        core.RetainLive,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-
-	streams := genOps(workers, opsEach, blocks, maxCP)
-	stop := make(chan struct{})
-	errc := make(chan error, 8)
-	var aux sync.WaitGroup
-
-	// Checkpointer + snapshot churner: every committed CP becomes a
-	// snapshot, and snapshots more than three CPs behind are deleted, so
-	// the reclaim horizon advances under the running expiry.
-	var cpMu sync.Mutex
-	lastCP := uint64(maxCP + 1)
-	pace := newCPPace()
-	aux.Add(1)
-	go func() {
-		defer aux.Done()
-		defer pace.release()
-		var snaps []uint64
-		for cp := uint64(maxCP + 2); ; cp++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := eng.Checkpoint(cp); err != nil {
-				errc <- fmt.Errorf("checkpoint %d: %w", cp, err)
-				return
-			}
-			cpMu.Lock()
-			lastCP = cp
-			cpMu.Unlock()
-			pace.checkpointed()
-			if err := cat.CreateSnapshot(0, cp); err != nil {
-				errc <- err
-				return
-			}
-			snaps = append(snaps, cp)
-			for len(snaps) > 3 {
-				if err := cat.DeleteSnapshot(0, snaps[0]); err != nil {
-					errc <- err
-					return
-				}
-				snaps = snaps[1:]
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}()
-
-	// Expiry hammer: races checkpoints (deferral path), compaction
-	// installs, and pinned-view queries.
-	aux.Add(1)
-	go func() {
-		defer aux.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if _, err := eng.Expire(); err != nil {
-				errc <- fmt.Errorf("concurrent expire: %w", err)
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}()
-
-	// Query hammer across the whole block range.
-	aux.Add(1)
-	go func() {
-		defer aux.Done()
-		rng := rand.New(rand.NewSource(99))
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if _, err := eng.Query(uint64(rng.Intn(blocks))); err != nil {
-				errc <- fmt.Errorf("concurrent query: %w", err)
-				return
-			}
-		}
-	}()
-
-	pace.ingest(eng, streams)
-	close(stop)
-	aux.Wait()
-	select {
-	case err := <-errc:
-		t.Fatal(err)
-	default:
-	}
-
-	cpMu.Lock()
-	final := lastCP + 1
-	cpMu.Unlock()
-	fCheckpoint(t, eng, final)
-	waitMaintained(t, eng)
-	verifyLiveAgainstNaive(t, eng, streams, blocks)
-
-	// Tear down every snapshot: the horizon goes to Infinity, so one
-	// tiered pass plus one expiry must leave no sealed run behind — and
-	// the live set must still be intact.
-	for _, v := range cat.Snapshots(0) {
-		if err := cat.DeleteSnapshot(0, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := eng.CompactTiered(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Expire(); err != nil {
-		t.Fatal(err)
-	}
-	if left := sealedRuns(eng); len(left) != 0 {
-		t.Fatalf("%d sealed runs survive an Infinity horizon: %+v", len(left), left)
-	}
-	verifyLiveAgainstNaive(t, eng, streams, blocks)
 }

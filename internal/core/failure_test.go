@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 
 	"github.com/backlogfs/backlog/internal/storage"
@@ -121,73 +120,6 @@ func TestCompactionFailureIsAtomic(t *testing.T) {
 			if len(got) != want {
 				t.Fatalf("bomb %d (compact err %v): block %d has %d owners, want %d",
 					bomb, errCompact, b, len(got), want)
-			}
-		}
-	}
-}
-
-// TestRandomCrashPoints hammers a mixed workload with crash points after
-// every few committed CPs, verifying recovered state always equals the
-// last committed CP's state.
-func TestRandomCrashPoints(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	fs := storage.NewMemFS()
-	cat := NewMemCatalog()
-	eng, err := Open(Options{VFS: fs, Catalog: cat})
-	if err != nil {
-		t.Fatal(err)
-	}
-	type state map[uint64]int // block -> owner count at last checkpoint
-	committed := state{}
-	live := map[Ref]bool{}
-
-	for cp := uint64(1); cp <= 30; cp++ {
-		for i := 0; i < 10; i++ {
-			if rng.Intn(2) == 0 || len(live) == 0 {
-				r := ref(uint64(rng.Intn(40)), uint64(1+rng.Intn(4)), uint64(rng.Intn(3)), 0)
-				if !live[r] {
-					eng.AddRef(r, cp)
-					live[r] = true
-				}
-			} else {
-				for r := range live {
-					eng.RemoveRef(r, cp)
-					delete(live, r)
-					break
-				}
-			}
-		}
-		mustCheckpoint(t, eng, cp)
-		committed = state{}
-		for r := range live {
-			committed[r.Block]++
-		}
-
-		if cp%7 == 0 {
-			// Buffer some doomed ops, then crash.
-			doomed := ref(999, 9, 9, 0)
-			eng.AddRef(doomed, cp+1)
-			fs.Crash()
-			eng, err = Open(Options{VFS: fs, Catalog: cat})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if eng.CP() != cp {
-				t.Fatalf("recovered CP %d, want %d", eng.CP(), cp)
-			}
-			for b, want := range committed {
-				got := 0
-				for _, o := range mustQuery(t, eng, b) {
-					if o.Live {
-						got++
-					}
-				}
-				if got != want {
-					t.Fatalf("cp %d: block %d live owners %d, want %d", cp, b, got, want)
-				}
-			}
-			if got := mustQuery(t, eng, 999); len(got) != 0 {
-				t.Fatal("uncommitted op survived crash")
 			}
 		}
 	}

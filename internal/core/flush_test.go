@@ -1,15 +1,14 @@
 // Tests of the checkpoint flush as one merged stream per table: the run
 // set a checkpoint writes is the same whatever the write-store shard count,
 // and a flush that fails at any run-file I/O loses nothing and leaves
-// nothing. Package core_test because the answers are checked against
-// internal/naive.
+// nothing. Package core_test because the answers are checked against the
+// model.
 package core_test
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -23,72 +22,54 @@ const (
 	flushMoved  = 1000 // where the script relocates a block to; never drawn
 )
 
-// flushScript drives one seeded op stream into eng: consistency points 1
-// and 2 — adds, removes of older references and same-CP add/remove pairs —
-// each retained by a snapshot and checkpointed; the ops of consistency
-// point 3, left buffered; a whole merge, so that Combined runs exist; and
-// the relocation of a block with live and completed references, which puts
-// records of all three tables into the write stores. The caller
-// checkpoints as 3. It returns the ops for the naive oracle — those on the
-// relocated block re-keyed, since naive has no relocation — and a
-// reference added at CP 3 that is still buffered.
-func flushScript(t *testing.T, eng *core.Engine, cat *core.MemCatalog) (ops []oracleOp, buffered core.Ref) {
+// flushScript drives the shared update stream into eng: consistency points
+// 1 and 2 — adds, removes of older references, same-CP add/remove pairs —
+// each retained by a snapshot and checkpointed; the updates of consistency
+// point 3, left buffered, with one more reference added there (returned);
+// a whole merge, so that Combined runs exist; and the relocation of a block
+// with live and completed references, which puts records of all three
+// tables into the write stores. The caller checkpoints as 3. It returns the
+// model of what the store then answers.
+func flushScript(t *testing.T, eng *core.Engine, cat *core.MemCatalog) (m *model, buffered core.Ref) {
 	t.Helper()
 	const moved = 7
-	apply := func(o oracleOp) {
-		if o.remove {
-			eng.RemoveRef(o.ref, o.cp)
-		} else {
-			eng.AddRef(o.ref, o.cp)
-		}
-		if o.ref.Block == moved {
-			o.ref.Block = flushMoved
-		}
-		ops = append(ops, o)
+	m = newModel()
+	apply := func(o refOp) {
+		o.applyTo(eng)
+		m.apply(o)
 	}
-	rng := rand.New(rand.NewSource(23))
-	var live []core.Ref // added at an earlier CP, not yet removed
-	for cp := uint64(1); cp <= 3; cp++ {
-		var added []core.Ref
-		if cp == 2 {
-			// The moved block gets a completed interval.
-			apply(oracleOp{ref: core.Ref{Block: moved, Inode: 1, Offset: 0, Length: 1}, cp: cp, remove: true})
+	for _, batch := range cpBatches(hammerStreams(1, 900, 900, 3)[0]) {
+		cp := batch[0].cp
+		for i := uint64(0); i < 4; i++ {
+			apply(refOp{ref: core.Ref{Block: moved, Inode: 100 + cp, Offset: i, Length: 1}, cp: cp})
 		}
-		for i := 0; i < 300; i++ {
-			ref := core.Ref{Block: uint64(rng.Intn(900)), Inode: cp, Offset: uint64(i), Length: 1}
-			switch {
-			case i < 4: // stays out of live: removed only above
-				ref.Block = moved
-				apply(oracleOp{ref: ref, cp: cp})
-			case i%5 == 4 && len(live) > 0:
-				k := rng.Intn(len(live))
-				apply(oracleOp{ref: live[k], cp: cp, remove: true})
-				live = append(live[:k], live[k+1:]...)
-			case i%7 == 6: // cancels in the write store
-				apply(oracleOp{ref: ref, cp: cp})
-				apply(oracleOp{ref: ref, cp: cp, remove: true})
-			default:
-				apply(oracleOp{ref: ref, cp: cp})
-				added = append(added, ref)
+		if cp == 2 { // the moved block gets a completed interval
+			apply(refOp{ref: core.Ref{Block: moved, Inode: 101, Length: 1}, cp: cp, remove: true})
+		}
+		for _, o := range batch {
+			if o.ref.Block != moved {
+				apply(o)
 			}
 		}
 		if cp == 3 {
-			buffered = added[len(added)-1]
 			break
 		}
-		live = append(live, added...)
+		m.snapshot(0, cp)
 		if err := cat.CreateSnapshot(0, cp); err != nil {
 			t.Fatal(err)
 		}
 		fCheckpoint(t, eng, cp)
 	}
+	buffered = core.Ref{Block: 901, Inode: 9, Length: 1}
+	apply(refOp{ref: buffered, cp: 3})
 	if err := eng.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.RelocateBlock(moved, flushMoved); err != nil {
 		t.Fatal(err)
 	}
-	return ops, buffered
+	m.relocate(moved, flushMoved)
+	return m, buffered
 }
 
 // runFiles returns the contents of every run file in fs, keyed by table
@@ -128,7 +109,7 @@ func runFiles(t *testing.T, fs *storage.MemFS) map[string][][]byte {
 // TestCheckpointFlushRunSetIgnoresShardCount: sharding the write store
 // buys update concurrency and costs nothing on disk. The same op stream
 // through 1, 2 and 8 shards leaves byte-identical run files, the same run
-// metadata and the same answers, and those are the naive oracle's.
+// metadata and the same answers, and those are the model's.
 func TestCheckpointFlushRunSetIgnoresShardCount(t *testing.T) {
 	for _, parts := range []int{1, 4} {
 		for _, comp := range []core.Compression{core.CompressionNone, core.CompressionDelta} {
@@ -147,7 +128,7 @@ func TestCheckpointFlushRunSetIgnoresShardCount(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					ops, _ := flushScript(t, eng, cat)
+					m, _ := flushScript(t, eng, cat)
 					fCheckpoint(t, eng, 3)
 
 					var runs []string
@@ -160,7 +141,7 @@ func TestCheckpointFlushRunSetIgnoresShardCount(t *testing.T) {
 					for b := range owners {
 						owners[b] = fQuery(t, eng, uint64(b))
 					}
-					verifyLiveAgainstNaive(t, eng, [][]oracleOp{ops}, flushBlocks)
+					m.check(t, eng, flushBlocks)
 					eng.Close()
 					if shards == 1 {
 						wantFiles, wantRuns, wantOwners = files, runs, owners
@@ -233,7 +214,7 @@ func TestCheckpointFlushFailureAtEveryRunIO(t *testing.T) {
 	for n := int64(1); n <= ios; n++ {
 		vfs, cat := &scriptVFS{VFS: storage.NewMemFS()}, core.NewMemCatalog()
 		eng := open(vfs, cat)
-		ops, buffered := flushScript(t, eng, cat)
+		m, buffered := flushScript(t, eng, cat)
 		buffer := eng.WSLen()
 		vfs.failRunIO.Store(n)
 		if err := eng.Checkpoint(3); !errors.Is(err, storage.ErrInjected) {
@@ -246,10 +227,10 @@ func TestCheckpointFlushFailureAtEveryRunIO(t *testing.T) {
 			t.Fatalf("I/O %d: CP = %d after the failed flush", n, cp)
 		}
 		assertNoOrphans(t, vfs, eng)
-		verifyLiveAgainstNaive(t, eng, [][]oracleOp{ops}, flushBlocks)
+		m.check(t, eng, flushBlocks)
 		pruned := eng.Stats().PrunedRemoves
 		eng.RemoveRef(buffered, 3)
-		ops = append(ops, oracleOp{ref: buffered, cp: 3, remove: true})
+		m.update(buffered, 3, false)
 		if got := eng.Stats().PrunedRemoves; got != pruned+1 {
 			t.Fatalf("I/O %d: a same-CP RemoveRef did not find its AddRef in the owning shard after the restore", n)
 		}
@@ -259,12 +240,12 @@ func TestCheckpointFlushFailureAtEveryRunIO(t *testing.T) {
 			t.Fatalf("I/O %d: %d records buffered after the retry", n, got)
 		}
 		assertNoOrphans(t, vfs, eng)
-		verifyLiveAgainstNaive(t, eng, [][]oracleOp{ops}, flushBlocks)
+		m.check(t, eng, flushBlocks)
 		if err := eng.Close(); err != nil {
 			t.Fatal(err)
 		}
 		reopened := open(vfs.VFS, cat)
-		verifyLiveAgainstNaive(t, reopened, [][]oracleOp{ops}, flushBlocks)
+		m.check(t, reopened, flushBlocks)
 		reopened.Close()
 	}
 }

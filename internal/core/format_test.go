@@ -1,8 +1,7 @@
-// Mixed-format tests live in package core_test so they can drive the
-// exported engine API against the internal/naive oracle (which itself
-// imports core). They pin the v1 -> v2 migration story: a database full
-// of raw runs opens under the delta default, answers queries identically,
-// and compaction rewrites it into compressed runs with no migration step.
+// Mixed-format tests pin the migration story against the model
+// (statemachine_test.go): a database full of raw or previous-format runs
+// opens under the delta default, answers queries identically, and
+// compaction rewrites it into current-format runs with no migration step.
 package core_test
 
 import (
@@ -20,7 +19,6 @@ import (
 
 	"github.com/backlogfs/backlog/internal/btree"
 	"github.com/backlogfs/backlog/internal/core"
-	"github.com/backlogfs/backlog/internal/naive"
 	"github.com/backlogfs/backlog/internal/storage"
 	"github.com/backlogfs/backlog/internal/wal"
 )
@@ -59,7 +57,7 @@ func queryFingerprint(t *testing.T, eng *core.Engine, blocks int) string {
 }
 
 // TestV1DatabaseCompactsIntoV2 builds a database with compression off
-// (raw v1 runs), verifies it against the naive oracle, reopens it under
+// (raw v1 runs), verifies it against the model, reopens it under
 // the delta default — no migration step — and compacts it into v2 runs,
 // asserting the query results stay byte-identical throughout.
 func TestV1DatabaseCompactsIntoV2(t *testing.T) {
@@ -71,7 +69,7 @@ func TestV1DatabaseCompactsIntoV2(t *testing.T) {
 	)
 	fs := storage.NewMemFS()
 	cat := core.NewMemCatalog()
-	streams := genOps(workers, opsEach, blocks, maxCP)
+	m := newModel()
 
 	eng, err := core.Open(core.Options{
 		VFS:         fs,
@@ -81,27 +79,22 @@ func TestV1DatabaseCompactsIntoV2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	streams := hammerStreams(workers, opsEach, blocks, maxCP)
 	for cp := uint64(1); cp <= maxCP; cp++ {
 		for _, stream := range streams {
 			for _, o := range stream {
-				if o.cp != cp {
-					continue
-				}
-				if o.remove {
-					eng.RemoveRef(o.ref, o.cp)
-				} else {
-					eng.AddRef(o.ref, o.cp)
+				if o.cp == cp {
+					o.applyTo(eng)
+					m.apply(o)
 				}
 			}
 		}
-		if err := eng.Checkpoint(cp); err != nil {
-			t.Fatal(err)
-		}
+		fCheckpoint(t, eng, cp)
 	}
 	if n := formatCounts(eng)[btree.FormatDelta]; n != 0 {
 		t.Fatalf("CompressionNone engine wrote %d delta runs", n)
 	}
-	verifyLiveAgainstNaive(t, eng, streams, blocks)
+	m.check(t, eng, blocks)
 	before := queryFingerprint(t, eng, blocks)
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
@@ -132,7 +125,7 @@ func TestV1DatabaseCompactsIntoV2(t *testing.T) {
 	if counts[btree.FormatDelta] == 0 {
 		t.Fatalf("compaction produced no delta runs: %v", counts)
 	}
-	verifyLiveAgainstNaive(t, eng, streams, blocks)
+	m.check(t, eng, blocks)
 	if got := queryFingerprint(t, eng, blocks); got != before {
 		t.Fatal("compacting into v2 changed query results")
 	}
@@ -226,9 +219,9 @@ func TestCorruptCompressedRunSurfacesErrCorrupt(t *testing.T) {
 // after CP 4 — so the directory holds level-1 runs and the level-0 runs of
 // CPs 5 and 6, all in run format 2 — and Close right after the updates of
 // CP 7, which therefore exist only in the log tail.
-func v2StoreOps() []oracleOp {
+func v2StoreOps() []refOp {
 	const n = 4200
-	ops := make([]oracleOp, 0, n)
+	ops := make([]refOp, 0, n)
 	var added []core.Ref
 	var removed []bool
 	oldest := 0 // first reference not yet removed
@@ -246,13 +239,13 @@ func v2StoreOps() []oracleOp {
 			}
 			if k >= 0 && !removed[k] {
 				removed[k] = true
-				ops = append(ops, oracleOp{ref: added[k], cp: cp, remove: true})
+				ops = append(ops, refOp{ref: added[k], cp: cp, remove: true})
 				continue
 			}
 		}
 		r := core.Ref{Block: i * 37 % 150, Inode: 1 + i%4, Offset: i, Length: 1 + i%2}
 		added, removed = append(added, r), append(removed, false)
-		ops = append(ops, oracleOp{ref: r, cp: cp})
+		ops = append(ops, refOp{ref: r, cp: cp})
 	}
 	return ops
 }
@@ -260,7 +253,7 @@ func v2StoreOps() []oracleOp {
 // TestV2StoreOpensAndMigrates is the run-format upgrade path end to end: a
 // directory the previous binary wrote (format-2 delta runs at two levels,
 // snapshots, a Buffered log tail — never regenerate it) opens, answers
-// every query as the naive oracle does, checkpoints, and compacts into
+// every query as the model does, checkpoints, and compacts into
 // the current format with the answers unchanged, across a reopen.
 func TestV2StoreOpensAndMigrates(t *testing.T) {
 	const blocks = 150
@@ -294,50 +287,15 @@ func TestV2StoreOpensAndMigrates(t *testing.T) {
 		f.Close()
 	}
 
-	oracle, err := naive.New(storage.NewMemFS(), 1<<20)
-	if err != nil {
-		t.Fatal(err)
+	m := newModel()
+	for v := uint64(1); v <= 6; v++ {
+		m.snapshot(0, v) // the store's CATALOG
 	}
 	tail := 0
 	for _, o := range v2StoreOps() {
-		if o.remove {
-			oracle.RemoveRef(o.ref, o.cp)
-		} else {
-			oracle.AddRef(o.ref, o.cp)
-		}
+		m.apply(o)
 		if o.cp == 7 {
 			tail++
-		}
-	}
-	// Every CP up to 6 is a retained snapshot and the rest is live, so no
-	// interval is masked: the engine must report exactly the oracle's
-	// non-empty intervals.
-	checkOracle := func(eng *core.Engine, when string) {
-		t.Helper()
-		for b := uint64(0); b < blocks; b++ {
-			recs, err := oracle.QueryBlock(b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var want, got []string
-			for _, r := range recs {
-				if r.From != r.To {
-					want = append(want, fmt.Sprintf("%+v [%d,%d)", r.Ref, r.From, r.To))
-				}
-			}
-			owners, err := eng.Query(b)
-			if err != nil {
-				t.Fatalf("%s: block %d: %v", when, b, err)
-			}
-			for _, o := range owners {
-				ref := core.Ref{Block: b, Inode: o.Inode, Offset: o.Offset, Line: o.Line, Length: o.Length}
-				got = append(got, fmt.Sprintf("%+v [%d,%d)", ref, o.From, o.To))
-			}
-			sort.Strings(want)
-			sort.Strings(got)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: block %d answers\n%v\nthe oracle\n%v", when, b, got, want)
-			}
 		}
 	}
 
@@ -363,7 +321,7 @@ func TestV2StoreOpensAndMigrates(t *testing.T) {
 	if !levels[0] || !levels[1] {
 		t.Fatalf("golden store's run levels: %v, want 0 and 1", levels)
 	}
-	checkOracle(eng, "as written by the previous binary")
+	m.check(t, eng, blocks)
 	before := queryFingerprint(t, eng, blocks)
 
 	// A checkpoint writes its runs in the current format next to the old
@@ -375,7 +333,7 @@ func TestV2StoreOpensAndMigrates(t *testing.T) {
 	if counts[btree.FormatDelta] == 0 || counts[btree.Format(2)] == 0 {
 		t.Fatalf("after the checkpoint: %v, want format-2 and current-format runs side by side", counts)
 	}
-	checkOracle(eng, "mixed formats")
+	m.check(t, eng, blocks)
 
 	if err := eng.Compact(); err != nil {
 		t.Fatal(err)
@@ -383,7 +341,7 @@ func TestV2StoreOpensAndMigrates(t *testing.T) {
 	if counts := formatCounts(eng); len(counts) != 1 || counts[btree.FormatDelta] == 0 {
 		t.Fatalf("after compaction: %v, want only current-format delta runs", counts)
 	}
-	checkOracle(eng, "compacted")
+	m.check(t, eng, blocks)
 	if got := queryFingerprint(t, eng, blocks); got != before {
 		t.Fatal("compacting into the current format changed query results")
 	}
@@ -396,7 +354,7 @@ func TestV2StoreOpensAndMigrates(t *testing.T) {
 	if counts := formatCounts(eng); len(counts) != 1 || counts[btree.FormatDelta] == 0 {
 		t.Fatalf("after the reopen: %v", counts)
 	}
-	checkOracle(eng, "reopened")
+	m.check(t, eng, blocks)
 	if got := queryFingerprint(t, eng, blocks); got != before {
 		t.Fatal("reopening the migrated store changed query results")
 	}

@@ -1,11 +1,10 @@
-// Frozen-write-store checkpoint tests. These live in an external test
-// package so they can verify against the internal/naive oracle, which
-// itself imports internal/core.
+// Frozen-write-store checkpoint tests. (Back-to-back checkpoints with
+// injected flush failures under concurrent load are
+// TestStateMachineConcurrent's "checkpoint" row.)
 package core_test
 
 import (
 	"errors"
-	"math/rand"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,7 +12,6 @@ import (
 	"time"
 
 	"github.com/backlogfs/backlog/internal/core"
-	"github.com/backlogfs/backlog/internal/naive"
 	"github.com/backlogfs/backlog/internal/obs"
 	"github.com/backlogfs/backlog/internal/storage"
 	"github.com/backlogfs/backlog/internal/wal"
@@ -506,227 +504,6 @@ func TestCloseDuringCheckpointFlush(t *testing.T) {
 	}
 	if err := <-closeDone; err != nil {
 		t.Fatal(err)
-	}
-}
-
-// hammerOp is one pre-generated write operation of a worker's stream;
-// identities are disjoint across workers so a sequential replay is a
-// valid oracle regardless of interleaving.
-type hammerOp struct {
-	r      core.Ref
-	cp     uint64
-	remove bool
-}
-
-func genHammerStreams(workers, opsEach, blocks int, maxCP uint64) [][]hammerOp {
-	streams := make([][]hammerOp, workers)
-	for w := range streams {
-		rng := rand.New(rand.NewSource(int64(4000 + w)))
-		var live []core.Ref
-		for i := 0; i < opsEach; i++ {
-			cp := uint64(1) + uint64(i)*maxCP/uint64(opsEach)
-			if len(live) > 0 && rng.Intn(3) == 0 {
-				k := rng.Intn(len(live))
-				r := live[k]
-				live = append(live[:k], live[k+1:]...)
-				streams[w] = append(streams[w], hammerOp{r: r, cp: cp, remove: true})
-			} else {
-				r := core.Ref{
-					Block:  uint64(rng.Intn(blocks)),
-					Inode:  uint64(w + 1),
-					Offset: uint64(i),
-					Length: 1,
-				}
-				live = append(live, r)
-				streams[w] = append(streams[w], hammerOp{r: r, cp: cp})
-			}
-		}
-	}
-	return streams
-}
-
-// TestConcurrentCheckpointHammerMatchesOracle is the -race hammer for the
-// frozen-store path: AddRef/RemoveRef/Query/RelocateBlock run concurrently
-// with tight back-to-back checkpoints (no artificial pacing, so flushes
-// overlap ingest constantly) and periodically injected flush failures that
-// must leave every frozen record recoverable. Live references are verified
-// against the naive oracle (Section 4.1), relocations against their known
-// final placement.
-func TestConcurrentCheckpointHammerMatchesOracle(t *testing.T) {
-	const (
-		workers     = 6
-		opsEach     = 1200
-		blocks      = 384
-		maxCP       = uint64(12)
-		relocBase   = uint64(1 << 20)
-		relocSpan   = uint64(1 << 10)
-		relocatable = uint64(48)
-	)
-	env := newFreezeEnv(t, core.Options{WriteShards: 0})
-	eng := env.eng
-
-	// A private, pre-checkpointed range the relocation goroutine owns.
-	for i := uint64(0); i < relocatable; i++ {
-		eng.AddRef(core.Ref{Block: relocBase + i, Inode: 4242, Offset: i, Length: 1}, 1)
-	}
-	fCheckpoint(t, eng, 1)
-
-	streams := genHammerStreams(workers, opsEach, blocks, maxCP)
-	stop := make(chan struct{})
-	errc := make(chan error, 8)
-
-	var cpMu sync.Mutex
-	lastCP := maxCP + 1
-	cpDone := make(chan struct{})
-	go func() { // checkpoints, back to back, with injected failures
-		defer close(cpDone)
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			cpMu.Lock()
-			next := lastCP + 1
-			if i%7 == 6 {
-				// Inject a failure somewhere inside the flush; the
-				// checkpoint must fail cleanly and the immediate retry
-				// must see every frozen record again.
-				env.fs.SetFailurePlan(storage.FailurePlan{FailAfterPageWrites: env.fs.Stats().PageWrites + 2})
-				err := eng.Checkpoint(next)
-				env.fs.SetFailurePlan(storage.FailurePlan{})
-				if err == nil {
-					// The flush can legitimately win the race when the
-					// write stores were empty (no page writes needed).
-					lastCP = next
-					cpMu.Unlock()
-					continue
-				}
-			}
-			if err := eng.Checkpoint(next); err != nil {
-				errc <- err
-				cpMu.Unlock()
-				return
-			}
-			lastCP = next
-			cpMu.Unlock()
-		}
-	}()
-
-	queryDone := make(chan struct{})
-	go func() { // query hammer across ingest and relocation ranges
-		defer close(queryDone)
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if _, err := eng.Query(uint64(i % blocks)); err != nil {
-				errc <- err
-				return
-			}
-			if _, err := eng.Query(relocBase + uint64(i)%relocatable); err != nil {
-				errc <- err
-				return
-			}
-		}
-	}()
-
-	relocDone := make(chan struct{})
-	go func() { // one deterministic pass over the private range
-		defer close(relocDone)
-		for i := uint64(0); i < relocatable; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := eng.RelocateBlock(relocBase+i, relocBase+relocSpan+i); err != nil {
-				errc <- err
-				return
-			}
-		}
-	}()
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(stream []hammerOp) {
-			defer wg.Done()
-			for _, o := range stream {
-				if o.remove {
-					eng.RemoveRef(o.r, o.cp)
-				} else {
-					eng.AddRef(o.r, o.cp)
-				}
-			}
-		}(streams[w])
-	}
-	wg.Wait()
-	<-relocDone
-	close(stop)
-	<-cpDone
-	<-queryDone
-	select {
-	case err := <-errc:
-		t.Fatal(err)
-	default:
-	}
-
-	// Drain and verify against the naive oracle.
-	fCheckpoint(t, eng, lastCP+1)
-	if got := eng.WSLen(); got != 0 {
-		t.Fatalf("WSLen = %d after final checkpoint", got)
-	}
-	oracle, err := naive.New(storage.NewMemFS(), 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, stream := range streams {
-		for _, o := range stream {
-			if o.remove {
-				oracle.RemoveRef(o.r, o.cp)
-			} else {
-				oracle.AddRef(o.r, o.cp)
-			}
-		}
-	}
-	for b := uint64(0); b < blocks; b++ {
-		recs, err := oracle.QueryBlock(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := map[core.Ref]bool{}
-		for _, r := range recs {
-			if r.To == core.Infinity {
-				want[r.Ref] = true
-			}
-		}
-		got := map[core.Ref]bool{}
-		for _, o := range fQuery(t, eng, b) {
-			if o.Live {
-				got[core.Ref{Block: b, Inode: o.Inode, Offset: o.Offset, Line: o.Line, Length: o.Length}] = true
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("block %d: %d live owners, oracle says %d\n got: %v\nwant: %v", b, len(got), len(want), got, want)
-		}
-		for r := range want {
-			if !got[r] {
-				t.Fatalf("block %d: oracle reference %+v missing", b, r)
-			}
-		}
-	}
-	// Every relocation moved its block exactly once.
-	for i := uint64(0); i < relocatable; i++ {
-		if owners := fQuery(t, eng, relocBase+i); len(owners) != 0 {
-			t.Fatalf("relocated-away block %d still answers: %+v", relocBase+i, owners)
-		}
-		owners := fQuery(t, eng, relocBase+relocSpan+i)
-		if len(owners) != 1 || !owners[0].Live || owners[0].Offset != i {
-			t.Fatalf("relocated block %d wrong: %+v", relocBase+relocSpan+i, owners)
-		}
 	}
 }
 

@@ -1,5 +1,5 @@
 // Sync-mode group commit at the engine level, in package core_test for the
-// internal/naive oracle (see maintain_test.go).
+// model (statemachine_test.go).
 package core_test
 
 import (
@@ -63,18 +63,17 @@ func openSyncOnOneProcessor(t *testing.T) (*core.Engine, *slowLogFS, *core.MemCa
 func TestSyncTwoUpdatersShareFlushes(t *testing.T) {
 	eng, vfs, cat := openSyncOnOneProcessor(t)
 	const blocks = 64
-	streams := genOps(2, 150, blocks, 1)
+	m := newModel()
 	var wg sync.WaitGroup
-	for _, stream := range streams {
+	for _, stream := range hammerStreams(2, 150, blocks, 1) {
+		for _, o := range stream {
+			m.apply(o)
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for _, o := range stream {
-				if o.remove {
-					eng.RemoveRef(o.ref, o.cp)
-				} else {
-					eng.AddRef(o.ref, o.cp)
-				}
+				o.applyTo(eng)
 			}
 		}()
 	}
@@ -97,7 +96,7 @@ func TestSyncTwoUpdatersShareFlushes(t *testing.T) {
 	if got := eng2.Stats().WALReplayed; got != st.WALAppends {
 		t.Fatalf("replayed %d records, %d were acknowledged", got, st.WALAppends)
 	}
-	verifyLiveAgainstNaive(t, eng2, streams, blocks)
+	m.check(t, eng2, blocks)
 }
 
 // TestSyncRelocateAmidUpdatersIsNotHeldUp: RelocateBlock appends under the

@@ -1,116 +1,91 @@
-package core
+package core_test
 
 import (
-	"math/rand"
+	"slices"
 	"testing"
 
+	"github.com/backlogfs/backlog/internal/core"
 	"github.com/backlogfs/backlog/internal/storage"
 )
 
 // TestHashPartitioningEquivalence runs the same workload under range and
-// hash partitioning and requires identical query results, including across
+// hash partitioning and holds both to the model, including across
 // compaction and relocation.
 func TestHashPartitioningEquivalence(t *testing.T) {
-	type env struct {
-		eng *Engine
-		cat *MemCatalog
-	}
-	build := func(hash bool) env {
-		fs := storage.NewMemFS()
-		cat := NewMemCatalog()
-		opts := Options{VFS: fs, Catalog: cat, Partitions: 4}
+	const blocks = 1000
+	build := func(hash bool) (*core.Engine, *core.MemCatalog) {
+		cat := core.NewMemCatalog()
+		opts := core.Options{VFS: storage.NewMemFS(), Catalog: cat, Partitions: 4}
 		if hash {
 			opts.HashPartitioning = true
 		} else {
-			opts.PartitionSpan = 250
+			opts.PartitionSpan = blocks / 4
 		}
-		eng, err := Open(opts)
+		eng, err := core.Open(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return env{eng: eng, cat: cat}
+		return eng, cat
 	}
-	a, b := build(false), build(true)
-
-	rng := rand.New(rand.NewSource(31))
-	live := map[Ref]bool{}
-	for cp := uint64(1); cp <= 20; cp++ {
-		for i := 0; i < 25; i++ {
-			if rng.Intn(2) == 0 || len(live) == 0 {
-				r := ref(uint64(rng.Intn(1000)), uint64(1+rng.Intn(5)), uint64(rng.Intn(4)), 0)
-				if live[r] {
-					continue
-				}
-				a.eng.AddRef(r, cp)
-				b.eng.AddRef(r, cp)
-				live[r] = true
-			} else {
-				for r := range live {
-					a.eng.RemoveRef(r, cp)
-					b.eng.RemoveRef(r, cp)
-					delete(live, r)
-					break
-				}
-			}
+	a, catA := build(false)
+	b, catB := build(true)
+	m := newModel()
+	each := func(fn func(*core.Engine, *core.MemCatalog)) {
+		fn(a, catA)
+		fn(b, catB)
+	}
+	for _, batch := range cpBatches(hammerStreams(1, 500, blocks, 20)[0]) {
+		cp := batch[0].cp
+		for _, o := range batch {
+			m.apply(o)
+			each(func(eng *core.Engine, _ *core.MemCatalog) { o.applyTo(eng) })
 		}
 		if cp%5 == 0 {
-			if err := a.cat.CreateSnapshot(0, cp); err != nil {
-				t.Fatal(err)
-			}
-			if err := b.cat.CreateSnapshot(0, cp); err != nil {
-				t.Fatal(err)
-			}
+			m.snapshot(0, cp)
+			each(func(_ *core.Engine, cat *core.MemCatalog) {
+				if err := cat.CreateSnapshot(0, cp); err != nil {
+					t.Fatal(err)
+				}
+			})
 		}
-		mustCheckpoint(t, a.eng, cp)
-		mustCheckpoint(t, b.eng, cp)
+		each(func(eng *core.Engine, _ *core.MemCatalog) { fCheckpoint(t, eng, cp) })
 	}
-	compare := func(label string) {
+	check := func() {
 		t.Helper()
-		for blk := uint64(0); blk < 1000; blk++ {
-			ra := mustQuery(t, a.eng, blk)
-			rb := mustQuery(t, b.eng, blk)
-			if !ownersEqual(ra, rb) {
-				t.Fatalf("%s: block %d differs:\nrange=%+v\nhash=%+v", label, blk, ra, rb)
-			}
-		}
+		each(func(eng *core.Engine, _ *core.MemCatalog) { m.check(t, eng, blocks) })
 	}
-	compare("pre-compaction")
-
-	mustCompact(t, a.eng)
-	mustCompact(t, b.eng)
-	compare("post-compaction")
+	check()
+	each(func(eng *core.Engine, _ *core.MemCatalog) {
+		if err := eng.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	check()
 
 	// Relocation exercises the deletion vectors under both schemes.
-	var moved uint64
-	for r := range live {
-		moved = r.Block
-		break
+	moved := uint64(0)
+	for !slices.ContainsFunc(m.owners(moved), func(o core.Owner) bool { return o.Live }) {
+		moved++
 	}
-	if err := a.eng.RelocateBlock(moved, 5000); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.eng.RelocateBlock(moved, 5000); err != nil {
-		t.Fatal(err)
-	}
-	mustCheckpoint(t, a.eng, 21)
-	mustCheckpoint(t, b.eng, 21)
-	mustCompact(t, a.eng)
-	mustCompact(t, b.eng)
-	ra := mustQuery(t, a.eng, 5000)
-	rb := mustQuery(t, b.eng, 5000)
-	if !ownersEqual(ra, rb) || len(ra) == 0 {
-		t.Fatalf("relocated block differs: range=%+v hash=%+v", ra, rb)
-	}
-	compare("post-relocation")
+	m.relocate(moved, 5000)
+	each(func(eng *core.Engine, _ *core.MemCatalog) {
+		if err := eng.RelocateBlock(moved, 5000); err != nil {
+			t.Fatal(err)
+		}
+		fCheckpoint(t, eng, 21)
+		if err := eng.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	check()
 }
 
 // TestHashPartitioningSpreadsLoad checks the scheme's motivation: block
 // ranges that are contiguous (and so would all land in one range
 // partition) spread across all hash partitions.
 func TestHashPartitioningSpreadsLoad(t *testing.T) {
-	fs := storage.NewMemFS()
-	eng, err := Open(Options{
-		VFS: fs, Catalog: NewMemCatalog(),
+	eng, err := core.Open(core.Options{
+		VFS: storage.NewMemFS(), Catalog: core.NewMemCatalog(),
 		Partitions: 4, HashPartitioning: true,
 	})
 	if err != nil {
@@ -118,12 +93,12 @@ func TestHashPartitioningSpreadsLoad(t *testing.T) {
 	}
 	// 2000 contiguous blocks — a freshly written file region.
 	for i := uint64(0); i < 2000; i++ {
-		eng.AddRef(ref(i, 1, i, 0), 1)
+		eng.AddRef(fref(i, 1, i, 0), 1)
 	}
-	mustCheckpoint(t, eng, 1)
+	fCheckpoint(t, eng, 1)
 	counts := make([]uint64, 4)
 	for p := 0; p < 4; p++ {
-		for _, r := range eng.DB().Table(TableFrom).Runs(p) {
+		for _, r := range eng.DB().Table(core.TableFrom).Runs(p) {
 			counts[p] += r.Records()
 		}
 	}
@@ -145,10 +120,10 @@ func TestHashPartitioningSpreadsLoad(t *testing.T) {
 // TestHashPartitioningValidation ensures hash mode doesn't require a span.
 func TestHashPartitioningValidation(t *testing.T) {
 	fs := storage.NewMemFS()
-	if _, err := Open(Options{VFS: fs, Catalog: NewMemCatalog(), Partitions: 3}); err == nil {
+	if _, err := core.Open(core.Options{VFS: fs, Catalog: core.NewMemCatalog(), Partitions: 3}); err == nil {
 		t.Fatal("range partitions without span accepted")
 	}
-	if _, err := Open(Options{VFS: fs, Catalog: NewMemCatalog(), Partitions: 3, HashPartitioning: true}); err != nil {
+	if _, err := core.Open(core.Options{VFS: fs, Catalog: core.NewMemCatalog(), Partitions: 3, HashPartitioning: true}); err != nil {
 		t.Fatalf("hash partitions rejected: %v", err)
 	}
 }

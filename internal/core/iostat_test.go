@@ -1,216 +1,12 @@
 package core
 
 import (
-	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/backlogfs/backlog/internal/obs"
 	"github.com/backlogfs/backlog/internal/storage"
-	"github.com/backlogfs/backlog/internal/wal"
 )
-
-// sumSourceIO folds a report's per-source counters and returns the
-// totals plus the counters that landed under "unknown".
-func sumSourceIO(rep IOReport) (reads, writes, syncs, creates, removes uint64, unknown obs.SourceIO) {
-	for _, s := range rep.Sources {
-		reads += s.ReadBytes
-		writes += s.WriteBytes
-		syncs += s.Syncs
-		creates += s.Creates
-		removes += s.Removes
-		if s.Source == storage.SrcUnknown.String() {
-			unknown = s
-		}
-	}
-	return
-}
-
-// TestIOAttributionRaceExactSums hammers the engine with concurrent
-// ingest, checkpoints, compactions, expiry, and queries (run under -race),
-// then closes it and checks the attribution contract against the metered
-// MemFS: every device byte is attributed to a source — per-source sums
-// equal the device totals exactly, and nothing leaks into "unknown".
-func TestIOAttributionRaceExactSums(t *testing.T) {
-	const (
-		workers = 4
-		opsEach = 2000
-		blocks  = 256
-		maxCP   = 8
-	)
-	fs := storage.NewMemFS()
-	cat := NewMemCatalog()
-	// Buffered durability journals every update, so the WAL source carries
-	// traffic too (the default checkpoint-only mode opens no writing log).
-	eng, err := Open(Options{
-		VFS: fs, Catalog: cat, WriteShards: workers, Retention: RetainLive,
-		Durability: wal.Buffered,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	streams := genStreams(workers, opsEach, blocks, maxCP)
-	stop := make(chan struct{})
-	errc := make(chan error, 2)
-
-	var lastCP uint64
-	cpDone := make(chan struct{})
-	go func() {
-		defer close(cpDone)
-		for cp := uint64(maxCP + 2); ; cp++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := eng.Checkpoint(cp); err != nil {
-				errc <- fmt.Errorf("checkpoint %d: %w", cp, err)
-				return
-			}
-			lastCP = cp
-			if cp%4 == 0 {
-				if err := eng.Compact(); err != nil {
-					errc <- fmt.Errorf("compact at %d: %w", cp, err)
-					return
-				}
-			}
-			if cp%3 == 0 {
-				// Expiry may defer under a concurrent checkpoint; the point
-				// here is driving its removal path, not its yield.
-				if _, err := eng.Expire(); err != nil {
-					errc <- fmt.Errorf("expire at %d: %w", cp, err)
-					return
-				}
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}()
-
-	queryDone := make(chan struct{})
-	go func() {
-		defer close(queryDone)
-		rng := rand.New(rand.NewSource(7))
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if _, err := eng.Query(uint64(rng.Intn(blocks))); err != nil {
-				errc <- fmt.Errorf("query: %w", err)
-				return
-			}
-		}
-	}()
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(stream []ingestOp) {
-			defer wg.Done()
-			for _, o := range stream {
-				if o.remove {
-					eng.RemoveRef(o.r, o.cp)
-				} else {
-					eng.AddRef(o.r, o.cp)
-				}
-			}
-		}(streams[w])
-	}
-	wg.Wait()
-	close(stop)
-	<-cpDone
-	<-queryDone
-	select {
-	case err := <-errc:
-		t.Fatal(err)
-	default:
-	}
-
-	// A deterministic tail so every subsystem has certainly run at least
-	// once regardless of how far the background loop got: drain the write
-	// stores, merge, and expire.
-	final := lastCP + 1
-	if final < maxCP+2 {
-		final = maxCP + 2
-	}
-	if err := eng.Checkpoint(final); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Expire(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Quiesce before comparing: Close stops the maintainer and flushes, and
-	// everything it writes is itself attributed.
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rep := eng.IOReport()
-	st := fs.Stats()
-	reads, writes, syncs, creates, removes, unknown := sumSourceIO(rep)
-	if reads != uint64(st.BytesRead) || writes != uint64(st.BytesWritten) {
-		t.Errorf("attributed bytes = %d read / %d written, device = %d / %d",
-			reads, writes, st.BytesRead, st.BytesWritten)
-	}
-	if reads != rep.TotalReadBytes || writes != rep.TotalWriteBytes {
-		t.Errorf("report totals %d/%d disagree with per-source sums %d/%d",
-			rep.TotalReadBytes, rep.TotalWriteBytes, reads, writes)
-	}
-	if syncs != uint64(st.Syncs) || creates != uint64(st.FilesCreated) || removes != uint64(st.FilesRemoved) {
-		t.Errorf("attributed syncs/creates/removes = %d/%d/%d, device = %d/%d/%d",
-			syncs, creates, removes, st.Syncs, st.FilesCreated, st.FilesRemoved)
-	}
-	if unknown.ReadBytes != 0 || unknown.WriteBytes != 0 || unknown.Syncs != 0 ||
-		unknown.Creates != 0 || unknown.Removes != 0 {
-		t.Errorf("unattributed i/o leaked from a hot path: %+v", unknown)
-	}
-	for _, src := range []storage.Source{storage.SrcWAL, storage.SrcCheckpoint, storage.SrcCompaction} {
-		if rep.Sources[src].WriteBytes == 0 {
-			t.Errorf("no write bytes attributed to %s under a write-heavy workload", src)
-		}
-	}
-	if rep.Sources[storage.SrcManifest].WriteBytes == 0 {
-		t.Error("no manifest bytes attributed despite committed checkpoints")
-	}
-	if n := rep.Sources[storage.SrcCheckpoint].ReadBytes; n != 0 {
-		t.Errorf("checkpoints read %d bytes: an install opens the runs it built from their builders, not from their header pages", n)
-	}
-
-	// Reopen the same directory with a fresh accountant: startup I/O
-	// (manifest, deletion vectors, run headers, WAL scan) lands under
-	// recovery, and the exact-sum contract holds for the delta too.
-	pre := fs.Stats()
-	eng2, err := Open(Options{VFS: fs, Catalog: cat, WriteShards: workers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng2.Query(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rep2 := eng2.IOReport()
-	delta := fs.Stats().Sub(pre)
-	reads2, writes2, _, _, _, unknown2 := sumSourceIO(rep2)
-	if reads2 != uint64(delta.BytesRead) || writes2 != uint64(delta.BytesWritten) {
-		t.Errorf("reopen attributed %d/%d bytes, device delta %d/%d",
-			reads2, writes2, delta.BytesRead, delta.BytesWritten)
-	}
-	if rep2.Sources[storage.SrcRecovery].ReadBytes == 0 {
-		t.Error("no read bytes attributed to recovery on reopen of a populated store")
-	}
-	if unknown2.ReadBytes != 0 || unknown2.WriteBytes != 0 {
-		t.Errorf("unattributed i/o leaked during recovery: %+v", unknown2)
-	}
-}
 
 // TestRunHeatTracking checks per-run access heat: cold queries that read
 // run pages from the device bump the run's HeatBytes and stamp

@@ -1,20 +1,16 @@
-// Leveled-maintenance concurrency tests: a -race hammer that runs
-// stepped-merge compaction and drop-based expiry against the full
-// concurrent workload, verified against the naive oracle, plus a
-// recording-policy test that the planner never names a merge input the
-// retention horizon has already passed. Package core_test for the same
-// reason as maintain_test.go: the naive oracle imports core.
+// Leveled-maintenance tests: a recording policy audits that the planner
+// never names a merge input the retention horizon has already passed. (The
+// leveled maintainer under concurrent load is TestStateMachineConcurrent's
+// "leveled" row, which waits on waitLeveledDrained.)
 package core_test
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/backlogfs/backlog/internal/core"
 	"github.com/backlogfs/backlog/internal/lsm"
-	"github.com/backlogfs/backlog/internal/storage"
 )
 
 // waitLeveledDrained polls until the active policy plans no further jobs.
@@ -33,133 +29,6 @@ func waitLeveledDrained(t *testing.T, eng *core.Engine) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-}
-
-// TestLeveledHammerAgainstNaiveOracle is the stepped-merge counterpart of
-// TestMaintenanceHammerAgainstNaiveOracle, with retention in the mix:
-// AddRef/RemoveRef/Query/Checkpoint race background leveled compaction
-// while a snapshot goroutine creates and deletes snapshots, so expiry
-// sweeps run concurrently too and the reclaim horizon keeps moving under
-// the planner. Run under -race; afterwards every block's live reference
-// set must match the naive oracle (expiry only ever drops completed
-// history, never live references).
-func TestLeveledHammerAgainstNaiveOracle(t *testing.T) {
-	const (
-		workers = 6
-		opsEach = 1000
-		blocks  = 384
-		maxCP   = 12
-		snapWin = 4
-	)
-	cat := core.NewMemCatalog()
-	eng, err := core.Open(core.Options{
-		VFS:              storage.NewMemFS(),
-		Catalog:          cat,
-		Partitions:       8,
-		HashPartitioning: true,
-		WriteShards:      workers,
-		AutoCompact:      true,
-		Retention:        core.RetainLive,
-		CompactionPolicy: core.PolicyLeveled{},
-		Fanout:           3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-
-	streams := genOps(workers, opsEach, blocks, maxCP)
-
-	stop := make(chan struct{})
-	errc := make(chan error, 4)
-	var aux sync.WaitGroup
-
-	// Checkpointer: every checkpoint kicks a maintenance pass (expiry,
-	// then leveled merges). A sliding snapshot window retains recent
-	// history and keeps deleting the oldest snapshot, so the reclaim
-	// horizon advances while merges are being planned and installed.
-	var cpMu sync.Mutex
-	lastCP := uint64(maxCP + 1)
-	pace := newCPPace()
-	aux.Add(1)
-	go func() {
-		defer aux.Done()
-		defer pace.release()
-		for cp := uint64(maxCP + 2); ; cp++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := cat.CreateSnapshot(0, cp); err != nil {
-				errc <- fmt.Errorf("snapshot %d: %w", cp, err)
-				return
-			}
-			if err := eng.Checkpoint(cp); err != nil {
-				errc <- fmt.Errorf("checkpoint %d: %w", cp, err)
-				return
-			}
-			if cp >= uint64(maxCP+2+snapWin) {
-				if err := cat.DeleteSnapshot(0, cp-snapWin); err != nil {
-					errc <- fmt.Errorf("delete snapshot %d: %w", cp-snapWin, err)
-					return
-				}
-			}
-			cpMu.Lock()
-			lastCP = cp
-			cpMu.Unlock()
-			pace.checkpointed()
-			time.Sleep(time.Millisecond)
-		}
-	}()
-
-	// Query hammer, racing ingest, expiry, and compaction installs.
-	aux.Add(1)
-	go func() {
-		defer aux.Done()
-		var b uint64
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if _, err := eng.Query(b % blocks); err != nil {
-				errc <- fmt.Errorf("concurrent query: %w", err)
-				return
-			}
-			b++
-		}
-	}()
-
-	pace.ingest(eng, streams)
-	close(stop)
-	aux.Wait()
-	select {
-	case err := <-errc:
-		t.Fatal(err)
-	default:
-	}
-
-	cpMu.Lock()
-	final := lastCP + 1
-	cpMu.Unlock()
-	if err := eng.Checkpoint(final); err != nil {
-		t.Fatal(err)
-	}
-	waitLeveledDrained(t, eng)
-
-	ms := eng.MaintenanceStats()
-	if !ms.Enabled {
-		t.Fatal("maintainer not enabled")
-	}
-	if ms.Policy != "leveled" || ms.Fanout != 3 {
-		t.Fatalf("policy/fanout = %s/%d, want leveled/3", ms.Policy, ms.Fanout)
-	}
-	if ms.AutoCompactions == 0 {
-		t.Fatalf("background maintainer never merged: %+v", ms)
-	}
-	verifyLiveAgainstNaive(t, eng, streams, blocks)
 }
 
 // recordingPolicy wraps a CompactionPolicy and audits every plan: it

@@ -104,8 +104,4 @@ func TestCatalogRidesTheManifest(t *testing.T) {
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	if _, err := Open(Options{VFS: storage.NewMemFS(), Catalog: struct{ Catalog }{NewMemCatalog()}, PersistCatalog: true}); err == nil {
-		t.Fatal("PersistCatalog accepted a catalog it cannot serialize")
-	}
 }

@@ -265,7 +265,7 @@ func dedupeIntervals(ivs []interval) []interval {
 // the clone has no override (a record with from == 0 on line l'), an
 // implicit record (l', 0, Infinity) is added. The process repeats until it
 // inserts nothing new (clones of clones).
-func expandInheritance(groups map[identity][]interval, cat Catalog) {
+func expandInheritance(groups map[identity][]interval, cat *MemCatalog) {
 	for {
 		added := false
 		// Snapshot the keys: we mutate the map during iteration.
@@ -308,7 +308,7 @@ func hasOverride(ivs []interval) bool {
 // maskOwners converts joined groups into query results, masking each
 // interval against the versions that still exist and dropping owners with
 // nothing left.
-func maskOwners(groups map[identity][]interval, cat Catalog) []Owner {
+func maskOwners(groups map[identity][]interval, cat *MemCatalog) []Owner {
 	var out []Owner
 	for id, ivs := range groups {
 		for _, iv := range ivs {

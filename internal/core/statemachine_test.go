@@ -1,0 +1,1295 @@
+// The engine's correctness net: one model of what a query must answer and
+// one driver that holds the engine to it, on two schedules. The sequential
+// schedule (TestStateMachine) draws seeded streams over the whole public
+// op alphabet — updates, relocation, snapshot and clone topology, every
+// maintenance call, clean and crashed reopens — under every durability
+// mode, run format, compaction policy, retention policy and partitioning,
+// compares answers after every step, and shrinks a failing stream to a
+// replayable regression row. The concurrent schedule
+// (TestStateMachineConcurrent) runs the same model against table rows of
+// one harness whose roles — ingest workers, checkpointer, snapshot churner,
+// expiry loop, relocator, reader — race each other under -race.
+//
+// The model shares no code with the engine's query path: it keeps each
+// reference's event history and the snapshot topology itself and restates
+// Section 4.2's interval rules, structural inheritance and masking, and
+// Section 5.1's relocation, from first principles. internal/naive stays the
+// Section 4.1 ablation it was built as.
+package core_test
+
+import (
+	"cmp"
+	"flag"
+	"fmt"
+	"maps"
+	"math/rand"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"github.com/backlogfs/backlog/internal/core"
+	"github.com/backlogfs/backlog/internal/obs"
+	"github.com/backlogfs/backlog/internal/storage"
+	"github.com/backlogfs/backlog/internal/wal"
+)
+
+var (
+	smSeed = flag.Int64("sm.seed", 0, "replay this one seed of each TestStateMachine config the -run pattern selects")
+	smFor  = flag.Duration("sm.for", 0, "keep drawing TestStateMachine seeds until this much time has passed (split across configs)")
+)
+
+// smSeedsPerCombo is how many seeds of each combination the default run
+// draws; -sm.for draws more.
+const smSeedsPerCombo = 2
+
+// refOp is one reference update: AddRef, or RemoveRef when remove is set.
+type refOp struct {
+	ref    core.Ref
+	cp     uint64
+	remove bool
+}
+
+func (o refOp) applyTo(eng *core.Engine) {
+	if o.remove {
+		eng.RemoveRef(o.ref, o.cp)
+	} else {
+		eng.AddRef(o.ref, o.cp)
+	}
+}
+
+// hammerStreams builds per-worker update streams: worker w owns inode w+1,
+// adds each reference once (offset = op index) and removes a random live
+// one about every third op, at CP tags rising from 1 to maxCP. Identities
+// are disjoint across workers and nothing is re-added, so the final answers
+// do not depend on how the streams interleave with each other or with
+// checkpoints — which is what lets one model check a concurrent run.
+func hammerStreams(workers, opsEach, blocks int, maxCP uint64) [][]refOp {
+	streams := make([][]refOp, workers)
+	for w := range streams {
+		rng := rand.New(rand.NewSource(int64(4000 + w)))
+		var live []core.Ref
+		for i := 0; i < opsEach; i++ {
+			cp := 1 + uint64(i)*maxCP/uint64(opsEach)
+			if len(live) > 0 && rng.Intn(3) == 0 {
+				k := rng.Intn(len(live))
+				streams[w] = append(streams[w], refOp{ref: live[k], cp: cp, remove: true})
+				live = append(live[:k], live[k+1:]...)
+				continue
+			}
+			r := core.Ref{Block: uint64(rng.Intn(blocks)), Inode: uint64(w + 1), Offset: uint64(i), Length: 1}
+			live = append(live, r)
+			streams[w] = append(streams[w], refOp{ref: r, cp: cp})
+		}
+	}
+	return streams
+}
+
+// cpBatches splits a stream into runs of ops with the same CP tag.
+func cpBatches(stream []refOp) [][]refOp {
+	var out [][]refOp
+	for i, o := range stream {
+		if i == 0 || o.cp != stream[i-1].cp {
+			out = append(out, nil)
+		}
+		out[len(out)-1] = append(out[len(out)-1], o)
+	}
+	return out
+}
+
+// smEvent is one update in a reference's history.
+type smEvent struct {
+	cp  uint64
+	add bool
+}
+
+// smLine is the model's record of one snapshot line.
+type smLine struct {
+	live   bool
+	cloned bool // parent and base name the snapshot it was cloned from
+	parent uint64
+	base   uint64
+	snaps  map[uint64]bool
+}
+
+// model is the expected behaviour of the engine: per-reference event
+// histories, keyed by block, and the snapshot topology.
+type model struct {
+	hist  map[uint64]map[core.Ref][]smEvent
+	lines map[uint64]*smLine
+}
+
+func newModel() *model {
+	return &model{
+		hist:  map[uint64]map[core.Ref][]smEvent{},
+		lines: map[uint64]*smLine{0: {live: true, snaps: map[uint64]bool{}}},
+	}
+}
+
+func (m *model) update(r core.Ref, cp uint64, add bool) {
+	if m.hist[r.Block] == nil {
+		m.hist[r.Block] = map[core.Ref][]smEvent{}
+	}
+	m.hist[r.Block][r] = append(m.hist[r.Block][r], smEvent{cp: cp, add: add})
+}
+
+func (m *model) apply(o refOp) { m.update(o.ref, o.cp, !o.remove) }
+
+// relocate re-keys every history of one block onto another (Section 5.1):
+// the references move, intervals and all.
+func (m *model) relocate(from, to uint64) {
+	for r, evs := range m.hist[from] {
+		r.Block = to
+		for _, ev := range evs {
+			m.update(r, ev.cp, ev.add)
+		}
+	}
+	delete(m.hist, from)
+}
+
+func (m *model) snapshot(line, v uint64) { m.lines[line].snaps[v] = true }
+
+func (m *model) clone(line, parent, base uint64) {
+	m.lines[line] = &smLine{live: true, cloned: true, parent: parent, base: base, snaps: map[uint64]bool{}}
+}
+
+// needed reports whether a line can still contribute to an answer: it is
+// live, keeps a snapshot, or has a clone that is needed.
+func (m *model) needed(id uint64) bool {
+	if l := m.lines[id]; l.live || len(l.snaps) > 0 {
+		return true
+	}
+	for cid, c := range m.lines {
+		if c.cloned && c.parent == id && m.needed(cid) {
+			return true
+		}
+	}
+	return false
+}
+
+// smSpan is one validity interval [from, to) of an identity.
+type smSpan struct {
+	from, to  uint64
+	inherited bool
+}
+
+// smIntervals derives a reference's intervals from its history. An add and
+// a remove in one CP cancel; a re-add in the CP that closed an interval
+// continues it; a remove with nothing open ends a reference the line
+// inherited, which it records as the override [0, cp) (Section 4.2.2). An
+// override re-added in its own CP leaves no record at all — the line
+// inherits again.
+func smIntervals(evs []smEvent) []smSpan {
+	var out []smSpan
+	open, from := false, uint64(0)
+	for _, ev := range evs {
+		n := len(out)
+		switch {
+		case ev.add && open:
+		case ev.add && n > 0 && out[n-1].to == ev.cp:
+			open, from, out = true, out[n-1].from, out[:n-1]
+		case ev.add:
+			open, from = true, ev.cp
+		case !open:
+			out = append(out, smSpan{from: 0, to: ev.cp})
+		case from == ev.cp:
+			open = false
+		default:
+			open, out = false, append(out, smSpan{from: from, to: ev.cp})
+		}
+	}
+	if open && from != 0 {
+		out = append(out, smSpan{from: from, to: core.Infinity})
+	}
+	return out
+}
+
+// owners is the answer Query must give for a block.
+func (m *model) owners(block uint64) []core.Owner {
+	type ident struct{ inode, offset, line, length uint64 }
+	groups := map[ident][]smSpan{}
+	var work []ident
+	for r, evs := range m.hist[block] {
+		if spans := smIntervals(evs); len(spans) > 0 {
+			id := ident{r.Inode, r.Offset, r.Line, r.Length}
+			groups[id] = spans
+			work = append(work, id)
+		}
+	}
+	// Structural inheritance: an interval of a line that covers the base of
+	// a needed clone gives the clone the reference from version 0 on, unless
+	// the clone has a record from 0 of its own (it ended the inherited
+	// reference). What a clone inherits, its clones inherit in turn.
+	for len(work) > 0 {
+		id := work[len(work)-1]
+		work = work[:len(work)-1]
+		for cid, c := range m.lines {
+			if !c.cloned || c.parent != id.line || !m.needed(cid) ||
+				!slices.ContainsFunc(groups[id], func(s smSpan) bool { return s.from <= c.base && c.base < s.to }) {
+				continue
+			}
+			cl := ident{id.inode, id.offset, cid, id.length}
+			if slices.ContainsFunc(groups[cl], func(s smSpan) bool { return s.from == 0 }) {
+				continue
+			}
+			groups[cl] = append(groups[cl], smSpan{from: 0, to: core.Infinity, inherited: true})
+			work = append(work, cl)
+		}
+	}
+	// Masking: an interval answers with the snapshots of its line it spans,
+	// and as live if it is open on a live line; with neither it is not an
+	// owner at all.
+	var out []core.Owner
+	for id, spans := range groups {
+		l := m.lines[id.line]
+		if l == nil {
+			l = &smLine{}
+		}
+		for _, s := range spans {
+			var versions []uint64
+			for v := range l.snaps {
+				if s.from <= v && v < s.to {
+					versions = append(versions, v)
+				}
+			}
+			slices.Sort(versions)
+			live := s.to == core.Infinity && l.live
+			if len(versions) == 0 && !live {
+				continue
+			}
+			out = append(out, core.Owner{Inode: id.inode, Offset: id.offset, Line: id.line, Length: id.length,
+				From: s.from, To: s.to, Versions: versions, Live: live, Inherited: s.inherited})
+		}
+	}
+	slices.SortFunc(out, func(a, b core.Owner) int {
+		return cmp.Or(cmp.Compare(a.Line, b.Line), cmp.Compare(a.Inode, b.Inode),
+			cmp.Compare(a.Offset, b.Offset), cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
+	})
+	return out
+}
+
+// diff compares the engine's answers for blocks with the model's.
+func (m *model) diff(eng *core.Engine, blocks []uint64) error {
+	for _, b := range blocks {
+		got, err := eng.Query(b)
+		if err != nil {
+			return fmt.Errorf("query %d: %w", b, err)
+		}
+		if want := m.owners(b); fmt.Sprint(got) != fmt.Sprint(want) {
+			return fmt.Errorf("block %d answers\n  %+v\nthe model\n  %+v", b, got, want)
+		}
+	}
+	return nil
+}
+
+// check fails the test unless the engine answers like the model for every
+// block below n and every block the model has history for.
+func (m *model) check(t testing.TB, eng *core.Engine, n uint64) {
+	t.Helper()
+	blocks := make([]uint64, 0, n)
+	for b := range n {
+		blocks = append(blocks, b)
+	}
+	for b := range m.hist {
+		if b >= n {
+			blocks = append(blocks, b)
+		}
+	}
+	if err := m.diff(eng, blocks); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// copyHist returns a deep copy of the model's histories.
+func (m *model) copyHist() map[uint64]map[core.Ref][]smEvent {
+	out := make(map[uint64]map[core.Ref][]smEvent, len(m.hist))
+	for b, refs := range m.hist {
+		out[b] = make(map[core.Ref][]smEvent, len(refs))
+		for r, evs := range refs {
+			out[b][r] = slices.Clone(evs)
+		}
+	}
+	return out
+}
+
+// lineIDs returns the model's lines that satisfy keep, ascending.
+func (m *model) lineIDs(keep func(*smLine) bool) []uint64 {
+	var ids []uint64
+	for id, l := range m.lines {
+		if keep(l) {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// liveOwner reports whether r's identity is a live owner of r's block.
+func (m *model) liveOwner(r core.Ref) bool {
+	return slices.ContainsFunc(m.owners(r.Block), func(o core.Owner) bool {
+		return o.Live && o.Inode == r.Inode && o.Offset == r.Offset && o.Line == r.Line && o.Length == r.Length
+	})
+}
+
+// smKind names an op of the sequential schedule; the comments say what
+// smOp's operands a–d are to it.
+type smKind uint8
+
+const (
+	opAdd            smKind = iota // block, inode, offset, line
+	opRemove                       // block, inode, offset, line
+	opRelocate                     // from block a to block b
+	opSnapshot                     // of line a, at the CP being taken
+	opDeleteSnapshot               // version b of line a
+	opClone                        // new line a from version c of line b
+	opDeleteLine                   // line a
+	opReap
+	opCheckpoint
+	opCompact
+	opMaintain
+	opExpire
+	opReopen // Close, then Open
+	opCrash  // every I/O fails, Close, MemFS.Crash, then Open
+)
+
+var smKindNames = [...]string{"opAdd", "opRemove", "opRelocate", "opSnapshot", "opDeleteSnapshot", "opClone",
+	"opDeleteLine", "opReap", "opCheckpoint", "opCompact", "opMaintain", "opExpire", "opReopen", "opCrash"}
+
+type smOp struct {
+	k          smKind
+	a, b, c, d uint64
+}
+
+// String renders the op as the composite literal a regression row holds.
+func (o smOp) String() string {
+	return fmt.Sprintf("{%s, %d, %d, %d, %d}", smKindNames[o.k], o.a, o.b, o.c, o.d)
+}
+
+// smConfig is one store configuration of the sequential schedule.
+type smConfig struct {
+	mode       wal.Durability
+	raw        bool // CompressionNone
+	leveled    bool // PolicyLeveled
+	retainLive bool
+	parts      int // one partition, four by range, four by hash
+}
+
+var (
+	smModeNames = map[wal.Durability]string{wal.CheckpointOnly: "cponly", wal.Buffered: "buffered", wal.Sync: "sync"}
+	smPartNames = []string{"p1", "range4", "hash4"}
+)
+
+// combo names the config without its partitioning, which each seed draws.
+func (c smConfig) combo() string {
+	return fmt.Sprintf("%s-%s-%s-%s", smModeNames[c.mode], map[bool]string{false: "delta", true: "raw"}[c.raw],
+		map[bool]string{false: "full", true: "leveled"}[c.leveled], map[bool]string{false: "all", true: "live"}[c.retainLive])
+}
+
+func (c smConfig) String() string { return c.combo() + "-" + smPartNames[c.parts] }
+
+// smCombos lists the 24 mode × format × policy × retention combinations.
+func smCombos() []smConfig {
+	var out []smConfig
+	for _, mode := range []wal.Durability{wal.CheckpointOnly, wal.Buffered, wal.Sync} {
+		for _, raw := range []bool{false, true} {
+			for _, leveled := range []bool{false, true} {
+				for _, live := range []bool{false, true} {
+					out = append(out, smConfig{mode: mode, raw: raw, leveled: leveled, retainLive: live})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// smBlocks is the sequential schedule's block space; updates land in its
+// lower half, relocations anywhere.
+const smBlocks = 32
+
+func (c smConfig) options(fs *storage.MemFS, cat *core.MemCatalog) core.Options {
+	opts := core.Options{VFS: fs, Catalog: cat, Durability: c.mode, WriteShards: 2, CompactThreshold: 3, Fanout: 2}
+	if c.raw {
+		opts.Compression = core.CompressionNone
+	}
+	if c.leveled {
+		opts.CompactionPolicy = core.PolicyLeveled{}
+	}
+	if c.retainLive {
+		opts.Retention = core.RetainLive
+	}
+	switch c.parts {
+	case 1:
+		opts.Partitions, opts.PartitionSpan = 4, smBlocks/4
+	case 2:
+		opts.Partitions, opts.HashPartitioning = 4, true
+	}
+	return opts
+}
+
+// smDriver runs one sequential schedule against a store and the model.
+type smDriver struct {
+	cfg smConfig
+	fs  *storage.MemFS
+	cat *core.MemCatalog
+	eng *core.Engine
+	m   *model
+	tag uint64 // the CP being taken: the last checkpoint's + 1
+
+	// base is the history as of the last checkpoint and pending the updates
+	// and relocations since, in order: what a crash may take back.
+	base    map[uint64]map[core.Ref][]smEvent
+	pending []smOp
+
+	nextLine uint64
+	moves    [][2]uint64 // relocations so far, for moving blocks back
+}
+
+func newSMDriver(cfg smConfig) (*smDriver, error) {
+	d := &smDriver{cfg: cfg, fs: storage.NewMemFS(), cat: core.NewMemCatalog(), m: newModel(), tag: 1, nextLine: 1}
+	d.base = d.m.copyHist()
+	return d, d.open()
+}
+
+func (d *smDriver) open() error {
+	eng, err := core.Open(d.cfg.options(d.fs, d.cat))
+	if err != nil {
+		return err
+	}
+	d.eng = eng
+	if eng.CP()+1 != d.tag {
+		return fmt.Errorf("reopened at CP %d, the last checkpoint was %d", eng.CP(), d.tag-1)
+	}
+	return nil
+}
+
+func (d *smDriver) diffAll() error {
+	blocks := make([]uint64, smBlocks)
+	for b := range blocks {
+		blocks[b] = uint64(b)
+	}
+	return d.m.diff(d.eng, blocks)
+}
+
+// rollback sets the model to the last checkpoint plus the first k updates
+// since.
+func (d *smDriver) rollback(k int) {
+	d.m.hist, d.pending = (&model{hist: d.base}).copyHist(), d.pending[:k]
+	for _, op := range d.pending {
+		d.redo(op)
+	}
+}
+
+// close closes the store, once.
+func (d *smDriver) close() error {
+	eng := d.eng
+	if d.eng = nil; eng == nil {
+		return nil
+	}
+	return eng.Close()
+}
+
+// redo applies a pending update or relocation to the model.
+func (d *smDriver) redo(op smOp) {
+	if op.k == opRelocate {
+		d.m.relocate(op.a, op.b)
+		return
+	}
+	d.m.update(core.Ref{Block: op.a, Inode: op.b, Offset: op.c, Line: op.d, Length: 1}, d.tag, op.k == opAdd)
+}
+
+// step applies one op to the engine and the model and compares what it may
+// have changed: the blocks an update or relocation touched, every block
+// after a checkpoint, maintenance or reopen. An op the model's state makes
+// meaningless — a remove of what is not live, a clone of a deleted
+// snapshot — is skipped, so any subsequence of a stream replays.
+func (d *smDriver) step(op smOp) error {
+	m := d.m
+	switch op.k {
+	case opAdd, opRemove:
+		r := core.Ref{Block: op.a, Inode: op.b, Offset: op.c, Line: op.d, Length: 1}
+		if l := m.lines[r.Line]; l == nil || !l.live || m.liveOwner(r) == (op.k == opAdd) {
+			return nil
+		}
+		refOp{ref: r, cp: d.tag, remove: op.k == opRemove}.applyTo(d.eng)
+		d.redo(op)
+		d.pending = append(d.pending, op)
+		return m.diff(d.eng, []uint64{r.Block})
+	case opRelocate:
+		if op.a == op.b || len(m.hist[op.a]) == 0 || len(m.hist[op.b]) > 0 {
+			return nil
+		}
+		if err := d.eng.RelocateBlock(op.a, op.b); err != nil {
+			return err
+		}
+		d.redo(op)
+		d.pending = append(d.pending, op)
+		d.moves = append(d.moves, [2]uint64{op.a, op.b})
+		return m.diff(d.eng, []uint64{op.a, op.b})
+	case opSnapshot:
+		if l := m.lines[op.a]; l == nil || !l.live || l.snaps[d.tag] {
+			return nil
+		}
+		m.snapshot(op.a, d.tag)
+		return d.cat.CreateSnapshot(op.a, d.tag)
+	case opDeleteSnapshot:
+		if l := m.lines[op.a]; l == nil || !l.snaps[op.b] {
+			return nil
+		}
+		delete(m.lines[op.a].snaps, op.b)
+		return d.cat.DeleteSnapshot(op.a, op.b)
+	case opClone:
+		if p := m.lines[op.b]; p == nil || !p.snaps[op.c] || m.lines[op.a] != nil {
+			return nil
+		}
+		m.clone(op.a, op.b, op.c)
+		return d.cat.CreateClone(op.a, op.b, op.c)
+	case opDeleteLine:
+		if l := m.lines[op.a]; op.a == 0 || l == nil || !l.live {
+			return nil
+		}
+		m.lines[op.a].live = false
+		return d.cat.DeleteLine(op.a)
+	case opReap:
+		d.cat.ReapZombies() // drops only lines no answer can reach
+		return nil
+	case opCheckpoint:
+		if err := d.eng.Checkpoint(d.tag); err != nil {
+			return err
+		}
+		d.tag++
+		d.base, d.pending = m.copyHist(), nil
+	case opCompact:
+		if err := d.eng.Compact(); err != nil {
+			return err
+		}
+	case opMaintain:
+		if err := d.eng.MaintainNow(); err != nil {
+			return err
+		}
+	case opExpire:
+		if _, err := d.eng.Expire(); err != nil {
+			return err
+		}
+	case opReopen:
+		if err := d.close(); err != nil {
+			return err
+		}
+		if err := d.open(); err != nil {
+			return err
+		}
+		if d.cfg.mode == wal.CheckpointOnly {
+			d.rollback(0) // Close drops what no checkpoint took
+		}
+	case opCrash:
+		d.fs.SetFailurePlan(storage.FailurePlan{FailAfterPageWrites: 1, FailAfterSyncs: 1, FailAfterRenames: 1})
+		d.close()
+		d.fs.Crash()
+		d.fs.SetFailurePlan(storage.FailurePlan{})
+		if err := d.open(); err != nil {
+			return err
+		}
+		// The durability contract, mode by mode: CheckpointOnly keeps exactly
+		// the last checkpoint, Sync every acknowledged update, Buffered the
+		// updates up to some point since the last checkpoint.
+		switch d.cfg.mode {
+		case wal.CheckpointOnly:
+			d.rollback(0)
+		case wal.Buffered:
+			return d.survivingPrefix()
+		}
+	}
+	return d.diffAll()
+}
+
+// survivingPrefix finds the longest prefix of the updates since the last
+// checkpoint whose model the recovered store answers like, and adopts it.
+func (d *smDriver) survivingPrefix() error {
+	all := d.pending
+	var first error
+	for k := len(all); k >= 0; k-- {
+		d.pending = all
+		d.rollback(k)
+		err := d.diffAll()
+		if err == nil {
+			return nil
+		}
+		if first == nil {
+			first = err
+		}
+	}
+	return fmt.Errorf("no prefix of the %d updates since the last checkpoint survived the crash; all of them: %w", len(all), first)
+}
+
+// next draws an op the model's state makes meaningful.
+func (d *smDriver) next(rng *rand.Rand) smOp {
+	m := d.m
+	pick := func(ids []uint64) uint64 { return ids[rng.Intn(len(ids))] }
+	live := m.lineIDs(func(l *smLine) bool { return l.live })
+	type snap struct{ line, v uint64 }
+	var snaps []snap
+	for _, id := range m.lineIDs(func(l *smLine) bool { return len(l.snaps) > 0 }) {
+		for v := range m.lines[id].snaps {
+			snaps = append(snaps, snap{id, v})
+		}
+	}
+	slices.SortFunc(snaps, func(a, b snap) int { return cmp.Or(cmp.Compare(a.v, b.v), cmp.Compare(a.line, b.line)) })
+	x := rng.Intn(100)
+	switch {
+	case x < 22 && len(live) > 0:
+		b := uint64(rng.Intn(smBlocks))
+		var owners []core.Owner
+		for _, o := range m.owners(b) {
+			if o.Live {
+				owners = append(owners, o)
+			}
+		}
+		if len(owners) > 0 {
+			o := owners[rng.Intn(len(owners))]
+			return smOp{opRemove, b, o.Inode, o.Offset, o.Line}
+		}
+		fallthrough
+	case x < 50 && len(live) > 0:
+		return smOp{opAdd, uint64(rng.Intn(smBlocks / 2)), uint64(1 + rng.Intn(3)), uint64(rng.Intn(2)), pick(live)}
+	case x < 57:
+		if len(d.moves) > 0 && rng.Intn(2) == 0 {
+			mv := d.moves[rng.Intn(len(d.moves))]
+			return smOp{k: opRelocate, a: mv[1], b: mv[0]}
+		}
+		from, to := uint64(rng.Intn(smBlocks)), uint64(rng.Intn(smBlocks))
+		for i := 0; i < smBlocks && len(m.hist[from]) == 0; i++ {
+			from = (from + 1) % smBlocks
+		}
+		for i := 0; i < smBlocks && len(m.hist[to]) > 0; i++ {
+			to = (to + 1) % smBlocks
+		}
+		return smOp{k: opRelocate, a: from, b: to}
+	case x < 64 && len(live) > 0:
+		return smOp{k: opSnapshot, a: pick(live)}
+	case x < 70 && len(snaps) > 0:
+		// The oldest snapshot half the time: moving the reclaim horizon is
+		// what gives expiry something to drop.
+		s := snaps[0]
+		if rng.Intn(2) == 0 {
+			s = snaps[rng.Intn(len(snaps))]
+		}
+		return smOp{k: opDeleteSnapshot, a: s.line, b: s.v}
+	case x < 74 && len(snaps) > 0:
+		s := snaps[rng.Intn(len(snaps))]
+		d.nextLine++
+		return smOp{k: opClone, a: d.nextLine - 1, b: s.line, c: s.v}
+	case x < 76 && len(live) > 1:
+		return smOp{k: opDeleteLine, a: pick(live[1:])}
+	case x < 78:
+		return smOp{k: opReap}
+	case x < 89:
+		return smOp{k: opCheckpoint}
+	case x < 92:
+		return smOp{k: opCompact}
+	case x < 95:
+		return smOp{k: opMaintain}
+	case x < 97:
+		return smOp{k: opExpire}
+	case x < 99:
+		return smOp{k: opReopen}
+	}
+	return smOp{k: opCrash}
+}
+
+// smRun replays ops on a fresh store and compares every block at the end.
+// It returns the index of the op that failed (len(ops) for the final
+// comparison) and the failure.
+func smRun(cfg smConfig, ops []smOp) (int, error) {
+	d, err := newSMDriver(cfg)
+	if err != nil {
+		return 0, err
+	}
+	defer d.close()
+	for i, op := range ops {
+		if err := d.step(op); err != nil {
+			return i, err
+		}
+	}
+	return len(ops), d.diffAll()
+}
+
+// smShrink drops chunks of ops, halving the chunk size down to single ops,
+// as long as the replay still fails.
+func smShrink(cfg smConfig, ops []smOp) []smOp {
+	for chunk := len(ops) / 2; chunk >= 1; chunk /= 2 {
+		for i := 0; i+chunk <= len(ops); {
+			cand := slices.Concat(ops[:i], ops[i+chunk:])
+			if _, err := smRun(cfg, cand); err != nil {
+				ops = cand
+			} else {
+				i += chunk
+			}
+		}
+	}
+	return ops
+}
+
+// smSeedRun draws and runs one seed's stream of n ops; on a failure it
+// shrinks the stream and reports how to replay it.
+func smSeedRun(t *testing.T, cfg smConfig, ci int, seed int64, n int) {
+	t.Helper()
+	d, err := newSMDriver(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed<<8 | int64(ci)))
+	var ops []smOp
+	for len(ops) < n && err == nil {
+		op := d.next(rng)
+		ops = append(ops, op)
+		err = d.step(op)
+	}
+	if err == nil {
+		err = d.diffAll()
+	}
+	d.close()
+	if err == nil {
+		return
+	}
+	at := len(ops) - 1
+	shrunk := smShrink(cfg, ops)
+	var row strings.Builder
+	for _, op := range shrunk {
+		fmt.Fprintf(&row, "\t\t%v,\n", op)
+	}
+	t.Fatalf("%v, seed %d: at op %d %v: %v\nreplay: go test ./internal/core -run 'TestStateMachine/%s$' -sm.seed=%d\n"+
+		"shrunk to %d ops; as a regression row:\n\t{\"name\", %q, []smOp{\n%s\t}},",
+		cfg, seed, at, ops[at], err, cfg.combo(), seed, len(shrunk), cfg.String(), row.String())
+}
+
+// smRegressions are shrunk failing streams, replayed on every run: defects
+// the driver found, and the mutations it must keep catching (see
+// CHANGES.md, PR 25).
+var smRegressions = []struct {
+	name, cfg string
+	ops       []smOp
+}{
+	// A whole merge purged the From of a reference on a deleted line whose
+	// To, removed in the line's last CP, was still in the write store: the
+	// To then answered as an override [0, 5) with the clone's snapshot 3.
+	{"lone-from-of-deleted-line", "buffered-delta-full-all-p1", []smOp{
+		{opCheckpoint, 0, 0, 0, 0}, {opCheckpoint, 0, 0, 0, 0}, {opSnapshot, 0, 0, 0, 0}, {opClone, 1, 0, 3, 0},
+		{opSnapshot, 1, 0, 0, 0}, {opCheckpoint, 0, 0, 0, 0}, {opAdd, 11, 2, 1, 1}, {opCheckpoint, 0, 0, 0, 0},
+		{opRemove, 11, 2, 1, 1}, {opDeleteLine, 1, 0, 0, 0}, {opCompact, 0, 0, 0, 0},
+	}},
+	// A block moved back where it came from shows its old records again
+	// (planMove's UndeleteRecord).
+	{"move-back", "cponly-delta-full-all-hash4", []smOp{
+		{opAdd, 3, 3, 0, 0}, {opCheckpoint, 0, 0, 0, 0}, {opRelocate, 3, 7, 0, 0}, {opRelocate, 7, 3, 0, 0},
+	}},
+	// A clone ends an inherited reference in the CP it was cloned in: the
+	// override blocks inheritance (hasOverride) and survives a whole merge.
+	{"inherited-remove", "cponly-raw-full-all-range4", []smOp{
+		{opAdd, 15, 2, 1, 0}, {opSnapshot, 0, 0, 0, 0}, {opClone, 2, 0, 1, 0}, {opRemove, 15, 2, 1, 2},
+		{opCheckpoint, 0, 0, 0, 0}, {opCompact, 0, 0, 0, 0},
+	}},
+	// A zombie clone base pins the interval covering it through a merge.
+	{"zombie-base", "buffered-delta-full-live-range4", []smOp{
+		{opCheckpoint, 0, 0, 0, 0}, {opAdd, 13, 1, 1, 0}, {opSnapshot, 0, 0, 0, 0}, {opClone, 1, 0, 2, 0},
+		{opCheckpoint, 0, 0, 0, 0}, {opDeleteSnapshot, 0, 2, 0, 0}, {opRemove, 13, 1, 1, 0}, {opCheckpoint, 0, 0, 0, 0},
+		{opCompact, 0, 0, 0, 0},
+	}},
+	// A relocation survives a clean reopen before any checkpoint.
+	{"relocation-logged", "buffered-delta-full-all-range4", []smOp{
+		{opAdd, 14, 1, 1, 0}, {opRelocate, 14, 0, 0, 0}, {opReopen, 0, 0, 0, 0},
+	}},
+}
+
+// TestStateMachine runs the regression rows, then smSeedsPerCombo seeds of every
+// mode × format × policy × retention combination; each seed draws its
+// partitioning. -sm.seed replays one seed, -sm.for keeps drawing seeds.
+func TestStateMachine(t *testing.T) {
+	for _, rr := range smRegressions {
+		t.Run("regression-"+rr.name, func(t *testing.T) {
+			for _, cfg := range smCombos() {
+				for cfg.parts = range smPartNames {
+					if cfg.String() != rr.cfg {
+						continue
+					}
+					if at, err := smRun(cfg, rr.ops); err != nil {
+						t.Fatalf("at op %d: %v", at, err)
+					}
+					return
+				}
+			}
+			t.Fatalf("no config %q", rr.cfg)
+		})
+	}
+	combos := smCombos()
+	share := *smFor / time.Duration(len(combos))
+	for ci, cfg := range combos {
+		t.Run(cfg.combo(), func(t *testing.T) {
+			start := time.Now()
+			for seed := int64(1); seed <= smSeedsPerCombo || time.Since(start) < share; seed++ {
+				if *smSeed != 0 {
+					seed = *smSeed
+				}
+				cfg.parts = int(seed % 3)
+				smSeedRun(t, cfg, ci, seed, 120)
+				if *smSeed != 0 {
+					return
+				}
+			}
+		})
+	}
+}
+
+// hammerSegments is how many checkpoints a paced schedule waits for: a
+// worker starts the k-th of this many segments of its stream only once k
+// checkpoints have committed, so each of the first ones has records to
+// flush however fast the workers run — a merge trigger counts checkpoints,
+// not shards — while every segment still races the checkpoint after it.
+const hammerSegments = 9
+
+// hammerRow switches the roles of one concurrent schedule on or off.
+type hammerRow struct {
+	name                 string
+	opts                 core.Options
+	workers, ops, blocks int    // ingest workers on disjoint inodes, ops each, over blocks
+	maxCP                uint64 // their CP tags rise to this; checkpoints start above it
+	snaps                []uint64
+	paced                bool // workers wait for the checkpointer, segment by segment
+	backToBack           bool // no pause between checkpoints
+	compactEvery         int  // the checkpointer compacts after every nth CP
+	failEvery            int  // every nth checkpoint first fails its flush, then retries
+	window               int  // snapshot every CP and keep the newest window of them
+	expire               bool // an Expire loop
+	relocate             int  // a relocator flips this many private blocks, pass by pass
+	ranges               bool // the reader runs QueryRange, WSLen and Stats too
+	check                func(t *testing.T, h *hammer)
+}
+
+// hammer is one concurrent schedule's store and model.
+type hammer struct {
+	row hammerRow
+	fs  *storage.MemFS
+	cat *core.MemCatalog
+	eng *core.Engine
+	m   *model
+}
+
+// verify checks every ingest and relocation block against the model.
+func (h *hammer) verify(t *testing.T) {
+	t.Helper()
+	h.m.check(t, h.eng, uint64(h.row.blocks+2*h.row.relocate))
+}
+
+// runHammer runs a row's roles until the workers are done, drains the
+// write stores, checks the row and every answer against the model, and
+// returns the still open store.
+func runHammer(t *testing.T, row hammerRow) *hammer {
+	t.Helper()
+	h := &hammer{row: row, fs: storage.NewMemFS(), cat: core.NewMemCatalog(), m: newModel()}
+	opts := row.opts
+	opts.VFS, opts.Catalog = h.fs, h.cat
+	eng, err := core.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.eng = eng
+	for _, v := range row.snaps {
+		h.m.snapshot(0, v)
+		if err := h.cat.CreateSnapshot(0, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var adds uint64
+	lo, n := uint64(row.blocks), uint64(row.relocate)
+	for i := range n {
+		o := refOp{ref: core.Ref{Block: lo + i, Inode: 7777, Offset: i, Length: 1}, cp: 1}
+		o.applyTo(eng)
+		h.m.apply(o)
+		adds++
+	}
+	if n > 0 {
+		fCheckpoint(t, eng, 1)
+	}
+	streams := hammerStreams(row.workers, row.ops, row.blocks, row.maxCP)
+	for _, stream := range streams {
+		for _, o := range stream {
+			h.m.apply(o)
+			if !o.remove {
+				adds++
+			}
+		}
+	}
+
+	stop := make(chan struct{})
+	running := func() bool {
+		select {
+		case <-stop:
+			return false
+		default:
+			return true
+		}
+	}
+	errc := make(chan error, 8)
+	var roles sync.WaitGroup
+	role := func(fn func() error) {
+		roles.Add(1)
+		go func() {
+			defer roles.Done()
+			if err := fn(); err != nil {
+				errc <- err
+			}
+		}()
+	}
+	loop := func(fn func() error) {
+		role(func() error {
+			for running() {
+				if err := fn(); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+
+	var (
+		mu        sync.Mutex
+		committed = sync.NewCond(&mu)
+		cps       int // checkpoints committed, hammerSegments once the checkpointer is gone
+		lastCP    = row.maxCP + 1
+		window    []uint64
+	)
+	role(func() error {
+		defer func() {
+			mu.Lock()
+			cps = hammerSegments
+			mu.Unlock()
+			committed.Broadcast()
+		}()
+		for cp := row.maxCP + 2; running(); cp++ {
+			retry := true
+			if row.failEvery > 0 && int(cp)%row.failEvery == 0 {
+				// Fail somewhere inside the flush: the frozen records go back
+				// to the write stores, and the retry must see them all. A
+				// flush of empty write stores writes no page and commits.
+				h.fs.SetFailurePlan(storage.FailurePlan{FailAfterPageWrites: h.fs.Stats().PageWrites + 2})
+				retry = eng.Checkpoint(cp) != nil
+				h.fs.SetFailurePlan(storage.FailurePlan{})
+			}
+			if retry {
+				if err := eng.Checkpoint(cp); err != nil {
+					return fmt.Errorf("checkpoint %d: %w", cp, err)
+				}
+			}
+			if row.window > 0 {
+				if err := h.cat.CreateSnapshot(0, cp); err != nil {
+					return err
+				}
+				if window = append(window, cp); len(window) > row.window {
+					if err := h.cat.DeleteSnapshot(0, window[0]); err != nil {
+						return err
+					}
+					window = window[1:]
+				}
+			}
+			if row.compactEvery > 0 && int(cp)%row.compactEvery == 0 {
+				if err := eng.Compact(); err != nil {
+					return fmt.Errorf("compact at %d: %w", cp, err)
+				}
+			}
+			mu.Lock()
+			lastCP, cps = cp, cps+1
+			mu.Unlock()
+			committed.Broadcast()
+			if !row.backToBack {
+				time.Sleep(time.Millisecond)
+			}
+		}
+		return nil
+	})
+	if row.expire {
+		loop(func() error {
+			time.Sleep(time.Millisecond)
+			_, err := eng.Expire()
+			return err
+		})
+	}
+	passes := 0
+	if n > 0 {
+		role(func() error {
+			for ; passes == 0 || running(); passes++ { // a whole pass at least
+				for i := range n {
+					from, to := lo+i, lo+n+i
+					if passes%2 == 1 {
+						from, to = to, from
+					}
+					if err := eng.RelocateBlock(from, to); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		})
+	}
+	rng := rand.New(rand.NewSource(7))
+	loop(func() error {
+		b := uint64(rng.Intn(row.blocks + 2*row.relocate))
+		if _, err := eng.Query(b); err != nil || !row.ranges {
+			return err
+		}
+		_, _ = eng.WSLen(), eng.Stats()
+		return eng.QueryRange(b, 4, func(uint64, []core.Owner) bool { return true })
+	})
+
+	var workers sync.WaitGroup
+	for _, stream := range streams {
+		workers.Add(1)
+		go func() {
+			defer workers.Done()
+			for k := range hammerSegments {
+				if row.paced {
+					mu.Lock()
+					for cps < k {
+						committed.Wait()
+					}
+					mu.Unlock()
+				}
+				for _, o := range stream[k*len(stream)/hammerSegments : (k+1)*len(stream)/hammerSegments] {
+					o.applyTo(eng)
+				}
+			}
+		}()
+	}
+	workers.Wait()
+	close(stop)
+	roles.Wait()
+	select {
+	case err := <-errc:
+		t.Fatal(err)
+	default:
+	}
+
+	fCheckpoint(t, eng, lastCP+1)
+	if got := eng.WSLen(); got != 0 {
+		t.Fatalf("WSLen = %d after the final checkpoint", got)
+	}
+	if st := eng.Stats(); st.RefsAdded != adds {
+		t.Fatalf("RefsAdded = %d, the schedule added %d", st.RefsAdded, adds)
+	}
+	for _, v := range window {
+		h.m.snapshot(0, v)
+	}
+	if passes%2 == 1 {
+		for i := range n {
+			h.m.relocate(lo+i, lo+n+i)
+		}
+	}
+	if row.check != nil {
+		row.check(t, h)
+	}
+	h.verify(t)
+	return h
+}
+
+// hammerRows are the concurrent schedules. The checks every row gets —
+// nothing buffered after the drain, every AddRef counted once, every block
+// answering like the model (a relocated-away block with nothing) — are
+// runHammer's; a row's check adds what its roles are for.
+var hammerRows = []hammerRow{
+	// Eight workers into eight shards against a paused checkpointer that
+	// compacts, every CP version of line 0 retained.
+	{name: "ingest", opts: core.Options{WriteShards: 8}, workers: 8, ops: 1500, blocks: 512, maxCP: 16,
+		snaps: []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17}, compactEvery: 8},
+	// Every public entry point at once: back-to-back checkpoints and
+	// compactions, relocation back and forth, point and range queries.
+	{name: "mixed", workers: 4, ops: 800, blocks: 256, maxCP: 8, snaps: []uint64{5},
+		backToBack: true, compactEvery: 6, relocate: 64, ranges: true},
+	// The background maintainer merging under paced ingest.
+	{name: "maintain", opts: core.Options{Partitions: 8, HashPartitioning: true, WriteShards: 6, AutoCompact: true, CompactThreshold: 4},
+		workers: 6, ops: 1200, blocks: 384, maxCP: 12, paced: true,
+		check: func(t *testing.T, h *hammer) {
+			waitMaintained(t, h.eng)
+			if ms := h.eng.MaintenanceStats(); !ms.Enabled || ms.AutoCompactions == 0 {
+				t.Fatalf("background maintainer never compacted: %+v", ms)
+			}
+		}},
+	// Leveled merging and expiry under a moving snapshot window.
+	{name: "leveled", opts: core.Options{Partitions: 8, HashPartitioning: true, WriteShards: 6, AutoCompact: true,
+		Retention: core.RetainLive, CompactionPolicy: core.PolicyLeveled{}, Fanout: 3},
+		workers: 6, ops: 1000, blocks: 384, maxCP: 12, paced: true, window: 4,
+		check: func(t *testing.T, h *hammer) {
+			waitLeveledDrained(t, h.eng)
+			if ms := h.eng.MaintenanceStats(); ms.Policy != "leveled" || ms.Fanout != 3 || ms.AutoCompactions == 0 {
+				t.Fatalf("leveled maintainer: %+v, want policy leveled, fanout 3 and merges", ms)
+			}
+		}},
+	// An Expire loop racing tiered background merges and a snapshot window;
+	// then every snapshot goes and nothing sealed may survive.
+	{name: "expire", opts: core.Options{Partitions: 4, HashPartitioning: true, WriteShards: 4, AutoCompact: true,
+		CompactThreshold: 4, Retention: core.RetainLive},
+		workers: 4, ops: 800, blocks: 256, maxCP: 10, paced: true, window: 3, expire: true,
+		check: func(t *testing.T, h *hammer) {
+			waitMaintained(t, h.eng)
+			h.verify(t)
+			for _, v := range slices.Sorted(maps.Keys(h.m.lines[0].snaps)) {
+				delete(h.m.lines[0].snaps, v)
+				if err := h.cat.DeleteSnapshot(0, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := h.eng.CompactTiered(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := h.eng.Expire(); err != nil {
+				t.Fatal(err)
+			}
+			if left := sealedRuns(h.eng); len(left) != 0 {
+				t.Fatalf("%d sealed runs survive an Infinity horizon: %+v", len(left), left)
+			}
+		}},
+	// Back-to-back checkpoints, every seventh failing its flush first,
+	// against ingest, a relocation pass and queries over both ranges.
+	{name: "checkpoint", workers: 6, ops: 1200, blocks: 384, maxCP: 12, backToBack: true, failEvery: 7, relocate: 48},
+}
+
+// TestStateMachineConcurrent runs every concurrent schedule; run it under
+// -race.
+func TestStateMachineConcurrent(t *testing.T) {
+	for _, row := range hammerRows {
+		t.Run(row.name, func(t *testing.T) {
+			if err := runHammer(t, row).eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestIOAttributionRaceExactSums runs a concurrent schedule — ingest into
+// a Buffered log, checkpoints with compactions, an Expire loop, queries —
+// then closes the store and checks the attribution contract against the
+// metered MemFS: every device byte is attributed to a source — per-source
+// sums equal the device totals exactly, and nothing leaks into "unknown".
+func TestIOAttributionRaceExactSums(t *testing.T) {
+	// Buffered durability journals every update, so the WAL source carries
+	// traffic too (the default checkpoint-only mode opens no writing log).
+	h := runHammer(t, hammerRow{
+		opts:    core.Options{WriteShards: 4, Retention: core.RetainLive, Durability: wal.Buffered},
+		workers: 4, ops: 2000, blocks: 256, maxCP: 8, compactEvery: 4, expire: true,
+	})
+	eng, fs := h.eng, h.fs
+	// A deterministic tail so every subsystem has certainly run at least once
+	// regardless of how far the schedule got: merge and expire.
+	if err := eng.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Expire(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Quiesce before comparing: Close stops the maintainer and flushes, and
+	// everything it writes is itself attributed.
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sum := func(rep core.IOReport) (total, unknown obs.SourceIO) {
+		for _, s := range rep.Sources {
+			total.ReadBytes += s.ReadBytes
+			total.WriteBytes += s.WriteBytes
+			total.Syncs += s.Syncs
+			total.Creates += s.Creates
+			total.Removes += s.Removes
+			if s.Source == storage.SrcUnknown.String() {
+				unknown = s
+			}
+		}
+		return total, unknown
+	}
+	rep := eng.IOReport()
+	st := fs.Stats()
+	total, unknown := sum(rep)
+	if total.ReadBytes != uint64(st.BytesRead) || total.WriteBytes != uint64(st.BytesWritten) {
+		t.Errorf("attributed bytes = %d read / %d written, device = %d / %d",
+			total.ReadBytes, total.WriteBytes, st.BytesRead, st.BytesWritten)
+	}
+	if total.ReadBytes != rep.TotalReadBytes || total.WriteBytes != rep.TotalWriteBytes {
+		t.Errorf("report totals %d/%d disagree with per-source sums %d/%d",
+			rep.TotalReadBytes, rep.TotalWriteBytes, total.ReadBytes, total.WriteBytes)
+	}
+	if total.Syncs != uint64(st.Syncs) || total.Creates != uint64(st.FilesCreated) || total.Removes != uint64(st.FilesRemoved) {
+		t.Errorf("attributed syncs/creates/removes = %d/%d/%d, device = %d/%d/%d",
+			total.Syncs, total.Creates, total.Removes, st.Syncs, st.FilesCreated, st.FilesRemoved)
+	}
+	if unknown.ReadBytes != 0 || unknown.WriteBytes != 0 || unknown.Syncs != 0 ||
+		unknown.Creates != 0 || unknown.Removes != 0 {
+		t.Errorf("unattributed i/o leaked from a hot path: %+v", unknown)
+	}
+	for _, src := range []storage.Source{storage.SrcWAL, storage.SrcCheckpoint, storage.SrcCompaction} {
+		if rep.Sources[src].WriteBytes == 0 {
+			t.Errorf("no write bytes attributed to %s under a write-heavy workload", src)
+		}
+	}
+	if rep.Sources[storage.SrcManifest].WriteBytes == 0 {
+		t.Error("no manifest bytes attributed despite committed checkpoints")
+	}
+	if n := rep.Sources[storage.SrcCheckpoint].ReadBytes; n != 0 {
+		t.Errorf("checkpoints read %d bytes: an install opens the runs it built from their builders, not from their header pages", n)
+	}
+
+	// Reopen the same directory with a fresh accountant: startup I/O
+	// (manifest, deletion vectors, run headers, WAL scan) lands under
+	// recovery, and the exact-sum contract holds for the delta too.
+	pre := fs.Stats()
+	eng2, err := core.Open(core.Options{VFS: fs, Catalog: h.cat, WriteShards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng2.Query(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rep2 := eng2.IOReport()
+	delta := fs.Stats().Sub(pre)
+	total2, unknown2 := sum(rep2)
+	if total2.ReadBytes != uint64(delta.BytesRead) || total2.WriteBytes != uint64(delta.BytesWritten) {
+		t.Errorf("reopen attributed %d/%d bytes, device delta %d/%d",
+			total2.ReadBytes, total2.WriteBytes, delta.BytesRead, delta.BytesWritten)
+	}
+	if rep2.Sources[storage.SrcRecovery].ReadBytes == 0 {
+		t.Error("no read bytes attributed to recovery on reopen of a populated store")
+	}
+	if unknown2.ReadBytes != 0 || unknown2.WriteBytes != 0 {
+		t.Errorf("unattributed i/o leaked during recovery: %+v", unknown2)
+	}
+}
+
+// TestRandomCrashPoints crashes a CheckpointOnly store after every seventh
+// of thirty checkpoints with an update of the next CP buffered: it must come
+// back at exactly the last checkpoint.
+func TestRandomCrashPoints(t *testing.T) {
+	fs, cat, m := storage.NewMemFS(), core.NewMemCatalog(), newModel()
+	open := func() *core.Engine {
+		eng, err := core.Open(core.Options{VFS: fs, Catalog: cat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	eng := open()
+	for _, batch := range cpBatches(hammerStreams(1, 300, 40, 30)[0]) {
+		cp := batch[0].cp
+		for _, o := range batch {
+			o.applyTo(eng)
+			m.apply(o)
+		}
+		fCheckpoint(t, eng, cp)
+		if cp%7 != 0 {
+			continue
+		}
+		eng.AddRef(fref(999, 9, 9, 0), cp+1)
+		fs.Crash()
+		if eng = open(); eng.CP() != cp {
+			t.Fatalf("recovered CP %d, want %d", eng.CP(), cp)
+		}
+		m.check(t, eng, 1000)
+	}
+}

@@ -36,14 +36,6 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 			}
 		})
 	})
-	b.Run("enabled-counter", func(b *testing.B) {
-		r := NewRegistry()
-		c := r.Counter("c", "")
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c.Inc()
-		}
-	})
 	b.Run("enabled-timed-observe", func(b *testing.B) {
 		// The full cost an instrumented hot path pays when enabled: two
 		// clock reads plus the observe.

@@ -1,22 +1,26 @@
 // Package obs is Backlog's zero-dependency observability layer: a metrics
-// registry of atomic counters, gauges, and fixed-bucket latency histograms,
-// an op-tracing hook with a built-in bounded slow-op log, Prometheus
-// text-format rendering, and an optional HTTP debug endpoint.
+// registry of callback counters and gauges (CounterFunc, GaugeFunc — read at
+// snapshot time from values that already live elsewhere) and fixed-bucket
+// latency histograms, an op-tracing hook with a built-in bounded slow-op
+// log, Prometheus text-format rendering, and an optional HTTP debug
+// endpoint.
 //
 // The package is built around two rules:
 //
-//   - The record path is lock-free: counters and histogram observations are
-//     single atomic adds, so instrumented hot paths (AddRef, Query, WAL
-//     appends) never serialize behind the metrics layer.
-//   - Disabled observability is free: every handle type (*Counter, *Gauge,
-//     *Histogram) is nil-safe, and a nil *Registry returns nil handles, so
-//     code instruments unconditionally — `h.Observe(d)` on a nil histogram
-//     is a single branch, a few nanoseconds at most. Paper-figure
-//     experiments run with observability off and stay byte-identical.
+//   - The record path is lock-free: histogram observations are single
+//     atomic adds, and counters and gauges cost the hot path nothing at all,
+//     so instrumented hot paths (AddRef, Query, WAL appends) never serialize
+//     behind the metrics layer.
+//   - Disabled observability is free: *Histogram, the one handle type, is
+//     nil-safe, and a nil *Registry returns nil handles and ignores
+//     callbacks, so code instruments unconditionally — `h.Observe(d)` on a
+//     nil histogram is a single branch, a few nanoseconds at most.
+//     Paper-figure experiments run with observability off and stay
+//     byte-identical.
 //
 // Snapshots (Registry.Snapshot) are deep copies: the returned structure
 // never aliases live registry state, so a snapshot taken mid-load is stable
-// no matter how much recording follows. Counters and histogram fields are
+// no matter how much recording follows. Callbacks and histogram fields are
 // read individually without a global lock, so a snapshot is not a perfect
 // point-in-time cut across metrics — each individual value is, which is the
 // usual Prometheus contract.
@@ -26,69 +30,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
-
-// Counter is a monotonically increasing atomic counter. All methods are
-// nil-safe no-ops, so a disabled registry costs one branch per call site.
-type Counter struct {
-	name, help string
-	v          atomic.Uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c == nil {
-		return
-	}
-	c.v.Add(1)
-}
-
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c == nil {
-		return
-	}
-	c.v.Add(n)
-}
-
-// Value returns the current count (0 on a nil counter).
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// Gauge is an atomic instantaneous value.
-type Gauge struct {
-	name, help string
-	v          atomic.Int64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Add adds delta (may be negative).
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
-}
-
-// Value returns the current value (0 on a nil gauge).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
 
 // funcMetric is a counter or gauge whose value is computed at snapshot
 // time — the bridge for values that already live elsewhere (the engine's
@@ -133,16 +75,6 @@ func (r *Registry) register(name string, m any) any {
 			prev.fn = next.fn
 			prev.help = next.help
 			return prev
-		case *Counter:
-			if _, ok := m.(*Counter); !ok {
-				panic(fmt.Sprintf("obs: metric %q re-registered with a different kind", name))
-			}
-			return prev
-		case *Gauge:
-			if _, ok := m.(*Gauge); !ok {
-				panic(fmt.Sprintf("obs: metric %q re-registered with a different kind", name))
-			}
-			return prev
 		case *Histogram:
 			if _, ok := m.(*Histogram); !ok {
 				panic(fmt.Sprintf("obs: metric %q re-registered with a different kind", name))
@@ -153,23 +85,6 @@ func (r *Registry) register(name string, m any) any {
 	r.byName[name] = m
 	r.order = append(r.order, name)
 	return m
-}
-
-// Counter registers (or returns the existing) counter. Nil-safe: a nil
-// registry returns a nil handle, whose methods are no-ops.
-func (r *Registry) Counter(name, help string) *Counter {
-	if r == nil {
-		return nil
-	}
-	return r.register(name, &Counter{name: name, help: help}).(*Counter)
-}
-
-// Gauge registers (or returns the existing) gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	return r.register(name, &Gauge{name: name, help: help}).(*Gauge)
 }
 
 // CounterFunc registers a counter whose value fn computes at snapshot
@@ -272,10 +187,6 @@ func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
 	for _, m := range metrics {
 		switch m := m.(type) {
-		case *Counter:
-			s.Counters = append(s.Counters, CounterSnapshot{Name: m.name, Help: m.help, Value: m.v.Load()})
-		case *Gauge:
-			s.Gauges = append(s.Gauges, GaugeSnapshot{Name: m.name, Help: m.help, Value: float64(m.v.Load())})
 		case *funcMetric:
 			if m.counter {
 				s.Counters = append(s.Counters, CounterSnapshot{Name: m.name, Help: m.help, Value: uint64(m.fn())})

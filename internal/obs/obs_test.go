@@ -141,20 +141,8 @@ func TestHistogramConcurrent(t *testing.T) {
 }
 
 func TestNilHandlesAreSafe(t *testing.T) {
-	var c *Counter
-	var g *Gauge
 	var h *Histogram
 	var r *Registry
-	c.Inc()
-	c.Add(5)
-	if c.Value() != 0 {
-		t.Error("nil counter value != 0")
-	}
-	g.Set(3)
-	g.Add(1)
-	if g.Value() != 0 {
-		t.Error("nil gauge value != 0")
-	}
 	h.Observe(1)
 	h.ObserveDuration(time.Second)
 	h.Since(time.Now())
@@ -163,12 +151,6 @@ func TestNilHandlesAreSafe(t *testing.T) {
 	}
 	if hh := r.Histogram("x", "", "ns", nil); hh != nil {
 		t.Error("nil registry returned non-nil histogram")
-	}
-	if cc := r.Counter("x", ""); cc != nil {
-		t.Error("nil registry returned non-nil counter")
-	}
-	if gg := r.Gauge("x", ""); gg != nil {
-		t.Error("nil registry returned non-nil gauge")
 	}
 	r.CounterFunc("x", "", func() uint64 { return 0 })
 	r.GaugeFunc("x", "", func() float64 { return 0 })
@@ -183,13 +165,13 @@ func TestNilHandlesAreSafe(t *testing.T) {
 
 func TestRegistryDuplicateSemantics(t *testing.T) {
 	r := NewRegistry()
-	c1 := r.Counter("c", "help")
-	c2 := r.Counter("c", "other help")
-	if c1 != c2 {
-		t.Error("duplicate Counter registration did not return existing handle")
+	h1 := r.Histogram("h", "help", "ns", []uint64{10})
+	h2 := r.Histogram("h", "other help", "ns", []uint64{10})
+	if h1 != h2 {
+		t.Error("duplicate Histogram registration did not return existing handle")
 	}
-	c1.Add(3)
-	if c2.Value() != 3 {
+	h1.Observe(3)
+	if h2.Count() != 1 {
 		t.Error("handles not shared")
 	}
 	// Func metrics: re-registration replaces the callback (latest engine
@@ -201,20 +183,25 @@ func TestRegistryDuplicateSemantics(t *testing.T) {
 		t.Fatalf("func re-registration did not replace callback: %d %v", v, ok)
 	}
 	// Kind mismatch panics.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("kind mismatch did not panic")
-			}
+	for _, register := range []func(){
+		func() { r.GaugeFunc("f", "", func() float64 { return 0 }) },
+		func() { r.GaugeFunc("h", "", func() float64 { return 0 }) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("kind mismatch did not panic")
+				}
+			}()
+			register()
 		}()
-		r.Gauge("c", "")
-	}()
+	}
 }
 
 func TestRegistrySnapshotLookup(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("a_total", "").Add(7)
-	r.Gauge("b", "").Set(2)
+	r.CounterFunc("a_total", "", func() uint64 { return 7 })
+	r.GaugeFunc("b", "", func() float64 { return 2 })
 	r.GaugeFunc("bf", "", func() float64 { return 2.5 })
 	r.Histogram("h", "", "ns", []uint64{10}).Observe(3)
 	s := r.Snapshot()
@@ -332,9 +319,9 @@ func TestMultiTracer(t *testing.T) {
 
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("backlog_ops_total", "Total ops").Add(5)
-	r.Gauge("backlog_ws_records{shard=\"0\"}", "WS records").Set(10)
-	r.Gauge("backlog_ws_records{shard=\"1\"}", "WS records").Set(20)
+	r.CounterFunc("backlog_ops_total", "Total ops", func() uint64 { return 5 })
+	r.GaugeFunc("backlog_ws_records{shard=\"0\"}", "WS records", func() float64 { return 10 })
+	r.GaugeFunc("backlog_ws_records{shard=\"1\"}", "WS records", func() float64 { return 20 })
 	h := r.Histogram("backlog_lat_ns", "Latency", "ns", []uint64{100, 1000})
 	h.Observe(50)
 	h.Observe(500)
@@ -370,7 +357,7 @@ func TestWritePrometheus(t *testing.T) {
 
 func TestDebugServer(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("backlog_test_total", "a counter").Add(9)
+	r.CounterFunc("backlog_test_total", "a counter", func() uint64 { return 9 })
 	slow := NewSlowLog(0, 4)
 	slow.OpEnd(OpEvent{Kind: OpQuery, Dur: time.Second, Err: errors.New("boom")})
 	ds, err := Serve("127.0.0.1:0", r, slow)
