@@ -243,8 +243,12 @@
 // holds, so its budget covers several times more of the store; a warm
 // seek finds its place through a per-page restart table — every 32nd
 // record, itself delta-encoded against the page's first, a fourteenth of
-// the page's size — and decodes at most a few dozen records. Pages of a
-// run that compaction or expiry removed leave the cache with it.
+// the page's size — and decodes at most a few dozen records. A checkpoint
+// hands the pages it writes to the cache, restart tables built while
+// encoding, where the cache has room for them without evicting anything,
+// so the queries and the merge that read a fresh run need not read it
+// back; a merge's output is not cached. Pages of a run that compaction or
+// expiry removed leave the cache with it.
 //
 // Config.Compression selects the format for newly written runs:
 //
@@ -483,7 +487,10 @@ type Config struct {
 	// simulation).
 	InMemory bool
 	// CacheBytes sizes the page cache (default 32 MB). Pages are cached
-	// and charged as stored on disk, compressed leaves included.
+	// and charged as stored on disk, compressed leaves included. The pages
+	// a checkpoint writes enter it as they are written, where it has room
+	// without evicting anything, so queries find a fresh run in memory; a
+	// merge's output enters it only as queries read it.
 	CacheBytes int64
 	// Partitions horizontally partitions the read stores by block number
 	// (default 1). PartitionSpan gives the blocks per partition and is

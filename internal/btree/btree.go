@@ -111,6 +111,14 @@ type Writer struct {
 	// h is the header Finish wrote, for Open.
 	h header
 
+	// id is the cache identity of the run's pages, which the Reader Open
+	// returns inherits. While cache is set, each page w frames is offered
+	// to it under id (see WriteThrough), and rt is the current delta
+	// leaf's restart table, built as its records are encoded.
+	id    uint64
+	cache *Cache
+	rt    restartTable
+
 	// Delta-format state: the previous record's column values (reset to
 	// zero at each page boundary) and a scratch buffer for one encoded
 	// record.
@@ -152,6 +160,7 @@ func NewWriterFormat(f storage.File, recordSize int, format Format) (*Writer, er
 		perLeaf:  pagePayload / recordSize,
 		nextPage: 1,
 		wbuf:     make([]byte, storage.PageSize, 2*storage.PageSize),
+		id:       readerIDs.Add(1),
 	}
 	switch format {
 	case FormatRaw:
@@ -167,6 +176,22 @@ func NewWriterFormat(f storage.File, recordSize int, format Format) (*Writer, er
 	}
 	return w, nil
 }
+
+// WriteThrough makes w hand every page it frames — leaves and internal
+// pages, a delta leaf with the restart table built while its records were
+// encoded — to cache under w's identity (CacheID), so that the Reader Open
+// returns finds them there as a cold Reader would have built them from the
+// file. A page is cached only if it fits the room the cache has free:
+// writing through evicts nothing. Once a page does not fit, w offers no
+// more and builds no more restart tables; the cache gains room only when
+// pages leave it. Call it before the first Append; a nil cache caches
+// nothing.
+func (w *Writer) WriteThrough(cache *Cache) { w.cache = cache }
+
+// CacheID returns the identity w's pages are cached under, which the
+// Reader Open returns inherits: a caller discarding the run drops it from
+// the cache (Cache.Drop).
+func (w *Writer) CacheID() uint64 { return w.id }
 
 // Append adds a record. Records must be strictly ascending under
 // bytes.Compare; duplicates are rejected.
@@ -198,6 +223,9 @@ func (w *Writer) Append(rec []byte) error {
 			w.i1 = append(w.i1, indexEntry{key: append([]byte(nil), rec...), child: w.nextPage})
 		}
 		w.leafBuf = append(w.leafBuf, enc...)
+		if w.cache != nil {
+			w.rt.add(w.leafCount, rec, len(w.leafBuf))
+		}
 		for c := range w.prevCols {
 			w.prevCols[c] = binary.BigEndian.Uint64(rec[c*8:])
 		}
@@ -224,7 +252,7 @@ func (w *Writer) flushLeaf() error {
 	if w.leafCount == 0 {
 		return nil
 	}
-	if err := w.writePage(uint16(w.leafCount), w.leafBuf); err != nil {
+	if err := w.writePage(uint16(w.leafCount), w.leafBuf, w.format == FormatDelta); err != nil {
 		return err
 	}
 	w.leafBuf = w.leafBuf[:0]
@@ -284,7 +312,7 @@ func (w *Writer) Finish(bloomBytes []byte) error {
 				n++
 				if n == perPage || i == len(entries)-1 {
 					rootPage = w.nextPage
-					if err := w.writePage(uint16(n), buf); err != nil {
+					if err := w.writePage(uint16(n), buf, false); err != nil {
 						return err
 					}
 					buf = buf[:0]
@@ -359,8 +387,9 @@ func (w *Writer) SizeBytes() int64 { return w.sizeBytes }
 
 // writePage frames one page — count, payload, zero padding, CRC-32C — as
 // page w.nextPage at the end of the write buffer, flushing the buffer
-// first when it is full.
-func (w *Writer) writePage(count uint16, payload []byte) error {
+// first when it is full, and writes it through to the cache (see
+// WriteThrough). deltaLeaf marks a page whose restart table is w.rt.
+func (w *Writer) writePage(count uint16, payload []byte, deltaLeaf bool) error {
 	if len(payload) > pagePayload {
 		return fmt.Errorf("btree: page payload %d exceeds %d", len(payload), pagePayload)
 	}
@@ -371,11 +400,23 @@ func (w *Writer) writePage(count uint16, payload []byte) error {
 	}
 	start := len(w.wbuf)
 	w.wbuf = slices.Grow(w.wbuf, storage.PageSize)[:start+storage.PageSize]
-	page := w.wbuf[start:]
-	binary.LittleEndian.PutUint16(page, count)
-	clear(page[pageCountLen+copy(page[pageCountLen:], payload) : storage.PageSize-pageCRCLen])
-	crc := crc32.Checksum(page[:storage.PageSize-pageCRCLen], castagnoli)
-	binary.LittleEndian.PutUint32(page[storage.PageSize-pageCRCLen:], crc)
+	framed := w.wbuf[start:]
+	binary.LittleEndian.PutUint16(framed, count)
+	clear(framed[pageCountLen+copy(framed[pageCountLen:], payload) : storage.PageSize-pageCRCLen])
+	crc := crc32.Checksum(framed[:storage.PageSize-pageCRCLen], castagnoli)
+	binary.LittleEndian.PutUint32(framed[storage.PageSize-pageCRCLen:], crc)
+	if w.cache != nil {
+		// The payload is what a Reader keeps of the page: every writer
+		// fills a page with exactly its count entries or records.
+		p := &page{payload: make([]byte, len(payload)), count: int(count)}
+		copy(p.payload, payload)
+		if deltaLeaf {
+			p.restarts = w.rt.finish(w.recSize)
+		}
+		if !w.cache.putIfRoom(w.id, w.nextPage, p) {
+			w.cache = nil
+		}
+	}
 	w.nextPage++
 	return nil
 }

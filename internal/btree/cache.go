@@ -6,16 +6,18 @@ import (
 )
 
 // Cache is a shared LRU page cache keyed by (reader identity, page number).
-// It stores verified on-disk page payloads past the CRC check, leaves and
-// internal pages alike, so hot queries never re-read or re-verify. A
-// delta-format leaf stays encoded; beside its payload the entry keeps the
-// restart table its validating pass sampled, which lets a seek land
-// within restartInterval records of its target. An entry is charged the
-// bytes it pins — the payload at its used length, not the 4 KB page it
-// came in, plus the restart table, ≈0.3 KB beside a full leaf — against a
-// fixed budget, so a budget covers about nine tenths as many bytes of a
-// store in memory as on disk. Pages of a run that is gone leave with it
-// (Drop) instead of waiting for the LRU order to reach them.
+// It stores verified page payloads, leaves and internal pages alike, so hot
+// queries never re-read or re-verify: those a reader read from storage past
+// the CRC check, and those a Writer framed into the room the cache had
+// free (see WriteThrough), which that run never reads back. A delta-format
+// leaf stays encoded; beside its payload the entry keeps the restart table its
+// validating pass sampled or its writer built while encoding, which lets a
+// seek land within restartInterval records of its target. An entry is
+// charged the bytes it pins — the payload at its used length, not the 4 KB
+// page it came in, plus the restart table, ≈0.3 KB beside a full leaf —
+// against a fixed budget, so a budget covers about nine tenths as many
+// bytes of a store in memory as on disk. Pages of a run that is gone leave
+// with it (Drop) instead of waiting for the LRU order to reach them.
 //
 // The paper's micro-benchmarks use a 32 MB cache in addition to the write
 // stores and Bloom filters (Section 6.1); NewCacheBytes(32<<20) reproduces
@@ -27,6 +29,10 @@ type Cache struct {
 	used   int64
 	lru    *list.List // of *cacheEntry, front = most recent
 	index  map[cacheKey]*list.Element
+	// resident holds the bytes charged per reader identity, so that Drop
+	// stops once an identity holds nothing; an identity with nothing cached
+	// has no entry.
+	resident map[uint64]int64
 
 	hits, misses int64
 }
@@ -38,10 +44,11 @@ type cacheKey struct {
 
 // page is a verified page as readers and the cache hold it: the on-disk
 // payload cut to the bytes its count entries occupy (whole only for a leaf
-// nobody sampled, see Reader.NoFill), that count and, for a sampled delta
-// leaf, the restart table (see sampleRestarts). Both slices are allocated
-// at their length, so size is what the page keeps alive. A page is
-// immutable once built, so iterators and the cache share it by pointer.
+// nobody sampled, see Reader.NoFill), that count and, for a delta leaf read
+// by a sampling reader or written through, the restart table (see
+// restartTable). Both slices are allocated at their length, so size is what
+// the page keeps alive. A page is immutable once built, so iterators and the
+// cache share it by pointer.
 type page struct {
 	payload  []byte
 	count    int
@@ -60,9 +67,10 @@ type cacheEntry struct {
 // misses).
 func NewCacheBytes(bytes int64) *Cache {
 	return &Cache{
-		budget: bytes,
-		lru:    list.New(),
-		index:  make(map[cacheKey]*list.Element),
+		budget:   bytes,
+		lru:      list.New(),
+		index:    make(map[cacheKey]*list.Element),
+		resident: make(map[uint64]int64),
 	}
 }
 
@@ -85,16 +93,7 @@ func (c *Cache) put(reader, pageNo uint64, p *page) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	key := cacheKey{reader, pageNo}
-	if el, ok := c.index[key]; ok {
-		c.lru.MoveToFront(el)
-		e := el.Value.(*cacheEntry)
-		c.used += p.size() - e.size()
-		e.page = p
-	} else {
-		c.index[key] = c.lru.PushFront(&cacheEntry{key: key, page: p})
-		c.used += p.size()
-	}
+	c.insert(cacheKey{reader, pageNo}, p)
 	// Evict from the cold end, but never the entry just touched: a single
 	// oversized entry may transiently exceed the budget by itself.
 	for c.used > c.budget && c.lru.Len() > 1 {
@@ -102,23 +101,63 @@ func (c *Cache) put(reader, pageNo uint64, p *page) {
 	}
 }
 
+// putIfRoom caches p, as the most recent entry, only if it fits the budget
+// beside what the cache holds: unlike put it evicts nothing. It reports
+// whether p was cached. Writers use it (see Writer.WriteThrough), so that
+// the pages a build writes never displace pages queries read.
+func (c *Cache) putIfRoom(reader, pageNo uint64, p *page) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.used+p.size() > c.budget {
+		return false
+	}
+	c.insert(cacheKey{reader, pageNo}, p)
+	return true
+}
+
+// insert makes p the most recent entry under key, replacing any page held
+// there; the caller holds c.mu.
+func (c *Cache) insert(key cacheKey, p *page) {
+	if el, ok := c.index[key]; ok {
+		c.lru.MoveToFront(el)
+		e := el.Value.(*cacheEntry)
+		c.used += p.size() - e.size()
+		c.resident[key.reader] += p.size() - e.size()
+		e.page = p
+		return
+	}
+	c.index[key] = c.lru.PushFront(&cacheEntry{key: key, page: p})
+	c.used += p.size()
+	c.resident[key.reader] += p.size()
+}
+
 // remove takes one entry out of the cache; the caller holds c.mu.
 func (c *Cache) remove(el *list.Element) {
 	e := c.lru.Remove(el).(*cacheEntry)
 	delete(c.index, e.key)
 	c.used -= e.size()
+	if c.resident[e.key.reader] -= e.size(); c.resident[e.key.reader] == 0 {
+		delete(c.resident, e.key.reader)
+	}
 }
 
-// Drop forgets every page cached for r (and for the copies WithFile and
-// NoFill made of it), for a caller about to discard the run: nothing will
-// ask for those pages again, and left alone they stay charged until
-// eviction happens to reach them. It walks the whole index under the lock,
-// which suits runs dropped per commit, not per query.
-func (c *Cache) Drop(r *Reader) {
+// Drop forgets every page cached under the identity id (see
+// Reader.CacheID and Writer.CacheID), for a caller discarding the run:
+// nothing will ask for those pages again, and left alone they stay charged
+// until eviction happens to reach them. It walks the index under the lock
+// until the identity holds nothing, which suits runs dropped per commit,
+// not per query. Drop on a nil Cache does nothing.
+func (c *Cache) Drop(id uint64) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for key, el := range c.index {
-		if key.reader == r.id {
+		if c.resident[id] == 0 {
+			return
+		}
+		if key.reader == id {
 			c.remove(el)
 		}
 	}
@@ -130,6 +169,7 @@ func (c *Cache) Clear() {
 	defer c.mu.Unlock()
 	c.lru.Init()
 	c.index = make(map[cacheKey]*list.Element)
+	c.resident = make(map[uint64]int64)
 	c.used = 0
 	c.hits, c.misses = 0, 0
 }

@@ -90,7 +90,7 @@ func appendDeltaRecord(dst, rec []byte, prev []uint64) []byte {
 // starts from. A restart point is not a copy of its record: the table holds
 // the page's first record once, as the anchor, and every further restart
 // record as its FormatDelta encoding against that anchor, behind a
-// four-byte directory entry (see sampleRestarts). At the ≈5.7 encoded bytes
+// four-byte directory entry (see restartTable). At the ≈5.7 encoded bytes
 // the bench stores measure per 48/56-byte record a full page holds ≈710
 // records, i.e. 22 entries of ≈7 bytes, a directory of 92 and the anchor:
 // ≈0.3 KB charged to the cache beside the 4 KB payload, where verbatim
@@ -235,9 +235,9 @@ func checkLeafCount(payload []byte, count int) error {
 	return nil
 }
 
-// sampleRestarts walks all count records of a delta leaf with the run's
-// decoder and builds the page's restart table in table[:0], returning it
-// with the payload bytes the records occupy. Restart point j = 0, 1, … is
+// restartTable builds the restart table of one delta leaf from the page's
+// records in page order, as the writer encodes them or a reader decodes
+// them, so the two build the same bytes. Restart point j = 0, 1, … is
 // record j*restartInterval, and the table is
 //
 //	anchor     the page's first record — restart point 0 — verbatim
@@ -248,40 +248,69 @@ func checkLeafCount(payload []byte, count int) error {
 //	           encodes it against the anchor — in FormatDelta whatever the
 //	           run's format
 //
-// Any malformed input yields an ErrCorrupt-wrapped error, never silently
-// wrong records.
-func sampleRestarts(table, payload []byte, count, recSize int, next deltaDecoder) ([]byte, int, error) {
-	table = table[:0]
-	if err := checkLeafCount(payload, count); err != nil {
-		return table, 0, err
+// Until finish, head holds the anchor and the directory, whose entry
+// offsets count from the start of entries: the directory's length is the
+// page's restart count, which a writer learns only when the page is full.
+type restartTable struct {
+	head    []byte
+	entries []byte
+	anchor  [MaxRecordSize / 8]uint64
+}
+
+// add notes record i of the page, whose encoding ends at payload offset
+// end; only restart points are kept. Record 0 starts a new table.
+func (t *restartTable) add(i int, rec []byte, end int) {
+	if i%restartInterval != 0 {
+		return
 	}
-	var cols [MaxRecordSize / 8]uint64
-	anchor := cols[:recSize/8]
+	entry := 0
+	anchor := t.anchor[:len(rec)/8]
+	if i == 0 {
+		t.head = append(t.head[:0], rec...)
+		t.entries = t.entries[:0]
+		for c := range anchor {
+			anchor[c] = binary.BigEndian.Uint64(rec[c*8:])
+		}
+	} else {
+		entry = len(t.entries)
+		t.entries = appendDeltaRecord(t.entries, rec, anchor)
+	}
+	t.head = binary.LittleEndian.AppendUint16(t.head, uint16(entry))
+	t.head = binary.LittleEndian.AppendUint16(t.head, uint16(end))
+}
+
+// size returns the bytes the finished table will take.
+func (t *restartTable) size() int { return len(t.head) + len(t.entries) }
+
+// finish returns the table of the records added since record 0, in a new
+// slice of exactly its length, with the directory's entry offsets made
+// table offsets.
+func (t *restartTable) finish(recSize int) []byte {
+	table := make([]byte, t.size())
+	copy(table[copy(table, t.head):], t.entries)
+	for dir := recSize + restartDirLen; dir < len(t.head); dir += restartDirLen {
+		binary.LittleEndian.PutUint16(table[dir:], binary.LittleEndian.Uint16(table[dir:])+uint16(len(t.head)))
+	}
+	return table
+}
+
+// sampleRestarts walks all count records of a delta leaf with the run's
+// decoder, adding them to t, and returns the payload bytes the records
+// occupy; t.finish then yields the page's restart table. Any malformed
+// input yields an ErrCorrupt-wrapped error, never silently wrong records.
+func sampleRestarts(t *restartTable, payload []byte, count, recSize int, next deltaDecoder) (int, error) {
+	if err := checkLeafCount(payload, count); err != nil {
+		return 0, err
+	}
 	rec := make([]byte, recSize)
 	pos := 0
 	for i := 0; i < count; i++ {
 		if pos = next(payload, pos, rec, i == 0); pos < 0 {
-			return table, 0, fmt.Errorf("%w: malformed delta record %d", ErrCorrupt, i)
+			return 0, fmt.Errorf("%w: malformed delta record %d", ErrCorrupt, i)
 		}
-		if i%restartInterval != 0 {
-			continue
-		}
-		entry := 0
-		if i == 0 {
-			table = append(table, rec...)
-			table = append(table, make([]byte, ((count-1)/restartInterval+1)*restartDirLen)...)
-			for c := range anchor {
-				anchor[c] = binary.BigEndian.Uint64(rec[c*8:])
-			}
-		} else {
-			entry = len(table)
-			table = appendDeltaRecord(table, rec, anchor)
-		}
-		dir := table[recSize+i/restartInterval*restartDirLen:]
-		binary.LittleEndian.PutUint16(dir, uint16(entry))
-		binary.LittleEndian.PutUint16(dir[2:], uint16(pos))
+		t.add(i, rec, pos)
 	}
-	return table, pos, nil
+	return pos, nil
 }
 
 // compareRestart orders the record of restart point j >= 1 against key

@@ -395,10 +395,12 @@ func TestRestartTableDamage(t *testing.T) {
 			}
 		}
 		decode := decoderFor(FormatDelta, recSize)
-		table, used, err := sampleRestarts(nil, payload, len(recs), recSize, decode)
+		var rt restartTable
+		used, err := sampleRestarts(&rt, payload, len(recs), recSize, decode)
 		if err != nil || used != len(payload) {
 			t.Fatalf("sampling %d bytes: used %d (%v)", len(payload), used, err)
 		}
+		table := rt.finish(recSize)
 		rec := make([]byte, recSize)
 		corrupt := 0
 		for at := recSize; at < len(table); at++ {

@@ -13,7 +13,8 @@ import (
 	"github.com/backlogfs/backlog/internal/storage"
 )
 
-// readerIDs issues unique cache identities for readers.
+// readerIDs issues unique cache identities: one per opened run, and one per
+// Writer, which its run's Reader inherits.
 var readerIDs atomic.Uint64
 
 // Reader provides point lookups and ordered iteration over a finished run.
@@ -44,17 +45,19 @@ func Open(f storage.File, cache *Cache) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newReader(f, h, cache), nil
+	return newReader(f, h, cache, readerIDs.Add(1)), nil
 }
 
 // Open returns a Reader over the run w has finished, from the header the
 // builder still holds: nothing is read. f must address the file w wrote.
+// The Reader takes w's cache identity, so the pages w wrote through to the
+// cache (see WriteThrough) are its own.
 func (w *Writer) Open(f storage.File, cache *Cache) *Reader {
-	return newReader(f, w.h, cache)
+	return newReader(f, w.h, cache, w.id)
 }
 
-func newReader(f storage.File, h header, cache *Cache) *Reader {
-	r := &Reader{f: f, h: h, cache: cache, id: readerIDs.Add(1), next: decoderFor(h.format, h.recordSize)}
+func newReader(f storage.File, h header, cache *Cache, id uint64) *Reader {
+	r := &Reader{f: f, h: h, cache: cache, id: id, next: decoderFor(h.format, h.recordSize)}
 	if r.next != nil {
 		r.probe = decoderFor(FormatDelta, h.recordSize)
 	}
@@ -90,6 +93,10 @@ func (r *Reader) NoFill() *Reader {
 	c.noFill = true
 	return &c
 }
+
+// CacheID returns the identity the Reader's pages are cached under, shared
+// by its WithFile and NoFill copies and by the Writer that built the run.
+func (r *Reader) CacheID() uint64 { return r.id }
 
 // Format returns the run's leaf encoding: FormatRaw, FormatDelta, or the
 // previous delta format, which is only ever read.
@@ -142,7 +149,7 @@ func (r *Reader) BloomBytes() ([]byte, error) {
 // grows.
 type pageScratch struct {
 	buf   [storage.PageSize]byte
-	table []byte
+	table restartTable
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(pageScratch) }}
@@ -209,12 +216,10 @@ func (r *Reader) sample(p *page, payload []byte, s *pageScratch) (used int, err 
 	if r.decodeObs != nil {
 		start = time.Now()
 	}
-	s.table, used, err = sampleRestarts(s.table, payload, p.count, r.h.recordSize, r.next)
-	if err != nil {
+	if used, err = sampleRestarts(&s.table, payload, p.count, r.h.recordSize, r.next); err != nil {
 		return 0, err
 	}
-	p.restarts = make([]byte, len(s.table))
-	copy(p.restarts, s.table)
+	p.restarts = s.table.finish(r.h.recordSize)
 	if r.decodeObs != nil {
 		r.decodeObs(time.Since(start))
 	}

@@ -42,7 +42,10 @@ type Options struct {
 	// length plus, per compressed leaf, ≈0.3 KB of restart table — so
 	// the budget covers about nine tenths as many bytes of the store in
 	// memory as on disk, and pages of a run that is merged away or
-	// expired stop counting when its file goes. Negative disables
+	// expired stop counting when its file goes. A checkpoint's pages
+	// enter the cache as they are written, where it has room (they evict
+	// nothing), so queries and the next merge read a fresh run from
+	// memory; a merge caches none of its output. Negative disables
 	// caching.
 	CacheBytes int64
 	// Partitions is the number of block-range partitions (default 1).
@@ -898,7 +901,8 @@ func (e *Engine) checkpoint(cp uint64) error {
 	// duration, and run builders allocate file IDs through lsm's own
 	// lock, so this runs concurrently with updates, queries and optimistic
 	// compaction installs. Each table is one merged stream over every
-	// shard's frozen tree; the three tables flush side by side.
+	// shard's frozen tree; the three tables flush side by side, writing
+	// their pages through to the cache where it has room.
 	start = time.Now()
 	var results [3]cpFlushResult
 	var g errgroup.Group

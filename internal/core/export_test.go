@@ -4,6 +4,10 @@ package core
 // (core_test) merge tests, which assert the exact conflict count.
 const CompactRetries = compactRetries
 
+// CacheBytes is the bytes charged to the engine's page cache, for the
+// external tests of what written-through pages do when a commit fails.
+func (e *Engine) CacheBytes() int64 { return e.cache.SizeBytes() }
+
 // CompactTiered is Compact in CP-tiered mode on an engine of any retention
 // policy: expire_test.go and policy_test.go seal runs on RetainAll engines
 // with it.

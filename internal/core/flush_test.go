@@ -215,13 +215,17 @@ func TestCheckpointFlushFailureAtEveryRunIO(t *testing.T) {
 		vfs, cat := &scriptVFS{VFS: storage.NewMemFS()}, core.NewMemCatalog()
 		eng := open(vfs, cat)
 		m, buffered := flushScript(t, eng, cat)
-		buffer := eng.WSLen()
+		buffer, cached := eng.WSLen(), eng.CacheBytes()
 		vfs.failRunIO.Store(n)
 		if err := eng.Checkpoint(3); !errors.Is(err, storage.ErrInjected) {
 			t.Fatalf("I/O %d: Checkpoint = %v, want the injected failure", n, err)
 		}
 		if got := eng.WSLen(); got != buffer {
 			t.Fatalf("I/O %d: %d records buffered after the failed flush, %d before", n, got, buffer)
+		}
+		// The aborted and discarded runs took the pages they wrote through.
+		if got := eng.CacheBytes(); got != cached {
+			t.Fatalf("I/O %d: %d bytes cached after the failed flush, %d before", n, got, cached)
 		}
 		if cp := eng.CP(); cp != 2 {
 			t.Fatalf("I/O %d: CP = %d after the failed flush", n, cp)

@@ -381,9 +381,9 @@ func (e *Engine) registerMetrics(r *obs.Registry) {
 		// and only of runs some view can still read; a hit means a query
 		// skipped the page read, the CRC and the validating pass. The
 		// series keep the names they had when the cache held decoded leaves.
-		r.CounterFunc("backlog_decoded_cache_hits_total", "Page-cache hits (verified pages served without I/O; compressed leaves are cached encoded)",
+		r.CounterFunc("backlog_decoded_cache_hits_total", "Page-cache hits (verified pages served without I/O, among them pages that checkpoints wrote through to the cache; compressed leaves are cached encoded)",
 			func() uint64 { h, _ := e.cache.Stats(); return uint64(h) })
-		r.CounterFunc("backlog_decoded_cache_misses_total", "Page-cache misses (page read from storage, checksummed and validated)",
+		r.CounterFunc("backlog_decoded_cache_misses_total", "Page-cache misses (page read from storage, checksummed and validated: a page of a run opened from disk, of a merge's output, or of a checkpoint's run whose page was evicted or did not fit when it was written)",
 			func() uint64 { _, m := e.cache.Stats(); return uint64(m) })
 		r.GaugeFunc("backlog_decoded_cache_bytes", "Bytes charged to the shared page cache, which are the bytes its entries pin: each page's payload at its used length plus a compressed leaf's restart table, for runs not yet removed",
 			func() float64 { return float64(e.cache.SizeBytes()) })

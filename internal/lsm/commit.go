@@ -98,8 +98,8 @@ func (e *Edit) CollectedDVEntries() int { return e.dvCollected }
 // in-memory state, and finally reclaims dropped runs. A non-nil error
 // always means the edit did not commit: nothing on disk or in memory —
 // the vectors included — has changed, and the files behind added runs have
-// been removed (AddRun transfers ownership, so callers never clean up
-// after a failed Commit).
+// been removed, their written-through pages with them (AddRun transfers
+// ownership, so callers never clean up after a failed Commit).
 //
 // A deletion vector is pruned and persisted here and nowhere else; between
 // commits DeleteRecord and UndeleteRecord only edit the in-memory map and
@@ -140,11 +140,13 @@ func (e *Edit) Commit() error {
 	var opened []*Run
 	var wroteDV []string
 	fail := func(err error) error {
-		for _, r := range opened {
-			r.file.Close()
-		}
-		for _, ref := range e.add {
-			_ = db.vfsFor(ref.src).Remove(ref.rm.Name)
+		// opened holds the runs of a prefix of e.add, in order.
+		for i, ref := range e.add {
+			var f storage.File
+			if i < len(opened) {
+				f = opened[i].file
+			}
+			db.removeRunFile(ref.rm.Name, ref.src, f, ref.built.CacheID())
 		}
 		for _, n := range wroteDV {
 			_ = db.vfsFor(storage.SrcManifest).Remove(n)

@@ -99,7 +99,9 @@ type Options struct {
 	// spreads load evenly regardless of allocation locality, at the cost
 	// of less selective per-run block ranges.
 	HashPartitioning bool
-	// Cache is the shared page cache used by run readers (may be nil).
+	// Cache is the shared page cache used by run readers, which a
+	// checkpoint's run builders also fill with the pages they write, where
+	// it has room (see DB.NewRunBuilder). May be nil.
 	Cache *btree.Cache
 	// RunFormat selects the leaf encoding for newly built runs:
 	// btree.FormatRaw (also if zero) or btree.FormatDelta, the two formats
@@ -568,7 +570,9 @@ type RunInfo struct {
 	// and LastAccessCP the committed CP current at the run's most recent
 	// query seek. Both are zero over a VFS that is not storage.Attributed
 	// (the engine's always is); size-aware leveling and cold-run placement
-	// read them to rank runs by heat.
+	// read them to rank runs by heat. HeatBytes counts device reads only:
+	// a checkpoint's run that queries found whole in the cache, where its
+	// builder wrote it, shows no heat, however often it was read.
 	HeatBytes    int64
 	LastAccessCP uint64
 }

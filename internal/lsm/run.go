@@ -45,7 +45,8 @@ type Run struct {
 	// scans: shallow copies of one btree.Reader differing only in the
 	// purpose tag of their view of file, so every cache-miss page read is
 	// attributed to the subsystem that caused it. They share one cache
-	// identity, and only qreader fills it: a merge scan is served resident
+	// identity — the one a checkpoint's builder wrote its pages through
+	// under — and only qreader fills it: a merge scan is served resident
 	// pages but inserts none (see btree.Reader.NoFill), so it cannot evict
 	// the query working set in favour of runs it is about to delete. Over
 	// a VFS that is not storage.Attributed both wrap the same untagged file.
@@ -64,7 +65,8 @@ type Run struct {
 	noBF   atomic.Bool
 
 	// heatBytes accumulates device bytes read on behalf of queries (fed by
-	// the query handle's read hook; cache hits add nothing) and lastCP the
+	// the query handle's read hook; cache hits, on the pages a checkpoint
+	// wrote through too, add nothing) and lastCP the
 	// committed CP current at the most recent query seek — the per-run
 	// access heat that size-aware leveling and cold-run placement consume.
 	heatBytes atomic.Int64
@@ -132,7 +134,9 @@ func (r *Run) Sealed() bool {
 }
 
 // HeatBytes returns the cumulative device bytes read from the run on
-// behalf of queries (zero over a VFS that is not storage.Attributed).
+// behalf of queries (zero over a VFS that is not storage.Attributed, and
+// for a checkpoint's run served wholly from the pages its builder wrote
+// through to the cache).
 func (r *Run) HeatBytes() int64 { return r.heatBytes.Load() }
 
 // LastAccessCP returns the committed consistency point current at the
@@ -277,6 +281,13 @@ type RunBuilder struct {
 // on the records the caller will add (the write store's length at a
 // checkpoint, the inputs' record total at a merge); it sizes the Bloom
 // filter, which Finish then shrinks to the keys actually added.
+//
+// A checkpoint's builder (src storage.SrcCheckpoint) writes its pages
+// through to the page cache where the cache has room for them
+// (btree.Writer.WriteThrough), so the queries and the merge that read a
+// fresh run find it in memory. A merge's builder caches nothing: its
+// output is about as large as its inputs and mostly cold, and a merge
+// inserts no page into the cache and evicts none, scan and output alike.
 func (db *DB) NewRunBuilder(table string, partition, level int, cp uint64, src storage.Source, expectRecords int) (*RunBuilder, error) {
 	t := db.tables[table]
 	if t == nil {
@@ -294,9 +305,11 @@ func (db *DB) NewRunBuilder(table string, partition, level int, cp uint64, src s
 	// compaction — so the configured format covers them all.
 	w, err := btree.NewWriterFormat(f, t.spec.RecordSize, db.opts.RunFormat)
 	if err != nil {
-		f.Close()
-		_ = db.vfsFor(src).Remove(name)
+		db.removeRunFile(name, src, f, 0) // no writer, so nothing cached
 		return nil, err
+	}
+	if src == storage.SrcCheckpoint {
+		w.WriteThrough(db.cache)
 	}
 	return &RunBuilder{
 		db:        db,
@@ -377,10 +390,7 @@ func (ref RunRef) Records() uint64 { return ref.rm.Records }
 // Commit reopens the file by name.
 func (b *RunBuilder) Finish() (ref RunRef, ok bool, err error) {
 	if b.writer.Count() == 0 {
-		b.file.Close()
-		if err := b.db.vfsFor(b.src).Remove(b.name); err != nil {
-			return RunRef{}, false, err
-		}
+		b.Abort()
 		return RunRef{}, false, nil
 	}
 	// Shrink the filter to the paper's target false-positive rate when the
@@ -418,20 +428,37 @@ func (b *RunBuilder) Finish() (ref RunRef, ok bool, err error) {
 	}, true, nil
 }
 
-// Abort removes a builder's file without committing it.
+// Abort removes a builder's file, and the pages it wrote through to the
+// cache, without committing it.
 func (b *RunBuilder) Abort() {
-	b.file.Close()
-	_ = b.db.vfsFor(b.src).Remove(b.name)
+	b.db.removeRunFile(b.name, b.src, b.file, b.writer.CacheID())
 }
 
 // DiscardRun removes the file behind a finished run that was never handed
 // to an Edit (once AddRun is called, a failed Commit removes the file
-// itself). The checkpoint flush uses it to clean up the runs its tables
-// completed before another run's flush failed; uncleaned files would
-// otherwise linger as orphans until the next Open.
+// itself), and the pages its builder wrote through to the cache. The
+// checkpoint flush uses it to clean up the runs its tables completed before
+// another run's flush failed, compaction the outputs of a merge that lost
+// its race; uncleaned files would otherwise linger as orphans until the
+// next Open, and their pages until eviction reached them.
 func (db *DB) DiscardRun(ref RunRef) {
 	if ref.rm.Name == "" {
 		return
 	}
-	_ = db.vfsFor(ref.src).Remove(ref.rm.Name)
+	db.removeRunFile(ref.rm.Name, ref.src, nil, ref.built.CacheID())
+}
+
+// removeRunFile is the one place a run file dies: a build aborted or
+// discarded, a Commit that failed, a run no version references any more.
+// It closes f (nil when the caller holds no handle), drops the pages cached
+// under id — the run's cache identity, shared by its builder and its
+// readers — and removes the file, attributed to src. Failures are not
+// reported: nothing refers to the file, so one left behind is an orphan
+// the next Open collects.
+func (db *DB) removeRunFile(name string, src storage.Source, f storage.File, id uint64) {
+	if f != nil {
+		f.Close()
+	}
+	db.cache.Drop(id)
+	_ = db.vfsFor(src).Remove(name)
 }

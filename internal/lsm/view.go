@@ -75,11 +75,7 @@ func (ver *version) unref() (doomed []*Run) {
 // is an orphan the next Open collects.
 func (db *DB) removeRuns(doomed []*Run) {
 	for _, r := range doomed {
-		if db.cache != nil {
-			db.cache.Drop(r.qreader)
-		}
-		r.file.Close()
-		_ = db.vfsFor(r.doomedBy).Remove(r.name)
+		db.removeRunFile(r.name, r.doomedBy, r.file, r.qreader.CacheID())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"github.com/backlogfs/backlog/internal/btree"
 	"github.com/backlogfs/backlog/internal/storage"
 )
 
@@ -255,33 +256,40 @@ func TestViewRefcountsAcrossPartialDrop(t *testing.T) {
 	}
 }
 
-// TestRemovedRunsLeaveTheCache: pages of merged-away runs are charged to
-// the cache only as long as some view can still read them — through the
-// pinned view they keep serving hits, and the release that reclaims the
-// files takes them out, instead of leaving them to displace live pages
-// until eviction reaches them.
+// TestRemovedRunsLeaveTheCache: a checkpoint's runs enter the cache as
+// they are written, and pages of merged-away runs stay charged only as long
+// as some view can still read them — through the pinned view they keep
+// serving hits, and the release that reclaims the files takes them out,
+// instead of leaving them to displace live pages until eviction reaches
+// them. The merge itself adds nothing to the cache, neither the pages its
+// scan reads nor its output, whether its inputs are resident or cold.
 func TestRemovedRunsLeaveTheCache(t *testing.T) {
 	db := openTestDB(t, storage.NewMemFS(), 1)
 	flushRecords(t, db, "from", 1, [][]byte{rec16(5, 100), rec16(9, 1)})
 	flushRecords(t, db, "from", 2, [][]byte{rec16(5, 101)})
 	tbl := db.Table("from")
-	collect(t, tbl, 5) // reads both runs warm
 	warm := db.cache.SizeBytes()
 	if warm == 0 || db.cache.Len() != 2 {
-		t.Fatalf("%d pages, %d bytes cached after querying two runs", db.cache.Len(), warm)
+		t.Fatalf("%d pages, %d bytes cached after writing two one-leaf runs", db.cache.Len(), warm)
+	}
+	_, misses := db.cache.Stats()
+	collect(t, tbl, 5)
+	if _, m := db.cache.Stats(); m != misses {
+		t.Fatalf("a query of the runs just written missed the cache %d times", m-misses)
 	}
 
 	v := db.AcquireView()
 	compactInto(t, db) // its scan is served from the cache and adds nothing
-	if got := db.cache.SizeBytes(); got != warm {
-		t.Fatalf("cache holds %d bytes after the merge, %d before: the pinned view still reads its runs", got, warm)
+	if got := db.cache.SizeBytes(); got != warm || db.cache.Len() != 2 {
+		t.Fatalf("%d pages, %d bytes cached after the merge, %d bytes before: the merge adds nothing, and the pinned view still reads its runs",
+			db.cache.Len(), got, warm)
 	}
-	_, misses := db.cache.Stats()
+	_, misses = db.cache.Stats()
 	if got := viewCollect(t, v, "from", 5); len(got) != 2 {
 		t.Fatalf("pinned view block 5: %d records, want 2", len(got))
 	}
 	if _, m := db.cache.Stats(); m != misses {
-		t.Fatalf("pinned view missed the cache %d times reading pages it had warmed", m-misses)
+		t.Fatalf("pinned view missed the cache %d times reading its runs' pages", m-misses)
 	}
 
 	v.Release()
@@ -292,6 +300,87 @@ func TestRemovedRunsLeaveTheCache(t *testing.T) {
 		t.Fatalf("block 5 after the merge: %d records, want 2", len(got))
 	}
 	if db.cache.Len() != 1 {
-		t.Fatalf("%d pages cached, want the merged run's one leaf", db.cache.Len())
+		t.Fatalf("%d pages cached, want the merged run's one leaf, read by the query", db.cache.Len())
+	}
+
+	// A merge of cold inputs: its scan misses every page and inserts none.
+	flushRecords(t, db, "from", 3, [][]byte{rec16(5, 102)})
+	db.cache.Clear()
+	compactInto(t, db)
+	if _, m := db.cache.Stats(); m != 2 || db.cache.Len() != 0 {
+		t.Fatalf("merging two cold one-leaf runs missed %d times and left %d pages cached, want 2 and none", m, db.cache.Len())
+	}
+	if got := collect(t, tbl, 5); len(got) != 3 {
+		t.Fatalf("block 5 after the second merge: %d records, want 3", len(got))
+	}
+}
+
+// TestWrittenPagesEvictNothing: a checkpoint writes its pages through only
+// into the room the cache has free, and a merge writes none, so the pages
+// of another partition that queries read stay resident through checkpoints
+// and a merge of this one larger than the whole cache — whether they were
+// read before this partition's pages entered the cache (the least recent,
+// which an evicting write would take first) or after.
+func TestWrittenPagesEvictNothing(t *testing.T) {
+	const budget = 8 * storage.PageSize
+	for _, bFirst := range []bool{true, false} {
+		db, err := Open(storage.NewMemFS(), Options{
+			Tables:        []TableSpec{{Name: "from", RecordSize: testRecSize}},
+			Partitions:    2,
+			PartitionSpan: 1000,
+			Cache:         btree.NewCacheBytes(budget),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl := db.Table("from")
+		// Partition 0 (A): two runs of 1500 records, six leaves each, twelve
+		// once merged, half again as many as the cache holds. Partition 1
+		// (B): one leaf, queried once it is written.
+		var odd, even [][]byte
+		for i := uint64(0); i < 3000; i++ {
+			if i%2 == 0 {
+				even = append(even, rec16(i/3, i))
+			} else {
+				odd = append(odd, rec16(i/3, i))
+			}
+		}
+		cp := uint64(0)
+		writeB := func() {
+			cp++
+			flushRecords(t, db, "from", cp, [][]byte{rec16(1500, 1), rec16(1501, 2), rec16(1502, 3)})
+			for blk := uint64(1500); blk <= 1502; blk++ {
+				collect(t, tbl, blk)
+			}
+		}
+		if bFirst {
+			writeB()
+		}
+		for _, recs := range [][][]byte{even, odd} {
+			cp++
+			flushRecords(t, db, "from", cp, recs)
+		}
+		if !bFirst {
+			writeB()
+		}
+		if got := db.cache.SizeBytes(); got > budget || got < budget/2 {
+			t.Fatalf("bFirst=%v: %d bytes cached of a %d budget after checkpoints larger than it", bFirst, got, budget)
+		}
+		// A pinned view keeps the inputs' pages until the merge is checked.
+		pages, v := db.cache.Len(), db.AcquireView()
+		compactInto(t, db)
+		if got := db.cache.Len(); got != pages {
+			t.Fatalf("bFirst=%v: %d pages cached after the merge of A, %d before", bFirst, got, pages)
+		}
+		v.Release()
+		_, misses := db.cache.Stats()
+		for blk := uint64(1500); blk <= 1502; blk++ {
+			if got := collect(t, tbl, blk); len(got) != 1 {
+				t.Fatalf("block %d: %d records, want 1", blk, len(got))
+			}
+		}
+		if _, m := db.cache.Stats(); m != misses {
+			t.Fatalf("bFirst=%v: writing A evicted B's pages: B missed the cache %d times", bFirst, m-misses)
+		}
 	}
 }
