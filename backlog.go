@@ -508,10 +508,9 @@ type Config struct {
 	// Durability section).
 	Durability Durability
 	// AutoCompact runs database maintenance continuously in the
-	// background: after each Checkpoint, partitions whose run count
-	// exceeds CompactThreshold are compacted worst-first, without
-	// blocking queries or updates (see the package documentation's
-	// Maintenance section).
+	// background: after each Checkpoint it runs the merges the configured
+	// CompactionPolicy plans until none remain, without blocking queries
+	// or updates (see the package documentation's Maintenance section).
 	AutoCompact bool
 	// CompactThreshold is the per-partition run count above which a
 	// maintenance pass — the background maintainer's or DB.Maintain's —

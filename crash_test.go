@@ -1,12 +1,13 @@
 package backlog
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 
@@ -78,15 +79,48 @@ func TestBackgroundCommitPersistsItsTopology(t *testing.T) {
 
 // crash stops db the way a power failure would: nothing it still has in
 // flight reaches the file system — the background maintainer is stopped
-// behind a plan that fails every write, sync and rename — and MemFS drops
-// what was never synced.
+// behind a plan that fails every mutating call from now on — and MemFS
+// drops what was never synced.
 func crash(vfs *storage.MemFS, db *DB) {
-	vfs.SetFailurePlan(storage.FailurePlan{FailAfterPageWrites: 1, FailAfterSyncs: 1, FailAfterRenames: 1})
+	vfs.SetFailurePlan(storage.FailurePlan{KillAt: vfs.Stats().Calls + 1})
 	if db.closed.CompareAndSwap(false, true) {
 		_ = db.eng.Close() // CheckpointOnly: stops the maintainer, writes nothing
 	}
 	vfs.Crash()
 	vfs.SetFailurePlan(storage.FailurePlan{})
+}
+
+// manifestFiles returns MANIFEST and every file it names — run files and
+// deletion vectors — sorted.
+func manifestFiles(t *testing.T, vfs storage.VFS) []string {
+	t.Helper()
+	f, err := vfs.Open("MANIFEST")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var m struct {
+		Tables map[string]struct {
+			Partitions [][]struct{ Name string }
+			DVFile     string `json:"dv_file"`
+		}
+	}
+	if err := json.NewDecoder(io.NewSectionReader(f, 0, 1<<30)).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"MANIFEST"}
+	for _, tm := range m.Tables {
+		for _, runs := range tm.Partitions {
+			for _, r := range runs {
+				names = append(names, r.Name)
+			}
+		}
+		if tm.DVFile != "" {
+			names = append(names, tm.DVFile)
+		}
+	}
+	sort.Strings(names)
+	return names
 }
 
 // crashOp is one reference update of the crash script.
@@ -229,12 +263,12 @@ func checkAgainstOracle(t *testing.T, db *DB, steps []crashStep, want crashState
 }
 
 // TestCrashAtEveryIOOfPublicCommits kills Checkpoint, Maintain, Expire and
-// Close at every page write, every sync and every rename they perform, each
+// Close at every create, write, sync, rename and remove they perform, each
 // right after a catalog change. After the crash the reopened database is at
 // the state before the step or at the state after it — consistency point,
-// catalog and answers together, checked against internal/naive — no
-// temporary or old-format catalog file is left, and the step, retried if it
-// was lost, commits.
+// catalog and answers together, checked against internal/naive — the
+// directory holds exactly MANIFEST and the files it names, and the step,
+// retried if it was lost, commits.
 func TestCrashAtEveryIOOfPublicCommits(t *testing.T) {
 	cfg := Config{CompactThreshold: 2, Retention: RetainLive}
 	steps := crashScript()
@@ -292,30 +326,13 @@ func TestCrashAtEveryIOOfPublicCommits(t *testing.T) {
 			t.Fatalf("%s committed nothing: %+v", st.name, did)
 		}
 
-		// A kill point is the k-th page write, sync or rename of the call,
-		// as a plan against the counters at the moment it is armed.
-		var kills []func(at storage.Stats) storage.FailurePlan
-		for k := int64(0); k < did.PageWrites; k++ {
-			kills = append(kills, func(at storage.Stats) storage.FailurePlan {
-				return storage.FailurePlan{FailAfterPageWrites: at.PageWrites + k, TornWrite: k%2 == 1}
-			})
-		}
-		for k := int64(0); k < did.Syncs; k++ {
-			kills = append(kills, func(at storage.Stats) storage.FailurePlan {
-				return storage.FailurePlan{FailAfterSyncs: at.Syncs + k}
-			})
-		}
-		for k := int64(0); k < did.Renames; k++ {
-			kills = append(kills, func(at storage.Stats) storage.FailurePlan {
-				return storage.FailurePlan{FailAfterRenames: at.Renames + k}
-			})
-		}
+		// A kill point is the k-th mutating call of the step, a write torn at
+		// every other one.
 		committed, lost := 0, 0
-		for _, kill := range kills {
+		for k := int64(0); k < did.Calls; k++ {
 			vfs, db := upTo(i)
-			plan := kill(vfs.Stats())
-			when := fmt.Sprintf("%s killed by %+v", st.name, plan)
-			vfs.SetFailurePlan(plan)
+			when := fmt.Sprintf("%s killed at call %d of %d", st.name, k+1, did.Calls)
+			vfs.SetFailurePlan(storage.FailurePlan{KillAt: vfs.Stats().Calls + 1 + k, TornWrite: k%2 == 1})
 			_ = st.call(db) // the background maintainer may have taken the failure instead
 			crash(vfs, db)
 
@@ -324,13 +341,8 @@ func TestCrashAtEveryIOOfPublicCommits(t *testing.T) {
 				t.Fatalf("%s: reopening: %v", when, err)
 			}
 			names, err := vfs.List()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, name := range names {
-				if strings.HasSuffix(name, ".tmp") || name == "CATALOG" {
-					t.Fatalf("%s: %s survived Open (%v)", when, name, names)
-				}
+			if want := manifestFiles(t, vfs); err != nil || !slices.Equal(names, want) {
+				t.Fatalf("%s: after Open the directory holds %v (%v), the manifest names %v", when, names, err, want)
 			}
 			if db.CP() == states[i+1].cp && slices.Equal(db.Catalog().Snapshots(0), states[i+1].snaps) {
 				committed++
@@ -359,9 +371,9 @@ func TestCrashAtEveryIOOfPublicCommits(t *testing.T) {
 		// that commits once loses the step; one that commits several times
 		// (a pass of merges) may keep the catalog change of an earlier commit.
 		if lost == 0 {
-			t.Fatalf("%s: none of %d kill points lost the step", st.name, len(kills))
+			t.Fatalf("%s: none of %d kill points lost the step", st.name, did.Calls)
 		}
-		t.Logf("%s: %d kill points (%+v), %d lost the step, %d kept its catalog change", st.name, len(kills), did, lost, committed)
+		t.Logf("%s: %d kill points (%d creates, %d removes), %d lost the step, %d kept its catalog change", st.name, did.Calls, did.FilesCreated, did.FilesRemoved, lost, committed)
 	}
 
 	// A stale Checkpoint is refused before anything is written.

@@ -362,17 +362,6 @@ func TestBloomChecksum(t *testing.T) {
 	}
 }
 
-// countingFile counts the write calls a builder makes.
-type countingFile struct {
-	storage.File
-	writes int
-}
-
-func (c *countingFile) WriteAt(p []byte, off int64) (int, error) {
-	c.writes++
-	return c.File.WriteAt(p, off)
-}
-
 // TestWriterCoalescesPages: a run larger than the write buffer reaches the
 // file in writes of up to writeBufPages pages — the first one short of the
 // page it kept for the header — the filter riding with the last of them and
@@ -381,12 +370,18 @@ func (c *countingFile) WriteAt(p []byte, off int64) (int, error) {
 // when every page was its own write.
 func TestWriterCoalescesPages(t *testing.T) {
 	fs := storage.NewMemFS()
+	writes := map[string]int{} // write calls per file
+	fs.SetFailurePlan(storage.FailurePlan{Hook: func(c storage.Call) error {
+		if c.Op == storage.OpWrite {
+			writes[c.Name]++
+		}
+		return nil
+	}})
 	f, err := fs.Create("run")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cf := &countingFile{File: f}
-	w, err := NewWriterFormat(cf, 48, FormatRaw)
+	w, err := NewWriterFormat(f, 48, FormatRaw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,8 +403,8 @@ func TestWriterCoalescesPages(t *testing.T) {
 	if data < 3*writeBufPages {
 		t.Fatalf("run of %d pages is too small to fill the write buffer", data)
 	}
-	if want := 1 + (data-(writeBufPages-1)+writeBufPages-1)/writeBufPages + 1; cf.writes != want {
-		t.Fatalf("%d write calls for %d pages, a filter and a header, want %d", cf.writes, data, want)
+	if want := 1 + (data-(writeBufPages-1)+writeBufPages-1)/writeBufPages + 1; writes["run"] != want {
+		t.Fatalf("%d write calls for %d pages, a filter and a header, want %d", writes["run"], data, want)
 	}
 	filterPages := (len(filter) + storage.PageSize - 1) / storage.PageSize
 	if st := fs.Stats(); st.PageWrites != int64(data+filterPages+1) || st.BytesWritten != r.SizeBytes() {
@@ -436,8 +431,7 @@ func TestWriterCoalescesPages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cf := &countingFile{File: f}
-		w, err := NewWriterFormat(cf, 48, FormatDelta)
+		w, err := NewWriterFormat(f, 48, FormatDelta)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -457,8 +451,8 @@ func TestWriterCoalescesPages(t *testing.T) {
 		if err := w.Finish(smallFilter); err != nil {
 			t.Fatal(err)
 		}
-		if cf.writes != want {
-			t.Fatalf("%s: %d write calls, want %d", name, cf.writes, want)
+		if writes[name] != want {
+			t.Fatalf("%s: %d write calls, want %d", name, writes[name], want)
 		}
 		built[name] = make([]byte, w.SizeBytes())
 		if _, err := f.ReadAt(built[name], 0); err != nil {

@@ -14,57 +14,19 @@ import (
 	"github.com/backlogfs/backlog/internal/storage"
 )
 
-// hookFS is a VFS whose run-file creations can be observed and sabotaged.
-// It takes no lock: the tests drive the engine from one goroutine with no
-// background maintainer and arm it only around a merge, which creates its
-// outputs one after another. A checkpoint's three tables do create side by
-// side, but the only checkpoints that run while it is armed are the hook's
-// own, which pass through reading fields nobody is writing.
-type hookFS struct {
-	storage.VFS
-
-	// onCreate runs before a run file is created. Creations the hook itself
-	// causes (it may checkpoint) pass through without re-entering it.
-	onCreate func(name string)
-	inHook   bool
-	// failNth > 0 counts run-file creations down; the file that takes it to
-	// zero fails its header write.
-	failNth int
-	failed  int
-}
-
-func (h *hookFS) Create(name string) (storage.File, error) {
-	if !strings.HasSuffix(name, ".run") {
-		return h.VFS.Create(name)
-	}
-	if h.onCreate != nil && !h.inHook {
-		h.inHook = true
-		h.onCreate(name)
-		h.inHook = false
-	}
-	f, err := h.VFS.Create(name)
-	if err != nil || h.failNth == 0 {
-		return f, err
-	}
-	if h.failNth--; h.failNth > 0 {
-		return f, nil
-	}
-	return &headerFailFile{File: f, fs: h}, nil
-}
-
-// headerFailFile fails the write at offset 0. Pages start at page 1, so
-// the only write there is the run header btree.Writer.Finish issues last.
-type headerFailFile struct {
-	storage.File
-	fs *hookFS
-}
-
-func (f *headerFailFile) WriteAt(p []byte, off int64) (int, error) {
-	if off != 0 {
-		return f.File.WriteAt(p, off)
-	}
-	f.fs.failed++
-	return 0, storage.ErrInjected
+// onRunCreate installs a plan on fs whose hook runs fn before each run-file
+// Create. Creations fn itself causes (it may checkpoint, whose three tables
+// create side by side) only read the unlocked guard and pass through.
+func onRunCreate(fs *storage.MemFS, fn func(name string)) {
+	inHook := false
+	fs.SetFailurePlan(storage.FailurePlan{Hook: func(c storage.Call) error {
+		if c.Op == storage.OpCreate && strings.HasSuffix(c.Name, ".run") && !inHook {
+			inHook = true
+			fn(c.Name)
+			inHook = false
+		}
+		return nil
+	}})
 }
 
 // assertNoOrphans checks that the run files in the directory are exactly
@@ -91,10 +53,10 @@ func assertNoOrphans(t *testing.T, fs storage.VFS, eng *core.Engine) {
 	}
 }
 
-// mergeFixture is an engine over a hookFS and the model of what it holds.
+// mergeFixture is an engine over a MemFS and the model of what it holds.
 type mergeFixture struct {
 	t   *testing.T
-	fs  *hookFS
+	fs  *storage.MemFS
 	cat *core.MemCatalog
 	eng *core.Engine
 	m   *model
@@ -104,7 +66,7 @@ const fixtureBlocks = 48
 
 func newMergeFixture(t *testing.T, opts core.Options) *mergeFixture {
 	t.Helper()
-	fx := &mergeFixture{t: t, fs: &hookFS{VFS: storage.NewMemFS()}, cat: core.NewMemCatalog(), m: newModel()}
+	fx := &mergeFixture{t: t, fs: storage.NewMemFS(), cat: core.NewMemCatalog(), m: newModel()}
 	opts.VFS, opts.Catalog = fx.fs, fx.cat
 	eng, err := core.Open(opts)
 	if err != nil {
@@ -179,13 +141,29 @@ func TestFinishFailureLeavesNoOrphan(t *testing.T) {
 			fx.epoch(3)
 			fx.epoch(4)
 
-			fx.fs.failNth = 2
+			// Fail the write at offset 0 of the second output. Pages start at
+			// page 1, so the only write there is the run header
+			// btree.Writer.Finish issues last.
+			creates, failed, doomed := 0, 0, ""
+			fx.fs.SetFailurePlan(storage.FailurePlan{Hook: func(c storage.Call) error {
+				if c.Op == storage.OpCreate && strings.HasSuffix(c.Name, ".run") {
+					if creates++; creates == 2 {
+						doomed = c.Name
+					}
+				}
+				if c.Op == storage.OpWrite && c.Off == 0 && c.Name == doomed {
+					failed++
+					return storage.ErrInjected
+				}
+				return nil
+			}})
 			err := tc.merge(fx.eng)
+			fx.fs.SetFailurePlan(storage.FailurePlan{})
 			if !errors.Is(err, storage.ErrInjected) {
 				t.Fatalf("merge error = %v, want the injected failure", err)
 			}
-			if fx.fs.failed != 1 {
-				t.Fatalf("header write failed %d times, want 1", fx.fs.failed)
+			if failed != 1 {
+				t.Fatalf("header write failed %d times, want 1", failed)
 			}
 			fx.verify()
 
@@ -226,17 +204,17 @@ func TestCompactionLadder(t *testing.T) {
 			}
 
 			fired := 0
-			fx.fs.onCreate = func(name string) {
+			onRunCreate(fx.fs, func(name string) {
 				if !strings.HasPrefix(name, core.TableFrom+".") || fired == core.CompactRetries {
 					return
 				}
 				fired++
 				fx.epoch(4 + uint64(fired))
-			}
+			})
 			if err := tc.merge(fx.eng); err != nil {
 				t.Fatal(err)
 			}
-			fx.fs.onCreate = nil
+			fx.fs.SetFailurePlan(storage.FailurePlan{})
 
 			if fired != core.CompactRetries {
 				t.Fatalf("interfering checkpoint ran %d times, want %d", fired, core.CompactRetries)

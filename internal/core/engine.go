@@ -91,9 +91,9 @@ type Options struct {
 	// it.
 	Durability wal.Durability
 	// AutoCompact starts the background maintenance scheduler: after
-	// every checkpoint it compacts the partition with the most runs until
-	// no partition exceeds CompactThreshold, pausing maintainPace between
-	// merges. Compaction merges run against a pinned view outside the
+	// every checkpoint it runs the merges the configured CompactionPolicy
+	// plans, re-planning until none remain and pausing maintainPace
+	// between merges. Merges run against a pinned view outside the
 	// structural lock, so updates and queries keep flowing while it
 	// works.
 	AutoCompact bool

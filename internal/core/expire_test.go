@@ -7,8 +7,6 @@ package core_test
 
 import (
 	"fmt"
-	"strings"
-	"sync/atomic"
 	"testing"
 
 	"github.com/backlogfs/backlog/internal/core"
@@ -160,8 +158,7 @@ func TestExpireDropsRunsWithoutReadingData(t *testing.T) {
 // drops the run.
 func TestExpireDefersUntilSafe(t *testing.T) {
 	fs := storage.NewMemFS()
-	g := newGatedVFS(fs)
-	eng, cat := sealedEnv(t, g)
+	eng, cat := sealedEnv(t, fs)
 	defer eng.Close()
 	if err := cat.DeleteSnapshot(0, 1); err != nil {
 		t.Fatal(err)
@@ -170,10 +167,10 @@ func TestExpireDefersUntilSafe(t *testing.T) {
 	// Mid-flush: freeze a checkpoint on its first run file, then expire.
 	// The relocation of block 3 issued now queues behind the flush.
 	eng.AddRef(fref(9, 9, 0, 0), 5)
-	entered, release := g.arm()
+	g := gateRunCreates(fs)
 	done := make(chan error, 1)
 	go func() { done <- eng.Checkpoint(5) }()
-	<-entered
+	<-g.entered
 	relocated := relocateAsync(t, eng, 3, 700)
 	est, err := eng.Expire()
 	if err != nil {
@@ -182,7 +179,7 @@ func TestExpireDefersUntilSafe(t *testing.T) {
 	if !est.Deferred || est.RunsDropped != 0 {
 		t.Fatalf("expiry mid-flush = %+v, want a deferral", est)
 	}
-	close(release)
+	close(g.release)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
@@ -221,56 +218,27 @@ func TestExpireDefersUntilSafe(t *testing.T) {
 	}
 }
 
-// removeRunVFS fails Remove for run files while armed, simulating a crash
-// that lands after the expiry's manifest commit but before the deferred
-// file deletion.
-type removeRunVFS struct {
-	storage.VFS
-	block atomic.Bool
-}
-
-func (v *removeRunVFS) Remove(name string) error {
-	if v.block.Load() && strings.HasSuffix(name, ".run") {
-		return fmt.Errorf("injected remove failure for %s", name)
-	}
-	return v.VFS.Remove(name)
-}
-
 // TestExpireCrashAfterCommitCollectsOrphan: if the crash beats the run-
 // file deletion, the committed manifest is the truth — reopening must
 // collect the orphaned file, and the expired records must not resurrect.
 func TestExpireCrashAfterCommitCollectsOrphan(t *testing.T) {
 	fs := storage.NewMemFS()
-	rv := &removeRunVFS{VFS: fs}
-	eng, cat := sealedEnv(t, rv)
+	eng, cat := sealedEnv(t, fs)
 	if err := cat.DeleteSnapshot(0, 1); err != nil {
 		t.Fatal(err)
 	}
 	doomed := sealedRuns(eng)[0].Name
 
-	rv.block.Store(true)
+	// A crash that lands after the expiry's manifest commit but before the
+	// deferred file deletion.
+	failCalls(fs, storage.OpRemove, doomed)
 	est, err := eng.Expire()
-	rv.block.Store(false)
-	if err != nil {
-		t.Fatal(err)
+	fs.SetFailurePlan(storage.FailurePlan{})
+	if err != nil || est.RunsDropped != 1 {
+		t.Fatalf("Expire = %+v, %v; want 1 run dropped", est, err)
 	}
-	if est.RunsDropped != 1 {
-		t.Fatalf("RunsDropped = %d, want 1", est.RunsDropped)
-	}
-	exists := func(name string) bool {
-		names, err := fs.List()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, n := range names {
-			if n == name {
-				return true
-			}
-		}
-		return false
-	}
-	if !exists(doomed) {
-		t.Fatal("test harness broken: the injected failure did not keep the run file")
+	if _, err := fs.Open(doomed); err != nil {
+		t.Fatalf("test harness broken: the injected failure did not keep the run file: %v", err)
 	}
 
 	fs.Crash()
@@ -279,28 +247,13 @@ func TestExpireCrashAfterCommitCollectsOrphan(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng2.Close()
-	if exists(doomed) {
-		t.Fatal("orphaned run file leaked across reopen")
-	}
+	// The orphan is gone, and nothing else leaked.
+	assertNoOrphans(t, fs, eng2)
 	if owners := fQuery(t, eng2, 1); len(owners) != 0 {
 		t.Fatalf("expired records resurrected after crash: %+v", owners)
 	}
 	if owners := fQuery(t, eng2, 3); len(owners) != 1 {
 		t.Fatalf("retained block 3 lost: %+v", owners)
-	}
-	// Nothing else leaked: every run file on disk is in the manifest.
-	live := map[string]bool{}
-	for _, ri := range eng2.RunInfos() {
-		live[ri.Name] = true
-	}
-	names, err := fs.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range names {
-		if strings.HasSuffix(n, ".run") && !live[n] {
-			t.Fatalf("leaked run file %s", n)
-		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/backlogfs/backlog/internal/core"
@@ -173,6 +174,21 @@ func TestCheckpointFlushRunSetIgnoresShardCount(t *testing.T) {
 	}
 }
 
+// countRunIO installs a plan on fs whose hook counts the creates, writes
+// and syncs of run files — a checkpoint builds its tables' runs side by
+// side, hence the atomic — and fails the failAt-th of them (none if 0).
+func countRunIO(fs *storage.MemFS, failAt int64) *atomic.Int64 {
+	var n atomic.Int64
+	fs.SetFailurePlan(storage.FailurePlan{Hook: func(c storage.Call) error {
+		runIO := c.Op == storage.OpCreate || c.Op == storage.OpWrite || c.Op == storage.OpSync
+		if runIO && strings.HasSuffix(c.Name, ".run") && n.Add(1) == failAt {
+			return storage.ErrInjected
+		}
+		return nil
+	}})
+	return &n
+}
+
 // TestCheckpointFlushFailureAtEveryRunIO fails one checkpoint's flush at
 // every create, write and sync of its run files in turn. Each time
 // Checkpoint returns the error, every frozen record is back in the shard
@@ -181,10 +197,10 @@ func TestCheckpointFlushRunSetIgnoresShardCount(t *testing.T) {
 // the retried Checkpoint commits what a reopen then finds.
 func TestCheckpointFlushFailureAtEveryRunIO(t *testing.T) {
 	opts := core.Options{WriteShards: 4, Partitions: 2, PartitionSpan: flushBlocks / 2}
-	open := func(vfs storage.VFS, cat *core.MemCatalog) *core.Engine {
+	open := func(fs *storage.MemFS, cat *core.MemCatalog) *core.Engine {
 		t.Helper()
 		o := opts
-		o.VFS, o.Catalog = vfs, cat
+		o.VFS, o.Catalog = fs, cat
 		eng, err := core.Open(o)
 		if err != nil {
 			t.Fatal(err)
@@ -193,12 +209,12 @@ func TestCheckpointFlushFailureAtEveryRunIO(t *testing.T) {
 	}
 
 	// A clean flush counts the I/Os there are to fail.
-	vfs, cat := &scriptVFS{VFS: storage.NewMemFS()}, core.NewMemCatalog()
-	eng := open(vfs, cat)
+	fs, cat := storage.NewMemFS(), core.NewMemCatalog()
+	eng := open(fs, cat)
 	flushScript(t, eng, cat)
-	before := vfs.runIO.Load()
+	runIO := countRunIO(fs, 0)
 	fCheckpoint(t, eng, 3)
-	ios := vfs.runIO.Load() - before
+	ios := runIO.Load()
 	var flushed []string
 	for _, ri := range eng.RunInfos() {
 		if ri.CP == 3 {
@@ -212,14 +228,15 @@ func TestCheckpointFlushFailureAtEveryRunIO(t *testing.T) {
 	}
 
 	for n := int64(1); n <= ios; n++ {
-		vfs, cat := &scriptVFS{VFS: storage.NewMemFS()}, core.NewMemCatalog()
-		eng := open(vfs, cat)
+		fs, cat := storage.NewMemFS(), core.NewMemCatalog()
+		eng := open(fs, cat)
 		m, buffered := flushScript(t, eng, cat)
 		buffer, cached := eng.WSLen(), eng.CacheBytes()
-		vfs.failRunIO.Store(n)
+		countRunIO(fs, n)
 		if err := eng.Checkpoint(3); !errors.Is(err, storage.ErrInjected) {
 			t.Fatalf("I/O %d: Checkpoint = %v, want the injected failure", n, err)
 		}
+		fs.SetFailurePlan(storage.FailurePlan{})
 		if got := eng.WSLen(); got != buffer {
 			t.Fatalf("I/O %d: %d records buffered after the failed flush, %d before", n, got, buffer)
 		}
@@ -230,7 +247,7 @@ func TestCheckpointFlushFailureAtEveryRunIO(t *testing.T) {
 		if cp := eng.CP(); cp != 2 {
 			t.Fatalf("I/O %d: CP = %d after the failed flush", n, cp)
 		}
-		assertNoOrphans(t, vfs, eng)
+		assertNoOrphans(t, fs, eng)
 		m.check(t, eng, flushBlocks)
 		pruned := eng.Stats().PrunedRemoves
 		eng.RemoveRef(buffered, 3)
@@ -243,12 +260,12 @@ func TestCheckpointFlushFailureAtEveryRunIO(t *testing.T) {
 		if got := eng.WSLen(); got != 0 {
 			t.Fatalf("I/O %d: %d records buffered after the retry", n, got)
 		}
-		assertNoOrphans(t, vfs, eng)
+		assertNoOrphans(t, fs, eng)
 		m.check(t, eng, flushBlocks)
 		if err := eng.Close(); err != nil {
 			t.Fatal(err)
 		}
-		reopened := open(vfs.VFS, cat)
+		reopened := open(fs, cat)
 		m.check(t, reopened, flushBlocks)
 		reopened.Close()
 	}

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,51 +16,29 @@ import (
 	"github.com/backlogfs/backlog/internal/wal"
 )
 
-// gatedVFS blocks run-file creation until released, holding a checkpoint
-// in its lock-free flush phase so tests can deterministically exercise
-// the engine while the write stores are frozen. The first blocked Create
-// also signals entered, which tells the test the freeze has completed and
-// the flush has begun.
-type gatedVFS struct {
-	storage.VFS
-	mu       sync.Mutex
-	gated    bool
-	entered  chan struct{}
-	release  chan struct{}
-	signaled bool
+// runGate holds every run-file Create from the moment it is installed until
+// release is closed, keeping a checkpoint in its lock-free flush phase so
+// tests can deterministically exercise the engine while the write stores
+// are frozen. The first held Create closes entered, which tells the test
+// the freeze has completed and the flush has begun.
+type runGate struct {
+	entered, release chan struct{}
+	once             sync.Once
 }
 
-func newGatedVFS(inner storage.VFS) *gatedVFS {
-	return &gatedVFS{VFS: inner}
+// gateRunCreates installs a runGate's hook as the plan of fs.
+func gateRunCreates(fs *storage.MemFS) *runGate {
+	g := &runGate{entered: make(chan struct{}), release: make(chan struct{})}
+	fs.SetFailurePlan(storage.FailurePlan{Hook: g.hook})
+	return g
 }
 
-// arm gates subsequent run-file creations. Returns (entered, release):
-// receive from entered to know a flush reached its first run file; close
-// release to let gated creations proceed.
-func (g *gatedVFS) arm() (<-chan struct{}, chan<- struct{}) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.gated = true
-	g.signaled = false
-	g.entered = make(chan struct{})
-	g.release = make(chan struct{})
-	return g.entered, g.release
-}
-
-func (g *gatedVFS) Create(name string) (storage.File, error) {
-	g.mu.Lock()
-	if !g.gated || !strings.HasSuffix(name, ".run") {
-		g.mu.Unlock()
-		return g.VFS.Create(name)
+func (g *runGate) hook(c storage.Call) error {
+	if c.Op == storage.OpCreate && strings.HasSuffix(c.Name, ".run") {
+		g.once.Do(func() { close(g.entered) })
+		<-g.release
 	}
-	if !g.signaled {
-		g.signaled = true
-		close(g.entered)
-	}
-	release := g.release
-	g.mu.Unlock()
-	<-release
-	return g.VFS.Create(name)
+	return nil
 }
 
 type freezeEnv struct {
@@ -74,25 +51,12 @@ func newFreezeEnv(t *testing.T, opts core.Options) *freezeEnv {
 	t.Helper()
 	fs := storage.NewMemFS()
 	cat := core.NewMemCatalog()
-	if opts.VFS == nil {
-		opts.VFS = fs
-	}
-	opts.Catalog = cat
+	opts.VFS, opts.Catalog = fs, cat
 	eng, err := core.Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return &freezeEnv{fs: fs, cat: cat, eng: eng}
-}
-
-func newGatedEnv(t *testing.T, opts core.Options) (*freezeEnv, *gatedVFS) {
-	t.Helper()
-	fs := storage.NewMemFS()
-	g := newGatedVFS(fs)
-	opts.VFS = g
-	env := newFreezeEnv(t, opts)
-	env.fs = fs
-	return env, g
 }
 
 func fref(block, inode, offset, line uint64) core.Ref {
@@ -176,15 +140,15 @@ func TestCheckpointStaleCPRejected(t *testing.T) {
 // in-flight one.
 func TestUpdatesAndQueriesDuringCheckpointFlush(t *testing.T) {
 	reg := obs.NewRegistry()
-	env, g := newGatedEnv(t, core.Options{WriteShards: 4, Metrics: reg})
+	env := newFreezeEnv(t, core.Options{WriteShards: 4, Metrics: reg})
 	eng := env.eng
 	for b := uint64(1); b <= 8; b++ {
 		eng.AddRef(fref(b, 2, b, 0), 1)
 	}
-	entered, release := g.arm()
+	g := gateRunCreates(env.fs)
 	cp1 := make(chan error, 1)
 	go func() { cp1 <- eng.Checkpoint(1) }()
-	<-entered // freeze done, flush blocked on its first run file
+	<-g.entered // freeze done, flush blocked on its first run file
 
 	// Frozen records answer queries mid-flush.
 	if owners := fQuery(t, eng, 3); len(owners) != 1 || !owners[0].Live {
@@ -213,7 +177,7 @@ func TestUpdatesAndQueriesDuringCheckpointFlush(t *testing.T) {
 	default:
 	}
 
-	close(release)
+	close(g.release)
 	if err := <-cp1; err != nil {
 		t.Fatal(err)
 	}
@@ -281,17 +245,17 @@ func TestUpdatesAndQueriesDuringCheckpointFlush(t *testing.T) {
 // answers queries, and the state survives the next checkpoint, a
 // crash-reopen and compaction.
 func TestRelocateDuringCheckpointFlush(t *testing.T) {
-	env, g := newGatedEnv(t, core.Options{WriteShards: 4})
+	env := newFreezeEnv(t, core.Options{WriteShards: 4})
 	eng := env.eng
 	const oldBlock, newBlock = 5, 909
 	eng.AddRef(fref(oldBlock, 3, 0, 0), 1)
 	eng.AddRef(fref(oldBlock, 3, 1, 0), 1)
 	eng.AddRef(fref(7, 4, 0, 0), 1) // bystander
 
-	entered, release := g.arm()
+	g := gateRunCreates(env.fs)
 	done := make(chan error, 1)
 	go func() { done <- eng.Checkpoint(1) }()
-	<-entered
+	<-g.entered
 
 	relocated := relocateAsync(t, eng, oldBlock, newBlock)
 	if owners := fQuery(t, eng, oldBlock); len(owners) != 2 {
@@ -301,7 +265,7 @@ func TestRelocateDuringCheckpointFlush(t *testing.T) {
 		t.Fatalf("new block answers during flush: %+v", owners)
 	}
 
-	close(release)
+	close(g.release)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
@@ -390,24 +354,24 @@ func TestCheckpointFlushFailureRecovers(t *testing.T) {
 // then fails: it runs against the restored write stores, and neither the
 // restore nor the retry may resurrect the relocated-away records.
 func TestRelocateThenFlushFailure(t *testing.T) {
-	env, g := newGatedEnv(t, core.Options{WriteShards: 4})
+	env := newFreezeEnv(t, core.Options{WriteShards: 4})
 	eng := env.eng
 	const oldBlock, newBlock = 11, 480
 	eng.AddRef(fref(oldBlock, 3, 0, 0), 1)
 	eng.AddRef(fref(12, 5, 0, 0), 1)
 
-	entered, release := g.arm()
+	g := gateRunCreates(env.fs)
 	done := make(chan error, 1)
 	go func() { done <- eng.Checkpoint(1) }()
-	<-entered
+	<-g.entered
 	relocated := relocateAsync(t, eng, oldBlock, newBlock)
 	if owners := fQuery(t, eng, oldBlock); len(owners) != 1 {
 		t.Fatalf("old block wrong while the relocation is queued: %+v", owners)
 	}
 	// Fail the flush: the gated Creates proceed, and after one page the
 	// writes behind them (or the manifest commit) fail.
-	env.fs.SetFailurePlan(storage.FailurePlan{FailAfterPageWrites: env.fs.Stats().PageWrites + 1})
-	close(release)
+	env.fs.SetFailurePlan(storage.FailurePlan{Hook: g.hook, FailAfterPageWrites: env.fs.Stats().PageWrites + 1})
+	close(g.release)
 	if err := <-done; err == nil {
 		t.Fatal("checkpoint succeeded under an injected flush failure")
 	}
@@ -440,24 +404,23 @@ func TestRelocateThenFlushFailure(t *testing.T) {
 // and retires the log behind it.
 func TestWALCutKeepsFlushConcurrentAppends(t *testing.T) {
 	fs := storage.NewMemFS()
-	g := newGatedVFS(fs)
 	cat := core.NewMemCatalog()
-	eng, err := core.Open(core.Options{VFS: g, Catalog: cat, Durability: wal.Sync, WriteShards: 2})
+	eng, err := core.Open(core.Options{VFS: fs, Catalog: cat, Durability: wal.Sync, WriteShards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng.AddRef(fref(1, 2, 0, 0), 1)
 
-	entered, release := g.arm()
+	g := gateRunCreates(fs)
 	done := make(chan error, 1)
 	go func() { done <- eng.Checkpoint(1) }()
-	<-entered
+	<-g.entered
 	// Acknowledged mid-flush, tagged for the next CP.
 	eng.AddRef(fref(50, 7, 0, 0), 2)
 	if err := eng.WALErr(); err != nil {
 		t.Fatalf("append during flush noted a durability error: %v", err)
 	}
-	close(release)
+	close(g.release)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
@@ -484,13 +447,13 @@ func TestWALCutKeepsFlushConcurrentAppends(t *testing.T) {
 // TestCloseDuringCheckpointFlush: Close must serialize behind an
 // in-flight flush instead of closing the engine under it.
 func TestCloseDuringCheckpointFlush(t *testing.T) {
-	env, g := newGatedEnv(t, core.Options{WriteShards: 2})
+	env := newFreezeEnv(t, core.Options{WriteShards: 2})
 	eng := env.eng
 	eng.AddRef(fref(1, 2, 0, 0), 1)
-	entered, release := g.arm()
+	g := gateRunCreates(env.fs)
 	cpDone := make(chan error, 1)
 	go func() { cpDone <- eng.Checkpoint(1) }()
-	<-entered
+	<-g.entered
 	closeDone := make(chan error, 1)
 	go func() { closeDone <- eng.Close() }()
 	select {
@@ -498,28 +461,13 @@ func TestCloseDuringCheckpointFlush(t *testing.T) {
 		t.Fatalf("Close finished during the flush: %v", err)
 	default:
 	}
-	close(release)
+	close(g.release)
 	if err := <-cpDone; err != nil {
 		t.Fatal(err)
 	}
 	if err := <-closeDone; err != nil {
 		t.Fatal(err)
 	}
-}
-
-// removeBlockVFS fails Remove for WAL segments while armed, simulating a
-// crash that beats the post-commit log retirement (the segments survive
-// with records the committed checkpoint already covers).
-type removeBlockVFS struct {
-	storage.VFS
-	block atomic.Bool
-}
-
-func (v *removeBlockVFS) Remove(name string) error {
-	if v.block.Load() && strings.HasPrefix(name, "wal-") {
-		return errors.New("injected remove failure")
-	}
-	return v.VFS.Remove(name)
 }
 
 // TestRetriedCheckpointDoesNotDoubleApplyWAL covers the retry corner of
@@ -532,11 +480,9 @@ func (v *removeBlockVFS) Remove(name string) error {
 // manifest covers.
 func TestRetriedCheckpointDoesNotDoubleApplyWAL(t *testing.T) {
 	fs := storage.NewMemFS()
-	rb := &removeBlockVFS{VFS: fs}
-	g := newGatedVFS(rb)
 	cat := core.NewMemCatalog()
 	open := func() *core.Engine {
-		eng, err := core.Open(core.Options{VFS: g, Catalog: cat, Durability: wal.Sync, WriteShards: 2})
+		eng, err := core.Open(core.Options{VFS: fs, Catalog: cat, Durability: wal.Sync, WriteShards: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -547,26 +493,26 @@ func TestRetriedCheckpointDoesNotDoubleApplyWAL(t *testing.T) {
 
 	// Checkpoint(1) freezes, then fails mid-flush; b lands during the
 	// flush, logged past the cut, tagged 2.
-	entered, release := g.arm()
+	g := gateRunCreates(fs)
 	done := make(chan error, 1)
 	go func() { done <- eng.Checkpoint(1) }()
-	<-entered
+	<-g.entered
 	bRef := fref(50, 7, 0, 0)
 	eng.AddRef(bRef, 2)
-	fs.SetFailurePlan(storage.FailurePlan{FailAfterPageWrites: fs.Stats().PageWrites + 1})
-	close(release)
+	fs.SetFailurePlan(storage.FailurePlan{Hook: g.hook, FailAfterPageWrites: fs.Stats().PageWrites + 1})
+	close(g.release)
 	if err := <-done; err == nil {
 		t.Fatal("checkpoint survived the injected flush failure")
 	}
 	fs.SetFailurePlan(storage.FailurePlan{})
 
 	// The retry freezes b too (it was merged back... it was active all
-	// along) and commits it at CP 1. The armed Remove failure keeps the
-	// segment holding b's record on disk, as a crash beating the
-	// retirement would.
-	rb.block.Store(true)
+	// along) and commits it at CP 1. Failing the segments' Remove keeps the
+	// one holding b's record on disk, as a crash beating the retirement
+	// would.
+	failCalls(fs, storage.OpRemove, "wal-")
 	fCheckpoint(t, eng, 1)
-	rb.block.Store(false)
+	fs.SetFailurePlan(storage.FailurePlan{})
 
 	fs.Crash()
 	eng2 := open()
@@ -647,21 +593,21 @@ func TestCompactionDeferredWhileDVDirty(t *testing.T) {
 // flushed.
 func TestRelocateRunRecordsDuringFlushCrashWindows(t *testing.T) {
 	for _, crashEarly := range []bool{true, false} {
-		env, g := newGatedEnv(t, core.Options{WriteShards: 2})
+		env := newFreezeEnv(t, core.Options{WriteShards: 2})
 		eng := env.eng
 		eng.AddRef(fref(30, 3, 0, 0), 1)
 		fCheckpoint(t, eng, 1) // block 30's record is in a run
 		eng.AddRef(fref(40, 4, 0, 0), 2)
 
-		entered, release := g.arm()
+		g := gateRunCreates(env.fs)
 		done := make(chan error, 1)
 		go func() { done <- eng.Checkpoint(2) }()
-		<-entered
+		<-g.entered
 		relocated := relocateAsync(t, eng, 30, 700)
 		if old := fQuery(t, eng, 30); len(old) != 1 {
 			t.Fatalf("old block wrong while the relocation is queued: %+v", old)
 		}
-		close(release)
+		close(g.release)
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}

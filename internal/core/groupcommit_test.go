@@ -15,39 +15,22 @@ import (
 	"github.com/backlogfs/backlog/internal/wal"
 )
 
-// slowLogFS is a MemFS whose log-segment fsyncs take as long as a device's,
-// so that a share of a flush is a usable gather bound.
-type slowLogFS struct {
-	*storage.MemFS
-	delay time.Duration
-}
-
-func (s *slowLogFS) Create(name string) (storage.File, error) {
-	f, err := s.MemFS.Create(name)
-	if err != nil || !strings.HasPrefix(name, "wal-") {
-		return f, err
-	}
-	return &slowSyncFile{File: f, delay: s.delay}, nil
-}
-
-type slowSyncFile struct {
-	storage.File
-	delay time.Duration
-}
-
-func (f *slowSyncFile) Sync() error {
-	time.Sleep(f.delay)
-	return f.File.Sync()
-}
-
 // openSyncOnOneProcessor opens a Sync-mode engine on a slow log device and
 // pins the test to one P, where the gathering leader's yield runs the other
 // updater directly and the batch counts do not depend on the host's cores.
-func openSyncOnOneProcessor(t *testing.T) (*core.Engine, *slowLogFS, *core.MemCatalog) {
+func openSyncOnOneProcessor(t *testing.T) (*core.Engine, *storage.MemFS, *core.MemCatalog) {
 	t.Helper()
 	prev := runtime.GOMAXPROCS(1)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-	vfs := &slowLogFS{MemFS: storage.NewMemFS(), delay: time.Millisecond}
+	// Log-segment fsyncs take as long as a device's, so that a share of a
+	// flush is a usable gather bound.
+	vfs := storage.NewMemFS()
+	vfs.SetFailurePlan(storage.FailurePlan{Hook: func(c storage.Call) error {
+		if c.Op == storage.OpSync && strings.HasPrefix(c.Name, "wal-") {
+			time.Sleep(time.Millisecond)
+		}
+		return nil
+	}})
 	cat := core.NewMemCatalog()
 	eng, err := core.Open(core.Options{VFS: vfs, Catalog: cat, Durability: wal.Sync, WriteShards: 2})
 	if err != nil {

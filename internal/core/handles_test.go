@@ -11,64 +11,42 @@ import (
 	"github.com/backlogfs/backlog/internal/storage"
 )
 
-// handleFS counts the handles open on run files: every Open or Create of a
-// *.run name adds one, the first Close of the handle it returned takes it
-// away again.
-type handleFS struct {
-	storage.VFS
-	mu   sync.Mutex
-	open map[string]int
-}
-
-func (h *handleFS) track(name string, f storage.File, err error) (storage.File, error) {
-	if err != nil || !strings.HasSuffix(name, ".run") {
-		return f, err
-	}
-	h.mu.Lock()
-	h.open[name]++
-	h.mu.Unlock()
-	return &handleFile{File: f, fs: h, name: name}, nil
-}
-
-func (h *handleFS) Open(name string) (storage.File, error) {
-	f, err := h.VFS.Open(name)
-	return h.track(name, f, err)
-}
-
-func (h *handleFS) Create(name string) (storage.File, error) {
-	f, err := h.VFS.Create(name)
-	return h.track(name, f, err)
-}
-
-// held lists the run files with an open handle, one entry per handle.
-func (h *handleFS) held() []string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var names []string
-	for name, n := range h.open {
-		for ; n > 0; n-- {
-			names = append(names, name)
+// countHandles installs a plan on fs whose hook counts the handles open on
+// run files: every Open or Create of a *.run name adds one, every Close
+// takes one away. It returns them, one entry per handle; a name closed more
+// often than opened is an entry too, so a double Close cannot hide a leak.
+func countHandles(fs *storage.MemFS) (held func() []string) {
+	var mu sync.Mutex
+	open := map[string]int{}
+	fs.SetFailurePlan(storage.FailurePlan{Hook: func(c storage.Call) error {
+		if !strings.HasSuffix(c.Name, ".run") {
+			return nil
 		}
+		mu.Lock()
+		defer mu.Unlock()
+		switch c.Op {
+		case storage.OpOpen, storage.OpCreate:
+			open[c.Name]++
+		case storage.OpClose:
+			open[c.Name]--
+		}
+		return nil
+	}})
+	return func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		var names []string
+		for name, n := range open {
+			if n < 0 {
+				names = append(names, fmt.Sprintf("%s (closed more often than opened, by %d)", name, -n))
+			}
+			for ; n > 0; n-- {
+				names = append(names, name)
+			}
+		}
+		sort.Strings(names)
+		return names
 	}
-	sort.Strings(names)
-	return names
-}
-
-type handleFile struct {
-	storage.File
-	fs     *handleFS
-	name   string
-	closed bool
-}
-
-func (f *handleFile) Close() error {
-	f.fs.mu.Lock()
-	if !f.closed {
-		f.closed = true
-		f.fs.open[f.name]--
-	}
-	f.fs.mu.Unlock()
-	return f.File.Close()
 }
 
 // TestRunHandlesAreClosed checks that an open store holds exactly one
@@ -76,8 +54,8 @@ func (f *handleFile) Close() error {
 // merge reclaimed — that Close releases them all, and that an Open which
 // fails on its third run releases the two it had opened.
 func TestRunHandlesAreClosed(t *testing.T) {
-	mem := storage.NewMemFS()
-	fs := &handleFS{VFS: mem, open: map[string]int{}}
+	fs := storage.NewMemFS()
+	held := countHandles(fs)
 	open := func() (*core.Engine, error) {
 		return core.Open(core.Options{VFS: fs, Catalog: core.NewMemCatalog()})
 	}
@@ -91,7 +69,7 @@ func TestRunHandlesAreClosed(t *testing.T) {
 	}
 	check := func(when string, want []string) {
 		t.Helper()
-		if got := fs.held(); fmt.Sprint(got) != fmt.Sprint(want) {
+		if got := held(); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("%s: open run handles %v, want %v", when, got, want)
 		}
 	}
@@ -134,7 +112,7 @@ func TestRunHandlesAreClosed(t *testing.T) {
 
 	// All three runs are From runs of partition 0, opened oldest first:
 	// break the header of the newest.
-	f, err := mem.Open(runs[len(runs)-1])
+	f, err := fs.Open(runs[len(runs)-1])
 	if err != nil {
 		t.Fatal(err)
 	}

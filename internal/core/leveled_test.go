@@ -80,7 +80,7 @@ func (p *recordingPolicy) Plan(v *lsm.View, ctx core.PlanContext) []core.Compact
 // provably still in the view.
 func TestLeveledRetainLiveNeverPlansExpiredRuns(t *testing.T) {
 	rec := &recordingPolicy{inner: core.PolicyLeveled{}}
-	env, gate := newGatedEnv(t, core.Options{
+	env := newFreezeEnv(t, core.Options{
 		Retention:        core.RetainLive,
 		CompactionPolicy: rec,
 		Fanout:           2,
@@ -129,10 +129,10 @@ func TestLeveledRetainLiveNeverPlansExpiredRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.AddRef(fref(9, 9, 0, 0), cp)
-	entered, release := gate.arm()
+	gate := gateRunCreates(env.fs)
 	flushed := make(chan error, 1)
 	go func() { flushed <- eng.Checkpoint(cp) }()
-	<-entered
+	<-gate.entered
 
 	// Move the horizon past everything sealed so far: the fresh snapshot
 	// sits above the sealed windows, all older ones go. The droppable runs
@@ -156,7 +156,7 @@ func TestLeveledRetainLiveNeverPlansExpiredRuns(t *testing.T) {
 	if !saw {
 		t.Fatal("no plan ever saw a droppable run; the exclusion was not exercised")
 	}
-	close(release)
+	close(gate.release)
 	if err := <-flushed; err != nil {
 		t.Fatal(err)
 	}

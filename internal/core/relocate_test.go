@@ -18,83 +18,15 @@ import (
 	"github.com/backlogfs/backlog/internal/wal"
 )
 
-// scriptVFS lets a test fail the reads or the creation of one file, fail
-// the n-th create, write or sync of the run files being built, and run a
-// step inside every run-file creation. The plain fields are set while no
-// other goroutine uses the engine.
-type scriptVFS struct {
-	storage.VFS
-	failReads  atomic.Pointer[string] // name of the file whose reads fail
-	failCreate string                 // name of the file whose Create fails
-	onRun      func()                 // runs before each *.run Create
-	// runIO counts creates, writes and syncs of *.run files; failRunIO > 0
-	// counts them down, and the one that takes it to zero fails. A
-	// checkpoint builds its tables' runs side by side, hence atomics.
-	runIO, failRunIO atomic.Int64
-}
-
-// runOp meters one create, write or sync of a file, if it is a run file.
-func (v *scriptVFS) runOp(name string) error {
-	if !strings.HasSuffix(name, ".run") {
+// failCalls installs a plan on fs whose hook fails every op call on a file
+// whose name starts with prefix, with ErrInjected.
+func failCalls(fs *storage.MemFS, op storage.Op, prefix string) {
+	fs.SetFailurePlan(storage.FailurePlan{Hook: func(c storage.Call) error {
+		if c.Op == op && strings.HasPrefix(c.Name, prefix) {
+			return storage.ErrInjected
+		}
 		return nil
-	}
-	v.runIO.Add(1)
-	if v.failRunIO.Load() > 0 && v.failRunIO.Add(-1) == 0 {
-		return storage.ErrInjected
-	}
-	return nil
-}
-
-func (v *scriptVFS) Create(name string) (storage.File, error) {
-	if name == v.failCreate {
-		return nil, storage.ErrInjected
-	}
-	if v.onRun != nil && strings.HasSuffix(name, ".run") {
-		v.onRun()
-	}
-	if err := v.runOp(name); err != nil {
-		return nil, err
-	}
-	f, err := v.VFS.Create(name)
-	if err != nil {
-		return nil, err
-	}
-	return &scriptFile{File: f, name: name, fs: v}, nil
-}
-
-func (v *scriptVFS) Open(name string) (storage.File, error) {
-	f, err := v.VFS.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	return &scriptFile{File: f, name: name, fs: v}, nil
-}
-
-type scriptFile struct {
-	storage.File
-	name string
-	fs   *scriptVFS
-}
-
-func (f *scriptFile) ReadAt(p []byte, off int64) (int, error) {
-	if bad := f.fs.failReads.Load(); bad != nil && *bad == f.name {
-		return 0, storage.ErrInjected
-	}
-	return f.File.ReadAt(p, off)
-}
-
-func (f *scriptFile) WriteAt(p []byte, off int64) (int, error) {
-	if err := f.fs.runOp(f.name); err != nil {
-		return 0, err
-	}
-	return f.File.WriteAt(p, off)
-}
-
-func (f *scriptFile) Sync() error {
-	if err := f.fs.runOp(f.name); err != nil {
-		return err
-	}
-	return f.File.Sync()
+	}})
 }
 
 func dvState(eng *core.Engine) (dirty bool, entries int) {
@@ -113,9 +45,8 @@ func dvState(eng *core.Engine) (dirty bool, entries int) {
 // complete behind the caller's back.
 func TestRelocateReadFailureLeavesStateAndLogUntouched(t *testing.T) {
 	fs := storage.NewMemFS()
-	vfs := &scriptVFS{VFS: fs}
 	cat := core.NewMemCatalog()
-	opts := core.Options{VFS: vfs, Catalog: cat, WriteShards: 1, CacheBytes: -1, Durability: wal.Buffered}
+	opts := core.Options{VFS: fs, Catalog: cat, WriteShards: 1, CacheBytes: -1, Durability: wal.Buffered}
 	eng, err := core.Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -138,13 +69,13 @@ func TestRelocateReadFailureLeavesStateAndLogUntouched(t *testing.T) {
 
 	for _, ri := range eng.RunInfos() {
 		if ri.Table == core.TableTo {
-			vfs.failReads.Store(&ri.Name)
+			failCalls(fs, storage.OpRead, ri.Name)
 		}
 	}
 	if err := eng.RelocateBlock(oldBlock, newBlock); !errors.Is(err, storage.ErrInjected) {
 		t.Fatalf("RelocateBlock under a failing To read: %v, want the injected error", err)
 	}
-	vfs.failReads.Store(nil)
+	fs.SetFailurePlan(storage.FailurePlan{})
 
 	check := func(eng *core.Engine, when string) {
 		t.Helper()
@@ -201,9 +132,8 @@ func TestRelocateReadFailureLeavesStateAndLogUntouched(t *testing.T) {
 // relocation whole.
 func TestDirtyVectorPersistedByTheCheckpointThatFrozeIt(t *testing.T) {
 	fs := storage.NewMemFS()
-	vfs := &scriptVFS{VFS: fs}
 	cat := core.NewMemCatalog()
-	opts := core.Options{VFS: vfs, Catalog: cat, WriteShards: 1}
+	opts := core.Options{VFS: fs, Catalog: cat, WriteShards: 1}
 	eng, err := core.Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +146,10 @@ func TestDirtyVectorPersistedByTheCheckpointThatFrozeIt(t *testing.T) {
 	var creates atomic.Int32
 	entered, release := make(chan struct{}), make(chan struct{})
 	relocErr, cpDone := make(chan error, 1), make(chan error, 1)
-	vfs.onRun = func() {
+	fs.SetFailurePlan(storage.FailurePlan{Hook: func(c storage.Call) error {
+		if c.Op != storage.OpCreate || !strings.HasSuffix(c.Name, ".run") {
+			return nil
+		}
 		switch creates.Add(1) {
 		case 1:
 			// The merge's first output file: its view is pinned and the
@@ -229,7 +162,8 @@ func TestDirtyVectorPersistedByTheCheckpointThatFrozeIt(t *testing.T) {
 			close(entered)
 			<-release
 		}
-	}
+		return nil
+	}})
 	if err := eng.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +196,7 @@ func TestDirtyVectorPersistedByTheCheckpointThatFrozeIt(t *testing.T) {
 	}
 
 	fs.Crash()
-	vfs.onRun = nil
+	fs.SetFailurePlan(storage.FailurePlan{})
 	eng2, err := core.Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -418,8 +352,7 @@ func TestFailedMergeInstallLeavesVectorUntouched(t *testing.T) {
 
 	t.Run("merge", func(t *testing.T) {
 		fs := storage.NewMemFS()
-		vfs := &scriptVFS{VFS: fs}
-		eng, err := core.Open(core.Options{VFS: vfs, Catalog: core.NewMemCatalog(), WriteShards: 1})
+		eng, err := core.Open(core.Options{VFS: fs, Catalog: core.NewMemCatalog(), WriteShards: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -441,11 +374,11 @@ func TestFailedMergeInstallLeavesVectorUntouched(t *testing.T) {
 		}
 		before, filesBefore := answers(), files(t, fs)
 
-		vfs.failCreate = "MANIFEST.tmp"
+		failCalls(fs, storage.OpCreate, "MANIFEST.tmp")
 		if err := eng.Compact(); !errors.Is(err, storage.ErrInjected) {
 			t.Fatalf("Compact over a failing manifest write: %v, want the injected error", err)
 		}
-		vfs.failCreate = ""
+		fs.SetFailurePlan(storage.FailurePlan{})
 		untouched(t, eng, "after the failed install")
 		if got := files(t, fs); !reflect.DeepEqual(got, filesBefore) {
 			t.Fatalf("failed install left files behind: %v, before %v", got, filesBefore)
@@ -470,8 +403,7 @@ func TestFailedMergeInstallLeavesVectorUntouched(t *testing.T) {
 
 	t.Run("expiry", func(t *testing.T) {
 		fs := storage.NewMemFS()
-		vfs := &scriptVFS{VFS: fs}
-		eng, cat := sealedEnv(t, vfs)
+		eng, cat := sealedEnv(t, fs)
 		defer eng.Close()
 		// Block 1's only record sits in the sealed run snapshot 1 retains.
 		if err := eng.RelocateBlock(1, 800); err != nil {
@@ -484,12 +416,12 @@ func TestFailedMergeInstallLeavesVectorUntouched(t *testing.T) {
 		untouched(t, eng, "before the expiry")
 		filesBefore := files(t, fs)
 
-		vfs.failCreate = "MANIFEST.tmp"
+		failCalls(fs, storage.OpCreate, "MANIFEST.tmp")
 		est, err := eng.Expire()
 		if !errors.Is(err, storage.ErrInjected) || est.RunsDropped != 0 || est.DVEntriesDropped != 0 {
 			t.Fatalf("Expire over a failing manifest write = %+v, %v; want the injected error and nothing dropped", est, err)
 		}
-		vfs.failCreate = ""
+		fs.SetFailurePlan(storage.FailurePlan{})
 		untouched(t, eng, "after the failed expiry")
 		if got := files(t, fs); !reflect.DeepEqual(got, filesBefore) {
 			t.Fatalf("failed expiry changed the directory: %v, before %v", got, filesBefore)

@@ -443,6 +443,8 @@ type smDriver struct {
 
 	nextLine uint64
 	moves    [][2]uint64 // relocations so far, for moving blocks back
+	expired  uint64      // runs expiry dropped, over every Open of the store
+	queue    []smOp      // ops next draws before any other
 }
 
 func newSMDriver(cfg smConfig) (*smDriver, error) {
@@ -486,7 +488,9 @@ func (d *smDriver) close() error {
 	if d.eng = nil; eng == nil {
 		return nil
 	}
-	return eng.Close()
+	err := eng.Close()
+	d.expired += eng.Stats().RunsExpired
+	return err
 }
 
 // redo applies a pending update or relocation to the model.
@@ -582,7 +586,7 @@ func (d *smDriver) step(op smOp) error {
 			d.rollback(0) // Close drops what no checkpoint took
 		}
 	case opCrash:
-		d.fs.SetFailurePlan(storage.FailurePlan{FailAfterPageWrites: 1, FailAfterSyncs: 1, FailAfterRenames: 1})
+		d.fs.SetFailurePlan(storage.FailurePlan{KillAt: d.fs.Stats().Calls + 1})
 		d.close()
 		d.fs.Crash()
 		d.fs.SetFailurePlan(storage.FailurePlan{})
@@ -634,6 +638,31 @@ func (d *smDriver) next(rng *rand.Rand) smOp {
 		}
 	}
 	slices.SortFunc(snaps, func(a, b snap) int { return cmp.Or(cmp.Compare(a.v, b.v), cmp.Compare(a.line, b.line)) })
+	// Under RetainLive, expiry drops a run only once a tiered merge has
+	// sealed completed intervals into it and no snapshot at or below its
+	// window is reachable, which uniform draws rarely line up. One draw in
+	// 40 runs that cycle: snapshot line 0, checkpoint, remove a few of its
+	// live references, checkpoint, merge, delete every snapshot, expire.
+	if len(d.queue) == 0 && d.cfg.retainLive && m.lines[0].live && rng.Intn(40) == 0 {
+		d.queue = append(d.queue, smOp{k: opSnapshot}, smOp{k: opCheckpoint})
+		for b := uint64(0); b < smBlocks && len(d.queue) < 2+3; b++ { // three removes at most
+			for _, o := range m.owners(b) {
+				if o.Live && o.Line == 0 && len(d.queue) < 2+3 {
+					d.queue = append(d.queue, smOp{opRemove, b, o.Inode, o.Offset, 0})
+				}
+			}
+		}
+		d.queue = append(d.queue, smOp{k: opCheckpoint}, smOp{k: opCompact})
+		for _, s := range append(snaps, snap{0, d.tag}) {
+			d.queue = append(d.queue, smOp{k: opDeleteSnapshot, a: s.line, b: s.v})
+		}
+		d.queue = append(d.queue, smOp{k: opExpire})
+	}
+	if len(d.queue) > 0 {
+		op := d.queue[0]
+		d.queue = d.queue[1:]
+		return op
+	}
 	x := rng.Intn(100)
 	switch {
 	case x < 22 && len(live) > 0:
@@ -729,9 +758,9 @@ func smShrink(cfg smConfig, ops []smOp) []smOp {
 	return ops
 }
 
-// smSeedRun draws and runs one seed's stream of n ops; on a failure it
-// shrinks the stream and reports how to replay it.
-func smSeedRun(t *testing.T, cfg smConfig, ci int, seed int64, n int) {
+// smSeedRun draws and runs one seed's stream of n ops, returning the runs
+// expiry dropped; on a failure it shrinks the stream and reports its replay.
+func smSeedRun(t *testing.T, cfg smConfig, ci int, seed int64, n int) (expired uint64) {
 	t.Helper()
 	d, err := newSMDriver(cfg)
 	if err != nil {
@@ -749,7 +778,7 @@ func smSeedRun(t *testing.T, cfg smConfig, ci int, seed int64, n int) {
 	}
 	d.close()
 	if err == nil {
-		return
+		return d.expired
 	}
 	at := len(ops) - 1
 	shrunk := smShrink(cfg, ops)
@@ -760,6 +789,7 @@ func smSeedRun(t *testing.T, cfg smConfig, ci int, seed int64, n int) {
 	t.Fatalf("%v, seed %d: at op %d %v: %v\nreplay: go test ./internal/core -run 'TestStateMachine/%s$' -sm.seed=%d\n"+
 		"shrunk to %d ops; as a regression row:\n\t{\"name\", %q, []smOp{\n%s\t}},",
 		cfg, seed, at, ops[at], err, cfg.combo(), seed, len(shrunk), cfg.String(), row.String())
+	return 0
 }
 
 // smRegressions are shrunk failing streams, replayed on every run: defects
@@ -822,6 +852,7 @@ func TestStateMachine(t *testing.T) {
 	}
 	combos := smCombos()
 	share := *smFor / time.Duration(len(combos))
+	var live, expired int // RetainLive seeds of the default budget; those that expired runs
 	for ci, cfg := range combos {
 		t.Run(cfg.combo(), func(t *testing.T) {
 			start := time.Now()
@@ -830,12 +861,19 @@ func TestStateMachine(t *testing.T) {
 					seed = *smSeed
 				}
 				cfg.parts = int(seed % 3)
-				smSeedRun(t, cfg, ci, seed, 120)
+				n := smSeedRun(t, cfg, ci, seed, 120)
 				if *smSeed != 0 {
 					return
 				}
+				if cfg.retainLive && seed <= smSeedsPerCombo {
+					live, expired = live+1, expired+min(int(n), 1)
+				}
 			}
 		})
+	}
+	t.Logf("expiry dropped runs in %d of %d RetainLive seeds", expired, live)
+	if live == len(combos)/2*smSeedsPerCombo && 2*expired < live {
+		t.Errorf("expiry dropped runs in %d of %d RetainLive seeds, want at least half", expired, live)
 	}
 }
 

@@ -19,19 +19,18 @@ func TestWriteThroughFailuresLeaveTheCache(t *testing.T) {
 	t.Run("failed commit", func(t *testing.T) {
 		fx := newMergeFixture(t, core.Options{WriteShards: 2})
 		fx.epoch(1)
-		mem := fx.fs.VFS.(*storage.MemFS)
 		for i := uint64(0); i < fixtureBlocks; i++ {
 			fx.apply(refOp{ref: core.Ref{Block: i, Inode: 30, Offset: i, Length: 1}, cp: 2})
 		}
 		cached := fx.eng.CacheBytes()
-		mem.SetFailurePlan(storage.FailurePlan{FailAfterRenames: mem.Stats().Renames})
+		failCalls(fx.fs, storage.OpRename, "MANIFEST.tmp")
 		if err := fx.eng.Checkpoint(2); !errors.Is(err, storage.ErrInjected) {
 			t.Fatalf("Checkpoint = %v, want the injected rename failure", err)
 		}
 		if got := fx.eng.CacheBytes(); got != cached {
 			t.Fatalf("%d bytes cached after the failed commit, %d before", got, cached)
 		}
-		mem.SetFailurePlan(storage.FailurePlan{})
+		fx.fs.SetFailurePlan(storage.FailurePlan{})
 		if err := fx.eng.Checkpoint(2); err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +55,7 @@ func TestWriteThroughFailuresLeaveTheCache(t *testing.T) {
 		// built its runs, lost the race and discarded them.
 		creates := 0
 		var cached int64
-		fx.fs.onCreate = func(name string) {
+		onRunCreate(fx.fs, func(name string) {
 			if !strings.HasPrefix(name, core.TableFrom+".") {
 				return
 			}
@@ -69,11 +68,11 @@ func TestWriteThroughFailuresLeaveTheCache(t *testing.T) {
 					t.Errorf("%d bytes cached after the conflicted attempt, %d before it", got, cached)
 				}
 			}
-		}
+		})
 		if err := fx.eng.Compact(); err != nil {
 			t.Fatal(err)
 		}
-		fx.fs.onCreate = nil
+		fx.fs.SetFailurePlan(storage.FailurePlan{})
 		if ms := fx.eng.MaintenanceStats(); creates < 2 || ms.Conflicts != 1 {
 			t.Fatalf("%d From outputs created, %d conflicts: want a conflict and a retry", creates, ms.Conflicts)
 		}

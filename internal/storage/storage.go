@@ -6,10 +6,10 @@
 //
 //   - MemFS: a deterministic in-memory file system that meters every I/O at
 //     4 KB page granularity and models disk time (seek + transfer at a
-//     configurable sequential throughput). It also supports failure
-//     injection (write errors after N pages, torn writes) and crash
-//     simulation (discarding all non-durable state), which the recovery
-//     tests use.
+//     configurable sequential throughput). Its FailurePlan fails, pauses or
+//     counts any call by name, kills the process at any mutating call, and
+//     tears writes; crash simulation discards all non-durable state. The
+//     recovery tests inject every fault through it.
 //   - DirFS: a thin wrapper over a real directory using the os package.
 //
 // All Backlog on-disk structures (read-store runs, manifests, deletion
@@ -24,6 +24,7 @@ import (
 	"io"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // PageSize is the file system page size assumed throughout the system.
@@ -99,6 +100,7 @@ type Stats struct {
 	FilesCreated int64
 	FilesRemoved int64
 	Renames      int64
+	Calls        int64 // mutating calls, failed ones too; FailurePlan.KillAt numbers them
 	// DiskNanos is modeled disk time in nanoseconds, computed by the
 	// DiskModel of a MemFS. Zero for unmetered implementations.
 	DiskNanos int64
@@ -120,6 +122,7 @@ func (s Stats) Sub(prev Stats) Stats {
 		FilesCreated: s.FilesCreated - prev.FilesCreated,
 		FilesRemoved: s.FilesRemoved - prev.FilesRemoved,
 		Renames:      s.Renames - prev.Renames,
+		Calls:        s.Calls - prev.Calls,
 		DiskNanos:    s.DiskNanos - prev.DiskNanos,
 	}
 }
@@ -135,6 +138,7 @@ func (s Stats) Add(other Stats) Stats {
 		FilesCreated: s.FilesCreated + other.FilesCreated,
 		FilesRemoved: s.FilesRemoved + other.FilesRemoved,
 		Renames:      s.Renames + other.Renames,
+		Calls:        s.Calls + other.Calls,
 		DiskNanos:    s.DiskNanos + other.DiskNanos,
 	}
 }
@@ -195,20 +199,45 @@ func (m DiskModel) cost(n int, sequential, write bool) int64 {
 	return t
 }
 
+// Op names a call on a MemFS or one of its files, for FailurePlan.Hook.
+type Op uint8
+
+const (
+	OpCreate Op = iota
+	OpWrite
+	OpSync
+	OpRename
+	OpRemove
+	OpOpen
+	OpList
+	OpRead
+	OpSize
+	OpClose
+)
+
+// Call is one call as FailurePlan.Hook sees it.
+type Call struct {
+	Op   Op
+	Name string // the file (Rename's source); "" for List
+	Off  int64  // ReadAt, WriteAt
+	Len  int    // ReadAt, WriteAt
+}
+
 // FailurePlan configures failure injection on a MemFS.
 type FailurePlan struct {
 	// FailAfterPageWrites, when > 0, causes every page write after the
 	// first N to fail with ErrInjected. The page counter is global across
 	// files.
 	FailAfterPageWrites int64
-	// FailAfterSyncs and FailAfterRenames, when > 0, do the same for Sync
-	// and Rename calls: every one after the first N (of Stats.Syncs,
-	// Stats.Renames) fails with ErrInjected and changes nothing, so a Crash
-	// that follows finds the file as volatile, or as unrenamed, as it was.
-	// With FailAfterPageWrites they let a test stop a commit at every I/O
-	// it performs.
-	FailAfterSyncs   int64
-	FailAfterRenames int64
+	// KillAt, when > 0, kills the process at the mutating call (Create,
+	// WriteAt, Sync, Rename, Remove) that takes Stats.Calls to KillAt: it
+	// and every later one fail with ErrInjected and change nothing, but a
+	// write at KillAt applies half its pages when TornWrite is set.
+	KillAt int64
+	// Hook, when set, runs before every VFS and File call, outside the MemFS
+	// lock, so it may block, sleep, count or call the file system itself; an
+	// error it returns fails the call, which then does and counts nothing.
+	Hook func(Call) error
 	// TornWrite, when true, makes the failing write apply a prefix of its
 	// payload before reporting the error (modeling a torn sector write).
 	TornWrite bool
@@ -231,6 +260,7 @@ type MemFS struct {
 	stats Stats
 	model DiskModel
 	plan  FailurePlan
+	hook  atomic.Pointer[func(Call) error] // plan.Hook, read without mu
 
 	// lastFile/lastEnd track the device head position for the sequential
 	// access model.
@@ -256,6 +286,21 @@ func (fs *MemFS) SetFailurePlan(p FailurePlan) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.plan = p
+	fs.hook.Store(&p.Hook)
+}
+
+// call runs the plan's hook, if any, on c. It must not hold fs.mu.
+func (fs *MemFS) call(c Call) error {
+	if h := fs.hook.Load(); h != nil && *h != nil {
+		return (*h)(c)
+	}
+	return nil
+}
+
+// killed numbers a mutating call; true if KillAt fails it. Must hold fs.mu.
+func (fs *MemFS) killed() bool {
+	fs.stats.Calls++
+	return fs.plan.KillAt > 0 && fs.stats.Calls >= fs.plan.KillAt
 }
 
 type memFile struct {
@@ -269,8 +314,14 @@ type memFile struct {
 
 // Create implements VFS.
 func (fs *MemFS) Create(name string) (File, error) {
+	if err := fs.call(Call{Op: OpCreate, Name: name}); err != nil {
+		return nil, err
+	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	if fs.killed() {
+		return nil, fmt.Errorf("create %q: %w", name, ErrInjected)
+	}
 	if _, ok := fs.files[name]; ok {
 		return nil, fmt.Errorf("create %q: %w", name, ErrExist)
 	}
@@ -282,6 +333,9 @@ func (fs *MemFS) Create(name string) (File, error) {
 
 // Open implements VFS.
 func (fs *MemFS) Open(name string) (File, error) {
+	if err := fs.call(Call{Op: OpOpen, Name: name}); err != nil {
+		return nil, err
+	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	f, ok := fs.files[name]
@@ -293,8 +347,14 @@ func (fs *MemFS) Open(name string) (File, error) {
 
 // Remove implements VFS.
 func (fs *MemFS) Remove(name string) error {
+	if err := fs.call(Call{Op: OpRemove, Name: name}); err != nil {
+		return err
+	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	if fs.killed() {
+		return fmt.Errorf("remove %q: %w", name, ErrInjected)
+	}
 	f, ok := fs.files[name]
 	if !ok {
 		return fmt.Errorf("remove %q: %w", name, ErrNotExist)
@@ -309,14 +369,17 @@ func (fs *MemFS) Remove(name string) error {
 // source file has been synced, mirroring the write-anywhere commit pattern
 // (write new root, sync, then atomically switch).
 func (fs *MemFS) Rename(oldName, newName string) error {
+	if err := fs.call(Call{Op: OpRename, Name: oldName}); err != nil {
+		return err
+	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	if fs.killed() {
+		return fmt.Errorf("rename %q: %w", oldName, ErrInjected)
+	}
 	f, ok := fs.files[oldName]
 	if !ok {
 		return fmt.Errorf("rename %q: %w", oldName, ErrNotExist)
-	}
-	if n := fs.plan.FailAfterRenames; n > 0 && fs.stats.Renames >= n {
-		return fmt.Errorf("rename %q after %d renames: %w", oldName, fs.stats.Renames, ErrInjected)
 	}
 	fs.stats.Renames++
 	delete(fs.files, oldName)
@@ -327,6 +390,9 @@ func (fs *MemFS) Rename(oldName, newName string) error {
 
 // List implements VFS.
 func (fs *MemFS) List() ([]string, error) {
+	if err := fs.call(Call{Op: OpList}); err != nil {
+		return nil, err
+	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	names := make([]string, 0, len(fs.files))
@@ -362,7 +428,16 @@ func (fs *MemFS) Crash() {
 	fs.lastEnd = 0
 }
 
+// call is MemFS.call for an op on f. It reads f.name without fs.mu: only
+// Rename changes it, and a file's user orders that before its next call.
+func (f *memFile) call(op Op, off int64, n int) error {
+	return f.fs.call(Call{Op: op, Name: f.name, Off: off, Len: n})
+}
+
 func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
+	if err := f.call(OpRead, off, len(p)); err != nil {
+		return 0, err
+	}
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
 	if off < 0 {
@@ -382,40 +457,39 @@ func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
 }
 
 func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
+	if err := f.call(OpWrite, off, len(p)); err != nil {
+		return 0, err
+	}
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
+	killed := f.fs.killed()
 	if off < 0 {
 		return 0, fmt.Errorf("write %q: negative offset", f.name)
 	}
 	if f.removed {
 		return 0, fmt.Errorf("write %q: file removed", f.name)
 	}
-	// Failure injection operates at page granularity.
+	// Failure injection operates at page granularity: budget is how many of
+	// the pages the write spans it may apply.
+	pages := pagesSpanned(off, len(p))
+	budget := pages
+	if killed && f.fs.stats.Calls == f.fs.plan.KillAt {
+		budget = pages / 2 // the kill point itself
+	} else if killed {
+		budget = 0
+	} else if n := f.fs.plan.FailAfterPageWrites; n > 0 {
+		budget = min(budget, max(n-f.fs.stats.PageWrites, 0))
+	}
 	writeLen := len(p)
 	var injected error
-	if f.fs.plan.FailAfterPageWrites > 0 {
-		pages := pagesSpanned(off, len(p))
-		budget := f.fs.plan.FailAfterPageWrites - f.fs.stats.PageWrites
-		if budget < pages {
-			if budget < 0 {
-				budget = 0
-			}
-			injected = fmt.Errorf("write %q after %d pages: %w",
-				f.name, f.fs.stats.PageWrites, ErrInjected)
-			if !f.fs.plan.TornWrite || budget == 0 {
-				return 0, injected
-			}
-			// Apply only the pages that fit in the budget.
-			firstPage := off / PageSize
-			endByte := (firstPage + budget) * PageSize
-			writeLen = int(endByte - off)
-			if writeLen > len(p) {
-				writeLen = len(p)
-			}
-			if writeLen <= 0 {
-				return 0, injected
-			}
+	if budget < pages {
+		injected = fmt.Errorf("write %q after %d pages: %w",
+			f.name, f.fs.stats.PageWrites, ErrInjected)
+		if !f.fs.plan.TornWrite || budget == 0 {
+			return 0, injected
 		}
+		// Apply only the pages that fit in the budget.
+		writeLen = min(int((off/PageSize+budget)*PageSize-off), len(p))
 	}
 	end := off + int64(writeLen)
 	if end > int64(len(f.data)) {
@@ -463,6 +537,9 @@ func (fs *MemFS) accountSeek(f *memFile, off int64, n int, write bool) {
 }
 
 func (f *memFile) Size() (int64, error) {
+	if err := f.call(OpSize, 0, 0); err != nil {
+		return 0, err
+	}
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
 	return int64(len(f.data)), nil
@@ -548,13 +625,16 @@ func (f *sinkFile) Sync() error {
 func (f *sinkFile) Close() error { return nil }
 
 func (f *memFile) Sync() error {
+	if err := f.call(OpSync, 0, 0); err != nil {
+		return err
+	}
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
+	if f.fs.killed() {
+		return fmt.Errorf("sync %q: %w", f.name, ErrInjected)
+	}
 	if f.removed {
 		return fmt.Errorf("sync %q: file removed", f.name)
-	}
-	if n := f.fs.plan.FailAfterSyncs; n > 0 && f.fs.stats.Syncs >= n {
-		return fmt.Errorf("sync %q after %d syncs: %w", f.name, f.fs.stats.Syncs, ErrInjected)
 	}
 	f.durable = append(f.durable[:0], f.data...)
 	f.synced = true
@@ -562,4 +642,4 @@ func (f *memFile) Sync() error {
 	return nil
 }
 
-func (f *memFile) Close() error { return nil }
+func (f *memFile) Close() error { return f.call(OpClose, 0, 0) }

@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -246,37 +247,79 @@ func TestMemFSFailureInjection(t *testing.T) {
 	}
 }
 
-// TestMemFSSyncAndRenameFailureInjection: a Sync or Rename past its budget
-// fails and changes nothing, so the crash that follows finds the file
-// volatile, or under its old name.
+// TestMemFSSyncAndRenameFailureInjection: the kill index fails the call that
+// reaches it and every mutating call after it, changing nothing, so the
+// crash that follows finds the file volatile, or under its old name.
 func TestMemFSSyncAndRenameFailureInjection(t *testing.T) {
 	fs := NewMemFS()
 	a, _ := fs.Create("a")
 	b, _ := fs.Create("b")
-	for _, f := range []File{a, b} {
-		if _, err := f.WriteAt([]byte("x"), 0); err != nil {
-			t.Fatal(err)
+	a.WriteAt([]byte("x"), 0)
+	b.WriteAt([]byte("x"), 0)
+	fs.SetFailurePlan(FailurePlan{KillAt: fs.Stats().Calls + 3})
+	if err := errors.Join(a.Sync(), fs.Rename("a", "c")); err != nil {
+		t.Fatalf("before the kill point: %v", err)
+	}
+	_, err := fs.Create("e")
+	for i, err := range []error{err, b.Sync(), fs.Rename("c", "d"), fs.Remove("b")} {
+		if !errors.Is(err, ErrInjected) {
+			t.Fatalf("call %d from the kill point: got %v, want ErrInjected", i, err)
 		}
 	}
-	fs.SetFailurePlan(FailurePlan{FailAfterSyncs: 1, FailAfterRenames: 1})
-	if err := a.Sync(); err != nil {
-		t.Fatalf("sync 1: %v", err)
-	}
-	if err := b.Sync(); !errors.Is(err, ErrInjected) {
-		t.Fatalf("sync 2: got %v, want ErrInjected", err)
-	}
-	if err := fs.Rename("a", "c"); err != nil {
-		t.Fatalf("rename 1: %v", err)
-	}
-	if err := fs.Rename("c", "d"); !errors.Is(err, ErrInjected) {
-		t.Fatalf("rename 2: got %v, want ErrInjected", err)
-	}
-	if st := fs.Stats(); st.Syncs != 1 || st.Renames != 1 {
-		t.Fatalf("failed calls were counted: %+v", st)
+	if st := fs.Stats(); st.Syncs != 1 || st.Renames != 1 || st.FilesCreated != 2 || st.FilesRemoved != 0 || st.Calls != 10 {
+		t.Fatalf("stats after the kill: %+v, want the failed calls numbered and nothing else counted", st)
 	}
 	fs.Crash()
 	if names, _ := fs.List(); len(names) != 1 || names[0] != "c" {
 		t.Fatalf("after the crash: %v, want the synced file under the name its one rename gave it", names)
+	}
+}
+
+// TestMemFSKillPointTearsItsWrite: the write at the kill point applies the
+// first half of its pages, durable if TornWriteDurable says so; the next
+// applies nothing.
+func TestMemFSKillPointTearsItsWrite(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		fs := NewMemFS()
+		f, _ := fs.Create("a")
+		fs.SetFailurePlan(FailurePlan{KillAt: 2, TornWrite: true, TornWriteDurable: durable})
+		n1, _ := f.WriteAt(make([]byte, 4*PageSize), 0)
+		n2, err := f.WriteAt(make([]byte, 4*PageSize), 0)
+		fs.Crash()
+		if names, _ := fs.List(); n1 != 2*PageSize || n2 != 0 || !errors.Is(err, ErrInjected) || (len(names) == 1) != durable {
+			t.Fatalf("durable=%v: writes applied %d and %d bytes (%v), %v left after the crash", durable, n1, n2, err, names)
+		}
+	}
+}
+
+// TestMemFSHook: the plan's hook sees every call with its name, offset and
+// length, runs without the MemFS lock, and fails a call, which then does
+// and counts nothing.
+func TestMemFSHook(t *testing.T) {
+	fs := NewMemFS()
+	var seen []Call
+	fs.SetFailurePlan(FailurePlan{Hook: func(c Call) error {
+		fs.Stats() // would deadlock under the lock
+		seen = append(seen, c)
+		if c.Op == OpSync {
+			return ErrInjected
+		}
+		return nil
+	}})
+	f, _ := fs.Create("a")
+	f.WriteAt([]byte("xyz"), 5)
+	err := f.Sync()
+	f.ReadAt(make([]byte, 2), 1)
+	f.Size()
+	f.Close()
+	fs.Open("a")
+	fs.Rename("a", "b")
+	fs.List()
+	fs.Remove("b")
+	want := []Call{{OpCreate, "a", 0, 0}, {OpWrite, "a", 5, 3}, {OpSync, "a", 0, 0}, {OpRead, "a", 1, 2},
+		{OpSize, "a", 0, 0}, {OpClose, "a", 0, 0}, {OpOpen, "a", 0, 0}, {OpRename, "a", 0, 0}, {OpList, "", 0, 0}, {OpRemove, "b", 0, 0}}
+	if st := fs.Stats(); !errors.Is(err, ErrInjected) || st.Syncs != 0 || st.Calls != 4 || !reflect.DeepEqual(seen, want) {
+		t.Fatalf("sync: %v; stats %+v; the hook saw\n%v\nwant\n%v", err, st, seen, want)
 	}
 }
 

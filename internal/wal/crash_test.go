@@ -9,29 +9,11 @@ import (
 	"github.com/backlogfs/backlog/internal/storage"
 )
 
-// killMode is what the I/O at the kill point does before everything after
-// it fails too.
-type killMode int
-
-const (
-	killPlain       killMode = iota // fails outright
-	killTorn                        // a write applies a page-aligned prefix, volatile
-	killTornDurable                 // the prefix — and only it — is durable
-)
-
-func (m killMode) String() string {
-	return [...]string{"plain", "torn", "torn-durable"}[m]
-}
-
-// killFS numbers every WriteAt and Sync issued through it and kills the
-// "process" at one of them: that I/O fails (a write possibly torn, via the
-// MemFS failure plan), and so does every later I/O of any kind.
-type killFS struct {
-	*storage.MemFS
-	killAt int // I/O index to die at; <0 never
-	mode   killMode
-	ios    int
-	dead   bool
+// crashRig is one run of a script on a fresh MemFS whose plan kills the
+// "process" at a mutating call — a create, write, sync or remove — tearing
+// the dying write as the mode says; every later one fails too.
+type crashRig struct {
+	fs *storage.MemFS
 	// beforeWrite, when set, runs at the start of every WriteAt past a
 	// segment header (the log calls those with its mutex released): a
 	// script's hook for lining appenders up behind a flush leader.
@@ -41,83 +23,22 @@ type killFS struct {
 	syncDelay time.Duration
 }
 
-func (k *killFS) Create(name string) (storage.File, error) {
-	if k.dead {
-		return nil, storage.ErrInjected
+// newCrashRig kills at mutating call killAt, counted from 1 (never if 0),
+// as the plan's torn-write fields say.
+func newCrashRig(killAt int64, mode storage.FailurePlan) *crashRig {
+	r := &crashRig{fs: storage.NewMemFS()}
+	mode.KillAt = killAt
+	mode.Hook = func(c storage.Call) error {
+		if c.Op == storage.OpWrite && c.Off > 0 && r.beforeWrite != nil {
+			r.beforeWrite()
+		}
+		if c.Op == storage.OpSync {
+			time.Sleep(r.syncDelay)
+		}
+		return nil
 	}
-	f, err := k.MemFS.Create(name)
-	if err != nil {
-		return nil, err
-	}
-	return &killFile{File: f, fs: k}, nil
-}
-
-func (k *killFS) Open(name string) (storage.File, error) {
-	if k.dead {
-		return nil, storage.ErrInjected
-	}
-	f, err := k.MemFS.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	return &killFile{File: f, fs: k}, nil
-}
-
-func (k *killFS) Remove(name string) error {
-	if k.dead {
-		return storage.ErrInjected
-	}
-	return k.MemFS.Remove(name)
-}
-
-// step counts one I/O and reports whether it is the kill point.
-func (k *killFS) step() (kill bool) {
-	kill = k.ios == k.killAt
-	k.ios++
-	return kill
-}
-
-type killFile struct {
-	storage.File
-	fs *killFS
-}
-
-func (f *killFile) WriteAt(p []byte, off int64) (int, error) {
-	k := f.fs
-	if k.beforeWrite != nil && off > 0 {
-		k.beforeWrite()
-	}
-	if k.dead {
-		return 0, storage.ErrInjected
-	}
-	if !k.step() {
-		return f.File.WriteAt(p, off)
-	}
-	k.dead = true
-	if k.mode == killPlain {
-		return 0, storage.ErrInjected
-	}
-	// Let half of the pages this write touches through.
-	pages := (off+int64(len(p))-1)/storage.PageSize - off/storage.PageSize + 1
-	k.MemFS.SetFailurePlan(storage.FailurePlan{
-		FailAfterPageWrites: k.MemFS.Stats().PageWrites + pages/2,
-		TornWrite:           true,
-		TornWriteDurable:    k.mode == killTornDurable,
-	})
-	return f.File.WriteAt(p, off)
-}
-
-func (f *killFile) Sync() error {
-	k := f.fs
-	time.Sleep(k.syncDelay)
-	if k.dead {
-		return storage.ErrInjected
-	}
-	if k.step() {
-		k.dead = true
-		return storage.ErrInjected
-	}
-	return f.File.Sync()
+	r.fs.SetFailurePlan(mode)
+	return r
 }
 
 // crashScript drives one log through appends, a rotation or two, a Cut
@@ -126,7 +47,7 @@ func (f *killFile) Sync() error {
 type crashScript struct {
 	appended []Record // every record handed to Append, in order
 	acked    int      // appended[:acked] were acknowledged (Append returned nil)
-	retired  []int    // len(appended) at each Cut whose Retire succeeded
+	retired  []int    // the first record left on disk after each Retire (see run)
 	batches  uint64   // runConcurrent, runGathered: flushes that completed
 	ackedBy  [2]int   // runGathered: records acknowledged to each appender
 }
@@ -164,6 +85,18 @@ func (s *crashScript) run(vfs storage.VFS, d Durability, segBytes int64, perPhas
 		phase()
 		if l.Retire(cut) == nil {
 			s.retired = append(s.retired, at)
+		} else {
+			// Retire died, perhaps part way: recovery starts at the first
+			// record of the oldest segment left that holds any, each read on
+			// its own before the crash — 0 unless record 0's segment is gone.
+			segs, _ := listSegments(vfs)
+			for _, idx := range segs {
+				var rec Recovered
+				if readSegment(vfs, idx, true, &rec, &tear{}); len(rec.Records) > 0 {
+					s.retired = append(s.retired, int(rec.Records[0].Block))
+					break
+				}
+			}
 		}
 	}
 	phase()
@@ -175,8 +108,8 @@ func (s *crashScript) run(vfs storage.VFS, d Durability, segBytes int64, perPhas
 // way every time: the first becomes flush leader with a batch of one, and
 // while its write is held the other three queue behind it, in order, and
 // go out together as the next batch. Rotation happens on the way.
-func (s *crashScript) runConcurrent(vfs *killFS, segBytes int64, rounds int) {
-	l, _, err := Open(vfs, Options{Durability: Sync, SegmentBytes: segBytes})
+func (s *crashScript) runConcurrent(vfs *crashRig, segBytes int64, rounds int) {
+	l, _, err := Open(vfs.fs, Options{Durability: Sync, SegmentBytes: segBytes})
 	if err != nil {
 		return
 	}
@@ -254,8 +187,8 @@ func gatheredRec(a, i int) Record {
 // in the loop. From then on every leader holds one record and gathers the
 // other's next: perAppender appends each make one batch of one, pairs, and a
 // last batch of one whose leader gathered for an appender that had finished.
-func (s *crashScript) runGathered(vfs *killFS, segBytes int64, perAppender int) {
-	l, _, err := Open(vfs, Options{Durability: Sync, SegmentBytes: segBytes})
+func (s *crashScript) runGathered(vfs *crashRig, segBytes int64, perAppender int) {
+	l, _, err := Open(vfs.fs, Options{Durability: Sync, SegmentBytes: segBytes})
 	if err != nil {
 		return
 	}
@@ -346,9 +279,9 @@ func (s *crashScript) check(rec Recovered, mustCover bool) error {
 }
 
 // TestCrashAtEveryIO is the executable statement of what each durability
-// mode keeps: a scripted run is killed at every write and every fsync in
-// turn, plainly and with the dying write torn, the machine then loses
-// power, and recovery must succeed and return a prefix of append order —
+// mode keeps: a scripted run is killed at every create, write, fsync and
+// remove in turn, plainly and with the dying write torn, the machine then
+// loses power, and recovery must succeed and return a prefix of append order —
 // in Sync mode one that holds every acknowledged record. The kill point
 // past the last I/O is the clean run followed by a power failure.
 func TestCrashAtEveryIO(t *testing.T) {
@@ -388,11 +321,11 @@ func TestCrashAtEveryIO(t *testing.T) {
 			if c.script == gathered {
 				onProcessors(t, 1)
 			}
-			run := func(vfs *killFS) *crashScript {
+			run := func(vfs *crashRig) *crashScript {
 				var s crashScript
 				switch c.script {
 				case serial:
-					s.run(vfs, c.d, c.segBytes, c.perPhase)
+					s.run(vfs.fs, c.d, c.segBytes, c.perPhase)
 				case concurrent:
 					s.runConcurrent(vfs, c.segBytes, c.perPhase)
 				case gathered:
@@ -402,39 +335,47 @@ func TestCrashAtEveryIO(t *testing.T) {
 				return &s
 			}
 			// Count the I/Os of an unharmed run.
-			dry := &killFS{MemFS: storage.NewMemFS(), killAt: -1}
+			dry := newCrashRig(0, storage.FailurePlan{})
 			clean := run(dry)
 			// Whether a gather fills is a matter of microseconds: give the
 			// unharmed run a few tries at the batches the script is about.
 			for try := 0; c.script == gathered && clean.batches != uint64(c.perPhase+1) && try < 5; try++ {
-				dry = &killFS{MemFS: storage.NewMemFS(), killAt: -1}
+				dry = newCrashRig(0, storage.FailurePlan{})
 				clean = run(dry)
 			}
-			if dry.ios < 8 {
-				t.Fatalf("script made only %d I/Os", dry.ios)
+			ios := dry.fs.Stats().Calls
+			if ios < 8 {
+				t.Fatalf("script made only %d I/Os", ios)
 			}
+			t.Logf("%d kill points", ios)
 			if c.script == concurrent && (clean.batches != uint64(2*c.perPhase) || clean.acked != 4*c.perPhase) {
 				t.Fatalf("%d rounds of four appenders made %d batches and %d acknowledgements, want two batches (of 1 and 3) a round", c.perPhase, clean.batches, clean.acked)
 			}
 			if c.script == gathered && (clean.batches != uint64(c.perPhase+1) || clean.ackedBy != [2]int{c.perPhase, c.perPhase}) {
 				t.Fatalf("two appenders of %d records made %d batches and %v acknowledgements, want a batch of one, pairs, and a batch of one", c.perPhase, clean.batches, clean.ackedBy)
 			}
-			for _, mode := range []killMode{killPlain, killTorn, killTornDurable} {
-				for at := 0; at <= dry.ios; at++ {
-					vfs := &killFS{MemFS: storage.NewMemFS(), killAt: at, mode: mode}
+			// The dying write fails, applies half its pages volatile, or
+			// makes them — and only them — durable.
+			for _, mode := range []storage.FailurePlan{{}, {TornWrite: true}, {TornWrite: true, TornWriteDurable: true}} {
+				if mode.TornWrite && c.segBytes < storage.PageSize && c.segBytes > 0 {
+					continue // every write spans one page: a torn one is a failed one
+				}
+				for at := int64(1); at <= ios+1; at++ {
+					vfs := newCrashRig(at, mode)
 					s := run(vfs)
+					when := fmt.Sprintf("kill at I/O %d of %d (torn %v, durable %v)", at, ios, mode.TornWrite, mode.TornWriteDurable)
 					// A gathered run in which a gather expired makes an I/O
 					// more or fewer than the unharmed one did: it dies at
 					// another I/O than this index names there, or not at
 					// all, and is held to the same contract.
-					if died := at < dry.ios; vfs.dead != died && c.script != gathered {
-						t.Fatalf("%s kill at %d: dead=%v", mode, at, vfs.dead)
+					if dead := vfs.fs.Stats().Calls >= at; dead != (at <= ios) && c.script != gathered {
+						t.Fatalf("%s: dead=%v", when, dead)
 					}
-					vfs.MemFS.SetFailurePlan(storage.FailurePlan{})
-					vfs.MemFS.Crash()
-					rec, err := Recover(vfs.MemFS)
+					vfs.fs.SetFailurePlan(storage.FailurePlan{})
+					vfs.fs.Crash()
+					rec, err := Recover(vfs.fs)
 					if err != nil {
-						t.Fatalf("%s kill at I/O %d of %d: recovery failed: %v", mode, at, dry.ios, err)
+						t.Fatalf("%s: recovery failed: %v", when, err)
 					}
 					if c.script == gathered {
 						err = s.checkGathered(rec)
@@ -442,7 +383,7 @@ func TestCrashAtEveryIO(t *testing.T) {
 						err = s.check(rec, c.d == Sync)
 					}
 					if err != nil {
-						t.Fatalf("%s kill at I/O %d of %d: %v", mode, at, dry.ios, err)
+						t.Fatalf("%s: %v", when, err)
 					}
 					if c.script == concurrent && len(rec.Records) != s.acked {
 						// A batch is acknowledged as a whole once its fsync
@@ -450,28 +391,28 @@ func TestCrashAtEveryIO(t *testing.T) {
 						// batch the kill hit — its write failed, tore, or
 						// never got its fsync — yields none of its records,
 						// every batch before it all of them.
-						t.Fatalf("%s kill at I/O %d of %d: recovered %d records, want exactly the %d acknowledged", mode, at, dry.ios, len(rec.Records), s.acked)
+						t.Fatalf("%s: recovered %d records, want exactly the %d acknowledged", when, len(rec.Records), s.acked)
 					}
 					// The survivor must also open for writing, sealing any
 					// tear at the start of the batch it tore: what a second
 					// recovery reads is what the first did.
-					l, rec2, err := Open(vfs.MemFS, Options{Durability: c.d})
+					l, rec2, err := Open(vfs.fs, Options{Durability: c.d})
 					if err != nil {
-						t.Fatalf("%s kill at I/O %d: reopen failed: %v", mode, at, err)
+						t.Fatalf("%s: reopen failed: %v", when, err)
 					}
 					if !slices.Equal(rec2.Records, rec.Records) {
-						t.Fatalf("%s kill at I/O %d: reopen recovered %d records, Recover %d", mode, at, len(rec2.Records), len(rec.Records))
+						t.Fatalf("%s: reopen recovered %d records, Recover %d", when, len(rec2.Records), len(rec.Records))
 					}
 					if err := l.Close(); err != nil {
 						t.Fatal(err)
 					}
-					rec3, err := Recover(vfs.MemFS)
+					rec3, err := Recover(vfs.fs)
 					if err != nil {
-						t.Fatalf("%s kill at I/O %d: recovery after reopen failed: %v", mode, at, err)
+						t.Fatalf("%s: recovery after reopen failed: %v", when, err)
 					}
 					if !slices.Equal(rec3.Records, rec.Records) || !slices.Equal(rec3.Cuts, rec.Cuts) {
-						t.Fatalf("%s kill at I/O %d: recovery after the sealing reopen returned %d records and cuts %v, before it %d and %v",
-							mode, at, len(rec3.Records), rec3.Cuts, len(rec.Records), rec.Cuts)
+						t.Fatalf("%s: recovery after the sealing reopen returned %d records and cuts %v, before it %d and %v",
+							when, len(rec3.Records), rec3.Cuts, len(rec.Records), rec.Cuts)
 					}
 				}
 			}

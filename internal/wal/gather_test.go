@@ -32,7 +32,7 @@ func awaitLog(l *Log, cond func() bool) {
 // survivor is not asked to wait again.
 func TestGatherPeerNeverReturns(t *testing.T) {
 	onProcessors(t, 1)
-	vfs := slowSyncFS(2 * time.Millisecond)
+	vfs := onSync(func() { time.Sleep(2 * time.Millisecond) })
 	l, _ := mustOpen(t, vfs, Sync)
 	// Two closed-loop appenders pair up (the first batch holds one record,
 	// every later one the other's record and the first's next), so when one
@@ -82,13 +82,13 @@ func TestGatherBacksOffFromThinkingPeers(t *testing.T) {
 	var l *Log
 	var next atomic.Int64       // records sent so far
 	turn := make(chan struct{}) // a flush in progress hands the other appender its turn
-	vfs := &syncHookFS{MemFS: storage.NewMemFS(), beforeSync: func() {
+	vfs := onSync(func() {
 		if next.Load() < warmup+steady {
 			before := seqNow(l)
 			turn <- struct{}{}
 			awaitLog(l, func() bool { return seqNow(l) > before })
 		}
-	}}
+	})
 	l, _ = mustOpen(t, vfs, Sync)
 	var atSteady Stats
 	var wg sync.WaitGroup
@@ -203,12 +203,12 @@ func TestGatherWaitedOutByCutRetireClose(t *testing.T) {
 func TestGatheredFlushFailureReportsToWholeBatch(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
 	var held atomic.Bool
-	vfs := &syncHookFS{MemFS: storage.NewMemFS(), beforeSync: func() {
+	vfs := onSync(func() {
 		if held.CompareAndSwap(false, true) { // the first flush only
 			entered <- struct{}{}
 			<-release
 		}
-	}}
+	})
 	l, _ := mustOpen(t, vfs, Sync)
 	acks := make([]chan error, 3)
 	appendNext := func(i int) {

@@ -59,33 +59,19 @@ func TestAppendRecoverRoundtrip(t *testing.T) {
 	}
 }
 
-// syncHookFS is a MemFS whose segment fsyncs first run beforeSync: a sleep
+// onSync returns a MemFS whose plan runs fn before every fsync: a sleep
 // makes them take as long as a device's — long enough that appenders pile up
 // behind a flush, and that a share of the flush time is a usable gather
 // bound — and a channel operation holds a flush where a test wants it.
-type syncHookFS struct {
-	*storage.MemFS
-	beforeSync func()
-}
-
-func (s *syncHookFS) Create(name string) (storage.File, error) {
-	f, err := s.MemFS.Create(name)
-	return &syncHookFile{File: f, fs: s}, err
-}
-
-type syncHookFile struct {
-	storage.File
-	fs *syncHookFS
-}
-
-func (f *syncHookFile) Sync() error {
-	f.fs.beforeSync()
-	return f.File.Sync()
-}
-
-// slowSyncFS returns a MemFS whose segment fsyncs take delay.
-func slowSyncFS(delay time.Duration) *syncHookFS {
-	return &syncHookFS{MemFS: storage.NewMemFS(), beforeSync: func() { time.Sleep(delay) }}
+func onSync(fn func()) *storage.MemFS {
+	fs := storage.NewMemFS()
+	fs.SetFailurePlan(storage.FailurePlan{Hook: func(c storage.Call) error {
+		if c.Op == storage.OpSync {
+			fn()
+		}
+		return nil
+	}})
+	return fs
 }
 
 // onProcessors runs the rest of the test on n Ps. The tests that count
@@ -108,7 +94,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	for _, writers := range []int{1, 2, 8, 32} {
 		t.Run(fmt.Sprintf("W=%d", writers), func(t *testing.T) {
 			const perWriter = 100
-			vfs := slowSyncFS(4 * time.Millisecond)
+			vfs := onSync(func() { time.Sleep(4 * time.Millisecond) })
 			l, _ := mustOpen(t, vfs, Sync)
 			var wg sync.WaitGroup
 			for w := 0; w < writers; w++ {
@@ -221,10 +207,10 @@ func TestBufferedConcurrentAppendRotate(t *testing.T) {
 func TestBufferedAppendsDoNotWaitForRotationSync(t *testing.T) {
 	// Every segment fsync announces itself and waits for release.
 	entered, release := make(chan struct{}), make(chan struct{})
-	vfs := &syncHookFS{MemFS: storage.NewMemFS(), beforeSync: func() {
+	vfs := onSync(func() {
 		entered <- struct{}{}
 		<-release
-	}}
+	})
 	l, _, err := Open(vfs, Options{Durability: Buffered, SegmentBytes: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
