@@ -5,6 +5,7 @@ import (
 	"os"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/backlogfs/backlog/internal/core"
@@ -456,5 +457,35 @@ func TestExpireEndToEnd(t *testing.T) {
 	st := db.Stats()
 	if st.Expiries != 1 || st.RunsExpired != 1 || st.RecordsExpired != 1 {
 		t.Fatalf("expiry counters = %+v", st)
+	}
+}
+
+// TestCloseConcurrent is the regression for the unsynchronized closed
+// flag: concurrent Close calls (and Close racing DurabilityErr pollers)
+// must be race-free, with every call returning cleanly. Run under -race.
+func TestCloseConcurrent(t *testing.T) {
+	db, err := Open(Config{InMemory: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.AddRef(Ref{Block: 1, Inode: 2, Offset: 0, Line: 0}, 1)
+	if err := db.Checkpoint(1); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = db.DurabilityErr()
+			if err := db.Close(); err != nil {
+				t.Error(err)
+			}
+			_ = db.DurabilityErr()
+		}()
+	}
+	wg.Wait()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1243,6 +1243,14 @@ func (e *Engine) RunInfos() []lsm.RunInfo {
 	return e.db.RunInfos()
 }
 
+// Files returns the files the committed manifest names: every run and
+// deletion-vector file, sorted.
+func (e *Engine) Files() []string {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.db.Files()
+}
+
 // Catalog returns the engine's snapshot catalog.
 func (e *Engine) Catalog() *MemCatalog { return e.catalog }
 

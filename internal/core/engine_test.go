@@ -501,46 +501,6 @@ func TestRelocateBlockInWS(t *testing.T) {
 	}
 }
 
-func TestCrashRecoveryReplaysJournal(t *testing.T) {
-	fs := storage.NewMemFS()
-	cat := NewMemCatalog()
-	eng, err := Open(Options{VFS: fs, Catalog: cat})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.AddRef(ref(1, 1, 0, 0), 1)
-	mustCheckpoint(t, eng, 1)
-	// Ops of CP 2 buffered in the WS, then crash.
-	eng.AddRef(ref(2, 1, 1, 0), 2)
-	eng.RemoveRef(ref(1, 1, 0, 0), 2)
-	fs.Crash()
-
-	// Reopen: state is as of CP 1.
-	eng2, err := Open(Options{VFS: fs, Catalog: cat})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng2.CP() != 1 {
-		t.Fatalf("recovered CP = %d", eng2.CP())
-	}
-	if got := mustQuery(t, eng2, 1); len(got) != 1 || !got[0].Live {
-		t.Fatalf("block 1 after crash: %+v", got)
-	}
-	if got := mustQuery(t, eng2, 2); len(got) != 0 {
-		t.Fatalf("block 2 after crash: %+v", got)
-	}
-	// The file system replays its journal: the same ops re-applied.
-	eng2.AddRef(ref(2, 1, 1, 0), 2)
-	eng2.RemoveRef(ref(1, 1, 0, 0), 2)
-	mustCheckpoint(t, eng2, 2)
-	if got := mustQuery(t, eng2, 2); len(got) != 1 {
-		t.Fatalf("block 2 after replay: %+v", got)
-	}
-	if got := mustQuery(t, eng2, 1); len(got) != 0 {
-		t.Fatalf("block 1 after replay: %+v", got)
-	}
-}
-
 func TestPartitionedEngine(t *testing.T) {
 	env := newTestEnv(t, Options{Partitions: 4, PartitionSpan: 100})
 	e := env.eng

@@ -1,8 +1,10 @@
 // Drop-based expiry tests: the no-read reclaim contract, the safety
 // deferrals, crash windows around the manifest commit and the expiry-vs-
-// compaction I/O gap. (Expire racing the full concurrent workload is
-// TestStateMachineConcurrent's "expire" row.) They live in package
-// core_test to share the gated-VFS harness with freeze_test.go.
+// compaction I/O gap. (A crash at every I/O of an expiry is
+// TestStateMachine's "expire-drops-a-run" row; Expire racing the full
+// concurrent workload is TestStateMachineConcurrent's "expire" row.) They
+// live in package core_test to share the gated-VFS harness with
+// freeze_test.go.
 package core_test
 
 import (
@@ -248,7 +250,9 @@ func TestExpireCrashAfterCommitCollectsOrphan(t *testing.T) {
 	}
 	defer eng2.Close()
 	// The orphan is gone, and nothing else leaked.
-	assertNoOrphans(t, fs, eng2)
+	if err := noOrphans(fs, eng2); err != nil {
+		t.Fatal(err)
+	}
 	if owners := fQuery(t, eng2, 1); len(owners) != 0 {
 		t.Fatalf("expired records resurrected after crash: %+v", owners)
 	}

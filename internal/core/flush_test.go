@@ -247,7 +247,9 @@ func TestCheckpointFlushFailureAtEveryRunIO(t *testing.T) {
 		if cp := eng.CP(); cp != 2 {
 			t.Fatalf("I/O %d: CP = %d after the failed flush", n, cp)
 		}
-		assertNoOrphans(t, fs, eng)
+		if err := noOrphans(fs, eng); err != nil {
+			t.Fatalf("I/O %d: %v", n, err)
+		}
 		m.check(t, eng, flushBlocks)
 		pruned := eng.Stats().PrunedRemoves
 		eng.RemoveRef(buffered, 3)
@@ -260,7 +262,9 @@ func TestCheckpointFlushFailureAtEveryRunIO(t *testing.T) {
 		if got := eng.WSLen(); got != 0 {
 			t.Fatalf("I/O %d: %d records buffered after the retry", n, got)
 		}
-		assertNoOrphans(t, fs, eng)
+		if err := noOrphans(fs, eng); err != nil {
+			t.Fatalf("I/O %d: %v", n, err)
+		}
 		m.check(t, eng, flushBlocks)
 		if err := eng.Close(); err != nil {
 			t.Fatal(err)

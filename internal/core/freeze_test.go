@@ -104,11 +104,15 @@ func TestCheckpointStaleCPRejected(t *testing.T) {
 	}
 	env.eng.AddRef(fref(1, 2, 0, 0), 3)
 	fCheckpoint(t, env.eng, 3)
+	before := env.fs.Stats()
 	for _, stale := range []uint64{0, 2, 3} {
 		env.eng.AddRef(fref(10+stale, 2, stale, 0), 4)
 		if err := env.eng.Checkpoint(stale); !errors.Is(err, core.ErrStaleCP) {
 			t.Fatalf("Checkpoint(%d) after committing 3: %v, want ErrStaleCP", stale, err)
 		}
+	}
+	if n := env.fs.Stats().Sub(before).Calls; n != 0 {
+		t.Fatalf("rejected checkpoints made %d mutating calls", n)
 	}
 	if got := env.eng.CP(); got != 3 {
 		t.Fatalf("CP rolled to %d by rejected checkpoints", got)

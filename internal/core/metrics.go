@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -309,7 +310,7 @@ func (e *Engine) registerMetrics(r *obs.Registry) {
 		if level == levelGauges-1 {
 			help = "Live runs at this maintenance level or deeper"
 		}
-		r.GaugeFunc(gaugeName("backlog_runs_level", "level", level), help,
+		r.GaugeFunc(obs.MetricName("backlog_runs_level", "level", strconv.Itoa(level)), help,
 			func() float64 { return levelCount(level) })
 	}
 	r.GaugeFunc("backlog_db_bytes", "On-disk size of the database", func() float64 {
@@ -332,13 +333,13 @@ func (e *Engine) registerMetrics(r *obs.Registry) {
 			}
 			return logical, physical
 		}
-		r.GaugeFunc(tableGaugeName("backlog_run_logical_bytes", table),
+		r.GaugeFunc(obs.MetricName("backlog_run_logical_bytes", "table", table),
 			"Decoded size of the table's live run records",
 			func() float64 { l, _ := sums(); return float64(l) })
-		r.GaugeFunc(tableGaugeName("backlog_run_physical_bytes", table),
+		r.GaugeFunc(obs.MetricName("backlog_run_physical_bytes", "table", table),
 			"On-disk size of the table's live runs (pages + Bloom filters)",
 			func() float64 { _, p := sums(); return float64(p) })
-		r.GaugeFunc(tableGaugeName("backlog_run_compression_ratio", table),
+		r.GaugeFunc(obs.MetricName("backlog_run_compression_ratio", "table", table),
 			"Logical / physical size of the table's live runs",
 			func() float64 {
 				l, p := sums()
@@ -352,7 +353,7 @@ func (e *Engine) registerMetrics(r *obs.Registry) {
 	// table's live runs, summed at scrape time.
 	for _, table := range []string{TableFrom, TableTo, TableCombined} {
 		table := table
-		r.GaugeFunc(tableGaugeName("backlog_run_heat_bytes", table),
+		r.GaugeFunc(obs.MetricName("backlog_run_heat_bytes", "table", table),
 			"Query-read device bytes accumulated by the table's live runs",
 			func() float64 {
 				e.mu.RLock()
@@ -402,7 +403,7 @@ func (e *Engine) registerMetrics(r *obs.Registry) {
 		})
 	for i, s := range e.shards {
 		s := s
-		r.GaugeFunc(gaugeName("backlog_ws_records", "shard", i),
+		r.GaugeFunc(obs.MetricName("backlog_ws_records", "shard", strconv.Itoa(i)),
 			"Buffered write-store records in the shard's active trees",
 			func() float64 {
 				s.mu.RLock()
@@ -410,7 +411,7 @@ func (e *Engine) registerMetrics(r *obs.Registry) {
 				s.mu.RUnlock()
 				return float64(n)
 			})
-		r.GaugeFunc(gaugeName("backlog_ws_frozen_records", "shard", i),
+		r.GaugeFunc(obs.MetricName("backlog_ws_frozen_records", "shard", strconv.Itoa(i)),
 			"Write-store records frozen mid-flush in the shard",
 			func() float64 {
 				e.mu.RLock()
@@ -418,31 +419,6 @@ func (e *Engine) registerMetrics(r *obs.Registry) {
 				return float64(s.frozen.len())
 			})
 	}
-}
-
-// gaugeName renders a labeled metric name ("backlog_ws_records" +
-// {shard="3"}) in the form obs.WritePrometheus understands.
-func gaugeName(base, label string, v int) string {
-	return base + "{" + label + "=\"" + itoa(v) + "\"}"
-}
-
-// tableGaugeName renders a table-labeled metric name.
-func tableGaugeName(base, table string) string {
-	return base + "{table=\"" + table + "\"}"
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }
 
 // Metrics returns a snapshot of the engine's metrics registry (empty when

@@ -4,8 +4,10 @@
 // op alphabet — updates, relocation, snapshot and clone topology, every
 // maintenance call, clean and crashed reopens — under every durability
 // mode, run format, compaction policy, retention policy and partitioning,
-// compares answers after every step, and shrinks a failing stream to a
-// replayable regression row. The concurrent schedule
+// compares answers after every step, crashes the store at every mutating
+// I/O of its op lists, and shrinks a failing stream to a replayable
+// regression row. It is the one crash harness above the log (whose own is
+// wal.TestCrashAtEveryIO). The concurrent schedule
 // (TestStateMachineConcurrent) runs the same model against table rows of
 // one harness whose roles — ingest workers, checkpointer, snapshot churner,
 // expiry loop, relocator, reader — race each other under -race.
@@ -18,11 +20,14 @@
 package core_test
 
 import (
+	"bytes"
 	"cmp"
+	"errors"
 	"flag"
 	"fmt"
 	"maps"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -43,6 +48,9 @@ var (
 // smSeedsPerCombo is how many seeds of each combination the default run
 // draws; -sm.for draws more.
 const smSeedsPerCombo = 2
+
+// smKillOps is how many ops of each seed have their kill points enumerated.
+const smKillOps = 14
 
 // refOp is one reference update: AddRef, or RemoveRef when remove is set.
 type refOp struct {
@@ -276,11 +284,20 @@ func (m *model) diff(eng *core.Engine, blocks []uint64) error {
 		if err != nil {
 			return fmt.Errorf("query %d: %w", b, err)
 		}
-		if want := m.owners(b); fmt.Sprint(got) != fmt.Sprint(want) {
+		if want := m.owners(b); !slices.EqualFunc(got, want, sameOwner) {
 			return fmt.Errorf("block %d answers\n  %+v\nthe model\n  %+v", b, got, want)
 		}
 	}
 	return nil
+}
+
+// sameOwner compares two owners, no versions equal to an empty list of them.
+func sameOwner(a, b core.Owner) bool {
+	if !slices.Equal(a.Versions, b.Versions) {
+		return false
+	}
+	a.Versions, b.Versions = nil, nil
+	return reflect.DeepEqual(a, b)
 }
 
 // check fails the test unless the engine answers like the model for every
@@ -346,11 +363,16 @@ const (
 	opDeleteLine                   // line a
 	opReap
 	opCheckpoint
-	opCompact
-	opMaintain
-	opExpire
-	opReopen // Close, then Open
-	opCrash  // every I/O fails, Close, MemFS.Crash, then Open
+	opCompact  // Compact, then PersistCatalog
+	opMaintain // MaintainNow, then PersistCatalog
+	opExpire   // Expire, then PersistCatalog
+	opReopen   // PersistCatalog, Close, then Open
+	// opCrash with a = 0 is the power failing now. With a = k > 0 it fails at
+	// the k-th mutating call of the next op: that call and every later one
+	// fail (a write at it tears if b = 1, its first half durable), the op
+	// returns, and the power is out. Either way the store then reopens and
+	// recover holds it to the contract.
+	opCrash
 )
 
 var smKindNames = [...]string{"opAdd", "opRemove", "opRelocate", "opSnapshot", "opDeleteSnapshot", "opClone",
@@ -403,12 +425,26 @@ func smCombos() []smConfig {
 	return out
 }
 
+// smConfigNamed finds the config a regression row names.
+func smConfigNamed(name string) (smConfig, bool) {
+	for _, cfg := range smCombos() {
+		for cfg.parts = range smPartNames {
+			if cfg.String() == name {
+				return cfg, true
+			}
+		}
+	}
+	return smConfig{}, false
+}
+
 // smBlocks is the sequential schedule's block space; updates land in its
 // lower half, relocations anywhere.
 const smBlocks = 32
 
+// options opens the store as backlog.Open does: the engine keeps the
+// catalog in its manifest and fills cat from it.
 func (c smConfig) options(fs *storage.MemFS, cat *core.MemCatalog) core.Options {
-	opts := core.Options{VFS: fs, Catalog: cat, Durability: c.mode, WriteShards: 2, CompactThreshold: 3, Fanout: 2}
+	opts := core.Options{VFS: fs, Catalog: cat, PersistCatalog: true, Durability: c.mode, WriteShards: 2, CompactThreshold: 3, Fanout: 2}
 	if c.raw {
 		opts.Compression = core.CompressionNone
 	}
@@ -427,48 +463,146 @@ func (c smConfig) options(fs *storage.MemFS, cat *core.MemCatalog) core.Options 
 	return opts
 }
 
+// smCommit is a state a crash may recover: the CP and catalog of a commit,
+// and the model's topology under that catalog.
+type smCommit struct {
+	cp    uint64
+	cat   []byte
+	lines map[uint64]*smLine
+}
+
 // smDriver runs one sequential schedule against a store and the model.
 type smDriver struct {
 	cfg smConfig
 	fs  *storage.MemFS
-	cat *core.MemCatalog
+	cat *core.MemCatalog // the open store's: every Open fills a fresh one
 	eng *core.Engine
 	m   *model
 	tag uint64 // the CP being taken: the last checkpoint's + 1
 
 	// base is the history as of the last checkpoint and pending the updates
-	// and relocations since, in order: what a crash may take back.
+	// and relocations since, in order: what a crash may take back. A Sync
+	// store keeps pending[:acked], the ones acknowledged.
 	base    map[uint64]map[core.Ref][]smEvent
 	pending []smOp
+	acked   int
+	// commits are what the manifest may hold: the last commit known to have
+	// landed, then each state since that a dying op or the background
+	// maintainer may have committed.
+	commits []smCommit
+
+	kill   smOp      // an armed opCrash, for the next op
+	dying  bool      // the running op has the kill armed
+	undo   *smDriver // tag, base, pending and acked before a dying checkpoint
+	quiet  bool      // apply ops without comparing: a checked run passed them
+	mark   int64     // Stats().Calls when the running op's I/O began
+	before []byte    // MANIFEST when the dying op began
+	lost   bool      // the last crash recovered that MANIFEST
 
 	nextLine uint64
 	moves    [][2]uint64 // relocations so far, for moving blocks back
 	expired  uint64      // runs expiry dropped, over every Open of the store
 	queue    []smOp      // ops next draws before any other
+	io       []smIO      // each op's I/O, as do saw it
 }
 
 func newSMDriver(cfg smConfig) (*smDriver, error) {
-	d := &smDriver{cfg: cfg, fs: storage.NewMemFS(), cat: core.NewMemCatalog(), m: newModel(), tag: 1, nextLine: 1}
+	d := &smDriver{cfg: cfg, fs: storage.NewMemFS(), m: newModel(), tag: 1, nextLine: 1}
 	d.base = d.m.copyHist()
-	return d, d.open()
+	if err := d.open(); err != nil {
+		return nil, err
+	}
+	d.commits = []smCommit{d.commit()}
+	return d, nil
 }
 
+// open opens the store on a fresh catalog, which Open fills from the
+// manifest.
 func (d *smDriver) open() error {
-	eng, err := core.Open(d.cfg.options(d.fs, d.cat))
+	cat := core.NewMemCatalog()
+	eng, err := core.Open(d.cfg.options(d.fs, cat))
 	if err != nil {
 		return err
 	}
-	d.eng = eng
-	if eng.CP()+1 != d.tag {
-		return fmt.Errorf("reopened at CP %d, the last checkpoint was %d", eng.CP(), d.tag-1)
-	}
+	d.cat, d.eng = cat, eng
 	return nil
+}
+
+// close commits the catalog and closes the store, once, as backlog.DB.Close
+// does.
+func (d *smDriver) close() error {
+	eng := d.eng
+	if d.eng = nil; eng == nil {
+		return nil
+	}
+	err := errors.Join(eng.PersistCatalog(), eng.Close())
+	d.expired += eng.Stats().RunsExpired
+	return err
+}
+
+// commit is the state the store commits now.
+func (d *smDriver) commit() smCommit {
+	cat, _ := d.cat.MarshalJSON()
+	return smCommit{cp: d.tag - 1, cat: cat, lines: copyLines(d.m.lines)}
+}
+
+func copyLines(lines map[uint64]*smLine) map[uint64]*smLine {
+	out := make(map[uint64]*smLine, len(lines))
+	for id, l := range lines {
+		c := *l
+		c.snaps = maps.Clone(l.snaps)
+		out[id] = &c
+	}
+	return out
+}
+
+// committed records that the op just run committed the store's state, unless
+// it is dying, when it may not have.
+func (d *smDriver) committed() {
+	if !d.dying {
+		d.commits = []smCommit{d.commit()}
+	}
+}
+
+// changed records a catalog change the engine took without error. Under
+// RetainLive the background maintainer's expiry pass, which runs after every
+// checkpoint and Open, may commit it at any moment.
+func (d *smDriver) changed(err error) error {
+	if err == nil && d.cfg.retainLive {
+		d.commits = append(d.commits, d.commit())
+	}
+	return err
+}
+
+// manifest returns MANIFEST's bytes, nil before the first commit.
+func (d *smDriver) manifest() []byte {
+	f, err := d.fs.Open("MANIFEST")
+	if err != nil {
+		return nil
+	}
+	defer f.Close()
+	n, _ := f.Size()
+	b := make([]byte, n)
+	f.ReadAt(b, 0)
+	return b
 }
 
 func (d *smDriver) diffAll() error {
 	blocks := make([]uint64, smBlocks)
 	for b := range blocks {
 		blocks[b] = uint64(b)
+	}
+	return d.m.diff(d.eng, blocks)
+}
+
+// compare compares blocks, every block if none are named, unless the op is
+// dying or the run is quiet.
+func (d *smDriver) compare(blocks ...uint64) error {
+	switch {
+	case d.dying || d.quiet:
+		return nil
+	case len(blocks) == 0:
+		return d.diffAll()
 	}
 	return d.m.diff(d.eng, blocks)
 }
@@ -482,17 +616,6 @@ func (d *smDriver) rollback(k int) {
 	}
 }
 
-// close closes the store, once.
-func (d *smDriver) close() error {
-	eng := d.eng
-	if d.eng = nil; eng == nil {
-		return nil
-	}
-	err := eng.Close()
-	d.expired += eng.Stats().RunsExpired
-	return err
-}
-
 // redo applies a pending update or relocation to the model.
 func (d *smDriver) redo(op smOp) {
 	if op.k == opRelocate {
@@ -502,12 +625,49 @@ func (d *smDriver) redo(op smOp) {
 	d.m.update(core.Ref{Block: op.a, Inode: op.b, Offset: op.c, Line: op.d, Length: 1}, d.tag, op.k == opAdd)
 }
 
+// begin starts an op's I/O, arming the kill on it if one is armed.
+func (d *smDriver) begin() {
+	d.mark = d.fs.Stats().Calls
+	var plan storage.FailurePlan
+	if d.kill.a > 0 {
+		plan = storage.FailurePlan{KillAt: d.mark + int64(d.kill.a), TornWrite: d.kill.b == 1, TornWriteDurable: d.kill.b == 1}
+		d.kill, d.dying, d.before = smOp{}, true, d.manifest()
+	}
+	d.fs.SetFailurePlan(plan)
+}
+
 // step applies one op to the engine and the model and compares what it may
 // have changed: the blocks an update or relocation touched, every block
 // after a checkpoint, maintenance or reopen. An op the model's state makes
 // meaningless — a remove of what is not live, a clone of a deleted
-// snapshot — is skipped, so any subsequence of a stream replays.
+// snapshot — is skipped, so any subsequence of a stream replays. An op the
+// kill is armed on applies to the model as if it completed; the crash after
+// it decides whether it did.
 func (d *smDriver) step(op smOp) error {
+	if op.k == opCrash && op.a > 0 {
+		d.kill = op
+		return nil
+	}
+	if op.k != opCrash {
+		d.begin()
+	}
+	err := d.apply(op)
+	if !d.dying {
+		return err
+	}
+	// The op died, maybe after committing: a crash's recovery commits
+	// nothing, any other op what it would have.
+	d.dying = false
+	if op.k != opCrash {
+		d.commits = append(d.commits, d.commit())
+	}
+	before := d.before
+	err = d.crash()
+	d.lost = bytes.Equal(d.manifest(), before)
+	return err
+}
+
+func (d *smDriver) apply(op smOp) error {
 	m := d.m
 	switch op.k {
 	case opAdd, opRemove:
@@ -516,113 +676,200 @@ func (d *smDriver) step(op smOp) error {
 			return nil
 		}
 		refOp{ref: r, cp: d.tag, remove: op.k == opRemove}.applyTo(d.eng)
-		d.redo(op)
-		d.pending = append(d.pending, op)
-		return m.diff(d.eng, []uint64{r.Block})
+		d.log(op)
+		return d.compare(r.Block)
 	case opRelocate:
 		if op.a == op.b || len(m.hist[op.a]) == 0 || len(m.hist[op.b]) > 0 {
 			return nil
 		}
-		if err := d.eng.RelocateBlock(op.a, op.b); err != nil {
+		if err := d.alive(d.eng.RelocateBlock(op.a, op.b)); err != nil {
 			return err
 		}
-		d.redo(op)
-		d.pending = append(d.pending, op)
+		d.log(op)
 		d.moves = append(d.moves, [2]uint64{op.a, op.b})
-		return m.diff(d.eng, []uint64{op.a, op.b})
+		return d.compare(op.a, op.b)
 	case opSnapshot:
 		if l := m.lines[op.a]; l == nil || !l.live || l.snaps[d.tag] {
 			return nil
 		}
 		m.snapshot(op.a, d.tag)
-		return d.cat.CreateSnapshot(op.a, d.tag)
+		return d.changed(d.cat.CreateSnapshot(op.a, d.tag))
 	case opDeleteSnapshot:
 		if l := m.lines[op.a]; l == nil || !l.snaps[op.b] {
 			return nil
 		}
 		delete(m.lines[op.a].snaps, op.b)
-		return d.cat.DeleteSnapshot(op.a, op.b)
+		return d.changed(d.cat.DeleteSnapshot(op.a, op.b))
 	case opClone:
 		if p := m.lines[op.b]; p == nil || !p.snaps[op.c] || m.lines[op.a] != nil {
 			return nil
 		}
 		m.clone(op.a, op.b, op.c)
-		return d.cat.CreateClone(op.a, op.b, op.c)
+		return d.changed(d.cat.CreateClone(op.a, op.b, op.c))
 	case opDeleteLine:
 		if l := m.lines[op.a]; op.a == 0 || l == nil || !l.live {
 			return nil
 		}
 		m.lines[op.a].live = false
-		return d.cat.DeleteLine(op.a)
+		return d.changed(d.cat.DeleteLine(op.a))
 	case opReap:
 		d.cat.ReapZombies() // drops only lines no answer can reach
-		return nil
+		return d.changed(nil)
 	case opCheckpoint:
-		if err := d.eng.Checkpoint(d.tag); err != nil {
+		if d.dying {
+			d.undo = &smDriver{tag: d.tag, base: d.base, pending: d.pending, acked: d.acked}
+		}
+		if err := d.alive(d.eng.Checkpoint(d.tag)); err != nil {
 			return err
 		}
 		d.tag++
-		d.base, d.pending = m.copyHist(), nil
-	case opCompact:
-		if err := d.eng.Compact(); err != nil {
+		d.base, d.pending, d.acked = m.copyHist(), nil, 0
+		d.committed()
+	case opCompact, opMaintain, opExpire:
+		var err error
+		switch op.k {
+		case opCompact:
+			err = d.eng.Compact()
+		case opMaintain:
+			err = d.eng.MaintainNow()
+		default:
+			_, err = d.eng.Expire()
+		}
+		if err := d.alive(errors.Join(err, d.eng.PersistCatalog())); err != nil {
 			return err
 		}
-	case opMaintain:
-		if err := d.eng.MaintainNow(); err != nil {
-			return err
-		}
-	case opExpire:
-		if _, err := d.eng.Expire(); err != nil {
-			return err
-		}
+		d.committed()
 	case opReopen:
-		if err := d.close(); err != nil {
+		if err := d.alive(d.close()); err != nil {
 			return err
 		}
-		if err := d.open(); err != nil {
-			return err
+		if err := d.open(); err != nil || d.dying {
+			return d.alive(err)
 		}
 		if d.cfg.mode == wal.CheckpointOnly {
 			d.rollback(0) // Close drops what no checkpoint took
 		}
-	case opCrash:
-		d.fs.SetFailurePlan(storage.FailurePlan{KillAt: d.fs.Stats().Calls + 1})
-		d.close()
-		d.fs.Crash()
-		d.fs.SetFailurePlan(storage.FailurePlan{})
-		if err := d.open(); err != nil {
+		d.acked = len(d.pending)
+		d.committed()
+		if _, err := d.adopt(); err != nil {
 			return err
 		}
-		// The durability contract, mode by mode: CheckpointOnly keeps exactly
-		// the last checkpoint, Sync every acknowledged update, Buffered the
-		// updates up to some point since the last checkpoint.
-		switch d.cfg.mode {
-		case wal.CheckpointOnly:
-			d.rollback(0)
-		case wal.Buffered:
-			return d.survivingPrefix()
+		if err := noOrphans(d.fs, d.eng); err != nil {
+			return err
 		}
+	case opCrash:
+		return d.crash()
 	}
-	return d.diffAll()
+	return d.compare()
+}
+
+// alive passes err on unless the op is dying: a failure is what its kill
+// point makes.
+func (d *smDriver) alive(err error) error {
+	if d.dying {
+		return nil
+	}
+	return err
+}
+
+// log records an update or relocation the engine took.
+func (d *smDriver) log(op smOp) {
+	d.redo(op)
+	d.pending = append(d.pending, op)
+	if !d.dying {
+		d.acked = len(d.pending)
+	}
+}
+
+// crash fails every I/O from here on, closes the store, drops what was never
+// synced and reopens: the power failing. A kill armed on the crash falls in
+// its recovery, and the crash after it checks.
+func (d *smDriver) crash() error {
+	d.fs.SetFailurePlan(storage.FailurePlan{KillAt: d.fs.Stats().Calls + 1})
+	d.close()
+	d.fs.Crash()
+	d.begin()
+	if err := d.open(); err != nil || d.dying {
+		return d.alive(err)
+	}
+	return d.recover()
+}
+
+// recover holds a store reopened after a crash to the contract. Its CP and
+// catalog are those of a commit that may have landed, and its answers the
+// model's under that catalog. The directory holds only MANIFEST, the files
+// it names and log segments. Of the updates since the checkpoint, a
+// CheckpointOnly store keeps none, a Sync store every acknowledged one and
+// a Buffered store some prefix; the op the power failed in may have landed
+// either way.
+func (d *smDriver) recover() error {
+	undo := d.undo
+	d.undo = nil
+	c, err := d.adopt()
+	if err != nil {
+		return err
+	}
+	if undo != nil && c.cp+1 == undo.tag {
+		d.tag, d.base, d.pending, d.acked = undo.tag, undo.base, undo.pending, undo.acked
+	}
+	if err := noOrphans(d.fs, d.eng); err != nil {
+		return err
+	}
+	lo, hi := 0, len(d.pending)
+	switch d.cfg.mode {
+	case wal.CheckpointOnly:
+		hi = 0
+	case wal.Sync:
+		lo = d.acked
+	}
+	return d.survivingPrefix(lo, hi)
+}
+
+// adopt finds the commit whose CP and catalog the reopened store has, and
+// sets the model's topology to that commit's.
+func (d *smDriver) adopt() (smCommit, error) {
+	cp := d.eng.CP()
+	cat, _ := d.cat.MarshalJSON()
+	var may []string
+	for _, c := range d.commits {
+		if c.cp == cp && bytes.Equal(c.cat, cat) {
+			d.m.lines, d.commits = copyLines(c.lines), []smCommit{c}
+			return c, nil
+		}
+		may = append(may, fmt.Sprintf("CP %d %s", c.cp, c.cat))
+	}
+	return smCommit{}, fmt.Errorf("reopened at CP %d with catalog %s; the commits that may have landed:\n  %s",
+		cp, cat, strings.Join(may, "\n  "))
 }
 
 // survivingPrefix finds the longest prefix of the updates since the last
-// checkpoint whose model the recovered store answers like, and adopts it.
-func (d *smDriver) survivingPrefix() error {
+// checkpoint, at least lo and at most hi of them, whose model the recovered
+// store answers like, and adopts it. The candidates differ only in the
+// blocks those updates touched, so only the one adopted is compared whole.
+func (d *smDriver) survivingPrefix(lo, hi int) error {
 	all := d.pending
+	var touched []uint64
+	for _, op := range all[lo:hi] {
+		touched = append(touched, op.a)
+		if op.k == opRelocate {
+			touched = append(touched, op.b)
+		}
+	}
 	var first error
-	for k := len(all); k >= 0; k-- {
+	for k := hi; k >= lo; k-- {
 		d.pending = all
 		d.rollback(k)
-		err := d.diffAll()
+		err := d.m.diff(d.eng, touched)
 		if err == nil {
-			return nil
+			d.acked = k
+			return d.diffAll()
 		}
 		if first == nil {
 			first = err
 		}
 	}
-	return fmt.Errorf("no prefix of the %d updates since the last checkpoint survived the crash; all of them: %w", len(all), first)
+	return fmt.Errorf("no prefix of %d to %d of the %d updates since the last checkpoint survived the crash; the longest: %w",
+		lo, hi, len(all), first)
 }
 
 // next draws an op the model's state makes meaningful.
@@ -725,21 +972,38 @@ func (d *smDriver) next(rng *rand.Rand) smOp {
 	return smOp{k: opCrash}
 }
 
+// smIO is what a checked run saw of one op: its mutating calls (a crash's
+// counted from its recovery on), and whether it renamed a manifest into
+// place.
+type smIO struct {
+	calls   int64
+	commits bool
+}
+
+// do steps op and records its I/O.
+func (d *smDriver) do(op smOp) error {
+	before := d.fs.Stats()
+	err := d.step(op)
+	st := d.fs.Stats()
+	d.io = append(d.io, smIO{calls: st.Calls - max(before.Calls, d.mark), commits: st.Renames > before.Renames})
+	return err
+}
+
 // smRun replays ops on a fresh store and compares every block at the end.
-// It returns the index of the op that failed (len(ops) for the final
-// comparison) and the failure.
-func smRun(cfg smConfig, ops []smOp) (int, error) {
+// It returns what it saw of each op's I/O, the index of the op that failed
+// (len(ops) for the final comparison) and the failure.
+func smRun(cfg smConfig, ops []smOp) ([]smIO, int, error) {
 	d, err := newSMDriver(cfg)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	defer d.close()
 	for i, op := range ops {
-		if err := d.step(op); err != nil {
-			return i, err
+		if err := d.do(op); err != nil {
+			return nil, i, err
 		}
 	}
-	return len(ops), d.diffAll()
+	return d.io, len(ops), d.diffAll()
 }
 
 // smShrink drops chunks of ops, halving the chunk size down to single ops,
@@ -748,7 +1012,7 @@ func smShrink(cfg smConfig, ops []smOp) []smOp {
 	for chunk := len(ops) / 2; chunk >= 1; chunk /= 2 {
 		for i := 0; i+chunk <= len(ops); {
 			cand := slices.Concat(ops[:i], ops[i+chunk:])
-			if _, err := smRun(cfg, cand); err != nil {
+			if _, _, err := smRun(cfg, cand); err != nil {
 				ops = cand
 			} else {
 				i += chunk
@@ -758,9 +1022,83 @@ func smShrink(cfg smConfig, ops []smOp) []smOp {
 	return ops
 }
 
-// smSeedRun draws and runs one seed's stream of n ops, returning the runs
-// expiry dropped; on a failure it shrinks the stream and reports its replay.
-func smSeedRun(t *testing.T, cfg smConfig, ci int, seed int64, n int) (expired uint64) {
+// smRow renders a shrunk op list as a regression row.
+func smRow(cfg smConfig, ops []smOp) string {
+	var row strings.Builder
+	for _, op := range ops {
+		fmt.Fprintf(&row, "\t\t%v,\n", op)
+	}
+	return fmt.Sprintf("shrunk to %d ops; as a regression row:\n\t{\"name\", %q, []smOp{\n%s\t}},", len(ops), cfg.String(), row.String())
+}
+
+// smTally counts kill points per op kind and, of those in an op that
+// commits, the ones whose crash recovered the manifest of before the op.
+type smTally struct {
+	points, committing, lost [opCrash + 1]int
+}
+
+func (t *smTally) String() string {
+	var b strings.Builder
+	for k, n := range t.points {
+		if n > 0 {
+			fmt.Fprintf(&b, " %s %d", smKindNames[k], n)
+		}
+		if t.committing[k] > 0 {
+			fmt.Fprintf(&b, " (%d in a commit, %d lost it)", t.committing[k], t.lost[k])
+		}
+	}
+	return b.String()
+}
+
+// smKillAll enumerates the kill points of ops, whose checked run saw io:
+// every mutating call of every op, torn at every other one. Each replays
+// the ops before the killed one unchecked, crashes the store at the call
+// and holds what it recovers to the contract (recover), then checkpoints,
+// reopens and compares it once more. It returns the first failing kill
+// point as an op list, and its failure.
+func smKillAll(cfg smConfig, ops []smOp, io []smIO, tally *smTally) ([]smOp, error) {
+	var k uint64
+	for i, op := range ops {
+		for j := uint64(1); j <= uint64(io[i].calls); j++ {
+			k++
+			row := slices.Concat(ops[:i], []smOp{{k: opCrash, a: j, b: k % 2}, op, {k: opCheckpoint}, {k: opReopen}})
+			lost, err := smKill(cfg, row)
+			if err != nil {
+				return row, fmt.Errorf("op %d %v killed at its call %d of %d: %w", i, op, j, io[i].calls, err)
+			}
+			tally.points[op.k]++
+			if io[i].commits {
+				tally.committing[op.k]++
+				if lost {
+					tally.lost[op.k]++
+				}
+			}
+		}
+	}
+	return nil, nil
+}
+
+// smKill replays a kill point's op list: only the crash's recovery and the
+// last op compare. It reports whether the crash lost the killed op's commit.
+func smKill(cfg smConfig, row []smOp) (lost bool, err error) {
+	d, err := newSMDriver(cfg)
+	if err != nil {
+		return false, err
+	}
+	defer d.close()
+	for i, op := range row {
+		d.quiet = i < len(row)-1
+		if err := d.step(op); err != nil {
+			return false, fmt.Errorf("replay op %d %v: %w", i, op, err)
+		}
+	}
+	return d.lost, nil
+}
+
+// smSeedRun draws and runs one seed's stream of n ops, then enumerates the
+// kill points of its first smKillOps, returning the runs expiry dropped; on
+// a failure it shrinks the failing op list and reports its replay.
+func smSeedRun(t *testing.T, cfg smConfig, ci int, seed int64, n int, tally *smTally) (expired uint64) {
 	t.Helper()
 	d, err := newSMDriver(cfg)
 	if err != nil {
@@ -771,30 +1109,29 @@ func smSeedRun(t *testing.T, cfg smConfig, ci int, seed int64, n int) (expired u
 	for len(ops) < n && err == nil {
 		op := d.next(rng)
 		ops = append(ops, op)
-		err = d.step(op)
+		if err = d.do(op); err != nil {
+			err = fmt.Errorf("at op %d %v: %w", len(ops)-1, op, err)
+		}
 	}
 	if err == nil {
 		err = d.diffAll()
 	}
 	d.close()
+	failing := ops
 	if err == nil {
-		return d.expired
+		failing, err = smKillAll(cfg, ops[:min(smKillOps, len(ops))], d.io, tally)
 	}
-	at := len(ops) - 1
-	shrunk := smShrink(cfg, ops)
-	var row strings.Builder
-	for _, op := range shrunk {
-		fmt.Fprintf(&row, "\t\t%v,\n", op)
+	if err != nil {
+		t.Fatalf("%v, seed %d: %v\nreplay: go test ./internal/core -run 'TestStateMachine/%s$' -sm.seed=%d\n%s",
+			cfg, seed, err, cfg.combo(), seed, smRow(cfg, smShrink(cfg, failing)))
 	}
-	t.Fatalf("%v, seed %d: at op %d %v: %v\nreplay: go test ./internal/core -run 'TestStateMachine/%s$' -sm.seed=%d\n"+
-		"shrunk to %d ops; as a regression row:\n\t{\"name\", %q, []smOp{\n%s\t}},",
-		cfg, seed, at, ops[at], err, cfg.combo(), seed, len(shrunk), cfg.String(), row.String())
-	return 0
+	return d.expired
 }
 
-// smRegressions are shrunk failing streams, replayed on every run: defects
-// the driver found, and the mutations it must keep catching (see
-// CHANGES.md, PR 25).
+// smRegressions are shrunk failing streams, replayed on every run with
+// every kill point enumerated: defects the driver found, the mutations it
+// must keep catching (see CHANGES.md, PR 25), and the crash scenarios the
+// driver holds on every run, whatever the seeds draw.
 var smRegressions = []struct {
 	name, cfg string
 	ops       []smOp
@@ -828,26 +1165,53 @@ var smRegressions = []struct {
 	{"relocation-logged", "buffered-delta-full-all-range4", []smOp{
 		{opAdd, 14, 1, 1, 0}, {opRelocate, 14, 0, 0, 0}, {opReopen, 0, 0, 0, 0},
 	}},
+	// The file system re-drives the updates a crash took back, at the same
+	// CP, and the next checkpoint takes them.
+	{"crash-redrive", "cponly-delta-full-all-p1", []smOp{
+		{opAdd, 1, 1, 0, 0}, {opCheckpoint, 0, 0, 0, 0}, {opAdd, 2, 1, 1, 0}, {opRemove, 1, 1, 0, 0},
+		{opCrash, 0, 0, 0, 0}, {opAdd, 2, 1, 1, 0}, {opRemove, 1, 1, 0, 0}, {opCheckpoint, 0, 0, 0, 0},
+	}},
+	// A Sync log tail holding a remove and a relocation replays after a
+	// crash, and again after a second crash with no checkpoint between.
+	{"sync-replay-twice", "sync-delta-full-all-p1", []smOp{
+		{opAdd, 10, 1, 0, 0}, {opCheckpoint, 0, 0, 0, 0}, {opAdd, 11, 1, 1, 0}, {opRemove, 10, 1, 0, 0},
+		{opRelocate, 11, 20, 0, 0}, {opCrash, 0, 0, 0, 0}, {opCrash, 0, 0, 0, 0}, {opCheckpoint, 0, 0, 0, 0},
+	}},
+	// A merge purges what only the snapshot just deleted retained; its
+	// commit carries the catalog without that snapshot.
+	{"purge-commits-its-catalog", "cponly-delta-full-all-p1", []smOp{
+		{opAdd, 10, 2, 0, 0}, {opSnapshot, 0, 0, 0, 0}, {opCheckpoint, 0, 0, 0, 0}, {opRemove, 10, 2, 0, 0},
+		{opAdd, 11, 3, 0, 0}, {opCheckpoint, 0, 0, 0, 0}, {opAdd, 12, 3, 0, 0}, {opCheckpoint, 0, 0, 0, 0},
+		{opDeleteSnapshot, 0, 1, 0, 0}, {opMaintain, 0, 0, 0, 0},
+	}},
+	// Expiry drops a sealed run once its snapshot goes; a crash between the
+	// commit and the file's removal leaves the file for Open to collect.
+	{"expire-drops-a-run", "cponly-delta-full-live-p1", []smOp{
+		{opAdd, 1, 1, 0, 0}, {opSnapshot, 0, 0, 0, 0}, {opCheckpoint, 0, 0, 0, 0}, {opRemove, 1, 1, 0, 0},
+		{opCheckpoint, 0, 0, 0, 0}, {opCompact, 0, 0, 0, 0}, {opDeleteSnapshot, 0, 1, 0, 0}, {opExpire, 0, 0, 0, 0},
+	}},
 }
 
-// TestStateMachine runs the regression rows, then smSeedsPerCombo seeds of every
-// mode × format × policy × retention combination; each seed draws its
-// partitioning. -sm.seed replays one seed, -sm.for keeps drawing seeds.
+// TestStateMachine runs the regression rows, then smSeedsPerCombo seeds of
+// every mode × format × policy × retention combination; each seed draws its
+// partitioning. Every row and the first smKillOps ops of every seed also
+// have each of their kill points enumerated. -sm.seed replays one seed,
+// -sm.for keeps drawing seeds.
 func TestStateMachine(t *testing.T) {
+	var tally smTally
 	for _, rr := range smRegressions {
 		t.Run("regression-"+rr.name, func(t *testing.T) {
-			for _, cfg := range smCombos() {
-				for cfg.parts = range smPartNames {
-					if cfg.String() != rr.cfg {
-						continue
-					}
-					if at, err := smRun(cfg, rr.ops); err != nil {
-						t.Fatalf("at op %d: %v", at, err)
-					}
-					return
-				}
+			cfg, ok := smConfigNamed(rr.cfg)
+			if !ok {
+				t.Fatalf("no config %q", rr.cfg)
 			}
-			t.Fatalf("no config %q", rr.cfg)
+			io, at, err := smRun(cfg, rr.ops)
+			if err != nil {
+				t.Fatalf("at op %d: %v", at, err)
+			}
+			if failing, err := smKillAll(cfg, rr.ops, io, &tally); err != nil {
+				t.Fatalf("%v\n%s", err, smRow(cfg, smShrink(cfg, failing)))
+			}
 		})
 	}
 	combos := smCombos()
@@ -861,7 +1225,7 @@ func TestStateMachine(t *testing.T) {
 					seed = *smSeed
 				}
 				cfg.parts = int(seed % 3)
-				n := smSeedRun(t, cfg, ci, seed, 120)
+				n := smSeedRun(t, cfg, ci, seed, 120, &tally)
 				if *smSeed != 0 {
 					return
 				}
@@ -872,8 +1236,17 @@ func TestStateMachine(t *testing.T) {
 		})
 	}
 	t.Logf("expiry dropped runs in %d of %d RetainLive seeds", expired, live)
-	if live == len(combos)/2*smSeedsPerCombo && 2*expired < live {
+	t.Logf("kill points per op kind:%v", &tally)
+	if live != len(combos)/2*smSeedsPerCombo {
+		return // not the default run
+	}
+	if 2*expired < live {
 		t.Errorf("expiry dropped runs in %d of %d RetainLive seeds, want at least half", expired, live)
+	}
+	for _, k := range []smKind{opCheckpoint, opCompact, opMaintain, opExpire, opReopen} {
+		if tally.lost[k] == 0 {
+			t.Errorf("no kill point of an %s lost its commit", smKindNames[k])
+		}
 	}
 }
 
@@ -1297,37 +1670,5 @@ func TestIOAttributionRaceExactSums(t *testing.T) {
 	}
 	if unknown2.ReadBytes != 0 || unknown2.WriteBytes != 0 {
 		t.Errorf("unattributed i/o leaked during recovery: %+v", unknown2)
-	}
-}
-
-// TestRandomCrashPoints crashes a CheckpointOnly store after every seventh
-// of thirty checkpoints with an update of the next CP buffered: it must come
-// back at exactly the last checkpoint.
-func TestRandomCrashPoints(t *testing.T) {
-	fs, cat, m := storage.NewMemFS(), core.NewMemCatalog(), newModel()
-	open := func() *core.Engine {
-		eng, err := core.Open(core.Options{VFS: fs, Catalog: cat})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return eng
-	}
-	eng := open()
-	for _, batch := range cpBatches(hammerStreams(1, 300, 40, 30)[0]) {
-		cp := batch[0].cp
-		for _, o := range batch {
-			o.applyTo(eng)
-			m.apply(o)
-		}
-		fCheckpoint(t, eng, cp)
-		if cp%7 != 0 {
-			continue
-		}
-		eng.AddRef(fref(999, 9, 9, 0), cp+1)
-		fs.Crash()
-		if eng = open(); eng.CP() != cp {
-			t.Fatalf("recovered CP %d, want %d", eng.CP(), cp)
-		}
-		m.check(t, eng, 1000)
 	}
 }

@@ -133,58 +133,6 @@ func TestRelocationDurableAtCheckpoint(t *testing.T) {
 	}
 }
 
-// TestSyncCrashRecoveryCore is the acceptance scenario at the engine
-// level: crash after AddRef, before Checkpoint, in Sync mode — reopening
-// loses nothing.
-func TestSyncCrashRecoveryCore(t *testing.T) {
-	vfs := storage.NewMemFS()
-	cat := NewMemCatalog()
-	open := func() *Engine {
-		eng, err := Open(Options{VFS: vfs, Catalog: cat, Durability: wal.Sync})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return eng
-	}
-	eng := open()
-	eng.AddRef(ref(10, 1, 0, 0), 1)
-	mustCheckpoint(t, eng, 1)
-	eng.AddRef(ref(11, 1, 1, 0), 2)
-	eng.RemoveRef(ref(10, 1, 0, 0), 2)
-	if err := eng.RelocateBlock(11, 500); err != nil {
-		t.Fatal(err)
-	}
-	vfs.Crash()
-
-	eng2 := open()
-	if owners := mustQuery(t, eng2, 11); len(owners) != 0 {
-		t.Fatalf("relocated-away block still owned: %+v", owners)
-	}
-	owners := mustQuery(t, eng2, 500)
-	if len(owners) != 1 || !owners[0].Live {
-		t.Fatalf("relocated ref = %+v", owners)
-	}
-	var live int
-	for _, o := range mustQuery(t, eng2, 10) {
-		if o.Live {
-			live++
-		}
-	}
-	if live != 0 {
-		t.Fatal("replayed RemoveRef lost")
-	}
-	// Crash AGAIN without a checkpoint: replay must be repeatable.
-	vfs.Crash()
-	eng3 := open()
-	if owners := mustQuery(t, eng3, 500); len(owners) != 1 {
-		t.Fatalf("second recovery lost the ref: %+v", owners)
-	}
-	mustCheckpoint(t, eng3, 2)
-	if owners := mustQuery(t, eng3, 500); len(owners) != 1 {
-		t.Fatalf("checkpoint after recovery lost the ref: %+v", owners)
-	}
-}
-
 // TestPreviousFormatLogTailReplaysAndRetires is the upgrade path end to
 // end: a directory whose log tail the previous binary wrote (segment format
 // 2, the golden files internal/wal keeps) opens, every record of the tail

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/backlogfs/backlog/internal/core"
-	"github.com/backlogfs/backlog/internal/naive"
 	"github.com/backlogfs/backlog/internal/storage"
 	"github.com/backlogfs/backlog/internal/wal"
 )
@@ -144,285 +143,6 @@ func TestJournalReplayEndToEnd(t *testing.T) {
 	}
 	if err := fs.VerifyBackrefs(eng2); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// killPointTracker journals every op like journalingTracker and also
-// remembers how many ops the last committed checkpoint covered, so a test
-// can compute exactly which ops each durability mode must preserve across
-// a crash.
-type killPointTracker struct {
-	eng   *core.Engine
-	ops   []journalEntry
-	acked int // ops covered by the last committed checkpoint
-}
-
-func normRef(r core.Ref) core.Ref {
-	if r.Length == 0 {
-		r.Length = 1 // match the engine's normalization
-	}
-	return r
-}
-
-func (k *killPointTracker) AddRef(r core.Ref, cp uint64) {
-	k.ops = append(k.ops, journalEntry{ref: normRef(r), cp: cp, add: true})
-	k.eng.AddRef(r, cp)
-}
-
-func (k *killPointTracker) RemoveRef(r core.Ref, cp uint64) {
-	k.ops = append(k.ops, journalEntry{ref: normRef(r), cp: cp, add: false})
-	k.eng.RemoveRef(r, cp)
-}
-
-func (k *killPointTracker) Checkpoint(cp uint64) error {
-	if err := k.eng.Checkpoint(cp); err != nil {
-		return err
-	}
-	k.acked = len(k.ops)
-	return nil
-}
-
-// verifyAgainstNaive drives ops into a fresh Section 4.1 naive tracker —
-// the simplest possible correct implementation — and compares the set of
-// live references per block against the recovered engine.
-func verifyAgainstNaive(t *testing.T, eng *core.Engine, ops []journalEntry) {
-	t.Helper()
-	oracle, err := naive.New(storage.NewMemFS(), 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocks := map[uint64]bool{}
-	for _, op := range ops {
-		blocks[op.ref.Block] = true
-		if op.add {
-			oracle.AddRef(op.ref, op.cp)
-		} else {
-			oracle.RemoveRef(op.ref, op.cp)
-		}
-	}
-	for b := range blocks {
-		recs, err := oracle.QueryBlock(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := map[core.Ref]bool{}
-		for _, r := range recs {
-			if r.To == core.Infinity {
-				want[r.Ref] = true
-			}
-		}
-		owners, err := eng.Query(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := map[core.Ref]bool{}
-		for _, o := range owners {
-			if o.Live {
-				got[core.Ref{Block: b, Inode: o.Inode, Offset: o.Offset, Line: o.Line, Length: o.Length}] = true
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("block %d: %d live owners, oracle says %d\n got: %v\nwant: %v", b, len(got), len(want), got, want)
-		}
-		for r := range want {
-			if !got[r] {
-				t.Fatalf("block %d: oracle reference %+v missing after recovery", b, r)
-			}
-		}
-	}
-}
-
-// TestKillPointRecoveryAgainstNaiveOracle crashes a random fsim workload
-// between AddRef and Checkpoint under every durability mode and checks the
-// replayed state against the naive oracle. With Durability: Sync, no
-// acknowledged reference may be lost even though no checkpoint covered it
-// — the acceptance criterion for the write-ahead log. With Buffered and
-// CheckpointOnly the recovered state must be exactly the last committed
-// checkpoint (the log segments were never synced, so MemFS.Crash discards
-// them; the default 4 MB segment size guarantees no mid-test rotation
-// syncs a prefix).
-func TestKillPointRecoveryAgainstNaiveOracle(t *testing.T) {
-	for _, mode := range []wal.Durability{wal.CheckpointOnly, wal.Buffered, wal.Sync} {
-		t.Run(mode.String(), func(t *testing.T) {
-			vfs := storage.NewMemFS()
-			cat := core.NewMemCatalog()
-			open := func() *core.Engine {
-				eng, err := core.Open(core.Options{VFS: vfs, Catalog: cat, Durability: mode})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return eng
-			}
-			kt := &killPointTracker{eng: open()}
-			fs := New(Config{Tracker: kt, Catalog: cat, DedupRate: 0.15, Seed: 7})
-			rng := rand.New(rand.NewSource(101))
-
-			var inos []uint64
-			churn := func(n int) {
-				for i := 0; i < n; i++ {
-					switch {
-					case rng.Intn(3) == 0 || len(inos) == 0:
-						ino, err := fs.CreateFile(0)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if err := fs.WriteFile(0, ino, 0, 1+rng.Intn(5)); err != nil {
-							t.Fatal(err)
-						}
-						inos = append(inos, ino)
-					case rng.Intn(2) == 0:
-						ino := inos[rng.Intn(len(inos))]
-						ln, err := fs.FileLen(0, ino)
-						if err != nil || ln == 0 {
-							continue
-						}
-						if err := fs.WriteFile(0, ino, uint64(rng.Intn(int(ln))), 1); err != nil {
-							t.Fatal(err)
-						}
-					default:
-						i := rng.Intn(len(inos))
-						if err := fs.DeleteFile(0, inos[i]); err != nil {
-							t.Fatal(err)
-						}
-						inos = append(inos[:i], inos[i+1:]...)
-					}
-				}
-			}
-
-			for round := 0; round < 5; round++ {
-				churn(10 + rng.Intn(20))
-				if _, err := fs.Checkpoint(); err != nil {
-					t.Fatal(err)
-				}
-				// The kill point: acknowledged updates, no checkpoint.
-				churn(5 + rng.Intn(25))
-				vfs.Crash()
-				eng2 := open()
-
-				acked := kt.ops
-				if mode != wal.Sync {
-					acked = kt.ops[:kt.acked]
-				}
-				verifyAgainstNaive(t, eng2, acked)
-				if mode == wal.Sync && round == 0 && eng2.Stats().WALReplayed == 0 {
-					t.Fatal("sync-mode recovery replayed nothing")
-				}
-
-				// Re-drive the legitimately lost tail (the file system's
-				// journal would do this, Section 5.4) so the engine
-				// matches fsim's in-memory tree again, then prove the
-				// recovered system keeps working end to end.
-				if mode != wal.Sync {
-					for _, op := range kt.ops[kt.acked:] {
-						if op.add {
-							eng2.AddRef(op.ref, op.cp)
-						} else {
-							eng2.RemoveRef(op.ref, op.cp)
-						}
-					}
-				}
-				kt.eng = eng2
-				if _, err := fs.Checkpoint(); err != nil {
-					t.Fatal(err)
-				}
-				if err := fs.VerifyBackrefs(kt.eng); err != nil {
-					t.Fatalf("round %d: %v", round, err)
-				}
-			}
-		})
-	}
-}
-
-// TestCheckpointFlushCrashKillPoint crashes INSIDE a checkpoint's
-// lock-free flush — after the write stores froze, before the manifest
-// commit — under every durability mode. The frozen-store checkpoint must
-// make this window indistinguishable from crashing before the checkpoint:
-// in Sync mode every acknowledged record replays from the log (the cut
-// taken at the freeze retires nothing until the commit), and in
-// Buffered/CheckpointOnly modes the recovered state is exactly the last
-// committed consistency point.
-func TestCheckpointFlushCrashKillPoint(t *testing.T) {
-	for _, mode := range []wal.Durability{wal.CheckpointOnly, wal.Buffered, wal.Sync} {
-		t.Run(mode.String(), func(t *testing.T) {
-			vfs := storage.NewMemFS()
-			cat := core.NewMemCatalog()
-			open := func() *core.Engine {
-				eng, err := core.Open(core.Options{VFS: vfs, Catalog: cat, Durability: mode})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return eng
-			}
-			kt := &killPointTracker{eng: open()}
-			fs := New(Config{Tracker: kt, Catalog: cat, DedupRate: 0.15, Seed: 31})
-			rng := rand.New(rand.NewSource(77))
-
-			var inos []uint64
-			churn := func(n int) {
-				for i := 0; i < n; i++ {
-					if rng.Intn(3) == 0 || len(inos) == 0 {
-						ino, err := fs.CreateFile(0)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if err := fs.WriteFile(0, ino, 0, 1+rng.Intn(5)); err != nil {
-							t.Fatal(err)
-						}
-						inos = append(inos, ino)
-					} else {
-						ino := inos[rng.Intn(len(inos))]
-						ln, err := fs.FileLen(0, ino)
-						if err != nil || ln == 0 {
-							continue
-						}
-						if err := fs.WriteFile(0, ino, uint64(rng.Intn(int(ln))), 1); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-			}
-
-			churn(30)
-			if _, err := fs.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-			churn(25)
-
-			// The kill point: let the next checkpoint freeze and start
-			// flushing, then fail its writes and pull the plug.
-			vfs.SetFailurePlan(storage.FailurePlan{FailAfterPageWrites: vfs.Stats().PageWrites + 1})
-			if _, err := fs.Checkpoint(); err == nil {
-				t.Fatal("checkpoint survived the injected mid-flush failure")
-			}
-			vfs.SetFailurePlan(storage.FailurePlan{})
-			vfs.Crash()
-			eng2 := open()
-
-			acked := kt.ops
-			if mode != wal.Sync {
-				acked = kt.ops[:kt.acked]
-			}
-			verifyAgainstNaive(t, eng2, acked)
-
-			// Re-drive the legitimately lost tail, then prove the
-			// recovered system checkpoints and verifies end to end.
-			if mode != wal.Sync {
-				for _, op := range kt.ops[kt.acked:] {
-					if op.add {
-						eng2.AddRef(op.ref, op.cp)
-					} else {
-						eng2.RemoveRef(op.ref, op.cp)
-					}
-				}
-			}
-			kt.eng = eng2
-			if _, err := fs.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-			if err := fs.VerifyBackrefs(kt.eng); err != nil {
-				t.Fatal(err)
-			}
-		})
 	}
 }
 

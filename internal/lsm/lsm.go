@@ -681,15 +681,8 @@ func (db *DB) collectOrphans() error {
 	live := map[string]bool{manifestName: true}
 	// The section's old file is the only copy until a manifest carries one.
 	live[legacySectionName] = db.legacySection || db.m.Catalog == nil
-	for _, tm := range db.m.Tables {
-		for _, runs := range tm.Partitions {
-			for _, rm := range runs {
-				live[rm.Name] = true
-			}
-		}
-		if tm.DVFile != "" {
-			live[tm.DVFile] = true
-		}
+	for _, name := range db.Files() {
+		live[name] = true
 	}
 	names, err := db.vfs.List()
 	if err != nil {
@@ -709,6 +702,26 @@ func (db *DB) collectOrphans() error {
 		}
 	}
 	return nil
+}
+
+// Files returns the files the committed manifest names — every run and
+// deletion-vector file — sorted. Open removes any other run, vector or
+// temporary manifest file it finds. The caller must hold the structural lock
+// (shared suffices).
+func (db *DB) Files() []string {
+	var names []string
+	for _, tm := range db.m.Tables {
+		for _, runs := range tm.Partitions {
+			for _, rm := range runs {
+				names = append(names, rm.Name)
+			}
+		}
+		if tm.DVFile != "" {
+			names = append(names, tm.DVFile)
+		}
+	}
+	sort.Strings(names)
+	return names
 }
 
 // blockOf extracts the big-endian block number prefix of a record.

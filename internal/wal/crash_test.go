@@ -41,10 +41,10 @@ func newCrashRig(killAt int64, mode storage.FailurePlan) *crashRig {
 	return r
 }
 
-// crashScript drives one log through appends, a rotation or two, a Cut
+// logScript drives one log through appends, a rotation or two, a Cut
 // whose checkpoint never commits, a Cut that does, and a clean Close, and
 // records what the log acknowledged on the way.
-type crashScript struct {
+type logScript struct {
 	appended []Record // every record handed to Append, in order
 	acked    int      // appended[:acked] were acknowledged (Append returned nil)
 	retired  []int    // the first record left on disk after each Retire (see run)
@@ -59,7 +59,7 @@ func crashRec(i int) Record {
 	return Record{Op: OpAddRef, Block: uint64(i), Inode: 1<<62 + uint64(i), Offset: 1 << 63, Line: 1 << 62, Length: 1 << 63, CP: 1<<35 + uint64(i/5)}
 }
 
-func (s *crashScript) run(vfs storage.VFS, d Durability, segBytes int64, perPhase int) {
+func (s *logScript) run(vfs storage.VFS, d Durability, segBytes int64, perPhase int) {
 	l, _, err := Open(vfs, Options{Durability: d, SegmentBytes: segBytes})
 	if err != nil {
 		return // died creating the first segment
@@ -108,7 +108,7 @@ func (s *crashScript) run(vfs storage.VFS, d Durability, segBytes int64, perPhas
 // way every time: the first becomes flush leader with a batch of one, and
 // while its write is held the other three queue behind it, in order, and
 // go out together as the next batch. Rotation happens on the way.
-func (s *crashScript) runConcurrent(vfs *crashRig, segBytes int64, rounds int) {
+func (s *logScript) runConcurrent(vfs *crashRig, segBytes int64, rounds int) {
 	l, _, err := Open(vfs.fs, Options{Durability: Sync, SegmentBytes: segBytes})
 	if err != nil {
 		return
@@ -187,7 +187,7 @@ func gatheredRec(a, i int) Record {
 // in the loop. From then on every leader holds one record and gathers the
 // other's next: perAppender appends each make one batch of one, pairs, and a
 // last batch of one whose leader gathered for an appender that had finished.
-func (s *crashScript) runGathered(vfs *crashRig, segBytes int64, perAppender int) {
+func (s *logScript) runGathered(vfs *crashRig, segBytes int64, perAppender int) {
 	l, _, err := Open(vfs.fs, Options{Durability: Sync, SegmentBytes: segBytes})
 	if err != nil {
 		return
@@ -225,7 +225,7 @@ func (s *crashScript) runGathered(vfs *crashRig, segBytes int64, perAppender int
 // please: each appender's recovered records are its own in order, and — the
 // model keeps nothing unsynced, and a batch is acknowledged as a whole —
 // exactly those it was acknowledged.
-func (s *crashScript) checkGathered(rec Recovered) error {
+func (s *logScript) checkGathered(rec Recovered) error {
 	var got [2]int
 	for _, r := range rec.Records {
 		a := int(r.Block >> 32)
@@ -248,7 +248,7 @@ func (s *crashScript) checkGathered(rec Recovered) error {
 // that starts at the beginning or at a retired cut — a prefix of append
 // order — and, when mustCover, reaches at least through the last
 // acknowledged record.
-func (s *crashScript) check(rec Recovered, mustCover bool) error {
+func (s *logScript) check(rec Recovered, mustCover bool) error {
 	starts := append([]int{0}, s.retired...)
 	lo := 0
 	if len(rec.Records) > 0 {
@@ -286,7 +286,7 @@ func (s *crashScript) check(rec Recovered, mustCover bool) error {
 // past the last I/O is the clean run followed by a power failure.
 func TestCrashAtEveryIO(t *testing.T) {
 	const (
-		serial     = iota // crashScript.run
+		serial     = iota // logScript.run
 		concurrent        // runConcurrent, perPhase rounds
 		gathered          // runGathered, perPhase appends per appender
 	)
@@ -321,8 +321,8 @@ func TestCrashAtEveryIO(t *testing.T) {
 			if c.script == gathered {
 				onProcessors(t, 1)
 			}
-			run := func(vfs *crashRig) *crashScript {
-				var s crashScript
+			run := func(vfs *crashRig) *logScript {
+				var s logScript
 				switch c.script {
 				case serial:
 					s.run(vfs.fs, c.d, c.segBytes, c.perPhase)

@@ -147,6 +147,8 @@ func TestWriteMetricsPrometheus(t *testing.T) {
 		`backlog_addref_ns_bucket{le="+Inf"}`,
 		"backlog_addref_ns_count 64",
 		`backlog_ws_records{shard="0"}`,
+		`backlog_runs_level{level="7"}`,
+		`backlog_run_heat_bytes{table="from"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("WriteMetrics output missing %q", want)
