@@ -60,7 +60,11 @@
 //     is frozen mid-flush; the late half of the pair is recorded and the
 //     two cancel at query and compaction time instead.
 //   - Query and QueryRange read the union of the active and frozen trees
-//     plus the pinned run-set view — a consistent cut in every phase.
+//     plus the pinned run-set view — a consistent cut in every phase. A
+//     QueryRange takes that cut once, for its whole range: one view and
+//     one write-store snapshot of the shards its blocks live in, pinned
+//     under one shared acquisition of the lock. Query is a range of one
+//     block.
 //   - RelocateBlock queues behind the in-flight flush, like a second
 //     Checkpoint: the frozen trees are read-only to everyone while the
 //     flush reads them, and relocation is the one call that would have to
@@ -861,8 +865,14 @@ func (db *DB) Checkpoint(cp uint64) error { return db.eng.Checkpoint(cp) }
 // versions that still exist.
 func (db *DB) Query(block uint64) ([]Owner, error) { return db.eng.Query(block) }
 
-// QueryRange queries n consecutive block numbers starting at block,
-// invoking visit for each.
+// QueryRange answers the n consecutive blocks [block, block+n) from one
+// pinned view of the database, so every block is answered as of the same
+// moment, and each run on disk is sought once for the whole range rather
+// than once per block. It calls visit with each block's owners, as Query
+// returns them, in ascending block order — a nil slice for a block with no
+// owners — until visit returns false. n == 0 visits nothing; a negative n,
+// or a range that runs past the largest block number, returns an error
+// before anything is read.
 func (db *DB) QueryRange(block uint64, n int, visit func(block uint64, owners []Owner) bool) error {
 	return db.eng.QueryRange(block, n, visit)
 }

@@ -2,6 +2,7 @@ package backlog
 
 import (
 	"errors"
+	"math"
 	"os"
 	"reflect"
 	"strings"
@@ -219,6 +220,16 @@ func TestQueryRange(t *testing.T) {
 	}
 	if owned != 10 {
 		t.Fatalf("owned = %d, want 10", owned)
+	}
+	// A range that would wrap past the largest block, or a negative count,
+	// is refused before any block is visited.
+	for _, n := range []int{2, -1} {
+		if err := db.QueryRange(math.MaxUint64, n, func(b uint64, _ []Owner) bool {
+			t.Errorf("QueryRange(MaxUint64, %d) visited block %d", n, b)
+			return true
+		}); err == nil {
+			t.Errorf("QueryRange(MaxUint64, %d) = nil, want an error", n)
+		}
 	}
 }
 

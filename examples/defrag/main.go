@@ -9,11 +9,11 @@
 // deliberately duplicate) the shared ones.
 //
 // The example builds the scenario on the fsim write-anywhere simulator
-// wired to a real Backlog engine, then walks the fragmented file,
-// queries each block's owners, and relocates the exclusively-owned blocks
-// into a contiguous region, updating the back-reference database with
-// RelocateBlock. It finishes by re-verifying the whole database against a
-// file system tree walk.
+// wired to a real Backlog engine, then queries the owners of the fragmented
+// file's whole block span in one range query, and relocates the
+// exclusively-owned blocks into a contiguous region, updating the
+// back-reference database with RelocateBlock. It finishes by re-verifying
+// the whole database against a file system tree walk.
 //
 // Run with:
 //
@@ -83,18 +83,25 @@ func main() {
 	// --- Defragment vmA's file, share-aware. ---
 	line, _ := fs.Line(vmA)
 	blocks := line.Live.BlocksOf(master)
-	fmt.Printf("vmA file spans blocks %d..%d before defrag\n", minOf(blocks), maxOf(blocks))
+	lo, hi := minOf(blocks), maxOf(blocks)
+	fmt.Printf("vmA file spans blocks %d..%d before defrag\n", lo, hi)
+
+	// One range query over the file's span answers every block of it; the
+	// file's own blocks are picked out of the answer.
+	owners := map[uint64][]core.Owner{}
+	if err := eng.QueryRange(lo, int(hi-lo+1), func(b uint64, o []core.Owner) bool {
+		owners[b] = o
+		return true
+	}); err != nil {
+		log.Fatal(err)
+	}
 
 	// The new contiguous region starts past every allocated block.
 	target := fs.MaxBlock()
 	moved, shared := 0, 0
-	for off, b := range blocks {
-		owners, err := eng.Query(b)
-		if err != nil {
-			log.Fatal(err)
-		}
+	for _, b := range blocks {
 		exclusive := true
-		for _, o := range owners {
+		for _, o := range owners[b] {
 			if o.Line != vmA {
 				exclusive = false
 				break
@@ -116,7 +123,6 @@ func main() {
 			log.Fatal(err)
 		}
 		moved++
-		_ = off
 	}
 	if _, err := fs.Checkpoint(); err != nil {
 		log.Fatal(err)

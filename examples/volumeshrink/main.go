@@ -7,10 +7,11 @@
 // with back references it is a range query.
 //
 // The example fills a simulated volume (with snapshots and a clone so
-// blocks have multiple owners), then evacuates the upper half: for each
-// allocated block above the boundary it queries the owners, rewrites their
-// pointers, relocates the back references, and finally verifies the whole
-// database against a tree walk.
+// blocks have multiple owners), then evacuates the upper half: one range
+// query over the blocks above the boundary finds every block with an
+// owner; for each it rewrites the owners' pointers and relocates the back
+// references, and finally it verifies the whole database against a tree
+// walk.
 //
 // Run with:
 //
@@ -132,18 +133,20 @@ func main() {
 		return nextFree
 	}
 
+	// One range query over every block at or above the boundary finds the
+	// blocks that must move: those with an owner.
+	var evacuate []uint64
+	if err := eng.QueryRange(boundary, int(fs.MaxBlock()-boundary), func(b uint64, owners []core.Owner) bool {
+		if len(owners) > 0 {
+			evacuate = append(evacuate, b)
+		}
+		return true
+	}); err != nil {
+		log.Fatal(err)
+	}
+
 	moved, pointerUpdates := 0, 0
-	for _, b := range allocated {
-		if b < boundary {
-			continue
-		}
-		owners, err := eng.Query(b)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if len(owners) == 0 {
-			continue // stale allocation; nothing references it
-		}
+	for _, b := range evacuate {
 		target := alloc()
 		// Update every owner's pointers (live images and snapshots), then
 		// transplant the back references.

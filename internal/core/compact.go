@@ -78,7 +78,7 @@ func (e *Engine) compactWhole(p int, tiered bool) error {
 // dvDirty reports whether any table carries unpersisted deletion-vector
 // entries. Callers hold the structural lock (shared suffices).
 func (e *Engine) dvDirty() bool {
-	for _, table := range []string{TableFrom, TableTo, TableCombined} {
+	for _, table := range tables {
 		if e.db.Table(table).DVDirty() {
 			return true
 		}
@@ -216,14 +216,11 @@ func (e *Engine) compactJobAttempt(job CompactionJob, tiered, exclusive bool) (c
 		// released view; they are only safe to read while live in this one.
 		return false, false, nil
 	}
-	inputs := [3]struct {
-		table string
-		runs  []*lsm.Run
-	}{{TableFrom, job.From}, {TableTo, job.To}, {TableCombined, job.Combined}}
+	inputs := [3][]*lsm.Run{job.From, job.To, job.Combined}
 
 	var streams [3]*recStream
-	for i, in := range inputs {
-		it, err := v.MergedIterOf(in.table, in.runs)
+	for i, runs := range inputs {
+		it, err := v.MergedIterOf(tables[i], runs)
 		if err != nil {
 			return false, false, err
 		}
@@ -332,12 +329,12 @@ func (e *Engine) compactJobAttempt(job CompactionJob, tiered, exclusive bool) (c
 		// runs added outside them (a checkpoint's level-0 flush) do not
 		// invalidate it. Either way the deletion vectors must not have
 		// moved.
-		for _, in := range inputs {
+		for i, runs := range inputs {
 			var ok bool
 			if job.Whole {
-				ok = v.Unchanged(in.table, p)
+				ok = v.Unchanged(tables[i], p)
 			} else {
-				ok = v.UnchangedRuns(in.table, p, in.runs)
+				ok = v.UnchangedRuns(tables[i], p, runs)
 			}
 			if !ok {
 				// The built runs describe a stale state.
@@ -355,9 +352,9 @@ func (e *Engine) compactJobAttempt(job CompactionJob, tiered, exclusive bool) (c
 	for _, ref := range added {
 		edit.AddRun(ref)
 	}
-	for _, in := range inputs {
-		for _, r := range in.runs {
-			edit.DropRun(in.table, r.Name())
+	for i, runs := range inputs {
+		for _, r := range runs {
+			edit.DropRun(tables[i], r.Name())
 		}
 	}
 	if err := edit.Commit(); err != nil {
@@ -500,11 +497,6 @@ func (s *recStream) advance() error {
 	return nil
 }
 
-// curIdentity decodes the identity prefix of the stream head.
-func (s *recStream) curIdentity() Ref {
-	return getRef(s.cur)
-}
-
 // nextGroup pulls the smallest-identity group across the three streams.
 func nextGroup(fs, ts, cs *recStream) (groupRecs, bool, error) {
 	var minID Ref
@@ -513,7 +505,7 @@ func nextGroup(fs, ts, cs *recStream) (groupRecs, bool, error) {
 		if !s.ok {
 			return
 		}
-		id := s.curIdentity()
+		id := getRef(s.cur)
 		if !found || compareRef(id, minID) < 0 {
 			minID = id
 			found = true
@@ -527,19 +519,19 @@ func nextGroup(fs, ts, cs *recStream) (groupRecs, bool, error) {
 	}
 
 	g := groupRecs{id: minID}
-	for fs.ok && compareRef(fs.curIdentity(), minID) == 0 {
+	for fs.ok && compareRef(getRef(fs.cur), minID) == 0 {
 		g.froms = append(g.froms, DecodeFrom(fs.cur).From)
 		if err := fs.advance(); err != nil {
 			return groupRecs{}, false, err
 		}
 	}
-	for ts.ok && compareRef(ts.curIdentity(), minID) == 0 {
+	for ts.ok && compareRef(getRef(ts.cur), minID) == 0 {
 		g.tos = append(g.tos, DecodeTo(ts.cur).To)
 		if err := ts.advance(); err != nil {
 			return groupRecs{}, false, err
 		}
 	}
-	for cs.ok && compareRef(cs.curIdentity(), minID) == 0 {
+	for cs.ok && compareRef(getRef(cs.cur), minID) == 0 {
 		c := DecodeCombined(cs.cur)
 		g.combineds = append(g.combineds, interval{from: c.From, to: c.To})
 		if err := cs.advance(); err != nil {

@@ -179,7 +179,7 @@ type Stats struct {
 	Compactions    uint64
 	RecordsFlushed uint64 // records written to Level-0 runs
 	RecordsPurged  uint64 // records dropped by compaction
-	Queries        uint64
+	Queries        uint64 // blocks answered: one per Query, one per block QueryRange visits
 	Relocations    uint64
 	// CompactWriteBytes is the physical bytes written by installed
 	// compactions (full and leveled) — the numerator of measured write
@@ -244,23 +244,23 @@ func (g *generation) mergeInto(dst *generation) {
 	g.combined.Ascend(func(r CombinedRec) bool { dst.combined.Insert(r); return true })
 }
 
-// collect appends the generation's records of one block to ws.
-func (g *generation) collect(block uint64, ws *wsRecords) {
-	lo := Ref{Block: block}
-	ws.froms = collectWS(ws.froms, g.from, FromRec{Ref: lo})
-	ws.tos = collectWS(ws.tos, g.to, ToRec{Ref: lo})
-	ws.combineds = collectWS(ws.combineds, g.combined, CombinedRec{Ref: lo})
+// collect appends the generation's records of the blocks [lo, last] to
+// mem, encoded, one list per table (From, To, Combined).
+func (g *generation) collect(lo, last uint64, mem *[3][][]byte) {
+	first := Ref{Block: lo}
+	mem[0] = collectWS(mem[0], g.from, FromRec{Ref: first}, last, EncodeFrom)
+	mem[1] = collectWS(mem[1], g.to, ToRec{Ref: first}, last, EncodeTo)
+	mem[2] = collectWS(mem[2], g.combined, CombinedRec{Ref: first}, last, EncodeCombined)
 }
 
-// collectWS appends to dst every record of ws that shares the block of lo,
-// the block's smallest possible record.
-func collectWS[T interface{ ref() Ref }](dst []T, ws *memtree.Tree[T], lo T) []T {
-	block := lo.ref().Block
+// collectWS appends to dst the encoding of every record of ws from lo, the
+// smallest possible record of its block, through block last.
+func collectWS[T interface{ ref() Ref }](dst [][]byte, ws *memtree.Tree[T], lo T, last uint64, enc func(T) []byte) [][]byte {
 	ws.Scan(lo, func(r T) bool {
-		if r.ref().Block != block {
+		if r.ref().Block > last {
 			return false
 		}
-		dst = append(dst, r)
+		dst = append(dst, enc(r))
 		return true
 	})
 	return dst
@@ -293,17 +293,17 @@ type writeShard struct {
 // shared and then lock the single shard owning the block, so updates on
 // different shards run in parallel. Query and QueryRange acquire it
 // shared only long enough to pin an immutable LSM view and snapshot the
-// owning shard's write store (active and frozen); all run I/O happens
-// against the pinned view with no lock held. Checkpoint acquires it
-// exclusively only twice and briefly: to freeze the write stores, and to
-// validate and atomically install the flushed runs — the run-building I/O
-// in between holds no structural lock, so updates tagged for the next
-// consistency point and queries proceed during the flush. Compaction
-// likewise merges against a pinned view outside the lock and acquires it
-// exclusively only to validate and install, so queries and updates never
-// stall behind a running compaction or a flushing checkpoint.
-// RelocateBlock holds it exclusively for its whole run, and queues behind
-// an in-flight checkpoint first.
+// write-store records of the blocks they read (active and frozen); all
+// run I/O happens against the pinned view with no lock held. Checkpoint
+// acquires it exclusively only twice and briefly: to freeze the write
+// stores, and to validate and atomically install the flushed runs — the
+// run-building I/O in between holds no structural lock, so updates tagged
+// for the next consistency point and queries proceed during the flush.
+// Compaction likewise merges against a pinned view outside the lock and
+// acquires it exclusively only to validate and install, so queries and
+// updates never stall behind a running compaction or a flushing
+// checkpoint. RelocateBlock holds it exclusively for its whole run, and
+// queues behind an in-flight checkpoint first.
 //
 // Lock order: cpMu → mu → a shard's mu. walErrMu and lsm's viewMu and idMu
 // are leaves: nothing is acquired under them.
@@ -1154,16 +1154,19 @@ func (e *Engine) relocateBlock(oldBlock, newBlock uint64) error {
 // block where it was and the log without a record of the attempt.
 func (e *Engine) relocate(oldBlock, newBlock uint64, log *wal.Log) error {
 	src, dst := e.shardOf(oldBlock).active, e.shardOf(newBlock).active
-	var run, ws wsRecords
-	src.collect(oldBlock, &ws)
+	var run, ws [3][][]byte
+	src.collect(oldBlock, oldBlock, &ws)
 	v, p := e.db.AcquireView(), e.db.PartitionOf(newBlock)
-	err := collectRuns(v, oldBlock, 0, &run)
-	moveFrom, errF := planMove(e.db.Table(TableFrom), newBlock, v.Runs(TableFrom, p), src.from, dst.from, run.froms, ws.froms,
-		EncodeFrom, func(r FromRec) FromRec { r.Block = newBlock; return r })
-	moveTo, errT := planMove(e.db.Table(TableTo), newBlock, v.Runs(TableTo, p), src.to, dst.to, run.tos, ws.tos,
-		EncodeTo, func(r ToRec) ToRec { r.Block = newBlock; return r })
-	moveComb, errC := planMove(e.db.Table(TableCombined), newBlock, v.Runs(TableCombined, p), src.combined, dst.combined, run.combineds, ws.combineds,
-		EncodeCombined, func(r CombinedRec) CombinedRec { r.Block = newBlock; return r })
+	var err error
+	for i, table := range tables {
+		err = errors.Join(err, v.CollectBlock(table, oldBlock, func(rec []byte) bool {
+			run[i] = append(run[i], slices.Clone(rec))
+			return true
+		}))
+	}
+	moveFrom, errF := planMove(e.db.Table(TableFrom), newBlock, v.Runs(TableFrom, p), src.from, dst.from, run[0], ws[0], DecodeFrom)
+	moveTo, errT := planMove(e.db.Table(TableTo), newBlock, v.Runs(TableTo, p), src.to, dst.to, run[1], ws[1], DecodeTo)
+	moveComb, errC := planMove(e.db.Table(TableCombined), newBlock, v.Runs(TableCombined, p), src.combined, dst.combined, run[2], ws[2], DecodeCombined)
 	v.Release()
 	if err := errors.Join(err, errF, errT, errC); err != nil {
 		return err
@@ -1196,18 +1199,21 @@ func (e *Engine) relocate(oldBlock, newBlock uint64, log *wal.Log) error {
 // would pair as a reference of its own (froms [f, f] against tos [t] leave
 // a live [f, ∞) nobody added). Held or not, an entry the vector has for the
 // re-keyed record is stale — it would hide the copy once flushed — and goes.
-func planMove[T any](tbl *lsm.Table, newBlock uint64, dstRuns []*lsm.Run, src, dst *memtree.Tree[T], run, ws []T, enc func(T) []byte, rekey func(T) T) (func(), error) {
+// run and ws hold the old block's records, encoded; dec decodes one for the
+// trees.
+func planMove[T any](tbl *lsm.Table, newBlock uint64, dstRuns []*lsm.Run, src, dst *memtree.Tree[T], run, ws [][]byte, dec func([]byte) T) (func(), error) {
 	moved := slices.Concat(run, ws)
 	for i, r := range moved {
-		moved[i] = rekey(r)
+		m := slices.Clone(r)
+		binary.BigEndian.PutUint64(m, newBlock) // the record's key leads with its block
+		moved[i] = m
 	}
 	held := make([]bool, len(moved))
 	for _, r := range dstRuns {
 		if !r.MayContainBlock(newBlock) {
 			continue
 		}
-		for i, m := range moved {
-			want := enc(m)
+		for i, want := range moved {
 			it, err := r.SeekGE(want)
 			if err != nil {
 				return nil, err
@@ -1221,15 +1227,15 @@ func planMove[T any](tbl *lsm.Table, newBlock uint64, dstRuns []*lsm.Run, src, d
 	}
 	return func() {
 		for _, r := range run {
-			tbl.DeleteRecord(enc(r))
+			tbl.DeleteRecord(r)
 		}
 		for _, r := range ws {
-			src.Delete(r)
+			src.Delete(dec(r))
 		}
 		for i, m := range moved {
-			tbl.UndeleteRecord(enc(m))
+			tbl.UndeleteRecord(m)
 			if !held[i] {
-				dst.Insert(m)
+				dst.Insert(dec(m))
 			}
 		}
 	}, nil

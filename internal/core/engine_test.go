@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"github.com/backlogfs/backlog/internal/storage"
@@ -606,18 +608,55 @@ func TestQueryRange(t *testing.T) {
 	}
 	mustCheckpoint(t, e, 1)
 	var visited []uint64
-	var owned int
 	err := e.QueryRange(10, 10, func(b uint64, owners []Owner) bool {
 		visited = append(visited, b)
-		if len(owners) > 0 {
-			owned++
+		// An even block has its one owner, an odd one a nil slice.
+		if owned := b%2 == 0; (owners != nil) != owned || owned && len(owners) != 1 {
+			t.Errorf("block %d: owners %+v", b, owners)
 		}
 		return true
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(visited) != 10 || owned != 5 {
-		t.Fatalf("visited %d blocks, %d owned", len(visited), owned)
+	if want := []uint64{10, 11, 12, 13, 14, 15, 16, 17, 18, 19}; !slices.Equal(visited, want) {
+		t.Fatalf("visited %v, want %v", visited, want)
+	}
+}
+
+// TestQueryRangeRefusesWhatIsNoRange: a negative n, or a range that would
+// wrap past the largest block number to block 0, is an error before any
+// block is visited; n == 0 visits nothing, and a range may end at the
+// largest block.
+func TestQueryRangeRefusesWhatIsNoRange(t *testing.T) {
+	env := newTestEnv(t, Options{})
+	e := env.eng
+	e.AddRef(ref(0, 1, 0, 0), 1)
+	e.AddRef(ref(math.MaxUint64, 2, 0, 0), 1)
+	mustCheckpoint(t, e, 1)
+	visits := func(lo uint64, n int) ([]uint64, error) {
+		var got []uint64
+		err := e.QueryRange(lo, n, func(b uint64, _ []Owner) bool {
+			got = append(got, b)
+			return true
+		})
+		return got, err
+	}
+	for _, c := range []struct {
+		lo uint64
+		n  int
+	}{{math.MaxUint64, 2}, {math.MaxUint64 - 1, 3}, {1<<63 + 2, math.MaxInt}, {5, -1}, {0, math.MinInt}} {
+		if got, err := visits(c.lo, c.n); err == nil || len(got) > 0 {
+			t.Errorf("QueryRange(%d, %d) visited %v, err %v; want an error and no visit", c.lo, c.n, got, err)
+		}
+	}
+	if got, err := visits(7, 0); err != nil || len(got) > 0 {
+		t.Errorf("QueryRange(7, 0) visited %v, err %v; want nothing", got, err)
+	}
+	if got, err := visits(math.MaxUint64-1, 2); err != nil || !slices.Equal(got, []uint64{math.MaxUint64 - 1, math.MaxUint64}) {
+		t.Errorf("QueryRange(MaxUint64-1, 2) visited %v, err %v", got, err)
+	}
+	if st := e.Stats(); st.Queries != 2 {
+		t.Errorf("Queries = %d, want 2: one per block visited", st.Queries)
 	}
 }

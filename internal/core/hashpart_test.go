@@ -80,6 +80,69 @@ func TestHashPartitioningEquivalence(t *testing.T) {
 	check()
 }
 
+// TestQueryRangeReadsNoMoreThanPointQueries holds the one read path to its
+// I/O promise under range and hash partitioning: on a store of several
+// unmerged checkpoints, built by this process so that every run's Bloom
+// filter is in memory, QueryRange over a span crossing partitions answers
+// each block as Query does and reads no more query bytes from the device,
+// each starting from an empty page cache.
+func TestQueryRangeReadsNoMoreThanPointQueries(t *testing.T) {
+	const blocks, lo, n = 2000, 300, 400
+	for _, hash := range []bool{false, true} {
+		t.Run(map[bool]string{false: "range", true: "hash"}[hash], func(t *testing.T) {
+			opts := core.Options{VFS: storage.NewMemFS(), Catalog: core.NewMemCatalog(), Partitions: 4}
+			if hash {
+				opts.HashPartitioning = true
+			} else {
+				opts.PartitionSpan = blocks / 4
+			}
+			eng, err := core.Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			for _, batch := range cpBatches(hammerStreams(1, 4000, blocks, 6)[0]) {
+				for _, o := range batch {
+					o.applyTo(eng)
+				}
+				fCheckpoint(t, eng, batch[0].cp)
+			}
+			queryBytes := func() uint64 { return eng.IOReport().Sources[storage.SrcQuery].ReadBytes }
+
+			eng.ClearCaches()
+			start := queryBytes()
+			ranged := map[uint64][]core.Owner{}
+			if err := eng.QueryRange(lo, n, func(b uint64, owners []core.Owner) bool {
+				ranged[b] = owners
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			rangeBytes := queryBytes() - start
+			if len(ranged) != n {
+				t.Fatalf("QueryRange visited %d of %d blocks", len(ranged), n)
+			}
+
+			eng.ClearCaches()
+			start = queryBytes()
+			for b := uint64(lo); b < lo+n; b++ {
+				got, err := eng.Query(b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.EqualFunc(got, ranged[b], sameOwner) {
+					t.Fatalf("block %d: Query answers\n  %+v\nQueryRange\n  %+v", b, got, ranged[b])
+				}
+			}
+			pointBytes := queryBytes() - start
+			if rangeBytes == 0 || rangeBytes > pointBytes {
+				t.Fatalf("QueryRange read %d B, %d Query calls %d B", rangeBytes, n, pointBytes)
+			}
+			t.Logf("QueryRange read %d B, %d Query calls %d B", rangeBytes, n, pointBytes)
+		})
+	}
+}
+
 // TestHashPartitioningSpreadsLoad checks the scheme's motivation: block
 // ranges that are contiguous (and so would all land in one range
 // partition) spread across all hash partitions.

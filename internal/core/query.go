@@ -1,7 +1,11 @@
 package core
 
 import (
-	"sort"
+	"bytes"
+	"cmp"
+	"fmt"
+	"math"
+	"slices"
 
 	"github.com/backlogfs/backlog/internal/lsm"
 	"github.com/backlogfs/backlog/internal/obs"
@@ -31,18 +35,6 @@ type Owner struct {
 	Inherited bool
 }
 
-// identity is the grouping key of the join: everything but the CP fields.
-type identity struct {
-	Inode  uint64
-	Offset uint64
-	Line   uint64
-	Length uint64
-}
-
-func identOf(r Ref) identity {
-	return identity{Inode: r.Inode, Offset: r.Offset, Line: r.Line, Length: r.Length}
-}
-
 // interval is a joined validity range.
 type interval struct {
 	from, to  uint64
@@ -53,17 +45,8 @@ type interval struct {
 // (From ⋈ To across runs and write stores, plus precomputed Combined
 // records) expanded through clone inheritance and masked against existing
 // snapshots. Owners with no surviving version and no live reference are
-// omitted.
-//
-// Queries hold the structural lock shared only long enough to pin an LSM
-// view and snapshot the owning shard's write-store records — both the
-// active trees and any frozen trees a running checkpoint is flushing; all
-// run I/O — the expensive part — happens against the pinned view with no
-// lock held. A query therefore never blocks on a running compaction or on
-// a checkpoint's run-building I/O: both do their heavy work against
-// pinned snapshots outside the structural lock and acquire it exclusively
-// only for their brief freeze and validate-and-install critical sections,
-// which are in-memory pointer swaps plus one manifest write.
+// omitted. It is QueryRange over the one block, timed into its own
+// histogram and traced as its own operation.
 func (e *Engine) Query(block uint64) ([]Owner, error) {
 	if o := e.obs; o != nil && o.sampleHot(block) {
 		start := o.opStart(obs.OpQuery, e.shardIndex(block), block, 0)
@@ -74,130 +57,142 @@ func (e *Engine) Query(block uint64) ([]Owner, error) {
 	return e.query(block)
 }
 
-func (e *Engine) query(block uint64) ([]Owner, error) {
-	e.stats.queries.Add(1)
-	v, ws := e.pinBlock(block)
+func (e *Engine) query(block uint64) (owners []Owner, err error) {
+	err = e.queryRange(block, 1, func(_ uint64, o []Owner) bool {
+		owners = o
+		return true
+	})
+	return owners, err
+}
+
+// QueryRange answers the n blocks [block, block+n) — the "run" access
+// pattern of the query benchmarks (Section 6.4) — from one pinned snapshot:
+// one LSM view and one write-store snapshot, taken under one shared
+// acquisition of the structural lock, so every block is answered as of the
+// same cut. It calls visit with each block's owners (as Query returns them,
+// a nil slice for a block with none) in ascending block order, until visit
+// returns false. Each run is sought once, at the first block of the range
+// it may hold, and read forward from there, so consecutive blocks share the
+// seeks and pages a run of point queries would repeat. n == 0 visits
+// nothing; a negative n, or a range that runs past the largest block
+// number, is refused with an error before anything is read.
+//
+// The structural lock is held shared only for the pin; all run I/O — the
+// expensive part — happens against the pinned view with no lock held, so a
+// query never blocks on a running compaction or on a checkpoint's
+// run-building I/O, which take the lock exclusively only for their brief
+// in-memory freeze and validate-and-install sections.
+func (e *Engine) QueryRange(block uint64, n int, visit func(block uint64, owners []Owner) bool) error {
+	if o := e.obs; o != nil {
+		// One event and one observation for the whole range — the
+		// per-block cost is what backlog_query_ns measures; this histogram
+		// captures the range-scan latency callers actually see.
+		start := o.opStart(obs.OpQueryRange, -1, block, 0)
+		err := e.queryRange(block, n, visit)
+		o.opEnd(obs.OpQueryRange, -1, block, 0, start, o.queryRange, err)
+		return err
+	}
+	return e.queryRange(block, n, visit)
+}
+
+// queryRange is the one read path: per table, one stream merges the
+// range's write-store records with the records of every run some block of
+// the range may be in (lsm.RangeIter), and block by block the three streams
+// go through the group join compaction runs (nextGroup, joinGroup), then
+// inheritance expansion and masking.
+func (e *Engine) queryRange(lo uint64, n int, visit func(block uint64, owners []Owner) bool) error {
+	if n < 0 || n > 0 && uint64(n-1) > math.MaxUint64-lo {
+		return fmt.Errorf("core: QueryRange(%d, %d): not a range of block numbers", lo, n)
+	}
+	if n == 0 {
+		return nil
+	}
+	last := lo + uint64(n-1)
+	v, mem := e.pin(lo, last)
 	defer v.Release()
-	return e.queryPinned(v, ws, block)
+	var its [3]*lsm.RangeIter
+	var streams [3]recStream
+	for i, table := range tables {
+		// Under RetainLive, Combined runs sealed entirely below the reclaim
+		// horizon are not read: every record in them describes an interval
+		// that ended before the oldest retained snapshot, so masking would
+		// discard it anyway. Otherwise the horizon is 0 and every run is read.
+		var horizon uint64
+		if table == TableCombined && e.expiryEnabled() {
+			horizon = e.ReclaimHorizon()
+		}
+		its[i] = v.Range(table, lo, last, horizon, mem[i])
+		streams[i].it = its[i]
+	}
+	var groups []ownerGroup
+	for b := lo; ; b++ {
+		for i := range streams {
+			if err := its[i].Advance(); err != nil {
+				return err
+			}
+			if err := streams[i].advance(); err != nil {
+				return err
+			}
+		}
+		groups = groups[:0]
+		for {
+			g, ok, err := nextGroup(&streams[0], &streams[1], &streams[2])
+			if err != nil {
+				return err
+			}
+			if !ok {
+				break
+			}
+			if ivs := dedupeIntervals(append(joinGroup(g.froms, g.tos), g.combineds...)); len(ivs) > 0 {
+				groups = append(groups, ownerGroup{id: g.id, ivs: ivs})
+			}
+		}
+		groups = expandInheritance(groups, e.catalog)
+		e.stats.queries.Add(1)
+		if !visit(b, maskOwners(groups, e.catalog)) || b == last {
+			return nil
+		}
+	}
 }
 
-// wsRecords is one block's write-store snapshot, captured under the same
-// structural-lock acquisition as the LSM view so the union of the two is a
-// consistent cut: a concurrent checkpoint can never move records out of
-// the write store without the view gaining the run they were flushed to.
-type wsRecords struct {
-	froms     []FromRec
-	tos       []ToRec
-	combineds []CombinedRec
-}
-
-// pinBlock captures the consistent snapshot a query runs against: the
-// pinned LSM view plus the block's records from the owning shard's active
-// trees and — when a checkpoint flush is in flight — its frozen trees.
+// pin captures the consistent snapshot a range query runs against, under
+// one shared acquisition of the structural lock: the pinned LSM view, plus
+// the range's records, encoded and sorted per table, from the shards'
+// active trees and — when a checkpoint flush is in flight — frozen trees.
 // The union is a consistent cut in every checkpoint phase: before the
-// freeze the records are active, during the flush they are frozen (and
-// not yet in any run the view sees), and after the install the view has
-// the runs and the frozen generation is gone.
-func (e *Engine) pinBlock(block uint64) (*lsm.View, wsRecords) {
+// freeze the records are active, during the flush they are frozen (and not
+// yet in any run the view sees), and after the install the view has the
+// runs and the frozen generation is gone.
+func (e *Engine) pin(lo, last uint64) (*lsm.View, [3][][]byte) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	v := e.db.AcquireView()
-	s := e.shardOf(block)
-	var ws wsRecords
-	s.mu.RLock()
-	s.active.collect(block, &ws)
-	s.mu.RUnlock()
-	if s.frozen != nil {
-		s.frozen.collect(block, &ws)
+	// A shard no block of the range routes to holds nothing in it, so a
+	// range reads every shard and a single block only its own.
+	shards := e.shards
+	if lo == last {
+		shards = shards[e.shardIndex(lo):][:1]
 	}
-	return v, ws
+	var mem [3][][]byte
+	for _, s := range shards {
+		s.mu.RLock()
+		s.active.collect(lo, last, &mem)
+		s.mu.RUnlock()
+		if s.frozen != nil {
+			s.frozen.collect(lo, last, &mem)
+		}
+	}
+	for _, recs := range mem {
+		slices.SortFunc(recs, bytes.Compare)
+	}
+	return v, mem
 }
 
-// queryPinned runs the join, inheritance expansion, and masking against a
-// pinned snapshot. No engine lock is held.
-func (e *Engine) queryPinned(v *lsm.View, ws wsRecords, block uint64) ([]Owner, error) {
-	groups, err := e.combinedForBlock(v, ws, block)
-	if err != nil {
-		return nil, err
-	}
-	expandInheritance(groups, e.catalog)
-	return maskOwners(groups, e.catalog), nil
-}
-
-// collectRuns appends one block's run records, read from the pinned view,
-// to recs. Combined runs sealed entirely below horizon are skipped without
-// being opened (see lsm.View.CollectBlockPruned); a zero horizon reads
-// every run.
-func collectRuns(v *lsm.View, block, horizon uint64, recs *wsRecords) error {
-	if err := v.CollectBlock(TableFrom, block, func(rec []byte) bool {
-		recs.froms = append(recs.froms, DecodeFrom(rec))
-		return true
-	}); err != nil {
-		return err
-	}
-	if err := v.CollectBlock(TableTo, block, func(rec []byte) bool {
-		recs.tos = append(recs.tos, DecodeTo(rec))
-		return true
-	}); err != nil {
-		return err
-	}
-	return v.CollectBlockPruned(TableCombined, block, horizon, func(rec []byte) bool {
-		recs.combineds = append(recs.combineds, DecodeCombined(rec))
-		return true
-	})
-}
-
-// combinedForBlock reconstructs the Combined view of one block:
-// identity -> sorted intervals.
-func (e *Engine) combinedForBlock(v *lsm.View, ws wsRecords, block uint64) (map[identity][]interval, error) {
-	// The write-store records captured at pin time participate
-	// immediately, per the paper's guarantee that all entries of the
-	// current CP are in memory; the run records join them here.
-	//
-	// Under RetainLive, Combined runs sealed entirely below the reclaim
-	// horizon are skipped without being opened: every record in them
-	// describes an interval that ended before the oldest retained
-	// snapshot, so masking would discard it anyway. With RetainAll the
-	// horizon is 0 and pruning is disabled — identical behavior (and
-	// identical I/O) to the baseline.
-	var horizon uint64
-	if e.expiryEnabled() {
-		horizon = e.ReclaimHorizon()
-	}
-	if err := collectRuns(v, block, horizon, &ws); err != nil {
-		return nil, err
-	}
-	froms, tos, combineds := ws.froms, ws.tos, ws.combineds
-
-	// Group by identity.
-	fromsBy := map[identity][]uint64{}
-	for _, f := range froms {
-		fromsBy[identOf(f.Ref)] = append(fromsBy[identOf(f.Ref)], f.From)
-	}
-	tosBy := map[identity][]uint64{}
-	for _, t := range tos {
-		tosBy[identOf(t.Ref)] = append(tosBy[identOf(t.Ref)], t.To)
-	}
-
-	groups := map[identity][]interval{}
-	for id, fs := range fromsBy {
-		ivs := joinGroup(fs, tosBy[id])
-		groups[id] = append(groups[id], ivs...)
-		delete(tosBy, id)
-	}
-	for id, ts := range tosBy { // To entries with no From at all
-		ivs := joinGroup(nil, ts)
-		groups[id] = append(groups[id], ivs...)
-	}
-	for _, c := range combineds {
-		id := identOf(c.Ref)
-		groups[id] = append(groups[id], interval{from: c.From, to: c.To})
-	}
-	for id := range groups {
-		ivs := dedupeIntervals(groups[id])
-		groups[id] = ivs
-	}
-	return groups, nil
+// ownerGroup is one identity's joined intervals: a Ref's, within the block
+// all of them share.
+type ownerGroup struct {
+	id  Ref
+	ivs []interval
 }
 
 // pairGroup is the pairing rule of the outer join of one identity group
@@ -212,8 +207,8 @@ func (e *Engine) combinedForBlock(v *lsm.View, ws wsRecords, block uint64) (map[
 // joinGroup closes it, a partial merge carries it (see emitLeveledGroup).
 // froms and tos are sorted in place and loneFroms aliases froms.
 func pairGroup(froms, tos []uint64) (pairs []interval, loneFroms, loneTos []uint64) {
-	sort.Slice(froms, func(i, j int) bool { return froms[i] < froms[j] })
-	sort.Slice(tos, func(i, j int) bool { return tos[i] < tos[j] })
+	slices.Sort(froms)
+	slices.Sort(tos)
 	fi := 0
 	for _, t := range tos {
 		if fi == len(froms) || froms[fi] > t {
@@ -243,75 +238,66 @@ func joinGroup(froms, tos []uint64) []interval {
 	return out
 }
 
+// dedupeIntervals sorts ivs in place and drops repeated ranges.
 func dedupeIntervals(ivs []interval) []interval {
-	sort.Slice(ivs, func(i, j int) bool {
-		if ivs[i].from != ivs[j].from {
-			return ivs[i].from < ivs[j].from
-		}
-		return ivs[i].to < ivs[j].to
+	slices.SortFunc(ivs, func(a, b interval) int {
+		return cmp.Or(cmp.Compare(a.from, b.from), cmp.Compare(a.to, b.to))
 	})
-	out := ivs[:0]
-	for i, iv := range ivs {
-		if i > 0 && iv.from == out[len(out)-1].from && iv.to == out[len(out)-1].to {
-			continue
-		}
-		out = append(out, iv)
-	}
-	return out
+	return slices.CompactFunc(ivs, func(a, b interval) bool { return a.from == b.from && a.to == b.to })
 }
 
 // expandInheritance adds implicit records for clone lines (Section 4.2.2):
 // for every interval of snapshot line l covering a clone base (l', v), if
 // the clone has no override (a record with from == 0 on line l'), an
-// implicit record (l', 0, Infinity) is added. The process repeats until it
-// inserts nothing new (clones of clones).
-func expandInheritance(groups map[identity][]interval, cat *MemCatalog) {
-	for {
-		added := false
-		// Snapshot the keys: we mutate the map during iteration.
-		ids := make([]identity, 0, len(groups))
-		for id := range groups {
-			ids = append(ids, id)
+// implicit record (l', 0, Infinity) is added. The identities that gain one
+// go on a worklist, so what a clone inherits its own clones inherit in turn
+// (clones of clones).
+func expandInheritance(groups []ownerGroup, cat *MemCatalog) []ownerGroup {
+	var at map[Ref]int // built on the first inheritance
+	var work []int
+	// The explicit groups are expanded in order, then the worklist.
+	for i, explicit := 0, len(groups); i < explicit || len(work) > 0; i++ {
+		k := i
+		if i >= explicit {
+			k, work = work[len(work)-1], work[:len(work)-1]
 		}
-		for _, id := range ids {
-			for _, iv := range groups[id] {
-				for _, cl := range cat.Clones(id.Line) {
-					if cl.Base < iv.from || cl.Base >= iv.to {
-						continue
-					}
-					cid := identity{Inode: id.Inode, Offset: id.Offset, Line: cl.Line, Length: id.Length}
-					if hasOverride(groups[cid]) {
-						continue
-					}
-					groups[cid] = append(groups[cid], interval{from: 0, to: Infinity, inherited: true})
-					added = true
+		g := groups[k]
+		for _, cl := range cat.Clones(g.id.Line) {
+			if !slices.ContainsFunc(g.ivs, func(iv interval) bool { return iv.from <= cl.Base && cl.Base < iv.to }) {
+				continue
+			}
+			if at == nil {
+				at = make(map[Ref]int, len(groups))
+				for j, o := range groups {
+					at[o.id] = j
 				}
 			}
-		}
-		if !added {
-			return
+			cid := g.id
+			cid.Line = cl.Line
+			j, ok := at[cid]
+			if !ok {
+				j = len(groups)
+				at[cid] = j
+				groups = append(groups, ownerGroup{id: cid})
+			}
+			if slices.ContainsFunc(groups[j].ivs, func(iv interval) bool { return iv.from == 0 }) {
+				continue // an override, explicit or inherited already
+			}
+			groups[j].ivs = append(groups[j].ivs, interval{from: 0, to: Infinity, inherited: true})
+			work = append(work, j)
 		}
 	}
-}
-
-// hasOverride reports whether the identity already has a record starting at
-// version 0 — either an explicit override or an implicit one added earlier.
-func hasOverride(ivs []interval) bool {
-	for _, iv := range ivs {
-		if iv.from == 0 {
-			return true
-		}
-	}
-	return false
+	return groups
 }
 
 // maskOwners converts joined groups into query results, masking each
 // interval against the versions that still exist and dropping owners with
 // nothing left.
-func maskOwners(groups map[identity][]interval, cat *MemCatalog) []Owner {
+func maskOwners(groups []ownerGroup, cat *MemCatalog) []Owner {
 	var out []Owner
-	for id, ivs := range groups {
-		for _, iv := range ivs {
+	for _, g := range groups {
+		id := g.id
+		for _, iv := range g.ivs {
 			versions := cat.SnapshotsIn(id.Line, iv.from, iv.to)
 			live := iv.to == Infinity && cat.IsLive(id.Line)
 			if len(versions) == 0 && !live {
@@ -330,55 +316,9 @@ func maskOwners(groups map[identity][]interval, cat *MemCatalog) []Owner {
 			})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		switch {
-		case a.Line != b.Line:
-			return a.Line < b.Line
-		case a.Inode != b.Inode:
-			return a.Inode < b.Inode
-		case a.Offset != b.Offset:
-			return a.Offset < b.Offset
-		case a.From != b.From:
-			return a.From < b.From
-		default:
-			return a.To < b.To
-		}
+	slices.SortFunc(out, func(a, b Owner) int {
+		return cmp.Or(cmp.Compare(a.Line, b.Line), cmp.Compare(a.Inode, b.Inode),
+			cmp.Compare(a.Offset, b.Offset), cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
 	})
 	return out
-}
-
-// QueryRange runs Query for each allocated block in [block, block+n) and
-// invokes visit with each block's owners. Blocks with no owners are passed
-// with an empty slice. This is the "run" access pattern of the query
-// benchmarks (Section 6.4): consecutive sorted queries share pages via the
-// cache.
-func (e *Engine) QueryRange(block uint64, n int, visit func(block uint64, owners []Owner) bool) error {
-	if o := e.obs; o != nil {
-		// One event and one observation for the whole range — the
-		// per-block cost is what backlog_query_ns measures; this histogram
-		// captures the range-scan latency callers actually see.
-		start := o.opStart(obs.OpQueryRange, -1, block, 0)
-		err := e.queryRange(block, n, visit)
-		o.opEnd(obs.OpQueryRange, -1, block, 0, start, o.queryRange, err)
-		return err
-	}
-	return e.queryRange(block, n, visit)
-}
-
-func (e *Engine) queryRange(block uint64, n int, visit func(block uint64, owners []Owner) bool) error {
-	for i := 0; i < n; i++ {
-		b := block + uint64(i)
-		e.stats.queries.Add(1)
-		v, ws := e.pinBlock(b)
-		owners, err := e.queryPinned(v, ws, b)
-		v.Release()
-		if err != nil {
-			return err
-		}
-		if !visit(b, owners) {
-			return nil
-		}
-	}
-	return nil
 }

@@ -39,6 +39,10 @@ const (
 	TableCombined = "combined"
 )
 
+// tables lists the three tables in the order every per-table array in the
+// package follows.
+var tables = [3]string{TableFrom, TableTo, TableCombined}
+
 // Ref identifies one logical reference to a physical extent: the extent's
 // first block, the owning inode, the byte offset (in blocks) within the
 // inode, the snapshot line of the owning file system image, and the extent

@@ -277,15 +277,47 @@ func (m *model) owners(block uint64) []core.Owner {
 	return out
 }
 
-// diff compares the engine's answers for blocks with the model's.
-func (m *model) diff(eng *core.Engine, blocks []uint64) error {
+// smChunk is the length of the QueryRange calls diff makes. It divides no
+// PartitionSpan the tests use, so chunks cross partition boundaries.
+const smChunk = 5
+
+// diff compares the engine's answers with the model's: Query's for blocks,
+// and QueryRange's, smChunk blocks a call, for every block below span.
+func (m *model) diff(eng *core.Engine, span uint64, blocks []uint64) error {
+	want := map[uint64][]core.Owner{}
+	owners := func(b uint64) []core.Owner {
+		if _, ok := want[b]; !ok {
+			want[b] = m.owners(b)
+		}
+		return want[b]
+	}
 	for _, b := range blocks {
 		got, err := eng.Query(b)
 		if err != nil {
 			return fmt.Errorf("query %d: %w", b, err)
 		}
-		if want := m.owners(b); !slices.EqualFunc(got, want, sameOwner) {
-			return fmt.Errorf("block %d answers\n  %+v\nthe model\n  %+v", b, got, want)
+		if !slices.EqualFunc(got, owners(b), sameOwner) {
+			return fmt.Errorf("block %d answers\n  %+v\nthe model\n  %+v", b, got, owners(b))
+		}
+	}
+	for lo := uint64(0); lo < span; lo += smChunk {
+		n := min(smChunk, span-lo)
+		next, bad := lo, error(nil)
+		err := eng.QueryRange(lo, int(n), func(b uint64, got []core.Owner) bool {
+			switch {
+			case b != next:
+				bad = fmt.Errorf("visited block %d, want %d", b, next)
+			case !slices.EqualFunc(got, owners(b), sameOwner):
+				bad = fmt.Errorf("block %d answers\n  %+v\nthe model\n  %+v", b, got, owners(b))
+			}
+			next++
+			return bad == nil
+		})
+		if err = cmp.Or(err, bad); err == nil && next != lo+n {
+			err = fmt.Errorf("visited %d of its %d blocks", next-lo, n)
+		}
+		if err != nil {
+			return fmt.Errorf("QueryRange(%d, %d): %w", lo, n, err)
 		}
 	}
 	return nil
@@ -301,7 +333,8 @@ func sameOwner(a, b core.Owner) bool {
 }
 
 // check fails the test unless the engine answers like the model for every
-// block below n and every block the model has history for.
+// block below n, through Query and QueryRange, and every block the model
+// has history for.
 func (m *model) check(t testing.TB, eng *core.Engine, n uint64) {
 	t.Helper()
 	blocks := make([]uint64, 0, n)
@@ -313,7 +346,7 @@ func (m *model) check(t testing.TB, eng *core.Engine, n uint64) {
 			blocks = append(blocks, b)
 		}
 	}
-	if err := m.diff(eng, blocks); err != nil {
+	if err := m.diff(eng, n, blocks); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -592,7 +625,7 @@ func (d *smDriver) diffAll() error {
 	for b := range blocks {
 		blocks[b] = uint64(b)
 	}
-	return d.m.diff(d.eng, blocks)
+	return d.m.diff(d.eng, smBlocks, blocks)
 }
 
 // compare compares blocks, every block if none are named, unless the op is
@@ -604,7 +637,7 @@ func (d *smDriver) compare(blocks ...uint64) error {
 	case len(blocks) == 0:
 		return d.diffAll()
 	}
-	return d.m.diff(d.eng, blocks)
+	return d.m.diff(d.eng, 0, blocks)
 }
 
 // rollback sets the model to the last checkpoint plus the first k updates
@@ -859,7 +892,7 @@ func (d *smDriver) survivingPrefix(lo, hi int) error {
 	for k := hi; k >= lo; k-- {
 		d.pending = all
 		d.rollback(k)
-		err := d.m.diff(d.eng, touched)
+		err := d.m.diff(d.eng, 0, touched)
 		if err == nil {
 			d.acked = k
 			return d.diffAll()

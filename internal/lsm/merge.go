@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"container/heap"
 	"encoding/binary"
+	"slices"
 
 	"github.com/backlogfs/backlog/internal/btree"
 )
@@ -43,9 +44,7 @@ func (r *runIter) Next() ([]byte, bool, error) { return r.it.Next() }
 // appearing in multiple inputs are emitted once.
 type mergeIter struct {
 	h    mergeHeap
-	cur  []byte // scratch copy of the record being emitted
-	last []byte
-	any  bool
+	last []byte // the record emitted last
 }
 
 type mergeSrc struct {
@@ -71,43 +70,71 @@ func (h *mergeHeap) Pop() interface{} {
 // duplicate-free stream.
 func NewMergeIter(iters ...RecIter) (RecIter, error) {
 	m := &mergeIter{}
+	if err := m.add(iters...); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// add reads the first record of each input, in order, and merges the inputs
+// that have one. Every record an input yields must sort after the records
+// already emitted.
+func (m *mergeIter) add(iters ...RecIter) error {
 	for _, it := range iters {
 		rec, ok, err := it.Next()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if ok {
 			m.h = append(m.h, &mergeSrc{it: it, cur: append([]byte(nil), rec...)})
 		}
 	}
 	heap.Init(&m.h)
-	return m, nil
+	return nil
+}
+
+// peek returns the record Next would emit, first dropping the inputs'
+// copies of the record emitted last. The slice is valid until the next call.
+func (m *mergeIter) peek() ([]byte, bool, error) {
+	for len(m.h) > 0 {
+		if top := m.h[0].cur; !bytes.Equal(top, m.last) { // records are never empty
+			return top, true, nil
+		}
+		if err := m.drop(); err != nil {
+			return nil, false, err
+		}
+	}
+	return nil, false, nil
+}
+
+// drop removes the smallest record, reading the next one of its input.
+func (m *mergeIter) drop() error {
+	src := m.h[0]
+	next, ok, err := src.it.Next()
+	if err != nil {
+		return err
+	}
+	if ok {
+		src.cur = append(src.cur[:0], next...)
+		heap.Fix(&m.h, 0)
+	} else {
+		heap.Pop(&m.h)
+	}
+	return nil
 }
 
 func (m *mergeIter) Next() ([]byte, bool, error) {
-	for len(m.h) > 0 {
-		src := m.h[0]
-		// Copy the record before advancing the source: advancing reuses
-		// src.cur's backing array.
-		m.cur = append(m.cur[:0], src.cur...)
-		next, ok, err := src.it.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			src.cur = append(src.cur[:0], next...)
-			heap.Fix(&m.h, 0)
-		} else {
-			heap.Pop(&m.h)
-		}
-		if m.any && bytes.Equal(m.cur, m.last) {
-			continue // duplicate across runs
-		}
-		m.last = append(m.last[:0], m.cur...)
-		m.any = true
-		return m.last, true, nil
+	top, ok, err := m.peek()
+	if err != nil || !ok {
+		return nil, false, err
 	}
-	return nil, false, nil
+	// Copy the record before dropping it: reading its input's next record
+	// reuses the buffer.
+	m.last = append(m.last[:0], top...)
+	if err := m.drop(); err != nil {
+		return nil, false, err
+	}
+	return m.last, true, nil
 }
 
 // dvFilterIter hides records present in a deletion vector. The map is a
@@ -130,55 +157,84 @@ func (f *dvFilterIter) Next() ([]byte, bool, error) {
 	}
 }
 
-// blockKey returns the smallest possible record for a block: the 8-byte
-// big-endian block number followed by zeros.
-func blockKey(block uint64, recSize int) []byte {
-	k := make([]byte, recSize)
-	binary.BigEndian.PutUint64(k, block)
-	return k
+// RangeIter streams one table's records in the blocks [lo, last] of a view,
+// merged with sorted in-memory records of those blocks, one block at a time:
+// Advance opens the next block and Next yields its records in ascending
+// order, each once, except those the view's deletion vector hides. A run is
+// sought once, at the first block of its partition that lies in its key
+// range and passes its Bloom filter, and read only as far as the merge
+// needs to find where the open block ends; the range ends as a plain merge
+// of its runs would, by taking its first record past last off the stream.
+// Over a single block these are the probes, seeks and reads of a point
+// lookup. A RangeIter reads only the run lists and vector its view pinned,
+// so it needs no lock.
+type RangeIter struct {
+	db      *DB
+	tv      *tableView
+	mem     [][]byte // merged in at the first Advance
+	block   uint64   // the open block; lo-1, mod 2^64, before the first
+	last    uint64
+	horizon uint64
+	sought  []*Run // while blocks remain
+	m       mergeIter
 }
 
-// collectBlock merges the given runs around one block and invokes visit
-// for every surviving record, in ascending order, with deletion-vector
-// filtering applied. Bloom filters prune runs that cannot contain the
-// block. It reads only the run list and dv snapshot it is handed — a
-// view's pinned ones — so it needs no lock.
-func collectBlock(runs []*Run, recSize int, dv map[string]struct{}, block uint64, visit func(rec []byte) bool) error {
+// Advance opens the next block of the range, lo on the first call, seeking
+// at it every run of its partition that may hold it and has not been sought
+// yet. Call it once per block of the range at most.
+func (it *RangeIter) Advance() error {
+	it.block++
+	b := it.block
+	var key []byte // the block's smallest record
 	var iters []RecIter
-	key := blockKey(block, recSize)
-	for _, r := range runs {
-		if !r.MayContainBlock(block) {
+	for _, r := range it.tv.runs[it.db.PartitionOf(b)] {
+		if slices.Contains(it.sought, r) || r.DroppableBelow(it.horizon) || !r.MayContainBlock(b) {
 			continue
 		}
-		it, err := r.SeekGE(key)
+		if key == nil {
+			key = make([]byte, it.tv.t.spec.RecordSize)
+			binary.BigEndian.PutUint64(key, b)
+		}
+		bi, err := r.SeekGE(key)
 		if err != nil {
 			return err
 		}
-		iters = append(iters, &runIter{it: it})
+		if b < it.last {
+			it.sought = append(it.sought, r)
+		}
+		iters = append(iters, &runIter{it: bi})
 	}
-	if len(iters) == 0 {
-		return nil
+	if len(it.mem) > 0 {
+		iters = append(iters, NewSliceIter(it.mem))
+		it.mem = nil
 	}
-	merged, err := NewMergeIter(iters...)
-	if err != nil {
-		return err
-	}
+	return it.m.add(iters...)
+}
+
+// Next returns the open block's next record, or ok=false once the block is
+// done. The slice is valid until the next call.
+func (it *RangeIter) Next() ([]byte, bool, error) {
 	for {
-		rec, ok, err := merged.Next()
+		top, ok, err := it.m.peek()
+		if err != nil || !ok {
+			return nil, false, err
+		}
+		if blockOf(top) > it.block {
+			if it.block == it.last {
+				// The range ends where a plain merge of its runs finds its end:
+				// by taking the first record past last off the stream, which
+				// reads the record after it from that record's run.
+				err = it.m.drop()
+				it.m.h = nil
+			}
+			return nil, false, err
+		}
+		rec, _, err := it.m.Next()
 		if err != nil {
-			return err
+			return nil, false, err
 		}
-		if !ok {
-			return nil
-		}
-		if blockOf(rec) != block {
-			return nil // past the block: done (records are block-ordered)
-		}
-		if _, dead := dv[string(rec)]; dead {
-			continue
-		}
-		if !visit(rec) {
-			return nil
+		if _, dead := it.tv.dv[string(rec)]; !dead {
+			return rec, true, nil
 		}
 	}
 }

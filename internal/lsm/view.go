@@ -165,33 +165,30 @@ func (v *View) RunCount() int {
 	return n
 }
 
-// CollectBlock invokes visit for every record of the block across the
-// view's pinned runs of the table, in ascending order, filtered by the
-// pinned deletion vector; it holds no lock and is safe concurrently with
-// commits.
-func (v *View) CollectBlock(table string, block uint64, visit func(rec []byte) bool) error {
-	return v.CollectBlockPruned(table, block, 0, visit)
+// Range returns a RangeIter over the table's records in the blocks [lo,
+// last], lo <= last: the view's pinned runs merged with mem, sorted records
+// of those blocks held outside the runs. Runs whose CP window lies entirely
+// below horizon (Run.DroppableBelow) are not read: their records cannot
+// survive masking against a snapshot graph whose oldest reachable CP is
+// horizon. A zero horizon reads every run.
+func (v *View) Range(table string, lo, last, horizon uint64, mem [][]byte) *RangeIter {
+	return &RangeIter{db: v.db, tv: v.ver.tables[table], mem: mem, block: lo - 1, last: last, horizon: horizon}
 }
 
-// CollectBlockPruned is CollectBlock with CP-window pruning: runs whose
-// window lies entirely below horizon (and which carry no override
-// records) are skipped without being opened — their records cannot
-// survive masking against a snapshot graph whose oldest reachable CP is
-// horizon. A zero horizon disables pruning.
-func (v *View) CollectBlockPruned(table string, block, horizon uint64, visit func(rec []byte) bool) error {
-	tv := v.ver.tables[table]
-	p := v.db.PartitionOf(block)
-	runs := tv.runs[p]
-	if horizon > 0 {
-		kept := make([]*Run, 0, len(runs))
-		for _, r := range runs {
-			if !r.DroppableBelow(horizon) {
-				kept = append(kept, r)
-			}
-		}
-		runs = kept
+// CollectBlock invokes visit for every record of the block across the
+// view's pinned runs of the table, in ascending order, filtered by the
+// pinned deletion vector: a RangeIter over the one block.
+func (v *View) CollectBlock(table string, block uint64, visit func(rec []byte) bool) error {
+	it := v.Range(table, block, block, 0, nil)
+	if err := it.Advance(); err != nil {
+		return err
 	}
-	return collectBlock(runs, tv.t.spec.RecordSize, tv.dv, block, visit)
+	for {
+		rec, ok, err := it.Next()
+		if err != nil || !ok || !visit(rec) {
+			return err
+		}
+	}
 }
 
 // MergedIterOf returns a sorted, duplicate-free, deletion-vector-filtered

@@ -1,7 +1,11 @@
 package lsm
 
 import (
+	"bytes"
 	"encoding/binary"
+	"maps"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/backlogfs/backlog/internal/btree"
@@ -19,6 +23,56 @@ func viewCollect(t *testing.T, v *View, table string, block uint64) [][]byte {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// TestRangeIterMatchesCollectBlock reads a range that crosses a partition
+// boundary, over runs holding duplicates and a deletion-vector entry, merged
+// with in-memory records: block by block it yields what CollectBlock reads
+// plus the in-memory records of the block, sorted and each once.
+func TestRangeIterMatchesCollectBlock(t *testing.T) {
+	db := openTestDB(t, storage.NewMemFS(), 2)
+	rng := rand.New(rand.NewSource(1))
+	for cp := uint64(1); cp <= 4; cp++ {
+		recs := map[string][]byte{} // a run holds each record once; runs may share one
+		for i := 0; i < 200; i++ {
+			r := rec16(980+uint64(rng.Intn(40)), uint64(rng.Intn(8)))
+			recs[string(r)] = r
+		}
+		flushRecords(t, db, "from", cp, slices.Collect(maps.Values(recs)))
+	}
+	flushRecords(t, db, "from", 5, [][]byte{rec16(1000, 3), rec16(1000, 5)})
+	db.Table("from").DeleteRecord(rec16(1000, 3)) // and 1000/5 is in memory too
+	const lo, last = 990, 1010
+	mem := [][]byte{rec16(995, 100), rec16(1000, 5), rec16(1000, 100), rec16(1010, 100)} // sorted
+	v := db.AcquireView()
+	defer v.Release()
+	it := v.Range("from", lo, last, 0, mem)
+	for b := uint64(lo); b <= last; b++ {
+		want := viewCollect(t, v, "from", b)
+		for _, m := range mem {
+			if blockOf(m) == b && !slices.ContainsFunc(want, func(w []byte) bool { return bytes.Equal(w, m) }) {
+				want = append(want, m)
+			}
+		}
+		slices.SortFunc(want, bytes.Compare)
+		if err := it.Advance(); err != nil {
+			t.Fatal(err)
+		}
+		var got [][]byte
+		for {
+			rec, ok, err := it.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			got = append(got, slices.Clone(rec))
+		}
+		if !slices.EqualFunc(got, want, bytes.Equal) {
+			t.Fatalf("block %d: range read %x, want %x", b, got, want)
+		}
+	}
 }
 
 func listFiles(t *testing.T, fs storage.VFS) map[string]bool {
