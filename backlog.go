@@ -30,10 +30,12 @@
 // Checkpoint merges the shards' sorted trees back into one stream per
 // table (shards are disjoint by block, so the merge only interleaves) and
 // writes one immutable run per table and partition, installed in one
-// atomic manifest commit — byte for byte the run files of the paper's
-// single write store, which WriteShards 1 is. The run set, the number of
-// fsyncs per consistency point and the point at which maintenance triggers
-// are therefore the same on every host.
+// atomic manifest commit — byte for byte the runs of the paper's single
+// write store, which WriteShards 1 is. A partition's From, To and Combined
+// runs are sections of one file, written and synced once, so a consistency
+// point is one run file per partition plus the manifest. The run set, the
+// number of fsyncs per consistency point and the point at which
+// maintenance triggers are therefore the same on every host.
 //
 // # Checkpoint concurrency
 //

@@ -13,14 +13,13 @@ import (
 )
 
 // TestV2StoreUpgradesThroughOpen opens the directory the previous binary
-// wrote (internal/core/testdata/v2-store: a version-2 MANIFEST, the catalog
-// in a file of its own, a Buffered log tail — never regenerate it) the way
-// an application does. The CATALOG file is honoured and left alone until a
-// commit has moved it; the first commit writes a version-3 manifest holding
-// the same topology and removes the file; a reopen agrees on snapshots and
-// answers.
+// wrote (internal/core/testdata/v3-store: runs of format 2 and of the
+// current format, the catalog in a version-3 MANIFEST, a Buffered log tail —
+// never regenerate it) the way an application does. Open rewrites nothing;
+// the first commit writes a version-4 manifest holding the same topology;
+// a reopen agrees on snapshots and answers.
 func TestV2StoreUpgradesThroughOpen(t *testing.T) {
-	const dir = "internal/core/testdata/v2-store"
+	const dir = "internal/core/testdata/v3-store"
 	vfs := storage.NewMemFS()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -79,29 +78,34 @@ func TestV2StoreUpgradesThroughOpen(t *testing.T) {
 	}
 	wantSnaps := []uint64{1, 2, 3, 4, 5, 6}
 	if got := db.Catalog().Snapshots(0); !slices.Equal(got, wantSnaps) {
-		t.Fatalf("snapshots after opening the version-2 store: %v, want %v (its CATALOG file)", got, wantSnaps)
+		t.Fatalf("snapshots after opening the version-3 store: %v, want %v", got, wantSnaps)
 	}
-	if !bytes.Equal(read("CATALOG"), golden["CATALOG"]) || !bytes.Equal(read("MANIFEST"), golden["MANIFEST"]) {
-		t.Fatal("Open rewrote the version-2 store before any commit")
+	if !bytes.Equal(read("MANIFEST"), golden["MANIFEST"]) {
+		t.Fatal("Open rewrote the version-3 manifest before any commit")
 	}
 	before := answers(db)
 
-	if err := db.Checkpoint(7); err != nil {
+	if err := db.Checkpoint(8); err != nil {
 		t.Fatal(err)
 	}
-	var m struct {
+	// A version-4 manifest is its JSON body inside a checksummed envelope.
+	manifest := read("MANIFEST")
+	var old, m struct {
 		Version int             `json:"version"`
 		CP      uint64          `json:"cp"`
 		Catalog json.RawMessage `json:"catalog"`
 	}
-	if err := json.Unmarshal(read("MANIFEST"), &m); err != nil {
+	if err := json.Unmarshal(golden["MANIFEST"], &old); err != nil {
 		t.Fatal(err)
 	}
-	if m.Version != 3 || m.CP != 7 || !bytes.Equal(m.Catalog, golden["CATALOG"]) {
-		t.Fatalf("first commit wrote manifest version %d, CP %d, catalog %s; want 3, 7 and the old file's %s", m.Version, m.CP, m.Catalog, golden["CATALOG"])
+	if manifest[0] == '{' {
+		t.Fatal("the first commit wrote a manifest without its envelope")
 	}
-	if read("CATALOG") != nil {
-		t.Fatal("CATALOG survived the commit that moved it into the manifest")
+	if err := json.Unmarshal(manifest[bytes.IndexByte(manifest, '{'):], &m); err != nil {
+		t.Fatal(err)
+	}
+	if old.Version != 3 || m.Version != 4 || m.CP != 8 || !bytes.Equal(m.Catalog, old.Catalog) {
+		t.Fatalf("first commit wrote manifest version %d, CP %d, catalog %s; want 4, 8 and the version-%d manifest's %s", m.Version, m.CP, m.Catalog, old.Version, old.Catalog)
 	}
 	if got := answers(db); got != before {
 		t.Fatal("the upgrading checkpoint changed query results")

@@ -9,17 +9,26 @@
 // level 1) pages, then I2, and so on until a level fits in a single page —
 // the root. Building therefore requires no disk reads.
 //
-// File layout (all little-endian, 4 KB pages, each page ends with a CRC32):
+// Run layout (all little-endian, 4 KB pages, each page ends with a CRC32):
 //
 //	page 0:            header (magic, geometry, min/max key, bloom location)
 //	pages 1..L:        leaf pages
 //	pages L+1..:       internal levels, bottom-up; root page last
 //	trailing bytes:    serialized Bloom filter (outside the page grid)
 //
+// A run may be one section of a file that holds several (FileWriter): the
+// page grids of all of them first, back to back, then their filters, so a
+// run's filter may follow other runs' pages. Offsets inside a run — page
+// numbers, the header's bloom location — are the run's own; a reader opens
+// a section through a view that maps that layout onto its two ranges of the
+// file (storage.Extents). The first section's grid is every page before
+// the filters, so the file opened as one run reads as that section. A file
+// that holds one run is the layout above.
+//
 // A run larger than the builder's write buffer gets its header last, so that
-// a torn build never yields a readable but incomplete run; one that fits the
-// buffer is a single write, header first. Either way nothing refers to the
-// file until it has been synced.
+// a torn build never yields a readable but incomplete run; a file whose runs
+// all fit their buffers is a single write, headers included. Either way
+// nothing refers to the file until it has been synced.
 //
 // Two leaf encodings are written, identified by the header's version field
 // (see Format): v1 stores fixed-stride records verbatim; v3 stores each
@@ -39,6 +48,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"slices"
+	"sync"
 
 	"github.com/backlogfs/backlog/internal/storage"
 )
@@ -88,9 +98,12 @@ type header struct {
 }
 
 // Writer builds a run. Records must be appended in strictly ascending
-// order. The zero value is not usable; construct with NewWriter.
+// order. The zero value is not usable; construct with NewWriter, or with
+// FileWriter.Section for a run that shares its file.
 type Writer struct {
-	f       storage.File
+	fw      *FileWriter
+	slot    int
+	own     bool // the file's one run: Finish finishes the file too
 	recSize int
 	format  Format
 
@@ -99,17 +112,22 @@ type Writer struct {
 	perLeaf   int    // max records per raw leaf page (unused for delta)
 	nextPage  uint64 // next page number to write (leaves start at 1)
 
-	// wbuf holds the framed pages (and, last, the filter) not yet handed
-	// to f, which belong at file offset wbufOff: pages are written in
-	// page-number order, so a run reaches the file in a few large
-	// sequential writes. The first buffer starts with a blank page 0, which
-	// Finish fills in when the whole run is still here (wbufOff is 0) and
-	// flushPages skips when it is not.
+	// wbuf holds the framed pages not yet handed to the file, which belong
+	// at run offset wbufOff: pages are written in page-number order, so a
+	// run reaches the file in a few large sequential writes. The first
+	// buffer starts with a blank page 0, which FileWriter.Finish fills in
+	// when the whole run is still here (wbufOff is 0) and flushPages skips
+	// when it is not.
 	wbuf    []byte
 	wbufOff int64
 
-	// h is the header Finish wrote, for Open.
-	h header
+	// h is the header Finish built, for Open; sealed is set, under fw.mu,
+	// once it is. bloom is the filter Finish was given, until the file
+	// writes it, and pageOff and filterOff are where the file put the run.
+	h                  header
+	sealed             bool
+	bloom              []byte
+	pageOff, filterOff int64
 
 	// id is the cache identity of the run's pages, which the Reader Open
 	// returns inherits. While cache is set, each page w frames is offered
@@ -146,14 +164,54 @@ func NewWriter(f storage.File, recordSize int) (*Writer, error) {
 }
 
 // NewWriterFormat returns a Writer that builds a run in the given leaf
-// format, FormatRaw or FormatDelta. FormatDelta requires recordSize to be a
-// multiple of 8.
+// format, FormatRaw or FormatDelta, as the one run of f: its Finish writes
+// and syncs the file. FormatDelta requires recordSize to be a multiple of 8.
 func NewWriterFormat(f storage.File, recordSize int, format Format) (*Writer, error) {
+	w, err := NewFileWriter(f, 1, nil).Section(0, recordSize, format)
+	if err != nil {
+		return nil, err
+	}
+	w.own = true
+	return w, nil
+}
+
+// FileWriter writes the runs of one file, each a section built by its own
+// Writer, concurrently with the others. The file holds the page grids of
+// its sections first, back to back in slot order and without padding, then
+// their Bloom filters in the same order. The first section's header claims
+// every page before the filters as its grid, so that the file opened whole
+// (Open) reads as its first run; its own pages end at its root page, and
+// the other sections' headers are what a run of their own would have.
+// Where a section's pages start is known once every earlier slot is
+// settled — its Writer finished, or known to stay empty — so a section that
+// outgrows its write buffer first asks ready, which blocks until then.
+// Finish writes what the sections still buffer, in one write when nothing
+// has gone out yet, and syncs once.
+type FileWriter struct {
+	f     storage.File
+	ready func(slot int) error
+
+	mu   sync.Mutex
+	secs []*Writer // by slot; nil where no section was started
+}
+
+// NewFileWriter returns a FileWriter for up to slots runs in f. ready(s)
+// must block until every slot below s is settled, or fail; a file of one
+// slot needs none.
+func NewFileWriter(f storage.File, slots int, ready func(slot int) error) *FileWriter {
+	return &FileWriter{f: f, ready: ready, secs: make([]*Writer, slots)}
+}
+
+// Section returns the Writer of the run in slot, which is placed after the
+// runs of every lower slot. Its Finish seals the run; the file's Finish
+// writes it.
+func (fw *FileWriter) Section(slot, recordSize int, format Format) (*Writer, error) {
 	if recordSize <= 0 || recordSize > MaxRecordSize {
 		return nil, fmt.Errorf("btree: invalid record size %d", recordSize)
 	}
 	w := &Writer{
-		f:        f,
+		fw:       fw,
+		slot:     slot,
 		recSize:  recordSize,
 		format:   format,
 		leafBuf:  make([]byte, 0, pagePayload),
@@ -174,7 +232,130 @@ func NewWriterFormat(f storage.File, recordSize int, format Format) (*Writer, er
 	default:
 		return nil, fmt.Errorf("btree: unknown run format %d", format)
 	}
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	if fw.secs[slot] != nil {
+		return nil, fmt.Errorf("btree: slot %d already has a run", slot)
+	}
+	fw.secs[slot] = w
 	return w, nil
+}
+
+// base returns the file offset of slot's pages: the page grids of the
+// sections of every lower slot come first.
+func (fw *FileWriter) base(slot int) (int64, error) {
+	if fw.ready != nil {
+		if err := fw.ready(slot); err != nil {
+			return 0, err
+		}
+	}
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	var off int64
+	for s, w := range fw.secs[:slot] {
+		if w == nil {
+			continue
+		}
+		if !w.sealed {
+			return 0, fmt.Errorf("btree: slot %d placed before slot %d is finished", slot, s)
+		}
+		off += w.h.ownBytes()
+	}
+	return off, nil
+}
+
+// Finish writes the file once every section's Writer has finished: each
+// section's pages where its slot puts them, then the filters, the buffered
+// bytes in as few writes as they are contiguous — one, when no section has
+// outgrown its buffer — then the headers of the sections that did, last.
+// It syncs the file once. The caller closes it.
+func (fw *FileWriter) Finish() error {
+	var secs []*Writer
+	for s, w := range fw.secs {
+		if w == nil {
+			continue
+		}
+		if !w.sealed {
+			return fmt.Errorf("btree: file finished before its slot %d", s)
+		}
+		secs = append(secs, w)
+	}
+	if len(secs) == 0 {
+		return errors.New("btree: file finished with no run")
+	}
+	var off int64
+	for _, w := range secs {
+		w.pageOff, off = off, off+w.h.ownBytes()
+	}
+	// The first run's header claims every page before the filters, where
+	// its own filter comes first: the file read as one run is its first.
+	secs[0].h.bloomOff = uint64(off)
+	for _, w := range secs {
+		w.filterOff, off = off, off+int64(len(w.bloom))
+	}
+
+	var out []byte // what goes to the file next, at outOff
+	var outOff int64
+	flush := func() error {
+		if len(out) == 0 {
+			return nil
+		}
+		if _, err := fw.f.WriteAt(out, outOff); err != nil {
+			return fmt.Errorf("btree: writing %d bytes at %d: %w", len(out), outOff, err)
+		}
+		out = nil
+		return nil
+	}
+	put := func(off int64, b []byte) error {
+		if len(b) == 0 {
+			return nil
+		}
+		if len(out) > 0 && outOff+int64(len(out)) != off {
+			if err := flush(); err != nil {
+				return err
+			}
+		}
+		if len(out) == 0 {
+			out, outOff = b, off // the buffers are not used again
+		} else {
+			out = append(out, b...)
+		}
+		return nil
+	}
+	for _, w := range secs {
+		if w.wbufOff == 0 {
+			putHeader(w.wbuf[:storage.PageSize], w.h)
+		}
+		if err := put(w.pageOff+w.wbufOff, w.wbuf); err != nil {
+			return err
+		}
+	}
+	for _, w := range secs {
+		if err := put(w.filterOff, w.bloom); err != nil {
+			return err
+		}
+	}
+	if err := flush(); err != nil {
+		return err
+	}
+	for _, w := range secs {
+		if w.wbufOff > 0 {
+			var page [storage.PageSize]byte
+			putHeader(page[:], w.h)
+			if _, err := fw.f.WriteAt(page[:], w.pageOff); err != nil {
+				return fmt.Errorf("btree: writing header: %w", err)
+			}
+		}
+		w.wbuf, w.bloom = nil, nil
+	}
+	return fw.f.Sync()
+}
+
+// Extents returns where the file put the run: its page grid, header
+// included, and its filter. Valid after the file's Finish.
+func (w *Writer) Extents() (pages, filter storage.Extent) {
+	return storage.Extent{Off: w.pageOff, Len: w.h.ownBytes()},
+		storage.Extent{Off: w.filterOff, Len: int64(w.h.bloomLen)}
 }
 
 // WriteThrough makes w hand every page it frames — leaves and internal
@@ -270,9 +451,11 @@ func (w *Writer) perIndexPage() int {
 	return pagePayload / (w.recSize + 8)
 }
 
-// Finish flushes remaining data, writes the internal levels, the optional
-// serialized Bloom filter, and the header. The file is synced. After Finish
-// the Writer must not be used.
+// Finish completes the run: the last leaf, the internal levels and the
+// header, which records the optional serialized Bloom filter. A run that is
+// its file's only one (NewWriter) is then written and synced; a section
+// (FileWriter.Section) is written by the file's Finish. After Finish the
+// Writer must not be used.
 func (w *Writer) Finish(bloomBytes []byte) error {
 	if w.finished {
 		return errors.New("btree: double Finish")
@@ -344,38 +527,15 @@ func (w *Writer) Finish(bloomBytes []byte) error {
 		// Raw headers stay as v1 always wrote them: the field zero.
 		h.bloomCRC = crc32.Checksum(bloomBytes, castagnoli)
 	}
-	w.h = h
 	w.sizeBytes = int64(bloomOff) + int64(len(bloomBytes))
-
-	// The filter follows the last page directly, so it rides in the same
-	// write when it fits the buffer — and so does the header, in a run whose
-	// pages all still wait there.
-	fits := len(w.wbuf)+len(bloomBytes) <= writeBufPages*storage.PageSize
-	if fits {
-		w.wbuf = append(w.wbuf, bloomBytes...)
+	w.bloom, w.i1 = bloomBytes, nil
+	w.fw.mu.Lock()
+	w.h, w.sealed = h, true
+	w.fw.mu.Unlock()
+	if !w.own {
+		return nil
 	}
-	if fits && w.wbufOff == 0 {
-		putHeader(w.wbuf[:storage.PageSize], h)
-		if _, err := w.f.WriteAt(w.wbuf, 0); err != nil {
-			return fmt.Errorf("btree: writing run: %w", err)
-		}
-	} else {
-		if err := w.flushPages(); err != nil {
-			return err
-		}
-		if !fits {
-			if _, err := w.f.WriteAt(bloomBytes, int64(bloomOff)); err != nil {
-				return fmt.Errorf("btree: writing bloom: %w", err)
-			}
-		}
-		var page [storage.PageSize]byte
-		putHeader(page[:], h)
-		if _, err := w.f.WriteAt(page[:], 0); err != nil {
-			return fmt.Errorf("btree: writing header: %w", err)
-		}
-	}
-	w.wbuf, w.i1 = nil, nil
-	return w.f.Sync()
+	return w.fw.Finish()
 }
 
 // Count returns the number of records appended so far.
@@ -423,14 +583,20 @@ func (w *Writer) writePage(count uint16, payload []byte, deltaLeaf bool) error {
 
 // flushPages hands the buffered bytes to the file in one write, less the
 // blank page 0 at the front of the first buffer: the header of a run that
-// comes through here goes last.
+// comes through here goes last. The first flush of a section waits for its
+// place in the file (FileWriter.base).
 func (w *Writer) flushPages() error {
 	buf := w.wbuf
 	if w.wbufOff == 0 {
+		base, err := w.fw.base(w.slot)
+		if err != nil {
+			return err
+		}
+		w.pageOff = base
 		buf, w.wbufOff = buf[storage.PageSize:], storage.PageSize
 	}
 	if len(buf) > 0 {
-		if _, err := w.f.WriteAt(buf, w.wbufOff); err != nil {
+		if _, err := w.fw.f.WriteAt(buf, w.pageOff+w.wbufOff); err != nil {
 			return fmt.Errorf("btree: writing %d bytes at page %d: %w", len(buf), w.wbufOff/storage.PageSize, err)
 		}
 	}
@@ -458,6 +624,11 @@ func putHeader(page []byte, h header) {
 	crc := crc32.Checksum(page[:storage.PageSize-pageCRCLen], castagnoli)
 	le.PutUint32(page[storage.PageSize-pageCRCLen:], crc)
 }
+
+// ownBytes returns the bytes of the run's own pages: the header page and
+// every page through the root, which a writer writes last. The first run of
+// a file that holds several claims more (FileWriter.Finish).
+func (h header) ownBytes() int64 { return int64(h.rootPage+1) * storage.PageSize }
 
 func readHeader(f storage.File) (header, error) {
 	var page [storage.PageSize]byte

@@ -115,14 +115,17 @@ func (r *Reader) MinKey() []byte { return r.h.minKey }
 // MaxKey returns the largest record in the run.
 func (r *Reader) MaxKey() []byte { return r.h.maxKey }
 
-// Pages returns the total number of 4 KB pages occupied by the page grid
-// (header + leaves + internal levels), excluding the trailing bloom bytes.
+// Pages returns the number of 4 KB pages of the page grid the header
+// claims (header + leaves + internal levels), excluding the trailing bloom
+// bytes.
 func (r *Reader) Pages() uint64 { return r.h.bloomOff / storage.PageSize }
 
-// SizeBytes returns the full file size of the run, including the Bloom
-// filter.
+// SizeBytes returns the run's own size: its pages through the root page
+// and its Bloom filter — the whole file, for a run that is one. The first
+// run of a file that holds several claims the other runs' pages in its
+// grid (Pages) but does not own them.
 func (r *Reader) SizeBytes() int64 {
-	return int64(r.h.bloomOff + r.h.bloomLen)
+	return r.h.ownBytes() + int64(r.h.bloomLen)
 }
 
 // BloomBytes reads the serialized Bloom filter, or nil if none was stored.

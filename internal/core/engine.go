@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -836,14 +835,15 @@ var ErrStaleCP = errors.New("core: checkpoint CP not newer than committed CP")
 
 // Checkpoint flushes the write stores to new Level-0 runs — one per table
 // and partition with records, as the paper's single write store would
-// (Section 5.1), however many shards buffered them — and commits them
-// together with the CP number. The structural lock is held exclusively
-// only twice, briefly: to freeze every shard's trees (swapping in fresh
-// active trees), and to validate and atomically install the finished runs
-// (one manifest edit). All run-building I/O happens between the two with
-// no structural lock held, the three tables each merging the shards'
-// trees into their own runs side by side, so updates tagged cp+1 and
-// queries proceed while the flush runs. cp must be greater than the last
+// (Section 5.1), however many shards buffered them, a partition's runs the
+// sections of one file — and commits them together with the CP number: a
+// consistency point is one run file per partition plus the manifest. The
+// structural lock is held exclusively only twice, briefly: to freeze every
+// shard's trees (swapping in fresh active trees), and to validate and
+// atomically install the finished runs (one manifest edit). All
+// run-building I/O happens between the two with no structural lock held,
+// the three tables each merging the shards' trees into their own runs side
+// by side, so updates tagged cp+1 and queries proceed while the flush runs. cp must be greater than the last
 // committed checkpoint number. Concurrent Checkpoint calls serialize, and
 // a RelocateBlock issued during the flush runs right after it. After
 // Checkpoint returns, all references up to cp are durable and the frozen
@@ -898,27 +898,37 @@ func (e *Engine) checkpoint(cp uint64) error {
 
 	// Phase 2 — flush: build runs from the frozen trees with no
 	// structural lock held. The frozen trees are immutable for the
-	// duration, and run builders allocate file IDs through lsm's own
+	// duration, and the file set allocates file IDs through lsm's own
 	// lock, so this runs concurrently with updates, queries and optimistic
 	// compaction installs. Each table is one merged stream over every
-	// shard's frozen tree; the three tables flush side by side, writing
-	// their pages through to the cache where it has room.
+	// shard's frozen tree; the three tables encode side by side into one
+	// file per partition, their runs its sections in table order, writing
+	// their pages through to the cache where it has room. The set then
+	// writes and syncs each file once.
 	start = time.Now()
-	var results [3]cpFlushResult
+	files := e.db.NewFileSet(0, cp, storage.SrcCheckpoint, tables[:]...)
+	var counts [3]uint64
 	var g errgroup.Group
 	g.Go(func() error {
-		return flushTable(e.db, &results[0], TableFrom, cp, e.shards,
+		return flushTable(e.db, files, &counts[0], TableFrom, e.shards,
 			func(gen *generation) *memtree.Tree[FromRec] { return gen.from }, EncodeFrom)
 	})
 	g.Go(func() error {
-		return flushTable(e.db, &results[1], TableTo, cp, e.shards,
+		return flushTable(e.db, files, &counts[1], TableTo, e.shards,
 			func(gen *generation) *memtree.Tree[ToRec] { return gen.to }, EncodeTo)
 	})
 	g.Go(func() error {
-		return flushTable(e.db, &results[2], TableCombined, cp, e.shards,
+		return flushTable(e.db, files, &counts[2], TableCombined, e.shards,
 			func(gen *generation) *memtree.Tree[CombinedRec] { return gen.combined }, EncodeCombined)
 	})
+	var refs []lsm.RunRef
 	err := g.Wait()
+	if err == nil {
+		// A failed Finish removes the set's files itself.
+		refs, err = files.Finish()
+	} else {
+		files.Abort()
+	}
 	if err == nil && e.obs != nil {
 		e.obs.cpFlush.ObserveDuration(time.Since(start))
 	}
@@ -932,28 +942,14 @@ func (e *Engine) checkpoint(cp uint64) error {
 	// merge pinned before the relocation fails its vector validation.
 	start = time.Now()
 	e.mu.Lock()
-	var flushed uint64
 	if err == nil {
 		edit := e.db.NewEdit().SetSource(storage.SrcCheckpoint).SetCP(cp)
-		for _, res := range results {
-			for _, ref := range res.refs {
-				edit.AddRun(ref)
-			}
-			flushed += res.count
+		for _, ref := range refs {
+			edit.AddRun(ref)
 		}
 		// AddRun transferred ownership of the run files: a Commit that
 		// fails before its commit point removes them itself.
 		err = edit.Commit()
-	} else {
-		// A table that finished runs before another table's flush (or its
-		// own next partition) failed leaves complete but uncommitted files
-		// behind; drop them now instead of waiting for orphan collection
-		// at the next Open.
-		for _, res := range results {
-			for _, ref := range res.refs {
-				e.db.DiscardRun(ref)
-			}
-		}
 	}
 	for _, s := range e.shards {
 		if err != nil {
@@ -974,7 +970,7 @@ func (e *Engine) checkpoint(cp uint64) error {
 		e.obs.cpInstall.ObserveDuration(time.Since(start))
 	}
 	e.stats.checkpoints.Add(1)
-	e.stats.recordsFlushed.Add(flushed)
+	e.stats.recordsFlushed.Add(counts[0] + counts[1] + counts[2])
 
 	// Everything the log guarded up to the cut is now durable in the read
 	// store: retire those segments. Appends that landed during the flush
@@ -1008,12 +1004,6 @@ func (e *Engine) checkpoint(cp uint64) error {
 	return nil
 }
 
-// cpFlushResult collects one table's flush output.
-type cpFlushResult struct {
-	refs  []lsm.RunRef
-	count uint64
-}
-
 // treeIter adapts a frozen write-store tree to lsm.RecIter.
 type treeIter[T any] struct {
 	it  *memtree.Iter[T]
@@ -1028,23 +1018,22 @@ func (t *treeIter[T]) Next() ([]byte, bool, error) {
 	return t.enc(item), true, nil
 }
 
-// flushTable writes one table's frozen write-store trees — one per shard,
-// picked out of each shard's frozen generation by tree — into per-partition
-// Level-0 runs: one run per partition that has records, however many shards
+// flushTable streams one table's frozen write-store trees — one per shard,
+// picked out of each shard's frozen generation by tree — into files' runs
+// of the table: one per partition that has records, however many shards
 // they froze in. Shards are disjoint by block and each tree iterates in
 // ascending record order, which is the byte order of the encoding, so the
 // merge of the shards' streams is the stream a single write store would
-// have produced and each partition's builder receives it sorted; builders
-// stay open per partition, which keeps one run per partition even when hash
-// partitioning interleaves partition visits. Run refs are appended to
-// res.refs only in the Finish loop at the end — while records stream in,
-// partial runs live in the builders and are cleaned up via Abort on error —
-// so after an error res.refs holds only complete, uncommitted runs, which
-// the caller must discard. Called with no structural lock held: the trees
-// are frozen (immutable) and run builders synchronize file-ID allocation
-// internally.
-func flushTable[T any](db *lsm.DB, res *cpFlushResult, table string, cp uint64,
-	shards []*writeShard, tree func(*generation) *memtree.Tree[T], enc func(T) []byte) error {
+// have produced and each partition's run receives it sorted; a partition's
+// run stays open until the stream ends, which keeps one run per partition
+// even when hash partitioning interleaves partition visits. The stream
+// ends in files.Done, which seals the table's runs, or fails the set.
+// *count is set to the table's record count. Called with no structural
+// lock held: the trees are frozen (immutable) and the set synchronizes
+// file creation internally.
+func flushTable[T any](db *lsm.DB, files *lsm.FileSet, count *uint64, table string,
+	shards []*writeShard, tree func(*generation) *memtree.Tree[T], enc func(T) []byte) (err error) {
+	defer func() { err = files.Done(table, err) }()
 	var (
 		iters []lsm.RecIter
 		total int
@@ -1054,6 +1043,7 @@ func flushTable[T any](db *lsm.DB, res *cpFlushResult, table string, cp uint64,
 		iters = append(iters, &treeIter[T]{it: ws.IterAll(), enc: enc})
 		total += ws.Len()
 	}
+	*count = uint64(total)
 	if total == 0 {
 		return nil
 	}
@@ -1062,55 +1052,23 @@ func flushTable[T any](db *lsm.DB, res *cpFlushResult, table string, cp uint64,
 		return err
 	}
 	builders := map[int]*lsm.RunBuilder{}
-	abort := func() {
-		for _, b := range builders {
-			b.Abort()
-		}
-	}
 	for {
 		rec, ok, err := merged.Next()
-		if err != nil {
-			abort()
+		if err != nil || !ok {
 			return err
-		}
-		if !ok {
-			break
 		}
 		p := db.PartitionOf(binary.BigEndian.Uint64(rec))
 		b := builders[p]
 		if b == nil {
-			if b, err = db.NewRunBuilder(table, p, 0, cp, storage.SrcCheckpoint, total); err != nil {
-				abort()
+			if b, err = files.Run(table, p, total); err != nil {
 				return err
 			}
 			builders[p] = b
 		}
 		if err := b.Add(rec); err != nil {
-			abort()
 			return err
 		}
 	}
-	parts := make([]int, 0, len(builders))
-	for p := range builders {
-		parts = append(parts, p)
-	}
-	sort.Ints(parts)
-	for i, p := range parts {
-		ref, ok, err := builders[p].Finish()
-		if err != nil {
-			// Abort the failing builder too: its partial file would
-			// otherwise linger as an orphan until the next Open.
-			for _, q := range parts[i:] {
-				builders[q].Abort()
-			}
-			return err
-		}
-		if ok {
-			res.refs = append(res.refs, ref)
-		}
-	}
-	res.count = uint64(total)
-	return nil
 }
 
 // RelocateBlock transplants every back reference of oldBlock onto
@@ -1249,8 +1207,8 @@ func (e *Engine) RunInfos() []lsm.RunInfo {
 	return e.db.RunInfos()
 }
 
-// Files returns the files the committed manifest names: every run and
-// deletion-vector file, sorted.
+// Files returns the files the committed manifest names: every run file,
+// once however many runs it holds, and every deletion-vector file, sorted.
 func (e *Engine) Files() []string {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

@@ -9,7 +9,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -73,10 +75,12 @@ func flushScript(t *testing.T, eng *core.Engine, cat *core.MemCatalog) (m *model
 	return m, buffered
 }
 
-// runFiles returns the contents of every run file in fs, keyed by table
-// and partition and ordered by file ID within each. The IDs themselves are
-// left out: a checkpoint's three tables draw theirs in whatever order
-// their flushes start.
+// runFiles returns the contents of every run file in fs, keyed by what
+// wrote it — "cp" for a checkpoint's file, which holds the runs of all
+// three tables, a table's name for a merge output — and partition, and
+// ordered by file ID within each. The IDs themselves are left out: a
+// checkpoint's partitions draw theirs in whatever order their first
+// records arrive.
 func runFiles(t *testing.T, fs *storage.MemFS) map[string][][]byte {
 	t.Helper()
 	names, err := fs.List() // sorted, and IDs are zero-padded
@@ -101,7 +105,7 @@ func runFiles(t *testing.T, fs *storage.MemFS) map[string][][]byte {
 			t.Fatal(err)
 		}
 		f.Close()
-		key := name[:strings.Index(name, ".p")+5] // "from.p003"
+		key := name[:strings.Index(name, ".p")+5] // "cp.p003"
 		files[key] = append(files[key], data)
 	}
 	return files
@@ -109,8 +113,9 @@ func runFiles(t *testing.T, fs *storage.MemFS) map[string][][]byte {
 
 // TestCheckpointFlushRunSetIgnoresShardCount: sharding the write store
 // buys update concurrency and costs nothing on disk. The same op stream
-// through 1, 2 and 8 shards leaves byte-identical run files, the same run
-// metadata and the same answers, and those are the model's.
+// through 1, 2 and 8 shards leaves byte-identical run files — the
+// checkpoint files with their From, To and Combined sections included —
+// the same run metadata and the same answers, and those are the model's.
 func TestCheckpointFlushRunSetIgnoresShardCount(t *testing.T) {
 	for _, parts := range []int{1, 4} {
 		for _, comp := range []core.Compression{core.CompressionNone, core.CompressionDelta} {
@@ -138,6 +143,9 @@ func TestCheckpointFlushRunSetIgnoresShardCount(t *testing.T) {
 						runs = append(runs, fmt.Sprintf("%+v", ri))
 					}
 					files := runFiles(t, fs)
+					if len(files[fmt.Sprintf("cp.p%03d", parts-1)]) == 0 {
+						t.Fatalf("no checkpoint file in the last partition: %v", slices.Collect(maps.Keys(files)))
+					}
 					owners := make([][]core.Owner, flushBlocks)
 					for b := range owners {
 						owners[b] = fQuery(t, eng, uint64(b))

@@ -209,16 +209,17 @@ func TestCorruptCompressedRunSurfacesErrCorrupt(t *testing.T) {
 	}
 }
 
-// v2StoreOps is the update history testdata/v2-store holds, in order:
-// 4 200 updates over 150 blocks and CPs 1..7, every third one a removal —
-// alternately of the reference added five additions earlier, which mostly
-// cancels within its CP, and of the oldest one still live once that is 700
-// additions old, which closes an interval opened at an earlier CP. The previous binary applied
+// v2StoreOps is the update history testdata/v3-store starts from, in
+// order: 4 200 updates over 150 blocks and CPs 1..7, every third one a
+// removal — alternately of the reference added five additions earlier,
+// which mostly cancels within its CP, and of the oldest one still live once
+// that is 700 additions old, which closes an interval opened at an earlier
+// CP. The binary that wrote run format 2 and version-2 manifests applied
 // them through the public API with a Buffered log: Checkpoint(cp) and a
 // snapshot of line 0 after the last update of each of CPs 1..6, Compact
-// after CP 4 — so the directory holds level-1 runs and the level-0 runs of
+// after CP 4 — so its directory held level-1 runs and the level-0 runs of
 // CPs 5 and 6, all in run format 2 — and Close right after the updates of
-// CP 7, which therefore exist only in the log tail.
+// CP 7, which therefore existed only in the log tail.
 func v2StoreOps() []refOp {
 	const n = 4200
 	ops := make([]refOp, 0, n)
@@ -250,29 +251,58 @@ func v2StoreOps() []refOp {
 	return ops
 }
 
-// TestV2StoreOpensAndMigrates is the run-format upgrade path end to end: a
-// directory the previous binary wrote (format-2 delta runs at two levels,
-// snapshots, a Buffered log tail — never regenerate it) opens, answers
-// every query as the model does, checkpoints, and compacts into
-// the current format with the answers unchanged, across a reopen.
+// v3StoreTail is what testdata/v3-store holds beyond v2StoreOps. The
+// binary that wrote version-3 manifests opened that directory as
+// backlog.Open does, ran Checkpoint(7), applied these updates of CP 8
+// through the Buffered log and closed, so they exist only in the log tail:
+// forty new references, every fourth removed again in its CP, and the ten
+// oldest references still live after CP 7 removed, closing their intervals.
+func v3StoreTail() []refOp {
+	var ops []refOp
+	for i := uint64(0); i < 40; i++ {
+		r := core.Ref{Block: i * 11 % 150, Inode: 5, Offset: 5000 + i, Length: 1}
+		ops = append(ops, refOp{ref: r, cp: 8})
+		if i%4 == 3 {
+			ops = append(ops, refOp{ref: r, cp: 8, remove: true})
+		}
+	}
+	removed := map[core.Ref]bool{}
+	var added []core.Ref
+	for _, o := range v2StoreOps() {
+		if o.remove {
+			removed[o.ref] = true
+		} else {
+			added = append(added, o.ref)
+		}
+	}
+	closed := 0
+	for _, r := range added {
+		if !removed[r] && closed < 10 {
+			ops = append(ops, refOp{ref: r, cp: 8, remove: true})
+			closed++
+		}
+	}
+	return ops
+}
+
+// TestV2StoreOpensAndMigrates is the upgrade path end to end for a store of
+// format-2 runs: a directory the previous binary wrote (testdata/v3-store —
+// format-2 delta runs at two levels beside the current format's runs of
+// CP 7, snapshots in a version-3 manifest, a Buffered log tail; never
+// regenerate it) opens as backlog.Open opens it, answers every query as
+// the model does, checkpoints, and compacts into the current format with
+// the answers unchanged, across a reopen.
 func TestV2StoreOpensAndMigrates(t *testing.T) {
 	const blocks = 150
 	fs := storage.NewMemFS()
-	cat := core.NewMemCatalog()
-	entries, err := os.ReadDir(filepath.Join("testdata", "v2-store"))
+	entries, err := os.ReadDir(filepath.Join("testdata", "v3-store"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, ent := range entries {
-		b, err := os.ReadFile(filepath.Join("testdata", "v2-store", ent.Name()))
+		b, err := os.ReadFile(filepath.Join("testdata", "v3-store", ent.Name()))
 		if err != nil {
 			t.Fatal(err)
-		}
-		if ent.Name() == "CATALOG" {
-			if err := cat.UnmarshalJSON(b); err != nil {
-				t.Fatal(err)
-			}
-			continue
 		}
 		f, err := fs.Create(ent.Name())
 		if err != nil {
@@ -289,44 +319,46 @@ func TestV2StoreOpensAndMigrates(t *testing.T) {
 
 	m := newModel()
 	for v := uint64(1); v <= 6; v++ {
-		m.snapshot(0, v) // the store's CATALOG
+		m.snapshot(0, v) // the catalog the manifest carries
 	}
-	tail := 0
 	for _, o := range v2StoreOps() {
 		m.apply(o)
-		if o.cp == 7 {
-			tail++
-		}
+	}
+	tail := v3StoreTail()
+	for _, o := range tail {
+		m.apply(o)
 	}
 
 	open := func() *core.Engine {
 		t.Helper()
-		eng, err := core.Open(core.Options{VFS: fs, Catalog: cat, Durability: wal.Buffered})
+		eng, err := core.Open(core.Options{VFS: fs, Catalog: core.NewMemCatalog(), PersistCatalog: true, Durability: wal.Buffered})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return eng
 	}
 	eng := open()
-	if got := eng.Stats().WALReplayed; got != uint64(tail) {
-		t.Fatalf("replayed %d records of the log tail, want %d", got, tail)
+	if got := eng.Stats().WALReplayed; got != uint64(len(tail)) {
+		t.Fatalf("replayed %d records of the log tail, want %d", got, len(tail))
 	}
-	levels := map[int]bool{}
+	v2Levels := map[int]bool{}
 	for _, ri := range eng.RunInfos() {
-		if uint32(ri.Format) != 2 {
-			t.Fatalf("run %s has format %v, the golden store holds only format-2 runs", ri.Name, ri.Format)
+		if uint32(ri.Format) == 2 {
+			v2Levels[ri.Level] = true
 		}
-		levels[ri.Level] = true
 	}
-	if !levels[0] || !levels[1] {
-		t.Fatalf("golden store's run levels: %v, want 0 and 1", levels)
+	if !v2Levels[0] || !v2Levels[1] {
+		t.Fatalf("golden store's format-2 run levels: %v, want 0 and 1", v2Levels)
+	}
+	if counts := formatCounts(eng); counts[btree.FormatDelta] == 0 {
+		t.Fatalf("golden store's runs: %v, want CP 7's in the current format beside the format-2 ones", counts)
 	}
 	m.check(t, eng, blocks)
 	before := queryFingerprint(t, eng, blocks)
 
 	// A checkpoint writes its runs in the current format next to the old
 	// ones; the store answers from the mix.
-	if err := eng.Checkpoint(7); err != nil {
+	if err := eng.Checkpoint(8); err != nil {
 		t.Fatal(err)
 	}
 	counts := formatCounts(eng)

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -50,22 +51,23 @@ func countHandles(fs *storage.MemFS) (held func() []string) {
 }
 
 // TestRunHandlesAreClosed checks that an open store holds exactly one
-// handle per live run — none on a builder's finished file, none on a run a
+// handle per live run file — one for a checkpoint's From and To runs, which
+// share their file; none on a builder's finished file; none on a file a
 // merge reclaimed — that Close releases them all, and that an Open which
-// fails on its third run releases the two it had opened.
+// fails on a damaged run releases the handles it had opened.
 func TestRunHandlesAreClosed(t *testing.T) {
 	fs := storage.NewMemFS()
 	held := countHandles(fs)
 	open := func() (*core.Engine, error) {
 		return core.Open(core.Options{VFS: fs, Catalog: core.NewMemCatalog()})
 	}
-	liveRuns := func(eng *core.Engine) []string {
+	liveFiles := func(eng *core.Engine) []string {
 		var names []string
 		for _, ri := range eng.RunInfos() {
 			names = append(names, ri.Name)
 		}
-		sort.Strings(names)
-		return names
+		slices.Sort(names)
+		return slices.Compact(names)
 	}
 	check := func(when string, want []string) {
 		t.Helper()
@@ -73,11 +75,16 @@ func TestRunHandlesAreClosed(t *testing.T) {
 			t.Fatalf("%s: open run handles %v, want %v", when, got, want)
 		}
 	}
+	// Each epoch adds 32 references and removes the previous epoch's, so
+	// every checkpoint writes a From and a To run into one file.
 	epochs := func(eng *core.Engine, from, to uint64) {
 		t.Helper()
 		for cp := from; cp <= to; cp++ {
 			for b := uint64(0); b < 32; b++ {
 				eng.AddRef(core.Ref{Block: b, Inode: cp, Offset: b, Length: 1}, cp)
+				if cp > 1 {
+					eng.RemoveRef(core.Ref{Block: b, Inode: cp - 1, Offset: b, Length: 1}, cp)
+				}
 			}
 			if err := eng.Checkpoint(cp); err != nil {
 				t.Fatal(err)
@@ -90,31 +97,34 @@ func TestRunHandlesAreClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	epochs(eng, 1, 4)
-	if n := eng.RunCount(); n != 4 {
-		t.Fatalf("%d runs after four checkpoints, want 4", n)
+	if runs, files := eng.RunCount(), len(liveFiles(eng)); runs != 7 || files != 4 {
+		t.Fatalf("%d runs in %d files after four checkpoints, want 7 in 4", runs, files)
 	}
-	check("after four checkpoints", liveRuns(eng))
+	check("after four checkpoints", liveFiles(eng))
 
 	if err := eng.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if n := eng.RunCount(); n != 1 {
-		t.Fatalf("%d runs after the merge, want 1", n)
+	if n := len(liveFiles(eng)); n != 1 {
+		// With no snapshot, every completed interval is purged.
+		t.Fatalf("%d run files after the merge, want its From output's", n)
 	}
-	check("after the merge reclaimed its inputs", liveRuns(eng))
+	check("after the merge reclaimed its inputs", liveFiles(eng))
 
 	epochs(eng, 5, 6)
-	runs := liveRuns(eng)
+	files := liveFiles(eng)
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
 	check("after Close", nil)
 
-	// All three runs are From runs of partition 0, opened oldest first:
-	// break the header of the newest.
-	f, err := fs.Open(runs[len(runs)-1])
+	// Break the header of a checkpoint file's first run.
+	f, err := fs.Open(files[0])
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !strings.HasPrefix(files[0], "cp.") {
+		t.Fatalf("%s is not a checkpoint file", files[0])
 	}
 	if _, err := f.WriteAt(make([]byte, 64), 0); err != nil {
 		t.Fatal(err)

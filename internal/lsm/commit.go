@@ -1,9 +1,9 @@
 package lsm
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -136,17 +136,20 @@ func (e *Edit) CollectedDVEntries() int { return e.dvCollected }
 // collected by the next Open.
 func (e *Edit) Commit() error {
 	db := e.db
-	// fail cleans up after a pre-commit-point error.
+	// fail cleans up after a pre-commit-point error: the added runs' pages
+	// leave the cache and their files, once each, the disk.
 	var opened []*Run
 	var wroteDV []string
+	var removed []*runFile
 	fail := func(err error) error {
-		// opened holds the runs of a prefix of e.add, in order.
-		for i, ref := range e.add {
-			var f storage.File
-			if i < len(opened) {
-				f = opened[i].file
+		for _, ref := range e.add {
+			db.cache.Drop(ref.built.CacheID())
+		}
+		for _, ref := range e.add {
+			if !slices.Contains(removed, ref.file) {
+				db.removeFile(ref.file, ref.src)
+				removed = append(removed, ref.file)
 			}
-			db.removeRunFile(ref.rm.Name, ref.src, f, ref.built.CacheID())
 		}
 		for _, n := range wroteDV {
 			_ = db.vfsFor(storage.SrcManifest).Remove(n)
@@ -232,13 +235,21 @@ func (e *Edit) Commit() error {
 		dvMeta[name] = meta
 	}
 
-	// Install added runs (opening readers now; files are already synced).
+	// Install added runs (opening readers now; files are already synced),
+	// with one handle per file.
 	for _, ref := range e.add {
 		t := db.tables[ref.table]
 		if t == nil {
 			return fail(fmt.Errorf("lsm: commit references unknown table %q", ref.table))
 		}
-		r, err := db.openRun(t, ref.rm, ref.src, ref.built)
+		if ref.file.f == nil {
+			f, err := db.vfsFor(ref.src).Open(ref.file.name)
+			if err != nil {
+				return fail(fmt.Errorf("lsm: opening run: %w", err))
+			}
+			ref.file.f = f
+		}
+		r, err := db.openRun(t, ref.rm, ref.built, ref.file)
 		if err != nil {
 			return fail(err)
 		}
@@ -258,7 +269,7 @@ func (e *Edit) Commit() error {
 					Name: r.name, Level: r.level, Records: r.records,
 					MinBlock: r.minBlock, MaxBlock: r.maxBlock, CP: r.cp,
 					MinCP: r.minCP, MaxCP: r.maxCP, Overrides: r.overrides,
-					CPUnknown: r.cpUnknown,
+					CPUnknown: r.cpUnknown, Pages: r.pageExt, Filter: r.filterExt,
 				})
 			}
 		}
@@ -301,29 +312,38 @@ func (e *Edit) Commit() error {
 		}
 		t.dvDirty = false
 	}
+	for _, r := range opened {
+		r.file.runs++
+	}
 	old := db.cur
 	db.cur = db.newVersion()
 	// The fresh version captured all live state, including any pending
 	// deletion-vector mutations.
 	db.verStale = false
-	doomed := old.unref()
-	db.undeferAll(doomed)
+	dead := db.reclaim(old.unref())
 	// Dropped runs that still carry references are pinned by an older
-	// version some view holds: their files outlive the manifest drop, so
-	// track them as deferred until the last pin goes.
+	// version some view holds: a file the manifest no longer names outlives
+	// the drop, so track it as deferred until the last pin goes.
+	var listed []string
 	for _, r := range droppedRuns {
-		if r.refs > 0 {
-			db.deferRun(r.name)
+		if r.refs == 0 {
+			continue
+		}
+		if listed == nil {
+			listed = db.Files()
+		}
+		if _, ok := slices.BinarySearch(listed, r.file.name); !ok {
+			db.deferFile(r.file.name)
 		}
 	}
 	db.viewMu.Unlock()
 	// Reclaim outside viewMu: file removal must not stall concurrent view
-	// pins. doomed holds runs no version references anymore (none, if a
-	// view still pins the old version — the releasing view reclaims them
-	// then). That removeRuns swallows its errors is what makes the
-	// invariant "Commit returned an error ⟺ the edit did not commit" hold,
-	// which the engine's retry paths rely on.
-	db.removeRuns(doomed)
+	// pins. dead holds the files of runs no version references anymore
+	// (none, if a view still pins the old version — the releasing view
+	// reclaims them then). That removeFiles swallows its errors is what
+	// makes the invariant "Commit returned an error ⟺ the edit did not
+	// commit" hold, which the engine's retry paths rely on.
+	db.removeFiles(dead)
 	// Replaced deletion-vector files are read only at Open (versions
 	// snapshot the in-memory maps, not the files), so they are deleted
 	// eagerly, attributed like the writes that superseded them.
@@ -332,17 +352,11 @@ func (e *Edit) Commit() error {
 			_ = db.vfsFor(storage.SrcManifest).Remove(f)
 		}
 	}
-	// So is the file the previous format kept the section in, once a manifest
-	// holds it; a removal that fails leaves an orphan for the next Open.
-	if db.legacySection && next.Catalog != nil {
-		_ = db.vfsFor(storage.SrcManifest).Remove(legacySectionName)
-		db.legacySection = false
-	}
 	return nil
 }
 
 func writeManifest(vfs storage.VFS, m manifest) error {
-	data, err := json.Marshal(&m)
+	data, err := encodeManifest(m)
 	if err != nil {
 		return err
 	}

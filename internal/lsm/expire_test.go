@@ -102,13 +102,25 @@ func TestOverridesPoisonDroppability(t *testing.T) {
 	}
 }
 
+// manifestBody returns the JSON body of the manifest on disk, whatever its
+// version.
+func manifestBody(t *testing.T, fs *storage.MemFS) []byte {
+	t.Helper()
+	buf := readFile(t, fs, manifestName)
+	if len(buf) > 0 && buf[0] == '{' {
+		return buf
+	}
+	return buf[manifestEnvLen:]
+}
+
 // setManifestVersion rewrites the manifest on disk with its version field
 // set to v, or removed when v < 0, the way a commit installs one (write a
-// temporary file, rename).
+// temporary file, rename): inside an envelope of version v from the current
+// version on, as the bare JSON of the versions before it otherwise.
 func setManifestVersion(t *testing.T, fs *storage.MemFS, v int) {
 	t.Helper()
 	var m map[string]any
-	if err := json.Unmarshal(readFile(t, fs, manifestName), &m); err != nil {
+	if err := json.Unmarshal(manifestBody(t, fs), &m); err != nil {
 		t.Fatal(err)
 	}
 	m["version"] = v
@@ -118,6 +130,9 @@ func setManifestVersion(t *testing.T, fs *storage.MemFS, v int) {
 	buf, err := json.Marshal(m)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if v >= manifestVersion {
+		buf = sealManifest(v, buf)
 	}
 	nf, err := fs.Create(manifestName + ".new")
 	if err != nil {
@@ -154,10 +169,10 @@ func readFile(t testing.TB, fs *storage.MemFS, name string) []byte {
 }
 
 // TestManifestV1Compat pins the manifest's compatibility contract: this
-// binary writes version 3, reads versions 2 and 3, and refuses every other
+// binary writes version 4, reads versions 3 and 4, and refuses every other
 // one by name — version 1 (which an earlier binary loaded with guessed
-// windows), a missing or zero version field, and a future version — and a
-// refused Open rewrites nothing on disk.
+// windows), version 2, a missing or zero version field, and a future
+// version — and a refused Open rewrites nothing on disk.
 func TestManifestV1Compat(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -165,9 +180,10 @@ func TestManifestV1Compat(t *testing.T) {
 		want    string
 	}{
 		{"v1", 1, "manifest version 1 "},
+		{"v2", 2, "manifest version 2 is no longer read: open the store once with a binary that writes version 3"},
 		{"v0", 0, "manifest version 0 "},
 		{"missing", -1, "manifest version 0 "},
-		{"v4", manifestVersion + 1, "manifest version 4 "},
+		{"v5", manifestVersion + 1, "manifest version 5 "},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := storage.NewMemFS()
@@ -175,8 +191,8 @@ func TestManifestV1Compat(t *testing.T) {
 			flushRecords(t, db, "combined", 5, [][]byte{rec16(1, 2), rec16(2, 3)})
 			db.Close()
 			var written struct{ Version int }
-			if err := json.Unmarshal(readFile(t, fs, manifestName), &written); err != nil || written.Version != 3 {
-				t.Fatalf("this binary wrote manifest version %d (%v), want 3", written.Version, err)
+			if err := json.Unmarshal(manifestBody(t, fs), &written); err != nil || written.Version != 4 {
+				t.Fatalf("this binary wrote manifest version %d (%v), want 4", written.Version, err)
 			}
 			setManifestVersion(t, fs, tc.version)
 
@@ -209,7 +225,7 @@ func TestManifestV1Compat(t *testing.T) {
 			}
 
 			// The same store at either version this binary reads still opens.
-			for _, v := range []int{manifestReadsVersion, manifestVersion} {
+			for _, v := range []int{manifestJSONVersion, manifestVersion} {
 				setManifestVersion(t, fs, v)
 				db2, err := Open(fs, Options{
 					Tables:     []TableSpec{spannedSpec("combined")},

@@ -1,0 +1,337 @@
+package lsm
+
+import (
+	"bytes"
+	"errors"
+	"slices"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+
+	"github.com/backlogfs/backlog/internal/btree"
+	"github.com/backlogfs/backlog/internal/storage"
+)
+
+// flushFile writes one consistency point's runs the way the engine's
+// checkpoint does — one file per partition through a FileSet, the records
+// of each of tables a section of it in that order — and commits them at cp.
+func flushFile(t testing.TB, db *DB, cp uint64, tables []string, recs map[string][][]byte) {
+	t.Helper()
+	set := db.NewFileSet(0, cp, storage.SrcCheckpoint, tables...)
+	for _, table := range tables {
+		if err := set.Done(table, addAll(set, table, recs[table])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refs, err := set.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit := db.NewEdit().SetCP(cp)
+	for _, ref := range refs {
+		edit.AddRun(ref)
+	}
+	if err := edit.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// addAll adds recs, sorted, to table's runs of set, one per partition.
+func addAll(set *FileSet, table string, recs [][]byte) error {
+	sorted := slices.Clone(recs)
+	sort.Slice(sorted, func(i, j int) bool { return bytes.Compare(sorted[i], sorted[j]) < 0 })
+	runs := map[int]*RunBuilder{}
+	for _, r := range sorted {
+		p := set.db.PartitionOf(blockOf(r))
+		if runs[p] == nil {
+			b, err := set.Run(table, p, len(sorted))
+			if err != nil {
+				return err
+			}
+			runs[p] = b
+		}
+		if err := runs[p].Add(r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// countIO installs a plan on fs whose hook counts the calls of each op per
+// file.
+func countIO(fs *storage.MemFS) func(op storage.Op, name string) int {
+	var mu sync.Mutex
+	n := map[storage.Op]map[string]int{}
+	fs.SetFailurePlan(storage.FailurePlan{Hook: func(c storage.Call) error {
+		mu.Lock()
+		defer mu.Unlock()
+		if n[c.Op] == nil {
+			n[c.Op] = map[string]int{}
+		}
+		n[c.Op][c.Name]++
+		return nil
+	}})
+	return func(op storage.Op, name string) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return n[op][name]
+	}
+}
+
+// TestFileSetLayout: a consistency point of two tables in two partitions
+// is two files, each created, written and synced once, its runs' page
+// grids back to back in table order and their filters after them; the
+// manifest names each file once, and the runs read back the same before
+// and after a reopen.
+func TestFileSetLayout(t *testing.T) {
+	fs := storage.NewMemFS()
+	db := openTestDB(t, fs, 2)
+	calls := countIO(fs)
+	recs := map[string][][]byte{"from": {rec16(1, 1), rec16(2, 1), rec16(1500, 1)}, "to": {rec16(1, 2), rec16(1600, 2)}}
+	for b := uint64(0); b < 400; b++ {
+		recs["to"] = append(recs["to"], rec16(100+b, 3))
+	}
+	flushFile(t, db, 1, []string{"from", "to"}, recs)
+
+	files := db.Files()
+	if len(files) != 2 || !strings.HasPrefix(files[0], "cp.p000.") || !strings.HasPrefix(files[1], "cp.p001.") {
+		t.Fatalf("the manifest names %v, want one checkpoint file per partition", files)
+	}
+	for _, name := range files {
+		if c, w, s := calls(storage.OpCreate, name), calls(storage.OpWrite, name), calls(storage.OpSync, name); c != 1 || w != 1 || s != 1 {
+			t.Fatalf("%s: %d creates, %d writes, %d syncs, want one of each", name, c, w, s)
+		}
+	}
+	for p, name := range files {
+		from, to := db.Table("from").Runs(p)[0], db.Table("to").Runs(p)[0]
+		if from.file != to.file || from.Name() != name || to.Name() != name {
+			t.Fatalf("partition %d: runs in %s and %s, want both in %s", p, from.Name(), to.Name(), name)
+		}
+		if from.pageExt.Off != 0 || to.pageExt.Off != from.pageExt.Len ||
+			from.filterExt.Off != from.pageExt.Len+to.pageExt.Len || to.filterExt.Off != from.filterExt.Off+from.filterExt.Len {
+			t.Fatalf("partition %d: from at %+v/%+v, to at %+v/%+v: want the page grids, then the filters, back to back",
+				p, from.pageExt, from.filterExt, to.pageExt, to.filterExt)
+		}
+		f, err := fs.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size, _ := f.Size()
+		if size != from.SizeBytes()+to.SizeBytes() {
+			t.Fatalf("%s: %d bytes for runs of %d and %d: no byte is padding", name, size, from.SizeBytes(), to.SizeBytes())
+		}
+		// The file opened as one run, as a tool handed its name would, is
+		// its first run, filter included.
+		whole, err := btree.Open(f, nil)
+		if err == nil {
+			_, err = whole.BloomBytes()
+		}
+		if err != nil || whole.RecordCount() != from.Records() || whole.SizeBytes() != from.SizeBytes() {
+			t.Fatalf("%s opened whole: %v; want the From run's %d records", name, err, from.Records())
+		}
+		f.Close()
+	}
+	answers := func(db *DB) (out []string) {
+		for _, table := range []string{"from", "to"} {
+			for _, b := range []uint64{1, 2, 100, 250, 499, 1500, 1600} {
+				for _, r := range collect(t, db.Table(table), b) {
+					out = append(out, table+string(r))
+				}
+			}
+		}
+		return out
+	}
+	want := answers(db)
+	if len(want) != 8 {
+		t.Fatalf("%d records read back, want 8", len(want))
+	}
+	db.Close()
+	db2 := openTestDB(t, fs, 2)
+	if got := answers(db2); !slices.Equal(got, want) {
+		t.Fatal("the reopened store answers differently")
+	}
+}
+
+// bigRecords returns n sorted records of one block each from base, more
+// than a write buffer holds in a raw run.
+func bigRecords(base, n uint64) [][]byte {
+	recs := make([][]byte, n)
+	for i := range recs {
+		recs[i] = rec16(base+uint64(i), uint64(i))
+	}
+	return recs
+}
+
+// TestFileSetStreamsSectionsInPlace: runs that outgrow their write
+// buffers stream into their places in the file, a later table's once the
+// earlier ones are done, so tables added side by side leave the bytes a
+// one-after-the-other build leaves, synced once.
+func TestFileSetStreamsSectionsInPlace(t *testing.T) {
+	recs := map[string][][]byte{"from": bigRecords(0, 30000), "to": bigRecords(10, 30000)}
+	build := func(concurrent bool) ([]byte, int) {
+		fs := storage.NewMemFS()
+		db, err := Open(fs, Options{Tables: []TableSpec{{Name: "from", RecordSize: testRecSize}, {Name: "to", RecordSize: testRecSize}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		calls := countIO(fs)
+		set := db.NewFileSet(0, 1, storage.SrcCheckpoint, "from", "to")
+		if concurrent {
+			var wg sync.WaitGroup
+			errs := make([]error, 2)
+			for i, table := range []string{"to", "from"} {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					errs[i] = set.Done(table, addAll(set, table, recs[table]))
+				}()
+			}
+			wg.Wait()
+			if err := errors.Join(errs...); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			for _, table := range []string{"from", "to"} {
+				if err := set.Done(table, addAll(set, table, recs[table])); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		refs, err := set.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(refs) != 2 || refs[0].file != refs[1].file || refs[1].rm.Pages.Len <= 64*storage.PageSize {
+			t.Fatalf("refs %+v: want two runs of one file, each larger than a write buffer", refs)
+		}
+		name := refs[0].file.name
+		if calls(storage.OpWrite, name) < 4 {
+			t.Fatalf("%d writes: the runs did not stream", calls(storage.OpWrite, name))
+		}
+		return readFile(t, fs, name), calls(storage.OpSync, name)
+	}
+	want, _ := build(false)
+	got, syncs := build(true)
+	if !bytes.Equal(got, want) {
+		t.Fatal("runs built side by side left other bytes than runs built one after the other")
+	}
+	if syncs != 1 {
+		t.Fatalf("%d syncs of the file, want 1", syncs)
+	}
+}
+
+// TestFileSetFailureWakesWaiters: when an earlier table's stream fails, a
+// later table's run waiting for its place gives up with that error, and
+// Abort leaves no file and no cached page behind.
+func TestFileSetFailureWakesWaiters(t *testing.T) {
+	fs := storage.NewMemFS()
+	db := openTestDB(t, fs, 1)
+	set := db.NewFileSet(0, 1, storage.SrcCheckpoint, "from", "to")
+	boom := errors.New("the from stream failed")
+	toErr := make(chan error)
+	go func() { toErr <- set.Done("to", addAll(set, "to", bigRecords(0, 30000))) }()
+	from, err := set.Run("from", 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := from.Add(rec16(1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := set.Done("from", boom); !errors.Is(err, boom) {
+		t.Fatalf("Done = %v", err)
+	}
+	if err := <-toErr; !errors.Is(err, boom) {
+		t.Fatalf("the waiting run ended with %v, want the from stream's error", err)
+	}
+	set.Abort()
+	if names, _ := fs.List(); len(names) != 0 {
+		t.Fatalf("Abort left %v", names)
+	}
+	if n := db.cache.Len(); n != 0 {
+		t.Fatalf("Abort left %d cached pages", n)
+	}
+}
+
+// TestCheckpointFileLifetime: a checkpoint file lives as long as the last
+// version that references any of its runs. Dropping one run keeps the file
+// for the other; a view pinning only the To run keeps it after the manifest
+// stops naming it; the file goes when that view is released. A run's pages
+// leave the cache when the run does, not when its file does.
+func TestCheckpointFileLifetime(t *testing.T) {
+	fs := storage.NewMemFS()
+	db := openTestDB(t, fs, 1)
+	flushFile(t, db, 1, []string{"from", "to"}, map[string][][]byte{
+		"from": {rec16(1, 1), rec16(2, 1)},
+		"to":   {rec16(1, 2)},
+	})
+	name := db.Files()[0]
+	if n := db.cache.Len(); n != 2 {
+		t.Fatalf("%d pages cached, want the two runs' leaves", n)
+	}
+	check := func(when string, exists bool, deferred, cached int) {
+		t.Helper()
+		if got := listFiles(t, fs)[name]; got != exists {
+			t.Fatalf("%s: file exists = %v, want %v", when, got, exists)
+		}
+		if got := db.DeferredFiles(); got != deferred {
+			t.Fatalf("%s: %d deferred files, want %d", when, got, deferred)
+		}
+		if got := db.cache.Len(); got != cached {
+			t.Fatalf("%s: %d pages cached, want %d", when, got, cached)
+		}
+	}
+
+	v1 := db.AcquireView()
+	if err := db.NewEdit().DropRun("from", name).Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if files := db.Files(); !slices.Equal(files, []string{name}) {
+		t.Fatalf("after the From run's drop the manifest names %v", files)
+	}
+	check("From dropped, a view pins both runs", true, 0, 2)
+	v1.Release()
+	check("From reclaimed", true, 0, 1)
+
+	v2 := db.AcquireView()
+	if err := db.NewEdit().DropRun("to", name).Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if files := db.Files(); len(files) != 0 {
+		t.Fatalf("after both drops the manifest names %v", files)
+	}
+	check("both dropped, a view pins the To run", true, 1, 1)
+	if got := viewCollect(t, v2, "to", 1); len(got) != 1 {
+		t.Fatalf("the pinned To run reads %d records of block 1, want 1", len(got))
+	}
+	v2.Release()
+	check("the last view released", false, 0, 0)
+}
+
+// TestSharedFileHandles: a file's runs read through one handle, which
+// closes with the last of them.
+func TestSharedFileHandles(t *testing.T) {
+	fs := storage.NewMemFS()
+	db := openTestDB(t, fs, 1)
+	flushFile(t, db, 1, []string{"from", "to"}, map[string][][]byte{"from": {rec16(1, 1)}, "to": {rec16(1, 2)}})
+	name := db.Files()[0]
+	db.Close()
+	calls := countIO(fs)
+	db = openTestDB(t, fs, 1)
+	if n := calls(storage.OpOpen, name); n != 1 {
+		t.Fatalf("Open opened %s %d times, want once", name, n)
+	}
+	if err := db.NewEdit().DropRun("from", name).Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if n := calls(storage.OpClose, name); n != 0 {
+		t.Fatalf("the handle closed with a run left on it (%d closes)", n)
+	}
+	if err := db.NewEdit().DropRun("to", name).Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if n := calls(storage.OpClose, name); n != 1 {
+		t.Fatalf("%d closes of %s after its last run went, want 1", n, name)
+	}
+}

@@ -9,14 +9,22 @@
 // a Bloom filter over its block numbers so queries open only runs that may
 // contain the queried block.
 //
+// A consistency point is one run file per partition plus the manifest: the
+// checkpoint's From, To and Combined runs of a partition are sections of one
+// file (FileSet), written and synced once. A merge's outputs stay one file
+// per run, since tiered retention expires a sealed Combined run alone.
+// Whatever file a run is in, lsm plans, pins, merges and expires runs; a
+// file is removed when the last version referencing any of its runs goes.
+//
 // A single manifest file is the commit point: run files are written and
 // synced first, then the manifest is atomically replaced (write temp, sync,
 // rename), mirroring the write-anywhere "root written last" discipline the
 // paper's recovery story relies on (Section 5.4). A crash between run
 // writes and the manifest commit leaves orphan files that Open garbage
-// collects. The manifest also carries one opaque section for its caller
-// (Options.Section — the engine's snapshot catalog), so state that decides
-// what the runs mean changes in the same rename as the runs.
+// collects. The manifest records where in its file each run lies, carries a
+// checksum, and carries one opaque section for its caller (Options.Section
+// — the engine's snapshot catalog), so state that decides what the runs
+// mean changes in the same rename as the runs.
 //
 // The layer is policy-free: it stores opaque fixed-size records ordered by
 // bytes.Compare whose first 8 bytes are the big-endian physical block
@@ -25,11 +33,15 @@
 package lsm
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -44,16 +56,20 @@ const (
 	manifestName    = "MANIFEST"
 	manifestTmpName = "MANIFEST.tmp"
 
-	// manifestVersion is the on-disk manifest format Commit writes: per-run
-	// consistency-point windows ([min_cp, max_cp]), override-record counts
-	// and the caller's section. loadManifest also accepts the version
-	// before it, which had no section; a store that used one kept it in a
-	// file of its own, legacySectionName, replaced through
-	// legacySectionTmpName.
-	manifestVersion      = 3
-	manifestReadsVersion = 2
-	legacySectionName    = "CATALOG"
-	legacySectionTmpName = "CATALOG.tmp"
+	// manifestVersion is the on-disk manifest format Commit writes: a JSON
+	// body of per-run consistency-point windows ([min_cp, max_cp]),
+	// override-record counts, where in its file each run lies, and the
+	// caller's section, inside a checksummed envelope (encodeManifest).
+	// loadManifest also accepts manifestJSONVersion, the version before
+	// it: the same body as bare JSON, every run a file of its own.
+	manifestVersion     = 4
+	manifestJSONVersion = 3
+
+	// manifestMagic opens the envelope, which is followed by the version,
+	// the body's length and the CRC-32C of those two and the body, each a
+	// little-endian u32, then the body.
+	manifestMagic  = "BKMANFST"
+	manifestEnvLen = len(manifestMagic) + 12
 
 	// maxRunLevel bounds the level a manifest may claim for a run: a level
 	// is reached by merging at least two runs of the one below.
@@ -101,14 +117,14 @@ type Options struct {
 	HashPartitioning bool
 	// Cache is the shared page cache used by run readers, which a
 	// checkpoint's run builders also fill with the pages they write, where
-	// it has room (see DB.NewRunBuilder). May be nil.
+	// it has room (see DB.NewFileSet). May be nil.
 	Cache *btree.Cache
 	// RunFormat selects the leaf encoding for newly built runs:
 	// btree.FormatRaw (also if zero) or btree.FormatDelta, the two formats
 	// that can be written. Existing runs of every readable format — those
 	// two and the previous delta format — open transparently regardless of
 	// this setting, and every builder — the checkpoint flush and
-	// compaction go through NewRunBuilder — writes the configured format,
+	// compaction go through a FileSet — writes the configured format,
 	// so a database migrates run by run as compaction rewrites them.
 	// FormatDelta requires every table's RecordSize to be a multiple of 8.
 	RunFormat btree.Format
@@ -144,10 +160,6 @@ type DB struct {
 
 	tables map[string]*Table
 	m      manifest
-	// legacySection notes that m.Catalog was read from legacySectionName, the
-	// file the previous format kept it in; the first Commit moves it into
-	// the manifest and removes the file.
-	legacySection bool
 
 	// curCP mirrors m.CP for lock-free readers: Run.SeekGE stamps each
 	// run's last-access CP from it without taking any lock, while Commit
@@ -173,8 +185,8 @@ type DB struct {
 	// cur is the current version — the refcounted snapshot of all
 	// tables' run sets and deletion vectors that AcquireView pins in
 	// O(1). Commit installs a successor and drops the current ref of the
-	// old version; superseded run files are reclaimed when the last
-	// version referencing them is destroyed. verStale records that a
+	// old version; a run file is reclaimed when the last version
+	// referencing any of its runs is destroyed. verStale records that a
 	// deletion-vector mutation outside a Commit made cur's snapshot lag
 	// live state; the next AcquireView rebuilds it. Mutators write it
 	// under the caller's structural exclusive lock, AcquireView reads and
@@ -208,22 +220,29 @@ func (db *DB) DeferredFiles() int {
 	return len(db.deferred)
 }
 
-// deferRun marks a dropped-but-still-pinned run file. Caller holds viewMu.
-func (db *DB) deferRun(name string) {
+// deferFile marks a run file the manifest no longer names but a pinned
+// version still reads. Caller holds viewMu.
+func (db *DB) deferFile(name string) {
 	if db.deferred == nil {
 		db.deferred = make(map[string]struct{})
 	}
 	db.deferred[name] = struct{}{}
 }
 
-// undeferAll clears deferred-tracking for runs whose last pin just went
-// (they are about to be removed). Caller holds viewMu. Deleting a run
-// that was never deferred (doomed without ever outliving its drop) is a
-// no-op.
-func (db *DB) undeferAll(doomed []*Run) {
+// reclaim takes runs no version references any more out of the cache — no
+// view can reach them, so their pages would only displace those of live
+// runs — and off their files, and returns the files whose last run that
+// was, for removeFiles. Caller holds viewMu.
+func (db *DB) reclaim(doomed []*Run) (dead []*runFile) {
 	for _, r := range doomed {
-		delete(db.deferred, r.name)
+		db.cache.Drop(r.qreader.CacheID())
+		if r.file.runs--; r.file.runs == 0 {
+			delete(db.deferred, r.file.name)
+			r.file.doomedBy = r.doomedBy
+			dead = append(dead, r.file)
+		}
 	}
+	return dead
 }
 
 // vfsFor returns the DB's VFS re-tagged to attribute I/O to src. With an
@@ -293,6 +312,8 @@ type tableManifest struct {
 }
 
 type runManifest struct {
+	// Name is the file the run is in; the runs of one file are of different
+	// tables, so (table, Name) names a run.
 	Name     string
 	Level    int
 	Records  uint64
@@ -311,12 +332,23 @@ type runManifest struct {
 	// tables without a Span callback. Such runs are never dropped or pruned
 	// by CP.
 	CPUnknown bool
+	// Pages and Filter are where in the file the run's page grid (header
+	// first) and its Bloom filter lie, for a run that shares its file; both
+	// zero for a run that is its whole file.
+	Pages, Filter storage.Extent
+}
+
+// whole reports whether the run is its whole file.
+func (rm runManifest) whole() bool {
+	return rm.Pages == storage.Extent{} && rm.Filter == storage.Extent{}
 }
 
 // runManifestJSON is the wire form of runManifest. MinCP and MaxCP are
 // omitted when equal to CP (the common case for level-0 flushes, where
-// every record carries the flushed consistency point), keeping manifests
-// of pre-window workloads byte-identical modulo the version field.
+// every record carries the flushed consistency point). At is where a run
+// that shares its file lies in it — page offset, page length, filter
+// offset, filter length — and is omitted for a run that is its whole file,
+// keeping such a run's entry what version 3 wrote.
 type runManifestJSON struct {
 	Name      string  `json:"name"`
 	Level     int     `json:"level"`
@@ -328,6 +360,7 @@ type runManifestJSON struct {
 	MaxCP     *uint64 `json:"max_cp,omitempty"`
 	Overrides uint64  `json:"overrides,omitempty"`
 	CPUnknown bool    `json:"cp_unknown,omitempty"`
+	At        []int64 `json:"at,omitempty"`
 }
 
 func (rm runManifest) MarshalJSON() ([]byte, error) {
@@ -335,6 +368,9 @@ func (rm runManifest) MarshalJSON() ([]byte, error) {
 		Name: rm.Name, Level: rm.Level, Records: rm.Records,
 		MinBlock: rm.MinBlock, MaxBlock: rm.MaxBlock, CP: rm.CP,
 		CPUnknown: rm.CPUnknown,
+	}
+	if !rm.whole() {
+		w.At = []int64{rm.Pages.Off, rm.Pages.Len, rm.Filter.Off, rm.Filter.Len}
 	}
 	if !rm.CPUnknown {
 		if rm.MinCP != rm.CP {
@@ -359,6 +395,14 @@ func (rm *runManifest) UnmarshalJSON(data []byte) error {
 		Name: w.Name, Level: w.Level, Records: w.Records,
 		MinBlock: w.MinBlock, MaxBlock: w.MaxBlock, CP: w.CP,
 		MinCP: w.CP, MaxCP: w.CP, Overrides: w.Overrides, CPUnknown: w.CPUnknown,
+	}
+	switch len(w.At) {
+	case 0:
+	case 4:
+		rm.Pages = storage.Extent{Off: w.At[0], Len: w.At[1]}
+		rm.Filter = storage.Extent{Off: w.At[2], Len: w.At[3]}
+	default:
+		return fmt.Errorf("run %s placed by %d numbers, not 4", w.Name, len(w.At))
 	}
 	if w.MinCP != nil {
 		rm.MinCP = *w.MinCP
@@ -407,17 +451,7 @@ func Open(vfs storage.VFS, opts Options) (*DB, error) {
 		db.tables[spec.Name] = t
 	}
 	if err := db.loadManifest(); err != nil {
-		db.Close()
 		return nil, err
-	}
-	if opts.Section != nil && db.m.Catalog == nil {
-		// A store the previous format wrote: its section is in its own file.
-		sec, err := readAll(db.vfsFor(storage.SrcRecovery), legacySectionName)
-		if err != nil && !errors.Is(err, storage.ErrNotExist) {
-			db.Close()
-			return nil, fmt.Errorf("lsm: reading %s: %w", legacySectionName, err)
-		}
-		db.m.Catalog, db.legacySection = sec, err == nil
 	}
 	db.nextID = db.m.NextID
 	db.curCP.Store(db.m.CP)
@@ -429,15 +463,20 @@ func Open(vfs storage.VFS, opts Options) (*DB, error) {
 	return db, nil
 }
 
-// Close releases the file handle of every live run. The caller must have
-// excluded structural operations; runs a still-pinned view keeps alive
-// past their drop are closed when that view is released. The handles are
-// read-only, so their Close errors carry nothing to report.
+// Close releases the handle of every file a live run is in, once per file.
+// The caller must have excluded structural operations; files a
+// still-pinned view keeps alive past their runs' drop are closed when that
+// view is released. The handles are read-only, so their Close errors carry
+// nothing to report.
 func (db *DB) Close() {
+	closed := map[*runFile]bool{}
 	for _, t := range db.tables {
 		for _, part := range t.runs {
 			for _, r := range part {
-				r.file.Close()
+				if !closed[r.file] {
+					closed[r.file] = true
+					r.file.f.Close()
+				}
 			}
 		}
 	}
@@ -449,8 +488,7 @@ func (db *DB) Table(name string) *Table { return db.tables[name] }
 // CP returns the last committed consistency point number.
 func (db *DB) CP() uint64 { return db.m.CP }
 
-// Section returns the section the committed manifest carries (at Open, of a
-// store the previous format wrote, the one its own file held), or nil. The
+// Section returns the section the committed manifest carries, or nil. The
 // caller must hold the structural lock (shared suffices) and not modify it.
 func (db *DB) Section() []byte { return db.m.Catalog }
 
@@ -545,6 +583,8 @@ func (db *DB) PartitionLevelCounts() [][]int {
 type RunInfo struct {
 	Table     string
 	Partition int
+	// Name is the file the run is in, which a checkpoint's runs of one
+	// partition share.
 	Name      string
 	Level     int
 	Records   uint64
@@ -625,6 +665,96 @@ func readAll(vfs storage.VFS, name string) ([]byte, error) {
 	return buf, nil
 }
 
+// ErrCorrupt reports a manifest that fails its checksum, does not parse,
+// or places runs where no writer puts them. Open refuses it and changes
+// nothing on disk.
+var ErrCorrupt = errors.New("lsm: corrupt manifest")
+
+func corrupt(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
+}
+
+// encodeManifest returns the bytes of m's manifest file: m as JSON inside
+// the envelope.
+func encodeManifest(m manifest) ([]byte, error) {
+	body, err := json.Marshal(&m)
+	if err != nil {
+		return nil, err
+	}
+	return sealManifest(m.Version, body), nil
+}
+
+// sealManifest wraps a manifest body in the envelope, whose checksum covers
+// the version, the length and the body.
+func sealManifest(version int, body []byte) []byte {
+	buf := make([]byte, manifestEnvLen, manifestEnvLen+len(body))
+	copy(buf, manifestMagic)
+	binary.LittleEndian.PutUint32(buf[8:], uint32(version))
+	binary.LittleEndian.PutUint32(buf[12:], uint32(len(body)))
+	buf = append(buf, body...)
+	binary.LittleEndian.PutUint32(buf[16:], manifestCRC(buf))
+	return buf
+}
+
+// manifestCRC is the CRC-32C of an envelope's version, length and body.
+func manifestCRC(buf []byte) uint32 {
+	return crc32.Update(crc32.Checksum(buf[8:16], castagnoli), castagnoli, buf[manifestEnvLen:])
+}
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// decodeManifest parses a manifest file: an envelope, or bare JSON, which
+// is what version 3 and the versions before it wrote. A flipped byte or a
+// cut-off file is ErrCorrupt; a version this binary does not read is
+// refused by its number.
+func decodeManifest(buf []byte) (manifest, error) {
+	var m manifest
+	if len(buf) > 0 && buf[0] == '{' {
+		if err := json.Unmarshal(buf, &m); err != nil {
+			return manifest{}, corrupt("%v", err)
+		}
+		// A missing version field decodes as 0 and is refused like any other.
+		switch m.Version {
+		case manifestJSONVersion:
+			return m, nil
+		case manifestJSONVersion - 1:
+			return manifest{}, fmt.Errorf("lsm: manifest version %d is no longer read: open the store once with a binary that writes version %d, which upgrades it, then with this one",
+				m.Version, manifestJSONVersion)
+		case manifestVersion:
+			return manifest{}, corrupt("a version-%d manifest without its envelope", m.Version)
+		}
+		return manifest{}, versionRefused(m.Version)
+	}
+	if len(buf) < manifestEnvLen || string(buf[:8]) != manifestMagic {
+		return manifest{}, corrupt("no manifest header in %d bytes", len(buf))
+	}
+	if n := binary.LittleEndian.Uint32(buf[12:]); uint64(n) != uint64(len(buf)-manifestEnvLen) {
+		return manifest{}, corrupt("a %d-byte body in a %d-byte file", n, len(buf))
+	}
+	if binary.LittleEndian.Uint32(buf[16:]) != manifestCRC(buf) {
+		return manifest{}, corrupt("checksum")
+	}
+	if v := int(binary.LittleEndian.Uint32(buf[8:])); v != manifestVersion {
+		return manifest{}, versionRefused(v)
+	}
+	if err := json.Unmarshal(buf[manifestEnvLen:], &m); err != nil {
+		return manifest{}, corrupt("%v", err)
+	}
+	if m.Version != manifestVersion {
+		return manifest{}, corrupt("version %d in a version-%d envelope", m.Version, manifestVersion)
+	}
+	return m, nil
+}
+
+func versionRefused(v int) error {
+	return fmt.Errorf("lsm: manifest version %d not supported (this binary writes version %d and reads versions %d and %d)",
+		v, manifestVersion, manifestJSONVersion, manifestVersion)
+}
+
+// loadManifest reads the manifest and opens what it names: every run file
+// once — its layout checked against the file's size before any run of it
+// is read — then every run, in its partition's order. On error every
+// handle it opened is closed again.
 func (db *DB) loadManifest() error {
 	buf, err := readAll(db.vfsFor(storage.SrcRecovery), manifestName)
 	if errors.Is(err, storage.ErrNotExist) {
@@ -634,53 +764,113 @@ func (db *DB) loadManifest() error {
 	if err != nil {
 		return fmt.Errorf("lsm: reading manifest: %w", err)
 	}
-	var m manifest
-	if err := json.Unmarshal(buf, &m); err != nil {
-		return fmt.Errorf("lsm: decoding manifest: %w", err)
+	m, err := decodeManifest(buf)
+	if err != nil {
+		return err
 	}
-	// A missing version field decodes as 0 and is refused like any other.
-	if m.Version != manifestVersion && m.Version != manifestReadsVersion {
-		return fmt.Errorf("lsm: manifest version %d not supported (this binary writes version %d and reads versions %d and %d)",
-			m.Version, manifestVersion, manifestReadsVersion, manifestVersion)
-	}
-	db.m = m
+	byFile := map[string][]runManifest{}
 	for name, tm := range m.Tables {
-		t := db.tables[name]
-		if t == nil {
+		if db.tables[name] == nil {
 			return fmt.Errorf("lsm: manifest references unknown table %q", name)
 		}
 		if len(tm.Partitions) != db.opts.Partitions {
 			return fmt.Errorf("lsm: table %q has %d partitions on disk, configured %d",
 				name, len(tm.Partitions), db.opts.Partitions)
 		}
-		for p, runs := range tm.Partitions {
+		for _, runs := range tm.Partitions {
 			for _, rm := range runs {
 				if rm.Level < 0 || rm.Level > maxRunLevel {
 					return fmt.Errorf("lsm: manifest puts run %s at level %d", rm.Name, rm.Level)
 				}
-				r, err := db.openRun(t, rm, storage.SrcRecovery, nil)
+				byFile[rm.Name] = append(byFile[rm.Name], rm)
+			}
+		}
+	}
+
+	files := map[string]*runFile{}
+	fail := func(err error) error {
+		for _, rf := range files {
+			rf.f.Close()
+		}
+		return err
+	}
+	for _, name := range slices.Sorted(maps.Keys(byFile)) {
+		f, err := db.vfsFor(storage.SrcRecovery).Open(name)
+		if err != nil {
+			return fail(fmt.Errorf("lsm: opening run: %w", err))
+		}
+		files[name] = &runFile{name: name, f: f}
+		size, err := f.Size()
+		if err != nil {
+			return fail(fmt.Errorf("lsm: sizing run file %s: %w", name, err))
+		}
+		if err := checkLayout(name, byFile[name], size); err != nil {
+			return fail(err)
+		}
+	}
+	db.m = m
+	for name, tm := range m.Tables {
+		t := db.tables[name]
+		for p, runs := range tm.Partitions {
+			for _, rm := range runs {
+				r, err := db.openRun(t, rm, nil, files[rm.Name])
 				if err != nil {
-					return err
+					return fail(err)
 				}
+				r.file.runs++
 				t.runs[p] = append(t.runs[p], r)
 			}
 		}
 		if tm.DVFile != "" {
 			if err := t.loadDV(tm.DVFile); err != nil {
-				return err
+				return fail(err)
 			}
 		}
 	}
 	return nil
 }
 
-// collectOrphans removes files not referenced by the manifest — leftovers
-// of a crash between run writes and the manifest commit, or between a commit
-// that moved the section into the manifest and the removal of its old file.
+// checkLayout refuses a file whose runs the manifest places where no
+// writer puts them: a run that is its whole file shares it with none, and
+// each section's page grid starts on a page boundary and holds at least its
+// header page, and neither it nor the section's filter runs past the end of
+// the file or overlaps another run's range.
+func checkLayout(name string, rms []runManifest, size int64) error {
+	if len(rms) == 1 && rms[0].whole() {
+		return nil // btree.Open checks the run against the file
+	}
+	var exts []storage.Extent
+	for _, rm := range rms {
+		switch {
+		case rm.whole():
+			return corrupt("%s: a run that is the whole file shares it", name)
+		case rm.Pages.Off%storage.PageSize != 0:
+			return corrupt("%s: pages at %d, off a page boundary", name, rm.Pages.Off)
+		case rm.Pages.Len < storage.PageSize || rm.Pages.Len%storage.PageSize != 0:
+			return corrupt("%s: a page range of %d bytes", name, rm.Pages.Len)
+		}
+		for _, e := range []storage.Extent{rm.Pages, rm.Filter} {
+			if e.Off < 0 || e.Len < 0 || e.Off > size || e.Len > size-e.Off {
+				return corrupt("%s: range %d+%d in a %d-byte file", name, e.Off, e.Len, size)
+			}
+			if e.Len > 0 {
+				exts = append(exts, e)
+			}
+		}
+	}
+	slices.SortFunc(exts, func(a, b storage.Extent) int { return cmp.Compare(a.Off, b.Off) })
+	for i := 1; i < len(exts); i++ {
+		if prev := exts[i-1]; exts[i].Off < prev.Off+prev.Len {
+			return corrupt("%s: ranges %d+%d and %d+%d overlap", name, prev.Off, prev.Len, exts[i].Off, exts[i].Len)
+		}
+	}
+	return nil
+}
+
+// collectOrphans removes files not referenced by the manifest: leftovers
+// of a crash between run writes and the manifest commit.
 func (db *DB) collectOrphans() error {
 	live := map[string]bool{manifestName: true}
-	// The section's old file is the only copy until a manifest carries one.
-	live[legacySectionName] = db.legacySection || db.m.Catalog == nil
 	for _, name := range db.Files() {
 		live[name] = true
 	}
@@ -693,8 +883,7 @@ func (db *DB) collectOrphans() error {
 		if live[name] {
 			continue
 		}
-		if !strings.HasSuffix(name, ".run") && !strings.HasPrefix(name, "dv.") &&
-			name != manifestTmpName && name != legacySectionName && name != legacySectionTmpName {
+		if !strings.HasSuffix(name, ".run") && !strings.HasPrefix(name, "dv.") && name != manifestTmpName {
 			continue // not ours
 		}
 		if err := rvfs.Remove(name); err != nil && !errors.Is(err, storage.ErrNotExist) {
@@ -704,10 +893,10 @@ func (db *DB) collectOrphans() error {
 	return nil
 }
 
-// Files returns the files the committed manifest names — every run and
-// deletion-vector file — sorted. Open removes any other run, vector or
-// temporary manifest file it finds. The caller must hold the structural lock
-// (shared suffices).
+// Files returns the files the committed manifest names — every run file,
+// once however many runs it holds, and every deletion-vector file — sorted.
+// Open removes any other run, vector or temporary manifest file it finds.
+// The caller must hold the structural lock (shared suffices).
 func (db *DB) Files() []string {
 	var names []string
 	for _, tm := range db.m.Tables {
@@ -720,8 +909,8 @@ func (db *DB) Files() []string {
 			names = append(names, tm.DVFile)
 		}
 	}
-	sort.Strings(names)
-	return names
+	slices.Sort(names)
+	return slices.Compact(names)
 }
 
 // blockOf extracts the big-endian block number prefix of a record.

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -13,7 +14,8 @@ import (
 	"github.com/backlogfs/backlog/internal/storage"
 )
 
-// goldenSection is the section of testdata/v3-manifest-catalog.json.
+// goldenSection is the section of testdata/v3-manifest-catalog.json and
+// testdata/v4-manifest-catalog.
 const goldenSection = `{"lines":[{"id":0,"live":true,"snapshots":[2,4]}]}`
 
 func goldenOptions(section func() ([]byte, error)) Options {
@@ -81,24 +83,35 @@ func storeState(t *testing.T, db *DB) string {
 	return b.String()
 }
 
-// TestManifestV3BytesPinned: the encoder keeps producing the bytes of the
-// two version-3 goldens — without a section the previous format's manifest
-// but for the version digit, with one the same plus the section — and a
-// store reopened from them agrees with the one that wrote them.
-func TestManifestV3BytesPinned(t *testing.T) {
-	v2 := testdata(t, "v2-manifest.json")
+// goldenStoreV4 is goldenStore plus what version 4 records: a
+// checkpoint's runs of both tables as sections of one file in partition 0,
+// and in partition 1 a checkpoint file that holds one run.
+func goldenStoreV4(t testing.TB, fs storage.VFS, section func() ([]byte, error)) *DB {
+	t.Helper()
+	db := goldenStore(t, fs, section)
+	flushFile(t, db, 6, []string{"from", "combined"}, map[string][][]byte{
+		"from":     {rec16(7, 6), rec16(1200, 6)},
+		"combined": {rec16(8, 6)},
+	})
+	return db
+}
+
+// TestManifestV4BytesPinned: the encoder keeps producing the bytes of the
+// two version-4 goldens, with and without a section, and a store reopened
+// from them agrees with the one that wrote them.
+func TestManifestV4BytesPinned(t *testing.T) {
 	for _, tc := range []struct {
 		golden  string
 		section func() ([]byte, error)
 	}{
-		{"v3-manifest.json", nil},
-		{"v3-manifest-catalog.json", func() ([]byte, error) { return []byte(goldenSection), nil }},
+		{"v4-manifest", nil},
+		{"v4-manifest-catalog", func() ([]byte, error) { return []byte(goldenSection), nil }},
 	} {
 		fs := storage.NewMemFS()
-		db := goldenStore(t, fs, tc.section)
+		db := goldenStoreV4(t, fs, tc.section)
 		want := testdata(t, tc.golden)
 		if got := readFile(t, fs, manifestName); !bytes.Equal(got, want) {
-			t.Fatalf("%s: the encoder wrote\n%s\nthe golden holds\n%s", tc.golden, got, want)
+			t.Fatalf("%s: the encoder wrote\n%q\nthe golden holds\n%q", tc.golden, got, want)
 		}
 		before := storeState(t, db)
 		db.Close()
@@ -109,82 +122,172 @@ func TestManifestV3BytesPinned(t *testing.T) {
 		if after := storeState(t, db2); after != before {
 			t.Fatalf("%s: reopened store\n%s\nthe one that wrote it\n%s", tc.golden, after, before)
 		}
-		if tc.section == nil {
-			if asV2 := bytes.Replace(want, []byte(`{"version":3,`), []byte(`{"version":2,`), 1); !bytes.Equal(asV2, v2) {
-				t.Fatalf("a manifest without a section differs from the previous format's by more than the version:\n%s\n%s", want, v2)
-			}
-			if db2.Section() != nil {
-				t.Fatalf("a store opened without a section has %q", db2.Section())
-			}
-		} else if string(db2.Section()) != goldenSection {
-			t.Fatalf("section after the reopen: %q", db2.Section())
-		}
 		db2.Close()
 	}
 }
 
-// TestManifestV2Upgrade opens the manifest the previous encoder wrote for
-// the golden store, beside the file that format kept the section in: the
-// file is honoured, the first commit writes version 3 with the section and
-// the same runs, the file is gone, and a reopen agrees. Without a Section
-// callback the file is nobody's and stays.
-func TestManifestV2Upgrade(t *testing.T) {
+// TestManifestV3BytesPinned: the two version-3 goldens, the bare JSON the
+// previous encoder wrote for goldenStore (never regenerate them), still
+// open to the store that wrote them, and its first commit writes version 4
+// with the same runs and section, which a reopen agrees with.
+func TestManifestV3BytesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		golden  string
+		section func() ([]byte, error)
+	}{
+		{"v3-manifest.json", nil},
+		{"v3-manifest-catalog.json", func() ([]byte, error) { return []byte(goldenSection), nil }},
+	} {
+		fs := storage.NewMemFS()
+		db := goldenStore(t, fs, tc.section)
+		want := storeState(t, db)
+		db.Close()
+		plant(t, fs, manifestName, testdata(t, tc.golden))
+		db, err := Open(fs, goldenOptions(tc.section))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.golden, err)
+		}
+		if got := storeState(t, db); got != want {
+			t.Fatalf("%s opens to\n%s\nthe store that wrote it\n%s", tc.golden, got, want)
+		}
+		if err := db.NewEdit().Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if body := manifestBody(t, fs); !bytes.HasPrefix(readFile(t, fs, manifestName), []byte(manifestMagic)) ||
+			!bytes.Equal(bytes.Replace(body, []byte(`{"version":4,`), []byte(`{"version":3,`), 1), testdata(t, tc.golden)) {
+			t.Fatalf("%s: the first commit wrote\n%s\nwant the same body at version 4", tc.golden, body)
+		}
+		db.Close()
+		if db, err = Open(fs, goldenOptions(tc.section)); err != nil {
+			t.Fatal(err)
+		}
+		if got := storeState(t, db); got != want {
+			t.Fatalf("%s: upgraded store reopens to\n%s\nwant\n%s", tc.golden, got, want)
+		}
+		db.Close()
+	}
+}
+
+// TestManifestV2RefusedByName: a version-2 manifest (the previous encoder's
+// of goldenStore, beside the CATALOG file that format kept the section in)
+// is no longer upgraded here: Open refuses it by its version, says which
+// binary upgrades it, and changes nothing on disk.
+func TestManifestV2RefusedByName(t *testing.T) {
 	fs := storage.NewMemFS()
 	goldenStore(t, fs, nil).Close()
 	plant(t, fs, manifestName, testdata(t, "v2-manifest.json"))
-	plant(t, fs, legacySectionName, []byte(goldenSection))
-	plant(t, fs, legacySectionTmpName, []byte("torn"))
+	plant(t, fs, "CATALOG", []byte(goldenSection))
+	before := snapshotFiles(t, fs)
+	_, err := Open(fs, goldenOptions(func() ([]byte, error) { return nil, nil }))
+	if err == nil || !strings.Contains(err.Error(), "manifest version 2 is no longer read: open the store once with a binary that writes version 3") {
+		t.Fatalf("Open = %v, want a refusal naming version 2 and the binary that upgrades it", err)
+	}
+	if after := snapshotFiles(t, fs); !reflect.DeepEqual(after, before) {
+		t.Fatal("a refused Open changed the directory")
+	}
+}
 
+// snapshotFiles returns every file of fs with its contents.
+func snapshotFiles(t testing.TB, fs *storage.MemFS) map[string]string {
+	t.Helper()
+	names, err := fs.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{}
+	for _, n := range names {
+		files[n] = string(readFile(t, fs, n))
+	}
+	return files
+}
+
+// refuses opens fs with manifest planted and wants ErrCorrupt, with nothing
+// on disk changed.
+func refuses(t *testing.T, fs *storage.MemFS, manifest []byte, what string) {
+	t.Helper()
+	plant(t, fs, manifestName, manifest)
+	before := snapshotFiles(t, fs)
 	db, err := Open(fs, goldenOptions(nil))
-	if err != nil {
-		t.Fatal(err)
+	if err == nil {
+		db.Close()
+		t.Fatalf("%s: Open accepted it", what)
 	}
-	if db.Section() != nil || !listFiles(t, fs)[legacySectionName] {
-		t.Fatalf("without a Section callback: section %q, file kept: %v", db.Section(), listFiles(t, fs)[legacySectionName])
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("%s: Open = %v, want ErrCorrupt", what, err)
 	}
-	db.Close()
+	if after := snapshotFiles(t, fs); !reflect.DeepEqual(after, before) {
+		t.Fatalf("%s: a refused Open changed the directory", what)
+	}
+}
 
-	// The callback is the engine's: it serializes what Open handed it.
-	var loaded []byte
-	section := func() ([]byte, error) { return loaded, nil }
-	db, err = Open(fs, goldenOptions(section))
-	if err != nil {
-		t.Fatal(err)
+// TestManifestEnvelopeCorruption: every single flipped byte and every
+// truncation of a version-4 manifest is ErrCorrupt at Open — never another
+// topology, never a panic — and a refused Open changes nothing on disk.
+func TestManifestEnvelopeCorruption(t *testing.T) {
+	fs := storage.NewMemFS()
+	goldenStoreV4(t, fs, nil).Close()
+	good := readFile(t, fs, manifestName)
+	for i := range good {
+		for _, mask := range []byte{0x01, 0x80} {
+			bad := bytes.Clone(good)
+			bad[i] ^= mask
+			refuses(t, fs, bad, fmt.Sprintf("byte %d ^ %#x", i, mask))
+		}
+		refuses(t, fs, good[:i], fmt.Sprintf("cut at %d of %d bytes", i, len(good)))
 	}
-	if loaded = db.Section(); string(loaded) != goldenSection {
-		t.Fatalf("section at Open: %q, want the old file's", loaded)
-	}
-	if listFiles(t, fs)[legacySectionTmpName] {
-		t.Fatalf("%s survived Open", legacySectionTmpName)
-	}
-	if !listFiles(t, fs)[legacySectionName] {
-		t.Fatalf("%s removed before a manifest held the section", legacySectionName)
-	}
-	before := storeState(t, db)
-	if err := db.NewEdit().Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := readFile(t, fs, manifestName), testdata(t, "v3-manifest-catalog.json"); !bytes.Equal(got, want) {
-		t.Fatalf("first commit over the version-2 store wrote\n%s\nwant the version-3 golden\n%s", got, want)
-	}
-	if listFiles(t, fs)[legacySectionName] {
-		t.Fatalf("%s survived the commit that moved it into the manifest", legacySectionName)
-	}
-	db.Close()
+	refuses(t, fs, append(bytes.Clone(good), 0), "a trailing byte")
+}
 
-	// A crash between that commit's rename and the removal leaves the file
-	// behind; the manifest's section wins and Open collects the file.
-	plant(t, fs, legacySectionName, []byte(`{"lines":[]}`))
-	db, err = Open(fs, goldenOptions(section))
+// hostileSections returns the manifests of goldenStoreV4 with its shared
+// file's sections placed where no writer puts them, each checksummed: Open
+// must refuse every one as ErrCorrupt.
+func hostileSections(t testing.TB, good []byte) map[string][]byte {
+	t.Helper()
+	m, err := decodeManifest(good)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
-	if after := storeState(t, db); after != before {
-		t.Fatalf("reopened store\n%s\nbefore the upgrade\n%s", after, before)
+	shared := func(m manifest) (from, comb *runManifest) {
+		return &m.Tables["from"].Partitions[0][1], &m.Tables["combined"].Partitions[0][2]
 	}
-	if listFiles(t, fs)[legacySectionName] {
-		t.Fatalf("%s survived an Open whose manifest holds the section", legacySectionName)
+	from, comb := shared(m)
+	if from.whole() || comb.whole() || from.Name != comb.Name {
+		t.Fatalf("goldenStoreV4's checkpoint runs do not share a file: %+v %+v", from, comb)
+	}
+	out := map[string][]byte{}
+	for name, mutate := range map[string]func(from, comb *runManifest){
+		"filter past EOF":           func(_, c *runManifest) { c.Filter.Off += 1 << 20 },
+		"overlapping ranges":        func(f, c *runManifest) { c.Pages.Off = f.Pages.Off },
+		"pages short of a header":   func(_, c *runManifest) { c.Pages.Len = 100 },
+		"two runs name one range":   func(f, c *runManifest) { c.Pages, c.Filter = f.Pages, f.Filter },
+		"unaligned page offset":     func(_, c *runManifest) { c.Pages.Off++ },
+		"whole file that is shared": func(_, c *runManifest) { c.Pages, c.Filter = storage.Extent{}, storage.Extent{} },
+		"pages one page off":        func(_, c *runManifest) { c.Pages.Off -= storage.PageSize },
+	} {
+		var mm manifest
+		if err := json.Unmarshal(good[manifestEnvLen:], &mm); err != nil {
+			t.Fatal(err)
+		}
+		mutate(shared(mm))
+		b, err := encodeManifest(mm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = b
+	}
+	return out
+}
+
+// TestManifestHostileSections: a checksummed manifest that places a
+// shared file's runs where no writer puts them — a range past the end of
+// the file, overlapping ranges, a page range shorter than the header page,
+// two runs naming one range, an unaligned page offset, a run claiming the
+// whole of a file it shares, pages one page off — is ErrCorrupt at Open.
+func TestManifestHostileSections(t *testing.T) {
+	fs := storage.NewMemFS()
+	goldenStoreV4(t, fs, nil).Close()
+	for name, b := range hostileSections(t, readFile(t, fs, manifestName)) {
+		refuses(t, fs, b, name)
 	}
 }
 
@@ -252,8 +355,11 @@ func TestSectionCommitsWithTheEdit(t *testing.T) {
 	}
 }
 
-// FuzzManifest: whatever bytes MANIFEST holds, Open does not panic, and an
-// Open that refuses them leaves every file as it was.
+// FuzzManifest: whatever bytes MANIFEST holds, Open does not panic, an
+// Open that refuses them leaves every file as it was, and bytes that start
+// like an envelope but do not decode as one of a version this binary reads
+// — flipped, cut short — are ErrCorrupt. The seeds include the manifests of
+// TestManifestHostileSections.
 func FuzzManifest(f *testing.F) {
 	for _, name := range []string{"v2-manifest.json", "v3-manifest.json", "v3-manifest-catalog.json"} {
 		b, err := os.ReadFile(filepath.Join("testdata", name))
@@ -270,7 +376,17 @@ func FuzzManifest(f *testing.F) {
 	f.Add([]byte(`{"version":3,"catalog":{"lines":`))
 
 	base := storage.NewMemFS()
-	goldenStore(f, base, nil).Close()
+	goldenStoreV4(f, base, nil).Close()
+	v4 := readFile(f, base, manifestName)
+	f.Add(v4)
+	f.Add(v4[:len(v4)/2])
+	flipped := bytes.Clone(v4)
+	flipped[len(flipped)/2] ^= 0x10
+	f.Add(flipped)
+	f.Add(sealManifest(manifestVersion+1, v4[manifestEnvLen:]))
+	for _, b := range hostileSections(f, v4) {
+		f.Add(b)
+	}
 	names, err := base.List()
 	if err != nil {
 		f.Fatal(err)
@@ -291,6 +407,10 @@ func FuzzManifest(f *testing.F) {
 		if err == nil {
 			db.Close()
 			return
+		}
+		if _, derr := decodeManifest(data); derr != nil && bytes.HasPrefix(data, []byte(manifestMagic)) &&
+			!errors.Is(err, ErrCorrupt) && !strings.Contains(err.Error(), "not supported") {
+			t.Fatalf("Open of a damaged envelope = %v, want ErrCorrupt", err)
 		}
 		after, _ := fs.List()
 		if !reflect.DeepEqual(after, before) {

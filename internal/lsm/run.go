@@ -10,7 +10,8 @@ import (
 	"github.com/backlogfs/backlog/internal/storage"
 )
 
-// Run is a handle to one immutable read-store file.
+// Run is a handle to one immutable read-store run: a whole file, or one
+// section of a file it shares with runs of other tables.
 type Run struct {
 	name      string
 	level     int
@@ -30,27 +31,33 @@ type Run struct {
 	overrides uint64
 	cpUnknown bool
 
+	// pageExt and filterExt are where the run lies in a file it shares
+	// (runManifest.Pages and Filter); zero for a run that is its whole file.
+	pageExt, filterExt storage.Extent
+
 	table *Table
 
 	// refs counts the versions whose run lists include this run (the
 	// current version plus any superseded versions still pinned by
 	// views), guarded by db.viewMu. When the last such version is
-	// destroyed the run's file is reclaimed.
+	// destroyed the run is taken off its file, which is reclaimed with the
+	// last of its runs.
 	refs int
 
-	// file is the handle openRun opened; it is closed when the last version
-	// referencing the run is destroyed (removeRuns) or by DB.Close.
+	// file is the file the run is in, with the one handle its runs share.
 	//
 	// qreader serves query seeks and Bloom loads, creader compaction
 	// scans: shallow copies of one btree.Reader differing only in the
-	// purpose tag of their view of file, so every cache-miss page read is
-	// attributed to the subsystem that caused it. They share one cache
+	// purpose tag of their view of the file, so every cache-miss page read
+	// is attributed to the subsystem that caused it. They share one cache
 	// identity — the one a checkpoint's builder wrote its pages through
 	// under — and only qreader fills it: a merge scan is served resident
 	// pages but inserts none (see btree.Reader.NoFill), so it cannot evict
 	// the query working set in favour of runs it is about to delete. Over
 	// a VFS that is not storage.Attributed both wrap the same untagged file.
-	file    storage.File
+	// A run that shares its file reads through a storage.Extents view of
+	// its two ranges, which presents the run's own layout.
+	file    *runFile
 	qreader *btree.Reader
 	creader *btree.Reader
 	// filter is the run's Bloom filter once known: handed over by the
@@ -79,7 +86,20 @@ type Run struct {
 	doomedBy storage.Source
 }
 
-// Name returns the run's file name.
+// runFile is one run file: the handle every run in it reads through, and
+// how many of those runs no version has let go of yet. The last run to go
+// closes the handle and removes the file (removeFiles).
+type runFile struct {
+	name string
+	f    storage.File
+	// runs is guarded by db.viewMu once the runs are installed; doomedBy
+	// is the source the file's removal is attributed to.
+	runs     int
+	doomedBy storage.Source
+}
+
+// Name returns the name of the file the run is in; within its table it
+// names the run.
 func (r *Run) Name() string { return r.name }
 
 // Level returns the run's maintenance level: 0 for per-CP flushes and
@@ -143,24 +163,40 @@ func (r *Run) HeatBytes() int64 { return r.heatBytes.Load() }
 // run's most recent query seek (zero if never queried).
 func (r *Run) LastAccessCP() uint64 { return r.lastCP.Load() }
 
-// openRun opens a run file and its per-purpose readers. A run found in the
-// manifest has its header read and verified, attributed to src (recovery);
-// one this process just built comes with its builder, whose header stands in
-// for the read — an install holds the structural lock exclusively.
-func (db *DB) openRun(t *Table, rm runManifest, src storage.Source, built *btree.Writer) (*Run, error) {
-	f, err := db.vfsFor(src).Open(rm.Name)
-	if err != nil {
-		return nil, fmt.Errorf("lsm: opening run: %w", err)
+// openRun opens the per-purpose readers of a run in rf, whose handle is
+// open; the caller counts the run on rf (runFile.runs) when it installs it.
+// A run found in the manifest has its header read and verified through the
+// handle, whose reads are attributed to recovery; one this process just
+// built comes with its builder, whose header stands in for the read — an
+// install holds the structural lock exclusively. A run that shares its file
+// reads through a view of its two ranges — the file's first run claims
+// every page before the filters (btree.FileWriter), where its filter comes
+// first — and its header must describe them.
+func (db *DB) openRun(t *Table, rm runManifest, built *btree.Writer, rf *runFile) (*Run, error) {
+	grid := rm.Pages
+	if grid.Off == 0 {
+		grid.Len = rm.Filter.Off
+	}
+	view := func(f storage.File) storage.File {
+		if rm.whole() {
+			return f
+		}
+		return storage.Extents(f, grid, rm.Filter)
 	}
 	var rd *btree.Reader
 	if built != nil {
-		rd = built.Open(f, db.cache)
-	} else if rd, err = btree.Open(f, db.cache); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("lsm: run %s: %w", rm.Name, err)
+		rd = built.Open(view(rf.f), db.cache)
+	} else {
+		var err error
+		if rd, err = btree.Open(view(rf.f), db.cache); err != nil {
+			return nil, fmt.Errorf("lsm: %s run in %s: %w", t.spec.Name, rm.Name, err)
+		}
+	}
+	if !rm.whole() && (rd.Pages()*storage.PageSize != uint64(grid.Len) || rd.SizeBytes() != rm.Pages.Len+rm.Filter.Len) {
+		return nil, corrupt("%s run in %s: its header describes a %d-page grid and %d bytes of its own, the manifest %d+%d+%d bytes",
+			t.spec.Name, rm.Name, rd.Pages(), rd.SizeBytes(), grid.Len, rm.Pages.Len, rm.Filter.Len)
 	}
 	if rd.RecordSize() != t.spec.RecordSize {
-		f.Close()
 		return nil, fmt.Errorf("lsm: run %s record size %d, table %q wants %d",
 			rm.Name, rd.RecordSize(), t.spec.Name, t.spec.RecordSize)
 	}
@@ -178,17 +214,19 @@ func (db *DB) openRun(t *Table, rm runManifest, src storage.Source, built *btree
 		maxCP:     rm.MaxCP,
 		overrides: rm.Overrides,
 		cpUnknown: rm.CPUnknown,
+		pageExt:   rm.Pages,
+		filterExt: rm.Filter,
 		sizeBytes: rd.SizeBytes(),
 		format:    rd.Format(),
 		table:     t,
-		file:      f,
+		file:      rf,
 		// refs stays 0 until a version installation picks the run up; a
 		// Commit that fails before installing removes the file itself.
 	}
-	qf := storage.WithReadHook(storage.TagFile(f, storage.SrcQuery),
+	qf := storage.WithReadHook(storage.TagFile(rf.f, storage.SrcQuery),
 		func(n int) { r.heatBytes.Add(int64(n)) })
-	r.qreader = rd.WithFile(qf)
-	r.creader = rd.WithFile(storage.TagFile(f, storage.SrcCompaction)).NoFill()
+	r.qreader = rd.WithFile(view(qf))
+	r.creader = rd.WithFile(view(storage.TagFile(rf.f, storage.SrcCompaction))).NoFill()
 	return r, nil
 }
 
@@ -244,21 +282,18 @@ func (r *Run) First() (*btree.Iterator, error) {
 	return r.creader.First()
 }
 
-// RunBuilder accumulates sorted records into a new run file. Builders are
-// created by DB.NewRunBuilder and produce a RunRef to be installed by a
-// later Commit.
+// RunBuilder accumulates sorted records into a new run. The builder
+// DB.NewRunBuilder returns makes a run that is a file of its own, which its
+// Finish writes and syncs; the builders of a FileSet's runs are finished by
+// the set (FileSet.Done, FileSet.Finish). Either way the result is a RunRef
+// to be installed by a later Commit.
 type RunBuilder struct {
-	db        *DB
 	table     *Table
 	partition int
-	level     int
-	cp        uint64
-	src       storage.Source
-
-	name   string
-	file   storage.File
-	writer *btree.Writer
-	filter *bloom.Filter
+	set       *FileSet
+	file      *runFile
+	writer    *btree.Writer
+	filter    *bloom.Filter
 
 	minBlock, maxBlock uint64
 	prevBlock          uint64
@@ -269,60 +304,6 @@ type RunBuilder struct {
 	minCP, maxCP uint64
 	overrides    uint64
 	anyCP        bool
-}
-
-// NewRunBuilder starts a new run for (table, partition). Level 0 marks a
-// per-CP flush; levels >= 1 compacted runs (compaction stamps its outputs
-// one level above its inputs, or 1 for a full-partition merge). The run
-// file is created immediately but becomes visible only when its RunRef is
-// committed. All I/O the builder issues — file creation, page writes, the
-// final sync, and removal on abort — is attributed to src (checkpoint for
-// per-CP flushes, compaction for merges). expectRecords is an upper bound
-// on the records the caller will add (the write store's length at a
-// checkpoint, the inputs' record total at a merge); it sizes the Bloom
-// filter, which Finish then shrinks to the keys actually added.
-//
-// A checkpoint's builder (src storage.SrcCheckpoint) writes its pages
-// through to the page cache where the cache has room for them
-// (btree.Writer.WriteThrough), so the queries and the merge that read a
-// fresh run find it in memory. A merge's builder caches nothing: its
-// output is about as large as its inputs and mostly cold, and a merge
-// inserts no page into the cache and evicts none, scan and output alike.
-func (db *DB) NewRunBuilder(table string, partition, level int, cp uint64, src storage.Source, expectRecords int) (*RunBuilder, error) {
-	t := db.tables[table]
-	if t == nil {
-		return nil, fmt.Errorf("lsm: unknown table %q", table)
-	}
-	if partition < 0 || partition >= db.opts.Partitions {
-		return nil, fmt.Errorf("lsm: partition %d out of range", partition)
-	}
-	name := fmt.Sprintf("%s.p%03d.%010d.run", table, partition, db.allocID())
-	f, err := db.vfsFor(src).Create(name)
-	if err != nil {
-		return nil, err
-	}
-	// Every run creation funnels through here — checkpoint flushes and
-	// compaction — so the configured format covers them all.
-	w, err := btree.NewWriterFormat(f, t.spec.RecordSize, db.opts.RunFormat)
-	if err != nil {
-		db.removeRunFile(name, src, f, 0) // no writer, so nothing cached
-		return nil, err
-	}
-	if src == storage.SrcCheckpoint {
-		w.WriteThrough(db.cache)
-	}
-	return &RunBuilder{
-		db:        db,
-		table:     t,
-		partition: partition,
-		level:     level,
-		cp:        cp,
-		src:       src,
-		name:      name,
-		file:      f,
-		writer:    w,
-		filter:    bloom.NewForCapacity(expectRecords, t.spec.BloomMaxBytes),
-	}, nil
 }
 
 // Add appends a record (strictly ascending order required).
@@ -363,6 +344,27 @@ func (b *RunBuilder) Add(rec []byte) error {
 // Count returns the number of records added so far.
 func (b *RunBuilder) Count() uint64 { return b.writer.Count() }
 
+// NewRunBuilder starts a new run for (table, partition) in a file of its
+// own. Level 0 marks a per-CP flush; levels >= 1 compacted runs
+// (compaction stamps its outputs one level above its inputs, or 1 for a
+// full-partition merge). The file is created immediately but becomes
+// visible only when the run's RunRef is committed. All I/O the builder
+// issues — file creation, page writes, the final sync, and removal on abort
+// — is attributed to src (compaction for merges). expectRecords is an
+// upper bound on the records the caller will add (the inputs' record total
+// at a merge); it sizes the Bloom filter, which Finish then shrinks to the
+// keys actually added. A checkpoint's runs share one file per partition
+// instead (NewFileSet).
+func (db *DB) NewRunBuilder(table string, partition, level int, cp uint64, src storage.Source, expectRecords int) (*RunBuilder, error) {
+	s := db.NewFileSet(level, cp, src, table)
+	b, err := s.Run(table, partition, expectRecords)
+	if err != nil {
+		s.Abort()
+		return nil, err
+	}
+	return b, nil
+}
+
 // RunRef identifies a finished, not-yet-committed run.
 type RunRef struct {
 	table     string
@@ -370,6 +372,9 @@ type RunRef struct {
 	rm        runManifest
 	sizeBytes int64
 	src       storage.Source
+	// file is the file the run is in, shared by the refs of its other runs;
+	// Commit opens its handle once for all of them.
+	file *runFile
 	// filter is the Bloom filter the builder wrote into the file and built
 	// the writer that holds its header; Commit gives both to the installed
 	// run, which then never reads either back.
@@ -384,81 +389,96 @@ func (ref RunRef) SizeBytes() int64 { return ref.sizeBytes }
 // Records returns the number of records in the finished run.
 func (ref RunRef) Records() uint64 { return ref.rm.Records }
 
-// Finish completes the run file (bloom + header + sync) and returns its
-// reference. Empty builders return a zero RunRef with ok=false and remove
-// their file. The builder's write handle is closed in every path; a later
-// Commit reopens the file by name.
+// Finish completes the file of a builder NewRunBuilder returned (pages,
+// bloom, header, sync) and returns the run's reference. An empty builder
+// returns a zero RunRef with ok=false and removes its file, and so does a
+// failed one. The write handle is closed in every path; a later Commit
+// reopens the file by name.
 func (b *RunBuilder) Finish() (ref RunRef, ok bool, err error) {
 	if b.writer.Count() == 0 {
 		b.Abort()
 		return RunRef{}, false, nil
 	}
+	if err := b.set.Done(b.table.spec.Name, nil); err != nil {
+		b.Abort()
+		return RunRef{}, false, err
+	}
+	refs, err := b.set.Finish()
+	if err != nil {
+		return RunRef{}, false, err
+	}
+	return refs[0], true, nil
+}
+
+// Abort removes the file of a builder NewRunBuilder returned, and the pages
+// it wrote through to the cache, without committing it.
+func (b *RunBuilder) Abort() { b.set.Abort() }
+
+// seal completes the run's pages and header once its last record is in.
+func (b *RunBuilder) seal() error {
 	// Shrink the filter to the paper's target false-positive rate when the
 	// run holds few records ("If an RS contains a smaller number of
 	// records, we appropriately shrink its Bloom filter", Section 5.1).
 	b.filter.ShrinkToFit(0.024)
-	if err := b.writer.Finish(b.filter.Marshal()); err != nil {
-		b.file.Close()
-		return RunRef{}, false, err
-	}
-	if err := b.file.Close(); err != nil {
-		return RunRef{}, false, err
-	}
+	return b.writer.Finish(b.filter.Marshal())
+}
+
+// ref returns the reference of the sealed run, once its file is written;
+// whole marks the file's only run.
+func (b *RunBuilder) ref(whole bool) RunRef {
 	rm := runManifest{
-		Name:     b.name,
-		Level:    b.level,
+		Name:     b.file.name,
+		Level:    b.set.level,
 		Records:  b.writer.Count(),
 		MinBlock: b.minBlock,
 		MaxBlock: b.maxBlock,
-		CP:       b.cp,
+		CP:       b.set.cp,
 	}
 	if b.table.spec.Span != nil && b.anyCP {
 		rm.MinCP, rm.MaxCP, rm.Overrides = b.minCP, b.maxCP, b.overrides
 	} else {
-		rm.MinCP, rm.MaxCP, rm.CPUnknown = 0, b.cp, true
+		rm.MinCP, rm.MaxCP, rm.CPUnknown = 0, b.set.cp, true
+	}
+	if !whole {
+		rm.Pages, rm.Filter = b.writer.Extents()
 	}
 	return RunRef{
 		table:     b.table.spec.Name,
 		partition: b.partition,
 		rm:        rm,
 		sizeBytes: b.writer.SizeBytes(),
-		src:       b.src,
+		src:       b.set.src,
+		file:      b.file,
 		filter:    b.filter,
 		built:     b.writer,
-	}, true, nil
-}
-
-// Abort removes a builder's file, and the pages it wrote through to the
-// cache, without committing it.
-func (b *RunBuilder) Abort() {
-	b.db.removeRunFile(b.name, b.src, b.file, b.writer.CacheID())
+	}
 }
 
 // DiscardRun removes the file behind a finished run that was never handed
 // to an Edit (once AddRun is called, a failed Commit removes the file
-// itself), and the pages its builder wrote through to the cache. The
-// checkpoint flush uses it to clean up the runs its tables completed before
-// another run's flush failed, compaction the outputs of a merge that lost
-// its race; uncleaned files would otherwise linger as orphans until the
-// next Open, and their pages until eviction reached them.
+// itself), and the pages its builder wrote through to the cache. Compaction
+// uses it for the outputs of a merge that failed or lost its race, each a
+// file of its own; uncleaned files would otherwise linger as orphans until
+// the next Open, and their pages until eviction reached them.
 func (db *DB) DiscardRun(ref RunRef) {
-	if ref.rm.Name == "" {
+	if ref.file == nil {
 		return
 	}
-	db.removeRunFile(ref.rm.Name, ref.src, nil, ref.built.CacheID())
+	db.cache.Drop(ref.built.CacheID())
+	db.removeFile(ref.file, ref.src)
 }
 
-// removeRunFile is the one place a run file dies: a build aborted or
-// discarded, a Commit that failed, a run no version references any more.
-// It closes f (nil when the caller holds no handle), drops the pages cached
-// under id — the run's cache identity, shared by its builder and its
-// readers — and removes the file, attributed to src. Failures are not
-// reported: nothing refers to the file, so one left behind is an orphan
-// the next Open collects.
-func (db *DB) removeRunFile(name string, src storage.Source, f storage.File, id uint64) {
-	if f != nil {
-		f.Close()
+// removeFile is the one place a run file dies: a build aborted or
+// discarded, a Commit that failed, the last of its runs no version
+// references any more. It closes the file's handle, if one is open, and
+// removes the file, attributed to src; its runs' cached pages are the
+// caller's to drop (Cache.Drop, per run). Failures are not reported:
+// nothing refers to the file, so one left behind is an orphan the next
+// Open collects.
+func (db *DB) removeFile(rf *runFile, src storage.Source) {
+	if rf.f != nil {
+		rf.f.Close()
+		rf.f = nil
 	}
-	db.cache.Drop(id)
-	_ = db.vfsFor(src).Remove(name)
+	_ = db.vfsFor(src).Remove(rf.name)
 }

@@ -47,7 +47,8 @@ func (db *DB) newVersion() *version {
 
 // unref drops one reference to the version; at zero the version is
 // destroyed and every run only it referenced becomes reclaimable. The
-// caller holds db.viewMu and hands the returned runs to removeRuns after
+// caller holds db.viewMu and takes the returned runs off their files
+// (reclaim), handing the files that leaves empty to removeFiles after
 // dropping it (file I/O stays out of the critical section).
 func (ver *version) unref() (doomed []*Run) {
 	ver.refs--
@@ -67,15 +68,14 @@ func (ver *version) unref() (doomed []*Run) {
 	return doomed
 }
 
-// removeRuns closes and deletes the files of runs no version references
-// anymore, attributing each removal to the operation that doomed the run,
-// and takes their pages out of the cache: no view can reach them, so they
-// would only displace pages of live runs. Failures are not reported: the
-// runs are already out of the manifest, so a file that could not be removed
-// is an orphan the next Open collects.
-func (db *DB) removeRuns(doomed []*Run) {
-	for _, r := range doomed {
-		db.removeRunFile(r.name, r.doomedBy, r.file, r.qreader.CacheID())
+// removeFiles closes and deletes run files the last of whose runs no
+// version references any more (reclaim), attributing each removal to the
+// operation that doomed that run. Failures are not reported: the runs are
+// already out of the manifest, so a file that could not be removed is an
+// orphan the next Open collects.
+func (db *DB) removeFiles(dead []*runFile) {
+	for _, rf := range dead {
+		db.removeFile(rf, rf.doomedBy)
 	}
 }
 
@@ -110,11 +110,10 @@ type View struct {
 // views keep their snapshot.
 func (db *DB) AcquireView() *View {
 	db.viewMu.Lock()
-	var doomed []*Run
+	var dead []*runFile
 	if db.verStale {
 		next := db.newVersion()
-		doomed = db.cur.unref()
-		db.undeferAll(doomed)
+		dead = db.reclaim(db.cur.unref())
 		db.cur = next
 		db.verStale = false
 	}
@@ -122,7 +121,7 @@ func (db *DB) AcquireView() *View {
 	db.views++
 	v := &View{db: db, ver: db.cur}
 	db.viewMu.Unlock()
-	db.removeRuns(doomed)
+	db.removeFiles(dead)
 	return v
 }
 
@@ -134,15 +133,14 @@ func (v *View) Release() {
 		return
 	}
 	v.db.viewMu.Lock()
-	var doomed []*Run
+	var dead []*runFile
 	if !v.released {
 		v.released = true
 		v.db.views--
-		doomed = v.ver.unref()
-		v.db.undeferAll(doomed)
+		dead = v.db.reclaim(v.ver.unref())
 	}
 	v.db.viewMu.Unlock()
-	v.db.removeRuns(doomed)
+	v.db.removeFiles(dead)
 }
 
 // CP returns the committed consistency point the view was acquired at.
