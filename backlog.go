@@ -922,12 +922,19 @@ func (db *DB) RelocateBlock(oldBlock, newBlock uint64) error {
 // query results and compaction's purge policy follow whatever topology it
 // describes — and under Config.Retention == RetainLive it also drives the
 // reclaim horizon that expiry and query pruning use. Obtain it from
-// DB.Catalog. A change takes effect in memory at once and is durable at the
-// next manifest commit, atomically with the reference data that commit
-// installs: the next Checkpoint, Compact, Maintain, Expire or Close at the
-// latest, a background merge or expiry if one commits first.
+// DB.Catalog. A change takes effect in memory at once for every query and
+// merge that starts after it; one already in flight keeps the topology it
+// pinned when it started, so a Query or QueryRange answers every block by
+// one topology. A change is durable at the next manifest commit, which
+// carries the topology as it is at that moment: the next Checkpoint,
+// Compact, Maintain, Expire or Close at the latest, a background merge or
+// expiry if one commits first.
 type Lifecycle interface {
-	// CreateSnapshot retains version v (a CP number) of the given line.
+	// CreateSnapshot retains version v (a CP number) of the given line. v
+	// is the CP being taken — at the earliest the last one committed — and
+	// the line is live: a merge in flight may have purged against a
+	// topology without the snapshot, which is harmless only because no
+	// interval it read can contain so recent a version.
 	CreateSnapshot(line, v uint64) error
 	// DeleteSnapshot removes a snapshot; if it has clones it is kept as a
 	// zombie until they disappear.

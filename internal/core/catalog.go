@@ -3,8 +3,10 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // Clone records that a new snapshot line was created from version Base of
@@ -21,25 +23,16 @@ type Clone struct {
 // and deleting lines. It maintains the paper's zombie list: deleting a
 // snapshot that has clones keeps its version pinned until no descendants
 // remain. MemCatalog is safe for concurrent use.
+//
+// MemCatalog is the mutator. Every change publishes a new immutable
+// Topology, and whoever judges records by the topology — a query, a merge,
+// a plan, an expiry pass — takes one Topology for the whole operation, so a
+// change made meanwhile is seen by the next operation and by no part of the
+// running one.
 type MemCatalog struct {
-	mu    sync.RWMutex
+	mu    sync.Mutex // serializes mutators
 	lines map[uint64]*lineInfo
-
-	// gen counts mutations: whoever persists the catalog (the engine, in its
-	// manifest) re-serializes it only when gen has moved.
-	gen uint64
-
-	// reach caches OldestReachable (recomputing it scans every line's
-	// snapshot and zombie sets); any mutation invalidates it.
-	reachValid bool
-	reachOK    bool
-	reach      uint64
-}
-
-// changed records a mutation. Callers hold mu exclusively.
-func (c *MemCatalog) changed() {
-	c.gen++
-	c.reachValid = false
+	topo  atomic.Pointer[Topology]
 }
 
 type lineInfo struct {
@@ -58,6 +51,7 @@ type lineInfo struct {
 func NewMemCatalog() *MemCatalog {
 	c := &MemCatalog{lines: make(map[uint64]*lineInfo)}
 	c.lines[0] = newLineInfo(0)
+	c.publish()
 	return c
 }
 
@@ -71,8 +65,15 @@ func newLineInfo(id uint64) *lineInfo {
 	}
 }
 
-// CreateSnapshot retains version v of line (typically the CP at which the
-// snapshot was taken).
+// Topology returns the current version of the topology. It never changes;
+// a later mutation publishes a new one.
+func (c *MemCatalog) Topology() *Topology { return c.topo.Load() }
+
+// CreateSnapshot retains version v of line. v must be the CP being taken
+// (or, at the earliest, the last one committed) and line must be live: then
+// no finite interval of a run record contains v, and a merge that purged
+// against a topology without the snapshot purged nothing it would have
+// kept.
 func (c *MemCatalog) CreateSnapshot(line, v uint64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -81,7 +82,7 @@ func (c *MemCatalog) CreateSnapshot(line, v uint64) error {
 		return fmt.Errorf("core: snapshot on unknown line %d", line)
 	}
 	li.Snapshots[v] = true
-	c.changed()
+	c.publish()
 	return nil
 }
 
@@ -96,13 +97,13 @@ func (c *MemCatalog) DeleteSnapshot(line, v uint64) error {
 		return fmt.Errorf("core: delete of unknown snapshot (%d, %d)", line, v)
 	}
 	delete(li.Snapshots, v)
-	c.changed()
 	for _, base := range li.Clones {
 		if base == v {
 			li.Zombies[v] = true
 			break
 		}
 	}
+	c.publish()
 	return nil
 }
 
@@ -125,7 +126,7 @@ func (c *MemCatalog) CreateClone(newLine, parent, base uint64) error {
 	li.Parent, li.Base, li.HasParent = parent, base, true
 	c.lines[newLine] = li
 	pl.Clones[newLine] = base
-	c.changed()
+	c.publish()
 	return nil
 }
 
@@ -139,19 +140,18 @@ func (c *MemCatalog) DeleteLine(line uint64) error {
 		return fmt.Errorf("core: delete of unknown line %d", line)
 	}
 	li.Live = false
-	c.changed()
+	c.publish()
 	return nil
 }
 
 // ReapZombies drops clone registrations whose clone lines are no longer
 // needed, and zombie versions with no remaining clones — the paper's
 // periodic zombie examination. It returns the number of zombie versions
-// released. A pass that finds nothing to drop leaves the catalog, and its
-// generation, as they were.
+// released. A pass that finds nothing to drop publishes nothing.
 func (c *MemCatalog) ReapZombies() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	released := 0
+	released, changed := 0, false
 	for _, li := range c.lines {
 		for cloneLine, base := range li.Clones {
 			cl, ok := c.lines[cloneLine]
@@ -159,7 +159,7 @@ func (c *MemCatalog) ReapZombies() int {
 				continue
 			}
 			delete(li.Clones, cloneLine)
-			c.changed()
+			changed = true
 			if ok && !cl.Live && len(cl.Snapshots) == 0 && len(cl.Clones) == 0 {
 				delete(c.lines, cloneLine)
 			}
@@ -177,6 +177,9 @@ func (c *MemCatalog) ReapZombies() int {
 				released++
 			}
 		}
+	}
+	if changed {
+		c.publish()
 	}
 	return released
 }
@@ -199,124 +202,46 @@ func (c *MemCatalog) neededLocked(li *lineInfo, visiting map[uint64]bool) bool {
 	return false
 }
 
-// SnapshotsIn returns the retained (non-deleted) snapshot versions v of line
-// with from <= v < to, in ascending order.
-func (c *MemCatalog) SnapshotsIn(line, from, to uint64) []uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	li, ok := c.lines[line]
-	if !ok {
-		return nil
-	}
-	var out []uint64
-	for v := range li.Snapshots {
-		if from <= v && v < to {
-			out = append(out, v)
+// publish makes the catalog as it is now the current Topology. Callers hold
+// mu.
+func (c *MemCatalog) publish() {
+	t := &Topology{lines: make(map[uint64]topoLine, len(c.lines))}
+	var cj catalogJSON
+	for _, id := range slices.Sorted(maps.Keys(c.lines)) {
+		li := c.lines[id]
+		tl := topoLine{live: li.Live, snaps: slices.Sorted(maps.Keys(li.Snapshots))}
+		lj := lineJSON{
+			ID: li.ID, Live: li.Live,
+			Parent: li.Parent, Base: li.Base, HasParent: li.HasParent,
+			Snapshots: tl.snaps,
+			Zombies:   slices.Sorted(maps.Keys(li.Zombies)),
 		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// IsLive reports whether the line's writable file system still exists.
-func (c *MemCatalog) IsLive(line uint64) bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	li, ok := c.lines[line]
-	return ok && li.Live
-}
-
-// Clones returns the clones created from this line that are still needed
-// (live, or carrying snapshots, or transitively cloned into needed lines).
-// Query expansion follows these edges.
-func (c *MemCatalog) Clones(line uint64) []Clone {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	li, ok := c.lines[line]
-	if !ok {
-		return nil
-	}
-	var out []Clone
-	for cloneLine, base := range li.Clones {
-		cl, ok := c.lines[cloneLine]
-		if !ok || !c.neededLocked(cl, make(map[uint64]bool)) {
-			continue
-		}
-		out = append(out, Clone{Line: cloneLine, Base: base})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Line < out[j].Line })
-	return out
-}
-
-// PinnedIn reports whether any version v of line with from <= v < to must
-// be preserved for inheritance even though it may have been deleted:
-// clone-base versions of needed clones, including zombie snapshots (Section
-// 4.2.2).
-func (c *MemCatalog) PinnedIn(line, from, to uint64) bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	li, ok := c.lines[line]
-	if !ok {
-		return false
-	}
-	for cloneLine, base := range li.Clones {
-		if base < from || base >= to {
-			continue
-		}
-		if cl, ok := c.lines[cloneLine]; ok && c.neededLocked(cl, make(map[uint64]bool)) {
-			return true
-		}
-	}
-	return false
-}
-
-// OldestReachable returns the smallest consistency point any retained
-// snapshot or zombie (deleted-but-cloned) version of any line still pins,
-// and ok=false when no such version exists; the minimum is cached until the
-// next mutation. It is the reclaim horizon of drop-based expiry: a complete
-// back-reference interval ending before it can never again be exposed by
-// masking, because clone bases are always members of their parent's
-// snapshot-or-zombie set, so the minimum over those sets bounds every
-// PinnedIn answer too. Live lines need no term here — their references are
-// incomplete (to == Infinity) or protected as override records.
-func (c *MemCatalog) OldestReachable() (uint64, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.reachValid {
-		c.reachOK = false
-		c.reach = 0
-		for _, li := range c.lines {
-			for v := range li.Snapshots {
-				if !c.reachOK || v < c.reach {
-					c.reach, c.reachOK = v, true
-				}
-			}
-			for v := range li.Zombies {
-				if !c.reachOK || v < c.reach {
-					c.reach, c.reachOK = v, true
-				}
+		for _, cl := range slices.Sorted(maps.Keys(li.Clones)) {
+			base := li.Clones[cl]
+			lj.Clones = append(lj.Clones, [2]uint64{cl, base})
+			if cli, ok := c.lines[cl]; ok && c.neededLocked(cli, make(map[uint64]bool)) {
+				tl.clones = append(tl.clones, Clone{Line: cl, Base: base})
 			}
 		}
-		c.reachValid = true
+		for _, vs := range [][]uint64{lj.Snapshots, lj.Zombies} {
+			if len(vs) > 0 && (!t.oldestOK || vs[0] < t.oldest) {
+				t.oldest, t.oldestOK = vs[0], true
+			}
+		}
+		t.lines[id] = tl
+		cj.Lines = append(cj.Lines, lj)
 	}
-	return c.reach, c.reachOK
+	// Integers and booleans only: Marshal cannot fail.
+	t.data, _ = json.Marshal(cj)
+	c.topo.Store(t)
 }
 
 // Lines returns all known line IDs in ascending order.
-func (c *MemCatalog) Lines() []uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]uint64, 0, len(c.lines))
-	for id := range c.lines {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (c *MemCatalog) Lines() []uint64 { return slices.Sorted(maps.Keys(c.Topology().lines)) }
 
 // Snapshots returns the retained snapshot versions of a line, ascending.
 func (c *MemCatalog) Snapshots(line uint64) []uint64 {
-	return c.SnapshotsIn(line, 0, Infinity)
+	return slices.Clone(c.Topology().SnapshotsIn(line, 0, Infinity))
 }
 
 // catalogJSON is the serialized form of MemCatalog.
@@ -335,40 +260,8 @@ type lineJSON struct {
 	Clones    [][2]uint64 `json:"clones,omitempty"` // [line, base]
 }
 
-// Generation returns the catalog's mutation count.
-func (c *MemCatalog) Generation() uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.gen
-}
-
 // MarshalJSON serializes the catalog deterministically.
-func (c *MemCatalog) MarshalJSON() ([]byte, error) {
-	data, _, err := c.marshal()
-	return data, err
-}
-
-// marshal serializes the catalog and names the generation it serialized.
-func (c *MemCatalog) marshal() ([]byte, uint64, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var cj catalogJSON
-	for _, id := range c.linesSortedLocked() {
-		li := c.lines[id]
-		lj := lineJSON{
-			ID: li.ID, Live: li.Live,
-			Parent: li.Parent, Base: li.Base, HasParent: li.HasParent,
-			Snapshots: sortedKeys(li.Snapshots),
-			Zombies:   sortedKeys(li.Zombies),
-		}
-		for _, cl := range sortedKeys64(li.Clones) {
-			lj.Clones = append(lj.Clones, [2]uint64{cl, li.Clones[cl]})
-		}
-		cj.Lines = append(cj.Lines, lj)
-	}
-	data, err := json.Marshal(cj)
-	return data, c.gen, err
-}
+func (c *MemCatalog) MarshalJSON() ([]byte, error) { return slices.Clone(c.Topology().data), nil }
 
 // UnmarshalJSON restores a catalog serialized by MarshalJSON.
 func (c *MemCatalog) UnmarshalJSON(data []byte) error {
@@ -397,33 +290,65 @@ func (c *MemCatalog) UnmarshalJSON(data []byte) error {
 	if len(c.lines) == 0 {
 		c.lines[0] = newLineInfo(0)
 	}
-	c.changed()
+	c.publish()
 	return nil
 }
 
-func (c *MemCatalog) linesSortedLocked() []uint64 {
-	out := make([]uint64, 0, len(c.lines))
-	for id := range c.lines {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+// Topology is one version of the snapshot topology, as a MemCatalog
+// mutation published it: immutable, so its readers take no lock, and a
+// reader that holds one sees the same topology for as long as it holds it.
+// The slices its methods return are the topology's own: read them, do not
+// modify them.
+type Topology struct {
+	lines map[uint64]topoLine
+	// oldest is OldestReachable's answer, oldestOK whether there is one.
+	oldest   uint64
+	oldestOK bool
+	// data is the catalog's serialization, what a manifest commit carries.
+	data []byte
 }
 
-func sortedKeys(m map[uint64]bool) []uint64 {
-	out := make([]uint64, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+type topoLine struct {
+	live   bool
+	snaps  []uint64 // retained snapshot versions, ascending
+	clones []Clone  // the needed clones made from this line, by line
 }
 
-func sortedKeys64(m map[uint64]uint64) []uint64 {
-	out := make([]uint64, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// SnapshotsIn returns the retained (non-deleted) snapshot versions v of line
+// with from <= v < to, in ascending order, or nil when there are none.
+func (t *Topology) SnapshotsIn(line, from, to uint64) []uint64 {
+	s := t.lines[line].snaps
+	i, _ := slices.BinarySearch(s, from)
+	j, _ := slices.BinarySearch(s, to)
+	if i >= j {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return s[i:j:j]
 }
+
+// IsLive reports whether the line's writable file system still exists.
+func (t *Topology) IsLive(line uint64) bool { return t.lines[line].live }
+
+// Clones returns the clones created from this line that are still needed
+// (live, or carrying snapshots, or transitively cloned into needed lines),
+// by line. Query expansion follows these edges.
+func (t *Topology) Clones(line uint64) []Clone { return t.lines[line].clones }
+
+// PinnedIn reports whether any version v of line with from <= v < to must
+// be preserved for inheritance even though it may have been deleted:
+// clone-base versions of needed clones, including zombie snapshots (Section
+// 4.2.2).
+func (t *Topology) PinnedIn(line, from, to uint64) bool {
+	return slices.ContainsFunc(t.lines[line].clones, func(cl Clone) bool { return from <= cl.Base && cl.Base < to })
+}
+
+// OldestReachable returns the smallest consistency point any retained
+// snapshot or zombie (deleted-but-cloned) version of any line still pins,
+// and ok=false when no such version exists. It is the reclaim horizon of
+// drop-based expiry: a complete back-reference interval ending before it
+// can never again be exposed by masking, because clone bases are always
+// members of their parent's snapshot-or-zombie set, so the minimum over
+// those sets bounds every PinnedIn answer too. Live lines need no term here
+// — their references are incomplete (to == Infinity) or protected as
+// override records.
+func (t *Topology) OldestReachable() (uint64, bool) { return t.oldest, t.oldestOK }

@@ -7,7 +7,7 @@ import (
 
 func TestCatalogSnapshots(t *testing.T) {
 	c := NewMemCatalog()
-	if !c.IsLive(0) {
+	if !c.Topology().IsLive(0) {
 		t.Fatal("line 0 not live")
 	}
 	if err := c.CreateSnapshot(0, 5); err != nil {
@@ -19,13 +19,13 @@ func TestCatalogSnapshots(t *testing.T) {
 	if err := c.CreateSnapshot(1, 5); err == nil {
 		t.Fatal("snapshot on unknown line accepted")
 	}
-	if got := c.SnapshotsIn(0, 0, Infinity); len(got) != 2 || got[0] != 5 || got[1] != 9 {
+	if got := c.Topology().SnapshotsIn(0, 0, Infinity); len(got) != 2 || got[0] != 5 || got[1] != 9 {
 		t.Fatalf("SnapshotsIn = %v", got)
 	}
-	if got := c.SnapshotsIn(0, 6, 9); len(got) != 0 {
+	if got := c.Topology().SnapshotsIn(0, 6, 9); len(got) != 0 {
 		t.Fatalf("SnapshotsIn(6,9) = %v", got)
 	}
-	if got := c.SnapshotsIn(0, 9, 10); len(got) != 1 {
+	if got := c.Topology().SnapshotsIn(0, 9, 10); len(got) != 1 {
 		t.Fatalf("SnapshotsIn(9,10) = %v", got)
 	}
 	if err := c.DeleteSnapshot(0, 5); err != nil {
@@ -53,17 +53,17 @@ func TestCatalogClones(t *testing.T) {
 	if err := c.CreateClone(1, 0, 5); err == nil {
 		t.Fatal("duplicate line accepted")
 	}
-	if !c.IsLive(1) {
+	if !c.Topology().IsLive(1) {
 		t.Fatal("clone not live")
 	}
-	clones := c.Clones(0)
+	clones := c.Topology().Clones(0)
 	if len(clones) != 1 || clones[0] != (Clone{Line: 1, Base: 5}) {
 		t.Fatalf("Clones = %+v", clones)
 	}
-	if !c.PinnedIn(0, 5, 6) {
+	if !c.Topology().PinnedIn(0, 5, 6) {
 		t.Fatal("clone base not pinned")
 	}
-	if c.PinnedIn(0, 6, 10) {
+	if c.Topology().PinnedIn(0, 6, 10) {
 		t.Fatal("non-base version pinned")
 	}
 }
@@ -81,13 +81,13 @@ func TestCatalogZombies(t *testing.T) {
 	if err := c.DeleteSnapshot(0, 5); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.SnapshotsIn(0, 0, Infinity); len(got) != 0 {
+	if got := c.Topology().SnapshotsIn(0, 0, Infinity); len(got) != 0 {
 		t.Fatalf("zombie still listed: %v", got)
 	}
-	if !c.PinnedIn(0, 5, 6) {
+	if !c.Topology().PinnedIn(0, 5, 6) {
 		t.Fatal("zombie base not pinned")
 	}
-	if len(c.Clones(0)) != 1 {
+	if len(c.Topology().Clones(0)) != 1 {
 		t.Fatal("clone of zombie not returned")
 	}
 	// Reaping with the clone still alive releases nothing.
@@ -101,10 +101,10 @@ func TestCatalogZombies(t *testing.T) {
 	if n := c.ReapZombies(); n != 1 {
 		t.Fatalf("ReapZombies released %d, want 1", n)
 	}
-	if c.PinnedIn(0, 5, 6) {
+	if c.Topology().PinnedIn(0, 5, 6) {
 		t.Fatal("reaped zombie still pinned")
 	}
-	if len(c.Clones(0)) != 0 {
+	if len(c.Topology().Clones(0)) != 0 {
 		t.Fatal("dead clone still returned")
 	}
 }
@@ -136,10 +136,10 @@ func TestCatalogTransitiveClones(t *testing.T) {
 		t.Fatal(err)
 	}
 	// line1 is dead (no live FS, no snapshots) but line2 needs it.
-	if !c.PinnedIn(0, 5, 6) {
+	if !c.Topology().PinnedIn(0, 5, 6) {
 		t.Fatal("transitively needed base not pinned")
 	}
-	if !c.PinnedIn(1, 9, 10) {
+	if !c.Topology().PinnedIn(1, 9, 10) {
 		t.Fatal("line1's cloned version not pinned")
 	}
 	if n := c.ReapZombies(); n != 0 {
@@ -151,7 +151,7 @@ func TestCatalogTransitiveClones(t *testing.T) {
 	}
 	c.ReapZombies()
 	c.ReapZombies() // second pass collapses the now-unneeded line1 chain
-	if c.PinnedIn(0, 5, 6) {
+	if c.Topology().PinnedIn(0, 5, 6) {
 		t.Fatal("base still pinned after all descendants died")
 	}
 }
@@ -178,16 +178,16 @@ func TestCatalogJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, c2); err != nil {
 		t.Fatal(err)
 	}
-	if !c2.IsLive(1) || !c2.IsLive(0) {
+	if !c2.Topology().IsLive(1) || !c2.Topology().IsLive(0) {
 		t.Fatal("liveness lost")
 	}
 	if got := c2.Snapshots(0); len(got) != 1 || got[0] != 9 {
 		t.Fatalf("snapshots lost: %v", got)
 	}
-	if !c2.PinnedIn(0, 5, 6) {
+	if !c2.Topology().PinnedIn(0, 5, 6) {
 		t.Fatal("zombie pin lost")
 	}
-	if cl := c2.Clones(0); len(cl) != 1 || cl[0].Line != 1 {
+	if cl := c2.Topology().Clones(0); len(cl) != 1 || cl[0].Line != 1 {
 		t.Fatalf("clones lost: %+v", cl)
 	}
 }
@@ -211,7 +211,7 @@ func TestCatalogLines(t *testing.T) {
 // retained, and invalidation on every mutation that can move it.
 func TestOldestReachable(t *testing.T) {
 	c := NewMemCatalog()
-	if _, ok := c.OldestReachable(); ok {
+	if _, ok := c.Topology().OldestReachable(); ok {
 		t.Fatal("empty catalog reports a reachable version")
 	}
 
@@ -223,7 +223,7 @@ func TestOldestReachable(t *testing.T) {
 	}
 	at := func(want uint64) {
 		t.Helper()
-		got, ok := c.OldestReachable()
+		got, ok := c.Topology().OldestReachable()
 		if !ok || got != want {
 			t.Fatalf("OldestReachable = (%d, %v), want (%d, true)", got, ok, want)
 		}
@@ -252,25 +252,26 @@ func TestOldestReachable(t *testing.T) {
 	if c.ReapZombies() != 1 {
 		t.Fatal("zombie version 7 not reaped")
 	}
-	if _, ok := c.OldestReachable(); ok {
+	if _, ok := c.Topology().OldestReachable(); ok {
 		t.Fatal("horizon still pinned after the last retained version died")
 	}
 }
 
-// TestCatalogGeneration: the generation moves with every change and with
-// nothing else — not with a refused call, and not with a zombie examination
-// that finds nothing to release — so whoever persists the catalog can skip
-// serializing one that has not changed.
-func TestCatalogGeneration(t *testing.T) {
+// TestCatalogPublishes: every change publishes a new Topology and nothing
+// else does — not a refused call, not a zombie examination that finds
+// nothing to release, and not a read — so a held Topology answers the same
+// for as long as it is held, and one that has not changed costs no
+// serialization.
+func TestCatalogPublishes(t *testing.T) {
 	c := NewMemCatalog()
-	gen := c.Generation()
-	moved := func(what string, want bool) {
+	topo := c.Topology()
+	published := func(what string, want bool) {
 		t.Helper()
-		g := c.Generation()
-		if (g != gen) != want {
-			t.Fatalf("%s: generation %d -> %d, want moved=%v", what, gen, g, want)
+		now := c.Topology()
+		if (now != topo) != want {
+			t.Fatalf("%s: published=%v, want %v", what, now != topo, want)
 		}
-		gen = g
+		topo = now
 	}
 	must := func(err error) {
 		t.Helper()
@@ -279,35 +280,44 @@ func TestCatalogGeneration(t *testing.T) {
 		}
 	}
 	must(c.CreateSnapshot(0, 5))
-	moved("CreateSnapshot", true)
+	published("CreateSnapshot", true)
+	held := c.Topology()
 	if c.CreateSnapshot(9, 5) == nil || c.DeleteSnapshot(0, 6) == nil || c.CreateClone(1, 0, 6) == nil || c.DeleteLine(9) == nil {
 		t.Fatal("a call on an unknown line or version was accepted")
 	}
-	moved("refused calls", false)
+	published("refused calls", false)
 	must(c.CreateClone(1, 0, 5))
-	moved("CreateClone", true)
+	published("CreateClone", true)
 	must(c.DeleteSnapshot(0, 5)) // now a zombie, pinned by line 1
-	moved("DeleteSnapshot", true)
+	published("DeleteSnapshot", true)
 	if c.ReapZombies() != 0 {
 		t.Fatal("reaped a zombie its clone still needs")
 	}
-	moved("ReapZombies with nothing to release", false)
-	c.SnapshotsIn(0, 0, Infinity)
-	c.OldestReachable()
+	published("ReapZombies with nothing to release", false)
+	c.Topology().SnapshotsIn(0, 0, Infinity)
+	c.Topology().OldestReachable()
+	c.Snapshots(0)
+	c.Lines()
 	if _, err := json.Marshal(c); err != nil {
 		t.Fatal(err)
 	}
-	moved("reads", false)
+	published("reads", false)
 	must(c.DeleteLine(1))
-	moved("DeleteLine", true)
+	published("DeleteLine", true)
 	if c.ReapZombies() != 1 {
 		t.Fatal("zombie not reaped after its clone died")
 	}
-	moved("ReapZombies that released a version", true)
+	published("ReapZombies that released a version", true)
 	data, err := json.Marshal(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	must(json.Unmarshal(data, c))
-	moved("UnmarshalJSON", true)
+	published("UnmarshalJSON", true)
+
+	// The topology taken after the first snapshot still has it, and no
+	// clone, whatever happened since.
+	if got := held.SnapshotsIn(0, 0, Infinity); len(got) != 1 || got[0] != 5 || held.Clones(0) != nil || !held.IsLive(0) {
+		t.Fatalf("a held topology changed: snapshots %v, clones %v", got, held.Clones(0))
+	}
 }

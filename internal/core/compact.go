@@ -187,7 +187,9 @@ func (e *Engine) compactJobAttempt(job CompactionJob, tiered, exclusive bool) (c
 		}
 		return false, false, nil
 	}
-	v := e.db.AcquireView()
+	// The merge purges against the topology it pins with its view (see
+	// keepInterval for why a newer one may land in the same commit).
+	v, topo := e.db.AcquireView(), e.catalog.Topology()
 	if !exclusive {
 		e.mu.RUnlock()
 	}
@@ -290,7 +292,7 @@ func (e *Engine) compactJobAttempt(job CompactionJob, tiered, exclusive bool) (c
 		if !ok {
 			break
 		}
-		if err := e.emitLeveledGroup(g, job.Whole, newFrom, newTo, newComb, newOver, &purged); err != nil {
+		if err := emitLeveledGroup(topo, g, job.Whole, newFrom, newTo, newComb, newOver, &purged); err != nil {
 			return abort(err)
 		}
 	}
@@ -384,7 +386,7 @@ func (e *Engine) compactJobAttempt(job CompactionJob, tiered, exclusive bool) (c
 // When newOver is non-nil (tiered mode), override records (from == 0) go
 // to it instead of newComb, so the regular Combined output stays free of
 // overrides and therefore sealed. Purged records are tallied into *purged.
-func (e *Engine) emitLeveledGroup(g groupRecs, whole bool, newFrom, newTo, newComb, newOver *lsm.RunBuilder, purged *uint64) error {
+func emitLeveledGroup(topo *Topology, g groupRecs, whole bool, newFrom, newTo, newComb, newOver *lsm.RunBuilder, purged *uint64) error {
 	id, line := g.id, g.id.Line
 	complete, loneFroms, loneTos := pairGroup(g.froms, g.tos)
 	if whole {
@@ -398,7 +400,7 @@ func (e *Engine) emitLeveledGroup(g groupRecs, whole bool, newFrom, newTo, newCo
 	// correct, so the full purge policy applies to them.
 	complete = dedupeIntervals(append(complete, g.combineds...))
 	for _, iv := range complete {
-		if !e.keepInterval(line, iv.from, iv.to) {
+		if !keepInterval(topo, line, iv.from, iv.to) {
 			*purged++
 			continue
 		}
@@ -420,7 +422,7 @@ func (e *Engine) emitLeveledGroup(g groupRecs, whole bool, newFrom, newTo, newCo
 	// From after its To has been flushed too; that retention ends with those
 	// snapshots (and the clones based on them), and is accepted.
 	for _, f := range loneFroms {
-		if whole && !e.keepInterval(line, 0, Infinity) {
+		if whole && !keepInterval(topo, line, 0, Infinity) {
 			*purged++
 			continue
 		}
@@ -437,27 +439,38 @@ func (e *Engine) emitLeveledGroup(g groupRecs, whole bool, newFrom, newTo, newCo
 }
 
 // keepInterval decides whether a record with validity [from, to) on line
-// must survive compaction. It survives when any retained snapshot falls in
-// the interval, when the line's live file system still holds the reference,
-// when a clone base (including zombie snapshots) inside the interval pins
-// it for inheritance, or when it is an override record (from == 0) of a
-// line that is still needed — purging an override would resurrect
-// inheritance the file system explicitly terminated.
-func (e *Engine) keepInterval(line, from, to uint64) bool {
-	cat := e.catalog
-	if len(cat.SnapshotsIn(line, from, to)) > 0 {
+// must survive compaction under topo. It survives when any retained snapshot
+// falls in the interval, when the line's live file system still holds the
+// reference, when a clone base (including zombie snapshots) inside the
+// interval pins it for inheritance, or when it is an override record
+// (from == 0) of a line that is still needed — purging an override would
+// resurrect inheritance the file system explicitly terminated.
+//
+// topo is the one the merge pinned with its view, and its commit carries
+// the catalog's newer, live topology, never the pinned one: were a merge
+// that pinned T0 to commit T0 after a checkpoint or PersistCatalog had
+// committed T1, a crash would bring back what T1 deleted. Purging against
+// the older T0 is safe because the topology only ever comes to keep fewer
+// of a merge's input records: a deleted snapshot or line and a reaped
+// zombie keep less; a new snapshot is taken at the CP being taken, on a
+// live line (MemCatalog.CreateSnapshot), which no finite interval of a run
+// covers and whose live line kept its open intervals already; and a new
+// clone's base is a snapshot that T0 retained, so the intervals covering it
+// were kept, or one taken since, which none covers.
+func keepInterval(topo *Topology, line, from, to uint64) bool {
+	if len(topo.SnapshotsIn(line, from, to)) > 0 {
 		return true
 	}
-	if to == Infinity && cat.IsLive(line) {
+	if to == Infinity && topo.IsLive(line) {
 		return true
 	}
-	if cat.PinnedIn(line, from, to) {
+	if topo.PinnedIn(line, from, to) {
 		return true
 	}
 	if from == 0 {
 		// Override record: keep while the line can still inherit.
-		if cat.IsLive(line) || len(cat.SnapshotsIn(line, 0, Infinity)) > 0 ||
-			cat.PinnedIn(line, 0, Infinity) {
+		if topo.IsLive(line) || len(topo.SnapshotsIn(line, 0, Infinity)) > 0 ||
+			topo.PinnedIn(line, 0, Infinity) {
 			return true
 		}
 	}

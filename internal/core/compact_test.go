@@ -1,10 +1,12 @@
 // Tests of the one merge executor against a storage layer that misbehaves
-// on cue: a header write that fails inside RunBuilder.Finish, and a
-// checkpoint that lands in the middle of every optimistic attempt. Package
+// on cue: a header write that fails inside RunBuilder.Finish, a checkpoint
+// that lands in the middle of every optimistic attempt, and a catalog change
+// committed while a merge is in flight. Package
 // core_test because the answers are checked against the model.
 package core_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -238,5 +240,76 @@ func TestCompactionLadder(t *testing.T) {
 			}
 			fx.verify()
 		})
+	}
+}
+
+// TestMergeInstallCommitsTheLiveCatalog holds a merge between its pin and
+// its install, at its first output's Create, and there deletes the snapshot
+// that retains the merge's input and commits the catalog alone. The merge
+// still purges against the topology it pinned, but its own commit must
+// carry the live one: a merge that committed what it pinned would put the
+// deleted snapshot back into the manifest, and a reopen would resurrect it.
+func TestMergeInstallCommitsTheLiveCatalog(t *testing.T) {
+	fs := storage.NewMemFS()
+	open := func() (*core.Engine, *core.MemCatalog) {
+		t.Helper()
+		cat := core.NewMemCatalog()
+		eng, err := core.Open(core.Options{VFS: fs, Catalog: cat, PersistCatalog: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng, cat
+	}
+	eng, cat := open()
+	r := core.Ref{Block: 1, Inode: 1, Length: 1}
+	eng.AddRef(r, 1)
+	if err := cat.CreateSnapshot(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	fCheckpoint(t, eng, 1)
+	eng.RemoveRef(r, 2)
+	eng.AddRef(core.Ref{Block: 2, Inode: 2, Length: 1}, 2)
+	fCheckpoint(t, eng, 2)
+
+	held := false
+	onRunCreate(fs, func(string) {
+		if held {
+			return
+		}
+		held = true
+		if err := cat.DeleteSnapshot(0, 1); err != nil {
+			t.Error(err)
+		}
+		if err := eng.PersistCatalog(); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := eng.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	fs.SetFailurePlan(storage.FailurePlan{})
+	if !held || eng.Stats().Compactions != 1 || eng.MaintenanceStats().Conflicts != 0 {
+		t.Fatalf("held=%v, %d merges installed, %d conflicts: want one merge held and installed at its first attempt",
+			held, eng.Stats().Compactions, eng.MaintenanceStats().Conflicts)
+	}
+	live, err := cat.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sec := eng.DB().Section(); !bytes.Equal(sec, live) {
+		t.Fatalf("the merge committed the catalog %s, the live one is %s", sec, live)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fs.Crash()
+
+	eng, cat = open()
+	defer eng.Close()
+	if got := cat.Snapshots(0); len(got) != 0 {
+		t.Fatalf("snapshots after the reopen: %v, want none", got)
+	}
+	if got := fQuery(t, eng, 1); len(got) != 0 {
+		t.Fatalf("block 1 after the reopen: %+v, want no owner", got)
 	}
 }

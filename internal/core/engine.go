@@ -30,10 +30,11 @@ type Options struct {
 	// PersistCatalog makes the engine the keeper of Catalog: Open fills it
 	// from the manifest before anything consults the topology, and every
 	// manifest commit — checkpoint, merge install, expiry, PersistCatalog —
-	// carries it as it is at that moment, so a purge and the topology that
-	// justified it are durable together or not at all. Internal wiring, set
-	// by backlog.Open alone: fsim and the experiments keep the catalog
-	// themselves and get a manifest without the section.
+	// carries it as it is at that moment, so a purge is never durable
+	// without a topology that justifies it (the merge's pinned one, or a
+	// later one, which keeps no more). Internal wiring, set by backlog.Open
+	// alone: fsim and the experiments keep the catalog themselves and get a
+	// manifest without the section.
 	PersistCatalog bool
 	// CacheBytes sizes the shared page cache (default 32 MB, the paper's
 	// micro-benchmark configuration). Pages are cached in their on-disk
@@ -313,10 +314,6 @@ type Engine struct {
 	catalog *MemCatalog
 	db      *lsm.DB
 	cache   *btree.Cache
-	// section serializes the catalog for the manifest (nil unless
-	// Options.PersistCatalog); the structural lock, held exclusively,
-	// serializes its callers.
-	section *catalogSection
 
 	// cpMu is the checkpoint single-flight guard: Checkpoint holds it end
 	// to end (including the lock-free flush), and RelocateBlock, Close and
@@ -418,17 +415,17 @@ func Open(opts Options) (*Engine, error) {
 	if eobs != nil {
 		lopts.DecodeObserver = eobs.pageDecode.ObserveDuration
 	}
-	var section *catalogSection
 	if opts.PersistCatalog {
-		section = &catalogSection{cat: opts.Catalog}
-		lopts.Section = section.marshal
+		// A commit carries the live topology, whatever its merge pinned
+		// (keepInterval says why).
+		lopts.Section = func() ([]byte, error) { return opts.Catalog.Topology().data, nil }
 	}
 	db, err := lsm.Open(vfs, lopts)
 	if err != nil {
 		return nil, err
 	}
-	if section != nil && db.Section() != nil {
-		if err := section.cat.UnmarshalJSON(db.Section()); err != nil {
+	if opts.PersistCatalog && db.Section() != nil {
+		if err := opts.Catalog.UnmarshalJSON(db.Section()); err != nil {
 			db.Close()
 			return nil, fmt.Errorf("core: decoding catalog: %w", err)
 		}
@@ -447,7 +444,6 @@ func Open(opts Options) (*Engine, error) {
 		catalog: opts.Catalog,
 		db:      db,
 		cache:   cache,
-		section: section,
 		shards:  shards,
 		ios:     ios,
 		wamp:    obs.NewWriteAmp(obs.DefaultWriteAmpWindow),
@@ -1221,40 +1217,19 @@ func (e *Engine) Catalog() *MemCatalog { return e.catalog }
 // DB exposes the underlying LSM store for tests and tooling.
 func (e *Engine) DB() *lsm.DB { return e.db }
 
-// catalogSection is lsm.Options.Section for a persisted catalog: the
-// catalog's serialization, redone only when the catalog has changed since
-// the last commit asked.
-type catalogSection struct {
-	cat  *MemCatalog
-	gen  uint64
-	data []byte
-}
-
-func (s *catalogSection) marshal() ([]byte, error) {
-	if s.data == nil || s.cat.Generation() != s.gen {
-		data, gen, err := s.cat.marshal()
-		if err != nil {
-			return nil, err
-		}
-		s.data, s.gen = data, gen
-	}
-	return s.data, nil
-}
-
 // PersistCatalog makes catalog changes durable that no commit has carried
 // yet: if the manifest does not hold the catalog as it is now, it commits an
 // edit that changes nothing else. Every other commit carries the catalog
 // too, so after a checkpoint, a merge or an expiry that followed the last
 // change this writes nothing. A no-op without Options.PersistCatalog.
 func (e *Engine) PersistCatalog() error {
-	if e.section == nil {
+	if !e.opts.PersistCatalog {
 		return nil
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	data, err := e.section.marshal()
-	if err != nil || bytes.Equal(data, e.db.Section()) {
-		return err
+	if bytes.Equal(e.catalog.Topology().data, e.db.Section()) {
+		return nil
 	}
 	return e.db.NewEdit().SetSource(storage.SrcManifest).Commit()
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -622,6 +623,43 @@ func TestQueryRange(t *testing.T) {
 	if want := []uint64{10, 11, 12, 13, 14, 15, 16, 17, 18, 19}; !slices.Equal(visited, want) {
 		t.Fatalf("visited %v, want %v", visited, want)
 	}
+
+	// One answer, one topology: blocks 1 and 2 each hold an interval [1, 3)
+	// only snapshot 2 retains, and the visitor deletes that snapshot while
+	// it holds block 1. Block 2 is answered as of the same topology.
+	env = newTestEnv(t, Options{})
+	e = env.eng
+	for b := uint64(1); b <= 2; b++ {
+		e.AddRef(ref(b, b, 0, 0), 1)
+	}
+	mustCheckpoint(t, e, 1)
+	if err := env.cat.CreateSnapshot(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	mustCheckpoint(t, e, 2)
+	for b := uint64(1); b <= 2; b++ {
+		e.RemoveRef(ref(b, b, 0, 0), 3)
+	}
+	mustCheckpoint(t, e, 3)
+	var owners []int
+	err = e.QueryRange(1, 2, func(b uint64, o []Owner) bool {
+		owners = append(owners, len(o))
+		if b == 1 {
+			if err := env.cat.DeleteSnapshot(0, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(owners, []int{1, 1}) {
+		t.Fatalf("owners per block %v across a snapshot deleted mid-range, want [1 1]", owners)
+	}
+	if got := mustQuery(t, e, 2); len(got) != 0 {
+		t.Fatalf("block 2 after the snapshot went: %+v, want no owner", got)
+	}
 }
 
 // TestQueryRangeRefusesWhatIsNoRange: a negative n, or a range that would
@@ -658,5 +696,52 @@ func TestQueryRangeRefusesWhatIsNoRange(t *testing.T) {
 	}
 	if st := e.Stats(); st.Queries != 2 {
 		t.Errorf("Queries = %d, want 2: one per block visited", st.Queries)
+	}
+}
+
+// BenchmarkQueryRangeClones answers a 512-block range whose every block has
+// one owner on line 0, inherited by each of fanout clones of one snapshot:
+// the per-block cost of inheritance expansion and masking, which consult
+// the topology once per group and once per interval.
+func BenchmarkQueryRangeClones(b *testing.B) {
+	const blocks = 512
+	for _, fanout := range []int{1, 8, 64} {
+		b.Run(fmt.Sprintf("fanout=%d", fanout), func(b *testing.B) {
+			cat := NewMemCatalog()
+			eng, err := Open(Options{VFS: storage.NewMemFS(), Catalog: cat})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() { eng.Close() })
+			for blk := range uint64(blocks) {
+				eng.AddRef(ref(blk, blk, 0, 0), 1)
+			}
+			if err := cat.CreateSnapshot(0, 1); err != nil {
+				b.Fatal(err)
+			}
+			if err := eng.Checkpoint(1); err != nil {
+				b.Fatal(err)
+			}
+			for l := range uint64(fanout) {
+				if err := cat.CreateClone(l+1, 0, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+			want := fanout + 1
+			visit := func(blk uint64, owners []Owner) bool {
+				if len(owners) != want {
+					b.Fatalf("block %d: %d owners, want %d", blk, len(owners), want)
+				}
+				return true
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				if err := eng.QueryRange(0, blocks, visit); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*blocks), "ns/block")
+		})
 	}
 }

@@ -38,15 +38,15 @@ type ExpireStats struct {
 	Deferred bool
 }
 
-// ReclaimHorizon returns the expiry horizon: the oldest consistency point
-// still reachable from the catalog's snapshot/clone graph, or Infinity
-// when nothing is retained (then only live-head records matter, and every
-// completed interval is reclaimable). A Combined run whose window lies
-// strictly below the horizon cannot contribute to any query result — every
-// record in it describes an interval that ended before the oldest
-// snapshot any query may be masked against.
-func (e *Engine) ReclaimHorizon() uint64 {
-	if v, ok := e.catalog.OldestReachable(); ok {
+// reclaimHorizon returns the expiry horizon of topo: the oldest
+// consistency point still reachable from its snapshot/clone graph, or
+// Infinity when nothing is retained (then only live-head records matter,
+// and every completed interval is reclaimable). A Combined run whose window
+// lies strictly below the horizon cannot contribute to any query result
+// masked against topo — every record in it describes an interval that
+// ended before the oldest snapshot.
+func reclaimHorizon(topo *Topology) uint64 {
+	if v, ok := topo.OldestReachable(); ok {
 		return v
 	}
 	return Infinity
@@ -83,7 +83,7 @@ func (e *Engine) expire() (ExpireStats, error) {
 	if e.shards[0].frozen != nil || e.db.Table(TableCombined).DVDirty() {
 		return ExpireStats{Deferred: true}, nil
 	}
-	st := ExpireStats{Horizon: e.ReclaimHorizon()}
+	st := ExpireStats{Horizon: reclaimHorizon(e.catalog.Topology())}
 	edit := e.db.NewEdit().SetSource(storage.SrcExpiry)
 	runs, recs := edit.DropRunsBelow(TableCombined, st.Horizon)
 	if runs == 0 {

@@ -211,19 +211,17 @@ func (e *Engine) planJobs(pol CompactionPolicy) []CompactionJob {
 		Fanout:     e.fanout(),
 		Tiered:     e.expiryEnabled(),
 	}
-	if ctx.Tiered {
-		// ReclaimHorizon reads the catalog, which synchronizes itself;
-		// taking it before the structural lock keeps lock order flat.
-		ctx.Horizon = e.ReclaimHorizon()
-	}
 	e.mu.RLock()
 	if e.dvDirty() {
 		e.mu.RUnlock()
 		return nil
 	}
-	v := e.db.AcquireView()
+	v, topo := e.db.AcquireView(), e.catalog.Topology()
 	e.mu.RUnlock()
 	defer v.Release()
+	if ctx.Tiered {
+		ctx.Horizon = reclaimHorizon(topo)
+	}
 	return pol.Plan(v, ctx)
 }
 

@@ -11,7 +11,8 @@ import (
 // TestCatalogRidesTheManifest: with Options.PersistCatalog every manifest
 // commit carries the catalog as it is at that moment, a reopen finds it, and
 // PersistCatalog writes only when no commit has carried the last change;
-// the catalog is serialized again only after it changed. Without the option
+// a commit carries the bytes the topology was published with, so the
+// catalog is serialized again only after it changed. Without the option
 // the manifest has no catalog section and nothing creates a catalog file.
 func TestCatalogRidesTheManifest(t *testing.T) {
 	fs := storage.NewMemFS()
@@ -44,12 +45,12 @@ func TestCatalogRidesTheManifest(t *testing.T) {
 	if d := wrote("PersistCatalog after the checkpoint", eng.PersistCatalog); d.BytesWritten != 0 || d.FilesCreated != 0 {
 		t.Fatalf("PersistCatalog wrote a catalog the checkpoint had carried: %+v", d)
 	}
-	serialized := eng.section.data
+	topo := cat.Topology()
 	eng.AddRef(Ref{Block: 2, Inode: 2, Length: 1}, 2)
 	if err := eng.Checkpoint(2); err != nil {
 		t.Fatal(err)
 	}
-	if &eng.section.data[0] != &serialized[0] {
+	if cat.Topology() != topo || &eng.DB().Section()[0] != &topo.data[0] {
 		t.Fatal("an unchanged catalog was serialized again")
 	}
 

@@ -108,7 +108,7 @@ func (e *Engine) queryRange(lo uint64, n int, visit func(block uint64, owners []
 		return nil
 	}
 	last := lo + uint64(n-1)
-	v, mem := e.pin(lo, last)
+	v, mem, topo := e.pin(lo, last)
 	defer v.Release()
 	var its [3]*lsm.RangeIter
 	var streams [3]recStream
@@ -119,7 +119,7 @@ func (e *Engine) queryRange(lo uint64, n int, visit func(block uint64, owners []
 		// discard it anyway. Otherwise the horizon is 0 and every run is read.
 		var horizon uint64
 		if table == TableCombined && e.expiryEnabled() {
-			horizon = e.ReclaimHorizon()
+			horizon = reclaimHorizon(topo)
 		}
 		its[i] = v.Range(table, lo, last, horizon, mem[i])
 		streams[i].it = its[i]
@@ -147,9 +147,9 @@ func (e *Engine) queryRange(lo uint64, n int, visit func(block uint64, owners []
 				groups = append(groups, ownerGroup{id: g.id, ivs: ivs})
 			}
 		}
-		groups = expandInheritance(groups, e.catalog)
+		groups = expandInheritance(groups, topo)
 		e.stats.queries.Add(1)
-		if !visit(b, maskOwners(groups, e.catalog)) || b == last {
+		if !visit(b, maskOwners(groups, topo)) || b == last {
 			return nil
 		}
 	}
@@ -162,11 +162,13 @@ func (e *Engine) queryRange(lo uint64, n int, visit func(block uint64, owners []
 // The union is a consistent cut in every checkpoint phase: before the
 // freeze the records are active, during the flush they are frozen (and not
 // yet in any run the view sees), and after the install the view has the
-// runs and the frozen generation is gone.
-func (e *Engine) pin(lo, last uint64) (*lsm.View, [3][][]byte) {
+// runs and the frozen generation is gone. The topology taken with them is
+// what the horizon, inheritance and masking of every block of the range
+// judge by, so a catalog change during the range shows in none of it.
+func (e *Engine) pin(lo, last uint64) (*lsm.View, [3][][]byte, *Topology) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	v := e.db.AcquireView()
+	v, topo := e.db.AcquireView(), e.catalog.Topology()
 	// A shard no block of the range routes to holds nothing in it, so a
 	// range reads every shard and a single block only its own.
 	shards := e.shards
@@ -185,7 +187,7 @@ func (e *Engine) pin(lo, last uint64) (*lsm.View, [3][][]byte) {
 	for _, recs := range mem {
 		slices.SortFunc(recs, bytes.Compare)
 	}
-	return v, mem
+	return v, mem, topo
 }
 
 // ownerGroup is one identity's joined intervals: a Ref's, within the block
@@ -252,7 +254,7 @@ func dedupeIntervals(ivs []interval) []interval {
 // implicit record (l', 0, Infinity) is added. The identities that gain one
 // go on a worklist, so what a clone inherits its own clones inherit in turn
 // (clones of clones).
-func expandInheritance(groups []ownerGroup, cat *MemCatalog) []ownerGroup {
+func expandInheritance(groups []ownerGroup, topo *Topology) []ownerGroup {
 	var at map[Ref]int // built on the first inheritance
 	var work []int
 	// The explicit groups are expanded in order, then the worklist.
@@ -262,7 +264,7 @@ func expandInheritance(groups []ownerGroup, cat *MemCatalog) []ownerGroup {
 			k, work = work[len(work)-1], work[:len(work)-1]
 		}
 		g := groups[k]
-		for _, cl := range cat.Clones(g.id.Line) {
+		for _, cl := range topo.Clones(g.id.Line) {
 			if !slices.ContainsFunc(g.ivs, func(iv interval) bool { return iv.from <= cl.Base && cl.Base < iv.to }) {
 				continue
 			}
@@ -292,14 +294,15 @@ func expandInheritance(groups []ownerGroup, cat *MemCatalog) []ownerGroup {
 
 // maskOwners converts joined groups into query results, masking each
 // interval against the versions that still exist and dropping owners with
-// nothing left.
-func maskOwners(groups []ownerGroup, cat *MemCatalog) []Owner {
+// nothing left. Each owner's Versions is its own copy: the caller may keep
+// or change it.
+func maskOwners(groups []ownerGroup, topo *Topology) []Owner {
 	var out []Owner
 	for _, g := range groups {
 		id := g.id
 		for _, iv := range g.ivs {
-			versions := cat.SnapshotsIn(id.Line, iv.from, iv.to)
-			live := iv.to == Infinity && cat.IsLive(id.Line)
+			versions := topo.SnapshotsIn(id.Line, iv.from, iv.to)
+			live := iv.to == Infinity && topo.IsLive(id.Line)
 			if len(versions) == 0 && !live {
 				continue
 			}
@@ -310,7 +313,7 @@ func maskOwners(groups []ownerGroup, cat *MemCatalog) []Owner {
 				Length:    id.Length,
 				From:      iv.from,
 				To:        iv.to,
-				Versions:  versions,
+				Versions:  slices.Clone(versions),
 				Live:      live,
 				Inherited: iv.inherited,
 			})
