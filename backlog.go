@@ -72,10 +72,10 @@
 //     flush reads them, and relocation is the one call that would have to
 //     delete from them. It runs right after the install (or, if the flush
 //     fails, after the frozen records are merged back).
-//   - A second Checkpoint, a Close, and compaction's pessimistic
-//     full-lock fallback likewise serialize behind the in-flight flush;
-//     ordinary (optimistic) compactions run concurrently and validate
-//     their view before installing.
+//   - A second Checkpoint and a Close likewise serialize behind the
+//     in-flight flush. Compactions run concurrently and validate their
+//     inputs before installing; the runs the checkpoint installs
+//     meanwhile land beside a merge's inputs and do not invalidate it.
 //   - In Buffered/Sync durability modes the write-ahead log is "cut" at
 //     the freeze: updates logged during the flush land past the cut, so
 //     the checkpoint's log retirement never deletes them.
@@ -145,10 +145,12 @@
 //     view with a short shared-lock acquisition and does all of its run
 //     I/O lock-free; compaction merges against a pinned view and takes
 //     the structural lock exclusively only to validate and atomically
-//     install its result (retrying if a checkpoint or relocation changed
-//     the partition underneath). A run file superseded while a view pins
-//     it is deleted only when the last such view is released. Queries
-//     therefore never stall behind a running compaction.
+//     install its result. It retries if another merge or an expiry
+//     consumed one of its input runs, or a relocation moved a deletion
+//     vector; runs a checkpoint added meanwhile simply stay beside its
+//     output. A run file superseded while a view pins it is deleted only
+//     when the last such view is released. Queries therefore never stall
+//     behind a running compaction.
 //   - With Config.AutoCompact, a background maintenance scheduler runs
 //     after every Checkpoint, executing the merges the configured
 //     compaction policy plans, pausing 2ms between merges so it does not
@@ -881,7 +883,9 @@ func (db *DB) QueryRange(block uint64, n int, visit func(block uint64, owners []
 
 // Compact runs database maintenance: merges runs, precomputes the Combined
 // table, and purges records of deleted snapshots. Run it periodically, or
-// before query-intensive maintenance tasks.
+// before query-intensive maintenance tasks. Of the runs a merge read, each
+// partition keeps at most one From and one Combined run; runs a concurrent
+// Checkpoint adds stay beside them at level 0.
 //
 // Zombie snapshots are reaped first. Every merge it installs commits the
 // catalog it purged by in the same manifest, so a crash never keeps a purge

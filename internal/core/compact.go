@@ -10,19 +10,13 @@ import (
 	"github.com/backlogfs/backlog/internal/storage"
 )
 
-// compactRetries is how many optimistic lock-free attempts compactJob
-// makes at a whole-partition merge before falling back to holding the
-// structural lock exclusively for the whole merge — the pessimistic mode
-// cannot conflict, so every compaction eventually makes progress even
-// under a constant stream of checkpoints and relocations.
-const compactRetries = 4
-
 // Compact runs database maintenance on every partition (Section 5.2): it
 // merges all read-store runs, precomputes the Combined table by joining
 // From and To, purges records that refer only to deleted snapshots, and
-// physically drops deletion-vector entries. Afterwards each partition holds
-// at most one Combined run (complete records) and one From run (incomplete
-// records), and the To table is empty.
+// physically drops deletion-vector entries. Of the runs a merge read, each
+// partition keeps at most one Combined run (complete records) and one From
+// run (incomplete records), and no To run; runs a concurrent checkpoint
+// added while it merged stay beside them at level 0.
 //
 // Partitions are maintained independently: a failure in one partition does
 // not stop the pass, and the joined error reports every partition that
@@ -120,17 +114,19 @@ func viewHasRuns(v *lsm.View, table string, p int, inputs []*lsm.Run) bool {
 
 // compactJob executes one merge job — every merge in the engine, whatever
 // planned it, runs here. The k-way merge and run building happen against
-// a pinned view with no structural lock held, so updates and queries
-// proceed during the bulk of the work; the lock is taken exclusively only
-// to validate that the inputs are unchanged and atomically install the
-// manifest edit. A conflicting checkpoint, relocation, expiry or
-// concurrent merge is counted in Stats and then handled by whoever chose
-// the inputs: a job with explicit run lists returns compacted=false so
-// the scheduler re-plans (it does the same when the job is stale — an
-// input already consumed — or deferred by a dirty deletion vector), while
-// a whole-partition job, whose inputs each attempt re-derives, retries
-// here and after compactRetries conflicts runs entirely under the
-// exclusive lock. tiered selects CP-tiered output (see compactAll).
+// a pinned view with no structural lock held, so updates, queries and
+// checkpoints proceed during the bulk of the work; the lock is taken
+// exclusively only to validate the inputs and atomically install the
+// manifest edit. A conflict — another merge or an expiry consumed an
+// input, or a relocation moved a deletion vector — is counted in Stats and
+// then handled by whoever chose the inputs: a job with explicit run lists
+// returns compacted=false so the scheduler re-plans (it does the same when
+// the job is stale — an input already consumed — or deferred by a dirty
+// deletion vector), while a whole-partition job re-derives its inputs from
+// a fresh view and tries again. That loop needs no lock to make progress:
+// each conflict is another commit's install, or a vector move after which
+// the next attempt defers until a checkpoint persists it. tiered selects
+// CP-tiered output (see compactAll).
 func (e *Engine) compactJob(job CompactionJob, tiered bool) (compacted bool, err error) {
 	if o := e.obs; o != nil {
 		// Trace events reuse the Shard field for the partition — the
@@ -139,9 +135,9 @@ func (e *Engine) compactJob(job CompactionJob, tiered bool) (compacted bool, err
 		start := o.opStart(obs.OpCompact, job.Partition, 0, 0)
 		defer func() { o.opEnd(obs.OpCompact, job.Partition, 0, 0, start, o.compact, err) }()
 	}
-	for attempt := 0; ; attempt++ {
+	for {
 		var conflict bool
-		compacted, conflict, err = e.compactJobAttempt(job, tiered, job.Whole && attempt >= compactRetries)
+		compacted, conflict, err = e.compactJobAttempt(job, tiered)
 		if !conflict {
 			return compacted, err
 		}
@@ -152,24 +148,14 @@ func (e *Engine) compactJob(job CompactionJob, tiered bool) (compacted bool, err
 	}
 }
 
-// compactJobAttempt performs one merge-and-install attempt. With
-// exclusive=false the structural lock is held only to pin the view and,
-// later, to validate + install; conflict=true then reports that the
-// inputs moved under the merge and nothing was installed. With
-// exclusive=true the checkpoint single-flight guard is taken first — so
-// the merge cannot interleave with the window in which a checkpoint's
-// write stores are frozen but its runs are uninstalled — and the
-// structural lock is then held throughout, so validation is unnecessary
-// and the attempt cannot conflict. compacted reports an installed merge.
-func (e *Engine) compactJobAttempt(job CompactionJob, tiered, exclusive bool) (compacted, conflict bool, err error) {
+// compactJobAttempt performs one merge-and-install attempt. The structural
+// lock is held shared only to pin the view and exclusively only to
+// validate and install; conflict=true reports that the inputs moved under
+// the merge and nothing was installed. compacted reports an installed
+// merge.
+func (e *Engine) compactJobAttempt(job CompactionJob, tiered bool) (compacted, conflict bool, err error) {
 	p := job.Partition
-	if exclusive {
-		e.cpMu.Lock()
-		defer e.cpMu.Unlock()
-		e.mu.Lock()
-	} else {
-		e.mu.RLock()
-	}
+	e.mu.RLock()
 	// A dirty deletion vector defers compaction of the whole table set: the
 	// unpersisted entries hide records whose re-keyed replacements (block
 	// relocation) still sit in the volatile write stores. Physically purging
@@ -180,31 +166,18 @@ func (e *Engine) compactJobAttempt(job CompactionJob, tiered, exclusive bool) (c
 	// checkpoint persists vector and replacements together, after which
 	// compaction proceeds (the maintainer is kicked after every checkpoint).
 	if e.dvDirty() {
-		if exclusive {
-			e.mu.Unlock()
-		} else {
-			e.mu.RUnlock()
-		}
+		e.mu.RUnlock()
 		return false, false, nil
 	}
 	// The merge purges against the topology it pins with its view (see
 	// keepInterval for why a newer one may land in the same commit).
 	v, topo := e.db.AcquireView(), e.catalog.Topology()
-	if !exclusive {
-		e.mu.RUnlock()
-	}
-	locked := exclusive
-	defer func() {
-		if locked {
-			e.mu.Unlock()
-		}
-		v.Release()
-	}()
+	e.mu.RUnlock()
+	defer v.Release()
 
 	if job.Whole {
-		// Taken from this attempt's own view (pinned under the lock when
-		// exclusive), the inputs are the partition's whole history as of
-		// the state the install validates against — never a stale plan.
+		// Taken from this attempt's own view, the inputs are the
+		// partition's whole history as of the pin — never a stale plan.
 		job = wholeJob(v, p, tiered)
 		if len(job.From) == 0 && len(job.To) == 0 && len(job.Combined) <= 1 {
 			// Nothing to merge; at most the single compacted Combined run
@@ -322,34 +295,34 @@ func (e *Engine) compactJobAttempt(job CompactionJob, tiered, exclusive bool) (c
 		}
 	}
 
-	if !exclusive {
-		e.mu.Lock()
-		locked = true
-		// A whole merge closed lone ends on the strength of having seen
-		// every run, so the partition's run lists must be exactly the
-		// view's; a partial merge only needs its own inputs still live —
-		// runs added outside them (a checkpoint's level-0 flush) do not
-		// invalidate it. Either way the deletion vectors must not have
-		// moved.
-		for i, runs := range inputs {
-			var ok bool
-			if job.Whole {
-				ok = v.Unchanged(tables[i], p)
-			} else {
-				ok = v.UnchangedRuns(tables[i], p, runs)
-			}
-			if !ok {
-				// The built runs describe a stale state.
-				discard()
-				return false, true, nil
-			}
+	// One rule validates every merge: each input is still live and the
+	// deletion vectors have not moved since the pin. A relocation moves a
+	// vector; another merge or an expiry consumes an input. Runs added
+	// beside the inputs since the pin (a checkpoint's) do not invalidate the
+	// merge. A partial merge joins only pairs both of whose ends it read, so
+	// for it this is plain. A whole merge also closes lone ends, judging by
+	// the runs it read alone, and that is sound too: a From is applied
+	// before its To, and a generation flushes no later than the ones after
+	// it (a failed flush merges back into the next), so the From of every To
+	// in the view is in the view as well. A run added since holds only newer
+	// history: its Tos pair with Froms the merge wrote out still incomplete
+	// (or purged only where the lone To reads as nothing either, see
+	// emitLeveledGroup), and it stays at or below the merge's output level
+	// (see wholeJob).
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for i, runs := range inputs {
+		if !v.UnchangedRuns(tables[i], p, runs) {
+			// The built runs describe a stale state.
+			discard()
+			return false, true, nil
 		}
 	}
 
-	// Install: the inputs are live (validated above, or the lock was held
-	// throughout), so the edit swaps exactly them for the outputs, and the
-	// commit collects the deletion-vector entries the merge consumed. A
-	// Commit that fails has changed nothing and removed the output files.
+	// Install: the inputs are live, so the edit swaps exactly them for the
+	// outputs, and the commit collects the deletion-vector entries the
+	// merge consumed. A Commit that fails has changed nothing and removed
+	// the output files.
 	edit := e.db.NewEdit().SetSource(storage.SrcCompaction)
 	for _, ref := range added {
 		edit.AddRun(ref)

@@ -1,7 +1,7 @@
 // Tests of the one merge executor against a storage layer that misbehaves
-// on cue: a header write that fails inside RunBuilder.Finish, a checkpoint
-// that lands in the middle of every optimistic attempt, and a catalog change
-// committed while a merge is in flight. Package
+// on cue: a header write that fails inside RunBuilder.Finish, and a
+// checkpoint, another merge or a catalog change committed while a merge is
+// in flight. Package
 // core_test because the answers are checked against the model.
 package core_test
 
@@ -186,16 +186,13 @@ func TestFinishFailureLeavesNoOrphan(t *testing.T) {
 	}
 }
 
-// TestCompactionLadder drives a whole-partition merge down the whole
-// retry ladder deterministically: a checkpoint lands inside each of the
-// first CompactRetries attempts — from within the creation of the
-// attempt's From output, where an optimistic attempt holds no structural
-// lock — so each finds the partition changed at install and counts one
-// conflict. The next attempt runs under the exclusive lock (the hook must
-// not fire then: a checkpoint would deadlock on the single-flight guard),
-// cannot conflict, and installs a merge that includes the runs the
-// interfering checkpoints added.
-func TestCompactionLadder(t *testing.T) {
+// TestMergeInstallBesideACheckpoint lands a checkpoint inside a
+// whole-partition merge — from within the creation of the merge's From
+// output, where it holds no structural lock. CP 5's removals are Tos of
+// Froms the merge reads. The checkpoint consumes none of the merge's
+// inputs, so the merge installs at its first attempt, and CP 5's runs, the
+// newer history, stay at level 0 beside its level-1 outputs.
+func TestMergeInstallBesideACheckpoint(t *testing.T) {
 	cases := []struct {
 		name  string
 		opts  core.Options
@@ -211,36 +208,157 @@ func TestCompactionLadder(t *testing.T) {
 				fx.epoch(cp)
 			}
 
-			fired := 0
+			fired := false
 			onRunCreate(fx.fs, func(name string) {
-				if !strings.HasPrefix(name, core.TableFrom+".") || fired == core.CompactRetries {
+				if fired || !strings.HasPrefix(name, core.TableFrom+".") {
 					return
 				}
-				fired++
-				fx.epoch(4 + uint64(fired))
+				fired = true
+				fx.epoch(5)
 			})
 			if err := tc.merge(fx.eng); err != nil {
 				t.Fatal(err)
 			}
 			fx.fs.SetFailurePlan(storage.FailurePlan{})
 
-			if fired != core.CompactRetries {
-				t.Fatalf("interfering checkpoint ran %d times, want %d", fired, core.CompactRetries)
+			if !fired {
+				t.Fatal("the checkpoint never landed inside the merge")
 			}
-			if ms := fx.eng.MaintenanceStats(); ms.Conflicts != core.CompactRetries {
-				t.Fatalf("Conflicts = %d, want %d", ms.Conflicts, core.CompactRetries)
+			if ms := fx.eng.MaintenanceStats(); ms.Conflicts != 0 {
+				t.Fatalf("Conflicts = %d, want 0", ms.Conflicts)
 			}
 			if n := fx.eng.Stats().Compactions; n != 1 {
-				t.Fatalf("Compactions = %d, want the one pessimistic install", n)
+				t.Fatalf("Compactions = %d, want the one install", n)
 			}
-			// Everything, the interfering flushes included, is merged: one
-			// From and one Combined run, no To.
-			if n := fx.eng.RunCount(); n != 2 {
-				t.Fatalf("%d runs after the merge, want 2: %+v", n, fx.eng.RunInfos())
+			// The merge's From and Combined outputs at level 1; CP 5's From
+			// and To (a section each of one checkpoint file) at level 0.
+			var got []string
+			for _, ri := range fx.eng.RunInfos() {
+				got = append(got, fmt.Sprintf("%s@%d", ri.Table, ri.Level))
+			}
+			slices.Sort(got)
+			want := []string{core.TableCombined + "@1", core.TableFrom + "@0", core.TableFrom + "@1", core.TableTo + "@0"}
+			if !slices.Equal(got, want) {
+				t.Fatalf("runs after the merge %v, want %v: %+v", got, want, fx.eng.RunInfos())
 			}
 			fx.verify()
 		})
 	}
+}
+
+// TestMergeInstallConflictsOnConsumedInputs holds a whole-partition merge
+// at its first output's Create while another merge consumes its inputs.
+// The held merge must find them gone at install, count one conflict,
+// re-derive its inputs from a fresh view and merge those, leaving the
+// partition at one From and one Combined run: were it to install what it
+// built, its outputs would sit beside the other merge's, the same records
+// twice.
+func TestMergeInstallConflictsOnConsumedInputs(t *testing.T) {
+	cases := []struct {
+		name   string
+		opts   core.Options
+		nested func(*core.Engine) error
+	}{
+		// A second whole merge consumes every input.
+		{"Compact", core.Options{}, (*core.Engine).Compact},
+		// A stepped merge lifts the level-0 runs, every input, to level 1.
+		{"leveled", core.Options{CompactionPolicy: core.PolicyLeveled{}, Fanout: 2}, (*core.Engine).MaintainNow},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fx := newMergeFixture(t, tc.opts)
+			for cp := uint64(1); cp <= 4; cp++ {
+				fx.epoch(cp)
+			}
+
+			held := false
+			onRunCreate(fx.fs, func(name string) {
+				if held || !strings.HasPrefix(name, core.TableFrom+".") {
+					return
+				}
+				held = true
+				if err := tc.nested(fx.eng); err != nil {
+					t.Error(err)
+				}
+			})
+			if err := fx.eng.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			fx.fs.SetFailurePlan(storage.FailurePlan{})
+
+			if !held {
+				t.Fatal("the merge was never held")
+			}
+			if ms := fx.eng.MaintenanceStats(); ms.Conflicts != 1 {
+				t.Fatalf("Conflicts = %d, want 1", ms.Conflicts)
+			}
+			if n := fx.eng.Stats().Compactions; n != 2 {
+				t.Fatalf("Compactions = %d, want the nested merge and the retry", n)
+			}
+			if n := fx.eng.RunCount(); n != 2 {
+				t.Fatalf("%d runs after the merge, want one From and one Combined: %+v", n, fx.eng.RunInfos())
+			}
+			fx.verify()
+		})
+	}
+}
+
+// TestMergeInstallKeepsLevelsOrdered holds a whole-partition merge of a
+// leveled partition whose runs all sit at level 2 while nine checkpoints
+// and their stepped merges lift newer history up beside them — level 2
+// still takes fewer than Fanout runs per table, so no stepped merge
+// consumes an input. The merge must land its outputs at level 2, not 1:
+// beneath that newer history, the oldest records would later be stepped
+// up together with runs younger than the history between them, and a
+// stepped merge pairs the ends it reads as if they were adjacent.
+func TestMergeInstallKeepsLevelsOrdered(t *testing.T) {
+	fx := newMergeFixture(t, core.Options{CompactionPolicy: core.PolicyLeveled{}, Fanout: 3})
+	cp := uint64(0)
+	epochs := func(n int) {
+		for range n {
+			cp++
+			fx.epoch(cp)
+			if err := fx.eng.MaintainNow(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	epochs(9)
+	for _, ri := range fx.eng.RunInfos() {
+		if ri.Level != 2 {
+			t.Fatalf("fixture: a run at level %d, want every run at level 2: %+v", ri.Level, fx.eng.RunInfos())
+		}
+	}
+	pinned := cp
+
+	held := false
+	onRunCreate(fx.fs, func(name string) {
+		if held || !strings.HasPrefix(name, core.TableFrom+".") {
+			return
+		}
+		held = true
+		epochs(9)
+	})
+	if err := fx.eng.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	fx.fs.SetFailurePlan(storage.FailurePlan{})
+	if ms := fx.eng.MaintenanceStats(); !held || ms.Conflicts != 0 {
+		t.Fatalf("held=%v, %d conflicts: want the merge held and installed at its first attempt", held, ms.Conflicts)
+	}
+	// Higher levels hold older history: no From or To run of the CPs after
+	// the pin sits above one that holds history the merge read.
+	for _, hi := range fx.eng.RunInfos() {
+		for _, lo := range fx.eng.RunInfos() {
+			if hi.Table != core.TableCombined && lo.Table != core.TableCombined &&
+				hi.Level > lo.Level && hi.MinCP > pinned && lo.MinCP <= pinned {
+				t.Fatalf("level %d holds CPs %d-%d, level %d CPs %d-%d: %+v",
+					hi.Level, hi.MinCP, hi.MaxCP, lo.Level, lo.MinCP, lo.MaxCP, fx.eng.RunInfos())
+			}
+		}
+	}
+	epochs(9)
+	fx.verify()
 }
 
 // TestMergeInstallCommitsTheLiveCatalog holds a merge between its pin and

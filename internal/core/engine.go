@@ -305,8 +305,8 @@ type writeShard struct {
 // checkpoint. RelocateBlock holds it exclusively for its whole run, and
 // queues behind an in-flight checkpoint first.
 //
-// Lock order: cpMu → mu → a shard's mu. walErrMu and lsm's viewMu and idMu
-// are leaves: nothing is acquired under them.
+// Lock order: cpMu → mu → a shard's mu; a merge starts at mu. walErrMu and
+// lsm's viewMu and idMu are leaves: nothing is acquired under them.
 type Engine struct {
 	mu      sync.RWMutex
 	opts    Options
@@ -316,12 +316,11 @@ type Engine struct {
 	cache   *btree.Cache
 
 	// cpMu is the checkpoint single-flight guard: Checkpoint holds it end
-	// to end (including the lock-free flush), and RelocateBlock, Close and
-	// the pessimistic attempt of a merge (compactJobAttempt with exclusive
-	// set) take it too, so none of them can interleave with the window in
-	// which the write stores are frozen but the runs are not yet installed.
-	// Optimistic merge attempts do not need it — they validate their view
-	// before installing.
+	// to end (including the lock-free flush), and RelocateBlock and Close
+	// take it too, so neither can interleave with the window in which the
+	// write stores are frozen but the runs are not yet installed. Merges
+	// never take it: a checkpoint that installs while one runs only adds
+	// runs beside its inputs (see compactJobAttempt).
 	cpMu sync.Mutex
 
 	shards []*writeShard
@@ -614,9 +613,8 @@ func (e *Engine) Durability() wal.Durability { return e.opts.Durability }
 // point. Close returns the sticky WAL durability error, if any.
 func (e *Engine) Close() error {
 	// Stop the background maintainer before taking any lock: a background
-	// compaction in flight needs cpMu (pessimistic mode) and the
-	// structural lock to install or discard its result, and Close waits
-	// for it to finish.
+	// compaction in flight needs the structural lock to install or discard
+	// its result, and Close waits for it to finish.
 	if e.maint != nil {
 		e.maint.close()
 	}

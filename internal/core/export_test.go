@@ -1,9 +1,5 @@
 package core
 
-// CompactRetries exposes the optimistic-attempt budget to the external
-// (core_test) merge tests, which assert the exact conflict count.
-const CompactRetries = compactRetries
-
 // CacheBytes is the bytes charged to the engine's page cache, for the
 // external tests of what written-through pages do when a commit fails.
 func (e *Engine) CacheBytes() int64 { return e.cache.SizeBytes() }

@@ -175,3 +175,70 @@ func TestLeveledRetainLiveNeverPlansExpiredRuns(t *testing.T) {
 		t.Fatalf("%d planned merge inputs were below the reclaim horizon", rec.violations)
 	}
 }
+
+// TestLeveledMergeThatCannotShrinkIsNotPlanned pins the planner's guard
+// against merges that cannot shrink a level (maxJobOutputs). Under
+// RetainLive a tiered Compact leaves level 1 holding a From run, a sealed
+// Combined run and an override run: two Combined runs reach a Fanout of 2,
+// yet their merge would write the same three runs one level up, trigger
+// there again, and climb forever. The level must be left alone — nothing
+// pending, and a maintenance pass that returns with no run above level 1.
+func TestLeveledMergeThatCannotShrinkIsNotPlanned(t *testing.T) {
+	fx := newMergeFixture(t, core.Options{Retention: core.RetainLive, CompactionPolicy: core.PolicyLeveled{}, Fanout: 2})
+	live := core.Ref{Block: 1, Inode: 1, Length: 1}
+	ended := core.Ref{Block: 1, Inode: 2, Length: 1}
+	fx.apply(refOp{ref: live, cp: 1})
+	fx.apply(refOp{ref: ended, cp: 1})
+	fx.m.snapshot(0, 1)
+	if err := fx.cat.CreateSnapshot(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	fCheckpoint(t, fx.eng, 1)
+	fx.m.clone(1, 0, 1)
+	if err := fx.cat.CreateClone(1, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	inherited := live
+	inherited.Line = 1
+	fx.apply(refOp{ref: inherited, cp: 2, remove: true})
+	fx.apply(refOp{ref: ended, cp: 2, remove: true})
+	fCheckpoint(t, fx.eng, 2)
+	if err := fx.eng.Compact(); err != nil {
+		t.Fatal(err)
+	}
+
+	var from, sealed, override int
+	for _, ri := range fx.eng.RunInfos() {
+		switch {
+		case ri.Level != 1:
+		case ri.Table == core.TableFrom:
+			from++
+		case ri.Table == core.TableCombined && ri.Overrides == 0:
+			sealed++
+		case ri.Table == core.TableCombined:
+			override++
+		}
+	}
+	if from != 1 || sealed != 1 || override != 1 || fx.eng.RunCount() != 3 {
+		t.Fatalf("fixture: want level 1 to hold a From, a sealed Combined and an override run: %+v", fx.eng.RunInfos())
+	}
+	if ms := fx.eng.MaintenanceStats(); ms.PendingJobs != 0 {
+		t.Fatalf("%d jobs pending over a level no merge can shrink", ms.PendingJobs)
+	}
+	done := make(chan error, 1)
+	go func() { done <- fx.eng.MaintainNow() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("MaintainNow has not returned after 10s: %+v", fx.eng.RunInfos())
+	}
+	for _, ri := range fx.eng.RunInfos() {
+		if ri.Level > 1 {
+			t.Fatalf("a run climbed to level %d: %+v", ri.Level, fx.eng.RunInfos())
+		}
+	}
+	fx.verify()
+}

@@ -39,11 +39,12 @@ type MaintenanceStats struct {
 	// AutoCompactions counts merges installed by maintenance passes
 	// (background or MaintainNow).
 	AutoCompactions uint64
-	// Conflicts counts optimistic merge attempts (background or
-	// foreground) that found their inputs changed under the merge and
-	// installed nothing: a whole-partition merge then retries against a
-	// fresh view (after compactRetries conflicts, under the exclusive
-	// lock), any other job goes back to the planner.
+	// Conflicts counts merge attempts (background or foreground) that
+	// found an input consumed by another merge or an expiry, or a deletion
+	// vector moved by a relocation, and installed nothing: a
+	// whole-partition merge then retries against a fresh view, any other
+	// job goes back to the planner. A checkpoint landing mid-merge is not
+	// a conflict.
 	Conflicts uint64
 	// Errors counts background compaction passes abandoned on error.
 	Errors uint64

@@ -24,14 +24,16 @@ const DefaultFanout = 3
 type CompactionJob struct {
 	Partition int
 	// Whole states a property of the inputs: From and To list every From
-	// and To run of the partition — its whole history — so a record the
-	// merge finds without a partner has none anywhere (see
-	// emitLeveledGroup). The executor takes such a job's inputs from the
-	// view it pins itself, and installs only if the partition's run lists
-	// are still exactly that view's.
+	// and To run of the partition — its whole history as of a view — so a
+	// record the merge finds without a partner has none in that history
+	// (see emitLeveledGroup). The executor takes such a job's inputs from
+	// the view it pins itself and, like any job's, installs them while they
+	// are still live, beside runs added since, which hold only newer
+	// history (see compactJobAttempt).
 	Whole bool
 	// OutputLevel is the level stamped on the merge outputs (one above
-	// the inputs for a stepped merge, 1 for a whole merge).
+	// the inputs for a stepped merge, the highest input level — 1 at
+	// least — for a whole merge).
 	OutputLevel int
 	// From, To, and Combined are the input runs per table. The pointers
 	// identify runs in the view the plan was made against; the executor
@@ -41,10 +43,18 @@ type CompactionJob struct {
 
 // wholeJob builds the whole-partition merge of p as of v: every From and
 // To run and every Combined run, merged to at most one run per table at
-// level 1. Under tiered retention sealed Combined runs stay out — they
-// are never re-merged: that would union their windows with newer records
-// and push the result's MaxCP past the horizon forever, so nothing would
-// ever expire.
+// the highest level among them, level 1 at least. Under tiered retention
+// sealed Combined runs stay out — they are never re-merged: that would
+// union their windows with newer records and push the result's MaxCP past
+// the horizon forever, so nothing would ever expire.
+//
+// The output level keeps levels ordering history, higher levels older,
+// which a stepped merge relies on (see emitLeveledGroup). Runs a
+// checkpoint adds while the merge runs start at level 0, and a stepped
+// merge takes every run of its level, so lifting them past a level that
+// holds an input consumes the input and one of the two merges conflicts.
+// They therefore stay at or below the highest input level, where the
+// outputs land.
 func wholeJob(v *lsm.View, p int, tiered bool) CompactionJob {
 	job := CompactionJob{
 		Partition: p, Whole: true, OutputLevel: 1,
@@ -53,6 +63,11 @@ func wholeJob(v *lsm.View, p int, tiered bool) CompactionJob {
 	for _, r := range v.Runs(TableCombined, p) {
 		if !(tiered && r.Sealed()) {
 			job.Combined = append(job.Combined, r)
+		}
+	}
+	for _, runs := range [][]*lsm.Run{job.From, job.To, job.Combined} {
+		for _, r := range runs {
+			job.OutputLevel = max(job.OutputLevel, r.Level())
 		}
 	}
 	return job

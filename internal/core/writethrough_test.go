@@ -49,10 +49,12 @@ func TestWriteThroughFailuresLeaveTheCache(t *testing.T) {
 		for cp := uint64(1); cp <= 4; cp++ {
 			fx.epoch(cp)
 		}
-		// A checkpoint lands inside the first attempt, before its first
-		// output is created; the cache is measured after it, and again when
-		// the second attempt creates its first output — after the first one
-		// built its runs, lost the race and discarded them.
+		// A relocation, which moves the deletion vector, and the checkpoint
+		// that persists it land inside the first attempt, before its first
+		// output is created; the cache is measured after them, and again
+		// when the second attempt creates its first output — after the
+		// first one built its runs, lost the race and discarded them. The
+		// block moved is odd, so no removal of epoch 5 names it.
 		creates := 0
 		var cached int64
 		onRunCreate(fx.fs, func(name string) {
@@ -61,6 +63,10 @@ func TestWriteThroughFailuresLeaveTheCache(t *testing.T) {
 			}
 			switch creates++; creates {
 			case 1:
+				if err := fx.eng.RelocateBlock(1, fixtureBlocks); err != nil {
+					t.Error(err)
+				}
+				fx.m.relocate(1, fixtureBlocks)
 				fx.epoch(5)
 				cached = fx.eng.CacheBytes()
 			case 2:

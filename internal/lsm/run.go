@@ -104,7 +104,8 @@ func (r *Run) Name() string { return r.name }
 
 // Level returns the run's maintenance level: 0 for per-CP flushes and
 // >= 1 for compacted runs (a stepped merge of level-L runs produces a
-// level-L+1 run; a full partition merge produces level 1).
+// level-L+1 run; a full partition merge produces its inputs' highest
+// level, 1 at least).
 func (r *Run) Level() int { return r.level }
 
 // Records returns the number of records in the run.

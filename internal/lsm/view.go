@@ -1,5 +1,7 @@
 package lsm
 
+import "slices"
+
 // version is a refcounted snapshot of every table's run sets and deletion
 // vectors — the LevelDB/RocksDB-style version set. The DB always holds
 // one reference to the current version; every View holds one more.
@@ -204,50 +206,24 @@ func (v *View) MergedIter(table string, partition int) (RecIter, error) {
 	return v.MergedIterOf(table, v.Runs(table, partition))
 }
 
-// Unchanged reports whether the live run set of (table, partition) and the
-// table's deletion vector are still identical to this view's snapshot —
-// the validation an optimistic compaction performs before installing its
-// result. The caller must hold the structural lock exclusively, so the
-// comparison cannot race with a concurrent Commit.
-func (v *View) Unchanged(table string, partition int) bool {
-	tv := v.ver.tables[table]
-	live := tv.t.runs[partition]
-	snap := tv.runs[partition]
-	if len(live) != len(snap) {
-		return false
-	}
-	for i := range live {
-		if live[i] != snap[i] {
-			return false
-		}
-	}
-	// Deletion vectors are copy-on-write with a generation counter: equal
-	// generations mean no mutation since the snapshot.
-	return tv.dvGen == tv.t.dvGen
-}
-
 // UnchangedRuns reports whether every run in inputs is still live in
 // (table, partition) and the table's deletion vector is unmodified since
-// the snapshot — the validation a job-scoped compaction performs before
-// installing its result. Unlike Unchanged it tolerates runs added or
-// dropped outside the input set: a checkpoint flush appending a level-0
-// run does not invalidate a leveled merge of older runs. The caller must
-// hold the structural lock exclusively.
+// the snapshot — the validation every compaction performs before
+// installing its result. Runs added or dropped outside the input set do
+// not count: a checkpoint flush appending a level-0 run does not
+// invalidate a merge of older runs. The caller must hold the structural
+// lock exclusively, so the comparison cannot race with a concurrent
+// Commit.
 func (v *View) UnchangedRuns(table string, partition int, inputs []*Run) bool {
 	tv := v.ver.tables[table]
+	// Deletion vectors are copy-on-write with a generation counter: equal
+	// generations mean no mutation since the snapshot.
 	if tv.dvGen != tv.t.dvGen {
 		return false
 	}
 	live := tv.t.runs[partition]
 	for _, in := range inputs {
-		found := false
-		for _, r := range live {
-			if r == in {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(live, in) {
 			return false
 		}
 	}

@@ -186,14 +186,15 @@ func TestViewKeepsSupersededRunsReadable(t *testing.T) {
 
 // TestViewSnapshotsDeletionVector: DV mutations after the pin must not
 // leak into the view (copy-on-write), and the view reports the change via
-// Unchanged.
+// UnchangedRuns even while every input run is still live.
 func TestViewSnapshotsDeletionVector(t *testing.T) {
 	fs := storage.NewMemFS()
 	db := openTestDB(t, fs, 1)
 	flushRecords(t, db, "from", 1, [][]byte{rec16(5, 100), rec16(5, 101)})
+	unchanged := func(v *View) bool { return v.UnchangedRuns("from", 0, v.Runs("from", 0)) }
 
 	v := db.AcquireView()
-	if !v.Unchanged("from", 0) {
+	if !unchanged(v) {
 		t.Fatal("fresh view reports change")
 	}
 
@@ -207,7 +208,7 @@ func TestViewSnapshotsDeletionVector(t *testing.T) {
 	if got := viewCollect(t, v, "from", 5); len(got) != 2 {
 		t.Fatalf("view block 5: %d records, want 2", len(got))
 	}
-	if v.Unchanged("from", 0) {
+	if unchanged(v) {
 		t.Fatal("view does not report the DV mutation")
 	}
 	// A view acquired after the mutation must observe it, even though no
@@ -217,7 +218,7 @@ func TestViewSnapshotsDeletionVector(t *testing.T) {
 	if got := viewCollect(t, v2, "from", 5); len(got) != 1 {
 		t.Fatalf("fresh view block 5: %d records, want 1", len(got))
 	}
-	if !v2.Unchanged("from", 0) {
+	if !unchanged(v2) {
 		t.Fatal("fresh view reports change")
 	}
 	v2.Release()
@@ -247,33 +248,45 @@ func TestViewSnapshotsDeletionVector(t *testing.T) {
 	if got := viewCollect(t, v4, "from", 5); len(got) != 0 {
 		t.Fatalf("view pinned before the undelete: %d records, want 0", len(got))
 	}
-	if got := collect(t, tbl, 5); len(got) != 1 || v4.Unchanged("from", 0) {
+	if got := collect(t, tbl, 5); len(got) != 1 || unchanged(v4) {
 		t.Fatalf("after the undelete: %d records live, want 1, and the older view must report the change", len(got))
 	}
 }
 
-// TestViewUnchangedDetectsRunChanges: installing a new run in the
-// partition invalidates the view's snapshot of it, but not of other
-// partitions.
+// TestViewUnchangedDetectsRunChanges: UnchangedRuns holds while a view's
+// inputs stay live — a run appended to their partition leaves it true —
+// and turns false once a commit drops one of them. Other partitions are
+// judged by their own inputs.
 func TestViewUnchangedDetectsRunChanges(t *testing.T) {
 	fs := storage.NewMemFS()
 	db := openTestDB(t, fs, 4)
 	flushRecords(t, db, "from", 1, [][]byte{rec16(5, 100), rec16(2500, 7)})
+	flushRecords(t, db, "from", 2, [][]byte{rec16(6, 1)})
 
 	v := db.AcquireView()
 	defer v.Release()
 	for p := 0; p < 4; p++ {
-		if !v.Unchanged("from", p) {
+		if !v.UnchangedRuns("from", p, v.Runs("from", p)) {
 			t.Fatalf("fresh view reports change in partition %d", p)
 		}
 	}
 	// Partition 0 covers blocks [0, 1000); 2500 lands in partition 2.
-	flushRecords(t, db, "from", 2, [][]byte{rec16(10, 1)})
-	if v.Unchanged("from", 0) {
-		t.Fatal("new run in partition 0 not detected")
+	inputs := v.Runs("from", 0)
+	flushRecords(t, db, "from", 3, [][]byte{rec16(10, 1)})
+	if !v.UnchangedRuns("from", 0, inputs) {
+		t.Fatal("a run appended beside the inputs invalidated them")
 	}
-	if !v.Unchanged("from", 2) || !v.Unchanged("from", 3) {
-		t.Fatal("untouched partitions report change")
+	if err := db.NewEdit().DropRun("from", inputs[0].Name()).Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if v.UnchangedRuns("from", 0, inputs) {
+		t.Fatal("dropped input not detected")
+	}
+	if !v.UnchangedRuns("from", 0, inputs[1:]) {
+		t.Fatal("the inputs still live report change")
+	}
+	if !v.UnchangedRuns("from", 2, v.Runs("from", 2)) {
+		t.Fatal("untouched partition reports change")
 	}
 }
 
