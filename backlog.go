@@ -107,8 +107,8 @@
 //     a write-ahead log (internal/wal) without fsync. Records are
 //     collected in memory and handed to the operating system 64 KiB at a
 //     time (and at every Checkpoint and Close), so the log costs a device
-//     write per nine thousand updates or so, not per update. A clean Close
-//     preserves everything. A crash — of the process as much as of the
+//     write per thirteen thousand updates or so, not per update. A clean
+//     Close preserves everything. A crash — of the process as much as of the
 //     machine, since the newest records (at most 64 KiB) have not reached
 //     the OS cache yet — can lose recent updates, but what replays is
 //     always a prefix of what was logged and never corrupts the database.
@@ -124,10 +124,11 @@
 //     not two.
 //
 // Log records are varint-encoded and framed per device write rather than
-// per record (segment format 3: about 7 bytes per update plus an 8-byte
-// header per batch — measured, 6.8 bytes per update in Buffered mode and
-// 11.7 in Sync mode with two updaters — while segments the previous binary
-// wrote in format 2 still replay). Open
+// per record (segment format 4: about 7 bytes per update, 3 for one that
+// continues its file where the previous update of its kind left off, plus
+// an 8-byte header per batch — measured, 5.0 bytes per update in Buffered
+// mode and 11.7 in Sync mode with two updaters — while segments the
+// previous binary wrote in format 3 still replay). Open
 // replays the log tail — tolerating a torn final batch, none of whose
 // records a Sync log had acknowledged — to rebuild the write stores, and
 // Checkpoint retires the log, so queries and paper experiments behave

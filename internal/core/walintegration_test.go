@@ -135,7 +135,7 @@ func TestRelocationDurableAtCheckpoint(t *testing.T) {
 
 // TestPreviousFormatLogTailReplaysAndRetires is the upgrade path end to
 // end: a directory whose log tail the previous binary wrote (segment format
-// 2, the golden files internal/wal keeps) opens, every record of the tail
+// 3, the golden files internal/wal keeps) opens, every record of the tail
 // replays, new updates are logged next to it in the current format, and the
 // first checkpoint retires the old segments.
 func TestPreviousFormatLogTailReplaysAndRetires(t *testing.T) {
@@ -144,7 +144,7 @@ func TestPreviousFormatLogTailReplaysAndRetires(t *testing.T) {
 			vfs := storage.NewMemFS()
 			old := []string{"wal-0000000000000001.seg", "wal-0000000000000002.seg"}
 			for _, name := range old {
-				b, err := os.ReadFile(filepath.Join("..", "wal", "testdata", "v2-"+name))
+				b, err := os.ReadFile(filepath.Join("..", "wal", "testdata", "v3-"+name))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -166,9 +166,9 @@ func TestPreviousFormatLogTailReplaysAndRetires(t *testing.T) {
 			}
 			defer eng.Close()
 			// The tail holds eight records past its checkpoint mark (CP 1),
-			// all tagged later than it, and a torn ninth.
+			// all tagged later than it.
 			if got := eng.Stats().WALReplayed; got != 8 {
-				t.Fatalf("replayed %d records of the format-2 tail, want 8", got)
+				t.Fatalf("replayed %d records of the format-3 tail, want 8", got)
 			}
 			// Golden record 5: a reference on line 0, live since CP 4.
 			if owners := mustQuery(t, eng, 77); len(owners) != 1 || !owners[0].Live {
@@ -181,7 +181,7 @@ func TestPreviousFormatLogTailReplaysAndRetires(t *testing.T) {
 			mustCheckpoint(t, eng, 5)
 			for _, name := range walFiles(t, vfs) {
 				if name == old[0] || name == old[1] {
-					t.Fatalf("format-2 segment %s survived the first checkpoint", name)
+					t.Fatalf("format-3 segment %s survived the first checkpoint", name)
 				}
 			}
 			for _, block := range []uint64{77, 900} {

@@ -9,19 +9,24 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/backlogfs/backlog/internal/storage"
 )
 
-// The golden files under testdata/ were written by the version-2 encoder
-// (one frame per record, every field spelled out) at the commit before it
-// was replaced, and are the only place version-2 bytes come from now:
+// The golden files under testdata/ are never regenerated. Each was written
+// by the encoder of its version:
 //
-//	v2-wal-…01.seg  Checkpoint mark CP=1, goldenRecords()[:5]
+//	v2-wal-…01.seg  Checkpoint mark CP=1, goldenRecords()[:5], a frame each
 //	v2-wal-…02.seg  Cut mark CP=3, goldenRecords()[5:], then 20 bytes of a
-//	                torn AddRef frame — the tail of a killed older binary
+//	                torn AddRef frame. This binary refuses version 2.
+//	v3-wal-…01.seg  Checkpoint mark CP=1 in a batch of its own, then
+//	                goldenRecords()[:5] in one batch
+//	v3-wal-…02.seg  Cut mark CP=3, then goldenRecords()[5:] in one batch
+//	v4-wal-…01.seg  Cut mark CP=4, then goldenV4Records()[:13] in one batch
+//	v4-wal-…02.seg  goldenV4Records()[13:] in one batch
 func goldenRecords() []Record {
 	return []Record{
 		{Op: OpAddRef, Block: 1, Inode: 2, Offset: 3, Line: 0, Length: 1, CP: 2},
@@ -35,9 +40,32 @@ func goldenRecords() []Record {
 	}
 }
 
-func goldenSegment(t testing.TB, index uint64) []byte {
-	return goldenFile(t, "v2-", index)
+// goldenV4Records is the history the version-4 golden files hold: files
+// written front to back, whose updates continue their op's previous one.
+func goldenV4Records() []Record {
+	return []Record{
+		{Op: OpAddRef, Block: 100, Inode: 7, Offset: 0, Length: 1, CP: 5},
+		{Op: OpAddRef, Block: 101, Inode: 7, Offset: 1, Length: 1, CP: 5},            // continues
+		{Op: OpRemoveRef, Block: 50, Inode: 7, Offset: 0, Length: 1, CP: 5},          // the batch's first RemoveRef
+		{Op: OpAddRef, Block: 102, Inode: 7, Offset: 2, Line: 3, Length: 1, CP: 5},   // continues, Line ≠ 0
+		{Op: OpRemoveRef, Block: 51, Inode: 7, Offset: 1, Line: 1, Length: 2, CP: 5}, // continues, Length ≠ 1
+		{Op: OpRelocate, Block: 102, NewBlock: 900, CP: 5},
+		{Op: OpCut, CP: 5},
+		{Op: OpAddRef, Block: 103, Inode: 7, Offset: 3, Length: 4, CP: 6},                  // continues past the relocate and the mark
+		{Op: OpRemoveRef, Block: 52, Inode: 8, Offset: 9, Length: 1, CP: 6},                // another file
+		{Op: OpAddRef, Block: 107, Inode: 7, Offset: 7, Length: 1, CP: 6},                  // continues past it
+		{Op: OpRemoveRef, Block: 53, Inode: 8, Offset: 10, Length: 1, CP: 6},               // continues
+		{Op: OpAddRef, Block: 200, Inode: 9, Offset: math.MaxUint64 - 1, Length: 3, CP: 6}, // ends past 2^64
+		{Op: OpAddRef, Block: 201, Inode: 9, Offset: 1, Length: 1, CP: 6},                  // continues at the wrapped offset
+		{Op: OpAddRef, Block: 202, Inode: 9, Offset: 2, Length: 1, CP: 6},                  // the next batch's first AddRef
+		{Op: OpAddRef, Block: 203, Inode: 9, Offset: 3, Length: 1, CP: 6},                  // continues
+		{Op: OpRemoveRef, Block: 54, Inode: 8, Offset: 11, Length: 1, CP: 7},               // the next batch's first RemoveRef
+	}
 }
+
+// goldenV4Continues lists the goldenV4Records the encoder flags as
+// continuing their op's previous record in the batch.
+var goldenV4Continues = []int{1, 3, 4, 7, 9, 10, 12, 14}
 
 func goldenFile(t testing.TB, prefix string, index uint64) []byte {
 	t.Helper()
@@ -48,9 +76,28 @@ func goldenFile(t testing.TB, prefix string, index uint64) []byte {
 	return b
 }
 
-// goldenV3Segment is goldenSegment's history as this binary writes it: the
-// mark in a batch of its own, the records in one batch behind it.
-func goldenV3Segment(index uint64) []byte {
+// withVersion returns a copy of seg whose header names another version.
+func withVersion(seg []byte, version byte) []byte {
+	seg = append([]byte(nil), seg...)
+	seg[8] = version
+	return seg
+}
+
+// goldenV4Segment is the version-4 golden history as this binary writes it.
+func goldenV4Segment(index uint64) []byte {
+	recs := goldenV4Records()
+	b := encodeSegHeader(index)
+	if index == 1 {
+		b = appendBatch(b, Record{Op: OpCut, CP: 4})
+		return appendBatch(b, recs[:13]...)
+	}
+	return appendBatch(b, recs[13:]...)
+}
+
+// goldenHistory is the version-3 golden tail's history as this binary
+// writes it: the mark in a batch of its own, the records in one batch
+// behind it.
+func goldenHistory(index uint64) []byte {
 	recs := goldenRecords()
 	b := encodeSegHeader(index)
 	if index == 1 {
@@ -63,14 +110,61 @@ func goldenV3Segment(index uint64) []byte {
 	return appendBatch(b, recs...)
 }
 
-// TestFormat3BytesPinned: the encoder still writes the bytes committed as
-// testdata/v3-wal-*.seg. A deliberate format change bumps segVersion and
-// adds files; it never rewrites these.
+// TestFormat3BytesPinned: the version-3 golden files, whose encoder no
+// longer exists, still decode to the history they were written from.
 func TestFormat3BytesPinned(t *testing.T) {
+	golden := goldenRecords()
+	for index, want := range map[uint64][]Record{
+		1: append([]Record{{Op: OpCheckpoint, CP: 1}}, golden[:5]...),
+		2: append([]Record{{Op: OpCut, CP: 3}}, golden[5:]...),
+	} {
+		seg := goldenFile(t, "v3-", index)
+		if v, ok := segHeaderVersion(seg); !ok || v != 3 {
+			t.Fatalf("v3 golden segment %d has header version %d (%v)", index, v, ok)
+		}
+		if got, err := decodeBatches(seg[segHeaderSize:], 3); err != nil || !slices.Equal(got, want) {
+			t.Errorf("v3 golden segment %d decodes as\n%+v (%v)\nwant\n%+v", index, got, err, want)
+		}
+	}
+}
+
+// TestFormat4BytesPinned: the encoder still writes the bytes committed as
+// testdata/v4-wal-*.seg, flagging exactly the records that continue their
+// op's predecessor in the batch, and the bytes recover to the history. A
+// deliberate format change bumps segVersion and adds files; it never
+// rewrites these.
+func TestFormat4BytesPinned(t *testing.T) {
+	vfs := storage.NewMemFS()
 	for _, index := range []uint64{1, 2} {
-		if got, want := goldenV3Segment(index), goldenFile(t, "v3-", index); !bytes.Equal(got, want) {
+		want := goldenFile(t, "v4-", index)
+		if got := goldenV4Segment(index); !bytes.Equal(got, want) {
 			t.Errorf("segment %d encodes as\n%x\nthe golden file holds\n%x", index, got, want)
 		}
+		plantSegment(t, vfs, index, want)
+	}
+
+	recs := goldenV4Records()
+	var continues []int
+	for _, batch := range [][2]int{{0, 13}, {13, len(recs)}} {
+		var st batchState
+		for i := batch[0]; i < batch[1]; i++ {
+			if b := appendRecord(nil, recs[i], &st); b[0]&flagContinues != 0 {
+				continues = append(continues, i)
+			}
+		}
+	}
+	if !slices.Equal(continues, goldenV4Continues) {
+		t.Errorf("records %v continue their predecessor, want %v", continues, goldenV4Continues)
+	}
+
+	rec, err := Recover(vfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	updates := slices.DeleteFunc(slices.Clone(recs), func(r Record) bool { return r.Op == OpCut })
+	want := Recovered{Records: updates, Cuts: []CutMark{{Index: 0, CP: 4}, {Index: 6, CP: 5}}, Found: true}
+	if !reflect.DeepEqual(rec, want) {
+		t.Fatalf("v4 golden log recovered as\n%+v\nwant\n%+v", rec, want)
 	}
 }
 
@@ -99,9 +193,9 @@ func appendAll(t *testing.T, l *Log, recs ...Record) {
 	}
 }
 
-// TestMixedVersionRecovery: a version-2 tail left by the previous binary,
-// continued by this one in version 3, replays to exactly what an
-// all-version-3 log of the same history does, and the first checkpoint
+// TestMixedVersionRecovery: a version-3 tail left by the previous binary,
+// continued by this one in version 4, replays to exactly what an
+// all-version-4 log of the same history does, and the first checkpoint
 // retires the old files.
 func TestMixedVersionRecovery(t *testing.T) {
 	golden := goldenRecords()
@@ -124,8 +218,8 @@ func TestMixedVersionRecovery(t *testing.T) {
 	}
 
 	mixed := storage.NewMemFS()
-	plantSegment(t, mixed, 1, goldenSegment(t, 1))
-	plantSegment(t, mixed, 2, goldenSegment(t, 2))
+	plantSegment(t, mixed, 1, goldenFile(t, "v3-", 1))
+	plantSegment(t, mixed, 2, goldenFile(t, "v3-", 2))
 	rec, err := Recover(mixed)
 	if err != nil {
 		t.Fatal(err)
@@ -134,14 +228,14 @@ func TestMixedVersionRecovery(t *testing.T) {
 	// more; read, it still means what it meant.
 	want := Recovered{Records: golden, Cuts: []CutMark{{Index: 5, CP: 3}}, MarkCP: 1, Found: true}
 	if !reflect.DeepEqual(rec, want) {
-		t.Fatalf("version-2 golden log recovered as\n%+v\nwant\n%+v", rec, want)
+		t.Fatalf("version-3 golden log recovered as\n%+v\nwant\n%+v", rec, want)
 	}
 	lm, cut := continueLog(mixed)
 
 	// The same history in this binary's format alone.
 	pure := storage.NewMemFS()
-	plantSegment(t, pure, 1, goldenV3Segment(1))
-	plantSegment(t, pure, 2, goldenV3Segment(2))
+	plantSegment(t, pure, 1, goldenHistory(1))
+	plantSegment(t, pure, 2, goldenHistory(2))
 	lp, _ := continueLog(pure)
 
 	got, err := Recover(mixed)
@@ -153,13 +247,13 @@ func TestMixedVersionRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, all) {
-		t.Fatalf("mixed-version log recovered as\n%+v\nall-version-3 log as\n%+v", got, all)
+		t.Fatalf("mixed-version log recovered as\n%+v\nall-version-4 log as\n%+v", got, all)
 	}
 	if n := len(golden) + len(later); len(got.Records) != n || len(got.Cuts) != 2 {
 		t.Fatalf("recovered %d records and %d cuts, want %d and 2", len(got.Records), len(got.Cuts), n)
 	}
 
-	// The checkpoint commits: the version-2 files go, the rest stays.
+	// The checkpoint commits: the version-3 files go, the rest stays.
 	if err := lm.Retire(cut); err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +268,7 @@ func TestMixedVersionRecovery(t *testing.T) {
 	}
 	for _, idx := range segs {
 		if idx <= 2 {
-			t.Fatalf("version-2 segment %d survived the checkpoint's retirement", idx)
+			t.Fatalf("version-3 segment %d survived the checkpoint's retirement", idx)
 		}
 	}
 	rec, err = Recover(mixed)
@@ -187,64 +281,60 @@ func TestMixedVersionRecovery(t *testing.T) {
 }
 
 // TestVersionByteSelectsDecoder: a segment is read by the decoder its
-// header names, and by no other. Version-3 batches under a version-2 header
-// — the one way to get there is damage — stop at the first batch that is
-// not a lone record: a clean torn tail in a final segment, ErrCorrupt
-// mid-log, never records split out of a frame the header says holds one.
-// The reverse is harmless by construction: a version-2 frame is a valid
-// one-record batch with no flag set (the same property that lets one
-// SegmentEnd seal a tear in either), so it decodes to the same records.
+// header names. Version-4 batches under a version-3 header — the one way to
+// get there is damage — fail at the first continuation: the batch passes its
+// checksum, so that is ErrCorrupt in the final segment as much as mid-log,
+// never a torn tail and never records read with a flag the version lacks.
+// The reverse is harmless by construction: version 4 is version 3 plus a
+// flag, so version-3 bytes under a version-4 header decode to the same
+// records.
 func TestVersionByteSelectsDecoder(t *testing.T) {
-	remark := func(seg []byte, version byte) []byte {
-		seg = append([]byte(nil), seg...)
-		seg[8] = version
-		return seg
-	}
-	vfs := storage.NewMemFS()
-	plantSegment(t, vfs, 1, remark(goldenV3Segment(1), segVersionOld))
-	rec, err := Recover(vfs)
-	if err != nil {
-		t.Fatalf("v3 bytes marked v2, final segment: %v", err)
-	}
-	// The lone checkpoint mark reads the same either way; the five-record
-	// batch behind it does not read at all.
-	if len(rec.Records) != 0 || rec.MarkCP != 1 {
-		t.Fatalf("v3 bytes marked v2: decoded %+v", rec)
-	}
-	// Followed by an ordinary rotation successor, the same segment is
-	// corruption.
-	buildSegment(t, vfs, 2, []Record{addRec(1)}, nil)
-	if _, err := Recover(vfs); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("v3 bytes marked v2, mid-log: err = %v, want ErrCorrupt", err)
+	for _, final := range []bool{true, false} {
+		vfs := storage.NewMemFS()
+		plantSegment(t, vfs, 1, withVersion(goldenFile(t, "v4-", 1), 3))
+		if !final {
+			buildSegment(t, vfs, 2, []Record{addRec(1)}, nil)
+		}
+		if _, err := Recover(vfs); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("v4 bytes marked v3, final=%v: err = %v, want ErrCorrupt", final, err)
+		}
 	}
 
-	vfs = storage.NewMemFS()
-	plantSegment(t, vfs, 1, remark(goldenSegment(t, 1), segVersion))
-	rec, err = Recover(vfs)
-	if err != nil || !reflect.DeepEqual(rec.Records, goldenRecords()[:5]) {
-		t.Fatalf("v2 bytes marked v3: recovered %+v (%v)", rec, err)
+	vfs := storage.NewMemFS()
+	plantSegment(t, vfs, 1, withVersion(goldenFile(t, "v3-", 1), segVersion))
+	rec, err := Recover(vfs)
+	if err != nil || rec.MarkCP != 1 || !reflect.DeepEqual(rec.Records, goldenRecords()[:5]) {
+		t.Fatalf("v3 bytes marked v4: recovered %+v (%v)", rec, err)
 	}
 }
 
 // TestUnreadableVersionNamedNotSealed: a segment in a format this binary
-// has no decoder for — version 1, which it used to read, or one from the
-// future — fails recovery with an error that names the version, in any
+// has no decoder for — version 2 or 1, which it used to read, or one from
+// the future — fails recovery with an error that names the version, in any
 // position. In particular Open does not take a final one for a torn
-// creation and seal over it, which would silently discard its records.
+// creation and seal over it, which would silently discard its records, and
+// it removes no segment.
 func TestUnreadableVersionNamedNotSealed(t *testing.T) {
-	for _, version := range []byte{1, segVersion + 1} {
-		seg := goldenV3Segment(1)
-		seg[8] = version
+	for _, version := range []byte{1, 2, segVersion + 1} {
+		seg := withVersion(goldenFile(t, "v4-", 1), version)
+		if version == 2 {
+			seg = goldenFile(t, "v2-", 1) // what the version-2 encoder wrote
+		}
 		want := fmt.Sprintf("format version %d", version)
 		for _, final := range []bool{true, false} {
 			vfs := storage.NewMemFS()
 			plantSegment(t, vfs, 1, seg)
+			planted := 1
 			if !final {
 				buildSegment(t, vfs, 2, []Record{addRec(1)}, nil)
+				planted = 2
 			}
 			_, _, err := Open(vfs, Options{Durability: Sync})
 			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
 				t.Fatalf("version %d, final=%v: Open err = %v, want ErrCorrupt naming the version", version, final, err)
+			}
+			if segs, err := listSegments(vfs); err != nil || len(segs) != planted {
+				t.Fatalf("version %d, final=%v: segments after the failed Open: %v (%v), want the %d planted", version, final, segs, err, planted)
 			}
 			f, err := vfs.Open(segmentName(1))
 			if err != nil {

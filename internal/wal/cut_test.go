@@ -270,8 +270,9 @@ func TestResurrectedTornSegmentToleratedBeforeCutMark(t *testing.T) {
 	}
 
 	// A checkpoint mark heading the successor earns the same tolerance.
-	// Nothing writes one any more, but a version-2 tail may hold one, and it
-	// still drops everything logged before it.
+	// Nothing writes one any more, but the format still defines it (the
+	// version-3 golden tail opens with one), and it still drops everything
+	// logged before it.
 	torn := appendBatch(nil, addRec(2))[:10]
 	vfs1 := storage.NewMemFS()
 	buildSegment(t, vfs1, 1, []Record{addRec(1), addRec(2)}, torn)

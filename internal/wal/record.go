@@ -22,7 +22,8 @@ const (
 	// OpCheckpoint marks a committed consistency point: every record
 	// logged before the mark is durable in the read store. Nothing writes
 	// one any more (checkpoints Cut, then Retire); recovery still honours
-	// one it reads, since a version-2 tail may hold it.
+	// one it reads, since the format defines it and the version-3 golden
+	// tail opens with one.
 	OpCheckpoint Op = 4
 	// OpSegmentEnd seals a segment: recovery stops reading the segment at
 	// the mark, in any position. Open stamps one over a torn tail before
@@ -79,23 +80,18 @@ type Record struct {
 }
 
 // Frame layout, identical in every segment format version: a 4-byte
-// big-endian body length, a 4-byte CRC-32C of the body, then the body. What
-// a body holds depends on the version in the segment header.
+// big-endian body length, a 4-byte CRC-32C of the body, then the body — one
+// flush batch, its records back to back, with no per-record length or
+// checksum. A record is self-delimiting, its op deciding how many uvarints
+// follow. The op byte's low four bits are the Op, its high bits elide fields
+// (see the flag constants). Fields, in order — AddRef/RemoveRef: block,
+// [inode, offset], [line], [length], [cp]; Relocate: block, new block, [cp];
+// Checkpoint and Cut: [cp]; SegmentEnd: nothing.
 //
-// Version 3 (the only one written) frames one flush batch: the body is the
-// batch's records back to back, with no per-record length or checksum — a
-// record is self-delimiting, its op deciding how many uvarints follow. The
-// op byte's low bits are the Op, its high bits elide fields at their
-// default (see the flag constants). Fields, in order — AddRef/RemoveRef:
-// block, inode, offset, [line], [length], [cp]; Relocate: block, new block,
-// [cp]; Checkpoint and Cut: [cp]; SegmentEnd: nothing.
-//
-// Version 2 framed every record on its own: the body is exactly one record,
-// flag bits clear, every field spelled out — a version-3 batch of one that
-// elides nothing, which is how it is still decoded (loneRecord), so that a
-// log tail left by an older binary replays. A lone mark is the same bytes in
-// both versions, which is what lets sealTear stamp a SegmentEnd over a torn
-// tail of either.
+// Version 4 (the only one written) is version 3 plus flagContinues, so one
+// decoder reads both, refusing the flag in a version-3 segment. A lone mark
+// is the same bytes in both, which is what lets sealTear stamp a SegmentEnd
+// over a torn tail of either.
 const (
 	frameHeaderSize = 8
 
@@ -103,12 +99,16 @@ const (
 	// occupies (op + one uvarint).
 	maxMarkFrame = frameHeaderSize + 1 + binary.MaxVarintLen64
 
-	// Version-3 op byte flags. Each marks a field as omitted because it
-	// holds the value nearly every record has there.
+	// Op byte flags. Each marks fields as omitted because they hold the
+	// value nearly every record has there.
 	flagLineZero  = 0x80 // AddRef/RemoveRef: Line is 0
 	flagLengthOne = 0x40 // AddRef/RemoveRef: Length is 1 (what AddRef substitutes for 0)
 	flagSameCP    = 0x20 // CP equals that of the previous record in the batch
-	opMask        = 0x1f
+	// AddRef/RemoveRef, version 4 only: Inode and Offset continue the previous
+	// record of the same op in the batch — its inode, at its offset + length —
+	// as the updates of a file written front to back do.
+	flagContinues = 0x10
+	opMask        = 0x0f
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -118,24 +118,41 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // end-of-log in the final segment and as corruption anywhere else.
 var errTorn = errors.New("wal: torn or corrupt frame")
 
-// batchCP is the CP-elision state the encoder and the decoder both carry
-// through a batch: the CP of the latest record that has one. The first such
-// record of a batch always spells its CP out, so a batch decodes on its own.
-type batchCP struct {
-	cp  uint64
-	set bool
+// batchState is the elision state the encoder and the decoder both carry
+// through a batch: the CP of the latest record that has one, and where the
+// latest AddRef and the latest RemoveRef ended. Relocates and marks leave the
+// ends alone. The first record of a batch to need either spells its fields
+// out, so a batch decodes on its own.
+type batchState struct {
+	cp    uint64
+	cpSet bool
+	ends  [2]fileEnd // indexed by op - OpAddRef
 }
 
-// appendRecord appends r's version-3 encoding to a batch body. prev is the
+// fileEnd is where an update left its file: the inode, and the offset just
+// past the update (offset + length, wrapping at 2^64), which is where a
+// continuing update of the same op starts.
+type fileEnd struct {
+	inode, offset uint64
+	set           bool
+}
+
+// appendRecord appends r's version-4 encoding to a batch body. st is the
 // batch's elision state, which it advances.
-func appendRecord(dst []byte, r Record, prev *batchCP) []byte {
+func appendRecord(dst []byte, r Record, st *batchState) []byte {
 	at := len(dst)
 	dst = append(dst, byte(r.Op))
 	switch r.Op {
 	case OpAddRef, OpRemoveRef:
 		dst = binary.AppendUvarint(dst, r.Block)
-		dst = binary.AppendUvarint(dst, r.Inode)
-		dst = binary.AppendUvarint(dst, r.Offset)
+		end := &st.ends[r.Op-OpAddRef]
+		if end.set && end.inode == r.Inode && end.offset == r.Offset {
+			dst[at] |= flagContinues
+		} else {
+			dst = binary.AppendUvarint(dst, r.Inode)
+			dst = binary.AppendUvarint(dst, r.Offset)
+		}
+		*end = fileEnd{inode: r.Inode, offset: r.Offset + r.Length, set: true}
 		if r.Line == 0 {
 			dst[at] |= flagLineZero
 		} else {
@@ -156,11 +173,11 @@ func appendRecord(dst []byte, r Record, prev *batchCP) []byte {
 	default:
 		panic(fmt.Sprintf("wal: encoding unknown op %d", r.Op))
 	}
-	if prev.set && prev.cp == r.CP {
+	if st.cpSet && st.cp == r.CP {
 		dst[at] |= flagSameCP
 		return dst
 	}
-	*prev = batchCP{cp: r.CP, set: true}
+	st.cp, st.cpSet = r.CP, true
 	return binary.AppendUvarint(dst, r.CP)
 }
 
@@ -176,9 +193,9 @@ func sealBatch(frame []byte) {
 func appendBatch(dst []byte, recs ...Record) []byte {
 	start := len(dst)
 	dst = append(dst, make([]byte, frameHeaderSize)...)
-	var prev batchCP
+	var st batchState
 	for _, r := range recs {
-		dst = appendRecord(dst, r, &prev)
+		dst = appendRecord(dst, r, &st)
 	}
 	sealBatch(dst[start:])
 	return dst
@@ -223,22 +240,33 @@ func (u *uvarints) next() uint64 {
 	return v
 }
 
-// batchReader walks the records of one version-3 batch body, which the
-// caller has already checksummed (splitFrame).
+// batchReader walks the records of one batch body, which the caller has
+// already checksummed (splitFrame).
 type batchReader struct {
-	u    uvarints
-	prev batchCP
+	u  uvarints
+	st batchState
+	// flags holds the op-byte flags the segment's format version defines.
+	flags byte
 }
 
-func readBatch(body []byte) batchReader { return batchReader{u: uvarints{b: body}} }
+// readBatch starts a walk over a batch body of a segment in a readable
+// format version.
+func readBatch(body []byte, version byte) batchReader {
+	d := batchReader{u: uvarints{b: body}, flags: flagLineZero | flagLengthOne | flagSameCP | flagContinues}
+	if version < segVersion {
+		d.flags &^= flagContinues
+	}
+	return d
+}
 
 // more reports whether undecoded bytes remain.
 func (d *batchReader) more() bool { return len(d.u.b) > 0 }
 
 // next decodes the next record. It reports false for bytes no encoder
-// produces — an unknown op, a flag the op has no field for, an elided CP
-// with no predecessor to take it from, a malformed or missing uvarint. Behind
-// a valid checksum that is damage (or a foreign writer), never a tear.
+// produces — an unknown op, a flag the version or the op has no field for,
+// an elided CP or continuation with no predecessor to take it from, a
+// malformed or missing uvarint. Behind a valid checksum that is damage (or a
+// foreign writer), never a tear.
 func (d *batchReader) next() (Record, bool) {
 	// Work on a copy and store it back on success: advancing a slice
 	// through the pointer would pay a GC write barrier per field.
@@ -247,9 +275,21 @@ func (d *batchReader) next() (Record, bool) {
 	u.b = u.b[1:]
 	r := Record{Op: Op(op & opMask)}
 	flags := op &^ opMask
+	if flags&^d.flags != 0 {
+		return Record{}, false
+	}
 	switch r.Op {
 	case OpAddRef, OpRemoveRef:
-		r.Block, r.Inode, r.Offset = u.next(), u.next(), u.next()
+		r.Block = u.next()
+		end := &d.st.ends[r.Op-OpAddRef]
+		switch {
+		case flags&flagContinues == 0:
+			r.Inode, r.Offset = u.next(), u.next()
+		case end.set:
+			r.Inode, r.Offset = end.inode, end.offset
+		default:
+			return Record{}, false
+		}
 		if flags&flagLineZero == 0 {
 			r.Line = u.next()
 		}
@@ -257,7 +297,8 @@ func (d *batchReader) next() (Record, bool) {
 		if flags&flagLengthOne == 0 {
 			r.Length = u.next()
 		}
-		flags &^= flagLineZero | flagLengthOne
+		*end = fileEnd{inode: r.Inode, offset: r.Offset + r.Length, set: true}
+		flags &^= flagLineZero | flagLengthOne | flagContinues
 	case OpRelocate:
 		r.Block, r.NewBlock = u.next(), u.next()
 	case OpCheckpoint, OpCut:
@@ -271,24 +312,12 @@ func (d *batchReader) next() (Record, bool) {
 	switch {
 	case flags == 0:
 		r.CP = u.next()
-		d.prev = batchCP{cp: r.CP, set: true}
-	case flags == flagSameCP && d.prev.set:
-		r.CP = d.prev.cp
+		d.st.cp, d.st.cpSet = r.CP, true
+	case flags == flagSameCP && d.st.cpSet:
+		r.CP = d.st.cp
 	default:
 		return Record{}, false
 	}
 	d.u = u
 	return r, !u.bad
-}
-
-// loneRecord decodes a body that must be exactly one record with no flag
-// bit set: every version-2 frame, and a lone mark in either version. It
-// reports false for anything else — a flag, a second record, trailing bytes —
-// which in a version-2 segment reads as a torn frame like any other: the
-// format checksummed records one at a time, so damage and tearing both
-// surface per record.
-func loneRecord(body []byte) (Record, bool) {
-	d := readBatch(body)
-	r, ok := d.next()
-	return r, ok && body[0]&^opMask == 0 && !d.more()
 }

@@ -23,12 +23,11 @@ const (
 	segSuffix     = ".seg"
 	segHeaderSize = 16
 	segMagic      = "BKLGWAL\x01"
-	// segVersion is the version every new segment is written in: one frame
-	// per flush batch. Version 2 segments (one frame per record) are only
+	// segVersion is the version every new segment is written in. Segments
+	// of the version before it, which lacks the continuation flag, are only
 	// ever read: a tail left by the previous binary replays and is retired
 	// by the first checkpoint. That is as far back as this binary reads.
-	segVersion    = 3
-	segVersionOld = 2
+	segVersion = 4
 )
 
 // segHeaderVersion returns the format version a segment's leading bytes
@@ -42,8 +41,9 @@ func segHeaderVersion(b []byte) (byte, bool) {
 	return b[8], true
 }
 
-// readable reports whether this binary has a decoder for a format version.
-func readable(version byte) bool { return version == segVersion || version == segVersionOld }
+// readable reports whether this binary has a decoder for a format version:
+// its own, and the one before it.
+func readable(version byte) bool { return version == segVersion || version == segVersion-1 }
 
 func segmentName(index uint64) string {
 	return fmt.Sprintf("%s%016d%s", segPrefix, index, segSuffix)
@@ -182,7 +182,7 @@ func recoverLog(vfs storage.VFS) (Recovered, tear, []uint64, error) {
 
 // segmentStartsWithMark reports whether a segment opens with a lone cut
 // mark — what heads a segment opened by Cut — or a lone checkpoint mark,
-// which a version-2 tail may open with, and therefore with what may
+// which the format still defines, and therefore with what may
 // legitimately follow a retired (possibly torn) predecessor.
 func segmentStartsWithMark(vfs storage.VFS, index uint64) (bool, error) {
 	f, err := vfs.Open(segmentName(index))
@@ -195,7 +195,8 @@ func segmentStartsWithMark(vfs storage.VFS, index uint64) (bool, error) {
 	if err != nil && !errors.Is(err, io.EOF) {
 		return false, err
 	}
-	if _, ok := segHeaderVersion(buf[:n]); !ok {
+	version, ok := segHeaderVersion(buf[:n])
+	if !ok {
 		return false, nil
 	}
 	// A lone mark is the same frame in both readable versions; of any
@@ -204,8 +205,9 @@ func segmentStartsWithMark(vfs storage.VFS, index uint64) (bool, error) {
 	if derr != nil {
 		return false, nil
 	}
-	r, ok := loneRecord(body)
-	return ok && (r.Op == OpCheckpoint || r.Op == OpCut), nil
+	d := readBatch(body, version)
+	r, ok := d.next()
+	return ok && !d.more() && (r.Op == OpCheckpoint || r.Op == OpCut), nil
 }
 
 // add folds one decoded record into the recovery result and reports
@@ -240,8 +242,7 @@ func (rec *Recovered) add(r Record) (endOfSegment bool) {
 // segment ends in an unreadable frame; for a final segment it also
 // records the tear position in tr (so Open can seal it), while for a
 // non-final segment the caller decides whether the tear is tolerable. A
-// torn frame costs whatever it framed: one record in a version-2 segment,
-// one flush batch in a version-3 one — none of whose records was
+// torn frame costs the flush batch it framed — none of whose records was
 // acknowledged durable, since the batch is what a flush writes and syncs.
 func readSegment(vfs storage.VFS, index uint64, final bool, rec *Recovered, tr *tear) (torn bool, err error) {
 	name := segmentName(index)
@@ -273,7 +274,7 @@ func readSegment(vfs storage.VFS, index uint64, final bool, rec *Recovered, tr *
 		// replay, in any position. Never sealed over as a torn creation —
 		// that would silently discard them.
 		return false, fmt.Errorf("%w: segment %s is in format version %d; this binary reads versions %d and %d",
-			ErrCorrupt, name, version, segVersionOld, segVersion)
+			ErrCorrupt, name, version, segVersion-1, segVersion)
 	}
 	if got := uint64(buf[12])<<24 | uint64(buf[13])<<16 | uint64(buf[14])<<8 | uint64(buf[15]); got != index&0xffffffff {
 		// An intact header whose embedded index disagrees with the file
@@ -296,12 +297,7 @@ func readSegment(vfs storage.VFS, index uint64, final bool, rec *Recovered, tr *
 		if err != nil {
 			return tornAt(off)
 		}
-		if version == segVersionOld {
-			if _, ok := loneRecord(body); !ok {
-				return tornAt(off)
-			}
-		}
-		for d := readBatch(body); d.more(); {
+		for d := readBatch(body, version); d.more(); {
 			r, ok := d.next()
 			if !ok {
 				return false, fmt.Errorf("%w: segment %s: the batch at offset %d passes its checksum but does not decode", ErrCorrupt, name, off)
