@@ -114,7 +114,8 @@ type Writer struct {
 
 	// wbuf holds the framed pages not yet handed to the file, which belong
 	// at run offset wbufOff: pages are written in page-number order, so a
-	// run reaches the file in a few large sequential writes. The first
+	// run reaches the file in a few large sequential writes. A section that
+	// does not know its place in the file yet keeps them all. The first
 	// buffer starts with a blank page 0, which FileWriter.Finish fills in
 	// when the whole run is still here (wbufOff is 0) and flushPages skips
 	// when it is not.
@@ -167,7 +168,7 @@ func NewWriter(f storage.File, recordSize int) (*Writer, error) {
 // format, FormatRaw or FormatDelta, as the one run of f: its Finish writes
 // and syncs the file. FormatDelta requires recordSize to be a multiple of 8.
 func NewWriterFormat(f storage.File, recordSize int, format Format) (*Writer, error) {
-	w, err := NewFileWriter(f, 1, nil).Section(0, recordSize, format)
+	w, err := NewFileWriter(f, 1).Section(0, recordSize, format)
 	if err != nil {
 		return nil, err
 	}
@@ -176,30 +177,38 @@ func NewWriterFormat(f storage.File, recordSize int, format Format) (*Writer, er
 }
 
 // FileWriter writes the runs of one file, each a section built by its own
-// Writer, concurrently with the others. The file holds the page grids of
-// its sections first, back to back in slot order and without padding, then
-// their Bloom filters in the same order. The first section's header claims
-// every page before the filters as its grid, so that the file opened whole
-// (Open) reads as its first run; its own pages end at its root page, and
-// the other sections' headers are what a run of their own would have.
-// Where a section's pages start is known once every earlier slot is
-// settled — its Writer finished, or known to stay empty — so a section that
-// outgrows its write buffer first asks ready, which blocks until then.
+// Writer, concurrently with the others or interleaved on one goroutine. The
+// file holds the page grids of its sections first, back to back in slot
+// order and without padding, then their Bloom filters in the same order.
+// The first section's header claims every page before the filters as its
+// grid, so that the file opened whole (Open) reads as its first run; its own
+// pages end at its root page, and the other sections' headers are what a run
+// of their own would have. Where a section's pages start is known once every
+// lower slot is settled — its Writer finished, or known to stay empty
+// (Skip). Nothing waits for that: a section that outgrows its write buffer
+// before then keeps framing pages into it and hands them to the file at the
+// first buffer boundary after its place is known, or leaves them to Finish.
 // Finish writes what the sections still buffer, in one write when nothing
 // has gone out yet, and syncs once.
 type FileWriter struct {
-	f     storage.File
-	ready func(slot int) error
+	f storage.File
 
-	mu   sync.Mutex
-	secs []*Writer // by slot; nil where no section was started
+	mu    sync.Mutex
+	secs  []*Writer // by slot; nil where no section was started
+	empty []bool    // by slot: known to hold no run
 }
 
-// NewFileWriter returns a FileWriter for up to slots runs in f. ready(s)
-// must block until every slot below s is settled, or fail; a file of one
-// slot needs none.
-func NewFileWriter(f storage.File, slots int, ready func(slot int) error) *FileWriter {
-	return &FileWriter{f: f, ready: ready, secs: make([]*Writer, slots)}
+// NewFileWriter returns a FileWriter for up to slots runs in f.
+func NewFileWriter(f storage.File, slots int) *FileWriter {
+	return &FileWriter{f: f, secs: make([]*Writer, slots), empty: make([]bool, slots)}
+}
+
+// Skip records that slot, which has no section, will get none, so the
+// sections of higher slots need not wait for it to know their place.
+func (fw *FileWriter) Skip(slot int) {
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	fw.empty[slot] = true
 }
 
 // Section returns the Writer of the run in slot, which is placed after the
@@ -234,34 +243,30 @@ func (fw *FileWriter) Section(slot, recordSize int, format Format) (*Writer, err
 	}
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
-	if fw.secs[slot] != nil {
-		return nil, fmt.Errorf("btree: slot %d already has a run", slot)
+	if fw.secs[slot] != nil || fw.empty[slot] {
+		return nil, fmt.Errorf("btree: slot %d already has a run or was skipped", slot)
 	}
 	fw.secs[slot] = w
 	return w, nil
 }
 
-// base returns the file offset of slot's pages: the page grids of the
-// sections of every lower slot come first.
-func (fw *FileWriter) base(slot int) (int64, error) {
-	if fw.ready != nil {
-		if err := fw.ready(slot); err != nil {
-			return 0, err
-		}
-	}
+// base returns the file offset of slot's pages — the page grids of the
+// sections of every lower slot come first — or false while a lower slot is
+// not settled yet.
+func (fw *FileWriter) base(slot int) (int64, bool) {
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
 	var off int64
 	for s, w := range fw.secs[:slot] {
-		if w == nil {
-			continue
+		switch {
+		case w == nil && fw.empty[s]:
+		case w == nil || !w.sealed:
+			return 0, false
+		default:
+			off += w.h.ownBytes()
 		}
-		if !w.sealed {
-			return 0, fmt.Errorf("btree: slot %d placed before slot %d is finished", slot, s)
-		}
-		off += w.h.ownBytes()
 	}
-	return off, nil
+	return off, true
 }
 
 // Finish writes the file once every section's Writer has finished: each
@@ -547,13 +552,13 @@ func (w *Writer) SizeBytes() int64 { return w.sizeBytes }
 
 // writePage frames one page — count, payload, zero padding, CRC-32C — as
 // page w.nextPage at the end of the write buffer, flushing the buffer
-// first when it is full, and writes it through to the cache (see
-// WriteThrough). deltaLeaf marks a page whose restart table is w.rt.
+// first at each multiple of its size, and writes it through to the cache
+// (see WriteThrough). deltaLeaf marks a page whose restart table is w.rt.
 func (w *Writer) writePage(count uint16, payload []byte, deltaLeaf bool) error {
 	if len(payload) > pagePayload {
 		return fmt.Errorf("btree: page payload %d exceeds %d", len(payload), pagePayload)
 	}
-	if len(w.wbuf) == writeBufPages*storage.PageSize {
+	if len(w.wbuf) > 0 && len(w.wbuf)%(writeBufPages*storage.PageSize) == 0 {
 		if err := w.flushPages(); err != nil {
 			return err
 		}
@@ -583,14 +588,14 @@ func (w *Writer) writePage(count uint16, payload []byte, deltaLeaf bool) error {
 
 // flushPages hands the buffered bytes to the file in one write, less the
 // blank page 0 at the front of the first buffer: the header of a run that
-// comes through here goes last. The first flush of a section waits for its
-// place in the file (FileWriter.base).
+// comes through here goes last. A section whose place in the file is not
+// known yet (FileWriter.base) keeps its buffer and grows it.
 func (w *Writer) flushPages() error {
 	buf := w.wbuf
 	if w.wbufOff == 0 {
-		base, err := w.fw.base(w.slot)
-		if err != nil {
-			return err
+		base, ok := w.fw.base(w.slot)
+		if !ok {
+			return nil
 		}
 		w.pageOff = base
 		buf, w.wbufOff = buf[storage.PageSize:], storage.PageSize

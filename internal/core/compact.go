@@ -15,8 +15,9 @@ import (
 // From and To, purges records that refer only to deleted snapshots, and
 // physically drops deletion-vector entries. Of the runs a merge read, each
 // partition keeps at most one Combined run (complete records) and one From
-// run (incomplete records), and no To run; runs a concurrent checkpoint
-// added while it merged stay beside them at level 0.
+// run (incomplete records), and no To run, sections of one file written
+// and synced once; runs a concurrent checkpoint added while it merged stay
+// beside them at level 0.
 //
 // Partitions are maintained independently: a failure in one partition does
 // not stop the pass, and the joined error reports every partition that
@@ -40,8 +41,9 @@ func (e *Engine) Compact() error {
 // once the reclaim horizon passes their MaxCP. Everything else (From, To,
 // unsealed Combined runs, the override run) merges exactly as untiered;
 // the merged Combined output is split so override records land in their
-// own run, keeping the regular output sealed. Maintenance uses this mode
-// whenever Options.Retention is RetainLive.
+// own run, keeping the regular output sealed, and each of the two is a
+// file of its own. Maintenance uses this mode whenever Options.Retention
+// is RetainLive.
 func (e *Engine) compactAll(tiered bool) error {
 	var errs []error
 	for p := 0; p < e.db.Partitions(); p++ {
@@ -205,53 +207,40 @@ func (e *Engine) compactJobAttempt(job CompactionJob, tiered bool) (compacted, c
 		}
 	}
 
-	// One builder per output, opened in the order their run IDs (and so
-	// their file names) are allocated: From, To, Combined, override. Every
-	// complete interval the join emits consumes a To or a Combined input,
-	// every incomplete one a From: the input totals bound the outputs,
-	// which is what sizes their Bloom filters.
-	var builders []*lsm.RunBuilder
-	abort := func(err error) (bool, bool, error) {
-		for _, b := range builders {
-			b.Abort()
-		}
-		return false, false, err
-	}
-	var openErr error
-	open := func(table string, expect int) *lsm.RunBuilder {
-		if openErr != nil {
-			return nil
-		}
-		b, err := e.db.NewRunBuilder(table, p, job.OutputLevel, v.CP(), storage.SrcCompaction, expect)
-		if err != nil {
-			openErr = err
-			return nil
-		}
-		builders = append(builders, b)
-		return b
-	}
+	// The outputs are runs of one file set, the From, To and Combined runs
+	// sections of one file; each file is created on its first record, so an
+	// output that stays empty costs nothing. Every complete interval the
+	// join emits consumes a To or a Combined input, every incomplete one a
+	// From: the input totals bound the outputs, which is what sizes their
+	// Bloom filters.
+	set := e.db.NewFileSet(job.OutputLevel, v.CP(), storage.SrcCompaction, tables[:]...)
 	expectComb := recordsIn(job.To, job.Combined)
-	newFrom := open(TableFrom, recordsIn(job.From))
+	newFrom := set.Run(TableFrom, p, recordsIn(job.From))
 	// A whole merge closes every lone To into an override record, so it
 	// has no To output; the table is empty afterwards.
 	var newTo *lsm.RunBuilder
 	if !job.Whole {
-		newTo = open(TableTo, recordsIn(job.To))
+		newTo = set.Run(TableTo, p, recordsIn(job.To))
 	}
-	newComb := open(TableCombined, expectComb)
-	// Tiered mode writes surviving override records to a run of their own:
-	// overrides must outlive their line's snapshots, so mixing them into
-	// the regular output would poison its droppability. The override run
-	// (Overrides > 0) is re-merged on every tiered whole merge, which is
+	// Tiered mode keeps the Combined output in a file of its own, which
+	// Expire drops alone once its window passes the horizon, and writes
+	// surviving override records to a run of their own, in a file of its
+	// own too: overrides must outlive their line's snapshots, so mixing them
+	// into the regular output would poison its droppability. The override
+	// run (Overrides > 0) is re-merged on every tiered whole merge, which is
 	// also what purges overrides once their line is fully gone. A partial
-	// merge never synthesizes overrides, so there the builder finishes
-	// empty (and writes no run) unless an input carried them.
-	var newOver *lsm.RunBuilder
+	// merge never synthesizes overrides, so there the builder stays empty
+	// (and writes no run) unless an input carried them.
+	var newComb, newOver *lsm.RunBuilder
 	if tiered {
-		newOver = open(TableCombined, expectComb)
+		newComb = set.RunApart(TableCombined, p, expectComb)
+		newOver = set.RunApart(TableCombined, p, expectComb)
+	} else {
+		newComb = set.Run(TableCombined, p, expectComb)
 	}
-	if openErr != nil {
-		return abort(openErr)
+	abort := func(err error) (bool, bool, error) {
+		set.Abort()
+		return false, false, err
 	}
 
 	// Purged records are counted locally and added to the stats only once
@@ -270,29 +259,11 @@ func (e *Engine) compactJobAttempt(job CompactionJob, tiered bool) (compacted, c
 		}
 	}
 
-	// Finish the run files (bloom + header + sync) before taking the
-	// lock: file I/O stays out of the critical section.
-	var added []lsm.RunRef
-	discard := func() {
-		for _, r := range added {
-			e.db.DiscardRun(r)
-		}
-	}
-	for i, b := range builders {
-		ref, ok, err := b.Finish()
-		if err != nil {
-			// No file may outlive the attempt: the builder that failed and
-			// the ones not yet finished are aborted, the finished ones —
-			// in no edit yet — discarded.
-			for _, rest := range builders[i:] {
-				rest.Abort()
-			}
-			discard()
-			return false, false, err
-		}
-		if ok {
-			added = append(added, ref)
-		}
+	// Write and sync the files before taking the lock: file I/O stays out
+	// of the critical section. A failed Finish removes the set's files.
+	added, err := set.Finish()
+	if err != nil {
+		return false, false, err
 	}
 
 	// One rule validates every merge: each input is still live and the
@@ -314,7 +285,7 @@ func (e *Engine) compactJobAttempt(job CompactionJob, tiered bool) (compacted, c
 	for i, runs := range inputs {
 		if !v.UnchangedRuns(tables[i], p, runs) {
 			// The built runs describe a stale state.
-			discard()
+			set.Abort()
 			return false, true, nil
 		}
 	}

@@ -1,5 +1,5 @@
 // Tests of the one merge executor against a storage layer that misbehaves
-// on cue: a header write that fails inside RunBuilder.Finish, and a
+// on cue: a header write that fails inside FileSet.Finish, and a
 // checkpoint, another merge or a catalog change committed while a merge is
 // in flight. Package
 // core_test because the answers are checked against the model.
@@ -16,6 +16,9 @@ import (
 	"github.com/backlogfs/backlog/internal/core"
 	"github.com/backlogfs/backlog/internal/storage"
 )
+
+// mergeFile prefixes the name of every file a merge writes.
+const mergeFile = "merge."
 
 // onRunCreate installs a plan on fs whose hook runs fn before each run-file
 // Create. Creations fn itself causes (it may checkpoint, whose three tables
@@ -117,22 +120,21 @@ func (fx *mergeFixture) verify() {
 	fx.m.check(fx.t, fx.eng, fixtureBlocks)
 }
 
-// TestFinishFailureLeavesNoOrphan fails the header write of the second
-// output of a merge — a builder with a finished one before it and, in the
-// leveled case, an unfinished one after it. Whatever the job's shape, the
-// failed merge must leave no run file the manifest does not list, the
-// store must keep answering like the model, and the merge must go through
-// once the fault is gone.
+// TestFinishFailureLeavesNoOrphan fails the header write of a merge's
+// file, which holds a section per output — in the leveled case From, To
+// and Combined, in the whole case From and Combined. Whatever the job's
+// shape, the failed merge must leave no run file the manifest does not
+// list, the store must keep answering like the model, and the merge must
+// go through once the fault is gone.
 func TestFinishFailureLeavesNoOrphan(t *testing.T) {
 	cases := []struct {
 		name  string
 		opts  core.Options
 		merge func(*core.Engine) error
 	}{
-		// Outputs From, To, Combined: the To run (removals whose Froms sit a
-		// level up) fails.
+		// Outputs From, To (removals whose Froms sit a level up), Combined.
 		{"leveled", core.Options{CompactionPolicy: core.PolicyLeveled{}, Fanout: 2}, (*core.Engine).MaintainNow},
-		// Outputs From, Combined: the Combined run fails.
+		// Outputs From, Combined.
 		{"whole", core.Options{}, (*core.Engine).Compact},
 	}
 	for _, tc := range cases {
@@ -149,15 +151,13 @@ func TestFinishFailureLeavesNoOrphan(t *testing.T) {
 			fx.epoch(3)
 			fx.epoch(4)
 
-			// Fail the write at offset 0 of the second output. Pages start at
-			// page 1, so the only write there is the run header
-			// btree.Writer.Finish issues last.
-			creates, failed, doomed := 0, 0, ""
+			// Fail the write at offset 0 of the merge's file. Pages start at
+			// page 1, so the only write there is the one that carries the
+			// first run's header, which btree.FileWriter.Finish issues last.
+			failed, doomed := 0, ""
 			fx.fs.SetFailurePlan(storage.FailurePlan{Hook: func(c storage.Call) error {
-				if c.Op == storage.OpCreate && strings.HasSuffix(c.Name, ".run") {
-					if creates++; creates == 2 {
-						doomed = c.Name
-					}
+				if c.Op == storage.OpCreate && strings.HasPrefix(c.Name, mergeFile) {
+					doomed = c.Name
 				}
 				if c.Op == storage.OpWrite && c.Off == 0 && c.Name == doomed {
 					failed++
@@ -187,8 +187,8 @@ func TestFinishFailureLeavesNoOrphan(t *testing.T) {
 }
 
 // TestMergeInstallBesideACheckpoint lands a checkpoint inside a
-// whole-partition merge — from within the creation of the merge's From
-// output, where it holds no structural lock. CP 5's removals are Tos of
+// whole-partition merge — from within the creation of the merge's file,
+// where it holds no structural lock. CP 5's removals are Tos of
 // Froms the merge reads. The checkpoint consumes none of the merge's
 // inputs, so the merge installs at its first attempt, and CP 5's runs, the
 // newer history, stay at level 0 beside its level-1 outputs.
@@ -210,7 +210,7 @@ func TestMergeInstallBesideACheckpoint(t *testing.T) {
 
 			fired := false
 			onRunCreate(fx.fs, func(name string) {
-				if fired || !strings.HasPrefix(name, core.TableFrom+".") {
+				if fired || !strings.HasPrefix(name, mergeFile) {
 					return
 				}
 				fired = true
@@ -247,7 +247,7 @@ func TestMergeInstallBesideACheckpoint(t *testing.T) {
 }
 
 // TestMergeInstallConflictsOnConsumedInputs holds a whole-partition merge
-// at its first output's Create while another merge consumes its inputs.
+// at its file's Create while another merge consumes its inputs.
 // The held merge must find them gone at install, count one conflict,
 // re-derive its inputs from a fresh view and merge those, leaving the
 // partition at one From and one Combined run: were it to install what it
@@ -273,7 +273,7 @@ func TestMergeInstallConflictsOnConsumedInputs(t *testing.T) {
 
 			held := false
 			onRunCreate(fx.fs, func(name string) {
-				if held || !strings.HasPrefix(name, core.TableFrom+".") {
+				if held || !strings.HasPrefix(name, mergeFile) {
 					return
 				}
 				held = true
@@ -333,7 +333,7 @@ func TestMergeInstallKeepsLevelsOrdered(t *testing.T) {
 
 	held := false
 	onRunCreate(fx.fs, func(name string) {
-		if held || !strings.HasPrefix(name, core.TableFrom+".") {
+		if held || !strings.HasPrefix(name, mergeFile) {
 			return
 		}
 		held = true
@@ -362,7 +362,7 @@ func TestMergeInstallKeepsLevelsOrdered(t *testing.T) {
 }
 
 // TestMergeInstallCommitsTheLiveCatalog holds a merge between its pin and
-// its install, at its first output's Create, and there deletes the snapshot
+// its install, at its file's Create, and there deletes the snapshot
 // that retains the merge's input and commits the catalog alone. The merge
 // still purges against the topology it pinned, but its own commit must
 // carry the live one: a merge that committed what it pinned would put the

@@ -1054,9 +1054,7 @@ func flushTable[T any](db *lsm.DB, files *lsm.FileSet, count *uint64, table stri
 		p := db.PartitionOf(binary.BigEndian.Uint64(rec))
 		b := builders[p]
 		if b == nil {
-			if b, err = files.Run(table, p, total); err != nil {
-				return err
-			}
+			b = files.Run(table, p, total)
 			builders[p] = b
 		}
 		if err := b.Add(rec); err != nil {

@@ -8,3 +8,8 @@ func (e *Engine) CacheBytes() int64 { return e.cache.SizeBytes() }
 // policy: expire_test.go and policy_test.go seal runs on RetainAll engines
 // with it.
 func (e *Engine) CompactTiered() error { return e.compactAll(true) }
+
+// CompactJobTiered runs one merge job in CP-tiered mode, as the maintainer
+// does under RetainLive, on an engine of any retention policy:
+// mergefile_test.go lays out a tiered stepped merge's files with it.
+func (e *Engine) CompactJobTiered(job CompactionJob) (bool, error) { return e.compactJob(job, true) }

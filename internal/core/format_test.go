@@ -285,15 +285,13 @@ func v3StoreTail() []refOp {
 	return ops
 }
 
-// TestV2StoreOpensAndMigrates is the upgrade path end to end for a store of
-// format-2 runs: a directory the previous binary wrote (testdata/v3-store —
-// format-2 delta runs at two levels beside the current format's runs of
-// CP 7, snapshots in a version-3 manifest, a Buffered log tail; never
-// regenerate it) opens as backlog.Open opens it, answers every query as
-// the model does, checkpoints, and compacts into the current format with
-// the answers unchanged, across a reopen.
-func TestV2StoreOpensAndMigrates(t *testing.T) {
-	const blocks = 150
+// v3StoreBlocks bounds the blocks testdata/v3-store holds references to.
+const v3StoreBlocks = 150
+
+// v3Store copies testdata/v3-store into a MemFS, and returns it with the
+// model of what it holds and the log tail a reopen replays.
+func v3Store(t *testing.T) (*storage.MemFS, *model, []refOp) {
+	t.Helper()
 	fs := storage.NewMemFS()
 	entries, err := os.ReadDir(filepath.Join("testdata", "v3-store"))
 	if err != nil {
@@ -328,6 +326,54 @@ func TestV2StoreOpensAndMigrates(t *testing.T) {
 	for _, o := range tail {
 		m.apply(o)
 	}
+	return fs, m, tail
+}
+
+// TestV3StoreMergesIntoOneFile: a whole merge of the store the previous
+// binary wrote (testdata/v3-store, runs that are files of their own)
+// writes its outputs as sections of one file, created and synced once,
+// and the answers hold, across a reopen.
+func TestV3StoreMergesIntoOneFile(t *testing.T) {
+	fs, m, _ := v3Store(t)
+	open := func() *core.Engine {
+		t.Helper()
+		eng, err := core.Open(core.Options{VFS: fs, Catalog: core.NewMemCatalog(), PersistCatalog: true, Durability: wal.Buffered})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	eng := open()
+	before := queryFingerprint(t, eng, v3StoreBlocks)
+	if creates, syncs := mergeIO(t, eng, eng.Compact); creates != 1 || syncs != 1 {
+		t.Fatalf("the merge created %d files and synced %d times, want 1 and 1", creates, syncs)
+	}
+	files := eng.Files()
+	if len(files) != 1 || !strings.HasPrefix(files[0], mergeFile) || eng.RunCount() < 2 {
+		t.Fatalf("after the merge the manifest names %v for %d runs, want one merge file", files, eng.RunCount())
+	}
+	m.check(t, eng, v3StoreBlocks)
+	if got := queryFingerprint(t, eng, v3StoreBlocks); got != before {
+		t.Fatal("the merge changed query results")
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	eng = open()
+	defer eng.Close()
+	m.check(t, eng, v3StoreBlocks)
+}
+
+// TestV2StoreOpensAndMigrates is the upgrade path end to end for a store of
+// format-2 runs: a directory the previous binary wrote (testdata/v3-store —
+// format-2 delta runs at two levels beside the current format's runs of
+// CP 7, snapshots in a version-3 manifest, a Buffered log tail; never
+// regenerate it) opens as backlog.Open opens it, answers every query as
+// the model does, checkpoints, and compacts into the current format with
+// the answers unchanged, across a reopen.
+func TestV2StoreOpensAndMigrates(t *testing.T) {
+	const blocks = v3StoreBlocks
+	fs, m, tail := v3Store(t)
 
 	open := func() *core.Engine {
 		t.Helper()

@@ -152,7 +152,7 @@ func TestDirtyVectorPersistedByTheCheckpointThatFrozeIt(t *testing.T) {
 		}
 		switch creates.Add(1) {
 		case 1:
-			// The merge's first output file: its view is pinned and the
+			// The merge's file: its view is pinned and the
 			// vectors it saw were clean. Dirty one, then hold a checkpoint
 			// in its flush; the next run file created is that flush's.
 			relocErr <- eng.RelocateBlock(30, 700)

@@ -50,15 +50,15 @@ func TestWriteThroughFailuresLeaveTheCache(t *testing.T) {
 			fx.epoch(cp)
 		}
 		// A relocation, which moves the deletion vector, and the checkpoint
-		// that persists it land inside the first attempt, before its first
-		// output is created; the cache is measured after them, and again
-		// when the second attempt creates its first output — after the
-		// first one built its runs, lost the race and discarded them. The
+		// that persists it land inside the first attempt, before its file
+		// is created; the cache is measured after them, and again when the
+		// second attempt creates its file — after the first one built its
+		// runs, lost the race and removed them. The
 		// block moved is odd, so no removal of epoch 5 names it.
 		creates := 0
 		var cached int64
 		onRunCreate(fx.fs, func(name string) {
-			if !strings.HasPrefix(name, core.TableFrom+".") {
+			if !strings.HasPrefix(name, mergeFile) {
 				return
 			}
 			switch creates++; creates {
@@ -80,7 +80,7 @@ func TestWriteThroughFailuresLeaveTheCache(t *testing.T) {
 		}
 		fx.fs.SetFailurePlan(storage.FailurePlan{})
 		if ms := fx.eng.MaintenanceStats(); creates < 2 || ms.Conflicts != 1 {
-			t.Fatalf("%d From outputs created, %d conflicts: want a conflict and a retry", creates, ms.Conflicts)
+			t.Fatalf("%d merge files created, %d conflicts: want a conflict and a retry", creates, ms.Conflicts)
 		}
 		fx.verify()
 	})

@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"slices"
@@ -12,19 +13,27 @@ import (
 )
 
 // FileSet builds the runs of one level and consistency point for a list of
-// tables, one file per partition: a partition's runs are sections of its
-// file, in the order of the list, each page-aligned with no padding between
-// them, and their Bloom filters follow the last one's pages. The tables'
-// records stream in side by side, each table through its own builders
-// (Run). A run's pages go to the file as its write buffer fills — a later
-// table's only once every earlier table is done (Done), since only then is
-// it known where the run starts; until then its builder waits. Finish then
-// writes what is still buffered, the filters and the headers, and syncs
-// each file once: a file whose runs all fit their buffers is one write.
+// tables, and is the one way to build a run. A partition's runs (Run) are
+// sections of one file, in the order of the list, each page-aligned with no
+// padding between them, and their Bloom filters follow the last one's
+// pages; a run that must be able to leave the store alone (RunApart) is a
+// file of its own. A file is created on its first record, so a run that
+// gets none costs nothing. The tables' records stream in side by side, from
+// one goroutine per table or interleaved on one, each run through its own
+// builder. A run's pages go to the file as its write buffer fills once its
+// place there is known — once every earlier table of its file is done
+// (Done) or known to have no run in it; until then nothing waits, the run
+// keeps its pages in its buffer. Finish then writes what is still
+// buffered, the filters and the headers, and syncs each file once: a file
+// whose runs all fit their buffers is one write.
 //
 // The checkpoint flush writes its From, To and Combined runs through one
 // set, so a consistency point costs one run file per partition plus the
-// manifest; NewRunBuilder is a set of one table.
+// manifest, its tables on three goroutines. A merge does too, from the one
+// goroutine that joins its inputs: its later sections buffer their whole
+// run until the join ends, and Finish writes them. Under tiered retention a
+// merge's sealed Combined output and its override run go apart, since
+// expiry drops the one alone and the other is re-merged alone.
 type FileSet struct {
 	db     *DB
 	level  int
@@ -32,138 +41,172 @@ type FileSet struct {
 	src    storage.Source
 	tables []string
 
-	mu    sync.Mutex
-	cond  sync.Cond
-	files map[int]*setFile // by partition, made by its first run
-	done  []bool           // by table: its stream ended and its runs are sealed
-	err   error            // the first failure, which waiting builders return
+	mu     sync.Mutex
+	shared map[int]*setFile // by partition, made by its first record
+	apart  []*setFile       // the files of runs apart, made by their first record
+	runs   []*RunBuilder    // in the order Run and RunApart made them
+	done   []bool           // by table: its stream ended and its runs are sealed
+	err    error            // the first failure, which later Dones return
 }
 
 // setFile is one file of a FileSet.
 type setFile struct {
 	rf   *runFile // its handle is the write handle until the set's Finish
 	fw   *btree.FileWriter
-	runs []*RunBuilder // by table
+	runs []*RunBuilder // by section slot
 }
 
 // NewFileSet starts a set of run files for the given tables. Level 0 marks
-// a per-CP flush; levels >= 1 compacted runs. All I/O the set issues —
+// a per-CP flush; levels >= 1 compacted runs (a stepped merge stamps its
+// outputs one level above its inputs, a full-partition merge its inputs'
+// highest level, 1 at least). A file is named for what made it — cp.* by
+// a checkpoint (src storage.SrcCheckpoint), merge.* by a merge, and for its
+// table by a set of one table — and becomes visible only when an Edit
+// commits its runs. All I/O the set issues —
 // file creation, page writes, syncs, and removal on abort — is attributed
-// to src. A checkpoint's runs (src storage.SrcCheckpoint) write their pages
-// through to the page cache where the cache has room for them
-// (btree.Writer.WriteThrough), so the queries and the merge that read a
-// fresh run find it in memory. A merge's runs cache nothing: a merge's
-// output is about as large as its inputs and mostly cold, and a merge
-// inserts no page into the cache and evicts none, scan and output alike.
+// to src. A checkpoint's runs write their pages through to the page cache
+// where the cache has room for them (btree.Writer.WriteThrough), so the
+// queries and the merge that read a fresh run find it in memory. A merge's
+// runs cache nothing: a merge's output is about as large as its inputs and
+// mostly cold, and a merge inserts no page into the cache and evicts none,
+// scan and output alike.
 func (db *DB) NewFileSet(level int, cp uint64, src storage.Source, tables ...string) *FileSet {
-	s := &FileSet{db: db, level: level, cp: cp, src: src, tables: tables,
-		files: map[int]*setFile{}, done: make([]bool, len(tables))}
-	s.cond.L = &s.mu
-	return s
+	return &FileSet{db: db, level: level, cp: cp, src: src, tables: tables,
+		shared: map[int]*setFile{}, done: make([]bool, len(tables))}
 }
 
-// Run returns a builder for table's run in partition, creating the
-// partition's file on its first run. Call it once per (table, partition),
-// from the goroutine that streams the table's records. expectRecords is an
-// upper bound on the records the caller will add; it sizes the Bloom
-// filter, which is shrunk to the keys actually added when the run is
-// sealed.
-func (s *FileSet) Run(table string, partition, expectRecords int) (*RunBuilder, error) {
+// Run returns a builder for table's run in partition, a section of the
+// partition's file. Call it once per (table, partition), from the goroutine
+// that streams the table's records. expectRecords is an upper bound on the
+// records the caller will add; it sizes the Bloom filter, which is shrunk
+// to the keys actually added when the run is sealed. A table not in the set
+// or a partition out of range is the caller's bug, and panics.
+func (s *FileSet) Run(table string, partition, expectRecords int) *RunBuilder {
+	return s.newRun(table, partition, expectRecords, false)
+}
+
+// RunApart is Run for a run that is a file of its own, which a later Edit
+// can drop without keeping a sibling's bytes alive or being kept alive by
+// them. A table may have several runs apart in one partition.
+func (s *FileSet) RunApart(table string, partition, expectRecords int) *RunBuilder {
+	return s.newRun(table, partition, expectRecords, true)
+}
+
+func (s *FileSet) newRun(table string, partition, expectRecords int, apart bool) *RunBuilder {
 	t, slot := s.db.tables[table], slices.Index(s.tables, table)
-	if t == nil || slot < 0 {
-		return nil, fmt.Errorf("lsm: no table %q in the file set", table)
+	if t == nil || slot < 0 || partition < 0 || partition >= s.db.opts.Partitions {
+		panic(fmt.Sprintf("lsm: no run of table %q in partition %d in the file set", table, partition))
 	}
-	if partition < 0 || partition >= s.db.opts.Partitions {
-		return nil, fmt.Errorf("lsm: partition %d out of range", partition)
-	}
+	b := &RunBuilder{set: s, table: t, slot: slot, partition: partition, apart: apart, expect: expectRecords}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	file := s.files[partition]
+	s.runs = append(s.runs, b)
+	return b
+}
+
+// start places b in its file on its first record, creating the file if b
+// is its first run.
+func (b *RunBuilder) start() error {
+	s := b.set
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	file, sec := s.shared[b.partition], b.slot
+	if b.apart {
+		file, sec = nil, 0
+	}
 	if file == nil {
-		// A file of several tables' runs is named for the consistency
-		// point it holds; a run that is its file of its own, for its table.
-		prefix := "cp"
-		if len(s.tables) == 1 {
-			prefix = table
+		prefix := "merge"
+		switch {
+		case len(s.tables) == 1:
+			prefix = s.tables[0]
+		case s.src == storage.SrcCheckpoint:
+			prefix = "cp"
 		}
-		name := fmt.Sprintf("%s.p%03d.%010d.run", prefix, partition, s.db.allocID())
+		name := fmt.Sprintf("%s.p%03d.%010d.run", prefix, b.partition, s.db.allocID())
 		f, err := s.db.vfsFor(s.src).Create(name)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		file = &setFile{rf: &runFile{name: name, f: f}, runs: make([]*RunBuilder, len(s.tables))}
-		file.fw = btree.NewFileWriter(f, len(s.tables), s.wait)
-		s.files[partition] = file
+		slots := len(s.tables)
+		if b.apart {
+			slots = 1
+		}
+		file = &setFile{rf: &runFile{name: name, f: f}, fw: btree.NewFileWriter(f, slots), runs: make([]*RunBuilder, slots)}
+		if b.apart {
+			s.apart = append(s.apart, file)
+		} else {
+			s.shared[b.partition] = file
+			for slot, done := range s.done {
+				if done {
+					file.fw.Skip(slot)
+				}
+			}
+		}
 	}
-	// Every run creation funnels through here — checkpoint flushes and
-	// compaction — so the configured format covers them all.
-	w, err := file.fw.Section(slot, t.spec.RecordSize, s.db.opts.RunFormat)
+	// Every run funnels through here — checkpoint flushes and compaction —
+	// so the configured format covers them all.
+	w, err := file.fw.Section(sec, b.table.spec.RecordSize, s.db.opts.RunFormat)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if s.src == storage.SrcCheckpoint {
 		w.WriteThrough(s.db.cache)
 	}
-	b := &RunBuilder{
-		table:     t,
-		partition: partition,
-		set:       s,
-		file:      file.rf,
-		writer:    w,
-		filter:    bloom.NewForCapacity(expectRecords, t.spec.BloomMaxBytes),
-	}
-	file.runs[slot] = b
-	return b, nil
-}
-
-// wait blocks until every table before slot is done, or the set failed.
-func (s *FileSet) wait(slot int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for s.err == nil && slices.Contains(s.done[:slot], false) {
-		s.cond.Wait()
-	}
-	return s.err
+	file.runs[sec] = b
+	b.file, b.writer = file, w
+	b.filter = bloom.NewForCapacity(b.expect, b.table.spec.BloomMaxBytes)
+	return nil
 }
 
 // Done ends table's stream. With err nil it seals the runs the stream
 // started — their last pages, index levels and headers — after which the
 // runs of later tables know where they start; with err, or when sealing
-// fails, it fails the set, and builders waiting for their place give up
-// with the error. Every table's stream ends in one Done, failed or not,
-// and returns what it returns.
+// fails, it fails the set. Once the set has failed, Done returns that
+// failure whatever its err. Every table streamed on a goroutine of its own
+// ends in one Done, failed or not, and returns what it returns; Finish ends
+// the streams that have not ended.
 func (s *FileSet) Done(table string, err error) error {
 	slot := slices.Index(s.tables, table)
+	var runs []*RunBuilder
+	s.mu.Lock()
 	if err == nil {
-		s.mu.Lock()
-		var runs []*RunBuilder
-		for _, file := range s.files {
-			if b := file.runs[slot]; b != nil {
-				runs = append(runs, b)
-			}
+		err = s.err
+	}
+	for _, b := range s.runs {
+		if b.slot == slot && b.writer != nil {
+			runs = append(runs, b)
 		}
-		s.mu.Unlock()
-		for _, b := range runs {
-			if err = b.seal(); err != nil {
-				break
-			}
+	}
+	s.mu.Unlock()
+	for _, b := range runs {
+		if err != nil {
+			break
 		}
+		err = b.seal()
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err != nil && s.err == nil {
-		s.err = err
+	if err != nil {
+		if s.err == nil {
+			s.err = err
+		}
+		return err
 	}
-	s.done[slot] = err == nil
-	s.cond.Broadcast()
-	return err
+	s.done[slot] = true
+	for _, file := range s.shared {
+		if file.runs[slot] == nil {
+			file.fw.Skip(slot)
+		}
+	}
+	return nil
 }
 
-// Finish writes and syncs every file of the set once every table is Done,
-// and returns the set's runs, partition by partition in table order, for
-// the Edit that installs them. A run alone in its file is its whole file;
-// the others are recorded with where the file holds them. On error every
-// file is removed, as by Abort.
+// Finish ends every stream not yet Done, writes and syncs every file of the
+// set, and returns the set's runs, partition by partition in table order
+// (a table's runs of one partition in the order they were made), for
+// the Edit that installs them. A run that got no record is not among them.
+// A run alone in its file is its whole file; the others are recorded with
+// where the file holds them. On error every file is removed, as by Abort.
 func (s *FileSet) Finish() ([]RunRef, error) {
 	refs, err := s.finish()
 	if err != nil {
@@ -173,12 +216,18 @@ func (s *FileSet) Finish() ([]RunRef, error) {
 }
 
 func (s *FileSet) finish() ([]RunRef, error) {
-	if s.err != nil {
-		return nil, s.err
+	for slot, table := range s.tables {
+		if !s.done[slot] {
+			if err := s.Done(table, nil); err != nil {
+				return nil, err
+			}
+		}
 	}
-	var refs []RunRef
-	for _, p := range slices.Sorted(maps.Keys(s.files)) {
-		file := s.files[p]
+	var files []*setFile
+	for _, p := range slices.Sorted(maps.Keys(s.shared)) {
+		files = append(files, s.shared[p])
+	}
+	for _, file := range append(files, s.apart...) {
 		if err := file.fw.Finish(); err != nil {
 			return nil, err
 		}
@@ -187,25 +236,33 @@ func (s *FileSet) finish() ([]RunRef, error) {
 		if err != nil {
 			return nil, err
 		}
-		runs := slices.DeleteFunc(slices.Clone(file.runs), func(b *RunBuilder) bool { return b == nil })
-		for _, b := range runs {
-			refs = append(refs, b.ref(len(runs) == 1))
-		}
+	}
+	runs := slices.DeleteFunc(slices.Clone(s.runs), func(b *RunBuilder) bool { return b.writer == nil })
+	slices.SortStableFunc(runs, func(a, b *RunBuilder) int {
+		return cmp.Or(cmp.Compare(a.partition, b.partition), cmp.Compare(a.slot, b.slot))
+	})
+	refs := make([]RunRef, len(runs))
+	for i, b := range runs {
+		refs[i] = b.ref()
 	}
 	return refs, nil
 }
 
 // Abort removes every file of the set, and the pages its runs wrote
-// through to the cache. Call it, instead of Finish, once every stream has
-// ended; calling it again does nothing.
+// through to the cache. Call it instead of Finish once every stream has
+// ended, or after Finish while no Edit has taken the set's runs (a merge
+// that lost its race); calling it again does nothing.
 func (s *FileSet) Abort() {
-	for _, file := range s.files {
-		for _, b := range file.runs {
-			if b != nil {
-				s.db.cache.Drop(b.writer.CacheID())
-			}
+	for _, b := range s.runs {
+		if b.writer != nil {
+			s.db.cache.Drop(b.writer.CacheID())
 		}
+	}
+	for _, file := range s.shared {
 		s.db.removeFile(file.rf, s.src)
 	}
-	s.files = nil
+	for _, file := range s.apart {
+		s.db.removeFile(file.rf, s.src)
+	}
+	s.shared, s.apart, s.runs = nil, nil, nil
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/backlogfs/backlog/internal/btree"
 	"github.com/backlogfs/backlog/internal/storage"
@@ -45,11 +46,7 @@ func addAll(set *FileSet, table string, recs [][]byte) error {
 	for _, r := range sorted {
 		p := set.db.PartitionOf(blockOf(r))
 		if runs[p] == nil {
-			b, err := set.Run(table, p, len(sorted))
-			if err != nil {
-				return err
-			}
-			runs[p] = b
+			runs[p] = set.Run(table, p, len(sorted))
 		}
 		if err := runs[p].Add(r); err != nil {
 			return err
@@ -163,57 +160,107 @@ func bigRecords(base, n uint64) [][]byte {
 	return recs
 }
 
-// TestFileSetStreamsSectionsInPlace: runs that outgrow their write
-// buffers stream into their places in the file, a later table's once the
-// earlier ones are done, so tables added side by side leave the bytes a
-// one-after-the-other build leaves, synced once.
-func TestFileSetStreamsSectionsInPlace(t *testing.T) {
-	recs := map[string][][]byte{"from": bigRecords(0, 30000), "to": bigRecords(10, 30000)}
-	build := func(concurrent bool) ([]byte, int) {
-		fs := storage.NewMemFS()
-		db, err := Open(fs, Options{Tables: []TableSpec{{Name: "from", RecordSize: testRecSize}, {Name: "to", RecordSize: testRecSize}}})
+// threeTables opens a store of one partition with the engine's three
+// tables.
+func threeTables(t *testing.T, fs storage.VFS) *DB {
+	t.Helper()
+	db, err := Open(fs, Options{Tables: []TableSpec{
+		{Name: "from", RecordSize: testRecSize}, {Name: "to", RecordSize: testRecSize}, {Name: "combined", RecordSize: testRecSize}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	return db
+}
+
+// buildSet builds recs, a table's sorted records each, through one set of
+// tables, with build feeding the set and ending its streams, and returns
+// the bytes of the one file it leaves and how often that file was written
+// and synced. A build that has not finished within a minute is stuck: some
+// section waits for an earlier one.
+func buildSet(t *testing.T, tables []string, recs map[string][][]byte, build func(*FileSet) error) (data []byte, writes, syncs int) {
+	t.Helper()
+	fs := storage.NewMemFS()
+	db := threeTables(t, fs)
+	calls := countIO(fs)
+	set := db.NewFileSet(0, 1, storage.SrcCheckpoint, tables...)
+	type result struct {
+		refs []RunRef
+		err  error
+	}
+	built := make(chan result, 1)
+	go func() {
+		err := build(set)
 		if err != nil {
-			t.Fatal(err)
-		}
-		defer db.Close()
-		calls := countIO(fs)
-		set := db.NewFileSet(0, 1, storage.SrcCheckpoint, "from", "to")
-		if concurrent {
-			var wg sync.WaitGroup
-			errs := make([]error, 2)
-			for i, table := range []string{"to", "from"} {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					errs[i] = set.Done(table, addAll(set, table, recs[table]))
-				}()
-			}
-			wg.Wait()
-			if err := errors.Join(errs...); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			for _, table := range []string{"from", "to"} {
-				if err := set.Done(table, addAll(set, table, recs[table])); err != nil {
-					t.Fatal(err)
-				}
-			}
+			built <- result{nil, err}
+			return
 		}
 		refs, err := set.Finish()
-		if err != nil {
-			t.Fatal(err)
+		built <- result{refs, err}
+	}()
+	var refs []RunRef
+	select {
+	case r := <-built:
+		if r.err != nil {
+			t.Fatal(r.err)
 		}
-		if len(refs) != 2 || refs[0].file != refs[1].file || refs[1].rm.Pages.Len <= 64*storage.PageSize {
-			t.Fatalf("refs %+v: want two runs of one file, each larger than a write buffer", refs)
-		}
-		name := refs[0].file.name
-		if calls(storage.OpWrite, name) < 4 {
-			t.Fatalf("%d writes: the runs did not stream", calls(storage.OpWrite, name))
-		}
-		return readFile(t, fs, name), calls(storage.OpSync, name)
+		refs = r.refs
+	case <-time.After(time.Minute):
+		t.Fatal("the build did not finish: a section waits for an earlier one")
 	}
-	want, _ := build(false)
-	got, syncs := build(true)
+	if len(refs) != len(tables) {
+		t.Fatalf("%d runs, want %d", len(refs), len(tables))
+	}
+	for i, ref := range refs {
+		if ref.file != refs[0].file || ref.rm.Pages.Len <= 64*storage.PageSize {
+			t.Fatalf("refs %+v: want runs of one file, each larger than a write buffer", refs)
+		}
+		if ref.table != tables[i] {
+			t.Fatalf("run %d is %s's, want %s's", i, ref.table, tables[i])
+		}
+	}
+	name := refs[0].file.name
+	return readFile(t, fs, name), calls(storage.OpWrite, name), calls(storage.OpSync, name)
+}
+
+// oneAfterTheOther is a build that streams the tables in order, ending each
+// before the next starts.
+func oneAfterTheOther(tables []string, recs map[string][][]byte) func(*FileSet) error {
+	return func(set *FileSet) error {
+		for _, table := range tables {
+			if err := set.Done(table, addAll(set, table, recs[table])); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// TestFileSetStreamsSectionsInPlace: runs that outgrow their write
+// buffers stream into their places in the file once the tables before
+// them are done, and tables added side by side — a later one perhaps
+// buffering its whole run meanwhile — leave the bytes a one-after-the-other
+// build leaves, synced once.
+func TestFileSetStreamsSectionsInPlace(t *testing.T) {
+	tables := []string{"from", "to"}
+	recs := map[string][][]byte{"from": bigRecords(0, 30000), "to": bigRecords(10, 30000)}
+	want, writes, _ := buildSet(t, tables, recs, oneAfterTheOther(tables, recs))
+	if writes < 4 {
+		t.Fatalf("%d writes: the runs did not stream", writes)
+	}
+	got, _, syncs := buildSet(t, tables, recs, func(set *FileSet) error {
+		var wg sync.WaitGroup
+		errs := make([]error, 2)
+		for i, table := range []string{"to", "from"} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = set.Done(table, addAll(set, table, recs[table]))
+			}()
+		}
+		wg.Wait()
+		return errors.Join(errs...)
+	})
 	if !bytes.Equal(got, want) {
 		t.Fatal("runs built side by side left other bytes than runs built one after the other")
 	}
@@ -222,28 +269,65 @@ func TestFileSetStreamsSectionsInPlace(t *testing.T) {
 	}
 }
 
-// TestFileSetFailureWakesWaiters: when an earlier table's stream fails, a
-// later table's run waiting for its place gives up with that error, and
-// Abort leaves no file and no cached page behind.
-func TestFileSetFailureWakesWaiters(t *testing.T) {
+// TestFileSetInterleavesSectionsOnOneGoroutine: one goroutine adds to three
+// sections of a file in turn, as a merge's join does, each section larger
+// than a write buffer. Nothing waits for an earlier section to be done, so
+// the build finishes; it syncs once and leaves the bytes a
+// one-after-the-other build leaves.
+func TestFileSetInterleavesSectionsOnOneGoroutine(t *testing.T) {
+	tables := []string{"from", "to", "combined"}
+	recs := map[string][][]byte{"from": bigRecords(0, 30000), "to": bigRecords(10, 30000), "combined": bigRecords(20, 30000)}
+	want, _, _ := buildSet(t, tables, recs, oneAfterTheOther(tables, recs))
+	got, _, syncs := buildSet(t, tables, recs, func(set *FileSet) error {
+		var runs []*RunBuilder
+		for _, table := range tables {
+			runs = append(runs, set.Run(table, 0, 30000))
+		}
+		for i := range 30000 {
+			for _, b := range runs {
+				if err := b.Add(recs[b.table.spec.Name][i]); err != nil {
+					return err
+				}
+			}
+		}
+		return nil // Finish ends the three streams
+	})
+	if !bytes.Equal(got, want) {
+		t.Fatal("runs built interleaved left other bytes than runs built one after the other")
+	}
+	if syncs != 1 {
+		t.Fatalf("%d syncs of the file, want 1", syncs)
+	}
+}
+
+// TestFileSetFailureFailsLaterTables: once an earlier table's stream has
+// failed, a later table's Done fails with that error though its own stream
+// went well, Finish fails, and Abort leaves no file and no cached page
+// behind.
+func TestFileSetFailureFailsLaterTables(t *testing.T) {
 	fs := storage.NewMemFS()
 	db := openTestDB(t, fs, 1)
 	set := db.NewFileSet(0, 1, storage.SrcCheckpoint, "from", "to")
 	boom := errors.New("the from stream failed")
-	toErr := make(chan error)
-	go func() { toErr <- set.Done("to", addAll(set, "to", bigRecords(0, 30000))) }()
-	from, err := set.Run("from", 0, 1)
-	if err != nil {
+	if err := set.Run("from", 0, 1).Add(rec16(1, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := from.Add(rec16(1, 1)); err != nil {
-		t.Fatal(err)
+	// The later table's run outgrows its buffer before the earlier one
+	// fails: its pages wait in it for a place they never get.
+	to := set.Run("to", 0, 30000)
+	for _, r := range bigRecords(0, 30000) {
+		if err := to.Add(r); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := set.Done("from", boom); !errors.Is(err, boom) {
 		t.Fatalf("Done = %v", err)
 	}
-	if err := <-toErr; !errors.Is(err, boom) {
-		t.Fatalf("the waiting run ended with %v, want the from stream's error", err)
+	if err := set.Done("to", nil); !errors.Is(err, boom) {
+		t.Fatalf("the later table's Done = %v, want the from stream's error", err)
+	}
+	if _, err := set.Finish(); !errors.Is(err, boom) {
+		t.Fatalf("Finish = %v, want the from stream's error", err)
 	}
 	set.Abort()
 	if names, _ := fs.List(); len(names) != 0 {

@@ -11,8 +11,9 @@
 //
 // A consistency point is one run file per partition plus the manifest: the
 // checkpoint's From, To and Combined runs of a partition are sections of one
-// file (FileSet), written and synced once. A merge's outputs stay one file
-// per run, since tiered retention expires a sealed Combined run alone.
+// file (FileSet), written and synced once. A merge's outputs are too, but
+// for a run that leaves the store alone — under tiered retention a sealed
+// Combined run, which expiry drops by itself — which is a file of its own.
 // Whatever file a run is in, lsm plans, pins, merges and expires runs; a
 // file is removed when the last version referencing any of its runs goes.
 //
@@ -149,9 +150,9 @@ type Options struct {
 //
 // DB is not internally synchronized except for run-ID allocation (idMu)
 // and view refcounting (viewMu): callers serialize structural operations
-// (Commit, deletion-vector mutation) themselves, but may create
-// RunBuilders from multiple goroutines concurrently — the engine's
-// parallel checkpoint flush relies on this — and may acquire and release
+// (Commit, deletion-vector mutation) themselves, but may feed a FileSet's
+// tables from multiple goroutines concurrently — the engine's parallel
+// checkpoint flush relies on this — and may acquire and release
 // Views concurrently with each other and with structural readers.
 type DB struct {
 	vfs   storage.VFS
@@ -583,8 +584,9 @@ func (db *DB) PartitionLevelCounts() [][]int {
 type RunInfo struct {
 	Table     string
 	Partition int
-	// Name is the file the run is in, which a checkpoint's runs of one
-	// partition share.
+	// Name is the file the run is in, which the runs one checkpoint or one
+	// merge wrote to a partition share (but for a run apart, see
+	// FileSet.RunApart).
 	Name      string
 	Level     int
 	Records   uint64

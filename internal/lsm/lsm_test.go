@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -41,39 +42,39 @@ func openTestDB(t *testing.T, fs storage.VFS, partitions int) *DB {
 // and commits at the given CP.
 func flushRecords(t testing.TB, db *DB, table string, cp uint64, recs [][]byte) {
 	t.Helper()
-	sorted := append([][]byte(nil), recs...)
-	sort.Slice(sorted, func(i, j int) bool {
-		return string(sorted[i]) < string(sorted[j])
-	})
-	builders := map[int]*RunBuilder{}
-	for _, r := range sorted {
-		p := db.PartitionOf(binary.BigEndian.Uint64(r[:8]))
-		b, ok := builders[p]
-		if !ok {
-			var err error
-			b, err = db.NewRunBuilder(table, p, 0, cp, storage.SrcCheckpoint, 1<<15)
-			if err != nil {
-				t.Fatal(err)
-			}
-			builders[p] = b
-		}
-		if err := b.Add(r); err != nil {
-			t.Fatal(err)
-		}
+	set := db.NewFileSet(0, cp, storage.SrcCheckpoint, table)
+	if err := addAll(set, table, recs); err != nil {
+		t.Fatal(err)
+	}
+	refs, err := set.Finish()
+	if err != nil {
+		t.Fatal(err)
 	}
 	edit := db.NewEdit().SetCP(cp)
-	for _, b := range builders {
-		ref, ok, err := b.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
-			edit.AddRun(ref)
-		}
+	for _, ref := range refs {
+		edit.AddRun(ref)
 	}
 	if err := edit.Commit(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// buildRun writes recs, in ascending order, as table's run in partition 0
+// through a file set of its own, and returns the run, not yet committed.
+func buildRun(t testing.TB, db *DB, table string, level int, cp uint64, src storage.Source, recs ...[]byte) RunRef {
+	t.Helper()
+	set := db.NewFileSet(level, cp, src, table)
+	b := set.Run(table, 0, len(recs))
+	for _, rec := range recs {
+		if err := b.Add(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refs, err := set.Finish()
+	if err != nil || len(refs) != 1 {
+		t.Fatalf("Finish: %d runs, %v", len(refs), err)
+	}
+	return refs[0]
 }
 
 // collect reads one block of the table through a freshly pinned view.
@@ -165,16 +166,7 @@ func TestCrashBeforeCommitRecoversOldState(t *testing.T) {
 	flushRecords(t, db, "from", 1, [][]byte{rec16(1, 10)})
 
 	// Write a run but crash before the manifest commit.
-	b, err := db.NewRunBuilder("from", 0, 0, 2, storage.SrcCheckpoint, 1<<15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Add(rec16(2, 20)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := b.Finish(); err != nil {
-		t.Fatal(err)
-	}
+	buildRun(t, db, "from", 0, 2, storage.SrcCheckpoint, rec16(2, 20))
 	fs.Crash()
 
 	db2 := openTestDB(t, fs, 1)
@@ -273,19 +265,7 @@ func TestDeletionVector(t *testing.T) {
 	// the DV file. The runs the same edit adds do not keep it alive, though
 	// this one covers block 1 — and, unlike a real merge's output, even
 	// holds the hidden record, which therefore shows again.
-	b, err := db2.NewRunBuilder("from", 0, 1, db2.CP(), storage.SrcCompaction, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range [][]byte{rec16(1, 10), rec16(1, 11), rec16(2, 20)} {
-		if err := b.Add(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ref, _, err := b.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := buildRun(t, db2, "from", 1, db2.CP(), storage.SrcCompaction, rec16(1, 10), rec16(1, 11), rec16(2, 20))
 	edit := db2.NewEdit().AddRun(ref).DropRun("from", tbl2.Runs(0)[0].Name())
 	if err := edit.Commit(); err != nil {
 		t.Fatal(err)
@@ -326,20 +306,9 @@ func TestCompactionReplacesRuns(t *testing.T) {
 	}
 
 	// Merge all runs into one Level-1 run.
-	nb, err := db.NewRunBuilder("from", 0, 1, db.CP(), storage.SrcCompaction, 1<<15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scanTable(t, tbl, func(rec []byte) {
-		if err := nb.Add(rec); err != nil {
-			t.Fatal(err)
-		}
-	})
-	ref, ok, err := nb.Finish()
-	if err != nil || !ok {
-		t.Fatalf("Finish: ok=%v err=%v", ok, err)
-	}
-	edit := db.NewEdit().AddRun(ref)
+	var recs [][]byte
+	scanTable(t, tbl, func(rec []byte) { recs = append(recs, slices.Clone(rec)) })
+	edit := db.NewEdit().AddRun(buildRun(t, db, "from", 1, db.CP(), storage.SrcCompaction, recs...))
 	for _, r := range tbl.Runs(0) {
 		edit.DropRun("from", r.Name())
 	}
@@ -549,16 +518,14 @@ func TestDamagedFilterIsReadOnce(t *testing.T) {
 func TestEmptyBuilderProducesNoRun(t *testing.T) {
 	fs := storage.NewMemFS()
 	db := openTestDB(t, fs, 1)
-	b, err := db.NewRunBuilder("from", 0, 0, 1, storage.SrcCheckpoint, 1<<15)
+	set := db.NewFileSet(0, 1, storage.SrcCheckpoint, "from", "to")
+	set.Run("from", 0, 1<<15)
+	refs, err := set.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ok, err := b.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("empty builder produced a run")
+	if len(refs) != 0 {
+		t.Fatalf("empty builder produced %d runs", len(refs))
 	}
 	names, _ := fs.List()
 	if len(names) != 0 {
@@ -569,33 +536,39 @@ func TestEmptyBuilderProducesNoRun(t *testing.T) {
 func TestAbortRemovesFile(t *testing.T) {
 	fs := storage.NewMemFS()
 	db := openTestDB(t, fs, 1)
-	b, err := db.NewRunBuilder("from", 0, 0, 1, storage.SrcCheckpoint, 1<<15)
-	if err != nil {
+	set := db.NewFileSet(0, 1, storage.SrcCheckpoint, "from")
+	if err := set.Run("from", 0, 1<<15).Add(rec16(1, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Add(rec16(1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	b.Abort()
+	set.Abort()
 	names, _ := fs.List()
 	if len(names) != 0 {
 		t.Fatalf("abort left files: %v", names)
 	}
 }
 
-// TestFailedBuilderLeavesNoFile: NewRunBuilder creates the run file before
-// it constructs the page writer, so a writer that cannot be constructed
-// must take the file with it. btree.NewWriterFormat does no I/O — it fails
-// on what it is asked to write, not on the device — and the one such
-// failure Open does not already refuse is a record too wide for a page.
+// TestFailedBuilderLeavesNoFile: a run's first record creates its file
+// before it constructs the page writer, so a writer that cannot be
+// constructed leaves a file that the failed set must take with it.
+// btree.FileWriter.Section does no I/O — it fails on what it is asked to
+// write, not on the device — and the one such failure Open does not already
+// refuse is a record too wide for a page.
 func TestFailedBuilderLeavesNoFile(t *testing.T) {
 	fs := storage.NewMemFS()
 	db, err := Open(fs, Options{Tables: []TableSpec{{Name: "wide", RecordSize: btree.MaxRecordSize + 8}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.NewRunBuilder("wide", 0, 0, 1, storage.SrcCheckpoint, 1); err == nil {
+	set := db.NewFileSet(0, 1, storage.SrcCheckpoint, "wide")
+	err = set.Run("wide", 0, 1).Add(make([]byte, btree.MaxRecordSize+8))
+	if err == nil {
 		t.Fatal("builder for an oversize record succeeded")
+	}
+	if err := set.Done("wide", err); err == nil {
+		t.Fatal("Done of a failed stream succeeded")
+	}
+	if _, err := set.Finish(); err == nil {
+		t.Fatal("Finish of a failed set succeeded")
 	}
 	names, _ := fs.List()
 	if len(names) != 0 {

@@ -321,17 +321,7 @@ func TestSectionCommitsWithTheEdit(t *testing.T) {
 	}
 
 	fail = errors.New("no section today")
-	b, err := db.NewRunBuilder("from", 0, 0, 2, storage.SrcCheckpoint, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Add(rec16(7, 7)); err != nil {
-		t.Fatal(err)
-	}
-	ref, _, err := b.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := buildRun(t, db, "from", 0, 2, storage.SrcCheckpoint, rec16(7, 7))
 	names, _ := fs.List()
 	manifest := readFile(t, fs, manifestName)
 	if err := db.NewEdit().SetCP(2).AddRun(ref).Commit(); !errors.Is(err, fail) {

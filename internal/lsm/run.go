@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -283,17 +284,19 @@ func (r *Run) First() (*btree.Iterator, error) {
 	return r.creader.First()
 }
 
-// RunBuilder accumulates sorted records into a new run. The builder
-// DB.NewRunBuilder returns makes a run that is a file of its own, which its
-// Finish writes and syncs; the builders of a FileSet's runs are finished by
-// the set (FileSet.Done, FileSet.Finish). Either way the result is a RunRef
-// to be installed by a later Commit.
+// RunBuilder accumulates sorted records into a new run of a FileSet, which
+// seals it (FileSet.Done) and writes it (FileSet.Finish) into a RunRef to
+// be installed by a later Commit. Its file is created, and its place there
+// taken, on its first record.
 type RunBuilder struct {
-	table     *Table
-	partition int
 	set       *FileSet
-	file      *runFile
-	writer    *btree.Writer
+	table     *Table
+	slot      int // the table's place in the set
+	partition int
+	apart     bool
+	expect    int
+	file      *setFile      // nil until the first record
+	writer    *btree.Writer // nil until the first record
 	filter    *bloom.Filter
 
 	minBlock, maxBlock uint64
@@ -309,6 +312,11 @@ type RunBuilder struct {
 
 // Add appends a record (strictly ascending order required).
 func (b *RunBuilder) Add(rec []byte) error {
+	if b.writer == nil {
+		if err := b.start(); err != nil {
+			return err
+		}
+	}
 	if err := b.writer.Append(rec); err != nil {
 		return err
 	}
@@ -342,30 +350,6 @@ func (b *RunBuilder) Add(rec []byte) error {
 	return nil
 }
 
-// Count returns the number of records added so far.
-func (b *RunBuilder) Count() uint64 { return b.writer.Count() }
-
-// NewRunBuilder starts a new run for (table, partition) in a file of its
-// own. Level 0 marks a per-CP flush; levels >= 1 compacted runs
-// (compaction stamps its outputs one level above its inputs, or 1 for a
-// full-partition merge). The file is created immediately but becomes
-// visible only when the run's RunRef is committed. All I/O the builder
-// issues — file creation, page writes, the final sync, and removal on abort
-// — is attributed to src (compaction for merges). expectRecords is an
-// upper bound on the records the caller will add (the inputs' record total
-// at a merge); it sizes the Bloom filter, which Finish then shrinks to the
-// keys actually added. A checkpoint's runs share one file per partition
-// instead (NewFileSet).
-func (db *DB) NewRunBuilder(table string, partition, level int, cp uint64, src storage.Source, expectRecords int) (*RunBuilder, error) {
-	s := db.NewFileSet(level, cp, src, table)
-	b, err := s.Run(table, partition, expectRecords)
-	if err != nil {
-		s.Abort()
-		return nil, err
-	}
-	return b, nil
-}
-
 // RunRef identifies a finished, not-yet-committed run.
 type RunRef struct {
 	table     string
@@ -390,31 +374,6 @@ func (ref RunRef) SizeBytes() int64 { return ref.sizeBytes }
 // Records returns the number of records in the finished run.
 func (ref RunRef) Records() uint64 { return ref.rm.Records }
 
-// Finish completes the file of a builder NewRunBuilder returned (pages,
-// bloom, header, sync) and returns the run's reference. An empty builder
-// returns a zero RunRef with ok=false and removes its file, and so does a
-// failed one. The write handle is closed in every path; a later Commit
-// reopens the file by name.
-func (b *RunBuilder) Finish() (ref RunRef, ok bool, err error) {
-	if b.writer.Count() == 0 {
-		b.Abort()
-		return RunRef{}, false, nil
-	}
-	if err := b.set.Done(b.table.spec.Name, nil); err != nil {
-		b.Abort()
-		return RunRef{}, false, err
-	}
-	refs, err := b.set.Finish()
-	if err != nil {
-		return RunRef{}, false, err
-	}
-	return refs[0], true, nil
-}
-
-// Abort removes the file of a builder NewRunBuilder returned, and the pages
-// it wrote through to the cache, without committing it.
-func (b *RunBuilder) Abort() { b.set.Abort() }
-
 // seal completes the run's pages and header once its last record is in.
 func (b *RunBuilder) seal() error {
 	// Shrink the filter to the paper's target false-positive rate when the
@@ -424,11 +383,11 @@ func (b *RunBuilder) seal() error {
 	return b.writer.Finish(b.filter.Marshal())
 }
 
-// ref returns the reference of the sealed run, once its file is written;
-// whole marks the file's only run.
-func (b *RunBuilder) ref(whole bool) RunRef {
+// ref returns the reference of the sealed run, once its file is written. A
+// run that is its file's only one is recorded as the whole file.
+func (b *RunBuilder) ref() RunRef {
 	rm := runManifest{
-		Name:     b.file.name,
+		Name:     b.file.rf.name,
 		Level:    b.set.level,
 		Records:  b.writer.Count(),
 		MinBlock: b.minBlock,
@@ -440,7 +399,7 @@ func (b *RunBuilder) ref(whole bool) RunRef {
 	} else {
 		rm.MinCP, rm.MaxCP, rm.CPUnknown = 0, b.set.cp, true
 	}
-	if !whole {
+	if slices.ContainsFunc(b.file.runs, func(o *RunBuilder) bool { return o != nil && o != b }) {
 		rm.Pages, rm.Filter = b.writer.Extents()
 	}
 	return RunRef{
@@ -449,31 +408,17 @@ func (b *RunBuilder) ref(whole bool) RunRef {
 		rm:        rm,
 		sizeBytes: b.writer.SizeBytes(),
 		src:       b.set.src,
-		file:      b.file,
+		file:      b.file.rf,
 		filter:    b.filter,
 		built:     b.writer,
 	}
 }
 
-// DiscardRun removes the file behind a finished run that was never handed
-// to an Edit (once AddRun is called, a failed Commit removes the file
-// itself), and the pages its builder wrote through to the cache. Compaction
-// uses it for the outputs of a merge that failed or lost its race, each a
-// file of its own; uncleaned files would otherwise linger as orphans until
-// the next Open, and their pages until eviction reached them.
-func (db *DB) DiscardRun(ref RunRef) {
-	if ref.file == nil {
-		return
-	}
-	db.cache.Drop(ref.built.CacheID())
-	db.removeFile(ref.file, ref.src)
-}
-
-// removeFile is the one place a run file dies: a build aborted or
-// discarded, a Commit that failed, the last of its runs no version
-// references any more. It closes the file's handle, if one is open, and
-// removes the file, attributed to src; its runs' cached pages are the
-// caller's to drop (Cache.Drop, per run). Failures are not reported:
+// removeFile is the one place a run file dies: a build aborted, a Commit
+// that failed, the last of its runs no version references any more. It
+// closes the file's handle, if one is open, and removes the file,
+// attributed to src; its runs' cached pages are the caller's to drop
+// (Cache.Drop, per run). Failures are not reported:
 // nothing refers to the file, so one left behind is an orphan the next
 // Open collects.
 func (db *DB) removeFile(rf *runFile, src storage.Source) {

@@ -94,21 +94,9 @@ func listFiles(t *testing.T, fs storage.VFS) map[string]bool {
 func compactInto(t *testing.T, db *DB) {
 	t.Helper()
 	tbl := db.Table("from")
-	b, err := db.NewRunBuilder("from", 0, 1, db.CP(), storage.SrcCompaction, 1<<15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scanTable(t, tbl, func(rec []byte) {
-		if err := b.Add(rec); err != nil {
-			t.Fatal(err)
-		}
-	})
-	edit := db.NewEdit()
-	if ref, ok, err := b.Finish(); err != nil {
-		t.Fatal(err)
-	} else if ok {
-		edit.AddRun(ref)
-	}
+	var recs [][]byte
+	scanTable(t, tbl, func(rec []byte) { recs = append(recs, slices.Clone(rec)) })
+	edit := db.NewEdit().AddRun(buildRun(t, db, "from", 1, db.CP(), storage.SrcCompaction, recs...))
 	for _, r := range tbl.Runs(0) {
 		edit.DropRun("from", r.Name())
 	}
