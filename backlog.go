@@ -808,7 +808,6 @@ func openVFS(vfs storage.VFS, cfg Config) (*DB, error) {
 	eng, err := core.Open(core.Options{
 		VFS:                vfs,
 		Catalog:            cat,
-		PersistCatalog:     true,
 		CacheBytes:         cfg.CacheBytes,
 		Partitions:         cfg.Partitions,
 		PartitionSpan:      cfg.PartitionSpan,
@@ -1063,9 +1062,9 @@ func (db *DB) Durability() Durability { return db.eng.Durability() }
 // SizeBytes returns the database's on-disk size.
 func (db *DB) SizeBytes() int64 { return db.eng.SizeBytes() }
 
-// Close commits the catalog, if it changed since the last manifest commit,
-// and flushes buffered references according to the configured durability
-// mode. With DurabilityBuffered or
+// Close commits the snapshot catalog, if it changed since the last
+// manifest commit, and flushes buffered references according to the
+// configured durability mode. With DurabilityBuffered or
 // DurabilitySync the write-ahead log is synced and kept, so a reopened
 // database replays every reference accepted before Close — nothing is
 // lost. With DurabilityCheckpointOnly (the default, the paper's model)
@@ -1082,5 +1081,5 @@ func (db *DB) Close() error {
 	if db.debug != nil {
 		db.debug.Close()
 	}
-	return errors.Join(db.eng.PersistCatalog(), db.eng.Close())
+	return db.eng.Close()
 }

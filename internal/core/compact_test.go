@@ -372,7 +372,7 @@ func TestMergeInstallCommitsTheLiveCatalog(t *testing.T) {
 	open := func() (*core.Engine, *core.MemCatalog) {
 		t.Helper()
 		cat := core.NewMemCatalog()
-		eng, err := core.Open(core.Options{VFS: fs, Catalog: cat, PersistCatalog: true})
+		eng, err := core.Open(core.Options{VFS: fs, Catalog: cat})
 		if err != nil {
 			t.Fatal(err)
 		}

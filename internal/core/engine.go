@@ -25,17 +25,14 @@ type Options struct {
 	// VFS is where the back-reference database lives. Required.
 	VFS storage.VFS
 	// Catalog supplies snapshot topology for masking, inheritance
-	// expansion, and purging. Required.
+	// expansion, and purging. Required. The engine keeps it: Open fills it
+	// from the manifest, replacing what it holds, before anything consults
+	// the topology (a manifest written without a catalog leaves it as
+	// given), and every manifest commit — checkpoint, merge install,
+	// expiry, PersistCatalog, Close — carries it as it is at that moment,
+	// so a purge is never durable without a topology that justifies it
+	// (the merge's pinned one, or a later one, which keeps no more).
 	Catalog *MemCatalog
-	// PersistCatalog makes the engine the keeper of Catalog: Open fills it
-	// from the manifest before anything consults the topology, and every
-	// manifest commit — checkpoint, merge install, expiry, PersistCatalog —
-	// carries it as it is at that moment, so a purge is never durable
-	// without a topology that justifies it (the merge's pinned one, or a
-	// later one, which keeps no more). Internal wiring, set by backlog.Open
-	// alone: fsim and the experiments keep the catalog themselves and get a
-	// manifest without the section.
-	PersistCatalog bool
 	// CacheBytes sizes the shared page cache (default 32 MB, the paper's
 	// micro-benchmark configuration). Pages are cached in their on-disk
 	// encoding and charged the bytes they pin — the payload at its used
@@ -383,7 +380,6 @@ func Open(opts Options) (*Engine, error) {
 	if cacheBytes > 0 {
 		cache = btree.NewCacheBytes(cacheBytes)
 	}
-	// A zero Bloom cap means bloom.MaxFilterBytes (the lsm layer's default).
 	if opts.Compression != CompressionDelta && opts.Compression != CompressionNone {
 		return nil, fmt.Errorf("core: unknown Compression %d", opts.Compression)
 	}
@@ -414,19 +410,19 @@ func Open(opts Options) (*Engine, error) {
 	if eobs != nil {
 		lopts.DecodeObserver = eobs.pageDecode.ObserveDuration
 	}
-	if opts.PersistCatalog {
-		// A commit carries the live topology, whatever its merge pinned
-		// (keepInterval says why).
-		lopts.Section = func() ([]byte, error) { return opts.Catalog.Topology().data, nil }
-	}
+	// A commit carries the live topology, whatever its merge pinned
+	// (keepInterval says why).
+	lopts.Section = func() ([]byte, error) { return opts.Catalog.Topology().data, nil }
 	db, err := lsm.Open(vfs, lopts)
 	if err != nil {
 		return nil, err
 	}
-	if opts.PersistCatalog && db.Section() != nil {
-		if err := opts.Catalog.UnmarshalJSON(db.Section()); err != nil {
+	if sec := db.Section(); sec != nil {
+		// A version-3 manifest has no checksum: a section that parses as
+		// JSON but not as a catalog is as corrupt as one that does not.
+		if err := opts.Catalog.UnmarshalJSON(sec); err != nil {
 			db.Close()
-			return nil, fmt.Errorf("core: decoding catalog: %w", err)
+			return nil, fmt.Errorf("%w: core: decoding catalog: %v", lsm.ErrCorrupt, err)
 		}
 	}
 	nShards := opts.WriteShards
@@ -605,7 +601,8 @@ func (e *Engine) Stats() Stats {
 // Durability returns the engine's configured durability mode.
 func (e *Engine) Durability() wal.Durability { return e.opts.Durability }
 
-// Close releases the engine. In Buffered mode it first writes out and
+// Close releases the engine. It first commits a catalog change no commit
+// has carried (PersistCatalog). In Buffered mode it then writes out and
 // syncs the write-ahead log, so a clean shutdown preserves every buffered
 // reference for replay at the next Open; in Sync mode everything is
 // already durable. In CheckpointOnly mode buffered references are
@@ -624,12 +621,12 @@ func (e *Engine) Close() error {
 	defer e.cpMu.Unlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	err := e.persistCatalog()
 	// e.wal stays set after Close (wal.Log rejects further appends
 	// itself): nilling it here would race the unsynchronized reads in
 	// Stats, which is documented as safe to call concurrently.
-	var err error
 	if e.wal != nil {
-		err = e.wal.Close()
+		err = errors.Join(err, e.wal.Close())
 	}
 	if werr := e.WALErr(); err == nil && werr != nil {
 		err = werr
@@ -1217,13 +1214,15 @@ func (e *Engine) DB() *lsm.DB { return e.db }
 // yet: if the manifest does not hold the catalog as it is now, it commits an
 // edit that changes nothing else. Every other commit carries the catalog
 // too, so after a checkpoint, a merge or an expiry that followed the last
-// change this writes nothing. A no-op without Options.PersistCatalog.
+// change this writes nothing. Close does the same.
 func (e *Engine) PersistCatalog() error {
-	if !e.opts.PersistCatalog {
-		return nil
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.persistCatalog()
+}
+
+// persistCatalog is PersistCatalog under the exclusive structural lock.
+func (e *Engine) persistCatalog() error {
 	if bytes.Equal(e.catalog.Topology().data, e.db.Section()) {
 		return nil
 	}

@@ -263,7 +263,8 @@ func TestExpireCrashAfterCommitCollectsOrphan(t *testing.T) {
 
 // TestExpireCrashBeforeCommitKeepsState: a failure before the manifest
 // lands must leave the pre-expiry state intact — both sealed runs load
-// after the crash, and a retry completes the drop.
+// after the crash, and so does the snapshot whose deletion no commit
+// carried; deleting it again, a retry completes the drop.
 func TestExpireCrashBeforeCommitKeepsState(t *testing.T) {
 	fs := storage.NewMemFS()
 	eng, cat := sealedEnv(t, fs)
@@ -291,6 +292,9 @@ func TestExpireCrashBeforeCommitKeepsState(t *testing.T) {
 	}
 	if owners := fQuery(t, eng2, 3); len(owners) != 1 {
 		t.Fatalf("retained block 3 lost: %+v", owners)
+	}
+	if err := cat.DeleteSnapshot(0, 1); err != nil {
+		t.Fatal(err)
 	}
 	est, err := eng2.Expire()
 	if err != nil {

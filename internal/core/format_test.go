@@ -19,6 +19,7 @@ import (
 
 	"github.com/backlogfs/backlog/internal/btree"
 	"github.com/backlogfs/backlog/internal/core"
+	"github.com/backlogfs/backlog/internal/lsm"
 	"github.com/backlogfs/backlog/internal/storage"
 	"github.com/backlogfs/backlog/internal/wal"
 )
@@ -337,7 +338,7 @@ func TestV3StoreMergesIntoOneFile(t *testing.T) {
 	fs, m, _ := v3Store(t)
 	open := func() *core.Engine {
 		t.Helper()
-		eng, err := core.Open(core.Options{VFS: fs, Catalog: core.NewMemCatalog(), PersistCatalog: true, Durability: wal.Buffered})
+		eng, err := core.Open(core.Options{VFS: fs, Catalog: core.NewMemCatalog(), Durability: wal.Buffered})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,6 +365,43 @@ func TestV3StoreMergesIntoOneFile(t *testing.T) {
 	m.check(t, eng, v3StoreBlocks)
 }
 
+// TestV3CatalogThatIsNotACatalogIsCorrupt: a version-3 manifest is bare
+// JSON with no checksum, so a flipped byte can leave its catalog section
+// valid JSON that is no catalog. Open refuses it as lsm.ErrCorrupt, like
+// any other manifest it cannot read.
+func TestV3CatalogThatIsNotACatalogIsCorrupt(t *testing.T) {
+	for _, sec := range []string{`{"lines":5}`, `[1]`, `"catalog"`} {
+		fs, _, _ := v3Store(t)
+		b, err := os.ReadFile(filepath.Join("testdata", "v3-store", "MANIFEST"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := bytes.LastIndex(b, []byte(`"catalog":`))
+		if i < 0 {
+			t.Fatal("the golden manifest has no catalog section")
+		}
+		b = append(b[:i:i], `"catalog":`+sec+`}`...)
+		if err := fs.Remove("MANIFEST"); err != nil {
+			t.Fatal(err)
+		}
+		f, err := fs.Create("MANIFEST")
+		if err == nil {
+			_, err = f.WriteAt(b, 0)
+			f.Close()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := core.Open(core.Options{VFS: fs, Catalog: core.NewMemCatalog()})
+		if err == nil {
+			eng.Close()
+		}
+		if !errors.Is(err, lsm.ErrCorrupt) {
+			t.Fatalf("catalog section %s: Open returned %v, want lsm.ErrCorrupt", sec, err)
+		}
+	}
+}
+
 // TestV2StoreOpensAndMigrates is the upgrade path end to end for a store of
 // format-2 runs: a directory the previous binary wrote (testdata/v3-store —
 // format-2 delta runs at two levels beside the current format's runs of
@@ -377,7 +415,7 @@ func TestV2StoreOpensAndMigrates(t *testing.T) {
 
 	open := func() *core.Engine {
 		t.Helper()
-		eng, err := core.Open(core.Options{VFS: fs, Catalog: core.NewMemCatalog(), PersistCatalog: true, Durability: wal.Buffered})
+		eng, err := core.Open(core.Options{VFS: fs, Catalog: core.NewMemCatalog(), Durability: wal.Buffered})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,18 +8,18 @@ import (
 	"github.com/backlogfs/backlog/internal/storage"
 )
 
-// TestCatalogRidesTheManifest: with Options.PersistCatalog every manifest
-// commit carries the catalog as it is at that moment, a reopen finds it, and
-// PersistCatalog writes only when no commit has carried the last change;
-// a commit carries the bytes the topology was published with, so the
-// catalog is serialized again only after it changed. Without the option
-// the manifest has no catalog section and nothing creates a catalog file.
+// TestCatalogRidesTheManifest: every manifest commit carries the catalog as
+// it is at that moment, a reopen finds it, and PersistCatalog writes only
+// when no commit has carried the last change; a commit carries the bytes
+// the topology was published with, so the catalog is serialized again only
+// after it changed. Close commits a change no commit has carried, and a
+// crash of an engine nobody closed loses it. No catalog file exists.
 func TestCatalogRidesTheManifest(t *testing.T) {
 	fs := storage.NewMemFS()
 	open := func() (*Engine, *MemCatalog) {
 		t.Helper()
 		cat := NewMemCatalog()
-		eng, err := Open(Options{VFS: fs, Catalog: cat, PersistCatalog: true})
+		eng, err := Open(Options{VFS: fs, Catalog: cat})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,18 +63,27 @@ func TestCatalogRidesTheManifest(t *testing.T) {
 	if err := cat.DeleteSnapshot(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	// Lost: nothing commits before the crash.
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
+	// Lost: nothing commits before the crash, and nobody closed the engine.
 	fs.Crash()
-
 	eng, cat = open()
 	if got := cat.Snapshots(0); !slices.Equal(got, []uint64{1, 2}) {
-		t.Fatalf("snapshots after the reopen: %v, want [1 2]", got)
+		t.Fatalf("snapshots after the crash: %v, want [1 2]", got)
 	}
-	if err := eng.Close(); err != nil {
+
+	// Kept: Close commits it.
+	if err := cat.DeleteSnapshot(0, 1); err != nil {
 		t.Fatal(err)
+	}
+	if d := wrote("Close after a change", eng.Close); d.Syncs != 1 || d.Renames != 1 || d.FilesCreated != 1 {
+		t.Fatalf("Close after a change: %+v, want one manifest commit", d)
+	}
+	fs.Crash()
+	eng, cat = open()
+	if got := cat.Snapshots(0); !slices.Equal(got, []uint64{2}) {
+		t.Fatalf("snapshots after a clean close: %v, want [2]", got)
+	}
+	if d := wrote("Close with nothing to commit", eng.Close); d.BytesWritten != 0 || d.FilesCreated != 0 {
+		t.Fatalf("Close wrote a catalog a commit had carried: %+v", d)
 	}
 	names, err := fs.List()
 	if err != nil {
@@ -84,25 +93,5 @@ func TestCatalogRidesTheManifest(t *testing.T) {
 		if strings.HasPrefix(n, "CATALOG") {
 			t.Fatalf("a catalog file exists: %v", names)
 		}
-	}
-
-	// A bare catalog is the caller's to keep.
-	bare := storage.NewMemFS()
-	eng, err = Open(Options{VFS: bare, Catalog: NewMemCatalog()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.AddRef(Ref{Block: 1, Inode: 2, Length: 1}, 1)
-	if err := eng.Checkpoint(1); err != nil {
-		t.Fatal(err)
-	}
-	if d := wrote("PersistCatalog without the option", eng.PersistCatalog); d != (storage.Stats{}) {
-		t.Fatalf("PersistCatalog without the option did I/O on the other store: %+v", d)
-	}
-	if sec := eng.DB().Section(); sec != nil {
-		t.Fatalf("the manifest of an engine with a bare catalog has a section: %s", sec)
-	}
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
 	}
 }

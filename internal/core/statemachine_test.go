@@ -399,7 +399,7 @@ const (
 	opCompact  // Compact, then PersistCatalog
 	opMaintain // MaintainNow, then PersistCatalog
 	opExpire   // Expire, then PersistCatalog
-	opReopen   // PersistCatalog, Close, then Open
+	opReopen   // Close (which commits the catalog), then Open
 	// opCrash with a = 0 is the power failing now. With a = k > 0 it fails at
 	// the k-th mutating call of the next op: that call and every later one
 	// fail (a write at it tears if b = 1, its first half durable), the op
@@ -477,7 +477,7 @@ const smBlocks = 32
 // options opens the store as backlog.Open does: the engine keeps the
 // catalog in its manifest and fills cat from it.
 func (c smConfig) options(fs *storage.MemFS, cat *core.MemCatalog) core.Options {
-	opts := core.Options{VFS: fs, Catalog: cat, PersistCatalog: true, Durability: c.mode, WriteShards: 2, CompactThreshold: 3, Fanout: 2}
+	opts := core.Options{VFS: fs, Catalog: cat, Durability: c.mode, WriteShards: 2, CompactThreshold: 3, Fanout: 2}
 	if c.raw {
 		opts.Compression = core.CompressionNone
 	}
@@ -561,14 +561,14 @@ func (d *smDriver) open() error {
 	return nil
 }
 
-// close commits the catalog and closes the store, once, as backlog.DB.Close
-// does.
+// close closes the store, once, as backlog.DB.Close does; Close commits
+// the catalog.
 func (d *smDriver) close() error {
 	eng := d.eng
 	if d.eng = nil; eng == nil {
 		return nil
 	}
-	err := errors.Join(eng.PersistCatalog(), eng.Close())
+	err := eng.Close()
 	d.expired += eng.Stats().RunsExpired
 	return err
 }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"github.com/backlogfs/backlog/internal/obs"
+	"github.com/backlogfs/backlog/internal/wal"
 )
 
 // These tests audit the exactly-once semantics of every Stats counter and
@@ -104,25 +106,59 @@ func TestStatsExactlyOnceMaintenance(t *testing.T) {
 }
 
 // TestRegistryMirrorsStats pins every registry counter mirror to its
-// Stats source: after a workload touching updates, queries, checkpoints,
-// and compaction, the snapshot and Stats must agree exactly (they read
-// the same atomics).
+// Stats source: after a workload touching updates, pruning, relocation,
+// queries, checkpoints, the log, merges and expiry, the snapshot and Stats
+// must agree exactly on all 19 fields (they read the same atomics). The
+// engine logs in Sync mode, so the backlog_wal_* series register.
 func TestRegistryMirrorsStats(t *testing.T) {
 	reg := obs.NewRegistry()
-	env := newTestEnv(t, Options{Metrics: reg, MetricsSampleEvery: 1})
+	env := newTestEnv(t, Options{Metrics: reg, MetricsSampleEvery: 1, Durability: wal.Sync})
 	defer env.eng.Close()
-	e := env.eng
+	e, cat := env.eng, env.cat
 
-	for cp := uint64(1); cp <= 3; cp++ {
-		for i := uint64(0); i < 16; i++ {
-			e.AddRef(ref(i, 1, i, cp), cp)
+	// Two epochs, each retained by a snapshot of its own and sealed by a
+	// tiered merge into a Combined run of its own, as in sealedEnv.
+	for _, cp := range []uint64{1, 3} {
+		if err := cat.CreateSnapshot(0, cp); err != nil {
+			t.Fatal(err)
 		}
-		e.RemoveRef(ref(1, 1, 1, cp), cp)
+		for i := uint64(0); i < 16; i++ {
+			e.AddRef(ref(i, cp, i, 0), cp)
+		}
+		e.RemoveRef(ref(0, cp, 0, 0), cp) // pruned: a same-CP remove
 		if err := e.Checkpoint(cp); err != nil {
 			t.Fatal(err)
 		}
+		for i := uint64(1); i < 8; i++ {
+			e.RemoveRef(ref(i, cp, i, 0), cp+1)
+		}
+		e.RemoveRef(ref(9, cp, 9, 0), cp+1)
+		e.AddRef(ref(9, cp, 9, 0), cp+1) // pruned: a same-CP add
+		if err := e.Checkpoint(cp + 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.CompactTiered(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := e.Query(3); err != nil {
+	// Deleting the first snapshot leaves its epoch's run to expiry, the
+	// second's records to a merge's purge.
+	if err := cat.DeleteSnapshot(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Expire(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.DeleteSnapshot(0, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RelocateBlock(15, 100); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Checkpoint(5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Query(12); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Compact(); err != nil {
@@ -132,18 +168,36 @@ func TestRegistryMirrorsStats(t *testing.T) {
 	st := e.Stats()
 	s := reg.Snapshot()
 	mirrors := map[string]uint64{
-		"backlog_refs_added_total":      st.RefsAdded,
-		"backlog_refs_removed_total":    st.RefsRemoved,
-		"backlog_pruned_adds_total":     st.PrunedAdds,
-		"backlog_pruned_removes_total":  st.PrunedRemoves,
-		"backlog_checkpoints_total":     st.Checkpoints,
-		"backlog_compactions_total":     st.Compactions,
-		"backlog_records_flushed_total": st.RecordsFlushed,
-		"backlog_records_purged_total":  st.RecordsPurged,
-		"backlog_queries_total":         st.Queries,
-		"backlog_relocations_total":     st.Relocations,
-		"backlog_expiries_total":        st.Expiries,
-		"backlog_wal_replayed_total":    st.WALReplayed,
+		"backlog_refs_added_total":             st.RefsAdded,
+		"backlog_refs_removed_total":           st.RefsRemoved,
+		"backlog_pruned_adds_total":            st.PrunedAdds,
+		"backlog_pruned_removes_total":         st.PrunedRemoves,
+		"backlog_checkpoints_total":            st.Checkpoints,
+		"backlog_compactions_total":            st.Compactions,
+		"backlog_records_flushed_total":        st.RecordsFlushed,
+		"backlog_records_purged_total":         st.RecordsPurged,
+		"backlog_queries_total":                st.Queries,
+		"backlog_relocations_total":            st.Relocations,
+		"backlog_compaction_write_bytes_total": st.CompactWriteBytes,
+		"backlog_expiries_total":               st.Expiries,
+		"backlog_runs_expired_total":           st.RunsExpired,
+		"backlog_records_expired_total":        st.RecordsExpired,
+		"backlog_wal_appends_total":            st.WALAppends,
+		"backlog_wal_batches_total":            st.WALBatches,
+		"backlog_wal_gathers_total":            st.WALGathers,
+		"backlog_wal_gathers_filled_total":     st.WALGathersFilled,
+		"backlog_wal_replayed_total":           st.WALReplayed,
+	}
+	// The counters the workload leaves at zero, and why.
+	zero := map[string]string{
+		// One appender: each flush acknowledges the one record its
+		// appender sent, and that appender's next record is pending
+		// before the next leader looks, so no leader ever waits.
+		"backlog_wal_gathers_total":        "one appender never leaves a leader short",
+		"backlog_wal_gathers_filled_total": "no gather, none filled",
+		// A fresh store has no log tail; TestV2StoreOpensAndMigrates
+		// counts a replay.
+		"backlog_wal_replayed_total": "nothing to replay at a fresh Open",
 	}
 	for name, want := range mirrors {
 		got, ok := s.Counter(name)
@@ -154,10 +208,16 @@ func TestRegistryMirrorsStats(t *testing.T) {
 		if got != want {
 			t.Errorf("%s = %d, Stats says %d", name, got, want)
 		}
+		why, listed := zero[name]
+		switch {
+		case want == 0 && !listed:
+			t.Errorf("the workload left %s at zero", name)
+		case want != 0 && listed:
+			t.Errorf("%s = %d, want 0: %s", name, want, why)
+		}
 	}
-	// Sanity: the workload actually moved the interesting counters.
-	if st.RefsAdded != 48 || st.Checkpoints != 3 || st.RecordsFlushed == 0 {
-		t.Errorf("workload under-exercised: %+v", st)
+	if len(mirrors) != reflect.TypeOf(st).NumField() {
+		t.Errorf("%d mirrors for %d Stats fields", len(mirrors), reflect.TypeOf(st).NumField())
 	}
 }
 
