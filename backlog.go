@@ -179,8 +179,11 @@
 //     accumulates Config.Fanout runs (default 3) at one level of a
 //     partition, the whole level merges into a single run one level up
 //     — at Level 0, where a checkpoint adds one run per table, after
-//     every Fanout checkpoints.
-//     Each record is rewritten once per level — O(log_Fanout(runs))
+//     every Fanout checkpoints. When that run would bring the next level
+//     to the fanout too, the same merge takes the next level's runs as
+//     well and lands a level higher, so a cascade is one merge and a
+//     level it only passes through is never written.
+//     Each record is rewritten at most once per level — O(log_Fanout(runs))
 //     write amplification instead of O(runs) — at the cost of queries
 //     reading up to Fanout-1 runs per level. Under RetainLive, merges
 //     never cross the retention reclaim horizon, so sealed
@@ -627,8 +630,8 @@ const (
 	// the paper's Section 5.2 maintenance.
 	PolicyFull CompactionPolicy = iota
 	// PolicyLeveled merges stepped: Fanout same-level runs merge into one
-	// run a level up, bounding write amplification under sustained
-	// ingest.
+	// run a level up — a cascade of levels in one merge — bounding write
+	// amplification under sustained ingest.
 	PolicyLeveled
 )
 

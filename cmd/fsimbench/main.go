@@ -269,8 +269,9 @@ func runObs(full bool) error {
 func runLevels(full bool) error {
 	fmt.Println("Maintenance policies: compaction write bytes and query latency, full vs stepped-merge")
 	fmt.Println("(not a paper figure; PolicyFull is the paper's merge-to-one maintenance, PolicyLeveled")
-	fmt.Println(" merges Fanout runs of a level into one run of the next — strictly less merge I/O")
-	fmt.Println(" under sustained ingest, at the price of a deeper run set for queries to visit)")
+	fmt.Println(" merges Fanout runs of a level into one run of the next, a cascade of levels in one")
+	fmt.Println(" merge — less merge I/O under sustained ingest at every fanout swept, at the price of")
+	fmt.Println(" a deeper run set for queries to visit)")
 	cfg := experiments.DefaultLevelsConfig()
 	if full {
 		cfg.CPs, cfg.OpsPerCP, cfg.Queries = 256, 8000, 8192

@@ -246,6 +246,66 @@ func TestMergeInstallBesideACheckpoint(t *testing.T) {
 	}
 }
 
+// TestFoldedCascadeInstallsBesideACheckpoint lands a checkpoint inside a
+// leveled merge that folds a cascade — held, like
+// TestMergeInstallBesideACheckpoint's, at the creation of its file. At
+// Fanout 2, CPs 1-2 merged to one level-1 run, and CPs 3-4 at level 0 would
+// make it level 1's second: the job takes both levels and lands at level
+// 2. CP 5's removals are Tos of Froms the merge reads. The checkpoint
+// consumes none of its inputs, so the merge installs at its first attempt
+// at level 2, and CP 5's runs stay at level 0.
+func TestFoldedCascadeInstallsBesideACheckpoint(t *testing.T) {
+	fx := newMergeFixture(t, core.Options{CompactionPolicy: core.PolicyLeveled{}, Fanout: 2})
+	adds := func(cp uint64) {
+		for i := uint64(0); i < fixtureBlocks; i++ {
+			fx.apply(refOp{ref: core.Ref{Block: i, Inode: 10 + cp, Offset: i, Length: 1}, cp: cp})
+		}
+		fCheckpoint(t, fx.eng, cp)
+	}
+	adds(1)
+	adds(2)
+	if err := fx.eng.MaintainNow(); err != nil {
+		t.Fatal(err)
+	}
+	adds(3)
+	adds(4)
+
+	fired := false
+	onRunCreate(fx.fs, func(name string) {
+		if fired || !strings.HasPrefix(name, mergeFile) {
+			return
+		}
+		fired = true
+		fx.epoch(5)
+	})
+	before := fx.eng.Stats().Compactions
+	if err := fx.eng.MaintainNow(); err != nil {
+		t.Fatal(err)
+	}
+	fx.fs.SetFailurePlan(storage.FailurePlan{})
+
+	if !fired {
+		t.Fatal("the checkpoint never landed inside the merge")
+	}
+	if ms := fx.eng.MaintenanceStats(); ms.Conflicts != 0 {
+		t.Fatalf("Conflicts = %d, want 0", ms.Conflicts)
+	}
+	if n := fx.eng.Stats().Compactions - before; n != 1 {
+		t.Fatalf("Compactions = %d, want the one folded install", n)
+	}
+	// The merge's From output at level 2; CP 5's From and To at level 0.
+	var got []string
+	for _, ri := range fx.eng.RunInfos() {
+		got = append(got, fmt.Sprintf("%s@%d", ri.Table, ri.Level))
+	}
+	slices.Sort(got)
+	want := []string{core.TableFrom + "@0", core.TableFrom + "@2", core.TableTo + "@0"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("runs after the merge %v, want %v: %+v", got, want, fx.eng.RunInfos())
+	}
+	fx.verify()
+}
+
 // TestMergeInstallConflictsOnConsumedInputs holds a whole-partition merge
 // at its file's Create while another merge consumes its inputs.
 // The held merge must find them gone at install, count one conflict,

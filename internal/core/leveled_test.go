@@ -177,7 +177,7 @@ func TestLeveledRetainLiveNeverPlansExpiredRuns(t *testing.T) {
 }
 
 // TestLeveledMergeThatCannotShrinkIsNotPlanned pins the planner's guard
-// against merges that cannot shrink a level (maxJobOutputs). Under
+// against merges that cannot shrink a level (runShape.due). Under
 // RetainLive a tiered Compact leaves level 1 holding a From run, a sealed
 // Combined run and an override run: two Combined runs reach a Fanout of 2,
 // yet their merge would write the same three runs one level up, trigger

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/backlogfs/backlog/internal/lsm"
@@ -194,8 +195,11 @@ func TestPolicyLeveledTakesWholeLevel(t *testing.T) {
 
 // TestPolicyLeveledSteadyState: merged levels do not re-trigger. Two
 // level-0 runs merge into one level-1 run; re-planning then finds
-// nothing until level 1 itself accumulates Fanout runs, at which point
-// the merge targets level 2.
+// nothing. When the next two level-0 runs are due, their output would be
+// level 1's second run, so the pass folds the cascade: one merge takes
+// both levels and lands at level 2, and the level-1 run it would have
+// passed through is never written — the pass's compaction bytes are the
+// final run's size.
 func TestPolicyLeveledSteadyState(t *testing.T) {
 	env := newTestEnv(t, Options{
 		CompactionPolicy: PolicyLeveled{},
@@ -227,16 +231,161 @@ func TestPolicyLeveledSteadyState(t *testing.T) {
 			env.eng.RunCount(), maxLevel)
 	}
 	ingest(3)
+	before := env.eng.Stats()
 	ingest(4)
-	maxLevel = 0
-	for _, ri := range env.eng.RunInfos() {
-		if ri.Level > maxLevel {
-			maxLevel = ri.Level
+	after := env.eng.Stats()
+	if n := after.Compactions - before.Compactions; n != 1 {
+		t.Fatalf("the cascading pass installed %d merges, want 1", n)
+	}
+	infos := env.eng.RunInfos()
+	if len(infos) != 1 || infos[0].Level != 2 {
+		t.Fatalf("after the cascading merge: %+v, want 1 run at level 2", infos)
+	}
+	if n := after.CompactWriteBytes - before.CompactWriteBytes; n != uint64(infos[0].SizeBytes) {
+		t.Fatalf("the cascading pass wrote %d compaction bytes, want the final run's %d", n, infos[0].SizeBytes)
+	}
+}
+
+// leveledStore ingests one reference per checkpoint into partition 0
+// under PolicyLeveled at the given fanout: maintained checkpoints run a
+// maintenance pass after themselves, the unmaintained ones that follow
+// are left at level 0.
+func leveledStore(t *testing.T, fanout, maintained, unmaintained int) *testEnv {
+	t.Helper()
+	env := newTestEnv(t, Options{CompactionPolicy: PolicyLeveled{}, Fanout: fanout})
+	for cp := uint64(1); cp <= uint64(maintained+unmaintained); cp++ {
+		env.eng.AddRef(ref(cp, 2, 0, 0), cp)
+		mustCheckpoint(t, env.eng, cp)
+		if cp <= uint64(maintained) {
+			if err := env.eng.MaintainNow(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if maxLevel != 2 || env.eng.RunCount() != 1 {
-		t.Fatalf("after cascading merges: %d runs, max level %d, want 1 run at level 2",
-			env.eng.RunCount(), maxLevel)
+	return env
+}
+
+// runsByLevel counts the engine's runs per level.
+func runsByLevel(e *Engine) map[int]int {
+	n := map[int]int{}
+	for _, ri := range e.RunInfos() {
+		n[ri.Level]++
+	}
+	return n
+}
+
+// assertNamesEveryRun checks that job's inputs are exactly the engine's
+// runs of partition 0 (every table, sealed ones too).
+func assertNamesEveryRun(t *testing.T, e *Engine, job CompactionJob) {
+	t.Helper()
+	for _, in := range []struct {
+		table string
+		got   []*lsm.Run
+	}{{TableFrom, job.From}, {TableTo, job.To}, {TableCombined, job.Combined}} {
+		want := liveRuns(e, in.table, false)
+		if len(in.got) != len(want) {
+			t.Fatalf("%s inputs = %d runs, want all %d", in.table, len(in.got), len(want))
+		}
+		for _, r := range want {
+			if !slices.Contains(in.got, r) {
+				t.Fatalf("%s run %s at level %d is not an input", in.table, r.Name(), r.Level())
+			}
+		}
+	}
+}
+
+// TestPolicyLeveledFoldsCascade: level 0 at Fanout with level 1 at
+// Fanout-1 is one job — the level-0 merge's output would make level 1
+// due — landing at level 2 and naming every run of both levels.
+func TestPolicyLeveledFoldsCascade(t *testing.T) {
+	f := DefaultFanout
+	env := leveledStore(t, f, f*(f-1), f)
+	defer env.eng.Close()
+	if got := runsByLevel(env.eng); got[0] != f || got[1] != f-1 || len(got) != 2 {
+		t.Fatalf("fixture: runs per level %v, want %d at level 0 and %d at level 1", got, f, f-1)
+	}
+	jobs := planOn(env.eng, PolicyLeveled{}, baseCtx(env.eng))
+	if len(jobs) != 1 || jobs[0].OutputLevel != 2 {
+		t.Fatalf("jobs = %+v, want one job landing at level 2", jobs)
+	}
+	assertNamesEveryRun(t, env.eng, jobs[0])
+}
+
+// TestPolicyLeveledNoFoldShortOfFanout: with level 1 at Fanout-2, the
+// level-0 merge's output leaves it short of the fanout, so the job stays
+// a level-0 merge landing at level 1.
+func TestPolicyLeveledNoFoldShortOfFanout(t *testing.T) {
+	f := DefaultFanout
+	env := leveledStore(t, f, f*(f-2), f)
+	defer env.eng.Close()
+	if got := runsByLevel(env.eng); got[0] != f || got[1] != f-2 {
+		t.Fatalf("fixture: runs per level %v, want %d at level 0 and %d at level 1", got, f, f-2)
+	}
+	jobs := planOn(env.eng, PolicyLeveled{}, baseCtx(env.eng))
+	if len(jobs) != 1 || jobs[0].OutputLevel != 1 {
+		t.Fatalf("jobs = %+v, want one job landing at level 1", jobs)
+	}
+	for _, r := range jobs[0].From {
+		if r.Level() != 0 {
+			t.Fatalf("input %s is at level %d, want level 0 only", r.Name(), r.Level())
+		}
+	}
+	if len(jobs[0].From) != f {
+		t.Fatalf("job names %d From runs, want level 0's %d", len(jobs[0].From), f)
+	}
+}
+
+// TestPolicyLeveledFoldsThreeLevels: at Fanout 2, two level-0 runs over
+// one run at each of levels 1 and 2 cascade through both: one job takes
+// all four runs and lands at level 3.
+func TestPolicyLeveledFoldsThreeLevels(t *testing.T) {
+	env := leveledStore(t, 2, 6, 2)
+	defer env.eng.Close()
+	if got := runsByLevel(env.eng); got[0] != 2 || got[1] != 1 || got[2] != 1 || len(got) != 3 {
+		t.Fatalf("fixture: runs per level %v, want 2, 1, 1 at levels 0-2", got)
+	}
+	ctx := baseCtx(env.eng)
+	ctx.Fanout = 2
+	jobs := planOn(env.eng, PolicyLeveled{}, ctx)
+	if len(jobs) != 1 || jobs[0].OutputLevel != 3 {
+		t.Fatalf("jobs = %+v, want one job landing at level 3", jobs)
+	}
+	assertNamesEveryRun(t, env.eng, jobs[0])
+}
+
+// TestPolicyLeveledFoldSkipsDroppableRuns: under tiered retention a fold
+// takes a level's runs as a merge of that level would, without the
+// Combined runs the reclaim horizon has passed. Level 1 holds a From run
+// and the two sealed runs of sealedPair, windows [1,2] and [3,4]; two
+// level-0 From runs are due, and their output makes level 1 due. With the
+// horizon at 3 the job folds level 1 in but leaves the [1,2] run to
+// expiry.
+func TestPolicyLeveledFoldSkipsDroppableRuns(t *testing.T) {
+	env := sealedPair(t)
+	defer env.eng.Close()
+	env.eng.AddRef(ref(5, 5, 0, 0), 5)
+	mustCheckpoint(t, env.eng, 5)
+	if err := env.eng.CompactTiered(); err != nil {
+		t.Fatal(err)
+	}
+	for cp := uint64(6); cp <= 7; cp++ {
+		env.eng.AddRef(ref(cp, cp, 0, 0), cp)
+		mustCheckpoint(t, env.eng, cp)
+	}
+	if got := runsByLevel(env.eng); got[0] != 2 || got[1] != 3 || len(got) != 2 {
+		t.Fatalf("fixture: runs per level %v, want 2 at level 0 and 3 at level 1: %+v", got, env.eng.RunInfos())
+	}
+	ctx := PlanContext{Partitions: env.eng.db.Partitions(), Fanout: 2, Tiered: true, Horizon: 3}
+	jobs := planOn(env.eng, PolicyLeveled{}, ctx)
+	if len(jobs) != 1 || jobs[0].OutputLevel != 2 {
+		t.Fatalf("jobs = %+v, want one job landing at level 2", jobs)
+	}
+	job := jobs[0]
+	if len(job.From) != 3 || len(job.To) != 0 || len(job.Combined) != 1 {
+		t.Fatalf("job inputs = %d From, %d To, %d Combined, want 3/0/1", len(job.From), len(job.To), len(job.Combined))
+	}
+	if r := job.Combined[0]; r.DroppableBelow(ctx.Horizon) || r.MinCP() != 3 {
+		t.Fatalf("Combined input has window [%d,%d], want the [3,4] run only", r.MinCP(), r.MaxCP())
 	}
 }
 

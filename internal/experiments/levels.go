@@ -87,7 +87,8 @@ type LevelsResult struct {
 // checkpoint, and reports compaction write bytes and query latency per
 // configuration. PolicyFull's write cost grows quadratically in the
 // ingest length (every merge rewrites the whole partition); stepped
-// merging rewrites each record roughly once per level instead, at the
+// merging rewrites each record at most once per level instead — a
+// cascade is one merge, which writes only the level it lands on — at the
 // price of a deeper run set for queries to visit.
 func RunLevels(cfg LevelsConfig) (LevelsResult, error) {
 	var res LevelsResult
