@@ -291,28 +291,16 @@
 // experiment measures the enabled cost too — within a ~2% throughput
 // budget).
 //
-// Config.Metrics enables the metrics registry:
-//
-//   - Counters mirroring every Stats field (backlog_refs_added_total,
-//     backlog_checkpoints_total, ...), computed from the same atomics at
-//     snapshot time so the hot path is never charged twice.
-//   - Latency histograms with p50/p90/p99/max on every hot and background
-//     path: backlog_addref_ns, backlog_removeref_ns, backlog_query_ns,
-//     backlog_queryrange_ns, the write-ahead log's append latency
-//     (backlog_wal_append_ns), flush duration (backlog_wal_flush_ns) and
-//     records-per-flush distribution (backlog_wal_batch_records),
-//     the three checkpoint phases (backlog_checkpoint_freeze_ns,
-//     _flush_ns, _install_ns), compaction (backlog_compaction_ns), and
-//     expiry (backlog_expire_ns). To keep enabled overhead within a few
-//     percent, per-block hot-op latencies are sampled — one op in
-//     Config.MetricsSampleEvery (default 32) is timed — while
-//     background-op histograms time every occurrence.
-//   - Gauges over live structures, computed at scrape time: per-shard
-//     write-store sizes (backlog_ws_records{shard="N"}), frozen
-//     generations mid-checkpoint, pinned views (backlog_view_pins),
-//     dropped-but-pinned run files (backlog_deferred_run_files), live
-//     runs, WAL segments, WAL bytes accepted but not yet handed to the OS
-//     (backlog_wal_buffered_bytes), and on-disk bytes.
+// Config.Metrics enables the metrics registry: counters that read the
+// same values as DB.Stats at snapshot time (so the hot path is never
+// charged twice), latency histograms with p50/p90/p99/max on every hot
+// and background path, and gauges over live structures computed at scrape
+// time. To keep enabled overhead within a few percent, per-block hot-op
+// latencies are sampled — one op in Config.MetricsSampleEvery (default 32)
+// is timed — while background-op histograms time every occurrence. Every
+// series, with its kind and help text, is listed in
+// internal/core/testdata/series.golden, which a test keeps equal to what
+// the engine registers; backlogctl metrics prints them with their values.
 //
 // DB.Metrics returns the structured snapshot; DB.WriteMetrics renders it
 // in the Prometheus text exposition format. Config.DebugAddr starts an
@@ -350,13 +338,11 @@
 // structured snapshot: per-source bytes and ops, cumulative totals, and
 // an online write-amplification monitor comparing user bytes in against
 // device bytes out over a rolling 60s window. With Config.Metrics the
-// same accounting is exported as labeled families —
-// backlog_io_read_bytes_total{src="..."}, backlog_io_write_bytes_total,
-// _read_ops_total, _write_ops_total, _syncs_total, per-source latency
-// histograms (backlog_io_read_ns, backlog_io_write_ns), per-table run
-// heat (backlog_run_heat_bytes{table="..."}), and backlog_write_amp —
-// and Config.DebugAddr serves it as JSON at /debug/io. backlogctl's
-// iostat subcommand renders the same report:
+// same accounting is exported as the labeled family backlog_io_* (bytes,
+// ops, syncs, creates, removes and latency per src), beside per-table run
+// heat and the write-amplification gauges, and Config.DebugAddr serves it
+// as JSON at /debug/io. backlogctl's iostat subcommand renders the same
+// report:
 //
 //	backlogctl iostat -dir DIR               # one-shot (the open's own recovery I/O)
 //	backlogctl iostat -addr localhost:6060   # scrape a running process

@@ -1,0 +1,82 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"flag"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/stats-v3-store.json from this run")
+
+// TestMain runs main instead of the tests when the test binary is started
+// as backlogctl by run.
+func TestMain(m *testing.M) {
+	if os.Getenv("BACKLOGCTL_TEST_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// run starts backlogctl with args and returns its stdout and exit code.
+func run(t *testing.T, args ...string) (string, int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "BACKLOGCTL_TEST_MAIN=1")
+	var stdout bytes.Buffer
+	cmd.Stdout = &stdout
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		return stdout.String(), exit.ExitCode()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stdout.String(), 0
+}
+
+// TestStatsJSON: stats -json on a copy of the version-3 store the engine's
+// upgrade tests open (an open may change it) prints
+// testdata/stats-v3-store.json.
+func TestStatsJSON(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("..", "..", "internal", "core", "testdata", "v3-store"))); err != nil {
+		t.Fatal(err)
+	}
+	out, code := run(t, "stats", "-dir", dir, "-shards", "1", "-json")
+	if code != 0 {
+		t.Fatalf("stats -json exited %d", code)
+	}
+	golden := filepath.Join("testdata", "stats-v3-store.json")
+	if *update {
+		if err := os.WriteFile(golden, []byte(out), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != string(want) {
+		t.Fatalf("stats -json printed\n%s\n%s holds\n%s", out, golden, want)
+	}
+}
+
+// TestBadInvocationsFail: a command without -dir, and a command that does
+// not exist, exit non-zero.
+func TestBadInvocationsFail(t *testing.T) {
+	for _, args := range [][]string{
+		{"stats"},
+		{"nosuch", "-dir", t.TempDir()},
+		{},
+	} {
+		if _, code := run(t, args...); code == 0 {
+			t.Errorf("backlogctl %q exited 0", args)
+		}
+	}
+}

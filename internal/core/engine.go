@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"slices"
 	"sync"
@@ -186,14 +187,15 @@ type Stats struct {
 	RunsExpired       uint64 // runs dropped whole by expiry (never read)
 	RecordsExpired    uint64 // records inside runs dropped by expiry
 	WALAppends        uint64 // records appended to the write-ahead log
-	WALBatches        uint64 // WAL group-commit flushes (one WriteAt+Sync each)
+	WALBatches        uint64 // WAL flushes (one WriteAt each, plus a Sync in Sync mode)
 	WALGathers        uint64 // Sync flushes whose leader held the slot for appenders on their way back
 	WALGathersFilled  uint64 // gathers that got every record they waited for
 	WALReplayed       uint64 // records replayed from the WAL at Open
 }
 
-// counters is the internal atomic mirror of Stats; shard-parallel AddRef
-// and RemoveRef bump these without taking any engine-wide lock.
+// counters holds the engine's own counter atomics; shard-parallel AddRef
+// and RemoveRef bump these without taking any engine-wide lock. Stats and
+// the metrics registry read them through counterTable.
 type counters struct {
 	refsAdded         atomic.Uint64
 	refsRemoved       atomic.Uint64
@@ -212,6 +214,50 @@ type counters struct {
 	expiries          atomic.Uint64
 	runsExpired       atomic.Uint64
 	recordsExpired    atomic.Uint64
+}
+
+// A counterRow is one engine counter series: its name and help text, the
+// Stats field it fills ("" for a series only the registry carries), and
+// the read of its value.
+type counterRow struct {
+	name, help, stat string
+	read             func() uint64
+}
+
+// counterTable declares every engine counter series once, in registration
+// order; Engine.Stats and registerMetrics both loop over it. The log's
+// rows exist only when the engine has a log.
+func (e *Engine) counterTable() []counterRow {
+	c := &e.stats
+	rows := []counterRow{
+		{"backlog_refs_added_total", "AddRef calls", "RefsAdded", c.refsAdded.Load},
+		{"backlog_refs_removed_total", "RemoveRef calls", "RefsRemoved", c.refsRemoved.Load},
+		{"backlog_pruned_adds_total", "To entries cancelled by a same-CP AddRef", "PrunedAdds", c.prunedAdds.Load},
+		{"backlog_pruned_removes_total", "From entries cancelled by a same-CP RemoveRef", "PrunedRemoves", c.prunedRemoves.Load},
+		{"backlog_checkpoints_total", "Committed checkpoints", "Checkpoints", c.checkpoints.Load},
+		{"backlog_compactions_total", "Merges installed, one per job (a maintenance pass under PolicyLeveled can install several in one partition)", "Compactions", c.compactions.Load},
+		{"backlog_compact_conflicts_total", "Merge attempts that installed nothing because their inputs moved (a whole-partition merge retries; a planned job returns to the planner)", "", c.compactConflicts.Load},
+		{"backlog_auto_compactions_total", "Merges installed by maintenance passes (the background maintainer's and MaintainNow's)", "", c.autoCompactions.Load},
+		{"backlog_maintenance_errors_total", "Background maintenance passes abandoned on error", "", c.maintErrors.Load},
+		{"backlog_records_flushed_total", "Records written to Level-0 runs", "RecordsFlushed", c.recordsFlushed.Load},
+		{"backlog_records_purged_total", "Records dropped by compaction", "RecordsPurged", c.recordsPurged.Load},
+		{"backlog_compaction_write_bytes_total", "Physical bytes written by installed compactions", "CompactWriteBytes", c.compactWriteBytes.Load},
+		{"backlog_queries_total", "Blocks queried", "Queries", c.queries.Load},
+		{"backlog_relocations_total", "RelocateBlock calls", "Relocations", c.relocations.Load},
+		{"backlog_expiries_total", "Expire passes that dropped at least one run", "Expiries", c.expiries.Load},
+		{"backlog_runs_expired_total", "Runs dropped whole by expiry", "RunsExpired", c.runsExpired.Load},
+		{"backlog_records_expired_total", "Records inside runs dropped by expiry", "RecordsExpired", c.recordsExpired.Load},
+		{"backlog_wal_replayed_total", "WAL records replayed at Open", "WALReplayed", func() uint64 { return e.walReplayed }},
+	}
+	if e.wal == nil {
+		return rows
+	}
+	return append(rows,
+		counterRow{"backlog_wal_appends_total", "Records appended to the write-ahead log", "WALAppends", func() uint64 { return e.wal.Stats().Appends }},
+		counterRow{"backlog_wal_batches_total", "WAL flushes (device writes of the pending buffer)", "WALBatches", func() uint64 { return e.wal.Stats().Batches }},
+		counterRow{"backlog_wal_gathers_total", "Sync flushes whose leader held the flush slot for appenders on their way back", "WALGathers", func() uint64 { return e.wal.Stats().Gathers }},
+		counterRow{"backlog_wal_gathers_filled_total", "Gathers that got every record they waited for before the bound", "WALGathersFilled", func() uint64 { return e.wal.Stats().GathersFilled }},
+	)
 }
 
 // generation is one set of write-store trees, one per table. A shard's
@@ -570,30 +616,12 @@ func (e *Engine) CP() uint64 {
 
 // Stats returns a snapshot of the engine's counters.
 func (e *Engine) Stats() Stats {
-	st := Stats{
-		RefsAdded:      e.stats.refsAdded.Load(),
-		RefsRemoved:    e.stats.refsRemoved.Load(),
-		PrunedAdds:     e.stats.prunedAdds.Load(),
-		PrunedRemoves:  e.stats.prunedRemoves.Load(),
-		Checkpoints:    e.stats.checkpoints.Load(),
-		Compactions:    e.stats.compactions.Load(),
-		RecordsFlushed: e.stats.recordsFlushed.Load(),
-		RecordsPurged:  e.stats.recordsPurged.Load(),
-		Queries:        e.stats.queries.Load(),
-		Relocations:    e.stats.relocations.Load(),
-
-		CompactWriteBytes: e.stats.compactWriteBytes.Load(),
-		Expiries:          e.stats.expiries.Load(),
-		RunsExpired:       e.stats.runsExpired.Load(),
-		RecordsExpired:    e.stats.recordsExpired.Load(),
-		WALReplayed:       e.walReplayed,
-	}
-	if e.wal != nil {
-		ws := e.wal.Stats()
-		st.WALAppends = ws.Appends
-		st.WALBatches = ws.Batches
-		st.WALGathers = ws.Gathers
-		st.WALGathersFilled = ws.GathersFilled
+	var st Stats
+	fields := reflect.ValueOf(&st).Elem()
+	for _, c := range e.counterTable() {
+		if c.stat != "" {
+			fields.FieldByName(c.stat).SetUint(c.read())
+		}
 	}
 	return st
 }

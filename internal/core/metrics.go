@@ -228,43 +228,19 @@ func (o *engineObs) opEnd(kind obs.OpKind, shard int, block, cp uint64, tok opTo
 	}
 }
 
-// registerMetrics wires the engine's state into the registry: CounterFunc
-// mirrors of the legacy Stats atomics (so hot paths are never charged
-// twice for the same event and Stats stays the single source of truth)
-// and gauges computed from live structures at scrape time. Called once at
-// Open, after the WAL and shards exist.
+// registerMetrics wires the engine's state into the registry: the rows of
+// counterTable, which read the atomics Stats reads (so hot paths are never
+// charged twice for the same event), and gauges computed from live
+// structures at scrape time. Called once at Open, after the WAL and shards
+// exist.
 func (e *Engine) registerMetrics(r *obs.Registry) {
 	if r == nil {
 		return
 	}
-	r.CounterFunc("backlog_refs_added_total", "AddRef calls", e.stats.refsAdded.Load)
-	r.CounterFunc("backlog_refs_removed_total", "RemoveRef calls", e.stats.refsRemoved.Load)
-	r.CounterFunc("backlog_pruned_adds_total", "To entries cancelled by a same-CP AddRef", e.stats.prunedAdds.Load)
-	r.CounterFunc("backlog_pruned_removes_total", "From entries cancelled by a same-CP RemoveRef", e.stats.prunedRemoves.Load)
-	r.CounterFunc("backlog_checkpoints_total", "Committed checkpoints", e.stats.checkpoints.Load)
-	r.CounterFunc("backlog_compactions_total", "Partitions compacted", e.stats.compactions.Load)
-	r.CounterFunc("backlog_compact_conflicts_total", "Optimistic compaction attempts retried on conflict", e.stats.compactConflicts.Load)
-	r.CounterFunc("backlog_auto_compactions_total", "Partitions compacted by the background maintainer", e.stats.autoCompactions.Load)
-	r.CounterFunc("backlog_maintenance_errors_total", "Background maintenance passes abandoned on error", e.stats.maintErrors.Load)
-	r.CounterFunc("backlog_records_flushed_total", "Records written to Level-0 runs", e.stats.recordsFlushed.Load)
-	r.CounterFunc("backlog_records_purged_total", "Records dropped by compaction", e.stats.recordsPurged.Load)
-	r.CounterFunc("backlog_compaction_write_bytes_total", "Physical bytes written by installed compactions",
-		e.stats.compactWriteBytes.Load)
-	r.CounterFunc("backlog_queries_total", "Blocks queried", e.stats.queries.Load)
-	r.CounterFunc("backlog_relocations_total", "RelocateBlock calls", e.stats.relocations.Load)
-	r.CounterFunc("backlog_expiries_total", "Expire passes that dropped at least one run", e.stats.expiries.Load)
-	r.CounterFunc("backlog_runs_expired_total", "Runs dropped whole by expiry", e.stats.runsExpired.Load)
-	r.CounterFunc("backlog_records_expired_total", "Records inside runs dropped by expiry", e.stats.recordsExpired.Load)
-	r.CounterFunc("backlog_wal_replayed_total", "WAL records replayed at Open", func() uint64 { return e.walReplayed })
+	for _, c := range e.counterTable() {
+		r.CounterFunc(c.name, c.help, c.read)
+	}
 	if e.wal != nil {
-		r.CounterFunc("backlog_wal_appends_total", "Records appended to the write-ahead log",
-			func() uint64 { return e.wal.Stats().Appends })
-		r.CounterFunc("backlog_wal_batches_total", "WAL flushes (device writes of the pending buffer)",
-			func() uint64 { return e.wal.Stats().Batches })
-		r.CounterFunc("backlog_wal_gathers_total", "Sync flushes whose leader held the flush slot for appenders on their way back",
-			func() uint64 { return e.wal.Stats().Gathers })
-		r.CounterFunc("backlog_wal_gathers_filled_total", "Gathers that got every record they waited for before the bound",
-			func() uint64 { return e.wal.Stats().GathersFilled })
 		r.GaugeFunc("backlog_wal_buffered_bytes", "WAL record bytes accepted but not yet handed to the OS",
 			func() float64 { return float64(e.wal.BufferedBytes()) })
 		r.GaugeFunc("backlog_wal_segments", "Live write-ahead-log segment files",
@@ -305,7 +281,6 @@ func (e *Engine) registerMetrics(r *obs.Registry) {
 		return float64(n)
 	}
 	for level := 0; level < levelGauges; level++ {
-		level := level
 		help := "Live runs at this maintenance level"
 		if level == levelGauges-1 {
 			help = "Live runs at this maintenance level or deeper"
@@ -316,12 +291,12 @@ func (e *Engine) registerMetrics(r *obs.Registry) {
 	r.GaugeFunc("backlog_db_bytes", "On-disk size of the database", func() float64 {
 		return float64(e.SizeBytes())
 	})
-	// Per-table compression accounting: logical bytes (records x record
-	// size), physical on-disk bytes, and their ratio, computed from the
-	// live run set at scrape time.
+	// Per-table compression accounting — logical bytes (records x record
+	// size), physical on-disk bytes and their ratio — and run heat (device
+	// bytes read on behalf of queries), computed from the live run set at
+	// scrape time.
 	for _, table := range []string{TableFrom, TableTo, TableCombined} {
-		table := table
-		sums := func() (logical, physical int64) {
+		sums := func() (logical, physical, heat int64) {
 			e.mu.RLock()
 			defer e.mu.RUnlock()
 			for _, ri := range e.db.RunInfos() {
@@ -330,42 +305,28 @@ func (e *Engine) registerMetrics(r *obs.Registry) {
 				}
 				logical += ri.LogicalBytes
 				physical += ri.SizeBytes
+				heat += ri.HeatBytes
 			}
-			return logical, physical
+			return logical, physical, heat
 		}
 		r.GaugeFunc(obs.MetricName("backlog_run_logical_bytes", "table", table),
 			"Decoded size of the table's live run records",
-			func() float64 { l, _ := sums(); return float64(l) })
+			func() float64 { l, _, _ := sums(); return float64(l) })
 		r.GaugeFunc(obs.MetricName("backlog_run_physical_bytes", "table", table),
 			"On-disk size of the table's live runs (pages + Bloom filters)",
-			func() float64 { _, p := sums(); return float64(p) })
+			func() float64 { _, p, _ := sums(); return float64(p) })
 		r.GaugeFunc(obs.MetricName("backlog_run_compression_ratio", "table", table),
 			"Logical / physical size of the table's live runs",
 			func() float64 {
-				l, p := sums()
+				l, p, _ := sums()
 				if p == 0 {
 					return 0
 				}
 				return float64(l) / float64(p)
 			})
-	}
-	// Per-table run heat: device bytes read on behalf of queries from the
-	// table's live runs, summed at scrape time.
-	for _, table := range []string{TableFrom, TableTo, TableCombined} {
-		table := table
 		r.GaugeFunc(obs.MetricName("backlog_run_heat_bytes", "table", table),
 			"Query-read device bytes accumulated by the table's live runs",
-			func() float64 {
-				e.mu.RLock()
-				defer e.mu.RUnlock()
-				var n int64
-				for _, ri := range e.db.RunInfos() {
-					if ri.Table == table {
-						n += ri.HeatBytes
-					}
-				}
-				return float64(n)
-			})
+			func() float64 { _, _, h := sums(); return float64(h) })
 	}
 	// The write-amplification gauges sample the monitor at scrape time
 	// (IOReport shares the same monitor), so their window resolution is
@@ -402,7 +363,6 @@ func (e *Engine) registerMetrics(r *obs.Registry) {
 			return float64(n)
 		})
 	for i, s := range e.shards {
-		s := s
 		r.GaugeFunc(obs.MetricName("backlog_ws_records", "shard", strconv.Itoa(i)),
 			"Buffered write-store records in the shard's active trees",
 			func() float64 {

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/backlogfs/backlog/internal/obs"
+	"github.com/backlogfs/backlog/internal/storage"
 	"github.com/backlogfs/backlog/internal/wal"
 )
 
@@ -105,14 +108,15 @@ func TestStatsExactlyOnceMaintenance(t *testing.T) {
 	}
 }
 
-// TestRegistryMirrorsStats pins every registry counter mirror to its
-// Stats source: after a workload touching updates, pruning, relocation,
-// queries, checkpoints, the log, merges and expiry, the snapshot and Stats
-// must agree exactly on all 19 fields (they read the same atomics). The
-// engine logs in Sync mode, so the backlog_wal_* series register.
+// TestRegistryMirrorsStats walks counterTable: every Stats field is filled
+// by exactly one row, and after a workload touching updates, pruning,
+// relocation, queries, checkpoints, the log, merges, merge conflicts,
+// maintenance passes and expiry, each row's series, its Stats field and its
+// read agree exactly (they read the same value). The engine logs in Sync
+// mode, so the log's rows exist.
 func TestRegistryMirrorsStats(t *testing.T) {
 	reg := obs.NewRegistry()
-	env := newTestEnv(t, Options{Metrics: reg, MetricsSampleEvery: 1, Durability: wal.Sync})
+	env := newTestEnv(t, Options{Metrics: reg, MetricsSampleEvery: 1, Durability: wal.Sync, CompactThreshold: 2})
 	defer env.eng.Close()
 	e, cat := env.eng, env.cat
 
@@ -165,29 +169,68 @@ func TestRegistryMirrorsStats(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st := e.Stats()
-	s := reg.Snapshot()
-	mirrors := map[string]uint64{
-		"backlog_refs_added_total":             st.RefsAdded,
-		"backlog_refs_removed_total":           st.RefsRemoved,
-		"backlog_pruned_adds_total":            st.PrunedAdds,
-		"backlog_pruned_removes_total":         st.PrunedRemoves,
-		"backlog_checkpoints_total":            st.Checkpoints,
-		"backlog_compactions_total":            st.Compactions,
-		"backlog_records_flushed_total":        st.RecordsFlushed,
-		"backlog_records_purged_total":         st.RecordsPurged,
-		"backlog_queries_total":                st.Queries,
-		"backlog_relocations_total":            st.Relocations,
-		"backlog_compaction_write_bytes_total": st.CompactWriteBytes,
-		"backlog_expiries_total":               st.Expiries,
-		"backlog_runs_expired_total":           st.RunsExpired,
-		"backlog_records_expired_total":        st.RecordsExpired,
-		"backlog_wal_appends_total":            st.WALAppends,
-		"backlog_wal_batches_total":            st.WALBatches,
-		"backlog_wal_gathers_total":            st.WALGathers,
-		"backlog_wal_gathers_filled_total":     st.WALGathersFilled,
-		"backlog_wal_replayed_total":           st.WALReplayed,
+	// A maintenance pass merges the partition while a Compact is held at
+	// its merge file's Create: the pass installs, and the held merge finds
+	// its inputs consumed, counts a conflict and retries.
+	epoch := func(cp uint64) {
+		e.AddRef(ref(cp, cp, 0, 0), cp)
+		if err := e.Checkpoint(cp); err != nil {
+			t.Fatal(err)
+		}
 	}
+	onMergeCreate := func(hook func() error) {
+		env.fs.SetFailurePlan(storage.FailurePlan{Hook: func(c storage.Call) error {
+			if c.Op != storage.OpCreate || !strings.HasPrefix(c.Name, "merge.") {
+				return nil
+			}
+			return hook()
+		}})
+	}
+	epoch(6)
+	epoch(7)
+	held := false
+	onMergeCreate(func() error {
+		if !held {
+			held = true
+			if err := e.MaintainNow(); err != nil {
+				t.Error(err)
+			}
+		}
+		return nil
+	})
+	if err := e.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	// A maintenance pass whose merge cannot create its file is abandoned.
+	epoch(8)
+	epoch(9)
+	onMergeCreate(func() error { return storage.ErrInjected })
+	if err := e.MaintainNow(); !errors.Is(err, storage.ErrInjected) {
+		t.Fatalf("MaintainNow = %v, want the injected error", err)
+	}
+	env.fs.SetFailurePlan(storage.FailurePlan{})
+
+	rows := e.counterTable()
+	st := e.Stats()
+	fields := reflect.ValueOf(st)
+	fills := map[string]int{}
+	for _, c := range rows {
+		if c.stat == "" {
+			continue
+		}
+		fills[c.stat]++
+		if f := fields.FieldByName(c.stat); !f.IsValid() {
+			t.Errorf("%s fills Stats.%s, which does not exist", c.name, c.stat)
+		} else if f.Uint() != c.read() {
+			t.Errorf("Stats.%s = %d, %s reads %d", c.stat, f.Uint(), c.name, c.read())
+		}
+	}
+	for i := range fields.NumField() {
+		if name := fields.Type().Field(i).Name; fills[name] != 1 {
+			t.Errorf("Stats.%s is filled by %d rows of counterTable, want 1", name, fills[name])
+		}
+	}
+
 	// The counters the workload leaves at zero, and why.
 	zero := map[string]string{
 		// One appender: each flush acknowledges the one record its
@@ -199,25 +242,24 @@ func TestRegistryMirrorsStats(t *testing.T) {
 		// counts a replay.
 		"backlog_wal_replayed_total": "nothing to replay at a fresh Open",
 	}
-	for name, want := range mirrors {
-		got, ok := s.Counter(name)
+	s := reg.Snapshot()
+	for _, c := range rows {
+		want := c.read()
+		got, ok := s.Counter(c.name)
 		if !ok {
-			t.Errorf("%s not registered", name)
+			t.Errorf("%s not registered", c.name)
 			continue
 		}
 		if got != want {
-			t.Errorf("%s = %d, Stats says %d", name, got, want)
+			t.Errorf("%s = %d, its row reads %d", c.name, got, want)
 		}
-		why, listed := zero[name]
+		why, listed := zero[c.name]
 		switch {
 		case want == 0 && !listed:
-			t.Errorf("the workload left %s at zero", name)
+			t.Errorf("the workload left %s at zero", c.name)
 		case want != 0 && listed:
-			t.Errorf("%s = %d, want 0: %s", name, want, why)
+			t.Errorf("%s = %d, want 0: %s", c.name, want, why)
 		}
-	}
-	if len(mirrors) != reflect.TypeOf(st).NumField() {
-		t.Errorf("%d mirrors for %d Stats fields", len(mirrors), reflect.TypeOf(st).NumField())
 	}
 }
 

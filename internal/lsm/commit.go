@@ -475,7 +475,7 @@ func (t *Table) loadDV(name string) error {
 	}
 	rs := t.spec.RecordSize
 	if len(buf)%rs != 0 {
-		return fmt.Errorf("lsm: deletion vector %s has partial record", name)
+		return corrupt("deletion vector %s has a partial record", name)
 	}
 	for off := 0; off < len(buf); off += rs {
 		t.dv[string(buf[off:off+rs])] = struct{}{}

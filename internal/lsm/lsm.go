@@ -668,8 +668,10 @@ func readAll(vfs storage.VFS, name string) ([]byte, error) {
 }
 
 // ErrCorrupt reports a manifest that fails its checksum, does not parse,
-// or places runs where no writer puts them. Open refuses it and changes
-// nothing on disk.
+// or places runs where no writer puts them, or a file it names whose bytes
+// no writer produces: a run whose header disagrees with its table, a
+// deletion vector cut mid-record. Open refuses it and changes nothing on
+// disk.
 var ErrCorrupt = errors.New("lsm: corrupt manifest")
 
 func corrupt(format string, args ...any) error {
@@ -782,7 +784,7 @@ func (db *DB) loadManifest() error {
 		for _, runs := range tm.Partitions {
 			for _, rm := range runs {
 				if rm.Level < 0 || rm.Level > maxRunLevel {
-					return fmt.Errorf("lsm: manifest puts run %s at level %d", rm.Name, rm.Level)
+					return corrupt("manifest puts run %s at level %d", rm.Name, rm.Level)
 				}
 				byFile[rm.Name] = append(byFile[rm.Name], rm)
 			}

@@ -206,8 +206,15 @@ func snapshotFiles(t testing.TB, fs *storage.MemFS) map[string]string {
 func refuses(t *testing.T, fs *storage.MemFS, manifest []byte, what string) {
 	t.Helper()
 	plant(t, fs, manifestName, manifest)
+	refusesOpen(t, fs, goldenOptions(nil), what)
+}
+
+// refusesOpen asserts that opening fs with opts is ErrCorrupt and changes
+// nothing on disk.
+func refusesOpen(t *testing.T, fs *storage.MemFS, opts Options, what string) {
+	t.Helper()
 	before := snapshotFiles(t, fs)
-	db, err := Open(fs, goldenOptions(nil))
+	db, err := Open(fs, opts)
 	if err == nil {
 		db.Close()
 		t.Fatalf("%s: Open accepted it", what)
@@ -419,4 +426,45 @@ func FuzzManifest(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestOpenRefusesHostileFiles: a deletion vector cut mid-record, a run
+// whose header gives another record size than its table's, and a
+// version-3 manifest (bare JSON, no checksum) putting a run below the
+// deepest level are each ErrCorrupt at Open, and the refused Open removes
+// no file.
+func TestOpenRefusesHostileFiles(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		plant func(t *testing.T, fs *storage.MemFS) Options
+	}{
+		{"deletion vector cut mid-record", func(t *testing.T, fs *storage.MemFS) Options {
+			names, err := fs.List()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range names {
+				if strings.HasPrefix(name, "dv.") {
+					plant(t, fs, name, append(readFile(t, fs, name), 0))
+				}
+			}
+			return goldenOptions(nil)
+		}},
+		{"run record size", func(t *testing.T, fs *storage.MemFS) Options {
+			opts := goldenOptions(nil)
+			opts.Tables[1].RecordSize = 2 * testRecSize
+			return opts
+		}},
+		{"run level", func(t *testing.T, fs *storage.MemFS) Options {
+			deep := fmt.Sprintf(`"level":%d`, maxRunLevel+1)
+			plant(t, fs, manifestName, bytes.Replace(testdata(t, "v3-manifest.json"), []byte(`"level":0`), []byte(deep), 1))
+			return goldenOptions(nil)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := storage.NewMemFS()
+			goldenStore(t, fs, nil).Close()
+			refusesOpen(t, fs, tc.plant(t, fs), tc.name)
+		})
+	}
 }

@@ -199,7 +199,7 @@ func (db *DB) openRun(t *Table, rm runManifest, built *btree.Writer, rf *runFile
 			t.spec.Name, rm.Name, rd.Pages(), rd.SizeBytes(), grid.Len, rm.Pages.Len, rm.Filter.Len)
 	}
 	if rd.RecordSize() != t.spec.RecordSize {
-		return nil, fmt.Errorf("lsm: run %s record size %d, table %q wants %d",
+		return nil, corrupt("run %s record size %d, table %q wants %d",
 			rm.Name, rd.RecordSize(), t.spec.Name, t.spec.RecordSize)
 	}
 	if db.opts.DecodeObserver != nil {
