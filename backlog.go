@@ -146,10 +146,10 @@
 //     view with a short shared-lock acquisition and does all of its run
 //     I/O lock-free; compaction merges against a pinned view and takes
 //     the structural lock exclusively only to validate and atomically
-//     install its result. It retries if another merge or an expiry
-//     consumed one of its input runs, or a relocation moved a deletion
-//     vector; runs a checkpoint added meanwhile simply stay beside its
-//     output. A run file superseded while a view pins it is deleted only
+//     install its result. It is planned again if another merge or an
+//     expiry consumed one of the input runs it was planned with, or a
+//     relocation moved a deletion vector; runs a checkpoint added
+//     meanwhile simply stay beside its output. A run file superseded while a view pins it is deleted only
 //     when the last such view is released. Queries therefore never stall
 //     behind a running compaction.
 //   - With Config.AutoCompact, a background maintenance scheduler runs
@@ -167,12 +167,15 @@
 //
 //   - PolicyFull (the default) re-merges the worst partition — the one
 //     with the most runs — down to one Combined and one From run whenever
-//     it exceeds Config.CompactThreshold (default 8: a checkpoint adds
-//     a From and a To run, so a partition's fifth unmerged checkpoint
-//     triggers it, on any host). Queries stay
-//     maximally cheap (a steady-state partition holds two runs), but
-//     every pass rewrites all of the partition's live records, so
-//     sustained ingest pays O(runs-ever-written) write amplification.
+//     it exceeds 8 runs, the engine's constant FullThreshold (a checkpoint
+//     adds a From and a To run, so a partition's fifth unmerged
+//     checkpoint triggers it, on any host). Compact plans the same whole
+//     merge per partition, and both run it on one contract: a merge runs
+//     the inputs it was planned with, once, and one that installs nothing
+//     is planned again. Queries stay maximally cheap (a steady-state
+//     partition holds two runs), but every pass rewrites all of the
+//     partition's live records, so sustained ingest pays
+//     O(runs-ever-written) write amplification.
 //     This is the paper's Section 5.2 maintenance and the pinned
 //     behavior of the deterministic paper-figure experiments.
 //   - PolicyLeveled merges stepped (LogBase-style): once a table
@@ -360,7 +363,6 @@
 //	WriteShards          — 0: runtime.GOMAXPROCS(0) shards (update concurrency only; the runs written do not depend on it)
 //	Durability           — DurabilityCheckpointOnly (the paper's model)
 //	AutoCompact          — false: call Compact or Maintain explicitly
-//	CompactThreshold     — 0: threshold 8 runs per partition, reached at the fifth unmerged checkpoint (values below 2 clamp to 2)
 //	CompactionPolicy     — PolicyFull: whole-partition worst-first merging
 //	Fanout               — 0: stepped-merge fanout 3, a Level-0 merge every third checkpoint (PolicyLeveled only)
 //	Retention            — RetainAll: no expiry, the paper's behavior
@@ -510,13 +512,6 @@ type Config struct {
 	// CompactionPolicy plans until none remain, without blocking queries
 	// or updates (see the package documentation's Maintenance section).
 	AutoCompact bool
-	// CompactThreshold is the per-partition run count above which a
-	// maintenance pass — the background maintainer's or DB.Maintain's —
-	// compacts the partition (default 8; values below 2 are clamped to 2,
-	// the run count of a fully compacted partition). A checkpoint adds at
-	// most one run per table to a partition, so the default is reached at
-	// the fifth unmerged checkpoint. Only PolicyFull uses it.
-	CompactThreshold int
 	// CompactionPolicy selects what background maintenance merges
 	// (default PolicyFull; see the package documentation's Maintenance
 	// policies section).
@@ -612,8 +607,8 @@ type CompactionPolicy int
 
 const (
 	// PolicyFull (the default) re-merges the worst partition to one
-	// Combined and one From run whenever it exceeds CompactThreshold —
-	// the paper's Section 5.2 maintenance.
+	// Combined and one From run whenever it holds more than 8 runs — the
+	// paper's Section 5.2 maintenance.
 	PolicyFull CompactionPolicy = iota
 	// PolicyLeveled merges stepped: Fanout same-level runs merge into one
 	// run a level up — a cascade of levels in one merge — bounding write
@@ -683,9 +678,6 @@ func (cfg Config) Validate() error {
 	}
 	if cfg.WriteShards < 0 {
 		return bad("WriteShards is negative (%d)", cfg.WriteShards)
-	}
-	if cfg.CompactThreshold < 0 {
-		return bad("CompactThreshold is negative (%d)", cfg.CompactThreshold)
 	}
 	switch cfg.CompactionPolicy {
 	case PolicyFull, PolicyLeveled:
@@ -803,7 +795,6 @@ func openVFS(vfs storage.VFS, cfg Config) (*DB, error) {
 		WriteShards:        cfg.WriteShards,
 		Durability:         cfg.Durability,
 		AutoCompact:        cfg.AutoCompact,
-		CompactThreshold:   cfg.CompactThreshold,
 		CompactionPolicy:   cfg.CompactionPolicy.corePolicy(),
 		Fanout:             cfg.Fanout,
 		Retention:          cfg.Retention,

@@ -354,7 +354,6 @@ func TestConfigValidate(t *testing.T) {
 		{"negative partitions", Config{InMemory: true, Partitions: -1}},
 		{"partitions without span", Config{InMemory: true, Partitions: 2}},
 		{"negative write shards", Config{InMemory: true, WriteShards: -1}},
-		{"negative compact threshold", Config{InMemory: true, CompactThreshold: -1}},
 		{"unknown durability", Config{InMemory: true, Durability: Durability(9)}},
 		{"unknown retention", Config{InMemory: true, Retention: RetentionPolicy(9)}},
 	}

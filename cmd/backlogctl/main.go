@@ -167,7 +167,6 @@ func main() {
 	span := fs.Uint64("span", 0, "blocks per partition (required when -partitions > 1)")
 	durability := fs.String("durability", "checkpoint-only", "durability mode: checkpoint-only|buffered|sync")
 	autoCompact := fs.Bool("autocompact", false, "run background maintenance while the database is open")
-	compactThreshold := fs.Int("compact-threshold", 0, "per-partition run count that triggers background compaction (0 = default)")
 	policy := fs.String("policy", "full", "compaction policy for background maintenance: full|leveled")
 	fanout := fs.Int("fanout", 0, "stepped-merge fanout for -policy leveled (0 = default)")
 	retention := fs.String("retention", "all", "retention policy: all|live (live enables drop-based expiry)")
@@ -232,8 +231,7 @@ func main() {
 	db, err := backlog.Open(backlog.Config{
 		Dir: *dir, WriteShards: *shards, Durability: dmode,
 		Partitions: *partitions, PartitionSpan: *span,
-		AutoCompact: *autoCompact, CompactThreshold: *compactThreshold,
-		CompactionPolicy: pmode, Fanout: *fanout,
+		AutoCompact: *autoCompact, CompactionPolicy: pmode, Fanout: *fanout,
 		Retention: rmode, Compression: cmode,
 		Metrics: cmd == "metrics" || cmd == "stats", DebugAddr: *debugAddr,
 	})
@@ -380,7 +378,7 @@ func main() {
 				st.Expiries, st.RunsExpired, st.RecordsExpired)
 		}
 		ms := db.MaintenanceStats()
-		fmt.Printf("policy:            %s (threshold %d, fanout %d)\n", ms.Policy, ms.CompactThreshold, ms.Fanout)
+		fmt.Printf("policy:            %s (fanout %d)\n", ms.Policy, ms.Fanout)
 		fmt.Printf("worst partition:   %d runs, %d jobs pending\n", ms.MaxRuns, ms.PendingJobs)
 		if ms.Enabled {
 			fmt.Printf("auto-compactions:  %d (%d conflicts, %d errors)\n",

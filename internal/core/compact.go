@@ -16,16 +16,23 @@ import (
 // physically drops deletion-vector entries. Of the runs a merge read, each
 // partition keeps at most one Combined run (complete records) and one From
 // run (incomplete records), and no To run, sections of one file written
-// and synced once; runs a concurrent checkpoint added while it merged stay
-// beside them at level 0.
+// and synced once; runs a checkpoint added since the merge was planned
+// stay beside them at level 0.
+//
+// Each partition's merge is planned from a pinned view, as the
+// maintainer plans its jobs, and runs exactly the inputs it was planned
+// with. An attempt that installs nothing — an input consumed since the
+// plan, a conflict at install, or a dirty deletion vector — goes back to
+// the planner: the partition is planned again, and a plan that finds
+// nothing to merge ends its maintenance.
 //
 // Partitions are maintained independently: a failure in one partition does
 // not stop the pass, and the joined error reports every partition that
-// failed. Stats.Compactions counts partitions actually compacted.
+// failed. Stats.Compactions counts merges installed.
 //
 // While any deletion vector carries unpersisted entries (a block
 // relocation since the last checkpoint), compaction is deferred (see
-// compactJobAttempt). Call Checkpoint first (the background maintainer
+// compactJob). Call Checkpoint first (the background maintainer
 // runs after checkpoints, so it sees the persisted state naturally).
 //
 // Under Options.Retention == RetainLive, Compact runs in tiered mode
@@ -61,14 +68,30 @@ func (e *Engine) CompactPartition(p int) error {
 	return e.compactWhole(p, e.expiryEnabled())
 }
 
-// compactWhole runs the whole-partition merge of p. The job goes out with
-// empty run lists: each attempt fills them in from the view it pins.
+// compactWhole plans and runs the whole-partition merge of p until one
+// installs or a plan finds nothing to merge (see Compact). The loop needs
+// no lock to make progress: an input consumed or a conflict is another
+// commit's install, and a deletion vector moved by a relocation defers the
+// next plan until a checkpoint persists it.
 func (e *Engine) compactWhole(p int, tiered bool) error {
-	compacted, err := e.compactJob(CompactionJob{Partition: p, Whole: true}, tiered)
-	if compacted {
-		e.stats.compactions.Add(1)
+	plan := func(v *lsm.View, _ PlanContext) []CompactionJob {
+		job := wholeJob(v, p, tiered)
+		if len(job.From) == 0 && len(job.To) == 0 && len(job.Combined) <= 1 {
+			// Nothing to merge; at most the single compacted Combined run
+			// (in tiered mode, possibly plus sealed runs awaiting expiry).
+			return nil
+		}
+		return []CompactionJob{job}
 	}
-	return err
+	for {
+		jobs := e.planJobs(plan)
+		if len(jobs) == 0 {
+			return nil
+		}
+		if compacted, err := e.compactJob(jobs[0], tiered); compacted || err != nil {
+			return err
+		}
+	}
 }
 
 // dvDirty reports whether any table carries unpersisted deletion-vector
@@ -115,20 +138,17 @@ func viewHasRuns(v *lsm.View, table string, p int, inputs []*lsm.Run) bool {
 }
 
 // compactJob executes one merge job — every merge in the engine, whatever
-// planned it, runs here. The k-way merge and run building happen against
-// a pinned view with no structural lock held, so updates, queries and
-// checkpoints proceed during the bulk of the work; the lock is taken
+// planned it, runs here, once, on exactly the inputs the job names. The
+// k-way merge and run building happen against a pinned view with no
+// structural lock held, so updates, queries and checkpoints proceed during
+// the bulk of the work; the lock is taken shared only to pin the view, and
 // exclusively only to validate the inputs and atomically install the
-// manifest edit. A conflict — another merge or an expiry consumed an
-// input, or a relocation moved a deletion vector — is counted in Stats and
-// then handled by whoever chose the inputs: a job with explicit run lists
-// returns compacted=false so the scheduler re-plans (it does the same when
-// the job is stale — an input already consumed — or deferred by a dirty
-// deletion vector), while a whole-partition job re-derives its inputs from
-// a fresh view and tries again. That loop needs no lock to make progress:
-// each conflict is another commit's install, or a vector move after which
-// the next attempt defers until a checkpoint persists it. tiered selects
-// CP-tiered output (see compactAll).
+// manifest edit. compacted reports an installed merge. A job that installs
+// nothing returns compacted=false and goes back to whoever planned it: it
+// is stale (an input consumed since the plan), deferred by a dirty
+// deletion vector, or in conflict (another merge or an expiry consumed an
+// input during the merge, or a relocation moved a deletion vector), which
+// is counted in Stats. tiered selects CP-tiered output (see compactAll).
 func (e *Engine) compactJob(job CompactionJob, tiered bool) (compacted bool, err error) {
 	if o := e.obs; o != nil {
 		// Trace events reuse the Shard field for the partition — the
@@ -137,25 +157,6 @@ func (e *Engine) compactJob(job CompactionJob, tiered bool) (compacted bool, err
 		start := o.opStart(obs.OpCompact, job.Partition, 0, 0)
 		defer func() { o.opEnd(obs.OpCompact, job.Partition, 0, 0, start, o.compact, err) }()
 	}
-	for {
-		var conflict bool
-		compacted, conflict, err = e.compactJobAttempt(job, tiered)
-		if !conflict {
-			return compacted, err
-		}
-		e.stats.compactConflicts.Add(1)
-		if !job.Whole {
-			return false, nil
-		}
-	}
-}
-
-// compactJobAttempt performs one merge-and-install attempt. The structural
-// lock is held shared only to pin the view and exclusively only to
-// validate and install; conflict=true reports that the inputs moved under
-// the merge and nothing was installed. compacted reports an installed
-// merge.
-func (e *Engine) compactJobAttempt(job CompactionJob, tiered bool) (compacted, conflict bool, err error) {
 	p := job.Partition
 	e.mu.RLock()
 	// A dirty deletion vector defers compaction of the whole table set: the
@@ -169,7 +170,7 @@ func (e *Engine) compactJobAttempt(job CompactionJob, tiered bool) (compacted, c
 	// compaction proceeds (the maintainer is kicked after every checkpoint).
 	if e.dvDirty() {
 		e.mu.RUnlock()
-		return false, false, nil
+		return false, nil
 	}
 	// The merge purges against the topology it pins with its view (see
 	// keepInterval for why a newer one may land in the same commit).
@@ -177,21 +178,12 @@ func (e *Engine) compactJobAttempt(job CompactionJob, tiered bool) (compacted, c
 	e.mu.RUnlock()
 	defer v.Release()
 
-	if job.Whole {
-		// Taken from this attempt's own view, the inputs are the
-		// partition's whole history as of the pin — never a stale plan.
-		job = wholeJob(v, p, tiered)
-		if len(job.From) == 0 && len(job.To) == 0 && len(job.Combined) <= 1 {
-			// Nothing to merge; at most the single compacted Combined run
-			// (in tiered mode, possibly plus sealed runs awaiting expiry).
-			return false, false, nil
-		}
-	} else if !viewHasRuns(v, TableFrom, p, job.From) ||
+	// A job's run pointers come from the plan's view, already released;
+	// they are only safe to read while live in this one.
+	if !viewHasRuns(v, TableFrom, p, job.From) ||
 		!viewHasRuns(v, TableTo, p, job.To) ||
 		!viewHasRuns(v, TableCombined, p, job.Combined) {
-		// A planned job's run pointers come from an earlier, already
-		// released view; they are only safe to read while live in this one.
-		return false, false, nil
+		return false, nil
 	}
 	inputs := [3][]*lsm.Run{job.From, job.To, job.Combined}
 
@@ -199,11 +191,11 @@ func (e *Engine) compactJobAttempt(job CompactionJob, tiered bool) (compacted, c
 	for i, runs := range inputs {
 		it, err := v.MergedIterOf(tables[i], runs)
 		if err != nil {
-			return false, false, err
+			return false, err
 		}
 		streams[i] = &recStream{it: it}
 		if err := streams[i].advance(); err != nil {
-			return false, false, err
+			return false, err
 		}
 	}
 
@@ -238,13 +230,13 @@ func (e *Engine) compactJobAttempt(job CompactionJob, tiered bool) (compacted, c
 	} else {
 		newComb = set.Run(TableCombined, p, expectComb)
 	}
-	abort := func(err error) (bool, bool, error) {
+	abort := func(err error) (bool, error) {
 		set.Abort()
-		return false, false, err
+		return false, err
 	}
 
 	// Purged records are counted locally and added to the stats only once
-	// the attempt installs, so conflict retries do not double-count.
+	// the merge installs, so a merge that installs nothing counts none.
 	var purged uint64
 	for {
 		g, ok, err := nextGroup(streams[0], streams[1], streams[2])
@@ -263,19 +255,20 @@ func (e *Engine) compactJobAttempt(job CompactionJob, tiered bool) (compacted, c
 	// of the critical section. A failed Finish removes the set's files.
 	added, err := set.Finish()
 	if err != nil {
-		return false, false, err
+		return false, err
 	}
 
 	// One rule validates every merge: each input is still live and the
 	// deletion vectors have not moved since the pin. A relocation moves a
 	// vector; another merge or an expiry consumes an input. Runs added
-	// beside the inputs since the pin (a checkpoint's) do not invalidate the
-	// merge. A partial merge joins only pairs both of whose ends it read, so
-	// for it this is plain. A whole merge also closes lone ends, judging by
-	// the runs it read alone, and that is sound too: a From is applied
-	// before its To, and a generation flushes no later than the ones after
-	// it (a failed flush merges back into the next), so the From of every To
-	// in the view is in the view as well. A run added since holds only newer
+	// beside the inputs since the plan (a checkpoint's) do not invalidate
+	// the merge. A partial merge joins only pairs both of whose ends it
+	// read, so for it this is plain. A whole merge also closes lone ends,
+	// judging by the runs it read alone — the partition's whole history as
+	// of the plan's view — and that is sound too: a From is applied before
+	// its To, and a generation flushes no later than the ones after it (a
+	// failed flush merges back into the next), so the From of every To in
+	// that view is in it as well. A run added since holds only newer
 	// history: its Tos pair with Froms the merge wrote out still incomplete
 	// (or purged only where the lone To reads as nothing either, see
 	// emitLeveledGroup), and it stays at or below the merge's output level
@@ -286,7 +279,8 @@ func (e *Engine) compactJobAttempt(job CompactionJob, tiered bool) (compacted, c
 		if !v.UnchangedRuns(tables[i], p, runs) {
 			// The built runs describe a stale state.
 			set.Abort()
-			return false, true, nil
+			e.stats.compactConflicts.Add(1)
+			return false, nil
 		}
 	}
 
@@ -304,11 +298,12 @@ func (e *Engine) compactJobAttempt(job CompactionJob, tiered bool) (compacted, c
 		}
 	}
 	if err := edit.Commit(); err != nil {
-		return false, false, err
+		return false, err
 	}
+	e.stats.compactions.Add(1)
 	e.stats.recordsPurged.Add(purged)
 	e.stats.compactWriteBytes.Add(addedBytes(added))
-	return true, false, nil
+	return true, nil
 }
 
 // emitLeveledGroup joins one identity group (pairGroup, the rule queries

@@ -199,7 +199,7 @@ func TestMergeInstallBesideACheckpoint(t *testing.T) {
 		merge func(*core.Engine) error
 	}{
 		{"Compact", core.Options{}, (*core.Engine).Compact},
-		{"PolicyFullMaintainNow", core.Options{CompactThreshold: 4}, (*core.Engine).MaintainNow},
+		{"PolicyFullMaintainNow", core.Options{CompactionPolicy: core.PolicyFullAt{Threshold: 4}}, (*core.Engine).MaintainNow},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -244,6 +244,37 @@ func TestMergeInstallBesideACheckpoint(t *testing.T) {
 			fx.verify()
 		})
 	}
+}
+
+// TestWholeJobRunsItsPlannedInputs plans PolicyFull's whole merge, lets a
+// checkpoint add a run after the plan, then executes the job. The job runs
+// the inputs it was planned with and no others: CP 5's runs, newer history
+// than the plan's view holds, stay live at level 0 beside the merge's
+// level-1 outputs.
+func TestWholeJobRunsItsPlannedInputs(t *testing.T) {
+	fx := newMergeFixture(t, core.Options{})
+	for cp := uint64(1); cp <= 4; cp++ {
+		fx.epoch(cp)
+	}
+	jobs := fx.eng.PlanJobs(core.PolicyFullAt{Threshold: 4})
+	if len(jobs) != 1 || !jobs[0].Whole {
+		t.Fatalf("planned %+v, want one whole merge", jobs)
+	}
+	fx.epoch(5)
+	installed, err := fx.eng.CompactJob(jobs[0], false)
+	if err != nil || !installed {
+		t.Fatalf("CompactJob = %v, %v, want the merge installed", installed, err)
+	}
+	var got []string
+	for _, ri := range fx.eng.RunInfos() {
+		got = append(got, fmt.Sprintf("%s@%d", ri.Table, ri.Level))
+	}
+	slices.Sort(got)
+	want := []string{core.TableCombined + "@1", core.TableFrom + "@0", core.TableFrom + "@1", core.TableTo + "@0"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("runs after the merge %v, want %v: %+v", got, want, fx.eng.RunInfos())
+	}
+	fx.verify()
 }
 
 // TestFoldedCascadeInstallsBesideACheckpoint lands a checkpoint inside a
@@ -308,11 +339,11 @@ func TestFoldedCascadeInstallsBesideACheckpoint(t *testing.T) {
 
 // TestMergeInstallConflictsOnConsumedInputs holds a whole-partition merge
 // at its file's Create while another merge consumes its inputs.
-// The held merge must find them gone at install, count one conflict,
-// re-derive its inputs from a fresh view and merge those, leaving the
-// partition at one From and one Combined run: were it to install what it
-// built, its outputs would sit beside the other merge's, the same records
-// twice.
+// The held merge must find them gone at install, count one conflict and go
+// back to Compact, which plans the partition's merge again from a fresh
+// view and runs that, leaving the partition at one From and one Combined
+// run: were it to install what it built, its outputs would sit beside the
+// other merge's, the same records twice.
 func TestMergeInstallConflictsOnConsumedInputs(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -353,7 +384,7 @@ func TestMergeInstallConflictsOnConsumedInputs(t *testing.T) {
 				t.Fatalf("Conflicts = %d, want 1", ms.Conflicts)
 			}
 			if n := fx.eng.Stats().Compactions; n != 2 {
-				t.Fatalf("Compactions = %d, want the nested merge and the retry", n)
+				t.Fatalf("Compactions = %d, want the nested merge and the re-planned one", n)
 			}
 			if n := fx.eng.RunCount(); n != 2 {
 				t.Fatalf("%d runs after the merge, want one From and one Combined: %+v", n, fx.eng.RunInfos())

@@ -95,21 +95,12 @@ type Options struct {
 	// structural lock, so updates and queries keep flowing while it
 	// works.
 	AutoCompact bool
-	// CompactThreshold is the per-partition run count (summed across the
-	// From, To, and Combined tables) above which the maintainer compacts
-	// the partition (DefaultCompactThreshold if zero; values below 2 are
-	// clamped to 2, the run count of a fully compacted partition). A
-	// checkpoint adds at most one run per table to a partition, whatever
-	// the shard count, so the threshold counts unmerged checkpoints. It
-	// also bounds how stale queries can get between maintenance passes —
-	// the run count is what query cost scales with (Section 6.4). Only
-	// PolicyFull (the default CompactionPolicy) uses it.
-	CompactThreshold int
 	// CompactionPolicy plans the maintainer's merges. Nil selects
-	// PolicyFull — whole-partition worst-first merging, the paper's
-	// Section 5.2 maintenance. PolicyLeveled trades a few extra runs per
-	// partition for stepped merging that bounds write amplification to
-	// one rewrite per level; see the policy types for the full contract.
+	// PolicyFull — whole-partition worst-first merging past FullThreshold
+	// runs, the paper's Section 5.2 maintenance. PolicyLeveled trades a
+	// few extra runs per partition for stepped merging that bounds write
+	// amplification to one rewrite per level; see the policy types for
+	// the full contract.
 	CompactionPolicy CompactionPolicy
 	// Fanout is PolicyLeveled's stepped-merge fanout: the per-table run
 	// count at one level of a partition that triggers merging the level
@@ -236,7 +227,7 @@ func (e *Engine) counterTable() []counterRow {
 		{"backlog_pruned_removes_total", "From entries cancelled by a same-CP RemoveRef", "PrunedRemoves", c.prunedRemoves.Load},
 		{"backlog_checkpoints_total", "Committed checkpoints", "Checkpoints", c.checkpoints.Load},
 		{"backlog_compactions_total", "Merges installed, one per job (a maintenance pass under PolicyLeveled can install several in one partition)", "Compactions", c.compactions.Load},
-		{"backlog_compact_conflicts_total", "Merge attempts that installed nothing because their inputs moved (a whole-partition merge retries; a planned job returns to the planner)", "", c.compactConflicts.Load},
+		{"backlog_compact_conflicts_total", "Merges that installed nothing because their inputs moved (the job returns to its planner)", "", c.compactConflicts.Load},
 		{"backlog_auto_compactions_total", "Merges installed by maintenance passes (the background maintainer's and MaintainNow's)", "", c.autoCompactions.Load},
 		{"backlog_maintenance_errors_total", "Background maintenance passes abandoned on error", "", c.maintErrors.Load},
 		{"backlog_records_flushed_total", "Records written to Level-0 runs", "RecordsFlushed", c.recordsFlushed.Load},
@@ -363,7 +354,7 @@ type Engine struct {
 	// take it too, so neither can interleave with the window in which the
 	// write stores are frozen but the runs are not yet installed. Merges
 	// never take it: a checkpoint that installs while one runs only adds
-	// runs beside its inputs (see compactJobAttempt).
+	// runs beside its inputs (see compactJob).
 	cpMu sync.Mutex
 
 	shards []*writeShard

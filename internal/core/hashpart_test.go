@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/backlogfs/backlog/internal/core"
@@ -188,5 +189,68 @@ func TestHashPartitioningValidation(t *testing.T) {
 	}
 	if _, err := core.Open(core.Options{VFS: fs, Catalog: core.NewMemCatalog(), Partitions: 3, HashPartitioning: true}); err != nil {
 		t.Fatalf("hash partitions rejected: %v", err)
+	}
+}
+
+// TestOpenRefusesPartitionLayoutMismatch reopens a store under a
+// partitioning that contradicts the one its runs were written with. Open
+// must refuse it, naming the run, before it touches a file — a store that
+// opened would route queries to partitions that do not hold the blocks,
+// and answer them with nothing — and the right partitioning must still
+// open and answer.
+func TestOpenRefusesPartitionLayoutMismatch(t *testing.T) {
+	const blocks = 200
+	ranged := core.Options{Partitions: 2, PartitionSpan: 100}
+	hashed := core.Options{Partitions: 2, HashPartitioning: true}
+	cases := []struct {
+		name           string
+		written, wrong core.Options
+	}{
+		{"span", ranged, core.Options{Partitions: 2, PartitionSpan: 1000}},
+		{"range to hash", ranged, hashed},
+		{"hash to range", hashed, ranged},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := storage.NewMemFS()
+			open := func(opts core.Options) (*core.Engine, error) {
+				opts.VFS, opts.Catalog = fs, core.NewMemCatalog()
+				return core.Open(opts)
+			}
+			eng, err := open(tc.written)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for b := uint64(0); b < blocks; b++ {
+				eng.AddRef(core.Ref{Block: b, Inode: 1, Offset: b, Length: 1}, 1)
+			}
+			fCheckpoint(t, eng, 1)
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+			before, err := fs.List()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			if eng, err := open(tc.wrong); err == nil {
+				eng.Close()
+				t.Fatal("Open accepted a partitioning the runs on disk contradict")
+			} else if !strings.Contains(err.Error(), ".run") || !strings.Contains(err.Error(), "partition") {
+				t.Fatalf("Open error %q names no run and partition", err)
+			}
+			if after, err := fs.List(); err != nil || !slices.Equal(after, before) {
+				t.Fatalf("the refused Open left %v (%v), want %v", after, err, before)
+			}
+
+			eng, err = open(tc.written)
+			if err != nil {
+				t.Fatalf("reopening as written: %v", err)
+			}
+			defer eng.Close()
+			if got := fQuery(t, eng, 150); len(got) != 1 || got[0].Inode != 1 {
+				t.Fatalf("block 150 answers %+v, want its one owner", got)
+			}
+		})
 	}
 }

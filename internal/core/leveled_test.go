@@ -1,7 +1,7 @@
 // Leveled-maintenance tests: a recording policy audits that the planner
 // never names a merge input the retention horizon has already passed. (The
 // leveled maintainer under concurrent load is TestStateMachineConcurrent's
-// "leveled" row, which waits on waitLeveledDrained.)
+// "leveled" row, which waits on waitMaintained.)
 package core_test
 
 import (
@@ -12,24 +12,6 @@ import (
 	"github.com/backlogfs/backlog/internal/core"
 	"github.com/backlogfs/backlog/internal/lsm"
 )
-
-// waitLeveledDrained polls until the active policy plans no further jobs.
-// Under PolicyLeveled this — not MaxRuns — is the idle signal: a drained
-// partition legitimately keeps one run per level.
-func waitLeveledDrained(t *testing.T, eng *core.Engine) {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		ms := eng.MaintenanceStats()
-		if ms.PendingJobs == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("leveled maintainer did not drain: %+v", ms)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
 
 // recordingPolicy wraps a CompactionPolicy and audits every plan: it
 // counts violations (a planned Combined input the horizon has already

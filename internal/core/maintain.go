@@ -3,16 +3,9 @@ package core
 import (
 	"errors"
 	"time"
-)
 
-// DefaultCompactThreshold is the per-partition run count (summed across
-// the From, To, and Combined tables) above which the background
-// maintainer compacts a partition when Options.CompactThreshold is zero.
-// A checkpoint adds one From run and, where references ended, one To run
-// to a partition, on any host and at any shard count, so a partition
-// merges at its fifth unmerged checkpoint — its fourth on top of the From
-// and Combined runs an earlier merge left.
-const DefaultCompactThreshold = 8
+	"github.com/backlogfs/backlog/internal/lsm"
+)
 
 // maintainPace is the delay between consecutive compactions of one
 // background maintenance pass. It keeps the maintainer from monopolizing
@@ -30,31 +23,27 @@ type MaintenanceStats struct {
 	Enabled bool
 	// Policy names the active compaction policy ("full" or "leveled").
 	Policy string
-	// CompactThreshold is the effective per-partition run-count threshold
-	// (PolicyFull's trigger).
-	CompactThreshold int
 	// Fanout is the effective stepped-merge fanout (PolicyLeveled's
 	// trigger).
 	Fanout int
 	// AutoCompactions counts merges installed by maintenance passes
 	// (background or MaintainNow).
 	AutoCompactions uint64
-	// Conflicts counts merge attempts (background or foreground) that
-	// found an input consumed by another merge or an expiry, or a deletion
-	// vector moved by a relocation, and installed nothing: a
-	// whole-partition merge then retries against a fresh view, any other
-	// job goes back to the planner. A checkpoint landing mid-merge is not
-	// a conflict.
+	// Conflicts counts merges (background or foreground) that found an
+	// input consumed by another merge or an expiry, or a deletion vector
+	// moved by a relocation, and installed nothing. The job goes back to
+	// its planner: Compact plans the partition's whole merge again, the
+	// maintainer re-plans after its round. A checkpoint landing mid-merge
+	// is not a conflict.
 	Conflicts uint64
 	// Errors counts background compaction passes abandoned on error.
 	Errors uint64
 	// MaxRuns is the current worst per-partition run count.
 	MaxRuns int
 	// PendingJobs is the number of jobs the active policy would plan
-	// right now — zero means maintenance is caught up. Under PolicyLeveled
-	// this, not MaxRuns, is the idle signal: a drained partition keeps one
-	// run per level, which can legitimately exceed the full-policy
-	// threshold.
+	// right now — zero means maintenance is caught up. This, not MaxRuns,
+	// is the idle signal: under PolicyLeveled a drained partition keeps one
+	// run per level, which can legitimately exceed FullThreshold.
 	PendingJobs int
 }
 
@@ -155,15 +144,17 @@ func (e *Engine) maintainPass(stop <-chan struct{}, compact bool) error {
 }
 
 // drainCompactions executes policy-planned jobs until the plan is empty
-// or a full round of jobs makes no progress (every job stale or deferred
-// — a dirty deletion vector, or inputs consumed by concurrent work; the
-// next kick re-plans from fresh state). Every installed merge strictly
+// or a full round of jobs makes no progress. A job that installs nothing
+// (stale, in conflict, or deferred by a dirty deletion vector) comes back
+// here, its planner: the round goes on with its next job, the next round
+// re-plans from a fresh view, and a round in which none installed ends
+// the pass (the next kick re-plans). Every installed merge strictly
 // shrinks the total run count, so the loop terminates.
 func (e *Engine) drainCompactions(stop <-chan struct{}) (aborted bool, err error) {
 	pol := e.policy()
 	tiered := e.expiryEnabled()
 	for {
-		jobs := e.planJobs(pol)
+		jobs := e.planJobs(pol.Plan)
 		if len(jobs) == 0 {
 			return false, nil
 		}
@@ -184,7 +175,6 @@ func (e *Engine) drainCompactions(stop <-chan struct{}) (aborted bool, err error
 			}
 			progress = true
 			e.stats.autoCompactions.Add(1)
-			e.stats.compactions.Add(1)
 			if stop != nil {
 				select {
 				case <-stop:
@@ -199,16 +189,16 @@ func (e *Engine) drainCompactions(stop <-chan struct{}) (aborted bool, err error
 	}
 }
 
-// planJobs pins a view and asks the policy for work. A dirty deletion
+// planJobs pins a view and asks plan for work: a policy's Plan, or
+// compactWhole's plan of one partition's whole merge. A dirty deletion
 // vector defers all planning — compaction is deferred anyway (see
-// compactJobAttempt), and the next checkpoint both persists the vector and
+// compactJob), and the next checkpoint both persists the vector and
 // kicks the maintainer. The returned jobs hold run pointers from a view
 // released before execution; executors re-validate them against a fresh
 // view before reading.
-func (e *Engine) planJobs(pol CompactionPolicy) []CompactionJob {
+func (e *Engine) planJobs(plan func(*lsm.View, PlanContext) []CompactionJob) []CompactionJob {
 	ctx := PlanContext{
 		Partitions: e.db.Partitions(),
-		Threshold:  e.compactThreshold(),
 		Fanout:     e.fanout(),
 		Tiered:     e.expiryEnabled(),
 	}
@@ -223,7 +213,7 @@ func (e *Engine) planJobs(pol CompactionPolicy) []CompactionJob {
 	if ctx.Tiered {
 		ctx.Horizon = reclaimHorizon(topo)
 	}
-	return pol.Plan(v, ctx)
+	return plan(v, ctx)
 }
 
 // policy returns the configured compaction policy, defaulting to
@@ -248,22 +238,6 @@ func (e *Engine) fanout() int {
 	return f
 }
 
-// compactThreshold returns the effective maintenance threshold. A fully
-// compacted partition steady-states at two runs (one From run of
-// incomplete records plus one Combined run), so thresholds below 2 would
-// make the maintainer re-merge an already-minimal partition forever;
-// they are clamped to 2.
-func (e *Engine) compactThreshold() int {
-	th := e.opts.CompactThreshold
-	if th <= 0 {
-		th = DefaultCompactThreshold
-	}
-	if th < 2 {
-		th = 2
-	}
-	return th
-}
-
 // MaintenanceStats returns a snapshot of the background maintainer's
 // counters plus the two signals policies watch: the worst per-partition
 // run count (sealed runs excluded under RetainLive) and the number of
@@ -278,14 +252,13 @@ func (e *Engine) MaintenanceStats() MaintenanceStats {
 	v.Release()
 	pol := e.policy()
 	return MaintenanceStats{
-		Enabled:          e.maint != nil,
-		Policy:           pol.Name(),
-		CompactThreshold: e.compactThreshold(),
-		Fanout:           e.fanout(),
-		AutoCompactions:  e.stats.autoCompactions.Load(),
-		Conflicts:        e.stats.compactConflicts.Load(),
-		Errors:           e.stats.maintErrors.Load(),
-		MaxRuns:          max,
-		PendingJobs:      len(e.planJobs(pol)),
+		Enabled:         e.maint != nil,
+		Policy:          pol.Name(),
+		Fanout:          e.fanout(),
+		AutoCompactions: e.stats.autoCompactions.Load(),
+		Conflicts:       e.stats.compactConflicts.Load(),
+		Errors:          e.stats.maintErrors.Load(),
+		MaxRuns:         max,
+		PendingJobs:     len(e.planJobs(pol.Plan)),
 	}
 }

@@ -1,6 +1,6 @@
 // Background-maintenance tests: the scheduler drains what checkpoints pile
-// up, clamps its threshold, and reports partition failures. Package
-// core_test for the model (statemachine_test.go), which holds the answers.
+// up, and Compact reports partition failures. Package core_test for the
+// model (statemachine_test.go), which holds the answers.
 package core_test
 
 import (
@@ -13,14 +13,16 @@ import (
 	"github.com/backlogfs/backlog/internal/storage"
 )
 
-// waitMaintained polls until no partition exceeds the maintenance
-// threshold (or fails the test after a deadline).
+// waitMaintained polls until the active policy plans no further jobs, its
+// own idle signal (or fails the test after a deadline). Under
+// PolicyLeveled MaxRuns is no such signal: a drained partition
+// legitimately keeps one run per level.
 func waitMaintained(t *testing.T, eng *core.Engine) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		ms := eng.MaintenanceStats()
-		if ms.MaxRuns <= ms.CompactThreshold {
+		if ms.PendingJobs == 0 {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -35,9 +37,10 @@ func waitMaintained(t *testing.T, eng *core.Engine) {
 // maintainer drains them back under it, and query results survive.
 func TestAutoCompactKeepsRunCountBounded(t *testing.T) {
 	const (
-		cps    = 30
-		perCP  = 200
-		blocks = 128
+		cps       = 30
+		perCP     = 200
+		blocks    = 128
+		threshold = 3
 	)
 	eng, err := core.Open(core.Options{
 		VFS:              storage.NewMemFS(),
@@ -45,7 +48,7 @@ func TestAutoCompactKeepsRunCountBounded(t *testing.T) {
 		Partitions:       4,
 		HashPartitioning: true,
 		AutoCompact:      true,
-		CompactThreshold: 3,
+		CompactionPolicy: core.PolicyFullAt{Threshold: threshold},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -66,50 +69,10 @@ func TestAutoCompactKeepsRunCountBounded(t *testing.T) {
 	if ms.AutoCompactions == 0 {
 		t.Fatalf("maintainer idle despite %d checkpoints: %+v", cps, ms)
 	}
-	if ms.MaxRuns > ms.CompactThreshold {
-		t.Fatalf("MaxRuns = %d above threshold %d", ms.MaxRuns, ms.CompactThreshold)
+	if ms.MaxRuns > threshold {
+		t.Fatalf("MaxRuns = %d above threshold %d", ms.MaxRuns, threshold)
 	}
 	m.check(t, eng, blocks)
-}
-
-// TestCompactThresholdClampedAboveSteadyState: a fully compacted
-// partition holds up to two runs (From + Combined), so a configured
-// threshold of 1 must clamp to 2 — otherwise the maintainer would
-// re-merge an already-minimal partition forever.
-func TestCompactThresholdClampedAboveSteadyState(t *testing.T) {
-	eng, err := core.Open(core.Options{
-		VFS:              storage.NewMemFS(),
-		Catalog:          core.NewMemCatalog(),
-		AutoCompact:      true,
-		CompactThreshold: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	if got := eng.MaintenanceStats().CompactThreshold; got != 2 {
-		t.Fatalf("effective threshold = %d, want 2", got)
-	}
-	// Live and completed references together force both a From and a
-	// Combined run out of compaction; the maintainer must still converge.
-	cat := eng.Catalog()
-	if err := cat.CreateSnapshot(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	for cp := uint64(1); cp <= 6; cp++ {
-		for i := 0; i < 64; i++ {
-			eng.AddRef(core.Ref{Block: uint64(i), Inode: cp, Offset: uint64(i), Length: 1}, cp)
-		}
-		if cp > 1 {
-			for i := 0; i < 64; i++ {
-				eng.RemoveRef(core.Ref{Block: uint64(i), Inode: cp - 1, Offset: uint64(i), Length: 1}, cp)
-			}
-		}
-		if err := eng.Checkpoint(cp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitMaintained(t, eng)
 }
 
 // TestCompactContinuesPastPartitionErrors: a failing partition must not

@@ -85,7 +85,7 @@ func TestTieredMergeKeepsSealedCombinedApart(t *testing.T) {
 		return core.CompactionJob{OutputLevel: 1, From: low(core.TableFrom), To: low(core.TableTo), Combined: low(core.TableCombined)}
 	}
 	merge := func() error {
-		ok, err := eng.CompactJobTiered(level0())
+		ok, err := eng.CompactJob(level0(), true)
 		if err == nil && !ok {
 			err = errors.New("the merge installed nothing")
 		}

@@ -27,13 +27,13 @@ const DefaultFanout = 3
 // job wholeJob builds, whose inputs are everything mergeable.
 type CompactionJob struct {
 	Partition int
-	// Whole states a property of the inputs: From and To list every From
-	// and To run of the partition — its whole history as of a view — so a
-	// record the merge finds without a partner has none in that history
-	// (see emitLeveledGroup). The executor takes such a job's inputs from
-	// the view it pins itself and, like any job's, installs them while they
-	// are still live, beside runs added since, which hold only newer
-	// history (see compactJobAttempt).
+	// Whole states a property of the inputs, which the merge's emit rule
+	// relies on: From and To list every From and To run of the partition —
+	// its whole history as of the plan's view — so a record the merge finds
+	// without a partner has none in that history (see emitLeveledGroup).
+	// That view can be older than the one the executor pins; like any
+	// job's, the inputs install only while still live, beside runs added
+	// since, which hold only newer history (see compactJob).
 	Whole bool
 	// OutputLevel is the level stamped on the merge outputs: one above
 	// the highest input level for a stepped merge, whose inputs are every
@@ -56,11 +56,11 @@ type CompactionJob struct {
 //
 // The output level keeps levels ordering history, higher levels older,
 // which a stepped merge relies on (see emitLeveledGroup). Runs a
-// checkpoint adds while the merge runs start at level 0, and a stepped
-// merge takes every run of the levels it merges, so lifting them past a
-// level that holds an input consumes the input and one of the two merges
-// conflicts. They therefore stay at or below the highest input level,
-// where the outputs land.
+// checkpoint adds between the plan and the install start at level 0, and a
+// stepped merge takes every run of the levels it merges, so lifting them
+// past a level that holds an input consumes the input, and one of the two
+// merges installs nothing. They therefore stay at or below the highest
+// input level, where the outputs land.
 func wholeJob(v *lsm.View, p int, tiered bool) CompactionJob {
 	job := CompactionJob{
 		Partition: p, Whole: true, OutputLevel: 1,
@@ -101,9 +101,6 @@ func worstWholeJob(v *lsm.View, partitions int, tiered bool) (CompactionJob, int
 type PlanContext struct {
 	// Partitions is the number of block-range partitions.
 	Partitions int
-	// Threshold is the effective per-partition run-count threshold
-	// (PolicyFull's trigger).
-	Threshold int
 	// Fanout is the effective stepped-merge fanout (PolicyLeveled's
 	// trigger), already defaulted and clamped to >= 2.
 	Fanout int
@@ -131,22 +128,41 @@ type CompactionPolicy interface {
 	Plan(v *lsm.View, ctx PlanContext) []CompactionJob
 }
 
+// FullThreshold is PolicyFull's trigger: the per-partition run count
+// (summed across the From, To, and Combined tables) above which the
+// partition is merged whole. A checkpoint adds one From run and, where
+// references ended, one To run to a partition, on any host and at any
+// shard count, so a partition merges at its fifth unmerged checkpoint —
+// its fourth on top of the From and Combined runs an earlier merge left.
+// It also bounds how stale queries can get between maintenance passes:
+// the run count is what query cost scales with (Section 6.4).
+const FullThreshold = 8
+
 // PolicyFull is the compatibility default: merge the worst partition —
 // the one with the most runs — down to at most one Combined and one From
-// run, repeating (via re-planning) until no partition exceeds the
-// threshold. This is the paper's Section 5.2 maintenance driven
+// run, repeating (via re-planning) until no partition exceeds
+// FullThreshold. This is the paper's Section 5.2 maintenance driven
 // worst-first, exactly the behavior the background maintainer has always
-// had, so paper-figure experiments pinned to it stay byte-identical.
+// had, so paper-figure experiments pinned to it stay byte-identical. Its
+// job is the one Compact plans per partition (wholeJob), on the one
+// executor contract.
 type PolicyFull struct{}
 
 // Name implements CompactionPolicy.
 func (PolicyFull) Name() string { return "full" }
 
 // Plan emits at most one job: the whole merge of the partition with the
-// most mergeable runs, when over threshold.
+// most mergeable runs, when over FullThreshold.
 func (PolicyFull) Plan(v *lsm.View, ctx PlanContext) []CompactionJob {
+	return planFull(v, ctx, FullThreshold)
+}
+
+// planFull is PolicyFull's plan at a given threshold. A fully compacted
+// partition holds two runs (one From run of incomplete records plus one
+// Combined run), so below 2 it would re-merge a minimal partition forever.
+func planFull(v *lsm.View, ctx PlanContext, threshold int) []CompactionJob {
 	worst, n := worstWholeJob(v, ctx.Partitions, ctx.Tiered)
-	if n <= ctx.Threshold {
+	if n <= threshold {
 		return nil
 	}
 	return []CompactionJob{worst}

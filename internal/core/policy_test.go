@@ -69,7 +69,6 @@ func assertWholeJob(t *testing.T, e *Engine, job CompactionJob, tiered bool) {
 func baseCtx(e *Engine) PlanContext {
 	return PlanContext{
 		Partitions: e.db.Partitions(),
-		Threshold:  DefaultCompactThreshold,
 		Fanout:     DefaultFanout,
 	}
 }
@@ -83,12 +82,12 @@ func TestPolicyNames(t *testing.T) {
 	}
 }
 
-// TestPolicyFullThresholdGate: no job at exactly Threshold runs, one
+// TestPolicyFullThresholdGate: no job at exactly FullThreshold runs, one
 // Whole job for the partition one run past it.
 func TestPolicyFullThresholdGate(t *testing.T) {
 	env := newTestEnv(t, Options{})
 	defer env.eng.Close()
-	for cp := uint64(1); cp <= DefaultCompactThreshold; cp++ {
+	for cp := uint64(1); cp <= FullThreshold; cp++ {
 		env.eng.AddRef(ref(cp, 2, 0, 0), cp)
 		mustCheckpoint(t, env.eng, cp)
 	}
@@ -96,15 +95,15 @@ func TestPolicyFullThresholdGate(t *testing.T) {
 	if jobs := planOn(env.eng, PolicyFull{}, ctx); len(jobs) != 0 {
 		t.Fatalf("at threshold: planned %d jobs, want 0", len(jobs))
 	}
-	env.eng.AddRef(ref(99, 2, 0, 0), DefaultCompactThreshold+1)
-	mustCheckpoint(t, env.eng, DefaultCompactThreshold+1)
+	env.eng.AddRef(ref(99, 2, 0, 0), FullThreshold+1)
+	mustCheckpoint(t, env.eng, FullThreshold+1)
 	jobs := planOn(env.eng, PolicyFull{}, ctx)
 	if len(jobs) != 1 {
 		t.Fatalf("past threshold: planned %d jobs, want 1", len(jobs))
 	}
 	assertWholeJob(t, env.eng, jobs[0], false)
-	if n := len(jobs[0].From); n != DefaultCompactThreshold+1 {
-		t.Fatalf("job names %d From runs, want %d", n, DefaultCompactThreshold+1)
+	if n := len(jobs[0].From); n != FullThreshold+1 {
+		t.Fatalf("job names %d From runs, want %d", n, FullThreshold+1)
 	}
 }
 
@@ -127,9 +126,7 @@ func TestPolicyFullWorstFirst(t *testing.T) {
 			worst, max = p, counts[p]
 		}
 	}
-	ctx := baseCtx(env.eng)
-	ctx.Threshold = 1
-	jobs := planOn(env.eng, PolicyFull{}, ctx)
+	jobs := planOn(env.eng, PolicyFullAt{Threshold: 1}, baseCtx(env.eng))
 	if len(jobs) != 1 || jobs[0].Partition != worst {
 		t.Fatalf("jobs = %+v, want one Whole job for worst partition %d (counts %v)", jobs, worst, counts)
 	}
@@ -489,12 +486,13 @@ func TestPolicyLeveledHorizonExclusion(t *testing.T) {
 func TestPolicyFullTieredExcludesSealed(t *testing.T) {
 	env := sealedPair(t)
 	defer env.eng.Close()
-	ctx := PlanContext{Partitions: env.eng.db.Partitions(), Threshold: 1, Tiered: true}
-	if jobs := planOn(env.eng, PolicyFull{}, ctx); len(jobs) != 0 {
+	pol := PolicyFullAt{Threshold: 1}
+	ctx := PlanContext{Partitions: env.eng.db.Partitions(), Tiered: true}
+	if jobs := planOn(env.eng, pol, ctx); len(jobs) != 0 {
 		t.Fatalf("tiered: jobs = %+v, want none (all runs sealed)", jobs)
 	}
 	ctx.Tiered = false
-	jobs := planOn(env.eng, PolicyFull{}, ctx)
+	jobs := planOn(env.eng, pol, ctx)
 	if len(jobs) != 1 {
 		t.Fatalf("untiered: planned %d jobs, want 1", len(jobs))
 	}
@@ -507,7 +505,7 @@ func TestPolicyFullTieredExcludesSealed(t *testing.T) {
 		mustCheckpoint(t, env.eng, cp)
 	}
 	ctx.Tiered = true
-	jobs = planOn(env.eng, PolicyFull{}, ctx)
+	jobs = planOn(env.eng, pol, ctx)
 	if len(jobs) != 1 {
 		t.Fatalf("tiered, two new runs: planned %d jobs, want 1", len(jobs))
 	}

@@ -452,7 +452,7 @@ func TestRelocateCheckpointCloseMaintainerLockOrder(t *testing.T) {
 		cat := core.NewMemCatalog()
 		opts := core.Options{
 			VFS: fs, Catalog: cat, WriteShards: 2, Durability: wal.Buffered,
-			AutoCompact: true, CompactThreshold: 2,
+			AutoCompact: true, CompactionPolicy: core.PolicyFullAt{Threshold: 2},
 		}
 		eng, err := core.Open(opts)
 		if err != nil {

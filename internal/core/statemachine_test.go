@@ -477,7 +477,8 @@ const smBlocks = 32
 // options opens the store as backlog.Open does: the engine keeps the
 // catalog in its manifest and fills cat from it.
 func (c smConfig) options(fs *storage.MemFS, cat *core.MemCatalog) core.Options {
-	opts := core.Options{VFS: fs, Catalog: cat, Durability: c.mode, WriteShards: 2, CompactThreshold: 3, Fanout: 2}
+	opts := core.Options{VFS: fs, Catalog: cat, Durability: c.mode, WriteShards: 2,
+		CompactionPolicy: core.PolicyFullAt{Threshold: 3}, Fanout: 2}
 	if c.raw {
 		opts.Compression = core.CompressionNone
 	}
@@ -1547,7 +1548,8 @@ var hammerRows = []hammerRow{
 	{name: "mixed", workers: 4, ops: 800, blocks: 256, maxCP: 8, snaps: []uint64{5},
 		backToBack: true, compactEvery: 6, relocate: 64, ranges: true},
 	// The background maintainer merging under paced ingest.
-	{name: "maintain", opts: core.Options{Partitions: 8, HashPartitioning: true, WriteShards: 6, AutoCompact: true, CompactThreshold: 4},
+	{name: "maintain", opts: core.Options{Partitions: 8, HashPartitioning: true, WriteShards: 6, AutoCompact: true,
+		CompactionPolicy: core.PolicyFullAt{Threshold: 4}},
 		workers: 6, ops: 1200, blocks: 384, maxCP: 12, paced: true,
 		check: func(t *testing.T, h *hammer) {
 			waitMaintained(t, h.eng)
@@ -1560,7 +1562,7 @@ var hammerRows = []hammerRow{
 		Retention: core.RetainLive, CompactionPolicy: core.PolicyLeveled{}, Fanout: 3},
 		workers: 6, ops: 1000, blocks: 384, maxCP: 12, paced: true, window: 4,
 		check: func(t *testing.T, h *hammer) {
-			waitLeveledDrained(t, h.eng)
+			waitMaintained(t, h.eng)
 			if ms := h.eng.MaintenanceStats(); ms.Policy != "leveled" || ms.Fanout != 3 || ms.AutoCompactions == 0 {
 				t.Fatalf("leveled maintainer: %+v, want policy leveled, fanout 3 and merges", ms)
 			}
@@ -1568,7 +1570,7 @@ var hammerRows = []hammerRow{
 	// An Expire loop racing tiered background merges and a snapshot window;
 	// then every snapshot goes and nothing sealed may survive.
 	{name: "expire", opts: core.Options{Partitions: 4, HashPartitioning: true, WriteShards: 4, AutoCompact: true,
-		CompactThreshold: 4, Retention: core.RetainLive},
+		CompactionPolicy: core.PolicyFullAt{Threshold: 4}, Retention: core.RetainLive},
 		workers: 4, ops: 800, blocks: 256, maxCP: 10, paced: true, window: 3, expire: true,
 		check: func(t *testing.T, h *hammer) {
 			waitMaintained(t, h.eng)

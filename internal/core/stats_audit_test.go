@@ -116,7 +116,7 @@ func TestStatsExactlyOnceMaintenance(t *testing.T) {
 // mode, so the log's rows exist.
 func TestRegistryMirrorsStats(t *testing.T) {
 	reg := obs.NewRegistry()
-	env := newTestEnv(t, Options{Metrics: reg, MetricsSampleEvery: 1, Durability: wal.Sync, CompactThreshold: 2})
+	env := newTestEnv(t, Options{Metrics: reg, MetricsSampleEvery: 1, Durability: wal.Sync, CompactionPolicy: PolicyFullAt{Threshold: 2}})
 	defer env.eng.Close()
 	e, cat := env.eng, env.cat
 

@@ -33,8 +33,6 @@ type Env struct {
 type EnvConfig struct {
 	DedupRate  float64
 	Seed       int64
-	Partitions int
-	Span       uint64
 	CacheBytes int64
 }
 
@@ -45,11 +43,9 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 	vfs := storage.NewMemFS()
 	cat := core.NewMemCatalog()
 	eng, err := core.Open(core.Options{
-		VFS:           vfs,
-		Catalog:       cat,
-		Partitions:    cfg.Partitions,
-		PartitionSpan: cfg.Span,
-		CacheBytes:    cfg.CacheBytes,
+		VFS:        vfs,
+		Catalog:    cat,
+		CacheBytes: cfg.CacheBytes,
 		// The paper's single write store. The figures assume one run per
 		// table per consistency point, which a checkpoint writes at any
 		// shard count; one shard spares the single-threaded drivers the

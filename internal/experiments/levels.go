@@ -31,10 +31,7 @@ type LevelsConfig struct {
 	Queries int
 	// Fanouts are the stepped-merge fanouts swept for PolicyLeveled.
 	Fanouts []int
-	// Threshold is PolicyFull's per-partition run-count trigger
-	// (0 = the engine default).
-	Threshold int
-	Seed      int64
+	Seed    int64
 }
 
 // DefaultLevelsConfig returns the small-scale default.
@@ -122,7 +119,6 @@ func runLevelsPoint(cfg LevelsConfig, pol core.CompactionPolicy, fanout int) (Le
 		Catalog:          core.NewMemCatalog(),
 		Partitions:       cfg.Partitions,
 		HashPartitioning: cfg.Partitions > 1,
-		CompactThreshold: cfg.Threshold,
 		CompactionPolicy: pol,
 		Fanout:           fanout,
 		// Pin the raw v1 run format so write bytes measure records merged,

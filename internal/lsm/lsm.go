@@ -781,10 +781,19 @@ func (db *DB) loadManifest() error {
 			return fmt.Errorf("lsm: table %q has %d partitions on disk, configured %d",
 				name, len(tm.Partitions), db.opts.Partitions)
 		}
-		for _, runs := range tm.Partitions {
+		for p, runs := range tm.Partitions {
 			for _, rm := range runs {
 				if rm.Level < 0 || rm.Level > maxRunLevel {
 					return corrupt("manifest puts run %s at level %d", rm.Name, rm.Level)
+				}
+				// A run's bounds are blocks of its own records, so under the
+				// partitioning it was written with both route to the partition
+				// that lists it, by range and by hash alike.
+				for _, b := range []uint64{rm.MinBlock, rm.MaxBlock} {
+					if q := db.PartitionOf(b); q != p {
+						return fmt.Errorf("lsm: run %s of table %q is in partition %d on disk, but the configured partitioning routes its block %d to partition %d",
+							rm.Name, name, p, b, q)
+					}
 				}
 				byFile[rm.Name] = append(byFile[rm.Name], rm)
 			}
