@@ -210,30 +210,34 @@
 // [MinCP, MaxCP] its records cover, and once every snapshot old enough to
 // reference a Combined run has been deleted — the run's window lies
 // entirely below the oldest CP still reachable from the snapshot/clone
-// graph — DB.Expire drops the run with a single manifest edit: no record
-// is read, no data is rewritten, and the run file itself is deleted only
-// after the last in-flight query or compaction pinning it completes.
+// graph — the next manifest commit drops the run in the same edit: no
+// record is read, no data is rewritten, and the run file itself is deleted
+// only after the last in-flight query or compaction pinning it completes.
 //
 // Expiry is opt-in via Config.Retention:
 //
 //   - RetainAll (the default) changes nothing. Runs are merged and purged
-//     by compaction exactly as the paper describes; DB.Expire finds
-//     nothing droppable (compacted runs carry merged windows that always
-//     reach the present).
-//   - RetainLive switches the background maintainer to CP-tiered
-//     compaction: instead of re-merging everything, it seals finished
-//     Combined windows (leaving them untouched, their windows disjoint),
-//     runs an expiry sweep after every checkpoint, and lets queries skip
-//     sealed runs entirely below the reclaim horizon without opening
-//     them. Deleting an old snapshot then frees its runs at the cost of a
-//     manifest write — orders of magnitude less I/O than a merge.
+//     by compaction exactly as the paper describes; no commit drops a
+//     run, and DB.Expire commits the catalog only.
+//   - RetainLive makes expiry a rule of every manifest commit: a
+//     checkpoint, a merge, and the commit DB.Expire, DB.Compact,
+//     DB.Maintain and DB.Close end with each drop, in the same rename, the
+//     Combined runs the live snapshot graph no longer reaches. Compaction
+//     becomes CP-tiered: instead of re-merging everything, it seals
+//     finished Combined windows (leaving them untouched, their windows
+//     disjoint), and queries skip sealed runs entirely below the reclaim
+//     horizon without opening them. Deleting an old snapshot then frees
+//     its runs at the next commit, for no more than the manifest write
+//     that commit makes anyway — orders of magnitude less I/O than a
+//     merge. It starts no background goroutine; AutoCompact alone does.
 //
 // Snapshot lifecycle operations (create/delete snapshot, clone, line)
 // live on the Lifecycle interface returned by DB.Catalog. They take effect
 // in memory at once and become durable at the next manifest commit,
 // atomically with the reference data it installs: every checkpoint, merge
-// install and expiry — the background maintainer's included — writes the
-// catalog it acted on into the manifest it renames into place, so a crash
+// install and the commit Expire, Compact, Maintain and Close end with —
+// the background maintainer's included — writes the catalog as it is at
+// that moment into the manifest it renames into place, so a crash
 // can lose a deletion together with the purge it justified, or keep both,
 // and nothing in between. Note that expiry
 // is permanent in the same sense as the paper's snapshot deletion:
@@ -524,10 +528,10 @@ type Config struct {
 	Fanout int
 	// Retention selects the snapshot-retention policy (default RetainAll;
 	// see the package documentation's Retention and expiry section).
-	// RetainLive enables drop-based expiry: the background maintainer
-	// (started even without AutoCompact) expires runs after every
-	// checkpoint, background compaction seals finished CP windows instead
-	// of re-merging them, and queries skip runs below the reclaim horizon.
+	// RetainLive enables drop-based expiry: every manifest commit drops the
+	// runs the live snapshot graph no longer reaches, compaction seals
+	// finished CP windows instead of re-merging them, and queries skip
+	// runs below the reclaim horizon.
 	Retention RetentionPolicy
 	// Compression selects the on-disk format of newly written runs
 	// (default CompressionDelta, the format-v3 column-delta encoding: a
@@ -868,26 +872,21 @@ func (db *DB) QueryRange(block uint64, n int, visit func(block uint64, owners []
 // Checkpoint adds stay beside them at level 0.
 //
 // Zombie snapshots are reaped first. Every merge it installs commits the
-// catalog it purged by in the same manifest, so a crash never keeps a purge
-// and loses the deletion that justified it; if no merge was due, the catalog
-// alone is committed, and only if it changed since the last commit.
-func (db *DB) Compact() error {
-	db.cat.ReapZombies()
-	return errors.Join(db.eng.Compact(), db.eng.PersistCatalog())
-}
+// live catalog in the same manifest, so a crash never keeps a purge and
+// loses the deletion that justified it. It ends by committing what no
+// merge carried, as Expire does: the catalog, only if it changed since the
+// last commit, and under RetainLive the runs no snapshot reaches any more.
+func (db *DB) Compact() error { return db.eng.Compact() }
 
 // Maintain runs one synchronous maintenance pass honoring the configured
-// CompactionPolicy and retention mode: an expiry sweep under RetainLive,
-// then the merges the policy plans, re-planning until none remain. It is
-// the deterministic counterpart of the background maintainer (and works
-// with AutoCompact off). Unlike Compact — which always merges each
-// partition's runs into one — Maintain under PolicyLeveled performs only
-// the stepped merges that are due, leaving the leveled run structure in
-// place. The catalog is handled as in Compact.
-func (db *DB) Maintain() error {
-	db.cat.ReapZombies()
-	return errors.Join(db.eng.MaintainNow(), db.eng.PersistCatalog())
-}
+// CompactionPolicy and retention mode — the pass the background
+// maintainer runs after every checkpoint under AutoCompact, and works
+// with AutoCompact off: it reaps zombie snapshots, runs the merges the
+// policy plans, re-planning until none remain, and ends with a commit as
+// Compact does. Unlike Compact — which always merges each partition's
+// runs into one — Maintain under PolicyLeveled performs only the stepped
+// merges that are due, leaving the leveled run structure in place.
+func (db *DB) Maintain() error { return db.eng.MaintainNow() }
 
 // RelocateBlock transplants all back references of oldBlock onto newBlock;
 // call it after physically moving a block and updating file system
@@ -912,7 +911,7 @@ func (db *DB) RelocateBlock(oldBlock, newBlock uint64) error {
 // one topology. A change is durable at the next manifest commit, which
 // carries the topology as it is at that moment: the next Checkpoint,
 // Compact, Maintain, Expire or Close at the latest, a background merge or
-// expiry if one commits first.
+// maintenance pass if one commits first.
 type Lifecycle interface {
 	// CreateSnapshot retains version v (a CP number) of the given line. v
 	// is the CP being taken — at the earliest the last one committed — and
@@ -940,24 +939,21 @@ type Lifecycle interface {
 // queries.
 func (db *DB) Catalog() Lifecycle { return db.cat }
 
-// ExpireStats reports what one Expire pass did.
+// ExpireStats reports what one Expire call did.
 type ExpireStats = core.ExpireStats
 
-// Expire drops every Combined run whose consistency-point window falls
-// entirely below the oldest snapshot still reachable from the catalog —
-// reclaiming deleted snapshots' records without reading or rewriting any
-// data; see the package documentation's Retention and expiry section.
-// Runs only become droppable under Config.Retention == RetainLive (whose
-// background maintainer also calls this automatically after every
-// checkpoint); with RetainAll, Expire is a harmless no-op.
-//
-// Zombie snapshots are reaped first, and the catalog is handled as in
-// Compact: the drop and the topology that justified it share one manifest.
-func (db *DB) Expire() (ExpireStats, error) {
-	db.cat.ReapZombies()
-	st, err := db.eng.Expire()
-	return st, errors.Join(err, db.eng.PersistCatalog())
-}
+// Expire commits now. It reaps zombie snapshots, then commits a catalog
+// change no commit has carried and, under Config.Retention == RetainLive,
+// drops every Combined run whose consistency-point window falls entirely
+// below the oldest snapshot still reachable from the catalog — reclaiming
+// deleted snapshots' records without reading or rewriting any data, the
+// drop and the topology that justified it in one manifest; see the package
+// documentation's Retention and expiry section. Every checkpoint and merge
+// under RetainLive drops such runs too, so Expire is only needed when
+// snapshots are deleted and no commit follows. Under RetainAll it drops
+// nothing. With no droppable run and an unchanged catalog it writes
+// nothing.
+func (db *DB) Expire() (ExpireStats, error) { return db.eng.Expire() }
 
 // RunInfo describes one live read-store run, including the
 // consistency-point window its records cover.

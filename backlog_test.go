@@ -404,10 +404,8 @@ func TestCatalogLifecycle(t *testing.T) {
 // TestExpireEndToEnd seals two epochs behind RetainLive, deletes the
 // first snapshot, and verifies expiry reclaims the first epoch's run
 // without reading it — the public face of drop-based expiry — and that
-// db.Runs exposes the CP windows driving the decision. RetainLive also
-// sweeps in the background after every checkpoint, and the sweep the last
-// checkpoint kicked may reach the run before db.Expire does; the test
-// asserts what holds whichever of the two drops it.
+// db.Runs exposes the CP windows driving the decision. Nothing commits in
+// the background, so the drop is db.Expire's own.
 func TestExpireEndToEnd(t *testing.T) {
 	fs := storage.NewMemFS()
 	db, err := openVFS(fs, Config{InMemory: true, Retention: RetainLive})
@@ -452,8 +450,12 @@ func TestExpireEndToEnd(t *testing.T) {
 	if err := cat.DeleteSnapshot(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Expire(); err != nil {
+	est, err := db.Expire()
+	if err != nil {
 		t.Fatal(err)
+	}
+	if est.RunsDropped != 1 || est.RecordsDropped != 1 || est.Horizon != 3 {
+		t.Fatalf("Expire = %+v, want run [1, 2] dropped below horizon 3", est)
 	}
 	if d := fs.Stats().Sub(before); d.BytesRead != 0 {
 		t.Fatalf("public expiry read %d bytes", d.BytesRead)

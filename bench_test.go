@@ -110,7 +110,6 @@ func fig9DB(b *testing.B, compacted bool) (*experiments.Env, []uint64) {
 		}
 	}
 	if compacted {
-		env.Cat.ReapZombies()
 		if err := env.Eng.Compact(); err != nil {
 			b.Fatal(err)
 		}
@@ -337,20 +336,14 @@ func BenchmarkAblationPartitions(b *testing.B) {
 					if err := eng.Checkpoint(cp); err != nil {
 						b.Fatal(err)
 					}
-					// Compact one rotating partition, exercising selective
+					// A maintenance pass merges only the partitions past
+					// PolicyFull's threshold, exercising selective
 					// per-partition maintenance.
-					if err := eng.CompactPartition(int(cp) % maxInt(parts, 1)); err != nil {
+					if err := eng.MaintainNow(); err != nil {
 						b.Fatal(err)
 					}
 				}
 			}
 		})
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

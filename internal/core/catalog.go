@@ -26,7 +26,7 @@ type Clone struct {
 //
 // MemCatalog is the mutator. Every change publishes a new immutable
 // Topology, and whoever judges records by the topology — a query, a merge,
-// a plan, an expiry pass — takes one Topology for the whole operation, so a
+// a plan, a commit's expiry — takes one Topology for the whole operation, so a
 // change made meanwhile is seen by the next operation and by no part of the
 // running one.
 type MemCatalog struct {

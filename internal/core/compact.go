@@ -35,37 +35,26 @@ import (
 // compactJob). Call Checkpoint first (the background maintainer
 // runs after checkpoints, so it sees the persisted state naturally).
 //
-// Under Options.Retention == RetainLive, Compact runs in tiered mode
-// (compactAll): merging a sealed run across the reclaim horizon would
-// destroy the disjoint CP windows that let Expire reclaim it for free.
+// Zombie snapshots are reaped first, and the call ends by committing now
+// (see commitNow): a catalog change no merge carried, and under RetainLive
+// the runs the merges left droppable. Under RetainLive the merges are
+// CP-tiered: sealed Combined runs (see lsm.Run.Sealed) are left untouched
+// instead of being re-merged, so their windows stay disjoint and a commit
+// can drop them whole once the reclaim horizon passes their MaxCP.
+// Everything else (From, To, unsealed Combined runs, the override run)
+// merges exactly as untiered; the merged Combined output is split so
+// override records land in their own run, keeping the regular output
+// sealed, and each of the two is a file of its own.
 func (e *Engine) Compact() error {
-	return e.compactAll(e.expiryEnabled())
-}
-
-// compactAll compacts every partition. In CP-tiered mode sealed Combined
-// runs (see lsm.Run.Sealed) are left untouched instead of being re-merged,
-// so their windows stay disjoint and a later Expire can drop them whole
-// once the reclaim horizon passes their MaxCP. Everything else (From, To,
-// unsealed Combined runs, the override run) merges exactly as untiered;
-// the merged Combined output is split so override records land in their
-// own run, keeping the regular output sealed, and each of the two is a
-// file of its own. Maintenance uses this mode whenever Options.Retention
-// is RetainLive.
-func (e *Engine) compactAll(tiered bool) error {
+	e.catalog.ReapZombies()
 	var errs []error
 	for p := 0; p < e.db.Partitions(); p++ {
-		if err := e.compactWhole(p, tiered); err != nil {
+		if err := e.compactWhole(p); err != nil {
 			errs = append(errs, fmt.Errorf("core: compacting partition %d: %w", p, err))
 		}
 	}
-	return errors.Join(errs...)
-}
-
-// CompactPartition compacts a single partition, tiered under RetainLive
-// like Compact; partitions can be maintained selectively and
-// independently (Section 5.3).
-func (e *Engine) CompactPartition(p int) error {
-	return e.compactWhole(p, e.expiryEnabled())
+	_, err := e.commitNow()
+	return errors.Join(append(errs, err)...)
 }
 
 // compactWhole plans and runs the whole-partition merge of p until one
@@ -73,9 +62,9 @@ func (e *Engine) CompactPartition(p int) error {
 // no lock to make progress: an input consumed or a conflict is another
 // commit's install, and a deletion vector moved by a relocation defers the
 // next plan until a checkpoint persists it.
-func (e *Engine) compactWhole(p int, tiered bool) error {
-	plan := func(v *lsm.View, _ PlanContext) []CompactionJob {
-		job := wholeJob(v, p, tiered)
+func (e *Engine) compactWhole(p int) error {
+	plan := func(v *lsm.View, ctx PlanContext) []CompactionJob {
+		job := wholeJob(v, p, ctx.Tiered)
 		if len(job.From) == 0 && len(job.To) == 0 && len(job.Combined) <= 1 {
 			// Nothing to merge; at most the single compacted Combined run
 			// (in tiered mode, possibly plus sealed runs awaiting expiry).
@@ -88,7 +77,7 @@ func (e *Engine) compactWhole(p int, tiered bool) error {
 		if len(jobs) == 0 {
 			return nil
 		}
-		if compacted, err := e.compactJob(jobs[0], tiered); compacted || err != nil {
+		if compacted, err := e.compactJob(jobs[0]); compacted || err != nil {
 			return err
 		}
 	}
@@ -148,8 +137,9 @@ func viewHasRuns(v *lsm.View, table string, p int, inputs []*lsm.Run) bool {
 // is stale (an input consumed since the plan), deferred by a dirty
 // deletion vector, or in conflict (another merge or an expiry consumed an
 // input during the merge, or a relocation moved a deletion vector), which
-// is counted in Stats. tiered selects CP-tiered output (see compactAll).
-func (e *Engine) compactJob(job CompactionJob, tiered bool) (compacted bool, err error) {
+// is counted in Stats. Under RetainLive the output is CP-tiered (see
+// Compact).
+func (e *Engine) compactJob(job CompactionJob) (compacted bool, err error) {
 	if o := e.obs; o != nil {
 		// Trace events reuse the Shard field for the partition — the
 		// closest analogue of "which slice of the keyspace" for a
@@ -214,8 +204,8 @@ func (e *Engine) compactJob(job CompactionJob, tiered bool) (compacted bool, err
 	if !job.Whole {
 		newTo = set.Run(TableTo, p, recordsIn(job.To))
 	}
-	// Tiered mode keeps the Combined output in a file of its own, which
-	// Expire drops alone once its window passes the horizon, and writes
+	// Tiered mode keeps the Combined output in a file of its own, which a
+	// commit drops alone once its window passes the horizon, and writes
 	// surviving override records to a run of their own, in a file of its
 	// own too: overrides must outlive their line's snapshots, so mixing them
 	// into the regular output would poison its droppability. The override
@@ -224,7 +214,7 @@ func (e *Engine) compactJob(job CompactionJob, tiered bool) (compacted bool, err
 	// merge never synthesizes overrides, so there the builder stays empty
 	// (and writes no run) unless an input carried them.
 	var newComb, newOver *lsm.RunBuilder
-	if tiered {
+	if e.expiryEnabled() {
 		newComb = set.RunApart(TableCombined, p, expectComb)
 		newOver = set.RunApart(TableCombined, p, expectComb)
 	} else {
@@ -286,7 +276,7 @@ func (e *Engine) compactJob(job CompactionJob, tiered bool) (compacted bool, err
 
 	// Install: the inputs are live, so the edit swaps exactly them for the
 	// outputs, and the commit collects the deletion-vector entries the
-	// merge consumed. A Commit that fails has changed nothing and removed
+	// merge consumed. A commit that fails has changed nothing and removed
 	// the output files.
 	edit := e.db.NewEdit().SetSource(storage.SrcCompaction)
 	for _, ref := range added {
@@ -297,7 +287,7 @@ func (e *Engine) compactJob(job CompactionJob, tiered bool) (compacted bool, err
 			edit.DropRun(tables[i], r.Name())
 		}
 	}
-	if err := edit.Commit(); err != nil {
+	if _, err := e.commit(edit, commitMerge); err != nil {
 		return false, err
 	}
 	e.stats.compactions.Add(1)
@@ -387,7 +377,7 @@ func emitLeveledGroup(topo *Topology, g groupRecs, whole bool, newFrom, newTo, n
 //
 // topo is the one the merge pinned with its view, and its commit carries
 // the catalog's newer, live topology, never the pinned one: were a merge
-// that pinned T0 to commit T0 after a checkpoint or PersistCatalog had
+// that pinned T0 to commit T0 after a checkpoint or an Expire had
 // committed T1, a crash would bring back what T1 deleted. Purging against
 // the older T0 is safe because the topology only ever comes to keep fewer
 // of a merge's input records: a deleted snapshot or line and a reaped

@@ -261,7 +261,7 @@ func TestWholeJobRunsItsPlannedInputs(t *testing.T) {
 		t.Fatalf("planned %+v, want one whole merge", jobs)
 	}
 	fx.epoch(5)
-	installed, err := fx.eng.CompactJob(jobs[0], false)
+	installed, err := fx.eng.CompactJob(jobs[0])
 	if err != nil || !installed {
 		t.Fatalf("CompactJob = %v, %v, want the merge installed", installed, err)
 	}
@@ -453,9 +453,9 @@ func TestMergeInstallKeepsLevelsOrdered(t *testing.T) {
 }
 
 // TestMergeInstallCommitsTheLiveCatalog holds a merge between its pin and
-// its install, at its file's Create, and there deletes the snapshot
-// that retains the merge's input and commits the catalog alone. The merge
-// still purges against the topology it pinned, but its own commit must
+// its install, at its file's Create, and there deletes the snapshot that
+// retains the merge's input and commits the catalog alone (Expire). The
+// merge still purges against the topology it pinned, but its own commit must
 // carry the live one: a merge that committed what it pinned would put the
 // deleted snapshot back into the manifest, and a reopen would resurrect it.
 func TestMergeInstallCommitsTheLiveCatalog(t *testing.T) {
@@ -489,7 +489,7 @@ func TestMergeInstallCommitsTheLiveCatalog(t *testing.T) {
 		if err := cat.DeleteSnapshot(0, 1); err != nil {
 			t.Error(err)
 		}
-		if err := eng.PersistCatalog(); err != nil {
+		if _, err := eng.Expire(); err != nil {
 			t.Error(err)
 		}
 	})

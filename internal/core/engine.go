@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -29,10 +28,11 @@ type Options struct {
 	// expansion, and purging. Required. The engine keeps it: Open fills it
 	// from the manifest, replacing what it holds, before anything consults
 	// the topology (a manifest written without a catalog leaves it as
-	// given), and every manifest commit — checkpoint, merge install,
-	// expiry, PersistCatalog, Close — carries it as it is at that moment,
-	// so a purge is never durable without a topology that justifies it
-	// (the merge's pinned one, or a later one, which keeps no more).
+	// given), and every manifest commit — checkpoint, merge install, the
+	// commit Expire, Close and every maintenance pass end with — carries it
+	// as it is at that moment, so a purge is never durable without a
+	// topology that justifies it (the merge's pinned one, or a later one,
+	// which keeps no more).
 	Catalog *MemCatalog
 	// CacheBytes sizes the shared page cache (default 32 MB, the paper's
 	// micro-benchmark configuration). Pages are cached in their on-disk
@@ -88,12 +88,13 @@ type Options struct {
 	// replays the log tail into the write stores, and Checkpoint retires
 	// it.
 	Durability wal.Durability
-	// AutoCompact starts the background maintenance scheduler: after
-	// every checkpoint it runs the merges the configured CompactionPolicy
-	// plans, re-planning until none remain and pausing maintainPace
-	// between merges. Merges run against a pinned view outside the
-	// structural lock, so updates and queries keep flowing while it
-	// works.
+	// AutoCompact starts the background maintenance scheduler, and
+	// nothing else does: after every checkpoint it runs one maintenance
+	// pass (MaintainNow's) — it reaps zombie snapshots, runs the merges the
+	// configured CompactionPolicy plans, re-planning until none remain and
+	// pausing maintainPace between merges, and commits. Merges run against
+	// a pinned view outside the structural lock, so updates and queries
+	// keep flowing while it works.
 	AutoCompact bool
 	// CompactionPolicy plans the maintainer's merges. Nil selects
 	// PolicyFull — whole-partition worst-first merging past FullThreshold
@@ -135,12 +136,14 @@ type Options struct {
 	MetricsSampleEvery int
 	// Retention selects the snapshot-retention policy. RetainAll (the
 	// default) changes nothing: records referring only to deleted
-	// snapshots are reclaimed by compaction alone. RetainLive enables
-	// drop-based expiry end to end — the background maintainer (started
-	// even without AutoCompact) runs an Expire pass after every
-	// checkpoint, background compaction switches to CP-tiered merging
-	// that seals finished Combined windows instead of re-merging them,
-	// and queries skip Combined runs entirely below the reclaim horizon.
+	// snapshots are reclaimed by compaction alone. RetainLive makes
+	// retention a rule of the commit: every manifest commit — a
+	// checkpoint's, a merge's, and the one Expire, Close and every
+	// maintenance pass end with — drops the Combined runs the live
+	// topology no longer reaches, in the same rename. Compaction switches
+	// to CP-tiered merging that seals finished Combined windows instead of
+	// re-merging them, and queries skip Combined runs entirely below the
+	// reclaim horizon. It starts no goroutine.
 	Retention RetentionPolicy
 }
 
@@ -174,7 +177,7 @@ type Stats struct {
 	// compactions (full and leveled) — the numerator of measured write
 	// amplification. Checkpoint flushes are not included.
 	CompactWriteBytes uint64
-	Expiries          uint64 // Expire passes that dropped at least one run
+	Expiries          uint64 // commits that expired at least one run
 	RunsExpired       uint64 // runs dropped whole by expiry (never read)
 	RecordsExpired    uint64 // records inside runs dropped by expiry
 	WALAppends        uint64 // records appended to the write-ahead log
@@ -235,7 +238,7 @@ func (e *Engine) counterTable() []counterRow {
 		{"backlog_compaction_write_bytes_total", "Physical bytes written by installed compactions", "CompactWriteBytes", c.compactWriteBytes.Load},
 		{"backlog_queries_total", "Blocks queried", "Queries", c.queries.Load},
 		{"backlog_relocations_total", "RelocateBlock calls", "Relocations", c.relocations.Load},
-		{"backlog_expiries_total", "Expire passes that dropped at least one run", "Expiries", c.expiries.Load},
+		{"backlog_expiries_total", "Commits that expired at least one run", "Expiries", c.expiries.Load},
 		{"backlog_runs_expired_total", "Runs dropped whole by expiry", "RunsExpired", c.runsExpired.Load},
 		{"backlog_records_expired_total", "Records inside runs dropped by expiry", "RecordsExpired", c.recordsExpired.Load},
 		{"backlog_wal_replayed_total", "WAL records replayed at Open", "WALReplayed", func() uint64 { return e.walReplayed }},
@@ -486,10 +489,7 @@ func Open(opts Options) (*Engine, error) {
 		return nil, err
 	}
 	e.registerMetrics(opts.Metrics)
-	if opts.AutoCompact || opts.Retention == RetainLive {
-		// RetainLive starts the maintainer even without AutoCompact: the
-		// expiry pass after each checkpoint is what reclaims dropped
-		// snapshots' runs.
+	if opts.AutoCompact {
 		e.maint = newMaintainer(e)
 		// A reopened database may already carry more runs than the
 		// threshold allows; let the maintainer look immediately.
@@ -499,7 +499,7 @@ func Open(opts Options) (*Engine, error) {
 }
 
 // expiryEnabled reports whether drop-based expiry (and with it tiered
-// background compaction and CP-window query pruning) is active.
+// compaction and CP-window query pruning) is active.
 func (e *Engine) expiryEnabled() bool { return e.opts.Retention == RetainLive }
 
 // openWAL recovers the write-ahead log tail into the write stores and, in
@@ -620,8 +620,9 @@ func (e *Engine) Stats() Stats {
 // Durability returns the engine's configured durability mode.
 func (e *Engine) Durability() wal.Durability { return e.opts.Durability }
 
-// Close releases the engine. It first commits a catalog change no commit
-// has carried (PersistCatalog). In Buffered mode it then writes out and
+// Close releases the engine. It first commits now, as Expire does without
+// reaping: a catalog change no commit has carried and, under RetainLive,
+// the runs it made droppable. In Buffered mode it then writes out and
 // syncs the write-ahead log, so a clean shutdown preserves every buffered
 // reference for replay at the next Open; in Sync mode everything is
 // already durable. In CheckpointOnly mode buffered references are
@@ -638,9 +639,9 @@ func (e *Engine) Close() error {
 	// releasing the engine mid-flush would strand the frozen stores.
 	e.cpMu.Lock()
 	defer e.cpMu.Unlock()
+	_, err := e.commitNow()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	err := e.persistCatalog()
 	// e.wal stays set after Close (wal.Log rejects further appends
 	// itself): nilling it here would race the unsynchronized reads in
 	// Stats, which is documented as safe to call concurrently.
@@ -949,7 +950,9 @@ func (e *Engine) checkpoint(cp uint64) error {
 	// flush wrote (see lsm.Edit.Commit). A vector dirty here was dirty at the
 	// freeze with the same entries: since then relocation was excluded
 	// (cpMu), compaction and expiry defer on a dirty vector, and an optimistic
-	// merge pinned before the relocation fails its vector validation.
+	// merge pinned before the relocation fails its vector validation. Under
+	// RetainLive the same commit drops the runs the live topology no longer
+	// reaches, the dirty vector persisted with the drops (see commit).
 	start = time.Now()
 	e.mu.Lock()
 	if err == nil {
@@ -959,7 +962,7 @@ func (e *Engine) checkpoint(cp uint64) error {
 		}
 		// AddRun transferred ownership of the run files: a Commit that
 		// fails before its commit point removes them itself.
-		err = edit.Commit()
+		_, err = e.commit(edit, commitCheckpoint)
 	}
 	for _, s := range e.shards {
 		if err != nil {
@@ -1228,22 +1231,3 @@ func (e *Engine) Catalog() *MemCatalog { return e.catalog }
 
 // DB exposes the underlying LSM store for tests and tooling.
 func (e *Engine) DB() *lsm.DB { return e.db }
-
-// PersistCatalog makes catalog changes durable that no commit has carried
-// yet: if the manifest does not hold the catalog as it is now, it commits an
-// edit that changes nothing else. Every other commit carries the catalog
-// too, so after a checkpoint, a merge or an expiry that followed the last
-// change this writes nothing. Close does the same.
-func (e *Engine) PersistCatalog() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.persistCatalog()
-}
-
-// persistCatalog is PersistCatalog under the exclusive structural lock.
-func (e *Engine) persistCatalog() error {
-	if bytes.Equal(e.catalog.Topology().data, e.db.Section()) {
-		return nil
-	}
-	return e.db.NewEdit().SetSource(storage.SrcManifest).Commit()
-}

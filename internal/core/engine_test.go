@@ -541,7 +541,7 @@ func TestSelectivePartitionCompaction(t *testing.T) {
 		e.AddRef(ref(110+cp, 2, cp, 0), cp) // partition 1
 		mustCheckpoint(t, e, cp)
 	}
-	if err := e.CompactPartition(0); err != nil {
+	if err := e.compactWhole(0); err != nil {
 		t.Fatal(err)
 	}
 	if n := len(e.DB().Table(TableFrom).Runs(0)); n != 1 {

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+
+	"github.com/backlogfs/backlog/internal/lsm"
 	"github.com/backlogfs/backlog/internal/obs"
 	"github.com/backlogfs/backlog/internal/storage"
 )
@@ -12,15 +15,17 @@ import (
 // survivors; expiry instead drops whole runs by manifest edit — no record
 // is ever read — once the run's consistency-point window [MinCP, MaxCP]
 // falls entirely below the oldest CP still reachable from the catalog's
-// snapshot/clone graph. Runs become eligible through CP-tiered background
-// compaction, which seals finished windows instead of re-merging them
-// (see compact.go).
+// snapshot/clone graph. Under RetainLive that is a clause of every commit
+// (see commit), not a pass of its own. Runs become eligible through
+// CP-tiered compaction, which seals finished windows instead of re-merging
+// them (see compact.go).
 
-// ExpireStats reports what one Expire pass did.
+// ExpireStats reports what one Expire call did.
 type ExpireStats struct {
 	// Horizon is the reclaim horizon used: the oldest CP still reachable
 	// from the catalog (Infinity when no snapshot or zombie exists — then
 	// only the live head pins records, and every sealed run is garbage).
+	// Zero under RetainAll, which expires nothing.
 	Horizon uint64
 	// RunsDropped is the number of runs removed from the manifest.
 	RunsDropped int
@@ -31,10 +36,10 @@ type ExpireStats struct {
 	// the same manifest commit because the only runs that could contain
 	// their records were dropped.
 	DVEntriesDropped int
-	// Deferred is set when the pass ran at an unsafe moment — a checkpoint
+	// Deferred is set when the call ran at an unsafe moment — a checkpoint
 	// flush in flight or a dirty deletion vector whose entries are not yet
-	// crash-durable — and did nothing. The caller (normally the background
-	// maintainer) simply retries after the next checkpoint.
+	// crash-durable — and dropped nothing (a changed catalog is still
+	// committed). The next checkpoint's install drops the runs itself.
 	Deferred bool
 }
 
@@ -52,21 +57,22 @@ func reclaimHorizon(topo *Topology) uint64 {
 	return Infinity
 }
 
-// Expire atomically drops every Combined run whose consistency-point
-// window falls entirely below the reclaim horizon. The drop is one
-// manifest edit: no run is read or rewritten, deletion-vector entries
-// pointing only into dropped runs are garbage-collected in the same
-// commit, and the run files themselves are deleted only after the last
-// pinned view referencing them is released — concurrent queries and
-// compactions keep iterating their snapshots unharmed.
+// Expire reaps zombie snapshots and commits now (see commit): under
+// RetainLive it atomically drops every Combined run whose consistency-point
+// window falls entirely below the reclaim horizon, and it commits a catalog
+// change no commit has carried. The drop is one manifest edit: no run is
+// read or rewritten, deletion-vector entries pointing only into dropped
+// runs are garbage-collected in the same commit, and the run files
+// themselves are deleted only after the last pinned view referencing them
+// is released — concurrent queries and compactions keep iterating their
+// snapshots unharmed.
 //
-// Expire defers (returning Deferred with no error) while a checkpoint
-// flush is in flight or the Combined table's deletion vector is dirty: a
-// dirty vector's entries are paired with not-yet-durable write-store
-// records (see RelocateBlock), and persisting a pruned copy early would
-// let a crash resurrect relocated-away records. The background maintainer
-// retries after every checkpoint, which is exactly when the vector comes
-// clean.
+// Expire drops nothing (returning Deferred with no error) while a
+// checkpoint flush is in flight or the Combined table's deletion vector is
+// dirty: a dirty vector's entries are paired with not-yet-durable
+// write-store records (see RelocateBlock), and persisting a pruned copy
+// early would let a crash resurrect relocated-away records. The next
+// checkpoint's install, which persists the vector, drops the runs itself.
 func (e *Engine) Expire() (ExpireStats, error) {
 	if o := e.obs; o != nil {
 		start := o.opStart(obs.OpExpire, -1, 0, 0)
@@ -78,24 +84,54 @@ func (e *Engine) Expire() (ExpireStats, error) {
 }
 
 func (e *Engine) expire() (ExpireStats, error) {
+	e.catalog.ReapZombies()
+	return e.commitNow()
+}
+
+// commitNow is the commit Expire, Compact, every maintenance pass and
+// Close end with: an empty edit, which writes nothing when the manifest
+// holds the catalog already and no run is droppable.
+func (e *Engine) commitNow() (ExpireStats, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.shards[0].frozen != nil || e.db.Table(TableCombined).DVDirty() {
-		return ExpireStats{Deferred: true}, nil
+	return e.commit(e.db.NewEdit().SetSource(storage.SrcManifest), commitEmpty)
+}
+
+// commitKind tells commit which of the engine's three commits it makes.
+type commitKind int
+
+const (
+	commitCheckpoint commitKind = iota // a checkpoint's install
+	commitMerge                        // a merge's install
+	commitEmpty                        // commitNow's
+)
+
+// commit makes the engine's one manifest commit. Every commit carries the
+// live catalog (lsm.Options.Section); under RetainLive it also drops, in
+// the same rename, the Combined runs below the live topology's reclaim
+// horizon. A checkpoint's install always may: its flush is done and it
+// advances the CP, so lsm.Edit.Commit persists a dirty deletion vector
+// with the drops. Any other commit drops runs only with no flush in flight
+// and a clean Combined vector, and reports Deferred otherwise. Callers
+// hold the structural lock exclusively.
+func (e *Engine) commit(edit *lsm.Edit, kind commitKind) (st ExpireStats, err error) {
+	var runs int
+	var recs uint64
+	if e.expiryEnabled() {
+		if kind == commitCheckpoint || e.shards[0].frozen == nil && !e.db.Table(TableCombined).DVDirty() {
+			st.Horizon = reclaimHorizon(e.catalog.Topology())
+			runs, recs = edit.DropRunsBelow(TableCombined, st.Horizon)
+		} else {
+			st.Deferred = true
+		}
 	}
-	st := ExpireStats{Horizon: reclaimHorizon(e.catalog.Topology())}
-	edit := e.db.NewEdit().SetSource(storage.SrcExpiry)
-	runs, recs := edit.DropRunsBelow(TableCombined, st.Horizon)
-	if runs == 0 {
-		// Nothing to drop; skip the manifest write entirely.
+	if kind == commitEmpty && runs == 0 && bytes.Equal(e.catalog.Topology().data, e.db.Section()) {
 		return st, nil
 	}
-	if err := edit.Commit(); err != nil {
+	if err = edit.Commit(); err != nil || runs == 0 {
 		return st, err
 	}
-	st.RunsDropped = runs
-	st.RecordsDropped = recs
-	st.DVEntriesDropped = edit.CollectedDVEntries()
+	st.RunsDropped, st.RecordsDropped, st.DVEntriesDropped = runs, recs, edit.CollectedDVEntries()
 	e.stats.expiries.Add(1)
 	e.stats.runsExpired.Add(uint64(runs))
 	e.stats.recordsExpired.Add(recs)

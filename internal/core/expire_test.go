@@ -16,19 +16,19 @@ import (
 	"github.com/backlogfs/backlog/internal/storage"
 )
 
-// sealedEnv builds a database with two sealed Combined runs in partition
-// 0 and one live reference:
+// sealedEnv builds a RetainLive database with two sealed Combined runs in
+// partition 0 and one live reference:
 //
 //	run A, window [1, 2]: block 1's interval [1, 2), retained by snapshot v1
 //	run B, window [3, 4]: block 3's interval [3, 4), retained by snapshot v3
 //	From run:             block 2, live since CP 1
 //
 // Deleting snapshot v1 moves the reclaim horizon to 3, making exactly
-// run A droppable.
+// run A droppable by the next commit.
 func sealedEnv(t *testing.T, vfs storage.VFS) (*core.Engine, *core.MemCatalog) {
 	t.Helper()
 	cat := core.NewMemCatalog()
-	eng, err := core.Open(core.Options{VFS: vfs, Catalog: cat})
+	eng, err := core.Open(core.Options{VFS: vfs, Catalog: cat, Retention: core.RetainLive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func sealedEnv(t *testing.T, vfs storage.VFS) (*core.Engine, *core.MemCatalog) {
 		fCheckpoint(t, eng, snap)
 		eng.RemoveRef(fref(block, inode, 0, 0), snap+1)
 		fCheckpoint(t, eng, snap+1)
-		if err := eng.CompactTiered(); err != nil {
+		if err := eng.Compact(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -137,7 +137,7 @@ func TestExpireDropsRunsWithoutReadingData(t *testing.T) {
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	eng2, err := core.Open(core.Options{VFS: fs, Catalog: cat})
+	eng2, err := core.Open(core.Options{VFS: fs, Catalog: cat, Retention: core.RetainLive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +156,8 @@ func TestExpireDropsRunsWithoutReadingData(t *testing.T) {
 // TestExpireDefersUntilSafe covers both deferral conditions: a checkpoint
 // holding frozen stores mid-flush, and a dirty deletion vector whose
 // re-keyed partner records are not yet durable. In both states Expire
-// must do nothing (without error); once the state clears, the same call
-// drops the run.
+// must drop nothing (without error); the checkpoint that ends each state
+// drops the run in its own install.
 func TestExpireDefersUntilSafe(t *testing.T) {
 	fs := storage.NewMemFS()
 	eng, cat := sealedEnv(t, fs)
@@ -181,14 +181,24 @@ func TestExpireDefersUntilSafe(t *testing.T) {
 	if !est.Deferred || est.RunsDropped != 0 {
 		t.Fatalf("expiry mid-flush = %+v, want a deferral", est)
 	}
+	if got := eng.Stats().Expiries; got != 0 {
+		t.Fatalf("a deferred Expire counted as an expiry: %d", got)
+	}
 	close(g.release)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
+	if got, st := len(sealedRuns(eng)), eng.Stats(); got != 1 || st.Expiries != 1 || st.RunsExpired != 1 {
+		t.Fatalf("after the held checkpoint: %d sealed runs, %+v; want its install to have dropped run A", got, st)
+	}
 
-	// Dirty deletion vector: relocating block 3 masks its sealed-run
-	// records while the re-keyed copies are still volatile.
+	// Dirty deletion vector: relocating block 3 masks its record in run B
+	// while the re-keyed copy is still volatile, and deleting snapshot v3
+	// makes run B droppable.
 	if err := <-relocated; err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.DeleteSnapshot(0, 3); err != nil {
 		t.Fatal(err)
 	}
 	est, err = eng.Expire()
@@ -198,25 +208,25 @@ func TestExpireDefersUntilSafe(t *testing.T) {
 	if !est.Deferred || est.RunsDropped != 0 {
 		t.Fatalf("expiry on a dirty deletion vector = %+v, want a deferral", est)
 	}
-	if got := eng.Stats().Expiries; got != 0 {
-		t.Fatalf("deferred passes counted as expiries: %d", got)
+	if got := eng.Stats().Expiries; got != 1 {
+		t.Fatalf("a deferred Expire counted as an expiry: %d", got)
 	}
 
-	// The checkpoint persists vector and replacements together; now the
-	// pass goes through.
+	// The checkpoint persists vector and copy together, and its install
+	// drops run B, collecting the entry no surviving run needs.
 	fCheckpoint(t, eng, 6)
-	est, err = eng.Expire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.Deferred || est.RunsDropped != 1 {
-		t.Fatalf("expiry after the covering checkpoint = %+v, want 1 run dropped", est)
-	}
-	if owners := fQuery(t, eng, 700); len(owners) != 1 {
-		t.Fatalf("relocated block lost across expiry: %+v", owners)
+	comb := eng.DB().Table(core.TableCombined)
+	if got, st := len(sealedRuns(eng)), eng.Stats(); got != 0 || st.Expiries != 2 || comb.DVDirty() || comb.DVLen() != 0 {
+		t.Fatalf("after the covering checkpoint: %d sealed runs, %+v, vector dirty=%v len=%d; want run B dropped and its entry collected",
+			got, st, comb.DVDirty(), comb.DVLen())
 	}
 	if owners := fQuery(t, eng, 3); len(owners) != 0 {
 		t.Fatalf("relocated-away block resurrected: %+v", owners)
+	}
+	for _, block := range []uint64{2, 9} {
+		if owners := fQuery(t, eng, block); len(owners) != 1 || !owners[0].Live {
+			t.Fatalf("live block %d after expiry: %+v", block, owners)
+		}
 	}
 }
 
@@ -244,7 +254,7 @@ func TestExpireCrashAfterCommitCollectsOrphan(t *testing.T) {
 	}
 
 	fs.Crash()
-	eng2, err := core.Open(core.Options{VFS: fs, Catalog: cat})
+	eng2, err := core.Open(core.Options{VFS: fs, Catalog: cat, Retention: core.RetainLive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +292,7 @@ func TestExpireCrashBeforeCommitKeepsState(t *testing.T) {
 	}
 
 	fs.Crash()
-	eng2, err := core.Open(core.Options{VFS: fs, Catalog: cat})
+	eng2, err := core.Open(core.Options{VFS: fs, Catalog: cat, Retention: core.RetainLive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,13 +317,14 @@ func TestExpireCrashBeforeCommitKeepsState(t *testing.T) {
 
 // buildExpirable writes epochs of references that each live for exactly
 // one checkpoint, retained by a per-epoch snapshot, and seals each epoch
-// into its own Combined run via tiered compaction. Deleting the first
-// epochs' snapshots then makes their runs reclaimable two ways: Expire
-// (drop) or Compact (merge-and-purge).
+// into its own Combined run via tiered compaction on a RetainLive engine.
+// Deleting the first epochs' snapshots then makes their runs reclaimable
+// two ways: Expire (drop) or, reopened under RetainAll, Compact
+// (merge-and-purge).
 func buildExpirable(t *testing.T, vfs storage.VFS, epochs, perEpoch, blocks int) (*core.Engine, *core.MemCatalog) {
 	t.Helper()
 	cat := core.NewMemCatalog()
-	eng, err := core.Open(core.Options{VFS: vfs, Catalog: cat})
+	eng, err := core.Open(core.Options{VFS: vfs, Catalog: cat, Retention: core.RetainLive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +341,7 @@ func buildExpirable(t *testing.T, vfs storage.VFS, epochs, perEpoch, blocks int)
 			eng.RemoveRef(core.Ref{Block: uint64(i % blocks), Inode: uint64(e + 1), Offset: uint64(i), Length: 1}, cp+1)
 		}
 		fCheckpoint(t, eng, cp+1)
-		if err := eng.CompactTiered(); err != nil {
+		if err := eng.Compact(); err != nil {
 			t.Fatal(err)
 		}
 		cp += 2
@@ -353,6 +364,15 @@ func TestExpireVsCompactReclaimIO(t *testing.T) {
 	defer engE.Close()
 	fsC := storage.NewMemFS()
 	engC, catC := buildExpirable(t, fsC, epochs, perEpoch, blocks)
+	// Under RetainAll no commit drops a run, and Compact merges sealed
+	// runs like any other.
+	if err := engC.Close(); err != nil {
+		t.Fatal(err)
+	}
+	engC, err := core.Open(core.Options{VFS: fsC, Catalog: catC})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer engC.Close()
 
 	// Delete every snapshot but the last epoch's on both.
@@ -412,29 +432,51 @@ func TestExpireVsCompactReclaimIO(t *testing.T) {
 	}
 }
 
-// TestRetainLiveStartsMaintainer: the retention policy alone must start
-// the background maintainer — expiry sweeps need no AutoCompact opt-in.
-func TestRetainLiveStartsMaintainer(t *testing.T) {
-	eng, err := core.Open(core.Options{
-		VFS:       storage.NewMemFS(),
-		Catalog:   core.NewMemCatalog(),
-		Retention: core.RetainLive,
-	})
-	if err != nil {
+// TestRetainLiveExpiresAtTheCheckpoint: retention is a rule of the
+// commit, not a pass. RetainLive starts no maintainer, and a checkpoint
+// after a snapshot deletion drops the run it freed in its own install —
+// one manifest rename, with no Expire call — and the run's removal is
+// attributed to expiry, not to the checkpoint.
+func TestRetainLiveExpiresAtTheCheckpoint(t *testing.T) {
+	fs := storage.NewMemFS()
+	eng, cat := sealedEnv(t, fs)
+	defer eng.Close()
+	if eng.MaintenanceStats().Enabled {
+		t.Fatal("RetainLive without AutoCompact started a maintainer")
+	}
+	doomed := sealedRuns(eng)[0]
+	if err := cat.DeleteSnapshot(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
-	if !eng.MaintenanceStats().Enabled {
-		t.Fatal("RetainLive without AutoCompact left the maintainer off")
+	before, io := fs.Stats(), eng.IOReport().Sources
+	fCheckpoint(t, eng, 5)
+	if d := fs.Stats().Sub(before); d.Renames != 1 {
+		t.Fatalf("the checkpoint made %d manifest renames, want 1", d.Renames)
+	}
+	after := eng.IOReport().Sources
+	if n := after[storage.SrcExpiry].Removes - io[storage.SrcExpiry].Removes; n != 1 {
+		t.Fatalf("expiry removed %d files, want run A's", n)
+	}
+	if n := after[storage.SrcCheckpoint].Removes - io[storage.SrcCheckpoint].Removes; n != 0 {
+		t.Fatalf("the checkpoint removed %d files, want 0: an expired run is expiry's", n)
+	}
+	left := sealedRuns(eng)
+	if len(left) != 1 || left[0].Name == doomed.Name {
+		t.Fatalf("sealed runs after the checkpoint: %+v, want run B alone", left)
+	}
+	if st := eng.Stats(); st.Expiries != 1 || st.RunsExpired != 1 || st.RecordsExpired != 1 {
+		t.Fatalf("expiry counters after the checkpoint: %+v", st)
+	}
+	if owners := fQuery(t, eng, 1); len(owners) != 0 {
+		t.Fatalf("expired block 1 still answers: %+v", owners)
 	}
 }
 
-// TestCompactPartitionIsTieredUnderRetainLive: the single-partition entry
-// point must merge the way Compact does. Under RetainLive that means
-// sealed runs are left where they are — re-merging them would fold their
-// windows into one that ends at the newest record, which the reclaim
-// horizon never passes — so a following Expire can still drop them.
-func TestCompactPartitionIsTieredUnderRetainLive(t *testing.T) {
+// TestCompactIsTieredUnderRetainLive: under RetainLive, Compact leaves
+// sealed runs where they are — re-merging them would fold their windows
+// into one that ends at the newest record, which the reclaim horizon never
+// passes — so a following Expire can still drop them.
+func TestCompactIsTieredUnderRetainLive(t *testing.T) {
 	cat := core.NewMemCatalog()
 	eng, err := core.Open(core.Options{VFS: storage.NewMemFS(), Catalog: cat, Retention: core.RetainLive})
 	if err != nil {
@@ -465,15 +507,15 @@ func TestCompactPartitionIsTieredUnderRetainLive(t *testing.T) {
 		fCheckpoint(t, eng, cp)
 	}
 	before := eng.Stats().Compactions
-	if err := eng.CompactPartition(0); err != nil {
+	if err := eng.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	if eng.Stats().Compactions != before+1 {
-		t.Fatal("CompactPartition merged nothing")
+		t.Fatal("Compact merged nothing")
 	}
 	after := sealedRuns(eng)
 	if len(after) != 2 || after[0].Name != sealed[0].Name || after[1].Name != sealed[1].Name {
-		t.Fatalf("CompactPartition rewrote sealed runs\n before: %+v\n after:  %+v", sealed, after)
+		t.Fatalf("Compact rewrote sealed runs\n before: %+v\n after:  %+v", sealed, after)
 	}
 
 	for _, cp := range []uint64{1, 3} {
@@ -481,13 +523,12 @@ func TestCompactPartitionIsTieredUnderRetainLive(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := eng.Expire(); err != nil {
+	est, err := eng.Expire()
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Counted from Stats, not from this call's result: the background
-	// expiry sweep RetainLive runs may have got there first.
-	if n := eng.Stats().RunsExpired; n != 2 {
-		t.Fatalf("RunsExpired = %d, want both sealed runs dropped", n)
+	if est.RunsDropped != 2 || est.Horizon != core.Infinity {
+		t.Fatalf("Expire = %+v, want both sealed runs dropped below an Infinity horizon", est)
 	}
 	if left := sealedRuns(eng); len(left) != 0 {
 		t.Fatalf("sealed runs survive expiry: %+v", left)

@@ -6,18 +6,10 @@ import "github.com/backlogfs/backlog/internal/lsm"
 // external tests of what written-through pages do when a commit fails.
 func (e *Engine) CacheBytes() int64 { return e.cache.SizeBytes() }
 
-// CompactTiered is Compact in CP-tiered mode on an engine of any retention
-// policy: expire_test.go and policy_test.go seal runs on RetainAll engines
-// with it.
-func (e *Engine) CompactTiered() error { return e.compactAll(true) }
-
-// CompactJob runs one merge job, in CP-tiered mode if tiered, as the
-// maintainer does under RetainLive, on an engine of any retention policy:
-// mergefile_test.go lays out a tiered stepped merge's files with it, and
-// compact_test.go executes a job planned before a checkpoint.
-func (e *Engine) CompactJob(job CompactionJob, tiered bool) (bool, error) {
-	return e.compactJob(job, tiered)
-}
+// CompactJob runs one merge job as the maintainer does, CP-tiered under
+// RetainLive: mergefile_test.go lays out a tiered stepped merge's files
+// with it, and compact_test.go executes a job planned before a checkpoint.
+func (e *Engine) CompactJob(job CompactionJob) (bool, error) { return e.compactJob(job) }
 
 // PolicyFullAt is PolicyFull's plan at another trigger threshold, for the
 // tests that want a partition merged before its FullThreshold-th run, the

@@ -58,8 +58,8 @@ func (p *recordingPolicy) Plan(v *lsm.View, ctx core.PlanContext) []core.Compact
 // one would rewrite records expiry could reclaim for free (and the merge
 // output's wider CP window would then pin the survivors). The recording
 // policy audits every plan the engine makes, including one taken after
-// the horizon moved while no expiry sweep can run, when droppable runs are
-// provably still in the view.
+// the horizon moved and before any commit, when droppable runs are still
+// in the view.
 func TestLeveledRetainLiveNeverPlansExpiredRuns(t *testing.T) {
 	rec := &recordingPolicy{inner: core.PolicyLeveled{}}
 	env := newFreezeEnv(t, core.Options{
@@ -101,30 +101,20 @@ func TestLeveledRetainLiveNeverPlansExpiredRuns(t *testing.T) {
 		t.Fatalf("no sealed run after two epochs: %+v", eng.RunInfos())
 	}
 
-	// RetainLive kicks a background expiry sweep after every checkpoint,
-	// and nothing tells the test when the last one has run. Expiry defers
-	// while a checkpoint flush is in flight, so hold one there: a sweep
-	// either finished before the freeze, when the horizon had not moved,
-	// or finds the flush and drops nothing.
+	// Move the horizon past everything sealed so far: a fresh snapshot
+	// sits above the sealed windows, all older ones go. Nothing commits
+	// until the next checkpoint, so the droppable runs are still live in
+	// the manifest.
 	cp++
 	if err := cat.CreateSnapshot(0, cp); err != nil {
 		t.Fatal(err)
 	}
-	eng.AddRef(fref(9, 9, 0, 0), cp)
-	gate := gateRunCreates(env.fs)
-	flushed := make(chan error, 1)
-	go func() { flushed <- eng.Checkpoint(cp) }()
-	<-gate.entered
-
-	// Move the horizon past everything sealed so far: the fresh snapshot
-	// sits above the sealed windows, all older ones go. The droppable runs
-	// are still live in the manifest.
 	for _, id := range []uint64{1, 3} {
 		if err := cat.DeleteSnapshot(0, id); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// MaintenanceStats plans (without expiring) to report PendingJobs:
+	// MaintenanceStats plans (without committing) to report PendingJobs:
 	// this plan must see the droppable run and must not touch it.
 	if n := eng.MaintenanceStats().PendingJobs; n != 0 {
 		t.Fatalf("planned %d jobs over expiry-ready runs, want 0", n)
@@ -138,18 +128,15 @@ func TestLeveledRetainLiveNeverPlansExpiredRuns(t *testing.T) {
 	if !saw {
 		t.Fatal("no plan ever saw a droppable run; the exclusion was not exercised")
 	}
-	close(gate.release)
-	if err := <-flushed; err != nil {
-		t.Fatal(err)
-	}
 
-	// The sweep that checkpoint kicked or the one this pass opens with,
-	// whichever runs first, reclaims the runs by manifest edit.
-	if err := eng.MaintainNow(); err != nil {
-		t.Fatal(err)
-	}
+	// The checkpoint's install reclaims the runs by manifest edit.
+	eng.AddRef(fref(9, 9, 0, 0), cp)
+	fCheckpoint(t, eng, cp)
 	if st := eng.Stats(); st.RunsExpired == 0 {
 		t.Fatalf("expiry reclaimed nothing: %+v", st)
+	}
+	if err := eng.MaintainNow(); err != nil {
+		t.Fatal(err)
 	}
 	rec.mu.Lock()
 	defer rec.mu.Unlock()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"time"
 
 	"github.com/backlogfs/backlog/internal/lsm"
@@ -19,7 +18,8 @@ const maintainPace = 2 * time.Millisecond
 // MaintenanceStats reports the background maintenance scheduler's
 // activity and the current state of the signals it watches.
 type MaintenanceStats struct {
-	// Enabled reports whether the engine runs a background maintainer.
+	// Enabled reports whether the engine runs a background maintainer,
+	// which it does exactly when Options.AutoCompact is set.
 	Enabled bool
 	// Policy names the active compaction policy ("full" or "leveled").
 	Policy string
@@ -36,7 +36,8 @@ type MaintenanceStats struct {
 	// maintainer re-plans after its round. A checkpoint landing mid-merge
 	// is not a conflict.
 	Conflicts uint64
-	// Errors counts background compaction passes abandoned on error.
+	// Errors counts maintenance passes (background or MaintainNow)
+	// abandoned on error.
 	Errors uint64
 	// MaxRuns is the current worst per-partition run count.
 	MaxRuns int
@@ -48,8 +49,8 @@ type MaintenanceStats struct {
 }
 
 // maintainer is the background maintenance scheduler: a single goroutine
-// that, whenever kicked (after every checkpoint), executes the jobs the
-// configured CompactionPolicy plans until the plan drains. Because
+// that, whenever kicked (after every checkpoint), runs one maintenance
+// pass (see maintainPass). Because
 // compaction merges against a pinned view outside the structural lock,
 // the maintainer's work does not stall updates or queries — it replaces
 // the stop-the-world full-pass maintenance the paper's prototype
@@ -98,49 +99,37 @@ func (m *maintainer) loop() {
 			return
 		case <-m.kick:
 		}
-		m.e.maintainPass(m.stop, m.e.opts.AutoCompact)
+		m.e.maintainPass(m.stop)
 	}
 }
 
-// MaintainNow runs one synchronous maintenance pass on the caller's
-// goroutine: an expiry sweep under RetainLive, then the compactions the
-// configured policy plans, re-planning until the plan drains, then a
-// final expiry sweep. It is the deterministic counterpart of the
-// background maintainer for tests and experiments, and runs regardless
-// of Options.AutoCompact.
+// MaintainNow runs one maintenance pass on the caller's goroutine, the
+// pass the background maintainer runs after every checkpoint. It is the
+// deterministic counterpart of the maintainer for tests and experiments,
+// and runs regardless of Options.AutoCompact.
 func (e *Engine) MaintainNow() error {
-	return e.maintainPass(nil, true)
+	return e.maintainPass(nil)
 }
 
-// maintainPass is one maintenance pass. Under RetainLive it starts with
-// an expiry sweep — the cheapest reclamation available, a pure manifest
-// edit — and, when it compacted anything, ends with another, since the
-// merges may have sealed windows the horizon has already passed. A nil
+// maintainPass is one maintenance pass: it reaps zombie snapshots, runs
+// the compactions the configured policy plans, re-planning until the plan
+// drains, and commits now (see commitNow) — a catalog change no merge
+// carried and, under RetainLive, the runs the merges left droppable. A nil
 // stop channel marks the synchronous caller: the pass is never aborted
-// and never paces between merges.
-func (e *Engine) maintainPass(stop <-chan struct{}, compact bool) error {
-	var errs []error
-	tiered := e.expiryEnabled()
-	if tiered {
-		if _, err := e.Expire(); err != nil {
-			e.stats.maintErrors.Add(1)
-			errs = append(errs, err)
-		}
+// and never paces between merges; an aborted pass leaves its commit to
+// Close.
+func (e *Engine) maintainPass(stop <-chan struct{}) error {
+	e.catalog.ReapZombies()
+	aborted, err := e.drainCompactions(stop)
+	if err != nil || aborted {
+		// Abandon the pass; the next checkpoint kicks a retry.
+		return err
 	}
-	if compact {
-		aborted, err := e.drainCompactions(stop)
-		if err != nil {
-			// Abandon the pass; the next checkpoint kicks a retry.
-			return errors.Join(append(errs, err)...)
-		}
-		if tiered && !aborted {
-			if _, err := e.Expire(); err != nil {
-				e.stats.maintErrors.Add(1)
-				errs = append(errs, err)
-			}
-		}
+	if _, err := e.commitNow(); err != nil {
+		e.stats.maintErrors.Add(1)
+		return err
 	}
-	return errors.Join(errs...)
+	return nil
 }
 
 // drainCompactions executes policy-planned jobs until the plan is empty
@@ -152,7 +141,6 @@ func (e *Engine) maintainPass(stop <-chan struct{}, compact bool) error {
 // shrinks the total run count, so the loop terminates.
 func (e *Engine) drainCompactions(stop <-chan struct{}) (aborted bool, err error) {
 	pol := e.policy()
-	tiered := e.expiryEnabled()
 	for {
 		jobs := e.planJobs(pol.Plan)
 		if len(jobs) == 0 {
@@ -165,7 +153,7 @@ func (e *Engine) drainCompactions(stop <-chan struct{}) (aborted bool, err error
 				return true, nil
 			default:
 			}
-			installed, err := e.compactJob(job, tiered)
+			installed, err := e.compactJob(job)
 			if err != nil {
 				e.stats.maintErrors.Add(1)
 				return false, err

@@ -151,3 +151,55 @@ func TestCompactContinuesPastPartitionErrors(t *testing.T) {
 		t.Fatalf("Compactions = %d after no-op pass, want 4", got)
 	}
 }
+
+// TestMaintainerReapsZombies: a background maintenance pass reaps zombie
+// snapshots before it merges. Snapshot 1 has a clone, so deleting it leaves
+// a zombie, and a sealed run holds its window [1, 2]. Once the clone line
+// is deleted too, only the zombie pins the reclaim horizon, until something
+// reaps it: the pass the next checkpoint kicks must, and the commit of the
+// merge it runs then drops the run.
+func TestMaintainerReapsZombies(t *testing.T) {
+	cat := core.NewMemCatalog()
+	eng, err := core.Open(core.Options{VFS: storage.NewMemFS(), Catalog: cat, AutoCompact: true,
+		Retention: core.RetainLive, CompactionPolicy: core.PolicyFullAt{Threshold: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if err := cat.CreateSnapshot(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	eng.AddRef(fref(1, 1, 0, 0), 1)
+	eng.AddRef(fref(2, 2, 0, 0), 1) // lives throughout
+	fCheckpoint(t, eng, 1)
+	if err := cat.CreateClone(1, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	eng.RemoveRef(fref(1, 1, 0, 0), 2)
+	fCheckpoint(t, eng, 2)
+	waitMaintained(t, eng)
+	if sealed := sealedRuns(eng); len(sealed) != 1 || sealed[0].MinCP != 1 || sealed[0].MaxCP != 2 {
+		t.Fatalf("fixture: sealed runs %+v, want one over [1, 2]", sealed)
+	}
+
+	if err := cat.DeleteSnapshot(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.DeleteLine(1); err != nil {
+		t.Fatal(err)
+	}
+	eng.AddRef(fref(3, 3, 0, 0), 3)
+	fCheckpoint(t, eng, 3)
+	waitMaintained(t, eng)
+	if left := sealedRuns(eng); len(left) != 0 {
+		t.Fatalf("sealed runs after the maintenance pass: %+v, want the zombie's run dropped", left)
+	}
+	if st := eng.Stats(); st.RunsExpired != 1 {
+		t.Fatalf("RunsExpired = %d, want 1", st.RunsExpired)
+	}
+	for _, block := range []uint64{2, 3} {
+		if owners := fQuery(t, eng, block); len(owners) != 1 || !owners[0].Live {
+			t.Fatalf("live block %d: %+v", block, owners)
+		}
+	}
+}

@@ -59,7 +59,7 @@ func TestUntieredMergeWritesOneFile(t *testing.T) {
 // removes its file and no other.
 func TestTieredMergeKeepsSealedCombinedApart(t *testing.T) {
 	fs, cat := storage.NewMemFS(), core.NewMemCatalog()
-	eng, err := core.Open(core.Options{VFS: fs, Catalog: cat})
+	eng, err := core.Open(core.Options{VFS: fs, Catalog: cat, Retention: core.RetainLive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestTieredMergeKeepsSealedCombinedApart(t *testing.T) {
 		return core.CompactionJob{OutputLevel: 1, From: low(core.TableFrom), To: low(core.TableTo), Combined: low(core.TableCombined)}
 	}
 	merge := func() error {
-		ok, err := eng.CompactJob(level0(), true)
+		ok, err := eng.CompactJob(level0())
 		if err == nil && !ok {
 			err = errors.New("the merge installed nothing")
 		}
@@ -162,7 +162,7 @@ func TestTieredMergeKeepsSealedCombinedApart(t *testing.T) {
 // empty, creates no file: From and Combined, two files.
 func TestTieredWholeMergeWithoutOverridesWritesTwoFiles(t *testing.T) {
 	cat := core.NewMemCatalog()
-	eng, err := core.Open(core.Options{VFS: storage.NewMemFS(), Catalog: cat})
+	eng, err := core.Open(core.Options{VFS: storage.NewMemFS(), Catalog: cat, Retention: core.RetainLive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestTieredWholeMergeWithoutOverridesWritesTwoFiles(t *testing.T) {
 	fCheckpoint(t, eng, 1)
 	eng.RemoveRef(fref(1, 1, 0, 0), 2)
 	fCheckpoint(t, eng, 2)
-	if creates, syncs := mergeIO(t, eng, eng.CompactTiered); creates != 2 || syncs != 2 {
+	if creates, syncs := mergeIO(t, eng, eng.Compact); creates != 2 || syncs != 2 {
 		t.Fatalf("the merge created %d files and synced %d times, want 2 and 2", creates, syncs)
 	}
 	var tables []string

@@ -125,7 +125,7 @@ func newEngineObs(opts Options) *engineObs {
 	o.cpInstall = r.Histogram("backlog_checkpoint_install_ns",
 		"Checkpoint validate-and-install phase (exclusive structural lock held)", "ns", lat)
 	o.compact = r.Histogram("backlog_compaction_ns", "Duration of one partition compaction", "ns", lat)
-	o.expire = r.Histogram("backlog_expire_ns", "Duration of one expiry pass", "ns", lat)
+	o.expire = r.Histogram("backlog_expire_ns", "Duration of one Expire call: reap zombies, then commit the catalog and the runs no snapshot reaches", "ns", lat)
 	o.pageDecode = r.Histogram("backlog_page_decode_ns",
 		"Latency of the pass that validates one compressed leaf page read from storage and builds its restart table: the first record, and every 32nd one encoded against it (page-cache misses only)", "ns", lat)
 	o.walAppend = r.Histogram("backlog_wal_append_ns",

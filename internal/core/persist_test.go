@@ -9,8 +9,8 @@ import (
 )
 
 // TestCatalogRidesTheManifest: every manifest commit carries the catalog as
-// it is at that moment, a reopen finds it, and PersistCatalog writes only
-// when no commit has carried the last change; a commit carries the bytes
+// it is at that moment, a reopen finds it, and Expire writes only when no
+// commit has carried the last change; a commit carries the bytes
 // the topology was published with, so the catalog is serialized again only
 // after it changed. Close commits a change no commit has carried, and a
 // crash of an engine nobody closed loses it. No catalog file exists.
@@ -35,6 +35,7 @@ func TestCatalogRidesTheManifest(t *testing.T) {
 	}
 
 	eng, cat := open()
+	expire := func() error { _, err := eng.Expire(); return err }
 	eng.AddRef(Ref{Block: 1, Inode: 2, Length: 1}, 1)
 	if err := cat.CreateSnapshot(0, 1); err != nil {
 		t.Fatal(err)
@@ -42,8 +43,8 @@ func TestCatalogRidesTheManifest(t *testing.T) {
 	if d := wrote("Checkpoint", func() error { return eng.Checkpoint(1) }); d.Syncs != 2 || d.Renames != 1 {
 		t.Fatalf("a checkpoint of one run after a catalog change: %+v, want one run fsync, one manifest fsync, one rename", d)
 	}
-	if d := wrote("PersistCatalog after the checkpoint", eng.PersistCatalog); d.BytesWritten != 0 || d.FilesCreated != 0 {
-		t.Fatalf("PersistCatalog wrote a catalog the checkpoint had carried: %+v", d)
+	if d := wrote("Expire after the checkpoint", expire); d.BytesWritten != 0 || d.FilesCreated != 0 {
+		t.Fatalf("Expire wrote a catalog the checkpoint had carried: %+v", d)
 	}
 	topo := cat.Topology()
 	eng.AddRef(Ref{Block: 2, Inode: 2, Length: 1}, 2)
@@ -57,8 +58,8 @@ func TestCatalogRidesTheManifest(t *testing.T) {
 	if err := cat.CreateSnapshot(0, 2); err != nil {
 		t.Fatal(err)
 	}
-	if d := wrote("PersistCatalog after a change", eng.PersistCatalog); d.Syncs != 1 || d.Renames != 1 || d.FilesCreated != 1 {
-		t.Fatalf("PersistCatalog after a change: %+v, want one manifest commit", d)
+	if d := wrote("Expire after a change", expire); d.Syncs != 1 || d.Renames != 1 || d.FilesCreated != 1 {
+		t.Fatalf("Expire after a change: %+v, want one manifest commit", d)
 	}
 	if err := cat.DeleteSnapshot(0, 1); err != nil {
 		t.Fatal(err)

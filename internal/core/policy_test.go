@@ -362,7 +362,7 @@ func TestPolicyLeveledFoldSkipsDroppableRuns(t *testing.T) {
 	defer env.eng.Close()
 	env.eng.AddRef(ref(5, 5, 0, 0), 5)
 	mustCheckpoint(t, env.eng, 5)
-	if err := env.eng.CompactTiered(); err != nil {
+	if err := env.eng.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	for cp := uint64(6); cp <= 7; cp++ {
@@ -412,12 +412,13 @@ func TestPolicyLeveledJobOrdering(t *testing.T) {
 }
 
 // sealedPair builds two sealed level-1 Combined runs in partition 0 with
-// CP windows [1,2] and [3,4] (the expire_test sealedEnv shape): each
-// epoch adds a reference, checkpoints, removes it, checkpoints, and runs
-// a tiered compaction that pairs the two records into a sealed run.
+// CP windows [1,2] and [3,4] (the expire_test sealedEnv shape) on a
+// RetainLive engine: each epoch adds a reference, checkpoints, removes it,
+// checkpoints, and compacts, which under RetainLive is tiered and pairs the
+// two records into a sealed run.
 func sealedPair(t *testing.T) *testEnv {
 	t.Helper()
-	env := newTestEnv(t, Options{})
+	env := newTestEnv(t, Options{Retention: RetainLive})
 	epoch := func(cp, block uint64) {
 		// A snapshot at cp retains the [cp, cp+1) interval; without it the
 		// tiered merge would purge the pair instead of sealing it.
@@ -428,7 +429,7 @@ func sealedPair(t *testing.T) *testEnv {
 		mustCheckpoint(t, env.eng, cp)
 		env.eng.RemoveRef(ref(block, block, 0, 0), cp+1)
 		mustCheckpoint(t, env.eng, cp+1)
-		if err := env.eng.CompactTiered(); err != nil {
+		if err := env.eng.Compact(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -133,7 +133,7 @@ func TestRelocateReadFailureLeavesStateAndLogUntouched(t *testing.T) {
 func TestDirtyVectorPersistedByTheCheckpointThatFrozeIt(t *testing.T) {
 	fs := storage.NewMemFS()
 	cat := core.NewMemCatalog()
-	opts := core.Options{VFS: fs, Catalog: cat, WriteShards: 1}
+	opts := core.Options{VFS: fs, Catalog: cat, WriteShards: 1, Retention: core.RetainLive}
 	eng, err := core.Open(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -22,7 +22,6 @@ package core_test
 import (
 	"bytes"
 	"cmp"
-	"errors"
 	"flag"
 	"fmt"
 	"maps"
@@ -396,9 +395,9 @@ const (
 	opDeleteLine                   // line a
 	opReap
 	opCheckpoint
-	opCompact  // Compact, then PersistCatalog
-	opMaintain // MaintainNow, then PersistCatalog
-	opExpire   // Expire, then PersistCatalog
+	opCompact  // Compact, which commits the catalog
+	opMaintain // MaintainNow, which commits the catalog
+	opExpire   // Expire, which commits the catalog
 	opReopen   // Close (which commits the catalog), then Open
 	// opCrash with a = 0 is the power failing now. With a = k > 0 it fails at
 	// the k-th mutating call of the next op: that call and every later one
@@ -521,8 +520,8 @@ type smDriver struct {
 	pending []smOp
 	acked   int
 	// commits are what the manifest may hold: the last commit known to have
-	// landed, then each state since that a dying op or the background
-	// maintainer may have committed.
+	// landed, then the state a dying op may have committed. Nothing commits
+	// in the background: the driver starts no maintainer.
 	commits []smCommit
 
 	kill   smOp      // an armed opCrash, for the next op
@@ -596,16 +595,6 @@ func (d *smDriver) committed() {
 	if !d.dying {
 		d.commits = []smCommit{d.commit()}
 	}
-}
-
-// changed records a catalog change the engine took without error. Under
-// RetainLive the background maintainer's expiry pass, which runs after every
-// checkpoint and Open, may commit it at any moment.
-func (d *smDriver) changed(err error) error {
-	if err == nil && d.cfg.retainLive {
-		d.commits = append(d.commits, d.commit())
-	}
-	return err
 }
 
 // manifest returns MANIFEST's bytes, nil before the first commit.
@@ -727,28 +716,28 @@ func (d *smDriver) apply(op smOp) error {
 			return nil
 		}
 		m.snapshot(op.a, d.tag)
-		return d.changed(d.cat.CreateSnapshot(op.a, d.tag))
+		return d.cat.CreateSnapshot(op.a, d.tag)
 	case opDeleteSnapshot:
 		if l := m.lines[op.a]; l == nil || !l.snaps[op.b] {
 			return nil
 		}
 		delete(m.lines[op.a].snaps, op.b)
-		return d.changed(d.cat.DeleteSnapshot(op.a, op.b))
+		return d.cat.DeleteSnapshot(op.a, op.b)
 	case opClone:
 		if p := m.lines[op.b]; p == nil || !p.snaps[op.c] || m.lines[op.a] != nil {
 			return nil
 		}
 		m.clone(op.a, op.b, op.c)
-		return d.changed(d.cat.CreateClone(op.a, op.b, op.c))
+		return d.cat.CreateClone(op.a, op.b, op.c)
 	case opDeleteLine:
 		if l := m.lines[op.a]; op.a == 0 || l == nil || !l.live {
 			return nil
 		}
 		m.lines[op.a].live = false
-		return d.changed(d.cat.DeleteLine(op.a))
+		return d.cat.DeleteLine(op.a)
 	case opReap:
 		d.cat.ReapZombies() // drops only lines no answer can reach
-		return d.changed(nil)
+		return nil
 	case opCheckpoint:
 		if d.dying {
 			d.undo = &smDriver{tag: d.tag, base: d.base, pending: d.pending, acked: d.acked}
@@ -769,7 +758,7 @@ func (d *smDriver) apply(op smOp) error {
 		default:
 			_, err = d.eng.Expire()
 		}
-		if err := d.alive(errors.Join(err, d.eng.PersistCatalog())); err != nil {
+		if err := d.alive(err); err != nil {
 			return err
 		}
 		d.committed()
@@ -1581,7 +1570,7 @@ var hammerRows = []hammerRow{
 					t.Fatal(err)
 				}
 			}
-			if err := h.eng.CompactTiered(); err != nil {
+			if err := h.eng.Compact(); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := h.eng.Expire(); err != nil {

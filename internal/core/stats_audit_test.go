@@ -116,12 +116,14 @@ func TestStatsExactlyOnceMaintenance(t *testing.T) {
 // mode, so the log's rows exist.
 func TestRegistryMirrorsStats(t *testing.T) {
 	reg := obs.NewRegistry()
-	env := newTestEnv(t, Options{Metrics: reg, MetricsSampleEvery: 1, Durability: wal.Sync, CompactionPolicy: PolicyFullAt{Threshold: 2}})
+	env := newTestEnv(t, Options{Metrics: reg, MetricsSampleEvery: 1, Durability: wal.Sync, CompactionPolicy: PolicyFullAt{Threshold: 2},
+		Retention: RetainLive})
 	defer env.eng.Close()
 	e, cat := env.eng, env.cat
 
 	// Two epochs, each retained by a snapshot of its own and sealed by a
-	// tiered merge into a Combined run of its own, as in sealedEnv.
+	// merge, tiered under RetainLive, into a Combined run of its own, as in
+	// sealedEnv.
 	for _, cp := range []uint64{1, 3} {
 		if err := cat.CreateSnapshot(0, cp); err != nil {
 			t.Fatal(err)
@@ -141,12 +143,13 @@ func TestRegistryMirrorsStats(t *testing.T) {
 		if err := e.Checkpoint(cp + 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.CompactTiered(); err != nil {
+		if err := e.Compact(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Deleting the first snapshot leaves its epoch's run to expiry, the
-	// second's records to a merge's purge.
+	// Deleting the first snapshot leaves its epoch's run to Expire, the
+	// second's to the next checkpoint's commit; a reference of the second
+	// epoch that ends after both deletions is left to a merge's purge.
 	if err := cat.DeleteSnapshot(0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -156,6 +159,7 @@ func TestRegistryMirrorsStats(t *testing.T) {
 	if err := cat.DeleteSnapshot(0, 3); err != nil {
 		t.Fatal(err)
 	}
+	e.RemoveRef(ref(8, 3, 8, 0), 5)
 	if err := e.RelocateBlock(15, 100); err != nil {
 		t.Fatal(err)
 	}

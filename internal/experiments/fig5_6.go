@@ -67,7 +67,6 @@ func RunFig5(cfg Fig5Config) (*Fig5Result, error) {
 		res.TotalOps += ops
 
 		if cfg.MaintenanceEvery > 0 && i%cfg.MaintenanceEvery == 0 {
-			env.Cat.ReapZombies()
 			if err := env.Eng.Compact(); err != nil {
 				return nil, err
 			}

@@ -73,7 +73,6 @@ func RunFig7(cfg Fig7Config) (*Fig7Result, error) {
 		}
 		cpuNs, diskNs, io := m.stop()
 		if cfg.MaintenanceEveryHours > 0 && (h+1)%cfg.MaintenanceEveryHours == 0 {
-			env.Cat.ReapZombies()
 			if err := env.Eng.Compact(); err != nil {
 				return nil, err
 			}

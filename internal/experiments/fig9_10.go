@@ -72,7 +72,6 @@ func buildQueryDB(cfg Fig9Config, staleness int) (*Env, []uint64, error) {
 			return nil, nil, err
 		}
 		if i == compactAt {
-			env.Cat.ReapZombies()
 			if err := env.Eng.Compact(); err != nil {
 				return nil, nil, err
 			}
@@ -218,7 +217,6 @@ func RunFig10(cfg Fig10Config) (*Fig10Result, error) {
 				QueriesPerSec: qp.QueriesPerSec, ReadsPerQuery: qp.ReadsPerQuery,
 			})
 		}
-		env.Cat.ReapZombies()
 		if err := env.Eng.Compact(); err != nil {
 			return nil, err
 		}

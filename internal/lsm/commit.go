@@ -21,7 +21,9 @@ type Edit struct {
 	cp    uint64
 	setCP bool
 	add   []RunRef
-	drop  map[string]map[string]bool // table -> names of the runs to drop
+	// drop maps a table to the names of the runs to drop, each to the
+	// source its removal is attributed to (SrcUnknown: the edit's own).
+	drop map[string]map[string]storage.Source
 
 	dvCollected int // deletion-vector entries the last Commit collected
 
@@ -34,7 +36,7 @@ type Edit struct {
 
 // NewEdit starts an empty edit.
 func (db *DB) NewEdit() *Edit {
-	return &Edit{db: db, drop: map[string]map[string]bool{}}
+	return &Edit{db: db, drop: map[string]map[string]storage.Source{}}
 }
 
 // SetSource records the subsystem on whose behalf the edit commits; run
@@ -58,20 +60,26 @@ func (e *Edit) AddRun(ref RunRef) *Edit {
 
 // DropRun removes a run from a table (its file is deleted after commit).
 func (e *Edit) DropRun(table, runName string) *Edit {
-	if e.drop[table] == nil {
-		e.drop[table] = map[string]bool{}
-	}
-	e.drop[table][runName] = true
+	e.dropAs(table, runName, storage.SrcUnknown)
 	return e
+}
+
+// dropAs marks a run to drop, its removal attributed to src.
+func (e *Edit) dropAs(table, runName string, src storage.Source) {
+	if e.drop[table] == nil {
+		e.drop[table] = map[string]storage.Source{}
+	}
+	e.drop[table][runName] = src
 }
 
 // DropRunsBelow marks for dropping every run of table whose CP window lies
 // entirely below cp — the drop-based expiry path: no record is read or
 // rewritten, the runs simply vanish from the manifest the Commit installs,
-// and their files are reclaimed once the last pinning view releases them.
-// Runs with unknown windows or override records are skipped. Returns the
-// number of runs and records marked. The caller must hold the structural
-// lock exclusively.
+// and their files are reclaimed once the last pinning view releases them,
+// the removal attributed to expiry whatever the edit's source. Runs with
+// unknown windows or override records are skipped, and so are runs the
+// edit already drops. Returns the number of runs and records marked. The
+// caller must hold the structural lock exclusively.
 func (e *Edit) DropRunsBelow(table string, cp uint64) (runs int, records uint64) {
 	t := e.db.tables[table]
 	if t == nil {
@@ -79,8 +87,8 @@ func (e *Edit) DropRunsBelow(table string, cp uint64) (runs int, records uint64)
 	}
 	for _, part := range t.runs {
 		for _, r := range part {
-			if r.DroppableBelow(cp) {
-				e.DropRun(table, r.name)
+			if _, dropped := e.drop[table][r.name]; !dropped && r.DroppableBelow(cp) {
+				e.dropAs(table, r.name, storage.SrcExpiry)
 				runs++
 				records += r.records
 			}
@@ -188,11 +196,14 @@ func (e *Edit) Commit() error {
 		parts := make([][]*Run, db.opts.Partitions)
 		for p, runs := range t.runs {
 			for _, r := range runs {
-				if e.drop[name][r.name] {
+				if src, ok := e.drop[name][r.name]; ok {
 					// Stamp the dropper before the version swap: the file
 					// removal may happen much later (a view release), and
 					// must be attributed to the operation that doomed it.
-					r.doomedBy = e.src
+					if src == storage.SrcUnknown {
+						src = e.src
+					}
+					r.doomedBy = src
 					droppedRuns = append(droppedRuns, r)
 					continue
 				}
