@@ -40,11 +40,13 @@
 // # Checkpoint concurrency
 //
 // Checkpoint does not stop the world. It takes the engine's structural
-// lock exclusively only for two brief in-memory critical sections: a
-// freeze that swaps every shard's write-store trees into per-shard frozen
-// slots (installing fresh, empty active trees), and an install that
-// atomically commits the finished runs and the consistency point, then
-// clears the frozen slots. That commit is also where a deletion vector
+// lock exclusively only for two brief critical sections that swap
+// pointers: a freeze that swaps every shard's write-store trees into
+// per-shard frozen slots (installing fresh, empty active trees) and cuts
+// the log, and an install that swaps the committed runs and consistency
+// point into memory and clears the frozen slots. The commit's I/O — the
+// manifest written, synced and renamed — happens before the install with
+// no structural lock held. That commit is also where a deletion vector
 // dirtied by relocations since the last checkpoint becomes durable — the
 // manifest commit that advances the consistency point persists it beside
 // the re-keyed records it flushed, and no other commit may — and where the
@@ -73,12 +75,18 @@
 //     delete from them. It runs right after the install (or, if the flush
 //     fails, after the frozen records are merged back).
 //   - A second Checkpoint and a Close likewise serialize behind the
-//     in-flight flush. Compactions run concurrently and validate their
-//     inputs before installing; the runs the checkpoint installs
-//     meanwhile land beside a merge's inputs and do not invalidate it.
+//     in-flight flush, and so does every other commit: no commit overlaps
+//     a flush. Compactions merge concurrently and validate their inputs
+//     at install, which waits for the checkpoint; the runs the checkpoint
+//     installs land beside a merge's inputs and do not invalidate it. An
+//     Expire issued during the flush waits for it, then applies
+//     retention.
 //   - In Buffered/Sync durability modes the write-ahead log is "cut" at
 //     the freeze: updates logged during the flush land past the cut, so
-//     the checkpoint's log retirement never deletes them.
+//     the checkpoint's log retirement never deletes them. The segment the
+//     cut opens is made before the freeze, so the cut itself is the log's
+//     buffered records written out and one write of a segment header and
+//     a cut mark; in DurabilitySync the mark's fsync runs beside the flush.
 //
 // The consistency point itself is unchanged from the paper's model: a
 // CP's records commit atomically with the CP number, and Checkpoint(cp)

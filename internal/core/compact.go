@@ -130,9 +130,10 @@ func viewHasRuns(v *lsm.View, table string, p int, inputs []*lsm.Run) bool {
 // planned it, runs here, once, on exactly the inputs the job names. The
 // k-way merge and run building happen against a pinned view with no
 // structural lock held, so updates, queries and checkpoints proceed during
-// the bulk of the work; the lock is taken shared only to pin the view, and
-// exclusively only to validate the inputs and atomically install the
-// manifest edit. compacted reports an installed merge. A job that installs
+// the bulk of the work; the lock is taken shared only to pin the view.
+// The install validates the inputs and commits under cpMu, waiting out a
+// flushing checkpoint, and takes the lock exclusively only for the commit's
+// swap (see commit). compacted reports an installed merge. A job that installs
 // nothing returns compacted=false and goes back to whoever planned it: it
 // is stale (an input consumed since the plan), deferred by a dirty
 // deletion vector, or in conflict (another merge or an expiry consumed an
@@ -262,9 +263,11 @@ func (e *Engine) compactJob(job CompactionJob) (compacted bool, err error) {
 	// history: its Tos pair with Froms the merge wrote out still incomplete
 	// (or purged only where the lone To reads as nothing either, see
 	// emitLeveledGroup), and it stays at or below the merge's output level
-	// (see wholeJob).
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	// (see wholeJob). cpMu, which every commit and every relocation takes,
+	// keeps the validated state still until the commit has swapped the
+	// outputs in; a checkpoint flushing now finishes first.
+	e.cpMu.Lock()
+	defer e.cpMu.Unlock()
 	for i, runs := range inputs {
 		if !v.UnchangedRuns(tables[i], p, runs) {
 			// The built runs describe a stale state.

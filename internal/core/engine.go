@@ -332,18 +332,21 @@ type writeShard struct {
 // shared only long enough to pin an immutable LSM view and snapshot the
 // write-store records of the blocks they read (active and frozen); all
 // run I/O happens against the pinned view with no lock held. Checkpoint
-// acquires it exclusively only twice and briefly: to freeze the write
-// stores, and to validate and atomically install the flushed runs — the
-// run-building I/O in between holds no structural lock, so updates tagged
-// for the next consistency point and queries proceed during the flush.
-// Compaction likewise merges against a pinned view outside the lock and
-// acquires it exclusively only to validate and install, so queries and
-// updates never stall behind a running compaction or a flushing
-// checkpoint. RelocateBlock holds it exclusively for its whole run, and
-// queues behind an in-flight checkpoint first.
+// acquires it exclusively only twice, to swap pointers: to freeze the write
+// stores and cut the log (the buffered records into the outgoing segment,
+// the mark into one made ahead: no creation, no fsync), and to swap the
+// committed runs in and drop the frozen stores. The run building in between, the cut mark's fsync, and the
+// commit's own I/O — manifest written, synced and renamed — hold no
+// structural lock, so updates tagged for the next consistency point and
+// queries proceed meanwhile. Compaction likewise merges against a pinned
+// view outside the lock and acquires it exclusively only for the swap, so
+// queries and updates never stall behind a running compaction or a
+// flushing checkpoint. RelocateBlock holds it exclusively for its whole
+// run, and queues behind an in-flight checkpoint first.
 //
-// Lock order: cpMu → mu → a shard's mu; a merge starts at mu. walErrMu and
-// lsm's viewMu and idMu are leaves: nothing is acquired under them.
+// Lock order: cpMu → mu → a shard's mu; a merge starts at mu, and takes cpMu
+// only with no other lock held, to commit. walErrMu and lsm's viewMu and
+// idMu are leaves: nothing is acquired under them.
 type Engine struct {
 	mu      sync.RWMutex
 	opts    Options
@@ -352,20 +355,21 @@ type Engine struct {
 	db      *lsm.DB
 	cache   *btree.Cache
 
-	// cpMu is the checkpoint single-flight guard: Checkpoint holds it end
-	// to end (including the lock-free flush), and RelocateBlock and Close
-	// take it too, so neither can interleave with the window in which the
-	// write stores are frozen but the runs are not yet installed. Merges
-	// never take it: a checkpoint that installs while one runs only adds
-	// runs beside its inputs (see compactJob).
+	// cpMu serializes every manifest commit and every deletion-vector
+	// mutation. Checkpoint holds it end to end (including the lock-free
+	// flush), so nothing commits and RelocateBlock cannot interleave while
+	// the write stores are frozen but the runs are not yet installed; a
+	// merge takes it only to validate and commit, and commitNow to commit.
+	// A commit holding it does its I/O with no structural lock held: the
+	// state it was built from cannot move (see commit).
 	cpMu sync.Mutex
 
 	shards []*writeShard
 
 	// wal is the write-ahead log (nil in CheckpointOnly mode). Updaters
-	// append under the shared structural lock; Checkpoint cuts it under
-	// the exclusive lock, which is what lets wal.Log.Cut assume no append
-	// is in flight.
+	// append under the shared structural lock; Checkpoint makes the next
+	// segment ahead under cpMu alone and cuts the log under the exclusive
+	// lock, which is what lets wal.Log.Cut assume no append is in flight.
 	wal *wal.Log
 	// walReplayed counts records replayed at Open.
 	walReplayed uint64
@@ -635,11 +639,11 @@ func (e *Engine) Close() error {
 	if e.maint != nil {
 		e.maint.close()
 	}
+	_, err := e.commitNow()
 	// Serialize against an in-flight checkpoint: closing the log or
 	// releasing the engine mid-flush would strand the frozen stores.
 	e.cpMu.Lock()
 	defer e.cpMu.Unlock()
-	_, err := e.commitNow()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	// e.wal stays set after Close (wal.Log rejects further appends
@@ -849,14 +853,15 @@ var ErrStaleCP = errors.New("core: checkpoint CP not newer than committed CP")
 // (Section 5.1), however many shards buffered them, a partition's runs the
 // sections of one file — and commits them together with the CP number: a
 // consistency point is one run file per partition plus the manifest. The
-// structural lock is held exclusively only twice, briefly: to freeze every
-// shard's trees (swapping in fresh active trees), and to validate and
-// atomically install the finished runs (one manifest edit). All
-// run-building I/O happens between the two with no structural lock held,
-// the three tables each merging the shards' trees into their own runs side
-// by side, so updates tagged cp+1 and queries proceed while the flush runs. cp must be greater than the last
-// committed checkpoint number. Concurrent Checkpoint calls serialize, and
-// a RelocateBlock issued during the flush runs right after it. After
+// structural lock is held exclusively only twice, to swap pointers: to
+// freeze every shard's trees (swapping in fresh active trees) and cut the
+// log, and to swap the committed runs in. All I/O happens outside it, with
+// no structural lock held — the run building, the three tables each
+// merging the shards' trees into their own runs side by side, and the
+// manifest commit — so updates tagged cp+1 and queries proceed meanwhile.
+// cp must be greater than the last committed checkpoint number. Concurrent
+// Checkpoint calls serialize, and a RelocateBlock, a merge's install or an
+// Expire issued during the flush runs right after it. After
 // Checkpoint returns, all references up to cp are durable and the frozen
 // stores are empty. On error the frozen records are merged back into the
 // write stores, each into the shard it froze in, so the caller can retry
@@ -874,15 +879,21 @@ func (e *Engine) Checkpoint(cp uint64) error {
 func (e *Engine) checkpoint(cp uint64) error {
 	e.cpMu.Lock()
 	defer e.cpMu.Unlock()
-
-	// Phase 1 — freeze: swap every shard's trees and cut the WAL so appends
-	// racing the flush land in segments that survive retirement.
-	start := time.Now()
-	e.mu.Lock()
+	// cpMu excludes every other commit: the committed CP cannot move.
 	if committed := e.db.CP(); cp <= committed {
-		e.mu.Unlock()
 		return fmt.Errorf("%w: Checkpoint(%d), committed CP is %d", ErrStaleCP, cp, committed)
 	}
+
+	// Phase 1 — freeze: swap every shard's trees and cut the WAL so appends
+	// racing the flush land in segments that survive retirement. The log's
+	// next segment is made first, with no structural lock held, so that the
+	// cut under it is two writes and no file creation or fsync. A failed
+	// prepare leaves Cut to create the segment, and to report what fails.
+	if e.wal != nil {
+		_ = e.wal.PrepareCut()
+	}
+	start := time.Now()
+	e.mu.Lock()
 	for _, s := range e.shards {
 		s.frozen, s.active = s.active, newGeneration()
 	}
@@ -910,12 +921,14 @@ func (e *Engine) checkpoint(cp uint64) error {
 	// Phase 2 — flush: build runs from the frozen trees with no
 	// structural lock held. The frozen trees are immutable for the
 	// duration, and the file set allocates file IDs through lsm's own
-	// lock, so this runs concurrently with updates, queries and optimistic
-	// compaction installs. Each table is one merged stream over every
-	// shard's frozen tree; the three tables encode side by side into one
-	// file per partition, their runs its sections in table order, writing
-	// their pages through to the cache where it has room. The set then
-	// writes and syncs each file once.
+	// lock, so this runs concurrently with updates and queries. Each table
+	// is one merged stream over every shard's frozen tree; the three tables
+	// encode side by side into one file per partition, their runs its
+	// sections in table order, writing their pages through to the cache
+	// where it has room. The set then writes and syncs each file once.
+	// Beside them, a Sync-mode log makes the cut mark durable, which the
+	// commit needs (see wal.Log.SyncCut); a failure there is the cut's, as
+	// a failed Cut is: noted, and the cut not retired.
 	start = time.Now()
 	files := e.db.NewFileSet(0, cp, storage.SrcCheckpoint, tables[:]...)
 	var counts [3]uint64
@@ -932,8 +945,19 @@ func (e *Engine) checkpoint(cp uint64) error {
 		return flushTable(e.db, files, &counts[2], TableCombined, e.shards,
 			func(gen *generation) *memtree.Tree[CombinedRec] { return gen.combined }, EncodeCombined)
 	})
+	var markErr error
+	if cut >= 0 {
+		g.Go(func() error {
+			markErr = e.wal.SyncCut()
+			return nil
+		})
+	}
 	var refs []lsm.RunRef
 	err := g.Wait()
+	if markErr != nil {
+		e.noteWALErr(markErr)
+		cut = -1
+	}
 	if err == nil {
 		// A failed Finish removes the set's files itself.
 		refs, err = files.Finish()
@@ -944,43 +968,37 @@ func (e *Engine) checkpoint(cp uint64) error {
 		e.obs.cpFlush.ObserveDuration(time.Since(start))
 	}
 
-	// Phase 3 — install: re-acquire the lock, commit every run and the CP
-	// atomically, and drop the frozen stores. Advancing the CP makes the
-	// commit persist a dirty deletion vector beside the re-keyed records this
-	// flush wrote (see lsm.Edit.Commit). A vector dirty here was dirty at the
-	// freeze with the same entries: since then relocation was excluded
-	// (cpMu), compaction and expiry defer on a dirty vector, and an optimistic
-	// merge pinned before the relocation fails its vector validation. Under
-	// RetainLive the same commit drops the runs the live topology no longer
-	// reaches, the dirty vector persisted with the drops (see commit).
-	start = time.Now()
-	e.mu.Lock()
+	// Phase 3 — install: commit every run and the CP atomically, the
+	// frozen stores dropped in the same exclusive section that swaps the
+	// runs in (see commit). Advancing the CP makes the commit persist a
+	// dirty deletion vector beside the re-keyed records this flush wrote
+	// (see lsm.Edit.Write). A vector dirty here was dirty at the freeze
+	// with the same entries: cpMu has kept relocation out since, and kept
+	// every other commit out, merges and expiry included. Under RetainLive
+	// the same commit drops the runs the live topology no longer reaches,
+	// the dirty vector persisted with the drops.
 	if err == nil {
 		edit := e.db.NewEdit().SetSource(storage.SrcCheckpoint).SetCP(cp)
 		for _, ref := range refs {
 			edit.AddRun(ref)
 		}
-		// AddRun transferred ownership of the run files: a Commit that
+		// AddRun transferred ownership of the run files: a commit that
 		// fails before its commit point removes them itself.
 		_, err = e.commit(edit, commitCheckpoint)
 	}
-	for _, s := range e.shards {
-		if err != nil {
-			// So that "on error, retry or replay" holds.
-			s.frozen.mergeInto(s.active)
-		}
-		s.frozen = nil
-	}
-	e.mu.Unlock()
 	if err != nil {
+		// So that "on error, retry or replay" holds.
+		e.mu.Lock()
+		for _, s := range e.shards {
+			s.frozen.mergeInto(s.active)
+			s.frozen = nil
+		}
+		e.mu.Unlock()
 		// The durability error taken at the freeze is in force again.
 		if prevWALErr != nil {
 			e.noteWALErr(prevWALErr)
 		}
 		return err
-	}
-	if e.obs != nil {
-		e.obs.cpInstall.ObserveDuration(time.Since(start))
 	}
 	e.stats.checkpoints.Add(1)
 	e.stats.recordsFlushed.Add(counts[0] + counts[1] + counts[2])

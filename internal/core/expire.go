@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"time"
 
 	"github.com/backlogfs/backlog/internal/lsm"
 	"github.com/backlogfs/backlog/internal/obs"
@@ -36,10 +37,10 @@ type ExpireStats struct {
 	// the same manifest commit because the only runs that could contain
 	// their records were dropped.
 	DVEntriesDropped int
-	// Deferred is set when the call ran at an unsafe moment — a checkpoint
-	// flush in flight or a dirty deletion vector whose entries are not yet
-	// crash-durable — and dropped nothing (a changed catalog is still
-	// committed). The next checkpoint's install drops the runs itself.
+	// Deferred is set when the call ran at an unsafe moment — the Combined
+	// deletion vector dirty, its entries not yet crash-durable — and
+	// dropped nothing (a changed catalog is still committed). The next
+	// checkpoint's install drops the runs itself.
 	Deferred bool
 }
 
@@ -67,12 +68,14 @@ func reclaimHorizon(topo *Topology) uint64 {
 // is released — concurrent queries and compactions keep iterating their
 // snapshots unharmed.
 //
-// Expire drops nothing (returning Deferred with no error) while a
-// checkpoint flush is in flight or the Combined table's deletion vector is
-// dirty: a dirty vector's entries are paired with not-yet-durable
-// write-store records (see RelocateBlock), and persisting a pruned copy
-// early would let a crash resurrect relocated-away records. The next
-// checkpoint's install, which persists the vector, drops the runs itself.
+// An Expire issued while a checkpoint flushes waits for that checkpoint to
+// commit, as every commit does, and then applies retention. It drops
+// nothing (returning Deferred with no error) while the Combined table's
+// deletion vector is dirty: a dirty vector's entries are paired with
+// not-yet-durable write-store records (see RelocateBlock), and persisting a
+// pruned copy early would let a crash resurrect relocated-away records. The
+// next checkpoint's install, which persists the vector, drops the runs
+// itself.
 func (e *Engine) Expire() (ExpireStats, error) {
 	if o := e.obs; o != nil {
 		start := o.opStart(obs.OpExpire, -1, 0, 0)
@@ -92,8 +95,8 @@ func (e *Engine) expire() (ExpireStats, error) {
 // Close end with: an empty edit, which writes nothing when the manifest
 // holds the catalog already and no run is droppable.
 func (e *Engine) commitNow() (ExpireStats, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.cpMu.Lock()
+	defer e.cpMu.Unlock()
 	return e.commit(e.db.NewEdit().SetSource(storage.SrcManifest), commitEmpty)
 }
 
@@ -109,16 +112,22 @@ const (
 // commit makes the engine's one manifest commit. Every commit carries the
 // live catalog (lsm.Options.Section); under RetainLive it also drops, in
 // the same rename, the Combined runs below the live topology's reclaim
-// horizon. A checkpoint's install always may: its flush is done and it
-// advances the CP, so lsm.Edit.Commit persists a dirty deletion vector
-// with the drops. Any other commit drops runs only with no flush in flight
-// and a clean Combined vector, and reports Deferred otherwise. Callers
-// hold the structural lock exclusively.
+// horizon. A checkpoint's install always may: it advances the CP, so
+// lsm.Edit.Write persists a dirty deletion vector with the drops. Any other
+// commit drops runs only with a clean Combined vector, and reports Deferred
+// otherwise.
+//
+// Callers hold cpMu, which serializes every commit and every
+// deletion-vector mutation — so no commit overlaps a checkpoint's flush,
+// and the state the edit is built from holds still while its I/O runs with
+// no structural lock held. The lock is taken exclusively only for the swap
+// (lsm.Edit.Install), which for a checkpoint also drops the frozen
+// generation; files the commit made garbage are removed after it.
 func (e *Engine) commit(edit *lsm.Edit, kind commitKind) (st ExpireStats, err error) {
 	var runs int
 	var recs uint64
 	if e.expiryEnabled() {
-		if kind == commitCheckpoint || e.shards[0].frozen == nil && !e.db.Table(TableCombined).DVDirty() {
+		if kind == commitCheckpoint || !e.db.Table(TableCombined).DVDirty() {
 			st.Horizon = reclaimHorizon(e.catalog.Topology())
 			runs, recs = edit.DropRunsBelow(TableCombined, st.Horizon)
 		} else {
@@ -128,8 +137,24 @@ func (e *Engine) commit(edit *lsm.Edit, kind commitKind) (st ExpireStats, err er
 	if kind == commitEmpty && runs == 0 && bytes.Equal(e.catalog.Topology().data, e.db.Section()) {
 		return st, nil
 	}
-	if err = edit.Commit(); err != nil || runs == 0 {
+	if err = edit.Write(); err != nil {
 		return st, err
+	}
+	start := time.Now()
+	e.mu.Lock()
+	reclaim := edit.Install()
+	if kind == commitCheckpoint {
+		for _, s := range e.shards {
+			s.frozen = nil
+		}
+	}
+	e.mu.Unlock()
+	if kind == commitCheckpoint && e.obs != nil {
+		e.obs.cpInstall.ObserveDuration(time.Since(start))
+	}
+	reclaim()
+	if runs == 0 {
+		return st, nil
 	}
 	st.RunsDropped, st.RecordsDropped, st.DVEntriesDropped = runs, recs, edit.CollectedDVEntries()
 	e.stats.expiries.Add(1)

@@ -10,6 +10,7 @@ package core_test
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"github.com/backlogfs/backlog/internal/core"
 	"github.com/backlogfs/backlog/internal/lsm"
@@ -153,11 +154,13 @@ func TestExpireDropsRunsWithoutReadingData(t *testing.T) {
 	}
 }
 
-// TestExpireDefersUntilSafe covers both deferral conditions: a checkpoint
-// holding frozen stores mid-flush, and a dirty deletion vector whose
-// re-keyed partner records are not yet durable. In both states Expire
-// must drop nothing (without error); the checkpoint that ends each state
-// drops the run in its own install.
+// TestExpireDefersUntilSafe covers the two unsafe moments for a drop. An
+// Expire issued while a checkpoint holds frozen stores mid-flush waits for
+// that checkpoint to commit — no commit overlaps a flush — and then applies
+// retention; the checkpoint's own install has dropped the run by then. A
+// dirty deletion vector, whose re-keyed partner records are not yet
+// durable, defers the drop (without error) until the checkpoint that
+// persists the vector drops the run in its install.
 func TestExpireDefersUntilSafe(t *testing.T) {
 	fs := storage.NewMemFS()
 	eng, cat := sealedEnv(t, fs)
@@ -167,26 +170,35 @@ func TestExpireDefersUntilSafe(t *testing.T) {
 	}
 
 	// Mid-flush: freeze a checkpoint on its first run file, then expire.
-	// The relocation of block 3 issued now queues behind the flush.
 	eng.AddRef(fref(9, 9, 0, 0), 5)
 	g := gateRunCreates(fs)
 	done := make(chan error, 1)
 	go func() { done <- eng.Checkpoint(5) }()
 	<-g.entered
-	relocated := relocateAsync(t, eng, 3, 700)
-	est, err := eng.Expire()
-	if err != nil {
-		t.Fatal(err)
+	type expired struct {
+		st  core.ExpireStats
+		err error
 	}
-	if !est.Deferred || est.RunsDropped != 0 {
-		t.Fatalf("expiry mid-flush = %+v, want a deferral", est)
-	}
-	if got := eng.Stats().Expiries; got != 0 {
-		t.Fatalf("a deferred Expire counted as an expiry: %d", got)
+	expiring := make(chan expired, 1)
+	go func() {
+		st, err := eng.Expire()
+		expiring <- expired{st, err}
+	}()
+	select {
+	case x := <-expiring:
+		t.Fatalf("Expire returned during the checkpoint's flush: %+v, %v", x.st, x.err)
+	case <-time.After(20 * time.Millisecond):
 	}
 	close(g.release)
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+	x := <-expiring
+	if x.err != nil {
+		t.Fatal(x.err)
+	}
+	if x.st.Deferred || x.st.Horizon == 0 || x.st.RunsDropped != 0 {
+		t.Fatalf("expiry issued mid-flush = %+v, want retention applied after the checkpoint, which left it nothing", x.st)
 	}
 	if got, st := len(sealedRuns(eng)), eng.Stats(); got != 1 || st.Expiries != 1 || st.RunsExpired != 1 {
 		t.Fatalf("after the held checkpoint: %d sealed runs, %+v; want its install to have dropped run A", got, st)
@@ -195,13 +207,13 @@ func TestExpireDefersUntilSafe(t *testing.T) {
 	// Dirty deletion vector: relocating block 3 masks its record in run B
 	// while the re-keyed copy is still volatile, and deleting snapshot v3
 	// makes run B droppable.
-	if err := <-relocated; err != nil {
+	if err := eng.RelocateBlock(3, 700); err != nil {
 		t.Fatal(err)
 	}
 	if err := cat.DeleteSnapshot(0, 3); err != nil {
 		t.Fatal(err)
 	}
-	est, err = eng.Expire()
+	est, err := eng.Expire()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -640,3 +640,82 @@ func TestRelocateRunRecordsDuringFlushCrashWindows(t *testing.T) {
 		}
 	}
 }
+
+// TestNoIOUnderTheExclusiveLock parks, in turn, the three file creations a
+// commit or a cut makes — a checkpoint's next log segment, a checkpoint
+// install's MANIFEST.tmp, a merge install's MANIFEST.tmp — and while each is
+// parked a Buffered AddRef and a Query must both return: a checkpoint holds
+// the structural lock exclusively only to swap pointers, and no commit does
+// I/O under it.
+func TestNoIOUnderTheExclusiveLock(t *testing.T) {
+	for _, c := range []struct {
+		name, file string
+		op         func(*core.Engine) error
+	}{
+		{"checkpoint-segment", "wal-", func(e *core.Engine) error { return e.Checkpoint(3) }},
+		{"checkpoint-manifest", "MANIFEST.tmp", func(e *core.Engine) error { return e.Checkpoint(3) }},
+		{"merge-manifest", "MANIFEST.tmp", func(e *core.Engine) error { return e.Compact() }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			env := newFreezeEnv(t, core.Options{Durability: wal.Buffered, Partitions: 1})
+			eng := env.eng
+			defer eng.Close()
+			for cp := uint64(1); cp <= 2; cp++ {
+				for b := uint64(1); b <= 8; b++ {
+					eng.AddRef(fref(b, cp, b, 0), cp)
+				}
+				fCheckpoint(t, eng, cp)
+			}
+			eng.AddRef(fref(50, 5, 0, 0), 3)
+
+			parked, release := make(chan struct{}), make(chan struct{})
+			var once sync.Once
+			env.fs.SetFailurePlan(storage.FailurePlan{Hook: func(call storage.Call) error {
+				if call.Op == storage.OpCreate && strings.HasPrefix(call.Name, c.file) {
+					once.Do(func() {
+						close(parked)
+						<-release
+					})
+				}
+				return nil
+			}})
+			done := make(chan error, 1)
+			go func() { done <- c.op(eng) }()
+			select {
+			case <-parked:
+			case err := <-done:
+				t.Fatalf("%s finished without creating %s*: %v", c.name, c.file, err)
+			}
+
+			served := make(chan []core.Owner, 1)
+			go func() {
+				eng.AddRef(fref(60, 6, 0, 0), 3)
+				owners, err := eng.Query(60)
+				if err != nil {
+					t.Error(err)
+				}
+				served <- owners
+			}()
+			select {
+			case owners := <-served:
+				if len(owners) != 1 || !owners[0].Live {
+					t.Errorf("query beside the parked %s*: %+v", c.file, owners)
+				}
+			case <-time.After(5 * time.Second):
+				t.Errorf("AddRef and Query did not return while %s* was parked: I/O under the exclusive lock", c.file)
+			}
+			close(release)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if t.Failed() {
+				return
+			}
+			for _, b := range []uint64{3, 50, 60} {
+				if owners := fQuery(t, eng, b); len(owners) == 0 {
+					t.Fatalf("block %d lost after the parked %s", b, c.name)
+				}
+			}
+		})
+	}
+}

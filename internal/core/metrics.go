@@ -119,11 +119,11 @@ func newEngineObs(opts Options) *engineObs {
 	o.queryRange = r.Histogram("backlog_queryrange_ns", "QueryRange latency (whole range)", "ns", lat)
 	o.relocate = r.Histogram("backlog_relocate_ns", "RelocateBlock latency", "ns", lat)
 	o.cpFreeze = r.Histogram("backlog_checkpoint_freeze_ns",
-		"Checkpoint freeze phase (exclusive structural lock held)", "ns", lat)
+		"Checkpoint freeze (exclusive structural lock held): swap in fresh write stores and cut the log, writing its buffered records and a cut mark into a segment made ahead; no file creation, no fsync", "ns", lat)
 	o.cpFlush = r.Histogram("backlog_checkpoint_flush_ns",
 		"Checkpoint run-building flush phase (no structural lock held)", "ns", lat)
 	o.cpInstall = r.Histogram("backlog_checkpoint_install_ns",
-		"Checkpoint validate-and-install phase (exclusive structural lock held)", "ns", lat)
+		"Checkpoint install (exclusive structural lock held): swap the committed runs and manifest into memory and drop the frozen write stores; the manifest was written, synced and renamed before, with no structural lock held", "ns", lat)
 	o.compact = r.Histogram("backlog_compaction_ns", "Duration of one partition compaction", "ns", lat)
 	o.expire = r.Histogram("backlog_expire_ns", "Duration of one Expire call: reap zombies, then commit the catalog and the runs no snapshot reaches", "ns", lat)
 	o.pageDecode = r.Histogram("backlog_page_decode_ns",

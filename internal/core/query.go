@@ -79,9 +79,9 @@ func (e *Engine) query(block uint64) (owners []Owner, err error) {
 //
 // The structural lock is held shared only for the pin; all run I/O — the
 // expensive part — happens against the pinned view with no lock held, so a
-// query never blocks on a running compaction or on a checkpoint's
-// run-building I/O, which take the lock exclusively only for their brief
-// in-memory freeze and validate-and-install sections.
+// query never blocks on a running compaction or on a checkpoint's I/O,
+// which take the lock exclusively only to swap pointers: the checkpoint's
+// freeze, and the swap that installs a commit.
 func (e *Engine) QueryRange(block uint64, n int, visit func(block uint64, owners []Owner) bool) error {
 	if o := e.obs; o != nil {
 		// One event and one observation for the whole range — the

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/backlogfs/backlog/internal/core"
 	"github.com/backlogfs/backlog/internal/storage"
@@ -125,11 +126,12 @@ func TestRelocateReadFailureLeavesStateAndLogUntouched(t *testing.T) {
 // TestDirtyVectorPersistedByTheCheckpointThatFrozeIt pins the invariant the
 // checkpoint install relies on when it persists a dirty deletion vector as
 // it stands: between freeze and install nothing adds to the vector or
-// clears it. A merge that pinned its view before the relocation conflicts
-// at its install, which lands inside the flush; merges and expiry passes
-// started inside the flush defer; the checkpoint then persists vector and
-// re-keyed records together, so a crash right after it finds the
-// relocation whole.
+// clears it. No commit overlaps a flush: a merge that pinned its view
+// before the relocation, and an expiry issued inside the flush, both wait
+// for the checkpoint, which persists vector and re-keyed records together;
+// then the merge conflicts, its partition's merge is planned again against
+// the clean vector and installs, and the expiry applies retention with no
+// deferral. A crash after all of it finds the relocation whole.
 func TestDirtyVectorPersistedByTheCheckpointThatFrozeIt(t *testing.T) {
 	fs := storage.NewMemFS()
 	cat := core.NewMemCatalog()
@@ -164,24 +166,30 @@ func TestDirtyVectorPersistedByTheCheckpointThatFrozeIt(t *testing.T) {
 		}
 		return nil
 	}})
-	if err := eng.Compact(); err != nil {
-		t.Fatal(err)
-	}
+	compactDone := make(chan error, 1)
+	go func() { compactDone <- eng.Compact() }()
 	if err := <-relocErr; err != nil {
 		t.Fatal(err)
 	}
-	// Compact returned while the flush is still gated.
-	if ms := eng.MaintenanceStats(); ms.Conflicts != 1 {
-		t.Fatalf("merge pinned before the relocation: %d conflicts, want 1", ms.Conflicts)
+	<-entered
+	type expired struct {
+		st  core.ExpireStats
+		err error
 	}
-	if err := eng.Compact(); err != nil {
-		t.Fatal(err)
+	expireDone := make(chan expired, 1)
+	go func() {
+		st, err := eng.Expire()
+		expireDone <- expired{st, err}
+	}()
+	select {
+	case err := <-compactDone:
+		t.Fatalf("Compact returned inside the flush window: %v", err)
+	case x := <-expireDone:
+		t.Fatalf("Expire returned inside the flush window: %+v, %v", x.st, x.err)
+	case <-time.After(20 * time.Millisecond):
 	}
 	if st := eng.Stats(); st.Compactions != 0 {
-		t.Fatalf("Compactions = %d inside the flush window, want 0 (conflict, then deferrals)", st.Compactions)
-	}
-	if est, err := eng.Expire(); err != nil || !est.Deferred {
-		t.Fatalf("expiry mid-flush = %+v, %v; want a deferral", est, err)
+		t.Fatalf("Compactions = %d inside the flush window, want 0", st.Compactions)
 	}
 	if dirty, entries := dvState(eng); !dirty || entries != 1 {
 		t.Fatalf("mid-flush vector: dirty=%v with %d entries, want dirty with 1", dirty, entries)
@@ -191,8 +199,17 @@ func TestDirtyVectorPersistedByTheCheckpointThatFrozeIt(t *testing.T) {
 	if err := <-cpDone; err != nil {
 		t.Fatal(err)
 	}
-	if dirty, entries := dvState(eng); dirty || entries != 1 {
-		t.Fatalf("after the checkpoint: dirty=%v with %d entries, want clean with 1", dirty, entries)
+	if err := <-compactDone; err != nil {
+		t.Fatal(err)
+	}
+	if x := <-expireDone; x.err != nil || x.st.Deferred {
+		t.Fatalf("expiry issued mid-flush = %+v, %v; want retention applied after the checkpoint", x.st, x.err)
+	}
+	if ms, st := eng.MaintenanceStats(), eng.Stats(); ms.Conflicts != 1 || st.Compactions != 1 {
+		t.Fatalf("merge pinned before the relocation: %d conflicts, %d compactions; want the conflict, then the re-planned merge", ms.Conflicts, st.Compactions)
+	}
+	if dirty, entries := dvState(eng); dirty || entries != 0 {
+		t.Fatalf("after the checkpoint and the merge: dirty=%v with %d entries, want clean and the merged-away entry collected", dirty, entries)
 	}
 
 	fs.Crash()
@@ -215,13 +232,6 @@ func TestDirtyVectorPersistedByTheCheckpointThatFrozeIt(t *testing.T) {
 		}
 	}
 	relocationWhole("after the crash")
-	if err := eng2.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if st := eng2.Stats(); st.Compactions != 1 {
-		t.Fatalf("Compactions = %d once the vector is clean, want 1", st.Compactions)
-	}
-	relocationWhole("after compaction")
 }
 
 // TestRelocateBackToAVacatedBlock is the defragmenter's pattern — move data

@@ -16,6 +16,12 @@ import (
 // moment (Options.Section) — an empty edit commits the section alone — and
 // that commit is the only place a table's deletion vector is pruned or
 // persisted (see Commit).
+//
+// A commit is two steps, so that its I/O need not exclude readers: Write
+// does every file operation, the manifest rename last, and Install swaps
+// the result into memory. Between an edit's Write and its Install nothing
+// else may commit or mutate a deletion vector (the engine's checkpoint
+// guard serializes both); only Install needs the structural lock.
 type Edit struct {
 	db    *DB
 	cp    uint64
@@ -26,6 +32,13 @@ type Edit struct {
 	drop map[string]map[string]storage.Source
 
 	dvCollected int // deletion-vector entries the last Commit collected
+
+	// What Write prepared and Install swaps in.
+	next        manifest
+	newRuns     map[string][][]*Run
+	droppedRuns []*Run
+	nextDV      map[string]map[string]struct{}
+	opened      []*Run
 
 	// src is the subsystem committing the edit (checkpoint, compaction,
 	// expiry); it attributes the I/O of installing added runs and of
@@ -79,7 +92,7 @@ func (e *Edit) dropAs(table, runName string, src storage.Source) {
 // the removal attributed to expiry whatever the edit's source. Runs with
 // unknown windows or override records are skipped, and so are runs the
 // edit already drops. Returns the number of runs and records marked. The
-// caller must hold the structural lock exclusively.
+// caller serializes it against every commit, as it does Write.
 func (e *Edit) DropRunsBelow(table string, cp uint64) (runs int, records uint64) {
 	t := e.db.tables[table]
 	if t == nil {
@@ -101,18 +114,34 @@ func (e *Edit) DropRunsBelow(table string, cp uint64) (runs int, records uint64)
 // Commit collected because the runs it dropped left them nothing to hide.
 func (e *Edit) CollectedDVEntries() int { return e.dvCollected }
 
-// Commit applies the edit: writes the deletion vectors it changes, writes
-// and syncs the new manifest, atomically renames it into place, updates
-// in-memory state, and finally reclaims dropped runs. A non-nil error
-// always means the edit did not commit: nothing on disk or in memory —
-// the vectors included — has changed, and the files behind added runs have
-// been removed, their written-through pages with them (AddRun transfers
+// Commit applies the edit in one call: Write, Install, then the
+// reclamation Install returns — for callers with no structural lock to
+// take around the swap. A non-nil error always means the edit did not
+// commit (see Write).
+func (e *Edit) Commit() error {
+	if err := e.Write(); err != nil {
+		return err
+	}
+	e.Install()()
+	return nil
+}
+
+// Write does the edit's I/O: writes the deletion vectors it changes, opens
+// the added runs, and writes, syncs and atomically renames the new manifest
+// into place — the commit point. It changes nothing in memory: Install,
+// which the caller must call next, does that. A non-nil error always means
+// the edit did not commit: nothing on disk or in memory — the vectors
+// included — has changed, and the files behind added runs have been
+// removed, their written-through pages with them (AddRun transfers
 // ownership, so callers never clean up after a failed Commit).
+//
+// The caller serializes Write against every other commit and every
+// deletion-vector mutation until its Install; readers may run throughout.
 //
 // A deletion vector is pruned and persisted here and nowhere else; between
 // commits DeleteRecord and UndeleteRecord only edit the in-memory map and
 // mark it dirty. The next vector is built beside the live one and swapped
-// in after the manifest rename, so there is never anything to undo.
+// in by Install, so there is never anything to undo.
 //
 //   - An edit that drops runs of a table (a merge's inputs, an expiry's
 //     windows) prunes its vector: an entry that no surviving run of its
@@ -134,19 +163,10 @@ func (e *Edit) CollectedDVEntries() int { return e.dvCollected }
 //     crash. So an edit that drops runs of a table whose vector is dirty
 //     without advancing the CP is refused; the engine defers merges and
 //     expiry until the checkpoint has run.
-//
-// Reclamation of dropped runs is deferred: a dropped run stops appearing
-// in the version the commit installs, and its file is deleted when the
-// last version referencing it is destroyed — immediately, if no View pins
-// the previous version, else when the last pinning view is released — so
-// readers iterating a pinned view never lose the files under them. Either
-// way deletion is best-effort and never reported — leftovers are orphans
-// collected by the next Open.
-func (e *Edit) Commit() error {
+func (e *Edit) Write() error {
 	db := e.db
 	// fail cleans up after a pre-commit-point error: the added runs' pages
 	// leave the cache and their files, once each, the disk.
-	var opened []*Run
 	var wroteDV []string
 	var removed []*runFile
 	fail := func(err error) error {
@@ -196,14 +216,7 @@ func (e *Edit) Commit() error {
 		parts := make([][]*Run, db.opts.Partitions)
 		for p, runs := range t.runs {
 			for _, r := range runs {
-				if src, ok := e.drop[name][r.name]; ok {
-					// Stamp the dropper before the version swap: the file
-					// removal may happen much later (a view release), and
-					// must be attributed to the operation that doomed it.
-					if src == storage.SrcUnknown {
-						src = e.src
-					}
-					r.doomedBy = src
+				if _, ok := e.drop[name][r.name]; ok {
 					droppedRuns = append(droppedRuns, r)
 					continue
 				}
@@ -246,8 +259,8 @@ func (e *Edit) Commit() error {
 		dvMeta[name] = meta
 	}
 
-	// Install added runs (opening readers now; files are already synced),
-	// with one handle per file.
+	// Open added runs (files are already synced), with one handle per file.
+	var opened []*Run
 	for _, ref := range e.add {
 		t := db.tables[ref.table]
 		if t == nil {
@@ -297,17 +310,43 @@ func (e *Edit) Commit() error {
 	if err := writeManifest(db.vfsFor(storage.SrcManifest), next); err != nil {
 		return fail(err)
 	}
+	e.next, e.newRuns, e.droppedRuns, e.nextDV, e.opened = next, newRuns, droppedRuns, nextDV, opened
+	return nil
+}
 
-	// Point of no return: swap in-memory state and install the next
-	// version. The version transition happens under viewMu so it is
-	// atomic with respect to concurrent AcquireView/Release calls.
+// Install swaps a written edit into memory: the manifest, every table's
+// runs and deletion vector, and the version new views pin. It does no I/O
+// and cannot fail; the caller holds the structural lock exclusively. The
+// returned func deletes what the edit made garbage — dropped runs' files
+// no view pins, replaced deletion-vector files — for the caller to run
+// once it has released the lock.
+//
+// Reclamation of dropped runs is deferred: a dropped run stops appearing
+// in the version Install installs, and its file is deleted when the last
+// version referencing it is destroyed — by the returned func, if no View
+// pins the previous version, else when the last pinning view is released —
+// so readers iterating a pinned view never lose the files under them.
+// Either way deletion is best-effort and never reported — leftovers are
+// orphans collected by the next Open.
+func (e *Edit) Install() (reclaim func()) {
+	db := e.db
+	// Stamp the dropper before the version swap: the file removal may
+	// happen much later (a view release), and must be attributed to the
+	// operation that doomed it.
+	for _, r := range e.droppedRuns {
+		src := e.drop[r.table.spec.Name][r.name]
+		if src == storage.SrcUnknown {
+			src = e.src
+		}
+		r.doomedBy = src
+	}
 	prev := db.m
-	db.m = next
-	db.curCP.Store(next.CP)
+	db.m = e.next
+	db.curCP.Store(e.next.CP)
 	db.viewMu.Lock()
 	for name, t := range db.tables {
-		t.runs = newRuns[name]
-		dv, ok := nextDV[name]
+		t.runs = e.newRuns[name]
+		dv, ok := e.nextDV[name]
 		if !ok {
 			// Not persisted by this edit: a dirty vector stays dirty, for
 			// the next checkpoint.
@@ -323,7 +362,7 @@ func (e *Edit) Commit() error {
 		}
 		t.dvDirty = false
 	}
-	for _, r := range opened {
+	for _, r := range e.opened {
 		r.file.runs++
 	}
 	old := db.cur
@@ -336,7 +375,7 @@ func (e *Edit) Commit() error {
 	// version some view holds: a file the manifest no longer names outlives
 	// the drop, so track it as deferred until the last pin goes.
 	var listed []string
-	for _, r := range droppedRuns {
+	for _, r := range e.droppedRuns {
 		if r.refs == 0 {
 			continue
 		}
@@ -348,22 +387,24 @@ func (e *Edit) Commit() error {
 		}
 	}
 	db.viewMu.Unlock()
-	// Reclaim outside viewMu: file removal must not stall concurrent view
-	// pins. dead holds the files of runs no version references anymore
-	// (none, if a view still pins the old version — the releasing view
-	// reclaims them then). That removeFiles swallows its errors is what
-	// makes the invariant "Commit returned an error ⟺ the edit did not
-	// commit" hold, which the engine's retry paths rely on.
-	db.removeFiles(dead)
-	// Replaced deletion-vector files are read only at Open (versions
-	// snapshot the in-memory maps, not the files), so they are deleted
-	// eagerly, attributed like the writes that superseded them.
-	for name := range nextDV {
-		if f := prev.Tables[name].DVFile; f != "" {
-			_ = db.vfsFor(storage.SrcManifest).Remove(f)
+	return func() {
+		// Outside viewMu and the caller's lock: file removal must not
+		// stall concurrent view pins or readers. dead holds the files of
+		// runs no version references anymore (none, if a view still pins
+		// the old version — the releasing view reclaims them then). That
+		// removeFiles swallows its errors is what makes the invariant
+		// "Commit returned an error ⟺ the edit did not commit" hold, which
+		// the engine's retry paths rely on.
+		db.removeFiles(dead)
+		// Replaced deletion-vector files are read only at Open (versions
+		// snapshot the in-memory maps, not the files), so they are deleted
+		// eagerly, attributed like the writes that superseded them.
+		for name := range e.nextDV {
+			if f := prev.Tables[name].DVFile; f != "" {
+				_ = db.vfsFor(storage.SrcManifest).Remove(f)
+			}
 		}
 	}
-	return nil
 }
 
 func writeManifest(vfs storage.VFS, m manifest) error {

@@ -137,9 +137,9 @@ type Options struct {
 	// nothing here.
 	DecodeObserver func(time.Duration)
 	// Section, when non-nil, supplies the opaque section — valid JSON — that
-	// every manifest carries beside the run sets. Commit calls it while it
-	// builds the next manifest, under the caller's exclusive structural
-	// lock, and stores what it returns: whatever the section serializes
+	// every manifest carries beside the run sets. Edit.Write calls it while
+	// it builds the next manifest, serialized against every other commit,
+	// and stores what it returns: whatever the section serializes
 	// becomes durable in the same rename as the edit, never before and
 	// never after. With a nil Section the manifest gets no section of this
 	// process's making (one found on disk is carried forward untouched).
@@ -490,7 +490,8 @@ func (db *DB) Table(name string) *Table { return db.tables[name] }
 func (db *DB) CP() uint64 { return db.m.CP }
 
 // Section returns the section the committed manifest carries, or nil. The
-// caller must hold the structural lock (shared suffices) and not modify it.
+// caller must hold the structural lock (shared suffices) or serialize
+// against commits, and must not modify it.
 func (db *DB) Section() []byte { return db.m.Catalog }
 
 // Partitions returns the number of partitions.

@@ -169,8 +169,8 @@ func (r *Run) LastAccessCP() uint64 { return r.lastCP.Load() }
 // open; the caller counts the run on rf (runFile.runs) when it installs it.
 // A run found in the manifest has its header read and verified through the
 // handle, whose reads are attributed to recovery; one this process just
-// built comes with its builder, whose header stands in for the read — an
-// install holds the structural lock exclusively. A run that shares its file
+// built comes with its builder, whose header stands in for the read (the
+// commit that opens it reads nothing back). A run that shares its file
 // reads through a view of its two ranges — the file's first run claims
 // every page before the filters (btree.FileWriter), where its filter comes
 // first — and its header must describe them.

@@ -211,9 +211,9 @@ func (v *View) MergedIter(table string, partition int) (RecIter, error) {
 // the snapshot — the validation every compaction performs before
 // installing its result. Runs added or dropped outside the input set do
 // not count: a checkpoint flush appending a level-0 run does not
-// invalidate a merge of older runs. The caller must hold the structural
-// lock exclusively, so the comparison cannot race with a concurrent
-// Commit.
+// invalidate a merge of older runs. The caller must serialize it, and the
+// commit that follows, against every other commit and deletion-vector
+// mutation, so the comparison cannot race with either.
 func (v *View) UnchangedRuns(table string, partition int, inputs []*Run) bool {
 	tv := v.ver.tables[table]
 	// Deletion vectors are copy-on-write with a generation counter: equal

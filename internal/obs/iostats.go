@@ -24,6 +24,7 @@ type IOStats struct {
 	// must be set (by Register) before the VFS is wrapped.
 	readHist  [storage.NumSources]*Histogram
 	writeHist [storage.NumSources]*Histogram
+	syncHist  [storage.NumSources]*Histogram
 	lat       bool
 }
 
@@ -67,6 +68,9 @@ func (s *IOStats) RecordWrite(src storage.Source, bytes int, dur time.Duration) 
 // RecordSync implements storage.IORecorder.
 func (s *IOStats) RecordSync(src storage.Source, dur time.Duration) {
 	s.srcs[src].syncs.Add(1)
+	if s.lat {
+		s.syncHist[src].ObserveDuration(dur)
+	}
 }
 
 // RecordCreate implements storage.IORecorder.
@@ -150,6 +154,7 @@ func (s *IOStats) Register(r *Registry) {
 		r.CounterFunc(name("backlog_io_files_removed_total"), "Files removed, by purpose", c.removes.Load)
 		s.readHist[i] = r.Histogram(name("backlog_io_read_ns"), "ReadAt latency, by purpose", "ns", lat)
 		s.writeHist[i] = r.Histogram(name("backlog_io_write_ns"), "WriteAt latency, by purpose", "ns", lat)
+		s.syncHist[i] = r.Histogram(name("backlog_io_sync_ns"), "File sync latency, by purpose", "ns", lat)
 	}
 	s.lat = true
 }

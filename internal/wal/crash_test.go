@@ -43,7 +43,9 @@ func newCrashRig(killAt int64, mode storage.FailurePlan) *crashRig {
 
 // logScript drives one log through appends, a rotation or two, a Cut
 // whose checkpoint never commits, a Cut that does, and a clean Close, and
-// records what the log acknowledged on the way.
+// records what the log acknowledged on the way. Each Cut comes as the
+// engine makes it: its segment made ahead by PrepareCut, and, for the
+// checkpoint that commits, its mark synced before the Retire.
 type logScript struct {
 	appended []Record // every record handed to Append, in order
 	acked    int      // appended[:acked] were acknowledged (Append returned nil)
@@ -75,20 +77,25 @@ func (s *logScript) run(vfs storage.VFS, d Durability, segBytes int64, perPhase 
 			}
 		}
 	}
+	// The first checkpoint's segment is made ahead of a whole phase, so
+	// that a rotating log opens it in a rotation, and the Cut its own.
+	_ = l.PrepareCut()
 	phase()
 	// A checkpoint freezes here and never commits: nothing is retired.
 	_, _ = l.Cut(1)
 	phase()
 	// This one commits.
+	_ = l.PrepareCut()
 	if cut, err := l.Cut(2); err == nil {
 		at := len(s.appended)
 		phase()
-		if l.Retire(cut) == nil {
+		if l.SyncCut() == nil && l.Retire(cut) == nil {
 			s.retired = append(s.retired, at)
 		} else {
-			// Retire died, perhaps part way: recovery starts at the first
-			// record of the oldest segment left that holds any, each read on
-			// its own before the crash — 0 unless record 0's segment is gone.
+			// SyncCut or Retire died, the latter perhaps part way: recovery
+			// starts at the first record of the oldest segment left that
+			// holds any, each read on its own before the crash — 0 unless
+			// record 0's segment is gone.
 			segs, _ := listSegments(vfs)
 			for _, idx := range segs {
 				var rec Recovered

@@ -2,6 +2,8 @@ package wal
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/backlogfs/backlog/internal/storage"
@@ -292,5 +294,187 @@ func TestResurrectedTornSegmentToleratedBeforeCutMark(t *testing.T) {
 	buildSegment(t, vfs2, 2, []Record{addRec(7)}, nil)
 	if _, err := Recover(vfs2); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("torn mid-log segment without a following mark: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// segmentSizes maps every segment file in vfs to its size.
+func segmentSizes(t *testing.T, vfs storage.VFS) map[uint64]int64 {
+	t.Helper()
+	segs, err := listSegments(vfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := map[uint64]int64{}
+	for _, idx := range segs {
+		f, err := vfs.Open(segmentName(idx))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sizes[idx], err = f.Size(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sizes
+}
+
+// TestCrashAfterSegmentMadeAhead: the power fails after PrepareCut made the
+// next segment and before the Cut opened it. On a file system whose
+// directory sync made the empty file durable (DirFS; the test syncs it on
+// MemFS, which keeps only synced files) the newest segment is empty; either
+// way Open recovers every acknowledged record, takes the empty segment for
+// a torn creation rather than corruption, and the next Cut works.
+func TestCrashAfterSegmentMadeAhead(t *testing.T) {
+	for _, durableEntry := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable-entry=%v", durableEntry), func(t *testing.T) {
+			vfs := storage.NewMemFS()
+			l, _ := mustOpen(t, vfs, Sync)
+			acked := []Record{addRec(1), addRec(2), addRec(3)}
+			appendAll(t, l, acked...)
+			if err := l.PrepareCut(); err != nil {
+				t.Fatal(err)
+			}
+			if sizes := segmentSizes(t, vfs); len(sizes) != 2 || sizes[2] != 0 {
+				t.Fatalf("segments after PrepareCut = %v, want the active one and an empty second", sizes)
+			}
+			if durableEntry {
+				f, err := vfs.Open(segmentName(2))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := f.Sync(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			vfs.Crash()
+
+			l, rec, err := Open(vfs, Options{Durability: Sync})
+			if err != nil {
+				t.Fatalf("reopen after a crash with a segment made ahead: %v", err)
+			}
+			if !slices.Equal(rec.Records, acked) || len(rec.Cuts) != 0 {
+				t.Fatalf("recovered %+v, cuts %+v; want the three acknowledged records", rec.Records, rec.Cuts)
+			}
+			if err := l.PrepareCut(); err != nil {
+				t.Fatal(err)
+			}
+			cut, err := l.Cut(1)
+			if err != nil {
+				t.Fatalf("cut after recovery: %v", err)
+			}
+			after := addRec(4)
+			appendAll(t, l, after)
+			if err := l.SyncCut(); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Retire(cut); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			vfs.Crash()
+			rec, err = Recover(vfs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(rec.Records, []Record{after}) || len(rec.Cuts) != 1 || rec.Cuts[0] != (CutMark{Index: 0, CP: 1}) {
+				t.Fatalf("after the retired cut: records %+v, cuts %+v; want the post-cut record behind one mark", rec.Records, rec.Cuts)
+			}
+		})
+	}
+}
+
+// TestRotationOpensThePreparedSegment: with segments so short that the log
+// rotates between PrepareCut and Cut, the rotation opens the prepared
+// segment instead of creating the next index, the Cut creates its own past
+// it without colliding, and recovery reads every record in append order,
+// the mark where the Cut put it.
+func TestRotationOpensThePreparedSegment(t *testing.T) {
+	for _, d := range []Durability{Buffered, Sync} {
+		t.Run(d.String(), func(t *testing.T) {
+			vfs := storage.NewMemFS()
+			l, _, err := Open(vfs, Options{Durability: d, SegmentBytes: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []Record
+			appendNext := func() {
+				r := addRec(len(want))
+				want = append(want, r)
+				appendAll(t, l, r)
+			}
+			for l.SegmentCount() < 2 {
+				appendNext()
+			}
+			if err := l.PrepareCut(); err != nil {
+				t.Fatal(err)
+			}
+			prepared := l.preparedIndex
+			created := vfs.Stats().FilesCreated
+			for l.SegmentCount() < 3 {
+				appendNext()
+			}
+			if got := vfs.Stats().FilesCreated; got != created {
+				t.Fatalf("the rotation created %d files, want the prepared segment opened", got-created)
+			}
+			if got := l.names[len(l.names)-1]; got != segmentName(prepared) {
+				t.Fatalf("active segment %s after the rotation, want the prepared %s", got, segmentName(prepared))
+			}
+			cutAt := len(want)
+			if _, err := l.Cut(1); err != nil {
+				t.Fatalf("cut after its segment went to a rotation: %v", err)
+			}
+			if got := l.names[len(l.names)-1]; got != segmentName(prepared+1) {
+				t.Fatalf("the cut opened %s, want %s", got, segmentName(prepared+1))
+			}
+			appendNext()
+			if err := l.SyncCut(); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			vfs.Crash()
+			rec, err := Recover(vfs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(rec.Records, want) {
+				t.Fatalf("recovered %+v, want %+v", rec.Records, want)
+			}
+			if len(rec.Cuts) != 1 || rec.Cuts[0] != (CutMark{Index: cutAt, CP: 1}) {
+				t.Fatalf("cuts = %+v, want one after record %d", rec.Cuts, cutAt)
+			}
+		})
+	}
+}
+
+// TestCloseRemovesUnusedPreparedSegment: a segment made ahead that no Cut
+// or rotation opened leaves no file behind a clean Close.
+func TestCloseRemovesUnusedPreparedSegment(t *testing.T) {
+	vfs := storage.NewMemFS()
+	l, _ := mustOpen(t, vfs, Buffered)
+	appendAll(t, l, addRec(1))
+	if err := l.PrepareCut(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.PrepareCut(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(segmentSizes(t, vfs)); got != 2 {
+		t.Fatalf("%d segment files after two PrepareCuts, want the active one and one made ahead", got)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if sizes := segmentSizes(t, vfs); len(sizes) != 1 || sizes[1] == 0 {
+		t.Fatalf("segments after Close = %v, want only the active one", sizes)
+	}
+	rec, err := Recover(vfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(rec.Records, []Record{addRec(1)}) {
+		t.Fatalf("recovered %+v", rec.Records)
 	}
 }

@@ -159,7 +159,11 @@ func TestGatherWaitedOutByCutRetireClose(t *testing.T) {
 				want := []Record{addRec(0), addRec(1), addRec(2)}
 				switch op {
 				case "cut":
-					_, err = l.Cut(2)
+					// A checkpoint syncs its mark before it commits, as
+					// the engine's flush phase does.
+					if _, err = l.Cut(2); err == nil {
+						err = l.SyncCut()
+					}
 				case "retire":
 					err = l.Retire(cut0)
 					want = want[1:]

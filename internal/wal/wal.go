@@ -116,13 +116,21 @@
 //
 // # Cut
 //
-// Cut, called as a checkpoint freezes the write stores, first writes the
-// pending buffer into the outgoing segment — in Buffered mode those
-// records were acknowledged, and until the checkpoint commits the log is
-// their only copy — then opens a fresh segment headed by a cut mark. Only
-// when the log is in a failed state (a flush error is pending) is the
-// buffer dropped instead: those appends were reported failed, and the
-// engine tracks their durability itself.
+// A checkpoint cuts the log at the instant it freezes the write stores,
+// while the engine holds every updater out, so the cut does as little as
+// it can. The segment it opens is made ahead (PrepareCut, before the
+// freeze): created, its directory entry synced, empty. Cut itself first
+// writes the pending buffer into the outgoing segment — in Buffered mode
+// those records were acknowledged, and until the checkpoint commits the log
+// is their only copy — then writes the fresh segment's header and a cut mark
+// together in one WriteAt. Only when the log is in a failed state (a flush
+// error is pending) is the buffer dropped instead: those appends were
+// reported failed, and the engine tracks their durability itself. In Sync
+// mode the mark must be durable before the checkpoint commits; the engine
+// calls SyncCut for that while it flushes, and any append acknowledged past
+// the mark has made it so already. A rotation that comes before the Cut
+// opens the prepared segment instead, and the Cut then creates its own;
+// Close removes a prepared segment nothing opened.
 package wal
 
 import (
@@ -237,13 +245,13 @@ type Options struct {
 type Stats struct {
 	Appends   uint64 // records appended
 	Batches   uint64 // physical flushes (group commits)
-	Segments  uint64 // segments created, including the initial one
+	Segments  uint64 // segments opened for appending, including the initial one
 	Truncates uint64 // checkpoint truncations (successful Retires)
 	// Bytes counts what the device took as log content: every batch frame
 	// (header included) and every cut mark, but not the 16-byte segment
-	// headers. A failed write counts the prefix it applied, as the I/O
-	// attribution does. Bytes ÷ Appends is the log's device cost per
-	// update.
+	// headers, though a cut mark shares its write with one. A failed write
+	// counts the prefix it applied past any header, as the I/O attribution
+	// does. Bytes ÷ Appends is the log's device cost per update.
 	Bytes int64
 	// Gathers counts the Sync flushes whose leader held the flush slot for
 	// appenders it knew were in the loop; GathersFilled those it left with
@@ -290,10 +298,23 @@ type Log struct {
 	flushTime                 time.Duration
 	gatherSkip, gatherBackoff int
 
-	seg      storage.File
+	seg     storage.File
+	segSize int64
+	// segIndex is the highest segment index handed out: the active
+	// segment's, or a prepared one's, or one whose creation failed — an
+	// index is burned either way, since Create is exclusive and a failed
+	// segment's best-effort Remove may itself fail.
 	segIndex uint64
-	segSize  int64
-	names    []string // live segment names, oldest first, active last
+	// prepared is the segment PrepareCut made ahead — created, directory
+	// entry durable, empty — and preparedIndex its index; the next Cut or
+	// rotation opens it. nil when there is none.
+	prepared      storage.File
+	preparedIndex uint64
+	// markDirty notes, in Sync mode, that the last Cut's mark heads the
+	// active segment and no fsync has covered it yet: SyncCut, a flush, or
+	// a rotation away from the segment clears it.
+	markDirty bool
+	names     []string // live segment names, oldest first, active last
 	// synced counts the leading names a Buffered log has fsynced itself;
 	// the rest (recovered segments, segments a Cut left behind) must be
 	// synced before any later one is. See syncThrough.
@@ -349,64 +370,82 @@ func Open(vfs storage.VFS, opts Options) (*Log, Recovered, error) {
 			next = idx + 1
 		}
 	}
-	if err := l.startSegmentLocked(next); err != nil {
+	l.segIndex = next
+	f, _, err := l.openSegment(nil, next, nil)
+	if err != nil {
 		return nil, rec, err
 	}
+	l.installSegmentLocked(f, next, segHeaderSize)
 	return l, rec, nil
 }
 
-// startSegmentLocked creates segment index and makes it active. Callers
-// hold l.mu (or have exclusive access during Open).
-func (l *Log) startSegmentLocked(index uint64) error {
-	// The index is burned even if creation fails: a retry (the next Cut)
-	// must allocate a fresh name, since Create is exclusive and
-	// createSegment's best-effort Remove may itself fail.
-	l.segIndex = index
-	f, err := l.createSegment(index)
-	if err != nil {
-		return err
-	}
-	l.installSegmentLocked(f, index)
-	return nil
-}
-
-// createSegment creates segment file index, header written and directory
-// entry durable. It touches no Log state but the immutable vfs, so the
-// flush leader runs it with l.mu released.
+// createSegment creates segment file index, empty, with its directory
+// entry durable: the segment's first write carries its header (see
+// openSegment). The entry must be durable before appends into the segment
+// are acknowledged; file-content fsyncs alone do not persist it on a real
+// file system. It touches no Log state but the immutable vfs, so it runs
+// with l.mu released.
 func (l *Log) createSegment(index uint64) (storage.File, error) {
-	name := segmentName(index)
-	f, err := l.vfs.Create(name)
+	f, err := l.vfs.Create(segmentName(index))
 	if err != nil {
 		return nil, fmt.Errorf("wal: creating segment: %w", err)
 	}
-	fail := func(err error) (storage.File, error) {
-		f.Close()
-		// Best effort: a partial file left behind reads as a torn creation
-		// and is sealed or retired by the next Open's recovery scan.
-		_ = l.vfs.Remove(name)
-		return nil, err
-	}
-	if _, err := f.WriteAt(encodeSegHeader(index), 0); err != nil {
-		return fail(fmt.Errorf("wal: writing segment header: %w", err))
-	}
-	// The segment's directory entry must be durable before appends into
-	// it are acknowledged; file-content fsyncs alone do not persist the
-	// entry on a real file system.
 	if ds, ok := l.vfs.(storage.DirSyncer); ok {
 		if err := ds.SyncDir(); err != nil {
-			return fail(fmt.Errorf("wal: syncing directory for new segment: %w", err))
+			l.discardSegment(f, index)
+			return nil, fmt.Errorf("wal: syncing directory for new segment: %w", err)
 		}
 	}
 	return f, nil
 }
 
-// installSegmentLocked makes the freshly created segment f the active one.
-func (l *Log) installSegmentLocked(f storage.File, index uint64) {
+// openSegment readies segment index to become the active one: it creates
+// the segment, unless f is the one PrepareCut made, and writes its header
+// followed by tail in one WriteAt, returning what that write applied. On
+// failure the segment is discarded. Like createSegment, it runs with l.mu
+// released when its caller holds the flush slot.
+func (l *Log) openSegment(f storage.File, index uint64, tail []byte) (storage.File, int, error) {
+	if f == nil {
+		var err error
+		if f, err = l.createSegment(index); err != nil {
+			return nil, 0, err
+		}
+	}
+	n, err := f.WriteAt(append(encodeSegHeader(index), tail...), 0)
+	if err != nil {
+		l.discardSegment(f, index)
+		return nil, n, fmt.Errorf("wal: writing the head of segment %s: %w", segmentName(index), err)
+	}
+	return f, n, nil
+}
+
+// discardSegment closes and removes a segment that never became active.
+// Best effort: a partial file left behind reads as a torn creation and is
+// sealed or retired by the next Open's recovery scan.
+func (l *Log) discardSegment(f storage.File, index uint64) {
+	f.Close()
+	_ = l.vfs.Remove(segmentName(index))
+}
+
+// takeSegmentLocked hands out the segment to open next: the prepared one,
+// if there is one, else a fresh index for the caller to create (f nil).
+func (l *Log) takeSegmentLocked() (f storage.File, index uint64) {
+	if l.prepared != nil {
+		f, l.prepared = l.prepared, nil
+		return f, l.preparedIndex
+	}
+	l.segIndex++
+	return nil, l.segIndex
+}
+
+// installSegmentLocked makes the freshly opened segment f, size bytes
+// long, the active one.
+func (l *Log) installSegmentLocked(f storage.File, index uint64, size int64) {
 	if l.seg != nil {
 		l.seg.Close()
 	}
 	l.seg = f
-	l.segSize = segHeaderSize
+	l.segSize = size
 	l.names = append(l.names, segmentName(index))
 	l.stats.Segments++
 }
@@ -596,6 +635,9 @@ func (l *Log) flushLocked() {
 	l.stats.Batches++
 	l.batchHist.Observe(uint64(recs))
 	if l.syncEach {
+		// The fsync covered the whole active segment, a cut mark heading it
+		// included.
+		l.markDirty = false
 		l.gatherTarget = recs + l.pendingRecs.Load()
 		// A running mean over the last eight flushes or so, seeded by the
 		// first.
@@ -607,34 +649,44 @@ func (l *Log) flushLocked() {
 	}
 }
 
-// rotateLocked starts the next segment. In Buffered mode the outgoing
-// segment is synced first, so rotation bounds how much a power failure can
-// lose to roughly one segment. Called by the flush leader with l.mu held
-// and l.flushing set; like the leader's own write, the I/O — an fsync of
-// up to a whole segment — runs with l.mu released, so appenders keep
-// buffering instead of stalling behind it.
+// rotateLocked opens the next segment: the one PrepareCut made, if there
+// is one. In Buffered mode the outgoing segment is synced first, so
+// rotation bounds how much a power failure can lose to roughly one segment;
+// in Sync mode its records are durable already, and it is synced only for
+// a cut mark that no fsync has covered yet — a successor durable ahead of
+// the mark would leave recovery a torn creation mid-log. Called by the flush
+// leader with l.mu held and l.flushing set; like the leader's own write, the
+// I/O — an fsync of up to a whole segment — runs with l.mu released, so
+// appenders keep buffering instead of stalling behind it.
 func (l *Log) rotateLocked() error {
 	old := l.seg
-	index := l.segIndex + 1
-	l.segIndex = index // burned even on failure; see startSegmentLocked
+	f, index := l.takeSegmentLocked()
 	// names cannot change while flushing is set: Cut, Retire and Close all
 	// wait for it.
 	unsynced := l.names[l.synced : len(l.names)-1]
+	syncMark := l.markDirty
 	l.mu.Unlock()
 	var err error
-	if !l.syncEach {
+	switch {
+	case !l.syncEach:
 		err = l.syncThrough(unsynced, old)
+	case syncMark:
+		if err = old.Sync(); err != nil {
+			err = fmt.Errorf("wal: syncing cut mark: %w", err)
+		}
 	}
-	var f storage.File
 	if err == nil {
-		f, err = l.createSegment(index)
+		f, _, err = l.openSegment(f, index, nil)
+	} else if f != nil {
+		l.discardSegment(f, index)
 	}
 	l.mu.Lock()
 	if err != nil {
 		return err
 	}
 	l.synced = len(l.names)
-	l.installSegmentLocked(f, index)
+	l.markDirty = false
+	l.installSegmentLocked(f, index, segHeaderSize)
 	return nil
 }
 
@@ -662,6 +714,42 @@ func (l *Log) syncThrough(older []string, seg storage.File) error {
 	return nil
 }
 
+// PrepareCut makes the segment the next Cut opens ahead of it: created,
+// its directory entry durable, empty. The engine calls it before it freezes
+// the write stores, so that Cut, which runs while every updater is held out,
+// creates no file and syncs nothing. It holds the flush slot while it
+// creates the file — a rotation meanwhile would open the index after it
+// first, and the prepared segment would then follow its successor — so a
+// Sync appender waits it out as it would a flush. A prepared segment stays
+// until a Cut or a rotation opens it, or Close removes it; a second call
+// meanwhile does nothing. If it fails, Cut creates the segment itself.
+func (l *Log) PrepareCut() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for l.flushing {
+		l.cond.Wait()
+	}
+	if l.closed {
+		return ErrClosed
+	}
+	if l.prepared != nil {
+		return nil
+	}
+	l.segIndex++
+	index := l.segIndex
+	l.flushing = true
+	l.mu.Unlock()
+	f, err := l.createSegment(index)
+	l.mu.Lock()
+	l.flushing = false
+	l.cond.Broadcast()
+	if err != nil {
+		return err
+	}
+	l.prepared, l.preparedIndex = f, index
+	return nil
+}
+
 // Cut rotates to a fresh segment headed by a cut mark and returns a token
 // for Retire: the engine calls it at the instant a checkpoint freezes the
 // write stores, so that every record appended from then on — updates for
@@ -678,6 +766,13 @@ func (l *Log) syncThrough(older []string, seg storage.File) error {
 // the very flush this cut starts — their durability from here on is the
 // checkpoint's business, which the engine tracks with its own sticky error
 // across the flush.
+//
+// The fresh segment is the one PrepareCut made, if a rotation has not
+// opened it since; its header and the mark go out in one WriteAt, and
+// nothing is synced. A Sync-mode caller that is about to rely on the mark
+// — the checkpoint's commit — calls SyncCut first. If the write fails the
+// segment is discarded and the sticky error set, so appends wait for the
+// next Cut.
 //
 // The caller must guarantee no Append is in flight — in the engine, Cut
 // runs under the exclusive structural lock that excludes all updaters.
@@ -698,30 +793,51 @@ func (l *Log) Cut(cp uint64) (cut int, err error) {
 		}
 	}
 	l.dropPendingLocked()
-	if err := l.startSegmentLocked(l.segIndex + 1); err != nil {
+	f, index := l.takeSegmentLocked()
+	f, n, err := l.openSegment(f, index, appendBatch(nil, Record{Op: OpCut, CP: cp}))
+	l.stats.Bytes += int64(max(n-segHeaderSize, 0))
+	if err != nil {
 		l.err = err
 		return 0, err
 	}
-	frame := appendBatch(nil, Record{Op: OpCut, CP: cp})
-	n, err := l.seg.WriteAt(frame, l.segSize)
-	l.stats.Bytes += int64(n)
-	if err != nil {
-		// A partial mark would put garbage under future appends; refuse
-		// further appends until the next Cut rotates past it.
-		l.err = fmt.Errorf("wal: writing cut mark: %w", err)
-		return 0, l.err
-	}
-	l.segSize += int64(len(frame))
-	if l.syncEach {
-		// The mark is what lets recovery tolerate a torn, resurrected
-		// predecessor segment; in Sync mode it must be durable before any
-		// post-cut append is acknowledged.
-		if err := l.seg.Sync(); err != nil {
-			l.err = fmt.Errorf("wal: syncing cut mark: %w", err)
-			return 0, l.err
-		}
-	}
+	l.installSegmentLocked(f, index, int64(n))
+	l.markDirty = l.syncEach
 	return len(l.names) - 1, nil
+}
+
+// SyncCut makes the last Cut's mark durable. The mark is what lets
+// recovery tolerate a torn, resurrected predecessor segment and drop the
+// records a committed checkpoint covers, so in Sync mode it must be durable
+// before the checkpoint that cut there commits. The fsync of any append
+// acknowledged past the mark covered it already, and then SyncCut does
+// nothing; in Buffered mode it never does anything, the mark being as
+// durable as the records around it. Like a flush, it holds the flush slot
+// for its fsync, and a failure sets the sticky error.
+func (l *Log) SyncCut() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for l.flushing {
+		l.cond.Wait()
+	}
+	if l.closed {
+		return ErrClosed
+	}
+	if !l.markDirty {
+		return nil
+	}
+	l.flushing = true
+	seg := l.seg
+	l.mu.Unlock()
+	err := seg.Sync()
+	l.mu.Lock()
+	l.flushing = false
+	l.cond.Broadcast()
+	if err != nil {
+		l.err = fmt.Errorf("wal: syncing cut mark: %w", err)
+		return l.err
+	}
+	l.markDirty = false
+	return nil
 }
 
 // Retire deletes the segments a Cut superseded, once the checkpoint that
@@ -759,7 +875,8 @@ func (l *Log) Retire(cut int) error {
 }
 
 // Close drains pending appends, syncs the active segment (so a clean
-// shutdown in Buffered mode loses nothing), and releases it. It returns
+// shutdown in Buffered mode loses nothing), and releases it. A segment
+// PrepareCut made that no Cut or rotation opened is removed. It returns
 // the log's sticky error, if any.
 func (l *Log) Close() error {
 	l.mu.Lock()
@@ -778,6 +895,10 @@ func (l *Log) Close() error {
 	}
 	l.closed = true
 	l.seg.Close()
+	if l.prepared != nil {
+		l.discardSegment(l.prepared, l.preparedIndex)
+		l.prepared = nil
+	}
 	l.cond.Broadcast()
 	return l.err
 }
