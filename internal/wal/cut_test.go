@@ -478,3 +478,117 @@ func TestCloseRemovesUnusedPreparedSegment(t *testing.T) {
 		t.Fatalf("recovered %+v", rec.Records)
 	}
 }
+
+// TestTornTailBeforeSegmentMadeAhead: a flush tears the active segment while
+// the segment made ahead for the next cut sits empty after it, its
+// directory entry durable — what a crash leaves when it strikes between
+// PrepareCut and the Cut's mark on a real file system (here the test syncs
+// the empty file), or while the Cut's own write of the pending buffer fails.
+// The empty segment holds nothing, so the tear is the log's torn tail, not
+// corruption mid-log: recovery returns everything before it, Open seals
+// both, and the log goes on.
+func TestTornTailBeforeSegmentMadeAhead(t *testing.T) {
+	for _, d := range []Durability{Buffered, Sync} {
+		t.Run(d.String(), func(t *testing.T) {
+			vfs := storage.NewMemFS()
+			l, _ := mustOpen(t, vfs, d)
+			var want []Record
+			appendNext := func() {
+				r := crashRec(len(want))
+				want = append(want, r)
+				appendAll(t, l, r)
+			}
+			tearNext := storage.FailurePlan{TornWrite: true, TornWriteDurable: true}
+			makeAheadDurable := func() {
+				t.Helper()
+				if err := l.PrepareCut(); err != nil {
+					t.Fatal(err)
+				}
+				f, err := vfs.Open(segmentName(2))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := f.Sync(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if d == Sync {
+				// Up to where the next record's batch crosses a page, so
+				// that its write can tear.
+				torn := crashRec(99)
+				for frame := int64(len(appendBatch(nil, torn))); l.segSize%storage.PageSize+frame <= storage.PageSize; {
+					appendNext()
+				}
+				tearNext.FailAfterPageWrites = vfs.Stats().PageWrites + 1
+				vfs.SetFailurePlan(tearNext)
+				if err := l.Append(torn); err == nil {
+					t.Fatal("torn append reported success")
+				}
+				vfs.SetFailurePlan(storage.FailurePlan{})
+				makeAheadDurable()
+			} else {
+				// One 64 KiB batch written and, as the OS would in time,
+				// made durable; then records pending behind it, which the
+				// Cut's write of the buffer tears.
+				for l.Stats().Batches == 0 {
+					appendNext()
+				}
+				f, err := vfs.Open(segmentName(1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := f.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				for l.BufferedBytes() < 3*storage.PageSize {
+					appendAll(t, l, crashRec(99))
+				}
+				makeAheadDurable()
+				tearNext.FailAfterPageWrites = vfs.Stats().PageWrites + 1
+				vfs.SetFailurePlan(tearNext)
+				if _, err := l.Cut(1); !errors.Is(err, storage.ErrInjected) {
+					t.Fatalf("cut over a failing write: %v", err)
+				}
+				vfs.SetFailurePlan(storage.FailurePlan{})
+			}
+			vfs.Crash()
+
+			rec, err := Recover(vfs)
+			if err != nil {
+				t.Fatalf("recovery of a torn tail before an empty segment: %v", err)
+			}
+			if !slices.Equal(rec.Records, want) {
+				t.Fatalf("recovered %d records, want the %d before the tear", len(rec.Records), len(want))
+			}
+			l, rec, err = Open(vfs, Options{Durability: d})
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			if !slices.Equal(rec.Records, want) {
+				t.Fatalf("reopen recovered %d records, want %d", len(rec.Records), len(want))
+			}
+			if err := l.PrepareCut(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := l.Cut(2); err != nil {
+				t.Fatal(err)
+			}
+			after := crashRec(1000)
+			appendAll(t, l, after)
+			if err := l.SyncCut(); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			vfs.Crash()
+			rec, err = Recover(vfs)
+			if err != nil {
+				t.Fatalf("recovery after the sealing reopen: %v", err)
+			}
+			if got := append(slices.Clone(want), after); !slices.Equal(rec.Records, got) || len(rec.Cuts) != 1 || rec.Cuts[0] != (CutMark{Index: len(want), CP: 2}) {
+				t.Fatalf("after the reopen's cut: %d records, cuts %+v; want %d and one cut after the first %d", len(rec.Records), rec.Cuts, len(got), len(want))
+			}
+		})
+	}
+}

@@ -137,47 +137,87 @@ type tear struct {
 
 // Recover scans the segments in vfs without opening a log for writing. A
 // torn or truncated tail of the final segment ends the scan cleanly (the
-// expected state after a crash mid-append); damage anywhere else is an
-// error.
+// expected state after a crash mid-append), and so does one followed only
+// by segments whose header never became durable; damage anywhere else is
+// an error.
 func Recover(vfs storage.VFS) (Recovered, error) {
 	rec, _, _, err := recoverLog(storage.TagVFS(vfs, storage.SrcRecovery))
 	return rec, err
 }
 
-// recoverLog is Recover plus the tear position (which Open uses to seal
-// the torn segment before appending past it) and the scanned segment
-// indices (so Open need not list the directory again).
-func recoverLog(vfs storage.VFS) (Recovered, tear, []uint64, error) {
+// recoverLog is Recover plus the tears Open must seal before appending
+// past them, oldest first, and the scanned segment indices (so Open need
+// not list the directory again).
+func recoverLog(vfs storage.VFS) (Recovered, []tear, []uint64, error) {
 	segs, err := listSegments(vfs)
 	if err != nil {
-		return Recovered{}, tear{}, nil, err
+		return Recovered{}, nil, nil, err
 	}
 	rec := Recovered{Found: len(segs) > 0}
-	var tr tear
 	for i, idx := range segs {
 		final := i == len(segs)-1
+		var tr tear
 		torn, err := readSegment(vfs, idx, final, &rec, &tr)
 		if err != nil {
-			return rec, tr, segs, err
+			return rec, nil, segs, err
 		}
-		if torn && !final {
-			// A torn tail in a non-final segment is normally corruption —
-			// except when the next segment opens with a checkpoint or cut
-			// mark: then the tear is a flush failure that preceded that Cut
-			// (which is the only way appends resume after a failed
-			// flush), everything before the tear is intact, and
-			// everything after it was never acknowledged. Records of such
-			// a segment replay subject to the usual CP filter.
-			ok, err := segmentStartsWithMark(vfs, segs[i+1])
+		if !torn {
+			continue
+		}
+		if final {
+			return rec, []tear{tr}, segs, nil
+		}
+		// A torn tail in a non-final segment is normally corruption —
+		// except when the next segment opens with a checkpoint or cut
+		// mark: then the tear is a flush failure that preceded that Cut
+		// (which is the only way appends resume after a failed flush),
+		// everything before the tear is intact, and everything after it
+		// was never acknowledged. Records of such a segment replay subject
+		// to the usual CP filter.
+		ok, err := segmentStartsWithMark(vfs, segs[i+1])
+		if err != nil {
+			return rec, nil, segs, err
+		}
+		if ok {
+			continue
+		}
+		// Or when no segment after it ever got a durable header: a
+		// creation a crash cut short, or the segment a checkpoint made
+		// ahead of its cut (Log.PrepareCut) on a file system that made its
+		// empty directory entry durable. Those hold nothing, the log ends
+		// at this tear, and Open seals it first, then each of them as an
+		// empty segment.
+		tears := []tear{tr}
+		for _, later := range segs[i+1:] {
+			ok, err := segmentHasHeader(vfs, later)
 			if err != nil {
-				return rec, tr, segs, err
+				return rec, nil, segs, err
 			}
-			if !ok {
-				return rec, tr, segs, fmt.Errorf("%w: segment %s is torn mid-log", ErrCorrupt, segmentName(idx))
+			if ok {
+				return rec, nil, segs, fmt.Errorf("%w: segment %s is torn mid-log", ErrCorrupt, segmentName(idx))
 			}
+			tears = append(tears, tear{found: true, index: later})
 		}
+		return rec, tears, segs, nil
 	}
-	return rec, tr, segs, nil
+	return rec, nil, segs, nil
+}
+
+// segmentHasHeader reports whether a segment's leading bytes are a segment
+// header, of whatever version.
+func segmentHasHeader(vfs storage.VFS, index uint64) (bool, error) {
+	f, err := vfs.Open(segmentName(index))
+	if err != nil {
+		return false, err
+	}
+	defer f.Close()
+	buf := make([]byte, segHeaderSize)
+	n, err := f.ReadAt(buf, 0)
+	if err != nil && !errors.Is(err, io.EOF) {
+		return false, err
+	}
+	_, ok := segHeaderVersion(buf[:n])
+	return ok, nil
 }
 
 // segmentStartsWithMark reports whether a segment opens with a lone cut
@@ -239,9 +279,9 @@ func (rec *Recovered) add(r Record) (endOfSegment bool) {
 }
 
 // readSegment parses one segment into rec. It reports torn=true when the
-// segment ends in an unreadable frame; for a final segment it also
-// records the tear position in tr (so Open can seal it), while for a
-// non-final segment the caller decides whether the tear is tolerable. A
+// segment ends in an unreadable frame, and the tear position in tr (so
+// Open can seal it); whether a tear in a non-final segment is tolerable is
+// the caller's decision. A
 // torn frame costs the flush batch it framed — none of whose records was
 // acknowledged durable, since the batch is what a flush writes and syncs.
 func readSegment(vfs storage.VFS, index uint64, final bool, rec *Recovered, tr *tear) (torn bool, err error) {
@@ -284,12 +324,10 @@ func readSegment(vfs storage.VFS, index uint64, final bool, rec *Recovered, tr *
 		return false, fmt.Errorf("%w: segment %s header claims index %d (restored under the wrong name?)", ErrCorrupt, name, got)
 	}
 	// tornAt ends the scan at a torn tail: everything before it is intact.
-	// In a final segment the tear is reported, so that Open can seal it with
-	// a segment-end mark before the segment stops being the final one.
+	// The tear is reported, so that Open can seal it with a segment-end mark
+	// before the segment stops being the log's last.
 	tornAt := func(off int) (bool, error) {
-		if final {
-			*tr = tear{found: true, index: index, offset: int64(off)}
-		}
+		*tr = tear{found: true, index: index, offset: int64(off)}
 		return true, nil
 	}
 	for off := segHeaderSize; off < len(buf); {

@@ -42,8 +42,10 @@
 // file deletion, not in-place rewriting.
 //
 // What a crash mid-write costs is the batch being written: recovery stops
-// at the first incomplete or checksum-failing frame of the final segment,
-// so what survives is a prefix of append order at batch granularity. In
+// at the first incomplete or checksum-failing frame of the final segment —
+// segments after it whose header never became durable, a creation cut short
+// or the segment made ahead for a cut, hold nothing and do not count — so
+// what survives is a prefix of append order at batch granularity. In
 // Sync mode no record of a torn batch was acknowledged — the batch is what
 // the flush was still writing and syncing. In Buffered mode a torn batch is
 // up to 64 KiB of the newest records, the same bytes the mode already
@@ -342,14 +344,15 @@ func Open(vfs storage.VFS, opts Options) (*Log, Recovered, error) {
 	// The recovery scan (and tear sealing) is startup I/O; appends from
 	// here on are WAL I/O. Both taggings are no-ops on unattributed VFSs.
 	rvfs := storage.TagVFS(vfs, storage.SrcRecovery)
-	rec, tr, segs, err := recoverLog(rvfs)
+	rec, tears, segs, err := recoverLog(rvfs)
 	if err != nil {
 		return nil, rec, err
 	}
-	if tr.found {
+	for _, tr := range tears {
 		// Seal the torn tail before this segment stops being the final
 		// one: once newer segments exist, a raw tear would read as
-		// corruption and fail every future recovery.
+		// corruption and fail every future recovery. Oldest first: a crash
+		// part way leaves the unsealed ones still at the log's end.
 		if err := sealTear(rvfs, tr); err != nil {
 			return nil, rec, err
 		}
