@@ -132,9 +132,9 @@ func viewHasRuns(v *lsm.View, table string, p int, inputs []*lsm.Run) bool {
 // structural lock held, so updates, queries and checkpoints proceed during
 // the bulk of the work; the lock is taken shared only to pin the view.
 // The install validates the inputs and commits under cpMu, waiting out a
-// flushing checkpoint, and takes the lock exclusively only for the commit's
-// swap (see commit). compacted reports an installed merge. A job that installs
-// nothing returns compacted=false and goes back to whoever planned it: it
+// flushing checkpoint, and takes the lock exclusively only for the
+// commit's swap (see commit). compacted reports an installed merge. A job
+// that installs nothing returns compacted=false and goes back to whoever planned it: it
 // is stale (an input consumed since the plan), deferred by a dirty
 // deletion vector, or in conflict (another merge or an expiry consumed an
 // input during the merge, or a relocation moved a deletion vector), which

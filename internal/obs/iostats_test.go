@@ -86,6 +86,7 @@ func TestPrometheusRenderingDeterministic(t *testing.T) {
 	s.Register(r)
 	s.RecordWrite(storage.SrcWAL, 100, 0)
 	s.RecordRead(storage.SrcQuery, 25, 0)
+	s.RecordSync(storage.SrcManifest, 600*time.Microsecond)
 	var a, b strings.Builder
 	if err := r.WritePrometheus(&a); err != nil {
 		t.Fatal(err)
@@ -98,6 +99,9 @@ func TestPrometheusRenderingDeterministic(t *testing.T) {
 	}
 	if !strings.Contains(a.String(), `backlog_io_write_bytes_total{src="wal"} 100`) {
 		t.Errorf("missing wal write series in\n%s", a.String())
+	}
+	if !strings.Contains(a.String(), `backlog_io_sync_ns_sum{src="manifest"} 600000`+"\n") {
+		t.Errorf("missing the manifest's sync latency in\n%s", a.String())
 	}
 }
 

@@ -592,3 +592,47 @@ func TestTornTailBeforeSegmentMadeAhead(t *testing.T) {
 		})
 	}
 }
+
+// TestCutCreatesItsSegmentWhenPrepareFails: a PrepareCut that cannot create
+// the segment leaves no file and no state behind, and the Cut creates the
+// segment itself, under the next index.
+func TestCutCreatesItsSegmentWhenPrepareFails(t *testing.T) {
+	vfs := storage.NewMemFS()
+	l, _ := mustOpen(t, vfs, Sync)
+	appendAll(t, l, addRec(1))
+	var failed bool
+	vfs.SetFailurePlan(storage.FailurePlan{Hook: func(c storage.Call) error {
+		if c.Op == storage.OpCreate && !failed {
+			failed = true
+			return storage.ErrInjected
+		}
+		return nil
+	}})
+	if err := l.PrepareCut(); !errors.Is(err, storage.ErrInjected) {
+		t.Fatalf("PrepareCut over a failing create: %v", err)
+	}
+	if sizes := segmentSizes(t, vfs); len(sizes) != 1 {
+		t.Fatalf("segments after the failed PrepareCut = %v, want the active one", sizes)
+	}
+	if _, err := l.Cut(1); err != nil {
+		t.Fatalf("cut after a failed PrepareCut: %v", err)
+	}
+	if got := l.names[len(l.names)-1]; got != segmentName(3) {
+		t.Fatalf("the cut opened %s, want %s past the burned index", got, segmentName(3))
+	}
+	appendAll(t, l, addRec(2))
+	if err := l.SyncCut(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	vfs.Crash()
+	rec, err := Recover(vfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(rec.Records, []Record{addRec(1), addRec(2)}) || len(rec.Cuts) != 1 || rec.Cuts[0] != (CutMark{Index: 1, CP: 1}) {
+		t.Fatalf("recovered %+v, cuts %+v", rec.Records, rec.Cuts)
+	}
+}
