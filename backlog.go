@@ -160,18 +160,19 @@
 //     meanwhile simply stay beside its output. A run file superseded while a view pins it is deleted only
 //     when the last such view is released. Queries therefore never stall
 //     behind a running compaction.
-//   - With Config.AutoCompact, a background maintenance scheduler runs
-//     after every Checkpoint, executing the merges the configured
-//     compaction policy plans, pausing 2ms between merges so it does not
-//     monopolize I/O bandwidth, and shutting down cleanly on Close.
-//     DB.MaintenanceStats reports its activity, the current worst run
-//     count, and the number of still-pending jobs. Without AutoCompact,
-//     call Compact explicitly — the paper's cadence experiments
-//     (Figures 6, 8–10) do that to control staleness precisely.
+//   - Maintenance runs only when the host asks: DB.Maintain runs the
+//     merges the configured compaction policy plans, DB.Compact merges
+//     every partition whole, and the database starts no goroutine of its
+//     own. A host that wants maintenance in the background calls Maintain
+//     from its own goroutine, at the cadence it chooses — after every
+//     Checkpoint, say. The paper's cadence experiments (Figures 6, 8–10)
+//     call it explicitly to control staleness precisely.
+//     DB.MaintenanceStats reports the merges passes installed, the
+//     current worst run count, and the number of still-pending jobs.
 //
 // # Maintenance policies
 //
-// Config.CompactionPolicy selects what the scheduler merges:
+// Config.CompactionPolicy selects what DB.Maintain merges:
 //
 //   - PolicyFull (the default) re-merges the worst partition — the one
 //     with the most runs — down to one Combined and one From run whenever
@@ -237,17 +238,16 @@
 //     horizon without opening them. Deleting an old snapshot then frees
 //     its runs at the next commit, for no more than the manifest write
 //     that commit makes anyway — orders of magnitude less I/O than a
-//     merge. It starts no background goroutine; AutoCompact alone does.
+//     merge. It starts no goroutine; nothing in the database does.
 //
 // Snapshot lifecycle operations (create/delete snapshot, clone, line)
 // live on the Lifecycle interface returned by DB.Catalog. They take effect
 // in memory at once and become durable at the next manifest commit,
 // atomically with the reference data it installs: every checkpoint, merge
-// install and the commit Expire, Compact, Maintain and Close end with —
-// the background maintainer's included — writes the catalog as it is at
-// that moment into the manifest it renames into place, so a crash
-// can lose a deletion together with the purge it justified, or keep both,
-// and nothing in between. Note that expiry
+// install and the commit Expire, Compact, Maintain and Close end with
+// writes the catalog as it is at that moment into the manifest it renames
+// into place, so a crash can lose a deletion together with the purge it
+// justified, or keep both, and nothing in between. Note that expiry
 // is permanent in the same sense as the paper's snapshot deletion:
 // re-creating a snapshot at an old version after its records expired does
 // not resurrect them.
@@ -374,7 +374,6 @@
 //	PartitionSpan        — 0: unused (required only when Partitions > 1)
 //	WriteShards          — 0: runtime.GOMAXPROCS(0) shards (update concurrency only; the runs written do not depend on it)
 //	Durability           — DurabilityCheckpointOnly (the paper's model)
-//	AutoCompact          — false: call Compact or Maintain explicitly
 //	CompactionPolicy     — PolicyFull: whole-partition worst-first merging
 //	Fanout               — 0: stepped-merge fanout 3, a Level-0 merge every third checkpoint (PolicyLeveled only)
 //	Retention            — RetainAll: no expiry, the paper's behavior
@@ -519,12 +518,7 @@ type Config struct {
 	// (default DurabilityCheckpointOnly; see the package documentation's
 	// Durability section).
 	Durability Durability
-	// AutoCompact runs database maintenance continuously in the
-	// background: after each Checkpoint it runs the merges the configured
-	// CompactionPolicy plans until none remain, without blocking queries
-	// or updates (see the package documentation's Maintenance section).
-	AutoCompact bool
-	// CompactionPolicy selects what background maintenance merges
+	// CompactionPolicy selects what DB.Maintain merges
 	// (default PolicyFull; see the package documentation's Maintenance
 	// policies section).
 	CompactionPolicy CompactionPolicy
@@ -612,7 +606,7 @@ const (
 	CompressionNone = core.CompressionNone
 )
 
-// CompactionPolicy selects what background maintenance merges; see
+// CompactionPolicy selects what DB.Maintain merges; see
 // Config.CompactionPolicy and the package documentation's Maintenance
 // policies section.
 type CompactionPolicy int
@@ -726,8 +720,8 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
-// MaintenanceStats reports the background maintenance scheduler's
-// activity; see DB.MaintenanceStats.
+// MaintenanceStats reports what maintenance passes have done and what is
+// left to do; see DB.MaintenanceStats.
 type MaintenanceStats = core.MaintenanceStats
 
 // Tracer receives start and end events for every engine operation; see
@@ -806,7 +800,6 @@ func openVFS(vfs storage.VFS, cfg Config) (*DB, error) {
 		PartitionSpan:      cfg.PartitionSpan,
 		WriteShards:        cfg.WriteShards,
 		Durability:         cfg.Durability,
-		AutoCompact:        cfg.AutoCompact,
 		CompactionPolicy:   cfg.CompactionPolicy.corePolicy(),
 		Fanout:             cfg.Fanout,
 		Retention:          cfg.Retention,
@@ -886,14 +879,16 @@ func (db *DB) QueryRange(block uint64, n int, visit func(block uint64, owners []
 // last commit, and under RetainLive the runs no snapshot reaches any more.
 func (db *DB) Compact() error { return db.eng.Compact() }
 
-// Maintain runs one synchronous maintenance pass honoring the configured
-// CompactionPolicy and retention mode — the pass the background
-// maintainer runs after every checkpoint under AutoCompact, and works
-// with AutoCompact off: it reaps zombie snapshots, runs the merges the
-// policy plans, re-planning until none remain, and ends with a commit as
-// Compact does. Unlike Compact — which always merges each partition's
-// runs into one — Maintain under PolicyLeveled performs only the stepped
-// merges that are due, leaving the leveled run structure in place.
+// Maintain runs one maintenance pass on the caller's goroutine, honoring
+// the configured CompactionPolicy and retention mode: it reaps zombie
+// snapshots, runs the merges the policy plans, re-planning until none
+// remain, and ends with a commit as Compact does. It is the database's
+// only maintenance scheduler — nothing merges in the background unless
+// the host calls Maintain from a goroutine of its own. Merges read a
+// pinned view, so queries and updates keep flowing while it runs. Unlike
+// Compact — which always merges each partition's runs into one — Maintain
+// under PolicyLeveled performs only the stepped merges that are due,
+// leaving the leveled run structure in place.
 func (db *DB) Maintain() error { return db.eng.MaintainNow() }
 
 // RelocateBlock transplants all back references of oldBlock onto newBlock;
@@ -918,8 +913,7 @@ func (db *DB) RelocateBlock(oldBlock, newBlock uint64) error {
 // pinned when it started, so a Query or QueryRange answers every block by
 // one topology. A change is durable at the next manifest commit, which
 // carries the topology as it is at that moment: the next Checkpoint,
-// Compact, Maintain, Expire or Close at the latest, a background merge or
-// maintenance pass if one commits first.
+// Compact, Maintain, Expire or Close at the latest.
 type Lifecycle interface {
 	// CreateSnapshot retains version v (a CP number) of the given line. v
 	// is the CP being taken — at the earliest the last one committed — and
@@ -992,8 +986,8 @@ func (db *DB) CP() uint64 { return db.eng.CP() }
 // Stats returns cumulative engine counters.
 func (db *DB) Stats() Stats { return db.eng.Stats() }
 
-// MaintenanceStats reports the background maintenance scheduler's
-// activity (AutoCompact) and the current worst per-partition run count.
+// MaintenanceStats reports the merges maintenance passes installed, the
+// current worst per-partition run count and the jobs still pending.
 func (db *DB) MaintenanceStats() MaintenanceStats { return db.eng.MaintenanceStats() }
 
 // Metrics returns a point-in-time snapshot of every registered metric:

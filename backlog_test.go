@@ -5,9 +5,11 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/backlogfs/backlog/internal/core"
 	"github.com/backlogfs/backlog/internal/storage"
@@ -291,6 +293,65 @@ func TestCloseFlushesPerDurabilityMode(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDatabaseStartsNoGoroutine: maintenance runs only when the host
+// calls it, so in every durability mode and under both policies the
+// goroutine count after Open, after a round of updates, checkpoints,
+// Maintain and Expire, and after Close is what it was before Open. A
+// checkpoint's flush goroutines are joined before it returns.
+func TestDatabaseStartsNoGoroutine(t *testing.T) {
+	for _, mode := range []Durability{DurabilityCheckpointOnly, DurabilityBuffered, DurabilitySync} {
+		for _, pol := range []CompactionPolicy{PolicyFull, PolicyLeveled} {
+			t.Run(mode.String()+"/"+pol.String(), func(t *testing.T) {
+				// Let goroutines an earlier test left behind finish first,
+				// so that only the database can move the count.
+				before := runtime.NumGoroutine()
+				for settled := 0; settled < 5; {
+					time.Sleep(10 * time.Millisecond)
+					if n := runtime.NumGoroutine(); n != before {
+						before, settled = n, 0
+					} else {
+						settled++
+					}
+				}
+				same := func(stage string) {
+					t.Helper()
+					if n := runtime.NumGoroutine(); n != before {
+						buf := make([]byte, 1<<16)
+						t.Fatalf("%d goroutines %s, %d before Open:\n%s", n, stage, before, buf[:runtime.Stack(buf, true)])
+					}
+				}
+				db, err := Open(Config{Dir: t.TempDir(), Durability: mode, CompactionPolicy: pol, WriteShards: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				same("after Open")
+				for cp := uint64(1); cp <= 9; cp++ {
+					for b := uint64(0); b < 32; b++ {
+						db.AddRef(Ref{Block: b, Inode: cp, Offset: b}, cp)
+					}
+					if err := db.Checkpoint(cp); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := db.Maintain(); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := db.Expire(); err != nil {
+					t.Fatal(err)
+				}
+				if db.MaintenanceStats().AutoCompactions == 0 {
+					t.Fatal("Maintain merged nothing after nine checkpoints")
+				}
+				same("after updates, checkpoints, Maintain and Expire")
+				if err := db.Close(); err != nil {
+					t.Fatal(err)
+				}
+				same("after Close")
+			})
+		}
 	}
 }
 

@@ -166,8 +166,7 @@ func main() {
 	partitions := fs.Int("partitions", 1, "read-store partitions (must match the database on disk)")
 	span := fs.Uint64("span", 0, "blocks per partition (required when -partitions > 1)")
 	durability := fs.String("durability", "checkpoint-only", "durability mode: checkpoint-only|buffered|sync")
-	autoCompact := fs.Bool("autocompact", false, "run background maintenance while the database is open")
-	policy := fs.String("policy", "full", "compaction policy for background maintenance: full|leveled")
+	policy := fs.String("policy", "full", "compaction policy: full|leveled (compact -policy leveled runs a maintenance pass)")
 	fanout := fs.Int("fanout", 0, "stepped-merge fanout for -policy leveled (0 = default)")
 	retention := fs.String("retention", "all", "retention policy: all|live (live enables drop-based expiry)")
 	comp := fs.String("compression", "delta", "run format for newly written runs: delta|none (existing runs always readable)")
@@ -231,7 +230,7 @@ func main() {
 	db, err := backlog.Open(backlog.Config{
 		Dir: *dir, WriteShards: *shards, Durability: dmode,
 		Partitions: *partitions, PartitionSpan: *span,
-		AutoCompact: *autoCompact, CompactionPolicy: pmode, Fanout: *fanout,
+		CompactionPolicy: pmode, Fanout: *fanout,
 		Retention: rmode, Compression: cmode,
 		Metrics: cmd == "metrics" || cmd == "stats", DebugAddr: *debugAddr,
 	})
@@ -380,10 +379,6 @@ func main() {
 		ms := db.MaintenanceStats()
 		fmt.Printf("policy:            %s (fanout %d)\n", ms.Policy, ms.Fanout)
 		fmt.Printf("worst partition:   %d runs, %d jobs pending\n", ms.MaxRuns, ms.PendingJobs)
-		if ms.Enabled {
-			fmt.Printf("auto-compactions:  %d (%d conflicts, %d errors)\n",
-				ms.AutoCompactions, ms.Conflicts, ms.Errors)
-		}
 		if runs := db.Runs(); len(runs) > 0 {
 			fmt.Printf("levels:\n")
 			w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)

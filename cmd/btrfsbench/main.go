@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	btrfsbench [-files 8192] [-scale full] [-shards 8] [-durability sync] [-autocompact]
+//	btrfsbench [-files 8192] [-scale full] [-shards 8] [-durability sync]
 package main
 
 import (
@@ -26,8 +26,6 @@ func main() {
 	shards := flag.Int("shards", 1, "Backlog write-store shards (1 = paper-faithful single write store, 0 = GOMAXPROCS)")
 	durability := flag.String("durability", "checkpoint-only",
 		"Backlog durability mode: checkpoint-only (paper-faithful)|buffered|sync")
-	autoCompact := flag.Bool("autocompact", false,
-		"run Backlog's background maintenance during the benchmarks (off = paper-faithful unmaintained runs)")
 	debugAddr := flag.String("debug-addr", "",
 		"serve live Backlog metrics (/metrics, /debug/vars, pprof) on this address while the benchmarks run")
 	flag.Parse()
@@ -49,7 +47,6 @@ func main() {
 	}
 	cfg.WriteShards = *shards
 	cfg.Durability = dmode
-	cfg.AutoCompact = *autoCompact
 	if *debugAddr != "" {
 		cfg.Metrics = obs.NewRegistry()
 		srv, err := obs.Serve(*debugAddr, cfg.Metrics, nil)

@@ -56,10 +56,6 @@ type Config struct {
 	// Durability is passed through to the Backlog engine in ModeBacklog
 	// (default wal.CheckpointOnly, the paper's configuration).
 	Durability wal.Durability
-	// AutoCompact enables the Backlog engine's background maintenance
-	// scheduler in ModeBacklog (the paper's runs accumulate unmaintained
-	// across a benchmark, so this is off by default).
-	AutoCompact bool
 	// Metrics, if non-nil, registers the Backlog engine's metrics in
 	// ModeBacklog — btrfsbench's -debug-addr serves them live while a
 	// benchmark runs. Successive FS instances re-register against the
@@ -144,7 +140,7 @@ func New(cfg Config) (*FS, error) {
 	}
 	if cfg.Mode == ModeBacklog {
 		fs.cat = core.NewMemCatalog()
-		eng, err := core.Open(core.Options{VFS: cfg.VFS, Catalog: fs.cat, WriteShards: cfg.WriteShards, Durability: cfg.Durability, AutoCompact: cfg.AutoCompact, Metrics: cfg.Metrics})
+		eng, err := core.Open(core.Options{VFS: cfg.VFS, Catalog: fs.cat, WriteShards: cfg.WriteShards, Durability: cfg.Durability, Metrics: cfg.Metrics})
 		if err != nil {
 			return nil, err
 		}
@@ -153,9 +149,7 @@ func New(cfg Config) (*FS, error) {
 	return fs, nil
 }
 
-// Close releases the Backlog engine, stopping its background maintainer
-// if AutoCompact is enabled. Benchmarks that create many FS instances
-// must call it to avoid leaking maintenance goroutines.
+// Close releases the Backlog engine (ModeBacklog; a no-op otherwise).
 func (fs *FS) Close() error {
 	if fs.eng == nil {
 		return nil

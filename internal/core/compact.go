@@ -19,9 +19,9 @@ import (
 // and synced once; runs a checkpoint added since the merge was planned
 // stay beside them at level 0.
 //
-// Each partition's merge is planned from a pinned view, as the
-// maintainer plans its jobs, and runs exactly the inputs it was planned
-// with. An attempt that installs nothing — an input consumed since the
+// Each partition's merge is planned from a pinned view, as a maintenance
+// pass plans its jobs, and runs exactly the inputs it was planned with.
+// An attempt that installs nothing — an input consumed since the
 // plan, a conflict at install, or a dirty deletion vector — goes back to
 // the planner: the partition is planned again, and a plan that finds
 // nothing to merge ends its maintenance.
@@ -32,8 +32,7 @@ import (
 //
 // While any deletion vector carries unpersisted entries (a block
 // relocation since the last checkpoint), compaction is deferred (see
-// compactJob). Call Checkpoint first (the background maintainer
-// runs after checkpoints, so it sees the persisted state naturally).
+// compactJob). Call Checkpoint first.
 //
 // Zombie snapshots are reaped first, and the call ends by committing now
 // (see commitNow): a catalog change no merge carried, and under RetainLive
@@ -158,7 +157,7 @@ func (e *Engine) compactJob(job CompactionJob) (compacted bool, err error) {
 	// loses the references outright, and the relocation's WAL record cannot
 	// re-transplant records that no longer exist in any run. The next
 	// checkpoint persists vector and replacements together, after which
-	// compaction proceeds (the maintainer is kicked after every checkpoint).
+	// compaction proceeds.
 	if e.dvDirty() {
 		e.mu.RUnlock()
 		return false, nil

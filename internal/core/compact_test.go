@@ -38,28 +38,22 @@ func onRunCreate(fs *storage.MemFS, fn func(name string)) {
 // noOrphans checks the directory against the manifest: it must hold exactly
 // MANIFEST (absent only while nothing has committed), the run and
 // deletion-vector files the manifest names, and write-ahead-log segments,
-// whose contents are wal.TestCrashAtEveryIO's business. A commit that lands
-// while it lists the directory — the background maintainer's, under
-// RetainLive — makes it look again.
+// whose contents are wal.TestCrashAtEveryIO's business. Nothing commits
+// in the background, so the caller holds the store still.
 func noOrphans(fs storage.VFS, eng *core.Engine) error {
-	for {
-		want := eng.Files()
-		names, err := fs.List()
-		if err != nil {
-			return err
-		}
-		if !slices.Equal(want, eng.Files()) {
-			continue
-		}
-		if eng.CP() > 0 || len(want) > 0 || slices.Contains(names, "MANIFEST") {
-			want = append(want, "MANIFEST")
-		}
-		names = slices.DeleteFunc(names, func(n string) bool { return strings.HasPrefix(n, "wal-") })
-		if slices.Sort(want); !slices.Equal(names, want) {
-			return fmt.Errorf("the directory holds %v besides the log, the manifest names %v", names, want)
-		}
-		return nil
+	want := eng.Files()
+	names, err := fs.List()
+	if err != nil {
+		return err
 	}
+	if eng.CP() > 0 || len(want) > 0 || slices.Contains(names, "MANIFEST") {
+		want = append(want, "MANIFEST")
+	}
+	names = slices.DeleteFunc(names, func(n string) bool { return strings.HasPrefix(n, "wal-") })
+	if slices.Sort(want); !slices.Equal(names, want) {
+		return fmt.Errorf("the directory holds %v besides the log, the manifest names %v", names, want)
+	}
+	return nil
 }
 
 // mergeFixture is an engine over a MemFS and the model of what it holds.

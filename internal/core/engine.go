@@ -88,17 +88,10 @@ type Options struct {
 	// replays the log tail into the write stores, and Checkpoint retires
 	// it.
 	Durability wal.Durability
-	// AutoCompact starts the background maintenance scheduler, and
-	// nothing else does: after every checkpoint it runs one maintenance
-	// pass (MaintainNow's) — it reaps zombie snapshots, runs the merges the
-	// configured CompactionPolicy plans, re-planning until none remain and
-	// pausing maintainPace between merges, and commits. Merges run against
-	// a pinned view outside the structural lock, so updates and queries
-	// keep flowing while it works.
-	AutoCompact bool
-	// CompactionPolicy plans the maintainer's merges. Nil selects
-	// PolicyFull — whole-partition worst-first merging past FullThreshold
-	// runs, the paper's Section 5.2 maintenance. PolicyLeveled trades a
+	// CompactionPolicy plans the merges of a maintenance pass
+	// (MaintainNow). Nil selects PolicyFull — whole-partition worst-first
+	// merging past FullThreshold runs, the paper's Section 5.2
+	// maintenance. PolicyLeveled trades a
 	// few extra runs per partition for stepped merging that bounds write
 	// amplification to one rewrite per level; see the policy types for
 	// the full contract.
@@ -231,7 +224,7 @@ func (e *Engine) counterTable() []counterRow {
 		{"backlog_checkpoints_total", "Committed checkpoints", "Checkpoints", c.checkpoints.Load},
 		{"backlog_compactions_total", "Merges installed, one per job (a maintenance pass under PolicyLeveled can install several in one partition)", "Compactions", c.compactions.Load},
 		{"backlog_compact_conflicts_total", "Merges that installed nothing because their inputs moved (the job returns to its planner)", "", c.compactConflicts.Load},
-		{"backlog_auto_compactions_total", "Merges installed by maintenance passes (the background maintainer's and MaintainNow's)", "", c.autoCompactions.Load},
+		{"backlog_auto_compactions_total", "Merges installed by maintenance passes", "", c.autoCompactions.Load},
 		{"backlog_maintenance_errors_total", "Background maintenance passes abandoned on error", "", c.maintErrors.Load},
 		{"backlog_records_flushed_total", "Records written to Level-0 runs", "RecordsFlushed", c.recordsFlushed.Load},
 		{"backlog_records_purged_total", "Records dropped by compaction", "RecordsPurged", c.recordsPurged.Load},
@@ -385,12 +378,6 @@ type Engine struct {
 	walErrMu sync.Mutex
 	walErr   error
 
-	// maint is the background maintenance scheduler (nil unless
-	// Options.AutoCompact). Checkpoint kicks it; Close stops it before
-	// taking the structural lock, so an in-flight background compaction
-	// can finish its short install section.
-	maint *maintainer
-
 	stats counters
 
 	// ios is the purpose-tagged I/O accountant every VFS operation reports
@@ -493,12 +480,6 @@ func Open(opts Options) (*Engine, error) {
 		return nil, err
 	}
 	e.registerMetrics(opts.Metrics)
-	if opts.AutoCompact {
-		e.maint = newMaintainer(e)
-		// A reopened database may already carry more runs than the
-		// threshold allows; let the maintainer look immediately.
-		e.maint.kickNow()
-	}
 	return e, nil
 }
 
@@ -633,12 +614,6 @@ func (e *Engine) Durability() wal.Durability { return e.opts.Durability }
 // discarded, exactly like file-system state past the last consistency
 // point. Close returns the sticky WAL durability error, if any.
 func (e *Engine) Close() error {
-	// Stop the background maintainer before taking any lock: a background
-	// compaction in flight needs the structural lock to install or discard
-	// its result, and Close waits for it to finish.
-	if e.maint != nil {
-		e.maint.close()
-	}
 	_, err := e.commitNow()
 	// Serialize against an in-flight checkpoint: closing the log or
 	// releasing the engine mid-flush would strand the frozen stores.
@@ -1024,13 +999,6 @@ func (e *Engine) checkpoint(cp uint64) error {
 			e.staleWAL = false
 		}
 		// On failure staleWAL stays set; the next checkpoint retries.
-	}
-
-	// The checkpoint added Level-0 runs; wake the background maintainer
-	// to check per-partition run counts (non-blocking: the kick channel
-	// holds one pending wakeup).
-	if e.maint != nil {
-		e.maint.kickNow()
 	}
 	return nil
 }

@@ -445,17 +445,13 @@ func TestExpireVsCompactReclaimIO(t *testing.T) {
 }
 
 // TestRetainLiveExpiresAtTheCheckpoint: retention is a rule of the
-// commit, not a pass. RetainLive starts no maintainer, and a checkpoint
-// after a snapshot deletion drops the run it freed in its own install —
+// commit, not a pass. A checkpoint after a snapshot deletion drops the run it freed in its own install —
 // one manifest rename, with no Expire call — and the run's removal is
 // attributed to expiry, not to the checkpoint.
 func TestRetainLiveExpiresAtTheCheckpoint(t *testing.T) {
 	fs := storage.NewMemFS()
 	eng, cat := sealedEnv(t, fs)
 	defer eng.Close()
-	if eng.MaintenanceStats().Enabled {
-		t.Fatal("RetainLive without AutoCompact started a maintainer")
-	}
 	doomed := sealedRuns(eng)[0]
 	if err := cat.DeleteSnapshot(0, 1); err != nil {
 		t.Fatal(err)

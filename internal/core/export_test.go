@@ -6,7 +6,7 @@ import "github.com/backlogfs/backlog/internal/lsm"
 // external tests of what written-through pages do when a commit fails.
 func (e *Engine) CacheBytes() int64 { return e.cache.SizeBytes() }
 
-// CompactJob runs one merge job as the maintainer does, CP-tiered under
+// CompactJob runs one merge job as a maintenance pass does, CP-tiered under
 // RetainLive: mergefile_test.go lays out a tiered stepped merge's files
 // with it, and compact_test.go executes a job planned before a checkpoint.
 func (e *Engine) CompactJob(job CompactionJob) (bool, error) { return e.compactJob(job) }
@@ -25,6 +25,6 @@ func (p PolicyFullAt) Plan(v *lsm.View, ctx PlanContext) []CompactionJob {
 	return planFull(v, ctx, p.Threshold)
 }
 
-// PlanJobs plans pol's jobs as the maintainer does, for the tests that
+// PlanJobs plans pol's jobs as a maintenance pass does, for the tests that
 // execute a job after the store has moved on from its plan.
 func (e *Engine) PlanJobs(pol CompactionPolicy) []CompactionJob { return e.planJobs(pol.Plan) }

@@ -1,7 +1,7 @@
 // Leveled-maintenance tests: a recording policy audits that the planner
 // never names a merge input the retention horizon has already passed. (The
-// leveled maintainer under concurrent load is TestStateMachineConcurrent's
-// "leveled" row, which waits on waitMaintained.)
+// leveled policy under concurrent load is TestStateMachineConcurrent's
+// "leveled" row, whose host goroutine loops MaintainNow.)
 package core_test
 
 import (

@@ -1,41 +1,73 @@
-// Background-maintenance tests: the scheduler drains what checkpoints pile
-// up, and Compact reports partition failures. Package core_test for the
-// model (statemachine_test.go), which holds the answers.
+// Maintenance tests: a host goroutine's passes drain what checkpoints
+// pile up, and Compact reports partition failures. Package core_test for
+// the model (statemachine_test.go), which holds the answers.
 package core_test
 
 import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/backlogfs/backlog/internal/core"
 	"github.com/backlogfs/backlog/internal/storage"
 )
 
-// waitMaintained polls until the active policy plans no further jobs, its
-// own idle signal (or fails the test after a deadline). Under
-// PolicyLeveled MaxRuns is no such signal: a drained partition
+// maintainDrained runs one final maintenance pass on a quiet store and
+// requires the active policy to plan nothing more, its own idle signal.
+// Under PolicyLeveled MaxRuns is no such signal: a drained partition
 // legitimately keeps one run per level.
-func waitMaintained(t *testing.T, eng *core.Engine) {
+func maintainDrained(t *testing.T, eng *core.Engine) {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		ms := eng.MaintenanceStats()
-		if ms.PendingJobs == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("maintainer did not drain: %+v", ms)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if err := eng.MaintainNow(); err != nil {
+		t.Fatal(err)
+	}
+	if ms := eng.MaintenanceStats(); ms.PendingJobs != 0 {
+		t.Fatalf("a pass on a quiet store left jobs pending: %+v", ms)
 	}
 }
 
-// TestAutoCompactKeepsRunCountBounded checks the scheduler end to end on
-// a single-threaded workload: runs pile up past the threshold, the
-// maintainer drains them back under it, and query results survive.
-func TestAutoCompactKeepsRunCountBounded(t *testing.T) {
+// hostMaintainer is the maintenance goroutine a host runs beside the
+// engine, which starts none: one MaintainNow per kick, a kick sent while
+// a pass runs served by the next one.
+type hostMaintainer struct {
+	kicks chan struct{}
+	done  chan error
+}
+
+func startHostMaintainer(eng *core.Engine) *hostMaintainer {
+	m := &hostMaintainer{kicks: make(chan struct{}, 1), done: make(chan error, 1)}
+	go func() {
+		var err error
+		for range m.kicks {
+			if err == nil {
+				err = eng.MaintainNow()
+			}
+		}
+		m.done <- err
+	}()
+	return m
+}
+
+// kick asks for a pass without blocking.
+func (m *hostMaintainer) kick() {
+	select {
+	case m.kicks <- struct{}{}:
+	default:
+	}
+}
+
+// stop waits until every kick sent has had its pass, ends the goroutine
+// and returns the first pass error.
+func (m *hostMaintainer) stop() error {
+	close(m.kicks)
+	return <-m.done
+}
+
+// TestHostMaintenanceKeepsRunCountBounded checks the host's maintenance
+// goroutine end to end: runs pile up past the threshold, passes kicked
+// after every checkpoint drain them back under it while ingest goes on,
+// and query results survive.
+func TestHostMaintenanceKeepsRunCountBounded(t *testing.T) {
 	const (
 		cps       = 30
 		perCP     = 200
@@ -47,7 +79,6 @@ func TestAutoCompactKeepsRunCountBounded(t *testing.T) {
 		Catalog:          core.NewMemCatalog(),
 		Partitions:       4,
 		HashPartitioning: true,
-		AutoCompact:      true,
 		CompactionPolicy: core.PolicyFullAt{Threshold: threshold},
 	})
 	if err != nil {
@@ -55,6 +86,7 @@ func TestAutoCompactKeepsRunCountBounded(t *testing.T) {
 	}
 	defer eng.Close()
 
+	host := startHostMaintainer(eng)
 	m := newModel()
 	for _, batch := range cpBatches(hammerStreams(1, cps*perCP, blocks, cps)[0]) {
 		for _, o := range batch {
@@ -62,12 +94,18 @@ func TestAutoCompactKeepsRunCountBounded(t *testing.T) {
 			m.apply(o)
 		}
 		fCheckpoint(t, eng, batch[0].cp)
+		host.kick()
 	}
-	waitMaintained(t, eng)
+	if err := host.stop(); err != nil {
+		t.Fatal(err)
+	}
 
 	ms := eng.MaintenanceStats()
 	if ms.AutoCompactions == 0 {
-		t.Fatalf("maintainer idle despite %d checkpoints: %+v", cps, ms)
+		t.Fatalf("maintenance idle despite %d checkpoints: %+v", cps, ms)
+	}
+	if ms.PendingJobs != 0 {
+		t.Fatalf("the pass after the last checkpoint left jobs pending: %+v", ms)
 	}
 	if ms.MaxRuns > threshold {
 		t.Fatalf("MaxRuns = %d above threshold %d", ms.MaxRuns, threshold)
@@ -152,20 +190,28 @@ func TestCompactContinuesPastPartitionErrors(t *testing.T) {
 	}
 }
 
-// TestMaintainerReapsZombies: a background maintenance pass reaps zombie
-// snapshots before it merges. Snapshot 1 has a clone, so deleting it leaves
-// a zombie, and a sealed run holds its window [1, 2]. Once the clone line
-// is deleted too, only the zombie pins the reclaim horizon, until something
-// reaps it: the pass the next checkpoint kicks must, and the commit of the
-// merge it runs then drops the run.
+// TestMaintainerReapsZombies: a maintenance pass on the host's goroutine
+// reaps zombie snapshots before it merges. Snapshot 1 has a clone, so
+// deleting it leaves a zombie, and a sealed run holds its window [1, 2].
+// Once the clone line is deleted too, only the zombie pins the reclaim
+// horizon, until something reaps it: the pass kicked after the next
+// checkpoint must, and the commit of the merge it runs then drops the run.
 func TestMaintainerReapsZombies(t *testing.T) {
 	cat := core.NewMemCatalog()
-	eng, err := core.Open(core.Options{VFS: storage.NewMemFS(), Catalog: cat, AutoCompact: true,
+	eng, err := core.Open(core.Options{VFS: storage.NewMemFS(), Catalog: cat,
 		Retention: core.RetainLive, CompactionPolicy: core.PolicyFullAt{Threshold: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
+	pass := func() {
+		t.Helper()
+		host := startHostMaintainer(eng)
+		host.kick()
+		if err := host.stop(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := cat.CreateSnapshot(0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +223,7 @@ func TestMaintainerReapsZombies(t *testing.T) {
 	}
 	eng.RemoveRef(fref(1, 1, 0, 0), 2)
 	fCheckpoint(t, eng, 2)
-	waitMaintained(t, eng)
+	pass()
 	if sealed := sealedRuns(eng); len(sealed) != 1 || sealed[0].MinCP != 1 || sealed[0].MaxCP != 2 {
 		t.Fatalf("fixture: sealed runs %+v, want one over [1, 2]", sealed)
 	}
@@ -190,7 +236,7 @@ func TestMaintainerReapsZombies(t *testing.T) {
 	}
 	eng.AddRef(fref(3, 3, 0, 0), 3)
 	fCheckpoint(t, eng, 3)
-	waitMaintained(t, eng)
+	pass()
 	if left := sealedRuns(eng); len(left) != 0 {
 		t.Fatalf("sealed runs after the maintenance pass: %+v, want the zombie's run dropped", left)
 	}

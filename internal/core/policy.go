@@ -142,8 +142,8 @@ const FullThreshold = 8
 // the one with the most runs — down to at most one Combined and one From
 // run, repeating (via re-planning) until no partition exceeds
 // FullThreshold. This is the paper's Section 5.2 maintenance driven
-// worst-first, exactly the behavior the background maintainer has always
-// had, so paper-figure experiments pinned to it stay byte-identical. Its
+// worst-first, exactly the behavior maintenance passes have always had,
+// so paper-figure experiments pinned to it stay byte-identical. Its
 // job is the one Compact plans per partition (wholeJob), on the one
 // executor contract.
 type PolicyFull struct{}

@@ -451,18 +451,18 @@ func TestFailedMergeInstallLeavesVectorUntouched(t *testing.T) {
 }
 
 // TestRelocateCheckpointCloseMaintainerLockOrder races the four parties
-// that take the checkpoint guard — Checkpoint, RelocateBlock, Close and the
-// background maintainer's merges — from a common start line. A lock-order
-// inversion between them shows as a hang; -race covers the rest. Whatever
-// order they ran in, the moved reference answers at exactly one block
-// after a reopen.
+// that take the checkpoint guard — Checkpoint, RelocateBlock, Close and a
+// host's maintenance pass (MaintainNow), its merges due — from a common
+// start line. A lock-order inversion between them shows as a hang; -race
+// covers the rest. Whatever order they ran in, the moved reference answers
+// at exactly one block after a reopen.
 func TestRelocateCheckpointCloseMaintainerLockOrder(t *testing.T) {
 	for round := 0; round < 40; round++ {
 		fs := storage.NewMemFS()
 		cat := core.NewMemCatalog()
 		opts := core.Options{
 			VFS: fs, Catalog: cat, WriteShards: 2, Durability: wal.Buffered,
-			AutoCompact: true, CompactionPolicy: core.PolicyFullAt{Threshold: 2},
+			CompactionPolicy: core.PolicyFullAt{Threshold: 2},
 		}
 		eng, err := core.Open(opts)
 		if err != nil {
@@ -473,7 +473,7 @@ func TestRelocateCheckpointCloseMaintainerLockOrder(t *testing.T) {
 			for b := uint64(0); b < 16; b++ {
 				eng.AddRef(fref(b, cp, b, 0), cp)
 			}
-			fCheckpoint(t, eng, cp) // each one kicks the maintainer
+			fCheckpoint(t, eng, cp)
 		}
 		eng.AddRef(fref(src, 99, 0, 0), 4)
 
@@ -485,6 +485,7 @@ func TestRelocateCheckpointCloseMaintainerLockOrder(t *testing.T) {
 			func() { _ = eng.Checkpoint(4) },
 			func() { _ = eng.RelocateBlock(src, dst) },
 			func() { _ = eng.Close() },
+			func() { _ = eng.MaintainNow() },
 		} {
 			wg.Add(1)
 			go func() {
@@ -496,7 +497,6 @@ func TestRelocateCheckpointCloseMaintainerLockOrder(t *testing.T) {
 		close(start)
 		wg.Wait()
 
-		opts.AutoCompact = false
 		eng2, err := core.Open(opts)
 		if err != nil {
 			t.Fatalf("round %d: reopen: %v", round, err)

@@ -521,7 +521,7 @@ type smDriver struct {
 	acked   int
 	// commits are what the manifest may hold: the last commit known to have
 	// landed, then the state a dying op may have committed. Nothing commits
-	// in the background: the driver starts no maintainer.
+	// in the background: the engine starts no goroutine.
 	commits []smCommit
 
 	kill   smOp      // an armed opCrash, for the next op
@@ -1293,6 +1293,7 @@ type hammerRow struct {
 	failEvery            int  // every nth checkpoint first fails its flush, then retries
 	window               int  // snapshot every CP and keep the newest window of them
 	expire               bool // an Expire loop
+	maintain             bool // a host goroutine looping MaintainNow
 	relocate             int  // a relocator flips this many private blocks, pass by pass
 	ranges               bool // the reader runs QueryRange, WSLen and Stats too
 	check                func(t *testing.T, h *hammer)
@@ -1446,6 +1447,12 @@ func runHammer(t *testing.T, row hammerRow) *hammer {
 			return err
 		})
 	}
+	if row.maintain {
+		loop(func() error {
+			time.Sleep(time.Millisecond)
+			return eng.MaintainNow()
+		})
+	}
 	passes := 0
 	if n > 0 {
 		role(func() error {
@@ -1536,33 +1543,34 @@ var hammerRows = []hammerRow{
 	// compactions, relocation back and forth, point and range queries.
 	{name: "mixed", workers: 4, ops: 800, blocks: 256, maxCP: 8, snaps: []uint64{5},
 		backToBack: true, compactEvery: 6, relocate: 64, ranges: true},
-	// The background maintainer merging under paced ingest.
-	{name: "maintain", opts: core.Options{Partitions: 8, HashPartitioning: true, WriteShards: 6, AutoCompact: true,
+	// A host goroutine's maintenance passes merging under paced ingest.
+	{name: "maintain", opts: core.Options{Partitions: 8, HashPartitioning: true, WriteShards: 6,
 		CompactionPolicy: core.PolicyFullAt{Threshold: 4}},
-		workers: 6, ops: 1200, blocks: 384, maxCP: 12, paced: true,
+		workers: 6, ops: 1200, blocks: 384, maxCP: 12, paced: true, maintain: true,
 		check: func(t *testing.T, h *hammer) {
-			waitMaintained(t, h.eng)
-			if ms := h.eng.MaintenanceStats(); !ms.Enabled || ms.AutoCompactions == 0 {
-				t.Fatalf("background maintainer never compacted: %+v", ms)
+			maintainDrained(t, h.eng)
+			if ms := h.eng.MaintenanceStats(); ms.AutoCompactions == 0 {
+				t.Fatalf("maintenance passes never compacted: %+v", ms)
 			}
 		}},
 	// Leveled merging and expiry under a moving snapshot window.
-	{name: "leveled", opts: core.Options{Partitions: 8, HashPartitioning: true, WriteShards: 6, AutoCompact: true,
+	{name: "leveled", opts: core.Options{Partitions: 8, HashPartitioning: true, WriteShards: 6,
 		Retention: core.RetainLive, CompactionPolicy: core.PolicyLeveled{}, Fanout: 3},
-		workers: 6, ops: 1000, blocks: 384, maxCP: 12, paced: true, window: 4,
+		workers: 6, ops: 1000, blocks: 384, maxCP: 12, paced: true, window: 4, maintain: true,
 		check: func(t *testing.T, h *hammer) {
-			waitMaintained(t, h.eng)
+			maintainDrained(t, h.eng)
 			if ms := h.eng.MaintenanceStats(); ms.Policy != "leveled" || ms.Fanout != 3 || ms.AutoCompactions == 0 {
-				t.Fatalf("leveled maintainer: %+v, want policy leveled, fanout 3 and merges", ms)
+				t.Fatalf("leveled maintenance: %+v, want policy leveled, fanout 3 and merges", ms)
 			}
 		}},
-	// An Expire loop racing tiered background merges and a snapshot window;
-	// then every snapshot goes and nothing sealed may survive.
-	{name: "expire", opts: core.Options{Partitions: 4, HashPartitioning: true, WriteShards: 4, AutoCompact: true,
+	// An Expire loop racing tiered merges of maintenance passes and a
+	// snapshot window; then every snapshot goes and nothing sealed may
+	// survive.
+	{name: "expire", opts: core.Options{Partitions: 4, HashPartitioning: true, WriteShards: 4,
 		CompactionPolicy: core.PolicyFullAt{Threshold: 4}, Retention: core.RetainLive},
-		workers: 4, ops: 800, blocks: 256, maxCP: 10, paced: true, window: 3, expire: true,
+		workers: 4, ops: 800, blocks: 256, maxCP: 10, paced: true, window: 3, expire: true, maintain: true,
 		check: func(t *testing.T, h *hammer) {
-			waitMaintained(t, h.eng)
+			maintainDrained(t, h.eng)
 			h.verify(t)
 			for _, v := range slices.Sorted(maps.Keys(h.m.lines[0].snaps)) {
 				delete(h.m.lines[0].snaps, v)
@@ -1619,8 +1627,8 @@ func TestIOAttributionRaceExactSums(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Quiesce before comparing: Close stops the maintainer and flushes, and
-	// everything it writes is itself attributed.
+	// Quiesce before comparing: Close commits and flushes, and everything
+	// it writes is itself attributed.
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -25,10 +25,6 @@ type Table1Config struct {
 	// (default wal.CheckpointOnly, the paper's configuration — Table 1
 	// numbers are only comparable to the paper in that mode).
 	Durability wal.Durability
-	// AutoCompact enables the Backlog engine's background maintenance
-	// scheduler (off by default: the paper's Table 1 runs accumulate
-	// unmaintained).
-	AutoCompact bool
 	// Metrics, if non-nil, registers each Backlog-mode engine's metrics
 	// — btrfsbench's -debug-addr serves them live during a run.
 	Metrics *obs.Registry
@@ -70,7 +66,7 @@ func RunTable1(cfg Table1Config) ([]Table1Row, error) {
 		measure func(mode btrfssim.Mode) (float64, error)
 	}
 	newFS := func(mode btrfssim.Mode, opsPerTx int) (*btrfssim.FS, error) {
-		return btrfssim.New(btrfssim.Config{Mode: mode, OpsPerTransaction: opsPerTx, WriteShards: cfg.WriteShards, Durability: cfg.Durability, AutoCompact: cfg.AutoCompact, Metrics: cfg.Metrics})
+		return btrfssim.New(btrfssim.Config{Mode: mode, OpsPerTransaction: opsPerTx, WriteShards: cfg.WriteShards, Durability: cfg.Durability, Metrics: cfg.Metrics})
 	}
 	msPerOp := func(fs *btrfssim.FS, start time.Time, startDisk int64, ops int) float64 {
 		elapsed := time.Since(start).Nanoseconds() + fs.VFS().Stats().DiskNanos - startDisk

@@ -520,7 +520,10 @@ func (t *Table) writeDV(name string, dv map[string]struct{}) error {
 	return writeSynced(t.db.vfsFor(storage.SrcManifest), name, []byte(strings.Join(recs, "")))
 }
 
-func (t *Table) loadDV(name string) error {
+// loadDV reads the deletion vector file the manifest names, which must
+// hold the count of records the manifest gives: a file cut by whole
+// records would otherwise open as a smaller vector and un-hide the rest.
+func (t *Table) loadDV(name string, count int) error {
 	buf, err := readAll(t.db.vfsFor(storage.SrcRecovery), name)
 	if err != nil {
 		return err
@@ -528,6 +531,9 @@ func (t *Table) loadDV(name string) error {
 	rs := t.spec.RecordSize
 	if len(buf)%rs != 0 {
 		return corrupt("deletion vector %s has a partial record", name)
+	}
+	if n := len(buf) / rs; n != count {
+		return corrupt("deletion vector %s holds %d records, the manifest counts %d", name, n, count)
 	}
 	for off := 0; off < len(buf); off += rs {
 		t.dv[string(buf[off:off+rs])] = struct{}{}

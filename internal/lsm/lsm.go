@@ -836,7 +836,7 @@ func (db *DB) loadManifest() error {
 			}
 		}
 		if tm.DVFile != "" {
-			if err := t.loadDV(tm.DVFile); err != nil {
+			if err := t.loadDV(tm.DVFile, tm.DVCount); err != nil {
 				return fail(err)
 			}
 		}

@@ -450,6 +450,21 @@ func TestOpenRefusesHostileFiles(t *testing.T) {
 			}
 			return goldenOptions(nil)
 		}},
+		{"deletion vector cut by whole records", func(t *testing.T, fs *storage.MemFS) Options {
+			// Every record gone, none partial: the manifest's dv_count
+			// (1) is what tells the cut from an empty vector, which would
+			// un-hide the deleted record.
+			names, err := fs.List()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range names {
+				if strings.HasPrefix(name, "dv.") {
+					plant(t, fs, name, nil)
+				}
+			}
+			return goldenOptions(nil)
+		}},
 		{"run record size", func(t *testing.T, fs *storage.MemFS) Options {
 			opts := goldenOptions(nil)
 			opts.Tables[1].RecordSize = 2 * testRecSize
