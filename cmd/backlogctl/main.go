@@ -514,7 +514,7 @@ func main() {
 			os.Exit(1)
 		}
 		if est.Deferred {
-			fmt.Println("expire deferred (checkpoint in flight or unpersisted relocations); retry after a checkpoint")
+			fmt.Println("expire deferred: relocations the log replayed at open are not yet checkpointed (the Combined deletion vector is dirty); the next checkpoint drops the runs")
 			break
 		}
 		horizon := fmt.Sprintf("%d", est.Horizon)

@@ -7,7 +7,10 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"github.com/backlogfs/backlog"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/stats-v3-store.json from this run")
@@ -78,5 +81,40 @@ func TestBadInvocationsFail(t *testing.T) {
 		if _, code := run(t, args...); code == 0 {
 			t.Errorf("backlogctl %q exited 0", args)
 		}
+	}
+}
+
+// TestExpireDeferredByReplayedRelocation: a Buffered, RetainLive store
+// whose log holds a relocation of a block with Combined run records reopens
+// with that relocation replayed and the Combined deletion vector dirty, so
+// expire drops nothing and says why.
+func TestExpireDeferredByReplayedRelocation(t *testing.T) {
+	dir := t.TempDir()
+	db, err := backlog.Open(backlog.Config{Dir: dir, WriteShards: 1,
+		Durability: backlog.DurabilityBuffered, Retention: backlog.RetainLive})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := backlog.Ref{Block: 3, Inode: 3, Length: 1}
+	steps := []func() error{
+		func() error { return db.Catalog().CreateSnapshot(0, 1) },
+		func() error { db.AddRef(ref, 1); return db.Checkpoint(1) },
+		func() error { db.RemoveRef(ref, 2); return db.Checkpoint(2) },
+		db.Compact, // [1, 2), retained by snapshot 1, becomes a Combined record
+		func() error { return db.RelocateBlock(3, 700) },
+		db.Close,
+	}
+	for i, step := range steps {
+		if err := step(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+	out, code := run(t, "expire", "-dir", dir, "-shards", "1", "-durability", "buffered", "-retention", "live")
+	if code != 0 {
+		t.Fatalf("expire exited %d: %s", code, out)
+	}
+	const want = "expire deferred: relocations the log replayed at open are not yet checkpointed"
+	if !strings.HasPrefix(out, want) {
+		t.Fatalf("expire printed %q, want it to start %q", out, want)
 	}
 }

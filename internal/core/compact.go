@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -441,41 +442,36 @@ func (s *recStream) advance() error {
 	return nil
 }
 
-// nextGroup pulls the smallest-identity group across the three streams.
+// nextGroup pulls the smallest-identity group across the three streams:
+// the records whose leading identityLen bytes, the encoded Ref, are least.
 func nextGroup(fs, ts, cs *recStream) (groupRecs, bool, error) {
-	var minID Ref
+	var id [identityLen]byte
 	found := false
-	consider := func(s *recStream) {
-		if !s.ok {
-			return
-		}
-		id := getRef(s.cur)
-		if !found || compareRef(id, minID) < 0 {
-			minID = id
+	for _, s := range [...]*recStream{fs, ts, cs} {
+		if s.ok && (!found || bytes.Compare(s.cur[:identityLen], id[:]) < 0) {
+			copy(id[:], s.cur)
 			found = true
 		}
 	}
-	consider(fs)
-	consider(ts)
-	consider(cs)
 	if !found {
 		return groupRecs{}, false, nil
 	}
+	in := func(s *recStream) bool { return s.ok && bytes.Equal(s.cur[:identityLen], id[:]) }
 
-	g := groupRecs{id: minID}
-	for fs.ok && compareRef(getRef(fs.cur), minID) == 0 {
+	g := groupRecs{id: getRef(id[:])}
+	for in(fs) {
 		g.froms = append(g.froms, DecodeFrom(fs.cur).From)
 		if err := fs.advance(); err != nil {
 			return groupRecs{}, false, err
 		}
 	}
-	for ts.ok && compareRef(getRef(ts.cur), minID) == 0 {
+	for in(ts) {
 		g.tos = append(g.tos, DecodeTo(ts.cur).To)
 		if err := ts.advance(); err != nil {
 			return groupRecs{}, false, err
 		}
 	}
-	for cs.ok && compareRef(getRef(cs.cur), minID) == 0 {
+	for in(cs) {
 		c := DecodeCombined(cs.cur)
 		g.combineds = append(g.combineds, interval{from: c.From, to: c.To})
 		if err := cs.advance(); err != nil {

@@ -13,9 +13,9 @@ func TestCheckpointFlushOneRunPerTablePartition(t *testing.T) {
 		env.eng.RemoveRef(ref(b, 2, 0, 0), 1) // a To record needs no AddRef before it
 	}
 	for i, s := range env.eng.shards {
-		if s.active.from.Len() == 0 || s.active.to.Len() == 0 {
+		if s.active[iFrom].Len() == 0 || s.active[iTo].Len() == 0 {
 			t.Fatalf("shard %d holds %d From and %d To records; the guard needs both in every shard",
-				i, s.active.from.Len(), s.active.to.Len())
+				i, s.active[iFrom].Len(), s.active[iTo].Len())
 		}
 	}
 	mustCheckpoint(t, env.eng, 1)

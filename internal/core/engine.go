@@ -247,53 +247,50 @@ func (e *Engine) counterTable() []counterRow {
 	)
 }
 
-// generation is one set of write-store trees, one per table. A shard's
-// active generation takes updates; a checkpoint freezes it whole.
-type generation struct {
-	from     *memtree.Tree[FromRec]
-	to       *memtree.Tree[ToRec]
-	combined *memtree.Tree[CombinedRec] // used only by relocation
-}
+// generation is one set of write-store trees, one per table, indexed like
+// tables. A shard's active generation takes updates; a checkpoint freezes
+// it whole. The Combined tree is used only by relocation.
+type generation [3]*memtree.Tree[wsRec]
 
 func newGeneration() *generation {
-	return &generation{from: memtree.New(lessFrom), to: memtree.New(lessTo), combined: memtree.New(lessCombined)}
+	return &generation{memtree.New(lessRec), memtree.New(lessRec), memtree.New(lessRec)}
 }
 
 // len returns the generation's record count; a nil generation is empty.
 func (g *generation) len() int {
-	if g == nil {
-		return 0
+	n := 0
+	if g != nil {
+		for _, t := range g {
+			n += t.Len()
+		}
 	}
-	return g.from.Len() + g.to.Len() + g.combined.Len()
+	return n
 }
 
 // mergeInto inserts every record of the generation into dst.
 func (g *generation) mergeInto(dst *generation) {
-	g.from.Ascend(func(r FromRec) bool { dst.from.Insert(r); return true })
-	g.to.Ascend(func(r ToRec) bool { dst.to.Insert(r); return true })
-	g.combined.Ascend(func(r CombinedRec) bool { dst.combined.Insert(r); return true })
-}
-
-// collect appends the generation's records of the blocks [lo, last] to
-// mem, encoded, one list per table (From, To, Combined).
-func (g *generation) collect(lo, last uint64, mem *[3][][]byte) {
-	first := Ref{Block: lo}
-	mem[0] = collectWS(mem[0], g.from, FromRec{Ref: first}, last, EncodeFrom)
-	mem[1] = collectWS(mem[1], g.to, ToRec{Ref: first}, last, EncodeTo)
-	mem[2] = collectWS(mem[2], g.combined, CombinedRec{Ref: first}, last, EncodeCombined)
-}
-
-// collectWS appends to dst the encoding of every record of ws from lo, the
-// smallest possible record of its block, through block last.
-func collectWS[T interface{ ref() Ref }](dst [][]byte, ws *memtree.Tree[T], lo T, last uint64, enc func(T) []byte) [][]byte {
-	ws.Scan(lo, func(r T) bool {
-		if r.ref().Block > last {
-			return false
+	for i, t := range g {
+		it := t.IterAll()
+		for r, ok := it.Next(); ok; r, ok = it.Next() {
+			dst[i].Insert(r)
 		}
-		dst = append(dst, enc(r))
-		return true
-	})
-	return dst
+	}
+}
+
+// collect appends a copy of the encoding of each of the generation's
+// records of the blocks [lo, last] to mem, one list per table.
+func (g *generation) collect(lo, last uint64, mem *[3][][]byte) {
+	var first wsRec // the smallest record of block lo
+	binary.BigEndian.PutUint64(first[:], lo)
+	for i, t := range g {
+		t.Scan(first, func(r wsRec) bool {
+			if binary.BigEndian.Uint64(r[:]) > last {
+				return false
+			}
+			mem[i] = append(mem[i], slices.Clone(r[:recSizes[i]]))
+			return true
+		})
+	}
 }
 
 // writeShard is one hash partition of the write store: a lock plus the
@@ -728,11 +725,12 @@ func (e *Engine) applyAdd(ref Ref, cp uint64) {
 	// it, lock-free) cannot be deleted in place, so the From record is
 	// inserted instead and the pair cancels at query/compaction time
 	// (pairGroup drops a from == to pair).
-	if s.active.to.Delete(ToRec{Ref: ref, To: cp}) {
+	r := refRec(ref, cp)
+	if s.active[iTo].Delete(r) {
 		e.stats.prunedAdds.Add(1)
 		return
 	}
-	s.active.from.Insert(FromRec{Ref: ref, From: cp})
+	s.active[iFrom].Insert(r)
 }
 
 // RemoveRef records that ref ceased to be live at CP cp. If the reference
@@ -776,11 +774,12 @@ func (e *Engine) applyRemove(ref Ref, cp uint64) {
 	// Like applyAdd, pruning cannot reach into a frozen tree: a RemoveRef
 	// whose matching AddRef is mid-flush inserts a To record instead, and
 	// the join cancels the pair.
-	if s.active.from.Delete(FromRec{Ref: ref, From: cp}) {
+	r := refRec(ref, cp)
+	if s.active[iFrom].Delete(r) {
 		e.stats.prunedRemoves.Add(1)
 		return
 	}
-	s.active.to.Insert(ToRec{Ref: ref, To: cp})
+	s.active[iTo].Insert(r)
 }
 
 // noteWALErr records a durability failure: the write-ahead log could not
@@ -908,18 +907,9 @@ func (e *Engine) checkpoint(cp uint64) error {
 	files := e.db.NewFileSet(0, cp, storage.SrcCheckpoint, tables[:]...)
 	var counts [3]uint64
 	var g errgroup.Group
-	g.Go(func() error {
-		return flushTable(e.db, files, &counts[0], TableFrom, e.shards,
-			func(gen *generation) *memtree.Tree[FromRec] { return gen.from }, EncodeFrom)
-	})
-	g.Go(func() error {
-		return flushTable(e.db, files, &counts[1], TableTo, e.shards,
-			func(gen *generation) *memtree.Tree[ToRec] { return gen.to }, EncodeTo)
-	})
-	g.Go(func() error {
-		return flushTable(e.db, files, &counts[2], TableCombined, e.shards,
-			func(gen *generation) *memtree.Tree[CombinedRec] { return gen.combined }, EncodeCombined)
-	})
+	for i := range tables {
+		g.Go(func() error { return flushTable(e.db, files, &counts[i], i, e.shards) })
+	}
 	var markErr error
 	if cut >= 0 {
 		g.Go(func() error {
@@ -1003,43 +993,45 @@ func (e *Engine) checkpoint(cp uint64) error {
 	return nil
 }
 
-// treeIter adapts a frozen write-store tree to lsm.RecIter.
-type treeIter[T any] struct {
-	it  *memtree.Iter[T]
-	enc func(T) []byte
+// treeIter adapts a frozen write-store tree of one table to lsm.RecIter:
+// each record is the table's encoding, cut from the iterator's own copy.
+type treeIter struct {
+	it   *memtree.Iter[wsRec]
+	size int
+	cur  wsRec
 }
 
-func (t *treeIter[T]) Next() ([]byte, bool, error) {
-	item, ok := t.it.Next()
+func (t *treeIter) Next() ([]byte, bool, error) {
+	r, ok := t.it.Next()
 	if !ok {
 		return nil, false, nil
 	}
-	return t.enc(item), true, nil
+	t.cur = r
+	return t.cur[:t.size], true, nil
 }
 
-// flushTable streams one table's frozen write-store trees — one per shard,
-// picked out of each shard's frozen generation by tree — into files' runs
-// of the table: one per partition that has records, however many shards
-// they froze in. Shards are disjoint by block and each tree iterates in
-// ascending record order, which is the byte order of the encoding, so the
-// merge of the shards' streams is the stream a single write store would
-// have produced and each partition's run receives it sorted; a partition's
-// run stays open until the stream ends, which keeps one run per partition
-// even when hash partitioning interleaves partition visits. The stream
-// ends in files.Done, which seals the table's runs, or fails the set.
-// *count is set to the table's record count. Called with no structural
-// lock held: the trees are frozen (immutable) and the set synchronizes
-// file creation internally.
-func flushTable[T any](db *lsm.DB, files *lsm.FileSet, count *uint64, table string,
-	shards []*writeShard, tree func(*generation) *memtree.Tree[T], enc func(T) []byte) (err error) {
+// flushTable streams table i's frozen write-store trees, one per shard,
+// into files' runs of the table: one per partition that has records,
+// however many shards they froze in. Shards are disjoint by block and each
+// tree iterates in ascending record order, which is the byte order of the
+// encoding, so the merge of the shards' streams is the stream a single
+// write store would have produced and each partition's run receives it
+// sorted; a partition's run stays open until the stream ends, which keeps
+// one run per partition even when hash partitioning interleaves partition
+// visits. The stream ends in files.Done, which seals the table's runs, or
+// fails the set. *count is set to the table's record count. Called with no
+// structural lock held: the trees are frozen (immutable) and the set
+// synchronizes file creation internally.
+func flushTable(db *lsm.DB, files *lsm.FileSet, count *uint64, i int, shards []*writeShard) (err error) {
+	table := tables[i]
 	defer func() { err = files.Done(table, err) }()
 	var (
 		iters []lsm.RecIter
 		total int
 	)
 	for _, s := range shards {
-		ws := tree(s.frozen)
-		iters = append(iters, &treeIter[T]{it: ws.IterAll(), enc: enc})
+		ws := s.frozen[i]
+		iters = append(iters, &treeIter{it: ws.IterAll(), size: recSizes[i]})
 		total += ws.Len()
 	}
 	*count = uint64(total)
@@ -1109,21 +1101,25 @@ func (e *Engine) relocateBlock(oldBlock, newBlock uint64) error {
 // block where it was and the log without a record of the attempt.
 func (e *Engine) relocate(oldBlock, newBlock uint64, log *wal.Log) error {
 	src, dst := e.shardOf(oldBlock).active, e.shardOf(newBlock).active
-	var run, ws [3][][]byte
+	var ws [3][][]byte
 	src.collect(oldBlock, oldBlock, &ws)
 	v, p := e.db.AcquireView(), e.db.PartitionOf(newBlock)
-	var err error
+	var (
+		err   error
+		moves [3]func()
+	)
 	for i, table := range tables {
+		var run [][]byte
 		err = errors.Join(err, v.CollectBlock(table, oldBlock, func(rec []byte) bool {
-			run[i] = append(run[i], slices.Clone(rec))
+			run = append(run, slices.Clone(rec))
 			return true
 		}))
+		var perr error
+		moves[i], perr = planMove(e.db.Table(table), newBlock, v.Runs(table, p), src[i], dst[i], run, ws[i])
+		err = errors.Join(err, perr)
 	}
-	moveFrom, errF := planMove(e.db.Table(TableFrom), newBlock, v.Runs(TableFrom, p), src.from, dst.from, run[0], ws[0], DecodeFrom)
-	moveTo, errT := planMove(e.db.Table(TableTo), newBlock, v.Runs(TableTo, p), src.to, dst.to, run[1], ws[1], DecodeTo)
-	moveComb, errC := planMove(e.db.Table(TableCombined), newBlock, v.Runs(TableCombined, p), src.combined, dst.combined, run[2], ws[2], DecodeCombined)
 	v.Release()
-	if err := errors.Join(err, errF, errT, errC); err != nil {
+	if err != nil {
 		return err
 	}
 	if log != nil {
@@ -1137,9 +1133,9 @@ func (e *Engine) relocate(oldBlock, newBlock uint64, log *wal.Log) error {
 		}
 	}
 	e.stats.relocations.Add(1)
-	moveFrom()
-	moveTo()
-	moveComb()
+	for _, move := range moves {
+		move()
+	}
 	return nil
 }
 
@@ -1154,9 +1150,8 @@ func (e *Engine) relocate(oldBlock, newBlock uint64, log *wal.Log) error {
 // would pair as a reference of its own (froms [f, f] against tos [t] leave
 // a live [f, ∞) nobody added). Held or not, an entry the vector has for the
 // re-keyed record is stale — it would hide the copy once flushed — and goes.
-// run and ws hold the old block's records, encoded; dec decodes one for the
-// trees.
-func planMove[T any](tbl *lsm.Table, newBlock uint64, dstRuns []*lsm.Run, src, dst *memtree.Tree[T], run, ws [][]byte, dec func([]byte) T) (func(), error) {
+// run and ws hold the old block's records, encoded.
+func planMove(tbl *lsm.Table, newBlock uint64, dstRuns []*lsm.Run, src, dst *memtree.Tree[wsRec], run, ws [][]byte) (func(), error) {
 	moved := slices.Concat(run, ws)
 	for i, r := range moved {
 		m := slices.Clone(r)
@@ -1185,12 +1180,12 @@ func planMove[T any](tbl *lsm.Table, newBlock uint64, dstRuns []*lsm.Run, src, d
 			tbl.DeleteRecord(r)
 		}
 		for _, r := range ws {
-			src.Delete(dec(r))
+			src.Delete(wsRecOf(r))
 		}
 		for i, m := range moved {
 			tbl.UndeleteRecord(m)
 			if !held[i] {
-				dst.Insert(dec(m))
+				dst.Insert(wsRecOf(m))
 			}
 		}
 	}, nil

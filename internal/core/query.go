@@ -157,7 +157,7 @@ func (e *Engine) queryRange(lo uint64, n int, visit func(block uint64, owners []
 
 // pin captures the consistent snapshot a range query runs against, under
 // one shared acquisition of the structural lock: the pinned LSM view, plus
-// the range's records, encoded and sorted per table, from the shards'
+// the range's records, copied and sorted per table, from the shards'
 // active trees and — when a checkpoint flush is in flight — frozen trees.
 // The union is a consistent cut in every checkpoint phase: before the
 // freeze the records are active, during the flush they are frozen (and not

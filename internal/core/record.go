@@ -40,8 +40,16 @@ const (
 )
 
 // tables lists the three tables in the order every per-table array in the
-// package follows.
-var tables = [3]string{TableFrom, TableTo, TableCombined}
+// package follows, recSizes their record sizes; iFrom and iTo index both.
+var (
+	tables   = [3]string{TableFrom, TableTo, TableCombined}
+	recSizes = [3]int{FromRecSize, ToRecSize, CombinedSize}
+)
+
+const (
+	iFrom = iota
+	iTo
+)
 
 // Ref identifies one logical reference to a physical extent: the extent's
 // first block, the owning inode, the byte offset (in blocks) within the
@@ -54,10 +62,6 @@ type Ref struct {
 	Line   uint64
 	Length uint64
 }
-
-// ref returns r itself; the three record types embed Ref, so the promoted
-// method lets generic write-store code read any record's identity.
-func (r Ref) ref() Ref { return r }
 
 // FromRec is a row of the From table: ref became live at CP From.
 type FromRec struct {
@@ -81,58 +85,38 @@ type CombinedRec struct {
 	To   uint64
 }
 
-// compareRef orders by (block, inode, offset, line, length).
-func compareRef(a, b Ref) int {
-	switch {
-	case a.Block != b.Block:
-		return cmpU64(a.Block, b.Block)
-	case a.Inode != b.Inode:
-		return cmpU64(a.Inode, b.Inode)
-	case a.Offset != b.Offset:
-		return cmpU64(a.Offset, b.Offset)
-	case a.Line != b.Line:
-		return cmpU64(a.Line, b.Line)
-	default:
-		return cmpU64(a.Length, b.Length)
+// wsRec is a write-store record: a From or To record's encoding followed
+// by zeros, or a Combined record's. The zeros sort a From or To record as
+// its encoding does, so every write-store tree holds one record type
+// ordered by one comparator, and a record leaves the tree as its encoding,
+// the first recSizes[table] bytes. The write store keeps no record structs:
+// FromRec, ToRec, CombinedRec and their codecs serve compaction's output,
+// the tests and tools.
+type wsRec [CombinedSize]byte
+
+// lessRec orders write-store records by their encoding, one big-endian word
+// at a time: every field is one word, so this is field order. A word
+// compare is cheaper than bytes.Compare on the tree's insert path.
+func lessRec(a, b wsRec) bool {
+	for i := 0; i < CombinedSize; i += 8 {
+		if x, y := binary.BigEndian.Uint64(a[i:]), binary.BigEndian.Uint64(b[i:]); x != y {
+			return x < y
+		}
 	}
+	return false
 }
 
-func cmpU64(a, b uint64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
+// refRec returns the write-store From or To record of ref at cp.
+func refRec(ref Ref, cp uint64) (r wsRec) {
+	putRef(r[:], ref)
+	binary.BigEndian.PutUint64(r[identityLen:], cp)
+	return r
 }
 
-// lessFrom orders FromRecs by (identity, from).
-func lessFrom(a, b FromRec) bool {
-	if c := compareRef(a.Ref, b.Ref); c != 0 {
-		return c < 0
-	}
-	return a.From < b.From
-}
-
-// lessTo orders ToRecs by (identity, to).
-func lessTo(a, b ToRec) bool {
-	if c := compareRef(a.Ref, b.Ref); c != 0 {
-		return c < 0
-	}
-	return a.To < b.To
-}
-
-// lessCombined orders CombinedRecs by (identity, from, to).
-func lessCombined(a, b CombinedRec) bool {
-	if c := compareRef(a.Ref, b.Ref); c != 0 {
-		return c < 0
-	}
-	if a.From != b.From {
-		return a.From < b.From
-	}
-	return a.To < b.To
+// wsRecOf returns the write-store record of an encoded record of any table.
+func wsRecOf(rec []byte) (r wsRec) {
+	copy(r[:], rec)
+	return r
 }
 
 func putRef(dst []byte, r Ref) {

@@ -2,8 +2,12 @@ package core
 
 import (
 	"bytes"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"github.com/backlogfs/backlog/internal/lsm"
 )
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -33,33 +37,90 @@ func TestRecordSizes(t *testing.T) {
 	}
 }
 
-// TestEncodingOrderMatchesComparator is the property that makes the on-disk
-// format work: bytes.Compare on encodings must equal the in-memory field
-// comparators.
+// TestEncodingOrderMatchesComparator is the property that makes both the
+// run format and the write store work: for the records of every table, the
+// write-store comparator on the padded records, bytes.Compare on the
+// encodings, and field order (identity, then the CP fields) all agree.
 func TestEncodingOrderMatchesComparator(t *testing.T) {
-	norm := func(v uint64) uint64 { return v % 7 } // force collisions
-	f := func(a, b FromRec) bool {
-		a.Block, b.Block = norm(a.Block), norm(b.Block)
-		a.Inode, b.Inode = norm(a.Inode), norm(b.Inode)
-		a.Offset, b.Offset = norm(a.Offset), norm(b.Offset)
-		a.Line, b.Line = norm(a.Line), norm(b.Line)
-		a.Length, b.Length = norm(a.Length), norm(b.Length)
-		a.From, b.From = norm(a.From), norm(b.From)
-		byteLess := bytes.Compare(EncodeFrom(a), EncodeFrom(b)) < 0
-		return byteLess == lessFrom(a, b)
+	// Few distinct values force ties; large ones make byte order and word
+	// order differ from the order of the values' low bytes.
+	vals := []uint64{0, 1, 2, 255, 256, 1 << 32, 1 << 63, Infinity}
+	fields := func(r *Ref, cps ...*uint64) []*uint64 {
+		return append([]*uint64{&r.Block, &r.Inode, &r.Offset, &r.Line, &r.Length}, cps...)
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+	// order draws both records' fields from vals, b's first tie of them
+	// equal to a's, so that every field decides some comparisons; it
+	// reports whether the comparator, bytes.Compare and field order agree.
+	order := func(fa, fb []*uint64, tie uint8, enc func() ([]byte, []byte)) bool {
+		var va, vb []uint64
+		for j := range fa {
+			*fa[j], *fb[j] = vals[*fa[j]%uint64(len(vals))], vals[*fb[j]%uint64(len(vals))]
+			if j < int(tie)%(len(fa)+1) {
+				*fb[j] = *fa[j]
+			}
+			va, vb = append(va, *fa[j]), append(vb, *fb[j])
+		}
+		ea, eb := enc()
+		want := slices.Compare(va, vb) < 0
+		return lessRec(wsRecOf(ea), wsRecOf(eb)) == want && (bytes.Compare(ea, eb) < 0) == want
 	}
-	g := func(a, b CombinedRec) bool {
-		a.Block, b.Block = norm(a.Block), norm(b.Block)
-		a.From, b.From = norm(a.From), norm(b.From)
-		a.To, b.To = norm(a.To), norm(b.To)
-		byteLess := bytes.Compare(EncodeCombined(a), EncodeCombined(b)) < 0
-		return byteLess == lessCombined(a, b)
+	from := func(a, b FromRec, tie uint8) bool {
+		return order(fields(&a.Ref, &a.From), fields(&b.Ref, &b.From), tie,
+			func() ([]byte, []byte) { return EncodeFrom(a), EncodeFrom(b) })
 	}
-	if err := quick.Check(g, nil); err != nil {
-		t.Error(err)
+	to := func(a, b ToRec, tie uint8) bool {
+		return order(fields(&a.Ref, &a.To), fields(&b.Ref, &b.To), tie,
+			func() ([]byte, []byte) { return EncodeTo(a), EncodeTo(b) })
+	}
+	combined := func(a, b CombinedRec, tie uint8) bool {
+		return order(fields(&a.Ref, &a.From, &a.To), fields(&b.Ref, &b.From, &b.To), tie,
+			func() ([]byte, []byte) { return EncodeCombined(a), EncodeCombined(b) })
+	}
+	for name, f := range map[string]any{"from": from, "to": to, "combined": combined} {
+		if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestNextGroupSplitsOnEveryIdentityField: records that differ in any one
+// identity field, Length included, are two owners, whichever tables hold
+// them, and each group carries its records' CP fields.
+func TestNextGroupSplitsOnEveryIdentityField(t *testing.T) {
+	base := Ref{Block: 1, Inode: 2, Offset: 3, Line: 4, Length: 5}
+	for j, field := range []*uint64{&base.Block, &base.Inode, &base.Offset, &base.Line, &base.Length} {
+		lo := base
+		*field++
+		hi := base
+		*field--
+		streams := [3]recStream{
+			{it: lsm.NewSliceIter([][]byte{EncodeFrom(FromRec{Ref: lo, From: 7})})},
+			{it: lsm.NewSliceIter([][]byte{EncodeTo(ToRec{Ref: lo, To: 8}), EncodeTo(ToRec{Ref: hi, To: 9})})},
+			{it: lsm.NewSliceIter([][]byte{EncodeCombined(CombinedRec{Ref: hi, From: 1, To: 2})})},
+		}
+		for i := range streams {
+			if err := streams[i].advance(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var got []groupRecs
+		for {
+			g, ok, err := nextGroup(&streams[0], &streams[1], &streams[2])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			got = append(got, g)
+		}
+		want := []groupRecs{
+			{id: lo, froms: []uint64{7}, tos: []uint64{8}},
+			{id: hi, tos: []uint64{9}, combineds: []interval{{from: 1, to: 2}}},
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("field %d: groups %+v, want %+v", j, got, want)
+		}
 	}
 }
 

@@ -4,9 +4,12 @@
 // The paper's fsim prototype used a Berkeley DB in-memory B-tree and the
 // btrfs port used Linux red/black trees; "any efficient indexing structure
 // would work" (Section 5.1). This package implements a left-leaning
-// red-black tree (Sedgewick's 2-3 variant) generic over the item type, with
-// ordered iteration and lower-bound seeks — the two operations the write
-// store needs for proactive pruning and consistency-point flushes.
+// red-black tree (Sedgewick's 2-3 variant) generic over the item type. The
+// engine keeps one per table and shard, each a tree of fixed-width encoded
+// records, and calls only what the write store needs: Insert, Delete (an
+// exact-match delete is proactive pruning), Scan from a key (a query's or a
+// relocation's records of a block range) and IterAll (a checkpoint's flush
+// and the merge-back of a failed one).
 package memtree
 
 // Tree is an ordered set of items of type T. Two items a, b are considered
@@ -31,12 +34,6 @@ func New[T any](less func(a, b T) bool) *Tree[T] {
 
 // Len returns the number of items in the tree.
 func (t *Tree[T]) Len() int { return t.size }
-
-// Clear removes all items.
-func (t *Tree[T]) Clear() {
-	t.root = nil
-	t.size = 0
-}
 
 func isRed[T any](n *node[T]) bool { return n != nil && n.red }
 
@@ -120,32 +117,6 @@ func (t *Tree[T]) Get(key T) (T, bool) {
 	}
 	var zero T
 	return zero, false
-}
-
-// Min returns the smallest item.
-func (t *Tree[T]) Min() (T, bool) {
-	if t.root == nil {
-		var zero T
-		return zero, false
-	}
-	n := t.root
-	for n.left != nil {
-		n = n.left
-	}
-	return n.item, true
-}
-
-// Max returns the largest item.
-func (t *Tree[T]) Max() (T, bool) {
-	if t.root == nil {
-		var zero T
-		return zero, false
-	}
-	n := t.root
-	for n.right != nil {
-		n = n.right
-	}
-	return n.item, true
 }
 
 func moveRedLeft[T any](h *node[T]) *node[T] {
@@ -247,53 +218,10 @@ func (t *Tree[T]) scan(n *node[T], from T, fn func(item T) bool) bool {
 	return t.scan(n.right, from, fn)
 }
 
-// Ascend calls fn for every item in ascending order until fn returns false.
-func (t *Tree[T]) Ascend(fn func(item T) bool) {
-	t.ascend(t.root, fn)
-}
-
-func (t *Tree[T]) ascend(n *node[T], fn func(item T) bool) bool {
-	if n == nil {
-		return true
-	}
-	if !t.ascend(n.left, fn) {
-		return false
-	}
-	if !fn(n.item) {
-		return false
-	}
-	return t.ascend(n.right, fn)
-}
-
-// Items returns all items in ascending order.
-func (t *Tree[T]) Items() []T {
-	out := make([]T, 0, t.size)
-	t.Ascend(func(item T) bool {
-		out = append(out, item)
-		return true
-	})
-	return out
-}
-
 // Iter is a resumable ascending iterator. It is invalidated by tree
 // mutation.
 type Iter[T any] struct {
 	stack []*node[T]
-}
-
-// IterGE returns an iterator positioned at the first item >= from.
-func (t *Tree[T]) IterGE(from T) *Iter[T] {
-	it := &Iter[T]{}
-	n := t.root
-	for n != nil {
-		if t.less(n.item, from) {
-			n = n.right
-		} else {
-			it.stack = append(it.stack, n)
-			n = n.left
-		}
-	}
-	return it
 }
 
 // IterAll returns an iterator over the whole tree.

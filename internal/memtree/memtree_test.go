@@ -2,6 +2,7 @@ package memtree
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -57,25 +58,6 @@ func TestInsertGetDelete(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	tr := intTree()
-	if _, ok := tr.Min(); ok {
-		t.Fatal("Min on empty tree")
-	}
-	if _, ok := tr.Max(); ok {
-		t.Fatal("Max on empty tree")
-	}
-	for _, v := range []int{5, 3, 9, 1, 7} {
-		tr.Insert(v)
-	}
-	if v, _ := tr.Min(); v != 1 {
-		t.Fatalf("Min = %d", v)
-	}
-	if v, _ := tr.Max(); v != 9 {
-		t.Fatalf("Max = %d", v)
-	}
-}
-
 func TestScanFrom(t *testing.T) {
 	tr := intTree()
 	for i := 0; i < 20; i += 2 {
@@ -106,69 +88,34 @@ func TestScanFrom(t *testing.T) {
 	}
 }
 
-func TestIterGE(t *testing.T) {
-	tr := intTree()
-	for i := 0; i < 50; i += 5 {
-		tr.Insert(i)
+// items returns the tree's items in IterAll's order.
+func items(tr *Tree[int]) []int {
+	var out []int
+	it := tr.IterAll()
+	for v, ok := it.Next(); ok; v, ok = it.Next() {
+		out = append(out, v)
 	}
-	it := tr.IterGE(12)
-	var got []int
-	for {
-		v, ok := it.Next()
-		if !ok {
-			break
-		}
-		got = append(got, v)
-	}
-	want := []int{15, 20, 25, 30, 35, 40, 45}
-	if len(got) != len(want) {
-		t.Fatalf("IterGE(12) = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("IterGE(12) = %v, want %v", got, want)
-		}
-	}
-	// Iterator past the end.
-	it = tr.IterGE(1000)
-	if _, ok := it.Next(); ok {
-		t.Fatal("IterGE past max returned an item")
-	}
+	return out
 }
 
+// TestIterAllMatchesItems: IterAll yields the items inserted, each once, in
+// ascending order.
 func TestIterAllMatchesItems(t *testing.T) {
 	tr := intTree()
 	rng := rand.New(rand.NewSource(7))
+	set := map[int]bool{}
 	for i := 0; i < 500; i++ {
-		tr.Insert(rng.Intn(200))
+		k := rng.Intn(200)
+		tr.Insert(k)
+		set[k] = true
 	}
-	items := tr.Items()
-	it := tr.IterAll()
-	for i := 0; ; i++ {
-		v, ok := it.Next()
-		if !ok {
-			if i != len(items) {
-				t.Fatalf("iterator ended at %d, want %d", i, len(items))
-			}
-			break
-		}
-		if v != items[i] {
-			t.Fatalf("item %d: iter=%d items=%d", i, v, items[i])
-		}
+	want := make([]int, 0, len(set))
+	for k := range set {
+		want = append(want, k)
 	}
-}
-
-func TestClear(t *testing.T) {
-	tr := intTree()
-	for i := 0; i < 10; i++ {
-		tr.Insert(i)
-	}
-	tr.Clear()
-	if tr.Len() != 0 {
-		t.Fatalf("Len after Clear = %d", tr.Len())
-	}
-	if _, ok := tr.Get(3); ok {
-		t.Fatal("Get after Clear")
+	sort.Ints(want)
+	if got := items(tr); !slices.Equal(got, want) {
+		t.Fatalf("IterAll yielded %v, want %v", got, want)
 	}
 }
 
@@ -208,7 +155,7 @@ func TestAgainstReferenceModel(t *testing.T) {
 		want = append(want, k)
 	}
 	sort.Ints(want)
-	got := tr.Items()
+	got := items(tr)
 	if len(got) != len(want) {
 		t.Fatalf("final sizes: got %d want %d", len(got), len(want))
 	}
@@ -223,15 +170,15 @@ func TestAgainstReferenceModel(t *testing.T) {
 }
 
 func TestSortedProperty(t *testing.T) {
-	// Property: Items() is always sorted and duplicate-free for any input.
+	// Property: IterAll is always sorted and duplicate-free for any input.
 	f := func(keys []int16) bool {
 		tr := intTree()
 		for _, k := range keys {
 			tr.Insert(int(k))
 		}
-		items := tr.Items()
-		for i := 1; i < len(items); i++ {
-			if items[i-1] >= items[i] {
+		got := items(tr)
+		for i := 1; i < len(got); i++ {
+			if got[i-1] >= got[i] {
 				return false
 			}
 		}
