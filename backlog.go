@@ -142,6 +142,14 @@
 // Checkpoint retires the log, so queries and paper experiments behave
 // identically in every mode.
 //
+// Maintenance moves no durability boundary. A merge only reorganizes
+// records a commit has already made durable, so it writes no manifest of
+// its own: DB.Maintain installs its merges in memory, and they become
+// durable with the next manifest commit — the next Checkpoint, Compact,
+// Expire or Close — in the same rename as that commit's own change. A
+// crash before then reopens the runs the merges read, which answer every
+// query the same, and Open removes the merges' files.
+//
 // # Maintenance
 //
 // Periodic compaction (Section 5.2) merges each partition's accumulated
@@ -160,6 +168,12 @@
 //     meanwhile simply stay beside its output. A run file superseded while a view pins it is deleted only
 //     when the last such view is released. Queries therefore never stall
 //     behind a running compaction.
+//   - A merge's install is not a commit. It swaps the merged runs in for
+//     every query and merge that starts after it and leaves the manifest
+//     naming the runs it read, whose files stay on disk, until the next
+//     commit writes the live runs: a Checkpoint, Compact, Expire or Close.
+//     A maintenance pass therefore costs no manifest write, and Compact
+//     writes one for all of its partitions.
 //   - Maintenance runs only when the host asks: DB.Maintain runs the
 //     merges the configured compaction policy plans, DB.Compact merges
 //     every partition whole, and the database starts no goroutine of its
@@ -229,9 +243,10 @@
 //     by compaction exactly as the paper describes; no commit drops a
 //     run, and DB.Expire commits the catalog only.
 //   - RetainLive makes expiry a rule of every manifest commit: a
-//     checkpoint, a merge, and the commit DB.Expire, DB.Compact,
-//     DB.Maintain and DB.Close end with each drop, in the same rename, the
-//     Combined runs the live snapshot graph no longer reaches. Compaction
+//     checkpoint and the commit DB.Expire, DB.Compact and DB.Close end
+//     with each drop, in the same rename, the Combined runs the live
+//     snapshot graph no longer reaches, those a DB.Maintain since the last
+//     commit left droppable among them. Compaction
 //     becomes CP-tiered: instead of re-merging everything, it seals
 //     finished Combined windows (leaving them untouched, their windows
 //     disjoint), and queries skip sealed runs entirely below the reclaim
@@ -243,11 +258,11 @@
 // Snapshot lifecycle operations (create/delete snapshot, clone, line)
 // live on the Lifecycle interface returned by DB.Catalog. They take effect
 // in memory at once and become durable at the next manifest commit,
-// atomically with the reference data it installs: every checkpoint, merge
-// install and the commit Expire, Compact, Maintain and Close end with
-// writes the catalog as it is at that moment into the manifest it renames
-// into place, so a crash can lose a deletion together with the purge it
-// justified, or keep both, and nothing in between. Note that expiry
+// atomically with the reference data it installs: every checkpoint and the
+// commit Expire, Compact and Close end with writes the catalog as it is at
+// that moment into the manifest it renames into place, with every merge
+// installed since the last commit, so a crash can lose a deletion together
+// with the purge it justified, or keep both, and nothing in between. Note that expiry
 // is permanent in the same sense as the paper's snapshot deletion:
 // re-creating a snapshot at an old version after its records expired does
 // not resurrect them.
@@ -872,17 +887,24 @@ func (db *DB) QueryRange(block uint64, n int, visit func(block uint64, owners []
 // partition keeps at most one From and one Combined run; runs a concurrent
 // Checkpoint adds stay beside them at level 0.
 //
-// Zombie snapshots are reaped first. Every merge it installs commits the
-// live catalog in the same manifest, so a crash never keeps a purge and
-// loses the deletion that justified it. It ends by committing what no
-// merge carried, as Expire does: the catalog, only if it changed since the
-// last commit, and under RetainLive the runs no snapshot reaches any more.
+// Zombie snapshots are reaped first. Its merges install in memory, and it
+// ends with one commit, as Expire does, whatever the partition count: the
+// merged runs of every partition — and those of any Maintain since the
+// last commit — with the live catalog, in one manifest, so a crash never
+// keeps a purge and loses the deletion that justified it; under RetainLive
+// the same commit drops the runs no snapshot reaches any more. With
+// nothing merged, an unchanged catalog and nothing to drop, it writes no
+// manifest.
 func (db *DB) Compact() error { return db.eng.Compact() }
 
 // Maintain runs one maintenance pass on the caller's goroutine, honoring
 // the configured CompactionPolicy and retention mode: it reaps zombie
-// snapshots, runs the merges the policy plans, re-planning until none
-// remain, and ends with a commit as Compact does. It is the database's
+// snapshots and runs the merges the policy plans, re-planning until none
+// remain. It writes no manifest: its merges, the reaped catalog and, under
+// RetainLive, the runs they left droppable become durable with the next
+// commit — a Checkpoint, Compact, Expire or Close — and a crash before that
+// reopens the database as the last commit left it, with the same answers
+// (see the package documentation's Durability section). It is the database's
 // only maintenance scheduler — nothing merges in the background unless
 // the host calls Maintain from a goroutine of its own. Merges read a
 // pinned view, so queries and updates keep flowing while it runs. Unlike
@@ -913,7 +935,7 @@ func (db *DB) RelocateBlock(oldBlock, newBlock uint64) error {
 // pinned when it started, so a Query or QueryRange answers every block by
 // one topology. A change is durable at the next manifest commit, which
 // carries the topology as it is at that moment: the next Checkpoint,
-// Compact, Maintain, Expire or Close at the latest.
+// Compact, Expire or Close at the latest.
 type Lifecycle interface {
 	// CreateSnapshot retains version v (a CP number) of the given line. v
 	// is the CP being taken — at the earliest the last one committed — and
@@ -945,16 +967,17 @@ func (db *DB) Catalog() Lifecycle { return db.cat }
 type ExpireStats = core.ExpireStats
 
 // Expire commits now. It reaps zombie snapshots, then commits a catalog
-// change no commit has carried and, under Config.Retention == RetainLive,
+// change no commit has carried, the merges Maintain installed since the
+// last commit, and, under Config.Retention == RetainLive,
 // drops every Combined run whose consistency-point window falls entirely
 // below the oldest snapshot still reachable from the catalog — reclaiming
 // deleted snapshots' records without reading or rewriting any data, the
 // drop and the topology that justified it in one manifest; see the package
-// documentation's Retention and expiry section. Every checkpoint and merge
-// under RetainLive drops such runs too, so Expire is only needed when
-// snapshots are deleted and no commit follows. Under RetainAll it drops
-// nothing. With no droppable run and an unchanged catalog it writes
-// nothing.
+// documentation's Retention and expiry section. Every checkpoint, Compact
+// and Close under RetainLive drops such runs too, so Expire is only needed
+// when snapshots are deleted, or merges made durable, and no commit
+// follows. Under RetainAll it drops nothing. With no droppable run, no
+// merge since the last commit and an unchanged catalog it writes nothing.
 func (db *DB) Expire() (ExpireStats, error) { return db.eng.Expire() }
 
 // RunInfo describes one live read-store run, including the
@@ -1041,8 +1064,8 @@ func (db *DB) Durability() Durability { return db.eng.Durability() }
 func (db *DB) SizeBytes() int64 { return db.eng.SizeBytes() }
 
 // Close commits the snapshot catalog, if it changed since the last
-// manifest commit, and flushes buffered references according to the
-// configured durability mode. With DurabilityBuffered or
+// manifest commit, and the merges Maintain installed since then, and
+// flushes buffered references according to the configured durability mode. With DurabilityBuffered or
 // DurabilitySync the write-ahead log is synced and kept, so a reopened
 // database replays every reference accepted before Close — nothing is
 // lost. With DurabilityCheckpointOnly (the default, the paper's model)

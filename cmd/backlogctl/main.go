@@ -494,18 +494,25 @@ func main() {
 	case "compact":
 		before := db.SizeBytes()
 		// -policy leveled runs a policy-planned maintenance pass (only the
-		// stepped merges that are due); the default remains the classic
-		// merge-each-partition-to-one compaction.
+		// stepped merges that are due), which writes no manifest: the Close
+		// here commits its merges, and its error is the command's. The
+		// default remains the classic merge-each-partition-to-one
+		// compaction, which commits them itself.
+		var err error
 		if pmode == backlog.PolicyLeveled {
-			if err := db.Maintain(); err != nil {
-				fmt.Fprintln(os.Stderr, "backlogctl:", err)
-				os.Exit(1)
-			}
-		} else if err := db.Compact(); err != nil {
+			err = db.Maintain()
+		} else {
+			err = db.Compact()
+		}
+		after := db.SizeBytes()
+		if err == nil {
+			err = db.Close()
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "backlogctl:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("compacted (%s): %d -> %d bytes\n", pmode, before, db.SizeBytes())
+		fmt.Printf("compacted (%s): %d -> %d bytes\n", pmode, before, after)
 	case "expire":
 		before := db.SizeBytes()
 		est, err := db.Expire()

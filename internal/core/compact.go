@@ -35,12 +35,13 @@ import (
 // relocation since the last checkpoint), compaction is deferred (see
 // compactJob). Call Checkpoint first.
 //
-// Zombie snapshots are reaped first, and the call ends by committing now
-// (see commitNow): a catalog change no merge carried, and under RetainLive
-// the runs the merges left droppable. Under RetainLive the merges are
-// CP-tiered: sealed Combined runs (see lsm.Run.Sealed) are left untouched
-// instead of being re-merged, so their windows stay disjoint and a commit
-// can drop them whole once the reclaim horizon passes their MaxCP.
+// Zombie snapshots are reaped first. Each merge installs in memory (see
+// compactJob), and the call ends with one commit (see commitNow) whatever
+// the partition count: every merge with the live catalog and, under
+// RetainLive, the runs the merges left droppable. Under RetainLive the
+// merges are CP-tiered: sealed Combined runs (see lsm.Run.Sealed) are left
+// untouched instead of being re-merged, so their windows stay disjoint and
+// a commit can drop them whole once the reclaim horizon passes their MaxCP.
 // Everything else (From, To, unsealed Combined runs, the override run)
 // merges exactly as untiered; the merged Combined output is split so
 // override records land in their own run, keeping the regular output
@@ -131,9 +132,12 @@ func viewHasRuns(v *lsm.View, table string, p int, inputs []*lsm.Run) bool {
 // k-way merge and run building happen against a pinned view with no
 // structural lock held, so updates, queries and checkpoints proceed during
 // the bulk of the work; the lock is taken shared only to pin the view.
-// The install validates the inputs and commits under cpMu, waiting out a
-// flushing checkpoint, and takes the lock exclusively only for the
-// commit's swap (see commit). compacted reports an installed merge. A job
+// The install validates the inputs and opens the outputs under cpMu,
+// waiting out a flushing checkpoint, and takes the lock exclusively only
+// for the swap. It writes no manifest: the merge becomes durable with the
+// next commit — a Checkpoint, Compact, Expire or Close — and a crash
+// before that reopens the store with the merge's inputs, its outputs
+// collected as orphans. compacted reports an installed merge. A job
 // that installs nothing returns compacted=false and goes back to whoever planned it: it
 // is stale (an input consumed since the plan), deferred by a dirty
 // deletion vector, or in conflict (another merge or an expiry consumed an
@@ -264,7 +268,7 @@ func (e *Engine) compactJob(job CompactionJob) (compacted bool, err error) {
 	// (or purged only where the lone To reads as nothing either, see
 	// emitLeveledGroup), and it stays at or below the merge's output level
 	// (see wholeJob). cpMu, which every commit and every relocation takes,
-	// keeps the validated state still until the commit has swapped the
+	// keeps the validated state still until the install has swapped the
 	// outputs in; a checkpoint flushing now finishes first.
 	e.cpMu.Lock()
 	defer e.cpMu.Unlock()
@@ -278,9 +282,12 @@ func (e *Engine) compactJob(job CompactionJob) (compacted bool, err error) {
 	}
 
 	// Install: the inputs are live, so the edit swaps exactly them for the
-	// outputs, and the commit collects the deletion-vector entries the
-	// merge consumed. A commit that fails has changed nothing and removed
-	// the output files.
+	// outputs and collects the deletion-vector entries the merge consumed.
+	// It is an install in memory: the outputs hold only records some commit
+	// already made durable, so the manifest keeps naming the inputs, whose
+	// files stay, until the next commit writes the live runs (see commit).
+	// The outputs are opened before the lock is taken; an edit that fails
+	// to open them has changed nothing and removed the output files.
 	edit := e.db.NewEdit().SetSource(storage.SrcCompaction)
 	for _, ref := range added {
 		edit.AddRun(ref)
@@ -290,9 +297,13 @@ func (e *Engine) compactJob(job CompactionJob) (compacted bool, err error) {
 			edit.DropRun(tables[i], r.Name())
 		}
 	}
-	if _, err := e.commit(edit, commitMerge); err != nil {
+	if err := edit.Prepare(); err != nil {
 		return false, err
 	}
+	e.mu.Lock()
+	reclaim := edit.Install()
+	e.mu.Unlock()
+	reclaim()
 	e.stats.compactions.Add(1)
 	e.stats.recordsPurged.Add(purged)
 	e.stats.compactWriteBytes.Add(addedBytes(added))
@@ -378,10 +389,11 @@ func emitLeveledGroup(topo *Topology, g groupRecs, whole bool, newFrom, newTo, n
 // (from == 0) of a line that is still needed — purging an override would
 // resurrect inheritance the file system explicitly terminated.
 //
-// topo is the one the merge pinned with its view, and its commit carries
-// the catalog's newer, live topology, never the pinned one: were a merge
-// that pinned T0 to commit T0 after a checkpoint or an Expire had
-// committed T1, a crash would bring back what T1 deleted. Purging against
+// topo is the one the merge pinned with its view, and the commit that
+// makes the merge durable carries the catalog's newer, live topology, never
+// the pinned one: were a merge that pinned T0 to commit T0 after a
+// checkpoint or an Expire had committed T1, a crash would bring back what
+// T1 deleted. Purging against
 // the older T0 is safe because the topology only ever comes to keep fewer
 // of a merge's input records: a deleted snapshot or line and a reaped
 // zombie keep less; a new snapshot is taken at the CP being taken, on a

@@ -37,11 +37,16 @@ func onRunCreate(fs *storage.MemFS, fn func(name string)) {
 
 // noOrphans checks the directory against the manifest: it must hold exactly
 // MANIFEST (absent only while nothing has committed), the run and
-// deletion-vector files the manifest names, and write-ahead-log segments,
-// whose contents are wal.TestCrashAtEveryIO's business. Nothing commits
-// in the background, so the caller holds the store still.
+// deletion-vector files the manifest names, the files of the live runs —
+// those a merge installed in memory since the last commit too — and
+// write-ahead-log segments, whose contents are wal.TestCrashAtEveryIO's
+// business. Nothing commits in the background, so the caller holds the
+// store still.
 func noOrphans(fs storage.VFS, eng *core.Engine) error {
 	want := eng.Files()
+	for _, ri := range eng.RunInfos() {
+		want = append(want, ri.Name)
+	}
 	names, err := fs.List()
 	if err != nil {
 		return err
@@ -50,8 +55,8 @@ func noOrphans(fs storage.VFS, eng *core.Engine) error {
 		want = append(want, "MANIFEST")
 	}
 	names = slices.DeleteFunc(names, func(n string) bool { return strings.HasPrefix(n, "wal-") })
-	if slices.Sort(want); !slices.Equal(names, want) {
-		return fmt.Errorf("the directory holds %v besides the log, the manifest names %v", names, want)
+	if slices.Sort(want); !slices.Equal(names, slices.Compact(want)) {
+		return fmt.Errorf("the directory holds %v besides the log, the manifest and the live runs name %v", names, want)
 	}
 	return nil
 }

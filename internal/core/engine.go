@@ -28,11 +28,11 @@ type Options struct {
 	// expansion, and purging. Required. The engine keeps it: Open fills it
 	// from the manifest, replacing what it holds, before anything consults
 	// the topology (a manifest written without a catalog leaves it as
-	// given), and every manifest commit — checkpoint, merge install, the
-	// commit Expire, Close and every maintenance pass end with — carries it
-	// as it is at that moment, so a purge is never durable without a
-	// topology that justifies it (the merge's pinned one, or a later one,
-	// which keeps no more).
+	// given), and every manifest commit — a checkpoint's, the one Expire,
+	// Compact and Close end with — carries it as it is at that moment,
+	// with the merges installed in memory since the last commit, so a
+	// purge is never durable without a topology that justifies it (the
+	// merge's pinned one, or a later one, which keeps no more).
 	Catalog *MemCatalog
 	// CacheBytes sizes the shared page cache (default 32 MB, the paper's
 	// micro-benchmark configuration). Pages are cached in their on-disk
@@ -335,7 +335,7 @@ type writeShard struct {
 // run, and queues behind an in-flight checkpoint first.
 //
 // Lock order: cpMu → mu → a shard's mu; a merge starts at mu, and takes cpMu
-// only with no other lock held, to commit. walErrMu and lsm's viewMu and
+// only with no other lock held, to install. walErrMu and lsm's viewMu and
 // idMu are leaves: nothing is acquired under them.
 type Engine struct {
 	mu      sync.RWMutex
@@ -349,7 +349,7 @@ type Engine struct {
 	// mutation. Checkpoint holds it end to end (including the lock-free
 	// flush), so nothing commits and RelocateBlock cannot interleave while
 	// the write stores are frozen but the runs are not yet installed; a
-	// merge takes it only to validate and commit, and commitNow to commit.
+	// merge takes it only to validate and install, and commitNow to commit.
 	// A commit holding it does its I/O with no structural lock held: the
 	// state it was built from cannot move (see commit).
 	cpMu sync.Mutex
@@ -603,11 +603,11 @@ func (e *Engine) Stats() Stats {
 func (e *Engine) Durability() wal.Durability { return e.opts.Durability }
 
 // Close releases the engine. It first commits now, as Expire does without
-// reaping: a catalog change no commit has carried and, under RetainLive,
-// the runs it made droppable. In Buffered mode it then writes out and
-// syncs the write-ahead log, so a clean shutdown preserves every buffered
-// reference for replay at the next Open; in Sync mode everything is
-// already durable. In CheckpointOnly mode buffered references are
+// reaping: a catalog change and the merges no commit has carried and,
+// under RetainLive, the runs it made droppable. In Buffered mode it then
+// writes out and syncs the write-ahead log, so a clean shutdown preserves
+// every buffered reference for replay at the next Open; in Sync mode
+// everything is already durable. In CheckpointOnly mode buffered references are
 // discarded, exactly like file-system state past the last consistency
 // point. Close returns the sticky WAL durability error, if any.
 func (e *Engine) Close() error {
@@ -939,9 +939,10 @@ func (e *Engine) checkpoint(cp uint64) error {
 	// dirty deletion vector beside the re-keyed records this flush wrote
 	// (see lsm.Edit.Write). A vector dirty here was dirty at the freeze
 	// with the same entries: cpMu has kept relocation out since, and kept
-	// every other commit out, merges and expiry included. Under RetainLive
-	// the same commit drops the runs the live topology no longer reaches,
-	// the dirty vector persisted with the drops.
+	// every other commit and every merge's install out. The commit also
+	// writes the merges installed in memory since the last one. Under
+	// RetainLive the same commit drops the runs the live topology no longer
+	// reaches, the dirty vector persisted with the drops.
 	if err == nil {
 		edit := e.db.NewEdit().SetSource(storage.SrcCheckpoint).SetCP(cp)
 		for _, ref := range refs {

@@ -91,26 +91,30 @@ func (e *Engine) expire() (ExpireStats, error) {
 	return e.commitNow()
 }
 
-// commitNow is the commit Expire, Compact, every maintenance pass and
-// Close end with: an empty edit, which writes nothing when the manifest
-// holds the catalog already and no run is droppable.
+// commitNow is the commit Expire, Compact and Close end with: an empty
+// edit, which writes the live runs and catalog — the merges installed in
+// memory since the last commit among them — and writes nothing when the
+// manifest holds them already and no run is droppable.
 func (e *Engine) commitNow() (ExpireStats, error) {
 	e.cpMu.Lock()
 	defer e.cpMu.Unlock()
 	return e.commit(e.db.NewEdit().SetSource(storage.SrcManifest), commitEmpty)
 }
 
-// commitKind tells commit which of the engine's three commits it makes.
+// commitKind tells commit which of the engine's two commits it makes. A
+// merge's install is not a commit: it swaps the live runs in memory and
+// rides the next commit (see compactJob).
 type commitKind int
 
 const (
 	commitCheckpoint commitKind = iota // a checkpoint's install
-	commitMerge                        // a merge's install
 	commitEmpty                        // commitNow's
 )
 
 // commit makes the engine's one manifest commit. Every commit carries the
-// live catalog (lsm.Options.Section); under RetainLive it also drops, in
+// live runs — the merges installed in memory since the last commit with
+// them, whose inputs' files the commit frees — and the live catalog
+// (lsm.Options.Section); under RetainLive it also drops, in
 // the same rename, the Combined runs below the live topology's reclaim
 // horizon. A checkpoint's install always may: it advances the CP, so
 // lsm.Edit.Write persists a dirty deletion vector with the drops. Any other
@@ -134,7 +138,7 @@ func (e *Engine) commit(edit *lsm.Edit, kind commitKind) (st ExpireStats, err er
 			st.Deferred = true
 		}
 	}
-	if kind == commitEmpty && runs == 0 && bytes.Equal(e.catalog.Topology().data, e.db.Section()) {
+	if kind == commitEmpty && runs == 0 && !e.db.Ahead() && bytes.Equal(e.catalog.Topology().data, e.db.Section()) {
 		return st, nil
 	}
 	if err = edit.Write(); err != nil {

@@ -641,23 +641,29 @@ func TestRelocateRunRecordsDuringFlushCrashWindows(t *testing.T) {
 	}
 }
 
-// TestNoIOUnderTheExclusiveLock parks, in turn, the three file creations a
+// TestNoIOUnderTheExclusiveLock parks, in turn, the file creations a
 // commit or a cut makes — a checkpoint's next log segment, a checkpoint
-// install's MANIFEST.tmp, a merge install's MANIFEST.tmp — and while each is
-// parked a Buffered AddRef and a Query must both return: a checkpoint holds
-// the structural lock exclusively only to swap pointers, and no commit does
-// I/O under it.
+// install's MANIFEST.tmp, the MANIFEST.tmp of the commit Compact ends with
+// — and the open of a merge's output that a maintenance pass's install
+// makes, and while each is parked a Buffered AddRef and a Query must both
+// return: a checkpoint holds the structural lock exclusively only to swap
+// pointers, no commit does I/O under it, and a merge opens its outputs
+// before it takes it.
 func TestNoIOUnderTheExclusiveLock(t *testing.T) {
 	for _, c := range []struct {
-		name, file string
-		op         func(*core.Engine) error
+		name string
+		call storage.Op
+		file string
+		op   func(*core.Engine) error
 	}{
-		{"checkpoint-segment", "wal-", func(e *core.Engine) error { return e.Checkpoint(3) }},
-		{"checkpoint-manifest", "MANIFEST.tmp", func(e *core.Engine) error { return e.Checkpoint(3) }},
-		{"merge-manifest", "MANIFEST.tmp", func(e *core.Engine) error { return e.Compact() }},
+		{"checkpoint-segment", storage.OpCreate, "wal-", func(e *core.Engine) error { return e.Checkpoint(3) }},
+		{"checkpoint-manifest", storage.OpCreate, "MANIFEST.tmp", func(e *core.Engine) error { return e.Checkpoint(3) }},
+		{"merge-manifest", storage.OpCreate, "MANIFEST.tmp", func(e *core.Engine) error { return e.Compact() }},
+		{"merge-swap", storage.OpOpen, "merge.", func(e *core.Engine) error { return e.MaintainNow() }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			env := newFreezeEnv(t, core.Options{Durability: wal.Buffered, Partitions: 1})
+			env := newFreezeEnv(t, core.Options{Durability: wal.Buffered, Partitions: 1,
+				CompactionPolicy: core.PolicyFullAt{Threshold: 1}})
 			eng := env.eng
 			defer eng.Close()
 			for cp := uint64(1); cp <= 2; cp++ {
@@ -671,7 +677,7 @@ func TestNoIOUnderTheExclusiveLock(t *testing.T) {
 			parked, release := make(chan struct{}), make(chan struct{})
 			var once sync.Once
 			env.fs.SetFailurePlan(storage.FailurePlan{Hook: func(call storage.Call) error {
-				if call.Op == storage.OpCreate && strings.HasPrefix(call.Name, c.file) {
+				if call.Op == c.call && strings.HasPrefix(call.Name, c.file) {
 					once.Do(func() {
 						close(parked)
 						<-release
@@ -684,7 +690,7 @@ func TestNoIOUnderTheExclusiveLock(t *testing.T) {
 			select {
 			case <-parked:
 			case err := <-done:
-				t.Fatalf("%s finished without creating %s*: %v", c.name, c.file, err)
+				t.Fatalf("%s finished without %v of %s*: %v", c.name, c.call, c.file, err)
 			}
 
 			served := make(chan []core.Owner, 1)

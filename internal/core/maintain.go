@@ -32,24 +32,20 @@ type MaintenanceStats struct {
 }
 
 // MaintainNow runs one maintenance pass on the caller's goroutine: it
-// reaps zombie snapshots, runs the compactions the configured policy
-// plans, re-planning until the plan drains, and commits now (see
-// commitNow) — a catalog change no merge carried and, under RetainLive,
-// the runs the merges left droppable. Maintenance runs only when a caller
-// asks: the engine starts no goroutine, so a host that wants it in the
+// reaps zombie snapshots and runs the compactions the configured policy
+// plans, re-planning until the plan drains. It writes no manifest: each
+// merge installs in memory (see compactJob), and the merges, the reaped
+// catalog and, under RetainLive, the runs they left droppable become
+// durable with the next commit — a Checkpoint, Compact, Expire or Close.
+// A crash before that reopens the store as the last commit left it, which
+// answers every query the same. Maintenance runs only when a caller asks:
+// the engine starts no goroutine, so a host that wants it in the
 // background calls MaintainNow from a goroutine of its own. Merges run
 // against a pinned view outside the structural lock, so updates and
 // queries keep flowing meanwhile.
 func (e *Engine) MaintainNow() error {
 	e.catalog.ReapZombies()
-	if err := e.drainCompactions(); err != nil {
-		return err
-	}
-	if _, err := e.commitNow(); err != nil {
-		e.stats.maintErrors.Add(1)
-		return err
-	}
-	return nil
+	return e.drainCompactions()
 }
 
 // drainCompactions executes policy-planned jobs until the plan is empty

@@ -195,7 +195,8 @@ func TestCompactContinuesPastPartitionErrors(t *testing.T) {
 // deleting it leaves a zombie, and a sealed run holds its window [1, 2].
 // Once the clone line is deleted too, only the zombie pins the reclaim
 // horizon, until something reaps it: the pass kicked after the next
-// checkpoint must, and the commit of the merge it runs then drops the run.
+// checkpoint must. The pass commits nothing, so the run goes with the next
+// commit, a checkpoint's.
 func TestMaintainerReapsZombies(t *testing.T) {
 	cat := core.NewMemCatalog()
 	eng, err := core.Open(core.Options{VFS: storage.NewMemFS(), Catalog: cat,
@@ -237,8 +238,12 @@ func TestMaintainerReapsZombies(t *testing.T) {
 	eng.AddRef(fref(3, 3, 0, 0), 3)
 	fCheckpoint(t, eng, 3)
 	pass()
+	if left := sealedRuns(eng); len(left) != 1 || eng.Stats().RunsExpired != 0 {
+		t.Fatalf("sealed runs after the maintenance pass: %+v, want the zombie's run kept for the next commit", left)
+	}
+	fCheckpoint(t, eng, 4)
 	if left := sealedRuns(eng); len(left) != 0 {
-		t.Fatalf("sealed runs after the maintenance pass: %+v, want the zombie's run dropped", left)
+		t.Fatalf("sealed runs after the next checkpoint: %+v, want the zombie's run dropped", left)
 	}
 	if st := eng.Stats(); st.RunsExpired != 1 {
 		t.Fatalf("RunsExpired = %d, want 1", st.RunsExpired)

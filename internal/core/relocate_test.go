@@ -8,6 +8,7 @@ package core_test
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -337,13 +338,14 @@ func TestRelocateBackToAVacatedBlock(t *testing.T) {
 	}
 }
 
-// TestFailedMergeInstallLeavesVectorUntouched fails the manifest write of
-// a merge whose inputs a clean vector entry points into. The commit is the
-// only place the vector changes, so the failed one must leave it as it was
-// — same entry, still clean, or the retry would defer on a vector nothing
-// will ever persist — with no output file behind and every answer
-// unchanged; the immediate retry installs and collects the entry. An expiry
-// whose commit fails is held to the same.
+// TestFailedMergeInstallLeavesVectorUntouched fails the install of a merge
+// whose inputs a clean vector entry points into: the open of its output,
+// the install's one I/O. The failed install must leave the vector as it
+// was — same entry, still clean, or the retry would defer on a vector
+// nothing will ever persist — with no output file behind and every answer
+// unchanged. The merge installs in memory, collecting the entry there; a
+// commit that then fails leaves the vector clean, and the next one (an
+// Expire's) persists it collected. An expiry whose commit fails is held to the same.
 func TestFailedMergeInstallLeavesVectorUntouched(t *testing.T) {
 	files := func(t *testing.T, fs *storage.MemFS) []string {
 		t.Helper()
@@ -384,9 +386,9 @@ func TestFailedMergeInstallLeavesVectorUntouched(t *testing.T) {
 		}
 		before, filesBefore := answers(), files(t, fs)
 
-		failCalls(fs, storage.OpCreate, "MANIFEST.tmp")
+		failCalls(fs, storage.OpOpen, "merge.")
 		if err := eng.Compact(); !errors.Is(err, storage.ErrInjected) {
-			t.Fatalf("Compact over a failing manifest write: %v, want the injected error", err)
+			t.Fatalf("Compact over a failing output open: %v, want the injected error", err)
 		}
 		fs.SetFailurePlan(storage.FailurePlan{})
 		untouched(t, eng, "after the failed install")
@@ -397,17 +399,32 @@ func TestFailedMergeInstallLeavesVectorUntouched(t *testing.T) {
 			t.Fatalf("answers changed across the failed install: %+v, before %+v", got, before)
 		}
 
-		if err := eng.Compact(); err != nil {
-			t.Fatal(err)
+		failCalls(fs, storage.OpCreate, "MANIFEST.tmp")
+		if err := eng.Compact(); !errors.Is(err, storage.ErrInjected) {
+			t.Fatalf("Compact over a failing manifest write: %v, want the injected error", err)
 		}
+		fs.SetFailurePlan(storage.FailurePlan{})
 		if st := eng.Stats(); st.Compactions != 1 {
-			t.Fatalf("Compactions = %d after the retry, want 1", st.Compactions)
+			t.Fatalf("Compactions = %d after the install in memory, want 1", st.Compactions)
 		}
 		if dirty, entries := dvState(eng); dirty || entries != 0 {
-			t.Fatalf("after the retry: dirty=%v with %d vector entries, want clean and empty", dirty, entries)
+			t.Fatalf("after the failed commit: dirty=%v with %d vector entries, want clean and empty", dirty, entries)
 		}
 		if got := answers(); !reflect.DeepEqual(got, before) {
 			t.Fatalf("answers changed across the merge: %+v, before %+v", got, before)
+		}
+		if !slices.ContainsFunc(files(t, fs), func(n string) bool { return strings.HasPrefix(n, "dv.") }) {
+			t.Fatal("the vector file went before a commit that collects its entry")
+		}
+
+		if _, err := eng.Expire(); err != nil {
+			t.Fatal(err)
+		}
+		if slices.ContainsFunc(files(t, fs), func(n string) bool { return strings.HasPrefix(n, "dv.") }) {
+			t.Fatal("the commit after the merge left the vector file behind")
+		}
+		if got := answers(); !reflect.DeepEqual(got, before) {
+			t.Fatalf("answers changed across the commit: %+v, before %+v", got, before)
 		}
 	})
 

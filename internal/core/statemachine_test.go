@@ -396,7 +396,7 @@ const (
 	opReap
 	opCheckpoint
 	opCompact  // Compact, which commits the catalog
-	opMaintain // MaintainNow, which commits the catalog
+	opMaintain // MaintainNow, which commits nothing: its merges ride the next commit
 	opExpire   // Expire, which commits the catalog
 	opReopen   // Close (which commits the catalog), then Open
 	// opCrash with a = 0 is the power failing now. With a = k > 0 it fails at
@@ -678,10 +678,10 @@ func (d *smDriver) step(op smOp) error {
 	if !d.dying {
 		return err
 	}
-	// The op died, maybe after committing: a crash's recovery commits
-	// nothing, any other op what it would have.
+	// The op died, maybe after committing: a crash's recovery and a
+	// maintenance pass commit nothing, any other op what it would have.
 	d.dying = false
-	if op.k != opCrash {
+	if op.k != opCrash && op.k != opMaintain {
 		d.commits = append(d.commits, d.commit())
 	}
 	before := d.before
@@ -761,7 +761,9 @@ func (d *smDriver) apply(op smOp) error {
 		if err := d.alive(err); err != nil {
 			return err
 		}
-		d.committed()
+		if op.k != opMaintain {
+			d.committed()
+		}
 	case opReopen:
 		if err := d.alive(d.close()); err != nil {
 			return err
@@ -1200,8 +1202,9 @@ var smRegressions = []struct {
 		{opAdd, 10, 1, 0, 0}, {opCheckpoint, 0, 0, 0, 0}, {opAdd, 11, 1, 1, 0}, {opRemove, 10, 1, 0, 0},
 		{opRelocate, 11, 20, 0, 0}, {opCrash, 0, 0, 0, 0}, {opCrash, 0, 0, 0, 0}, {opCheckpoint, 0, 0, 0, 0},
 	}},
-	// A merge purges what only the snapshot just deleted retained; its
-	// commit carries the catalog without that snapshot.
+	// A merge purges what only the snapshot just deleted retained; the
+	// commit that makes it durable carries the catalog without that
+	// snapshot, and a crash before that commit finds both as they were.
 	{"purge-commits-its-catalog", "cponly-delta-full-all-p1", []smOp{
 		{opAdd, 10, 2, 0, 0}, {opSnapshot, 0, 0, 0, 0}, {opCheckpoint, 0, 0, 0, 0}, {opRemove, 10, 2, 0, 0},
 		{opAdd, 11, 3, 0, 0}, {opCheckpoint, 0, 0, 0, 0}, {opAdd, 12, 3, 0, 0}, {opCheckpoint, 0, 0, 0, 0},
@@ -1266,10 +1269,13 @@ func TestStateMachine(t *testing.T) {
 	if 2*expired < live {
 		t.Errorf("expiry dropped runs in %d of %d RetainLive seeds, want at least half", expired, live)
 	}
-	for _, k := range []smKind{opCheckpoint, opCompact, opMaintain, opExpire, opReopen} {
+	for _, k := range []smKind{opCheckpoint, opCompact, opExpire, opReopen} {
 		if tally.lost[k] == 0 {
 			t.Errorf("no kill point of an %s lost its commit", smKindNames[k])
 		}
+	}
+	if n := tally.committing[opMaintain]; n > 0 {
+		t.Errorf("%d kill points of an opMaintain fell in a manifest commit; a maintenance pass commits nothing", n)
 	}
 }
 

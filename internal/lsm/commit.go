@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -10,18 +11,23 @@ import (
 	"github.com/backlogfs/backlog/internal/storage"
 )
 
-// Edit describes an atomic manifest transition: new runs to install, old
-// runs to drop and the CP number to record. All of it commits in a single
-// manifest replacement, together with the caller's section as it is at that
-// moment (Options.Section) — an empty edit commits the section alone — and
-// that commit is the only place a table's deletion vector is pruned or
-// persisted (see Commit).
+// Edit describes an atomic transition of the store: new runs to install,
+// old runs to drop and the CP number to record. All of it takes effect in
+// one swap, and a written edit commits in a single manifest replacement,
+// together with the caller's section as it is at that moment
+// (Options.Section) — an empty edit commits the section alone — and that
+// commit is the only place a deletion vector is persisted (see Write).
 //
-// A commit is two steps, so that its I/O need not exclude readers: Write
-// does every file operation, the manifest rename last, and Install swaps
-// the result into memory. Between an edit's Write and its Install nothing
-// else may commit or mutate a deletion vector (the engine's checkpoint
-// guard serializes both); only Install needs the structural lock.
+// An edit is installed in two steps, so that its I/O need not exclude
+// readers: Write — or, for an edit that only reorganizes durable records,
+// Prepare — does every file operation, and Install swaps the result into
+// memory. A written edit is a commit: Write renames the manifest into
+// place, and the manifest then names the live runs. A prepared edit is an
+// install in memory: the live version moves and the manifest stays, naming
+// what it named, until the next written edit commits the live runs with
+// its own. Between an edit's Write or Prepare and its Install nothing else
+// may install or mutate a deletion vector (the engine's checkpoint guard
+// serializes all three); only Install needs the structural lock.
 type Edit struct {
 	db    *DB
 	cp    uint64
@@ -31,16 +37,19 @@ type Edit struct {
 	// source its removal is attributed to (SrcUnknown: the edit's own).
 	drop map[string]map[string]storage.Source
 
-	dvCollected int // deletion-vector entries the last Commit collected
+	dvCollected int // deletion-vector entries the drops collected
 
-	// What Write prepared and Install swaps in.
-	next        manifest
+	// What Prepare and Write built and Install swaps in.
 	newRuns     map[string][][]*Run
 	droppedRuns []*Run
-	nextDV      map[string]map[string]struct{}
 	opened      []*Run
+	prunedDV    map[string]map[string]struct{} // the vectors the drops collected entries from
+	wroteDV     []string                       // the vector files Write made
+	savedDV     []string                       // the tables whose vector the manifest now names
+	next        manifest
+	written     bool
 
-	// src is the subsystem committing the edit (checkpoint, compaction,
+	// src is the subsystem installing the edit (checkpoint, compaction,
 	// expiry); it attributes the I/O of installing added runs and of
 	// removing dropped ones. Manifest and deletion-vector persistence is
 	// always attributed to the manifest source regardless of src.
@@ -110,8 +119,9 @@ func (e *Edit) DropRunsBelow(table string, cp uint64) (runs int, records uint64)
 	return runs, records
 }
 
-// CollectedDVEntries returns the number of deletion-vector entries the last
-// Commit collected because the runs it dropped left them nothing to hide.
+// CollectedDVEntries returns the number of deletion-vector entries the
+// edit's drops collected because the runs they dropped left them nothing
+// to hide.
 func (e *Edit) CollectedDVEntries() int { return e.dvCollected }
 
 // Commit applies the edit in one call: Write, Install, then the
@@ -126,22 +136,127 @@ func (e *Edit) Commit() error {
 	return nil
 }
 
-// Write does the edit's I/O: writes the deletion vectors it changes, opens
-// the added runs, and writes, syncs and atomically renames the new manifest
-// into place — the commit point. It changes nothing in memory: Install,
-// which the caller must call next, does that. A non-nil error always means
-// the edit did not commit: nothing on disk or in memory — the vectors
-// included — has changed, and the files behind added runs have been
-// removed, their written-through pages with them (AddRun transfers
+// Prepare readies the edit for an install in memory: it opens the added
+// runs and builds the run lists and deletion vectors the edit leaves live,
+// and writes nothing. Install then moves the live version and leaves the
+// manifest as it is; the next written edit commits what Install swapped in,
+// and until then the version the manifest describes stays pinned, so the
+// files of the runs the edit drops stay on disk (see Install). That is
+// sound only for an edit whose outputs hold nothing the manifest's runs do
+// not — a merge's — so an edit that sets the CP must be written. A non-nil
+// error means nothing changed, and the added runs' files are removed, as by
+// a failed Write.
+func (e *Edit) Prepare() error {
+	if e.setCP {
+		return e.fail(errors.New("lsm: an edit that sets the CP must be written"))
+	}
+	return e.prepare(false)
+}
+
+// fail cleans up after an error before the edit's commit point or install:
+// the added runs' pages leave the cache, their files, once each, the disk,
+// and so do the vector files Write made.
+func (e *Edit) fail(err error) error {
+	db := e.db
+	var removed []*runFile
+	for _, ref := range e.add {
+		db.cache.Drop(ref.built.CacheID())
+		if !slices.Contains(removed, ref.file) {
+			db.removeFile(ref.file, ref.src)
+			removed = append(removed, ref.file)
+		}
+	}
+	for _, n := range e.wroteDV {
+		_ = db.vfsFor(storage.SrcManifest).Remove(n)
+	}
+	return err
+}
+
+// prepare builds what Install swaps in: every table's live runs minus the
+// drops plus the added runs, opened, and the deletion vectors the drops
+// prune. advances tells whether the edit moves the CP forward, which is
+// what lets it drop runs of a table whose vector is dirty.
+func (e *Edit) prepare(advances bool) error {
+	db := e.db
+	// Dropped runs need no explicit bookkeeping: they simply stop appearing
+	// in the next version, and version refcounting reclaims their files once
+	// the last version referencing them is destroyed.
+	e.newRuns, e.droppedRuns = map[string][][]*Run{}, nil
+	for name, t := range db.tables {
+		parts := make([][]*Run, db.opts.Partitions)
+		for p, runs := range t.runs {
+			for _, r := range runs {
+				if _, ok := e.drop[name][r.name]; ok {
+					e.droppedRuns = append(e.droppedRuns, r)
+					continue
+				}
+				parts[p] = append(parts[p], r)
+			}
+		}
+		e.newRuns[name] = parts
+	}
+
+	// An edit that drops runs of a table prunes its vector: an entry that no
+	// surviving run of its partition covers by block range hides nothing and
+	// is collected. newRuns holds exactly the survivors at this point — the
+	// added runs join it below (see Write).
+	e.prunedDV, e.dvCollected = map[string]map[string]struct{}{}, 0
+	for name, t := range db.tables {
+		if len(e.drop[name]) == 0 {
+			continue
+		}
+		if t.dvDirty && !advances {
+			return e.fail(fmt.Errorf("lsm: edit drops runs of %q while its deletion vector is dirty", name))
+		}
+		if dv := t.coveredDV(e.newRuns[name]); len(dv) != len(t.dv) {
+			e.prunedDV[name] = dv
+			e.dvCollected += len(t.dv) - len(dv)
+		}
+	}
+
+	// Open added runs (files are already synced), with one handle per file.
+	e.opened = nil
+	for _, ref := range e.add {
+		t := db.tables[ref.table]
+		if t == nil {
+			return e.fail(fmt.Errorf("lsm: edit references unknown table %q", ref.table))
+		}
+		if ref.file.f == nil {
+			f, err := db.vfsFor(ref.src).Open(ref.file.name)
+			if err != nil {
+				return e.fail(fmt.Errorf("lsm: opening run: %w", err))
+			}
+			ref.file.f = f
+		}
+		r, err := db.openRun(t, ref.rm, ref.built, ref.file)
+		if err != nil {
+			return e.fail(err)
+		}
+		e.opened = append(e.opened, r)
+		r.filter.Store(ref.filter)
+		e.newRuns[ref.table][ref.partition] = append(e.newRuns[ref.table][ref.partition], r)
+	}
+	return nil
+}
+
+// Write does the edit's I/O: opens the added runs, writes the deletion
+// vectors it persists, and writes, syncs and atomically renames the new
+// manifest into place — the commit point. The manifest names every live
+// run, those that installs in memory since the last commit swapped in
+// included, and this edit's outcome. It changes nothing in memory:
+// Install, which the caller must call next, does that. A non-nil error
+// always means the edit did not commit: nothing on disk or in memory — the
+// vectors included — has changed, and the files behind added runs have
+// been removed, their written-through pages with them (AddRun transfers
 // ownership, so callers never clean up after a failed Commit).
 //
-// The caller serializes Write against every other commit and every
+// The caller serializes Write against every other install and every
 // deletion-vector mutation until its Install; readers may run throughout.
 //
-// A deletion vector is pruned and persisted here and nowhere else; between
-// commits DeleteRecord and UndeleteRecord only edit the in-memory map and
-// mark it dirty. The next vector is built beside the live one and swapped
-// in by Install, so there is never anything to undo.
+// A deletion vector is persisted here and nowhere else, and pruned here or
+// in Prepare; between installs DeleteRecord and UndeleteRecord only edit
+// the in-memory map and mark it dirty. The next vector is built beside the
+// live one and swapped in by Install, so there is never anything to undo.
 //
 //   - An edit that drops runs of a table (a merge's inputs, an expiry's
 //     windows) prunes its vector: an entry that no surviving run of its
@@ -162,35 +277,17 @@ func (e *Edit) Commit() error {
 //     records durably while the copies are not loses the references in a
 //     crash. So an edit that drops runs of a table whose vector is dirty
 //     without advancing the CP is refused; the engine defers merges and
-//     expiry until the checkpoint has run.
+//     expiry until the checkpoint has run. A commit that does not advance
+//     the CP leaves a dirty vector's file as the manifest names it.
+//   - Any other commit persists a clean vector the manifest does not hold
+//     yet: one its own drops pruned, or one an install in memory did.
 func (e *Edit) Write() error {
 	db := e.db
-	// fail cleans up after a pre-commit-point error: the added runs' pages
-	// leave the cache and their files, once each, the disk.
-	var wroteDV []string
-	var removed []*runFile
-	fail := func(err error) error {
-		for _, ref := range e.add {
-			db.cache.Drop(ref.built.CacheID())
-		}
-		for _, ref := range e.add {
-			if !slices.Contains(removed, ref.file) {
-				db.removeFile(ref.file, ref.src)
-				removed = append(removed, ref.file)
-			}
-		}
-		for _, n := range wroteDV {
-			_ = db.vfsFor(storage.SrcManifest).Remove(n)
-		}
-		return err
-	}
-
-	// Build the next manifest from in-memory state plus this edit.
 	next := manifest{Version: manifestVersion, CP: db.m.CP, Tables: map[string]tableManifest{}, Catalog: db.m.Catalog}
 	if db.opts.Section != nil {
 		sec, err := db.opts.Section()
 		if err != nil {
-			return fail(fmt.Errorf("lsm: manifest section: %w", err))
+			return e.fail(fmt.Errorf("lsm: manifest section: %w", err))
 		}
 		next.Catalog = sec
 	}
@@ -201,92 +298,45 @@ func (e *Edit) Write() error {
 			// double-applying them after a crash. The engine validates
 			// against this too; refusing here keeps a buggy caller from
 			// corrupting recovery.
-			return fail(fmt.Errorf("lsm: edit rolls CP backwards (%d -> %d)", db.m.CP, e.cp))
+			return e.fail(fmt.Errorf("lsm: edit rolls CP backwards (%d -> %d)", db.m.CP, e.cp))
 		}
 		next.CP = e.cp
 	}
-
-	// Start from current runs minus drops. Dropped runs need no explicit
-	// bookkeeping: they simply stop appearing in the next version, and
-	// version refcounting reclaims their files once the last version
-	// referencing them is destroyed.
-	newRuns := map[string][][]*Run{}
-	var droppedRuns []*Run
-	for name, t := range db.tables {
-		parts := make([][]*Run, db.opts.Partitions)
-		for p, runs := range t.runs {
-			for _, r := range runs {
-				if _, ok := e.drop[name][r.name]; ok {
-					droppedRuns = append(droppedRuns, r)
-					continue
-				}
-				parts[p] = append(parts[p], r)
-			}
-		}
-		newRuns[name] = parts
+	advances := next.CP > db.m.CP
+	if err := e.prepare(advances); err != nil {
+		return err
 	}
 
-	// Deletion vectors, by the two rules above. newRuns holds exactly the
-	// survivors at this point — the added runs join it below.
-	nextDV := map[string]map[string]struct{}{}
-	dvMeta := map[string]tableManifest{} // DVFile and DVCount; Serialize fills in the runs
-	e.dvCollected = 0
+	// Deletion vectors, by the rules above; a vector the commit does not
+	// persist keeps the file the manifest names.
+	e.wroteDV, e.savedDV = nil, nil
 	for name, t := range db.tables {
-		cur := db.m.Tables[name]
-		dvMeta[name] = cur
-		drops := len(e.drop[name]) > 0
-		dv := t.dv
-		if drops {
-			dv = t.coveredDV(newRuns[name])
+		meta := db.m.Tables[name]
+		dv, pruned := e.prunedDV[name]
+		if !pruned {
+			dv = t.dv
 		}
-		persistDirty := t.dvDirty && next.CP > db.m.CP
-		if t.dvDirty && !persistDirty && drops {
-			return fail(fmt.Errorf("lsm: edit drops runs of %q while its deletion vector is dirty", name))
-		}
-		if len(dv) == len(t.dv) && !persistDirty {
+		if t.dvDirty && !advances || !t.dvDirty && !pruned && !t.dvAhead {
+			next.Tables[name] = tableManifest{DVFile: meta.DVFile, DVCount: meta.DVCount}
 			continue
 		}
-		e.dvCollected += len(t.dv) - len(dv)
-		nextDV[name] = dv
-		var meta tableManifest
+		meta = tableManifest{}
 		if len(dv) > 0 {
 			meta = tableManifest{DVFile: fmt.Sprintf("dv.%s.%010d", name, db.allocID()), DVCount: len(dv)}
-			wroteDV = append(wroteDV, meta.DVFile)
+			e.wroteDV = append(e.wroteDV, meta.DVFile)
 			if err := t.writeDV(meta.DVFile, dv); err != nil {
-				return fail(err)
+				return e.fail(err)
 			}
 		}
-		dvMeta[name] = meta
-	}
-
-	// Open added runs (files are already synced), with one handle per file.
-	var opened []*Run
-	for _, ref := range e.add {
-		t := db.tables[ref.table]
-		if t == nil {
-			return fail(fmt.Errorf("lsm: commit references unknown table %q", ref.table))
-		}
-		if ref.file.f == nil {
-			f, err := db.vfsFor(ref.src).Open(ref.file.name)
-			if err != nil {
-				return fail(fmt.Errorf("lsm: opening run: %w", err))
-			}
-			ref.file.f = f
-		}
-		r, err := db.openRun(t, ref.rm, ref.built, ref.file)
-		if err != nil {
-			return fail(err)
-		}
-		opened = append(opened, r)
-		r.filter.Store(ref.filter)
-		newRuns[ref.table][ref.partition] = append(newRuns[ref.table][ref.partition], r)
+		e.savedDV = append(e.savedDV, name)
+		next.Tables[name] = meta
 	}
 
 	// Serialize.
 	for name := range db.tables {
-		tm := dvMeta[name]
+		tm := next.Tables[name]
 		tm.Partitions = make([][]runManifest, db.opts.Partitions)
-		for p, runs := range newRuns[name] {
+		for p, runs := range e.newRuns[name] {
 			tm.Partitions[p] = make([]runManifest, 0, len(runs))
 			for _, r := range runs {
 				tm.Partitions[p] = append(tm.Partitions[p], runManifest{
@@ -308,31 +358,38 @@ func (e *Edit) Write() error {
 	// allocation.
 	next.NextID = db.nextIDSnapshot()
 	if err := writeManifest(db.vfsFor(storage.SrcManifest), next); err != nil {
-		return fail(err)
+		return e.fail(err)
 	}
-	e.next, e.newRuns, e.droppedRuns, e.nextDV, e.opened = next, newRuns, droppedRuns, nextDV, opened
+	e.next, e.written = next, true
 	return nil
 }
 
-// Install swaps a written edit into memory: the manifest, every table's
-// runs and deletion vector, and the version new views pin. It does no I/O
-// and cannot fail; the caller holds the structural lock exclusively. The
-// returned func deletes what the edit made garbage — dropped runs' files
-// no view pins, replaced deletion-vector files — for the caller to run
-// once it has released the lock.
+// Install swaps a written or prepared edit into memory: every table's runs
+// and deletion vector, the version new views pin and, for a written edit,
+// the manifest. It does no I/O and cannot fail; the caller holds the
+// structural lock exclusively. The returned func deletes what the edit made
+// garbage — dropped runs' files nothing pins, replaced deletion-vector
+// files — for the caller to run once it has released the lock.
+//
+// The DB pins the version the manifest describes, as a View pins one. A
+// prepared edit leaves that pin where it is, so the runs the edit drops
+// keep their files for as long as the manifest names them: a crash before
+// the next commit reopens the store as that manifest describes it. A
+// written edit moves the pin to the version it installs, which frees the
+// runs every install since the previous commit dropped.
 //
 // Reclamation of dropped runs is deferred: a dropped run stops appearing
 // in the version Install installs, and its file is deleted when the last
-// version referencing it is destroyed — by the returned func, if no View
-// pins the previous version, else when the last pinning view is released —
-// so readers iterating a pinned view never lose the files under them.
-// Either way deletion is best-effort and never reported — leftovers are
-// orphans collected by the next Open.
+// version referencing it is destroyed — by the returned func, if neither a
+// View nor the manifest's pin holds an older version, else when the last
+// of those goes — so readers iterating a pinned view never lose the files
+// under them. Either way deletion is best-effort and never reported —
+// leftovers are orphans collected by the next Open.
 func (e *Edit) Install() (reclaim func()) {
 	db := e.db
 	// Stamp the dropper before the version swap: the file removal may
-	// happen much later (a view release), and must be attributed to the
-	// operation that doomed it.
+	// happen much later (a view release, the next commit), and must be
+	// attributed to the operation that doomed it.
 	for _, r := range e.droppedRuns {
 		src := e.drop[r.table.spec.Name][r.name]
 		if src == storage.SrcUnknown {
@@ -341,26 +398,28 @@ func (e *Edit) Install() (reclaim func()) {
 		r.doomedBy = src
 	}
 	prev := db.m
-	db.m = e.next
-	db.curCP.Store(e.next.CP)
+	if e.written {
+		db.m = e.next
+		db.curCP.Store(e.next.CP)
+	}
 	db.viewMu.Lock()
 	for name, t := range db.tables {
 		t.runs = e.newRuns[name]
-		dv, ok := e.nextDV[name]
-		if !ok {
-			// Not persisted by this edit: a dirty vector stays dirty, for
-			// the next checkpoint.
-			continue
-		}
-		if len(dv) != len(t.dv) {
+		if dv, ok := e.prunedDV[name]; ok {
 			// Entries were collected into a fresh map; old versions keep
 			// the one they snapshotted. The generation bump makes in-flight
 			// optimistic compactions fail validation and retry against
 			// current state.
-			t.dv, t.dvShared = dv, false
+			t.dv, t.dvShared, t.dvAhead = dv, false, true
 			t.dvGen++
 		}
-		t.dvDirty = false
+	}
+	for _, name := range e.savedDV {
+		// Any other vector stays as it was: a dirty one dirty, for the
+		// next checkpoint, and one an install in memory pruned ahead of
+		// the manifest, for the next commit that may persist it.
+		t := db.tables[name]
+		t.dvDirty, t.dvAhead = false, false
 	}
 	for _, r := range e.opened {
 		r.file.runs++
@@ -371,11 +430,27 @@ func (e *Edit) Install() (reclaim func()) {
 	// deletion-vector mutations.
 	db.verStale = false
 	dead := db.reclaim(old.unref())
+	doomed := e.droppedRuns
+	if e.written {
+		// The runs the manifest named until now and this one does not are
+		// freed with the old pin: those every install since the last
+		// commit dropped.
+		for _, tv := range db.durable.tables {
+			for _, part := range tv.runs {
+				doomed = append(doomed, part...)
+			}
+		}
+		db.cur.refs++
+		dead = append(dead, db.reclaim(db.durable.unref())...)
+		db.durable = db.cur
+	}
+	db.ahead = !e.written
+	db.dropUnread()
 	// Dropped runs that still carry references are pinned by an older
 	// version some view holds: a file the manifest no longer names outlives
 	// the drop, so track it as deferred until the last pin goes.
 	var listed []string
-	for _, r := range e.droppedRuns {
+	for _, r := range doomed {
 		if r.refs == 0 {
 			continue
 		}
@@ -399,7 +474,7 @@ func (e *Edit) Install() (reclaim func()) {
 		// Replaced deletion-vector files are read only at Open (versions
 		// snapshot the in-memory maps, not the files), so they are deleted
 		// eagerly, attributed like the writes that superseded them.
-		for name := range e.nextDV {
+		for _, name := range e.savedDV {
 			if f := prev.Tables[name].DVFile; f != "" {
 				_ = db.vfsFor(storage.SrcManifest).Remove(f)
 			}
@@ -445,10 +520,11 @@ func writeSynced(vfs storage.VFS, name string, data []byte) error {
 // copying it first if a pinned View may be reading the current one.
 // Callers hold the structural lock exclusively (serializing all mutators
 // against AcquireView); the copy is what keeps a pinned view's reads
-// stable. With no view pinned the only version sharing the map is the
-// current one, which every mutator marks stale, so nobody reads the map
-// again before the next AcquireView rebuilds the version from it — a run
-// of relocations then costs no copy at all.
+// stable. With no view pinned the versions sharing the map are the current
+// one, which every mutator marks stale, so nobody reads the map again
+// before the next AcquireView rebuilds the version from it, and the one
+// the manifest's pin holds, which nobody reads — a run of relocations then
+// costs no copy at all.
 func (t *Table) mutableDV() map[string]struct{} {
 	if t.dvShared && t.db.ActiveViews() > 0 {
 		cp := make(map[string]struct{}, len(t.dv))
@@ -511,22 +587,35 @@ func (t *Table) coveredDV(survivors [][]*Run) map[string]struct{} {
 	return kept
 }
 
+// writeDV writes dv's records, sorted, to a file of their own inside the
+// manifest's envelope (dvVersion), and syncs it.
 func (t *Table) writeDV(name string, dv map[string]struct{}) error {
 	recs := make([]string, 0, len(dv))
 	for r := range dv {
 		recs = append(recs, r)
 	}
 	sort.Strings(recs)
-	return writeSynced(t.db.vfsFor(storage.SrcManifest), name, []byte(strings.Join(recs, "")))
+	return writeSynced(t.db.vfsFor(storage.SrcManifest), name, sealManifest(dvVersion, []byte(strings.Join(recs, ""))))
 }
 
-// loadDV reads the deletion vector file the manifest names, which must
-// hold the count of records the manifest gives: a file cut by whole
-// records would otherwise open as a smaller vector and un-hide the rest.
+// loadDV reads the deletion vector file the manifest names: an envelope
+// whose checksum holds, or the bare records version 1 wrote. It must hold
+// the count of records the manifest gives: a file cut by whole records
+// would otherwise open as a smaller vector and un-hide the rest.
 func (t *Table) loadDV(name string, count int) error {
 	buf, err := readAll(t.db.vfsFor(storage.SrcRecovery), name)
 	if err != nil {
 		return err
+	}
+	if bytes.HasPrefix(buf, []byte(manifestMagic)) {
+		v, body, err := unseal(buf)
+		if err != nil {
+			return corrupt("deletion vector %s: %v", name, err)
+		}
+		if v != dvVersion {
+			return corrupt("deletion vector %s is version %d, not %d", name, v, dvVersion)
+		}
+		buf = body
 	}
 	rs := t.spec.RecordSize
 	if len(buf)%rs != 0 {

@@ -22,10 +22,14 @@
 // rename), mirroring the write-anywhere "root written last" discipline the
 // paper's recovery story relies on (Section 5.4). A crash between run
 // writes and the manifest commit leaves orphan files that Open garbage
-// collects. The manifest records where in its file each run lies, carries a
-// checksum, and carries one opaque section for its caller (Options.Section
-// — the engine's snapshot catalog), so state that decides what the runs
-// mean changes in the same rename as the runs.
+// collects. An edit that only reorganizes durable records — a merge's —
+// may install in memory instead (Edit.Prepare): the live runs move, the
+// manifest and the files it names stay until the next commit writes the
+// live runs, and a crash before it reopens what the manifest names. The
+// manifest records where in its file each run lies, carries a checksum,
+// and carries one opaque section for its caller (Options.Section — the
+// engine's snapshot catalog), so state that decides what the runs mean
+// changes in the same rename as the runs.
 //
 // The layer is policy-free: it stores opaque fixed-size records ordered by
 // bytes.Compare whose first 8 bytes are the big-endian physical block
@@ -71,6 +75,11 @@ const (
 	// little-endian u32, then the body.
 	manifestMagic  = "BKMANFST"
 	manifestEnvLen = len(manifestMagic) + 12
+
+	// dvVersion is the deletion-vector file format Write makes: the table's
+	// hidden records, sorted, inside the manifest's envelope. loadDV also
+	// reads version 1, the same records bare.
+	dvVersion = 2
 
 	// maxRunLevel bounds the level a manifest may claim for a run: a level
 	// is reached by merging at least two runs of the one below.
@@ -185,15 +194,24 @@ type DB struct {
 	viewMu sync.Mutex
 	// cur is the current version — the refcounted snapshot of all
 	// tables' run sets and deletion vectors that AcquireView pins in
-	// O(1). Commit installs a successor and drops the current ref of the
+	// O(1). Install installs a successor and drops the current ref of the
 	// old version; a run file is reclaimed when the last version
 	// referencing any of its runs is destroyed. verStale records that a
-	// deletion-vector mutation outside a Commit made cur's snapshot lag
+	// deletion-vector mutation outside an Install made cur's snapshot lag
 	// live state; the next AcquireView rebuilds it. Mutators write it
 	// under the caller's structural exclusive lock, AcquireView reads and
 	// clears it under viewMu plus at least the shared structural lock.
 	cur      *version
 	verStale bool
+	// durable is the version the manifest on disk describes, pinned with a
+	// reference of its own, as a View pins one: an install in memory
+	// (Edit.Prepare) moves cur and leaves it, so the files of the runs the
+	// install dropped stay on disk while the manifest names them. A written
+	// edit's Install moves the pin to the version it installs. ahead
+	// records that an install in memory has moved cur since. Both are
+	// guarded by viewMu and the caller's structural lock, like cur.
+	durable *version
+	ahead   bool
 
 	// views counts live (unreleased) View pins, and deferred tracks run
 	// files already dropped from the manifest but still pinned by some
@@ -274,7 +292,7 @@ func (db *DB) nextIDSnapshot() uint64 {
 type Table struct {
 	db   *DB
 	spec TableSpec
-	// runs[p] lists the live runs of partition p, oldest first. Commit
+	// runs[p] lists the live runs of partition p, oldest first. Install
 	// replaces these slices wholesale (never appends in place), so a View
 	// can share them without copying.
 	runs [][]*Run
@@ -285,14 +303,18 @@ type Table struct {
 	// observe a mutation. dvGen counts content mutations — Views compare
 	// generations to detect change without comparing maps. DeleteRecord
 	// and UndeleteRecord edit it in memory and set dvDirty; entries are
-	// collected, and the vector written to its dv.* file, by Edit.Commit
-	// alone — when the edit drops runs of the table, and when it advances
-	// the CP over a dirty vector — which swaps the result in only once the
-	// manifest has been renamed.
+	// collected by an edit that drops runs of the table, and the vector
+	// written to its dv.* file by Edit.Write alone — see there when — and
+	// Install swaps the result in only once the manifest has been renamed,
+	// or, for an install in memory, once Prepare has built it.
 	dv       map[string]struct{}
 	dvShared bool
 	dvGen    uint64
 	dvDirty  bool
+	// dvAhead records that an install in memory collected entries the
+	// vector file the manifest names still holds; the next commit that may
+	// persist the vector does.
+	dvAhead bool
 }
 
 // manifest is the JSON-serialized commit point.
@@ -456,32 +478,43 @@ func Open(vfs storage.VFS, opts Options) (*DB, error) {
 	}
 	db.nextID = db.m.NextID
 	db.curCP.Store(db.m.CP)
+	db.cur = db.newVersion()
+	db.cur.refs++
+	db.durable = db.cur
 	if err := db.collectOrphans(); err != nil {
 		db.Close()
 		return nil, err
 	}
-	db.cur = db.newVersion()
 	return db, nil
 }
 
-// Close releases the handle of every file a live run is in, once per file.
-// The caller must have excluded structural operations; files a
-// still-pinned view keeps alive past their runs' drop are closed when that
-// view is released. The handles are read-only, so their Close errors carry
-// nothing to report.
+// Close releases the handle of every file a live run or a run the manifest
+// names is in, once per file. The caller must have excluded structural
+// operations; files a still-pinned view keeps alive past their runs' drop
+// are closed when that view is released. The handles are read-only, so
+// their Close errors carry nothing to report.
 func (db *DB) Close() {
 	closed := map[*runFile]bool{}
-	for _, t := range db.tables {
-		for _, part := range t.runs {
-			for _, r := range part {
-				if !closed[r.file] {
-					closed[r.file] = true
-					r.file.f.Close()
+	for _, ver := range []*version{db.cur, db.durable} {
+		for _, tv := range ver.tables {
+			for _, part := range tv.runs {
+				for _, r := range part {
+					if !closed[r.file] {
+						closed[r.file] = true
+						r.file.f.Close()
+					}
 				}
 			}
 		}
 	}
 }
+
+// Ahead reports whether the live runs or deletion vectors differ from
+// what the manifest names: an install in memory (Edit.Prepare) has swapped
+// runs in since the last commit, which the next written edit commits. The
+// caller must hold the structural lock (shared suffices) or serialize
+// against installs.
+func (db *DB) Ahead() bool { return db.ahead }
 
 // Table returns the named table, or nil if not configured.
 func (db *DB) Table(name string) *Table { return db.tables[name] }
@@ -701,6 +734,22 @@ func sealManifest(version int, body []byte) []byte {
 	return buf
 }
 
+// unseal checks an envelope sealManifest made and returns its version and
+// body. Its error, a flipped byte or a cut-off file, is the caller's to
+// report as corruption.
+func unseal(buf []byte) (version int, body []byte, err error) {
+	if len(buf) < manifestEnvLen || string(buf[:8]) != manifestMagic {
+		return 0, nil, fmt.Errorf("no envelope header in %d bytes", len(buf))
+	}
+	if n := binary.LittleEndian.Uint32(buf[12:]); uint64(n) != uint64(len(buf)-manifestEnvLen) {
+		return 0, nil, fmt.Errorf("a %d-byte body in a %d-byte file", n, len(buf))
+	}
+	if binary.LittleEndian.Uint32(buf[16:]) != manifestCRC(buf) {
+		return 0, nil, errors.New("checksum")
+	}
+	return int(binary.LittleEndian.Uint32(buf[8:])), buf[manifestEnvLen:], nil
+}
+
 // manifestCRC is the CRC-32C of an envelope's version, length and body.
 func manifestCRC(buf []byte) uint32 {
 	return crc32.Update(crc32.Checksum(buf[8:16], castagnoli), castagnoli, buf[manifestEnvLen:])
@@ -730,19 +779,14 @@ func decodeManifest(buf []byte) (manifest, error) {
 		}
 		return manifest{}, versionRefused(m.Version)
 	}
-	if len(buf) < manifestEnvLen || string(buf[:8]) != manifestMagic {
-		return manifest{}, corrupt("no manifest header in %d bytes", len(buf))
+	v, body, err := unseal(buf)
+	if err != nil {
+		return manifest{}, corrupt("%v", err)
 	}
-	if n := binary.LittleEndian.Uint32(buf[12:]); uint64(n) != uint64(len(buf)-manifestEnvLen) {
-		return manifest{}, corrupt("a %d-byte body in a %d-byte file", n, len(buf))
-	}
-	if binary.LittleEndian.Uint32(buf[16:]) != manifestCRC(buf) {
-		return manifest{}, corrupt("checksum")
-	}
-	if v := int(binary.LittleEndian.Uint32(buf[8:])); v != manifestVersion {
+	if v != manifestVersion {
 		return manifest{}, versionRefused(v)
 	}
-	if err := json.Unmarshal(buf[manifestEnvLen:], &m); err != nil {
+	if err := json.Unmarshal(body, &m); err != nil {
 		return manifest{}, corrupt("%v", err)
 	}
 	if m.Version != manifestVersion {

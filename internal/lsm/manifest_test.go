@@ -483,3 +483,93 @@ func TestOpenRefusesHostileFiles(t *testing.T) {
 		})
 	}
 }
+
+// dvFileOf returns the name of the one deletion-vector file in fs.
+func dvFileOf(t testing.TB, fs *storage.MemFS) string {
+	t.Helper()
+	names, err := fs.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dv []string
+	for _, name := range names {
+		if strings.HasPrefix(name, "dv.") {
+			dv = append(dv, name)
+		}
+	}
+	if len(dv) != 1 {
+		t.Fatalf("want one deletion-vector file, the directory holds %v", names)
+	}
+	return dv[0]
+}
+
+// goldenDVStore is goldenStore with three From records hidden, the vector
+// persisted at CP 6: the store testdata/v1-dv-from was written for.
+func goldenDVStore(t testing.TB, fs *storage.MemFS) *DB {
+	t.Helper()
+	db := goldenStore(t, fs, nil)
+	db.Table("from").DeleteRecord(rec16(1500, 1))
+	db.Table("from").DeleteRecord(rec16(1, 1))
+	if err := db.NewEdit().SetCP(6).Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// TestDeletionVectorV1Read: testdata/v1-dv-from holds the bare records the
+// writer before the checksummed envelope wrote for goldenDVStore's vector
+// (never regenerate it). A store whose manifest names that file opens to
+// the state of the one that wrote its own, every hidden record hidden.
+func TestDeletionVectorV1Read(t *testing.T) {
+	fs := storage.NewMemFS()
+	db := goldenDVStore(t, fs)
+	want := storeState(t, db)
+	db.Close()
+	plant(t, fs, dvFileOf(t, fs), testdata(t, "v1-dv-from"))
+	db, err := Open(fs, goldenOptions(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if got := storeState(t, db); got != want {
+		t.Fatalf("the version-1 vector opens to\n%s\nthe store that wrote it\n%s", got, want)
+	}
+	for _, block := range []uint64{1, 2, 1500} {
+		if got := collect(t, db.Table("from"), block); len(got) != 0 {
+			t.Fatalf("block %d shows %d hidden records", block, len(got))
+		}
+	}
+}
+
+// TestDeletionVectorEnvelope: the writer puts a vector's records, sorted
+// as version 1 wrote them bare, inside the manifest's envelope at
+// dvVersion, and every single flipped byte and every cut of that file is
+// ErrCorrupt at Open, a refused Open changing nothing on disk.
+func TestDeletionVectorEnvelope(t *testing.T) {
+	fs := storage.NewMemFS()
+	goldenDVStore(t, fs).Close()
+	name := dvFileOf(t, fs)
+	good := readFile(t, fs, name)
+	if want := sealManifest(dvVersion, testdata(t, "v1-dv-from")); !bytes.Equal(good, want) {
+		t.Fatalf("the writer made\n%q\nwant the version-1 records sealed\n%q", good, want)
+	}
+	for i := range good {
+		for _, mask := range []byte{0x01, 0x80} {
+			bad := bytes.Clone(good)
+			bad[i] ^= mask
+			plant(t, fs, name, bad)
+			refusesOpen(t, fs, goldenOptions(nil), fmt.Sprintf("byte %d ^ %#x", i, mask))
+		}
+		plant(t, fs, name, good[:i])
+		refusesOpen(t, fs, goldenOptions(nil), fmt.Sprintf("cut at %d of %d bytes", i, len(good)))
+	}
+	plant(t, fs, name, good)
+	db, err := Open(fs, goldenOptions(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if n := db.Table("from").DVLen(); n != 3 {
+		t.Fatalf("the restored vector holds %d records, want 3", n)
+	}
+}

@@ -4,16 +4,17 @@ import "slices"
 
 // version is a refcounted snapshot of every table's run sets and deletion
 // vectors — the LevelDB/RocksDB-style version set. The DB always holds
-// one reference to the current version; every View holds one more.
-// Refcounting is per version, so pinning and releasing a view is O(1)
-// regardless of how many runs exist; the O(runs) reference accounting on
-// the runs themselves happens once per Commit, when a version is
-// installed or destroyed.
+// one reference to the current version and one to the version the
+// manifest describes (the same one but after an install in memory); every
+// View holds one more. Refcounting is per version, so pinning and
+// releasing a view is O(1) regardless of how many runs exist; the O(runs)
+// reference accounting on the runs themselves happens once per Install,
+// when a version is installed or destroyed.
 type version struct {
 	cp     uint64
 	tables map[string]*tableView
-	// refs counts holders (the DB's current pointer plus views), guarded
-	// by db.viewMu.
+	// refs counts holders (the DB's current and durable pointers plus
+	// views), guarded by db.viewMu.
 	refs int
 }
 
@@ -70,6 +71,26 @@ func (ver *version) unref() (doomed []*Run) {
 	return doomed
 }
 
+// dropUnread takes the pages of the runs only the manifest's pin holds —
+// those installs in memory dropped since the last commit — out of the
+// cache once no view reads that version: until the next commit frees the
+// runs, they would only displace the pages of live ones. Caller holds
+// viewMu.
+func (db *DB) dropUnread() {
+	if !db.ahead || db.durable.refs > 1 {
+		return
+	}
+	for _, tv := range db.durable.tables {
+		for _, part := range tv.runs {
+			for _, r := range part {
+				if r.refs == 1 {
+					db.cache.Drop(r.qreader.CacheID())
+				}
+			}
+		}
+	}
+}
+
 // removeFiles closes and deletes run files the last of whose runs no
 // version references any more (reclaim), attributing each removal to the
 // operation that doomed that run. Failures are not reported: the runs are
@@ -106,7 +127,7 @@ type View struct {
 // when done; until then every run in the view stays readable even if a
 // Commit supersedes it.
 //
-// A deletion-vector mutation outside a Commit (block relocation) marks
+// A deletion-vector mutation outside an Install (block relocation) marks
 // the current version stale; the next acquire rebuilds it from live state
 // first, so new pins always observe the mutation while already-pinned
 // views keep their snapshot.
@@ -140,6 +161,9 @@ func (v *View) Release() {
 		v.released = true
 		v.db.views--
 		dead = v.db.reclaim(v.ver.unref())
+		if v.ver == v.db.durable {
+			v.db.dropUnread()
+		}
 	}
 	v.db.viewMu.Unlock()
 	v.db.removeFiles(dead)
