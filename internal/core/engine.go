@@ -225,7 +225,7 @@ func (e *Engine) counterTable() []counterRow {
 		{"backlog_compactions_total", "Merges installed, one per job (a maintenance pass under PolicyLeveled can install several in one partition)", "Compactions", c.compactions.Load},
 		{"backlog_compact_conflicts_total", "Merges that installed nothing because their inputs moved (the job returns to its planner)", "", c.compactConflicts.Load},
 		{"backlog_auto_compactions_total", "Merges installed by maintenance passes", "", c.autoCompactions.Load},
-		{"backlog_maintenance_errors_total", "Background maintenance passes abandoned on error", "", c.maintErrors.Load},
+		{"backlog_maintenance_errors_total", "Maintenance passes abandoned on error", "", c.maintErrors.Load},
 		{"backlog_records_flushed_total", "Records written to Level-0 runs", "RecordsFlushed", c.recordsFlushed.Load},
 		{"backlog_records_purged_total", "Records dropped by compaction", "RecordsPurged", c.recordsPurged.Load},
 		{"backlog_compaction_write_bytes_total", "Physical bytes written by installed compactions", "CompactWriteBytes", c.compactWriteBytes.Load},
@@ -839,7 +839,9 @@ var ErrStaleCP = errors.New("core: checkpoint CP not newer than committed CP")
 // Checkpoint returns, all references up to cp are durable and the frozen
 // stores are empty. On error the frozen records are merged back into the
 // write stores, each into the shard it froze in, so the caller can retry
-// or replay.
+// or replay. A commit whose directory sync fails after the manifest's
+// rename has happened: Checkpoint returns nil, and WALErr reports the
+// failure until a later checkpoint commits.
 func (e *Engine) Checkpoint(cp uint64) error {
 	if o := e.obs; o != nil {
 		start := o.opStart(obs.OpCheckpoint, -1, 0, cp)
@@ -952,6 +954,14 @@ func (e *Engine) checkpoint(cp uint64) error {
 		// fails before its commit point removes them itself.
 		_, err = e.commit(edit, commitCheckpoint)
 	}
+	// A commit whose directory sync failed has installed the checkpoint
+	// and noted the error (see commit). The checkpoint has happened, so it
+	// reports no error, but until a commit syncs the directory a crash may
+	// reopen the previous manifest, so the log keeps every segment.
+	unsynced := errors.Is(err, lsm.ErrUnsynced)
+	if unsynced {
+		err, cut = nil, -1
+	}
 	if err != nil {
 		// So that "on error, retry or replay" holds.
 		e.mu.Lock()
@@ -984,7 +994,7 @@ func (e *Engine) checkpoint(cp uint64) error {
 				e.noteWALErr(err)
 			}
 		}
-	} else if e.staleWAL {
+	} else if e.staleWAL && !unsynced {
 		// Removing stale segments is part of this checkpoint's work.
 		if err := wal.RemoveAll(storage.TagVFS(e.vfs, storage.SrcCheckpoint)); err == nil {
 			e.staleWAL = false

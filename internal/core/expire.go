@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"time"
 
 	"github.com/backlogfs/backlog/internal/lsm"
@@ -98,7 +99,11 @@ func (e *Engine) expire() (ExpireStats, error) {
 func (e *Engine) commitNow() (ExpireStats, error) {
 	e.cpMu.Lock()
 	defer e.cpMu.Unlock()
-	return e.commit(e.db.NewEdit().SetSource(storage.SrcManifest), commitEmpty)
+	st, err := e.commit(e.db.NewEdit().SetSource(storage.SrcManifest), commitEmpty)
+	if errors.Is(err, lsm.ErrUnsynced) {
+		err = nil // committed; commit noted the durability error
+	}
+	return st, err
 }
 
 // commitKind tells commit which of the engine's two commits it makes. A
@@ -127,6 +132,13 @@ const (
 // no structural lock held. The lock is taken exclusively only for the swap
 // (lsm.Edit.Install), which for a checkpoint also drops the frozen
 // generation; files the commit made garbage are removed after it.
+//
+// A commit whose directory sync failed after the manifest's rename
+// (lsm.ErrUnsynced) has committed: it installs, returns that error, and
+// records it as the sticky durability error, which the next checkpoint to
+// commit clears. It removes none of the files it made garbage: a crash may
+// yet leave the previous manifest in place, and the next Open collects
+// them.
 func (e *Engine) commit(edit *lsm.Edit, kind commitKind) (st ExpireStats, err error) {
 	var runs int
 	var recs uint64
@@ -141,7 +153,9 @@ func (e *Engine) commit(edit *lsm.Edit, kind commitKind) (st ExpireStats, err er
 	if kind == commitEmpty && runs == 0 && !e.db.Ahead() && bytes.Equal(e.catalog.Topology().data, e.db.Section()) {
 		return st, nil
 	}
-	if err = edit.Write(); err != nil {
+	err = edit.Write()
+	unsynced := errors.Is(err, lsm.ErrUnsynced)
+	if err != nil && !unsynced {
 		return st, err
 	}
 	start := time.Now()
@@ -156,13 +170,17 @@ func (e *Engine) commit(edit *lsm.Edit, kind commitKind) (st ExpireStats, err er
 	if kind == commitCheckpoint && e.obs != nil {
 		e.obs.cpInstall.ObserveDuration(time.Since(start))
 	}
-	reclaim()
+	if unsynced {
+		e.noteWALErr(err)
+	} else {
+		reclaim()
+	}
 	if runs == 0 {
-		return st, nil
+		return st, err
 	}
 	st.RunsDropped, st.RecordsDropped, st.DVEntriesDropped = runs, recs, edit.CollectedDVEntries()
 	e.stats.expiries.Add(1)
 	e.stats.runsExpired.Add(uint64(runs))
 	e.stats.recordsExpired.Add(recs)
-	return st, nil
+	return st, err
 }

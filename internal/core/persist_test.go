@@ -1,11 +1,15 @@
 package core
 
 import (
+	"errors"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
+	"github.com/backlogfs/backlog/internal/lsm"
 	"github.com/backlogfs/backlog/internal/storage"
+	"github.com/backlogfs/backlog/internal/wal"
 )
 
 // TestCatalogRidesTheManifest: every manifest commit carries the catalog as
@@ -93,6 +97,150 @@ func TestCatalogRidesTheManifest(t *testing.T) {
 	for _, n := range names {
 		if strings.HasPrefix(n, "CATALOG") {
 			t.Fatalf("a catalog file exists: %v", names)
+		}
+	}
+}
+
+// TestCommitSyncsTheDirectoryAfterTheRename: a Checkpoint's commit and a
+// Compact's commit each make the manifest's new entry durable before they
+// return: the call after the rename of MANIFEST.tmp is a SyncDir.
+func TestCommitSyncsTheDirectoryAfterTheRename(t *testing.T) {
+	env := newTestEnv(t, Options{})
+	defer env.eng.Close()
+	// A checkpoint creates its files from one goroutine per table.
+	var (
+		mu    sync.Mutex
+		calls []storage.Call
+	)
+	env.fs.SetFailurePlan(storage.FailurePlan{Hook: func(c storage.Call) error {
+		mu.Lock()
+		calls = append(calls, c)
+		mu.Unlock()
+		return nil
+	}})
+	for cp, commit := range []func() error{
+		func() error { return env.eng.Checkpoint(1) },
+		func() error { return env.eng.Checkpoint(2) },
+		env.eng.Compact,
+	} {
+		env.eng.AddRef(ref(uint64(cp), 1, 0, 0), uint64(cp+1))
+		calls = calls[:0]
+		if err := commit(); err != nil {
+			t.Fatal(err)
+		}
+		renames := 0
+		for i, c := range calls {
+			if c.Op != storage.OpRename || c.Name != "MANIFEST.tmp" {
+				continue
+			}
+			renames++
+			if i+1 == len(calls) || calls[i+1].Op != storage.OpSyncDir {
+				t.Fatalf("commit %d: the rename of MANIFEST.tmp is not followed by a SyncDir: %v", cp, calls[i:])
+			}
+		}
+		if renames != 1 {
+			t.Fatalf("commit %d renamed MANIFEST.tmp %d times, want once", cp, renames)
+		}
+	}
+	if st := env.eng.Stats(); st.Compactions != 1 {
+		t.Fatalf("Compactions = %d, want the Compact to have merged", st.Compactions)
+	}
+}
+
+// TestUnsyncedCommitKeepsItsRuns: a commit whose directory sync fails after
+// the rename of MANIFEST.tmp has committed. Checkpoint and Compact install
+// it and return nil, WALErr and Close report the failure, a checkpoint that
+// commits in full clears it, and a reopen after a crash finds every run the
+// manifest names and every reference. Until a checkpoint commits in full,
+// the log keeps its segments, for a crash that loses the rename.
+func TestUnsyncedCommitKeepsItsRuns(t *testing.T) {
+	env := newTestEnv(t, Options{Durability: wal.Buffered})
+	segments := func() []string {
+		t.Helper()
+		names, err := env.fs.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return slices.DeleteFunc(names, func(n string) bool { return !strings.HasPrefix(n, "wal-") })
+	}
+	var (
+		mu      sync.Mutex
+		renamed bool
+	)
+	failSync := func(c storage.Call) error {
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case c.Op == storage.OpRename && c.Name == "MANIFEST.tmp":
+			renamed = true
+		case c.Op == storage.OpSyncDir && renamed:
+			renamed = false
+			return storage.ErrInjected
+		}
+		return nil
+	}
+	unsynced := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, lsm.ErrUnsynced) || !errors.Is(err, storage.ErrInjected) {
+			t.Fatalf("%s: got %v, want the injected directory-sync failure", what, err)
+		}
+	}
+	for cp := uint64(1); cp <= 3; cp++ {
+		env.eng.AddRef(ref(cp, 1, 0, 0), cp)
+		plan := storage.FailurePlan{}
+		if cp != 2 {
+			plan.Hook = failSync
+		}
+		env.fs.SetFailurePlan(plan)
+		before := segments()
+		mustCheckpoint(t, env.eng, cp)
+		after := segments()
+		for _, n := range before {
+			if _, kept := slices.BinarySearch(after, n); kept == (cp == 2) {
+				t.Fatalf("checkpoint %d: segment %s kept %v, segments %v -> %v", cp, n, kept, before, after)
+			}
+		}
+		if cp == 2 {
+			if err := env.eng.WALErr(); err != nil {
+				t.Fatalf("a checkpoint that synced left WALErr %v", err)
+			}
+			continue
+		}
+		unsynced("WALErr after Checkpoint", env.eng.WALErr())
+		if owners := mustQuery(t, env.eng, cp); len(owners) != 1 {
+			t.Fatalf("block %d: owners %+v after the unsynced checkpoint", cp, owners)
+		}
+	}
+	files, err := env.fs.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustCompact(t, env.eng)
+	if st := env.eng.Stats(); st.Compactions != 1 {
+		t.Fatalf("Compactions = %d, want the Compact to have merged", st.Compactions)
+	}
+	// The merge's inputs are named by the previous manifest: they stay.
+	after, err := env.fs.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range files {
+		if _, ok := slices.BinarySearch(after, n); !ok {
+			t.Fatalf("the unsynced Compact removed %s", n)
+		}
+	}
+	unsynced("Close", env.eng.Close())
+
+	env.fs.SetFailurePlan(storage.FailurePlan{})
+	env.fs.Crash()
+	eng, err := Open(Options{VFS: env.fs, Catalog: env.cat})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer eng.Close()
+	for b := uint64(1); b <= 3; b++ {
+		if owners := mustQuery(t, eng, b); len(owners) != 1 || !owners[0].Live {
+			t.Fatalf("block %d after reopen: owners %+v", b, owners)
 		}
 	}
 }

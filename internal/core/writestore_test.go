@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 )
@@ -25,8 +26,9 @@ func allocsDuring(f func()) uint64 {
 // budget. A checkpoint flush allocates at most 0.05 times per record it
 // flushes: the write store hands the run builders its records as they are,
 // and what a flush allocates per file, page and commit is spread over
-// 100 000 records. An AddRef into the active tree allocates its tree node
-// and nothing else.
+// 100 000 records. An AddRef allocates at most 0.05 times too, on ascending
+// blocks and on random ones: it stores its record in a leaf of the active
+// tree, and only a new leaf or a longer leaf directory allocates.
 func TestWriteStoreAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -34,7 +36,7 @@ func TestWriteStoreAllocationBudget(t *testing.T) {
 	const (
 		records     = 100_000
 		flushBudget = 0.05
-		addBudget   = 1
+		addBudget   = 0.05
 	)
 	env := newTestEnv(t, Options{WriteShards: 2})
 	defer env.eng.Close()
@@ -47,13 +49,24 @@ func TestWriteStoreAllocationBudget(t *testing.T) {
 		t.Errorf("a checkpoint flush allocated %.3f times per record, budget %.2f", flush, flushBudget)
 	}
 
-	block := uint64(records)
-	add := testing.AllocsPerRun(1000, func() {
-		env.eng.AddRef(ref(block, 1, 0, 0), 2)
-		block++
-	})
-	t.Logf("AddRef: %.2f allocations", add)
-	if add > addBudget {
-		t.Errorf("an AddRef allocated %.2f times, budget %d", add, addBudget)
+	random := rand.New(rand.NewSource(1)).Perm(records)
+	for i, c := range []struct {
+		name  string
+		block func(i int) uint64
+	}{
+		{"ascending", func(i int) uint64 { return records + uint64(i) }},
+		{"random", func(i int) uint64 { return 2*records + uint64(random[i]) }},
+	} {
+		cp := uint64(i + 2)
+		add := float64(allocsDuring(func() {
+			for j := range records {
+				env.eng.AddRef(ref(c.block(j), 1, 0, 0), cp)
+			}
+		})) / records
+		t.Logf("AddRef on %s blocks: %.3f allocations per call", c.name, add)
+		if add > addBudget {
+			t.Errorf("an AddRef on %s blocks allocated %.3f times per call, budget %.2f", c.name, add, addBudget)
+		}
+		mustCheckpoint(t, env.eng, cp)
 	}
 }

@@ -124,16 +124,28 @@ func (e *Edit) DropRunsBelow(table string, cp uint64) (runs int, records uint64)
 // to hide.
 func (e *Edit) CollectedDVEntries() int { return e.dvCollected }
 
+// ErrUnsynced is returned (wrapped) by Write and Commit when the new
+// manifest was renamed into place but the directory sync after the rename
+// failed: the edit has committed, but a crash may leave the previous
+// manifest in place, or the new one without the entries of the files it
+// names.
+var ErrUnsynced = errors.New("lsm: committed, but the directory sync failed")
+
 // Commit applies the edit in one call: Write, Install, then the
 // reclamation Install returns — for callers with no structural lock to
-// take around the swap. A non-nil error always means the edit did not
-// commit (see Write).
+// take around the swap. A non-nil error means the edit did not commit
+// (see Write), except one that wraps ErrUnsynced: the edit is installed,
+// and nothing it made garbage is removed.
 func (e *Edit) Commit() error {
-	if err := e.Write(); err != nil {
+	err := e.Write()
+	if err != nil && !errors.Is(err, ErrUnsynced) {
 		return err
 	}
-	e.Install()()
-	return nil
+	reclaim := e.Install()
+	if err == nil {
+		reclaim()
+	}
+	return err
 }
 
 // Prepare readies the edit for an install in memory: it opens the added
@@ -245,10 +257,15 @@ func (e *Edit) prepare(advances bool) error {
 // run, those that installs in memory since the last commit swapped in
 // included, and this edit's outcome. It changes nothing in memory:
 // Install, which the caller must call next, does that. A non-nil error
-// always means the edit did not commit: nothing on disk or in memory — the
+// means the edit did not commit: nothing on disk or in memory — the
 // vectors included — has changed, and the files behind added runs have
 // been removed, their written-through pages with them (AddRun transfers
-// ownership, so callers never clean up after a failed Commit).
+// ownership, so callers never clean up after a failed Commit). The one
+// exception is an error that wraps ErrUnsynced: the manifest is in place
+// and names the added runs, whose files stay, so the caller must Install
+// the edit as after a nil error. Until a later commit's directory sync
+// succeeds, it should remove none of the files the previous manifest
+// names: Install's reclamation is for a commit known durable.
 //
 // The caller serializes Write against every other install and every
 // deletion-vector mutation until its Install; readers may run throughout.
@@ -357,11 +374,12 @@ func (e *Edit) Write() error {
 	// back, so a Commit can never roll IDs backwards under a concurrent
 	// allocation.
 	next.NextID = db.nextIDSnapshot()
-	if err := writeManifest(db.vfsFor(storage.SrcManifest), next); err != nil {
+	err := writeManifest(db.vfsFor(storage.SrcManifest), next)
+	if err != nil && !errors.Is(err, ErrUnsynced) {
 		return e.fail(err)
 	}
 	e.next, e.written = next, true
-	return nil
+	return err
 }
 
 // Install swaps a written or prepared edit into memory: every table's runs
@@ -494,7 +512,15 @@ func writeManifest(vfs storage.VFS, m manifest) error {
 	if err := writeSynced(vfs, manifestTmpName, data); err != nil {
 		return err
 	}
-	return vfs.Rename(manifestTmpName, manifestName)
+	if err := vfs.Rename(manifestTmpName, manifestName); err != nil {
+		return err
+	}
+	// The rename is the commit point, and the entries of the run files
+	// created since the last commit become durable with it.
+	if err := vfs.SyncDir(); err != nil {
+		return fmt.Errorf("%w: %w", ErrUnsynced, err)
+	}
+	return nil
 }
 
 // writeSynced creates name holding data and syncs it.

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"slices"
 	"testing"
@@ -119,6 +120,47 @@ func TestInstallInMemoryRidesTheNextCommit(t *testing.T) {
 	}
 	for blk, want := range map[uint64]int{1: 1, 2: 0, 3: 1} {
 		if got := collect(t, db3.Table("from"), blk); len(got) != want {
+			t.Fatalf("block %d reopened with %d records, want %d", blk, len(got), want)
+		}
+	}
+}
+
+// TestUnsyncedCommitInstalls: a commit whose directory sync fails after the
+// manifest's rename reports ErrUnsynced and has committed: Commit installs
+// it, removes none of the files the previous manifest named, and a reopen
+// finds the store the new manifest describes.
+func TestUnsyncedCommitInstalls(t *testing.T) {
+	fs, db := inMemoryFixture(t)
+	inputs := db.Files()
+	fs.SetFailurePlan(storage.FailurePlan{Hook: func(c storage.Call) error {
+		if c.Op == storage.OpSyncDir {
+			return storage.ErrInjected
+		}
+		return nil
+	}})
+	if err := mergeEdit(t, db).Commit(); !errors.Is(err, ErrUnsynced) || !errors.Is(err, storage.ErrInjected) {
+		t.Fatalf("Commit: got %v, want the injected directory-sync failure", err)
+	}
+	fs.SetFailurePlan(storage.FailurePlan{})
+	files := db.Files()
+	if len(files) != 1 || len(db.Table("from").Runs(0)) != 1 {
+		t.Fatalf("after the unsynced commit the manifest names %v", files)
+	}
+	onDisk := listFiles(t, fs)
+	for _, name := range append(inputs, files...) {
+		if !onDisk[name] {
+			t.Fatalf("%s is not on disk after the unsynced commit: %v", name, onDisk)
+		}
+	}
+	db.Close()
+	fs.Crash()
+	db2 := openTestDB(t, fs, 1)
+	defer db2.Close()
+	if got := db2.Files(); !reflect.DeepEqual(got, files) {
+		t.Fatalf("reopened naming %v, want %v", got, files)
+	}
+	for blk, want := range map[uint64]int{1: 1, 2: 0, 3: 1} {
+		if got := collect(t, db2.Table("from"), blk); len(got) != want {
 			t.Fatalf("block %d reopened with %d records, want %d", blk, len(got), want)
 		}
 	}

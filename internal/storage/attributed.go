@@ -170,16 +170,10 @@ func (t *taggedVFS) List() ([]string, error) { return t.a.inner.List() }
 
 func (t *taggedVFS) Stats() Stats { return t.a.inner.Stats() }
 
-// SyncDir forwards to the underlying VFS when it needs directory syncs
-// (DirFS) and is a no-op otherwise. Directory syncs are not recorded:
-// the metered MemFS does not count them either, and attribution sums are
-// checked against its totals.
-func (t *taggedVFS) SyncDir() error {
-	if ds, ok := t.a.inner.(DirSyncer); ok {
-		return ds.SyncDir()
-	}
-	return nil
-}
+// SyncDir forwards to the underlying VFS. Directory syncs are not
+// recorded: the metered MemFS does not count them either, and attribution
+// sums are checked against its totals.
+func (t *taggedVFS) SyncDir() error { return t.a.inner.SyncDir() }
 
 // taggedFile attributes every file operation to its source.
 type taggedFile struct {

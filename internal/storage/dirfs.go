@@ -7,18 +7,15 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 	"syscall"
 )
 
 // DirFS is a VFS backed by a directory on the real file system. It meters
-// I/O the same way MemFS does but does not model disk time (the real disk
-// provides it). DirFS is what cmd/backlogctl uses for persistent databases.
+// nothing: Stats returns zeros, and a store's I/O is counted by the
+// attributed VFS that wraps it (Attributed). DirFS is what
+// cmd/backlogctl uses for persistent databases.
 type DirFS struct {
 	dir string
-
-	mu    sync.Mutex
-	stats Stats
 }
 
 // NewDirFS returns a VFS rooted at dir, creating the directory if needed.
@@ -34,14 +31,14 @@ func (d *DirFS) Dir() string { return d.dir }
 
 func (d *DirFS) path(name string) string { return filepath.Join(d.dir, name) }
 
-// SyncDir fsyncs the directory itself, making the current set of file
-// entries durable. Without it a power failure can lose the directory
-// entry of a fully-fsynced file. Rename calls it at the manifest commit
-// point (one fsync covers every run file created since the last commit);
-// the WAL calls it once per new segment, whose entry must be durable
-// before appends into it are acknowledged. Filesystems that reject fsync
-// on a directory fd (many FUSE/network mounts: EINVAL, ENOTSUP, ENOTTY)
-// are excused — hard-failing every commit there would be worse than
+// SyncDir implements VFS: it fsyncs the directory itself, making the
+// current set of file entries durable. Without it a power failure can lose
+// the directory entry of a fully-fsynced file. The manifest commit calls it
+// after its rename (one fsync covers every run file created since the last
+// commit); the WAL calls it once per new segment, whose entry must be
+// durable before appends into it are acknowledged. Filesystems that reject
+// fsync on a directory fd (many FUSE/network mounts: EINVAL, ENOTSUP,
+// ENOTTY) are excused — hard-failing every commit there would be worse than
 // their genuinely weaker entry durability — but real I/O errors
 // propagate, since swallowing an EIO would acknowledge durability the
 // disk just refused to provide.
@@ -69,10 +66,7 @@ func (d *DirFS) Create(name string) (File, error) {
 		}
 		return nil, err
 	}
-	d.mu.Lock()
-	d.stats.FilesCreated++
-	d.mu.Unlock()
-	return &dirFile{fs: d, f: f}, nil
+	return &dirFile{f: f}, nil
 }
 
 // Open implements VFS.
@@ -84,7 +78,7 @@ func (d *DirFS) Open(name string) (File, error) {
 		}
 		return nil, err
 	}
-	return &dirFile{fs: d, f: f}, nil
+	return &dirFile{f: f}, nil
 }
 
 // Remove implements VFS.
@@ -98,13 +92,10 @@ func (d *DirFS) Remove(name string) error {
 	// No directory fsync: a removal entry lost to a crash merely
 	// resurrects a file that recovery already tolerates (lsm collects
 	// orphan runs; WAL replay skips checkpoint-covered records).
-	d.mu.Lock()
-	d.stats.FilesRemoved++
-	d.mu.Unlock()
 	return nil
 }
 
-// Rename implements VFS.
+// Rename implements VFS. The new entry is durable after the next SyncDir.
 func (d *DirFS) Rename(oldName, newName string) error {
 	if err := os.Rename(d.path(oldName), d.path(newName)); err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
@@ -112,10 +103,7 @@ func (d *DirFS) Rename(oldName, newName string) error {
 		}
 		return err
 	}
-	d.mu.Lock()
-	d.stats.Renames++
-	d.mu.Unlock()
-	return d.SyncDir()
+	return nil
 }
 
 // List implements VFS.
@@ -135,35 +123,16 @@ func (d *DirFS) List() ([]string, error) {
 	return names, nil
 }
 
-// Stats implements VFS.
-func (d *DirFS) Stats() Stats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.stats
-}
+// Stats implements VFS: DirFS meters nothing, so it returns zeros.
+func (d *DirFS) Stats() Stats { return Stats{} }
 
 type dirFile struct {
-	fs *DirFS
-	f  *os.File
+	f *os.File
 }
 
-func (f *dirFile) ReadAt(p []byte, off int64) (int, error) {
-	n, err := f.f.ReadAt(p, off)
-	f.fs.mu.Lock()
-	f.fs.stats.PageReads += pagesSpanned(off, n)
-	f.fs.stats.BytesRead += int64(n)
-	f.fs.mu.Unlock()
-	return n, err
-}
+func (f *dirFile) ReadAt(p []byte, off int64) (int, error) { return f.f.ReadAt(p, off) }
 
-func (f *dirFile) WriteAt(p []byte, off int64) (int, error) {
-	n, err := f.f.WriteAt(p, off)
-	f.fs.mu.Lock()
-	f.fs.stats.PageWrites += pagesSpanned(off, n)
-	f.fs.stats.BytesWritten += int64(n)
-	f.fs.mu.Unlock()
-	return n, err
-}
+func (f *dirFile) WriteAt(p []byte, off int64) (int, error) { return f.f.WriteAt(p, off) }
 
 func (f *dirFile) Size() (int64, error) {
 	info, err := f.f.Stat()
@@ -173,11 +142,6 @@ func (f *dirFile) Size() (int64, error) {
 	return info.Size(), nil
 }
 
-func (f *dirFile) Sync() error {
-	f.fs.mu.Lock()
-	f.fs.stats.Syncs++
-	f.fs.mu.Unlock()
-	return f.f.Sync()
-}
+func (f *dirFile) Sync() error { return f.f.Sync() }
 
 func (f *dirFile) Close() error { return f.f.Close() }

@@ -54,17 +54,6 @@ type File interface {
 	Close() error
 }
 
-// DirSyncer is optionally implemented by a VFS whose directory entries
-// need an explicit fsync to become durable (DirFS). Callers that
-// acknowledge durability without a subsequent Rename commit — the
-// write-ahead log, whose segment entries must survive a crash as soon as
-// records in them are acknowledged — invoke it after creating a file.
-// MemFS entries are durable once the file is synced, so it does not
-// implement the interface.
-type DirSyncer interface {
-	SyncDir() error
-}
-
 // VFS is the minimal file system interface the storage layer requires.
 type VFS interface {
 	// Create creates a new empty file. It fails with ErrExist if the name
@@ -76,8 +65,15 @@ type VFS interface {
 	// ErrNotExist.
 	Remove(name string) error
 	// Rename atomically renames a file, replacing any existing target.
-	// Rename is the commit primitive used for manifests.
+	// Rename is the commit primitive used for manifests; the entry it
+	// writes is durable after the next SyncDir.
 	Rename(oldName, newName string) error
+	// SyncDir makes the directory's entries durable: the files created and
+	// renamed since the last SyncDir survive a crash. A caller calls it
+	// where it promises durability that rests on an entry: the manifest
+	// commit after its rename, and the write-ahead log after creating a
+	// segment, before the segment's first record is acknowledged.
+	SyncDir() error
 	// List returns the names of all files, sorted.
 	List() ([]string, error)
 	// Stats returns the I/O accounting for this VFS. Implementations that
@@ -213,12 +209,13 @@ const (
 	OpRead
 	OpSize
 	OpClose
+	OpSyncDir
 )
 
 // Call is one call as FailurePlan.Hook sees it.
 type Call struct {
 	Op   Op
-	Name string // the file (Rename's source); "" for List
+	Name string // the file (Rename's source); "" for List and SyncDir
 	Off  int64  // ReadAt, WriteAt
 	Len  int    // ReadAt, WriteAt
 }
@@ -386,6 +383,13 @@ func (fs *MemFS) Rename(oldName, newName string) error {
 	f.name = newName
 	fs.files[newName] = f
 	return nil
+}
+
+// SyncDir implements VFS. A MemFS entry is durable once its file is
+// synced, so SyncDir changes nothing: FailurePlan.Hook sees it (OpSyncDir,
+// Name ""), and it is not a mutating call, so KillAt does not number it.
+func (fs *MemFS) SyncDir() error {
+	return fs.call(Call{Op: OpSyncDir})
 }
 
 // List implements VFS.

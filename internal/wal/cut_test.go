@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 
 	"github.com/backlogfs/backlog/internal/storage"
@@ -444,6 +445,92 @@ func TestRotationOpensThePreparedSegment(t *testing.T) {
 			}
 			if len(rec.Cuts) != 1 || rec.Cuts[0] != (CutMark{Index: cutAt, CP: 1}) {
 				t.Fatalf("cuts = %+v, want one after record %d", rec.Cuts, cutAt)
+			}
+		})
+	}
+}
+
+// TestSegmentEntrySyncedBeforeItsFirstWrite: every segment the log creates
+// — at Open, by a rotation, ahead of a cut by PrepareCut, and by a cut whose
+// prepared segment a rotation took — has its directory entry synced before
+// the segment's first write, so the entry is durable before any record in
+// it is acknowledged.
+func TestSegmentEntrySyncedBeforeItsFirstWrite(t *testing.T) {
+	for _, d := range []Durability{Buffered, Sync} {
+		t.Run(d.String(), func(t *testing.T) {
+			vfs := storage.NewMemFS()
+			var mu sync.Mutex
+			var calls []storage.Call
+			phase := "Open"
+			createdBy := map[string]string{}
+			vfs.SetFailurePlan(storage.FailurePlan{Hook: func(c storage.Call) error {
+				mu.Lock()
+				defer mu.Unlock()
+				calls = append(calls, c)
+				if c.Op == storage.OpCreate {
+					createdBy[c.Name] = phase
+				}
+				return nil
+			}})
+			in := func(p string) {
+				mu.Lock()
+				defer mu.Unlock()
+				phase = p
+			}
+			l, _, err := Open(vfs, Options{Durability: d, SegmentBytes: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			appended := 0
+			appendUntil := func(segments int) {
+				for l.SegmentCount() < segments {
+					appendAll(t, l, addRec(appended))
+					appended++
+				}
+			}
+			in("rotation")
+			appendUntil(2)
+			in("PrepareCut")
+			if err := l.PrepareCut(); err != nil {
+				t.Fatal(err)
+			}
+			in("rotation into the prepared segment")
+			appendUntil(3)
+			in("Cut")
+			if _, err := l.Cut(1); err != nil {
+				t.Fatal(err)
+			}
+			appendAll(t, l, addRec(appended))
+			if err := l.SyncCut(); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			mu.Lock()
+			defer mu.Unlock()
+			seen := map[string]int{}
+			for i, c := range calls {
+				if c.Op != storage.OpCreate {
+					continue
+				}
+				seen[createdBy[c.Name]]++
+				synced := false
+				for _, later := range calls[i+1:] {
+					if later.Op == storage.OpSyncDir {
+						synced = true
+					}
+					if later.Op == storage.OpWrite && later.Name == c.Name {
+						break
+					}
+				}
+				if !synced {
+					t.Errorf("%s, created by %s, had no SyncDir before its first write", c.Name, createdBy[c.Name])
+				}
+			}
+			if seen["Open"] != 1 || seen["rotation"] == 0 || seen["PrepareCut"] != 1 || seen["Cut"] != 1 {
+				t.Fatalf("segments created per call: %v, want one at Open, PrepareCut and Cut and some by rotation", seen)
 			}
 		})
 	}

@@ -393,11 +393,9 @@ func (l *Log) createSegment(index uint64) (storage.File, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: creating segment: %w", err)
 	}
-	if ds, ok := l.vfs.(storage.DirSyncer); ok {
-		if err := ds.SyncDir(); err != nil {
-			l.discardSegment(f, index)
-			return nil, fmt.Errorf("wal: syncing directory for new segment: %w", err)
-		}
+	if err := l.vfs.SyncDir(); err != nil {
+		l.discardSegment(f, index)
+		return nil, fmt.Errorf("wal: syncing directory for new segment: %w", err)
 	}
 	return f, nil
 }
