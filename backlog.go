@@ -305,7 +305,7 @@
 // database opens and queries under either setting with no migration step,
 // and compaction naturally rewrites old runs into the configured format.
 // DB.EstimateCompression projects the v3 size of a table without
-// rewriting it (using the same codec the writer uses), and
+// rewriting it (running the run writer over a discarding file), and
 // "backlogctl compression" prints per-table logical versus physical
 // bytes. bash bench/run.sh measures the default format's on-disk size
 // (space_bytes_per_ref, btree.bytes_per_record), checkpoint write bytes
@@ -348,9 +348,12 @@
 // compaction, and expiry, carrying the op kind, write-store shard,
 // consistency point, duration, and error. Both hooks run inline on the
 // operation's goroutine, so tracers must be fast and concurrent-safe.
-// Config.SlowOpThreshold enables the built-in tracer: a bounded ring
-// buffer (128 entries) retaining only operations at or above the
-// threshold, readable via DB.SlowOps or /debug/slowops.
+// Config.SlowOpThreshold enables the built-in slow-op log, which the
+// engine hands every end event beside any Tracer: a bounded ring buffer
+// (128 entries) retaining only operations at or above the threshold,
+// readable via DB.SlowOps or /debug/slowops. backlogctl opens a directory
+// without a threshold, so it shows no slow ops; a process that sets one
+// serves them at /debug/slowops.
 // backlogctl serves the same surfaces on a database directory:
 //
 //	backlogctl stats -dir DIR -json          # one-shot counters, machine-readable
@@ -369,8 +372,8 @@
 // an online write-amplification monitor comparing user bytes in against
 // device bytes out over a rolling 60s window. With Config.Metrics the
 // same accounting is exported as the labeled family backlog_io_* (bytes,
-// ops, syncs, creates, removes and latency per src), beside per-table run
-// heat and the write-amplification gauges, and Config.DebugAddr serves it
+// ops, syncs, creates, removes and latency per src), beside the
+// write-amplification gauges, and Config.DebugAddr serves it
 // as JSON at /debug/io. backlogctl's iostat subcommand renders the same
 // report:
 //
@@ -993,9 +996,10 @@ func (db *DB) Runs() []RunInfo { return db.eng.RunInfos() }
 type CompressionEstimate = core.CompressionEstimate
 
 // EstimateCompression streams all runs of the named table (TableFrom,
-// TableTo, or TableCombined) and computes the leaf-payload size its
-// records would occupy under the format-v3 column-delta encoding, using
-// the same codec the run writer uses. The structural lock is held shared
+// TableTo, or TableCombined) through the format-v3 run writer, over a file
+// that discards what it is given, and reports the pages the rewrite would
+// write: header, leaves and index of one run per partition, Bloom filters
+// excluded. The structural lock is held shared
 // only long enough to pin a view; the scan itself runs lock-free, so
 // updates and checkpoints never stall behind an estimate. Useful for
 // sizing a migration of a v1 or v2 database before compacting it.

@@ -55,15 +55,16 @@ commands:
 // clearScreen is the ANSI home+clear sequence -watch uses between frames.
 const clearScreen = "\033[H\033[2J"
 
-// scrapeMetrics fetches /metrics from a running process's debug listener
+// scrape fetches path from a running process's debug listener
 // (Config.DebugAddr) — the counters there are the live process's, which a
-// fresh open of the same directory cannot see.
-func scrapeMetrics(addr string, watch bool, interval time.Duration) error {
+// fresh open of the same directory cannot see — and hands the body to
+// render; with watch it repeats every interval.
+func scrape(addr, path string, watch bool, interval time.Duration, render func(body []byte) error) error {
 	url := addr
 	if !strings.Contains(url, "://") {
 		url = "http://" + addr
 	}
-	url = strings.TrimSuffix(url, "/") + "/metrics"
+	url = strings.TrimSuffix(url, "/") + path
 	for {
 		resp, err := http.Get(url)
 		if err != nil {
@@ -80,7 +81,9 @@ func scrapeMetrics(addr string, watch bool, interval time.Duration) error {
 		if watch {
 			fmt.Printf("%s# %s @ %s\n", clearScreen, url, time.Now().Format(time.RFC3339))
 		}
-		os.Stdout.Write(body)
+		if err := render(body); err != nil {
+			return fmt.Errorf("%s: %w", url, err)
+		}
 		if !watch {
 			return nil
 		}
@@ -88,44 +91,10 @@ func scrapeMetrics(addr string, watch bool, interval time.Duration) error {
 	}
 }
 
-// scrapeIostat fetches /debug/io from a running process's debug listener
-// and renders the live process's I/O attribution report.
-func scrapeIostat(addr string, watch, jsonOut bool, interval time.Duration) error {
-	url := addr
-	if !strings.Contains(url, "://") {
-		url = "http://" + addr
-	}
-	url = strings.TrimSuffix(url, "/") + "/debug/io"
-	for {
-		resp, err := http.Get(url)
-		if err != nil {
-			return err
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("%s: %s", url, resp.Status)
-		}
-		if watch {
-			fmt.Printf("%s# %s @ %s\n", clearScreen, url, time.Now().Format(time.RFC3339))
-		}
-		if jsonOut {
-			os.Stdout.Write(body)
-		} else {
-			var rep backlog.IOReport
-			if err := json.Unmarshal(body, &rep); err != nil {
-				return fmt.Errorf("%s: %w", url, err)
-			}
-			printIOReport(rep)
-		}
-		if !watch {
-			return nil
-		}
-		time.Sleep(interval)
-	}
+// printBody writes a scraped body verbatim.
+func printBody(body []byte) error {
+	_, err := os.Stdout.Write(body)
+	return err
 }
 
 // printIOReport renders an attribution report as the iostat table:
@@ -178,15 +147,22 @@ func main() {
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
 	}
-	if cmd == "metrics" && *addr != "" {
-		if err := scrapeMetrics(*addr, *watch, *interval); err != nil {
-			fmt.Fprintln(os.Stderr, "backlogctl:", err)
-			os.Exit(1)
+	if (cmd == "metrics" || cmd == "iostat") && *addr != "" {
+		path, render := "/metrics", printBody
+		if cmd == "iostat" {
+			path = "/debug/io"
+			if !*jsonOut {
+				render = func(body []byte) error {
+					var rep backlog.IOReport
+					if err := json.Unmarshal(body, &rep); err != nil {
+						return err
+					}
+					printIOReport(rep)
+					return nil
+				}
+			}
 		}
-		return
-	}
-	if cmd == "iostat" && *addr != "" {
-		if err := scrapeIostat(*addr, *watch, *jsonOut, *interval); err != nil {
+		if err := scrape(*addr, path, *watch, *interval, render); err != nil {
 			fmt.Fprintln(os.Stderr, "backlogctl:", err)
 			os.Exit(1)
 		}
@@ -249,15 +225,6 @@ func main() {
 			if err := db.WriteMetrics(os.Stdout); err != nil {
 				fmt.Fprintln(os.Stderr, "backlogctl:", err)
 				os.Exit(1)
-			}
-			if slow := db.SlowOps(); len(slow) > 0 {
-				// Appended as exposition-format comments so the output stays a
-				// valid Prometheus scrape.
-				fmt.Println("# slow ops (oldest first): kind dur read-bytes write-bytes")
-				for _, ev := range slow {
-					fmt.Printf("# slowop: %s %s read=%d written=%d\n",
-						ev.Kind, ev.Dur, ev.ReadBytes, ev.WriteBytes)
-				}
 			}
 			if !*watch {
 				break
@@ -389,15 +356,15 @@ func main() {
 			w.Flush()
 			fmt.Printf("runs:\n")
 			w = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-			fmt.Fprintln(w, "  table\tpart\tlevel\tformat\trecords\tlogical\tphysical\theat\tlast cp\tcp window\toverrides")
+			fmt.Fprintln(w, "  table\tpart\tlevel\tformat\trecords\tlogical\tphysical\tcp window\toverrides")
 			for _, r := range runs {
 				window := "unknown"
 				if r.CPWindowKnown {
 					window = fmt.Sprintf("[%d, %d]", r.MinCP, r.MaxCP)
 				}
-				fmt.Fprintf(w, "  %s\t%d\t%d\t%s\t%d\t%d\t%d\t%d\t%d\t%s\t%d\n",
+				fmt.Fprintf(w, "  %s\t%d\t%d\t%s\t%d\t%d\t%d\t%s\t%d\n",
 					r.Table, r.Partition, r.Level, r.Format, r.Records,
-					r.LogicalBytes, r.SizeBytes, r.HeatBytes, r.LastAccessCP, window, r.Overrides)
+					r.LogicalBytes, r.SizeBytes, window, r.Overrides)
 			}
 			w.Flush()
 		}
@@ -434,8 +401,9 @@ func main() {
 			LogicalBytes  int64
 			PhysicalBytes int64
 			// Ratio is logical/physical over the live runs (actual, run
-			// framing included); ProjectedRatio is the pure-payload v3
-			// estimate, filled when older-format runs remain.
+			// framing and filters included); ProjectedRatio is logical over
+			// the pages a v3 rewrite would write (filters excluded), filled
+			// when older-format runs remain.
 			Ratio          float64
 			ProjectedRatio float64 `json:",omitempty"`
 			ProjectedBytes int64   `json:",omitempty"`
@@ -484,7 +452,7 @@ func main() {
 		for _, rep := range reports {
 			note := ""
 			if rep.OlderRuns > 0 {
-				note = fmt.Sprintf("%d older-format run(s); projected v3: %.2fx (%d payload bytes) — compact to apply",
+				note = fmt.Sprintf("%d older-format run(s); projected v3: %.2fx (%d page bytes) — compact to apply",
 					rep.OlderRuns, rep.ProjectedRatio, rep.ProjectedBytes)
 			}
 			fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%.2fx\t%s\n",

@@ -166,7 +166,8 @@ func NewWriter(f storage.File, recordSize int) (*Writer, error) {
 
 // NewWriterFormat returns a Writer that builds a run in the given leaf
 // format, FormatRaw or FormatDelta, as the one run of f: its Finish writes
-// and syncs the file. FormatDelta requires recordSize to be a multiple of 8.
+// and syncs the file. FormatDelta requires recordSize to be a multiple of 8
+// and at most MaxDeltaRecordSize.
 func NewWriterFormat(f storage.File, recordSize int, format Format) (*Writer, error) {
 	w, err := NewFileWriter(f, 1).Section(0, recordSize, format)
 	if err != nil {
@@ -232,8 +233,8 @@ func (fw *FileWriter) Section(slot, recordSize int, format Format) (*Writer, err
 	switch format {
 	case FormatRaw:
 	case FormatDelta:
-		if recordSize%8 != 0 {
-			return nil, fmt.Errorf("btree: delta format needs a record size that is a multiple of 8, got %d", recordSize)
+		if recordSize%8 != 0 || recordSize > MaxDeltaRecordSize {
+			return nil, fmt.Errorf("btree: delta format needs a record size that is a multiple of 8 up to %d, got %d", MaxDeltaRecordSize, recordSize)
 		}
 		w.prevCols = make([]uint64, recordSize/8)
 	case formatDeltaV2:
@@ -666,7 +667,7 @@ func readHeader(f storage.File) (header, error) {
 	if h.recordSize <= 0 || h.recordSize > MaxRecordSize {
 		return header{}, fmt.Errorf("%w: record size %d", ErrCorrupt, h.recordSize)
 	}
-	if h.format.delta() && h.recordSize%8 != 0 {
+	if h.format.delta() && (h.recordSize%8 != 0 || h.recordSize > MaxDeltaRecordSize) {
 		return header{}, fmt.Errorf("%w: delta run with record size %d", ErrCorrupt, h.recordSize)
 	}
 	// The geometry must describe this file: nothing below may size a read

@@ -20,17 +20,22 @@ const (
 	// record, changed or not. Compaction rewrites such runs into
 	// FormatDelta; the next format bump deletes this reader.
 	formatDeltaV2 Format = 2
-	// FormatDelta is the v3 format: a leaf record is a presence bitmap
-	// (one bit per column, set when the column differs from the previous
-	// record's) followed by the delta + zigzag + LEB128 varint of each
-	// flagged column, restarting from all-zero columns at every page
-	// boundary so each 4 KB page stays independently seekable and
-	// CRC-checked. Requires the record size to be a multiple of 8: a
-	// record is treated as a row of big-endian u64 columns, which
-	// preserves bytes.Compare order. Internal index pages stay raw in
-	// every format.
+	// FormatDelta is the v3 format: a leaf record is a one-byte presence
+	// bitmap (bit c set when column c differs from the previous record's)
+	// followed by the delta + zigzag + LEB128 varint of each flagged
+	// column, restarting from all-zero columns at every page boundary so
+	// each 4 KB page stays independently seekable and CRC-checked.
+	// Requires the record size to be a multiple of 8 and at most
+	// MaxDeltaRecordSize: a record is treated as a row of at most eight
+	// big-endian u64 columns, which preserves bytes.Compare order.
+	// Internal index pages stay raw in every format.
 	FormatDelta Format = 3
 )
+
+// MaxDeltaRecordSize bounds the record size of a delta run (either
+// version): eight columns, one bitmap byte. The widest table's records
+// are 56 bytes.
+const MaxDeltaRecordSize = 64
 
 func (f Format) String() string {
 	switch f {
@@ -48,38 +53,23 @@ func (f Format) String() string {
 // delta reports whether leaves are delta-encoded (in either version).
 func (f Format) delta() bool { return f == FormatDelta || f == formatDeltaV2 }
 
-// Zigzag maps signed deltas onto unsigned integers so small negative
+// zigzag maps signed deltas onto unsigned integers so small negative
 // deltas encode as small varints.
-func Zigzag(v int64) uint64 { return uint64((v << 1) ^ (v >> 63)) }
+func zigzag(v int64) uint64 { return uint64((v << 1) ^ (v >> 63)) }
 
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// VarintLen returns the LEB128-encoded length of v in bytes.
-func VarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-// bitmapLen returns the bytes of a record's presence bitmap.
-func bitmapLen(cols int) int { return (cols + 7) / 8 }
-
 // appendDeltaRecord appends rec's FormatDelta encoding relative to prev,
 // which holds the previous record's column values (all zero at a page
-// restart): the presence bitmap, bit c%8 of byte c/8 for column c, then
-// the flagged columns' deltas in column order.
+// restart): the presence bitmap, bit c for column c, then the flagged
+// columns' deltas in column order.
 func appendDeltaRecord(dst, rec []byte, prev []uint64) []byte {
 	at := len(dst)
-	for range bitmapLen(len(prev)) {
-		dst = append(dst, 0)
-	}
+	dst = append(dst, 0)
 	for c := range prev {
 		if d := binary.BigEndian.Uint64(rec[c*8:]) - prev[c]; d != 0 {
-			dst[at+c/8] |= 1 << (c % 8)
-			dst = binary.AppendUvarint(dst, Zigzag(int64(d)))
+			dst[at] |= 1 << c
+			dst = binary.AppendUvarint(dst, zigzag(int64(d)))
 		}
 	}
 	return dst
@@ -115,14 +105,12 @@ const restartDirLen = 4
 // its decoder once, at Open.
 type deltaDecoder func(payload []byte, pos int, rec []byte, first bool) (next int)
 
-func decoderFor(format Format, recSize int) deltaDecoder {
-	switch {
-	case format == formatDeltaV2:
+func decoderFor(format Format) deltaDecoder {
+	switch format {
+	case formatDeltaV2:
 		return deltaNextV2
-	case format == FormatDelta && recSize <= 64:
+	case FormatDelta:
 		return deltaNext
-	case format == FormatDelta:
-		return deltaNextWide
 	}
 	return nil
 }
@@ -140,8 +128,7 @@ func addDelta(payload []byte, pos int, rec []byte, c int) int {
 	return pos + n
 }
 
-// deltaNext is the FormatDelta decoder for records of at most eight
-// columns, whose bitmap is one byte. It visits the set bits, not the
+// deltaNext is the FormatDelta decoder. It visits the set bits, not the
 // columns: the typical record flags two or three of six or seven. A zero
 // bitmap after the page's first record (an exact repeat, which ascending
 // records exclude — and what a page's zero padding would decode to under
@@ -166,34 +153,6 @@ func deltaNext(payload []byte, pos int, rec []byte, first bool) int {
 		} else if pos = addDelta(payload, pos, rec, c); pos < 0 {
 			return -1
 		}
-	}
-	return pos
-}
-
-// deltaNextWide is deltaNext for records of more than eight columns.
-func deltaNextWide(payload []byte, pos int, rec []byte, first bool) int {
-	cols := len(rec) / 8
-	deltas := pos + bitmapLen(cols)
-	if deltas > len(payload) {
-		return -1
-	}
-	bitmap := payload[pos:deltas]
-	pos = deltas
-	changed := false
-	for i, m := range bitmap {
-		for ; m != 0; m &= m - 1 {
-			c := i*8 + bits.TrailingZeros8(m)
-			if c >= cols {
-				return -1
-			}
-			if pos = addDelta(payload, pos, rec, c*8); pos < 0 {
-				return -1
-			}
-			changed = true
-		}
-	}
-	if !changed && !first {
-		return -1
 	}
 	return pos
 }
@@ -254,7 +213,7 @@ func checkLeafCount(payload []byte, count int) error {
 type restartTable struct {
 	head    []byte
 	entries []byte
-	anchor  [MaxRecordSize / 8]uint64
+	anchor  [MaxDeltaRecordSize / 8]uint64
 }
 
 // add notes record i of the page, whose encoding ends at payload offset
@@ -321,13 +280,13 @@ func sampleRestarts(t *restartTable, payload []byte, count, recSize int, next de
 func compareRestart(table []byte, j int, key []byte) (order int, ok bool) {
 	cols := len(key) / 8
 	at := int(binary.LittleEndian.Uint16(table[len(key)+j*restartDirLen:]))
-	pos := at + bitmapLen(cols)
+	pos := at + 1
 	if pos > len(table) {
 		return 0, false
 	}
 	for c := 0; c < cols; c++ {
 		v := binary.BigEndian.Uint64(table[c*8:])
-		if table[at+c/8]>>(c%8)&1 != 0 {
+		if table[at]>>c&1 != 0 {
 			u, n := binary.Uvarint(table[pos:])
 			if n <= 0 {
 				return 0, false
@@ -347,10 +306,10 @@ func compareRestart(table []byte, j int, key []byte) (order int, ok bool) {
 // before the whole page — and returns the cursor state there: rec holds
 // that record, idx records are consumed and the next one starts at payload
 // offset pos. The probes compare in place; only the restart record the seek
-// settles on is decoded, onto a copy of the anchor, with decode — the
-// FormatDelta decoder for the record size. An entry that does not decode
-// means memory corruption and comes back as ErrCorrupt.
-func seekRestart(table []byte, count int, key, rec []byte, decode deltaDecoder) (idx, pos int, err error) {
+// settles on is decoded, onto a copy of the anchor, with the FormatDelta
+// decoder whatever the run's format. An entry that does not decode means
+// memory corruption and comes back as ErrCorrupt.
+func seekRestart(table []byte, count int, key, rec []byte) (idx, pos int, err error) {
 	lo, hi := 1, (count-1)/restartInterval+1
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -369,91 +328,10 @@ func seekRestart(table []byte, count int, key, rec []byte, decode deltaDecoder) 
 	copy(rec, table) // the anchor
 	// An entry repeats the anchor only in a page whose records do not
 	// ascend, which no writer produces; it must decode all the same.
-	if j > 0 && decode(table, int(binary.LittleEndian.Uint16(dir)), rec, true) < 0 {
+	if j > 0 && deltaNext(table, int(binary.LittleEndian.Uint16(dir)), rec, true) < 0 {
 		return 0, 0, errRestartTable
 	}
 	return j*restartInterval + 1, int(binary.LittleEndian.Uint16(dir[2:])), nil
 }
 
 var errRestartTable = fmt.Errorf("%w: malformed restart table", ErrCorrupt)
-
-// DeltaEstimator predicts the exact encoded leaf-payload bytes the
-// FormatDelta writer would produce for a sorted record stream — including
-// per-page restarts — without writing anything. Engine.EstimateCompression
-// runs on it, so projected and actual sizes come from the same codec and
-// cannot drift.
-type DeltaEstimator struct {
-	prev      []uint64
-	colLens   []int
-	pageBytes int
-	records   uint64
-	encoded   uint64
-	perCol    []uint64 // one entry per column, then the bitmaps'
-}
-
-// NewDeltaEstimator returns an estimator for recordSize-byte records.
-func NewDeltaEstimator(recordSize int) (*DeltaEstimator, error) {
-	if recordSize <= 0 || recordSize > MaxRecordSize || recordSize%8 != 0 {
-		return nil, fmt.Errorf("btree: delta format needs a record size that is a multiple of 8, got %d", recordSize)
-	}
-	cols := recordSize / 8
-	return &DeltaEstimator{
-		prev:    make([]uint64, cols),
-		colLens: make([]int, cols),
-		perCol:  make([]uint64, cols+1),
-	}, nil
-}
-
-// measure fills colLens with rec's per-column encoded lengths against prev
-// (zero for an unflagged column) and returns the record's total, bitmap
-// included.
-func (e *DeltaEstimator) measure(rec []byte) int {
-	total := bitmapLen(len(e.prev))
-	for c := range e.prev {
-		e.colLens[c] = 0
-		if d := binary.BigEndian.Uint64(rec[c*8:]) - e.prev[c]; d != 0 {
-			e.colLens[c] = VarintLen(Zigzag(int64(d)))
-		}
-		total += e.colLens[c]
-	}
-	return total
-}
-
-// Add folds one record into the estimate. Records must arrive in the order
-// they would be appended to a Writer (ascending within each Restart
-// segment).
-func (e *DeltaEstimator) Add(rec []byte) {
-	total := e.measure(rec)
-	if e.pageBytes > 0 && e.pageBytes+total > pagePayload {
-		// Page restart: the writer re-encodes against zero columns.
-		e.Restart()
-		total = e.measure(rec)
-	}
-	for c := range e.prev {
-		e.prev[c] = binary.BigEndian.Uint64(rec[c*8:])
-		e.perCol[c] += uint64(e.colLens[c])
-	}
-	e.perCol[len(e.prev)] += uint64(bitmapLen(len(e.prev)))
-	e.pageBytes += total
-	e.encoded += uint64(total)
-	e.records++
-}
-
-// Restart resets the delta state to a page boundary, as between runs or
-// partitions whose record streams are encoded independently.
-func (e *DeltaEstimator) Restart() {
-	clear(e.prev)
-	e.pageBytes = 0
-}
-
-// Records returns the number of records folded in.
-func (e *DeltaEstimator) Records() uint64 { return e.records }
-
-// EncodedBytes returns the total encoded leaf-payload size.
-func (e *DeltaEstimator) EncodedBytes() uint64 { return e.encoded }
-
-// PerColumnBytes returns the encoded size contributed by each u64 column
-// and, in one more entry after the last column's, by the presence bitmaps;
-// the entries sum to EncodedBytes. The returned slice is owned by the
-// estimator.
-func (e *DeltaEstimator) PerColumnBytes() []uint64 { return e.perCol }

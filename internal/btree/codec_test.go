@@ -101,6 +101,8 @@ func TestDeltaRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDeltaWideRoundTrip: six-column records, the From table's width,
+// round-trip through a delta run of many pages.
 func TestDeltaWideRoundTrip(t *testing.T) {
 	fs := storage.NewMemFS()
 	recs := sortedRecords48(20000)
@@ -184,57 +186,6 @@ func TestDeltaSmallerThanRaw(t *testing.T) {
 	if rDelta.SizeBytes()*3 > rRaw.SizeBytes() {
 		t.Fatalf("delta run %d bytes, raw %d bytes: want >= 3x smaller",
 			rDelta.SizeBytes(), rRaw.SizeBytes())
-	}
-}
-
-func TestDeltaEstimatorMatchesWriter(t *testing.T) {
-	// The estimator must predict the writer's leaf-payload bytes exactly,
-	// including page restarts.
-	fs := storage.NewMemFS()
-	recs := sortedRecords48(30000)
-	f := buildRunFormat(t, fs, "run", 48, FormatDelta, recs)
-	r, err := Open(f, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := NewDeltaEstimator(48)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range recs {
-		est.Add(rec)
-	}
-	// Sum the actual encoded payload bytes across the leaf pages.
-	var actual uint64
-	for p := uint64(0); p < r.h.leafPages; p++ {
-		payload, count, err := r.readPageRaw(new([storage.PageSize]byte), r.h.leafStart+p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The encoded length is what the reference decoder consumed: the
-		// bytes before the zero padding.
-		_, consumed, err := decodeDeltaLeaf(payload, count, 48)
-		if err != nil {
-			t.Fatal(err)
-		}
-		actual += uint64(consumed)
-	}
-	if est.EncodedBytes() != actual {
-		t.Fatalf("estimator predicted %d encoded bytes, writer produced %d", est.EncodedBytes(), actual)
-	}
-	var perCol uint64
-	for _, b := range est.PerColumnBytes() {
-		perCol += b
-	}
-	if perCol != est.EncodedBytes() {
-		t.Fatalf("per-column sum %d != encoded total %d", perCol, est.EncodedBytes())
-	}
-	// Six columns and, last, one bitmap byte per record.
-	if pc := est.PerColumnBytes(); len(pc) != 7 || pc[6] != uint64(len(recs)) {
-		t.Fatalf("per-column entries %v, want six columns and %d bitmap bytes", pc, len(recs))
-	}
-	if est.Records() != uint64(len(recs)) {
-		t.Fatalf("Records = %d, want %d", est.Records(), len(recs))
 	}
 }
 
@@ -344,14 +295,20 @@ func TestDeltaDecodedPageCached(t *testing.T) {
 func TestDeltaRejectsBadRecordSize(t *testing.T) {
 	fs := storage.NewMemFS()
 	f, _ := fs.Create("run")
-	if _, err := NewWriterFormat(f, 12, FormatDelta); err == nil {
-		t.Fatal("delta writer accepted record size 12")
+	for _, c := range []struct {
+		recSize int
+		format  Format
+	}{
+		{12, FormatDelta}, // not a row of u64 columns
+		{72, FormatDelta}, // nine columns: more than a one-byte bitmap flags
+		{8, Format(9)},    // no such format
+	} {
+		if _, err := NewWriterFormat(f, c.recSize, c.format); err == nil {
+			t.Errorf("writer accepted %d-byte records in format %v", c.recSize, c.format)
+		}
 	}
-	if _, err := NewWriterFormat(f, 8, Format(9)); err == nil {
-		t.Fatal("unknown format accepted")
-	}
-	if _, err := NewDeltaEstimator(12); err == nil {
-		t.Fatal("estimator accepted record size 12")
+	if _, err := NewWriterFormat(f, MaxDeltaRecordSize, FormatDelta); err != nil {
+		t.Fatalf("writer refused %d-byte delta records: %v", MaxDeltaRecordSize, err)
 	}
 }
 

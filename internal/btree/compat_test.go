@@ -255,7 +255,8 @@ func TestFormatContract(t *testing.T) {
 }
 
 // TestHeaderGeometryChecked: every field that sizes a read or positions a
-// page is held against the file's size at Open.
+// page is held against the file's size at Open, and a delta run's record
+// size against the eight columns its one-byte bitmap can flag.
 func TestHeaderGeometryChecked(t *testing.T) {
 	le := binary.LittleEndian
 	for name, edit := range map[string]func(page []byte){
@@ -270,6 +271,7 @@ func TestHeaderGeometryChecked(t *testing.T) {
 		"absurd level count":            func(p []byte) { le.PutUint32(p[40:], 1<<31) },
 		"levels over a single leaf":     func(p []byte) { le.PutUint64(p[32:], 1) },
 		"no levels over several leaves": func(p []byte) { le.PutUint32(p[40:], 0) },
+		"delta records of nine columns": func(p []byte) { le.PutUint32(p[12:], 72) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			run := plantFile(t, readGolden(t, "v3-from.run"))

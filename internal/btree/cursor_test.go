@@ -100,7 +100,7 @@ func decodeDeltaLeafV2(payload []byte, count, recSize int) (flat []byte, consume
 func appendDeltaRecordV2(dst, rec []byte, prev []uint64) []byte {
 	for c := range prev {
 		v := binary.BigEndian.Uint64(rec[c*8:])
-		dst = binary.AppendUvarint(dst, Zigzag(int64(v-prev[c])))
+		dst = binary.AppendUvarint(dst, zigzag(int64(v-prev[c])))
 	}
 	return dst
 }
@@ -203,8 +203,8 @@ func TestCursorMatchesFullDecode(t *testing.T) {
 			checkCursor(t, name+"/nofill", r.NoFill(), recs, small)
 		}
 	}
-	// 72 bytes is nine columns: a two-byte bitmap, the wide decoder.
-	for _, recSize := range []int{8, 48, 56, 72} {
+	// 64 bytes is eight columns: every bit of the bitmap is a column.
+	for _, recSize := range []int{8, 48, 56, 64} {
 		for _, wide := range []bool{false, true} {
 			// 700 narrow records fill a page; 3000 fill several.
 			for _, n := range []int{1, 2, K - 1, K, K + 1, 2 * K, 2*K + 1, 700, 3000} {
@@ -384,7 +384,7 @@ func TestCacheChargesWhatItHolds(t *testing.T) {
 // through a damaged one — any byte past the anchor overwritten — fails as
 // ErrCorrupt or lands somewhere, and never panics.
 func TestRestartTableDamage(t *testing.T) {
-	for _, recSize := range []int{48, 72} {
+	for _, recSize := range []int{48, 64} {
 		recs := seededRecords(rand.New(rand.NewSource(5)), 8*restartInterval, recSize, false)
 		var payload []byte
 		cols := make([]uint64, recSize/8)
@@ -394,9 +394,8 @@ func TestRestartTableDamage(t *testing.T) {
 				cols[c] = binary.BigEndian.Uint64(r[c*8:])
 			}
 		}
-		decode := decoderFor(FormatDelta, recSize)
 		var rt restartTable
-		used, err := sampleRestarts(&rt, payload, len(recs), recSize, decode)
+		used, err := sampleRestarts(&rt, payload, len(recs), recSize, deltaNext)
 		if err != nil || used != len(payload) {
 			t.Fatalf("sampling %d bytes: used %d (%v)", len(payload), used, err)
 		}
@@ -408,7 +407,7 @@ func TestRestartTableDamage(t *testing.T) {
 				damaged := append([]byte(nil), table...)
 				damaged[at] = b
 				for _, key := range [][]byte{recs[0], recs[len(recs)/2], recs[len(recs)-1]} {
-					if _, _, err := seekRestart(damaged, len(recs), key, rec, decode); errors.Is(err, ErrCorrupt) {
+					if _, _, err := seekRestart(damaged, len(recs), key, rec); errors.Is(err, ErrCorrupt) {
 						corrupt++
 					} else if err != nil {
 						t.Fatalf("byte %d = %#x: %v, want ErrCorrupt or nothing", at, b, err)
@@ -564,8 +563,7 @@ func TestDeltaLeafRejections(t *testing.T) {
 		{"flagged column with a zero delta", 48, []byte{0x03, 0x02, 0x00}, 1},
 		{"flagged column with an overlong zero", 48, []byte{0x01, 0x80, 0x00}, 1},
 		{"bit beyond the column count", 48, []byte{0x41, 0x02, 0x02}, 1},
-		{"bit beyond the column count, wide", 72, []byte{0x01, 0x02, 0x02, 0x02}, 1},
-		{"zero bitmap after the first record, wide", 72, []byte{0x01, 0x00, 0x02, 0x00, 0x00}, 2},
+		{"bit beyond the column count, widest table", 56, []byte{0x81, 0x02, 0x02}, 1},
 		{"varint running off the page", 8, append(bytes.Repeat([]byte{0x01, 0x02}, pagePayload/2-1), 0x01, 0xFF), pagePayload / 2},
 		{"varint overflowing 64 bits", 8, append([]byte{0x01}, bytes.Repeat([]byte{0xFF}, 11)...), 1},
 		{"count of zero", 48, []byte{0x01, 0x02}, 0},
@@ -622,10 +620,10 @@ func FuzzDeltaLeaf(f *testing.F) {
 	f.Add([]byte{0x01, 0x80, 0x00}, uint16(1), uint8(0), false) // flagged zero delta, overlong
 	f.Add(bytes.Repeat([]byte{0xFF}, 64), uint16(3), uint8(1), false)
 	f.Add([]byte{}, uint16(0), uint8(0), false)
-	f.Add([]byte{0x01, 0x02, 0x00, 0x01, 0x02}, uint16(3), uint8(1), false) // zero bitmap mid-page
-	f.Add([]byte{0x03, 0x02, 0x00}, uint16(1), uint8(1), false)             // flagged zero delta
-	f.Add([]byte{0x81, 0x02, 0x02}, uint16(1), uint8(2), false)             // stray high bit
-	f.Add([]byte{0x01, 0x02, 0x02, 0x02}, uint16(1), uint8(3), false)       // stray bit, two-byte bitmap
+	f.Add([]byte{0x01, 0x02, 0x00, 0x01, 0x02}, uint16(3), uint8(1), false)                         // zero bitmap mid-page
+	f.Add([]byte{0x03, 0x02, 0x00}, uint16(1), uint8(1), false)                                     // flagged zero delta
+	f.Add([]byte{0x81, 0x02, 0x02}, uint16(1), uint8(2), false)                                     // stray high bit
+	f.Add([]byte{0xFF, 0x02, 0x02, 0x02, 0x02, 0x02, 0x02, 0x02, 0x02}, uint16(1), uint8(3), false) // every column flagged
 	f.Add(valid2, n, uint8(1), true)
 	f.Add(valid2, n+1, uint8(1), true) // decodes the padding: a repeat
 	f.Add(valid2[:len(valid2)/2], n, uint8(2), true)
@@ -637,7 +635,7 @@ func FuzzDeltaLeaf(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0x01, 0x02}, 5*restartInterval), uint16(5*restartInterval), uint8(0), false) // five restart points
 
 	f.Fuzz(func(t *testing.T, payload []byte, count uint16, sizeSel uint8, v2 bool) {
-		recSize := []int{8, 48, 56, 72}[sizeSel%4]
+		recSize := []int{8, 48, 56, 64}[sizeSel%4]
 		format, reference, encode := FormatDelta, decodeDeltaLeaf, appendDeltaRecord
 		if v2 {
 			format, reference, encode = formatDeltaV2, decodeDeltaLeafV2, appendDeltaRecordV2

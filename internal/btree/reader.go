@@ -25,10 +25,8 @@ type Reader struct {
 	id    uint64
 
 	// next decodes one leaf record of a delta run (nil over a raw run),
-	// chosen once from the header's format; probe decodes the entry of a
-	// restart table a seek settles on, which is FormatDelta over either
-	// delta format.
-	next, probe deltaDecoder
+	// chosen once from the header's format.
+	next deltaDecoder
 
 	// noFill makes cache misses leave the cache as it is (see NoFill).
 	noFill bool
@@ -57,11 +55,7 @@ func (w *Writer) Open(f storage.File, cache *Cache) *Reader {
 }
 
 func newReader(f storage.File, h header, cache *Cache, id uint64) *Reader {
-	r := &Reader{f: f, h: h, cache: cache, id: id, next: decoderFor(h.format, h.recordSize)}
-	if r.next != nil {
-		r.probe = decoderFor(FormatDelta, h.recordSize)
-	}
-	return r
+	return &Reader{f: f, h: h, cache: cache, id: id, next: decoderFor(h.format)}
 }
 
 // SetDecodeObserver installs a callback receiving, once per delta leaf
@@ -370,7 +364,7 @@ func (r *Reader) SeekGE(key []byte) (*Iterator, error) {
 		// Start from the last restart point whose record is <= key (the
 		// first one if key sorts before the whole page) and stream-decode
 		// forward, at most restartInterval records.
-		if it.idx, it.pos, err = seekRestart(it.restarts, it.count, key, it.rec, r.probe); err != nil {
+		if it.idx, it.pos, err = seekRestart(it.restarts, it.count, key, it.rec); err != nil {
 			return nil, fmt.Errorf("btree: page %d: %w", it.pageNo, err)
 		}
 		for bytes.Compare(it.rec, key) < 0 && it.idx < it.count {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/backlogfs/backlog/internal/btree"
+	"github.com/backlogfs/backlog/internal/storage"
 )
 
 // This file holds the compression knob and the measurement side of the
@@ -13,9 +14,9 @@ import (
 // Options.Compression is CompressionDelta (the default; see
 // btree.FormatDelta), and EstimateCompression projects the effect for
 // databases still holding runs in an older format — raw v1, or the v2
-// delta encoding that spent a byte on every unchanged column — using the
-// same btree codec the writer uses, so the estimate and the actual encoded
-// size cannot drift.
+// delta encoding that spent a byte on every unchanged column — by running
+// the run writer itself over a discarding file, so the projection is what
+// a rewrite would write.
 
 // Compression selects the on-disk run format; see Options.Compression.
 type Compression int
@@ -61,19 +62,16 @@ type CompressionEstimate struct {
 	CompressedBytes int64
 	// Ratio is RawBytes / CompressedBytes (>1 means compressible).
 	Ratio float64
-	// PerColumnBytes breaks the compressed size down: one entry per column
-	// (block, inode, offset, line, length, cp fields...) and a last one
-	// for the records' presence bitmaps. The entries sum to
-	// CompressedBytes.
-	PerColumnBytes []int64
 }
 
-// EstimateCompression streams all runs of the named table (TableFrom,
-// TableTo, or TableCombined) and computes the leaf-payload size their
-// records would occupy under the v3 column-delta encoding, page restarts
-// included. Runs are already sorted, so consecutive records share long key
-// prefixes and the per-column deltas are small — exactly the property the
-// paper expects to exploit.
+// EstimateCompression streams each partition's merged records of the named
+// table (TableFrom, TableTo, or TableCombined) through a FormatDelta run
+// writer over a file that discards what it is given, and reports the pages
+// those writers produce: header, leaves and index, one run per partition,
+// Bloom filters excluded. RawBytes is the records' decoded size. Runs are
+// already sorted, so consecutive records share long key prefixes and the
+// per-column deltas are small — exactly the property the paper expects to
+// exploit.
 //
 // The structural lock is held shared only long enough to pin a view (the
 // query-path pattern); the scan itself — the expensive part — streams the
@@ -90,17 +88,14 @@ func (e *Engine) EstimateCompression(table string) (CompressionEstimate, error) 
 	e.mu.RUnlock()
 	defer v.Release()
 
-	sim, err := btree.NewDeltaEstimator(rs)
-	if err != nil {
-		return CompressionEstimate{}, err
-	}
+	est := CompressionEstimate{Table: table}
+	sink := storage.NewMemFS()
 	for p := 0; p < e.db.Partitions(); p++ {
 		it, err := v.MergedIter(table, p)
 		if err != nil {
 			return CompressionEstimate{}, err
 		}
-		// Each partition's runs are encoded independently.
-		sim.Restart()
+		var w *btree.Writer // created on the partition's first record
 		for {
 			rec, ok, err := it.Next()
 			if err != nil {
@@ -109,27 +104,27 @@ func (e *Engine) EstimateCompression(table string) (CompressionEstimate, error) 
 			if !ok {
 				break
 			}
-			sim.Add(rec)
+			if w == nil {
+				if w, err = btree.NewWriterFormat(sink.CreateSink(table), rs, btree.FormatDelta); err != nil {
+					return CompressionEstimate{}, err
+				}
+			}
+			if err := w.Append(rec); err != nil {
+				return CompressionEstimate{}, err
+			}
 		}
+		if w == nil {
+			continue
+		}
+		if err := w.Finish(nil); err != nil {
+			return CompressionEstimate{}, err
+		}
+		est.Records += w.Count()
+		est.CompressedBytes += w.SizeBytes()
 	}
-	est := CompressionEstimate{
-		Table:           table,
-		Records:         sim.Records(),
-		RawBytes:        int64(sim.Records()) * int64(rs),
-		CompressedBytes: int64(sim.EncodedBytes()),
-	}
-	for _, b := range sim.PerColumnBytes() {
-		est.PerColumnBytes = append(est.PerColumnBytes, int64(b))
-	}
+	est.RawBytes = int64(est.Records) * int64(rs)
 	if est.CompressedBytes > 0 {
 		est.Ratio = float64(est.RawBytes) / float64(est.CompressedBytes)
 	}
 	return est, nil
 }
-
-// zigzag and varintLen delegate to the shared btree codec, kept as local
-// names for the estimator's unit tests.
-func zigzag(v int64) uint64 { return btree.Zigzag(v) }
-
-// varintLen returns the LEB128 length of v.
-func varintLen(v uint64) int { return btree.VarintLen(v) }

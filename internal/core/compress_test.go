@@ -2,16 +2,24 @@ package core
 
 import (
 	"testing"
+
+	"github.com/backlogfs/backlog/internal/btree"
+	"github.com/backlogfs/backlog/internal/storage"
 )
 
+// TestCompressionEstimate: a table's projection is the pages a FormatDelta
+// writer produces for the table's records, one run per partition, and on
+// a store large enough that the header and index pages are a small share
+// of those pages the ratio is the paper's "highly compressible".
 func TestCompressionEstimate(t *testing.T) {
 	env := newTestEnv(t, Options{})
 	e := env.eng
 	// A realistic pattern: many files with sequential blocks, so sorted
 	// records have tiny per-column deltas.
+	const files, blocks = 50, 400
 	cp := uint64(1)
-	for f := uint64(0); f < 50; f++ {
-		for b := uint64(0); b < 40; b++ {
+	for f := uint64(0); f < files; f++ {
+		for b := uint64(0); b < blocks; b++ {
 			e.AddRef(Ref{Block: f*1000 + b, Inode: 100 + f, Offset: b, Line: 0, Length: 1}, cp)
 		}
 	}
@@ -21,8 +29,8 @@ func TestCompressionEstimate(t *testing.T) {
 	}
 	// Remove half so the Combined table gets populated at compaction.
 	cp = 2
-	for f := uint64(0); f < 25; f++ {
-		for b := uint64(0); b < 40; b++ {
+	for f := uint64(0); f < files/2; f++ {
+		for b := uint64(0); b < blocks; b++ {
 			e.RemoveRef(Ref{Block: f*1000 + b, Inode: 100 + f, Offset: b, Line: 0, Length: 1}, cp)
 		}
 	}
@@ -34,49 +42,61 @@ func TestCompressionEstimate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if est.Records == 0 {
-			t.Fatalf("%s: no records", table)
+		if est.Records != files/2*blocks {
+			t.Fatalf("%s: %d records, want %d", table, est.Records, files/2*blocks)
 		}
-		if est.RawBytes != int64(est.Records)*int64(len(EncodeFrom(FromRec{}))) &&
-			table == TableFrom {
+		rs := int64(e.db.Table(table).RecordSize())
+		if est.RawBytes != int64(est.Records)*rs {
 			t.Fatalf("%s raw bytes mismatch: %d for %d records", table, est.RawBytes, est.Records)
+		}
+		// The compacted table is one run per partition: rewrite each run's
+		// records with a writer of its own.
+		var pages int64
+		v := e.db.AcquireView()
+		for p := 0; p < e.db.Partitions(); p++ {
+			for _, r := range v.Runs(table, p) {
+				w, err := btree.NewWriterFormat(storage.NewMemFS().CreateSink("run"), int(rs), btree.FormatDelta)
+				if err != nil {
+					t.Fatal(err)
+				}
+				it, err := r.First()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for {
+					rec, ok, err := it.Next()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !ok {
+						break
+					}
+					if err := w.Append(rec); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := w.Finish(nil); err != nil {
+					t.Fatal(err)
+				}
+				pages += w.SizeBytes()
+			}
+		}
+		v.Release()
+		if est.CompressedBytes != pages {
+			t.Fatalf("%s: projected %d bytes, a delta writer produces %d", table, est.CompressedBytes, pages)
+		}
+		t.Logf("%s: %d records, %d raw bytes, %d projected, ratio %.2f", table, est.Records, est.RawBytes, est.CompressedBytes, est.Ratio)
+		// Header and index pages are two of the ten pages here.
+		if n := est.CompressedBytes / storage.PageSize; n < 8 {
+			t.Fatalf("%s: projection of %d pages, want enough that two of them do not decide the ratio", table, n)
 		}
 		// The paper's expectation: highly compressible by columns.
 		if est.Ratio < 3 {
 			t.Fatalf("%s: compression ratio %.2f, expected >= 3 (paper §8: highly compressible)", table, est.Ratio)
 		}
-		// One entry per column and a last one for the presence bitmaps, a
-		// byte per record; together they are the whole payload.
-		cols := int(est.RawBytes/int64(est.Records)) / 8
-		if len(est.PerColumnBytes) != cols+1 || est.PerColumnBytes[cols] != int64(est.Records) {
-			t.Fatalf("%s: per-column entries %v, want %d columns then %d bitmap bytes", table, est.PerColumnBytes, cols, est.Records)
-		}
-		var sum int64
-		for _, c := range est.PerColumnBytes {
-			sum += c
-		}
-		if sum != est.CompressedBytes {
-			t.Fatalf("%s: per-column and bitmap bytes sum to %d != total %d", table, sum, est.CompressedBytes)
-		}
 	}
 
 	if _, err := e.EstimateCompression("nope"); err == nil {
 		t.Fatal("unknown table accepted")
-	}
-}
-
-func TestVarintZigzag(t *testing.T) {
-	cases := []struct {
-		v    int64
-		want int
-	}{
-		{0, 1}, {1, 1}, {-1, 1}, {63, 1}, {64, 2}, {-64, 1}, {-65, 2},
-		{1 << 20, 4}, {-(1 << 20), 3}, // zigzag(-2^20) = 2^21-1: 3 bytes
-
-	}
-	for _, c := range cases {
-		if got := varintLen(zigzag(c.v)); got != c.want {
-			t.Errorf("varintLen(zigzag(%d)) = %d, want %d", c.v, got, c.want)
-		}
 	}
 }

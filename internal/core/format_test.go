@@ -437,6 +437,19 @@ func TestV2StoreOpensAndMigrates(t *testing.T) {
 	if counts := formatCounts(eng); counts[btree.FormatDelta] == 0 {
 		t.Fatalf("golden store's runs: %v, want CP 7's in the current format beside the format-2 ones", counts)
 	}
+	// Every table holding format-2 runs gets a projection of its rewrite.
+	for _, ri := range eng.RunInfos() {
+		if uint32(ri.Format) != 2 {
+			continue
+		}
+		est, err := eng.EstimateCompression(ri.Table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est.Records == 0 || est.CompressedBytes < storage.PageSize || est.Ratio <= 1 {
+			t.Fatalf("%s: projection %+v, want the format-2 runs' records in a smaller rewrite", ri.Table, est)
+		}
+	}
 	m.check(t, eng, blocks)
 	before := queryFingerprint(t, eng, blocks)
 

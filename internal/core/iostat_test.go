@@ -8,60 +8,6 @@ import (
 	"github.com/backlogfs/backlog/internal/storage"
 )
 
-// TestRunHeatTracking checks per-run access heat: cold queries that read
-// run pages from the device bump the run's HeatBytes and stamp
-// LastAccessCP, while untouched runs stay cold.
-func TestRunHeatTracking(t *testing.T) {
-	fs := storage.NewMemFS()
-	cat := NewMemCatalog()
-	eng, err := Open(Options{VFS: fs, Catalog: cat, WriteShards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < 256; i++ {
-		eng.AddRef(Ref{Block: i, Inode: 1, Offset: i, Length: 1}, 1)
-	}
-	if err := eng.Checkpoint(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// A cold reopen: the page cache is empty, so the first query must read
-	// from the device through the query-tagged, heat-hooked handles.
-	eng, err = Open(Options{VFS: fs, Catalog: cat, WriteShards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	for _, ri := range eng.RunInfos() {
-		if ri.HeatBytes != 0 || ri.LastAccessCP != 0 {
-			t.Fatalf("run %s/%d warm before any query: heat=%d lastCP=%d",
-				ri.Table, ri.Partition, ri.HeatBytes, ri.LastAccessCP)
-		}
-	}
-	if _, err := eng.Query(100); err != nil {
-		t.Fatal(err)
-	}
-	var warm int
-	for _, ri := range eng.RunInfos() {
-		if ri.HeatBytes > 0 {
-			warm++
-			if ri.LastAccessCP != eng.CP() {
-				t.Errorf("run %s/%d heat=%d but lastCP=%d, want %d",
-					ri.Table, ri.Partition, ri.HeatBytes, ri.LastAccessCP, eng.CP())
-			}
-		}
-	}
-	if warm == 0 {
-		t.Error("cold query read no run pages: heat tracking recorded nothing")
-	}
-	if r, _ := eng.IOStats().SourceBytes(storage.SrcQuery); r == 0 {
-		t.Error("cold query attributed no read bytes to the query source")
-	}
-}
-
 // TestIOReportWriteAmp checks the report's derived figures: UserBytes is
 // the record-encoded ingest volume and cumulative WriteAmp is device-out
 // over user-in.

@@ -10,8 +10,8 @@ import (
 )
 
 // engineObs bundles the engine's observability state: the typed metric
-// handles on the hot and background paths, the registered tracer chain
-// (application tracer + built-in slow-op log), and the slow-op log itself.
+// handles on the hot and background paths, the application's tracer, and
+// the built-in slow-op log; opEnd hands an end event to each that is set.
 // A nil *engineObs means observability is fully disabled: every
 // instrumented path checks one pointer and takes no timestamp, so the
 // disabled cost is a branch — paper-figure experiments stay byte-identical.
@@ -31,8 +31,8 @@ type engineObs struct {
 	// sampleMask gates the hot-op latency timestamps (AddRef, RemoveRef,
 	// Query): one op in every mask+1 per sample slot is timed, keeping
 	// the enabled overhead of two clock reads per op off the common case.
-	// Zero records every op — the configuration when a tracer is attached
-	// (trace events need real durations) or when
+	// Zero records every op — the configuration when a tracer or the
+	// slow-op log is attached (their events need real durations) or when
 	// Options.MetricsSampleEvery is 1. Counters are unaffected: they
 	// mirror the Stats atomics and stay exact.
 	sampleMask uint64
@@ -93,12 +93,11 @@ func newEngineObs(opts Options) *engineObs {
 	if opts.Metrics == nil && opts.Tracer == nil && opts.SlowOpThreshold <= 0 {
 		return nil
 	}
-	o := &engineObs{}
+	o := &engineObs{tracer: opts.Tracer}
 	if opts.SlowOpThreshold > 0 {
 		o.slow = obs.NewSlowLog(opts.SlowOpThreshold, obs.DefaultSlowLogSize)
 	}
-	o.tracer = obs.MultiTracer(opts.Tracer, slowTracer(o.slow))
-	if o.tracer == nil {
+	if !o.traced() {
 		every := opts.MetricsSampleEvery
 		if every <= 0 {
 			every = defaultSampleEvery
@@ -137,14 +136,9 @@ func newEngineObs(opts Options) *engineObs {
 	return o
 }
 
-// slowTracer adapts a possibly-nil *SlowLog to the Tracer interface
-// without handing MultiTracer a non-nil interface holding a nil pointer.
-func slowTracer(s *obs.SlowLog) obs.Tracer {
-	if s == nil {
-		return nil
-	}
-	return s
-}
+// traced reports whether anything receives end events: the application's
+// tracer or the slow-op log.
+func (o *engineObs) traced() bool { return o.tracer != nil || o.slow != nil }
 
 // pow2Mask returns the smallest power-of-two-minus-one mask covering n,
 // so the sampling test is a single AND instead of a modulo.
@@ -161,10 +155,11 @@ func pow2Mask(n int) uint64 {
 // atomic add and a branch — no shard lookup, no timestamps, no event
 // construction. Background and rare ops (checkpoint phases, compaction,
 // expiry, relocation, range queries) skip the gate and are always timed:
-// their rate is low and their tail is the interesting part. A tracer
-// disables sampling — trace events always carry real durations.
+// their rate is low and their tail is the interesting part. A tracer or
+// the slow-op log disables sampling — their events always carry real
+// durations.
 func (o *engineObs) sampleHot(block uint64) bool {
-	if o.tracer != nil {
+	if o.traced() {
 		return true
 	}
 	return o.samples[block%sampleSlots].n.Add(1)&o.sampleMask == 0
@@ -212,19 +207,26 @@ func (o *engineObs) opStart(kind obs.OpKind, shard int, block, cp uint64) opToke
 	return tok
 }
 
-// opEnd records the operation's latency and emits the end trace event,
-// carrying the source's I/O byte deltas since opStart. The deltas are
-// global per source, not per goroutine: concurrent same-source ops each
-// see the sum of what ran during their window — imprecise under overlap,
-// but enough to tell an I/O-bound slow op from a compute-bound one.
+// opEnd records the operation's latency and hands the end event, carrying
+// the source's I/O byte deltas since opStart, to the tracer and the
+// slow-op log, each if set. The deltas are global per source, not per
+// goroutine: concurrent same-source ops each see the sum of what ran
+// during their window — imprecise under overlap, but enough to tell an
+// I/O-bound slow op from a compute-bound one.
 func (o *engineObs) opEnd(kind obs.OpKind, shard int, block, cp uint64, tok opToken, h *obs.Histogram, err error) {
 	d := time.Since(tok.start)
 	h.ObserveDuration(d)
+	if !o.traced() {
+		return
+	}
+	ev := obs.OpEvent{Kind: kind, Shard: shard, Block: block, CP: cp, Start: tok.start, Dur: d, Err: err}
+	r, w := o.ios.SourceBytes(opSource(kind))
+	ev.ReadBytes, ev.WriteBytes = r-tok.ioR, w-tok.ioW
 	if o.tracer != nil {
-		ev := obs.OpEvent{Kind: kind, Shard: shard, Block: block, CP: cp, Start: tok.start, Dur: d, Err: err}
-		r, w := o.ios.SourceBytes(opSource(kind))
-		ev.ReadBytes, ev.WriteBytes = r-tok.ioR, w-tok.ioW
 		o.tracer.OpEnd(ev)
+	}
+	if o.slow != nil {
+		o.slow.OpEnd(ev)
 	}
 }
 
@@ -292,11 +294,10 @@ func (e *Engine) registerMetrics(r *obs.Registry) {
 		return float64(e.SizeBytes())
 	})
 	// Per-table compression accounting — logical bytes (records x record
-	// size), physical on-disk bytes and their ratio — and run heat (device
-	// bytes read on behalf of queries), computed from the live run set at
-	// scrape time.
+	// size), physical on-disk bytes and their ratio — computed from the
+	// live run set at scrape time.
 	for _, table := range []string{TableFrom, TableTo, TableCombined} {
-		sums := func() (logical, physical, heat int64) {
+		sums := func() (logical, physical int64) {
 			e.mu.RLock()
 			defer e.mu.RUnlock()
 			for _, ri := range e.db.RunInfos() {
@@ -305,28 +306,24 @@ func (e *Engine) registerMetrics(r *obs.Registry) {
 				}
 				logical += ri.LogicalBytes
 				physical += ri.SizeBytes
-				heat += ri.HeatBytes
 			}
-			return logical, physical, heat
+			return logical, physical
 		}
 		r.GaugeFunc(obs.MetricName("backlog_run_logical_bytes", "table", table),
 			"Decoded size of the table's live run records",
-			func() float64 { l, _, _ := sums(); return float64(l) })
+			func() float64 { l, _ := sums(); return float64(l) })
 		r.GaugeFunc(obs.MetricName("backlog_run_physical_bytes", "table", table),
 			"On-disk size of the table's live runs (pages + Bloom filters)",
-			func() float64 { _, p, _ := sums(); return float64(p) })
+			func() float64 { _, p := sums(); return float64(p) })
 		r.GaugeFunc(obs.MetricName("backlog_run_compression_ratio", "table", table),
 			"Logical / physical size of the table's live runs",
 			func() float64 {
-				l, p, _ := sums()
+				l, p := sums()
 				if p == 0 {
 					return 0
 				}
 				return float64(l) / float64(p)
 			})
-		r.GaugeFunc(obs.MetricName("backlog_run_heat_bytes", "table", table),
-			"Query-read device bytes accumulated by the table's live runs",
-			func() float64 { _, _, h := sums(); return float64(h) })
 	}
 	// The write-amplification gauges sample the monitor at scrape time
 	// (IOReport shares the same monitor), so their window resolution is

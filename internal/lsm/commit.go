@@ -418,7 +418,6 @@ func (e *Edit) Install() (reclaim func()) {
 	prev := db.m
 	if e.written {
 		db.m = e.next
-		db.curCP.Store(e.next.CP)
 	}
 	db.viewMu.Lock()
 	for name, t := range db.tables {

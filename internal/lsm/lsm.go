@@ -50,7 +50,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/backlogfs/backlog/internal/btree"
@@ -136,7 +135,8 @@ type Options struct {
 	// this setting, and every builder — the checkpoint flush and
 	// compaction go through a FileSet — writes the configured format,
 	// so a database migrates run by run as compaction rewrites them.
-	// FormatDelta requires every table's RecordSize to be a multiple of 8.
+	// FormatDelta requires every table's RecordSize to be a multiple of 8
+	// and at most btree.MaxDeltaRecordSize.
 	RunFormat btree.Format
 	// DecodeObserver, when non-nil, receives the wall time of the
 	// validate-and-sample pass over each compressed leaf page a query
@@ -170,11 +170,6 @@ type DB struct {
 
 	tables map[string]*Table
 	m      manifest
-
-	// curCP mirrors m.CP for lock-free readers: Run.SeekGE stamps each
-	// run's last-access CP from it without taking any lock, while Commit
-	// replaces db.m concurrently. Written at Open and at every Commit.
-	curCP atomic.Uint64
 
 	// idMu guards nextID, the monotonic run/DV file-ID allocator.
 	// Allocation is deliberately outside the manifest struct: builders
@@ -458,7 +453,7 @@ func Open(vfs storage.VFS, opts Options) (*DB, error) {
 		if spec.RecordSize <= 8 {
 			return nil, fmt.Errorf("lsm: table %q record size %d too small", spec.Name, spec.RecordSize)
 		}
-		if opts.RunFormat == btree.FormatDelta && spec.RecordSize%8 != 0 {
+		if opts.RunFormat == btree.FormatDelta && (spec.RecordSize%8 != 0 || spec.RecordSize > btree.MaxDeltaRecordSize) {
 			return nil, fmt.Errorf("lsm: table %q record size %d incompatible with delta run format",
 				spec.Name, spec.RecordSize)
 		}
@@ -477,7 +472,6 @@ func Open(vfs storage.VFS, opts Options) (*DB, error) {
 		return nil, err
 	}
 	db.nextID = db.m.NextID
-	db.curCP.Store(db.m.CP)
 	db.cur = db.newVersion()
 	db.cur.refs++
 	db.durable = db.cur
@@ -641,16 +635,6 @@ type RunInfo struct {
 	MinCP, MaxCP  uint64
 	Overrides     uint64
 	CPWindowKnown bool
-	// HeatBytes is the cumulative bytes read from the run's file on behalf
-	// of queries (cache misses only — page-cache hits cost no device I/O),
-	// and LastAccessCP the committed CP current at the run's most recent
-	// query seek. Both are zero over a VFS that is not storage.Attributed
-	// (the engine's always is); size-aware leveling and cold-run placement
-	// read them to rank runs by heat. HeatBytes counts device reads only:
-	// a checkpoint's run that queries found whole in the cache, where its
-	// builder wrote it, shows no heat, however often it was read.
-	HeatBytes    int64
-	LastAccessCP uint64
 }
 
 // RunInfos lists every live run ordered by (table, partition, age). The
@@ -674,8 +658,6 @@ func (db *DB) RunInfos() []RunInfo {
 					MinBlock:     r.minBlock, MaxBlock: r.maxBlock, CP: r.cp,
 					MinCP: r.minCP, MaxCP: r.maxCP, Overrides: r.overrides,
 					CPWindowKnown: !r.cpUnknown,
-					HeatBytes:     r.heatBytes.Load(),
-					LastAccessCP:  r.lastCP.Load(),
 				})
 			}
 		}

@@ -597,6 +597,21 @@ func TestOpenValidation(t *testing.T) {
 	}); err == nil {
 		t.Fatal("Open with duplicate tables succeeded")
 	}
+	// A delta table's records are a multiple of 8 bytes and at most eight
+	// columns; raw runs take any width.
+	for _, size := range []int{20, 72} {
+		if _, err := Open(fs, Options{
+			Tables:    []TableSpec{{Name: "t", RecordSize: size}},
+			RunFormat: btree.FormatDelta,
+		}); err == nil || !strings.Contains(err.Error(), "incompatible with delta") {
+			t.Fatalf("Open with %d-byte delta records: %v", size, err)
+		}
+	}
+	if db, err := Open(storage.NewMemFS(), Options{Tables: []TableSpec{{Name: "t", RecordSize: 72}}}); err != nil {
+		t.Fatalf("Open with 72-byte raw records: %v", err)
+	} else {
+		db.Close()
+	}
 	// Run format 2 is still read, never written.
 	if _, err := Open(fs, Options{
 		Tables:    []TableSpec{{Name: "t", RecordSize: 16}},

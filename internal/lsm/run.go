@@ -72,14 +72,6 @@ type Run struct {
 	mu     sync.Mutex
 	noBF   atomic.Bool
 
-	// heatBytes accumulates device bytes read on behalf of queries (fed by
-	// the query handle's read hook; cache hits, on the pages a checkpoint
-	// wrote through too, add nothing) and lastCP the
-	// committed CP current at the most recent query seek — the per-run
-	// access heat that size-aware leveling and cold-run placement consume.
-	heatBytes atomic.Int64
-	lastCP    atomic.Uint64
-
 	// doomedBy records which subsystem's commit dropped the run, so the
 	// deferred file removal (possibly performed much later, by a view
 	// release) is attributed to the operation that doomed it. Written
@@ -155,16 +147,6 @@ func (r *Run) Sealed() bool {
 	return r.level >= 1 && !r.cpUnknown && r.overrides == 0
 }
 
-// HeatBytes returns the cumulative device bytes read from the run on
-// behalf of queries (zero over a VFS that is not storage.Attributed, and
-// for a checkpoint's run served wholly from the pages its builder wrote
-// through to the cache).
-func (r *Run) HeatBytes() int64 { return r.heatBytes.Load() }
-
-// LastAccessCP returns the committed consistency point current at the
-// run's most recent query seek (zero if never queried).
-func (r *Run) LastAccessCP() uint64 { return r.lastCP.Load() }
-
 // openRun opens the per-purpose readers of a run in rf, whose handle is
 // open; the caller counts the run on rf (runFile.runs) when it installs it.
 // A run found in the manifest has its header read and verified through the
@@ -225,9 +207,7 @@ func (db *DB) openRun(t *Table, rm runManifest, built *btree.Writer, rf *runFile
 		// refs stays 0 until a version installation picks the run up; a
 		// Commit that fails before installing removes the file itself.
 	}
-	qf := storage.WithReadHook(storage.TagFile(rf.f, storage.SrcQuery),
-		func(n int) { r.heatBytes.Add(int64(n)) })
-	r.qreader = rd.WithFile(view(qf))
+	r.qreader = rd.WithFile(view(storage.TagFile(rf.f, storage.SrcQuery)))
 	r.creader = rd.WithFile(view(storage.TagFile(rf.f, storage.SrcCompaction))).NoFill()
 	return r, nil
 }
@@ -270,15 +250,13 @@ func (r *Run) bloomFilter() *bloom.Filter {
 }
 
 // SeekGE returns an iterator over the run positioned at the first record
-// >= key. Seeks count as query accesses: the run's last-access CP is
-// stamped and cache-miss reads feed its heat counter.
+// >= key, reading through the query-tagged handle.
 func (r *Run) SeekGE(key []byte) (*btree.Iterator, error) {
-	r.lastCP.Store(r.table.db.curCP.Load())
 	return r.qreader.SeekGE(key)
 }
 
 // First returns an iterator over the whole run, reading through the
-// compaction-tagged handle: full scans are merge work, not query heat, and
+// compaction-tagged handle: full scans are merge work, not query reads, and
 // the pages they miss stay out of the cache.
 func (r *Run) First() (*btree.Iterator, error) {
 	return r.creader.First()

@@ -80,45 +80,13 @@ type Tracer interface {
 	OpEnd(ev OpEvent)
 }
 
-// MultiTracer fans events out to every non-nil tracer, in order. A nil or
-// empty input returns nil (no tracing).
-func MultiTracer(tracers ...Tracer) Tracer {
-	var ts []Tracer
-	for _, t := range tracers {
-		if t != nil {
-			ts = append(ts, t)
-		}
-	}
-	switch len(ts) {
-	case 0:
-		return nil
-	case 1:
-		return ts[0]
-	}
-	return multiTracer(ts)
-}
-
-type multiTracer []Tracer
-
-func (m multiTracer) OpStart(ev OpEvent) {
-	for _, t := range m {
-		t.OpStart(ev)
-	}
-}
-
-func (m multiTracer) OpEnd(ev OpEvent) {
-	for _, t := range m {
-		t.OpEnd(ev)
-	}
-}
-
-// SlowLog is the built-in slow-op tracer: end events whose duration meets
-// the threshold are retained in a bounded ring buffer, newest overwriting
-// oldest, so memory stays fixed no matter how many ops exceed the
-// threshold. Start events are ignored. Safe for concurrent recording and
+// SlowLog is the built-in slow-op log: the engine hands it every end event,
+// and those whose duration meets the threshold are retained in a bounded
+// ring buffer, newest overwriting oldest, so memory stays fixed no matter
+// how many ops exceed the threshold. Safe for concurrent recording and
 // concurrent Snapshot readers.
 type SlowLog struct {
-	threshold atomic.Int64 // ns; ops at or above are retained
+	threshold time.Duration // ops at or above are retained
 	total     atomic.Uint64
 
 	mu   sync.Mutex
@@ -138,17 +106,12 @@ func NewSlowLog(threshold time.Duration, capacity int) *SlowLog {
 	if capacity <= 0 {
 		capacity = DefaultSlowLogSize
 	}
-	s := &SlowLog{ring: make([]OpEvent, capacity)}
-	s.threshold.Store(int64(threshold))
-	return s
+	return &SlowLog{threshold: threshold, ring: make([]OpEvent, capacity)}
 }
 
-// OpStart implements Tracer; start events are not retained.
-func (s *SlowLog) OpStart(OpEvent) {}
-
-// OpEnd retains the event if it meets the threshold.
+// OpEnd retains the end event if it meets the threshold.
 func (s *SlowLog) OpEnd(ev OpEvent) {
-	if int64(ev.Dur) < s.threshold.Load() {
+	if ev.Dur < s.threshold {
 		return
 	}
 	s.total.Add(1)
@@ -162,11 +125,8 @@ func (s *SlowLog) OpEnd(ev OpEvent) {
 	s.mu.Unlock()
 }
 
-// SetThreshold changes the retention threshold for subsequent events.
-func (s *SlowLog) SetThreshold(d time.Duration) { s.threshold.Store(int64(d)) }
-
-// Threshold returns the current retention threshold.
-func (s *SlowLog) Threshold() time.Duration { return time.Duration(s.threshold.Load()) }
+// Threshold returns the retention threshold.
+func (s *SlowLog) Threshold() time.Duration { return s.threshold }
 
 // Total returns how many ops ever met the threshold (including ones the
 // ring has since overwritten).

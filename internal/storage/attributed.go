@@ -116,17 +116,7 @@ func TagVFS(vfs VFS, src Source) VFS {
 // unchanged.
 func TagFile(f File, src Source) File {
 	if t, ok := f.(*taggedFile); ok {
-		return &taggedFile{f: t.f, a: t.a, src: src, onRead: t.onRead}
-	}
-	return f
-}
-
-// WithReadHook returns a file that additionally invokes fn(n) after every
-// ReadAt of n bytes — the per-run heat accounting hook. Files from
-// unattributed VFSs pass through unchanged (no attribution, no heat).
-func WithReadHook(f File, fn func(n int)) File {
-	if t, ok := f.(*taggedFile); ok {
-		return &taggedFile{f: t.f, a: t.a, src: t.src, onRead: fn}
+		return &taggedFile{f: t.f, a: t.a, src: src}
 	}
 	return f
 }
@@ -177,10 +167,9 @@ func (t *taggedVFS) SyncDir() error { return t.a.inner.SyncDir() }
 
 // taggedFile attributes every file operation to its source.
 type taggedFile struct {
-	f      File
-	a      *AttributedFS
-	src    Source
-	onRead func(n int)
+	f   File
+	a   *AttributedFS
+	src Source
 }
 
 func (t *taggedFile) ReadAt(p []byte, off int64) (int, error) {
@@ -194,9 +183,6 @@ func (t *taggedFile) ReadAt(p []byte, off int64) (int, error) {
 		d = time.Since(start)
 	}
 	t.a.rec.RecordRead(t.src, n, d)
-	if t.onRead != nil && n > 0 {
-		t.onRead(n)
-	}
 	return n, err
 }
 

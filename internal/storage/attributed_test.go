@@ -173,9 +173,9 @@ func TestAttributedTornWriteRecordsPrefix(t *testing.T) {
 }
 
 // TestTagPassThrough checks the unconditional-tagging contract: on inputs
-// that did not come from Attributed, TagVFS/TagFile/WithReadHook return
-// their argument unchanged, so call sites never branch on whether
-// attribution is enabled.
+// that did not come from Attributed, TagVFS and TagFile return their
+// argument unchanged, so call sites never branch on whether attribution is
+// enabled.
 func TestTagPassThrough(t *testing.T) {
 	mem := NewMemFS()
 	if got := TagVFS(mem, SrcWAL); got != VFS(mem) {
@@ -188,14 +188,10 @@ func TestTagPassThrough(t *testing.T) {
 	if got := TagFile(f, SrcQuery); got != f {
 		t.Error("TagFile changed an unattributed file")
 	}
-	if got := WithReadHook(f, func(int) {}); got != f {
-		t.Error("WithReadHook changed an unattributed file")
-	}
 }
 
 // TestTagRetagging checks re-tagging on attributed handles: TagVFS derives
-// a handle under the new source, TagFile re-tags an open file, and
-// WithReadHook preserves the file's source while adding the hook.
+// a handle under the new source, and TagFile re-tags an open file.
 func TestTagRetagging(t *testing.T) {
 	mem := NewMemFS()
 	rec := &testRecorder{}
@@ -211,8 +207,7 @@ func TestTagRetagging(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var hooked int
-	qf := WithReadHook(TagFile(f, SrcQuery), func(n int) { hooked += n })
+	qf := TagFile(f, SrcQuery)
 	buf := make([]byte, 4)
 	if _, err := qf.ReadAt(buf, 0); err != nil {
 		t.Fatal(err)
@@ -231,9 +226,6 @@ func TestTagRetagging(t *testing.T) {
 	}
 	if rec.readBytes[SrcWAL] != 4 {
 		t.Errorf("wal read bytes = %d, want 4 (original handle re-tagged?)", rec.readBytes[SrcWAL])
-	}
-	if hooked != 4 {
-		t.Errorf("read hook saw %d bytes, want 4", hooked)
 	}
 	if n := sum(rec.readBytes) + sum(rec.writeBytes); rec.readBytes[SrcUnknown] != 0 && n != 0 {
 		t.Errorf("unknown source leaked %d read bytes", rec.readBytes[SrcUnknown])

@@ -47,7 +47,6 @@ func TestIOReportPublicSurface(t *testing.T) {
 		"# TYPE backlog_io_read_ns histogram",
 		"backlog_write_amp ",
 		"backlog_write_amp_cumulative ",
-		"backlog_run_heat_bytes",
 	} {
 		if !strings.Contains(b.String(), want) {
 			t.Errorf("/metrics missing %q", want)

@@ -148,7 +148,7 @@ func TestWriteMetricsPrometheus(t *testing.T) {
 		"backlog_addref_ns_count 64",
 		`backlog_ws_records{shard="0"}`,
 		`backlog_runs_level{level="7"}`,
-		`backlog_run_heat_bytes{table="from"}`,
+		`backlog_run_logical_bytes{table="from"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("WriteMetrics output missing %q", want)
@@ -201,6 +201,65 @@ func TestConfigTracer(t *testing.T) {
 	if counts[OpRemoveRef] != 1 || counts[OpCheckpoint] != 1 ||
 		counts[OpQuery] != 1 || counts[OpQueryRange] != 1 {
 		t.Errorf("unexpected op counts: %v", counts)
+	}
+}
+
+// stallingTracer is a recordingTracer whose start hook holds every
+// checkpoint for a while; the hook runs inside the op's timed window, so
+// it makes the checkpoint a slow op on cue.
+type stallingTracer struct {
+	recordingTracer
+	stall time.Duration
+}
+
+func (s *stallingTracer) OpStart(ev OpEvent) {
+	if ev.Kind == OpCheckpoint {
+		time.Sleep(s.stall)
+	}
+	s.recordingTracer.OpStart(ev)
+}
+
+// TestTracerBesideSlowLog: with both a Tracer and a slow-op threshold set,
+// the tracer sees every start and end event, and the slow-op log keeps
+// exactly the end events at or above the threshold, as backlog_slow_ops_total
+// counts them.
+func TestTracerBesideSlowLog(t *testing.T) {
+	const threshold = 10 * time.Millisecond
+	tr := &stallingTracer{stall: 2 * threshold}
+	db, err := Open(Config{InMemory: true, Metrics: true, Tracer: tr, SlowOpThreshold: threshold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	ingest(t, db) // 68 ops: fewer than the log's ring holds
+
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	if tr.starts != 68 || len(tr.ends) != 68 {
+		t.Fatalf("tracer saw %d starts and %d ends, want 68 of each", tr.starts, len(tr.ends))
+	}
+	var want []OpEvent
+	for _, ev := range tr.ends {
+		if ev.Dur >= threshold {
+			want = append(want, ev)
+		}
+	}
+	got := db.SlowOps()
+	if len(got) != len(want) {
+		t.Fatalf("slow-op log kept %d events, the tracer saw %d at or above %v", len(got), len(want), threshold)
+	}
+	kinds := map[OpKind]bool{}
+	for i := range got {
+		if got[i].Kind != want[i].Kind || !got[i].Start.Equal(want[i].Start) || got[i].Dur != want[i].Dur {
+			t.Fatalf("slow op %d = %+v, the tracer's is %+v", i, got[i], want[i])
+		}
+		kinds[got[i].Kind] = true
+	}
+	if !kinds[OpCheckpoint] || len(got) == len(tr.ends) {
+		t.Fatalf("slow-op log kept %d of %d ops (kinds %v), want the stalled checkpoint and not every op", len(got), len(tr.ends), kinds)
+	}
+	if total, _ := db.Metrics().Counter("backlog_slow_ops_total"); total != uint64(len(got)) {
+		t.Fatalf("backlog_slow_ops_total = %d, want %d", total, len(got))
 	}
 }
 
