@@ -32,10 +32,11 @@
 // writes one immutable run per table and partition, installed in one
 // atomic manifest commit — byte for byte the runs of the paper's single
 // write store, which WriteShards 1 is. A partition's From, To and Combined
-// runs are sections of one file, written and synced once, so a consistency
-// point is one run file per partition plus the manifest. The run set, the
-// number of fsyncs per consistency point and the point at which
-// maintenance triggers are therefore the same on every host.
+// runs are sections of one file, written and synced once, and the manifest
+// rides the last of those files as its trailer, so a consistency point is
+// one run file per partition and one fsync each. The run set, the number of
+// fsyncs per consistency point and the point at which maintenance triggers
+// are therefore the same on every host.
 //
 // # Checkpoint concurrency
 //
@@ -45,14 +46,17 @@
 // per-shard frozen slots (installing fresh, empty active trees) and cuts
 // the log, and an install that swaps the committed runs and consistency
 // point into memory and clears the frozen slots. The commit's I/O — the
-// manifest written, synced and renamed — happens before the install with
-// no structural lock held. That commit is also where a deletion vector
+// manifest written as the trailer of the checkpoint's last run file, that
+// file synced, then the directory — happens before the install with no
+// structural lock held. That commit is also where a deletion vector
 // dirtied by relocations since the last checkpoint becomes durable — the
 // manifest commit that advances the consistency point persists it beside
 // the re-keyed records it flushed, and no other commit may — and where the
 // snapshot catalog does: the manifest is the database's only commit point,
 // it carries the catalog as a section of its own, and a consistency point
-// therefore costs one fsync per run written plus one for the manifest. The
+// therefore costs one fsync per run file written, the manifest's included
+// (a checkpoint that also persists a deletion vector writes its manifest as
+// a commit file of its own, one fsync more). The
 // expensive part — merging the shards' trees and writing the From, To and
 // Combined runs, the three tables side by side — happens between the two
 // with no structural lock held. Concretely,
@@ -146,7 +150,7 @@
 // records a commit has already made durable, so it writes no manifest of
 // its own: DB.Maintain installs its merges in memory, and they become
 // durable with the next manifest commit — the next Checkpoint, Compact,
-// Expire or Close — in the same rename as that commit's own change. A
+// Expire or Close — in the same commit as that commit's own change. A
 // crash before then reopens the runs the merges read, which answer every
 // query the same, and Open removes the merges' files.
 //
@@ -244,7 +248,7 @@
 //     run, and DB.Expire commits the catalog only.
 //   - RetainLive makes expiry a rule of every manifest commit: a
 //     checkpoint and the commit DB.Expire, DB.Compact and DB.Close end
-//     with each drop, in the same rename, the Combined runs the live
+//     with each drop, in the same commit, the Combined runs the live
 //     snapshot graph no longer reaches, those a DB.Maintain since the last
 //     commit left droppable among them. Compaction
 //     becomes CP-tiered: instead of re-merging everything, it seals
@@ -260,7 +264,7 @@
 // in memory at once and become durable at the next manifest commit,
 // atomically with the reference data it installs: every checkpoint and the
 // commit Expire, Compact and Close end with writes the catalog as it is at
-// that moment into the manifest it renames into place, with every merge
+// that moment into the manifest it commits, with every merge
 // installed since the last commit, so a crash can lose a deletion together
 // with the purge it justified, or keep both, and nothing in between. Note that expiry
 // is permanent in the same sense as the paper's snapshot deletion:
@@ -859,8 +863,9 @@ func (db *DB) RemoveRef(ref Ref, cp uint64) { db.eng.RemoveRef(ref, cp) }
 
 // Checkpoint makes all reference changes up to cp durable, together with
 // the snapshot catalog as it is when the checkpoint installs: the runs, the
-// consistency-point number and the catalog go into one manifest, renamed
-// into place once, so after a crash a reopened database shows either all
+// consistency-point number and the catalog go into one manifest, the
+// trailer of the checkpoint's last run file, committed by that file's one
+// fsync, so after a crash a reopened database shows either all
 // three as they were before the call or all three as it left them — never a
 // new consistency point masked by an old topology, nor the reverse. Call it
 // from the file system's consistency-point commit path. cp must be greater
@@ -1068,8 +1073,11 @@ func (db *DB) Durability() Durability { return db.eng.Durability() }
 func (db *DB) SizeBytes() int64 { return db.eng.SizeBytes() }
 
 // Close commits the snapshot catalog, if it changed since the last
-// manifest commit, and the merges Maintain installed since then, and
-// flushes buffered references according to the configured durability mode. With DurabilityBuffered or
+// manifest commit, and the merges Maintain installed since then — and, when
+// the last commit rides a checkpoint's run file, commits again into a small
+// commit file of its own, so that the next Open reads that file and need
+// not verify every page of the run file — and flushes buffered references
+// according to the configured durability mode. With DurabilityBuffered or
 // DurabilitySync the write-ahead log is synced and kept, so a reopened
 // database replays every reference accepted before Close — nothing is
 // lost. With DurabilityCheckpointOnly (the default, the paper's model)

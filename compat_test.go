@@ -2,11 +2,13 @@ package backlog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/backlogfs/backlog/internal/storage"
@@ -16,8 +18,9 @@ import (
 // wrote (internal/core/testdata/v3-store: runs of format 2 and of the
 // current format, the catalog in a version-3 MANIFEST, a Buffered log tail —
 // never regenerate it) the way an application does. Open rewrites nothing;
-// the first commit writes a version-4 manifest holding the same topology;
-// a reopen agrees on snapshots and answers.
+// the first commit writes a version-4 manifest holding the same topology,
+// as the trailer of its run file, and removes the version-3 one; a reopen
+// agrees on snapshots and answers.
 func TestV2StoreUpgradesThroughOpen(t *testing.T) {
 	const dir = "internal/core/testdata/v3-store"
 	vfs := storage.NewMemFS()
@@ -88,8 +91,30 @@ func TestV2StoreUpgradesThroughOpen(t *testing.T) {
 	if err := db.Checkpoint(8); err != nil {
 		t.Fatal(err)
 	}
-	// A version-4 manifest is its JSON body inside a checksummed envelope.
-	manifest := read("MANIFEST")
+	if read("MANIFEST") != nil {
+		t.Fatal("the first commit left the version-3 manifest behind")
+	}
+	// The commit is the trailer of the checkpoint's run file: a version-4
+	// manifest, its JSON body inside a checksummed envelope, then a
+	// 32-byte footer that ends with the CRC-32C of its 20 bytes before the
+	// CRC, the envelope's offset at bytes 16 to 24.
+	names, err := vfs.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var carrier []byte
+	for _, n := range names {
+		if b := read(n); strings.HasSuffix(n, ".run") && len(b) > 32 && string(b[len(b)-32:len(b)-24]) == "BKCOMMIT" {
+			carrier = b // the one run file written since Open
+		}
+	}
+	if len(carrier) == 0 {
+		t.Fatalf("no run file carries the first commit: %v", names)
+	}
+	manifest := carrier[binary.LittleEndian.Uint64(carrier[len(carrier)-16:]) : len(carrier)-32]
+	if !bytes.HasPrefix(manifest, []byte("BKMANFST")) {
+		t.Fatal("the first commit wrote a manifest without its envelope")
+	}
 	var old, m struct {
 		Version int             `json:"version"`
 		CP      uint64          `json:"cp"`
@@ -97,9 +122,6 @@ func TestV2StoreUpgradesThroughOpen(t *testing.T) {
 	}
 	if err := json.Unmarshal(golden["MANIFEST"], &old); err != nil {
 		t.Fatal(err)
-	}
-	if manifest[0] == '{' {
-		t.Fatal("the first commit wrote a manifest without its envelope")
 	}
 	if err := json.Unmarshal(manifest[bytes.IndexByte(manifest, '{'):], &m); err != nil {
 		t.Fatal(err)

@@ -47,6 +47,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"slices"
 	"sync"
 
@@ -190,13 +191,17 @@ func NewWriterFormat(f storage.File, recordSize int, format Format) (*Writer, er
 // before then keeps framing pages into it and hands them to the file at the
 // first buffer boundary after its place is known, or leaves them to Finish.
 // Finish writes what the sections still buffer, in one write when nothing
-// has gone out yet, and syncs once.
+// has gone out yet, and syncs once; Place and Write are its two halves, for
+// a caller that appends a trailer it can build only once the file's layout
+// is known.
 type FileWriter struct {
 	f storage.File
 
 	mu    sync.Mutex
 	secs  []*Writer // by slot; nil where no section was started
 	empty []bool    // by slot: known to hold no run
+
+	placed []*Writer // the sections Place laid out, in file order
 }
 
 // NewFileWriter returns a FileWriter for up to slots runs in f.
@@ -270,24 +275,40 @@ func (fw *FileWriter) base(slot int) (int64, bool) {
 	return off, true
 }
 
-// Finish writes the file once every section's Writer has finished: each
-// section's pages where its slot puts them, then the filters, the buffered
-// bytes in as few writes as they are contiguous — one, when no section has
-// outgrown its buffer — then the headers of the sections that did, last.
-// It syncs the file once. The caller closes it.
+// Layout is where a FileWriter put its file's parts: the page grids of its
+// sections run from offset 0 to Pages, their filters from there to End,
+// and FilterCRC is the CRC-32C of the filters' bytes. A trailer goes at
+// End (FileWriter.Write), and CheckFile verifies what lies before it.
+type Layout struct {
+	Pages, End int64
+	FilterCRC  uint32
+}
+
+// Finish writes the file once every section's Writer has finished, and
+// syncs it: Place, then Write with no trailer.
 func (fw *FileWriter) Finish() error {
+	if _, err := fw.Place(); err != nil {
+		return err
+	}
+	return fw.Write(nil, storage.SrcUnknown)
+}
+
+// Place lays the file out once every section's Writer has finished: each
+// section's pages where its slot puts them, then the filters. It writes
+// nothing; after it, every section's Extents are valid.
+func (fw *FileWriter) Place() (Layout, error) {
 	var secs []*Writer
 	for s, w := range fw.secs {
 		if w == nil {
 			continue
 		}
 		if !w.sealed {
-			return fmt.Errorf("btree: file finished before its slot %d", s)
+			return Layout{}, fmt.Errorf("btree: file finished before its slot %d", s)
 		}
 		secs = append(secs, w)
 	}
 	if len(secs) == 0 {
-		return errors.New("btree: file finished with no run")
+		return Layout{}, errors.New("btree: file finished with no run")
 	}
 	var off int64
 	for _, w := range secs {
@@ -296,17 +317,32 @@ func (fw *FileWriter) Finish() error {
 	// The first run's header claims every page before the filters, where
 	// its own filter comes first: the file read as one run is its first.
 	secs[0].h.bloomOff = uint64(off)
+	l := Layout{Pages: off}
 	for _, w := range secs {
 		w.filterOff, off = off, off+int64(len(w.bloom))
+		l.FilterCRC = crc32.Update(l.FilterCRC, castagnoli, w.bloom)
 	}
+	l.End = off
+	fw.placed = secs
+	return l, nil
+}
 
+// Write writes the file Place laid out — the buffered bytes in as few
+// writes as they are contiguous, one when no section has outgrown its
+// buffer, trailer included, then the headers of the sections that did — and
+// syncs it once. A non-empty trailer goes right after the filters, in the
+// filters' write, its bytes attributed to src (storage.WriteAtSplit). The
+// caller closes the file.
+func (fw *FileWriter) Write(trailer []byte, src storage.Source) error {
+	secs := fw.placed
 	var out []byte // what goes to the file next, at outOff
 	var outOff int64
+	tail := 0 // how many of out's last bytes are the trailer's
 	flush := func() error {
 		if len(out) == 0 {
 			return nil
 		}
-		if _, err := fw.f.WriteAt(out, outOff); err != nil {
+		if _, err := storage.WriteAtSplit(fw.f, out, outOff, tail, src); err != nil {
 			return fmt.Errorf("btree: writing %d bytes at %d: %w", len(out), outOff, err)
 		}
 		out = nil
@@ -341,6 +377,11 @@ func (fw *FileWriter) Finish() error {
 			return err
 		}
 	}
+	last := secs[len(secs)-1]
+	if err := put(last.filterOff+int64(len(last.bloom)), trailer); err != nil {
+		return err
+	}
+	tail = len(trailer)
 	if err := flush(); err != nil {
 		return err
 	}
@@ -355,6 +396,46 @@ func (fw *FileWriter) Finish() error {
 		w.wbuf, w.bloom = nil, nil
 	}
 	return fw.f.Sync()
+}
+
+// CheckFile verifies the part of a file that l describes: every page of
+// its grids passes its checksum, and its filters' bytes theirs. A file
+// whose pages reached the disk in any order but not all of them fails it.
+func CheckFile(f storage.File, l Layout) error {
+	if l.Pages < 0 || l.Pages%storage.PageSize != 0 || l.End < l.Pages {
+		return fmt.Errorf("%w: a layout of %d page bytes and %d in all", ErrCorrupt, l.Pages, l.End)
+	}
+	read := func(b []byte, off int64) error {
+		n, err := f.ReadAt(b, off)
+		if n == len(b) {
+			return nil
+		}
+		if err == nil || errors.Is(err, io.EOF) {
+			return fmt.Errorf("%w: the file ends before %d", ErrCorrupt, off+int64(len(b)))
+		}
+		return fmt.Errorf("btree: reading %d bytes at %d: %w", len(b), off, err)
+	}
+	buf := make([]byte, writeBufPages*storage.PageSize)
+	for off := int64(0); off < l.Pages; off += int64(len(buf)) {
+		chunk := buf[:min(int64(len(buf)), l.Pages-off)]
+		if err := read(chunk, off); err != nil {
+			return err
+		}
+		for p := 0; p < len(chunk); p += storage.PageSize {
+			page := chunk[p : p+storage.PageSize]
+			if binary.LittleEndian.Uint32(page[storage.PageSize-pageCRCLen:]) != crc32.Checksum(page[:storage.PageSize-pageCRCLen], castagnoli) {
+				return fmt.Errorf("%w: page at %d fails its checksum", ErrCorrupt, off+int64(p))
+			}
+		}
+	}
+	filters := make([]byte, l.End-l.Pages)
+	if err := read(filters, l.Pages); err != nil {
+		return err
+	}
+	if crc32.Checksum(filters, castagnoli) != l.FilterCRC {
+		return fmt.Errorf("%w: filters at %d fail their checksum", ErrCorrupt, l.Pages)
+	}
+	return nil
 }
 
 // Extents returns where the file put the run: its page grid, header

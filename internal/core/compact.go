@@ -54,7 +54,7 @@ func (e *Engine) Compact() error {
 			errs = append(errs, fmt.Errorf("core: compacting partition %d: %w", p, err))
 		}
 	}
-	_, err := e.commitNow()
+	_, err := e.commitNow(commitEmpty)
 	return errors.Join(append(errs, err)...)
 }
 
@@ -66,9 +66,11 @@ func (e *Engine) Compact() error {
 func (e *Engine) compactWhole(p int) error {
 	plan := func(v *lsm.View, ctx PlanContext) []CompactionJob {
 		job := wholeJob(v, p, ctx.Tiered)
-		if len(job.From) == 0 && len(job.To) == 0 && len(job.Combined) <= 1 {
+		if len(job.From) == 0 && len(job.To) == 0 && len(job.Combined) <= 1 || e.settledWhole(v, job) {
 			// Nothing to merge; at most the single compacted Combined run
-			// (in tiered mode, possibly plus sealed runs awaiting expiry).
+			// (in tiered mode, possibly plus sealed runs awaiting expiry),
+			// or what the last whole merge left, which a merge would write
+			// again unchanged.
 			return nil
 		}
 		return []CompactionJob{job}
@@ -82,6 +84,35 @@ func (e *Engine) compactWhole(p int) error {
 			return err
 		}
 	}
+}
+
+// settledPart is what a whole merge of a partition left there (wholeJob's
+// inputs as of right after its install) and the topology it purged against.
+type settledPart struct {
+	topo        *Topology
+	from, combs []*lsm.Run
+}
+
+// settledWhole reports whether job, a whole merge of its partition, would
+// write its inputs again unchanged: they are what the last whole merge of
+// the partition left there — its outputs, so in the format the engine
+// writes — the catalog's topology is the one that merge purged against,
+// and no deletion-vector entry lies in their block ranges. A lone From run
+// is no work then, nor is one beside the Combined run.
+func (e *Engine) settledWhole(v *lsm.View, job CompactionJob) bool {
+	s := e.settled[job.Partition].Load()
+	if s == nil || len(job.To) > 0 || s.topo != e.catalog.Topology() ||
+		!slices.Equal(job.From, s.from) || !slices.Equal(job.Combined, s.combs) {
+		return false
+	}
+	for i, runs := range [][]*lsm.Run{job.From, nil, job.Combined} {
+		for _, r := range runs {
+			if v.Hides(tables[i], r) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // dvDirty reports whether any table carries unpersisted deletion-vector
@@ -304,6 +335,16 @@ func (e *Engine) compactJob(job CompactionJob) (compacted bool, err error) {
 	reclaim := edit.Install()
 	e.mu.Unlock()
 	reclaim()
+	if job.Whole {
+		// cpMu keeps every other install out: the partition holds what
+		// this merge left, and runs a checkpoint added beside them.
+		e.mu.RLock()
+		after := e.db.AcquireView()
+		e.mu.RUnlock()
+		left := wholeJob(after, p, e.expiryEnabled())
+		after.Release()
+		e.settled[p].Store(&settledPart{topo: topo, from: left.From, combs: left.Combined})
+	}
 	e.stats.compactions.Add(1)
 	e.stats.recordsPurged.Add(purged)
 	e.stats.compactWriteBytes.Add(addedBytes(added))

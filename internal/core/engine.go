@@ -133,7 +133,7 @@ type Options struct {
 	// retention a rule of the commit: every manifest commit — a
 	// checkpoint's, a merge's, and the one Expire, Close and every
 	// maintenance pass end with — drops the Combined runs the live
-	// topology no longer reaches, in the same rename. Compaction switches
+	// topology no longer reaches, in the same commit. Compaction switches
 	// to CP-tiered merging that seals finished Combined windows instead of
 	// re-merging them, and queries skip Combined runs entirely below the
 	// reclaim horizon. It starts no goroutine.
@@ -326,7 +326,8 @@ type writeShard struct {
 // stores and cut the log (the buffered records into the outgoing segment,
 // the mark into one made ahead: no creation, no fsync), and to swap the
 // committed runs in and drop the frozen stores. The run building in between, the cut mark's fsync, and the
-// commit's own I/O — manifest written, synced and renamed — hold no
+// commit's own I/O — the manifest written as the trailer of the last run
+// file, that file synced, the directory synced — hold no
 // structural lock, so updates tagged for the next consistency point and
 // queries proceed meanwhile. Compaction likewise merges against a pinned
 // view outside the lock and acquires it exclusively only for the swap, so
@@ -376,6 +377,10 @@ type Engine struct {
 	walErr   error
 
 	stats counters
+
+	// settled holds, by partition, what the last whole merge left there
+	// (see settledWhole), so that Compact reaches a fixed point.
+	settled []atomic.Pointer[settledPart]
 
 	// ios is the purpose-tagged I/O accountant every VFS operation reports
 	// to (wal, checkpoint, compaction, query, expiry, recovery, manifest —
@@ -470,6 +475,7 @@ func Open(opts Options) (*Engine, error) {
 		shards:  shards,
 		ios:     ios,
 		wamp:    obs.NewWriteAmp(obs.DefaultWriteAmpWindow),
+		settled: make([]atomic.Pointer[settledPart], db.Partitions()),
 	}
 	e.obs = eobs
 	if err := e.openWAL(); err != nil {
@@ -604,14 +610,16 @@ func (e *Engine) Durability() wal.Durability { return e.opts.Durability }
 
 // Close releases the engine. It first commits now, as Expire does without
 // reaping: a catalog change and the merges no commit has carried and,
-// under RetainLive, the runs it made droppable. In Buffered mode it then
+// under RetainLive, the runs it made droppable; and when the last commit
+// rides a checkpoint's run file, which a reopen would have to verify page
+// by page, it commits the same state into a commit file. In Buffered mode it then
 // writes out and syncs the write-ahead log, so a clean shutdown preserves
 // every buffered reference for replay at the next Open; in Sync mode
 // everything is already durable. In CheckpointOnly mode buffered references are
 // discarded, exactly like file-system state past the last consistency
 // point. Close returns the sticky WAL durability error, if any.
 func (e *Engine) Close() error {
-	_, err := e.commitNow()
+	_, err := e.commitNow(commitClose)
 	// Serialize against an in-flight checkpoint: closing the log or
 	// releasing the engine mid-flush would strand the frozen stores.
 	e.cpMu.Lock()
@@ -826,7 +834,8 @@ var ErrStaleCP = errors.New("core: checkpoint CP not newer than committed CP")
 // and partition with records, as the paper's single write store would
 // (Section 5.1), however many shards buffered them, a partition's runs the
 // sections of one file — and commits them together with the CP number: a
-// consistency point is one run file per partition plus the manifest. The
+// consistency point is one run file per partition, the last carrying the
+// manifest as its trailer. The
 // structural lock is held exclusively only twice, to swap pointers: to
 // freeze every shard's trees (swapping in fresh active trees) and cut the
 // log, and to swap the committed runs in. All I/O happens outside it, with
@@ -839,8 +848,8 @@ var ErrStaleCP = errors.New("core: checkpoint CP not newer than committed CP")
 // Checkpoint returns, all references up to cp are durable and the frozen
 // stores are empty. On error the frozen records are merged back into the
 // write stores, each into the shard it froze in, so the caller can retry
-// or replay. A commit whose directory sync fails after the manifest's
-// rename has happened: Checkpoint returns nil, and WALErr reports the
+// or replay. A commit whose directory sync fails after its trailer's fsync
+// has happened: Checkpoint returns nil, and WALErr reports the
 // failure until a later checkpoint commits.
 func (e *Engine) Checkpoint(cp uint64) error {
 	if o := e.obs; o != nil {
@@ -957,7 +966,7 @@ func (e *Engine) checkpoint(cp uint64) error {
 	// A commit whose directory sync failed has installed the checkpoint
 	// and noted the error (see commit). The checkpoint has happened, so it
 	// reports no error, but until a commit syncs the directory a crash may
-	// reopen the previous manifest, so the log keeps every segment.
+	// reopen the previous commit, so the log keeps every segment.
 	unsynced := errors.Is(err, lsm.ErrUnsynced)
 	if unsynced {
 		err, cut = nil, -1
@@ -1210,8 +1219,9 @@ func (e *Engine) RunInfos() []lsm.RunInfo {
 	return e.db.RunInfos()
 }
 
-// Files returns the files the committed manifest names: every run file,
-// once however many runs it holds, and every deletion-vector file, sorted.
+// Files returns the files the last commit needs: the one that carries it
+// and every file its manifest names — every run file, once however many
+// runs it holds, and every deletion-vector file — sorted.
 func (e *Engine) Files() []string {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

@@ -89,17 +89,19 @@ func (e *Engine) Expire() (ExpireStats, error) {
 
 func (e *Engine) expire() (ExpireStats, error) {
 	e.catalog.ReapZombies()
-	return e.commitNow()
+	return e.commitNow(commitEmpty)
 }
 
 // commitNow is the commit Expire, Compact and Close end with: an empty
 // edit, which writes the live runs and catalog — the merges installed in
 // memory since the last commit among them — and writes nothing when the
-// manifest holds them already and no run is droppable.
-func (e *Engine) commitNow() (ExpireStats, error) {
+// manifest holds them already and no run is droppable, unless kind is
+// commitClose and the last commit rides a checkpoint's run file: then a
+// commit file of its own spares the next Open verifying that file.
+func (e *Engine) commitNow(kind commitKind) (ExpireStats, error) {
 	e.cpMu.Lock()
 	defer e.cpMu.Unlock()
-	st, err := e.commit(e.db.NewEdit().SetSource(storage.SrcManifest), commitEmpty)
+	st, err := e.commit(e.db.NewEdit().SetSource(storage.SrcManifest), kind)
 	if errors.Is(err, lsm.ErrUnsynced) {
 		err = nil // committed; commit noted the durability error
 	}
@@ -114,13 +116,14 @@ type commitKind int
 const (
 	commitCheckpoint commitKind = iota // a checkpoint's install
 	commitEmpty                        // commitNow's
+	commitClose                        // commitNow's at Close
 )
 
 // commit makes the engine's one manifest commit. Every commit carries the
 // live runs — the merges installed in memory since the last commit with
 // them, whose inputs' files the commit frees — and the live catalog
 // (lsm.Options.Section); under RetainLive it also drops, in
-// the same rename, the Combined runs below the live topology's reclaim
+// the same commit, the Combined runs below the live topology's reclaim
 // horizon. A checkpoint's install always may: it advances the CP, so
 // lsm.Edit.Write persists a dirty deletion vector with the drops. Any other
 // commit drops runs only with a clean Combined vector, and reports Deferred
@@ -133,12 +136,14 @@ const (
 // (lsm.Edit.Install), which for a checkpoint also drops the frozen
 // generation; files the commit made garbage are removed after it.
 //
-// A commit whose directory sync failed after the manifest's rename
+// A commit whose directory sync failed after its trailer was synced
 // (lsm.ErrUnsynced) has committed: it installs, returns that error, and
 // records it as the sticky durability error, which the next checkpoint to
 // commit clears. It removes none of the files it made garbage: a crash may
-// yet leave the previous manifest in place, and the next Open collects
-// them.
+// yet lose the new commit's entry, and the next Open collects them. A
+// commit that failed but could not remove the file its trailer went to
+// (lsm.ErrLeftover) records that as the sticky error too: a crash before
+// the next commit may reopen the store at it.
 func (e *Engine) commit(edit *lsm.Edit, kind commitKind) (st ExpireStats, err error) {
 	var runs int
 	var recs uint64
@@ -150,11 +155,15 @@ func (e *Engine) commit(edit *lsm.Edit, kind commitKind) (st ExpireStats, err er
 			st.Deferred = true
 		}
 	}
-	if kind == commitEmpty && runs == 0 && !e.db.Ahead() && bytes.Equal(e.catalog.Topology().data, e.db.Section()) {
+	if kind != commitCheckpoint && runs == 0 && !e.db.Ahead() && bytes.Equal(e.catalog.Topology().data, e.db.Section()) &&
+		(kind == commitEmpty || !e.db.CommitInRun()) {
 		return st, nil
 	}
 	err = edit.Write()
 	unsynced := errors.Is(err, lsm.ErrUnsynced)
+	if errors.Is(err, lsm.ErrLeftover) {
+		e.noteWALErr(err)
+	}
 	if err != nil && !unsynced {
 		return st, err
 	}

@@ -446,7 +446,7 @@ func TestExpireVsCompactReclaimIO(t *testing.T) {
 
 // TestRetainLiveExpiresAtTheCheckpoint: retention is a rule of the
 // commit, not a pass. A checkpoint after a snapshot deletion drops the run it freed in its own install —
-// one manifest rename, with no Expire call — and the run's removal is
+// its one commit, with no Expire call — and the run's removal is
 // attributed to expiry, not to the checkpoint.
 func TestRetainLiveExpiresAtTheCheckpoint(t *testing.T) {
 	fs := storage.NewMemFS()
@@ -458,8 +458,8 @@ func TestRetainLiveExpiresAtTheCheckpoint(t *testing.T) {
 	}
 	before, io := fs.Stats(), eng.IOReport().Sources
 	fCheckpoint(t, eng, 5)
-	if d := fs.Stats().Sub(before); d.Renames != 1 {
-		t.Fatalf("the checkpoint made %d manifest renames, want 1", d.Renames)
+	if d := fs.Stats().Sub(before); d.FilesCreated != 1 || d.Syncs != 1 {
+		t.Fatalf("the checkpoint created %d files and synced %d, want its run file alone, which carries the commit", d.FilesCreated, d.Syncs)
 	}
 	after := eng.IOReport().Sources
 	if n := after[storage.SrcExpiry].Removes - io[storage.SrcExpiry].Removes; n != 1 {

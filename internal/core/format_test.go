@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -349,7 +350,7 @@ func TestV3StoreMergesIntoOneFile(t *testing.T) {
 	if creates, syncs := mergeIO(t, eng, eng.Compact); creates != 1 || syncs != 1 {
 		t.Fatalf("the merge created %d files and synced %d times, want 1 and 1", creates, syncs)
 	}
-	files := eng.Files()
+	files := slices.DeleteFunc(eng.Files(), func(n string) bool { return strings.HasPrefix(n, "commit.") })
 	if len(files) != 1 || !strings.HasPrefix(files[0], mergeFile) || eng.RunCount() < 2 {
 		t.Fatalf("after the merge the manifest names %v for %d runs, want one merge file", files, eng.RunCount())
 	}
@@ -454,9 +455,13 @@ func TestV2StoreOpensAndMigrates(t *testing.T) {
 	before := queryFingerprint(t, eng, blocks)
 
 	// A checkpoint writes its runs in the current format next to the old
-	// ones; the store answers from the mix.
+	// ones; the store answers from the mix. Its commit is the first in a
+	// trailer, and removes the version-3 manifest.
 	if err := eng.Checkpoint(8); err != nil {
 		t.Fatal(err)
+	}
+	if names, _ := fs.List(); slices.Contains(names, "MANIFEST") {
+		t.Fatalf("the first commit left the version-3 manifest: %v", names)
 	}
 	counts := formatCounts(eng)
 	if counts[btree.FormatDelta] == 0 || counts[btree.Format(2)] == 0 {
@@ -478,8 +483,19 @@ func TestV2StoreOpensAndMigrates(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	opened := 0
+	fs.SetFailurePlan(storage.FailurePlan{Hook: func(c storage.Call) error {
+		if c.Name == "MANIFEST" {
+			opened++
+		}
+		return nil
+	}})
 	eng = open()
+	fs.SetFailurePlan(storage.FailurePlan{})
 	defer eng.Close()
+	if opened != 0 {
+		t.Fatalf("the reopen made %d calls on MANIFEST, want none", opened)
+	}
 	if counts := formatCounts(eng); len(counts) != 1 || counts[btree.FormatDelta] == 0 {
 		t.Fatalf("after the reopen: %v", counts)
 	}

@@ -641,10 +641,10 @@ func TestRelocateRunRecordsDuringFlushCrashWindows(t *testing.T) {
 	}
 }
 
-// TestNoIOUnderTheExclusiveLock parks, in turn, the file creations a
-// commit or a cut makes — a checkpoint's next log segment, a checkpoint
-// install's MANIFEST.tmp, the MANIFEST.tmp of the commit Compact ends with
-// — and the open of a merge's output that a maintenance pass's install
+// TestNoIOUnderTheExclusiveLock parks, in turn, the file I/O a commit or a
+// cut makes — a checkpoint's next log segment, the sync of the run file
+// that carries a checkpoint's commit, the commit file of the commit Compact
+// ends with — and the open of a merge's output that a maintenance pass's install
 // makes, and while each is parked a Buffered AddRef and a Query must both
 // return: a checkpoint holds the structural lock exclusively only to swap
 // pointers, no commit does I/O under it, and a merge opens its outputs
@@ -657,8 +657,8 @@ func TestNoIOUnderTheExclusiveLock(t *testing.T) {
 		op   func(*core.Engine) error
 	}{
 		{"checkpoint-segment", storage.OpCreate, "wal-", func(e *core.Engine) error { return e.Checkpoint(3) }},
-		{"checkpoint-manifest", storage.OpCreate, "MANIFEST.tmp", func(e *core.Engine) error { return e.Checkpoint(3) }},
-		{"merge-manifest", storage.OpCreate, "MANIFEST.tmp", func(e *core.Engine) error { return e.Compact() }},
+		{"checkpoint-manifest", storage.OpSync, "cp.", func(e *core.Engine) error { return e.Checkpoint(3) }},
+		{"merge-manifest", storage.OpCreate, "commit.", func(e *core.Engine) error { return e.Compact() }},
 		{"merge-swap", storage.OpOpen, "merge.", func(e *core.Engine) error { return e.MaintainNow() }},
 	} {
 		t.Run(c.name, func(t *testing.T) {

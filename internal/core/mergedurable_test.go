@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/backlogfs/backlog/internal/core"
@@ -171,15 +172,30 @@ func TestMergeIsDurableAtTheNextCommit(t *testing.T) {
 	}
 }
 
+// countCalls counts, from now on, the calls of fs that match.
+func countCalls(fs *storage.MemFS, match func(storage.Call) bool) func() int {
+	var n atomic.Int64
+	fs.SetFailurePlan(storage.FailurePlan{Hook: func(c storage.Call) error {
+		if match(c) {
+			n.Add(1)
+		}
+		return nil
+	}})
+	return func() int { return int(n.Load()) }
+}
+
 // TestMaintainWritesNoManifest: a maintenance pass that installs a merge
 // leaves the manifest source of IOReport where it was — no write, no sync —
-// and renames nothing.
+// and commits nothing: it creates no commit file and syncs no directory.
 func TestMaintainWritesNoManifest(t *testing.T) {
 	fs := storage.NewMemFS()
 	eng := mergeableStore(t, fs)
 	defer eng.Close()
 	manifest := func() obs.SourceIO { return eng.IOReport().Sources[storage.SrcManifest] }
-	before, renames := manifest(), fs.Stats().Renames
+	before := manifest()
+	commits := countCalls(fs, func(c storage.Call) bool {
+		return c.Op == storage.OpSyncDir || c.Op == storage.OpCreate && strings.HasPrefix(c.Name, "commit.")
+	})
 	if err := eng.MaintainNow(); err != nil {
 		t.Fatal(err)
 	}
@@ -189,13 +205,13 @@ func TestMaintainWritesNoManifest(t *testing.T) {
 	if after := manifest(); after.WriteOps != before.WriteOps || after.Syncs != before.Syncs {
 		t.Fatalf("manifest I/O across the pass: %+v, before %+v", after, before)
 	}
-	if n := fs.Stats().Renames - renames; n != 0 {
-		t.Fatalf("the pass renamed %d files", n)
+	if n := commits(); n != 0 {
+		t.Fatalf("the pass made %d commit files and directory syncs", n)
 	}
 }
 
 // TestCompactWritesOneManifest: Compact on a four-partition store merges
-// every partition and commits them all with one manifest.
+// every partition and commits them all with one commit file.
 func TestCompactWritesOneManifest(t *testing.T) {
 	fs := storage.NewMemFS()
 	eng, err := core.Open(core.Options{VFS: fs, Catalog: core.NewMemCatalog(), Partitions: 4, HashPartitioning: true})
@@ -209,14 +225,7 @@ func TestCompactWritesOneManifest(t *testing.T) {
 		}
 		fCheckpoint(t, eng, cp)
 	}
-	tmp := 0
-	fs.SetFailurePlan(storage.FailurePlan{Hook: func(c storage.Call) error {
-		if c.Op == storage.OpCreate && c.Name == "MANIFEST.tmp" {
-			tmp++
-		}
-		return nil
-	}})
-	renames := fs.Stats().Renames
+	commitFiles := countCalls(fs, func(c storage.Call) bool { return c.Op == storage.OpCreate && strings.HasPrefix(c.Name, "commit.") })
 	if err := eng.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +233,7 @@ func TestCompactWritesOneManifest(t *testing.T) {
 	if got := eng.Stats().Compactions; got != 4 {
 		t.Fatalf("Compactions = %d, want 4", got)
 	}
-	if n := fs.Stats().Renames - renames; tmp != 1 || n != 1 {
-		t.Fatalf("Compact wrote %d manifests and renamed %d files, want 1 and 1", tmp, n)
+	if n := commitFiles(); n != 1 {
+		t.Fatalf("Compact wrote %d commit files, want 1", n)
 	}
 }

@@ -122,7 +122,7 @@ func newEngineObs(opts Options) *engineObs {
 	o.cpFlush = r.Histogram("backlog_checkpoint_flush_ns",
 		"Checkpoint run-building flush phase (no structural lock held)", "ns", lat)
 	o.cpInstall = r.Histogram("backlog_checkpoint_install_ns",
-		"Checkpoint install (exclusive structural lock held): swap the committed runs and manifest into memory and drop the frozen write stores; the manifest was written, synced and renamed before, with no structural lock held", "ns", lat)
+		"Checkpoint install (exclusive structural lock held): swap the committed runs and manifest into memory and drop the frozen write stores; the manifest was written and synced before, as the trailer of the last run file, with no structural lock held", "ns", lat)
 	o.compact = r.Histogram("backlog_compaction_ns", "Duration of one partition compaction", "ns", lat)
 	o.expire = r.Histogram("backlog_expire_ns", "Duration of one Expire call: reap zombies, then commit the catalog and the runs no snapshot reaches", "ns", lat)
 	o.pageDecode = r.Histogram("backlog_page_decode_ns",

@@ -44,8 +44,8 @@ func TestCatalogRidesTheManifest(t *testing.T) {
 	if err := cat.CreateSnapshot(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if d := wrote("Checkpoint", func() error { return eng.Checkpoint(1) }); d.Syncs != 2 || d.Renames != 1 {
-		t.Fatalf("a checkpoint of one run after a catalog change: %+v, want one run fsync, one manifest fsync, one rename", d)
+	if d := wrote("Checkpoint", func() error { return eng.Checkpoint(1) }); d.Syncs != 1 || d.FilesCreated != 1 {
+		t.Fatalf("a checkpoint of one run after a catalog change: %+v, want one run file, whose fsync is the commit's", d)
 	}
 	if d := wrote("Expire after the checkpoint", expire); d.BytesWritten != 0 || d.FilesCreated != 0 {
 		t.Fatalf("Expire wrote a catalog the checkpoint had carried: %+v", d)
@@ -62,8 +62,8 @@ func TestCatalogRidesTheManifest(t *testing.T) {
 	if err := cat.CreateSnapshot(0, 2); err != nil {
 		t.Fatal(err)
 	}
-	if d := wrote("Expire after a change", expire); d.Syncs != 1 || d.Renames != 1 || d.FilesCreated != 1 {
-		t.Fatalf("Expire after a change: %+v, want one manifest commit", d)
+	if d := wrote("Expire after a change", expire); d.Syncs != 1 || d.FilesCreated != 1 {
+		t.Fatalf("Expire after a change: %+v, want one commit file", d)
 	}
 	if err := cat.DeleteSnapshot(0, 1); err != nil {
 		t.Fatal(err)
@@ -79,8 +79,8 @@ func TestCatalogRidesTheManifest(t *testing.T) {
 	if err := cat.DeleteSnapshot(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if d := wrote("Close after a change", eng.Close); d.Syncs != 1 || d.Renames != 1 || d.FilesCreated != 1 {
-		t.Fatalf("Close after a change: %+v, want one manifest commit", d)
+	if d := wrote("Close after a change", eng.Close); d.Syncs != 1 || d.FilesCreated != 1 {
+		t.Fatalf("Close after a change: %+v, want one commit file", d)
 	}
 	fs.Crash()
 	eng, cat = open()
@@ -101,10 +101,17 @@ func TestCatalogRidesTheManifest(t *testing.T) {
 	}
 }
 
-// TestCommitSyncsTheDirectoryAfterTheRename: a Checkpoint's commit and a
-// Compact's commit each make the manifest's new entry durable before they
-// return: the call after the rename of MANIFEST.tmp is a SyncDir.
-func TestCommitSyncsTheDirectoryAfterTheRename(t *testing.T) {
+// carriesCommit reports whether name is a file a commit rides: a
+// checkpoint's run file or a commit file.
+func carriesCommit(name string) bool {
+	return strings.HasPrefix(name, "cp.") || strings.HasPrefix(name, "commit.")
+}
+
+// TestCommitSyncsTheDirectoryAfterItsFile: a Checkpoint's commit and a
+// Compact's commit each make the entry of the file that carries them
+// durable before they return: the call after that file's sync is the
+// commit's one SyncDir, and no file is removed before it.
+func TestCommitSyncsTheDirectoryAfterItsFile(t *testing.T) {
 	env := newTestEnv(t, Options{})
 	defer env.eng.Close()
 	// A checkpoint creates its files from one goroutine per table.
@@ -128,18 +135,26 @@ func TestCommitSyncsTheDirectoryAfterTheRename(t *testing.T) {
 		if err := commit(); err != nil {
 			t.Fatal(err)
 		}
-		renames := 0
+		dirSyncs := 0
 		for i, c := range calls {
-			if c.Op != storage.OpRename || c.Name != "MANIFEST.tmp" {
-				continue
-			}
-			renames++
-			if i+1 == len(calls) || calls[i+1].Op != storage.OpSyncDir {
-				t.Fatalf("commit %d: the rename of MANIFEST.tmp is not followed by a SyncDir: %v", cp, calls[i:])
+			switch c.Op {
+			case storage.OpSyncDir:
+				dirSyncs++
+				prev := i - 1 // the call before, its file's Close aside
+				for prev >= 0 && calls[prev].Op == storage.OpClose {
+					prev--
+				}
+				if prev < 0 || calls[prev].Op != storage.OpSync || !carriesCommit(calls[prev].Name) {
+					t.Fatalf("commit %d: its SyncDir does not follow the sync of the file that carries it: %v", cp, calls[:i+1])
+				}
+			case storage.OpRemove:
+				if dirSyncs == 0 {
+					t.Fatalf("commit %d removed %s before its SyncDir", cp, c.Name)
+				}
 			}
 		}
-		if renames != 1 {
-			t.Fatalf("commit %d renamed MANIFEST.tmp %d times, want once", cp, renames)
+		if dirSyncs != 1 {
+			t.Fatalf("commit %d synced the directory %d times, want once", cp, dirSyncs)
 		}
 	}
 	if st := env.eng.Stats(); st.Compactions != 1 {
@@ -148,11 +163,12 @@ func TestCommitSyncsTheDirectoryAfterTheRename(t *testing.T) {
 }
 
 // TestUnsyncedCommitKeepsItsRuns: a commit whose directory sync fails after
-// the rename of MANIFEST.tmp has committed. Checkpoint and Compact install
-// it and return nil, WALErr and Close report the failure, a checkpoint that
-// commits in full clears it, and a reopen after a crash finds every run the
-// manifest names and every reference. Until a checkpoint commits in full,
-// the log keeps its segments, for a crash that loses the rename.
+// the sync of the file that carries it has committed. Checkpoint and
+// Compact install it and return nil, WALErr and Close report the failure, a
+// checkpoint that commits in full clears it, and a reopen after a crash
+// finds every run the manifest names and every reference. Until a
+// checkpoint commits in full, the log keeps its segments, for a crash that
+// loses the commit's entry.
 func TestUnsyncedCommitKeepsItsRuns(t *testing.T) {
 	env := newTestEnv(t, Options{Durability: wal.Buffered})
 	segments := func() []string {
@@ -164,17 +180,17 @@ func TestUnsyncedCommitKeepsItsRuns(t *testing.T) {
 		return slices.DeleteFunc(names, func(n string) bool { return !strings.HasPrefix(n, "wal-") })
 	}
 	var (
-		mu      sync.Mutex
-		renamed bool
+		mu     sync.Mutex
+		synced bool
 	)
 	failSync := func(c storage.Call) error {
 		mu.Lock()
 		defer mu.Unlock()
 		switch {
-		case c.Op == storage.OpRename && c.Name == "MANIFEST.tmp":
-			renamed = true
-		case c.Op == storage.OpSyncDir && renamed:
-			renamed = false
+		case c.Op == storage.OpSync && carriesCommit(c.Name):
+			synced = true
+		case c.Op == storage.OpSyncDir && synced:
+			synced = false
 			return storage.ErrInjected
 		}
 		return nil
@@ -219,7 +235,7 @@ func TestUnsyncedCommitKeepsItsRuns(t *testing.T) {
 	if st := env.eng.Stats(); st.Compactions != 1 {
 		t.Fatalf("Compactions = %d, want the Compact to have merged", st.Compactions)
 	}
-	// The merge's inputs are named by the previous manifest: they stay.
+	// The merge's inputs are named by the previous commit: they stay.
 	after, err := env.fs.List()
 	if err != nil {
 		t.Fatal(err)

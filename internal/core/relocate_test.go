@@ -399,9 +399,9 @@ func TestFailedMergeInstallLeavesVectorUntouched(t *testing.T) {
 			t.Fatalf("answers changed across the failed install: %+v, before %+v", got, before)
 		}
 
-		failCalls(fs, storage.OpCreate, "MANIFEST.tmp")
+		failCalls(fs, storage.OpCreate, "commit.")
 		if err := eng.Compact(); !errors.Is(err, storage.ErrInjected) {
-			t.Fatalf("Compact over a failing manifest write: %v, want the injected error", err)
+			t.Fatalf("Compact over a failing commit write: %v, want the injected error", err)
 		}
 		fs.SetFailurePlan(storage.FailurePlan{})
 		if st := eng.Stats(); st.Compactions != 1 {
@@ -443,10 +443,10 @@ func TestFailedMergeInstallLeavesVectorUntouched(t *testing.T) {
 		untouched(t, eng, "before the expiry")
 		filesBefore := files(t, fs)
 
-		failCalls(fs, storage.OpCreate, "MANIFEST.tmp")
+		failCalls(fs, storage.OpCreate, "commit.")
 		est, err := eng.Expire()
 		if !errors.Is(err, storage.ErrInjected) || est.RunsDropped != 0 || est.DVEntriesDropped != 0 {
-			t.Fatalf("Expire over a failing manifest write = %+v, %v; want the injected error and nothing dropped", est, err)
+			t.Fatalf("Expire over a failing commit write = %+v, %v; want the injected error and nothing dropped", est, err)
 		}
 		fs.SetFailurePlan(storage.FailurePlan{})
 		untouched(t, eng, "after the failed expiry")

@@ -529,8 +529,8 @@ type smDriver struct {
 	undo   *smDriver // tag, base, pending and acked before a dying checkpoint
 	quiet  bool      // apply ops without comparing: a checked run passed them
 	mark   int64     // Stats().Calls when the running op's I/O began
-	before []byte    // MANIFEST when the dying op began
-	lost   bool      // the last crash recovered that MANIFEST
+	before string    // the commit when the dying op began
+	lost   bool      // the last crash recovered that commit
 
 	nextLine uint64
 	moves    [][2]uint64 // relocations so far, for moving blocks back
@@ -597,17 +597,14 @@ func (d *smDriver) committed() {
 	}
 }
 
-// manifest returns MANIFEST's bytes, nil before the first commit.
-func (d *smDriver) manifest() []byte {
-	f, err := d.fs.Open("MANIFEST")
-	if err != nil {
-		return nil
+// manifest names the open store's last commit: the files it needs, the
+// one that carries it first among them, which every commit makes anew; ""
+// before the first commit or with no store open.
+func (d *smDriver) manifest() string {
+	if d.eng == nil {
+		return ""
 	}
-	defer f.Close()
-	n, _ := f.Size()
-	b := make([]byte, n)
-	f.ReadAt(b, 0)
-	return b
+	return strings.Join(d.eng.Files(), " ")
 }
 
 func (d *smDriver) diffAll() error {
@@ -686,7 +683,7 @@ func (d *smDriver) step(op smOp) error {
 	}
 	before := d.before
 	err = d.crash()
-	d.lost = bytes.Equal(d.manifest(), before)
+	d.lost = d.manifest() == before
 	return err
 }
 
@@ -822,8 +819,9 @@ func (d *smDriver) crash() error {
 
 // recover holds a store reopened after a crash to the contract. Its CP and
 // catalog are those of a commit that may have landed, and its answers the
-// model's under that catalog. The directory holds only MANIFEST, the files
-// it names and log segments. Of the updates since the checkpoint, a
+// model's under that catalog. The directory holds only the file that
+// carries that commit, the files it names and log segments. Of the updates
+// since the checkpoint, a
 // CheckpointOnly store keeps none, a Sync store every acknowledged one and
 // a Buffered store some prefix; the op the power failed in may have landed
 // either way.
@@ -998,8 +996,7 @@ func (d *smDriver) next(rng *rand.Rand) smOp {
 }
 
 // smIO is what a checked run saw of one op: its mutating calls (a crash's
-// counted from its recovery on), and whether it renamed a manifest into
-// place.
+// counted from its recovery on), and whether it made a commit.
 type smIO struct {
 	calls   int64
 	commits bool
@@ -1007,10 +1004,10 @@ type smIO struct {
 
 // do steps op and records its I/O.
 func (d *smDriver) do(op smOp) error {
-	before := d.fs.Stats()
+	before, commit := d.fs.Stats(), d.manifest()
 	err := d.step(op)
 	st := d.fs.Stats()
-	d.io = append(d.io, smIO{calls: st.Calls - max(before.Calls, d.mark), commits: st.Renames > before.Renames})
+	d.io = append(d.io, smIO{calls: st.Calls - max(before.Calls, d.mark), commits: d.manifest() != commit})
 	return err
 }
 

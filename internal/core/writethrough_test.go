@@ -11,7 +11,7 @@ import (
 
 // TestWriteThroughFailuresLeaveTheCache: work that does not commit leaves
 // the page cache as it found it — the pages a checkpoint wrote through
-// leave with its runs when its manifest rename fails, and a merge that
+// leave with its runs when its commit's sync fails, and a merge that
 // finds its partition changed at install adds nothing either — and a
 // checkpoint that does commit is then served to queries from memory. (A
 // flush that fails at any run-file I/O is TestCheckpointFlushFailureAtEveryRunIO.)
@@ -23,9 +23,9 @@ func TestWriteThroughFailuresLeaveTheCache(t *testing.T) {
 			fx.apply(refOp{ref: core.Ref{Block: i, Inode: 30, Offset: i, Length: 1}, cp: 2})
 		}
 		cached := fx.eng.CacheBytes()
-		failCalls(fx.fs, storage.OpRename, "MANIFEST.tmp")
+		failCalls(fx.fs, storage.OpSync, "cp.")
 		if err := fx.eng.Checkpoint(2); !errors.Is(err, storage.ErrInjected) {
-			t.Fatalf("Checkpoint = %v, want the injected rename failure", err)
+			t.Fatalf("Checkpoint = %v, want the injected failure of its commit's sync", err)
 		}
 		if got := fx.eng.CacheBytes(); got != cached {
 			t.Fatalf("%d bytes cached after the failed commit, %d before", got, cached)

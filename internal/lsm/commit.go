@@ -2,28 +2,31 @@ package lsm
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
 	"sort"
 	"strings"
 
+	"github.com/backlogfs/backlog/internal/btree"
 	"github.com/backlogfs/backlog/internal/storage"
 )
 
 // Edit describes an atomic transition of the store: new runs to install,
 // old runs to drop and the CP number to record. All of it takes effect in
-// one swap, and a written edit commits in a single manifest replacement,
+// one swap, and a written edit commits in one file's sync: its manifest,
 // together with the caller's section as it is at that moment
-// (Options.Section) — an empty edit commits the section alone — and that
-// commit is the only place a deletion vector is persisted (see Write).
+// (Options.Section) — an empty edit commits the section alone — is the
+// trailer of the file that carries the commit (see Write), and that commit
+// is the only place a deletion vector is persisted.
 //
 // An edit is installed in two steps, so that its I/O need not exclude
 // readers: Write — or, for an edit that only reorganizes durable records,
 // Prepare — does every file operation, and Install swaps the result into
-// memory. A written edit is a commit: Write renames the manifest into
-// place, and the manifest then names the live runs. A prepared edit is an
-// install in memory: the live version moves and the manifest stays, naming
+// memory. A written edit is a commit: once Write has synced its trailer,
+// the manifest names the live runs. A prepared edit is an install in
+// memory: the live version moves and the committed manifest stays, naming
 // what it named, until the next written edit commits the live runs with
 // its own. Between an edit's Write or Prepare and its Install nothing else
 // may install or mutate a deletion vector (the engine's checkpoint guard
@@ -48,6 +51,11 @@ type Edit struct {
 	savedDV     []string                       // the tables whose vector the manifest now names
 	next        manifest
 	written     bool
+	// carrier is the file that carries the commit, once Write made or
+	// chose it; trailed that the trailer's write has been issued, after
+	// which a failed commit must remove that file first (see fail).
+	carrier *runFile
+	trailed bool
 
 	// src is the subsystem installing the edit (checkpoint, compaction,
 	// expiry); it attributes the I/O of installing added runs and of
@@ -124,12 +132,17 @@ func (e *Edit) DropRunsBelow(table string, cp uint64) (runs int, records uint64)
 // to hide.
 func (e *Edit) CollectedDVEntries() int { return e.dvCollected }
 
-// ErrUnsynced is returned (wrapped) by Write and Commit when the new
-// manifest was renamed into place but the directory sync after the rename
-// failed: the edit has committed, but a crash may leave the previous
-// manifest in place, or the new one without the entries of the files it
-// names.
+// ErrUnsynced is returned (wrapped) by Write and Commit when the file that
+// carries the commit was synced but the directory sync after it failed:
+// the edit has committed, but a crash may lose that file's entry, and with
+// it the commit.
 var ErrUnsynced = errors.New("lsm: committed, but the directory sync failed")
+
+// ErrLeftover is returned (wrapped) by Write and Commit when the edit did
+// not commit but the file its trailer went to could not be removed: a
+// crash before the next commit may reopen the store as the edit would have
+// left it. The files the edit named stay with it.
+var ErrLeftover = errors.New("lsm: a failed commit's file could not be removed")
 
 // Commit applies the edit in one call: Write, Install, then the
 // reclamation Install returns — for callers with no structural lock to
@@ -150,31 +163,56 @@ func (e *Edit) Commit() error {
 
 // Prepare readies the edit for an install in memory: it opens the added
 // runs and builds the run lists and deletion vectors the edit leaves live,
-// and writes nothing. Install then moves the live version and leaves the
-// manifest as it is; the next written edit commits what Install swapped in,
-// and until then the version the manifest describes stays pinned, so the
-// files of the runs the edit drops stay on disk (see Install). That is
-// sound only for an edit whose outputs hold nothing the manifest's runs do
-// not — a merge's — so an edit that sets the CP must be written. A non-nil
-// error means nothing changed, and the added runs' files are removed, as by
-// a failed Write.
+// and writes nothing but a checkpoint file's held-back tail. Install then
+// moves the live version and leaves the committed manifest as it is; the
+// next written edit commits what Install swapped in, and until then the
+// version the manifest describes stays pinned, so the files of the runs the
+// edit drops stay on disk (see Install). That is sound only for an edit
+// whose outputs hold nothing the manifest's runs do not — a merge's — so an
+// edit that sets the CP must be written. A non-nil error means nothing
+// changed, and the added runs' files are removed, as by a failed Write.
 func (e *Edit) Prepare() error {
 	if e.setCP {
 		return e.fail(errors.New("lsm: an edit that sets the CP must be written"))
 	}
+	if err := e.settle(nil); err != nil {
+		return e.fail(err)
+	}
 	return e.prepare(false)
+}
+
+// settle writes and syncs every added file whose final write a checkpoint's
+// set held back, but carrier, which the commit's trailer finishes.
+func (e *Edit) settle(carrier *runFile) error {
+	for _, ref := range e.add {
+		if rf := ref.file; rf.pending != nil && rf != carrier {
+			err := rf.pending.Write(nil, storage.SrcUnknown)
+			rf.pending = nil
+			if err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // fail cleans up after an error before the edit's commit point or install:
 // the added runs' pages leave the cache, their files, once each, the disk,
-// and so do the vector files Write made.
+// and so do the vector files and the commit file Write made. A carrier its
+// trailer went to goes first: if it cannot be removed, the commit may yet
+// be found, so the files it names stay too and the error wraps ErrLeftover.
 func (e *Edit) fail(err error) error {
 	db := e.db
+	if e.trailed {
+		if rerr := db.removeFile(e.carrier, storage.SrcManifest); rerr != nil && !errors.Is(rerr, storage.ErrNotExist) {
+			return fmt.Errorf("%w: %w (removing %s: %v)", ErrLeftover, err, e.carrier.name, rerr)
+		}
+	}
 	var removed []*runFile
 	for _, ref := range e.add {
 		db.cache.Drop(ref.built.CacheID())
 		if !slices.Contains(removed, ref.file) {
-			db.removeFile(ref.file, ref.src)
+			_ = db.removeFile(ref.file, ref.src)
 			removed = append(removed, ref.file)
 		}
 	}
@@ -252,20 +290,30 @@ func (e *Edit) prepare(advances bool) error {
 }
 
 // Write does the edit's I/O: opens the added runs, writes the deletion
-// vectors it persists, and writes, syncs and atomically renames the new
-// manifest into place — the commit point. The manifest names every live
-// run, those that installs in memory since the last commit swapped in
-// included, and this edit's outcome. It changes nothing in memory:
-// Install, which the caller must call next, does that. A non-nil error
-// means the edit did not commit: nothing on disk or in memory — the
-// vectors included — has changed, and the files behind added runs have
-// been removed, their written-through pages with them (AddRun transfers
-// ownership, so callers never clean up after a failed Commit). The one
-// exception is an error that wraps ErrUnsynced: the manifest is in place
-// and names the added runs, whose files stay, so the caller must Install
-// the edit as after a nil error. Until a later commit's directory sync
-// succeeds, it should remove none of the files the previous manifest
-// names: Install's reclamation is for a commit known durable.
+// vectors it persists, and writes the new manifest as the trailer of the
+// file that carries the commit, whose one sync is the commit point, then
+// syncs the directory once. The carrier is the checkpoint's run file whose
+// final write its set held back (FileSet.Finish) — the trailer rides that
+// write, after the file's filters — when that file is the newest entry the
+// commit makes; otherwise, for an edit that builds no run of its own or
+// that writes a deletion vector, it is a commit file of its own,
+// commit.<id>. Every other file the manifest names is synced before it.
+// Open takes the newest commit whose trailer checks (see there), so no
+// older file needs to change. The manifest names every live run, those
+// that installs in memory since the last commit swapped in included, and
+// this edit's outcome. Write changes nothing in memory: Install, which the
+// caller must call next, does that. A non-nil error means the edit did not
+// commit: nothing on disk or in memory — the vectors included — has
+// changed, and the files behind added runs have been removed, their
+// written-through pages with them (AddRun transfers ownership, so callers
+// never clean up after a failed Commit). There are two exceptions. An
+// error that wraps ErrLeftover did not commit, but its carrier and the
+// files it names are still there (see fail). An error that wraps
+// ErrUnsynced has committed: the carrier is synced and names the added
+// runs, whose files stay, so the caller must Install the edit as after a
+// nil error. Until a later commit's directory sync succeeds, it should
+// remove none of the files the previous commit names: Install's
+// reclamation is for a commit known durable.
 //
 // The caller serializes Write against every other install and every
 // deletion-vector mutation until its Install; readers may run throughout.
@@ -367,6 +415,23 @@ func (e *Edit) Write() error {
 		next.Tables[name] = tm
 	}
 
+	// The carrier: a commit rides a run file only if no entry this commit
+	// makes comes after that file's, so that a crash that keeps the
+	// carrier's entry keeps every entry it names (see storage.CrashState).
+	if len(e.wroteDV) == 0 {
+		for _, ref := range e.add {
+			if ref.file.pending != nil {
+				e.carrier = ref.file
+			}
+		}
+	}
+	if err := e.settle(e.carrier); err != nil {
+		return e.fail(err)
+	}
+	if e.carrier == nil {
+		e.carrier = &runFile{name: fmt.Sprintf("%s%010d", commitPrefix, db.allocID())}
+	}
+
 	// The persisted NextID is snapshotted after all of this commit's own
 	// allocations, so it covers every ID handed out so far — including
 	// concurrent builders whose edits may never commit (their files are
@@ -374,12 +439,27 @@ func (e *Edit) Write() error {
 	// back, so a Commit can never roll IDs backwards under a concurrent
 	// allocation.
 	next.NextID = db.nextIDSnapshot()
-	err := writeManifest(db.vfsFor(storage.SrcManifest), next)
-	if err != nil && !errors.Is(err, ErrUnsynced) {
+	body, err := json.Marshal(&next)
+	if err != nil {
+		return e.fail(err)
+	}
+	e.trailed = true
+	if rf := e.carrier; rf.pending != nil {
+		err = rf.pending.Write(sealTrailer(body, rf.layout), storage.SrcManifest)
+		rf.pending = nil
+	} else {
+		err = writeSynced(db.vfsFor(storage.SrcManifest), rf.name, sealTrailer(body, btree.Layout{}))
+	}
+	if err != nil {
 		return e.fail(err)
 	}
 	e.next, e.written = next, true
-	return err
+	// The entries of the carrier and of every file it names become
+	// durable with the directory's.
+	if err := db.vfs.SyncDir(); err != nil {
+		return fmt.Errorf("%w: %w", ErrUnsynced, err)
+	}
+	return nil
 }
 
 // Install swaps a written or prepared edit into memory: every table's runs
@@ -387,7 +467,8 @@ func (e *Edit) Write() error {
 // the manifest. It does no I/O and cannot fail; the caller holds the
 // structural lock exclusively. The returned func deletes what the edit made
 // garbage — dropped runs' files nothing pins, replaced deletion-vector
-// files — for the caller to run once it has released the lock.
+// files, the previous commit's file when it holds no run — for the caller
+// to run once it has released the lock.
 //
 // The DB pins the version the manifest describes, as a View pins one. A
 // prepared edit leaves that pin where it is, so the runs the edit drops
@@ -415,9 +496,9 @@ func (e *Edit) Install() (reclaim func()) {
 		}
 		r.doomedBy = src
 	}
-	prev := db.m
+	prev, prevCommit := db.m, db.commit
 	if e.written {
-		db.m = e.next
+		db.m, db.commit = e.next, e.carrier.name
 	}
 	db.viewMu.Lock()
 	for name, t := range db.tables {
@@ -491,35 +572,21 @@ func (e *Edit) Install() (reclaim func()) {
 		// Replaced deletion-vector files are read only at Open (versions
 		// snapshot the in-memory maps, not the files), so they are deleted
 		// eagerly, attributed like the writes that superseded them.
+		mvfs := db.vfsFor(storage.SrcManifest)
 		for _, name := range e.savedDV {
 			if f := prev.Tables[name].DVFile; f != "" {
-				_ = db.vfsFor(storage.SrcManifest).Remove(f)
+				_ = mvfs.Remove(f)
+			}
+		}
+		// A commit in a run file goes with the file's runs; one in a file
+		// of its own, or the manifest an older binary wrote, goes now.
+		if e.written && prevCommit != "" && !strings.HasSuffix(prevCommit, ".run") {
+			_ = mvfs.Remove(prevCommit)
+			if prevCommit == legacyManifest {
+				_ = mvfs.Remove(legacyManifestTmp)
 			}
 		}
 	}
-}
-
-func writeManifest(vfs storage.VFS, m manifest) error {
-	data, err := encodeManifest(m)
-	if err != nil {
-		return err
-	}
-	// Remove a stale temp file from a previous failed commit, if any.
-	if err := vfs.Remove(manifestTmpName); err != nil && !errors.Is(err, storage.ErrNotExist) {
-		return err
-	}
-	if err := writeSynced(vfs, manifestTmpName, data); err != nil {
-		return err
-	}
-	if err := vfs.Rename(manifestTmpName, manifestName); err != nil {
-		return err
-	}
-	// The rename is the commit point, and the entries of the run files
-	// created since the last commit become durable with it.
-	if err := vfs.SyncDir(); err != nil {
-		return fmt.Errorf("%w: %w", ErrUnsynced, err)
-	}
-	return nil
 }
 
 // writeSynced creates name holding data and syncs it.

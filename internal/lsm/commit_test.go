@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/backlogfs/backlog/internal/storage"
@@ -49,13 +50,13 @@ func mergeEdit(t *testing.T, db *DB) *Edit {
 // files. An edit that sets the CP cannot be installed in memory.
 func TestInstallInMemoryRidesTheNextCommit(t *testing.T) {
 	fs, db := inMemoryFixture(t)
-	inputs, manifestBefore := db.Files(), readFile(t, fs, manifestName)
+	inputs, manifestBefore := db.Files(), manifestBody(t, fs)
 
 	bad := mergeEdit(t, db).SetCP(5)
 	if err := bad.Prepare(); err == nil {
 		t.Fatal("an edit that sets the CP was prepared for an install in memory")
 	}
-	if got := len(listFiles(t, fs)); got != len(inputs)+1 {
+	if got := len(listFiles(t, fs)); got != len(inputs) {
 		t.Fatalf("the refused edit left its run behind: %v", listFiles(t, fs))
 	}
 
@@ -72,7 +73,7 @@ func TestInstallInMemoryRidesTheNextCommit(t *testing.T) {
 	if got := db.Files(); !reflect.DeepEqual(got, inputs) {
 		t.Fatalf("the manifest names %v after an install in memory, before %v", got, inputs)
 	}
-	if !bytes.Equal(readFile(t, fs, manifestName), manifestBefore) {
+	if !bytes.Equal(manifestBody(t, fs), manifestBefore) {
 		t.Fatal("an install in memory rewrote the manifest")
 	}
 	onDisk := listFiles(t, fs)
@@ -96,7 +97,7 @@ func TestInstallInMemoryRidesTheNextCommit(t *testing.T) {
 	if got := db2.Files(); !reflect.DeepEqual(got, inputs) || len(db2.Table("from").Runs(0)) != 3 || db2.Table("from").DVLen() != 1 {
 		t.Fatalf("the crashed store reopened with %v, %d runs, %d vector entries", got, len(db2.Table("from").Runs(0)), db2.Table("from").DVLen())
 	}
-	if got := len(listFiles(t, crashed)); got != len(inputs)+1 {
+	if got := len(listFiles(t, crashed)); got != len(inputs) {
 		t.Fatalf("Open left the merge's output behind: %v", listFiles(t, crashed))
 	}
 	db2.Close()
@@ -105,11 +106,11 @@ func TestInstallInMemoryRidesTheNextCommit(t *testing.T) {
 	if err := db.NewEdit().Commit(); err != nil {
 		t.Fatal(err)
 	}
-	files := db.Files()
-	if db.Ahead() || len(files) != 1 || dvFiles(t, fs) != 0 {
-		t.Fatalf("after the commit: ahead=%v, the manifest names %v, %d vector files", db.Ahead(), files, dvFiles(t, fs))
+	files := db.Files() // the commit file and the merged run's
+	if db.Ahead() || len(files) != 2 || dvFiles(t, fs) != 0 {
+		t.Fatalf("after the commit: ahead=%v, the commit needs %v, %d vector files", db.Ahead(), files, dvFiles(t, fs))
 	}
-	if onDisk := listFiles(t, fs); len(onDisk) != 2 || !onDisk[files[0]] {
+	if onDisk := listFiles(t, fs); len(onDisk) != 2 || !onDisk[files[0]] || !onDisk[files[1]] {
 		t.Fatalf("after the commit the directory holds %v", onDisk)
 	}
 	db.Close()
@@ -125,9 +126,9 @@ func TestInstallInMemoryRidesTheNextCommit(t *testing.T) {
 	}
 }
 
-// TestUnsyncedCommitInstalls: a commit whose directory sync fails after the
-// manifest's rename reports ErrUnsynced and has committed: Commit installs
-// it, removes none of the files the previous manifest named, and a reopen
+// TestUnsyncedCommitInstalls: a commit whose directory sync fails after its
+// commit file's sync reports ErrUnsynced and has committed: Commit installs
+// it, removes none of the files the previous commit needed, and a reopen
 // finds the store the new manifest describes.
 func TestUnsyncedCommitInstalls(t *testing.T) {
 	fs, db := inMemoryFixture(t)
@@ -143,7 +144,7 @@ func TestUnsyncedCommitInstalls(t *testing.T) {
 	}
 	fs.SetFailurePlan(storage.FailurePlan{})
 	files := db.Files()
-	if len(files) != 1 || len(db.Table("from").Runs(0)) != 1 {
+	if len(files) != 2 || len(db.Table("from").Runs(0)) != 1 {
 		t.Fatalf("after the unsynced commit the manifest names %v", files)
 	}
 	onDisk := listFiles(t, fs)
@@ -275,5 +276,54 @@ func TestInstallInMemoryDropsUnreadPages(t *testing.T) {
 		if got := db.cache.SizeBytes(); got != 0 {
 			t.Fatalf("%d bytes cached for runs nothing reads after the view's release", got)
 		}
+	}
+}
+
+// TestCommitRidesTheNewestEntry: a checkpoint's commit rides its run file
+// only when that file is the newest entry the commit makes. One that also
+// writes a deletion vector, created after the run file, writes its trailer
+// to a commit file made after both, so that a crash keeping a prefix of the
+// directory's entries keeps the carrier only with every file it names: the
+// run file is synced without a trailer, and every prefix reopens the new
+// commit or the one before.
+func TestCommitRidesTheNewestEntry(t *testing.T) {
+	for kept := range 4 {
+		fs := storage.NewMemFS()
+		db := openTestDB(t, fs, 1)
+		flushRecords(t, db, "from", 1, [][]byte{rec16(1, 10), rec16(2, 20)})
+		if !strings.HasPrefix(db.commit, "from.") {
+			t.Fatalf("a checkpoint with no vector to write committed in %s, want its run file", db.commit)
+		}
+		db.Table("from").DeleteRecord(rec16(2, 20))
+		// The commit's directory sync fails, so the crash may keep any
+		// prefix of its entries: the run file, the vector file, the commit
+		// file.
+		fs.SetFailurePlan(storage.FailurePlan{Hook: func(c storage.Call) error {
+			if c.Op == storage.OpSyncDir {
+				return storage.ErrInjected
+			}
+			return nil
+		}})
+		ref := buildRun(t, db, "from", 0, 2, storage.SrcCheckpoint, rec16(3, 30))
+		if err := db.NewEdit().SetCP(2).AddRun(ref).Commit(); !errors.Is(err, ErrUnsynced) {
+			t.Fatalf("Commit = %v, want the injected directory-sync failure", err)
+		}
+		fs.SetFailurePlan(storage.FailurePlan{})
+		if !strings.HasPrefix(db.commit, commitPrefix) || db.m.Tables["from"].DVFile == "" {
+			t.Fatalf("a checkpoint that persisted a vector committed in %s, want a commit file", db.commit)
+		}
+		if _, err := db.readCommit(ref.file.name); !errors.Is(err, errTorn) {
+			t.Fatalf("the run file %s carries a commit (%v)", ref.file.name, err)
+		}
+		db.Close()
+		fs.Crash(storage.CrashState{Directory: true, Entries: kept})
+		db, err := Open(fs, Options{Tables: []TableSpec{{Name: "from", RecordSize: testRecSize}, {Name: "to", RecordSize: testRecSize}}, Partitions: 1})
+		if err != nil {
+			t.Fatalf("%d of the commit's 3 entries kept: %v", kept, err)
+		}
+		if cp := db.CP(); cp != 1 && cp != 2 || (cp == 2) != (kept == 3) {
+			t.Fatalf("%d of the commit's 3 entries kept: reopened at CP %d", kept, cp)
+		}
+		db.Close()
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -102,20 +103,77 @@ func TestOverridesPoisonDroppability(t *testing.T) {
 	}
 }
 
-// manifestBody returns the JSON body of the manifest on disk, whatever its
-// version.
-func manifestBody(t *testing.T, fs *storage.MemFS) []byte {
+// commitFile returns the file that carries the store's newest commit: a
+// trailer's carrier, or the legacy manifest.
+func commitFile(t testing.TB, fs *storage.MemFS) string {
 	t.Helper()
-	buf := readFile(t, fs, manifestName)
+	names, err := fs.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, name, err := (&DB{vfs: fs}).findCommit(names)
+	if err != nil && slices.Contains(names, legacyManifest) {
+		return legacyManifest // one this binary refuses
+	}
+	if err != nil || name == "" {
+		t.Fatalf("no commit among %v: %v", names, err)
+	}
+	return name
+}
+
+// trailer returns the envelope and the footer of the trailer name carries.
+func trailer(t testing.TB, fs *storage.MemFS, name string) (env, footer []byte) {
+	t.Helper()
+	buf := readFile(t, fs, name)
+	footer = buf[len(buf)-trailerFooterLen:]
+	return buf[binary.LittleEndian.Uint64(footer[16:]) : len(buf)-trailerFooterLen], footer
+}
+
+// manifestBody returns the JSON body of the newest commit's manifest,
+// whatever its version and whatever file carries it.
+func manifestBody(t testing.TB, fs *storage.MemFS) []byte {
+	t.Helper()
+	name := commitFile(t, fs)
+	if name != legacyManifest {
+		env, _ := trailer(t, fs, name)
+		return env[manifestEnvLen:]
+	}
+	buf := readFile(t, fs, name)
 	if len(buf) > 0 && buf[0] == '{' {
 		return buf
 	}
 	return buf[manifestEnvLen:]
 }
 
-// setManifestVersion rewrites the manifest on disk with its version field
-// set to v, or removed when v < 0, the way a commit installs one (write a
-// temporary file, rename): inside an envelope of version v from the current
+// toLegacy makes the store what a binary before the commit trailer left:
+// no file carries a commit — a commit file is removed, a run file rewritten
+// without its trailer — and MANIFEST holds manifest.
+func toLegacy(t testing.TB, fs *storage.MemFS, manifest []byte) {
+	t.Helper()
+	names, err := fs.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		if _, err := (&DB{vfs: fs}).readCommit(name); err != nil {
+			continue
+		}
+		if !strings.HasSuffix(name, ".run") {
+			if err := fs.Remove(name); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		env, footer := trailer(t, fs, name)
+		buf := readFile(t, fs, name)
+		plant(t, fs, name, buf[:len(buf)-len(env)-len(footer)])
+	}
+	plant(t, fs, legacyManifest, manifest)
+}
+
+// setManifestVersion turns the store into a legacy one (toLegacy) whose
+// manifest is its newest commit's with the version field set to v, or
+// removed when v < 0: inside an envelope of version v from the current
 // version on, as the bare JSON of the versions before it otherwise.
 func setManifestVersion(t *testing.T, fs *storage.MemFS, v int) {
 	t.Helper()
@@ -134,20 +192,7 @@ func setManifestVersion(t *testing.T, fs *storage.MemFS, v int) {
 	if v >= manifestVersion {
 		buf = sealManifest(v, buf)
 	}
-	nf, err := fs.Create(manifestName + ".new")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nf.WriteAt(buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := nf.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	nf.Close()
-	if err := fs.Rename(manifestName+".new", manifestName); err != nil {
-		t.Fatal(err)
-	}
+	toLegacy(t, fs, buf)
 }
 
 func readFile(t testing.TB, fs *storage.MemFS, name string) []byte {

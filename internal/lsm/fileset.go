@@ -28,8 +28,8 @@ import (
 // whose runs all fit their buffers is one write.
 //
 // The checkpoint flush writes its From, To and Combined runs through one
-// set, so a consistency point costs one run file per partition plus the
-// manifest, its tables on three goroutines. A merge does too, from the one
+// set, its tables on three goroutines, so a consistency point costs one run
+// file per partition; its commit rides the last of them (see Finish). A merge does too, from the one
 // goroutine that joins its inputs: its later sections buffer their whole
 // run until the join ends, and Finish writes them. Under tiered retention a
 // merge's sealed Combined output and its override run go apart, since
@@ -43,6 +43,7 @@ type FileSet struct {
 
 	mu     sync.Mutex
 	shared map[int]*setFile // by partition, made by its first record
+	last   *setFile         // the shared file made last
 	apart  []*setFile       // the files of runs apart, made by their first record
 	runs   []*RunBuilder    // in the order Run and RunApart made them
 	done   []bool           // by table: its stream ended and its runs are sealed
@@ -135,7 +136,7 @@ func (b *RunBuilder) start() error {
 		if b.apart {
 			s.apart = append(s.apart, file)
 		} else {
-			s.shared[b.partition] = file
+			s.shared[b.partition], s.last = file, file
 			for slot, done := range s.done {
 				if done {
 					file.fw.Skip(slot)
@@ -207,6 +208,11 @@ func (s *FileSet) Done(table string, err error) error {
 // the Edit that installs them. A run that got no record is not among them.
 // A run alone in its file is its whole file; the others are recorded with
 // where the file holds them. On error every file is removed, as by Abort.
+//
+// A checkpoint's set (src storage.SrcCheckpoint) lays out the file it made
+// last and leaves its final write and its sync to the Edit that installs
+// its runs: the commit rides that write as the file's trailer, after every
+// other file of the set is synced (see Edit.Write).
 func (s *FileSet) Finish() ([]RunRef, error) {
 	refs, err := s.finish()
 	if err != nil {
@@ -228,6 +234,14 @@ func (s *FileSet) finish() ([]RunRef, error) {
 		files = append(files, s.shared[p])
 	}
 	for _, file := range append(files, s.apart...) {
+		if file == s.last && s.src == storage.SrcCheckpoint {
+			l, err := file.fw.Place()
+			if err != nil {
+				return nil, err
+			}
+			file.rf.pending, file.rf.layout = file.fw, l
+			continue
+		}
 		if err := file.fw.Finish(); err != nil {
 			return nil, err
 		}
@@ -264,5 +278,5 @@ func (s *FileSet) Abort() {
 	for _, file := range s.apart {
 		s.db.removeFile(file.rf, s.src)
 	}
-	s.shared, s.apart, s.runs = nil, nil, nil
+	s.shared, s.apart, s.runs, s.last = nil, nil, nil, nil
 }

@@ -9,27 +9,31 @@
 // a Bloom filter over its block numbers so queries open only runs that may
 // contain the queried block.
 //
-// A consistency point is one run file per partition plus the manifest: the
-// checkpoint's From, To and Combined runs of a partition are sections of one
-// file (FileSet), written and synced once. A merge's outputs are too, but
-// for a run that leaves the store alone — under tiered retention a sealed
+// A consistency point is one run file per partition: the checkpoint's
+// From, To and Combined runs of a partition are sections of one file
+// (FileSet), written and synced once. A merge's outputs are too, but for a
+// run that leaves the store alone — under tiered retention a sealed
 // Combined run, which expiry drops by itself — which is a file of its own.
 // Whatever file a run is in, lsm plans, pins, merges and expires runs; a
 // file is removed when the last version referencing any of its runs goes.
 //
-// A single manifest file is the commit point: run files are written and
-// synced first, then the manifest is atomically replaced (write temp, sync,
-// rename), mirroring the write-anywhere "root written last" discipline the
-// paper's recovery story relies on (Section 5.4). A crash between run
-// writes and the manifest commit leaves orphan files that Open garbage
-// collects. An edit that only reorganizes durable records — a merge's —
-// may install in memory instead (Edit.Prepare): the live runs move, the
-// manifest and the files it names stay until the next commit writes the
-// live runs, and a crash before it reopens what the manifest names. The
-// manifest records where in its file each run lies, carries a checksum,
-// and carries one opaque section for its caller (Options.Section — the
-// engine's snapshot catalog), so state that decides what the runs mean
-// changes in the same rename as the runs.
+// The checkpoint is the commit, as in the paper's write-anywhere file
+// system (Section 5.4): the manifest that names the live runs is the
+// trailer of the checkpoint's last run file, written after its filters
+// and synced with it in that file's one sync, every other file it names
+// synced before. A commit that builds no run — an expiry, the commit a
+// compaction or a clean close ends with — writes the same trailer as a
+// commit file of its own. Open takes the newest commit whose trailer, and
+// for a run file whose every page, checks: a crash mid-commit leaves the
+// previous commit in place, and orphan files that Open collects. An edit
+// that only reorganizes durable records — a merge's — may install in
+// memory instead (Edit.Prepare): the live runs move, the committed manifest
+// and the files it names stay until the next commit writes the live runs,
+// and a crash before it reopens what that manifest names. The manifest
+// records where in its file each run lies, carries a checksum, and carries
+// one opaque section for its caller (Options.Section — the engine's
+// snapshot catalog), so state that decides what the runs mean changes in
+// the same commit as the runs.
 //
 // The layer is policy-free: it stores opaque fixed-size records ordered by
 // bytes.Compare whose first 8 bytes are the big-endian physical block
@@ -48,6 +52,7 @@ import (
 	"maps"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -57,15 +62,23 @@ import (
 )
 
 const (
-	manifestName    = "MANIFEST"
-	manifestTmpName = "MANIFEST.tmp"
+	// legacyManifest is where binaries before the commit trailer kept the
+	// manifest, replaced through legacyManifestTmp. Open reads it when no
+	// trailer commit exists; the first commit removes both.
+	legacyManifest    = "MANIFEST"
+	legacyManifestTmp = "MANIFEST.tmp"
+
+	// commitPrefix names the commit files of commits that build no run of
+	// their own: commit.<id>.
+	commitPrefix = "commit."
 
 	// manifestVersion is the on-disk manifest format Commit writes: a JSON
 	// body of per-run consistency-point windows ([min_cp, max_cp]),
 	// override-record counts, where in its file each run lies, and the
-	// caller's section, inside a checksummed envelope (encodeManifest).
-	// loadManifest also accepts manifestJSONVersion, the version before
-	// it: the same body as bare JSON, every run a file of its own.
+	// caller's section, inside a checksummed envelope (sealManifest), in a
+	// commit trailer (sealTrailer). decodeManifest also accepts
+	// manifestJSONVersion, the version before it: the same body as bare
+	// JSON, every run a file of its own, in a legacy manifest.
 	manifestVersion     = 4
 	manifestJSONVersion = 3
 
@@ -74,6 +87,14 @@ const (
 	// little-endian u32, then the body.
 	manifestMagic  = "BKMANFST"
 	manifestEnvLen = len(manifestMagic) + 12
+
+	// A commit trailer is a manifest envelope and then a footer: its magic,
+	// the file's layout before the trailer (btree.Layout: where its pages
+	// end, where its filters end, which is where the envelope starts, and
+	// the filters' CRC-32C), then the CRC-32C of the footer's bytes before
+	// it, each number little-endian. A commit file holds only the trailer.
+	trailerMagic     = "BKCOMMIT"
+	trailerFooterLen = 8 + 8 + 8 + 4 + 4 // magic, pages end, filters end, filter CRC, CRC
 
 	// dvVersion is the deletion-vector file format Write makes: the table's
 	// hidden records, sorted, inside the manifest's envelope. loadDV also
@@ -149,7 +170,7 @@ type Options struct {
 	// every manifest carries beside the run sets. Edit.Write calls it while
 	// it builds the next manifest, serialized against every other commit,
 	// and stores what it returns: whatever the section serializes
-	// becomes durable in the same rename as the edit, never before and
+	// becomes durable in the same commit as the edit, never before and
 	// never after. With a nil Section the manifest gets no section of this
 	// process's making (one found on disk is carried forward untouched).
 	Section func() ([]byte, error)
@@ -170,6 +191,9 @@ type DB struct {
 
 	tables map[string]*Table
 	m      manifest
+	// commit is the file that carries m: a run file, a commit file, the
+	// legacy manifest, or "" before the first commit.
+	commit string
 
 	// idMu guards nextID, the monotonic run/DV file-ID allocator.
 	// Allocation is deliberately outside the manifest struct: builders
@@ -300,7 +324,7 @@ type Table struct {
 	// and UndeleteRecord edit it in memory and set dvDirty; entries are
 	// collected by an edit that drops runs of the table, and the vector
 	// written to its dv.* file by Edit.Write alone — see there when — and
-	// Install swaps the result in only once the manifest has been renamed,
+	// Install swaps the result in only once the manifest has been committed,
 	// or, for an install in memory, once Prepare has built it.
 	dv       map[string]struct{}
 	dvShared bool
@@ -468,14 +492,25 @@ func Open(vfs storage.VFS, opts Options) (*DB, error) {
 		}
 		db.tables[spec.Name] = t
 	}
-	if err := db.loadManifest(); err != nil {
+	names, err := vfs.List()
+	if err != nil {
 		return nil, err
 	}
+	if err := db.loadManifest(names); err != nil {
+		return nil, err
+	}
+	// IDs go on above every file of ours, an orphan included, so that a
+	// commit file is newer by ID than every commit before it.
 	db.nextID = db.m.NextID
+	for _, name := range names {
+		if id, ok := fileID(name); ok && id >= db.nextID {
+			db.nextID = id + 1
+		}
+	}
 	db.cur = db.newVersion()
 	db.cur.refs++
 	db.durable = db.cur
-	if err := db.collectOrphans(); err != nil {
+	if err := db.collectOrphans(names); err != nil {
 		db.Close()
 		return nil, err
 	}
@@ -515,6 +550,11 @@ func (db *DB) Table(name string) *Table { return db.tables[name] }
 
 // CP returns the last committed consistency point number.
 func (db *DB) CP() uint64 { return db.m.CP }
+
+// CommitInRun reports whether the last commit rides a run file: a reopen
+// then verifies that file's every page (see Open), which a commit file of
+// its own would spare it.
+func (db *DB) CommitInRun() bool { return strings.HasSuffix(db.commit, ".run") }
 
 // Section returns the section the committed manifest carries, or nil. The
 // caller must hold the structural lock (shared suffices) or serialize
@@ -694,14 +734,134 @@ func corrupt(format string, args ...any) error {
 	return fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
 }
 
-// encodeManifest returns the bytes of m's manifest file: m as JSON inside
-// the envelope.
-func encodeManifest(m manifest) ([]byte, error) {
-	body, err := json.Marshal(&m)
+// sealTrailer returns the commit trailer of a manifest body, for a file
+// laid out as l before it (the zero Layout for a commit file).
+func sealTrailer(body []byte, l btree.Layout) []byte {
+	le := binary.LittleEndian
+	footer := le.AppendUint64(nil, uint64(l.Pages))
+	footer = le.AppendUint64(footer, uint64(l.End))
+	footer = le.AppendUint32(footer, l.FilterCRC)
+	buf := append(sealManifest(manifestVersion, body), trailerMagic...)
+	buf = append(buf, footer...)
+	return le.AppendUint32(buf, crc32.Checksum(footer, castagnoli))
+}
+
+// errTorn marks a file that carries no whole commit: no trailer, a
+// trailer whose checksums fail, or pages that fail theirs. Open passes
+// over it to an older commit.
+var errTorn = errors.New("lsm: no whole commit")
+
+// readCommit reads the commit name carries, attributed to recovery: the
+// trailer at the end of a commit file or of a run file, and for a run file
+// every page and filter before it too, since one sync does not order the
+// file's pages. A file whose trailer or pages fail their checksums wraps
+// errTorn; a trailer that checks but does not decode is ErrCorrupt.
+func (db *DB) readCommit(name string) (manifest, error) {
+	f, err := db.vfsFor(storage.SrcRecovery).Open(name)
 	if err != nil {
-		return nil, err
+		return manifest{}, err
 	}
-	return sealManifest(m.Version, body), nil
+	defer f.Close()
+	size, err := f.Size()
+	if err != nil {
+		return manifest{}, err
+	}
+	torn := func(format string, args ...any) (manifest, error) {
+		return manifest{}, fmt.Errorf("%w: %s: "+format, append([]any{errTorn, name}, args...)...)
+	}
+	if size < int64(manifestEnvLen+trailerFooterLen) {
+		return torn("%d bytes", size)
+	}
+	footer := make([]byte, trailerFooterLen)
+	if _, err := f.ReadAt(footer, size-trailerFooterLen); err != nil {
+		return manifest{}, err
+	}
+	le := binary.LittleEndian
+	if string(footer[:len(trailerMagic)]) != trailerMagic || le.Uint32(footer[trailerFooterLen-4:]) != crc32.Checksum(footer[len(trailerMagic):trailerFooterLen-4], castagnoli) {
+		return torn("no trailer footer")
+	}
+	l := btree.Layout{Pages: int64(le.Uint64(footer[8:])), End: int64(le.Uint64(footer[16:])), FilterCRC: le.Uint32(footer[24:])}
+	if l.End < 0 || l.End > size-trailerFooterLen {
+		return torn("an envelope at %d in a %d-byte file", l.End, size)
+	}
+	env := make([]byte, size-trailerFooterLen-l.End)
+	if _, err := f.ReadAt(env, l.End); err != nil {
+		return manifest{}, err
+	}
+	v, body, err := unseal(env)
+	if err != nil {
+		return torn("%v", err)
+	}
+	if v != manifestVersion {
+		return manifest{}, versionRefused(v)
+	}
+	if strings.HasSuffix(name, ".run") {
+		if err := btree.CheckFile(f, l); errors.Is(err, btree.ErrCorrupt) {
+			return torn("%v", err)
+		} else if err != nil {
+			return manifest{}, err
+		}
+	}
+	var m manifest
+	if err := json.Unmarshal(body, &m); err != nil {
+		return manifest{}, corrupt("%s: %v", name, err)
+	}
+	if m.Version != manifestVersion {
+		return manifest{}, corrupt("%s: version %d in a version-%d envelope", name, m.Version, manifestVersion)
+	}
+	return m, nil
+}
+
+// fileID returns the ID in the name of a file Open may find: a run file
+// (<kind>.pNNN.<id>.run), a commit file or a vector file (dv.<table>.<id>).
+func fileID(name string) (uint64, bool) {
+	base := strings.TrimSuffix(name, ".run")
+	if base == name && !strings.HasPrefix(name, commitPrefix) && !strings.HasPrefix(name, "dv.") {
+		return 0, false
+	}
+	id, err := strconv.ParseUint(base[strings.LastIndexByte(base, '.')+1:], 10, 64)
+	return id, err == nil
+}
+
+// findCommit returns the newest commit among names and the file that
+// carries it. Every file that carries one — a commit file, a checkpoint's
+// last run file — is created by the commit it carries, which is serialized
+// against every other, so ID order is commit order: of the commit and run
+// files, newest first, the first whose commit is whole wins. A run file
+// with no trailer (a merge's, a checkpoint's other files) carries none, and
+// a torn one, which only a crash before its commit point leaves, gives way
+// to the commit before it. The legacy manifest is read only when no file
+// carries a commit.
+func (db *DB) findCommit(names []string) (manifest, string, error) {
+	var carriers []string
+	for _, name := range names {
+		if _, ok := fileID(name); ok && !strings.HasPrefix(name, "dv.") {
+			carriers = append(carriers, name)
+		}
+	}
+	slices.SortFunc(carriers, func(a, b string) int {
+		ia, _ := fileID(a)
+		ib, _ := fileID(b)
+		return cmp.Compare(ib, ia)
+	})
+	for _, name := range carriers {
+		m, err := db.readCommit(name)
+		if err == nil {
+			return m, name, nil
+		}
+		if !errors.Is(err, errTorn) {
+			return manifest{}, "", err
+		}
+	}
+	if !slices.Contains(names, legacyManifest) {
+		return manifest{}, "", nil
+	}
+	buf, err := readAll(db.vfsFor(storage.SrcRecovery), legacyManifest)
+	if err != nil {
+		return manifest{}, "", fmt.Errorf("lsm: reading manifest: %w", err)
+	}
+	m, err := decodeManifest(buf)
+	return m, legacyManifest, err
 }
 
 // sealManifest wraps a manifest body in the envelope, whose checksum covers
@@ -739,10 +899,10 @@ func manifestCRC(buf []byte) uint32 {
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// decodeManifest parses a manifest file: an envelope, or bare JSON, which
+// decodeManifest parses a legacy manifest: an envelope, or bare JSON, which
 // is what version 3 and the versions before it wrote. A flipped byte or a
-// cut-off file is ErrCorrupt; a version this binary does not read is
-// refused by its number.
+// cut-off file is ErrCorrupt — nothing older can stand in for it — and a
+// version this binary does not read is refused by its number.
 func decodeManifest(buf []byte) (manifest, error) {
 	var m manifest
 	if len(buf) > 0 && buf[0] == '{' {
@@ -782,22 +942,19 @@ func versionRefused(v int) error {
 		v, manifestVersion, manifestJSONVersion, manifestVersion)
 }
 
-// loadManifest reads the manifest and opens what it names: every run file
-// once — its layout checked against the file's size before any run of it
-// is read — then every run, in its partition's order. On error every
-// handle it opened is closed again.
-func (db *DB) loadManifest() error {
-	buf, err := readAll(db.vfsFor(storage.SrcRecovery), manifestName)
-	if errors.Is(err, storage.ErrNotExist) {
-		db.m = manifest{Version: manifestVersion, NextID: 1, Tables: map[string]tableManifest{}}
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("lsm: reading manifest: %w", err)
-	}
-	m, err := decodeManifest(buf)
+// loadManifest reads the newest commit among the directory's names
+// (findCommit) and opens what it names: every run file once — its layout
+// checked against the file's size before any run of it is read — then
+// every run, in its partition's order. On error every handle it opened is
+// closed again.
+func (db *DB) loadManifest(names []string) error {
+	m, commit, err := db.findCommit(names)
 	if err != nil {
 		return err
+	}
+	if commit == "" {
+		db.m = manifest{Version: manifestVersion, NextID: 1, Tables: map[string]tableManifest{}}
+		return nil
 	}
 	byFile := map[string][]runManifest{}
 	for name, tm := range m.Tables {
@@ -848,7 +1005,7 @@ func (db *DB) loadManifest() error {
 			return fail(err)
 		}
 	}
-	db.m = m
+	db.m, db.commit = m, commit
 	for name, tm := range m.Tables {
 		t := db.tables[name]
 		for p, runs := range tm.Partitions {
@@ -907,23 +1064,21 @@ func checkLayout(name string, rms []runManifest, size int64) error {
 	return nil
 }
 
-// collectOrphans removes files not referenced by the manifest: leftovers
-// of a crash between run writes and the manifest commit.
-func (db *DB) collectOrphans() error {
-	live := map[string]bool{manifestName: true}
+// collectOrphans removes the files among names that the commit Open took
+// neither carries nor names: leftovers of a crash before a commit point,
+// commits older than it, and a legacy manifest a trailer commit replaced.
+func (db *DB) collectOrphans(names []string) error {
+	live := map[string]bool{}
 	for _, name := range db.Files() {
 		live[name] = true
-	}
-	names, err := db.vfs.List()
-	if err != nil {
-		return err
 	}
 	rvfs := db.vfsFor(storage.SrcRecovery)
 	for _, name := range names {
 		if live[name] {
 			continue
 		}
-		if !strings.HasSuffix(name, ".run") && !strings.HasPrefix(name, "dv.") && name != manifestTmpName {
+		if !strings.HasSuffix(name, ".run") && !strings.HasPrefix(name, "dv.") && !strings.HasPrefix(name, commitPrefix) &&
+			name != legacyManifest && name != legacyManifestTmp {
 			continue // not ours
 		}
 		if err := rvfs.Remove(name); err != nil && !errors.Is(err, storage.ErrNotExist) {
@@ -933,12 +1088,16 @@ func (db *DB) collectOrphans() error {
 	return nil
 }
 
-// Files returns the files the committed manifest names — every run file,
-// once however many runs it holds, and every deletion-vector file — sorted.
-// Open removes any other run, vector or temporary manifest file it finds.
-// The caller must hold the structural lock (shared suffices).
+// Files returns the files the last commit needs — the file that carries it
+// and every file its manifest names: every run file, once however many
+// runs it holds, and every deletion-vector file — sorted. Open removes any
+// other run, vector, commit or manifest file it finds. The caller must
+// hold the structural lock (shared suffices).
 func (db *DB) Files() []string {
 	var names []string
+	if db.commit != "" {
+		names = append(names, db.commit)
+	}
 	for _, tm := range db.m.Tables {
 		for _, runs := range tm.Partitions {
 			for _, rm := range runs {

@@ -176,19 +176,10 @@ func TestCrashBeforeCommitRecoversOldState(t *testing.T) {
 	if got := collect(t, db2.Table("from"), 2); len(got) != 0 {
 		t.Fatalf("uncommitted record visible after crash")
 	}
-	// The orphan run file must have been collected.
-	names, _ := fs.List()
-	for _, n := range names {
-		for _, r := range db2.Table("from").Runs(0) {
-			if n == r.Name() {
-				goto live
-			}
-		}
-		if n == "MANIFEST" {
-			continue
-		}
-		t.Fatalf("orphan file %q survived recovery", n)
-	live:
+	// The orphan run file must have been collected: the directory holds
+	// the files the commit needs, its carrier among them.
+	if names, _ := fs.List(); !reflect.DeepEqual(names, db2.Files()) {
+		t.Fatalf("after recovery the directory holds %v, the commit needs %v", names, db2.Files())
 	}
 }
 
@@ -469,20 +460,24 @@ func TestDamagedFilterIsReadOnce(t *testing.T) {
 		recs = append(recs, rec16(b, 1))
 	}
 	flushRecords(t, db, "from", 1, recs)
-	name := db.Table("from").Runs(0)[0].Name()
+	name, end := db.Table("from").Runs(0)[0].Name(), db.Table("from").Runs(0)[0].SizeBytes()
+	// A commit file of its own: the run file that carried the checkpoint's
+	// commit is not verified at the reopen, which would find it torn.
+	if err := db.NewEdit().Commit(); err != nil {
+		t.Fatal(err)
+	}
 	db.Close()
 
 	f, err := fs.Open(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	size, _ := f.Size()
-	var b [1]byte
-	if _, err := f.ReadAt(b[:], size-1); err != nil {
+	var b [1]byte // the filter's last byte
+	if _, err := f.ReadAt(b[:], end-1); err != nil {
 		t.Fatal(err)
 	}
 	b[0] ^= 0x04
-	if _, err := f.WriteAt(b[:], size-1); err != nil {
+	if _, err := f.WriteAt(b[:], end-1); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

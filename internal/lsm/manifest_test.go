@@ -2,8 +2,10 @@ package lsm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,8 +13,11 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/backlogfs/backlog/internal/btree"
 	"github.com/backlogfs/backlog/internal/storage"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/commit-trailer* from this run")
 
 // goldenSection is the section of testdata/v3-manifest-catalog.json and
 // testdata/v4-manifest-catalog.
@@ -46,7 +51,7 @@ func goldenStore(t testing.TB, fs storage.VFS, section func() ([]byte, error)) *
 	return db
 }
 
-func testdata(t *testing.T, name string) []byte {
+func testdata(t testing.TB, name string) []byte {
 	t.Helper()
 	b, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
@@ -97,20 +102,28 @@ func goldenStoreV4(t testing.TB, fs storage.VFS, section func() ([]byte, error))
 }
 
 // TestManifestV4BytesPinned: the encoder keeps producing the bytes of the
-// two version-4 goldens, with and without a section, and a store reopened
-// from them agrees with the one that wrote them.
+// two version-4 trailer goldens — goldenStoreV4's last commit, with and
+// without a section: the manifest's envelope and the footer after it — and
+// a store reopened from its run files agrees with the one that wrote them.
+// -update rewrites the goldens.
 func TestManifestV4BytesPinned(t *testing.T) {
 	for _, tc := range []struct {
 		golden  string
 		section func() ([]byte, error)
 	}{
-		{"v4-manifest", nil},
-		{"v4-manifest-catalog", func() ([]byte, error) { return []byte(goldenSection), nil }},
+		{"commit-trailer", nil},
+		{"commit-trailer-catalog", func() ([]byte, error) { return []byte(goldenSection), nil }},
 	} {
 		fs := storage.NewMemFS()
 		db := goldenStoreV4(t, fs, tc.section)
-		want := testdata(t, tc.golden)
-		if got := readFile(t, fs, manifestName); !bytes.Equal(got, want) {
+		env, footer := trailer(t, fs, commitFile(t, fs))
+		got := append(bytes.Clone(env), footer...)
+		if *update {
+			if err := os.WriteFile(filepath.Join("testdata", tc.golden), got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if want := testdata(t, tc.golden); !bytes.Equal(got, want) {
 			t.Fatalf("%s: the encoder wrote\n%q\nthe golden holds\n%q", tc.golden, got, want)
 		}
 		before := storeState(t, db)
@@ -126,10 +139,92 @@ func TestManifestV4BytesPinned(t *testing.T) {
 	}
 }
 
+// legacyV4Store is goldenStoreV4 as the writer before the commit trailer
+// left it, with manifest, a version-4 golden, in MANIFEST: no trailer, and
+// its checkpoint files one ID lower, because the commit file of
+// goldenStore's last commit took an ID that writer did not allocate.
+func legacyV4Store(t testing.TB, fs *storage.MemFS, manifest []byte, section func() ([]byte, error)) {
+	t.Helper()
+	goldenStoreV4(t, fs, section).Close()
+	toLegacy(t, fs, manifest)
+	names, err := fs.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		if id, ok := fileID(name); ok && strings.HasPrefix(name, "cp.") {
+			plant(t, fs, strings.Replace(name, fmt.Sprintf("%010d", id), fmt.Sprintf("%010d", id-1), 1), readFile(t, fs, name))
+			if err := fs.Remove(name); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// renumbered is a storeState of legacyV4Store with its checkpoint files
+// named as goldenStoreV4 names them.
+func renumbered(state string) string {
+	state = strings.ReplaceAll(state, "cp.p001.0000000008.run", "cp.p001.0000000009.run")
+	return strings.ReplaceAll(state, "cp.p000.0000000007.run", "cp.p000.0000000008.run")
+}
+
+// TestManifestV4StillReads: a store whose MANIFEST is one of the two
+// version-4 goldens the writer before the commit trailer made (never
+// regenerate them) opens to the state goldenStoreV4 has, rewriting
+// nothing; its first commit writes a trailer with the same body and
+// removes MANIFEST, and a reopen reads no MANIFEST and agrees.
+func TestManifestV4StillReads(t *testing.T) {
+	for _, tc := range []struct {
+		golden  string
+		section func() ([]byte, error)
+	}{
+		{"v4-manifest", nil},
+		{"v4-manifest-catalog", func() ([]byte, error) { return []byte(goldenSection), nil }},
+	} {
+		fs := storage.NewMemFS()
+		db := goldenStoreV4(t, storage.NewMemFS(), tc.section)
+		want := storeState(t, db)
+		db.Close()
+		golden := testdata(t, tc.golden)
+		legacyV4Store(t, fs, golden, tc.section)
+		before := snapshotFiles(t, fs)
+		if db, err := Open(fs, goldenOptions(tc.section)); err != nil {
+			t.Fatalf("%s: %v", tc.golden, err)
+		} else {
+			if got := renumbered(storeState(t, db)); got != want {
+				t.Fatalf("%s opens to\n%s\nthe store that wrote it\n%s", tc.golden, got, want)
+			}
+			if after := snapshotFiles(t, fs); !reflect.DeepEqual(after, before) {
+				t.Fatalf("%s: Open changed the directory", tc.golden)
+			}
+			if err := db.NewEdit().Commit(); err != nil {
+				t.Fatal(err)
+			}
+			db.Close()
+		}
+		if listFiles(t, fs)[legacyManifest] {
+			t.Fatalf("%s: MANIFEST outlived the first commit", tc.golden)
+		}
+		// The commit file took ID 9, the golden's next ID.
+		if body := manifestBody(t, fs); !bytes.Equal(bytes.Replace(body, []byte(`"next_id":10`), []byte(`"next_id":9`), 1), golden[manifestEnvLen:]) {
+			t.Fatalf("%s: the first commit wrote\n%s\nwant the golden's body", tc.golden, body)
+		}
+		db, err := Open(fs, goldenOptions(tc.section))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if db.commit == legacyManifest || renumbered(storeState(t, db)) != want {
+			t.Fatalf("%s: the upgraded store reopens from %s to\n%s", tc.golden, db.commit, storeState(t, db))
+		}
+		db.Close()
+	}
+}
+
 // TestManifestV3BytesPinned: the two version-3 goldens, the bare JSON the
 // previous encoder wrote for goldenStore (never regenerate them), still
-// open to the store that wrote them, and its first commit writes version 4
-// with the same runs and section, which a reopen agrees with.
+// open to the store that wrote them, and its first commit writes a version-4
+// trailer with the same runs and section and removes MANIFEST, and a
+// reopen agrees.
 func TestManifestV3BytesPinned(t *testing.T) {
 	for _, tc := range []struct {
 		golden  string
@@ -142,7 +237,7 @@ func TestManifestV3BytesPinned(t *testing.T) {
 		db := goldenStore(t, fs, tc.section)
 		want := storeState(t, db)
 		db.Close()
-		plant(t, fs, manifestName, testdata(t, tc.golden))
+		toLegacy(t, fs, testdata(t, tc.golden))
 		db, err := Open(fs, goldenOptions(tc.section))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.golden, err)
@@ -153,9 +248,10 @@ func TestManifestV3BytesPinned(t *testing.T) {
 		if err := db.NewEdit().Commit(); err != nil {
 			t.Fatal(err)
 		}
-		if body := manifestBody(t, fs); !bytes.HasPrefix(readFile(t, fs, manifestName), []byte(manifestMagic)) ||
-			!bytes.Equal(bytes.Replace(body, []byte(`{"version":4,`), []byte(`{"version":3,`), 1), testdata(t, tc.golden)) {
-			t.Fatalf("%s: the first commit wrote\n%s\nwant the same body at version 4", tc.golden, body)
+		// The commit file took ID 7, the golden's next ID.
+		body := bytes.Replace(manifestBody(t, fs), []byte(`"next_id":8,`), []byte(`"next_id":7,`), 1)
+		if listFiles(t, fs)[legacyManifest] || !bytes.Equal(bytes.Replace(body, []byte(`{"version":4,`), []byte(`{"version":3,`), 1), testdata(t, tc.golden)) {
+			t.Fatalf("%s: the first commit wrote\n%s\nwant the same body at version 4, and no MANIFEST left", tc.golden, body)
 		}
 		db.Close()
 		if db, err = Open(fs, goldenOptions(tc.section)); err != nil {
@@ -175,7 +271,7 @@ func TestManifestV3BytesPinned(t *testing.T) {
 func TestManifestV2RefusedByName(t *testing.T) {
 	fs := storage.NewMemFS()
 	goldenStore(t, fs, nil).Close()
-	plant(t, fs, manifestName, testdata(t, "v2-manifest.json"))
+	toLegacy(t, fs, testdata(t, "v2-manifest.json"))
 	plant(t, fs, "CATALOG", []byte(goldenSection))
 	before := snapshotFiles(t, fs)
 	_, err := Open(fs, goldenOptions(func() ([]byte, error) { return nil, nil }))
@@ -201,13 +297,17 @@ func snapshotFiles(t testing.TB, fs *storage.MemFS) map[string]string {
 	return files
 }
 
-// refuses opens fs with manifest planted and wants ErrCorrupt, with nothing
-// on disk changed.
+// refuses opens fs with manifest planted as the legacy manifest and wants
+// ErrCorrupt, with nothing on disk changed.
 func refuses(t *testing.T, fs *storage.MemFS, manifest []byte, what string) {
 	t.Helper()
-	plant(t, fs, manifestName, manifest)
+	toLegacy(t, fs, manifest)
 	refusesOpen(t, fs, goldenOptions(nil), what)
 }
+
+// newestCommit is a name for a commit file newer than every file of the
+// golden stores.
+const newestCommit = "commit.0000000099"
 
 // refusesOpen asserts that opening fs with opts is ErrCorrupt and changes
 // nothing on disk.
@@ -228,12 +328,13 @@ func refusesOpen(t *testing.T, fs *storage.MemFS, opts Options, what string) {
 }
 
 // TestManifestEnvelopeCorruption: every single flipped byte and every
-// truncation of a version-4 manifest is ErrCorrupt at Open — never another
-// topology, never a panic — and a refused Open changes nothing on disk.
+// truncation of a version-4 legacy manifest is ErrCorrupt at Open — never
+// another topology, never a panic — and a refused Open changes nothing on
+// disk.
 func TestManifestEnvelopeCorruption(t *testing.T) {
 	fs := storage.NewMemFS()
-	goldenStoreV4(t, fs, nil).Close()
-	good := readFile(t, fs, manifestName)
+	legacyV4Store(t, fs, testdata(t, "v4-manifest"), nil)
+	good := readFile(t, fs, legacyManifest)
 	for i := range good {
 		for _, mask := range []byte{0x01, 0x80} {
 			bad := bytes.Clone(good)
@@ -243,6 +344,102 @@ func TestManifestEnvelopeCorruption(t *testing.T) {
 		refuses(t, fs, good[:i], fmt.Sprintf("cut at %d of %d bytes", i, len(good)))
 	}
 	refuses(t, fs, append(bytes.Clone(good), 0), "a trailing byte")
+}
+
+// TestTornCommitGivesWay: a commit file with any single byte flipped or cut
+// short, and a checkpoint file carrying a commit whose page or filter
+// bytes, or trailer, fail their checksums, carry no whole commit: Open
+// takes the commit before it and collects the damaged file. A trailer that
+// checks but names a version this binary does not read is refused.
+func TestTornCommitGivesWay(t *testing.T) {
+	base := storage.NewMemFS()
+	db := goldenStoreV4(t, base, func() ([]byte, error) { return []byte(`{"n":1}`), nil })
+	carrier := commitFile(t, base)
+	db.Close()
+	opts := goldenOptions(func() ([]byte, error) { return []byte(`{"n":2}`), nil })
+	db, err := Open(base, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.NewEdit().Commit(); err != nil {
+		t.Fatal(err)
+	}
+	newest := commitFile(t, base)
+	db.Close()
+	files := snapshotFiles(t, base)
+	open := func(what string, damaged string, data []byte) *DB {
+		t.Helper()
+		fs := storage.NewMemFS()
+		for n, b := range files {
+			plant(t, fs, n, []byte(b))
+		}
+		plant(t, fs, damaged, data)
+		db, err := Open(fs, goldenOptions(nil))
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if listFiles(t, fs)[damaged] {
+			t.Fatalf("%s: Open left %s behind", what, damaged)
+		}
+		return db
+	}
+	opts = goldenOptions(nil) // the section Open finds is the commit's
+	good := []byte(files[newest])
+	for i := range good {
+		bad := bytes.Clone(good)
+		bad[i] ^= 0x40
+		for what, data := range map[string][]byte{fmt.Sprintf("byte %d flipped", i): bad, fmt.Sprintf("cut at %d", i): good[:i]} {
+			db := open(what, newest, data)
+			if string(db.Section()) != `{"n":1}` || db.commit != carrier {
+				t.Fatalf("%s: Open took %s, section %s; want %s's", what, db.commit, db.Section(), carrier)
+			}
+			db.Close()
+		}
+	}
+
+	// A crash in the commit that goldenStoreV4's checkpoint at CP 6 makes,
+	// after its trailer's write: a torn page, a torn filter and a torn
+	// trailer each leave the commit before it, CP 5's.
+	pre := storage.NewMemFS()
+	db = goldenStore(t, pre, nil)
+	files = snapshotFiles(t, pre)
+	flushFile(t, db, 6, []string{"from", "combined"}, map[string][][]byte{"from": {rec16(7, 6), rec16(1200, 6)}, "combined": {rec16(8, 6)}})
+	carrier = commitFile(t, pre)
+	for n, b := range snapshotFiles(t, pre) {
+		if _, ok := files[n]; !ok {
+			files[n] = b
+		}
+	}
+	db.Close()
+	run := []byte(files[carrier])
+	env, footer := trailer(t, pre, carrier)
+	l := binary.LittleEndian
+	for what, off := range map[string]int{
+		"a page":      storage.PageSize + 100,
+		"the filters": int(l.Uint64(footer[8:])) + 1,
+		"the trailer": len(run) - len(footer) - len(env)/2,
+	} {
+		bad := bytes.Clone(run)
+		bad[off] ^= 0x40
+		db := open(what, carrier, bad)
+		if db.CP() != 5 || db.commit == carrier {
+			t.Fatalf("torn %s: Open took %s at CP %d; want the commit at CP 5", what, db.commit, db.CP())
+		}
+		db.Close()
+	}
+
+	fs := storage.NewMemFS()
+	for n, b := range files {
+		plant(t, fs, n, []byte(b))
+	}
+	future := sealTrailer([]byte(`{"version":5}`), btree.Layout{})
+	env = future[:len(future)-trailerFooterLen]
+	binary.LittleEndian.PutUint32(env[8:], manifestVersion+1)
+	binary.LittleEndian.PutUint32(env[16:], manifestCRC(env))
+	plant(t, fs, newestCommit, future)
+	if _, err := Open(fs, opts); err == nil || !strings.Contains(err.Error(), "manifest version 5 ") {
+		t.Fatalf("Open of a version-5 trailer = %v, want it refused by its version", err)
+	}
 }
 
 // hostileSections returns the manifests of goldenStoreV4 with its shared
@@ -276,11 +473,11 @@ func hostileSections(t testing.TB, good []byte) map[string][]byte {
 			t.Fatal(err)
 		}
 		mutate(shared(mm))
-		b, err := encodeManifest(mm)
+		b, err := json.Marshal(&mm)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[name] = b
+		out[name] = sealManifest(manifestVersion, b)
 	}
 	return out
 }
@@ -289,12 +486,23 @@ func hostileSections(t testing.TB, good []byte) map[string][]byte {
 // shared file's runs where no writer puts them — a range past the end of
 // the file, overlapping ranges, a page range shorter than the header page,
 // two runs naming one range, an unaligned page offset, a run claiming the
-// whole of a file it shares, pages one page off — is ErrCorrupt at Open.
+// whole of a file it shares, pages one page off — is ErrCorrupt at Open,
+// as the newest commit's trailer and as a legacy manifest.
 func TestManifestHostileSections(t *testing.T) {
 	fs := storage.NewMemFS()
 	goldenStoreV4(t, fs, nil).Close()
-	for name, b := range hostileSections(t, readFile(t, fs, manifestName)) {
-		refuses(t, fs, b, name)
+	env, _ := trailer(t, fs, commitFile(t, fs))
+	for name, b := range hostileSections(t, env) {
+		plant(t, fs, newestCommit, sealTrailer(b[manifestEnvLen:], btree.Layout{}))
+		refusesOpen(t, fs, goldenOptions(nil), name+" (trailer)")
+		if err := fs.Remove(newestCommit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs = storage.NewMemFS()
+	legacyV4Store(t, fs, testdata(t, "v4-manifest"), nil)
+	for name, b := range hostileSections(t, readFile(t, fs, legacyManifest)) {
+		refuses(t, fs, b, name+" (legacy)")
 	}
 }
 
@@ -330,14 +538,14 @@ func TestSectionCommitsWithTheEdit(t *testing.T) {
 	fail = errors.New("no section today")
 	ref := buildRun(t, db, "from", 0, 2, storage.SrcCheckpoint, rec16(7, 7))
 	names, _ := fs.List()
-	manifest := readFile(t, fs, manifestName)
+	manifest := manifestBody(t, fs)
 	if err := db.NewEdit().SetCP(2).AddRun(ref).Commit(); !errors.Is(err, fail) {
 		t.Fatalf("Commit = %v, want the callback's error", err)
 	}
 	if after, _ := fs.List(); len(after) != len(names)-1 || listFiles(t, fs)[ref.rm.Name] {
 		t.Fatalf("after the failed commit: %v, before it %v less the edit's run", after, names)
 	}
-	if !bytes.Equal(readFile(t, fs, manifestName), manifest) || db.CP() != 1 || string(db.Section()) != `{"n":2}` {
+	if !bytes.Equal(manifestBody(t, fs), manifest) || db.CP() != 1 || string(db.Section()) != `{"n":2}` {
 		t.Fatalf("failed commit moved the store: CP %d, section %q", db.CP(), db.Section())
 	}
 	db.Close()
@@ -352,52 +560,68 @@ func TestSectionCommitsWithTheEdit(t *testing.T) {
 	}
 }
 
-// FuzzManifest: whatever bytes MANIFEST holds, Open does not panic, an
-// Open that refuses them leaves every file as it was, and bytes that start
-// like an envelope but do not decode as one of a version this binary reads
-// — flipped, cut short — are ErrCorrupt. The seeds include the manifests of
-// TestManifestHostileSections.
+// FuzzManifest: whatever bytes the legacy MANIFEST (asCommit false) or the
+// newest commit file (asCommit true) holds, Open does not panic, and an
+// Open that refuses them leaves every file as it was. A legacy manifest
+// that starts like an envelope but does not decode as one of a version this
+// binary reads — flipped, cut short — is ErrCorrupt; a commit file that
+// does not check gives way to the commit before it. The seeds include the
+// manifests of TestManifestHostileSections.
 func FuzzManifest(f *testing.F) {
 	for _, name := range []string{"v2-manifest.json", "v3-manifest.json", "v3-manifest-catalog.json"} {
 		b, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(b)
-		f.Add(b[:len(b)/2])
-		f.Add(bytes.Replace(b, []byte(`"level":0`), []byte(`"level":-1`), 1))
-		f.Add(bytes.Replace(b, []byte(`"combined":{"partitions":[[`), []byte(`"combined":{"partitions":[null,[`), 1))
+		f.Add(b, false)
+		f.Add(b[:len(b)/2], false)
+		f.Add(bytes.Replace(b, []byte(`"level":0`), []byte(`"level":-1`), 1), false)
+		f.Add(bytes.Replace(b, []byte(`"combined":{"partitions":[[`), []byte(`"combined":{"partitions":[null,[`), 1), false)
 	}
-	f.Add([]byte(`{"version":3,"tables":{"nosuch":{}}}`))
-	f.Add([]byte(`{"version":4}`))
-	f.Add([]byte(`{"version":3,"catalog":{"lines":`))
+	f.Add([]byte(`{"version":3,"tables":{"nosuch":{}}}`), false)
+	f.Add([]byte(`{"version":4}`), false)
+	f.Add([]byte(`{"version":3,"catalog":{"lines":`), false)
 
 	base := storage.NewMemFS()
-	goldenStoreV4(f, base, nil).Close()
-	v4 := readFile(f, base, manifestName)
-	f.Add(v4)
-	f.Add(v4[:len(v4)/2])
+	legacyV4Store(f, base, testdata(f, "v4-manifest"), nil)
+	v4 := readFile(f, base, legacyManifest)
+	seeds := [][]byte{v4, v4[:len(v4)/2], sealManifest(manifestVersion+1, v4[manifestEnvLen:])}
 	flipped := bytes.Clone(v4)
 	flipped[len(flipped)/2] ^= 0x10
-	f.Add(flipped)
-	f.Add(sealManifest(manifestVersion+1, v4[manifestEnvLen:]))
+	seeds = append(seeds, flipped)
 	for _, b := range hostileSections(f, v4) {
-		f.Add(b)
+		seeds = append(seeds, b)
 	}
-	names, err := base.List()
-	if err != nil {
-		f.Fatal(err)
+	for _, b := range seeds {
+		f.Add(b, false)
+		f.Add(append(bytes.Clone(b), sealTrailer(nil, btree.Layout{})[manifestEnvLen:]...), true)
+		if len(b) > manifestEnvLen {
+			f.Add(sealTrailer(b[manifestEnvLen:], btree.Layout{}), true)
+		}
 	}
-	files := map[string][]byte{}
-	for _, n := range names {
-		files[n] = readFile(f, base, n)
+	stores := map[bool]map[string][]byte{false: {}, true: {}}
+	commits := storage.NewMemFS()
+	goldenStoreV4(f, commits, nil).Close()
+	for asCommit, fs := range map[bool]*storage.MemFS{false: base, true: commits} {
+		names, err := fs.List()
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, n := range names {
+			stores[asCommit][n] = readFile(f, fs, n)
+		}
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, asCommit bool) {
 		fs := storage.NewMemFS()
+		files := stores[asCommit]
 		for n, b := range files {
 			plant(t, fs, n, b)
 		}
-		plant(t, fs, manifestName, data)
+		planted := legacyManifest
+		if asCommit {
+			planted = newestCommit
+		}
+		plant(t, fs, planted, data)
 		plant(t, fs, "from.p000.0000000099.run", []byte("an orphan"))
 		before, _ := fs.List()
 		db, err := Open(fs, goldenOptions(func() ([]byte, error) { return nil, nil }))
@@ -405,7 +629,7 @@ func FuzzManifest(f *testing.F) {
 			db.Close()
 			return
 		}
-		if _, derr := decodeManifest(data); derr != nil && bytes.HasPrefix(data, []byte(manifestMagic)) &&
+		if _, derr := decodeManifest(data); !asCommit && derr != nil && bytes.HasPrefix(data, []byte(manifestMagic)) &&
 			!errors.Is(err, ErrCorrupt) && !strings.Contains(err.Error(), "not supported") {
 			t.Fatalf("Open of a damaged envelope = %v, want ErrCorrupt", err)
 		}
@@ -416,7 +640,7 @@ func FuzzManifest(f *testing.F) {
 		for _, n := range before {
 			want := files[n]
 			switch n {
-			case manifestName:
+			case planted:
 				want = data
 			case "from.p000.0000000099.run":
 				want = []byte("an orphan")
@@ -472,7 +696,7 @@ func TestOpenRefusesHostileFiles(t *testing.T) {
 		}},
 		{"run level", func(t *testing.T, fs *storage.MemFS) Options {
 			deep := fmt.Sprintf(`"level":%d`, maxRunLevel+1)
-			plant(t, fs, manifestName, bytes.Replace(testdata(t, "v3-manifest.json"), []byte(`"level":0`), []byte(deep), 1))
+			toLegacy(t, fs, bytes.Replace(testdata(t, "v3-manifest.json"), []byte(`"level":0`), []byte(deep), 1))
 			return goldenOptions(nil)
 		}},
 	} {

@@ -85,6 +85,12 @@ type Run struct {
 type runFile struct {
 	name string
 	f    storage.File
+	// pending is the writer of a checkpoint's file whose final write and
+	// sync wait for the commit's trailer (FileSet.Finish), laid out as
+	// layout says; nil once the file is written. Its handle, f, is then the
+	// one the file's runs read through.
+	pending *btree.FileWriter
+	layout  btree.Layout
 	// runs is guarded by db.viewMu once the runs are installed; doomedBy
 	// is the source the file's removal is attributed to.
 	runs     int
@@ -396,13 +402,14 @@ func (b *RunBuilder) ref() RunRef {
 // that failed, the last of its runs no version references any more. It
 // closes the file's handle, if one is open, and removes the file,
 // attributed to src; its runs' cached pages are the caller's to drop
-// (Cache.Drop, per run). Failures are not reported:
-// nothing refers to the file, so one left behind is an orphan the next
-// Open collects.
-func (db *DB) removeFile(rf *runFile, src storage.Source) {
+// (Cache.Drop, per run). Only a failed commit looks at the error: nothing
+// else refers to the file, so one left behind is an orphan the next Open
+// collects.
+func (db *DB) removeFile(rf *runFile, src storage.Source) error {
 	if rf.f != nil {
 		rf.f.Close()
 		rf.f = nil
 	}
-	_ = db.vfsFor(src).Remove(rf.name)
+	rf.pending = nil
+	return db.vfsFor(src).Remove(rf.name)
 }

@@ -178,6 +178,17 @@ func (v *View) Runs(table string, partition int) []*Run {
 	return v.ver.tables[table].runs[partition]
 }
 
+// Hides reports whether the view's deletion vector of table holds an entry
+// in r's block range: a merge that read r would drop a record.
+func (v *View) Hides(table string, r *Run) bool {
+	for rec := range v.ver.tables[table].dv {
+		if b := blockOf([]byte(rec)); b >= r.minBlock && b <= r.maxBlock {
+			return true
+		}
+	}
+	return false
+}
+
 // RunCount returns the total number of runs pinned by the view.
 func (v *View) RunCount() int {
 	var n int

@@ -65,6 +65,11 @@ func (s *IOStats) RecordWrite(src storage.Source, bytes int, dur time.Duration) 
 	}
 }
 
+// RecordWriteBytes implements storage.IORecorder.
+func (s *IOStats) RecordWriteBytes(src storage.Source, bytes int) {
+	s.srcs[src].writeBytes.Add(uint64(bytes))
+}
+
 // RecordSync implements storage.IORecorder.
 func (s *IOStats) RecordSync(src storage.Source, dur time.Duration) {
 	s.srcs[src].syncs.Add(1)

@@ -33,9 +33,9 @@ const (
 	// SrcRecovery is startup I/O: manifest and deletion-vector loads, run
 	// header opens, WAL segment scans, and orphan collection.
 	SrcRecovery
-	// SrcManifest is commit-point I/O: manifest temp writes, renames, and
-	// deletion-vector persistence, regardless of which operation triggered
-	// the commit.
+	// SrcManifest is commit-point I/O: a commit's trailer bytes, the
+	// commit files of commits that build no run, and deletion-vector
+	// persistence, regardless of which operation triggered the commit.
 	SrcManifest
 
 	// NumSources is the number of defined sources, for sizing per-source
@@ -63,6 +63,9 @@ func (s Source) String() string {
 type IORecorder interface {
 	RecordRead(src Source, bytes int, dur time.Duration)
 	RecordWrite(src Source, bytes int, dur time.Duration)
+	// RecordWriteBytes adds bytes that a write recorded under another
+	// source carried for src (WriteAtSplit).
+	RecordWriteBytes(src Source, bytes int)
 	RecordSync(src Source, dur time.Duration)
 	RecordCreate(src Source)
 	RecordRemove(src Source)
@@ -152,10 +155,6 @@ func (t *taggedVFS) Remove(name string) error {
 	return nil
 }
 
-func (t *taggedVFS) Rename(oldName, newName string) error {
-	return t.a.inner.Rename(oldName, newName)
-}
-
 func (t *taggedVFS) List() ([]string, error) { return t.a.inner.List() }
 
 func (t *taggedVFS) Stats() Stats { return t.a.inner.Stats() }
@@ -199,6 +198,31 @@ func (t *taggedFile) WriteAt(p []byte, off int64) (int, error) {
 	// Bytes are recorded even on error: a torn write that applied a prefix
 	// moved n bytes to the device, and the metered MemFS counts them too.
 	t.a.rec.RecordWrite(t.src, n, d)
+	return n, err
+}
+
+// WriteAtSplit is f.WriteAt(p, off), one write, which attributes the last
+// tail bytes it wrote to src, and the write itself and the rest of its
+// bytes to f's own source: a commit's trailer rides the final write of the
+// run file that carries it, and its bytes stay the manifest's. A file from
+// an unattributed VFS is written as by WriteAt.
+func WriteAtSplit(f File, p []byte, off int64, tail int, src Source) (int, error) {
+	t, ok := f.(*taggedFile)
+	if !ok {
+		return f.WriteAt(p, off)
+	}
+	var start time.Time
+	if t.a.lat {
+		start = time.Now()
+	}
+	n, err := t.f.WriteAt(p, off)
+	var d time.Duration
+	if t.a.lat {
+		d = time.Since(start)
+	}
+	head := min(n, len(p)-tail)
+	t.a.rec.RecordWrite(t.src, head, d)
+	t.a.rec.RecordWriteBytes(src, n-head)
 	return n, err
 }
 

@@ -45,6 +45,8 @@ func (r *testRecorder) RecordSync(src Source, d time.Duration) {
 	}
 }
 
+func (r *testRecorder) RecordWriteBytes(src Source, n int) { r.writeBytes[src] += uint64(n) }
+
 func (r *testRecorder) RecordCreate(src Source) { r.creates[src]++ }
 func (r *testRecorder) RecordRemove(src Source) { r.removes[src]++ }
 func (r *testRecorder) WantsLatency() bool      { return r.wantLat }
@@ -176,6 +178,31 @@ func TestAttributedTornWriteRecordsPrefix(t *testing.T) {
 // that did not come from Attributed, TagVFS and TagFile return their
 // argument unchanged, so call sites never branch on whether attribution is
 // enabled.
+// TestWriteAtSplit: a split write is one write of the file's source, and
+// its tail's bytes are the other source's; MemFS meters one write. On an
+// unattributed file it is a plain WriteAt.
+func TestWriteAtSplit(t *testing.T) {
+	mem := NewMemFS()
+	rec := &testRecorder{}
+	f, err := Attributed(mem, rec).Tagged(SrcCheckpoint).Create("cp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := WriteAtSplit(f, make([]byte, 5000), 100, 300, SrcManifest); n != 5000 || err != nil {
+		t.Fatalf("WriteAtSplit = %d, %v", n, err)
+	}
+	if rec.writeOps[SrcCheckpoint] != 1 || rec.writeBytes[SrcCheckpoint] != 4700 || rec.writeOps[SrcManifest] != 0 || rec.writeBytes[SrcManifest] != 300 {
+		t.Fatalf("recorded ops %v bytes %v, want one checkpoint write of 4700 bytes and 300 manifest bytes", rec.writeOps, rec.writeBytes)
+	}
+	if st := mem.Stats(); st.BytesWritten != 5000 || st.PageWrites != 2 || st.Calls != 2 {
+		t.Fatalf("MemFS metered %+v, want one write of 5000 bytes over 2 pages", st)
+	}
+	g, _ := mem.Create("plain")
+	if n, err := WriteAtSplit(g, []byte("abc"), 0, 1, SrcManifest); n != 3 || err != nil {
+		t.Fatalf("WriteAtSplit on a plain file = %d, %v", n, err)
+	}
+}
+
 func TestTagPassThrough(t *testing.T) {
 	mem := NewMemFS()
 	if got := TagVFS(mem, SrcWAL); got != VFS(mem) {

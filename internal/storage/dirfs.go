@@ -33,9 +33,9 @@ func (d *DirFS) path(name string) string { return filepath.Join(d.dir, name) }
 
 // SyncDir implements VFS: it fsyncs the directory itself, making the
 // current set of file entries durable. Without it a power failure can lose
-// the directory entry of a fully-fsynced file. The manifest commit calls it
-// after its rename (one fsync covers every run file created since the last
-// commit); the WAL calls it once per new segment, whose entry must be
+// the directory entry of a fully-fsynced file. A commit calls it after the
+// file that carries it is synced (one fsync covers every file created since
+// the last commit); the WAL calls it once per new segment, whose entry must be
 // durable before appends into it are acknowledged. Filesystems that reject
 // fsync on a directory fd (many FUSE/network mounts: EINVAL, ENOTSUP,
 // ENOTTY) are excused — hard-failing every commit there would be worse than
@@ -92,17 +92,6 @@ func (d *DirFS) Remove(name string) error {
 	// No directory fsync: a removal entry lost to a crash merely
 	// resurrects a file that recovery already tolerates (lsm collects
 	// orphan runs; WAL replay skips checkpoint-covered records).
-	return nil
-}
-
-// Rename implements VFS. The new entry is durable after the next SyncDir.
-func (d *DirFS) Rename(oldName, newName string) error {
-	if err := os.Rename(d.path(oldName), d.path(newName)); err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return fmt.Errorf("rename %q: %w", oldName, ErrNotExist)
-		}
-		return err
-	}
 	return nil
 }
 

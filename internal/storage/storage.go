@@ -8,8 +8,9 @@
 //     4 KB page granularity and models disk time (seek + transfer at a
 //     configurable sequential throughput). Its FailurePlan fails, pauses or
 //     counts any call by name, kills the process at any mutating call, and
-//     tears writes; crash simulation discards all non-durable state. The
-//     recovery tests inject every fault through it.
+//     tears writes; crash simulation discards what was not made durable, or
+//     keeps a chosen part of it (CrashState). The recovery tests inject every
+//     fault through it.
 //   - DirFS: a thin wrapper over a real directory using the os package.
 //
 // All Backlog on-disk structures (read-store runs, manifests, deletion
@@ -19,6 +20,7 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -64,15 +66,11 @@ type VFS interface {
 	// Remove deletes a file. Removing a non-existent file returns
 	// ErrNotExist.
 	Remove(name string) error
-	// Rename atomically renames a file, replacing any existing target.
-	// Rename is the commit primitive used for manifests; the entry it
-	// writes is durable after the next SyncDir.
-	Rename(oldName, newName string) error
 	// SyncDir makes the directory's entries durable: the files created and
-	// renamed since the last SyncDir survive a crash. A caller calls it
-	// where it promises durability that rests on an entry: the manifest
-	// commit after its rename, and the write-ahead log after creating a
-	// segment, before the segment's first record is acknowledged.
+	// removed since the last SyncDir stay so through a crash. A caller calls
+	// it where it promises durability that rests on an entry: a commit after
+	// the file that carries it is synced, and the write-ahead log after
+	// creating a segment, before the segment's first record is acknowledged.
 	SyncDir() error
 	// List returns the names of all files, sorted.
 	List() ([]string, error)
@@ -95,7 +93,6 @@ type Stats struct {
 	Syncs        int64
 	FilesCreated int64
 	FilesRemoved int64
-	Renames      int64
 	Calls        int64 // mutating calls, failed ones too; FailurePlan.KillAt numbers them
 	// DiskNanos is modeled disk time in nanoseconds, computed by the
 	// DiskModel of a MemFS. Zero for unmetered implementations.
@@ -117,7 +114,6 @@ func (s Stats) Sub(prev Stats) Stats {
 		Syncs:        s.Syncs - prev.Syncs,
 		FilesCreated: s.FilesCreated - prev.FilesCreated,
 		FilesRemoved: s.FilesRemoved - prev.FilesRemoved,
-		Renames:      s.Renames - prev.Renames,
 		Calls:        s.Calls - prev.Calls,
 		DiskNanos:    s.DiskNanos - prev.DiskNanos,
 	}
@@ -133,7 +129,6 @@ func (s Stats) Add(other Stats) Stats {
 		Syncs:        s.Syncs + other.Syncs,
 		FilesCreated: s.FilesCreated + other.FilesCreated,
 		FilesRemoved: s.FilesRemoved + other.FilesRemoved,
-		Renames:      s.Renames + other.Renames,
 		Calls:        s.Calls + other.Calls,
 		DiskNanos:    s.DiskNanos + other.DiskNanos,
 	}
@@ -202,7 +197,6 @@ const (
 	OpCreate Op = iota
 	OpWrite
 	OpSync
-	OpRename
 	OpRemove
 	OpOpen
 	OpList
@@ -215,7 +209,7 @@ const (
 // Call is one call as FailurePlan.Hook sees it.
 type Call struct {
 	Op   Op
-	Name string // the file (Rename's source); "" for List and SyncDir
+	Name string // the file; "" for List and SyncDir
 	Off  int64  // ReadAt, WriteAt
 	Len  int    // ReadAt, WriteAt
 }
@@ -227,9 +221,10 @@ type FailurePlan struct {
 	// files.
 	FailAfterPageWrites int64
 	// KillAt, when > 0, kills the process at the mutating call (Create,
-	// WriteAt, Sync, Rename, Remove) that takes Stats.Calls to KillAt: it
-	// and every later one fail with ErrInjected and change nothing, but a
-	// write at KillAt applies half its pages when TornWrite is set.
+	// WriteAt, Sync, Remove) that takes Stats.Calls to KillAt: it and every
+	// later one fail with ErrInjected and change nothing, but a write at
+	// KillAt applies half its pages when TornWrite is set. A SyncDir after
+	// the kill fails too.
 	KillAt int64
 	// Hook, when set, runs before every VFS and File call, outside the MemFS
 	// lock, so it may block, sleep, count or call the file system itself; an
@@ -263,6 +258,16 @@ type MemFS struct {
 	// access model.
 	lastFile *memFile
 	lastEnd  int64
+
+	// entries are the entry operations since the last SyncDir, in order,
+	// for a crash that keeps a prefix of them (CrashState.Directory).
+	entries []entryOp
+}
+
+// entryOp is one Create (create set) or Remove of file f.
+type entryOp struct {
+	create bool
+	f      *memFile
 }
 
 // NewMemFS returns an empty in-memory file system using DefaultDiskModel.
@@ -324,6 +329,7 @@ func (fs *MemFS) Create(name string) (File, error) {
 	}
 	f := &memFile{fs: fs, name: name}
 	fs.files[name] = f
+	fs.entries = append(fs.entries, entryOp{create: true, f: f})
 	fs.stats.FilesCreated++
 	return f, nil
 }
@@ -358,38 +364,26 @@ func (fs *MemFS) Remove(name string) error {
 	}
 	f.removed = true
 	delete(fs.files, name)
+	fs.entries = append(fs.entries, entryOp{f: f})
 	fs.stats.FilesRemoved++
 	return nil
 }
 
-// Rename implements VFS. The rename itself is treated as durable if the
-// source file has been synced, mirroring the write-anywhere commit pattern
-// (write new root, sync, then atomically switch).
-func (fs *MemFS) Rename(oldName, newName string) error {
-	if err := fs.call(Call{Op: OpRename, Name: oldName}); err != nil {
+// SyncDir implements VFS: the entry operations made so far survive every
+// crash. FailurePlan.Hook sees it (OpSyncDir, Name ""); it is not a
+// mutating call, so KillAt does not number it, but once the process is
+// killed it fails and changes nothing.
+func (fs *MemFS) SyncDir() error {
+	if err := fs.call(Call{Op: OpSyncDir}); err != nil {
 		return err
 	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if fs.killed() {
-		return fmt.Errorf("rename %q: %w", oldName, ErrInjected)
+	if fs.plan.KillAt > 0 && fs.stats.Calls >= fs.plan.KillAt {
+		return fmt.Errorf("sync directory: %w", ErrInjected)
 	}
-	f, ok := fs.files[oldName]
-	if !ok {
-		return fmt.Errorf("rename %q: %w", oldName, ErrNotExist)
-	}
-	fs.stats.Renames++
-	delete(fs.files, oldName)
-	f.name = newName
-	fs.files[newName] = f
+	fs.entries = nil
 	return nil
-}
-
-// SyncDir implements VFS. A MemFS entry is durable once its file is
-// synced, so SyncDir changes nothing: FailurePlan.Hook sees it (OpSyncDir,
-// Name ""), and it is not a mutating call, so KillAt does not number it.
-func (fs *MemFS) SyncDir() error {
-	return fs.call(Call{Op: OpSyncDir})
 }
 
 // List implements VFS.
@@ -414,26 +408,75 @@ func (fs *MemFS) Stats() Stats {
 	return fs.stats
 }
 
-// Crash simulates a power failure: every file reverts to its last-synced
-// contents, and files that were never synced disappear. Open handles remain
-// usable but see the reverted state.
-func (fs *MemFS) Crash() {
+// CrashState chooses what a power failure keeps of what was not durable.
+// The zero value is the state Crash has always left: a file exists after
+// the crash exactly when it was synced at least once and not removed (an
+// entry needs no SyncDir), and holds what it held at its last Sync.
+type CrashState struct {
+	// Directory keeps the directory as a disk does: every entry operation
+	// (Create, Remove) made before the last SyncDir survives, and of those
+	// made since, the first Entries in the order they were made. A file
+	// whose entry survives exists whether or not it was ever synced.
+	Directory bool
+	Entries   int
+	// Pages, when set, is asked about every page of a file that differs
+	// from what its last Sync left, by the file's name and the page's
+	// index, and the page survives when it returns true. Every other byte
+	// reads as at the last Sync, and a page beyond the file's synced end
+	// that did not survive reads as zeros, or is not there when no later
+	// page survived.
+	Pages func(name string, page int64) bool
+}
+
+// Crash simulates a power failure, keeping of the state that was not
+// durable what state chooses (at most one; none is the zero CrashState).
+// Open handles remain usable but see the state after the crash.
+func (fs *MemFS) Crash(state ...CrashState) {
+	var st CrashState
+	if len(state) > 0 {
+		st = state[0]
+	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	if st.Directory {
+		// Undo, newest first, the entry operations beyond the prefix.
+		for i := len(fs.entries) - 1; i >= max(st.Entries, 0); i-- {
+			op := fs.entries[i]
+			if op.create {
+				delete(fs.files, op.f.name)
+				op.f.removed = true
+			} else {
+				fs.files[op.f.name] = op.f
+				op.f.removed = false
+			}
+		}
+	}
+	fs.entries = nil
 	for name, f := range fs.files {
-		if !f.synced {
+		if !f.synced && !st.Directory {
 			delete(fs.files, name)
 			f.removed = true
 			continue
 		}
-		f.data = append([]byte(nil), f.durable...)
+		data := append([]byte(nil), f.durable...)
+		for lo := int64(0); st.Pages != nil && lo < int64(len(f.data)); lo += PageSize {
+			hi := min(lo+PageSize, int64(len(f.data)))
+			synced := hi <= int64(len(f.durable)) && bytes.Equal(f.data[lo:hi], f.durable[lo:hi])
+			if synced || !st.Pages(name, lo/PageSize) {
+				continue
+			}
+			if int64(len(data)) < hi {
+				data = append(data, make([]byte, hi-int64(len(data)))...)
+			}
+			copy(data[lo:hi], f.data[lo:hi])
+		}
+		f.data = data
 	}
 	fs.lastFile = nil
 	fs.lastEnd = 0
 }
 
-// call is MemFS.call for an op on f. It reads f.name without fs.mu: only
-// Rename changes it, and a file's user orders that before its next call.
+// call is MemFS.call for an op on f. f.name never changes.
 func (f *memFile) call(op Op, off int64, n int) error {
 	return f.fs.call(Call{Op: op, Name: f.name, Off: off, Len: n})
 }

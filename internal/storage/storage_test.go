@@ -1,9 +1,11 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -114,32 +116,86 @@ func TestMemFSSparseWrite(t *testing.T) {
 	}
 }
 
-func TestMemFSRename(t *testing.T) {
-	fs := NewMemFS()
-	f, _ := fs.Create("tmp")
-	if _, err := f.WriteAt([]byte("data"), 0); err != nil {
-		t.Fatal(err)
+// TestMemFSCrashKeepsAnEntryPrefix: with the directory modelled, a crash
+// keeps every entry operation made before the last SyncDir and the chosen
+// prefix of those made since, in order; a kept entry exists even if its
+// file was never synced, and holds what its last Sync left. The zero state
+// keeps a file exactly when it was synced.
+func TestMemFSCrashKeepsAnEntryPrefix(t *testing.T) {
+	setup := func() *MemFS {
+		fs := NewMemFS()
+		old, _ := fs.Create("old")
+		old.WriteAt([]byte("old"), 0)
+		old.Sync()
+		if err := fs.SyncDir(); err != nil {
+			t.Fatal(err)
+		}
+		a, _ := fs.Create("a") // entry 0
+		a.WriteAt([]byte("a"), 0)
+		a.Sync()
+		fs.Remove("old")       // entry 1
+		b, _ := fs.Create("b") // entry 2, never synced
+		b.WriteAt([]byte("b"), 0)
+		return fs
 	}
-	if err := fs.Rename("tmp", "final"); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		state CrashState
+		want  []string
+	}{
+		{CrashState{}, []string{"a"}},
+		{CrashState{Directory: true}, []string{"old"}},
+		{CrashState{Directory: true, Entries: 1}, []string{"a", "old"}},
+		{CrashState{Directory: true, Entries: 2}, []string{"a"}},
+		{CrashState{Directory: true, Entries: 3}, []string{"a", "b"}},
+	} {
+		fs := setup()
+		fs.Crash(tc.state)
+		if names, _ := fs.List(); !reflect.DeepEqual(names, tc.want) {
+			t.Fatalf("%+v: %v after the crash, want %v", tc.state, names, tc.want)
+		}
+		for _, name := range tc.want {
+			f, _ := fs.Open(name)
+			size, _ := f.Size()
+			buf := make([]byte, size)
+			f.ReadAt(buf, 0)
+			if want := map[string]string{"old": "old", "a": "a", "b": ""}[name]; string(buf) != want {
+				t.Fatalf("%+v: %s holds %q, want %q", tc.state, name, buf, want)
+			}
+		}
+		// The crash made the kept entries the directory's.
+		fs.Crash(CrashState{Directory: true})
+		if names, _ := fs.List(); !reflect.DeepEqual(names, tc.want) {
+			t.Fatalf("%+v: a second crash left %v", tc.state, names)
+		}
 	}
-	if _, err := fs.Open("tmp"); !errors.Is(err, ErrNotExist) {
-		t.Fatalf("old name still present: %v", err)
-	}
-	g, err := fs.Open("final")
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 4)
-	if _, err := g.ReadAt(buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	if string(buf) != "data" {
-		t.Fatalf("read %q after rename", buf)
-	}
-	names, _ := fs.List()
-	if len(names) != 1 || names[0] != "final" {
-		t.Fatalf("List = %v", names)
+}
+
+// TestMemFSCrashKeepsChosenPages: a crash keeps the pages written since a
+// file's last Sync that the state picks, in any order, and the rest read
+// as at that Sync: zeros in a gap, nothing past the last kept page.
+func TestMemFSCrashKeepsChosenPages(t *testing.T) {
+	page := func(c byte) []byte { return bytes.Repeat([]byte{c}, PageSize) }
+	for _, tc := range []struct {
+		keep []int64
+		want []byte
+	}{
+		{nil, page('s')},
+		{[]int64{0}, page('x')},
+		{[]int64{2}, slices.Concat(page('s'), make([]byte, PageSize), page('z')[:10])},
+		{[]int64{0, 1, 2}, slices.Concat(page('x'), page('y'), page('z')[:10])},
+	} {
+		fs := NewMemFS()
+		f, _ := fs.Create("f")
+		f.WriteAt(page('s'), 0)
+		f.Sync()
+		f.WriteAt(slices.Concat(page('x'), page('y'), page('z')[:10]), 0)
+		fs.Crash(CrashState{Pages: func(name string, p int64) bool { return name == "f" && slices.Contains(tc.keep, p) }})
+		size, _ := f.Size()
+		got := make([]byte, size)
+		f.ReadAt(got, 0)
+		if !bytes.Equal(got, tc.want) {
+			t.Fatalf("keeping pages %v: %d bytes after the crash, want %d", tc.keep, len(got), len(tc.want))
+		}
 	}
 }
 
@@ -247,31 +303,32 @@ func TestMemFSFailureInjection(t *testing.T) {
 	}
 }
 
-// TestMemFSSyncAndRenameFailureInjection: the kill index fails the call that
-// reaches it and every mutating call after it, changing nothing, so the
-// crash that follows finds the file volatile, or under its old name.
-func TestMemFSSyncAndRenameFailureInjection(t *testing.T) {
+// TestMemFSSyncFailureInjection: the kill index fails the call that
+// reaches it and every mutating call after it, changing nothing, and a
+// SyncDir after it, so the crash that follows finds the file volatile and
+// the directory as the last SyncDir before the kill left it.
+func TestMemFSSyncFailureInjection(t *testing.T) {
 	fs := NewMemFS()
 	a, _ := fs.Create("a")
 	b, _ := fs.Create("b")
 	a.WriteAt([]byte("x"), 0)
 	b.WriteAt([]byte("x"), 0)
-	fs.SetFailurePlan(FailurePlan{KillAt: fs.Stats().Calls + 3})
-	if err := errors.Join(a.Sync(), fs.Rename("a", "c")); err != nil {
+	fs.SetFailurePlan(FailurePlan{KillAt: fs.Stats().Calls + 2})
+	if err := errors.Join(a.Sync(), fs.SyncDir()); err != nil {
 		t.Fatalf("before the kill point: %v", err)
 	}
 	_, err := fs.Create("e")
-	for i, err := range []error{err, b.Sync(), fs.Rename("c", "d"), fs.Remove("b")} {
+	for i, err := range []error{err, b.Sync(), fs.Remove("b"), fs.SyncDir()} {
 		if !errors.Is(err, ErrInjected) {
 			t.Fatalf("call %d from the kill point: got %v, want ErrInjected", i, err)
 		}
 	}
-	if st := fs.Stats(); st.Syncs != 1 || st.Renames != 1 || st.FilesCreated != 2 || st.FilesRemoved != 0 || st.Calls != 10 {
+	if st := fs.Stats(); st.Syncs != 1 || st.FilesCreated != 2 || st.FilesRemoved != 0 || st.Calls != 8 {
 		t.Fatalf("stats after the kill: %+v, want the failed calls numbered and nothing else counted", st)
 	}
-	fs.Crash()
-	if names, _ := fs.List(); len(names) != 1 || names[0] != "c" {
-		t.Fatalf("after the crash: %v, want the synced file under the name its one rename gave it", names)
+	fs.Crash(CrashState{Directory: true})
+	if names, _ := fs.List(); len(names) != 2 || names[0] != "a" {
+		t.Fatalf("after the crash: %v, want both entries the SyncDir kept, a synced", names)
 	}
 }
 
@@ -313,14 +370,13 @@ func TestMemFSHook(t *testing.T) {
 	f.Size()
 	f.Close()
 	fs.Open("a")
-	fs.Rename("a", "b")
 	fs.SyncDir()
 	fs.List()
-	fs.Remove("b")
+	fs.Remove("a")
 	want := []Call{{OpCreate, "a", 0, 0}, {OpWrite, "a", 5, 3}, {OpSync, "a", 0, 0}, {OpRead, "a", 1, 2},
-		{OpSize, "a", 0, 0}, {OpClose, "a", 0, 0}, {OpOpen, "a", 0, 0}, {OpRename, "a", 0, 0}, {OpSyncDir, "", 0, 0},
-		{OpList, "", 0, 0}, {OpRemove, "b", 0, 0}}
-	if st := fs.Stats(); !errors.Is(err, ErrInjected) || st.Syncs != 0 || st.Calls != 4 || !reflect.DeepEqual(seen, want) {
+		{OpSize, "a", 0, 0}, {OpClose, "a", 0, 0}, {OpOpen, "a", 0, 0}, {OpSyncDir, "", 0, 0},
+		{OpList, "", 0, 0}, {OpRemove, "a", 0, 0}}
+	if st := fs.Stats(); !errors.Is(err, ErrInjected) || st.Syncs != 0 || st.Calls != 3 || !reflect.DeepEqual(seen, want) {
 		t.Fatalf("sync: %v; stats %+v; the hook saw\n%v\nwant\n%v", err, st, seen, want)
 	}
 }
@@ -385,9 +441,6 @@ func TestDirFSRoundTrip(t *testing.T) {
 	if err := g.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Rename("run.0001", "run.final"); err != nil {
-		t.Fatal(err)
-	}
 	if err := d.SyncDir(); err != nil {
 		t.Fatal(err)
 	}
@@ -395,13 +448,13 @@ func TestDirFSRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != 1 || names[0] != "run.final" {
+	if len(names) != 1 || names[0] != "run.0001" {
 		t.Fatalf("List = %v", names)
 	}
-	if err := d.Remove("run.final"); err != nil {
+	if err := d.Remove("run.0001"); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Remove("run.final"); !errors.Is(err, ErrNotExist) {
+	if err := d.Remove("run.0001"); !errors.Is(err, ErrNotExist) {
 		t.Fatalf("double remove: %v", err)
 	}
 	// The attributed VFS that wraps a DirFS counts its I/O; DirFS itself

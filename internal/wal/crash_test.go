@@ -99,7 +99,7 @@ func (s *logScript) run(vfs storage.VFS, d Durability, segBytes int64, perPhase 
 			segs, _ := listSegments(vfs)
 			for _, idx := range segs {
 				var rec Recovered
-				if readSegment(vfs, idx, true, &rec, &tear{}); len(rec.Records) > 0 {
+				if readSegment(vfs, idx, &rec, &tear{}); len(rec.Records) > 0 {
 					s.retired = append(s.retired, int(rec.Records[0].Block))
 					break
 				}

@@ -723,3 +723,35 @@ func TestCutCreatesItsSegmentWhenPrepareFails(t *testing.T) {
 		t.Fatalf("recovered %+v, cuts %+v", rec.Records, rec.Cuts)
 	}
 }
+
+// TestHeaderlessSegmentsEndTheLog: a Buffered log reopened after a clean
+// Close starts a segment whose header is written but never synced, and a
+// checkpoint makes the next one ahead, syncing the directory. A power
+// failure that keeps both entries, and neither header, leaves two empty
+// segments after the log's last records: recovery ends the log before them
+// and replays every record, and Open seals them.
+func TestHeaderlessSegmentsEndTheLog(t *testing.T) {
+	vfs := storage.NewMemFS()
+	l, _ := mustOpen(t, vfs, Buffered)
+	var want []Record
+	for i := range 10 {
+		want = append(want, crashRec(i))
+	}
+	appendAll(t, l, want...)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, _ = mustOpen(t, vfs, Buffered)
+	if err := l.PrepareCut(); err != nil {
+		t.Fatal(err)
+	}
+	vfs.Crash(storage.CrashState{Directory: true})
+	if segs, _ := listSegments(vfs); len(segs) != 3 {
+		t.Fatalf("after the crash: segments %v, want the log's and two empty ones", segs)
+	}
+	l, rec := mustOpen(t, vfs, Buffered)
+	defer l.Close()
+	if !slices.Equal(rec.Records, want) {
+		t.Fatalf("recovered %d records, want the %d logged", len(rec.Records), len(want))
+	}
+}

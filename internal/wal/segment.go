@@ -157,7 +157,7 @@ func recoverLog(vfs storage.VFS) (Recovered, []tear, []uint64, error) {
 	for i, idx := range segs {
 		final := i == len(segs)-1
 		var tr tear
-		torn, err := readSegment(vfs, idx, final, &rec, &tr)
+		torn, err := readSegment(vfs, idx, &rec, &tr)
 		if err != nil {
 			return rec, nil, segs, err
 		}
@@ -284,7 +284,7 @@ func (rec *Recovered) add(r Record) (endOfSegment bool) {
 // the caller's decision. A
 // torn frame costs the flush batch it framed — none of whose records was
 // acknowledged durable, since the batch is what a flush writes and syncs.
-func readSegment(vfs storage.VFS, index uint64, final bool, rec *Recovered, tr *tear) (torn bool, err error) {
+func readSegment(vfs storage.VFS, index uint64, rec *Recovered, tr *tear) (torn bool, err error) {
 	name := segmentName(index)
 	f, err := vfs.Open(name)
 	if err != nil {
@@ -301,13 +301,12 @@ func readSegment(vfs storage.VFS, index uint64, final bool, rec *Recovered, tr *
 	}
 	version, ok := segHeaderVersion(buf)
 	if !ok {
-		if final {
-			// A header cut short by a crash during segment creation: the
-			// segment holds nothing durable.
-			*tr = tear{found: true, index: index, offset: 0}
-			return true, nil
-		}
-		return false, fmt.Errorf("%w: segment %s has a bad header", ErrCorrupt, name)
+		// A header cut short by a crash during segment creation, or never
+		// synced while the directory kept the entry: the segment holds
+		// nothing durable. It is a tear at 0, which recoverLog tolerates
+		// wherever it tolerates a tear.
+		*tr = tear{found: true, index: index, offset: 0}
+		return true, nil
 	}
 	if !readable(version) {
 		// An intact header of another format: records this binary cannot
