@@ -789,6 +789,15 @@ type DB struct {
 
 // Open opens or creates a database. The configuration is validated first;
 // errors from an invalid one wrap ErrBadConfig.
+//
+// Opening reads the newest commit — the manifest naming every live run,
+// each with its header — and builds every run's reader from it, reading
+// no page of any run; then it loads the deletion vectors the commit names
+// and replays the log's tail. A store closed cleanly reopens from its
+// small commit file, its vectors and its log tail alone (IOReport credits
+// those reads to recovery). Only a commit an earlier binary wrote names
+// runs without their headers, and then each such run's header page is
+// read; the first commit after Open carries them all.
 func Open(cfg Config) (*DB, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -82,20 +82,23 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // ErrCorrupt reports a failed checksum or malformed structure.
 var ErrCorrupt = errors.New("btree: corrupt run")
 
-// header mirrors the on-disk header page.
-type header struct {
-	format      Format
-	recordSize  int
-	recordCount uint64
-	leafStart   uint64
-	leafPages   uint64
-	levels      uint32
-	bloomCRC    uint32 // CRC-32C of the filter bytes; FormatDelta only
-	rootPage    uint64
-	bloomOff    uint64
-	bloomLen    uint64
-	minKey      []byte
-	maxKey      []byte
+// Header is what a reader needs of a run's header page: its leaf encoding
+// and record size, where its leaves, root and filter lie, and the filter's
+// checksum. The page also holds the run's smallest and largest records,
+// which no reader needs. Open reads a Header from the page; OpenHeader
+// opens a run from one carried elsewhere (a manifest), reading nothing.
+// Offsets and page numbers are the run's own (see the package doc).
+type Header struct {
+	Format     Format
+	RecordSize int
+	Records    uint64
+	LeafStart  uint64 // first leaf page
+	LeafPages  uint64
+	Levels     uint32 // internal levels above the leaves; 0 for one leaf
+	FilterCRC  uint32 // CRC-32C of the filter bytes; FormatDelta only
+	RootPage   uint64
+	FilterOff  uint64 // the end of the page grid, header page included
+	FilterLen  uint64
 }
 
 // Writer builds a run. Records must be appended in strictly ascending
@@ -126,7 +129,7 @@ type Writer struct {
 	// h is the header Finish built, for Open; sealed is set, under fw.mu,
 	// once it is. bloom is the filter Finish was given, until the file
 	// writes it, and pageOff and filterOff are where the file put the run.
-	h                  header
+	h                  Header
 	sealed             bool
 	bloom              []byte
 	pageOff, filterOff int64
@@ -316,7 +319,7 @@ func (fw *FileWriter) Place() (Layout, error) {
 	}
 	// The first run's header claims every page before the filters, where
 	// its own filter comes first: the file read as one run is its first.
-	secs[0].h.bloomOff = uint64(off)
+	secs[0].h.FilterOff = uint64(off)
 	l := Layout{Pages: off}
 	for _, w := range secs {
 		w.filterOff, off = off, off+int64(len(w.bloom))
@@ -366,7 +369,7 @@ func (fw *FileWriter) Write(trailer []byte, src storage.Source) error {
 	}
 	for _, w := range secs {
 		if w.wbufOff == 0 {
-			putHeader(w.wbuf[:storage.PageSize], w.h)
+			w.putHeader(w.wbuf[:storage.PageSize])
 		}
 		if err := put(w.pageOff+w.wbufOff, w.wbuf); err != nil {
 			return err
@@ -388,7 +391,7 @@ func (fw *FileWriter) Write(trailer []byte, src storage.Source) error {
 	for _, w := range secs {
 		if w.wbufOff > 0 {
 			var page [storage.PageSize]byte
-			putHeader(page[:], w.h)
+			w.putHeader(page[:])
 			if _, err := fw.f.WriteAt(page[:], w.pageOff); err != nil {
 				return fmt.Errorf("btree: writing header: %w", err)
 			}
@@ -442,7 +445,7 @@ func CheckFile(f storage.File, l Layout) error {
 // included, and its filter. Valid after the file's Finish.
 func (w *Writer) Extents() (pages, filter storage.Extent) {
 	return storage.Extent{Off: w.pageOff, Len: w.h.ownBytes()},
-		storage.Extent{Off: w.filterOff, Len: int64(w.h.bloomLen)}
+		storage.Extent{Off: w.filterOff, Len: int64(w.h.FilterLen)}
 }
 
 // WriteThrough makes w hand every page it frames — leaves and internal
@@ -554,7 +557,6 @@ func (w *Writer) Finish(bloomBytes []byte) error {
 	if err := w.flushLeaf(); err != nil {
 		return err
 	}
-	maxKey := append([]byte(nil), w.prevKey...)
 	leafPages := w.nextPage - 1
 
 	// Build internal levels bottom-up; a level that fits in one page is
@@ -597,22 +599,20 @@ func (w *Writer) Finish(bloomBytes []byte) error {
 	}
 
 	bloomOff := w.nextPage * storage.PageSize
-	h := header{
-		format:      w.format,
-		recordSize:  w.recSize,
-		recordCount: w.count,
-		leafStart:   1,
-		leafPages:   leafPages,
-		levels:      levels,
-		rootPage:    rootPage,
-		bloomOff:    bloomOff,
-		bloomLen:    uint64(len(bloomBytes)),
-		minKey:      w.minKey,
-		maxKey:      maxKey,
+	h := Header{
+		Format:     w.format,
+		RecordSize: w.recSize,
+		Records:    w.count,
+		LeafStart:  1,
+		LeafPages:  leafPages,
+		Levels:     levels,
+		RootPage:   rootPage,
+		FilterOff:  bloomOff,
+		FilterLen:  uint64(len(bloomBytes)),
 	}
 	if w.format == FormatDelta {
 		// Raw headers stay as v1 always wrote them: the field zero.
-		h.bloomCRC = crc32.Checksum(bloomBytes, castagnoli)
+		h.FilterCRC = crc32.Checksum(bloomBytes, castagnoli)
 	}
 	w.sizeBytes = int64(bloomOff) + int64(len(bloomBytes))
 	w.bloom, w.i1 = bloomBytes, nil
@@ -692,22 +692,24 @@ func (w *Writer) flushPages() error {
 	return nil
 }
 
-// putHeader fills page, a zeroed PageSize buffer, with the header page.
-func putHeader(page []byte, h header) {
+// putHeader fills page, a zeroed PageSize buffer, with the header page of
+// the run w finished: its Header, then its smallest and largest records.
+func (w *Writer) putHeader(page []byte) {
+	h := w.h
 	copy(page[:8], magic)
 	le := binary.LittleEndian
-	le.PutUint32(page[8:], uint32(h.format))
-	le.PutUint32(page[12:], uint32(h.recordSize))
-	le.PutUint64(page[16:], h.recordCount)
-	le.PutUint64(page[24:], h.leafStart)
-	le.PutUint64(page[32:], h.leafPages)
-	le.PutUint32(page[40:], h.levels)
-	le.PutUint32(page[44:], h.bloomCRC)
-	le.PutUint64(page[48:], h.rootPage)
-	le.PutUint64(page[56:], h.bloomOff)
-	le.PutUint64(page[64:], h.bloomLen)
-	copy(page[headerFixedLen:], h.minKey)
-	copy(page[headerFixedLen+h.recordSize:], h.maxKey)
+	le.PutUint32(page[8:], uint32(h.Format))
+	le.PutUint32(page[12:], uint32(h.RecordSize))
+	le.PutUint64(page[16:], h.Records)
+	le.PutUint64(page[24:], h.LeafStart)
+	le.PutUint64(page[32:], h.LeafPages)
+	le.PutUint32(page[40:], h.Levels)
+	le.PutUint32(page[44:], h.FilterCRC)
+	le.PutUint64(page[48:], h.RootPage)
+	le.PutUint64(page[56:], h.FilterOff)
+	le.PutUint64(page[64:], h.FilterLen)
+	copy(page[headerFixedLen:], w.minKey)
+	copy(page[headerFixedLen+h.RecordSize:], w.prevKey)
 	crc := crc32.Checksum(page[:storage.PageSize-pageCRCLen], castagnoli)
 	le.PutUint32(page[storage.PageSize-pageCRCLen:], crc)
 }
@@ -715,58 +717,75 @@ func putHeader(page []byte, h header) {
 // ownBytes returns the bytes of the run's own pages: the header page and
 // every page through the root, which a writer writes last. The first run of
 // a file that holds several claims more (FileWriter.Finish).
-func (h header) ownBytes() int64 { return int64(h.rootPage+1) * storage.PageSize }
+func (h Header) ownBytes() int64 { return int64(h.RootPage+1) * storage.PageSize }
 
-func readHeader(f storage.File) (header, error) {
+// readHeader reads and checks the header page of the run in f.
+func readHeader(f storage.File) (Header, error) {
 	var page [storage.PageSize]byte
 	if _, err := f.ReadAt(page[:], 0); err != nil {
-		return header{}, fmt.Errorf("btree: reading header: %w", err)
+		return Header{}, fmt.Errorf("btree: reading header: %w", err)
 	}
+	h, err := decodeHeader(page[:])
+	if err != nil {
+		return Header{}, err
+	}
+	if err := h.check(f); err != nil {
+		return Header{}, err
+	}
+	return h, nil
+}
+
+// decodeHeader returns the Header a header page holds, once its checksum
+// and magic check; its fields are check's to judge.
+func decodeHeader(page []byte) (Header, error) {
 	le := binary.LittleEndian
 	crc := crc32.Checksum(page[:storage.PageSize-pageCRCLen], castagnoli)
 	if le.Uint32(page[storage.PageSize-pageCRCLen:]) != crc {
-		return header{}, fmt.Errorf("%w: header checksum", ErrCorrupt)
+		return Header{}, fmt.Errorf("%w: header checksum", ErrCorrupt)
 	}
 	if string(page[:8]) != magic {
-		return header{}, fmt.Errorf("%w: bad magic", ErrCorrupt)
+		return Header{}, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	h := header{
-		format:      Format(le.Uint32(page[8:])),
-		recordSize:  int(le.Uint32(page[12:])),
-		recordCount: le.Uint64(page[16:]),
-		leafStart:   le.Uint64(page[24:]),
-		leafPages:   le.Uint64(page[32:]),
-		levels:      le.Uint32(page[40:]),
-		bloomCRC:    le.Uint32(page[44:]),
-		rootPage:    le.Uint64(page[48:]),
-		bloomOff:    le.Uint64(page[56:]),
-		bloomLen:    le.Uint64(page[64:]),
+	return Header{
+		Format:     Format(le.Uint32(page[8:])),
+		RecordSize: int(le.Uint32(page[12:])),
+		Records:    le.Uint64(page[16:]),
+		LeafStart:  le.Uint64(page[24:]),
+		LeafPages:  le.Uint64(page[32:]),
+		Levels:     le.Uint32(page[40:]),
+		FilterCRC:  le.Uint32(page[44:]),
+		RootPage:   le.Uint64(page[48:]),
+		FilterOff:  le.Uint64(page[56:]),
+		FilterLen:  le.Uint64(page[64:]),
+	}, nil
+}
+
+// check holds h against the run file f, whether its page or a manifest
+// carried it: a readable format, a record size that format can hold, and a
+// geometry that describes f — nothing a Reader does may size a read or an
+// allocation from a field that was not checked against the file's size.
+func (h Header) check(f storage.File) error {
+	if h.Format != FormatRaw && !h.Format.delta() {
+		return fmt.Errorf("btree: unsupported version %d", uint32(h.Format))
 	}
-	if h.format != FormatRaw && !h.format.delta() {
-		return header{}, fmt.Errorf("btree: unsupported version %d", uint32(h.format))
+	if h.RecordSize <= 0 || h.RecordSize > MaxRecordSize {
+		return fmt.Errorf("%w: record size %d", ErrCorrupt, h.RecordSize)
 	}
-	if h.recordSize <= 0 || h.recordSize > MaxRecordSize {
-		return header{}, fmt.Errorf("%w: record size %d", ErrCorrupt, h.recordSize)
+	if h.Format.delta() && (h.RecordSize%8 != 0 || h.RecordSize > MaxDeltaRecordSize) {
+		return fmt.Errorf("%w: delta run with record size %d", ErrCorrupt, h.RecordSize)
 	}
-	if h.format.delta() && (h.recordSize%8 != 0 || h.recordSize > MaxDeltaRecordSize) {
-		return header{}, fmt.Errorf("%w: delta run with record size %d", ErrCorrupt, h.recordSize)
-	}
-	// The geometry must describe this file: nothing below may size a read
-	// or an allocation from a field that was not checked against it.
 	size, err := f.Size()
 	if err != nil {
-		return header{}, fmt.Errorf("btree: sizing run: %w", err)
+		return fmt.Errorf("btree: sizing run: %w", err)
 	}
-	grid := h.bloomOff / storage.PageSize // pages, header included
+	grid := h.FilterOff / storage.PageSize // pages, header included
 	switch {
-	case h.bloomOff%storage.PageSize != 0 || h.bloomOff > uint64(size) || h.bloomLen > uint64(size)-h.bloomOff:
-		return header{}, fmt.Errorf("%w: filter at %d+%d in a %d-byte file", ErrCorrupt, h.bloomOff, h.bloomLen, size)
-	case h.leafStart == 0 || h.leafPages == 0 || h.leafPages >= grid || h.leafStart > grid-h.leafPages:
-		return header{}, fmt.Errorf("%w: leaf pages %d+%d in a %d-page grid", ErrCorrupt, h.leafStart, h.leafPages, grid)
-	case h.rootPage == 0 || h.rootPage >= grid || h.levels > maxLevels || (h.levels == 0) != (h.leafPages == 1):
-		return header{}, fmt.Errorf("%w: root page %d over %d levels and %d leaves in a %d-page grid", ErrCorrupt, h.rootPage, h.levels, h.leafPages, grid)
+	case h.FilterOff%storage.PageSize != 0 || h.FilterOff > uint64(size) || h.FilterLen > uint64(size)-h.FilterOff:
+		return fmt.Errorf("%w: filter at %d+%d in a %d-byte file", ErrCorrupt, h.FilterOff, h.FilterLen, size)
+	case h.LeafStart == 0 || h.LeafPages == 0 || h.LeafPages >= grid || h.LeafStart > grid-h.LeafPages:
+		return fmt.Errorf("%w: leaf pages %d+%d in a %d-page grid", ErrCorrupt, h.LeafStart, h.LeafPages, grid)
+	case h.RootPage == 0 || h.RootPage >= grid || h.Levels > maxLevels || (h.Levels == 0) != (h.LeafPages == 1):
+		return fmt.Errorf("%w: root page %d over %d levels and %d leaves in a %d-page grid", ErrCorrupt, h.RootPage, h.Levels, h.LeafPages, grid)
 	}
-	h.minKey = append([]byte(nil), page[headerFixedLen:headerFixedLen+h.recordSize]...)
-	h.maxKey = append([]byte(nil), page[headerFixedLen+h.recordSize:headerFixedLen+2*h.recordSize]...)
-	return h, nil
+	return nil
 }

@@ -81,7 +81,7 @@ func TestDeltaRoundTrip(t *testing.T) {
 			if r.RecordCount() != uint64(n) {
 				t.Fatalf("RecordCount = %d, want %d", r.RecordCount(), n)
 			}
-			if !bytes.Equal(r.MinKey(), recs[0]) || !bytes.Equal(r.MaxKey(), recs[n-1]) {
+			if minKey, maxKey := headerKeys(t, f); !bytes.Equal(minKey, recs[0]) || !bytes.Equal(maxKey, recs[n-1]) {
 				t.Fatal("min/max key mismatch")
 			}
 			it, err := r.First()

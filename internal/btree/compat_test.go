@@ -10,6 +10,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -127,8 +128,8 @@ func checkGoldenRun(t *testing.T, b []byte, format Format, recs [][]byte) {
 		if r.Format() != format || r.RecordCount() != uint64(len(recs)) {
 			t.Fatalf("format %v with %d records, want %v with %d", r.Format(), r.RecordCount(), format, len(recs))
 		}
-		if r.h.leafPages < 2 || r.h.levels == 0 {
-			t.Fatalf("%d leaf pages under %d internal levels: the golden run must exercise a page restart and an index descent", r.h.leafPages, r.h.levels)
+		if r.h.LeafPages < 2 || r.h.Levels == 0 {
+			t.Fatalf("%d leaf pages under %d internal levels: the golden run must exercise a page restart and an index descent", r.h.LeafPages, r.h.Levels)
 		}
 		for _, rd := range []*Reader{r, r.NoFill()} {
 			it, err := rd.First()
@@ -236,6 +237,18 @@ func rewriteHeader(t testing.TB, f storage.File, edit func(page []byte)) {
 	}
 }
 
+// headerKeys parses the smallest and largest records the writer put in
+// f's header page, which no reader keeps.
+func headerKeys(t testing.TB, f storage.File) (minKey, maxKey []byte) {
+	t.Helper()
+	page := make([]byte, storage.PageSize)
+	if _, err := f.ReadAt(page, 0); err != nil {
+		t.Fatal(err)
+	}
+	rs := int(binary.LittleEndian.Uint32(page[12:]))
+	return page[headerFixedLen : headerFixedLen+rs], page[headerFixedLen+rs : headerFixedLen+2*rs]
+}
+
 // TestFormatContract: the previous delta format cannot be written, and a
 // version this binary has never heard of fails Open by name rather than as
 // corruption.
@@ -256,7 +269,8 @@ func TestFormatContract(t *testing.T) {
 
 // TestHeaderGeometryChecked: every field that sizes a read or positions a
 // page is held against the file's size at Open, and a delta run's record
-// size against the eight columns its one-byte bitmap can flag.
+// size against the eight columns its one-byte bitmap can flag — whether the
+// page holds the header or a manifest carries it (OpenHeader).
 func TestHeaderGeometryChecked(t *testing.T) {
 	le := binary.LittleEndian
 	for name, edit := range map[string]func(page []byte){
@@ -278,6 +292,18 @@ func TestHeaderGeometryChecked(t *testing.T) {
 			rewriteHeader(t, run, edit)
 			if _, err := Open(run, nil); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("Open: %v, want ErrCorrupt", err)
+			}
+			// The same fields carried by a manifest meet the same check.
+			page := make([]byte, storage.PageSize)
+			if _, err := run.ReadAt(page, 0); err != nil {
+				t.Fatal(err)
+			}
+			h, err := decodeHeader(page)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := OpenHeader(run, h, nil); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("OpenHeader: %v, want ErrCorrupt", err)
 			}
 		})
 	}
@@ -326,6 +352,42 @@ func FuzzRunHeader(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestOpenHeaderReadsNothing: a run opened from the Header its reader
+// reports reads no byte to open and then reads what Open's reader reads,
+// over both formats, a golden of the read-only one included.
+func TestOpenHeaderReadsNothing(t *testing.T) {
+	for _, name := range []string{"v3-from.run", "v3-combined.run", "v2-from.run"} {
+		fs := storage.NewMemFS()
+		f, err := fs.Create("run")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt(readGolden(t, name), 0); err != nil {
+			t.Fatal(err)
+		}
+		r, err := Open(f, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := fs.Stats()
+		carried, err := OpenHeader(f, r.Header(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := fs.Stats().Sub(before); d.PageReads != 0 {
+			t.Fatalf("%s: OpenHeader read %d pages, want none", name, d.PageReads)
+		}
+		want, err := drain(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := drain(carried)
+		if err != nil || !reflect.DeepEqual(got, want) || carried.Header() != r.Header() {
+			t.Fatalf("%s: the carried header's reader reads %d records (%v), the page's %d", name, len(got), err, len(want))
+		}
+	}
 }
 
 // TestBloomChecksum: the filter bytes of a current-format run are covered

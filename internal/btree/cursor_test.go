@@ -235,21 +235,21 @@ func checkCursor(t *testing.T, name string, r *Reader, recs [][]byte, exhaustive
 	t.Helper()
 	const K = restartInterval
 	reference := decodeDeltaLeaf
-	if r.h.format == formatDeltaV2 {
+	if r.h.Format == formatDeltaV2 {
 		reference = decodeDeltaLeafV2
 	}
 	var all [][]byte
-	for p := uint64(0); p < r.h.leafPages; p++ {
-		payload, count, err := r.readPageRaw(new([storage.PageSize]byte), r.h.leafStart+p)
+	for p := uint64(0); p < r.h.LeafPages; p++ {
+		payload, count, err := r.readPageRaw(new([storage.PageSize]byte), r.h.LeafStart+p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		flat, _, err := reference(payload, count, r.h.recordSize)
+		flat, _, err := reference(payload, count, r.h.RecordSize)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < count; i++ {
-			all = append(all, flat[i*r.h.recordSize:(i+1)*r.h.recordSize])
+			all = append(all, flat[i*r.h.RecordSize:(i+1)*r.h.RecordSize])
 		}
 	}
 	if len(all) != len(recs) {
@@ -347,13 +347,13 @@ func TestCacheChargesWhatItHolds(t *testing.T) {
 		t.Fatalf("full leaf of %d records charged %d bytes, %d of them restart table: want <= %d and <= 400",
 			p.count, p.size(), len(p.restarts), pagePayload+400)
 	}
-	if root := cache.get(r.id, r.h.rootPage); root == nil || root.size() != int64(root.count*(48+8)) {
+	if root := cache.get(r.id, r.h.RootPage); root == nil || root.size() != int64(root.count*(48+8)) {
 		t.Fatalf("root page charged %d bytes for %d entries", root.size(), root.count)
 	}
 	checkHeld(cache)
 
 	// The root of a small level-0 run: ten leaves, ten index entries.
-	small := recs[:int(r.RecordCount()/r.h.leafPages)*19/2]
+	small := recs[:int(r.RecordCount()/r.h.LeafPages)*19/2]
 	cache = NewCacheBytes(64 << 20)
 	if r, err = Open(buildRunFormat(t, storage.NewMemFS(), "small", 48, FormatDelta, small), cache); err != nil {
 		t.Fatal(err)
@@ -361,7 +361,7 @@ func TestCacheChargesWhatItHolds(t *testing.T) {
 	if _, err := r.SeekGE(small[0]); err != nil {
 		t.Fatal(err)
 	}
-	if root := cache.get(r.id, r.h.rootPage); root == nil || root.count != 10 || root.size() > 600 {
+	if root := cache.get(r.id, r.h.RootPage); root == nil || root.count != 10 || root.size() > 600 {
 		t.Fatalf("10-entry root: %+v", root)
 	}
 	checkHeld(cache)
@@ -374,7 +374,7 @@ func TestCacheChargesWhatItHolds(t *testing.T) {
 	if _, err := r.SeekGE(small[99]); err != nil {
 		t.Fatal(err)
 	}
-	if last := cache.get(r.id, r.h.leafStart+r.h.leafPages-1); last == nil || last.size() != int64(last.count*48) {
+	if last := cache.get(r.id, r.h.LeafStart+r.h.LeafPages-1); last == nil || last.size() != int64(last.count*48) {
 		t.Fatalf("raw leaf: %+v", last)
 	}
 	checkHeld(cache)
@@ -476,9 +476,9 @@ func TestCacheChargesEncodedBytes(t *testing.T) {
 	if got := cache.SizeBytes(); got > budget {
 		t.Fatalf("SizeBytes = %d exceeds the %d budget", got, budget)
 	}
-	expanded := int(r.RecordCount()) * 48 / int(r.h.leafPages) // bytes per leaf, decoded
-	if r.h.leafPages*uint64(expanded) < 8*budget {
-		t.Fatalf("run too small to fill the cache: %d leaves", r.h.leafPages)
+	expanded := int(r.RecordCount()) * 48 / int(r.h.LeafPages) // bytes per leaf, decoded
+	if r.h.LeafPages*uint64(expanded) < 8*budget {
+		t.Fatalf("run too small to fill the cache: %d leaves", r.h.LeafPages)
 	}
 	if parent := budget / expanded; cache.Len() < 4*parent {
 		t.Fatalf("%d leaves resident; expanded leaves of %d bytes allowed %d, want >= 4x", cache.Len(), expanded, parent)
@@ -781,12 +781,12 @@ func FuzzIndexAndRawPages(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.h.levels != 1 || r.h.leafPages != 3 || r.h.rootPage != 4 {
+		if r.h.Levels != 1 || r.h.LeafPages != 3 || r.h.RootPage != 4 {
 			t.Fatalf("run geometry: %+v", r.h)
 		}
 		pageNo, stride := uint64(1), recSize
 		if internal {
-			pageNo, stride = r.h.rootPage, recSize+8
+			pageNo, stride = r.h.RootPage, recSize+8
 		}
 		forgePage(t, file, int64(pageNo), count, payload)
 		padded := make([]byte, pagePayload)

@@ -20,7 +20,7 @@ var readerIDs atomic.Uint64
 // Reader provides point lookups and ordered iteration over a finished run.
 type Reader struct {
 	f     storage.File
-	h     header
+	h     Header
 	cache *Cache
 	id    uint64
 
@@ -46,6 +46,17 @@ func Open(f storage.File, cache *Cache) (*Reader, error) {
 	return newReader(f, h, cache, readerIDs.Add(1)), nil
 }
 
+// OpenHeader returns a Reader over the run in f that h describes, reading
+// nothing: h is a header a manifest carried for the run, held against the
+// file as Open holds the page's (the manifest's checksum stands in for the
+// page's). The cache may be nil.
+func OpenHeader(f storage.File, h Header, cache *Cache) (*Reader, error) {
+	if err := h.check(f); err != nil {
+		return nil, err
+	}
+	return newReader(f, h, cache, readerIDs.Add(1)), nil
+}
+
 // Open returns a Reader over the run w has finished, from the header the
 // builder still holds: nothing is read. f must address the file w wrote.
 // The Reader takes w's cache identity, so the pages w wrote through to the
@@ -54,8 +65,8 @@ func (w *Writer) Open(f storage.File, cache *Cache) *Reader {
 	return newReader(f, w.h, cache, w.id)
 }
 
-func newReader(f storage.File, h header, cache *Cache, id uint64) *Reader {
-	return &Reader{f: f, h: h, cache: cache, id: id, next: decoderFor(h.format)}
+func newReader(f storage.File, h Header, cache *Cache, id uint64) *Reader {
+	return &Reader{f: f, h: h, cache: cache, id: id, next: decoderFor(h.Format)}
 }
 
 // SetDecodeObserver installs a callback receiving, once per delta leaf
@@ -94,32 +105,28 @@ func (r *Reader) CacheID() uint64 { return r.id }
 
 // Format returns the run's leaf encoding: FormatRaw, FormatDelta, or the
 // previous delta format, which is only ever read.
-func (r *Reader) Format() Format { return r.h.format }
+func (r *Reader) Format() Format { return r.h.Format }
 
 // RecordSize returns the fixed record size of the run.
-func (r *Reader) RecordSize() int { return r.h.recordSize }
+func (r *Reader) RecordSize() int { return r.h.RecordSize }
 
 // RecordCount returns the number of records in the run.
-func (r *Reader) RecordCount() uint64 { return r.h.recordCount }
+func (r *Reader) RecordCount() uint64 { return r.h.Records }
 
-// MinKey returns the smallest record in the run. The slice is owned by the
-// reader and must not be modified.
-func (r *Reader) MinKey() []byte { return r.h.minKey }
-
-// MaxKey returns the largest record in the run.
-func (r *Reader) MaxKey() []byte { return r.h.maxKey }
+// Header returns the run's header, which OpenHeader opens the run from.
+func (r *Reader) Header() Header { return r.h }
 
 // Pages returns the number of 4 KB pages of the page grid the header
 // claims (header + leaves + internal levels), excluding the trailing bloom
 // bytes.
-func (r *Reader) Pages() uint64 { return r.h.bloomOff / storage.PageSize }
+func (r *Reader) Pages() uint64 { return r.h.FilterOff / storage.PageSize }
 
 // SizeBytes returns the run's own size: its pages through the root page
 // and its Bloom filter — the whole file, for a run that is one. The first
 // run of a file that holds several claims the other runs' pages in its
 // grid (Pages) but does not own them.
 func (r *Reader) SizeBytes() int64 {
-	return r.h.ownBytes() + int64(r.h.bloomLen)
+	return r.h.ownBytes() + int64(r.h.FilterLen)
 }
 
 // BloomBytes reads the serialized Bloom filter, or nil if none was stored.
@@ -128,14 +135,14 @@ func (r *Reader) SizeBytes() int64 {
 // false negative, an owner silently missing from an answer. Older formats
 // stored no checksum.
 func (r *Reader) BloomBytes() ([]byte, error) {
-	if r.h.bloomLen == 0 {
+	if r.h.FilterLen == 0 {
 		return nil, nil
 	}
-	buf := make([]byte, r.h.bloomLen) // at most the file's size, see readHeader
-	if _, err := r.f.ReadAt(buf, int64(r.h.bloomOff)); err != nil && err != io.EOF {
+	buf := make([]byte, r.h.FilterLen) // at most the file's size, see Header.check
+	if _, err := r.f.ReadAt(buf, int64(r.h.FilterOff)); err != nil && err != io.EOF {
 		return nil, fmt.Errorf("btree: reading bloom: %w", err)
 	}
-	if r.h.format == FormatDelta && crc32.Checksum(buf, castagnoli) != r.h.bloomCRC {
+	if r.h.Format == FormatDelta && crc32.Checksum(buf, castagnoli) != r.h.FilterCRC {
 		return nil, fmt.Errorf("%w: bloom filter checksum", ErrCorrupt)
 	}
 	return buf, nil
@@ -175,11 +182,11 @@ func (r *Reader) readPage(pageNo uint64) (*page, error) {
 	p := &page{count: count}
 	used := len(payload)
 	switch {
-	case pageNo-r.h.leafStart >= r.h.leafPages: // internal
-		used, err = entriesLen(payload, count, r.h.recordSize+8)
+	case pageNo-r.h.LeafStart >= r.h.LeafPages: // internal
+		used, err = entriesLen(payload, count, r.h.RecordSize+8)
 	case r.next == nil:
-		used, err = entriesLen(payload, count, r.h.recordSize)
-	case r.noFill && r.h.format == FormatDelta:
+		used, err = entriesLen(payload, count, r.h.RecordSize)
+	case r.noFill && r.h.Format == FormatDelta:
 		err = checkLeafCount(payload, count)
 	default:
 		used, err = r.sample(p, payload, s)
@@ -213,10 +220,10 @@ func (r *Reader) sample(p *page, payload []byte, s *pageScratch) (used int, err 
 	if r.decodeObs != nil {
 		start = time.Now()
 	}
-	if used, err = sampleRestarts(&s.table, payload, p.count, r.h.recordSize, r.next); err != nil {
+	if used, err = sampleRestarts(&s.table, payload, p.count, r.h.RecordSize, r.next); err != nil {
 		return 0, err
 	}
-	p.restarts = s.table.finish(r.h.recordSize)
+	p.restarts = s.table.finish(r.h.RecordSize)
 	if r.decodeObs != nil {
 		r.decodeObs(time.Since(start))
 	}
@@ -248,12 +255,12 @@ func (r *Reader) readPageRaw(buf *[storage.PageSize]byte, pageNo uint64) (payloa
 // findLeaf descends from the root to the leaf page that may contain the
 // first record >= key.
 func (r *Reader) findLeaf(key []byte) (uint64, error) {
-	if r.h.levels == 0 {
-		return r.h.leafStart, nil
+	if r.h.Levels == 0 {
+		return r.h.LeafStart, nil
 	}
-	pageNo := r.h.rootPage
-	entrySize := r.h.recordSize + 8
-	for level := int(r.h.levels); level > 0; level-- {
+	pageNo := r.h.RootPage
+	entrySize := r.h.RecordSize + 8
+	for level := int(r.h.Levels); level > 0; level-- {
 		pg, err := r.readPage(pageNo)
 		if err == nil {
 			// A damaged header can send the descent through any page, a
@@ -267,7 +274,7 @@ func (r *Reader) findLeaf(key []byte) (uint64, error) {
 		// before every separator, take the first child (SeekGE then
 		// starts at the level's smallest records).
 		idx := max(countLE(pg.payload, entrySize, pg.count, key)-1, 0)
-		pageNo = binary.LittleEndian.Uint64(pg.payload[idx*entrySize+r.h.recordSize:])
+		pageNo = binary.LittleEndian.Uint64(pg.payload[idx*entrySize+r.h.RecordSize:])
 	}
 	return pageNo, nil
 }
@@ -309,7 +316,7 @@ type Iterator struct {
 func (r *Reader) newIterator(pageNo uint64) (*Iterator, error) {
 	it := &Iterator{r: r, pageNo: pageNo}
 	if r.next != nil {
-		it.rec = make([]byte, r.h.recordSize)
+		it.rec = make([]byte, r.h.RecordSize)
 	}
 	if err := it.loadPage(); err != nil {
 		return nil, err
@@ -319,13 +326,13 @@ func (r *Reader) newIterator(pageNo uint64) (*Iterator, error) {
 
 // First returns an iterator positioned at the first record.
 func (r *Reader) First() (*Iterator, error) {
-	return r.newIterator(r.h.leafStart)
+	return r.newIterator(r.h.LeafStart)
 }
 
 // SeekGE returns an iterator positioned at the first record >= key.
 func (r *Reader) SeekGE(key []byte) (*Iterator, error) {
-	if len(key) != r.h.recordSize {
-		return nil, fmt.Errorf("btree: seek key size %d, want %d", len(key), r.h.recordSize)
+	if len(key) != r.h.RecordSize {
+		return nil, fmt.Errorf("btree: seek key size %d, want %d", len(key), r.h.RecordSize)
 	}
 	leaf, err := r.findLeaf(key)
 	if err != nil {
@@ -335,7 +342,7 @@ func (r *Reader) SeekGE(key []byte) (*Iterator, error) {
 	if err != nil || it.done {
 		return it, err
 	}
-	rs := r.h.recordSize
+	rs := r.h.RecordSize
 	if it.rec == nil {
 		// Binary search within the raw leaf for the first record >= key.
 		lo, hi := 0, it.count
@@ -386,7 +393,7 @@ func (r *Reader) SeekGE(key []byte) (*Iterator, error) {
 }
 
 func (it *Iterator) loadPage() error {
-	if it.pageNo >= it.r.h.leafStart+it.r.h.leafPages {
+	if it.pageNo >= it.r.h.LeafStart+it.r.h.LeafPages {
 		it.done = true
 		return nil
 	}
@@ -441,7 +448,7 @@ func (it *Iterator) Next() (rec []byte, ok bool, err error) {
 		}
 		return it.rec, true, nil
 	}
-	rs := it.r.h.recordSize
+	rs := it.r.h.RecordSize
 	rec = it.payload[it.idx*rs : (it.idx+1)*rs]
 	it.idx++
 	return rec, true, nil

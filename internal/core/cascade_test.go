@@ -127,7 +127,8 @@ func (cp *cascadePair) catalog(change func(*core.MemCatalog) error) {
 }
 
 // pass checkpoints both engines at cpn and runs a maintenance pass on
-// each, then checks that they hold the same runs, that the folded engine
+// each, checking every run's header against its page after it, then checks
+// that they hold the same runs, that the folded engine
 // merged no more often and wrote no more compaction bytes in the pass,
 // and strictly fewer bytes when it merged less often.
 func (cp *cascadePair) pass(cpn uint64) {
@@ -141,6 +142,7 @@ func (cp *cascadePair) pass(cpn uint64) {
 		if err := eng.MaintainNow(); err != nil {
 			cp.t.Fatal(err)
 		}
+		checkHeaders(cp.t, eng, fmt.Sprintf("CP %d, after the pass", cpn))
 		after := eng.Stats()
 		merges[i] = after.Compactions - before.Compactions
 		bytes[i] = after.CompactWriteBytes - before.CompactWriteBytes

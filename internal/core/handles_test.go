@@ -54,7 +54,8 @@ func countHandles(fs *storage.MemFS) (held func() []string) {
 // handle per live run file — one for a checkpoint's From and To runs, which
 // share their file; none on a builder's finished file; none on a file a
 // merge reclaimed — that Close releases them all, and that an Open which
-// fails on a damaged run releases the handles it had opened.
+// fails on a damaged run — a file cut short of the header its commit
+// carries — releases the handles it had opened.
 func TestRunHandlesAreClosed(t *testing.T) {
 	fs := storage.NewMemFS()
 	held := countHandles(fs)
@@ -118,20 +119,30 @@ func TestRunHandlesAreClosed(t *testing.T) {
 	}
 	check("after Close", nil)
 
-	// Break the header of a checkpoint file's first run.
-	f, err := fs.Open(files[0])
+	// Cut the merge's output short: the header its commit carries no longer
+	// fits the file, which Open finds once every run file's handle is open.
+	merged := files[slices.IndexFunc(files, func(n string) bool { return strings.HasPrefix(n, "merge.") })]
+	f, err := fs.Open(merged)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(files[0], "cp.") {
-		t.Fatalf("%s is not a checkpoint file", files[0])
+	data := make([]byte, storage.PageSize)
+	if _, err := f.ReadAt(data, 0); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := f.WriteAt(make([]byte, 64), 0); err != nil {
+	f.Close()
+	if err := fs.Remove(merged); err != nil {
+		t.Fatal(err)
+	}
+	if f, err = fs.Create(merged); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(data, 0); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
 	if _, err := open(); err == nil {
-		t.Fatal("Open accepted a run with a zeroed header")
+		t.Fatal("Open accepted a run file cut short")
 	}
 	check("after the failed Open", nil)
 }

@@ -779,6 +779,9 @@ func (d *smDriver) apply(op smOp) error {
 		if err := noOrphans(d.fs, d.eng); err != nil {
 			return err
 		}
+		if err := d.eng.DB().CheckHeaders(); err != nil {
+			return err
+		}
 	case opCrash:
 		return d.crash()
 	}
@@ -836,6 +839,9 @@ func (d *smDriver) recover() error {
 		d.tag, d.base, d.pending, d.acked = undo.tag, undo.base, undo.pending, undo.acked
 	}
 	if err := noOrphans(d.fs, d.eng); err != nil {
+		return err
+	}
+	if err := d.eng.DB().CheckHeaders(); err != nil {
 		return err
 	}
 	lo, hi := 0, len(d.pending)

@@ -404,11 +404,13 @@ func (e *Edit) Write() error {
 		for p, runs := range e.newRuns[name] {
 			tm.Partitions[p] = make([]runManifest, 0, len(runs))
 			for _, r := range runs {
+				h := r.qreader.Header()
 				tm.Partitions[p] = append(tm.Partitions[p], runManifest{
 					Name: r.name, Level: r.level, Records: r.records,
 					MinBlock: r.minBlock, MaxBlock: r.maxBlock, CP: r.cp,
 					MinCP: r.minCP, MaxCP: r.maxCP, Overrides: r.overrides,
 					CPUnknown: r.cpUnknown, Pages: r.pageExt, Filter: r.filterExt,
+					Header: &h,
 				})
 			}
 		}

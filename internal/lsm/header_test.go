@@ -1,0 +1,255 @@
+package lsm
+
+import (
+	"bytes"
+	"encoding/json"
+	"maps"
+	"regexp"
+	"strings"
+	"sync"
+	"testing"
+
+	"github.com/backlogfs/backlog/internal/btree"
+	"github.com/backlogfs/backlog/internal/obs"
+	"github.com/backlogfs/backlog/internal/storage"
+)
+
+// carriedHeader matches the header a run's entry carries, with the comma
+// before it.
+var carriedHeader = regexp.MustCompile(`,"header":\[[0-9,]*\]`)
+
+// withoutHeaders returns a manifest body with the carried headers taken
+// out, after checking that each of its runs carried one.
+func withoutHeaders(t testing.TB, body []byte, runs int) []byte {
+	t.Helper()
+	if n := len(carriedHeader.FindAll(body, -1)); n != runs || bytes.Count(body, []byte(`"name":`)) != runs {
+		t.Fatalf("%d of the body's runs carry a header, want all %d:\n%s", n, runs, body)
+	}
+	return carriedHeader.ReplaceAll(body, nil)
+}
+
+// reseal plants, as the newest commit file, the manifest of fs's newest
+// commit as mutate leaves it.
+func reseal(t testing.TB, fs *storage.MemFS, mutate func(m *manifest)) {
+	t.Helper()
+	var m manifest
+	if err := json.Unmarshal(manifestBody(t, fs), &m); err != nil {
+		t.Fatal(err)
+	}
+	mutate(&m)
+	body, err := json.Marshal(&m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plant(t, fs, newestCommit, sealTrailer(body, btree.Layout{}))
+}
+
+// openCounted opens fs through the attributed view the engine opens its
+// store through and returns the DB, the bytes Open read from each file, and
+// the bytes the accountant credited to recovery.
+func openCounted(t *testing.T, fs *storage.MemFS, opts Options) (db *DB, read map[string]int, recovery uint64) {
+	t.Helper()
+	var mu sync.Mutex
+	read = map[string]int{}
+	fs.SetFailurePlan(storage.FailurePlan{Hook: func(c storage.Call) error {
+		if c.Op == storage.OpRead {
+			mu.Lock()
+			read[c.Name] += c.Len
+			mu.Unlock()
+		}
+		return nil
+	}})
+	defer fs.SetFailurePlan(storage.FailurePlan{})
+	ios := obs.NewIOStats()
+	db, err := Open(storage.Attributed(fs, ios).Tagged(storage.SrcUnknown), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recovery, _ = ios.SourceBytes(storage.SrcRecovery)
+	return db, read, recovery
+}
+
+// fileSize returns the size of name in fs.
+func fileSize(t testing.TB, fs *storage.MemFS, name string) int {
+	t.Helper()
+	return len(readFile(t, fs, name))
+}
+
+// TestReopenReadsNoRunPage: Open builds each run's reader from the header
+// its commit carries. The commit-trailer goldens are goldenStoreV4's last
+// manifest as the encoder before carried headers wrote it (never
+// regenerate them); resealed into a commit file, the store opens from them
+// to the state that writer left, reading the commit file, the deletion
+// vector it names and one header page per run. The first commit after that
+// carries every run's header, each equal to its page's, and the next Open
+// reads the commit file and the vector and no byte of any run file. Every
+// byte either Open reads is credited to recovery.
+func TestReopenReadsNoRunPage(t *testing.T) {
+	for _, tc := range []struct {
+		golden  string
+		section func() ([]byte, error)
+	}{
+		{"commit-trailer", nil},
+		{"commit-trailer-catalog", func() ([]byte, error) { return []byte(goldenSection), nil }},
+	} {
+		fs := storage.NewMemFS()
+		db := goldenStoreV4(t, fs, tc.section)
+		want := storeState(t, db)
+		db.Close()
+		golden := testdata(t, tc.golden)
+		body := golden[manifestEnvLen : len(golden)-trailerFooterLen]
+		if carriedHeader.Match(body) {
+			t.Fatalf("%s: the golden carries headers", tc.golden)
+		}
+		plant(t, fs, newestCommit, sealTrailer(body, btree.Layout{}))
+		dv := dvFileOf(t, fs)
+
+		db, read, recovery := openCounted(t, fs, goldenOptions(tc.section))
+		if got := storeState(t, db); got != want {
+			t.Fatalf("%s opens to\n%s\nthe store that wrote it\n%s", tc.golden, got, want)
+		}
+		wantRead := map[string]int{newestCommit: fileSize(t, fs, newestCommit), dv: fileSize(t, fs, dv)}
+		for _, ri := range db.RunInfos() {
+			wantRead[ri.Name] += storage.PageSize
+		}
+		if !maps.Equal(read, wantRead) || recovery != uint64(sum(read)) {
+			t.Fatalf("%s: Open read %v (%d B credited to recovery), want the commit, the vector and a header page per run: %v", tc.golden, read, recovery, wantRead)
+		}
+		if err := db.CheckHeaders(); err != nil {
+			t.Fatalf("%s: %v", tc.golden, err)
+		}
+
+		if err := db.NewEdit().Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.CheckHeaders(); err != nil {
+			t.Fatalf("%s, after its first commit: %v", tc.golden, err)
+		}
+		commit := db.commit
+		db.Close()
+		withoutHeaders(t, manifestBody(t, fs), 8)
+		db, read, recovery = openCounted(t, fs, goldenOptions(tc.section))
+		if got := storeState(t, db); got != want {
+			t.Fatalf("%s, committed once, reopens to\n%s\nwant\n%s", tc.golden, got, want)
+		}
+		wantRead = map[string]int{commit: fileSize(t, fs, commit), dv: fileSize(t, fs, dv)}
+		if !maps.Equal(read, wantRead) || recovery != uint64(sum(read)) {
+			t.Fatalf("%s, committed once: Open read %v (%d B credited to recovery), want the commit and the vector alone: %v", tc.golden, read, recovery, wantRead)
+		}
+		if err := db.CheckHeaders(); err != nil {
+			t.Fatalf("%s, reopened: %v", tc.golden, err)
+		}
+		db.Close()
+	}
+}
+
+func sum(m map[string]int) (n int) {
+	for _, v := range m {
+		n += v
+	}
+	return n
+}
+
+// hostileHeaders returns goldenStoreV4's manifest, body, with one carried
+// header field that sizes a read set where no writer puts it, each
+// checksummed: Open must refuse every one as ErrCorrupt. The rows edit the
+// shared file's second section, the Combined run of partition 0, but for
+// the filter's place, which only a run that is its whole file carries, and
+// the wire rows, which edit the JSON.
+func hostileHeaders(t testing.TB, body []byte) map[string][]byte {
+	t.Helper()
+	edit := func(mutate func(m *manifest)) []byte {
+		var m manifest
+		if err := json.Unmarshal(body, &m); err != nil {
+			t.Fatal(err)
+		}
+		mutate(&m)
+		b, err := json.Marshal(&m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sealManifest(manifestVersion, b)
+	}
+	section := func(m *manifest) *btree.Header { return m.Tables["combined"].Partitions[0][2].Header }
+	whole := func(m *manifest) *btree.Header { return m.Tables["from"].Partitions[0][0].Header }
+	out := map[string][]byte{}
+	for name, mutate := range map[string]func(m *manifest){
+		"leaf pages past the grid":    func(m *manifest) { section(m).LeafPages = 1 << 20 },
+		"first leaf past the grid":    func(m *manifest) { section(m).LeafStart = 1 << 40 },
+		"root page past the grid":     func(m *manifest) { section(m).RootPage = 1 << 30 },
+		"root at the header page":     func(m *manifest) { section(m).RootPage = 0 },
+		"levels above 16":             func(m *manifest) { section(m).Levels = 17 },
+		"levels over a single leaf":   func(m *manifest) { section(m).Levels = 1 },
+		"an unknown format":           func(m *manifest) { section(m).Format = 9 },
+		"a record size not the table": func(m *manifest) { section(m).RecordSize = 2 * testRecSize },
+		"filter offset past the file": func(m *manifest) { whole(m).FilterOff = 1 << 40 },
+		"filter length past the file": func(m *manifest) { whole(m).FilterLen = 1 << 40 },
+	} {
+		out[name] = edit(mutate)
+	}
+	sealed := sealManifest(manifestVersion, body)
+	header := carriedHeader.Find(body)
+	for name, wire := range map[string]string{
+		"a whole file's header short of its filter": `,"header":[1,16,1,1,0,1,0]`,
+		"a format past 32 bits":                     `,"header":[4294967297,16,1,1,0,1,0,8192,88]`,
+	} {
+		if !strings.HasSuffix(string(header), ",8192,88]") {
+			t.Fatalf("the first carried header, %s, is not a whole file's", header)
+		}
+		out[name] = sealManifest(manifestVersion, bytes.Replace(sealed[manifestEnvLen:], header, []byte(wire), 1))
+	}
+	return out
+}
+
+// TestManifestHostileHeaders: a checksummed commit whose run carries a
+// header that no writer makes — leaves or root past the run's page grid,
+// more than 16 levels or levels over a single leaf, an unknown format, a
+// record size that is not its table's, a filter past the end of the file,
+// a header of the wrong length or with a field past 32 bits — is ErrCorrupt
+// at Open, as the newest commit's trailer and as a legacy manifest, and the
+// refused Open removes no file.
+func TestManifestHostileHeaders(t *testing.T) {
+	fs := storage.NewMemFS()
+	goldenStoreV4(t, fs, nil).Close()
+	hostile := hostileHeaders(t, manifestBody(t, fs))
+	for name, b := range hostile {
+		plant(t, fs, newestCommit, sealTrailer(b[manifestEnvLen:], btree.Layout{}))
+		refusesOpen(t, fs, goldenOptions(nil), name+" (trailer)")
+		if err := fs.Remove(newestCommit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, b := range hostile {
+		refuses(t, fs, b, name+" (legacy)")
+	}
+}
+
+// TestCheckHeadersFindsAStaleRoot: a commit whose carried header names a
+// page of the run other than its root — one a leaf's number, inside the
+// run's grid, so Open cannot tell — opens, and CheckHeaders, which holds
+// every carried header against its page, reports it.
+func TestCheckHeadersFindsAStaleRoot(t *testing.T) {
+	fs := storage.NewMemFS()
+	db := openTestDB(t, fs, 1)
+	var recs [][]byte
+	for b := uint64(0); b < 2000; b++ {
+		recs = append(recs, rec16(b, 1))
+	}
+	flushRecords(t, db, "from", 1, recs)
+	if err := db.CheckHeaders(); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+	reseal(t, fs, func(m *manifest) {
+		h := m.Tables["from"].Partitions[0][0].Header
+		if h.Levels == 0 {
+			t.Fatalf("a one-leaf run: %+v", *h)
+		}
+		h.RootPage--
+	})
+	db = openTestDB(t, fs, 1)
+	defer db.Close()
+	if err := db.CheckHeaders(); err == nil || !strings.Contains(err.Error(), "RootPage") {
+		t.Fatalf("CheckHeaders over a stale root page: %v", err)
+	}
+}

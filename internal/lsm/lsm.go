@@ -30,10 +30,11 @@
 // memory instead (Edit.Prepare): the live runs move, the committed manifest
 // and the files it names stay until the next commit writes the live runs,
 // and a crash before it reopens what that manifest names. The manifest
-// records where in its file each run lies, carries a checksum, and carries
-// one opaque section for its caller (Options.Section — the engine's
-// snapshot catalog), so state that decides what the runs mean changes in
-// the same commit as the runs.
+// records where in its file each run lies and the run's header, so that
+// Open builds every reader from it and reads no run page, carries a
+// checksum, and carries one opaque section for its caller
+// (Options.Section — the engine's snapshot catalog), so state that decides
+// what the runs mean changes in the same commit as the runs.
 //
 // The layer is policy-free: it stores opaque fixed-size records ordered by
 // bytes.Compare whose first 8 bytes are the big-endian physical block
@@ -50,6 +51,7 @@ import (
 	"hash/crc32"
 	"io"
 	"maps"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -378,6 +380,12 @@ type runManifest struct {
 	// first) and its Bloom filter lie, for a run that shares its file; both
 	// zero for a run that is its whole file.
 	Pages, Filter storage.Extent
+	// Header is the run's header as its reader holds it, which every commit
+	// carries, so that Open builds the reader from it and reads no page of
+	// the run (btree.OpenHeader); the manifest's checksum covers it. Nil in
+	// an entry written before commits carried headers — a legacy manifest,
+	// an older binary's trailer — whose run's header page Open reads.
+	Header *btree.Header
 }
 
 // whole reports whether the run is its whole file.
@@ -385,25 +393,54 @@ func (rm runManifest) whole() bool {
 	return rm.Pages == storage.Extent{} && rm.Filter == storage.Extent{}
 }
 
+// grid is where a run that shares its file has the page grid its header
+// describes: its own pages, or for the file's first run every page before
+// the filters, where its own filter comes first (btree.FileWriter).
+func (rm runManifest) grid() storage.Extent {
+	g := rm.Pages
+	if g.Off == 0 {
+		g.Len = rm.Filter.Off
+	}
+	return g
+}
+
+// view returns f, the run's file, as the run's own layout: f itself for a
+// run that is its whole file, else a view of its grid and its filter.
+func (rm runManifest) view(f storage.File) storage.File {
+	if rm.whole() {
+		return f
+	}
+	return storage.Extents(f, rm.grid(), rm.Filter)
+}
+
 // runManifestJSON is the wire form of runManifest. MinCP and MaxCP are
 // omitted when equal to CP (the common case for level-0 flushes, where
 // every record carries the flushed consistency point). At is where a run
 // that shares its file lies in it — page offset, page length, filter
 // offset, filter length — and is omitted for a run that is its whole file,
-// keeping such a run's entry what version 3 wrote.
+// keeping such a run's entry what version 3 wrote. Header is the run's
+// header less what the entry holds already — format, record size, first
+// leaf page, leaf pages, levels, root page, filter CRC — and for a run that
+// is its whole file, which has no At, the filter's offset and length; the
+// record count is Records. A binary that predates it ignores it.
 type runManifestJSON struct {
-	Name      string  `json:"name"`
-	Level     int     `json:"level"`
-	Records   uint64  `json:"records"`
-	MinBlock  uint64  `json:"min_block"`
-	MaxBlock  uint64  `json:"max_block"`
-	CP        uint64  `json:"cp"`
-	MinCP     *uint64 `json:"min_cp,omitempty"`
-	MaxCP     *uint64 `json:"max_cp,omitempty"`
-	Overrides uint64  `json:"overrides,omitempty"`
-	CPUnknown bool    `json:"cp_unknown,omitempty"`
-	At        []int64 `json:"at,omitempty"`
+	Name      string   `json:"name"`
+	Level     int      `json:"level"`
+	Records   uint64   `json:"records"`
+	MinBlock  uint64   `json:"min_block"`
+	MaxBlock  uint64   `json:"max_block"`
+	CP        uint64   `json:"cp"`
+	MinCP     *uint64  `json:"min_cp,omitempty"`
+	MaxCP     *uint64  `json:"max_cp,omitempty"`
+	Overrides uint64   `json:"overrides,omitempty"`
+	CPUnknown bool     `json:"cp_unknown,omitempty"`
+	At        []int64  `json:"at,omitempty"`
+	Header    []uint64 `json:"header,omitempty"`
 }
+
+// headerFields is how many numbers a carried header is on the wire for a
+// run that shares its file; a whole file's adds its filter's two.
+const headerFields = 7
 
 func (rm runManifest) MarshalJSON() ([]byte, error) {
 	w := runManifestJSON{
@@ -413,6 +450,12 @@ func (rm runManifest) MarshalJSON() ([]byte, error) {
 	}
 	if !rm.whole() {
 		w.At = []int64{rm.Pages.Off, rm.Pages.Len, rm.Filter.Off, rm.Filter.Len}
+	}
+	if h := rm.Header; h != nil {
+		w.Header = []uint64{uint64(h.Format), uint64(h.RecordSize), h.LeafStart, h.LeafPages, uint64(h.Levels), h.RootPage, uint64(h.FilterCRC)}
+		if rm.whole() {
+			w.Header = append(w.Header, h.FilterOff, h.FilterLen)
+		}
 	}
 	if !rm.CPUnknown {
 		if rm.MinCP != rm.CP {
@@ -445,6 +488,31 @@ func (rm *runManifest) UnmarshalJSON(data []byte) error {
 		rm.Filter = storage.Extent{Off: w.At[2], Len: w.At[3]}
 	default:
 		return fmt.Errorf("run %s placed by %d numbers, not 4", w.Name, len(w.At))
+	}
+	if len(w.Header) > 0 {
+		n := headerFields
+		if rm.whole() {
+			n += 2
+		}
+		if len(w.Header) != n {
+			return fmt.Errorf("run %s carries a header of %d numbers, not %d", w.Name, len(w.Header), n)
+		}
+		hw := w.Header
+		for _, i := range []int{0, 1, 4, 6} {
+			if hw[i] > math.MaxUint32 {
+				return fmt.Errorf("run %s carries header field %d = %d, past 32 bits", w.Name, i, hw[i])
+			}
+		}
+		h := btree.Header{
+			Format: btree.Format(hw[0]), RecordSize: int(hw[1]), Records: w.Records,
+			LeafStart: hw[2], LeafPages: hw[3], Levels: uint32(hw[4]), RootPage: hw[5], FilterCRC: uint32(hw[6]),
+		}
+		if rm.whole() {
+			h.FilterOff, h.FilterLen = hw[7], hw[8]
+		} else {
+			h.FilterOff, h.FilterLen = uint64(rm.grid().Len), uint64(rm.Filter.Len)
+		}
+		rm.Header = &h
 	}
 	if w.MinCP != nil {
 		rm.MinCP = *w.MinCP
@@ -1034,7 +1102,7 @@ func (db *DB) loadManifest(names []string) error {
 // the file or overlaps another run's range.
 func checkLayout(name string, rms []runManifest, size int64) error {
 	if len(rms) == 1 && rms[0].whole() {
-		return nil // btree.Open checks the run against the file
+		return nil // opening the run checks its header against the file
 	}
 	var exts []storage.Extent
 	for _, rm := range rms {

@@ -441,72 +441,79 @@ func TestInstalledRunKeepsBuilderFilter(t *testing.T) {
 }
 
 // TestDamagedFilterIsReadOnce: a current-format run whose filter bytes fail
-// the header's checksum is probed as a run without a filter — every block
-// in its range may be present, so no owner goes missing — and the bytes
-// are read once, not on every probe.
+// the checksum its commit carries is probed as a run without a filter —
+// every block in its range may be present, so no owner goes missing — and
+// the bytes are read once, not on every probe. Bytes flipped on disk and a
+// checksum the commit carries wrong are the same damage.
 func TestDamagedFilterIsReadOnce(t *testing.T) {
-	fs := storage.NewMemFS()
-	opts := Options{
-		Tables:    []TableSpec{{Name: "from", RecordSize: testRecSize}},
-		Cache:     btree.NewCacheBytes(64 * storage.PageSize),
-		RunFormat: btree.FormatDelta,
-	}
-	db, err := Open(fs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var recs [][]byte
-	for b := uint64(10); b < 500; b += 7 {
-		recs = append(recs, rec16(b, 1))
-	}
-	flushRecords(t, db, "from", 1, recs)
-	name, end := db.Table("from").Runs(0)[0].Name(), db.Table("from").Runs(0)[0].SizeBytes()
-	// A commit file of its own: the run file that carried the checkpoint's
-	// commit is not verified at the reopen, which would find it torn.
-	if err := db.NewEdit().Commit(); err != nil {
-		t.Fatal(err)
-	}
-	db.Close()
-
-	f, err := fs.Open(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b [1]byte // the filter's last byte
-	if _, err := f.ReadAt(b[:], end-1); err != nil {
-		t.Fatal(err)
-	}
-	b[0] ^= 0x04
-	if _, err := f.WriteAt(b[:], end-1); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	if db, err = Open(fs, opts); err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	run := db.Table("from").Runs(0)[0]
-	before := fs.Stats().BytesRead
-	if !run.MayContainBlock(11) {
-		t.Fatal("a run with a damaged filter ruled a block out")
-	}
-	first := fs.Stats().BytesRead - before
-	if first == 0 {
-		t.Fatal("the first probe read nothing: the filter was never checked")
-	}
-	for b := run.MinBlock(); b <= run.MaxBlock(); b++ {
-		if !run.MayContainBlock(b) {
-			t.Fatalf("block %d ruled out by a filter that failed its checksum", b)
+	for _, damage := range []string{"a flipped filter byte", "a wrong carried checksum"} {
+		fs := storage.NewMemFS()
+		opts := Options{
+			Tables:    []TableSpec{{Name: "from", RecordSize: testRecSize}},
+			Cache:     btree.NewCacheBytes(64 * storage.PageSize),
+			RunFormat: btree.FormatDelta,
 		}
-	}
-	if again := fs.Stats().BytesRead - before - first; again != 0 {
-		t.Fatalf("later probes read %d more bytes: the failed load is not sticky", again)
-	}
-	for b := uint64(10); b < 500; b += 7 {
-		if got := collect(t, db.Table("from"), b); len(got) != 1 {
-			t.Fatalf("block %d: %d records, want 1", b, len(got))
+		db, err := Open(fs, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
+		var recs [][]byte
+		for b := uint64(10); b < 500; b += 7 {
+			recs = append(recs, rec16(b, 1))
+		}
+		flushRecords(t, db, "from", 1, recs)
+		name, end := db.Table("from").Runs(0)[0].Name(), db.Table("from").Runs(0)[0].SizeBytes()
+		// A commit file of its own: the run file that carried the checkpoint's
+		// commit is not verified at the reopen, which would find it torn.
+		if err := db.NewEdit().Commit(); err != nil {
+			t.Fatal(err)
+		}
+		db.Close()
+
+		if damage == "a wrong carried checksum" {
+			reseal(t, fs, func(m *manifest) { m.Tables["from"].Partitions[0][0].Header.FilterCRC ^= 1 })
+		} else {
+			f, err := fs.Open(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var b [1]byte // the filter's last byte
+			if _, err := f.ReadAt(b[:], end-1); err != nil {
+				t.Fatal(err)
+			}
+			b[0] ^= 0x04
+			if _, err := f.WriteAt(b[:], end-1); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+		}
+
+		if db, err = Open(fs, opts); err != nil {
+			t.Fatal(err)
+		}
+		run := db.Table("from").Runs(0)[0]
+		before := fs.Stats().BytesRead
+		if !run.MayContainBlock(11) {
+			t.Fatalf("%s: a run with a damaged filter ruled a block out", damage)
+		}
+		first := fs.Stats().BytesRead - before
+		if first == 0 {
+			t.Fatalf("%s: the first probe read nothing: the filter was never checked", damage)
+		}
+		for b := run.MinBlock(); b <= run.MaxBlock(); b++ {
+			if !run.MayContainBlock(b) {
+				t.Fatalf("%s: block %d ruled out by a filter that failed its checksum", damage, b)
+			}
+		}
+		if again := fs.Stats().BytesRead - before - first; again != 0 {
+			t.Fatalf("%s: later probes read %d more bytes: the failed load is not sticky", damage, again)
+		}
+		for b := uint64(10); b < 500; b += 7 {
+			if got := collect(t, db.Table("from"), b); len(got) != 1 {
+				t.Fatalf("%s: block %d: %d records, want 1", damage, b, len(got))
+			}
+		}
+		db.Close()
 	}
 }
 

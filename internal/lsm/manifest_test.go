@@ -17,7 +17,7 @@ import (
 	"github.com/backlogfs/backlog/internal/storage"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/commit-trailer* from this run")
+var update = flag.Bool("update", false, "rewrite testdata/commit-headers* from this run")
 
 // goldenSection is the section of testdata/v3-manifest-catalog.json and
 // testdata/v4-manifest-catalog.
@@ -103,16 +103,19 @@ func goldenStoreV4(t testing.TB, fs storage.VFS, section func() ([]byte, error))
 
 // TestManifestV4BytesPinned: the encoder keeps producing the bytes of the
 // two version-4 trailer goldens — goldenStoreV4's last commit, with and
-// without a section: the manifest's envelope and the footer after it — and
-// a store reopened from its run files agrees with the one that wrote them.
-// -update rewrites the goldens.
+// without a section, every run's header carried: the manifest's envelope
+// and the footer after it — and a store reopened from its run files agrees
+// with the one that wrote them. -update rewrites these goldens; the
+// commit-trailer ones, whose runs carry no header, were written by the
+// encoder before it and are never regenerated (TestReopenReadsNoRunPage
+// opens them).
 func TestManifestV4BytesPinned(t *testing.T) {
 	for _, tc := range []struct {
 		golden  string
 		section func() ([]byte, error)
 	}{
-		{"commit-trailer", nil},
-		{"commit-trailer-catalog", func() ([]byte, error) { return []byte(goldenSection), nil }},
+		{"commit-headers", nil},
+		{"commit-headers-catalog", func() ([]byte, error) { return []byte(goldenSection), nil }},
 	} {
 		fs := storage.NewMemFS()
 		db := goldenStoreV4(t, fs, tc.section)
@@ -134,6 +137,9 @@ func TestManifestV4BytesPinned(t *testing.T) {
 		}
 		if after := storeState(t, db2); after != before {
 			t.Fatalf("%s: reopened store\n%s\nthe one that wrote it\n%s", tc.golden, after, before)
+		}
+		if err := db2.CheckHeaders(); err != nil {
+			t.Fatalf("%s: %v", tc.golden, err)
 		}
 		db2.Close()
 	}
@@ -171,8 +177,9 @@ func renumbered(state string) string {
 // TestManifestV4StillReads: a store whose MANIFEST is one of the two
 // version-4 goldens the writer before the commit trailer made (never
 // regenerate them) opens to the state goldenStoreV4 has, rewriting
-// nothing; its first commit writes a trailer with the same body and
-// removes MANIFEST, and a reopen reads no MANIFEST and agrees.
+// nothing; its first commit writes a trailer with the same body but for
+// the header every run now carries, and removes MANIFEST, and a reopen
+// reads no MANIFEST and agrees.
 func TestManifestV4StillReads(t *testing.T) {
 	for _, tc := range []struct {
 		golden  string
@@ -206,7 +213,7 @@ func TestManifestV4StillReads(t *testing.T) {
 			t.Fatalf("%s: MANIFEST outlived the first commit", tc.golden)
 		}
 		// The commit file took ID 9, the golden's next ID.
-		if body := manifestBody(t, fs); !bytes.Equal(bytes.Replace(body, []byte(`"next_id":10`), []byte(`"next_id":9`), 1), golden[manifestEnvLen:]) {
+		if body := withoutHeaders(t, manifestBody(t, fs), 8); !bytes.Equal(bytes.Replace(body, []byte(`"next_id":10`), []byte(`"next_id":9`), 1), golden[manifestEnvLen:]) {
 			t.Fatalf("%s: the first commit wrote\n%s\nwant the golden's body", tc.golden, body)
 		}
 		db, err := Open(fs, goldenOptions(tc.section))
@@ -223,8 +230,8 @@ func TestManifestV4StillReads(t *testing.T) {
 // TestManifestV3BytesPinned: the two version-3 goldens, the bare JSON the
 // previous encoder wrote for goldenStore (never regenerate them), still
 // open to the store that wrote them, and its first commit writes a version-4
-// trailer with the same runs and section and removes MANIFEST, and a
-// reopen agrees.
+// trailer with the same runs, each now carrying its header, and section and
+// removes MANIFEST, and a reopen agrees.
 func TestManifestV3BytesPinned(t *testing.T) {
 	for _, tc := range []struct {
 		golden  string
@@ -249,7 +256,7 @@ func TestManifestV3BytesPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The commit file took ID 7, the golden's next ID.
-		body := bytes.Replace(manifestBody(t, fs), []byte(`"next_id":8,`), []byte(`"next_id":7,`), 1)
+		body := bytes.Replace(withoutHeaders(t, manifestBody(t, fs), 5), []byte(`"next_id":8,`), []byte(`"next_id":7,`), 1)
 		if listFiles(t, fs)[legacyManifest] || !bytes.Equal(bytes.Replace(body, []byte(`{"version":4,`), []byte(`{"version":3,`), 1), testdata(t, tc.golden)) {
 			t.Fatalf("%s: the first commit wrote\n%s\nwant the same body at version 4, and no MANIFEST left", tc.golden, body)
 		}
@@ -566,7 +573,8 @@ func TestSectionCommitsWithTheEdit(t *testing.T) {
 // that starts like an envelope but does not decode as one of a version this
 // binary reads — flipped, cut short — is ErrCorrupt; a commit file that
 // does not check gives way to the commit before it. The seeds include the
-// manifests of TestManifestHostileSections.
+// manifests of TestManifestHostileSections, one whose runs carry their
+// headers and those of TestManifestHostileHeaders.
 func FuzzManifest(f *testing.F) {
 	for _, name := range []string{"v2-manifest.json", "v3-manifest.json", "v3-manifest-catalog.json"} {
 		b, err := os.ReadFile(filepath.Join("testdata", name))
@@ -602,6 +610,15 @@ func FuzzManifest(f *testing.F) {
 	stores := map[bool]map[string][]byte{false: {}, true: {}}
 	commits := storage.NewMemFS()
 	goldenStoreV4(f, commits, nil).Close()
+	// Runs that carry their headers, as the writer's commits hold them, and
+	// headers no writer makes (TestManifestHostileHeaders).
+	carried := manifestBody(f, commits)
+	f.Add(sealManifest(manifestVersion, carried), false)
+	f.Add(sealTrailer(carried, btree.Layout{}), true)
+	for _, b := range hostileHeaders(f, carried) {
+		f.Add(b, false)
+		f.Add(sealTrailer(b[manifestEnvLen:], btree.Layout{}), true)
+	}
 	for asCommit, fs := range map[bool]*storage.MemFS{false: base, true: commits} {
 		names, err := fs.List()
 		if err != nil {

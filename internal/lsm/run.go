@@ -155,34 +155,31 @@ func (r *Run) Sealed() bool {
 
 // openRun opens the per-purpose readers of a run in rf, whose handle is
 // open; the caller counts the run on rf (runFile.runs) when it installs it.
-// A run found in the manifest has its header read and verified through the
-// handle, whose reads are attributed to recovery; one this process just
-// built comes with its builder, whose header stands in for the read (the
-// commit that opens it reads nothing back). A run that shares its file
-// reads through a view of its two ranges — the file's first run claims
-// every page before the filters (btree.FileWriter), where its filter comes
-// first — and its header must describe them.
+// It reads nothing but for a run whose entry carries no header. A run this
+// process just built comes with its builder, whose header stands in for the
+// page; a run found in the manifest is opened from the header its entry
+// carries, held against the file as the page's would be, and only an entry
+// an older writer made, which carries none, has its header page read and
+// verified through the handle, whose reads are attributed to recovery. A
+// run that shares its file reads through a view of its two ranges — the
+// file's first run claims every page before the filters (btree.FileWriter),
+// where its filter comes first — and its header must describe them.
 func (db *DB) openRun(t *Table, rm runManifest, built *btree.Writer, rf *runFile) (*Run, error) {
-	grid := rm.Pages
-	if grid.Off == 0 {
-		grid.Len = rm.Filter.Off
-	}
-	view := func(f storage.File) storage.File {
-		if rm.whole() {
-			return f
-		}
-		return storage.Extents(f, grid, rm.Filter)
-	}
 	var rd *btree.Reader
-	if built != nil {
-		rd = built.Open(view(rf.f), db.cache)
-	} else {
-		var err error
-		if rd, err = btree.Open(view(rf.f), db.cache); err != nil {
+	var err error
+	switch {
+	case built != nil:
+		rd = built.Open(rm.view(rf.f), db.cache)
+	case rm.Header != nil:
+		if rd, err = btree.OpenHeader(rm.view(rf.f), *rm.Header, db.cache); err != nil {
+			return nil, corrupt("%s run in %s: the header its entry carries: %v", t.spec.Name, rm.Name, err)
+		}
+	default:
+		if rd, err = btree.Open(rm.view(rf.f), db.cache); err != nil {
 			return nil, fmt.Errorf("lsm: %s run in %s: %w", t.spec.Name, rm.Name, err)
 		}
 	}
-	if !rm.whole() && (rd.Pages()*storage.PageSize != uint64(grid.Len) || rd.SizeBytes() != rm.Pages.Len+rm.Filter.Len) {
+	if grid := rm.grid(); !rm.whole() && (rd.Pages()*storage.PageSize != uint64(grid.Len) || rd.SizeBytes() != rm.Pages.Len+rm.Filter.Len) {
 		return nil, corrupt("%s run in %s: its header describes a %d-page grid and %d bytes of its own, the manifest %d+%d+%d bytes",
 			t.spec.Name, rm.Name, rd.Pages(), rd.SizeBytes(), grid.Len, rm.Pages.Len, rm.Filter.Len)
 	}
@@ -213,9 +210,53 @@ func (db *DB) openRun(t *Table, rm runManifest, built *btree.Writer, rf *runFile
 		// refs stays 0 until a version installation picks the run up; a
 		// Commit that fails before installing removes the file itself.
 	}
-	r.qreader = rd.WithFile(view(storage.TagFile(rf.f, storage.SrcQuery)))
-	r.creader = rd.WithFile(view(storage.TagFile(rf.f, storage.SrcCompaction))).NoFill()
+	r.qreader = rd.WithFile(rm.view(storage.TagFile(rf.f, storage.SrcQuery)))
+	r.creader = rd.WithFile(rm.view(storage.TagFile(rf.f, storage.SrcCompaction))).NoFill()
 	return r, nil
+}
+
+// CheckHeaders reads the header page of every live run and of every run the
+// committed manifest names, and reports the first whose header differs
+// from its page's: the header the run's reader holds, which the next commit
+// carries, or the one the manifest carries, which the next Open opens the
+// run from. It is a scrub — one page read per run, unattributed — for a
+// caller that has excluded structural operations, as it must for Files.
+func (db *DB) CheckHeaders() error {
+	page := func(r *Run) (btree.Header, error) {
+		rd, err := btree.Open(runManifest{Pages: r.pageExt, Filter: r.filterExt}.view(r.file.f), nil)
+		if err != nil {
+			return btree.Header{}, fmt.Errorf("lsm: %s run in %s: %w", r.table.spec.Name, r.name, err)
+		}
+		return rd.Header(), nil
+	}
+	for _, ver := range []*version{db.cur, db.durable} {
+		for name, tv := range ver.tables {
+			for p, runs := range tv.runs {
+				for i, r := range runs {
+					want, err := page(r)
+					if err != nil {
+						return err
+					}
+					if got := r.qreader.Header(); got != want {
+						return fmt.Errorf("lsm: %s run in %s holds header %+v, its page %+v", name, r.name, got, want)
+					}
+					if ver != db.durable {
+						continue
+					}
+					// The manifest lists a partition's runs in the durable
+					// version's order.
+					parts := db.m.Tables[name].Partitions
+					if p >= len(parts) || i >= len(parts[p]) || parts[p][i].Name != r.name {
+						return fmt.Errorf("lsm: the manifest does not list the %s run in %s where the durable version holds it", name, r.name)
+					}
+					if rm := parts[p][i]; rm.Header != nil && *rm.Header != want {
+						return fmt.Errorf("lsm: the manifest carries header %+v for the %s run in %s, its page %+v", *rm.Header, name, r.name, want)
+					}
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // MayContainBlock consults the run's key range and Bloom filter. A false

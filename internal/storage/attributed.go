@@ -30,8 +30,9 @@ const (
 	// it only drops whole runs — so this source carries file removals and
 	// (ideally) zero bytes.
 	SrcExpiry
-	// SrcRecovery is startup I/O: manifest and deletion-vector loads, run
-	// header opens, WAL segment scans, and orphan collection.
+	// SrcRecovery is startup I/O: manifest and deletion-vector loads, the
+	// header pages of runs whose commit carries no header, WAL segment
+	// scans, and orphan collection.
 	SrcRecovery
 	// SrcManifest is commit-point I/O: a commit's trailer bytes, the
 	// commit files of commits that build no run, and deletion-vector

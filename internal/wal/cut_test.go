@@ -569,8 +569,10 @@ func TestCloseRemovesUnusedPreparedSegment(t *testing.T) {
 // TestTornTailBeforeSegmentMadeAhead: a flush tears the active segment while
 // the segment made ahead for the next cut sits empty after it, its
 // directory entry durable — what a crash leaves when it strikes between
-// PrepareCut and the Cut's mark on a real file system (here the test syncs
-// the empty file), or while the Cut's own write of the pending buffer fails.
+// PrepareCut and the Cut's mark on a real file system (here the crash keeps
+// the directory as the disk does, so the entry PrepareCut synced survives
+// with no byte in it), or while the Cut's own write of the pending buffer
+// fails.
 // The empty segment holds nothing, so the tear is the log's torn tail, not
 // corruption mid-log: recovery returns everything before it, Open seals
 // both, and the log goes on.
@@ -586,16 +588,9 @@ func TestTornTailBeforeSegmentMadeAhead(t *testing.T) {
 				appendAll(t, l, r)
 			}
 			tearNext := storage.FailurePlan{TornWrite: true, TornWriteDurable: true}
-			makeAheadDurable := func() {
+			makeAhead := func() {
 				t.Helper()
 				if err := l.PrepareCut(); err != nil {
-					t.Fatal(err)
-				}
-				f, err := vfs.Open(segmentName(2))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := f.Sync(); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -612,7 +607,7 @@ func TestTornTailBeforeSegmentMadeAhead(t *testing.T) {
 					t.Fatal("torn append reported success")
 				}
 				vfs.SetFailurePlan(storage.FailurePlan{})
-				makeAheadDurable()
+				makeAhead()
 			} else {
 				// One 64 KiB batch written and, as the OS would in time,
 				// made durable; then records pending behind it, which the
@@ -630,7 +625,7 @@ func TestTornTailBeforeSegmentMadeAhead(t *testing.T) {
 				for l.BufferedBytes() < 3*storage.PageSize {
 					appendAll(t, l, crashRec(99))
 				}
-				makeAheadDurable()
+				makeAhead()
 				tearNext.FailAfterPageWrites = vfs.Stats().PageWrites + 1
 				vfs.SetFailurePlan(tearNext)
 				if _, err := l.Cut(1); !errors.Is(err, storage.ErrInjected) {
@@ -638,7 +633,10 @@ func TestTornTailBeforeSegmentMadeAhead(t *testing.T) {
 				}
 				vfs.SetFailurePlan(storage.FailurePlan{})
 			}
-			vfs.Crash()
+			vfs.Crash(storage.CrashState{Directory: true, Entries: 0})
+			if _, err := vfs.Open(segmentName(2)); err != nil {
+				t.Fatalf("the crash lost the segment made ahead: %v", err)
+			}
 
 			rec, err := Recover(vfs)
 			if err != nil {
