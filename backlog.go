@@ -136,12 +136,12 @@
 //     not two.
 //
 // Log records are varint-encoded and framed per device write rather than
-// per record (segment format 4: about 7 bytes per update, 3 for one that
-// continues its file where the previous update of its kind left off, plus
-// an 8-byte header per batch — measured, 5.0 bytes per update in Buffered
-// mode and 11.7 in Sync mode with two updaters — while segments the
-// previous binary wrote in format 3 still replay). Open
-// replays the log tail — tolerating a torn final batch, none of whose
+// per record (segment format 5: a block update's op rides in the first byte
+// of its block, so an update is about 6 bytes, 3 for one that continues its
+// file where the previous update of its kind left off, plus an 8-byte
+// header per batch — measured, 4.18 bytes per update in Buffered mode and
+// 10.8 in Sync mode with two updaters — while segments earlier binaries
+// wrote in formats 4 and 3 still replay). Open replays the log tail — tolerating a torn final batch, none of whose
 // records a Sync log had acknowledged — to rebuild the write stores, and
 // Checkpoint retires the log, so queries and paper experiments behave
 // identically in every mode.

@@ -134,60 +134,70 @@ func TestRelocationDurableAtCheckpoint(t *testing.T) {
 }
 
 // TestPreviousFormatLogTailReplaysAndRetires is the upgrade path end to
-// end: a directory whose log tail the previous binary wrote (segment format
-// 3, the golden files internal/wal keeps) opens, every record of the tail
-// replays, new updates are logged next to it in the current format, and the
-// first checkpoint retires the old segments.
+// end: a directory whose log tail an earlier binary wrote (segment format 3
+// or 4, the golden files internal/wal keeps) opens, every record of the
+// tail replays, new updates are logged next to it in the current format,
+// and the first checkpoint retires the old segments.
 func TestPreviousFormatLogTailReplaysAndRetires(t *testing.T) {
+	tails := []struct {
+		version  string
+		replayed uint64 // records of the tail past its checkpoint mark, all tagged later than it
+		live     uint64 // a block the tail adds a reference to on line 0 and never removes
+		cp       uint64 // a CP past every one the tail tags
+	}{
+		{"v3", 8, 77, 5},
+		{"v4", 15, 101, 8},
+	}
 	for _, mode := range []wal.Durability{wal.Buffered, wal.Sync} {
 		t.Run(mode.String(), func(t *testing.T) {
-			vfs := storage.NewMemFS()
-			old := []string{"wal-0000000000000001.seg", "wal-0000000000000002.seg"}
-			for _, name := range old {
-				b, err := os.ReadFile(filepath.Join("..", "wal", "testdata", "v3-"+name))
-				if err != nil {
-					t.Fatal(err)
-				}
-				f, err := vfs.Create(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := f.WriteAt(b, 0); err != nil {
-					t.Fatal(err)
-				}
-				if err := f.Sync(); err != nil {
-					t.Fatal(err)
-				}
-				f.Close()
-			}
-			eng, err := Open(Options{VFS: vfs, Catalog: NewMemCatalog(), Durability: mode})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer eng.Close()
-			// The tail holds eight records past its checkpoint mark (CP 1),
-			// all tagged later than it.
-			if got := eng.Stats().WALReplayed; got != 8 {
-				t.Fatalf("replayed %d records of the format-3 tail, want 8", got)
-			}
-			// Golden record 5: a reference on line 0, live since CP 4.
-			if owners := mustQuery(t, eng, 77); len(owners) != 1 || !owners[0].Live {
-				t.Fatalf("block 77 after replay: %+v", owners)
-			}
-			eng.AddRef(ref(900, 1, 0, 0), 5)
-			if files := walFiles(t, vfs); len(files) != 3 {
-				t.Fatalf("log files before the checkpoint: %v, want the two old segments and the active one", files)
-			}
-			mustCheckpoint(t, eng, 5)
-			for _, name := range walFiles(t, vfs) {
-				if name == old[0] || name == old[1] {
-					t.Fatalf("format-3 segment %s survived the first checkpoint", name)
-				}
-			}
-			for _, block := range []uint64{77, 900} {
-				if owners := mustQuery(t, eng, block); len(owners) != 1 || !owners[0].Live {
-					t.Fatalf("block %d after the checkpoint: %+v", block, owners)
-				}
+			for _, tail := range tails {
+				t.Run(tail.version, func(t *testing.T) {
+					vfs := storage.NewMemFS()
+					old := []string{"wal-0000000000000001.seg", "wal-0000000000000002.seg"}
+					for _, name := range old {
+						b, err := os.ReadFile(filepath.Join("..", "wal", "testdata", tail.version+"-"+name))
+						if err != nil {
+							t.Fatal(err)
+						}
+						f, err := vfs.Create(name)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if _, err := f.WriteAt(b, 0); err != nil {
+							t.Fatal(err)
+						}
+						if err := f.Sync(); err != nil {
+							t.Fatal(err)
+						}
+						f.Close()
+					}
+					eng, err := Open(Options{VFS: vfs, Catalog: NewMemCatalog(), Durability: mode})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer eng.Close()
+					if got := eng.Stats().WALReplayed; got != tail.replayed {
+						t.Fatalf("replayed %d records of the %s tail, want %d", got, tail.version, tail.replayed)
+					}
+					if owners := mustQuery(t, eng, tail.live); len(owners) != 1 || !owners[0].Live {
+						t.Fatalf("block %d after replay: %+v", tail.live, owners)
+					}
+					eng.AddRef(ref(950, 1, 0, 0), tail.cp)
+					if files := walFiles(t, vfs); len(files) != 3 {
+						t.Fatalf("log files before the checkpoint: %v, want the two old segments and the active one", files)
+					}
+					mustCheckpoint(t, eng, tail.cp)
+					for _, name := range walFiles(t, vfs) {
+						if name == old[0] || name == old[1] {
+							t.Fatalf("%s segment %s survived the first checkpoint", tail.version, name)
+						}
+					}
+					for _, block := range []uint64{tail.live, 950} {
+						if owners := mustQuery(t, eng, block); len(owners) != 1 || !owners[0].Live {
+							t.Fatalf("block %d after the checkpoint: %+v", block, owners)
+						}
+					}
+				})
 			}
 		})
 	}

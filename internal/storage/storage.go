@@ -408,6 +408,41 @@ func (fs *MemFS) Stats() Stats {
 	return fs.stats
 }
 
+// PendingEntries returns how many entry operations (Create, Remove) were
+// made since the last SyncDir: the ones a CrashState's Entries chooses a
+// prefix of.
+func (fs *MemFS) PendingEntries() int {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return len(fs.entries)
+}
+
+// Clone returns an independent copy of the file system as it stands — every
+// file's contents, written and synced, and the entry operations since the
+// last SyncDir — so that one run can be crashed into several states. The
+// copy has the same statistics and disk model and no failure plan.
+func (fs *MemFS) Clone() *MemFS {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	c := &MemFS{files: make(map[string]*memFile, len(fs.files)), stats: fs.stats, model: fs.model}
+	copies := make(map[*memFile]*memFile)
+	dup := func(f *memFile) *memFile {
+		if g, ok := copies[f]; ok {
+			return g
+		}
+		g := &memFile{fs: c, name: f.name, data: bytes.Clone(f.data), durable: bytes.Clone(f.durable), synced: f.synced, removed: f.removed}
+		copies[f] = g
+		return g
+	}
+	for name, f := range fs.files {
+		c.files[name] = dup(f)
+	}
+	for _, op := range fs.entries {
+		c.entries = append(c.entries, entryOp{create: op.create, f: dup(op.f)})
+	}
+	return c
+}
+
 // CrashState chooses what a power failure keeps of what was not durable.
 // The zero value is the state Crash has always left: a file exists after
 // the crash exactly when it was synced at least once and not removed (an

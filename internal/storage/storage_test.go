@@ -120,7 +120,8 @@ func TestMemFSSparseWrite(t *testing.T) {
 // keeps every entry operation made before the last SyncDir and the chosen
 // prefix of those made since, in order; a kept entry exists even if its
 // file was never synced, and holds what its last Sync left. The zero state
-// keeps a file exactly when it was synced.
+// keeps a file exactly when it was synced. A clone crashes the same and
+// leaves the file system it was taken from as it was.
 func TestMemFSCrashKeepsAnEntryPrefix(t *testing.T) {
 	setup := func() *MemFS {
 		fs := NewMemFS()
@@ -148,24 +149,36 @@ func TestMemFSCrashKeepsAnEntryPrefix(t *testing.T) {
 		{CrashState{Directory: true, Entries: 2}, []string{"a"}},
 		{CrashState{Directory: true, Entries: 3}, []string{"a", "b"}},
 	} {
-		fs := setup()
-		fs.Crash(tc.state)
-		if names, _ := fs.List(); !reflect.DeepEqual(names, tc.want) {
-			t.Fatalf("%+v: %v after the crash, want %v", tc.state, names, tc.want)
+		orig := setup()
+		if n := orig.PendingEntries(); n != 3 {
+			t.Fatalf("%d entry operations pending, want 3", n)
 		}
-		for _, name := range tc.want {
-			f, _ := fs.Open(name)
-			size, _ := f.Size()
-			buf := make([]byte, size)
-			f.ReadAt(buf, 0)
-			if want := map[string]string{"old": "old", "a": "a", "b": ""}[name]; string(buf) != want {
-				t.Fatalf("%+v: %s holds %q, want %q", tc.state, name, buf, want)
+		for _, fs := range []*MemFS{setup(), orig.Clone()} {
+			fs.Crash(tc.state)
+			if names, _ := fs.List(); !reflect.DeepEqual(names, tc.want) {
+				t.Fatalf("%+v: %v after the crash, want %v", tc.state, names, tc.want)
+			}
+			for _, name := range tc.want {
+				f, _ := fs.Open(name)
+				size, _ := f.Size()
+				buf := make([]byte, size)
+				f.ReadAt(buf, 0)
+				if want := map[string]string{"old": "old", "a": "a", "b": ""}[name]; string(buf) != want {
+					t.Fatalf("%+v: %s holds %q, want %q", tc.state, name, buf, want)
+				}
+			}
+			// The crash made the kept entries the directory's.
+			fs.Crash(CrashState{Directory: true})
+			if names, _ := fs.List(); !reflect.DeepEqual(names, tc.want) || fs.PendingEntries() != 0 {
+				t.Fatalf("%+v: a second crash left %v, %d entry operations pending", tc.state, names, fs.PendingEntries())
 			}
 		}
-		// The crash made the kept entries the directory's.
-		fs.Crash(CrashState{Directory: true})
-		if names, _ := fs.List(); !reflect.DeepEqual(names, tc.want) {
-			t.Fatalf("%+v: a second crash left %v", tc.state, names)
+		if names, _ := orig.List(); !reflect.DeepEqual(names, []string{"a", "b"}) || orig.PendingEntries() != 3 {
+			t.Fatalf("%+v: crashing a clone left the original with %v and %d entry operations pending", tc.state, names, orig.PendingEntries())
+		}
+		f, _ := orig.Open("b")
+		if size, _ := f.Size(); size != 1 {
+			t.Fatalf("%+v: crashing a clone left the original's unsynced file %d bytes long", tc.state, size)
 		}
 	}
 }

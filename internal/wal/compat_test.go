@@ -27,6 +27,8 @@ import (
 //	v3-wal-…02.seg  Cut mark CP=3, then goldenRecords()[5:] in one batch
 //	v4-wal-…01.seg  Cut mark CP=4, then goldenV4Records()[:13] in one batch
 //	v4-wal-…02.seg  goldenV4Records()[13:] in one batch
+//	v5-wal-…01.seg  Cut mark CP=7, then goldenV5Records()[:14] in one batch
+//	v5-wal-…02.seg  goldenV5Records()[14:] in one batch
 func goldenRecords() []Record {
 	return []Record{
 		{Op: OpAddRef, Block: 1, Inode: 2, Offset: 3, Line: 0, Length: 1, CP: 2},
@@ -67,6 +69,32 @@ func goldenV4Records() []Record {
 // continuing their op's previous record in the batch.
 var goldenV4Continues = []int{1, 3, 4, 7, 9, 10, 12, 14}
 
+// goldenV5Records is the history the version-5 golden files hold: every
+// packed kind — AddRef and RemoveRef, continuing or not, with the CP of the
+// record before or not — over blocks from 0 to 2^64-1, beside updates whose
+// Line or Length keeps them in the version-4 form.
+func goldenV5Records() []Record {
+	return []Record{
+		{Op: OpAddRef, Block: 3<<16 + 5, Inode: 12, Offset: 0, Length: 1, CP: 8},         // packed: spelled, new CP
+		{Op: OpAddRef, Block: 1<<18 - 1, Inode: 12, Offset: 1, Length: 1, CP: 8},         // packed: continues, same CP
+		{Op: OpRemoveRef, Block: 15, Inode: 3, Offset: 40, Length: 1, CP: 8},             // packed: spelled, same CP
+		{Op: OpRemoveRef, Block: 16, Inode: 3, Offset: 41, Length: 1, CP: 9},             // packed: continues, new CP
+		{Op: OpAddRef, Block: 1<<40 + 9, Inode: 13, Offset: 0, Length: 1, CP: 9},         // packed: spelled, same CP
+		{Op: OpAddRef, Block: 7, Inode: 13, Offset: 1, Length: 1, CP: 10},                // packed: continues, new CP
+		{Op: OpRemoveRef, Block: math.MaxUint64, Inode: 4, Offset: 0, Length: 1, CP: 11}, // packed: spelled, new CP
+		{Op: OpRemoveRef, Block: 0, Inode: 4, Offset: 1, Length: 1, CP: 11},              // packed: continues, same CP
+		{Op: OpAddRef, Block: 300, Inode: 13, Offset: 2, Line: 1, Length: 1, CP: 11},     // Line ≠ 0: version-4 form, continues
+		{Op: OpAddRef, Block: 301, Inode: 13, Offset: 3, Length: 8, CP: 11},              // Length ≠ 1: version-4 form, continues
+		{Op: OpAddRef, Block: 302, Inode: 13, Offset: 11, Length: 1, CP: 11},             // packed, continues past them
+		{Op: OpRelocate, Block: 302, NewBlock: 1 << 20, CP: 11},
+		{Op: OpCut, CP: 11},
+		{Op: OpAddRef, Block: 303, Inode: 13, Offset: 12, Length: 1, CP: 12},    // packed, continues past the relocate and the mark
+		{Op: OpRemoveRef, Block: 5, Inode: 4, Offset: 2, Length: 1, CP: 12},     // the next batch's first RemoveRef
+		{Op: OpAddRef, Block: 1 << 18, Inode: 14, Offset: 0, Length: 0, CP: 12}, // Length 0: version-4 form
+		{Op: OpAddRef, Block: 17, Inode: 14, Offset: 0, Length: 1, CP: 12},      // packed, continues the Length-0 update at its offset
+	}
+}
+
 func goldenFile(t testing.TB, prefix string, index uint64) []byte {
 	t.Helper()
 	b, err := os.ReadFile(filepath.Join("testdata", prefix+segmentName(index)))
@@ -83,35 +111,41 @@ func withVersion(seg []byte, version byte) []byte {
 	return seg
 }
 
-// goldenV4Segment is the version-4 golden history as this binary writes it.
-func goldenV4Segment(index uint64) []byte {
-	recs := goldenV4Records()
-	b := encodeSegHeader(index)
+// goldenSegment lays out a golden history as its segment files do: in
+// segment 1 the mark in a batch of its own and recs[:split] in one batch
+// behind it, in segment 2 the rest in one batch (behind mark2, if it is
+// set), each batch encoded in the given version and headed by a header of
+// that version.
+func goldenSegment(index uint64, version byte, mark1 Record, mark2 *Record, recs []Record, split int) []byte {
+	b := withVersion(encodeSegHeader(index), version)
 	if index == 1 {
-		b = appendBatch(b, Record{Op: OpCut, CP: 4})
-		return appendBatch(b, recs[:13]...)
+		b = appendBatchAs(b, version, mark1)
+		return appendBatchAs(b, version, recs[:split]...)
 	}
-	return appendBatch(b, recs[13:]...)
+	if mark2 != nil {
+		b = appendBatchAs(b, version, *mark2)
+	}
+	return appendBatchAs(b, version, recs[split:]...)
 }
 
-// goldenHistory is the version-3 golden tail's history as this binary
-// writes it: the mark in a batch of its own, the records in one batch
-// behind it.
-func goldenHistory(index uint64) []byte {
-	recs := goldenRecords()
-	b := encodeSegHeader(index)
-	if index == 1 {
-		b = appendBatch(b, Record{Op: OpCheckpoint, CP: 1})
-		recs = recs[:5]
-	} else {
-		b = appendBatch(b, Record{Op: OpCut, CP: 3})
-		recs = recs[5:]
-	}
-	return appendBatch(b, recs...)
+// goldenV3Segment, goldenV4Segment and goldenV5Segment are the golden
+// histories of versions 3, 4 and 5 as segment files of a version.
+func goldenV3Segment(index uint64, version byte) []byte {
+	return goldenSegment(index, version, Record{Op: OpCheckpoint, CP: 1}, &Record{Op: OpCut, CP: 3}, goldenRecords(), 5)
+}
+
+func goldenV4Segment(index uint64, version byte) []byte {
+	return goldenSegment(index, version, Record{Op: OpCut, CP: 4}, nil, goldenV4Records(), 13)
+}
+
+func goldenV5Segment(index uint64) []byte {
+	return goldenSegment(index, segVersion, Record{Op: OpCut, CP: 7}, nil, goldenV5Records(), 14)
 }
 
 // TestFormat3BytesPinned: the version-3 golden files, whose encoder no
-// longer exists, still decode to the history they were written from.
+// longer exists, still decode to the history they were written from, and
+// appendBatchAs writes them byte for byte: it is a faithful version-3
+// encoder for the tests that compare against one.
 func TestFormat3BytesPinned(t *testing.T) {
 	golden := goldenRecords()
 	for index, want := range map[uint64][]Record{
@@ -125,20 +159,22 @@ func TestFormat3BytesPinned(t *testing.T) {
 		if got, err := decodeBatches(seg[segHeaderSize:], 3); err != nil || !slices.Equal(got, want) {
 			t.Errorf("v3 golden segment %d decodes as\n%+v (%v)\nwant\n%+v", index, got, err, want)
 		}
+		if got := goldenV3Segment(index, 3); !bytes.Equal(got, seg) {
+			t.Errorf("v3 golden segment %d re-encodes as\n%x\nthe golden file holds\n%x", index, got, seg)
+		}
 	}
 }
 
-// TestFormat4BytesPinned: the encoder still writes the bytes committed as
-// testdata/v4-wal-*.seg, flagging exactly the records that continue their
-// op's predecessor in the batch, and the bytes recover to the history. A
-// deliberate format change bumps segVersion and adds files; it never
-// rewrites these.
+// TestFormat4BytesPinned: the version-4 golden files, whose encoder no
+// longer exists, still recover to their history, flagging exactly the
+// records that continue their op's predecessor in the batch, and
+// appendBatchAs writes them byte for byte.
 func TestFormat4BytesPinned(t *testing.T) {
 	vfs := storage.NewMemFS()
 	for _, index := range []uint64{1, 2} {
 		want := goldenFile(t, "v4-", index)
-		if got := goldenV4Segment(index); !bytes.Equal(got, want) {
-			t.Errorf("segment %d encodes as\n%x\nthe golden file holds\n%x", index, got, want)
+		if got := goldenV4Segment(index, 4); !bytes.Equal(got, want) {
+			t.Errorf("segment %d re-encodes as\n%x\nthe golden file holds\n%x", index, got, want)
 		}
 		plantSegment(t, vfs, index, want)
 	}
@@ -148,7 +184,7 @@ func TestFormat4BytesPinned(t *testing.T) {
 	for _, batch := range [][2]int{{0, 13}, {13, len(recs)}} {
 		var st batchState
 		for i := batch[0]; i < batch[1]; i++ {
-			if b := appendRecord(nil, recs[i], &st); b[0]&flagContinues != 0 {
+			if b := unpacked(appendRecord(nil, recs[i], &st)); b[0]&flagContinues != 0 {
 				continues = append(continues, i)
 			}
 		}
@@ -165,6 +201,55 @@ func TestFormat4BytesPinned(t *testing.T) {
 	want := Recovered{Records: updates, Cuts: []CutMark{{Index: 0, CP: 4}, {Index: 6, CP: 5}}, Found: true}
 	if !reflect.DeepEqual(rec, want) {
 		t.Fatalf("v4 golden log recovered as\n%+v\nwant\n%+v", rec, want)
+	}
+}
+
+// TestFormat5BytesPinned: the encoder still writes the bytes committed as
+// testdata/v5-wal-*.seg, packing every kind of block update the history
+// holds into its first byte, and the bytes recover to the history. The same
+// history is shorter than in version 4. A deliberate format change bumps
+// segVersion and adds files; it never rewrites these.
+func TestFormat5BytesPinned(t *testing.T) {
+	vfs := storage.NewMemFS()
+	var size, v4Size int
+	for _, index := range []uint64{1, 2} {
+		want := goldenFile(t, "v5-", index)
+		if got := goldenV5Segment(index); !bytes.Equal(got, want) {
+			t.Errorf("segment %d encodes as\n%x\nthe golden file holds\n%x", index, got, want)
+		}
+		size += len(want)
+		v4Size += len(goldenSegment(index, 4, Record{Op: OpCut, CP: 7}, nil, goldenV5Records(), 14))
+		plantSegment(t, vfs, index, want)
+	}
+	if size >= v4Size {
+		t.Errorf("the history takes %d bytes, %d in version 4", size, v4Size)
+	}
+
+	recs := goldenV5Records()
+	kinds := map[byte]bool{}
+	for _, batch := range [][2]int{{0, 14}, {14, len(recs)}} {
+		var st batchState
+		for i := batch[0]; i < batch[1]; i++ {
+			b := appendRecord(nil, recs[i], &st)
+			if packed := b[0]&flagPacked != 0; packed != (recs[i].Op <= OpRemoveRef && recs[i].Line == 0 && recs[i].Length == 1) {
+				t.Errorf("record %d %+v: packed = %v", i, recs[i], packed)
+			} else if packed {
+				kinds[b[0]&opMask] = true
+			}
+		}
+	}
+	if len(kinds) != 8 {
+		t.Errorf("the history packs %d kinds of block update, want all 8", len(kinds))
+	}
+
+	rec, err := Recover(vfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	updates := slices.DeleteFunc(slices.Clone(recs), func(r Record) bool { return r.Op == OpCut })
+	want := Recovered{Records: updates, Cuts: []CutMark{{Index: 0, CP: 7}, {Index: 12, CP: 11}}, Found: true}
+	if !reflect.DeepEqual(rec, want) {
+		t.Fatalf("v5 golden log recovered as\n%+v\nwant\n%+v", rec, want)
 	}
 }
 
@@ -193,23 +278,22 @@ func appendAll(t *testing.T, l *Log, recs ...Record) {
 	}
 }
 
-// TestMixedVersionRecovery: a version-3 tail left by the previous binary,
-// continued by this one in version 4, replays to exactly what an
-// all-version-4 log of the same history does, and the first checkpoint
-// retires the old files.
+// TestMixedVersionRecovery: a tail left by an earlier binary — version 3
+// or version 4 — continued by this one in version 5, replays to exactly
+// what an all-version-5 log of the same history does, and the first
+// checkpoint retires the old files.
 func TestMixedVersionRecovery(t *testing.T) {
-	golden := goldenRecords()
 	later := []Record{
-		{Op: OpAddRef, Block: 500, Inode: 11, Offset: 1, Length: 1, CP: 4},
-		{Op: OpRelocate, Block: 77, NewBlock: 501, CP: 4},
-		{Op: OpRemoveRef, Block: 500, Inode: 11, Offset: 1, Length: 1, CP: 5},
+		{Op: OpAddRef, Block: 500, Inode: 11, Offset: 1, Length: 1, CP: 13},
+		{Op: OpRelocate, Block: 77, NewBlock: 501, CP: 13},
+		{Op: OpRemoveRef, Block: 500, Inode: 11, Offset: 1, Length: 1, CP: 14},
 	}
 	// continueLog is what the new binary does with either tail: two more
 	// records, a checkpoint freeze, one record racing its flush.
 	continueLog := func(vfs storage.VFS) (*Log, int) {
 		l, _ := mustOpen(t, vfs, Sync)
 		appendAll(t, l, later[:2]...)
-		cut, err := l.Cut(4)
+		cut, err := l.Cut(13)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,94 +301,123 @@ func TestMixedVersionRecovery(t *testing.T) {
 		return l, cut
 	}
 
-	mixed := storage.NewMemFS()
-	plantSegment(t, mixed, 1, goldenFile(t, "v3-", 1))
-	plantSegment(t, mixed, 2, goldenFile(t, "v3-", 2))
-	rec, err := Recover(mixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The checkpoint mark the tail opens with is one nothing writes any
-	// more; read, it still means what it meant.
-	want := Recovered{Records: golden, Cuts: []CutMark{{Index: 5, CP: 3}}, MarkCP: 1, Found: true}
-	if !reflect.DeepEqual(rec, want) {
-		t.Fatalf("version-3 golden log recovered as\n%+v\nwant\n%+v", rec, want)
-	}
-	lm, cut := continueLog(mixed)
+	v4 := goldenV4Records()
+	v4Updates := slices.DeleteFunc(slices.Clone(v4), func(r Record) bool { return r.Op == OpCut })
+	for _, tail := range []struct {
+		version byte
+		// segment is the tail's history as segment files of a version.
+		segment func(index uint64, version byte) []byte
+		want    Recovered
+	}{
+		// The checkpoint mark the version-3 tail opens with is one nothing
+		// writes any more; read, it still means what it meant.
+		{3, goldenV3Segment, Recovered{Records: goldenRecords(), Cuts: []CutMark{{Index: 5, CP: 3}}, MarkCP: 1, Found: true}},
+		{4, goldenV4Segment, Recovered{Records: v4Updates, Cuts: []CutMark{{Index: 0, CP: 4}, {Index: 6, CP: 5}}, Found: true}},
+	} {
+		t.Run(fmt.Sprintf("v%d", tail.version), func(t *testing.T) {
+			mixed := storage.NewMemFS()
+			prefix := fmt.Sprintf("v%d-", tail.version)
+			plantSegment(t, mixed, 1, goldenFile(t, prefix, 1))
+			plantSegment(t, mixed, 2, goldenFile(t, prefix, 2))
+			rec, err := Recover(mixed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(rec, tail.want) {
+				t.Fatalf("version-%d golden log recovered as\n%+v\nwant\n%+v", tail.version, rec, tail.want)
+			}
+			lm, cut := continueLog(mixed)
 
-	// The same history in this binary's format alone.
-	pure := storage.NewMemFS()
-	plantSegment(t, pure, 1, goldenHistory(1))
-	plantSegment(t, pure, 2, goldenHistory(2))
-	lp, _ := continueLog(pure)
+			// The same history in this binary's format alone.
+			pure := storage.NewMemFS()
+			plantSegment(t, pure, 1, tail.segment(1, segVersion))
+			plantSegment(t, pure, 2, tail.segment(2, segVersion))
+			lp, _ := continueLog(pure)
 
-	got, err := Recover(mixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	all, err := Recover(pure)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, all) {
-		t.Fatalf("mixed-version log recovered as\n%+v\nall-version-4 log as\n%+v", got, all)
-	}
-	if n := len(golden) + len(later); len(got.Records) != n || len(got.Cuts) != 2 {
-		t.Fatalf("recovered %d records and %d cuts, want %d and 2", len(got.Records), len(got.Cuts), n)
-	}
+			got, err := Recover(mixed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all, err := Recover(pure)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, all) {
+				t.Fatalf("mixed-version log recovered as\n%+v\nall-version-%d log as\n%+v", got, segVersion, all)
+			}
+			if n := len(tail.want.Records) + len(later); len(got.Records) != n || len(got.Cuts) != len(tail.want.Cuts)+1 {
+				t.Fatalf("recovered %d records and %d cuts, want %d and %d", len(got.Records), len(got.Cuts), n, len(tail.want.Cuts)+1)
+			}
 
-	// The checkpoint commits: the version-3 files go, the rest stays.
-	if err := lm.Retire(cut); err != nil {
-		t.Fatal(err)
-	}
-	for _, l := range []*Log{lm, lp} {
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	segs, err := listSegments(mixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, idx := range segs {
-		if idx <= 2 {
-			t.Fatalf("version-3 segment %d survived the checkpoint's retirement", idx)
-		}
-	}
-	rec, err = Recover(mixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Records) != 1 || rec.Records[0] != later[2] {
-		t.Fatalf("after retirement recovered %+v, want just %+v", rec.Records, later[2])
+			// The checkpoint commits: the old files go, the rest stays.
+			if err := lm.Retire(cut); err != nil {
+				t.Fatal(err)
+			}
+			for _, l := range []*Log{lm, lp} {
+				if err := l.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			segs, err := listSegments(mixed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, idx := range segs {
+				if idx <= 2 {
+					t.Fatalf("version-%d segment %d survived the checkpoint's retirement", tail.version, idx)
+				}
+			}
+			rec, err = Recover(mixed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rec.Records) != 1 || rec.Records[0] != later[2] {
+				t.Fatalf("after retirement recovered %+v, want just %+v", rec.Records, later[2])
+			}
+		})
 	}
 }
 
 // TestVersionByteSelectsDecoder: a segment is read by the decoder its
-// header names. Version-4 batches under a version-3 header — the one way to
-// get there is damage — fail at the first continuation: the batch passes its
-// checksum, so that is ErrCorrupt in the final segment as much as mid-log,
-// never a torn tail and never records read with a flag the version lacks.
-// The reverse is harmless by construction: version 4 is version 3 plus a
-// flag, so version-3 bytes under a version-4 header decode to the same
-// records.
+// header names. Newer batches under an older header — the one way to get
+// there is damage — fail at the first byte the older version lacks, a
+// packed block update or a continuation: the batch passes its checksum, so
+// that is ErrCorrupt in the final segment as much as mid-log, never a torn
+// tail and never records read with a flag the version lacks. The reverse is
+// harmless by construction: each version is the one before plus what it
+// adds, so older bytes under a newer header decode to the same records.
 func TestVersionByteSelectsDecoder(t *testing.T) {
-	for _, final := range []bool{true, false} {
-		vfs := storage.NewMemFS()
-		plantSegment(t, vfs, 1, withVersion(goldenFile(t, "v4-", 1), 3))
-		if !final {
-			buildSegment(t, vfs, 2, []Record{addRec(1)}, nil)
-		}
-		if _, err := Recover(vfs); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("v4 bytes marked v3, final=%v: err = %v, want ErrCorrupt", final, err)
+	for _, c := range []struct {
+		golden  string
+		version byte
+	}{{"v4-", 3}, {"v5-", 3}, {"v5-", 4}} {
+		for _, final := range []bool{true, false} {
+			vfs := storage.NewMemFS()
+			plantSegment(t, vfs, 1, withVersion(goldenFile(t, c.golden, 1), c.version))
+			if !final {
+				buildSegment(t, vfs, 2, []Record{addRec(1)}, nil)
+			}
+			if _, err := Recover(vfs); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s bytes marked v%d, final=%v: err = %v, want ErrCorrupt", c.golden, c.version, final, err)
+			}
 		}
 	}
 
-	vfs := storage.NewMemFS()
-	plantSegment(t, vfs, 1, withVersion(goldenFile(t, "v3-", 1), segVersion))
-	rec, err := Recover(vfs)
-	if err != nil || rec.MarkCP != 1 || !reflect.DeepEqual(rec.Records, goldenRecords()[:5]) {
-		t.Fatalf("v3 bytes marked v4: recovered %+v (%v)", rec, err)
+	for _, golden := range []string{"v3-", "v4-"} {
+		want, err := Recover(func() storage.VFS {
+			vfs := storage.NewMemFS()
+			plantSegment(t, vfs, 1, goldenFile(t, golden, 1))
+			return vfs
+		}())
+		if err != nil {
+			t.Fatal(err)
+		}
+		vfs := storage.NewMemFS()
+		plantSegment(t, vfs, 1, withVersion(goldenFile(t, golden, 1), segVersion))
+		rec, err := Recover(vfs)
+		if err != nil || !reflect.DeepEqual(rec, want) {
+			t.Fatalf("%s bytes marked v%d: recovered %+v (%v), want %+v", golden, segVersion, rec, err, want)
+		}
 	}
 }
 
@@ -316,7 +429,7 @@ func TestVersionByteSelectsDecoder(t *testing.T) {
 // it removes no segment.
 func TestUnreadableVersionNamedNotSealed(t *testing.T) {
 	for _, version := range []byte{1, 2, segVersion + 1} {
-		seg := withVersion(goldenFile(t, "v4-", 1), version)
+		seg := withVersion(goldenFile(t, "v5-", 1), version)
 		if version == 2 {
 			seg = goldenFile(t, "v2-", 1) // what the version-2 encoder wrote
 		}

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -21,6 +22,8 @@ type crashRig struct {
 	// syncDelay is how long every fsync takes: a flush long enough that a
 	// share of it is a usable gather bound.
 	syncDelay time.Duration
+	// dying is the write the kill fell on, if it fell on one.
+	dying storage.Call
 }
 
 // newCrashRig kills at mutating call killAt, counted from 1 (never if 0),
@@ -32,6 +35,9 @@ func newCrashRig(killAt int64, mode storage.FailurePlan) *crashRig {
 		if c.Op == storage.OpWrite && c.Off > 0 && r.beforeWrite != nil {
 			r.beforeWrite()
 		}
+		if c.Op == storage.OpWrite && r.fs.Stats().Calls+1 == killAt {
+			r.dying = c
+		}
 		if c.Op == storage.OpSync {
 			time.Sleep(r.syncDelay)
 		}
@@ -39,6 +45,58 @@ func newCrashRig(killAt int64, mode storage.FailurePlan) *crashRig {
 	}
 	r.fs.SetFailurePlan(mode)
 	return r
+}
+
+// powerLoss is one state a power failure may leave, by name.
+type powerLoss struct {
+	name  string
+	state storage.CrashState
+}
+
+// powerLosses lists the states the matrix crashes a killed run into, mode
+// being the plan it was killed under: the state Crash has always left
+// (nothing unsynced survives); every prefix of the directory's entry
+// operations since its last sync, each keeping the surviving entries of
+// files never synced; and, when the dying write left unsynced pages — a
+// torn write that reached the page cache only — every one of those pages,
+// and each alone (eight seeded picks when there are more). The page states
+// keep every pending entry, so that a page of a file never synced can
+// survive.
+func (r *crashRig) powerLosses(mode storage.FailurePlan, rng *rand.Rand) []powerLoss {
+	pending := r.fs.PendingEntries()
+	states := []powerLoss{{name: "default"}}
+	for k := 0; k <= pending; k++ {
+		states = append(states, powerLoss{fmt.Sprintf("entries %d of %d", k, pending), storage.CrashState{Directory: true, Entries: k}})
+	}
+	if !mode.TornWrite || mode.TornWriteDurable || r.dying.Op != storage.OpWrite {
+		return states
+	}
+	// The torn write applied the first half of the pages it spans.
+	first := r.dying.Off / storage.PageSize
+	applied := (r.dying.Off+int64(r.dying.Len)+storage.PageSize-1)/storage.PageSize - first
+	applied /= 2
+	if applied == 0 {
+		return states
+	}
+	keep := func(pages ...int64) storage.CrashState {
+		return storage.CrashState{Directory: true, Entries: pending, Pages: func(name string, p int64) bool {
+			return name == r.dying.Name && slices.Contains(pages, p)
+		}}
+	}
+	all := make([]int64, applied)
+	for i := range all {
+		all[i] = first + int64(i)
+	}
+	states = append(states, powerLoss{fmt.Sprintf("the dying write's %d pages", applied), keep(all...)})
+	alone := slices.Clone(all)
+	if len(alone) > 8 {
+		rng.Shuffle(len(alone), func(i, j int) { alone[i], alone[j] = alone[j], alone[i] })
+		alone = alone[:8]
+	}
+	for _, p := range alone {
+		states = append(states, powerLoss{fmt.Sprintf("the dying write's page %d alone", p), keep(p)})
+	}
+	return states
 }
 
 // logScript drives one log through appends, a rotation or two, a Cut
@@ -50,8 +108,11 @@ type logScript struct {
 	appended []Record // every record handed to Append, in order
 	acked    int      // appended[:acked] were acknowledged (Append returned nil)
 	retired  []int    // the first record left on disk after each Retire (see run)
-	batches  uint64   // runConcurrent, runGathered: flushes that completed
-	ackedBy  [2]int   // runGathered: records acknowledged to each appender
+	// unretired: the first record of each segment the Retire removes, where
+	// recovery starts when a crash undoes the later removals
+	unretired []int
+	batches   uint64 // runConcurrent, runGathered: flushes that completed
+	ackedBy   [2]int // runGathered: records acknowledged to each appender
 }
 
 func crashRec(i int) Record {
@@ -89,6 +150,18 @@ func (s *logScript) run(vfs storage.VFS, d Durability, segBytes int64, perPhase 
 	if cut, err := l.Cut(2); err == nil {
 		at := len(s.appended)
 		phase()
+		// Retire removes the segments before the cut, oldest first, and
+		// syncs no directory: a crash that keeps only the first few removals
+		// brings the rest back, and recovery starts at the first record of
+		// one of them.
+		for _, name := range l.names[:cut] {
+			if idx, ok := parseSegmentName(name); ok {
+				var rec Recovered
+				if readSegment(vfs, idx, &rec, &tear{}); len(rec.Records) > 0 {
+					s.unretired = append(s.unretired, int(rec.Records[0].Block))
+				}
+			}
+		}
 		if l.SyncCut() == nil && l.Retire(cut) == nil {
 			s.retired = append(s.retired, at)
 		} else {
@@ -253,10 +326,14 @@ func (s *logScript) checkGathered(rec Recovered) error {
 // check verifies the recovery contract against what the script observed:
 // the recovered records are a contiguous stretch of the appended sequence
 // that starts at the beginning or at a retired cut — a prefix of append
-// order — and, when mustCover, reaches at least through the last
+// order — or, when a crash undid removals (undone), at the first record of
+// a retired segment, and, when mustCover, reaches at least through the last
 // acknowledged record.
-func (s *logScript) check(rec Recovered, mustCover bool) error {
+func (s *logScript) check(rec Recovered, mustCover, undone bool) error {
 	starts := append([]int{0}, s.retired...)
+	if undone {
+		starts = append(starts, s.unretired...)
+	}
 	lo := 0
 	if len(rec.Records) > 0 {
 		lo = int(rec.Records[0].Block)
@@ -285,18 +362,21 @@ func (s *logScript) check(rec Recovered, mustCover bool) error {
 	return nil
 }
 
+// The scripts TestCrashAtEveryIO runs.
+const (
+	serial     = iota // logScript.run
+	concurrent        // runConcurrent, perPhase rounds
+	gathered          // runGathered, perPhase appends per appender
+)
+
 // TestCrashAtEveryIO is the executable statement of what each durability
 // mode keeps: a scripted run is killed at every create, write, fsync and
 // remove in turn, plainly and with the dying write torn, the machine then
-// loses power, and recovery must succeed and return a prefix of append order —
-// in Sync mode one that holds every acknowledged record. The kill point
-// past the last I/O is the clean run followed by a power failure.
+// loses power into each state powerLosses lists (a clone of the killed
+// run's file system each), and recovery must succeed and return a prefix of
+// append order — in Sync mode one that holds every acknowledged record. The
+// kill point past the last I/O is the clean run followed by a power failure.
 func TestCrashAtEveryIO(t *testing.T) {
-	const (
-		serial     = iota // logScript.run
-		concurrent        // runConcurrent, perPhase rounds
-		gathered          // runGathered, perPhase appends per appender
-	)
 	cases := []struct {
 		name     string
 		d        Durability
@@ -363,6 +443,8 @@ func TestCrashAtEveryIO(t *testing.T) {
 			}
 			// The dying write fails, applies half its pages volatile, or
 			// makes them — and only them — durable.
+			rng := rand.New(rand.NewSource(1))
+			states := 0
 			for _, mode := range []storage.FailurePlan{{}, {TornWrite: true}, {TornWrite: true, TornWriteDurable: true}} {
 				if mode.TornWrite && c.segBytes < storage.PageSize && c.segBytes > 0 {
 					continue // every write spans one page: a torn one is a failed one
@@ -370,61 +452,72 @@ func TestCrashAtEveryIO(t *testing.T) {
 				for at := int64(1); at <= ios+1; at++ {
 					vfs := newCrashRig(at, mode)
 					s := run(vfs)
-					when := fmt.Sprintf("kill at I/O %d of %d (torn %v, durable %v)", at, ios, mode.TornWrite, mode.TornWriteDurable)
+					killed := fmt.Sprintf("kill at I/O %d of %d (torn %v, durable %v)", at, ios, mode.TornWrite, mode.TornWriteDurable)
 					// A gathered run in which a gather expired makes an I/O
 					// more or fewer than the unharmed one did: it dies at
 					// another I/O than this index names there, or not at
 					// all, and is held to the same contract.
 					if dead := vfs.fs.Stats().Calls >= at; dead != (at <= ios) && c.script != gathered {
-						t.Fatalf("%s: dead=%v", when, dead)
+						t.Fatalf("%s: dead=%v", killed, dead)
 					}
-					vfs.fs.SetFailurePlan(storage.FailurePlan{})
-					vfs.fs.Crash()
-					rec, err := Recover(vfs.fs)
-					if err != nil {
-						t.Fatalf("%s: recovery failed: %v", when, err)
-					}
-					if c.script == gathered {
-						err = s.checkGathered(rec)
-					} else {
-						err = s.check(rec, c.d == Sync)
-					}
-					if err != nil {
-						t.Fatalf("%s: %v", when, err)
-					}
-					if c.script == concurrent && len(rec.Records) != s.acked {
-						// A batch is acknowledged as a whole once its fsync
-						// returns, and the model keeps nothing unsynced: the
-						// batch the kill hit — its write failed, tore, or
-						// never got its fsync — yields none of its records,
-						// every batch before it all of them.
-						t.Fatalf("%s: recovered %d records, want exactly the %d acknowledged", when, len(rec.Records), s.acked)
-					}
-					// The survivor must also open for writing, sealing any
-					// tear at the start of the batch it tore: what a second
-					// recovery reads is what the first did.
-					l, rec2, err := Open(vfs.fs, Options{Durability: c.d})
-					if err != nil {
-						t.Fatalf("%s: reopen failed: %v", when, err)
-					}
-					if !slices.Equal(rec2.Records, rec.Records) {
-						t.Fatalf("%s: reopen recovered %d records, Recover %d", when, len(rec2.Records), len(rec.Records))
-					}
-					if err := l.Close(); err != nil {
-						t.Fatal(err)
-					}
-					rec3, err := Recover(vfs.fs)
-					if err != nil {
-						t.Fatalf("%s: recovery after reopen failed: %v", when, err)
-					}
-					if !slices.Equal(rec3.Records, rec.Records) || !slices.Equal(rec3.Cuts, rec.Cuts) {
-						t.Fatalf("%s: recovery after the sealing reopen returned %d records and cuts %v, before it %d and %v",
-							when, len(rec3.Records), rec3.Cuts, len(rec.Records), rec.Cuts)
+					for _, loss := range vfs.powerLosses(mode, rng) {
+						states++
+						fs := vfs.fs.Clone()
+						fs.Crash(loss.state)
+						if err := s.recoverAfter(fs, c.d, c.script, loss, fmt.Sprintf("%s, crash state %q", killed, loss.name)); err != nil {
+							t.Fatal(err)
+						}
 					}
 				}
 			}
+			t.Logf("%d crash states", states)
 		})
 	}
+}
+
+// recoverAfter checks the log a crash left in fs against what the script
+// observed, then opens it for writing, which seals any tear at the start of
+// the batch it tore, and checks that a second recovery reads what the first
+// did.
+func (s *logScript) recoverAfter(fs *storage.MemFS, d Durability, script int, loss powerLoss, when string) error {
+	rec, err := Recover(fs)
+	if err != nil {
+		return fmt.Errorf("%s: recovery failed: %v", when, err)
+	}
+	if script == gathered {
+		err = s.checkGathered(rec)
+	} else {
+		err = s.check(rec, d == Sync, loss.state.Directory)
+	}
+	if err != nil {
+		return fmt.Errorf("%s: %v", when, err)
+	}
+	if script == concurrent && len(rec.Records) != s.acked {
+		// A batch is acknowledged as a whole once its fsync returns, and
+		// no state keeps a whole unsynced write: the batch the kill hit —
+		// its write failed, tore, or never got its fsync — yields none of
+		// its records, every batch before it all of them.
+		return fmt.Errorf("%s: recovered %d records, want exactly the %d acknowledged", when, len(rec.Records), s.acked)
+	}
+	l, rec2, err := Open(fs, Options{Durability: d})
+	if err != nil {
+		return fmt.Errorf("%s: reopen failed: %v", when, err)
+	}
+	if !slices.Equal(rec2.Records, rec.Records) {
+		return fmt.Errorf("%s: reopen recovered %d records, Recover %d", when, len(rec2.Records), len(rec.Records))
+	}
+	if err := l.Close(); err != nil {
+		return fmt.Errorf("%s: closing the reopened log: %v", when, err)
+	}
+	rec3, err := Recover(fs)
+	if err != nil {
+		return fmt.Errorf("%s: recovery after reopen failed: %v", when, err)
+	}
+	if !slices.Equal(rec3.Records, rec.Records) || !slices.Equal(rec3.Cuts, rec.Cuts) {
+		return fmt.Errorf("%s: recovery after the sealing reopen returned %d records and cuts %v, before it %d and %v",
+			when, len(rec3.Records), rec3.Cuts, len(rec.Records), rec.Cuts)
+	}
+	return nil
 }
 
 // TestBufferedCutKeepsAcknowledgedRecords pins the Cut contract coalescing

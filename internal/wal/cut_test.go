@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -751,5 +752,48 @@ func TestHeaderlessSegmentsEndTheLog(t *testing.T) {
 	defer l.Close()
 	if !slices.Equal(rec.Records, want) {
 		t.Fatalf("recovered %d records, want the %d logged", len(rec.Records), len(want))
+	}
+}
+
+// TestUndoneRetireOfUnsyncedSegments: a Buffered log's Retire removes
+// segments that were never synced, and nothing syncs the directory after
+// it, so a crash can bring them back empty — no durable header — ahead of
+// the synced segment the committing Cut opened. They hold nothing: the log
+// opens, and recovers what follows the cut.
+func TestUndoneRetireOfUnsyncedSegments(t *testing.T) {
+	vfs := storage.NewMemFS()
+	l, _ := mustOpen(t, vfs, Buffered)
+	appendAll(t, l, addRec(0), addRec(1))
+	if _, err := l.Cut(1); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, l, addRec(2))
+	cut, err := l.Cut(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, l, addRec(3))
+	if err := l.Retire(cut); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	vfs.Crash(storage.CrashState{Directory: true})
+	for _, index := range []uint64{1, 2} {
+		if ok, err := segmentHasHeader(vfs, index); err != nil || ok {
+			t.Fatalf("retired segment %d after the crash: header %v (%v), want back without one", index, ok, err)
+		}
+	}
+	want := Recovered{Records: []Record{addRec(3)}, Cuts: []CutMark{{Index: 0, CP: 2}}, Found: true}
+	for i := range 2 {
+		rec, err := Recover(vfs)
+		if err != nil || !reflect.DeepEqual(rec, want) {
+			t.Fatalf("recovery %d: %+v (%v), want %+v", i, rec, err, want)
+		}
+		l, _ := mustOpen(t, vfs, Buffered)
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

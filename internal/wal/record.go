@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 )
 
 // Op is a log record type.
@@ -83,15 +84,20 @@ type Record struct {
 // big-endian body length, a 4-byte CRC-32C of the body, then the body — one
 // flush batch, its records back to back, with no per-record length or
 // checksum. A record is self-delimiting, its op deciding how many uvarints
-// follow. The op byte's low four bits are the Op, its high bits elide fields
+// follow. The op byte's low three bits are the Op, its high bits elide fields
 // (see the flag constants). Fields, in order — AddRef/RemoveRef: block,
 // [inode, offset], [line], [length], [cp]; Relocate: block, new block, [cp];
 // Checkpoint and Cut: [cp]; SegmentEnd: nothing.
 //
-// Version 4 (the only one written) is version 3 plus flagContinues, so one
-// decoder reads both, refusing the flag in a version-3 segment. A lone mark
-// is the same bytes in both, which is what lets sealTear stamp a SegmentEnd
-// over a torn tail of either.
+// Version 5 (the only one written) adds the packed first byte: an AddRef or
+// RemoveRef with Line 0 and Length 1 — every block reference a file system
+// makes — sets flagPacked, names its op, continuation and CP elision in the
+// three bits below it and holds the block's low four bits in the high
+// nibble; uvarint(block >> 4) follows, then [inode, offset] and [cp] as
+// above. It is never longer than the same record in version 4. Version 4 is
+// version 3 plus flagContinues. One decoder reads all three, refusing what a
+// segment's version lacks. A lone mark is the same bytes in every version,
+// which is what lets sealTear stamp a SegmentEnd over a torn tail of any.
 const (
 	frameHeaderSize = 8
 
@@ -104,11 +110,20 @@ const (
 	flagLineZero  = 0x80 // AddRef/RemoveRef: Line is 0
 	flagLengthOne = 0x40 // AddRef/RemoveRef: Length is 1 (what AddRef substitutes for 0)
 	flagSameCP    = 0x20 // CP equals that of the previous record in the batch
-	// AddRef/RemoveRef, version 4 only: Inode and Offset continue the previous
+	// AddRef/RemoveRef, version 4 on: Inode and Offset continue the previous
 	// record of the same op in the batch — its inode, at its offset + length —
 	// as the updates of a file written front to back do.
 	flagContinues = 0x10
-	opMask        = 0x0f
+	// Version 5: the byte is a packed block update, laid out as below, not
+	// an op and flags.
+	flagPacked = 0x08
+	opMask     = 0x07
+
+	// The packed byte's three low bits, under flagPacked; its high nibble
+	// is the block's low four bits.
+	packedRemove    = 0x01 // RemoveRef, not AddRef
+	packedContinues = 0x02 // flagContinues
+	packedSameCP    = 0x04 // flagSameCP
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -137,22 +152,34 @@ type fileEnd struct {
 	set           bool
 }
 
-// appendRecord appends r's version-4 encoding to a batch body. st is the
+// appendRecord appends r's version-5 encoding to a batch body. st is the
 // batch's elision state, which it advances.
 func appendRecord(dst []byte, r Record, st *batchState) []byte {
 	at := len(dst)
 	dst = append(dst, byte(r.Op))
+	sameCP := byte(flagSameCP)
 	switch r.Op {
 	case OpAddRef, OpRemoveRef:
-		dst = binary.AppendUvarint(dst, r.Block)
+		continues := byte(flagContinues)
+		packed := r.Line == 0 && r.Length == 1
+		if packed {
+			dst[at] = byte(r.Block)<<4 | flagPacked | byte(r.Op-OpAddRef)
+			dst = binary.AppendUvarint(dst, r.Block>>4)
+			continues, sameCP = packedContinues, packedSameCP
+		} else {
+			dst = binary.AppendUvarint(dst, r.Block)
+		}
 		end := &st.ends[r.Op-OpAddRef]
 		if end.set && end.inode == r.Inode && end.offset == r.Offset {
-			dst[at] |= flagContinues
+			dst[at] |= continues
 		} else {
 			dst = binary.AppendUvarint(dst, r.Inode)
 			dst = binary.AppendUvarint(dst, r.Offset)
 		}
 		*end = fileEnd{inode: r.Inode, offset: r.Offset + r.Length, set: true}
+		if packed {
+			break
+		}
 		if r.Line == 0 {
 			dst[at] |= flagLineZero
 		} else {
@@ -174,7 +201,7 @@ func appendRecord(dst []byte, r Record, st *batchState) []byte {
 		panic(fmt.Sprintf("wal: encoding unknown op %d", r.Op))
 	}
 	if st.cpSet && st.cp == r.CP {
-		dst[at] |= flagSameCP
+		dst[at] |= sameCP
 		return dst
 	}
 	st.cp, st.cpSet = r.CP, true
@@ -252,9 +279,12 @@ type batchReader struct {
 // readBatch starts a walk over a batch body of a segment in a readable
 // format version.
 func readBatch(body []byte, version byte) batchReader {
-	d := batchReader{u: uvarints{b: body}, flags: flagLineZero | flagLengthOne | flagSameCP | flagContinues}
-	if version < segVersion {
-		d.flags &^= flagContinues
+	d := batchReader{u: uvarints{b: body}, flags: flagLineZero | flagLengthOne | flagSameCP}
+	if version >= 4 {
+		d.flags |= flagContinues
+	}
+	if version >= 5 {
+		d.flags |= flagPacked
 	}
 	return d
 }
@@ -264,23 +294,44 @@ func (d *batchReader) more() bool { return len(d.u.b) > 0 }
 
 // next decodes the next record. It reports false for bytes no encoder
 // produces — an unknown op, a flag the version or the op has no field for,
-// an elided CP or continuation with no predecessor to take it from, a
-// malformed or missing uvarint. Behind a valid checksum that is damage (or a
-// foreign writer), never a tear.
+// an elided CP or continuation with no predecessor to take it from, a block
+// wider than 64 bits, a malformed or missing uvarint. Behind a valid
+// checksum that is damage (or a foreign writer), never a tear.
 func (d *batchReader) next() (Record, bool) {
 	// Work on a copy and store it back on success: advancing a slice
 	// through the pointer would pay a GC write barrier per field.
 	u := d.u
 	op := u.b[0]
 	u.b = u.b[1:]
-	r := Record{Op: Op(op & opMask)}
+	var r Record
 	flags := op &^ opMask
 	if flags&^d.flags != 0 {
 		return Record{}, false
 	}
+	if flags&flagPacked != 0 {
+		// A packed block update: spell its bits out as the flags they
+		// stand for, and take the block's high bits now.
+		r.Op = OpAddRef + Op(op&packedRemove)
+		flags = flagPacked | flagLineZero | flagLengthOne
+		if op&packedContinues != 0 {
+			flags |= flagContinues
+		}
+		if op&packedSameCP != 0 {
+			flags |= flagSameCP
+		}
+		hi := u.next()
+		if hi > math.MaxUint64>>4 {
+			return Record{}, false
+		}
+		r.Block = hi<<4 | uint64(op>>4)
+	} else {
+		r.Op = Op(op & opMask)
+	}
 	switch r.Op {
 	case OpAddRef, OpRemoveRef:
-		r.Block = u.next()
+		if flags&flagPacked == 0 {
+			r.Block = u.next()
+		}
 		end := &d.st.ends[r.Op-OpAddRef]
 		switch {
 		case flags&flagContinues == 0:
@@ -298,7 +349,7 @@ func (d *batchReader) next() (Record, bool) {
 			r.Length = u.next()
 		}
 		*end = fileEnd{inode: r.Inode, offset: r.Offset + r.Length, set: true}
-		flags &^= flagLineZero | flagLengthOne | flagContinues
+		flags &^= flagPacked | flagLineZero | flagLengthOne | flagContinues
 	case OpRelocate:
 		r.Block, r.NewBlock = u.next(), u.next()
 	case OpCheckpoint, OpCut:

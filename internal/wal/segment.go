@@ -24,10 +24,15 @@ const (
 	segHeaderSize = 16
 	segMagic      = "BKLGWAL\x01"
 	// segVersion is the version every new segment is written in. Segments
-	// of the version before it, which lacks the continuation flag, are only
-	// ever read: a tail left by the previous binary replays and is retired
-	// by the first checkpoint. That is as far back as this binary reads.
-	segVersion = 4
+	// of the version before it, which lacks the packed first byte, and of
+	// the one before that, which also lacks the continuation flag, are only
+	// ever read: a tail left by an earlier binary replays and is retired by
+	// the first checkpoint. Version 3 stays readable while a store whose
+	// log tail is format 3 may still be opened (the format horizon of
+	// internal/core/testdata/v3-store); that is as far back as this binary
+	// reads.
+	segVersion     = 5
+	oldestReadable = 3
 )
 
 // segHeaderVersion returns the format version a segment's leading bytes
@@ -41,9 +46,8 @@ func segHeaderVersion(b []byte) (byte, bool) {
 	return b[8], true
 }
 
-// readable reports whether this binary has a decoder for a format version:
-// its own, and the one before it.
-func readable(version byte) bool { return version == segVersion || version == segVersion-1 }
+// readable reports whether this binary's decoder reads a format version.
+func readable(version byte) bool { return version >= oldestReadable && version <= segVersion }
 
 func segmentName(index uint64) string {
 	return fmt.Sprintf("%s%016d%s", segPrefix, index, segSuffix)
@@ -167,38 +171,43 @@ func recoverLog(vfs storage.VFS) (Recovered, []tear, []uint64, error) {
 		if final {
 			return rec, []tear{tr}, segs, nil
 		}
-		// A torn tail in a non-final segment is normally corruption —
-		// except when the next segment opens with a checkpoint or cut
-		// mark: then the tear is a flush failure that preceded that Cut
-		// (which is the only way appends resume after a failed flush),
-		// everything before the tear is intact, and everything after it
-		// was never acknowledged. Records of such a segment replay subject
-		// to the usual CP filter.
-		ok, err := segmentStartsWithMark(vfs, segs[i+1])
-		if err != nil {
-			return rec, nil, segs, err
-		}
-		if ok {
-			continue
-		}
-		// Or when no segment after it ever got a durable header: a
-		// creation a crash cut short, or the segment a checkpoint made
-		// ahead of its cut (Log.PrepareCut) on a file system that made its
-		// empty directory entry durable. Those hold nothing, the log ends
-		// at this tear, and Open seals it first, then each of them as an
-		// empty segment.
+		// A torn tail in a non-final segment is normally corruption. The
+		// segments after it with no durable header hold nothing: a creation
+		// a crash cut short, the segment a checkpoint made ahead of its cut
+		// (Log.PrepareCut) on a file system that made its empty directory
+		// entry durable, or a retired segment whose removal a crash undid
+		// before its header was ever synced.
 		tears := []tear{tr}
-		for _, later := range segs[i+1:] {
+		next := -1
+		for j, later := range segs[i+1:] {
 			ok, err := segmentHasHeader(vfs, later)
 			if err != nil {
 				return rec, nil, segs, err
 			}
 			if ok {
-				return rec, nil, segs, fmt.Errorf("%w: segment %s is torn mid-log", ErrCorrupt, segmentName(idx))
+				next = i + 1 + j
+				break
 			}
 			tears = append(tears, tear{found: true, index: later})
 		}
-		return rec, tears, segs, nil
+		// When none has a header, the log ends at this tear, and Open seals
+		// it first, then each of them as an empty segment.
+		if next < 0 {
+			return rec, tears, segs, nil
+		}
+		// When the first that has one opens with a checkpoint or cut mark,
+		// the tear is a flush failure that preceded that Cut (which is the
+		// only way appends resume after a failed flush), everything before
+		// the tear is intact, and everything after it was never
+		// acknowledged. Records of such a segment replay subject to the
+		// usual CP filter.
+		ok, err := segmentStartsWithMark(vfs, segs[next])
+		if err != nil {
+			return rec, nil, segs, err
+		}
+		if !ok {
+			return rec, nil, segs, fmt.Errorf("%w: segment %s is torn mid-log", ErrCorrupt, segmentName(idx))
+		}
 	}
 	return rec, nil, segs, nil
 }
@@ -239,7 +248,7 @@ func segmentStartsWithMark(vfs storage.VFS, index uint64) (bool, error) {
 	if !ok {
 		return false, nil
 	}
-	// A lone mark is the same frame in both readable versions; of any
+	// A lone mark is the same frame in every readable version; of any
 	// other version readSegment will say so when it gets there.
 	body, _, derr := splitFrame(buf[segHeaderSize:n])
 	if derr != nil {
@@ -312,8 +321,8 @@ func readSegment(vfs storage.VFS, index uint64, rec *Recovered, tr *tear) (torn 
 		// An intact header of another format: records this binary cannot
 		// replay, in any position. Never sealed over as a torn creation —
 		// that would silently discard them.
-		return false, fmt.Errorf("%w: segment %s is in format version %d; this binary reads versions %d and %d",
-			ErrCorrupt, name, version, segVersion-1, segVersion)
+		return false, fmt.Errorf("%w: segment %s is in format version %d; this binary reads versions %d to %d",
+			ErrCorrupt, name, version, oldestReadable, segVersion)
 	}
 	if got := uint64(buf[12])<<24 | uint64(buf[13])<<16 | uint64(buf[14])<<8 | uint64(buf[15]); got != index&0xffffffff {
 		// An intact header whose embedded index disagrees with the file
