@@ -276,29 +276,31 @@
 // The paper observes (Section 8) that back-reference tables are "highly
 // compressible, especially if we compress them by columns". Runs are
 // stored column-compressed by default: each leaf page of a run's B-tree
-// encodes a record as a presence bitmap — which columns differ from the
-// previous record — followed by the delta + zigzag + LEB128 varints of
-// those columns only (format v3), restarting at every 4 KB page boundary
-// so pages stay independently seekable and checksummed. Sorted
-// back-reference records differ from their neighbors in two or three
-// columns by tiny deltas, so a 48- or 56-byte record costs about 5.7
-// bytes of leaf space (7.4 bytes of run file, index pages and Bloom
-// filter included, on bash bench/run.sh's ingest workload) and
-// checkpoints and merges write proportionally fewer bytes. The shared
-// page cache keeps compressed pages encoded and charges each the bytes it
-// holds, so its budget covers several times more of the store; a warm
-// seek finds its place through a per-page restart table — every 32nd
-// record, itself delta-encoded against the page's first, a fourteenth of
-// the page's size — and decodes at most a few dozen records. A checkpoint
-// hands the pages it writes to the cache, restart tables built while
-// encoding, where the cache has room for them without evicting anything,
-// so the queries and the merge that read a fresh run need not read it
-// back; a merge's output is not cached. Pages of a run that compaction or
-// expiry removed leave the cache with it.
+// bit-packs its records (format v4). The page header holds, per column, a
+// bit width and a base; the block is stored as its delta from the previous
+// record's, every other column as its offset from the page minimum, and a
+// column constant on the page takes no bits at all. Sorted back-reference
+// records differ from their neighbours by small block gaps and in columns
+// that span a few bits on a page, so a 48- or 56-byte record takes 3.1 to
+// 3.6 bytes of leaf space on an ingest-shaped stream (v3, the previous
+// varint encoding, took 4.8 to 6.2), and checkpoints and merges write
+// proportionally fewer bytes. Every page stays independently seekable and
+// checksummed: it carries the block of every 32nd record, so a seek
+// binary-searches those anchors and then sums at most 32 block deltas, and
+// any other field is one extraction. The shared page cache keeps a page as
+// its payload and charges it the bytes it holds, so its budget covers as
+// much of the store as the disk does. A checkpoint hands the pages it
+// writes to the cache where the cache has room for them without evicting
+// anything, so the queries and the merge that read a fresh run need not
+// read it back; a merge's output is not cached. Pages of a run that
+// compaction or expiry removed leave the cache with it.
 //
 // Config.Compression selects the format for newly written runs:
 //
-//   - CompressionDelta (the default) writes format-v3 column-delta runs.
+//   - CompressionDelta (the default) writes format-v4 bit-packed runs.
+//     Runs of the earlier delta formats, v2 and v3, stay readable, and a
+//     maintenance pass rewrites each of them into v4 at its level, with its
+//     records and CP window.
 //   - CompressionNone writes raw fixed-stride format-v1 runs — the
 //     paper's original layout, pinned by the deterministic paper-figure
 //     experiments.

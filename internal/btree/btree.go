@@ -31,14 +31,15 @@
 // nothing refers to the file until it has been synced.
 //
 // Two leaf encodings are written, identified by the header's version field
-// (see Format): v1 stores fixed-stride records verbatim; v3 stores each
-// leaf page as a stream of records that flag, in a presence bitmap, the
-// columns that differ from the previous record and carry only those
-// columns' delta + zigzag + LEB128 varints, restarting at every page
-// boundary, with the page's variable record count in the page header. v2,
-// the previous delta encoding (a varint for every column), is read and
-// never written. Readers open all three transparently; internal index
-// pages are raw in each.
+// (see Format): v1 stores fixed-stride records verbatim; v4 bit-packs each
+// leaf page — a bit width and a base per column, block anchors, then every
+// record at the same number of bits — with the page's variable record count
+// in the page header. v2 and v3, the previous delta encodings (varints per
+// column, or per changed column behind a presence bitmap), are read and
+// never written: a reader transcodes such a leaf into the packed form when
+// it misses it, so one seek path and one iterate path serve every delta
+// run. Readers open all four transparently; internal index pages are raw
+// in each.
 package btree
 
 import (
@@ -111,10 +112,15 @@ type Writer struct {
 	recSize int
 	format  Format
 
-	leafBuf   []byte // current leaf page payload (encoded in w.format)
+	leafBuf   []byte // current leaf page: raw records, in either format
 	leafCount int    // records in leafBuf
 	perLeaf   int    // max records per raw leaf page (unused for delta)
 	nextPage  uint64 // next page number to write (leaves start at 1)
+
+	// Delta-format state: the shape of the records in leafBuf, which says
+	// whether the next one fits the page packed, and the page packed.
+	shape   leafShape
+	packBuf []byte
 
 	// wbuf holds the framed pages not yet handed to the file, which belong
 	// at run offset wbufOff: pages are written in page-number order, so a
@@ -136,17 +142,9 @@ type Writer struct {
 
 	// id is the cache identity of the run's pages, which the Reader Open
 	// returns inherits. While cache is set, each page w frames is offered
-	// to it under id (see WriteThrough), and rt is the current delta
-	// leaf's restart table, built as its records are encoded.
+	// to it under id (see WriteThrough).
 	id    uint64
 	cache *Cache
-	rt    restartTable
-
-	// Delta-format state: the previous record's column values (reset to
-	// zero at each page boundary) and a scratch buffer for one encoded
-	// record.
-	prevCols []uint64
-	encBuf   []byte
 
 	i1      []indexEntry // separator keys for the leaf level
 	prevKey []byte
@@ -244,8 +242,7 @@ func (fw *FileWriter) Section(slot, recordSize int, format Format) (*Writer, err
 		if recordSize%8 != 0 || recordSize > MaxDeltaRecordSize {
 			return nil, fmt.Errorf("btree: delta format needs a record size that is a multiple of 8 up to %d, got %d", MaxDeltaRecordSize, recordSize)
 		}
-		w.prevCols = make([]uint64, recordSize/8)
-	case formatDeltaV2:
+	case formatDeltaV2, formatDeltaV3:
 		return nil, fmt.Errorf("btree: run format %d is read-only", format)
 	default:
 		return nil, fmt.Errorf("btree: unknown run format %d", format)
@@ -449,12 +446,11 @@ func (w *Writer) Extents() (pages, filter storage.Extent) {
 }
 
 // WriteThrough makes w hand every page it frames — leaves and internal
-// pages, a delta leaf with the restart table built while its records were
-// encoded — to cache under w's identity (CacheID), so that the Reader Open
-// returns finds them there as a cold Reader would have built them from the
-// file. A page is cached only if it fits the room the cache has free:
-// writing through evicts nothing. Once a page does not fit, w offers no
-// more and builds no more restart tables; the cache gains room only when
+// pages, a delta leaf packed and its header parsed — to cache under w's
+// identity (CacheID), so that the Reader Open returns finds them there as a
+// cold Reader would have built them from the file. A page is cached only if
+// it fits the room the cache has free: writing through evicts nothing. Once
+// a page does not fit, w offers no more; the cache gains room only when
 // pages leave it. Call it before the first Append; a nil cache caches
 // nothing.
 func (w *Writer) WriteThrough(cache *Cache) { w.cache = cache }
@@ -480,30 +476,13 @@ func (w *Writer) Append(rec []byte) error {
 		w.minKey = append([]byte(nil), rec...)
 	}
 	if w.format == FormatDelta {
-		enc := appendDeltaRecord(w.encBuf[:0], rec, w.prevCols)
-		if w.leafCount > 0 && len(w.leafBuf)+len(enc) > pagePayload {
-			// Page full: flush and re-encode against the zeroed columns.
+		// The record joins the page if the page still fits packed with it.
+		if w.leafCount > 0 && (w.leafCount == maxLeafRecords || w.shape.sizeWith(rec) > pagePayload) {
 			if err := w.flushLeaf(); err != nil {
 				return err
 			}
-			enc = appendDeltaRecord(w.encBuf[:0], rec, w.prevCols)
 		}
-		w.encBuf = enc
-		if w.leafCount == 0 {
-			// First record of a leaf page becomes its I1 separator key.
-			w.i1 = append(w.i1, indexEntry{key: append([]byte(nil), rec...), child: w.nextPage})
-		}
-		w.leafBuf = append(w.leafBuf, enc...)
-		if w.cache != nil {
-			w.rt.add(w.leafCount, rec, len(w.leafBuf))
-		}
-		for c := range w.prevCols {
-			w.prevCols[c] = binary.BigEndian.Uint64(rec[c*8:])
-		}
-		w.leafCount++
-		w.prevKey = append(w.prevKey[:0], rec...)
-		w.count++
-		return nil
+		w.shape.add(rec)
 	}
 	if w.leafCount == 0 {
 		// First record of a leaf page becomes its I1 separator key.
@@ -513,7 +492,7 @@ func (w *Writer) Append(rec []byte) error {
 	w.leafCount++
 	w.prevKey = append(w.prevKey[:0], rec...)
 	w.count++
-	if w.leafCount == w.perLeaf {
+	if w.format == FormatRaw && w.leafCount == w.perLeaf {
 		return w.flushLeaf()
 	}
 	return nil
@@ -523,16 +502,17 @@ func (w *Writer) flushLeaf() error {
 	if w.leafCount == 0 {
 		return nil
 	}
-	if err := w.writePage(uint16(w.leafCount), w.leafBuf, w.format == FormatDelta); err != nil {
+	payload := w.leafBuf
+	if w.format == FormatDelta {
+		w.packBuf = w.shape.pack(w.packBuf[:0], w.leafBuf, w.recSize)
+		payload = w.packBuf
+	}
+	if err := w.writePage(uint16(w.leafCount), payload, w.format == FormatDelta); err != nil {
 		return err
 	}
 	w.leafBuf = w.leafBuf[:0]
 	w.leafCount = 0
-	// Delta encoding restarts at every page boundary so each page decodes
-	// independently.
-	for c := range w.prevCols {
-		w.prevCols[c] = 0
-	}
+	w.shape = leafShape{}
 	return nil
 }
 
@@ -635,8 +615,9 @@ func (w *Writer) SizeBytes() int64 { return w.sizeBytes }
 // writePage frames one page — count, payload, zero padding, CRC-32C — as
 // page w.nextPage at the end of the write buffer, flushing the buffer
 // first at each multiple of its size, and writes it through to the cache
-// (see WriteThrough). deltaLeaf marks a page whose restart table is w.rt.
-func (w *Writer) writePage(count uint16, payload []byte, deltaLeaf bool) error {
+// (see WriteThrough). packed marks a delta leaf, whose payload has the
+// slack leafShape.pack leaves.
+func (w *Writer) writePage(count uint16, payload []byte, packed bool) error {
 	if len(payload) > pagePayload {
 		return fmt.Errorf("btree: page payload %d exceeds %d", len(payload), pagePayload)
 	}
@@ -654,11 +635,19 @@ func (w *Writer) writePage(count uint16, payload []byte, deltaLeaf bool) error {
 	binary.LittleEndian.PutUint32(framed[storage.PageSize-pageCRCLen:], crc)
 	if w.cache != nil {
 		// The payload is what a Reader keeps of the page: every writer
-		// fills a page with exactly its count entries or records.
-		p := &page{payload: make([]byte, len(payload)), count: int(count)}
+		// fills a page with exactly its count entries or records, and a
+		// packed leaf keeps its slack and its parsed header.
+		slack := 0
+		if packed {
+			slack = 8 // see getBits
+		}
+		p := &page{payload: make([]byte, len(payload), len(payload)+slack), count: int(count)}
 		copy(p.payload, payload)
-		if deltaLeaf {
-			p.restarts = w.rt.finish(w.recSize)
+		if packed {
+			var err error
+			if p.leaf, _, err = parseLeaf(p.payload, p.count, w.recSize); err != nil {
+				return fmt.Errorf("btree: page %d as written: %w", w.nextPage, err)
+			}
 		}
 		if !w.cache.putIfRoom(w.id, w.nextPage, p) {
 			w.cache = nil

@@ -8,16 +8,15 @@ import (
 // Cache is a shared LRU page cache keyed by (reader identity, page number).
 // It stores verified page payloads, leaves and internal pages alike, so hot
 // queries never re-read or re-verify: those a reader read from storage past
-// the CRC check, and those a Writer framed into the room the cache had
-// free (see WriteThrough), which that run never reads back. A delta-format
-// leaf stays encoded; beside its payload the entry keeps the restart table its
-// validating pass sampled or its writer built while encoding, which lets a
-// seek land within restartInterval records of its target. An entry is
-// charged the bytes it pins — the payload at its used length, not the 4 KB
-// page it came in, plus the restart table, ≈0.3 KB beside a full leaf —
-// against a fixed budget, so a budget covers about nine tenths as many
-// bytes of a store in memory as on disk. Pages of a run that is gone leave
-// with it (Drop) instead of waiting for the LRU order to reach them.
+// its checks, and those a Writer framed into the room the cache had free
+// (see WriteThrough), which that run never reads back. A delta leaf is held
+// packed (see FormatDelta): a v4 leaf as its payload, a v2 or v3 leaf
+// transcoded into the same form once, at its miss, beside the parsed
+// header every seek reads. An entry is charged the bytes of its payload at
+// its used length, not the 4 KB page it came in, against a fixed budget,
+// so a budget covers as many bytes of a v4 store in memory as on disk.
+// Pages of a run that is gone leave with it (Drop) instead of waiting for
+// the LRU order to reach them.
 //
 // The paper's micro-benchmarks use a 32 MB cache in addition to the write
 // stores and Bloom filters (Section 6.1); NewCacheBytes(32<<20) reproduces
@@ -42,20 +41,19 @@ type cacheKey struct {
 	page   uint64
 }
 
-// page is a verified page as readers and the cache hold it: the on-disk
-// payload cut to the bytes its count entries occupy (whole only for a leaf
-// nobody sampled, see Reader.NoFill), that count and, for a delta leaf read
-// by a sampling reader or written through, the restart table (see
-// restartTable). Both slices are allocated at their length, so size is what
-// the page keeps alive. A page is immutable once built, so iterators and the
-// cache share it by pointer.
+// page is a verified page as readers and the cache hold it: the payload
+// cut to the bytes its count entries occupy, that count and, for a delta
+// leaf, the parsed header of its packed form (see leaf). A packed payload's
+// capacity runs 8 bytes past its length, which getBits may read; size is
+// what the page is charged. A page is immutable once built, so iterators
+// and the cache share it by pointer.
 type page struct {
-	payload  []byte
-	count    int
-	restarts []byte
+	payload []byte
+	count   int
+	leaf    leaf
 }
 
-func (p *page) size() int64 { return int64(len(p.payload) + len(p.restarts)) }
+func (p *page) size() int64 { return int64(len(p.payload)) }
 
 type cacheEntry struct {
 	key cacheKey

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Format identifies the leaf-page encoding of a run; the header page
@@ -15,27 +16,36 @@ type Format uint32
 const (
 	// FormatRaw stores fixed-stride records verbatim — the v1 format.
 	FormatRaw Format = 1
-	// formatDeltaV2 is the previous delta format, read and never written:
-	// like FormatDelta but with one varint for every column of every
-	// record, changed or not. Compaction rewrites such runs into
-	// FormatDelta; the next format bump deletes this reader.
+	// formatDeltaV2 is a previous delta format, read and never written: a
+	// leaf record is one delta + zigzag + LEB128 varint per column, changed
+	// or not, restarting from all-zero columns at every page.
 	formatDeltaV2 Format = 2
-	// FormatDelta is the v3 format: a leaf record is a one-byte presence
-	// bitmap (bit c set when column c differs from the previous record's)
-	// followed by the delta + zigzag + LEB128 varint of each flagged
-	// column, restarting from all-zero columns at every page boundary so
-	// each 4 KB page stays independently seekable and CRC-checked.
-	// Requires the record size to be a multiple of 8 and at most
-	// MaxDeltaRecordSize: a record is treated as a row of at most eight
-	// big-endian u64 columns, which preserves bytes.Compare order.
+	// formatDeltaV3 is the previous delta format, read and never written: a
+	// leaf record is a one-byte presence bitmap (bit c set when column c
+	// differs from the previous record's) followed by the delta + zigzag +
+	// LEB128 varint of each flagged column, restarting from all-zero
+	// columns at every page.
+	formatDeltaV3 Format = 3
+	// FormatDelta is the v4 format: bit-packed leaves. A leaf holds a small
+	// header — a bit width and a base per column, and the absolute block of
+	// every anchorEvery-th record — then its records, each the same number
+	// of bits: the block as an unsigned delta from the previous record's,
+	// every other column as its offset from the page minimum (see
+	// leafShape.pack). Each 4 KB page stays independently seekable and
+	// CRC-checked. Requires the record size to be a multiple of 8 and at
+	// most MaxDeltaRecordSize: a record is treated as a row of at most
+	// eight big-endian u64 columns, which preserves bytes.Compare order.
 	// Internal index pages stay raw in every format.
-	FormatDelta Format = 3
+	FormatDelta Format = 4
 )
 
-// MaxDeltaRecordSize bounds the record size of a delta run (either
-// version): eight columns, one bitmap byte. The widest table's records
-// are 56 bytes.
+// MaxDeltaRecordSize bounds the record size of a delta run (any version):
+// eight columns, which is what a v3 leaf's one-byte bitmap can flag. The
+// widest table's records are 56 bytes.
 const MaxDeltaRecordSize = 64
+
+// maxCols is the column count of the widest delta record.
+const maxCols = MaxDeltaRecordSize / 8
 
 func (f Format) String() string {
 	switch f {
@@ -43,6 +53,8 @@ func (f Format) String() string {
 		return "raw"
 	case formatDeltaV2:
 		return "delta-v2"
+	case formatDeltaV3:
+		return "delta-v3"
 	case FormatDelta:
 		return "delta"
 	default:
@@ -50,66 +62,384 @@ func (f Format) String() string {
 	}
 }
 
-// delta reports whether leaves are delta-encoded (in either version).
-func (f Format) delta() bool { return f == FormatDelta || f == formatDeltaV2 }
+// delta reports whether leaves are delta-encoded (in any version).
+func (f Format) delta() bool { return f >= formatDeltaV2 && f <= FormatDelta }
 
-// zigzag maps signed deltas onto unsigned integers so small negative
-// deltas encode as small varints.
-func zigzag(v int64) uint64 { return uint64((v << 1) ^ (v >> 63)) }
+// checksummed reports whether the header carries the filter's checksum,
+// which v3 introduced.
+func (f Format) checksummed() bool { return f == formatDeltaV3 || f == FormatDelta }
 
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+// anchorEvery is K: a packed leaf carries the absolute block of every K-th
+// record, so a seek binary-searches those anchors and then sums at most K
+// block deltas. Each anchor costs one field as wide as the page's block
+// span (≈18 bits on the bench's stores), so at K = 32 the anchors take
+// under one bit per record.
+const anchorEvery = 32
 
-// appendDeltaRecord appends rec's FormatDelta encoding relative to prev,
-// which holds the previous record's column values (all zero at a page
-// restart): the presence bitmap, bit c for column c, then the flagged
-// columns' deltas in column order.
-func appendDeltaRecord(dst, rec []byte, prev []uint64) []byte {
-	at := len(dst)
-	dst = append(dst, 0)
-	for c := range prev {
-		if d := binary.BigEndian.Uint64(rec[c*8:]) - prev[c]; d != 0 {
-			dst[at] |= 1 << c
-			dst = binary.AppendUvarint(dst, zigzag(int64(d)))
-		}
-	}
-	return dst
+// maxLeafRecords bounds the records of one packed leaf, which bounds what
+// a writer buffers per page: only records narrower than a byte reach it
+// before the page is full.
+const maxLeafRecords = 4096
+
+// A packed leaf is, after the page's record count:
+//
+//	widths   one byte per column: the bits of its field, 0..64 (column 0's
+//	         is the block delta's)
+//	bases    per column, a uvarint: the page's first block for column 0,
+//	         the page minimum for every other
+//	anchor   one byte: the bits of an anchor field, 0..64
+//	bits     little-endian, least significant bit first: for j = 1 ..
+//	         (count-1)/K the block of record j*K minus the first block, at
+//	         the anchor width; then every record, its columns' fields in
+//	         column order — the block minus the previous record's (zero for
+//	         record 0), every other column minus its base
+//
+// A column that is constant on the page has width 0 and takes no bits.
+
+// leafShape accumulates what packing a run of records costs: their count,
+// the first and last block, the widest block delta, every other column's
+// range, and from those the fields' widths and the header's bytes. A
+// writer asks whether the next record would still fit the page (sizeWith)
+// before it adds it.
+type leafShape struct {
+	n           int
+	cols        int
+	first, last uint64
+	maxDelta    uint64
+	lo, hi      [maxCols]uint64
+	width       [maxCols]uint8
+	recBits     int // the widths' sum
+	hdr         int // bytes before the bit stream
 }
 
-// restartInterval is K: a cached delta leaf keeps a restart point at every
-// K-th record, so a seek stream-decodes at most K records past the point it
-// starts from. A restart point is not a copy of its record: the table holds
-// the page's first record once, as the anchor, and every further restart
-// record as its FormatDelta encoding against that anchor, behind a
-// four-byte directory entry (see restartTable). At the ≈5.7 encoded bytes
-// the bench stores measure per 48/56-byte record a full page holds ≈710
-// records, i.e. 22 entries of ≈7 bytes, a directory of 92 and the anchor:
-// ≈0.3 KB charged to the cache beside the 4 KB payload, where verbatim
-// records (recSize+2 bytes each) took ≈1.3 KB — a quarter of the charge,
-// and on a store 1.5x its cache the difference between thrashing and
-// fitting (`query` read 894 → 491 → 265 → 69 B per query at K = 32 / 64 /
-// 128 / no table with verbatim records). What the dense table costs a seek
-// is a varint or two per binary-search probe (compareRestart) and one
-// record decode where it settles, ≈30 ns more than copying a verbatim
-// record; K = 64 would halve the table again for twice the stream-decode
-// (≈0.2 µs).
-const restartInterval = 32
+func (s *leafShape) add(rec []byte) {
+	b := binary.BigEndian.Uint64(rec)
+	if s.n == 0 {
+		*s = leafShape{cols: len(rec) / 8, first: b, last: b}
+		s.hdr = s.cols + uvarintLen(b) + 1
+		for c := 1; c < s.cols; c++ {
+			v := binary.BigEndian.Uint64(rec[c*8:])
+			s.lo[c], s.hi[c] = v, v
+			s.hdr += uvarintLen(v)
+		}
+		s.n = 1
+		return
+	}
+	if d := b - s.last; d > s.maxDelta {
+		s.maxDelta = d
+		s.setWidth(0, d)
+	}
+	for c := 1; c < s.cols; c++ {
+		switch v := binary.BigEndian.Uint64(rec[c*8:]); {
+		case v < s.lo[c]:
+			s.hdr += uvarintLen(v) - uvarintLen(s.lo[c])
+			s.lo[c] = v
+			s.setWidth(c, s.hi[c]-v)
+		case v > s.hi[c]:
+			s.hi[c] = v
+			s.setWidth(c, v-s.lo[c])
+		}
+	}
+	s.last = b
+	s.n++
+}
 
-// restartDirLen is the size of one directory entry of a restart table.
-const restartDirLen = 4
+// setWidth makes column c's field wide enough for span.
+func (s *leafShape) setWidth(c int, span uint64) {
+	w := uint8(bits.Len64(span))
+	s.recBits += int(w) - int(s.width[c])
+	s.width[c] = w
+}
 
-// A deltaDecoder decodes the record encoded at payload[pos:] onto rec,
-// which holds the previous record of the page (all zero before the first),
-// and returns the offset of the record after it, or -1 if the bytes there
-// are malformed. first marks the page's first record, the only one that
-// may equal its predecessor (the all-zero restart state). A Reader picks
-// its decoder once, at Open.
+// size returns the bytes pack writes for the records added.
+func (s *leafShape) size() int {
+	anchors := (s.n - 1) / anchorEvery * bits.Len64(s.last-s.first)
+	return s.hdr + (anchors+s.n*s.recBits+7)/8
+}
+
+// sizeWith returns what size would return with rec added too.
+func (s *leafShape) sizeWith(rec []byte) int {
+	b := binary.BigEndian.Uint64(rec)
+	recBits, hdr := s.recBits, s.hdr
+	if d := b - s.last; d > s.maxDelta {
+		recBits += bits.Len64(d) - int(s.width[0])
+	}
+	for c := 1; c < s.cols; c++ {
+		switch v := binary.BigEndian.Uint64(rec[c*8:]); {
+		case v < s.lo[c]:
+			hdr += uvarintLen(v) - uvarintLen(s.lo[c])
+			recBits += bits.Len64(s.hi[c]-v) - int(s.width[c])
+		case v > s.hi[c]:
+			recBits += bits.Len64(v-s.lo[c]) - int(s.width[c])
+		}
+	}
+	anchors := s.n / anchorEvery * bits.Len64(b-s.first)
+	return hdr + (anchors+(s.n+1)*recBits+7)/8
+}
+
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// pack appends to dst the packed leaf of the records in flat, whose shape
+// s is, followed by 8 bytes of slack that are not part of it: dst's length
+// ends at the leaf, its capacity does not (see getBits).
+func (s *leafShape) pack(dst, flat []byte, recSize int) []byte {
+	dst = slices.Grow(dst, s.size()+16) // the slack, and bitWriter's last word
+	dst = append(dst, s.width[:s.cols]...)
+	dst = binary.AppendUvarint(dst, s.first)
+	for c := 1; c < s.cols; c++ {
+		dst = binary.AppendUvarint(dst, s.lo[c])
+	}
+	aw := uint8(bits.Len64(s.last - s.first))
+	dst = append(dst, aw)
+	bw := bitWriter{buf: dst}
+	for i := anchorEvery * recSize; i < len(flat); i += anchorEvery * recSize {
+		bw.put(binary.BigEndian.Uint64(flat[i:])-s.first, aw)
+	}
+	prev := s.first
+	for i := 0; i < len(flat); i += recSize {
+		b := binary.BigEndian.Uint64(flat[i:])
+		bw.put(b-prev, s.width[0])
+		prev = b
+		for c := 1; c < s.cols; c++ {
+			bw.put(binary.BigEndian.Uint64(flat[i+c*8:])-s.lo[c], s.width[c])
+		}
+	}
+	return bw.finish()
+}
+
+// bitWriter appends fields least significant bit first.
+type bitWriter struct {
+	buf []byte
+	acc uint64 // the n bits not yet appended
+	n   uint
+}
+
+// put appends the low width bits of v, which has no higher bit set.
+func (w *bitWriter) put(v uint64, width uint8) {
+	w.acc |= v << w.n
+	w.n += uint(width)
+	if w.n >= 64 {
+		w.buf = binary.LittleEndian.AppendUint64(w.buf, w.acc)
+		w.n -= 64
+		w.acc = v >> (uint(width) - w.n) // 0 when nothing is left over
+	}
+}
+
+// finish appends the last partial bytes and 8 bytes of slack, and returns
+// the buffer cut to the bytes the fields took.
+func (w *bitWriter) finish() []byte {
+	used := len(w.buf) + int(w.n+7)/8
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, w.acc)
+	w.buf = append(w.buf, make([]byte, 8)...)
+	return w.buf[:used]
+}
+
+// getBits returns the width-bit field at bit offset at of b. It may read
+// the 8 bytes past the field's last byte, so b's capacity must extend 8
+// bytes past its length (see leafShape.pack, Reader.unpack).
+func getBits(b []byte, at int, width uint8) uint64 {
+	if width == 0 {
+		return 0
+	}
+	i, s := at>>3, uint(at&7)
+	v := binary.LittleEndian.Uint64(b[i:i+8]) >> s
+	if s+uint(width) > 64 {
+		v |= uint64(b[i : i+9][8]) << (64 - s)
+	}
+	return v & (^uint64(0) >> (64 - width))
+}
+
+// leaf is the parsed header of a packed leaf, which a cached page keeps
+// beside its payload: where each record's fields lie and what to add to
+// them.
+type leaf struct {
+	cols    int
+	width   [maxCols]uint8
+	at      [maxCols]int // bit offset of column c's field in a record
+	base    [maxCols]uint64
+	recBits int
+	anchorW uint8
+	anchors int // bit offset of anchor 1
+	records int // bit offset of record 0
+}
+
+// parseLeaf reads the header of the count-record packed leaf at the front
+// of payload and returns it with the bytes the leaf occupies. A width over
+// 64, a varint that does not end, and fields that run past the payload are
+// ErrCorrupt; whether the records themselves hold together is check's to
+// judge.
+func parseLeaf(payload []byte, count, recSize int) (l leaf, used int, err error) {
+	l.cols = recSize / 8
+	if count <= 0 || len(payload) < l.cols {
+		return leaf{}, 0, fmt.Errorf("%w: packed leaf of %d records in %d bytes", ErrCorrupt, count, len(payload))
+	}
+	for c := range l.cols {
+		if l.width[c] = payload[c]; l.width[c] > 64 {
+			return leaf{}, 0, fmt.Errorf("%w: packed leaf column %d of %d bits", ErrCorrupt, c, l.width[c])
+		}
+		l.at[c] = l.recBits
+		l.recBits += int(l.width[c])
+	}
+	pos := l.cols
+	for c := range l.cols {
+		v, n := binary.Uvarint(payload[pos:])
+		if n <= 0 {
+			return leaf{}, 0, fmt.Errorf("%w: packed leaf base %d", ErrCorrupt, c)
+		}
+		l.base[c] = v
+		pos += n
+	}
+	if pos >= len(payload) || payload[pos] > 64 {
+		return leaf{}, 0, fmt.Errorf("%w: packed leaf anchor width", ErrCorrupt)
+	}
+	l.anchorW = payload[pos]
+	l.anchors = (pos + 1) * 8
+	l.records = l.anchors + (count-1)/anchorEvery*int(l.anchorW)
+	used = (l.records + count*l.recBits + 7) / 8
+	if used > len(payload) {
+		return leaf{}, 0, fmt.Errorf("%w: %d packed records of %d bits past a %d-byte payload", ErrCorrupt, count, l.recBits, len(payload))
+	}
+	return l, used, nil
+}
+
+// check walks the count records of the leaf l describes, whose payload has
+// its 8 bytes of slack: record 0's block is the first, every block is the
+// sum of the deltas before it with no overflow, every anchor equals the
+// block of its record, and the records strictly ascend — a record whose
+// block repeats its predecessor's is compared column by column. After it
+// no read of the page can fail.
+func (l *leaf) check(payload []byte, count int) error {
+	if getBits(payload, l.records, l.width[0]) != 0 {
+		return fmt.Errorf("%w: packed leaf's first block delta", ErrCorrupt)
+	}
+	block, at := l.base[0], l.records
+	for i := 1; i < count; i++ {
+		at += l.recBits
+		d := getBits(payload, at, l.width[0])
+		if block+d < block {
+			return fmt.Errorf("%w: packed record %d's block overflows", ErrCorrupt, i)
+		}
+		block += d
+		if i%anchorEvery == 0 && l.anchor(payload, i/anchorEvery) != block {
+			return fmt.Errorf("%w: packed leaf anchor %d", ErrCorrupt, i/anchorEvery)
+		}
+		if d == 0 && l.compareRecords(payload, i-1, i) >= 0 {
+			return fmt.Errorf("%w: packed record %d does not follow its predecessor", ErrCorrupt, i)
+		}
+	}
+	return nil
+}
+
+// field returns column c of record i: the block delta for c = 0, the value
+// for every other column.
+func (l *leaf) field(payload []byte, i, c int) uint64 {
+	v := getBits(payload, l.records+i*l.recBits+l.at[c], l.width[c])
+	if c > 0 {
+		v += l.base[c]
+	}
+	return v
+}
+
+// anchor returns the block of record j*anchorEvery, j >= 1.
+func (l *leaf) anchor(payload []byte, j int) uint64 {
+	return l.base[0] + getBits(payload, l.anchors+(j-1)*int(l.anchorW), l.anchorW)
+}
+
+// compareRecords orders records i and j of the page by their columns after
+// the block.
+func (l *leaf) compareRecords(payload []byte, i, j int) int {
+	for c := 1; c < l.cols; c++ {
+		if o := cmp.Compare(l.field(payload, i, c), l.field(payload, j, c)); o != 0 {
+			return o
+		}
+	}
+	return 0
+}
+
+// compareKey orders record i's columns after the block against key's.
+func (l *leaf) compareKey(payload []byte, i int, key []byte) int {
+	for c := 1; c < l.cols; c++ {
+		if o := cmp.Compare(l.field(payload, i, c), binary.BigEndian.Uint64(key[c*8:])); o != 0 {
+			return o
+		}
+	}
+	return 0
+}
+
+// record writes record i into rec, its block prev — the block of record
+// i-1, or the page's first block for record 0 — plus its delta, and
+// returns that block. A record of at most 57 bits, the common case, is
+// read with one load.
+func (l *leaf) record(payload []byte, i int, prev uint64, rec []byte) uint64 {
+	at := l.records + i*l.recBits
+	if l.recBits > 57 {
+		prev += getBits(payload, at, l.width[0])
+		binary.BigEndian.PutUint64(rec, prev)
+		for c := 1; c < l.cols; c++ {
+			binary.BigEndian.PutUint64(rec[c*8:], l.field(payload, i, c))
+		}
+		return prev
+	}
+	bits := binary.LittleEndian.Uint64(payload[at>>3:at>>3+8]) >> (at & 7)
+	prev += bits & (^uint64(0) >> (64 - l.width[0]))
+	binary.BigEndian.PutUint64(rec, prev)
+	for c := 1; c < l.cols; c++ {
+		v := bits >> l.at[c] & (^uint64(0) >> (64 - l.width[c]))
+		binary.BigEndian.PutUint64(rec[c*8:], l.base[c]+v)
+	}
+	return prev
+}
+
+// seek returns the first record of the count-record page that is >= key,
+// and the block of the record before it (the page's first block before
+// record 0), or count if every record is smaller. It binary-searches the
+// anchors for the last one below key's block — record 0 if none is — and
+// sums block deltas from there, at most anchorEvery of them before the
+// block reaches key's; the columns after the block are read only where it
+// equals key's.
+func (l *leaf) seek(payload []byte, count int, key []byte) (idx int, prev uint64) {
+	kb := binary.BigEndian.Uint64(key)
+	lo, hi := 1, (count-1)/anchorEvery+1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if l.anchor(payload, mid) < kb {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	idx, prev = (lo-1)*anchorEvery, l.base[0]
+	if idx > 0 {
+		prev = l.anchor(payload, lo-1) - l.field(payload, idx, 0)
+	}
+	for ; idx < count; idx++ {
+		b := prev + l.field(payload, idx, 0)
+		if b > kb || (b == kb && l.compareKey(payload, idx, key) >= 0) {
+			break
+		}
+		prev = b
+	}
+	return idx, prev
+}
+
+// unzigzag undoes the zigzag mapping of signed deltas onto unsigned
+// integers that the v2 and v3 encoders applied.
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+// A deltaDecoder decodes the v2 or v3 record encoded at payload[pos:] onto
+// rec, which holds the previous record of the page (all zero before the
+// first), and returns the offset of the record after it, or -1 if the
+// bytes there are malformed. first marks the page's first record, the only
+// one that may equal its predecessor (the all-zero restart state). A
+// Reader picks its decoder once, at Open, and runs it only to transcode a
+// leaf it misses into the packed form (see Reader.readPage).
 type deltaDecoder func(payload []byte, pos int, rec []byte, first bool) (next int)
 
 func decoderFor(format Format) deltaDecoder {
 	switch format {
 	case formatDeltaV2:
 		return deltaNextV2
-	case FormatDelta:
+	case formatDeltaV3:
 		return deltaNext
 	}
 	return nil
@@ -128,7 +458,7 @@ func addDelta(payload []byte, pos int, rec []byte, c int) int {
 	return pos + n
 }
 
-// deltaNext is the FormatDelta decoder. It visits the set bits, not the
+// deltaNext is the formatDeltaV3 decoder. It visits the set bits, not the
 // columns: the typical record flags two or three of six or seven. A zero
 // bitmap after the page's first record (an exact repeat, which ascending
 // records exclude — and what a page's zero padding would decode to under
@@ -185,153 +515,27 @@ func deltaNextV2(payload []byte, pos int, rec []byte, first bool) int {
 	return pos
 }
 
-// checkLeafCount rejects a delta leaf whose count field cannot be genuine:
-// every record encodes to at least one byte.
-func checkLeafCount(payload []byte, count int) error {
+// transcode decodes the count v2 or v3 records of payload with next and
+// appends them to dst packed (see leafShape.pack); flat is scratch for the
+// decoded records. Any malformed input yields an ErrCorrupt-wrapped error.
+func transcode(dst, flat, payload []byte, count, recSize int, next deltaDecoder) (packed, scratch []byte, err error) {
+	// Every record encodes to at least one byte.
 	if count <= 0 || count > len(payload) {
-		return fmt.Errorf("%w: delta leaf record count %d", ErrCorrupt, count)
+		return nil, flat, fmt.Errorf("%w: delta leaf record count %d", ErrCorrupt, count)
 	}
-	return nil
-}
-
-// restartTable builds the restart table of one delta leaf from the page's
-// records in page order, as the writer encodes them or a reader decodes
-// them, so the two build the same bytes. Restart point j = 0, 1, … is
-// record j*restartInterval, and the table is
-//
-//	anchor     the page's first record — restart point 0 — verbatim
-//	directory  for every restart point: the little-endian u16 table offset
-//	           of its entry (zero for the anchor's, which has none), then
-//	           the u16 payload offset of the record after it
-//	entries    every restart record but the first, as appendDeltaRecord
-//	           encodes it against the anchor — in FormatDelta whatever the
-//	           run's format
-//
-// Until finish, head holds the anchor and the directory, whose entry
-// offsets count from the start of entries: the directory's length is the
-// page's restart count, which a writer learns only when the page is full.
-type restartTable struct {
-	head    []byte
-	entries []byte
-	anchor  [MaxDeltaRecordSize / 8]uint64
-}
-
-// add notes record i of the page, whose encoding ends at payload offset
-// end; only restart points are kept. Record 0 starts a new table.
-func (t *restartTable) add(i int, rec []byte, end int) {
-	if i%restartInterval != 0 {
-		return
-	}
-	entry := 0
-	anchor := t.anchor[:len(rec)/8]
-	if i == 0 {
-		t.head = append(t.head[:0], rec...)
-		t.entries = t.entries[:0]
-		for c := range anchor {
-			anchor[c] = binary.BigEndian.Uint64(rec[c*8:])
-		}
-	} else {
-		entry = len(t.entries)
-		t.entries = appendDeltaRecord(t.entries, rec, anchor)
-	}
-	t.head = binary.LittleEndian.AppendUint16(t.head, uint16(entry))
-	t.head = binary.LittleEndian.AppendUint16(t.head, uint16(end))
-}
-
-// size returns the bytes the finished table will take.
-func (t *restartTable) size() int { return len(t.head) + len(t.entries) }
-
-// finish returns the table of the records added since record 0, in a new
-// slice of exactly its length, with the directory's entry offsets made
-// table offsets.
-func (t *restartTable) finish(recSize int) []byte {
-	table := make([]byte, t.size())
-	copy(table[copy(table, t.head):], t.entries)
-	for dir := recSize + restartDirLen; dir < len(t.head); dir += restartDirLen {
-		binary.LittleEndian.PutUint16(table[dir:], binary.LittleEndian.Uint16(table[dir:])+uint16(len(t.head)))
-	}
-	return table
-}
-
-// sampleRestarts walks all count records of a delta leaf with the run's
-// decoder, adding them to t, and returns the payload bytes the records
-// occupy; t.finish then yields the page's restart table. Any malformed
-// input yields an ErrCorrupt-wrapped error, never silently wrong records.
-func sampleRestarts(t *restartTable, payload []byte, count, recSize int, next deltaDecoder) (int, error) {
-	if err := checkLeafCount(payload, count); err != nil {
-		return 0, err
-	}
-	rec := make([]byte, recSize)
+	flat = slices.Grow(flat[:0], count*recSize)[:recSize]
+	clear(flat) // the all-zero columns record 0 is a delta from
+	var shape leafShape
 	pos := 0
 	for i := 0; i < count; i++ {
+		if i > 0 {
+			flat = append(flat, flat[len(flat)-recSize:]...)
+		}
+		rec := flat[i*recSize:]
 		if pos = next(payload, pos, rec, i == 0); pos < 0 {
-			return 0, fmt.Errorf("%w: malformed delta record %d", ErrCorrupt, i)
+			return nil, flat, fmt.Errorf("%w: malformed delta record %d", ErrCorrupt, i)
 		}
-		t.add(i, rec, pos)
+		shape.add(rec)
 	}
-	return pos, nil
+	return shape.pack(dst, flat, recSize), flat, nil
 }
-
-// compareRestart orders the record of restart point j >= 1 against key
-// without materializing it: column by column, each the anchor's plus the
-// entry's delta if the entry flags one, stopping at the first that
-// differs — for a block-prefix key, nearly always the first. ok is false
-// if the entry is malformed.
-func compareRestart(table []byte, j int, key []byte) (order int, ok bool) {
-	cols := len(key) / 8
-	at := int(binary.LittleEndian.Uint16(table[len(key)+j*restartDirLen:]))
-	pos := at + 1
-	if pos > len(table) {
-		return 0, false
-	}
-	for c := 0; c < cols; c++ {
-		v := binary.BigEndian.Uint64(table[c*8:])
-		if table[at]>>c&1 != 0 {
-			u, n := binary.Uvarint(table[pos:])
-			if n <= 0 {
-				return 0, false
-			}
-			v += uint64(unzigzag(u))
-			pos += n
-		}
-		if k := binary.BigEndian.Uint64(key[c*8:]); v != k {
-			return cmp.Compare(v, k), true
-		}
-	}
-	return 0, true
-}
-
-// seekRestart binary-searches the restart table of a count-record leaf for
-// the last restart point whose record is <= key — the first if key sorts
-// before the whole page — and returns the cursor state there: rec holds
-// that record, idx records are consumed and the next one starts at payload
-// offset pos. The probes compare in place; only the restart record the seek
-// settles on is decoded, onto a copy of the anchor, with the FormatDelta
-// decoder whatever the run's format. An entry that does not decode means
-// memory corruption and comes back as ErrCorrupt.
-func seekRestart(table []byte, count int, key, rec []byte) (idx, pos int, err error) {
-	lo, hi := 1, (count-1)/restartInterval+1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		order, ok := compareRestart(table, mid, key)
-		if !ok {
-			return 0, 0, errRestartTable
-		}
-		if order <= 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	j := lo - 1
-	dir := table[len(rec)+j*restartDirLen:]
-	copy(rec, table) // the anchor
-	// An entry repeats the anchor only in a page whose records do not
-	// ascend, which no writer produces; it must decode all the same.
-	if j > 0 && deltaNext(table, int(binary.LittleEndian.Uint16(dir)), rec, true) < 0 {
-		return 0, 0, errRestartTable
-	}
-	return j*restartInterval + 1, int(binary.LittleEndian.Uint16(dir[2:])), nil
-}
-
-var errRestartTable = fmt.Errorf("%w: malformed restart table", ErrCorrupt)

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
@@ -22,16 +23,17 @@ import (
 
 // The golden runs under testdata/ hold goldenRecords(6) ("from", 48-byte
 // records) and goldenRecords(7) ("combined", 56-byte records) followed by
-// goldenFilter's bytes. The v2-* files were written by the format-2
-// encoder, which no longer exists — never regenerate them; the v3-* files
-// pin the bytes the current encoder must keep producing.
+// goldenFilter's bytes. The v2-* and v3-* files were written by the
+// format-2 and format-3 encoders, which no longer exist in the package —
+// never regenerate them; the v4-* files pin the bytes the current encoder
+// must keep producing.
 //
 // The records are shaped like the engine's tables — about three
 // references per block, small correlated trailing columns — and cover what
 // a decoder can get wrong: several leaf pages (so a per-page restart and
 // an internal page with more than one entry), to == Infinity next to small
-// CPs, and every 97th record a 2^62 jump in the offset column, a ten-byte
-// varint out and another back.
+// CPs (a column 64 bits wide on a page), and every 97th record a 2^62 jump
+// in the offset column, a ten-byte varint out and another back.
 func goldenRecords(cols int) [][]byte {
 	const n = 1500
 	recs := make([][]byte, n)
@@ -78,10 +80,12 @@ var goldenRuns = []struct {
 	cols int
 }{{"from", 6}, {"combined", 7}}
 
-// goldenSHA256 pins the previous format's files byte for byte.
+// goldenSHA256 pins the previous formats' files byte for byte.
 var goldenSHA256 = map[string]string{
 	"v2-from.run":     "9ba4cb94d490b8375e063b092bd57df17364e86c027f761a00a0843f95dffade",
 	"v2-combined.run": "dededf9310492f962c7dd204a073974d061d02487dde9f6c9b7dc1902f6af1ae",
+	"v3-from.run":     "41f257c57fdfaf3ecbc65b8754195cf55c462ed8e064c4825d618634bbd51ecc",
+	"v3-combined.run": "e1198b72927554e7236c05408609d7fb8e736074177754d1b031a363ab077526",
 }
 
 func readGolden(t testing.TB, name string) []byte {
@@ -131,7 +135,12 @@ func checkGoldenRun(t *testing.T, b []byte, format Format, recs [][]byte) {
 		if r.h.LeafPages < 2 || r.h.Levels == 0 {
 			t.Fatalf("%d leaf pages under %d internal levels: the golden run must exercise a page restart and an index descent", r.h.LeafPages, r.h.Levels)
 		}
-		for _, rd := range []*Reader{r, r.NoFill()} {
+		readers := []*Reader{r}
+		if cache != nil {
+			// Without a cache a NoFill reader is the reader itself.
+			readers = append(readers, r.NoFill())
+		}
+		for _, rd := range readers {
 			it, err := rd.First()
 			if err != nil {
 				t.Fatal(err)
@@ -184,11 +193,58 @@ func TestReadsV2Golden(t *testing.T) {
 	}
 }
 
-// TestFormat3BytesPinned: the current encoder, given the golden records,
-// must keep producing testdata/v3-*.run bit for bit. A deliberate format
+// TestFormat3BytesPinned: testdata/v3-*.run was written by the format-3
+// encoder, which is now test code (appendDeltaRecord): the golden records,
+// encoded by it and cut into pages where the next record would overflow
+// one, are the golden's leaves bit for bit, and the golden reads.
+func TestFormat3BytesPinned(t *testing.T) {
+	for _, g := range goldenRuns {
+		t.Run(g.name, func(t *testing.T) {
+			recs := goldenRecords(g.cols)
+			golden := readGolden(t, "v3-"+g.name+".run")
+			r, err := Open(plantFile(t, golden), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var leaves [][]byte // the encoder's pages: count, then payload
+			var payload, enc []byte
+			cols := make([]uint64, g.cols)
+			count := 0
+			cut := func() {
+				leaves = append(leaves, append(binary.LittleEndian.AppendUint16(nil, uint16(count)), payload...))
+				payload, count = nil, 0
+				clear(cols)
+			}
+			for _, rec := range recs {
+				if enc = appendDeltaRecord(enc[:0], rec, cols); count > 0 && len(payload)+len(enc) > pagePayload {
+					cut()
+					enc = appendDeltaRecord(enc[:0], rec, cols)
+				}
+				payload, count = append(payload, enc...), count+1
+				for c := range cols {
+					cols[c] = binary.BigEndian.Uint64(rec[c*8:])
+				}
+			}
+			cut()
+			if uint64(len(leaves)) != r.h.LeafPages {
+				t.Fatalf("the encoder cuts %d leaves, the golden holds %d", len(leaves), r.h.LeafPages)
+			}
+			for i, want := range leaves {
+				at := int(r.h.LeafStart) + i
+				if got := golden[at*storage.PageSize:][:len(want)]; !bytes.Equal(got, want) {
+					t.Fatalf("leaf %d differs from the encoder's", i)
+				}
+			}
+			checkGoldenRun(t, golden, formatDeltaV3, recs)
+		})
+	}
+}
+
+// TestFormat4BytesPinned: the current encoder, given the golden records,
+// must keep producing testdata/v4-*.run bit for bit. A deliberate format
 // change bumps the version and adds new golden files; it does not edit
 // these.
-func TestFormat3BytesPinned(t *testing.T) {
+func TestFormat4BytesPinned(t *testing.T) {
 	for _, g := range goldenRuns {
 		t.Run(g.name, func(t *testing.T) {
 			recs := goldenRecords(g.cols)
@@ -213,9 +269,9 @@ func TestFormat3BytesPinned(t *testing.T) {
 			if _, err := f.ReadAt(got, 0); err != nil {
 				t.Fatal(err)
 			}
-			want := readGolden(t, "v3-"+g.name+".run")
+			want := readGolden(t, "v4-"+g.name+".run")
 			if !bytes.Equal(got, want) {
-				t.Fatalf("the encoder's %d bytes differ from the %d of testdata/v3-%s.run", len(got), len(want), g.name)
+				t.Fatalf("the encoder's %d bytes differ from the %d of testdata/v4-%s.run", len(got), len(want), g.name)
 			}
 			checkGoldenRun(t, want, FormatDelta, recs)
 		})
@@ -249,7 +305,7 @@ func headerKeys(t testing.TB, f storage.File) (minKey, maxKey []byte) {
 	return page[headerFixedLen : headerFixedLen+rs], page[headerFixedLen+rs : headerFixedLen+2*rs]
 }
 
-// TestFormatContract: the previous delta format cannot be written, and a
+// TestFormatContract: the previous delta formats cannot be written, and a
 // version this binary has never heard of fails Open by name rather than as
 // corruption.
 func TestFormatContract(t *testing.T) {
@@ -257,13 +313,17 @@ func TestFormatContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewWriterFormat(f, 48, formatDeltaV2); err == nil || !strings.Contains(err.Error(), "read-only") {
-		t.Fatalf("NewWriterFormat(format 2): %v, want a read-only refusal", err)
+	for _, old := range []Format{formatDeltaV2, formatDeltaV3} {
+		if _, err := NewWriterFormat(f, 48, old); err == nil || !strings.Contains(err.Error(), "read-only") {
+			t.Fatalf("NewWriterFormat(format %d): %v, want a read-only refusal", old, err)
+		}
 	}
-	run := plantFile(t, readGolden(t, "v3-from.run"))
-	rewriteHeader(t, run, func(page []byte) { binary.LittleEndian.PutUint32(page[8:], 4) })
-	if _, err := Open(run, nil); err == nil || errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "unsupported version 4") {
-		t.Fatalf("Open of a version-4 header: %v, want the version refused by name", err)
+	for _, v := range []uint32{5, 6, 1 << 31} {
+		run := plantFile(t, readGolden(t, "v4-from.run"))
+		rewriteHeader(t, run, func(page []byte) { binary.LittleEndian.PutUint32(page[8:], v) })
+		if _, err := Open(run, nil); err == nil || errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("unsupported version %d", v)) {
+			t.Fatalf("Open of a version-%d header: %v, want the version refused by name", v, err)
+		}
 	}
 }
 
@@ -358,7 +418,7 @@ func FuzzRunHeader(f *testing.F) {
 // reports reads no byte to open and then reads what Open's reader reads,
 // over both formats, a golden of the read-only one included.
 func TestOpenHeaderReadsNothing(t *testing.T) {
-	for _, name := range []string{"v3-from.run", "v3-combined.run", "v2-from.run"} {
+	for _, name := range []string{"v4-from.run", "v4-combined.run", "v3-from.run", "v2-from.run"} {
 		fs := storage.NewMemFS()
 		f, err := fs.Create("run")
 		if err != nil {
@@ -552,26 +612,23 @@ func TestWriterCoalescesPages(t *testing.T) {
 	}
 }
 
-// TestNoFillDecodesOnce: a leaf a NoFill scan misses is validated by the
-// cursor as it streams, with no sampling pass before it; the previous
-// format keeps its two passes.
+// TestNoFillDecodesOnce: a leaf a NoFill scan misses is checked once, in
+// one pass at its miss — a v4 leaf as it is, a v2 or v3 leaf transcoded
+// first — and the scan reads every leaf once.
 func TestNoFillDecodesOnce(t *testing.T) {
-	for _, c := range []struct {
-		file   string
-		passes bool
-	}{{"v3-combined.run", false}, {"v2-combined.run", true}} {
-		r, err := Open(plantFile(t, readGolden(t, c.file)), NewCacheBytes(1<<20))
+	for _, file := range []string{"v4-combined.run", "v3-combined.run", "v2-combined.run"} {
+		r, err := Open(plantFile(t, readGolden(t, file)), NewCacheBytes(1<<20))
 		if err != nil {
 			t.Fatal(err)
 		}
-		sampled := 0
-		r.SetDecodeObserver(func(time.Duration) { sampled++ })
+		passes := 0
+		r.SetDecodeObserver(func(time.Duration) { passes++ })
 		recs, err := drain(r.NoFill())
 		if err != nil || len(recs) != len(goldenRecords(7)) {
-			t.Fatalf("%s: scanned %d records (%v)", c.file, len(recs), err)
+			t.Fatalf("%s: scanned %d records (%v)", file, len(recs), err)
 		}
-		if (sampled > 0) != c.passes {
-			t.Fatalf("%s: NoFill scan ran %d sampling passes", c.file, sampled)
+		if uint64(passes) != r.h.LeafPages {
+			t.Fatalf("%s: NoFill scan ran %d passes over %d leaves", file, passes, r.h.LeafPages)
 		}
 	}
 }

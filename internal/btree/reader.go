@@ -24,15 +24,16 @@ type Reader struct {
 	cache *Cache
 	id    uint64
 
-	// next decodes one leaf record of a delta run (nil over a raw run),
-	// chosen once from the header's format.
+	// next decodes one record of a v2 or v3 leaf to transcode it (nil
+	// otherwise), chosen once from the header's format.
 	next deltaDecoder
 
 	// noFill makes cache misses leave the cache as it is (see NoFill).
 	noFill bool
 
-	// decodeObs, when set, receives the wall time of the validate-and-sample
-	// pass over each delta-encoded leaf page (cache misses only).
+	// decodeObs, when set, receives the wall time of the pass that
+	// validates each delta leaf read from storage, and transcodes a v2 or
+	// v3 one (cache misses only).
 	decodeObs func(time.Duration)
 }
 
@@ -70,8 +71,9 @@ func newReader(f storage.File, h Header, cache *Cache, id uint64) *Reader {
 }
 
 // SetDecodeObserver installs a callback receiving, once per delta leaf
-// page read from storage, the latency of the pass that validates it and
-// samples its restart table (observability wiring; may be nil).
+// page read from storage, the latency of the pass that validates it —
+// after transcoding it, for a v2 or v3 leaf (observability wiring; may be
+// nil).
 func (r *Reader) SetDecodeObserver(fn func(time.Duration)) { r.decodeObs = fn }
 
 // WithFile returns a shallow copy of the Reader that issues its page reads
@@ -89,10 +91,8 @@ func (r *Reader) WithFile(f storage.File) *Reader {
 // NoFill returns a shallow copy of the Reader that is served from the cache
 // on a hit but does not insert the pages it misses (LevelDB's
 // fill_cache=false): a one-pass scan through it cannot evict the working
-// set of the seeks that share the cache. Nobody would keep the restart
-// table of a page it misses either, so a FormatDelta leaf is not sampled:
-// the cursor's decoder makes every check of the validating pass record by
-// record, and the leaf is decoded once.
+// set of the seeks that share the cache. A page it misses is read and
+// checked as any reader's is.
 func (r *Reader) NoFill() *Reader {
 	c := *r
 	c.noFill = true
@@ -103,8 +103,8 @@ func (r *Reader) NoFill() *Reader {
 // by its WithFile and NoFill copies and by the Writer that built the run.
 func (r *Reader) CacheID() uint64 { return r.id }
 
-// Format returns the run's leaf encoding: FormatRaw, FormatDelta, or the
-// previous delta format, which is only ever read.
+// Format returns the run's leaf encoding: FormatRaw, FormatDelta, or a
+// previous delta format (v2 or v3), which is only ever read.
 func (r *Reader) Format() Format { return r.h.Format }
 
 // RecordSize returns the fixed record size of the run.
@@ -130,8 +130,8 @@ func (r *Reader) SizeBytes() int64 {
 }
 
 // BloomBytes reads the serialized Bloom filter, or nil if none was stored.
-// A FormatDelta header carries the filter's checksum, and bytes that fail
-// it come back as an ErrCorrupt-wrapped error: a flipped filter bit is a
+// A v3 or v4 header carries the filter's checksum, and bytes that fail it
+// come back as an ErrCorrupt-wrapped error: a flipped filter bit is a
 // false negative, an owner silently missing from an answer. Older formats
 // stored no checksum.
 func (r *Reader) BloomBytes() ([]byte, error) {
@@ -142,31 +142,28 @@ func (r *Reader) BloomBytes() ([]byte, error) {
 	if _, err := r.f.ReadAt(buf, int64(r.h.FilterOff)); err != nil && err != io.EOF {
 		return nil, fmt.Errorf("btree: reading bloom: %w", err)
 	}
-	if r.h.Format == FormatDelta && crc32.Checksum(buf, castagnoli) != r.h.FilterCRC {
+	if r.h.Format.checksummed() && crc32.Checksum(buf, castagnoli) != r.h.FilterCRC {
 		return nil, fmt.Errorf("%w: bloom filter checksum", ErrCorrupt)
 	}
 	return buf, nil
 }
 
-// pageScratch is what a page miss works in before it knows how much of the
-// page to keep: the 4 KB the file is read into and the restart table as it
-// grows.
+// pageScratch is what a page miss works in: the 4 KB the file is read
+// into and, for a v2 or v3 leaf, its records decoded.
 type pageScratch struct {
-	buf   [storage.PageSize]byte
-	table restartTable
+	buf  [storage.PageSize]byte
+	recs []byte
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(pageScratch) }}
 
-// readPage returns a verified page — leaf or internal, in its on-disk
-// encoding — from the cache or, on a miss, from storage. A page read from
-// storage is checked here and kept at its used length, so the cache is
-// charged what the page pins: an internal page or a raw leaf its count of
-// fixed-stride entries, a delta leaf the bytes its validating pass
-// consumed. That pass also samples the restart table the leaf is cached
-// with — except over a FormatDelta leaf missed by a NoFill reader, which
-// comes back whole and without a table for the cursor to validate as it
-// streams. Nothing returned may be modified.
+// readPage returns a verified page — leaf or internal — from the cache or,
+// on a miss, from storage. A page read from storage is checked here and
+// kept at its used length, so the cache is charged what the page pins: an
+// internal page or a raw leaf its count of fixed-stride entries, a delta
+// leaf its packed form — a v4 leaf's payload, a v2 or v3 leaf's records
+// decoded and packed — whose every record the miss has checked (see
+// leaf.check). Nothing returned may be modified.
 func (r *Reader) readPage(pageNo uint64) (*page, error) {
 	if r.cache != nil {
 		if p := r.cache.get(r.id, pageNo); p != nil {
@@ -180,22 +177,17 @@ func (r *Reader) readPage(pageNo uint64) (*page, error) {
 		return nil, err
 	}
 	p := &page{count: count}
-	used := len(payload)
 	switch {
 	case pageNo-r.h.LeafStart >= r.h.LeafPages: // internal
-		used, err = entriesLen(payload, count, r.h.RecordSize+8)
-	case r.next == nil:
-		used, err = entriesLen(payload, count, r.h.RecordSize)
-	case r.noFill && r.h.Format == FormatDelta:
-		err = checkLeafCount(payload, count)
+		p.payload, err = entries(payload, count, r.h.RecordSize+8)
+	case !r.h.Format.delta():
+		p.payload, err = entries(payload, count, r.h.RecordSize)
 	default:
-		used, err = r.sample(p, payload, s)
+		err = r.unpack(p, payload, s)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("btree: page %d: %w", pageNo, err)
 	}
-	p.payload = make([]byte, used)
-	copy(p.payload, payload)
 	if r.cache != nil && !r.noFill {
 		r.cache.put(r.id, pageNo, p)
 	}
@@ -213,21 +205,50 @@ func entriesLen(payload []byte, count, stride int) (int, error) {
 	return count * stride, nil
 }
 
-// sample gives the delta leaf p, read as payload, its validating pass and
-// restart table and returns the payload bytes the leaf's records occupy.
-func (r *Reader) sample(p *page, payload []byte, s *pageScratch) (used int, err error) {
+// entries returns a copy of the bytes count fixed-stride entries occupy
+// (see entriesLen).
+func entries(payload []byte, count, stride int) ([]byte, error) {
+	used, err := entriesLen(payload, count, stride)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, used)
+	copy(out, payload)
+	return out, nil
+}
+
+// unpack gives the delta leaf p, read as payload, its packed form: a copy
+// of a v4 leaf, or a v2 or v3 leaf transcoded, with its header parsed and
+// every record checked.
+func (r *Reader) unpack(p *page, payload []byte, s *pageScratch) (err error) {
 	var start time.Time
 	if r.decodeObs != nil {
 		start = time.Now()
 	}
-	if used, err = sampleRestarts(&s.table, payload, p.count, r.h.RecordSize, r.next); err != nil {
-		return 0, err
+	var packed []byte
+	if r.next != nil {
+		if packed, s.recs, err = transcode(nil, s.recs, payload, p.count, r.h.RecordSize, r.next); err != nil {
+			return err
+		}
+		payload = packed
 	}
-	p.restarts = s.table.finish(r.h.RecordSize)
+	var used int
+	if p.leaf, used, err = parseLeaf(payload, p.count, r.h.RecordSize); err != nil {
+		return err
+	}
+	if packed != nil {
+		p.payload = packed[:used]
+	} else {
+		p.payload = make([]byte, used, used+8)
+		copy(p.payload, payload)
+	}
+	if err := p.leaf.check(p.payload, p.count); err != nil {
+		return err
+	}
 	if r.decodeObs != nil {
 		r.decodeObs(time.Since(start))
 	}
-	return used, nil
+	return nil
 }
 
 // readPageRaw reads a page from storage into buf and verifies its CRC,
@@ -295,8 +316,8 @@ func countLE(buf []byte, stride, n int, target []byte) int {
 }
 
 // Iterator yields records in ascending order. Over a raw run it slices
-// records out of the page; over a delta run it is a streaming cursor that
-// decodes one record per Next into its own buffer.
+// records out of the page; over a delta run it is a cursor over the packed
+// leaf that decodes one record per Next into its own buffer.
 type Iterator struct {
 	r      *Reader
 	pageNo uint64
@@ -304,18 +325,18 @@ type Iterator struct {
 	idx  int // records of the current page consumed so far
 	done bool
 
-	// Delta cursor state (rec is nil over a raw run): rec holds record
-	// idx-1 of the page (all zero before the first), which is the column
-	// state record idx's deltas apply to; pos is record idx's payload
-	// offset. pending marks rec as decoded by SeekGE but not yet returned.
+	// Packed cursor state (rec is nil over a raw run): rec holds record
+	// idx-1 of the page, block is that record's block (the page's first
+	// block before record 0), and pending marks rec as found by SeekGE but
+	// not yet returned.
 	rec     []byte
-	pos     int
+	block   uint64
 	pending bool
 }
 
 func (r *Reader) newIterator(pageNo uint64) (*Iterator, error) {
 	it := &Iterator{r: r, pageNo: pageNo}
-	if r.next != nil {
+	if r.h.Format.delta() {
 		it.rec = make([]byte, r.h.RecordSize)
 	}
 	if err := it.loadPage(); err != nil {
@@ -334,17 +355,23 @@ func (r *Reader) SeekGE(key []byte) (*Iterator, error) {
 	if len(key) != r.h.RecordSize {
 		return nil, fmt.Errorf("btree: seek key size %d, want %d", len(key), r.h.RecordSize)
 	}
-	leaf, err := r.findLeaf(key)
+	leafNo, err := r.findLeaf(key)
 	if err != nil {
 		return nil, err
 	}
-	it, err := r.newIterator(leaf)
+	it, err := r.newIterator(leafNo)
 	if err != nil || it.done {
 		return it, err
 	}
-	rs := r.h.RecordSize
-	if it.rec == nil {
+	if it.rec != nil {
+		it.idx, it.block = it.leaf.seek(it.payload, it.count, key)
+		if it.pending = it.idx < it.count; it.pending {
+			it.decodeNext()
+			return it, nil
+		}
+	} else {
 		// Binary search within the raw leaf for the first record >= key.
+		rs := r.h.RecordSize
 		lo, hi := 0, it.count
 		for lo < hi {
 			mid := (lo + hi) / 2
@@ -355,33 +382,6 @@ func (r *Reader) SeekGE(key []byte) (*Iterator, error) {
 			}
 		}
 		it.idx = lo
-	} else {
-		if it.restarts == nil {
-			// A leaf a NoFill reader missed has no restart table yet;
-			// sample one for this seek on a copy, pages being shared.
-			p := *it.page
-			s := scratchPool.Get().(*pageScratch)
-			_, err := r.sample(&p, p.payload, s)
-			scratchPool.Put(s)
-			if err != nil {
-				return nil, fmt.Errorf("btree: page %d: %w", it.pageNo, err)
-			}
-			it.page = &p
-		}
-		// Start from the last restart point whose record is <= key (the
-		// first one if key sorts before the whole page) and stream-decode
-		// forward, at most restartInterval records.
-		if it.idx, it.pos, err = seekRestart(it.restarts, it.count, key, it.rec); err != nil {
-			return nil, fmt.Errorf("btree: page %d: %w", it.pageNo, err)
-		}
-		for bytes.Compare(it.rec, key) < 0 && it.idx < it.count {
-			if err := it.decodeNext(); err != nil {
-				return nil, err
-			}
-		}
-		if it.pending = bytes.Compare(it.rec, key) >= 0; it.pending {
-			return it, nil
-		}
 	}
 	if it.idx == it.count {
 		// Key is past this leaf; advance to the next one.
@@ -401,8 +401,7 @@ func (it *Iterator) loadPage() error {
 	if err != nil {
 		return err
 	}
-	it.page, it.idx, it.pos = p, 0, 0
-	clear(it.rec)
+	it.page, it.idx, it.block = p, 0, p.leaf.base[0]
 	return nil
 }
 
@@ -411,17 +410,11 @@ func (it *Iterator) advancePage() error {
 	return it.loadPage()
 }
 
-// decodeNext advances the delta cursor by one record. Over a page that
-// came with a restart table a failure here means memory corruption; over
-// one that did not (see NoFill) this is the page's validation.
-func (it *Iterator) decodeNext() error {
-	next := it.r.next(it.payload, it.pos, it.rec, it.idx == 0)
-	if next < 0 {
-		return fmt.Errorf("%w: page %d: malformed delta record %d", ErrCorrupt, it.pageNo, it.idx)
-	}
-	it.pos = next
+// decodeNext advances the packed cursor by one record, which the page's
+// miss has checked (see leaf.check).
+func (it *Iterator) decodeNext() {
+	it.block = it.leaf.record(it.payload, it.idx, it.block, it.rec)
 	it.idx++
-	return nil
 }
 
 // Next returns the next record, or ok=false at the end. The returned slice
@@ -443,9 +436,7 @@ func (it *Iterator) Next() (rec []byte, ok bool, err error) {
 		}
 	}
 	if it.rec != nil {
-		if err := it.decodeNext(); err != nil {
-			return nil, false, err
-		}
+		it.decodeNext()
 		return it.rec, true, nil
 	}
 	rs := it.r.h.RecordSize

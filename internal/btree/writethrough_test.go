@@ -39,7 +39,8 @@ func buildWrittenThrough(t testing.TB, cache *Cache, recSize int, format Format,
 
 // checkWrittenPages compares every page of the run in f that the writer
 // left in the cache with what a cold Reader builds from the file — payload,
-// count and restart table, byte for byte and held at their length — and
+// count and a packed leaf's parsed header, the payload byte for byte and
+// held at its length (and a packed leaf's 8 bytes of read slack) — and
 // returns how many pages were cached. Those must be the run's first pages:
 // a writer offers no more once one does not fit. With all set every page
 // must be cached.
@@ -65,13 +66,13 @@ func checkWrittenPages(t testing.TB, name string, f storage.File, cache *Cache, 
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.count != want.count || !bytes.Equal(got.payload, want.payload) || !bytes.Equal(got.restarts, want.restarts) {
-			t.Fatalf("%s: page %d written through as %d records in %d payload bytes with a %d-byte restart table, read cold as %d in %d with %d",
-				name, pageNo, got.count, len(got.payload), len(got.restarts), want.count, len(want.payload), len(want.restarts))
+		if got.count != want.count || !bytes.Equal(got.payload, want.payload) || got.leaf != want.leaf {
+			t.Fatalf("%s: page %d written through as %d records in %d payload bytes, header %+v, read cold as %d in %d, header %+v",
+				name, pageNo, got.count, len(got.payload), got.leaf, want.count, len(want.payload), want.leaf)
 		}
-		if len(got.payload) != cap(got.payload) || len(got.restarts) != cap(got.restarts) {
-			t.Fatalf("%s: page %d holds %d/%d payload and %d/%d restart bytes used/allocated", name, pageNo,
-				len(got.payload), cap(got.payload), len(got.restarts), cap(got.restarts))
+		if cap(got.payload)-len(got.payload) != cap(want.payload)-len(want.payload) {
+			t.Fatalf("%s: page %d holds %d/%d payload bytes used/allocated, read cold %d/%d", name, pageNo,
+				len(got.payload), cap(got.payload), len(want.payload), cap(want.payload))
 		}
 	}
 	// The Reader Open returns is served those pages without a miss.
@@ -92,7 +93,7 @@ func checkWrittenPages(t testing.TB, name string, f storage.File, cache *Cache, 
 // record to several index levels, every leaf and internal page the writer
 // caches is what a cold Reader builds from the file.
 func TestWriteThroughPagesMatchColdReads(t *testing.T) {
-	const K = restartInterval
+	const K = anchorEvery
 	rng := rand.New(rand.NewSource(26))
 	for _, format := range []Format{FormatRaw, FormatDelta} {
 		for _, recSize := range []int{8, 48, 56, 64} {
@@ -119,6 +120,10 @@ func FuzzWriteThroughPages(f *testing.F) {
 	f.Add([]byte{0xFF, 0, 0x80}, uint16(2000), uint8(3), false, uint8(2))
 	f.Add(bytes.Repeat([]byte{0xA5}, 300), uint16(500), uint8(0), true, uint8(0))
 	f.Add([]byte{}, uint16(0), uint8(2), false, uint8(1))
+	// v4 pages: narrow columns spread wide, a run of leaves past several
+	// anchors each, and one whose every column is a full-width u64.
+	f.Add(bytes.Repeat([]byte{0, 0, 0, 0, 0, 0, 3, 1}, 24), uint16(900), uint8(1), false, uint8(0))
+	f.Add(bytes.Repeat([]byte{0x5A, 0xC3, 0x0F, 0xF0, 0x99, 0x66, 0x3C, 0xE1}, 200), uint16(7), uint8(3), false, uint8(9))
 
 	f.Fuzz(func(t *testing.T, data []byte, spread uint16, sizeSel uint8, raw bool, budget uint8) {
 		recSize := []int{8, 48, 56, 64}[sizeSel%4]

@@ -66,7 +66,7 @@ func (e *Engine) Compact() error {
 func (e *Engine) compactWhole(p int) error {
 	plan := func(v *lsm.View, ctx PlanContext) []CompactionJob {
 		job := wholeJob(v, p, ctx.Tiered)
-		if len(job.From) == 0 && len(job.To) == 0 && len(job.Combined) <= 1 || e.settledWhole(v, job) {
+		if ctx.idle(job, e.settledWhole(v, job)) {
 			// Nothing to merge; at most the single compacted Combined run
 			// (in tiered mode, possibly plus sealed runs awaiting expiry),
 			// or what the last whole merge left, which a merge would write
@@ -264,17 +264,13 @@ func (e *Engine) compactJob(job CompactionJob) (compacted bool, err error) {
 	// Purged records are counted locally and added to the stats only once
 	// the merge installs, so a merge that installs nothing counts none.
 	var purged uint64
-	for {
-		g, ok, err := nextGroup(streams[0], streams[1], streams[2])
-		if err != nil {
-			return abort(err)
-		}
-		if !ok {
-			break
-		}
-		if err := emitLeveledGroup(topo, g, job.Whole, newFrom, newTo, newComb, newOver, &purged); err != nil {
-			return abort(err)
-		}
+	if job.Rewrite {
+		err = copyRecords(streams, newFrom, newTo, newComb)
+	} else {
+		err = joinRecords(topo, streams, job.Whole, newFrom, newTo, newComb, newOver, &purged)
+	}
+	if err != nil {
+		return abort(err)
 	}
 
 	// Write and sync the files before taking the lock: file I/O stays out
@@ -349,6 +345,36 @@ func (e *Engine) compactJob(job CompactionJob) (compacted bool, err error) {
 	e.stats.recordsPurged.Add(purged)
 	e.stats.compactWriteBytes.Add(addedBytes(added))
 	return true, nil
+}
+
+// copyRecords copies a rewrite's one input, record for record, into the
+// output of its table.
+func copyRecords(streams [3]*recStream, outs ...*lsm.RunBuilder) error {
+	for i, s := range streams {
+		for s.ok {
+			if err := outs[i].Add(s.cur); err != nil {
+				return err
+			}
+			if err := s.advance(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// joinRecords merges the three streams group by group (see
+// emitLeveledGroup).
+func joinRecords(topo *Topology, streams [3]*recStream, whole bool, newFrom, newTo, newComb, newOver *lsm.RunBuilder, purged *uint64) error {
+	for {
+		g, ok, err := nextGroup(streams[0], streams[1], streams[2])
+		if err != nil || !ok {
+			return err
+		}
+		if err := emitLeveledGroup(topo, g, whole, newFrom, newTo, newComb, newOver, purged); err != nil {
+			return err
+		}
+	}
 }
 
 // emitLeveledGroup joins one identity group (pairGroup, the rule queries

@@ -10,11 +10,11 @@ import (
 // This file holds the compression knob and the measurement side of the
 // paper's compression direction (Section 8): "Our tables of back reference
 // records appear to be highly compressible, especially if we compress
-// them by columns." Runs are actually stored column-delta encoded when
+// them by columns." Runs are actually stored bit-packed by column when
 // Options.Compression is CompressionDelta (the default; see
-// btree.FormatDelta), and EstimateCompression projects the effect for
-// databases still holding runs in an older format — raw v1, or the v2
-// delta encoding that spent a byte on every unchanged column — by running
+// btree.FormatDelta), and EstimateCompression sizes a migration to v4 for
+// a database still holding runs in an older format — raw v1, or the v2
+// and v3 varint encodings, which a maintenance pass rewrites — by running
 // the run writer itself over a discarding file, so the projection is what
 // a rewrite would write.
 
@@ -22,10 +22,10 @@ import (
 type Compression int
 
 const (
-	// CompressionDelta (the default) writes format-v3 runs: each leaf
-	// record flags the columns that differ from the previous record and
-	// carries their delta + zigzag + LEB128 varints only, restarting at
-	// every 4 KB page boundary.
+	// CompressionDelta (the default) writes format-v4 runs: each leaf
+	// bit-packs its records, the block as a delta from the previous
+	// record's and every other column as its offset from the page
+	// minimum, at the width the column spans on the page.
 	CompressionDelta Compression = iota
 	// CompressionNone writes raw fixed-stride format-v1 runs — the paper's
 	// original layout, and the pinned setting of the deterministic
@@ -69,9 +69,10 @@ type CompressionEstimate struct {
 // writer over a file that discards what it is given, and reports the pages
 // those writers produce: header, leaves and index, one run per partition,
 // Bloom filters excluded. RawBytes is the records' decoded size. Runs are
-// already sorted, so consecutive records share long key prefixes and the
-// per-column deltas are small — exactly the property the paper expects to
-// exploit.
+// already sorted, so consecutive records share long key prefixes and each
+// column spans few bits on a page — exactly the property the paper expects
+// to exploit. Its use is sizing a migration to v4: what the rewrite of a
+// table still in raw or older delta runs would write.
 //
 // The structural lock is held shared only long enough to pin a view (the
 // query-path pattern); the scan itself — the expensive part — streams the

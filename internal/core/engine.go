@@ -36,11 +36,11 @@ type Options struct {
 	Catalog *MemCatalog
 	// CacheBytes sizes the shared page cache (default 32 MB, the paper's
 	// micro-benchmark configuration). Pages are cached in their on-disk
-	// encoding and charged the bytes they pin — the payload at its used
-	// length plus, per compressed leaf, ≈0.3 KB of restart table — so
-	// the budget covers about nine tenths as many bytes of the store in
-	// memory as on disk, and pages of a run that is merged away or
-	// expired stop counting when its file goes. A checkpoint's pages
+	// encoding (a leaf of an older delta format packed as v4 is) and
+	// charged the bytes they pin, the payload at its used length, so the
+	// budget covers as many bytes of the store in memory as on disk, and
+	// pages of a run that is merged away or expired stop counting when its
+	// file goes. A checkpoint's pages
 	// enter the cache as they are written, where it has room (they evict
 	// nothing), so queries and the next merge read a fresh run from
 	// memory; a merge caches none of its output. Negative disables
@@ -70,15 +70,17 @@ type Options struct {
 	// larger one.
 	BloomMaxBytes int
 	// Compression selects the on-disk run format. The default,
-	// CompressionDelta, writes format-v3 runs whose leaf records flag the
-	// columns that changed and delta + zigzag + varint encode those (the
-	// paper's Section 8 observation that back-reference tables are "highly
-	// compressible, especially if we compress them by columns");
-	// CompressionNone writes raw fixed-stride v1 runs. Runs of every
-	// readable format — those two and the previous delta format, v2 — open
-	// and query transparently, and every new run — checkpoint flush or compaction —
+	// CompressionDelta, writes format-v4 runs whose leaves bit-pack each
+	// column at the width it spans on the page (the paper's Section 8
+	// observation that back-reference tables are "highly compressible,
+	// especially if we compress them by columns"); CompressionNone writes
+	// raw fixed-stride v1 runs. Runs of every readable format — those two
+	// and the previous delta formats, v2 and v3 — open and query
+	// transparently, and every new run — checkpoint flush or compaction —
 	// is written in the configured format, so flipping the knob migrates a
-	// database gradually with no explicit step.
+	// database gradually with no explicit step. Under CompressionDelta a
+	// maintenance pass also rewrites every v2 or v3 run into v4 at its
+	// level, records and CP window unchanged (the format horizon).
 	Compression Compression
 	// Durability selects when reference updates become crash-durable
 	// (default wal.CheckpointOnly, the paper's behavior: buffered updates

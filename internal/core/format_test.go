@@ -435,8 +435,8 @@ func TestV2StoreOpensAndMigrates(t *testing.T) {
 	if !v2Levels[0] || !v2Levels[1] {
 		t.Fatalf("golden store's format-2 run levels: %v, want 0 and 1", v2Levels)
 	}
-	if counts := formatCounts(eng); counts[btree.FormatDelta] == 0 {
-		t.Fatalf("golden store's runs: %v, want CP 7's in the current format beside the format-2 ones", counts)
+	if counts := formatCounts(eng); counts[btree.Format(3)] == 0 {
+		t.Fatalf("golden store's runs: %v, want CP 7's in format 3 beside the format-2 ones", counts)
 	}
 	// Every table holding format-2 runs gets a projection of its rewrite.
 	for _, ri := range eng.RunInfos() {
@@ -464,8 +464,8 @@ func TestV2StoreOpensAndMigrates(t *testing.T) {
 		t.Fatalf("the first commit left the version-3 manifest: %v", names)
 	}
 	counts := formatCounts(eng)
-	if counts[btree.FormatDelta] == 0 || counts[btree.Format(2)] == 0 {
-		t.Fatalf("after the checkpoint: %v, want format-2 and current-format runs side by side", counts)
+	if counts[btree.FormatDelta] == 0 || counts[btree.Format(2)] == 0 || counts[btree.Format(3)] == 0 {
+		t.Fatalf("after the checkpoint: %v, want format-2, format-3 and current-format runs side by side", counts)
 	}
 	m.check(t, eng, blocks)
 
@@ -572,5 +572,189 @@ func TestCorruptLeafUnderCompaction(t *testing.T) {
 		if ri.Level != 0 {
 			t.Fatalf("a level-%d run was installed by the failed merge: %+v", ri.Level, ri)
 		}
+	}
+}
+
+// v3RunsStore copies testdata/v3runs-store into a MemFS and returns it with
+// the answers committed beside it (testdata/v3runs-store.answers): for
+// every 7th block below 200, one line per owner Query returned — block,
+// inode, offset, line, length, from, to, versions — sorted. The binary
+// that wrote run format 3 made the store through the public API in
+// CheckpointOnly mode with two partitions of 100 blocks: 3 000 updates
+// over CPs 1..6, every 5th and every 5th-but-2 a removal of an earlier
+// reference (i*7919 modulo the references added), a snapshot of line 0
+// after Checkpoint(3), one MaintainNow after Checkpoint(5), then
+// Checkpoint(6) and Close — so every run in it is format 3, at levels 0
+// and 1. Never regenerate it.
+func v3RunsStore(t *testing.T) (*storage.MemFS, string) {
+	t.Helper()
+	fs := storage.NewMemFS()
+	dir := filepath.Join("testdata", "v3runs-store")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := fs.Create(ent.Name())
+		if err == nil {
+			_, err = f.WriteAt(b, 0)
+		}
+		if err == nil {
+			err = f.Sync()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
+	answers, err := os.ReadFile(filepath.Join("testdata", "v3runs-store.answers"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs, string(answers)
+}
+
+// v3RunsAnswers renders what eng answers for the blocks
+// testdata/v3runs-store.answers covers, as that file does.
+func v3RunsAnswers(t *testing.T, eng *core.Engine) string {
+	t.Helper()
+	var sb strings.Builder
+	for b := uint64(0); b < 200; b += 7 {
+		owners, err := eng.Query(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var lines []string
+		for _, o := range owners {
+			lines = append(lines, fmt.Sprintf("%d %d %d %d %d %d %d %v", b, o.Inode, o.Offset, o.Line, o.Length, o.From, o.To, o.Versions))
+		}
+		sort.Strings(lines)
+		for _, l := range lines {
+			sb.WriteString(l + "\n")
+		}
+	}
+	return sb.String()
+}
+
+// TestV3RunsMigrate is the format horizon end to end, under PolicyFull
+// and under PolicyLeveled with RetainLive: a store whose every run is
+// format 3 (testdata/v3runs-store) opens and answers as it did when it was
+// written; one MaintainNow — which has no merge to make under either
+// policy, the store holding four runs a partition over two levels —
+// rewrites every run into the current format at its level, with its
+// records and CP window, and the answers hold; a second MaintainNow finds
+// nothing to do and installs nothing; and the store reopens migrated.
+func TestV3RunsMigrate(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		opts core.Options
+	}{
+		{"full", core.Options{}},
+		{"leveled-retainlive", core.Options{CompactionPolicy: core.PolicyLeveled{}, Retention: core.RetainLive}},
+	} {
+		t.Run(c.name, func(t *testing.T) { v3RunsMigrate(t, c.opts) })
+	}
+}
+
+func v3RunsMigrate(t *testing.T, opts core.Options) {
+	fs, want := v3RunsStore(t)
+	open := func() *core.Engine {
+		t.Helper()
+		o := opts
+		o.VFS, o.Catalog, o.Partitions, o.PartitionSpan = fs, core.NewMemCatalog(), 2, 100
+		eng, err := core.Open(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	eng := open()
+	before := eng.RunInfos()
+	if counts := formatCounts(eng); len(counts) != 1 || counts[btree.Format(3)] != len(before) || len(before) == 0 {
+		t.Fatalf("golden store's runs: %v, want format 3 only", counts)
+	}
+	if got := v3RunsAnswers(t, eng); got != want {
+		t.Fatalf("the golden store answers\n%s\nwant\n%s", got, want)
+	}
+
+	if err := eng.MaintainNow(); err != nil {
+		t.Fatal(err)
+	}
+	after := eng.RunInfos()
+	if counts := formatCounts(eng); len(counts) != 1 || counts[btree.FormatDelta] != len(before) {
+		t.Fatalf("after MaintainNow: %v, want its %d runs in the current format", counts, len(before))
+	}
+	if got := eng.MaintenanceStats().AutoCompactions; got != uint64(len(before)) {
+		t.Fatalf("MaintainNow installed %d jobs, want a rewrite per run (%d)", got, len(before))
+	}
+	window := func(ri lsm.RunInfo) string {
+		return fmt.Sprintf("%s p%d L%d %d records, CP %d..%d known=%v, %d overrides",
+			ri.Table, ri.Partition, ri.Level, ri.Records, ri.MinCP, ri.MaxCP, ri.CPWindowKnown, ri.Overrides)
+	}
+	var was, is []string
+	for i := range before {
+		was, is = append(was, window(before[i])), append(is, window(after[i]))
+	}
+	slices.Sort(was)
+	slices.Sort(is)
+	if !slices.Equal(was, is) {
+		t.Fatalf("the rewrite moved runs:\n%v\nwas\n%v", is, was)
+	}
+	if got := v3RunsAnswers(t, eng); got != want {
+		t.Fatalf("after MaintainNow the store answers\n%s\nwant\n%s", got, want)
+	}
+
+	files := eng.Files()
+	if err := eng.MaintainNow(); err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.MaintenanceStats(); got.AutoCompactions != uint64(len(before)) || got.PendingJobs != 0 || !slices.Equal(eng.Files(), files) {
+		t.Fatalf("a second MaintainNow: %+v, files %v (were %v), want nothing installed", got, eng.Files(), files)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	eng = open()
+	defer eng.Close()
+	if counts := formatCounts(eng); len(counts) != 1 || counts[btree.FormatDelta] != len(before) {
+		t.Fatalf("after the reopen: %v", counts)
+	}
+	if got := v3RunsAnswers(t, eng); got != want {
+		t.Fatalf("the migrated store answers\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestV2StoreMigratesOnItsFirstMaintain: the store of format-2 and
+// format-3 runs an earlier binary wrote (testdata/v3-store) leaves its first
+// MaintainNow in the current format alone, answering as the model does,
+// and a second MaintainNow installs nothing.
+func TestV2StoreMigratesOnItsFirstMaintain(t *testing.T) {
+	fs, m, _ := v3Store(t)
+	eng, err := core.Open(core.Options{VFS: fs, Catalog: core.NewMemCatalog(), Durability: wal.Buffered})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	runs := len(eng.RunInfos())
+	if got := eng.MaintenanceStats().PendingJobs; got != runs {
+		t.Fatalf("%d jobs pending over %d runs of older formats, want one rewrite each", got, runs)
+	}
+	if err := eng.MaintainNow(); err != nil {
+		t.Fatal(err)
+	}
+	if counts := formatCounts(eng); len(counts) != 1 || counts[btree.FormatDelta] != runs {
+		t.Fatalf("after the first MaintainNow: %v, want its %d runs in the current format", counts, runs)
+	}
+	m.check(t, eng, v3StoreBlocks)
+	installed := eng.MaintenanceStats().AutoCompactions
+	if err := eng.MaintainNow(); err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.MaintenanceStats(); got.AutoCompactions != installed || got.PendingJobs != 0 {
+		t.Fatalf("a second MaintainNow: %+v, want nothing installed after %d", got, installed)
 	}
 }

@@ -54,7 +54,8 @@ func (e *Engine) MaintainNow() error {
 // here, its planner: the round goes on with its next job, the next round
 // re-plans from a fresh view, and a round in which none installed ends
 // the pass (the next pass re-plans). Every installed merge strictly
-// shrinks the total run count, so the loop terminates.
+// shrinks the total run count or, a rewrite, the count of outdated runs,
+// so the loop terminates.
 func (e *Engine) drainCompactions() error {
 	pol := e.policy()
 	for {
@@ -92,6 +93,7 @@ func (e *Engine) planJobs(plan func(*lsm.View, PlanContext) []CompactionJob) []C
 		Partitions: e.db.Partitions(),
 		Fanout:     e.fanout(),
 		Tiered:     e.expiryEnabled(),
+		Format:     e.opts.Compression.runFormat(),
 	}
 	e.mu.RLock()
 	if e.dvDirty() {

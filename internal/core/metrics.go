@@ -336,10 +336,11 @@ func (e *Engine) registerMetrics(r *obs.Registry) {
 		func() float64 { return e.IOReport().WriteAmp })
 	if e.cache != nil {
 		// The shared cache holds verified on-disk payloads at their used
-		// length (delta leaves stay encoded, each with its restart table),
-		// and only of runs some view can still read; a hit means a query
-		// skipped the page read, the CRC and the validating pass. The
-		// series keep the names they had when the cache held decoded leaves.
+		// length (delta leaves packed, an older format's transcoded at its
+		// miss), and only of runs some view can still read; a hit means a
+		// query skipped the page read, the CRC and the validating pass. The
+		// series keep the names and help they had when the cache held
+		// decoded leaves, and then restart tables: series.golden pins them.
 		r.CounterFunc("backlog_decoded_cache_hits_total", "Page-cache hits (verified pages served without I/O, among them pages that checkpoints wrote through to the cache; compressed leaves are cached encoded)",
 			func() uint64 { h, _ := e.cache.Stats(); return uint64(h) })
 		r.CounterFunc("backlog_decoded_cache_misses_total", "Page-cache misses (page read from storage, checksummed and validated: a page of a run opened from disk, of a merge's output, or of a checkpoint's run whose page was evicted or did not fit when it was written)",

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 
+	"github.com/backlogfs/backlog/internal/btree"
 	"github.com/backlogfs/backlog/internal/lsm"
 )
 
@@ -39,8 +40,12 @@ type CompactionJob struct {
 	// the highest input level for a stepped merge, whose inputs are every
 	// run of one level or of several adjacent ones (see
 	// planPartitionLevels), and the highest input level — 1 at least — for
-	// a whole merge.
+	// a whole merge; a rewrite's is its input's.
 	OutputLevel int
+	// Rewrite marks a job that rewrites its one input run in the format
+	// the engine writes, record for record, so the run keeps its level,
+	// its records and its CP window (see rewriteJobs).
+	Rewrite bool
 	// From, To, and Combined are the input runs per table. The pointers
 	// identify runs in the view the plan was made against; the executor
 	// re-validates them against a fresh view before reading.
@@ -79,6 +84,11 @@ func wholeJob(v *lsm.View, p int, tiered bool) CompactionJob {
 	return job
 }
 
+// inputs returns the job's input runs, every table's.
+func (job CompactionJob) inputs() []*lsm.Run {
+	return slices.Concat(job.From, job.To, job.Combined)
+}
+
 // worstWholeJob returns the whole-partition job with the most input runs
 // and that count — the signal PolicyFull triggers on and MaintenanceStats
 // reports as MaxRuns. Sealed runs are not inputs, so they do not count:
@@ -113,6 +123,68 @@ type PlanContext struct {
 	// Combined runs droppable below the horizon are about to be reclaimed
 	// whole by expiry and must never be merge inputs.
 	Horizon uint64
+	// Format is the run format the engine writes. A delta run in an older
+	// format is work for every planner, even alone (see outdated); the
+	// zero value plans no such work.
+	Format btree.Format
+}
+
+// outdated reports whether r is a delta run in a format older than the
+// one ctx writes: the format horizon, past which the reader of the next
+// format bump need not reach. A raw run is the paper's layout, which the
+// delta formats do not supersede.
+func (ctx PlanContext) outdated(r *lsm.Run) bool {
+	return r.Format() != btree.FormatRaw && r.Format() < ctx.Format
+}
+
+// idle is the planners' test of whether a whole merge is work: a job that
+// would write its inputs back unchanged is not planned. A job with an
+// outdated input is work whatever else holds — the clause every planner
+// shares, alone the test of a lone run (see rewriteJobs). Otherwise a whole
+// merge is idle when it would merge at most one Combined run and nothing
+// else, or only what the partition's last whole merge left there against
+// the topology that merge purged by (settled, see Engine.settledWhole). A
+// stepped merge is planned by its level's shape instead (runShape.due).
+func (ctx PlanContext) idle(job CompactionJob, settled bool) bool {
+	if slices.ContainsFunc(job.inputs(), ctx.outdated) {
+		return false
+	}
+	return settled || len(job.From) == 0 && len(job.To) == 0 && len(job.Combined) <= 1
+}
+
+// rewriteJobs appends to jobs, the ones a policy planned, a rewrite of
+// every outdated run of partition p that none of them takes, at its level,
+// record for record (Rewrite), so it keeps its CP window, as The Cascade
+// Log has a rewritten run do, and expiry keeps naming the same things.
+// Under tiered retention a Combined run droppable below the horizon is
+// left to expiry. Every planner ends with it, so a maintenance pass leaves
+// no run older than the format the engine writes.
+func rewriteJobs(v *lsm.View, ctx PlanContext, p int, jobs []CompactionJob) []CompactionJob {
+	var taken map[*lsm.Run]bool
+	for i, table := range tables {
+		for _, r := range v.Runs(table, p) {
+			if !ctx.outdated(r) || (ctx.Tiered && ctx.Horizon > 0 && r.DroppableBelow(ctx.Horizon)) {
+				continue
+			}
+			if taken == nil {
+				taken = map[*lsm.Run]bool{}
+				for _, job := range jobs {
+					if job.Partition == p {
+						for _, in := range job.inputs() {
+							taken[in] = true
+						}
+					}
+				}
+			}
+			if taken[r] {
+				continue
+			}
+			var lone [3][]*lsm.Run
+			lone[i] = []*lsm.Run{r}
+			jobs = append(jobs, CompactionJob{Partition: p, OutputLevel: r.Level(), Rewrite: true, From: lone[iFrom], To: lone[iTo], Combined: lone[2]})
+		}
+	}
+	return jobs
 }
 
 // CompactionPolicy plans maintenance work from a pinned LSM view. Plan
@@ -151,8 +223,9 @@ type PolicyFull struct{}
 // Name implements CompactionPolicy.
 func (PolicyFull) Name() string { return "full" }
 
-// Plan emits at most one job: the whole merge of the partition with the
-// most mergeable runs, when over FullThreshold.
+// Plan emits the whole merge of the partition with the most mergeable
+// runs, when over FullThreshold, and the rewrites of outdated runs (see
+// rewriteJobs).
 func (PolicyFull) Plan(v *lsm.View, ctx PlanContext) []CompactionJob {
 	return planFull(v, ctx, FullThreshold)
 }
@@ -161,11 +234,14 @@ func (PolicyFull) Plan(v *lsm.View, ctx PlanContext) []CompactionJob {
 // partition holds two runs (one From run of incomplete records plus one
 // Combined run), so below 2 it would re-merge a minimal partition forever.
 func planFull(v *lsm.View, ctx PlanContext, threshold int) []CompactionJob {
-	worst, n := worstWholeJob(v, ctx.Partitions, ctx.Tiered)
-	if n <= threshold {
-		return nil
+	var jobs []CompactionJob
+	if worst, n := worstWholeJob(v, ctx.Partitions, ctx.Tiered); n > threshold {
+		jobs = append(jobs, worst)
 	}
-	return []CompactionJob{worst}
+	for p := 0; p < ctx.Partitions; p++ {
+		jobs = rewriteJobs(v, ctx, p, jobs)
+	}
+	return jobs
 }
 
 // PolicyLeveled is stepped-merge maintenance (LogBase-style): when a
@@ -194,7 +270,8 @@ type PolicyLeveled struct{}
 func (PolicyLeveled) Name() string { return "leveled" }
 
 // Plan emits, per partition, one job for each cascade a due level starts
-// (see planPartitionLevels), sorted by output level, then partition.
+// (see planPartitionLevels), sorted by output level, then partition, and
+// then the rewrites of outdated runs (see rewriteJobs).
 func (PolicyLeveled) Plan(v *lsm.View, ctx PlanContext) []CompactionJob {
 	var jobs []CompactionJob
 	for p := 0; p < ctx.Partitions; p++ {
@@ -206,6 +283,9 @@ func (PolicyLeveled) Plan(v *lsm.View, ctx PlanContext) []CompactionJob {
 		}
 		return jobs[i].Partition < jobs[j].Partition
 	})
+	for p := 0; p < ctx.Partitions; p++ {
+		jobs = rewriteJobs(v, ctx, p, jobs)
+	}
 	return jobs
 }
 

@@ -728,8 +728,8 @@ type RunInfo struct {
 	Records   uint64
 	SizeBytes int64
 	// Format is the run's on-disk leaf encoding — btree.FormatRaw,
-	// btree.FormatDelta or the previous, read-only delta format — read
-	// from the run's own header.
+	// btree.FormatDelta or a previous, read-only delta format (v2, v3) —
+	// read from the run's own header.
 	Format btree.Format
 	// LogicalBytes is Records x RecordSize — the size the records occupy
 	// once decoded; SizeBytes/LogicalBytes is the physical footprint
