@@ -140,9 +140,11 @@
 // of its block, so an update is about 6 bytes, 3 for one that continues its
 // file where the previous update of its kind left off, plus an 8-byte
 // header per batch — measured, 4.18 bytes per update in Buffered mode and
-// 10.8 in Sync mode with two updaters — while segments earlier binaries
-// wrote in formats 4 and 3 still replay). Open replays the log tail — tolerating a torn final batch, none of whose
-// records a Sync log had acknowledged — to rebuild the write stores, and
+// 10.8 in Sync mode with two updaters — while segments the previous binary
+// wrote in format 4 still replay; format 3 is refused by name, with the
+// binary that replays it, commit 0ea923b or earlier). Open replays the log
+// tail — tolerating a torn final batch, none of whose records a Sync log
+// had acknowledged — to rebuild the write stores, and
 // Checkpoint retires the log, so queries and paper experiments behave
 // identically in every mode.
 //
@@ -298,19 +300,22 @@
 // Config.Compression selects the format for newly written runs:
 //
 //   - CompressionDelta (the default) writes format-v4 bit-packed runs.
-//     Runs of the earlier delta formats, v2 and v3, stay readable, and a
+//     Runs of the previous delta format, v3, stay readable, and a
 //     maintenance pass rewrites each of them into v4 at its level, with its
 //     records and CP window.
 //   - CompressionNone writes raw fixed-stride format-v1 runs — the
 //     paper's original layout, pinned by the deterministic paper-figure
 //     experiments.
 //
-// The knob applies to new runs only. Both formats, and format v2 — the
-// previous delta encoding, which spent a byte on every unchanged column
-// and is read but never written — are always readable: an existing
+// The knob applies to new runs only. Both formats, and format v3 — the
+// previous delta encoding, a presence bitmap and a varint per changed
+// column, read but never written — are always readable: an existing
 // database opens and queries under either setting with no migration step,
 // and compaction naturally rewrites old runs into the configured format.
-// DB.EstimateCompression projects the v3 size of a table without
+// Format v2, which spent a byte on every unchanged column, is refused by
+// name: a store holding it opens once under a binary of commit 0ea923b or
+// earlier, whose Checkpoint and Maintain rewrite it.
+// DB.EstimateCompression projects the v4 size of a table without
 // rewriting it (running the run writer over a discarding file), and
 // "backlogctl compression" prints per-table logical versus physical
 // bytes. bash bench/run.sh measures the default format's on-disk size
@@ -560,12 +565,11 @@ type Config struct {
 	// runs below the reclaim horizon.
 	Retention RetentionPolicy
 	// Compression selects the on-disk format of newly written runs
-	// (default CompressionDelta, the format-v3 column-delta encoding: a
-	// presence bitmap and the deltas of the changed columns, about 5.7
-	// leaf bytes per back reference; see the package documentation's
-	// Compression section). Applies to new runs only — v1, v2 and v3 runs
-	// are always readable, and compaction rewrites old runs into the
-	// configured format.
+	// (default CompressionDelta, the format-v4 bit-packed encoding: per
+	// page a width and a base per column, about 3.1 to 3.6 leaf bytes per
+	// record; see the package documentation's Compression section).
+	// Applies to new runs only — v1 and v3 runs are always readable, and
+	// compaction rewrites old runs into the configured format.
 	Compression Compression
 	// Metrics enables the metrics registry: counters, gauges, and latency
 	// histograms over every engine, WAL, and maintenance path, readable
@@ -1012,13 +1016,13 @@ func (db *DB) Runs() []RunInfo { return db.eng.RunInfos() }
 type CompressionEstimate = core.CompressionEstimate
 
 // EstimateCompression streams all runs of the named table (TableFrom,
-// TableTo, or TableCombined) through the format-v3 run writer, over a file
+// TableTo, or TableCombined) through the format-v4 run writer, over a file
 // that discards what it is given, and reports the pages the rewrite would
 // write: header, leaves and index of one run per partition, Bloom filters
 // excluded. The structural lock is held shared
 // only long enough to pin a view; the scan itself runs lock-free, so
 // updates and checkpoints never stall behind an estimate. Useful for
-// sizing a migration of a v1 or v2 database before compacting it.
+// sizing a migration of a v1 or v3 database before compacting it.
 func (db *DB) EstimateCompression(table string) (CompressionEstimate, error) {
 	return db.eng.EstimateCompression(table)
 }

@@ -14,15 +14,27 @@ import (
 	"github.com/backlogfs/backlog/internal/storage"
 )
 
-// TestV2StoreUpgradesThroughOpen opens the directory the previous binary
-// wrote (internal/core/testdata/v3-store: runs of format 2 and of the
-// current format, the catalog in a version-3 MANIFEST, a Buffered log tail —
-// never regenerate it) the way an application does. Open rewrites nothing;
-// the first commit writes a version-4 manifest holding the same topology,
-// as the trailer of its run file, and removes the version-3 one; a reopen
-// agrees on snapshots and answers.
-func TestV2StoreUpgradesThroughOpen(t *testing.T) {
-	const dir = "internal/core/testdata/v3-store"
+// TestEarlierStoresUpgradeThroughOpen opens each store an earlier binary
+// wrote (internal/core/testdata/v4manifest-store, under an enveloped
+// version-4 MANIFEST with a Buffered log tail, and v3manifest-store, under a
+// bare-JSON version-3 one; never regenerate them) the way an application
+// does. Open rewrites nothing; the first commit writes a version-4 manifest
+// holding the same topology, as the trailer of the file it writes, and
+// removes the legacy one; a reopen agrees on snapshots and answers.
+func TestEarlierStoresUpgradeThroughOpen(t *testing.T) {
+	for _, c := range []struct {
+		store   string
+		version int // of the legacy manifest
+	}{
+		{"v4manifest-store", 4},
+		{"v3manifest-store", 3},
+	} {
+		t.Run(c.store, func(t *testing.T) { upgradeThroughOpen(t, c.store, c.version) })
+	}
+}
+
+func upgradeThroughOpen(t *testing.T, store string, version int) {
+	dir := filepath.Join("internal", "core", "testdata", store)
 	vfs := storage.NewMemFS()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -64,7 +76,7 @@ func TestV2StoreUpgradesThroughOpen(t *testing.T) {
 	answers := func(db *DB) string {
 		t.Helper()
 		var b bytes.Buffer
-		for blk := uint64(0); blk < 150; blk++ {
+		for blk := uint64(0); blk < 160; blk++ {
 			owners, err := db.Query(blk)
 			if err != nil {
 				t.Fatal(err)
@@ -81,10 +93,10 @@ func TestV2StoreUpgradesThroughOpen(t *testing.T) {
 	}
 	wantSnaps := []uint64{1, 2, 3, 4, 5, 6}
 	if got := db.Catalog().Snapshots(0); !slices.Equal(got, wantSnaps) {
-		t.Fatalf("snapshots after opening the version-3 store: %v, want %v", got, wantSnaps)
+		t.Fatalf("snapshots after opening the store: %v, want %v", got, wantSnaps)
 	}
 	if !bytes.Equal(read("MANIFEST"), golden["MANIFEST"]) {
-		t.Fatal("Open rewrote the version-3 manifest before any commit")
+		t.Fatal("Open rewrote the legacy manifest before any commit")
 	}
 	before := answers(db)
 
@@ -92,24 +104,25 @@ func TestV2StoreUpgradesThroughOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	if read("MANIFEST") != nil {
-		t.Fatal("the first commit left the version-3 manifest behind")
+		t.Fatal("the first commit left the legacy manifest behind")
 	}
-	// The commit is the trailer of the checkpoint's run file: a version-4
-	// manifest, its JSON body inside a checksummed envelope, then a
-	// 32-byte footer that ends with the CRC-32C of its 20 bytes before the
-	// CRC, the envelope's offset at bytes 16 to 24.
+	// The commit is the trailer of the checkpoint's run file — of a commit
+	// file, when the checkpoint has no record to write: a version-4
+	// manifest, its JSON body inside a checksummed envelope, then a 32-byte
+	// footer that ends with the CRC-32C of its 20 bytes before the CRC, the
+	// envelope's offset at bytes 16 to 24.
 	names, err := vfs.List()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var carrier []byte
 	for _, n := range names {
-		if b := read(n); strings.HasSuffix(n, ".run") && len(b) > 32 && string(b[len(b)-32:len(b)-24]) == "BKCOMMIT" {
-			carrier = b // the one run file written since Open
+		if b := read(n); golden[n] == nil && !strings.HasPrefix(n, "wal-") && len(b) > 32 && string(b[len(b)-32:len(b)-24]) == "BKCOMMIT" {
+			carrier = b // the one file written since Open
 		}
 	}
 	if len(carrier) == 0 {
-		t.Fatalf("no run file carries the first commit: %v", names)
+		t.Fatalf("no file carries the first commit: %v", names)
 	}
 	manifest := carrier[binary.LittleEndian.Uint64(carrier[len(carrier)-16:]) : len(carrier)-32]
 	if !bytes.HasPrefix(manifest, []byte("BKMANFST")) {
@@ -120,13 +133,14 @@ func TestV2StoreUpgradesThroughOpen(t *testing.T) {
 		CP      uint64          `json:"cp"`
 		Catalog json.RawMessage `json:"catalog"`
 	}
-	if err := json.Unmarshal(golden["MANIFEST"], &old); err != nil {
+	legacy := golden["MANIFEST"]
+	if err := json.Unmarshal(legacy[bytes.IndexByte(legacy, '{'):], &old); err != nil {
 		t.Fatal(err)
 	}
 	if err := json.Unmarshal(manifest[bytes.IndexByte(manifest, '{'):], &m); err != nil {
 		t.Fatal(err)
 	}
-	if old.Version != 3 || m.Version != 4 || m.CP != 8 || !bytes.Equal(m.Catalog, old.Catalog) {
+	if old.Version != version || m.Version != 4 || m.CP != 8 || !bytes.Equal(m.Catalog, old.Catalog) {
 		t.Fatalf("first commit wrote manifest version %d, CP %d, catalog %s; want 4, 8 and the version-%d manifest's %s", m.Version, m.CP, m.Catalog, old.Version, old.Catalog)
 	}
 	if got := answers(db); got != before {

@@ -34,12 +34,13 @@
 // (see Format): v1 stores fixed-stride records verbatim; v4 bit-packs each
 // leaf page — a bit width and a base per column, block anchors, then every
 // record at the same number of bits — with the page's variable record count
-// in the page header. v2 and v3, the previous delta encodings (varints per
-// column, or per changed column behind a presence bitmap), are read and
-// never written: a reader transcodes such a leaf into the packed form when
-// it misses it, so one seek path and one iterate path serve every delta
-// run. Readers open all four transparently; internal index pages are raw
-// in each.
+// in the page header. v3, the previous delta encoding (a varint per changed
+// column behind a presence bitmap), is read and never written: a reader
+// transcodes such a leaf into the packed form when it misses it, so one
+// seek path and one iterate path serve every delta run. Readers open all
+// three transparently; internal index pages are raw in each. Older
+// versions are refused by name, v2 with the binary that rewrites it
+// (commit 0ea923b or earlier).
 package btree
 
 import (
@@ -96,7 +97,7 @@ type Header struct {
 	LeafStart  uint64 // first leaf page
 	LeafPages  uint64
 	Levels     uint32 // internal levels above the leaves; 0 for one leaf
-	FilterCRC  uint32 // CRC-32C of the filter bytes; FormatDelta only
+	FilterCRC  uint32 // CRC-32C of the filter bytes; delta formats only
 	RootPage   uint64
 	FilterOff  uint64 // the end of the page grid, header page included
 	FilterLen  uint64
@@ -242,7 +243,7 @@ func (fw *FileWriter) Section(slot, recordSize int, format Format) (*Writer, err
 		if recordSize%8 != 0 || recordSize > MaxDeltaRecordSize {
 			return nil, fmt.Errorf("btree: delta format needs a record size that is a multiple of 8 up to %d, got %d", MaxDeltaRecordSize, recordSize)
 		}
-	case formatDeltaV2, formatDeltaV3:
+	case formatDeltaV3:
 		return nil, fmt.Errorf("btree: run format %d is read-only", format)
 	default:
 		return nil, fmt.Errorf("btree: unknown run format %d", format)
@@ -754,7 +755,10 @@ func decodeHeader(page []byte) (Header, error) {
 // geometry that describes f — nothing a Reader does may size a read or an
 // allocation from a field that was not checked against the file's size.
 func (h Header) check(f storage.File) error {
-	if h.Format != FormatRaw && !h.Format.delta() {
+	switch {
+	case h.Format == 2:
+		return errors.New("btree: run format 2 is no longer read: open the store once with a binary that reads it (commit 0ea923b or earlier), run Checkpoint and MaintainNow, and close it")
+	case h.Format != FormatRaw && !h.Format.delta():
 		return fmt.Errorf("btree: unsupported version %d", uint32(h.Format))
 	}
 	if h.RecordSize <= 0 || h.RecordSize > MaxRecordSize {

@@ -16,10 +16,6 @@ type Format uint32
 const (
 	// FormatRaw stores fixed-stride records verbatim — the v1 format.
 	FormatRaw Format = 1
-	// formatDeltaV2 is a previous delta format, read and never written: a
-	// leaf record is one delta + zigzag + LEB128 varint per column, changed
-	// or not, restarting from all-zero columns at every page.
-	formatDeltaV2 Format = 2
 	// formatDeltaV3 is the previous delta format, read and never written: a
 	// leaf record is a one-byte presence bitmap (bit c set when column c
 	// differs from the previous record's) followed by the delta + zigzag +
@@ -39,7 +35,7 @@ const (
 	FormatDelta Format = 4
 )
 
-// MaxDeltaRecordSize bounds the record size of a delta run (any version):
+// MaxDeltaRecordSize bounds the record size of a delta run (either version):
 // eight columns, which is what a v3 leaf's one-byte bitmap can flag. The
 // widest table's records are 56 bytes.
 const MaxDeltaRecordSize = 64
@@ -51,8 +47,6 @@ func (f Format) String() string {
 	switch f {
 	case FormatRaw:
 		return "raw"
-	case formatDeltaV2:
-		return "delta-v2"
 	case formatDeltaV3:
 		return "delta-v3"
 	case FormatDelta:
@@ -62,12 +56,9 @@ func (f Format) String() string {
 	}
 }
 
-// delta reports whether leaves are delta-encoded (in any version).
-func (f Format) delta() bool { return f >= formatDeltaV2 && f <= FormatDelta }
-
-// checksummed reports whether the header carries the filter's checksum,
-// which v3 introduced.
-func (f Format) checksummed() bool { return f == formatDeltaV3 || f == FormatDelta }
+// delta reports whether leaves are delta-encoded, in v3 or v4; the header
+// of either carries the filter's checksum.
+func (f Format) delta() bool { return f == formatDeltaV3 || f == FormatDelta }
 
 // anchorEvery is K: a packed leaf carries the absolute block of every K-th
 // record, so a seek binary-searches those anchors and then sums at most K
@@ -423,27 +414,8 @@ func (l *leaf) seek(payload []byte, count int, key []byte) (idx int, prev uint64
 }
 
 // unzigzag undoes the zigzag mapping of signed deltas onto unsigned
-// integers that the v2 and v3 encoders applied.
+// integers that the v3 encoder applied.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// A deltaDecoder decodes the v2 or v3 record encoded at payload[pos:] onto
-// rec, which holds the previous record of the page (all zero before the
-// first), and returns the offset of the record after it, or -1 if the
-// bytes there are malformed. first marks the page's first record, the only
-// one that may equal its predecessor (the all-zero restart state). A
-// Reader picks its decoder once, at Open, and runs it only to transcode a
-// leaf it misses into the packed form (see Reader.readPage).
-type deltaDecoder func(payload []byte, pos int, rec []byte, first bool) (next int)
-
-func decoderFor(format Format) deltaDecoder {
-	switch format {
-	case formatDeltaV2:
-		return deltaNextV2
-	case formatDeltaV3:
-		return deltaNext
-	}
-	return nil
-}
 
 // addDelta reads the non-zero varint at payload[pos:] and adds the delta it
 // zigzag-encodes to the column at rec[c:]. It returns the offset after the
@@ -458,9 +430,13 @@ func addDelta(payload []byte, pos int, rec []byte, c int) int {
 	return pos + n
 }
 
-// deltaNext is the formatDeltaV3 decoder. It visits the set bits, not the
-// columns: the typical record flags two or three of six or seven. A zero
-// bitmap after the page's first record (an exact repeat, which ascending
+// deltaNext decodes the v3 record encoded at payload[pos:] onto rec, which
+// holds the previous record of the page (all zero before the first), and
+// returns the offset of the record after it, or -1 if the bytes there are
+// malformed; a Reader runs it only to transcode a leaf it misses (see
+// Reader.unpack). It visits the set bits, not the columns: the typical
+// record flags two or three of six or seven. A zero bitmap after the
+// page's first record (first is false: an exact repeat, which ascending
 // records exclude — and what a page's zero padding would decode to under
 // an inflated count), a bit at or beyond the column count, and a flagged
 // column with a zero or truncated varint are all malformed.
@@ -487,38 +463,10 @@ func deltaNext(payload []byte, pos int, rec []byte, first bool) int {
 	return pos
 }
 
-// deltaNextV2 is the formatDeltaV2 decoder: one varint per column, zero
-// for an unchanged one. Its only structural check is the repeat rule.
-func deltaNextV2(payload []byte, pos int, rec []byte, first bool) int {
-	changed := false
-	for c := 0; c+8 <= len(rec); c += 8 {
-		var u uint64
-		if pos < len(payload) && payload[pos] < 0x80 {
-			u = uint64(payload[pos])
-			pos++
-		} else {
-			v, n := binary.Uvarint(payload[pos:])
-			if n <= 0 {
-				return -1
-			}
-			u = v
-			pos += n
-		}
-		if u != 0 {
-			changed = true
-			binary.BigEndian.PutUint64(rec[c:], binary.BigEndian.Uint64(rec[c:])+uint64(unzigzag(u)))
-		}
-	}
-	if !changed && !first {
-		return -1
-	}
-	return pos
-}
-
-// transcode decodes the count v2 or v3 records of payload with next and
-// appends them to dst packed (see leafShape.pack); flat is scratch for the
-// decoded records. Any malformed input yields an ErrCorrupt-wrapped error.
-func transcode(dst, flat, payload []byte, count, recSize int, next deltaDecoder) (packed, scratch []byte, err error) {
+// transcode decodes the count v3 records of payload and appends them to
+// dst packed (see leafShape.pack); flat is scratch for the decoded
+// records. Any malformed input yields an ErrCorrupt-wrapped error.
+func transcode(dst, flat, payload []byte, count, recSize int) (packed, scratch []byte, err error) {
 	// Every record encodes to at least one byte.
 	if count <= 0 || count > len(payload) {
 		return nil, flat, fmt.Errorf("%w: delta leaf record count %d", ErrCorrupt, count)
@@ -532,7 +480,7 @@ func transcode(dst, flat, payload []byte, count, recSize int, next deltaDecoder)
 			flat = append(flat, flat[len(flat)-recSize:]...)
 		}
 		rec := flat[i*recSize:]
-		if pos = next(payload, pos, rec, i == 0); pos < 0 {
+		if pos = deltaNext(payload, pos, rec, i == 0); pos < 0 {
 			return nil, flat, fmt.Errorf("%w: malformed delta record %d", ErrCorrupt, i)
 		}
 		shape.add(rec)

@@ -25,8 +25,9 @@ import (
 // records) and goldenRecords(7) ("combined", 56-byte records) followed by
 // goldenFilter's bytes. The v2-* and v3-* files were written by the
 // format-2 and format-3 encoders, which no longer exist in the package —
-// never regenerate them; the v4-* files pin the bytes the current encoder
-// must keep producing.
+// never regenerate them; a v2 file is what a retired format looks like,
+// which Open refuses by name (TestReadsV2Golden). The v4-* files pin the
+// bytes the current encoder must keep producing.
 //
 // The records are shaped like the engine's tables — about three
 // references per block, small correlated trailing columns — and cover what
@@ -185,10 +186,15 @@ func checkGoldenRun(t *testing.T, b []byte, format Format, recs [][]byte) {
 	}
 }
 
+// TestReadsV2Golden: the runs the format-2 encoder wrote
+// (testdata/v2-*.run) are refused by name, from their header page and from
+// a header a manifest carried, with the binary that rewrites them: run
+// format 2 is retired, and no decoder of it is left.
 func TestReadsV2Golden(t *testing.T) {
 	for _, g := range goldenRuns {
 		t.Run(g.name, func(t *testing.T) {
-			checkGoldenRun(t, readGolden(t, "v2-"+g.name+".run"), formatDeltaV2, goldenRecords(g.cols))
+			refusedByName(t, plantFile(t, readGolden(t, "v2-"+g.name+".run")),
+				"run format 2 is no longer read: open the store once with a binary that reads it (commit 0ea923b or earlier)")
 		})
 	}
 }
@@ -305,25 +311,43 @@ func headerKeys(t testing.TB, f storage.File) (minKey, maxKey []byte) {
 	return page[headerFixedLen : headerFixedLen+rs], page[headerFixedLen+rs : headerFixedLen+2*rs]
 }
 
-// TestFormatContract: the previous delta formats cannot be written, and a
-// version this binary has never heard of fails Open by name rather than as
-// corruption.
+// TestFormatContract: the previous delta format cannot be written, and a
+// version this binary has never heard of fails by name rather than as
+// corruption, whether its header page says so (Open) or a manifest carried
+// the header (OpenHeader).
 func TestFormatContract(t *testing.T) {
 	f, err := storage.NewMemFS().Create("run")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, old := range []Format{formatDeltaV2, formatDeltaV3} {
-		if _, err := NewWriterFormat(f, 48, old); err == nil || !strings.Contains(err.Error(), "read-only") {
-			t.Fatalf("NewWriterFormat(format %d): %v, want a read-only refusal", old, err)
-		}
+	if _, err := NewWriterFormat(f, 48, formatDeltaV3); err == nil || !strings.Contains(err.Error(), "read-only") {
+		t.Fatalf("NewWriterFormat(format 3): %v, want a read-only refusal", err)
 	}
 	for _, v := range []uint32{5, 6, 1 << 31} {
 		run := plantFile(t, readGolden(t, "v4-from.run"))
 		rewriteHeader(t, run, func(page []byte) { binary.LittleEndian.PutUint32(page[8:], v) })
-		if _, err := Open(run, nil); err == nil || errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("unsupported version %d", v)) {
-			t.Fatalf("Open of a version-%d header: %v, want the version refused by name", v, err)
-		}
+		refusedByName(t, run, fmt.Sprintf("unsupported version %d", v))
+	}
+}
+
+// refusedByName wants the run in f refused, not as corruption but with an
+// error that says want, both from its header page (Open) and from that
+// header carried by a manifest (OpenHeader).
+func refusedByName(t *testing.T, f storage.File, want string) {
+	t.Helper()
+	if _, err := Open(f, nil); err == nil || errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Open: %v, want %q", err, want)
+	}
+	page := make([]byte, storage.PageSize)
+	if _, err := f.ReadAt(page, 0); err != nil {
+		t.Fatal(err)
+	}
+	h, err := decodeHeader(page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenHeader(f, h, nil); err == nil || errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("OpenHeader: %v, want %q", err, want)
 	}
 }
 
@@ -418,7 +442,7 @@ func FuzzRunHeader(f *testing.F) {
 // reports reads no byte to open and then reads what Open's reader reads,
 // over both formats, a golden of the read-only one included.
 func TestOpenHeaderReadsNothing(t *testing.T) {
-	for _, name := range []string{"v4-from.run", "v4-combined.run", "v3-from.run", "v2-from.run"} {
+	for _, name := range []string{"v4-from.run", "v4-combined.run", "v3-from.run"} {
 		fs := storage.NewMemFS()
 		f, err := fs.Create("run")
 		if err != nil {
@@ -475,14 +499,6 @@ func TestBloomChecksum(t *testing.T) {
 	}
 	if _, err := r.BloomBytes(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("BloomBytes over a flipped bit: %v, want ErrCorrupt", err)
-	}
-	// The previous format stored no checksum; its filters read as before.
-	old, err := Open(plantFile(t, readGolden(t, "v2-from.run")), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b, err := old.BloomBytes(); err != nil || len(b) == 0 {
-		t.Fatalf("format-2 filter: %d bytes, %v", len(b), err)
 	}
 }
 
@@ -613,10 +629,10 @@ func TestWriterCoalescesPages(t *testing.T) {
 }
 
 // TestNoFillDecodesOnce: a leaf a NoFill scan misses is checked once, in
-// one pass at its miss — a v4 leaf as it is, a v2 or v3 leaf transcoded
-// first — and the scan reads every leaf once.
+// one pass at its miss — a v4 leaf as it is, a v3 leaf transcoded first —
+// and the scan reads every leaf once.
 func TestNoFillDecodesOnce(t *testing.T) {
-	for _, file := range []string{"v4-combined.run", "v3-combined.run", "v2-combined.run"} {
+	for _, file := range []string{"v4-combined.run", "v3-combined.run"} {
 		r, err := Open(plantFile(t, readGolden(t, file)), NewCacheBytes(1<<20))
 		if err != nil {
 			t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/backlogfs/backlog/internal/storage"
@@ -112,17 +113,13 @@ func packLeaf(dst, flat []byte, recSize int) []byte {
 
 // referenceFor returns the reference decoder of a delta format's leaves.
 func referenceFor(format Format) func(payload []byte, count, recSize int) ([]byte, int, error) {
-	switch format {
-	case formatDeltaV2:
-		return decodeDeltaLeafV2
-	case formatDeltaV3:
+	if format == formatDeltaV3 {
 		return decodeDeltaLeaf
 	}
 	return decodePackedLeaf
 }
 
-// zigzag maps signed deltas onto unsigned integers, as the v2 and v3
-// encoders did.
+// zigzag maps signed deltas onto unsigned integers, as the v3 encoder did.
 func zigzag(v int64) uint64 { return uint64((v << 1) ^ (v >> 63)) }
 
 // appendDeltaRecord is the v3 encoder, kept here for the forged leaves,
@@ -189,48 +186,6 @@ func decodeDeltaLeaf(payload []byte, count, recSize int) (flat []byte, consumed 
 		}
 	}
 	return out, pos, nil
-}
-
-// decodeDeltaLeafV2 is the same reference for the previous delta format
-// (the PR 8 decoder): one varint per column.
-func decodeDeltaLeafV2(payload []byte, count, recSize int) (flat []byte, consumed int, err error) {
-	if count <= 0 || count > len(payload) {
-		return nil, 0, fmt.Errorf("%w: delta leaf record count %d", ErrCorrupt, count)
-	}
-	cols := recSize / 8
-	out := make([]byte, count*recSize)
-	prev := make([]uint64, cols)
-	pos := 0
-	for i := 0; i < count; i++ {
-		zero := true
-		for c := 0; c < cols; c++ {
-			u, n := binary.Uvarint(payload[pos:])
-			if n <= 0 {
-				return nil, 0, fmt.Errorf("%w: truncated delta record %d", ErrCorrupt, i)
-			}
-			pos += n
-			if u != 0 {
-				zero = false
-			}
-			prev[c] += uint64(unzigzag(u))
-			binary.BigEndian.PutUint64(out[i*recSize+c*8:], prev[c])
-		}
-		if zero && i > 0 {
-			return nil, 0, fmt.Errorf("%w: repeated delta record %d", ErrCorrupt, i)
-		}
-	}
-	return out, pos, nil
-}
-
-// appendDeltaRecordV2 is the previous format's encoder, kept here for the
-// fuzz seeds and the re-encoding check: the package itself no longer
-// writes it.
-func appendDeltaRecordV2(dst, rec []byte, prev []uint64) []byte {
-	for c := range prev {
-		v := binary.BigEndian.Uint64(rec[c*8:])
-		dst = binary.AppendUvarint(dst, zigzag(int64(v-prev[c])))
-	}
-	return dst
 }
 
 // seededRecords returns n distinct sorted records of recSize bytes. With
@@ -346,11 +301,9 @@ func TestCursorMatchesFullDecode(t *testing.T) {
 			check(fmt.Sprintf("size=%d/block-span", recSize), buildRunFormat(t, storage.NewMemFS(), "run", recSize, FormatDelta, recs), recs)
 		}
 	}
-	// The previous formats' leaves are read transcoded into the same form.
+	// The previous format's leaves are read transcoded into the same form.
 	for _, g := range goldenRuns {
-		for _, v := range []string{"v2-", "v3-"} {
-			check(v+g.name, plantFile(t, readGolden(t, v+g.name+".run")), goldenRecords(g.cols))
-		}
+		check("v3-"+g.name, plantFile(t, readGolden(t, "v3-"+g.name+".run")), goldenRecords(g.cols))
 	}
 }
 
@@ -617,7 +570,6 @@ func TestSeekAllocs(t *testing.T) {
 	}{
 		{"v4", buildRunFormat(t, storage.NewMemFS(), "run", 48, FormatDelta, recs), recs},
 		{"v3", plantFile(t, readGolden(t, "v3-from.run")), golden},
-		{"v2", plantFile(t, readGolden(t, "v2-from.run")), golden},
 	} {
 		r, err := Open(c.f, NewCacheBytes(64<<20))
 		if err != nil {
@@ -814,23 +766,23 @@ func TestDeltaLeafRejections(t *testing.T) {
 
 // FuzzDeltaLeaf feeds an arbitrary payload and count through the reader
 // as a checksummed leaf page of a delta format: v3 (fmtSel 0), v2 (1) or
-// v4 (any other). It must never panic, must fail only with ErrCorrupt, and
-// must fail exactly when the format's reference decoder does or, for a v2
-// or v3 leaf, when the records it decodes do not strictly ascend (the
-// packed form they are transcoded into refuses them). Otherwise the
+// v4 (any other). A v2 run is refused at Open by name, whatever its leaf
+// holds: that format is retired. Any other must never panic, must fail
+// only with ErrCorrupt, and must fail exactly when the format's reference
+// decoder does or, for a v3 leaf, when the records it decodes do not
+// strictly ascend (the packed form they are transcoded into refuses
+// them). Otherwise the
 // cursor — plain and NoFill — yields the reference's records, they
 // re-encode to what was read, and seeks agree with a search over them.
 func FuzzDeltaLeaf(f *testing.F) {
-	var prev, prev2 [6]uint64
-	var valid, valid2, flat []byte
+	var prev [6]uint64
+	var valid, flat []byte
 	recs := sortedRecords48(40)
 	for _, r := range recs {
 		valid = appendDeltaRecord(valid, r, prev[:])
-		valid2 = appendDeltaRecordV2(valid2, r, prev2[:])
 		for c := range prev {
 			prev[c] = binary.BigEndian.Uint64(r[c*8:])
 		}
-		prev2 = prev
 		flat = append(flat, r...)
 	}
 	n := uint16(len(recs))
@@ -845,10 +797,11 @@ func FuzzDeltaLeaf(f *testing.F) {
 	f.Add([]byte{0x03, 0x02, 0x00}, uint16(1), uint8(1), uint8(0))                                     // flagged zero delta
 	f.Add([]byte{0x81, 0x02, 0x02}, uint16(1), uint8(2), uint8(0))                                     // stray high bit
 	f.Add([]byte{0xFF, 0x02, 0x02, 0x02, 0x02, 0x02, 0x02, 0x02, 0x02}, uint16(1), uint8(3), uint8(0)) // every column flagged
-	f.Add(valid2, n, uint8(1), uint8(1))
-	f.Add(valid2, n+1, uint8(1), uint8(1)) // decodes the padding: a repeat
-	f.Add(valid2[:len(valid2)/2], n, uint8(2), uint8(1))
-	f.Add([]byte{0x80, 0x00, 0x01}, uint16(2), uint8(0), uint8(1)) // overlong varint
+	// Leaves of the retired format 2, refused whatever they hold.
+	f.Add(valid, n, uint8(1), uint8(1))
+	f.Add(valid, n+1, uint8(1), uint8(1))
+	f.Add(valid[:len(valid)/2], n, uint8(2), uint8(1))
+	f.Add([]byte{0x80, 0x00, 0x01}, uint16(2), uint8(0), uint8(1))
 	// Eight-byte records 5, 6, … 36, then 5 again — records that do not
 	// ascend — and on up.
 	repeat := append(append([]byte{0x01, 0x0A}, bytes.Repeat([]byte{0x01, 0x02}, 31)...), 0x01, 0x3D)
@@ -870,13 +823,19 @@ func FuzzDeltaLeaf(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, payload []byte, count uint16, sizeSel, fmtSel uint8) {
 		recSize := []int{8, 48, 56, 64}[sizeSel%4]
-		format := []Format{formatDeltaV3, formatDeltaV2, FormatDelta}[min(fmtSel, 2)]
-		reference := referenceFor(format)
+		format := []Format{formatDeltaV3, 2, FormatDelta}[min(fmtSel, 2)]
 		file := forgeLeaf(t, recSize, format, payload, count)
 		r, err := Open(file, nil)
+		if format == 2 {
+			if err == nil || errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "run format 2 is no longer read") {
+				t.Fatalf("Open of a format-2 run: %v, want the format refused by name", err)
+			}
+			return
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
+		reference := referenceFor(format)
 		padded, _, err := r.readPageRaw(new([storage.PageSize]byte), 1)
 		if err != nil {
 			t.Fatal(err)
@@ -914,11 +873,8 @@ func FuzzDeltaLeaf(f *testing.F) {
 			if !bytes.Equal(rec, want[i*recSize:(i+1)*recSize]) || !bytes.Equal(rec, streamed[i]) {
 				t.Fatalf("record %d = %x, NoFill %x, reference %x", i, rec, streamed[i], want[i*recSize:(i+1)*recSize])
 			}
-			switch format {
-			case formatDeltaV3:
+			if format == formatDeltaV3 {
 				enc = appendDeltaRecord(enc, rec, cols)
-			case formatDeltaV2:
-				enc = appendDeltaRecordV2(enc, rec, cols)
 			}
 			for c := range cols {
 				cols[c] = binary.BigEndian.Uint64(rec[c*8:])

@@ -24,16 +24,12 @@ type Reader struct {
 	cache *Cache
 	id    uint64
 
-	// next decodes one record of a v2 or v3 leaf to transcode it (nil
-	// otherwise), chosen once from the header's format.
-	next deltaDecoder
-
 	// noFill makes cache misses leave the cache as it is (see NoFill).
 	noFill bool
 
 	// decodeObs, when set, receives the wall time of the pass that
-	// validates each delta leaf read from storage, and transcodes a v2 or
-	// v3 one (cache misses only).
+	// validates each delta leaf read from storage, and transcodes a v3 one
+	// (cache misses only).
 	decodeObs func(time.Duration)
 }
 
@@ -67,13 +63,12 @@ func (w *Writer) Open(f storage.File, cache *Cache) *Reader {
 }
 
 func newReader(f storage.File, h Header, cache *Cache, id uint64) *Reader {
-	return &Reader{f: f, h: h, cache: cache, id: id, next: decoderFor(h.Format)}
+	return &Reader{f: f, h: h, cache: cache, id: id}
 }
 
 // SetDecodeObserver installs a callback receiving, once per delta leaf
 // page read from storage, the latency of the pass that validates it —
-// after transcoding it, for a v2 or v3 leaf (observability wiring; may be
-// nil).
+// after transcoding it, for a v3 leaf (observability wiring; may be nil).
 func (r *Reader) SetDecodeObserver(fn func(time.Duration)) { r.decodeObs = fn }
 
 // WithFile returns a shallow copy of the Reader that issues its page reads
@@ -103,8 +98,8 @@ func (r *Reader) NoFill() *Reader {
 // by its WithFile and NoFill copies and by the Writer that built the run.
 func (r *Reader) CacheID() uint64 { return r.id }
 
-// Format returns the run's leaf encoding: FormatRaw, FormatDelta, or a
-// previous delta format (v2 or v3), which is only ever read.
+// Format returns the run's leaf encoding: FormatRaw, FormatDelta, or the
+// previous delta format, v3, which is only ever read.
 func (r *Reader) Format() Format { return r.h.Format }
 
 // RecordSize returns the fixed record size of the run.
@@ -130,10 +125,10 @@ func (r *Reader) SizeBytes() int64 {
 }
 
 // BloomBytes reads the serialized Bloom filter, or nil if none was stored.
-// A v3 or v4 header carries the filter's checksum, and bytes that fail it
-// come back as an ErrCorrupt-wrapped error: a flipped filter bit is a
-// false negative, an owner silently missing from an answer. Older formats
-// stored no checksum.
+// A delta run's header carries the filter's checksum, and bytes that fail
+// it come back as an ErrCorrupt-wrapped error: a flipped filter bit is a
+// false negative, an owner silently missing from an answer. A raw header
+// stores no checksum.
 func (r *Reader) BloomBytes() ([]byte, error) {
 	if r.h.FilterLen == 0 {
 		return nil, nil
@@ -142,14 +137,14 @@ func (r *Reader) BloomBytes() ([]byte, error) {
 	if _, err := r.f.ReadAt(buf, int64(r.h.FilterOff)); err != nil && err != io.EOF {
 		return nil, fmt.Errorf("btree: reading bloom: %w", err)
 	}
-	if r.h.Format.checksummed() && crc32.Checksum(buf, castagnoli) != r.h.FilterCRC {
+	if r.h.Format.delta() && crc32.Checksum(buf, castagnoli) != r.h.FilterCRC {
 		return nil, fmt.Errorf("%w: bloom filter checksum", ErrCorrupt)
 	}
 	return buf, nil
 }
 
 // pageScratch is what a page miss works in: the 4 KB the file is read
-// into and, for a v2 or v3 leaf, its records decoded.
+// into and, for a v3 leaf, its records decoded.
 type pageScratch struct {
 	buf  [storage.PageSize]byte
 	recs []byte
@@ -161,8 +156,8 @@ var scratchPool = sync.Pool{New: func() any { return new(pageScratch) }}
 // on a miss, from storage. A page read from storage is checked here and
 // kept at its used length, so the cache is charged what the page pins: an
 // internal page or a raw leaf its count of fixed-stride entries, a delta
-// leaf its packed form — a v4 leaf's payload, a v2 or v3 leaf's records
-// decoded and packed — whose every record the miss has checked (see
+// leaf its packed form — a v4 leaf's payload, a v3 leaf's records decoded
+// and packed — whose every record the miss has checked (see
 // leaf.check). Nothing returned may be modified.
 func (r *Reader) readPage(pageNo uint64) (*page, error) {
 	if r.cache != nil {
@@ -218,16 +213,16 @@ func entries(payload []byte, count, stride int) ([]byte, error) {
 }
 
 // unpack gives the delta leaf p, read as payload, its packed form: a copy
-// of a v4 leaf, or a v2 or v3 leaf transcoded, with its header parsed and
-// every record checked.
+// of a v4 leaf, or a v3 leaf transcoded, with its header parsed and every
+// record checked.
 func (r *Reader) unpack(p *page, payload []byte, s *pageScratch) (err error) {
 	var start time.Time
 	if r.decodeObs != nil {
 		start = time.Now()
 	}
 	var packed []byte
-	if r.next != nil {
-		if packed, s.recs, err = transcode(nil, s.recs, payload, p.count, r.h.RecordSize, r.next); err != nil {
+	if r.h.Format == formatDeltaV3 {
+		if packed, s.recs, err = transcode(nil, s.recs, payload, p.count, r.h.RecordSize); err != nil {
 			return err
 		}
 		payload = packed

@@ -13,8 +13,8 @@ import (
 // them by columns." Runs are actually stored bit-packed by column when
 // Options.Compression is CompressionDelta (the default; see
 // btree.FormatDelta), and EstimateCompression sizes a migration to v4 for
-// a database still holding runs in an older format — raw v1, or the v2
-// and v3 varint encodings, which a maintenance pass rewrites — by running
+// a database still holding runs in an older format — raw v1, or the v3
+// varint encoding, which a maintenance pass rewrites — by running
 // the run writer itself over a discarding file, so the projection is what
 // a rewrite would write.
 

@@ -75,12 +75,13 @@ type Options struct {
 	// observation that back-reference tables are "highly compressible,
 	// especially if we compress them by columns"); CompressionNone writes
 	// raw fixed-stride v1 runs. Runs of every readable format — those two
-	// and the previous delta formats, v2 and v3 — open and query
-	// transparently, and every new run — checkpoint flush or compaction —
-	// is written in the configured format, so flipping the knob migrates a
-	// database gradually with no explicit step. Under CompressionDelta a
-	// maintenance pass also rewrites every v2 or v3 run into v4 at its
-	// level, records and CP window unchanged (the format horizon).
+	// and the previous delta format, v3 — open and query transparently,
+	// and every new run — checkpoint flush or compaction — is written in
+	// the configured format, so flipping the knob migrates a database
+	// gradually with no explicit step. Under CompressionDelta a
+	// maintenance pass also rewrites every v3 run into v4 at its level,
+	// records and CP window unchanged (the format horizon). A v2 run is
+	// refused by name at Open.
 	Compression Compression
 	// Durability selects when reference updates become crash-durable
 	// (default wal.CheckpointOnly, the paper's behavior: buffered updates

@@ -16,6 +16,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/backlogfs/backlog/internal/btree"
@@ -211,17 +212,17 @@ func TestCorruptCompressedRunSurfacesErrCorrupt(t *testing.T) {
 	}
 }
 
-// v2StoreOps is the update history testdata/v3-store starts from, in
-// order: 4 200 updates over 150 blocks and CPs 1..7, every third one a
-// removal — alternately of the reference added five additions earlier,
-// which mostly cancels within its CP, and of the oldest one still live once
-// that is 700 additions old, which closes an interval opened at an earlier
-// CP. The binary that wrote run format 2 and version-2 manifests applied
-// them through the public API with a Buffered log: Checkpoint(cp) and a
-// snapshot of line 0 after the last update of each of CPs 1..6, Compact
-// after CP 4 — so its directory held level-1 runs and the level-0 runs of
-// CPs 5 and 6, all in run format 2 — and Close right after the updates of
-// CP 7, which therefore existed only in the log tail.
+// v2StoreOps is the update history of the stores earlier binaries wrote
+// (testdata/v4manifest-store and testdata/v3manifest-store; the program in
+// testdata/writefixture made both through the public API), in order: 4 200
+// updates over 150 blocks and CPs 1..7, every third one a removal —
+// alternately of the reference added five additions earlier, which mostly
+// cancels within its CP, and of the oldest one still live once that is 700
+// additions old, which closes an interval opened at an earlier CP. The
+// writer took Checkpoint(cp) and a snapshot of line 0 after the last update
+// of each of CPs 1..6, a Compact after CP 4 — so the stores hold level-1
+// runs and the level-0 runs of later CPs — moved block relocFrom to relocTo
+// just before Checkpoint(5), and took Checkpoint(7).
 func v2StoreOps() []refOp {
 	const n = 4200
 	ops := make([]refOp, 0, n)
@@ -253,12 +254,11 @@ func v2StoreOps() []refOp {
 	return ops
 }
 
-// v3StoreTail is what testdata/v3-store holds beyond v2StoreOps. The
-// binary that wrote version-3 manifests opened that directory as
-// backlog.Open does, ran Checkpoint(7), applied these updates of CP 8
-// through the Buffered log and closed, so they exist only in the log tail:
-// forty new references, every fourth removed again in its CP, and the ten
-// oldest references still live after CP 7 removed, closing their intervals.
+// v3StoreTail is what a store with a log holds beyond v2StoreOps: the
+// writer applied these updates of CP 8 through the Buffered log after
+// Checkpoint(7) and closed, so they exist only in the log tail — forty new
+// references, every fourth removed again in its CP, and the ten oldest
+// references still live after CP 7 removed, closing their intervals.
 func v3StoreTail() []refOp {
 	var ops []refOp
 	for i := uint64(0); i < 40; i++ {
@@ -287,66 +287,136 @@ func v3StoreTail() []refOp {
 	return ops
 }
 
-// v3StoreBlocks bounds the blocks testdata/v3-store holds references to.
-const v3StoreBlocks = 150
+const (
+	// relocFrom and relocTo are the stores' one relocation, just before
+	// Checkpoint(5). No update names relocTo; a later update of a
+	// reference the relocation moved names it instead of relocFrom.
+	relocFrom = 7
+	relocTo   = 157
+	// earlierStoreBlocks bounds the blocks the stores hold references to.
+	earlierStoreBlocks = 160
+)
 
-// v3Store copies testdata/v3-store into a MemFS, and returns it with the
-// model of what it holds and the log tail a reopen replays.
-func v3Store(t *testing.T) (*storage.MemFS, *model, []refOp) {
-	t.Helper()
-	fs := storage.NewMemFS()
-	entries, err := os.ReadDir(filepath.Join("testdata", "v3-store"))
-	if err != nil {
-		t.Fatal(err)
+// writerModel returns the model of what the writer of the stores applied —
+// with the log tail of CP 8 for testdata/v4manifest-store, without it for
+// testdata/v3manifest-store — and that tail as the writer logged it.
+func writerModel(withTail bool) (*model, []refOp) {
+	ops := v2StoreOps()
+	if withTail {
+		ops = append(ops, v3StoreTail()...)
 	}
-	for _, ent := range entries {
-		b, err := os.ReadFile(filepath.Join("testdata", "v3-store", ent.Name()))
-		if err != nil {
-			t.Fatal(err)
+	moved := map[core.Ref]bool{}
+	for _, o := range ops {
+		if o.cp <= 5 && o.ref.Block == relocFrom {
+			moved[o.ref] = true
 		}
-		f, err := fs.Create(ent.Name())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.WriteAt(b, 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
 	}
-
 	m := newModel()
 	for v := uint64(1); v <= 6; v++ {
 		m.snapshot(0, v) // the catalog the manifest carries
 	}
-	for _, o := range v2StoreOps() {
+	var tail []refOp
+	for i, o := range ops {
+		if o.cp > 5 && ops[i-1].cp <= 5 {
+			m.relocate(relocFrom, relocTo)
+		}
+		if moved[o.ref] {
+			o.ref.Block = relocTo
+		}
 		m.apply(o)
+		if o.cp == 8 {
+			tail = append(tail, o)
+		}
 	}
-	tail := v3StoreTail()
-	for _, o := range tail {
-		m.apply(o)
-	}
-	return fs, m, tail
+	return m, tail
 }
 
-// TestV3StoreMergesIntoOneFile: a whole merge of the store the previous
-// binary wrote (testdata/v3-store, runs that are files of their own)
-// writes its outputs as sections of one file, created and synced once,
-// and the answers hold, across a reopen.
+// earlierStore copies testdata/<name>, a store an earlier binary wrote,
+// into a MemFS and returns it with the answers committed beside it
+// (testdata/<name>.answers): for the blocks it covers, one line per owner
+// the writer's Query returned — block, inode, offset, line, length, from,
+// to, versions — sorted. Never regenerate either.
+func earlierStore(t *testing.T, name string) (*storage.MemFS, string) {
+	t.Helper()
+	fs := storage.NewMemFS()
+	dir := filepath.Join("testdata", name)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := fs.Create(ent.Name())
+		if err == nil {
+			_, err = f.WriteAt(b, 0)
+		}
+		if err == nil {
+			err = f.Sync()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
+	answers, err := os.ReadFile(filepath.Join("testdata", name+".answers"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs, string(answers)
+}
+
+// storeAnswers renders what eng answers for every step-th block below n,
+// as an earlier store's .answers file does.
+func storeAnswers(t *testing.T, eng *core.Engine, n, step uint64) string {
+	t.Helper()
+	var sb strings.Builder
+	for b := uint64(0); b < n; b += step {
+		owners, err := eng.Query(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var lines []string
+		for _, o := range owners {
+			lines = append(lines, fmt.Sprintf("%d %d %d %d %d %d %d %v", b, o.Inode, o.Offset, o.Line, o.Length, o.From, o.To, o.Versions))
+		}
+		sort.Strings(lines)
+		for _, l := range lines {
+			sb.WriteString(l + "\n")
+		}
+	}
+	return sb.String()
+}
+
+// checkEarlierStore compares what eng answers with the model and with the
+// writer's answers.
+func checkEarlierStore(t *testing.T, eng *core.Engine, m *model, want string) {
+	t.Helper()
+	m.check(t, eng, earlierStoreBlocks)
+	if got := storeAnswers(t, eng, earlierStoreBlocks, 1); got != want {
+		t.Fatalf("the store answers\n%s\nits writer answered\n%s", got, want)
+	}
+}
+
+// TestV3StoreMergesIntoOneFile: a whole merge of the store the binary that
+// wrote version-3 manifests made (testdata/v3manifest-store, runs that are
+// files of their own) writes its outputs as sections of one file, created
+// and synced once, and the answers hold, across a reopen.
 func TestV3StoreMergesIntoOneFile(t *testing.T) {
-	fs, m, _ := v3Store(t)
+	fs, want := earlierStore(t, "v3manifest-store")
+	m, _ := writerModel(false)
 	open := func() *core.Engine {
 		t.Helper()
-		eng, err := core.Open(core.Options{VFS: fs, Catalog: core.NewMemCatalog(), Durability: wal.Buffered})
+		eng, err := core.Open(core.Options{VFS: fs, Catalog: core.NewMemCatalog()})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return eng
 	}
 	eng := open()
-	before := queryFingerprint(t, eng, v3StoreBlocks)
+	checkEarlierStore(t, eng, m, want)
 	if creates, syncs := mergeIO(t, eng, eng.Compact); creates != 1 || syncs != 1 {
 		t.Fatalf("the merge created %d files and synced %d times, want 1 and 1", creates, syncs)
 	}
@@ -354,16 +424,13 @@ func TestV3StoreMergesIntoOneFile(t *testing.T) {
 	if len(files) != 1 || !strings.HasPrefix(files[0], mergeFile) || eng.RunCount() < 2 {
 		t.Fatalf("after the merge the manifest names %v for %d runs, want one merge file", files, eng.RunCount())
 	}
-	m.check(t, eng, v3StoreBlocks)
-	if got := queryFingerprint(t, eng, v3StoreBlocks); got != before {
-		t.Fatal("the merge changed query results")
-	}
+	checkEarlierStore(t, eng, m, want)
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
 	eng = open()
 	defer eng.Close()
-	m.check(t, eng, v3StoreBlocks)
+	checkEarlierStore(t, eng, m, want)
 }
 
 // TestV3CatalogThatIsNotACatalogIsCorrupt: a version-3 manifest is bare
@@ -372,8 +439,8 @@ func TestV3StoreMergesIntoOneFile(t *testing.T) {
 // any other manifest it cannot read.
 func TestV3CatalogThatIsNotACatalogIsCorrupt(t *testing.T) {
 	for _, sec := range []string{`{"lines":5}`, `[1]`, `"catalog"`} {
-		fs, _, _ := v3Store(t)
-		b, err := os.ReadFile(filepath.Join("testdata", "v3-store", "MANIFEST"))
+		fs, _ := earlierStore(t, "v3manifest-store")
+		b, err := os.ReadFile(filepath.Join("testdata", "v3manifest-store", "MANIFEST"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -403,17 +470,16 @@ func TestV3CatalogThatIsNotACatalogIsCorrupt(t *testing.T) {
 	}
 }
 
-// TestV2StoreOpensAndMigrates is the upgrade path end to end for a store of
-// format-2 runs: a directory the previous binary wrote (testdata/v3-store —
-// format-2 delta runs at two levels beside the current format's runs of
-// CP 7, snapshots in a version-3 manifest, a Buffered log tail; never
-// regenerate it) opens as backlog.Open opens it, answers every query as
-// the model does, checkpoints, and compacts into the current format with
-// the answers unchanged, across a reopen.
-func TestV2StoreOpensAndMigrates(t *testing.T) {
-	const blocks = v3StoreBlocks
-	fs, m, tail := v3Store(t)
-
+// TestV4ManifestStoreOpensAndMigrates is the upgrade path end to end for
+// the store the last binary to write an enveloped MANIFEST made
+// (testdata/v4manifest-store: format-3 runs at two levels, deletion vectors
+// of its relocation, snapshots in a version-4 manifest, a Buffered log tail
+// in log format 4): it opens as backlog.Open opens it, answers every query
+// as the model and its writer do, checkpoints, and compacts into the
+// current format with the answers unchanged, across a reopen.
+func TestV4ManifestStoreOpensAndMigrates(t *testing.T) {
+	fs, want := earlierStore(t, "v4manifest-store")
+	m, tail := writerModel(true)
 	open := func() *core.Engine {
 		t.Helper()
 		eng, err := core.Open(core.Options{VFS: fs, Catalog: core.NewMemCatalog(), Durability: wal.Buffered})
@@ -426,48 +492,41 @@ func TestV2StoreOpensAndMigrates(t *testing.T) {
 	if got := eng.Stats().WALReplayed; got != uint64(len(tail)) {
 		t.Fatalf("replayed %d records of the log tail, want %d", got, len(tail))
 	}
-	v2Levels := map[int]bool{}
+	v3Levels := map[int]bool{}
 	for _, ri := range eng.RunInfos() {
-		if uint32(ri.Format) == 2 {
-			v2Levels[ri.Level] = true
+		if uint32(ri.Format) == 3 {
+			v3Levels[ri.Level] = true
 		}
 	}
-	if !v2Levels[0] || !v2Levels[1] {
-		t.Fatalf("golden store's format-2 run levels: %v, want 0 and 1", v2Levels)
+	if !v3Levels[0] || !v3Levels[1] {
+		t.Fatalf("golden store's format-3 run levels: %v, want 0 and 1", v3Levels)
 	}
-	if counts := formatCounts(eng); counts[btree.Format(3)] == 0 {
-		t.Fatalf("golden store's runs: %v, want CP 7's in format 3 beside the format-2 ones", counts)
-	}
-	// Every table holding format-2 runs gets a projection of its rewrite.
+	// Every table holding format-3 runs gets a projection of its rewrite.
 	for _, ri := range eng.RunInfos() {
-		if uint32(ri.Format) != 2 {
-			continue
-		}
 		est, err := eng.EstimateCompression(ri.Table)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if est.Records == 0 || est.CompressedBytes < storage.PageSize || est.Ratio <= 1 {
-			t.Fatalf("%s: projection %+v, want the format-2 runs' records in a smaller rewrite", ri.Table, est)
+			t.Fatalf("%s: projection %+v, want the format-3 runs' records in a smaller rewrite", ri.Table, est)
 		}
 	}
-	m.check(t, eng, blocks)
-	before := queryFingerprint(t, eng, blocks)
+	checkEarlierStore(t, eng, m, want)
 
 	// A checkpoint writes its runs in the current format next to the old
 	// ones; the store answers from the mix. Its commit is the first in a
-	// trailer, and removes the version-3 manifest.
+	// trailer, and removes the legacy manifest.
 	if err := eng.Checkpoint(8); err != nil {
 		t.Fatal(err)
 	}
 	if names, _ := fs.List(); slices.Contains(names, "MANIFEST") {
-		t.Fatalf("the first commit left the version-3 manifest: %v", names)
+		t.Fatalf("the first commit left the legacy manifest: %v", names)
 	}
 	counts := formatCounts(eng)
-	if counts[btree.FormatDelta] == 0 || counts[btree.Format(2)] == 0 || counts[btree.Format(3)] == 0 {
-		t.Fatalf("after the checkpoint: %v, want format-2, format-3 and current-format runs side by side", counts)
+	if counts[btree.FormatDelta] == 0 || counts[btree.Format(3)] == 0 {
+		t.Fatalf("after the checkpoint: %v, want format-3 and current-format runs side by side", counts)
 	}
-	m.check(t, eng, blocks)
+	checkEarlierStore(t, eng, m, want)
 
 	if err := eng.Compact(); err != nil {
 		t.Fatal(err)
@@ -475,34 +534,37 @@ func TestV2StoreOpensAndMigrates(t *testing.T) {
 	if counts := formatCounts(eng); len(counts) != 1 || counts[btree.FormatDelta] == 0 {
 		t.Fatalf("after compaction: %v, want only current-format delta runs", counts)
 	}
-	m.check(t, eng, blocks)
-	if got := queryFingerprint(t, eng, blocks); got != before {
-		t.Fatal("compacting into the current format changed query results")
-	}
+	checkEarlierStore(t, eng, m, want)
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	opened := 0
-	fs.SetFailurePlan(storage.FailurePlan{Hook: func(c storage.Call) error {
-		if c.Name == "MANIFEST" {
-			opened++
-		}
-		return nil
-	}})
-	eng = open()
-	fs.SetFailurePlan(storage.FailurePlan{})
+	eng = openNotingManifest(t, fs, open)
 	defer eng.Close()
-	if opened != 0 {
-		t.Fatalf("the reopen made %d calls on MANIFEST, want none", opened)
-	}
 	if counts := formatCounts(eng); len(counts) != 1 || counts[btree.FormatDelta] == 0 {
 		t.Fatalf("after the reopen: %v", counts)
 	}
-	m.check(t, eng, blocks)
-	if got := queryFingerprint(t, eng, blocks); got != before {
-		t.Fatal("reopening the migrated store changed query results")
+	checkEarlierStore(t, eng, m, want)
+}
+
+// openNotingManifest reopens a store whose first commit is made and fails
+// the test if the open makes any call on a legacy manifest.
+func openNotingManifest(t *testing.T, fs *storage.MemFS, open func() *core.Engine) *core.Engine {
+	t.Helper()
+	var calls atomic.Int64
+	fs.SetFailurePlan(storage.FailurePlan{Hook: func(c storage.Call) error {
+		if strings.HasPrefix(c.Name, "MANIFEST") {
+			calls.Add(1)
+		}
+		return nil
+	}})
+	eng := open()
+	fs.SetFailurePlan(storage.FailurePlan{})
+	if n := calls.Load(); n != 0 {
+		eng.Close()
+		t.Fatalf("the reopen made %d calls on a legacy manifest, want none", n)
 	}
+	return eng
 }
 
 // TestCorruptLeafUnderCompaction damages a leaf so that its checksum still
@@ -575,79 +637,21 @@ func TestCorruptLeafUnderCompaction(t *testing.T) {
 	}
 }
 
-// v3RunsStore copies testdata/v3runs-store into a MemFS and returns it with
-// the answers committed beside it (testdata/v3runs-store.answers): for
-// every 7th block below 200, one line per owner Query returned — block,
-// inode, offset, line, length, from, to, versions — sorted. The binary
-// that wrote run format 3 made the store through the public API in
+// TestV3RunsMigrate is the format horizon end to end, under PolicyFull
+// and under PolicyLeveled with RetainLive: a store whose every run is
+// format 3 (testdata/v3runs-store) opens and answers as it did when it was
+// written (testdata/v3runs-store.answers, every 7th block below 200); one MaintainNow — which has no merge to make under either
+// policy, the store holding four runs a partition over two levels —
+// rewrites every run into the current format at its level, with its
+// records and CP window, and the answers hold; a second MaintainNow finds
+// nothing to do and installs nothing; and the store reopens migrated. The
+// binary that wrote run format 3 made the store through the public API in
 // CheckpointOnly mode with two partitions of 100 blocks: 3 000 updates
 // over CPs 1..6, every 5th and every 5th-but-2 a removal of an earlier
 // reference (i*7919 modulo the references added), a snapshot of line 0
 // after Checkpoint(3), one MaintainNow after Checkpoint(5), then
 // Checkpoint(6) and Close — so every run in it is format 3, at levels 0
-// and 1. Never regenerate it.
-func v3RunsStore(t *testing.T) (*storage.MemFS, string) {
-	t.Helper()
-	fs := storage.NewMemFS()
-	dir := filepath.Join("testdata", "v3runs-store")
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ent := range entries {
-		b, err := os.ReadFile(filepath.Join(dir, ent.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := fs.Create(ent.Name())
-		if err == nil {
-			_, err = f.WriteAt(b, 0)
-		}
-		if err == nil {
-			err = f.Sync()
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-	}
-	answers, err := os.ReadFile(filepath.Join("testdata", "v3runs-store.answers"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fs, string(answers)
-}
-
-// v3RunsAnswers renders what eng answers for the blocks
-// testdata/v3runs-store.answers covers, as that file does.
-func v3RunsAnswers(t *testing.T, eng *core.Engine) string {
-	t.Helper()
-	var sb strings.Builder
-	for b := uint64(0); b < 200; b += 7 {
-		owners, err := eng.Query(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var lines []string
-		for _, o := range owners {
-			lines = append(lines, fmt.Sprintf("%d %d %d %d %d %d %d %v", b, o.Inode, o.Offset, o.Line, o.Length, o.From, o.To, o.Versions))
-		}
-		sort.Strings(lines)
-		for _, l := range lines {
-			sb.WriteString(l + "\n")
-		}
-	}
-	return sb.String()
-}
-
-// TestV3RunsMigrate is the format horizon end to end, under PolicyFull
-// and under PolicyLeveled with RetainLive: a store whose every run is
-// format 3 (testdata/v3runs-store) opens and answers as it did when it was
-// written; one MaintainNow — which has no merge to make under either
-// policy, the store holding four runs a partition over two levels —
-// rewrites every run into the current format at its level, with its
-// records and CP window, and the answers hold; a second MaintainNow finds
-// nothing to do and installs nothing; and the store reopens migrated.
+// and 1.
 func TestV3RunsMigrate(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -661,7 +665,7 @@ func TestV3RunsMigrate(t *testing.T) {
 }
 
 func v3RunsMigrate(t *testing.T, opts core.Options) {
-	fs, want := v3RunsStore(t)
+	fs, want := earlierStore(t, "v3runs-store")
 	open := func() *core.Engine {
 		t.Helper()
 		o := opts
@@ -677,7 +681,7 @@ func v3RunsMigrate(t *testing.T, opts core.Options) {
 	if counts := formatCounts(eng); len(counts) != 1 || counts[btree.Format(3)] != len(before) || len(before) == 0 {
 		t.Fatalf("golden store's runs: %v, want format 3 only", counts)
 	}
-	if got := v3RunsAnswers(t, eng); got != want {
+	if got := storeAnswers(t, eng, 200, 7); got != want {
 		t.Fatalf("the golden store answers\n%s\nwant\n%s", got, want)
 	}
 
@@ -704,7 +708,7 @@ func v3RunsMigrate(t *testing.T, opts core.Options) {
 	if !slices.Equal(was, is) {
 		t.Fatalf("the rewrite moved runs:\n%v\nwas\n%v", is, was)
 	}
-	if got := v3RunsAnswers(t, eng); got != want {
+	if got := storeAnswers(t, eng, 200, 7); got != want {
 		t.Fatalf("after MaintainNow the store answers\n%s\nwant\n%s", got, want)
 	}
 
@@ -723,38 +727,71 @@ func v3RunsMigrate(t *testing.T, opts core.Options) {
 	if counts := formatCounts(eng); len(counts) != 1 || counts[btree.FormatDelta] != len(before) {
 		t.Fatalf("after the reopen: %v", counts)
 	}
-	if got := v3RunsAnswers(t, eng); got != want {
+	if got := storeAnswers(t, eng, 200, 7); got != want {
 		t.Fatalf("the migrated store answers\n%s\nwant\n%s", got, want)
 	}
 }
 
-// TestV2StoreMigratesOnItsFirstMaintain: the store of format-2 and
-// format-3 runs an earlier binary wrote (testdata/v3-store) leaves its first
-// MaintainNow in the current format alone, answering as the model does,
-// and a second MaintainNow installs nothing.
-func TestV2StoreMigratesOnItsFirstMaintain(t *testing.T) {
-	fs, m, _ := v3Store(t)
-	eng, err := core.Open(core.Options{VFS: fs, Catalog: core.NewMemCatalog(), Durability: wal.Buffered})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	runs := len(eng.RunInfos())
-	if got := eng.MaintenanceStats().PendingJobs; got != runs {
-		t.Fatalf("%d jobs pending over %d runs of older formats, want one rewrite each", got, runs)
-	}
-	if err := eng.MaintainNow(); err != nil {
-		t.Fatal(err)
-	}
-	if counts := formatCounts(eng); len(counts) != 1 || counts[btree.FormatDelta] != runs {
-		t.Fatalf("after the first MaintainNow: %v, want its %d runs in the current format", counts, runs)
-	}
-	m.check(t, eng, v3StoreBlocks)
-	installed := eng.MaintenanceStats().AutoCompactions
-	if err := eng.MaintainNow(); err != nil {
-		t.Fatal(err)
-	}
-	if got := eng.MaintenanceStats(); got.AutoCompactions != installed || got.PendingJobs != 0 {
-		t.Fatalf("a second MaintainNow: %+v, want nothing installed after %d", got, installed)
+// TestEarlierStoresMigrateOnTheirFirstMaintain: each store an earlier
+// binary wrote opens with the model's answers and its writer's; its first
+// MaintainNow leaves it in the current format alone, with the answers
+// unchanged, and a second installs nothing; the Close after them is the
+// first commit, which removes the legacy manifest, and the store reopens
+// with no call on it and answers as before.
+func TestEarlierStoresMigrateOnTheirFirstMaintain(t *testing.T) {
+	for _, c := range []struct {
+		store string
+		mode  wal.Durability
+	}{
+		{"v4manifest-store", wal.Buffered},
+		{"v3manifest-store", wal.CheckpointOnly},
+	} {
+		t.Run(c.store, func(t *testing.T) {
+			fs, want := earlierStore(t, c.store)
+			m, _ := writerModel(c.mode != wal.CheckpointOnly)
+			open := func() *core.Engine {
+				t.Helper()
+				eng, err := core.Open(core.Options{VFS: fs, Catalog: core.NewMemCatalog(), Durability: c.mode})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return eng
+			}
+			eng := open()
+			checkEarlierStore(t, eng, m, want)
+			if got := eng.MaintenanceStats().PendingJobs; got == 0 {
+				t.Fatal("no job pending over runs of an older format")
+			}
+			if err := eng.MaintainNow(); err != nil {
+				t.Fatal(err)
+			}
+			if counts := formatCounts(eng); len(counts) != 1 || counts[btree.FormatDelta] == 0 {
+				t.Fatalf("after the first MaintainNow: %v, want current-format runs alone", counts)
+			}
+			checkEarlierStore(t, eng, m, want)
+			installed, files := eng.MaintenanceStats().AutoCompactions, eng.Files()
+			if err := eng.MaintainNow(); err != nil {
+				t.Fatal(err)
+			}
+			if got := eng.MaintenanceStats(); got.AutoCompactions != installed || got.PendingJobs != 0 || !slices.Equal(eng.Files(), files) {
+				t.Fatalf("a second MaintainNow: %+v, files %v (were %v), want nothing installed after %d", got, eng.Files(), files, installed)
+			}
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+			names, err := fs.List()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if slices.ContainsFunc(names, func(n string) bool { return strings.HasPrefix(n, "MANIFEST") }) {
+				t.Fatalf("the first commit left the legacy manifest: %v", names)
+			}
+			eng = openNotingManifest(t, fs, open)
+			defer eng.Close()
+			if counts := formatCounts(eng); len(counts) != 1 || counts[btree.FormatDelta] == 0 {
+				t.Fatalf("after the reopen: %v", counts)
+			}
+			checkEarlierStore(t, eng, m, want)
+		})
 	}
 }

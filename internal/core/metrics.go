@@ -126,7 +126,7 @@ func newEngineObs(opts Options) *engineObs {
 	o.compact = r.Histogram("backlog_compaction_ns", "Duration of one partition compaction", "ns", lat)
 	o.expire = r.Histogram("backlog_expire_ns", "Duration of one Expire call: reap zombies, then commit the catalog and the runs no snapshot reaches", "ns", lat)
 	o.pageDecode = r.Histogram("backlog_page_decode_ns",
-		"Latency of the pass that validates one compressed leaf page read from storage and builds its restart table: the first record, and every 32nd one encoded against it (page-cache misses only)", "ns", lat)
+		"Latency of the pass that validates one compressed leaf page read from storage, after transcoding it into the packed form if it is an older format-3 leaf (page-cache misses only)", "ns", lat)
 	o.walAppend = r.Histogram("backlog_wal_append_ns",
 		"WAL append latency per record: enqueue to fsynced (Sync), or to buffered in memory plus any log write the appender led or waited out (Buffered)", "ns", lat)
 	o.walFlush = r.Histogram("backlog_wal_flush_ns",
@@ -336,16 +336,17 @@ func (e *Engine) registerMetrics(r *obs.Registry) {
 		func() float64 { return e.IOReport().WriteAmp })
 	if e.cache != nil {
 		// The shared cache holds verified on-disk payloads at their used
-		// length (delta leaves packed, an older format's transcoded at its
-		// miss), and only of runs some view can still read; a hit means a
-		// query skipped the page read, the CRC and the validating pass. The
-		// series keep the names and help they had when the cache held
-		// decoded leaves, and then restart tables: series.golden pins them.
+		// length — a compressed leaf as its packed payload beside its parsed
+		// header, a format-3 leaf transcoded at its miss — and only of runs
+		// some view can still read; a hit means a query skipped the page
+		// read, the CRC and the validating pass. The series keep the names
+		// they had when the cache held decoded leaves: series.golden pins
+		// them.
 		r.CounterFunc("backlog_decoded_cache_hits_total", "Page-cache hits (verified pages served without I/O, among them pages that checkpoints wrote through to the cache; compressed leaves are cached encoded)",
 			func() uint64 { h, _ := e.cache.Stats(); return uint64(h) })
 		r.CounterFunc("backlog_decoded_cache_misses_total", "Page-cache misses (page read from storage, checksummed and validated: a page of a run opened from disk, of a merge's output, or of a checkpoint's run whose page was evicted or did not fit when it was written)",
 			func() uint64 { _, m := e.cache.Stats(); return uint64(m) })
-		r.GaugeFunc("backlog_decoded_cache_bytes", "Bytes charged to the shared page cache, which are the bytes its entries pin: each page's payload at its used length plus a compressed leaf's restart table, for runs not yet removed",
+		r.GaugeFunc("backlog_decoded_cache_bytes", "Bytes charged to the shared page cache: each resident page's payload at its used length (a compressed leaf's packed payload; its parsed header is not charged), for runs not yet removed",
 			func() float64 { return float64(e.cache.SizeBytes()) })
 	}
 	r.GaugeFunc("backlog_frozen_shards", "Write-store shards with a frozen generation (checkpoint flush in flight)",

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -134,44 +135,92 @@ func TestRelocationDurableAtCheckpoint(t *testing.T) {
 }
 
 // TestPreviousFormatLogTailReplaysAndRetires is the upgrade path end to
-// end: a directory whose log tail an earlier binary wrote (segment format 3
-// or 4, the golden files internal/wal keeps) opens, every record of the
-// tail replays, new updates are logged next to it in the current format,
-// and the first checkpoint retires the old segments.
+// end: a directory whose log tail an earlier binary wrote in segment format
+// 4 (the golden files internal/wal keeps) opens, every record of the tail
+// replays, new updates are logged next to it in the current format, and the
+// first checkpoint retires the old segments. A tail of a retired format —
+// version 3's golden segments, or the store testdata/v3-store, whose runs
+// are format 2 and whose log tail is format 3 — is refused by name, and the
+// refused Open changes no file.
 func TestPreviousFormatLogTailReplaysAndRetires(t *testing.T) {
 	tails := []struct {
 		version  string
 		replayed uint64 // records of the tail past its checkpoint mark, all tagged later than it
 		live     uint64 // a block the tail adds a reference to on line 0 and never removes
 		cp       uint64 // a CP past every one the tail tags
+		refused  string // what Open's error names, for a retired format
 	}{
-		{"v3", 8, 77, 5},
-		{"v4", 15, 101, 8},
+		{"v3", 0, 0, 0, "segment wal-0000000000000001.seg is in format version 3"},
+		{"v4", 15, 101, 8, ""},
+		{"v3-store", 0, 0, 0, "run format 2 is no longer read"},
 	}
+	old := []string{"wal-0000000000000001.seg", "wal-0000000000000002.seg"}
 	for _, mode := range []wal.Durability{wal.Buffered, wal.Sync} {
 		t.Run(mode.String(), func(t *testing.T) {
 			for _, tail := range tails {
 				t.Run(tail.version, func(t *testing.T) {
+					planted := map[string][]byte{}
+					if tail.version == "v3-store" {
+						dir := filepath.Join("testdata", "v3-store")
+						entries, err := os.ReadDir(dir)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, ent := range entries {
+							if planted[ent.Name()], err = os.ReadFile(filepath.Join(dir, ent.Name())); err != nil {
+								t.Fatal(err)
+							}
+						}
+					} else {
+						for _, name := range old {
+							b, err := os.ReadFile(filepath.Join("..", "wal", "testdata", tail.version+"-"+name))
+							if err != nil {
+								t.Fatal(err)
+							}
+							planted[name] = b
+						}
+					}
 					vfs := storage.NewMemFS()
-					old := []string{"wal-0000000000000001.seg", "wal-0000000000000002.seg"}
-					for _, name := range old {
-						b, err := os.ReadFile(filepath.Join("..", "wal", "testdata", tail.version+"-"+name))
-						if err != nil {
-							t.Fatal(err)
-						}
+					for name, b := range planted {
 						f, err := vfs.Create(name)
+						if err == nil {
+							_, err = f.WriteAt(b, 0)
+						}
+						if err == nil {
+							err = f.Sync()
+						}
 						if err != nil {
-							t.Fatal(err)
-						}
-						if _, err := f.WriteAt(b, 0); err != nil {
-							t.Fatal(err)
-						}
-						if err := f.Sync(); err != nil {
 							t.Fatal(err)
 						}
 						f.Close()
 					}
 					eng, err := Open(Options{VFS: vfs, Catalog: NewMemCatalog(), Durability: mode})
+					if tail.refused != "" {
+						if err == nil {
+							eng.Close()
+							t.Fatalf("Open accepted a %s tail", tail.version)
+						}
+						if !strings.Contains(err.Error(), tail.refused) || !strings.Contains(err.Error(), "commit 0ea923b or earlier") {
+							t.Fatalf("Open: %v, want the retired format named with the binary that reads it", err)
+						}
+						names, err := vfs.List()
+						if err != nil || len(names) != len(planted) {
+							t.Fatalf("after the refused Open the directory lists %v (%v), want the %d files planted", names, err, len(planted))
+						}
+						for name, want := range planted {
+							f, err := vfs.Open(name)
+							if err != nil {
+								t.Fatal(err)
+							}
+							got := make([]byte, len(want)+1)
+							n, _ := f.ReadAt(got, 0)
+							f.Close()
+							if !bytes.Equal(got[:n], want) {
+								t.Fatalf("the refused Open changed %s", name)
+							}
+						}
+						return
+					}
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -154,17 +154,18 @@ type Options struct {
 	// RunFormat selects the leaf encoding for newly built runs:
 	// btree.FormatRaw (also if zero) or btree.FormatDelta, the two formats
 	// that can be written. Existing runs of every readable format — those
-	// two and the previous delta format — open transparently regardless of
-	// this setting, and every builder — the checkpoint flush and
-	// compaction go through a FileSet — writes the configured format,
-	// so a database migrates run by run as compaction rewrites them.
+	// two and the previous delta format, v3 — open transparently
+	// regardless of this setting (an older one is refused by name), and
+	// every builder — the checkpoint flush and compaction go through a
+	// FileSet — writes the configured format, so a database migrates run
+	// by run as compaction rewrites them.
 	// FormatDelta requires every table's RecordSize to be a multiple of 8
 	// and at most btree.MaxDeltaRecordSize.
 	RunFormat btree.Format
 	// DecodeObserver, when non-nil, receives the wall time of the
-	// validate-and-sample pass over each compressed leaf page a query
-	// reads on a cache miss (the engine wires it to the
-	// backlog_page_decode_ns histogram). Merge scans decode a
+	// validating pass (a format-3 leaf transcoded first) over each
+	// compressed leaf page a query reads on a cache miss (the engine wires
+	// it to the backlog_page_decode_ns histogram). Merge scans decode a
 	// current-format leaf once, validating as they stream, and report
 	// nothing here.
 	DecodeObserver func(time.Duration)
@@ -728,7 +729,7 @@ type RunInfo struct {
 	Records   uint64
 	SizeBytes int64
 	// Format is the run's on-disk leaf encoding — btree.FormatRaw,
-	// btree.FormatDelta or a previous, read-only delta format (v2, v3) —
+	// btree.FormatDelta or the previous, read-only delta format (v3) —
 	// read from the run's own header.
 	Format btree.Format
 	// LogicalBytes is Records x RecordSize — the size the records occupy

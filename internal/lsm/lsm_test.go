@@ -614,12 +614,12 @@ func TestOpenValidation(t *testing.T) {
 	} else {
 		db.Close()
 	}
-	// Run format 2 is still read, never written.
+	// Run format 3 is still read, never written.
 	if _, err := Open(fs, Options{
 		Tables:    []TableSpec{{Name: "t", RecordSize: 16}},
-		RunFormat: btree.Format(2),
+		RunFormat: btree.Format(3),
 	}); err == nil || !strings.Contains(err.Error(), "cannot be written") {
-		t.Fatalf("Open writing run format 2: %v", err)
+		t.Fatalf("Open writing run format 3: %v", err)
 	}
 }
 

@@ -24,7 +24,8 @@ import (
 //	                torn AddRef frame. This binary refuses version 2.
 //	v3-wal-…01.seg  Checkpoint mark CP=1 in a batch of its own, then
 //	                goldenRecords()[:5] in one batch
-//	v3-wal-…02.seg  Cut mark CP=3, then goldenRecords()[5:] in one batch
+//	v3-wal-…02.seg  Cut mark CP=3, then goldenRecords()[5:] in one batch.
+//	                This binary refuses version 3 too.
 //	v4-wal-…01.seg  Cut mark CP=4, then goldenV4Records()[:13] in one batch
 //	v4-wal-…02.seg  goldenV4Records()[13:] in one batch
 //	v5-wal-…01.seg  Cut mark CP=7, then goldenV5Records()[:14] in one batch
@@ -129,7 +130,8 @@ func goldenSegment(index uint64, version byte, mark1 Record, mark2 *Record, recs
 }
 
 // goldenV3Segment, goldenV4Segment and goldenV5Segment are the golden
-// histories of versions 3, 4 and 5 as segment files of a version.
+// histories of versions 3, 4 and 5 as segment files of a version (a
+// version-3 segment only to compare bytes with: this binary refuses it).
 func goldenV3Segment(index uint64, version byte) []byte {
 	return goldenSegment(index, version, Record{Op: OpCheckpoint, CP: 1}, &Record{Op: OpCut, CP: 3}, goldenRecords(), 5)
 }
@@ -143,9 +145,11 @@ func goldenV5Segment(index uint64) []byte {
 }
 
 // TestFormat3BytesPinned: the version-3 golden files, whose encoder no
-// longer exists, still decode to the history they were written from, and
-// appendBatchAs writes them byte for byte: it is a faithful version-3
-// encoder for the tests that compare against one.
+// longer exists and which this binary refuses
+// (TestUnreadableVersionNamedNotSealed), are version-4 bytes that never
+// continue: version 4's decoder reads them to the history they were
+// written from. appendBatchAs writes them byte for byte: it is a faithful
+// version-3 encoder for the tests that compare sizes against one.
 func TestFormat3BytesPinned(t *testing.T) {
 	golden := goldenRecords()
 	for index, want := range map[uint64][]Record{
@@ -156,7 +160,7 @@ func TestFormat3BytesPinned(t *testing.T) {
 		if v, ok := segHeaderVersion(seg); !ok || v != 3 {
 			t.Fatalf("v3 golden segment %d has header version %d (%v)", index, v, ok)
 		}
-		if got, err := decodeBatches(seg[segHeaderSize:], 3); err != nil || !slices.Equal(got, want) {
+		if got, err := decodeBatches(seg[segHeaderSize:], 4); err != nil || !slices.Equal(got, want) {
 			t.Errorf("v3 golden segment %d decodes as\n%+v (%v)\nwant\n%+v", index, got, err, want)
 		}
 		if got := goldenV3Segment(index, 3); !bytes.Equal(got, seg) {
@@ -269,6 +273,25 @@ func plantSegment(t testing.TB, vfs storage.VFS, index uint64, b []byte) {
 	f.Close()
 }
 
+// readSegmentFile returns the bytes of a segment file.
+func readSegmentFile(t testing.TB, vfs storage.VFS, index uint64) []byte {
+	t.Helper()
+	f, err := vfs.Open(segmentName(index))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	size, err := f.Size()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]byte, size)
+	if _, err := f.ReadAt(b, 0); err != nil && !errors.Is(err, io.EOF) {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func appendAll(t *testing.T, l *Log, recs ...Record) {
 	t.Helper()
 	for _, r := range recs {
@@ -278,10 +301,11 @@ func appendAll(t *testing.T, l *Log, recs ...Record) {
 	}
 }
 
-// TestMixedVersionRecovery: a tail left by an earlier binary — version 3
-// or version 4 — continued by this one in version 5, replays to exactly
-// what an all-version-5 log of the same history does, and the first
-// checkpoint retires the old files.
+// TestMixedVersionRecovery: a tail left by an earlier binary in version 4,
+// continued by this one in version 5, replays to exactly what an
+// all-version-5 log of the same history does, and the first checkpoint
+// retires the old files. A version-3 tail is refused by name, with the
+// binary that replays it, and stays as it was.
 func TestMixedVersionRecovery(t *testing.T) {
 	later := []Record{
 		{Op: OpAddRef, Block: 500, Inode: 11, Offset: 1, Length: 1, CP: 13},
@@ -307,11 +331,9 @@ func TestMixedVersionRecovery(t *testing.T) {
 		version byte
 		// segment is the tail's history as segment files of a version.
 		segment func(index uint64, version byte) []byte
-		want    Recovered
+		want    Recovered // nothing, for a refused tail
 	}{
-		// The checkpoint mark the version-3 tail opens with is one nothing
-		// writes any more; read, it still means what it meant.
-		{3, goldenV3Segment, Recovered{Records: goldenRecords(), Cuts: []CutMark{{Index: 5, CP: 3}}, MarkCP: 1, Found: true}},
+		{3, nil, Recovered{}},
 		{4, goldenV4Segment, Recovered{Records: v4Updates, Cuts: []CutMark{{Index: 0, CP: 4}, {Index: 6, CP: 5}}, Found: true}},
 	} {
 		t.Run(fmt.Sprintf("v%d", tail.version), func(t *testing.T) {
@@ -320,6 +342,21 @@ func TestMixedVersionRecovery(t *testing.T) {
 			plantSegment(t, mixed, 1, goldenFile(t, prefix, 1))
 			plantSegment(t, mixed, 2, goldenFile(t, prefix, 2))
 			rec, err := Recover(mixed)
+			if tail.segment == nil {
+				want := fmt.Sprintf("format version %d; this binary reads versions 4 to 5: open the store once with a binary that reads it (commit 0ea923b or earlier)", tail.version)
+				if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
+					t.Fatalf("version-%d tail: Recover err = %v, want ErrCorrupt naming the version and the binary", tail.version, err)
+				}
+				if _, _, err := Open(mixed, Options{Durability: Sync}); !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("version-%d tail: Open err = %v, want ErrCorrupt", tail.version, err)
+				}
+				for index := uint64(1); index <= 2; index++ {
+					if got := readSegmentFile(t, mixed, index); !bytes.Equal(got, goldenFile(t, prefix, index)) {
+						t.Fatalf("version-%d tail: the refused Open changed segment %d", tail.version, index)
+					}
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -381,16 +418,16 @@ func TestMixedVersionRecovery(t *testing.T) {
 // TestVersionByteSelectsDecoder: a segment is read by the decoder its
 // header names. Newer batches under an older header — the one way to get
 // there is damage — fail at the first byte the older version lacks, a
-// packed block update or a continuation: the batch passes its checksum, so
+// packed block update: the batch passes its checksum, so
 // that is ErrCorrupt in the final segment as much as mid-log, never a torn
 // tail and never records read with a flag the version lacks. The reverse is
-// harmless by construction: each version is the one before plus what it
-// adds, so older bytes under a newer header decode to the same records.
+// harmless by construction: version 5 is version 4 plus what it adds, so
+// older bytes under the newer header decode to the same records.
 func TestVersionByteSelectsDecoder(t *testing.T) {
 	for _, c := range []struct {
 		golden  string
 		version byte
-	}{{"v4-", 3}, {"v5-", 3}, {"v5-", 4}} {
+	}{{"v5-", 4}} {
 		for _, final := range []bool{true, false} {
 			vfs := storage.NewMemFS()
 			plantSegment(t, vfs, 1, withVersion(goldenFile(t, c.golden, 1), c.version))
@@ -403,37 +440,40 @@ func TestVersionByteSelectsDecoder(t *testing.T) {
 		}
 	}
 
-	for _, golden := range []string{"v3-", "v4-"} {
-		want, err := Recover(func() storage.VFS {
-			vfs := storage.NewMemFS()
-			plantSegment(t, vfs, 1, goldenFile(t, golden, 1))
-			return vfs
-		}())
-		if err != nil {
-			t.Fatal(err)
-		}
+	want, err := Recover(func() storage.VFS {
 		vfs := storage.NewMemFS()
-		plantSegment(t, vfs, 1, withVersion(goldenFile(t, golden, 1), segVersion))
-		rec, err := Recover(vfs)
-		if err != nil || !reflect.DeepEqual(rec, want) {
-			t.Fatalf("%s bytes marked v%d: recovered %+v (%v), want %+v", golden, segVersion, rec, err, want)
-		}
+		plantSegment(t, vfs, 1, goldenFile(t, "v4-", 1))
+		return vfs
+	}())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vfs := storage.NewMemFS()
+	plantSegment(t, vfs, 1, withVersion(goldenFile(t, "v4-", 1), segVersion))
+	rec, err := Recover(vfs)
+	if err != nil || !reflect.DeepEqual(rec, want) {
+		t.Fatalf("v4 bytes marked v%d: recovered %+v (%v), want %+v", segVersion, rec, err, want)
 	}
 }
 
 // TestUnreadableVersionNamedNotSealed: a segment in a format this binary
-// has no decoder for — version 2 or 1, which it used to read, or one from
-// the future — fails recovery with an error that names the version, in any
-// position. In particular Open does not take a final one for a torn
-// creation and seal over it, which would silently discard its records, and
-// it removes no segment.
+// has no decoder for — version 3, 2 or 1, which it used to read, or one
+// from the future — fails recovery with an error that names the version,
+// in any position; version 3's also names the binary that replays it. In
+// particular Open does not take a final one for a torn creation and seal
+// over it, which would silently discard its records, and it removes no
+// segment.
 func TestUnreadableVersionNamedNotSealed(t *testing.T) {
-	for _, version := range []byte{1, 2, segVersion + 1} {
+	for _, version := range []byte{1, 2, 3, segVersion + 1} {
 		seg := withVersion(goldenFile(t, "v5-", 1), version)
-		if version == 2 {
-			seg = goldenFile(t, "v2-", 1) // what the version-2 encoder wrote
-		}
 		want := fmt.Sprintf("format version %d", version)
+		switch version {
+		case 2:
+			seg = goldenFile(t, "v2-", 1) // what the version-2 encoder wrote
+		case 3:
+			seg = goldenFile(t, "v3-", 1) // what the version-3 encoder wrote
+			want += "; this binary reads versions 4 to 5: open the store once with a binary that reads it (commit 0ea923b or earlier) and run Checkpoint"
+		}
 		for _, final := range []bool{true, false} {
 			vfs := storage.NewMemFS()
 			plantSegment(t, vfs, 1, seg)
@@ -449,16 +489,7 @@ func TestUnreadableVersionNamedNotSealed(t *testing.T) {
 			if segs, err := listSegments(vfs); err != nil || len(segs) != planted {
 				t.Fatalf("version %d, final=%v: segments after the failed Open: %v (%v), want the %d planted", version, final, segs, err, planted)
 			}
-			f, err := vfs.Open(segmentName(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := make([]byte, len(seg))
-			if _, err := f.ReadAt(got, 0); err != nil && !errors.Is(err, io.EOF) {
-				t.Fatal(err)
-			}
-			f.Close()
-			if !bytes.Equal(got, seg) {
+			if got := readSegmentFile(t, vfs, 1); !bytes.Equal(got, seg) {
 				t.Fatalf("version %d, final=%v: the failed Open rewrote the segment", version, final)
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/backlogfs/backlog/internal/storage"
@@ -16,10 +17,12 @@ import (
 // end or to its first undecodable record, never past it, in every readable
 // version; none panics, and none sizes anything from a length field
 // (TestBatchReaderAllocatesNothing pins that decoding allocates nothing at
-// all). What an older version decodes, every newer one decodes to the same
-// records, since each version only adds to the one before. A packed block
-// update is what version 5 adds: a batch whose version-5 walk reaches one is
-// ErrCorrupt in versions 3 and 4, never a tear. What version 5 decodes
+// all). What version 4 decodes, version 5 decodes to the same records,
+// since it only adds to version 4. A packed block update is what version 5
+// adds: a batch whose version-5 walk reaches one is ErrCorrupt in version
+// 4, never a tear. Under a version-3 header, which the version-3 goldens'
+// frames were written under, the same frame is refused by name: recovery
+// reads no frame of a retired version. What version 5 decodes
 // survives a re-encode that is no longer than the frame it came from: the
 // encoder elides whatever the decoder could have taken from a record's
 // predecessors, and packs what it can.
@@ -84,12 +87,13 @@ func FuzzDecodeFrame(f *testing.F) {
 				t.Fatalf("v%d decoded %+v, v%d %+v (%v)", v-1, recs[v-1], v, recs[v], errs[v])
 			}
 		}
-		if reachesPacked(body) {
-			for _, v := range []byte{3, 4} {
-				if !errors.Is(errs[v], ErrCorrupt) {
-					t.Fatalf("a packed block update read as v%d: %+v (%v), want ErrCorrupt", v, recs[v], errs[v])
-				}
-			}
+		if reachesPacked(body) && !errors.Is(errs[4], ErrCorrupt) {
+			t.Fatalf("a packed block update read as v4: %+v (%v), want ErrCorrupt", recs[4], errs[4])
+		}
+		retired := storage.NewMemFS()
+		plantSegment(t, retired, 1, append(withVersion(encodeSegHeader(1), 3), b[:n]...))
+		if _, err := Recover(retired); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "format version 3") {
+			t.Fatalf("the frame under a version-3 header: %v, want the version refused by name", err)
 		}
 		if errs[segVersion] != nil {
 			return
@@ -123,8 +127,8 @@ func reachesPacked(body []byte) bool {
 // another error — and a log that recovers also opens, seals its tear, and
 // recovers to the same records again.
 func FuzzRecover(f *testing.F) {
-	// testdata/fuzz/FuzzRecover holds whole tails: the version-2 golden pair
-	// (refused now), its version-3 rewrite, one of each, and a regression
+	// testdata/fuzz/FuzzRecover holds whole tails: the version-2 golden pair,
+	// its version-3 rewrite, one of each (all refused now), and a regression
 	// input. The seeds here add version 4 with its continuations and version
 	// 5 with its packed block updates: the golden pairs, an older tail
 	// continued by a torn newer segment, and version-5 bytes under a

@@ -94,10 +94,10 @@ type Record struct {
 // makes — sets flagPacked, names its op, continuation and CP elision in the
 // three bits below it and holds the block's low four bits in the high
 // nibble; uvarint(block >> 4) follows, then [inode, offset] and [cp] as
-// above. It is never longer than the same record in version 4. Version 4 is
-// version 3 plus flagContinues. One decoder reads all three, refusing what a
-// segment's version lacks. A lone mark is the same bytes in every version,
-// which is what lets sealTear stamp a SegmentEnd over a torn tail of any.
+// above. It is never longer than the same record in version 4, which the
+// same decoder reads, refusing flagPacked there. A lone mark is the same
+// bytes in every version, which is what lets sealTear stamp a SegmentEnd
+// over a torn tail of any.
 const (
 	frameHeaderSize = 8
 
@@ -110,7 +110,7 @@ const (
 	flagLineZero  = 0x80 // AddRef/RemoveRef: Line is 0
 	flagLengthOne = 0x40 // AddRef/RemoveRef: Length is 1 (what AddRef substitutes for 0)
 	flagSameCP    = 0x20 // CP equals that of the previous record in the batch
-	// AddRef/RemoveRef, version 4 on: Inode and Offset continue the previous
+	// AddRef/RemoveRef: Inode and Offset continue the previous
 	// record of the same op in the batch — its inode, at its offset + length —
 	// as the updates of a file written front to back do.
 	flagContinues = 0x10
@@ -279,10 +279,7 @@ type batchReader struct {
 // readBatch starts a walk over a batch body of a segment in a readable
 // format version.
 func readBatch(body []byte, version byte) batchReader {
-	d := batchReader{u: uvarints{b: body}, flags: flagLineZero | flagLengthOne | flagSameCP}
-	if version >= 4 {
-		d.flags |= flagContinues
-	}
+	d := batchReader{u: uvarints{b: body}, flags: flagLineZero | flagLengthOne | flagSameCP | flagContinues}
 	if version >= 5 {
 		d.flags |= flagPacked
 	}

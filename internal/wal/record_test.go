@@ -197,9 +197,8 @@ func TestDecodeRejectsDamage(t *testing.T) {
 			}
 		}
 	}
-	// What a version adds is corrupt in the versions before it, at the
-	// record that uses it: a continuation before version 4, a packed block
-	// update before version 5.
+	// What version 5 adds is corrupt in version 4, at the record that uses
+	// it: a packed block update.
 	r := Record{Op: OpAddRef, Block: 1, Inode: 5, Offset: 0, Line: 1, Length: 1, CP: 1}
 	s := r
 	s.Block, s.Offset = 2, 1
@@ -211,9 +210,6 @@ func TestDecodeRejectsDamage(t *testing.T) {
 	}
 	if got, err := decodeBatches(three, 4); !errors.Is(err, ErrCorrupt) || !slices.Equal(got, []Record{r, s}) {
 		t.Errorf("continuing batch: v4 decoded %+v (%v), want ErrCorrupt at the packed record", got, err)
-	}
-	if got, err := decodeBatches(three, 3); !errors.Is(err, ErrCorrupt) || !slices.Equal(got, []Record{r}) {
-		t.Errorf("continuing batch: v3 decoded %+v (%v), want ErrCorrupt at the continuation", got, err)
 	}
 }
 
@@ -293,8 +289,9 @@ func randomStream(rng *rand.Rand, pool []uint64, n int) []Record {
 
 // TestBatchRoundtripProperty: any record sequence, split into batches
 // anywhere, decodes to itself, and is never longer than version 4 wrote it,
-// nor that longer than version 3 did (each still decodes, as its version, to
-// the same records), so a stream with nothing to pack or continue pays
+// nor that longer than version 3 did (each still decodes to the same
+// records: version 4 as its version, version 3 as version 4, which only
+// adds the continuation), so a stream with nothing to pack or continue pays
 // nothing for either. No single flipped bit yields a different record list:
 // the damaged batch is torn, its predecessors decode as before.
 func TestBatchRoundtripProperty(t *testing.T) {
@@ -320,10 +317,13 @@ func TestBatchRoundtripProperty(t *testing.T) {
 			ends = append(ends, len(buf))
 			at += n
 		}
-		for version, b := range map[byte][]byte{segVersion: buf, 4: v4, 3: v3} {
+		for version, b := range map[byte][]byte{segVersion: buf, 4: v4} {
 			if got, err := decodeBatches(b, version); err != nil || !slices.Equal(got, recs) {
 				t.Fatalf("seed %d iter %d: the version-%d bytes decoded %+v (%v), want %+v", seed, iter, version, got, err, recs)
 			}
+		}
+		if got, err := decodeBatches(v3, 4); err != nil || !slices.Equal(got, recs) {
+			t.Fatalf("seed %d iter %d: the version-3 bytes decoded %+v (%v), want %+v", seed, iter, got, err, recs)
 		}
 		if len(buf) > len(v4) || len(v4) > len(v3) {
 			t.Fatalf("seed %d iter %d: %d bytes, %d in version 4, %d in version 3", seed, iter, len(buf), len(v4), len(v3))

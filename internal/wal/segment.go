@@ -24,15 +24,12 @@ const (
 	segHeaderSize = 16
 	segMagic      = "BKLGWAL\x01"
 	// segVersion is the version every new segment is written in. Segments
-	// of the version before it, which lacks the packed first byte, and of
-	// the one before that, which also lacks the continuation flag, are only
-	// ever read: a tail left by an earlier binary replays and is retired by
-	// the first checkpoint. Version 3 stays readable while a store whose
-	// log tail is format 3 may still be opened (the format horizon of
-	// internal/core/testdata/v3-store); that is as far back as this binary
-	// reads.
+	// of the version before it, which lacks the packed first byte, are
+	// only ever read: a tail left by an earlier binary replays and is
+	// retired by the first checkpoint. That is as far back as this binary
+	// reads; an older segment is refused by name (see readSegment).
 	segVersion     = 5
-	oldestReadable = 3
+	oldestReadable = 4
 )
 
 // segHeaderVersion returns the format version a segment's leading bytes
@@ -321,8 +318,12 @@ func readSegment(vfs storage.VFS, index uint64, rec *Recovered, tr *tear) (torn 
 		// An intact header of another format: records this binary cannot
 		// replay, in any position. Never sealed over as a torn creation —
 		// that would silently discard them.
-		return false, fmt.Errorf("%w: segment %s is in format version %d; this binary reads versions %d to %d",
+		err := fmt.Errorf("%w: segment %s is in format version %d; this binary reads versions %d to %d",
 			ErrCorrupt, name, version, oldestReadable, segVersion)
+		if version == 3 {
+			err = fmt.Errorf("%w: open the store once with a binary that reads it (commit 0ea923b or earlier) and run Checkpoint", err)
+		}
+		return false, err
 	}
 	if got := uint64(buf[12])<<24 | uint64(buf[13])<<16 | uint64(buf[14])<<8 | uint64(buf[15]); got != index&0xffffffff {
 		// An intact header whose embedded index disagrees with the file

@@ -42,13 +42,11 @@
 // commit; 11.7 in version 4).
 //
 // That is segment format version 5, the only one written. Version 4 is the
-// same without the packed byte, and version 3 also without the continuation
-// flag. One decoder reads all three, allowing a segment the flags its
-// header's version byte defines, so a tail left by an earlier binary still
-// replays and is retired by the first checkpoint. Version 3 stays readable
-// while a store whose log tail is format 3 may still be opened
-// (internal/core/testdata/v3-store). Older versions are refused by name. The
-// log is a sequence of segments (wal-<index>.seg, rotated at
+// same without the packed byte. One decoder reads both, allowing a segment
+// the flags its header's version byte defines, so a tail left by an earlier
+// binary still replays and is retired by the first checkpoint. Older
+// versions are refused by name, version 3 with the binary that replays it
+// (commit 0ea923b or earlier). The log is a sequence of segments (wal-<index>.seg, rotated at
 // Options.SegmentBytes) so that truncation after a checkpoint is file
 // deletion, not in-place rewriting.
 //
