@@ -406,7 +406,7 @@
 //	CompactionPolicy     — PolicyFull: whole-partition worst-first merging
 //	Fanout               — 0: stepped-merge fanout 3, a Level-0 merge every third checkpoint (PolicyLeveled only)
 //	Retention            — RetainAll: no expiry, the paper's behavior
-//	Compression          — CompressionDelta: format-v3 column-delta runs
+//	Compression          — CompressionDelta: format-v4 runs, bit-packed by column
 //	Metrics              — false: no metrics registry, no timestamps taken
 //	MetricsSampleEvery   — 0: one hot op in 32 is timed (Metrics only)
 //	Tracer               — nil: no trace events
@@ -625,9 +625,10 @@ const (
 type Compression = core.Compression
 
 const (
-	// CompressionDelta (the default) writes format-v3 runs: each leaf
-	// record flags the columns that changed and carries their delta +
-	// zigzag + LEB128 varints.
+	// CompressionDelta (the default) writes format-v4 runs: each leaf
+	// bit-packs its records, the block as a delta from the previous
+	// record's and every other column as its offset from the page
+	// minimum, at the width the column spans on the page.
 	CompressionDelta = core.CompressionDelta
 	// CompressionNone writes raw fixed-stride format-v1 runs — the
 	// paper's original layout.
@@ -1011,8 +1012,8 @@ type RunInfo = lsm.RunInfo
 // subcommand prints per partition.
 func (db *DB) Runs() []RunInfo { return db.eng.RunInfos() }
 
-// CompressionEstimate reports the projected effect of the format-v3
-// column-delta encoding on one table; see EstimateCompression.
+// CompressionEstimate reports the projected effect of the format-v4
+// bit-packed leaf encoding on one table; see EstimateCompression.
 type CompressionEstimate = core.CompressionEstimate
 
 // EstimateCompression streams all runs of the named table (TableFrom,

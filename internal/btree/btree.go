@@ -757,7 +757,7 @@ func decodeHeader(page []byte) (Header, error) {
 func (h Header) check(f storage.File) error {
 	switch {
 	case h.Format == 2:
-		return errors.New("btree: run format 2 is no longer read: open the store once with a binary that reads it (commit 0ea923b or earlier), run Checkpoint and MaintainNow, and close it")
+		return errors.New("btree: run format 2 is no longer read: open the store once with a binary that reads it (commit 0ea923b or earlier), run Checkpoint and MaintainNow, and close it, as internal/core/testdata/upgrade does")
 	case h.Format != FormatRaw && !h.Format.delta():
 		return fmt.Errorf("btree: unsupported version %d", uint32(h.Format))
 	}

@@ -194,7 +194,7 @@ func TestReadsV2Golden(t *testing.T) {
 	for _, g := range goldenRuns {
 		t.Run(g.name, func(t *testing.T) {
 			refusedByName(t, plantFile(t, readGolden(t, "v2-"+g.name+".run")),
-				"run format 2 is no longer read: open the store once with a binary that reads it (commit 0ea923b or earlier)")
+				"run format 2 is no longer read: open the store once with a binary that reads it (commit 0ea923b or earlier), run Checkpoint and MaintainNow, and close it, as internal/core/testdata/upgrade does")
 		})
 	}
 }

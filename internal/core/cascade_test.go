@@ -216,7 +216,7 @@ func runTable(eng *core.Engine) []string {
 // fewer whenever it merged less often.
 //
 // The "levels" rows are the levels experiment's add-only ingest (128 CPs,
-// 4 hash partitions), where every merge's output is as predicted. The
+// 4 range partitions), where every merge's output is as predicted. The
 // "churn" rows remove references at every age, keep a sliding window of
 // snapshots and a clone under RetainLive, so levels hold To and Combined
 // runs when they fold, overrides and sealed runs appear and expiry drops
@@ -225,7 +225,7 @@ func TestLeveledCascadeMatchesStepwise(t *testing.T) {
 	for _, fanout := range []int{2, 3, 4, 8} {
 		t.Run(fmt.Sprintf("levels/fanout=%d", fanout), func(t *testing.T) {
 			const blocks = 1 << 10
-			pair := newCascadePair(t, core.Options{Partitions: 4, HashPartitioning: true, Fanout: fanout}, blocks)
+			pair := newCascadePair(t, core.Options{Partitions: 4, PartitionSpan: blocks / 4, Fanout: fanout}, blocks)
 			rng := rand.New(rand.NewSource(1))
 			for cpn := uint64(1); cpn <= 128; cpn++ {
 				for i := range 64 {
@@ -243,7 +243,7 @@ func TestLeveledCascadeMatchesStepwise(t *testing.T) {
 		t.Run(fmt.Sprintf("churn/fanout=%d", fanout), func(t *testing.T) {
 			const blocks = 256
 			pair := newCascadePair(t, core.Options{
-				Partitions: 4, HashPartitioning: true, Fanout: fanout, Retention: core.RetainLive,
+				Partitions: 4, PartitionSpan: blocks / 4, Fanout: fanout, Retention: core.RetainLive,
 			}, blocks)
 			rng := rand.New(rand.NewSource(int64(fanout)))
 			var live []core.Ref

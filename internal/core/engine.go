@@ -49,11 +49,8 @@ type Options struct {
 	// Partitions is the number of block-range partitions (default 1).
 	Partitions int
 	// PartitionSpan is the number of blocks per partition (required when
-	// Partitions > 1 unless HashPartitioning is set).
+	// Partitions > 1); the last partition also takes every later block.
 	PartitionSpan uint64
-	// HashPartitioning routes blocks to partitions by hash instead of by
-	// contiguous range (Section 5.3's alternative scheme).
-	HashPartitioning bool
 	// WriteShards is the number of hash-partitioned write-store shards
 	// (default runtime.GOMAXPROCS(0)). Each shard has its own mutex and
 	// From/To/Combined trees, so concurrent AddRef/RemoveRef calls on
@@ -437,11 +434,10 @@ func Open(opts Options) (*Engine, error) {
 			{Name: TableTo, RecordSize: ToRecSize, BloomMaxBytes: opts.BloomMaxBytes, Span: spanTo},
 			{Name: TableCombined, RecordSize: CombinedSize, Span: spanCombined, IsOverride: isOverrideCombined},
 		},
-		Partitions:       opts.Partitions,
-		PartitionSpan:    opts.PartitionSpan,
-		HashPartitioning: opts.HashPartitioning,
-		Cache:            cache,
-		RunFormat:        opts.Compression.runFormat(),
+		Partitions:    opts.Partitions,
+		PartitionSpan: opts.PartitionSpan,
+		Cache:         cache,
+		RunFormat:     opts.Compression.runFormat(),
 	}
 	if eobs != nil {
 		lopts.DecodeObserver = eobs.pageDecode.ObserveDuration
@@ -570,9 +566,7 @@ func (e *Engine) openWAL() error {
 	return nil
 }
 
-// shardOf returns the write-store shard owning a block. The hash
-// decorrelates the shard index from block-allocation locality so
-// sequential writers spread across shards.
+// shardOf returns the write-store shard owning a block.
 func (e *Engine) shardOf(block uint64) *writeShard {
 	return e.shards[e.shardIndex(block)]
 }
@@ -583,7 +577,16 @@ func (e *Engine) shardIndex(block uint64) int {
 	if len(e.shards) == 1 {
 		return 0
 	}
-	return int(lsm.Mix64(block) % uint64(len(e.shards)))
+	return int(mix64(block) % uint64(len(e.shards)))
+}
+
+// mix64 is the SplitMix64 finalizer: it decorrelates a block's shard from
+// allocation locality, so sequential writers spread across shards.
+func mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }
 
 // WriteShards returns the number of write-store shards.
@@ -1038,13 +1041,12 @@ func (t *treeIter) Next() ([]byte, bool, error) {
 // however many shards they froze in. Shards are disjoint by block and each
 // tree iterates in ascending record order, which is the byte order of the
 // encoding, so the merge of the shards' streams is the stream a single
-// write store would have produced and each partition's run receives it
-// sorted; a partition's run stays open until the stream ends, which keeps
-// one run per partition even when hash partitioning interleaves partition
-// visits. The stream ends in files.Done, which seals the table's runs, or
-// fails the set. *count is set to the table's record count. Called with no
-// structural lock held: the trees are frozen (immutable) and the set
-// synchronizes file creation internally.
+// write store would have produced; partitions are ascending block ranges,
+// so it fills one partition's run after another. The stream ends in
+// files.Done, which seals the table's runs, or fails the set. *count is set
+// to the table's record count. Called with no structural lock held: the
+// trees are frozen (immutable) and the set synchronizes file creation
+// internally.
 func flushTable(db *lsm.DB, files *lsm.FileSet, count *uint64, i int, shards []*writeShard) (err error) {
 	table := tables[i]
 	defer func() { err = files.Done(table, err) }()
@@ -1065,17 +1067,14 @@ func flushTable(db *lsm.DB, files *lsm.FileSet, count *uint64, i int, shards []*
 	if err != nil {
 		return err
 	}
-	builders := map[int]*lsm.RunBuilder{}
-	for {
+	var b *lsm.RunBuilder
+	for cur := -1; ; {
 		rec, ok, err := merged.Next()
 		if err != nil || !ok {
 			return err
 		}
-		p := db.PartitionOf(binary.BigEndian.Uint64(rec))
-		b := builders[p]
-		if b == nil {
-			b = files.Run(table, p, total)
-			builders[p] = b
+		if p := db.PartitionOf(binary.BigEndian.Uint64(rec)); p != cur {
+			b, cur = files.Run(table, p, total), p
 		}
 		if err := b.Add(rec); err != nil {
 			return err

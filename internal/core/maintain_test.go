@@ -78,7 +78,7 @@ func TestHostMaintenanceKeepsRunCountBounded(t *testing.T) {
 		VFS:              storage.NewMemFS(),
 		Catalog:          core.NewMemCatalog(),
 		Partitions:       4,
-		HashPartitioning: true,
+		PartitionSpan:    blocks / 4,
 		CompactionPolicy: core.PolicyFullAt{Threshold: threshold},
 	})
 	if err != nil {
@@ -120,10 +120,10 @@ func TestHostMaintenanceKeepsRunCountBounded(t *testing.T) {
 func TestCompactContinuesPastPartitionErrors(t *testing.T) {
 	fs := storage.NewMemFS()
 	eng, err := core.Open(core.Options{
-		VFS:              fs,
-		Catalog:          core.NewMemCatalog(),
-		Partitions:       4,
-		HashPartitioning: true,
+		VFS:           fs,
+		Catalog:       core.NewMemCatalog(),
+		Partitions:    4,
+		PartitionSpan: 128,
 	})
 	if err != nil {
 		t.Fatal(err)

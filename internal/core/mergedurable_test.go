@@ -214,7 +214,7 @@ func TestMaintainWritesNoManifest(t *testing.T) {
 // every partition and commits them all with one commit file.
 func TestCompactWritesOneManifest(t *testing.T) {
 	fs := storage.NewMemFS()
-	eng, err := core.Open(core.Options{VFS: fs, Catalog: core.NewMemCatalog(), Partitions: 4, HashPartitioning: true})
+	eng, err := core.Open(core.Options{VFS: fs, Catalog: core.NewMemCatalog(), Partitions: 4, PartitionSpan: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

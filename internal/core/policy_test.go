@@ -110,7 +110,7 @@ func TestPolicyFullThresholdGate(t *testing.T) {
 // TestPolicyFullWorstFirst: with several partitions over threshold, the
 // plan names the partition with the most runs.
 func TestPolicyFullWorstFirst(t *testing.T) {
-	env := newTestEnv(t, Options{Partitions: 4, HashPartitioning: true})
+	env := newTestEnv(t, Options{Partitions: 4, PartitionSpan: 3})
 	defer env.eng.Close()
 	for cp := uint64(1); cp <= 12; cp++ {
 		env.eng.AddRef(ref(cp, 2, 0, 0), cp)
@@ -389,7 +389,7 @@ func TestPolicyLeveledFoldSkipsDroppableRuns(t *testing.T) {
 // TestPolicyLeveledJobOrdering: jobs come out sorted by output level,
 // then partition, so the drain loop shrinks lower levels first.
 func TestPolicyLeveledJobOrdering(t *testing.T) {
-	env := newTestEnv(t, Options{Partitions: 2, HashPartitioning: true})
+	env := newTestEnv(t, Options{Partitions: 2, PartitionSpan: 4})
 	defer env.eng.Close()
 	for cp := uint64(1); cp <= DefaultFanout; cp++ {
 		for b := uint64(0); b < 8; b++ {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"github.com/backlogfs/backlog/internal/core"
-	"github.com/backlogfs/backlog/internal/lsm"
 	"github.com/backlogfs/backlog/internal/storage"
 )
 
@@ -59,13 +58,14 @@ func TestCleanReopenReadsOnlyTheCommit(t *testing.T) {
 		return eng
 	}
 	eng := open()
+	// Scattered inodes and offsets keep the runs several leaves deep in
+	// either leaf format (Fibonacci hashing: the top 40 bits of x·2^64/φ).
+	scatter := func(x uint64) uint64 { return x * 0x9e3779b97f4a7c15 >> 24 }
 	for cp := uint64(1); cp <= 4; cp++ {
 		for b := uint64(0); b < 1024; b++ {
-			// Scattered inodes and offsets keep the runs several leaves
-			// deep in either leaf format.
-			eng.AddRef(fref(b, lsm.Mix64(cp<<20|b)>>24, lsm.Mix64(b)>>24, 0), cp)
+			eng.AddRef(fref(b, scatter(cp<<20|b), scatter(b), 0), cp)
 			if cp > 1 {
-				eng.RemoveRef(fref(b, lsm.Mix64((cp-1)<<20|b)>>24, lsm.Mix64(b)>>24, 0), cp)
+				eng.RemoveRef(fref(b, scatter((cp-1)<<20|b), scatter(b), 0), cp)
 			}
 		}
 		fCheckpoint(t, eng, cp)

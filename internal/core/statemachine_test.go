@@ -426,12 +426,12 @@ type smConfig struct {
 	raw        bool // CompressionNone
 	leveled    bool // PolicyLeveled
 	retainLive bool
-	parts      int // one partition, four by range, four by hash
+	parts      int // one partition or four block ranges
 }
 
 var (
 	smModeNames = map[wal.Durability]string{wal.CheckpointOnly: "cponly", wal.Buffered: "buffered", wal.Sync: "sync"}
-	smPartNames = []string{"p1", "range4", "hash4"}
+	smPartNames = []string{"p1", "range4"}
 )
 
 // combo names the config without its partitioning, which each seed draws.
@@ -487,11 +487,8 @@ func (c smConfig) options(fs *storage.MemFS, cat *core.MemCatalog) core.Options 
 	if c.retainLive {
 		opts.Retention = core.RetainLive
 	}
-	switch c.parts {
-	case 1:
+	if c.parts == 1 {
 		opts.Partitions, opts.PartitionSpan = 4, smBlocks/4
-	case 2:
-		opts.Partitions, opts.HashPartitioning = 4, true
 	}
 	return opts
 }
@@ -1174,7 +1171,7 @@ var smRegressions = []struct {
 	}},
 	// A block moved back where it came from shows its old records again
 	// (planMove's UndeleteRecord).
-	{"move-back", "cponly-delta-full-all-hash4", []smOp{
+	{"move-back", "cponly-delta-full-all-range4", []smOp{
 		{opAdd, 3, 3, 0, 0}, {opCheckpoint, 0, 0, 0, 0}, {opRelocate, 3, 7, 0, 0}, {opRelocate, 7, 3, 0, 0},
 	}},
 	// A clone ends an inherited reference in the CP it was cloned in: the
@@ -1253,7 +1250,7 @@ func TestStateMachine(t *testing.T) {
 				if *smSeed != 0 {
 					seed = *smSeed
 				}
-				cfg.parts = int(seed % 3)
+				cfg.parts = int(seed % 2)
 				n := smSeedRun(t, cfg, ci, seed, 120, &tally)
 				if *smSeed != 0 {
 					return
@@ -1553,7 +1550,7 @@ var hammerRows = []hammerRow{
 	{name: "mixed", workers: 4, ops: 800, blocks: 256, maxCP: 8, snaps: []uint64{5},
 		backToBack: true, compactEvery: 6, relocate: 64, ranges: true},
 	// A host goroutine's maintenance passes merging under paced ingest.
-	{name: "maintain", opts: core.Options{Partitions: 8, HashPartitioning: true, WriteShards: 6,
+	{name: "maintain", opts: core.Options{Partitions: 8, PartitionSpan: 384 / 8, WriteShards: 6,
 		CompactionPolicy: core.PolicyFullAt{Threshold: 4}},
 		workers: 6, ops: 1200, blocks: 384, maxCP: 12, paced: true, maintain: true,
 		check: func(t *testing.T, h *hammer) {
@@ -1563,7 +1560,7 @@ var hammerRows = []hammerRow{
 			}
 		}},
 	// Leveled merging and expiry under a moving snapshot window.
-	{name: "leveled", opts: core.Options{Partitions: 8, HashPartitioning: true, WriteShards: 6,
+	{name: "leveled", opts: core.Options{Partitions: 8, PartitionSpan: 384 / 8, WriteShards: 6,
 		Retention: core.RetainLive, CompactionPolicy: core.PolicyLeveled{}, Fanout: 3},
 		workers: 6, ops: 1000, blocks: 384, maxCP: 12, paced: true, window: 4, maintain: true,
 		check: func(t *testing.T, h *hammer) {
@@ -1575,7 +1572,7 @@ var hammerRows = []hammerRow{
 	// An Expire loop racing tiered merges of maintenance passes and a
 	// snapshot window; then every snapshot goes and nothing sealed may
 	// survive.
-	{name: "expire", opts: core.Options{Partitions: 4, HashPartitioning: true, WriteShards: 4,
+	{name: "expire", opts: core.Options{Partitions: 4, PartitionSpan: 256 / 4, WriteShards: 4,
 		CompactionPolicy: core.PolicyFullAt{Threshold: 4}, Retention: core.RetainLive},
 		workers: 4, ops: 800, blocks: 256, maxCP: 10, paced: true, window: 3, expire: true, maintain: true,
 		check: func(t *testing.T, h *hammer) {

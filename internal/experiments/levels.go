@@ -25,7 +25,9 @@ type LevelsConfig struct {
 	OpsPerCP int
 	// Blocks is the physical block space referenced and queried.
 	Blocks int
-	// Partitions is the number of hash partitions.
+	// Partitions is the number of block-range partitions, each spanning
+	// Blocks/Partitions blocks; blocks are drawn uniformly, so every
+	// partition fills.
 	Partitions int
 	// Queries is the number of point queries measured after ingest.
 	Queries int
@@ -118,7 +120,7 @@ func runLevelsPoint(cfg LevelsConfig, pol core.CompactionPolicy, fanout int) (Le
 		VFS:              storage.NewMemFS(),
 		Catalog:          core.NewMemCatalog(),
 		Partitions:       cfg.Partitions,
-		HashPartitioning: cfg.Partitions > 1,
+		PartitionSpan:    uint64(cfg.Blocks / max(cfg.Partitions, 1)),
 		CompactionPolicy: pol,
 		Fanout:           fanout,
 		// Pin the raw v1 run format so write bytes measure records merged,

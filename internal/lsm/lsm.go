@@ -135,18 +135,16 @@ type TableSpec struct {
 type Options struct {
 	// Tables lists the tables of the database.
 	Tables []TableSpec
-	// Partitions is the number of block-range partitions (>= 1).
+	// Partitions is the number of partitions (>= 1). A partition is a
+	// contiguous block range, the paper's horizontal partitioning
+	// (Section 5.3): partition p holds blocks [p*PartitionSpan,
+	// (p+1)*PartitionSpan), so a range query seeks one partition's runs at
+	// a time and a sorted stream visits the partitions in ascending order.
 	Partitions int
 	// PartitionSpan is the number of physical blocks per partition;
 	// blocks >= Partitions*PartitionSpan route to the last partition.
-	// Required when Partitions > 1 unless HashPartitioning is set.
+	// Required when Partitions > 1.
 	PartitionSpan uint64
-	// HashPartitioning routes blocks to partitions by hash instead of by
-	// contiguous range — the alternative scheme the paper plans to
-	// explore for better parallelism (Section 5.3). Hash partitioning
-	// spreads load evenly regardless of allocation locality, at the cost
-	// of less selective per-run block ranges.
-	HashPartitioning bool
 	// Cache is the shared page cache used by run readers, which a
 	// checkpoint's run builders also fill with the pages they write, where
 	// it has room (see DB.NewFileSet). May be nil.
@@ -532,8 +530,8 @@ func Open(vfs storage.VFS, opts Options) (*DB, error) {
 	if opts.Partitions < 1 {
 		opts.Partitions = 1
 	}
-	if opts.Partitions > 1 && opts.PartitionSpan == 0 && !opts.HashPartitioning {
-		return nil, errors.New("lsm: PartitionSpan required with multiple range partitions")
+	if opts.Partitions > 1 && opts.PartitionSpan == 0 {
+		return nil, errors.New("lsm: PartitionSpan required with multiple partitions")
 	}
 	if opts.RunFormat == 0 {
 		opts.RunFormat = btree.FormatRaw
@@ -638,38 +636,7 @@ func (db *DB) PartitionOf(block uint64) int {
 	if db.opts.Partitions <= 1 {
 		return 0
 	}
-	if db.opts.HashPartitioning {
-		return int(Mix64(block) % uint64(db.opts.Partitions))
-	}
-	p := int(block / db.opts.PartitionSpan)
-	if p >= db.opts.Partitions {
-		p = db.opts.Partitions - 1
-	}
-	return p
-}
-
-// Mix64 is the SplitMix64 finalizer. It drives hash partitioning here and
-// write-store sharding in internal/core. The two are independent: a
-// checkpoint merges the shards before it routes records to partitions.
-func Mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// PartitionRange returns the block range [lo, hi] covered by partition p
-// (hi is inclusive; the last partition extends to MaxUint64). With hash
-// partitioning every partition spans the whole block space.
-func (db *DB) PartitionRange(p int) (lo, hi uint64) {
-	if db.opts.Partitions <= 1 || db.opts.HashPartitioning {
-		return 0, ^uint64(0)
-	}
-	lo = uint64(p) * db.opts.PartitionSpan
-	if p == db.opts.Partitions-1 {
-		return lo, ^uint64(0)
-	}
-	return lo, (uint64(p)+1)*db.opts.PartitionSpan - 1
+	return int(min(block/db.opts.PartitionSpan, uint64(db.opts.Partitions-1)))
 }
 
 // SizeBytes returns the total on-disk size of all live runs and deletion
@@ -1040,8 +1007,8 @@ func (db *DB) loadManifest(names []string) error {
 					return corrupt("manifest puts run %s at level %d", rm.Name, rm.Level)
 				}
 				// A run's bounds are blocks of its own records, so under the
-				// partitioning it was written with both route to the partition
-				// that lists it, by range and by hash alike.
+				// span it was written with both route to the partition that
+				// lists it.
 				for _, b := range []uint64{rm.MinBlock, rm.MaxBlock} {
 					if q := db.PartitionOf(b); q != p {
 						return fmt.Errorf("lsm: run %s of table %q is in partition %d on disk, but the configured partitioning routes its block %d to partition %d",

@@ -343,13 +343,11 @@ func TestPartitioning(t *testing.T) {
 	if p := db.PartitionOf(1 << 40); p != 3 {
 		t.Fatalf("PartitionOf(huge) = %d, want last partition", p)
 	}
-	lo, hi := db.PartitionRange(1)
-	if lo != 1000 || hi != 1999 {
-		t.Fatalf("PartitionRange(1) = [%d, %d]", lo, hi)
+	if p := db.PartitionOf(1999); p != 1 {
+		t.Fatalf("PartitionOf(1999) = %d", p)
 	}
-	lo, hi = db.PartitionRange(3)
-	if lo != 3000 || hi != ^uint64(0) {
-		t.Fatalf("PartitionRange(3) = [%d, %d]", lo, hi)
+	if p := db.PartitionOf(^uint64(0)); p != 3 {
+		t.Fatalf("PartitionOf(MaxUint64) = %d, want last partition", p)
 	}
 
 	recs := [][]byte{rec16(5, 1), rec16(1500, 2), rec16(2500, 3), rec16(9999, 4)}

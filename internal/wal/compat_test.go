@@ -472,7 +472,7 @@ func TestUnreadableVersionNamedNotSealed(t *testing.T) {
 			seg = goldenFile(t, "v2-", 1) // what the version-2 encoder wrote
 		case 3:
 			seg = goldenFile(t, "v3-", 1) // what the version-3 encoder wrote
-			want += "; this binary reads versions 4 to 5: open the store once with a binary that reads it (commit 0ea923b or earlier) and run Checkpoint"
+			want += "; this binary reads versions 4 to 5: open the store once with a binary that reads it (commit 0ea923b or earlier) and run Checkpoint, as internal/core/testdata/upgrade does"
 		}
 		for _, final := range []bool{true, false} {
 			vfs := storage.NewMemFS()

@@ -321,7 +321,7 @@ func readSegment(vfs storage.VFS, index uint64, rec *Recovered, tr *tear) (torn 
 		err := fmt.Errorf("%w: segment %s is in format version %d; this binary reads versions %d to %d",
 			ErrCorrupt, name, version, oldestReadable, segVersion)
 		if version == 3 {
-			err = fmt.Errorf("%w: open the store once with a binary that reads it (commit 0ea923b or earlier) and run Checkpoint", err)
+			err = fmt.Errorf("%w: open the store once with a binary that reads it (commit 0ea923b or earlier) and run Checkpoint, as internal/core/testdata/upgrade does", err)
 		}
 		return false, err
 	}
