@@ -18,29 +18,40 @@
 //
 // A run may be one section of a file that holds several (FileWriter): the
 // page grids of all of them first, back to back, then their filters, so a
-// run's filter may follow other runs' pages. Offsets inside a run — page
-// numbers, the header's bloom location — are the run's own; a reader opens
-// a section through a view that maps that layout onto its two ranges of the
-// file (storage.Extents). The first section's grid is every page before
-// the filters, so the file opened as one run reads as that section. A file
-// that holds one run is the layout above.
+// run's filter may follow other runs' pages. Page numbers and the header's
+// bloom location are the run's own; a reader opens a section through a
+// view that maps that layout onto its two ranges of the file
+// (storage.Extents). A file that holds one run is the layout above. In
+// format v5 only the first section present in a file keeps its header
+// page; every later one starts with its first leaf, numbered 1 as ever,
+// and its header lives only in the manifest entry that names it:
+//
+//	[first section: page 0 (header), 1..R1] [second: pages 1..R2] ...
+//	[filters, in section order] [commit trailer, if the file carries one]
+//
+// A reader of such a section maps page p to (p-1)·4 KB into its range
+// (Header.FirstPage). The concession is the first section's page: nothing
+// in the engine reads it — every reader is built from the header its
+// commit carries — but it claims every page before the filters as its
+// grid, so a tool that opens the file whole (Open) reads its first run.
+// Raw (v1) sections and those of earlier delta formats all keep page 0.
 //
 // A run larger than the builder's write buffer gets its header last, so that
 // a torn build never yields a readable but incomplete run; a file whose runs
 // all fit their buffers is a single write, headers included. Either way
 // nothing refers to the file until it has been synced.
 //
-// Two leaf encodings are written, identified by the header's version field
-// (see Format): v1 stores fixed-stride records verbatim; v4 bit-packs each
-// leaf page — a bit width and a base per column, block anchors, then every
-// record at the same number of bits — with the page's variable record count
-// in the page header. v3, the previous delta encoding (a varint per changed
-// column behind a presence bitmap), is read and never written: a reader
-// transcodes such a leaf into the packed form when it misses it, so one
-// seek path and one iterate path serve every delta run. Readers open all
-// three transparently; internal index pages are raw in each. Older
-// versions are refused by name, v2 with the binary that rewrites it
-// (commit 0ea923b or earlier).
+// Three leaf encodings are read, identified by the header's version field
+// (see Format): v1 stores fixed-stride records verbatim; v4 and v5
+// bit-pack each leaf page — a bit width and a base per column, block
+// anchors, then every record at the same number of bits — with the page's
+// variable record count in the page header, and differ only in the file
+// layout above. v1 and v5 are written. v3, an earlier delta encoding (a
+// varint per changed column behind a presence bitmap), is read and never
+// written: a reader transcodes such a leaf into the packed form when it
+// misses it, so one seek path and one iterate path serve every delta run.
+// Internal index pages are raw in each. Older versions are refused by
+// name, v2 with the binary that rewrites it (commit 0ea923b or earlier).
 package btree
 
 import (
@@ -99,8 +110,13 @@ type Header struct {
 	Levels     uint32 // internal levels above the leaves; 0 for one leaf
 	FilterCRC  uint32 // CRC-32C of the filter bytes; delta formats only
 	RootPage   uint64
-	FilterOff  uint64 // the end of the page grid, header page included
+	FilterOff  uint64 // the end of the page grid the file holds
 	FilterLen  uint64
+	// FirstPage is the first page of the run the file holds: 0, its header
+	// page, or 1 for a v5 section that starts with its first leaf, whose
+	// header only a manifest carries. Page p lies (p-FirstPage)·4 KB into
+	// the run's range. A header read from a page has FirstPage 0.
+	FirstPage uint64
 }
 
 // Writer builds a run. Records must be appended in strictly ascending
@@ -127,19 +143,22 @@ type Writer struct {
 	// at run offset wbufOff: pages are written in page-number order, so a
 	// run reaches the file in a few large sequential writes. A section that
 	// does not know its place in the file yet keeps them all. The first
-	// buffer starts with a blank page 0, which FileWriter.Finish fills in
-	// when the whole run is still here (wbufOff is 0) and flushPages skips
-	// when it is not.
+	// buffer starts with a blank page 0, which FileWriter.Write fills in
+	// when the whole run is still here (wbufOff is 0) and the section keeps
+	// its header page, and which flushPages skips.
 	wbuf    []byte
 	wbufOff int64
 
 	// h is the header Finish built, for Open; sealed is set, under fw.mu,
 	// once it is. bloom is the filter Finish was given, until the file
 	// writes it, and pageOff and filterOff are where the file put the run.
+	// first is the run's first page in the file (Header.FirstPage), decided
+	// with pageOff.
 	h                  Header
 	sealed             bool
 	bloom              []byte
 	pageOff, filterOff int64
+	first              uint64
 
 	// id is the cache identity of the run's pages, which the Reader Open
 	// returns inherits. While cache is set, each page w frames is offered
@@ -186,12 +205,17 @@ func NewWriterFormat(f storage.File, recordSize int, format Format) (*Writer, er
 // order and without padding, then their Bloom filters in the same order.
 // The first section's header claims every page before the filters as its
 // grid, so that the file opened whole (Open) reads as its first run; its own
-// pages end at its root page, and the other sections' headers are what a run
-// of their own would have. Where a section's pages start is known once every
-// lower slot is settled — its Writer finished, or known to stay empty
-// (Skip). Nothing waits for that: a section that outgrows its write buffer
-// before then keeps framing pages into it and hands them to the file at the
-// first buffer boundary after its place is known, or leaves them to Finish.
+// pages end at its root page. A later FormatDelta section leaves its header
+// page out of the file and starts with its first leaf (Header.FirstPage
+// 1), its header carried by the caller; a later raw section keeps its page
+// and a header that is what a run of its own would have. Where a section's
+// pages start, and so whether it is the first, is known once every lower
+// slot is settled — its Writer finished, or known to stay empty (Skip).
+// Page numbers do not depend on it: a section numbers its pages from 1
+// and holds page 0 blank until then. Nothing waits for that: a section
+// that outgrows its write buffer before then keeps framing pages into it
+// and hands them to the file at the first buffer boundary after its place
+// is known, or leaves them to Finish.
 // Finish writes what the sections still buffer, in one write when nothing
 // has gone out yet, and syncs once; Place and Write are its two halves, for
 // a caller that appends a trailer it can build only once the file's layout
@@ -243,7 +267,7 @@ func (fw *FileWriter) Section(slot, recordSize int, format Format) (*Writer, err
 		if recordSize%8 != 0 || recordSize > MaxDeltaRecordSize {
 			return nil, fmt.Errorf("btree: delta format needs a record size that is a multiple of 8 up to %d, got %d", MaxDeltaRecordSize, recordSize)
 		}
-	case formatDeltaV3:
+	case formatDeltaV3, formatDeltaV4:
 		return nil, fmt.Errorf("btree: run format %d is read-only", format)
 	default:
 		return nil, fmt.Errorf("btree: unknown run format %d", format)
@@ -270,10 +294,22 @@ func (fw *FileWriter) base(slot int) (int64, bool) {
 		case w == nil || !w.sealed:
 			return 0, false
 		default:
-			off += w.h.ownBytes()
+			h := w.h
+			h.FirstPage = w.firstPage(off)
+			off += h.ownBytes()
 		}
 	}
 	return off, true
+}
+
+// firstPage returns the first page of w's run that the file holds when the
+// run's pages start at base: page 0, its header, for the file's first
+// section and for a format that keeps one in every section, else page 1.
+func (w *Writer) firstPage(base int64) uint64 {
+	if base > 0 && w.format == FormatDelta {
+		return 1
+	}
+	return 0
 }
 
 // Layout is where a FileWriter put its file's parts: the page grids of its
@@ -313,7 +349,11 @@ func (fw *FileWriter) Place() (Layout, error) {
 	}
 	var off int64
 	for _, w := range secs {
-		w.pageOff, off = off, off+w.h.ownBytes()
+		w.first = w.firstPage(off)
+		w.h.FirstPage = w.first
+		w.h.FilterOff = uint64(w.h.ownBytes())
+		w.pageOff, off = off, off+int64(w.h.FilterOff)
+		w.sizeBytes = int64(w.h.FilterOff + w.h.FilterLen)
 	}
 	// The first run's header claims every page before the filters, where
 	// its own filter comes first: the file read as one run is its first.
@@ -366,10 +406,15 @@ func (fw *FileWriter) Write(trailer []byte, src storage.Source) error {
 		return nil
 	}
 	for _, w := range secs {
-		if w.wbufOff == 0 {
-			w.putHeader(w.wbuf[:storage.PageSize])
+		off, buf := w.wbufOff, w.wbuf
+		if off == 0 { // the whole run, its page 0 blank in front
+			if w.first == 0 {
+				w.putHeader(buf[:storage.PageSize])
+			} else {
+				off, buf = storage.PageSize, buf[storage.PageSize:]
+			}
 		}
-		if err := put(w.pageOff+w.wbufOff, w.wbuf); err != nil {
+		if err := put(w.fileOff(off), buf); err != nil {
 			return err
 		}
 	}
@@ -387,7 +432,7 @@ func (fw *FileWriter) Write(trailer []byte, src storage.Source) error {
 		return err
 	}
 	for _, w := range secs {
-		if w.wbufOff > 0 {
+		if w.wbufOff > 0 && w.first == 0 {
 			var page [storage.PageSize]byte
 			w.putHeader(page[:])
 			if _, err := fw.f.WriteAt(page[:], w.pageOff); err != nil {
@@ -439,11 +484,18 @@ func CheckFile(f storage.File, l Layout) error {
 	return nil
 }
 
-// Extents returns where the file put the run: its page grid, header
-// included, and its filter. Valid after the file's Finish.
+// Extents returns where the file put the run: its pages, header page
+// included if the file holds it (Header.FirstPage), and its filter. Valid
+// after the file's Place.
 func (w *Writer) Extents() (pages, filter storage.Extent) {
 	return storage.Extent{Off: w.pageOff, Len: w.h.ownBytes()},
 		storage.Extent{Off: w.filterOff, Len: int64(w.h.FilterLen)}
+}
+
+// fileOff returns the file offset of run offset off, once the run's place
+// is known.
+func (w *Writer) fileOff(off int64) int64 {
+	return w.pageOff + off - int64(w.first)*storage.PageSize
 }
 
 // WriteThrough makes w hand every page it frames — leaves and internal
@@ -595,7 +647,6 @@ func (w *Writer) Finish(bloomBytes []byte) error {
 		// Raw headers stay as v1 always wrote them: the field zero.
 		h.FilterCRC = crc32.Checksum(bloomBytes, castagnoli)
 	}
-	w.sizeBytes = int64(bloomOff) + int64(len(bloomBytes))
 	w.bloom, w.i1 = bloomBytes, nil
 	w.fw.mu.Lock()
 	w.h, w.sealed = h, true
@@ -609,8 +660,10 @@ func (w *Writer) Finish(bloomBytes []byte) error {
 // Count returns the number of records appended so far.
 func (w *Writer) Count() uint64 { return w.count }
 
-// SizeBytes returns the finished run's physical size (header, data and
-// index pages, and Bloom filter). Valid only after Finish.
+// SizeBytes returns the finished run's physical size (header page if the
+// file holds it, data and index pages, and Bloom filter). Valid once the
+// file is placed: after Finish for a run that is its file, after the
+// FileWriter's Place for a section.
 func (w *Writer) SizeBytes() int64 { return w.sizeBytes }
 
 // writePage frames one page — count, payload, zero padding, CRC-32C — as
@@ -660,8 +713,9 @@ func (w *Writer) writePage(count uint16, payload []byte, packed bool) error {
 
 // flushPages hands the buffered bytes to the file in one write, less the
 // blank page 0 at the front of the first buffer: the header of a run that
-// comes through here goes last. A section whose place in the file is not
-// known yet (FileWriter.base) keeps its buffer and grows it.
+// comes through here goes last, if its section keeps one. A section whose
+// place in the file is not known yet (FileWriter.base) keeps its buffer
+// and grows it.
 func (w *Writer) flushPages() error {
 	buf := w.wbuf
 	if w.wbufOff == 0 {
@@ -669,11 +723,11 @@ func (w *Writer) flushPages() error {
 		if !ok {
 			return nil
 		}
-		w.pageOff = base
+		w.pageOff, w.first = base, w.firstPage(base)
 		buf, w.wbufOff = buf[storage.PageSize:], storage.PageSize
 	}
 	if len(buf) > 0 {
-		if _, err := w.fw.f.WriteAt(buf, w.pageOff+w.wbufOff); err != nil {
+		if _, err := w.fw.f.WriteAt(buf, w.fileOff(w.wbufOff)); err != nil {
 			return fmt.Errorf("btree: writing %d bytes at page %d: %w", len(buf), w.wbufOff/storage.PageSize, err)
 		}
 	}
@@ -704,10 +758,13 @@ func (w *Writer) putHeader(page []byte) {
 	le.PutUint32(page[storage.PageSize-pageCRCLen:], crc)
 }
 
-// ownBytes returns the bytes of the run's own pages: the header page and
-// every page through the root, which a writer writes last. The first run of
-// a file that holds several claims more (FileWriter.Finish).
-func (h Header) ownBytes() int64 { return int64(h.RootPage+1) * storage.PageSize }
+// ownBytes returns the bytes of the run's own pages in its file: the
+// header page unless the file starts the run at page 1 (FirstPage), then
+// every page through the root, which a writer writes last. The first run
+// of a file that holds several claims more (FileWriter.Place).
+func (h Header) ownBytes() int64 {
+	return int64(h.RootPage+1-h.FirstPage) * storage.PageSize
+}
 
 // readHeader reads and checks the header page of the run in f.
 func readHeader(f storage.File) (Header, error) {
@@ -753,7 +810,9 @@ func decodeHeader(page []byte) (Header, error) {
 // check holds h against the run file f, whether its page or a manifest
 // carried it: a readable format, a record size that format can hold, and a
 // geometry that describes f — nothing a Reader does may size a read or an
-// allocation from a field that was not checked against the file's size.
+// allocation from a field that was not checked against the file's size. A
+// run the file starts at page 1 must be of format 5, which alone leaves a
+// section's header page out.
 func (h Header) check(f storage.File) error {
 	switch {
 	case h.Format == 2:
@@ -767,18 +826,28 @@ func (h Header) check(f storage.File) error {
 	if h.Format.delta() && (h.RecordSize%8 != 0 || h.RecordSize > MaxDeltaRecordSize) {
 		return fmt.Errorf("%w: delta run with record size %d", ErrCorrupt, h.RecordSize)
 	}
+	if h.FirstPage > 1 || h.FirstPage == 1 && h.Format != FormatDelta {
+		return fmt.Errorf("%w: a format-%d run whose file starts at its page %d", ErrCorrupt, uint32(h.Format), h.FirstPage)
+	}
 	size, err := f.Size()
 	if err != nil {
 		return fmt.Errorf("btree: sizing run: %w", err)
 	}
-	grid := h.FilterOff / storage.PageSize // pages, header included
+	// The grid is the pages the file holds, FirstPage first; end is one
+	// past its last page number.
+	grid := h.FilterOff / storage.PageSize
+	end := grid + h.FirstPage
 	switch {
 	case h.FilterOff%storage.PageSize != 0 || h.FilterOff > uint64(size) || h.FilterLen > uint64(size)-h.FilterOff:
 		return fmt.Errorf("%w: filter at %d+%d in a %d-byte file", ErrCorrupt, h.FilterOff, h.FilterLen, size)
-	case h.LeafStart == 0 || h.LeafPages == 0 || h.LeafPages >= grid || h.LeafStart > grid-h.LeafPages:
-		return fmt.Errorf("%w: leaf pages %d+%d in a %d-page grid", ErrCorrupt, h.LeafStart, h.LeafPages, grid)
-	case h.RootPage == 0 || h.RootPage >= grid || h.Levels > maxLevels || (h.Levels == 0) != (h.LeafPages == 1):
-		return fmt.Errorf("%w: root page %d over %d levels and %d leaves in a %d-page grid", ErrCorrupt, h.RootPage, h.Levels, h.LeafPages, grid)
+	case h.LeafStart == 0 || h.LeafPages == 0 || h.LeafPages >= end || h.LeafStart > end-h.LeafPages:
+		return fmt.Errorf("%w: leaf pages %d+%d in a %d-page grid from page %d", ErrCorrupt, h.LeafStart, h.LeafPages, grid, h.FirstPage)
+	case h.RootPage == 0 || h.RootPage >= end || h.Levels > maxLevels || (h.Levels == 0) != (h.LeafPages == 1):
+		return fmt.Errorf("%w: root page %d over %d levels and %d leaves in a %d-page grid from page %d", ErrCorrupt, h.RootPage, h.Levels, h.LeafPages, grid, h.FirstPage)
+	case h.FirstPage == 1 && grid != h.RootPage:
+		// Only a file's first section claims other runs' pages, for a
+		// tool that opens the file whole through its page 0.
+		return fmt.Errorf("%w: a run without its header page holds %d pages, not its %d through the root", ErrCorrupt, grid, h.RootPage)
 	}
 	return nil
 }

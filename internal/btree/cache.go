@@ -10,11 +10,11 @@ import (
 // queries never re-read or re-verify: those a reader read from storage past
 // its checks, and those a Writer framed into the room the cache had free
 // (see WriteThrough), which that run never reads back. A delta leaf is held
-// packed (see FormatDelta): a v4 leaf as its payload, a v3 leaf transcoded
+// packed (see FormatDelta): a v4 or v5 leaf as its payload, a v3 leaf transcoded
 // into the same form once, at its miss, beside the parsed header every
 // seek reads. An entry is charged the bytes of its payload at
 // its used length, not the 4 KB page it came in, against a fixed budget,
-// so a budget covers as many bytes of a v4 store in memory as on disk.
+// so a budget covers as many bytes of a packed store in memory as on disk.
 // Pages of a run that is gone leave with it (Drop) instead of waiting for
 // the LRU order to reach them.
 //

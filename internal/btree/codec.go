@@ -16,13 +16,16 @@ type Format uint32
 const (
 	// FormatRaw stores fixed-stride records verbatim — the v1 format.
 	FormatRaw Format = 1
-	// formatDeltaV3 is the previous delta format, read and never written: a
+	// formatDeltaV3 is an earlier delta format, read and never written: a
 	// leaf record is a one-byte presence bitmap (bit c set when column c
 	// differs from the previous record's) followed by the delta + zigzag +
 	// LEB128 varint of each flagged column, restarting from all-zero
 	// columns at every page.
 	formatDeltaV3 Format = 3
-	// FormatDelta is the v4 format: bit-packed leaves. A leaf holds a small
+	// formatDeltaV4 is the previous delta format, read and never written:
+	// FormatDelta's leaves, but every section of a file has its header page.
+	formatDeltaV4 Format = 4
+	// FormatDelta is the v5 format: bit-packed leaves. A leaf holds a small
 	// header — a bit width and a base per column, and the absolute block of
 	// every anchorEvery-th record — then its records, each the same number
 	// of bits: the block as an unsigned delta from the previous record's,
@@ -31,11 +34,13 @@ const (
 	// CRC-checked. Requires the record size to be a multiple of 8 and at
 	// most MaxDeltaRecordSize: a record is treated as a row of at most
 	// eight big-endian u64 columns, which preserves bytes.Compare order.
-	// Internal index pages stay raw in every format.
-	FormatDelta Format = 4
+	// Internal index pages stay raw in every format. Its leaves are v4's;
+	// what v5 changed is the file: only the first section of a file keeps
+	// a header page (see FileWriter and Header.FirstPage).
+	FormatDelta Format = 5
 )
 
-// MaxDeltaRecordSize bounds the record size of a delta run (either version):
+// MaxDeltaRecordSize bounds the record size of a delta run (any version):
 // eight columns, which is what a v3 leaf's one-byte bitmap can flag. The
 // widest table's records are 56 bytes.
 const MaxDeltaRecordSize = 64
@@ -49,6 +54,8 @@ func (f Format) String() string {
 		return "raw"
 	case formatDeltaV3:
 		return "delta-v3"
+	case formatDeltaV4:
+		return "delta-v4"
 	case FormatDelta:
 		return "delta"
 	default:
@@ -56,9 +63,9 @@ func (f Format) String() string {
 	}
 }
 
-// delta reports whether leaves are delta-encoded, in v3 or v4; the header
-// of either carries the filter's checksum.
-func (f Format) delta() bool { return f == formatDeltaV3 || f == FormatDelta }
+// delta reports whether leaves are delta-encoded, in v3, v4 or v5; the
+// header of each carries the filter's checksum.
+func (f Format) delta() bool { return f == formatDeltaV3 || f == formatDeltaV4 || f == FormatDelta }
 
 // anchorEvery is K: a packed leaf carries the absolute block of every K-th
 // record, so a seek binary-searches those anchors and then sums at most K

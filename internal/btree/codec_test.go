@@ -415,7 +415,7 @@ func v3Leaf(t testing.TB, recs [][]byte) (storage.File, [][]byte) {
 }
 
 // TestPackedAndTranscodedAgreeWithRaw is the property the one read path
-// rests on: for every record size a delta run allows, a v4 run and a v3
+// rests on: for every record size a delta run allows, a v5 run and a v3
 // leaf transcoded at its miss answer every SeekGE — at, just before and
 // just after each record, and at its block — and the Next calls after it
 // exactly as a raw run of the same sorted records does, cached or not.
@@ -429,8 +429,8 @@ func TestPackedAndTranscodedAgreeWithRaw(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				v4 := buildRunFormat(t, storage.NewMemFS(), "v4", recSize, FormatDelta, recs)
-				for _, f := range []storage.File{v4, v3} {
+				v5 := buildRunFormat(t, storage.NewMemFS(), "v5", recSize, FormatDelta, recs)
+				for _, f := range []storage.File{v5, v3} {
 					for _, cache := range []*Cache{nil, NewCacheBytes(1 << 20)} {
 						r, err := Open(f, cache)
 						if err != nil {

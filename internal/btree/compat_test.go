@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -23,11 +24,12 @@ import (
 
 // The golden runs under testdata/ hold goldenRecords(6) ("from", 48-byte
 // records) and goldenRecords(7) ("combined", 56-byte records) followed by
-// goldenFilter's bytes. The v2-* and v3-* files were written by the
-// format-2 and format-3 encoders, which no longer exist in the package —
-// never regenerate them; a v2 file is what a retired format looks like,
-// which Open refuses by name (TestReadsV2Golden). The v4-* files pin the
-// bytes the current encoder must keep producing.
+// goldenFilter's bytes. The v2-*, v3-* and v4-* files were written by the
+// format-2, format-3 and format-4 encoders, which no longer exist in the
+// package — never regenerate them; a v2 file is what a retired format
+// looks like, which Open refuses by name (TestReadsV2Golden). The v5-*
+// files pin the bytes the current encoder must keep producing: both runs
+// as the sections of one file, and the headers a manifest carries for them.
 //
 // The records are shaped like the engine's tables — about three
 // references per block, small correlated trailing columns — and cover what
@@ -87,6 +89,8 @@ var goldenSHA256 = map[string]string{
 	"v2-combined.run": "dededf9310492f962c7dd204a073974d061d02487dde9f6c9b7dc1902f6af1ae",
 	"v3-from.run":     "41f257c57fdfaf3ecbc65b8754195cf55c462ed8e064c4825d618634bbd51ecc",
 	"v3-combined.run": "e1198b72927554e7236c05408609d7fb8e736074177754d1b031a363ab077526",
+	"v4-from.run":     "15ca8c6090da1028841f9fd37577fca69432c9899cdbe3d36dd66751fa0c8638",
+	"v4-combined.run": "24c0d8a9d0c758148466344374a59a075ddfdf2553f8f5861a58dea08efd2250",
 }
 
 func readGolden(t testing.TB, name string) []byte {
@@ -120,13 +124,20 @@ func TestGoldenV2Unchanged(t *testing.T) {
 	}
 }
 
-// checkGoldenRun opens b as a run and checks a full scan, a seek at,
-// just before and just after every record, and the trailing filter against
-// the records that generated it.
+// checkGoldenRun opens b as a run and checks it (checkGoldenReader).
 func checkGoldenRun(t *testing.T, b []byte, format Format, recs [][]byte) {
 	t.Helper()
+	f := plantFile(t, b)
+	checkGoldenReader(t, func(cache *Cache) (*Reader, error) { return Open(f, cache) }, format, recs)
+}
+
+// checkGoldenReader opens a run with open, with and without a cache, and
+// checks a full scan, a seek at, just before and just after every record,
+// and the trailing filter against the records that generated it.
+func checkGoldenReader(t *testing.T, open func(*Cache) (*Reader, error), format Format, recs [][]byte) {
+	t.Helper()
 	for _, cache := range []*Cache{nil, NewCacheBytes(1 << 20)} {
-		r, err := Open(plantFile(t, b), cache)
+		r, err := open(cache)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,10 +257,12 @@ func TestFormat3BytesPinned(t *testing.T) {
 	}
 }
 
-// TestFormat4BytesPinned: the current encoder, given the golden records,
-// must keep producing testdata/v4-*.run bit for bit. A deliberate format
-// change bumps the version and adds new golden files; it does not edit
-// these.
+// TestFormat4BytesPinned: testdata/v4-*.run was written by the format-4
+// encoder, whose leaves and index pages format 5 keeps. A run that is its
+// file's only one keeps its header page too, so the current encoder, given
+// the golden records, writes the golden bit for bit but for the version in
+// its header page and that page's checksum; and the golden reads as format
+// 4.
 func TestFormat4BytesPinned(t *testing.T) {
 	for _, g := range goldenRuns {
 		t.Run(g.name, func(t *testing.T) {
@@ -275,13 +288,133 @@ func TestFormat4BytesPinned(t *testing.T) {
 			if _, err := f.ReadAt(got, 0); err != nil {
 				t.Fatal(err)
 			}
-			want := readGolden(t, "v4-"+g.name+".run")
-			if !bytes.Equal(got, want) {
-				t.Fatalf("the encoder's %d bytes differ from the %d of testdata/v4-%s.run", len(got), len(want), g.name)
+			golden := readGolden(t, "v4-"+g.name+".run")
+			want := plantFile(t, golden)
+			rewriteHeader(t, want, func(page []byte) { binary.LittleEndian.PutUint32(page[8:], uint32(FormatDelta)) })
+			wantBytes := make([]byte, len(golden))
+			if _, err := want.ReadAt(wantBytes, 0); err != nil {
+				t.Fatal(err)
 			}
-			checkGoldenRun(t, want, FormatDelta, recs)
+			if !bytes.Equal(got, wantBytes) {
+				t.Fatalf("the encoder's %d bytes differ from the %d of testdata/v4-%s.run with its version set to 5", len(got), len(golden), g.name)
+			}
+			checkGoldenRun(t, golden, formatDeltaV4, recs)
 		})
 	}
+}
+
+// carriedSection is what a manifest holds of a section of a shared file:
+// its two ranges and its header.
+type carriedSection struct {
+	Pages, Filter storage.Extent
+	Header        Header
+}
+
+// v5File writes the golden records of goldenRuns, each with its filter, as
+// the sections of one file in that order, and returns the file's bytes and
+// each section's ranges and header.
+func v5File(t testing.TB) ([]byte, []carriedSection) {
+	t.Helper()
+	f, err := storage.NewMemFS().Create("file")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw := NewFileWriter(f, len(goldenRuns))
+	var ws []*Writer
+	for slot, g := range goldenRuns {
+		w, err := fw.Section(slot, g.cols*8, FormatDelta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := goldenRecords(g.cols)
+		for _, r := range recs {
+			if err := w.Append(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Finish(goldenFilter(recs)); err != nil {
+			t.Fatal(err)
+		}
+		ws = append(ws, w)
+	}
+	if err := fw.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	var secs []carriedSection
+	for _, w := range ws {
+		pages, filter := w.Extents()
+		secs = append(secs, carriedSection{Pages: pages, Filter: filter, Header: w.Open(f, nil).Header()})
+	}
+	size, err := f.Size()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]byte, size)
+	if _, err := f.ReadAt(b, 0); err != nil {
+		t.Fatal(err)
+	}
+	return b, secs
+}
+
+// TestFormat5BytesPinned: the current encoder, given the golden records of
+// both runs as the sections of one file, must keep producing
+// testdata/v5-from-combined.run bit for bit, and the headers and ranges a
+// manifest carries for them, testdata/v5-from-combined.headers.json. The
+// file holds one header page, the first section's, which claims every page
+// before the filters, so the file opened whole reads as the From run; the
+// Combined section starts with its first leaf and reads from its carried
+// header alone, as would the From section if the file lacked its page 0.
+// A carried header that claims the page 0 its section lacks, or denies the
+// one it has, is ErrCorrupt. A deliberate format change bumps the version
+// and adds new golden files; it does not edit these.
+func TestFormat5BytesPinned(t *testing.T) {
+	got, secs := v5File(t)
+	golden := readGolden(t, "v5-from-combined.run")
+	if !bytes.Equal(got, golden) {
+		t.Fatalf("the encoder's %d bytes differ from the %d of testdata/v5-from-combined.run", len(got), len(golden))
+	}
+	carried, err := json.MarshalIndent(secs, "", "\t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := readGolden(t, "v5-from-combined.headers.json"); !bytes.Equal(append(carried, '\n'), want) {
+		t.Fatalf("the encoder's carried sections\n%s\ndiffer from testdata/v5-from-combined.headers.json\n%s", carried, want)
+	}
+	from, comb := secs[0], secs[1]
+	filters := int64(from.Header.FilterLen + comb.Header.FilterLen)
+	if int64(len(golden)) != storage.PageSize*int64(1+from.Header.RootPage+comb.Header.RootPage)+filters {
+		t.Fatalf("a %d-byte file for runs of %d and %d pages through their roots: want one header page", len(golden), from.Header.RootPage, comb.Header.RootPage)
+	}
+	if from.Header.FirstPage != 0 || comb.Header.FirstPage != 1 || comb.Pages.Off != from.Pages.Len || comb.Pages.Len != int64(comb.Header.RootPage)*storage.PageSize {
+		t.Fatalf("sections %+v: want the From run's header page alone in the file", secs)
+	}
+	f := plantFile(t, golden)
+	fromRecs, combRecs := goldenRecords(goldenRuns[0].cols), goldenRecords(goldenRuns[1].cols)
+	checkGoldenRun(t, golden, FormatDelta, fromRecs)
+	grid := storage.Extent{Len: from.Filter.Off} // the first section claims every page
+	for _, c := range []struct {
+		sec  carriedSection
+		view storage.File
+		recs [][]byte
+	}{
+		{from, storage.Extents(f, grid, from.Filter), fromRecs},
+		{comb, storage.Extents(f, comb.Pages, comb.Filter), combRecs},
+	} {
+		checkGoldenReader(t, func(cache *Cache) (*Reader, error) { return OpenHeader(c.view, c.sec.Header, cache) }, FormatDelta, c.recs)
+		lie := c.sec.Header
+		lie.FirstPage = 1 - lie.FirstPage
+		if _, err := OpenHeader(c.view, lie, nil); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("a carried header with FirstPage %d over a section with %d: %v, want ErrCorrupt", lie.FirstPage, c.sec.Header.FirstPage, err)
+		}
+	}
+	// A first section without its header page reads from its carried
+	// header too, so a writer may stop writing that page without a
+	// format bump: the file less its page 0.
+	bare := plantFile(t, golden[storage.PageSize:])
+	h := from.Header
+	h.FirstPage, h.FilterOff = 1, uint64(h.RootPage)*storage.PageSize
+	view := storage.Extents(bare, storage.Extent{Len: int64(h.FilterOff)}, storage.Extent{Off: from.Filter.Off - storage.PageSize, Len: from.Filter.Len})
+	checkGoldenReader(t, func(cache *Cache) (*Reader, error) { return OpenHeader(view, h, cache) }, FormatDelta, fromRecs)
 }
 
 // rewriteHeader applies edit to the run's header page and reseals it.
@@ -311,7 +444,7 @@ func headerKeys(t testing.TB, f storage.File) (minKey, maxKey []byte) {
 	return page[headerFixedLen : headerFixedLen+rs], page[headerFixedLen+rs : headerFixedLen+2*rs]
 }
 
-// TestFormatContract: the previous delta format cannot be written, and a
+// TestFormatContract: the earlier delta formats cannot be written, and a
 // version this binary has never heard of fails by name rather than as
 // corruption, whether its header page says so (Open) or a manifest carried
 // the header (OpenHeader).
@@ -320,10 +453,12 @@ func TestFormatContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewWriterFormat(f, 48, formatDeltaV3); err == nil || !strings.Contains(err.Error(), "read-only") {
-		t.Fatalf("NewWriterFormat(format 3): %v, want a read-only refusal", err)
+	for _, v := range []Format{formatDeltaV3, formatDeltaV4} {
+		if _, err := NewWriterFormat(f, 48, v); err == nil || !strings.Contains(err.Error(), "read-only") {
+			t.Fatalf("NewWriterFormat(format %d): %v, want a read-only refusal", v, err)
+		}
 	}
-	for _, v := range []uint32{5, 6, 1 << 31} {
+	for _, v := range []uint32{6, 7, 1 << 31} {
 		run := plantFile(t, readGolden(t, "v4-from.run"))
 		rewriteHeader(t, run, func(page []byte) { binary.LittleEndian.PutUint32(page[8:], v) })
 		refusedByName(t, run, fmt.Sprintf("unsupported version %d", v))
@@ -629,7 +764,7 @@ func TestWriterCoalescesPages(t *testing.T) {
 }
 
 // TestNoFillDecodesOnce: a leaf a NoFill scan misses is checked once, in
-// one pass at its miss — a v4 leaf as it is, a v3 leaf transcoded first —
+// one pass at its miss — a v5 leaf as it is, a v3 leaf transcoded first —
 // and the scan reads every leaf once.
 func TestNoFillDecodesOnce(t *testing.T) {
 	for _, file := range []string{"v4-combined.run", "v3-combined.run"} {

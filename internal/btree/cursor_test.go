@@ -568,7 +568,7 @@ func TestSeekAllocs(t *testing.T) {
 		f    storage.File
 		recs [][]byte
 	}{
-		{"v4", buildRunFormat(t, storage.NewMemFS(), "run", 48, FormatDelta, recs), recs},
+		{"v5", buildRunFormat(t, storage.NewMemFS(), "run", 48, FormatDelta, recs), recs},
 		{"v3", plantFile(t, readGolden(t, "v3-from.run")), golden},
 	} {
 		r, err := Open(c.f, NewCacheBytes(64<<20))
@@ -595,7 +595,7 @@ func TestSeekAllocs(t *testing.T) {
 var raceEnabled bool
 
 // TestLeafMissAllocs pins what reading a leaf the cache does not hold
-// allocates: the page and its payload, whether the leaf is a v4 one kept
+// allocates: the page and its payload, whether the leaf is a v5 one kept
 // as read or a v3 one transcoded, whose decoded records go to a pooled
 // scratch buffer.
 func TestLeafMissAllocs(t *testing.T) {
@@ -607,7 +607,7 @@ func TestLeafMissAllocs(t *testing.T) {
 		name string
 		f    storage.File
 	}{
-		{"v4", buildRunFormat(t, storage.NewMemFS(), "run", 48, FormatDelta, recs)},
+		{"v5", buildRunFormat(t, storage.NewMemFS(), "run", 48, FormatDelta, recs)},
 		{"v3", plantFile(t, readGolden(t, "v3-from.run"))},
 	} {
 		r, err := Open(c.f, nil)
@@ -766,7 +766,7 @@ func TestDeltaLeafRejections(t *testing.T) {
 
 // FuzzDeltaLeaf feeds an arbitrary payload and count through the reader
 // as a checksummed leaf page of a delta format: v3 (fmtSel 0), v2 (1) or
-// v4 (any other). A v2 run is refused at Open by name, whatever its leaf
+// v5 (any other). A v2 run is refused at Open by name, whatever its leaf
 // holds: that format is retired. Any other must never panic, must fail
 // only with ErrCorrupt, and must fail exactly when the format's reference
 // decoder does or, for a v3 leaf, when the records it decodes do not
@@ -928,7 +928,7 @@ func FuzzDeltaLeaf(f *testing.F) {
 
 // FuzzPackedLeaf builds arbitrary sorted records — each column cut from
 // the input, at full width where wide has the column's bit set and its low
-// byte otherwise — into a v4 run and a raw one, and requires the v4 run to
+// byte otherwise — into a v5 run and a raw one, and requires the v5 run to
 // answer a scan and every seek at, around and at the block of every record
 // exactly as the raw run does, cached and uncached.
 func FuzzPackedLeaf(f *testing.F) {

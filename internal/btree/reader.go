@@ -98,8 +98,8 @@ func (r *Reader) NoFill() *Reader {
 // by its WithFile and NoFill copies and by the Writer that built the run.
 func (r *Reader) CacheID() uint64 { return r.id }
 
-// Format returns the run's leaf encoding: FormatRaw, FormatDelta, or the
-// previous delta format, v3, which is only ever read.
+// Format returns the run's leaf encoding: FormatRaw, FormatDelta, or an
+// earlier delta format, v3 or v4, which is only ever read.
 func (r *Reader) Format() Format { return r.h.Format }
 
 // RecordSize returns the fixed record size of the run.
@@ -112,14 +112,14 @@ func (r *Reader) RecordCount() uint64 { return r.h.Records }
 func (r *Reader) Header() Header { return r.h }
 
 // Pages returns the number of 4 KB pages of the page grid the header
-// claims (header + leaves + internal levels), excluding the trailing bloom
-// bytes.
+// claims (header page, if the file holds it, + leaves + internal levels),
+// excluding the trailing bloom bytes.
 func (r *Reader) Pages() uint64 { return r.h.FilterOff / storage.PageSize }
 
-// SizeBytes returns the run's own size: its pages through the root page
-// and its Bloom filter — the whole file, for a run that is one. The first
-// run of a file that holds several claims the other runs' pages in its
-// grid (Pages) but does not own them.
+// SizeBytes returns the run's own size: its pages through the root page,
+// its header page if the file holds it, and its Bloom filter — the whole
+// file, for a run that is one. The first run of a file that holds several
+// claims the other runs' pages in its grid (Pages) but does not own them.
 func (r *Reader) SizeBytes() int64 {
 	return r.h.ownBytes() + int64(r.h.FilterLen)
 }
@@ -156,7 +156,7 @@ var scratchPool = sync.Pool{New: func() any { return new(pageScratch) }}
 // on a miss, from storage. A page read from storage is checked here and
 // kept at its used length, so the cache is charged what the page pins: an
 // internal page or a raw leaf its count of fixed-stride entries, a delta
-// leaf its packed form — a v4 leaf's payload, a v3 leaf's records decoded
+// leaf its packed form — a v4 or v5 leaf's payload, a v3 leaf's records decoded
 // and packed — whose every record the miss has checked (see
 // leaf.check). Nothing returned may be modified.
 func (r *Reader) readPage(pageNo uint64) (*page, error) {
@@ -213,7 +213,7 @@ func entries(payload []byte, count, stride int) ([]byte, error) {
 }
 
 // unpack gives the delta leaf p, read as payload, its packed form: a copy
-// of a v4 leaf, or a v3 leaf transcoded, with its header parsed and every
+// of a v4 or v5 leaf, or a v3 leaf transcoded, with its header parsed and every
 // record checked.
 func (r *Reader) unpack(p *page, payload []byte, s *pageScratch) (err error) {
 	var start time.Time
@@ -249,13 +249,13 @@ func (r *Reader) unpack(p *page, payload []byte, s *pageScratch) (err error) {
 // readPageRaw reads a page from storage into buf and verifies its CRC,
 // bypassing the cache. The payload it returns aliases buf.
 func (r *Reader) readPageRaw(buf *[storage.PageSize]byte, pageNo uint64) (payload []byte, count int, err error) {
-	if pageNo >= r.Pages() {
+	if pageNo < r.h.FirstPage || pageNo-r.h.FirstPage >= r.Pages() {
 		// Only a child pointer can ask: the header's own numbers were
 		// checked against the file.
-		return nil, 0, fmt.Errorf("%w: page %d of a %d-page run", ErrCorrupt, pageNo, r.Pages())
+		return nil, 0, fmt.Errorf("%w: page %d of a %d-page grid from page %d", ErrCorrupt, pageNo, r.Pages(), r.h.FirstPage)
 	}
 	page := buf[:]
-	n, err := r.f.ReadAt(page, int64(pageNo)*storage.PageSize)
+	n, err := r.f.ReadAt(page, int64(pageNo-r.h.FirstPage)*storage.PageSize)
 	if err != nil && err != io.EOF {
 		return nil, 0, fmt.Errorf("btree: reading page %d: %w", pageNo, err)
 	}

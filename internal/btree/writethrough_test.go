@@ -120,7 +120,7 @@ func FuzzWriteThroughPages(f *testing.F) {
 	f.Add([]byte{0xFF, 0, 0x80}, uint16(2000), uint8(3), false, uint8(2))
 	f.Add(bytes.Repeat([]byte{0xA5}, 300), uint16(500), uint8(0), true, uint8(0))
 	f.Add([]byte{}, uint16(0), uint8(2), false, uint8(1))
-	// v4 pages: narrow columns spread wide, a run of leaves past several
+	// v5 pages: narrow columns spread wide, a run of leaves past several
 	// anchors each, and one whose every column is a full-width u64.
 	f.Add(bytes.Repeat([]byte{0, 0, 0, 0, 0, 0, 3, 1}, 24), uint16(900), uint8(1), false, uint8(0))
 	f.Add(bytes.Repeat([]byte{0x5A, 0xC3, 0x0F, 0xF0, 0x99, 0x66, 0x3C, 0xE1}, 200), uint16(7), uint8(3), false, uint8(9))

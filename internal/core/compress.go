@@ -12,9 +12,9 @@ import (
 // records appear to be highly compressible, especially if we compress
 // them by columns." Runs are actually stored bit-packed by column when
 // Options.Compression is CompressionDelta (the default; see
-// btree.FormatDelta), and EstimateCompression sizes a migration to v4 for
-// a database still holding runs in an older format — raw v1, or the v3
-// varint encoding, which a maintenance pass rewrites — by running
+// btree.FormatDelta), and EstimateCompression sizes a migration to v5 for
+// a database still holding runs in an older format — raw v1, or the v3 or
+// v4 delta formats, which a maintenance pass rewrites — by running
 // the run writer itself over a discarding file, so the projection is what
 // a rewrite would write.
 
@@ -22,7 +22,7 @@ import (
 type Compression int
 
 const (
-	// CompressionDelta (the default) writes format-v4 runs: each leaf
+	// CompressionDelta (the default) writes format-v5 runs: each leaf
 	// bit-packs its records, the block as a delta from the previous
 	// record's and every other column as its offset from the page
 	// minimum, at the width the column spans on the page.
@@ -71,8 +71,9 @@ type CompressionEstimate struct {
 // Bloom filters excluded. RawBytes is the records' decoded size. Runs are
 // already sorted, so consecutive records share long key prefixes and each
 // column spans few bits on a page — exactly the property the paper expects
-// to exploit. Its use is sizing a migration to v4: what the rewrite of a
-// table still in raw or older delta runs would write.
+// to exploit. Its use is sizing a migration to v5: what the rewrite of a
+// table still in raw or older delta runs would write, but for the header
+// page, which a rewrite keeps only for its file's first section.
 //
 // The structural lock is held shared only long enough to pin a view (the
 // query-path pattern); the scan itself — the expensive part — streams the

@@ -733,16 +733,18 @@ func v3RunsMigrate(t *testing.T, opts core.Options) {
 }
 
 // TestEarlierStoresMigrateOnTheirFirstMaintain: each store an earlier
-// binary wrote opens with the model's answers and its writer's; its first
-// MaintainNow leaves it in the current format alone, with the answers
-// unchanged, and a second installs nothing; the Close after them is the
-// first commit, which removes the legacy manifest, and the store reopens
-// with no call on it and answers as before.
+// binary wrote — format-4 runs under a commit trailer, or format-3 runs
+// under a legacy manifest — opens with the model's answers and its
+// writer's; its first MaintainNow leaves it in the current format (5)
+// alone, with the answers unchanged, and a second installs nothing; the
+// Close after them commits, which removes a legacy manifest, and the store
+// reopens with no call on one and answers as before.
 func TestEarlierStoresMigrateOnTheirFirstMaintain(t *testing.T) {
 	for _, c := range []struct {
 		store string
 		mode  wal.Durability
 	}{
+		{"v4runs-store", wal.Buffered},
 		{"v4manifest-store", wal.Buffered},
 		{"v3manifest-store", wal.CheckpointOnly},
 	} {

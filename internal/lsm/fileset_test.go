@@ -165,11 +165,12 @@ func bigRecords(base, n uint64) [][]byte {
 }
 
 // threeTables opens a store of one partition with the engine's three
-// tables.
-func threeTables(t *testing.T, fs storage.VFS) *DB {
+// tables, which writes runs in format.
+func threeTables(t *testing.T, fs storage.VFS, format btree.Format) *DB {
 	t.Helper()
 	db, err := Open(fs, Options{Tables: []TableSpec{
-		{Name: "from", RecordSize: testRecSize}, {Name: "to", RecordSize: testRecSize}, {Name: "combined", RecordSize: testRecSize}}})
+		{Name: "from", RecordSize: testRecSize}, {Name: "to", RecordSize: testRecSize}, {Name: "combined", RecordSize: testRecSize}},
+		RunFormat: format})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,14 +179,15 @@ func threeTables(t *testing.T, fs storage.VFS) *DB {
 }
 
 // buildSet builds recs, a table's sorted records each, through one set of
-// tables, with build feeding the set and ending its streams, and returns
-// the bytes of the one file it leaves and how often that file was written
-// and synced. A build that has not finished within a minute is stuck: some
-// section waits for an earlier one.
-func buildSet(t *testing.T, tables []string, recs map[string][][]byte, build func(*FileSet) error) (data []byte, writes, syncs int) {
+// tables in format, with build feeding the set and ending its streams, and
+// returns the bytes of the one file it leaves and how often that file was
+// written and synced, after checking that each run reads back its records.
+// A table without records gets no run. A build that has not finished
+// within a minute is stuck: some section waits for an earlier one.
+func buildSet(t *testing.T, format btree.Format, tables []string, recs map[string][][]byte, build func(*FileSet) error) (data []byte, writes, syncs int) {
 	t.Helper()
 	fs := storage.NewMemFS()
-	db := threeTables(t, fs)
+	db := threeTables(t, fs, format)
 	calls := countIO(fs)
 	set := db.NewFileSet(1, 1, storage.SrcCompaction, tables...)
 	type result struct {
@@ -212,19 +214,65 @@ func buildSet(t *testing.T, tables []string, recs map[string][][]byte, build fun
 	case <-time.After(time.Minute):
 		t.Fatal("the build did not finish: a section waits for an earlier one")
 	}
+	tables = slices.DeleteFunc(slices.Clone(tables), func(table string) bool { return len(recs[table]) == 0 })
 	if len(refs) != len(tables) {
 		t.Fatalf("%d runs, want %d", len(refs), len(tables))
 	}
+	name := refs[0].file.name
+	f, err := fs.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
 	for i, ref := range refs {
-		if ref.file != refs[0].file || ref.rm.Pages.Len <= 64*storage.PageSize {
+		rd := ref.built.Open(ref.rm.view(f), nil)
+		if ref.file != refs[0].file || rd.Header().RootPage <= 64 {
 			t.Fatalf("refs %+v: want runs of one file, each larger than a write buffer", refs)
 		}
 		if ref.table != tables[i] {
 			t.Fatalf("run %d is %s's, want %s's", i, ref.table, tables[i])
 		}
+		it, err := rd.First()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; ; j++ {
+			r, ok, err := it.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				if j != len(recs[ref.table]) {
+					t.Fatalf("%s run reads back %d records, want %d", ref.table, j, len(recs[ref.table]))
+				}
+				break
+			}
+			if !bytes.Equal(r, recs[ref.table][j]) {
+				t.Fatalf("%s run's record %d reads back %x, want %x", ref.table, j, r, recs[ref.table][j])
+			}
+		}
 	}
-	name := refs[0].file.name
 	return readFile(t, fs, name), calls(storage.OpWrite, name), calls(storage.OpSync, name)
+}
+
+// spreadRecords returns n sorted records of one block each from base,
+// whose second column spreads over 64 bits, so that a delta run of them
+// too outgrows a write buffer.
+func spreadRecords(base, n uint64) [][]byte {
+	recs := make([][]byte, n)
+	for i := range recs {
+		recs[i] = rec16(base+uint64(i), uint64(i)*0x9E3779B97F4A7C15)
+	}
+	return recs
+}
+
+// formatRecords is bigRecords for a raw run and spreadRecords for a delta
+// one.
+func formatRecords(format btree.Format, base, n uint64) [][]byte {
+	if format == btree.FormatDelta {
+		return spreadRecords(base, n)
+	}
+	return bigRecords(base, n)
 }
 
 // oneAfterTheOther is a build that streams the tables in order, ending each
@@ -244,32 +292,48 @@ func oneAfterTheOther(tables []string, recs map[string][][]byte) func(*FileSet) 
 // buffers stream into their places in the file once the tables before
 // them are done, and tables added side by side — a later one perhaps
 // buffering its whole run meanwhile — leave the bytes a one-after-the-other
-// build leaves, synced once.
+// build leaves, synced once, in both formats written; in the delta format
+// too when the first table gets no record, so the second streams into the
+// file's start with its header page.
 func TestFileSetStreamsSectionsInPlace(t *testing.T) {
 	tables := []string{"from", "to"}
-	recs := map[string][][]byte{"from": bigRecords(0, 30000), "to": bigRecords(10, 30000)}
-	want, writes, _ := buildSet(t, tables, recs, oneAfterTheOther(tables, recs))
-	if writes < 4 {
-		t.Fatalf("%d writes: the runs did not stream", writes)
-	}
-	got, _, syncs := buildSet(t, tables, recs, func(set *FileSet) error {
-		var wg sync.WaitGroup
-		errs := make([]error, 2)
-		for i, table := range []string{"to", "from"} {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				errs[i] = set.Done(table, addAll(set, table, recs[table]))
-			}()
-		}
-		wg.Wait()
-		return errors.Join(errs...)
-	})
-	if !bytes.Equal(got, want) {
-		t.Fatal("runs built side by side left other bytes than runs built one after the other")
-	}
-	if syncs != 1 {
-		t.Fatalf("%d syncs of the file, want 1", syncs)
+	for _, c := range []struct {
+		name   string
+		format btree.Format
+		from   uint64 // records of the from table
+	}{
+		{"raw", btree.FormatRaw, 40000},
+		{"delta", btree.FormatDelta, 40000},
+		{"delta, first table empty", btree.FormatDelta, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			recs := map[string][][]byte{"from": formatRecords(c.format, 0, c.from), "to": formatRecords(c.format, 10, 40000)}
+			want, writes, _ := buildSet(t, c.format, tables, recs, oneAfterTheOther(tables, recs))
+			// A run that streams takes a write of a full buffer, and a
+			// file whose first run streamed its header page at the end.
+			if want := 3 + min(c.from, 1); uint64(writes) < want {
+				t.Fatalf("%d writes, want %d at least: the runs did not stream", writes, want)
+			}
+			got, _, syncs := buildSet(t, c.format, tables, recs, func(set *FileSet) error {
+				var wg sync.WaitGroup
+				errs := make([]error, 2)
+				for i, table := range []string{"to", "from"} {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						errs[i] = set.Done(table, addAll(set, table, recs[table]))
+					}()
+				}
+				wg.Wait()
+				return errors.Join(errs...)
+			})
+			if !bytes.Equal(got, want) {
+				t.Fatal("runs built side by side left other bytes than runs built one after the other")
+			}
+			if syncs != 1 {
+				t.Fatalf("%d syncs of the file, want 1", syncs)
+			}
+		})
 	}
 }
 
@@ -277,30 +341,35 @@ func TestFileSetStreamsSectionsInPlace(t *testing.T) {
 // sections of a file in turn, as a merge's join does, each section larger
 // than a write buffer. Nothing waits for an earlier section to be done, so
 // the build finishes; it syncs once and leaves the bytes a
-// one-after-the-other build leaves.
+// one-after-the-other build leaves, in both formats written.
 func TestFileSetInterleavesSectionsOnOneGoroutine(t *testing.T) {
 	tables := []string{"from", "to", "combined"}
-	recs := map[string][][]byte{"from": bigRecords(0, 30000), "to": bigRecords(10, 30000), "combined": bigRecords(20, 30000)}
-	want, _, _ := buildSet(t, tables, recs, oneAfterTheOther(tables, recs))
-	got, _, syncs := buildSet(t, tables, recs, func(set *FileSet) error {
-		var runs []*RunBuilder
-		for _, table := range tables {
-			runs = append(runs, set.Run(table, 0, 30000))
-		}
-		for i := range 30000 {
-			for _, b := range runs {
-				if err := b.Add(recs[b.table.spec.Name][i]); err != nil {
-					return err
+	const n = 40000
+	for _, format := range []btree.Format{btree.FormatRaw, btree.FormatDelta} {
+		t.Run(format.String(), func(t *testing.T) {
+			recs := map[string][][]byte{"from": formatRecords(format, 0, n), "to": formatRecords(format, 10, n), "combined": formatRecords(format, 20, n)}
+			want, _, _ := buildSet(t, format, tables, recs, oneAfterTheOther(tables, recs))
+			got, _, syncs := buildSet(t, format, tables, recs, func(set *FileSet) error {
+				var runs []*RunBuilder
+				for _, table := range tables {
+					runs = append(runs, set.Run(table, 0, n))
 				}
+				for i := range n {
+					for _, b := range runs {
+						if err := b.Add(recs[b.table.spec.Name][i]); err != nil {
+							return err
+						}
+					}
+				}
+				return nil // Finish ends the three streams
+			})
+			if !bytes.Equal(got, want) {
+				t.Fatal("runs built interleaved left other bytes than runs built one after the other")
 			}
-		}
-		return nil // Finish ends the three streams
-	})
-	if !bytes.Equal(got, want) {
-		t.Fatal("runs built interleaved left other bytes than runs built one after the other")
-	}
-	if syncs != 1 {
-		t.Fatalf("%d syncs of the file, want 1", syncs)
+			if syncs != 1 {
+				t.Fatalf("%d syncs of the file, want 1", syncs)
+			}
+		})
 	}
 }
 

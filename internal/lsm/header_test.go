@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"maps"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -201,33 +202,91 @@ func hostileHeaders(t testing.TB, body []byte) map[string][]byte {
 	return out
 }
 
+// hostileV5Layouts returns goldenStoreV5's manifest, body, with the
+// layout of a format-5 file told wrong, each checksummed: Open must refuse
+// every one as ErrCorrupt. The rows edit the shared file's two sections —
+// the From run, first, which keeps its header page, and the Combined run,
+// which starts with its first leaf — and the From run of partition 0,
+// which is its whole file.
+func hostileV5Layouts(t testing.TB, body []byte) map[string][]byte {
+	t.Helper()
+	out := map[string][]byte{}
+	for name, mutate := range map[string]func(first, later, whole *runManifest){
+		"a later section that carries no header":        func(_, l, _ *runManifest) { l.Header = nil },
+		"a later section claiming the page 0 it lacks":  func(_, l, _ *runManifest) { l.Header.FirstPage = 0 },
+		"a first section denying the page 0 it has":     func(f, _, _ *runManifest) { f.Header.FirstPage = 1 },
+		"a whole file denying the page 0 it has":        func(_, _, w *runManifest) { w.Header.FirstPage = 1 },
+		"a section starting at page 2":                  func(_, l, _ *runManifest) { l.Header.FirstPage = 2 },
+		"a later section's grid past its entry's pages": func(_, l, _ *runManifest) { l.Header.LeafPages, l.Header.RootPage, l.Header.Levels = 2, 3, 1 },
+		"a later section's root past its entry's pages": func(_, l, _ *runManifest) { l.Header.RootPage++ },
+	} {
+		var m manifest
+		if err := json.Unmarshal(body, &m); err != nil {
+			t.Fatal(err)
+		}
+		first, later, whole := &m.Tables["from"].Partitions[0][1], &m.Tables["combined"].Partitions[0][2], &m.Tables["from"].Partitions[0][0]
+		if first.Name != later.Name || first.Pages.Off != 0 || later.Header.FirstPage != 1 || !whole.whole() {
+			t.Fatalf("goldenStoreV5's manifest does not hold the layout its rows edit: %+v %+v %+v", first, later, whole)
+		}
+		mutate(first, later, whole)
+		b, err := json.Marshal(&m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = sealManifest(manifestVersion, b)
+	}
+	// The wire row: a first page said outright, over a later section that
+	// carries no header.
+	later := regexp.MustCompile(`("at":\[[1-9][0-9]*,[0-9]+,[0-9]+,[0-9]+\]),"header":\[[0-9,]*\]`)
+	if len(later.FindAll(body, -1)) != 1 {
+		t.Fatalf("goldenStoreV5's manifest does not hold one section after its file's first:\n%s", body)
+	}
+	out["a first page and no header"] = sealManifest(manifestVersion, later.ReplaceAll(body, []byte(`$1,"first_page":1`)))
+	return out
+}
+
 // TestManifestHostileHeaders: a checksummed commit whose run carries a
 // header that no writer makes — leaves or root past the run's page grid,
 // more than 16 levels or levels over a single leaf, an unknown format, a
 // record size that is not its table's, a filter past the end of the file,
 // a header of the wrong length or with a field past 32 bits — is ErrCorrupt
 // at Open, as the newest commit's trailer and as a legacy manifest, and the
-// refused Open removes no file.
+// refused Open removes no file. So is one that tells a format-5 file's
+// layout wrong: a section after the file's first that carries no header, a
+// header that claims a page 0 its section lacks or denies one it has, or a
+// grid that overruns the entry's pages.
 func TestManifestHostileHeaders(t *testing.T) {
 	fs := storage.NewMemFS()
 	goldenStoreV4(t, fs, nil).Close()
 	hostile := hostileHeaders(t, manifestBody(t, fs))
-	for name, b := range hostile {
-		plant(t, fs, newestCommit, sealTrailer(b[manifestEnvLen:], btree.Layout{}))
-		refusesOpen(t, fs, goldenOptions(nil), name+" (trailer)")
-		if err := fs.Remove(newestCommit); err != nil {
-			t.Fatal(err)
+	v5 := storage.NewMemFS()
+	goldenStoreV5(t, v5).Close()
+	for _, c := range []struct {
+		fs      *storage.MemFS
+		hostile map[string][]byte
+	}{{fs, hostile}, {v5, hostileV5Layouts(t, manifestBody(t, v5))}} {
+		for name, b := range c.hostile {
+			plant(t, c.fs, newestCommit, sealTrailer(b[manifestEnvLen:], btree.Layout{}))
+			refusesOpen(t, c.fs, goldenOptions(nil), name+" (trailer)")
+			if err := c.fs.Remove(newestCommit); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	for name, b := range hostile {
-		refuses(t, fs, b, name+" (legacy)")
+		for name, b := range c.hostile {
+			refuses(t, c.fs, b, name+" (legacy)")
+		}
 	}
 }
 
 // TestCheckHeadersFindsAStaleRoot: a commit whose carried header names a
 // page of the run other than its root — one a leaf's number, inside the
 // run's grid, so Open cannot tell — opens, and CheckHeaders, which holds
-// every carried header against its page, reports it.
+// every carried header against its page, reports it. A format-5 section
+// after its file's first has no page to hold its header against: its
+// entry's pages end at its root, so Open refuses a stale root there, and
+// CheckHeaders reports a committed header that differs from the one the
+// run's reader holds, which it holds against the file and the run's
+// ranges instead.
 func TestCheckHeadersFindsAStaleRoot(t *testing.T) {
 	fs := storage.NewMemFS()
 	db := openTestDB(t, fs, 1)
@@ -251,5 +310,85 @@ func TestCheckHeadersFindsAStaleRoot(t *testing.T) {
 	defer db.Close()
 	if err := db.CheckHeaders(); err == nil || !strings.Contains(err.Error(), "RootPage") {
 		t.Fatalf("CheckHeaders over a stale root page: %v", err)
+	}
+
+	// The header-less kind: the To section of a checkpoint file.
+	fs = storage.NewMemFS()
+	opts := Options{Tables: []TableSpec{{Name: "from", RecordSize: testRecSize}, {Name: "to", RecordSize: testRecSize}}, RunFormat: btree.FormatDelta}
+	db5, err := Open(fs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flushFile(t, db5, 1, []string{"from", "to"}, map[string][][]byte{"from": recs[:1], "to": spreadRecords(0, 2000)})
+	if h := db5.Table("to").Runs(0)[0].qreader.Header(); h.FirstPage != 1 || h.Levels == 0 {
+		t.Fatalf("the To section's header %+v: want several leaves and no header page", h)
+	}
+	if err := db5.CheckHeaders(); err != nil {
+		t.Fatal(err)
+	}
+	db5.m.Tables["to"].Partitions[0][0].Header.RootPage--
+	if err := db5.CheckHeaders(); err == nil || !strings.Contains(err.Error(), "RootPage") {
+		t.Fatalf("CheckHeaders over a committed stale root page: %v", err)
+	}
+	db5.m.Tables["to"].Partitions[0][0].Header.RootPage++
+	db5.Close()
+	reseal(t, fs, func(m *manifest) { m.Tables["to"].Partitions[0][0].Header.RootPage-- })
+	refusesOpen(t, fs, opts, "a stale root in a section without its header page")
+}
+
+// TestFirstSectionWithoutItsPageOpens: a format-5 file whose first section
+// does not hold its header page either — goldenStoreV5's shared file less
+// its page 0, its entries moved to match and the first one saying
+// "first_page": 1 — opens from the commit alone and answers as the store
+// that wrote it, so a writer may stop writing that page without a format
+// bump.
+func TestFirstSectionWithoutItsPageOpens(t *testing.T) {
+	answers := func(db *DB) (out []string) {
+		for _, table := range []string{"from", "combined"} {
+			for _, b := range []uint64{1, 2, 3, 5, 7, 8, 1200, 1500, 1700} {
+				for _, r := range collect(t, db.Table(table), b) {
+					out = append(out, table+string(r))
+				}
+			}
+		}
+		return out
+	}
+	fs := storage.NewMemFS()
+	db := goldenStoreV5(t, fs)
+	want := answers(db)
+	first := db.Table("from").Runs(0)[1]
+	name := first.Name()
+	db.Close()
+	plant(t, fs, name, readFile(t, fs, name)[storage.PageSize:])
+	reseal(t, fs, func(m *manifest) {
+		for _, tm := range m.Tables {
+			for i := range tm.Partitions[0] {
+				rm := &tm.Partitions[0][i]
+				if rm.Name != name {
+					continue
+				}
+				rm.Filter.Off -= storage.PageSize
+				if rm.Pages.Off == 0 {
+					rm.Pages.Len -= storage.PageSize
+					rm.Header.FirstPage = 1
+				} else {
+					rm.Pages.Off -= storage.PageSize
+				}
+			}
+		}
+	})
+	if body := manifestBody(t, fs); bytes.Count(body, []byte(`"first_page":1`)) != 1 {
+		t.Fatalf("the moved manifest says first_page other than once:\n%s", body)
+	}
+	db, err := Open(fs, goldenOptions(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if got := answers(db); !slices.Equal(got, want) || len(want) != 9 {
+		t.Fatalf("the store without the page answers %q, the store that wrote it %q", got, want)
+	}
+	if err := db.CheckHeaders(); err != nil {
+		t.Fatal(err)
 	}
 }

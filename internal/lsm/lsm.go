@@ -375,15 +375,17 @@ type runManifest struct {
 	// tables without a Span callback. Such runs are never dropped or pruned
 	// by CP.
 	CPUnknown bool
-	// Pages and Filter are where in the file the run's page grid (header
-	// first) and its Bloom filter lie, for a run that shares its file; both
-	// zero for a run that is its whole file.
+	// Pages and Filter are where in the file the run's pages (its header
+	// page first, if the file holds it) and its Bloom filter lie, for a run
+	// that shares its file; both zero for a run that is its whole file.
 	Pages, Filter storage.Extent
 	// Header is the run's header as its reader holds it, which every commit
 	// carries, so that Open builds the reader from it and reads no page of
-	// the run (btree.OpenHeader); the manifest's checksum covers it. Nil in
-	// an entry written before commits carried headers — a legacy manifest,
-	// an older binary's trailer — whose run's header page Open reads.
+	// the run (btree.OpenHeader); the manifest's checksum covers it. A
+	// format-5 section after its file's first has no header page, and its
+	// entry is the only place its header is. Nil in an entry written before
+	// commits carried headers — a legacy manifest, an older binary's
+	// trailer — whose run's header page Open reads.
 	Header *btree.Header
 }
 
@@ -393,14 +395,38 @@ func (rm runManifest) whole() bool {
 }
 
 // grid is where a run that shares its file has the page grid its header
-// describes: its own pages, or for the file's first run every page before
-// the filters, where its own filter comes first (btree.FileWriter).
+// describes: its own pages, or for the file's first run, whose header page
+// the file holds, every page before the filters, where its own filter
+// comes first (btree.FileWriter).
 func (rm runManifest) grid() storage.Extent {
 	g := rm.Pages
-	if g.Off == 0 {
+	if g.Off == 0 && (rm.Header == nil || rm.Header.FirstPage == 0) {
 		g.Len = rm.Filter.Off
 	}
 	return g
+}
+
+// firstPage is the first page of a run of format f that its file holds,
+// as the run's place implies: a format-5 section after its file's first
+// starts with its first leaf, page 1 (btree.FileWriter); every other run
+// holds its header page.
+func (rm runManifest) firstPage(f btree.Format) uint64 {
+	if f == btree.FormatDelta && rm.Pages.Off > 0 {
+		return 1
+	}
+	return 0
+}
+
+// fits returns an error unless rd, the run's reader, describes the ranges the
+// entry gives a run that shares its file: its grid, and its own pages and
+// filter. A run that is its whole file has only its header's own check
+// against the file's size (btree.Header).
+func (rm runManifest) fits(rd *btree.Reader) error {
+	if grid := rm.grid(); !rm.whole() && (rd.Pages()*storage.PageSize != uint64(grid.Len) || rd.SizeBytes() != rm.Pages.Len+rm.Filter.Len) {
+		return fmt.Errorf("its header describes a %d-page grid from page %d and %d bytes of its own, the manifest %d+%d+%d bytes",
+			rd.Pages(), rd.Header().FirstPage, rd.SizeBytes(), grid.Len, rm.Pages.Len, rm.Filter.Len)
+	}
+	return nil
 }
 
 // view returns f, the run's file, as the run's own layout: f itself for a
@@ -421,7 +447,11 @@ func (rm runManifest) view(f storage.File) storage.File {
 // header less what the entry holds already — format, record size, first
 // leaf page, leaf pages, levels, root page, filter CRC — and for a run that
 // is its whole file, which has no At, the filter's offset and length; the
-// record count is Records. A binary that predates it ignores it.
+// record count is Records. A binary that predates it ignores it. FirstPage
+// is the header's FirstPage where it is not the one the run's place
+// implies (runManifest.firstPage), which no writer makes today; it is a key
+// of its own, so that a binary that predates it parses the entry and
+// refuses the run's format by name.
 type runManifestJSON struct {
 	Name      string   `json:"name"`
 	Level     int      `json:"level"`
@@ -435,6 +465,7 @@ type runManifestJSON struct {
 	CPUnknown bool     `json:"cp_unknown,omitempty"`
 	At        []int64  `json:"at,omitempty"`
 	Header    []uint64 `json:"header,omitempty"`
+	FirstPage *uint64  `json:"first_page,omitempty"`
 }
 
 // headerFields is how many numbers a carried header is on the wire for a
@@ -454,6 +485,9 @@ func (rm runManifest) MarshalJSON() ([]byte, error) {
 		w.Header = []uint64{uint64(h.Format), uint64(h.RecordSize), h.LeafStart, h.LeafPages, uint64(h.Levels), h.RootPage, uint64(h.FilterCRC)}
 		if rm.whole() {
 			w.Header = append(w.Header, h.FilterOff, h.FilterLen)
+		}
+		if h.FirstPage != rm.firstPage(h.Format) {
+			w.FirstPage = &h.FirstPage
 		}
 	}
 	if !rm.CPUnknown {
@@ -480,6 +514,9 @@ func (rm *runManifest) UnmarshalJSON(data []byte) error {
 		MinBlock: w.MinBlock, MaxBlock: w.MaxBlock, CP: w.CP,
 		MinCP: w.CP, MaxCP: w.CP, Overrides: w.Overrides, CPUnknown: w.CPUnknown,
 	}
+	if w.FirstPage != nil && len(w.Header) == 0 {
+		return fmt.Errorf("run %s starts at page %d and carries no header", w.Name, *w.FirstPage)
+	}
 	switch len(w.At) {
 	case 0:
 	case 4:
@@ -505,13 +542,17 @@ func (rm *runManifest) UnmarshalJSON(data []byte) error {
 		h := btree.Header{
 			Format: btree.Format(hw[0]), RecordSize: int(hw[1]), Records: w.Records,
 			LeafStart: hw[2], LeafPages: hw[3], Levels: uint32(hw[4]), RootPage: hw[5], FilterCRC: uint32(hw[6]),
+			FirstPage: rm.firstPage(btree.Format(hw[0])),
 		}
+		if w.FirstPage != nil {
+			h.FirstPage = *w.FirstPage
+		}
+		rm.Header = &h
 		if rm.whole() {
 			h.FilterOff, h.FilterLen = hw[7], hw[8]
 		} else {
 			h.FilterOff, h.FilterLen = uint64(rm.grid().Len), uint64(rm.Filter.Len)
 		}
-		rm.Header = &h
 	}
 	if w.MinCP != nil {
 		rm.MinCP = *w.MinCP

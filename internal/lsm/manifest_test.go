@@ -37,7 +37,13 @@ func goldenOptions(section func() ([]byte, error)) Options {
 // persisted deletion vector.
 func goldenStore(t testing.TB, fs storage.VFS, section func() ([]byte, error)) *DB {
 	t.Helper()
-	db, err := Open(fs, goldenOptions(section))
+	return goldenHistory(t, fs, goldenOptions(section))
+}
+
+// goldenHistory is goldenStore's history in a store opened with opts.
+func goldenHistory(t testing.TB, fs storage.VFS, opts Options) *DB {
+	t.Helper()
+	db, err := Open(fs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +99,36 @@ func storeState(t *testing.T, db *DB) string {
 // and in partition 1 a checkpoint file that holds one run.
 func goldenStoreV4(t testing.TB, fs storage.VFS, section func() ([]byte, error)) *DB {
 	t.Helper()
-	db := goldenStore(t, fs, section)
+	return withSharedFile(t, goldenStore(t, fs, section))
+}
+
+// withSharedFile adds goldenStoreV4's checkpoint of both tables to db.
+func withSharedFile(t testing.TB, db *DB) *DB {
+	t.Helper()
 	flushFile(t, db, 6, []string{"from", "combined"}, map[string][][]byte{
 		"from":     {rec16(7, 6), rec16(1200, 6)},
 		"combined": {rec16(8, 6)},
 	})
+	return db
+}
+
+// v5Options is goldenOptions for a store that writes format-5 runs.
+func v5Options() Options {
+	opts := goldenOptions(nil)
+	opts.RunFormat = btree.FormatDelta
+	return opts
+}
+
+// goldenStoreV5 is goldenStoreV4's history in format-5 runs: the shared
+// file's Combined section, its second, has no header page, and its entry
+// carries the only copy of its header.
+func goldenStoreV5(t testing.TB, fs storage.VFS) *DB {
+	t.Helper()
+	db := withSharedFile(t, goldenHistory(t, fs, v5Options()))
+	comb := db.Table("combined").Runs(0)[2]
+	if h := comb.qreader.Header(); h.FirstPage != 1 || comb.pageExt.Off == 0 {
+		t.Fatalf("the shared file's second section has header %+v at %+v: want it to start with its first leaf", h, comb.pageExt)
+	}
 	return db
 }
 
@@ -574,21 +605,24 @@ func TestSectionCommitsWithTheEdit(t *testing.T) {
 // binary reads — flipped, cut short — is ErrCorrupt; a commit file that
 // does not check gives way to the commit before it. The seeds include the
 // manifests of TestManifestHostileSections, one whose runs carry their
-// headers and those of TestManifestHostileHeaders.
+// headers and those of TestManifestHostileHeaders; with v5 set the files
+// beside the planted one are goldenStoreV5's, format-5 runs whose shared
+// file's second section has no header page, and the seeds include its
+// manifest and the layouts hostileV5Layouts tells wrong.
 func FuzzManifest(f *testing.F) {
 	for _, name := range []string{"v2-manifest.json", "v3-manifest.json", "v3-manifest-catalog.json"} {
 		b, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(b, false)
-		f.Add(b[:len(b)/2], false)
-		f.Add(bytes.Replace(b, []byte(`"level":0`), []byte(`"level":-1`), 1), false)
-		f.Add(bytes.Replace(b, []byte(`"combined":{"partitions":[[`), []byte(`"combined":{"partitions":[null,[`), 1), false)
+		f.Add(b, false, false)
+		f.Add(b[:len(b)/2], false, false)
+		f.Add(bytes.Replace(b, []byte(`"level":0`), []byte(`"level":-1`), 1), false, false)
+		f.Add(bytes.Replace(b, []byte(`"combined":{"partitions":[[`), []byte(`"combined":{"partitions":[null,[`), 1), false, false)
 	}
-	f.Add([]byte(`{"version":3,"tables":{"nosuch":{}}}`), false)
-	f.Add([]byte(`{"version":4}`), false)
-	f.Add([]byte(`{"version":3,"catalog":{"lines":`), false)
+	f.Add([]byte(`{"version":3,"tables":{"nosuch":{}}}`), false, false)
+	f.Add([]byte(`{"version":4}`), false, false)
+	f.Add([]byte(`{"version":3,"catalog":{"lines":`), false, false)
 
 	base := storage.NewMemFS()
 	legacyV4Store(f, base, testdata(f, "v4-manifest"), nil)
@@ -601,36 +635,47 @@ func FuzzManifest(f *testing.F) {
 		seeds = append(seeds, b)
 	}
 	for _, b := range seeds {
-		f.Add(b, false)
-		f.Add(append(bytes.Clone(b), sealTrailer(nil, btree.Layout{})[manifestEnvLen:]...), true)
+		f.Add(b, false, false)
+		f.Add(append(bytes.Clone(b), sealTrailer(nil, btree.Layout{})[manifestEnvLen:]...), true, false)
 		if len(b) > manifestEnvLen {
-			f.Add(sealTrailer(b[manifestEnvLen:], btree.Layout{}), true)
+			f.Add(sealTrailer(b[manifestEnvLen:], btree.Layout{}), true, false)
 		}
 	}
-	stores := map[bool]map[string][]byte{false: {}, true: {}}
+	stores := map[[2]bool]map[string][]byte{}
 	commits := storage.NewMemFS()
 	goldenStoreV4(f, commits, nil).Close()
 	// Runs that carry their headers, as the writer's commits hold them, and
 	// headers no writer makes (TestManifestHostileHeaders).
 	carried := manifestBody(f, commits)
-	f.Add(sealManifest(manifestVersion, carried), false)
-	f.Add(sealTrailer(carried, btree.Layout{}), true)
+	f.Add(sealManifest(manifestVersion, carried), false, false)
+	f.Add(sealTrailer(carried, btree.Layout{}), true, false)
 	for _, b := range hostileHeaders(f, carried) {
-		f.Add(b, false)
-		f.Add(sealTrailer(b[manifestEnvLen:], btree.Layout{}), true)
+		f.Add(b, false, false)
+		f.Add(sealTrailer(b[manifestEnvLen:], btree.Layout{}), true, false)
 	}
-	for asCommit, fs := range map[bool]*storage.MemFS{false: base, true: commits} {
+	// Format-5 runs, and the layouts TestManifestHostileHeaders tells wrong.
+	v5 := storage.NewMemFS()
+	goldenStoreV5(f, v5).Close()
+	v5Body := manifestBody(f, v5)
+	f.Add(sealManifest(manifestVersion, v5Body), false, true)
+	f.Add(sealTrailer(v5Body, btree.Layout{}), true, true)
+	for _, b := range hostileV5Layouts(f, v5Body) {
+		f.Add(b, false, true)
+		f.Add(sealTrailer(b[manifestEnvLen:], btree.Layout{}), true, true)
+	}
+	for key, fs := range map[[2]bool]*storage.MemFS{{false, false}: base, {true, false}: commits, {false, true}: v5, {true, true}: v5} {
 		names, err := fs.List()
 		if err != nil {
 			f.Fatal(err)
 		}
+		stores[key] = map[string][]byte{}
 		for _, n := range names {
-			stores[asCommit][n] = readFile(f, fs, n)
+			stores[key][n] = readFile(f, fs, n)
 		}
 	}
-	f.Fuzz(func(t *testing.T, data []byte, asCommit bool) {
+	f.Fuzz(func(t *testing.T, data []byte, asCommit, v5 bool) {
 		fs := storage.NewMemFS()
-		files := stores[asCommit]
+		files := stores[[2]bool{asCommit, v5}]
 		for n, b := range files {
 			plant(t, fs, n, b)
 		}

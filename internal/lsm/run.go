@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -136,6 +137,11 @@ func (r *Run) Format() btree.Format { return r.format }
 // SizeBytes returns the run's physical on-disk size.
 func (r *Run) SizeBytes() int64 { return r.sizeBytes }
 
+// Header returns the run's header as its reader holds it, which the next
+// commit carries: for a section whose file does not hold its header page
+// (btree.Header.FirstPage), the only copy besides the manifest's.
+func (r *Run) Header() btree.Header { return r.qreader.Header() }
+
 // DroppableBelow reports whether the run can be dropped whole once no
 // consistency point below cp is reachable: its window must be known, it
 // must contain no override records, and every record's span must end
@@ -160,10 +166,12 @@ func (r *Run) Sealed() bool {
 // page; a run found in the manifest is opened from the header its entry
 // carries, held against the file as the page's would be, and only an entry
 // an older writer made, which carries none, has its header page read and
-// verified through the handle, whose reads are attributed to recovery. A
-// run that shares its file reads through a view of its two ranges — the
-// file's first run claims every page before the filters (btree.FileWriter),
-// where its filter comes first — and its header must describe them.
+// verified through the handle, whose reads are attributed to recovery — a
+// section whose pages begin with no header page, as a format-5 section
+// after its file's first does, is corrupt without one. A run that shares
+// its file reads through a view of its two ranges — the file's first run
+// claims every page before the filters (btree.FileWriter), where its
+// filter comes first — and its header must describe them.
 func (db *DB) openRun(t *Table, rm runManifest, built *btree.Writer, rf *runFile) (*Run, error) {
 	var rd *btree.Reader
 	var err error
@@ -175,13 +183,14 @@ func (db *DB) openRun(t *Table, rm runManifest, built *btree.Writer, rf *runFile
 			return nil, corrupt("%s run in %s: the header its entry carries: %v", t.spec.Name, rm.Name, err)
 		}
 	default:
-		if rd, err = btree.Open(rm.view(rf.f), db.cache); err != nil {
+		if rd, err = btree.Open(rm.view(rf.f), db.cache); errors.Is(err, btree.ErrCorrupt) {
+			return nil, fmt.Errorf("%w: %s run in %s carries no header, and its pages do not begin with a sound one: %w", ErrCorrupt, t.spec.Name, rm.Name, err)
+		} else if err != nil {
 			return nil, fmt.Errorf("lsm: %s run in %s: %w", t.spec.Name, rm.Name, err)
 		}
 	}
-	if grid := rm.grid(); !rm.whole() && (rd.Pages()*storage.PageSize != uint64(grid.Len) || rd.SizeBytes() != rm.Pages.Len+rm.Filter.Len) {
-		return nil, corrupt("%s run in %s: its header describes a %d-page grid and %d bytes of its own, the manifest %d+%d+%d bytes",
-			t.spec.Name, rm.Name, rd.Pages(), rd.SizeBytes(), grid.Len, rm.Pages.Len, rm.Filter.Len)
+	if err := rm.fits(rd); err != nil {
+		return nil, corrupt("%s run in %s: %v", t.spec.Name, rm.Name, err)
 	}
 	if rd.RecordSize() != t.spec.RecordSize {
 		return nil, corrupt("run %s record size %d, table %q wants %d",
@@ -219,11 +228,26 @@ func (db *DB) openRun(t *Table, rm runManifest, built *btree.Writer, rf *runFile
 // committed manifest names, and reports the first whose header differs
 // from its page's: the header the run's reader holds, which the next commit
 // carries, or the one the manifest carries, which the next Open opens the
-// run from. It is a scrub — one page read per run, unattributed — for a
-// caller that has excluded structural operations, as it must for Files.
+// run from. A run whose file does not hold its header page (FirstPage 1)
+// has no page to differ from: its reader's header is held against the
+// file and the run's ranges instead, as Open holds a carried one. It is a
+// scrub — one page read per run, unattributed — for a caller that has
+// excluded structural operations, as it must for Files.
 func (db *DB) CheckHeaders() error {
 	page := func(r *Run) (btree.Header, error) {
-		rd, err := btree.Open(runManifest{Pages: r.pageExt, Filter: r.filterExt}.view(r.file.f), nil)
+		rm := runManifest{Pages: r.pageExt, Filter: r.filterExt}
+		if h := r.qreader.Header(); h.FirstPage != 0 {
+			rm.Header = &h
+			rd, err := btree.OpenHeader(rm.view(r.file.f), h, nil)
+			if err == nil {
+				err = rm.fits(rd)
+			}
+			if err != nil {
+				return btree.Header{}, fmt.Errorf("lsm: %s run in %s holds header %+v, which does not fit its file: %v", r.table.spec.Name, r.name, h, err)
+			}
+			return h, nil
+		}
+		rd, err := btree.Open(rm.view(r.file.f), nil)
 		if err != nil {
 			return btree.Header{}, fmt.Errorf("lsm: %s run in %s: %w", r.table.spec.Name, r.name, err)
 		}
@@ -250,7 +274,7 @@ func (db *DB) CheckHeaders() error {
 						return fmt.Errorf("lsm: the manifest does not list the %s run in %s where the durable version holds it", name, r.name)
 					}
 					if rm := parts[p][i]; rm.Header != nil && *rm.Header != want {
-						return fmt.Errorf("lsm: the manifest carries header %+v for the %s run in %s, its page %+v", *rm.Header, name, r.name, want)
+						return fmt.Errorf("lsm: the manifest carries header %+v for the %s run in %s, which holds %+v", *rm.Header, name, r.name, want)
 					}
 				}
 			}
