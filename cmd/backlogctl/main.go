@@ -38,8 +38,8 @@ commands:
   query        print the owners of a block (or a run of blocks with -n)
   compact      run database maintenance
   compression  print per-table logical vs physical run bytes and compression
-               ratios (actual, plus the projected v5 ratio while runs in an
-               older format — v1 raw, or v3 or v4 delta — remain)
+               ratios (actual, plus the projected v6 ratio while runs in an
+               older format — v1 raw, or v3, v4 or v5 delta — remain)
   expire       drop runs below the reclaim horizon (use -retention live)
   metrics      print metrics in Prometheus text format; -watch refreshes
                continuously; -addr scrapes a running process's debug listener
@@ -402,7 +402,7 @@ func main() {
 			PhysicalBytes int64
 			// Ratio is logical/physical over the live runs (actual, run
 			// framing and filters included); ProjectedRatio is logical over
-			// the pages a v5 rewrite would write (filters excluded), filled
+			// the pages a v6 rewrite would write (filters excluded), filled
 			// when older-format runs remain.
 			Ratio          float64
 			ProjectedRatio float64 `json:",omitempty"`
@@ -452,7 +452,7 @@ func main() {
 		for _, rep := range reports {
 			note := ""
 			if rep.OlderRuns > 0 {
-				note = fmt.Sprintf("%d older-format run(s); projected v5: %.2fx (%d page bytes) — compact to apply",
+				note = fmt.Sprintf("%d older-format run(s); projected v6: %.2fx (%d page bytes) — compact to apply",
 					rep.OlderRuns, rep.ProjectedRatio, rep.ProjectedBytes)
 			}
 			fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%.2fx\t%s\n",

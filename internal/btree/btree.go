@@ -9,7 +9,8 @@
 // level 1) pages, then I2, and so on until a level fits in a single page —
 // the root. Building therefore requires no disk reads.
 //
-// Run layout (all little-endian, 4 KB pages, each page ends with a CRC32):
+// Run layout of format v1 and of the delta formats before v6 (all
+// little-endian, 4 KB pages, each page ends with a CRC32):
 //
 //	page 0:            header (magic, geometry, min/max key, bloom location)
 //	pages 1..L:        leaf pages
@@ -17,41 +18,55 @@
 //	trailing bytes:    serialized Bloom filter (outside the page grid)
 //
 // A run may be one section of a file that holds several (FileWriter): the
-// page grids of all of them first, back to back, then their filters, so a
-// run's filter may follow other runs' pages. Page numbers and the header's
-// bloom location are the run's own; a reader opens a section through a
-// view that maps that layout onto its two ranges of the file
-// (storage.Extents). A file that holds one run is the layout above. In
-// format v5 only the first section present in a file keeps its header
-// page; every later one starts with its first leaf, numbered 1 as ever,
-// and its header lives only in the manifest entry that names it:
+// pages of all of them first, back to back, then their filters, so a run's
+// filter may follow other runs' pages. Page numbers and the header's bloom
+// location are the run's own; a reader opens a section through a view that
+// maps that layout onto its two ranges of the file (storage.Extents). A
+// file that holds one run is the layout above.
 //
-//	[first section: page 0 (header), 1..R1] [second: pages 1..R2] ...
+// Format v6, the one written, pads no page a section ends with. Only the
+// first section present in a file keeps a header, at offset 0 and at its
+// used length: its fixed fields (no min/max key), its root's length, then
+// the CRC — 80 bytes. Every later section starts with its first leaf,
+// numbered 1 as ever, and its header lives only in the manifest entry that
+// names it. Every page with a successor is 4 KB; a section's last page, its
+// root (for a one-leaf run, its only leaf), ends at its CRC:
+//
+//	[first: header (80 B), pages 1..R1-1 (4 KB each), root R1 (≤ 4 KB)]
+//	[second: pages 1..R2-1, root R2] ...
 //	[filters, in section order] [commit trailer, if the file carries one]
 //
-// A reader of such a section maps page p to (p-1)·4 KB into its range
-// (Header.FirstPage). The concession is the first section's page: nothing
-// in the engine reads it — every reader is built from the header its
-// commit carries — but it claims every page before the filters as its
-// grid, so a tool that opens the file whole (Open) reads its first run.
-// Raw (v1) sections and those of earlier delta formats all keep page 0.
+// So page p lies h + (p-1)·4 KB into its section's range, h being 80 for a
+// section that holds its header (Header.FirstPage 0) and 0 for one that
+// starts at page 1: page numbers, and so cache keys, are what every format
+// makes them. The first section's header claims every byte before the
+// filters as its grid, so that a tool that opens the file whole (Open)
+// reads its first run and that run's filter; since its grid then does not
+// say where its own pages end, the header says where its root does
+// (Header.RootLen). Nothing in the engine reads that header — every reader
+// is built from the header its commit carries, whose root length follows
+// from the entry's ranges. Format v5, read and no longer written, is v6
+// with its pages padded: a 4 KB header page (min/max keys included) in
+// front of the first section, and every root 4 KB. Raw (v1) sections and
+// those of the delta formats before v5 keep page 0 in every section.
 //
 // A run larger than the builder's write buffer gets its header last, so that
 // a torn build never yields a readable but incomplete run; a file whose runs
 // all fit their buffers is a single write, headers included. Either way
 // nothing refers to the file until it has been synced.
 //
-// Three leaf encodings are read, identified by the header's version field
-// (see Format): v1 stores fixed-stride records verbatim; v4 and v5
+// Four leaf encodings are read, identified by the header's version field
+// (see Format): v1 stores fixed-stride records verbatim; v4, v5 and v6
 // bit-pack each leaf page — a bit width and a base per column, block
 // anchors, then every record at the same number of bits — with the page's
 // variable record count in the page header, and differ only in the file
-// layout above. v1 and v5 are written. v3, an earlier delta encoding (a
+// layout above. v1 and v6 are written. v3, an earlier delta encoding (a
 // varint per changed column behind a presence bitmap), is read and never
 // written: a reader transcodes such a leaf into the packed form when it
 // misses it, so one seek path and one iterate path serve every delta run.
 // Internal index pages are raw in each. Older versions are refused by
-// name, v2 with the binary that rewrites it (commit 0ea923b or earlier).
+// name, v2 with the binary that rewrites it (commit 0ea923b or earlier),
+// and a version above v6 as newer than this binary (ErrNewerFormat).
 package btree
 
 import (
@@ -67,7 +82,7 @@ import (
 	"github.com/backlogfs/backlog/internal/storage"
 )
 
-// MaxRecordSize bounds the fixed record size so two full keys fit in the
+// MaxRecordSize bounds the fixed record size so two full keys fit in a
 // header page.
 const MaxRecordSize = 256
 
@@ -79,6 +94,9 @@ const (
 	pagePayload  = storage.PageSize - pageCountLen - pageCRCLen
 
 	headerFixedLen = 72 // bytes of fixed header fields before min/max keys
+	// shortHeaderLen is a format-6 header: the fixed fields, the root's
+	// length (u32), then the CRC.
+	shortHeaderLen = headerFixedLen + 4 + pageCRCLen
 
 	// maxLevels bounds the internal levels a header may claim: a page
 	// holds at least 15 index entries, so 16 levels index more pages than
@@ -95,12 +113,18 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // ErrCorrupt reports a failed checksum or malformed structure.
 var ErrCorrupt = errors.New("btree: corrupt run")
 
-// Header is what a reader needs of a run's header page: its leaf encoding
-// and record size, where its leaves, root and filter lie, and the filter's
-// checksum. The page also holds the run's smallest and largest records,
-// which no reader needs. Open reads a Header from the page; OpenHeader
-// opens a run from one carried elsewhere (a manifest), reading nothing.
-// Offsets and page numbers are the run's own (see the package doc).
+// ErrNewerFormat reports a run whose header names a format version above
+// the newest this binary reads: a run a newer binary wrote, which is not
+// damaged but cannot be read here.
+var ErrNewerFormat = errors.New("btree: run format newer than this binary")
+
+// Header is what a reader needs of a run's header: its leaf encoding and
+// record size, where its leaves, root and filter lie, and the filter's
+// checksum. A header page before format 6 also holds the run's smallest and
+// largest records, which no reader needs. Open reads a Header from the
+// file; OpenHeader opens a run from one carried elsewhere (a manifest),
+// reading nothing. Offsets and page numbers are the run's own (see the
+// package doc).
 type Header struct {
 	Format     Format
 	RecordSize int
@@ -112,11 +136,15 @@ type Header struct {
 	RootPage   uint64
 	FilterOff  uint64 // the end of the page grid the file holds
 	FilterLen  uint64
-	// FirstPage is the first page of the run the file holds: 0, its header
-	// page, or 1 for a v5 section that starts with its first leaf, whose
-	// header only a manifest carries. Page p lies (p-FirstPage)·4 KB into
-	// the run's range. A header read from a page has FirstPage 0.
+	// FirstPage is the first page of the run the file holds: 0, its header,
+	// or 1 for a v5 or v6 section that starts with its first leaf, whose
+	// header only a manifest carries. Page p ≥ 1 lies headerLen + (p-1)·4 KB
+	// into the run's range. A header read from the file has FirstPage 0.
 	FirstPage uint64
+	// RootLen is the length of the root page in a format-6 run, which
+	// writes it to its CRC; 0 in the formats before it, whose every page is
+	// 4 KB.
+	RootLen uint64
 }
 
 // Writer builds a run. Records must be appended in strictly ascending
@@ -143,11 +171,18 @@ type Writer struct {
 	// at run offset wbufOff: pages are written in page-number order, so a
 	// run reaches the file in a few large sequential writes. A section that
 	// does not know its place in the file yet keeps them all. The first
-	// buffer starts with a blank page 0, which FileWriter.Write fills in
-	// when the whole run is still here (wbufOff is 0) and the section keeps
-	// its header page, and which flushPages skips.
+	// buffer starts with hdrLen blank bytes, the room of the header — a
+	// header page, or format 6's short header — which FileWriter.Write
+	// fills in when the whole run is still here (wbufOff is 0) and the
+	// section keeps its header, and which flushPages skips. Run offsets
+	// count that room whether or not the file holds the header (fileOff).
 	wbuf    []byte
 	wbufOff int64
+	hdrLen  int64
+	// lastLen is the length of the page framed last were it cut to its
+	// payload, CRC included: once Finish has framed the root, the root's
+	// (cutRoot).
+	lastLen int
 
 	// h is the header Finish built, for Open; sealed is set, under fw.mu,
 	// once it is. bloom is the filter Finish was given, until the file
@@ -200,22 +235,22 @@ func NewWriterFormat(f storage.File, recordSize int, format Format) (*Writer, er
 }
 
 // FileWriter writes the runs of one file, each a section built by its own
-// Writer, concurrently with the others or interleaved on one goroutine. The
-// file holds the page grids of its sections first, back to back in slot
-// order and without padding, then their Bloom filters in the same order.
-// The first section's header claims every page before the filters as its
-// grid, so that the file opened whole (Open) reads as its first run; its own
-// pages end at its root page. A later FormatDelta section leaves its header
-// page out of the file and starts with its first leaf (Header.FirstPage
-// 1), its header carried by the caller; a later raw section keeps its page
-// and a header that is what a run of its own would have. Where a section's
-// pages start, and so whether it is the first, is known once every lower
-// slot is settled — its Writer finished, or known to stay empty (Skip).
-// Page numbers do not depend on it: a section numbers its pages from 1
-// and holds page 0 blank until then. Nothing waits for that: a section
-// that outgrows its write buffer before then keeps framing pages into it
-// and hands them to the file at the first buffer boundary after its place
-// is known, or leaves them to Finish.
+// Writer, concurrently with the others or interleaved on one goroutine, all
+// in one format. The file holds the pages of its sections first, back to
+// back in slot order and without padding, then their Bloom filters in the
+// same order. The first section's header claims every byte before the
+// filters as its grid, so that the file opened whole (Open) reads as its
+// first run; its own pages end at its root page. A later FormatDelta
+// section leaves its header out of the file and starts with its first leaf
+// (Header.FirstPage 1), its header carried by the caller; a later raw
+// section keeps its page and a header that is what a run of its own would
+// have. Where a section's pages start, and so whether it is the first, is
+// known once every lower slot is settled — its Writer finished, or known
+// to stay empty (Skip). Page numbers do not depend on it: a section numbers
+// its pages from 1 and holds its header's room blank until then. Nothing
+// waits for that: a section that outgrows its write buffer before then
+// keeps framing pages into it and hands them to the file at the first
+// buffer boundary after its place is known, or leaves them to Finish.
 // Finish writes what the sections still buffer, in one write when nothing
 // has gone out yet, and syncs once; Place and Write are its two halves, for
 // a caller that appends a trailer it can build only once the file's layout
@@ -250,6 +285,19 @@ func (fw *FileWriter) Section(slot, recordSize int, format Format) (*Writer, err
 	if recordSize <= 0 || recordSize > MaxRecordSize {
 		return nil, fmt.Errorf("btree: invalid record size %d", recordSize)
 	}
+	hdrLen := int64(storage.PageSize)
+	switch format {
+	case FormatRaw:
+	case FormatDelta:
+		if recordSize%8 != 0 || recordSize > MaxDeltaRecordSize {
+			return nil, fmt.Errorf("btree: delta format needs a record size that is a multiple of 8 up to %d, got %d", MaxDeltaRecordSize, recordSize)
+		}
+		hdrLen = shortHeaderLen
+	case formatDeltaV3, formatDeltaV4, formatDeltaV5:
+		return nil, fmt.Errorf("btree: run format %d is read-only", format)
+	default:
+		return nil, fmt.Errorf("btree: unknown run format %d", format)
+	}
 	w := &Writer{
 		fw:       fw,
 		slot:     slot,
@@ -258,24 +306,19 @@ func (fw *FileWriter) Section(slot, recordSize int, format Format) (*Writer, err
 		leafBuf:  make([]byte, 0, pagePayload),
 		perLeaf:  pagePayload / recordSize,
 		nextPage: 1,
-		wbuf:     make([]byte, storage.PageSize, 2*storage.PageSize),
+		wbuf:     make([]byte, hdrLen, hdrLen+storage.PageSize),
+		hdrLen:   hdrLen,
 		id:       readerIDs.Add(1),
-	}
-	switch format {
-	case FormatRaw:
-	case FormatDelta:
-		if recordSize%8 != 0 || recordSize > MaxDeltaRecordSize {
-			return nil, fmt.Errorf("btree: delta format needs a record size that is a multiple of 8 up to %d, got %d", MaxDeltaRecordSize, recordSize)
-		}
-	case formatDeltaV3, formatDeltaV4:
-		return nil, fmt.Errorf("btree: run format %d is read-only", format)
-	default:
-		return nil, fmt.Errorf("btree: unknown run format %d", format)
 	}
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
 	if fw.secs[slot] != nil || fw.empty[slot] {
 		return nil, fmt.Errorf("btree: slot %d already has a run or was skipped", slot)
+	}
+	for s, o := range fw.secs {
+		if o != nil && o.format != format {
+			return nil, fmt.Errorf("btree: a %v run in slot %d of a file whose slot %d holds a %v run", format, slot, s, o.format)
+		}
 	}
 	fw.secs[slot] = w
 	return w, nil
@@ -303,16 +346,21 @@ func (fw *FileWriter) base(slot int) (int64, bool) {
 }
 
 // firstPage returns the first page of w's run that the file holds when the
-// run's pages start at base: page 0, its header, for the file's first
-// section and for a format that keeps one in every section, else page 1.
-func (w *Writer) firstPage(base int64) uint64 {
-	if base > 0 && w.format == FormatDelta {
+// run's pages start at base (FirstPageAt).
+func (w *Writer) firstPage(base int64) uint64 { return FirstPageAt(w.format, base) }
+
+// FirstPageAt returns the first page of a run of format f that its file
+// holds when the run's pages start at off in it: page 1 for a v5 or v6
+// section after its file's first, which starts with its first leaf; 0, its
+// header, for every other run.
+func FirstPageAt(f Format, off int64) uint64 {
+	if off > 0 && (f == formatDeltaV5 || f == FormatDelta) {
 		return 1
 	}
 	return 0
 }
 
-// Layout is where a FileWriter put its file's parts: the page grids of its
+// Layout is where a FileWriter put its file's parts: the pages of its
 // sections run from offset 0 to Pages, their filters from there to End,
 // and FilterCRC is the CRC-32C of the filters' bytes. A trailer goes at
 // End (FileWriter.Write), and CheckFile verifies what lies before it.
@@ -407,11 +455,11 @@ func (fw *FileWriter) Write(trailer []byte, src storage.Source) error {
 	}
 	for _, w := range secs {
 		off, buf := w.wbufOff, w.wbuf
-		if off == 0 { // the whole run, its page 0 blank in front
+		if off == 0 { // the whole run, its header's room blank in front
 			if w.first == 0 {
-				w.putHeader(buf[:storage.PageSize])
+				w.putHeader(buf[:w.hdrLen])
 			} else {
-				off, buf = storage.PageSize, buf[storage.PageSize:]
+				off, buf = w.hdrLen, buf[w.hdrLen:]
 			}
 		}
 		if err := put(w.fileOff(off), buf); err != nil {
@@ -433,9 +481,9 @@ func (fw *FileWriter) Write(trailer []byte, src storage.Source) error {
 	}
 	for _, w := range secs {
 		if w.wbufOff > 0 && w.first == 0 {
-			var page [storage.PageSize]byte
-			w.putHeader(page[:])
-			if _, err := fw.f.WriteAt(page[:], w.pageOff); err != nil {
+			header := make([]byte, w.hdrLen)
+			w.putHeader(header)
+			if _, err := fw.f.WriteAt(header, w.pageOff); err != nil {
 				return fmt.Errorf("btree: writing header: %w", err)
 			}
 		}
@@ -444,11 +492,26 @@ func (fw *FileWriter) Write(trailer []byte, src storage.Source) error {
 	return fw.f.Sync()
 }
 
-// CheckFile verifies the part of a file that l describes: every page of
-// its grids passes its checksum, and its filters' bytes theirs. A file
-// whose pages reached the disk in any order but not all of them fails it.
-func CheckFile(f storage.File, l Layout) error {
-	if l.Pages < 0 || l.Pages%storage.PageSize != 0 || l.End < l.Pages {
+// A Section is where a file holds one run's pages, its header first if the
+// file holds it, and the run's header, whose format and first page say how
+// that range is cut into pages (CheckFile). A zero Header stands for a run
+// whose header its commit does not record, which a binary before format 6
+// wrote.
+type Section struct {
+	Pages  storage.Extent
+	Header Header
+}
+
+// CheckFile verifies the part of a file that l describes, whose runs secs
+// place: every page of every section passes its checksum, its header's
+// included, and the filters' bytes theirs. A format-6 section's range is
+// its short header if it holds one (Header.FirstPage), then 4 KB pages,
+// the last cut to what the range leaves it; any other section's range is
+// whole 4 KB pages. A file whose pages reached the disk in any order but
+// not all of them fails it. That secs lie within the pages l describes is
+// the caller's to have checked.
+func CheckFile(f storage.File, l Layout, secs []Section) error {
+	if l.Pages < 0 || l.End < l.Pages {
 		return fmt.Errorf("%w: a layout of %d page bytes and %d in all", ErrCorrupt, l.Pages, l.End)
 	}
 	read := func(b []byte, off int64) error {
@@ -462,16 +525,31 @@ func CheckFile(f storage.File, l Layout) error {
 		return fmt.Errorf("btree: reading %d bytes at %d: %w", len(b), off, err)
 	}
 	buf := make([]byte, writeBufPages*storage.PageSize)
-	for off := int64(0); off < l.Pages; off += int64(len(buf)) {
-		chunk := buf[:min(int64(len(buf)), l.Pages-off)]
-		if err := read(chunk, off); err != nil {
-			return err
-		}
-		for p := 0; p < len(chunk); p += storage.PageSize {
-			page := chunk[p : p+storage.PageSize]
-			if binary.LittleEndian.Uint32(page[storage.PageSize-pageCRCLen:]) != crc32.Checksum(page[:storage.PageSize-pageCRCLen], castagnoli) {
-				return fmt.Errorf("%w: page at %d fails its checksum", ErrCorrupt, off+int64(p))
+	for _, s := range secs {
+		off, end := s.Pages.Off, s.Pages.Off+s.Pages.Len
+		cut := s.Header.Format == FormatDelta
+		if cut && s.Header.FirstPage == 0 {
+			header := buf[:min(shortHeaderLen, s.Pages.Len)]
+			if err := read(header, off); err != nil {
+				return err
 			}
+			if !frameOK(header) {
+				return fmt.Errorf("%w: the header fails its checksum", ErrCorrupt)
+			}
+			off += int64(len(header))
+		}
+		for off < end {
+			chunk := buf[:min(int64(len(buf)), end-off)]
+			if err := read(chunk, off); err != nil {
+				return err
+			}
+			for p := 0; p < len(chunk); p += storage.PageSize {
+				page := chunk[p:min(p+storage.PageSize, len(chunk))]
+				if len(page) < storage.PageSize && !cut || !frameOK(page) {
+					return fmt.Errorf("%w: page at %d fails its checksum", ErrCorrupt, off+int64(p))
+				}
+			}
+			off += int64(len(chunk))
 		}
 	}
 	filters := make([]byte, l.End-l.Pages)
@@ -484,18 +562,28 @@ func CheckFile(f storage.File, l Layout) error {
 	return nil
 }
 
-// Extents returns where the file put the run: its pages, header page
-// included if the file holds it (Header.FirstPage), and its filter. Valid
-// after the file's Place.
+// frameOK reports whether b, a page or a header at its length, ends with
+// the CRC-32C of the bytes before it.
+func frameOK(b []byte) bool {
+	n := len(b) - pageCRCLen
+	return n >= 0 && binary.LittleEndian.Uint32(b[n:]) == crc32.Checksum(b[:n], castagnoli)
+}
+
+// Extents returns where the file put the run: its pages, header included
+// if the file holds it (Header.FirstPage), and its filter. Valid after the
+// file's Place.
 func (w *Writer) Extents() (pages, filter storage.Extent) {
 	return storage.Extent{Off: w.pageOff, Len: w.h.ownBytes()},
 		storage.Extent{Off: w.filterOff, Len: int64(w.h.FilterLen)}
 }
 
 // fileOff returns the file offset of run offset off, once the run's place
-// is known.
+// is known: a run that starts at page 1 has no header's room in the file.
 func (w *Writer) fileOff(off int64) int64 {
-	return w.pageOff + off - int64(w.first)*storage.PageSize
+	if w.first == 1 {
+		off -= w.hdrLen
+	}
+	return w.pageOff + off
 }
 
 // WriteThrough makes w hand every page it frames — leaves and internal
@@ -525,8 +613,8 @@ func (w *Writer) Append(rec []byte) error {
 	if w.prevKey != nil && bytes.Compare(rec, w.prevKey) <= 0 {
 		return fmt.Errorf("btree: records out of order (%x after %x)", rec, w.prevKey)
 	}
-	if w.count == 0 {
-		w.minKey = append([]byte(nil), rec...)
+	if w.count == 0 && w.format == FormatRaw {
+		w.minKey = append([]byte(nil), rec...) // for the header page
 	}
 	if w.format == FormatDelta {
 		// The record joins the page if the page still fits packed with it.
@@ -631,7 +719,6 @@ func (w *Writer) Finish(bloomBytes []byte) error {
 		}
 	}
 
-	bloomOff := w.nextPage * storage.PageSize
 	h := Header{
 		Format:     w.format,
 		RecordSize: w.recSize,
@@ -640,13 +727,16 @@ func (w *Writer) Finish(bloomBytes []byte) error {
 		LeafPages:  leafPages,
 		Levels:     levels,
 		RootPage:   rootPage,
-		FilterOff:  bloomOff,
 		FilterLen:  uint64(len(bloomBytes)),
 	}
 	if w.format == FormatDelta {
 		// Raw headers stay as v1 always wrote them: the field zero.
 		h.FilterCRC = crc32.Checksum(bloomBytes, castagnoli)
+		w.cutRoot()
+		h.RootLen = uint64(w.lastLen)
 	}
+	h.FilterOff = uint64(h.ownBytes()) // the file's Place settles it
+
 	w.bloom, w.i1 = bloomBytes, nil
 	w.fw.mu.Lock()
 	w.h, w.sealed = h, true
@@ -660,22 +750,22 @@ func (w *Writer) Finish(bloomBytes []byte) error {
 // Count returns the number of records appended so far.
 func (w *Writer) Count() uint64 { return w.count }
 
-// SizeBytes returns the finished run's physical size (header page if the
-// file holds it, data and index pages, and Bloom filter). Valid once the
-// file is placed: after Finish for a run that is its file, after the
-// FileWriter's Place for a section.
+// SizeBytes returns the finished run's physical size (header if the file
+// holds it, data and index pages, and Bloom filter). Valid once the file is
+// placed: after Finish for a run that is its file, after the FileWriter's
+// Place for a section.
 func (w *Writer) SizeBytes() int64 { return w.sizeBytes }
 
 // writePage frames one page — count, payload, zero padding, CRC-32C — as
 // page w.nextPage at the end of the write buffer, flushing the buffer
-// first at each multiple of its size, and writes it through to the cache
+// first at every writeBufPages-th page, and writes it through to the cache
 // (see WriteThrough). packed marks a delta leaf, whose payload has the
 // slack leafShape.pack leaves.
 func (w *Writer) writePage(count uint16, payload []byte, packed bool) error {
 	if len(payload) > pagePayload {
 		return fmt.Errorf("btree: page payload %d exceeds %d", len(payload), pagePayload)
 	}
-	if len(w.wbuf) > 0 && len(w.wbuf)%(writeBufPages*storage.PageSize) == 0 {
+	if w.nextPage%writeBufPages == 0 {
 		if err := w.flushPages(); err != nil {
 			return err
 		}
@@ -687,6 +777,7 @@ func (w *Writer) writePage(count uint16, payload []byte, packed bool) error {
 	clear(framed[pageCountLen+copy(framed[pageCountLen:], payload) : storage.PageSize-pageCRCLen])
 	crc := crc32.Checksum(framed[:storage.PageSize-pageCRCLen], castagnoli)
 	binary.LittleEndian.PutUint32(framed[storage.PageSize-pageCRCLen:], crc)
+	w.lastLen = pageCountLen + len(payload) + pageCRCLen
 	if w.cache != nil {
 		// The payload is what a Reader keeps of the page: every writer
 		// fills a page with exactly its count entries or records, and a
@@ -711,8 +802,17 @@ func (w *Writer) writePage(count uint16, payload []byte, packed bool) error {
 	return nil
 }
 
+// cutRoot cuts the page framed last, the root, to its length: its count
+// and payload, then its CRC where a 4 KB page has its padding.
+func (w *Writer) cutRoot() {
+	root := w.wbuf[len(w.wbuf)-storage.PageSize:][:w.lastLen]
+	n := w.lastLen - pageCRCLen
+	binary.LittleEndian.PutUint32(root[n:], crc32.Checksum(root[:n], castagnoli))
+	w.wbuf = w.wbuf[:len(w.wbuf)-storage.PageSize+w.lastLen]
+}
+
 // flushPages hands the buffered bytes to the file in one write, less the
-// blank page 0 at the front of the first buffer: the header of a run that
+// header's room at the front of the first buffer: the header of a run that
 // comes through here goes last, if its section keeps one. A section whose
 // place in the file is not known yet (FileWriter.base) keeps its buffer
 // and grows it.
@@ -724,11 +824,11 @@ func (w *Writer) flushPages() error {
 			return nil
 		}
 		w.pageOff, w.first = base, w.firstPage(base)
-		buf, w.wbufOff = buf[storage.PageSize:], storage.PageSize
+		buf, w.wbufOff = buf[w.hdrLen:], w.hdrLen
 	}
 	if len(buf) > 0 {
 		if _, err := w.fw.f.WriteAt(buf, w.fileOff(w.wbufOff)); err != nil {
-			return fmt.Errorf("btree: writing %d bytes at page %d: %w", len(buf), w.wbufOff/storage.PageSize, err)
+			return fmt.Errorf("btree: writing %d bytes at run offset %d: %w", len(buf), w.wbufOff, err)
 		}
 	}
 	w.wbufOff += int64(len(buf))
@@ -736,43 +836,96 @@ func (w *Writer) flushPages() error {
 	return nil
 }
 
-// putHeader fills page, a zeroed PageSize buffer, with the header page of
-// the run w finished: its Header, then its smallest and largest records.
-func (w *Writer) putHeader(page []byte) {
+// putHeader fills b, zeroed and w.hdrLen long, with the header of the run
+// w finished: its Header, then in a header page its smallest and largest
+// records, or in a format-6 header its root's length; then the CRC.
+func (w *Writer) putHeader(b []byte) {
 	h := w.h
-	copy(page[:8], magic)
+	copy(b[:8], magic)
 	le := binary.LittleEndian
-	le.PutUint32(page[8:], uint32(h.Format))
-	le.PutUint32(page[12:], uint32(h.RecordSize))
-	le.PutUint64(page[16:], h.Records)
-	le.PutUint64(page[24:], h.LeafStart)
-	le.PutUint64(page[32:], h.LeafPages)
-	le.PutUint32(page[40:], h.Levels)
-	le.PutUint32(page[44:], h.FilterCRC)
-	le.PutUint64(page[48:], h.RootPage)
-	le.PutUint64(page[56:], h.FilterOff)
-	le.PutUint64(page[64:], h.FilterLen)
-	copy(page[headerFixedLen:], w.minKey)
-	copy(page[headerFixedLen+h.RecordSize:], w.prevKey)
-	crc := crc32.Checksum(page[:storage.PageSize-pageCRCLen], castagnoli)
-	le.PutUint32(page[storage.PageSize-pageCRCLen:], crc)
+	le.PutUint32(b[8:], uint32(h.Format))
+	le.PutUint32(b[12:], uint32(h.RecordSize))
+	le.PutUint64(b[16:], h.Records)
+	le.PutUint64(b[24:], h.LeafStart)
+	le.PutUint64(b[32:], h.LeafPages)
+	le.PutUint32(b[40:], h.Levels)
+	le.PutUint32(b[44:], h.FilterCRC)
+	le.PutUint64(b[48:], h.RootPage)
+	le.PutUint64(b[56:], h.FilterOff)
+	le.PutUint64(b[64:], h.FilterLen)
+	if h.Format == FormatDelta {
+		le.PutUint32(b[headerFixedLen:], uint32(h.RootLen))
+	} else {
+		copy(b[headerFixedLen:], w.minKey)
+		copy(b[headerFixedLen+h.RecordSize:], w.prevKey)
+	}
+	n := len(b) - pageCRCLen
+	le.PutUint32(b[n:], crc32.Checksum(b[:n], castagnoli))
 }
 
-// ownBytes returns the bytes of the run's own pages in its file: the
-// header page unless the file starts the run at page 1 (FirstPage), then
-// every page through the root, which a writer writes last. The first run
-// of a file that holds several claims more (FileWriter.Place).
+// headerLen returns the bytes of the run's range before its page 1: its
+// header — format 6's short one, or a 4 KB page — unless the file starts
+// the run at page 1 (FirstPage).
+func (h Header) headerLen() uint64 {
+	switch {
+	case h.FirstPage == 1:
+		return 0
+	case h.Format == FormatDelta:
+		return shortHeaderLen
+	}
+	return storage.PageSize
+}
+
+// pageOff returns where page p ≥ 1 lies in the run's range.
+func (h Header) pageOff(p uint64) uint64 { return h.headerLen() + (p-1)*storage.PageSize }
+
+// pageLen returns the length of page p in the file: 4 KB, but for a
+// format-6 root, which ends at its CRC.
+func (h Header) pageLen(p uint64) uint64 {
+	if p == h.RootPage && h.Format == FormatDelta {
+		return h.RootLen
+	}
+	return storage.PageSize
+}
+
+// PageExtent returns where page p of the run, 1 through its root, lies in
+// the run's range: 4 KB, but for a format-6 root, cut to its length.
+func (h Header) PageExtent(p uint64) storage.Extent {
+	return storage.Extent{Off: int64(h.pageOff(p)), Len: int64(h.pageLen(p))}
+}
+
+// ownBytes returns the bytes of the run's own pages in its file: its
+// header unless the file starts the run at page 1 (FirstPage), then every
+// page through the root, which a writer writes last. The first run of a
+// file that holds several claims more (FileWriter.Place).
 func (h Header) ownBytes() int64 {
-	return int64(h.RootPage+1-h.FirstPage) * storage.PageSize
+	return int64(h.pageOff(h.RootPage) + h.pageLen(h.RootPage))
 }
 
-// readHeader reads and checks the header page of the run in f.
+// WithOwnBytes returns h, a header a manifest carried, with what the
+// length of its run's own pages implies, own bytes from its first: in
+// format 6, where its root ends. A length that cannot hold the root's
+// start leaves it a root length of 0, which check refuses.
+func (h Header) WithOwnBytes(own int64) Header {
+	if h.Format != FormatDelta {
+		return h
+	}
+	h.RootLen = 0
+	if before := h.headerLen(); own >= 0 && uint64(own) >= before && h.RootPage > 0 && h.RootPage-1 <= (uint64(own)-before)/storage.PageSize {
+		h.RootLen = uint64(own) - h.pageOff(h.RootPage)
+	}
+	return h
+}
+
+// readHeader reads and checks the header at the start of the run in f: a
+// format-6 short header, or a header page.
 func readHeader(f storage.File) (Header, error) {
 	var page [storage.PageSize]byte
-	if _, err := f.ReadAt(page[:], 0); err != nil {
+	n, err := f.ReadAt(page[:], 0)
+	if err != nil && !errors.Is(err, io.EOF) {
 		return Header{}, fmt.Errorf("btree: reading header: %w", err)
 	}
-	h, err := decodeHeader(page[:])
+	h, err := decodeHeader(page[:n])
 	if err != nil {
 		return Header{}, err
 	}
@@ -782,41 +935,70 @@ func readHeader(f storage.File) (Header, error) {
 	return h, nil
 }
 
-// decodeHeader returns the Header a header page holds, once its checksum
-// and magic check; its fields are check's to judge.
-func decodeHeader(page []byte) (Header, error) {
+// decodeHeader returns the Header at the start of b — a format-6 short
+// header, or a 4 KB header page — once its checksum and magic check; its
+// fields are check's to judge. A version above format 6 is refused by name
+// and nothing more is read: this binary knows neither how long its header
+// is nor what it holds.
+func decodeHeader(b []byte) (Header, error) {
 	le := binary.LittleEndian
-	crc := crc32.Checksum(page[:storage.PageSize-pageCRCLen], castagnoli)
-	if le.Uint32(page[storage.PageSize-pageCRCLen:]) != crc {
+	if len(b) < shortHeaderLen {
+		return Header{}, fmt.Errorf("%w: a header of %d bytes", ErrCorrupt, len(b))
+	}
+	format := Format(le.Uint32(b[8:]))
+	if format > FormatDelta && string(b[:8]) == magic {
+		return Header{}, newer(format)
+	}
+	if format != FormatDelta {
+		if len(b) < storage.PageSize {
+			return Header{}, fmt.Errorf("%w: a header page of %d bytes", ErrCorrupt, len(b))
+		}
+		b = b[:storage.PageSize]
+	} else {
+		b = b[:shortHeaderLen]
+	}
+	if !frameOK(b) {
 		return Header{}, fmt.Errorf("%w: header checksum", ErrCorrupt)
 	}
-	if string(page[:8]) != magic {
+	if string(b[:8]) != magic {
 		return Header{}, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	return Header{
-		Format:     Format(le.Uint32(page[8:])),
-		RecordSize: int(le.Uint32(page[12:])),
-		Records:    le.Uint64(page[16:]),
-		LeafStart:  le.Uint64(page[24:]),
-		LeafPages:  le.Uint64(page[32:]),
-		Levels:     le.Uint32(page[40:]),
-		FilterCRC:  le.Uint32(page[44:]),
-		RootPage:   le.Uint64(page[48:]),
-		FilterOff:  le.Uint64(page[56:]),
-		FilterLen:  le.Uint64(page[64:]),
-	}, nil
+	h := Header{
+		Format:     format,
+		RecordSize: int(le.Uint32(b[12:])),
+		Records:    le.Uint64(b[16:]),
+		LeafStart:  le.Uint64(b[24:]),
+		LeafPages:  le.Uint64(b[32:]),
+		Levels:     le.Uint32(b[40:]),
+		FilterCRC:  le.Uint32(b[44:]),
+		RootPage:   le.Uint64(b[48:]),
+		FilterOff:  le.Uint64(b[56:]),
+		FilterLen:  le.Uint64(b[64:]),
+	}
+	if format == FormatDelta {
+		h.RootLen = uint64(le.Uint32(b[headerFixedLen:]))
+	}
+	return h, nil
 }
 
-// check holds h against the run file f, whether its page or a manifest
+// newer is the refusal of a run in format f, newer than this binary.
+func newer(f Format) error {
+	return fmt.Errorf("%w: version %d (this binary reads up to %d)", ErrNewerFormat, uint32(f), uint32(FormatDelta))
+}
+
+// check holds h against the run file f, whether the file or a manifest
 // carried it: a readable format, a record size that format can hold, and a
 // geometry that describes f — nothing a Reader does may size a read or an
 // allocation from a field that was not checked against the file's size. A
-// run the file starts at page 1 must be of format 5, which alone leaves a
-// section's header page out.
+// run the file starts at page 1 must be of format 5 or 6, which alone leave
+// a section's header out, and its pages must end where its grid does; a
+// format-6 root must hold a count and a CRC and fit a page.
 func (h Header) check(f storage.File) error {
 	switch {
 	case h.Format == 2:
 		return errors.New("btree: run format 2 is no longer read: open the store once with a binary that reads it (commit 0ea923b or earlier), run Checkpoint and MaintainNow, and close it, as internal/core/testdata/upgrade does")
+	case h.Format > FormatDelta:
+		return newer(h.Format)
 	case h.Format != FormatRaw && !h.Format.delta():
 		return fmt.Errorf("btree: unsupported version %d", uint32(h.Format))
 	}
@@ -826,28 +1008,44 @@ func (h Header) check(f storage.File) error {
 	if h.Format.delta() && (h.RecordSize%8 != 0 || h.RecordSize > MaxDeltaRecordSize) {
 		return fmt.Errorf("%w: delta run with record size %d", ErrCorrupt, h.RecordSize)
 	}
-	if h.FirstPage > 1 || h.FirstPage == 1 && h.Format != FormatDelta {
+	if h.FirstPage > 1 || h.FirstPage == 1 && FirstPageAt(h.Format, 1) != 1 {
 		return fmt.Errorf("%w: a format-%d run whose file starts at its page %d", ErrCorrupt, uint32(h.Format), h.FirstPage)
+	}
+	if h.Format == FormatDelta && (h.RootLen <= pageCountLen+pageCRCLen || h.RootLen > storage.PageSize) || h.Format != FormatDelta && h.RootLen != 0 {
+		return fmt.Errorf("%w: a format-%d root of %d bytes", ErrCorrupt, uint32(h.Format), h.RootLen)
 	}
 	size, err := f.Size()
 	if err != nil {
 		return fmt.Errorf("btree: sizing run: %w", err)
 	}
-	// The grid is the pages the file holds, FirstPage first; end is one
-	// past its last page number.
-	grid := h.FilterOff / storage.PageSize
-	end := grid + h.FirstPage
-	switch {
-	case h.FilterOff%storage.PageSize != 0 || h.FilterOff > uint64(size) || h.FilterLen > uint64(size)-h.FilterOff:
+	if h.FilterOff > uint64(size) || h.FilterLen > uint64(size)-h.FilterOff || h.FilterOff < h.headerLen() {
 		return fmt.Errorf("%w: filter at %d+%d in a %d-byte file", ErrCorrupt, h.FilterOff, h.FilterLen, size)
+	}
+	// The grid is the bytes before the filter, the header's first; end is
+	// one past the last page it holds: in format 6 the root, which ends
+	// within it, and before it the last 4 KB page it holds.
+	grid := h.FilterOff - h.headerLen()
+	var end uint64
+	if h.Format == FormatDelta {
+		if h.RootPage == 0 || h.RootPage-1 > grid/storage.PageSize || h.pageOff(h.RootPage)+h.RootLen > h.FilterOff {
+			return fmt.Errorf("%w: root page %d of %d bytes past a grid of %d bytes from page %d", ErrCorrupt, h.RootPage, h.RootLen, h.FilterOff, h.FirstPage)
+		}
+		end = h.RootPage + 1
+	} else {
+		if grid%storage.PageSize != 0 {
+			return fmt.Errorf("%w: filter at %d, off the page grid", ErrCorrupt, h.FilterOff)
+		}
+		end = grid/storage.PageSize + 1
+	}
+	switch {
 	case h.LeafStart == 0 || h.LeafPages == 0 || h.LeafPages >= end || h.LeafStart > end-h.LeafPages:
-		return fmt.Errorf("%w: leaf pages %d+%d in a %d-page grid from page %d", ErrCorrupt, h.LeafStart, h.LeafPages, grid, h.FirstPage)
+		return fmt.Errorf("%w: leaf pages %d+%d in a grid of %d bytes from page %d", ErrCorrupt, h.LeafStart, h.LeafPages, h.FilterOff, h.FirstPage)
 	case h.RootPage == 0 || h.RootPage >= end || h.Levels > maxLevels || (h.Levels == 0) != (h.LeafPages == 1):
-		return fmt.Errorf("%w: root page %d over %d levels and %d leaves in a %d-page grid from page %d", ErrCorrupt, h.RootPage, h.Levels, h.LeafPages, grid, h.FirstPage)
-	case h.FirstPage == 1 && grid != h.RootPage:
+		return fmt.Errorf("%w: root page %d over %d levels and %d leaves in a grid of %d bytes from page %d", ErrCorrupt, h.RootPage, h.Levels, h.LeafPages, h.FilterOff, h.FirstPage)
+	case h.FirstPage == 1 && uint64(h.ownBytes()) != h.FilterOff:
 		// Only a file's first section claims other runs' pages, for a
-		// tool that opens the file whole through its page 0.
-		return fmt.Errorf("%w: a run without its header page holds %d pages, not its %d through the root", ErrCorrupt, grid, h.RootPage)
+		// tool that opens the file whole through its header.
+		return fmt.Errorf("%w: a run without its header holds %d bytes, not its %d through the root", ErrCorrupt, h.FilterOff, h.ownBytes())
 	}
 	return nil
 }

@@ -22,10 +22,14 @@ const (
 	// LEB128 varint of each flagged column, restarting from all-zero
 	// columns at every page.
 	formatDeltaV3 Format = 3
-	// formatDeltaV4 is the previous delta format, read and never written:
+	// formatDeltaV4 is an earlier delta format, read and never written:
 	// FormatDelta's leaves, but every section of a file has its header page.
 	formatDeltaV4 Format = 4
-	// FormatDelta is the v5 format: bit-packed leaves. A leaf holds a small
+	// formatDeltaV5 is the previous delta format, read and never written:
+	// FormatDelta's file, but with its pages padded — the first section's
+	// header a 4 KB page, and every root 4 KB.
+	formatDeltaV5 Format = 5
+	// FormatDelta is the v6 format: bit-packed leaves. A leaf holds a small
 	// header — a bit width and a base per column, and the absolute block of
 	// every anchorEvery-th record — then its records, each the same number
 	// of bits: the block as an unsigned delta from the previous record's,
@@ -35,9 +39,11 @@ const (
 	// most MaxDeltaRecordSize: a record is treated as a row of at most
 	// eight big-endian u64 columns, which preserves bytes.Compare order.
 	// Internal index pages stay raw in every format. Its leaves are v4's;
-	// what v5 changed is the file: only the first section of a file keeps
-	// a header page (see FileWriter and Header.FirstPage).
-	FormatDelta Format = 5
+	// what v5 changed is the file — only the first section of a file keeps
+	// a header (see FileWriter and Header.FirstPage) — and what v6 changed
+	// is that no section's last page, and no header, is padded to 4 KB
+	// (Header.RootLen).
+	FormatDelta Format = 6
 )
 
 // MaxDeltaRecordSize bounds the record size of a delta run (any version):
@@ -56,6 +62,8 @@ func (f Format) String() string {
 		return "delta-v3"
 	case formatDeltaV4:
 		return "delta-v4"
+	case formatDeltaV5:
+		return "delta-v5"
 	case FormatDelta:
 		return "delta"
 	default:
@@ -63,9 +71,9 @@ func (f Format) String() string {
 	}
 }
 
-// delta reports whether leaves are delta-encoded, in v3, v4 or v5; the
-// header of each carries the filter's checksum.
-func (f Format) delta() bool { return f == formatDeltaV3 || f == formatDeltaV4 || f == FormatDelta }
+// delta reports whether leaves are delta-encoded, in v3, v4, v5 or v6;
+// the header of each carries the filter's checksum.
+func (f Format) delta() bool { return f >= formatDeltaV3 && f <= FormatDelta }
 
 // anchorEvery is K: a packed leaf carries the absolute block of every K-th
 // record, so a seek binary-searches those anchors and then sums at most K

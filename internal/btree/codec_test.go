@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math/rand"
 	"sort"
 	"testing"
@@ -81,8 +80,8 @@ func TestDeltaRoundTrip(t *testing.T) {
 			if r.RecordCount() != uint64(n) {
 				t.Fatalf("RecordCount = %d, want %d", r.RecordCount(), n)
 			}
-			if minKey, maxKey := headerKeys(t, f); !bytes.Equal(minKey, recs[0]) || !bytes.Equal(maxKey, recs[n-1]) {
-				t.Fatal("min/max key mismatch")
+			if size, _ := f.Size(); size != shortHeaderLen+int64(r.h.RootPage-1)*storage.PageSize+int64(r.h.RootLen) || r.SizeBytes() != size {
+				t.Fatalf("a %d-byte file for %d pages and a root of %d bytes", size, r.h.RootPage, r.h.RootLen)
 			}
 			it, err := r.First()
 			if err != nil {
@@ -231,19 +230,15 @@ func TestDeltaForgedCountDetected(t *testing.T) {
 	// ErrCorrupt, never silently wrong records.
 	fs := storage.NewMemFS()
 	recs := sortedRecords48(100) // single partial leaf page
-	f := buildRunFormat(t, fs, "run", 48, FormatDelta, recs)
-
-	page := make([]byte, storage.PageSize)
-	if _, err := f.ReadAt(page, storage.PageSize); err != nil {
+	built, err := Open(buildRunFormat(t, fs, "run", 48, FormatDelta, recs), nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	count := binary.LittleEndian.Uint16(page[:2])
-	binary.LittleEndian.PutUint16(page[:2], count+5)
-	crc := crc32.Checksum(page[:storage.PageSize-pageCRCLen], castagnoli)
-	binary.LittleEndian.PutUint32(page[storage.PageSize-pageCRCLen:], crc)
-	if _, err := f.WriteAt(page, storage.PageSize); err != nil {
+	payload, count, err := built.readPageRaw(new([storage.PageSize]byte), 1)
+	if err != nil {
 		t.Fatal(err)
 	}
+	f := forgeLeaf(t, 48, FormatDelta, payload, uint16(count+5))
 
 	r, err := Open(f, nil)
 	if err != nil {

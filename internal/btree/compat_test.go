@@ -9,10 +9,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -24,10 +26,10 @@ import (
 
 // The golden runs under testdata/ hold goldenRecords(6) ("from", 48-byte
 // records) and goldenRecords(7) ("combined", 56-byte records) followed by
-// goldenFilter's bytes. The v2-*, v3-* and v4-* files were written by the
-// format-2, format-3 and format-4 encoders, which no longer exist in the
+// goldenFilter's bytes. The v2-*, v3-*, v4-* and v5-* files were written by
+// the format-2, -3, -4 and -5 encoders, which no longer exist in the
 // package — never regenerate them; a v2 file is what a retired format
-// looks like, which Open refuses by name (TestReadsV2Golden). The v5-*
+// looks like, which Open refuses by name (TestReadsV2Golden). The v6-*
 // files pin the bytes the current encoder must keep producing: both runs
 // as the sections of one file, and the headers a manifest carries for them.
 //
@@ -91,6 +93,9 @@ var goldenSHA256 = map[string]string{
 	"v3-combined.run": "e1198b72927554e7236c05408609d7fb8e736074177754d1b031a363ab077526",
 	"v4-from.run":     "15ca8c6090da1028841f9fd37577fca69432c9899cdbe3d36dd66751fa0c8638",
 	"v4-combined.run": "24c0d8a9d0c758148466344374a59a075ddfdf2553f8f5861a58dea08efd2250",
+
+	"v5-from-combined.run":          "dfc312ed198a8bd492b5c88d52d4502494c18c20440cb769578e27cdaf02d88c",
+	"v5-from-combined.headers.json": "912597a012c7d18836ea3b90011c56ebe00992672b46cd544b7744d121e2fb72",
 }
 
 func readGolden(t testing.TB, name string) []byte {
@@ -204,7 +209,12 @@ func checkGoldenReader(t *testing.T, open func(*Cache) (*Reader, error), format 
 func TestReadsV2Golden(t *testing.T) {
 	for _, g := range goldenRuns {
 		t.Run(g.name, func(t *testing.T) {
-			refusedByName(t, plantFile(t, readGolden(t, "v2-"+g.name+".run")),
+			golden := readGolden(t, "v2-"+g.name+".run")
+			h, err := decodeHeader(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refusedByName(t, plantFile(t, golden), h,
 				"run format 2 is no longer read: open the store once with a binary that reads it (commit 0ea923b or earlier), run Checkpoint and MaintainNow, and close it, as internal/core/testdata/upgrade does")
 		})
 	}
@@ -258,11 +268,10 @@ func TestFormat3BytesPinned(t *testing.T) {
 }
 
 // TestFormat4BytesPinned: testdata/v4-*.run was written by the format-4
-// encoder, whose leaves and index pages format 5 keeps. A run that is its
-// file's only one keeps its header page too, so the current encoder, given
-// the golden records, writes the golden bit for bit but for the version in
-// its header page and that page's checksum; and the golden reads as format
-// 4.
+// encoder, whose leaves and index pages format 6 keeps. A run that is its
+// file's only one keeps its header too, so the current encoder, given the
+// golden records, writes the golden's pages but for its root's padding
+// (checkUnpadded); and the golden reads as format 4.
 func TestFormat4BytesPinned(t *testing.T) {
 	for _, g := range goldenRuns {
 		t.Run(g.name, func(t *testing.T) {
@@ -289,17 +298,44 @@ func TestFormat4BytesPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 			golden := readGolden(t, "v4-"+g.name+".run")
-			want := plantFile(t, golden)
-			rewriteHeader(t, want, func(page []byte) { binary.LittleEndian.PutUint32(page[8:], uint32(FormatDelta)) })
-			wantBytes := make([]byte, len(golden))
-			if _, err := want.ReadAt(wantBytes, 0); err != nil {
+			old, err := Open(plantFile(t, golden), nil)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got, wantBytes) {
-				t.Fatalf("the encoder's %d bytes differ from the %d of testdata/v4-%s.run with its version set to 5", len(got), len(golden), g.name)
-			}
+			checkUnpadded(t, golden, 0, old.Header(), got, 0, w.h)
 			checkGoldenRun(t, golden, formatDeltaV4, recs)
 		})
+	}
+}
+
+// checkUnpadded holds a run of the current format, the section at off of
+// file got that h describes, against the same records written by an
+// encoder of an earlier delta format whose pages are all 4 KB, the section
+// at oldOff of file old that oh describes: every page but the root is the
+// old one bit for bit, the root is the old one cut to its count and
+// payload then resealed, and the headers agree but for the version, the
+// grid, the first page and the root's length.
+func checkUnpadded(t *testing.T, old []byte, oldOff int64, oh Header, got []byte, off int64, h Header) {
+	t.Helper()
+	same := func(h Header) Header {
+		h.Format, h.FilterOff, h.FirstPage, h.RootLen = 0, 0, 0, 0
+		return h
+	}
+	if same(h) != same(oh) {
+		t.Fatalf("header %+v, the padded format's %+v", h, oh)
+	}
+	page := func(b []byte, off int64, h Header, p uint64) []byte {
+		return b[off+int64(h.pageOff(p)):][:h.pageLen(p)]
+	}
+	for p := uint64(1); p < h.RootPage; p++ {
+		if !bytes.Equal(page(got, off, h, p), page(old, oldOff, oh, p)) {
+			t.Fatalf("page %d differs from the padded format's", p)
+		}
+	}
+	root, want := page(got, off, h, h.RootPage), page(old, oldOff, oh, h.RootPage)
+	n := len(root) - pageCRCLen
+	if len(root) >= storage.PageSize || !frameOK(root) || !bytes.Equal(root[:n], want[:n]) || slices.ContainsFunc(want[n:storage.PageSize-pageCRCLen], func(b byte) bool { return b != 0 }) {
+		t.Fatalf("a root of %d bytes: want the padded format's %d-byte page cut where its padding starts", len(root), len(want))
 	}
 }
 
@@ -310,10 +346,10 @@ type carriedSection struct {
 	Header        Header
 }
 
-// v5File writes the golden records of goldenRuns, each with its filter, as
-// the sections of one file in that order, and returns the file's bytes and
-// each section's ranges and header.
-func v5File(t testing.TB) ([]byte, []carriedSection) {
+// sectionsFile writes the golden records of goldenRuns, each with its
+// filter, as the sections of one file in that order, and returns the
+// file's bytes and each section's ranges and header.
+func sectionsFile(t testing.TB) ([]byte, []carriedSection) {
 	t.Helper()
 	f, err := storage.NewMemFS().Create("file")
 	if err != nil {
@@ -356,78 +392,139 @@ func v5File(t testing.TB) ([]byte, []carriedSection) {
 	return b, secs
 }
 
-// TestFormat5BytesPinned: the current encoder, given the golden records of
-// both runs as the sections of one file, must keep producing
-// testdata/v5-from-combined.run bit for bit, and the headers and ranges a
-// manifest carries for them, testdata/v5-from-combined.headers.json. The
-// file holds one header page, the first section's, which claims every page
-// before the filters, so the file opened whole reads as the From run; the
-// Combined section starts with its first leaf and reads from its carried
-// header alone, as would the From section if the file lacked its page 0.
-// A carried header that claims the page 0 its section lacks, or denies the
-// one it has, is ErrCorrupt. A deliberate format change bumps the version
-// and adds new golden files; it does not edit these.
-func TestFormat5BytesPinned(t *testing.T) {
-	got, secs := v5File(t)
-	golden := readGolden(t, "v5-from-combined.run")
-	if !bytes.Equal(got, golden) {
-		t.Fatalf("the encoder's %d bytes differ from the %d of testdata/v5-from-combined.run", len(got), len(golden))
-	}
-	carried, err := json.MarshalIndent(secs, "", "\t")
-	if err != nil {
+// goldenSections returns testdata/<name>.run and the sections its
+// .headers.json carries.
+func goldenSections(t *testing.T, name string) ([]byte, []carriedSection) {
+	t.Helper()
+	var secs []carriedSection
+	if err := json.Unmarshal(readGolden(t, name+".headers.json"), &secs); err != nil {
 		t.Fatal(err)
 	}
-	if want := readGolden(t, "v5-from-combined.headers.json"); !bytes.Equal(append(carried, '\n'), want) {
-		t.Fatalf("the encoder's carried sections\n%s\ndiffer from testdata/v5-from-combined.headers.json\n%s", carried, want)
-	}
+	return readGolden(t, name+".run"), secs
+}
+
+// checkSections reads each of the golden file's sections, From and
+// Combined, from the header a manifest carries for it — the first through
+// a grid of every byte before the filters, as its header claims — and
+// wants a carried header that claims the header its section lacks, or
+// denies the one it has, refused as ErrCorrupt.
+func checkSections(t *testing.T, file []byte, secs []carriedSection, format Format) {
+	t.Helper()
+	f := plantFile(t, file)
 	from, comb := secs[0], secs[1]
-	filters := int64(from.Header.FilterLen + comb.Header.FilterLen)
-	if int64(len(golden)) != storage.PageSize*int64(1+from.Header.RootPage+comb.Header.RootPage)+filters {
-		t.Fatalf("a %d-byte file for runs of %d and %d pages through their roots: want one header page", len(golden), from.Header.RootPage, comb.Header.RootPage)
-	}
-	if from.Header.FirstPage != 0 || comb.Header.FirstPage != 1 || comb.Pages.Off != from.Pages.Len || comb.Pages.Len != int64(comb.Header.RootPage)*storage.PageSize {
-		t.Fatalf("sections %+v: want the From run's header page alone in the file", secs)
-	}
-	f := plantFile(t, golden)
-	fromRecs, combRecs := goldenRecords(goldenRuns[0].cols), goldenRecords(goldenRuns[1].cols)
-	checkGoldenRun(t, golden, FormatDelta, fromRecs)
 	grid := storage.Extent{Len: from.Filter.Off} // the first section claims every page
 	for _, c := range []struct {
 		sec  carriedSection
 		view storage.File
 		recs [][]byte
 	}{
-		{from, storage.Extents(f, grid, from.Filter), fromRecs},
-		{comb, storage.Extents(f, comb.Pages, comb.Filter), combRecs},
+		{from, storage.Extents(f, grid, from.Filter), goldenRecords(goldenRuns[0].cols)},
+		{comb, storage.Extents(f, comb.Pages, comb.Filter), goldenRecords(goldenRuns[1].cols)},
 	} {
-		checkGoldenReader(t, func(cache *Cache) (*Reader, error) { return OpenHeader(c.view, c.sec.Header, cache) }, FormatDelta, c.recs)
+		checkGoldenReader(t, func(cache *Cache) (*Reader, error) { return OpenHeader(c.view, c.sec.Header, cache) }, format, c.recs)
 		lie := c.sec.Header
 		lie.FirstPage = 1 - lie.FirstPage
 		if _, err := OpenHeader(c.view, lie, nil); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("a carried header with FirstPage %d over a section with %d: %v, want ErrCorrupt", lie.FirstPage, c.sec.Header.FirstPage, err)
 		}
 	}
-	// A first section without its header page reads from its carried
-	// header too, so a writer may stop writing that page without a
-	// format bump: the file less its page 0.
+}
+
+// TestFormat5BytesPinned: testdata/v5-from-combined.run and the headers a
+// manifest carried for its sections, .headers.json, were written by the
+// format-5 encoder, which no longer exists — never regenerate them. The
+// file holds one header page, the first section's, which claims every page
+// before the filters, so the file opened whole reads as the From run; the
+// Combined section starts with its first leaf and reads from its carried
+// header alone, as does the From section of the file less its page 0. The
+// current encoder, given the same records, writes both sections' pages but
+// for their roots' padding.
+func TestFormat5BytesPinned(t *testing.T) {
+	golden, secs := goldenSections(t, "v5-from-combined")
+	from, comb := secs[0], secs[1]
+	filters := int64(from.Header.FilterLen + comb.Header.FilterLen)
+	if int64(len(golden)) != storage.PageSize*int64(1+from.Header.RootPage+comb.Header.RootPage)+filters {
+		t.Fatalf("a %d-byte file for runs of %d and %d pages through their roots: want one header page", len(golden), from.Header.RootPage, comb.Header.RootPage)
+	}
+	if from.Header.Format != formatDeltaV5 || from.Header.FirstPage != 0 || comb.Header.FirstPage != 1 || comb.Pages.Off != from.Pages.Len || comb.Pages.Len != int64(comb.Header.RootPage)*storage.PageSize {
+		t.Fatalf("sections %+v: want the From run's header page alone in the file", secs)
+	}
+	fromRecs := goldenRecords(goldenRuns[0].cols)
+	checkGoldenRun(t, golden, formatDeltaV5, fromRecs)
+	checkSections(t, golden, secs, formatDeltaV5)
 	bare := plantFile(t, golden[storage.PageSize:])
 	h := from.Header
 	h.FirstPage, h.FilterOff = 1, uint64(h.RootPage)*storage.PageSize
 	view := storage.Extents(bare, storage.Extent{Len: int64(h.FilterOff)}, storage.Extent{Off: from.Filter.Off - storage.PageSize, Len: from.Filter.Len})
-	checkGoldenReader(t, func(cache *Cache) (*Reader, error) { return OpenHeader(view, h, cache) }, FormatDelta, fromRecs)
+	checkGoldenReader(t, func(cache *Cache) (*Reader, error) { return OpenHeader(view, h, cache) }, formatDeltaV5, fromRecs)
+
+	got, now := sectionsFile(t)
+	for i := range secs {
+		checkUnpadded(t, golden, secs[i].Pages.Off, secs[i].Header, got, now[i].Pages.Off, now[i].Header)
+	}
 }
 
-// rewriteHeader applies edit to the run's header page and reseals it.
-func rewriteHeader(t testing.TB, f storage.File, edit func(page []byte)) {
-	t.Helper()
-	page := make([]byte, storage.PageSize)
-	if _, err := f.ReadAt(page, 0); err != nil {
+// TestFormat6BytesPinned: the current encoder, given the golden records of
+// both runs as the sections of one file, must keep producing
+// testdata/v6-from-combined.run bit for bit, and the headers and ranges a
+// manifest carries for them, testdata/v6-from-combined.headers.json. The
+// file pads nothing: its bytes are the From run's short header, each run's
+// pages through the one before its root at 4 KB, each root at its length,
+// and the filters. The file opened whole reads as the From run; each
+// section reads from its carried header; a carried root length the
+// section's range does not end at is ErrCorrupt. A deliberate format
+// change bumps the version and adds new golden files; it does not edit
+// these.
+func TestFormat6BytesPinned(t *testing.T) {
+	got, secs := sectionsFile(t)
+	golden := readGolden(t, "v6-from-combined.run")
+	if !bytes.Equal(got, golden) {
+		t.Fatalf("the encoder's %d bytes differ from the %d of testdata/v6-from-combined.run", len(got), len(golden))
+	}
+	carried, err := json.MarshalIndent(secs, "", "\t")
+	if err != nil {
 		t.Fatal(err)
 	}
-	edit(page)
-	crc := crc32.Checksum(page[:storage.PageSize-pageCRCLen], castagnoli)
-	binary.LittleEndian.PutUint32(page[storage.PageSize-pageCRCLen:], crc)
-	if _, err := f.WriteAt(page, 0); err != nil {
+	if want := readGolden(t, "v6-from-combined.headers.json"); !bytes.Equal(append(carried, '\n'), want) {
+		t.Fatalf("the encoder's carried sections\n%s\ndiffer from testdata/v6-from-combined.headers.json\n%s", carried, want)
+	}
+	from, comb := secs[0], secs[1]
+	own := func(h Header) int64 { return int64(h.RootPage-1)*storage.PageSize + int64(h.RootLen) }
+	if int64(len(golden)) != shortHeaderLen+own(from.Header)+own(comb.Header)+int64(from.Header.FilterLen+comb.Header.FilterLen) {
+		t.Fatalf("a %d-byte file for runs of %d and %d pages through roots of %d and %d bytes: want nothing padded",
+			len(golden), from.Header.RootPage, comb.Header.RootPage, from.Header.RootLen, comb.Header.RootLen)
+	}
+	if from.Header.FirstPage != 0 || from.Pages != (storage.Extent{Len: shortHeaderLen + own(from.Header)}) ||
+		comb.Header.FirstPage != 1 || comb.Pages != (storage.Extent{Off: from.Pages.Len, Len: own(comb.Header)}) {
+		t.Fatalf("sections %+v: want the From run's short header alone in the file, each section's pages through its root", secs)
+	}
+	checkGoldenRun(t, golden, FormatDelta, goldenRecords(goldenRuns[0].cols))
+	checkSections(t, golden, secs, FormatDelta)
+	view := storage.Extents(plantFile(t, golden), comb.Pages, comb.Filter)
+	for _, d := range []int{-1, 1} {
+		lie := comb.Header
+		lie.RootLen += uint64(d)
+		if _, err := OpenHeader(view, lie, nil); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("a carried root length %d over a section whose root is %d bytes: %v, want ErrCorrupt", lie.RootLen, comb.Header.RootLen, err)
+		}
+	}
+}
+
+// rewriteHeader applies edit to the run's header — a header page, or
+// format 6's short header — and reseals it.
+func rewriteHeader(t testing.TB, f storage.File, edit func(header []byte)) {
+	t.Helper()
+	header := make([]byte, storage.PageSize)
+	if _, err := f.ReadAt(header, 0); err != nil && !errors.Is(err, io.EOF) {
+		t.Fatal(err)
+	}
+	if Format(binary.LittleEndian.Uint32(header[8:])) == FormatDelta {
+		header = header[:shortHeaderLen]
+	}
+	edit(header)
+	n := len(header) - pageCRCLen
+	binary.LittleEndian.PutUint32(header[n:], crc32.Checksum(header[:n], castagnoli))
+	if _, err := f.WriteAt(header, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -445,44 +542,59 @@ func headerKeys(t testing.TB, f storage.File) (minKey, maxKey []byte) {
 }
 
 // TestFormatContract: the earlier delta formats cannot be written, and a
-// version this binary has never heard of fails by name rather than as
-// corruption, whether its header page says so (Open) or a manifest carried
-// the header (OpenHeader).
+// version this binary has never heard of fails by name, as newer than this
+// binary, rather than as corruption, whether its header says so (Open) — a
+// header page or a short header — or a manifest carried the header
+// (OpenHeader).
 func TestFormatContract(t *testing.T) {
 	f, err := storage.NewMemFS().Create("run")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []Format{formatDeltaV3, formatDeltaV4} {
+	for _, v := range []Format{formatDeltaV3, formatDeltaV4, formatDeltaV5} {
 		if _, err := NewWriterFormat(f, 48, v); err == nil || !strings.Contains(err.Error(), "read-only") {
 			t.Fatalf("NewWriterFormat(format %d): %v, want a read-only refusal", v, err)
 		}
 	}
-	for _, v := range []uint32{6, 7, 1 << 31} {
-		run := plantFile(t, readGolden(t, "v4-from.run"))
-		rewriteHeader(t, run, func(page []byte) { binary.LittleEndian.PutUint32(page[8:], v) })
-		refusedByName(t, run, fmt.Sprintf("unsupported version %d", v))
+	for _, golden := range [][]byte{readGolden(t, "v4-from.run"), readGolden(t, "v6-from-combined.run")} {
+		h, err := Open(plantFile(t, golden), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range []uint32{7, 8, 1 << 31} {
+			run := plantFile(t, golden)
+			rewriteHeader(t, run, func(header []byte) { binary.LittleEndian.PutUint32(header[8:], v) })
+			carried := h.Header()
+			carried.Format = Format(v)
+			refusedByName(t, run, carried, fmt.Sprintf("run format newer than this binary: version %d", v))
+			for _, err := range []error{openErr(run), openHeaderErr(run, carried)} {
+				if !errors.Is(err, ErrNewerFormat) {
+					t.Fatalf("version %d: %v, want ErrNewerFormat", v, err)
+				}
+			}
+		}
 	}
 }
 
+func openErr(f storage.File) error {
+	_, err := Open(f, nil)
+	return err
+}
+
+func openHeaderErr(f storage.File, h Header) error {
+	_, err := OpenHeader(f, h, nil)
+	return err
+}
+
 // refusedByName wants the run in f refused, not as corruption but with an
-// error that says want, both from its header page (Open) and from that
-// header carried by a manifest (OpenHeader).
-func refusedByName(t *testing.T, f storage.File, want string) {
+// error that says want, both from its header (Open) and from h carried by
+// a manifest (OpenHeader).
+func refusedByName(t *testing.T, f storage.File, h Header, want string) {
 	t.Helper()
-	if _, err := Open(f, nil); err == nil || errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
-		t.Fatalf("Open: %v, want %q", err, want)
-	}
-	page := make([]byte, storage.PageSize)
-	if _, err := f.ReadAt(page, 0); err != nil {
-		t.Fatal(err)
-	}
-	h, err := decodeHeader(page)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenHeader(f, h, nil); err == nil || errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
-		t.Fatalf("OpenHeader: %v, want %q", err, want)
+	for name, err := range map[string]error{"Open": openErr(f), "OpenHeader": openHeaderErr(f, h)} {
+		if err == nil || errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: %v, want %q", name, err, want)
+		}
 	}
 }
 
@@ -528,27 +640,46 @@ func TestHeaderGeometryChecked(t *testing.T) {
 	}
 }
 
-// FuzzRunHeader plants an arbitrary header page, resealed so the checksum
-// passes, over a real run's pages. Open, the filter read, a scan and a seek
-// must not panic, and nothing may be sized beyond the file.
+// FuzzRunHeader plants an arbitrary header, resealed so the checksum
+// passes, over a real run's pages: a header page over a format-3 run, or
+// with short set a format-6 short header over a file that holds one small
+// run and is shorter than 4 KB, as a durable checkpoint's file is. Open,
+// the filter read, a scan and a seek must not panic, and nothing may be
+// sized beyond the file.
 func FuzzRunHeader(f *testing.F) {
 	golden := readGolden(f, "v3-from.run")
-	f.Add(golden[:storage.PageSize])
-	f.Add(readGolden(f, "v2-combined.run")[:storage.PageSize])
-	f.Add(make([]byte, storage.PageSize))
+	f.Add(golden[:storage.PageSize], false)
+	f.Add(readGolden(f, "v2-combined.run")[:storage.PageSize], false)
+	f.Add(make([]byte, storage.PageSize), false)
 	descent := append([]byte(nil), golden[:storage.PageSize]...)
 	binary.LittleEndian.PutUint64(descent[48:], 1) // the root is a leaf
-	f.Add(descent)
+	f.Add(descent, false)
 	for _, off := range []int{12, 24, 32, 40, 48, 56, 64} {
 		h := append([]byte(nil), golden[:storage.PageSize]...)
 		h[off+3] ^= 0x7F
-		f.Add(h)
+		f.Add(h, false)
 		h = append([]byte(nil), golden[:storage.PageSize]...)
 		h[off]++
-		f.Add(h)
+		f.Add(h, false)
 	}
-	f.Fuzz(func(t *testing.T, header []byte) {
-		run := plantFile(t, golden)
+	small := smallRun(f)
+	f.Add(small[:shortHeaderLen], true)
+	f.Add(readGolden(f, "v6-from-combined.run")[:shortHeaderLen], true) // a grid past the file
+	f.Add(golden[:shortHeaderLen], true)                                // a header page's fields: format 3
+	for _, off := range []int{8, 12, 24, 32, 40, 48, 56, 64, 72} {
+		h := append([]byte(nil), small[:shortHeaderLen]...)
+		h[off+1] ^= 0x7F
+		f.Add(h, true)
+		h = append([]byte(nil), small[:shortHeaderLen]...)
+		h[off]--
+		f.Add(h, true)
+	}
+	f.Fuzz(func(t *testing.T, header []byte, short bool) {
+		file := golden
+		if short {
+			file = small
+		}
+		run := plantFile(t, file)
 		rewriteHeader(t, run, func(page []byte) {
 			n := copy(page, header)
 			clear(page[n:])
@@ -558,11 +689,11 @@ func FuzzRunHeader(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if r.SizeBytes() > int64(len(golden)) || r.Pages() > uint64(len(golden)/storage.PageSize) {
-			t.Fatalf("opened a %d-byte file as a run of %d bytes in %d pages", len(golden), r.SizeBytes(), r.Pages())
+		if r.SizeBytes() > int64(len(file)) || r.h.RootPage > uint64(len(file)/storage.PageSize)+1 {
+			t.Fatalf("opened a %d-byte file as a run of %d bytes whose root is page %d", len(file), r.SizeBytes(), r.h.RootPage)
 		}
-		if b, err := r.BloomBytes(); err == nil && len(b) > len(golden) {
-			t.Fatalf("filter of %d bytes from a %d-byte file", len(b), len(golden))
+		if b, err := r.BloomBytes(); err == nil && len(b) > len(file) {
+			t.Fatalf("filter of %d bytes from a %d-byte file", len(b), len(file))
 		}
 		for _, rd := range []*Reader{r, r.NoFill()} {
 			_, _ = drain(rd)
@@ -571,6 +702,37 @@ func FuzzRunHeader(f *testing.F) {
 			}
 		}
 	})
+}
+
+// smallRun returns a file that holds one format-6 run of a few records and
+// its filter, in fewer bytes than a page.
+func smallRun(t testing.TB) []byte {
+	t.Helper()
+	recs := goldenRecords(6)[:40]
+	f, err := storage.NewMemFS().Create("run")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWriterFormat(f, 48, FormatDelta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := w.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Finish(goldenFilter(recs)); err != nil {
+		t.Fatal(err)
+	}
+	b := make([]byte, w.SizeBytes())
+	if _, err := f.ReadAt(b, 0); err != nil {
+		t.Fatal(err)
+	}
+	if len(b) >= storage.PageSize {
+		t.Fatalf("a one-leaf run of %d records in %d bytes: want a file shorter than a page", len(recs), len(b))
+	}
+	return b
 }
 
 // TestOpenHeaderReadsNothing: a run opened from the Header its reader
@@ -674,7 +836,7 @@ func TestWriterCoalescesPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := int(r.Pages()) - 1
+	data := int(r.h.RootPage)
 	if data < 3*writeBufPages {
 		t.Fatalf("run of %d pages is too small to fill the write buffer", data)
 	}

@@ -694,26 +694,68 @@ func TestNoFillLeavesCacheUnchanged(t *testing.T) {
 
 // forgeLeaf builds a one-leaf delta run of the given format and overwrites
 // the leaf with the given payload and count under a valid checksum. The
-// writer refuses the previous formats, so such a run is a current one with
-// its header's version field rewritten.
+// writer refuses the previous formats, so such a run is a current one laid
+// out as they lay a run out, with its header's version field rewritten
+// (padded); a current one is padded too, its root a whole page.
 func forgeLeaf(t testing.TB, recSize int, format Format, payload []byte, count uint16) storage.File {
-	f := buildRunFormat(t, storage.NewMemFS(), "run", recSize, FormatDelta, [][]byte{make([]byte, recSize)})
-	if format != FormatDelta {
-		rewriteHeader(t, f, func(page []byte) { binary.LittleEndian.PutUint32(page[8:], uint32(format)) })
-	}
+	f := padded(t, buildRunFormat(t, storage.NewMemFS(), "run", recSize, FormatDelta, [][]byte{make([]byte, recSize)}), format)
 	forgePage(t, f, 1, count, payload)
 	return f
 }
 
-// forgePage overwrites page pageNo of f with the given count and payload
-// under a valid checksum.
+// padded returns a copy of f, a file holding one run of the current format,
+// with every page 4 KB and version format in its header: a header page, as
+// the formats before 6 have, or for format 6 itself its short header,
+// claiming a root of a whole page.
+func padded(t testing.TB, f storage.File, format Format) storage.File {
+	t.Helper()
+	r, err := Open(f, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	filter, err := r.BloomBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := r.h
+	h.Format, h.RootLen = format, 0
+	if format == FormatDelta {
+		h.RootLen = storage.PageSize
+	}
+	h.FilterOff = h.headerLen() + h.RootPage*storage.PageSize
+	out := make([]byte, h.FilterOff, h.FilterOff+h.FilterLen)
+	(&Writer{h: h}).putHeader(out[:h.headerLen()])
+	for p := uint64(1); p <= h.RootPage; p++ {
+		payload, count, err := r.readPageRaw(new([storage.PageSize]byte), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		framePage(out[h.pageOff(p):][:storage.PageSize], uint16(count), payload)
+	}
+	return plantFile(t, append(out, filter...))
+}
+
+// framePage fills page, a 4 KB page of a run, with count and payload, zero
+// padding, then their checksum.
+func framePage(page []byte, count uint16, payload []byte) {
+	clear(page)
+	binary.LittleEndian.PutUint16(page, count)
+	copy(page[pageCountLen:storage.PageSize-pageCRCLen], payload)
+	crc := crc32.Checksum(page[:storage.PageSize-pageCRCLen], castagnoli)
+	binary.LittleEndian.PutUint32(page[storage.PageSize-pageCRCLen:], crc)
+}
+
+// forgePage overwrites page pageNo of f, a run whose every page is 4 KB
+// (padded), with the given count and payload under a valid checksum.
 func forgePage(t testing.TB, f storage.File, pageNo int64, count uint16, payload []byte) {
+	var version [4]byte
+	if _, err := f.ReadAt(version[:], 8); err != nil {
+		t.Fatal(err)
+	}
+	h := Header{Format: Format(binary.LittleEndian.Uint32(version[:]))}
 	var pg [storage.PageSize]byte
-	binary.LittleEndian.PutUint16(pg[:], count)
-	copy(pg[pageCountLen:storage.PageSize-pageCRCLen], payload)
-	crc := crc32.Checksum(pg[:storage.PageSize-pageCRCLen], castagnoli)
-	binary.LittleEndian.PutUint32(pg[storage.PageSize-pageCRCLen:], crc)
-	if _, err := f.WriteAt(pg[:], pageNo*storage.PageSize); err != nil {
+	framePage(pg[:], count, payload)
+	if _, err := f.WriteAt(pg[:], int64(h.pageOff(uint64(pageNo)))); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -823,7 +865,7 @@ func FuzzDeltaLeaf(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, payload []byte, count uint16, sizeSel, fmtSel uint8) {
 		recSize := []int{8, 48, 56, 64}[sizeSel%4]
-		format := []Format{formatDeltaV3, 2, FormatDelta}[min(fmtSel, 2)]
+		format := []Format{formatDeltaV3, 2, FormatDelta, formatDeltaV5}[min(fmtSel, 3)]
 		file := forgeLeaf(t, recSize, format, payload, count)
 		r, err := Open(file, nil)
 		if format == 2 {

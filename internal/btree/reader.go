@@ -33,8 +33,8 @@ type Reader struct {
 	decodeObs func(time.Duration)
 }
 
-// Open validates the run header in f and returns a Reader. The cache may be
-// nil, in which case every page access hits storage.
+// Open validates the run header at the start of f and returns a Reader. The
+// cache may be nil, in which case every page access hits storage.
 func Open(f storage.File, cache *Cache) (*Reader, error) {
 	h, err := readHeader(f)
 	if err != nil {
@@ -99,7 +99,7 @@ func (r *Reader) NoFill() *Reader {
 func (r *Reader) CacheID() uint64 { return r.id }
 
 // Format returns the run's leaf encoding: FormatRaw, FormatDelta, or an
-// earlier delta format, v3 or v4, which is only ever read.
+// earlier delta format, v3, v4 or v5, which is only ever read.
 func (r *Reader) Format() Format { return r.h.Format }
 
 // RecordSize returns the fixed record size of the run.
@@ -111,15 +111,11 @@ func (r *Reader) RecordCount() uint64 { return r.h.Records }
 // Header returns the run's header, which OpenHeader opens the run from.
 func (r *Reader) Header() Header { return r.h }
 
-// Pages returns the number of 4 KB pages of the page grid the header
-// claims (header page, if the file holds it, + leaves + internal levels),
-// excluding the trailing bloom bytes.
-func (r *Reader) Pages() uint64 { return r.h.FilterOff / storage.PageSize }
-
 // SizeBytes returns the run's own size: its pages through the root page,
-// its header page if the file holds it, and its Bloom filter — the whole
-// file, for a run that is one. The first run of a file that holds several
-// claims the other runs' pages in its grid (Pages) but does not own them.
+// its header if the file holds it, and its Bloom filter — the whole file,
+// for a run that is one. The first run of a file that holds several claims
+// the other runs' pages in its grid (Header.FilterOff) but does not own
+// them.
 func (r *Reader) SizeBytes() int64 {
 	return r.h.ownBytes() + int64(r.h.FilterLen)
 }
@@ -156,7 +152,7 @@ var scratchPool = sync.Pool{New: func() any { return new(pageScratch) }}
 // on a miss, from storage. A page read from storage is checked here and
 // kept at its used length, so the cache is charged what the page pins: an
 // internal page or a raw leaf its count of fixed-stride entries, a delta
-// leaf its packed form — a v4 or v5 leaf's payload, a v3 leaf's records decoded
+// leaf its packed form — a v4, v5 or v6 leaf's payload, a v3 leaf's records decoded
 // and packed — whose every record the miss has checked (see
 // leaf.check). Nothing returned may be modified.
 func (r *Reader) readPage(pageNo uint64) (*page, error) {
@@ -213,7 +209,7 @@ func entries(payload []byte, count, stride int) ([]byte, error) {
 }
 
 // unpack gives the delta leaf p, read as payload, its packed form: a copy
-// of a v4 or v5 leaf, or a v3 leaf transcoded, with its header parsed and every
+// of a v4, v5 or v6 leaf, or a v3 leaf transcoded, with its header parsed and every
 // record checked.
 func (r *Reader) unpack(p *page, payload []byte, s *pageScratch) (err error) {
 	var start time.Time
@@ -246,25 +242,26 @@ func (r *Reader) unpack(p *page, payload []byte, s *pageScratch) (err error) {
 	return nil
 }
 
-// readPageRaw reads a page from storage into buf and verifies its CRC,
-// bypassing the cache. The payload it returns aliases buf.
+// readPageRaw reads a page from storage into buf — at its length, which is
+// 4 KB but for a format-6 root — and verifies its CRC, bypassing the
+// cache. The payload it returns aliases buf.
 func (r *Reader) readPageRaw(buf *[storage.PageSize]byte, pageNo uint64) (payload []byte, count int, err error) {
-	if pageNo < r.h.FirstPage || pageNo-r.h.FirstPage >= r.Pages() {
+	if pageNo == 0 || pageNo > r.h.RootPage {
 		// Only a child pointer can ask: the header's own numbers were
-		// checked against the file.
-		return nil, 0, fmt.Errorf("%w: page %d of a %d-page grid from page %d", ErrCorrupt, pageNo, r.Pages(), r.h.FirstPage)
+		// checked against the file, and the root is the last page.
+		return nil, 0, fmt.Errorf("%w: page %d of a run whose root is page %d", ErrCorrupt, pageNo, r.h.RootPage)
 	}
-	page := buf[:]
-	n, err := r.f.ReadAt(page, int64(pageNo-r.h.FirstPage)*storage.PageSize)
+	e := r.h.PageExtent(pageNo)
+	page := buf[:e.Len]
+	n, err := r.f.ReadAt(page, e.Off)
 	if err != nil && err != io.EOF {
 		return nil, 0, fmt.Errorf("btree: reading page %d: %w", pageNo, err)
 	}
 	clear(page[n:]) // a short read fails the CRC, whatever buf held before
-	crc := crc32.Checksum(page[:storage.PageSize-pageCRCLen], castagnoli)
-	if binary.LittleEndian.Uint32(page[storage.PageSize-pageCRCLen:]) != crc {
+	if !frameOK(page) {
 		return nil, 0, fmt.Errorf("%w: page %d checksum", ErrCorrupt, pageNo)
 	}
-	return page[pageCountLen : storage.PageSize-pageCRCLen],
+	return page[pageCountLen : len(page)-pageCRCLen],
 		int(binary.LittleEndian.Uint16(page[:2])), nil
 }
 

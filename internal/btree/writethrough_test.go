@@ -51,11 +51,11 @@ func checkWrittenPages(t testing.TB, name string, f storage.File, cache *Cache, 
 		t.Fatal(err)
 	}
 	cached := 0
-	for pageNo := uint64(1); pageNo < cold.Pages(); pageNo++ {
+	for pageNo := uint64(1); pageNo <= cold.h.RootPage; pageNo++ {
 		got := cache.get(w.CacheID(), pageNo)
 		if got == nil {
 			if all {
-				t.Fatalf("%s: page %d of %d not written through", name, pageNo, cold.Pages())
+				t.Fatalf("%s: page %d of %d not written through", name, pageNo, cold.h.RootPage)
 			}
 			continue
 		}

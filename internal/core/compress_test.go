@@ -3,20 +3,21 @@ package core
 import (
 	"testing"
 
-	"github.com/backlogfs/backlog/internal/btree"
 	"github.com/backlogfs/backlog/internal/storage"
 )
 
-// TestCompressionEstimate: a table's projection is the pages a FormatDelta
-// writer produces for the table's records, one run per partition, and on
-// a store large enough that the header and index pages are a small share
-// of those pages the ratio is the paper's "highly compressible".
+// TestCompressionEstimate: a table's projection is the pages the FormatDelta
+// writer produces for the table's records, one file per partition with the
+// tables as its sections — here those of the compacted runs themselves,
+// which a whole merge wrote that way — and on a store large enough that
+// the header, root and index pages are a small share of those pages the
+// ratio is the paper's "highly compressible".
 func TestCompressionEstimate(t *testing.T) {
 	env := newTestEnv(t, Options{})
 	e := env.eng
 	// A realistic pattern: many files with sequential blocks, so sorted
 	// records have tiny per-column deltas.
-	const files, blocks = 50, 400
+	const files, blocks = 64, 400
 	cp := uint64(1)
 	for f := uint64(0); f < files; f++ {
 		for b := uint64(0); b < blocks; b++ {
@@ -49,44 +50,21 @@ func TestCompressionEstimate(t *testing.T) {
 		if est.RawBytes != int64(est.Records)*rs {
 			t.Fatalf("%s raw bytes mismatch: %d for %d records", table, est.RawBytes, est.Records)
 		}
-		// The compacted table is one run per partition: rewrite each run's
-		// records with a writer of its own.
+		// The compacted table is one run per partition, a section of the
+		// merge's file: its pages are its bytes less its filter.
 		var pages int64
 		v := e.db.AcquireView()
 		for p := 0; p < e.db.Partitions(); p++ {
 			for _, r := range v.Runs(table, p) {
-				w, err := btree.NewWriterFormat(storage.NewMemFS().CreateSink("run"), int(rs), btree.FormatDelta)
-				if err != nil {
-					t.Fatal(err)
-				}
-				it, err := r.First()
-				if err != nil {
-					t.Fatal(err)
-				}
-				for {
-					rec, ok, err := it.Next()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !ok {
-						break
-					}
-					if err := w.Append(rec); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := w.Finish(nil); err != nil {
-					t.Fatal(err)
-				}
-				pages += w.SizeBytes()
+				pages += r.SizeBytes() - int64(r.Header().FilterLen)
 			}
 		}
 		v.Release()
 		if est.CompressedBytes != pages {
-			t.Fatalf("%s: projected %d bytes, a delta writer produces %d", table, est.CompressedBytes, pages)
+			t.Fatalf("%s: projected %d bytes, the merge wrote %d", table, est.CompressedBytes, pages)
 		}
 		t.Logf("%s: %d records, %d raw bytes, %d projected, ratio %.2f", table, est.Records, est.RawBytes, est.CompressedBytes, est.Ratio)
-		// Header and index pages are two of the ten pages here.
+		// The root and index pages are two of the eight pages here.
 		if n := est.CompressedBytes / storage.PageSize; n < 8 {
 			t.Fatalf("%s: projection of %d pages, want enough that two of them do not decide the ratio", table, n)
 		}

@@ -36,7 +36,7 @@ type Options struct {
 	Catalog *MemCatalog
 	// CacheBytes sizes the shared page cache (default 32 MB, the paper's
 	// micro-benchmark configuration). Pages are cached in their on-disk
-	// encoding (a v3 leaf packed as v4 and v5 leaves are) and
+	// encoding (a v3 leaf packed as v4, v5 and v6 leaves are) and
 	// charged the bytes they pin, the payload at its used length, so the
 	// budget covers as many bytes of the store in memory as on disk, and
 	// pages of a run that is merged away or expired stop counting when its
@@ -67,16 +67,16 @@ type Options struct {
 	// larger one.
 	BloomMaxBytes int
 	// Compression selects the on-disk run format. The default,
-	// CompressionDelta, writes format-v5 runs whose leaves bit-pack each
+	// CompressionDelta, writes format-v6 runs whose leaves bit-pack each
 	// column at the width it spans on the page (the paper's Section 8
 	// observation that back-reference tables are "highly compressible,
 	// especially if we compress them by columns"); CompressionNone writes
 	// raw fixed-stride v1 runs. Runs of every readable format — those two
-	// and the earlier delta formats, v3 and v4 — open and query transparently,
+	// and the earlier delta formats, v3, v4 and v5 — open and query transparently,
 	// and every new run — checkpoint flush or compaction — is written in
 	// the configured format, so flipping the knob migrates a database
 	// gradually with no explicit step. Under CompressionDelta a
-	// maintenance pass also rewrites every v3 or v4 run into v5 at its level,
+	// maintenance pass also rewrites every v3, v4 or v5 run into v6 at its level,
 	// records and CP window unchanged (the format horizon). A v2 run is
 	// refused by name at Open.
 	Compression Compression

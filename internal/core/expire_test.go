@@ -363,12 +363,14 @@ func buildExpirable(t *testing.T, vfs storage.VFS, epochs, perEpoch, blocks int)
 
 // TestExpireVsCompactReclaimIO pins the economics: reclaiming the same
 // deleted snapshots must cost expiry at least 10x less I/O than the
-// compaction path, which reads and rewrites every surviving record. Both
-// engines must agree on what remains.
+// compaction path, which reads and rewrites every surviving record. The
+// epochs hold enough references that their records, not the framing of the
+// pages they sit in, are what compaction moves. Both engines must agree on
+// what remains.
 func TestExpireVsCompactReclaimIO(t *testing.T) {
 	const (
 		epochs   = 8
-		perEpoch = 256
+		perEpoch = 1024
 		blocks   = 64
 	)
 	fsE := storage.NewMemFS()

@@ -158,7 +158,8 @@ func TestCorruptCompressedRunSurfacesErrCorrupt(t *testing.T) {
 		t.Fatal("no delta runs written")
 	}
 
-	// Flip a payload byte in page 1 (the first leaf) of every run file.
+	// Flip a payload byte in page 1 (the first leaf) of every run file,
+	// which starts after the file's 80-byte header.
 	names, err := fs.List()
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +174,7 @@ func TestCorruptCompressedRunSurfacesErrCorrupt(t *testing.T) {
 			t.Fatal(err)
 		}
 		buf := make([]byte, 1)
-		off := int64(storage.PageSize) + 100
+		off := int64(100)
 		if _, err := f.ReadAt(buf, off); err != nil {
 			t.Fatal(err)
 		}
@@ -507,7 +508,7 @@ func TestV4ManifestStoreOpensAndMigrates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if est.Records == 0 || est.CompressedBytes < storage.PageSize || est.Ratio <= 1 {
+		if est.Records == 0 || est.CompressedBytes <= 0 || est.Ratio <= 1 {
 			t.Fatalf("%s: projection %+v, want the format-3 runs' records in a smaller rewrite", ri.Table, est)
 		}
 	}
@@ -610,15 +611,16 @@ func TestCorruptLeafUnderCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	page := make([]byte, storage.PageSize)
-	if _, err := f.ReadAt(page, storage.PageSize); err != nil {
+	leaf := firstLeaf(t, eng, before[0])
+	page := make([]byte, leaf.Len)
+	if _, err := f.ReadAt(page, leaf.Off); err != nil {
 		t.Fatal(err)
 	}
-	used := bytes.LastIndexFunc(page[:storage.PageSize-4], func(r rune) bool { return r != 0 })
-	clear(page[used/2 : storage.PageSize-4])
-	binary.LittleEndian.PutUint32(page[storage.PageSize-4:],
-		crc32.Checksum(page[:storage.PageSize-4], crc32.MakeTable(crc32.Castagnoli)))
-	if _, err := f.WriteAt(page, storage.PageSize); err != nil {
+	end := len(page) - 4
+	used := bytes.LastIndexFunc(page[:end], func(r rune) bool { return r != 0 })
+	clear(page[used/2 : end])
+	binary.LittleEndian.PutUint32(page[end:], crc32.Checksum(page[:end], crc32.MakeTable(crc32.Castagnoli)))
+	if _, err := f.WriteAt(page, leaf.Off); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -635,6 +637,25 @@ func TestCorruptLeafUnderCompaction(t *testing.T) {
 			t.Fatalf("a level-%d run was installed by the failed merge: %+v", ri.Level, ri)
 		}
 	}
+}
+
+// firstLeaf returns where the run file name holds the first leaf of its
+// first section, the one whose header the file holds: 4 KB, or the run's
+// root cut to its length when the run has one leaf.
+func firstLeaf(t *testing.T, eng *core.Engine, name string) storage.Extent {
+	t.Helper()
+	db := eng.DB()
+	for _, table := range []string{core.TableFrom, core.TableTo, core.TableCombined} {
+		for p := range db.Partitions() {
+			for _, r := range db.Table(table).Runs(p) {
+				if h := r.Header(); r.Name() == name && h.FirstPage == 0 {
+					return h.PageExtent(h.LeafStart)
+				}
+			}
+		}
+	}
+	t.Fatalf("no run of %s holds its header", name)
+	return storage.Extent{}
 }
 
 // TestV3RunsMigrate is the format horizon end to end, under PolicyFull
@@ -733,10 +754,10 @@ func v3RunsMigrate(t *testing.T, opts core.Options) {
 }
 
 // TestEarlierStoresMigrateOnTheirFirstMaintain: each store an earlier
-// binary wrote — format-4 runs under a commit trailer, or format-3 runs
-// under a legacy manifest — opens with the model's answers and its
-// writer's; its first MaintainNow leaves it in the current format (5)
-// alone, with the answers unchanged, and a second installs nothing; the
+// binary wrote — format-5 or format-4 runs under a commit trailer, or
+// format-3 runs under a legacy manifest — opens with the model's answers
+// and its writer's; its first MaintainNow leaves it in the current format
+// (6) alone, with the answers unchanged, and a second installs nothing; the
 // Close after them commits, which removes a legacy manifest, and the store
 // reopens with no call on one and answers as before.
 func TestEarlierStoresMigrateOnTheirFirstMaintain(t *testing.T) {
@@ -744,6 +765,7 @@ func TestEarlierStoresMigrateOnTheirFirstMaintain(t *testing.T) {
 		store string
 		mode  wal.Durability
 	}{
+		{"v5runs-store", wal.Buffered},
 		{"v4runs-store", wal.Buffered},
 		{"v4manifest-store", wal.Buffered},
 		{"v3manifest-store", wal.CheckpointOnly},
@@ -767,8 +789,8 @@ func TestEarlierStoresMigrateOnTheirFirstMaintain(t *testing.T) {
 			if err := eng.MaintainNow(); err != nil {
 				t.Fatal(err)
 			}
-			if counts := formatCounts(eng); len(counts) != 1 || counts[btree.FormatDelta] == 0 {
-				t.Fatalf("after the first MaintainNow: %v, want current-format runs alone", counts)
+			if counts := formatCounts(eng); len(counts) != 1 || counts[btree.FormatDelta] == 0 || btree.FormatDelta != 6 {
+				t.Fatalf("after the first MaintainNow: %v, want format-6 runs alone", counts)
 			}
 			checkEarlierStore(t, eng, m, want)
 			installed, files := eng.MaintenanceStats().AutoCompactions, eng.Files()
@@ -795,5 +817,59 @@ func TestEarlierStoresMigrateOnTheirFirstMaintain(t *testing.T) {
 			}
 			checkEarlierStore(t, eng, m, want)
 		})
+	}
+}
+
+// TestCompressionProjectsTheRewrite: a table's projection
+// (EstimateCompression) is the page bytes a maintenance pass writes for the
+// table's records: one file per partition, the tables its sections, the
+// header the first section's alone. On a copy of testdata/v4runs-store,
+// every run of which is format 4, MaintainNow merges the partition whole —
+// nine runs, over FullThreshold — which joins From and To records into
+// Combined, so what it writes is held against the projection of the
+// records it wrote: each table's projection is its new runs' records and
+// bytes less their filters, the Combined section's without a header.
+func TestCompressionProjectsTheRewrite(t *testing.T) {
+	fs, _ := earlierStore(t, "v4runs-store")
+	eng, err := core.Open(core.Options{VFS: fs, Catalog: core.NewMemCatalog(), Durability: wal.Buffered})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	tables := []string{core.TableFrom, core.TableTo, core.TableCombined}
+	for _, table := range tables {
+		if est, err := eng.EstimateCompression(table); err != nil || est.Records == 0 || est.Ratio <= 1 {
+			t.Fatalf("%s: projection %+v (%v) of format-4 runs, want their records in a smaller rewrite", table, est, err)
+		}
+	}
+	if err := eng.MaintainNow(); err != nil {
+		t.Fatal(err)
+	}
+	db := eng.DB()
+	later := 0 // sections that follow another in their file
+	for _, table := range tables {
+		var records uint64
+		var pages int64
+		for p := range db.Partitions() {
+			for _, r := range db.Table(table).Runs(p) {
+				h := r.Header()
+				if h.Format != btree.FormatDelta {
+					t.Fatalf("%s run in %s is format %d after MaintainNow", table, r.Name(), h.Format)
+				}
+				later += int(h.FirstPage)
+				records += r.Records()
+				pages += r.SizeBytes() - int64(h.FilterLen)
+			}
+		}
+		est, err := eng.EstimateCompression(table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est.Records != records || est.CompressedBytes != pages {
+			t.Fatalf("%s: projected %d records in %d page bytes, MaintainNow wrote %d in %d", table, est.Records, est.CompressedBytes, records, pages)
+		}
+	}
+	if later == 0 {
+		t.Fatal("every new run is its file's first section: the projection of a later one is untested")
 	}
 }

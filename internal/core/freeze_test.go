@@ -312,6 +312,24 @@ func TestRelocateDuringCheckpointFlush(t *testing.T) {
 	}
 }
 
+// failCheckpointWrites returns a Hook that fails every write to a
+// checkpoint's run file, after next (when set) has seen the call: a flush
+// failure wherever a checkpoint's pages and its commit go, however few
+// pages that is.
+func failCheckpointWrites(next func(storage.Call) error) func(storage.Call) error {
+	return func(c storage.Call) error {
+		if next != nil {
+			if err := next(c); err != nil {
+				return err
+			}
+		}
+		if c.Op == storage.OpWrite && strings.HasPrefix(c.Name, "cp.") {
+			return storage.ErrInjected
+		}
+		return nil
+	}
+}
+
 // TestCheckpointFlushFailureRecovers injects a write failure into the
 // lock-free flush and verifies the documented contract: on error every
 // frozen record is merged back into the write stores (recoverable), and a
@@ -323,7 +341,7 @@ func TestCheckpointFlushFailureRecovers(t *testing.T) {
 	for i := uint64(0); i < n; i++ {
 		eng.AddRef(fref(i, 2, i, 0), 1)
 	}
-	env.fs.SetFailurePlan(storage.FailurePlan{FailAfterPageWrites: env.fs.Stats().PageWrites + 1})
+	env.fs.SetFailurePlan(storage.FailurePlan{Hook: failCheckpointWrites(nil)})
 	if err := eng.Checkpoint(1); err == nil {
 		t.Fatal("checkpoint succeeded under an injected flush failure")
 	}
@@ -372,9 +390,9 @@ func TestRelocateThenFlushFailure(t *testing.T) {
 	if owners := fQuery(t, eng, oldBlock); len(owners) != 1 {
 		t.Fatalf("old block wrong while the relocation is queued: %+v", owners)
 	}
-	// Fail the flush: the gated Creates proceed, and after one page the
-	// writes behind them (or the manifest commit) fail.
-	env.fs.SetFailurePlan(storage.FailurePlan{Hook: g.hook, FailAfterPageWrites: env.fs.Stats().PageWrites + 1})
+	// Fail the flush: the gated Creates proceed, and the writes behind
+	// them (and the manifest commit they carry) fail.
+	env.fs.SetFailurePlan(storage.FailurePlan{Hook: failCheckpointWrites(g.hook)})
 	close(g.release)
 	if err := <-done; err == nil {
 		t.Fatal("checkpoint succeeded under an injected flush failure")
@@ -503,7 +521,7 @@ func TestRetriedCheckpointDoesNotDoubleApplyWAL(t *testing.T) {
 	<-g.entered
 	bRef := fref(50, 7, 0, 0)
 	eng.AddRef(bRef, 2)
-	fs.SetFailurePlan(storage.FailurePlan{Hook: g.hook, FailAfterPageWrites: fs.Stats().PageWrites + 1})
+	fs.SetFailurePlan(storage.FailurePlan{Hook: failCheckpointWrites(g.hook)})
 	close(g.release)
 	if err := <-done; err == nil {
 		t.Fatal("checkpoint survived the injected flush failure")

@@ -126,7 +126,11 @@ func TestRunHandlesAreClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := make([]byte, storage.PageSize)
+	size, err := f.Size()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, size/2)
 	if _, err := f.ReadAt(data, 0); err != nil {
 		t.Fatal(err)
 	}

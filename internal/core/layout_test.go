@@ -1,10 +1,12 @@
-// Tests of the bytes a run file holds: in format 5 only the first section
-// of a file keeps a header page.
+// Tests of the bytes a run file holds: in format 6 only the first section
+// of a file keeps a header, at its used length, and no section's last page
+// is padded.
 package core_test
 
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"slices"
 	"strings"
 	"testing"
@@ -14,17 +16,23 @@ import (
 	"github.com/backlogfs/backlog/internal/storage"
 )
 
-// runHeaderMagic begins every run header page.
-const runHeaderMagic = "BKRUN1\x00\x00"
+const (
+	// runHeaderMagic begins every run header.
+	runHeaderMagic = "BKRUN1\x00\x00"
+	// shortHeader is a format-6 header: 72 bytes of fixed fields, the
+	// root's length and the CRC.
+	shortHeader = 80
+)
 
-// checkOneHeaderPage holds the run file name against the runs eng lists in
-// it and returns their tables, in the file's section order. The file must
-// hold exactly one header page, its first section's at offset 0: 4 KiB ×
-// (1 + the leaf and index pages of every run) of pages, then the runs'
-// filters, then the commit trailer if the file carries one. Every section
-// after the first starts with its first leaf, and the file opened whole
-// reads as its first section.
-func checkOneHeaderPage(t *testing.T, fs *storage.MemFS, eng *core.Engine, name string) (tables []string) {
+// checkNoPadding holds the run file name against the runs eng lists in it
+// and returns their tables, in the file's section order. The file's bytes
+// must be exactly its first section's short header, then each section's
+// pages — 4 KiB for every page with a successor, its root at its length —
+// then the runs' filters, then the commit trailer if the file carries one.
+// The file holds one header, at offset 0; every section after the first
+// starts with its first leaf; every root ends at its checksum; and the
+// file opened whole reads as its first section.
+func checkNoPadding(t *testing.T, fs *storage.MemFS, eng *core.Engine, name string) (tables []string) {
 	t.Helper()
 	db := eng.DB()
 	var heads []btree.Header
@@ -37,14 +45,6 @@ func checkOneHeaderPage(t *testing.T, fs *storage.MemFS, eng *core.Engine, name 
 				}
 			}
 		}
-	}
-	pages, filters := int64(storage.PageSize), int64(0)
-	for i, h := range heads {
-		if h.Format != btree.FormatDelta || h.FirstPage != min(uint64(i), 1) {
-			t.Fatalf("%s: section %d (%s) has header %+v: want format 5, its page 0 in the file for the first section alone", name, i, tables[i], h)
-		}
-		pages += int64(h.RootPage) * storage.PageSize // leaves 1..L, index pages L+1..root
-		filters += int64(h.FilterLen)
 	}
 	f, err := fs.Open(name)
 	if err != nil {
@@ -59,40 +59,48 @@ func checkOneHeaderPage(t *testing.T, fs *storage.MemFS, eng *core.Engine, name 
 	if _, err := f.ReadAt(b, 0); err != nil {
 		t.Fatal(err)
 	}
+	pages, filters := int64(shortHeader), int64(0)
+	for i, h := range heads {
+		if h.Format != btree.FormatDelta || h.FirstPage != min(uint64(i), 1) || h.RootLen == 0 || h.RootLen >= storage.PageSize {
+			t.Fatalf("%s: section %d (%s) has header %+v: want format 6, its header in the file for the first section alone, a root shorter than a page", name, i, tables[i], h)
+		}
+		root := pages + int64(h.RootPage-1)*storage.PageSize // leaves 1..L, index pages L+1..root
+		if end := root + int64(h.RootLen); end > size || binary.LittleEndian.Uint32(b[end-4:]) != crc32.Checksum(b[root:end-4], crc32.MakeTable(crc32.Castagnoli)) {
+			t.Fatalf("%s: section %d (%s) has no root of %d bytes at %d ending at its checksum", name, i, tables[i], h.RootLen, root)
+		}
+		pages = root + int64(h.RootLen)
+		filters += int64(h.FilterLen)
+	}
 	if size != pages+filters {
 		// The commit rides the file: its footer says where the pages and
 		// the filters end.
 		footer := b[size-32:]
 		le := binary.LittleEndian
 		if string(footer[:8]) != "BKCOMMIT" || int64(le.Uint64(footer[8:])) != pages || int64(le.Uint64(footer[16:])) != pages+filters {
-			t.Fatalf("%s: %d bytes for %d of pages and %d of filters of runs %v, and no trailer after them", name, size, pages, filters, tables)
+			t.Fatalf("%s: %d bytes for %d of header and pages and %d of filters of runs %v, and no trailer after them", name, size, pages, filters, tables)
 		}
 	}
-	var headers []int64
-	for off := int64(0); off < pages; off += storage.PageSize {
-		if bytes.HasPrefix(b[off:], []byte(runHeaderMagic)) {
-			headers = append(headers, off)
-		}
-	}
-	if !slices.Equal(headers, []int64{0}) {
-		t.Fatalf("%s: header pages at %v, want one at 0", name, headers)
+	if !bytes.HasPrefix(b, []byte(runHeaderMagic)) || bytes.Count(b[:pages], []byte(runHeaderMagic)) != 1 {
+		t.Fatalf("%s: %d run headers in the pages, want one at 0", name, bytes.Count(b[:pages], []byte(runHeaderMagic)))
 	}
 	whole, err := btree.Open(f, nil)
 	if err != nil {
 		t.Fatalf("%s opened whole: %v", name, err)
 	}
-	if h := whole.Header(); whole.RecordCount() != records[0] || h.RootPage != heads[0].RootPage || h.FilterOff != uint64(pages) {
-		t.Fatalf("%s opened whole: header %+v, want the %s run's claiming every page", name, h, tables[0])
+	if h := whole.Header(); whole.RecordCount() != records[0] || h.RootPage != heads[0].RootPage || h.RootLen != heads[0].RootLen || h.FilterOff != uint64(pages) {
+		t.Fatalf("%s opened whole: header %+v, want the %s run's claiming every byte before the filters", name, h, tables[0])
 	}
 	return tables
 }
 
-// TestRunFilesHoldOneHeaderPage: in a store of format-5 runs a checkpoint
-// of From and To, one of From, To and Combined, one of To and Combined
-// (its first slot empty) and a whole merge each write one file that holds
-// a single header page, its first section's, and opens whole as that
-// section; the store answers as the model does across a reopen.
-func TestRunFilesHoldOneHeaderPage(t *testing.T) {
+// TestRunFilesHoldNoPadding: in a store of format-6 runs a checkpoint of
+// From and To, one of From, To and Combined, one of To and Combined (its
+// first slot empty) and a whole merge each write one file that pads
+// nothing — a short header, its first section's, every page with a
+// successor 4 KiB, every root at its length, then the filters — and opens
+// whole as its first section; the store answers as the model does across a
+// reopen.
+func TestRunFilesHoldNoPadding(t *testing.T) {
 	fx := newMergeFixture(t, core.Options{})
 	const dead, moved = fixtureBlocks + 2, fixtureBlocks + 3 // a block whose one reference dies, and its new place
 	seen := map[string]bool{}
@@ -102,7 +110,7 @@ func TestRunFilesHoldOneHeaderPage(t *testing.T) {
 		do()
 		for _, name := range fx.eng.Files() {
 			if strings.HasSuffix(name, ".run") && !slices.Contains(before, name) {
-				seen[strings.Join(checkOneHeaderPage(t, fx.fs, fx.eng, name), "+")] = true
+				seen[strings.Join(checkNoPadding(t, fx.fs, fx.eng, name), "+")] = true
 			}
 		}
 	}

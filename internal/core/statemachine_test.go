@@ -1411,7 +1411,7 @@ func runHammer(t *testing.T, row hammerRow) *hammer {
 				// Fail somewhere inside the flush: the frozen records go back
 				// to the write stores, and the retry must see them all. A
 				// flush of empty write stores writes no page and commits.
-				h.fs.SetFailurePlan(storage.FailurePlan{FailAfterPageWrites: h.fs.Stats().PageWrites + 2})
+				h.fs.SetFailurePlan(storage.FailurePlan{Hook: failCheckpointWrites(nil)})
 				retry = eng.Checkpoint(cp) != nil
 				h.fs.SetFailurePlan(storage.FailurePlan{})
 			}

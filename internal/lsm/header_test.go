@@ -3,7 +3,10 @@ package lsm
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"maps"
+	"os"
+	"path/filepath"
 	"regexp"
 	"slices"
 	"strings"
@@ -181,7 +184,6 @@ func hostileHeaders(t testing.TB, body []byte) map[string][]byte {
 		"root at the header page":     func(m *manifest) { section(m).RootPage = 0 },
 		"levels above 16":             func(m *manifest) { section(m).Levels = 17 },
 		"levels over a single leaf":   func(m *manifest) { section(m).Levels = 1 },
-		"an unknown format":           func(m *manifest) { section(m).Format = 9 },
 		"a record size not the table": func(m *manifest) { section(m).RecordSize = 2 * testRecSize },
 		"filter offset past the file": func(m *manifest) { whole(m).FilterOff = 1 << 40 },
 		"filter length past the file": func(m *manifest) { whole(m).FilterLen = 1 << 40 },
@@ -202,20 +204,38 @@ func hostileHeaders(t testing.TB, body []byte) map[string][]byte {
 	return out
 }
 
-// hostileV5Layouts returns goldenStoreV5's manifest, body, with the
-// layout of a format-5 file told wrong, each checksummed: Open must refuse
+// newerHeader returns goldenStoreV4's manifest, body, with the shared
+// file's second section carrying a header of a format newer than this
+// binary, checksummed: Open must refuse it as that, not as ErrCorrupt.
+func newerHeader(t testing.TB, body []byte) []byte {
+	t.Helper()
+	var m manifest
+	if err := json.Unmarshal(body, &m); err != nil {
+		t.Fatal(err)
+	}
+	m.Tables["combined"].Partitions[0][2].Header.Format = btree.FormatDelta + 3
+	b, err := json.Marshal(&m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sealManifest(manifestVersion, b)
+}
+
+// hostileDeltaLayouts returns goldenStoreV6's manifest, body, with the
+// layout of a format-6 file told wrong, each checksummed: Open must refuse
 // every one as ErrCorrupt. The rows edit the shared file's two sections —
-// the From run, first, which keeps its header page, and the Combined run,
-// which starts with its first leaf — and the From run of partition 0,
-// which is its whole file.
-func hostileV5Layouts(t testing.TB, body []byte) map[string][]byte {
+// the From run, first, which keeps its header, and the Combined run, which
+// starts with its first leaf — and the From run of partition 0, which is
+// its whole file. A format-6 run may not say its first page at all: its
+// place says it.
+func hostileDeltaLayouts(t testing.TB, body []byte) map[string][]byte {
 	t.Helper()
 	out := map[string][]byte{}
 	for name, mutate := range map[string]func(first, later, whole *runManifest){
 		"a later section that carries no header":        func(_, l, _ *runManifest) { l.Header = nil },
-		"a later section claiming the page 0 it lacks":  func(_, l, _ *runManifest) { l.Header.FirstPage = 0 },
-		"a first section denying the page 0 it has":     func(f, _, _ *runManifest) { f.Header.FirstPage = 1 },
-		"a whole file denying the page 0 it has":        func(_, _, w *runManifest) { w.Header.FirstPage = 1 },
+		"a later section claiming the header it lacks":  func(_, l, _ *runManifest) { l.Header.FirstPage = 0 },
+		"a first section denying the header it has":     func(f, _, _ *runManifest) { f.Header.FirstPage = 1 },
+		"a whole file denying the header it has":        func(_, _, w *runManifest) { w.Header.FirstPage = 1 },
 		"a section starting at page 2":                  func(_, l, _ *runManifest) { l.Header.FirstPage = 2 },
 		"a later section's grid past its entry's pages": func(_, l, _ *runManifest) { l.Header.LeafPages, l.Header.RootPage, l.Header.Levels = 2, 3, 1 },
 		"a later section's root past its entry's pages": func(_, l, _ *runManifest) { l.Header.RootPage++ },
@@ -226,7 +246,7 @@ func hostileV5Layouts(t testing.TB, body []byte) map[string][]byte {
 		}
 		first, later, whole := &m.Tables["from"].Partitions[0][1], &m.Tables["combined"].Partitions[0][2], &m.Tables["from"].Partitions[0][0]
 		if first.Name != later.Name || first.Pages.Off != 0 || later.Header.FirstPage != 1 || !whole.whole() {
-			t.Fatalf("goldenStoreV5's manifest does not hold the layout its rows edit: %+v %+v %+v", first, later, whole)
+			t.Fatalf("goldenStoreV6's manifest does not hold the layout its rows edit: %+v %+v %+v", first, later, whole)
 		}
 		mutate(first, later, whole)
 		b, err := json.Marshal(&m)
@@ -239,7 +259,7 @@ func hostileV5Layouts(t testing.TB, body []byte) map[string][]byte {
 	// carries no header.
 	later := regexp.MustCompile(`("at":\[[1-9][0-9]*,[0-9]+,[0-9]+,[0-9]+\]),"header":\[[0-9,]*\]`)
 	if len(later.FindAll(body, -1)) != 1 {
-		t.Fatalf("goldenStoreV5's manifest does not hold one section after its file's first:\n%s", body)
+		t.Fatalf("goldenStoreV6's manifest does not hold one section after its file's first:\n%s", body)
 	}
 	out["a first page and no header"] = sealManifest(manifestVersion, later.ReplaceAll(body, []byte(`$1,"first_page":1`)))
 	return out
@@ -247,24 +267,38 @@ func hostileV5Layouts(t testing.TB, body []byte) map[string][]byte {
 
 // TestManifestHostileHeaders: a checksummed commit whose run carries a
 // header that no writer makes — leaves or root past the run's page grid,
-// more than 16 levels or levels over a single leaf, an unknown format, a
-// record size that is not its table's, a filter past the end of the file,
-// a header of the wrong length or with a field past 32 bits — is ErrCorrupt
-// at Open, as the newest commit's trailer and as a legacy manifest, and the
-// refused Open removes no file. So is one that tells a format-5 file's
-// layout wrong: a section after the file's first that carries no header, a
-// header that claims a page 0 its section lacks or denies one it has, or a
-// grid that overruns the entry's pages.
+// more than 16 levels or levels over a single leaf, a record size that is
+// not its table's, a filter past the end of the file, a header of the
+// wrong length or with a field past 32 bits — is ErrCorrupt at Open, as
+// the newest commit's trailer and as a legacy manifest, and the refused
+// Open removes no file. So is one that tells a format-6 file's layout
+// wrong: a section after the file's first that carries no header, a header
+// that claims a header its section lacks or denies one it has, or a grid
+// that overruns the entry's pages. A header of a format newer than this
+// binary is refused as that (btree.ErrNewerFormat), not as ErrCorrupt:
+// a newer binary wrote the store, which is not damaged.
 func TestManifestHostileHeaders(t *testing.T) {
 	fs := storage.NewMemFS()
 	goldenStoreV4(t, fs, nil).Close()
 	hostile := hostileHeaders(t, manifestBody(t, fs))
-	v5 := storage.NewMemFS()
-	goldenStoreV5(t, v5).Close()
+	newer := newerHeader(t, manifestBody(t, fs))
+	plant(t, fs, newestCommit, sealTrailer(newer[manifestEnvLen:], btree.Layout{}))
+	before := snapshotFiles(t, fs)
+	if _, err := Open(fs, goldenOptions(nil)); !errors.Is(err, btree.ErrNewerFormat) || errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "version 9") {
+		t.Fatalf("Open of a run in format 9: %v, want it refused as newer than this binary", err)
+	}
+	if !maps.Equal(snapshotFiles(t, fs), before) {
+		t.Fatal("a refused Open changed the directory")
+	}
+	if err := fs.Remove(newestCommit); err != nil {
+		t.Fatal(err)
+	}
+	v6 := storage.NewMemFS()
+	goldenStoreV6(t, v6).Close()
 	for _, c := range []struct {
 		fs      *storage.MemFS
 		hostile map[string][]byte
-	}{{fs, hostile}, {v5, hostileV5Layouts(t, manifestBody(t, v5))}} {
+	}{{fs, hostile}, {v6, hostileDeltaLayouts(t, manifestBody(t, v6))}} {
 		for name, b := range c.hostile {
 			plant(t, c.fs, newestCommit, sealTrailer(b[manifestEnvLen:], btree.Layout{}))
 			refusesOpen(t, c.fs, goldenOptions(nil), name+" (trailer)")
@@ -281,12 +315,12 @@ func TestManifestHostileHeaders(t *testing.T) {
 // TestCheckHeadersFindsAStaleRoot: a commit whose carried header names a
 // page of the run other than its root — one a leaf's number, inside the
 // run's grid, so Open cannot tell — opens, and CheckHeaders, which holds
-// every carried header against its page, reports it. A format-5 section
-// after its file's first has no page to hold its header against: its
-// entry's pages end at its root, so Open refuses a stale root there, and
-// CheckHeaders reports a committed header that differs from the one the
-// run's reader holds, which it holds against the file and the run's
-// ranges instead.
+// every carried header against its file's, reports it. A format-6 section
+// after its file's first has no header in the file to hold its header
+// against: its entry's pages end at its root, so Open refuses a stale root
+// there, and CheckHeaders reports a committed header that differs from the
+// one the run's reader holds, which it holds against the file and the
+// run's ranges instead.
 func TestCheckHeadersFindsAStaleRoot(t *testing.T) {
 	fs := storage.NewMemFS()
 	db := openTestDB(t, fs, 1)
@@ -337,15 +371,30 @@ func TestCheckHeadersFindsAStaleRoot(t *testing.T) {
 }
 
 // TestFirstSectionWithoutItsPageOpens: a format-5 file whose first section
-// does not hold its header page either — goldenStoreV5's shared file less
+// does not hold its header page either — the merge file of
+// internal/core/testdata/v5runs-store, which a format-5 binary wrote, less
 // its page 0, its entries moved to match and the first one saying
 // "first_page": 1 — opens from the commit alone and answers as the store
-// that wrote it, so a writer may stop writing that page without a format
-// bump.
+// it was cut from, as format-5 readers always allowed. (A format-6 run may
+// not say its first page: its place says it.)
 func TestFirstSectionWithoutItsPageOpens(t *testing.T) {
+	fs := storage.NewMemFS()
+	dir := filepath.Join("..", "core", "testdata", "v5runs-store")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plant(t, fs, e.Name(), b)
+	}
+	opts := Options{Tables: []TableSpec{{Name: "from", RecordSize: 48}, {Name: "to", RecordSize: 48}, {Name: "combined", RecordSize: 56}}}
 	answers := func(db *DB) (out []string) {
-		for _, table := range []string{"from", "combined"} {
-			for _, b := range []uint64{1, 2, 3, 5, 7, 8, 1200, 1500, 1700} {
+		for _, table := range []string{"from", "to", "combined"} {
+			for b := uint64(0); b < 160; b++ {
 				for _, r := range collect(t, db.Table(table), b) {
 					out = append(out, table+string(r))
 				}
@@ -353,11 +402,15 @@ func TestFirstSectionWithoutItsPageOpens(t *testing.T) {
 		}
 		return out
 	}
-	fs := storage.NewMemFS()
-	db := goldenStoreV5(t, fs)
+	db, err := Open(fs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := answers(db)
-	first := db.Table("from").Runs(0)[1]
-	name := first.Name()
+	const name = "merge.p000.0000000005.run"
+	if r := db.Table("from").Runs(0)[0]; r.Name() != name || r.Format() != 5 || r.pageExt.Off != 0 {
+		t.Fatalf("the fixture's first From run is %s, format %d at %+v: want the first section of %s, format 5", r.Name(), r.Format(), r.pageExt, name)
+	}
 	db.Close()
 	plant(t, fs, name, readFile(t, fs, name)[storage.PageSize:])
 	reseal(t, fs, func(m *manifest) {
@@ -380,13 +433,13 @@ func TestFirstSectionWithoutItsPageOpens(t *testing.T) {
 	if body := manifestBody(t, fs); bytes.Count(body, []byte(`"first_page":1`)) != 1 {
 		t.Fatalf("the moved manifest says first_page other than once:\n%s", body)
 	}
-	db, err := Open(fs, goldenOptions(nil))
+	db, err = Open(fs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if got := answers(db); !slices.Equal(got, want) || len(want) != 9 {
-		t.Fatalf("the store without the page answers %q, the store that wrote it %q", got, want)
+	if got := answers(db); !slices.Equal(got, want) || len(want) < 160 {
+		t.Fatalf("the store without the page answers %d records, the store it was cut from %d", len(got), len(want))
 	}
 	if err := db.CheckHeaders(); err != nil {
 		t.Fatal(err)

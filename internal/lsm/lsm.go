@@ -376,16 +376,16 @@ type runManifest struct {
 	// by CP.
 	CPUnknown bool
 	// Pages and Filter are where in the file the run's pages (its header
-	// page first, if the file holds it) and its Bloom filter lie, for a run
-	// that shares its file; both zero for a run that is its whole file.
+	// first, if the file holds it) and its Bloom filter lie, for a run that
+	// shares its file; both zero for a run that is its whole file.
 	Pages, Filter storage.Extent
 	// Header is the run's header as its reader holds it, which every commit
 	// carries, so that Open builds the reader from it and reads no page of
 	// the run (btree.OpenHeader); the manifest's checksum covers it. A
-	// format-5 section after its file's first has no header page, and its
-	// entry is the only place its header is. Nil in an entry written before
-	// commits carried headers — a legacy manifest, an older binary's
-	// trailer — whose run's header page Open reads.
+	// format-5 or -6 section after its file's first has no header in the
+	// file, and its entry is the only place its header is. Nil in an entry
+	// written before commits carried headers — a legacy manifest, an older
+	// binary's trailer — whose run's header page Open reads.
 	Header *btree.Header
 }
 
@@ -395,9 +395,9 @@ func (rm runManifest) whole() bool {
 }
 
 // grid is where a run that shares its file has the page grid its header
-// describes: its own pages, or for the file's first run, whose header page
-// the file holds, every page before the filters, where its own filter
-// comes first (btree.FileWriter).
+// describes: its own pages, or for the file's first run, whose header the
+// file holds, every byte before the filters, where its own filter comes
+// first (btree.FileWriter).
 func (rm runManifest) grid() storage.Extent {
 	g := rm.Pages
 	if g.Off == 0 && (rm.Header == nil || rm.Header.FirstPage == 0) {
@@ -407,14 +407,11 @@ func (rm runManifest) grid() storage.Extent {
 }
 
 // firstPage is the first page of a run of format f that its file holds,
-// as the run's place implies: a format-5 section after its file's first
-// starts with its first leaf, page 1 (btree.FileWriter); every other run
-// holds its header page.
+// as the run's place implies (btree.FirstPageAt): a format-5 or -6 section
+// after its file's first starts with its first leaf, page 1; every other
+// run holds its header.
 func (rm runManifest) firstPage(f btree.Format) uint64 {
-	if f == btree.FormatDelta && rm.Pages.Off > 0 {
-		return 1
-	}
-	return 0
+	return btree.FirstPageAt(f, rm.Pages.Off)
 }
 
 // fits returns an error unless rd, the run's reader, describes the ranges the
@@ -422,9 +419,9 @@ func (rm runManifest) firstPage(f btree.Format) uint64 {
 // filter. A run that is its whole file has only its header's own check
 // against the file's size (btree.Header).
 func (rm runManifest) fits(rd *btree.Reader) error {
-	if grid := rm.grid(); !rm.whole() && (rd.Pages()*storage.PageSize != uint64(grid.Len) || rd.SizeBytes() != rm.Pages.Len+rm.Filter.Len) {
-		return fmt.Errorf("its header describes a %d-page grid from page %d and %d bytes of its own, the manifest %d+%d+%d bytes",
-			rd.Pages(), rd.Header().FirstPage, rd.SizeBytes(), grid.Len, rm.Pages.Len, rm.Filter.Len)
+	if grid, h := rm.grid(), rd.Header(); !rm.whole() && (h.FilterOff != uint64(grid.Len) || rd.SizeBytes() != rm.Pages.Len+rm.Filter.Len) {
+		return fmt.Errorf("its header describes a grid of %d bytes from page %d and %d bytes of its own, the manifest %d+%d+%d bytes",
+			h.FilterOff, h.FirstPage, rd.SizeBytes(), grid.Len, rm.Pages.Len, rm.Filter.Len)
 	}
 	return nil
 }
@@ -449,9 +446,11 @@ func (rm runManifest) view(f storage.File) storage.File {
 // is its whole file, which has no At, the filter's offset and length; the
 // record count is Records. A binary that predates it ignores it. FirstPage
 // is the header's FirstPage where it is not the one the run's place
-// implies (runManifest.firstPage), which no writer makes today; it is a key
-// of its own, so that a binary that predates it parses the entry and
-// refuses the run's format by name.
+// implies (runManifest.firstPage), which no writer makes and a format-6 run
+// may not say: it is a key of its own, so that a binary that predates it
+// parses the entry and refuses the run's format by name. A format-6 root's length is what the
+// run's own pages leave it (btree.Header.WithOwnBytes): At's page length,
+// or for a run that is its whole file the filter offset.
 type runManifestJSON struct {
 	Name      string   `json:"name"`
 	Level     int      `json:"level"`
@@ -545,13 +544,18 @@ func (rm *runManifest) UnmarshalJSON(data []byte) error {
 			FirstPage: rm.firstPage(btree.Format(hw[0])),
 		}
 		if w.FirstPage != nil {
+			if h.Format == btree.FormatDelta {
+				return fmt.Errorf("run %s is of format %d, whose place alone says whether its file holds its header, and starts at page %d", w.Name, h.Format, *w.FirstPage)
+			}
 			h.FirstPage = *w.FirstPage
 		}
 		rm.Header = &h
 		if rm.whole() {
 			h.FilterOff, h.FilterLen = hw[7], hw[8]
+			h = h.WithOwnBytes(int64(min(h.FilterOff, math.MaxInt64)))
 		} else {
 			h.FilterOff, h.FilterLen = uint64(rm.grid().Len), uint64(rm.Filter.Len)
+			h = h.WithOwnBytes(rm.Pages.Len)
 		}
 	}
 	if w.MinCP != nil {
@@ -872,13 +876,6 @@ func (db *DB) readCommit(name string) (manifest, error) {
 	if v != manifestVersion {
 		return manifest{}, versionRefused(v)
 	}
-	if strings.HasSuffix(name, ".run") {
-		if err := btree.CheckFile(f, l); errors.Is(err, btree.ErrCorrupt) {
-			return torn("%v", err)
-		} else if err != nil {
-			return manifest{}, err
-		}
-	}
 	var m manifest
 	if err := json.Unmarshal(body, &m); err != nil {
 		return manifest{}, corrupt("%s: %v", name, err)
@@ -886,7 +883,54 @@ func (db *DB) readCommit(name string) (manifest, error) {
 	if m.Version != manifestVersion {
 		return manifest{}, corrupt("%s: version %d in a version-%d envelope", name, m.Version, manifestVersion)
 	}
+	if strings.HasSuffix(name, ".run") {
+		secs, err := m.sections(name, l)
+		if err != nil {
+			return manifest{}, err
+		}
+		if err := btree.CheckFile(f, l, secs); errors.Is(err, btree.ErrCorrupt) {
+			return torn("%v", err)
+		} else if err != nil {
+			return manifest{}, err
+		}
+	}
 	return m, nil
+}
+
+// sections returns the runs m places in the file name that carries it, laid
+// out as l, for btree.CheckFile: the commit's own runs, which lie within the
+// file's pages, one after another. An entry that carries no header is an
+// older binary's, whose every page is 4 KB whatever its format. Runs that
+// overlap or lie outside the pages are ErrCorrupt: the trailer checked, so
+// it is no torn write that placed them.
+func (m manifest) sections(name string, l btree.Layout) ([]btree.Section, error) {
+	var secs []btree.Section
+	for _, tm := range m.Tables {
+		for _, runs := range tm.Partitions {
+			for _, rm := range runs {
+				if rm.Name != name {
+					continue
+				}
+				s := btree.Section{Pages: rm.Pages}
+				if rm.whole() {
+					s.Pages = storage.Extent{Len: l.Pages}
+				}
+				if rm.Header != nil {
+					s.Header = *rm.Header
+				}
+				secs = append(secs, s)
+			}
+		}
+	}
+	slices.SortFunc(secs, func(a, b btree.Section) int { return cmp.Compare(a.Pages.Off, b.Pages.Off) })
+	var end int64
+	for _, s := range secs {
+		if s.Pages.Off < end || s.Pages.Len <= 0 || s.Pages.Len > l.Pages-s.Pages.Off {
+			return nil, corrupt("%s carries a commit that places a run at %d+%d, after %d, in %d page bytes", name, s.Pages.Off, s.Pages.Len, end, l.Pages)
+		}
+		end = s.Pages.Off + s.Pages.Len
+	}
+	return secs, nil
 }
 
 // fileID returns the ID in the name of a file Open may find: a run file
@@ -1105,10 +1149,14 @@ func (db *DB) loadManifest(names []string) error {
 }
 
 // checkLayout refuses a file whose runs the manifest places where no
-// writer puts them: a run that is its whole file shares it with none, and
-// each section's page grid starts on a page boundary and holds at least its
-// header page, and neither it nor the section's filter runs past the end of
-// the file or overlaps another run's range.
+// writer puts them: a run that is its whole file shares it with none; no
+// section's pages or filter run past the end of the file or overlap
+// another run's range; a section before format 6 starts on a page
+// boundary and holds whole pages, at least its header page. Format-6
+// sections are unaligned, so they are held to how a writer tiles a file
+// instead: every page before every filter, the filters in the pages'
+// order, and two sections either abutting in both their pages and their
+// filters or in neither — the room between them a dead section's.
 func checkLayout(name string, rms []runManifest, size int64) error {
 	if len(rms) == 1 && rms[0].whole() {
 		return nil // opening the run checks its header against the file
@@ -1118,6 +1166,7 @@ func checkLayout(name string, rms []runManifest, size int64) error {
 		switch {
 		case rm.whole():
 			return corrupt("%s: a run that is the whole file shares it", name)
+		case unaligned(rm):
 		case rm.Pages.Off%storage.PageSize != 0:
 			return corrupt("%s: pages at %d, off a page boundary", name, rm.Pages.Off)
 		case rm.Pages.Len < storage.PageSize || rm.Pages.Len%storage.PageSize != 0:
@@ -1138,7 +1187,27 @@ func checkLayout(name string, rms []runManifest, size int64) error {
 			return corrupt("%s: ranges %d+%d and %d+%d overlap", name, prev.Off, prev.Len, exts[i].Off, exts[i].Len)
 		}
 	}
+	if !slices.ContainsFunc(rms, unaligned) {
+		return nil
+	}
+	secs := slices.SortedFunc(slices.Values(rms), func(a, b runManifest) int { return cmp.Compare(a.Pages.Off, b.Pages.Off) })
+	for i := 1; i < len(secs); i++ {
+		a, b := secs[i-1], secs[i]
+		pagesAbut, filtersAbut := a.Pages.Off+a.Pages.Len == b.Pages.Off, a.Filter.Off+a.Filter.Len == b.Filter.Off
+		switch {
+		case b.Filter.Off < a.Filter.Off || b.Pages.Off+b.Pages.Len > secs[0].Filter.Off:
+			return corrupt("%s: sections at %d and %d do not have their pages before their filters, in one order", name, a.Pages.Off, b.Pages.Off)
+		case pagesAbut != filtersAbut:
+			return corrupt("%s: sections at %d and %d leave a gap in their pages or their filters, not in both", name, a.Pages.Off, b.Pages.Off)
+		}
+	}
 	return nil
+}
+
+// unaligned reports whether rm is a format-6 run, whose pages in a shared
+// file need not start on a page boundary or be whole pages.
+func unaligned(rm runManifest) bool {
+	return rm.Header != nil && rm.Header.Format == btree.FormatDelta
 }
 
 // collectOrphans removes the files among names that the commit Open took

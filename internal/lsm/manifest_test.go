@@ -7,9 +7,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -112,22 +114,22 @@ func withSharedFile(t testing.TB, db *DB) *DB {
 	return db
 }
 
-// v5Options is goldenOptions for a store that writes format-5 runs.
-func v5Options() Options {
+// deltaOptions is goldenOptions for a store that writes format-6 runs.
+func deltaOptions() Options {
 	opts := goldenOptions(nil)
 	opts.RunFormat = btree.FormatDelta
 	return opts
 }
 
-// goldenStoreV5 is goldenStoreV4's history in format-5 runs: the shared
-// file's Combined section, its second, has no header page, and its entry
-// carries the only copy of its header.
-func goldenStoreV5(t testing.TB, fs storage.VFS) *DB {
+// goldenStoreV6 is goldenStoreV4's history in format-6 runs: the shared
+// file's Combined section, its second, has no header, and its entry carries
+// the only copy of its header; no section's root is padded.
+func goldenStoreV6(t testing.TB, fs storage.VFS) *DB {
 	t.Helper()
-	db := withSharedFile(t, goldenHistory(t, fs, v5Options()))
+	db := withSharedFile(t, goldenHistory(t, fs, deltaOptions()))
 	comb := db.Table("combined").Runs(0)[2]
-	if h := comb.qreader.Header(); h.FirstPage != 1 || comb.pageExt.Off == 0 {
-		t.Fatalf("the shared file's second section has header %+v at %+v: want it to start with its first leaf", h, comb.pageExt)
+	if h := comb.qreader.Header(); h.FirstPage != 1 || comb.pageExt.Off == 0 || h.RootLen >= storage.PageSize || comb.pageExt.Off%storage.PageSize == 0 {
+		t.Fatalf("the shared file's second section has header %+v at %+v: want it to start with its first leaf, unaligned, and end at its root's length", h, comb.pageExt)
 	}
 	return db
 }
@@ -386,9 +388,10 @@ func TestManifestEnvelopeCorruption(t *testing.T) {
 
 // TestTornCommitGivesWay: a commit file with any single byte flipped or cut
 // short, and a checkpoint file carrying a commit whose page or filter
-// bytes, or trailer, fail their checksums, carry no whole commit: Open
-// takes the commit before it and collects the damaged file. A trailer that
-// checks but names a version this binary does not read is refused.
+// bytes, or trailer, fail their checksums — in format 6 its short header
+// or a root cut to its length too — carry no whole commit: Open takes the
+// commit before it and collects the damaged file. A trailer that checks
+// but names a version this binary does not read is refused.
 func TestTornCommitGivesWay(t *testing.T) {
 	base := storage.NewMemFS()
 	db := goldenStoreV4(t, base, func() ([]byte, error) { return []byte(`{"n":1}`), nil })
@@ -466,6 +469,53 @@ func TestTornCommitGivesWay(t *testing.T) {
 		db.Close()
 	}
 
+	// The same crash in a store of format-6 runs, whose carrier pads
+	// nothing: its first section's short header torn, or either section's
+	// root, each cut to its length.
+	pre = storage.NewMemFS()
+	db = goldenHistory(t, pre, deltaOptions())
+	files = snapshotFiles(t, pre)
+	flushFile(t, db, 6, []string{"from", "combined"}, map[string][][]byte{"from": {rec16(7, 6)}, "combined": {rec16(8, 6)}})
+	carrier = commitFile(t, pre)
+	for n, b := range snapshotFiles(t, pre) {
+		if _, ok := files[n]; !ok {
+			files[n] = b
+		}
+	}
+	var secs []runManifest
+	var m manifest
+	if err := json.Unmarshal(manifestBody(t, pre), &m); err != nil {
+		t.Fatal(err)
+	}
+	for _, table := range []string{"from", "combined"} {
+		for _, rm := range m.Tables[table].Partitions[0] {
+			if rm.Name == carrier {
+				secs = append(secs, rm)
+			}
+		}
+	}
+	db.Close()
+	if len(secs) != 2 || secs[1].Pages.Off != secs[0].Pages.Len || secs[0].Header.RootPage != 1 || secs[1].Header.RootPage != 1 {
+		t.Fatalf("the format-6 carrier's sections %+v: want two one-leaf sections", secs)
+	}
+	header := secs[0].Pages.Len - int64(secs[0].Header.RootLen)
+	run = []byte(files[carrier])
+	for what, off := range map[string]int64{
+		"the short header":           header / 2,
+		"the first root":             header + 2,
+		"the first root's checksum":  secs[0].Pages.Len - 1,
+		"the second root":            secs[1].Pages.Off + 2,
+		"the second root's checksum": secs[1].Pages.Off + secs[1].Pages.Len - 1,
+	} {
+		bad := bytes.Clone(run)
+		bad[off] ^= 0x40
+		db := open(what, carrier, bad)
+		if db.CP() != 5 || db.commit == carrier {
+			t.Fatalf("torn %s of a format-6 carrier: Open took %s at CP %d; want the commit at CP 5", what, db.commit, db.CP())
+		}
+		db.Close()
+	}
+
 	fs := storage.NewMemFS()
 	for n, b := range files {
 		plant(t, fs, n, []byte(b))
@@ -520,22 +570,69 @@ func hostileSections(t testing.TB, good []byte) map[string][]byte {
 	return out
 }
 
+// hostileV6Sections returns goldenStoreV6's manifest, body, with its shared
+// file's format-6 sections — From first, Combined after it, both unaligned
+// and each ending at its root's length — placed where no writer puts them,
+// each checksummed: Open must refuse every one as ErrCorrupt.
+func hostileV6Sections(t testing.TB, body []byte) map[string][]byte {
+	t.Helper()
+	out := map[string][]byte{}
+	for name, mutate := range map[string]func(from, comb *runManifest){
+		"a gap between the sections' pages":           func(_, c *runManifest) { c.Pages.Off, c.Pages.Len = c.Pages.Off+1, c.Pages.Len-1 },
+		"overlapping sections":                        func(_, c *runManifest) { c.Pages.Off, c.Pages.Len = c.Pages.Off-1, c.Pages.Len+1 },
+		"a root shorter than its count and CRC":       func(_, c *runManifest) { c.Pages.Len = int64(c.Header.RootPage-1)*storage.PageSize + 5 },
+		"a first root shorter than its count and CRC": func(f, _ *runManifest) { f.Pages.Len -= int64(f.Header.RootLen) - 6 },
+		"a root longer than 4 KiB": func(_, c *runManifest) {
+			c.Pages.Len = int64(c.Header.RootPage-1)*storage.PageSize + storage.PageSize + 1
+		},
+	} {
+		var m manifest
+		if err := json.Unmarshal(body, &m); err != nil {
+			t.Fatal(err)
+		}
+		from, comb := &m.Tables["from"].Partitions[0][1], &m.Tables["combined"].Partitions[0][2]
+		if from.Name != comb.Name || from.Pages.Off != 0 || comb.Pages.Off != from.Pages.Len || comb.Header.Format != btree.FormatDelta {
+			t.Fatalf("goldenStoreV6's manifest does not hold the sections its rows edit: %+v %+v", from, comb)
+		}
+		mutate(from, comb)
+		b, err := json.Marshal(&m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = sealManifest(manifestVersion, b)
+	}
+	return out
+}
+
 // TestManifestHostileSections: a checksummed manifest that places a
 // shared file's runs where no writer puts them — a range past the end of
 // the file, overlapping ranges, a page range shorter than the header page,
 // two runs naming one range, an unaligned page offset, a run claiming the
 // whole of a file it shares, pages one page off — is ErrCorrupt at Open,
-// as the newest commit's trailer and as a legacy manifest.
+// as the newest commit's trailer and as a legacy manifest. So is one that
+// places format-6 sections, which need not be aligned, so that they leave
+// a gap in their pages but not in their filters, overlap, or give a root
+// too short for its count and CRC or longer than a page (hostileV6Sections).
 func TestManifestHostileSections(t *testing.T) {
 	fs := storage.NewMemFS()
 	goldenStoreV4(t, fs, nil).Close()
 	env, _ := trailer(t, fs, commitFile(t, fs))
-	for name, b := range hostileSections(t, env) {
-		plant(t, fs, newestCommit, sealTrailer(b[manifestEnvLen:], btree.Layout{}))
-		refusesOpen(t, fs, goldenOptions(nil), name+" (trailer)")
-		if err := fs.Remove(newestCommit); err != nil {
-			t.Fatal(err)
+	v6 := storage.NewMemFS()
+	goldenStoreV6(t, v6).Close()
+	for _, c := range []struct {
+		fs      *storage.MemFS
+		hostile map[string][]byte
+	}{{fs, hostileSections(t, env)}, {v6, hostileV6Sections(t, manifestBody(t, v6))}} {
+		for name, b := range c.hostile {
+			plant(t, c.fs, newestCommit, sealTrailer(b[manifestEnvLen:], btree.Layout{}))
+			refusesOpen(t, c.fs, goldenOptions(nil), name+" (trailer)")
+			if err := c.fs.Remove(newestCommit); err != nil {
+				t.Fatal(err)
+			}
 		}
+	}
+	for name, b := range hostileV6Sections(t, manifestBody(t, v6)) {
+		refuses(t, v6, b, name+" (legacy)")
 	}
 	fs = storage.NewMemFS()
 	legacyV4Store(t, fs, testdata(t, "v4-manifest"), nil)
@@ -605,10 +702,12 @@ func TestSectionCommitsWithTheEdit(t *testing.T) {
 // binary reads — flipped, cut short — is ErrCorrupt; a commit file that
 // does not check gives way to the commit before it. The seeds include the
 // manifests of TestManifestHostileSections, one whose runs carry their
-// headers and those of TestManifestHostileHeaders; with v5 set the files
-// beside the planted one are goldenStoreV5's, format-5 runs whose shared
-// file's second section has no header page, and the seeds include its
-// manifest and the layouts hostileV5Layouts tells wrong.
+// headers and those of TestManifestHostileHeaders, one of a format newer
+// than this binary among them; with delta set the files beside the planted
+// one are goldenStoreV6's, format-6 runs whose shared file's second
+// section has no header and whose roots are cut to their length, and the
+// seeds include its manifest and the layouts hostileDeltaLayouts and
+// hostileV6Sections tell wrong.
 func FuzzManifest(f *testing.F) {
 	for _, name := range []string{"v2-manifest.json", "v3-manifest.json", "v3-manifest-catalog.json"} {
 		b, err := os.ReadFile(filepath.Join("testdata", name))
@@ -649,21 +748,24 @@ func FuzzManifest(f *testing.F) {
 	carried := manifestBody(f, commits)
 	f.Add(sealManifest(manifestVersion, carried), false, false)
 	f.Add(sealTrailer(carried, btree.Layout{}), true, false)
-	for _, b := range hostileHeaders(f, carried) {
+	for _, b := range append(slices.Collect(maps.Values(hostileHeaders(f, carried))), newerHeader(f, carried)) {
 		f.Add(b, false, false)
 		f.Add(sealTrailer(b[manifestEnvLen:], btree.Layout{}), true, false)
 	}
-	// Format-5 runs, and the layouts TestManifestHostileHeaders tells wrong.
-	v5 := storage.NewMemFS()
-	goldenStoreV5(f, v5).Close()
-	v5Body := manifestBody(f, v5)
-	f.Add(sealManifest(manifestVersion, v5Body), false, true)
-	f.Add(sealTrailer(v5Body, btree.Layout{}), true, true)
-	for _, b := range hostileV5Layouts(f, v5Body) {
+	// Format-6 runs, and the layouts TestManifestHostileHeaders and
+	// TestManifestHostileSections tell wrong.
+	v6 := storage.NewMemFS()
+	goldenStoreV6(f, v6).Close()
+	v6Body := manifestBody(f, v6)
+	f.Add(sealManifest(manifestVersion, v6Body), false, true)
+	f.Add(sealTrailer(v6Body, btree.Layout{}), true, true)
+	hostile := hostileDeltaLayouts(f, v6Body)
+	maps.Copy(hostile, hostileV6Sections(f, v6Body))
+	for _, b := range hostile {
 		f.Add(b, false, true)
 		f.Add(sealTrailer(b[manifestEnvLen:], btree.Layout{}), true, true)
 	}
-	for key, fs := range map[[2]bool]*storage.MemFS{{false, false}: base, {true, false}: commits, {false, true}: v5, {true, true}: v5} {
+	for key, fs := range map[[2]bool]*storage.MemFS{{false, false}: base, {true, false}: commits, {false, true}: v6, {true, true}: v6} {
 		names, err := fs.List()
 		if err != nil {
 			f.Fatal(err)
@@ -673,9 +775,9 @@ func FuzzManifest(f *testing.F) {
 			stores[key][n] = readFile(f, fs, n)
 		}
 	}
-	f.Fuzz(func(t *testing.T, data []byte, asCommit, v5 bool) {
+	f.Fuzz(func(t *testing.T, data []byte, asCommit, delta bool) {
 		fs := storage.NewMemFS()
-		files := stores[[2]bool{asCommit, v5}]
+		files := stores[[2]bool{asCommit, delta}]
 		for n, b := range files {
 			plant(t, fs, n, b)
 		}

@@ -138,7 +138,7 @@ func (r *Run) Format() btree.Format { return r.format }
 func (r *Run) SizeBytes() int64 { return r.sizeBytes }
 
 // Header returns the run's header as its reader holds it, which the next
-// commit carries: for a section whose file does not hold its header page
+// commit carries: for a section whose file does not hold its header
 // (btree.Header.FirstPage), the only copy besides the manifest's.
 func (r *Run) Header() btree.Header { return r.qreader.Header() }
 
@@ -167,11 +167,13 @@ func (r *Run) Sealed() bool {
 // carries, held against the file as the page's would be, and only an entry
 // an older writer made, which carries none, has its header page read and
 // verified through the handle, whose reads are attributed to recovery — a
-// section whose pages begin with no header page, as a format-5 section
+// section whose pages begin with no header, as a format-5 or -6 section
 // after its file's first does, is corrupt without one. A run that shares
 // its file reads through a view of its two ranges — the file's first run
-// claims every page before the filters (btree.FileWriter), where its
-// filter comes first — and its header must describe them.
+// claims every byte before the filters (btree.FileWriter), where its
+// filter comes first — and its header must describe them. A run in a
+// format newer than this binary (btree.ErrNewerFormat) is refused as that,
+// not as damage: a newer binary wrote the store.
 func (db *DB) openRun(t *Table, rm runManifest, built *btree.Writer, rf *runFile) (*Run, error) {
 	var rd *btree.Reader
 	var err error
@@ -179,7 +181,9 @@ func (db *DB) openRun(t *Table, rm runManifest, built *btree.Writer, rf *runFile
 	case built != nil:
 		rd = built.Open(rm.view(rf.f), db.cache)
 	case rm.Header != nil:
-		if rd, err = btree.OpenHeader(rm.view(rf.f), *rm.Header, db.cache); err != nil {
+		if rd, err = btree.OpenHeader(rm.view(rf.f), *rm.Header, db.cache); errors.Is(err, btree.ErrNewerFormat) {
+			return nil, fmt.Errorf("lsm: %s run in %s: %w: open the store with the binary that wrote it, or a newer one", t.spec.Name, rm.Name, err)
+		} else if err != nil {
 			return nil, corrupt("%s run in %s: the header its entry carries: %v", t.spec.Name, rm.Name, err)
 		}
 	default:
@@ -224,15 +228,15 @@ func (db *DB) openRun(t *Table, rm runManifest, built *btree.Writer, rf *runFile
 	return r, nil
 }
 
-// CheckHeaders reads the header page of every live run and of every run the
+// CheckHeaders reads the header of every live run and of every run the
 // committed manifest names, and reports the first whose header differs
-// from its page's: the header the run's reader holds, which the next commit
+// from the file's: the header the run's reader holds, which the next commit
 // carries, or the one the manifest carries, which the next Open opens the
-// run from. A run whose file does not hold its header page (FirstPage 1)
-// has no page to differ from: its reader's header is held against the
-// file and the run's ranges instead, as Open holds a carried one. It is a
-// scrub — one page read per run, unattributed — for a caller that has
-// excluded structural operations, as it must for Files.
+// run from. A run whose file does not hold its header (FirstPage 1) has
+// nothing to differ from: its reader's header is held against the file and
+// the run's ranges instead, as Open holds a carried one. It is a scrub —
+// one header read per run, unattributed — for a caller that has excluded
+// structural operations, as it must for Files.
 func (db *DB) CheckHeaders() error {
 	page := func(r *Run) (btree.Header, error) {
 		rm := runManifest{Pages: r.pageExt, Filter: r.filterExt}
