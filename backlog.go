@@ -278,7 +278,7 @@
 // The paper observes (Section 8) that back-reference tables are "highly
 // compressible, especially if we compress them by columns". Runs are
 // stored column-compressed by default: each leaf page of a run's B-tree
-// bit-packs its records (format v5, whose leaves are v4's). The page
+// bit-packs its records (format v6, whose leaves are v4's). The page
 // header holds, per column, a
 // bit width and a base; the block is stored as its delta from the previous
 // record's, every other column as its offset from the page minimum, and a
@@ -297,31 +297,36 @@
 // anything, so the queries and the merge that read a fresh run need not
 // read it back; a merge's output is not cached. Pages of a run that
 // compaction or expiry removed leave the cache with it. A checkpoint's or
-// a merge's runs of one partition are sections of one file, and in format
-// v5 only the first of them keeps a 4 KiB header page: the others start
-// with their first leaf, their headers carried by the commit alone, so a
-// small checkpoint writes about what its records cost.
+// a merge's runs of one partition are sections of one file, and only the
+// first of them keeps a header: the others start with their first leaf,
+// their headers carried by the commit alone. Format v6 pads nothing: that
+// header is 80 bytes, not v5's 4 KiB page, and every section's last page,
+// its root, ends at its checksum, so a small checkpoint writes what its
+// records cost.
 //
 // Config.Compression selects the format for newly written runs:
 //
-//   - CompressionDelta (the default) writes format-v5 bit-packed runs.
-//     Runs of the earlier delta formats — v4, the same leaves with a
+//   - CompressionDelta (the default) writes format-v6 bit-packed runs.
+//     Runs of the earlier delta formats — v5, the same file with its
+//     header and roots padded to 4 KiB pages, v4, the same leaves with a
 //     header page in every section, and v3 — stay readable, and a
-//     maintenance pass rewrites each of them into v5 at its level, with
-//     its records and CP window.
+//     maintenance pass rewrites each of them into v6 at its level, with
+//     its records and CP window. A binary of commit 45342b7 or earlier
+//     refuses a store holding v6 runs as corrupt, changing nothing; later
+//     binaries refuse a run format newer than theirs by name.
 //   - CompressionNone writes raw fixed-stride format-v1 runs — the
 //     paper's original layout, pinned by the deterministic paper-figure
 //     experiments.
 //
-// The knob applies to new runs only. Both formats, format v4, and format
-// v3 — an earlier delta encoding, a presence bitmap and a varint per
+// The knob applies to new runs only. Both formats, formats v5 and v4, and
+// format v3 — an earlier delta encoding, a presence bitmap and a varint per
 // changed column — read but never written, are always readable: an existing
 // database opens and queries under either setting with no migration step,
 // and compaction naturally rewrites old runs into the configured format.
 // Format v2, which spent a byte on every unchanged column, is refused by
 // name: a store holding it opens once under a binary of commit 0ea923b or
 // earlier, whose Checkpoint and Maintain rewrite it.
-// DB.EstimateCompression projects the v5 size of a table without
+// DB.EstimateCompression projects the v6 size of a table without
 // rewriting it (running the run writer over a discarding file), and
 // "backlogctl compression" prints per-table logical versus physical
 // bytes. bash bench/run.sh measures the default format's on-disk size
@@ -412,7 +417,7 @@
 //	CompactionPolicy     — PolicyFull: whole-partition worst-first merging
 //	Fanout               — 0: stepped-merge fanout 3, a Level-0 merge every third checkpoint (PolicyLeveled only)
 //	Retention            — RetainAll: no expiry, the paper's behavior
-//	Compression          — CompressionDelta: format-v5 runs, bit-packed by column
+//	Compression          — CompressionDelta: format-v6 runs, bit-packed by column
 //	Metrics              — false: no metrics registry, no timestamps taken
 //	MetricsSampleEvery   — 0: one hot op in 32 is timed (Metrics only)
 //	Tracer               — nil: no trace events
@@ -571,10 +576,10 @@ type Config struct {
 	// runs below the reclaim horizon.
 	Retention RetentionPolicy
 	// Compression selects the on-disk format of newly written runs
-	// (default CompressionDelta, the format-v5 bit-packed encoding: per
+	// (default CompressionDelta, the format-v6 bit-packed encoding: per
 	// page a width and a base per column, about 3.1 to 3.6 leaf bytes per
 	// record; see the package documentation's Compression section).
-	// Applies to new runs only — v1, v3 and v4 runs are always readable, and
+	// Applies to new runs only — v1, v3, v4 and v5 runs are always readable, and
 	// compaction rewrites old runs into the configured format.
 	Compression Compression
 	// Metrics enables the metrics registry: counters, gauges, and latency
@@ -631,7 +636,7 @@ const (
 type Compression = core.Compression
 
 const (
-	// CompressionDelta (the default) writes format-v5 runs: each leaf
+	// CompressionDelta (the default) writes format-v6 runs: each leaf
 	// bit-packs its records, the block as a delta from the previous
 	// record's and every other column as its offset from the page
 	// minimum, at the width the column spans on the page.
@@ -1018,19 +1023,20 @@ type RunInfo = lsm.RunInfo
 // subcommand prints per partition.
 func (db *DB) Runs() []RunInfo { return db.eng.RunInfos() }
 
-// CompressionEstimate reports the projected effect of the format-v5
+// CompressionEstimate reports the projected effect of the format-v6
 // bit-packed leaf encoding on one table; see EstimateCompression.
 type CompressionEstimate = core.CompressionEstimate
 
 // EstimateCompression streams all runs of the named table (TableFrom,
-// TableTo, or TableCombined) through the format-v5 run writer, over a file
+// TableTo, or TableCombined) through the format-v6 run writer, over a file
 // that discards what it is given, and reports the pages the rewrite would
-// write: header, leaves and index of one run per partition, Bloom filters
-// excluded — a header page a rewrite keeps only for its file's first
-// section. The structural lock is held shared
-// only long enough to pin a view; the scan itself runs lock-free, so
-// updates and checkpoints never stall behind an estimate. Useful for
-// sizing a migration of a v1, v3 or v4 database before compacting it.
+// write: per partition one file with the tables as its sections, as a
+// merge writes it, of which the named table's header (if its section is
+// the file's first), leaves, index and root, Bloom filters excluded. The
+// structural lock is held shared only long enough to pin a view; the scan
+// itself runs lock-free, so updates and checkpoints never stall behind an
+// estimate. Useful for sizing a migration of a v1, v3, v4 or v5 database
+// before compacting it.
 func (db *DB) EstimateCompression(table string) (CompressionEstimate, error) {
 	return db.eng.EstimateCompression(table)
 }

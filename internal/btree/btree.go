@@ -43,7 +43,7 @@
 // filters as its grid, so that a tool that opens the file whole (Open)
 // reads its first run and that run's filter; since its grid then does not
 // say where its own pages end, the header says where its root does
-// (Header.RootLen). Nothing in the engine reads that header — every reader
+// (Header.RootLen). The engine opens no run from that header: every reader
 // is built from the header its commit carries, whose root length follows
 // from the entry's ranges. Format v5, read and no longer written, is v6
 // with its pages padded: a 4 KB header page (min/max keys included) in
@@ -55,7 +55,7 @@
 // all fit their buffers is a single write, headers included. Either way
 // nothing refers to the file until it has been synced.
 //
-// Four leaf encodings are read, identified by the header's version field
+// Three leaf encodings are read, identified by the header's version field
 // (see Format): v1 stores fixed-stride records verbatim; v4, v5 and v6
 // bit-pack each leaf page — a bit width and a base per column, block
 // anchors, then every record at the same number of bits — with the page's
@@ -338,16 +338,12 @@ func (fw *FileWriter) base(slot int) (int64, bool) {
 			return 0, false
 		default:
 			h := w.h
-			h.FirstPage = w.firstPage(off)
+			h.FirstPage = FirstPageAt(w.format, off)
 			off += h.ownBytes()
 		}
 	}
 	return off, true
 }
-
-// firstPage returns the first page of w's run that the file holds when the
-// run's pages start at base (FirstPageAt).
-func (w *Writer) firstPage(base int64) uint64 { return FirstPageAt(w.format, base) }
 
 // FirstPageAt returns the first page of a run of format f that its file
 // holds when the run's pages start at off in it: page 1 for a v5 or v6
@@ -397,7 +393,7 @@ func (fw *FileWriter) Place() (Layout, error) {
 	}
 	var off int64
 	for _, w := range secs {
-		w.first = w.firstPage(off)
+		w.first = FirstPageAt(w.format, off)
 		w.h.FirstPage = w.first
 		w.h.FilterOff = uint64(w.h.ownBytes())
 		w.pageOff, off = off, off+int64(w.h.FilterOff)
@@ -823,7 +819,7 @@ func (w *Writer) flushPages() error {
 		if !ok {
 			return nil
 		}
-		w.pageOff, w.first = base, w.firstPage(base)
+		w.pageOff, w.first = base, FirstPageAt(w.format, base)
 		buf, w.wbufOff = buf[w.hdrLen:], w.hdrLen
 	}
 	if len(buf) > 0 {
@@ -876,22 +872,14 @@ func (h Header) headerLen() uint64 {
 	return storage.PageSize
 }
 
-// pageOff returns where page p ≥ 1 lies in the run's range.
-func (h Header) pageOff(p uint64) uint64 { return h.headerLen() + (p-1)*storage.PageSize }
-
-// pageLen returns the length of page p in the file: 4 KB, but for a
-// format-6 root, which ends at its CRC.
-func (h Header) pageLen(p uint64) uint64 {
-	if p == h.RootPage && h.Format == FormatDelta {
-		return h.RootLen
-	}
-	return storage.PageSize
-}
-
 // PageExtent returns where page p of the run, 1 through its root, lies in
 // the run's range: 4 KB, but for a format-6 root, cut to its length.
 func (h Header) PageExtent(p uint64) storage.Extent {
-	return storage.Extent{Off: int64(h.pageOff(p)), Len: int64(h.pageLen(p))}
+	e := storage.Extent{Off: int64(h.headerLen() + (p-1)*storage.PageSize), Len: storage.PageSize}
+	if p == h.RootPage && h.Format == FormatDelta {
+		e.Len = int64(h.RootLen)
+	}
+	return e
 }
 
 // ownBytes returns the bytes of the run's own pages in its file: its
@@ -899,7 +887,8 @@ func (h Header) PageExtent(p uint64) storage.Extent {
 // page through the root, which a writer writes last. The first run of a
 // file that holds several claims more (FileWriter.Place).
 func (h Header) ownBytes() int64 {
-	return int64(h.pageOff(h.RootPage) + h.pageLen(h.RootPage))
+	root := h.PageExtent(h.RootPage)
+	return root.Off + root.Len
 }
 
 // WithOwnBytes returns h, a header a manifest carried, with what the
@@ -912,7 +901,7 @@ func (h Header) WithOwnBytes(own int64) Header {
 	}
 	h.RootLen = 0
 	if before := h.headerLen(); own >= 0 && uint64(own) >= before && h.RootPage > 0 && h.RootPage-1 <= (uint64(own)-before)/storage.PageSize {
-		h.RootLen = uint64(own) - h.pageOff(h.RootPage)
+		h.RootLen = uint64(own - h.PageExtent(h.RootPage).Off)
 	}
 	return h
 }
@@ -1027,7 +1016,7 @@ func (h Header) check(f storage.File) error {
 	grid := h.FilterOff - h.headerLen()
 	var end uint64
 	if h.Format == FormatDelta {
-		if h.RootPage == 0 || h.RootPage-1 > grid/storage.PageSize || h.pageOff(h.RootPage)+h.RootLen > h.FilterOff {
+		if h.RootPage == 0 || h.RootPage-1 > grid/storage.PageSize || uint64(h.ownBytes()) > h.FilterOff {
 			return fmt.Errorf("%w: root page %d of %d bytes past a grid of %d bytes from page %d", ErrCorrupt, h.RootPage, h.RootLen, h.FilterOff, h.FirstPage)
 		}
 		end = h.RootPage + 1

@@ -325,7 +325,8 @@ func checkUnpadded(t *testing.T, old []byte, oldOff int64, oh Header, got []byte
 		t.Fatalf("header %+v, the padded format's %+v", h, oh)
 	}
 	page := func(b []byte, off int64, h Header, p uint64) []byte {
-		return b[off+int64(h.pageOff(p)):][:h.pageLen(p)]
+		e := h.PageExtent(p)
+		return b[off+e.Off:][:e.Len]
 	}
 	for p := uint64(1); p < h.RootPage; p++ {
 		if !bytes.Equal(page(got, off, h, p), page(old, oldOff, oh, p)) {

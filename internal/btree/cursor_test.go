@@ -730,7 +730,7 @@ func padded(t testing.TB, f storage.File, format Format) storage.File {
 		if err != nil {
 			t.Fatal(err)
 		}
-		framePage(out[h.pageOff(p):][:storage.PageSize], uint16(count), payload)
+		framePage(out[h.PageExtent(p).Off:][:storage.PageSize], uint16(count), payload)
 	}
 	return plantFile(t, append(out, filter...))
 }
@@ -755,7 +755,7 @@ func forgePage(t testing.TB, f storage.File, pageNo int64, count uint16, payload
 	h := Header{Format: Format(binary.LittleEndian.Uint32(version[:]))}
 	var pg [storage.PageSize]byte
 	framePage(pg[:], count, payload)
-	if _, err := f.WriteAt(pg[:], int64(h.pageOff(uint64(pageNo)))); err != nil {
+	if _, err := f.WriteAt(pg[:], h.PageExtent(uint64(pageNo)).Off); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -17,7 +17,7 @@ import (
 // btree.FormatDelta), and EstimateCompression sizes a migration to v6 for
 // a database still holding runs in an older format — raw v1, or the v3, v4
 // or v5 delta formats, which a maintenance pass rewrites — by running the
-// run writer itself over a discarding file, laid out as a rewrite lays its
+// run writer itself over a discarding file, laid out as a merge lays its
 // file out, so the projection is what a rewrite would write.
 
 // Compression selects the on-disk run format; see Options.Compression.
@@ -69,7 +69,7 @@ type CompressionEstimate struct {
 // EstimateCompression projects the pages a rewrite into the current
 // format would write for the named table (TableFrom, TableTo, or
 // TableCombined): it streams each partition's merged records through the
-// run writer as a rewrite lays them out — one FileWriter per partition over
+// run writer as a merge lays them out — one FileWriter per partition over
 // a file that discards what it is given, the tables its sections in From,
 // To, Combined order — and reports the bytes of the named table's sections:
 // the file's header if its section is the file's first, leaves, index and
@@ -87,8 +87,7 @@ type CompressionEstimate struct {
 // pinned run set with no lock held, so writers and checkpoints never stall
 // behind an estimate.
 func (e *Engine) EstimateCompression(table string) (CompressionEstimate, error) {
-	tables := []string{TableFrom, TableTo, TableCombined}
-	slot := slices.Index(tables, table)
+	slot := slices.Index(tables[:], table)
 	if slot < 0 {
 		return CompressionEstimate{}, fmt.Errorf("core: unknown table %q", table)
 	}

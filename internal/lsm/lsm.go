@@ -448,9 +448,9 @@ func (rm runManifest) view(f storage.File) storage.File {
 // is the header's FirstPage where it is not the one the run's place
 // implies (runManifest.firstPage), which no writer makes and a format-6 run
 // may not say: it is a key of its own, so that a binary that predates it
-// parses the entry and refuses the run's format by name. A format-6 root's length is what the
-// run's own pages leave it (btree.Header.WithOwnBytes): At's page length,
-// or for a run that is its whole file the filter offset.
+// parses the entry and refuses the run's format by name. A format-6 root's
+// length is what the run's own pages leave it (btree.Header.WithOwnBytes):
+// At's page length, or for a run that is its whole file the filter offset.
 type runManifestJSON struct {
 	Name      string   `json:"name"`
 	Level     int      `json:"level"`
