@@ -362,6 +362,12 @@ func earlierStore(t *testing.T, name string) (*storage.MemFS, string) {
 		}
 		f.Close()
 	}
+	// The fixture's entries are durable, as its writer left them: a crash
+	// state that drops the entries made since the last directory sync
+	// drops only what the test made.
+	if err := fs.SyncDir(); err != nil {
+		t.Fatal(err)
+	}
 	answers, err := os.ReadFile(filepath.Join("testdata", name+".answers"))
 	if err != nil {
 		t.Fatal(err)
@@ -871,5 +877,81 @@ func TestCompressionProjectsTheRewrite(t *testing.T) {
 	}
 	if later == 0 {
 		t.Fatal("every new run is its file's first section: the projection of a later one is untested")
+	}
+}
+
+// migrationFixtures are the stores earlier binaries wrote, each with the
+// options it opens under and the blocks its .answers file covers (every
+// step-th below blocks).
+var migrationFixtures = []struct {
+	store        string
+	mode         wal.Durability
+	partitions   int
+	span         uint64
+	blocks, step uint64
+}{
+	{"v3manifest-store", wal.CheckpointOnly, 1, 0, earlierStoreBlocks, 1},
+	{"v4manifest-store", wal.Buffered, 1, 0, earlierStoreBlocks, 1},
+	{"v3runs-store", wal.CheckpointOnly, 2, 100, 200, 7},
+	{"v4runs-store", wal.Buffered, 1, 0, earlierStoreBlocks, 1},
+	{"v5runs-store", wal.Buffered, 1, 0, earlierStoreBlocks, 1},
+}
+
+// TestMigrationSurvivesACrash: the migration of each store an earlier
+// binary wrote — its first MaintainNow, which rewrites every run of an
+// older format, and the Close that commits it — killed at each of its
+// mutating calls in turn and at the first call after them, each under
+// every crash state. Every reopen answers as the store's writer did and
+// leaves no file the commit it took does not need.
+func TestMigrationSurvivesACrash(t *testing.T) {
+	for _, fx := range migrationFixtures {
+		t.Run(fx.store, func(t *testing.T) {
+			opts := func(fs *storage.MemFS) core.Options {
+				return core.Options{VFS: fs, Catalog: core.NewMemCatalog(), Durability: fx.mode, Partitions: fx.partitions, PartitionSpan: fx.span}
+			}
+			migrate := func(eng *core.Engine) error {
+				return errors.Join(eng.MaintainNow(), eng.Close())
+			}
+			// start loads the store, opens it and returns it with the
+			// calls made so far and the writer's answers.
+			start := func() (*storage.MemFS, *core.Engine, int64, string) {
+				fs, want := earlierStore(t, fx.store)
+				eng, err := core.Open(opts(fs))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return fs, eng, fs.Stats().Calls, want
+			}
+			fs, eng, at, _ := start()
+			if err := migrate(eng); err != nil {
+				t.Fatal(err)
+			}
+			calls := fs.Stats().Calls - at
+			t.Logf("the migration makes %d mutating calls", calls)
+			for k := int64(1); k <= calls+1; k++ {
+				for name, state := range crashStates() {
+					what := fmt.Sprintf("killed at call %d of %d, crash state %q", k, calls, name)
+					fs, eng, at, want := start()
+					fs.SetFailurePlan(storage.FailurePlan{KillAt: at + k, TornWrite: k%2 == 0})
+					if err := migrate(eng); k > calls && err != nil {
+						t.Fatalf("%s: the migration failed before its kill point: %v", what, err)
+					}
+					fs.SetFailurePlan(storage.FailurePlan{KillAt: fs.Stats().Calls + 1})
+					fs.Crash(state)
+					fs.SetFailurePlan(storage.FailurePlan{})
+					eng, err := core.Open(opts(fs))
+					if err != nil {
+						t.Fatalf("%s: reopen: %v", what, err)
+					}
+					if got := storeAnswers(t, eng, fx.blocks, fx.step); got != want {
+						t.Fatalf("%s: the store answers\n%s\nits writer answered\n%s", what, got, want)
+					}
+					if err := noOrphans(fs, eng); err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					eng.Close()
+				}
+			}
+		})
 	}
 }
