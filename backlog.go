@@ -307,9 +307,8 @@
 // Config.Compression selects the format for newly written runs:
 //
 //   - CompressionDelta (the default) writes format-v6 bit-packed runs.
-//     Runs of the earlier delta formats — v5, the same file with its
-//     header and roots padded to 4 KiB pages, v4, the same leaves with a
-//     header page in every section, and v3 — stay readable, and a
+//     Runs of the previous delta format, v5 — the same file with its
+//     header and roots padded to 4 KiB pages — stay readable, and a
 //     maintenance pass rewrites each of them into v6 at its level, with
 //     its records and CP window. A binary of commit 45342b7 or earlier
 //     refuses a store holding v6 runs as corrupt, changing nothing; later
@@ -318,14 +317,18 @@
 //     paper's original layout, pinned by the deterministic paper-figure
 //     experiments.
 //
-// The knob applies to new runs only. Both formats, formats v5 and v4, and
-// format v3 — an earlier delta encoding, a presence bitmap and a varint per
-// changed column — read but never written, are always readable: an existing
-// database opens and queries under either setting with no migration step,
-// and compaction naturally rewrites old runs into the configured format.
-// Format v2, which spent a byte on every unchanged column, is refused by
-// name: a store holding it opens once under a binary of commit 0ea923b or
-// earlier, whose Checkpoint and Maintain rewrite it.
+// The knob applies to new runs only. Both formats, and format v5, read but
+// never written, are always readable: an existing database opens and
+// queries under either setting with no migration step, and compaction
+// naturally rewrites old runs into the configured format. Each format
+// reads one version back, and an older one is refused by name, with the
+// binary that rewrites it (internal/core/testdata/upgrade opens a store
+// under it, checkpoints, maintains and closes it): v4, the same leaves with
+// a header page in every section, and v3, a presence bitmap and a varint
+// per changed column, open once under a binary of commit 8d5575c; v2,
+// which spent a byte on every unchanged column, under one of commit
+// 0ea923b, and then 8d5575c. So does a store whose commit is a legacy
+// MANIFEST, or a commit whose runs carry no header.
 // DB.EstimateCompression projects the v6 size of a table without
 // rewriting it (running the run writer over a discarding file), and
 // "backlogctl compression" prints per-table logical versus physical
@@ -579,7 +582,7 @@ type Config struct {
 	// (default CompressionDelta, the format-v6 bit-packed encoding: per
 	// page a width and a base per column, about 3.1 to 3.6 leaf bytes per
 	// record; see the package documentation's Compression section).
-	// Applies to new runs only — v1, v3, v4 and v5 runs are always readable, and
+	// Applies to new runs only — v1 and v5 runs are always readable, and
 	// compaction rewrites old runs into the configured format.
 	Compression Compression
 	// Metrics enables the metrics registry: counters, gauges, and latency
@@ -1035,8 +1038,8 @@ type CompressionEstimate = core.CompressionEstimate
 // the file's first), leaves, index and root, Bloom filters excluded. The
 // structural lock is held shared only long enough to pin a view; the scan
 // itself runs lock-free, so updates and checkpoints never stall behind an
-// estimate. Useful for sizing a migration of a v1, v3, v4 or v5 database
-// before compacting it.
+// estimate. Useful for sizing a migration of a v1 or v5 database before
+// compacting it.
 func (db *DB) EstimateCompression(table string) (CompressionEstimate, error) {
 	return db.eng.EstimateCompression(table)
 }

@@ -39,7 +39,7 @@ commands:
   compact      run database maintenance
   compression  print per-table logical vs physical run bytes and compression
                ratios (actual, plus the projected v6 ratio while runs in an
-               older format — v1 raw, or v3, v4 or v5 delta — remain)
+               older format — v1 raw, or v5 delta — remain)
   expire       drop runs below the reclaim horizon (use -retention live)
   metrics      print metrics in Prometheus text format; -watch refreshes
                continuously; -addr scrapes a running process's debug listener
@@ -396,7 +396,7 @@ func main() {
 		type tableReport struct {
 			Table         string
 			Runs          int
-			OlderRuns     int // runs not in the current delta format: v1 raw, or v3 or v4 delta
+			OlderRuns     int // runs not in the current delta format: v1 raw, or v5 delta
 			Records       uint64
 			LogicalBytes  int64
 			PhysicalBytes int64

@@ -13,7 +13,7 @@ import (
 	"github.com/backlogfs/backlog"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/stats-v4manifest-store.json from this run")
+var update = flag.Bool("update", false, "rewrite testdata/stats-v5runs-store.json from this run")
 
 // TestMain runs main instead of the tests when the test binary is started
 // as backlogctl by run.
@@ -45,17 +45,17 @@ func run(t *testing.T, args ...string) (string, int) {
 
 // TestStatsJSON: stats -json on a copy of the store an earlier binary wrote
 // that the engine's upgrade tests open (an open may change it) prints
-// testdata/stats-v4manifest-store.json.
+// testdata/stats-v5runs-store.json.
 func TestStatsJSON(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.CopyFS(dir, os.DirFS(filepath.Join("..", "..", "internal", "core", "testdata", "v4manifest-store"))); err != nil {
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("..", "..", "internal", "core", "testdata", "v5runs-store"))); err != nil {
 		t.Fatal(err)
 	}
 	out, code := run(t, "stats", "-dir", dir, "-shards", "1", "-json")
 	if code != 0 {
 		t.Fatalf("stats -json exited %d", code)
 	}
-	golden := filepath.Join("testdata", "stats-v4manifest-store.json")
+	golden := filepath.Join("testdata", "stats-v5runs-store.json")
 	if *update {
 		if err := os.WriteFile(golden, []byte(out), 0o644); err != nil {
 			t.Fatal(err)

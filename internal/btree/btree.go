@@ -9,8 +9,8 @@
 // level 1) pages, then I2, and so on until a level fits in a single page —
 // the root. Building therefore requires no disk reads.
 //
-// Run layout of format v1 and of the delta formats before v6 (all
-// little-endian, 4 KB pages, each page ends with a CRC32):
+// Run layout of format v1 (all little-endian, 4 KB pages, each page ends
+// with a CRC32):
 //
 //	page 0:            header (magic, geometry, min/max key, bloom location)
 //	pages 1..L:        leaf pages
@@ -47,26 +47,23 @@
 // is built from the header its commit carries, whose root length follows
 // from the entry's ranges. Format v5, read and no longer written, is v6
 // with its pages padded: a 4 KB header page (min/max keys included) in
-// front of the first section, and every root 4 KB. Raw (v1) sections and
-// those of the delta formats before v5 keep page 0 in every section.
+// front of the first section, and every root 4 KB. Raw (v1) sections keep
+// page 0 in every section.
 //
 // A run larger than the builder's write buffer gets its header last, so that
 // a torn build never yields a readable but incomplete run; a file whose runs
 // all fit their buffers is a single write, headers included. Either way
 // nothing refers to the file until it has been synced.
 //
-// Three leaf encodings are read, identified by the header's version field
-// (see Format): v1 stores fixed-stride records verbatim; v4, v5 and v6
-// bit-pack each leaf page — a bit width and a base per column, block
-// anchors, then every record at the same number of bits — with the page's
-// variable record count in the page header, and differ only in the file
-// layout above. v1 and v6 are written. v3, an earlier delta encoding (a
-// varint per changed column behind a presence bitmap), is read and never
-// written: a reader transcodes such a leaf into the packed form when it
-// misses it, so one seek path and one iterate path serve every delta run.
-// Internal index pages are raw in each. Older versions are refused by
-// name, v2 with the binary that rewrites it (commit 0ea923b or earlier),
-// and a version above v6 as newer than this binary (ErrNewerFormat).
+// Three versions are read, identified by the header's version field (see
+// Format): v1 stores fixed-stride records verbatim; v5 and v6 bit-pack each
+// leaf page — a bit width and a base per column, block anchors, then every
+// record at the same number of bits — with the page's variable record
+// count in the page header, and differ only in the file layout above. v1
+// and v6 are written. Internal index pages are raw in each. Every other
+// version is refused by name: v2, v3 and v4 with the binary that rewrites
+// them (retired), and a version above v6 as newer than this binary
+// (ErrNewerFormat).
 package btree
 
 import (
@@ -115,13 +112,14 @@ var ErrCorrupt = errors.New("btree: corrupt run")
 
 // ErrNewerFormat reports a run whose header names a format version above
 // the newest this binary reads: a run a newer binary wrote, which is not
-// damaged but cannot be read here.
-var ErrNewerFormat = errors.New("btree: run format newer than this binary")
+// damaged but cannot be read here. It is storage.ErrNewerFormat, which
+// every versioned decoder refuses such a version with.
+var ErrNewerFormat = storage.ErrNewerFormat
 
 // Header is what a reader needs of a run's header: its leaf encoding and
 // record size, where its leaves, root and filter lie, and the filter's
-// checksum. A header page before format 6 also holds the run's smallest and
-// largest records, which no reader needs. Open reads a Header from the
+// checksum. A header page (raw and format 5) also holds the run's smallest
+// and largest records, which no reader needs. Open reads a Header from the
 // file; OpenHeader opens a run from one carried elsewhere (a manifest),
 // reading nothing. Offsets and page numbers are the run's own (see the
 // package doc).
@@ -293,7 +291,7 @@ func (fw *FileWriter) Section(slot, recordSize int, format Format) (*Writer, err
 			return nil, fmt.Errorf("btree: delta format needs a record size that is a multiple of 8 up to %d, got %d", MaxDeltaRecordSize, recordSize)
 		}
 		hdrLen = shortHeaderLen
-	case formatDeltaV3, formatDeltaV4, formatDeltaV5:
+	case formatDeltaV5:
 		return nil, fmt.Errorf("btree: run format %d is read-only", format)
 	default:
 		return nil, fmt.Errorf("btree: unknown run format %d", format)
@@ -346,11 +344,11 @@ func (fw *FileWriter) base(slot int) (int64, bool) {
 }
 
 // FirstPageAt returns the first page of a run of format f that its file
-// holds when the run's pages start at off in it: page 1 for a v5 or v6
-// section after its file's first, which starts with its first leaf; 0, its
-// header, for every other run.
+// holds when the run's pages start at off in it: page 1 for a delta section
+// after its file's first, which starts with its first leaf; 0, its header,
+// for every other run.
 func FirstPageAt(f Format, off int64) uint64 {
-	if off > 0 && (f == formatDeltaV5 || f == FormatDelta) {
+	if off > 0 && f.delta() {
 		return 1
 	}
 	return 0
@@ -490,9 +488,7 @@ func (fw *FileWriter) Write(trailer []byte, src storage.Source) error {
 
 // A Section is where a file holds one run's pages, its header first if the
 // file holds it, and the run's header, whose format and first page say how
-// that range is cut into pages (CheckFile). A zero Header stands for a run
-// whose header its commit does not record, which a binary before format 6
-// wrote.
+// that range is cut into pages (CheckFile).
 type Section struct {
 	Pages  storage.Extent
 	Header Header
@@ -972,24 +968,29 @@ func decodeHeader(b []byte) (Header, error) {
 
 // newer is the refusal of a run in format f, newer than this binary.
 func newer(f Format) error {
-	return fmt.Errorf("%w: version %d (this binary reads up to %d)", ErrNewerFormat, uint32(f), uint32(FormatDelta))
+	return fmt.Errorf("btree: run %w: version %d (this binary reads up to %d)", ErrNewerFormat, uint32(f), uint32(FormatDelta))
 }
+
+// retired names, for each run format this binary no longer reads, the
+// last binary that reads it and writes a format this one reads: the
+// upgrader (internal/core/testdata/upgrade) is built at that commit.
+var retired = map[Format]string{2: "0ea923b", 3: "8d5575c", 4: "8d5575c"}
 
 // check holds h against the run file f, whether the file or a manifest
 // carried it: a readable format, a record size that format can hold, and a
 // geometry that describes f — nothing a Reader does may size a read or an
 // allocation from a field that was not checked against the file's size. A
-// run the file starts at page 1 must be of format 5 or 6, which alone leave
-// a section's header out, and its pages must end where its grid does; a
-// format-6 root must hold a count and a CRC and fit a page.
+// run the file starts at page 1 must be of a delta format, which alone
+// leaves a section's header out, and its pages must end where its grid
+// does; a format-6 root must hold a count and a CRC and fit a page.
 func (h Header) check(f storage.File) error {
-	switch {
-	case h.Format == 2:
-		return errors.New("btree: run format 2 is no longer read: open the store once with a binary that reads it (commit 0ea923b or earlier), run Checkpoint and MaintainNow, and close it, as internal/core/testdata/upgrade does")
+	switch commit, ok := retired[h.Format]; {
+	case ok:
+		return fmt.Errorf("btree: run format %d is no longer read: open the store once with a binary of commit %s, run Checkpoint and MaintainNow, and close it, as internal/core/testdata/upgrade does", uint32(h.Format), commit)
 	case h.Format > FormatDelta:
 		return newer(h.Format)
 	case h.Format != FormatRaw && !h.Format.delta():
-		return fmt.Errorf("btree: unsupported version %d", uint32(h.Format))
+		return fmt.Errorf("btree: run format %d was never written", uint32(h.Format))
 	}
 	if h.RecordSize <= 0 || h.RecordSize > MaxRecordSize {
 		return fmt.Errorf("%w: record size %d", ErrCorrupt, h.RecordSize)
@@ -997,7 +998,7 @@ func (h Header) check(f storage.File) error {
 	if h.Format.delta() && (h.RecordSize%8 != 0 || h.RecordSize > MaxDeltaRecordSize) {
 		return fmt.Errorf("%w: delta run with record size %d", ErrCorrupt, h.RecordSize)
 	}
-	if h.FirstPage > 1 || h.FirstPage == 1 && FirstPageAt(h.Format, 1) != 1 {
+	if h.FirstPage > 1 || h.FirstPage == 1 && !h.Format.delta() {
 		return fmt.Errorf("%w: a format-%d run whose file starts at its page %d", ErrCorrupt, uint32(h.Format), h.FirstPage)
 	}
 	if h.Format == FormatDelta && (h.RootLen <= pageCountLen+pageCRCLen || h.RootLen > storage.PageSize) || h.Format != FormatDelta && h.RootLen != 0 {

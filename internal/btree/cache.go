@@ -10,8 +10,7 @@ import (
 // queries never re-read or re-verify: those a reader read from storage past
 // its checks, and those a Writer framed into the room the cache had free
 // (see WriteThrough), which that run never reads back. A delta leaf is held
-// packed (see FormatDelta): a v4, v5 or v6 leaf as its payload, a v3 leaf transcoded
-// into the same form once, at its miss, beside the parsed header every
+// packed (see FormatDelta), as its payload, beside the parsed header every
 // seek reads. An entry is charged the bytes of its payload at
 // its used length, not the 4 KB page it came in, against a fixed budget,
 // so a budget covers as many bytes of a packed store in memory as on disk.

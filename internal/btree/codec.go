@@ -16,15 +16,6 @@ type Format uint32
 const (
 	// FormatRaw stores fixed-stride records verbatim — the v1 format.
 	FormatRaw Format = 1
-	// formatDeltaV3 is an earlier delta format, read and never written: a
-	// leaf record is a one-byte presence bitmap (bit c set when column c
-	// differs from the previous record's) followed by the delta + zigzag +
-	// LEB128 varint of each flagged column, restarting from all-zero
-	// columns at every page.
-	formatDeltaV3 Format = 3
-	// formatDeltaV4 is an earlier delta format, read and never written:
-	// FormatDelta's leaves, but every section of a file has its header page.
-	formatDeltaV4 Format = 4
 	// formatDeltaV5 is the previous delta format, read and never written:
 	// FormatDelta's file, but with its pages padded — the first section's
 	// header a 4 KB page, and every root 4 KB.
@@ -38,17 +29,14 @@ const (
 	// CRC-checked. Requires the record size to be a multiple of 8 and at
 	// most MaxDeltaRecordSize: a record is treated as a row of at most
 	// eight big-endian u64 columns, which preserves bytes.Compare order.
-	// Internal index pages stay raw in every format. Its leaves are v4's;
-	// what v5 changed is the file — only the first section of a file keeps
-	// a header (see FileWriter and Header.FirstPage) — and what v6 changed
-	// is that no section's last page, and no header, is padded to 4 KB
-	// (Header.RootLen).
+	// Internal index pages stay raw in every format. Only the first section
+	// of a file keeps a header (see FileWriter and Header.FirstPage), and no
+	// section's last page, and no header, is padded to 4 KB (Header.RootLen).
 	FormatDelta Format = 6
 )
 
-// MaxDeltaRecordSize bounds the record size of a delta run (any version):
-// eight columns, which is what a v3 leaf's one-byte bitmap can flag. The
-// widest table's records are 56 bytes.
+// MaxDeltaRecordSize bounds the record size of a delta run (either
+// version): eight columns. The widest table's records are 56 bytes.
 const MaxDeltaRecordSize = 64
 
 // maxCols is the column count of the widest delta record.
@@ -58,10 +46,6 @@ func (f Format) String() string {
 	switch f {
 	case FormatRaw:
 		return "raw"
-	case formatDeltaV3:
-		return "delta-v3"
-	case formatDeltaV4:
-		return "delta-v4"
 	case formatDeltaV5:
 		return "delta-v5"
 	case FormatDelta:
@@ -71,9 +55,9 @@ func (f Format) String() string {
 	}
 }
 
-// delta reports whether leaves are delta-encoded, in v3, v4, v5 or v6;
-// the header of each carries the filter's checksum.
-func (f Format) delta() bool { return f >= formatDeltaV3 && f <= FormatDelta }
+// delta reports whether leaves are bit-packed, in v5 or v6; the header of
+// each carries the filter's checksum.
+func (f Format) delta() bool { return f == formatDeltaV5 || f == FormatDelta }
 
 // anchorEvery is K: a packed leaf carries the absolute block of every K-th
 // record, so a seek binary-searches those anchors and then sums at most K
@@ -426,79 +410,4 @@ func (l *leaf) seek(payload []byte, count int, key []byte) (idx int, prev uint64
 		prev = b
 	}
 	return idx, prev
-}
-
-// unzigzag undoes the zigzag mapping of signed deltas onto unsigned
-// integers that the v3 encoder applied.
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// addDelta reads the non-zero varint at payload[pos:] and adds the delta it
-// zigzag-encodes to the column at rec[c:]. It returns the offset after the
-// varint, or -1 if it is truncated, overflows or is zero (an encoder never
-// flags an unchanged column).
-func addDelta(payload []byte, pos int, rec []byte, c int) int {
-	u, n := binary.Uvarint(payload[pos:])
-	if n <= 0 || u == 0 {
-		return -1
-	}
-	binary.BigEndian.PutUint64(rec[c:], binary.BigEndian.Uint64(rec[c:])+uint64(unzigzag(u)))
-	return pos + n
-}
-
-// deltaNext decodes the v3 record encoded at payload[pos:] onto rec, which
-// holds the previous record of the page (all zero before the first), and
-// returns the offset of the record after it, or -1 if the bytes there are
-// malformed; a Reader runs it only to transcode a leaf it misses (see
-// Reader.unpack). It visits the set bits, not the columns: the typical
-// record flags two or three of six or seven. A zero bitmap after the
-// page's first record (first is false: an exact repeat, which ascending
-// records exclude — and what a page's zero padding would decode to under
-// an inflated count), a bit at or beyond the column count, and a flagged
-// column with a zero or truncated varint are all malformed.
-func deltaNext(payload []byte, pos int, rec []byte, first bool) int {
-	if pos >= len(payload) {
-		return -1
-	}
-	m := payload[pos]
-	pos++
-	if (m == 0 && !first) || int(m)>>(len(rec)/8) != 0 {
-		return -1
-	}
-	for ; m != 0; m &= m - 1 {
-		c := bits.TrailingZeros8(m) * 8
-		if pos < len(payload) && payload[pos]-1 < 0x7F {
-			// A one-byte delta, the common case, without the call.
-			u := uint64(payload[pos])
-			binary.BigEndian.PutUint64(rec[c:], binary.BigEndian.Uint64(rec[c:])+uint64(unzigzag(u)))
-			pos++
-		} else if pos = addDelta(payload, pos, rec, c); pos < 0 {
-			return -1
-		}
-	}
-	return pos
-}
-
-// transcode decodes the count v3 records of payload and appends them to
-// dst packed (see leafShape.pack); flat is scratch for the decoded
-// records. Any malformed input yields an ErrCorrupt-wrapped error.
-func transcode(dst, flat, payload []byte, count, recSize int) (packed, scratch []byte, err error) {
-	// Every record encodes to at least one byte.
-	if count <= 0 || count > len(payload) {
-		return nil, flat, fmt.Errorf("%w: delta leaf record count %d", ErrCorrupt, count)
-	}
-	flat = slices.Grow(flat[:0], count*recSize)[:recSize]
-	clear(flat) // the all-zero columns record 0 is a delta from
-	var shape leafShape
-	pos := 0
-	for i := 0; i < count; i++ {
-		if i > 0 {
-			flat = append(flat, flat[len(flat)-recSize:]...)
-		}
-		rec := flat[i*recSize:]
-		if pos = deltaNext(payload, pos, rec, i == 0); pos < 0 {
-			return nil, flat, fmt.Errorf("%w: malformed delta record %d", ErrCorrupt, i)
-		}
-		shape.add(rec)
-	}
-	return shape.pack(dst, flat, recSize), flat, nil
 }

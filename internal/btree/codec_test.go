@@ -389,94 +389,3 @@ func BenchmarkCompressedRun(b *testing.B) {
 		})
 	}
 }
-
-// v3Leaf forges a one-leaf v3 run of recs, encoded by the test-side v3
-// encoder, of as many of them as fit a page; it returns the run and the
-// records it holds.
-func v3Leaf(t testing.TB, recs [][]byte) (storage.File, [][]byte) {
-	var payload, enc []byte
-	cols := make([]uint64, len(recs[0])/8)
-	n := 0
-	for ; n < len(recs); n++ {
-		if enc = appendDeltaRecord(enc[:0], recs[n], cols); len(payload)+len(enc) > pagePayload {
-			break
-		}
-		payload = append(payload, enc...)
-		for c := range cols {
-			cols[c] = binary.BigEndian.Uint64(recs[n][c*8:])
-		}
-	}
-	return forgeLeaf(t, len(recs[0]), formatDeltaV3, payload, uint16(n)), recs[:n]
-}
-
-// TestPackedAndTranscodedAgreeWithRaw is the property the one read path
-// rests on: for every record size a delta run allows, a v5 run and a v3
-// leaf transcoded at its miss answer every SeekGE — at, just before and
-// just after each record, and at its block — and the Next calls after it
-// exactly as a raw run of the same sorted records does, cached or not.
-func TestPackedAndTranscodedAgreeWithRaw(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	for recSize := 8; recSize <= MaxDeltaRecordSize; recSize += 8 {
-		for _, wide := range []bool{false, true} {
-			for _, n := range []int{1, 2, anchorEvery + 1, 300} {
-				v3, recs := v3Leaf(t, seededRecords(rng, n, recSize, wide))
-				raw, err := Open(buildRunFormat(t, storage.NewMemFS(), "raw", recSize, FormatRaw, recs), nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				v5 := buildRunFormat(t, storage.NewMemFS(), "v5", recSize, FormatDelta, recs)
-				for _, f := range []storage.File{v5, v3} {
-					for _, cache := range []*Cache{nil, NewCacheBytes(1 << 20)} {
-						r, err := Open(f, cache)
-						if err != nil {
-							t.Fatal(err)
-						}
-						name := fmt.Sprintf("%v/size=%d/wide=%v/n=%d/cached=%v", r.Format(), recSize, wide, len(recs), cache != nil)
-						agreeWithRaw(t, name, r, raw, recs)
-					}
-				}
-			}
-		}
-	}
-}
-
-// agreeWithRaw requires r to scan as raw does and every seek around recs
-// to yield, through the two Next calls after it, what raw's does.
-func agreeWithRaw(t *testing.T, name string, r, raw *Reader, recs [][]byte) {
-	t.Helper()
-	got, err := drain(r)
-	if err != nil || len(got) != len(recs) {
-		t.Fatalf("%s: scanned %d of %d records (%v)", name, len(got), len(recs), err)
-	}
-	next2 := func(rd *Reader, key []byte) (out []byte) {
-		it, err := rd.SeekGE(key)
-		if err != nil {
-			t.Fatalf("%s: SeekGE(%x): %v", name, key, err)
-		}
-		for range 2 {
-			rec, ok, err := it.Next()
-			if err != nil {
-				t.Fatalf("%s: Next after SeekGE(%x): %v", name, key, err)
-			}
-			if ok {
-				out = append(out, rec...)
-			}
-		}
-		return out
-	}
-	for i, rec := range recs {
-		if !bytes.Equal(got[i], rec) {
-			t.Fatalf("%s: record %d = %x, raw %x", name, i, got[i], rec)
-		}
-		block := make([]byte, len(rec))
-		copy(block, rec[:8])
-		for _, key := range [][]byte{neighbour(rec, false), rec, neighbour(rec, true), block} {
-			if key == nil {
-				continue
-			}
-			if have, want := next2(r, key), next2(raw, key); !bytes.Equal(have, want) {
-				t.Fatalf("%s: SeekGE(%x) then Next twice: %x, raw %x", name, key, have, want)
-			}
-		}
-	}
-}

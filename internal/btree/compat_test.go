@@ -28,8 +28,8 @@ import (
 // records) and goldenRecords(7) ("combined", 56-byte records) followed by
 // goldenFilter's bytes. The v2-*, v3-*, v4-* and v5-* files were written by
 // the format-2, -3, -4 and -5 encoders, which no longer exist in the
-// package — never regenerate them; a v2 file is what a retired format
-// looks like, which Open refuses by name (TestReadsV2Golden). The v6-*
+// package — never regenerate them; a v2, v3 or v4 file is what a retired
+// format looks like, which Open refuses by name (refusedGolden). The v6-*
 // files pin the bytes the current encoder must keep producing: both runs
 // as the sections of one file, and the headers a manifest carries for them.
 //
@@ -203,107 +203,39 @@ func checkGoldenReader(t *testing.T, open func(*Cache) (*Reader, error), format 
 }
 
 // TestReadsV2Golden: the runs the format-2 encoder wrote
-// (testdata/v2-*.run) are refused by name, from their header page and from
-// a header a manifest carried, with the binary that rewrites them: run
-// format 2 is retired, and no decoder of it is left.
-func TestReadsV2Golden(t *testing.T) {
+// (testdata/v2-*.run) are refused by name (refusedGolden).
+func TestReadsV2Golden(t *testing.T) { refusedGolden(t, 2) }
+
+// TestFormat3BytesPinned: the runs the format-3 encoder wrote
+// (testdata/v3-*.run), pinned by their SHA-256, are refused by name
+// (refusedGolden): no decoder of their leaves is left.
+func TestFormat3BytesPinned(t *testing.T) { refusedGolden(t, 3) }
+
+// TestFormat4BytesPinned: the runs the format-4 encoder wrote
+// (testdata/v4-*.run), pinned by their SHA-256, are refused by name
+// (refusedGolden). Their leaves and index pages stay pinned through the v5
+// golden, whose pages the current encoder still writes
+// (TestFormat5BytesPinned).
+func TestFormat4BytesPinned(t *testing.T) { refusedGolden(t, 4) }
+
+// refusedGolden wants each golden run of format v, a retired one, refused
+// by name from its header page and from a header a manifest carried, with
+// the binary that rewrites it, and the golden's bytes as they were written.
+func refusedGolden(t *testing.T, v Format) {
 	for _, g := range goldenRuns {
 		t.Run(g.name, func(t *testing.T) {
-			golden := readGolden(t, "v2-"+g.name+".run")
+			name := fmt.Sprintf("v%d-%s.run", v, g.name)
+			golden := readGolden(t, name)
+			if sum := sha256.Sum256(golden); hex.EncodeToString(sum[:]) != goldenSHA256[name] {
+				t.Fatalf("testdata/%s is not the bytes its encoder wrote", name)
+			}
 			h, err := decodeHeader(golden)
 			if err != nil {
 				t.Fatal(err)
 			}
-			refusedByName(t, plantFile(t, golden), h,
-				"run format 2 is no longer read: open the store once with a binary that reads it (commit 0ea923b or earlier), run Checkpoint and MaintainNow, and close it, as internal/core/testdata/upgrade does")
-		})
-	}
-}
-
-// TestFormat3BytesPinned: testdata/v3-*.run was written by the format-3
-// encoder, which is now test code (appendDeltaRecord): the golden records,
-// encoded by it and cut into pages where the next record would overflow
-// one, are the golden's leaves bit for bit, and the golden reads.
-func TestFormat3BytesPinned(t *testing.T) {
-	for _, g := range goldenRuns {
-		t.Run(g.name, func(t *testing.T) {
-			recs := goldenRecords(g.cols)
-			golden := readGolden(t, "v3-"+g.name+".run")
-			r, err := Open(plantFile(t, golden), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var leaves [][]byte // the encoder's pages: count, then payload
-			var payload, enc []byte
-			cols := make([]uint64, g.cols)
-			count := 0
-			cut := func() {
-				leaves = append(leaves, append(binary.LittleEndian.AppendUint16(nil, uint16(count)), payload...))
-				payload, count = nil, 0
-				clear(cols)
-			}
-			for _, rec := range recs {
-				if enc = appendDeltaRecord(enc[:0], rec, cols); count > 0 && len(payload)+len(enc) > pagePayload {
-					cut()
-					enc = appendDeltaRecord(enc[:0], rec, cols)
-				}
-				payload, count = append(payload, enc...), count+1
-				for c := range cols {
-					cols[c] = binary.BigEndian.Uint64(rec[c*8:])
-				}
-			}
-			cut()
-			if uint64(len(leaves)) != r.h.LeafPages {
-				t.Fatalf("the encoder cuts %d leaves, the golden holds %d", len(leaves), r.h.LeafPages)
-			}
-			for i, want := range leaves {
-				at := int(r.h.LeafStart) + i
-				if got := golden[at*storage.PageSize:][:len(want)]; !bytes.Equal(got, want) {
-					t.Fatalf("leaf %d differs from the encoder's", i)
-				}
-			}
-			checkGoldenRun(t, golden, formatDeltaV3, recs)
-		})
-	}
-}
-
-// TestFormat4BytesPinned: testdata/v4-*.run was written by the format-4
-// encoder, whose leaves and index pages format 6 keeps. A run that is its
-// file's only one keeps its header too, so the current encoder, given the
-// golden records, writes the golden's pages but for its root's padding
-// (checkUnpadded); and the golden reads as format 4.
-func TestFormat4BytesPinned(t *testing.T) {
-	for _, g := range goldenRuns {
-		t.Run(g.name, func(t *testing.T) {
-			recs := goldenRecords(g.cols)
-			fs := storage.NewMemFS()
-			f, err := fs.Create("run")
-			if err != nil {
-				t.Fatal(err)
-			}
-			w, err := NewWriterFormat(f, g.cols*8, FormatDelta)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range recs {
-				if err := w.Append(r); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := w.Finish(goldenFilter(recs)); err != nil {
-				t.Fatal(err)
-			}
-			got := make([]byte, w.SizeBytes())
-			if _, err := f.ReadAt(got, 0); err != nil {
-				t.Fatal(err)
-			}
-			golden := readGolden(t, "v4-"+g.name+".run")
-			old, err := Open(plantFile(t, golden), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkUnpadded(t, golden, 0, old.Header(), got, 0, w.h)
-			checkGoldenRun(t, golden, formatDeltaV4, recs)
+			refusedByName(t, plantFile(t, golden), h, fmt.Sprintf(
+				"run format %d is no longer read: open the store once with a binary of commit %s, run Checkpoint and MaintainNow, and close it, as internal/core/testdata/upgrade does",
+				v, map[Format]string{2: "0ea923b", 3: "8d5575c", 4: "8d5575c"}[v]))
 		})
 	}
 }
@@ -542,36 +474,50 @@ func headerKeys(t testing.TB, f storage.File) (minKey, maxKey []byte) {
 	return page[headerFixedLen : headerFixedLen+rs], page[headerFixedLen+rs : headerFixedLen+2*rs]
 }
 
-// TestFormatContract: the earlier delta formats cannot be written, and a
-// version this binary has never heard of fails by name, as newer than this
-// binary, rather than as corruption, whether its header says so (Open) — a
-// header page or a short header — or a manifest carried the header
-// (OpenHeader).
+// TestFormatContract is the house rule for runs: of the versions a header
+// can name, this binary reads the current one, 6, the one before it, 5, and
+// raw v1, and writes only 6 and v1. It refuses every other version by name,
+// not as damage, and one above 6 as newer than this binary
+// (ErrNewerFormat), whether a header page or a short header says so (Open)
+// or a manifest carried the header (OpenHeader).
 func TestFormatContract(t *testing.T) {
 	f, err := storage.NewMemFS().Create("run")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []Format{formatDeltaV3, formatDeltaV4, formatDeltaV5} {
-		if _, err := NewWriterFormat(f, 48, v); err == nil || !strings.Contains(err.Error(), "read-only") {
-			t.Fatalf("NewWriterFormat(format %d): %v, want a read-only refusal", v, err)
+	for _, v := range []Format{0, 1, 2, 3, 4, 5, 6, 7, 8, 1 << 31} {
+		if _, err := NewWriterFormat(f, 48, v); (err == nil) != (v == FormatRaw || v == FormatDelta) {
+			t.Fatalf("NewWriterFormat(format %d): %v", v, err)
 		}
-	}
-	for _, golden := range [][]byte{readGolden(t, "v4-from.run"), readGolden(t, "v6-from-combined.run")} {
-		h, err := Open(plantFile(t, golden), nil)
+		// A version from 6 on has a short header, which the v6 golden holds;
+		// every one before it a header page, which the v5 golden holds.
+		golden := readGolden(t, "v5-from-combined.run")
+		if v >= FormatDelta {
+			golden = readGolden(t, "v6-from-combined.run")
+		}
+		carried, err := decodeHeader(golden)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, v := range []uint32{7, 8, 1 << 31} {
-			run := plantFile(t, golden)
-			rewriteHeader(t, run, func(header []byte) { binary.LittleEndian.PutUint32(header[8:], v) })
-			carried := h.Header()
-			carried.Format = Format(v)
+		carried.Format = v
+		run := plantFile(t, golden)
+		rewriteHeader(t, run, func(header []byte) { binary.LittleEndian.PutUint32(header[8:], uint32(v)) })
+		switch {
+		case v == FormatRaw || v.delta():
+			if err := errors.Join(openErr(run), openHeaderErr(run, carried)); err != nil {
+				t.Fatalf("version %d: %v, want it read", v, err)
+			}
+		case v > FormatDelta:
 			refusedByName(t, run, carried, fmt.Sprintf("run format newer than this binary: version %d", v))
 			for _, err := range []error{openErr(run), openHeaderErr(run, carried)} {
 				if !errors.Is(err, ErrNewerFormat) {
 					t.Fatalf("version %d: %v, want ErrNewerFormat", v, err)
 				}
+			}
+		default:
+			refusedByName(t, run, carried, fmt.Sprintf("run format %d ", v))
+			if err := openErr(run); errors.Is(err, ErrNewerFormat) {
+				t.Fatalf("version %d: %v, want it refused as older than this binary", v, err)
 			}
 		}
 	}
@@ -620,7 +566,7 @@ func TestHeaderGeometryChecked(t *testing.T) {
 		"delta records of nine columns": func(p []byte) { le.PutUint32(p[12:], 72) },
 	} {
 		t.Run(name, func(t *testing.T) {
-			run := plantFile(t, readGolden(t, "v3-from.run"))
+			run := plantFile(t, readGolden(t, "v5-from-combined.run"))
 			rewriteHeader(t, run, edit)
 			if _, err := Open(run, nil); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("Open: %v, want ErrCorrupt", err)
@@ -642,13 +588,13 @@ func TestHeaderGeometryChecked(t *testing.T) {
 }
 
 // FuzzRunHeader plants an arbitrary header, resealed so the checksum
-// passes, over a real run's pages: a header page over a format-3 run, or
+// passes, over a real run's pages: a header page over a format-5 file, or
 // with short set a format-6 short header over a file that holds one small
 // run and is shorter than 4 KB, as a durable checkpoint's file is. Open,
 // the filter read, a scan and a seek must not panic, and nothing may be
 // sized beyond the file.
 func FuzzRunHeader(f *testing.F) {
-	golden := readGolden(f, "v3-from.run")
+	golden := readGolden(f, "v5-from-combined.run")
 	f.Add(golden[:storage.PageSize], false)
 	f.Add(readGolden(f, "v2-combined.run")[:storage.PageSize], false)
 	f.Add(make([]byte, storage.PageSize), false)
@@ -666,7 +612,7 @@ func FuzzRunHeader(f *testing.F) {
 	small := smallRun(f)
 	f.Add(small[:shortHeaderLen], true)
 	f.Add(readGolden(f, "v6-from-combined.run")[:shortHeaderLen], true) // a grid past the file
-	f.Add(golden[:shortHeaderLen], true)                                // a header page's fields: format 3
+	f.Add(golden[:shortHeaderLen], true)                                // a header page's fields: format 5
 	for _, off := range []int{8, 12, 24, 32, 40, 48, 56, 64, 72} {
 		h := append([]byte(nil), small[:shortHeaderLen]...)
 		h[off+1] ^= 0x7F
@@ -738,9 +684,9 @@ func smallRun(t testing.TB) []byte {
 
 // TestOpenHeaderReadsNothing: a run opened from the Header its reader
 // reports reads no byte to open and then reads what Open's reader reads,
-// over both formats, a golden of the read-only one included.
+// over the current format's golden and the read-only one's.
 func TestOpenHeaderReadsNothing(t *testing.T) {
-	for _, name := range []string{"v4-from.run", "v4-combined.run", "v3-from.run"} {
+	for _, name := range []string{"v6-from-combined.run", "v5-from-combined.run"} {
 		fs := storage.NewMemFS()
 		f, err := fs.Create("run")
 		if err != nil {
@@ -774,11 +720,15 @@ func TestOpenHeaderReadsNothing(t *testing.T) {
 
 // TestBloomChecksum: the filter bytes of a current-format run are covered
 // by a checksum in the header, verified when they are read — not at Open,
-// which reads the header page and nothing else.
+// which reads the header and nothing else.
 func TestBloomChecksum(t *testing.T) {
-	golden := readGolden(t, "v3-from.run")
+	golden := readGolden(t, "v6-from-combined.run")
+	h, err := decodeHeader(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
 	flipped := append([]byte(nil), golden...)
-	flipped[len(flipped)-9] ^= 0x10
+	flipped[h.FilterOff+h.FilterLen-9] ^= 0x10
 	fs := storage.NewMemFS()
 	f, err := fs.Create("run")
 	if err != nil {
@@ -927,10 +877,10 @@ func TestWriterCoalescesPages(t *testing.T) {
 }
 
 // TestNoFillDecodesOnce: a leaf a NoFill scan misses is checked once, in
-// one pass at its miss — a v5 leaf as it is, a v3 leaf transcoded first —
-// and the scan reads every leaf once.
+// one pass at its miss, in the current format and the read-only one, and
+// the scan reads every leaf once.
 func TestNoFillDecodesOnce(t *testing.T) {
-	for _, file := range []string{"v4-combined.run", "v3-combined.run"} {
+	for _, file := range []string{"v6-from-combined.run", "v5-from-combined.run"} {
 		r, err := Open(plantFile(t, readGolden(t, file)), NewCacheBytes(1<<20))
 		if err != nil {
 			t.Fatal(err)
@@ -938,7 +888,7 @@ func TestNoFillDecodesOnce(t *testing.T) {
 		passes := 0
 		r.SetDecodeObserver(func(time.Duration) { passes++ })
 		recs, err := drain(r.NoFill())
-		if err != nil || len(recs) != len(goldenRecords(7)) {
+		if err != nil || len(recs) != len(goldenRecords(6)) {
 			t.Fatalf("%s: scanned %d records (%v)", file, len(recs), err)
 		}
 		if uint64(passes) != r.h.LeafPages {

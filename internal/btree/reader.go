@@ -28,8 +28,7 @@ type Reader struct {
 	noFill bool
 
 	// decodeObs, when set, receives the wall time of the pass that
-	// validates each delta leaf read from storage, and transcodes a v3 one
-	// (cache misses only).
+	// validates each delta leaf read from storage (cache misses only).
 	decodeObs func(time.Duration)
 }
 
@@ -67,8 +66,8 @@ func newReader(f storage.File, h Header, cache *Cache, id uint64) *Reader {
 }
 
 // SetDecodeObserver installs a callback receiving, once per delta leaf
-// page read from storage, the latency of the pass that validates it —
-// after transcoding it, for a v3 leaf (observability wiring; may be nil).
+// page read from storage, the latency of the pass that validates it
+// (observability wiring; may be nil).
 func (r *Reader) SetDecodeObserver(fn func(time.Duration)) { r.decodeObs = fn }
 
 // WithFile returns a shallow copy of the Reader that issues its page reads
@@ -98,8 +97,8 @@ func (r *Reader) NoFill() *Reader {
 // by its WithFile and NoFill copies and by the Writer that built the run.
 func (r *Reader) CacheID() uint64 { return r.id }
 
-// Format returns the run's leaf encoding: FormatRaw, FormatDelta, or an
-// earlier delta format, v3, v4 or v5, which is only ever read.
+// Format returns the run's leaf encoding: FormatRaw, FormatDelta, or the
+// previous delta format, v5, which is only ever read.
 func (r *Reader) Format() Format { return r.h.Format }
 
 // RecordSize returns the fixed record size of the run.
@@ -139,21 +138,14 @@ func (r *Reader) BloomBytes() ([]byte, error) {
 	return buf, nil
 }
 
-// pageScratch is what a page miss works in: the 4 KB the file is read
-// into and, for a v3 leaf, its records decoded.
-type pageScratch struct {
-	buf  [storage.PageSize]byte
-	recs []byte
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(pageScratch) }}
+// scratchPool holds the 4 KB buffers a page miss reads the file into.
+var scratchPool = sync.Pool{New: func() any { return new([storage.PageSize]byte) }}
 
 // readPage returns a verified page — leaf or internal — from the cache or,
 // on a miss, from storage. A page read from storage is checked here and
 // kept at its used length, so the cache is charged what the page pins: an
 // internal page or a raw leaf its count of fixed-stride entries, a delta
-// leaf its packed form — a v4, v5 or v6 leaf's payload, a v3 leaf's records decoded
-// and packed — whose every record the miss has checked (see
+// leaf its packed payload, whose every record the miss has checked (see
 // leaf.check). Nothing returned may be modified.
 func (r *Reader) readPage(pageNo uint64) (*page, error) {
 	if r.cache != nil {
@@ -161,9 +153,9 @@ func (r *Reader) readPage(pageNo uint64) (*page, error) {
 			return p, nil
 		}
 	}
-	s := scratchPool.Get().(*pageScratch)
-	defer scratchPool.Put(s)
-	payload, count, err := r.readPageRaw(&s.buf, pageNo)
+	buf := scratchPool.Get().(*[storage.PageSize]byte)
+	defer scratchPool.Put(buf)
+	payload, count, err := r.readPageRaw(buf, pageNo)
 	if err != nil {
 		return nil, err
 	}
@@ -174,7 +166,7 @@ func (r *Reader) readPage(pageNo uint64) (*page, error) {
 	case !r.h.Format.delta():
 		p.payload, err = entries(payload, count, r.h.RecordSize)
 	default:
-		err = r.unpack(p, payload, s)
+		err = r.unpack(p, payload)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("btree: page %d: %w", pageNo, err)
@@ -208,31 +200,19 @@ func entries(payload []byte, count, stride int) ([]byte, error) {
 	return out, nil
 }
 
-// unpack gives the delta leaf p, read as payload, its packed form: a copy
-// of a v4, v5 or v6 leaf, or a v3 leaf transcoded, with its header parsed and every
-// record checked.
-func (r *Reader) unpack(p *page, payload []byte, s *pageScratch) (err error) {
+// unpack gives the delta leaf p, read as payload, a copy of its packed
+// form, with its header parsed and every record checked.
+func (r *Reader) unpack(p *page, payload []byte) (err error) {
 	var start time.Time
 	if r.decodeObs != nil {
 		start = time.Now()
-	}
-	var packed []byte
-	if r.h.Format == formatDeltaV3 {
-		if packed, s.recs, err = transcode(nil, s.recs, payload, p.count, r.h.RecordSize); err != nil {
-			return err
-		}
-		payload = packed
 	}
 	var used int
 	if p.leaf, used, err = parseLeaf(payload, p.count, r.h.RecordSize); err != nil {
 		return err
 	}
-	if packed != nil {
-		p.payload = packed[:used]
-	} else {
-		p.payload = make([]byte, used, used+8)
-		copy(p.payload, payload)
-	}
+	p.payload = make([]byte, used, used+8)
+	copy(p.payload, payload)
 	if err := p.leaf.check(p.payload, p.count); err != nil {
 		return err
 	}

@@ -15,8 +15,8 @@ import (
 // them by columns." Runs are actually stored bit-packed by column when
 // Options.Compression is CompressionDelta (the default; see
 // btree.FormatDelta), and EstimateCompression sizes a migration to v6 for
-// a database still holding runs in an older format — raw v1, or the v3, v4
-// or v5 delta formats, which a maintenance pass rewrites — by running the
+// a database still holding runs in an older format — raw v1, or the v5
+// delta format, which a maintenance pass rewrites — by running the
 // run writer itself over a discarding file, laid out as a merge lays its
 // file out, so the projection is what a rewrite would write.
 

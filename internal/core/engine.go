@@ -36,8 +36,7 @@ type Options struct {
 	Catalog *MemCatalog
 	// CacheBytes sizes the shared page cache (default 32 MB, the paper's
 	// micro-benchmark configuration). Pages are cached in their on-disk
-	// encoding (a v3 leaf packed as v4, v5 and v6 leaves are) and
-	// charged the bytes they pin, the payload at its used length, so the
+	// encoding (a delta leaf packed) and charged the bytes they pin, the payload at its used length, so the
 	// budget covers as many bytes of the store in memory as on disk, and
 	// pages of a run that is merged away or expired stop counting when its
 	// file goes. A checkpoint's pages
@@ -72,13 +71,14 @@ type Options struct {
 	// observation that back-reference tables are "highly compressible,
 	// especially if we compress them by columns"); CompressionNone writes
 	// raw fixed-stride v1 runs. Runs of every readable format — those two
-	// and the earlier delta formats, v3, v4 and v5 — open and query transparently,
+	// and the previous delta format, v5 — open and query transparently,
 	// and every new run — checkpoint flush or compaction — is written in
 	// the configured format, so flipping the knob migrates a database
 	// gradually with no explicit step. Under CompressionDelta a
-	// maintenance pass also rewrites every v3, v4 or v5 run into v6 at its level,
-	// records and CP window unchanged (the format horizon). A v2 run is
-	// refused by name at Open.
+	// maintenance pass also rewrites every v5 run into v6 at its level,
+	// records and CP window unchanged (the format horizon). A run of an
+	// earlier format (v2, v3, v4) is refused by name at Open, with the
+	// binary that rewrites it.
 	Compression Compression
 	// Durability selects when reference updates become crash-durable
 	// (default wal.CheckpointOnly, the paper's behavior: buffered updates

@@ -16,7 +16,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"github.com/backlogfs/backlog/internal/btree"
@@ -407,61 +406,39 @@ func checkEarlierStore(t *testing.T, eng *core.Engine, m *model, want string) {
 	}
 }
 
-// TestV3StoreMergesIntoOneFile: a whole merge of the store the binary that
-// wrote version-3 manifests made (testdata/v3manifest-store, runs that are
-// files of their own) writes its outputs as sections of one file, created
-// and synced once, and the answers hold, across a reopen.
-func TestV3StoreMergesIntoOneFile(t *testing.T) {
-	fs, want := earlierStore(t, "v3manifest-store")
-	m, _ := writerModel(false)
-	open := func() *core.Engine {
-		t.Helper()
-		eng, err := core.Open(core.Options{VFS: fs, Catalog: core.NewMemCatalog()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return eng
-	}
-	eng := open()
-	checkEarlierStore(t, eng, m, want)
-	if creates, syncs := mergeIO(t, eng, eng.Compact); creates != 1 || syncs != 1 {
-		t.Fatalf("the merge created %d files and synced %d times, want 1 and 1", creates, syncs)
-	}
-	files := slices.DeleteFunc(eng.Files(), func(n string) bool { return strings.HasPrefix(n, "commit.") })
-	if len(files) != 1 || !strings.HasPrefix(files[0], mergeFile) || eng.RunCount() < 2 {
-		t.Fatalf("after the merge the manifest names %v for %d runs, want one merge file", files, eng.RunCount())
-	}
-	checkEarlierStore(t, eng, m, want)
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-	eng = open()
-	defer eng.Close()
-	checkEarlierStore(t, eng, m, want)
-}
-
-// TestV3CatalogThatIsNotACatalogIsCorrupt: a version-3 manifest is bare
-// JSON with no checksum, so a flipped byte can leave its catalog section
-// valid JSON that is no catalog. Open refuses it as lsm.ErrCorrupt, like
-// any other manifest it cannot read.
-func TestV3CatalogThatIsNotACatalogIsCorrupt(t *testing.T) {
+// TestCatalogThatIsNotACatalogIsCorrupt: a commit whose catalog section
+// parses as JSON but is no catalog — a checksummed commit, so one a writer
+// other than this binary made — is refused as lsm.ErrCorrupt, like any
+// other manifest Open cannot read.
+func TestCatalogThatIsNotACatalogIsCorrupt(t *testing.T) {
+	const commit = "commit.0000000013" // testdata/v5runs-store's commit file
 	for _, sec := range []string{`{"lines":5}`, `[1]`, `"catalog"`} {
-		fs, _ := earlierStore(t, "v3manifest-store")
-		b, err := os.ReadFile(filepath.Join("testdata", "v3manifest-store", "MANIFEST"))
+		fs, _ := earlierStore(t, "v5runs-store")
+		b, err := os.ReadFile(filepath.Join("testdata", "v5runs-store", commit))
 		if err != nil {
 			t.Fatal(err)
 		}
-		i := bytes.LastIndex(b, []byte(`"catalog":`))
+		// The commit file is an envelope — magic, version, body length and
+		// the CRC-32C of those two and the body — then a 32-byte footer
+		// whose layout, a commit file's, is all zero.
+		const envLen, footerLen = 20, 32
+		le := binary.LittleEndian
+		body := b[envLen : len(b)-footerLen]
+		i := bytes.LastIndex(body, []byte(`"catalog":`))
 		if i < 0 {
-			t.Fatal("the golden manifest has no catalog section")
+			t.Fatal("the golden commit has no catalog section")
 		}
-		b = append(b[:i:i], `"catalog":`+sec+`}`...)
-		if err := fs.Remove("MANIFEST"); err != nil {
+		body = append(body[:i:i], `"catalog":`+sec+`}`...)
+		env := append([]byte(nil), b[:envLen]...)
+		le.PutUint32(env[12:], uint32(len(body)))
+		castagnoli := crc32.MakeTable(crc32.Castagnoli)
+		le.PutUint32(env[16:], crc32.Update(crc32.Checksum(env[8:16], castagnoli), castagnoli, body))
+		if err := fs.Remove(commit); err != nil {
 			t.Fatal(err)
 		}
-		f, err := fs.Create("MANIFEST")
+		f, err := fs.Create(commit)
 		if err == nil {
-			_, err = f.WriteAt(b, 0)
+			_, err = f.WriteAt(append(append(env, body...), b[len(b)-footerLen:]...), 0)
 			f.Close()
 		}
 		if err != nil {
@@ -475,103 +452,6 @@ func TestV3CatalogThatIsNotACatalogIsCorrupt(t *testing.T) {
 			t.Fatalf("catalog section %s: Open returned %v, want lsm.ErrCorrupt", sec, err)
 		}
 	}
-}
-
-// TestV4ManifestStoreOpensAndMigrates is the upgrade path end to end for
-// the store the last binary to write an enveloped MANIFEST made
-// (testdata/v4manifest-store: format-3 runs at two levels, deletion vectors
-// of its relocation, snapshots in a version-4 manifest, a Buffered log tail
-// in log format 4): it opens as backlog.Open opens it, answers every query
-// as the model and its writer do, checkpoints, and compacts into the
-// current format with the answers unchanged, across a reopen.
-func TestV4ManifestStoreOpensAndMigrates(t *testing.T) {
-	fs, want := earlierStore(t, "v4manifest-store")
-	m, tail := writerModel(true)
-	open := func() *core.Engine {
-		t.Helper()
-		eng, err := core.Open(core.Options{VFS: fs, Catalog: core.NewMemCatalog(), Durability: wal.Buffered})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return eng
-	}
-	eng := open()
-	if got := eng.Stats().WALReplayed; got != uint64(len(tail)) {
-		t.Fatalf("replayed %d records of the log tail, want %d", got, len(tail))
-	}
-	v3Levels := map[int]bool{}
-	for _, ri := range eng.RunInfos() {
-		if uint32(ri.Format) == 3 {
-			v3Levels[ri.Level] = true
-		}
-	}
-	if !v3Levels[0] || !v3Levels[1] {
-		t.Fatalf("golden store's format-3 run levels: %v, want 0 and 1", v3Levels)
-	}
-	// Every table holding format-3 runs gets a projection of its rewrite.
-	for _, ri := range eng.RunInfos() {
-		est, err := eng.EstimateCompression(ri.Table)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if est.Records == 0 || est.CompressedBytes <= 0 || est.Ratio <= 1 {
-			t.Fatalf("%s: projection %+v, want the format-3 runs' records in a smaller rewrite", ri.Table, est)
-		}
-	}
-	checkEarlierStore(t, eng, m, want)
-
-	// A checkpoint writes its runs in the current format next to the old
-	// ones; the store answers from the mix. Its commit is the first in a
-	// trailer, and removes the legacy manifest.
-	if err := eng.Checkpoint(8); err != nil {
-		t.Fatal(err)
-	}
-	if names, _ := fs.List(); slices.Contains(names, "MANIFEST") {
-		t.Fatalf("the first commit left the legacy manifest: %v", names)
-	}
-	counts := formatCounts(eng)
-	if counts[btree.FormatDelta] == 0 || counts[btree.Format(3)] == 0 {
-		t.Fatalf("after the checkpoint: %v, want format-3 and current-format runs side by side", counts)
-	}
-	checkEarlierStore(t, eng, m, want)
-
-	if err := eng.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if counts := formatCounts(eng); len(counts) != 1 || counts[btree.FormatDelta] == 0 {
-		t.Fatalf("after compaction: %v, want only current-format delta runs", counts)
-	}
-	checkEarlierStore(t, eng, m, want)
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	eng = openNotingManifest(t, fs, open)
-	defer eng.Close()
-	if counts := formatCounts(eng); len(counts) != 1 || counts[btree.FormatDelta] == 0 {
-		t.Fatalf("after the reopen: %v", counts)
-	}
-	checkEarlierStore(t, eng, m, want)
-}
-
-// openNotingManifest reopens a store whose first commit is made and fails
-// the test if the open makes any call on a legacy manifest.
-func openNotingManifest(t *testing.T, fs *storage.MemFS, open func() *core.Engine) *core.Engine {
-	t.Helper()
-	var calls atomic.Int64
-	fs.SetFailurePlan(storage.FailurePlan{Hook: func(c storage.Call) error {
-		if strings.HasPrefix(c.Name, "MANIFEST") {
-			calls.Add(1)
-		}
-		return nil
-	}})
-	eng := open()
-	fs.SetFailurePlan(storage.FailurePlan{})
-	if n := calls.Load(); n != 0 {
-		eng.Close()
-		t.Fatalf("the reopen made %d calls on a legacy manifest, want none", n)
-	}
-	return eng
 }
 
 // TestCorruptLeafUnderCompaction damages a leaf so that its checksum still
@@ -664,39 +544,34 @@ func firstLeaf(t *testing.T, eng *core.Engine, name string) storage.Extent {
 	return storage.Extent{}
 }
 
-// TestV3RunsMigrate is the format horizon end to end, under PolicyFull
-// and under PolicyLeveled with RetainLive: a store whose every run is
-// format 3 (testdata/v3runs-store) opens and answers as it did when it was
-// written (testdata/v3runs-store.answers, every 7th block below 200); one MaintainNow — which has no merge to make under either
-// policy, the store holding four runs a partition over two levels —
-// rewrites every run into the current format at its level, with its
-// records and CP window, and the answers hold; a second MaintainNow finds
-// nothing to do and installs nothing; and the store reopens migrated. The
-// binary that wrote run format 3 made the store through the public API in
-// CheckpointOnly mode with two partitions of 100 blocks: 3 000 updates
-// over CPs 1..6, every 5th and every 5th-but-2 a removal of an earlier
-// reference (i*7919 modulo the references added), a snapshot of line 0
-// after Checkpoint(3), one MaintainNow after Checkpoint(5), then
-// Checkpoint(6) and Close — so every run in it is format 3, at levels 0
-// and 1.
-func TestV3RunsMigrate(t *testing.T) {
+// TestOutdatedRunsRewriteAtTheirLevel is the format horizon end to end,
+// under PolicyFull with a threshold no partition reaches and under
+// PolicyLeveled with RetainLive: a store whose every run is format 5
+// (testdata/v5runs-store) opens and answers as it did when it was written;
+// one MaintainNow leaves every run in the current format and the answers
+// hold — under PolicyFull, which has no merge to make, by a rewrite of each
+// run at its level, with its CP window and its records less those its
+// deletion vector hides; a second MaintainNow finds nothing to do and
+// installs nothing; and the store reopens migrated.
+func TestOutdatedRunsRewriteAtTheirLevel(t *testing.T) {
 	for _, c := range []struct {
-		name string
-		opts core.Options
+		name     string
+		opts     core.Options
+		rewrites bool // the pass is a rewrite per run, and nothing else
 	}{
-		{"full", core.Options{}},
-		{"leveled-retainlive", core.Options{CompactionPolicy: core.PolicyLeveled{}, Retention: core.RetainLive}},
+		{"full", core.Options{CompactionPolicy: core.PolicyFullAt{Threshold: 64}}, true},
+		{"leveled-retainlive", core.Options{CompactionPolicy: core.PolicyLeveled{}, Retention: core.RetainLive}, false},
 	} {
-		t.Run(c.name, func(t *testing.T) { v3RunsMigrate(t, c.opts) })
+		t.Run(c.name, func(t *testing.T) { outdatedRunsRewrite(t, c.opts, c.rewrites) })
 	}
 }
 
-func v3RunsMigrate(t *testing.T, opts core.Options) {
-	fs, want := earlierStore(t, "v3runs-store")
+func outdatedRunsRewrite(t *testing.T, opts core.Options, rewrites bool) {
+	fs, want := earlierStore(t, "v5runs-store")
 	open := func() *core.Engine {
 		t.Helper()
 		o := opts
-		o.VFS, o.Catalog, o.Partitions, o.PartitionSpan = fs, core.NewMemCatalog(), 2, 100
+		o.VFS, o.Catalog, o.Durability = fs, core.NewMemCatalog(), wal.Buffered
 		eng, err := core.Open(o)
 		if err != nil {
 			t.Fatal(err)
@@ -705,10 +580,10 @@ func v3RunsMigrate(t *testing.T, opts core.Options) {
 	}
 	eng := open()
 	before := eng.RunInfos()
-	if counts := formatCounts(eng); len(counts) != 1 || counts[btree.Format(3)] != len(before) || len(before) == 0 {
-		t.Fatalf("golden store's runs: %v, want format 3 only", counts)
+	if counts := formatCounts(eng); len(counts) != 1 || counts[btree.Format(5)] != len(before) || len(before) == 0 {
+		t.Fatalf("golden store's runs: %v, want format 5 only", counts)
 	}
-	if got := storeAnswers(t, eng, 200, 7); got != want {
+	if got := storeAnswers(t, eng, earlierStoreBlocks, 1); got != want {
 		t.Fatalf("the golden store answers\n%s\nwant\n%s", got, want)
 	}
 
@@ -716,26 +591,31 @@ func v3RunsMigrate(t *testing.T, opts core.Options) {
 		t.Fatal(err)
 	}
 	after := eng.RunInfos()
-	if counts := formatCounts(eng); len(counts) != 1 || counts[btree.FormatDelta] != len(before) {
-		t.Fatalf("after MaintainNow: %v, want its %d runs in the current format", counts, len(before))
+	if counts := formatCounts(eng); len(counts) != 1 || counts[btree.FormatDelta] != len(after) {
+		t.Fatalf("after MaintainNow: %v, want its runs in the current format", counts)
 	}
-	if got := eng.MaintenanceStats().AutoCompactions; got != uint64(len(before)) {
-		t.Fatalf("MaintainNow installed %d jobs, want a rewrite per run (%d)", got, len(before))
+	installed := eng.MaintenanceStats().AutoCompactions
+	if rewrites {
+		if installed != uint64(len(before)) || len(after) != len(before) {
+			t.Fatalf("MaintainNow installed %d jobs leaving %d runs, want a rewrite per run (%d)", installed, len(after), len(before))
+		}
+		window := func(ri lsm.RunInfo) string {
+			return fmt.Sprintf("%s p%d L%d, CP %d..%d known=%v, %d overrides",
+				ri.Table, ri.Partition, ri.Level, ri.MinCP, ri.MaxCP, ri.CPWindowKnown, ri.Overrides)
+		}
+		var was, is []string
+		var records int64
+		for i := range before {
+			was, is = append(was, window(before[i])), append(is, window(after[i]))
+			records += int64(before[i].Records) - int64(after[i].Records)
+		}
+		slices.Sort(was)
+		slices.Sort(is)
+		if !slices.Equal(was, is) || records < 0 {
+			t.Fatalf("the rewrite moved runs, or added %d records:\n%v\nwas\n%v", -records, is, was)
+		}
 	}
-	window := func(ri lsm.RunInfo) string {
-		return fmt.Sprintf("%s p%d L%d %d records, CP %d..%d known=%v, %d overrides",
-			ri.Table, ri.Partition, ri.Level, ri.Records, ri.MinCP, ri.MaxCP, ri.CPWindowKnown, ri.Overrides)
-	}
-	var was, is []string
-	for i := range before {
-		was, is = append(was, window(before[i])), append(is, window(after[i]))
-	}
-	slices.Sort(was)
-	slices.Sort(is)
-	if !slices.Equal(was, is) {
-		t.Fatalf("the rewrite moved runs:\n%v\nwas\n%v", is, was)
-	}
-	if got := storeAnswers(t, eng, 200, 7); got != want {
+	if got := storeAnswers(t, eng, earlierStoreBlocks, 1); got != want {
 		t.Fatalf("after MaintainNow the store answers\n%s\nwant\n%s", got, want)
 	}
 
@@ -743,7 +623,7 @@ func v3RunsMigrate(t *testing.T, opts core.Options) {
 	if err := eng.MaintainNow(); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.MaintenanceStats(); got.AutoCompactions != uint64(len(before)) || got.PendingJobs != 0 || !slices.Equal(eng.Files(), files) {
+	if got := eng.MaintenanceStats(); got.AutoCompactions != installed || got.PendingJobs != 0 || !slices.Equal(eng.Files(), files) {
 		t.Fatalf("a second MaintainNow: %+v, files %v (were %v), want nothing installed", got, eng.Files(), files)
 	}
 	if err := eng.Close(); err != nil {
@@ -751,37 +631,33 @@ func v3RunsMigrate(t *testing.T, opts core.Options) {
 	}
 	eng = open()
 	defer eng.Close()
-	if counts := formatCounts(eng); len(counts) != 1 || counts[btree.FormatDelta] != len(before) {
+	if counts := formatCounts(eng); len(counts) != 1 || counts[btree.FormatDelta] != len(after) {
 		t.Fatalf("after the reopen: %v", counts)
 	}
-	if got := storeAnswers(t, eng, 200, 7); got != want {
+	if got := storeAnswers(t, eng, earlierStoreBlocks, 1); got != want {
 		t.Fatalf("the migrated store answers\n%s\nwant\n%s", got, want)
 	}
 }
 
-// TestEarlierStoresMigrateOnTheirFirstMaintain: each store an earlier
-// binary wrote — format-5 or format-4 runs under a commit trailer, or
-// format-3 runs under a legacy manifest — opens with the model's answers
-// and its writer's; its first MaintainNow leaves it in the current format
-// (6) alone, with the answers unchanged, and a second installs nothing; the
-// Close after them commits, which removes a legacy manifest, and the store
-// reopens with no call on one and answers as before.
+// TestEarlierStoresMigrateOnTheirFirstMaintain: the store the previous run
+// format's binary wrote (testdata/v5runs-store) opens with the model's
+// answers and its writer's; its first MaintainNow leaves it in the current
+// format (6) alone, with the answers unchanged, and a second installs
+// nothing; the Close after them commits, and the store reopens and answers
+// as before. Every store of a format before that is refused by name
+// (refusedStore).
 func TestEarlierStoresMigrateOnTheirFirstMaintain(t *testing.T) {
-	for _, c := range []struct {
-		store string
-		mode  wal.Durability
-	}{
-		{"v5runs-store", wal.Buffered},
-		{"v4runs-store", wal.Buffered},
-		{"v4manifest-store", wal.Buffered},
-		{"v3manifest-store", wal.CheckpointOnly},
-	} {
-		t.Run(c.store, func(t *testing.T) {
-			fs, want := earlierStore(t, c.store)
-			m, _ := writerModel(c.mode != wal.CheckpointOnly)
+	for _, fx := range migrationFixtures {
+		t.Run(fx.store, func(t *testing.T) {
+			if fx.refused != "" {
+				refusedStore(t, fx.store, fx.partitions, fx.refused)
+				return
+			}
+			fs, want := earlierStore(t, fx.store)
+			m, _ := writerModel(fx.mode != wal.CheckpointOnly)
 			open := func() *core.Engine {
 				t.Helper()
-				eng, err := core.Open(core.Options{VFS: fs, Catalog: core.NewMemCatalog(), Durability: c.mode})
+				eng, err := core.Open(core.Options{VFS: fs, Catalog: core.NewMemCatalog(), Durability: fx.mode})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -809,14 +685,7 @@ func TestEarlierStoresMigrateOnTheirFirstMaintain(t *testing.T) {
 			if err := eng.Close(); err != nil {
 				t.Fatal(err)
 			}
-			names, err := fs.List()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if slices.ContainsFunc(names, func(n string) bool { return strings.HasPrefix(n, "MANIFEST") }) {
-				t.Fatalf("the first commit left the legacy manifest: %v", names)
-			}
-			eng = openNotingManifest(t, fs, open)
+			eng = open()
 			defer eng.Close()
 			if counts := formatCounts(eng); len(counts) != 1 || counts[btree.FormatDelta] == 0 {
 				t.Fatalf("after the reopen: %v", counts)
@@ -826,17 +695,52 @@ func TestEarlierStoresMigrateOnTheirFirstMaintain(t *testing.T) {
 	}
 }
 
+// refusedStore opens a copy of testdata/<name>, a store in a format this
+// binary no longer reads, in its partitions, and wants Open refused by name — not as damage —
+// with an error that names what and the binary that upgrades the store,
+// and every file as the store's writer left it.
+func refusedStore(t *testing.T, name string, partitions int, what string) {
+	t.Helper()
+	fs, _ := earlierStore(t, name)
+	eng, err := core.Open(core.Options{VFS: fs, Catalog: core.NewMemCatalog(), Partitions: partitions, PartitionSpan: 100})
+	if err == nil {
+		eng.Close()
+		t.Fatalf("%s opened", name)
+	}
+	if errors.Is(err, lsm.ErrCorrupt) || errors.Is(err, btree.ErrCorrupt) || !strings.Contains(err.Error(), what) ||
+		!strings.Contains(err.Error(), "open the store once with a binary of commit 8d5575c") {
+		t.Fatalf("%s: Open = %v, want %q refused by name, with its upgrader", name, err, what)
+	}
+	entries, err := os.ReadDir(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := memFiles(t, fs)
+	for _, ent := range entries {
+		want, err := os.ReadFile(filepath.Join("testdata", name, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(files[ent.Name()], want) {
+			t.Fatalf("%s: the refused Open changed %s", name, ent.Name())
+		}
+	}
+	if len(files) != len(entries) {
+		t.Fatalf("%s: the refused Open left %d files, the store holds %d", name, len(files), len(entries))
+	}
+}
+
 // TestCompressionProjectsTheRewrite: a table's projection
 // (EstimateCompression) is the page bytes a maintenance pass writes for the
 // table's records: one file per partition, the tables its sections, the
-// header the first section's alone. On a copy of testdata/v4runs-store,
-// every run of which is format 4, MaintainNow merges the partition whole —
+// header the first section's alone. On a copy of testdata/v5runs-store,
+// every run of which is format 5, MaintainNow merges the partition whole —
 // nine runs, over FullThreshold — which joins From and To records into
 // Combined, so what it writes is held against the projection of the
 // records it wrote: each table's projection is its new runs' records and
 // bytes less their filters, the Combined section's without a header.
 func TestCompressionProjectsTheRewrite(t *testing.T) {
-	fs, _ := earlierStore(t, "v4runs-store")
+	fs, _ := earlierStore(t, "v5runs-store")
 	eng, err := core.Open(core.Options{VFS: fs, Catalog: core.NewMemCatalog(), Durability: wal.Buffered})
 	if err != nil {
 		t.Fatal(err)
@@ -845,7 +749,7 @@ func TestCompressionProjectsTheRewrite(t *testing.T) {
 	tables := []string{core.TableFrom, core.TableTo, core.TableCombined}
 	for _, table := range tables {
 		if est, err := eng.EstimateCompression(table); err != nil || est.Records == 0 || est.Ratio <= 1 {
-			t.Fatalf("%s: projection %+v (%v) of format-4 runs, want their records in a smaller rewrite", table, est, err)
+			t.Fatalf("%s: projection %+v (%v) of format-5 runs, want their records in a smaller rewrite", table, est, err)
 		}
 	}
 	if err := eng.MaintainNow(); err != nil {
@@ -881,33 +785,39 @@ func TestCompressionProjectsTheRewrite(t *testing.T) {
 }
 
 // migrationFixtures are the stores earlier binaries wrote, each with the
-// options it opens under and the blocks its .answers file covers (every
-// step-th below blocks).
+// durability it opens under, or, for a store in a format this binary no
+// longer reads, what Open's refusal names (refusedStore) and the
+// partitions of 100 blocks it was written with. v5runs-store's .answers
+// file covers every block below earlierStoreBlocks.
 var migrationFixtures = []struct {
-	store        string
-	mode         wal.Durability
-	partitions   int
-	span         uint64
-	blocks, step uint64
+	store      string
+	mode       wal.Durability
+	refused    string
+	partitions int
 }{
-	{"v3manifest-store", wal.CheckpointOnly, 1, 0, earlierStoreBlocks, 1},
-	{"v4manifest-store", wal.Buffered, 1, 0, earlierStoreBlocks, 1},
-	{"v3runs-store", wal.CheckpointOnly, 2, 100, 200, 7},
-	{"v4runs-store", wal.Buffered, 1, 0, earlierStoreBlocks, 1},
-	{"v5runs-store", wal.Buffered, 1, 0, earlierStoreBlocks, 1},
+	{"v3manifest-store", wal.CheckpointOnly, "the manifest in MANIFEST, version 3,", 1},
+	{"v4manifest-store", wal.Buffered, "the manifest in MANIFEST, version 4,", 1},
+	{"v3runs-store", wal.CheckpointOnly, "run format 3 is no longer read", 2},
+	{"v4runs-store", wal.Buffered, "run format 4 is no longer read", 1},
+	{"v5runs-store", wal.Buffered, "", 1},
 }
 
-// TestMigrationSurvivesACrash: the migration of each store an earlier
-// binary wrote — its first MaintainNow, which rewrites every run of an
-// older format, and the Close that commits it — killed at each of its
+// TestMigrationSurvivesACrash: the migration of the store the previous run
+// format's binary wrote — its first MaintainNow, which rewrites every run of
+// that format, and the Close that commits it — killed at each of its
 // mutating calls in turn and at the first call after them, each under
 // every crash state. Every reopen answers as the store's writer did and
-// leaves no file the commit it took does not need.
+// leaves no file the commit it took does not need. A store of an earlier
+// format is refused by name, every file as its writer left it.
 func TestMigrationSurvivesACrash(t *testing.T) {
 	for _, fx := range migrationFixtures {
 		t.Run(fx.store, func(t *testing.T) {
+			if fx.refused != "" {
+				refusedStore(t, fx.store, fx.partitions, fx.refused)
+				return
+			}
 			opts := func(fs *storage.MemFS) core.Options {
-				return core.Options{VFS: fs, Catalog: core.NewMemCatalog(), Durability: fx.mode, Partitions: fx.partitions, PartitionSpan: fx.span}
+				return core.Options{VFS: fs, Catalog: core.NewMemCatalog(), Durability: fx.mode}
 			}
 			migrate := func(eng *core.Engine) error {
 				return errors.Join(eng.MaintainNow(), eng.Close())
@@ -943,7 +853,7 @@ func TestMigrationSurvivesACrash(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: reopen: %v", what, err)
 					}
-					if got := storeAnswers(t, eng, fx.blocks, fx.step); got != want {
+					if got := storeAnswers(t, eng, earlierStoreBlocks, 1); got != want {
 						t.Fatalf("%s: the store answers\n%s\nits writer answered\n%s", what, got, want)
 					}
 					if err := noOrphans(fs, eng); err != nil {

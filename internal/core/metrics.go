@@ -126,7 +126,7 @@ func newEngineObs(opts Options) *engineObs {
 	o.compact = r.Histogram("backlog_compaction_ns", "Duration of one partition compaction", "ns", lat)
 	o.expire = r.Histogram("backlog_expire_ns", "Duration of one Expire call: reap zombies, then commit the catalog and the runs no snapshot reaches", "ns", lat)
 	o.pageDecode = r.Histogram("backlog_page_decode_ns",
-		"Latency of the pass that validates one compressed leaf page read from storage, after transcoding it into the packed form if it is an older format-3 leaf (page-cache misses only)", "ns", lat)
+		"Latency of the pass that validates one compressed leaf page read from storage (page-cache misses only)", "ns", lat)
 	o.walAppend = r.Histogram("backlog_wal_append_ns",
 		"WAL append latency per record: enqueue to fsynced (Sync), or to buffered in memory plus any log write the appender led or waited out (Buffered)", "ns", lat)
 	o.walFlush = r.Histogram("backlog_wal_flush_ns",
@@ -337,8 +337,7 @@ func (e *Engine) registerMetrics(r *obs.Registry) {
 	if e.cache != nil {
 		// The shared cache holds verified on-disk payloads at their used
 		// length — a compressed leaf as its packed payload beside its parsed
-		// header, a format-3 leaf transcoded at its miss — and only of runs
-		// some view can still read; a hit means a query skipped the page
+		// header — and only of runs some view can still read; a hit means a query skipped the page
 		// read, the CRC and the validating pass. The series keep the names
 		// they had when the cache held decoded leaves: series.golden pins
 		// them.

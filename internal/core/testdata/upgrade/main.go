@@ -1,14 +1,24 @@
 // Command upgrade brings a store that holds a format this binary refuses
-// (run format 2, log format 3) to formats it reads: built in a tree that
-// still reads them, it opens the store, takes a checkpoint, which retires
-// the log, runs a maintenance pass, which rewrites every run of an older
+// to formats it reads: built in a tree that still reads them, it opens the
+// store, takes a checkpoint, which retires the log and writes the commit as
+// a trailer, runs a maintenance pass, which rewrites every run of an older
 // format at its level, and closes the store. It uses only the public API,
-// so it builds in a tree exported at such a commit, as writefixture does:
+// so it builds in a tree exported at such a commit, as writefixture does.
+// Each commit below reads what the one before it writes, so a store goes
+// through them in turn, from the first that reads it:
 //
-//	git archive 0ea923b | tar -x -C /tmp/0ea923b
-//	mkdir /tmp/0ea923b/cmd/upgrade
-//	cp internal/core/testdata/upgrade/main.go /tmp/0ea923b/cmd/upgrade/
-//	cd /tmp/0ea923b && GOPROXY=off go run ./cmd/upgrade -dir STORE -durability buffered
+//   - 0ea923b: run format 2 and log format 3 (to run format 4, log format
+//     5);
+//   - 8d5575c: run formats 3 and 4, a legacy MANIFEST, a commit whose runs
+//     carry no header, and deletion-vector version 1 (to run format 6,
+//     the commit trailer, deletion-vector version 2).
+//
+// For each commit C of the chain:
+//
+//	git archive C | tar -x -C /tmp/C
+//	mkdir /tmp/C/cmd/upgrade
+//	cp internal/core/testdata/upgrade/main.go /tmp/C/cmd/upgrade/
+//	cd /tmp/C && GOPROXY=off go run ./cmd/upgrade -dir STORE -durability buffered
 //
 // -durability must be buffered or sync for a store that holds a log, so
 // that Open replays it; -partitions and -span must be what the store was

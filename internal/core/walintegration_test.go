@@ -139,9 +139,10 @@ func TestRelocationDurableAtCheckpoint(t *testing.T) {
 // 4 (the golden files internal/wal keeps) opens, every record of the tail
 // replays, new updates are logged next to it in the current format, and the
 // first checkpoint retires the old segments. A tail of a retired format —
-// version 3's golden segments, or the store testdata/v3-store, whose runs
-// are format 2 and whose log tail is format 3 — is refused by name, and the
-// refused Open changes no file.
+// version 3's golden segments — is refused by name, and so is the store
+// testdata/v3-store, whose manifest is a legacy MANIFEST, whose runs are
+// format 2 and whose log tail is format 3, each with the binary that
+// upgrades it; the refused Open changes no file.
 func TestPreviousFormatLogTailReplaysAndRetires(t *testing.T) {
 	tails := []struct {
 		version  string
@@ -149,10 +150,11 @@ func TestPreviousFormatLogTailReplaysAndRetires(t *testing.T) {
 		live     uint64 // a block the tail adds a reference to on line 0 and never removes
 		cp       uint64 // a CP past every one the tail tags
 		refused  string // what Open's error names, for a retired format
+		upgrader string // and the binary it names
 	}{
-		{"v3", 0, 0, 0, "segment wal-0000000000000001.seg is in format version 3"},
-		{"v4", 15, 101, 8, ""},
-		{"v3-store", 0, 0, 0, "run format 2 is no longer read"},
+		{"v3", 0, 0, 0, "segment wal-0000000000000001.seg is in format version 3", "commit 0ea923b or earlier"},
+		{"v4", 15, 101, 8, "", ""},
+		{"v3-store", 0, 0, 0, "the manifest in MANIFEST, version 3, is no longer read", "commit 8d5575c"},
 	}
 	old := []string{"wal-0000000000000001.seg", "wal-0000000000000002.seg"}
 	for _, mode := range []wal.Durability{wal.Buffered, wal.Sync} {
@@ -200,7 +202,7 @@ func TestPreviousFormatLogTailReplaysAndRetires(t *testing.T) {
 							eng.Close()
 							t.Fatalf("Open accepted a %s tail", tail.version)
 						}
-						if !strings.Contains(err.Error(), tail.refused) || !strings.Contains(err.Error(), "commit 0ea923b or earlier") {
+						if !strings.Contains(err.Error(), tail.refused) || !strings.Contains(err.Error(), tail.upgrader) {
 							t.Fatalf("Open: %v, want the retired format named with the binary that reads it", err)
 						}
 						names, err := vfs.List()

@@ -581,12 +581,9 @@ func (e *Edit) Install() (reclaim func()) {
 			}
 		}
 		// A commit in a run file goes with the file's runs; one in a file
-		// of its own, or the manifest an older binary wrote, goes now.
+		// of its own goes now.
 		if e.written && prevCommit != "" && !strings.HasSuffix(prevCommit, ".run") {
 			_ = mvfs.Remove(prevCommit)
-			if prevCommit == legacyManifest {
-				_ = mvfs.Remove(legacyManifestTmp)
-			}
 		}
 	}
 }
@@ -693,7 +690,8 @@ func (t *Table) writeDV(name string, dv map[string]struct{}) error {
 }
 
 // loadDV reads the deletion vector file the manifest names: an envelope
-// whose checksum holds, or the bare records version 1 wrote. It must hold
+// whose checksum holds. A file without one that holds the manifest's count
+// of bare records is what version 1 wrote, refused by name. It must hold
 // the count of records the manifest gives: a file cut by whole records
 // would otherwise open as a smaller vector and un-hide the rest.
 func (t *Table) loadDV(name string, count int) error {
@@ -701,17 +699,17 @@ func (t *Table) loadDV(name string, count int) error {
 	if err != nil {
 		return err
 	}
-	if bytes.HasPrefix(buf, []byte(manifestMagic)) {
-		v, body, err := unseal(buf)
-		if err != nil {
-			return corrupt("deletion vector %s: %v", name, err)
-		}
-		if v != dvVersion {
-			return corrupt("deletion vector %s is version %d, not %d", name, v, dvVersion)
-		}
-		buf = body
-	}
 	rs := t.spec.RecordSize
+	if !bytes.HasPrefix(buf, []byte(manifestMagic)) && len(buf) == count*rs {
+		return retired(fmt.Sprintf("the deletion vector %s, version 1,", name))
+	}
+	v, buf, err := unseal(buf)
+	if err != nil {
+		return corrupt("deletion vector %s: %v", name, err)
+	}
+	if v != dvVersion {
+		return versionRefused("the deletion vector "+name+" is", v, dvVersion)
+	}
 	if len(buf)%rs != 0 {
 		return corrupt("deletion vector %s has a partial record", name)
 	}

@@ -1,12 +1,11 @@
 package lsm
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"io"
-	"reflect"
-	"slices"
+	"maps"
 	"strings"
 	"testing"
 
@@ -103,8 +102,7 @@ func TestOverridesPoisonDroppability(t *testing.T) {
 	}
 }
 
-// commitFile returns the file that carries the store's newest commit: a
-// trailer's carrier, or the legacy manifest.
+// commitFile returns the file that carries the store's newest commit.
 func commitFile(t testing.TB, fs *storage.MemFS) string {
 	t.Helper()
 	names, err := fs.List()
@@ -112,9 +110,6 @@ func commitFile(t testing.TB, fs *storage.MemFS) string {
 		t.Fatal(err)
 	}
 	_, name, err := (&DB{vfs: fs}).findCommit(names)
-	if err != nil && slices.Contains(names, legacyManifest) {
-		return legacyManifest // one this binary refuses
-	}
 	if err != nil || name == "" {
 		t.Fatalf("no commit among %v: %v", names, err)
 	}
@@ -130,19 +125,11 @@ func trailer(t testing.TB, fs *storage.MemFS, name string) (env, footer []byte) 
 }
 
 // manifestBody returns the JSON body of the newest commit's manifest,
-// whatever its version and whatever file carries it.
+// whatever file carries it.
 func manifestBody(t testing.TB, fs *storage.MemFS) []byte {
 	t.Helper()
-	name := commitFile(t, fs)
-	if name != legacyManifest {
-		env, _ := trailer(t, fs, name)
-		return env[manifestEnvLen:]
-	}
-	buf := readFile(t, fs, name)
-	if len(buf) > 0 && buf[0] == '{' {
-		return buf
-	}
-	return buf[manifestEnvLen:]
+	env, _ := trailer(t, fs, commitFile(t, fs))
+	return env[manifestEnvLen:]
 }
 
 // toLegacy makes the store what a binary before the commit trailer left:
@@ -171,10 +158,9 @@ func toLegacy(t testing.TB, fs *storage.MemFS, manifest []byte) {
 	plant(t, fs, legacyManifest, manifest)
 }
 
-// setManifestVersion turns the store into a legacy one (toLegacy) whose
-// manifest is its newest commit's with the version field set to v, or
-// removed when v < 0: inside an envelope of version v from the current
-// version on, as the bare JSON of the versions before it otherwise.
+// setManifestVersion plants, as the newest commit file, the manifest of
+// fs's newest commit with version v in its envelope and its body, or with
+// the body's version field removed when v < 0.
 func setManifestVersion(t *testing.T, fs *storage.MemFS, v int) {
 	t.Helper()
 	var m map[string]any
@@ -189,10 +175,13 @@ func setManifestVersion(t *testing.T, fs *storage.MemFS, v int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v >= manifestVersion {
-		buf = sealManifest(v, buf)
+	commit := sealTrailer(buf, btree.Layout{})
+	if v >= 0 {
+		env := commit[:len(commit)-trailerFooterLen]
+		binary.LittleEndian.PutUint32(env[8:], uint32(v))
+		binary.LittleEndian.PutUint32(env[16:], manifestCRC(env))
 	}
-	toLegacy(t, fs, buf)
+	plant(t, fs, newestCommit, commit)
 }
 
 func readFile(t testing.TB, fs *storage.MemFS, name string) []byte {
@@ -213,76 +202,52 @@ func readFile(t testing.TB, fs *storage.MemFS, name string) []byte {
 	return buf
 }
 
-// TestManifestV1Compat pins the manifest's compatibility contract: this
-// binary writes version 4, reads versions 3 and 4, and refuses every other
-// one by name — version 1 (which an earlier binary loaded with guessed
-// windows), version 2, a missing or zero version field, and a future
-// version — and a refused Open rewrites nothing on disk.
+// TestManifestV1Compat is the house rule for commits: of the versions a
+// commit's envelope can name, this binary reads version 4 alone — the one
+// before it, 3, was bare JSON in the legacy MANIFEST, which is refused by
+// name (TestManifestV3BytesPinned) — and refuses every other by name, one
+// above 4 as newer than this binary (btree.ErrNewerFormat). A body whose
+// version field is missing, under a version-4 envelope, is ErrCorrupt. A
+// refused Open changes nothing on disk.
 func TestManifestV1Compat(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
-		version int
-		want    string
+		version int    // -1: the body's field removed
+		want    string // "" for the one version read
 	}{
-		{"v1", 1, "manifest version 1 "},
-		{"v2", 2, "manifest version 2 is no longer read: open the store once with a binary that writes version 3"},
-		{"v0", 0, "manifest version 0 "},
-		{"missing", -1, "manifest version 0 "},
-		{"v5", manifestVersion + 1, "manifest version 5 "},
+		{"v0", 0, "carries version 0, which this binary does not read"},
+		{"v1", 1, "carries version 1, which this binary does not read"},
+		{"v2", 2, "carries version 2, which this binary does not read"},
+		{"v3", 3, "carries version 3, which this binary does not read"},
+		{"v4", manifestVersion, ""},
+		{"v5", 5, "carries version 5: format newer than this binary"},
+		{"v8", 8, "carries version 8: format newer than this binary"},
+		{"missing", -1, "version 0 in a version-4 envelope"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := storage.NewMemFS()
 			db := openSpannedDB(t, fs)
 			flushRecords(t, db, "combined", 5, [][]byte{rec16(1, 2), rec16(2, 3)})
 			db.Close()
-			var written struct{ Version int }
-			if err := json.Unmarshal(manifestBody(t, fs), &written); err != nil || written.Version != 4 {
-				t.Fatalf("this binary wrote manifest version %d (%v), want 4", written.Version, err)
-			}
 			setManifestVersion(t, fs, tc.version)
-
-			names, err := fs.List()
-			if err != nil {
-				t.Fatal(err)
+			before := snapshotFiles(t, fs)
+			db, err := Open(fs, Options{Tables: []TableSpec{spannedSpec("combined")}, Partitions: 1})
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("Open of version %d: %v", tc.version, err)
+				}
+				defer db.Close()
+				if got := collect(t, db.Table("combined"), 1); len(got) != 1 {
+					t.Fatalf("block 1: %d records, want 1", len(got))
+				}
+				return
 			}
-			before := map[string][]byte{}
-			for _, n := range names {
-				before[n] = readFile(t, fs, n)
-			}
-			_, err = Open(fs, Options{
-				Tables:     []TableSpec{spannedSpec("combined")},
-				Partitions: 1,
-			})
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
+			if err == nil || !strings.Contains(err.Error(), tc.want) || errors.Is(err, ErrCorrupt) != (tc.version < 0) ||
+				errors.Is(err, btree.ErrNewerFormat) != (tc.version > manifestVersion) {
 				t.Fatalf("Open = %v, want an error naming %q", err, tc.want)
 			}
-			after, err := fs.List()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(after, names) {
-				t.Fatalf("refused Open changed the directory: %v -> %v", names, after)
-			}
-			for _, n := range names {
-				if !bytes.Equal(readFile(t, fs, n), before[n]) {
-					t.Fatalf("refused Open rewrote %s", n)
-				}
-			}
-
-			// The same store at either version this binary reads still opens.
-			for _, v := range []int{manifestJSONVersion, manifestVersion} {
-				setManifestVersion(t, fs, v)
-				db2, err := Open(fs, Options{
-					Tables:     []TableSpec{spannedSpec("combined")},
-					Partitions: 1,
-				})
-				if err != nil {
-					t.Fatalf("reopening at version %d: %v", v, err)
-				}
-				if got := collect(t, db2.Table("combined"), 1); len(got) != 1 {
-					t.Fatalf("version %d, block 1: %d records, want 1", v, len(got))
-				}
-				db2.Close()
+			if !maps.Equal(snapshotFiles(t, fs), before) {
+				t.Fatal("a refused Open changed the directory")
 			}
 		})
 	}
@@ -298,8 +263,8 @@ func TestManifestFutureVersionRejected(t *testing.T) {
 	if _, err := Open(fs, Options{
 		Tables:     []TableSpec{spannedSpec("combined")},
 		Partitions: 1,
-	}); err == nil {
-		t.Fatal("future-version manifest loaded without error")
+	}); !errors.Is(err, btree.ErrNewerFormat) {
+		t.Fatalf("future-version manifest: %v, want btree.ErrNewerFormat", err)
 	}
 }
 

@@ -65,8 +65,10 @@ import (
 
 const (
 	// legacyManifest is where binaries before the commit trailer kept the
-	// manifest, replaced through legacyManifestTmp. Open reads it when no
-	// trailer commit exists; the first commit removes both.
+	// manifest, replaced through legacyManifestTmp. This binary reads
+	// neither: Open refuses a store whose commit is the legacy manifest,
+	// and removes both beside a trailer commit, which an upgrade that
+	// crashed before removing them leaves.
 	legacyManifest    = "MANIFEST"
 	legacyManifestTmp = "MANIFEST.tmp"
 
@@ -78,11 +80,9 @@ const (
 	// body of per-run consistency-point windows ([min_cp, max_cp]),
 	// override-record counts, where in its file each run lies, and the
 	// caller's section, inside a checksummed envelope (sealManifest), in a
-	// commit trailer (sealTrailer). decodeManifest also accepts
-	// manifestJSONVersion, the version before it: the same body as bare
-	// JSON, every run a file of its own, in a legacy manifest.
-	manifestVersion     = 4
-	manifestJSONVersion = 3
+	// commit trailer (sealTrailer). It is the only version read: the one
+	// before it was bare JSON in the legacy manifest.
+	manifestVersion = 4
 
 	// manifestMagic opens the envelope, which is followed by the version,
 	// the body's length and the CRC-32C of those two and the body, each a
@@ -98,9 +98,9 @@ const (
 	trailerMagic     = "BKCOMMIT"
 	trailerFooterLen = 8 + 8 + 8 + 4 + 4 // magic, pages end, filters end, filter CRC, CRC
 
-	// dvVersion is the deletion-vector file format Write makes: the table's
-	// hidden records, sorted, inside the manifest's envelope. loadDV also
-	// reads version 1, the same records bare.
+	// dvVersion is the deletion-vector file format Write makes, and the only
+	// one loadDV reads: the table's hidden records, sorted, inside the
+	// manifest's envelope. Version 1 held the same records bare.
 	dvVersion = 2
 
 	// maxRunLevel bounds the level a manifest may claim for a run: a level
@@ -152,7 +152,7 @@ type Options struct {
 	// RunFormat selects the leaf encoding for newly built runs:
 	// btree.FormatRaw (also if zero) or btree.FormatDelta, the two formats
 	// that can be written. Existing runs of every readable format — those
-	// two and the previous delta format, v3 — open transparently
+	// two and the previous delta format, v5 — open transparently
 	// regardless of this setting (an older one is refused by name), and
 	// every builder — the checkpoint flush and compaction go through a
 	// FileSet — writes the configured format, so a database migrates run
@@ -161,8 +161,7 @@ type Options struct {
 	// and at most btree.MaxDeltaRecordSize.
 	RunFormat btree.Format
 	// DecodeObserver, when non-nil, receives the wall time of the
-	// validating pass (a format-3 leaf transcoded first) over each
-	// compressed leaf page a query reads on a cache miss (the engine wires
+	// validating pass over each compressed leaf page a query reads on a cache miss (the engine wires
 	// it to the backlog_page_decode_ns histogram). Merge scans decode a
 	// current-format leaf once, validating as they stream, and report
 	// nothing here.
@@ -192,8 +191,8 @@ type DB struct {
 
 	tables map[string]*Table
 	m      manifest
-	// commit is the file that carries m: a run file, a commit file, the
-	// legacy manifest, or "" before the first commit.
+	// commit is the file that carries m: a run file, a commit file, or ""
+	// before the first commit.
 	commit string
 
 	// idMu guards nextID, the monotonic run/DV file-ID allocator.
@@ -383,9 +382,9 @@ type runManifest struct {
 	// carries, so that Open builds the reader from it and reads no page of
 	// the run (btree.OpenHeader); the manifest's checksum covers it. A
 	// format-5 or -6 section after its file's first has no header in the
-	// file, and its entry is the only place its header is. Nil in an entry
-	// written before commits carried headers — a legacy manifest, an older
-	// binary's trailer — whose run's header page Open reads.
+	// file, and its entry is the only place its header is. Nil only in the
+	// entry of a run this process is building (RunBuilder.ref): a commit
+	// whose entry carries none is refused (readCommit).
 	Header *btree.Header
 }
 
@@ -741,7 +740,7 @@ type RunInfo struct {
 	Records   uint64
 	SizeBytes int64
 	// Format is the run's on-disk leaf encoding — btree.FormatRaw,
-	// btree.FormatDelta or the previous, read-only delta format (v3) —
+	// btree.FormatDelta or the previous, read-only delta format (v5) —
 	// read from the run's own header.
 	Format btree.Format
 	// LogicalBytes is Records x RecordSize — the size the records occupy
@@ -874,7 +873,7 @@ func (db *DB) readCommit(name string) (manifest, error) {
 		return torn("%v", err)
 	}
 	if v != manifestVersion {
-		return manifest{}, versionRefused(v)
+		return manifest{}, versionRefused("the manifest "+name+" carries", v, manifestVersion)
 	}
 	var m manifest
 	if err := json.Unmarshal(body, &m); err != nil {
@@ -882,6 +881,15 @@ func (db *DB) readCommit(name string) (manifest, error) {
 	}
 	if m.Version != manifestVersion {
 		return manifest{}, corrupt("%s: version %d in a version-%d envelope", name, m.Version, manifestVersion)
+	}
+	for table, tm := range m.Tables {
+		for _, runs := range tm.Partitions {
+			for _, rm := range runs {
+				if rm.Header == nil {
+					return manifest{}, retired(fmt.Sprintf("%s, a version-%d commit whose %s run in %s carries no header,", name, manifestVersion, table, rm.Name))
+				}
+			}
+		}
 	}
 	if strings.HasSuffix(name, ".run") {
 		secs, err := m.sections(name, l)
@@ -899,10 +907,9 @@ func (db *DB) readCommit(name string) (manifest, error) {
 
 // sections returns the runs m places in the file name that carries it, laid
 // out as l, for btree.CheckFile: the commit's own runs, which lie within the
-// file's pages, one after another. An entry that carries no header is an
-// older binary's, whose every page is 4 KB whatever its format. Runs that
-// overlap or lie outside the pages are ErrCorrupt: the trailer checked, so
-// it is no torn write that placed them.
+// file's pages, one after another. Runs that overlap or lie outside the
+// pages are ErrCorrupt: the trailer checked, so it is no torn write that
+// placed them.
 func (m manifest) sections(name string, l btree.Layout) ([]btree.Section, error) {
 	var secs []btree.Section
 	for _, tm := range m.Tables {
@@ -911,12 +918,9 @@ func (m manifest) sections(name string, l btree.Layout) ([]btree.Section, error)
 				if rm.Name != name {
 					continue
 				}
-				s := btree.Section{Pages: rm.Pages}
+				s := btree.Section{Pages: rm.Pages, Header: *rm.Header}
 				if rm.whole() {
 					s.Pages = storage.Extent{Len: l.Pages}
-				}
-				if rm.Header != nil {
-					s.Header = *rm.Header
 				}
 				secs = append(secs, s)
 			}
@@ -951,8 +955,8 @@ func fileID(name string) (uint64, bool) {
 // files, newest first, the first whose commit is whole wins. A run file
 // with no trailer (a merge's, a checkpoint's other files) carries none, and
 // a torn one, which only a crash before its commit point leaves, gives way
-// to the commit before it. The legacy manifest is read only when no file
-// carries a commit.
+// to the commit before it. A store whose only commit is the legacy
+// manifest is refused by its version.
 func (db *DB) findCommit(names []string) (manifest, string, error) {
 	var carriers []string
 	for _, name := range names {
@@ -981,8 +985,32 @@ func (db *DB) findCommit(names []string) (manifest, string, error) {
 	if err != nil {
 		return manifest{}, "", fmt.Errorf("lsm: reading manifest: %w", err)
 	}
-	m, err := decodeManifest(buf)
-	return m, legacyManifest, err
+	// The version is an envelope's field, or bare JSON's (version 3 and
+	// before); bytes that are neither name version 0.
+	var bare struct{ Version int }
+	if len(buf) >= manifestEnvLen && string(buf[:len(manifestMagic)]) == manifestMagic {
+		bare.Version = int(binary.LittleEndian.Uint32(buf[8:]))
+	} else {
+		_ = json.Unmarshal(buf, &bare)
+	}
+	return manifest{}, "", retired(fmt.Sprintf("the manifest in %s, version %d,", legacyManifest, bare.Version))
+}
+
+// retired is the refusal of what, a format this binary no longer reads,
+// naming the last binary that reads it and writes the formats this one
+// reads (internal/core/testdata/upgrade runs it).
+func retired(what string) error {
+	return fmt.Errorf("lsm: %s is no longer read: open the store once with a binary of commit 8d5575c, run Checkpoint and MaintainNow, and close it, as internal/core/testdata/upgrade does", what)
+}
+
+// versionRefused is the refusal of what, an envelope of version v, by a
+// binary that reads version current alone: a newer version is
+// btree.ErrNewerFormat, as a newer run format is.
+func versionRefused(what string, v, current int) error {
+	if v > current {
+		return fmt.Errorf("lsm: %s version %d: %w (this binary reads version %d)", what, v, btree.ErrNewerFormat, current)
+	}
+	return fmt.Errorf("lsm: %s version %d, which this binary does not read (it reads version %d)", what, v, current)
 }
 
 // sealManifest wraps a manifest body in the envelope, whose checksum covers
@@ -1019,49 +1047,6 @@ func manifestCRC(buf []byte) uint32 {
 }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// decodeManifest parses a legacy manifest: an envelope, or bare JSON, which
-// is what version 3 and the versions before it wrote. A flipped byte or a
-// cut-off file is ErrCorrupt — nothing older can stand in for it — and a
-// version this binary does not read is refused by its number.
-func decodeManifest(buf []byte) (manifest, error) {
-	var m manifest
-	if len(buf) > 0 && buf[0] == '{' {
-		if err := json.Unmarshal(buf, &m); err != nil {
-			return manifest{}, corrupt("%v", err)
-		}
-		// A missing version field decodes as 0 and is refused like any other.
-		switch m.Version {
-		case manifestJSONVersion:
-			return m, nil
-		case manifestJSONVersion - 1:
-			return manifest{}, fmt.Errorf("lsm: manifest version %d is no longer read: open the store once with a binary that writes version %d, which upgrades it, then with this one",
-				m.Version, manifestJSONVersion)
-		case manifestVersion:
-			return manifest{}, corrupt("a version-%d manifest without its envelope", m.Version)
-		}
-		return manifest{}, versionRefused(m.Version)
-	}
-	v, body, err := unseal(buf)
-	if err != nil {
-		return manifest{}, corrupt("%v", err)
-	}
-	if v != manifestVersion {
-		return manifest{}, versionRefused(v)
-	}
-	if err := json.Unmarshal(body, &m); err != nil {
-		return manifest{}, corrupt("%v", err)
-	}
-	if m.Version != manifestVersion {
-		return manifest{}, corrupt("version %d in a version-%d envelope", m.Version, manifestVersion)
-	}
-	return m, nil
-}
-
-func versionRefused(v int) error {
-	return fmt.Errorf("lsm: manifest version %d not supported (this binary writes version %d and reads versions %d and %d)",
-		v, manifestVersion, manifestJSONVersion, manifestVersion)
-}
 
 // loadManifest reads the newest commit among the directory's names
 // (findCommit) and opens what it names: every run file once — its layout
@@ -1212,7 +1197,8 @@ func unaligned(rm runManifest) bool {
 
 // collectOrphans removes the files among names that the commit Open took
 // neither carries nor names: leftovers of a crash before a commit point,
-// commits older than it, and a legacy manifest a trailer commit replaced.
+// commits older than it, and a legacy manifest an upgrade to a trailer
+// commit left.
 func (db *DB) collectOrphans(names []string) error {
 	live := map[string]bool{}
 	for _, name := range db.Files() {

@@ -141,7 +141,7 @@ func goldenStoreV6(t testing.TB, fs storage.VFS) *DB {
 // with the one that wrote them. -update rewrites these goldens; the
 // commit-trailer ones, whose runs carry no header, were written by the
 // encoder before it and are never regenerated (TestReopenReadsNoRunPage
-// opens them).
+// wants them refused).
 func TestManifestV4BytesPinned(t *testing.T) {
 	for _, tc := range []struct {
 		golden  string
@@ -178,148 +178,50 @@ func TestManifestV4BytesPinned(t *testing.T) {
 	}
 }
 
-// legacyV4Store is goldenStoreV4 as the writer before the commit trailer
-// left it, with manifest, a version-4 golden, in MANIFEST: no trailer, and
-// its checkpoint files one ID lower, because the commit file of
-// goldenStore's last commit took an ID that writer did not allocate.
-func legacyV4Store(t testing.TB, fs *storage.MemFS, manifest []byte, section func() ([]byte, error)) {
-	t.Helper()
-	goldenStoreV4(t, fs, section).Close()
-	toLegacy(t, fs, manifest)
-	names, err := fs.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range names {
-		if id, ok := fileID(name); ok && strings.HasPrefix(name, "cp.") {
-			plant(t, fs, strings.Replace(name, fmt.Sprintf("%010d", id), fmt.Sprintf("%010d", id-1), 1), readFile(t, fs, name))
-			if err := fs.Remove(name); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-}
-
-// renumbered is a storeState of legacyV4Store with its checkpoint files
-// named as goldenStoreV4 names them.
-func renumbered(state string) string {
-	state = strings.ReplaceAll(state, "cp.p001.0000000008.run", "cp.p001.0000000009.run")
-	return strings.ReplaceAll(state, "cp.p000.0000000007.run", "cp.p000.0000000008.run")
-}
-
-// TestManifestV4StillReads: a store whose MANIFEST is one of the two
-// version-4 goldens the writer before the commit trailer made (never
-// regenerate them) opens to the state goldenStoreV4 has, rewriting
-// nothing; its first commit writes a trailer with the same body but for
-// the header every run now carries, and removes MANIFEST, and a reopen
-// reads no MANIFEST and agrees.
-func TestManifestV4StillReads(t *testing.T) {
-	for _, tc := range []struct {
-		golden  string
-		section func() ([]byte, error)
-	}{
-		{"v4-manifest", nil},
-		{"v4-manifest-catalog", func() ([]byte, error) { return []byte(goldenSection), nil }},
-	} {
-		fs := storage.NewMemFS()
-		db := goldenStoreV4(t, storage.NewMemFS(), tc.section)
-		want := storeState(t, db)
-		db.Close()
-		golden := testdata(t, tc.golden)
-		legacyV4Store(t, fs, golden, tc.section)
-		before := snapshotFiles(t, fs)
-		if db, err := Open(fs, goldenOptions(tc.section)); err != nil {
-			t.Fatalf("%s: %v", tc.golden, err)
-		} else {
-			if got := renumbered(storeState(t, db)); got != want {
-				t.Fatalf("%s opens to\n%s\nthe store that wrote it\n%s", tc.golden, got, want)
-			}
-			if after := snapshotFiles(t, fs); !reflect.DeepEqual(after, before) {
-				t.Fatalf("%s: Open changed the directory", tc.golden)
-			}
-			if err := db.NewEdit().Commit(); err != nil {
-				t.Fatal(err)
-			}
-			db.Close()
-		}
-		if listFiles(t, fs)[legacyManifest] {
-			t.Fatalf("%s: MANIFEST outlived the first commit", tc.golden)
-		}
-		// The commit file took ID 9, the golden's next ID.
-		if body := withoutHeaders(t, manifestBody(t, fs), 8); !bytes.Equal(bytes.Replace(body, []byte(`"next_id":10`), []byte(`"next_id":9`), 1), golden[manifestEnvLen:]) {
-			t.Fatalf("%s: the first commit wrote\n%s\nwant the golden's body", tc.golden, body)
-		}
-		db, err := Open(fs, goldenOptions(tc.section))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if db.commit == legacyManifest || renumbered(storeState(t, db)) != want {
-			t.Fatalf("%s: the upgraded store reopens from %s to\n%s", tc.golden, db.commit, storeState(t, db))
-		}
-		db.Close()
-	}
-}
-
 // TestManifestV3BytesPinned: the two version-3 goldens, the bare JSON the
-// previous encoder wrote for goldenStore (never regenerate them), still
-// open to the store that wrote them, and its first commit writes a version-4
-// trailer with the same runs, each now carrying its header, and section and
-// removes MANIFEST, and a reopen agrees.
+// previous encoder wrote for goldenStore (never regenerate them), are
+// refused by name, with the binary that upgrades them, as the store's
+// legacy MANIFEST, and the refused Open changes nothing on disk.
 func TestManifestV3BytesPinned(t *testing.T) {
-	for _, tc := range []struct {
-		golden  string
-		section func() ([]byte, error)
-	}{
-		{"v3-manifest.json", nil},
-		{"v3-manifest-catalog.json", func() ([]byte, error) { return []byte(goldenSection), nil }},
-	} {
+	for _, golden := range []string{"v3-manifest.json", "v3-manifest-catalog.json"} {
 		fs := storage.NewMemFS()
-		db := goldenStore(t, fs, tc.section)
-		want := storeState(t, db)
-		db.Close()
-		toLegacy(t, fs, testdata(t, tc.golden))
-		db, err := Open(fs, goldenOptions(tc.section))
-		if err != nil {
-			t.Fatalf("%s: %v", tc.golden, err)
-		}
-		if got := storeState(t, db); got != want {
-			t.Fatalf("%s opens to\n%s\nthe store that wrote it\n%s", tc.golden, got, want)
-		}
-		if err := db.NewEdit().Commit(); err != nil {
-			t.Fatal(err)
-		}
-		// The commit file took ID 7, the golden's next ID.
-		body := bytes.Replace(withoutHeaders(t, manifestBody(t, fs), 5), []byte(`"next_id":8,`), []byte(`"next_id":7,`), 1)
-		if listFiles(t, fs)[legacyManifest] || !bytes.Equal(bytes.Replace(body, []byte(`{"version":4,`), []byte(`{"version":3,`), 1), testdata(t, tc.golden)) {
-			t.Fatalf("%s: the first commit wrote\n%s\nwant the same body at version 4, and no MANIFEST left", tc.golden, body)
-		}
-		db.Close()
-		if db, err = Open(fs, goldenOptions(tc.section)); err != nil {
-			t.Fatal(err)
-		}
-		if got := storeState(t, db); got != want {
-			t.Fatalf("%s: upgraded store reopens to\n%s\nwant\n%s", tc.golden, got, want)
-		}
-		db.Close()
+		goldenStore(t, fs, nil).Close()
+		refuses(t, fs, testdata(t, golden), "the manifest in MANIFEST, version 3,")
 	}
 }
 
 // TestManifestV2RefusedByName: a version-2 manifest (the previous encoder's
 // of goldenStore, beside the CATALOG file that format kept the section in)
-// is no longer upgraded here: Open refuses it by its version, says which
-// binary upgrades it, and changes nothing on disk.
+// is refused by its version, with the binary that upgrades it, and the
+// refused Open changes nothing on disk.
 func TestManifestV2RefusedByName(t *testing.T) {
 	fs := storage.NewMemFS()
 	goldenStore(t, fs, nil).Close()
-	toLegacy(t, fs, testdata(t, "v2-manifest.json"))
 	plant(t, fs, "CATALOG", []byte(goldenSection))
-	before := snapshotFiles(t, fs)
-	_, err := Open(fs, goldenOptions(func() ([]byte, error) { return nil, nil }))
-	if err == nil || !strings.Contains(err.Error(), "manifest version 2 is no longer read: open the store once with a binary that writes version 3") {
-		t.Fatalf("Open = %v, want a refusal naming version 2 and the binary that upgrades it", err)
+	refuses(t, fs, testdata(t, "v2-manifest.json"), "the manifest in MANIFEST, version 2,")
+}
+
+// TestStrayManifestBesideACommitIsRemoved: a legacy MANIFEST and
+// MANIFEST.tmp beside a whole trailer commit — what an upgrade that crashed
+// after its first commit, before removing them, leaves — are not read: the
+// store opens from the trailer, and Open removes both.
+func TestStrayManifestBesideACommitIsRemoved(t *testing.T) {
+	fs := storage.NewMemFS()
+	db := goldenStore(t, fs, nil)
+	want := storeState(t, db)
+	db.Close()
+	plant(t, fs, legacyManifest, testdata(t, "v4-manifest"))
+	plant(t, fs, legacyManifestTmp, testdata(t, "v3-manifest.json"))
+	db, err := Open(fs, goldenOptions(nil))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if after := snapshotFiles(t, fs); !reflect.DeepEqual(after, before) {
-		t.Fatal("a refused Open changed the directory")
+	defer db.Close()
+	if got := storeState(t, db); got != want {
+		t.Fatalf("the store opens to\n%s\nwant\n%s", got, want)
+	}
+	if files := listFiles(t, fs); files[legacyManifest] || files[legacyManifestTmp] {
+		t.Fatalf("Open left the legacy manifest beside the commit: %v", files)
 	}
 }
 
@@ -338,11 +240,30 @@ func snapshotFiles(t testing.TB, fs *storage.MemFS) map[string]string {
 }
 
 // refuses opens fs with manifest planted as the legacy manifest and wants
-// ErrCorrupt, with nothing on disk changed.
+// it refused by name (retiredOpen), naming what.
 func refuses(t *testing.T, fs *storage.MemFS, manifest []byte, what string) {
 	t.Helper()
 	toLegacy(t, fs, manifest)
-	refusesOpen(t, fs, goldenOptions(nil), what)
+	retiredOpen(t, fs, goldenOptions(nil), what)
+}
+
+// retiredOpen asserts that opening fs with opts is refused, not as
+// ErrCorrupt, by an error that names what and the binary that upgrades
+// it, and that the refusal changes nothing on disk.
+func retiredOpen(t *testing.T, fs *storage.MemFS, opts Options, what string) {
+	t.Helper()
+	before := snapshotFiles(t, fs)
+	db, err := Open(fs, opts)
+	if err == nil {
+		db.Close()
+		t.Fatalf("%s: Open accepted it", what)
+	}
+	if errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), what) || !strings.Contains(err.Error(), " is no longer read: open the store once with a binary of commit 8d5575c") {
+		t.Fatalf("Open = %v, want %s refused by name, with its upgrader", err, what)
+	}
+	if after := snapshotFiles(t, fs); !reflect.DeepEqual(after, before) {
+		t.Fatalf("%s: a refused Open changed the directory", what)
+	}
 }
 
 // newestCommit is a name for a commit file newer than every file of the
@@ -367,23 +288,28 @@ func refusesOpen(t *testing.T, fs *storage.MemFS, opts Options, what string) {
 	}
 }
 
-// TestManifestEnvelopeCorruption: every single flipped byte and every
-// truncation of a version-4 legacy manifest is ErrCorrupt at Open — never
-// another topology, never a panic — and a refused Open changes nothing on
-// disk.
+// TestManifestEnvelopeCorruption: a store whose commit is one of the two
+// version-4 legacy manifests the writer before the commit trailer made
+// (never regenerate them) is refused by name, with the binary that
+// upgrades it, and so is every single flipped byte and every truncation of
+// one — never another topology, never a panic — the refused Open changing
+// nothing on disk.
 func TestManifestEnvelopeCorruption(t *testing.T) {
 	fs := storage.NewMemFS()
-	legacyV4Store(t, fs, testdata(t, "v4-manifest"), nil)
-	good := readFile(t, fs, legacyManifest)
+	goldenStoreV4(t, fs, nil).Close()
+	for _, golden := range []string{"v4-manifest-catalog", "v4-manifest"} {
+		refuses(t, fs, testdata(t, golden), "the manifest in MANIFEST, version 4,")
+	}
+	good := testdata(t, "v4-manifest")
 	for i := range good {
 		for _, mask := range []byte{0x01, 0x80} {
 			bad := bytes.Clone(good)
 			bad[i] ^= mask
-			refuses(t, fs, bad, fmt.Sprintf("byte %d ^ %#x", i, mask))
+			refuses(t, fs, bad, "the manifest in MANIFEST")
 		}
-		refuses(t, fs, good[:i], fmt.Sprintf("cut at %d of %d bytes", i, len(good)))
+		refuses(t, fs, good[:i], "the manifest in MANIFEST")
 	}
-	refuses(t, fs, append(bytes.Clone(good), 0), "a trailing byte")
+	refuses(t, fs, append(bytes.Clone(good), 0), "the manifest in MANIFEST")
 }
 
 // TestTornCommitGivesWay: a commit file with any single byte flipped or cut
@@ -525,18 +451,18 @@ func TestTornCommitGivesWay(t *testing.T) {
 	binary.LittleEndian.PutUint32(env[8:], manifestVersion+1)
 	binary.LittleEndian.PutUint32(env[16:], manifestCRC(env))
 	plant(t, fs, newestCommit, future)
-	if _, err := Open(fs, opts); err == nil || !strings.Contains(err.Error(), "manifest version 5 ") {
+	if _, err := Open(fs, opts); !errors.Is(err, btree.ErrNewerFormat) || !strings.Contains(err.Error(), "carries version 5:") {
 		t.Fatalf("Open of a version-5 trailer = %v, want it refused by its version", err)
 	}
 }
 
-// hostileSections returns the manifests of goldenStoreV4 with its shared
-// file's sections placed where no writer puts them, each checksummed: Open
-// must refuse every one as ErrCorrupt.
+// hostileSections returns the manifest of goldenStoreV4, its envelope
+// good, with its shared file's sections placed where no writer puts them,
+// each checksummed: Open must refuse every one as ErrCorrupt.
 func hostileSections(t testing.TB, good []byte) map[string][]byte {
 	t.Helper()
-	m, err := decodeManifest(good)
-	if err != nil {
+	var m manifest
+	if err := json.Unmarshal(good[manifestEnvLen:], &m); err != nil {
 		t.Fatal(err)
 	}
 	shared := func(m manifest) (from, comb *runManifest) {
@@ -608,8 +534,8 @@ func hostileV6Sections(t testing.TB, body []byte) map[string][]byte {
 // shared file's runs where no writer puts them — a range past the end of
 // the file, overlapping ranges, a page range shorter than the header page,
 // two runs naming one range, an unaligned page offset, a run claiming the
-// whole of a file it shares, pages one page off — is ErrCorrupt at Open,
-// as the newest commit's trailer and as a legacy manifest. So is one that
+// whole of a file it shares, pages one page off — is ErrCorrupt at Open as
+// the newest commit's trailer. So is one that
 // places format-6 sections, which need not be aligned, so that they leave
 // a gap in their pages but not in their filters, overlap, or give a root
 // too short for its count and CRC or longer than a page (hostileV6Sections).
@@ -630,14 +556,6 @@ func TestManifestHostileSections(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-	}
-	for name, b := range hostileV6Sections(t, manifestBody(t, v6)) {
-		refuses(t, v6, b, name+" (legacy)")
-	}
-	fs = storage.NewMemFS()
-	legacyV4Store(t, fs, testdata(t, "v4-manifest"), nil)
-	for name, b := range hostileSections(t, readFile(t, fs, legacyManifest)) {
-		refuses(t, fs, b, name+" (legacy)")
 	}
 }
 
@@ -697,11 +615,12 @@ func TestSectionCommitsWithTheEdit(t *testing.T) {
 
 // FuzzManifest: whatever bytes the legacy MANIFEST (asCommit false) or the
 // newest commit file (asCommit true) holds, Open does not panic, and an
-// Open that refuses them leaves every file as it was. A legacy manifest
-// that starts like an envelope but does not decode as one of a version this
-// binary reads — flipped, cut short — is ErrCorrupt; a commit file that
-// does not check gives way to the commit before it. The seeds include the
-// manifests of TestManifestHostileSections, one whose runs carry their
+// Open that refuses them leaves every file as it was. A store whose commit
+// is the legacy manifest is refused by name, whatever it holds; beside a
+// trailer commit it is a leftover of an upgrade, which Open removes. A
+// commit file that does not check gives way to the commit before it. The
+// seeds include the headerless commit-trailer golden, the manifests of
+// TestManifestHostileSections, one whose runs carry their
 // headers and those of TestManifestHostileHeaders, one of a format newer
 // than this binary among them; with delta set the files beside the planted
 // one are goldenStoreV6's, format-6 runs whose shared file's second
@@ -724,8 +643,9 @@ func FuzzManifest(f *testing.F) {
 	f.Add([]byte(`{"version":3,"catalog":{"lines":`), false, false)
 
 	base := storage.NewMemFS()
-	legacyV4Store(f, base, testdata(f, "v4-manifest"), nil)
-	v4 := readFile(f, base, legacyManifest)
+	goldenStoreV4(f, base, nil).Close()
+	v4 := testdata(f, "v4-manifest")
+	toLegacy(f, base, v4)
 	seeds := [][]byte{v4, v4[:len(v4)/2], sealManifest(manifestVersion+1, v4[manifestEnvLen:])}
 	flipped := bytes.Clone(v4)
 	flipped[len(flipped)/2] ^= 0x10
@@ -748,6 +668,9 @@ func FuzzManifest(f *testing.F) {
 	carried := manifestBody(f, commits)
 	f.Add(sealManifest(manifestVersion, carried), false, false)
 	f.Add(sealTrailer(carried, btree.Layout{}), true, false)
+	headerless := testdata(f, "commit-trailer")
+	f.Add(headerless[:len(headerless)-trailerFooterLen], false, false)
+	f.Add(sealTrailer(headerless[manifestEnvLen:len(headerless)-trailerFooterLen], btree.Layout{}), true, false)
 	for _, b := range append(slices.Collect(maps.Values(hostileHeaders(f, carried))), newerHeader(f, carried)) {
 		f.Add(b, false, false)
 		f.Add(sealTrailer(b[manifestEnvLen:], btree.Layout{}), true, false)
@@ -793,9 +716,8 @@ func FuzzManifest(f *testing.F) {
 			db.Close()
 			return
 		}
-		if _, derr := decodeManifest(data); !asCommit && derr != nil && bytes.HasPrefix(data, []byte(manifestMagic)) &&
-			!errors.Is(err, ErrCorrupt) && !strings.Contains(err.Error(), "not supported") {
-			t.Fatalf("Open of a damaged envelope = %v, want ErrCorrupt", err)
+		if !asCommit && !delta && (errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "is no longer read")) {
+			t.Fatalf("Open of a store whose commit is the legacy manifest = %v, want it refused by name", err)
 		}
 		after, _ := fs.List()
 		if !reflect.DeepEqual(after, before) {
@@ -817,10 +739,9 @@ func FuzzManifest(f *testing.F) {
 }
 
 // TestOpenRefusesHostileFiles: a deletion vector cut mid-record, a run
-// whose header gives another record size than its table's, and a
-// version-3 manifest (bare JSON, no checksum) putting a run below the
-// deepest level are each ErrCorrupt at Open, and the refused Open removes
-// no file.
+// whose header gives another record size than its table's, and a commit
+// putting a run below the deepest level are each ErrCorrupt at Open, and
+// the refused Open removes no file.
 func TestOpenRefusesHostileFiles(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -859,8 +780,7 @@ func TestOpenRefusesHostileFiles(t *testing.T) {
 			return opts
 		}},
 		{"run level", func(t *testing.T, fs *storage.MemFS) Options {
-			deep := fmt.Sprintf(`"level":%d`, maxRunLevel+1)
-			toLegacy(t, fs, bytes.Replace(testdata(t, "v3-manifest.json"), []byte(`"level":0`), []byte(deep), 1))
+			reseal(t, fs, func(m *manifest) { m.Tables["combined"].Partitions[0][0].Level = maxRunLevel + 1 })
 			return goldenOptions(nil)
 		}},
 	} {
@@ -904,27 +824,38 @@ func goldenDVStore(t testing.TB, fs *storage.MemFS) *DB {
 	return db
 }
 
-// TestDeletionVectorV1Read: testdata/v1-dv-from holds the bare records the
-// writer before the checksummed envelope wrote for goldenDVStore's vector
-// (never regenerate it). A store whose manifest names that file opens to
-// the state of the one that wrote its own, every hidden record hidden.
+// TestDeletionVectorV1Read is the house rule for deletion vectors: of the
+// versions a vector's envelope can name, this binary reads version 2 alone,
+// and refuses every other by name, one above 2 as newer than this binary
+// (btree.ErrNewerFormat). testdata/v1-dv-from holds the bare records the
+// writer before the envelope wrote for goldenDVStore's vector (never
+// regenerate it): a store whose manifest names it is refused by name as
+// version 1, with the binary that upgrades it. A refused Open changes
+// nothing on disk.
 func TestDeletionVectorV1Read(t *testing.T) {
 	fs := storage.NewMemFS()
-	db := goldenDVStore(t, fs)
-	want := storeState(t, db)
-	db.Close()
-	plant(t, fs, dvFileOf(t, fs), testdata(t, "v1-dv-from"))
-	db, err := Open(fs, goldenOptions(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if got := storeState(t, db); got != want {
-		t.Fatalf("the version-1 vector opens to\n%s\nthe store that wrote it\n%s", got, want)
-	}
-	for _, block := range []uint64{1, 2, 1500} {
-		if got := collect(t, db.Table("from"), block); len(got) != 0 {
-			t.Fatalf("block %d shows %d hidden records", block, len(got))
+	goldenDVStore(t, fs).Close()
+	name := dvFileOf(t, fs)
+	good := readFile(t, fs, name)
+	plant(t, fs, name, testdata(t, "v1-dv-from"))
+	retiredOpen(t, fs, goldenOptions(nil), "the deletion vector "+name+", version 1,")
+	for v := range 9 {
+		plant(t, fs, name, sealManifest(v, good[manifestEnvLen:]))
+		before := snapshotFiles(t, fs)
+		db, err := Open(fs, goldenOptions(nil))
+		if v == dvVersion {
+			if err != nil || db.Table("from").DVLen() != 3 {
+				t.Fatalf("version %d: %v, want its 3 records read", v, err)
+			}
+			db.Close()
+			continue
+		}
+		if err == nil || errors.Is(err, ErrCorrupt) || errors.Is(err, btree.ErrNewerFormat) != (v > dvVersion) ||
+			!strings.Contains(err.Error(), fmt.Sprintf("the deletion vector %s is version %d", name, v)) {
+			t.Fatalf("version %d: Open = %v, want it refused by its version", v, err)
+		}
+		if !maps.Equal(snapshotFiles(t, fs), before) {
+			t.Fatalf("version %d: a refused Open changed the directory", v)
 		}
 	}
 }

@@ -161,35 +161,27 @@ func (r *Run) Sealed() bool {
 
 // openRun opens the per-purpose readers of a run in rf, whose handle is
 // open; the caller counts the run on rf (runFile.runs) when it installs it.
-// It reads nothing but for a run whose entry carries no header. A run this
-// process just built comes with its builder, whose header stands in for the
-// page; a run found in the manifest is opened from the header its entry
-// carries, held against the file as the page's would be, and only an entry
-// an older writer made, which carries none, has its header page read and
-// verified through the handle, whose reads are attributed to recovery — a
-// section whose pages begin with no header, as a format-5 or -6 section
-// after its file's first does, is corrupt without one. A run that shares
-// its file reads through a view of its two ranges — the file's first run
-// claims every byte before the filters (btree.FileWriter), where its
-// filter comes first — and its header must describe them. A run in a
-// format newer than this binary (btree.ErrNewerFormat) is refused as that,
-// not as damage: a newer binary wrote the store.
+// It reads nothing. A run this process just built comes with its builder,
+// whose header stands in for the page; a run found in the manifest is
+// opened from the header its entry carries, held against the file as the
+// page's would be. A run that shares its file reads through a view of its
+// two ranges — the file's first run claims every byte before the filters
+// (btree.FileWriter), where its filter comes first — and its header must
+// describe them. A run in a format this binary does not read is refused by
+// name, not as damage: a newer binary wrote it (btree.ErrNewerFormat), or
+// an older one, whose formats an upgrade rewrites.
 func (db *DB) openRun(t *Table, rm runManifest, built *btree.Writer, rf *runFile) (*Run, error) {
 	var rd *btree.Reader
-	var err error
-	switch {
-	case built != nil:
+	if built != nil {
 		rd = built.Open(rm.view(rf.f), db.cache)
-	case rm.Header != nil:
-		if rd, err = btree.OpenHeader(rm.view(rf.f), *rm.Header, db.cache); errors.Is(err, btree.ErrNewerFormat) {
+	} else {
+		var err error
+		switch rd, err = btree.OpenHeader(rm.view(rf.f), *rm.Header, db.cache); {
+		case errors.Is(err, btree.ErrNewerFormat):
 			return nil, fmt.Errorf("lsm: %s run in %s: %w: open the store with the binary that wrote it, or a newer one", t.spec.Name, rm.Name, err)
-		} else if err != nil {
+		case errors.Is(err, btree.ErrCorrupt):
 			return nil, corrupt("%s run in %s: the header its entry carries: %v", t.spec.Name, rm.Name, err)
-		}
-	default:
-		if rd, err = btree.Open(rm.view(rf.f), db.cache); errors.Is(err, btree.ErrCorrupt) {
-			return nil, fmt.Errorf("%w: %s run in %s carries no header, and its pages do not begin with a sound one: %w", ErrCorrupt, t.spec.Name, rm.Name, err)
-		} else if err != nil {
+		case err != nil:
 			return nil, fmt.Errorf("lsm: %s run in %s: %w", t.spec.Name, rm.Name, err)
 		}
 	}

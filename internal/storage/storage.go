@@ -39,6 +39,12 @@ var ErrNotExist = errors.New("storage: file does not exist")
 // ErrExist is returned when creating a file that already exists.
 var ErrExist = errors.New("storage: file already exists")
 
+// ErrNewerFormat reports a file whose format version is above the newest
+// this binary reads: a newer binary wrote it, and it is not damaged, but it
+// cannot be read here. Every decoder of a versioned file refuses such a
+// version with it (btree.ErrNewerFormat is this error).
+var ErrNewerFormat = errors.New("format newer than this binary")
+
 // ErrInjected is the base error for injected failures; use errors.Is to
 // detect it in failure-injection tests.
 var ErrInjected = errors.New("storage: injected failure")

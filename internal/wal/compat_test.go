@@ -456,15 +456,18 @@ func TestVersionByteSelectsDecoder(t *testing.T) {
 	}
 }
 
-// TestUnreadableVersionNamedNotSealed: a segment in a format this binary
-// has no decoder for — version 3, 2 or 1, which it used to read, or one
-// from the future — fails recovery with an error that names the version,
-// in any position; version 3's also names the binary that replays it. In
-// particular Open does not take a final one for a torn creation and seal
-// over it, which would silently discard its records, and it removes no
-// segment.
+// TestUnreadableVersionNamedNotSealed is the house rule for the log: of
+// the versions a segment header can name, this binary reads the current
+// one, 5, and the one before it, 4. A segment of any other version — 3, 2
+// or 1, which earlier binaries read, 0, or one from the future — fails
+// recovery with an error that names the version, in any position: an older
+// one as ErrCorrupt, version 3's also naming the binary that replays it,
+// and a newer one as storage.ErrNewerFormat (btree.ErrNewerFormat), not
+// damage. In particular Open does not take a final one for a torn creation
+// and seal over it, which would silently discard its records, and it
+// removes no segment.
 func TestUnreadableVersionNamedNotSealed(t *testing.T) {
-	for _, version := range []byte{1, 2, 3, segVersion + 1} {
+	for version := range byte(9) {
 		seg := withVersion(goldenFile(t, "v5-", 1), version)
 		want := fmt.Sprintf("format version %d", version)
 		switch version {
@@ -473,6 +476,8 @@ func TestUnreadableVersionNamedNotSealed(t *testing.T) {
 		case 3:
 			seg = goldenFile(t, "v3-", 1) // what the version-3 encoder wrote
 			want += "; this binary reads versions 4 to 5: open the store once with a binary that reads it (commit 0ea923b or earlier) and run Checkpoint, as internal/core/testdata/upgrade does"
+		case 4:
+			seg = goldenFile(t, "v4-", 1)
 		}
 		for _, final := range []bool{true, false} {
 			vfs := storage.NewMemFS()
@@ -482,9 +487,17 @@ func TestUnreadableVersionNamedNotSealed(t *testing.T) {
 				buildSegment(t, vfs, 2, []Record{addRec(1)}, nil)
 				planted = 2
 			}
-			_, _, err := Open(vfs, Options{Durability: Sync})
-			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
-				t.Fatalf("version %d, final=%v: Open err = %v, want ErrCorrupt naming the version", version, final, err)
+			l, _, err := Open(vfs, Options{Durability: Sync})
+			if version == oldestReadable || version == segVersion {
+				if err != nil {
+					t.Fatalf("version %d, final=%v: %v, want it read", version, final, err)
+				}
+				l.Close()
+				continue
+			}
+			if err == nil || !strings.Contains(err.Error(), want) || errors.Is(err, ErrCorrupt) == (version > segVersion) ||
+				errors.Is(err, storage.ErrNewerFormat) != (version > segVersion) {
+				t.Fatalf("version %d, final=%v: Open err = %v, want it refused naming the version", version, final, err)
 			}
 			if segs, err := listSegments(vfs); err != nil || len(segs) != planted {
 				t.Fatalf("version %d, final=%v: segments after the failed Open: %v (%v), want the %d planted", version, final, segs, err, planted)

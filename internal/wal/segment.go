@@ -317,9 +317,13 @@ func readSegment(vfs storage.VFS, index uint64, rec *Recovered, tr *tear) (torn 
 	if !readable(version) {
 		// An intact header of another format: records this binary cannot
 		// replay, in any position. Never sealed over as a torn creation —
-		// that would silently discard them.
+		// that would silently discard them. A newer one is no damage.
+		kind := ErrCorrupt
+		if version > segVersion {
+			kind = storage.ErrNewerFormat
+		}
 		err := fmt.Errorf("%w: segment %s is in format version %d; this binary reads versions %d to %d",
-			ErrCorrupt, name, version, oldestReadable, segVersion)
+			kind, name, version, oldestReadable, segVersion)
 		if version == 3 {
 			err = fmt.Errorf("%w: open the store once with a binary that reads it (commit 0ea923b or earlier) and run Checkpoint, as internal/core/testdata/upgrade does", err)
 		}
