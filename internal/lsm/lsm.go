@@ -161,10 +161,10 @@ type Options struct {
 	// and at most btree.MaxDeltaRecordSize.
 	RunFormat btree.Format
 	// DecodeObserver, when non-nil, receives the wall time of the
-	// validating pass over each compressed leaf page a query reads on a cache miss (the engine wires
-	// it to the backlog_page_decode_ns histogram). Merge scans decode a
-	// current-format leaf once, validating as they stream, and report
-	// nothing here.
+	// validating pass over each compressed leaf page a query reads on a
+	// cache miss (the engine wires it to the backlog_page_decode_ns
+	// histogram). Merge scans decode a current-format leaf once,
+	// validating as they stream, and report nothing here.
 	DecodeObserver func(time.Duration)
 	// Section, when non-nil, supplies the opaque section — valid JSON — that
 	// every manifest carries beside the run sets. Edit.Write calls it while
