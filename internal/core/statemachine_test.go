@@ -534,6 +534,7 @@ type smDriver struct {
 	expired  uint64      // runs expiry dropped, over every Open of the store
 	queue    []smOp      // ops next draws before any other
 	io       []smIO      // each op's I/O, as do saw it
+	took     []tookOp    // the ops the store was given, with the CP being taken
 }
 
 func newSMDriver(cfg smConfig) (*smDriver, error) {
@@ -693,6 +694,7 @@ func (d *smDriver) apply(op smOp) error {
 			return nil
 		}
 		refOp{ref: r, cp: d.tag, remove: op.k == opRemove}.applyTo(d.eng)
+		d.take(op)
 		d.log(op)
 		return d.compare(r.Block)
 	case opRelocate:
@@ -702,6 +704,7 @@ func (d *smDriver) apply(op smOp) error {
 		if err := d.alive(d.eng.RelocateBlock(op.a, op.b)); err != nil {
 			return err
 		}
+		d.take(op)
 		d.log(op)
 		d.moves = append(d.moves, [2]uint64{op.a, op.b})
 		return d.compare(op.a, op.b)
@@ -710,24 +713,28 @@ func (d *smDriver) apply(op smOp) error {
 			return nil
 		}
 		m.snapshot(op.a, d.tag)
+		d.take(op)
 		return d.cat.CreateSnapshot(op.a, d.tag)
 	case opDeleteSnapshot:
 		if l := m.lines[op.a]; l == nil || !l.snaps[op.b] {
 			return nil
 		}
 		delete(m.lines[op.a].snaps, op.b)
+		d.take(op)
 		return d.cat.DeleteSnapshot(op.a, op.b)
 	case opClone:
 		if p := m.lines[op.b]; p == nil || !p.snaps[op.c] || m.lines[op.a] != nil {
 			return nil
 		}
 		m.clone(op.a, op.b, op.c)
+		d.take(op)
 		return d.cat.CreateClone(op.a, op.b, op.c)
 	case opDeleteLine:
 		if l := m.lines[op.a]; op.a == 0 || l == nil || !l.live {
 			return nil
 		}
 		m.lines[op.a].live = false
+		d.take(op)
 		return d.cat.DeleteLine(op.a)
 	case opReap:
 		d.cat.ReapZombies() // drops only lines no answer can reach
@@ -736,6 +743,7 @@ func (d *smDriver) apply(op smOp) error {
 		if d.dying {
 			d.undo = &smDriver{tag: d.tag, base: d.base, pending: d.pending, acked: d.acked}
 		}
+		d.take(op)
 		if err := d.alive(d.eng.Checkpoint(d.tag)); err != nil {
 			return err
 		}
@@ -743,6 +751,7 @@ func (d *smDriver) apply(op smOp) error {
 		d.base, d.pending, d.acked = m.copyHist(), nil, 0
 		d.committed()
 	case opCompact, opMaintain, opExpire:
+		d.take(op)
 		var err error
 		switch op.k {
 		case opCompact:
@@ -759,6 +768,7 @@ func (d *smDriver) apply(op smOp) error {
 			d.committed()
 		}
 	case opReopen:
+		d.take(op)
 		if err := d.alive(d.close()); err != nil {
 			return err
 		}
@@ -793,6 +803,9 @@ func (d *smDriver) alive(err error) error {
 	}
 	return err
 }
+
+// take records an op the store is given.
+func (d *smDriver) take(op smOp) { d.took = append(d.took, tookOp{op, d.tag}) }
 
 // log records an update or relocation the engine took.
 func (d *smDriver) log(op smOp) {
