@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -800,6 +801,55 @@ var migrationFixtures = []struct {
 	{"v3runs-store", wal.CheckpointOnly, "run format 3 is no longer read", 2},
 	{"v4runs-store", wal.Buffered, "run format 4 is no longer read", 1},
 	{"v5runs-store", wal.Buffered, "", 1},
+}
+
+// TestCurrentFormatStoreOpensAsWritten: the store a binary of the current
+// run format wrote (testdata/v6runs-store, from a build of 958afda) opens
+// with the model's answers and its writer's, and its Open, every query and
+// its Close leave each run file byte for byte as the writer did. Its runs'
+// filters are read, not probed around: a run whose range is wider than its
+// records, so that some block in it is absent, rules some block out.
+func TestCurrentFormatStoreOpensAsWritten(t *testing.T) {
+	fs, want := earlierStore(t, "v6runs-store")
+	m, _ := writerModel(true)
+	runs := func() map[string][]byte {
+		files := memFiles(t, fs)
+		maps.DeleteFunc(files, func(name string, _ []byte) bool { return !strings.HasSuffix(name, ".run") })
+		return files
+	}
+	written := runs()
+	for range 2 {
+		eng, err := core.Open(core.Options{VFS: fs, Catalog: core.NewMemCatalog(), Durability: wal.Buffered})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if counts := formatCounts(eng); len(counts) != 1 || counts[btree.FormatDelta] != 9 {
+			t.Fatalf("runs by format: %v, want nine of format %d", counts, btree.FormatDelta)
+		}
+		checkEarlierStore(t, eng, m, want)
+		for _, table := range []string{core.TableFrom, core.TableTo, core.TableCombined} {
+			for _, run := range eng.DB().Table(table).Runs(0) {
+				if run.MaxBlock()-run.MinBlock() >= run.Records() && !slices.ContainsFunc(xvRange(run.MinBlock(), run.MaxBlock()), func(b uint64) bool { return !run.MayContainBlock(b) }) {
+					t.Fatalf("%s run in %s rules no block of [%d, %d] out: its filter is not read", table, run.Name(), run.MinBlock(), run.MaxBlock())
+				}
+			}
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := runs(); !maps.EqualFunc(got, written, bytes.Equal) {
+			t.Fatalf("the run files changed: %d of them now, %d written", len(got), len(written))
+		}
+	}
+}
+
+// xvRange lists the blocks of [lo, hi].
+func xvRange(lo, hi uint64) []uint64 {
+	var out []uint64
+	for b := lo; b <= hi; b++ {
+		out = append(out, b)
+	}
+	return out
 }
 
 // TestMigrationSurvivesACrash: the migration of the store the previous run

@@ -1,9 +1,12 @@
 package lsm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"sort"
@@ -776,3 +779,33 @@ func TestMergeScanDoesNotFillCache(t *testing.T) {
 }
 
 var _ = fmt.Sprintf // keep fmt for debugging helpers
+
+// TestRawRunsWriteBLF1Goldens: a raw run carries, byte for byte, the BLF1
+// filters internal/bloom/testdata pins, built over the same keys (bloom's
+// goldenKeys), each block in perKey records.
+func TestRawRunsWriteBLF1Goldens(t *testing.T) {
+	for _, g := range []struct{ keys, perKey int }{{1, 3}, {300, 4}, {5000, 2}} {
+		want, err := os.ReadFile(filepath.Join("..", "bloom", "testdata", fmt.Sprintf("blf1-%dkeys.filter", g.keys)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var recs [][]byte
+		for i := range g.keys {
+			for j := range g.perKey {
+				recs = append(recs, rec16(uint64(i)*17+uint64(i*i)%11, uint64(j)))
+			}
+		}
+		db := openTestDB(t, storage.NewMemFS(), 1)
+		if err := db.NewEdit().SetCP(1).AddRun(buildRun(t, db, "from", 0, 1, storage.SrcCheckpoint, recs...)).Commit(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := db.Table("from").Runs(0)[0].qreader.BloomBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d keys: the run's filter is %d bytes, the golden %d, or they differ", g.keys, len(got), len(want))
+		}
+		db.Close()
+	}
+}
