@@ -3,12 +3,26 @@
 //
 // Query processing consults the filter of each run before opening it, so
 // queries touch only runs that may contain the requested physical block.
-// The paper's operating point — four hash functions and 8 bits per key, a
-// 32 KB filter for a run of 32,000 operations (≈2.4 % expected
-// false-positive rate), shrink-by-halving for smaller runs, and growth up
-// to 1 MB for larger ones — is reproduced here. The paper grows only the
-// Combined read store's filter; here every run's filter is sized by its
-// keys, so a compacted From run keeps the 2.4 % target too.
+// The paper's operating point is four hash functions and 8 bits per key: a
+// 32 KB filter for a run of 32,000 operations, ≈2.4 % false positives.
+// The paper grows only the Combined read store's filter; here every run's
+// filter is sized by its keys, so a compacted From run keeps the 2.4 %
+// target too.
+//
+// A filter has one of two encodings, and Unmarshal reads both:
+//
+//   - BLF2, which a delta run carries, may be any length of at least 8
+//     bytes: the run builder gives it one byte per distinct block, capped.
+//     A probe position is the multiply-shift reduction (Lemire) of the
+//     double hash to the filter's bits.
+//   - BLF1, which a raw run carries, is a power of two of at least 64
+//     bytes, and a probe position is the double hash's low bits. Its size
+//     is the paper's rule: a power of two for the records the run expects,
+//     halved while its keys still meet 2.4 % ("If an RS contains a smaller
+//     number of records, we appropriately shrink its Bloom filter"), which
+//     Pow2Bytes computes directly.
+//
+// A probe takes its encoding's loop once, not a branch per position.
 //
 // Keys are physical block numbers (uint64): queries are always by block, so
 // filters index only the block column of each record.
@@ -33,45 +47,71 @@ const DefaultFilterBytes = 32 << 10
 // for the Combined read store).
 const MaxFilterBytes = 1 << 20
 
+// TargetFPR is the paper's false-positive target, which 8 bits per key
+// with four hashes meets.
+const TargetFPR = 0.024
+
+// MinBytes is the smallest BLF2 filter.
+const MinBytes = 8
+
+const headerLen = 24
+
 // Filter is a classic Bloom filter over uint64 keys. The zero value is not
-// usable; construct with New or NewForCapacity.
+// usable; construct with New or NewPow2.
 type Filter struct {
 	bits   []byte
 	k      int
 	nAdded uint64
+	nbits  uint64
+	pow2   bool // BLF1
 }
 
-// New creates a filter with the given size in bytes (rounded up to a
-// power of two, minimum 64 bytes) and number of hash functions.
+// New returns an empty BLF2 filter of sizeBytes bytes (at least MinBytes).
 func New(sizeBytes, hashes int) *Filter {
-	if sizeBytes < 64 {
-		sizeBytes = 64
-	}
-	if sizeBytes&(sizeBytes-1) != 0 {
-		sizeBytes = 1 << bits.Len(uint(sizeBytes))
-	}
+	return newFilter(max(sizeBytes, MinBytes), hashes, false)
+}
+
+// NewPow2 returns an empty BLF1 filter: sizeBytes rounded up to a power of
+// two, at least 64 bytes.
+func NewPow2(sizeBytes, hashes int) *Filter {
+	return newFilter(pow2Bytes(sizeBytes), hashes, true)
+}
+
+func newFilter(sizeBytes, hashes int, pow2 bool) *Filter {
 	if hashes <= 0 {
 		hashes = DefaultHashes
 	}
-	return &Filter{bits: make([]byte, sizeBytes), k: hashes}
+	return shaped(make([]byte, sizeBytes), hashes, 0, pow2)
 }
 
-// NewForCapacity sizes a filter for n expected keys at roughly the paper's
-// operating point (m/n ≈ 8 bits per key with k = 4), clamped to
-// [64 B, maxBytes]. Passing maxBytes <= 0 uses MaxFilterBytes.
-func NewForCapacity(n int, maxBytes int) *Filter {
+// shaped returns the filter over b.
+func shaped(b []byte, k int, nAdded uint64, pow2 bool) *Filter {
+	return &Filter{bits: b, k: k, nAdded: nAdded, nbits: uint64(len(b)) * 8, pow2: pow2}
+}
+
+func pow2Bytes(n int) int {
+	if n <= 64 {
+		return 64
+	}
+	return 1 << bits.Len(uint(n-1))
+}
+
+// Pow2Bytes returns the size of a raw run's BLF1 filter for n distinct
+// keys when the run was expected to hold expect records: the power of two
+// NewPow2 makes of min(expect, maxBytes) (MaxFilterBytes if maxBytes <= 0),
+// halved while the half keeps n keys at TargetFPR, down to 64 bytes. It is
+// the size a filter built at that power of two and then folded in half
+// while the target held would reach, with the same bits.
+func Pow2Bytes(n, expect, maxBytes int) int {
 	if maxBytes <= 0 {
 		maxBytes = MaxFilterBytes
 	}
-	sizeBytes := n // 8 bits per expected key
-	if sizeBytes > maxBytes {
-		sizeBytes = maxBytes
+	size := pow2Bytes(min(expect, maxBytes))
+	for size > 64 && estimateFPR(DefaultHashes, uint64(n), uint64(size/2)*8) <= TargetFPR {
+		size /= 2
 	}
-	return New(sizeBytes, DefaultHashes)
+	return size
 }
-
-// nBits returns the filter size in bits (always a power of two).
-func (f *Filter) nBits() uint64 { return uint64(len(f.bits)) * 8 }
 
 // hash2 derives two independent 64-bit hashes of the key; the k probe
 // positions use double hashing h1 + i*h2 (Kirsch–Mitzenmacher), which
@@ -92,12 +132,20 @@ func hash2(key uint64) (uint64, uint64) {
 	return h1, h2 | 1
 }
 
+// position reduces the double hash g to a bit of the filter.
+func (f *Filter) position(g uint64) uint64 {
+	if f.pow2 {
+		return g & (f.nbits - 1)
+	}
+	hi, _ := bits.Mul64(g, f.nbits)
+	return hi
+}
+
 // Add inserts a key.
 func (f *Filter) Add(key uint64) {
 	h1, h2 := hash2(key)
-	mask := f.nBits() - 1
 	for i := 0; i < f.k; i++ {
-		bit := (h1 + uint64(i)*h2) & mask
+		bit := f.position(h1 + uint64(i)*h2)
 		f.bits[bit>>3] |= 1 << (bit & 7)
 	}
 	f.nAdded++
@@ -107,14 +155,25 @@ func (f *Filter) Add(key uint64) {
 // definitely absent.
 func (f *Filter) MayContain(key uint64) bool {
 	h1, h2 := hash2(key)
-	mask := f.nBits() - 1
-	for i := 0; i < f.k; i++ {
-		bit := (h1 + uint64(i)*h2) & mask
-		if f.bits[bit>>3]&(1<<(bit&7)) == 0 {
-			return false
+	if f.pow2 {
+		mask := f.nbits - 1
+		for i := 0; i < f.k; i++ {
+			bit := (h1 + uint64(i)*h2) & mask
+			if f.bits[bit>>3]&(1<<(bit&7)) == 0 {
+				return false
+			}
 		}
+		return true
 	}
-	return true
+	// At 8 bits a key about 39 % of a BLF2's bits are set, so a branch
+	// per position would often mispredict: every position is read, the
+	// reads independent of one another.
+	in := byte(1)
+	for i := 0; i < f.k; i++ {
+		bit, _ := bits.Mul64(h1+uint64(i)*h2, f.nbits)
+		in &= f.bits[bit>>3] >> (bit & 7)
+	}
+	return in&1 != 0
 }
 
 // Added returns the number of keys inserted.
@@ -123,40 +182,10 @@ func (f *Filter) Added() uint64 { return f.nAdded }
 // SizeBytes returns the filter's bit-array size in bytes.
 func (f *Filter) SizeBytes() int { return len(f.bits) }
 
-// Halve folds the filter to half its size in linear time (Broder &
-// Mitzenmacher): bit i of the result is the OR of bits i and i+m/2. The
-// halved filter answers MayContain identically for all previously added keys
-// (no false negatives) at a higher false-positive rate. Halving below 64
-// bytes is a no-op. This implements the paper's "shrink its Bloom filter to
-// save memory" for runs with few records.
-func (f *Filter) Halve() {
-	if len(f.bits) <= 64 {
-		return
-	}
-	half := len(f.bits) / 2
-	for i := 0; i < half; i++ {
-		f.bits[i] |= f.bits[i+half]
-	}
-	f.bits = f.bits[:half:half]
-}
-
-// ShrinkToFit repeatedly halves the filter while doing so keeps the
-// estimated false-positive rate under maxFPR. It returns the final size.
-func (f *Filter) ShrinkToFit(maxFPR float64) int {
-	for len(f.bits) > 64 {
-		// Estimate the FPR the filter would have at half size.
-		if estimateFPR(f.k, f.nAdded, f.nBits()/2) > maxFPR {
-			break
-		}
-		f.Halve()
-	}
-	return len(f.bits)
-}
-
 // EstimatedFPR returns the expected false-positive probability given the
 // number of keys added so far.
 func (f *Filter) EstimatedFPR() float64 {
-	return estimateFPR(f.k, f.nAdded, f.nBits())
+	return estimateFPR(f.k, f.nAdded, f.nbits)
 }
 
 func estimateFPR(k int, n, mBits uint64) float64 {
@@ -166,36 +195,47 @@ func estimateFPR(k int, n, mBits uint64) float64 {
 	return math.Pow(1-math.Exp(-float64(k)*float64(n)/float64(mBits)), float64(k))
 }
 
-// Marshal serializes the filter. Layout:
+// Marshal serializes the filter. Layout, the magic naming the encoding:
 //
-//	magic "BLF1" | k uint32 | nAdded uint64 | nBytes uint64 | bits
+//	magic "BLF1" or "BLF2" | k uint32 | nAdded uint64 | nBytes uint64 | bits
 func (f *Filter) Marshal() []byte {
-	out := make([]byte, 4+4+8+8+len(f.bits))
-	copy(out, "BLF1")
+	out := make([]byte, headerLen+len(f.bits))
+	copy(out, "BLF2")
+	if f.pow2 {
+		copy(out, "BLF1")
+	}
 	binary.LittleEndian.PutUint32(out[4:], uint32(f.k))
 	binary.LittleEndian.PutUint64(out[8:], f.nAdded)
 	binary.LittleEndian.PutUint64(out[16:], uint64(len(f.bits)))
-	copy(out[24:], f.bits)
+	copy(out[headerLen:], f.bits)
 	return out
 }
 
-// Unmarshal reconstructs a filter serialized by Marshal.
+// Unmarshal reconstructs a filter serialized by Marshal, in either
+// encoding.
 func Unmarshal(data []byte) (*Filter, error) {
-	if len(data) < 24 || string(data[:4]) != "BLF1" {
+	if len(data) < headerLen {
+		return nil, fmt.Errorf("bloom: a filter of %d bytes", len(data))
+	}
+	var pow2 bool
+	switch string(data[:4]) {
+	case "BLF1":
+		pow2 = true
+	case "BLF2":
+	default:
 		return nil, fmt.Errorf("bloom: bad filter header")
 	}
 	k := int(binary.LittleEndian.Uint32(data[4:]))
 	nAdded := binary.LittleEndian.Uint64(data[8:])
 	n := binary.LittleEndian.Uint64(data[16:])
-	if uint64(len(data)-24) < n {
-		return nil, fmt.Errorf("bloom: truncated filter: have %d bytes, want %d", len(data)-24, n)
+	if uint64(len(data)-headerLen) < n {
+		return nil, fmt.Errorf("bloom: truncated filter: have %d bytes, want %d", len(data)-headerLen, n)
 	}
-	if n < 64 || n&(n-1) != 0 {
-		return nil, fmt.Errorf("bloom: invalid filter size %d", n)
+	if pow2 && (n < 64 || n&(n-1) != 0) || n < MinBytes {
+		return nil, fmt.Errorf("bloom: invalid %s filter size %d", data[:4], n)
 	}
 	if k <= 0 || k > 32 {
 		return nil, fmt.Errorf("bloom: invalid hash count %d", k)
 	}
-	f := &Filter{bits: append([]byte(nil), data[24:24+n]...), k: k, nAdded: nAdded}
-	return f, nil
+	return shaped(append([]byte(nil), data[headerLen:headerLen+n]...), k, nAdded, pow2), nil
 }

@@ -19,32 +19,38 @@ func goldenKeys(n int) []uint64 {
 	return keys
 }
 
-// blf1Goldens are the BLF1 filters a raw run of keys distinct blocks, each
-// in perKey records, carries: testdata/blf1-<keys>keys.filter. The run
-// builder's raw path must keep writing them (lsm's TestRawRunsWriteBLF1Goldens);
-// never regenerate them.
-var blf1Goldens = []struct{ keys, perKey int }{{1, 3}, {300, 4}, {5000, 2}}
+// filterGoldens are the filters a run of keys distinct blocks, each in
+// perKey records, carries: testdata/blf1-<keys>keys.filter in a raw run,
+// written before BLF2 existed, and testdata/blf2-<keys>keys.filter in a
+// delta run, written by the first BLF2 encoder. The run builder must keep
+// writing them (lsm's TestRunsWriteTheFilterGoldens); never regenerate
+// them.
+var filterGoldens = []struct{ keys, perKey int }{{1, 3}, {300, 4}, {5000, 2}}
 
 func goldenPath(encoding string, keys int) string {
 	return filepath.Join("testdata", fmt.Sprintf("%s-%dkeys.filter", encoding, keys))
 }
 
-// TestBLF1GoldensPinned: the paper's sizing — a power of two for the
-// records the run expects, halved while its keys keep the 2.4 % target —
-// gives the golden bytes.
-func TestBLF1GoldensPinned(t *testing.T) {
-	for _, g := range blf1Goldens {
-		want, err := os.ReadFile(goldenPath("blf1", g.keys))
-		if err != nil {
-			t.Fatal(err)
-		}
-		f := NewForCapacity(g.keys*g.perKey, 0)
-		for _, k := range goldenKeys(g.keys) {
-			f.Add(k)
-		}
-		f.ShrinkToFit(0.024)
-		if got := f.Marshal(); !bytes.Equal(got, want) {
-			t.Fatalf("%d keys: %d bytes, want the golden's %d", g.keys, len(got), len(want))
+// TestFilterGoldensPinned: the paper's sizing of a raw run's BLF1 — a power
+// of two for the records the run expects, halved while its keys keep the
+// 2.4 % target — and a delta run's BLF2 of one byte a key give the golden
+// bytes.
+func TestFilterGoldensPinned(t *testing.T) {
+	for _, g := range filterGoldens {
+		for encoding, f := range map[string]*Filter{
+			"blf1": NewPow2(Pow2Bytes(g.keys, g.keys*g.perKey, 0), DefaultHashes),
+			"blf2": New(g.keys, DefaultHashes),
+		} {
+			want, err := os.ReadFile(goldenPath(encoding, g.keys))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range goldenKeys(g.keys) {
+				f.Add(k)
+			}
+			if got := f.Marshal(); !bytes.Equal(got, want) {
+				t.Fatalf("%s, %d keys: %d bytes, want the golden's %d", encoding, g.keys, len(got), len(want))
+			}
 		}
 	}
 }

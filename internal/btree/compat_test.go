@@ -67,16 +67,20 @@ func goldenRecords(cols int) [][]byte {
 	return recs
 }
 
-// goldenFilter is the Bloom filter the run builder would attach: one key
-// per distinct block, shrunk to the paper's false-positive target.
+// goldenFilter is the BLF1 filter the goldens were written with: one key
+// per distinct block, in the power of two the paper's rule reaches for
+// them (the filter a raw run carries).
 func goldenFilter(recs [][]byte) []byte {
-	fl := bloom.NewForCapacity(len(recs), 0)
+	var keys []uint64
 	for i, r := range recs {
 		if i == 0 || !bytes.Equal(r[:8], recs[i-1][:8]) {
-			fl.Add(binary.BigEndian.Uint64(r))
+			keys = append(keys, binary.BigEndian.Uint64(r))
 		}
 	}
-	fl.ShrinkToFit(0.024)
+	fl := bloom.NewPow2(bloom.Pow2Bytes(len(keys), len(recs), 0), bloom.DefaultHashes)
+	for _, k := range keys {
+		fl.Add(k)
+	}
 	return fl.Marshal()
 }
 

@@ -60,10 +60,11 @@ type Options struct {
 	WriteShards int
 	// BloomMaxBytes caps From/To run filters (default 1 MB); Combined run
 	// filters always take the lsm layer's default cap, also 1 MB. Below its
-	// cap every run's filter is sized by the run's keys (≈8 bits per key,
-	// the paper's 2.4 % false-positive target), so a per-CP run of 32 000
-	// operations carries the paper's 32 KB filter and a compacted run a
-	// larger one.
+	// cap every run's filter is sized by the run's distinct blocks, for the
+	// paper's 2.4 % false-positive target: a delta run's at exactly 8 bits
+	// a block, so a per-CP run of 32 000 blocks carries the paper's 32 KB
+	// filter and a compacted run a larger one; a raw run's at the power of
+	// two the paper's halving rule reaches, between 8 and 16 bits a block.
 	BloomMaxBytes int
 	// Compression selects the on-disk run format. The default,
 	// CompressionDelta, writes format-v6 runs whose leaves bit-pack each

@@ -54,6 +54,9 @@ var xversionRows = []struct {
 	{"d2672fc", "run format 3, log format 4", []string{"8d5575c"}, []string{"corrupt"}, losesUnclosed},
 	{"1667fd7", "run format 4", []string{"8d5575c"}, []string{"corrupt"}, losesUnclosed},
 	{"45342b7", "run format 5", nil, []string{"corrupt"}, losesUnclosed},
+	// Delta runs' filters became BLF2: the previous binary cannot decode
+	// one, and probes the run around it, as it does a damaged filter.
+	{"958afda", "BLF1 filters in delta runs", nil, nil, losesNone},
 }
 
 // xvLoss says which stores this binary wrote an earlier binary destroys.

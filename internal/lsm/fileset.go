@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sync"
 
-	"github.com/backlogfs/backlog/internal/bloom"
 	"github.com/backlogfs/backlog/internal/btree"
 	"github.com/backlogfs/backlog/internal/storage"
 )
@@ -79,9 +78,10 @@ func (db *DB) NewFileSet(level int, cp uint64, src storage.Source, tables ...str
 // Run returns a builder for table's run in partition, a section of the
 // partition's file. Call it once per (table, partition), from the goroutine
 // that streams the table's records. expectRecords is an upper bound on the
-// records the caller will add; it sizes the Bloom filter, which is shrunk
-// to the keys actually added when the run is sealed. A table not in the set
-// or a partition out of range is the caller's bug, and panics.
+// records the caller will add; a raw run's Bloom filter starts from it
+// (RunBuilder.sizeFilter), a delta run's is sized by its keys alone. A
+// table not in the set or a partition out of range is the caller's bug,
+// and panics.
 func (s *FileSet) Run(table string, partition, expectRecords int) *RunBuilder {
 	return s.newRun(table, partition, expectRecords, false)
 }
@@ -155,7 +155,6 @@ func (b *RunBuilder) start() error {
 	}
 	file.runs[sec] = b
 	b.file, b.writer = file, w
-	b.filter = bloom.NewForCapacity(b.expect, b.table.spec.BloomMaxBytes)
 	return nil
 }
 

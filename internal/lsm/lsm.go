@@ -116,7 +116,10 @@ type TableSpec struct {
 	RecordSize int
 	// BloomMaxBytes caps the Bloom filter size of this table's runs
 	// (bloom.MaxFilterBytes if zero). Below the cap a filter is sized by
-	// the run's keys, not by its table.
+	// the run's distinct blocks, not by its table: a delta run's BLF2 at
+	// one byte a block, a raw run's BLF1 at the power of two the paper's
+	// halving rule reaches (RunBuilder.sizeFilter). A builder holds up to
+	// the cap's count of blocks, 8 bytes each, until it sizes the filter.
 	BloomMaxBytes int
 	// Span reports the consistency-point window [lo, hi] a record covers.
 	// Run builders fold it into the run's [MinCP, MaxCP] metadata, which

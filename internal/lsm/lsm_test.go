@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -445,9 +446,12 @@ func TestInstalledRunKeepsBuilderFilter(t *testing.T) {
 // the checksum its commit carries is probed as a run without a filter —
 // every block in its range may be present, so no owner goes missing — and
 // the bytes are read once, not on every probe. Bytes flipped on disk and a
-// checksum the commit carries wrong are the same damage.
+// checksum the commit carries wrong are the same damage. So is a filter
+// whose checksum holds in an encoding this binary does not read (a BLF3):
+// a filter is advisory, so a run is never refused for its filter, which is
+// what a binary that reads only BLF1 does with a BLF2.
 func TestDamagedFilterIsReadOnce(t *testing.T) {
-	for _, damage := range []string{"a flipped filter byte", "a wrong carried checksum"} {
+	for _, damage := range []string{"a flipped filter byte", "a wrong carried checksum", "an encoding this binary does not read"} {
 		fs := storage.NewMemFS()
 		opts := Options{
 			Tables:    []TableSpec{{Name: "from", RecordSize: testRecSize}},
@@ -471,9 +475,31 @@ func TestDamagedFilterIsReadOnce(t *testing.T) {
 		}
 		db.Close()
 
-		if damage == "a wrong carried checksum" {
+		switch damage {
+		case "a wrong carried checksum":
 			reseal(t, fs, func(m *manifest) { m.Tables["from"].Partitions[0][0].Header.FilterCRC ^= 1 })
-		} else {
+		case "an encoding this binary does not read":
+			reseal(t, fs, func(m *manifest) {
+				h := m.Tables["from"].Partitions[0][0].Header
+				f, err := fs.Open(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				filter := make([]byte, h.FilterLen)
+				if _, err := f.ReadAt(filter, int64(h.FilterOff)); err != nil {
+					t.Fatal(err)
+				}
+				if string(filter[:4]) != "BLF2" {
+					t.Fatalf("a delta run's filter is %q", filter[:4])
+				}
+				copy(filter, "BLF3")
+				if _, err := f.WriteAt(filter, int64(h.FilterOff)); err != nil {
+					t.Fatal(err)
+				}
+				f.Close()
+				h.FilterCRC = crc32.Checksum(filter, crc32.MakeTable(crc32.Castagnoli))
+			})
+		default:
 			f, err := fs.Open(name)
 			if err != nil {
 				t.Fatal(err)
@@ -780,32 +806,38 @@ func TestMergeScanDoesNotFillCache(t *testing.T) {
 
 var _ = fmt.Sprintf // keep fmt for debugging helpers
 
-// TestRawRunsWriteBLF1Goldens: a raw run carries, byte for byte, the BLF1
-// filters internal/bloom/testdata pins, built over the same keys (bloom's
-// goldenKeys), each block in perKey records.
-func TestRawRunsWriteBLF1Goldens(t *testing.T) {
-	for _, g := range []struct{ keys, perKey int }{{1, 3}, {300, 4}, {5000, 2}} {
-		want, err := os.ReadFile(filepath.Join("..", "bloom", "testdata", fmt.Sprintf("blf1-%dkeys.filter", g.keys)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var recs [][]byte
-		for i := range g.keys {
-			for j := range g.perKey {
-				recs = append(recs, rec16(uint64(i)*17+uint64(i*i)%11, uint64(j)))
+// TestRunsWriteTheFilterGoldens: a raw run carries, byte for byte, the
+// BLF1 filters internal/bloom/testdata pins, and a delta run the BLF2 ones,
+// built over the same keys (bloom's goldenKeys), each block in perKey
+// records.
+func TestRunsWriteTheFilterGoldens(t *testing.T) {
+	for encoding, format := range map[string]btree.Format{"blf1": btree.FormatRaw, "blf2": btree.FormatDelta} {
+		for _, g := range []struct{ keys, perKey int }{{1, 3}, {300, 4}, {5000, 2}} {
+			want, err := os.ReadFile(filepath.Join("..", "bloom", "testdata", fmt.Sprintf("%s-%dkeys.filter", encoding, g.keys)))
+			if err != nil {
+				t.Fatal(err)
 			}
+			var recs [][]byte
+			for i := range g.keys {
+				for j := range g.perKey {
+					recs = append(recs, rec16(uint64(i)*17+uint64(i*i)%11, uint64(j)))
+				}
+			}
+			db, err := Open(storage.NewMemFS(), Options{Tables: []TableSpec{{Name: "from", RecordSize: testRecSize}}, RunFormat: format})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.NewEdit().SetCP(1).AddRun(buildRun(t, db, "from", 0, 1, storage.SrcCheckpoint, recs...)).Commit(); err != nil {
+				t.Fatal(err)
+			}
+			got, err := db.Table("from").Runs(0)[0].qreader.BloomBytes()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s, %d keys: the run's filter is %d bytes, the golden %d, or they differ", encoding, g.keys, len(got), len(want))
+			}
+			db.Close()
 		}
-		db := openTestDB(t, storage.NewMemFS(), 1)
-		if err := db.NewEdit().SetCP(1).AddRun(buildRun(t, db, "from", 0, 1, storage.SrcCheckpoint, recs...)).Commit(); err != nil {
-			t.Fatal(err)
-		}
-		got, err := db.Table("from").Runs(0)[0].qreader.BloomBytes()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%d keys: the run's filter is %d bytes, the golden %d, or they differ", g.keys, len(got), len(want))
-		}
-		db.Close()
 	}
 }

@@ -342,7 +342,11 @@ type RunBuilder struct {
 	expect    int
 	file      *setFile      // nil until the first record
 	writer    *btree.Writer // nil until the first record
-	filter    *bloom.Filter
+	// keys holds the run's distinct blocks until its filter is sized: at
+	// seal, or once they outnumber the cap's bytes, past which every size
+	// is the cap's and the filter takes the keys as they come.
+	keys   []uint64
+	filter *bloom.Filter
 
 	minBlock, maxBlock uint64
 	prevBlock          uint64
@@ -368,7 +372,7 @@ func (b *RunBuilder) Add(rec []byte) error {
 	blk := blockOf(rec)
 	if blk != b.prevBlock || !b.any {
 		// The filter indexes block numbers; add each distinct block once.
-		b.filter.Add(blk)
+		b.addKey(blk)
 	}
 	if !b.any {
 		b.minBlock = blk
@@ -419,12 +423,50 @@ func (ref RunRef) SizeBytes() int64 { return ref.sizeBytes }
 // Records returns the number of records in the finished run.
 func (ref RunRef) Records() uint64 { return ref.rm.Records }
 
-// seal completes the run's pages and header once its last record is in.
+// addKey adds a distinct block to the run's filter, or holds it until the
+// filter is sized.
+func (b *RunBuilder) addKey(blk uint64) {
+	if b.filter != nil {
+		b.filter.Add(blk)
+		return
+	}
+	if b.keys = append(b.keys, blk); len(b.keys) > b.filterCap() {
+		b.sizeFilter()
+	}
+}
+
+// filterCap is the most bytes the table gives a filter.
+func (b *RunBuilder) filterCap() int {
+	if c := b.table.spec.BloomMaxBytes; c > 0 {
+		return c
+	}
+	return bloom.MaxFilterBytes
+}
+
+// sizeFilter makes the run's filter for the keys held, within the table's
+// cap, and adds them. A delta run's is a BLF2 of one byte a key, the
+// paper's 8 bits. A raw run's is the paper's BLF1: a power of two for the
+// records the run expected, shrunk while its keys keep 2.4 % ("If an RS
+// contains a smaller number of records, we appropriately shrink its Bloom
+// filter", Section 5.1).
+func (b *RunBuilder) sizeFilter() {
+	if n := len(b.keys); b.set.db.opts.RunFormat == btree.FormatRaw {
+		b.filter = bloom.NewPow2(bloom.Pow2Bytes(n, b.expect, b.filterCap()), bloom.DefaultHashes)
+	} else {
+		b.filter = bloom.New(min(n, b.filterCap()), bloom.DefaultHashes)
+	}
+	for _, k := range b.keys {
+		b.filter.Add(k)
+	}
+	b.keys = nil
+}
+
+// seal completes the run's pages, filter and header once its last record
+// is in.
 func (b *RunBuilder) seal() error {
-	// Shrink the filter to the paper's target false-positive rate when the
-	// run holds few records ("If an RS contains a smaller number of
-	// records, we appropriately shrink its Bloom filter", Section 5.1).
-	b.filter.ShrinkToFit(0.024)
+	if b.filter == nil {
+		b.sizeFilter()
+	}
 	return b.writer.Finish(b.filter.Marshal())
 }
 
