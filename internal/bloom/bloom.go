@@ -47,12 +47,12 @@ const DefaultFilterBytes = 32 << 10
 // for the Combined read store).
 const MaxFilterBytes = 1 << 20
 
-// TargetFPR is the paper's false-positive target, which 8 bits per key
+// targetFPR is the paper's false-positive target, which 8 bits per key
 // with four hashes meets.
-const TargetFPR = 0.024
+const targetFPR = 0.024
 
-// MinBytes is the smallest BLF2 filter.
-const MinBytes = 8
+// minBytes is the smallest BLF2 filter.
+const minBytes = 8
 
 const headerLen = 24
 
@@ -66,9 +66,9 @@ type Filter struct {
 	pow2   bool // BLF1
 }
 
-// New returns an empty BLF2 filter of sizeBytes bytes (at least MinBytes).
+// New returns an empty BLF2 filter of sizeBytes bytes (at least minBytes).
 func New(sizeBytes, hashes int) *Filter {
-	return newFilter(max(sizeBytes, MinBytes), hashes, false)
+	return newFilter(max(sizeBytes, minBytes), hashes, false)
 }
 
 // NewPow2 returns an empty BLF1 filter: sizeBytes rounded up to a power of
@@ -99,7 +99,7 @@ func pow2Bytes(n int) int {
 // Pow2Bytes returns the size of a raw run's BLF1 filter for n distinct
 // keys when the run was expected to hold expect records: the power of two
 // NewPow2 makes of min(expect, maxBytes) (MaxFilterBytes if maxBytes <= 0),
-// halved while the half keeps n keys at TargetFPR, down to 64 bytes. It is
+// halved while the half keeps n keys at targetFPR, down to 64 bytes. It is
 // the size a filter built at that power of two and then folded in half
 // while the target held would reach, with the same bits.
 func Pow2Bytes(n, expect, maxBytes int) int {
@@ -107,7 +107,7 @@ func Pow2Bytes(n, expect, maxBytes int) int {
 		maxBytes = MaxFilterBytes
 	}
 	size := pow2Bytes(min(expect, maxBytes))
-	for size > 64 && estimateFPR(DefaultHashes, uint64(n), uint64(size/2)*8) <= TargetFPR {
+	for size > 64 && estimateFPR(DefaultHashes, uint64(n), uint64(size/2)*8) <= targetFPR {
 		size /= 2
 	}
 	return size
@@ -231,7 +231,7 @@ func Unmarshal(data []byte) (*Filter, error) {
 	if uint64(len(data)-headerLen) < n {
 		return nil, fmt.Errorf("bloom: truncated filter: have %d bytes, want %d", len(data)-headerLen, n)
 	}
-	if pow2 && (n < 64 || n&(n-1) != 0) || n < MinBytes {
+	if pow2 && (n < 64 || n&(n-1) != 0) || n < minBytes {
 		return nil, fmt.Errorf("bloom: invalid %s filter size %d", data[:4], n)
 	}
 	if k <= 0 || k > 32 {

@@ -35,7 +35,7 @@ func TestNoFalseNegatives(t *testing.T) {
 // up, at 8 bits per key, answers every key it holds.
 func TestNoFalseNegativesAtEverySize(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	for size := MinBytes; size <= 4096; size++ {
+	for size := minBytes; size <= 4096; size++ {
 		f := New(size, DefaultHashes)
 		keys := make([]uint64, size)
 		for i := range keys {
@@ -98,7 +98,7 @@ func TestFalsePositiveRateNearExpectation(t *testing.T) {
 	} {
 		rate := fpRate(c.f, c.keys, int64(c.keys))
 		if rate < 0.018 || rate > 0.031 {
-			t.Errorf("%s of %d bytes, %d keys: false-positive rate %.4f, want ≈%.3f", c.name, c.f.SizeBytes(), c.keys, rate, TargetFPR)
+			t.Errorf("%s of %d bytes, %d keys: false-positive rate %.4f, want ≈%.3f", c.name, c.f.SizeBytes(), c.keys, rate, targetFPR)
 		}
 		if est := c.f.EstimatedFPR(); est < rate/1.5 || est > rate*1.5 {
 			t.Errorf("%s: EstimatedFPR %.4f far from observed %.4f", c.name, est, rate)
@@ -135,7 +135,7 @@ func TestPow2BytesIsTheFoldedSize(t *testing.T) {
 		for _, k := range keys {
 			folded.Add(k)
 		}
-		for folded.SizeBytes() > 64 && estimateFPR(DefaultHashes, uint64(n), folded.nbits/2) <= TargetFPR {
+		for folded.SizeBytes() > 64 && estimateFPR(DefaultHashes, uint64(n), folded.nbits/2) <= targetFPR {
 			folded = fold(folded)
 		}
 		direct := NewPow2(Pow2Bytes(n, expect, limit), DefaultHashes)
@@ -221,7 +221,7 @@ func TestNewRoundsToPowerOfTwo(t *testing.T) {
 		{NewPow2(1024, 4), 1024},
 		{NewPow2(0, 0), 64},
 		{New(1000, 4), 1000}, // BLF2 is any length
-		{New(0, 0), MinBytes},
+		{New(0, 0), minBytes},
 	} {
 		if c.f.SizeBytes() != c.want || c.f.k != DefaultHashes {
 			t.Fatalf("size=%d k=%d, want %d bytes and %d hashes", c.f.SizeBytes(), c.f.k, c.want, DefaultHashes)

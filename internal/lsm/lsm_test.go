@@ -841,3 +841,42 @@ func TestRunsWriteTheFilterGoldens(t *testing.T) {
 		}
 	}
 }
+
+// TestFilterPastItsCap: a run with more distinct blocks than its table's
+// BloomMaxBytes gets a filter of the cap, which the builder fills as the
+// keys come once they pass it, and which holds every block, in either
+// format.
+func TestFilterPastItsCap(t *testing.T) {
+	for _, format := range []btree.Format{btree.FormatRaw, btree.FormatDelta} {
+		const limit = 100
+		db, err := Open(storage.NewMemFS(), Options{Tables: []TableSpec{{Name: "from", RecordSize: testRecSize, BloomMaxBytes: limit}}, RunFormat: format})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var recs [][]byte
+		for b := uint64(0); b < 4*limit; b += 3 {
+			recs = append(recs, rec16(b, 1), rec16(b, 2))
+		}
+		if err := db.NewEdit().SetCP(1).AddRun(buildRun(t, db, "from", 0, 1, storage.SrcCheckpoint, recs...)).Commit(); err != nil {
+			t.Fatal(err)
+		}
+		run := db.Table("from").Runs(0)[0]
+		f := run.bloomFilter()
+		if f == nil {
+			t.Fatalf("format %d: no filter", format)
+		}
+		// A raw run's BLF1 is the power of two at or above the cap.
+		if want := map[btree.Format]int{btree.FormatRaw: 128, btree.FormatDelta: limit}[format]; f.SizeBytes() != want {
+			t.Fatalf("format %d: a filter of %d bytes for %d blocks under a cap of %d, want %d", format, f.SizeBytes(), len(recs)/2, limit, want)
+		}
+		if f.Added() != uint64(len(recs)/2) {
+			t.Fatalf("format %d: the filter holds %d of the run's %d blocks", format, f.Added(), len(recs)/2)
+		}
+		for b := uint64(0); b < 4*limit; b += 3 {
+			if !run.MayContainBlock(b) {
+				t.Fatalf("format %d: block %d ruled out", format, b)
+			}
+		}
+		db.Close()
+	}
+}
