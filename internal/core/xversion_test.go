@@ -294,19 +294,6 @@ func dirFiles(t *testing.T, dir string) map[string][]byte {
 	return files
 }
 
-// copyDir copies a store's directory.
-func copyDir(t *testing.T, from, to string) {
-	t.Helper()
-	if err := os.MkdirAll(to, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for name, b := range dirFiles(t, from) {
-		if err := os.WriteFile(filepath.Join(to, name), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // xvOpen opens a store's directory as backlog.Open does by default.
 func xvOpen(dir string, mode wal.Durability) (*storage.DirFS, *core.Engine, error) {
 	fs, err := storage.NewDirFS(dir)
@@ -455,7 +442,9 @@ func TestCrossVersion(t *testing.T) {
 				})
 				t.Run(s.name+"/back", func(t *testing.T) {
 					dir := filepath.Join(tmp, row.rev+"-reads-head", s.name)
-					copyDir(t, filepath.Join(tmp, "head", s.name), dir)
+					if err := os.CopyFS(dir, os.DirFS(filepath.Join(tmp, "head", s.name))); err != nil {
+						t.Fatal(err)
+					}
 					before := dirFiles(t, dir)
 					ans := dir + ".answers"
 					no, stderr := xvRun(t, bins[row.rev]["replay"], "-dir", dir, "-durability", xvModeFlags[s.mode], "-answers", ans)
