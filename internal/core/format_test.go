@@ -847,6 +847,43 @@ func TestCurrentFormatStoreOpensAsWritten(t *testing.T) {
 	}
 }
 
+// TestSyncLogStoreReplaysAsWritten: the store a Sync-mode binary of log
+// format 5 wrote (testdata/v5log-store, from a build of 687eb0f) holds the
+// updates of CP 8 in its log alone, a frame each, as a lone Sync appender
+// leaves them. Each Open replays every one of them and answers as the model
+// and the writer do, and neither it, the queries nor the Close touch a run
+// file or the writer's segment.
+func TestSyncLogStoreReplaysAsWritten(t *testing.T) {
+	const store, segment = "v5log-store", "wal-0000000000000008.seg"
+	fs, want := earlierStore(t, store)
+	m, tail := writerModel(true)
+	kept := func() map[string][]byte {
+		files := memFiles(t, fs)
+		maps.DeleteFunc(files, func(name string, _ []byte) bool { return !strings.HasSuffix(name, ".run") && name != segment })
+		return files
+	}
+	written := kept()
+	if len(written) != 5 {
+		t.Fatalf("%s holds %d run files and segments, want four run files and %s", store, len(written), segment)
+	}
+	for range 2 {
+		eng, err := core.Open(core.Options{VFS: fs, Catalog: core.NewMemCatalog(), Durability: wal.Sync})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := eng.Stats().WALReplayed; got != uint64(len(tail)) {
+			t.Fatalf("replayed %d records, want the %d updates of the tail", got, len(tail))
+		}
+		checkEarlierStore(t, eng, m, want)
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := kept(); !maps.EqualFunc(got, written, bytes.Equal) {
+			t.Fatalf("the run files or the writer's segment changed: %d of them now, %d written", len(got), len(written))
+		}
+	}
+}
+
 // TestMigrationSurvivesACrash: the migration of the store the previous run
 // format's binary wrote — its first MaintainNow, which rewrites every run of
 // that format, and the Close that commits it — killed at each of its

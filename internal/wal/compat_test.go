@@ -508,3 +508,37 @@ func TestUnreadableVersionNamedNotSealed(t *testing.T) {
 		}
 	}
 }
+
+// TestSyncLogStoreTailIsAFramePerUpdate: the log tail of
+// internal/core/testdata/v5log-store, which a Sync-mode binary of format 5
+// wrote, is the checkpoint's cut mark and then one frame per update, as a
+// lone Sync appender writes them, so a reader that carries state from
+// frame to frame meets a version-5 tail of many frames there.
+func TestSyncLogStoreTailIsAFramePerUpdate(t *testing.T) {
+	seg, err := os.ReadFile(filepath.Join("..", "core", "testdata", "v5log-store", segmentName(8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := segHeaderVersion(seg); !ok || v != 5 {
+		t.Fatalf("the segment's header names version %d (%v), want 5", v, ok)
+	}
+	var frames []int // records per frame
+	for b := seg[segHeaderSize:]; len(b) > 0; {
+		_, n, err := splitFrame(b)
+		if err != nil {
+			t.Fatalf("frame %d: %v", len(frames), err)
+		}
+		recs, err := decodeBatches(b[:n], 5)
+		if err != nil {
+			t.Fatalf("frame %d: %v", len(frames), err)
+		}
+		if len(frames) == 0 && (len(recs) != 1 || recs[0].Op != OpCut) {
+			t.Fatalf("the segment opens with %+v, want a lone cut mark", recs)
+		}
+		frames = append(frames, len(recs))
+		b = b[n:]
+	}
+	if len(frames) != 61 || slices.ContainsFunc(frames, func(n int) bool { return n != 1 }) {
+		t.Fatalf("records per frame: %v, want the cut mark and 60 updates a frame each", frames)
+	}
+}
