@@ -136,10 +136,11 @@ func TestRelocationDurableAtCheckpoint(t *testing.T) {
 
 // TestPreviousFormatLogTailReplaysAndRetires is the upgrade path end to
 // end: a directory whose log tail an earlier binary wrote in segment format
-// 4 (the golden files internal/wal keeps) opens, every record of the tail
+// 5 (the golden files internal/wal keeps) opens, every record of the tail
 // replays, new updates are logged next to it in the current format, and the
 // first checkpoint retires the old segments. A tail of a retired format —
-// version 3's golden segments — is refused by name, and so is the store
+// version 4's and version 3's golden segments — is refused by name, with
+// the binary that replays it, and so is the store
 // testdata/v3-store, whose manifest is a legacy MANIFEST, whose runs are
 // format 2 and whose log tail is format 3, each with the binary that
 // upgrades it; the refused Open changes no file.
@@ -153,7 +154,8 @@ func TestPreviousFormatLogTailReplaysAndRetires(t *testing.T) {
 		upgrader string // and the binary it names
 	}{
 		{"v3", 0, 0, 0, "segment wal-0000000000000001.seg is in format version 3", "commit 0ea923b or earlier"},
-		{"v4", 15, 101, 8, "", ""},
+		{"v4", 0, 0, 0, "segment wal-0000000000000001.seg is in format version 4", "commit 8d5575c"},
+		{"v5", 16, 3<<16 + 5, 13, "", ""},
 		{"v3-store", 0, 0, 0, "the manifest in MANIFEST, version 3, is no longer read", "commit 8d5575c"},
 	}
 	old := []string{"wal-0000000000000001.seg", "wal-0000000000000002.seg"}

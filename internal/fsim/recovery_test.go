@@ -167,8 +167,10 @@ func TestTornTailRecoveryViaFailurePlan(t *testing.T) {
 	}
 
 	// Append records until the active segment ends so close to a page
-	// boundary that the next frame (at least 15 bytes) must straddle it,
-	// then arm the torn write there with a one-page budget: the frame's
+	// boundary that the next frame must straddle it — 9 bytes at least: a
+	// 5-byte header and a block update that spells its inode and offset,
+	// while each survivor's frame, continuing its predecessor's file, takes
+	// 7 — then arm the torn write there with a one-page budget: the frame's
 	// first few bytes land durably and the rest is lost.
 	segSize := func() int64 {
 		names, err := vfs.List()
@@ -189,7 +191,7 @@ func TestTornTailRecoveryViaFailurePlan(t *testing.T) {
 		return size
 	}
 	survivors := 0
-	for ; segSize()%storage.PageSize <= storage.PageSize-12; survivors++ {
+	for ; segSize()%storage.PageSize <= storage.PageSize-9; survivors++ {
 		if survivors > 5000 {
 			t.Fatal("no frame boundary near a page boundary; frame-size drift?")
 		}

@@ -27,9 +27,14 @@ import (
 //	v3-wal-…02.seg  Cut mark CP=3, then goldenRecords()[5:] in one batch.
 //	                This binary refuses version 3 too.
 //	v4-wal-…01.seg  Cut mark CP=4, then goldenV4Records()[:13] in one batch
-//	v4-wal-…02.seg  goldenV4Records()[13:] in one batch
+//	v4-wal-…02.seg  goldenV4Records()[13:] in one batch. This binary
+//	                refuses version 4 too.
 //	v5-wal-…01.seg  Cut mark CP=7, then goldenV5Records()[:14] in one batch
 //	v5-wal-…02.seg  goldenV5Records()[14:] in one batch
+//	v6-wal-…01.seg  Cut mark CP=7, then goldenV6Records()[:14] in frames
+//	                of 2, 1, 5 and 6 records, the state carried across them
+//	v6-wal-…02.seg  goldenV6Records()[14:] in frames of 3 and 32 records,
+//	                the second over 127 bytes
 func goldenRecords() []Record {
 	return []Record{
 		{Op: OpAddRef, Block: 1, Inode: 2, Offset: 3, Line: 0, Length: 1, CP: 2},
@@ -96,6 +101,46 @@ func goldenV5Records() []Record {
 	}
 }
 
+// goldenV6Records is the history the version-6 golden files hold: version
+// 5's, then 32 block updates over four files in turn, none of which
+// continues, so that their frame's body takes two bytes of length.
+func goldenV6Records() []Record {
+	recs := goldenV5Records()
+	for i := range uint64(32) {
+		recs = append(recs, Record{Op: OpAddRef, Block: i * 0x9e3779b1 % (1 << 34), Inode: 20 + i%4, Offset: i / 4, Length: 1, CP: 12})
+	}
+	return recs
+}
+
+// goldenV6Splits are where the version-6 golden files' frames start in
+// goldenV6Records: segment 1 after its mark, then segment 2 at 14.
+var goldenV6Splits = [][]int{{0, 2, 3, 8}, {14, 17}}
+
+// goldenV6Segment lays out the version-6 golden history as its segment
+// files do: the frames a writer's batches would make, the elision state
+// carried from each to the next and empty at the segment's start.
+func goldenV6Segment(index uint64) []byte {
+	recs := goldenV6Records()
+	b := encodeSegHeader(index)
+	var st batchState
+	if index == 1 {
+		b = appendFrame(b, segVersion, &st, Record{Op: OpCut, CP: 7})
+	}
+	splits := goldenV6Splits[index-1]
+	end := len(recs)
+	if index == 1 {
+		end = goldenV6Splits[1][0]
+	}
+	for i, at := range splits {
+		next := end
+		if i+1 < len(splits) {
+			next = splits[i+1]
+		}
+		b = appendFrame(b, segVersion, &st, recs[at:next]...)
+	}
+	return b
+}
+
 func goldenFile(t testing.TB, prefix string, index uint64) []byte {
 	t.Helper()
 	b, err := os.ReadFile(filepath.Join("testdata", prefix+segmentName(index)))
@@ -130,8 +175,9 @@ func goldenSegment(index uint64, version byte, mark1 Record, mark2 *Record, recs
 }
 
 // goldenV3Segment, goldenV4Segment and goldenV5Segment are the golden
-// histories of versions 3, 4 and 5 as segment files of a version (a
-// version-3 segment only to compare bytes with: this binary refuses it).
+// histories of versions 3, 4 and 5 as segment files of a version, each
+// batch from an empty state (a version-3 or -4 segment only to compare
+// bytes with: this binary refuses them).
 func goldenV3Segment(index uint64, version byte) []byte {
 	return goldenSegment(index, version, Record{Op: OpCheckpoint, CP: 1}, &Record{Op: OpCut, CP: 3}, goldenRecords(), 5)
 }
@@ -140,14 +186,14 @@ func goldenV4Segment(index uint64, version byte) []byte {
 	return goldenSegment(index, version, Record{Op: OpCut, CP: 4}, nil, goldenV4Records(), 13)
 }
 
-func goldenV5Segment(index uint64) []byte {
-	return goldenSegment(index, segVersion, Record{Op: OpCut, CP: 7}, nil, goldenV5Records(), 14)
+func goldenV5Segment(index uint64, version byte) []byte {
+	return goldenSegment(index, version, Record{Op: OpCut, CP: 7}, nil, goldenV5Records(), 14)
 }
 
 // TestFormat3BytesPinned: the version-3 golden files, whose encoder no
 // longer exists and which this binary refuses
-// (TestUnreadableVersionNamedNotSealed), are version-4 bytes that never
-// continue: version 4's decoder reads them to the history they were
+// (TestUnreadableVersionNamedNotSealed), are version-5 frames that never
+// pack or continue: version 5's decoder reads them to the history they were
 // written from. appendBatchAs writes them byte for byte: it is a faithful
 // version-3 encoder for the tests that compare sizes against one.
 func TestFormat3BytesPinned(t *testing.T) {
@@ -160,7 +206,7 @@ func TestFormat3BytesPinned(t *testing.T) {
 		if v, ok := segHeaderVersion(seg); !ok || v != 3 {
 			t.Fatalf("v3 golden segment %d has header version %d (%v)", index, v, ok)
 		}
-		if got, err := decodeBatches(seg[segHeaderSize:], 4); err != nil || !slices.Equal(got, want) {
+		if got, err := decodeBatches(seg[segHeaderSize:], 5); err != nil || !slices.Equal(got, want) {
 			t.Errorf("v3 golden segment %d decodes as\n%+v (%v)\nwant\n%+v", index, got, err, want)
 		}
 		if got := goldenV3Segment(index, 3); !bytes.Equal(got, seg) {
@@ -170,20 +216,29 @@ func TestFormat3BytesPinned(t *testing.T) {
 }
 
 // TestFormat4BytesPinned: the version-4 golden files, whose encoder no
-// longer exists, still recover to their history, flagging exactly the
-// records that continue their op's predecessor in the batch, and
+// longer exists and which this binary refuses
+// (TestUnreadableVersionNamedNotSealed), are version-5 frames that never
+// pack: version 5's decoder reads them to their history, flagging exactly
+// the records that continue their op's predecessor in the batch, and
 // appendBatchAs writes them byte for byte.
 func TestFormat4BytesPinned(t *testing.T) {
-	vfs := storage.NewMemFS()
-	for _, index := range []uint64{1, 2} {
-		want := goldenFile(t, "v4-", index)
-		if got := goldenV4Segment(index, 4); !bytes.Equal(got, want) {
-			t.Errorf("segment %d re-encodes as\n%x\nthe golden file holds\n%x", index, got, want)
+	recs := goldenV4Records()
+	for index, want := range map[uint64][]Record{
+		1: append([]Record{{Op: OpCut, CP: 4}}, recs[:13]...),
+		2: recs[13:],
+	} {
+		seg := goldenFile(t, "v4-", index)
+		if v, ok := segHeaderVersion(seg); !ok || v != 4 {
+			t.Fatalf("v4 golden segment %d has header version %d (%v)", index, v, ok)
 		}
-		plantSegment(t, vfs, index, want)
+		if got := goldenV4Segment(index, 4); !bytes.Equal(got, seg) {
+			t.Errorf("segment %d re-encodes as\n%x\nthe golden file holds\n%x", index, got, seg)
+		}
+		if got, err := decodeBatches(seg[segHeaderSize:], 5); err != nil || !slices.Equal(got, want) {
+			t.Errorf("v4 golden segment %d decodes as\n%+v (%v)\nwant\n%+v", index, got, err, want)
+		}
 	}
 
-	recs := goldenV4Records()
 	var continues []int
 	for _, batch := range [][2]int{{0, 13}, {13, len(recs)}} {
 		var st batchState
@@ -196,33 +251,23 @@ func TestFormat4BytesPinned(t *testing.T) {
 	if !slices.Equal(continues, goldenV4Continues) {
 		t.Errorf("records %v continue their predecessor, want %v", continues, goldenV4Continues)
 	}
-
-	rec, err := Recover(vfs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	updates := slices.DeleteFunc(slices.Clone(recs), func(r Record) bool { return r.Op == OpCut })
-	want := Recovered{Records: updates, Cuts: []CutMark{{Index: 0, CP: 4}, {Index: 6, CP: 5}}, Found: true}
-	if !reflect.DeepEqual(rec, want) {
-		t.Fatalf("v4 golden log recovered as\n%+v\nwant\n%+v", rec, want)
-	}
 }
 
-// TestFormat5BytesPinned: the encoder still writes the bytes committed as
-// testdata/v5-wal-*.seg, packing every kind of block update the history
-// holds into its first byte, and the bytes recover to the history. The same
-// history is shorter than in version 4. A deliberate format change bumps
-// segVersion and adds files; it never rewrites these.
+// TestFormat5BytesPinned: the version-5 golden files, which the previous
+// encoder wrote, still recover to their history, every kind of block update
+// packed into its first byte; the same history is shorter than in version
+// 4, and appendBatchAs, which frames version 5 as sealTear does for a torn
+// version-5 tail, writes them byte for byte.
 func TestFormat5BytesPinned(t *testing.T) {
 	vfs := storage.NewMemFS()
 	var size, v4Size int
 	for _, index := range []uint64{1, 2} {
 		want := goldenFile(t, "v5-", index)
-		if got := goldenV5Segment(index); !bytes.Equal(got, want) {
+		if got := goldenV5Segment(index, 5); !bytes.Equal(got, want) {
 			t.Errorf("segment %d encodes as\n%x\nthe golden file holds\n%x", index, got, want)
 		}
 		size += len(want)
-		v4Size += len(goldenSegment(index, 4, Record{Op: OpCut, CP: 7}, nil, goldenV5Records(), 14))
+		v4Size += len(goldenV5Segment(index, 4))
 		plantSegment(t, vfs, index, want)
 	}
 	if size >= v4Size {
@@ -254,6 +299,71 @@ func TestFormat5BytesPinned(t *testing.T) {
 	want := Recovered{Records: updates, Cuts: []CutMark{{Index: 0, CP: 7}, {Index: 12, CP: 11}}, Found: true}
 	if !reflect.DeepEqual(rec, want) {
 		t.Fatalf("v5 golden log recovered as\n%+v\nwant\n%+v", rec, want)
+	}
+}
+
+// TestFormat6BytesPinned: the encoder still writes the bytes committed as
+// testdata/v6-wal-*.seg, and the bytes recover to the history. A frame's
+// first record takes what it can from the frame before — a CP, a
+// continuation, across frames of one segment but never across segments —
+// and the frame over 127 bytes of body takes 6 bytes of header, the rest 5.
+// The same frames are longer each started from an empty state, and longer
+// again under version 5's header. A deliberate format change bumps
+// segVersion and adds files; it never rewrites these.
+func TestFormat6BytesPinned(t *testing.T) {
+	vfs := storage.NewMemFS()
+	recs := goldenV6Records()
+	var size, emptyStarts, v5Size int
+	for _, index := range []uint64{1, 2} {
+		want := goldenFile(t, "v6-", index)
+		if got := goldenV6Segment(index); !bytes.Equal(got, want) {
+			t.Errorf("segment %d encodes as\n%x\nthe golden file holds\n%x", index, got, want)
+		}
+		plantSegment(t, vfs, index, want)
+		size += len(want)
+
+		var headers []int
+		for b := want[segHeaderSize:]; len(b) > 0; {
+			body, n, err := splitFrame(b, segVersion)
+			if err != nil {
+				t.Fatal(err)
+			}
+			headers = append(headers, n-len(body))
+			b = b[n:]
+		}
+		wantHeaders := []int{5, 5, 5, 5, 5}
+		if index == 2 {
+			wantHeaders = []int{5, 6}
+		}
+		if !slices.Equal(headers, wantHeaders) {
+			t.Errorf("segment %d: frame headers of %v bytes, want %v", index, headers, wantHeaders)
+		}
+
+		// The same frames, each from an empty state, and in version 5.
+		splits := append(slices.Clone(goldenV6Splits[index-1]), len(recs))
+		if index == 1 {
+			splits[len(splits)-1] = goldenV6Splits[1][0]
+			emptyStarts += len(appendBatch(nil, Record{Op: OpCut, CP: 7}))
+			v5Size += len(appendBatchAs(nil, 5, Record{Op: OpCut, CP: 7}))
+		}
+		for i := 0; i+1 < len(splits); i++ {
+			emptyStarts += len(appendBatch(nil, recs[splits[i]:splits[i+1]]...))
+			v5Size += len(appendBatchAs(nil, 5, recs[splits[i]:splits[i+1]]...))
+		}
+	}
+	size -= 2 * segHeaderSize
+	if size >= emptyStarts || emptyStarts >= v5Size {
+		t.Errorf("the history's frames take %d bytes, %d each from an empty state, %d in version 5", size, emptyStarts, v5Size)
+	}
+
+	rec, err := Recover(vfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	updates := slices.DeleteFunc(slices.Clone(recs), func(r Record) bool { return r.Op == OpCut })
+	want := Recovered{Records: updates, Cuts: []CutMark{{Index: 0, CP: 7}, {Index: 12, CP: 11}}, Found: true}
+	if !reflect.DeepEqual(rec, want) {
+		t.Fatalf("v6 golden log recovered as\n%+v\nwant\n%+v", rec, want)
 	}
 }
 
@@ -301,11 +411,11 @@ func appendAll(t *testing.T, l *Log, recs ...Record) {
 	}
 }
 
-// TestMixedVersionRecovery: a tail left by an earlier binary in version 4,
-// continued by this one in version 5, replays to exactly what an
-// all-version-5 log of the same history does, and the first checkpoint
-// retires the old files. A version-3 tail is refused by name, with the
-// binary that replays it, and stays as it was.
+// TestMixedVersionRecovery: a tail left by an earlier binary in version 5,
+// continued by this one in version 6, replays to exactly what an
+// all-version-6 log of the same history does, and the first checkpoint
+// retires the old files. A version-4 or version-3 tail is refused by name,
+// with the binary that replays it, and stays as it was.
 func TestMixedVersionRecovery(t *testing.T) {
 	later := []Record{
 		{Op: OpAddRef, Block: 500, Inode: 11, Offset: 1, Length: 1, CP: 13},
@@ -325,8 +435,7 @@ func TestMixedVersionRecovery(t *testing.T) {
 		return l, cut
 	}
 
-	v4 := goldenV4Records()
-	v4Updates := slices.DeleteFunc(slices.Clone(v4), func(r Record) bool { return r.Op == OpCut })
+	v5Updates := slices.DeleteFunc(goldenV5Records(), func(r Record) bool { return r.Op == OpCut })
 	for _, tail := range []struct {
 		version byte
 		// segment is the tail's history as segment files of a version.
@@ -334,7 +443,8 @@ func TestMixedVersionRecovery(t *testing.T) {
 		want    Recovered // nothing, for a refused tail
 	}{
 		{3, nil, Recovered{}},
-		{4, goldenV4Segment, Recovered{Records: v4Updates, Cuts: []CutMark{{Index: 0, CP: 4}, {Index: 6, CP: 5}}, Found: true}},
+		{4, nil, Recovered{}},
+		{5, goldenV5Segment, Recovered{Records: v5Updates, Cuts: []CutMark{{Index: 0, CP: 7}, {Index: 12, CP: 11}}, Found: true}},
 	} {
 		t.Run(fmt.Sprintf("v%d", tail.version), func(t *testing.T) {
 			mixed := storage.NewMemFS()
@@ -343,7 +453,7 @@ func TestMixedVersionRecovery(t *testing.T) {
 			plantSegment(t, mixed, 2, goldenFile(t, prefix, 2))
 			rec, err := Recover(mixed)
 			if tail.segment == nil {
-				want := fmt.Sprintf("format version %d; this binary reads versions 4 to 5: open the store once with a binary that reads it (commit 0ea923b or earlier)", tail.version)
+				want := fmt.Sprintf("format version %d; this binary reads versions 5 to 6: open the store once with a binary that reads it (%s)", tail.version, upgraders[tail.version])
 				if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
 					t.Fatalf("version-%d tail: Recover err = %v, want ErrCorrupt naming the version and the binary", tail.version, err)
 				}
@@ -415,69 +525,57 @@ func TestMixedVersionRecovery(t *testing.T) {
 	}
 }
 
-// TestVersionByteSelectsDecoder: a segment is read by the decoder its
-// header names. Newer batches under an older header — the one way to get
-// there is damage — fail at the first byte the older version lacks, a
-// packed block update: the batch passes its checksum, so
-// that is ErrCorrupt in the final segment as much as mid-log, never a torn
-// tail and never records read with a flag the version lacks. The reverse is
-// harmless by construction: version 5 is version 4 plus what it adds, so
-// older bytes under the newer header decode to the same records.
+// TestVersionByteSelectsDecoder: a segment is read by the framing its
+// header's version names. Frames of one readable version under the other's
+// header — the one way to get there is damage — read as a tear at the first
+// frame, so not one of their records is replayed: the segment ends there
+// when it is the log's last, and recovery fails with ErrCorrupt when it is
+// not.
 func TestVersionByteSelectsDecoder(t *testing.T) {
 	for _, c := range []struct {
 		golden  string
 		version byte
-	}{{"v5-", 4}} {
+	}{{"v5-", 6}, {"v6-", 5}} {
 		for _, final := range []bool{true, false} {
 			vfs := storage.NewMemFS()
 			plantSegment(t, vfs, 1, withVersion(goldenFile(t, c.golden, 1), c.version))
 			if !final {
 				buildSegment(t, vfs, 2, []Record{addRec(1)}, nil)
 			}
-			if _, err := Recover(vfs); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("%s bytes marked v%d, final=%v: err = %v, want ErrCorrupt", c.golden, c.version, final, err)
+			rec, err := Recover(vfs)
+			if final && (err != nil || len(rec.Records) != 0 || len(rec.Cuts) != 0) {
+				t.Fatalf("%s bytes marked v%d, final: recovered %+v (%v), want nothing", c.golden, c.version, rec, err)
+			}
+			if !final && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s bytes marked v%d, mid-log: err = %v, want ErrCorrupt", c.golden, c.version, err)
 			}
 		}
-	}
-
-	want, err := Recover(func() storage.VFS {
-		vfs := storage.NewMemFS()
-		plantSegment(t, vfs, 1, goldenFile(t, "v4-", 1))
-		return vfs
-	}())
-	if err != nil {
-		t.Fatal(err)
-	}
-	vfs := storage.NewMemFS()
-	plantSegment(t, vfs, 1, withVersion(goldenFile(t, "v4-", 1), segVersion))
-	rec, err := Recover(vfs)
-	if err != nil || !reflect.DeepEqual(rec, want) {
-		t.Fatalf("v4 bytes marked v%d: recovered %+v (%v), want %+v", segVersion, rec, err, want)
 	}
 }
 
 // TestUnreadableVersionNamedNotSealed is the house rule for the log: of
 // the versions a segment header can name, this binary reads the current
-// one, 5, and the one before it, 4. A segment of any other version — 3, 2
-// or 1, which earlier binaries read, 0, or one from the future — fails
+// one, 6, and the one before it, 5. A segment of any other version — 4, 3,
+// 2 or 1, which earlier binaries read, 0, or one from the future — fails
 // recovery with an error that names the version, in any position: an older
-// one as ErrCorrupt, version 3's also naming the binary that replays it,
-// and a newer one as storage.ErrNewerFormat (btree.ErrNewerFormat), not
-// damage. In particular Open does not take a final one for a torn creation
-// and seal over it, which would silently discard its records, and it
-// removes no segment.
+// one as ErrCorrupt, version 4's and 3's also naming the binary that
+// replays it, and a newer one as storage.ErrNewerFormat
+// (btree.ErrNewerFormat), not damage. In particular Open does not take a
+// final one for a torn creation and seal over it, which would silently
+// discard its records, and it removes no segment.
 func TestUnreadableVersionNamedNotSealed(t *testing.T) {
 	for version := range byte(9) {
-		seg := withVersion(goldenFile(t, "v5-", 1), version)
+		seg := withVersion(goldenFile(t, "v6-", 1), version)
 		want := fmt.Sprintf("format version %d", version)
 		switch version {
-		case 2:
-			seg = goldenFile(t, "v2-", 1) // what the version-2 encoder wrote
+		case 2, 3, 4, 5:
+			seg = goldenFile(t, fmt.Sprintf("v%d-", version), 1) // what the version's encoder wrote
+		}
+		switch version {
 		case 3:
-			seg = goldenFile(t, "v3-", 1) // what the version-3 encoder wrote
-			want += "; this binary reads versions 4 to 5: open the store once with a binary that reads it (commit 0ea923b or earlier) and run Checkpoint, as internal/core/testdata/upgrade does"
+			want += "; this binary reads versions 5 to 6: open the store once with a binary that reads it (commit 0ea923b or earlier) and run Checkpoint, as internal/core/testdata/upgrade does"
 		case 4:
-			seg = goldenFile(t, "v4-", 1)
+			want += "; this binary reads versions 5 to 6: open the store once with a binary that reads it (commit 8d5575c) and run Checkpoint, as internal/core/testdata/upgrade does"
 		}
 		for _, final := range []bool{true, false} {
 			vfs := storage.NewMemFS()
@@ -524,7 +622,7 @@ func TestSyncLogStoreTailIsAFramePerUpdate(t *testing.T) {
 	}
 	var frames []int // records per frame
 	for b := seg[segHeaderSize:]; len(b) > 0; {
-		_, n, err := splitFrame(b)
+		_, n, err := splitFrame(b, 5)
 		if err != nil {
 			t.Fatalf("frame %d: %v", len(frames), err)
 		}

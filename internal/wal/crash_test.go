@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -391,7 +392,9 @@ func TestCrashAtEveryIO(t *testing.T) {
 		{"buffered-rotating", Buffered, 24 << 10, 1500, serial},
 		{"sync", Sync, 1 << 10, 40, serial},
 		// Group commits of one and three records; segments long enough
-		// that batches straddle a page, so a torn write leaves half of one.
+		// that batches straddle a page, so a torn write leaves half of one
+		// (a frame of three of these records is about 100 bytes with its
+		// 5-byte header, the state carried from the frame before).
 		// Still two batches a round with the gather: the leader of the three
 		// knows of a fourth appender in the loop and holds the slot for it,
 		// but that one is not sent again before the round is over, so the
@@ -444,7 +447,7 @@ func TestCrashAtEveryIO(t *testing.T) {
 			// The dying write fails, applies half its pages volatile, or
 			// makes them — and only them — durable.
 			rng := rand.New(rand.NewSource(1))
-			states := 0
+			states, straddled := 0, 0
 			for _, mode := range []storage.FailurePlan{{}, {TornWrite: true}, {TornWrite: true, TornWriteDurable: true}} {
 				if mode.TornWrite && c.segBytes < storage.PageSize && c.segBytes > 0 {
 					continue // every write spans one page: a torn one is a failed one
@@ -462,6 +465,9 @@ func TestCrashAtEveryIO(t *testing.T) {
 					}
 					for _, loss := range vfs.powerLosses(mode, rng) {
 						states++
+						if strings.HasPrefix(loss.name, "the dying write's") {
+							straddled++
+						}
 						fs := vfs.fs.Clone()
 						fs.Crash(loss.state)
 						if err := s.recoverAfter(fs, c.d, c.script, loss, fmt.Sprintf("%s, crash state %q", killed, loss.name)); err != nil {
@@ -470,7 +476,10 @@ func TestCrashAtEveryIO(t *testing.T) {
 					}
 				}
 			}
-			t.Logf("%d crash states", states)
+			t.Logf("%d crash states, %d of them a torn write's pages", states, straddled)
+			if straddled == 0 && (c.segBytes == 0 || c.segBytes >= storage.PageSize) {
+				t.Fatal("no dying write spanned two pages: no state keeps half a write")
+			}
 		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/backlogfs/backlog/internal/storage"
@@ -21,13 +22,14 @@ func TestCutRetireKeepsFlushConcurrentAppends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 40; i++ {
+	// Two rotations' worth of appends.
+	for i := 0; l.SegmentCount() < 3; i++ {
+		if i == 200 {
+			t.Fatalf("segments after %d appends = %d, want rotation", i, l.SegmentCount())
+		}
 		if err := l.Append(addRec(i)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if got := l.SegmentCount(); got < 3 {
-		t.Fatalf("segments before the cut = %d, want rotation", got)
 	}
 	cut, err := l.Cut(1)
 	if err != nil {
@@ -277,7 +279,8 @@ func TestResurrectedTornSegmentToleratedBeforeCutMark(t *testing.T) {
 	// Nothing writes one any more, but the format still defines it (the
 	// version-3 golden tail opens with one), and it still drops everything
 	// logged before it.
-	torn := appendBatch(nil, addRec(2))[:10]
+	frame := appendBatch(nil, addRec(2))
+	torn := frame[:len(frame)-1]
 	vfs1 := storage.NewMemFS()
 	buildSegment(t, vfs1, 1, []Record{addRec(1), addRec(2)}, torn)
 	buildSegment(t, vfs1, 2, []Record{{Op: OpCheckpoint, CP: 5}, addRec(7)}, nil)
@@ -599,7 +602,11 @@ func TestTornTailBeforeSegmentMadeAhead(t *testing.T) {
 				// Up to where the next record's batch crosses a page, so
 				// that its write can tear.
 				torn := crashRec(99)
-				for frame := int64(len(appendBatch(nil, torn))); l.segSize%storage.PageSize+frame <= storage.PageSize; {
+				for {
+					st := l.pendingState
+					if l.segSize%storage.PageSize+int64(len(appendFrame(nil, segVersion, &st, torn))) > storage.PageSize {
+						break
+					}
 					appendNext()
 				}
 				tearNext.FailAfterPageWrites = vfs.Stats().PageWrites + 1
@@ -796,4 +803,150 @@ func TestUndoneRetireOfUnsyncedSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestBatchStateFollowsItsSegment: a batch's elision state is the state of
+// the segment it lands in. The records here continue one file at one CP, so
+// a batch that took the state of the segment before would elide a
+// continuation or a CP the segment it lands in never set. They are appended
+// where the segment changes under them: during the I/O of a flush's
+// rotation — the record that found the segment full starts a batch of its
+// own, and those that arrive meanwhile join it, all in the new segment's
+// first frame — and after a failed flush's Cut. Recovery reads exactly the
+// records whose appends were not reported failed, in both modes, on one
+// processor and on four.
+func TestBatchStateFollowsItsSegment(t *testing.T) {
+	rec := func(i int) Record {
+		return Record{Op: OpAddRef, Block: uint64(1000 + i), Inode: 7, Offset: uint64(i), Length: 1, CP: 2}
+	}
+	for _, procs := range []int{1, 4} {
+		for _, d := range []Durability{Buffered, Sync} {
+			t.Run(fmt.Sprintf("%s/procs=%d", d, procs), func(t *testing.T) {
+				onProcessors(t, procs)
+				t.Run("rotation", func(t *testing.T) {
+					// The rotation's first I/O: a Buffered log fsyncs the
+					// outgoing segment, a Sync one creates the next.
+					held := storage.OpCreate
+					if d == Buffered {
+						held = storage.OpSync
+					}
+					var armed atomic.Bool
+					entered, release := make(chan struct{}), make(chan struct{})
+					vfs := storage.NewMemFS()
+					vfs.SetFailurePlan(storage.FailurePlan{Hook: func(c storage.Call) error {
+						if c.Op == held && armed.CompareAndSwap(true, false) {
+							close(entered)
+							<-release
+						}
+						return nil
+					}})
+					l, _, err := Open(vfs, Options{Durability: d, SegmentBytes: 256})
+					if err != nil {
+						t.Fatal(err)
+					}
+					var want []Record
+					full := func() bool {
+						l.mu.Lock()
+						defer l.mu.Unlock()
+						return l.segSize >= l.segBytes
+					}
+					for !full() {
+						want = append(want, rec(len(want)))
+						appendAll(t, l, want[len(want)-1])
+					}
+					const joining = 5
+					armed.Store(true)
+					errs := make(chan error, 1+joining)
+					first := rec(len(want))
+					go func() { errs <- l.Append(first) }()
+					<-entered
+					during := []Record{first}
+					for i := range joining {
+						r := rec(len(want) + 1 + i)
+						during = append(during, r)
+						go func() { errs <- l.Append(r) }()
+					}
+					awaitLog(l, func() bool { return l.pendingRecs.Load() == 1+joining })
+					close(release)
+					for range during {
+						if err := <-errs; err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := l.Close(); err != nil {
+						t.Fatal(err)
+					}
+					segs, err := listSegments(vfs)
+					if err != nil || len(segs) != 2 {
+						t.Fatalf("segments %v (%v), want the full one and the one the rotation opened", segs, err)
+					}
+					frames, _, err := decodeFrames(readSegmentFile(t, vfs, segs[1])[segHeaderSize:], segVersion)
+					if err != nil || len(frames) != 1 || len(frames[0]) != 1+joining {
+						t.Fatalf("the new segment holds frames of %v records (%v), want one of the %d appended during the rotation", frameSizes(frames), err, 1+joining)
+					}
+					got, err := Recover(vfs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// The joiners' order is the scheduler's.
+					slices.SortFunc(got.Records[min(len(want), len(got.Records)):], func(a, b Record) int { return int(a.Block) - int(b.Block) })
+					if want = append(want, during...); !slices.Equal(got.Records, want) {
+						t.Fatalf("recovered %+v, want %+v", got.Records, want)
+					}
+				})
+				t.Run("cut after a failed flush", func(t *testing.T) {
+					var fail atomic.Bool
+					vfs := storage.NewMemFS()
+					vfs.SetFailurePlan(storage.FailurePlan{Hook: func(c storage.Call) error {
+						if c.Op == storage.OpWrite && fail.CompareAndSwap(true, false) {
+							return storage.ErrInjected
+						}
+						return nil
+					}})
+					l, _ := mustOpen(t, vfs, d)
+					var want []Record
+					before := []Record{rec(0), rec(1), rec(2)}
+					appendAll(t, l, before...)
+					fail.Store(true)
+					if d == Sync {
+						// The flush of the next record fails; the Cut
+						// drops nothing acknowledged.
+						want = before
+						if err := l.Append(rec(3)); !errors.Is(err, storage.ErrInjected) {
+							t.Fatalf("append over a failing write: %v", err)
+						}
+					} else if _, err := l.Cut(1); !errors.Is(err, storage.ErrInjected) {
+						// The Cut's own write of the buffer fails, and
+						// reports those records lost.
+						t.Fatalf("cut over a failing write: %v", err)
+					}
+					if _, err := l.Cut(1); err != nil {
+						t.Fatal(err)
+					}
+					after := []Record{rec(4), rec(5), rec(6)}
+					appendAll(t, l, after...)
+					if err := l.Close(); err != nil {
+						t.Fatal(err)
+					}
+					got, err := Recover(vfs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want = append(want, after...)
+					if !slices.Equal(got.Records, want) || !slices.Equal(got.Cuts, []CutMark{{Index: len(want) - len(after), CP: 1}}) {
+						t.Fatalf("recovered %+v, cuts %+v; want %+v behind one cut", got.Records, got.Cuts, want)
+					}
+				})
+			})
+		}
+	}
+}
+
+// frameSizes lists the record counts of frames.
+func frameSizes(frames [][]Record) []int {
+	var n []int
+	for _, f := range frames {
+		n = append(n, len(f))
+	}
+	return n
 }

@@ -3,150 +3,196 @@ package wal
 import (
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
+	"fmt"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 
 	"github.com/backlogfs/backlog/internal/storage"
 )
 
-// FuzzDecodeFrame: whatever the bytes, reading a frame stays inside the
-// input. It either reports a torn frame or walks a checksummed batch to its
-// end or to its first undecodable record, never past it, in every readable
-// version; none panics, and none sizes anything from a length field
+// FuzzDecodeFrame: whatever the bytes, reading them as the frames of a
+// segment, from its first, stays inside the input in both readable versions
+// — 6, whose elision state carries from frame to frame, and 5, whose every
+// frame starts empty. Each walk ends at the input's end, at a torn frame or
+// at a checksummed frame's first undecodable record, never past it; none
+// panics, and none sizes anything from a length field
 // (TestBatchReaderAllocatesNothing pins that decoding allocates nothing at
-// all). What version 4 decodes, version 5 decodes to the same records,
-// since it only adds to version 4. A packed block update is what version 5
-// adds: a batch whose version-5 walk reaches one is ErrCorrupt in version
-// 4, never a tear. Under a version-3 header, which the version-3 goldens'
-// frames were written under, the same frame is refused by name: recovery
-// reads no frame of a retired version. What version 5 decodes
-// survives a re-encode that is no longer than the frame it came from: the
+// all). Every frame walked is a whole frame of its version, its length in
+// the shortest form. What a version decodes survives a re-encode into the
+// same frames that is no longer than the bytes it came from, since the
 // encoder elides whatever the decoder could have taken from a record's
-// predecessors, and packs what it can.
+// predecessors; and the frames version 5 decodes take no more bytes in
+// version 6. Under a version-4 or version-3 header the same bytes are
+// refused by name, with the binary that replays them: recovery reads no
+// frame of a retired version.
 func FuzzDecodeFrame(f *testing.F) {
-	for _, prefix := range []string{"v3-", "v4-", "v5-"} {
+	for _, prefix := range []string{"v3-", "v4-", "v5-", "v6-"} {
 		for _, index := range []uint64{1, 2} {
 			seg := goldenFile(f, prefix, index)
 			f.Add(seg[segHeaderSize:])
 			f.Add(seg[segHeaderSize+3:])
 		}
 	}
+	seg := goldenFile(f, "v6-", 1)[segHeaderSize:]
+	_, n, _ := splitFrame(seg, segVersion)
+	f.Add(seg[n:]) // frames that take what they elide from the mark's frame
 	f.Add(reframe([]byte{byte(OpCheckpoint), 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02}))
 	f.Add(reframe([]byte{byte(OpCut) | flagSameCP}))
 	f.Add(binary.BigEndian.AppendUint32(nil, 1<<31))
+	f.Add(binary.AppendUvarint(nil, 1<<31))
+	f.Add(make([]byte, 64))
 	f.Add(reframe([]byte{byte(OpRemoveRef) | flagContinues | flagLineZero | flagLengthOne, 1, 1}))
-	// Every packed kind in one batch, each behind a record of the other
-	// form, so that packed and version-4 records alternate.
-	var mixed []Record
+	// Every packed kind, each behind a record of the other form, so that
+	// packed and version-4 records alternate, a frame of two each.
+	var mixed []byte
+	var st batchState
 	for kind := range 8 {
 		op := OpAddRef + Op(kind&packedRemove)
 		cp := uint64(3 + kind/packedSameCP%2)
-		mixed = append(mixed,
+		mixed = appendFrame(mixed, segVersion, &st,
 			Record{Op: op, Block: uint64(kind) << 13, Inode: 9, Offset: uint64(kind) * 4, Line: 2, Length: 1, CP: 4},
 			Record{Op: op, Block: uint64(kind) << 30, Inode: 9, Offset: uint64(kind)*4 + 2 - uint64(kind/packedContinues%2), Length: 1, CP: cp})
 	}
-	f.Add(appendBatch(nil, mixed...))
+	f.Add(mixed)
 	f.Add(reframe([]byte{flagPacked | packedContinues, 1, 2}))
 	f.Add(reframe(append([]byte{flagPacked | 0xf0}, binary.AppendUvarint(nil, 1<<60)...)))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		body, n, err := splitFrame(b)
-		if err != nil {
-			if !errors.Is(err, errTorn) || n != 0 || body != nil {
-				t.Fatalf("err = %v, n = %d, %d body bytes", err, n, len(body))
+		var decoded [segVersion + 1][][]Record
+		for _, v := range []byte{5, segVersion} {
+			frames, end, err := decodeFrames(b, v)
+			if err != nil && !errors.Is(err, errTorn) && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("v%d: %v", v, err)
 			}
-			return
-		}
-		if n <= frameHeaderSize || n > len(b) {
-			t.Fatalf("consumed %d of %d bytes", n, len(b))
-		}
-		if int(binary.BigEndian.Uint32(b)) != n-frameHeaderSize {
-			t.Fatalf("consumed %d bytes, length field says %d", n, binary.BigEndian.Uint32(b))
-		}
-		if crc32.Checksum(b[frameHeaderSize:n], crcTable) != binary.BigEndian.Uint32(b[4:]) {
-			t.Fatalf("decoded a frame whose checksum fails")
-		}
-		var recs [segVersion + 1][]Record
-		var errs [segVersion + 1]error
-		for v := byte(oldestReadable); v <= segVersion; v++ {
-			recs[v], errs[v] = decodeBatches(b[:n], v)
-			if len(recs[v]) > len(body) {
-				t.Fatalf("v%d: %d records out of %d bytes", v, len(recs[v]), len(body))
+			if errors.Is(err, ErrCorrupt) {
+				frames = frames[:len(frames)-1] // the whole frames before the one that fails
 			}
-			for _, r := range recs[v] {
-				if r.Op < OpAddRef || r.Op > OpCut {
-					t.Fatalf("v%d decoded unknown op %d", v, r.Op)
+			if walked := frameBytes(t, b, v, len(frames)); walked != end || (err == nil) != (end == len(b)) {
+				t.Fatalf("v%d: %d frames of %d bytes, stopped at %d of %d with %v", v, len(frames), walked, end, len(b), err)
+			}
+			var n int
+			for _, recs := range frames {
+				n += len(recs)
+				for _, r := range recs {
+					if r.Op < OpAddRef || r.Op > OpCut {
+						t.Fatalf("v%d decoded unknown op %d", v, r.Op)
+					}
 				}
 			}
-			if errs[v] != nil && !errors.Is(errs[v], ErrCorrupt) {
-				t.Fatalf("v%d: checksummed batch failed with %v", v, errs[v])
+			if n > end {
+				t.Fatalf("v%d: %d records out of %d bytes", v, n, end)
 			}
-			if v > oldestReadable && errs[v-1] == nil && (errs[v] != nil || !slices.Equal(recs[v-1], recs[v])) {
-				t.Fatalf("v%d decoded %+v, v%d %+v (%v)", v-1, recs[v-1], v, recs[v], errs[v])
+			decoded[v] = frames
+			back := encodeFrames(v, frames)
+			if got, _, err := decodeFrames(back, v); err != nil || len(frames) > 0 && !reflect.DeepEqual(got, frames) {
+				t.Fatalf("v%d: re-encoding %+v decodes to %+v (%v)", v, frames, got, err)
+			}
+			if len(back) > end {
+				t.Fatalf("v%d: re-encoding %d frames took %d bytes, they came in %d", v, len(frames), len(back), end)
 			}
 		}
-		if reachesPacked(body) && !errors.Is(errs[4], ErrCorrupt) {
-			t.Fatalf("a packed block update read as v4: %+v (%v), want ErrCorrupt", recs[4], errs[4])
+		v5 := frameBytes(t, b, 5, len(decoded[5]))
+		if v6 := encodeFrames(segVersion, decoded[5]); len(v6) > v5 {
+			t.Fatalf("the %d frames version 5 decoded take %d bytes in version 6, %d in version 5", len(decoded[5]), len(v6), v5)
 		}
-		retired := storage.NewMemFS()
-		plantSegment(t, retired, 1, append(withVersion(encodeSegHeader(1), 3), b[:n]...))
-		if _, err := Recover(retired); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "format version 3") {
-			t.Fatalf("the frame under a version-3 header: %v, want the version refused by name", err)
-		}
-		if errs[segVersion] != nil {
-			return
-		}
-		back := appendBatch(nil, recs[segVersion]...)
-		if got, err := decodeBatches(back, segVersion); err != nil || !slices.Equal(got, recs[segVersion]) {
-			t.Fatalf("re-encoding %+v decodes to %+v (%v)", recs[segVersion], got, err)
-		}
-		if len(back) > n {
-			t.Fatalf("re-encoding %d records took %d bytes, the frame %d", len(recs[segVersion]), len(back), n)
+		for _, retired := range []byte{3, 4} {
+			vfs := storage.NewMemFS()
+			plantSegment(t, vfs, 1, append(withVersion(encodeSegHeader(1), retired), b...))
+			if _, err := Recover(vfs); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("format version %d", retired)) ||
+				!strings.Contains(err.Error(), upgraders[retired]) {
+				t.Fatalf("the frames under a version-%d header: %v, want the version refused by name", retired, err)
+			}
 		}
 	})
 }
 
-// reachesPacked reports whether a version-5 walk over body reaches a packed
-// byte, whether or not the record behind it decodes.
-func reachesPacked(body []byte) bool {
-	for d := readBatch(body, segVersion); d.more(); {
-		if d.u.b[0]&flagPacked != 0 {
-			return true
+// decodeFrames walks b as the frames of a segment of a version from its
+// first, as readSegment does but without interpreting marks, and returns
+// the records of each frame it reached — the last one those before its
+// first undecodable record, when it stopped at one — the offset where it
+// stopped, and errTorn or ErrCorrupt if that was not b's end. Each frame it
+// passes is checked against its version's layout.
+func decodeFrames(b []byte, version byte) ([][]Record, int, error) {
+	var frames [][]Record
+	last := -1
+	off, err := walkFrames(b, version, func(at int, r Record) bool {
+		if at != last {
+			frames, last = append(frames, nil), at
 		}
-		if _, ok := d.next(); !ok {
-			return false
+		frames[len(frames)-1] = append(frames[len(frames)-1], r)
+		return false
+	})
+	if errors.Is(err, errUndecodable) {
+		if off != last {
+			frames = append(frames, nil)
 		}
+		return frames, off, ErrCorrupt
 	}
-	return false
+	return frames, off, err
+}
+
+// encodeFrames encodes frames as a segment of a version writes them, from
+// its first.
+func encodeFrames(version byte, frames [][]Record) []byte {
+	var b []byte
+	var st batchState
+	for _, recs := range frames {
+		b = appendFrame(b, version, &st, recs...)
+	}
+	return b
+}
+
+// frameBytes is how many bytes the first n frames of b, a segment of a
+// version from its first, take, each checked to be a frame of its version
+// with its length in its shortest form.
+func frameBytes(t *testing.T, b []byte, version byte, n int) int {
+	t.Helper()
+	off := 0
+	for range n {
+		body, k, err := splitFrame(b[off:], version)
+		if err != nil || k != frameHeaderLen(version, len(body))+len(body) {
+			t.Fatalf("v%d frame at %d: %d bytes, %d of body (%v)", version, off, k, len(body), err)
+		}
+		off += k
+	}
+	return off
 }
 
 // FuzzRecover: whatever two consecutive segment files hold, recovery ends
-// in a clean (possibly empty) tail or ErrCorrupt — never a panic, never
-// another error — and a log that recovers also opens, seals its tear, and
-// recovers to the same records again.
+// in a clean (possibly empty) tail, ErrCorrupt, or, for a segment whose
+// header names a version above this binary's, storage.ErrNewerFormat —
+// never a panic, never another error — and a log that recovers also opens,
+// seals its tear, and recovers to the same records again.
 func FuzzRecover(f *testing.F) {
 	// testdata/fuzz/FuzzRecover holds whole tails: the version-2 golden pair,
-	// its version-3 rewrite, one of each (all refused now), and a regression
-	// input. The seeds here add version 4 with its continuations and version
-	// 5 with its packed block updates: the golden pairs, an older tail
-	// continued by a torn newer segment, and version-5 bytes under a
-	// version-4 header.
+	// its version-3 rewrite, one of each (all refused now), and two
+	// regression inputs, one a header of a newer version. The seeds here add
+	// version 4 with its continuations (refused now too), version 5 with its
+	// packed block updates and version 6 with its state carried from frame
+	// to frame: the golden pairs, an older tail continued by a torn newer
+	// segment, a version-6 segment opening with the frames that take their
+	// state from the mark's, and the bytes of each readable version under
+	// the other's header.
 	f.Add(goldenFile(f, "v3-", 1)[:40], goldenFile(f, "v3-", 2))
 	f.Add(goldenFile(f, "v2-", 2)[:7], []byte{})
 	f.Add(goldenFile(f, "v4-", 1), goldenFile(f, "v4-", 2))
 	f.Add(goldenFile(f, "v3-", 1), goldenFile(f, "v4-", 1)[:60])
 	f.Add(goldenFile(f, "v5-", 1), goldenFile(f, "v5-", 2))
 	f.Add(goldenFile(f, "v4-", 1), goldenFile(f, "v5-", 1)[:70])
-	f.Add(goldenFile(f, "v3-", 2), withVersion(goldenFile(f, "v5-", 1), 4))
+	f.Add(goldenFile(f, "v6-", 1), goldenFile(f, "v6-", 2))
+	f.Add(goldenFile(f, "v5-", 1), goldenFile(f, "v6-", 1)[:70])
+	f.Add(goldenFile(f, "v6-", 1)[:80], goldenFile(f, "v6-", 2)[:90])
+	v6 := goldenFile(f, "v6-", 1)
+	_, mark, _ := splitFrame(v6[segHeaderSize:], segVersion)
+	f.Add(append(v6[:segHeaderSize:segHeaderSize], v6[segHeaderSize+mark:]...), goldenFile(f, "v6-", 2))
+	f.Add(withVersion(goldenFile(f, "v6-", 1), 5), withVersion(goldenFile(f, "v5-", 2), 6))
 	f.Fuzz(func(t *testing.T, seg1, seg2 []byte) {
 		vfs := storage.NewMemFS()
 		plantSegment(t, vfs, 1, seg1)
 		plantSegment(t, vfs, 2, seg2)
 		rec, err := Recover(vfs)
 		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
+			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, storage.ErrNewerFormat) {
 				t.Fatalf("recovery failed with an untyped error: %v", err)
 			}
 			return

@@ -80,42 +80,51 @@ type Record struct {
 	NewBlock uint64
 }
 
-// Frame layout, identical in every segment format version: a 4-byte
-// big-endian body length, a 4-byte CRC-32C of the body, then the body — one
-// flush batch, its records back to back, with no per-record length or
-// checksum. A record is self-delimiting, its op deciding how many uvarints
-// follow. The op byte's low three bits are the Op, its high bits elide fields
-// (see the flag constants). Fields, in order — AddRef/RemoveRef: block,
-// [inode, offset], [line], [length], [cp]; Relocate: block, new block, [cp];
-// Checkpoint and Cut: [cp]; SegmentEnd: nothing.
+// Frame layout. A segment is a run of frames, one per flush batch: a header,
+// then the body — the batch's records back to back, with no per-record
+// length or checksum. In version 6, the only one written, the header is
+// uvarint(body length) and the CRC-32C of the body, 4 bytes big-endian: 5
+// bytes for any body under 128. Version 5's header was a 4-byte big-endian
+// body length and the same CRC. The length must be above 0 and in its
+// shortest form, so a zero-filled tail reads as a tear in either version.
 //
-// Version 5 (the only one written) adds the packed first byte: an AddRef or
-// RemoveRef with Line 0 and Length 1 — every block reference a file system
-// makes — sets flagPacked, names its op, continuation and CP elision in the
-// three bits below it and holds the block's low four bits in the high
-// nibble; uvarint(block >> 4) follows, then [inode, offset] and [cp] as
-// above. It is never longer than the same record in version 4, which the
-// same decoder reads, refusing flagPacked there. A lone mark is the same
-// bytes in every version, which is what lets sealTear stamp a SegmentEnd
-// over a torn tail of any.
+// A record is self-delimiting, its op deciding how many uvarints follow. The
+// op byte's low three bits are the Op, its high bits elide fields (see the
+// flag constants). Fields, in order — AddRef/RemoveRef: block, [inode,
+// offset], [line], [length], [cp]; Relocate: block, new block, [cp];
+// Checkpoint and Cut: [cp]; SegmentEnd: nothing. An AddRef or RemoveRef with
+// Line 0 and Length 1 — every block reference a file system makes — sets
+// flagPacked, names its op, continuation and CP elision in the three bits
+// below it and holds the block's low four bits in the high nibble;
+// uvarint(block >> 4) follows, then [inode, offset] and [cp] as above.
+//
+// What a record elides it takes from the elision state (batchState). In
+// version 6 the state carries from frame to frame through a segment: it
+// starts empty at the segment's first frame, and a frame starts where the
+// one before it left off. In version 5 every frame started empty. The
+// record encoding is the same in both.
 const (
-	frameHeaderSize = 8
+	crcSize = 4
+	// frameReserve is the room a batch under construction keeps ahead of
+	// its body, into which sealFrame writes the header: the longest header
+	// of any version over a body shorter than 4 GiB.
+	frameReserve = binary.MaxVarintLen32 + crcSize
 
 	// maxMarkFrame is the largest frame a lone Checkpoint or Cut mark
 	// occupies (op + one uvarint).
-	maxMarkFrame = frameHeaderSize + 1 + binary.MaxVarintLen64
+	maxMarkFrame = frameReserve + 1 + binary.MaxVarintLen64
 
 	// Op byte flags. Each marks fields as omitted because they hold the
 	// value nearly every record has there.
 	flagLineZero  = 0x80 // AddRef/RemoveRef: Line is 0
 	flagLengthOne = 0x40 // AddRef/RemoveRef: Length is 1 (what AddRef substitutes for 0)
-	flagSameCP    = 0x20 // CP equals that of the previous record in the batch
-	// AddRef/RemoveRef: Inode and Offset continue the previous
-	// record of the same op in the batch — its inode, at its offset + length —
-	// as the updates of a file written front to back do.
+	flagSameCP    = 0x20 // CP equals that of the previous record that has one
+	// AddRef/RemoveRef: Inode and Offset continue the previous record of
+	// the same op — its inode, at its offset + length — as the updates of a
+	// file written front to back do.
 	flagContinues = 0x10
-	// Version 5: the byte is a packed block update, laid out as below, not
-	// an op and flags.
+	// The byte is a packed block update, laid out as below, not an op and
+	// flags.
 	flagPacked = 0x08
 	opMask     = 0x07
 
@@ -134,10 +143,12 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 var errTorn = errors.New("wal: torn or corrupt frame")
 
 // batchState is the elision state the encoder and the decoder both carry
-// through a batch: the CP of the latest record that has one, and where the
-// latest AddRef and the latest RemoveRef ended. Relocates and marks leave the
-// ends alone. The first record of a batch to need either spells its fields
-// out, so a batch decodes on its own.
+// through a segment (version 6) or a batch (version 5): the CP of the latest
+// record that has one, and where the latest AddRef and the latest RemoveRef
+// ended. Relocates and marks leave the ends alone. The first record to need
+// either after the state starts empty spells its fields out. An encoder
+// whose state holds less than the decoder's only spells out more, so a frame
+// encoded from an empty state decodes anywhere in a segment.
 type batchState struct {
 	cp    uint64
 	cpSet bool
@@ -152,8 +163,8 @@ type fileEnd struct {
 	set           bool
 }
 
-// appendRecord appends r's version-5 encoding to a batch body. st is the
-// batch's elision state, which it advances.
+// appendRecord appends r's encoding to a batch body. st is the elision
+// state, which it advances.
 func appendRecord(dst []byte, r Record, st *batchState) []byte {
 	at := len(dst)
 	dst = append(dst, byte(r.Op))
@@ -208,46 +219,121 @@ func appendRecord(dst []byte, r Record, st *batchState) []byte {
 	return binary.AppendUvarint(dst, r.CP)
 }
 
-// sealBatch fills in the header of frame, which is frameHeaderSize reserved
-// bytes followed by a complete batch body.
-func sealBatch(frame []byte) {
-	body := frame[frameHeaderSize:]
-	binary.BigEndian.PutUint32(frame, uint32(len(body)))
-	binary.BigEndian.PutUint32(frame[4:], crc32.Checksum(body, crcTable))
+// frameHeaderLen returns the length of the header of a frame of a format
+// version over a body of n bytes.
+func frameHeaderLen(version byte, n int) int {
+	if version < 6 {
+		return 4 + crcSize
+	}
+	return uvarintLen(uint64(n)) + crcSize
 }
 
-// appendBatch appends recs to dst as one sealed batch frame.
-func appendBatch(dst []byte, recs ...Record) []byte {
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
+}
+
+// sealFrame fills in the header of frame, which is frameReserve reserved
+// bytes followed by a complete batch body, and returns the frame: the header
+// where it ends against the body, and the body.
+func sealFrame(frame []byte, version byte) []byte {
+	body := frame[frameReserve:]
+	h := frame[frameReserve-frameHeaderLen(version, len(body)) : frameReserve]
+	if version < 6 {
+		binary.BigEndian.PutUint32(h, uint32(len(body)))
+	} else {
+		binary.PutUvarint(h, uint64(len(body)))
+	}
+	binary.BigEndian.PutUint32(h[len(h)-crcSize:], crc32.Checksum(body, crcTable))
+	return frame[frameReserve-len(h):]
+}
+
+// appendFrame appends recs to dst as one sealed frame of a segment in a
+// format version. st is the segment's elision state, which a version-6
+// frame starts from and advances; a version-5 frame starts from an empty
+// state of its own and leaves st alone.
+func appendFrame(dst []byte, version byte, st *batchState, recs ...Record) []byte {
+	if version < 6 {
+		st = &batchState{}
+	}
 	start := len(dst)
-	dst = append(dst, make([]byte, frameHeaderSize)...)
-	var st batchState
+	dst = append(dst, make([]byte, frameReserve)...)
 	for _, r := range recs {
-		dst = appendRecord(dst, r, &st)
+		dst = appendRecord(dst, r, st)
 	}
-	sealBatch(dst[start:])
-	return dst
+	frame := sealFrame(dst[start:], version)
+	return append(dst[:start], frame...)
 }
 
-// splitFrame returns the body of the first frame in b and the number of
-// bytes the frame occupies. It returns errTorn when b holds an incomplete
-// frame, an empty one, or a checksum mismatch — all indistinguishable states
-// of a tail cut mid-write. Nothing is sized from the length field: a body is
-// a sub-slice of b or nothing.
-func splitFrame(b []byte) (body []byte, n int, err error) {
-	if len(b) < frameHeaderSize {
+// splitFrame returns the body of the first frame in b, a frame of a format
+// version, and the number of bytes the frame occupies. It returns errTorn
+// when b holds an incomplete frame, an empty one, a length not in its
+// shortest form, or a checksum mismatch — all indistinguishable states of a
+// tail cut mid-write. Nothing is sized from the length field: a body is a
+// sub-slice of b or nothing.
+func splitFrame(b []byte, version byte) (body []byte, n int, err error) {
+	var blen uint64
+	var h int // header length
+	if version < 6 {
+		if len(b) < 4+crcSize {
+			return nil, 0, errTorn
+		}
+		blen, h = uint64(binary.BigEndian.Uint32(b)), 4+crcSize
+	} else {
+		var k int
+		if blen, k = binary.Uvarint(b); k <= 0 || k != uvarintLen(blen) {
+			return nil, 0, errTorn
+		}
+		h = k + crcSize
+	}
+	if blen == 0 || len(b) < h || blen > uint64(len(b)-h) {
 		return nil, 0, errTorn
 	}
-	be := binary.BigEndian
-	blen := uint64(be.Uint32(b))
-	if blen == 0 || blen > uint64(len(b)-frameHeaderSize) {
-		return nil, 0, errTorn
-	}
-	n = frameHeaderSize + int(blen)
-	body = b[frameHeaderSize:n]
-	if crc32.Checksum(body, crcTable) != be.Uint32(b[4:]) {
+	n = h + int(blen)
+	body = b[h:n]
+	if crc32.Checksum(body, crcTable) != binary.BigEndian.Uint32(b[h-crcSize:]) {
 		return nil, 0, errTorn
 	}
 	return body, n, nil
+}
+
+// errUndecodable reports a frame that passes its checksum and still does
+// not decode: damage (or a foreign writer), never a tear.
+var errUndecodable = errors.New("wal: batch does not decode")
+
+// walkFrames hands fn the records of b, the frames of a segment in a
+// readable format version from its first on, each with the offset of its
+// frame. The elision state carries from frame to frame in version 6 and
+// starts empty at every frame in version 5. It stops where fn reports true
+// and returns nil; at an unreadable frame, whose offset it returns with
+// errTorn; or at a frame that does not decode, with errUndecodable.
+func walkFrames(b []byte, version byte, fn func(off int, r Record) (stop bool)) (int, error) {
+	var st batchState
+	for off := 0; off < len(b); {
+		body, n, err := splitFrame(b[off:], version)
+		if err != nil {
+			return off, err
+		}
+		if version < 6 {
+			st = batchState{}
+		}
+		d := readBatch(body, st)
+		for d.more() {
+			r, ok := d.next()
+			if !ok {
+				return off, errUndecodable
+			}
+			if fn(off, r) {
+				return off, nil
+			}
+		}
+		st = d.st
+		off += n
+	}
+	return len(b), nil
 }
 
 // uvarints reads consecutive uvarints off a body; bad latches the first
@@ -268,29 +354,25 @@ func (u *uvarints) next() uint64 {
 }
 
 // batchReader walks the records of one batch body, which the caller has
-// already checksummed (splitFrame).
+// already checksummed (splitFrame). st is the elision state, which ends as
+// the next frame of a version-6 segment starts.
 type batchReader struct {
 	u  uvarints
 	st batchState
-	// flags holds the op-byte flags the segment's format version defines.
-	flags byte
 }
 
-// readBatch starts a walk over a batch body of a segment in a readable
-// format version.
-func readBatch(body []byte, version byte) batchReader {
-	d := batchReader{u: uvarints{b: body}, flags: flagLineZero | flagLengthOne | flagSameCP | flagContinues}
-	if version >= 5 {
-		d.flags |= flagPacked
-	}
-	return d
+// readBatch starts a walk over a batch body from the elision state st: an
+// empty one for a segment's first frame and for every version-5 frame, the
+// state the frame before left in version 6.
+func readBatch(body []byte, st batchState) batchReader {
+	return batchReader{u: uvarints{b: body}, st: st}
 }
 
 // more reports whether undecoded bytes remain.
 func (d *batchReader) more() bool { return len(d.u.b) > 0 }
 
 // next decodes the next record. It reports false for bytes no encoder
-// produces — an unknown op, a flag the version or the op has no field for,
+// produces — an unknown op, a flag the op has no field for,
 // an elided CP or continuation with no predecessor to take it from, a block
 // wider than 64 bits, a malformed or missing uvarint. Behind a valid
 // checksum that is damage (or a foreign writer), never a tear.
@@ -302,9 +384,6 @@ func (d *batchReader) next() (Record, bool) {
 	u.b = u.b[1:]
 	var r Record
 	flags := op &^ opMask
-	if flags&^d.flags != 0 {
-		return Record{}, false
-	}
 	if flags&flagPacked != 0 {
 		// A packed block update: spell its bits out as the flags they
 		// stand for, and take the block's high bits now.

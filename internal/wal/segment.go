@@ -24,13 +24,19 @@ const (
 	segHeaderSize = 16
 	segMagic      = "BKLGWAL\x01"
 	// segVersion is the version every new segment is written in. Segments
-	// of the version before it, which lacks the packed first byte, are
-	// only ever read: a tail left by an earlier binary replays and is
-	// retired by the first checkpoint. That is as far back as this binary
-	// reads; an older segment is refused by name (see readSegment).
-	segVersion     = 5
-	oldestReadable = 4
+	// of the version before it, whose frames have 8-byte headers and
+	// start from an empty elision state each, are only ever read: a tail
+	// left by an earlier binary replays and is retired by the first
+	// checkpoint. That is as far back as this binary reads; an older
+	// segment is refused by name (see readSegment).
+	segVersion     = 6
+	oldestReadable = 5
 )
+
+// upgraders names, for each retired version a store may still hold, the
+// binary that replays it: opened once there and checkpointed, the store's
+// log is retired.
+var upgraders = map[byte]string{3: "commit 0ea923b or earlier", 4: "commit 8d5575c"}
 
 // segHeaderVersion returns the format version a segment's leading bytes
 // name, or false when they are not a segment header at all: too short or
@@ -128,12 +134,14 @@ type CutMark struct {
 	CP uint64
 }
 
-// tear locates a torn tail found during recovery: segment index and the
-// byte offset of the first unreadable frame.
+// tear locates a torn tail found during recovery: segment index, the byte
+// offset of the first unreadable frame, and the segment's format version,
+// in whose framing the seal is written.
 type tear struct {
-	found  bool
-	index  uint64
-	offset int64
+	found   bool
+	index   uint64
+	offset  int64
+	version byte
 }
 
 // Recover scans the segments in vfs without opening a log for writing. A
@@ -245,13 +253,14 @@ func segmentStartsWithMark(vfs storage.VFS, index uint64) (bool, error) {
 	if !ok {
 		return false, nil
 	}
-	// A lone mark is the same frame in every readable version; of any
-	// other version readSegment will say so when it gets there.
-	body, _, derr := splitFrame(buf[segHeaderSize:n])
+	// A segment's first frame starts from an empty elision state in every
+	// version; of a version this binary does not read, readSegment will
+	// say so when it gets there.
+	body, _, derr := splitFrame(buf[segHeaderSize:n], version)
 	if derr != nil {
 		return false, nil
 	}
-	d := readBatch(body, version)
+	d := readBatch(body, batchState{})
 	r, ok := d.next()
 	return ok && !d.more() && (r.Op == OpCheckpoint || r.Op == OpCut), nil
 }
@@ -324,8 +333,8 @@ func readSegment(vfs storage.VFS, index uint64, rec *Recovered, tr *tear) (torn 
 		}
 		err := fmt.Errorf("%w: segment %s is in format version %d; this binary reads versions %d to %d",
 			kind, name, version, oldestReadable, segVersion)
-		if version == 3 {
-			err = fmt.Errorf("%w: open the store once with a binary that reads it (commit 0ea923b or earlier) and run Checkpoint, as internal/core/testdata/upgrade does", err)
+		if upgrader, ok := upgraders[version]; ok {
+			err = fmt.Errorf("%w: open the store once with a binary that reads it (%s) and run Checkpoint, as internal/core/testdata/upgrade does", err, upgrader)
 		}
 		return false, err
 	}
@@ -336,36 +345,26 @@ func readSegment(vfs storage.VFS, index uint64, rec *Recovered, tr *tear) (torn 
 		// over — replaying it in the wrong order could corrupt recovery.
 		return false, fmt.Errorf("%w: segment %s header claims index %d (restored under the wrong name?)", ErrCorrupt, name, got)
 	}
-	// tornAt ends the scan at a torn tail: everything before it is intact.
-	// The tear is reported, so that Open can seal it with a segment-end mark
-	// before the segment stops being the log's last.
-	tornAt := func(off int) (bool, error) {
-		*tr = tear{found: true, index: index, offset: int64(off)}
+	// A tear ends the scan: everything before it is intact. It is reported,
+	// so that Open can seal it with a segment-end mark before the segment
+	// stops being the log's last.
+	off, err := walkFrames(buf[segHeaderSize:], version, func(_ int, r Record) bool { return rec.add(r) })
+	switch {
+	case errors.Is(err, errTorn):
+		*tr = tear{found: true, index: index, offset: int64(segHeaderSize + off), version: version}
 		return true, nil
-	}
-	for off := segHeaderSize; off < len(buf); {
-		body, n, err := splitFrame(buf[off:])
-		if err != nil {
-			return tornAt(off)
-		}
-		for d := readBatch(body, version); d.more(); {
-			r, ok := d.next()
-			if !ok {
-				return false, fmt.Errorf("%w: segment %s: the batch at offset %d passes its checksum but does not decode", ErrCorrupt, name, off)
-			}
-			if rec.add(r) {
-				return false, nil
-			}
-		}
-		off += n
+	case err != nil:
+		return false, fmt.Errorf("%w: segment %s: the batch at offset %d passes its checksum but does not decode", ErrCorrupt, name, segHeaderSize+off)
 	}
 	return false, nil
 }
 
 // sealTear stamps a durable segment-end mark over a torn tail, keeping
-// the tear terminal once the segment is no longer the final one. A tear
-// at offset 0 means the header itself never became durable; the whole
-// segment is rewritten as an empty sealed one.
+// the tear terminal once the segment is no longer the final one. The mark
+// is framed in the segment's own version, since the frame header is not the
+// same in every one. A tear at offset 0 means the header itself never became
+// durable; the whole segment is rewritten as an empty sealed one of the
+// current version.
 func sealTear(vfs storage.VFS, tr tear) error {
 	name := segmentName(tr.index)
 	f, err := vfs.Open(name)
@@ -374,10 +373,11 @@ func sealTear(vfs storage.VFS, tr tear) error {
 	}
 	defer f.Close()
 	var buf []byte
+	version := tr.version
 	if tr.offset == 0 {
-		buf = encodeSegHeader(tr.index)
+		buf, version = encodeSegHeader(tr.index), segVersion
 	}
-	buf = appendBatch(buf, Record{Op: OpSegmentEnd})
+	buf = appendFrame(buf, version, &batchState{}, Record{Op: OpSegmentEnd})
 	if _, err := f.WriteAt(buf, tr.offset); err != nil {
 		return fmt.Errorf("wal: sealing torn segment %s: %w", name, err)
 	}

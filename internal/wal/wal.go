@@ -14,41 +14,48 @@
 // The log is framed per flush batch, not per record — the batch being
 // whatever one device write carries: a group commit in Sync mode, the
 // coalesced 64 KiB buffer in Buffered mode, a lone mark written by Cut or
-// by recovery's tear seal. A frame is a 4-byte big-endian body length, a
+// by recovery's tear seal. A frame is the body's length as a uvarint, a
 // 4-byte CRC-32C of the body, and the body: the batch's records back to
-// back. A record needs no length or checksum of its own. It is an op byte —
-// AddRef, RemoveRef, Relocate, or a Checkpoint, Cut or SegmentEnd mark —
-// followed by the op's fields as uvarints (AddRef/RemoveRef: block, inode,
-// offset, line, length, cp; Relocate: block, new block, cp; Checkpoint and
-// Cut: cp), so the op says where the record ends. The op byte's low three
-// bits are the op, and its high bits drop fields that hold their usual
-// value: 0x80 a Line of 0, 0x40 a Length of 1, 0x20 a CP equal to the
-// previous record's in the batch, and 0x10 an inode and offset that continue
-// the previous update of the same op in the batch — its inode, at its offset
-// + length — which is what the updates of a file written front to back look
-// like. A block update, an AddRef or RemoveRef with Line 0 and Length 1 —
-// every reference a file system's block pointer makes — packs that byte
-// instead: 0x08 set, the three bits below it name AddRef or RemoveRef,
-// continuing or not, with the previous record's CP or not, and the four high
-// bits hold the block's low four bits, so that the block's uvarint carries
-// only block >> 4. A record with no predecessor to take a field from spells
-// it out, so every batch decodes on its own. A block update is its packed
+// back, so a batch under 128 bytes pays a 5-byte header. A record needs no
+// length or checksum of its own. It is an op byte — AddRef, RemoveRef,
+// Relocate, or a Checkpoint, Cut or SegmentEnd mark — followed by the op's
+// fields as uvarints (AddRef/RemoveRef: block, inode, offset, line, length,
+// cp; Relocate: block, new block, cp; Checkpoint and Cut: cp), so the op
+// says where the record ends. The op byte's low three bits are the op, and
+// its high bits drop fields that hold their usual value: 0x80 a Line of 0,
+// 0x40 a Length of 1, 0x20 a CP equal to the previous record's, and 0x10 an
+// inode and offset that continue the previous update of the same op — its
+// inode, at its offset + length — which is what the updates of a file
+// written front to back look like. A block update, an AddRef or RemoveRef
+// with Line 0 and Length 1 — every reference a file system's block pointer
+// makes — packs that byte instead: 0x08 set, the three bits below it name
+// AddRef or RemoveRef, continuing or not, with the previous record's CP or
+// not, and the four high bits hold the block's low four bits, so that the
+// block's uvarint carries only block >> 4. A block update is its packed
 // byte, the rest of its block, and its inode and offset unless it continues
-// its file: on an 18-bit block 3 bytes where version 4 spent 4, never more
-// than version 4 on any block. The 8-byte frame header is shared by the
-// batch. Measured on bench/ (seed 1, wal.bytes_per_record): the log costs
-// 4.18 bytes per update on mixed (Buffered; 5.03 in version 4, 6.8 in
-// version 3) and 10.8 on durable (Sync, two clients, 1.9 records per group
-// commit; 11.7 in version 4).
+// its file: on an 18-bit block 3 bytes.
 //
-// That is segment format version 5, the only one written. Version 4 is the
-// same without the packed byte. One decoder reads both, allowing a segment
-// the flags its header's version byte defines, so a tail left by an earlier
-// binary still replays and is retired by the first checkpoint. Older
-// versions are refused by name, version 3 with the binary that replays it
-// (commit 0ea923b or earlier). The log is a sequence of segments (wal-<index>.seg, rotated at
-// Options.SegmentBytes) so that truncation after a checkpoint is file
-// deletion, not in-place rewriting.
+// "Previous" reaches back across frames to the start of the segment: the
+// elision state carries from one frame to the next, and only a segment's
+// first frame starts from nothing, so a Sync group commit's first record
+// elides what the commit before it set. A record with no predecessor in its
+// segment to take a field from spells it out. The writer keeps the rule by
+// starting a batch that will open a new segment — one begun while the active
+// segment is full, which its flush rotates first, or the first after a Cut
+// or Open — from an empty state. Measured on bench/ (seed 1,
+// wal.bytes_per_record): the log costs 4.18 bytes per update on mixed
+// (Buffered; 5.03 in version 4, 6.8 in version 3) and 10.8 on durable
+// (Sync, two clients, 1.9 records per group commit) in version 5.
+//
+// That is segment format version 6, the only one written. Version 5 is the
+// same records under an 8-byte frame header (a 4-byte big-endian length
+// and the CRC), each frame starting from an empty state. The reader takes
+// both, by its header's version byte, so a tail left by an earlier binary
+// still replays and is retired by the first checkpoint. Older versions are
+// refused by name, with the binary that replays them: version 4 commit
+// 8d5575c, version 3 commit 0ea923b or earlier. The log is a sequence of
+// segments (wal-<index>.seg, rotated at Options.SegmentBytes) so that
+// truncation after a checkpoint is file deletion, not in-place rewriting.
 //
 // What a crash mid-write costs is the batch being written: recovery stops
 // at the first incomplete or checksum-failing frame of the final segment —
@@ -283,17 +290,19 @@ type Log struct {
 	// seq numbers appended records; done is the highest seq whose flush
 	// completed. Append waits until done covers its own seq.
 	seq, done uint64
-	// pending is the batch being collected: frameHeaderSize reserved bytes
+	// pending is the batch being collected: frameReserve reserved bytes
 	// (once it holds a record; empty otherwise), then the records accepted
 	// but not yet handed to the OS. The flush leader swaps it with spare,
 	// which it owns for the duration of its I/O — sealing the header
 	// included — so steady state allocates nothing.
 	pending, spare []byte
-	// pendingState is pending's elision state and pendingRecs its record
-	// count, which flushLocked reports as the batch size it covered. The
-	// count is written under l.mu like the rest; it is atomic for the one
-	// reader without it, the gathering leader: polling under the mutex, it
-	// would keep taking it from the very appenders it is waiting for.
+	// pendingState is the elision state after pending's last record: that
+	// of the segment the batch lands in, which carries from batch to batch
+	// (see append). pendingRecs is pending's record count, which
+	// flushLocked reports as the batch size it covered. The count is written
+	// under l.mu like the rest; it is atomic for the one reader without it,
+	// the gathering leader: polling under the mutex, it would keep taking it
+	// from the very appenders it is waiting for.
 	pendingState batchState
 	pendingRecs  atomic.Int64
 	flushing     bool
@@ -449,7 +458,9 @@ func (l *Log) takeSegmentLocked() (f storage.File, index uint64) {
 }
 
 // installSegmentLocked makes the freshly opened segment f, size bytes
-// long, the active one.
+// long, the active one. A batch that is pending — one whose flush rotated
+// here — started from an empty elision state already (see append); with
+// none pending, the next batch is the segment's first and starts empty.
 func (l *Log) installSegmentLocked(f storage.File, index uint64, size int64) {
 	if l.seg != nil {
 		l.seg.Close()
@@ -458,6 +469,9 @@ func (l *Log) installSegmentLocked(f storage.File, index uint64, size int64) {
 	l.segSize = size
 	l.names = append(l.names, segmentName(index))
 	l.stats.Segments++
+	if len(l.pending) == 0 {
+		l.pendingState = batchState{}
+	}
 }
 
 // Append encodes r and appends it to the log. In Sync mode it returns once
@@ -490,9 +504,14 @@ func (l *Log) append(r Record) error {
 	}
 	if len(l.pending) == 0 {
 		// First record of a batch: reserve the frame header, which the
-		// flush leader fills in once the batch is complete.
-		l.pending = append(l.pending, make([]byte, frameHeaderSize)...)
-		l.pendingState = batchState{}
+		// flush leader fills in once the batch is complete. The batch goes
+		// where the segment's last one left the elision state, unless the
+		// segment is full: then the flush rotates first, and the batch is
+		// the next segment's first.
+		l.pending = append(l.pending, make([]byte, frameReserve)...)
+		if l.segSize >= l.segBytes {
+			l.pendingState = batchState{}
+		}
 	}
 	l.pending = appendRecord(l.pending, r, &l.pendingState)
 	l.pendingRecs.Add(1)
@@ -537,8 +556,13 @@ func (l *Log) append(r Record) error {
 // now: it is full, or it fills (or the last write filled) the active
 // segment, which the next flush rotates.
 func (l *Log) flushDue() bool {
-	n := int64(len(l.pending))
-	return n >= bufferedFlushBytes || l.segSize+n >= l.segBytes
+	return len(l.pending) >= bufferedFlushBytes || l.segSize+l.pendingFrameLen() >= l.segBytes
+}
+
+// pendingFrameLen is how many bytes the pending batch takes once sealed.
+func (l *Log) pendingFrameLen() int64 {
+	n := len(l.pending) - frameReserve
+	return int64(frameHeaderLen(segVersion, n) + n)
 }
 
 // gatherLocked is what fills a group commit. An appender acknowledged by
@@ -610,16 +634,16 @@ func (l *Log) flushLocked() {
 			return
 		}
 	}
+	off := l.segSize
+	l.segSize += l.pendingFrameLen()
 	buf := l.pending
 	l.pending, l.spare = l.spare[:0], buf
 	recs := l.pendingRecs.Swap(0)
 	target := l.seq
 	seg := l.seg
-	off := l.segSize
-	l.segSize += int64(len(buf))
 	l.mu.Unlock()
 
-	sealBatch(buf)
+	buf = sealFrame(buf, segVersion)
 	// A Sync flush is always timed: its duration bounds the next gather.
 	var start time.Time
 	if l.syncEach || l.flushHist != nil {
@@ -804,7 +828,7 @@ func (l *Log) Cut(cp uint64) (cut int, err error) {
 	}
 	l.dropPendingLocked()
 	f, index := l.takeSegmentLocked()
-	f, n, err := l.openSegment(f, index, appendBatch(nil, Record{Op: OpCut, CP: cp}))
+	f, n, err := l.openSegment(f, index, appendFrame(nil, segVersion, &batchState{}, Record{Op: OpCut, CP: cp}))
 	l.stats.Bytes += int64(max(n-segHeaderSize, 0))
 	if err != nil {
 		l.err = err
@@ -938,12 +962,13 @@ func (l *Log) Stats() Stats {
 
 // BufferedBytes returns the bytes of records accepted but not yet handed
 // to the OS: what a Buffered log would lose if the process died now. The
-// frame header reserved ahead of them is not a record byte: an empty buffer
+// room reserved ahead of them for the frame header, whose length is known
+// only once the batch is complete, is not a record byte: an empty buffer
 // reports 0.
 func (l *Log) BufferedBytes() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return max(len(l.pending)-frameHeaderSize, 0)
+	return max(len(l.pending)-frameReserve, 0)
 }
 
 // SegmentCount returns the number of live segment files (recovered +

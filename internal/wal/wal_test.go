@@ -369,9 +369,19 @@ func TestTornTailIsTolerated(t *testing.T) {
 	}
 	f.Close()
 
-	// Rebuild the log with its final record cut mid-frame: the expected
-	// on-disk state after a crash during the last group-commit write.
-	for _, cut := range []int{1, frameHeaderSize - 1, frameHeaderSize + 3} {
+	// Rebuild the log with its final record cut mid-frame — one byte of it
+	// left, part of its header, its header alone, all but its last byte:
+	// the expected on-disk states after a crash during the last
+	// group-commit write.
+	var last int // the final frame's length
+	if _, err := walkFrames(buf[segHeaderSize:], segVersion, func(off int, _ Record) bool {
+		last = len(buf) - segHeaderSize - off
+		return false
+	}); err != nil {
+		t.Fatal(err)
+	}
+	header := frameHeaderLen(segVersion, last)
+	for _, cut := range []int{last - 1, last - header + 2, last - header, 1} {
 		tornVFS := storage.NewMemFS()
 		tf, err := tornVFS.Create(name)
 		if err != nil {
@@ -473,12 +483,14 @@ func TestTornTailSealedAtOpen(t *testing.T) {
 }
 
 // buildSegment writes a synced segment file from raw parts, each record a
-// batch of its own, as a lone Sync appender leaves them.
+// batch of its own, as a lone Sync appender leaves them: the elision state
+// carried from each to the next.
 func buildSegment(t *testing.T, vfs storage.VFS, index uint64, recs []Record, tornBytes []byte) {
 	t.Helper()
 	buf := encodeSegHeader(index)
+	var st batchState
 	for _, r := range recs {
-		buf = appendBatch(buf, r)
+		buf = appendFrame(buf, segVersion, &st, r)
 	}
 	plantSegment(t, vfs, index, append(buf, tornBytes...))
 }
