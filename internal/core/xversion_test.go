@@ -39,6 +39,9 @@ var xversionRows = []struct {
 	// loses says which stores this binary wrote the row's binary takes for
 	// empty ones, removing their runs as orphans.
 	loses xvLoss
+	// refusesLogs says the row must refuse, by a phrase of refuses, every
+	// store this binary wrote with a log, and read every other.
+	refusesLogs bool
 }{
 	// Run format 6 is newer than every row up to 45342b7, and none of them
 	// tells a newer format from damage: each calls a store whose commit
@@ -48,15 +51,20 @@ var xversionRows = []struct {
 	// pages fail, no older commit is left, and the row opens an empty store
 	// and removes every run as an orphan. abc326f predates the trailer and
 	// does that to every store; refusing a log of format 5 comes after.
-	{"abc326f", "a legacy MANIFEST, run format 3, log format 4", []string{"8d5575c"}, nil, losesAll},
+	{"abc326f", "a legacy MANIFEST, run format 3, log format 4", []string{"8d5575c"}, nil, losesAll, false},
 	{"7599812", "a commit trailer whose runs carry no header, run format 3, log format 4", []string{"8d5575c"},
-		[]string{"corrupt", "reading header: EOF"}, losesUnclosed},
-	{"d2672fc", "run format 3, log format 4", []string{"8d5575c"}, []string{"corrupt"}, losesUnclosed},
-	{"1667fd7", "run format 4", []string{"8d5575c"}, []string{"corrupt"}, losesUnclosed},
-	{"45342b7", "run format 5", nil, []string{"corrupt"}, losesUnclosed},
-	// Delta runs' filters became BLF2: the previous binary cannot decode
-	// one, and probes the run around it, as it does a damaged filter.
-	{"958afda", "BLF1 filters in delta runs", nil, nil, losesNone},
+		[]string{"corrupt", "reading header: EOF"}, losesUnclosed, false},
+	{"d2672fc", "run format 3, log format 4", []string{"8d5575c"}, []string{"corrupt"}, losesUnclosed, false},
+	{"1667fd7", "run format 4", []string{"8d5575c"}, []string{"corrupt"}, losesUnclosed, false},
+	{"45342b7", "run format 5", nil, []string{"corrupt"}, losesUnclosed, false},
+	// Delta runs' filters became BLF2: the binary before them cannot decode
+	// one, and probes the run around it, as it does a damaged filter. Log
+	// format 6 is newer than its log reader and the next one's, which tell a
+	// newer format from damage: each refuses every store with a log as
+	// that, every file unchanged, and reads the CheckpointOnly ones, which
+	// hold no log.
+	{"958afda", "BLF1 filters in delta runs, log format 5", nil, []string{storage.ErrNewerFormat.Error()}, losesNone, true},
+	{"687eb0f", "log format 5", nil, []string{storage.ErrNewerFormat.Error()}, losesNone, true},
 }
 
 // xvLoss says which stores this binary wrote an earlier binary destroys.
@@ -451,6 +459,10 @@ func TestCrossVersion(t *testing.T) {
 					stderr = strings.TrimSpace(stderr)
 					after := dirFiles(t, dir)
 					got, _ := os.ReadFile(ans)
+					if row.refusesLogs && no != (s.mode != wal.CheckpointOnly) {
+						t.Fatalf("%s %s a %s store (%s): it must refuse a store with a log and read every other", row.rev,
+							map[bool]string{true: "refused", false: "did not refuse"}[no], s.mode, stderr)
+					}
 					switch {
 					case !no && s.match(string(got)) >= 0:
 						read++
