@@ -842,6 +842,61 @@ func TestRunsWriteTheFilterGoldens(t *testing.T) {
 	}
 }
 
+// TestHeldBlocksTakeTheirGapsBytes: until it sizes its filter, a run
+// builder holds each distinct block as the uvarint of its gap from the
+// block before, so what it holds is exactly the gaps' uvarint lengths — a
+// byte a block where blocks are dense, not the eight of a uint64 — and the
+// filter it sizes at seal holds every block, a repeated one once.
+func TestHeldBlocksTakeTheirGapsBytes(t *testing.T) {
+	var blocks []uint64
+	for b := uint64(5); len(blocks) < 1000; b += 1 + uint64(len(blocks)%3) {
+		blocks = append(blocks, b)
+	}
+	dense := len(blocks)
+	blocks = append(blocks, 1<<20, 1<<40, 1<<63, 1<<64-1)
+	db, err := Open(storage.NewMemFS(), Options{Tables: []TableSpec{{Name: "from", RecordSize: testRecSize}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	set := db.NewFileSet(0, 1, storage.SrcCheckpoint, "from")
+	b := set.Run("from", 0, 2*len(blocks))
+	held, prev := 0, uint64(0)
+	for i, blk := range blocks {
+		for payload := range uint64(2) {
+			if err := b.Add(rec16(blk, payload)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		held += len(binary.AppendUvarint(nil, blk-prev))
+		prev = blk
+		if len(b.gaps) != held || b.keys != i+1 {
+			t.Fatalf("after %d blocks the builder holds %d bytes for %d keys, want %d for %d", i+1, len(b.gaps), b.keys, held, i+1)
+		}
+		if i+1 == dense && held != dense {
+			t.Fatalf("%d dense blocks take %d bytes, want one each", dense, held)
+		}
+	}
+	refs, err := set.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.NewEdit().SetCP(1).AddRun(refs[0]).Commit(); err != nil {
+		t.Fatal(err)
+	}
+	run := db.Table("from").Runs(0)[0]
+	if f := run.bloomFilter(); f == nil {
+		t.Fatal("no filter")
+	} else if f.Added() != uint64(len(blocks)) {
+		t.Fatalf("the filter holds %d blocks, want the %d distinct ones", f.Added(), len(blocks))
+	}
+	for _, blk := range blocks {
+		if !run.MayContainBlock(blk) {
+			t.Fatalf("block %d ruled out", blk)
+		}
+	}
+}
+
 // TestFilterPastItsCap: a run with more distinct blocks than its table's
 // BloomMaxBytes gets a filter of the cap, which the builder fills as the
 // keys come once they pass it, and which holds every block, in either

@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -342,11 +343,17 @@ type RunBuilder struct {
 	expect    int
 	file      *setFile      // nil until the first record
 	writer    *btree.Writer // nil until the first record
-	// keys holds the run's distinct blocks until its filter is sized: at
+	// gaps holds the run's distinct blocks until its filter is sized: at
 	// seal, or once they outnumber the cap's bytes, past which every size
-	// is the cap's and the filter takes the keys as they come.
-	keys   []uint64
-	filter *bloom.Filter
+	// is the cap's and the filter takes the keys as they come. The blocks
+	// arrive ascending, so each is held as the uvarint of its gap from the
+	// one before (the first's from 0): a byte or two where a run's blocks
+	// are dense, where a uint64 would take eight. keys counts them and
+	// lastKey is the latest.
+	gaps    []byte
+	keys    int
+	lastKey uint64
+	filter  *bloom.Filter
 
 	minBlock, maxBlock uint64
 	prevBlock          uint64
@@ -430,7 +437,9 @@ func (b *RunBuilder) addKey(blk uint64) {
 		b.filter.Add(blk)
 		return
 	}
-	if b.keys = append(b.keys, blk); len(b.keys) > b.filterCap() {
+	b.gaps = binary.AppendUvarint(b.gaps, blk-b.lastKey)
+	b.lastKey = blk
+	if b.keys++; b.keys > b.filterCap() {
 		b.sizeFilter()
 	}
 }
@@ -450,15 +459,19 @@ func (b *RunBuilder) filterCap() int {
 // contains a smaller number of records, we appropriately shrink its Bloom
 // filter", Section 5.1).
 func (b *RunBuilder) sizeFilter() {
-	if n := len(b.keys); b.set.db.opts.RunFormat == btree.FormatRaw {
+	if n := b.keys; b.set.db.opts.RunFormat == btree.FormatRaw {
 		b.filter = bloom.NewPow2(bloom.Pow2Bytes(n, b.expect, b.filterCap()), bloom.DefaultHashes)
 	} else {
 		b.filter = bloom.New(min(n, b.filterCap()), bloom.DefaultHashes)
 	}
-	for _, k := range b.keys {
+	var k uint64
+	for g := b.gaps; len(g) > 0; {
+		gap, n := binary.Uvarint(g)
+		k += gap
 		b.filter.Add(k)
+		g = g[n:]
 	}
-	b.keys = nil
+	b.gaps = nil
 }
 
 // seal completes the run's pages, filter and header once its last record
