@@ -34,7 +34,7 @@ import (
 //	v6-wal-…01.seg  Cut mark CP=7, then goldenV6Records()[:14] in frames
 //	                of 2, 1, 5 and 6 records, the state carried across them
 //	v6-wal-…02.seg  goldenV6Records()[14:] in frames of 3 and 32 records,
-//	                the second over 127 bytes
+//	                the second over 127 bytes (goldenV6Frames)
 func goldenRecords() []Record {
 	return []Record{
 		{Op: OpAddRef, Block: 1, Inode: 2, Offset: 3, Line: 0, Length: 1, CP: 2},
@@ -112,33 +112,22 @@ func goldenV6Records() []Record {
 	return recs
 }
 
-// goldenV6Splits are where the version-6 golden files' frames start in
-// goldenV6Records: segment 1 after its mark, then segment 2 at 14.
-var goldenV6Splits = [][]int{{0, 2, 3, 8}, {14, 17}}
+// goldenV6Frames is how the version-6 golden files frame
+// goldenV6Records(): segment 1 a lone cut mark, then frames of 2, 1, 5 and
+// 6 records, segment 2 frames of 3 and 32.
+func goldenV6Frames(index uint64) [][]Record {
+	recs := goldenV6Records()
+	if index == 1 {
+		return [][]Record{{{Op: OpCut, CP: 7}}, recs[:2], recs[2:3], recs[3:8], recs[8:14]}
+	}
+	return [][]Record{recs[14:17], recs[17:]}
+}
 
 // goldenV6Segment lays out the version-6 golden history as its segment
-// files do: the frames a writer's batches would make, the elision state
-// carried from each to the next and empty at the segment's start.
+// files do: the elision state carried from each frame to the next and
+// empty at the segment's start, as a writer's batches leave it.
 func goldenV6Segment(index uint64) []byte {
-	recs := goldenV6Records()
-	b := encodeSegHeader(index)
-	var st batchState
-	if index == 1 {
-		b = appendFrame(b, segVersion, &st, Record{Op: OpCut, CP: 7})
-	}
-	splits := goldenV6Splits[index-1]
-	end := len(recs)
-	if index == 1 {
-		end = goldenV6Splits[1][0]
-	}
-	for i, at := range splits {
-		next := end
-		if i+1 < len(splits) {
-			next = splits[i+1]
-		}
-		b = appendFrame(b, segVersion, &st, recs[at:next]...)
-	}
-	return b
+	return append(encodeSegHeader(index), encodeFrames(segVersion, goldenV6Frames(index))...)
 }
 
 func goldenFile(t testing.TB, prefix string, index uint64) []byte {
@@ -312,7 +301,6 @@ func TestFormat5BytesPinned(t *testing.T) {
 // segVersion and adds files; it never rewrites these.
 func TestFormat6BytesPinned(t *testing.T) {
 	vfs := storage.NewMemFS()
-	recs := goldenV6Records()
 	var size, emptyStarts, v5Size int
 	for _, index := range []uint64{1, 2} {
 		want := goldenFile(t, "v6-", index)
@@ -320,7 +308,7 @@ func TestFormat6BytesPinned(t *testing.T) {
 			t.Errorf("segment %d encodes as\n%x\nthe golden file holds\n%x", index, got, want)
 		}
 		plantSegment(t, vfs, index, want)
-		size += len(want)
+		size += len(want) - segHeaderSize
 
 		var headers []int
 		for b := want[segHeaderSize:]; len(b) > 0; {
@@ -338,20 +326,11 @@ func TestFormat6BytesPinned(t *testing.T) {
 		if !slices.Equal(headers, wantHeaders) {
 			t.Errorf("segment %d: frame headers of %v bytes, want %v", index, headers, wantHeaders)
 		}
-
-		// The same frames, each from an empty state, and in version 5.
-		splits := append(slices.Clone(goldenV6Splits[index-1]), len(recs))
-		if index == 1 {
-			splits[len(splits)-1] = goldenV6Splits[1][0]
-			emptyStarts += len(appendBatch(nil, Record{Op: OpCut, CP: 7}))
-			v5Size += len(appendBatchAs(nil, 5, Record{Op: OpCut, CP: 7}))
-		}
-		for i := 0; i+1 < len(splits); i++ {
-			emptyStarts += len(appendBatch(nil, recs[splits[i]:splits[i+1]]...))
-			v5Size += len(appendBatchAs(nil, 5, recs[splits[i]:splits[i+1]]...))
+		for _, frame := range goldenV6Frames(index) {
+			emptyStarts += len(appendBatch(nil, frame...))
+			v5Size += len(appendBatchAs(nil, 5, frame...))
 		}
 	}
-	size -= 2 * segHeaderSize
 	if size >= emptyStarts || emptyStarts >= v5Size {
 		t.Errorf("the history's frames take %d bytes, %d each from an empty state, %d in version 5", size, emptyStarts, v5Size)
 	}
@@ -360,7 +339,7 @@ func TestFormat6BytesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	updates := slices.DeleteFunc(slices.Clone(recs), func(r Record) bool { return r.Op == OpCut })
+	updates := slices.DeleteFunc(goldenV6Records(), func(r Record) bool { return r.Op == OpCut })
 	want := Recovered{Records: updates, Cuts: []CutMark{{Index: 0, CP: 7}, {Index: 12, CP: 11}}, Found: true}
 	if !reflect.DeepEqual(rec, want) {
 		t.Fatalf("v6 golden log recovered as\n%+v\nwant\n%+v", rec, want)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -341,6 +342,8 @@ func TestCrashDurabilityByMode(t *testing.T) {
 	})
 }
 
+// TestTornTailIsTolerated: a final segment whose last frame a crash cut
+// short, or whose tail is zeros, recovers every record before it.
 func TestTornTailIsTolerated(t *testing.T) {
 	vfs := storage.NewMemFS()
 	l, _ := mustOpen(t, vfs, Sync)
@@ -400,6 +403,23 @@ func TestTornTailIsTolerated(t *testing.T) {
 		if len(rec.Records) != n-1 {
 			t.Fatalf("cut %d: recovered %d records, want %d", cut, len(rec.Records), n-1)
 		}
+	}
+
+	// A zero-filled tail — the file grew, its bytes never came — is a tear
+	// as well, a length of 0 being refused: every record replays, Open
+	// seals the tail, and the log goes on past it.
+	zeroVFS := storage.NewMemFS()
+	plantSegment(t, zeroVFS, segs[0], append(slices.Clone(buf), make([]byte, storage.PageSize)...))
+	l, rec, err := Open(zeroVFS, Options{Durability: Sync})
+	if err != nil || len(rec.Records) != n {
+		t.Fatalf("zero-filled tail: recovered %d records (%v), want %d", len(rec.Records), err, n)
+	}
+	appendAll(t, l, addRec(n))
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := Recover(zeroVFS); err != nil || len(rec.Records) != n+1 {
+		t.Fatalf("zero-filled tail, sealed: recovered %d records (%v), want %d", len(rec.Records), err, n+1)
 	}
 }
 
