@@ -136,13 +136,14 @@
 //     not two.
 //
 // Log records are varint-encoded and framed per device write rather than
-// per record (segment format 5: a block update's op rides in the first byte
+// per record (segment format 6: a block update's op rides in the first byte
 // of its block, so an update is about 6 bytes, 3 for one that continues its
-// file where the previous update of its kind left off, plus an 8-byte
-// header per batch — measured, 4.18 bytes per update in Buffered mode and
-// 10.8 in Sync mode with two updaters — while segments the previous binary
-// wrote in format 4 still replay; format 3 is refused by name, with the
-// binary that replays it, commit 0ea923b or earlier). Open replays the log
+// file where the previous update of its kind left off, even in the batch
+// before, plus a 5-byte header per batch under 128 bytes — measured, 4.18
+// bytes per update in Buffered mode and 8.3 in Sync mode with two updaters
+// — while segments the previous binary wrote in format 5 still replay;
+// formats 4 and 3 are refused by name, with the binary that replays them,
+// commit 8d5575c and commit 0ea923b or earlier). Open replays the log
 // tail — tolerating a torn final batch, none of whose records a Sync log
 // had acknowledged — to rebuild the write stores, and
 // Checkpoint retires the log, so queries and paper experiments behave

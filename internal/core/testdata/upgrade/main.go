@@ -9,9 +9,11 @@
 //
 //   - 0ea923b: run format 2 and log format 3 (to run format 4, log format
 //     5);
-//   - 8d5575c: run formats 3 and 4, a legacy MANIFEST, a commit whose runs
-//     carry no header, and deletion-vector version 1 (to run format 6,
-//     the commit trailer, deletion-vector version 2).
+//   - 8d5575c: run formats 3 and 4, log format 4, a legacy MANIFEST, a
+//     commit whose runs carry no header, and deletion-vector version 1 (to
+//     run format 6, the commit trailer, deletion-vector version 2, log
+//     format 5, which the current binary reads and retires at its first
+//     checkpoint).
 //
 // For each commit C of the chain:
 //

@@ -44,8 +44,9 @@
 // segment is full, which its flush rotates first, or the first after a Cut
 // or Open — from an empty state. Measured on bench/ (seed 1,
 // wal.bytes_per_record): the log costs 4.18 bytes per update on mixed
-// (Buffered; 5.03 in version 4, 6.8 in version 3) and 10.8 on durable
-// (Sync, two clients, 1.9 records per group commit) in version 5.
+// (Buffered; 5.03 in version 4, 6.8 in version 3) and 8.3 on durable
+// (Sync, two clients, 1.9 records per group commit; 10.8 in version 5,
+// 11.7 in version 4).
 //
 // That is segment format version 6, the only one written. Version 5 is the
 // same records under an 8-byte frame header (a 4-byte big-endian length
