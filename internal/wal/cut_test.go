@@ -882,7 +882,7 @@ func TestBatchStateFollowsItsSegment(t *testing.T) {
 					}
 					frames, _, err := decodeFrames(readSegmentFile(t, vfs, segs[1])[segHeaderSize:], segVersion)
 					if err != nil || len(frames) != 1 || len(frames[0]) != 1+joining {
-						t.Fatalf("the new segment holds frames of %v records (%v), want one of the %d appended during the rotation", frameSizes(frames), err, 1+joining)
+						t.Fatalf("the new segment holds the frames %+v (%v), want one of the %d records appended during the rotation", frames, err, 1+joining)
 					}
 					got, err := Recover(vfs)
 					if err != nil {
@@ -940,13 +940,4 @@ func TestBatchStateFollowsItsSegment(t *testing.T) {
 			})
 		}
 	}
-}
-
-// frameSizes lists the record counts of frames.
-func frameSizes(frames [][]Record) []int {
-	var n []int
-	for _, f := range frames {
-		n = append(n, len(f))
-	}
-	return n
 }
