@@ -19,8 +19,9 @@ import (
 // an enveloped version-4 one with a Buffered log tail, and
 // v3manifest-store, a bare-JSON version-3 one; never regenerate them) the
 // way an application does. This binary no longer reads either: Open refuses
-// the store by the manifest's version, not as damage, naming the binary
-// that upgrades it (internal/core/testdata/upgrade), and changes no file.
+// the store by the manifest's version, not as damage, naming the binaries
+// that upgrade it (internal/core/testdata/upgrade) — one for runs of format
+// 2, then the one for the rest — and changes no file.
 func TestEarlierStoresUpgradeThroughOpen(t *testing.T) {
 	for _, c := range []struct {
 		store   string
@@ -60,7 +61,7 @@ func TestEarlierStoresUpgradeThroughOpen(t *testing.T) {
 				db.Close()
 				t.Fatal("Open accepted a store whose commit is a legacy manifest")
 			}
-			want := fmt.Sprintf("the manifest in MANIFEST, version %d, is no longer read: open the store once with a binary of commit 8d5575c", c.version)
+			want := fmt.Sprintf("the manifest in MANIFEST, version %d, is no longer read: open the store once with a binary of commit 0ea923b if its runs are of format 2, then once with a binary of commit 8d5575c", c.version)
 			if errors.Is(err, lsm.ErrCorrupt) || errors.Is(err, btree.ErrCorrupt) || !strings.Contains(err.Error(), want) {
 				t.Fatalf("Open = %v, want %q", err, want)
 			}

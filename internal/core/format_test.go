@@ -709,7 +709,7 @@ func refusedStore(t *testing.T, name string, partitions int, what string) {
 		t.Fatalf("%s opened", name)
 	}
 	if errors.Is(err, lsm.ErrCorrupt) || errors.Is(err, btree.ErrCorrupt) || !strings.Contains(err.Error(), what) ||
-		!strings.Contains(err.Error(), "open the store once with a binary of commit 8d5575c") {
+		!strings.Contains(err.Error(), " once with a binary of commit 8d5575c") {
 		t.Fatalf("%s: Open = %v, want %q refused by name, with its upgrader", name, err, what)
 	}
 	entries, err := os.ReadDir(filepath.Join("testdata", name))
@@ -789,19 +789,31 @@ func TestCompressionProjectsTheRewrite(t *testing.T) {
 // durability it opens under, or, for a store in a format this binary no
 // longer reads, what Open's refusal names (refusedStore) and the
 // partitions of 100 blocks it was written with. v5runs-store's .answers
-// file covers every block below earlierStoreBlocks.
-var migrationFixtures = []struct {
-	store      string
-	mode       wal.Durability
-	refused    string
-	partitions int
-}{
-	{"v3manifest-store", wal.CheckpointOnly, "the manifest in MANIFEST, version 3,", 1},
-	{"v4manifest-store", wal.Buffered, "the manifest in MANIFEST, version 4,", 1},
+// file covers every block below earlierStoreBlocks. A legacy manifest's
+// refusal names both hops of its upgrade: a store that old may hold runs of
+// format 2, which 8d5575c refuses in turn.
+var migrationFixtures = []migrationFixture{
+	{"v3manifest-store", wal.CheckpointOnly, "the manifest in MANIFEST, version 3, " + legacyUpgrade, 1},
+	{"v4manifest-store", wal.Buffered, "the manifest in MANIFEST, version 4, " + legacyUpgrade, 1},
 	{"v3runs-store", wal.CheckpointOnly, "run format 3 is no longer read", 2},
 	{"v4runs-store", wal.Buffered, "run format 4 is no longer read", 1},
 	{"v5runs-store", wal.Buffered, "", 1},
 }
+
+type migrationFixture struct {
+	store      string
+	mode       wal.Durability
+	refused    string
+	partitions int
+}
+
+// commitFixture is the store the previous commit format's binary wrote, in
+// Sync mode: a store of the current run format whose commit is version 4
+// and whose log tail is format 6.
+var commitFixture = migrationFixture{"v4commit-store", wal.Sync, "", 1}
+
+// legacyUpgrade is how the refusal of a legacy manifest starts its upgrade.
+const legacyUpgrade = "is no longer read: open the store once with a binary of commit 0ea923b if its runs are of format 2, then once with a binary of commit 8d5575c"
 
 // TestCurrentFormatStoreOpensAsWritten: the store a binary of the current
 // run format wrote (testdata/v6runs-store, from a build of 958afda) opens
@@ -847,52 +859,60 @@ func TestCurrentFormatStoreOpensAsWritten(t *testing.T) {
 	}
 }
 
-// TestSyncLogStoreReplaysAsWritten: the store a Sync-mode binary of log
-// format 5 wrote (testdata/v5log-store, from a build of 687eb0f) holds the
-// updates of CP 8 in its log alone, a frame each, as a lone Sync appender
-// leaves them. Each Open replays every one of them and answers as the model
-// and the writer do, and neither it, the queries nor the Close touch a run
-// file or the writer's segment.
+// TestSyncLogStoreReplaysAsWritten: the stores a Sync-mode binary of log
+// format 5 (testdata/v5log-store, from a build of 687eb0f) and of commit
+// format 4 (testdata/v4commit-store, from a build of 19dfafc, whose log is
+// format 6) wrote hold the updates of CP 8 in their log alone, a frame
+// each, as a lone Sync appender leaves them. Each Open replays every one of
+// them and answers as the model and the writer do, and neither it, the
+// queries nor the Close touch a run file or the writer's segment.
 func TestSyncLogStoreReplaysAsWritten(t *testing.T) {
-	const store, segment = "v5log-store", "wal-0000000000000008.seg"
-	fs, want := earlierStore(t, store)
-	m, tail := writerModel(true)
-	kept := func() map[string][]byte {
-		files := memFiles(t, fs)
-		maps.DeleteFunc(files, func(name string, _ []byte) bool { return !strings.HasSuffix(name, ".run") && name != segment })
-		return files
-	}
-	written := kept()
-	if len(written) != 5 {
-		t.Fatalf("%s holds %d run files and segments, want four run files and %s", store, len(written), segment)
-	}
-	for range 2 {
-		eng, err := core.Open(core.Options{VFS: fs, Catalog: core.NewMemCatalog(), Durability: wal.Sync})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := eng.Stats().WALReplayed; got != uint64(len(tail)) {
-			t.Fatalf("replayed %d records, want the %d updates of the tail", got, len(tail))
-		}
-		checkEarlierStore(t, eng, m, want)
-		if err := eng.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if got := kept(); !maps.EqualFunc(got, written, bytes.Equal) {
-			t.Fatalf("the run files or the writer's segment changed: %d of them now, %d written", len(got), len(written))
-		}
+	const segment = "wal-0000000000000008.seg"
+	for _, store := range []string{"v5log-store", commitFixture.store} {
+		t.Run(store, func(t *testing.T) {
+			fs, want := earlierStore(t, store)
+			m, tail := writerModel(true)
+			kept := func() map[string][]byte {
+				files := memFiles(t, fs)
+				maps.DeleteFunc(files, func(name string, _ []byte) bool { return !strings.HasSuffix(name, ".run") && name != segment })
+				return files
+			}
+			written := kept()
+			if len(written) != 5 {
+				t.Fatalf("%s holds %d run files and segments, want four run files and %s", store, len(written), segment)
+			}
+			for range 2 {
+				eng, err := core.Open(core.Options{VFS: fs, Catalog: core.NewMemCatalog(), Durability: wal.Sync})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := eng.Stats().WALReplayed; got != uint64(len(tail)) {
+					t.Fatalf("replayed %d records, want the %d updates of the tail", got, len(tail))
+				}
+				checkEarlierStore(t, eng, m, want)
+				if err := eng.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if got := kept(); !maps.EqualFunc(got, written, bytes.Equal) {
+					t.Fatalf("the run files or the writer's segment changed: %d of them now, %d written", len(got), len(written))
+				}
+			}
+		})
 	}
 }
 
 // TestMigrationSurvivesACrash: the migration of the store the previous run
 // format's binary wrote — its first MaintainNow, which rewrites every run of
-// that format, and the Close that commits it — killed at each of its
-// mutating calls in turn and at the first call after them, each under
-// every crash state. Every reopen answers as the store's writer did and
-// leaves no file the commit it took does not need. A store of an earlier
-// format is refused by name, every file as its writer left it.
+// that format, and the Close that commits it — and of the store the
+// previous commit format's binary wrote (testdata/v4commit-store, Sync mode,
+// from a build of 19dfafc) — its first commit, a Checkpoint, and the Close
+// after it — killed at each of its mutating calls in turn and at the first
+// call after them, each under every crash state. Every reopen lands on the
+// commit before the migration or one it made, answers as the store's writer
+// did and leaves no file the commit it took does not need. A store of an
+// earlier format is refused by name, every file as its writer left it.
 func TestMigrationSurvivesACrash(t *testing.T) {
-	for _, fx := range migrationFixtures {
+	for _, fx := range append(slices.Clone(migrationFixtures), commitFixture) {
 		t.Run(fx.store, func(t *testing.T) {
 			if fx.refused != "" {
 				refusedStore(t, fx.store, fx.partitions, fx.refused)
@@ -902,6 +922,9 @@ func TestMigrationSurvivesACrash(t *testing.T) {
 				return core.Options{VFS: fs, Catalog: core.NewMemCatalog(), Durability: fx.mode}
 			}
 			migrate := func(eng *core.Engine) error {
+				if fx == commitFixture {
+					return errors.Join(eng.Checkpoint(eng.CP()+1), eng.Close())
+				}
 				return errors.Join(eng.MaintainNow(), eng.Close())
 			}
 			// start loads the store, opens it and returns it with the
@@ -915,11 +938,13 @@ func TestMigrationSurvivesACrash(t *testing.T) {
 				return fs, eng, fs.Stats().Calls, want
 			}
 			fs, eng, at, _ := start()
+			cp := eng.CP()
 			if err := migrate(eng); err != nil {
 				t.Fatal(err)
 			}
 			calls := fs.Stats().Calls - at
 			t.Logf("the migration makes %d mutating calls", calls)
+			landed := map[uint64]int{}
 			for k := int64(1); k <= calls+1; k++ {
 				for name, state := range crashStates() {
 					what := fmt.Sprintf("killed at call %d of %d, crash state %q", k, calls, name)
@@ -935,6 +960,10 @@ func TestMigrationSurvivesACrash(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: reopen: %v", what, err)
 					}
+					if got := eng.CP(); got != cp && (fx != commitFixture || got != cp+1) {
+						t.Fatalf("%s: the store reopens at CP %d, not at the writer's %d or the migration's", what, got, cp)
+					}
+					landed[eng.CP()]++
 					if got := storeAnswers(t, eng, earlierStoreBlocks, 1); got != want {
 						t.Fatalf("%s: the store answers\n%s\nits writer answered\n%s", what, got, want)
 					}
@@ -943,6 +972,9 @@ func TestMigrationSurvivesACrash(t *testing.T) {
 					}
 					eng.Close()
 				}
+			}
+			if fx == commitFixture && (landed[cp] == 0 || landed[cp+1] == 0) {
+				t.Fatalf("the reopens landed at CPs %v: want both the version-4 commit's %d and the migration's", landed, cp)
 			}
 		})
 	}

@@ -1018,12 +1018,17 @@ type smIO struct {
 	commits bool
 }
 
-// do steps op and records its I/O.
+// do steps op and records its I/O. An op that commits, and lives, leaves a
+// commit whose body decodes to the manifest it encoded (lsm.DB.CheckCommit).
 func (d *smDriver) do(op smOp) error {
 	before, commit := d.fs.Stats(), d.manifest()
 	err := d.step(op)
 	st := d.fs.Stats()
-	d.io = append(d.io, smIO{calls: st.Calls - max(before.Calls, d.mark), commits: d.manifest() != commit})
+	commits := d.manifest() != commit
+	d.io = append(d.io, smIO{calls: st.Calls - max(before.Calls, d.mark), commits: commits})
+	if err == nil && commits && !d.dying && d.eng != nil {
+		err = d.eng.DB().CheckCommit()
+	}
 	return err
 }
 

@@ -142,8 +142,8 @@ func TestRelocationDurableAtCheckpoint(t *testing.T) {
 // version 4's and version 3's golden segments — is refused by name, with
 // the binary that replays it, and so is the store
 // testdata/v3-store, whose manifest is a legacy MANIFEST, whose runs are
-// format 2 and whose log tail is format 3, each with the binary that
-// upgrades it; the refused Open changes no file.
+// format 2 and whose log tail is format 3, with both binaries that upgrade
+// it in turn; the refused Open changes no file.
 func TestPreviousFormatLogTailReplaysAndRetires(t *testing.T) {
 	tails := []struct {
 		version  string
@@ -156,7 +156,7 @@ func TestPreviousFormatLogTailReplaysAndRetires(t *testing.T) {
 		{"v3", 0, 0, 0, "segment wal-0000000000000001.seg is in format version 3", "commit 0ea923b or earlier"},
 		{"v4", 0, 0, 0, "segment wal-0000000000000001.seg is in format version 4", "commit 8d5575c"},
 		{"v5", 16, 3<<16 + 5, 13, "", ""},
-		{"v3-store", 0, 0, 0, "the manifest in MANIFEST, version 3, is no longer read", "commit 8d5575c"},
+		{"v3-store", 0, 0, 0, "the manifest in MANIFEST, version 3, is no longer read", "commit 0ea923b if its runs are of format 2, then once with a binary of commit 8d5575c"},
 	}
 	old := []string{"wal-0000000000000001.seg", "wal-0000000000000002.seg"}
 	for _, mode := range []wal.Durability{wal.Buffered, wal.Sync} {

@@ -33,50 +33,30 @@ var xversionRows = []struct {
 	// upgrade is the chain of upgraders (testdata/upgrade) this binary's
 	// refusal of the row's stores names, in turn; none when it reads them.
 	upgrade []string
-	// refuses is what the row's Open may say when it refuses a store this
-	// binary wrote, every file unchanged; none when it must read them all.
+	// refuses is what the row's Open says when it refuses a store this
+	// binary wrote, every file unchanged: it must refuse every one. None
+	// when it must read them all.
 	refuses []string
-	// loses says which stores this binary wrote the row's binary takes for
-	// empty ones, removing their runs as orphans.
-	loses xvLoss
-	// refusesLogs says the row must refuse, by a phrase of refuses, every
-	// store this binary wrote with a log, and read every other.
-	refusesLogs bool
+	// losesAll says the row takes every store this binary wrote for an
+	// empty one, removing its runs as orphans.
+	losesAll bool
 }{
-	// Run format 6 is newer than every row up to 45342b7, and none of them
-	// tells a newer format from damage: each calls a store whose commit
-	// names a format-6 run corrupt, and changes no file. But a store left
-	// without a Close has its commit in the trailer of a checkpoint's run
-	// file, which such a row checks page by page before it believes it: the
-	// pages fail, no older commit is left, and the row opens an empty store
-	// and removes every run as an orphan. abc326f predates the trailer and
-	// does that to every store; refusing a log of format 5 comes after.
-	{"abc326f", "a legacy MANIFEST, run format 3, log format 4", []string{"8d5575c"}, nil, losesAll, false},
-	{"7599812", "a commit trailer whose runs carry no header, run format 3, log format 4", []string{"8d5575c"},
-		[]string{"corrupt", "reading header: EOF"}, losesUnclosed, false},
-	{"d2672fc", "run format 3, log format 4", []string{"8d5575c"}, []string{"corrupt"}, losesUnclosed, false},
-	{"1667fd7", "run format 4", []string{"8d5575c"}, []string{"corrupt"}, losesUnclosed, false},
-	{"45342b7", "run format 5", nil, []string{"corrupt"}, losesUnclosed, false},
-	// Delta runs' filters became BLF2: the binary before them cannot decode
-	// one, and probes the run around it, as it does a damaged filter. Log
-	// format 6 is newer than its log reader and the next one's, which tell a
-	// newer format from damage: each refuses every store with a log as
-	// that, every file unchanged, and reads the CheckpointOnly ones, which
-	// hold no log.
-	{"958afda", "BLF1 filters in delta runs, log format 5", nil, []string{storage.ErrNewerFormat.Error()}, losesNone, true},
-	{"687eb0f", "log format 5", nil, []string{storage.ErrNewerFormat.Error()}, losesNone, true},
+	// Commit format 5 is newer than every row, and each but the first
+	// checks a commit's envelope version before it believes the commit or
+	// checks a page of the file that carries it: every store this binary
+	// wrote, closed or not, is refused by that version, every file
+	// unchanged. Up to 45342b7 a row calls the version unsupported; from
+	// 958afda on it tells a newer version from damage. abc326f predates the
+	// commit trailer: it finds no commit it knows, opens an empty store and
+	// removes every run as an orphan.
+	{"abc326f", "a legacy MANIFEST, run format 3, log format 4", []string{"8d5575c"}, nil, true},
+	{"7599812", "a commit trailer whose runs carry no header, run format 3, log format 4", []string{"8d5575c"}, []string{"manifest version 5 not supported"}, false},
+	{"d2672fc", "run format 3, log format 4, commit format 4", []string{"8d5575c"}, []string{"manifest version 5 not supported"}, false},
+	{"1667fd7", "run format 4, commit format 4", []string{"8d5575c"}, []string{"manifest version 5 not supported"}, false},
+	{"45342b7", "run format 5, commit format 4", nil, []string{"manifest version 5 not supported"}, false},
+	{"958afda", "BLF1 filters in delta runs, log format 5, commit format 4", nil, []string{storage.ErrNewerFormat.Error()}, false},
+	{"687eb0f", "log format 5, commit format 4", nil, []string{storage.ErrNewerFormat.Error()}, false},
 }
-
-// xvLoss says which stores this binary wrote an earlier binary destroys.
-type xvLoss int
-
-const (
-	losesNone     xvLoss = iota
-	losesUnclosed        // a store left without a Close
-	losesAll
-)
-
-func (l xvLoss) allows(s *xvScript) bool { return l == losesAll || l == losesUnclosed && s.exit }
 
 // tookOp is an op the store was given and the CP being taken then.
 type tookOp struct {
@@ -459,23 +439,21 @@ func TestCrossVersion(t *testing.T) {
 					stderr = strings.TrimSpace(stderr)
 					after := dirFiles(t, dir)
 					got, _ := os.ReadFile(ans)
-					if row.refusesLogs && no != (s.mode != wal.CheckpointOnly) {
-						t.Fatalf("%s %s a %s store (%s): it must refuse a store with a log and read every other", row.rev,
-							map[bool]string{true: "refused", false: "did not refuse"}[no], s.mode, stderr)
-					}
 					switch {
-					case !no && s.match(string(got)) >= 0:
+					case len(row.refuses) == 0 && !row.losesAll && !no && s.match(string(got)) >= 0:
 						read++
 					case no && maps.EqualFunc(before, after, bytes.Equal) &&
 						slices.ContainsFunc(row.refuses, func(w string) bool { return strings.Contains(stderr, w) }):
 						refused++
-					case row.loses.allows(s) && len(got) == 0 && !slices.ContainsFunc(slices.Collect(maps.Keys(before)), func(name string) bool {
+					case row.losesAll && len(got) == 0 && !slices.ContainsFunc(slices.Collect(maps.Keys(before)), func(name string) bool {
 						return strings.HasSuffix(name, ".run") && after[name] != nil
 					}):
 						lost++
 					case no:
 						t.Fatalf("%s refused this binary's store (%s), the files %s", row.rev, stderr,
 							map[bool]string{true: "unchanged", false: "changed"}[maps.EqualFunc(before, after, bytes.Equal)])
+					case len(row.refuses) > 0:
+						t.Fatalf("%s read this binary's %s store, which it must refuse (%v), answering\n%s", row.rev, s.mode, row.refuses, got)
 					default:
 						t.Fatalf("%s answers\n%s\nthe model (all %d updates since the last checkpoint kept)\n%s", row.rev, got, s.hi, s.answers(s.hi))
 					}

@@ -2,7 +2,6 @@ package lsm
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
@@ -354,7 +353,9 @@ func (e *Edit) Write() error {
 		if err != nil {
 			return e.fail(fmt.Errorf("lsm: manifest section: %w", err))
 		}
-		next.Catalog = sec
+		if next.Catalog = sec; len(sec) == 0 {
+			next.Catalog = nil // as a reopen reads it
+		}
 	}
 	if e.setCP {
 		if e.cp < db.m.CP {
@@ -441,10 +442,8 @@ func (e *Edit) Write() error {
 	// back, so a Commit can never roll IDs backwards under a concurrent
 	// allocation.
 	next.NextID = db.nextIDSnapshot()
-	body, err := json.Marshal(&next)
-	if err != nil {
-		return e.fail(err)
-	}
+	body := appendManifest(nil, &next)
+	var err error
 	e.trailed = true
 	if rf := e.carrier; rf.pending != nil {
 		err = rf.pending.Write(sealTrailer(body, rf.layout), storage.SrcManifest)

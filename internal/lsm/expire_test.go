@@ -1,8 +1,8 @@
 package lsm
 
 import (
+	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"io"
 	"maps"
@@ -124,8 +124,8 @@ func trailer(t testing.TB, fs *storage.MemFS, name string) (env, footer []byte) 
 	return buf[binary.LittleEndian.Uint64(footer[16:]) : len(buf)-trailerFooterLen], footer
 }
 
-// manifestBody returns the JSON body of the newest commit's manifest,
-// whatever file carries it.
+// manifestBody returns the body of the newest commit's manifest, whatever
+// file carries it.
 func manifestBody(t testing.TB, fs *storage.MemFS) []byte {
 	t.Helper()
 	env, _ := trailer(t, fs, commitFile(t, fs))
@@ -158,30 +158,14 @@ func toLegacy(t testing.TB, fs *storage.MemFS, manifest []byte) {
 	plant(t, fs, legacyManifest, manifest)
 }
 
-// setManifestVersion plants, as the newest commit file, the manifest of
-// fs's newest commit with version v in its envelope and its body, or with
-// the body's version field removed when v < 0.
-func setManifestVersion(t *testing.T, fs *storage.MemFS, v int) {
-	t.Helper()
-	var m map[string]any
-	if err := json.Unmarshal(manifestBody(t, fs), &m); err != nil {
-		t.Fatal(err)
-	}
-	m["version"] = v
-	if v < 0 {
-		delete(m, "version")
-	}
-	buf, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	commit := sealTrailer(buf, btree.Layout{})
-	if v >= 0 {
-		env := commit[:len(commit)-trailerFooterLen]
-		binary.LittleEndian.PutUint32(env[8:], uint32(v))
-		binary.LittleEndian.PutUint32(env[16:], manifestCRC(env))
-	}
-	plant(t, fs, newestCommit, commit)
+// sealVersion is a commit file whose envelope names version v and holds
+// body.
+func sealVersion(v int, body []byte) []byte {
+	commit := sealTrailer(body, btree.Layout{})
+	env := commit[:len(commit)-trailerFooterLen]
+	binary.LittleEndian.PutUint32(env[8:], uint32(v))
+	binary.LittleEndian.PutUint32(env[16:], manifestCRC(env))
+	return commit
 }
 
 func readFile(t testing.TB, fs *storage.MemFS, name string) []byte {
@@ -203,46 +187,54 @@ func readFile(t testing.TB, fs *storage.MemFS, name string) []byte {
 }
 
 // TestManifestV1Compat is the house rule for commits: of the versions a
-// commit's envelope can name, this binary reads version 4 alone — the one
-// before it, 3, was bare JSON in the legacy MANIFEST, which is refused by
-// name (TestManifestV3BytesPinned) — and refuses every other by name, one
-// above 4 as newer than this binary (btree.ErrNewerFormat). A body whose
-// version field is missing, under a version-4 envelope, is ErrCorrupt. A
-// refused Open changes nothing on disk.
+// commit's envelope can name, this binary writes version 5 and reads it,
+// reads version 4 one back — the v4 goldens of goldenStoreV4, and
+// internal/core/testdata/v4commit-store, which a binary of 19dfafc wrote —
+// and refuses every other by name: 3 and below as versions it does not
+// read (3 was bare JSON in the legacy MANIFEST, which is refused by name
+// too: TestManifestV3BytesPinned), 6 and above as newer than this binary
+// (btree.ErrNewerFormat). A version-4 body whose version field is missing
+// is ErrCorrupt. A store read in either version commits version 5 next,
+// and reopens from it the same. A refused Open changes nothing on disk.
 func TestManifestV1Compat(t *testing.T) {
+	v4 := testdata(t, "commit-headers")
+	v4Body := v4[manifestEnvLen : len(v4)-trailerFooterLen]
 	for _, tc := range []struct {
 		name    string
-		version int    // -1: the body's field removed
-		want    string // "" for the one version read
+		version int
+		body    []byte // nil: the store's own, version 5
+		want    string // "" for a version read
 	}{
-		{"v0", 0, "carries version 0, which this binary does not read"},
-		{"v1", 1, "carries version 1, which this binary does not read"},
-		{"v2", 2, "carries version 2, which this binary does not read"},
-		{"v3", 3, "carries version 3, which this binary does not read"},
-		{"v4", manifestVersion, ""},
-		{"v5", 5, "carries version 5: format newer than this binary"},
-		{"v8", 8, "carries version 8: format newer than this binary"},
-		{"missing", -1, "version 0 in a version-4 envelope"},
+		{"v0", 0, nil, "carries version 0, which this binary does not read (it reads versions 4 to 5)"},
+		{"v1", 1, nil, "carries version 1, which this binary does not read"},
+		{"v2", 2, nil, "carries version 2, which this binary does not read"},
+		{"v3", 3, nil, "carries version 3, which this binary does not read"},
+		{"v4", manifestVersionJSON, v4Body, ""},
+		{"v5", manifestVersion, nil, ""},
+		{"v6", 6, nil, "carries version 6: format newer than this binary (this binary reads versions 4 to 5)"},
+		{"v8", 8, nil, "carries version 8: format newer than this binary"},
+		{"missing", manifestVersionJSON, bytes.Replace(v4Body, []byte(`"version":4,`), nil, 1), "version 0 in a version-4 envelope"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := storage.NewMemFS()
-			db := openSpannedDB(t, fs)
-			flushRecords(t, db, "combined", 5, [][]byte{rec16(1, 2), rec16(2, 3)})
+			db := goldenStoreV4(t, fs, nil)
+			want := storeState(t, db)
 			db.Close()
-			setManifestVersion(t, fs, tc.version)
-			before := snapshotFiles(t, fs)
-			db, err := Open(fs, Options{Tables: []TableSpec{spannedSpec("combined")}, Partitions: 1})
+			body := tc.body
+			if body == nil {
+				body = manifestBody(t, fs)
+			}
+			plant(t, fs, newestCommit, sealVersion(tc.version, body))
 			if tc.want == "" {
-				if err != nil {
-					t.Fatalf("Open of version %d: %v", tc.version, err)
-				}
-				defer db.Close()
-				if got := collect(t, db.Table("combined"), 1); len(got) != 1 {
-					t.Fatalf("block 1: %d records, want 1", len(got))
-				}
+				readsThenWrites(t, fs, goldenOptions(nil), tc.version, func(db *DB) string { return storeState(t, db) }, want)
 				return
 			}
-			if err == nil || !strings.Contains(err.Error(), tc.want) || errors.Is(err, ErrCorrupt) != (tc.version < 0) ||
+			before := snapshotFiles(t, fs)
+			db, err := Open(fs, goldenOptions(nil))
+			if err == nil {
+				db.Close()
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) || errors.Is(err, ErrCorrupt) != (tc.name == "missing") ||
 				errors.Is(err, btree.ErrNewerFormat) != (tc.version > manifestVersion) {
 				t.Fatalf("Open = %v, want an error naming %q", err, tc.want)
 			}
@@ -250,6 +242,48 @@ func TestManifestV1Compat(t *testing.T) {
 				t.Fatal("a refused Open changed the directory")
 			}
 		})
+	}
+	t.Run("v4commit-store", func(t *testing.T) {
+		fs := coreStore(t, "v4commit-store")
+		readsThenWrites(t, fs, coreOptions(), manifestVersionJSON, func(db *DB) string { return strings.Join(coreAnswers(t, db), "\n") }, "")
+	})
+}
+
+// readsThenWrites opens fs, whose newest commit is of version v, twice: the
+// first Open reads that commit and commits version 5, which the second
+// reads, each giving state — the first's, if want is "" — and neither
+// changing a run file.
+func readsThenWrites(t *testing.T, fs *storage.MemFS, opts Options, v int, state func(*DB) string, want string) {
+	t.Helper()
+	runs := func() map[string]string {
+		files := snapshotFiles(t, fs)
+		maps.DeleteFunc(files, func(name, _ string) bool { return !strings.HasSuffix(name, ".run") })
+		return files
+	}
+	written := runs()
+	for _, wantVersion := range []int{v, manifestVersion} {
+		db, err := Open(fs, opts)
+		if err != nil {
+			t.Fatalf("Open of version %d: %v", wantVersion, err)
+		}
+		env, _ := trailer(t, fs, db.commit)
+		if got, _, _ := unseal(env); got != wantVersion || db.m.Version != wantVersion {
+			t.Fatalf("the store opened from version %d (%d in memory), want %d", got, db.m.Version, wantVersion)
+		}
+		got := state(db)
+		if want == "" {
+			want = got
+		}
+		if got != want || got == "" {
+			t.Fatalf("the store opened from version %d reads\n%s\nwant\n%s", wantVersion, got, want)
+		}
+		if err := errors.Join(db.CheckHeaders(), db.CheckCommit(), db.NewEdit().Commit()); err != nil {
+			t.Fatal(err)
+		}
+		db.Close()
+	}
+	if !maps.Equal(runs(), written) {
+		t.Fatal("the run files changed")
 	}
 }
 
@@ -259,7 +293,7 @@ func TestManifestFutureVersionRejected(t *testing.T) {
 	fs := storage.NewMemFS()
 	db := openSpannedDB(t, fs)
 	flushRecords(t, db, "combined", 5, [][]byte{rec16(1, 2)})
-	setManifestVersion(t, fs, manifestVersion+1)
+	plant(t, fs, newestCommit, sealVersion(manifestVersion+1, manifestBody(t, fs)))
 	if _, err := Open(fs, Options{
 		Tables:     []TableSpec{spannedSpec("combined")},
 		Partitions: 1,

@@ -2,7 +2,7 @@ package lsm
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"maps"
 	"os"
@@ -32,20 +32,30 @@ func withoutHeaders(t testing.TB, body []byte, runs int) []byte {
 	return carriedHeader.ReplaceAll(body, nil)
 }
 
-// reseal plants, as the newest commit file, the manifest of fs's newest
-// commit as mutate leaves it.
-func reseal(t testing.TB, fs *storage.MemFS, mutate func(m *manifest)) {
+// committed decodes the manifest of fs's newest commit, whatever version
+// its envelope names.
+func committed(t testing.TB, fs *storage.MemFS) manifest {
 	t.Helper()
-	var m manifest
-	if err := json.Unmarshal(manifestBody(t, fs), &m); err != nil {
-		t.Fatal(err)
-	}
-	mutate(&m)
-	body, err := json.Marshal(&m)
+	name := commitFile(t, fs)
+	env, _ := trailer(t, fs, name)
+	v, body, err := unseal(env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plant(t, fs, newestCommit, sealTrailer(body, btree.Layout{}))
+	m, err := decodeCommit(name, v, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// reseal plants, as the newest commit file, the manifest of fs's newest
+// commit as mutate leaves it, in version 5.
+func reseal(t testing.TB, fs *storage.MemFS, mutate func(m *manifest)) {
+	t.Helper()
+	m := committed(t, fs)
+	mutate(&m)
+	plant(t, fs, newestCommit, sealTrailer(appendManifest(nil, &m), btree.Layout{}))
 }
 
 // openCounted opens fs through the attributed view the engine opens its
@@ -117,8 +127,8 @@ func TestReopenReadsNoRunPage(t *testing.T) {
 		if carriedHeader.Match(body) {
 			t.Fatalf("%s: the golden carries headers", tc.golden)
 		}
-		plant(t, fs, newestCommit, sealTrailer(body, btree.Layout{}))
-		retiredOpen(t, fs, goldenOptions(tc.section), newestCommit+", a version-4 commit whose")
+		plant(t, fs, newestCommit, sealVersion(manifestVersionJSON, body))
+		retiredOpen(t, fs, goldenOptions(tc.section), newestCommit+", a version-4 commit whose", upgrader)
 	}
 }
 
@@ -134,20 +144,15 @@ func sum(m map[string]int) (n int) {
 // checksummed: Open must refuse every one as ErrCorrupt. The rows edit the
 // shared file's second section, the Combined run of partition 0, but for
 // the filter's place, which only a run that is its whole file carries, and
-// the wire rows, which edit the JSON.
+// the wire rows, which edit the bytes of the first run that is its whole
+// file, a raw run whose header ends in a filter CRC of 0 and its filter at
+// 8192+88 (appendRun).
 func hostileHeaders(t testing.TB, body []byte) map[string][]byte {
 	t.Helper()
 	edit := func(mutate func(m *manifest)) []byte {
-		var m manifest
-		if err := json.Unmarshal(body, &m); err != nil {
-			t.Fatal(err)
-		}
+		m := decodeBody(t, body)
 		mutate(&m)
-		b, err := json.Marshal(&m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sealManifest(manifestVersion, b)
+		return sealBody(m)
 	}
 	section := func(m *manifest) *btree.Header { return m.Tables["combined"].Partitions[0][2].Header }
 	whole := func(m *manifest) *btree.Header { return m.Tables["from"].Partitions[0][0].Header }
@@ -165,18 +170,30 @@ func hostileHeaders(t testing.TB, body []byte) map[string][]byte {
 	} {
 		out[name] = edit(mutate)
 	}
-	sealed := sealManifest(manifestVersion, body)
-	header := carriedHeader.Find(body)
-	for name, wire := range map[string]string{
-		"a whole file's header short of its filter": `,"header":[1,16,1,1,0,1,0]`,
-		"a format past 32 bits":                     `,"header":[4294967297,16,1,1,0,1,0,8192,88]`,
+	header := wireNumbers(1, 16, 1, 1, 0, 1)
+	filter := wireNumbers(8192, 88)
+	whole0 := append(append(bytes.Clone(header), 0, 0, 0, 0), filter...)
+	if bytes.Count(body, whole0) == 0 {
+		t.Fatalf("no run of the body ends in the header %x", whole0)
+	}
+	for name, wire := range map[string][]byte{
+		"a whole file's header short of its filter": append(bytes.Clone(header), 0, 0, 0, 0),
+		"a format past 32 bits":                     append(append(wireNumbers(1<<32+1, 16, 1, 1, 0, 1), 0, 0, 0, 0), filter...),
+		"a record size past 32 bits":                append(append(wireNumbers(1, 1<<32+16, 1, 1, 0, 1), 0, 0, 0, 0), filter...),
+		"levels past 32 bits":                       append(append(wireNumbers(1, 16, 1, 1, 1<<32, 1), 0, 0, 0, 0), filter...),
 	} {
-		if !strings.HasSuffix(string(header), ",8192,88]") {
-			t.Fatalf("the first carried header, %s, is not a whole file's", header)
-		}
-		out[name] = sealManifest(manifestVersion, bytes.Replace(sealed[manifestEnvLen:], header, []byte(wire), 1))
+		out[name] = sealManifest(manifestVersion, bytes.Replace(body, whole0, wire, 1))
 	}
 	return out
+}
+
+// wireNumbers is vs as uvarints, as a version-5 body holds them.
+func wireNumbers(vs ...uint64) []byte {
+	var b []byte
+	for _, v := range vs {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
 }
 
 // newerHeader returns goldenStoreV4's manifest, body, with the shared
@@ -184,16 +201,9 @@ func hostileHeaders(t testing.TB, body []byte) map[string][]byte {
 // binary, checksummed: Open must refuse it as that, not as ErrCorrupt.
 func newerHeader(t testing.TB, body []byte) []byte {
 	t.Helper()
-	var m manifest
-	if err := json.Unmarshal(body, &m); err != nil {
-		t.Fatal(err)
-	}
+	m := decodeBody(t, body)
 	m.Tables["combined"].Partitions[0][2].Header.Format = btree.FormatDelta + 3
-	b, err := json.Marshal(&m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sealManifest(manifestVersion, b)
+	return sealBody(m)
 }
 
 // hostileDeltaLayouts returns goldenStoreV6's manifest, body, with the
@@ -214,29 +224,46 @@ func hostileDeltaLayouts(t testing.TB, body []byte) map[string][]byte {
 		"a later section's grid past its entry's pages": func(_, l, _ *runManifest) { l.Header.LeafPages, l.Header.RootPage, l.Header.Levels = 2, 3, 1 },
 		"a later section's root past its entry's pages": func(_, l, _ *runManifest) { l.Header.RootPage++ },
 	} {
-		var m manifest
-		if err := json.Unmarshal(body, &m); err != nil {
-			t.Fatal(err)
-		}
+		m := decodeBody(t, body)
 		first, later, whole := &m.Tables["from"].Partitions[0][1], &m.Tables["combined"].Partitions[0][2], &m.Tables["from"].Partitions[0][0]
 		if first.Name != later.Name || first.Pages.Off != 0 || later.Header.FirstPage != 1 || !whole.whole() {
 			t.Fatalf("goldenStoreV6's manifest does not hold the layout its rows edit: %+v %+v %+v", first, later, whole)
 		}
 		mutate(first, later, whole)
-		b, err := json.Marshal(&m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[name] = sealManifest(manifestVersion, b)
+		out[name] = sealBody(m)
 	}
-	// The wire row: a first page said outright, over a later section that
-	// carries no header.
-	later := regexp.MustCompile(`("at":\[[1-9][0-9]*,[0-9]+,[0-9]+,[0-9]+\]),"header":\[[0-9,]*\]`)
-	if len(later.FindAll(body, -1)) != 1 {
-		t.Fatalf("goldenStoreV6's manifest does not hold one section after its file's first:\n%s", body)
-	}
-	out["a first page and no header"] = sealManifest(manifestVersion, later.ReplaceAll(body, []byte(`$1,"first_page":1`)))
+	// The wire row: a later section's entry saying outright the first page
+	// its place implies, which the encoder never writes.
+	m := decodeBody(t, body)
+	later := m.Tables["combined"].Partitions[0][2]
+	entry := runEntry(t, body, later)
+	said := bytes.Clone(entry)
+	said[flagsAt(entry)] |= runFirstPage
+	out["a first page said outright"] = sealManifest(manifestVersion, bytes.Replace(body, entry, append(said, 1), 1))
 	return out
+}
+
+// runEntry returns rm's entry in body, which must hold it once.
+func runEntry(t testing.TB, body []byte, rm runManifest) []byte {
+	t.Helper()
+	for file := range uint64(len(body)) {
+		if entry := appendRun(nil, rm, file); bytes.Count(body, entry) == 1 {
+			return entry
+		}
+	}
+	t.Fatalf("the body does not hold the entry of %+v once", rm)
+	return nil
+}
+
+// flagsAt returns where in a run's entry its flags byte is: after six
+// numbers.
+func flagsAt(entry []byte) int {
+	at := 0
+	for range 6 {
+		_, n := binary.Uvarint(entry[at:])
+		at += n
+	}
+	return at
 }
 
 // TestManifestHostileHeaders: a checksummed commit whose run carries a
@@ -267,13 +294,21 @@ func TestManifestHostileHeaders(t *testing.T) {
 	if err := fs.Remove(newestCommit); err != nil {
 		t.Fatal(err)
 	}
-	v6 := storage.NewMemFS()
-	goldenStoreV6(t, v6).Close()
-	reseal(t, v6, func(m *manifest) { m.Tables["combined"].Partitions[0][2].Header = nil })
-	retiredOpen(t, v6, goldenOptions(nil), newestCommit+", a version-4 commit whose combined run in")
-	if err := v6.Remove(newestCommit); err != nil {
+	// Every version-5 entry carries a header; a version-4 one may not. The
+	// v4 golden of this store, one header cut.
+	v4 := testdata(t, "commit-headers")
+	v4Body := v4[manifestEnvLen : len(v4)-trailerFooterLen]
+	first := carriedHeader.Find(v4Body)
+	if before := v4Body[:bytes.Index(v4Body, first)]; !bytes.Contains(before, []byte(`"combined"`)) || bytes.Contains(before, []byte(`"from"`)) {
+		t.Fatalf("the v4 golden does not list a Combined run first:\n%s", v4Body)
+	}
+	plant(t, fs, newestCommit, sealVersion(manifestVersionJSON, bytes.Replace(v4Body, first, nil, 1)))
+	retiredOpen(t, fs, goldenOptions(nil), newestCommit+", a version-4 commit whose combined run in", upgrader)
+	if err := fs.Remove(newestCommit); err != nil {
 		t.Fatal(err)
 	}
+	v6 := storage.NewMemFS()
+	goldenStoreV6(t, v6).Close()
 	for _, c := range []struct {
 		fs      *storage.MemFS
 		hostile map[string][]byte
@@ -346,16 +381,12 @@ func TestCheckHeadersFindsAStaleRoot(t *testing.T) {
 	refusesOpen(t, fs, opts, "a stale root in a section without its header page")
 }
 
-// TestFirstSectionWithoutItsPageOpens: a format-5 file whose first section
-// does not hold its header page either — the merge file of
-// internal/core/testdata/v5runs-store, which a format-5 binary wrote, less
-// its page 0, its entries moved to match and the first one saying
-// "first_page": 1 — opens from the commit alone and answers as the store
-// it was cut from, as format-5 readers always allowed. (A format-6 run may
-// not say its first page: its place says it.)
-func TestFirstSectionWithoutItsPageOpens(t *testing.T) {
+// coreStore loads internal/core/testdata/<name>, a store an earlier
+// binary wrote through the engine, into a MemFS.
+func coreStore(t *testing.T, name string) *storage.MemFS {
+	t.Helper()
 	fs := storage.NewMemFS()
-	dir := filepath.Join("..", "core", "testdata", "v5runs-store")
+	dir := filepath.Join("..", "core", "testdata", name)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -367,17 +398,39 @@ func TestFirstSectionWithoutItsPageOpens(t *testing.T) {
 		}
 		plant(t, fs, e.Name(), b)
 	}
-	opts := Options{Tables: []TableSpec{{Name: "from", RecordSize: 48}, {Name: "to", RecordSize: 48}, {Name: "combined", RecordSize: 56}}}
-	answers := func(db *DB) (out []string) {
-		for _, table := range []string{"from", "to", "combined"} {
-			for b := uint64(0); b < 160; b++ {
-				for _, r := range collect(t, db.Table(table), b) {
-					out = append(out, table+string(r))
-				}
+	return fs
+}
+
+// coreOptions opens a coreStore: the engine's tables, one partition.
+func coreOptions() Options {
+	return Options{Tables: []TableSpec{{Name: "from", RecordSize: 48}, {Name: "to", RecordSize: 48}, {Name: "combined", RecordSize: 56}}}
+}
+
+// coreAnswers is every record a coreStore holds for the blocks below 160,
+// table by table.
+func coreAnswers(t *testing.T, db *DB) (out []string) {
+	t.Helper()
+	for _, table := range []string{"from", "to", "combined"} {
+		for b := uint64(0); b < 160; b++ {
+			for _, r := range collect(t, db.Table(table), b) {
+				out = append(out, table+string(r))
 			}
 		}
-		return out
 	}
+	return out
+}
+
+// TestFirstSectionWithoutItsPageOpens: a format-5 file whose first section
+// does not hold its header page either — the merge file of
+// internal/core/testdata/v5runs-store, which a format-5 binary wrote, less
+// its page 0, its entries moved to match and the first one saying its
+// first page is 1 — opens from the commit alone and answers as the store
+// it was cut from, as format-5 readers always allowed. (A format-6 run may
+// not say its first page: its place says it.)
+func TestFirstSectionWithoutItsPageOpens(t *testing.T) {
+	fs := coreStore(t, "v5runs-store")
+	opts := coreOptions()
+	answers := func(db *DB) []string { return coreAnswers(t, db) }
 	db, err := Open(fs, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -406,8 +459,16 @@ func TestFirstSectionWithoutItsPageOpens(t *testing.T) {
 			}
 		}
 	})
-	if body := manifestBody(t, fs); bytes.Count(body, []byte(`"first_page":1`)) != 1 {
-		t.Fatalf("the moved manifest says first_page other than once:\n%s", body)
+	said := 0
+	for _, tm := range committed(t, fs).Tables {
+		for _, rm := range tm.Partitions[0] {
+			if h := rm.Header; h.FirstPage != rm.firstPage(h.Format) {
+				said++
+			}
+		}
+	}
+	if said != 1 {
+		t.Fatalf("the moved manifest says %d runs' first pages, want one", said)
 	}
 	db, err = Open(fs, opts)
 	if err != nil {

@@ -34,7 +34,11 @@
 // Open builds every reader from it and reads no run page, carries a
 // checksum, and carries one opaque section for its caller
 // (Options.Section — the engine's snapshot catalog), so state that decides
-// what the runs mean changes in the same commit as the runs.
+// what the runs mean changes in the same commit as the runs. Its body is
+// binary (commit format 5, appendManifest): numbers as uvarints, each run
+// file named once, so a clean reopen, which reads the commit and nothing
+// else, reads a few dozen bytes a run. The JSON body of format 4 is read one
+// version back, and the first commit after it writes format 5.
 //
 // The layer is policy-free: it stores opaque fixed-size records ordered by
 // bytes.Compare whose first 8 bytes are the big-endian physical block
@@ -76,13 +80,18 @@ const (
 	// their own: commit.<id>.
 	commitPrefix = "commit."
 
-	// manifestVersion is the on-disk manifest format Commit writes: a JSON
-	// body of per-run consistency-point windows ([min_cp, max_cp]),
-	// override-record counts, where in its file each run lies, and the
-	// caller's section, inside a checksummed envelope (sealManifest), in a
-	// commit trailer (sealTrailer). It is the only version read: the one
-	// before it was bare JSON in the legacy manifest.
-	manifestVersion = 4
+	// manifestVersion is the on-disk manifest format Commit writes: a binary
+	// body (appendManifest) of per-run consistency-point windows ([min_cp,
+	// max_cp]), override-record counts, where in its file each run lies, each
+	// run's header, and the caller's section, inside a checksummed envelope
+	// (sealManifest), in a commit trailer (sealTrailer). The version before
+	// it, manifestVersionJSON, is read too.
+	manifestVersion = 5
+
+	// manifestVersionJSON is the previous version, the same manifest as a
+	// JSON body (runManifestJSON), which this binary reads and no longer
+	// writes. The one before it was bare JSON in the legacy manifest.
+	manifestVersionJSON = 4
 
 	// manifestMagic opens the envelope, which is followed by the version,
 	// the body's length and the CRC-32C of those two and the body, each a
@@ -169,8 +178,8 @@ type Options struct {
 	// histogram). Merge scans decode a current-format leaf once,
 	// validating as they stream, and report nothing here.
 	DecodeObserver func(time.Duration)
-	// Section, when non-nil, supplies the opaque section — valid JSON — that
-	// every manifest carries beside the run sets. Edit.Write calls it while
+	// Section, when non-nil, supplies the opaque section that every manifest
+	// carries beside the run sets, as bytes lsm does not look into. Edit.Write calls it while
 	// it builds the next manifest, serialized against every other commit,
 	// and stores what it returns: whatever the section serializes
 	// becomes durable in the same commit as the edit, never before and
@@ -339,7 +348,8 @@ type Table struct {
 	dvAhead bool
 }
 
-// manifest is the JSON-serialized commit point.
+// manifest is the commit point. A commit's body holds it in binary
+// (appendManifest); the json tags are version 4's body, read only.
 type manifest struct {
 	Version int                      `json:"version"`
 	CP      uint64                   `json:"cp"`
@@ -437,8 +447,8 @@ func (rm runManifest) view(f storage.File) storage.File {
 	return storage.Extents(f, rm.grid(), rm.Filter)
 }
 
-// runManifestJSON is the wire form of runManifest. MinCP and MaxCP are
-// omitted when equal to CP (the common case for level-0 flushes, where
+// runManifestJSON is runManifest in a version-4 body, which this binary
+// reads and no longer writes. MinCP and MaxCP are omitted when equal to CP (the common case for level-0 flushes, where
 // every record carries the flushed consistency point). At is where a run
 // that shares its file lies in it — page offset, page length, filter
 // offset, filter length — and is omitted for a run that is its whole file,
@@ -450,9 +460,8 @@ func (rm runManifest) view(f storage.File) storage.File {
 // is the header's FirstPage where it is not the one the run's place
 // implies (runManifest.firstPage), which no writer makes and a format-6 run
 // may not say: it is a key of its own, so that a binary that predates it
-// parses the entry and refuses the run's format by name. A format-6 root's
-// length is what the run's own pages leave it (btree.Header.WithOwnBytes):
-// At's page length, or for a run that is its whole file the filter offset.
+// parses the entry and refuses the run's format by name. runManifest.carry
+// builds the header from these numbers, as it does from version 5's.
 type runManifestJSON struct {
 	Name      string   `json:"name"`
 	Level     int      `json:"level"`
@@ -469,41 +478,9 @@ type runManifestJSON struct {
 	FirstPage *uint64  `json:"first_page,omitempty"`
 }
 
-// headerFields is how many numbers a carried header is on the wire for a
+// headerFields is how many numbers a carried header is in version 4 for a
 // run that shares its file; a whole file's adds its filter's two.
 const headerFields = 7
-
-func (rm runManifest) MarshalJSON() ([]byte, error) {
-	w := runManifestJSON{
-		Name: rm.Name, Level: rm.Level, Records: rm.Records,
-		MinBlock: rm.MinBlock, MaxBlock: rm.MaxBlock, CP: rm.CP,
-		CPUnknown: rm.CPUnknown,
-	}
-	if !rm.whole() {
-		w.At = []int64{rm.Pages.Off, rm.Pages.Len, rm.Filter.Off, rm.Filter.Len}
-	}
-	if h := rm.Header; h != nil {
-		w.Header = []uint64{uint64(h.Format), uint64(h.RecordSize), h.LeafStart, h.LeafPages, uint64(h.Levels), h.RootPage, uint64(h.FilterCRC)}
-		if rm.whole() {
-			w.Header = append(w.Header, h.FilterOff, h.FilterLen)
-		}
-		if h.FirstPage != rm.firstPage(h.Format) {
-			w.FirstPage = &h.FirstPage
-		}
-	}
-	if !rm.CPUnknown {
-		if rm.MinCP != rm.CP {
-			v := rm.MinCP
-			w.MinCP = &v
-		}
-		if rm.MaxCP != rm.CP {
-			v := rm.MaxCP
-			w.MaxCP = &v
-		}
-		w.Overrides = rm.Overrides
-	}
-	return json.Marshal(&w)
-}
 
 func (rm *runManifest) UnmarshalJSON(data []byte) error {
 	var w runManifestJSON
@@ -535,29 +512,15 @@ func (rm *runManifest) UnmarshalJSON(data []byte) error {
 			return fmt.Errorf("run %s carries a header of %d numbers, not %d", w.Name, len(w.Header), n)
 		}
 		hw := w.Header
-		for _, i := range []int{0, 1, 4, 6} {
-			if hw[i] > math.MaxUint32 {
-				return fmt.Errorf("run %s carries header field %d = %d, past 32 bits", w.Name, i, hw[i])
-			}
+		if hw[6] > math.MaxUint32 {
+			return fmt.Errorf("run %s carries header field 6 = %d, past 32 bits", w.Name, hw[6])
 		}
-		h := btree.Header{
-			Format: btree.Format(hw[0]), RecordSize: int(hw[1]), Records: w.Records,
-			LeafStart: hw[2], LeafPages: hw[3], Levels: uint32(hw[4]), RootPage: hw[5], FilterCRC: uint32(hw[6]),
-			FirstPage: rm.firstPage(btree.Format(hw[0])),
-		}
-		if w.FirstPage != nil {
-			if h.Format == btree.FormatDelta {
-				return fmt.Errorf("run %s is of format %d, whose place alone says whether its file holds its header, and starts at page %d", w.Name, h.Format, *w.FirstPage)
-			}
-			h.FirstPage = *w.FirstPage
-		}
-		rm.Header = &h
+		var filter [2]uint64
 		if rm.whole() {
-			h.FilterOff, h.FilterLen = hw[7], hw[8]
-			h = h.WithOwnBytes(int64(min(h.FilterOff, math.MaxInt64)))
-		} else {
-			h.FilterOff, h.FilterLen = uint64(rm.grid().Len), uint64(rm.Filter.Len)
-			h = h.WithOwnBytes(rm.Pages.Len)
+			filter = [2]uint64{hw[7], hw[8]}
+		}
+		if err := rm.carry([6]uint64(hw[:6]), uint32(hw[6]), filter, w.FirstPage); err != nil {
+			return err
 		}
 	}
 	if w.MinCP != nil {
@@ -845,54 +808,13 @@ func (db *DB) readCommit(name string) (manifest, error) {
 		return manifest{}, err
 	}
 	defer f.Close()
-	size, err := f.Size()
+	l, v, body, err := readTrailer(name, f)
 	if err != nil {
 		return manifest{}, err
 	}
-	torn := func(format string, args ...any) (manifest, error) {
-		return manifest{}, fmt.Errorf("%w: %s: "+format, append([]any{errTorn, name}, args...)...)
-	}
-	if size < int64(manifestEnvLen+trailerFooterLen) {
-		return torn("%d bytes", size)
-	}
-	footer := make([]byte, trailerFooterLen)
-	if _, err := f.ReadAt(footer, size-trailerFooterLen); err != nil {
-		return manifest{}, err
-	}
-	le := binary.LittleEndian
-	if string(footer[:len(trailerMagic)]) != trailerMagic || le.Uint32(footer[trailerFooterLen-4:]) != crc32.Checksum(footer[len(trailerMagic):trailerFooterLen-4], castagnoli) {
-		return torn("no trailer footer")
-	}
-	l := btree.Layout{Pages: int64(le.Uint64(footer[8:])), End: int64(le.Uint64(footer[16:])), FilterCRC: le.Uint32(footer[24:])}
-	if l.End < 0 || l.End > size-trailerFooterLen {
-		return torn("an envelope at %d in a %d-byte file", l.End, size)
-	}
-	env := make([]byte, size-trailerFooterLen-l.End)
-	if _, err := f.ReadAt(env, l.End); err != nil {
-		return manifest{}, err
-	}
-	v, body, err := unseal(env)
+	m, err := decodeCommit(name, v, body)
 	if err != nil {
-		return torn("%v", err)
-	}
-	if v != manifestVersion {
-		return manifest{}, versionRefused("the manifest "+name+" carries", v, manifestVersion)
-	}
-	var m manifest
-	if err := json.Unmarshal(body, &m); err != nil {
-		return manifest{}, corrupt("%s: %v", name, err)
-	}
-	if m.Version != manifestVersion {
-		return manifest{}, corrupt("%s: version %d in a version-%d envelope", name, m.Version, manifestVersion)
-	}
-	for table, tm := range m.Tables {
-		for _, runs := range tm.Partitions {
-			for _, rm := range runs {
-				if rm.Header == nil {
-					return manifest{}, retired(fmt.Sprintf("%s, a version-%d commit whose %s run in %s carries no header,", name, manifestVersion, table, rm.Name))
-				}
-			}
-		}
+		return manifest{}, err
 	}
 	if strings.HasSuffix(name, ".run") {
 		secs, err := m.sections(name, l)
@@ -900,9 +822,81 @@ func (db *DB) readCommit(name string) (manifest, error) {
 			return manifest{}, err
 		}
 		if err := btree.CheckFile(f, l, secs); errors.Is(err, btree.ErrCorrupt) {
-			return torn("%v", err)
+			return manifest{}, fmt.Errorf("%w: %s: %v", errTorn, name, err)
 		} else if err != nil {
 			return manifest{}, err
+		}
+	}
+	return m, nil
+}
+
+// readTrailer reads the trailer at the end of f, the file name: the layout
+// its footer gives the file before the trailer, and its envelope's version
+// and body. A trailer that is not there whole, or fails a checksum, wraps
+// errTorn.
+func readTrailer(name string, f storage.File) (l btree.Layout, v int, body []byte, err error) {
+	size, err := f.Size()
+	if err != nil {
+		return l, 0, nil, err
+	}
+	torn := func(format string, args ...any) (btree.Layout, int, []byte, error) {
+		return l, 0, nil, fmt.Errorf("%w: %s: "+format, append([]any{errTorn, name}, args...)...)
+	}
+	if size < int64(manifestEnvLen+trailerFooterLen) {
+		return torn("%d bytes", size)
+	}
+	footer := make([]byte, trailerFooterLen)
+	if _, err := f.ReadAt(footer, size-trailerFooterLen); err != nil {
+		return l, 0, nil, err
+	}
+	le := binary.LittleEndian
+	if string(footer[:len(trailerMagic)]) != trailerMagic || le.Uint32(footer[trailerFooterLen-4:]) != crc32.Checksum(footer[len(trailerMagic):trailerFooterLen-4], castagnoli) {
+		return torn("no trailer footer")
+	}
+	l = btree.Layout{Pages: int64(le.Uint64(footer[8:])), End: int64(le.Uint64(footer[16:])), FilterCRC: le.Uint32(footer[24:])}
+	if l.End < 0 || l.End > size-trailerFooterLen {
+		return torn("an envelope at %d in a %d-byte file", l.End, size)
+	}
+	env := make([]byte, size-trailerFooterLen-l.End)
+	if _, err := f.ReadAt(env, l.End); err != nil {
+		return l, 0, nil, err
+	}
+	if v, body, err = unseal(env); err != nil {
+		return torn("%v", err)
+	}
+	return l, v, body, nil
+}
+
+// decodeCommit decodes the body of the commit name carries, sealed at
+// envelope version v: version 5's binary, or version 4's JSON, whose runs
+// must each carry a header. A body that does not decode is ErrCorrupt; any
+// other version is refused by it.
+func decodeCommit(name string, v int, body []byte) (manifest, error) {
+	switch v {
+	case manifestVersion:
+		m, err := decodeManifest(body)
+		if err != nil {
+			return manifest{}, corrupt("%s: %v", name, err)
+		}
+		return m, nil
+	case manifestVersionJSON:
+	default:
+		return manifest{}, versionRefused("the manifest "+name+" carries", v, manifestVersion, manifestVersionJSON)
+	}
+	var m manifest
+	if err := json.Unmarshal(body, &m); err != nil {
+		return manifest{}, corrupt("%s: %v", name, err)
+	}
+	if m.Version != v {
+		return manifest{}, corrupt("%s: version %d in a version-%d envelope", name, m.Version, v)
+	}
+	for table, tm := range m.Tables {
+		for _, runs := range tm.Partitions {
+			for _, rm := range runs {
+				if rm.Header == nil {
+					return manifest{}, retired(fmt.Sprintf("%s, a version-%d commit whose %s run in %s carries no header,", name, v, table, rm.Name))
+				}
+			}
 		}
 	}
 	return m, nil
@@ -996,8 +990,14 @@ func (db *DB) findCommit(names []string) (manifest, string, error) {
 	} else {
 		_ = json.Unmarshal(buf, &bare)
 	}
-	return manifest{}, "", retired(fmt.Sprintf("the manifest in %s, version %d,", legacyManifest, bare.Version))
+	// A store that old may hold runs of format 2, which the upgrader of
+	// everything else here refuses in turn, so the refusal names both hops.
+	return manifest{}, "", fmt.Errorf("lsm: the manifest in %s, version %d, is no longer read: %s", legacyManifest, bare.Version, legacyUpgrade)
 }
+
+// legacyUpgrade is the upgrade path of a store whose commit is a legacy
+// manifest.
+const legacyUpgrade = "open the store once with a binary of commit 0ea923b if its runs are of format 2, then once with a binary of commit 8d5575c, each time running Checkpoint and MaintainNow and closing it, as internal/core/testdata/upgrade does"
 
 // retired is the refusal of what, a format this binary no longer reads,
 // naming the last binary that reads it and writes the formats this one
@@ -1007,13 +1007,17 @@ func retired(what string) error {
 }
 
 // versionRefused is the refusal of what, an envelope of version v, by a
-// binary that reads version current alone: a newer version is
+// binary that reads the versions reads, newest first: a newer version is
 // btree.ErrNewerFormat, as a newer run format is.
-func versionRefused(what string, v, current int) error {
-	if v > current {
-		return fmt.Errorf("lsm: %s version %d: %w (this binary reads version %d)", what, v, btree.ErrNewerFormat, current)
+func versionRefused(what string, v int, reads ...int) error {
+	which := fmt.Sprintf("version %d", reads[0])
+	if len(reads) > 1 {
+		which = fmt.Sprintf("versions %d to %d", reads[len(reads)-1], reads[0])
 	}
-	return fmt.Errorf("lsm: %s version %d, which this binary does not read (it reads version %d)", what, v, current)
+	if v > reads[0] {
+		return fmt.Errorf("lsm: %s version %d: %w (this binary reads %s)", what, v, btree.ErrNewerFormat, which)
+	}
+	return fmt.Errorf("lsm: %s version %d, which this binary does not read (it reads %s)", what, v, which)
 }
 
 // sealManifest wraps a manifest body in the envelope, whose checksum covers

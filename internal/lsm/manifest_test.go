@@ -3,14 +3,14 @@ package lsm
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
-	"flag"
 	"fmt"
 	"maps"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -18,8 +18,6 @@ import (
 	"github.com/backlogfs/backlog/internal/btree"
 	"github.com/backlogfs/backlog/internal/storage"
 )
-
-var update = flag.Bool("update", false, "rewrite testdata/commit-headers* from this run")
 
 // goldenSection is the section of testdata/v3-manifest-catalog.json and
 // testdata/v4-manifest-catalog.
@@ -134,14 +132,74 @@ func goldenStoreV6(t testing.TB, fs storage.VFS) *DB {
 	return db
 }
 
-// TestManifestV4BytesPinned: the encoder keeps producing the bytes of the
-// two version-4 trailer goldens — goldenStoreV4's last commit, with and
-// without a section, every run's header carried: the manifest's envelope
-// and the footer after it — and a store reopened from its run files agrees
-// with the one that wrote them. -update rewrites these goldens; the
-// commit-trailer ones, whose runs carry no header, were written by the
-// encoder before it and are never regenerated (TestReopenReadsNoRunPage
-// wants them refused).
+// decodeBody decodes a version-5 body the writer made.
+func decodeBody(t testing.TB, body []byte) manifest {
+	t.Helper()
+	m, err := decodeManifest(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// sealBody is m as a version-5 envelope.
+func sealBody(m manifest) []byte {
+	return sealManifest(manifestVersion, appendManifest(nil, &m))
+}
+
+// v5Goldens are the version-5 trailer goldens (never regenerate them), each
+// with the store whose last commit it is.
+var v5Goldens = []struct {
+	golden string
+	store  func(t testing.TB, fs storage.VFS) *DB
+	opts   Options
+}{
+	{"v5-commit", func(t testing.TB, fs storage.VFS) *DB { return goldenStoreV4(t, fs, nil) }, goldenOptions(nil)},
+	{"v5-commit-catalog", func(t testing.TB, fs storage.VFS) *DB {
+		return goldenStoreV4(t, fs, func() ([]byte, error) { return []byte(goldenSection), nil })
+	}, goldenOptions(func() ([]byte, error) { return []byte(goldenSection), nil })},
+	{"v5-commit-delta", goldenStoreV6, deltaOptions()},
+}
+
+// TestManifestV5BytesPinned: the encoder keeps producing the bytes of the
+// version-5 trailer goldens — the last commit of goldenStoreV4, with and
+// without a section, and of goldenStoreV6: the manifest's envelope and the
+// footer after it. Each body decodes to the manifest the store holds, and
+// the store reopened from its run files agrees with the one that wrote
+// them.
+func TestManifestV5BytesPinned(t *testing.T) {
+	for _, tc := range v5Goldens {
+		fs := storage.NewMemFS()
+		db := tc.store(t, fs)
+		env, footer := trailer(t, fs, commitFile(t, fs))
+		if got, want := append(bytes.Clone(env), footer...), testdata(t, tc.golden); !bytes.Equal(got, want) {
+			t.Fatalf("%s: the encoder wrote\n%q\nthe golden holds\n%q", tc.golden, got, want)
+		}
+		if m := decodeBody(t, env[manifestEnvLen:]); !reflect.DeepEqual(m, db.m) {
+			t.Fatalf("%s: the body decodes to\n%+v\nthe store holds\n%+v", tc.golden, m, db.m)
+		}
+		before := storeState(t, db)
+		db.Close()
+		db2, err := Open(fs, tc.opts)
+		if err != nil {
+			t.Fatalf("%s: reopening: %v", tc.golden, err)
+		}
+		if after := storeState(t, db2); after != before {
+			t.Fatalf("%s: reopened store\n%s\nthe one that wrote it\n%s", tc.golden, after, before)
+		}
+		if err := errors.Join(db2.CheckHeaders(), db2.CheckCommit()); err != nil {
+			t.Fatalf("%s: %v", tc.golden, err)
+		}
+		db2.Close()
+	}
+}
+
+// TestManifestV4BytesPinned: the two version-4 trailer goldens, the JSON
+// the encoder before version 5 wrote for goldenStoreV4's last commit, with
+// and without a section (never regenerate them), are read one version
+// back: in place of the version-5 trailer of the run file that carries the
+// store's commit, the store opens as the one that wrote the runs, and its
+// next commit is version 5, which a reopen reads the same.
 func TestManifestV4BytesPinned(t *testing.T) {
 	for _, tc := range []struct {
 		golden  string
@@ -152,29 +210,34 @@ func TestManifestV4BytesPinned(t *testing.T) {
 	} {
 		fs := storage.NewMemFS()
 		db := goldenStoreV4(t, fs, tc.section)
-		env, footer := trailer(t, fs, commitFile(t, fs))
-		got := append(bytes.Clone(env), footer...)
-		if *update {
-			if err := os.WriteFile(filepath.Join("testdata", tc.golden), got, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if want := testdata(t, tc.golden); !bytes.Equal(got, want) {
-			t.Fatalf("%s: the encoder wrote\n%q\nthe golden holds\n%q", tc.golden, got, want)
-		}
-		before := storeState(t, db)
+		want := storeState(t, db)
 		db.Close()
-		db2, err := Open(fs, goldenOptions(tc.section))
-		if err != nil {
-			t.Fatalf("%s: reopening: %v", tc.golden, err)
+		v4 := testdata(t, tc.golden)
+		if v, _, err := unseal(v4[:len(v4)-trailerFooterLen]); err != nil || v != manifestVersionJSON {
+			t.Fatalf("%s: version %d (%v), want a version-4 golden", tc.golden, v, err)
 		}
-		if after := storeState(t, db2); after != before {
-			t.Fatalf("%s: reopened store\n%s\nthe one that wrote it\n%s", tc.golden, after, before)
+		// The golden is the trailer of the run file that carries the commit.
+		carrier := commitFile(t, fs)
+		env, footer := trailer(t, fs, carrier)
+		run := readFile(t, fs, carrier)
+		plant(t, fs, carrier, append(bytes.Clone(run[:len(run)-len(env)-len(footer)]), v4...))
+		for _, wantVersion := range []int{manifestVersionJSON, manifestVersion} {
+			db, err := Open(fs, goldenOptions(tc.section))
+			if err != nil {
+				t.Fatalf("%s: opening version %d: %v", tc.golden, wantVersion, err)
+			}
+			env, _ := trailer(t, fs, db.commit)
+			if v, _, _ := unseal(env); v != wantVersion || db.m.Version != wantVersion {
+				t.Fatalf("%s: the store opened from version %d (%d in memory), want %d", tc.golden, v, db.m.Version, wantVersion)
+			}
+			if got := storeState(t, db); got != want {
+				t.Fatalf("%s: the store opens to\n%s\nthe one that wrote it\n%s", tc.golden, got, want)
+			}
+			if err := errors.Join(db.CheckHeaders(), db.CheckCommit(), db.NewEdit().Commit()); err != nil {
+				t.Fatalf("%s: %v", tc.golden, err)
+			}
+			db.Close()
 		}
-		if err := db2.CheckHeaders(); err != nil {
-			t.Fatalf("%s: %v", tc.golden, err)
-		}
-		db2.Close()
 	}
 }
 
@@ -240,17 +303,23 @@ func snapshotFiles(t testing.TB, fs *storage.MemFS) map[string]string {
 }
 
 // refuses opens fs with manifest planted as the legacy manifest and wants
-// it refused by name (retiredOpen), naming what.
+// it refused by name (retiredOpen), naming what and both hops of its
+// upgrade: a store that old may hold runs of format 2, which the binary
+// that upgrades the rest refuses in turn.
 func refuses(t *testing.T, fs *storage.MemFS, manifest []byte, what string) {
 	t.Helper()
 	toLegacy(t, fs, manifest)
-	retiredOpen(t, fs, goldenOptions(nil), what)
+	retiredOpen(t, fs, goldenOptions(nil), what, "open the store once with a binary of commit 0ea923b if its runs are of format 2, then once with a binary of commit 8d5575c")
 }
 
+// upgrader is the upgrade a refusal of anything but a legacy manifest
+// names.
+const upgrader = "open the store once with a binary of commit 8d5575c"
+
 // retiredOpen asserts that opening fs with opts is refused, not as
-// ErrCorrupt, by an error that names what and the binary that upgrades
-// it, and that the refusal changes nothing on disk.
-func retiredOpen(t *testing.T, fs *storage.MemFS, opts Options, what string) {
+// ErrCorrupt, by an error that names what and then the upgrade, and that
+// the refusal changes nothing on disk.
+func retiredOpen(t *testing.T, fs *storage.MemFS, opts Options, what, upgrade string) {
 	t.Helper()
 	before := snapshotFiles(t, fs)
 	db, err := Open(fs, opts)
@@ -258,8 +327,8 @@ func retiredOpen(t *testing.T, fs *storage.MemFS, opts Options, what string) {
 		db.Close()
 		t.Fatalf("%s: Open accepted it", what)
 	}
-	if errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), what) || !strings.Contains(err.Error(), " is no longer read: open the store once with a binary of commit 8d5575c") {
-		t.Fatalf("Open = %v, want %s refused by name, with its upgrader", err, what)
+	if errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), what) || !strings.Contains(err.Error(), " is no longer read: "+upgrade) {
+		t.Fatalf("Open = %v, want %s refused by name, with its upgrade: %s", err, what, upgrade)
 	}
 	if after := snapshotFiles(t, fs); !reflect.DeepEqual(after, before) {
 		t.Fatalf("%s: a refused Open changed the directory", what)
@@ -409,10 +478,7 @@ func TestTornCommitGivesWay(t *testing.T) {
 		}
 	}
 	var secs []runManifest
-	var m manifest
-	if err := json.Unmarshal(manifestBody(t, pre), &m); err != nil {
-		t.Fatal(err)
-	}
+	m := decodeBody(t, manifestBody(t, pre))
 	for _, table := range []string{"from", "combined"} {
 		for _, rm := range m.Tables[table].Partitions[0] {
 			if rm.Name == carrier {
@@ -446,13 +512,9 @@ func TestTornCommitGivesWay(t *testing.T) {
 	for n, b := range files {
 		plant(t, fs, n, []byte(b))
 	}
-	future := sealTrailer([]byte(`{"version":5}`), btree.Layout{})
-	env = future[:len(future)-trailerFooterLen]
-	binary.LittleEndian.PutUint32(env[8:], manifestVersion+1)
-	binary.LittleEndian.PutUint32(env[16:], manifestCRC(env))
-	plant(t, fs, newestCommit, future)
-	if _, err := Open(fs, opts); !errors.Is(err, btree.ErrNewerFormat) || !strings.Contains(err.Error(), "carries version 5:") {
-		t.Fatalf("Open of a version-5 trailer = %v, want it refused by its version", err)
+	plant(t, fs, newestCommit, sealVersion(manifestVersion+1, []byte{6}))
+	if _, err := Open(fs, opts); !errors.Is(err, btree.ErrNewerFormat) || !strings.Contains(err.Error(), "carries version 6:") {
+		t.Fatalf("Open of a version-6 trailer = %v, want it refused by its version", err)
 	}
 }
 
@@ -461,14 +523,10 @@ func TestTornCommitGivesWay(t *testing.T) {
 // each checksummed: Open must refuse every one as ErrCorrupt.
 func hostileSections(t testing.TB, good []byte) map[string][]byte {
 	t.Helper()
-	var m manifest
-	if err := json.Unmarshal(good[manifestEnvLen:], &m); err != nil {
-		t.Fatal(err)
-	}
 	shared := func(m manifest) (from, comb *runManifest) {
 		return &m.Tables["from"].Partitions[0][1], &m.Tables["combined"].Partitions[0][2]
 	}
-	from, comb := shared(m)
+	from, comb := shared(decodeBody(t, good[manifestEnvLen:]))
 	if from.whole() || comb.whole() || from.Name != comb.Name {
 		t.Fatalf("goldenStoreV4's checkpoint runs do not share a file: %+v %+v", from, comb)
 	}
@@ -482,16 +540,9 @@ func hostileSections(t testing.TB, good []byte) map[string][]byte {
 		"whole file that is shared": func(_, c *runManifest) { c.Pages, c.Filter = storage.Extent{}, storage.Extent{} },
 		"pages one page off":        func(_, c *runManifest) { c.Pages.Off -= storage.PageSize },
 	} {
-		var mm manifest
-		if err := json.Unmarshal(good[manifestEnvLen:], &mm); err != nil {
-			t.Fatal(err)
-		}
-		mutate(shared(mm))
-		b, err := json.Marshal(&mm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[name] = sealManifest(manifestVersion, b)
+		m := decodeBody(t, good[manifestEnvLen:])
+		mutate(shared(m))
+		out[name] = sealBody(m)
 	}
 	return out
 }
@@ -512,20 +563,13 @@ func hostileV6Sections(t testing.TB, body []byte) map[string][]byte {
 			c.Pages.Len = int64(c.Header.RootPage-1)*storage.PageSize + storage.PageSize + 1
 		},
 	} {
-		var m manifest
-		if err := json.Unmarshal(body, &m); err != nil {
-			t.Fatal(err)
-		}
+		m := decodeBody(t, body)
 		from, comb := &m.Tables["from"].Partitions[0][1], &m.Tables["combined"].Partitions[0][2]
 		if from.Name != comb.Name || from.Pages.Off != 0 || comb.Pages.Off != from.Pages.Len || comb.Header.Format != btree.FormatDelta {
 			t.Fatalf("goldenStoreV6's manifest does not hold the sections its rows edit: %+v %+v", from, comb)
 		}
 		mutate(from, comb)
-		b, err := json.Marshal(&m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[name] = sealManifest(manifestVersion, b)
+		out[name] = sealBody(m)
 	}
 	return out
 }
@@ -613,26 +657,130 @@ func TestSectionCommitsWithTheEdit(t *testing.T) {
 	}
 }
 
+// hostileBodies returns goldenStoreV4's version-5 body with the bytes of
+// one field made what no writer writes, each sealed: a count or a length
+// past the bytes left, a number past its field's width or cut short, an
+// entry that names no file or flags no writer sets, a run that shares its
+// file placed at nothing, and bytes after the section. Open must refuse
+// every one as ErrCorrupt.
+func hostileBodies(t testing.TB, body []byte) map[string][]byte {
+	t.Helper()
+	m := decodeBody(t, body)
+	if len(m.Catalog) != 0 || body[len(body)-1] != 0 || body[len(body)-2] != 1 || m.Tables["from"].DVCount != 1 {
+		t.Fatalf("goldenStoreV4's body does not end in a vector of one record and no section: %x", body[len(body)-2:])
+	}
+	_, cp := binary.Uvarint(body)
+	_, next := binary.Uvarint(body[cp:])
+	files := cp + next // the file table's count
+	tables := files + 1
+	for range body[files] { // names shorter than 128 bytes
+		tables += 1 + int(body[tables])
+	}
+	first := m.Tables["combined"].Partitions[0][0]
+	entry := runEntry(t, body, first)
+	at := bytes.Index(body, entry)
+	shared := runEntry(t, body, m.Tables["combined"].Partitions[0][2])
+	placed := bytes.Replace(shared, wireNumbers(8192, 8192, 16472, 88), wireNumbers(0, 0, 0, 0), 1)
+	if bytes.Equal(placed, shared) {
+		t.Fatalf("the shared run's entry %x is not placed at 8192+8192, 16472+88", shared)
+	}
+	splice := func(off, n int, with []byte) []byte {
+		return append(append(bytes.Clone(body[:off]), with...), body[off+n:]...)
+	}
+	flags := bytes.Clone(entry)
+	flags[flagsAt(entry)] |= 0x80
+	// A span that takes the run's last block past 64 bits, in the entry of
+	// a run that does not start at block 0.
+	spanned := m.Tables["from"].Partitions[0][1]
+	if spanned.MinBlock == 0 {
+		t.Fatalf("the run %+v starts at block 0", spanned)
+	}
+	spanEntry := runEntry(t, body, spanned)
+	spanAt := 0
+	for range 4 {
+		_, n := binary.Uvarint(spanEntry[spanAt:])
+		spanAt += n
+	}
+	_, spanLen := binary.Uvarint(spanEntry[spanAt:])
+	span := append(append(bytes.Clone(spanEntry[:spanAt]), wireNumbers(math.MaxUint64-spanned.MinBlock+1)...), spanEntry[spanAt+spanLen:]...)
+	out := map[string][]byte{}
+	for name, b := range map[string][]byte{
+		"a file count past the body":     splice(files, 1, wireNumbers(1<<40)),
+		"a file name past the body":      splice(files+1, 1, wireNumbers(1<<40)),
+		"a table count past the body":    splice(tables, 1, wireNumbers(1<<40)),
+		"a run count past the body":      splice(at-1, 1, wireNumbers(1<<40)),
+		"the section past the body":      splice(len(body)-1, 1, wireNumbers(1<<20)),
+		"a vector count past its width":  splice(len(body)-2, 1, wireNumbers(1<<63)),
+		"a level past its width":         splice(at+1, 1, wireNumbers(1<<40)),
+		"a block span past 64 bits":      bytes.Replace(body, spanEntry, span, 1),
+		"a run in a file past the table": splice(at, 1, wireNumbers(99)),
+		"flags no writer sets":           bytes.Replace(body, entry, flags, 1),
+		"a shared run placed at nothing": bytes.Replace(body, shared, placed, 1),
+		"a number cut short":             append(bytes.Clone(body[:len(body)-1]), 0x80),
+		"bytes after the section":        append(bytes.Clone(body), 0),
+	} {
+		out[name] = sealManifest(manifestVersion, b)
+	}
+	return out
+}
+
+// allocated returns the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// decodeAllocBound bounds what decoding a body of n bytes may allocate:
+// what a run's entry decodes to is some 13 times its fewest bytes, a
+// table's some 25 times, so no count past what the bytes left can hold
+// gets past it.
+func decodeAllocBound(n int) uint64 { return 64*uint64(n) + 16<<10 }
+
+// TestManifestHostileBodies: a checksummed version-5 commit whose body is
+// what no writer writes (hostileBodies) is ErrCorrupt at Open, as the
+// newest commit's trailer, and the refused Open changes nothing on disk.
+// Decoding it allocates no more than its length allows (decodeAllocBound),
+// whatever its counts say.
+func TestManifestHostileBodies(t *testing.T) {
+	fs := storage.NewMemFS()
+	goldenStoreV4(t, fs, nil).Close()
+	for name, b := range hostileBodies(t, manifestBody(t, fs)) {
+		body := b[manifestEnvLen:]
+		var err error
+		if n := allocated(func() { _, err = decodeManifest(body) }); err == nil || n > decodeAllocBound(len(body)) {
+			t.Fatalf("%s: decoding %d bytes allocated %d and returned %v", name, len(body), n, err)
+		}
+		plant(t, fs, newestCommit, sealTrailer(body, btree.Layout{}))
+		refusesOpen(t, fs, goldenOptions(nil), name)
+		if err := fs.Remove(newestCommit); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // FuzzManifest: whatever bytes the legacy MANIFEST (asCommit false) or the
 // newest commit file (asCommit true) holds, Open does not panic, and an
 // Open that refuses them leaves every file as it was. A store whose commit
 // is the legacy manifest is refused by name, whatever it holds; beside a
 // trailer commit it is a leftover of an upgrade, which Open removes. A
 // commit file that does not check gives way to the commit before it. The
-// seeds include the headerless commit-trailer golden, the manifests of
-// TestManifestHostileSections, one whose runs carry their
-// headers and those of TestManifestHostileHeaders, one of a format newer
-// than this binary among them; with delta set the files beside the planted
-// one are goldenStoreV6's, format-6 runs whose shared file's second
-// section has no header and whose roots are cut to their length, and the
-// seeds include its manifest and the layouts hostileDeltaLayouts and
-// hostileV6Sections tell wrong.
+// version-5 decoder also takes the bytes after where an envelope's header
+// ends, checksum or none: it must not panic, and must allocate no more
+// than their length allows (decodeAllocBound). The seeds include the
+// version-5 goldens, the version-4 ones and the headerless commit-trailer
+// golden, the manifests of TestManifestHostileSections and
+// TestManifestHostileBodies, and those of TestManifestHostileHeaders, one
+// of a format newer than this binary among them; with delta set the files
+// beside the planted one are goldenStoreV6's, format-6 runs whose shared
+// file's second section has no header and whose roots are cut to their
+// length, and the seeds include its version-5 golden and the layouts
+// hostileDeltaLayouts and hostileV6Sections tell wrong.
 func FuzzManifest(f *testing.F) {
 	for _, name := range []string{"v2-manifest.json", "v3-manifest.json", "v3-manifest-catalog.json"} {
-		b, err := os.ReadFile(filepath.Join("testdata", name))
-		if err != nil {
-			f.Fatal(err)
-		}
+		b := testdata(f, name)
 		f.Add(b, false, false)
 		f.Add(b[:len(b)/2], false, false)
 		f.Add(bytes.Replace(b, []byte(`"level":0`), []byte(`"level":-1`), 1), false, false)
@@ -644,14 +792,17 @@ func FuzzManifest(f *testing.F) {
 
 	base := storage.NewMemFS()
 	goldenStoreV4(f, base, nil).Close()
-	v4 := testdata(f, "v4-manifest")
-	toLegacy(f, base, v4)
-	seeds := [][]byte{v4, v4[:len(v4)/2], sealManifest(manifestVersion+1, v4[manifestEnvLen:])}
-	flipped := bytes.Clone(v4)
+	v5 := testdata(f, "v5-commit")
+	v5Env := v5[:len(v5)-trailerFooterLen]
+	toLegacy(f, base, testdata(f, "v4-manifest"))
+	seeds := [][]byte{testdata(f, "v4-manifest"), v5Env, v5Env[:len(v5Env)/2], sealManifest(manifestVersion+1, v5Env[manifestEnvLen:])}
+	flipped := bytes.Clone(v5Env)
 	flipped[len(flipped)/2] ^= 0x10
 	seeds = append(seeds, flipped)
-	for _, b := range hostileSections(f, v4) {
-		seeds = append(seeds, b)
+	for _, hostile := range []map[string][]byte{hostileSections(f, v5Env), hostileBodies(f, v5Env[manifestEnvLen:])} {
+		for _, b := range hostile {
+			seeds = append(seeds, b)
+		}
 	}
 	for _, b := range seeds {
 		f.Add(b, false, false)
@@ -663,14 +814,14 @@ func FuzzManifest(f *testing.F) {
 	stores := map[[2]bool]map[string][]byte{}
 	commits := storage.NewMemFS()
 	goldenStoreV4(f, commits, nil).Close()
-	// Runs that carry their headers, as the writer's commits hold them, and
-	// headers no writer makes (TestManifestHostileHeaders).
+	// The goldens of both versions read, and headers no writer makes
+	// (TestManifestHostileHeaders).
+	for _, golden := range []string{"v5-commit", "v5-commit-catalog", "commit-headers", "commit-headers-catalog", "commit-trailer"} {
+		b := testdata(f, golden)
+		f.Add(b, true, false)
+		f.Add(b[:len(b)-trailerFooterLen], false, false)
+	}
 	carried := manifestBody(f, commits)
-	f.Add(sealManifest(manifestVersion, carried), false, false)
-	f.Add(sealTrailer(carried, btree.Layout{}), true, false)
-	headerless := testdata(f, "commit-trailer")
-	f.Add(headerless[:len(headerless)-trailerFooterLen], false, false)
-	f.Add(sealTrailer(headerless[manifestEnvLen:len(headerless)-trailerFooterLen], btree.Layout{}), true, false)
 	for _, b := range append(slices.Collect(maps.Values(hostileHeaders(f, carried))), newerHeader(f, carried)) {
 		f.Add(b, false, false)
 		f.Add(sealTrailer(b[manifestEnvLen:], btree.Layout{}), true, false)
@@ -679,9 +830,10 @@ func FuzzManifest(f *testing.F) {
 	// TestManifestHostileSections tell wrong.
 	v6 := storage.NewMemFS()
 	goldenStoreV6(f, v6).Close()
+	v6Golden := testdata(f, "v5-commit-delta")
+	f.Add(v6Golden[:len(v6Golden)-trailerFooterLen], false, true)
+	f.Add(v6Golden, true, true)
 	v6Body := manifestBody(f, v6)
-	f.Add(sealManifest(manifestVersion, v6Body), false, true)
-	f.Add(sealTrailer(v6Body, btree.Layout{}), true, true)
 	hostile := hostileDeltaLayouts(f, v6Body)
 	maps.Copy(hostile, hostileV6Sections(f, v6Body))
 	for _, b := range hostile {
@@ -689,16 +841,27 @@ func FuzzManifest(f *testing.F) {
 		f.Add(sealTrailer(b[manifestEnvLen:], btree.Layout{}), true, true)
 	}
 	for key, fs := range map[[2]bool]*storage.MemFS{{false, false}: base, {true, false}: commits, {false, true}: v6, {true, true}: v6} {
-		names, err := fs.List()
-		if err != nil {
-			f.Fatal(err)
-		}
-		stores[key] = map[string][]byte{}
-		for _, n := range names {
-			stores[key][n] = readFile(f, fs, n)
-		}
+		stores[key] = snapshotBytes(f, fs)
 	}
 	f.Fuzz(func(t *testing.T, data []byte, asCommit, delta bool) {
+		body := data[min(len(data), manifestEnvLen):]
+		if asCommit {
+			body = body[:max(0, len(body)-trailerFooterLen)]
+		}
+		var m manifest
+		var err error
+		if n := allocated(func() { m, err = decodeManifest(body) }); n > decodeAllocBound(len(body)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(body), n)
+		}
+		if err == nil {
+			// What a body decodes to survives its encoding, which may be
+			// shorter: a number written long, a flagged field equal to what
+			// its absence says, a file no run names.
+			if m2, err := decodeManifest(appendManifest(nil, &m)); err != nil || !reflect.DeepEqual(m2, m) {
+				t.Fatalf("%x decodes to %+v, which does not survive its encoding: %v", body, m, err)
+			}
+		}
+
 		fs := storage.NewMemFS()
 		files := stores[[2]bool{asCommit, delta}]
 		for n, b := range files {
@@ -736,6 +899,20 @@ func FuzzManifest(f *testing.F) {
 			}
 		}
 	})
+}
+
+// snapshotBytes returns every file of fs with its contents.
+func snapshotBytes(t testing.TB, fs *storage.MemFS) map[string][]byte {
+	t.Helper()
+	names, err := fs.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, n := range names {
+		files[n] = readFile(t, fs, n)
+	}
+	return files
 }
 
 // TestOpenRefusesHostileFiles: a deletion vector cut mid-record, a run
@@ -838,7 +1015,7 @@ func TestDeletionVectorV1Read(t *testing.T) {
 	name := dvFileOf(t, fs)
 	good := readFile(t, fs, name)
 	plant(t, fs, name, testdata(t, "v1-dv-from"))
-	retiredOpen(t, fs, goldenOptions(nil), "the deletion vector "+name+", version 1,")
+	retiredOpen(t, fs, goldenOptions(nil), "the deletion vector "+name+", version 1,", upgrader)
 	for v := range 9 {
 		plant(t, fs, name, sealManifest(v, good[manifestEnvLen:]))
 		before := snapshotFiles(t, fs)
