@@ -56,6 +56,7 @@ var xversionRows = []struct {
 	{"45342b7", "run format 5, commit format 4", nil, []string{"manifest version 5 not supported"}, false},
 	{"958afda", "BLF1 filters in delta runs, log format 5, commit format 4", nil, []string{storage.ErrNewerFormat.Error()}, false},
 	{"687eb0f", "log format 5, commit format 4", nil, []string{storage.ErrNewerFormat.Error()}, false},
+	{"19dfafc", "commit format 4", nil, []string{storage.ErrNewerFormat.Error()}, false},
 }
 
 // tookOp is an op the store was given and the CP being taken then.
