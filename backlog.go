@@ -328,8 +328,10 @@
 // a header page in every section, and v3, a presence bitmap and a varint
 // per changed column, open once under a binary of commit 8d5575c; v2,
 // which spent a byte on every unchanged column, under one of commit
-// 0ea923b, and then 8d5575c. So does a store whose commit is a legacy
-// MANIFEST, or a commit whose runs carry no header.
+// 0ea923b, and then 8d5575c. So does a commit whose runs carry no header,
+// under 8d5575c, and a store whose commit is a legacy MANIFEST, whose
+// refusal names both hops: 0ea923b first if its runs are of format v2,
+// then 8d5575c.
 // DB.EstimateCompression projects the v6 size of a table without
 // rewriting it (running the run writer over a discarding file), and
 // "backlogctl compression" prints per-table logical versus physical
@@ -817,9 +819,10 @@ type DB struct {
 // no page of any run; then it loads the deletion vectors the commit names
 // and replays the log's tail. A store closed cleanly reopens from its
 // small commit file, its vectors and its log tail alone (IOReport credits
-// those reads to recovery). Only a commit an earlier binary wrote names
-// runs without their headers, and then each such run's header page is
-// read; the first commit after Open carries them all.
+// those reads to recovery). The commit is binary (commit format 5: its
+// numbers as uvarints, each run file named once), a few dozen bytes a run;
+// a format-4 commit, the same manifest as JSON, is read as well, and the
+// first commit after Open writes format 5.
 func Open(cfg Config) (*DB, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -11,9 +11,10 @@
 //     5);
 //   - 8d5575c: run formats 3 and 4, log format 4, a legacy MANIFEST, a
 //     commit whose runs carry no header, and deletion-vector version 1 (to
-//     run format 6, the commit trailer, deletion-vector version 2, log
-//     format 5, which the current binary reads and retires at its first
-//     checkpoint).
+//     run format 6, the commit trailer of commit format 4,
+//     deletion-vector version 2 and log format 5, which the current
+//     binary reads; its first checkpoint retires the log and its first
+//     commit writes commit format 5).
 //
 // For each commit C of the chain:
 //

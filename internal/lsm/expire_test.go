@@ -193,8 +193,9 @@ func readFile(t testing.TB, fs *storage.MemFS, name string) []byte {
 // and refuses every other by name: 3 and below as versions it does not
 // read (3 was bare JSON in the legacy MANIFEST, which is refused by name
 // too: TestManifestV3BytesPinned), 6 and above as newer than this binary
-// (btree.ErrNewerFormat). A version-4 body whose version field is missing
-// is ErrCorrupt. A store read in either version commits version 5 next,
+// (btree.ErrNewerFormat). A version-4 body whose version field is missing,
+// or whose run ends before the block it starts at, which version 5 cannot
+// hold, is ErrCorrupt. A store read in either version commits version 5 next,
 // and reopens from it the same. A refused Open changes nothing on disk.
 func TestManifestV1Compat(t *testing.T) {
 	v4 := testdata(t, "commit-headers")
@@ -214,6 +215,7 @@ func TestManifestV1Compat(t *testing.T) {
 		{"v6", 6, nil, "carries version 6: format newer than this binary (this binary reads versions 4 to 5)"},
 		{"v8", 8, nil, "carries version 8: format newer than this binary"},
 		{"missing", manifestVersionJSON, bytes.Replace(v4Body, []byte(`"version":4,`), nil, 1), "version 0 in a version-4 envelope"},
+		{"inverted", manifestVersionJSON, bytes.Replace(v4Body, []byte(`"min_block":1,"max_block":3`), []byte(`"min_block":3,"max_block":1`), 1), "spans blocks 3 to 1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := storage.NewMemFS()
@@ -234,7 +236,7 @@ func TestManifestV1Compat(t *testing.T) {
 			if err == nil {
 				db.Close()
 			}
-			if err == nil || !strings.Contains(err.Error(), tc.want) || errors.Is(err, ErrCorrupt) != (tc.name == "missing") ||
+			if err == nil || !strings.Contains(err.Error(), tc.want) || errors.Is(err, ErrCorrupt) != (tc.version == manifestVersionJSON) ||
 				errors.Is(err, btree.ErrNewerFormat) != (tc.version > manifestVersion) {
 				t.Fatalf("Open = %v, want an error naming %q", err, tc.want)
 			}

@@ -179,9 +179,9 @@ type Options struct {
 	// validating as they stream, and report nothing here.
 	DecodeObserver func(time.Duration)
 	// Section, when non-nil, supplies the opaque section that every manifest
-	// carries beside the run sets, as bytes lsm does not look into. Edit.Write calls it while
-	// it builds the next manifest, serialized against every other commit,
-	// and stores what it returns: whatever the section serializes
+	// carries beside the run sets, bytes lsm does not look into. Edit.Write
+	// calls it while it builds the next manifest, serialized against every
+	// other commit, and stores what it returns: whatever the section serializes
 	// becomes durable in the same commit as the edit, never before and
 	// never after. With a nil Section the manifest gets no section of this
 	// process's making (one found on disk is carried forward untouched).
@@ -448,8 +448,9 @@ func (rm runManifest) view(f storage.File) storage.File {
 }
 
 // runManifestJSON is runManifest in a version-4 body, which this binary
-// reads and no longer writes. MinCP and MaxCP are omitted when equal to CP (the common case for level-0 flushes, where
-// every record carries the flushed consistency point). At is where a run
+// reads and no longer writes. MinCP and MaxCP are omitted when equal to CP
+// (the common case for level-0 flushes, where every record carries the
+// flushed consistency point). At is where a run
 // that shares its file lies in it — page offset, page length, filter
 // offset, filter length — and is omitted for a run that is its whole file,
 // keeping such a run's entry what version 3 wrote. Header is the run's
@@ -494,6 +495,10 @@ func (rm *runManifest) UnmarshalJSON(data []byte) error {
 	}
 	if w.FirstPage != nil && len(w.Header) == 0 {
 		return fmt.Errorf("run %s starts at page %d and carries no header", w.Name, *w.FirstPage)
+	}
+	if w.MaxBlock < w.MinBlock {
+		// Version 5 holds a run's blocks as a first block and a span.
+		return fmt.Errorf("run %s spans blocks %d to %d", w.Name, w.MinBlock, w.MaxBlock)
 	}
 	switch len(w.At) {
 	case 0:

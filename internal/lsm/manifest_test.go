@@ -255,8 +255,8 @@ func TestManifestV3BytesPinned(t *testing.T) {
 
 // TestManifestV2RefusedByName: a version-2 manifest (the previous encoder's
 // of goldenStore, beside the CATALOG file that format kept the section in)
-// is refused by its version, with the binary that upgrades it, and the
-// refused Open changes nothing on disk.
+// is refused by its version, with both binaries that upgrade it in turn,
+// and the refused Open changes nothing on disk.
 func TestManifestV2RefusedByName(t *testing.T) {
 	fs := storage.NewMemFS()
 	goldenStore(t, fs, nil).Close()
