@@ -651,7 +651,7 @@ func TestEarlierStoresMigrateOnTheirFirstMaintain(t *testing.T) {
 	for _, fx := range migrationFixtures {
 		t.Run(fx.store, func(t *testing.T) {
 			if fx.refused != "" {
-				refusedStore(t, fx.store, fx.partitions, fx.refused)
+				refusedStore(t, fx.store, fx.partitions, fx.refused, fx.upgrade)
 				return
 			}
 			fs, want := earlierStore(t, fx.store)
@@ -698,9 +698,9 @@ func TestEarlierStoresMigrateOnTheirFirstMaintain(t *testing.T) {
 
 // refusedStore opens a copy of testdata/<name>, a store in a format this
 // binary no longer reads, in its partitions, and wants Open refused by name — not as damage —
-// with an error that names what and the binary that upgrades the store,
-// and every file as the store's writer left it.
-func refusedStore(t *testing.T, name string, partitions int, what string) {
+// with an error that names what as no longer read, then the upgrade, and
+// every file as the store's writer left it.
+func refusedStore(t *testing.T, name string, partitions int, what, upgrade string) {
 	t.Helper()
 	fs, _ := earlierStore(t, name)
 	eng, err := core.Open(core.Options{VFS: fs, Catalog: core.NewMemCatalog(), Partitions: partitions, PartitionSpan: 100})
@@ -708,9 +708,8 @@ func refusedStore(t *testing.T, name string, partitions int, what string) {
 		eng.Close()
 		t.Fatalf("%s opened", name)
 	}
-	if errors.Is(err, lsm.ErrCorrupt) || errors.Is(err, btree.ErrCorrupt) || !strings.Contains(err.Error(), what) ||
-		!strings.Contains(err.Error(), " once with a binary of commit 8d5575c") {
-		t.Fatalf("%s: Open = %v, want %q refused by name, with its upgrader", name, err, what)
+	if errors.Is(err, lsm.ErrCorrupt) || errors.Is(err, btree.ErrCorrupt) || !strings.Contains(err.Error(), what+" is no longer read: "+upgrade) {
+		t.Fatalf("%s: Open = %v, want %q refused by name, with its upgrade: %s", name, err, what, upgrade)
 	}
 	entries, err := os.ReadDir(filepath.Join("testdata", name))
 	if err != nil {
@@ -787,33 +786,39 @@ func TestCompressionProjectsTheRewrite(t *testing.T) {
 
 // migrationFixtures are the stores earlier binaries wrote, each with the
 // durability it opens under, or, for a store in a format this binary no
-// longer reads, what Open's refusal names (refusedStore) and the
-// partitions of 100 blocks it was written with. v5runs-store's .answers
-// file covers every block below earlierStoreBlocks. A legacy manifest's
-// refusal names both hops of its upgrade: a store that old may hold runs of
-// format 2, which 8d5575c refuses in turn.
+// longer reads, what Open's refusal names (refusedStore), the upgrade it
+// names after that and the partitions of 100 blocks it was written with.
+// v5runs-store's .answers file covers every block below
+// earlierStoreBlocks. A legacy manifest's refusal names both hops of its
+// upgrade: a store that old may hold runs of format 2, which 8d5575c
+// refuses in turn.
 var migrationFixtures = []migrationFixture{
-	{"v3manifest-store", wal.CheckpointOnly, "the manifest in MANIFEST, version 3, " + legacyUpgrade, 1},
-	{"v4manifest-store", wal.Buffered, "the manifest in MANIFEST, version 4, " + legacyUpgrade, 1},
-	{"v3runs-store", wal.CheckpointOnly, "run format 3 is no longer read", 2},
-	{"v4runs-store", wal.Buffered, "run format 4 is no longer read", 1},
-	{"v5runs-store", wal.Buffered, "", 1},
+	{"v3manifest-store", wal.CheckpointOnly, "the manifest in MANIFEST, version 3,", legacyUpgrade, 1},
+	{"v4manifest-store", wal.Buffered, "the manifest in MANIFEST, version 4,", legacyUpgrade, 1},
+	{"v3runs-store", wal.CheckpointOnly, "run format 3", runUpgrade, 2},
+	{"v4runs-store", wal.Buffered, "run format 4", runUpgrade, 1},
+	{"v5runs-store", wal.Buffered, "", "", 1},
 }
 
 type migrationFixture struct {
 	store      string
 	mode       wal.Durability
 	refused    string
+	upgrade    string
 	partitions int
 }
 
 // commitFixture is the store the previous commit format's binary wrote, in
 // Sync mode: a store of the current run format whose commit is version 4
 // and whose log tail is format 6.
-var commitFixture = migrationFixture{"v4commit-store", wal.Sync, "", 1}
+var commitFixture = migrationFixture{"v4commit-store", wal.Sync, "", "", 1}
 
-// legacyUpgrade is how the refusal of a legacy manifest starts its upgrade.
-const legacyUpgrade = "is no longer read: open the store once with a binary of commit 0ea923b if its runs are of format 2, then once with a binary of commit 8d5575c"
+// The upgrades a refusal names: of a retired run format, and of a legacy
+// manifest.
+const (
+	runUpgrade    = "open the store once with a binary of commit 8d5575c"
+	legacyUpgrade = "open the store once with a binary of commit 0ea923b if its runs are of format 2, then once with a binary of commit 8d5575c"
+)
 
 // TestCurrentFormatStoreOpensAsWritten: the store a binary of the current
 // run format wrote (testdata/v6runs-store, from a build of 958afda) opens
@@ -915,7 +920,7 @@ func TestMigrationSurvivesACrash(t *testing.T) {
 	for _, fx := range append(slices.Clone(migrationFixtures), commitFixture) {
 		t.Run(fx.store, func(t *testing.T) {
 			if fx.refused != "" {
-				refusedStore(t, fx.store, fx.partitions, fx.refused)
+				refusedStore(t, fx.store, fx.partitions, fx.refused, fx.upgrade)
 				return
 			}
 			opts := func(fs *storage.MemFS) core.Options {

@@ -195,11 +195,17 @@ func readFile(t testing.TB, fs *storage.MemFS, name string) []byte {
 // too: TestManifestV3BytesPinned), 6 and above as newer than this binary
 // (btree.ErrNewerFormat). A version-4 body whose version field is missing,
 // or whose run ends before the block it starts at, which version 5 cannot
-// hold, is ErrCorrupt. A store read in either version commits version 5 next,
+// hold, is ErrCorrupt; so is one whose deletion vector's count is below
+// zero or counts records in no file, which the next commit would carry
+// into a version-5 body its reader refuses. A store read in either version commits version 5 next,
 // and reopens from it the same. A refused Open changes nothing on disk.
 func TestManifestV1Compat(t *testing.T) {
 	v4 := testdata(t, "commit-headers")
 	v4Body := v4[manifestEnvLen : len(v4)-trailerFooterLen]
+	combined := []byte(`"combined":{`)
+	if bytes.Contains(v4Body, []byte(`"dv_file":"dv.combined`)) {
+		t.Fatalf("the v4 golden's Combined table has a deletion vector:\n%s", v4Body)
+	}
 	for _, tc := range []struct {
 		name    string
 		version int
@@ -216,6 +222,8 @@ func TestManifestV1Compat(t *testing.T) {
 		{"v8", 8, nil, "carries version 8: format newer than this binary"},
 		{"missing", manifestVersionJSON, bytes.Replace(v4Body, []byte(`"version":4,`), nil, 1), "version 0 in a version-4 envelope"},
 		{"inverted", manifestVersionJSON, bytes.Replace(v4Body, []byte(`"min_block":1,"max_block":3`), []byte(`"min_block":3,"max_block":1`), 1), "spans blocks 3 to 1"},
+		{"dv-negative", manifestVersionJSON, bytes.Replace(v4Body, combined, []byte(`"combined":{"dv_count":-1,`), 1), "counts -1 deletion vector records"},
+		{"dv-without-file", manifestVersionJSON, bytes.Replace(v4Body, combined, []byte(`"combined":{"dv_count":2,`), 1), `counts 2 deletion vector records in file ""`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := storage.NewMemFS()

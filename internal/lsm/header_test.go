@@ -3,7 +3,9 @@ package lsm
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"maps"
 	"os"
 	"path/filepath"
@@ -53,9 +55,83 @@ func committed(t testing.TB, fs *storage.MemFS) manifest {
 // commit as mutate leaves it, in version 5.
 func reseal(t testing.TB, fs *storage.MemFS, mutate func(m *manifest)) {
 	t.Helper()
+	resealAs(t, fs, manifestVersion, mutate)
+}
+
+// resealAs is reseal in version v: 5, or 4 as jsonBody writes it.
+func resealAs(t testing.TB, fs *storage.MemFS, v int, mutate func(m *manifest)) {
+	t.Helper()
 	m := committed(t, fs)
 	mutate(&m)
-	plant(t, fs, newestCommit, sealTrailer(appendManifest(nil, &m), btree.Layout{}))
+	body := appendManifest(nil, &m)
+	if v == manifestVersionJSON {
+		body = jsonBody(t, m)
+	}
+	plant(t, fs, newestCommit, sealVersion(v, body))
+}
+
+// jsonBody is m as a version-4 body, as a binary of 19dfafc, the last
+// writer of version 4, wrote it: each run a runManifestJSON, whose MinCP,
+// MaxCP and Overrides a run of unknown CPs leaves out.
+// TestManifestV4BytesPinned holds it to the v4 goldens.
+func jsonBody(t testing.TB, m manifest) []byte {
+	t.Helper()
+	type table struct {
+		Partitions [][]runManifestJSON `json:"partitions"`
+		DVFile     string              `json:"dv_file,omitempty"`
+		DVCount    int                 `json:"dv_count,omitempty"`
+	}
+	tables := map[string]table{}
+	for name, tm := range m.Tables {
+		partitions := make([][]runManifestJSON, len(tm.Partitions))
+		for p, runs := range tm.Partitions {
+			partitions[p] = make([]runManifestJSON, 0, len(runs))
+			for _, rm := range runs {
+				partitions[p] = append(partitions[p], jsonRun(rm))
+			}
+		}
+		tables[name] = table{partitions, tm.DVFile, tm.DVCount}
+	}
+	b, err := json.Marshal(struct {
+		Version int              `json:"version"`
+		CP      uint64           `json:"cp"`
+		NextID  uint64           `json:"next_id"`
+		Tables  map[string]table `json:"tables"`
+		Catalog json.RawMessage  `json:"catalog,omitempty"`
+	}{manifestVersionJSON, m.CP, m.NextID, tables, m.Catalog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// jsonRun is rm's entry in a version-4 body (jsonBody).
+func jsonRun(rm runManifest) runManifestJSON {
+	w := runManifestJSON{
+		Name: rm.Name, Level: rm.Level, Records: rm.Records,
+		MinBlock: rm.MinBlock, MaxBlock: rm.MaxBlock, CP: rm.CP, CPUnknown: rm.CPUnknown,
+	}
+	if !rm.whole() {
+		w.At = []int64{rm.Pages.Off, rm.Pages.Len, rm.Filter.Off, rm.Filter.Len}
+	}
+	h := rm.Header
+	w.Header = []uint64{uint64(h.Format), uint64(h.RecordSize), h.LeafStart, h.LeafPages, uint64(h.Levels), h.RootPage, uint64(h.FilterCRC)}
+	if rm.whole() {
+		w.Header = append(w.Header, h.FilterOff, h.FilterLen)
+	}
+	if h.FirstPage != rm.firstPage(h.Format) {
+		w.FirstPage = &h.FirstPage
+	}
+	if !rm.CPUnknown {
+		if rm.MinCP != rm.CP {
+			w.MinCP = &rm.MinCP
+		}
+		if rm.MaxCP != rm.CP {
+			w.MaxCP = &rm.MaxCP
+		}
+		w.Overrides = rm.Overrides
+	}
+	return w
 }
 
 // openCounted opens fs through the attributed view the engine opens its
@@ -196,6 +272,39 @@ func wireNumbers(vs ...uint64) []byte {
 	return b
 }
 
+// hostileJSON is a version-4 commit file no writer made, and what Open's
+// ErrCorrupt names.
+type hostileJSON struct {
+	commit []byte
+	want   string
+}
+
+// hostileJSONHeaders returns goldenStoreV4's version-4 golden, body, with
+// one run entry edited where no version-4 writer put it, each sealed as a
+// version-4 commit: version 4's decoder (runManifest.UnmarshalJSON) checks
+// what version 5's layout rules out. The header rows edit the first run
+// that is its whole file, the others the shared file's second section.
+func hostileJSONHeaders(t testing.TB, body []byte) map[string]hostileJSON {
+	t.Helper()
+	const whole, at, shared = `,"header":[1,16,1,1,0,1,0,8192,88]`, `"at":[8192,8192,16472,88]`, `,"header":[1,16,1,1,0,1,0]`
+	out := map[string]hostileJSON{}
+	for name, row := range map[string]struct{ old, new, want string }{
+		"a whole file's header short of its filter": {whole, shared, "a header of 7 numbers, not 9"},
+		"a format past 32 bits":                     {whole, `,"header":[4294967297,16,1,1,0,1,0,8192,88]`, "header field 0 = 4294967297, past 32 bits"},
+		"a filter CRC past 32 bits":                 {whole, `,"header":[1,16,1,1,0,1,4294967296,8192,88]`, "header field 6 = 4294967296, past 32 bits"},
+		"a place of three numbers":                  {at, `"at":[8192,8192,16472]`, "placed by 3 numbers, not 4"},
+		"a first page and no header":                {at + shared, at + `,"first_page":1`, "starts at page 1 and carries no header"},
+		"a first page said by a format-6 run":       {at + shared, at + `,"header":[6,16,1,1,0,1,0],"first_page":1`, "is of format 6, whose place alone says"},
+	} {
+		edited := bytes.Replace(body, []byte(row.old), []byte(row.new), 1)
+		if bytes.Equal(edited, body) {
+			t.Fatalf("%s: the version-4 golden holds no %s", name, row.old)
+		}
+		out[name] = hostileJSON{sealVersion(manifestVersionJSON, edited), row.want}
+	}
+	return out
+}
+
 // newerHeader returns goldenStoreV4's manifest, body, with the shared
 // file's second section carrying a header of a format newer than this
 // binary, checksummed: Open must refuse it as that, not as ErrCorrupt.
@@ -271,7 +380,9 @@ func flagsAt(entry []byte) int {
 // more than 16 levels or levels over a single leaf, a record size that is
 // not its table's, a filter past the end of the file, a header of the
 // wrong length or with a field past 32 bits — is ErrCorrupt at Open, as
-// the newest commit's trailer, and the refused Open removes no file. So is
+// the newest commit's trailer, and the refused Open removes no file; so is
+// a version-4 body that version 4's decoder refuses (hostileJSONHeaders),
+// with what it names. So is
 // one that tells a format-6 file's layout wrong: a header that claims a
 // header its section lacks or denies one it has, or a grid that overruns
 // the entry's pages. A header of a format newer than this binary is refused
@@ -306,6 +417,15 @@ func TestManifestHostileHeaders(t *testing.T) {
 	retiredOpen(t, fs, goldenOptions(nil), newestCommit+", a version-4 commit whose combined run in", upgrader)
 	if err := fs.Remove(newestCommit); err != nil {
 		t.Fatal(err)
+	}
+	for name, row := range hostileJSONHeaders(t, v4Body) {
+		plant(t, fs, newestCommit, row.commit)
+		if err := refusesOpen(t, fs, goldenOptions(nil), name+" (version 4)"); !strings.Contains(err.Error(), row.want) {
+			t.Fatalf("%s (version 4): Open = %v, want it to name %q", name, err, row.want)
+		}
+		if err := fs.Remove(newestCommit); err != nil {
+			t.Fatal(err)
+		}
 	}
 	v6 := storage.NewMemFS()
 	goldenStoreV6(t, v6).Close()
@@ -424,61 +544,76 @@ func coreAnswers(t *testing.T, db *DB) (out []string) {
 // does not hold its header page either — the merge file of
 // internal/core/testdata/v5runs-store, which a format-5 binary wrote, less
 // its page 0, its entries moved to match and the first one saying its
-// first page is 1 — opens from the commit alone and answers as the store
-// it was cut from, as format-5 readers always allowed. (A format-6 run may
-// not say its first page: its place says it.)
+// first page is 1, in a commit of either version read — opens from the
+// commit alone and answers as the store it was cut from, as format-5
+// readers always allowed. (A format-6 run may not say its first page: its
+// place says it.) The store's own commit is version 4, which jsonBody
+// writes as its writer did.
 func TestFirstSectionWithoutItsPageOpens(t *testing.T) {
-	fs := coreStore(t, "v5runs-store")
-	opts := coreOptions()
-	answers := func(db *DB) []string { return coreAnswers(t, db) }
-	db, err := Open(fs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := answers(db)
-	const name = "merge.p000.0000000005.run"
-	if r := db.Table("from").Runs(0)[0]; r.Name() != name || r.Format() != 5 || r.pageExt.Off != 0 {
-		t.Fatalf("the fixture's first From run is %s, format %d at %+v: want the first section of %s, format 5", r.Name(), r.Format(), r.pageExt, name)
-	}
-	db.Close()
-	plant(t, fs, name, readFile(t, fs, name)[storage.PageSize:])
-	reseal(t, fs, func(m *manifest) {
-		for _, tm := range m.Tables {
-			for i := range tm.Partitions[0] {
-				rm := &tm.Partitions[0][i]
-				if rm.Name != name {
-					continue
+	for _, v := range []int{manifestVersionJSON, manifestVersion} {
+		t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) {
+			fs := coreStore(t, "v5runs-store")
+			opts := coreOptions()
+			answers := func(db *DB) []string { return coreAnswers(t, db) }
+			if body := manifestBody(t, fs); !bytes.Equal(jsonBody(t, committed(t, fs)), body) {
+				t.Fatalf("the store's commit is not what jsonBody writes:\n%s", body)
+			}
+			db, err := Open(fs, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := answers(db)
+			const name = "merge.p000.0000000005.run"
+			if r := db.Table("from").Runs(0)[0]; r.Name() != name || r.Format() != 5 || r.pageExt.Off != 0 {
+				t.Fatalf("the fixture's first From run is %s, format %d at %+v: want the first section of %s, format 5", r.Name(), r.Format(), r.pageExt, name)
+			}
+			db.Close()
+			plant(t, fs, name, readFile(t, fs, name)[storage.PageSize:])
+			resealAs(t, fs, v, func(m *manifest) {
+				for _, tm := range m.Tables {
+					for i := range tm.Partitions[0] {
+						rm := &tm.Partitions[0][i]
+						if rm.Name != name {
+							continue
+						}
+						rm.Filter.Off -= storage.PageSize
+						if rm.Pages.Off == 0 {
+							rm.Pages.Len -= storage.PageSize
+							rm.Header.FirstPage = 1
+						} else {
+							rm.Pages.Off -= storage.PageSize
+						}
+					}
 				}
-				rm.Filter.Off -= storage.PageSize
-				if rm.Pages.Off == 0 {
-					rm.Pages.Len -= storage.PageSize
-					rm.Header.FirstPage = 1
-				} else {
-					rm.Pages.Off -= storage.PageSize
+			})
+			if body := manifestBody(t, fs); v == manifestVersionJSON && bytes.Count(body, []byte(`"first_page":1`)) != 1 {
+				t.Fatalf("the moved manifest says first_page other than once:\n%s", body)
+			}
+			said := 0
+			for _, tm := range committed(t, fs).Tables {
+				for _, rm := range tm.Partitions[0] {
+					if h := rm.Header; h.FirstPage != rm.firstPage(h.Format) {
+						said++
+					}
 				}
 			}
-		}
-	})
-	said := 0
-	for _, tm := range committed(t, fs).Tables {
-		for _, rm := range tm.Partitions[0] {
-			if h := rm.Header; h.FirstPage != rm.firstPage(h.Format) {
-				said++
+			if said != 1 {
+				t.Fatalf("the moved manifest says %d runs' first pages, want one", said)
 			}
-		}
-	}
-	if said != 1 {
-		t.Fatalf("the moved manifest says %d runs' first pages, want one", said)
-	}
-	db, err = Open(fs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if got := answers(db); !slices.Equal(got, want) || len(want) < 160 {
-		t.Fatalf("the store without the page answers %d records, the store it was cut from %d", len(got), len(want))
-	}
-	if err := db.CheckHeaders(); err != nil {
-		t.Fatal(err)
+			db, err = Open(fs, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			if env, _ := trailer(t, fs, db.commit); db.commit != newestCommit || binary.LittleEndian.Uint32(env[8:]) != uint32(v) {
+				t.Fatalf("the store opened from %s, not the moved version-%d commit", db.commit, v)
+			}
+			if got := answers(db); !slices.Equal(got, want) || len(want) < 160 {
+				t.Fatalf("the store without the page answers %d records, the store it was cut from %d", len(got), len(want))
+			}
+			if err := db.CheckHeaders(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

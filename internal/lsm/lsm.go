@@ -366,6 +366,16 @@ type tableManifest struct {
 	DVCount    int             `json:"dv_count,omitempty"`
 }
 
+// checkDV refuses a deletion vector no writer names: a count below zero,
+// or records counted in no file. Open reads the vector only where a file is
+// named, and the next commit carries the count as it is.
+func (tm tableManifest) checkDV(table string) error {
+	if tm.DVCount < 0 || tm.DVCount > 0 && tm.DVFile == "" {
+		return fmt.Errorf("table %s counts %d deletion vector records in file %q", table, tm.DVCount, tm.DVFile)
+	}
+	return nil
+}
+
 type runManifest struct {
 	// Name is the file the run is in; the runs of one file are of different
 	// tables, so (table, Name) names a run.
@@ -896,6 +906,9 @@ func decodeCommit(name string, v int, body []byte) (manifest, error) {
 		return manifest{}, corrupt("%s: version %d in a version-%d envelope", name, m.Version, v)
 	}
 	for table, tm := range m.Tables {
+		if err := tm.checkDV(table); err != nil {
+			return manifest{}, corrupt("%s: %v", name, err)
+		}
 		for _, runs := range tm.Partitions {
 			for _, rm := range runs {
 				if rm.Header == nil {

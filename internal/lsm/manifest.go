@@ -145,8 +145,9 @@ func appendBytes(buf, b []byte) []byte {
 
 // decodeManifest decodes a version-5 body. The bytes are a checksummed
 // commit's, but no writer's promise: a count or a length past the bytes
-// left, a field past its width, a truncated number and bytes after the
-// section are errors, and no count sizes an allocation before it has been
+// left, a field past its width, a truncated number, a deletion vector
+// counted in no file (tableManifest.checkDV) and bytes after the section
+// are errors, and no count sizes an allocation before it has been
 // held against the bytes left.
 func decodeManifest(body []byte) (manifest, error) {
 	d := &bodyReader{b: body}
@@ -171,6 +172,9 @@ func decodeManifest(body []byte) (manifest, error) {
 		}
 		tm.DVFile = string(d.bytes("a deletion vector's file"))
 		tm.DVCount = int(d.width("a deletion vector's count", math.MaxInt))
+		if d.err == nil {
+			d.err = tm.checkDV(name)
+		}
 		if d.err != nil {
 			return manifest{}, d.err
 		}

@@ -199,7 +199,8 @@ func TestManifestV5BytesPinned(t *testing.T) {
 // and without a section (never regenerate them), are read one version
 // back: in place of the version-5 trailer of the run file that carries the
 // store's commit, the store opens as the one that wrote the runs, and its
-// next commit is version 5, which a reopen reads the same.
+// next commit is version 5, which a reopen reads the same. The tests'
+// version-4 encoder, jsonBody, writes each golden from what it decodes to.
 func TestManifestV4BytesPinned(t *testing.T) {
 	for _, tc := range []struct {
 		golden  string
@@ -213,8 +214,12 @@ func TestManifestV4BytesPinned(t *testing.T) {
 		want := storeState(t, db)
 		db.Close()
 		v4 := testdata(t, tc.golden)
-		if v, _, err := unseal(v4[:len(v4)-trailerFooterLen]); err != nil || v != manifestVersionJSON {
+		v, body, err := unseal(v4[:len(v4)-trailerFooterLen])
+		if err != nil || v != manifestVersionJSON {
 			t.Fatalf("%s: version %d (%v), want a version-4 golden", tc.golden, v, err)
+		}
+		if m, err := decodeCommit(tc.golden, v, body); err != nil || !bytes.Equal(jsonBody(t, m), body) {
+			t.Fatalf("%s: the tests' version-4 encoder (jsonBody) does not write the golden it decodes (%v)", tc.golden, err)
 		}
 		// The golden is the trailer of the run file that carries the commit.
 		carrier := commitFile(t, fs)
@@ -340,8 +345,8 @@ func retiredOpen(t *testing.T, fs *storage.MemFS, opts Options, what, upgrade st
 const newestCommit = "commit.0000000099"
 
 // refusesOpen asserts that opening fs with opts is ErrCorrupt and changes
-// nothing on disk.
-func refusesOpen(t *testing.T, fs *storage.MemFS, opts Options, what string) {
+// nothing on disk, and returns the error.
+func refusesOpen(t *testing.T, fs *storage.MemFS, opts Options, what string) error {
 	t.Helper()
 	before := snapshotFiles(t, fs)
 	db, err := Open(fs, opts)
@@ -355,6 +360,7 @@ func refusesOpen(t *testing.T, fs *storage.MemFS, opts Options, what string) {
 	if after := snapshotFiles(t, fs); !reflect.DeepEqual(after, before) {
 		t.Fatalf("%s: a refused Open changed the directory", what)
 	}
+	return err
 }
 
 // TestManifestEnvelopeCorruption: a store whose commit is one of the two
@@ -661,7 +667,8 @@ func TestSectionCommitsWithTheEdit(t *testing.T) {
 // one field made what no writer writes, each sealed: a count or a length
 // past the bytes left, a number past its field's width or cut short, an
 // entry that names no file or flags no writer sets, a run that shares its
-// file placed at nothing, and bytes after the section. Open must refuse
+// file placed at nothing, a deletion vector counted in no file, and bytes
+// after the section. Open must refuse
 // every one as ErrCorrupt.
 func hostileBodies(t testing.TB, body []byte) map[string][]byte {
 	t.Helper()
@@ -703,7 +710,14 @@ func hostileBodies(t testing.TB, body []byte) map[string][]byte {
 	}
 	_, spanLen := binary.Uvarint(spanEntry[spanAt:])
 	span := append(append(bytes.Clone(spanEntry[:spanAt]), wireNumbers(math.MaxUint64-spanned.MinBlock+1)...), spanEntry[spanAt+spanLen:]...)
-	out := map[string][]byte{}
+	uncounted := decodeBody(t, body)
+	tm := uncounted.Tables["combined"]
+	if tm.DVFile != "" {
+		t.Fatalf("goldenStoreV4's Combined table has a deletion vector: %+v", tm)
+	}
+	tm.DVCount = 1
+	uncounted.Tables["combined"] = tm
+	out := map[string][]byte{"a vector counted in no file": sealBody(uncounted)}
 	for name, b := range map[string][]byte{
 		"a file count past the body":     splice(files, 1, wireNumbers(1<<40)),
 		"a file name past the body":      splice(files+1, 1, wireNumbers(1<<40)),
@@ -825,6 +839,10 @@ func FuzzManifest(f *testing.F) {
 	for _, b := range append(slices.Collect(maps.Values(hostileHeaders(f, carried))), newerHeader(f, carried)) {
 		f.Add(b, false, false)
 		f.Add(sealTrailer(b[manifestEnvLen:], btree.Layout{}), true, false)
+	}
+	v4 := testdata(f, "commit-headers")
+	for _, row := range hostileJSONHeaders(f, v4[manifestEnvLen:len(v4)-trailerFooterLen]) {
+		f.Add(row.commit, true, false)
 	}
 	// Format-6 runs, and the layouts TestManifestHostileHeaders and
 	// TestManifestHostileSections tell wrong.
