@@ -278,7 +278,7 @@
 //
 // The paper observes (Section 8) that back-reference tables are "highly
 // compressible, especially if we compress them by columns". Runs are
-// stored column-compressed by default: each leaf page of a run's B-tree
+// stored column-compressed: each leaf page of a run's B-tree
 // bit-packs its records (format v6, whose leaves are v4's). The page
 // header holds, per column, a
 // bit width and a base; the block is stored as its delta from the previous
@@ -305,39 +305,29 @@
 // its root, ends at its checksum, so a small checkpoint writes what its
 // records cost.
 //
-// Config.Compression selects the format for newly written runs:
-//
-//   - CompressionDelta (the default) writes format-v6 bit-packed runs.
-//     Runs of the previous delta format, v5 — the same file with its
-//     header and roots padded to 4 KiB pages — stay readable, and a
-//     maintenance pass rewrites each of them into v6 at its level, with
-//     its records and CP window. A binary of commit 45342b7 or earlier
-//     refuses a store holding v6 runs as corrupt, changing nothing; later
-//     binaries refuse a run format newer than theirs by name.
-//   - CompressionNone writes raw fixed-stride format-v1 runs — the
-//     paper's original layout, pinned by the deterministic paper-figure
-//     experiments.
-//
-// The knob applies to new runs only. Both formats, and format v5, read but
-// never written, are always readable: an existing database opens and
-// queries under either setting with no migration step, and compaction
-// naturally rewrites old runs into the configured format. Each format
-// reads one version back, and an older one is refused by name, with the
-// binary that rewrites it (internal/core/testdata/upgrade opens a store
-// under it, checkpoints, maintains and closes it): v4, the same leaves with
-// a header page in every section, and v3, a presence bitmap and a varint
-// per changed column, open once under a binary of commit 8d5575c; v2,
-// which spent a byte on every unchanged column, under one of commit
-// 0ea923b, and then 8d5575c. So does a commit whose runs carry no header,
-// under 8d5575c, and a store whose commit is a legacy MANIFEST, whose
-// refusal names both hops: 0ea923b first if its runs are of format v2,
-// then 8d5575c.
-// DB.EstimateCompression projects the v6 size of a table without
-// rewriting it (running the run writer over a discarding file), and
-// "backlogctl compression" prints per-table logical versus physical
-// bytes. bash bench/run.sh measures the default format's on-disk size
-// (space_bytes_per_ref, btree.bytes_per_record), checkpoint write bytes
-// (storage.write_bytes.checkpoint) and cold query cost
+// The store writes v6 alone. It reads v6; v5, one version back — the
+// same file with its header and roots padded to 4 KiB pages — as it is;
+// and raw fixed-stride v1 runs, the paper's original layout. A store may
+// mix all three, and it opens and queries with no migration step. A
+// maintenance pass (DB.Maintain, committed by the next checkpoint or
+// Close) rewrites every v5 run into v6 at its level, records and CP
+// window unchanged, one file per partition and level with the tables as
+// its sections, as a merge writes them; a merge writes v6 whatever its
+// inputs' format. A binary of commit 45342b7 or earlier refuses a store
+// holding v6 runs as corrupt, changing nothing; later binaries refuse a
+// run format newer than theirs by name. An older format is refused by
+// name, with the binary that rewrites it (internal/core/testdata/upgrade
+// opens a store under it, checkpoints, maintains and closes it): v4, the
+// same leaves with a header page in every section, and v3, a presence
+// bitmap and a varint per changed column, open once under a binary of
+// commit 8d5575c; v2, which spent a byte on every unchanged column, under
+// one of commit 0ea923b, and then 8d5575c. So does a commit whose runs
+// carry no header, under 8d5575c, and a store whose commit is a legacy
+// MANIFEST, whose refusal names both hops: 0ea923b first if its runs are
+// of format v2, then 8d5575c. "backlogctl stats" prints each run's format
+// and its logical and physical bytes. bash bench/run.sh measures v6's
+// on-disk size (space_bytes_per_ref, btree.bytes_per_record), checkpoint
+// write bytes (storage.write_bytes.checkpoint) and cold query cost
 // (read_bytes_per_query, btree.page_decode_us).
 //
 // # Observability
@@ -423,7 +413,6 @@
 //	CompactionPolicy     — PolicyFull: whole-partition worst-first merging
 //	Fanout               — 0: stepped-merge fanout 3, a Level-0 merge every third checkpoint (PolicyLeveled only)
 //	Retention            — RetainAll: no expiry, the paper's behavior
-//	Compression          — CompressionDelta: format-v6 runs, bit-packed by column
 //	Metrics              — false: no metrics registry, no timestamps taken
 //	MetricsSampleEvery   — 0: one hot op in 32 is timed (Metrics only)
 //	Tracer               — nil: no trace events
@@ -581,13 +570,6 @@ type Config struct {
 	// finished CP windows instead of re-merging them, and queries skip
 	// runs below the reclaim horizon.
 	Retention RetentionPolicy
-	// Compression selects the on-disk format of newly written runs
-	// (default CompressionDelta, the format-v6 bit-packed encoding: per
-	// page a width and a base per column, about 3.1 to 3.6 leaf bytes per
-	// record; see the package documentation's Compression section).
-	// Applies to new runs only — v1 and v5 runs are always readable, and
-	// compaction rewrites old runs into the configured format.
-	Compression Compression
 	// Metrics enables the metrics registry: counters, gauges, and latency
 	// histograms over every engine, WAL, and maintenance path, readable
 	// via DB.Metrics and DB.WriteMetrics (see the package documentation's
@@ -636,20 +618,6 @@ const (
 	// window falls entirely below the oldest reachable snapshot are
 	// dropped without being read.
 	RetainLive = core.RetainLive
-)
-
-// Compression selects the on-disk run format; see Config.Compression.
-type Compression = core.Compression
-
-const (
-	// CompressionDelta (the default) writes format-v6 runs: each leaf
-	// bit-packs its records, the block as a delta from the previous
-	// record's and every other column as its offset from the page
-	// minimum, at the width the column spans on the page.
-	CompressionDelta = core.CompressionDelta
-	// CompressionNone writes raw fixed-stride format-v1 runs — the
-	// paper's original layout.
-	CompressionNone = core.CompressionNone
 )
 
 // CompactionPolicy selects what DB.Maintain merges; see
@@ -702,7 +670,7 @@ func (p CompactionPolicy) corePolicy() core.CompactionPolicy {
 	return nil
 }
 
-// Table names accepted by EstimateCompression and reported by Runs.
+// Table names reported by Runs.
 const (
 	TableFrom     = core.TableFrom
 	TableTo       = core.TableTo
@@ -751,11 +719,6 @@ func (cfg Config) Validate() error {
 	case RetainAll, RetainLive:
 	default:
 		return bad("unknown Retention (%d)", cfg.Retention)
-	}
-	switch cfg.Compression {
-	case CompressionDelta, CompressionNone:
-	default:
-		return bad("unknown Compression (%d)", cfg.Compression)
 	}
 	if cfg.SlowOpThreshold < 0 {
 		return bad("SlowOpThreshold is negative (%v)", cfg.SlowOpThreshold)
@@ -859,7 +822,6 @@ func openVFS(vfs storage.VFS, cfg Config) (*DB, error) {
 		CompactionPolicy:   cfg.CompactionPolicy.corePolicy(),
 		Fanout:             cfg.Fanout,
 		Retention:          cfg.Retention,
-		Compression:        cfg.Compression,
 		Metrics:            reg,
 		MetricsSampleEvery: cfg.MetricsSampleEvery,
 		Tracer:             cfg.Tracer,
@@ -1029,24 +991,6 @@ type RunInfo = lsm.RunInfo
 // Runs returns metadata for every live run — what backlogctl's stats
 // subcommand prints per partition.
 func (db *DB) Runs() []RunInfo { return db.eng.RunInfos() }
-
-// CompressionEstimate reports the projected effect of the format-v6
-// bit-packed leaf encoding on one table; see EstimateCompression.
-type CompressionEstimate = core.CompressionEstimate
-
-// EstimateCompression streams all runs of the named table (TableFrom,
-// TableTo, or TableCombined) through the format-v6 run writer, over a file
-// that discards what it is given, and reports the pages the rewrite would
-// write: per partition one file with the tables as its sections, as a
-// merge writes it, of which the named table's header (if its section is
-// the file's first), leaves, index and root, Bloom filters excluded. The
-// structural lock is held shared only long enough to pin a view; the scan
-// itself runs lock-free, so updates and checkpoints never stall behind an
-// estimate. Useful for sizing a migration of a v1 or v5 database before
-// compacting it.
-func (db *DB) EstimateCompression(table string) (CompressionEstimate, error) {
-	return db.eng.EstimateCompression(table)
-}
 
 // CP returns the last durable consistency point.
 func (db *DB) CP() uint64 { return db.eng.CP() }

@@ -6,7 +6,6 @@
 //	backlogctl lines       -dir /path/to/db
 //	backlogctl query       -dir /path/to/db -block 12345 [-n 16]
 //	backlogctl compact     -dir /path/to/db
-//	backlogctl compression -dir /path/to/db [-json]
 //	backlogctl expire      -dir /path/to/db -retention live
 //	backlogctl metrics     -dir /path/to/db [-watch [-interval 2s]]
 //	backlogctl metrics     -addr localhost:6060 [-watch]
@@ -26,7 +25,6 @@ import (
 	"time"
 
 	"github.com/backlogfs/backlog"
-	"github.com/backlogfs/backlog/internal/btree"
 )
 
 func usage() {
@@ -37,9 +35,6 @@ commands:
   lines        print snapshot lines and retained versions
   query        print the owners of a block (or a run of blocks with -n)
   compact      run database maintenance
-  compression  print per-table logical vs physical run bytes and compression
-               ratios (actual, plus the projected v6 ratio while runs in an
-               older format — v1 raw, or v5 delta — remain)
   expire       drop runs below the reclaim horizon (use -retention live)
   metrics      print metrics in Prometheus text format; -watch refreshes
                continuously; -addr scrapes a running process's debug listener
@@ -127,6 +122,12 @@ func main() {
 		usage()
 	}
 	cmd := os.Args[1]
+	// An unknown command is refused before the directory is opened.
+	switch cmd {
+	case "stats", "lines", "query", "compact", "expire", "metrics", "iostat":
+	default:
+		usage()
+	}
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	dir := fs.String("dir", "", "database directory (required)")
 	block := fs.Uint64("block", 0, "block number (query)")
@@ -138,7 +139,6 @@ func main() {
 	policy := fs.String("policy", "full", "compaction policy: full|leveled (compact -policy leveled runs a maintenance pass)")
 	fanout := fs.Int("fanout", 0, "stepped-merge fanout for -policy leveled (0 = default)")
 	retention := fs.String("retention", "all", "retention policy: all|live (live enables drop-based expiry)")
-	comp := fs.String("compression", "delta", "run format for newly written runs: delta|none (existing runs always readable)")
 	jsonOut := fs.Bool("json", false, "machine-readable JSON output (stats)")
 	addr := fs.String("addr", "", "scrape a running process's debug listener instead of opening -dir (metrics)")
 	watch := fs.Bool("watch", false, "refresh continuously (metrics)")
@@ -192,22 +192,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "backlogctl:", err)
 		os.Exit(2)
 	}
-	var cmode backlog.Compression
-	switch *comp {
-	case "delta":
-		cmode = backlog.CompressionDelta
-	case "none":
-		cmode = backlog.CompressionNone
-	default:
-		fmt.Fprintf(os.Stderr, "backlogctl: unknown -compression %q (want delta or none)\n", *comp)
-		os.Exit(2)
-	}
 
 	db, err := backlog.Open(backlog.Config{
 		Dir: *dir, WriteShards: *shards, Durability: dmode,
 		Partitions: *partitions, PartitionSpan: *span,
-		CompactionPolicy: pmode, Fanout: *fanout,
-		Retention: rmode, Compression: cmode,
+		CompactionPolicy: pmode, Fanout: *fanout, Retention: rmode,
 		Metrics: cmd == "metrics" || cmd == "stats", DebugAddr: *debugAddr,
 	})
 	if err != nil {
@@ -392,73 +381,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "backlogctl:", err)
 			os.Exit(1)
 		}
-	case "compression":
-		type tableReport struct {
-			Table         string
-			Runs          int
-			OlderRuns     int // runs not in the current delta format: v1 raw, or v5 delta
-			Records       uint64
-			LogicalBytes  int64
-			PhysicalBytes int64
-			// Ratio is logical/physical over the live runs (actual, run
-			// framing and filters included); ProjectedRatio is logical over
-			// the pages a v6 rewrite would write (filters excluded), filled
-			// when older-format runs remain.
-			Ratio          float64
-			ProjectedRatio float64 `json:",omitempty"`
-			ProjectedBytes int64   `json:",omitempty"`
-		}
-		runs := db.Runs()
-		var reports []tableReport
-		for _, table := range []string{backlog.TableFrom, backlog.TableTo, backlog.TableCombined} {
-			rep := tableReport{Table: table}
-			for _, r := range runs {
-				if r.Table != table {
-					continue
-				}
-				rep.Runs++
-				if r.Format != btree.FormatDelta {
-					rep.OlderRuns++
-				}
-				rep.Records += r.Records
-				rep.LogicalBytes += r.LogicalBytes
-				rep.PhysicalBytes += r.SizeBytes
-			}
-			if rep.PhysicalBytes > 0 {
-				rep.Ratio = float64(rep.LogicalBytes) / float64(rep.PhysicalBytes)
-			}
-			if rep.OlderRuns > 0 {
-				est, err := db.EstimateCompression(table)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "backlogctl:", err)
-					os.Exit(1)
-				}
-				rep.ProjectedRatio = est.Ratio
-				rep.ProjectedBytes = est.CompressedBytes
-			}
-			reports = append(reports, rep)
-		}
-		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(reports); err != nil {
-				fmt.Fprintln(os.Stderr, "backlogctl:", err)
-				os.Exit(1)
-			}
-			break
-		}
-		w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(w, "table\truns\trecords\tlogical\tphysical\tratio\tnote")
-		for _, rep := range reports {
-			note := ""
-			if rep.OlderRuns > 0 {
-				note = fmt.Sprintf("%d older-format run(s); projected v6: %.2fx (%d page bytes) — compact to apply",
-					rep.OlderRuns, rep.ProjectedRatio, rep.ProjectedBytes)
-			}
-			fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%.2fx\t%s\n",
-				rep.Table, rep.Runs, rep.Records, rep.LogicalBytes, rep.PhysicalBytes, rep.Ratio, note)
-		}
-		w.Flush()
 	case "compact":
 		before := db.SizeBytes()
 		// -policy leveled runs a policy-planned maintenance pass (only the
@@ -498,7 +420,5 @@ func main() {
 		}
 		fmt.Printf("expired: %d runs (%d records, %d deletion-vector entries) below horizon %s, %d -> %d bytes\n",
 			est.RunsDropped, est.RecordsDropped, est.DVEntriesDropped, horizon, before, db.SizeBytes())
-	default:
-		usage()
 	}
 }

@@ -70,17 +70,25 @@ func TestStatsJSON(t *testing.T) {
 	}
 }
 
-// TestBadInvocationsFail: a command without -dir, and a command that does
-// not exist, exit non-zero.
+// TestBadInvocationsFail: a command without -dir, a command that does not
+// exist (compression, removed, among them) and a flag that does not
+// (-compression, removed) exit non-zero, without creating the directory
+// they name.
 func TestBadInvocationsFail(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
 	for _, args := range [][]string{
 		{"stats"},
-		{"nosuch", "-dir", t.TempDir()},
+		{"nosuch", "-dir", dir},
+		{"compression", "-dir", dir},
+		{"stats", "-dir", dir, "-compression", "none"},
 		{},
 	} {
 		if _, code := run(t, args...); code == 0 {
 			t.Errorf("backlogctl %q exited 0", args)
 		}
+	}
+	if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("a refused invocation created %s (%v)", dir, err)
 	}
 }
 

@@ -347,8 +347,8 @@ func (e *Engine) compactJob(job CompactionJob) (compacted bool, err error) {
 	return true, nil
 }
 
-// copyRecords copies a rewrite's one input, record for record, into the
-// output of its table.
+// copyRecords copies a rewrite's input of each table, record for record,
+// into the output of its table.
 func copyRecords(streams [3]*recStream, outs ...*lsm.RunBuilder) error {
 	for i, s := range streams {
 		for s.ok {

@@ -66,20 +66,18 @@ type Options struct {
 	// filter and a compacted run a larger one; a raw run's at the power of
 	// two the paper's halving rule reaches, between 8 and 16 bits a block.
 	BloomMaxBytes int
-	// Compression selects the on-disk run format. The default,
-	// CompressionDelta, writes format-v6 runs whose leaves bit-pack each
-	// column at the width it spans on the page (the paper's Section 8
-	// observation that back-reference tables are "highly compressible,
-	// especially if we compress them by columns"); CompressionNone writes
-	// raw fixed-stride v1 runs. Runs of every readable format — those two
-	// and the previous delta format, v5 — open and query transparently,
-	// and every new run — checkpoint flush or compaction — is written in
-	// the configured format, so flipping the knob migrates a database
-	// gradually with no explicit step. Under CompressionDelta a
-	// maintenance pass also rewrites every v5 run into v6 at its level,
-	// records and CP window unchanged (the format horizon). A run of an
-	// earlier format (v2, v3, v4) is refused by name at Open, with the
-	// binary that rewrites it.
+	// Compression selects the on-disk run format. It exists for the
+	// paper-figure experiments and the tests, which pin raw fixed-stride
+	// v1 runs (CompressionNone), the paper's layout; the public API writes
+	// the default, CompressionDelta: format-v6 runs whose leaves bit-pack
+	// each column at the width it spans on the page. Runs of every
+	// readable format — those two and the previous delta format, v5 —
+	// open and query under either setting, and every new run is written
+	// in the configured format. Under CompressionDelta a maintenance pass
+	// also rewrites every v5 run into v6 at its level, records and CP
+	// window unchanged (the format horizon). A run of an earlier format
+	// (v2, v3, v4) is refused by name at Open, with the binary that
+	// rewrites it.
 	Compression Compression
 	// Durability selects when reference updates become crash-durable
 	// (default wal.CheckpointOnly, the paper's behavior: buffered updates

@@ -549,16 +549,18 @@ func firstLeaf(t *testing.T, eng *core.Engine, name string) storage.Extent {
 // under PolicyFull with a threshold no partition reaches and under
 // PolicyLeveled with RetainLive: a store whose every run is format 5
 // (testdata/v5runs-store) opens and answers as it did when it was written;
-// one MaintainNow leaves every run in the current format and the answers
-// hold — under PolicyFull, which has no merge to make, by a rewrite of each
-// run at its level, with its CP window and its records less those its
-// deletion vector hides; a second MaintainNow finds nothing to do and
-// installs nothing; and the store reopens migrated.
+// one MaintainNow leaves every run in the current format, some of them
+// later sections of their file, and the answers hold — under PolicyFull,
+// which has no merge to make, by one rewrite per partition and level of
+// at most one run of each table, each a file of its own whose sections
+// keep their runs' CP windows and their records less those the deletion
+// vectors hide; a second MaintainNow finds nothing to do and installs
+// nothing; and the store reopens migrated.
 func TestOutdatedRunsRewriteAtTheirLevel(t *testing.T) {
 	for _, c := range []struct {
 		name     string
 		opts     core.Options
-		rewrites bool // the pass is a rewrite per run, and nothing else
+		rewrites bool // the pass is rewrites alone, one per partition and level
 	}{
 		{"full", core.Options{CompactionPolicy: core.PolicyFullAt{Threshold: 64}}, true},
 		{"leveled-retainlive", core.Options{CompactionPolicy: core.PolicyLeveled{}, Retention: core.RetainLive}, false},
@@ -595,11 +597,46 @@ func outdatedRunsRewrite(t *testing.T, opts core.Options, rewrites bool) {
 	if counts := formatCounts(eng); len(counts) != 1 || counts[btree.FormatDelta] != len(after) {
 		t.Fatalf("after MaintainNow: %v, want its runs in the current format", counts)
 	}
+	later := 0 // runs that follow another section in their file
+	for _, table := range []string{core.TableFrom, core.TableTo, core.TableCombined} {
+		for p := range eng.DB().Partitions() {
+			for _, r := range eng.DB().Table(table).Runs(p) {
+				if r.Header().FirstPage != 0 {
+					later++
+				}
+			}
+		}
+	}
+	if later == 0 {
+		t.Fatal("every migrated run is its file's first section")
+	}
 	installed := eng.MaintenanceStats().AutoCompactions
 	if rewrites {
-		if installed != uint64(len(before)) || len(after) != len(before) {
-			t.Fatalf("MaintainNow installed %d jobs leaving %d runs, want a rewrite per run (%d)", installed, len(after), len(before))
+		// A group is a partition and level; it rewrites as many times as
+		// its busiest table has runs there, one run of each table a time.
+		perTable := map[string]int{}
+		groups := map[string]int{}
+		for _, ri := range before {
+			group := fmt.Sprintf("p%d L%d", ri.Partition, ri.Level)
+			perTable[group+" "+ri.Table]++
+			groups[group] = max(groups[group], perTable[group+" "+ri.Table])
 		}
+		jobs := 0
+		for _, n := range groups {
+			jobs += n
+		}
+		files := map[string]bool{}
+		for _, ri := range after {
+			if !strings.HasPrefix(ri.Name, "merge.") {
+				t.Fatalf("%s run left in %s", ri.Table, ri.Name)
+			}
+			files[ri.Name] = true
+		}
+		if installed != uint64(jobs) || len(files) != jobs || len(after) != len(before) {
+			t.Fatalf("MaintainNow installed %d jobs writing %d files for %d runs (were %d), want a rewrite and a file per group (%d)",
+				installed, len(files), len(after), len(before), jobs)
+		}
+		t.Logf("MaintainNow rewrote %d runs into %d files", len(after), len(files))
 		window := func(ri lsm.RunInfo) string {
 			return fmt.Sprintf("%s p%d L%d, CP %d..%d known=%v, %d overrides",
 				ri.Table, ri.Partition, ri.Level, ri.MinCP, ri.MaxCP, ri.CPWindowKnown, ri.Overrides)
@@ -727,60 +764,6 @@ func refusedStore(t *testing.T, name string, partitions int, what, upgrade strin
 	}
 	if len(files) != len(entries) {
 		t.Fatalf("%s: the refused Open left %d files, the store holds %d", name, len(files), len(entries))
-	}
-}
-
-// TestCompressionProjectsTheRewrite: a table's projection
-// (EstimateCompression) is the page bytes a maintenance pass writes for the
-// table's records: one file per partition, the tables its sections, the
-// header the first section's alone. On a copy of testdata/v5runs-store,
-// every run of which is format 5, MaintainNow merges the partition whole —
-// nine runs, over FullThreshold — which joins From and To records into
-// Combined, so what it writes is held against the projection of the
-// records it wrote: each table's projection is its new runs' records and
-// bytes less their filters, the Combined section's without a header.
-func TestCompressionProjectsTheRewrite(t *testing.T) {
-	fs, _ := earlierStore(t, "v5runs-store")
-	eng, err := core.Open(core.Options{VFS: fs, Catalog: core.NewMemCatalog(), Durability: wal.Buffered})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	tables := []string{core.TableFrom, core.TableTo, core.TableCombined}
-	for _, table := range tables {
-		if est, err := eng.EstimateCompression(table); err != nil || est.Records == 0 || est.Ratio <= 1 {
-			t.Fatalf("%s: projection %+v (%v) of format-5 runs, want their records in a smaller rewrite", table, est, err)
-		}
-	}
-	if err := eng.MaintainNow(); err != nil {
-		t.Fatal(err)
-	}
-	db := eng.DB()
-	later := 0 // sections that follow another in their file
-	for _, table := range tables {
-		var records uint64
-		var pages int64
-		for p := range db.Partitions() {
-			for _, r := range db.Table(table).Runs(p) {
-				h := r.Header()
-				if h.Format != btree.FormatDelta {
-					t.Fatalf("%s run in %s is format %d after MaintainNow", table, r.Name(), h.Format)
-				}
-				later += int(h.FirstPage)
-				records += r.Records()
-				pages += r.SizeBytes() - int64(h.FilterLen)
-			}
-		}
-		est, err := eng.EstimateCompression(table)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if est.Records != records || est.CompressedBytes != pages {
-			t.Fatalf("%s: projected %d records in %d page bytes, MaintainNow wrote %d in %d", table, est.Records, est.CompressedBytes, records, pages)
-		}
-	}
-	if later == 0 {
-		t.Fatal("every new run is its file's first section: the projection of a later one is untested")
 	}
 }
 

@@ -40,11 +40,12 @@ type CompactionJob struct {
 	// the highest input level for a stepped merge, whose inputs are every
 	// run of one level or of several adjacent ones (see
 	// planPartitionLevels), and the highest input level — 1 at least — for
-	// a whole merge; a rewrite's is its input's.
+	// a whole merge; a rewrite's is its inputs' own.
 	OutputLevel int
-	// Rewrite marks a job that rewrites its one input run in the format
-	// the engine writes, record for record, so the run keeps its level,
-	// its records and its CP window (see rewriteJobs).
+	// Rewrite marks a job that rewrites its input runs, at most one of
+	// each table and all of one level, in the format the engine writes,
+	// record for record, so each run keeps its level, its records and its
+	// CP window (see rewriteJobs).
 	Rewrite bool
 	// From, To, and Combined are the input runs per table. The pointers
 	// identify runs in the view the plan was made against; the executor
@@ -156,11 +157,15 @@ func (ctx PlanContext) idle(job CompactionJob, settled bool) bool {
 // every outdated run of partition p that none of them takes, at its level,
 // record for record (Rewrite), so it keeps its CP window, as The Cascade
 // Log has a rewritten run do, and expiry keeps naming the same things.
-// Under tiered retention a Combined run droppable below the horizon is
-// left to expiry. Every planner ends with it, so a maintenance pass leaves
-// no run older than the format the engine writes.
+// A job rewrites at most one run of each table, all of one level, so the
+// runs stay whole and a level's From, To and Combined runs become sections
+// of one file, as a merge's outputs are. Under tiered retention a Combined
+// run droppable below the horizon is left to expiry. Every planner ends
+// with it, so a maintenance pass leaves no run older than the format the
+// engine writes.
 func rewriteJobs(v *lsm.View, ctx PlanContext, p int, jobs []CompactionJob) []CompactionJob {
 	var taken map[*lsm.Run]bool
+	var left [3][]*lsm.Run // per table, the outdated runs no job takes yet
 	for i, table := range tables {
 		for _, r := range v.Runs(table, p) {
 			if !ctx.outdated(r) || (ctx.Tiered && ctx.Horizon > 0 && r.DroppableBelow(ctx.Horizon)) {
@@ -176,15 +181,26 @@ func rewriteJobs(v *lsm.View, ctx PlanContext, p int, jobs []CompactionJob) []Co
 					}
 				}
 			}
-			if taken[r] {
-				continue
+			if !taken[r] {
+				left[i] = append(left[i], r)
 			}
-			var lone [3][]*lsm.Run
-			lone[i] = []*lsm.Run{r}
-			jobs = append(jobs, CompactionJob{Partition: p, OutputLevel: r.Level(), Rewrite: true, From: lone[iFrom], To: lone[iTo], Combined: lone[2]})
 		}
 	}
-	return jobs
+	for {
+		first := slices.IndexFunc(left[:], func(runs []*lsm.Run) bool { return len(runs) > 0 })
+		if first < 0 {
+			return jobs
+		}
+		level := left[first][0].Level()
+		var one [3][]*lsm.Run
+		for i, runs := range left {
+			if k := slices.IndexFunc(runs, func(r *lsm.Run) bool { return r.Level() == level }); k >= 0 {
+				one[i] = []*lsm.Run{runs[k]}
+				left[i] = slices.Delete(runs, k, k+1)
+			}
+		}
+		jobs = append(jobs, CompactionJob{Partition: p, OutputLevel: level, Rewrite: true, From: one[iFrom], To: one[iTo], Combined: one[2]})
+	}
 }
 
 // CompactionPolicy plans maintenance work from a pinned LSM view. Plan
