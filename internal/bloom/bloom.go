@@ -1,5 +1,6 @@
-// Package bloom implements the Bloom filters Backlog attaches to every
-// read-store run (paper Section 5.1).
+// Package bloom implements the filters Backlog attaches to every read-store
+// run: the paper's Bloom filters (Section 5.1), and exact sets of a run's
+// blocks where those are smaller.
 //
 // Query processing consults the filter of each run before opening it, so
 // queries touch only runs that may contain the requested physical block.
@@ -9,12 +10,23 @@
 // filter is sized by its keys, so a compacted From run keeps the 2.4 %
 // target too.
 //
-// A filter has one of two encodings, and Unmarshal reads both:
+// A filter has one of three encodings, and Unmarshal reads them all:
 //
-//   - BLF2, which a delta run carries, may be any length of at least 8
-//     bytes: the run builder gives it one byte per distinct block, capped.
-//     A probe position is the multiply-shift reduction (Lemire) of the
-//     double hash to the filter's bits.
+//   - BLS1, an exact set, which a delta run carries when it is no larger
+//     than the run's BLF2 would be: a run's keys are the blocks of its
+//     partition's range, a small and often dense universe, so the set of
+//     them can cost fewer bits than a Bloom filter and has no false
+//     positive. It is the smaller of two layouts (NewSet, SetSize): a
+//     bitmap over [first block, last block], probed with one bit test, or
+//     an Elias–Fano list (Elias 1974, Fano 1971; Vigna, "Quasi-succinct
+//     indices", WSDM 2013) of about log2(range/keys) + 2 bits a key, probed
+//     through a select sample of its upper bits that is built when the set
+//     is, in memory only. A set is immutable: NewSet takes its keys, and
+//     Add panics.
+//   - BLF2, which a delta run carries otherwise, may be any length of at
+//     least 8 bytes: the run builder gives it one byte per distinct block,
+//     capped. A probe position is the multiply-shift reduction (Lemire) of
+//     the double hash to the filter's bits.
 //   - BLF1, which a raw run carries, is a power of two of at least 64
 //     bytes, and a probe position is the double hash's low bits. Its size
 //     is the paper's rule: a power of two for the records the run expects,
@@ -22,7 +34,7 @@
 //     number of records, we appropriately shrink its Bloom filter"), which
 //     Pow2Bytes computes directly.
 //
-// A probe takes its encoding's loop once, not a branch per position.
+// A Bloom probe takes its encoding's loop once, not a branch per position.
 //
 // Keys are physical block numbers (uint64): queries are always by block, so
 // filters index only the block column of each record.
@@ -56,14 +68,17 @@ const minBytes = 8
 
 const headerLen = 24
 
-// Filter is a classic Bloom filter over uint64 keys. The zero value is not
-// usable; construct with New or NewPow2.
+// Filter is a classic Bloom filter over uint64 keys, or an exact set of
+// them. The zero value is not usable; construct with New, NewPow2 or
+// NewSet.
 type Filter struct {
 	bits   []byte
 	k      int
 	nAdded uint64
 	nbits  uint64
 	pow2   bool // BLF1
+	exact  bool // an exact set: set holds it, and no field above is used
+	set    exactSet
 }
 
 // New returns an empty BLF2 filter of sizeBytes bytes (at least minBytes).
@@ -141,8 +156,11 @@ func (f *Filter) position(g uint64) uint64 {
 	return hi
 }
 
-// Add inserts a key.
+// Add inserts a key. An exact set takes none: NewSet gave it every key.
 func (f *Filter) Add(key uint64) {
+	if f.exact {
+		panic("bloom: an exact set takes no key after it is built")
+	}
 	h1, h2 := hash2(key)
 	for i := 0; i < f.k; i++ {
 		bit := f.position(h1 + uint64(i)*h2)
@@ -152,8 +170,11 @@ func (f *Filter) Add(key uint64) {
 }
 
 // MayContain reports whether the key may have been added. False means
-// definitely absent.
+// definitely absent; for an exact set, so does true.
 func (f *Filter) MayContain(key uint64) bool {
+	if f.exact {
+		return f.set.contains(key)
+	}
 	h1, h2 := hash2(key)
 	if f.pow2 {
 		mask := f.nbits - 1
@@ -176,15 +197,35 @@ func (f *Filter) MayContain(key uint64) bool {
 	return in&1 != 0
 }
 
-// Added returns the number of keys inserted.
-func (f *Filter) Added() uint64 { return f.nAdded }
+// Added returns the number of keys inserted, or an exact set's keys.
+func (f *Filter) Added() uint64 {
+	if f.exact {
+		return f.set.n
+	}
+	return f.nAdded
+}
 
-// SizeBytes returns the filter's bit-array size in bytes.
-func (f *Filter) SizeBytes() int { return len(f.bits) }
+// SizeBytes returns the filter's bit-array size in bytes, or the bytes an
+// exact set's layout takes.
+func (f *Filter) SizeBytes() int {
+	if f.exact {
+		return int(f.set.payloadBytes())
+	}
+	return len(f.bits)
+}
+
+// Range returns an exact set's smallest and largest keys; exact is false
+// for a Bloom filter.
+func (f *Filter) Range() (first, last uint64, exact bool) {
+	return f.set.first, f.set.first + f.set.span, f.exact
+}
 
 // EstimatedFPR returns the expected false-positive probability given the
-// number of keys added so far.
+// number of keys added so far: 0 for an exact set.
 func (f *Filter) EstimatedFPR() float64 {
+	if f.exact {
+		return 0
+	}
 	return estimateFPR(f.k, f.nAdded, f.nbits)
 }
 
@@ -198,7 +239,12 @@ func estimateFPR(k int, n, mBits uint64) float64 {
 // Marshal serializes the filter. Layout, the magic naming the encoding:
 //
 //	magic "BLF1" or "BLF2" | k uint32 | nAdded uint64 | nBytes uint64 | bits
+//
+// or an exact set's header (appendSetHeader) and payload.
 func (f *Filter) Marshal() []byte {
+	if f.exact {
+		return f.set.marshal()
+	}
 	out := make([]byte, headerLen+len(f.bits))
 	copy(out, "BLF2")
 	if f.pow2 {
@@ -211,8 +257,7 @@ func (f *Filter) Marshal() []byte {
 	return out
 }
 
-// Unmarshal reconstructs a filter serialized by Marshal, in either
-// encoding.
+// Unmarshal reconstructs a filter serialized by Marshal, in any encoding.
 func Unmarshal(data []byte) (*Filter, error) {
 	if len(data) < headerLen {
 		return nil, fmt.Errorf("bloom: a filter of %d bytes", len(data))
@@ -222,6 +267,8 @@ func Unmarshal(data []byte) (*Filter, error) {
 	case "BLF1":
 		pow2 = true
 	case "BLF2":
+	case setMagic:
+		return unmarshalSet(data)
 	default:
 		return nil, fmt.Errorf("bloom: bad filter header")
 	}

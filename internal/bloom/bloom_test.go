@@ -3,7 +3,9 @@ package bloom
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -210,6 +212,14 @@ func TestUnmarshalRejectsCorrupt(t *testing.T) {
 			t.Errorf("%s: Unmarshal accepted corrupt input", name)
 		}
 	}
+	// An exact set: a row per check, each refused by the check it aims at.
+	for name, r := range hostileSets() {
+		if f, err := Unmarshal(r.data); err == nil {
+			t.Errorf("%s: Unmarshal accepted it, holding %v", name, f.set.elements())
+		} else if !strings.Contains(err.Error(), r.want) {
+			t.Errorf("%s: %v, want %q", name, err, r.want)
+		}
+	}
 }
 
 func TestNewRoundsToPowerOfTwo(t *testing.T) {
@@ -271,8 +281,11 @@ func TestMembershipProperty(t *testing.T) {
 }
 
 // FuzzUnmarshal: arbitrary bytes decode to a filter or an error, never a
-// panic, and a filter keeps the size its header declares and answers
-// probes.
+// panic, and a filter answers probes. A Bloom filter keeps the size its
+// header declares and holds what it adds. An exact set — seeded in both
+// layouts — gives back its bytes, has no false negative (every key it
+// enumerates it holds, and it enumerates its declared count, from its
+// first to its last) and holds nothing outside [first, last].
 func FuzzUnmarshal(f *testing.F) {
 	for _, mk := range encodings {
 		for _, size := range []int{8, 64, 300, 1024} {
@@ -281,20 +294,47 @@ func FuzzUnmarshal(f *testing.F) {
 			f.Add(fl.Marshal())
 		}
 	}
+	for layout := range setLayouts {
+		for _, n := range []int{1, 3, 300} {
+			f.Add(setOf(layout, goldenKeys(n)).Marshal())
+		}
+		f.Add(setOf(layout, []uint64{1 << 40, 1<<40 + 5, 1<<40 + 6, 1<<40 + 200}).Marshal())
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fl, err := Unmarshal(data)
 		if err != nil {
 			return
 		}
-		if want := binary.LittleEndian.Uint64(data[16:]); uint64(fl.SizeBytes()) != want {
-			t.Fatalf("decoded %d bytes, declared %d", fl.SizeBytes(), want)
-		}
 		for k := uint64(0); k < 64; k++ {
 			fl.MayContain(k * 0x9e3779b97f4a7c15)
 		}
-		fl.Add(1)
-		if !fl.MayContain(1) {
-			t.Fatal("false negative")
+		first, last, exact := fl.Range()
+		if !exact {
+			if want := binary.LittleEndian.Uint64(data[16:]); uint64(fl.SizeBytes()) != want {
+				t.Fatalf("decoded %d bytes, declared %d", fl.SizeBytes(), want)
+			}
+			fl.Add(1)
+			if !fl.MayContain(1) {
+				t.Fatal("false negative")
+			}
+			return
+		}
+		if !bytes.Equal(fl.Marshal(), data) {
+			t.Fatal("the set marshals to other bytes")
+		}
+		keys := fl.set.elements()
+		if uint64(len(keys)) != fl.Added() || keys[0] != first || keys[len(keys)-1] != last {
+			t.Fatalf("%d keys from %d to %d enumerate as %d from %d to %d", fl.Added(), first, last, len(keys), keys[0], keys[len(keys)-1])
+		}
+		for _, k := range keys {
+			if !fl.MayContain(k) {
+				t.Fatalf("false negative for %d", k)
+			}
+		}
+		for _, k := range []uint64{first - 1, last + 1, 0, math.MaxUint64} {
+			if (k < first || k > last) && fl.MayContain(k) {
+				t.Fatalf("a set from %d to %d holds %d", first, last, k)
+			}
 		}
 	})
 }

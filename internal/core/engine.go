@@ -63,8 +63,10 @@ type Options struct {
 	// cap every run's filter is sized by the run's distinct blocks, for the
 	// paper's 2.4 % false-positive target: a delta run's at exactly 8 bits
 	// a block, so a per-CP run of 32 000 blocks carries the paper's 32 KB
-	// filter and a compacted run a larger one; a raw run's at the power of
-	// two the paper's halving rule reaches, between 8 and 16 bits a block.
+	// filter and a compacted run a larger one, unless the exact set of its
+	// blocks is no larger (a bitmap or an Elias–Fano list, with no false
+	// positive); a raw run's at the power of two the paper's halving rule
+	// reaches, between 8 and 16 bits a block.
 	BloomMaxBytes int
 	// Compression selects the on-disk run format. It exists for the
 	// paper-figure experiments and the tests, which pin raw fixed-stride

@@ -41,9 +41,9 @@ var xversionRows = []struct {
 	// empty one, removing its runs as orphans.
 	losesAll bool
 }{
-	// Commit format 5 is newer than every row, and each but the first
-	// checks a commit's envelope version before it believes the commit or
-	// checks a page of the file that carries it: every store this binary
+	// Commit format 5 is newer than every row up to 19dfafc, and each but
+	// the first checks a commit's envelope version before it believes the
+	// commit or checks a page of the file that carries it: every store this binary
 	// wrote, closed or not, is refused by that version, every file
 	// unchanged. Up to 45342b7 a row calls the version unsupported; from
 	// 958afda on it tells a newer version from damage. abc326f predates the
@@ -57,6 +57,11 @@ var xversionRows = []struct {
 	{"958afda", "BLF1 filters in delta runs, log format 5, commit format 4", nil, []string{storage.ErrNewerFormat.Error()}, false},
 	{"687eb0f", "log format 5, commit format 4", nil, []string{storage.ErrNewerFormat.Error()}, false},
 	{"19dfafc", "commit format 4", nil, []string{storage.ErrNewerFormat.Error()}, false},
+	// 8acd0d7 shares every format with this binary but the filter: its
+	// delta runs carry BLF2 only, and it reads no exact set (BLS1). A filter
+	// is advisory, so it must read every store this binary wrote, closed
+	// or not, probing around the filters it cannot decode.
+	{"8acd0d7", "BLF2 filters only, where this binary writes exact sets", nil, nil, false},
 }
 
 // tookOp is an op the store was given and the CP being taken then.
@@ -389,6 +394,7 @@ func TestCrossVersion(t *testing.T) {
 
 	scripts := xvScripts(t, tmp)
 	// This binary's stores, through its public API.
+	sets := 0
 	for _, s := range scripts {
 		dir := filepath.Join(tmp, "head", s.name)
 		ans := dir + ".answers"
@@ -396,7 +402,16 @@ func TestCrossVersion(t *testing.T) {
 		if !s.exit {
 			xvAnswers(t, s, ans, "this binary")
 		}
+		for _, data := range dirFiles(t, dir) {
+			sets += bytes.Count(data, []byte("BLS1"))
+		}
 	}
+	// The rows that read these stores must probe around filters they
+	// cannot decode: the stores hold exact sets.
+	if sets == 0 {
+		t.Fatal("no store this binary wrote holds an exact set (BLS1)")
+	}
+	t.Logf("this binary's %d stores hold %d exact sets", len(scripts), sets)
 
 	for _, row := range xversionRows {
 		t.Run(row.rev, func(t *testing.T) {

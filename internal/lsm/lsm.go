@@ -6,8 +6,10 @@
 // engine flushes its in-memory write stores into one new Level-0 run per
 // (table, partition); compaction later merges all runs of a partition into
 // a single large run (the Stepped-Merge Level-N analog). Every run carries
-// a Bloom filter over its block numbers so queries open only runs that may
-// contain the queried block.
+// a filter over its block numbers so queries open only runs that may
+// contain the queried block: the paper's Bloom filter, or the exact set of
+// the blocks where that is smaller. A filter is advisory: one that does not
+// decode, or does not fit its run, is read once and probed around.
 //
 // A consistency point is one run file per partition: the checkpoint's
 // From, To and Combined runs of a partition are sections of one file
@@ -126,9 +128,12 @@ type TableSpec struct {
 	// BloomMaxBytes caps the Bloom filter size of this table's runs
 	// (bloom.MaxFilterBytes if zero). Below the cap a filter is sized by
 	// the run's distinct blocks, not by its table: a delta run's BLF2 at
-	// one byte a block, a raw run's BLF1 at the power of two the paper's
-	// halving rule reaches (RunBuilder.sizeFilter). A builder holds up to
-	// the cap's count of blocks, 8 bytes each, until it sizes the filter.
+	// one byte a block, or the exact set of its blocks where that is no
+	// larger, and a raw run's BLF1 at the power of two the paper's halving
+	// rule reaches (RunBuilder.sizeFilter). A builder holds up to the cap's
+	// count of blocks, as the uvarints of their gaps, until it sizes the
+	// filter; a delta run with more blocks than that gets a BLF2 of the
+	// cap, never a set.
 	BloomMaxBytes int
 	// Span reports the consistency-point window [lo, hi] a record covers.
 	// Run builders fold it into the run's [MinCP, MaxCP] metadata, which

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/backlogfs/backlog/internal/bloom"
 	"github.com/backlogfs/backlog/internal/btree"
 	"github.com/backlogfs/backlog/internal/storage"
 )
@@ -449,9 +450,11 @@ func TestInstalledRunKeepsBuilderFilter(t *testing.T) {
 // checksum the commit carries wrong are the same damage. So is a filter
 // whose checksum holds in an encoding this binary does not read (a BLF3):
 // a filter is advisory, so a run is never refused for its filter, which is
-// what a binary that reads only BLF1 does with a BLF2.
+// what a binary that reads only BLF1 does with a BLF2. So is an exact set
+// whose checksum holds but whose first block is not the run's: it decodes,
+// but it is a set of other blocks, whose answers would be false negatives.
 func TestDamagedFilterIsReadOnce(t *testing.T) {
-	for _, damage := range []string{"a flipped filter byte", "a wrong carried checksum", "an encoding this binary does not read"} {
+	for _, damage := range []string{"a flipped filter byte", "a wrong carried checksum", "an encoding this binary does not read", "a set of other blocks"} {
 		fs := storage.NewMemFS()
 		opts := Options{
 			Tables:    []TableSpec{{Name: "from", RecordSize: testRecSize}},
@@ -478,7 +481,7 @@ func TestDamagedFilterIsReadOnce(t *testing.T) {
 		switch damage {
 		case "a wrong carried checksum":
 			reseal(t, fs, func(m *manifest) { m.Tables["from"].Partitions[0][0].Header.FilterCRC ^= 1 })
-		case "an encoding this binary does not read":
+		case "an encoding this binary does not read", "a set of other blocks":
 			reseal(t, fs, func(m *manifest) {
 				h := m.Tables["from"].Partitions[0][0].Header
 				f, err := fs.Open(name)
@@ -489,10 +492,19 @@ func TestDamagedFilterIsReadOnce(t *testing.T) {
 				if _, err := f.ReadAt(filter, int64(h.FilterOff)); err != nil {
 					t.Fatal(err)
 				}
-				if string(filter[:4]) != "BLF2" {
-					t.Fatalf("a delta run's filter is %q", filter[:4])
+				// One block in seven over the run's range: its exact set
+				// is smaller than a BLF2.
+				if string(filter[:4]) != "BLS1" {
+					t.Fatalf("a delta run of dense blocks has filter %q", filter[:4])
 				}
-				copy(filter, "BLF3")
+				if damage == "a set of other blocks" {
+					binary.LittleEndian.PutUint64(filter[16:], binary.LittleEndian.Uint64(filter[16:])+1)
+					if _, err := bloom.Unmarshal(filter); err != nil {
+						t.Fatalf("the shifted set does not decode: %v", err)
+					}
+				} else {
+					copy(filter, "BLF3")
+				}
 				if _, err := f.WriteAt(filter, int64(h.FilterOff)); err != nil {
 					t.Fatal(err)
 				}
@@ -807,38 +819,70 @@ func TestMergeScanDoesNotFillCache(t *testing.T) {
 var _ = fmt.Sprintf // keep fmt for debugging helpers
 
 // TestRunsWriteTheFilterGoldens: a raw run carries, byte for byte, the
-// BLF1 filters internal/bloom/testdata pins, and a delta run the BLF2 ones,
-// built over the same keys (bloom's goldenKeys), each block in perKey
-// records.
+// BLF1 filters internal/bloom/testdata pins, built over bloom's goldenKeys,
+// each block in perKey records. A delta run over the same keys, about one
+// block in 17, carries the exact set of its blocks where that is smaller
+// than its BLF2 — the Elias–Fano goldens of 300 and 5 000 keys — and the
+// BLF2 golden where it is not, at one key. A delta run of blocks sparser
+// than one in 64 keeps, byte for byte, the BLF2 of one byte a key.
 func TestRunsWriteTheFilterGoldens(t *testing.T) {
-	for encoding, format := range map[string]btree.Format{"blf1": btree.FormatRaw, "blf2": btree.FormatDelta} {
-		for _, g := range []struct{ keys, perKey int }{{1, 3}, {300, 4}, {5000, 2}} {
-			want, err := os.ReadFile(filepath.Join("..", "bloom", "testdata", fmt.Sprintf("%s-%dkeys.filter", encoding, g.keys)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var recs [][]byte
-			for i := range g.keys {
-				for j := range g.perKey {
-					recs = append(recs, rec16(uint64(i)*17+uint64(i*i)%11, uint64(j)))
-				}
-			}
-			db, err := Open(storage.NewMemFS(), Options{Tables: []TableSpec{{Name: "from", RecordSize: testRecSize}}, RunFormat: format})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := db.NewEdit().SetCP(1).AddRun(buildRun(t, db, "from", 0, 1, storage.SrcCheckpoint, recs...)).Commit(); err != nil {
-				t.Fatal(err)
-			}
-			got, err := db.Table("from").Runs(0)[0].qreader.BloomBytes()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%s, %d keys: the run's filter is %d bytes, the golden %d, or they differ", encoding, g.keys, len(got), len(want))
-			}
-			db.Close()
+	golden := func(name string) []byte {
+		b, err := os.ReadFile(filepath.Join("..", "bloom", "testdata", name))
+		if err != nil {
+			t.Fatal(err)
 		}
+		return b
+	}
+	dense := func(keys int) []uint64 {
+		blocks := make([]uint64, keys)
+		for i := range blocks {
+			blocks[i] = uint64(i)*17 + uint64(i*i)%11
+		}
+		return blocks
+	}
+	sparse := make([]uint64, 400)
+	for i := range sparse {
+		sparse[i] = uint64(i)*70 + uint64(i*i)%13
+	}
+	sparseBLF2 := bloom.New(len(sparse), bloom.DefaultHashes)
+	for _, b := range sparse {
+		sparseBLF2.Add(b)
+	}
+	for _, c := range []struct {
+		format btree.Format
+		blocks []uint64
+		perKey int
+		want   []byte
+	}{
+		{btree.FormatRaw, dense(1), 3, golden("blf1-1keys.filter")},
+		{btree.FormatRaw, dense(300), 4, golden("blf1-300keys.filter")},
+		{btree.FormatRaw, dense(5000), 2, golden("blf1-5000keys.filter")},
+		{btree.FormatDelta, dense(1), 3, golden("blf2-1keys.filter")},
+		{btree.FormatDelta, dense(300), 4, golden("bls1-ef-300keys.filter")},
+		{btree.FormatDelta, dense(5000), 2, golden("bls1-ef-5000keys.filter")},
+		{btree.FormatDelta, sparse, 2, sparseBLF2.Marshal()},
+	} {
+		var recs [][]byte
+		for _, b := range c.blocks {
+			for j := range c.perKey {
+				recs = append(recs, rec16(b, uint64(j)))
+			}
+		}
+		db, err := Open(storage.NewMemFS(), Options{Tables: []TableSpec{{Name: "from", RecordSize: testRecSize}}, RunFormat: c.format})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.NewEdit().SetCP(1).AddRun(buildRun(t, db, "from", 0, 1, storage.SrcCheckpoint, recs...)).Commit(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := db.Table("from").Runs(0)[0].qreader.BloomBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, c.want) {
+			t.Fatalf("format %d, %d blocks: the run's filter is %d bytes %q, the golden %d %q, or they differ", c.format, len(c.blocks), len(got), got[:4], len(c.want), c.want[:4])
+		}
+		db.Close()
 	}
 }
 

@@ -306,7 +306,7 @@ func (r *Run) bloomFilter() *bloom.Filter {
 		return f
 	}
 	if data, err := r.qreader.BloomBytes(); err == nil && data != nil {
-		if f, err := bloom.Unmarshal(data); err == nil {
+		if f, err := bloom.Unmarshal(data); err == nil && r.fits(f) {
 			r.filter.Store(f)
 			return f
 		}
@@ -315,6 +315,15 @@ func (r *Run) bloomFilter() *bloom.Filter {
 	// every query into a filter load, and answers are exact without it.
 	r.noBF.Store(true)
 	return nil
+}
+
+// fits reports whether a decoded filter can be the run's: an exact set
+// must run from the run's first block to its last and hold no more blocks
+// than the run has records. One that does not is a set of some other keys,
+// whose answers would be false negatives here.
+func (r *Run) fits(f *bloom.Filter) bool {
+	first, last, exact := f.Range()
+	return !exact || first == r.minBlock && last == r.maxBlock && f.Added() <= r.records
 }
 
 // SeekGE returns an iterator over the run positioned at the first record
@@ -453,25 +462,46 @@ func (b *RunBuilder) filterCap() int {
 }
 
 // sizeFilter makes the run's filter for the keys held, within the table's
-// cap, and adds them. A delta run's is a BLF2 of one byte a key, the
-// paper's 8 bits. A raw run's is the paper's BLF1: a power of two for the
-// records the run expected, shrunk while its keys keep 2.4 % ("If an RS
-// contains a smaller number of records, we appropriately shrink its Bloom
-// filter", Section 5.1).
+// cap, and adds them. A raw run's is the paper's BLF1: a power of two for
+// the records the run expected, shrunk while its keys keep 2.4 % ("If an
+// RS contains a smaller number of records, we appropriately shrink its
+// Bloom filter", Section 5.1). A delta run sealed with every key held gets
+// the exact set of its blocks (a bitmap or an Elias–Fano list) when that is
+// no larger than the BLF2 it would get otherwise: one byte a key, the
+// paper's 8 bits, capped. Past the cap, keys still to come go into the
+// BLF2 as they arrive, so no set is made.
 func (b *RunBuilder) sizeFilter() {
-	if n := b.keys; b.set.db.opts.RunFormat == btree.FormatRaw {
+	n := b.keys
+	switch {
+	case b.set.db.opts.RunFormat == btree.FormatRaw:
 		b.filter = bloom.NewPow2(bloom.Pow2Bytes(n, b.expect, b.filterCap()), bloom.DefaultHashes)
-	} else {
+	case n <= b.filterCap() && bloom.SetSize(n, b.minBlock, b.lastKey) <= bloom.FilterSize(n):
+		set := bloom.NewSet(n, b.minBlock, b.lastKey)
+		for k := range b.heldKeys {
+			set.Add(k)
+		}
+		b.filter, b.gaps = set.Filter(), nil
+		return
+	default:
 		b.filter = bloom.New(min(n, b.filterCap()), bloom.DefaultHashes)
 	}
+	for k := range b.heldKeys {
+		b.filter.Add(k)
+	}
+	b.gaps = nil
+}
+
+// heldKeys yields the distinct blocks held, ascending, from their gaps.
+func (b *RunBuilder) heldKeys(yield func(uint64) bool) {
 	var k uint64
 	for g := b.gaps; len(g) > 0; {
 		gap, n := binary.Uvarint(g)
 		k += gap
-		b.filter.Add(k)
+		if !yield(k) {
+			return
+		}
 		g = g[n:]
 	}
-	b.gaps = nil
 }
 
 // seal completes the run's pages, filter and header once its last record
