@@ -19,10 +19,12 @@
 //     positive. It is the smaller of two layouts (NewSet, SetSize): a
 //     bitmap over [first block, last block], probed with one bit test, or
 //     an Elias–Fano list (Elias 1974, Fano 1971; Vigna, "Quasi-succinct
-//     indices", WSDM 2013) of about log2(range/keys) + 2 bits a key, probed
-//     through a select sample of its upper bits that is built when the set
-//     is, in memory only. A set is immutable: NewSet takes its keys, and
-//     Add panics.
+//     indices", WSDM 2013) of about log2(range/keys) + 2 bits a key. Its
+//     probe reads an index built when the set is, in memory only: a bit a
+//     bucket of keys sharing their upper bits, which rules most absent
+//     keys out with one bit test, and a select sample of the upper bits,
+//     which finds the other buckets. A set is immutable: NewSet takes its
+//     keys, and Add panics.
 //   - BLF2, which a delta run carries otherwise, may be any length of at
 //     least 8 bytes: the run builder gives it one byte per distinct block,
 //     capped. A probe position is the multiply-shift reduction (Lemire) of

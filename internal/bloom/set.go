@@ -54,8 +54,10 @@ type exactSet struct {
 	// words past their last bit, so that 64 bits from any bit can be read.
 	low, upper []uint64
 	// sample[j] is the position in upper of its zero number
-	// j*sampleEvery (Elias–Fano). It lives only in memory.
-	sample []uint32
+	// j*sampleEvery, and bit h of occupied is set when some key's upper
+	// bits are h (Elias–Fano; buildIndex).
+	sample   []uint32
+	occupied []uint64
 }
 
 // lowWidth is the low-bit width of an Elias–Fano list of n keys over
@@ -116,7 +118,8 @@ type SetBuilder struct {
 
 // NewSet returns the builder of the exact set of the n distinct keys from
 // first to last, in the smaller of its layouts (the bitmap on a tie). It
-// allocates the filter and its words; Filter allocates the select sample.
+// allocates the filter and its words; Filter allocates an Elias–Fano
+// list's index (buildIndex).
 func NewSet(n int, first, last uint64) SetBuilder {
 	layout := byte(layoutEliasFano)
 	if span := last - first; bitmapBytes(span) <= efBytes(uint64(n), span) {
@@ -168,26 +171,35 @@ func (b *SetBuilder) Filter() *Filter {
 		if b.fill > 0 {
 			s.low[b.w] = b.acc
 		}
-		s.buildSample()
+		s.buildIndex()
 	}
 	return b.f
 }
 
-// buildSample records where every sampleEvery-th zero of the upper bits
-// lies. The upper bits hold span>>l zeros before their last one.
-func (s *exactSet) buildSample() {
+// buildIndex makes what an Elias–Fano probe reads besides the list: the
+// select sample, where every sampleEvery-th zero of the upper bits lies
+// (they hold span>>l zeros before their last one), and the occupied
+// buckets, one bit a bucket. It lives only in memory.
+func (s *exactSet) buildIndex() {
 	s.sample = make([]uint32, (s.span>>s.l+sampleEvery-1)/sampleEvery)
-	j, seen := 0, uint64(0) // entries made, zeros before the word
+	s.occupied = make([]uint64, s.span>>s.l/64+1)
+	j, ones, zeros := 0, uint64(0), uint64(0) // entries made, bits before the word
 	for wi, w := range s.upper {
-		if j == len(s.sample) {
-			return
+		at := uint64(wi) * 64
+		for o := w; o != 0; o &= o - 1 {
+			h := at + uint64(bits.TrailingZeros64(o)) - ones // key number ones's upper bits
+			s.occupied[h>>6] |= 1 << (h & 63)
+			ones++
 		}
 		z := ^w
 		c := uint64(bits.OnesCount64(z))
-		for ; j < len(s.sample) && uint64(j)*sampleEvery < seen+c; j++ {
-			s.sample[j] = uint32(uint64(wi)*64 + selectInWord(z, uint64(j)*sampleEvery-seen))
+		for ; j < len(s.sample) && uint64(j)*sampleEvery < zeros+c; j++ {
+			s.sample[j] = uint32(at + selectInWord(z, uint64(j)*sampleEvery-zeros))
 		}
-		seen += c
+		zeros += c
+		if ones == s.n && j == len(s.sample) {
+			return
+		}
 	}
 }
 
@@ -248,9 +260,9 @@ func (s *exactSet) lowAt(i uint64) uint64 {
 }
 
 // contains reports whether key is in the set: a bit test for a bitmap; for
-// an Elias–Fano list, the keys whose upper bits are key's lie between two
-// zeros of the upper bits, which the select sample finds, and the low bits
-// of those few are compared.
+// an Elias–Fano list, a bit test of key's bucket, and when some key shares
+// its upper bits, those keys lie between two zeros of the upper bits, which
+// the select sample finds, and the low bits of those few are compared.
 func (s *exactSet) contains(key uint64) bool {
 	v := key - s.first
 	if key < s.first || v > s.span {
@@ -260,6 +272,9 @@ func (s *exactSet) contains(key uint64) bool {
 		return s.upper[v>>6]>>(v&63)&1 != 0
 	}
 	h := v >> s.l
+	if s.occupied[h>>6]>>(h&63)&1 == 0 {
+		return false // most absent keys, with no select
+	}
 	var p uint64 // the bucket of keys whose upper bits are h starts at p
 	if h > 0 {
 		p = s.select0(h-1) + 1
@@ -374,7 +389,7 @@ func unmarshalSet(data []byte) (*Filter, error) {
 	}
 	s.l, s.lowMask = l, 1<<l-1
 	s.low, s.upper = words(payload[:lowBytes], 2), words(payload[lowBytes:], 2)
-	s.buildSample()
+	s.buildIndex()
 	return f, nil
 }
 

@@ -254,44 +254,50 @@ func TestProbesAllocateNothing(t *testing.T) {
 
 // BenchmarkProbe times a probe of each encoding over the keys of a
 // checkpoint's From run on the query workload (about 15 450 blocks over a
-// range of 262 100) and of a merged one (90 817 over 262 141), half of the
-// probes for keys the run holds. At these densities NewSet picks the
-// Elias–Fano list and the bitmap.
+// range of 262 100), of its To run (9 800) and of a merged From run
+// (90 817 over 262 141), for blocks the run lacks — most of a query's
+// probes — and for blocks it holds. At these densities NewSet picks the
+// Elias–Fano list for the first two and the bitmap for the third.
 func BenchmarkProbe(b *testing.B) {
 	for _, c := range []struct {
 		name   string
 		n, gap int
-	}{{"checkpoint", 15450, 17}, {"merged", 90817, 3}} {
+	}{{"checkpoint-from", 15450, 17}, {"checkpoint-to", 9800, 27}, {"merged", 90817, 3}} {
 		rng := rand.New(rand.NewSource(1))
 		keys := randomKeys(rng, c.n, 1000, uint64(c.gap)/2+1)
-		for len(keys) > c.n {
-			keys = keys[:c.n]
+		present := map[uint64]bool{}
+		for _, k := range keys {
+			present[k] = true
 		}
-		probes := make([]uint64, 4096)
-		for i := range probes {
-			if i%2 == 0 {
-				probes[i] = keys[rng.Intn(len(keys))]
-			} else {
-				probes[i] = keys[0] + rng.Uint64()%(keys[len(keys)-1]-keys[0])
+		probes := map[string][]uint64{}
+		for len(probes["absent"]) < 4096 {
+			if k := keys[0] + rng.Uint64()%(keys[len(keys)-1]-keys[0]); !present[k] {
+				probes["absent"] = append(probes["absent"], k)
 			}
+		}
+		for range 4096 {
+			probes["present"] = append(probes["present"], keys[rng.Intn(len(keys))])
 		}
 		blf2 := New(len(keys), DefaultHashes)
 		for _, k := range keys {
 			blf2.Add(k)
 		}
 		set := built(NewSet(len(keys), keys[0], keys[len(keys)-1]), keys)
-		for name, f := range map[string]*Filter{"BLF2": blf2, setLayouts[set.set.layout]: set} {
-			b.Run(c.name+"/"+name, func(b *testing.B) {
-				hits := 0
-				for i := range b.N {
-					if f.MayContain(probes[i&4095]) {
-						hits++
+		for _, kind := range []string{"absent", "present"} {
+			for _, name := range []string{"BLF2", setLayouts[set.set.layout]} {
+				f := map[string]*Filter{"BLF2": blf2, setLayouts[set.set.layout]: set}[name]
+				b.Run(c.name+"/"+kind+"/"+name, func(b *testing.B) {
+					hits, p := 0, probes[kind]
+					for i := range b.N {
+						if f.MayContain(p[i&4095]) {
+							hits++
+						}
 					}
-				}
-				if hits == 0 && b.N > 4096 {
-					b.Fatal("no probe passed")
-				}
-			})
+					if kind == "present" && hits != b.N {
+						b.Fatalf("%d of %d held keys passed", hits, b.N)
+					}
+				})
+			}
 		}
 	}
 }

@@ -54,15 +54,16 @@ func openDeltaDB(t *testing.T, fs storage.VFS) *DB {
 
 // TestFilterAllocationBudget holds the filters to their allocation budget.
 // A probe of a loaded run allocates nothing, whatever its filter's
-// encoding. A seal's exact build allocates the set and its select sample
-// only: the filter, one slice of words and, for an Elias–Fano list, the
-// sample — 3 allocations, 2 for a bitmap, measured; the blocks it reads are
-// the gaps the builder already holds.
+// encoding. A seal's exact build allocates the set and its in-memory
+// index only: the filter, one slice of words and, for an Elias–Fano list,
+// the select sample and the occupied buckets — 4 allocations, 2 for a
+// bitmap, measured; the blocks it reads are the gaps the builder already
+// holds.
 func TestFilterAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	budget := map[string]uint64{"bitmap": 2, "Elias–Fano": 3}
+	budget := map[string]uint64{"bitmap": 2, "Elias–Fano": 4}
 	for _, c := range filterRuns {
 		fs := storage.NewMemFS()
 		db := openDeltaDB(t, fs)
@@ -103,7 +104,7 @@ func TestFilterAllocationBudget(t *testing.T) {
 
 // TestFirstProbesLoadTheSetOnce: many goroutines make the first probes of
 // a reopened run at once. The run's exact set — decoded and given its
-// select sample inside Run.bloomFilter's lazy load — is read from the file
+// in-memory index inside Run.bloomFilter's lazy load — is read from the file
 // once, every goroutine probes the one filter, and every answer is exact.
 func TestFirstProbesLoadTheSetOnce(t *testing.T) {
 	for _, c := range filterRuns[:2] {
