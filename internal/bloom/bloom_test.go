@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -212,12 +213,20 @@ func TestUnmarshalRejectsCorrupt(t *testing.T) {
 			t.Errorf("%s: Unmarshal accepted corrupt input", name)
 		}
 	}
-	// An exact set: a row per check, each refused by the check it aims at.
+	// An exact set: a row per check, each refused by the check it aims at
+	// before anything but its error is allocated, whatever counts its
+	// header declares.
 	for name, r := range hostileSets() {
-		if f, err := Unmarshal(r.data); err == nil {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f, err := Unmarshal(r.data)
+		runtime.ReadMemStats(&after)
+		if err == nil {
 			t.Errorf("%s: Unmarshal accepted it, holding %v", name, f.set.elements())
 		} else if !strings.Contains(err.Error(), r.want) {
 			t.Errorf("%s: %v, want %q", name, err, r.want)
+		} else if n := after.TotalAlloc - before.TotalAlloc; n > 2048 {
+			t.Errorf("%s: refusing it allocated %d bytes", name, n)
 		}
 	}
 }

@@ -372,25 +372,23 @@ func unmarshalSet(data []byte) (*Filter, error) {
 	case layout == layoutEliasFano && (n > 8*size || size != efBytes(n, span)):
 		return nil, fmt.Errorf("bloom: an Elias–Fano list of %d bytes for %d keys over %d+1 blocks", size, n, span)
 	}
-	l := lowWidth(n, span)
-	lowBytes := (n*uint64(l) + 7) / 8
+	set := exactSet{layout: layout, n: n, first: first, span: span}
 	if layout == layoutBitmap {
 		if err := checkBitmap(payload, n, span); err != nil {
 			return nil, err
 		}
-	} else if err := checkEliasFano(payload[:lowBytes], payload[lowBytes:], n, span, l); err != nil {
-		return nil, err
+		set.upper = words(payload, 1)
+	} else {
+		set.l = lowWidth(n, span)
+		set.lowMask = 1<<set.l - 1
+		low, upper := payload[:set.lowBytes()], payload[set.lowBytes():]
+		if err := checkEliasFano(low, upper, n, span, set.l); err != nil {
+			return nil, err
+		}
+		set.low, set.upper = words(low, 2), words(upper, 2)
+		set.buildIndex()
 	}
-	f := &Filter{exact: true, set: exactSet{layout: layout, n: n, first: first, span: span}}
-	s := &f.set
-	if layout == layoutBitmap {
-		s.upper = words(payload, 1)
-		return f, nil
-	}
-	s.l, s.lowMask = l, 1<<l-1
-	s.low, s.upper = words(payload[:lowBytes], 2), words(payload[lowBytes:], 2)
-	s.buildIndex()
-	return f, nil
+	return &Filter{exact: true, set: set}, nil
 }
 
 // checkBitmap holds a bitmap over span+1 blocks to its key count: n bits

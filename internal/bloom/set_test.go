@@ -222,6 +222,8 @@ func hostileSets() map[string]struct {
 		"bitmap last bit clear":           {flipped(bitmap, 0, 11, 10), "first or last block is clear"},
 		"bitmap bit past its last block":  {flipped(bitmap, 0, 15, 9), "bits past its last block"},
 		"EF sized for another count":      {reheaded(ef, layoutEliasFano, 10, 100, 200), "an Elias–Fano list of 9 bytes for 10 keys"},
+		"EF declaring 2^40 keys":          {reheaded(ef, layoutEliasFano, 1<<40, 100, 1<<50), "an Elias–Fano list of 9 bytes for 1099511627776 keys"},
+		"bitmap declaring 2^50 blocks":    {reheaded(bitmap, layoutBitmap, 8, 10, 1<<50), "a bitmap of 2 bytes over 1125899906842624+1"},
 		"EF upper bits with n-1 ones":     {flipped(ef, lowBytes, 22), "11 keys with 10 ones"},
 		"EF upper bits with n+1 ones":     {flipped(ef, lowBytes, 23), "more ones"},
 		"EF keys not ascending":           {setOf(layoutEliasFano, []uint64{100, 109, 105, 151, 170, 190, 220, 230, 260, 290, 300}).Marshal(), "do not ascend"},
